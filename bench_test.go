@@ -184,8 +184,8 @@ func BenchmarkRuntimeStep(b *testing.B) {
 // (the algorithm ledger, which grows with S because every shard pays its
 // own protocol rounds) and root↔shard coordination frames and bytes per
 // step (the overhead ledger). This is the experiment seeding the
-// overhead-vs-S trajectory (EXPERIMENTS.md E18); CI runs it at
-// -benchtime=1x and archives the output as BENCH_shard.json.
+// overhead-vs-S trajectory (EXPERIMENTS.md E18); CI only smoke-runs it
+// once (-benchtime=1x) — compared numbers come from ./benchmark.
 func BenchmarkShardOverhead(b *testing.B) {
 	const steps = 200
 	for _, n := range []int{256, 1024} {
@@ -265,8 +265,8 @@ func tcpNetEngine(b *testing.B, cfg netrun.Config, peers int) *netrun.Engine {
 // count, with the pipelined-vs-lockstep gap widening as peers grow. Both
 // modes are bit-identical in reports and ledgers (msgs/step is reported
 // to prove the runs comparable); only wall clock differs. This seeds the
-// wall-clock trajectory of EXPERIMENTS.md E20; CI runs it at
-// -benchtime=1x and archives the output as BENCH_net.json.
+// wall-clock trajectory of EXPERIMENTS.md E20; CI only smoke-runs it once
+// (-benchtime=1x) — compared numbers come from ./benchmark.
 func BenchmarkNetStepLatency(b *testing.B) {
 	const n, k = 256, 8
 	modes := []struct {
@@ -320,7 +320,7 @@ func BenchmarkNetStepLatency(b *testing.B) {
 // baseline pays every coordination round trip sequentially. Reported
 // msgs/step grows with S (each shard pays its own rounds) — that
 // trade-off is E18's; this benchmark tracks the wall-clock side for
-// EXPERIMENTS.md E20 and ships in CI's BENCH_net.json.
+// EXPERIMENTS.md E20.
 func BenchmarkShardParallel(b *testing.B) {
 	const n, k = 1024, 8
 	modes := []struct {
@@ -369,8 +369,7 @@ func BenchmarkShardParallel(b *testing.B) {
 // step latency including every tree level's round trip. At equal total ε
 // the tree's root sees strictly less traffic than the flat root — depth
 // buys fan-in at the price of per-step latency. This seeds EXPERIMENTS.md
-// E22; CI runs it at -benchtime=1x and archives the output as
-// BENCH_tree.json.
+// E22; CI only smoke-runs it once (-benchtime=1x).
 func BenchmarkTreeFanIn(b *testing.B) {
 	const n, k, steps = 512, 8, 150
 	const eps = 0.05
@@ -430,8 +429,8 @@ func BenchmarkTreeFanIn(b *testing.B) {
 // clock: model messages and charged bytes per step, and the violation
 // steps the (1±ε) bands absorbed. ε=0 is the exact baseline on the same
 // trace. This is the benchmark-grade mirror of EXPERIMENTS.md E19
-// (`cmd/experiments -only E19`); CI runs it at -benchtime=1x and archives
-// the output as BENCH_approx.json.
+// (`cmd/experiments -only E19`); CI only smoke-runs it once
+// (-benchtime=1x).
 func BenchmarkApproxComm(b *testing.B) {
 	const steps = 400
 	const n, k = 1024, 8
@@ -463,8 +462,8 @@ func BenchmarkApproxComm(b *testing.B) {
 // recovering step), and the transport frames the reassignment handshake,
 // value replay and forced reset moved. The dead peer's range is merged
 // into a survivor (no Redial), so the figure tracks how reassignment
-// scales with the number of surviving peers. CI runs it at -benchtime=1x
-// and archives the output as BENCH_recover.json.
+// scales with the number of surviving peers. CI only smoke-runs it once
+// (-benchtime=1x).
 func BenchmarkRecovery(b *testing.B) {
 	const n, k = 256, 8
 	for _, peers := range []int{2, 4, 8, 16} {
@@ -573,8 +572,9 @@ func newTCPTopkTransport(b *testing.B, peers int) topk.Transport {
 // ends with a Drain so the measurement includes completing the backlog,
 // not just staging it. On a single core the async gain is bounded —
 // producer and worker share the CPU, so the win comes from coalescing,
-// not overlap; see EXPERIMENTS.md E21 for the caveats. CI runs this at
-// -benchtime=1x and archives the output as BENCH_async.json.
+// not overlap; see EXPERIMENTS.md E21 for the caveats. CI only smoke-runs
+// it once (-benchtime=1x); benchmark/'s async-seq-shallow workload is the
+// compared number.
 func BenchmarkAsyncThroughput(b *testing.B) {
 	const n, k, changed = 256, 8, 8
 	engines := []struct {

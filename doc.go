@@ -58,7 +58,9 @@
 // the sans-I/O state machine of internal/coord: engines feed it events
 // and execute its effects over their own substrate (direct calls in
 // internal/core, batched shard channels in internal/runtime, wire frames
-// in internal/netrun, delegated shard executions in internal/shardrun).
+// in internal/netrun, delegated shard executions in internal/shardrun —
+// the last two being one engine, internal/fanout, instantiated with two
+// strategies for carrying a protocol execution to its peers).
 // The fourth engine shards the coordinator itself — topk.Config.Shards
 // or topkmon -shards splits the node space across S sub-coordinators
 // under a root merge layer, report-exact at any S and bit-identical to

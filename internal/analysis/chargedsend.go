@@ -8,26 +8,27 @@ import (
 // ChargedSend guards Theorem 4.2's bit accounting: the paper's
 // communication bounds are claims about *counted* messages, so every
 // transport frame an engine emits must be visible to a comm ledger —
-// either charged directly next to the send (the shardrun overhead
-// pattern, counter.RecordSized beside link.Send) or emitted from a
-// charged context: a function that drives the coord package, whose
-// Machine/Nodes own the model ledger and have already charged the message
-// the frame carries (the netrun pattern).
+// either charged directly next to the send (the fan-out core's link
+// ledger, counter.RecordSized beside link.Send in Engine.ship, and the
+// interior relays' per-level counters) or emitted from a charged context:
+// a function that drives the coord package, whose Machine/Nodes own the
+// model ledger and have already charged the message the frame carries.
 //
-// Concretely: inside internal/netrun and internal/shardrun, a call to a
-// transport-package Send must live in a function that — directly or
-// through same-package helpers it calls — records to a comm ledger
-// (Record/RecordSized) or calls into the coord package. The serve loops
-// qualify through their respond helpers, which drive the node banks; a
-// function that reaches neither is emitting bytes no ledger can see.
+// Concretely: inside internal/fanout, internal/netrun and
+// internal/shardrun, a call to a transport-package Send must live in a
+// function that — directly or through same-package helpers it calls —
+// records to a comm ledger (Record/RecordSized) or calls into the coord
+// package. The serve loops qualify through their respond helpers, which
+// drive the node banks (the leaf server) or charge the relay counter (the
+// interior); a function that reaches neither is emitting bytes no ledger
+// can see.
 //
 // transport.Flush is deliberately not checked: it releases bytes a
 // checked Send already buffered and never introduces new payload.
 //
 // The audited exceptions, suppressed line-by-line with //lint:topk
-// chargedsend <reason>, fall into three classes: pure transmit wrappers
-// whose callers charge via machine effects (netrun send/sendCmd), control
-// frames outside the model (Shutdown on teardown), and the StatsPoll
+// chargedsend <reason>, fall into two classes: control frames outside
+// the model (Shutdown on teardown), and the interior relays' StatsPoll
 // diagnostics exchange, which is uncharged by design so polling cannot
 // perturb the ledgers it reports.
 var ChargedSend = &Analyzer{
@@ -37,7 +38,7 @@ var ChargedSend = &Analyzer{
 }
 
 func runChargedSend(pass *Pass) error {
-	if !scoped(pass, "netrun", "shardrun") {
+	if !scoped(pass, "fanout", "netrun", "shardrun") {
 		return nil
 	}
 

@@ -8,5 +8,5 @@ import (
 )
 
 func TestChargedSend(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.ChargedSend, "netrun")
+	analysistest.Run(t, "testdata/src", analysis.ChargedSend, "netrun", "fanout")
 }

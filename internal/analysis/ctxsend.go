@@ -10,8 +10,8 @@ import (
 // engine or ingestion goroutine that performs a bare, unguarded channel
 // operation can block forever once its peer dies, turning a clean
 // fail-stop into a leaked goroutine (or a deadlocked Close). Inside
-// internal/netrun, internal/shardrun, internal/ingest and
-// internal/transport, every channel send or receive executed on a
+// internal/fanout, internal/netrun, internal/shardrun, internal/ingest
+// and internal/transport, every channel send or receive executed on a
 // goroutine launched with `go` must be either
 //
 //   - a case of a select with at least two clauses (one of them a
@@ -20,7 +20,7 @@ import (
 //
 // A bare operation that is provably non-blocking — a send on a buffered
 // channel whose capacity an owed-reply discipline can never exceed, like
-// the engines' reader-goroutine result channels — is suppressed with
+// the fan-out core's reader-goroutine result channels — is suppressed with
 // //lint:topk ctxsend <the non-blocking argument>, which keeps the proof
 // obligation attached to the line it protects.
 //
@@ -35,7 +35,7 @@ var CtxSend = &Analyzer{
 }
 
 func runCtxSend(pass *Pass) error {
-	if !scoped(pass, "netrun", "shardrun", "ingest", "transport") {
+	if !scoped(pass, "fanout", "netrun", "shardrun", "ingest", "transport") {
 		return nil
 	}
 	analyzed := make(map[*ast.FuncDecl]bool)

@@ -8,5 +8,5 @@ import (
 )
 
 func TestCtxSend(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.CtxSend, "ingest")
+	analysistest.Run(t, "testdata/src", analysis.CtxSend, "ingest", "reader/fanout")
 }

@@ -188,6 +188,13 @@ func (m *Monitor) Bytes() comm.Bytes { return m.mach.Bytes() }
 // Stats returns execution counters.
 func (m *Monitor) Stats() Stats { return m.mach.Stats() }
 
+// Err returns nil: the sequential engine has no links to lose, so it
+// never degrades (the link-backed engines report abandoned recovery here).
+func (m *Monitor) Err() error { return nil }
+
+// Close is a no-op: the sequential engine holds no goroutines or links.
+func (m *Monitor) Close() {}
+
 // Filters exposes the current filter assignment for invariant checking.
 func (m *Monitor) Filters() *filter.Set { return m.fs }
 

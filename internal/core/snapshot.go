@@ -58,6 +58,14 @@ func (m *Monitor) Snapshot() (mach, nodes []byte, err error) {
 	return machFrame, s.Append(nil), nil
 }
 
+// SnapshotInto fills a checkpoint's engine fingerprint and state frames
+// from Snapshot.
+func (m *Monitor) SnapshotInto(c *wire.Checkpoint) (err error) {
+	c.Engine = wire.EngineSeq
+	c.Machine, c.Nodes, err = m.Snapshot()
+	return err
+}
+
 // Restore rebuilds a monitor from Snapshot frames taken under the same
 // configuration. Every frame field is validated against cfg before any
 // state is installed; a mismatch or malformed frame yields an error,

@@ -1,0 +1,846 @@
+// Package fanout is the coordinator-side engine core shared by every
+// link-backed substrate: it drives Algorithm 1 over one transport.Link per
+// peer, where each peer hosts a contiguous range of the monitored nodes
+// (directly, or as the root of a coordinator subtree) and everything the
+// coordinator learns arrives in wire-encoded frames. internal/netrun and
+// internal/shardrun are its two instantiations; they differ in exactly
+// one thing, how a protocol execution is carried to the peers (Exec).
+//
+// # Relation to the other engines
+//
+// The coordinator's decision logic is the shared sans-I/O state machine of
+// internal/coord; this package contributes only the substrate, executing
+// the machine's effects as wire messages:
+//
+//	coord effect              frames
+//	(observation step)        wire.Observe / wire.ObserveDelta
+//	EffExec                   wire.Round, as the Exec strategy decides
+//	EffResetBegin             wire.ResetBegin
+//	EffWinner                 wire.Winner
+//	EffMidpoint               wire.Midpoint
+//	EffBounds (ε mode)        wire.ApproxBounds
+//	(reply to any command)    wire.Reply, or the strategy's Round answer
+//
+// Every command is answered by exactly one reply, so each link stays in
+// lockstep and replies are processed in ascending peer (hence node id)
+// order — the same deterministic order the in-process engines use, which
+// is what makes the engines' randomness consume identically.
+//
+// # Pipelined fan-out
+//
+// By default the engine pipelines its I/O (Config.Lockstep disables it,
+// restoring the strictly sequential per-peer request/reply cycle):
+//
+//   - Exchanges fan out first and gather afterwards: the engine sends one
+//     frame to every involved peer, then one reader goroutine per link
+//     collects the replies concurrently while the engine processes them
+//     in ascending peer order. Wall-clock per exchange follows the
+//     slowest peer, not the peer count.
+//   - Ack-only commands are deferred and coalesced: ResetBegin, Winner,
+//     Midpoint and ApproxBounds need no data back, so instead of paying a
+//     round trip each they are queued per peer and ride in one
+//     wire.Batch envelope with the next data-bearing frame to that peer
+//     (the next protocol Round), with any remainder drained in one final
+//     batched exchange at the end of the step. Servers answer an n-frame
+//     batch with an n-frame batch of replies, so links remain in
+//     lockstep at the frame level.
+//
+// Lockstep mode runs the same code with the queue drained after every
+// ack-only effect and every request awaited on the spot, one peer at a
+// time — the paper's literal command/ack cycle, and the latency baseline
+// the pipelined mode is measured against.
+//
+// Determinism is unchanged: per link, commands and replies keep their
+// exact order (a batch is processed sub-frame by sub-frame in order);
+// across links the only join points are the gathers, which the engine
+// processes in ascending peer order. Every node therefore sees the same
+// command sequence, and the coordinator feeds the machine the same event
+// sequence, as in lockstep mode — reports, counts, bytes and randomness
+// consumption are bit-identical, which the equivalence tests pin.
+//
+// # Accounting
+//
+// Two ledgers, deliberately separate:
+//
+//   - The algorithm ledger (Counts/Bytes/Ledger) charges model messages
+//     exactly as the in-process engines do: one Up per sampler bid
+//     (wire.SizeBid bytes), one Bcast per protocol round (wire.SizeBest)
+//     and per midpoint broadcast (wire.SizeMidpoint). The paper's Theorem
+//     4.2 bounds this ledger.
+//   - The link ledger (Overhead/OverheadBytes) charges the coordination
+//     frames themselves, beside every send and every gather: each
+//     coordinator→peer command as a Down of its encoded size, each
+//     peer→coordinator reply as an Up. Coalesced commands are charged
+//     sub-frame by sub-frame — the batch envelope itself is transport
+//     framing, visible in TransportStats — so the ledger is identical in
+//     pipelined and lockstep mode. The sharded engine surfaces it as the
+//     price of splitting the coordinator; the networked engine, whose
+//     link traffic is the protocol itself, keeps it internal.
+//
+// # Failure and recovery
+//
+// Peers are fail-stop: a link that dies or misbehaves mid-step makes the
+// engine abandon the step (returning the last-good report) and schedule
+// recovery, which runs at the start of the next observation call. Recovery
+// (1) redials a replacement for each dead peer when Config.Redial is set,
+// or merges the dead range into a surviving neighbor otherwise, (2)
+// re-runs the Assign handshake on every peer — servers rebuild their node
+// banks from scratch — (3) replays the coordinator-side mirror of the
+// current node values, and (4) forces a FILTERRESET, after which reports
+// match the oracle again. Failures and recoveries are surfaced through
+// Health and the Config.OnEvent callback; Err reports only terminal
+// degradation (retry budget exhausted, or no peers left). Late joiners
+// attach mid-stream through Join, which splits the widest range using the
+// same machinery, and Restore rebuilds a crashed coordinator process from
+// a Snapshot through it too.
+//
+// Rebuilt banks draw fresh RNG streams from the configured seed. The
+// protocols are Las Vegas — randomness affects message counts, never
+// reported sets — so post-recovery reports still match the oracle exactly,
+// while ledgers may diverge from an undisturbed run (recovery cost is
+// visible in the counters by design).
+package fanout
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"time"
+
+	"repro/internal/comm"
+	"repro/internal/coord"
+	"repro/internal/order"
+	"repro/internal/protocol"
+	"repro/internal/rng"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// Config mirrors core.Config for the link-backed engines.
+type Config struct {
+	N, K           int
+	Seed           uint64
+	DistinctValues bool
+	// Epsilon selects the ε-approximate mode, exactly as in core.Config.
+	// The tolerance rides to the peers in the Assign handshake (as its
+	// exact fixed-point numerator), so their samplers and band installs
+	// agree with the coordinator bit for bit.
+	Epsilon float64
+	// Lockstep disables the pipelined fan-out: every command is sent,
+	// flushed and answered peer by peer, sequentially. The default (false)
+	// is the pipelined engine; both modes are bit-identical in reports and
+	// in both ledgers and differ only in wall-clock latency and transport
+	// framing.
+	Lockstep bool
+
+	// Redial, when set, is called during failover to obtain a replacement
+	// link for a dead peer; the replacement adopts the dead peer's exact
+	// node range. When nil (or when a redial fails), the range is merged
+	// into a surviving neighbor instead.
+	Redial func() (transport.Link, error)
+	// RetryBudget bounds how many full recovery attempts the engine makes
+	// before declaring itself terminally degraded. Zero selects the
+	// default of 3.
+	RetryBudget int
+	// RetryBackoff is the base delay between recovery attempts; waits are
+	// jittered around it and double per attempt. Zero selects 10ms.
+	RetryBackoff time.Duration
+	// OnEvent, when set, receives failover events (peer death, range
+	// reassignment, recovery, terminal degradation) synchronously from the
+	// engine's own goroutine. The callback must not call back into the
+	// engine.
+	OnEvent func(coord.Event)
+}
+
+// Exec is the one thing a substrate decides, fixed at construction: how
+// the machine's EffExec — one Algorithm 2 execution over all nodes — is
+// carried to the peers.
+type Exec struct {
+	// Run carries out one execution through Engine.Round exchanges and
+	// returns its winner, having charged the execution's model messages
+	// to Engine.Recorder(eff.Phase).
+	Run func(e *Engine, eff coord.Effect) (protocol.Result, error)
+	// Ladder rides in every Assign: the per-level tolerance numerators of
+	// a coordinator tree (nil everywhere else).
+	Ladder []uint64
+}
+
+// recvResult is one reader goroutine's answer to a gather request.
+type recvResult struct {
+	frame []byte
+	err   error
+}
+
+// peer is the coordinator's view of one link.
+type peer struct {
+	link   transport.Link
+	lo, hi int
+	reply  wire.Reply // reusable decode target
+	batch  wire.Batch // reusable decode target for batched replies
+	answer []byte     // lockstep: the answer request already awaited
+
+	// Pipelined gather: the reader goroutine performs one Recv per req
+	// token and delivers the result (the frame aliases the link's receive
+	// buffer, stable until the reader's next Recv — which cannot happen
+	// before the engine requests it).
+	req chan struct{}
+	res chan recvResult
+
+	// Deferred ack-only commands, encoded back to back in pendBuf with
+	// their lengths in pendLens; they ride in a wire.Batch ahead of the
+	// next data-bearing frame to this peer.
+	pendBuf  []byte
+	pendLens []int
+	views    [][]byte // scratch for assembling batch sub-frame views
+
+	// Failover bookkeeping. owed counts outstanding replies on the link
+	// (the strict request/reply discipline keeps it 0 or 1 at any failure
+	// point), so recovery knows whether a survivor's next frame is a stale
+	// reply to drain before the reassignment handshake.
+	owed     int
+	dead     bool
+	failures int64
+}
+
+// pending returns the number of queued ack-only commands.
+func (p *peer) pending() int { return len(p.pendLens) }
+
+// queue defers one encoded command until the next frame to this peer.
+func (p *peer) queue(enc func([]byte) []byte) {
+	old := len(p.pendBuf)
+	p.pendBuf = enc(p.pendBuf)
+	p.pendLens = append(p.pendLens, len(p.pendBuf)-old)
+}
+
+// Engine is the coordinator of a link-backed monitor. It satisfies
+// sim.Algorithm and sim.DeltaAlgorithm. Like the other engines it is not
+// safe for concurrent Observe calls (the model's time steps are globally
+// ordered).
+type Engine struct {
+	cfg      Config
+	exec     Exec
+	mach     *coord.Machine
+	peers    []*peer
+	overhead comm.Counter        // link ledger: every coordination frame
+	retired  transport.LinkStats // traffic of links recovery has closed
+
+	step    int64
+	closed  bool
+	readers bool  // pipelined gather runs reader goroutines
+	err     error // terminal failure (recovery abandoned); sticky
+
+	// Failover state: last mirrors every node's most recent value (what
+	// recovery replays into rebuilt banks), pendingRecovery schedules a
+	// recovery pass for the next observation call, and the counters feed
+	// Health.
+	last            []int64
+	pendingRecovery bool
+	failures        int64
+	recoveries      int64
+	rrng            *rng.RNG // jitters the recovery backoff schedule
+
+	buf       []byte         // reusable encode buffer
+	bbuf      []byte         // reusable batch-envelope encode buffer
+	acks      []int          // per-peer ack count the next collect owes
+	touched   []bool         // peers hit by the current delta
+	treeStats wire.TreeStats // decode scratch for stats polls
+}
+
+// New performs the Assign/Ready handshake over the given links — peer i
+// hosts the i-th contiguous node range (see Split) — and returns the
+// coordinator. It requires 1 <= len(links) <= N so every peer hosts at
+// least one node. Callers must Close the engine to release the peers. On
+// a bad configuration or a handshake error New closes every link before
+// returning: a half-handshaken link is in an indeterminate protocol state
+// and cannot be reused.
+func New(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
+	tol, err := order.NewTol(cfg.Epsilon)
+	switch {
+	case cfg.N <= 0:
+		err = errors.New("need N > 0")
+	case cfg.K < 1 || cfg.K > cfg.N:
+		err = fmt.Errorf("need 1 <= K <= N, got K=%d N=%d", cfg.K, cfg.N)
+	case len(links) == 0 || len(links) > cfg.N:
+		err = fmt.Errorf("need 1 <= peers <= N, got %d peers for N=%d", len(links), cfg.N)
+	}
+	if err != nil {
+		closeAll(links)
+		return nil, fmt.Errorf("fanout: %w", err)
+	}
+	e := &Engine{
+		cfg:     cfg,
+		exec:    exec,
+		mach:    coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
+		last:    make([]int64, cfg.N),
+		rrng:    rng.New(cfg.Seed, 0xbacc),
+		acks:    make([]int, len(links)),
+		touched: make([]bool, len(links)),
+	}
+	// The range layout does not affect reports or ledgers, only which
+	// link carries which frames.
+	for i, link := range links {
+		lo, hi := Split(0, cfg.N, len(links), i)
+		e.peers = append(e.peers, &peer{link: link, lo: lo, hi: hi})
+	}
+	// A failed handshake fails New; it is not a failover event.
+	e.cfg.OnEvent = nil
+	if err := e.assign(); err != nil {
+		closeAll(links)
+		return nil, err
+	}
+	e.cfg.OnEvent = cfg.OnEvent
+	// Reader goroutines only pay off when the runtime can run them in
+	// parallel: with a single processor their channel hops are pure
+	// context-switch overhead, so the engine then drains the (already
+	// fanned-out) replies directly in peer order — the frames are in
+	// flight either way, and the command coalescing is unaffected.
+	e.readers = !cfg.Lockstep && runtime.GOMAXPROCS(0) > 1
+	if e.readers {
+		for _, p := range e.peers {
+			startReader(p)
+		}
+	}
+	return e, nil
+}
+
+// closeAll closes every link of a failed construction.
+func closeAll(links []transport.Link) {
+	for _, l := range links {
+		l.Close()
+	}
+}
+
+// startReader attaches a fresh reader goroutine to one peer. It performs
+// exactly one Recv per request token, so the frame it delivered stays
+// untouched until the engine asks for the next one. The result channel's
+// capacity of one plus the owed <= 1 reply discipline guarantee the
+// goroutine's final send never blocks, so closing the request channel
+// (engine Close, or the peer's replacement during failover) always
+// releases it.
+func startReader(p *peer) {
+	p.req = make(chan struct{}, 1)
+	p.res = make(chan recvResult, 1)
+	go func(link transport.Link, req <-chan struct{}, res chan<- recvResult) {
+		for range req {
+			frame, err := link.Recv()
+			//lint:topk ctxsend non-blocking: res has capacity 1 and the owed<=1 reply discipline guarantees a free slot; close(req) releases the loop
+			res <- recvResult{frame: frame, err: err}
+		}
+	}(p.link, p.req, p.res)
+}
+
+// Loopback builds one in-process server behind a pipe — serve is a leaf
+// Serve instantiation or an interior relay — and returns the coordinator
+// end: the loopback analogue of one remote peer dialing in, usable as a
+// New link, a Config.Redial factory or a Join argument. A server exits
+// cleanly when its link closes; on a server error it closes its link,
+// which the coordinator observes as a dead peer and handles through the
+// regular failover path — a hostile or buggy frame cannot panic the
+// process.
+func Loopback(serve func(transport.Link) error) transport.Link {
+	coordEnd, serveEnd := transport.Pipe()
+	go func() {
+		if err := serve(serveEnd); err != nil {
+			serveEnd.Close()
+		}
+	}()
+	return coordEnd
+}
+
+// Loopbacks builds n Loopback links.
+func Loopbacks(n int, serve func(transport.Link) error) []transport.Link {
+	links := make([]transport.Link, n)
+	for i := range links {
+		links[i] = Loopback(serve)
+	}
+	return links
+}
+
+// Close sends every peer a Shutdown frame, closes the links and stops the
+// reader goroutines. Queued ack-only commands are dropped — the servers
+// are going away with the coordinator. Idempotent.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	for _, p := range e.peers {
+		// Best effort: a peer that already vanished is being shut down
+		// anyway.
+		//lint:topk chargedsend Shutdown is a teardown control frame outside the model; the ledgers are final once Close begins
+		_ = p.link.Send(wire.AppendBare(e.buf[:0], wire.TypeShutdown))
+		_ = transport.Flush(p.link)
+		_ = p.link.Close()
+		if p.req != nil {
+			close(p.req)
+		}
+	}
+}
+
+// Counts returns the total model message counts charged so far.
+func (e *Engine) Counts() comm.Counts { return e.mach.Counts() }
+
+// Ledger exposes the per-phase message and byte breakdown.
+func (e *Engine) Ledger() *comm.Ledger { return e.mach.Ledger() }
+
+// Bytes returns the total charged model bytes.
+func (e *Engine) Bytes() comm.Bytes { return e.mach.Bytes() }
+
+// Stats returns execution counters (maintained by the shared coordinator
+// core, identical across engines for the same seed).
+func (e *Engine) Stats() coord.Stats { return e.mach.Stats() }
+
+// Overhead returns the link ledger's frame counts: Down counts
+// coordinator→peer commands, Up counts peer→coordinator replies.
+// Coalesced commands count individually, so the numbers are
+// mode-independent.
+func (e *Engine) Overhead() comm.Counts { return e.overhead.Snapshot() }
+
+// OverheadBytes returns the encoded byte volume of the link ledger.
+func (e *Engine) OverheadBytes() comm.Bytes { return e.overhead.BytesSnapshot() }
+
+// TransportStats sums the per-link transport statistics over all peers,
+// links retired by recovery included: the frames and framed bytes that
+// actually crossed the links, control plane included.
+func (e *Engine) TransportStats() transport.LinkStats {
+	s := e.retired
+	for _, p := range e.peers {
+		s = s.Add(transport.StatsOf(p.link))
+	}
+	return s
+}
+
+// Peers returns the number of peer links.
+func (e *Engine) Peers() int { return len(e.peers) }
+
+// Top returns the current top-k ids ascending, as a read-only view owned
+// by the engine: it is invalidated by the next step that changes the top
+// set, and mutating it corrupts the engine (see AppendTop).
+func (e *Engine) Top() []int { return e.mach.Top() }
+
+// AppendTop appends the current top-k ids (ascending) to dst and returns
+// the extended slice. The appended values are copies owned by the caller:
+// they stay valid across later steps, and mutating them never affects the
+// engine.
+func (e *Engine) AppendTop(dst []int) []int { return e.mach.AppendTop(dst) }
+
+// Step returns the time step being processed, for an Exec strategy's
+// Round frames.
+func (e *Engine) Step() int64 { return e.step }
+
+// Recorder returns the algorithm ledger's recorder for one phase, for an
+// Exec strategy to charge an execution's model messages to.
+func (e *Engine) Recorder(p comm.Phase) comm.Recorder { return e.mach.Recorder(p) }
+
+// ship sends peer pi one transport frame: its queued ack-only commands
+// followed by frame (nil: the queue alone) — a single sub-frame goes out
+// plain, several in one wire.Batch envelope — charging every sub-frame to
+// the link ledger individually. It records how many ack replies the
+// matching collect owes in e.acks.
+func (e *Engine) ship(pi int, frame []byte, op string) error {
+	p := e.peers[pi]
+	e.acks[pi] = p.pending()
+	out := frame
+	switch {
+	case p.pending() == 0:
+	case p.pending() == 1 && frame == nil:
+		out = p.pendBuf
+	default:
+		p.views = p.views[:0]
+		off := 0
+		for _, l := range p.pendLens {
+			p.views = append(p.views, p.pendBuf[off:off+l])
+			off += l
+		}
+		if frame != nil {
+			p.views = append(p.views, frame)
+		}
+		e.bbuf = wire.Batch{Frames: p.views}.Append(e.bbuf[:0])
+		out = e.bbuf
+	}
+	if err := p.link.Send(out); err != nil {
+		return e.fail(p, op, err)
+	}
+	if err := transport.Flush(p.link); err != nil {
+		return e.fail(p, op, err)
+	}
+	for _, l := range p.pendLens {
+		e.overhead.RecordSized(comm.Down, 1, int64(l))
+	}
+	if frame != nil {
+		e.overhead.RecordSized(comm.Down, 1, int64(len(frame)))
+	}
+	p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
+	e.expect(p)
+	return nil
+}
+
+// expect records that p owes one reply frame and starts its reader (if
+// any) collecting it.
+func (e *Engine) expect(p *peer) {
+	p.owed = 1
+	if p.req != nil {
+		p.req <- struct{}{}
+	}
+}
+
+// await collects the reply frame a peer owes: from its reader goroutine
+// when one is running, directly off the link otherwise (the fan-out
+// already happened, so the frame is en route either way).
+func (e *Engine) await(p *peer, op string) ([]byte, error) {
+	var r recvResult
+	if p.res != nil {
+		r = <-p.res
+	} else {
+		r.frame, r.err = p.link.Recv()
+	}
+	p.owed = 0
+	if r.err != nil {
+		return nil, e.fail(p, op, r.err)
+	}
+	return r.frame, nil
+}
+
+// collect consumes peer pi's reply to the last ship: the acks it owes
+// first (empty Replies, decoded only to validate lockstep framing), then
+// — when the shipped frame was data-bearing — the payload, which is
+// returned for the caller to decode. Every sub-frame is charged to the
+// link ledger. Collects must be consumed in ascending peer order.
+func (e *Engine) collect(pi int, data bool, op string) ([]byte, error) {
+	p := e.peers[pi]
+	frame, err := e.await(p, op)
+	if err != nil {
+		return nil, err
+	}
+	acks, want := e.acks[pi], e.acks[pi]
+	if data {
+		want++
+	}
+	one := [1][]byte{frame}
+	subs := one[:]
+	if want > 1 {
+		if err := p.batch.Decode(frame); err != nil {
+			return nil, e.fail(p, op, err)
+		}
+		if got := len(p.batch.Frames); got != want {
+			return nil, e.fail(p, op, fmt.Errorf("batched reply carries %d frames, want %d", got, want))
+		}
+		subs = p.batch.Frames
+	}
+	for _, sub := range subs {
+		e.overhead.RecordSized(comm.Up, 1, int64(len(sub)))
+	}
+	for _, ack := range subs[:acks] {
+		if err := p.reply.Decode(ack); err != nil {
+			return nil, e.fail(p, op, err)
+		}
+	}
+	if !data {
+		return nil, nil
+	}
+	return subs[acks], nil
+}
+
+// request ships one data-bearing command to peer pi, its queued ack-only
+// commands riding ahead. In lockstep mode the answer is awaited on the
+// spot (strict command/ack, one peer at a time); in pipelined mode the
+// frame only fans out and response collects the answer later.
+func (e *Engine) request(pi int, frame []byte, op string) error {
+	if err := e.ship(pi, frame, op); err != nil || !e.cfg.Lockstep {
+		return err
+	}
+	var err error
+	e.peers[pi].answer, err = e.collect(pi, true, op)
+	return err
+}
+
+// response returns peer pi's answer to the last request.
+func (e *Engine) response(pi int, op string) ([]byte, error) {
+	if e.cfg.Lockstep {
+		return e.peers[pi].answer, nil
+	}
+	return e.collect(pi, true, op)
+}
+
+// Round runs one wire.Round exchange with every peer on behalf of the
+// Exec strategy: the command fans out (the first one after a FILTERRESET
+// carries the commands queued since the last exchange), and each peer's
+// answer frame is handed to each in ascending peer order together with
+// the peer's node range. An error from each marks that peer as
+// misbehaving and abandons the step like any link failure.
+func (e *Engine) Round(m wire.Round, each func(lo, hi int, answer []byte) error) error {
+	e.buf = m.Append(e.buf[:0])
+	for pi := range e.peers {
+		if err := e.request(pi, e.buf, "round"); err != nil {
+			return err
+		}
+	}
+	for pi, p := range e.peers {
+		answer, err := e.response(pi, "round")
+		if err != nil {
+			return err
+		}
+		if err := each(p.lo, p.hi, answer); err != nil {
+			return e.fail(p, "round", err)
+		}
+	}
+	return nil
+}
+
+// owner returns the peer hosting node id.
+func (e *Engine) owner(id int) *peer {
+	for _, p := range e.peers {
+		if id >= p.lo && id < p.hi {
+			return p
+		}
+	}
+	panic(fmt.Sprintf("fanout: no peer owns node %d", id))
+}
+
+// queueAll defers one encoded broadcast command on every peer.
+func (e *Engine) queueAll(enc func([]byte) []byte) {
+	for _, p := range e.peers {
+		p.queue(enc)
+	}
+}
+
+// drainPending flushes every peer's queued ack-only commands as one
+// exchange and gathers the matching acks — fanned out first in pipelined
+// mode, peer by peer in lockstep mode. Called at the end of a pipelined
+// step (and after every ack-only effect of a lockstep one) so that server
+// state, reply framing and both ledgers are step-aligned across modes.
+func (e *Engine) drainPending() error {
+	for pi, p := range e.peers {
+		e.acks[pi] = 0
+		if p.pending() == 0 {
+			continue
+		}
+		if err := e.ship(pi, nil, "drain"); err != nil {
+			return err
+		}
+		if e.cfg.Lockstep {
+			if _, err := e.collect(pi, false, "drain"); err != nil {
+				return err
+			}
+			e.acks[pi] = 0
+		}
+	}
+	for pi := range e.peers {
+		if e.acks[pi] == 0 {
+			continue
+		}
+		if _, err := e.collect(pi, false, "drain"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ready is the common prologue of every call that uses the links: it
+// refuses a closed or terminal engine and runs a pending recovery first.
+func (e *Engine) ready(op string) error {
+	if e.closed {
+		return errors.New("fanout: " + op + " after Close")
+	}
+	if e.err != nil {
+		return e.err
+	}
+	if e.pendingRecovery {
+		return e.recoverNow()
+	}
+	return nil
+}
+
+// checkStep reports whether an observation step may run; observing a
+// closed engine is a caller bug and panics.
+func (e *Engine) checkStep(op string) bool {
+	if e.closed {
+		panic("fanout: " + op + " after Close")
+	}
+	return e.ready(op) == nil
+}
+
+// Observe processes one dense time step and returns the reported top-k
+// ids ascending (a read-only view). It panics after Close; on a dead link
+// it abandons the step (see Health, Err) and returns the last-good report.
+func (e *Engine) Observe(vals []int64) []int {
+	if len(vals) != e.cfg.N {
+		panic(fmt.Sprintf("fanout: observed %d values for %d nodes", len(vals), e.cfg.N))
+	}
+	if !e.checkStep("Observe") {
+		return e.mach.Top()
+	}
+	copy(e.last, vals)
+	e.step = e.mach.BeginStep()
+	for pi, p := range e.peers {
+		e.touched[pi] = true
+		e.buf = wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi]}.Append(e.buf[:0])
+		if e.request(pi, e.buf, "observe") != nil {
+			return e.mach.Top()
+		}
+	}
+	return e.finishStep("observe")
+}
+
+// ObserveDelta processes one sparse time step: vals[j] is node ids[j]'s
+// new value, every other node repeats. ids must be strictly increasing.
+// Only peers owning a touched node exchange observation frames, so a
+// violation-free sparse step costs transport traffic proportional to the
+// touched peers; protocol work still reaches every peer (cohort membership
+// is node-local). Semantics match core.Monitor.ObserveDelta exactly;
+// failure behaves as in Observe.
+func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
+	if len(ids) != len(vals) {
+		panic(fmt.Sprintf("fanout: delta has %d ids but %d values", len(ids), len(vals)))
+	}
+	prev := -1
+	for _, id := range ids {
+		if id <= prev || id >= e.cfg.N {
+			panic(fmt.Sprintf("fanout: delta ids must be strictly increasing in [0, %d), got %d after %d", e.cfg.N, id, prev))
+		}
+		prev = id
+	}
+	if !e.checkStep("ObserveDelta") {
+		return e.mach.Top()
+	}
+	for j, id := range ids {
+		e.last[id] = vals[j]
+	}
+	e.step = e.mach.BeginStep()
+	// Ship each peer its slice of the (sorted) delta.
+	start := 0
+	for pi, p := range e.peers {
+		stop := start
+		for stop < len(ids) && ids[stop] < p.hi {
+			stop++
+		}
+		e.touched[pi] = stop > start
+		if e.touched[pi] {
+			e.buf = wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop]}.Append(e.buf[:0])
+			if e.request(pi, e.buf, "observe-delta") != nil {
+				return e.mach.Top()
+			}
+		}
+		start = stop
+	}
+	return e.finishStep("observe-delta")
+}
+
+// finishStep gathers the touched peers' violation flags and drives the
+// coordinator machine through the rest of the step. On a link failure it
+// abandons the step and returns the last-good report.
+func (e *Engine) finishStep(op string) []int {
+	anyTop, anyOut := false, false
+	for pi, p := range e.peers {
+		if !e.touched[pi] {
+			continue
+		}
+		answer, err := e.response(pi, op)
+		if err != nil {
+			return e.mach.Top()
+		}
+		if err := p.reply.Decode(answer); err != nil {
+			_ = e.fail(p, op, err)
+			return e.mach.Top()
+		}
+		anyTop = anyTop || p.reply.TopViol
+		anyOut = anyOut || p.reply.OutViol
+	}
+	_ = e.runEffects(e.mach.FinishStep(anyTop, anyOut))
+	return e.mach.Top()
+}
+
+// runEffects drives one effect chain — a step's FinishStep chain, or the
+// forced FILTERRESET of a recovery — to EffDone, executing effects as
+// frames. On a link failure it abandons the chain with the failure
+// recorded.
+//
+// The ack-only effects do not synchronize one by one: their commands are
+// queued per peer, the machine is advanced immediately (the acks carry no
+// information), and the queued frames ride with the next data-bearing
+// exchange to each peer — ResetBegin and the k+1 Winner notifications of
+// a FILTERRESET coalesce into the first round of the following protocol
+// execution, saving their round trips outright — while whatever is still
+// queued when the machine reports EffDone (the trailing midpoint/bounds
+// install) drains as one final batched exchange. Per-link command order
+// is preserved exactly, so every node applies the same state transitions
+// in the same places as in lockstep mode, which drains the queue after
+// every effect instead.
+func (e *Engine) runEffects(eff coord.Effect) error {
+	for eff.Kind != coord.EffDone {
+		switch eff.Kind {
+		case coord.EffExec:
+			res, err := e.exec.Run(e, eff)
+			if err != nil {
+				return err
+			}
+			eff = e.mach.ExecDone(res.OK, res.ID, res.Key)
+			continue
+		case coord.EffResetBegin:
+			e.queueAll(func(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeResetBegin) })
+		case coord.EffWinner:
+			e.owner(eff.Target).queue(wire.Winner{Target: eff.Target, IsTop: eff.IsTop}.Append)
+		case coord.EffMidpoint:
+			e.queueAll(wire.Midpoint{Mid: int64(eff.Mid), Full: eff.Full}.Append)
+		case coord.EffBounds:
+			e.queueAll(wire.ApproxBounds{Lo: int64(eff.Lo), Hi: int64(eff.Hi)}.Append)
+		default:
+			panic(fmt.Sprintf("fanout: unknown coordinator effect %d", eff.Kind))
+		}
+		if e.cfg.Lockstep {
+			if err := e.drainPending(); err != nil {
+				return err
+			}
+		}
+		eff = e.mach.Ack()
+	}
+	return e.drainPending()
+}
+
+// TreeStats polls the peers' diagnostic plane and returns the aggregated
+// hierarchy statistics: Absorbs[l] counts the observations that left the
+// level-l tightened band across all leaves (per-level ε mode only, see
+// order.Tol.Ladder), and Levels holds one coordination-traffic summary
+// per tree level, deepest first, with the engine's own link ledger as the
+// last entry. The poll itself is deliberately uncharged — it rides
+// outside the protocol and the link ledger, visible only in
+// TransportStats — so polling does not perturb what it measures. Over
+// leaf peers the result degenerates to leaf absorption counters (empty
+// without a ladder) plus the single root level.
+//
+// The engine must be quiescent — between observation steps, as for any
+// other accessor — and a pending recovery is run first, exactly as an
+// observation call would. A link failure during the poll is handled by
+// the regular failover path and reported as an error.
+func (e *Engine) TreeStats() (wire.TreeStats, error) {
+	var out wire.TreeStats
+	if err := e.ready("TreeStats"); err != nil {
+		return out, err
+	}
+	for _, p := range e.peers {
+		if err := p.link.Send(wire.AppendBare(e.buf[:0], wire.TypeStatsPoll)); err != nil {
+			return out, e.fail(p, "stats poll", err)
+		}
+		if err := transport.Flush(p.link); err != nil {
+			return out, e.fail(p, "stats poll", err)
+		}
+		e.expect(p)
+	}
+	for _, p := range e.peers {
+		frame, err := e.await(p, "stats reply")
+		if err != nil {
+			return out, err
+		}
+		if err := e.treeStats.Decode(frame); err != nil {
+			return out, e.fail(p, "stats reply", err)
+		}
+		out.Merge(e.treeStats)
+	}
+	out.Levels = append(out.Levels, wire.LevelIO{
+		Down:      e.overhead.Get(comm.Down),
+		Up:        e.overhead.Get(comm.Up),
+		DownBytes: e.overhead.GetBytes(comm.Down),
+		UpBytes:   e.overhead.GetBytes(comm.Up),
+	})
+	return out, nil
+}

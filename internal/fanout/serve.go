@@ -1,0 +1,296 @@
+package fanout
+
+import (
+	"errors"
+	"fmt"
+	"io"
+
+	"repro/internal/coord"
+	"repro/internal/order"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// Split returns the i-th of parts contiguous near-even sub-ranges of
+// [lo, hi): the first (hi-lo) mod parts of them take one extra node. It
+// is the one range layout of the system — the root splits [0, N) over its
+// links with it, and every interior relay re-splits its assignment over
+// its children the same way.
+func Split(lo, hi, parts, i int) (int, int) {
+	base, rem := (hi-lo)/parts, (hi-lo)%parts
+	start := lo + i*base + min(i, rem)
+	end := start + base
+	if i < rem {
+		end++
+	}
+	return start, end
+}
+
+// HungUp reports whether a serve-side link error is the coordinator
+// hanging up — a pipe close or a TCP EOF after (or instead of) the
+// Shutdown frame — which is a clean exit, not a server failure.
+func HungUp(err error) bool {
+	return errors.Is(err, transport.ErrClosed) || errors.Is(err, io.EOF)
+}
+
+// ServeLoop is the receive half of every serve loop, leaf or interior:
+// it hands each frame from the coordinator to step until step reports
+// the conversation over (Shutdown), step fails, or the link hangs up (a
+// clean exit, also before any engine attached). step answers the frame
+// on the same link before returning, keeping it in lockstep.
+func ServeLoop(link transport.Link, step func(frame []byte) (cont bool, err error)) error {
+	for {
+		frame, err := link.Recv()
+		if err != nil {
+			if HungUp(err) {
+				return nil
+			}
+			return fmt.Errorf("fanout: serve loop: %w", err)
+		}
+		if cont, err := step(frame); err != nil || !cont {
+			return err
+		}
+	}
+}
+
+// RoundFunc answers one wire.Round command against a leaf's node bank,
+// appending the answer frame to dst. It is the only per-substrate part of
+// the leaf server: the serving-side counterpart of Exec.
+type RoundFunc func(bank *coord.Nodes, m wire.Round, dst []byte) []byte
+
+// leaf is one peer's node range — a coord.Nodes bank holding exactly the
+// paper's per-node state — plus the reusable buffers of its serve loop.
+type leaf struct {
+	bank  *coord.Nodes // nil until the first Assign
+	round RoundFunc
+
+	obs   wire.Observe      // reusable decode scratch
+	delta wire.ObserveDelta //
+	batch wire.Batch        // reusable decode scratch for batched commands
+
+	buf   []byte   // holds the outgoing frame (and the batch reply arena)
+	bbuf  []byte   // second encode buffer for assembling batch replies
+	rlens []int    // batched reply lengths within the arena
+	views [][]byte // scratch for assembling the batch reply
+}
+
+// newBank validates an assignment and builds its node bank. The RNG
+// stream layout must match core.New / runtime.New exactly — every engine
+// derives node i's generator as the i-th Split of the same root — which
+// coord.NewNodes guarantees by construction.
+func newBank(a wire.Assign) (*coord.Nodes, error) {
+	if a.N <= 0 || a.K < 1 || a.K > a.N {
+		return nil, fmt.Errorf("fanout: bad assignment n=%d k=%d", a.N, a.K)
+	}
+	if a.Lo < 0 || a.Hi > a.N || a.Lo >= a.Hi {
+		return nil, fmt.Errorf("fanout: bad assignment range [%d, %d) of %d", a.Lo, a.Hi, a.N)
+	}
+	tol, err := order.TolFromNum(a.EpsNum)
+	if err != nil {
+		return nil, fmt.Errorf("fanout: bad assignment: %w", err)
+	}
+	bank := coord.NewNodes(a.N, a.Lo, a.Hi, a.Seed, a.Distinct, tol)
+	if len(a.Ladder) > 0 {
+		// Hierarchical ε mode: the leaf tracks the tightened per-level
+		// bands of the coordinator tree above it. The ladder only feeds
+		// the absorption diagnostics — the protocol filters stay anchored
+		// on the root tolerance, so reports are unchanged.
+		ladder := make([]order.Tol, len(a.Ladder))
+		for i, num := range a.Ladder {
+			if ladder[i], err = order.TolFromNum(num); err != nil {
+				return nil, fmt.Errorf("fanout: bad assignment ladder: %w", err)
+			}
+		}
+		bank.SetLadder(ladder)
+	}
+	return bank, nil
+}
+
+// observe applies one node's new value and folds its violation flags into
+// rep. An out-of-domain value from the wire surfaces as a serve-loop error
+// (the coordinator sees the link die), never as a panic.
+func (s *leaf) observe(rep *wire.Reply, id int, v, step int64) error {
+	t, o, err := s.bank.Observe(id, v, step)
+	rep.TopViol = rep.TopViol || t
+	rep.OutViol = rep.OutViol || o
+	return err
+}
+
+// handle processes one command frame and appends the outgoing reply frame
+// to dst, returning the extended slice. It returns false for TypeShutdown.
+func (s *leaf) handle(frame, dst []byte) (out []byte, cont bool, err error) {
+	typ, err := wire.MsgType(frame)
+	if err != nil {
+		return dst, false, err
+	}
+	var rep wire.Reply // violation flags; empty for the ack-only installs
+	lo, hi := s.bank.Lo(), s.bank.Hi()
+
+	switch typ {
+	case wire.TypeObserve:
+		if err := s.obs.Decode(frame); err != nil {
+			return dst, false, err
+		}
+		if len(s.obs.Vals) != hi-lo {
+			return dst, false, fmt.Errorf("fanout: observe carries %d values for range [%d, %d)", len(s.obs.Vals), lo, hi)
+		}
+		for i, v := range s.obs.Vals {
+			if err := s.observe(&rep, lo+i, v, s.obs.Step); err != nil {
+				return dst, false, err
+			}
+		}
+
+	case wire.TypeObserveDelta:
+		if err := s.delta.Decode(frame); err != nil {
+			return dst, false, err
+		}
+		for j, id := range s.delta.IDs {
+			if id < lo || id >= hi {
+				return dst, false, fmt.Errorf("fanout: delta id %d outside range [%d, %d)", id, lo, hi)
+			}
+			if err := s.observe(&rep, id, s.delta.Vals[j], s.delta.Step); err != nil {
+				return dst, false, err
+			}
+		}
+
+	case wire.TypeRound:
+		m, err := wire.DecodeRound(frame)
+		if err != nil {
+			return dst, false, err
+		}
+		return s.round(s.bank, m, dst), true, nil
+
+	case wire.TypeWinner:
+		m, err := wire.DecodeWinner(frame)
+		if err != nil {
+			return dst, false, err
+		}
+		if m.Target < lo || m.Target >= hi {
+			return dst, false, fmt.Errorf("fanout: winner %d outside range [%d, %d)", m.Target, lo, hi)
+		}
+		s.bank.Winner(m.Target, m.IsTop)
+
+	case wire.TypeMidpoint:
+		m, err := wire.DecodeMidpoint(frame)
+		if err != nil {
+			return dst, false, err
+		}
+		s.bank.Midpoint(order.Key(m.Mid), m.Full)
+
+	case wire.TypeApproxBounds:
+		m, err := wire.DecodeApproxBounds(frame)
+		if err != nil {
+			return dst, false, err
+		}
+		s.bank.ApplyBounds(order.Key(m.Lo), order.Key(m.Hi))
+
+	case wire.TypeResetBegin:
+		if err := wire.DecodeBare(frame, wire.TypeResetBegin); err != nil {
+			return dst, false, err
+		}
+		s.bank.ResetBegin()
+
+	case wire.TypeStatsPoll:
+		// Diagnostics: report the per-level absorption counters. A leaf
+		// contributes no link counters of its own — interior relays add a
+		// LevelIO entry per tree level on the way up.
+		if err := wire.DecodeBare(frame, wire.TypeStatsPoll); err != nil {
+			return dst, false, err
+		}
+		return wire.TreeStats{Absorbs: s.bank.Absorbs()}.Append(dst), true, nil
+
+	case wire.TypeShutdown:
+		return dst, false, nil
+
+	default:
+		return dst, false, fmt.Errorf("%w: 0x%02x in serve loop", wire.ErrUnknownType, typ)
+	}
+	return rep.Append(dst), true, nil
+}
+
+// respond processes one incoming transport frame — an Assign, a single
+// command, or a wire.Batch of commands from a pipelined coordinator — and
+// stages the outgoing frame in s.buf. A batch of n commands is answered
+// by a batch of the n corresponding replies, so the link stays in
+// lockstep at the frame level and the coordinator can account every
+// coordination message individually. It returns false for TypeShutdown
+// (bare or inside a batch, where no reply is owed).
+func (s *leaf) respond(frame []byte) (cont bool, err error) {
+	typ, err := wire.MsgType(frame)
+	if err != nil {
+		return false, err
+	}
+	if typ == wire.TypeAssign {
+		// The opening assignment, or a mid-stream reassignment (failover
+		// or a joining peer): build the bank from scratch for the range
+		// and ack with Ready. The coordinator quiesces the link first, so
+		// an Assign never arrives inside a batch.
+		a, err := wire.DecodeAssign(frame)
+		if err != nil {
+			return false, fmt.Errorf("fanout: bad assignment: %w", err)
+		}
+		if s.bank, err = newBank(a); err != nil {
+			return false, err
+		}
+		s.buf = wire.AppendBare(s.buf[:0], wire.TypeReady)
+		return true, nil
+	}
+	if s.bank == nil {
+		return false, fmt.Errorf("fanout: frame type 0x%02x before any assignment", typ)
+	}
+	if typ != wire.TypeBatch {
+		s.buf, cont, err = s.handle(frame, s.buf[:0])
+		return cont, err
+	}
+	if err := s.batch.Decode(frame); err != nil {
+		return false, err
+	}
+	s.buf, s.rlens = s.buf[:0], s.rlens[:0]
+	for _, sub := range s.batch.Frames {
+		old := len(s.buf)
+		if s.buf, cont, err = s.handle(sub, s.buf); err != nil || !cont {
+			return false, err
+		}
+		s.rlens = append(s.rlens, len(s.buf)-old)
+	}
+	s.views = s.views[:0]
+	off := 0
+	for _, l := range s.rlens {
+		s.views = append(s.views, s.buf[off:off+l])
+		off += l
+	}
+	// The sub-frames alias s.buf, so assemble the envelope in a second
+	// buffer and swap — s.buf must hold the outgoing frame on return.
+	s.bbuf = wire.Batch{Frames: s.views}.Append(s.bbuf[:0])
+	s.buf, s.bbuf = s.bbuf, s.buf
+	return true, nil
+}
+
+// Serve runs the leaf server on one link: it waits for the coordinator's
+// Assign, builds the local node range, and then answers every command
+// with exactly one reply — observation slices with violation-flag
+// Replies, Round frames with whatever round produces, installs with empty
+// Replies, batches with batches — until the coordinator sends Shutdown
+// (nil return) or the link dies. The coordinator hanging up is also a
+// clean exit: the engine closes links right after the shutdown frames.
+//
+// Serve never shares state with other goroutines; a process can host
+// several ranges by running one Serve per link.
+func Serve(link transport.Link, round RoundFunc) error {
+	s := &leaf{round: round}
+	return ServeLoop(link, func(frame []byte) (bool, error) {
+		cont, err := s.respond(frame)
+		if err != nil || !cont {
+			return false, err
+		}
+		if err := link.Send(s.buf); err != nil {
+			// The coordinator tearing the link down between our Recv and
+			// this reply is a hang-up, not a server failure.
+			if HungUp(err) {
+				return false, nil
+			}
+			return false, fmt.Errorf("fanout: sending reply: %w", err)
+		}
+		return true, nil
+	})
+}

@@ -1,0 +1,98 @@
+package fanout
+
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/coord"
+	"repro/internal/order"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// Snapshot and Restore give the link-backed engines coordinator-process
+// checkpointing. The node banks live in the peers and are rebuilt from
+// scratch by the Assign handshake at any time, so a checkpoint carries
+// only the coordinator's own execution: the machine frame plus the
+// last-value mirror. Restore rebuilds the coordinator, replays the mirror
+// through the same reassign/replay/reset cycle failover uses, and forces
+// a FILTERRESET — the protocols are Las Vegas, so post-restore reports
+// match the oracle immediately while the ledgers continue from the
+// checkpoint plus the visible recovery cost (exactly as after a peer
+// failover).
+
+// Snapshot returns the machine frame and a copy of the node-value mirror,
+// taken between steps. It fails on a closed or terminal engine and while
+// recovery is pending — a checkpoint never captures a half-recovered
+// execution.
+func (e *Engine) Snapshot() (mach []byte, last []int64, err error) {
+	if e.closed {
+		return nil, nil, errors.New("fanout: snapshot after Close")
+	}
+	if e.err != nil {
+		return nil, nil, fmt.Errorf("fanout: snapshot of a terminal engine: %w", e.err)
+	}
+	if e.pendingRecovery {
+		return nil, nil, errors.New("fanout: snapshot with recovery pending")
+	}
+	machFrame, err := e.mach.Snapshot(nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return machFrame, append([]int64(nil), e.last...), nil
+}
+
+// Restore rebuilds a coordinator over links from a Snapshot taken under
+// the same configuration (including the same peer layout — the frame is
+// agnostic, but the mirror replay fans out over whatever links are
+// given). The frame is validated against cfg before any link is used;
+// then the fresh engine handshakes as usual, adopts the restored machine
+// and mirror, and runs the reassign/replay/reset cycle. A peer failing
+// during that cycle leaves recovery pending (or the engine cleanly
+// terminal), exactly as a mid-run failure would; the next observation
+// call retries through the regular failover path.
+func Restore(cfg Config, links []transport.Link, exec Exec, machFrame []byte, last []int64) (*Engine, error) {
+	mach, err := restoreMachine(cfg, machFrame, last)
+	if err != nil {
+		closeAll(links)
+		return nil, fmt.Errorf("fanout: restore: %w", err)
+	}
+	e, err := New(cfg, links, exec)
+	if err != nil {
+		return nil, err
+	}
+	e.mach = mach
+	copy(e.last, last)
+	// On failure the failing peer is marked dead and recovery is pending
+	// (or the engine is already cleanly terminal): either way the caller
+	// holds a usable engine whose Health tells the story.
+	_ = e.reassignReplayReset()
+	return e, nil
+}
+
+// restoreMachine validates a checkpoint against cfg and decodes its
+// machine.
+func restoreMachine(cfg Config, machFrame []byte, last []int64) (*coord.Machine, error) {
+	tol, err := order.NewTol(cfg.Epsilon)
+	if err != nil {
+		return nil, err
+	}
+	var ms wire.MachineState
+	if err := ms.Decode(machFrame); err != nil {
+		return nil, fmt.Errorf("machine frame: %v", err)
+	}
+	if ms.N != cfg.N || ms.K != cfg.K {
+		return nil, fmt.Errorf("checkpoint is for n=%d k=%d, config has n=%d k=%d", ms.N, ms.K, cfg.N, cfg.K)
+	}
+	if ms.EpsNum != tol.Num() {
+		return nil, fmt.Errorf("checkpoint tolerance %d/2^20 differs from configured %d/2^20", ms.EpsNum, tol.Num())
+	}
+	if len(last) != cfg.N {
+		return nil, fmt.Errorf("checkpoint mirror has %d values for n=%d", len(last), cfg.N)
+	}
+	mach, err := coord.RestoreMachine(machFrame)
+	if err != nil {
+		return nil, fmt.Errorf("machine: %v", err)
+	}
+	return mach, nil
+}

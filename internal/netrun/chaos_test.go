@@ -148,8 +148,7 @@ func TestChaosKillAtRandomStep(t *testing.T) {
 						if mode.lockstep {
 							t.Skip("reader goroutines are a pipelined-only path")
 						}
-						forceReaders = true
-						defer func() { forceReaders = false }()
+						forceReaders(t)
 					}
 					r := rng.New(0xc4a05, uint64(len(name)))
 					for trial := 0; trial < 4; trial++ {

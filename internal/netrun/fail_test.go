@@ -32,11 +32,12 @@ func TestDeadLinkRecoversByMerge(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			const n, k, seed = 12, 3, 7
 			var events []coord.Event
-			e, err := NewLoopback(Config{
+			links := LoopbackLinks(3)
+			e, err := New(Config{
 				N: n, K: k, Seed: seed, Lockstep: mode.lockstep,
 				RetryBackoff: time.Millisecond, // keep the backoff sleep out of the test budget
 				OnEvent:      func(ev coord.Event) { events = append(events, ev) },
-			}, 3)
+			}, links)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +56,7 @@ func TestDeadLinkRecoversByMerge(t *testing.T) {
 
 			// Kill one peer's link underneath the engine, then force
 			// communication until the failure is detected.
-			e.peers[1].link.Close()
+			links[1].Close()
 			detected := false
 			for s := 0; s < 5 && !detected; s++ {
 				driven(s, vals)
@@ -123,8 +124,9 @@ func TestDeadLinkRecoversByMerge(t *testing.T) {
 			}
 
 			// The sparse path must keep working on the merged membership.
-			if d := e.ObserveDelta([]int{0}, []int64{1 << 30}); !equal(d, sim.Oracle(e.last, k)) {
-				t.Fatalf("delta after recovery: got %v, want oracle %v", d, sim.Oracle(e.last, k))
+			vals[0] = 1 << 30 // vals mirrors the engine's last-value view
+			if d := e.ObserveDelta([]int{0}, []int64{1 << 30}); !equal(d, sim.Oracle(vals, k)) {
+				t.Fatalf("delta after recovery: got %v, want oracle %v", d, sim.Oracle(vals, k))
 			}
 		})
 	}
@@ -136,12 +138,13 @@ func TestDeadLinkRecoversByMerge(t *testing.T) {
 func TestDeadLinkRecoversByRedial(t *testing.T) {
 	const n, k, seed = 12, 3, 5
 	var events []coord.Event
-	e, err := NewLoopback(Config{
+	links := LoopbackLinks(3)
+	e, err := New(Config{
 		N: n, K: k, Seed: seed,
 		Redial:       func() (transport.Link, error) { return LoopbackLink(), nil },
 		RetryBackoff: time.Millisecond,
 		OnEvent:      func(ev coord.Event) { events = append(events, ev) },
-	}, 3)
+	}, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +156,7 @@ func TestDeadLinkRecoversByRedial(t *testing.T) {
 		e.Observe(vals)
 	}
 	before := e.Health()
-	e.peers[2].link.Close()
+	links[2].Close()
 	for s := 10; s < 30; s++ {
 		driven(s, vals)
 		got := e.Observe(vals)
@@ -196,10 +199,11 @@ func TestDeadLinkRecoversByRedial(t *testing.T) {
 func TestAllPeersLostIsTerminal(t *testing.T) {
 	const n, k = 8, 2
 	var events []coord.Event
-	e, err := NewLoopback(Config{
+	links := LoopbackLinks(1)
+	e, err := New(Config{
 		N: n, K: k, Seed: 3, RetryBackoff: time.Millisecond,
 		OnEvent: func(ev coord.Event) { events = append(events, ev) },
-	}, 1)
+	}, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +215,7 @@ func TestAllPeersLostIsTerminal(t *testing.T) {
 		driven(s, vals)
 		lastGood = append(lastGood[:0], e.Observe(vals)...)
 	}
-	e.peers[0].link.Close()
+	links[0].Close()
 	for s := 10; s < 16; s++ {
 		driven(s, vals)
 		if got := e.Observe(vals); !equal(got, lastGood) {
@@ -250,7 +254,8 @@ func TestAllPeersLostIsTerminal(t *testing.T) {
 func TestRetryBudgetExhaustion(t *testing.T) {
 	const n, k = 8, 2
 	redials := 0
-	e, err := NewLoopback(Config{
+	links := LoopbackLinks(1)
+	e, err := New(Config{
 		N: n, K: k, Seed: 11,
 		RetryBudget:  2,
 		RetryBackoff: time.Millisecond,
@@ -260,7 +265,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 			b.Close() // born dead: the Assign handshake must fail
 			return a, nil
 		},
-	}, 1)
+	}, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +276,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 		driven(s, vals)
 		e.Observe(vals)
 	}
-	e.peers[0].link.Close()
+	links[0].Close()
 	for s := 5; s < 10 && e.Err() == nil; s++ {
 		driven(s, vals)
 		e.Observe(vals)

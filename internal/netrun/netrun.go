@@ -1,381 +1,69 @@
-// Package netrun is the networked execution engine: it drives Algorithm 1
-// over a transport.Link per peer, where each peer process hosts a
-// contiguous range of the monitored nodes and everything the coordinator
-// learns arrives in wire-encoded frames. With TCP links the monitor spans
-// real processes (cmd/topkmon -serve / -join); with loopback pipes it runs
-// in-process and is message-count- and byte-identical to the sequential
-// engine, which the equivalence test in this package pins.
+// Package netrun is the networked execution engine: the fan-out core of
+// internal/fanout — peers, pipelining, accounting, failover, checkpoints;
+// see that package for all of it — instantiated with node-level protocol
+// rounds. Each peer process hosts a contiguous range of the monitored
+// nodes; with TCP links the monitor spans real processes (cmd/topkmon
+// -serve / -join), with loopback pipes it runs in-process and is
+// message-count- and byte-identical to the sequential engine, which the
+// equivalence test in this package pins.
 //
-// # Relation to the other engines
-//
-// The coordinator's decision logic is the shared sans-I/O state machine of
-// internal/coord; this package contributes only the substrate, executing
-// the machine's effects as wire messages:
-//
-//	coord effect              netrun frames
-//	(observation step)        wire.Observe / wire.ObserveDelta
-//	EffExec (per round)       wire.Round
-//	EffResetBegin             wire.ResetBegin
-//	EffWinner                 wire.Winner
-//	EffMidpoint               wire.Midpoint
-//	EffBounds (ε mode)        wire.ApproxBounds
-//	(reply to any command)    wire.Reply
-//
-// Every command is answered by exactly one Reply, so each link stays in
-// lockstep and replies are processed in ascending peer (hence node id)
-// order — the same deterministic order the other engines use, which is
-// what makes the engines' randomness consume identically.
-//
-// # Pipelined fan-out
-//
-// By default the engine pipelines its I/O (Config.Lockstep disables it,
-// restoring the strictly sequential per-peer request/reply cycle):
-//
-//   - Exchanges fan out first and gather afterwards: the engine sends one
-//     frame to every involved peer, then one reader goroutine per link
-//     collects the replies concurrently while the engine processes them
-//     in ascending peer order. Wall-clock per exchange follows the
-//     slowest peer, not the peer count.
-//   - Ack-only commands are deferred and coalesced: ResetBegin, Winner,
-//     Midpoint and ApproxBounds need no data back, so instead of paying a
-//     round trip each they are queued per peer and ride in one
-//     wire.Batch envelope with the next data-bearing frame to that peer
-//     (the next protocol Round), with any remainder drained in one final
-//     batched exchange at the end of the step. Hosts answer an n-frame
-//     batch with an n-frame batch of replies, so links remain in
-//     lockstep at the frame level.
-//
-// Determinism is unchanged: per link, commands and replies keep their
-// exact order (a batch is processed sub-frame by sub-frame in order);
-// across links the only join points are the gathers, which the engine
-// processes in ascending peer order. Every node therefore sees the same
-// command sequence, and the coordinator feeds the machine the same event
-// sequence, as in lockstep mode — reports, counts, bytes and randomness
-// consumption are bit-identical, which the equivalence tests pin.
-//
-// # Accounting
-//
-// Model messages are charged exactly as in the other engines: one Up per
-// sampler bid (wire.SizeBid bytes), one Bcast per protocol round
-// (wire.SizeBest) and per midpoint broadcast (wire.SizeMidpoint). The
-// engine's frames carry additional scheduling fields (round numbers,
+// What is netrun's own is how a protocol execution reaches the nodes:
+// the coordinator runs Algorithm 2's round loop itself (protocol.Exec),
+// every round is one wire.Round exchange with all peers, and the hosts
+// answer with the bids of their sampling nodes in a wire.Reply. One Up is
+// charged per bid and one Bcast per round, exactly like the in-process
+// engines. The frames carry additional scheduling fields (round numbers,
 // bounds, batching); their true framed volume is visible separately
 // through TransportStats. The paper's Theorem 4.2 bounds the former; a
 // deployment pays the latter.
-//
-// # Failure and recovery
-//
-// Peers are fail-stop: a link that dies or misbehaves mid-step makes the
-// engine abandon the step (returning the last-good report) and schedule
-// recovery, which runs at the start of the next observation call. Recovery
-// (1) redials a replacement for each dead peer when Config.Redial is set,
-// or merges the dead range into a surviving neighbor otherwise, (2)
-// re-runs the Assign handshake on every peer — hosts rebuild their node
-// banks from scratch — (3) replays the coordinator-side mirror of the
-// current node values, and (4) forces a FILTERRESET, after which reports
-// match the oracle again. Failures and recoveries are surfaced through
-// Health and the Config.OnEvent callback; Err reports only terminal
-// degradation (retry budget exhausted, or no peers left). Late joiners
-// attach mid-stream through Join, which splits the widest range using the
-// same machinery.
-//
-// Rebuilt banks draw fresh RNG streams from the configured seed. The
-// protocols are Las Vegas — randomness affects message counts, never
-// reported sets — so post-recovery reports still match the oracle exactly,
-// while ledgers may diverge from an undisturbed run (recovery cost is
-// visible in the counters by design).
 package netrun
 
 import (
-	"errors"
-	"fmt"
-	"runtime"
-	"time"
-
 	"repro/internal/comm"
 	"repro/internal/coord"
+	"repro/internal/fanout"
 	"repro/internal/order"
 	"repro/internal/protocol"
-	"repro/internal/rng"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// forceReaders makes pipelined engines spawn reader goroutines even
-// without runtime parallelism; tests set it to exercise the concurrent
-// gather deterministically on any machine.
-var forceReaders = false
+// Config is the fan-out core's configuration; the networked engine adds
+// nothing to it.
+type Config = fanout.Config
 
-// useReaders reports whether the pipelined gather should run one reader
-// goroutine per link. With a single processor the readers cannot overlap
-// anything and their channel hops are pure context-switch overhead, so
-// the engine then drains the (already fanned-out) replies directly in
-// peer order instead — the frames are in flight either way, and the
-// command coalescing is unaffected.
-func useReaders() bool {
-	return forceReaders || runtime.GOMAXPROCS(0) > 1
-}
-
-// Config mirrors core.Config for the networked engine.
-type Config struct {
-	N, K           int
-	Seed           uint64
-	DistinctValues bool
-	// Epsilon selects the ε-approximate mode, exactly as in core.Config.
-	// The tolerance rides to the peers in the Assign handshake (as its
-	// exact fixed-point numerator), so their samplers and band installs
-	// agree with the coordinator bit for bit.
-	Epsilon float64
-	// Lockstep disables the pipelined fan-out: every command is sent,
-	// flushed and answered peer by peer, sequentially. The default (false)
-	// is the pipelined engine; both modes are bit-identical in reports and
-	// ledgers and differ only in wall-clock latency and transport framing.
-	Lockstep bool
-
-	// Redial, when set, is called during failover to obtain a replacement
-	// link for a dead peer; the replacement adopts the dead peer's exact
-	// node range. When nil (or when a redial fails), the range is merged
-	// into a surviving neighbor instead.
-	Redial func() (transport.Link, error)
-	// RetryBudget bounds how many full recovery attempts the engine makes
-	// before declaring itself terminally degraded. Zero selects the
-	// default of 3.
-	RetryBudget int
-	// RetryBackoff is the base delay between recovery attempts; waits are
-	// jittered around it and double per attempt. Zero selects 10ms.
-	RetryBackoff time.Duration
-	// OnEvent, when set, receives failover events (peer death, range
-	// reassignment, recovery, terminal degradation) synchronously from the
-	// engine's own goroutine. The callback must not call back into the
-	// engine.
-	OnEvent func(coord.Event)
-}
-
-// retryBudget returns the configured recovery-attempt bound.
-func (c Config) retryBudget() int {
-	if c.RetryBudget > 0 {
-		return c.RetryBudget
-	}
-	return 3
-}
-
-// retryBackoff returns the configured base recovery backoff.
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 10 * time.Millisecond
-}
-
-// recvResult is one reader goroutine's answer to a gather request.
-type recvResult struct {
-	frame []byte
-	err   error
-}
-
-// peer is the coordinator's view of one node-hosting link.
-type peer struct {
-	link   transport.Link
-	lo, hi int
-	reply  wire.Reply // reusable decode target
-	batch  wire.Batch // reusable decode target for batched replies
-
-	// Pipelined gather: the reader goroutine performs one Recv per req
-	// token and delivers the result (the frame aliases the link's receive
-	// buffer, stable until the reader's next Recv — which cannot happen
-	// before the engine requests it).
-	req chan struct{}
-	res chan recvResult
-
-	// Deferred ack-only commands, encoded back to back in pendBuf with
-	// their lengths in pendLens; they ride in a wire.Batch ahead of the
-	// next data-bearing frame to this peer.
-	pendBuf  []byte
-	pendLens []int
-	views    [][]byte // scratch for assembling batch sub-frame views
-
-	// Failover bookkeeping. owed counts outstanding replies on the link
-	// (the strict request/reply discipline keeps it 0 or 1 at any failure
-	// point), so recovery knows whether a survivor's next frame is a stale
-	// reply to drain before the reassignment handshake.
-	owed     int
-	dead     bool
-	failures int64
-}
-
-// pending returns the number of queued ack-only commands.
-func (p *peer) pending() int { return len(p.pendLens) }
-
-// queue defers one encoded command until the next frame to this peer.
-func (p *peer) queue(enc func([]byte) []byte) {
-	old := len(p.pendBuf)
-	p.pendBuf = enc(p.pendBuf)
-	p.pendLens = append(p.pendLens, len(p.pendBuf)-old)
-}
-
-// Engine is the networked monitor's coordinator. It satisfies
-// sim.Algorithm and sim.DeltaAlgorithm. Like the other engines it is not
-// safe for concurrent Observe calls (the model's time steps are globally
-// ordered).
-type Engine struct {
-	cfg   Config
-	mach  *coord.Machine
-	peers []*peer
-
-	step    int64
-	closed  bool
-	readers bool  // pipelined gather runs reader goroutines
-	err     error // terminal failure (recovery abandoned); sticky
-
-	// Failover state: last mirrors every node's most recent value (what
-	// recovery replays into rebuilt banks), pendingRecovery schedules a
-	// recovery pass for the next observation call, and the counters feed
-	// Health.
-	last            []int64
-	pendingRecovery bool
-	failures        int64
-	recoveries      int64
-	rrng            *rng.RNG // jitters the recovery backoff schedule
-
-	buf     []byte // reusable encode buffer
-	bbuf    []byte // reusable batch-envelope encode buffer
-	acks    []int  // per-peer deferred-command count of the current gather
-	touched []bool // peers hit by the current delta
-}
+// Engine is the networked monitor's coordinator: a fanout.Engine whose
+// protocol executions run round by round over the node hosts.
+type Engine struct{ *fanout.Engine }
 
 // New performs the Assign/Ready handshake over the given links — peer i
-// hosts the i-th contiguous node range — and returns the coordinator.
-// It requires 1 <= len(links) <= N so every peer hosts at least one node.
-// Callers must Close the engine to release the peers. On a bad
-// configuration or a handshake error New closes every link before
-// returning: a half-handshaken link is in an indeterminate protocol state
-// and cannot be reused.
+// hosts the i-th contiguous node range — and returns the coordinator,
+// under fanout.New's contract.
 func New(cfg Config, links []transport.Link) (*Engine, error) {
-	fail := func(err error) (*Engine, error) {
-		for _, l := range links {
-			l.Close()
-		}
+	e, err := fanout.New(cfg, links, execRounds())
+	if err != nil {
 		return nil, err
 	}
-	if cfg.N <= 0 {
-		return fail(errors.New("netrun: need N > 0"))
-	}
-	if cfg.K < 1 || cfg.K > cfg.N {
-		return fail(fmt.Errorf("netrun: need 1 <= K <= N, got K=%d N=%d", cfg.K, cfg.N))
-	}
-	if len(links) == 0 || len(links) > cfg.N {
-		return fail(fmt.Errorf("netrun: need 1 <= peers <= N, got %d peers for N=%d", len(links), cfg.N))
-	}
-	tol, err := order.NewTol(cfg.Epsilon)
+	return &Engine{e}, nil
+}
+
+// Restore rebuilds a coordinator over links from a Snapshot taken under
+// the same configuration, under fanout.Restore's contract.
+func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
+	e, err := fanout.Restore(cfg, links, execRounds(), machFrame, last)
 	if err != nil {
-		return fail(fmt.Errorf("netrun: %w", err))
+		return nil, err
 	}
-	e := &Engine{
-		cfg:     cfg,
-		mach:    coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
-		last:    make([]int64, cfg.N),
-		rrng:    rng.New(cfg.Seed, 0xbacc),
-		acks:    make([]int, len(links)),
-		touched: make([]bool, len(links)),
-	}
-	// Contiguous near-even ranges: the first rem peers take one extra
-	// node. The range layout does not affect reports or ledgers, only
-	// which link carries which frames.
-	base, rem := cfg.N/len(links), cfg.N%len(links)
-	lo := 0
-	for i, link := range links {
-		hi := lo + base
-		if i < rem {
-			hi++
-		}
-		e.peers = append(e.peers, &peer{link: link, lo: lo, hi: hi})
-		lo = hi
-	}
-	for _, p := range e.peers {
-		e.buf = wire.Assign{
-			Lo: p.lo, Hi: p.hi, N: cfg.N, K: cfg.K,
-			Seed: cfg.Seed, EpsNum: tol.Num(), Distinct: cfg.DistinctValues,
-		}.Append(e.buf[:0])
-		if err := p.link.Send(e.buf); err != nil {
-			return fail(fmt.Errorf("netrun: assigning [%d, %d): %w", p.lo, p.hi, err))
-		}
-		if err := transport.Flush(p.link); err != nil {
-			return fail(fmt.Errorf("netrun: assigning [%d, %d): %w", p.lo, p.hi, err))
-		}
-	}
-	for _, p := range e.peers {
-		frame, err := p.link.Recv()
-		if err != nil {
-			return fail(fmt.Errorf("netrun: awaiting ready for [%d, %d): %w", p.lo, p.hi, err))
-		}
-		if err := wire.DecodeBare(frame, wire.TypeReady); err != nil {
-			return fail(fmt.Errorf("netrun: peer [%d, %d) handshake: %w", p.lo, p.hi, err))
-		}
-	}
-	if !cfg.Lockstep {
-		e.startReaders()
-	}
-	return e, nil
-}
-
-// startReaders spawns one gather goroutine per link (skipped without
-// runtime parallelism; see useReaders). Each performs exactly one Recv
-// per request token, so the frame it delivered stays untouched until the
-// engine asks for the next one; a reader exits when its request channel
-// closes (engine Close, or the peer's replacement during failover).
-func (e *Engine) startReaders() {
-	e.readers = useReaders()
-	if !e.readers {
-		return
-	}
-	for _, p := range e.peers {
-		e.startReader(p)
-	}
-}
-
-// startReader attaches a fresh reader goroutine to one peer. The result
-// channel's capacity of one plus the owed <= 1 reply discipline guarantee
-// the goroutine's final send never blocks, so closing the request channel
-// always releases it.
-func (e *Engine) startReader(p *peer) {
-	p.req = make(chan struct{}, 1)
-	p.res = make(chan recvResult, 1)
-	go func(p *peer) {
-		for range p.req {
-			frame, err := p.link.Recv()
-			//lint:topk ctxsend non-blocking: res has capacity 1 and the owed<=1 reply discipline guarantees a free slot; close(req) releases the loop
-			p.res <- recvResult{frame: frame, err: err}
-		}
-	}(p)
-}
-
-// LoopbackLinks builds one pipe pair per peer with a Serve goroutine on
-// the far end and returns the coordinator ends. It is the link factory
-// behind both NewLoopback and topk.Loopback. A Serve goroutine exits
-// cleanly when its link closes; on a host error it closes its link, which
-// the coordinator observes as a dead peer and handles through the regular
-// failover path — a hostile or buggy frame can no longer panic the
-// process.
-func LoopbackLinks(peers int) []transport.Link {
-	links := make([]transport.Link, peers)
-	for i := range links {
-		links[i] = LoopbackLink()
-	}
-	return links
+	return &Engine{e}, nil
 }
 
 // LoopbackLink builds a single in-process host behind a pipe and returns
-// the coordinator end: the loopback analogue of one remote peer dialing
-// in, usable as a Config.Redial factory or a Join argument.
-func LoopbackLink() transport.Link {
-	coordEnd, node := transport.Pipe()
-	go func() {
-		if err := Serve(node); err != nil {
-			node.Close()
-		}
-	}()
-	return coordEnd
-}
+// the coordinator end (see fanout.Loopback).
+func LoopbackLink() transport.Link { return fanout.Loopback(Serve) }
+
+// LoopbackLinks builds one LoopbackLink per peer. It is the link factory
+// behind both NewLoopback and topk.Loopback.
+func LoopbackLinks(peers int) []transport.Link { return fanout.Loopbacks(peers, Serve) }
 
 // NewLoopback builds an in-process engine over LoopbackLinks. It is the
 // networked engine's default mode (topkmon -engine net) and the
@@ -384,840 +72,67 @@ func NewLoopback(cfg Config, peers int) (*Engine, error) {
 	return New(cfg, LoopbackLinks(peers))
 }
 
-// Close sends every peer a Shutdown frame, closes the links and stops the
-// reader goroutines. Queued ack-only commands are dropped — the hosts are
-// going away with the coordinator. Idempotent.
-func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for _, p := range e.peers {
-		// Best effort: a peer that already vanished is being shut down
-		// anyway.
-		//lint:topk chargedsend Shutdown is a teardown control frame outside the model; the ledgers are final once Close begins
-		_ = p.link.Send(wire.AppendBare(e.buf[:0], wire.TypeShutdown))
-		_ = transport.Flush(p.link)
-		_ = p.link.Close()
-		if p.req != nil {
-			close(p.req)
-		}
-	}
+// Serve runs the node-host side of the networked engine on one link: the
+// leaf server of fanout.Serve, answering each protocol round with the
+// bids of the local nodes that sample in it.
+func Serve(link transport.Link) error {
+	var reply wire.Reply // reusable bid list
+	return fanout.Serve(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+		reply.IDs, reply.Keys = reply.IDs[:0], reply.Keys[:0]
+		bank.Round(m.Tag, m.Round, order.Key(m.Best), m.Bound, m.Step, func(id int, key order.Key) {
+			reply.IDs = append(reply.IDs, id)
+			reply.Keys = append(reply.Keys, int64(key))
+		})
+		return reply.Append(dst)
+	})
 }
 
-// Counts returns the total model message counts charged so far.
-func (e *Engine) Counts() comm.Counts { return e.mach.Counts() }
-
-// Ledger exposes the per-phase message and byte breakdown.
-func (e *Engine) Ledger() *comm.Ledger { return e.mach.Ledger() }
-
-// Bytes returns the total charged model bytes.
-func (e *Engine) Bytes() comm.Bytes { return e.mach.Bytes() }
-
-// Stats returns execution counters (maintained by the shared coordinator
-// core, identical across engines for the same seed).
-func (e *Engine) Stats() coord.Stats { return e.mach.Stats() }
-
-// Err returns the engine's terminal failure, or nil. Recoverable peer
-// failures do not set it (see Health); it becomes non-nil only once
-// recovery is abandoned — retry budget exhausted or no peers left. Once
-// set, the engine is wedged: observation calls return the last
-// successfully computed report without touching the links, and the ledger
-// stops advancing. Close remains safe.
-func (e *Engine) Err() error { return e.err }
-
-// Health reports the engine's failover state: terminal error (if any),
-// whether a recovery is pending, cumulative failure/recovery counters and
-// the live peer ranges.
-func (e *Engine) Health() coord.Health {
-	h := coord.Health{
-		Terminal:   e.err,
-		Degraded:   e.pendingRecovery,
-		Failures:   e.failures,
-		Recoveries: e.recoveries,
-	}
-	for _, p := range e.peers {
-		h.Peers = append(h.Peers, coord.PeerHealth{Lo: p.lo, Hi: p.hi, Failures: p.failures})
-	}
-	return h
-}
-
-// TransportStats sums the per-link transport statistics over all peers:
-// the frames and framed bytes that actually crossed the links, control
-// plane included.
-func (e *Engine) TransportStats() transport.LinkStats {
-	var s transport.LinkStats
-	for _, p := range e.peers {
-		s = s.Add(transport.StatsOf(p.link))
-	}
-	return s
-}
-
-// Peers returns the number of peer links.
-func (e *Engine) Peers() int { return len(e.peers) }
-
-// Pipelined reports whether the engine runs the pipelined fan-out.
-func (e *Engine) Pipelined() bool { return !e.cfg.Lockstep }
-
-// Top returns the current top-k ids ascending, as a read-only view owned
-// by the engine: it is invalidated by the next step that changes the top
-// set, and mutating it corrupts the engine (see AppendTop).
-func (e *Engine) Top() []int { return e.mach.Top() }
-
-// AppendTop appends the current top-k ids (ascending) to dst and returns
-// the extended slice. The appended values are copies owned by the caller:
-// they stay valid across later steps, and mutating them never affects the
-// engine.
-func (e *Engine) AppendTop(dst []int) []int { return e.mach.AppendTop(dst) }
-
-// emit delivers one failover event to the configured callback.
-func (e *Engine) emit(ev coord.Event) {
-	if e.cfg.OnEvent != nil {
-		e.cfg.OnEvent(ev)
-	}
-}
-
-// fail records a peer failure and schedules recovery: the peer is marked
-// dead, the current step is abandoned (callers unwind returning the
-// last-good report), and the next observation call runs the recovery
-// pass. The engine stays usable — only abandoned recovery sets Err.
-func (e *Engine) fail(p *peer, op string, err error) error {
-	p.dead = true
-	p.failures++
-	e.failures++
-	e.pendingRecovery = true
-	e.emit(coord.Event{Kind: coord.EventPeerDown, Lo: p.lo, Hi: p.hi, Err: err})
-	return fmt.Errorf("netrun: peer [%d, %d): %s: %w", p.lo, p.hi, op, err)
-}
-
-// terminal records an unrecoverable failure; the engine returns last-good
-// reports from here on.
-func (e *Engine) terminal(err error) {
-	e.err = err
-	e.emit(coord.Event{Kind: coord.EventTerminal, Lo: 0, Hi: e.cfg.N, Err: err})
-}
-
-// send ships one pre-encoded frame to a peer and flushes it (the
-// lockstep data path, also used for the handshake). Every frame sent this
-// way is a command owed exactly one reply.
-func (e *Engine) send(p *peer, frame []byte, op string) error {
-	//lint:topk chargedsend pure transmit wrapper: every caller ships a frame the coord machine charged when it emitted the effect
-	if err := p.link.Send(frame); err != nil {
-		return e.fail(p, op, err)
-	}
-	if err := transport.Flush(p.link); err != nil {
-		return e.fail(p, op, err)
-	}
-	p.owed = 1
-	return nil
-}
-
-// recvReply reads and decodes a peer's mandatory Reply (lockstep path).
-func (e *Engine) recvReply(p *peer, op string) error {
-	frame, err := p.link.Recv()
-	if err != nil {
-		return e.fail(p, op, err)
-	}
-	p.owed = 0
-	if err := p.reply.Decode(frame); err != nil {
-		return e.fail(p, op, err)
-	}
-	return nil
-}
-
-// sendCmd ships one data-bearing command to a peer on the pipelined path.
-// Queued ack-only commands ride ahead of it in a wire.Batch envelope; the
-// whole assembly is flushed as one transport frame. It records how many
-// ack replies the next gather from this peer owes in e.acks.
-func (e *Engine) sendCmd(pi int, frame []byte, op string) error {
-	p := e.peers[pi]
-	e.acks[pi] = p.pending()
-	out := frame
-	if p.pending() > 0 {
-		p.views = p.views[:0]
-		off := 0
-		for _, l := range p.pendLens {
-			p.views = append(p.views, p.pendBuf[off:off+l])
-			off += l
-		}
-		p.views = append(p.views, frame)
-		e.bbuf = wire.Batch{Frames: p.views}.Append(e.bbuf[:0])
-		out = e.bbuf
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-	}
-	//lint:topk chargedsend pure transmit wrapper: the data frame and the queued acks riding ahead of it were all charged by the machine effects that produced them
-	if err := p.link.Send(out); err != nil {
-		return e.fail(p, op, err)
-	}
-	if err := transport.Flush(p.link); err != nil {
-		return e.fail(p, op, err)
-	}
-	p.owed = 1
-	if p.req != nil {
-		p.req <- struct{}{} // reader: start collecting the reply
-	}
-	return nil
-}
-
-// recvFrame collects one in-flight reply frame from a peer: from its
-// reader goroutine when one is running, directly off the link otherwise
-// (the fan-out already happened, so the frame is en route either way).
-func (e *Engine) recvFrame(p *peer, op string) ([]byte, error) {
-	if p.res != nil {
-		r := <-p.res
-		p.owed = 0
-		if r.err != nil {
-			return nil, e.fail(p, op, r.err)
-		}
-		return r.frame, nil
-	}
-	frame, err := p.link.Recv()
-	p.owed = 0
-	if err != nil {
-		return nil, e.fail(p, op, err)
-	}
-	return frame, nil
-}
-
-// gather consumes one reply from a peer sendCmd fanned out to: the acks
-// the batch owes first (empty Replies, decoded only to validate lockstep
-// framing), then the data-bearing Reply into p.reply. Gathers must be
-// consumed in ascending peer order.
-func (e *Engine) gather(pi int, op string) error {
-	p := e.peers[pi]
-	frame, err := e.recvFrame(p, op)
-	if err != nil {
-		return err
-	}
-	if want := e.acks[pi]; want > 0 {
-		if err := p.batch.Decode(frame); err != nil {
-			return e.fail(p, op, err)
-		}
-		if got := len(p.batch.Frames); got != want+1 {
-			return e.fail(p, op, fmt.Errorf("batched reply carries %d frames, want %d", got, want+1))
-		}
-		for _, ack := range p.batch.Frames[:want] {
-			if err := p.reply.Decode(ack); err != nil {
-				return e.fail(p, op, err)
-			}
-		}
-		frame = p.batch.Frames[want]
-	}
-	if err := p.reply.Decode(frame); err != nil {
-		return e.fail(p, op, err)
-	}
-	return nil
-}
-
-// broadcast ships the same frame to every peer strictly one peer at a
-// time — send, await the reply, move on (lockstep only; the pipelined
-// path fans out first, gathers concurrently, and defers its ack-only
-// broadcasts into the next data-bearing exchange). This is the paper's
-// literal command/ack cycle and the latency baseline the pipelined mode
-// is measured against: per exchange it pays the peers' round trips in
-// sum rather than in max.
-func (e *Engine) broadcast(frame []byte, op string) error {
-	for _, p := range e.peers {
-		if err := e.send(p, frame, op); err != nil {
-			return err
-		}
-		if err := e.recvReply(p, op); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// unicast routes a frame to the peer owning node id and awaits its reply
-// (lockstep only; the pipelined path defers ack-only unicasts instead).
-func (e *Engine) unicast(id int, frame []byte, op string) error {
-	for _, p := range e.peers {
-		if id >= p.lo && id < p.hi {
-			if err := e.send(p, frame, op); err != nil {
-				return err
-			}
-			return e.recvReply(p, op)
-		}
-	}
-	panic(fmt.Sprintf("netrun: no peer owns node %d", id))
-}
-
-// owner returns the index of the peer hosting node id.
-func (e *Engine) owner(id int) int {
-	for pi, p := range e.peers {
-		if id >= p.lo && id < p.hi {
-			return pi
-		}
-	}
-	panic(fmt.Sprintf("netrun: no peer owns node %d", id))
-}
-
-// queueAll defers one encoded broadcast command on every peer.
-func (e *Engine) queueAll(enc func([]byte) []byte) {
-	for _, p := range e.peers {
-		p.queue(enc)
-	}
-}
-
-// drainPending flushes every peer's queued ack-only commands as one final
-// exchange: a single command goes out as a plain frame, several as one
-// wire.Batch, and the matching (batched) acks are gathered concurrently.
-// Called at the end of a pipelined step so that host state, reply framing
-// and ledgers are step-aligned with lockstep mode.
-func (e *Engine) drainPending() error {
-	any := false
-	for pi, p := range e.peers {
-		e.acks[pi] = p.pending()
-		if p.pending() == 0 {
-			continue
-		}
-		any = true
-		out := p.pendBuf
-		if p.pending() > 1 {
-			p.views = p.views[:0]
-			off := 0
-			for _, l := range p.pendLens {
-				p.views = append(p.views, p.pendBuf[off:off+l])
-				off += l
-			}
-			e.bbuf = wire.Batch{Frames: p.views}.Append(e.bbuf[:0])
-			out = e.bbuf
-		}
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-		//lint:topk chargedsend drains queued ack-only command frames; the machine charged each model message when the effect was emitted
-		if err := p.link.Send(out); err != nil {
-			return e.fail(p, "drain", err)
-		}
-		if err := transport.Flush(p.link); err != nil {
-			return e.fail(p, "drain", err)
-		}
-		p.owed = 1
-		if p.req != nil {
-			p.req <- struct{}{}
-		}
-	}
-	if !any {
-		return nil
-	}
-	for pi, p := range e.peers {
-		want := e.acks[pi]
-		if want == 0 {
-			continue
-		}
-		frame, err := e.recvFrame(p, "drain")
-		if err != nil {
-			return err
-		}
-		if want == 1 {
-			if err := p.reply.Decode(frame); err != nil {
-				return e.fail(p, "drain", err)
-			}
-			continue
-		}
-		if err := p.batch.Decode(frame); err != nil {
-			return e.fail(p, "drain", err)
-		}
-		if got := len(p.batch.Frames); got != want {
-			return e.fail(p, "drain", fmt.Errorf("batched ack carries %d frames, want %d", got, want))
-		}
-		for _, ack := range p.batch.Frames {
-			if err := p.reply.Decode(ack); err != nil {
-				return e.fail(p, "drain", err)
-			}
-		}
-	}
-	return nil
-}
-
-// Observe processes one dense time step and returns the reported top-k
-// ids ascending (a read-only view). It panics after Close; on a dead link
-// it records the error (see Err) and returns the last-good report.
-func (e *Engine) Observe(vals []int64) []int {
-	if e.closed {
-		panic("netrun: Observe after Close")
-	}
-	if len(vals) != e.cfg.N {
-		panic(fmt.Sprintf("netrun: observed %d values for %d nodes", len(vals), e.cfg.N))
-	}
-	if e.err != nil {
-		return e.mach.Top()
-	}
-	if e.pendingRecovery && e.recoverNow() != nil {
-		return e.mach.Top()
-	}
-	copy(e.last, vals)
-	e.step = e.mach.BeginStep()
-	for pi, p := range e.peers {
-		e.buf = wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi]}.Append(e.buf[:0])
-		if err := e.sendObs(pi, "observe"); err != nil {
-			return e.mach.Top()
-		}
-	}
-	anyTop, anyOut := false, false
-	for pi, p := range e.peers {
-		if err := e.gatherObs(pi, "observe"); err != nil {
-			return e.mach.Top()
-		}
-		anyTop = anyTop || p.reply.TopViol
-		anyOut = anyOut || p.reply.OutViol
-	}
-	return e.finishStep(anyTop, anyOut)
-}
-
-// sendObs ships the observation frame staged in e.buf to peer pi. In
-// lockstep mode the peer's reply is awaited on the spot (strict
-// command/ack, one peer at a time); in pipelined mode the frame only
-// fans out and gatherObs collects the reply later.
-func (e *Engine) sendObs(pi int, op string) error {
-	if e.cfg.Lockstep {
-		if err := e.send(e.peers[pi], e.buf, op); err != nil {
-			return err
-		}
-		return e.recvReply(e.peers[pi], op)
-	}
-	return e.sendCmd(pi, e.buf, op)
-}
-
-// gatherObs consumes peer pi's observation reply into its reply scratch.
-// In lockstep mode sendObs already did; each peer holds its own decoded
-// reply, so the caller's flag aggregation reads the same data either way.
-func (e *Engine) gatherObs(pi int, op string) error {
-	if e.cfg.Lockstep {
-		return nil
-	}
-	return e.gather(pi, op)
-}
-
-// ObserveDelta processes one sparse time step: vals[j] is node ids[j]'s
-// new value, every other node repeats. ids must be strictly increasing.
-// Only peers owning a touched node exchange frames, so a violation-free
-// sparse step costs transport traffic proportional to the touched peers.
-// Semantics match core.Monitor.ObserveDelta exactly; failure behaves as
-// in Observe.
-func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
-	if e.closed {
-		panic("netrun: ObserveDelta after Close")
-	}
-	if len(ids) != len(vals) {
-		panic(fmt.Sprintf("netrun: delta has %d ids but %d values", len(ids), len(vals)))
-	}
-	prev := -1
-	for _, id := range ids {
-		if id <= prev || id >= e.cfg.N {
-			panic(fmt.Sprintf("netrun: delta ids must be strictly increasing in [0, %d), got %d after %d", e.cfg.N, id, prev))
-		}
-		prev = id
-	}
-	if e.err != nil {
-		return e.mach.Top()
-	}
-	if e.pendingRecovery && e.recoverNow() != nil {
-		return e.mach.Top()
-	}
-	for j, id := range ids {
-		e.last[id] = vals[j]
-	}
-	e.step = e.mach.BeginStep()
-	// Ship each peer its slice of the (sorted) delta.
-	clear(e.touched)
-	start := 0
-	for pi, p := range e.peers {
-		stop := start
-		for stop < len(ids) && ids[stop] < p.hi {
-			stop++
-		}
-		if stop > start {
-			e.touched[pi] = true
-			e.buf = wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop]}.Append(e.buf[:0])
-			if err := e.sendObs(pi, "observe-delta"); err != nil {
-				return e.mach.Top()
-			}
-		}
-		start = stop
-	}
-	anyTop, anyOut := false, false
-	for pi, p := range e.peers {
-		if !e.touched[pi] {
-			continue
-		}
-		if err := e.gatherObs(pi, "observe-delta"); err != nil {
-			return e.mach.Top()
-		}
-		anyTop = anyTop || p.reply.TopViol
-		anyOut = anyOut || p.reply.OutViol
-	}
-	return e.finishStep(anyTop, anyOut)
-}
-
-// finishStep drives the coordinator machine through the rest of the step,
-// executing its effects as frames. On a link failure it abandons the step
-// (the error is stored) and returns the last-good report.
-//
-// In pipelined mode the ack-only effects do not synchronize one by one:
-// their commands are queued per peer, the machine is advanced immediately
-// (the acks carry no information), and the queued frames ride with the
-// next data-bearing exchange to each peer — ResetBegin and the k+1
-// Winner notifications of a FILTERRESET coalesce into the first round of
-// the following protocol execution, saving their round trips outright —
-// while whatever is still queued when the machine reports EffDone (the
-// trailing midpoint/bounds install) drains as one final batched exchange.
-// Per-link command order is preserved exactly, so every node applies the
-// same state transitions in the same places, and the step ends with hosts
-// and ledgers in the same state as lockstep mode.
-func (e *Engine) finishStep(anyTopViol, anyOutViol bool) []int {
-	_ = e.runEffects(e.mach.FinishStep(anyTopViol, anyOutViol))
-	return e.mach.Top()
-}
-
-// runEffects drives one effect chain — a step's FinishStep chain, or the
-// forced FILTERRESET of a recovery — to EffDone, executing effects as
-// frames and draining deferred commands at the end (pipelined mode). On a
-// link failure it abandons the chain with the error recorded.
-func (e *Engine) runEffects(eff coord.Effect) error {
-	pipelined := !e.cfg.Lockstep
-	for eff.Kind != coord.EffDone {
-		var err error
-		switch eff.Kind {
-		case coord.EffExec:
-			var res protocol.Result
-			if res, err = e.execProtocol(eff); err == nil {
-				eff = e.mach.ExecDone(res.OK, res.ID, res.Key)
-			}
-		case coord.EffResetBegin:
-			if pipelined {
-				e.queueAll(func(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeResetBegin) })
-				eff = e.mach.Ack()
-				continue
-			}
-			if err = e.broadcast(wire.AppendBare(e.buf[:0], wire.TypeResetBegin), "reset-begin"); err == nil {
-				eff = e.mach.Ack()
-			}
-		case coord.EffWinner:
-			m := wire.Winner{Target: eff.Target, IsTop: eff.IsTop}
-			if pipelined {
-				e.peers[e.owner(eff.Target)].queue(m.Append)
-				eff = e.mach.Ack()
-				continue
-			}
-			e.buf = m.Append(e.buf[:0])
-			if err = e.unicast(eff.Target, e.buf, "winner"); err == nil {
-				eff = e.mach.Ack()
-			}
-		case coord.EffMidpoint:
-			m := wire.Midpoint{Mid: int64(eff.Mid), Full: eff.Full}
-			if pipelined {
-				e.queueAll(m.Append)
-				eff = e.mach.Ack()
-				continue
-			}
-			e.buf = m.Append(e.buf[:0])
-			if err = e.broadcast(e.buf, "midpoint"); err == nil {
-				eff = e.mach.Ack()
-			}
-		case coord.EffBounds:
-			m := wire.ApproxBounds{Lo: int64(eff.Lo), Hi: int64(eff.Hi)}
-			if pipelined {
-				e.queueAll(m.Append)
-				eff = e.mach.Ack()
-				continue
-			}
-			e.buf = m.Append(e.buf[:0])
-			if err = e.broadcast(e.buf, "bounds"); err == nil {
-				eff = e.mach.Ack()
-			}
-		default:
-			panic(fmt.Sprintf("netrun: unknown coordinator effect %d", eff.Kind))
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if pipelined {
-		return e.drainPending()
-	}
-	return nil
-}
-
-// recoverNow runs the recovery pass scheduled by fail: abort whatever the
-// machine had in flight, restore the peer set (redial or merge), rerun
-// the Assign handshake everywhere, replay the mirrored node values, and
-// force a FILTERRESET so membership is re-derived from live state. Each
-// full attempt is retried with jittered exponential backoff up to the
-// retry budget; exhausting it (or losing every peer) is terminal.
-func (e *Engine) recoverNow() error {
-	budget := e.cfg.retryBudget()
-	backoff := e.cfg.retryBackoff()
-	for attempt := 0; attempt < budget; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff/2 + time.Duration(e.rrng.Uint64n(uint64(backoff))))
-			if backoff < time.Second {
-				backoff *= 2
-			}
-		}
-		e.mach.Abort()
-		if err := e.restorePeers(); err != nil {
-			return err // all peers lost: already terminal
-		}
-		if err := e.reassignReplayReset(); err != nil {
-			continue // a peer died during the attempt; retry
-		}
-		e.pendingRecovery = false
-		e.recoveries++
-		e.emit(coord.Event{Kind: coord.EventRecovered, Lo: 0, Hi: e.cfg.N})
-		return nil
-	}
-	e.terminal(fmt.Errorf("netrun: recovery abandoned after %d attempts", budget))
-	return e.err
-}
-
-// restorePeers fixes the peer set: every dead peer is either replaced by
-// a freshly dialed link adopting its exact range (Config.Redial) or its
-// range is merged into a surviving neighbor. Ranges stay contiguous and
-// cover [0, N). Returns the terminal error if no peers survive.
-func (e *Engine) restorePeers() error {
-	for _, p := range e.peers {
-		if !p.dead {
-			continue
-		}
-		if p.req != nil {
-			close(p.req)
-			p.req, p.res = nil, nil
-		}
-		p.link.Close()
-		if e.cfg.Redial == nil {
-			continue
-		}
-		nl, err := e.cfg.Redial()
-		if err != nil {
-			continue // merge below
-		}
-		p.link = nl
-		p.dead = false
-		p.owed = 0
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-		if e.readers && !e.cfg.Lockstep {
-			e.startReader(p)
-		}
-		e.emit(coord.Event{Kind: coord.EventPeerReplaced, Lo: p.lo, Hi: p.hi})
-	}
-	// Merge the still-dead ranges: into the preceding survivor when one
-	// exists, otherwise into the next (a leading dead run extends the
-	// first survivor's range downward).
-	survivors := make([]*peer, 0, len(e.peers))
-	orphanLo := -1
-	for _, p := range e.peers {
-		if p.dead {
-			e.emit(coord.Event{Kind: coord.EventRangeMerged, Lo: p.lo, Hi: p.hi})
-			if len(survivors) > 0 {
-				survivors[len(survivors)-1].hi = p.hi
-			} else if orphanLo == -1 {
-				orphanLo = p.lo
-			}
-			continue
-		}
-		if orphanLo != -1 {
-			p.lo = orphanLo
-			orphanLo = -1
-		}
-		survivors = append(survivors, p)
-	}
-	if len(survivors) == 0 {
-		e.terminal(errors.New("netrun: all peers lost"))
-		return e.err
-	}
-	e.peers = survivors
-	if len(e.acks) != len(e.peers) {
-		e.acks = make([]int, len(e.peers))
-		e.touched = make([]bool, len(e.peers))
-	}
-	return nil
-}
-
-// recoverRecv collects one frame during recovery, honoring a running
-// reader goroutine's ownership of the link's receive side.
-func (e *Engine) recoverRecv(p *peer) ([]byte, error) {
-	if p.res != nil {
-		r := <-p.res
-		p.owed = 0
-		return r.frame, r.err
-	}
-	frame, err := p.link.Recv()
-	p.owed = 0
-	return frame, err
-}
-
-// drainOwed consumes a survivor's outstanding reply to a command sent
-// before the failure, so the link is quiescent ahead of the reassignment
-// handshake. The strict request/reply discipline bounds this to one frame.
-func (e *Engine) drainOwed(p *peer) error {
-	if p.owed == 0 {
-		return nil
-	}
-	if p.res != nil && p.req != nil {
-		// The reader received its token when the command was sent; the
-		// reply (or the link error) is already on its way to res.
-		_, err := e.recoverRecv(p)
-		return err
-	}
-	_, err := e.recoverRecv(p)
-	return err
-}
-
-// reassignReplayReset is the uniform reconfiguration step shared by
-// recovery and Join: quiesce every link, re-run the Assign handshake (the
-// hosts rebuild their banks from scratch), replay the mirrored node
-// values, and drive a forced FILTERRESET. Any peer failing here is marked
-// dead and the error returned; the caller retries or gives up.
-func (e *Engine) reassignReplayReset() error {
-	tol := e.mach.Tol()
-	for _, p := range e.peers {
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-		if err := e.drainOwed(p); err != nil {
-			return e.fail(p, "recovery drain", err)
-		}
-	}
-	// Assign fan-out: every host rebuilds its bank for its (possibly new)
-	// range and answers Ready.
-	for _, p := range e.peers {
-		e.buf = wire.Assign{
-			Lo: p.lo, Hi: p.hi, N: e.cfg.N, K: e.cfg.K,
-			Seed: e.cfg.Seed, EpsNum: tol.Num(), Distinct: e.cfg.DistinctValues,
-		}.Append(e.buf[:0])
-		if err := p.link.Send(e.buf); err != nil {
-			return e.fail(p, "reassign", err)
-		}
-		if err := transport.Flush(p.link); err != nil {
-			return e.fail(p, "reassign", err)
-		}
-		p.owed = 1
-		if p.req != nil {
-			p.req <- struct{}{}
-		}
-	}
-	for _, p := range e.peers {
-		frame, err := e.recoverRecv(p)
-		if err != nil {
-			return e.fail(p, "reassign ready", err)
-		}
-		if err := wire.DecodeBare(frame, wire.TypeReady); err != nil {
-			return e.fail(p, "reassign ready", err)
-		}
-	}
-	// Replay the current value of every node from the coordinator-side
-	// mirror. Rebuilt banks hold full filters, so no violations fire; the
-	// replies' flags are deliberately discarded.
-	for _, p := range e.peers {
-		e.buf = wire.Observe{Step: e.mach.Step(), Vals: e.last[p.lo:p.hi]}.Append(e.buf[:0])
-		if err := p.link.Send(e.buf); err != nil {
-			return e.fail(p, "replay", err)
-		}
-		if err := transport.Flush(p.link); err != nil {
-			return e.fail(p, "replay", err)
-		}
-		p.owed = 1
-		if p.req != nil {
-			p.req <- struct{}{}
-		}
-	}
-	for _, p := range e.peers {
-		frame, err := e.recoverRecv(p)
-		if err != nil {
-			return e.fail(p, "replay reply", err)
-		}
-		if err := p.reply.Decode(frame); err != nil {
-			return e.fail(p, "replay reply", err)
-		}
-	}
-	// Re-derive membership, filters and bounds from the replayed values.
-	e.step = e.mach.Step()
-	return e.runEffects(e.mach.ForceReset())
-}
-
-// Join attaches a late-joining peer mid-stream: the widest surviving
-// range is split and its upper half handed to the new link, then the
-// engine runs the same reassign/replay/reset cycle as failover so every
-// bank and filter is consistent before the next step. Call it between
-// observation calls only. On error the link is closed; a failure during
-// the cycle leaves recovery pending for the next observation call.
-func (e *Engine) Join(link transport.Link) error {
-	if e.closed {
-		link.Close()
-		return errors.New("netrun: Join after Close")
-	}
-	if e.err != nil {
-		link.Close()
-		return e.err
-	}
-	if e.pendingRecovery {
-		if err := e.recoverNow(); err != nil {
-			link.Close()
-			return err
-		}
-	}
-	wi, width := -1, 1
-	for i, p := range e.peers {
-		if w := p.hi - p.lo; w > width {
-			wi, width = i, w
-		}
-	}
-	if wi == -1 {
-		link.Close()
-		return errors.New("netrun: no splittable range (every peer hosts a single node)")
-	}
-	w := e.peers[wi]
-	mid := (w.lo + w.hi) / 2
-	np := &peer{link: link, lo: mid, hi: w.hi}
-	w.hi = mid
-	e.peers = append(e.peers, nil)
-	copy(e.peers[wi+2:], e.peers[wi+1:])
-	e.peers[wi+1] = np
-	e.acks = make([]int, len(e.peers))
-	e.touched = make([]bool, len(e.peers))
-	if e.readers && !e.cfg.Lockstep {
-		e.startReader(np)
-	}
-	e.emit(coord.Event{Kind: coord.EventPeerJoined, Lo: np.lo, Hi: np.hi})
-	e.mach.Abort()
-	if err := e.reassignReplayReset(); err != nil {
-		return fmt.Errorf("netrun: join: %w", err)
-	}
-	return nil
-}
-
-// execProtocol runs one Algorithm 2 execution over the effect's cohort,
-// charging Up per bid and Bcast per round exactly like the other engines.
-// Each round is one fan-out/gather exchange; in pipelined mode the first
-// round's frames carry the commands queued since the last exchange.
-func (e *Engine) execProtocol(eff coord.Effect) (protocol.Result, error) {
-	ex := protocol.NewExec(eff.Bound, coord.MinimumTag(eff.Tag), e.mach.Recorder(eff.Phase), nil, e.step)
-	for ex.More() {
-		e.buf = wire.Round{Tag: eff.Tag, Round: ex.Round(), Best: int64(ex.Best()), Bound: eff.Bound, Step: e.step}.Append(e.buf[:0])
-		for pi, p := range e.peers {
-			var err error
-			if e.cfg.Lockstep {
-				// Strict command/ack: this peer's round completes before
-				// the next peer even sees the command.
-				if err = e.send(p, e.buf, "round"); err == nil {
-					err = e.recvReply(p, "round")
+// execRounds is the networked engine's Exec strategy: one Algorithm 2
+// execution over the effect's cohort, each round one fan-out/gather
+// exchange, charging Up per bid and Bcast per round exactly like the
+// in-process engines.
+func execRounds() fanout.Exec {
+	var reply wire.Reply // reusable decode target
+	return fanout.Exec{Run: func(e *fanout.Engine, eff coord.Effect) (protocol.Result, error) {
+		ex := protocol.NewExec(eff.Bound, coord.MinimumTag(eff.Tag), e.Recorder(eff.Phase), nil, e.Step())
+		for ex.More() {
+			round := wire.Round{Tag: eff.Tag, Round: ex.Round(), Best: int64(ex.Best()), Bound: eff.Bound, Step: e.Step()}
+			err := e.Round(round, func(_, _ int, answer []byte) error {
+				if err := reply.Decode(answer); err != nil {
+					return err
 				}
-			} else {
-				err = e.sendCmd(pi, e.buf, "round")
-			}
+				for j, id := range reply.IDs {
+					ex.Bid(id, order.Key(reply.Keys[j]))
+				}
+				return nil
+			})
 			if err != nil {
 				return protocol.Result{}, err
 			}
+			ex.EndRound()
 		}
-		for pi, p := range e.peers {
-			if !e.cfg.Lockstep {
-				if err := e.gather(pi, "round"); err != nil {
-					return protocol.Result{}, err
-				}
-			}
-			for j, id := range p.reply.IDs {
-				ex.Bid(id, order.Key(p.reply.Keys[j]))
-			}
-		}
-		ex.EndRound()
-	}
-	return ex.Result(), nil
+		return ex.Result(), nil
+	}}
+}
+
+// A flat peer set has no coordinator hierarchy to price or to poll: its
+// link traffic is the protocol itself, reported by TransportStats. The
+// core still keeps its link ledger; the networked engine just does not
+// surface it, so Overhead and TreeStats report the documented zero.
+
+// Overhead returns zero (see above).
+func (e *Engine) Overhead() comm.Counts { return comm.Counts{} }
+
+// OverheadBytes returns zero (see above).
+func (e *Engine) OverheadBytes() comm.Bytes { return comm.Bytes{} }
+
+// TreeStats returns the zero value (see above).
+func (e *Engine) TreeStats() (wire.TreeStats, error) { return wire.TreeStats{}, nil }
+
+// SnapshotInto fills a checkpoint's engine fingerprint, machine frame and
+// value mirror from Snapshot.
+func (e *Engine) SnapshotInto(c *wire.Checkpoint) (err error) {
+	c.Engine = wire.EngineNet
+	c.Machine, c.Last, err = e.Snapshot()
+	return err
 }

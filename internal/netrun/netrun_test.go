@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/comm"
@@ -127,8 +128,7 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 // readers forced, the pipelined engine must stay bit-identical to the
 // sequential engine through violations and resets.
 func TestReaderGatherEquivalence(t *testing.T) {
-	forceReaders = true
-	defer func() { forceReaders = false }()
+	forceReaders(t)
 	const n, k, seed, steps, peers = 20, 4, 13, 200, 4
 	seq := core.New(core.Config{N: n, K: k, Seed: seed})
 	net := mustLoopback(t, Config{N: n, K: k, Seed: seed}, peers)
@@ -365,4 +365,14 @@ func TestCloseIdempotent(t *testing.T) {
 		}
 	}()
 	net.Observe([]int64{4, 3, 2, 1})
+}
+
+// forceReaders engages the reader-goroutine gather on any machine for the
+// rest of the test: the fan-out core spawns readers whenever the runtime
+// has parallelism to run them.
+func forceReaders(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 }

@@ -293,6 +293,11 @@ func (rt *Runtime) Close() {
 	rt.wg.Wait()
 }
 
+// Err returns nil: the in-process shards cannot fail independently of
+// the coordinator (the link-backed engines report abandoned recovery
+// here).
+func (rt *Runtime) Err() error { return nil }
+
 // Counts returns the total message counts charged so far.
 func (rt *Runtime) Counts() comm.Counts { return rt.mach.Counts() }
 

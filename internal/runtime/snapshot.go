@@ -32,6 +32,14 @@ func (rt *Runtime) Snapshot() (mach, nodes []byte, err error) {
 	return machFrame, rt.bank.Snapshot(nil), nil
 }
 
+// SnapshotInto fills a checkpoint's engine fingerprint and state frames
+// from Snapshot.
+func (rt *Runtime) SnapshotInto(c *wire.Checkpoint) (err error) {
+	c.Engine = wire.EngineConc
+	c.Machine, c.Nodes, err = rt.Snapshot()
+	return err
+}
+
 // Restore rebuilds a runtime from Snapshot frames taken under the same
 // configuration, validating every frame field against cfg first. The
 // restored runtime starts its own shard goroutines sized for this

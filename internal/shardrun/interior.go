@@ -3,11 +3,10 @@ package shardrun
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
-	"repro/internal/order"
+	"repro/internal/fanout"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -88,8 +87,7 @@ type interior struct {
 	ids   []int    // per-child delta routing scratch
 	vals  []int64  //
 
-	absorbs []int64 // stats aggregation scratch
-	levels  []wire.LevelIO
+	sum wire.TreeStats // stats aggregation scratch
 }
 
 // owner returns the index of the child subtree owning node id, or -1.
@@ -116,10 +114,10 @@ func (r *interior) entry(typ byte) *planEntry {
 	return pe
 }
 
-// shutdownKids forwards Shutdown to every child and closes the links, so
-// leaves exit their serve loops cleanly before the pipes go away.
-func (r *interior) shutdownKids() {
-	for _, k := range r.kids {
+// shutdown forwards Shutdown to the given children and closes their links,
+// so leaves exit their serve loops cleanly before the pipes go away.
+func (r *interior) shutdown(kids []*kid) {
+	for _, k := range kids {
 		//lint:topk chargedsend Shutdown is a teardown control frame outside the model; nothing is charged once the subtree is being dismantled
 		_ = k.link.Send(wire.AppendBare(r.bbuf[:0], wire.TypeShutdown))
 		_ = transport.Flush(k.link)
@@ -128,7 +126,7 @@ func (r *interior) shutdownKids() {
 }
 
 // reassign handles an Assign from the parent: re-split the range among
-// the children with the same base/rem rule the root uses, run the
+// the children with the same fanout.Split rule the root uses, run the
 // Assign/Ready handshake down the subtree, and ack Ready up. An
 // assignment narrower than the child count shuts the surplus children
 // down for good — the subsequent re-split keeps every survivor non-empty
@@ -140,24 +138,13 @@ func (r *interior) reassign(m wire.Assign) error {
 		return fmt.Errorf("shardrun: interior assigned empty range [%d, %d)", m.Lo, m.Hi)
 	}
 	if width < len(r.kids) {
-		for _, k := range r.kids[width:] {
-			_ = k.link.Send(wire.AppendBare(r.bbuf[:0], wire.TypeShutdown))
-			_ = transport.Flush(k.link)
-			_ = k.link.Close()
-		}
+		r.shutdown(r.kids[width:])
 		r.kids = r.kids[:width]
 	}
 	r.lo, r.hi = m.Lo, m.Hi
-	base, rem := width/len(r.kids), width%len(r.kids)
-	lo := m.Lo
 	ka := m // per-child assignment: same population, narrower range
 	for i, k := range r.kids {
-		k.lo = lo
-		k.hi = lo + base
-		if i < rem {
-			k.hi++
-		}
-		lo = k.hi
+		k.lo, k.hi = fanout.Split(m.Lo, m.Hi, len(r.kids), i)
 		ka.Lo, ka.Hi = k.lo, k.hi
 		r.buf = ka.Append(r.buf[:0])
 		if err := k.link.Send(r.buf); err != nil {
@@ -199,8 +186,7 @@ func (r *interior) pollStats() error {
 			return fmt.Errorf("shardrun: interior stats poll: %w", err)
 		}
 	}
-	r.absorbs = r.absorbs[:0]
-	r.levels = r.levels[:0]
+	r.sum.Absorbs, r.sum.Levels = r.sum.Absorbs[:0], r.sum.Levels[:0]
 	for _, k := range r.kids {
 		frame, err := k.link.Recv()
 		if err != nil {
@@ -209,71 +195,29 @@ func (r *interior) pollStats() error {
 		if err := r.stats.Decode(frame); err != nil {
 			return fmt.Errorf("shardrun: interior stats reply: %w", err)
 		}
-		for i, a := range r.stats.Absorbs {
-			if i < len(r.absorbs) {
-				r.absorbs[i] += a
-			} else {
-				r.absorbs = append(r.absorbs, a)
-			}
-		}
-		for i, lv := range r.stats.Levels {
-			if i < len(r.levels) {
-				r.levels[i] = r.levels[i].Add(lv)
-			} else {
-				r.levels = append(r.levels, lv)
-			}
-		}
+		r.sum.Merge(r.stats)
 	}
-	r.levels = append(r.levels, wire.LevelIO{
+	r.sum.Levels = append(r.sum.Levels, wire.LevelIO{
 		Down:      r.counter.Get(comm.Down),
 		Up:        r.counter.Get(comm.Up),
 		DownBytes: r.counter.GetBytes(comm.Down),
 		UpBytes:   r.counter.GetBytes(comm.Up),
 	})
-	r.buf = wire.TreeStats{Absorbs: r.absorbs, Levels: r.levels}.Append(r.buf[:0])
+	r.buf = r.sum.Append(r.buf[:0])
 	return nil
 }
 
 // mergeDigests folds the targets' digests exactly as the root's
-// execDelegated does: charges sum, the extremum wins, and among ties the
-// first in ascending range order — the merge is associative, so any
-// nesting of relays reports what a flat root would compute from the
-// leaves directly.
+// execDelegated does (see digest.merge).
 func (r *interior) mergeDigests(pe *planEntry) (wire.ShardDigest, error) {
-	minimum := coord.MinimumTag(pe.tag)
-	best := order.NegInf
-	var out wire.ShardDigest
+	var d digest
 	for _, ki := range pe.targets {
 		k := r.kids[ki]
-		d, err := wire.DecodeShardDigest(k.next())
-		if err != nil {
-			return out, fmt.Errorf("shardrun: interior digest [%d, %d): %w", k.lo, k.hi, err)
-		}
-		if d.Ups < 0 || d.UpBytes < 0 || d.Bcasts < 0 || d.BcastBytes < 0 {
-			return out, fmt.Errorf("shardrun: interior digest [%d, %d): negative charges %+v", k.lo, k.hi, d)
-		}
-		if d.OK && (d.ID < k.lo || d.ID >= k.hi) {
-			return out, fmt.Errorf("shardrun: interior digest winner %d outside range [%d, %d)", d.ID, k.lo, k.hi)
-		}
-		out.Ups += d.Ups
-		out.UpBytes += d.UpBytes
-		out.Bcasts += d.Bcasts
-		out.BcastBytes += d.BcastBytes
-		if !d.OK {
-			continue
-		}
-		cmp := order.Key(d.Key)
-		if minimum {
-			cmp = order.Neg(cmp)
-		}
-		if cmp > best {
-			best = cmp
-			out.OK = true
-			out.ID = d.ID
-			out.Key = d.Key
+		if err := d.merge(k.next(), coord.MinimumTag(pe.tag), k.lo, k.hi); err != nil {
+			return d.ShardDigest, fmt.Errorf("shardrun: interior digest [%d, %d): %w", k.lo, k.hi, err)
 		}
 	}
-	return out, nil
+	return d.ShardDigest, nil
 }
 
 // relay routes one parent exchange — a single command or the sub-frames
@@ -382,7 +326,7 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			}
 
 		case wire.TypeShutdown:
-			r.shutdownKids()
+			r.shutdown(r.kids)
 			return false, nil
 
 		default:
@@ -508,7 +452,7 @@ func (r *interior) respond(frame []byte) (cont bool, err error) {
 		}
 		return true, r.pollStats()
 	case wire.TypeShutdown:
-		r.shutdownKids()
+		r.shutdown(r.kids)
 		return false, nil
 	case wire.TypeBatch:
 		if err := r.batch.Decode(frame); err != nil {
@@ -543,36 +487,24 @@ func ServeInterior(parent transport.Link, children []transport.Link) error {
 			_ = k.link.Close()
 		}
 	}()
-	clean := func(err error) bool {
-		return errors.Is(err, transport.ErrClosed) || errors.Is(err, io.EOF)
-	}
 	first := true
-	for {
-		frame, err := parent.Recv()
-		if err != nil {
-			if clean(err) {
-				return nil
-			}
-			return fmt.Errorf("shardrun: interior serve loop: %w", err)
-		}
+	return fanout.ServeLoop(parent, func(frame []byte) (bool, error) {
 		if first {
 			if typ, terr := wire.MsgType(frame); terr != nil || typ != wire.TypeAssign {
-				return fmt.Errorf("shardrun: interior expects an assignment first (type error %v)", terr)
+				return false, fmt.Errorf("shardrun: interior expects an assignment first (type error %v)", terr)
 			}
 			first = false
 		}
 		cont, err := r.respond(frame)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
+		if err != nil || !cont {
+			return false, err
 		}
 		if err := parent.Send(r.buf); err != nil {
-			if clean(err) {
-				return nil
+			if fanout.HungUp(err) {
+				return false, nil
 			}
-			return fmt.Errorf("shardrun: interior sending reply: %w", err)
+			return false, fmt.Errorf("shardrun: interior sending reply: %w", err)
 		}
-	}
+		return true, nil
+	})
 }

@@ -8,27 +8,24 @@
 //
 // # Architecture
 //
-// The root runs the same sans-I/O decision machine (internal/coord) as
-// every other engine; what changes is the execution substrate for
-// protocol executions. Where the flat engines run Algorithm 2 round by
-// round over all n nodes, the root delegates each execution to its shards:
-// every shard runs the complete protocol over its local cohort (with the
-// global population bound, so shard-local randomness matches the flat
-// engines' at S=1) and answers with one wire.ShardDigest — its local
-// winner plus a summary of the charges the local execution incurred. The
-// root merges the S digests by key, which over the course of a
-// FILTERRESET's k+1 repeated extractions is exactly a k-merge on
-// order.Key of the per-shard candidate streams.
+// The root is the fan-out core of internal/fanout — peers, pipelining,
+// both ledgers, failover, Join, checkpoints; see that package —
+// instantiated with delegated protocol executions. Where the networked
+// engine runs Algorithm 2 round by round over all n nodes, the root
+// delegates each execution to its shards: every shard runs the complete
+// protocol over its local cohort (with the global population bound, so
+// shard-local randomness matches the flat engines' at S=1) and answers
+// with one wire.ShardDigest — its local winner plus a summary of the
+// charges the local execution incurred. The root merges the S digests by
+// key, which over the course of a FILTERRESET's k+1 repeated extractions
+// is exactly a k-merge on order.Key of the per-shard candidate streams.
+// Pipelined, the S local executions run concurrently — the fan-out
+// completes before the first digest is awaited — and a FILTERRESET costs
+// one synchronization point per extraction instead of one per command.
 //
-// By default the root pipelines the delegation exactly like the networked
-// engine (Config.Lockstep disables it): one delegated-execution request
-// fans out to every shard first — each frame carrying the shard's queued
-// ack-only commands (ResetBegin, Winner, Midpoint, ApproxBounds) in a
-// wire.Batch envelope — and the digests are gathered concurrently by one
-// reader goroutine per link while the root merges them in ascending shard
-// order. Independent shards therefore run their local protocol executions
-// in parallel between digest merges, and a FILTERRESET costs one
-// synchronization point per extraction instead of one per command.
+// Shards speak the same wire protocol as the networked engine's hosts
+// with one reinterpretation: a wire.Round frame from the root means "run
+// this whole execution locally" and is answered by a wire.ShardDigest.
 //
 // Exactness is inherited from Algorithm 1: the hierarchical execution
 // computes the same extrema (each local protocol is Las Vegas-exact, and
@@ -37,7 +34,8 @@
 // bit-identical to the sequential engine — reports, counts, bytes,
 // per-phase — which the equivalence tests pin. At S>1 reports stay exact
 // while the charged message counts grow with S (each shard pays its own
-// protocol rounds); that growth is the coordination overhead the
+// protocol rounds); that growth, and the root↔shard frames the link
+// ledger (Overhead) prices, are the coordination overhead the
 // shard-overhead benchmark measures.
 //
 // One caveat inherits the model's distinctness assumption: exactness is
@@ -52,31 +50,6 @@
 // only the choice among tied nodes can differ, exactly as the paper's
 // model leaves it undefined.
 //
-// # Accounting
-//
-// Two ledgers, deliberately separate:
-//
-//   - The algorithm ledger (Counts/Bytes/Ledger) charges model messages
-//     exactly as the other engines do — node bids and protocol-round or
-//     midpoint broadcasts — with per-shard charges merged in from the
-//     digests. At S=1 it equals the sequential engine's ledger bit for
-//     bit.
-//   - The overhead ledger (Overhead/OverheadBytes) charges the root↔shard
-//     coordination frames themselves via the same comm.SizedRecorder
-//     machinery: every root→shard command as a Down of its encoded size,
-//     every shard→root reply or digest as an Up. This is the price of
-//     sharding the coordinator, the quantity to weigh against the root's
-//     S-fold fan-in reduction. Coalesced commands are charged sub-frame
-//     by sub-frame — the batch envelope itself is transport framing,
-//     visible in TransportStats — so the overhead ledger is identical in
-//     pipelined and lockstep mode.
-//
-// Shards speak the existing wire protocol (Assign/Observe/ObserveDelta/
-// Winner/Midpoint/ResetBegin/Reply, batched or not) plus two
-// reinterpretations: a wire.Round frame from the root means "run this
-// whole execution locally" and is answered by the one new message,
-// wire.ShardDigest.
-//
 // # Hierarchical trees
 //
 // Config.Tree generalizes the star into an arbitrary-depth coordinator
@@ -88,66 +61,38 @@
 // digest up, exactly the root's merge; because that merge is
 // associative, any tree shape is bit-identical to the flat star over
 // the same leaves in reports and the algorithm ledger, and at Depth 1
-// the engine is the flat engine. The overhead ledger keeps charging
-// only the root's own links (fan-in Branch instead of Branch^Depth);
-// each interior level's traffic lives in its own counter, polled
-// uncharged through the tree by Engine.TreeStats. With Epsilon set and
-// Depth >= 2 the Assign handshake carries a monotone ladder of
-// tightened tolerances (order.Tol.Ladder): leaves track nested
-// (1±ε·l/(d+1)) bands inside the real filter and count each band exit
-// per level (TreeStats().Absorbs) without ever changing what the
-// protocol does. See DESIGN.md "Hierarchical coordination & the
-// per-level ε budget".
-//
-// # Failure and recovery
-//
-// Shards are fail-stop and the root recovers from their loss exactly as
-// netrun does from a peer's (see that package's "Failure and recovery"
-// section): a dead link abandons the step, and the next observation call
-// redials or merges the dead range, re-runs the Assign handshake, replays
-// the mirrored node values and forces a FILTERRESET. Health, Err, Join and
-// the Config failover knobs carry the same contracts as netrun's.
+// the engine is the flat engine. The link ledger keeps charging only the
+// root's own links (fan-in Branch instead of Branch^Depth); each interior
+// level's traffic lives in its own counter, polled uncharged through the
+// tree by Engine.TreeStats. With Epsilon set and Depth >= 2 the Assign
+// handshake carries a monotone ladder of tightened tolerances
+// (order.Tol.Ladder): leaves track nested (1±ε·l/(d+1)) bands inside the
+// real filter and count each band exit per level (TreeStats().Absorbs)
+// without ever changing what the protocol does. See DESIGN.md
+// "Hierarchical coordination & the per-level ε budget".
 package shardrun
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
+	"repro/internal/fanout"
 	"repro/internal/order"
-	"repro/internal/rng"
+	"repro/internal/protocol"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// forceReaders makes pipelined roots spawn reader goroutines even
-// without runtime parallelism; tests set it to exercise the concurrent
-// gather deterministically on any machine.
-var forceReaders = false
-
-// useReaders mirrors netrun's rule: reader goroutines only pay off when
-// the runtime can actually run them in parallel; otherwise the root
-// drains the fanned-out replies directly in shard order.
-func useReaders() bool {
-	return forceReaders || runtime.GOMAXPROCS(0) > 1
-}
-
-// Config mirrors core.Config for the sharded engine.
+// Config is fanout.Config plus the tree shape; see there for the shared
+// fields.
 type Config struct {
 	N, K           int
 	Seed           uint64
 	DistinctValues bool
-	// Epsilon selects the ε-approximate mode, exactly as in core.Config;
-	// the tolerance rides to the shards in the Assign handshake.
-	Epsilon float64
-	// Lockstep disables the pipelined fan-out: every command is sent,
-	// flushed and answered shard by shard, sequentially. Both modes are
-	// bit-identical in reports and in both ledgers; they differ only in
-	// wall-clock latency and transport framing.
-	Lockstep bool
+	Epsilon        float64
+	Lockstep       bool
 	// Tree declares the links to be subtree roots of a hierarchical
 	// coordinator (see Tree): New then requires exactly Tree.Branch links
 	// and at least Tree.Branch^Tree.Depth nodes, and — in the ε mode at
@@ -155,246 +100,108 @@ type Config struct {
 	// the Assign handshake. The zero value keeps the flat star.
 	Tree Tree
 
-	// Redial, RetryBudget, RetryBackoff and OnEvent carry netrun's failover
-	// contracts, applied to shard links.
 	Redial       func() (transport.Link, error)
 	RetryBudget  int
 	RetryBackoff time.Duration
 	OnEvent      func(coord.Event)
 }
 
-// retryBudget returns the configured recovery-attempt bound.
-func (c Config) retryBudget() int {
-	if c.RetryBudget > 0 {
-		return c.RetryBudget
+// Core returns the configuration of the fan-out core underneath: every
+// field but the tree shape.
+func (c Config) Core() fanout.Config {
+	return fanout.Config{
+		N: c.N, K: c.K, Seed: c.Seed, DistinctValues: c.DistinctValues,
+		Epsilon: c.Epsilon, Lockstep: c.Lockstep,
+		Redial: c.Redial, RetryBudget: c.RetryBudget,
+		RetryBackoff: c.RetryBackoff, OnEvent: c.OnEvent,
 	}
-	return 3
 }
 
-// retryBackoff returns the configured base recovery backoff.
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 10 * time.Millisecond
-}
-
-// recvResult is one reader goroutine's answer to a gather request.
-type recvResult struct {
-	frame []byte
-	err   error
-}
-
-// shardPeer is the root's view of one sub-coordinator link.
-type shardPeer struct {
-	link   transport.Link
-	lo, hi int
-	reply  wire.Reply // reusable decode target
-	batch  wire.Batch // reusable decode target for batched replies
-
-	// Pipelined gather: one Recv per request token (see netrun).
-	req chan struct{}
-	res chan recvResult
-
-	// Deferred ack-only commands awaiting the next data-bearing frame.
-	pendBuf  []byte
-	pendLens []int
-	views    [][]byte
-
-	// Failover bookkeeping (see netrun.peer): strict request/reply keeps
-	// owed 0 or 1 at any failure point.
-	owed     int
-	dead     bool
-	failures int64
-}
-
-// pending returns the number of queued ack-only commands.
-func (p *shardPeer) pending() int { return len(p.pendLens) }
-
-// queue defers one encoded command until the next frame to this shard.
-func (p *shardPeer) queue(enc func([]byte) []byte) {
-	old := len(p.pendBuf)
-	p.pendBuf = enc(p.pendBuf)
-	p.pendLens = append(p.pendLens, len(p.pendBuf)-old)
-}
-
-// Engine is the root coordinator of the sharded monitor. It satisfies
-// sim.Algorithm and sim.DeltaAlgorithm. Like the other engines it is not
-// safe for concurrent Observe calls.
+// Engine is the root coordinator of the sharded monitor: a fanout.Engine
+// whose protocol executions are delegated to the shards.
 type Engine struct {
-	cfg      Config
-	mach     *coord.Machine
-	peers    []*shardPeer
-	overhead comm.Counter // root↔shard coordination frames
-
-	step    int64
-	closed  bool
-	readers bool  // pipelined gather runs reader goroutines
-	err     error // terminal failure (recovery abandoned); sticky
-
-	// Failover state, mirroring netrun.Engine's.
-	last            []int64
-	pendingRecovery bool
-	failures        int64
-	recoveries      int64
-	rrng            *rng.RNG
-
-	buf     []byte // reusable encode buffer
-	bbuf    []byte // reusable batch-envelope encode buffer
-	acks    []int  // per-shard deferred-command count of the current gather
-	touched []bool // shards hit by the current delta
-
-	// Hierarchical mode (Config.Tree): the per-level tolerance ladder
-	// shipped in every Assign, and the decode scratch for stats polls.
-	ladder    []uint64
-	treeStats wire.TreeStats
+	*fanout.Engine
+	tree Tree
 }
 
 // New performs the Assign/Ready handshake over the given links — shard i
-// owns the i-th contiguous node range — and returns the root. It requires
-// 1 <= len(links) <= N so every shard owns at least one node. Callers
-// must Close the engine. On a handshake error New closes every link
-// before returning.
+// owns the i-th contiguous node range — and returns the root, under
+// fanout.New's contract.
 func New(cfg Config, links []transport.Link) (*Engine, error) {
-	fail := func(err error) (*Engine, error) {
+	return build(cfg, links, func(x fanout.Exec) (*fanout.Engine, error) {
+		return fanout.New(cfg.Core(), links, x)
+	})
+}
+
+// Restore rebuilds a root over links from a Snapshot taken under the same
+// configuration (including the same Tree shape), under fanout.Restore's
+// contract.
+func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
+	return build(cfg, links, func(x fanout.Exec) (*fanout.Engine, error) {
+		return fanout.Restore(cfg.Core(), links, x, machFrame, last)
+	})
+}
+
+// build derives the Exec strategy from cfg and wraps the core engine mk
+// constructs with it. Like the core constructors it closes every link on
+// error.
+func build(cfg Config, links []transport.Link, mk func(fanout.Exec) (*fanout.Engine, error)) (*Engine, error) {
+	x, err := cfg.exec(len(links))
+	if err != nil {
 		for _, l := range links {
 			l.Close()
 		}
 		return nil, err
 	}
-	if cfg.N <= 0 {
-		return fail(errors.New("shardrun: need N > 0"))
-	}
-	if cfg.K < 1 || cfg.K > cfg.N {
-		return fail(fmt.Errorf("shardrun: need 1 <= K <= N, got K=%d N=%d", cfg.K, cfg.N))
-	}
-	if len(links) == 0 || len(links) > cfg.N {
-		return fail(fmt.Errorf("shardrun: need 1 <= shards <= N, got %d shards for N=%d", len(links), cfg.N))
-	}
-	tol, err := order.NewTol(cfg.Epsilon)
+	e, err := mk(x)
 	if err != nil {
-		return fail(fmt.Errorf("shardrun: %w", err))
+		return nil, err
 	}
-	var ladder []uint64
-	if !cfg.Tree.zero() {
-		leaves, err := cfg.Tree.Leaves()
-		if err != nil {
-			return fail(err)
-		}
-		if len(links) != cfg.Tree.Branch {
-			return fail(fmt.Errorf("shardrun: tree branch %d needs exactly %d links, got %d", cfg.Tree.Branch, cfg.Tree.Branch, len(links)))
-		}
-		if leaves > cfg.N {
-			return fail(fmt.Errorf("shardrun: tree %d^%d has %d leaves for N=%d nodes", cfg.Tree.Branch, cfg.Tree.Depth, leaves, cfg.N))
-		}
-		// Per-level ε tightening: levels strictly below the root run
-		// monotonically tightened bands, widening toward the configured ε
-		// at the root. The ladder is diagnostic — leaves count per-level
-		// band exits (TreeStats) while the protocol filters stay anchored
-		// on the root tolerance — so depth 1 (and ε = 0) ships none and
-		// stays bit-identical to the flat star.
-		if cfg.Tree.Depth >= 2 {
-			for _, t := range tol.Ladder(cfg.Tree.Depth) {
-				ladder = append(ladder, t.Num())
-			}
-		}
-	}
-	e := &Engine{
-		cfg:     cfg,
-		mach:    coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
-		last:    make([]int64, cfg.N),
-		rrng:    rng.New(cfg.Seed, 0xbacd),
-		acks:    make([]int, len(links)),
-		touched: make([]bool, len(links)),
-		ladder:  ladder,
-	}
-	base, rem := cfg.N/len(links), cfg.N%len(links)
-	lo := 0
-	for i, link := range links {
-		hi := lo + base
-		if i < rem {
-			hi++
-		}
-		e.peers = append(e.peers, &shardPeer{link: link, lo: lo, hi: hi})
-		lo = hi
-	}
-	for _, p := range e.peers {
-		e.buf = wire.Assign{
-			Lo: p.lo, Hi: p.hi, N: cfg.N, K: cfg.K,
-			Seed: cfg.Seed, EpsNum: tol.Num(), Distinct: cfg.DistinctValues,
-			Ladder: e.ladder,
-		}.Append(e.buf[:0])
-		if err := e.send(p, e.buf, "assign"); err != nil {
-			return fail(err)
-		}
-	}
-	for _, p := range e.peers {
-		frame, err := e.recv(p, "ready")
-		if err != nil {
-			return fail(err)
-		}
-		if err := wire.DecodeBare(frame, wire.TypeReady); err != nil {
-			return fail(fmt.Errorf("shardrun: shard [%d, %d) handshake: %w", p.lo, p.hi, err))
-		}
-	}
-	if !cfg.Lockstep {
-		e.startReaders()
-	}
-	return e, nil
+	return &Engine{Engine: e, tree: cfg.Tree}, nil
 }
 
-// startReaders spawns one gather goroutine per link (see netrun: one Recv
-// per request token; exits when the request channel closes). Skipped
-// without runtime parallelism — the root then drains the fanned-out
-// replies directly in shard order (netrun.useReaders explains why).
-func (e *Engine) startReaders() {
-	e.readers = useReaders()
-	if !e.readers {
-		return
+// exec returns the sharded Exec strategy for the given link count: the
+// delegation, plus — for a valid Tree — the tolerance ladder its leaves
+// track.
+func (c Config) exec(links int) (fanout.Exec, error) {
+	x := fanout.Exec{Run: execDelegated}
+	if c.Tree.zero() {
+		return x, nil
 	}
-	for _, p := range e.peers {
-		e.startReader(p)
+	leaves, err := c.Tree.Leaves()
+	if err != nil {
+		return x, err
 	}
-}
-
-// startReader attaches a fresh reader goroutine to one shard link (see
-// netrun.startReader for the release argument).
-func (e *Engine) startReader(p *shardPeer) {
-	p.req = make(chan struct{}, 1)
-	p.res = make(chan recvResult, 1)
-	go func(p *shardPeer) {
-		for range p.req {
-			frame, err := p.link.Recv()
-			//lint:topk ctxsend non-blocking: res has capacity 1 and the owed<=1 reply discipline guarantees a free slot; close(req) releases the loop
-			p.res <- recvResult{frame: frame, err: err}
+	if links != c.Tree.Branch {
+		return x, fmt.Errorf("shardrun: tree branch %d needs exactly %d links, got %d", c.Tree.Branch, c.Tree.Branch, links)
+	}
+	if leaves > c.N {
+		return x, fmt.Errorf("shardrun: tree %d^%d has %d leaves for N=%d nodes", c.Tree.Branch, c.Tree.Depth, leaves, c.N)
+	}
+	tol, err := order.NewTol(c.Epsilon)
+	if err != nil {
+		return x, fmt.Errorf("shardrun: %w", err)
+	}
+	// Per-level ε tightening: levels strictly below the root run
+	// monotonically tightened bands, widening toward the configured ε at
+	// the root. The ladder is diagnostic — leaves count per-level band
+	// exits (TreeStats) while the protocol filters stay anchored on the
+	// root tolerance — so depth 1 (and ε = 0) ships none and stays
+	// bit-identical to the flat star.
+	if c.Tree.Depth >= 2 {
+		for _, t := range tol.Ladder(c.Tree.Depth) {
+			x.Ladder = append(x.Ladder, t.Num())
 		}
-	}(p)
-}
-
-// LoopbackLinks builds one pipe pair per shard with a ServeShard
-// goroutine on the far end and returns the root ends. A serve goroutine
-// exits cleanly when its link closes; on a shard error it closes its
-// link, which the root observes as a dead shard and handles through the
-// regular failover path.
-func LoopbackLinks(shards int) []transport.Link {
-	links := make([]transport.Link, shards)
-	for i := range links {
-		links[i] = LoopbackLink()
 	}
-	return links
+	return x, nil
 }
 
 // LoopbackLink builds a single in-process shard behind a pipe and returns
-// the root end, usable as a Config.Redial factory or a Join argument.
-func LoopbackLink() transport.Link {
-	rootEnd, shardEnd := transport.Pipe()
-	go func() {
-		if err := ServeShard(shardEnd); err != nil {
-			shardEnd.Close()
-		}
-	}()
-	return rootEnd
-}
+// the root end (see fanout.Loopback).
+func LoopbackLink() transport.Link { return fanout.Loopback(ServeShard) }
+
+// LoopbackLinks builds one LoopbackLink per shard.
+func LoopbackLinks(shards int) []transport.Link { return fanout.Loopbacks(shards, ServeShard) }
 
 // NewLoopback builds an in-process sharded engine over LoopbackLinks. It
 // is the engine behind topk.Config.Shards and topkmon -shards.
@@ -402,862 +209,116 @@ func NewLoopback(cfg Config, shards int) (*Engine, error) {
 	return New(cfg, LoopbackLinks(shards))
 }
 
-// Close sends every shard a Shutdown frame, closes the links and stops
-// the reader goroutines. Queued ack-only commands are dropped.
-// Idempotent.
-func (e *Engine) Close() {
-	if e.closed {
-		return
+// RestoreLoopback is Restore over fresh loopback shard links, the
+// counterpart of NewLoopback for crash-restart tests and local monitors.
+func RestoreLoopback(cfg Config, shards int, machFrame []byte, last []int64) (*Engine, error) {
+	if shards < 1 || shards > cfg.N {
+		return nil, fmt.Errorf("shardrun: need 1 <= shards <= N, got %d shards for N=%d", shards, cfg.N)
 	}
-	e.closed = true
-	for _, p := range e.peers {
-		//lint:topk chargedsend Shutdown is a teardown control frame outside the model; the ledgers are final once Close begins
-		_ = p.link.Send(wire.AppendBare(e.buf[:0], wire.TypeShutdown))
-		_ = transport.Flush(p.link)
-		_ = p.link.Close()
-		if p.req != nil {
-			close(p.req)
-		}
-	}
+	return Restore(cfg, LoopbackLinks(shards), machFrame, last)
 }
 
-// Counts returns the algorithm ledger's total model message counts.
-func (e *Engine) Counts() comm.Counts { return e.mach.Counts() }
+// Shards returns the number of root links.
+func (e *Engine) Shards() int { return e.Peers() }
 
-// Bytes returns the algorithm ledger's total charged model bytes.
-func (e *Engine) Bytes() comm.Bytes { return e.mach.Bytes() }
-
-// Ledger exposes the algorithm ledger's per-phase breakdown.
-func (e *Engine) Ledger() *comm.Ledger { return e.mach.Ledger() }
-
-// Stats returns execution counters (maintained by the shared coordinator
-// core, identical across engines for the same seed).
-func (e *Engine) Stats() coord.Stats { return e.mach.Stats() }
-
-// Overhead returns the coordination frame counts of the root↔shard layer:
-// Down counts root→shard commands, Up counts shard→root replies and
-// digests. This traffic is what sharding the coordinator costs on top of
-// the algorithm ledger. Coalesced commands count individually, so the
-// numbers are mode-independent.
-func (e *Engine) Overhead() comm.Counts { return e.overhead.Snapshot() }
-
-// OverheadBytes returns the encoded byte volume of the coordination
-// frames.
-func (e *Engine) OverheadBytes() comm.Bytes { return e.overhead.BytesSnapshot() }
-
-// Err returns the engine's terminal failure, or nil. Recoverable shard
-// failures do not set it (see Health); it becomes non-nil only once
-// recovery is abandoned. Once set, the engine is wedged: observation
-// calls return the last successfully computed report without touching the
-// links. Close remains safe.
-func (e *Engine) Err() error { return e.err }
-
-// Health reports the root's failover state, as netrun.Engine.Health does.
-func (e *Engine) Health() coord.Health {
-	h := coord.Health{
-		Terminal:   e.err,
-		Degraded:   e.pendingRecovery,
-		Failures:   e.failures,
-		Recoveries: e.recoveries,
-	}
-	for _, p := range e.peers {
-		h.Peers = append(h.Peers, coord.PeerHealth{Lo: p.lo, Hi: p.hi, Failures: p.failures})
-	}
-	return h
-}
-
-// TransportStats sums the per-link transport statistics over all shards.
-func (e *Engine) TransportStats() transport.LinkStats {
-	var s transport.LinkStats
-	for _, p := range e.peers {
-		s = s.Add(transport.StatsOf(p.link))
-	}
-	return s
-}
-
-// Shards returns the number of shard sub-coordinators.
-func (e *Engine) Shards() int { return len(e.peers) }
-
-// Pipelined reports whether the root runs the pipelined fan-out.
-func (e *Engine) Pipelined() bool { return !e.cfg.Lockstep }
-
-// Top returns the current top-k ids ascending, as a read-only view owned
-// by the engine: it is invalidated by the next step that changes the top
-// set, and mutating it corrupts the engine (see AppendTop).
-func (e *Engine) Top() []int { return e.mach.Top() }
-
-// AppendTop appends the current top-k ids (ascending) to dst and returns
-// the extended slice. The appended values are copies owned by the caller.
-func (e *Engine) AppendTop(dst []int) []int { return e.mach.AppendTop(dst) }
-
-// emit delivers one failover event to the configured callback.
-func (e *Engine) emit(ev coord.Event) {
-	if e.cfg.OnEvent != nil {
-		e.cfg.OnEvent(ev)
-	}
-}
-
-// fail records a shard failure and schedules recovery (see netrun.fail):
-// only abandoned recovery sets Err.
-func (e *Engine) fail(p *shardPeer, op string, err error) error {
-	p.dead = true
-	p.failures++
-	e.failures++
-	e.pendingRecovery = true
-	e.emit(coord.Event{Kind: coord.EventPeerDown, Lo: p.lo, Hi: p.hi, Err: err})
-	return fmt.Errorf("shardrun: shard [%d, %d): %s: %w", p.lo, p.hi, op, err)
-}
-
-// terminal records an unrecoverable failure.
-func (e *Engine) terminal(err error) {
-	e.err = err
-	e.emit(coord.Event{Kind: coord.EventTerminal, Lo: 0, Hi: e.cfg.N, Err: err})
-}
-
-// send ships one pre-encoded frame to a shard and flushes it, charging it
-// as one Down coordination message of its encoded size (the lockstep data
-// path, also used for the handshake).
-func (e *Engine) send(p *shardPeer, frame []byte, op string) error {
-	if err := p.link.Send(frame); err != nil {
-		return e.fail(p, op, err)
-	}
-	if err := transport.Flush(p.link); err != nil {
-		return e.fail(p, op, err)
-	}
-	p.owed = 1
-	e.overhead.RecordSized(comm.Down, 1, int64(len(frame)))
-	return nil
-}
-
-// recv reads one frame from a shard, charging it as one Up coordination
-// message of its encoded size (lockstep path).
-func (e *Engine) recv(p *shardPeer, op string) ([]byte, error) {
-	frame, err := p.link.Recv()
-	p.owed = 0
-	if err != nil {
-		return nil, e.fail(p, op, err)
-	}
-	e.overhead.RecordSized(comm.Up, 1, int64(len(frame)))
-	return frame, nil
-}
-
-// recvReply reads and decodes a shard's plain Reply (lockstep path).
-func (e *Engine) recvReply(p *shardPeer, op string) error {
-	frame, err := e.recv(p, op)
-	if err != nil {
-		return err
-	}
-	if err := p.reply.Decode(frame); err != nil {
-		return e.fail(p, op, err)
-	}
-	return nil
-}
-
-// sendCmd ships one data-bearing command to a shard on the pipelined
-// path, with that shard's queued ack-only commands riding ahead of it in
-// a wire.Batch envelope. Every sub-frame is charged to the overhead
-// ledger individually, exactly as lockstep mode charges the same commands
-// as separate frames. e.acks records the acks the next gather owes.
-func (e *Engine) sendCmd(pi int, frame []byte, op string) error {
-	p := e.peers[pi]
-	e.acks[pi] = p.pending()
-	out := frame
-	if p.pending() > 0 {
-		p.views = p.views[:0]
-		off := 0
-		for _, l := range p.pendLens {
-			p.views = append(p.views, p.pendBuf[off:off+l])
-			e.overhead.RecordSized(comm.Down, 1, int64(l))
-			off += l
-		}
-		p.views = append(p.views, frame)
-		e.bbuf = wire.Batch{Frames: p.views}.Append(e.bbuf[:0])
-		out = e.bbuf
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-	}
-	if err := p.link.Send(out); err != nil {
-		return e.fail(p, op, err)
-	}
-	if err := transport.Flush(p.link); err != nil {
-		return e.fail(p, op, err)
-	}
-	p.owed = 1
-	e.overhead.RecordSized(comm.Down, 1, int64(len(frame)))
-	if p.req != nil {
-		p.req <- struct{}{}
-	}
-	return nil
-}
-
-// recvFrame collects one in-flight reply frame from a shard: from its
-// reader goroutine when one is running, directly off the link otherwise.
-func (e *Engine) recvFrame(p *shardPeer, op string) ([]byte, error) {
-	if p.res != nil {
-		r := <-p.res
-		p.owed = 0
-		if r.err != nil {
-			return nil, e.fail(p, op, r.err)
-		}
-		return r.frame, nil
-	}
-	frame, err := p.link.Recv()
-	p.owed = 0
-	if err != nil {
-		return nil, e.fail(p, op, err)
-	}
-	return frame, nil
-}
-
-// gather consumes one reply frame from a shard whose reader was signalled
-// by sendCmd: the owed acks first (validated, charged individually), then
-// the data-bearing payload, which is returned for the caller to decode
-// (a Reply for observation exchanges, a ShardDigest for delegated
-// executions). Gathers must be consumed in ascending shard order.
-func (e *Engine) gather(pi int, op string) ([]byte, error) {
-	p := e.peers[pi]
-	frame, err := e.recvFrame(p, op)
-	if err != nil {
-		return nil, err
-	}
-	if want := e.acks[pi]; want > 0 {
-		if err := p.batch.Decode(frame); err != nil {
-			return nil, e.fail(p, op, err)
-		}
-		if got := len(p.batch.Frames); got != want+1 {
-			return nil, e.fail(p, op, fmt.Errorf("batched reply carries %d frames, want %d", got, want+1))
-		}
-		for _, ack := range p.batch.Frames[:want] {
-			if err := p.reply.Decode(ack); err != nil {
-				return nil, e.fail(p, op, err)
-			}
-			e.overhead.RecordSized(comm.Up, 1, int64(len(ack)))
-		}
-		frame = p.batch.Frames[want]
-	}
-	e.overhead.RecordSized(comm.Up, 1, int64(len(frame)))
-	return frame, nil
-}
-
-// gatherReply consumes one gather and decodes its payload as a Reply.
-func (e *Engine) gatherReply(pi int, op string) error {
-	frame, err := e.gather(pi, op)
-	if err != nil {
-		return err
-	}
-	p := e.peers[pi]
-	if err := p.reply.Decode(frame); err != nil {
-		return e.fail(p, op, err)
-	}
-	return nil
-}
-
-// broadcast ships the same frame to every shard strictly one shard at a
-// time — send, await the reply, move on (lockstep only; the pipelined
-// path fans out first, gathers concurrently, and defers its ack-only
-// broadcasts into the next exchange).
-func (e *Engine) broadcast(frame []byte, op string) error {
-	for _, p := range e.peers {
-		if err := e.send(p, frame, op); err != nil {
-			return err
-		}
-		if err := e.recvReply(p, op); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// unicast routes a frame to the shard owning node id and awaits its plain
-// reply (lockstep only).
-func (e *Engine) unicast(id int, frame []byte, op string) error {
-	for _, p := range e.peers {
-		if id >= p.lo && id < p.hi {
-			if err := e.send(p, frame, op); err != nil {
-				return err
-			}
-			return e.recvReply(p, op)
-		}
-	}
-	panic(fmt.Sprintf("shardrun: no shard owns node %d", id))
-}
-
-// owner returns the index of the shard owning node id.
-func (e *Engine) owner(id int) int {
-	for pi, p := range e.peers {
-		if id >= p.lo && id < p.hi {
-			return pi
-		}
-	}
-	panic(fmt.Sprintf("shardrun: no shard owns node %d", id))
-}
-
-// queueAll defers one encoded broadcast command on every shard.
-func (e *Engine) queueAll(enc func([]byte) []byte) {
-	for _, p := range e.peers {
-		p.queue(enc)
-	}
-}
-
-// drainPending flushes every shard's queued ack-only commands as one
-// final exchange (see netrun.drainPending), charging commands and acks to
-// the overhead ledger sub-frame by sub-frame so the ledger matches
-// lockstep mode at every step boundary.
-func (e *Engine) drainPending() error {
-	any := false
-	for pi, p := range e.peers {
-		e.acks[pi] = p.pending()
-		if p.pending() == 0 {
-			continue
-		}
-		any = true
-		out := p.pendBuf
-		if p.pending() > 1 {
-			p.views = p.views[:0]
-			off := 0
-			for _, l := range p.pendLens {
-				p.views = append(p.views, p.pendBuf[off:off+l])
-				off += l
-			}
-			e.bbuf = wire.Batch{Frames: p.views}.Append(e.bbuf[:0])
-			out = e.bbuf
-		}
-		for _, l := range p.pendLens {
-			e.overhead.RecordSized(comm.Down, 1, int64(l))
-		}
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-		if err := p.link.Send(out); err != nil {
-			return e.fail(p, "drain", err)
-		}
-		if err := transport.Flush(p.link); err != nil {
-			return e.fail(p, "drain", err)
-		}
-		p.owed = 1
-		if p.req != nil {
-			p.req <- struct{}{}
-		}
-	}
-	if !any {
-		return nil
-	}
-	for pi, p := range e.peers {
-		want := e.acks[pi]
-		if want == 0 {
-			continue
-		}
-		frame, err := e.recvFrame(p, "drain")
-		if err != nil {
-			return err
-		}
-		if want == 1 {
-			if err := p.reply.Decode(frame); err != nil {
-				return e.fail(p, "drain", err)
-			}
-			e.overhead.RecordSized(comm.Up, 1, int64(len(frame)))
-			continue
-		}
-		if err := p.batch.Decode(frame); err != nil {
-			return e.fail(p, "drain", err)
-		}
-		if got := len(p.batch.Frames); got != want {
-			return e.fail(p, "drain", fmt.Errorf("batched ack carries %d frames, want %d", got, want))
-		}
-		for _, ack := range p.batch.Frames {
-			if err := p.reply.Decode(ack); err != nil {
-				return e.fail(p, "drain", err)
-			}
-			e.overhead.RecordSized(comm.Up, 1, int64(len(ack)))
-		}
-	}
-	return nil
-}
-
-// sendObs ships the observation frame staged in e.buf to shard pi. In
-// lockstep mode the shard's reply is awaited on the spot (strict
-// command/ack, one shard at a time); in pipelined mode the frame only
-// fans out and gatherObs collects the reply later.
-func (e *Engine) sendObs(pi int, op string) error {
-	if e.cfg.Lockstep {
-		if err := e.send(e.peers[pi], e.buf, op); err != nil {
-			return err
-		}
-		return e.recvReply(e.peers[pi], op)
-	}
-	return e.sendCmd(pi, e.buf, op)
-}
-
-// gatherObs consumes shard pi's observation reply into its reply
-// scratch; in lockstep mode sendObs already did.
-func (e *Engine) gatherObs(pi int, op string) error {
-	if e.cfg.Lockstep {
-		return nil
-	}
-	return e.gatherReply(pi, op)
-}
-
-// Observe processes one dense time step and returns the reported top-k
-// ids ascending (a read-only view). It panics after Close; on a dead link
-// it records the error (see Err) and returns the last-good report.
-func (e *Engine) Observe(vals []int64) []int {
-	if e.closed {
-		panic("shardrun: Observe after Close")
-	}
-	if len(vals) != e.cfg.N {
-		panic(fmt.Sprintf("shardrun: observed %d values for %d nodes", len(vals), e.cfg.N))
-	}
-	if e.err != nil {
-		return e.mach.Top()
-	}
-	if e.pendingRecovery && e.recoverNow() != nil {
-		return e.mach.Top()
-	}
-	copy(e.last, vals)
-	e.step = e.mach.BeginStep()
-	for pi, p := range e.peers {
-		e.buf = wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi]}.Append(e.buf[:0])
-		if err := e.sendObs(pi, "observe"); err != nil {
-			return e.mach.Top()
-		}
-	}
-	anyTop, anyOut := false, false
-	for pi, p := range e.peers {
-		if err := e.gatherObs(pi, "observe"); err != nil {
-			return e.mach.Top()
-		}
-		anyTop = anyTop || p.reply.TopViol
-		anyOut = anyOut || p.reply.OutViol
-	}
-	return e.finishStep(anyTop, anyOut)
-}
-
-// ObserveDelta processes one sparse time step: vals[j] is node ids[j]'s
-// new value, every other node repeats. ids must be strictly increasing.
-// Only shards owning a touched node exchange observation frames; protocol
-// work still reaches every shard (cohort membership is node-local).
-// Semantics match core.Monitor.ObserveDelta exactly.
-func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
-	if e.closed {
-		panic("shardrun: ObserveDelta after Close")
-	}
-	if len(ids) != len(vals) {
-		panic(fmt.Sprintf("shardrun: delta has %d ids but %d values", len(ids), len(vals)))
-	}
-	prev := -1
-	for _, id := range ids {
-		if id <= prev || id >= e.cfg.N {
-			panic(fmt.Sprintf("shardrun: delta ids must be strictly increasing in [0, %d), got %d after %d", e.cfg.N, id, prev))
-		}
-		prev = id
-	}
-	if e.err != nil {
-		return e.mach.Top()
-	}
-	if e.pendingRecovery && e.recoverNow() != nil {
-		return e.mach.Top()
-	}
-	for j, id := range ids {
-		e.last[id] = vals[j]
-	}
-	e.step = e.mach.BeginStep()
-	clear(e.touched)
-	start := 0
-	for pi, p := range e.peers {
-		stop := start
-		for stop < len(ids) && ids[stop] < p.hi {
-			stop++
-		}
-		if stop > start {
-			e.touched[pi] = true
-			e.buf = wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop]}.Append(e.buf[:0])
-			if err := e.sendObs(pi, "observe-delta"); err != nil {
-				return e.mach.Top()
-			}
-		}
-		start = stop
-	}
-	anyTop, anyOut := false, false
-	for pi, p := range e.peers {
-		if !e.touched[pi] {
-			continue
-		}
-		if err := e.gatherObs(pi, "observe-delta"); err != nil {
-			return e.mach.Top()
-		}
-		anyTop = anyTop || p.reply.TopViol
-		anyOut = anyOut || p.reply.OutViol
-	}
-	return e.finishStep(anyTop, anyOut)
-}
-
-// finishStep drives the coordinator machine, delegating every protocol
-// execution to the shards and merging their digests. In pipelined mode
-// the ack-only effects are queued per shard and ride ahead of the next
-// delegated execution — a FILTERRESET costs one exchange per extraction
-// instead of 2k+4 — with the trailing midpoint/bounds install drained as
-// one final batched exchange, exactly as in netrun (see that package's
-// determinism argument).
-func (e *Engine) finishStep(anyTopViol, anyOutViol bool) []int {
-	_ = e.runEffects(e.mach.FinishStep(anyTopViol, anyOutViol))
-	return e.mach.Top()
-}
-
-// runEffects drives one effect chain — a step's FinishStep chain, or the
-// forced FILTERRESET of a recovery — to EffDone (see netrun.runEffects).
-func (e *Engine) runEffects(eff coord.Effect) error {
-	pipelined := !e.cfg.Lockstep
-	for eff.Kind != coord.EffDone {
-		var err error
-		switch eff.Kind {
-		case coord.EffExec:
-			var ok bool
-			var id int
-			var key order.Key
-			if ok, id, key, err = e.execDelegated(eff); err == nil {
-				eff = e.mach.ExecDone(ok, id, key)
-			}
-		case coord.EffResetBegin:
-			if pipelined {
-				e.queueAll(func(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeResetBegin) })
-				eff = e.mach.Ack()
-				continue
-			}
-			if err = e.broadcast(wire.AppendBare(e.buf[:0], wire.TypeResetBegin), "reset-begin"); err == nil {
-				eff = e.mach.Ack()
-			}
-		case coord.EffWinner:
-			m := wire.Winner{Target: eff.Target, IsTop: eff.IsTop}
-			if pipelined {
-				e.peers[e.owner(eff.Target)].queue(m.Append)
-				eff = e.mach.Ack()
-				continue
-			}
-			e.buf = m.Append(e.buf[:0])
-			if err = e.unicast(eff.Target, e.buf, "winner"); err == nil {
-				eff = e.mach.Ack()
-			}
-		case coord.EffMidpoint:
-			m := wire.Midpoint{Mid: int64(eff.Mid), Full: eff.Full}
-			if pipelined {
-				e.queueAll(m.Append)
-				eff = e.mach.Ack()
-				continue
-			}
-			e.buf = m.Append(e.buf[:0])
-			if err = e.broadcast(e.buf, "midpoint"); err == nil {
-				eff = e.mach.Ack()
-			}
-		case coord.EffBounds:
-			m := wire.ApproxBounds{Lo: int64(eff.Lo), Hi: int64(eff.Hi)}
-			if pipelined {
-				e.queueAll(m.Append)
-				eff = e.mach.Ack()
-				continue
-			}
-			e.buf = m.Append(e.buf[:0])
-			if err = e.broadcast(e.buf, "bounds"); err == nil {
-				eff = e.mach.Ack()
-			}
-		default:
-			panic(fmt.Sprintf("shardrun: unknown coordinator effect %d", eff.Kind))
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if pipelined {
-		return e.drainPending()
-	}
-	return nil
-}
-
-// recoverNow runs the recovery pass scheduled by fail, with netrun's
-// contract: redial or merge, reassign, replay, forced FILTERRESET, under
-// a jittered-backoff retry budget.
-func (e *Engine) recoverNow() error {
-	budget := e.cfg.retryBudget()
-	backoff := e.cfg.retryBackoff()
-	for attempt := 0; attempt < budget; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff/2 + time.Duration(e.rrng.Uint64n(uint64(backoff))))
-			if backoff < time.Second {
-				backoff *= 2
-			}
-		}
-		e.mach.Abort()
-		if err := e.restorePeers(); err != nil {
-			return err // all shards lost: already terminal
-		}
-		if err := e.reassignReplayReset(); err != nil {
-			continue // a shard died during the attempt; retry
-		}
-		e.pendingRecovery = false
-		e.recoveries++
-		e.emit(coord.Event{Kind: coord.EventRecovered, Lo: 0, Hi: e.cfg.N})
-		return nil
-	}
-	e.terminal(fmt.Errorf("shardrun: recovery abandoned after %d attempts", budget))
-	return e.err
-}
-
-// restorePeers replaces or merges every dead shard (see
-// netrun.restorePeers; the logic is identical).
-func (e *Engine) restorePeers() error {
-	for _, p := range e.peers {
-		if !p.dead {
-			continue
-		}
-		if p.req != nil {
-			close(p.req)
-			p.req, p.res = nil, nil
-		}
-		p.link.Close()
-		if e.cfg.Redial == nil {
-			continue
-		}
-		nl, err := e.cfg.Redial()
-		if err != nil {
-			continue // merge below
-		}
-		p.link = nl
-		p.dead = false
-		p.owed = 0
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-		if e.readers && !e.cfg.Lockstep {
-			e.startReader(p)
-		}
-		e.emit(coord.Event{Kind: coord.EventPeerReplaced, Lo: p.lo, Hi: p.hi})
-	}
-	survivors := make([]*shardPeer, 0, len(e.peers))
-	orphanLo := -1
-	for _, p := range e.peers {
-		if p.dead {
-			e.emit(coord.Event{Kind: coord.EventRangeMerged, Lo: p.lo, Hi: p.hi})
-			if len(survivors) > 0 {
-				survivors[len(survivors)-1].hi = p.hi
-			} else if orphanLo == -1 {
-				orphanLo = p.lo
-			}
-			continue
-		}
-		if orphanLo != -1 {
-			p.lo = orphanLo
-			orphanLo = -1
-		}
-		survivors = append(survivors, p)
-	}
-	if len(survivors) == 0 {
-		e.terminal(errors.New("shardrun: all shards lost"))
-		return e.err
-	}
-	e.peers = survivors
-	if len(e.acks) != len(e.peers) {
-		e.acks = make([]int, len(e.peers))
-		e.touched = make([]bool, len(e.peers))
-	}
-	return nil
-}
-
-// recoverRecv collects one frame during recovery, honoring a running
-// reader goroutine's ownership of the link's receive side.
-func (e *Engine) recoverRecv(p *shardPeer) ([]byte, error) {
-	if p.res != nil {
-		r := <-p.res
-		p.owed = 0
-		return r.frame, r.err
-	}
-	frame, err := p.link.Recv()
-	p.owed = 0
-	return frame, err
-}
-
-// drainOwed consumes a survivor's outstanding pre-failure reply so the
-// link is quiescent ahead of the reassignment handshake.
-func (e *Engine) drainOwed(p *shardPeer) error {
-	if p.owed == 0 {
-		return nil
-	}
-	_, err := e.recoverRecv(p)
+// SnapshotInto fills a checkpoint's engine fingerprint, machine frame and
+// value mirror from Snapshot.
+func (e *Engine) SnapshotInto(c *wire.Checkpoint) (err error) {
+	c.Engine = wire.EngineShard
+	c.Machine, c.Last, err = e.Snapshot()
 	return err
 }
 
-// reassignReplayReset is the uniform reconfiguration step shared by
-// recovery and Join (see netrun.reassignReplayReset). Recovery frames are
-// charged to the overhead ledger like any other coordination traffic.
-func (e *Engine) reassignReplayReset() error {
-	tol := e.mach.Tol()
-	for _, p := range e.peers {
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-		if err := e.drainOwed(p); err != nil {
-			return e.fail(p, "recovery drain", err)
+// ServeShard runs one shard sub-coordinator on a link to the root: the
+// leaf server of fanout.Serve, answering each Round frame — a delegated
+// execution request — by running the whole local protocol for the tag
+// and reporting only the local winner and a charge summary in a
+// ShardDigest. The local rounds follow Algorithm 2 with the global
+// population bound the root supplies, so at S=1 the execution —
+// randomness, charges, winner — is bit-identical to the flat engines'.
+func ServeShard(link transport.Link) error {
+	var led comm.Counter // per-execution local charges
+	return fanout.Serve(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+		led.Reset()
+		ex := protocol.NewExec(m.Bound, coord.MinimumTag(m.Tag), &led, nil, m.Step)
+		for ex.More() {
+			bank.Round(m.Tag, ex.Round(), ex.Best(), m.Bound, m.Step, ex.Bid)
+			ex.EndRound()
 		}
-	}
-	for _, p := range e.peers {
-		e.buf = wire.Assign{
-			Lo: p.lo, Hi: p.hi, N: e.cfg.N, K: e.cfg.K,
-			Seed: e.cfg.Seed, EpsNum: tol.Num(), Distinct: e.cfg.DistinctValues,
-			Ladder: e.ladder,
-		}.Append(e.buf[:0])
-		if err := p.link.Send(e.buf); err != nil {
-			return e.fail(p, "reassign", err)
+		res := ex.Result()
+		d := wire.ShardDigest{
+			OK:         res.OK,
+			Ups:        led.Get(comm.Up),
+			UpBytes:    led.GetBytes(comm.Up),
+			Bcasts:     led.Get(comm.Bcast),
+			BcastBytes: led.GetBytes(comm.Bcast),
 		}
-		if err := transport.Flush(p.link); err != nil {
-			return e.fail(p, "reassign", err)
+		if res.OK {
+			d.ID, d.Key = res.ID, int64(res.Key)
 		}
-		p.owed = 1
-		e.overhead.RecordSized(comm.Down, 1, int64(len(e.buf)))
-		if p.req != nil {
-			p.req <- struct{}{}
-		}
-	}
-	for _, p := range e.peers {
-		frame, err := e.recoverRecv(p)
-		if err != nil {
-			return e.fail(p, "reassign ready", err)
-		}
-		if err := wire.DecodeBare(frame, wire.TypeReady); err != nil {
-			return e.fail(p, "reassign ready", err)
-		}
-		e.overhead.RecordSized(comm.Up, 1, int64(len(frame)))
-	}
-	for _, p := range e.peers {
-		e.buf = wire.Observe{Step: e.mach.Step(), Vals: e.last[p.lo:p.hi]}.Append(e.buf[:0])
-		if err := p.link.Send(e.buf); err != nil {
-			return e.fail(p, "replay", err)
-		}
-		if err := transport.Flush(p.link); err != nil {
-			return e.fail(p, "replay", err)
-		}
-		p.owed = 1
-		e.overhead.RecordSized(comm.Down, 1, int64(len(e.buf)))
-		if p.req != nil {
-			p.req <- struct{}{}
-		}
-	}
-	for _, p := range e.peers {
-		frame, err := e.recoverRecv(p)
-		if err != nil {
-			return e.fail(p, "replay reply", err)
-		}
-		if err := p.reply.Decode(frame); err != nil {
-			return e.fail(p, "replay reply", err)
-		}
-		e.overhead.RecordSized(comm.Up, 1, int64(len(frame)))
-	}
-	e.step = e.mach.Step()
-	return e.runEffects(e.mach.ForceReset())
+		return d.Append(dst)
+	})
 }
 
-// Join attaches a late-joining shard mid-stream by splitting the widest
-// surviving range, with netrun.Join's contract.
-func (e *Engine) Join(link transport.Link) error {
-	if e.closed {
-		link.Close()
-		return errors.New("shardrun: Join after Close")
+// digest is a validated ShardDigest's merge view: the charges are folded
+// by the caller, the winner competes by key.
+type digest struct {
+	wire.ShardDigest
+	best order.Key // running best in the comparison domain
+}
+
+// merge folds one child's digest frame — a shard's, or a whole subtree's —
+// into d: charges sum, the extremum wins, and among ties the first in
+// ascending range order. The merge is associative, so any nesting of
+// relays reports what a flat root would compute from the leaves directly.
+// [lo, hi) is the child's node range: a winner it does not own would
+// corrupt membership, so it is rejected as the child misbehaving.
+func (d *digest) merge(frame []byte, minimum bool, lo, hi int) error {
+	c, err := wire.DecodeShardDigest(frame)
+	if err != nil {
+		return err
 	}
-	if e.err != nil {
-		link.Close()
-		return e.err
+	if c.Ups < 0 || c.UpBytes < 0 || c.Bcasts < 0 || c.BcastBytes < 0 {
+		return fmt.Errorf("negative digest charges %+v", c)
 	}
-	if e.pendingRecovery {
-		if err := e.recoverNow(); err != nil {
-			link.Close()
-			return err
-		}
+	if c.OK && (c.ID < lo || c.ID >= hi) {
+		return fmt.Errorf("digest winner %d outside range [%d, %d)", c.ID, lo, hi)
 	}
-	wi, width := -1, 1
-	for i, p := range e.peers {
-		if w := p.hi - p.lo; w > width {
-			wi, width = i, w
-		}
+	d.Ups += c.Ups
+	d.UpBytes += c.UpBytes
+	d.Bcasts += c.Bcasts
+	d.BcastBytes += c.BcastBytes
+	if !c.OK {
+		return nil
 	}
-	if wi == -1 {
-		link.Close()
-		return errors.New("shardrun: no splittable range (every shard hosts a single node)")
+	cmp := order.Key(c.Key)
+	if minimum {
+		cmp = order.Neg(cmp)
 	}
-	w := e.peers[wi]
-	mid := (w.lo + w.hi) / 2
-	np := &shardPeer{link: link, lo: mid, hi: w.hi}
-	w.hi = mid
-	e.peers = append(e.peers, nil)
-	copy(e.peers[wi+2:], e.peers[wi+1:])
-	e.peers[wi+1] = np
-	e.acks = make([]int, len(e.peers))
-	e.touched = make([]bool, len(e.peers))
-	if e.readers && !e.cfg.Lockstep {
-		e.startReader(np)
-	}
-	e.emit(coord.Event{Kind: coord.EventPeerJoined, Lo: np.lo, Hi: np.hi})
-	e.mach.Abort()
-	if err := e.reassignReplayReset(); err != nil {
-		return fmt.Errorf("shardrun: join: %w", err)
+	if !d.OK || cmp > d.best {
+		d.best = cmp
+		d.OK, d.ID, d.Key = true, c.ID, c.Key
 	}
 	return nil
 }
 
-// execDelegated fans one protocol execution out to all shards and merges
-// the digests in ascending shard (hence node id) order: the merged
-// extremum of per-shard extrema is the global extremum, and each shard's
-// local charges are folded into the algorithm ledger. In pipelined mode
-// the S local executions run concurrently — the fan-out completes before
-// the first digest is awaited — which is what lets a fixed node
-// population speed up with the shard count.
-func (e *Engine) execDelegated(eff coord.Effect) (ok bool, id int, key order.Key, err error) {
-	e.buf = wire.Round{Tag: eff.Tag, Round: 0, Best: int64(order.NegInf), Bound: eff.Bound, Step: e.step}.Append(e.buf[:0])
-	if !e.cfg.Lockstep {
-		// Fan out first: every shard starts its local protocol before the
-		// first digest is awaited, so the S executions run concurrently.
-		for pi := range e.peers {
-			if err := e.sendCmd(pi, e.buf, "exec"); err != nil {
-				return false, 0, 0, err
-			}
-		}
-	}
-	rec := e.mach.Recorder(eff.Phase)
+// execDelegated is the sharded engine's Exec strategy: one delegated
+// execution request fans out to all shards and their digests are merged
+// in ascending shard (hence node id) order — the merged extremum of
+// per-shard extrema is the global extremum — with every shard's local
+// charges folded into the algorithm ledger.
+func execDelegated(e *fanout.Engine, eff coord.Effect) (protocol.Result, error) {
+	var d digest
 	minimum := coord.MinimumTag(eff.Tag)
-	best := order.NegInf // comparison domain
-	id = -1
-	for pi, p := range e.peers {
-		var frame []byte
-		var err error
-		if e.cfg.Lockstep {
-			// Strict delegation: visit the shards sequentially, each local
-			// execution completing before the next one starts.
-			if err = e.send(p, e.buf, "exec"); err != nil {
-				return false, 0, 0, err
-			}
-			frame, err = e.recv(p, "exec")
-		} else {
-			frame, err = e.gather(pi, "exec")
-		}
-		if err != nil {
-			return false, 0, 0, err
-		}
-		d, derr := wire.DecodeShardDigest(frame)
-		if derr != nil {
-			return false, 0, 0, e.fail(p, "exec", derr)
-		}
-		if d.Ups < 0 || d.UpBytes < 0 || d.Bcasts < 0 || d.BcastBytes < 0 {
-			return false, 0, 0, e.fail(p, "exec", fmt.Errorf("negative digest charges %+v", d))
-		}
-		if d.OK && (d.ID < p.lo || d.ID >= p.hi) {
-			// A winner a shard does not own would corrupt membership (or
-			// panic the unicast); treat it as the shard misbehaving.
-			return false, 0, 0, e.fail(p, "exec", fmt.Errorf("digest winner %d outside shard range [%d, %d)", d.ID, p.lo, p.hi))
-		}
-		comm.RecordSized(rec, comm.Up, d.Ups, d.UpBytes)
-		comm.RecordSized(rec, comm.Bcast, d.Bcasts, d.BcastBytes)
-		if !d.OK {
-			continue
-		}
-		ok = true
-		cmp := order.Key(d.Key)
-		if minimum {
-			cmp = order.Neg(cmp)
-		}
-		if cmp > best {
-			best = cmp
-			id = d.ID
-			key = order.Key(d.Key)
-		}
+	req := wire.Round{Tag: eff.Tag, Round: 0, Best: int64(order.NegInf), Bound: eff.Bound, Step: e.Step()}
+	err := e.Round(req, func(lo, hi int, answer []byte) error {
+		return d.merge(answer, minimum, lo, hi)
+	})
+	if err != nil {
+		return protocol.Result{}, err
 	}
-	return ok, id, key, nil
+	rec := e.Recorder(eff.Phase)
+	comm.RecordSized(rec, comm.Up, d.Ups, d.UpBytes)
+	comm.RecordSized(rec, comm.Bcast, d.Bcasts, d.BcastBytes)
+	return protocol.Result{OK: d.OK, ID: d.ID, Key: order.Key(d.Key)}, nil
 }

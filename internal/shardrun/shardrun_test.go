@@ -2,6 +2,7 @@ package shardrun
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -157,8 +158,7 @@ func TestMultiShardReportEquivalence(t *testing.T) {
 // readers forced, the pipelined root must stay bit-identical to the
 // sequential engine at S=1 and report-exact at S=4.
 func TestReaderGatherEquivalence(t *testing.T) {
-	forceReaders = true
-	defer func() { forceReaders = false }()
+	forceReaders(t)
 	const n, k, seed, steps = 20, 4, 13, 200
 	for _, shards := range []int{1, 4} {
 		seq := core.New(core.Config{N: n, K: k, Seed: seed})
@@ -367,7 +367,11 @@ func TestOverheadGrowsWithShards(t *testing.T) {
 // terminal instead.
 func TestDeadShardRecovers(t *testing.T) {
 	const n, k = 12, 3
-	sh := mustLoopback(t, Config{N: n, K: k, Seed: 7, RetryBackoff: time.Millisecond}, 3)
+	links := LoopbackLinks(3)
+	sh, err := New(Config{N: n, K: k, Seed: 7, RetryBackoff: time.Millisecond}, links)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sh.Close()
 	src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 400, Seed: 9})
 	vals := make([]int64, n)
@@ -376,7 +380,7 @@ func TestDeadShardRecovers(t *testing.T) {
 		src.Step(vals)
 		lastGood = append(lastGood[:0], sh.Observe(vals)...)
 	}
-	sh.peers[2].link.Close()
+	links[2].Close()
 	drive := func(s int) {
 		for i := range vals {
 			vals[i] = int64((s*13+i*7)%100) * 500
@@ -423,7 +427,11 @@ func TestDeadShardRecovers(t *testing.T) {
 // sharded engine cleanly.
 func TestLastShardLostIsTerminal(t *testing.T) {
 	const n, k = 8, 2
-	sh := mustLoopback(t, Config{N: n, K: k, Seed: 3, RetryBackoff: time.Millisecond}, 1)
+	links := LoopbackLinks(1)
+	sh, err := New(Config{N: n, K: k, Seed: 3, RetryBackoff: time.Millisecond}, links)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sh.Close()
 	vals := make([]int64, n)
 	var lastGood []int
@@ -433,7 +441,7 @@ func TestLastShardLostIsTerminal(t *testing.T) {
 		}
 		lastGood = append(lastGood[:0], sh.Observe(vals)...)
 	}
-	sh.peers[0].link.Close()
+	links[0].Close()
 	for s := 8; s < 14; s++ {
 		for i := range vals {
 			vals[i] = int64((s*13+i*7)%100) * 500
@@ -463,4 +471,14 @@ func TestCloseIdempotent(t *testing.T) {
 		}
 	}()
 	sh.Observe([]int64{4, 3, 2, 1})
+}
+
+// forceReaders engages the reader-goroutine gather on any machine for the
+// rest of the test: the fan-out core spawns readers whenever the runtime
+// has parallelism to run them.
+func forceReaders(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 }

@@ -3,9 +3,8 @@ package shardrun
 import (
 	"fmt"
 
-	"repro/internal/comm"
+	"repro/internal/fanout"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Tree configures the hierarchical coordinator: instead of the root
@@ -61,127 +60,64 @@ func LoopbackSubtree(branch, depth int) transport.Link {
 	if depth <= 1 {
 		return LoopbackLink()
 	}
-	parentEnd, serveEnd := transport.Pipe()
 	children := make([]transport.Link, branch)
 	for i := range children {
 		children[i] = LoopbackSubtree(branch, depth-1)
 	}
-	go func() {
-		if err := ServeInterior(serveEnd, children); err != nil {
-			serveEnd.Close()
-		}
-	}()
-	return parentEnd
+	return fanout.Loopback(func(parent transport.Link) error {
+		return ServeInterior(parent, children)
+	})
 }
 
-// NewLoopbackTree builds an in-process hierarchical engine: the root
-// holds branch links, each to a LoopbackSubtree of depth-1 further
-// levels, serving branch^depth leaf shards in total. Unless the caller
-// supplies its own Redial, a dead subtree is redialed as a fresh subtree
-// of the same shape. It is the engine behind topk.Config.Tree and
-// topkmon -tree.
-func NewLoopbackTree(cfg Config, branch, depth int) (*Engine, error) {
+// loopbackTree fills in cfg for an in-process branch^depth tree — the
+// shape, and unless the caller supplies its own Redial, one that redials a
+// dead subtree as a fresh subtree of the same shape — and builds the
+// root's branch links, each to a LoopbackSubtree of depth-1 further
+// levels.
+func loopbackTree(cfg *Config, branch, depth int) ([]transport.Link, error) {
 	cfg.Tree = Tree{Branch: branch, Depth: depth}
 	if _, err := cfg.Tree.Leaves(); err != nil {
 		return nil, err
 	}
 	if cfg.Redial == nil {
-		cfg.Redial = func() (transport.Link, error) {
-			return LoopbackSubtree(branch, depth), nil
-		}
+		cfg.Redial = func() (transport.Link, error) { return LoopbackSubtree(branch, depth), nil }
 	}
 	links := make([]transport.Link, branch)
 	for i := range links {
 		links[i] = LoopbackSubtree(branch, depth)
 	}
+	return links, nil
+}
+
+// NewLoopbackTree builds an in-process hierarchical engine serving
+// branch^depth leaf shards in total (see loopbackTree). It is the engine
+// behind topk.Config.Tree and topkmon -tree.
+func NewLoopbackTree(cfg Config, branch, depth int) (*Engine, error) {
+	links, err := loopbackTree(&cfg, branch, depth)
+	if err != nil {
+		return nil, err
+	}
 	return New(cfg, links)
 }
 
+// RestoreLoopbackTree is Restore over fresh loopback subtrees, the
+// counterpart of NewLoopbackTree.
+func RestoreLoopbackTree(cfg Config, branch, depth int, machFrame []byte, last []int64) (*Engine, error) {
+	links, err := loopbackTree(&cfg, branch, depth)
+	if err != nil {
+		return nil, err
+	}
+	return Restore(cfg, links, machFrame, last)
+}
+
 // Tree returns the configured tree shape (the zero Tree when flat).
-func (e *Engine) Tree() Tree { return e.cfg.Tree }
+func (e *Engine) Tree() Tree { return e.tree }
 
 // Leaves returns the number of leaf shards the engine serves: the
 // configured tree's leaf count, or the direct link count when flat.
 func (e *Engine) Leaves() int {
-	if e.cfg.Tree.zero() {
-		return len(e.peers)
+	if n, err := e.tree.Leaves(); err == nil {
+		return n
 	}
-	n, err := e.cfg.Tree.Leaves()
-	if err != nil { // validated in New; kept total for the zero value
-		return len(e.peers)
-	}
-	return n
-}
-
-// TreeStats polls the tree's diagnostic plane and returns the aggregated
-// hierarchy statistics: Absorbs[l] counts the observations that left the
-// level-l tightened band across all leaves (per-level ε mode only, see
-// order.Tol.Ladder), and Levels holds one coordination-traffic summary
-// per tree level, deepest first, with the root's own overhead ledger as
-// the last entry. The poll itself is deliberately uncharged — it rides
-// outside the protocol and the overhead ledger, visible only in
-// TransportStats — so polling does not perturb what it measures. On a
-// flat engine the result degenerates to leaf absorption counters (empty
-// without a ladder) plus the single root level.
-//
-// The engine must be quiescent — between observation steps, as for any
-// other accessor — and a pending recovery is run first, exactly as an
-// observation call would. A link failure during the poll is handled by
-// the regular failover path and reported as an error.
-func (e *Engine) TreeStats() (wire.TreeStats, error) {
-	var out wire.TreeStats
-	if e.closed {
-		return out, fmt.Errorf("shardrun: TreeStats after Close")
-	}
-	if e.err != nil {
-		return out, e.err
-	}
-	if e.pendingRecovery {
-		if err := e.recoverNow(); err != nil {
-			return out, err
-		}
-	}
-	for _, p := range e.peers {
-		e.buf = wire.AppendBare(e.buf[:0], wire.TypeStatsPoll)
-		if err := p.link.Send(e.buf); err != nil {
-			return out, e.fail(p, "stats poll", err)
-		}
-		if err := transport.Flush(p.link); err != nil {
-			return out, e.fail(p, "stats poll", err)
-		}
-		p.owed = 1
-		if p.req != nil {
-			p.req <- struct{}{}
-		}
-	}
-	for _, p := range e.peers {
-		frame, err := e.recoverRecv(p)
-		if err != nil {
-			return out, e.fail(p, "stats reply", err)
-		}
-		if err := e.treeStats.Decode(frame); err != nil {
-			return out, e.fail(p, "stats reply", err)
-		}
-		for i, a := range e.treeStats.Absorbs {
-			if i < len(out.Absorbs) {
-				out.Absorbs[i] += a
-			} else {
-				out.Absorbs = append(out.Absorbs, a)
-			}
-		}
-		for i, lv := range e.treeStats.Levels {
-			if i < len(out.Levels) {
-				out.Levels[i] = out.Levels[i].Add(lv)
-			} else {
-				out.Levels = append(out.Levels, lv)
-			}
-		}
-	}
-	out.Levels = append(out.Levels, wire.LevelIO{
-		Down:      e.overhead.Get(comm.Down),
-		Up:        e.overhead.Get(comm.Up),
-		DownBytes: e.overhead.GetBytes(comm.Down),
-		UpBytes:   e.overhead.GetBytes(comm.Up),
-	})
-	return out, nil
+	return e.Shards()
 }

@@ -923,6 +923,25 @@ type TreeStats struct {
 	Levels  []LevelIO
 }
 
+// Merge folds one child's answer into m elementwise — the aggregation
+// every coordinator level applies to its children's TreeStats.
+func (m *TreeStats) Merge(o TreeStats) {
+	for i, a := range o.Absorbs {
+		if i < len(m.Absorbs) {
+			m.Absorbs[i] += a
+		} else {
+			m.Absorbs = append(m.Absorbs, a)
+		}
+	}
+	for i, lv := range o.Levels {
+		if i < len(m.Levels) {
+			m.Levels[i] = m.Levels[i].Add(lv)
+		} else {
+			m.Levels = append(m.Levels, lv)
+		}
+	}
+}
+
 // Append encodes m after dst. It panics on a negative counter, matching
 // the senders' construction contract (counters only ever increment).
 func (m TreeStats) Append(dst []byte) []byte {

@@ -131,28 +131,10 @@ func (m *Monitor) startIngest() error {
 // underlying engine. It executes on the ingest worker goroutine; the
 // engine mutex serializes it against the read accessors.
 func (m *Monitor) applyStep(ids []int, vals []int64) error {
-	m.engineMu.Lock()
-	defer m.engineMu.Unlock()
-	switch {
-	case m.seq != nil:
-		m.seq.ObserveDelta(ids, vals)
-	case m.conc != nil:
-		m.conc.ObserveDelta(ids, vals)
-	case m.net != nil:
-		m.net.ObserveDelta(ids, vals)
-		if err := m.net.Err(); err != nil {
-			return err
-		}
-	case m.shard != nil:
-		m.shard.ObserveDelta(ids, vals)
-		if err := m.shard.Err(); err != nil {
-			return err
-		}
-	default:
-		return errors.New("topk: monitor is closed")
-	}
-	m.maybeCheckpoint()
-	return nil
+	m.lock()
+	defer m.unlock()
+	_, err := m.step(m.eng.ObserveDelta(ids, vals))
+	return err
 }
 
 // enqueue stages one validated observation call on the driver,
@@ -163,7 +145,7 @@ func (m *Monitor) enqueue(ids []int, vals []int64) error {
 	case err == nil:
 		return nil
 	case errors.Is(err, ingest.ErrClosed):
-		return errors.New("topk: monitor is closed")
+		return errClosed
 	default:
 		return err
 	}
@@ -186,12 +168,12 @@ func (m *Monitor) Drain(ctx context.Context) error {
 	if m.drv != nil {
 		err := m.drv.Drain(ctx)
 		if errors.Is(err, ingest.ErrClosed) {
-			return errors.New("topk: monitor is closed")
+			return errClosed
 		}
 		return err
 	}
-	if m.seq == nil && m.conc == nil && m.net == nil && m.shard == nil {
-		return errors.New("topk: monitor is closed")
+	if m.eng == closedEngine {
+		return errClosed
 	}
 	return nil
 }

@@ -6,11 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/core"
-	"repro/internal/netrun"
-	"repro/internal/runtime"
-	"repro/internal/shardrun"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -141,10 +136,8 @@ type CheckpointStats struct {
 // CheckpointStats returns a snapshot of the checkpoint counters. In
 // asynchronous mode it is safe concurrently with the background worker.
 func (m *Monitor) CheckpointStats() CheckpointStats {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
+	m.lock()
+	defer m.unlock()
 	return m.ckptStats
 }
 
@@ -157,22 +150,6 @@ func validateCheckpoint(cfg Config) error {
 		return badConfig(cfg, "Checkpoint.Store", "automatic checkpointing (Every=%d) requires a Store", cfg.Checkpoint.Every)
 	}
 	return nil
-}
-
-// engineKind maps a validated configuration to the engine fingerprint a
-// checkpoint frame records, so a frame never restores into a different
-// engine than the one that took it.
-func engineKind(cfg Config) uint8 {
-	switch {
-	case !cfg.Tree.zero() || cfg.Shards > 0:
-		return wire.EngineShard
-	case cfg.Transport != nil:
-		return wire.EngineNet
-	case cfg.Concurrent:
-		return wire.EngineConc
-	default:
-		return wire.EngineSeq
-	}
 }
 
 // engineName names an engine fingerprint for error messages.
@@ -236,33 +213,8 @@ func (m *Monitor) encodeCheckpoint(gen uint64) ([]byte, error) {
 		Seed:     m.cfg.Seed,
 		Distinct: m.cfg.DistinctValues,
 	}
-	switch {
-	case m.seq != nil:
-		mach, nodes, err := m.seq.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		c.Engine, c.Machine, c.Nodes = wire.EngineSeq, mach, nodes
-	case m.conc != nil:
-		mach, nodes, err := m.conc.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		c.Engine, c.Machine, c.Nodes = wire.EngineConc, mach, nodes
-	case m.net != nil:
-		mach, last, err := m.net.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		c.Engine, c.Machine, c.Last = wire.EngineNet, mach, last
-	case m.shard != nil:
-		mach, last, err := m.shard.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		c.Engine, c.Machine, c.Last = wire.EngineShard, mach, last
-	default:
-		return nil, errors.New("topk: monitor is closed")
+	if err := m.eng.SnapshotInto(&c); err != nil {
+		return nil, err
 	}
 	return c.Append(nil), nil
 }
@@ -284,9 +236,9 @@ func (m *Monitor) Checkpoint(ctx context.Context) (uint64, error) {
 		if err := m.Drain(ctx); err != nil {
 			return 0, err
 		}
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
 	}
+	m.lock()
+	defer m.unlock()
 	return m.checkpointLocked()
 }
 
@@ -340,97 +292,11 @@ func Restore(store CheckpointStore, cfg Config) (*Monitor, error) {
 	if c.Distinct != cfg.DistinctValues {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint distinct-values mode %v differs from configured %v", c.Distinct, cfg.DistinctValues))
 	}
-	m := &Monitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues), ckptGen: gen}
+	eng, err := buildEngine(cfg, &c)
+	if err != nil {
+		return nil, failNew(cfg, badRestore(err, "%s engine", engineName(c.Engine)))
+	}
+	m := &Monitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues), eng: eng, ckptGen: gen}
 	m.ckptStats.LastGen = gen
-	switch c.Engine {
-	case wire.EngineSeq:
-		eng, err := core.Restore(core.Config{
-			N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed,
-			DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon,
-		}, c.Machine, c.Nodes)
-		if err != nil {
-			return nil, badRestore(err, "sequential engine")
-		}
-		m.seq = eng
-	case wire.EngineConc:
-		eng, err := runtime.Restore(runtime.Config{
-			N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed,
-			DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon,
-		}, c.Machine, c.Nodes)
-		if err != nil {
-			return nil, badRestore(err, "concurrent engine")
-		}
-		m.conc = eng
-	case wire.EngineNet:
-		eng, err := restoreNetEngine(cfg, c.Machine, c.Last)
-		if err != nil {
-			cfg.Transport.Close()
-			return nil, err
-		}
-		m.net = eng
-	default: // wire.EngineShard; engineKind matched above
-		eng, err := restoreShardEngine(cfg, c.Machine, c.Last)
-		if err != nil {
-			return nil, err
-		}
-		m.shard = eng
-	}
-	if cfg.Ingest.QueueDepth > 0 {
-		if err := m.startIngest(); err != nil {
-			m.Close()
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// restoreNetEngine is newNetEngine's counterpart over netrun.Restore.
-func restoreNetEngine(cfg Config, machFrame []byte, last []int64) (*netrun.Engine, error) {
-	links := cfg.Transport.Links()
-	if len(links) == 0 || len(links) > cfg.Nodes {
-		return nil, badConfig(cfg, "Transport", "must supply 1..Nodes links, got %d for %d nodes", len(links), cfg.Nodes)
-	}
-	internal := make([]transport.Link, len(links))
-	for i, l := range links {
-		internal[i] = l
-	}
-	eng, err := netrun.Restore(netrun.Config{
-		N:              cfg.Nodes,
-		K:              cfg.K,
-		Seed:           cfg.Seed,
-		DistinctValues: cfg.DistinctValues,
-		Epsilon:        cfg.Epsilon,
-		Lockstep:       cfg.Pipeline == PipelineOff,
-		Redial:         cfg.redialInternal(),
-		RetryBudget:    cfg.RetryBudget,
-		RetryBackoff:   cfg.RetryBackoff,
-		OnEvent:        cfg.onEventInternal(),
-	}, internal, machFrame, last)
-	if err != nil {
-		return nil, badRestore(err, "networked engine")
-	}
-	return eng, nil
-}
-
-// restoreShardEngine rebuilds the sharded (or tree) engine over fresh
-// loopback peers, mirroring New's engine selection.
-func restoreShardEngine(cfg Config, machFrame []byte, last []int64) (*shardrun.Engine, error) {
-	scfg := shardrun.Config{
-		N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed,
-		DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon,
-		Lockstep: cfg.Pipeline == PipelineOff,
-		Redial:   cfg.redialInternal(), RetryBudget: cfg.RetryBudget,
-		RetryBackoff: cfg.RetryBackoff, OnEvent: cfg.onEventInternal(),
-	}
-	var eng *shardrun.Engine
-	var err error
-	if !cfg.Tree.zero() {
-		eng, err = shardrun.RestoreLoopbackTree(scfg, cfg.Tree.Branch, cfg.Tree.Depth, machFrame, last)
-	} else {
-		eng, err = shardrun.RestoreLoopback(scfg, cfg.Shards, machFrame, last)
-	}
-	if err != nil {
-		return nil, badRestore(err, "sharded engine")
-	}
-	return eng, nil
+	return startMonitor(m)
 }

@@ -1,0 +1,177 @@
+package topk
+
+import (
+	"errors"
+
+	"repro/internal/comm"
+	"repro/internal/coord"
+	"repro/internal/core"
+	"repro/internal/netrun"
+	"repro/internal/runtime"
+	"repro/internal/shardrun"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// engine is everything a Monitor needs of an execution engine. All of
+// them run the same coordinator core, so the ledgers and stats are the
+// same types everywhere; Err is the terminal failure of a link-backed
+// engine (always nil on the in-process ones).
+type engine interface {
+	Observe(vals []int64) []int
+	ObserveDelta(ids []int, vals []int64) []int
+	Top() []int
+	AppendTop(dst []int) []int
+	Ledger() *comm.Ledger
+	Stats() coord.Stats
+	Err() error
+	SnapshotInto(c *wire.Checkpoint) error
+	Close()
+}
+
+// linked is the additional surface of the link-backed engines (networked,
+// sharded, tree). The accessors that expose it reach it through one type
+// assertion and report the documented zero value on the others.
+type linked interface {
+	Health() coord.Health
+	Join(link transport.Link) error
+	TransportStats() transport.LinkStats
+	Overhead() comm.Counts
+	OverheadBytes() comm.Bytes
+	TreeStats() (wire.TreeStats, error)
+}
+
+var (
+	_ engine = (*core.Monitor)(nil)
+	_ engine = (*runtime.Runtime)(nil)
+	_ engine = (*netrun.Engine)(nil)
+	_ engine = (*shardrun.Engine)(nil)
+	_ linked = (*netrun.Engine)(nil)
+	_ linked = (*shardrun.Engine)(nil)
+)
+
+// errClosed is what every step and barrier of a closed monitor returns.
+var errClosed = errors.New("topk: monitor is closed")
+
+// closed is the engine a Monitor holds after Close: steps fail with
+// errClosed and every read reports the zero value.
+type closed struct{ led comm.Ledger }
+
+var closedEngine engine = new(closed)
+
+func (*closed) Observe([]int64) []int               { return nil }
+func (*closed) ObserveDelta([]int, []int64) []int   { return nil }
+func (*closed) Top() []int                          { return nil }
+func (*closed) AppendTop(dst []int) []int           { return dst }
+func (c *closed) Ledger() *comm.Ledger              { return &c.led }
+func (*closed) Stats() coord.Stats                  { return coord.Stats{} }
+func (*closed) Err() error                          { return errClosed }
+func (*closed) SnapshotInto(*wire.Checkpoint) error { return errClosed }
+func (*closed) Close()                              {}
+
+// asEngine erases a constructor's concrete engine type, keeping a failed
+// construction a nil engine.
+func asEngine[E engine](e E, err error) (engine, error) {
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// engineKind maps a validated configuration to the engine fingerprint a
+// checkpoint frame records, so a frame never restores into a different
+// engine than the one that took it.
+func engineKind(cfg Config) uint8 {
+	switch {
+	case !cfg.Tree.zero() || cfg.Shards > 0:
+		return wire.EngineShard
+	case cfg.Transport != nil:
+		return wire.EngineNet
+	case cfg.Concurrent:
+		return wire.EngineConc
+	default:
+		return wire.EngineSeq
+	}
+}
+
+// fanoutConfig maps the public configuration to the link-backed engines'
+// (shardrun.Config is netrun's plus the tree shape, which the loopback
+// tree constructors fill in).
+func fanoutConfig(cfg Config) shardrun.Config {
+	return shardrun.Config{
+		N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed,
+		DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon,
+		Lockstep: cfg.Pipeline == PipelineOff,
+		Redial:   cfg.redialInternal(), RetryBudget: cfg.RetryBudget,
+		RetryBackoff: cfg.RetryBackoff, OnEvent: cfg.onEventInternal(),
+	}
+}
+
+// buildEngine constructs the engine a validated configuration selects —
+// fresh, or (c != nil) from a checkpoint that engine took. It is the one
+// place engine identity is switched on.
+func buildEngine(cfg Config, c *wire.Checkpoint) (engine, error) {
+	fc := fanoutConfig(cfg)
+	lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon}
+	rc := runtime.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon}
+	switch kind := engineKind(cfg); {
+	case kind == wire.EngineShard && !cfg.Tree.zero():
+		if c == nil {
+			return asEngine(shardrun.NewLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth))
+		}
+		return asEngine(shardrun.RestoreLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth, c.Machine, c.Last))
+	case kind == wire.EngineShard:
+		if c == nil {
+			return asEngine(shardrun.NewLoopback(fc, cfg.Shards))
+		}
+		return asEngine(shardrun.RestoreLoopback(fc, cfg.Shards, c.Machine, c.Last))
+	case kind == wire.EngineNet:
+		var links []transport.Link
+		for _, l := range cfg.Transport.Links() {
+			links = append(links, l) // method sets match; Stats is optional and probed dynamically
+		}
+		if c == nil {
+			return asEngine(netrun.New(fc.Core(), links))
+		}
+		return asEngine(netrun.Restore(fc.Core(), links, c.Machine, c.Last))
+	case kind == wire.EngineConc:
+		if c == nil {
+			return runtime.New(rc), nil
+		}
+		return asEngine(runtime.Restore(rc, c.Machine, c.Nodes))
+	default:
+		if c == nil {
+			return core.New(lc), nil
+		}
+		return asEngine(core.Restore(lc, c.Machine, c.Nodes))
+	}
+}
+
+// lock serializes an engine access against the ingest worker's protocol
+// steps in asynchronous mode; a synchronous monitor is single-threaded by
+// contract and takes no lock. Pair it with a deferred unlock.
+func (m *Monitor) lock() {
+	if m.drv != nil {
+		m.engineMu.Lock()
+	}
+}
+
+func (m *Monitor) unlock() {
+	if m.drv != nil {
+		m.engineMu.Unlock()
+	}
+}
+
+// step finishes one synchronous observation call (and one asynchronous
+// batch): a terminally degraded — or closed — engine fails it, otherwise
+// the applied step counts toward the next automatic checkpoint.
+func (m *Monitor) step(top []int) ([]int, error) {
+	if err := m.eng.Err(); err != nil {
+		return nil, err
+	}
+	m.maybeCheckpoint()
+	return top, nil
+}
+
+func convCounts(c comm.Counts) Counts { return Counts{Up: c.Up, Down: c.Down, Broadcast: c.Bcast} }
+func convBytes(b comm.Bytes) Bytes    { return Bytes{Up: b.Up, Down: b.Down, Broadcast: b.Bcast} }

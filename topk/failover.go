@@ -111,18 +111,12 @@ func (c Config) onEventInternal() func(coord.Event) {
 // engines (sequential, concurrent) have no links to lose and always
 // report the zero Health.
 func (m *Monitor) Health() Health {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
+	m.lock()
+	defer m.unlock()
+	if le, ok := m.eng.(linked); ok {
+		return convertHealth(le.Health())
 	}
-	switch {
-	case m.net != nil:
-		return convertHealth(m.net.Health())
-	case m.shard != nil:
-		return convertHealth(m.shard.Health())
-	default:
-		return Health{}
-	}
+	return Health{}
 }
 
 // Join attaches a late-joining peer to a networked monitor mid-stream
@@ -130,16 +124,16 @@ func (m *Monitor) Health() Health {
 // process started with `topkmon -join`): the widest hosted range is
 // split, its upper half handed to the new link, and the monitor
 // re-converges before the next step. Only networked and sharded monitors
-// accept joiners; call it between observation calls only. On error the
-// link is closed.
+// accept joiners. On a synchronous monitor call it between observation
+// calls only; in asynchronous mode it is safe concurrently with
+// producers — it waits out the step in flight — and staged observations
+// apply to the new layout. On error the link is closed.
 func (m *Monitor) Join(link Link) error {
-	switch {
-	case m.net != nil:
-		return m.net.Join(transport.Link(link))
-	case m.shard != nil:
-		return m.shard.Join(transport.Link(link))
-	default:
-		link.Close()
-		return errors.New("topk: Join requires a networked or sharded monitor")
+	m.lock()
+	defer m.unlock()
+	if le, ok := m.eng.(linked); ok {
+		return le.Join(transport.Link(link))
 	}
+	link.Close()
+	return errors.New("topk: Join requires a networked or sharded monitor")
 }

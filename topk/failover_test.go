@@ -1,6 +1,8 @@
 package topk_test
 
 import (
+	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -168,6 +170,171 @@ func TestJoinThroughPublicAPI(t *testing.T) {
 			}
 			if h := mon.Health(); h.Failures != 0 || h.Degraded || h.Terminal != nil {
 				t.Fatalf("join degraded health: %+v", h)
+			}
+		})
+	}
+}
+
+// TestJoinConcurrentWithAsyncIngest pins that Join takes the same engine
+// lock as every other engine-touching call in asynchronous mode: joiners
+// attach while a producer keeps the ingest worker mid-step, and after the
+// barrier the report is exact. Run under -race (the Chaos CI step): an
+// unlocked Join races the worker on the engine's peer set and buffers.
+func TestJoinConcurrentWithAsyncIngest(t *testing.T) {
+	const n, k, steps, joins = 32, 4, 400, 3
+	mon, err := topk.New(topk.Config{
+		Nodes: n, K: k, Seed: 9,
+		Transport: topk.Loopback(2),
+		Ingest:    topk.Ingest{QueueDepth: n},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+
+	final := make([]int64, n)
+	started := make(chan struct{})
+	produced := make(chan error, 1)
+	go func() {
+		vals := make([]int64, n)
+		for s := 0; s < steps; s++ {
+			churn(s, vals)
+			if _, err := mon.Observe(vals); err != nil {
+				produced <- err
+				return
+			}
+			if s == 0 {
+				close(started)
+			}
+		}
+		copy(final, vals)
+		produced <- nil
+	}()
+	<-started
+	for j := 0; j < joins; j++ {
+		if err := mon.Join(netrun.LoopbackLink()); err != nil {
+			t.Fatalf("join %d: %v", j, err)
+		}
+	}
+	if err := <-produced; err != nil {
+		t.Fatalf("producer: %v", err)
+	}
+	if err := mon.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	want, err := topk.Oracle(final, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mon.Top(); !slices.Equal(got, want) {
+		t.Fatalf("report after concurrent joins: got %v, want oracle %v", got, want)
+	}
+	if h := mon.Health(); len(h.Peers) != 2+joins || h.Terminal != nil {
+		t.Fatalf("joins left the monitor at %+v, want %d healthy peers", h, 2+joins)
+	}
+}
+
+// TestEngineCapabilityMatrix pins, for each of the five engine shapes,
+// what the optional capabilities report: the link-backed engines answer
+// them, the in-process engines return the documented zero value or error,
+// every shape checkpoints, and a closed monitor of any shape fails its
+// steps and barriers and reads as zero.
+func TestEngineCapabilityMatrix(t *testing.T) {
+	const n, k = 12, 3
+	shapes := []struct {
+		name     string
+		cfg      topk.Config
+		peers    int                   // live peer links; 0 for the in-process engines
+		overhead bool                  // surfaces the coordination-overhead ledger
+		levels   int                   // TreeStats levels
+		joiner   func() transport.Link // a serve loop this shape's Join accepts
+	}{
+		{"seq", topk.Config{}, 0, false, 0, netrun.LoopbackLink},
+		{"conc", topk.Config{Concurrent: true}, 0, false, 0, netrun.LoopbackLink},
+		{"net", topk.Config{Transport: topk.Loopback(2)}, 2, false, 0, netrun.LoopbackLink},
+		{"shards", topk.Config{Shards: 2}, 2, true, 1, shardrun.LoopbackLink},
+		{"tree", topk.Config{Tree: topk.Tree{Branch: 2, Depth: 2}}, 2, true, 2, shardrun.LoopbackLink},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			cfg := sh.cfg
+			cfg.Nodes, cfg.K, cfg.Seed = n, k, 3
+			cfg.Checkpoint.Store = topk.MemCheckpoints()
+			mon, err := topk.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mon.Close()
+			vals := make([]int64, n)
+			for s := 0; s < 10; s++ {
+				churn(s, vals)
+				if _, err := mon.Observe(vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if h := mon.Health(); len(h.Peers) != sh.peers || h.Terminal != nil || h.Degraded || h.Failures != 0 {
+				t.Errorf("Health = %+v, want %d healthy peers", h, sh.peers)
+			}
+			if ts := mon.TransportStats(); (ts.SentFrames > 0) != (sh.peers > 0) || (ts.RecvFrames > 0) != (sh.peers > 0) {
+				t.Errorf("TransportStats = %+v with %d peers", ts, sh.peers)
+			}
+			if oc, ob := mon.Overhead(); (oc.Down > 0) != sh.overhead || (ob.Up > 0) != sh.overhead || oc.Broadcast != 0 {
+				t.Errorf("Overhead = %+v / %+v, want surfaced=%v", oc, ob, sh.overhead)
+			}
+			if ts, err := mon.TreeStats(); err != nil || len(ts.Levels) != sh.levels || len(ts.Absorbs) != 0 {
+				t.Errorf("TreeStats = %+v, %v; want %d levels", ts, err, sh.levels)
+			}
+			err = mon.Join(sh.joiner())
+			if sh.peers == 0 && err == nil {
+				t.Error("Join on an in-process engine succeeded")
+			}
+			if sh.peers > 0 && (err != nil || len(mon.Health().Peers) != sh.peers+1) {
+				t.Errorf("Join: %v, peers %+v", err, mon.Health().Peers)
+			}
+			if gen, err := mon.Checkpoint(context.Background()); err != nil || gen != 1 {
+				t.Errorf("Checkpoint = %d, %v; want generation 1", gen, err)
+			}
+			churn(10, vals)
+			got, err := mon.Observe(vals)
+			if want, _ := topk.Oracle(vals, k); err != nil || !slices.Equal(got, want) {
+				t.Errorf("step after the capability calls: got %v, %v; want %v", got, err, want)
+			}
+
+			mon.Close()
+			mon.Close() // idempotent
+			if _, err := mon.Observe(vals); err == nil {
+				t.Error("Observe after Close succeeded")
+			}
+			if _, err := mon.ObserveDelta(nil, nil); err == nil {
+				t.Error("ObserveDelta after Close succeeded")
+			}
+			if err := mon.Drain(context.Background()); err == nil {
+				t.Error("Drain after Close succeeded")
+			}
+			if _, err := mon.Checkpoint(context.Background()); err == nil {
+				t.Error("Checkpoint after Close succeeded")
+			}
+			if err := mon.Join(sh.joiner()); err == nil {
+				t.Error("Join after Close succeeded")
+			}
+			if top := mon.Top(); len(top) != 0 {
+				t.Errorf("Top after Close = %v", top)
+			}
+			if c, b, s := mon.Counts(), mon.Bytes(), mon.Stats(); c != (topk.Counts{}) || b != (topk.Bytes{}) || s != (topk.Stats{}) {
+				t.Errorf("ledgers after Close = %+v / %+v / %+v, want zero", c, b, s)
+			}
+			if h := mon.Health(); len(h.Peers) != 0 || h.Terminal != nil || h.Degraded || h.Failures != 0 {
+				t.Errorf("Health after Close = %+v, want zero", h)
+			}
+			if ts := mon.TransportStats(); ts != (topk.TransportStats{}) {
+				t.Errorf("TransportStats after Close = %+v, want zero", ts)
+			}
+			if oc, ob := mon.Overhead(); oc != (topk.Counts{}) || ob != (topk.Bytes{}) {
+				t.Errorf("Overhead after Close = %+v / %+v, want zero", oc, ob)
+			}
+			if ts, err := mon.TreeStats(); err != nil || len(ts.Levels) != 0 || len(ts.Absorbs) != 0 {
+				t.Errorf("TreeStats after Close = %+v, %v; want zero", ts, err)
 			}
 		})
 	}

@@ -78,15 +78,9 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/coord"
-	"repro/internal/core"
 	"repro/internal/ingest"
-	"repro/internal/netrun"
 	"repro/internal/order"
-	"repro/internal/runtime"
-	"repro/internal/shardrun"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // Counts reports exchanged messages by kind. Every kind has unit cost in
@@ -295,10 +289,7 @@ const (
 type Monitor struct {
 	cfg    Config
 	maxVal int64
-	seq    *core.Monitor
-	conc   *runtime.Runtime
-	net    *netrun.Engine
-	shard  *shardrun.Engine
+	eng    engine // closedEngine after Close
 
 	// Asynchronous ingestion (Config.Ingest.QueueDepth > 0): drv owns
 	// the coalescing queue and the worker goroutine; engineMu
@@ -379,7 +370,15 @@ func validateConfig(cfg Config) error {
 	if err := validateCheckpoint(cfg); err != nil {
 		return err
 	}
-	return validateIngest(cfg)
+	if err := validateIngest(cfg); err != nil {
+		return err
+	}
+	if cfg.Transport != nil {
+		if links := len(cfg.Transport.Links()); links == 0 || links > cfg.Nodes {
+			return badConfig(cfg, "Transport", "must supply 1..Nodes links, got %d for %d nodes", links, cfg.Nodes)
+		}
+	}
+	return nil
 }
 
 // New validates cfg and creates a Monitor. A rejected configuration is
@@ -390,48 +389,20 @@ func New(cfg Config) (*Monitor, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	m := &Monitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues)}
-	switch {
-	case !cfg.Tree.zero():
-		eng, err := shardrun.NewLoopbackTree(shardrun.Config{
-			N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed,
-			DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon,
-			Lockstep: cfg.Pipeline == PipelineOff,
-			Redial:   cfg.redialInternal(), RetryBudget: cfg.RetryBudget,
-			RetryBackoff: cfg.RetryBackoff, OnEvent: cfg.onEventInternal(),
-		}, cfg.Tree.Branch, cfg.Tree.Depth)
-		if err != nil {
-			return nil, err
-		}
-		m.shard = eng
-	case cfg.Shards > 0:
-		eng, err := shardrun.NewLoopback(shardrun.Config{
-			N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed,
-			DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon,
-			Lockstep: cfg.Pipeline == PipelineOff,
-			Redial:   cfg.redialInternal(), RetryBudget: cfg.RetryBudget,
-			RetryBackoff: cfg.RetryBackoff, OnEvent: cfg.onEventInternal(),
-		}, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		m.shard = eng
-	case cfg.Transport != nil:
-		eng, err := newNetEngine(cfg)
-		if err != nil {
-			// The transport's links are unusable after a failed (or never
-			// attempted) handshake; release them and their serve loops so
-			// a retrying caller does not accumulate goroutines.
-			cfg.Transport.Close()
-			return nil, err
-		}
-		m.net = eng
-	case cfg.Concurrent:
-		m.conc = runtime.New(runtime.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon})
-	default:
-		m.seq = core.New(core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon})
+	eng, err := buildEngine(cfg, nil)
+	if err != nil {
+		// The transport's links are unusable after a failed handshake;
+		// release them and their serve loops so a retrying caller does not
+		// accumulate goroutines.
+		return nil, failNew(cfg, err)
 	}
-	if cfg.Ingest.QueueDepth > 0 {
+	return startMonitor(&Monitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues), eng: eng})
+}
+
+// startMonitor attaches asynchronous ingestion, when configured, to a
+// monitor whose engine New or Restore just built.
+func startMonitor(m *Monitor) (*Monitor, error) {
+	if m.cfg.Ingest.QueueDepth > 0 {
 		if err := m.startIngest(); err != nil {
 			m.Close()
 			return nil, err
@@ -512,27 +483,7 @@ func (m *Monitor) Observe(vals []int64) ([]int, error) {
 	if m.drv != nil {
 		return nil, m.enqueue(m.allIDs, vals)
 	}
-	var top []int
-	switch {
-	case m.seq != nil:
-		top = m.seq.Observe(vals)
-	case m.conc != nil:
-		top = m.conc.Observe(vals)
-	case m.net != nil:
-		top = m.net.Observe(vals)
-		if err := m.net.Err(); err != nil {
-			return nil, err
-		}
-	case m.shard != nil:
-		top = m.shard.Observe(vals)
-		if err := m.shard.Err(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, errors.New("topk: monitor is closed")
-	}
-	m.maybeCheckpoint()
-	return top, nil
+	return m.step(m.eng.Observe(vals))
 }
 
 // ObserveDelta feeds one time step in which only the streams listed in ids
@@ -571,27 +522,7 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) ([]int, error) {
 	if m.drv != nil {
 		return nil, m.enqueue(ids, vals)
 	}
-	var top []int
-	switch {
-	case m.seq != nil:
-		top = m.seq.ObserveDelta(ids, vals)
-	case m.conc != nil:
-		top = m.conc.ObserveDelta(ids, vals)
-	case m.net != nil:
-		top = m.net.ObserveDelta(ids, vals)
-		if err := m.net.Err(); err != nil {
-			return nil, err
-		}
-	case m.shard != nil:
-		top = m.shard.ObserveDelta(ids, vals)
-		if err := m.shard.Err(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, errors.New("topk: monitor is closed")
-	}
-	m.maybeCheckpoint()
-	return top, nil
+	return m.step(m.eng.ObserveDelta(ids, vals))
 }
 
 // Top returns the most recently reported top-k ids without consuming a
@@ -604,86 +535,34 @@ func (m *Monitor) Top() []int {
 	if m.drv != nil {
 		return m.AppendTop(nil)
 	}
-	switch {
-	case m.seq != nil:
-		return m.seq.Top()
-	case m.conc != nil:
-		return m.conc.Top()
-	case m.net != nil:
-		return m.net.Top()
-	case m.shard != nil:
-		return m.shard.Top()
-	default:
-		return nil
-	}
+	return m.eng.Top()
 }
 
 // AppendTop appends the most recently reported top-k ids (ascending) to
 // dst and returns the extended slice. With a dst of capacity >= K it
 // performs no allocation.
 func (m *Monitor) AppendTop(dst []int) []int {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	switch {
-	case m.seq != nil:
-		return m.seq.AppendTop(dst)
-	case m.conc != nil:
-		return m.conc.AppendTop(dst)
-	case m.net != nil:
-		return m.net.AppendTop(dst)
-	case m.shard != nil:
-		return m.shard.AppendTop(dst)
-	default:
-		return dst
-	}
+	m.lock()
+	defer m.unlock()
+	return m.eng.AppendTop(dst)
 }
 
 // Counts returns the total messages exchanged so far.
 func (m *Monitor) Counts() Counts {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	var c comm.Counts
-	switch {
-	case m.seq != nil:
-		c = m.seq.Counts()
-	case m.conc != nil:
-		c = m.conc.Counts()
-	case m.net != nil:
-		c = m.net.Counts()
-	case m.shard != nil:
-		c = m.shard.Counts()
-	}
-	return Counts{Up: c.Up, Down: c.Down, Broadcast: c.Bcast}
+	m.lock()
+	defer m.unlock()
+	return convCounts(m.eng.Ledger().Total())
 }
 
 // Phases returns the per-phase message breakdown.
 func (m *Monitor) Phases() PhaseCounts {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	var led *comm.Ledger
-	switch {
-	case m.seq != nil:
-		led = m.seq.Ledger()
-	case m.conc != nil:
-		led = m.conc.Ledger()
-	case m.net != nil:
-		led = m.net.Ledger()
-	case m.shard != nil:
-		led = m.shard.Ledger()
-	default:
-		return PhaseCounts{}
-	}
-	conv := func(c comm.Counts) Counts { return Counts{Up: c.Up, Down: c.Down, Broadcast: c.Bcast} }
+	m.lock()
+	defer m.unlock()
+	led := m.eng.Ledger()
 	return PhaseCounts{
-		Violation: conv(led.PhaseCounts(comm.PhaseViolation)),
-		Handler:   conv(led.PhaseCounts(comm.PhaseHandler)),
-		Reset:     conv(led.PhaseCounts(comm.PhaseReset)),
+		Violation: convCounts(led.PhaseCounts(comm.PhaseViolation)),
+		Handler:   convCounts(led.PhaseCounts(comm.PhaseHandler)),
+		Reset:     convCounts(led.PhaseCounts(comm.PhaseReset)),
 	}
 }
 
@@ -716,72 +595,35 @@ type PhaseBytes struct {
 
 // Bytes returns the total charged model bytes exchanged so far.
 func (m *Monitor) Bytes() Bytes {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	var b comm.Bytes
-	switch {
-	case m.seq != nil:
-		b = m.seq.Ledger().TotalBytes()
-	case m.conc != nil:
-		b = m.conc.Ledger().TotalBytes()
-	case m.net != nil:
-		b = m.net.Ledger().TotalBytes()
-	case m.shard != nil:
-		b = m.shard.Ledger().TotalBytes()
-	}
-	return Bytes{Up: b.Up, Down: b.Down, Broadcast: b.Bcast}
+	m.lock()
+	defer m.unlock()
+	return convBytes(m.eng.Ledger().TotalBytes())
 }
 
 // BytesByPhase returns the per-phase charged byte breakdown.
 func (m *Monitor) BytesByPhase() PhaseBytes {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	var led *comm.Ledger
-	switch {
-	case m.seq != nil:
-		led = m.seq.Ledger()
-	case m.conc != nil:
-		led = m.conc.Ledger()
-	case m.net != nil:
-		led = m.net.Ledger()
-	case m.shard != nil:
-		led = m.shard.Ledger()
-	default:
-		return PhaseBytes{}
-	}
-	conv := func(b comm.Bytes) Bytes { return Bytes{Up: b.Up, Down: b.Down, Broadcast: b.Bcast} }
+	m.lock()
+	defer m.unlock()
+	led := m.eng.Ledger()
 	return PhaseBytes{
-		Violation: conv(led.PhaseBytes(comm.PhaseViolation)),
-		Handler:   conv(led.PhaseBytes(comm.PhaseHandler)),
-		Reset:     conv(led.PhaseBytes(comm.PhaseReset)),
+		Violation: convBytes(led.PhaseBytes(comm.PhaseViolation)),
+		Handler:   convBytes(led.PhaseBytes(comm.PhaseHandler)),
+		Reset:     convBytes(led.PhaseBytes(comm.PhaseReset)),
 	}
 }
 
 // TransportStats returns the frames and framed bytes that crossed the
-// links of a networked or sharded monitor, control plane included. The
-// in-process engines report the zero value.
+// links of a networked or sharded monitor, control plane included, links
+// since lost to failover too. The in-process engines report the zero
+// value.
 func (m *Monitor) TransportStats() TransportStats {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	var s transport.LinkStats
-	switch {
-	case m.net != nil:
-		s = m.net.TransportStats()
-	case m.shard != nil:
-		s = m.shard.TransportStats()
-	default:
+	m.lock()
+	defer m.unlock()
+	le, ok := m.eng.(linked)
+	if !ok {
 		return TransportStats{}
 	}
-	return TransportStats{
-		SentFrames: s.SentFrames, SentBytes: s.SentBytes,
-		RecvFrames: s.RecvFrames, RecvBytes: s.RecvBytes,
-	}
+	return TransportStats(le.TransportStats())
 }
 
 // Overhead returns the root↔shard coordination traffic of a sharded
@@ -791,16 +633,13 @@ func (m *Monitor) TransportStats() TransportStats {
 // algorithm's own message ledger (which at Shards == 1 equals the
 // sequential engine's exactly). Non-sharded monitors report zeroes.
 func (m *Monitor) Overhead() (Counts, Bytes) {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	if m.shard == nil {
+	m.lock()
+	defer m.unlock()
+	le, ok := m.eng.(linked)
+	if !ok {
 		return Counts{}, Bytes{}
 	}
-	c, b := m.shard.Overhead(), m.shard.OverheadBytes()
-	return Counts{Up: c.Up, Down: c.Down, Broadcast: c.Bcast},
-		Bytes{Up: b.Up, Down: b.Down, Broadcast: b.Bcast}
+	return convCounts(le.Overhead()), convBytes(le.OverheadBytes())
 }
 
 // LevelIO summarizes the coordination traffic of one coordinator-tree
@@ -837,22 +676,19 @@ type TreeStats struct {
 // link failure returns an error and leaves recovery to the next
 // observation call.
 func (m *Monitor) TreeStats() (TreeStats, error) {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	if m.shard == nil {
+	m.lock()
+	defer m.unlock()
+	le, ok := m.eng.(linked)
+	if !ok {
 		return TreeStats{}, nil
 	}
-	ws, err := m.shard.TreeStats()
+	ws, err := le.TreeStats()
 	if err != nil {
 		return TreeStats{}, err
 	}
 	out := TreeStats{Absorbs: ws.Absorbs}
 	for _, lv := range ws.Levels {
-		out.Levels = append(out.Levels, LevelIO{
-			Down: lv.Down, Up: lv.Up, DownBytes: lv.DownBytes, UpBytes: lv.UpBytes,
-		})
+		out.Levels = append(out.Levels, LevelIO(lv))
 	}
 	return out, nil
 }
@@ -861,21 +697,9 @@ func (m *Monitor) TreeStats() (TreeStats, error) {
 // shared coordinator core, so they are identical across engines for the
 // same seed.
 func (m *Monitor) Stats() Stats {
-	if m.drv != nil {
-		m.engineMu.Lock()
-		defer m.engineMu.Unlock()
-	}
-	var s coord.Stats
-	switch {
-	case m.seq != nil:
-		s = m.seq.Stats()
-	case m.conc != nil:
-		s = m.conc.Stats()
-	case m.net != nil:
-		s = m.net.Stats()
-	case m.shard != nil:
-		s = m.shard.Stats()
-	}
+	m.lock()
+	defer m.unlock()
+	s := m.eng.Stats()
 	return Stats{Steps: s.Steps, ViolationSteps: s.ViolationSteps, Resets: s.Resets, TopChanges: s.TopChanges}
 }
 
@@ -891,22 +715,14 @@ func (m *Monitor) Close() {
 		m.drv.Close()
 		m.drv = nil
 	}
-	if m.conc != nil {
-		m.conc.Close()
-		m.conc = nil
+	if m.eng == closedEngine {
+		return
 	}
-	if m.net != nil {
-		m.net.Close()
-		m.net = nil
-		if m.cfg.Transport != nil {
-			m.cfg.Transport.Close()
-		}
+	m.eng.Close()
+	m.eng = closedEngine
+	if m.cfg.Transport != nil {
+		m.cfg.Transport.Close()
 	}
-	if m.shard != nil {
-		m.shard.Close()
-		m.shard = nil
-	}
-	m.seq = nil
 }
 
 // Oracle computes the exact top-k ids (ascending) of a single observation

@@ -1,9 +1,6 @@
 package topk
 
-import (
-	"repro/internal/netrun"
-	"repro/internal/transport"
-)
+import "repro/internal/netrun"
 
 // Link is one reliable, ordered, message-framed duplex connection to a
 // peer process hosting a range of the monitored nodes. It mirrors the
@@ -85,28 +82,4 @@ func (l *loopback) Close() error {
 		lk.Close()
 	}
 	return nil
-}
-
-// newNetEngine adapts the public Transport to the internal engine.
-func newNetEngine(cfg Config) (*netrun.Engine, error) {
-	links := cfg.Transport.Links()
-	if len(links) == 0 || len(links) > cfg.Nodes {
-		return nil, badConfig(cfg, "Transport", "must supply 1..Nodes links, got %d for %d nodes", len(links), cfg.Nodes)
-	}
-	internal := make([]transport.Link, len(links))
-	for i, l := range links {
-		internal[i] = l // method sets match; Stats is optional and probed dynamically
-	}
-	return netrun.New(netrun.Config{
-		N:              cfg.Nodes,
-		K:              cfg.K,
-		Seed:           cfg.Seed,
-		DistinctValues: cfg.DistinctValues,
-		Epsilon:        cfg.Epsilon,
-		Lockstep:       cfg.Pipeline == PipelineOff,
-		Redial:         cfg.redialInternal(),
-		RetryBudget:    cfg.RetryBudget,
-		RetryBackoff:   cfg.RetryBackoff,
-		OnEvent:        cfg.onEventInternal(),
-	}, internal)
 }
