@@ -160,6 +160,31 @@ func BenchmarkMonitorStepHot(b *testing.B) {
 	b.ReportMetric(float64(m.Counts().Total())/float64(b.N), "msgs/step")
 }
 
+// BenchmarkFilterReset measures the first Observe of the sequential engine
+// — the time-0 FILTERRESET, k+1 Algorithm 2 executions over all n nodes —
+// which is what a monitor's set-up time is made of at 10⁶ nodes.
+// Construction and input generation are off the clock.
+func BenchmarkFilterReset(b *testing.B) {
+	for _, n := range []int{1 << 16, 1 << 20} {
+		b.Run(bench.F("n=%d", n), func(b *testing.B) {
+			src := stream.NewIID(stream.IIDConfig{N: n, Seed: 11, Dist: stream.Uniform, Lo: 0, Hi: 1 << 40})
+			vals := make([]int64, n)
+			src.Step(vals)
+			var msgs int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := core.New(core.Config{N: n, K: 16, Seed: uint64(i) + 1})
+				b.StartTimer()
+				m.Observe(vals)
+				msgs += m.Counts().Total()
+			}
+			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/reset")
+		})
+	}
+}
+
 // BenchmarkRuntimeStep measures one Observe of the goroutine-per-node
 // engine, including all channel round trips.
 func BenchmarkRuntimeStep(b *testing.B) {

@@ -81,7 +81,7 @@ const (
 func MinimumTag(t uint8) bool { return t == TagViolMin || t == TagHandMin }
 
 // TolerantTag reports whether the tag's protocol execution may run with
-// ε-tolerant samplers in the approximate mode. Violation and handler
+// the ε-tolerant cut in the approximate mode. Violation and handler
 // executions only feed the T+/T− style bound tracking, where an ε-sharp
 // extremum (suitably widened) is sound; FILTERRESET extractions decide
 // membership and always run exactly, so the extraction keys come out in
@@ -397,7 +397,7 @@ func (m *Machine) tighten() Effect {
 // FILTERRESET are saved. Only when no band fits does it fall through to
 // the exact FILTERRESET.
 //
-// The widening accounts for the ε-tolerant samplers of the violation and
+// The widening accounts for the ε-tolerant cut of the violation and
 // handler executions: a tolerant MINIMUM's result m̃ only guarantees that
 // every cohort key is >= WidenLo(m̃), and dually for a MAXIMUM.
 func (m *Machine) tightenTol() Effect {

@@ -35,13 +35,18 @@ func oracle(vals []int64, k int) []int {
 type driver struct {
 	mach *Machine
 	bank *Nodes
+	// round answers protocol rounds: the bank's own Round, unless a test
+	// swaps in Sub views or a reference (round_test.go).
+	round roundFunc
 }
 
 func newDriver(n, k int, seed uint64) *driver {
-	return &driver{
-		mach: New(Config{N: n, K: k}),
-		bank: NewNodes(n, 0, n, seed, false, order.Tol{}),
-	}
+	return newDriverTol(n, k, seed, order.Tol{})
+}
+
+func newDriverTol(n, k int, seed uint64, tol order.Tol) *driver {
+	bank := NewNodes(n, 0, n, seed, false, tol)
+	return &driver{mach: New(Config{N: n, K: k, Tol: tol}), bank: bank, round: bank.Round}
 }
 
 func (d *driver) observe(vals []int64) []int {
@@ -62,7 +67,7 @@ func (d *driver) observe(vals []int64) []int {
 			ex := protocol.NewExec(eff.Bound, MinimumTag(eff.Tag), d.mach.Recorder(eff.Phase), nil, step)
 			for ex.More() {
 				r, best := ex.Round(), ex.Best()
-				d.bank.Round(eff.Tag, r, best, eff.Bound, step, func(id int, key order.Key) {
+				d.round(eff.Tag, r, best, eff.Bound, step, func(id int, key order.Key) {
 					ex.Bid(id, key)
 				})
 				ex.EndRound()

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/filter"
 	"repro/internal/order"
@@ -12,9 +13,11 @@ import (
 // nodeState is the distributed per-node state of the paper's node model:
 // the current key, the assigned filter, membership knowledge from the last
 // broadcast, and a private generator for the protocol's Bernoulli trials.
+// It carries no per-execution state: who is still in play during a
+// protocol execution is the bank's active list (Nodes.Round).
 type nodeState struct {
 	id        int
-	rng       *rng.RNG
+	rng       rng.RNG
 	key       order.Key
 	iv        filter.Interval
 	ordIv     filter.Interval // order filter (ordered variant only)
@@ -23,7 +26,6 @@ type nodeState struct {
 	violStep  int64 // observation step of the last filter violation
 	extracted bool
 	level     uint8 // current ladder level (hierarchical ε mode)
-	sampler   protocol.Sampler
 }
 
 // participates evaluates cohort membership node-locally, from knowledge
@@ -64,6 +66,13 @@ type Nodes struct {
 	maxVal   int64 // cached value-domain bound; Observe checks it per value
 	ns       []nodeState
 
+	// active is the running execution's list of hosted cohort members
+	// still in play, as ascending indices into ns. Round builds it at
+	// round 0 and compacts it every round; it is per view (Sub views of
+	// one bank run their ranges' rounds independently) and allocated at
+	// exact capacity on first use.
+	active []int32
+
 	// Per-level ε ladder of the hierarchical engine (SetLadder): level l's
 	// tolerance induces the band bands[l], nested inside the installed
 	// root filter; absorbs[l] counts observations that left the level-l
@@ -88,6 +97,9 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if lo < 0 || hi > n || lo >= hi {
 		panic(fmt.Sprintf("coord: bad node range [%d, %d) of %d", lo, hi, n))
 	}
+	if hi-lo > math.MaxInt32 {
+		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
+	}
 	b := &Nodes{
 		lo:       lo,
 		hi:       hi,
@@ -99,7 +111,7 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	}
 	root := rng.New(seed, 0xc02e)
 	for i := 0; i < n; i++ {
-		r := root.Split(uint64(i))
+		r := root.SplitValue(uint64(i))
 		if i < lo || i >= hi {
 			continue
 		}
@@ -275,33 +287,55 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 	return false, false, nil
 }
 
-// Round runs one sampler round over the hosted members of cohort tag:
-// round r of an execution with the given population bound, against the
-// best value broadcast so far (in the execution's comparison domain).
-// Every node that sends is reported to send in ascending id order with its
-// true key. Samplers are (re)initialized at round 0, so banks need no
-// per-execution setup call.
+// Round runs round r of one Algorithm 2 execution over the hosted members
+// of cohort tag, with the given population bound, against the best value
+// broadcast so far (in the execution's comparison domain). Every node
+// that sends is reported to send in ascending id order with its true key.
+//
+// Round 0 enlists the cohort — each node evaluates its membership locally
+// — so banks need no per-execution setup call; every round then visits
+// only the members still in play and compacts the list in place, taking
+// protocol.Decide's verdict for each. A node that left the list would
+// have found itself inactive in every later round without drawing, so the
+// trials drawn, their order and the sends are exactly those of consulting
+// every hosted node every round. A bank that first sees an execution at a
+// round r > 0 (it joined mid-execution) holds no list for it and nobody
+// bids.
 func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
-	for i := range b.ns {
-		nd := &b.ns[i]
-		if !nd.participates(tag, step) {
-			continue
+	if bound <= 0 {
+		panic("coord: protocol round with a non-positive population bound")
+	}
+	if r == 0 {
+		if b.active == nil {
+			b.active = make([]int32, 0, len(b.ns))
 		}
-		if r == 0 {
-			k := nd.key
-			if MinimumTag(tag) {
-				k = order.Neg(k)
+		b.active = b.active[:0]
+		for i := range b.ns {
+			if b.ns[i].participates(tag, step) {
+				b.active = append(b.active, int32(i))
 			}
-			tol := b.tol
-			if !TolerantTag(tag) {
-				tol = order.Tol{} // reset extractions always run exactly
-			}
-			nd.sampler = protocol.NewSamplerTol(k, bound, tol)
-		}
-		if nd.sampler.Round(best, uint(r), nd.rng) {
-			send(nd.id, nd.key)
 		}
 	}
+	tol := b.tol
+	if !TolerantTag(tag) {
+		tol = order.Tol{} // reset extractions always run exactly
+	}
+	cut, minimum := tol.WidenHi(best), MinimumTag(tag)
+	kept := b.active[:0]
+	for _, i := range b.active {
+		nd := &b.ns[i]
+		cmp := nd.key
+		if minimum {
+			cmp = order.Neg(cmp)
+		}
+		switch protocol.Decide(cmp, cut, uint(r), uint64(bound), &nd.rng) {
+		case protocol.Bid:
+			send(nd.id, nd.key)
+		case protocol.Stay:
+			kept = append(kept, i)
+		}
+	}
+	b.active = kept
 }
 
 // Winner marks node target as extracted by the current reset, joining the

@@ -1,0 +1,291 @@
+package coord
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/order"
+	"repro/internal/protocol"
+	"repro/internal/rng"
+	"repro/internal/stream"
+)
+
+// refSampler is the per-node execution state banks carried before
+// Nodes.Round kept an active list: the reference the compacted rounds are
+// checked against. It is written out here, sharing no code with
+// protocol.Decide.
+type refSampler struct {
+	key    order.Key
+	bound  uint64
+	tol    order.Tol
+	active bool
+}
+
+func (s *refSampler) round(best order.Key, r uint, rg *rng.RNG) bool {
+	if !s.active {
+		return false
+	}
+	if s.tol.WidenHi(best) > s.key {
+		s.active = false
+		return false
+	}
+	if rg.BernoulliPow2(r, s.bound) {
+		s.active = false
+		return true
+	}
+	return false
+}
+
+// refBank answers protocol rounds for a bank the naive way: every hosted
+// node re-evaluates its cohort membership and consults its own sampler in
+// every round, samplers (re)initialized at round 0.
+type refBank struct {
+	b        *Nodes
+	samplers []refSampler
+}
+
+func newRefBank(b *Nodes) *refBank {
+	return &refBank{b: b, samplers: make([]refSampler, len(b.ns))}
+}
+
+func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
+	for i := range rb.b.ns {
+		nd := &rb.b.ns[i]
+		if !nd.participates(tag, step) {
+			continue
+		}
+		if r == 0 {
+			k := nd.key
+			if MinimumTag(tag) {
+				k = order.Neg(k)
+			}
+			tol := rb.b.tol
+			if !TolerantTag(tag) {
+				tol = order.Tol{}
+			}
+			rb.samplers[i] = refSampler{key: k, bound: uint64(bound), tol: tol, active: true}
+		}
+		if rb.samplers[i].round(best, uint(r), &nd.rng) {
+			send(nd.id, nd.key)
+		}
+	}
+}
+
+// roundFunc is the shape of Nodes.Round.
+type roundFunc func(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key))
+
+// viewsRound fans one round out over disjoint Sub views in ascending
+// range order, as internal/runtime's shards do.
+func viewsRound(views []*Nodes) roundFunc {
+	return func(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
+		for _, v := range views {
+			v.Round(tag, r, best, bound, step, send)
+		}
+	}
+}
+
+// execute runs one whole execution through round, charging rec.
+func execute(round roundFunc, tag uint8, bound int, step int64, rec comm.Recorder) protocol.Result {
+	ex := protocol.NewExec(bound, MinimumTag(tag), rec, nil, step)
+	for ex.More() {
+		round(tag, ex.Round(), ex.Best(), bound, step, ex.Bid)
+		ex.EndRound()
+	}
+	return ex.Result()
+}
+
+// sameGenerators fails unless every node of a and b holds the same
+// generator state.
+func sameGenerators(t *testing.T, where string, a, b *Nodes) {
+	t.Helper()
+	for i := range a.ns {
+		as, ai := a.ns[i].rng.State()
+		bs, bi := b.ns[i].rng.State()
+		if as != bs || ai != bi {
+			t.Fatalf("%s: node %d generator (%#x, %#x), reference (%#x, %#x)", where, a.ns[i].id, as, ai, bs, bi)
+		}
+	}
+}
+
+// TestRoundMatchesPerNodeSamplers drives one workload through two
+// machines — one over Nodes.Round (whole bank, or split into Sub views),
+// one over per-node samplers — and demands, after every step, the same
+// report, the same ledger by phase in messages and bytes, and the same
+// state of every node's generator. The walk's step is large against its
+// range, so violation, handler and reset executions all occur; ε > 0
+// exercises the tolerant cut.
+func TestRoundMatchesPerNodeSamplers(t *testing.T) {
+	for _, tc := range []struct {
+		n, k  int
+		eps   float64
+		views []int // Sub view boundaries; nil drives the whole bank
+	}{
+		{n: 12, k: 3},
+		{n: 9, k: 1, views: []int{0, 4, 9}},
+		{n: 7, k: 7},
+		{n: 64, k: 5, views: []int{0, 1, 2, 30, 64}},
+		{n: 64, k: 5, eps: 0.1},
+		{n: 33, k: 32, eps: 0.02, views: []int{0, 16, 33}},
+	} {
+		name := fmt.Sprintf("n=%d k=%d eps=%g views=%v", tc.n, tc.k, tc.eps, tc.views)
+		tol, err := order.NewTol(tc.eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kern := newDriverTol(tc.n, tc.k, 41, tol)
+		if tc.views != nil {
+			var views []*Nodes
+			for i := 0; i+1 < len(tc.views); i++ {
+				views = append(views, kern.bank.Sub(tc.views[i], tc.views[i+1]))
+			}
+			kern.round = viewsRound(views)
+		}
+		ref := newDriverTol(tc.n, tc.k, 41, tol)
+		ref.round = newRefBank(ref.bank).Round
+
+		src := stream.NewRandomWalk(stream.WalkConfig{N: tc.n, Lo: 1 << 10, Hi: 1 << 14, MaxStep: 400, Seed: 6})
+		vals := make([]int64, tc.n)
+		for s := 0; s < 250; s++ {
+			src.Step(vals)
+			got, want := kern.observe(vals), ref.observe(vals)
+			where := fmt.Sprintf("%s step %d", name, s)
+			if !equal(got, want) {
+				t.Fatalf("%s: report %v, reference %v", where, got, want)
+			}
+			for _, ph := range comm.Phases() {
+				kl, rl := kern.mach.Ledger(), ref.mach.Ledger()
+				if kl.PhaseCounts(ph) != rl.PhaseCounts(ph) || kl.PhaseBytes(ph) != rl.PhaseBytes(ph) {
+					t.Fatalf("%s: phase %v ledger %v/%v, reference %v/%v", where, ph,
+						kl.PhaseCounts(ph), kl.PhaseBytes(ph), rl.PhaseCounts(ph), rl.PhaseBytes(ph))
+				}
+			}
+			sameGenerators(t, where, kern.bank, ref.bank)
+		}
+		if st := kern.mach.Stats(); st != ref.mach.Stats() {
+			t.Fatalf("%s: stats %+v, reference %+v", name, st, ref.mach.Stats())
+		}
+		if st := kern.mach.Stats(); tc.k < tc.n && (st.Resets < 2 || st.HandlerCalls == 0) {
+			t.Fatalf("%s: workload too calm to exercise the cohorts: %+v", name, st)
+		}
+	}
+}
+
+// TestRoundEveryTagWithDuplicateKeys runs single executions of all five
+// cohorts over a DistinctValues bank whose keys repeat (ties resolve by
+// ascending id), with zero and non-zero tolerance and loose bounds,
+// against the per-node reference: same result, charges and generator
+// states.
+func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
+	const n, step = 40, int64(3)
+	for _, eps := range []float64{0, 0.25} {
+		tol, err := order.NewTol(eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := func() *Nodes {
+			b := NewNodes(n, 0, n, 17, true, tol)
+			// Membership {0, 5, 10, …}, installed filters around 50; then
+			// observations out of few distinct values so that both sides
+			// hold violators and every cohort holds duplicates.
+			for id := 0; id < n; id += 5 {
+				b.Winner(id, true)
+			}
+			b.Midpoint(50, false)
+			vr := rng.New(7, 7)
+			for id := 0; id < n; id++ {
+				if _, _, err := b.Observe(id, 45+vr.Int63n(10), step); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id := 1; id < n; id += 7 {
+				b.Winner(id, false) // some extracted, so TagReset is a strict subset
+			}
+			return b
+		}
+		for _, tag := range []uint8{TagViolMin, TagViolMax, TagHandMin, TagHandMax, TagReset} {
+			for _, bound := range []int{n, 3*n + 1} {
+				kern, refNodes := build(), build()
+				ref := newRefBank(refNodes)
+				var kc, rc comm.Counter
+				got := execute(kern.Round, tag, bound, step, &kc)
+				want := execute(ref.Round, tag, bound, step, &rc)
+				where := fmt.Sprintf("eps=%g tag=%d bound=%d", eps, tag, bound)
+				if got != want {
+					t.Fatalf("%s: result %+v, reference %+v", where, got, want)
+				}
+				if !want.OK {
+					t.Fatalf("%s: cohort is empty; the case tests nothing", where)
+				}
+				if kc.Snapshot() != rc.Snapshot() || kc.BytesSnapshot() != rc.BytesSnapshot() {
+					t.Fatalf("%s: charges %v/%v, reference %v/%v", where, kc.Snapshot(), kc.BytesSnapshot(), rc.Snapshot(), rc.BytesSnapshot())
+				}
+				sameGenerators(t, where, kern, refNodes)
+			}
+		}
+	}
+}
+
+// TestRoundFirstSeenMidExecution pins what a bank does when the first
+// round it sees of an execution is not round 0 — a host that joined while
+// the execution was running: it holds no active list, so nobody bids and
+// no generator advances, exactly as zero-valued per-node samplers behave.
+// The next round 0 enlists normally.
+func TestRoundFirstSeenMidExecution(t *testing.T) {
+	const n = 16
+	kern, refNodes := NewNodes(n, 0, n, 5, false, order.Tol{}), NewNodes(n, 0, n, 5, false, order.Tol{})
+	ref := newRefBank(refNodes)
+	for _, round := range []roundFunc{kern.Round, ref.Round} {
+		for r := 1; r < protocol.Rounds(n); r++ {
+			round(TagReset, r, order.NegInf, n, 1, func(id int, _ order.Key) {
+				t.Fatalf("node %d bid in round %d of an execution the bank never saw start", id, r)
+			})
+		}
+	}
+	pristine := NewNodes(n, 0, n, 5, false, order.Tol{})
+	sameGenerators(t, "after stray rounds", kern, pristine)
+	sameGenerators(t, "reference after stray rounds", refNodes, pristine)
+
+	var kc, rc comm.Counter
+	got, want := execute(kern.Round, TagReset, n, 1, &kc), execute(ref.Round, TagReset, n, 1, &rc)
+	if got != want || !got.OK || kc.Snapshot() != rc.Snapshot() {
+		t.Fatalf("execution after stray rounds: %+v %v, reference %+v %v", got, kc.Snapshot(), want, rc.Snapshot())
+	}
+	sameGenerators(t, "after the next execution", kern, refNodes)
+
+	// An execution abandoned mid-way leaves members on the list; the next
+	// round 0 must rebuild it, not append to it.
+	kern.Round(TagReset, 0, order.NegInf, n, 2, func(int, order.Key) {})
+	ref.Round(TagReset, 0, order.NegInf, n, 2, func(int, order.Key) {})
+	got, want = execute(kern.Round, TagReset, n, 2, &kc), execute(ref.Round, TagReset, n, 2, &rc)
+	if got != want || kc.Snapshot() != rc.Snapshot() {
+		t.Fatalf("execution after an abandoned one: %+v, reference %+v", got, want)
+	}
+	sameGenerators(t, "after an abandoned execution", kern, refNodes)
+}
+
+// TestRoundActiveListExactCapacity pins the bank-side cost of the list:
+// one allocation of exactly 4 bytes per hosted node, on the first round 0,
+// and none afterwards.
+func TestRoundActiveListExactCapacity(t *testing.T) {
+	const n = 1000
+	b := NewNodes(n, 0, n, 9, false, order.Tol{})
+	if b.active != nil {
+		t.Fatal("a bank that has run no round holds an active list")
+	}
+	best := order.NegInf
+	send := func(_ int, key order.Key) { best = order.Max(best, key) }
+	exec := func() {
+		best = order.NegInf
+		for r := 0; r < protocol.Rounds(n); r++ {
+			b.Round(TagReset, r, best, n, 1, send)
+		}
+	}
+	exec()
+	if cap(b.active) != n {
+		t.Fatalf("active list capacity %d for %d hosted nodes", cap(b.active), n)
+	}
+	if a := testing.AllocsPerRun(10, exec); a != 0 {
+		t.Fatalf("a repeated execution on a warm bank: %v allocs/run, want 0", a)
+	}
+}

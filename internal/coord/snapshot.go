@@ -16,7 +16,7 @@ import (
 // counter, statistics, T+/T− bounds, membership and the message ledger
 // for the Machine; per-node keys, filters, membership flags, violation
 // history and generator state for a Nodes bank. Everything else — the
-// extraction scratch of the Machine, the samplers of the bank — is
+// extraction scratch of the Machine, the active list of the bank — is
 // (re)initialized before its next use, so a restored coordinator resumes
 // bit-identically to one that never stopped: same reports, same counts,
 // same randomness consumption. The equivalence tests in snapshot_test.go
@@ -130,8 +130,8 @@ func RestoreMachine(p []byte) (*Machine, error) {
 // Snapshot appends the bank's canonical checkpoint frame (wire.NodesState)
 // to dst. Banks carry no in-flight marker, so the contract is the caller's:
 // snapshot only between steps, when no protocol execution is running —
-// samplers are (re)initialized at round 0 of every execution and are the
-// one piece of node state a between-steps checkpoint can omit.
+// the active list is rebuilt at round 0 of every execution and is the one
+// piece of bank state a between-steps checkpoint can omit.
 func (b *Nodes) Snapshot(dst []byte) []byte {
 	n := b.hi - b.lo
 	s := wire.NodesState{
@@ -204,7 +204,7 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 		}
 		b.ns[i] = nodeState{
 			id:        s.Lo + i,
-			rng:       r,
+			rng:       *r,
 			key:       order.Key(s.Keys[i]),
 			iv:        filter.Interval{Lo: order.Key(s.IvLo[i]), Hi: order.Key(s.IvHi[i])},
 			ordIv:     filter.Interval{Lo: order.Key(s.OrdLo[i]), Hi: order.Key(s.OrdHi[i])},

@@ -63,7 +63,7 @@ func checkpoint(t *testing.T, d *driver) *driver {
 	if err != nil {
 		t.Fatalf("restore nodes: %v", err)
 	}
-	return &driver{mach: mach, bank: bank}
+	return &driver{mach: mach, bank: bank, round: bank.Round}
 }
 
 // TestSnapshotRestoreResumesBitIdentically is the acceptance pin for

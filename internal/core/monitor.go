@@ -9,10 +9,11 @@
 // midpoint broadcasts, FILTERRESET — lives in the sans-I/O state machine
 // of internal/coord, which this package (like every other engine) merely
 // drives. The Monitor's own job is the node side and the substrate: it
-// holds the node-local keys, filters and generators, selects protocol
-// cohorts, and executes the machine's effects by direct procedure calls
-// (protocol executions via internal/protocol, which also serves the
-// UseGather ablation and optional tracing).
+// holds the node-local keys, filters and generators flat, selects protocol
+// cohorts as ascending id lists into them, and executes the machine's
+// effects by direct procedure calls (protocol executions via
+// internal/protocol, which also serves the UseGather ablation and optional
+// tracing).
 //
 // The flow per time step follows the paper exactly:
 //
@@ -35,6 +36,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
@@ -59,7 +62,7 @@ type Config struct {
 	// Epsilon selects the ε-approximate mode (0 <= Epsilon < 1): filters
 	// widen to (1±ε) bands, violation steps whose learned extrema still
 	// fit one band skip the FILTERRESET, and violation/handler protocol
-	// executions run with ε-tolerant samplers. Reports are then valid
+	// executions run with the ε-tolerant cut. Reports are then valid
 	// ε-approximations of the top-k (sim.EpsValid) rather than exact; 0
 	// (the default) is bit-identical to the exact algorithm.
 	Epsilon float64
@@ -81,10 +84,15 @@ type Stats = coord.Stats
 // use (the concurrent engine lives in internal/runtime).
 //
 // The monitor is allocation-free in steady state: every per-step buffer —
-// violator cohorts, protocol participants, sampler state, extraction
-// results — is owned by the monitor and reused, and the filter set keeps
-// the reported top-k slice cached. A violation-free step via ObserveDelta
+// violator cohorts, handler and reset cohorts, the protocol's active list
+// — is owned by the monitor and reused, and the filter set keeps the
+// reported top-k slice cached. A violation-free step via ObserveDelta
 // costs O(#changed nodes) and zero heap allocations.
+//
+// Cohorts are never materialized as participant records: a cohort is an
+// ascending list of node ids (4 bytes each) into the flat population, and
+// a FILTERRESET is one fill of that list plus, per extracted winner, a
+// binary search and a shift.
 type Monitor struct {
 	cfg   Config
 	codec order.Codec
@@ -92,18 +100,20 @@ type Monitor struct {
 	fs    *filter.Set
 	mach  *coord.Machine
 
-	rngs []*rng.RNG  // per-node protocol randomness
-	keys []order.Key // node-local current keys (rewritten as deltas arrive)
+	// pop is the flat node population: pop.Keys[i] is node i's current
+	// key (rewritten as deltas arrive), pop.RNGs[i] its protocol
+	// randomness, one arena for all n generators.
+	pop protocol.Population
 
 	step int64
 
 	// Reusable scratch buffers; see the type comment.
-	allIDs    []int                  // 0..n-1, the dense delta
-	violTop   []protocol.Participant // violating former top-k nodes
-	violOut   []protocol.Participant // violating outsiders
-	parts     []protocol.Participant // side() / reset participant scratch
-	remaining []protocol.Participant // reset extraction view into parts
-	topBuf    []int                  // membership install scratch
+	allIDs    []int   // 0..n-1, the dense delta
+	violTop   []int32 // violating former top-k nodes
+	violOut   []int32 // violating outsiders
+	members   []int32 // handler-side / reset cohort scratch
+	remaining []int32 // reset extraction view into members
+	topBuf    []int   // membership install scratch
 	pscratch  protocol.Scratch
 	inReset   bool // a FILTERRESET is in flight this step
 }
@@ -119,26 +129,32 @@ func New(cfg Config) *Monitor {
 	if cfg.K < 1 || cfg.K > cfg.N {
 		panic("core: monitor needs 1 <= K <= N")
 	}
+	if cfg.N > math.MaxInt32 {
+		panic("core: monitor needs N <= 2^31-1 (cohorts are int32 id lists)")
+	}
 	tol, err := order.NewTol(cfg.Epsilon)
 	if err != nil {
 		panic("core: " + err.Error())
 	}
 	m := &Monitor{
-		cfg:    cfg,
-		codec:  order.NewCodec(cfg.N),
-		tol:    tol,
-		fs:     filter.NewSet(cfg.N, cfg.K),
-		mach:   coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
-		rngs:   make([]*rng.RNG, cfg.N),
-		keys:   make([]order.Key, cfg.N),
-		allIDs: make([]int, cfg.N),
-		topBuf: make([]int, 0, cfg.K),
+		cfg:   cfg,
+		codec: order.NewCodec(cfg.N),
+		tol:   tol,
+		fs:    filter.NewSet(cfg.N, cfg.K),
+		mach:  coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
+		pop: protocol.Population{
+			Keys: make([]order.Key, cfg.N),
+			RNGs: make([]rng.RNG, cfg.N),
+		},
+		allIDs:  make([]int, cfg.N),
+		members: make([]int32, 0, cfg.N),
+		topBuf:  make([]int, 0, cfg.K),
 	}
 	root := rng.New(cfg.Seed, 0xc02e)
-	for i := range m.rngs {
-		m.rngs[i] = root.Split(uint64(i))
+	for i := range m.allIDs {
+		m.pop.RNGs[i] = root.SplitValue(uint64(i))
 		m.allIDs[i] = i
-		m.keys[i] = m.encode(0, i)
+		m.pop.Keys[i] = m.encode(0, i)
 	}
 	return m
 }
@@ -260,8 +276,9 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 		}
 		prev = id
 	}
+	keys := m.pop.Keys
 	for j, id := range ids {
-		m.keys[id] = m.encode(vals[j], id)
+		keys[id] = m.encode(vals[j], id)
 	}
 	m.step = m.mach.BeginStep()
 
@@ -271,14 +288,13 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 	// this loop never fires.
 	m.violTop, m.violOut = m.violTop[:0], m.violOut[:0]
 	for _, id := range ids {
-		if violated, _ := m.fs.Interval(id).Violates(m.keys[id]); !violated {
+		if violated, _ := m.fs.Interval(id).Violates(keys[id]); !violated {
 			continue
 		}
-		p := protocol.Participant{ID: id, Key: m.keys[id], RNG: m.rngs[id]}
 		if m.fs.InTop(id) {
-			m.violTop = append(m.violTop, p)
+			m.violTop = append(m.violTop, int32(id))
 		} else {
-			m.violOut = append(m.violOut, p)
+			m.violOut = append(m.violOut, int32(id))
 		}
 	}
 
@@ -309,38 +325,53 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 // with the monitor's tolerance (a no-op at ε=0); reset extractions are
 // always exact (see coord.TolerantTag).
 func (m *Monitor) exec(eff coord.Effect) protocol.Result {
-	parts := m.cohort(eff.Tag)
+	members := m.cohort(eff.Tag)
 	rec := m.mach.Recorder(eff.Phase)
+	minimum := coord.MinimumTag(eff.Tag)
+	if m.cfg.UseGather {
+		return m.gather(members, minimum, rec)
+	}
 	tol := m.tol
 	if !coord.TolerantTag(eff.Tag) {
 		tol = order.Tol{}
 	}
-	switch {
-	case m.cfg.UseGather && coord.MinimumTag(eff.Tag):
-		return protocol.GatherAllMin(parts, rec, m.cfg.Trace, m.step)
-	case m.cfg.UseGather:
-		return protocol.GatherAll(parts, rec, m.cfg.Trace, m.step)
-	case coord.MinimumTag(eff.Tag):
-		return m.pscratch.MinimumTol(parts, eff.Bound, tol, rec, m.cfg.Trace, m.step)
-	default:
-		return m.pscratch.MaximumTol(parts, eff.Bound, tol, rec, m.cfg.Trace, m.step)
-	}
+	return m.pscratch.Run(m.pop, members, eff.Bound, tol, minimum, rec, m.cfg.Trace, m.step)
 }
 
-// cohort materializes the participant set of one protocol tag. Violator
-// cohorts were collected during the step's filter checks; handler cohorts
-// are one membership side; the reset cohort is the not-yet-extracted
-// remainder maintained by beginReset/extract.
-func (m *Monitor) cohort(tag uint8) []protocol.Participant {
+// gather is the UseGather ablation's execution: it materializes the
+// cohort for the naive gather-all protocol, which is the one consumer of
+// participant records left (an experiment, never a hot path).
+func (m *Monitor) gather(members []int32, minimum bool, rec comm.Recorder) protocol.Result {
+	parts := make([]protocol.Participant, len(members))
+	for i, id := range members {
+		parts[i] = protocol.Participant{ID: int(id), Key: m.pop.Keys[id], RNG: &m.pop.RNGs[id]}
+	}
+	if minimum {
+		return protocol.GatherAllMin(parts, rec, m.cfg.Trace, m.step)
+	}
+	return protocol.GatherAll(parts, rec, m.cfg.Trace, m.step)
+}
+
+// cohort returns the ascending member ids of one protocol tag. Violator
+// cohorts were collected during the step's filter checks; the top-k side
+// is the filter set's cached membership, the outsider side its
+// complement; the reset cohort is the not-yet-extracted remainder
+// maintained by beginReset/extract. Handler-side lists live in a reused
+// buffer, valid until the next cohort or beginReset call.
+func (m *Monitor) cohort(tag uint8) []int32 {
 	switch tag {
 	case coord.TagViolMin:
 		return m.violTop
 	case coord.TagViolMax:
 		return m.violOut
 	case coord.TagHandMin:
-		return m.side(true)
+		m.members = m.members[:0]
+		for _, id := range m.fs.Top() {
+			m.members = append(m.members, int32(id))
+		}
+		return m.members
 	case coord.TagHandMax:
-		return m.side(false)
+		return m.fillExcept(m.fs.Top())
 	case coord.TagReset:
 		return m.remaining
 	default:
@@ -348,44 +379,39 @@ func (m *Monitor) cohort(tag uint8) []protocol.Participant {
 	}
 }
 
-// side collects the current participants of one side into a reused buffer:
-// top-k members when top is true, outsiders otherwise. The buffer is valid
-// until the next side or beginReset call.
-func (m *Monitor) side(top bool) []protocol.Participant {
-	m.parts = m.parts[:0]
+// fillExcept fills the member buffer with 0..n-1 minus the ascending ids
+// in skip.
+func (m *Monitor) fillExcept(skip []int) []int32 {
+	m.members = m.members[:0]
 	for id := 0; id < m.cfg.N; id++ {
-		if m.fs.InTop(id) == top {
-			m.parts = append(m.parts, protocol.Participant{ID: id, Key: m.keys[id], RNG: m.rngs[id]})
+		if len(skip) > 0 && skip[0] == id {
+			skip = skip[1:]
+			continue
 		}
+		m.members = append(m.members, int32(id))
 	}
-	return m.parts
+	return m.members
 }
 
 // beginReset starts FILTERRESET's extraction sequence: all nodes become
 // candidates again.
 func (m *Monitor) beginReset() {
 	m.inReset = true
-	m.parts = m.parts[:0]
-	for id := 0; id < m.cfg.N; id++ {
-		m.parts = append(m.parts, protocol.Participant{ID: id, Key: m.keys[id], RNG: m.rngs[id]})
-	}
-	m.remaining = m.parts
+	m.remaining = m.fillExcept(nil)
 }
 
 // extract shift-removes an extraction winner from the remaining
-// candidates. Removal must preserve the id-ascending participant order:
-// with duplicate keys (possible in DistinctValues mode when the caller's
+// candidates. Removal must preserve the id-ascending member order: with
+// duplicate keys (possible in DistinctValues mode when the caller's
 // distinctness promise is not yet established, e.g. before every node has
 // observed) the protocol breaks ties by iteration order, and the
 // concurrent engine always iterates non-extracted nodes id-ascending.
 func (m *Monitor) extract(id int) {
-	for i := range m.remaining {
-		if m.remaining[i].ID == id {
-			m.remaining = append(m.remaining[:i], m.remaining[i+1:]...)
-			return
-		}
+	i, found := slices.BinarySearch(m.remaining, int32(id))
+	if !found {
+		panic(fmt.Sprintf("core: extraction winner %d not among remaining candidates", id))
 	}
-	panic(fmt.Sprintf("core: extraction winner %d not among remaining candidates", id))
+	m.remaining = slices.Delete(m.remaining, i, i+1)
 }
 
 // installMidpoint applies a midpoint (or ε-mode band) broadcast: after a
@@ -430,9 +456,7 @@ func (m *Monitor) installMidpoint(eff coord.Effect) {
 // Keys exposes the key vector of the last observed step (for invariant
 // checks in tests).
 func (m *Monitor) Keys() []order.Key {
-	out := make([]order.Key, len(m.keys))
-	copy(out, m.keys)
-	return out
+	return slices.Clone(m.pop.Keys)
 }
 
 func equalInts(a, b []int) bool {

@@ -43,7 +43,7 @@ func (m *Monitor) Snapshot() (mach, nodes []byte, err error) {
 		RngInc:   make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
-		s.Keys[i] = int64(m.keys[i])
+		s.Keys[i] = int64(m.pop.Keys[i])
 		iv := m.fs.Interval(i)
 		s.IvLo[i], s.IvHi[i] = int64(iv.Lo), int64(iv.Hi)
 		// The sequential engine has no order filters or extraction state
@@ -53,7 +53,7 @@ func (m *Monitor) Snapshot() (mach, nodes []byte, err error) {
 			s.Flags[i] = wire.FlagNodeInTop
 		}
 		s.ViolStep[i] = -1
-		s.RngState[i], s.RngInc[i] = m.rngs[i].State()
+		s.RngState[i], s.RngInc[i] = m.pop.RNGs[i].State()
 	}
 	return machFrame, s.Append(nil), nil
 }
@@ -119,9 +119,9 @@ func Restore(cfg Config, machFrame, nodesFrame []byte) (*Monitor, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint generator %d: %v", i, err)
 		}
-		m.keys[i] = order.Key(s.Keys[i])
+		m.pop.Keys[i] = order.Key(s.Keys[i])
 		m.fs.SetInterval(i, iv)
-		m.rngs[i] = r
+		m.pop.RNGs[i] = *r
 	}
 	// Membership is restored from the machine (the authority); before the
 	// time-0 reset has run it is empty and the filter set stays empty too.

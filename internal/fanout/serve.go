@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/coord"
 	"repro/internal/order"
@@ -82,7 +83,7 @@ func newBank(a wire.Assign) (*coord.Nodes, error) {
 	if a.N <= 0 || a.K < 1 || a.K > a.N {
 		return nil, fmt.Errorf("fanout: bad assignment n=%d k=%d", a.N, a.K)
 	}
-	if a.Lo < 0 || a.Hi > a.N || a.Lo >= a.Hi {
+	if a.Lo < 0 || a.Hi > a.N || a.Lo >= a.Hi || a.Hi-a.Lo > math.MaxInt32 {
 		return nil, fmt.Errorf("fanout: bad assignment range [%d, %d) of %d", a.Lo, a.Hi, a.N)
 	}
 	tol, err := order.TolFromNum(a.EpsNum)

@@ -13,13 +13,22 @@
 // only the message count is random. Theorem 4.2 bounds the expected number
 // of node-to-coordinator messages by 2·log2(N) + 1.
 //
-// The node-side per-round behaviour lives in Sampler so that the
-// sequential engine (this package's Maximum) and the sharded concurrent
-// runtime (internal/runtime) share one implementation and can be checked
-// for message-count equivalence under identical seeds.
+// The node-side per-round decision lives in Decide, so that the in-process
+// executions of this package and the node banks of internal/coord (which
+// every other engine hosts) share one implementation and can be checked
+// for message-count equivalence under identical seeds. Neither keeps
+// per-node execution state: an execution holds the ascending list of
+// members still in play, visits only that list each round and compacts
+// it in place. A node that left the list would have answered "inactive"
+// without touching its generator in every later round, so the compacted
+// execution draws the same trials from the same generators in the same
+// rounds, in the same ascending-id order, as a sweep over all members —
+// while Theorem 4.2's own argument (the members neither retired nor
+// dominated halve per round) bounds its work by a few visits per member
+// instead of one per member per round.
 //
 // For the ε-approximate mode (arXiv:1601.04448), an execution may run
-// with a tolerance (NewSamplerTol, MaximumTol/MinimumTol): participants
+// with a tolerance (MaximumTol/MinimumTol, Scratch.Run): participants
 // retire from the remaining rounds early once the broadcast best is
 // within the (1±ε) band of their own key, trading the exactness of the
 // result — the winner is then only guaranteed ε-close to the true
@@ -75,67 +84,72 @@ func ceilLog2(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// Sampler is the node-local state of one MAXIMUMPROTOCOL execution. A
-// fresh Sampler is active; Round advances it by one protocol round.
-type Sampler struct {
-	key    order.Key
-	bound  uint64
-	tol    order.Tol
-	active bool
+// Verdict is a node's decision in one round of an execution.
+type Verdict uint8
+
+const (
+	// Stay: the node's trial failed; it remains in play for the next round.
+	Stay Verdict = iota
+	// Bid: the trial succeeded; the node sends its key and deactivates
+	// (Algorithm 2 line 14).
+	Bid
+	// Out: the broadcast best dominates the node's key; it deactivates
+	// without sending (lines 8-10) and without consuming randomness.
+	Out
+)
+
+// Decide is the node-local decision of round r for a node still in play:
+// the one copy of Algorithm 2's per-node step, shared by this package's
+// executions and coord.Nodes.Round. key is the node's key in the
+// execution's comparison domain (negated for minimum executions — the
+// negation stays with the caller so that Decide inlines into the round
+// loops), bound the population bound N, and cut the best broadcast so far
+// widened by the execution's tolerance, Tol.WidenHi(best) — the same for
+// every node of a round, so callers compute it once per round. A tolerant
+// execution thereby retires a node as soon as the best is within the
+// (1±ε) band of its key, guaranteeing every participant's key is at most
+// WidenHi(winner key) rather than at most the winner key; with a zero
+// tolerance cut is best itself, and the randomness consumed is
+// bit-identical either way. Callers must not consult a node again once it
+// answered Bid or Out.
+func Decide(key, cut order.Key, r uint, bound uint64, rg *rng.RNG) Verdict {
+	if cut > key {
+		return Out
+	}
+	if rg.BernoulliPow2(r, bound) {
+		return Bid
+	}
+	return Stay
 }
 
-// NewSampler creates the node-side state for an exact protocol execution
-// with the given local key and population upper bound N (the protocol
-// parameter).
-func NewSampler(key order.Key, bound int) Sampler {
-	return NewSamplerTol(key, bound, order.Tol{})
+// Population is the flat, index-addressed form of a node population:
+// node i holds key Keys[i] and draws from RNGs[i]. Scratch.Run executes
+// over a member list into it, so engines that already keep their nodes
+// this way (internal/core) build no per-execution participant records.
+type Population struct {
+	Keys []order.Key
+	RNGs []rng.RNG
 }
 
-// NewSamplerTol creates the node-side state for an ε-tolerant execution:
-// the node additionally retires from the remaining rounds as soon as the
-// broadcast best is within the (1±ε) band of its own key — it cannot
-// improve the result by more than the tolerance, so it stops bidding
-// early. With a zero tolerance the behaviour (and, crucially, the
-// randomness consumption) is bit-identical to NewSampler.
-func NewSamplerTol(key order.Key, bound int, tol order.Tol) Sampler {
-	if bound <= 0 {
-		panic("protocol: sampler bound must be positive")
-	}
-	return Sampler{key: key, bound: uint64(bound), tol: tol, active: true}
-}
-
-// Active reports whether the node still participates.
-func (s *Sampler) Active() bool { return s.active }
-
-// Round processes round r given the best key broadcast by the coordinator
-// so far (order.NegInf before the first round). It returns true when the
-// node sends its key this round. Nodes that observe a broadcast best above
-// their own key — above the upper band end of the best, for tolerant
-// executions — deactivate without sending (Algorithm 2 lines 8-10); nodes
-// that send deactivate immediately afterwards (line 14). A tolerant
-// execution therefore guarantees that every participant's key is at most
-// WidenHi(winner key) in the comparison domain, rather than at most the
-// winner key exactly.
-func (s *Sampler) Round(best order.Key, r uint, rg *rng.RNG) bool {
-	if !s.active {
-		return false
-	}
-	if s.tol.WidenHi(best) > s.key {
-		s.active = false
-		return false
-	}
-	if rg.BernoulliPow2(r, s.bound) {
-		s.active = false
-		return true
-	}
-	return false
-}
-
-// Scratch holds reusable per-execution buffers so that a protocol run on a
-// hot path performs no heap allocation. The zero value is ready to use; a
-// Scratch may be reused across executions but not shared concurrently.
+// Scratch holds the one reusable per-execution buffer — the list of
+// members still in play, 4 bytes per participant — so that a protocol run
+// on a hot path performs no heap allocation. The zero value is ready to
+// use; a Scratch may be reused across executions but not shared
+// concurrently.
 type Scratch struct {
-	samplers []Sampler
+	active []int32
+}
+
+// list returns a length-n working list from s's buffer, allocating at
+// exact capacity when it has to grow (or when s is nil).
+func (s *Scratch) list(n int) []int32 {
+	if s == nil {
+		return make([]int32, n)
+	}
+	if cap(s.active) < n {
+		s.active = make([]int32, n)
+	}
+	return s.active[:n]
 }
 
 // Maximum executes Algorithm 2 over the given participants with population
@@ -144,37 +158,37 @@ type Scratch struct {
 // simulation time. The empty participant set yields Result{OK: false} and
 // no messages.
 func Maximum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return run(parts, bound, order.Tol{}, rec, tr, step, false, nil)
+	return runParts(parts, bound, order.Tol{}, rec, tr, step, false, nil)
 }
 
 // Minimum is the order-dual of Maximum: it executes Algorithm 2 on negated
 // keys, returning the participant holding the smallest key.
 func Minimum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return run(parts, bound, order.Tol{}, rec, tr, step, true, nil)
+	return runParts(parts, bound, order.Tol{}, rec, tr, step, true, nil)
 }
 
 // Maximum is Maximum using s's buffers: allocation-free once the buffers
 // have grown to the largest participant count seen.
 func (s *Scratch) Maximum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return run(parts, bound, order.Tol{}, rec, tr, step, false, s)
+	return runParts(parts, bound, order.Tol{}, rec, tr, step, false, s)
 }
 
 // Minimum is Minimum using s's buffers.
 func (s *Scratch) Minimum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return run(parts, bound, order.Tol{}, rec, tr, step, true, s)
+	return runParts(parts, bound, order.Tol{}, rec, tr, step, true, s)
 }
 
-// MaximumTol is Maximum with ε-tolerant samplers: the winner's key is
+// MaximumTol is Maximum with an ε-tolerant cut: the winner's key is
 // within the (1±ε) band of the true maximum and every participant's key
 // is at most WidenHi(winner key), with correspondingly fewer expected
 // bids. A zero tolerance is bit-identical to Maximum.
 func (s *Scratch) MaximumTol(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return run(parts, bound, tol, rec, tr, step, false, s)
+	return runParts(parts, bound, tol, rec, tr, step, false, s)
 }
 
 // MinimumTol is the order-dual of MaximumTol.
 func (s *Scratch) MinimumTol(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return run(parts, bound, tol, rec, tr, step, true, s)
+	return runParts(parts, bound, tol, rec, tr, step, true, s)
 }
 
 // Exec is the coordinator-side round driver of one Algorithm 2 execution:
@@ -188,8 +202,9 @@ func (s *Scratch) MinimumTol(parts []Participant, bound int, tol order.Tol, rec 
 //	ex := protocol.NewExec(bound, minimum, rec, nil, step)
 //	for ex.More() {
 //	    r, best := ex.Round(), ex.Best()
-//	    // substrate-specific: run sampler round r against best on the
-//	    // cohort, delivering every send in ascending node-id order
+//	    // substrate-specific: take Decide's verdict for round r against
+//	    // best from every cohort member still in play, delivering every
+//	    // send in ascending node-id order
 //	    ex.Bid(id, key) // per send
 //	    ex.EndRound()
 //	}
@@ -237,7 +252,7 @@ func (e *Exec) Round() int { return e.r }
 
 // Best returns the best value broadcast at the end of the previous round
 // (the paper's max_{r-1}), in the execution's comparison domain — the
-// value the current round's sampler decisions compare against.
+// value the current round's node decisions compare against.
 func (e *Exec) Best() order.Key { return e.best }
 
 // Bid delivers one node's send of the current round: it charges the Up
@@ -279,44 +294,78 @@ func (e *Exec) Result() Result {
 	return Result{OK: true, ID: e.winID, Key: e.winKey, Rounds: e.r}
 }
 
-func run(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64, negate bool, s *Scratch) Result {
-	if len(parts) == 0 {
+// cohort addresses the members of one execution: member i is parts[i]
+// when the caller supplied participant records, node i of the flat
+// population otherwise.
+type cohort struct {
+	parts []Participant
+	pop   Population
+}
+
+func (c *cohort) member(i int32) (id int, key order.Key, rg *rng.RNG) {
+	if c.parts != nil {
+		p := &c.parts[i]
+		return p.ID, p.Key, p.RNG
+	}
+	return int(i), c.pop.Keys[i], &c.pop.RNGs[i]
+}
+
+// run executes Algorithm 2 over active, the ascending list of c's members
+// taking part, which it consumes: each round visits the members still in
+// play and rewrites the list in place — dominated members drop out
+// silently, members whose trial succeeds bid and drop out, the rest stay.
+func run(c cohort, active []int32, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64, minimum bool) Result {
+	if len(active) == 0 {
 		return Result{OK: false, ID: -1, Key: order.NegInf}
 	}
-	if bound < len(parts) {
-		panic(fmt.Sprintf("protocol: bound %d below participant count %d", bound, len(parts)))
+	if bound < len(active) {
+		panic(fmt.Sprintf("protocol: bound %d below participant count %d", bound, len(active)))
 	}
-	key := func(p Participant) order.Key {
-		if negate {
-			return order.Neg(p.Key)
-		}
-		return p.Key
-	}
-	var samplers []Sampler
-	if s != nil {
-		if cap(s.samplers) < len(parts) {
-			s.samplers = make([]Sampler, len(parts))
-		}
-		samplers = s.samplers[:len(parts)]
-	} else {
-		samplers = make([]Sampler, len(parts))
-	}
-	for i, p := range parts {
-		samplers[i] = NewSamplerTol(key(p), bound, tol)
-	}
-	ex := NewExec(bound, negate, rec, tr, step)
+	ex := NewExec(bound, minimum, rec, tr, step)
 	for ex.More() {
-		r, roundBest := ex.Round(), ex.Best()
-		for i, p := range parts {
-			if samplers[i].Round(roundBest, uint(r), p.RNG) {
-				ex.Bid(p.ID, p.Key)
+		r, cut := uint(ex.Round()), tol.WidenHi(ex.Best())
+		kept := active[:0]
+		for _, i := range active {
+			id, key, rg := c.member(i)
+			cmp := key
+			if minimum {
+				cmp = order.Neg(key)
+			}
+			switch Decide(cmp, cut, r, uint64(bound), rg) {
+			case Bid:
+				ex.Bid(id, key)
+			case Stay:
+				kept = append(kept, i)
 			}
 		}
+		active = kept
 		ex.EndRound()
 	}
 	// The final round samples with probability 1, so every participant not
 	// dominated earlier has sent; the tracked winner is the true extremum.
 	return ex.Result()
+}
+
+// runParts executes over participant records: the member list is the
+// identity over the slice.
+func runParts(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64, minimum bool, s *Scratch) Result {
+	active := s.list(len(parts))
+	for i := range active {
+		active[i] = int32(i)
+	}
+	return run(cohort{parts: parts}, active, bound, tol, rec, tr, step, minimum)
+}
+
+// Run executes Algorithm 2 over the given members of pop — node ids in
+// ascending order, at most bound of them — in the maximum or (order-dual)
+// minimum sense, with tolerance tol (zero for an exact execution). It is
+// MaximumTol/MinimumTol for a population already held flat: identical
+// result, charges and randomness for the same members, keys and
+// generators. members is read, not retained or modified.
+func (s *Scratch) Run(pop Population, members []int32, bound int, tol order.Tol, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) Result {
+	active := s.list(len(members))
+	copy(active, members)
+	return run(cohort{pop: pop}, active, bound, tol, rec, tr, step, minimum)
 }
 
 // Extractor computes the maximum over a participant set; Maximum and

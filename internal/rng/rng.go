@@ -25,7 +25,9 @@ import (
 const pcgMultiplier = 6364136223846793005
 
 // RNG is a deterministic pseudo-random number generator. The zero value is
-// not ready for use; construct instances with New or Split.
+// not ready for use; construct instances with New or Split (or, by value,
+// with SplitValue). An RNG is 16 bytes of plain state: a copy continues
+// the original's sequence independently of it.
 type RNG struct {
 	state uint64
 	inc   uint64 // always odd
@@ -34,7 +36,12 @@ type RNG struct {
 // New returns a generator for the given seed and stream id. Different
 // (seed, stream) pairs produce statistically independent sequences.
 func New(seed, stream uint64) *RNG {
-	r := &RNG{inc: stream<<1 | 1}
+	r := seeded(seed, stream)
+	return &r
+}
+
+func seeded(seed, stream uint64) RNG {
+	r := RNG{inc: stream<<1 | 1}
 	// Standard PCG initialization: advance once, add seed, advance again.
 	r.next()
 	r.state += seed
@@ -46,7 +53,15 @@ func New(seed, stream uint64) *RNG {
 // parent's future output. The child is seeded from the parent's stream so
 // repeated Split calls with the same child ids are reproducible.
 func (r *RNG) Split(child uint64) *RNG {
-	return New(r.Uint64(), child<<1^r.inc)
+	c := r.SplitValue(child)
+	return &c
+}
+
+// SplitValue is Split returning the child by value — the same child, the
+// same advance of the parent, no allocation — for callers that keep many
+// generators in one flat slice.
+func (r *RNG) SplitValue(child uint64) RNG {
+	return seeded(r.Uint64(), child<<1^r.inc)
 }
 
 // State returns the generator's internal (state, increment) pair. Together

@@ -71,6 +71,23 @@ func TestSplitReproducible(t *testing.T) {
 	}
 }
 
+// TestSplitValueMatchesSplit pins that the by-value split is the same
+// split: identical children, identical advance of the parent, so a flat
+// arena of generators is stream-for-stream the slice of pointers it
+// replaces.
+func TestSplitValueMatchesSplit(t *testing.T) {
+	p1, p2 := New(9, 3), New(9, 3)
+	for child := uint64(0); child < 50; child++ {
+		c1, c2 := p1.Split(child), p2.SplitValue(child)
+		if *c1 != c2 {
+			t.Fatalf("child %d: Split %+v, SplitValue %+v", child, *c1, c2)
+		}
+	}
+	if *p1 != *p2 {
+		t.Fatalf("parents diverged: %+v vs %+v", *p1, *p2)
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	r := New(3, 3)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {

@@ -158,8 +158,9 @@ func (m *MachineState) Decode(p []byte) error {
 // NodesState is the wire form of one coord.Nodes bank between steps: the
 // bank's shape plus, for each hosted node in id order, its key, filter,
 // order filter, membership flags, last violation step and generator state.
-// Samplers are (re)initialized at round 0 of every execution, so a
-// between-steps checkpoint carries none. All per-node slices are parallel,
+// A bank's per-execution state (the list of members still in play) is
+// rebuilt at round 0 of every execution, so a between-steps checkpoint
+// carries none. All per-node slices are parallel,
 // of length Hi-Lo.
 type NodesState struct {
 	N, Lo, Hi int

@@ -248,6 +248,7 @@ func TestConfigErrorTyped(t *testing.T) {
 		cfg   Config
 	}{
 		{"Nodes", Config{Nodes: 0, K: 1}},
+		{"Nodes", Config{Nodes: 1 << 31, K: 1}}, // cohorts are int32 id lists
 		{"K", Config{Nodes: 4, K: 5}},
 		{"Epsilon", Config{Nodes: 4, K: 2, Epsilon: 1.5}},
 		{"Shards", Config{Nodes: 4, K: 2, Shards: -1}},

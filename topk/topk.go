@@ -74,6 +74,7 @@ package topk
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -124,7 +125,7 @@ type Stats struct {
 
 // Config parameterizes a Monitor.
 type Config struct {
-	// Nodes is the number of distributed streams (n >= 1).
+	// Nodes is the number of distributed streams (1 <= n < 2^31).
 	Nodes int
 	// K is the size of the monitored top set (1 <= K <= Nodes).
 	K int
@@ -325,8 +326,8 @@ func failNew(cfg Config, err error) error {
 // offending field, and any Transport the configuration carries is closed
 // before the error returns (badConfig's contract).
 func validateConfig(cfg Config) error {
-	if cfg.Nodes <= 0 {
-		return badConfig(cfg, "Nodes", "must be positive, got %d", cfg.Nodes)
+	if cfg.Nodes <= 0 || cfg.Nodes > math.MaxInt32 {
+		return badConfig(cfg, "Nodes", "must be in [1, 2^31-1], got %d", cfg.Nodes)
 	}
 	if cfg.K < 1 || cfg.K > cfg.Nodes {
 		return badConfig(cfg, "K", "must satisfy 1 <= K <= Nodes, got K=%d Nodes=%d", cfg.K, cfg.Nodes)
