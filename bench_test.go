@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/comm"
+	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/netrun"
 	"repro/internal/order"
 	"repro/internal/protocol"
@@ -181,6 +183,41 @@ func BenchmarkFilterReset(b *testing.B) {
 				msgs += m.Counts().Total()
 			}
 			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/reset")
+		})
+	}
+}
+
+// BenchmarkFilterInstall measures one filter install — the midpoint (or
+// band) broadcast that closes every violation step and every reset — on
+// the two structures that hold a population's filters: the sequential
+// engine's filter.Set and a host's coord.Nodes bank. Both store the
+// broadcast's bounds and derive each node's interval from its membership
+// bit, so the cost is flat in n and nothing is allocated.
+func BenchmarkFilterInstall(b *testing.B) {
+	for _, n := range []int{1 << 16, 1 << 20} {
+		top := make([]int, 16)
+		for i := range top {
+			top[i] = i * (n / 16)
+		}
+		b.Run(bench.F("set/n=%d", n), func(b *testing.B) {
+			fs := filter.NewSet(n, len(top))
+			fs.SetMembership(top)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fs.AssignBand(order.Key(i), order.Key(i+1))
+			}
+		})
+		b.Run(bench.F("bank/n=%d", n), func(b *testing.B) {
+			bank := coord.NewNodes(n, 0, n, 1, false, order.Tol{})
+			for _, id := range top {
+				bank.Winner(id, true)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bank.Midpoint(order.Key(i), false)
+			}
 		})
 	}
 }

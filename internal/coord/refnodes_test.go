@@ -11,12 +11,51 @@ import (
 	"repro/internal/wire"
 )
 
-// Per-node bits of Nodes.flags: the checkpoint frame's, so Snapshot copies.
-const (
-	flagInTop     = wire.FlagNodeInTop     // membership from the last broadcast
-	flagWasTop    = wire.FlagNodeWasTop    // membership at the time of the last violation
-	flagExtracted = wire.FlagNodeExtracted // extracted by the running reset
-)
+// refNodes is the node bank as it was before filters became two bounds
+// and a membership bit: an array of per-node records, each storing its own
+// id, filter interval, order filter and ladder level, with every install
+// rewriting all of them. The code below is the parent commit's nodes.go
+// and Nodes.Snapshot verbatim but for the type names; it is the
+// independent reference refnodes_equiv_test.go checks the flat bank
+// against.
+
+// refNodeState is the distributed per-node state of the paper's node model:
+// the current key, the assigned filter, membership knowledge from the last
+// broadcast, and a private generator for the protocol's Bernoulli trials.
+// It carries no per-execution state: who is still in play during a
+// protocol execution is the bank's active list (Nodes.Round).
+type refNodeState struct {
+	id        int
+	rng       rng.RNG
+	key       order.Key
+	iv        filter.Interval
+	ordIv     filter.Interval // order filter (ordered variant only)
+	inTop     bool
+	wasTop    bool  // membership at the time of the last violation
+	violStep  int64 // observation step of the last filter violation
+	extracted bool
+	level     uint8 // current ladder level (hierarchical ε mode)
+}
+
+// participates evaluates cohort membership node-locally, from knowledge
+// the node legitimately has (its own violation history, the membership
+// flag from the last broadcast, its extraction state).
+func (nd *refNodeState) participates(tag uint8, step int64) bool {
+	switch tag {
+	case TagViolMin:
+		return nd.violStep == step && nd.wasTop
+	case TagViolMax:
+		return nd.violStep == step && !nd.wasTop
+	case TagHandMin:
+		return nd.inTop
+	case TagHandMax:
+		return !nd.inTop
+	case TagReset:
+		return !nd.extracted
+	default:
+		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
+	}
+}
 
 // Nodes hosts the node-side state of a contiguous id range [Lo, Hi) of an
 // n-node monitor: the sans-I/O dual of Machine. Every substrate that hosts
@@ -25,37 +64,20 @@ const (
 // one Nodes per hosted range and translates its substrate's commands into
 // the methods below.
 //
-// The per-node state of the paper's node model — current key, membership
-// knowledge from the last broadcast, violation history, a private
-// generator for the protocol's Bernoulli trials — is parallel arrays
-// indexed by id - Lo, 33 bytes per hosted node: the filter is derived from
-// the installed bounds (filter.Bounds) and no function of the index is
-// stored. Who is still in play during a protocol execution is the bank's
-// active list (Round), not per-node state.
-//
 // The RNG stream layout is shared by construction: every engine derives
 // node i's generator as the i-th Split of the same seeded root, which is
 // what makes protocol randomness consume identically across engines.
-type Nodes struct {
+type refNodes struct {
 	lo, hi   int
 	distinct bool
 	codec    order.Codec
 	tol      order.Tol
 	maxVal   int64 // cached value-domain bound; Observe checks it per value
-
-	keys     []order.Key
-	rngs     []rng.RNG
-	violStep []int64        // observation step of the last filter violation
-	flags    []uint8        // flagInTop | flagWasTop | flagExtracted
-	inst     *filter.Bounds // shared with every Sub view
-
-	// ord holds the ordered §5 variant's order filters, allocated only by
-	// EnableOrderFilters; nil means every order filter is [-inf, +inf].
-	ord []filter.Interval
+	ns       []refNodeState
 
 	// active is the running execution's list of hosted cohort members
-	// still in play, as ascending indices into the arrays. Round builds it
-	// at round 0 and compacts it every round; it is per view (Sub views of
+	// still in play, as ascending indices into ns. Round builds it at
+	// round 0 and compacts it every round; it is per view (Sub views of
 	// one bank run their ranges' rounds independently) and allocated at
 	// exact capacity on first use.
 	active []int32
@@ -63,22 +85,21 @@ type Nodes struct {
 	// Per-level ε ladder of the hierarchical engine (SetLadder): level l's
 	// tolerance induces the band bands[l], nested inside the installed
 	// root filter; absorbs[l] counts observations that left the level-l
-	// band; levels[i] is node i's current level. The ladder never changes
-	// which violations the protocol sees — reported flags always come from
-	// the installed root filter — it tracks, per level, how many band exits
-	// a level-(l+1) coordinator would have absorbed with no traffic above it.
+	// band. The ladder never changes which violations the protocol sees —
+	// reported flags always come from the installed root filter — it
+	// tracks, per level, how many band exits a level-(l+1) coordinator
+	// would have absorbed without any traffic above it.
 	ladder  []order.Tol
 	bands   []filter.Interval
 	absorbs []int64
-	levels  []uint8
 }
 
-// NewNodes builds the node state for the range [lo, hi) of an n-node
+// newRefNodes builds the node state for the range [lo, hi) of an n-node
 // monitor with the given protocol seed, tie-break mode and tolerance
 // (zero for exact monitoring). The constructor walks the root generator's
 // full split sequence (Split mutates the root) and keeps its slice of it,
 // exactly as every other engine does.
-func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
+func newRefNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *refNodes {
 	if n <= 0 {
 		panic("coord: need n > 0")
 	}
@@ -88,92 +109,73 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if hi-lo > math.MaxInt32 {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
-	b := newBank(n, lo, hi, distinct, tol)
-	root := rng.New(seed, 0xc02e)
-	for i := 0; i < n; i++ {
-		r := root.SplitValue(uint64(i))
-		if i < lo || i >= hi {
-			continue
-		}
-		b.rngs[i-lo], b.violStep[i-lo] = r, -1
-		if !distinct {
-			b.keys[i-lo] = b.codec.Encode(0, i)
-		}
-	}
-	return b
-}
-
-// newBank allocates a bank over [lo, hi) with every filter [-inf, +inf];
-// the caller fills keys, generators and violation history.
-func newBank(n, lo, hi int, distinct bool, tol order.Tol) *Nodes {
-	inst := filter.Unbounded()
-	return &Nodes{
+	b := &refNodes{
 		lo:       lo,
 		hi:       hi,
 		distinct: distinct,
 		codec:    order.NewCodec(n),
 		tol:      tol,
 		maxVal:   order.MaxValueFor(n, distinct),
-		keys:     make([]order.Key, hi-lo),
-		rngs:     make([]rng.RNG, hi-lo),
-		violStep: make([]int64, hi-lo),
-		flags:    make([]uint8, hi-lo),
-		inst:     &inst,
+		ns:       make([]refNodeState, hi-lo),
 	}
+	root := rng.New(seed, 0xc02e)
+	for i := 0; i < n; i++ {
+		r := root.SplitValue(uint64(i))
+		if i < lo || i >= hi {
+			continue
+		}
+		key := order.Key(0)
+		if !distinct {
+			key = b.codec.Encode(0, i)
+		}
+		b.ns[i-lo] = refNodeState{
+			id:       i,
+			rng:      r,
+			key:      key,
+			iv:       filter.Full(),
+			ordIv:    filter.Full(),
+			violStep: -1,
+		}
+	}
+	return b
 }
 
 // Sub returns a view of the sub-range [lo, hi) sharing this bank's node
-// state, installed bounds included. The parent covers construction cost
-// once; disjoint views may then be driven from different goroutines
-// (internal/runtime's shards), parked whenever an install is issued.
-func (b *Nodes) Sub(lo, hi int) *Nodes {
+// state. The parent covers construction cost once; disjoint sub-views may
+// then be driven from different goroutines (internal/runtime's shards).
+func (b *refNodes) Sub(lo, hi int) *refNodes {
 	if lo < b.lo || hi > b.hi || lo >= hi {
 		panic(fmt.Sprintf("coord: sub-range [%d, %d) outside [%d, %d)", lo, hi, b.lo, b.hi))
 	}
-	i, j := lo-b.lo, hi-b.lo
-	v := &Nodes{
-		lo: lo, hi: hi, distinct: b.distinct, codec: b.codec, tol: b.tol, maxVal: b.maxVal,
-		keys: b.keys[i:j:j], rngs: b.rngs[i:j:j], violStep: b.violStep[i:j:j], flags: b.flags[i:j:j],
-		inst: b.inst,
+	return &refNodes{
+		lo:       lo,
+		hi:       hi,
+		distinct: b.distinct,
+		codec:    b.codec,
+		tol:      b.tol,
+		maxVal:   b.maxVal,
+		ns:       b.ns[lo-b.lo : hi-b.lo : hi-b.lo],
 	}
-	if b.ord != nil {
-		v.ord = b.ord[i:j:j]
-	}
-	return v
 }
 
 // Lo returns the first hosted node id.
-func (b *Nodes) Lo() int { return b.lo }
+func (b *refNodes) Lo() int { return b.lo }
 
 // Hi returns one past the last hosted node id.
-func (b *Nodes) Hi() int { return b.hi }
+func (b *refNodes) Hi() int { return b.hi }
 
 // Len returns the number of hosted nodes.
-func (b *Nodes) Len() int { return len(b.keys) }
+func (b *refNodes) Len() int { return len(b.ns) }
 
 // Key returns node id's current key (for invariant checks in tests).
-func (b *Nodes) Key(id int) order.Key { return b.keys[b.index(id)] }
+func (b *refNodes) Key(id int) order.Key { return b.node(id).key }
 
-// index resolves a global id into the local arrays.
-func (b *Nodes) index(id int) int {
+// node resolves a global id into the local array.
+func (b *refNodes) node(id int) *refNodeState {
 	if id < b.lo || id >= b.hi {
 		panic(fmt.Sprintf("coord: node %d outside hosted range [%d, %d)", id, b.lo, b.hi))
 	}
-	return id - b.lo
-}
-
-// cohorts says, per protocol tag, which hosted nodes take part: those
-// whose flags under mask equal want and, in the violation cohorts, that
-// violated this step — all of it knowledge the node legitimately has.
-var cohorts = [...]struct {
-	mask, want uint8
-	violated   bool
-}{
-	TagViolMin: {flagWasTop, flagWasTop, true},
-	TagViolMax: {flagWasTop, 0, true},
-	TagHandMin: {flagInTop, flagInTop, false},
-	TagHandMax: {flagInTop, 0, false},
-	TagReset:   {flagExtracted, 0, false},
+	return &b.ns[id-b.lo]
 }
 
 // SetLadder installs the per-level tolerance ladder of the hierarchical
@@ -188,28 +190,31 @@ var cohorts = [...]struct {
 // the node's current band deterministically escalates it to the first
 // level whose band still holds it, counting one exit per level crossed.
 // A nil ladder (or one installed on an exact-tolerance bank) disables
-// the bookkeeping; only a non-empty one costs a level byte per node.
-func (b *Nodes) SetLadder(tols []order.Tol) {
+// the bookkeeping.
+func (b *refNodes) SetLadder(tols []order.Tol) {
 	b.ladder = tols
 	b.bands = nil
 	b.absorbs = make([]int64, len(tols))
-	b.levels = nil
-	if len(tols) > 0 {
-		b.levels = make([]uint8, len(b.keys))
+	for i := range b.ns {
+		b.ns[i].level = 0
 	}
 }
+
+// Ladder returns the installed per-level tolerances (nil when the
+// hierarchical ε mode is off).
+func (b *refNodes) Ladder() []order.Tol { return b.ladder }
 
 // Absorbs returns the per-level band-exit counters as a read-only view:
 // Absorbs[l] counts observations that left the level-l band, so
 // Absorbs[l] - Absorbs[l+1] of them were absorbed by level l+1 without
 // climbing further, and the installed root filter's own violations (the
 // ones the protocol acts on) are counted by the coordinator as always.
-func (b *Nodes) Absorbs() []int64 { return b.absorbs }
+func (b *refNodes) Absorbs() []int64 { return b.absorbs }
 
 // ladderBands derives the nested per-level bands for an installed root
 // band [lo, hi], anchored at its midpoint and clamped inside it, and
 // re-arms every node at level 0.
-func (b *Nodes) ladderBands(lo, hi order.Key) {
+func (b *refNodes) ladderBands(lo, hi order.Key) {
 	if len(b.ladder) == 0 {
 		return
 	}
@@ -219,7 +224,9 @@ func (b *Nodes) ladderBands(lo, hi order.Key) {
 	for _, tol := range b.ladder {
 		b.bands = append(b.bands, filter.Band(mid, tol).Clamp(root))
 	}
-	clear(b.levels)
+	for i := range b.ns {
+		b.ns[i].level = 0
+	}
 }
 
 // ladderTrack walks one observation through the ladder: from the node's
@@ -228,26 +235,26 @@ func (b *Nodes) ladderBands(lo, hi order.Key) {
 // level (nothing below the root could have absorbed it). Membership
 // decides the binding side, exactly as for the installed filter: top
 // nodes are only constrained from below, outsiders only from above.
-func (b *Nodes) ladderTrack(i int, key order.Key, inTop, rootViol bool) {
+func (b *refNodes) ladderTrack(nd *refNodeState, rootViol bool) {
 	levels := uint8(len(b.ladder))
 	if rootViol {
-		for l := b.levels[i]; l < levels; l++ {
+		for l := nd.level; l < levels; l++ {
 			b.absorbs[l]++
 		}
-		b.levels[i] = levels
+		nd.level = levels
 		return
 	}
-	for b.levels[i] < levels {
-		band := b.bands[b.levels[i]]
-		exited := key > band.Hi
-		if inTop {
-			exited = key < band.Lo
+	for nd.level < levels {
+		band := b.bands[nd.level]
+		exited := nd.key > band.Hi
+		if nd.inTop {
+			exited = nd.key < band.Lo
 		}
 		if !exited {
 			return
 		}
-		b.absorbs[b.levels[i]]++
-		b.levels[i]++
+		b.absorbs[nd.level]++
+		nd.level++
 	}
 }
 
@@ -256,7 +263,7 @@ func (b *Nodes) ladderTrack(i int, key order.Key, inTop, rootViol bool) {
 // bank's configuration — the codec capacity for the default tie-break
 // injection, which shrinks with n since keys are v·n + tiebreak, or the
 // sentinel-free int64 range in DistinctValues mode.
-func (b *Nodes) MaxValue() int64 { return b.maxVal }
+func (b *refNodes) MaxValue() int64 { return b.maxVal }
 
 // Observe ingests one observation for node id at the given step, runs the
 // node-local filter check, and reports whether the node violated as a
@@ -267,30 +274,26 @@ func (b *Nodes) MaxValue() int64 { return b.maxVal }
 // corrupt the order, so out-of-domain input must never reach the key
 // domain. Hosts that face a wire (internal/netrun, internal/shardrun)
 // surface the error instead of panicking.
-func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err error) {
-	i := b.index(id)
+func (b *refNodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err error) {
+	nd := b.node(id)
 	if v > b.maxVal || v < -b.maxVal {
 		return false, false, fmt.Errorf("coord: node %d value %d outside the value domain [-%d, %d] for %d nodes", id, v, b.maxVal, b.maxVal, b.codec.N())
 	}
-	key := order.Key(v)
-	if !b.distinct {
-		key = b.codec.Encode(v, id)
+	if b.distinct {
+		nd.key = order.Key(v)
+	} else {
+		nd.key = b.codec.Encode(v, id)
 	}
-	b.keys[i] = key
-	inTop := b.flags[i]&flagInTop != 0
-	violated, _ := b.inst.Interval(inTop).Violates(key)
+	violated, _ := nd.iv.Violates(nd.key)
 	if len(b.bands) == len(b.ladder) && len(b.ladder) > 0 {
-		b.ladderTrack(i, key, inTop, violated)
+		b.ladderTrack(nd, violated)
 	}
-	if !violated {
-		return false, false, nil
+	if violated {
+		nd.violStep = step
+		nd.wasTop = nd.inTop
+		return nd.inTop, !nd.inTop, nil
 	}
-	b.violStep[i] = step
-	b.flags[i] &^= flagWasTop
-	if inTop {
-		b.flags[i] |= flagWasTop
-	}
-	return inTop, !inTop, nil
+	return false, false, nil
 }
 
 // Round runs round r of one Algorithm 2 execution over the hosted members
@@ -307,21 +310,17 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 // every hosted node every round. A bank that first sees an execution at a
 // round r > 0 (it joined mid-execution) holds no list for it and nobody
 // bids.
-func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
+func (b *refNodes) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
 	if bound <= 0 {
 		panic("coord: protocol round with a non-positive population bound")
 	}
-	if int(tag) >= len(cohorts) {
-		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
-	}
 	if r == 0 {
 		if b.active == nil {
-			b.active = make([]int32, 0, len(b.keys))
+			b.active = make([]int32, 0, len(b.ns))
 		}
 		b.active = b.active[:0]
-		c := cohorts[tag]
-		for i, f := range b.flags {
-			if f&c.mask == c.want && (!c.violated || b.violStep[i] == step) {
+		for i := range b.ns {
+			if b.ns[i].participates(tag, step) {
 				b.active = append(b.active, int32(i))
 			}
 		}
@@ -333,13 +332,14 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 	cut, minimum := tol.WidenHi(best), MinimumTag(tag)
 	kept := b.active[:0]
 	for _, i := range b.active {
-		cmp := b.keys[i]
+		nd := &b.ns[i]
+		cmp := nd.key
 		if minimum {
 			cmp = order.Neg(cmp)
 		}
-		switch protocol.Decide(cmp, cut, uint(r), uint64(bound), &b.rngs[i]) {
+		switch protocol.Decide(cmp, cut, uint(r), uint64(bound), &nd.rng) {
 		case protocol.Bid:
-			send(b.lo+int(i), b.keys[i])
+			send(nd.id, nd.key)
 		case protocol.Stay:
 			kept = append(kept, i)
 		}
@@ -349,68 +349,109 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 
 // Winner marks node target as extracted by the current reset, joining the
 // top-k set when isTop is set.
-func (b *Nodes) Winner(target int, isTop bool) {
-	i := b.index(target)
-	b.flags[i] |= flagExtracted
+func (b *refNodes) Winner(target int, isTop bool) {
+	nd := b.node(target)
+	nd.extracted = true
 	if isTop {
-		b.flags[i] |= flagInTop
+		nd.inTop = true
 	}
 }
 
 // Midpoint installs the canonical filter assignment around mid: [mid,
 // +inf] for top-k members, [-inf, mid] for outsiders — or [-inf, +inf]
-// everywhere when full is set (k == n). One store, whatever the size.
-func (b *Nodes) Midpoint(mid order.Key, full bool) {
+// everywhere when full is set (k == n).
+func (b *refNodes) Midpoint(mid order.Key, full bool) {
 	b.bands = b.bands[:0] // point installs have no band to split
-	*b.inst = filter.Bounds{Lo: mid, Hi: mid}
-	if full {
-		*b.inst = filter.Unbounded()
+	for i := range b.ns {
+		nd := &b.ns[i]
+		switch {
+		case full:
+			nd.iv = filter.Full()
+		case nd.inTop:
+			nd.iv = filter.AtLeast(mid)
+		default:
+			nd.iv = filter.AtMost(mid)
+		}
 	}
 }
 
 // ApplyBounds installs the ε-approximate band assignment: [lo, +inf] for
 // top-k members, [-inf, hi] for outsiders (the node-side execution of
-// coord.EffBounds / wire.ApproxBounds), re-arming the ladder if one is set.
-func (b *Nodes) ApplyBounds(lo, hi order.Key) {
+// coord.EffBounds / wire.ApproxBounds).
+func (b *refNodes) ApplyBounds(lo, hi order.Key) {
 	b.ladderBands(lo, hi)
-	*b.inst = filter.Bounds{Lo: lo, Hi: hi}
-}
-
-// ResetBegin clears extraction state and membership ahead of a FILTERRESET.
-func (b *Nodes) ResetBegin() {
-	for i := range b.flags {
-		b.flags[i] &= flagWasTop
+	for i := range b.ns {
+		nd := &b.ns[i]
+		if nd.inTop {
+			nd.iv = filter.AtLeast(lo)
+		} else {
+			nd.iv = filter.AtMost(hi)
+		}
 	}
 }
 
-// EnableOrderFilters allocates the bank's order filters, all [-inf, +inf].
-// Only internal/runtime's ordered engine calls it, and before it takes Sub
-// views: a view taken earlier would not share the array.
-func (b *Nodes) EnableOrderFilters() {
-	if b.ord != nil {
-		return
-	}
-	b.ord = make([]filter.Interval, len(b.keys))
-	for i := range b.ord {
-		b.ord[i] = filter.Full()
+// ResetBegin clears extraction state and membership ahead of a
+// FILTERRESET.
+func (b *refNodes) ResetBegin() {
+	for i := range b.ns {
+		b.ns[i].extracted = false
+		b.ns[i].inTop = false
 	}
 }
 
-// OrderViolated checks node target's order filter: it returns the node's
-// current key and whether it left the filter.
-func (b *Nodes) OrderViolated(target int) (key order.Key, violated bool) {
-	i := b.index(target)
-	if b.ord != nil {
-		violated, _ = b.ord[i].Violates(b.keys[i])
-	}
-	return b.keys[i], violated
+// OrderViolated checks node target's order filter (the ordered §5
+// variant): it returns the node's current key and whether it left the
+// filter.
+func (b *refNodes) OrderViolated(target int) (key order.Key, violated bool) {
+	nd := b.node(target)
+	violated, _ = nd.ordIv.Violates(nd.key)
+	return nd.key, violated
 }
 
-// SetOrderBounds installs node target's order filter [lo, hi]. It panics
-// on a bank whose order filters were never enabled.
-func (b *Nodes) SetOrderBounds(target int, lo, hi order.Key) {
-	if b.ord == nil {
-		panic("coord: SetOrderBounds without EnableOrderFilters")
+// SetOrderBounds installs node target's order filter [lo, hi].
+func (b *refNodes) SetOrderBounds(target int, lo, hi order.Key) {
+	b.node(target).ordIv = filter.Interval{Lo: lo, Hi: hi}
+}
+
+// Snapshot appends the bank's canonical checkpoint frame (wire.NodesState)
+// to dst. Banks carry no in-flight marker, so the contract is the caller's:
+// snapshot only between steps, when no protocol execution is running —
+// the active list is rebuilt at round 0 of every execution and is the one
+// piece of bank state a between-steps checkpoint can omit.
+func (b *refNodes) Snapshot(dst []byte) []byte {
+	n := b.hi - b.lo
+	s := wire.NodesState{
+		N:        b.codec.N(),
+		Lo:       b.lo,
+		Hi:       b.hi,
+		EpsNum:   b.tol.Num(),
+		Distinct: b.distinct,
+		Keys:     make([]int64, n),
+		IvLo:     make([]int64, n),
+		IvHi:     make([]int64, n),
+		OrdLo:    make([]int64, n),
+		OrdHi:    make([]int64, n),
+		Flags:    make([]byte, n),
+		ViolStep: make([]int64, n),
+		RngState: make([]uint64, n),
+		RngInc:   make([]uint64, n),
 	}
-	b.ord[b.index(target)] = filter.Interval{Lo: lo, Hi: hi}
+	for i := range b.ns {
+		nd := &b.ns[i]
+		s.Keys[i] = int64(nd.key)
+		s.IvLo[i], s.IvHi[i] = int64(nd.iv.Lo), int64(nd.iv.Hi)
+		s.OrdLo[i], s.OrdHi[i] = int64(nd.ordIv.Lo), int64(nd.ordIv.Hi)
+		if nd.inTop {
+			s.Flags[i] |= wire.FlagNodeInTop
+		}
+		if nd.wasTop {
+			s.Flags[i] |= wire.FlagNodeWasTop
+		}
+		if nd.extracted {
+			s.Flags[i] |= wire.FlagNodeExtracted
+		}
+		s.ViolStep[i] = nd.violStep
+		s.RngState[i], s.RngInc[i] = nd.rng.State()
+	}
+	return s.Append(dst)
 }

@@ -37,6 +37,25 @@ func (s *refSampler) round(best order.Key, r uint, rg *rng.RNG) bool {
 	return false
 }
 
+// participates is cohort membership evaluated the way per-node banks did
+// it: a switch per node, sharing nothing with the cohorts table.
+func (b *Nodes) participates(i int, tag uint8, step int64) bool {
+	switch tag {
+	case TagViolMin:
+		return b.violStep[i] == step && b.flags[i]&flagWasTop != 0
+	case TagViolMax:
+		return b.violStep[i] == step && b.flags[i]&flagWasTop == 0
+	case TagHandMin:
+		return b.flags[i]&flagInTop != 0
+	case TagHandMax:
+		return b.flags[i]&flagInTop == 0
+	case TagReset:
+		return b.flags[i]&flagExtracted == 0
+	default:
+		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
+	}
+}
+
 // refBank answers protocol rounds for a bank the naive way: every hosted
 // node re-evaluates its cohort membership and consults its own sampler in
 // every round, samplers (re)initialized at round 0.
@@ -46,17 +65,16 @@ type refBank struct {
 }
 
 func newRefBank(b *Nodes) *refBank {
-	return &refBank{b: b, samplers: make([]refSampler, len(b.ns))}
+	return &refBank{b: b, samplers: make([]refSampler, b.Len())}
 }
 
 func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
-	for i := range rb.b.ns {
-		nd := &rb.b.ns[i]
-		if !nd.participates(tag, step) {
+	for i := range rb.b.keys {
+		if !rb.b.participates(i, tag, step) {
 			continue
 		}
 		if r == 0 {
-			k := nd.key
+			k := rb.b.keys[i]
 			if MinimumTag(tag) {
 				k = order.Neg(k)
 			}
@@ -66,8 +84,8 @@ func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64
 			}
 			rb.samplers[i] = refSampler{key: k, bound: uint64(bound), tol: tol, active: true}
 		}
-		if rb.samplers[i].round(best, uint(r), &nd.rng) {
-			send(nd.id, nd.key)
+		if rb.samplers[i].round(best, uint(r), &rb.b.rngs[i]) {
+			send(rb.b.lo+i, rb.b.keys[i])
 		}
 	}
 }
@@ -99,11 +117,11 @@ func execute(round roundFunc, tag uint8, bound int, step int64, rec comm.Recorde
 // generator state.
 func sameGenerators(t *testing.T, where string, a, b *Nodes) {
 	t.Helper()
-	for i := range a.ns {
-		as, ai := a.ns[i].rng.State()
-		bs, bi := b.ns[i].rng.State()
+	for i := range a.rngs {
+		as, ai := a.rngs[i].State()
+		bs, bi := b.rngs[i].State()
 		if as != bs || ai != bi {
-			t.Fatalf("%s: node %d generator (%#x, %#x), reference (%#x, %#x)", where, a.ns[i].id, as, ai, bs, bi)
+			t.Fatalf("%s: node %d generator (%#x, %#x), reference (%#x, %#x)", where, a.lo+i, as, ai, bs, bi)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/comm"
@@ -150,22 +151,17 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 		RngState: make([]uint64, n),
 		RngInc:   make([]uint64, n),
 	}
-	for i := range b.ns {
-		nd := &b.ns[i]
-		s.Keys[i] = int64(nd.key)
-		s.IvLo[i], s.IvHi[i] = int64(nd.iv.Lo), int64(nd.iv.Hi)
-		s.OrdLo[i], s.OrdHi[i] = int64(nd.ordIv.Lo), int64(nd.ordIv.Hi)
-		if nd.inTop {
-			s.Flags[i] |= wire.FlagNodeInTop
+	copy(s.Flags, b.flags)
+	copy(s.ViolStep, b.violStep)
+	for i, key := range b.keys {
+		s.Keys[i] = int64(key)
+		iv, ord := b.inst.Interval(b.flags[i]&flagInTop != 0), filter.Full()
+		if b.ord != nil {
+			ord = b.ord[i]
 		}
-		if nd.wasTop {
-			s.Flags[i] |= wire.FlagNodeWasTop
-		}
-		if nd.extracted {
-			s.Flags[i] |= wire.FlagNodeExtracted
-		}
-		s.ViolStep[i] = nd.violStep
-		s.RngState[i], s.RngInc[i] = nd.rng.State()
+		s.IvLo[i], s.IvHi[i] = int64(iv.Lo), int64(iv.Hi)
+		s.OrdLo[i], s.OrdHi[i] = int64(ord.Lo), int64(ord.Hi)
+		s.RngState[i], s.RngInc[i] = b.rngs[i].State()
 	}
 	return s.Append(dst)
 }
@@ -188,31 +184,106 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Nodes{
-		lo:       s.Lo,
-		hi:       s.Hi,
-		distinct: s.Distinct,
-		codec:    order.NewCodec(s.N),
-		tol:      tol,
-		maxVal:   order.MaxValueFor(s.N, s.Distinct),
-		ns:       make([]nodeState, s.Hi-s.Lo),
+	in, err := frameBounds(&s)
+	if err != nil {
+		return nil, err
 	}
-	for i := range b.ns {
+	b := newBank(s.N, s.Lo, s.Hi, s.Distinct, tol)
+	*b.inst = in
+	copy(b.flags, s.Flags)
+	copy(b.violStep, s.ViolStep)
+	for i := range b.keys {
 		r, err := rng.FromState(s.RngState[i], s.RngInc[i])
 		if err != nil {
 			return nil, fmt.Errorf("coord: restored node %d: %w", s.Lo+i, err)
 		}
-		b.ns[i] = nodeState{
-			id:        s.Lo + i,
-			rng:       *r,
-			key:       order.Key(s.Keys[i]),
-			iv:        filter.Interval{Lo: order.Key(s.IvLo[i]), Hi: order.Key(s.IvHi[i])},
-			ordIv:     filter.Interval{Lo: order.Key(s.OrdLo[i]), Hi: order.Key(s.OrdHi[i])},
-			inTop:     s.Flags[i]&wire.FlagNodeInTop != 0,
-			wasTop:    s.Flags[i]&wire.FlagNodeWasTop != 0,
-			violStep:  s.ViolStep[i],
-			extracted: s.Flags[i]&wire.FlagNodeExtracted != 0,
+		b.keys[i], b.rngs[i] = order.Key(s.Keys[i]), *r
+		if ord := (filter.Interval{Lo: order.Key(s.OrdLo[i]), Hi: order.Key(s.OrdHi[i])}); ord != filter.Full() {
+			b.EnableOrderFilters()
+			b.ord[i] = ord
 		}
 	}
 	return b, nil
+}
+
+// ErrFilterState is wrapped by every restore rejection of a bank frame
+// whose filters are not a state Algorithm 1 can install: per-node
+// intervals that are not one broadcast's bounds applied by membership, a
+// key outside its filter, or — on the engines that restore machine and
+// bank together — filters that contradict the machine. Test with
+// errors.Is.
+var ErrFilterState = errors.New("coord: checkpoint filters are not an installed assignment")
+
+// frameBounds recovers the installed bounds a bank frame was taken under.
+// A bank stores one broadcast, not n intervals, so only a canonical frame
+// is representable: [lo, +inf] on every member and [-inf, hi] on every
+// outsider for one (lo, hi) — both infinite before the first install, on
+// a bank rebuilt for a reassigned range and when k == n — and, as after
+// every completed step, every key inside its filter. A range hosting only
+// members (or only outsiders) leaves the other bound unconstrained: it
+// restores unbounded, and no hosted node reads it before the next install
+// sets both.
+func frameBounds(s *wire.NodesState) (filter.Bounds, error) {
+	in, haveLo, haveHi := filter.Unbounded(), false, false
+	for i := range s.IvLo {
+		iv := filter.Interval{Lo: order.Key(s.IvLo[i]), Hi: order.Key(s.IvHi[i])}
+		inTop := s.Flags[i]&flagInTop != 0
+		if inTop && !haveLo {
+			in.Lo, haveLo = iv.Lo, true
+		} else if !inTop && !haveHi {
+			in.Hi, haveHi = iv.Hi, true
+		}
+		if iv != in.Interval(inTop) {
+			return in, fmt.Errorf("%w: node %d (member: %v) holds %s", ErrFilterState, s.Lo+i, inTop, iv)
+		}
+		if !iv.Contains(order.Key(s.Keys[i])) {
+			return in, fmt.Errorf("%w: node %d key %d outside its filter %s", ErrFilterState, s.Lo+i, s.Keys[i], iv)
+		}
+	}
+	return in, nil
+}
+
+// RestoreFilters validates the full-range bank frame of an engine that
+// checkpoints machine and bank together (sequential, concurrent) against
+// the restored machine, and returns the filter set the frame describes:
+// the frame must be canonical (frameBounds), its membership flags the
+// machine's, in ε mode its bounds the band the machine tracks, and the
+// assignment valid for the frame's keys — Lemma 2.2, which also refuses
+// filters left unbounded after the time-0 reset, or its ε counterpart. A
+// monitor restored from anything else would serve a set its filters no
+// longer guard.
+func RestoreFilters(s *wire.NodesState, m *Machine) (*filter.Set, error) {
+	n, k, tol := m.cfg.N, m.cfg.K, m.cfg.Tol
+	if s.N != n || s.Lo != 0 || s.Hi != n {
+		return nil, fmt.Errorf("coord: bank frame covers [%d, %d) of %d, machine has n=%d", s.Lo, s.Hi, s.N, n)
+	}
+	in, err := frameBounds(s)
+	if err != nil {
+		return nil, err
+	}
+	fs := filter.NewSet(n, k)
+	if len(m.top) == k {
+		fs.SetMembership(m.top)
+	}
+	fs.AssignBand(in.Lo, in.Hi)
+	if !tol.Zero() && (in.Lo != m.curLo || in.Hi != m.curHi) {
+		return nil, fmt.Errorf("%w: installed band [%d, %d], machine tracks [%d, %d]", ErrFilterState, in.Lo, in.Hi, m.curLo, m.curHi)
+	}
+	keys := make([]order.Key, n)
+	for i := range keys {
+		keys[i] = order.Key(s.Keys[i])
+		iv := filter.Interval{Lo: order.Key(s.IvLo[i]), Hi: order.Key(s.IvHi[i])}
+		if inTop := s.Flags[i]&flagInTop != 0; inTop != m.inTop[i] || iv != fs.Interval(i) {
+			return nil, fmt.Errorf("%w: node %d (member: %v, filter %s) contradicts the machine", ErrFilterState, i, inTop, iv)
+		}
+	}
+	if tol.Zero() {
+		err = fs.Validate(keys)
+	} else {
+		err = fs.ValidateEps(keys, tol)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFilterState, err)
+	}
+	return fs, nil
 }

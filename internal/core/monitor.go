@@ -108,7 +108,6 @@ type Monitor struct {
 	step int64
 
 	// Reusable scratch buffers; see the type comment.
-	allIDs    []int   // 0..n-1, the dense delta
 	violTop   []int32 // violating former top-k nodes
 	violOut   []int32 // violating outsiders
 	members   []int32 // handler-side / reset cohort scratch
@@ -146,14 +145,12 @@ func New(cfg Config) *Monitor {
 			Keys: make([]order.Key, cfg.N),
 			RNGs: make([]rng.RNG, cfg.N),
 		},
-		allIDs:  make([]int, cfg.N),
 		members: make([]int32, 0, cfg.N),
 		topBuf:  make([]int, 0, cfg.K),
 	}
 	root := rng.New(cfg.Seed, 0xc02e)
-	for i := range m.allIDs {
+	for i := range m.pop.Keys {
 		m.pop.RNGs[i] = root.SplitValue(uint64(i))
-		m.allIDs[i] = i
 		m.pop.Keys[i] = m.encode(0, i)
 	}
 	return m
@@ -247,7 +244,7 @@ func (m *Monitor) Observe(vals []int64) []int {
 	if len(vals) != m.cfg.N {
 		panic(fmt.Sprintf("core: observed %d values for %d nodes", len(vals), m.cfg.N))
 	}
-	return m.ObserveDelta(m.allIDs, vals)
+	return m.observe(nil, vals)
 }
 
 // ObserveDelta processes one time step in which only the nodes listed in
@@ -276,9 +273,19 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 		}
 		prev = id
 	}
+	return m.observe(ids, vals)
+}
+
+// observe runs one step in which vals[j] is the new value of node ids[j] —
+// of node j when ids is nil, the dense form's implicit 0..n-1.
+func (m *Monitor) observe(ids []int, vals []int64) []int {
 	keys := m.pop.Keys
-	for j, id := range ids {
-		keys[id] = m.encode(vals[j], id)
+	for j, v := range vals {
+		id := j
+		if ids != nil {
+			id = ids[j]
+		}
+		keys[id] = m.encode(v, id)
 	}
 	m.step = m.mach.BeginStep()
 
@@ -287,7 +294,11 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 	// the per-step invariant. With k == n all filters are [−∞, +∞] and
 	// this loop never fires.
 	m.violTop, m.violOut = m.violTop[:0], m.violOut[:0]
-	for _, id := range ids {
+	for j := range vals {
+		id := j
+		if ids != nil {
+			id = ids[j]
+		}
 		if violated, _ := m.fs.Interval(id).Violates(keys[id]); !violated {
 			continue
 		}
@@ -442,14 +453,10 @@ func (m *Monitor) installMidpoint(eff coord.Effect) {
 	} else {
 		m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: payload, Note: note})
 	}
-	switch {
-	case eff.Full:
-		// k == n: AssignMidpoint installs [−∞, +∞] regardless of the bound.
-		m.fs.AssignMidpoint(0)
-	case eff.Kind == coord.EffBounds:
+	if eff.Kind == coord.EffBounds {
 		m.fs.AssignBand(eff.Lo, eff.Hi)
-	default:
-		m.fs.AssignMidpoint(eff.Mid)
+	} else {
+		m.fs.AssignMidpoint(eff.Mid) // k == n (eff.Full): [−∞, +∞] whatever the bound
 	}
 }
 
@@ -457,16 +464,4 @@ func (m *Monitor) installMidpoint(eff coord.Effect) {
 // checks in tests).
 func (m *Monitor) Keys() []order.Key {
 	return slices.Clone(m.pop.Keys)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -284,3 +285,5 @@ func TestMonitorManyTies(t *testing.T) {
 		t.Fatalf("tie-break top: %v", got)
 	}
 }
+
+func equalInts(a, b []int) bool { return slices.Equal(a, b) }

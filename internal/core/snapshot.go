@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/coord"
-	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/wire"
@@ -109,25 +108,25 @@ func Restore(cfg Config, machFrame, nodesFrame []byte) (*Monitor, error) {
 	if len(top) != 0 && len(top) != cfg.K {
 		return nil, fmt.Errorf("core: checkpoint membership has %d ids, want 0 or %d", len(top), cfg.K)
 	}
+	// Filters are restored from the frame's one pair of bounds and the
+	// machine's membership (the authority; empty, like the filter set's,
+	// before the time-0 reset has run) — or not at all: a frame whose
+	// filters the algorithm could not have installed, or that do not hold
+	// for the frame's keys, is rejected.
+	fs, err := coord.RestoreFilters(&s, mach)
+	if err != nil {
+		return nil, fmt.Errorf("core: restore: %w", err)
+	}
 	m := New(cfg)
 	for i := 0; i < cfg.N; i++ {
-		iv := filter.Interval{Lo: order.Key(s.IvLo[i]), Hi: order.Key(s.IvHi[i])}
-		if iv.Empty() {
-			return nil, fmt.Errorf("core: checkpoint filter %d is empty [%d, %d]", i, s.IvLo[i], s.IvHi[i])
-		}
 		r, err := rng.FromState(s.RngState[i], s.RngInc[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint generator %d: %v", i, err)
 		}
 		m.pop.Keys[i] = order.Key(s.Keys[i])
-		m.fs.SetInterval(i, iv)
 		m.pop.RNGs[i] = *r
 	}
-	// Membership is restored from the machine (the authority); before the
-	// time-0 reset has run it is empty and the filter set stays empty too.
-	if len(top) == cfg.K {
-		m.fs.SetMembership(top)
-	}
+	m.fs = fs
 	m.mach = mach
 	m.step = mach.Step()
 	return m, nil

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/coord"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // walkVals drives a deterministic random walk over n nodes.
@@ -100,5 +104,86 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 	if _, err := Restore(cfg, mach, nodes[:len(nodes)-1]); err == nil {
 		t.Fatal("restore accepted a truncated nodes frame")
+	}
+}
+
+// TestRestoreRejectsFiltersTheAlgorithmCannotHold pins the restore bugfix:
+// a bank frame whose per-node intervals are not one broadcast's bounds
+// applied by membership, whose keys have left their filters, or whose
+// filters contradict the machine frame is a typed rejection — the
+// per-node filter set restored any non-empty interval unchecked and then
+// served a set its filters no longer guarded.
+func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
+	cfg := Config{N: 8, K: 2, Seed: 3}
+	m := New(cfg)
+	m.Observe([]int64{50, 10, 80, 20, 90, 30, 70, 40}) // top: nodes 2 and 4
+	mach, nodes, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ns wire.NodesState
+	if err := ns.Decode(nodes); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(s *wire.NodesState)
+	}{
+		{"a filter of its own", func(s *wire.NodesState) { s.IvHi[0] += 5 }},
+		{"an outsider's key above its filter", func(s *wire.NodesState) { s.Keys[1] = s.IvHi[1] + 1 }},
+		{"a member's key below its filter", func(s *wire.NodesState) { s.Keys[2] = s.IvLo[2] - 1 }},
+		{"another membership than the machine's", func(s *wire.NodesState) {
+			s.Flags[2], s.Flags[1] = 0, wire.FlagNodeInTop
+			s.IvLo[1], s.IvHi[1], s.Keys[1] = s.IvLo[2], s.IvHi[2], s.IvLo[2]
+			s.IvLo[2], s.IvHi[2], s.Keys[2] = s.IvLo[0], s.IvHi[0], s.IvHi[0]
+		}},
+		{"crossed bounds", func(s *wire.NodesState) { s.IvLo[2], s.IvLo[4] = s.IvLo[2]-9, s.IvLo[4]-9 }},
+	} {
+		s := ns
+		s.Keys = append([]int64(nil), ns.Keys...)
+		s.IvLo = append([]int64(nil), ns.IvLo...)
+		s.IvHi = append([]int64(nil), ns.IvHi...)
+		s.Flags = append([]byte(nil), ns.Flags...)
+		tc.mut(&s)
+		if _, err := Restore(cfg, mach, s.Append(nil)); !errors.Is(err, coord.ErrFilterState) {
+			t.Errorf("%s: restore returned %v, want coord.ErrFilterState", tc.name, err)
+		}
+	}
+	if _, err := Restore(cfg, mach, ns.Append(nil)); err != nil {
+		t.Fatalf("re-encoded untouched frame rejected: %v", err)
+	}
+}
+
+// TestRestorePreTimeZeroFrame pins the other end of the validation: the
+// frame of a monitor that never observed — every filter [−∞, +∞], empty
+// membership — restores, and the restored monitor runs its time-0 reset
+// exactly as a fresh one.
+func TestRestorePreTimeZeroFrame(t *testing.T) {
+	for _, cfg := range []Config{{N: 12, K: 3, Seed: 5}, {N: 12, K: 3, Seed: 5, Epsilon: 0.1}, {N: 4, K: 4, Seed: 5}} {
+		twin := New(cfg)
+		mach, nodes, err := New(cfg).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(cfg, mach, nodes)
+		if err != nil {
+			t.Fatalf("%+v: pre-time-0 frame rejected: %v", cfg, err)
+		}
+		wr := rng.New(4, 4)
+		vals := make([]int64, cfg.N)
+		for step := 0; step < 30; step++ {
+			walkVals(wr, vals)
+			if want, got := twin.Observe(vals), restored.Observe(vals); !equalInts(want, got) {
+				t.Fatalf("%+v step %d: report %v, twin %v", cfg, step, got, want)
+			}
+		}
+		if twin.Counts() != restored.Counts() || twin.Stats() != restored.Stats() {
+			t.Fatalf("%+v: twin %v %+v, restored %v %+v", cfg, twin.Counts(), twin.Stats(), restored.Counts(), restored.Stats())
+		}
+		tm, tn, _ := twin.Snapshot()
+		rm, rn, _ := restored.Snapshot()
+		if !bytes.Equal(tm, rm) || !bytes.Equal(tn, rn) {
+			t.Fatalf("%+v: frames of twin and restored monitor differ", cfg)
+		}
 	}
 }

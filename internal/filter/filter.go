@@ -11,6 +11,7 @@ package filter
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/order"
@@ -94,20 +95,47 @@ func (iv Interval) String() string {
 	return fmt.Sprintf("[%s, %s]", lo, hi)
 }
 
-// Set is a filter assignment for n nodes plus the top-k membership the
-// assignment encodes. It is the coordinator-side bookkeeping structure.
+// Bounds is the filter state of a whole population. Algorithm 1 only ever
+// broadcasts one or two numbers — [Lo, +∞] for top-k members, [−∞, Hi] for
+// the rest, Lo == Hi at ε = 0 — and every node derives its filter from its
+// membership bit, so whoever holds filters (Set, coord.Nodes) stores the
+// broadcast and the bits, not n intervals, and an install is one store.
+// Before the first install and when k == n the bounds are Unbounded.
+//
+// A derived filter moves the moment a membership bit does, where a stored
+// one went stale until the next install. Nobody can tell: membership only
+// changes inside a step's FILTERRESET, and the step accepts no observation
+// before the install that closes it.
+type Bounds struct {
+	Lo, Hi order.Key
+}
+
+// Unbounded returns the bounds under which every filter is [−∞, +∞].
+func Unbounded() Bounds { return Bounds{Lo: order.NegInf, Hi: order.PosInf} }
+
+// Interval returns the filter of a node with the given membership.
+func (b Bounds) Interval(inTop bool) Interval {
+	if inTop {
+		return AtLeast(b.Lo)
+	}
+	return AtMost(b.Hi)
+}
+
+// Set is a filter assignment for n nodes — the installed Bounds — plus the
+// top-k membership the assignment encodes. It is the coordinator-side
+// bookkeeping structure.
 //
 // The membership is kept in two synchronized representations: a per-node
 // boolean (for O(1) InTop checks) and a sorted id slice maintained
 // incrementally by SetMembership so that Top never has to scan or allocate
 // on the hot path.
 type Set struct {
-	ivs   []Interval
-	inTop []bool
-	top   []int // current membership, ascending; alias returned by Top
-	tmp   []int // scratch for SetMembership (swapped with top)
-	gen   uint64
-	k     int
+	bounds Bounds
+	inTop  []bool
+	top    []int // current membership, ascending; alias returned by Top
+	tmp    []int // scratch for SetMembership (swapped with top)
+	gen    uint64
+	k      int
 }
 
 // NewSet creates a filter set for n nodes with all filters [−∞, +∞] and an
@@ -119,35 +147,24 @@ func NewSet(n, k int) *Set {
 	if k < 1 || k > n {
 		panic("filter: set needs 1 <= k <= n")
 	}
-	s := &Set{
-		ivs:   make([]Interval, n),
-		inTop: make([]bool, n),
-		top:   make([]int, 0, k),
-		tmp:   make([]int, 0, k),
-		k:     k,
+	return &Set{
+		bounds: Unbounded(),
+		inTop:  make([]bool, n),
+		top:    make([]int, 0, k),
+		tmp:    make([]int, 0, k),
+		k:      k,
 	}
-	for i := range s.ivs {
-		s.ivs[i] = Full()
-	}
-	return s
 }
 
 // N returns the number of nodes.
-func (s *Set) N() int { return len(s.ivs) }
+func (s *Set) N() int { return len(s.inTop) }
 
 // K returns the nominal top-k size.
 func (s *Set) K() int { return s.k }
 
-// Interval returns node id's current filter.
-func (s *Set) Interval(id int) Interval { return s.ivs[id] }
-
-// SetInterval assigns node id's filter.
-func (s *Set) SetInterval(id int, iv Interval) {
-	if iv.Empty() {
-		panic("filter: assigning empty interval")
-	}
-	s.ivs[id] = iv
-}
+// Interval returns node id's current filter: [−∞, +∞] before the first
+// install and when k == n, else the installed bound on the node's side.
+func (s *Set) Interval(id int) Interval { return s.bounds.Interval(s.inTop[id]) }
 
 // InTop reports whether node id is recorded as a top-k member.
 func (s *Set) InTop(id int) bool { return s.inTop[id] }
@@ -171,7 +188,7 @@ func (s *Set) SetMembership(top []int) {
 			panic("filter: duplicate membership id")
 		}
 	}
-	if intsEqual(s.tmp, s.top) {
+	if slices.Equal(s.tmp, s.top) {
 		return // unchanged; inTop flags and generation stay as they are
 	}
 	for _, id := range s.top {
@@ -199,18 +216,6 @@ func (s *Set) AppendTop(dst []int) []int { return append(dst, s.top...) }
 // starts at generation 0 with an empty membership.
 func (s *Set) Generation() uint64 { return s.gen }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AssignMidpoint installs the canonical assignment of Algorithm 1 around
 // midpoint m: [m, +∞] for current top-k members, [−∞, m] for the rest.
 // With k == n there is no outside node, so every filter becomes [−∞, +∞]
@@ -224,45 +229,38 @@ func (s *Set) AssignMidpoint(m order.Key) { s.AssignBand(m, m) }
 // threshold. With k == n every filter becomes [−∞, +∞] as in the exact
 // assignment.
 func (s *Set) AssignBand(lo, hi order.Key) {
-	if s.k == len(s.ivs) {
-		for i := range s.ivs {
-			s.ivs[i] = Full()
-		}
-		return
-	}
-	for i := range s.ivs {
-		if s.inTop[i] {
-			s.ivs[i] = AtLeast(lo)
-		} else {
-			s.ivs[i] = AtMost(hi)
-		}
+	s.bounds = Bounds{Lo: lo, Hi: hi}
+	if s.k == len(s.inTop) {
+		s.bounds = Unbounded()
 	}
 }
 
 // Validate checks the Lemma 2.2 characterization against the given current
 // keys: (1) every key lies in its node's filter, and (2) the smallest lower
-// bound among top-k filters is at least the largest upper bound among
-// non-top-k filters. It returns a descriptive error on the first violation
-// found, or nil if the assignment is a valid set of filters.
+// bound among top-k filters — the members' shared one — is at least the
+// largest upper bound among non-top-k filters. It returns a descriptive
+// error on the first violation found, or nil if the assignment is a valid
+// set of filters.
 func (s *Set) Validate(keys []order.Key) error {
-	if len(keys) != len(s.ivs) {
-		return fmt.Errorf("filter: %d keys for %d nodes", len(keys), len(s.ivs))
+	if err := s.contained(keys); err != nil {
+		return err
 	}
-	minTopLo := order.PosInf
-	maxOutHi := order.NegInf
-	for id, iv := range s.ivs {
-		if !iv.Contains(keys[id]) {
-			return fmt.Errorf("filter: node %d key %d outside filter %s", id, keys[id], iv)
-		}
-		if s.inTop[id] {
-			minTopLo = order.Min(minTopLo, iv.Lo)
-		} else {
-			maxOutHi = order.Max(maxOutHi, iv.Hi)
-		}
+	// With no members yet, or no outside nodes (k == n), separation is vacuous.
+	if b := s.bounds; len(s.top) > 0 && len(s.top) < len(s.inTop) && b.Lo < b.Hi {
+		return fmt.Errorf("filter: separation violated: min top lower bound %d < max outside upper bound %d", b.Lo, b.Hi)
 	}
-	// With no outside nodes (k == n) the separation condition is vacuous.
-	if maxOutHi != order.NegInf && minTopLo < maxOutHi {
-		return fmt.Errorf("filter: separation violated: min top lower bound %d < max outside upper bound %d", minTopLo, maxOutHi)
+	return nil
+}
+
+// contained checks that there is one key per node, inside the node's filter.
+func (s *Set) contained(keys []order.Key) error {
+	if len(keys) != len(s.inTop) {
+		return fmt.Errorf("filter: %d keys for %d nodes", len(keys), len(s.inTop))
+	}
+	for id, k := range keys {
+		if iv := s.Interval(id); !iv.Contains(k) {
+			return fmt.Errorf("filter: node %d key %d outside filter %s", id, k, iv)
+		}
 	}
 	return nil
 }
@@ -275,19 +273,15 @@ func (s *Set) Validate(keys []order.Key) error {
 // assignments whose current membership Validate's separation condition
 // accepts.
 func (s *Set) ValidateEps(keys []order.Key, tol order.Tol) error {
-	if len(keys) != len(s.ivs) {
-		return fmt.Errorf("filter: %d keys for %d nodes", len(keys), len(s.ivs))
+	if err := s.contained(keys); err != nil {
+		return err
 	}
-	minTop := order.PosInf
-	maxOut := order.NegInf
-	for id, iv := range s.ivs {
-		if !iv.Contains(keys[id]) {
-			return fmt.Errorf("filter: node %d key %d outside filter %s", id, keys[id], iv)
-		}
+	minTop, maxOut := order.PosInf, order.NegInf
+	for id, k := range keys {
 		if s.inTop[id] {
-			minTop = order.Min(minTop, keys[id])
+			minTop = order.Min(minTop, k)
 		} else {
-			maxOut = order.Max(maxOut, keys[id])
+			maxOut = order.Max(maxOut, k)
 		}
 	}
 	// With no outside nodes (k == n) the condition is vacuous.

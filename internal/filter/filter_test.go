@@ -137,16 +137,6 @@ func TestSetMembershipPanics(t *testing.T) {
 	}
 }
 
-func TestSetIntervalPanicsOnEmpty(t *testing.T) {
-	s := NewSet(2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.SetInterval(0, Interval{Lo: 5, Hi: 4})
-}
-
 func TestAssignMidpoint(t *testing.T) {
 	s := NewSet(4, 2)
 	s.SetMembership([]int{0, 3})
@@ -205,11 +195,10 @@ func TestValidateRejectsContainmentBreak(t *testing.T) {
 func TestValidateRejectsSeparationBreak(t *testing.T) {
 	s := NewSet(3, 1)
 	s.SetMembership([]int{0})
-	// Manually cross the bounds: top filter allows going below an outside
-	// filter's upper bound.
-	s.SetInterval(0, Interval{Lo: 10, Hi: order.PosInf})
-	s.SetInterval(1, Interval{Lo: order.NegInf, Hi: 20})
-	s.SetInterval(2, Interval{Lo: order.NegInf, Hi: 5})
+	// Cross the bounds through a band install: the top filter [10, +∞]
+	// allows going below the outside filters' upper bound 20. Every key
+	// sits inside its own filter, so only the separation check can fail.
+	s.AssignBand(10, 20)
 	err := s.Validate([]order.Key{15, 12, 3})
 	if err == nil || !strings.Contains(err.Error(), "separation") {
 		t.Fatalf("expected separation error, got %v", err)

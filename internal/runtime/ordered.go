@@ -33,7 +33,7 @@ type OrderedRuntime struct {
 // NewOrdered starts an ordered concurrent monitor. Callers must Close it.
 func NewOrdered(cfg Config) *OrderedRuntime {
 	return &OrderedRuntime{
-		rt:    New(cfg),
+		rt:    start(cfg, true),
 		est:   make(map[int]order.Key),
 		ordLo: make(map[int]order.Key),
 		ordHi: make(map[int]order.Key),
@@ -138,7 +138,7 @@ func (ot *OrderedRuntime) installBounds(rec comm.Recorder, force bool) {
 			if changed {
 				comm.RecordSized(rec, comm.Down, 1, wire.SizeBounds(id, int64(lo), int64(hi)))
 			}
-			ot.rt.unicast(id, shardCmd{kind: cOrderBounds, lo: lo, mid: hi})
+			ot.rt.unicast(id, shardCmd{kind: cOrderBounds, lo: lo, hi: hi})
 		}
 	}
 }

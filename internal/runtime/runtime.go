@@ -69,8 +69,6 @@ const (
 	cObserveDelta                // sparse observation: only listed ids changed
 	cRound
 	cWinner
-	cMidpoint
-	cBounds // ε mode: install the band [lo, hi] instead of a midpoint
 	cResetBegin
 	cOrderCheck  // ordered variant: report if the order filter broke
 	cOrderBounds // ordered variant: install new order-filter bounds
@@ -90,10 +88,8 @@ type shardCmd struct {
 	bound int       // cRound: population bound N of the protocol
 	tgt   int       // cWinner/cOrderCheck/cOrderBounds: target node id
 	isTop bool      // cWinner: winner belongs to the new top-k
-	mid   order.Key // cMidpoint; cOrderBounds upper bound
-	lo    order.Key // cBounds/cOrderBounds lower bound
-	hi    order.Key // cBounds upper band end
-	full  bool      // cMidpoint: k == n, install [-inf, +inf]
+	lo    order.Key // cOrderBounds lower bound
+	hi    order.Key // cOrderBounds upper bound
 }
 
 // send is one counted node→coordinator message within a batched reply.
@@ -168,12 +164,6 @@ func (sh *shard) run() {
 		case cWinner:
 			sh.bank.Winner(c.tgt, c.isTop)
 
-		case cMidpoint:
-			sh.bank.Midpoint(c.mid, c.full)
-
-		case cBounds:
-			sh.bank.ApplyBounds(c.lo, c.hi)
-
 		case cOrderCheck:
 			if key, violated := sh.bank.OrderViolated(c.tgt); violated {
 				sh.buf = append(sh.buf, send{id: c.tgt, key: key})
@@ -181,7 +171,7 @@ func (sh *shard) run() {
 			}
 
 		case cOrderBounds:
-			sh.bank.SetOrderBounds(c.tgt, c.lo, c.mid)
+			sh.bank.SetOrderBounds(c.tgt, c.lo, c.hi)
 
 		default:
 			panic(fmt.Sprintf("runtime: unknown command kind %d", c.kind))
@@ -216,7 +206,12 @@ type Runtime struct {
 // New starts the shard goroutines and returns the runtime. Callers must
 // Close it to release the goroutines. As in the sequential engine, nodes
 // are treated as holding the value 0 until their first observation.
-func New(cfg Config) *Runtime {
+func New(cfg Config) *Runtime { return start(cfg, false) }
+
+// start builds the bank — with order filters for the ordered variant,
+// which must exist before the shards take their views — and assembles
+// the runtime around it.
+func start(cfg Config, ordered bool) *Runtime {
 	if cfg.N <= 0 {
 		panic("runtime: need N > 0")
 	}
@@ -231,6 +226,9 @@ func New(cfg Config) *Runtime {
 	// views of it. The stream layout matches core.New exactly; engine
 	// equivalence depends on it.
 	bank := coord.NewNodes(cfg.N, 0, cfg.N, cfg.Seed, cfg.DistinctValues, tol)
+	if ordered {
+		bank.EnableOrderFilters()
+	}
 	return assemble(cfg, coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}), bank)
 }
 
@@ -423,10 +421,15 @@ func (rt *Runtime) finishStep(anyTopViol, anyOutViol bool) []int {
 			rt.lastKeys[eff.Target] = eff.Key
 			eff = rt.mach.Ack()
 		case coord.EffMidpoint:
-			rt.broadcast(shardCmd{kind: cMidpoint, mid: eff.Mid, full: eff.Full})
+			// A filter install is one store on the full-range bank, whose
+			// bounds every shard view shares: the shards are parked on
+			// their command channels, their last replies happen-before
+			// this write and their next commands happen-after it (the
+			// edge Snapshot relies on), so no command is fanned out.
+			rt.bank.Midpoint(eff.Mid, eff.Full)
 			eff = rt.mach.Ack()
 		case coord.EffBounds:
-			rt.broadcast(shardCmd{kind: cBounds, lo: eff.Lo, hi: eff.Hi})
+			rt.bank.ApplyBounds(eff.Lo, eff.Hi)
 			eff = rt.mach.Ack()
 		default:
 			panic(fmt.Sprintf("runtime: unknown coordinator effect %d", eff.Kind))

@@ -79,6 +79,9 @@ func Restore(cfg Config, machFrame, nodesFrame []byte) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore machine: %v", err)
 	}
+	if _, err := coord.RestoreFilters(&ns, mach); err != nil {
+		return nil, fmt.Errorf("runtime: restore: %w", err)
+	}
 	bank, err := coord.RestoreNodes(nodesFrame)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore bank: %v", err)

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/coord"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // ckptWalk drives a deterministic random walk shared by a monitor pair.
@@ -426,5 +428,64 @@ func TestCheckpointCrashRestartSoak(t *testing.T) {
 			t.Fatalf("round %d: checkpoint: %v", round, err)
 		}
 		mon.Close() // reclaim the worker; the store alone carries state over
+	}
+}
+
+// TestRestoreRejectsStaleFilters pins the restore bugfix at the public
+// boundary, on both engines that checkpoint node state: a well-formed,
+// correctly checksummed checkpoint whose bank frame holds filters the
+// algorithm cannot have installed — here an outsider whose value already
+// left its filter, the state of a monitor that would go on serving a
+// stale set — is a typed *RestoreError wrapping coord.ErrFilterState,
+// while the frame as written restores.
+func TestRestoreRejectsStaleFilters(t *testing.T) {
+	for _, conc := range []bool{false, true} {
+		store := MemCheckpoints()
+		cfg := Config{Nodes: 8, K: 2, Seed: 3, Concurrent: conc, Checkpoint: Checkpoint{Store: store}}
+		mon, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mon.Observe([]int64{5, 1, 8, 2, 9, 3, 7, 4}); err != nil { // top: nodes 2 and 4
+			t.Fatal(err)
+		}
+		gen, err := mon.Checkpoint(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon.Close()
+		cfg.Checkpoint = Checkpoint{}
+		good, err := Restore(store, cfg)
+		if err != nil {
+			t.Fatalf("concurrent=%v: checkpoint as written rejected: %v", conc, err)
+		}
+		good.Close()
+
+		_, frame, err := store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c wire.Checkpoint
+		if err := c.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+		var ns wire.NodesState
+		if err := ns.Decode(c.Nodes); err != nil {
+			t.Fatal(err)
+		}
+		ns.Keys[1] = ns.IvHi[1] + 1 // outsider 1 above the installed midpoint
+		c.Nodes = ns.Append(nil)
+		stale := MemCheckpoints()
+		if err := stale.Save(gen, c.Append(nil)); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Restore(stale, cfg)
+		var re *RestoreError
+		if !errors.As(err, &re) || !errors.Is(err, coord.ErrFilterState) {
+			t.Fatalf("concurrent=%v: restore of a stale-filter frame returned %v, want a *RestoreError wrapping coord.ErrFilterState", conc, err)
+		}
+		if m != nil {
+			m.Close()
+		}
 	}
 }
