@@ -549,7 +549,7 @@ func runServe(addr string, peers, n, k int, seed uint64, epsilon float64, lockst
 		return
 	}
 
-	alg := &ckptAlg{Engine: eng, store: store, every: ckptEvery, seed: seed + 1, gen: lastGen}
+	alg := &ckptAlg{Engine: eng, store: store, every: ckptEvery, gen: lastGen}
 	rep := sim.Run(alg, src, sim.Config{Steps: remaining, K: k, CheckEvery: 1, Epsilon: epsilon})
 	fmt.Println(sim.Describe("algorithm1(tcp)", rep))
 	checkEngineErr(eng)
@@ -572,10 +572,10 @@ type ckptAlg struct {
 	*netrun.Engine
 	store *ckpt.File
 	every int
-	seed  uint64
 	gen   uint64
 	since int
 	saves int
+	buf   []byte // every frame is encoded here; the store writes it out
 }
 
 func (a *ckptAlg) Observe(vals []int64) []int {
@@ -594,12 +594,12 @@ func (a *ckptAlg) Observe(vals []int64) []int {
 }
 
 func (a *ckptAlg) checkpoint() error {
-	mach, last, err := a.Engine.Snapshot()
+	gen := a.gen + 1
+	frame, err := a.Engine.AppendCheckpoint(a.buf[:0], gen)
 	if err != nil {
 		return err
 	}
-	gen := a.gen + 1
-	frame := wire.Checkpoint{Gen: gen, Engine: wire.EngineNet, Seed: a.seed, Machine: mach, Last: last}.Append(nil)
+	a.buf = frame
 	if err := a.store.Save(gen, frame); err != nil {
 		return err
 	}

@@ -39,6 +39,10 @@ import (
 // concurrent use.
 type Store interface {
 	// Save files frame under generation gen, atomically and durably.
+	// frame is the caller's and valid only until Save returns — monitors
+	// encode every generation into one reused buffer — so a store that
+	// keeps frames keeps a copy (Mem copies, File writes out, Faulty
+	// forwards).
 	Save(gen uint64, frame []byte) error
 	// Load returns the newest stored frame that validates, with its
 	// generation. It returns ErrNoCheckpoint when the store holds no

@@ -112,6 +112,42 @@ func TestFileStoreRetention(t *testing.T) {
 	}
 }
 
+// TestFileStorePrunesStrayTemp plants what a crash between a Save's create
+// and its rename leaves behind — a frame-sized temp file under a
+// generation that never landed — and requires the next Save to remove it,
+// while the frames, and files that are not the store's, stay.
+func TestFileStorePrunesStrayTemp(t *testing.T) {
+	s, err := NewFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(1, frameFor(1)); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(s.Dir(), frameName(2)+tmpSuffix)
+	other := filepath.Join(s.Dir(), "notes.tmp")
+	for _, name := range []string{stray, other} {
+		if err := os.WriteFile(name, frameFor(2)[:10], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gen, _, err := s.Load(); err != nil || gen != 1 {
+		t.Fatalf("Load beside a stray temp file = gen %d, err %v", gen, err)
+	}
+	if err := s.Save(3, frameFor(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stray temp file survived a Save: stat error %v", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("a file that is not the store's was removed: %v", err)
+	}
+	if gens, err := s.generations(); err != nil || len(gens) != 2 || gens[0] != 1 || gens[1] != 3 {
+		t.Fatalf("generations after pruning = %v, %v", gens, err)
+	}
+}
+
 func TestFileStoreTornAndStaleFrames(t *testing.T) {
 	s, err := NewFile(t.TempDir())
 	if err != nil {

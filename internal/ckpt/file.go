@@ -29,6 +29,7 @@ const (
 	framePrefix = "ckpt-"
 	frameSuffix = ".bin"
 	genDigits   = 16
+	tmpSuffix   = ".tmp" // after a frame name: the frame while it is written
 )
 
 // NewFile opens (creating if needed) a directory-backed store.
@@ -70,7 +71,7 @@ func (f *File) Save(gen uint64, frame []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	final := filepath.Join(f.dir, frameName(gen))
-	tmp := final + ".tmp"
+	tmp := final + tmpSuffix
 	w, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -101,11 +102,17 @@ func (f *File) Save(gen uint64, frame []byte) error {
 	return nil
 }
 
-// prune removes the oldest generations beyond the retention bound and any
-// stray temp files older than the newest frame. Best effort: pruning
+// prune removes the oldest generations beyond the retention bound and
+// every stray temp file: one is left behind by each crash between a Save's
+// create and its rename, and nothing would ever read or replace it. Save
+// calls prune under f.mu after its own rename, so no temp file in the
+// directory belongs to a write still under way. Best effort: pruning
 // failures never fail a Save.
 func (f *File) prune() {
-	gens, _ := f.generations()
+	gens, strays, _ := f.scan()
+	for _, name := range strays {
+		_ = os.Remove(filepath.Join(f.dir, name))
+	}
 	if len(gens) <= keepGenerations {
 		return
 	}
@@ -116,18 +123,27 @@ func (f *File) prune() {
 
 // generations lists the stored generations in ascending order.
 func (f *File) generations() ([]uint64, error) {
+	gens, _, err := f.scan()
+	return gens, err
+}
+
+// scan lists the stored generations in ascending order and the names of
+// the temp files of frames that never reached their final name.
+func (f *File) scan() (gens []uint64, strays []string, err error) {
 	entries, err := os.ReadDir(f.dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var gens []uint64
 	for _, e := range entries {
-		if gen, ok := parseFrameName(e.Name()); ok {
+		name := e.Name()
+		if gen, ok := parseFrameName(name); ok {
 			gens = append(gens, gen)
+		} else if _, ok := parseFrameName(strings.TrimSuffix(name, tmpSuffix)); ok {
+			strays = append(strays, name)
 		}
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	return gens, nil
+	return gens, strays, nil
 }
 
 // Load returns the newest stored frame that validates, skipping torn,

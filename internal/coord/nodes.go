@@ -89,7 +89,7 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
 	b := newBank(n, lo, hi, distinct, tol)
-	root := rng.New(seed, 0xc02e)
+	root := protocol.NodeRoot(seed)
 	for i := 0; i < n; i++ {
 		r := root.SplitValue(uint64(i))
 		if i < lo || i >= hi {

@@ -10,6 +10,8 @@ import (
 	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // bankAPI is the command surface Nodes shares with the per-node reference
@@ -98,8 +100,19 @@ func (p *pair) same() {
 	if k, r := p.kern.Absorbs(), p.ref.Absorbs(); !slices.Equal(k, r) {
 		p.t.Fatalf("%s: absorbs %v, reference %v", p.where, k, r)
 	}
-	if k, r := p.kern.Snapshot(nil), p.ref.Snapshot(nil); !bytes.Equal(k, r) {
-		p.t.Fatalf("%s: checkpoint frame differs from the reference's (%d vs %d bytes)", p.where, len(k), len(r))
+	// The reference writes the v1 frame, every interval spelled out; the
+	// flat bank's v2 frame must say the same once its bounds are applied
+	// by membership — and must be the one encoding of what it decodes to.
+	frame := p.kern.Snapshot(nil)
+	var bs wire.BankState
+	if err := bs.Decode(frame); err != nil {
+		p.t.Fatalf("%s: checkpoint frame does not decode: %v", p.where, err)
+	}
+	if !bytes.Equal(bs.Append(nil), frame) {
+		p.t.Fatalf("%s: checkpoint frame is not canonical", p.where)
+	}
+	if k, r := wiretest.AppendNodesV1(nil, wiretest.V1(bs)), p.ref.Snapshot(nil); !bytes.Equal(k, r) {
+		p.t.Fatalf("%s: checkpoint frame differs from the reference's (%d vs %d bytes in v1 form)", p.where, len(k), len(r))
 	}
 }
 

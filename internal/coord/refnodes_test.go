@@ -9,6 +9,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // refNodes is the node bank as it was before filters became two bounds
@@ -413,8 +414,9 @@ func (b *refNodes) SetOrderBounds(target int, lo, hi order.Key) {
 	b.node(target).ordIv = filter.Interval{Lo: lo, Hi: hi}
 }
 
-// Snapshot appends the bank's canonical checkpoint frame (wire.NodesState)
-// to dst. Banks carry no in-flight marker, so the contract is the caller's:
+// Snapshot appends the bank's v1 checkpoint frame (wire.NodesState, through
+// the encoder that left package wire with it) to dst: what the parent
+// commits wrote. Banks carry no in-flight marker, so the contract is the caller's:
 // snapshot only between steps, when no protocol execution is running —
 // the active list is rebuilt at round 0 of every execution and is the one
 // piece of bank state a between-steps checkpoint can omit.
@@ -453,5 +455,5 @@ func (b *refNodes) Snapshot(dst []byte) []byte {
 		s.ViolStep[i] = nd.violStep
 		s.RngState[i], s.RngInc[i] = nd.rng.State()
 	}
-	return s.Append(dst)
+	return wiretest.AppendNodesV1(dst, s)
 }

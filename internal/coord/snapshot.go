@@ -3,10 +3,12 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/comm"
 	"repro/internal/filter"
 	"repro/internal/order"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -128,101 +130,194 @@ func RestoreMachine(p []byte) (*Machine, error) {
 	return m, nil
 }
 
-// Snapshot appends the bank's canonical checkpoint frame (wire.NodesState)
-// to dst. Banks carry no in-flight marker, so the contract is the caller's:
+// Snapshot appends the bank's canonical checkpoint frame (the v2 bank
+// frame of internal/wire) to dst, straight from the bank's arrays: the
+// installed bounds once, the keys, the generator states, and the flag
+// bytes, violation steps and order filters of the nodes that have one.
+// Banks carry no in-flight marker, so the contract is the caller's:
 // snapshot only between steps, when no protocol execution is running —
 // the active list is rebuilt at round 0 of every execution and is the one
 // piece of bank state a between-steps checkpoint can omit.
 func (b *Nodes) Snapshot(dst []byte) []byte {
-	n := b.hi - b.lo
-	s := wire.NodesState{
-		N:        b.codec.N(),
-		Lo:       b.lo,
-		Hi:       b.hi,
-		EpsNum:   b.tol.Num(),
-		Distinct: b.distinct,
-		Keys:     make([]int64, n),
-		IvLo:     make([]int64, n),
-		IvHi:     make([]int64, n),
-		OrdLo:    make([]int64, n),
-		OrdHi:    make([]int64, n),
-		Flags:    make([]byte, n),
-		ViolStep: make([]int64, n),
-		RngState: make([]uint64, n),
-		RngInc:   make([]uint64, n),
+	w := wire.BeginBank(dst, wire.BankHeader{
+		N: b.codec.N(), Lo: b.lo, Hi: b.hi,
+		EpsNum: b.tol.Num(), Distinct: b.distinct,
+		BoundLo: int64(b.inst.Lo), BoundHi: int64(b.inst.Hi),
+	})
+	wire.BankKeys(&w, b.keys)
+	for i := range b.rngs {
+		state, _ := b.rngs[i].State()
+		w.Gen(state)
 	}
-	copy(s.Flags, b.flags)
-	copy(s.ViolStep, b.violStep)
-	for i, key := range b.keys {
-		s.Keys[i] = int64(key)
-		iv, ord := b.inst.Interval(b.flags[i]&flagInTop != 0), filter.Full()
-		if b.ord != nil {
-			ord = b.ord[i]
+	for i, f := range b.flags {
+		if f != 0 {
+			w.Flag(i, f)
 		}
-		s.IvLo[i], s.IvHi[i] = int64(iv.Lo), int64(iv.Hi)
-		s.OrdLo[i], s.OrdHi[i] = int64(ord.Lo), int64(ord.Hi)
-		s.RngState[i], s.RngInc[i] = b.rngs[i].State()
 	}
-	return s.Append(dst)
+	for i, step := range b.violStep {
+		if step != -1 {
+			w.Viol(i, step)
+		}
+	}
+	for i, ord := range b.ord {
+		if ord != filter.Full() {
+			w.Ord(i, int64(ord.Lo), int64(ord.Hi))
+		}
+	}
+	return w.End()
 }
 
-// RestoreNodes rebuilds a node bank from a Snapshot frame. The generators
-// resume mid-sequence via rng.FromState, so the restored bank consumes
-// randomness exactly where the original left off — the property that keeps
-// Las Vegas protocol runs bit-identical across the restore. Unlike
-// NewNodes it does not walk the root generator's split sequence; the
-// snapshot already carries each node's generator.
+// RestoreNodes rebuilds a node bank from a Snapshot frame (or a v1 frame;
+// see UpgradeBankFrame), reading the columns straight into the fresh
+// bank's arrays. Each generator resumes mid-sequence from its persisted
+// state and the increment its node id defines (protocol.NodeRoot), so the
+// restored bank consumes randomness exactly where the original left off —
+// the property that keeps Las Vegas protocol runs bit-identical across the
+// restore — without walking the root generator's split sequence as
+// NewNodes does. Every filter is the frame's one pair of bounds applied by
+// the node's membership bit, so the only filter state a frame can get
+// wrong is a key that has left its filter: that is ErrFilterState.
 func RestoreNodes(p []byte) (*Nodes, error) {
-	var s wire.NodesState
-	if err := s.Decode(p); err != nil {
+	p, err := UpgradeBankFrame(p)
+	if err != nil {
 		return nil, err
 	}
-	if s.N <= 0 || s.Lo >= s.Hi { // decode checked 0 <= Lo <= Hi <= N
-		return nil, fmt.Errorf("coord: restored node range [%d, %d) of %d is empty", s.Lo, s.Hi, s.N)
-	}
-	tol, err := order.TolFromNum(s.EpsNum)
+	h, r, err := wire.OpenBank(p)
 	if err != nil {
+		return nil, err
+	}
+	if h.N <= 0 || h.Lo >= h.Hi { // the header decoder checked 0 <= Lo <= Hi <= N
+		return nil, fmt.Errorf("coord: restored node range [%d, %d) of %d is empty", h.Lo, h.Hi, h.N)
+	}
+	if h.Hi-h.Lo > math.MaxInt32 {
+		return nil, fmt.Errorf("coord: restored node range [%d, %d) exceeds 2^31-1 hosted nodes", h.Lo, h.Hi)
+	}
+	tol, err := order.TolFromNum(h.EpsNum)
+	if err != nil {
+		return nil, err
+	}
+	b := newBank(h.N, h.Lo, h.Hi, h.Distinct, tol)
+	*b.inst = filter.Bounds{Lo: order.Key(h.BoundLo), Hi: order.Key(h.BoundHi)}
+	if err := ReadBankNodes(&r, h.Lo, b.keys, b.rngs); err != nil {
+		return nil, err
+	}
+	for i := range b.violStep {
+		b.violStep[i] = -1
+	}
+	for {
+		i, f, ok, err := r.Flag()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		b.flags[i] = f
+	}
+	for {
+		i, step, ok, err := r.Viol()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		b.violStep[i] = step
+	}
+	for {
+		i, lo, hi, ok, err := r.Ord()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		b.EnableOrderFilters()
+		b.ord[i] = filter.Interval{Lo: order.Key(lo), Hi: order.Key(hi)}
+	}
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	for i, key := range b.keys {
+		if iv := b.inst.Interval(b.flags[i]&flagInTop != 0); !iv.Contains(key) {
+			return nil, fmt.Errorf("%w: node %d key %d outside its filter %s", ErrFilterState, b.lo+i, key, iv)
+		}
+	}
+	return b, nil
+}
+
+// ReadBankNodes reads the two dense columns of a bank frame over nodes
+// [lo, lo+len(keys)) into the arrays every engine keeps them in: the keys,
+// and the generators, each rebuilt from its persisted state and the
+// increment protocol.NodeRoot gives its node id.
+func ReadBankNodes(r *wire.BankReader, lo int, keys []order.Key, rngs []rng.RNG) error {
+	if err := wire.BankReadKeys(r, keys); err != nil {
+		return err
+	}
+	root := protocol.NodeRoot(0) // an increment depends on no seed
+	for i := range rngs {
+		g, err := rng.FromState(r.Gen(), root.SplitInc(uint64(lo+i)))
+		if err != nil {
+			return err
+		}
+		rngs[i] = *g
+	}
+	return nil
+}
+
+// ErrFilterState is wrapped by every restore rejection of a bank frame
+// whose filters are not a state Algorithm 1 can install: a key outside the
+// filter its membership bit derives from the frame's bounds, on the
+// engines that restore machine and bank together filters that contradict
+// the machine, and in a v1 frame per-node intervals that are not one
+// broadcast's bounds applied by membership. Test with errors.Is.
+var ErrFilterState = errors.New("coord: checkpoint filters are not an installed assignment")
+
+// UpgradeBankFrame returns a bank frame in the v2 form the restore paths
+// read. A v2 frame is returned as it is. A v1 frame (wire.NodesState, what
+// monitors wrote before the v2 frame; stores still hold them) is decoded,
+// checked to be something a bank can hold — its n intervals one
+// broadcast's bounds applied by membership with every key inside
+// (frameBounds), its increments the ones the node ids define — and
+// re-encoded, so there is one restore path and a v1 frame is held to
+// everything a v2 frame is.
+func UpgradeBankFrame(p []byte) ([]byte, error) {
+	if len(p) == 0 || p[0] != wire.TypeNodesState {
+		return p, nil
+	}
+	var s wire.NodesState
+	if err := s.Decode(p); err != nil {
 		return nil, err
 	}
 	in, err := frameBounds(&s)
 	if err != nil {
 		return nil, err
 	}
-	b := newBank(s.N, s.Lo, s.Hi, s.Distinct, tol)
-	*b.inst = in
-	copy(b.flags, s.Flags)
-	copy(b.violStep, s.ViolStep)
-	for i := range b.keys {
-		r, err := rng.FromState(s.RngState[i], s.RngInc[i])
-		if err != nil {
-			return nil, fmt.Errorf("coord: restored node %d: %w", s.Lo+i, err)
-		}
-		b.keys[i], b.rngs[i] = order.Key(s.Keys[i]), *r
-		if ord := (filter.Interval{Lo: order.Key(s.OrdLo[i]), Hi: order.Key(s.OrdHi[i])}); ord != filter.Full() {
-			b.EnableOrderFilters()
-			b.ord[i] = ord
+	root := protocol.NodeRoot(0)
+	for i, inc := range s.RngInc {
+		if want := root.SplitInc(uint64(s.Lo + i)); inc != want {
+			return nil, fmt.Errorf("coord: restored node %d: generator increment %#x, its id defines %#x", s.Lo+i, inc, want)
 		}
 	}
-	return b, nil
+	return wire.BankState{
+		BankHeader: wire.BankHeader{
+			N: s.N, Lo: s.Lo, Hi: s.Hi, EpsNum: s.EpsNum, Distinct: s.Distinct,
+			BoundLo: int64(in.Lo), BoundHi: int64(in.Hi),
+		},
+		Keys: s.Keys, RngState: s.RngState, Flags: s.Flags,
+		ViolStep: s.ViolStep, OrdLo: s.OrdLo, OrdHi: s.OrdHi,
+	}.Append(nil), nil
 }
 
-// ErrFilterState is wrapped by every restore rejection of a bank frame
-// whose filters are not a state Algorithm 1 can install: per-node
-// intervals that are not one broadcast's bounds applied by membership, a
-// key outside its filter, or — on the engines that restore machine and
-// bank together — filters that contradict the machine. Test with
-// errors.Is.
-var ErrFilterState = errors.New("coord: checkpoint filters are not an installed assignment")
-
-// frameBounds recovers the installed bounds a bank frame was taken under.
-// A bank stores one broadcast, not n intervals, so only a canonical frame
-// is representable: [lo, +inf] on every member and [-inf, hi] on every
-// outsider for one (lo, hi) — both infinite before the first install, on
-// a bank rebuilt for a reassigned range and when k == n — and, as after
-// every completed step, every key inside its filter. A range hosting only
-// members (or only outsiders) leaves the other bound unconstrained: it
-// restores unbounded, and no hosted node reads it before the next install
-// sets both.
+// frameBounds recovers the installed bounds a v1 bank frame was taken
+// under. A bank stores one broadcast, not n intervals, so only a canonical
+// frame is representable: [lo, +inf] on every member and [-inf, hi] on
+// every outsider for one (lo, hi) — both infinite before the first
+// install, on a bank rebuilt for a reassigned range and when k == n —
+// and, as after every completed step, every key inside its filter. A range
+// hosting only members (or only outsiders) leaves the other bound
+// unconstrained: it upgrades unbounded, and no hosted node reads it before
+// the next install sets both.
 func frameBounds(s *wire.NodesState) (filter.Bounds, error) {
 	in, haveLo, haveHi := filter.Unbounded(), false, false
 	for i := range s.IvLo {
@@ -243,40 +338,46 @@ func frameBounds(s *wire.NodesState) (filter.Bounds, error) {
 	return in, nil
 }
 
-// RestoreFilters validates the full-range bank frame of an engine that
-// checkpoints machine and bank together (sequential, concurrent) against
-// the restored machine, and returns the filter set the frame describes:
-// the frame must be canonical (frameBounds), its membership flags the
-// machine's, in ε mode its bounds the band the machine tracks, and the
-// assignment valid for the frame's keys — Lemma 2.2, which also refuses
-// filters left unbounded after the time-0 reset, or its ε counterpart. A
-// monitor restored from anything else would serve a set its filters no
-// longer guard.
-func RestoreFilters(s *wire.NodesState, m *Machine) (*filter.Set, error) {
+// MatchesMachine validates a restored full-range bank against the machine
+// restored beside it, for the engine that checkpoints both (concurrent):
+// the bank must cover the machine's nodes, its membership bits must be the
+// machine's, and its bounds and keys must pass RestoreFilters.
+func (b *Nodes) MatchesMachine(m *Machine) error {
+	if n := m.cfg.N; b.codec.N() != n || b.lo != 0 || b.hi != n {
+		return fmt.Errorf("coord: bank frame covers [%d, %d) of %d, machine has n=%d", b.lo, b.hi, b.codec.N(), n)
+	}
+	for i, f := range b.flags {
+		if inTop := f&flagInTop != 0; inTop != m.inTop[i] {
+			return fmt.Errorf("%w: node %d (member: %v) contradicts the machine", ErrFilterState, i, inTop)
+		}
+	}
+	_, err := RestoreFilters(*b.inst, b.keys, m)
+	return err
+}
+
+// RestoreFilters returns the filter set an engine that checkpoints machine
+// and bank together (sequential, concurrent) resumes with: the bank
+// frame's one pair of bounds applied to the restored machine's membership
+// — the caller has checked that the frame's membership bits are the
+// machine's. In ε mode the bounds must be the band the machine tracks, and
+// the assignment must be valid for the frame's keys — Lemma 2.2, which
+// also refuses filters left unbounded after the time-0 reset, or its ε
+// counterpart. A monitor restored from anything else would serve a set its
+// filters no longer guard.
+func RestoreFilters(in filter.Bounds, keys []order.Key, m *Machine) (*filter.Set, error) {
 	n, k, tol := m.cfg.N, m.cfg.K, m.cfg.Tol
-	if s.N != n || s.Lo != 0 || s.Hi != n {
-		return nil, fmt.Errorf("coord: bank frame covers [%d, %d) of %d, machine has n=%d", s.Lo, s.Hi, s.N, n)
-	}
-	in, err := frameBounds(s)
-	if err != nil {
-		return nil, err
-	}
 	fs := filter.NewSet(n, k)
 	if len(m.top) == k {
 		fs.SetMembership(m.top)
 	}
 	fs.AssignBand(in.Lo, in.Hi)
+	if fs.Bounds() != in {
+		return nil, fmt.Errorf("%w: bounds [%d, %d] installed where k = n leaves none", ErrFilterState, in.Lo, in.Hi)
+	}
 	if !tol.Zero() && (in.Lo != m.curLo || in.Hi != m.curHi) {
 		return nil, fmt.Errorf("%w: installed band [%d, %d], machine tracks [%d, %d]", ErrFilterState, in.Lo, in.Hi, m.curLo, m.curHi)
 	}
-	keys := make([]order.Key, n)
-	for i := range keys {
-		keys[i] = order.Key(s.Keys[i])
-		iv := filter.Interval{Lo: order.Key(s.IvLo[i]), Hi: order.Key(s.IvHi[i])}
-		if inTop := s.Flags[i]&flagInTop != 0; inTop != m.inTop[i] || iv != fs.Interval(i) {
-			return nil, fmt.Errorf("%w: node %d (member: %v, filter %s) contradicts the machine", ErrFilterState, i, inTop, iv)
-		}
-	}
+	var err error
 	if tol.Zero() {
 		err = fs.Validate(keys)
 	} else {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/stream"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // driveEffects executes one out-of-band effect chain (ForceReset) on the
@@ -205,19 +206,16 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 		}
 	}
 
-	bank := NewNodes(8, 2, 6, 42, false, order.Tol{})
-	frame := bank.Snapshot(nil)
-	var ns wire.NodesState
-	if err := ns.Decode(frame); err != nil {
-		t.Fatal(err)
-	}
+	ns := decodeFrames(t, NewNodes(8, 2, 6, 42, false, order.Tol{}).Snapshot(nil)).v1
 	ns.RngInc[1] = 4 // even increment: degraded generator
-	if _, err := RestoreNodes(ns.Append(nil)); err == nil {
+	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, ns)); err == nil {
 		t.Error("even rng increment accepted")
 	}
-	empty := wire.NodesState{N: 8, Lo: 3, Hi: 3}
-	if _, err := RestoreNodes(empty.Append(nil)); err == nil {
-		t.Error("empty node range accepted")
+	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, wire.NodesState{N: 8, Lo: 3, Hi: 3})); err == nil {
+		t.Error("empty v1 node range accepted")
+	}
+	if _, err := RestoreNodes(wire.BankState{BankHeader: wire.BankHeader{N: 8, Lo: 3, Hi: 3}}.Append(nil)); err == nil {
+		t.Error("empty v2 node range accepted")
 	}
 }
 

@@ -99,7 +99,7 @@ func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ours, theirs wire.NodesState
+			var ours, theirs wire.BankState
 			if err := ours.Decode(frame); err != nil {
 				t.Fatal(err)
 			}
@@ -107,9 +107,9 @@ func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < tc.n; i++ {
-				if ours.Keys[i] != theirs.Keys[i] || ours.RngState[i] != theirs.RngState[i] || ours.RngInc[i] != theirs.RngInc[i] {
-					t.Fatalf("%s: node %d key/generator %d/%#x/%#x, node-local %d/%#x/%#x", where, i,
-						ours.Keys[i], ours.RngState[i], ours.RngInc[i], theirs.Keys[i], theirs.RngState[i], theirs.RngInc[i])
+				if ours.Keys[i] != theirs.Keys[i] || ours.RngState[i] != theirs.RngState[i] {
+					t.Fatalf("%s: node %d key/generator %d/%#x, node-local %d/%#x", where, i,
+						ours.Keys[i], ours.RngState[i], theirs.Keys[i], theirs.RngState[i])
 				}
 			}
 		}

@@ -148,7 +148,7 @@ func New(cfg Config) *Monitor {
 		members: make([]int32, 0, cfg.N),
 		topBuf:  make([]int, 0, cfg.K),
 	}
-	root := rng.New(cfg.Seed, 0xc02e)
+	root := protocol.NodeRoot(cfg.Seed)
 	for i := range m.pop.Keys {
 		m.pop.RNGs[i] = root.SplitValue(uint64(i))
 		m.pop.Keys[i] = m.encode(0, i)

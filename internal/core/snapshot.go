@@ -4,71 +4,70 @@ import (
 	"fmt"
 
 	"repro/internal/coord"
+	"repro/internal/filter"
 	"repro/internal/order"
-	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
 // Snapshot and Restore give the sequential engine idle-point
 // checkpointing: between observation steps the monitor's whole execution
-// is its coord.Machine plus the node-local keys, filters and generator
-// states, so a checkpoint is one MachineState frame and one synthesized
-// NodesState frame over nodes [0, n). Restore rebuilds a monitor that
-// resumes bit-identically — same reports, same ledgers, same randomness —
-// to one that never stopped; the determinism pin in topk's checkpoint
-// suite asserts exactly that.
+// is its coord.Machine plus the node-local keys, filter bounds, membership
+// and generator states, so a checkpoint is one MachineState frame and one
+// bank frame over nodes [0, n), written straight from the monitor's
+// arrays. Restore rebuilds a monitor that resumes bit-identically — same
+// reports, same ledgers, same randomness — to one that never stopped; the
+// determinism pin in topk's checkpoint suite asserts exactly that.
 
 // Snapshot encodes the monitor's state between steps: the machine frame
-// and a NodesState frame carrying every node's key, filter interval,
-// membership flag and generator state. It fails if a step is in flight.
+// and the bank frame. It fails if a step is in flight.
 func (m *Monitor) Snapshot() (mach, nodes []byte, err error) {
-	machFrame, err := m.mach.Snapshot(nil)
-	if err != nil {
+	if mach, err = m.mach.Snapshot(nil); err != nil {
 		return nil, nil, err
 	}
-	n := m.cfg.N
-	s := wire.NodesState{
-		N: n, Lo: 0, Hi: n,
-		EpsNum:   m.tol.Num(),
-		Distinct: m.cfg.DistinctValues,
-		Keys:     make([]int64, n),
-		IvLo:     make([]int64, n),
-		IvHi:     make([]int64, n),
-		OrdLo:    make([]int64, n),
-		OrdHi:    make([]int64, n),
-		Flags:    make([]byte, n),
-		ViolStep: make([]int64, n),
-		RngState: make([]uint64, n),
-		RngInc:   make([]uint64, n),
-	}
-	for i := 0; i < n; i++ {
-		s.Keys[i] = int64(m.pop.Keys[i])
-		iv := m.fs.Interval(i)
-		s.IvLo[i], s.IvHi[i] = int64(iv.Lo), int64(iv.Hi)
-		// The sequential engine has no order filters or extraction state
-		// between steps; the slots encode their inert values.
-		s.OrdLo[i], s.OrdHi[i] = int64(order.NegInf), int64(order.PosInf)
-		if m.fs.InTop(i) {
-			s.Flags[i] = wire.FlagNodeInTop
-		}
-		s.ViolStep[i] = -1
-		s.RngState[i], s.RngInc[i] = m.pop.RNGs[i].State()
-	}
-	return machFrame, s.Append(nil), nil
+	return mach, m.appendBank(nil), nil
 }
 
-// SnapshotInto fills a checkpoint's engine fingerprint and state frames
-// from Snapshot.
-func (m *Monitor) SnapshotInto(c *wire.Checkpoint) (err error) {
-	c.Engine = wire.EngineSeq
-	c.Machine, c.Nodes, err = m.Snapshot()
-	return err
+// appendBank appends the bank frame: the filter set's bounds, every node's
+// key and generator state, and a membership flag for the k members. The
+// sequential engine keeps no violation history, extraction marks or order
+// filters between steps, so those sections are empty.
+func (m *Monitor) appendBank(dst []byte) []byte {
+	in := m.fs.Bounds()
+	w := wire.BeginBank(dst, wire.BankHeader{
+		N: m.cfg.N, Lo: 0, Hi: m.cfg.N,
+		EpsNum: m.tol.Num(), Distinct: m.cfg.DistinctValues,
+		BoundLo: int64(in.Lo), BoundHi: int64(in.Hi),
+	})
+	wire.BankKeys(&w, m.pop.Keys)
+	for i := range m.pop.RNGs {
+		state, _ := m.pop.RNGs[i].State()
+		w.Gen(state)
+	}
+	for _, id := range m.fs.Top() {
+		w.Flag(id, wire.FlagNodeInTop)
+	}
+	return w.End()
+}
+
+// AppendCheckpoint appends the monitor's sealed checkpoint envelope of
+// generation gen to dst, both frames encoded in place.
+func (m *Monitor) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
+	w := wire.BeginCheckpoint(dst, gen, wire.EngineSeq, m.cfg.Seed, m.cfg.DistinctValues)
+	var err error
+	if w.Buf, err = m.mach.Snapshot(w.Buf); err != nil {
+		return nil, err
+	}
+	w.EndSection()
+	w.Buf = m.appendBank(w.Buf)
+	w.EndSection()
+	return w.Seal(nil), nil
 }
 
 // Restore rebuilds a monitor from Snapshot frames taken under the same
-// configuration. Every frame field is validated against cfg before any
-// state is installed; a mismatch or malformed frame yields an error,
-// never a partially restored monitor.
+// configuration (nodesFrame may be a v1 frame; coord.UpgradeBankFrame).
+// Every frame field is validated against cfg before any state is
+// installed; a mismatch or malformed frame yields an error, never a
+// partially restored monitor.
 func Restore(cfg Config, machFrame, nodesFrame []byte) (*Monitor, error) {
 	if cfg.N <= 0 || cfg.K < 1 || cfg.K > cfg.N {
 		return nil, fmt.Errorf("core: restore config needs 1 <= K <= N, got n=%d k=%d", cfg.N, cfg.K)
@@ -91,42 +90,70 @@ func Restore(cfg Config, machFrame, nodesFrame []byte) (*Monitor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore machine: %v", err)
 	}
-	var s wire.NodesState
-	if err := s.Decode(nodesFrame); err != nil {
+	if nodesFrame, err = coord.UpgradeBankFrame(nodesFrame); err != nil {
+		return nil, fmt.Errorf("core: restore nodes frame: %w", err)
+	}
+	h, r, err := wire.OpenBank(nodesFrame)
+	if err != nil {
 		return nil, fmt.Errorf("core: restore nodes frame: %v", err)
 	}
-	if s.N != cfg.N || s.Lo != 0 || s.Hi != cfg.N {
-		return nil, fmt.Errorf("core: checkpoint bank covers [%d, %d) of %d, want [0, %d)", s.Lo, s.Hi, s.N, cfg.N)
+	if h.N != cfg.N || h.Lo != 0 || h.Hi != cfg.N {
+		return nil, fmt.Errorf("core: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, cfg.N)
 	}
-	if s.EpsNum != tol.Num() {
-		return nil, fmt.Errorf("core: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", s.EpsNum, tol.Num())
+	if h.EpsNum != tol.Num() {
+		return nil, fmt.Errorf("core: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, tol.Num())
 	}
-	if s.Distinct != cfg.DistinctValues {
-		return nil, fmt.Errorf("core: checkpoint distinct-values mode %v differs from configured %v", s.Distinct, cfg.DistinctValues)
+	if h.Distinct != cfg.DistinctValues {
+		return nil, fmt.Errorf("core: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, cfg.DistinctValues)
 	}
 	top := mach.Top()
 	if len(top) != 0 && len(top) != cfg.K {
 		return nil, fmt.Errorf("core: checkpoint membership has %d ids, want 0 or %d", len(top), cfg.K)
 	}
+	m := New(cfg)
+	if err := coord.ReadBankNodes(&r, 0, m.pop.Keys, m.pop.RNGs); err != nil {
+		return nil, fmt.Errorf("core: restore nodes frame: %v", err)
+	}
+	// The machine's membership is the authority (empty, like the filter
+	// set's, before the time-0 reset has run): the frame must flag exactly
+	// its members, as members and nothing else.
+	for listed := 0; ; listed++ {
+		id, f, ok, err := r.Flag()
+		if err != nil {
+			return nil, fmt.Errorf("core: restore nodes frame: %v", err)
+		}
+		if !ok {
+			if listed != len(top) {
+				return nil, fmt.Errorf("core: restore: %w: frame flags %d members, the machine has %d", coord.ErrFilterState, listed, len(top))
+			}
+			break
+		}
+		if f != wire.FlagNodeInTop || listed >= len(top) || id != top[listed] {
+			return nil, fmt.Errorf("core: restore: %w: node %d flagged 0x%02x contradicts the machine", coord.ErrFilterState, id, f)
+		}
+	}
+	// A sequential bank keeps no violation history and no order filters.
+	if id, _, ok, err := r.Viol(); err != nil {
+		return nil, fmt.Errorf("core: restore nodes frame: %v", err)
+	} else if ok {
+		return nil, fmt.Errorf("core: restore nodes frame: violation history for node %d in a sequential bank", id)
+	}
+	if id, _, _, ok, err := r.Ord(); err != nil {
+		return nil, fmt.Errorf("core: restore nodes frame: %v", err)
+	} else if ok {
+		return nil, fmt.Errorf("core: restore nodes frame: order filter for node %d in a sequential bank", id)
+	}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("core: restore nodes frame: %v", err)
+	}
 	// Filters are restored from the frame's one pair of bounds and the
-	// machine's membership (the authority; empty, like the filter set's,
-	// before the time-0 reset has run) — or not at all: a frame whose
-	// filters the algorithm could not have installed, or that do not hold
-	// for the frame's keys, is rejected.
-	fs, err := coord.RestoreFilters(&s, mach)
-	if err != nil {
+	// machine's membership — or not at all: bounds the algorithm could not
+	// have installed, or that do not hold for the frame's keys, are
+	// rejected.
+	in := filter.Bounds{Lo: order.Key(h.BoundLo), Hi: order.Key(h.BoundHi)}
+	if m.fs, err = coord.RestoreFilters(in, m.pop.Keys, mach); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
-	m := New(cfg)
-	for i := 0; i < cfg.N; i++ {
-		r, err := rng.FromState(s.RngState[i], s.RngInc[i])
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint generator %d: %v", i, err)
-		}
-		m.pop.Keys[i] = order.Key(s.Keys[i])
-		m.pop.RNGs[i] = *r
-	}
-	m.fs = fs
 	m.mach = mach
 	m.step = mach.Step()
 	return m, nil

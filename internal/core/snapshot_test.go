@@ -9,6 +9,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/rng"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // walkVals drives a deterministic random walk over n nodes.
@@ -109,10 +110,11 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 
 // TestRestoreRejectsFiltersTheAlgorithmCannotHold pins the restore bugfix:
 // a bank frame whose per-node intervals are not one broadcast's bounds
-// applied by membership, whose keys have left their filters, or whose
-// filters contradict the machine frame is a typed rejection — the
-// per-node filter set restored any non-empty interval unchecked and then
-// served a set its filters no longer guarded.
+// applied by membership (v1 only: a v2 frame has no intervals to get
+// wrong), whose keys have left their filters, or whose filters contradict
+// the machine frame is a typed rejection — the per-node filter set
+// restored any non-empty interval unchecked and then served a set its
+// filters no longer guarded.
 func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	cfg := Config{N: 8, K: 2, Seed: 3}
 	m := New(cfg)
@@ -121,10 +123,11 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ns wire.NodesState
-	if err := ns.Decode(nodes); err != nil {
+	var bs wire.BankState
+	if err := bs.Decode(nodes); err != nil {
 		t.Fatal(err)
 	}
+	ns := wiretest.V1(bs)
 	for _, tc := range []struct {
 		name string
 		mut  func(s *wire.NodesState)
@@ -139,18 +142,68 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 		}},
 		{"crossed bounds", func(s *wire.NodesState) { s.IvLo[2], s.IvLo[4] = s.IvLo[2]-9, s.IvLo[4]-9 }},
 	} {
-		s := ns
-		s.Keys = append([]int64(nil), ns.Keys...)
-		s.IvLo = append([]int64(nil), ns.IvLo...)
-		s.IvHi = append([]int64(nil), ns.IvHi...)
-		s.Flags = append([]byte(nil), ns.Flags...)
+		s := wiretest.V1(bs)
 		tc.mut(&s)
-		if _, err := Restore(cfg, mach, s.Append(nil)); !errors.Is(err, coord.ErrFilterState) {
-			t.Errorf("%s: restore returned %v, want coord.ErrFilterState", tc.name, err)
+		if _, err := Restore(cfg, mach, wiretest.AppendNodesV1(nil, s)); !errors.Is(err, coord.ErrFilterState) {
+			t.Errorf("v1, %s: restore returned %v, want coord.ErrFilterState", tc.name, err)
 		}
 	}
-	if _, err := Restore(cfg, mach, ns.Append(nil)); err != nil {
+	if _, err := Restore(cfg, mach, wiretest.AppendNodesV1(nil, ns)); err != nil {
+		t.Fatalf("untouched v1 frame rejected: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		mut  func(s *wire.BankState)
+	}{
+		{"an outsider's key above the bound", func(s *wire.BankState) { s.Keys[1] = s.BoundHi + 1 }},
+		{"a member's key below the bound", func(s *wire.BankState) { s.Keys[2] = s.BoundLo - 1 }},
+		{"stale bounds", func(s *wire.BankState) { s.BoundLo, s.BoundHi = s.Keys[4]+1, s.Keys[4]+1 }},
+		{"another membership than the machine's", func(s *wire.BankState) {
+			s.Flags[2], s.Flags[1] = 0, wire.FlagNodeInTop
+			s.Keys[1], s.Keys[2] = s.BoundLo, s.BoundHi
+		}},
+		{"a member flag the machine does not have", func(s *wire.BankState) {
+			s.Flags[7], s.Keys[7] = wire.FlagNodeInTop, s.BoundLo
+		}},
+		{"a member the frame does not flag", func(s *wire.BankState) { s.Flags[4], s.Keys[4] = 0, s.BoundHi }},
+		{"a flag other than membership", func(s *wire.BankState) { s.Flags[2] |= wire.FlagNodeWasTop }},
+		{"crossed bounds", func(s *wire.BankState) { s.BoundLo -= 9 }},
+	} {
+		s := bs
+		s.Keys = append([]int64(nil), bs.Keys...)
+		s.Flags = append([]byte(nil), bs.Flags...)
+		tc.mut(&s)
+		if _, err := Restore(cfg, mach, s.Append(nil)); !errors.Is(err, coord.ErrFilterState) {
+			t.Errorf("v2, %s: restore returned %v, want coord.ErrFilterState", tc.name, err)
+		}
+	}
+	if _, err := Restore(cfg, mach, bs.Append(nil)); err != nil {
 		t.Fatalf("re-encoded untouched frame rejected: %v", err)
+	}
+
+	// What a sequential bank never holds, and columns that disagree with
+	// the header, are rejected one way or another.
+	hist := bs
+	hist.ViolStep = append([]int64(nil), bs.ViolStep...)
+	hist.ViolStep[3] = 1
+	ord := bs
+	ord.OrdHi = append([]int64(nil), bs.OrdHi...)
+	ord.OrdHi[3] = 99
+	part := bs
+	part.Hi--
+	part.Keys, part.RngState, part.Flags = bs.Keys[:7], bs.RngState[:7], bs.Flags[:7]
+	part.ViolStep, part.OrdLo, part.OrdHi = bs.ViolStep[:7], bs.OrdLo[:7], bs.OrdHi[:7]
+	short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
+	for name, frame := range map[string][]byte{
+		"violation history":                hist.Append(nil),
+		"an order filter":                  ord.Append(nil),
+		"a bank over [0, 7)":               part.Append(nil),
+		"seven nodes' columns under n = 8": short,
+	} {
+		if _, err := Restore(cfg, mach, frame); err == nil {
+			t.Errorf("%s: restored", name)
+		}
 	}
 }
 
@@ -184,6 +237,37 @@ func TestRestorePreTimeZeroFrame(t *testing.T) {
 		rm, rn, _ := restored.Snapshot()
 		if !bytes.Equal(tm, rm) || !bytes.Equal(tn, rn) {
 			t.Fatalf("%+v: frames of twin and restored monitor differ", cfg)
+		}
+	}
+}
+
+// TestAppendCheckpointIsTheEnvelopeOfSnapshot pins the in-place path to
+// the composed one: the envelope AppendCheckpoint writes straight from the
+// monitor's arrays, after whatever the buffer already holds, is
+// wire.Checkpoint.Append over Snapshot's two frames.
+func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
+	for _, cfg := range []Config{{N: 300, K: 7, Seed: 5}, {N: 40, K: 40, Seed: 5, DistinctValues: true, Epsilon: 0.1}} {
+		m := New(cfg)
+		wr := rng.New(8, 8)
+		vals := make([]int64, cfg.N)
+		for i := range vals {
+			vals[i] = int64(i) * 1000
+		}
+		var buf []byte
+		for step := 0; step < 20; step++ {
+			mach, nodes, err := m.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineSeq, Seed: cfg.Seed, Distinct: cfg.DistinctValues, Machine: mach, Nodes: nodes}.Append([]byte("pre"))
+			if buf, err = m.AppendCheckpoint(append(buf[:0], "pre"...), uint64(step)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("%+v step %d: in-place envelope differs from the composed one", cfg, step)
+			}
+			walkVals(wr, vals)
+			m.Observe(vals)
 		}
 	}
 }

@@ -92,7 +92,7 @@
 // degradation (retry budget exhausted, or no peers left). Late joiners
 // attach mid-stream through Join, which splits the widest range using the
 // same machinery, and Restore rebuilds a crashed coordinator process from
-// a Snapshot through it too.
+// a checkpoint through it too.
 //
 // Rebuilt banks draw fresh RNG streams from the configured seed. The
 // protocols are Las Vegas — randomness affects message counts, never

@@ -10,7 +10,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Snapshot and Restore give the link-backed engines coordinator-process
+// AppendCheckpoint and Restore give the link-backed engines coordinator-process
 // checkpointing. The node banks live in the peers and are rebuilt from
 // scratch by the Assign handshake at any time, so a checkpoint carries
 // only the coordinator's own execution: the machine frame plus the
@@ -21,28 +21,33 @@ import (
 // checkpoint plus the visible recovery cost (exactly as after a peer
 // failover).
 
-// Snapshot returns the machine frame and a copy of the node-value mirror,
-// taken between steps. It fails on a closed or terminal engine and while
+// AppendCheckpoint appends the engine's sealed checkpoint envelope of
+// generation gen to dst, under the fingerprint of the engine kind that
+// wraps this core: the machine frame and the node-value mirror, encoded in
+// place between steps. It fails on a closed or terminal engine and while
 // recovery is pending — a checkpoint never captures a half-recovered
 // execution.
-func (e *Engine) Snapshot() (mach []byte, last []int64, err error) {
+func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen uint64) ([]byte, error) {
 	if e.closed {
-		return nil, nil, errors.New("fanout: snapshot after Close")
+		return nil, errors.New("fanout: snapshot after Close")
 	}
 	if e.err != nil {
-		return nil, nil, fmt.Errorf("fanout: snapshot of a terminal engine: %w", e.err)
+		return nil, fmt.Errorf("fanout: snapshot of a terminal engine: %w", e.err)
 	}
 	if e.pendingRecovery {
-		return nil, nil, errors.New("fanout: snapshot with recovery pending")
+		return nil, errors.New("fanout: snapshot with recovery pending")
 	}
-	machFrame, err := e.mach.Snapshot(nil)
-	if err != nil {
-		return nil, nil, err
+	w := wire.BeginCheckpoint(dst, gen, kind, e.cfg.Seed, e.cfg.DistinctValues)
+	var err error
+	if w.Buf, err = e.mach.Snapshot(w.Buf); err != nil {
+		return nil, err
 	}
-	return machFrame, append([]int64(nil), e.last...), nil
+	w.EndSection()
+	w.Section(nil) // the node banks live in the peers
+	return w.Seal(e.last), nil
 }
 
-// Restore rebuilds a coordinator over links from a Snapshot taken under
+// Restore rebuilds a coordinator over links from a checkpoint taken under
 // the same configuration (including the same peer layout — the frame is
 // agnostic, but the mirror replay fans out over whatever links are
 // given). The frame is validated against cfg before any link is used;

@@ -166,6 +166,9 @@ func (s *Set) K() int { return s.k }
 // install and when k == n, else the installed bound on the node's side.
 func (s *Set) Interval(id int) Interval { return s.bounds.Interval(s.inTop[id]) }
 
+// Bounds returns the installed bounds every filter derives from.
+func (s *Set) Bounds() Bounds { return s.bounds }
+
 // InTop reports whether node id is recorded as a top-k member.
 func (s *Set) InTop(id int) bool { return s.inTop[id] }
 

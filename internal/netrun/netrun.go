@@ -47,7 +47,7 @@ func New(cfg Config, links []transport.Link) (*Engine, error) {
 	return &Engine{e}, nil
 }
 
-// Restore rebuilds a coordinator over links from a Snapshot taken under
+// Restore rebuilds a coordinator over links from a checkpoint taken under
 // the same configuration, under fanout.Restore's contract.
 func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
 	e, err := fanout.Restore(cfg, links, execRounds(), machFrame, last)
@@ -129,10 +129,8 @@ func (e *Engine) OverheadBytes() comm.Bytes { return comm.Bytes{} }
 // TreeStats returns the zero value (see above).
 func (e *Engine) TreeStats() (wire.TreeStats, error) { return wire.TreeStats{}, nil }
 
-// SnapshotInto fills a checkpoint's engine fingerprint, machine frame and
-// value mirror from Snapshot.
-func (e *Engine) SnapshotInto(c *wire.Checkpoint) (err error) {
-	c.Engine = wire.EngineNet
-	c.Machine, c.Last, err = e.Snapshot()
-	return err
+// AppendCheckpoint appends the engine's sealed checkpoint envelope of
+// generation gen to dst (see fanout.Engine.AppendCheckpoint).
+func (e *Engine) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
+	return e.Engine.AppendCheckpoint(dst, wire.EngineNet, gen)
 }

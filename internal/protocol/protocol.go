@@ -131,6 +131,14 @@ type Population struct {
 	RNGs []rng.RNG
 }
 
+// NodeRoot returns the seeded root generator every engine derives its node
+// generators from: node i draws from the root's i-th SplitValue, taken in
+// id order. That shared layout is what makes protocol randomness consume
+// identically across engines, and it makes a node's increment a function
+// of its id alone — NodeRoot(s).SplitInc(i) for any seed s — which is why
+// a checkpoint persists generator states and no increments.
+func NodeRoot(seed uint64) *rng.RNG { return rng.New(seed, 0xc02e) }
+
 // Scratch holds the one reusable per-execution buffer — the list of
 // members still in play, 4 bytes per participant — so that a protocol run
 // on a hot path performs no heap allocation. The zero value is ready to

@@ -41,7 +41,7 @@ func New(seed, stream uint64) *RNG {
 }
 
 func seeded(seed, stream uint64) RNG {
-	r := RNG{inc: stream<<1 | 1}
+	r := RNG{inc: streamInc(stream)}
 	// Standard PCG initialization: advance once, add seed, advance again.
 	r.next()
 	r.state += seed
@@ -61,8 +61,22 @@ func (r *RNG) Split(child uint64) *RNG {
 // same advance of the parent, no allocation — for callers that keep many
 // generators in one flat slice.
 func (r *RNG) SplitValue(child uint64) RNG {
-	return seeded(r.Uint64(), child<<1^r.inc)
+	return seeded(r.Uint64(), r.splitStream(child))
 }
+
+// SplitInc returns the increment of the generator Split(child) and
+// SplitValue(child) derive, without advancing r. A child's increment
+// depends on its id and the parent's stream alone — not on the seed or on
+// how far the parent has advanced — so whoever persists a split generator
+// stores its state and recomputes the increment (see FromState).
+func (r *RNG) SplitInc(child uint64) uint64 { return streamInc(r.splitStream(child)) }
+
+// splitStream is the stream id of r's child: the one definition SplitValue
+// seeds from and SplitInc reports.
+func (r *RNG) splitStream(child uint64) uint64 { return child<<1 ^ r.inc }
+
+// streamInc maps a stream id to its (odd) increment.
+func streamInc(stream uint64) uint64 { return stream<<1 | 1 }
 
 // State returns the generator's internal (state, increment) pair. Together
 // with FromState it lets checkpoint/restore machinery persist a generator

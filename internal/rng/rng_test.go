@@ -88,6 +88,36 @@ func TestSplitValueMatchesSplit(t *testing.T) {
 	}
 }
 
+// TestSplitIncIsTheChildsIncrement pins what lets a checkpoint drop the
+// increment: SplitInc names the child's increment without touching the
+// parent, whatever the seed and however far the parent has advanced, so
+// FromState(state, SplitInc(child)) is the child.
+func TestSplitIncIsTheChildsIncrement(t *testing.T) {
+	fresh, other := New(9, 3), New(1234, 3)
+	for i := 0; i < 17; i++ {
+		other.Uint64()
+	}
+	for child := uint64(0); child < 50; child++ {
+		before := *fresh
+		inc := fresh.SplitInc(child)
+		if *fresh != before {
+			t.Fatalf("child %d: SplitInc advanced the parent", child)
+		}
+		if got := other.SplitInc(child); got != inc {
+			t.Fatalf("child %d: increment %#x under one seed, %#x under another", child, inc, got)
+		}
+		c := fresh.SplitValue(child)
+		state, cinc := c.State()
+		if cinc != inc {
+			t.Fatalf("child %d: SplitInc %#x, child carries %#x", child, inc, cinc)
+		}
+		back, err := FromState(state, inc)
+		if err != nil || *back != c {
+			t.Fatalf("child %d: FromState(state, SplitInc) = %+v, %v; want %+v", child, back, err, c)
+		}
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	r := New(3, 3)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {

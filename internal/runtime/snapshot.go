@@ -14,7 +14,7 @@ import (
 // happens-before edge over every bank cell they touched, so the
 // coordinator may read the whole bank race-free — the same argument the
 // step loop itself relies on. A checkpoint is therefore one MachineState
-// frame plus the full-range bank's NodesState frame, and Restore rebuilds
+// frame plus the full-range bank's frame, and Restore rebuilds
 // a runtime that resumes bit-identically to an uninterrupted twin (shard
 // count may differ across restores; reports and ledgers never depend on
 // it).
@@ -32,18 +32,27 @@ func (rt *Runtime) Snapshot() (mach, nodes []byte, err error) {
 	return machFrame, rt.bank.Snapshot(nil), nil
 }
 
-// SnapshotInto fills a checkpoint's engine fingerprint and state frames
-// from Snapshot.
-func (rt *Runtime) SnapshotInto(c *wire.Checkpoint) (err error) {
-	c.Engine = wire.EngineConc
-	c.Machine, c.Nodes, err = rt.Snapshot()
-	return err
+// AppendCheckpoint appends the runtime's sealed checkpoint envelope of
+// generation gen to dst, both frames encoded in place.
+func (rt *Runtime) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
+	if rt.closed {
+		return nil, fmt.Errorf("runtime: snapshot of a closed runtime")
+	}
+	w := wire.BeginCheckpoint(dst, gen, wire.EngineConc, rt.cfg.Seed, rt.cfg.DistinctValues)
+	var err error
+	if w.Buf, err = rt.mach.Snapshot(w.Buf); err != nil {
+		return nil, err
+	}
+	w.EndSection()
+	w.Buf = rt.bank.Snapshot(w.Buf)
+	w.EndSection()
+	return w.Seal(nil), nil
 }
 
 // Restore rebuilds a runtime from Snapshot frames taken under the same
-// configuration, validating every frame field against cfg first. The
-// restored runtime starts its own shard goroutines sized for this
-// process.
+// configuration (nodesFrame may be a v1 frame; coord.UpgradeBankFrame),
+// validating every frame field against cfg first. The restored runtime
+// starts its own shard goroutines sized for this process.
 func Restore(cfg Config, machFrame, nodesFrame []byte) (*Runtime, error) {
 	if cfg.N <= 0 || cfg.K < 1 || cfg.K > cfg.N {
 		return nil, fmt.Errorf("runtime: restore config needs 1 <= K <= N, got n=%d k=%d", cfg.N, cfg.K)
@@ -62,29 +71,32 @@ func Restore(cfg Config, machFrame, nodesFrame []byte) (*Runtime, error) {
 	if ms.EpsNum != tol.Num() {
 		return nil, fmt.Errorf("runtime: checkpoint tolerance %d/2^20 differs from configured %d/2^20", ms.EpsNum, tol.Num())
 	}
-	var ns wire.NodesState
-	if err := ns.Decode(nodesFrame); err != nil {
+	if nodesFrame, err = coord.UpgradeBankFrame(nodesFrame); err != nil {
+		return nil, fmt.Errorf("runtime: restore nodes frame: %w", err)
+	}
+	h, _, err := wire.DecodeBankHeader(nodesFrame)
+	if err != nil {
 		return nil, fmt.Errorf("runtime: restore nodes frame: %v", err)
 	}
-	if ns.N != cfg.N || ns.Lo != 0 || ns.Hi != cfg.N {
-		return nil, fmt.Errorf("runtime: checkpoint bank covers [%d, %d) of %d, want [0, %d)", ns.Lo, ns.Hi, ns.N, cfg.N)
+	if h.N != cfg.N || h.Lo != 0 || h.Hi != cfg.N {
+		return nil, fmt.Errorf("runtime: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, cfg.N)
 	}
-	if ns.EpsNum != tol.Num() {
-		return nil, fmt.Errorf("runtime: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", ns.EpsNum, tol.Num())
+	if h.EpsNum != tol.Num() {
+		return nil, fmt.Errorf("runtime: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, tol.Num())
 	}
-	if ns.Distinct != cfg.DistinctValues {
-		return nil, fmt.Errorf("runtime: checkpoint distinct-values mode %v differs from configured %v", ns.Distinct, cfg.DistinctValues)
+	if h.Distinct != cfg.DistinctValues {
+		return nil, fmt.Errorf("runtime: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, cfg.DistinctValues)
 	}
 	mach, err := coord.RestoreMachine(machFrame)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: restore machine: %v", err)
 	}
-	if _, err := coord.RestoreFilters(&ns, mach); err != nil {
-		return nil, fmt.Errorf("runtime: restore: %w", err)
-	}
 	bank, err := coord.RestoreNodes(nodesFrame)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: restore bank: %v", err)
+		return nil, fmt.Errorf("runtime: restore bank: %w", err)
+	}
+	if err := bank.MatchesMachine(mach); err != nil {
+		return nil, fmt.Errorf("runtime: restore: %w", err)
 	}
 	rt := assemble(cfg, mach, bank)
 	rt.step = mach.Step()

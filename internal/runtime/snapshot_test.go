@@ -8,6 +8,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/rng"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // TestRestoreValidatesFilters pins the concurrent engine's half of the
@@ -38,13 +39,22 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ns wire.NodesState
-		if err := ns.Decode(nodes); err != nil {
+		var bs wire.BankState
+		if err := bs.Decode(nodes); err != nil {
 			t.Fatal(err)
 		}
 		member, outsider := live.Top()[0], 0
 		for live.mach.InTop(outsider) {
 			outsider++
+		}
+		rejected := func(name string, frame []byte) {
+			t.Helper()
+			if rt, err := Restore(cfg, mach, frame); !errors.Is(err, coord.ErrFilterState) {
+				t.Errorf("eps=%v %s: restore returned %v, want coord.ErrFilterState", eps, name, err)
+				if rt != nil {
+					rt.Close()
+				}
+			}
 		}
 		for name, mut := range map[string]func(s *wire.NodesState){
 			"a filter of its own":         func(s *wire.NodesState) { s.IvHi[outsider]++ },
@@ -53,37 +63,67 @@ func TestRestoreValidatesFilters(t *testing.T) {
 			"members' bound moved down":   func(s *wire.NodesState) { lowerMembers(s, 7) },
 			"a member bounded from above": func(s *wire.NodesState) { s.IvHi[member] = s.Keys[member] },
 		} {
-			s := ns
-			s.Keys = append([]int64(nil), ns.Keys...)
-			s.IvLo = append([]int64(nil), ns.IvLo...)
-			s.IvHi = append([]int64(nil), ns.IvHi...)
-			s.Flags = append([]byte(nil), ns.Flags...)
+			s := wiretest.V1(bs)
 			mut(&s)
-			if rt, err := Restore(cfg, mach, s.Append(nil)); !errors.Is(err, coord.ErrFilterState) {
-				t.Errorf("eps=%v %s: restore returned %v, want coord.ErrFilterState", eps, name, err)
-				if rt != nil {
-					rt.Close()
-				}
+			rejected("v1, "+name, wiretest.AppendNodesV1(nil, s))
+		}
+		for name, mut := range map[string]func(s *wire.BankState){
+			"a key outside its filter": func(s *wire.BankState) { s.Keys[outsider] = s.BoundHi + 1 },
+			"stale bounds":             func(s *wire.BankState) { s.BoundHi = s.Keys[outsider] - 1 },
+			"a member the machine lacks": func(s *wire.BankState) {
+				s.Flags[outsider] |= wire.FlagNodeInTop
+				s.Keys[outsider] = s.BoundLo // inside the filter the forged bit derives
+			},
+			"members' bound moved down": func(s *wire.BankState) { s.BoundLo -= 7 },
+		} {
+			s := bs
+			s.Keys = append([]int64(nil), bs.Keys...)
+			s.Flags = append([]byte(nil), bs.Flags...)
+			mut(&s)
+			rejected("v2, "+name, s.Append(nil))
+		}
+		// Columns that disagree with Hi − Lo, and a bank that is not the
+		// machine's range, are rejected one way or another.
+		part := bs
+		part.Hi--
+		part.Keys, part.RngState, part.Flags = bs.Keys[:cfg.N-1], bs.RngState[:cfg.N-1], bs.Flags[:cfg.N-1]
+		part.ViolStep, part.OrdLo, part.OrdHi = bs.ViolStep[:cfg.N-1], bs.OrdLo[:cfg.N-1], bs.OrdHi[:cfg.N-1]
+		short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
+		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's columns missing": short} {
+			if rt, err := Restore(cfg, mach, frame); err == nil {
+				t.Errorf("eps=%v %s: restored", eps, name)
+				rt.Close()
 			}
 		}
 
+		// The untouched bank restores from either frame version (with
+		// another shard count) and stays bit-identical to the twin.
 		cfg.Shards = 5
-		back, err := Restore(cfg, mach, nodes)
-		if err != nil {
-			t.Fatalf("eps=%v: untouched frames rejected: %v", eps, err)
-		}
-		defer back.Close()
-		for s := 0; s < 40; s++ {
-			step()
-			want, got := twin.Observe(vals), back.Observe(vals)
-			if !equal(got, want) {
-				t.Fatalf("eps=%v step %d: report %v, twin %v", eps, s, got, want)
+		for version, frame := range map[string][]byte{"v2": nodes, "v1": wiretest.AppendNodesV1(nil, wiretest.V1(bs))} {
+			back, err := Restore(cfg, mach, frame)
+			if err != nil {
+				t.Fatalf("eps=%v: untouched %s frame rejected: %v", eps, version, err)
 			}
-		}
-		tm, tn, _ := twin.Snapshot()
-		bm, bn, _ := back.Snapshot()
-		if !bytes.Equal(tm, bm) || !bytes.Equal(tn, bn) {
-			t.Fatalf("eps=%v: frames of twin and restored runtime differ", eps)
+			defer back.Close()
+			bm, bn, _ := back.Snapshot()
+			if !bytes.Equal(bm, mach) || !bytes.Equal(bn, nodes) {
+				t.Fatalf("eps=%v: runtime restored from the %s frame re-emits other frames", eps, version)
+			}
+			if version == "v1" {
+				continue // one continuation shares the twin
+			}
+			for s := 0; s < 40; s++ {
+				step()
+				want, got := twin.Observe(vals), back.Observe(vals)
+				if !equal(got, want) {
+					t.Fatalf("eps=%v step %d: report %v, twin %v", eps, s, got, want)
+				}
+			}
+			tm, tn, _ := twin.Snapshot()
+			bm, bn, _ = back.Snapshot()
+			if !bytes.Equal(tm, bm) || !bytes.Equal(tn, bn) {
+				t.Fatalf("eps=%v: frames of twin and restored runtime differ", eps)
+			}
 		}
 	}
 }
@@ -110,7 +150,7 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ns wire.NodesState
+		var ns wire.BankState
 		if err := ns.Decode(nodes); err != nil {
 			t.Fatal(err)
 		}
@@ -132,5 +172,52 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 	ord.Observe(vals)
 	if !frameHasOrderFilter(ord.rt) {
 		t.Fatal("ordered runtime's order filters did not reach the full-range bank")
+	}
+}
+
+// TestAppendCheckpointIsTheEnvelopeOfSnapshot pins the in-place path to
+// the composed one: the envelope AppendCheckpoint writes straight from the
+// bank's arrays is wire.Checkpoint.Append over Snapshot's two frames — with
+// violation history and, on the ordered runtime, order filters in them.
+func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
+	cfg := Config{N: 64, K: 5, Seed: 5, Shards: 3}
+	plain, ord := New(cfg), NewOrdered(cfg)
+	defer plain.Close()
+	defer ord.Close()
+	wr := rng.New(8, 8)
+	vals := make([]int64, cfg.N)
+	var buf []byte
+	sparse := 0
+	for step := 0; step < 30; step++ {
+		for i := range vals {
+			vals[i] += int64(wr.Intn(41)) - 20
+		}
+		plain.Observe(vals)
+		ord.Observe(vals)
+		for _, rt := range []*Runtime{plain, ord.rt} {
+			mach, nodes, err := rt.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineConc, Seed: cfg.Seed, Machine: mach, Nodes: nodes}.Append(nil)
+			if buf, err = rt.AppendCheckpoint(buf[:0], uint64(step)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("step %d: in-place envelope differs from the composed one", step)
+			}
+			var bs wire.BankState
+			if err := bs.Decode(nodes); err != nil {
+				t.Fatal(err)
+			}
+			for i := range bs.ViolStep {
+				if bs.ViolStep[i] != -1 || bs.OrdHi[i] != bs.OrdHi[0] {
+					sparse++
+				}
+			}
+		}
+	}
+	if sparse == 0 {
+		t.Fatal("workload too calm: no frame carried violation history or an order filter")
 	}
 }

@@ -133,7 +133,7 @@ func New(cfg Config, links []transport.Link) (*Engine, error) {
 	})
 }
 
-// Restore rebuilds a root over links from a Snapshot taken under the same
+// Restore rebuilds a root over links from a checkpoint taken under the same
 // configuration (including the same Tree shape), under fanout.Restore's
 // contract.
 func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
@@ -221,12 +221,10 @@ func RestoreLoopback(cfg Config, shards int, machFrame []byte, last []int64) (*E
 // Shards returns the number of root links.
 func (e *Engine) Shards() int { return e.Peers() }
 
-// SnapshotInto fills a checkpoint's engine fingerprint, machine frame and
-// value mirror from Snapshot.
-func (e *Engine) SnapshotInto(c *wire.Checkpoint) (err error) {
-	c.Engine = wire.EngineShard
-	c.Machine, c.Last, err = e.Snapshot()
-	return err
+// AppendCheckpoint appends the root's sealed checkpoint envelope of
+// generation gen to dst (see fanout.Engine.AppendCheckpoint).
+func (e *Engine) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
+	return e.Engine.AppendCheckpoint(dst, wire.EngineShard, gen)
 }
 
 // ServeShard runs one shard sub-coordinator on a link to the root: the

@@ -1,0 +1,332 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"slices"
+	"testing"
+)
+
+// sampleBank is a four-node bank with an entry in every sparse section.
+func sampleBank() BankState {
+	return BankState{
+		BankHeader: BankHeader{N: 8, Lo: 2, Hi: 6, EpsNum: 52428, Distinct: true, BoundLo: 5, BoundHi: 9},
+		Keys:       []int64{7, -3, 1 << 40, 6},
+		RngState:   []uint64{0xdeadbeef, 1, 0, math.MaxUint64},
+		Flags:      []byte{FlagNodeInTop, 0, FlagNodeInTop | FlagNodeWasTop, FlagNodeExtracted},
+		ViolStep:   []int64{-1, 16, -1, 0},
+		OrdLo:      []int64{math.MinInt64, math.MinInt64, -1 << 40, math.MinInt64},
+		OrdHi:      []int64{math.MaxInt64, 12, 1 << 40, math.MaxInt64},
+	}
+}
+
+// plainBank is a bank of n nodes with nothing in its sparse sections.
+func plainBank(n int) BankState {
+	s := BankState{
+		BankHeader: BankHeader{N: n, Lo: 0, Hi: n, BoundLo: math.MinInt64, BoundHi: math.MaxInt64},
+		Keys:       make([]int64, n), RngState: make([]uint64, n), Flags: make([]byte, n),
+		ViolStep: make([]int64, n), OrdLo: make([]int64, n), OrdHi: make([]int64, n),
+	}
+	for i := 0; i < n; i++ {
+		s.Keys[i], s.RngState[i] = int64(i)*1000-500, uint64(i)*0x9e3779b97f4a7c15
+		s.ViolStep[i], s.OrdLo[i], s.OrdHi[i] = -1, math.MinInt64, math.MaxInt64
+	}
+	return s
+}
+
+func sameBank(a, b BankState) bool {
+	return a.BankHeader == b.BankHeader && slices.Equal(a.Keys, b.Keys) && slices.Equal(a.RngState, b.RngState) &&
+		slices.Equal(a.Flags, b.Flags) && slices.Equal(a.ViolStep, b.ViolStep) &&
+		slices.Equal(a.OrdLo, b.OrdLo) && slices.Equal(a.OrdHi, b.OrdHi)
+}
+
+// TestBankStateRoundTrip pins decode(encode(s)) == s and the re-encode
+// identity over the shapes the sections can take: all empty, all
+// populated, the last index listed, a bank of no nodes, and a decode into
+// a BankState that already holds another bank.
+func TestBankStateRoundTrip(t *testing.T) {
+	last := plainBank(5)
+	last.Flags[4], last.ViolStep[4], last.OrdHi[4] = FlagNodeWasTop, math.MaxInt64, 3
+	first := plainBank(5)
+	first.Flags[0], first.ViolStep[0], first.OrdLo[0] = FlagNodeInTop, math.MinInt64, math.MinInt64+1
+	empty := BankState{BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}
+	var got BankState
+	for i, s := range []BankState{sampleBank(), plainBank(1), plainBank(300), last, first, empty} {
+		frame := s.Append(nil)
+		if err := got.Decode(frame); err != nil {
+			t.Fatalf("case %d: decode: %v", i, err)
+		}
+		if !sameBank(got, s) {
+			t.Fatalf("case %d: decoded %+v, want %+v", i, got, s)
+		}
+		if re := got.Append(nil); !bytes.Equal(re, frame) {
+			t.Fatalf("case %d: re-encode mismatch:\n in %x\nout %x", i, frame, re)
+		}
+		if pre := []byte{1, 2, 3}; !bytes.Equal(s.Append(pre)[3:], frame) {
+			t.Fatalf("case %d: Append after a prefix wrote a different frame", i)
+		}
+	}
+}
+
+// TestBankFrameSize pins what the frame is for: a bank with k members and
+// nothing else out of the ordinary costs its keys, eight generator bytes a
+// node and a constant.
+func TestBankFrameSize(t *testing.T) {
+	const n, k = 4096, 16
+	s := plainBank(n)
+	keyBytes := 0
+	for i := range s.Keys {
+		s.Keys[i] = int64(i)<<20 + 12345
+		keyBytes += SizeVarint(s.Keys[i])
+		if i < k {
+			s.Flags[i*7] = FlagNodeInTop
+		}
+	}
+	hdr := len(s.BankHeader.Append(nil))
+	if got, want := len(s.Append(nil)), hdr+keyBytes+8*n+2*k+3; got != want {
+		t.Fatalf("frame of %d nodes, %d members: %d bytes, want %d", n, k, got, want)
+	}
+}
+
+// bankParts forges a frame from raw parts: the header and dense columns of
+// a two-node bank, then whatever section bytes the case supplies.
+func bankParts(sections ...byte) []byte {
+	p := BankHeader{N: 4, Lo: 1, Hi: 3, BoundLo: 10, BoundHi: 10}.Append(nil)
+	p = AppendVarint(p, 20)
+	p = AppendVarint(p, 5)
+	p = binary.LittleEndian.AppendUint64(p, 111)
+	p = binary.LittleEndian.AppendUint64(p, 222)
+	return append(p, sections...)
+}
+
+// TestBankRejectsNonCanonical pins that exactly one byte string encodes a
+// bank: every way of spelling a default, listing an index twice or out of
+// the bank, or padding the frame is malformed — never normalised. (A
+// sparse index cannot go backwards: a gap is unsigned, and 0 ends the
+// section.)
+func TestBankRejectsNonCanonical(t *testing.T) {
+	minI, maxI := AppendVarint(nil, math.MinInt64), AppendVarint(nil, math.MaxInt64)
+	fullOrd := append(append([]byte{0, 0, 1}, minI...), maxI...)
+	var b BankState
+	if err := b.Decode(bankParts(1, FlagNodeInTop, 0, 2, 9, 0, 0)); err != nil {
+		t.Fatalf("well-formed forged frame rejected: %v", err)
+	}
+	if b.Flags[0] != FlagNodeInTop || b.ViolStep[1] != -5 || b.Keys[0] != 20 || b.RngState[1] != 222 {
+		t.Fatalf("forged frame decoded as %+v", b)
+	}
+	for _, tc := range []struct {
+		name     string
+		sections []byte
+		want     error
+	}{
+		{"zero flag byte listed", []byte{1, 0, 0, 0, 0}, ErrMalformed},
+		{"unknown flag bit listed", []byte{1, 0x08, 0, 0, 0}, ErrMalformed},
+		{"violation step -1 listed", []byte{0, 1, 1, 0, 0}, ErrMalformed},
+		{"full order filter listed", append(fullOrd, 0), ErrMalformed},
+		{"index past the bank", []byte{3, FlagNodeInTop, 0, 0, 0}, ErrMalformed},
+		{"second index past the bank", []byte{2, FlagNodeInTop, 1, FlagNodeInTop, 0, 0, 0}, ErrMalformed},
+		{"gap that overflows int", append(append([]byte{}, AppendUvarint(nil, math.MaxUint64)...), FlagNodeInTop, 0, 0, 0), ErrMalformed},
+		{"non-canonical gap varint", []byte{0x81, 0x00, FlagNodeInTop, 0, 0, 0}, ErrNonCanonical},
+		{"flag byte missing", []byte{1}, ErrTruncated},
+		{"order section missing", []byte{0, 0}, ErrTruncated},
+		{"bytes after the last section", []byte{0, 0, 0, 0}, ErrTrailingBytes},
+	} {
+		if err := b.Decode(bankParts(tc.sections...)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: decode returned %v, want %v", tc.name, err, tc.want)
+		}
+	}
+
+	short := BankHeader{N: 4, Lo: 1, Hi: 3}.Append(nil)
+	short = AppendVarint(AppendVarint(short, 20), 5)
+	short = append(binary.LittleEndian.AppendUint64(short, 111), 1, 2, 3, 4, 5, 6, 7, 0, 0, 0) // 7 of 8 generator bytes
+	if err := b.Decode(short); err == nil {
+		t.Error("a generator column one byte short was accepted")
+	}
+	huge := BankHeader{N: 1 << 40, Lo: 0, Hi: 1 << 40}.Append(nil)
+	if err := b.Decode(append(huge, 0, 0, 0)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("2^40 nodes in three bytes: decode returned %v, want ErrMalformed", err)
+	}
+	for _, h := range [][3]uint64{{3, 2, 4}, {0, 5, 4}} { // Lo > Hi, Hi > N
+		p := []byte{TypeBankState}
+		for _, u := range h {
+			p = AppendUvarint(p, u)
+		}
+		p = append(AppendUvarint(p, 0), 0, 0, 0, 0, 0, 0)
+		if err := b.Decode(p); !errors.Is(err, ErrMalformed) {
+			t.Errorf("range [%d, %d) of %d: decode returned %v, want ErrMalformed", h[0], h[1], h[2], err)
+		}
+	}
+}
+
+// TestBankTruncationAndBitFlips: no prefix of a frame decodes, and a
+// flipped bit either fails or decodes to a bank that re-encodes to exactly
+// the flipped frame — the decoder never repairs.
+func TestBankTruncationAndBitFlips(t *testing.T) {
+	frame := sampleBank().Append(nil)
+	var b BankState
+	for n := 0; n < len(frame); n++ {
+		if err := b.Decode(frame[:n]); err == nil {
+			t.Fatalf("decode accepted a %d/%d-byte prefix", n, len(frame))
+		}
+	}
+	for i := range frame {
+		for bit := 0; bit < 8; bit++ {
+			mut := append([]byte(nil), frame...)
+			mut[i] ^= 1 << bit
+			if err := b.Decode(mut); err == nil {
+				roundTrip(t, mut, b.Append(nil))
+			}
+		}
+	}
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}()
+	f()
+}
+
+// TestBankWriterEnforcesFrameOrder pins that a caller cannot write a frame
+// the reader would refuse, or one that means something else: columns out
+// of order, a short generator column, a default or unknown value, an
+// index that does not increase.
+func TestBankWriterEnforcesFrameOrder(t *testing.T) {
+	h := BankHeader{N: 4, Lo: 0, Hi: 2}
+	keys := []int64{1, 2}
+	dense := func() *BankWriter {
+		w := BeginBank(nil, h)
+		BankKeys(&w, keys)
+		w.Gen(1)
+		w.Gen(2)
+		return &w
+	}
+	for name, f := range map[string]func(){
+		"generator before keys":     func() { w := BeginBank(nil, h); w.Gen(1) },
+		"section before keys":       func() { w := BeginBank(nil, h); w.Flag(0, 1) },
+		"end before generators":     func() { w := BeginBank(nil, h); BankKeys(&w, keys); w.Gen(1); w.End() },
+		"keys twice":                func() { w := BeginBank(nil, h); BankKeys(&w, keys); BankKeys(&w, keys) },
+		"too few keys":              func() { w := BeginBank(nil, h); BankKeys(&w, keys[:1]) },
+		"a third generator":         func() { dense().Gen(3) },
+		"flag after violation":      func() { w := dense(); w.Viol(0, 3); w.Flag(1, 1) },
+		"violation after order":     func() { w := dense(); w.Ord(0, 1, 2); w.Viol(1, 3) },
+		"index repeated":            func() { w := dense(); w.Flag(1, 1); w.Flag(1, 2) },
+		"index past the bank":       func() { dense().Flag(2, 1) },
+		"negative index":            func() { dense().Viol(-1, 3) },
+		"zero flag byte":            func() { dense().Flag(0, 0) },
+		"unknown flag bit":          func() { dense().Flag(0, 0x10) },
+		"violation step -1":         func() { dense().Viol(0, -1) },
+		"full order filter":         func() { dense().Ord(0, math.MinInt64, math.MaxInt64) },
+		"anything after End":        func() { w := dense(); w.End(); w.Ord(0, 1, 2) },
+		"bank range outside [0, N)": func() { BeginBank(nil, BankHeader{N: 4, Lo: 3, Hi: 5}) },
+	} {
+		mustPanic(t, name, f)
+	}
+	w := dense()
+	w.Viol(1, 7)
+	var b BankState
+	if err := b.Decode(w.End()); err != nil || b.ViolStep[1] != 7 || b.Flags[0] != 0 {
+		t.Fatalf("frame with a skipped section: %+v, %v", b, err)
+	}
+}
+
+// TestBankReaderEnforcesFrameOrder pins the reader's half of the contract:
+// a column taken out of order is the caller's bug, not a decode error.
+func TestBankReaderEnforcesFrameOrder(t *testing.T) {
+	frame := sampleBank().Append(nil)
+	open := func() *BankReader {
+		_, r, err := OpenBank(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &r
+	}
+	keyed := func() *BankReader {
+		r := open()
+		if err := BankReadKeys(r, make([]int64, 4)); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for name, f := range map[string]func(){
+		"generator before keys":   func() { open().Gen() },
+		"too few key slots":       func() { _ = BankReadKeys(open(), make([]int64, 3)) },
+		"flags before generators": func() { _, _, _, _ = keyed().Flag() },
+		"a fifth generator": func() {
+			r := keyed()
+			r.Gen()
+			r.Gen()
+			r.Gen()
+			r.Gen()
+			r.Gen()
+		},
+		"violations before flags": func() {
+			r := keyed()
+			r.Gen()
+			r.Gen()
+			r.Gen()
+			r.Gen()
+			_, _, _, _ = r.Viol()
+		},
+		"close before the sections": func() {
+			r := keyed()
+			r.Gen()
+			r.Gen()
+			r.Gen()
+			r.Gen()
+			_ = r.Close()
+		},
+	} {
+		mustPanic(t, name, f)
+	}
+}
+
+// TestCheckpointWriterMatchesAppend pins the in-place envelope against the
+// field-by-field one: sections closed after the fact, at the lengths where
+// the prefix changes width, give the bytes Append gives, after whatever
+// already sits in the buffer.
+func TestCheckpointWriterMatchesAppend(t *testing.T) {
+	for _, sizes := range [][2]int{{0, 0}, {1, 127}, {127, 128}, {128, 16383}, {16384, 5}, {300, 1 << 15}} {
+		c := Checkpoint{Gen: 9, Engine: EngineConc, Seed: 77, Distinct: true,
+			Machine: bytes.Repeat([]byte{0xa5}, sizes[0]), Nodes: bytes.Repeat([]byte{0x5a}, sizes[1]), Last: []int64{3, -3}}
+		want := c.Append([]byte("pre"))
+		w := BeginCheckpoint([]byte("pre"), c.Gen, c.Engine, c.Seed, c.Distinct)
+		w.Buf = append(w.Buf, c.Machine...)
+		w.EndSection()
+		w.Buf = append(w.Buf, c.Nodes...)
+		w.EndSection()
+		if got := w.Seal(c.Last); !bytes.Equal(got, want) {
+			t.Fatalf("sections of %v bytes: in-place envelope differs from Append", sizes)
+		}
+		var back Checkpoint
+		if err := back.Decode(want[3:]); err != nil || !bytes.Equal(back.Nodes, c.Nodes) {
+			t.Fatalf("sections of %v bytes: decode: %v", sizes, err)
+		}
+	}
+	for name, f := range map[string]func(){
+		"one section": func() { w := BeginCheckpoint(nil, 0, 0, 0, false); w.Section(nil); w.Seal(nil) },
+		"three sections": func() {
+			w := BeginCheckpoint(nil, 0, 0, 0, false)
+			w.Section(nil)
+			w.Section(nil)
+			w.EndSection()
+			w.Seal(nil)
+		},
+		"an unclosed section": func() {
+			w := BeginCheckpoint(nil, 0, 0, 0, false)
+			w.Section(nil)
+			w.Section(nil)
+			w.Buf = append(w.Buf, 1)
+			w.Seal(nil)
+		},
+		"an unknown fingerprint": func() { BeginCheckpoint(nil, 0, 9, 0, false) },
+	} {
+		mustPanic(t, name, f)
+	}
+}

@@ -16,17 +16,10 @@ func sampleCheckpoint() Checkpoint {
 		Counts: [MachineLedgerCells]int64{3, 0, 2, 5, 0, 1, 9, 0, 4},
 		Bytes:  [MachineLedgerCells]int64{12, 0, 8, 20, 0, 4, 36, 0, 16},
 	}
-	nodes := NodesState{
-		N: 8, Lo: 0, Hi: 2, EpsNum: 52428, Distinct: true,
-		Keys: []int64{7, -3}, IvLo: []int64{5, -9}, IvHi: []int64{9, 0},
-		OrdLo: []int64{-1 << 40, 0}, OrdHi: []int64{1 << 40, 0},
-		Flags: []byte{1, 0}, ViolStep: []int64{-1, 16},
-		RngState: []uint64{0xdeadbeef, 1}, RngInc: []uint64{3, 5},
-	}
 	return Checkpoint{
 		Gen: 42, Engine: EngineSeq, Seed: 99, Distinct: true,
 		Machine: mach.Append(nil),
-		Nodes:   nodes.Append(nil),
+		Nodes:   sampleBank().Append(nil),
 	}
 }
 

@@ -61,8 +61,9 @@ const (
 	// of a coord.Machine, canonically encoded so a restored coordinator
 	// resumes bit-identically (see snapshot.go).
 	TypeMachineState byte = 0x13
-	// TypeNodesState is the node-side checkpoint companion: the per-node
-	// state of one coord.Nodes bank between steps.
+	// TypeNodesState is the v1 node-side checkpoint companion: nine
+	// fields per node of one coord.Nodes bank. Nothing writes it any
+	// more; it is decoded so that stores holding v1 frames keep restoring.
 	TypeNodesState byte = 0x14
 	// TypeStatsPoll asks a peer for its subtree's TreeStats. It is the
 	// hierarchical engine's diagnostic plane: interior coordinators
@@ -75,11 +76,15 @@ const (
 	// coordinator level below the sender, deepest level first.
 	TypeTreeStats byte = 0x16
 	// TypeCheckpoint is the durable checkpoint envelope: a generation
-	// number, the engine fingerprint, the embedded Machine/Nodes snapshot
-	// frames and the coordinator's last-value mirror, sealed with a CRC-32
+	// number, the engine fingerprint, the embedded machine and bank
+	// snapshot frames and the coordinator's last-value mirror, sealed with a CRC-32
 	// so torn or bit-rotted frames are rejected instead of restored (see
 	// checkpoint.go and internal/ckpt).
 	TypeCheckpoint byte = 0x17
+	// TypeBankState is the v2 node-side checkpoint companion: what one
+	// coord.Nodes bank stores between steps and nothing it can derive
+	// (see bank.go).
+	TypeBankState byte = 0x18
 )
 
 // MaxTolNum is the exclusive upper bound on Assign.EpsNum: tolerance

@@ -3,10 +3,11 @@ package wire
 import "fmt"
 
 // Snapshot messages. A coordinator checkpoint is two frames — one
-// MachineState for the decision machine, one NodesState per hosted node
-// bank — encoded with the same canonical varint codec as every protocol
-// message, so checkpoints are comparable byte for byte and covered by the
-// same decode→re-encode fuzz harness as the live protocol. The semantic
+// MachineState for the decision machine, one bank frame per hosted node
+// bank (bank.go; NodesState below is its v1 predecessor) — encoded with
+// the same canonical varint codec as every protocol message, so
+// checkpoints are comparable byte for byte and covered by the same
+// decode→re-encode fuzz harness as the live protocol. The semantic
 // validation (range shapes, membership invariants, ledger consistency)
 // lives in internal/coord's Restore functions; the decoders here enforce
 // only what canonical framing requires.
@@ -155,13 +156,13 @@ func (m *MachineState) Decode(p []byte) error {
 	return fin(p)
 }
 
-// NodesState is the wire form of one coord.Nodes bank between steps: the
-// bank's shape plus, for each hosted node in id order, its key, filter,
-// order filter, membership flags, last violation step and generator state.
-// A bank's per-execution state (the list of members still in play) is
-// rebuilt at round 0 of every execution, so a between-steps checkpoint
-// carries none. All per-node slices are parallel,
-// of length Hi-Lo.
+// NodesState is the v1 wire form of one coord.Nodes bank between steps:
+// the bank's shape plus, for each hosted node in id order, its key, filter,
+// order filter, membership flags, last violation step and generator state
+// and increment — nine fields a node where a bank stores four. Monitors
+// write the v2 frame (BankState); v1 is decode-only, for the frames stores
+// already hold, and coord re-encodes an accepted one as v2. All per-node
+// slices are parallel, of length Hi-Lo.
 type NodesState struct {
 	N, Lo, Hi int
 	EpsNum    uint64
@@ -176,7 +177,7 @@ type NodesState struct {
 	RngInc       []uint64
 }
 
-// Per-node flag bits of NodesState.Flags.
+// Per-node flag bits of a bank frame's flag bytes (both versions).
 const (
 	FlagNodeInTop     = 1 << 0
 	FlagNodeWasTop    = 1 << 1
@@ -187,42 +188,6 @@ const (
 
 // MachineState flag bits.
 const flagInit = 1 << 0 // MachineState: the time-0 reset already ran
-
-// Append encodes m after dst. All per-node slices must have length Hi-Lo;
-// Append panics otherwise, matching the bank's construction contract.
-func (m NodesState) Append(dst []byte) []byte {
-	n := m.Hi - m.Lo
-	if len(m.Keys) != n || len(m.IvLo) != n || len(m.IvHi) != n ||
-		len(m.OrdLo) != n || len(m.OrdHi) != n || len(m.Flags) != n ||
-		len(m.ViolStep) != n || len(m.RngState) != n || len(m.RngInc) != n {
-		panic("wire: NodesState per-node slices must all have length Hi-Lo")
-	}
-	dst = append(dst, TypeNodesState)
-	dst = AppendUvarint(dst, uint64(m.Lo))
-	dst = AppendUvarint(dst, uint64(m.Hi))
-	dst = AppendUvarint(dst, uint64(m.N))
-	dst = AppendUvarint(dst, m.EpsNum)
-	var flags byte
-	if m.Distinct {
-		flags |= flagDistinct
-	}
-	dst = append(dst, flags)
-	for i := 0; i < n; i++ {
-		dst = AppendVarint(dst, m.Keys[i])
-		dst = AppendVarint(dst, m.IvLo[i])
-		dst = AppendVarint(dst, m.IvHi[i])
-		dst = AppendVarint(dst, m.OrdLo[i])
-		dst = AppendVarint(dst, m.OrdHi[i])
-		if m.Flags[i]&^byte(nodeFlagMask) != 0 {
-			panic("wire: unknown NodesState node flags")
-		}
-		dst = append(dst, m.Flags[i])
-		dst = AppendVarint(dst, m.ViolStep[i])
-		dst = AppendUvarint(dst, m.RngState[i])
-		dst = AppendUvarint(dst, m.RngInc[i])
-	}
-	return dst
-}
 
 // Decode decodes a full NodesState frame into m, reusing slice capacity.
 func (m *NodesState) Decode(p []byte) error {

@@ -37,7 +37,10 @@
 // ErrUnknownType, and trailing garbage ErrTrailingBytes.
 package wire
 
-import "errors"
+import (
+	"errors"
+	"math/bits"
+)
 
 // Decode errors. Decoders return these (possibly wrapped) and never panic
 // on malformed input.
@@ -100,14 +103,7 @@ func Uvarint(p []byte) (uint64, int, error) {
 }
 
 // SizeUvarint returns len(AppendUvarint(nil, x)) without encoding.
-func SizeUvarint(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
+func SizeUvarint(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // zigzag folds a signed value into an unsigned one with small magnitudes
 // mapping to small values: 0,-1,1,-2,2,... -> 0,1,2,3,4,...

@@ -22,7 +22,9 @@ import (
 // provide ready-made stores; the interface is exported so deployments
 // can persist frames in their own substrate (object store, replicated
 // log). Implementations need not be safe for concurrent use — the
-// monitor serializes its own calls.
+// monitor serializes its own calls. The frame passed to Save is valid
+// only until Save returns (the monitor encodes every generation into one
+// reused buffer), so a store that keeps frames keeps a copy.
 type CheckpointStore interface {
 	Save(gen uint64, frame []byte) error
 	Load() (gen uint64, frame []byte, err error)
@@ -185,13 +187,15 @@ func (m *Monitor) maybeCheckpoint() {
 	m.checkpointLocked()
 }
 
-// checkpointLocked encodes the current state as generation ckptGen+1 and
-// saves it, updating the stats. Callers hold engineMu in asynchronous
-// mode.
+// checkpointLocked encodes the current state as generation ckptGen+1 —
+// in place, into the one buffer the monitor reuses across saves, which is
+// why a store may not keep the slice Save is handed — and saves it,
+// updating the stats. Callers hold engineMu in asynchronous mode.
 func (m *Monitor) checkpointLocked() (uint64, error) {
 	gen := m.ckptGen + 1
-	frame, err := m.encodeCheckpoint(gen)
+	frame, err := m.eng.AppendCheckpoint(m.ckptBuf[:0], gen)
 	if err == nil {
+		m.ckptBuf = frame
 		err = m.cfg.Checkpoint.Store.Save(gen, frame)
 	}
 	if err != nil {
@@ -204,19 +208,6 @@ func (m *Monitor) checkpointLocked() (uint64, error) {
 	m.ckptStats.LastGen = gen
 	m.ckptStats.LastErr = nil
 	return gen, nil
-}
-
-// encodeCheckpoint snapshots the engine into a sealed checkpoint frame.
-func (m *Monitor) encodeCheckpoint(gen uint64) ([]byte, error) {
-	c := wire.Checkpoint{
-		Gen:      gen,
-		Seed:     m.cfg.Seed,
-		Distinct: m.cfg.DistinctValues,
-	}
-	if err := m.eng.SnapshotInto(&c); err != nil {
-		return nil, err
-	}
-	return c.Append(nil), nil
 }
 
 // Checkpoint persists the monitor's current state to the configured

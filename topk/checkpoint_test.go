@@ -10,6 +10,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/rng"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // ckptWalk drives a deterministic random walk shared by a monitor pair.
@@ -469,23 +470,55 @@ func TestRestoreRejectsStaleFilters(t *testing.T) {
 		if err := c.Decode(frame); err != nil {
 			t.Fatal(err)
 		}
-		var ns wire.NodesState
-		if err := ns.Decode(c.Nodes); err != nil {
+		var bs wire.BankState
+		if err := bs.Decode(c.Nodes); err != nil {
 			t.Fatal(err)
 		}
-		ns.Keys[1] = ns.IvHi[1] + 1 // outsider 1 above the installed midpoint
-		c.Nodes = ns.Append(nil)
-		stale := MemCheckpoints()
-		if err := stale.Save(gen, c.Append(nil)); err != nil {
+		// Outsider 1 above the installed midpoint, in the frame as written
+		// (v2) and as a pre-v2 monitor wrote it (v1); then a v2 frame whose
+		// bounds went stale instead of a key, and one flagging a member
+		// the machine does not have.
+		v1 := wiretest.V1(bs)
+		v1.Keys[1] = v1.IvHi[1] + 1
+		moved, stale, flagged := bs, bs, bs
+		moved.Keys = append([]int64(nil), bs.Keys...)
+		moved.Keys[1] = bs.BoundHi + 1
+		stale.BoundLo, stale.BoundHi = bs.BoundLo+1<<30, bs.BoundHi+1<<30
+		flagged.Flags = append([]byte(nil), bs.Flags...)
+		flagged.Flags[7] |= wire.FlagNodeInTop
+		flagged.Keys = append([]int64(nil), bs.Keys...)
+		flagged.Keys[7] = bs.BoundLo
+		for name, nodes := range map[string][]byte{
+			"v1, key moved":     wiretest.AppendNodesV1(nil, v1),
+			"v2, key moved":     moved.Append(nil),
+			"v2, bounds stale":  stale.Append(nil),
+			"v2, forged member": flagged.Append(nil),
+		} {
+			forged := c
+			forged.Nodes = nodes
+			store := MemCheckpoints()
+			if err := store.Save(gen, forged.Append(nil)); err != nil {
+				t.Fatal(err)
+			}
+			m, err := Restore(store, cfg)
+			var re *RestoreError
+			if !errors.As(err, &re) || !errors.Is(err, coord.ErrFilterState) {
+				t.Fatalf("concurrent=%v %s: restore returned %v, want a *RestoreError wrapping coord.ErrFilterState", conc, name, err)
+			}
+			if m != nil {
+				m.Close()
+			}
+		}
+		// The v1 form of the frame as written still restores.
+		c.Nodes = wiretest.AppendNodesV1(nil, wiretest.V1(bs))
+		old := MemCheckpoints()
+		if err := old.Save(gen, c.Append(nil)); err != nil {
 			t.Fatal(err)
 		}
-		m, err := Restore(stale, cfg)
-		var re *RestoreError
-		if !errors.As(err, &re) || !errors.Is(err, coord.ErrFilterState) {
-			t.Fatalf("concurrent=%v: restore of a stale-filter frame returned %v, want a *RestoreError wrapping coord.ErrFilterState", conc, err)
+		m, err := Restore(old, cfg)
+		if err != nil {
+			t.Fatalf("concurrent=%v: v1 form of the checkpoint as written rejected: %v", conc, err)
 		}
-		if m != nil {
-			m.Close()
-		}
+		m.Close()
 	}
 }

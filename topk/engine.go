@@ -25,7 +25,7 @@ type engine interface {
 	Ledger() *comm.Ledger
 	Stats() coord.Stats
 	Err() error
-	SnapshotInto(c *wire.Checkpoint) error
+	AppendCheckpoint(dst []byte, gen uint64) ([]byte, error)
 	Close()
 }
 
@@ -59,15 +59,15 @@ type closed struct{ led comm.Ledger }
 
 var closedEngine engine = new(closed)
 
-func (*closed) Observe([]int64) []int               { return nil }
-func (*closed) ObserveDelta([]int, []int64) []int   { return nil }
-func (*closed) Top() []int                          { return nil }
-func (*closed) AppendTop(dst []int) []int           { return dst }
-func (c *closed) Ledger() *comm.Ledger              { return &c.led }
-func (*closed) Stats() coord.Stats                  { return coord.Stats{} }
-func (*closed) Err() error                          { return errClosed }
-func (*closed) SnapshotInto(*wire.Checkpoint) error { return errClosed }
-func (*closed) Close()                              {}
+func (*closed) Observe([]int64) []int                           { return nil }
+func (*closed) ObserveDelta([]int, []int64) []int               { return nil }
+func (*closed) Top() []int                                      { return nil }
+func (*closed) AppendTop(dst []int) []int                       { return dst }
+func (c *closed) Ledger() *comm.Ledger                          { return &c.led }
+func (*closed) Stats() coord.Stats                              { return coord.Stats{} }
+func (*closed) Err() error                                      { return errClosed }
+func (*closed) AppendCheckpoint([]byte, uint64) ([]byte, error) { return nil, errClosed }
+func (*closed) Close()                                          {}
 
 // asEngine erases a constructor's concrete engine type, keeping a failed
 // construction a nil engine.

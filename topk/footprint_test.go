@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -46,4 +47,158 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 		t.Fatalf("sequential monitor holds %.1f B/node after its first Observe, budget %v", perNode, budget)
 	}
 	runtime.KeepAlive(vals)
+}
+
+// sizingStore is a CheckpointStore that keeps nothing but the length of
+// the newest frame — the store a footprint pin wants, so that what is
+// measured is the monitor.
+type sizingStore struct{ frame int }
+
+func (s *sizingStore) Save(_ uint64, frame []byte) error { s.frame = len(frame); return nil }
+func (s *sizingStore) Load() (uint64, []byte, error)     { return 0, nil, ErrNoCheckpoint }
+
+// TestCheckpointFrameBytesPerNode pins the v2 frame's size on both engines
+// that checkpoint a bank: a six-byte key and an eight-byte generator state
+// per node, and nothing else that grows with n — no interval bounds, no
+// increment, no per-node default. The v1 frame was 55 B/node.
+func TestCheckpointFrameBytesPerNode(t *testing.T) {
+	const n, k, budget = 1 << 18, 16, 16.0
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i) * 7 % 1000003
+	}
+	for _, conc := range []bool{false, true} {
+		store := &sizingStore{}
+		m, err := New(Config{Nodes: n, K: k, Seed: 1, Concurrent: conc, Checkpoint: Checkpoint{Store: store}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Checkpoint(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		perNode := float64(store.frame) / n
+		t.Logf("concurrent=%v, n=%d: checkpoint frame %d bytes, %.2f B/node", conc, n, store.frame, perNode)
+		if perNode > budget {
+			t.Fatalf("concurrent=%v: checkpoint frame is %.2f B/node, budget %v", conc, perNode, budget)
+		}
+	}
+}
+
+// TestCheckpointSteadyStateAllocations pins what a save costs once the
+// monitor's encode buffer has settled: the frame is written in place from
+// the engine's arrays, so the only allocation left is the store's own copy
+// — at most two allocations a save and 1.25 × the frame's bytes, where the
+// v1 path allocated nine n-long slices and the frame twice over.
+func TestCheckpointSteadyStateAllocations(t *testing.T) {
+	const n, k = 1 << 14, 16
+	ctx := context.Background()
+	for _, conc := range []bool{false, true} {
+		store := MemCheckpoints()
+		m, err := New(Config{Nodes: n, K: k, Seed: 1, Concurrent: conc, Checkpoint: Checkpoint{Store: store}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i) * 7 % 1000003
+		}
+		if _, err := m.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		save := func() {
+			if _, err := m.Checkpoint(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ { // past the store's retention bound
+			save()
+		}
+		_, frame, err := store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, save); allocs > 2 {
+			t.Fatalf("concurrent=%v: %.1f allocations per steady-state save, budget 2", conc, allocs)
+		}
+		const saves = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < saves; i++ {
+			save()
+		}
+		runtime.ReadMemStats(&after)
+		perSave := float64(after.TotalAlloc-before.TotalAlloc) / saves
+		t.Logf("concurrent=%v: %.0f bytes allocated per save of a %d-byte frame", conc, perSave, len(frame))
+		if perSave > 1.25*float64(len(frame)) {
+			t.Fatalf("concurrent=%v: a save allocates %.0f bytes for a %d-byte frame, budget 1.25x", conc, perSave, len(frame))
+		}
+	}
+}
+
+// TestRestoreAllocatesTheBankAndTheFrame pins that Restore reads the
+// frame's columns straight into the arrays a fresh monitor allocates
+// anyway: beyond what New allocates and the frame's own bytes (the store
+// hands out a copy) it needs a few bytes a node — the filter set built
+// from the frame — not a decoded copy of the bank. The v1 path decoded
+// nine n-long slices first, some 70 B/node.
+func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
+	const n, k, slack = 1 << 16, 16, 4.0
+	totalAlloc := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	for _, conc := range []bool{false, true} {
+		store := MemCheckpoints()
+		cfg := Config{Nodes: n, K: k, Seed: 1, Concurrent: conc}
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i) * 7 % 1000003
+		}
+		var fresh *Monitor
+		build := totalAlloc(func() {
+			var err error
+			if fresh, err = New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		live := cfg
+		live.Checkpoint = Checkpoint{Store: store}
+		m, err := New(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Checkpoint(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		fresh.Close()
+		_, frame, err := store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back *Monitor
+		restore := totalAlloc(func() {
+			if back, err = Restore(store, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		back.Close()
+		extra := (restore - build - float64(len(frame))) / n
+		t.Logf("concurrent=%v, n=%d: New allocates %.1f B/node, Restore %.1f B/node more on top of the %.1f B/node frame",
+			conc, n, build/n, extra, float64(len(frame))/n)
+		if extra > slack {
+			t.Fatalf("concurrent=%v: Restore allocates %.1f B/node beyond New and the frame, budget %v", conc, extra, slack)
+		}
+	}
 }

@@ -1,0 +1,214 @@
+package topk
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/wire"
+)
+
+// goldenV1 lists the checkpoint envelopes under testdata/ that the parent
+// of the v2 frame wrote (commit d88c7dc, through Monitor.Checkpoint): each
+// is the state of a monitor with the given configuration after the given
+// number of goldenWalk steps. They are v1 — nine fields a node — and pin
+// that stores written before the v2 frame keep restoring.
+var goldenV1 = []struct {
+	file  string
+	cfg   Config
+	steps int
+}{
+	{"v1_seq_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 60},
+	{"v1_seq_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05}, 60},
+	{"v1_conc_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Concurrent: true}, 60},
+	{"v1_conc_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05, Concurrent: true}, 60},
+	{"v1_seq_pretime0.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 0},
+}
+
+// goldenWalk is the input the golden frames were taken under: every node
+// starts at 1000 and takes ckptWalk steps drawn from one generator.
+func goldenWalk() func(vals []int64) {
+	wr := rng.New(77, 2)
+	first := true
+	return func(vals []int64) {
+		if first {
+			for i := range vals {
+				vals[i] = 1000
+			}
+			first = false
+		}
+		ckptWalk(wr, vals)
+	}
+}
+
+// sameExecution fails unless two monitors agree on everything a restore
+// promises to preserve.
+func sameExecution(t *testing.T, where string, got, want *Monitor) {
+	t.Helper()
+	if got.Counts() != want.Counts() || got.Bytes() != want.Bytes() {
+		t.Fatalf("%s: ledgers diverged: %v/%v, twin %v/%v", where, got.Counts(), got.Bytes(), want.Counts(), want.Bytes())
+	}
+	if got.Phases() != want.Phases() || got.BytesByPhase() != want.BytesByPhase() {
+		t.Fatalf("%s: phase ledgers diverged", where)
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: stats diverged: %+v, twin %+v", where, got.Stats(), want.Stats())
+	}
+}
+
+// TestRestoreGoldenV1Frames restores each committed v1 envelope and runs
+// the monitor against a twin that never stopped: the same reports, counts,
+// bytes and phase ledgers, and — once both checkpoint again — the same v2
+// frame. The backward-compatibility pin of the v2 frame.
+func TestRestoreGoldenV1Frames(t *testing.T) {
+	for _, g := range goldenV1 {
+		frame, err := os.ReadFile(filepath.Join("testdata", g.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c wire.Checkpoint
+		if err := c.Decode(frame); err != nil {
+			t.Fatalf("%s: %v", g.file, err)
+		}
+		if len(c.Nodes) == 0 || c.Nodes[0] != wire.TypeNodesState {
+			t.Fatalf("%s: not a v1 bank frame", g.file)
+		}
+		old := MemCheckpoints()
+		if err := old.Save(c.Gen, frame); err != nil {
+			t.Fatal(err)
+		}
+		newStore, twinStore := MemCheckpoints(), MemCheckpoints()
+		cfg := g.cfg
+		cfg.Checkpoint = Checkpoint{Store: newStore}
+		restored, err := Restore(old, cfg)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", g.file, err)
+		}
+		defer restored.Close()
+		cfg.Checkpoint = Checkpoint{Store: twinStore}
+		twin, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
+
+		walk := goldenWalk()
+		vals := make([]int64, cfg.Nodes)
+		for s := 0; s < g.steps; s++ {
+			walk(vals)
+			if _, err := twin.Observe(vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameExecution(t, g.file+" at the frame", restored, twin)
+		for s := 0; s < 80; s++ {
+			walk(vals)
+			want, err := twin.Observe(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := restored.Observe(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalIDs(want, got) {
+				t.Fatalf("%s step %d: report %v, twin %v", g.file, s, got, want)
+			}
+		}
+		sameExecution(t, g.file+" after 80 steps", restored, twin)
+
+		// The restored monitor writes v2 like any other, and the same v2.
+		var frames [2]wire.Checkpoint
+		for i, m := range []*Monitor{restored, twin} {
+			if _, err := m.Checkpoint(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			_, f, err := []CheckpointStore{newStore, twinStore}[i].Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := frames[i].Decode(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if frames[0].Nodes[0] != wire.TypeBankState {
+			t.Fatalf("%s: the restored monitor checkpointed bank frame type 0x%02x", g.file, frames[0].Nodes[0])
+		}
+		if !bytes.Equal(frames[0].Machine, frames[1].Machine) || !bytes.Equal(frames[0].Nodes, frames[1].Nodes) {
+			t.Fatalf("%s: restored monitor and twin checkpoint different frames", g.file)
+		}
+		if len(frames[0].Nodes)*3 > len(c.Nodes) {
+			t.Fatalf("%s: v2 bank frame %d bytes, v1 was %d", g.file, len(frames[0].Nodes), len(c.Nodes))
+		}
+	}
+}
+
+// TestStoredGenerationsSurviveBufferReuse pins the ownership contract of
+// CheckpointStore.Save from the monitor's side: every generation is
+// encoded into one buffer, so a store must hold copies — and
+// MemCheckpoints does. Three generations from one monitor, each read back
+// after all three were written, each intact and each restorable.
+func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
+	for _, conc := range []bool{false, true} {
+		store := MemCheckpoints()
+		cfg := Config{Nodes: 64, K: 4, Seed: 9, Concurrent: conc, Checkpoint: Checkpoint{Store: store}}
+		mon, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mon.Close()
+		wr := rng.New(5, 5)
+		vals := make([]int64, cfg.Nodes)
+		var written [][]byte
+		var steps []int64
+		for gen := 1; gen <= 3; gen++ {
+			for s := 0; s < 10*gen; s++ {
+				ckptWalk(wr, vals)
+				if _, err := mon.Observe(vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if g, err := mon.Checkpoint(context.Background()); err != nil || g != uint64(gen) {
+				t.Fatalf("checkpoint %d: generation %d, %v", gen, g, err)
+			}
+			_, frame, err := store.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			written = append(written, frame)
+			steps = append(steps, mon.Stats().Steps)
+		}
+		if bytes.Equal(written[0], written[1]) || bytes.Equal(written[1], written[2]) {
+			t.Fatal("the three generations do not differ; the test would pass on aliased frames")
+		}
+		// Read the generations back newest first: overwriting one with junk
+		// makes Load fall back to the one before it.
+		for gen := 3; gen >= 1; gen-- {
+			g, frame, err := store.Load()
+			if err != nil || g != uint64(gen) {
+				t.Fatalf("concurrent=%v: Load = generation %d, %v; want %d", conc, g, err, gen)
+			}
+			if !bytes.Equal(frame, written[gen-1]) {
+				t.Fatalf("concurrent=%v: stored generation %d changed after later generations were encoded", conc, gen)
+			}
+			one := MemCheckpoints()
+			if err := one.Save(g, frame); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Restore(one, Config{Nodes: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Concurrent: conc})
+			if err != nil {
+				t.Fatalf("concurrent=%v: generation %d does not restore: %v", conc, gen, err)
+			}
+			if back.Stats().Steps != steps[gen-1] {
+				t.Fatalf("concurrent=%v: generation %d restored at step %d, was taken at %d", conc, gen, back.Stats().Steps, steps[gen-1])
+			}
+			back.Close()
+			if err := store.Save(g, []byte("junk")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

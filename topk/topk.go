@@ -301,13 +301,15 @@ type Monitor struct {
 	allIDs   []int
 
 	// Durable checkpointing (Config.Checkpoint): the generation counter,
-	// the steps applied since the last automatic checkpoint, and the
-	// outcome counters CheckpointStats reports. In asynchronous mode
-	// engineMu guards them (the worker checkpoints under it); a
-	// synchronous monitor is single-threaded by contract.
+	// the steps applied since the last automatic checkpoint, the outcome
+	// counters CheckpointStats reports, and the buffer every frame is
+	// encoded into. In asynchronous mode engineMu guards them (the worker
+	// checkpoints under it); a synchronous monitor is single-threaded by
+	// contract.
 	ckptGen     uint64
 	ckptApplied int
 	ckptStats   CheckpointStats
+	ckptBuf     []byte
 }
 
 // failNew rejects a configuration, releasing the Transport's links and
