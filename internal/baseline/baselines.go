@@ -108,7 +108,7 @@ type PerRound struct {
 	n, k    int
 	codec   order.Codec
 	counter comm.Counter
-	rngs    []*rng.RNG
+	rngs    []rng.RNG
 	keys    []order.Key
 }
 
@@ -118,12 +118,12 @@ func NewPerRound(n, k int, seed uint64) *PerRound {
 	b := &PerRound{
 		n: n, k: k,
 		codec: order.NewCodec(n),
-		rngs:  make([]*rng.RNG, n),
+		rngs:  make([]rng.RNG, n),
 		keys:  make([]order.Key, n),
 	}
 	root := rng.New(seed, 0x9e44)
 	for i := range b.rngs {
-		b.rngs[i] = root.Split(uint64(i))
+		b.rngs[i] = root.SplitValue(uint64(i))
 	}
 	return b
 }
@@ -136,7 +136,7 @@ func (b *PerRound) Observe(vals []int64) []int {
 	parts := make([]protocol.Participant, b.n)
 	for i, v := range vals {
 		b.keys[i] = b.codec.Encode(v, i)
-		parts[i] = protocol.Participant{ID: i, Key: b.keys[i], RNG: b.rngs[i]}
+		parts[i] = protocol.Participant{ID: i, Key: b.keys[i], RNG: &b.rngs[i]}
 	}
 	ranked := protocol.TopExtract(parts, b.k, b.n, &b.counter, nil, 0)
 	top := make([]int, len(ranked))

@@ -1,9 +1,11 @@
 package baseline
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/order"
 	"repro/internal/stream"
 )
@@ -201,5 +203,29 @@ func TestBaselinePanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestPerRoundSamplingIsGolden pins three steps of the per-round baseline
+// against the reports and message counts recorded when it held one
+// heap-allocated generator per node: the same children held by value draw
+// the same trials.
+func TestPerRoundSamplingIsGolden(t *testing.T) {
+	b := NewPerRound(16, 3, 7)
+	vals := make([]int64, 16)
+	for s, want := range []struct {
+		top    []int
+		counts comm.Counts
+	}{
+		{[]int{3, 8, 13}, comm.Counts{Up: 19, Bcast: 15}},
+		{[]int{4, 9, 12}, comm.Counts{Up: 35, Bcast: 30}},
+		{[]int{0, 8, 13}, comm.Counts{Up: 49, Bcast: 45}},
+	} {
+		for i := range vals {
+			vals[i] = int64((i*37+s*11)%23) * 5
+		}
+		if top := b.Observe(vals); !slices.Equal(top, want.top) || b.Counts() != want.counts {
+			t.Fatalf("step %d: report %v, counts %+v; recorded %v, %+v", s, top, b.Counts(), want.top, want.counts)
+		}
 	}
 }

@@ -76,6 +76,10 @@ const (
 	TagReset
 )
 
+// ValidTag reports whether t names a cohort: what a host checks of a tag
+// that arrived in a frame before it hands it to Nodes.Round.
+func ValidTag(t uint8) bool { return t <= TagReset }
+
 // MinimumTag reports whether the tag's protocol computes a minimum (the
 // order-dual execution over negated keys).
 func MinimumTag(t uint8) bool { return t == TagViolMin || t == TagHandMin }

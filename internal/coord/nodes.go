@@ -28,10 +28,12 @@ const (
 // The per-node state of the paper's node model — current key, membership
 // knowledge from the last broadcast, violation history, a private
 // generator for the protocol's Bernoulli trials — is parallel arrays
-// indexed by id - Lo, 33 bytes per hosted node: the filter is derived from
-// the installed bounds (filter.Bounds) and no function of the index is
-// stored. Who is still in play during a protocol execution is the bank's
-// active list (Round), not per-node state.
+// indexed by id - Lo, 25 bytes per hosted node (key 8, generator state 8,
+// violation step 8, flags 1): the filter is derived from the installed
+// bounds (filter.Bounds) and no function of the id is stored, a
+// generator's increment included. Who is still in play during a protocol
+// execution is one bit per node in the view's in-play set (Round), empty
+// between executions.
 //
 // The RNG stream layout is shared by construction: every engine derives
 // node i's generator as the i-th Split of the same seeded root, which is
@@ -44,7 +46,7 @@ type Nodes struct {
 	maxVal   int64 // cached value-domain bound; Observe checks it per value
 
 	keys     []order.Key
-	rngs     []rng.RNG
+	gens     rng.Arena      // generator i's increment derives from id Lo+i
 	violStep []int64        // observation step of the last filter violation
 	flags    []uint8        // flagInTop | flagWasTop | flagExtracted
 	inst     *filter.Bounds // shared with every Sub view
@@ -53,12 +55,11 @@ type Nodes struct {
 	// EnableOrderFilters; nil means every order filter is [-inf, +inf].
 	ord []filter.Interval
 
-	// active is the running execution's list of hosted cohort members
-	// still in play, as ascending indices into the arrays. Round builds it
-	// at round 0 and compacts it every round; it is per view (Sub views of
-	// one bank run their ranges' rounds independently) and allocated at
-	// exact capacity on first use.
-	active []int32
+	// inPlay is the running execution's set of hosted cohort members
+	// still in play. Round enlists it at round 0 and every round clears the
+	// members that bid or drop out; it is per view (Sub views of one bank
+	// run their ranges' rounds independently) and allocated on first use.
+	inPlay protocol.InPlay
 
 	// Per-level ε ladder of the hierarchical engine (SetLadder): level l's
 	// tolerance induces the band bands[l], nested inside the installed
@@ -75,9 +76,10 @@ type Nodes struct {
 
 // NewNodes builds the node state for the range [lo, hi) of an n-node
 // monitor with the given protocol seed, tie-break mode and tolerance
-// (zero for exact monitoring). The constructor walks the root generator's
-// full split sequence (Split mutates the root) and keeps its slice of it,
-// exactly as every other engine does.
+// (zero for exact monitoring). Its generators are the root's children
+// lo..hi-1, the same every other engine gives those nodes; the walk of the
+// root's split sequence starts at lo (rng.SplitArena jumps there) and
+// stops at hi, so S banks over one id space cost n splits between them.
 func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if n <= 0 {
 		panic("coord: need n > 0")
@@ -88,24 +90,19 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if hi-lo > math.MaxInt32 {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
-	b := newBank(n, lo, hi, distinct, tol)
-	root := protocol.NodeRoot(seed)
-	for i := 0; i < n; i++ {
-		r := root.SplitValue(uint64(i))
-		if i < lo || i >= hi {
-			continue
-		}
-		b.rngs[i-lo], b.violStep[i-lo] = r, -1
+	b := newBank(n, lo, hi, distinct, tol, protocol.NodeRoot(seed).SplitArena(lo, hi))
+	for i := range b.keys {
+		b.violStep[i] = -1
 		if !distinct {
-			b.keys[i-lo] = b.codec.Encode(0, i)
+			b.keys[i] = b.codec.Encode(0, lo+i)
 		}
 	}
 	return b
 }
 
-// newBank allocates a bank over [lo, hi) with every filter [-inf, +inf];
-// the caller fills keys, generators and violation history.
-func newBank(n, lo, hi int, distinct bool, tol order.Tol) *Nodes {
+// newBank allocates a bank over [lo, hi) around the given generators with
+// every filter [-inf, +inf]; the caller fills keys and violation history.
+func newBank(n, lo, hi int, distinct bool, tol order.Tol, gens rng.Arena) *Nodes {
 	inst := filter.Unbounded()
 	return &Nodes{
 		lo:       lo,
@@ -115,7 +112,7 @@ func newBank(n, lo, hi int, distinct bool, tol order.Tol) *Nodes {
 		tol:      tol,
 		maxVal:   order.MaxValueFor(n, distinct),
 		keys:     make([]order.Key, hi-lo),
-		rngs:     make([]rng.RNG, hi-lo),
+		gens:     gens,
 		violStep: make([]int64, hi-lo),
 		flags:    make([]uint8, hi-lo),
 		inst:     &inst,
@@ -133,7 +130,7 @@ func (b *Nodes) Sub(lo, hi int) *Nodes {
 	i, j := lo-b.lo, hi-b.lo
 	v := &Nodes{
 		lo: lo, hi: hi, distinct: b.distinct, codec: b.codec, tol: b.tol, maxVal: b.maxVal,
-		keys: b.keys[i:j:j], rngs: b.rngs[i:j:j], violStep: b.violStep[i:j:j], flags: b.flags[i:j:j],
+		keys: b.keys[i:j:j], gens: b.gens.Sub(i, j), violStep: b.violStep[i:j:j], flags: b.flags[i:j:j],
 		inst: b.inst,
 	}
 	if b.ord != nil {
@@ -298,53 +295,38 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 // broadcast so far (in the execution's comparison domain). Every node
 // that sends is reported to send in ascending id order with its true key.
 //
-// Round 0 enlists the cohort — each node evaluates its membership locally
-// — so banks need no per-execution setup call; every round then visits
-// only the members still in play and compacts the list in place, taking
-// protocol.Decide's verdict for each. A node that left the list would
-// have found itself inactive in every later round without drawing, so the
-// trials drawn, their order and the sends are exactly those of consulting
-// every hosted node every round. A bank that first sees an execution at a
-// round r > 0 (it joined mid-execution) holds no list for it and nobody
-// bids.
+// Round 0 enlists the cohort — each node evaluates its membership locally,
+// 64 flag bytes to one word of the in-play set — so banks need no
+// per-execution setup call, and whatever an abandoned execution left in
+// play is overwritten; every round is then one pass of the round kernel
+// (protocol.Field.Round) over the members still in play. A bank that
+// first sees an execution at a round r > 0 (it joined mid-execution) has
+// nobody in play for it and nobody bids.
 func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
 	if bound <= 0 {
 		panic("coord: protocol round with a non-positive population bound")
 	}
-	if int(tag) >= len(cohorts) {
+	if !ValidTag(tag) {
 		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
 	}
 	if r == 0 {
-		if b.active == nil {
-			b.active = make([]int32, 0, len(b.keys))
-		}
-		b.active = b.active[:0]
 		c := cohorts[tag]
-		for i, f := range b.flags {
-			if f&c.mask == c.want && (!c.violated || b.violStep[i] == step) {
-				b.active = append(b.active, int32(i))
+		b.inPlay.Fill(len(b.keys), func(w int) uint64 {
+			var word uint64
+			for j, f := range b.flags[w<<6 : min(w<<6+64, len(b.flags))] {
+				if f&c.mask == c.want && (!c.violated || b.violStep[w<<6+j] == step) {
+					word |= 1 << j
+				}
 			}
-		}
+			return word
+		})
 	}
 	tol := b.tol
 	if !TolerantTag(tag) {
 		tol = order.Tol{} // reset extractions always run exactly
 	}
-	cut, minimum := tol.WidenHi(best), MinimumTag(tag)
-	kept := b.active[:0]
-	for _, i := range b.active {
-		cmp := b.keys[i]
-		if minimum {
-			cmp = order.Neg(cmp)
-		}
-		switch protocol.Decide(cmp, cut, uint(r), uint64(bound), &b.rngs[i]) {
-		case protocol.Bid:
-			send(b.lo+int(i), b.keys[i])
-		case protocol.Stay:
-			kept = append(kept, i)
-		}
-	}
-	b.active = kept
+	coin := rng.NewCoin(uint(r), uint64(bound))
+	protocol.Field{Keys: b.keys, Gens: b.gens}.Round(&b.inPlay, &coin, tol.WidenHi(best), MinimumTag(tag), b.lo, send)
 }
 
 // Winner marks node target as extracted by the current reset, joining the

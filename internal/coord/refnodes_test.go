@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/filter"
 	"repro/internal/order"
-	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
@@ -338,14 +337,36 @@ func (b *refNodes) Round(tag uint8, r int, best order.Key, bound int, step int64
 		if minimum {
 			cmp = order.Neg(cmp)
 		}
-		switch protocol.Decide(cmp, cut, uint(r), uint64(bound), &nd.rng) {
-		case protocol.Bid:
+		switch refDecide(cmp, cut, uint(r), uint64(bound), &nd.rng) {
+		case refBid:
 			send(nd.id, nd.key)
-		case protocol.Stay:
+		case refStay:
 			kept = append(kept, i)
 		}
 	}
 	b.active = kept
+}
+
+// refDecide is protocol.Decide as refNodes.Round called it — the per-node
+// step before it moved into the round kernel — verbatim but for the trial,
+// written out as RNG.BernoulliPow2 stood before rng.Coin so that the
+// reference shares nothing with the kernel.
+type refVerdict uint8
+
+const (
+	refStay refVerdict = iota
+	refBid
+	refOut
+)
+
+func refDecide(key, cut order.Key, r uint, bound uint64, rg *rng.RNG) refVerdict {
+	if cut > key {
+		return refOut
+	}
+	if p := uint64(1) << (r & 63); r >= 64 || p >= bound || rg.Bernoulli(p, bound) {
+		return refBid
+	}
+	return refStay
 }
 
 // Winner marks node target as extracted by the current reset, joining the

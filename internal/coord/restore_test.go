@@ -413,12 +413,13 @@ func liveHeap() uint64 {
 }
 
 // TestBankFootprintPerHostedNode pins what a bank keeps alive per hosted
-// node once it has run a full TagReset execution: key 8, generator 16,
-// violation step 8, flags 1 and the execution's 4-byte active list, 37 B
-// in all. The budget leaves no room for a stored filter interval (16 B),
-// an order filter (16 B) or the node's own id (8 B) per node.
+// node once it has run a full TagReset execution: key 8, generator state
+// 8, violation step 8, flags 1 and the execution's in-play bit, 25.1 B in
+// all. The budget leaves no room for a stored generator increment (8 B),
+// an id list (4 B), a filter interval (16 B), an order filter (16 B) or
+// the node's own id (8 B) per node.
 func TestBankFootprintPerHostedNode(t *testing.T) {
-	const n, budget = 1 << 18, 48.0
+	const n, budget = 1 << 18, 28.0
 	before := liveHeap()
 	b := NewNodes(n, 0, n, 1, false, order.Tol{})
 	b.ResetBegin()
@@ -433,6 +434,30 @@ func TestBankFootprintPerHostedNode(t *testing.T) {
 		t.Fatalf("bank holds %.1f B/hosted node after one execution, budget %v", perNode, budget)
 	}
 	runtime.KeepAlive(b)
+}
+
+// TestNewNodesJumpsToItsRange pins that a bank built over [lo, hi) — whose
+// constructor jumps the root generator to child lo and stops at hi — holds
+// the generators a walk of the root's whole split sequence gives those
+// nodes, so S banks over one id space still draw as one, at n splits
+// between them instead of S·n.
+func TestNewNodesJumpsToItsRange(t *testing.T) {
+	for _, tc := range []struct {
+		n, lo, hi int
+		seed      uint64
+	}{{1, 0, 1, 1}, {24, 4, 20, 5}, {4096, 3072, 4096, 7}, {4096, 1024, 2048, 7}, {70001, 65536, 70001, 9}, {65536, 0, 32768, 2}} {
+		b := NewNodes(tc.n, tc.lo, tc.hi, tc.seed, false, order.Tol{})
+		root := protocol.NodeRoot(tc.seed)
+		for id := 0; id < tc.hi; id++ {
+			want := root.SplitValue(uint64(id))
+			if id < tc.lo {
+				continue
+			}
+			if got := b.gens.At(id - tc.lo); got != want {
+				t.Fatalf("n=%d [%d, %d) seed=%d: node %d draws from %+v, the full walk gives it %+v", tc.n, tc.lo, tc.hi, tc.seed, id, got, want)
+			}
+		}
+	}
 }
 
 // TestBankAllocatesOptionalArraysOnDemand pins that the two per-node

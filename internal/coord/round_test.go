@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/comm"
@@ -12,9 +13,10 @@ import (
 )
 
 // refSampler is the per-node execution state banks carried before
-// Nodes.Round kept an active list: the reference the compacted rounds are
-// checked against. It is written out here, sharing no code with
-// protocol.Decide.
+// Nodes.Round kept only who is still in play: the reference the kernel's
+// rounds are checked against. It is written out here, sharing no code
+// with protocol.Field.Round but the trial (RNG.BernoulliPow2 is one flip
+// of the kernel's rng.Coin).
 type refSampler struct {
 	key    order.Key
 	bound  uint64
@@ -84,7 +86,10 @@ func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64
 			}
 			rb.samplers[i] = refSampler{key: k, bound: uint64(bound), tol: tol, active: true}
 		}
-		if rb.samplers[i].round(best, uint(r), &rb.b.rngs[i]) {
+		g := rb.b.gens.At(i)
+		bid := rb.samplers[i].round(best, uint(r), &g)
+		rb.b.gens.States()[i], _ = g.State()
+		if bid {
 			send(rb.b.lo+i, rb.b.keys[i])
 		}
 	}
@@ -117,9 +122,10 @@ func execute(round roundFunc, tag uint8, bound int, step int64, rec comm.Recorde
 // generator state.
 func sameGenerators(t *testing.T, where string, a, b *Nodes) {
 	t.Helper()
-	for i := range a.rngs {
-		as, ai := a.rngs[i].State()
-		bs, bi := b.rngs[i].State()
+	for i := range a.keys {
+		ag, bg := a.gens.At(i), b.gens.At(i)
+		as, ai := ag.State()
+		bs, bi := bg.State()
 		if as != bs || ai != bi {
 			t.Fatalf("%s: node %d generator (%#x, %#x), reference (%#x, %#x)", where, a.lo+i, as, ai, bs, bi)
 		}
@@ -246,8 +252,8 @@ func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 
 // TestRoundFirstSeenMidExecution pins what a bank does when the first
 // round it sees of an execution is not round 0 — a host that joined while
-// the execution was running: it holds no active list, so nobody bids and
-// no generator advances, exactly as zero-valued per-node samplers behave.
+// the execution was running: it has nobody in play, so nobody bids and no
+// generator advances, exactly as zero-valued per-node samplers behave.
 // The next round 0 enlists normally.
 func TestRoundFirstSeenMidExecution(t *testing.T) {
 	const n = 16
@@ -270,27 +276,51 @@ func TestRoundFirstSeenMidExecution(t *testing.T) {
 		t.Fatalf("execution after stray rounds: %+v %v, reference %+v %v", got, kc.Snapshot(), want, rc.Snapshot())
 	}
 	sameGenerators(t, "after the next execution", kern, refNodes)
-
-	// An execution abandoned mid-way leaves members on the list; the next
-	// round 0 must rebuild it, not append to it.
-	kern.Round(TagReset, 0, order.NegInf, n, 2, func(int, order.Key) {})
-	ref.Round(TagReset, 0, order.NegInf, n, 2, func(int, order.Key) {})
-	got, want = execute(kern.Round, TagReset, n, 2, &kc), execute(ref.Round, TagReset, n, 2, &rc)
-	if got != want || kc.Snapshot() != rc.Snapshot() {
-		t.Fatalf("execution after an abandoned one: %+v, reference %+v", got, want)
-	}
-	sameGenerators(t, "after an abandoned execution", kern, refNodes)
 }
 
-// TestRoundActiveListExactCapacity pins the bank-side cost of the list:
-// one allocation of exactly 4 bytes per hosted node, on the first round 0,
-// and none afterwards.
-func TestRoundActiveListExactCapacity(t *testing.T) {
-	const n = 1000
-	b := NewNodes(n, 0, n, 9, false, order.Tol{})
-	if b.active != nil {
-		t.Fatal("a bank that has run no round holds an active list")
+// TestRoundAbandonedExecutionLeaksNoMember pins what a bank does with an
+// execution its coordinator abandoned mid-way (rounds 0..2 only, as after
+// a failover): the members it left in play are overwritten by the next
+// round 0's enlistment, so none of them leaks into a cohort it is not part
+// of, and the execution after matches the per-node reference in result,
+// charges and every generator.
+func TestRoundAbandonedExecutionLeaksNoMember(t *testing.T) {
+	const n = 200
+	kern, refNodes := NewNodes(n, 0, n, 5, false, order.Tol{}), NewNodes(n, 0, n, 5, false, order.Tol{})
+	ref := newRefBank(refNodes)
+	for _, round := range []roundFunc{kern.Round, ref.Round} {
+		for r := 0; r <= 2; r++ {
+			round(TagReset, r, order.NegInf, n, 2, func(int, order.Key) {})
+		}
 	}
+	if kern.inPlay.Len() < n/2 {
+		t.Fatalf("abandoned execution left %d of %d nodes in play; the case tests nothing", kern.inPlay.Len(), n)
+	}
+	for id := 0; id < n; id += 3 {
+		kern.Winner(id, false) // extracted: not part of the next TagReset cohort
+		refNodes.Winner(id, false)
+	}
+	var kc, rc comm.Counter
+	got, want := execute(kern.Round, TagReset, n, 2, &kc), execute(ref.Round, TagReset, n, 2, &rc)
+	if got != want || !got.OK || kc.Snapshot() != rc.Snapshot() {
+		t.Fatalf("execution after an abandoned one: %+v %v, reference %+v %v", got, kc.Snapshot(), want, rc.Snapshot())
+	}
+	if got.ID%3 == 0 {
+		t.Fatalf("execution after an abandoned one was won by node %d, extracted before it began", got.ID)
+	}
+	sameGenerators(t, "after an abandoned execution", kern, refNodes)
+	if kern.inPlay.Len() != 0 {
+		t.Fatalf("%d nodes still in play after a completed execution", kern.inPlay.Len())
+	}
+}
+
+// TestRoundInPlaySetFootprint pins the bank-side cost of an execution's
+// state: the in-play set is allocated on the first round 0, at one bit per
+// hosted node plus one per 64-node word, and nothing is allocated
+// afterwards.
+func TestRoundInPlaySetFootprint(t *testing.T) {
+	const n = 100000
+	b := NewNodes(n, 0, n, 9, false, order.Tol{})
 	best := order.NegInf
 	send := func(_ int, key order.Key) { best = order.Max(best, key) }
 	exec := func() {
@@ -299,9 +329,12 @@ func TestRoundActiveListExactCapacity(t *testing.T) {
 			b.Round(TagReset, r, best, n, 1, send)
 		}
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	exec()
-	if cap(b.active) != n {
-		t.Fatalf("active list capacity %d for %d hosted nodes", cap(b.active), n)
+	runtime.ReadMemStats(&after)
+	if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(n/7); got > budget { // n/8 + n/512, and the allocator's size classes
+		t.Fatalf("the first execution over %d hosted nodes allocated %d bytes, budget %d", n, got, budget)
 	}
 	if a := testing.AllocsPerRun(10, exec); a != 0 {
 		t.Fatalf("a repeated execution on a warm bank: %v allocs/run, want 0", a)

@@ -19,8 +19,9 @@ import (
 // counter, statistics, T+/T− bounds, membership and the message ledger
 // for the Machine; per-node keys, filters, membership flags, violation
 // history and generator state for a Nodes bank. Everything else — the
-// extraction scratch of the Machine, the active list of the bank — is
-// (re)initialized before its next use, so a restored coordinator resumes
+// extraction scratch of the Machine, the in-play set of the bank, empty
+// between executions — is (re)initialized before its next use, so a
+// restored coordinator resumes
 // bit-identically to one that never stopped: same reports, same counts,
 // same randomness consumption. The equivalence tests in snapshot_test.go
 // pin that property.
@@ -132,11 +133,12 @@ func RestoreMachine(p []byte) (*Machine, error) {
 
 // Snapshot appends the bank's canonical checkpoint frame (the v2 bank
 // frame of internal/wire) to dst, straight from the bank's arrays: the
-// installed bounds once, the keys, the generator states, and the flag
-// bytes, violation steps and order filters of the nodes that have one.
-// Banks carry no in-flight marker, so the contract is the caller's:
-// snapshot only between steps, when no protocol execution is running —
-// the active list is rebuilt at round 0 of every execution and is the one
+// installed bounds once, the keys, the generator arena as it stands, and
+// the flag bytes, violation steps and order filters of the nodes that
+// have one. Banks carry no in-flight marker, so the contract is the
+// caller's: snapshot only between steps, when no protocol execution is
+// running — the in-play set is empty after the probability-1 round of
+// every execution, enlisted anew at round 0 of the next, and is the one
 // piece of bank state a between-steps checkpoint can omit.
 func (b *Nodes) Snapshot(dst []byte) []byte {
 	w := wire.BeginBank(dst, wire.BankHeader{
@@ -145,10 +147,7 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 		BoundLo: int64(b.inst.Lo), BoundHi: int64(b.inst.Hi),
 	})
 	wire.BankKeys(&w, b.keys)
-	for i := range b.rngs {
-		state, _ := b.rngs[i].State()
-		w.Gen(state)
-	}
+	w.Gens(b.gens.States()...)
 	for i, f := range b.flags {
 		if f != 0 {
 			w.Flag(i, f)
@@ -173,8 +172,8 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 // state and the increment its node id defines (protocol.NodeRoot), so the
 // restored bank consumes randomness exactly where the original left off —
 // the property that keeps Las Vegas protocol runs bit-identical across the
-// restore — without walking the root generator's split sequence as
-// NewNodes does. Every filter is the frame's one pair of bounds applied by
+// restore — without splitting anything from the root generator as NewNodes
+// does. Every filter is the frame's one pair of bounds applied by
 // the node's membership bit, so the only filter state a frame can get
 // wrong is a key that has left its filter: that is ErrFilterState.
 func RestoreNodes(p []byte) (*Nodes, error) {
@@ -196,9 +195,9 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := newBank(h.N, h.Lo, h.Hi, h.Distinct, tol)
+	b := newBank(h.N, h.Lo, h.Hi, h.Distinct, tol, protocol.NodeRoot(0).ChildArena(h.Lo, h.Hi)) // an increment depends on no seed
 	*b.inst = filter.Bounds{Lo: order.Key(h.BoundLo), Hi: order.Key(h.BoundHi)}
-	if err := ReadBankNodes(&r, h.Lo, b.keys, b.rngs); err != nil {
+	if err := ReadBankNodes(&r, b.keys, b.gens); err != nil {
 		return nil, err
 	}
 	for i := range b.violStep {
@@ -246,22 +245,15 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 	return b, nil
 }
 
-// ReadBankNodes reads the two dense columns of a bank frame over nodes
-// [lo, lo+len(keys)) into the arrays every engine keeps them in: the keys,
-// and the generators, each rebuilt from its persisted state and the
-// increment protocol.NodeRoot gives its node id.
-func ReadBankNodes(r *wire.BankReader, lo int, keys []order.Key, rngs []rng.RNG) error {
+// ReadBankNodes reads the two dense columns of a bank frame into the
+// arrays every engine keeps them in: the keys, and the generator arena,
+// whose increments its node ids define (protocol.NodeRoot) and whose
+// states are the frame's column.
+func ReadBankNodes(r *wire.BankReader, keys []order.Key, gens rng.Arena) error {
 	if err := wire.BankReadKeys(r, keys); err != nil {
 		return err
 	}
-	root := protocol.NodeRoot(0) // an increment depends on no seed
-	for i := range rngs {
-		g, err := rng.FromState(r.Gen(), root.SplitInc(uint64(lo+i)))
-		if err != nil {
-			return err
-		}
-		rngs[i] = *g
-	}
+	r.Gens(gens.States())
 	return nil
 }
 

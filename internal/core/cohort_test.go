@@ -13,7 +13,7 @@ import (
 
 // bankDriver is Algorithm 1 in its node-local formulation: one
 // coord.Machine over one coord.Nodes bank, where every node decides its
-// own cohort membership. The monitor's id-list cohorts are checked
+// own cohort membership. The monitor's described cohorts are checked
 // against it.
 type bankDriver struct {
 	mach *coord.Machine
@@ -63,11 +63,12 @@ func (d *bankDriver) observe(t *testing.T, vals []int64) []int {
 // TestCohortsMatchNodeLocalMembership runs the monitor beside the
 // node-local formulation and compares, after every step, the report, the
 // ledger, and — through both sides' checkpoint frames — every node's key
-// and generator state. The monitor selects cohorts as id lists (violators
-// from the step's filter checks, the top side from the filter set's
-// cached membership, outsiders as its complement, reset candidates by
-// fill-and-delete); equal generator states say each list named exactly
-// the nodes that would have enlisted themselves, in every execution.
+// and generator state. The monitor describes cohorts by short id lists
+// (violators from the step's filter checks, the top side from the filter
+// set's cached membership, outsiders as everyone but that membership,
+// reset candidates as everyone but the winners extracted so far); equal
+// generator states say each description enlisted exactly the nodes that
+// would have enlisted themselves, in every execution.
 func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 	for _, tc := range []struct {
 		n, k int
@@ -123,9 +124,9 @@ func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 }
 
 // TestRepeatedFilterResetZeroAllocs pins that FILTERRESET runs out of the
-// monitor's own buffers: once the first reset has sized the member list
-// and the protocol's active list, every later reset — k+1 executions over
-// all n nodes each — allocates nothing.
+// monitor's own buffers: once the first reset has sized the in-play set,
+// every later reset — k+1 executions over all n nodes each — allocates
+// nothing.
 func TestRepeatedFilterResetZeroAllocs(t *testing.T) {
 	const n, k = 512, 8
 	m := New(Config{N: n, K: k, Seed: 3})

@@ -9,9 +9,9 @@
 // midpoint broadcasts, FILTERRESET — lives in the sans-I/O state machine
 // of internal/coord, which this package (like every other engine) merely
 // drives. The Monitor's own job is the node side and the substrate: it
-// holds the node-local keys, filters and generators flat, selects protocol
-// cohorts as ascending id lists into them, and executes the machine's
-// effects by direct procedure calls (protocol executions via
+// holds the node-local keys, filters and generators flat, describes each
+// protocol cohort to the round kernel's in-play set, and executes the
+// machine's effects by direct procedure calls (protocol executions via
 // internal/protocol, which also serves the UseGather ablation and optional
 // tracing).
 //
@@ -44,7 +44,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/protocol"
-	"repro/internal/rng"
 )
 
 // Config parameterizes a Monitor.
@@ -84,15 +83,17 @@ type Stats = coord.Stats
 // use (the concurrent engine lives in internal/runtime).
 //
 // The monitor is allocation-free in steady state: every per-step buffer —
-// violator cohorts, handler and reset cohorts, the protocol's active list
-// — is owned by the monitor and reused, and the filter set keeps the
+// the violator lists, the reset's extracted list, the protocol's in-play
+// set — is owned by the monitor and reused, and the filter set keeps the
 // reported top-k slice cached. A violation-free step via ObserveDelta
 // costs O(#changed nodes) and zero heap allocations.
 //
-// Cohorts are never materialized as participant records: a cohort is an
-// ascending list of node ids (4 bytes each) into the flat population, and
-// a FILTERRESET is one fill of that list plus, per extracted winner, a
-// binary search and a shift.
+// Cohorts are never materialized, neither as participant records nor as id
+// lists of their members: a cohort is the short ascending id list that
+// describes it — its members (violators, the top-k side) or, for the two
+// dense ones, the nodes it leaves out (the top-k for the outsider side,
+// the winners extracted so far for a FILTERRESET) — from which the in-play
+// set, one bit a node, is enlisted per execution.
 type Monitor struct {
 	cfg   Config
 	codec order.Codec
@@ -100,21 +101,21 @@ type Monitor struct {
 	fs    *filter.Set
 	mach  *coord.Machine
 
-	// pop is the flat node population: pop.Keys[i] is node i's current
-	// key (rewritten as deltas arrive), pop.RNGs[i] its protocol
-	// randomness, one arena for all n generators.
-	pop protocol.Population
+	// field is the flat node population, 16 bytes a node: field.Keys[i] is
+	// node i's current key (rewritten as deltas arrive), generator i of
+	// field.Gens its protocol randomness.
+	field protocol.Field
+	// inPlay is the running execution's set of members still in play.
+	inPlay protocol.InPlay
 
 	step int64
 
 	// Reusable scratch buffers; see the type comment.
-	violTop   []int32 // violating former top-k nodes
-	violOut   []int32 // violating outsiders
-	members   []int32 // handler-side / reset cohort scratch
-	remaining []int32 // reset extraction view into members
-	topBuf    []int   // membership install scratch
-	pscratch  protocol.Scratch
-	inReset   bool // a FILTERRESET is in flight this step
+	violTop   []int // violating former top-k nodes
+	violOut   []int // violating outsiders
+	extracted []int // winners of the running reset, ascending
+	topBuf    []int // membership install scratch
+	inReset   bool  // a FILTERRESET is in flight this step
 }
 
 // New validates the configuration and returns a monitor. The first
@@ -129,7 +130,7 @@ func New(cfg Config) *Monitor {
 		panic("core: monitor needs 1 <= K <= N")
 	}
 	if cfg.N > math.MaxInt32 {
-		panic("core: monitor needs N <= 2^31-1 (cohorts are int32 id lists)")
+		panic("core: monitor needs N <= 2^31-1")
 	}
 	tol, err := order.NewTol(cfg.Epsilon)
 	if err != nil {
@@ -141,17 +142,15 @@ func New(cfg Config) *Monitor {
 		tol:   tol,
 		fs:    filter.NewSet(cfg.N, cfg.K),
 		mach:  coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
-		pop: protocol.Population{
+		field: protocol.Field{
 			Keys: make([]order.Key, cfg.N),
-			RNGs: make([]rng.RNG, cfg.N),
+			Gens: protocol.NodeRoot(cfg.Seed).SplitArena(0, cfg.N),
 		},
-		members: make([]int32, 0, cfg.N),
-		topBuf:  make([]int, 0, cfg.K),
+		extracted: make([]int, 0, cfg.K+1),
+		topBuf:    make([]int, 0, cfg.K),
 	}
-	root := protocol.NodeRoot(cfg.Seed)
-	for i := range m.pop.Keys {
-		m.pop.RNGs[i] = root.SplitValue(uint64(i))
-		m.pop.Keys[i] = m.encode(0, i)
+	for i := range m.field.Keys {
+		m.field.Keys[i] = m.encode(0, i)
 	}
 	return m
 }
@@ -279,7 +278,7 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 // observe runs one step in which vals[j] is the new value of node ids[j] —
 // of node j when ids is nil, the dense form's implicit 0..n-1.
 func (m *Monitor) observe(ids []int, vals []int64) []int {
-	keys := m.pop.Keys
+	keys := m.field.Keys
 	for j, v := range vals {
 		id := j
 		if ids != nil {
@@ -303,9 +302,9 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 			continue
 		}
 		if m.fs.InTop(id) {
-			m.violTop = append(m.violTop, int32(id))
+			m.violTop = append(m.violTop, id)
 		} else {
-			m.violOut = append(m.violOut, int32(id))
+			m.violOut = append(m.violOut, id)
 		}
 	}
 
@@ -336,26 +335,28 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 // with the monitor's tolerance (a no-op at ε=0); reset extractions are
 // always exact (see coord.TolerantTag).
 func (m *Monitor) exec(eff coord.Effect) protocol.Result {
-	members := m.cohort(eff.Tag)
+	m.enlist(eff.Tag)
 	rec := m.mach.Recorder(eff.Phase)
 	minimum := coord.MinimumTag(eff.Tag)
 	if m.cfg.UseGather {
-		return m.gather(members, minimum, rec)
+		return m.gather(minimum, rec)
 	}
 	tol := m.tol
 	if !coord.TolerantTag(eff.Tag) {
 		tol = order.Tol{}
 	}
-	return m.pscratch.Run(m.pop, members, eff.Bound, tol, minimum, rec, m.cfg.Trace, m.step)
+	return m.field.Run(&m.inPlay, eff.Bound, tol, minimum, rec, m.cfg.Trace, m.step)
 }
 
 // gather is the UseGather ablation's execution: it materializes the
-// cohort for the naive gather-all protocol, which is the one consumer of
-// participant records left (an experiment, never a hot path).
-func (m *Monitor) gather(members []int32, minimum bool, rec comm.Recorder) protocol.Result {
-	parts := make([]protocol.Participant, len(members))
-	for i, id := range members {
-		parts[i] = protocol.Participant{ID: int(id), Key: m.pop.Keys[id], RNG: &m.pop.RNGs[id]}
+// enlisted cohort for the naive gather-all protocol, which is the one
+// consumer of participant records left (an experiment, never a hot path).
+// Gathering flips no coin, so the records carry no generator.
+func (m *Monitor) gather(minimum bool, rec comm.Recorder) protocol.Result {
+	ids := m.inPlay.AppendTo(nil)
+	parts := make([]protocol.Participant, len(ids))
+	for i, id := range ids {
+		parts[i] = protocol.Participant{ID: id, Key: m.field.Keys[id]}
 	}
 	if minimum {
 		return protocol.GatherAllMin(parts, rec, m.cfg.Trace, m.step)
@@ -363,66 +364,44 @@ func (m *Monitor) gather(members []int32, minimum bool, rec comm.Recorder) proto
 	return protocol.GatherAll(parts, rec, m.cfg.Trace, m.step)
 }
 
-// cohort returns the ascending member ids of one protocol tag. Violator
-// cohorts were collected during the step's filter checks; the top-k side
-// is the filter set's cached membership, the outsider side its
-// complement; the reset cohort is the not-yet-extracted remainder
-// maintained by beginReset/extract. Handler-side lists live in a reused
-// buffer, valid until the next cohort or beginReset call.
-func (m *Monitor) cohort(tag uint8) []int32 {
+// enlist puts the cohort of one protocol tag in play. Violator cohorts
+// were collected during the step's filter checks and the top-k side is the
+// filter set's cached membership: short id lists. The outsider side is
+// everyone but that membership and the reset cohort everyone but the
+// winners extracted so far (beginReset/extract): dense cohorts, enlisted
+// as the whole field minus a short skip list.
+func (m *Monitor) enlist(tag uint8) {
 	switch tag {
 	case coord.TagViolMin:
-		return m.violTop
+		m.inPlay.Enlist(m.cfg.N, m.violTop)
 	case coord.TagViolMax:
-		return m.violOut
+		m.inPlay.Enlist(m.cfg.N, m.violOut)
 	case coord.TagHandMin:
-		m.members = m.members[:0]
-		for _, id := range m.fs.Top() {
-			m.members = append(m.members, int32(id))
-		}
-		return m.members
+		m.inPlay.Enlist(m.cfg.N, m.fs.Top())
 	case coord.TagHandMax:
-		return m.fillExcept(m.fs.Top())
+		m.inPlay.EnlistExcept(m.cfg.N, m.fs.Top())
 	case coord.TagReset:
-		return m.remaining
+		m.inPlay.EnlistExcept(m.cfg.N, m.extracted)
 	default:
 		panic(fmt.Sprintf("core: unknown protocol tag %d", tag))
 	}
-}
-
-// fillExcept fills the member buffer with 0..n-1 minus the ascending ids
-// in skip.
-func (m *Monitor) fillExcept(skip []int) []int32 {
-	m.members = m.members[:0]
-	for id := 0; id < m.cfg.N; id++ {
-		if len(skip) > 0 && skip[0] == id {
-			skip = skip[1:]
-			continue
-		}
-		m.members = append(m.members, int32(id))
-	}
-	return m.members
 }
 
 // beginReset starts FILTERRESET's extraction sequence: all nodes become
 // candidates again.
 func (m *Monitor) beginReset() {
 	m.inReset = true
-	m.remaining = m.fillExcept(nil)
+	m.extracted = m.extracted[:0]
 }
 
-// extract shift-removes an extraction winner from the remaining
-// candidates. Removal must preserve the id-ascending member order: with
-// duplicate keys (possible in DistinctValues mode when the caller's
-// distinctness promise is not yet established, e.g. before every node has
-// observed) the protocol breaks ties by iteration order, and the
-// concurrent engine always iterates non-extracted nodes id-ascending.
+// extract removes an extraction winner from the reset's candidates by
+// inserting it into the ascending list of at most k+1 extracted ids.
 func (m *Monitor) extract(id int) {
-	i, found := slices.BinarySearch(m.remaining, int32(id))
-	if !found {
-		panic(fmt.Sprintf("core: extraction winner %d not among remaining candidates", id))
+	i, found := slices.BinarySearch(m.extracted, id)
+	if found {
+		panic(fmt.Sprintf("core: extraction winner %d was extracted before", id))
 	}
-	m.remaining = slices.Delete(m.remaining, i, i+1)
+	m.extracted = slices.Insert(m.extracted, i, id)
 }
 
 // installMidpoint applies a midpoint (or ε-mode band) broadcast: after a
@@ -463,5 +442,5 @@ func (m *Monitor) installMidpoint(eff coord.Effect) {
 // Keys exposes the key vector of the last observed step (for invariant
 // checks in tests).
 func (m *Monitor) Keys() []order.Key {
-	return slices.Clone(m.pop.Keys)
+	return slices.Clone(m.field.Keys)
 }

@@ -84,7 +84,7 @@ func (om *OrderedMonitor) Observe(vals []int64) []int {
 	om.inner.Observe(vals)
 
 	members := om.inner.fs.Top()
-	keys := om.inner.pop.Keys
+	keys := om.inner.field.Keys
 
 	if om.inner.Stats().Resets != resetsBefore || len(om.ordered) == 0 {
 		// Membership may have changed (or this is the first step): the

@@ -38,11 +38,8 @@ func (m *Monitor) appendBank(dst []byte) []byte {
 		EpsNum: m.tol.Num(), Distinct: m.cfg.DistinctValues,
 		BoundLo: int64(in.Lo), BoundHi: int64(in.Hi),
 	})
-	wire.BankKeys(&w, m.pop.Keys)
-	for i := range m.pop.RNGs {
-		state, _ := m.pop.RNGs[i].State()
-		w.Gen(state)
-	}
+	wire.BankKeys(&w, m.field.Keys)
+	w.Gens(m.field.Gens.States()...)
 	for _, id := range m.fs.Top() {
 		w.Flag(id, wire.FlagNodeInTop)
 	}
@@ -111,7 +108,7 @@ func Restore(cfg Config, machFrame, nodesFrame []byte) (*Monitor, error) {
 		return nil, fmt.Errorf("core: checkpoint membership has %d ids, want 0 or %d", len(top), cfg.K)
 	}
 	m := New(cfg)
-	if err := coord.ReadBankNodes(&r, 0, m.pop.Keys, m.pop.RNGs); err != nil {
+	if err := coord.ReadBankNodes(&r, m.field.Keys, m.field.Gens); err != nil {
 		return nil, fmt.Errorf("core: restore nodes frame: %v", err)
 	}
 	// The machine's membership is the authority (empty, like the filter
@@ -151,7 +148,7 @@ func Restore(cfg Config, machFrame, nodesFrame []byte) (*Monitor, error) {
 	// have installed, or that do not hold for the frame's keys, are
 	// rejected.
 	in := filter.Bounds{Lo: order.Key(h.BoundLo), Hi: order.Key(h.BoundHi)}
-	if m.fs, err = coord.RestoreFilters(in, m.pop.Keys, mach); err != nil {
+	if m.fs, err = coord.RestoreFilters(in, m.field.Keys, mach); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	m.mach = mach

@@ -159,6 +159,12 @@ func (s *leaf) handle(frame, dst []byte) (out []byte, cont bool, err error) {
 		if err != nil {
 			return dst, false, err
 		}
+		// The codec takes any tag byte and any bound; the bank and the
+		// local executions panic on the ones Algorithm 2 has no meaning
+		// for, so they stop here.
+		if !coord.ValidTag(m.Tag) || m.Bound <= 0 {
+			return dst, false, fmt.Errorf("fanout: round frame with cohort tag %d and population bound %d", m.Tag, m.Bound)
+		}
 		return s.round(s.bank, m, dst), true, nil
 
 	case wire.TypeWinner:

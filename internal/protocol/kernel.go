@@ -1,0 +1,210 @@
+package protocol
+
+import (
+	"fmt"
+	"math/bits"
+
+	"repro/internal/comm"
+	"repro/internal/order"
+	"repro/internal/rng"
+)
+
+// Field is the struct-of-arrays form of a node population, 16 bytes a
+// node: node i holds key Keys[i] and draws from generator i of Gens. It is
+// what the round kernel runs over; the sequential engine (internal/core)
+// and every node bank (internal/coord) keep their nodes this way, so
+// neither builds per-execution participant records.
+type Field struct {
+	Keys []order.Key
+	Gens rng.Arena
+}
+
+// NodeRoot returns the seeded root generator every engine derives its node
+// generators from: node i draws from the root's i-th SplitValue, taken in
+// id order (rng.SplitArena). That shared layout is what makes protocol
+// randomness consume identically across engines, and it makes a node's
+// increment a function of its id alone — NodeRoot(s).SplitInc(i) for any
+// seed s — which is why neither memory nor a checkpoint holds increments.
+func NodeRoot(seed uint64) *rng.RNG { return rng.New(seed, 0xc02e) }
+
+// InPlay is the set of a field's nodes still in play in one execution: a
+// two-level bitset, one bit a node plus one bit per 64-node word saying
+// whether the word holds anyone. A round visits the members in ascending
+// index order — so bids keep their id order — in O(members + n/4096), and
+// clears each member's bit as it bids or drops out; the probability-1
+// round therefore leaves the set empty, which is why a completed
+// execution needs no cleanup and a checkpoint taken between steps can
+// omit the set. The zero value is an empty set that sizes itself on the
+// first enlistment; an InPlay may be reused but not shared concurrently.
+type InPlay struct {
+	words []uint64 // bit i&63 of words[i>>6]: node i is in play
+	heads []uint64 // bit w&63 of heads[w>>6]: words[w] != 0
+	count int      // nodes in play
+}
+
+// Len returns the number of nodes in play.
+func (s *InPlay) Len() int { return s.count }
+
+// leave takes node i, which is in play, out of play; the head bit of a
+// word it empties is the caller's to clear.
+func (s *InPlay) leave(i int) {
+	s.words[i>>6] &^= 1 << (i & 63)
+	s.count--
+}
+
+// resize makes s an empty set over n nodes. What an abandoned execution
+// left behind is cleared by walking the head words, not the set.
+func (s *InPlay) resize(n int) {
+	for h, head := range s.heads {
+		for ; head != 0; head &= head - 1 {
+			s.words[h<<6|bits.TrailingZeros64(head)] = 0
+		}
+		s.heads[h] = 0
+	}
+	s.count = 0
+	nw := (n + 63) >> 6
+	nh := (nw + 63) >> 6
+	if cap(s.words) < nw {
+		s.words, s.heads = make([]uint64, nw), make([]uint64, nh)
+	}
+	s.words, s.heads = s.words[:nw], s.heads[:nh]
+}
+
+// Enlist makes the set the given distinct nodes of a field of n.
+func (s *InPlay) Enlist(n int, ids []int) {
+	s.resize(n)
+	for _, id := range ids {
+		s.words[id>>6] |= 1 << (id & 63)
+		s.heads[id>>12] |= 1 << (id >> 6 & 63)
+	}
+	s.count = len(ids)
+}
+
+// EnlistExcept makes the set all of [0, n) minus the distinct nodes in
+// skip: a dense cohort described by what it leaves out.
+func (s *InPlay) EnlistExcept(n int, skip []int) {
+	s.Fill(n, func(int) uint64 { return ^uint64(0) })
+	for _, id := range skip {
+		w := id >> 6
+		if s.words[w] &^= 1 << (id & 63); s.words[w] == 0 {
+			s.heads[w>>6] &^= 1 << (w & 63)
+		}
+	}
+	s.count -= len(skip)
+}
+
+// Fill makes the set, over a field of n nodes, the nodes word reports: bit
+// b of word(w) enlists node 64w+b (bits at or past n are ignored).
+func (s *InPlay) Fill(n int, word func(w int) uint64) {
+	s.resize(n)
+	for w := range s.words {
+		members := word(w)
+		if w == len(s.words)-1 && n&63 != 0 {
+			members &= 1<<(n&63) - 1
+		}
+		if s.words[w] = members; members != 0 {
+			s.heads[w>>6] |= 1 << (w & 63)
+			s.count += bits.OnesCount64(members)
+		}
+	}
+}
+
+// AppendTo appends the nodes in play to dst in ascending order.
+func (s *InPlay) AppendTo(dst []int) []int {
+	for w, word := range s.words {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return dst
+}
+
+// Round runs one round of Algorithm 2 over the nodes of f still in play:
+// the single copy of the paper's per-node step (lines 8-14), shared by
+// this package's executions and coord.Nodes.Round. coin is the round's
+// trial for the execution's population bound, cut the best value broadcast
+// so far — in the comparison domain, keys negated when minimum is set —
+// widened by the execution's tolerance (Tol.WidenHi(best)); both are the
+// same for every node of a round, so the caller decides them once. A node
+// whose key the cut dominates drops out silently and draws nothing; any
+// other flips the coin, and on success bids — send(base+i, true key), in
+// ascending order of i — and drops out (line 14), else stays for the next
+// round. A tolerant execution thereby retires a node as soon as the best
+// is within the (1±ε) band of its key, guaranteeing every participant's
+// key is at most WidenHi(winner key); with a zero tolerance cut is best
+// itself and the randomness consumed is bit-identical either way.
+//
+// A node that has left the set would have found itself inactive in every
+// later round without drawing, so the trials drawn, their order and the
+// sends are exactly those of consulting every member in every round —
+// while Theorem 4.2's own argument (the members neither retired nor
+// dominated halve per round) bounds the work by a few visits per member.
+func (f Field) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, base int, send func(id int, key order.Key)) {
+	if in.count == 0 {
+		return
+	}
+	keys, states, fast := f.Keys, f.Gens.States(), coin.Fast()
+	for h, head := range in.heads {
+		for ; head != 0; head &= head - 1 {
+			w := h<<6 | bits.TrailingZeros64(head)
+			for word := in.words[w]; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				key := keys[i]
+				cmp := key
+				if minimum {
+					cmp = order.Neg(key)
+				}
+				if cut > cmp {
+					in.leave(i)
+					continue
+				}
+				var hit bool
+				if fast {
+					states[i], hit = coin.FlipFast(states[i], f.Gens.Inc(i))
+				} else {
+					states[i], hit = coin.Flip(states[i], f.Gens.Inc(i))
+				}
+				if hit {
+					send(base+i, key)
+					in.leave(i)
+				}
+			}
+			if in.words[w] == 0 {
+				in.heads[h] &^= 1 << (w & 63)
+			}
+		}
+	}
+}
+
+// Run executes Algorithm 2 over the nodes in play — at most bound of them
+// — in the maximum or (order-dual) minimum sense, with tolerance tol (zero
+// for an exact execution), recording one Up message per node send and one
+// Bcast per round on rec. It consumes the set. The empty set yields
+// Result{OK: false} and no messages.
+func (f Field) Run(in *InPlay, bound int, tol order.Tol, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) Result {
+	return f.run(in, bound, tol, minimum, rec, tr, step, nil)
+}
+
+// run is Run reporting bids under the ids of parts, when given: node i is
+// then parts[i], whatever its id.
+func (f Field) run(in *InPlay, bound int, tol order.Tol, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64, parts []Participant) Result {
+	if in.count == 0 {
+		return Result{OK: false, ID: -1, Key: order.NegInf}
+	}
+	if bound < in.count {
+		panic(fmt.Sprintf("protocol: bound %d below participant count %d", bound, in.count))
+	}
+	ex := NewExec(bound, minimum, rec, tr, step)
+	send := ex.Bid
+	if parts != nil {
+		send = func(i int, key order.Key) { ex.Bid(parts[i].ID, key) }
+	}
+	for ex.More() {
+		coin := rng.NewCoin(uint(ex.Round()), uint64(bound))
+		f.Round(in, &coin, tol.WidenHi(ex.Best()), minimum, 0, send)
+		ex.EndRound()
+	}
+	// The final round samples with probability 1, so every participant not
+	// dominated earlier has sent; the tracked winner is the true extremum.
+	return ex.Result()
+}

@@ -2,7 +2,10 @@ package protocol
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/order"
@@ -10,10 +13,12 @@ import (
 )
 
 // Sampler is the one-node reference of an Algorithm 2 execution: the
-// per-node state machine the engines carried before executions kept a
-// compacted member list. It lives here so the kernel is checked against
-// an implementation that shares no code with it (Decide included), and
-// the TestSampler* cases pin the reference's own semantics.
+// per-node state machine the engines carried before executions kept only
+// who is still in play. It lives here so the kernel is checked against an
+// implementation that shares no code with it but the trial
+// (RNG.BernoulliPow2, which is one flip of the kernel's rng.Coin — the
+// parent's loop in refloop_test.go shares not even that), and the
+// TestSampler* cases pin the reference's own semantics.
 type Sampler struct {
 	key    order.Key
 	bound  uint64
@@ -82,64 +87,136 @@ func naiveRun(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, 
 	return ex.Result()
 }
 
-// kernelCase is one cohort of the equivalence matrix: keys by ascending
-// participant position, ids strictly increasing but not dense.
+// kernelCase is one cohort of the equivalence matrix, over a field of size
+// nodes: the members' ids strictly increasing, their keys by ascending
+// member position. A dense case enlists the cohort as the field minus its
+// non-members (EnlistExcept), the others as an id list (Enlist).
 type kernelCase struct {
 	name  string
+	size  int
 	ids   []int
 	keys  []order.Key
 	bound int
+	dense bool
 }
 
 func kernelCases() []kernelCase {
 	var cases []kernelCase
-	add := func(name string, keys []order.Key, slack int) {
+	// Sparse cohorts: ids 1, 4, 7, … of a field that ends with the last.
+	add := func(name string, keys []order.Key, bound int) {
 		ids := make([]int, len(keys))
 		for i := range ids {
 			ids[i] = 3*i + 1
 		}
-		cases = append(cases, kernelCase{name: name, ids: ids, keys: keys, bound: len(keys) + slack})
+		size := 1
+		if len(ids) > 0 {
+			size = ids[len(ids)-1] + 1
+		}
+		cases = append(cases, kernelCase{name: name, size: size, ids: ids, keys: keys, bound: bound})
 	}
 	add("empty", nil, 4)
-	add("one", []order.Key{7}, 0)
-	add("two", []order.Key{7, 9}, 0)
-	add("two-tied", []order.Key{5, 5}, 0)
-	add("all-tied", []order.Key{4, 4, 4, 4, 4, 4, 4, 4, 4}, 0)
-	add("sentinels", []order.Key{order.NegInf, 3, order.PosInf, order.NegInf, order.PosInf}, 0)
+	add("one", []order.Key{7}, 1)
+	add("two", []order.Key{7, 9}, 2)
+	add("two-tied", []order.Key{5, 5}, 2)
+	add("all-tied", []order.Key{4, 4, 4, 4, 4, 4, 4, 4, 4}, 9)
+	add("sentinels", []order.Key{order.NegInf, 3, order.PosInf, order.NegInf, order.PosInf}, 5)
+	add("wide-bound", []order.Key{8, 1, 8, 3, 2, 9, 9}, 1<<33+5)
+	add("wide-pow2-bound", []order.Key{8, 1, 8, 3, 2, 9, 9}, 1<<34)
 	r := rng.New(99, 7)
 	for _, n := range []int{3, 17, 64, 257, 1000} {
 		distinct := make([]order.Key, n)
 		for i, p := range r.Perm(n) {
 			distinct[i] = order.Key(1000 + 10*int64(p))
 		}
-		add(fmt.Sprintf("distinct-%d", n), distinct, 0)
-		add(fmt.Sprintf("distinct-%d-loose", n), distinct, 5*n+3)
+		add(fmt.Sprintf("distinct-%d", n), distinct, n)
+		add(fmt.Sprintf("distinct-%d-loose", n), distinct, 6*n+3)
 		dups := make([]order.Key, n)
 		for i := range dups {
 			dups[i] = order.Key(1000 + r.Int63n(int64(n/3+1)))
 		}
-		add(fmt.Sprintf("dups-%d", n), dups, 0)
-		add(fmt.Sprintf("dups-%d-loose", n), dups, n/2+1)
+		add(fmt.Sprintf("dups-%d", n), dups, n)
+		add(fmt.Sprintf("dups-%d-loose", n), dups, n+n/2+1)
 		neg := make([]order.Key, n)
 		for i := range neg {
 			neg[i] = order.Key(r.Int63n(2001) - 1000)
 		}
-		add(fmt.Sprintf("signed-%d", n), neg, 1)
+		add(fmt.Sprintf("signed-%d", n), neg, n+1)
+	}
+	// Dense-complement cohorts: the whole field but a short skip list, at
+	// sizes on and off the 64-node word and the 4096-node head word.
+	for _, size := range []int{1, 63, 64, 65, 100, 128, 1000, 4096, 4097, 4200} {
+		for _, skips := range []int{0, 1, 5} {
+			if skips >= size {
+				continue
+			}
+			skip := map[int]bool{}
+			if skips > 0 {
+				skip[0] = true
+			}
+			if skips > 1 {
+				skip[size-1] = true
+			}
+			for len(skip) < skips {
+				skip[r.Intn(size)] = true
+			}
+			c := kernelCase{name: fmt.Sprintf("dense-%d-skip%d", size, skips), size: size, dense: true}
+			for id := 0; id < size; id++ {
+				if !skip[id] {
+					c.ids = append(c.ids, id)
+					c.keys = append(c.keys, order.Key(r.Int63n(int64(size/2+2))))
+				}
+			}
+			for _, bound := range []int{len(c.ids), size, size + 37} {
+				c.bound = bound
+				cases = append(cases, c)
+			}
+		}
 	}
 	return cases
 }
 
-// generators returns n generators split from one seeded root.
-func generators(n int, seed uint64) []rng.RNG {
-	root := rng.New(seed, 0x6b)
-	out := make([]rng.RNG, n)
-	for i := range out {
-		out[i] = root.SplitValue(uint64(i))
+// enlist puts kc's cohort in play the way the case says.
+func (kc *kernelCase) enlist(in *InPlay) {
+	if !kc.dense {
+		in.Enlist(kc.size, kc.ids)
+		return
 	}
-	return out
+	var skip []int
+	next := 0
+	for id := 0; id < kc.size; id++ {
+		if next < len(kc.ids) && kc.ids[next] == id {
+			next++
+		} else {
+			skip = append(skip, id)
+		}
+	}
+	in.EnlistExcept(kc.size, skip)
 }
 
-func mustTol(t *testing.T, eps float64) order.Tol {
+// field returns a field of kc.size nodes holding kc's keys at kc's ids,
+// its generators split from one seeded root.
+func (kc *kernelCase) field(seed uint64) Field {
+	f := Field{Keys: make([]order.Key, kc.size), Gens: rng.New(seed, 0x6b).SplitArena(0, kc.size)}
+	for i, id := range kc.ids {
+		f.Keys[id] = kc.keys[i]
+	}
+	return f
+}
+
+// parts returns kc's cohort as participant records drawing from copies of
+// the generators field(seed) gives the members, and the copies.
+func (kc *kernelCase) parts(seed uint64) ([]Participant, []rng.RNG) {
+	arena := kc.field(seed).Gens
+	gens := make([]rng.RNG, len(kc.ids))
+	parts := make([]Participant, len(kc.ids))
+	for i, id := range kc.ids {
+		gens[i] = arena.At(id)
+		parts[i] = Participant{ID: id, Key: kc.keys[i], RNG: &gens[i]}
+	}
+	return parts, gens
+}
+
+func mustTol(t testing.TB, eps float64) order.Tol {
 	t.Helper()
 	tol, err := order.NewTol(eps)
 	if err != nil {
@@ -149,38 +226,36 @@ func mustTol(t *testing.T, eps float64) order.Tol {
 }
 
 // TestKernelMatchesNaiveReference runs every cohort through the naive
-// reference and through both entries of the compacted kernel — participant
-// records and the flat population — from identical generator states, and
-// demands the same Result, the same message and byte charges, and the same
-// final state of every participant's generator: the kernel may skip the
-// visits that would have found a node inactive, and nothing else.
+// reference and through both entries of the kernel — participant records
+// and the field — from identical generator states, and demands the same
+// Result, the same message and byte charges, and the same final state of
+// every participant's generator: the kernel may skip the visits that would
+// have found a node inactive, and nothing else. The parent commit's
+// compacting loop (refloop_test.go) is held to the same, so the three
+// implementations agree pairwise.
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	tols := map[string]order.Tol{"exact": {}, "eps0.05": mustTol(t, 0.05), "eps0.5": mustTol(t, 0.5)}
 	for _, kc := range kernelCases() {
 		for tolName, tol := range tols {
 			for _, minimum := range []bool{false, true} {
 				for seed := uint64(1); seed <= 3; seed++ {
-					name := fmt.Sprintf("%s/%s/min=%v/seed=%d", kc.name, tolName, minimum, seed)
-					n := len(kc.keys)
+					name := fmt.Sprintf("%s/bound=%d/%s/min=%v/seed=%d", kc.name, kc.bound, tolName, minimum, seed)
 
 					// Reference.
-					refGens := generators(n, seed)
-					refParts := make([]Participant, n)
-					for i := range refParts {
-						refParts[i] = Participant{ID: kc.ids[i], Key: kc.keys[i], RNG: &refGens[i]}
-					}
+					refParts, refGens := kc.parts(seed)
 					var refRec comm.Counter
 					want := naiveRun(refParts, kc.bound, tol, &refRec, minimum)
 
+					// The parent's compacting loop.
+					loopParts, loopGens := kc.parts(seed)
+					var loopRec comm.Counter
+					got := refRunParts(loopParts, kc.bound, tol, &loopRec, nil, 0, minimum, nil)
+					checkKernel(t, name+"/parent-loop", want, got, &refRec, &loopRec, refGens, loopGens)
+
 					// Kernel over participant records.
-					gens := generators(n, seed)
-					parts := make([]Participant, n)
-					for i := range parts {
-						parts[i] = Participant{ID: kc.ids[i], Key: kc.keys[i], RNG: &gens[i]}
-					}
+					parts, gens := kc.parts(seed)
 					var rec comm.Counter
 					var sc Scratch
-					var got Result
 					if minimum {
 						got = sc.MinimumTol(parts, kc.bound, tol, &rec, nil, 0)
 					} else {
@@ -188,41 +263,29 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 					}
 					checkKernel(t, name+"/parts", want, got, &refRec, &rec, refGens, gens)
 
-					// Kernel over the flat population: node ids index the
-					// arrays, so scatter the cohort to its ids.
-					size := 1
-					if n > 0 {
-						size = kc.ids[n-1] + 1
+					// Kernel over the field.
+					f := kc.field(seed)
+					before := slices.Clone(f.Gens.States())
+					var in InPlay
+					kc.enlist(&in)
+					if in.Len() != len(kc.ids) {
+						t.Fatalf("%s: %d nodes enlisted, cohort has %d", name, in.Len(), len(kc.ids))
 					}
-					pop := Population{Keys: make([]order.Key, size), RNGs: make([]rng.RNG, size)}
-					filler := *rng.New(seed, 0xf1)
-					for i := range pop.RNGs {
-						pop.RNGs[i] = filler // non-members: must stay untouched
-					}
-					members := make([]int32, n)
-					for i, g := range generators(n, seed) {
-						id := kc.ids[i]
-						members[i] = int32(id)
-						pop.Keys[id] = kc.keys[i]
-						pop.RNGs[id] = g
-					}
-					before := append([]int32(nil), members...)
 					var flatRec comm.Counter
-					got = sc.Run(pop, members, kc.bound, tol, minimum, &flatRec, nil, 0)
-					flatGens := make([]rng.RNG, n)
+					got = f.Run(&in, kc.bound, tol, minimum, &flatRec, nil, 0)
+					flatGens := make([]rng.RNG, len(kc.ids))
+					member := make([]bool, kc.size)
 					for i, id := range kc.ids {
-						flatGens[i] = pop.RNGs[id]
+						flatGens[i], member[id] = f.Gens.At(id), true
 					}
-					checkKernel(t, name+"/flat", want, got, &refRec, &flatRec, refGens, flatGens)
-					for i := range members {
-						if members[i] != before[i] {
-							t.Fatalf("%s: Run modified its member list at %d", name, i)
-						}
-					}
-					for id := range pop.RNGs {
-						if member := id%3 == 1 && id/3 < n; !member && pop.RNGs[id] != filler {
+					checkKernel(t, name+"/field", want, got, &refRec, &flatRec, refGens, flatGens)
+					for id, state := range f.Gens.States() {
+						if !member[id] && state != before[id] {
 							t.Fatalf("%s: Run advanced non-member %d's generator", name, id)
 						}
+					}
+					if in.Len() != 0 || len(in.AppendTo(nil)) != 0 {
+						t.Fatalf("%s: %d nodes (%v) still in play after the execution", name, in.Len(), in.AppendTo(nil))
 					}
 				}
 			}
@@ -251,16 +314,14 @@ func checkKernel(t *testing.T, name string, want, got Result, wantRec, gotRec *c
 }
 
 // TestWarmScratchExecutionZeroAllocs pins that a repeated execution on a
-// Scratch that has seen the cohort size allocates nothing, through either
-// entry.
+// Scratch that has seen the cohort size, or on a field whose in-play set
+// has, allocates nothing.
 func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 	const n = 4096
 	parts := makeParts(n, 0, 5)
-	pop := Population{Keys: make([]order.Key, n), RNGs: generators(n, 5)}
-	members := make([]int32, n)
-	for i := range members {
-		members[i] = int32(i)
-		pop.Keys[i] = parts[i].Key
+	f := Field{Keys: make([]order.Key, n), Gens: rng.New(5, 0x6b).SplitArena(0, n)}
+	for i := range parts {
+		f.Keys[i] = parts[i].Key
 	}
 	var sc Scratch
 	sc.Maximum(parts, n, comm.Discard, nil, 0) // warm
@@ -270,7 +331,158 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { sc.MinimumTol(parts, n, order.Tol{}, comm.Discard, nil, 0) }); a != 0 {
 		t.Errorf("Scratch.MinimumTol on a warm scratch: %v allocs/run, want 0", a)
 	}
-	if a := testing.AllocsPerRun(20, func() { sc.Run(pop, members, n, order.Tol{}, false, comm.Discard, nil, 0) }); a != 0 {
-		t.Errorf("Scratch.Run on a warm scratch: %v allocs/run, want 0", a)
+	var in InPlay
+	skip := []int{3, 70}
+	run := func() {
+		in.EnlistExcept(n, skip)
+		f.Run(&in, n, order.Tol{}, false, comm.Discard, nil, 0)
+	}
+	run() // warm
+	if a := testing.AllocsPerRun(20, run); a != 0 {
+		t.Errorf("Field.Run on a warm in-play set: %v allocs/run, want 0", a)
+	}
+}
+
+// BenchmarkFieldRun times one maximum execution over a whole field, under
+// a power-of-two bound (the mask coin) and a general one.
+func BenchmarkFieldRun(b *testing.B) {
+	for _, n := range []int{4096, 1 << 16, 1 << 20} {
+		f := Field{Keys: make([]order.Key, n), Gens: rng.New(5, 0x6b).SplitArena(0, n)}
+		for i, p := range rng.New(6, 1).Perm(n) {
+			f.Keys[i] = order.Key(p + 1)
+		}
+		var in InPlay
+		for _, bound := range []int{n, n + n/3} {
+			b.Run(fmt.Sprintf("n=%d/bound=%d", n, bound), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					in.EnlistExcept(n, nil)
+					f.Run(&in, bound, order.Tol{}, false, comm.Discard, nil, 0)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+			})
+		}
+	}
+}
+
+// BenchmarkScratchMaximum times the same execution through participant
+// records, gather and scatter included.
+func BenchmarkScratchMaximum(b *testing.B) {
+	for _, n := range []int{16, 4096, 1 << 16, 1 << 20} {
+		parts := makeParts(n, 0, 5)
+		var sc Scratch
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sc.Maximum(parts, n, comm.Discard, nil, 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+		})
+	}
+}
+
+// FuzzRoundKernel holds the kernel to the naive reference on cohorts the
+// fuzzer shapes: keys with ties and both sentinels, sparse id lists and
+// dense complements of skip lists over fields on and off the 64-node word,
+// either sense, any tolerance, bounds from the cohort size up past 2^32.
+func FuzzRoundKernel(f *testing.F) {
+	f.Add([]byte{0, 255, 7, 7, 9, 1, 200}, uint16(70), uint64(0), uint8(0), uint64(1))
+	f.Add([]byte{3, 3, 3, 3}, uint16(64), uint64(1), uint8(1|4), uint64(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(4100), uint64(1<<33), uint8(1|8), uint64(3))
+	f.Add([]byte{255, 0}, uint16(129), uint64(77), uint8(4|16), uint64(4))
+	f.Fuzz(func(t *testing.T, data []byte, size16 uint16, slack uint64, flags uint8, seed uint64) {
+		if len(data) == 0 {
+			t.Skip()
+		}
+		at := func(i int) byte { return data[i%len(data)] }
+		kc := kernelCase{size: 1 + int(size16)%4200, dense: flags&1 != 0}
+		for id := 0; id < kc.size; id++ {
+			pick := at(3*id + 1)
+			if member := pick&1 != 0; kc.dense {
+				member = pick&31 != 0
+				if !member {
+					continue
+				}
+			} else if !member {
+				continue
+			}
+			key := order.Key(at(id)) // few values: ties everywhere
+			switch at(id) {
+			case 0:
+				key = order.NegInf
+			case 255:
+				key = order.PosInf
+			}
+			kc.ids, kc.keys = append(kc.ids, id), append(kc.keys, key)
+		}
+		kc.bound = max(len(kc.ids), 1) + int(slack%(1<<40))
+		minimum := flags&4 != 0
+		tol := mustTol(t, []float64{0, 0.05, 0.5, 0.9}[flags>>3&3])
+
+		refParts, refGens := kc.parts(seed)
+		var refRec, rec comm.Counter
+		want := naiveRun(refParts, kc.bound, tol, &refRec, minimum)
+
+		fld := kc.field(seed)
+		before := slices.Clone(fld.Gens.States())
+		var in InPlay
+		in.Enlist(kc.size, []int{0}) // stale members must not survive the enlistment
+		kc.enlist(&in)
+		got := fld.Run(&in, kc.bound, tol, minimum, &rec, nil, 0)
+		gens := make([]rng.RNG, len(kc.ids))
+		member := make([]bool, kc.size)
+		for i, id := range kc.ids {
+			gens[i], member[id] = fld.Gens.At(id), true
+		}
+		if got != want || rec.Snapshot() != refRec.Snapshot() || rec.BytesSnapshot() != refRec.BytesSnapshot() {
+			t.Fatalf("result %+v charges %v/%v, reference %+v %v/%v", got, rec.Snapshot(), rec.BytesSnapshot(), want, refRec.Snapshot(), refRec.BytesSnapshot())
+		}
+		for i := range gens {
+			if gens[i] != refGens[i] {
+				t.Fatalf("member %d (node %d) generator %+v, reference %+v", i, kc.ids[i], gens[i], refGens[i])
+			}
+		}
+		for id, state := range fld.Gens.States() {
+			if !member[id] && state != before[id] {
+				t.Fatalf("non-member %d's generator advanced", id)
+			}
+		}
+		if in.Len() != 0 || len(in.AppendTo(nil)) != 0 {
+			t.Fatalf("nodes %v still in play after the execution", in.AppendTo(nil))
+		}
+	})
+}
+
+// TestSparseCohortDoesNotPayForTheField pins the in-play set's second
+// level: an execution over 16 members of a 2^20-node field visits the
+// members and the field's 256 head words, not its 16384 words — it must
+// stay within a small multiple of the same execution over a 2^12-node
+// field (it reads 2-3 times), where a one-level set, scanning 16384 words
+// a round, would cost well over fifty times more. Timings are the minimum
+// of many runs, and the bound sits far from either reading.
+func TestSparseCohortDoesNotPayForTheField(t *testing.T) {
+	ids := make([]int, 16)
+	for i := range ids {
+		ids[i] = 251 * i
+	}
+	cost := func(n int) time.Duration {
+		f := Field{Keys: make([]order.Key, n), Gens: rng.New(5, 0x6b).SplitArena(0, n)}
+		for _, id := range ids {
+			f.Keys[id] = order.Key(id%7 + 1)
+		}
+		var in InPlay
+		best := time.Duration(math.MaxInt64)
+		for run := 0; run < 300; run++ {
+			start := time.Now()
+			for rep := 0; rep < 20; rep++ {
+				in.Enlist(n, ids)
+				f.Run(&in, len(ids), order.Tol{}, false, comm.Discard, nil, 0)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := cost(1<<12), cost(1<<20)
+	t.Logf("16 members: %v over 2^12 nodes, %v over 2^20 nodes (20 executions each)", small, large)
+	if large > 30*small {
+		t.Fatalf("a 16-member execution costs %v over 2^20 nodes and %v over 2^12: it pays for the field", large, small)
 	}
 }

@@ -13,22 +13,15 @@
 // only the message count is random. Theorem 4.2 bounds the expected number
 // of node-to-coordinator messages by 2·log2(N) + 1.
 //
-// The node-side per-round decision lives in Decide, so that the in-process
-// executions of this package and the node banks of internal/coord (which
-// every other engine hosts) share one implementation and can be checked
-// for message-count equivalence under identical seeds. Neither keeps
-// per-node execution state: an execution holds the ascending list of
-// members still in play, visits only that list each round and compacts
-// it in place. A node that left the list would have answered "inactive"
-// without touching its generator in every later round, so the compacted
-// execution draws the same trials from the same generators in the same
-// rounds, in the same ascending-id order, as a sweep over all members —
-// while Theorem 4.2's own argument (the members neither retired nor
-// dominated halve per round) bounds its work by a few visits per member
-// instead of one per member per round.
+// The node-side per-round step lives in Field.Round (kernel.go), so that
+// the in-process executions of this package and the node banks of
+// internal/coord (which every other engine hosts) share one implementation
+// and can be checked for message-count equivalence under identical seeds.
+// Neither keeps per-node execution state: an execution holds one bit per
+// node saying who is still in play (InPlay) and visits only those.
 //
 // For the ε-approximate mode (arXiv:1601.04448), an execution may run
-// with a tolerance (MaximumTol/MinimumTol, Scratch.Run): participants
+// with a tolerance (MaximumTol/MinimumTol, Field.Run): participants
 // retire from the remaining rounds early once the broadcast best is
 // within the (1±ε) band of their own key, trading the exactness of the
 // result — the winner is then only guaranteed ε-close to the true
@@ -37,7 +30,6 @@
 package protocol
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/comm"
@@ -48,7 +40,8 @@ import (
 
 // Participant describes one node taking part in a protocol execution at a
 // fixed time instant: its id, its current key, and its private generator
-// for the Bernoulli trials the paper's node model provides.
+// for the Bernoulli trials the paper's node model provides — private in
+// earnest: no two participants of an execution may share one.
 type Participant struct {
 	ID  int
 	Key order.Key
@@ -82,82 +75,6 @@ func ceilLog2(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
-}
-
-// Verdict is a node's decision in one round of an execution.
-type Verdict uint8
-
-const (
-	// Stay: the node's trial failed; it remains in play for the next round.
-	Stay Verdict = iota
-	// Bid: the trial succeeded; the node sends its key and deactivates
-	// (Algorithm 2 line 14).
-	Bid
-	// Out: the broadcast best dominates the node's key; it deactivates
-	// without sending (lines 8-10) and without consuming randomness.
-	Out
-)
-
-// Decide is the node-local decision of round r for a node still in play:
-// the one copy of Algorithm 2's per-node step, shared by this package's
-// executions and coord.Nodes.Round. key is the node's key in the
-// execution's comparison domain (negated for minimum executions — the
-// negation stays with the caller so that Decide inlines into the round
-// loops), bound the population bound N, and cut the best broadcast so far
-// widened by the execution's tolerance, Tol.WidenHi(best) — the same for
-// every node of a round, so callers compute it once per round. A tolerant
-// execution thereby retires a node as soon as the best is within the
-// (1±ε) band of its key, guaranteeing every participant's key is at most
-// WidenHi(winner key) rather than at most the winner key; with a zero
-// tolerance cut is best itself, and the randomness consumed is
-// bit-identical either way. Callers must not consult a node again once it
-// answered Bid or Out.
-func Decide(key, cut order.Key, r uint, bound uint64, rg *rng.RNG) Verdict {
-	if cut > key {
-		return Out
-	}
-	if rg.BernoulliPow2(r, bound) {
-		return Bid
-	}
-	return Stay
-}
-
-// Population is the flat, index-addressed form of a node population:
-// node i holds key Keys[i] and draws from RNGs[i]. Scratch.Run executes
-// over a member list into it, so engines that already keep their nodes
-// this way (internal/core) build no per-execution participant records.
-type Population struct {
-	Keys []order.Key
-	RNGs []rng.RNG
-}
-
-// NodeRoot returns the seeded root generator every engine derives its node
-// generators from: node i draws from the root's i-th SplitValue, taken in
-// id order. That shared layout is what makes protocol randomness consume
-// identically across engines, and it makes a node's increment a function
-// of its id alone — NodeRoot(s).SplitInc(i) for any seed s — which is why
-// a checkpoint persists generator states and no increments.
-func NodeRoot(seed uint64) *rng.RNG { return rng.New(seed, 0xc02e) }
-
-// Scratch holds the one reusable per-execution buffer — the list of
-// members still in play, 4 bytes per participant — so that a protocol run
-// on a hot path performs no heap allocation. The zero value is ready to
-// use; a Scratch may be reused across executions but not shared
-// concurrently.
-type Scratch struct {
-	active []int32
-}
-
-// list returns a length-n working list from s's buffer, allocating at
-// exact capacity when it has to grow (or when s is nil).
-func (s *Scratch) list(n int) []int32 {
-	if s == nil {
-		return make([]int32, n)
-	}
-	if cap(s.active) < n {
-		s.active = make([]int32, n)
-	}
-	return s.active[:n]
 }
 
 // Maximum executes Algorithm 2 over the given participants with population
@@ -210,9 +127,9 @@ func (s *Scratch) MinimumTol(parts []Participant, bound int, tol order.Tol, rec 
 //	ex := protocol.NewExec(bound, minimum, rec, nil, step)
 //	for ex.More() {
 //	    r, best := ex.Round(), ex.Best()
-//	    // substrate-specific: take Decide's verdict for round r against
-//	    // best from every cohort member still in play, delivering every
-//	    // send in ascending node-id order
+//	    // substrate-specific: run round r (Field.Round) against best over
+//	    // every cohort member still in play, delivering every send in
+//	    // ascending node-id order
 //	    ex.Bid(id, key) // per send
 //	    ex.EndRound()
 //	}
@@ -302,78 +219,40 @@ func (e *Exec) Result() Result {
 	return Result{OK: true, ID: e.winID, Key: e.winKey, Rounds: e.r}
 }
 
-// cohort addresses the members of one execution: member i is parts[i]
-// when the caller supplied participant records, node i of the flat
-// population otherwise.
-type cohort struct {
-	parts []Participant
-	pop   Population
+// Scratch holds the reusable buffers of executions over participant
+// records — the records gathered into a Field, and its in-play set — so
+// that a protocol run on a hot path performs no heap allocation. The zero
+// value is ready to use; a Scratch may be reused across executions but
+// not shared concurrently.
+type Scratch struct {
+	keys         []order.Key
+	states, incs []uint64
+	in           InPlay
 }
 
-func (c *cohort) member(i int32) (id int, key order.Key, rg *rng.RNG) {
-	if c.parts != nil {
-		p := &c.parts[i]
-		return p.ID, p.Key, p.RNG
-	}
-	return int(i), c.pop.Keys[i], &c.pop.RNGs[i]
-}
-
-// run executes Algorithm 2 over active, the ascending list of c's members
-// taking part, which it consumes: each round visits the members still in
-// play and rewrites the list in place — dominated members drop out
-// silently, members whose trial succeeds bid and drop out, the rest stay.
-func run(c cohort, active []int32, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64, minimum bool) Result {
-	if len(active) == 0 {
-		return Result{OK: false, ID: -1, Key: order.NegInf}
-	}
-	if bound < len(active) {
-		panic(fmt.Sprintf("protocol: bound %d below participant count %d", bound, len(active)))
-	}
-	ex := NewExec(bound, minimum, rec, tr, step)
-	for ex.More() {
-		r, cut := uint(ex.Round()), tol.WidenHi(ex.Best())
-		kept := active[:0]
-		for _, i := range active {
-			id, key, rg := c.member(i)
-			cmp := key
-			if minimum {
-				cmp = order.Neg(key)
-			}
-			switch Decide(cmp, cut, r, uint64(bound), rg) {
-			case Bid:
-				ex.Bid(id, key)
-			case Stay:
-				kept = append(kept, i)
-			}
-		}
-		active = kept
-		ex.EndRound()
-	}
-	// The final round samples with probability 1, so every participant not
-	// dominated earlier has sent; the tracked winner is the true extremum.
-	return ex.Result()
-}
-
-// runParts executes over participant records: the member list is the
-// identity over the slice.
+// runParts executes over participant records: it gathers their keys and
+// generators into a field of len(parts) nodes, runs the kernel over all
+// of it, and hands every generator back where the execution left it.
 func runParts(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64, minimum bool, s *Scratch) Result {
-	active := s.list(len(parts))
-	for i := range active {
-		active[i] = int32(i)
+	if s == nil {
+		s = new(Scratch)
 	}
-	return run(cohort{parts: parts}, active, bound, tol, rec, tr, step, minimum)
-}
-
-// Run executes Algorithm 2 over the given members of pop — node ids in
-// ascending order, at most bound of them — in the maximum or (order-dual)
-// minimum sense, with tolerance tol (zero for an exact execution). It is
-// MaximumTol/MinimumTol for a population already held flat: identical
-// result, charges and randomness for the same members, keys and
-// generators. members is read, not retained or modified.
-func (s *Scratch) Run(pop Population, members []int32, bound int, tol order.Tol, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	active := s.list(len(members))
-	copy(active, members)
-	return run(cohort{pop: pop}, active, bound, tol, rec, tr, step, minimum)
+	n := len(parts)
+	if cap(s.keys) < n {
+		s.keys, s.states, s.incs = make([]order.Key, n), make([]uint64, n), make([]uint64, n)
+	}
+	keys, states, incs := s.keys[:n], s.states[:n], s.incs[:n]
+	for i := range parts {
+		keys[i] = parts[i].Key
+		states[i], incs[i] = parts[i].RNG.State()
+	}
+	f := Field{Keys: keys, Gens: rng.ArenaOf(states, incs)}
+	s.in.EnlistExcept(n, nil)
+	res := f.run(&s.in, bound, tol, minimum, rec, tr, step, parts)
+	for i := range parts {
+		*parts[i].RNG = f.Gens.At(i)
+	}
+	return res
 }
 
 // Extractor computes the maximum over a participant set; Maximum and

@@ -16,8 +16,8 @@
 package rng
 
 import (
-	"errors"
 	"math"
+	"math/bits"
 )
 
 // Multiplier of the PCG-XSH-RR linear congruential core (from the PCG
@@ -67,34 +67,27 @@ func (r *RNG) SplitValue(child uint64) RNG {
 // SplitInc returns the increment of the generator Split(child) and
 // SplitValue(child) derive, without advancing r. A child's increment
 // depends on its id and the parent's stream alone — not on the seed or on
-// how far the parent has advanced — so whoever persists a split generator
-// stores its state and recomputes the increment (see FromState).
+// how far the parent has advanced — so whoever holds or persists a split
+// generator stores its state and recomputes the increment (see Arena).
 func (r *RNG) SplitInc(child uint64) uint64 { return streamInc(r.splitStream(child)) }
 
 // splitStream is the stream id of r's child: the one definition SplitValue
-// seeds from and SplitInc reports.
-func (r *RNG) splitStream(child uint64) uint64 { return child<<1 ^ r.inc }
+// seeds from and SplitInc and Arena.Inc report.
+func (r *RNG) splitStream(child uint64) uint64 { return childStream(r.inc, child) }
+
+// childStream is the stream id of a child of the generator with increment
+// parentInc.
+func childStream(parentInc, child uint64) uint64 { return child<<1 ^ parentInc }
 
 // streamInc maps a stream id to its (odd) increment.
 func streamInc(stream uint64) uint64 { return stream<<1 | 1 }
 
-// State returns the generator's internal (state, increment) pair. Together
-// with FromState it lets checkpoint/restore machinery persist a generator
-// mid-sequence: the restored generator continues the original's output
-// exactly, which is what keeps a restored coordinator bit-identical to an
-// uninterrupted run.
+// State returns the generator's internal (state, increment) pair: what an
+// Arena holds of a generator (ArenaOf), and what lets checkpoint/restore
+// machinery persist one mid-sequence — a generator rebuilt from its pair
+// continues the original's output exactly, which is what keeps a restored
+// coordinator bit-identical to an uninterrupted run.
 func (r *RNG) State() (state, inc uint64) { return r.state, r.inc }
-
-// FromState rebuilds a generator from a State snapshot. The increment must
-// be odd — every generator built by New or Split has one — so that the
-// LCG core keeps its full period; restoring from untrusted bytes surfaces
-// a bad increment as an error, never as a silently degraded generator.
-func FromState(state, inc uint64) (*RNG, error) {
-	if inc&1 == 0 {
-		return nil, errors.New("rng: restored increment must be odd")
-	}
-	return &RNG{state: state, inc: inc}, nil
-}
 
 // next advances the LCG core and returns the pre-advance state.
 func (r *RNG) next() uint64 {
@@ -103,12 +96,32 @@ func (r *RNG) next() uint64 {
 	return old
 }
 
+// Advance moves the generator forward by delta 32-bit draws (a Uint64 is
+// two) in O(log delta): the standard jump of a linear congruential core,
+// composing the step x -> x*mul + inc with itself by squaring.
+func (r *RNG) Advance(delta uint64) {
+	accMul, accInc := uint64(1), uint64(0)
+	mul, inc := uint64(pcgMultiplier), r.inc
+	for ; delta > 0; delta >>= 1 {
+		if delta&1 != 0 {
+			accMul *= mul
+			accInc = accInc*mul + inc
+		}
+		inc *= mul + 1
+		mul *= mul
+	}
+	r.state = accMul*r.state + accInc
+}
+
+// output is the XSH-RR output permutation of a pre-advance state.
+func output(old uint64) uint32 {
+	xorshifted := uint32(((old >> 18) ^ old) >> 27)
+	return bits.RotateLeft32(xorshifted, -int(old>>59))
+}
+
 // Uint32 returns a uniformly distributed 32-bit value.
 func (r *RNG) Uint32() uint32 {
-	old := r.next()
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return xorshifted>>rot | xorshifted<<((-rot)&31)
+	return output(r.next())
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
@@ -185,19 +198,13 @@ func (r *RNG) Bernoulli(num, den uint64) bool {
 
 // BernoulliPow2 performs the paper's coin flip with success probability
 // min(1, 2^r/N). The paper's node model (§2) only requires coins with these
-// probabilities; this helper makes that capability explicit.
+// probabilities; this helper makes that capability explicit. The trial is
+// Coin's: one flip of NewCoin(round, n).
 func (r *RNG) BernoulliPow2(round uint, n uint64) bool {
-	if n == 0 {
-		panic("rng: BernoulliPow2 with zero population")
-	}
-	if round >= 64 {
-		return true
-	}
-	p := uint64(1) << round
-	if p >= n {
-		return true
-	}
-	return r.Bernoulli(p, n)
+	c := NewCoin(round, n)
+	var hit bool
+	r.state, hit = c.Flip(r.state, r.inc)
+	return hit
 }
 
 // Perm returns a uniformly random permutation of [0, n) using the

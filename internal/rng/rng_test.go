@@ -91,7 +91,7 @@ func TestSplitValueMatchesSplit(t *testing.T) {
 // TestSplitIncIsTheChildsIncrement pins what lets a checkpoint drop the
 // increment: SplitInc names the child's increment without touching the
 // parent, whatever the seed and however far the parent has advanced, so
-// FromState(state, SplitInc(child)) is the child.
+// the child's state with SplitInc(child) is the child.
 func TestSplitIncIsTheChildsIncrement(t *testing.T) {
 	fresh, other := New(9, 3), New(1234, 3)
 	for i := 0; i < 17; i++ {
@@ -111,9 +111,8 @@ func TestSplitIncIsTheChildsIncrement(t *testing.T) {
 		if cinc != inc {
 			t.Fatalf("child %d: SplitInc %#x, child carries %#x", child, inc, cinc)
 		}
-		back, err := FromState(state, inc)
-		if err != nil || *back != c {
-			t.Fatalf("child %d: FromState(state, SplitInc) = %+v, %v; want %+v", child, back, err, c)
+		if back := (RNG{state: state, inc: inc}); back != c {
+			t.Fatalf("child %d: state with SplitInc is %+v, want %+v", child, back, c)
 		}
 	}
 }

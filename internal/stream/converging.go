@@ -45,7 +45,7 @@ type ConvergingConfig struct {
 type Converging struct {
 	cfg    ConvergingConfig
 	levels int
-	rngs   []*rng.RNG
+	rngs   []rng.RNG
 	off    []int64 // per-node jitter offset, random walk in [-Jitter, +Jitter]
 	step   int
 }
@@ -67,7 +67,7 @@ func NewConverging(cfg ConvergingConfig) *Converging {
 	if cfg.Gap < cfg.MinGap {
 		panic("stream: Converging needs Gap >= MinGap")
 	}
-	c := &Converging{cfg: cfg, rngs: make([]*rng.RNG, cfg.N), off: make([]int64, cfg.N)}
+	c := &Converging{cfg: cfg, rngs: make([]rng.RNG, cfg.N), off: make([]int64, cfg.N)}
 	for d := cfg.Gap; d > cfg.MinGap; d >>= 1 {
 		c.levels++
 	}
@@ -76,7 +76,7 @@ func NewConverging(cfg ConvergingConfig) *Converging {
 	}
 	root := rng.New(cfg.Seed, 0xc0741)
 	for i := range c.rngs {
-		c.rngs[i] = root.Split(uint64(i))
+		c.rngs[i] = root.SplitValue(uint64(i))
 	}
 	return c
 }

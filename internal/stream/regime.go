@@ -25,7 +25,7 @@ type RegimeConfig struct {
 type Regime struct {
 	cfg  RegimeConfig
 	cur  []int64
-	rngs []*rng.RNG
+	rngs []rng.RNG
 	ctl  *rng.RNG
 	wild bool
 	init bool
@@ -45,11 +45,11 @@ func NewRegime(cfg RegimeConfig) *Regime {
 	if cfg.SwitchProb < 0 || cfg.SwitchProb > 1 {
 		panic("stream: Regime SwitchProb outside [0,1]")
 	}
-	g := &Regime{cfg: cfg, cur: make([]int64, cfg.N), rngs: make([]*rng.RNG, cfg.N)}
+	g := &Regime{cfg: cfg, cur: make([]int64, cfg.N), rngs: make([]rng.RNG, cfg.N)}
 	root := rng.New(cfg.Seed, 0x4e61)
 	g.ctl = root.Split(1 << 32)
 	for i := range g.rngs {
-		g.rngs[i] = root.Split(uint64(i))
+		g.rngs[i] = root.SplitValue(uint64(i))
 	}
 	return g
 }

@@ -73,7 +73,7 @@ type WalkConfig struct {
 type RandomWalk struct {
 	cfg  WalkConfig
 	cur  []int64
-	rngs []*rng.RNG
+	rngs []rng.RNG
 	init bool
 }
 
@@ -94,10 +94,10 @@ func NewRandomWalk(cfg WalkConfig) *RandomWalk {
 	if cfg.SpreadHi < cfg.SpreadLo {
 		panic("stream: RandomWalk has inverted initial spread")
 	}
-	w := &RandomWalk{cfg: cfg, cur: make([]int64, cfg.N), rngs: make([]*rng.RNG, cfg.N)}
+	w := &RandomWalk{cfg: cfg, cur: make([]int64, cfg.N), rngs: make([]rng.RNG, cfg.N)}
 	root := rng.New(cfg.Seed, 0x57a1c)
 	for i := range w.rngs {
-		w.rngs[i] = root.Split(uint64(i))
+		w.rngs[i] = root.SplitValue(uint64(i))
 	}
 	return w
 }
@@ -155,7 +155,7 @@ const (
 // recomputation is near-optimal (paper §2.1 worst-case discussion).
 type IID struct {
 	cfg  IIDConfig
-	rngs []*rng.RNG
+	rngs []rng.RNG
 }
 
 // NewIID validates the configuration and returns a generator.
@@ -169,10 +169,10 @@ func NewIID(cfg IIDConfig) *IID {
 	if cfg.Dist == Zipf && cfg.S <= 0 {
 		panic("stream: Zipf needs exponent S > 0")
 	}
-	g := &IID{cfg: cfg, rngs: make([]*rng.RNG, cfg.N)}
+	g := &IID{cfg: cfg, rngs: make([]rng.RNG, cfg.N)}
 	root := rng.New(cfg.Seed, 0x11d)
 	for i := range g.rngs {
-		g.rngs[i] = root.Split(uint64(i))
+		g.rngs[i] = root.SplitValue(uint64(i))
 	}
 	return g
 }
@@ -185,7 +185,7 @@ func (g *IID) Step(vals []int64) {
 	checkLen(g.cfg.N, vals)
 	span := g.cfg.Hi - g.cfg.Lo + 1
 	for i := range vals {
-		r := g.rngs[i]
+		r := &g.rngs[i]
 		switch g.cfg.Dist {
 		case Uniform:
 			vals[i] = g.cfg.Lo + r.Int63n(span)
@@ -221,7 +221,7 @@ type BurstyConfig struct {
 type Bursty struct {
 	cfg  BurstyConfig
 	cur  []int64
-	rngs []*rng.RNG
+	rngs []rng.RNG
 	init bool
 }
 
@@ -236,10 +236,10 @@ func NewBursty(cfg BurstyConfig) *Bursty {
 	if cfg.BurstProb < 0 || cfg.BurstProb > 1 {
 		panic("stream: BurstProb outside [0,1]")
 	}
-	b := &Bursty{cfg: cfg, cur: make([]int64, cfg.N), rngs: make([]*rng.RNG, cfg.N)}
+	b := &Bursty{cfg: cfg, cur: make([]int64, cfg.N), rngs: make([]rng.RNG, cfg.N)}
 	root := rng.New(cfg.Seed, 0xb0b)
 	for i := range b.rngs {
-		b.rngs[i] = root.Split(uint64(i))
+		b.rngs[i] = root.SplitValue(uint64(i))
 	}
 	return b
 }
@@ -258,7 +258,7 @@ func (b *Bursty) Step(vals []int64) {
 		b.init = true
 	} else {
 		for i := range b.cur {
-			r := b.rngs[i]
+			r := &b.rngs[i]
 			var delta int64
 			if r.Float64() < b.cfg.BurstProb && b.cfg.BurstMax > 0 {
 				delta = r.Int63n(2*b.cfg.BurstMax+1) - b.cfg.BurstMax
@@ -344,7 +344,7 @@ type TwoBand struct {
 	cfg     TwoBandConfig
 	center  []int64 // per-node band center
 	cur     []int64
-	rngs    []*rng.RNG
+	rngs    []rng.RNG
 	inTop   []bool
 	step    int
 	topC    int64
@@ -367,14 +367,14 @@ func NewTwoBand(cfg TwoBandConfig) *TwoBand {
 		cfg:    cfg,
 		center: make([]int64, cfg.N),
 		cur:    make([]int64, cfg.N),
-		rngs:   make([]*rng.RNG, cfg.N),
+		rngs:   make([]rng.RNG, cfg.N),
 		inTop:  make([]bool, cfg.N),
 		topC:   cfg.Gap, // top band centered at Gap, bottom at 0
 		botC:   0,
 	}
 	root := rng.New(cfg.Seed, 0x2ba)
 	for i := range tb.rngs {
-		tb.rngs[i] = root.Split(uint64(i))
+		tb.rngs[i] = root.SplitValue(uint64(i))
 		if i < cfg.K {
 			tb.inTop[i] = true
 			tb.center[i] = tb.topC

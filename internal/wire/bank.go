@@ -128,7 +128,7 @@ const bankOrder = "wire: bank columns taken out of frame order"
 const bankTailRoom = 256
 
 // BankWriter appends one v2 bank frame column by column, in frame order:
-// BeginBank, BankKeys, one Gen per hosted node, then Flag, Viol and Ord
+// BeginBank, BankKeys, Gens for every hosted node, then Flag, Viol and Ord
 // for the nodes that need an entry — each section in increasing index
 // order, any of them possibly empty — and End. It panics on any other
 // order and on an entry the frame cannot hold, like every encoder here.
@@ -178,13 +178,16 @@ func BankKeys[K ~int64](w *BankWriter, keys []K) {
 	w.stage, w.left = bankGens, w.n
 }
 
-// Gen appends the next node's generator state.
-func (w *BankWriter) Gen(state uint64) {
-	if w.stage != bankGens || w.left == 0 {
+// Gens appends the next nodes' generator states — the whole column at
+// once from an engine, whose generator arena is this column.
+func (w *BankWriter) Gens(states ...uint64) {
+	if w.stage != bankGens || w.left < len(states) {
 		panic(bankOrder)
 	}
-	w.left--
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, state)
+	w.left -= len(states)
+	for _, state := range states {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, state)
+	}
 }
 
 // section moves the writer to sparse section s, closing those before it.
@@ -250,7 +253,7 @@ func (w *BankWriter) End() []byte {
 const noViolStep = -1
 
 // BankReader decodes one v2 bank frame column by column, in the order a
-// BankWriter wrote it: OpenBank, BankReadKeys, one Gen per hosted node,
+// BankWriter wrote it: OpenBank, BankReadKeys, Gens for every hosted node,
 // Flag, Viol and Ord each until it reports no further entry, and Close.
 // Malformed input yields an error from the call that met it; calls out of
 // order are the caller's bug and panic.
@@ -279,7 +282,7 @@ func OpenBank(p []byte) (BankHeader, BankReader, error) {
 
 // BankReadKeys decodes the key column into dst, which must have one slot
 // per hosted node. It also checks that the generator column is all there,
-// so that Gen cannot fail.
+// so that Gens cannot fail.
 func BankReadKeys[K ~int64](r *BankReader, dst []K) error {
 	if r.stage != bankKeys {
 		panic(bankOrder)
@@ -302,15 +305,16 @@ func BankReadKeys[K ~int64](r *BankReader, dst []K) error {
 	return nil
 }
 
-// Gen returns the next node's generator state.
-func (r *BankReader) Gen() uint64 {
-	if r.stage != bankGens || r.left == 0 {
+// Gens reads the next len(dst) nodes' generator states into dst.
+func (r *BankReader) Gens(dst []uint64) {
+	if r.stage != bankGens || r.left < len(dst) {
 		panic(bankOrder)
 	}
-	r.left--
-	state := binary.LittleEndian.Uint64(r.p)
-	r.p = r.p[8:]
-	return state
+	r.left -= len(dst)
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(r.p[8*i:])
+	}
+	r.p = r.p[8*len(dst):]
 }
 
 // next reads the index of sparse section s's next entry; ok is false at
@@ -416,9 +420,7 @@ func (m BankState) Append(dst []byte) []byte {
 	}
 	w := BeginBank(dst, m.BankHeader)
 	BankKeys(&w, m.Keys)
-	for _, s := range m.RngState {
-		w.Gen(s)
-	}
+	w.Gens(m.RngState...)
 	for i, f := range m.Flags {
 		if f != 0 {
 			w.Flag(i, f)
@@ -454,8 +456,8 @@ func (m *BankState) Decode(p []byte) error {
 	if err := BankReadKeys(&r, m.Keys); err != nil {
 		return err
 	}
-	for i := range m.RngState {
-		m.RngState[i] = r.Gen()
+	r.Gens(m.RngState)
+	for i := range m.Flags {
 		m.Flags[i], m.ViolStep[i] = 0, noViolStep
 		m.OrdLo[i], m.OrdHi[i] = math.MinInt64, math.MaxInt64
 	}

@@ -203,17 +203,16 @@ func TestBankWriterEnforcesFrameOrder(t *testing.T) {
 	dense := func() *BankWriter {
 		w := BeginBank(nil, h)
 		BankKeys(&w, keys)
-		w.Gen(1)
-		w.Gen(2)
+		w.Gens(1, 2)
 		return &w
 	}
 	for name, f := range map[string]func(){
-		"generator before keys":     func() { w := BeginBank(nil, h); w.Gen(1) },
+		"generator before keys":     func() { w := BeginBank(nil, h); w.Gens(1) },
 		"section before keys":       func() { w := BeginBank(nil, h); w.Flag(0, 1) },
-		"end before generators":     func() { w := BeginBank(nil, h); BankKeys(&w, keys); w.Gen(1); w.End() },
+		"end before generators":     func() { w := BeginBank(nil, h); BankKeys(&w, keys); w.Gens(1); w.End() },
 		"keys twice":                func() { w := BeginBank(nil, h); BankKeys(&w, keys); BankKeys(&w, keys) },
 		"too few keys":              func() { w := BeginBank(nil, h); BankKeys(&w, keys[:1]) },
-		"a third generator":         func() { dense().Gen(3) },
+		"a third generator":         func() { dense().Gens(3) },
 		"flag after violation":      func() { w := dense(); w.Viol(0, 3); w.Flag(1, 1) },
 		"violation after order":     func() { w := dense(); w.Ord(0, 1, 2); w.Viol(1, 3) },
 		"index repeated":            func() { w := dense(); w.Flag(1, 1); w.Flag(1, 2) },
@@ -255,31 +254,22 @@ func TestBankReaderEnforcesFrameOrder(t *testing.T) {
 		return r
 	}
 	for name, f := range map[string]func(){
-		"generator before keys":   func() { open().Gen() },
+		"generator before keys":   func() { open().Gens(make([]uint64, 1)) },
 		"too few key slots":       func() { _ = BankReadKeys(open(), make([]int64, 3)) },
 		"flags before generators": func() { _, _, _, _ = keyed().Flag() },
 		"a fifth generator": func() {
 			r := keyed()
-			r.Gen()
-			r.Gen()
-			r.Gen()
-			r.Gen()
-			r.Gen()
+			r.Gens(make([]uint64, 4))
+			r.Gens(make([]uint64, 1))
 		},
 		"violations before flags": func() {
 			r := keyed()
-			r.Gen()
-			r.Gen()
-			r.Gen()
-			r.Gen()
+			r.Gens(make([]uint64, 4))
 			_, _, _, _ = r.Viol()
 		},
 		"close before the sections": func() {
 			r := keyed()
-			r.Gen()
-			r.Gen()
-			r.Gen()
-			r.Gen()
+			r.Gens(make([]uint64, 4))
 			_ = r.Close()
 		},
 	} {

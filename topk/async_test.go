@@ -248,7 +248,7 @@ func TestConfigErrorTyped(t *testing.T) {
 		cfg   Config
 	}{
 		{"Nodes", Config{Nodes: 0, K: 1}},
-		{"Nodes", Config{Nodes: 1 << 31, K: 1}}, // cohorts are int32 id lists
+		{"Nodes", Config{Nodes: 1 << 31, K: 1}}, // engines index nodes in 31 bits
 		{"K", Config{Nodes: 4, K: 5}},
 		{"Epsilon", Config{Nodes: 4, K: 2, Epsilon: 1.5}},
 		{"Shards", Config{Nodes: 4, K: 2, Shards: -1}},
@@ -291,6 +291,7 @@ func TestOrderedConfigErrorTyped(t *testing.T) {
 		cfg   Config
 	}{
 		{"Nodes", Config{Nodes: -2, K: 1}},
+		{"Nodes", Config{Nodes: 1 << 31, K: 1}}, // used to panic inside core.New
 		{"K", Config{Nodes: 4, K: 0}},
 		{"Epsilon", Config{Nodes: 4, K: 2, Epsilon: 0.1}},
 		{"Shards", Config{Nodes: 4, K: 2, Shards: 2}},

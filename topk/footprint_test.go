@@ -18,15 +18,16 @@ func liveHeap() uint64 {
 
 // TestSequentialFootprintPerNode pins what a sequential monitor keeps
 // alive per node once its first Observe — the time-0 FILTERRESET over all
-// n nodes — has run: key 8, generator 16, a membership byte each in the
-// filter set and the coordinator machine, and the 4-byte reset-cohort and
-// active lists, 34 B/node in all (the filters are the filter set's two
-// bounds, the dense id list is implicit). The budget leaves no room for a
-// per-node filter interval (16 B), an id list (8 B) or a protocol record
-// (a 32-byte sampler, a 24-byte participant) to stay reachable from the
+// n nodes — has run: key 8, generator state 8, a membership byte each in
+// the filter set and the coordinator machine, and the in-play bit, 18.1
+// B/node in all (the filters are the filter set's two bounds, a
+// generator's increment derives from its id, cohorts are described, not
+// listed). The budget leaves no room for a stored increment (8 B), an id
+// list (4 B), a per-node filter interval (16 B) or a protocol record (a
+// 32-byte sampler, a 24-byte participant) to stay reachable from the
 // monitor after the reset.
 func TestSequentialFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 40.0
+	const n, k, budget = 1 << 18, 16, 20.0
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i) * 7 % 1000003

@@ -37,11 +37,8 @@ type OrderedMonitor struct {
 // field, and a Transport the constructor took ownership of is closed
 // before the error returns.
 func NewOrdered(cfg Config) (*OrderedMonitor, error) {
-	if cfg.Nodes <= 0 {
-		return nil, badConfig(cfg, "Nodes", "must be positive, got %d", cfg.Nodes)
-	}
-	if cfg.K < 1 || cfg.K > cfg.Nodes {
-		return nil, badConfig(cfg, "K", "must satisfy 1 <= K <= Nodes, got K=%d Nodes=%d", cfg.K, cfg.Nodes)
+	if err := validateShape(cfg); err != nil {
+		return nil, err
 	}
 	if cfg.Epsilon != 0 {
 		return nil, badConfig(cfg, "Epsilon", "not supported by the ordered monitor (got %v); see ROADMAP.md for the ε-aware ordered variant", cfg.Epsilon)

@@ -323,16 +323,26 @@ func failNew(cfg Config, err error) error {
 	return err
 }
 
-// validateConfig runs the full construction-time validation ladder shared
-// by New and Restore. A rejection is a typed *ConfigError naming the
-// offending field, and any Transport the configuration carries is closed
-// before the error returns (badConfig's contract).
-func validateConfig(cfg Config) error {
+// validateShape checks the two fields every engine's constructor panics
+// on, for New, Restore and NewOrdered alike: the node count (engines index
+// nodes in 31 bits) and K against it.
+func validateShape(cfg Config) error {
 	if cfg.Nodes <= 0 || cfg.Nodes > math.MaxInt32 {
 		return badConfig(cfg, "Nodes", "must be in [1, 2^31-1], got %d", cfg.Nodes)
 	}
 	if cfg.K < 1 || cfg.K > cfg.Nodes {
 		return badConfig(cfg, "K", "must satisfy 1 <= K <= Nodes, got K=%d Nodes=%d", cfg.K, cfg.Nodes)
+	}
+	return nil
+}
+
+// validateConfig runs the full construction-time validation ladder shared
+// by New and Restore. A rejection is a typed *ConfigError naming the
+// offending field, and any Transport the configuration carries is closed
+// before the error returns (badConfig's contract).
+func validateConfig(cfg Config) error {
+	if err := validateShape(cfg); err != nil {
+		return err
 	}
 	if !(cfg.Epsilon >= 0) || cfg.Epsilon >= 1 {
 		return badConfig(cfg, "Epsilon", "must satisfy 0 <= Epsilon < 1, got %v", cfg.Epsilon)
