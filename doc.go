@@ -75,6 +75,13 @@
 // ladder whose absorption counters show how much drift each level hides
 // from its parent (EXPERIMENTS.md E22).
 //
+// The variants are modes of that one machine, not engines of their own:
+// the ε tolerance below, and the ordered variant the paper's §5 outlook
+// conjectures (topk.NewOrdered; internal/coord's ordered mode keeps the
+// ranking of the top-k exact with Lam et al.'s neighbour-midpoint filters
+// inside the band, on the sequential and the concurrent engine;
+// EXPERIMENTS.md E13, DESIGN.md "The ordered mode").
+//
 // # Approximate monitoring (ε tolerance)
 //
 // topk.Config.Epsilon selects the ε-tolerant variant of the follow-up

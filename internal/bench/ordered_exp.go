@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"slices"
+
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -49,42 +51,16 @@ func E13OrderedMonitoring(sc Scale) Table {
 // runOrdered drives the ordered monitor with per-step rank verification
 // and returns messages per step.
 func runOrdered(matrix [][]int64, n, k int, seed uint64) float64 {
-	om := core.NewOrdered(core.Config{N: n, K: k, Seed: seed})
+	om := core.New(core.Config{N: n, K: k, Seed: seed, Ordered: true})
+	var got []int
 	for _, vals := range matrix {
-		got := om.Observe(vals)
-		want := rankOracle(vals, k)
-		for i := range got {
-			if got[i] != want[i] {
-				panic("bench: ordered monitor rank mismatch")
-			}
+		om.Observe(vals)
+		got = om.AppendRanking(got[:0])
+		if !slices.Equal(got, sim.RankOracle(vals, k)) {
+			panic("bench: ordered monitor rank mismatch")
 		}
 	}
 	return float64(om.Counts().Total()) / float64(len(matrix))
-}
-
-// rankOracle returns the true top-k ids by rank (largest first) under the
-// shared tie-break (equal values: smaller id wins).
-func rankOracle(vals []int64, k int) []int {
-	type kv struct {
-		id int
-		v  int64
-	}
-	s := make([]kv, len(vals))
-	for i, v := range vals {
-		s[i] = kv{i, v}
-	}
-	for i := 0; i < len(s); i++ {
-		for j := i + 1; j < len(s); j++ {
-			if s[j].v > s[i].v || (s[j].v == s[i].v && s[j].id < s[i].id) {
-				s[i], s[j] = s[j], s[i]
-			}
-		}
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = s[i].id
-	}
-	return out
 }
 
 // E14SeriesOverTime is the repository's "figure": cumulative message

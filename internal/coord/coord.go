@@ -40,6 +40,11 @@
 //	        eff = m.Ack()          // (eff.Full: [-inf, +inf], k == n)
 //	    case coord.EffBounds:      // ε mode: install the band [eff.Lo,
 //	        eff = m.Ack()          // eff.Hi] instead of a point midpoint
+//	    case coord.EffOrderCheck:  // ordered mode: node eff.Target checks
+//	        key, out := ...        // its order filter and reports its key
+//	        eff = m.OrderDone(key, out) // if it left it
+//	    case coord.EffOrderBounds: // ordered mode: node eff.Target installs
+//	        eff = m.Ack()          // the order filter [eff.Lo, eff.Hi]
 //	    }
 //	}
 //	report := m.Top()
@@ -48,6 +53,12 @@
 // misuse. Effects are emitted in the deterministic order Algorithm 1
 // prescribes, which is what keeps the engines' randomness consumption
 // identical.
+//
+// A machine in the ordered mode (Config.Ordered, the paper's §5 outlook)
+// settles the ranking of the top-k before it reports EffDone: wherever a
+// set-mode machine would be done with the step, it first emits the two
+// order effects until every member's key lies inside its order filter
+// (ordered.go). A set-mode machine never emits them.
 package coord
 
 import (
@@ -108,9 +119,7 @@ const (
 	// flag ahead of a FILTERRESET. Answer with Ack.
 	EffResetBegin
 	// EffWinner: notify node Target that it won the current extraction and
-	// whether it joins the top-k set (IsTop). Key carries the winning key
-	// for adapters that track revealed values (the ordered variant); the
-	// node itself only needs Target/IsTop. Answer with Ack.
+	// whether it joins the top-k set (IsTop). Answer with Ack.
 	EffWinner
 	// EffMidpoint: have every node re-anchor its filter on Mid (top-k
 	// nodes install [Mid, +inf], outsiders [-inf, Mid]); Full installs
@@ -123,6 +132,13 @@ const (
 	// non-zero tolerance; the broadcast is already charged. Answer with
 	// Ack.
 	EffBounds
+	// EffOrderCheck: ordered mode only — have member Target check its key
+	// against its order filter. Answer with OrderDone.
+	EffOrderCheck
+	// EffOrderBounds: ordered mode only — have member Target install the
+	// order filter [Lo, Hi]. Whatever it costs is already charged. Answer
+	// with Ack.
+	EffOrderBounds
 )
 
 // Effect is one instruction from the Machine to its adapter. Fields are
@@ -133,14 +149,13 @@ type Effect struct {
 	Bound int        // EffExec: population bound of the execution
 	Phase comm.Phase // EffExec: ledger phase protocol traffic charges to
 
-	Target int       // EffWinner: extracted node id
-	IsTop  bool      // EffWinner: winner joins the top-k set
-	Key    order.Key // EffWinner: the winning key
+	Target int  // EffWinner: extracted node id; EffOrder*: the member
+	IsTop  bool // EffWinner: winner joins the top-k set
 
 	Mid  order.Key // EffMidpoint: filter bound
 	Full bool      // EffMidpoint: install [-inf, +inf] (k == n)
 
-	Lo, Hi order.Key // EffBounds: tolerance band ends
+	Lo, Hi order.Key // EffBounds: tolerance band ends; EffOrderBounds: the order filter
 }
 
 // Stats exposes counters describing a Machine's execution so far. All
@@ -169,6 +184,12 @@ type Config struct {
 	// FILTERRESET, and marks violation/handler protocol executions as
 	// tolerance-eligible (see TolerantTag).
 	Tol order.Tol
+	// Ordered selects the ordered mode: the machine also tracks the ranking
+	// of the k members by value (AppendRanking) and settles it before every
+	// EffDone; see ordered.go. A set-mode machine allocates nothing for it.
+	// The public API combines it with neither Tol nor a checkpoint (ranks
+	// have no ε semantics and no snapshot form yet).
+	Ordered bool
 }
 
 // machState is the continuation point of the Machine between events.
@@ -185,6 +206,8 @@ const (
 	stResetBegin                  // awaiting Ack of EffResetBegin
 	stResetExec                   // awaiting ExecDone of TagReset
 	stResetWin                    // awaiting Ack of EffWinner
+	stOrdCheck                    // awaiting OrderDone of EffOrderCheck
+	stOrdBounds                   // awaiting Ack of EffOrderBounds
 )
 
 // Machine is the sans-I/O coordinator. Create with New; it is not safe
@@ -230,6 +253,12 @@ type Machine struct {
 	winID    int       // pending extraction winner
 	winKey   order.Key //
 	winTop   bool      //
+
+	// Ordered mode (ordered.go); band stays nil in the set mode.
+	band     []ranked // the k members, rank 1 first
+	ordIdx   int      // band position of the pending check or install
+	ordMoved bool     // a member of the running check pass reported
+	ordReset bool     // a reset rebuilt the band: install every filter, free
 }
 
 // New validates the configuration and returns an idle Machine.
@@ -252,6 +281,9 @@ func New(cfg Config) *Machine {
 	m.recViol = m.led.InPhase(comm.PhaseViolation)
 	m.recHand = m.led.InPhase(comm.PhaseHandler)
 	m.recReset = m.led.InPhase(comm.PhaseReset)
+	if cfg.Ordered {
+		m.band = make([]ranked, 0, cfg.K)
+	}
 	return m
 }
 
@@ -335,8 +367,7 @@ func (m *Machine) FinishStep(anyTopViol, anyOutViol bool) Effect {
 		return m.startReset()
 	}
 	if !anyTopViol && !anyOutViol {
-		m.state = stIdle
-		return Effect{Kind: EffDone}
+		return m.settle()
 	}
 	m.stats.ViolationSteps++
 	m.minOK, m.maxOK = false, false
@@ -469,6 +500,7 @@ func (m *Machine) finishReset() Effect {
 		m.stats.TopChanges++
 	}
 	m.top, m.tmp = m.tmp, m.top
+	m.ordReset = m.cfg.Ordered
 
 	if m.cfg.K == m.cfg.N {
 		// Degenerate case: every node is in the top set; filters are
@@ -525,7 +557,7 @@ func (m *Machine) ExecDone(ok bool, id int, key order.Key) Effect {
 		m.winID, m.winKey = id, key
 		m.winTop = m.resetIdx < m.cfg.K
 		m.state = stResetWin
-		return Effect{Kind: EffWinner, Target: id, IsTop: m.winTop, Key: key}
+		return Effect{Kind: EffWinner, Target: id, IsTop: m.winTop}
 	default:
 		panic(fmt.Sprintf("coord: ExecDone in state %d", m.state))
 	}
@@ -562,8 +594,8 @@ func (m *Machine) ForceReset() Effect {
 	return m.startReset()
 }
 
-// Ack answers an EffResetBegin, EffWinner or EffMidpoint and returns the
-// next effect.
+// Ack answers an EffResetBegin, EffWinner, EffMidpoint, EffBounds or
+// EffOrderBounds and returns the next effect.
 func (m *Machine) Ack() Effect {
 	switch m.state {
 	case stResetBegin:
@@ -573,6 +605,7 @@ func (m *Machine) Ack() Effect {
 			m.inTop[i] = false
 		}
 		m.keys = m.keys[:0]
+		m.band = m.band[:0]
 		m.resetIdx = 0
 		m.want = m.cfg.K + 1
 		if m.want > m.cfg.N {
@@ -582,13 +615,17 @@ func (m *Machine) Ack() Effect {
 	case stResetWin:
 		if m.winTop {
 			m.inTop[m.winID] = true
+			if m.cfg.Ordered {
+				m.band = append(m.band, ranked{id: m.winID, est: m.winKey})
+			}
 		}
 		m.keys = append(m.keys, m.winKey)
 		m.resetIdx++
 		return m.nextExtraction()
 	case stMidAck:
-		m.state = stIdle
-		return Effect{Kind: EffDone}
+		return m.settle()
+	case stOrdBounds:
+		return m.nextOrderBounds()
 	default:
 		panic(fmt.Sprintf("coord: Ack in state %d", m.state))
 	}

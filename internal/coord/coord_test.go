@@ -14,19 +14,22 @@ import (
 // tie-break injection, mirroring sim.Oracle — which this package cannot
 // import since sim's async runner now builds on coord.Pending.
 func oracle(vals []int64, k int) []int {
-	codec := order.NewCodec(len(vals))
-	keys := make([]order.Key, len(vals))
-	for i, v := range vals {
-		keys[i] = codec.Encode(v, i)
-	}
+	top := rankOracle(vals, k)
+	sort.Ints(top)
+	return top
+}
+
+// rankOracle is the exact top-k by rank, largest first, under the same
+// tie-break (equal values: smaller id wins), mirroring sim.RankOracle.
+func rankOracle(vals []int64, k int) []int {
 	ids := make([]int, len(vals))
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
-	top := append([]int(nil), ids[:k]...)
-	sort.Ints(top)
-	return top
+	sort.Slice(ids, func(a, b int) bool {
+		return vals[ids[a]] > vals[ids[b]] || vals[ids[a]] == vals[ids[b]] && ids[a] < ids[b]
+	})
+	return ids[:k]
 }
 
 // driver is the smallest possible adapter: one Machine over one Nodes
@@ -38,6 +41,8 @@ type driver struct {
 	// round answers protocol rounds: the bank's own Round, unless a test
 	// swaps in Sub views or a reference (round_test.go).
 	round roundFunc
+	// orderChecks counts the ordered mode's EffOrderCheck effects.
+	orderChecks int
 }
 
 func newDriver(n, k int, seed uint64) *driver {
@@ -60,7 +65,13 @@ func (d *driver) observe(vals []int64) []int {
 		anyTop = anyTop || t
 		anyOut = anyOut || o
 	}
-	eff := d.mach.FinishStep(anyTop, anyOut)
+	d.drive(d.mach.FinishStep(anyTop, anyOut), step)
+	return d.mach.Top()
+}
+
+// drive executes one effect chain — a step's, or an out-of-band
+// ForceReset's — to its EffDone.
+func (d *driver) drive(eff Effect, step int64) {
 	for eff.Kind != EffDone {
 		switch eff.Kind {
 		case EffExec:
@@ -86,12 +97,17 @@ func (d *driver) observe(vals []int64) []int {
 		case EffBounds:
 			d.bank.ApplyBounds(eff.Lo, eff.Hi)
 			eff = d.mach.Ack()
+		case EffOrderCheck:
+			d.orderChecks++
+			eff = d.mach.OrderDone(d.bank.OrderViolated(eff.Target))
+		case EffOrderBounds:
+			d.bank.SetOrderBounds(eff.Target, eff.Lo, eff.Hi)
+			eff = d.mach.Ack()
 		default:
 			t := eff.Kind
 			panic(t)
 		}
 	}
-	return d.mach.Top()
 }
 
 func equal(a, b []int) bool {

@@ -366,8 +366,8 @@ func (b *Nodes) ResetBegin() {
 }
 
 // EnableOrderFilters allocates the bank's order filters, all [-inf, +inf].
-// Only internal/runtime's ordered engine calls it, and before it takes Sub
-// views: a view taken earlier would not share the array.
+// Only an internal/runtime in the ordered mode calls it, and before it takes
+// Sub views: a view taken earlier would not share the array.
 func (b *Nodes) EnableOrderFilters() {
 	if b.ord != nil {
 		return

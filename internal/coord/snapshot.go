@@ -27,11 +27,15 @@ import (
 // pin that property.
 
 // Snapshot appends the machine's canonical checkpoint frame
-// (wire.MachineState) to dst. It fails if a step is in flight: mid-step
-// state references substrate interactions that cannot be serialized.
+// (wire.MachineState) to dst. It fails if a step is in flight — mid-step
+// state references substrate interactions that cannot be serialized — and
+// in the ordered mode, whose band the frame has no section for yet.
 func (m *Machine) Snapshot(dst []byte) ([]byte, error) {
 	if m.state != stIdle {
 		return nil, fmt.Errorf("coord: snapshot with a step in flight (state %d)", m.state)
+	}
+	if m.cfg.Ordered {
+		return nil, errors.New("coord: the ordered mode has no snapshot form yet")
 	}
 	s := wire.MachineState{
 		N:              m.cfg.N,
@@ -129,6 +133,70 @@ func RestoreMachine(p []byte) (*Machine, error) {
 		}
 	}
 	return m, nil
+}
+
+// AppendCheckpoint appends the sealed checkpoint envelope (wire.Checkpoint)
+// of generation gen to dst for the engines that checkpoint machine and bank
+// together: the fingerprint fields, the machine's frame, and the bank frame
+// appendBank writes, each encoded in place.
+func (m *Machine) AppendCheckpoint(dst []byte, gen uint64, engine uint8, seed uint64, distinct bool, appendBank func([]byte) []byte) ([]byte, error) {
+	w := wire.BeginCheckpoint(dst, gen, engine, seed, distinct)
+	var err error
+	if w.Buf, err = m.Snapshot(w.Buf); err != nil {
+		return nil, err
+	}
+	w.EndSection()
+	w.Buf = appendBank(w.Buf)
+	w.EndSection()
+	return w.Seal(nil), nil
+}
+
+// OpenCheckpoint holds a checkpoint's two frames to the configuration it is
+// being restored under — shape, tolerance and tie-break mode, of the
+// machine frame and of the bank frame's header, which must cover [0, n) —
+// before anything is built from them, and returns the restored machine and
+// the bank frame in the v2 form (UpgradeBankFrame). It is the part of
+// Restore the sequential and concurrent engines share; what each then
+// requires of the bank's contents is its own.
+func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFrame []byte) (*Machine, []byte, error) {
+	if n <= 0 || k < 1 || k > n {
+		return nil, nil, fmt.Errorf("coord: restore config needs 1 <= K <= N, got n=%d k=%d", n, k)
+	}
+	tol, err := order.NewTol(epsilon)
+	if err != nil {
+		return nil, nil, err
+	}
+	var ms wire.MachineState
+	if err := ms.Decode(machFrame); err != nil {
+		return nil, nil, fmt.Errorf("coord: machine frame: %v", err)
+	}
+	if ms.N != n || ms.K != k {
+		return nil, nil, fmt.Errorf("coord: checkpoint is for n=%d k=%d, config has n=%d k=%d", ms.N, ms.K, n, k)
+	}
+	if ms.EpsNum != tol.Num() {
+		return nil, nil, fmt.Errorf("coord: checkpoint tolerance %d/2^20 differs from configured %d/2^20", ms.EpsNum, tol.Num())
+	}
+	if nodesFrame, err = UpgradeBankFrame(nodesFrame); err != nil {
+		return nil, nil, fmt.Errorf("coord: nodes frame: %w", err)
+	}
+	h, _, err := wire.DecodeBankHeader(nodesFrame)
+	if err != nil {
+		return nil, nil, fmt.Errorf("coord: nodes frame: %v", err)
+	}
+	if h.N != n || h.Lo != 0 || h.Hi != n {
+		return nil, nil, fmt.Errorf("coord: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, n)
+	}
+	if h.EpsNum != tol.Num() {
+		return nil, nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, tol.Num())
+	}
+	if h.Distinct != distinct {
+		return nil, nil, fmt.Errorf("coord: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, distinct)
+	}
+	mach, err := RestoreMachine(machFrame)
+	if err != nil {
+		return nil, nil, fmt.Errorf("coord: machine frame: %v", err)
+	}
+	return mach, nodesFrame, nil
 }
 
 // Snapshot appends the bank's canonical checkpoint frame (the v2 bank

@@ -6,46 +6,10 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/order"
-	"repro/internal/protocol"
 	"repro/internal/stream"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
-
-// driveEffects executes one out-of-band effect chain (ForceReset) on the
-// driver, exactly as observe does for a step's chain.
-func driveEffects(d *driver, eff Effect) {
-	step := d.mach.Step()
-	for eff.Kind != EffDone {
-		switch eff.Kind {
-		case EffExec:
-			ex := protocol.NewExec(eff.Bound, MinimumTag(eff.Tag), d.mach.Recorder(eff.Phase), nil, step)
-			for ex.More() {
-				r, best := ex.Round(), ex.Best()
-				d.bank.Round(eff.Tag, r, best, eff.Bound, step, func(id int, key order.Key) {
-					ex.Bid(id, key)
-				})
-				ex.EndRound()
-			}
-			res := ex.Result()
-			eff = d.mach.ExecDone(res.OK, res.ID, res.Key)
-		case EffResetBegin:
-			d.bank.ResetBegin()
-			eff = d.mach.Ack()
-		case EffWinner:
-			d.bank.Winner(eff.Target, eff.IsTop)
-			eff = d.mach.Ack()
-		case EffMidpoint:
-			d.bank.Midpoint(eff.Mid, eff.Full)
-			eff = d.mach.Ack()
-		case EffBounds:
-			d.bank.ApplyBounds(eff.Lo, eff.Hi)
-			eff = d.mach.Ack()
-		default:
-			panic(eff.Kind)
-		}
-	}
-}
 
 // checkpoint round-trips the driver through its wire frames and returns
 // the restored copy.
@@ -146,7 +110,7 @@ func TestAbortForceResetReconverges(t *testing.T) {
 	d.mach.BeginStep()
 	d.mach.Abort()
 	resets := d.mach.Stats().Resets
-	driveEffects(d, d.mach.ForceReset())
+	d.drive(d.mach.ForceReset(), d.mach.Step())
 	if got := d.mach.Stats().Resets; got != resets+1 {
 		t.Fatalf("forced reset not counted: %d -> %d", resets, got)
 	}

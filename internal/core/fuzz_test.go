@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/order"
+	"repro/internal/sim"
 )
 
 // decodeWorkload turns fuzzer bytes into a small monitoring instance:
@@ -146,10 +147,10 @@ func FuzzOrderedMonitorObserve(f *testing.F) {
 		if n == 0 || len(matrix) == 0 {
 			t.Skip()
 		}
-		om := NewOrdered(Config{N: n, K: k, Seed: 199})
+		om := newOrdered(Config{N: n, K: k, Seed: 199})
 		for s, vals := range matrix {
-			got := om.Observe(vals)
-			want := orderedOracle(om, vals)
+			got := observeRanked(om, vals)
+			want := sim.RankOracle(vals, k)
 			if !equalInts(got, want) {
 				t.Fatalf("step %d (n=%d k=%d): ranks %v want %v vals %v", s, n, k, got, want, vals)
 			}

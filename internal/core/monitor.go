@@ -70,6 +70,10 @@ type Config struct {
 	// The filter logic is unchanged. This isolates the contribution of the
 	// randomized protocol in the ablation experiment E12.
 	UseGather bool
+	// Ordered selects the coordinator's ordered mode (the paper's §5
+	// outlook, coord.Config.Ordered): the monitor also tracks the ranking of
+	// the top-k by value, reported by AppendRanking.
+	Ordered bool
 	// Trace, when non-nil, captures communication events for debugging.
 	Trace *comm.Trace
 }
@@ -116,6 +120,10 @@ type Monitor struct {
 	extracted []int // winners of the running reset, ascending
 	topBuf    []int // membership install scratch
 	inReset   bool  // a FILTERRESET is in flight this step
+
+	// ord is the node side of the ordered mode: ord[i] is the order filter
+	// of fs.Top()[i]. nil in the set mode.
+	ord []filter.Interval
 }
 
 // New validates the configuration and returns a monitor. The first
@@ -141,7 +149,7 @@ func New(cfg Config) *Monitor {
 		codec: order.NewCodec(cfg.N),
 		tol:   tol,
 		fs:    filter.NewSet(cfg.N, cfg.K),
-		mach:  coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
+		mach:  coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol, Ordered: cfg.Ordered}),
 		field: protocol.Field{
 			Keys: make([]order.Key, cfg.N),
 			Gens: protocol.NodeRoot(cfg.Seed).SplitArena(0, cfg.N),
@@ -151,6 +159,9 @@ func New(cfg Config) *Monitor {
 	}
 	for i := range m.field.Keys {
 		m.field.Keys[i] = m.encode(0, i)
+	}
+	if cfg.Ordered {
+		m.ord = make([]filter.Interval, cfg.K)
 	}
 	return m
 }
@@ -221,6 +232,11 @@ func (m *Monitor) Top() []int { return m.fs.Top() }
 // the caller: they stay valid across later steps, and mutating them never
 // affects the monitor.
 func (m *Monitor) AppendTop(dst []int) []int { return m.fs.AppendTop(dst) }
+
+// AppendRanking appends the top-k ids by rank, largest value first, to dst
+// and returns the extended slice. Only a monitor in the ordered mode tracks
+// the ranking; any other appends nothing.
+func (m *Monitor) AppendRanking(dst []int) []int { return m.mach.AppendRanking(dst) }
 
 // EncodeAll maps a raw observation vector into the monitor's key domain,
 // applying the tie-break injection unless DistinctValues is set. The
@@ -323,6 +339,13 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 		case coord.EffMidpoint, coord.EffBounds:
 			m.installMidpoint(eff)
 			eff = m.mach.Ack()
+		case coord.EffOrderCheck:
+			key := keys[eff.Target]
+			violated, _ := m.orderFilter(eff.Target).Violates(key)
+			eff = m.mach.OrderDone(key, violated)
+		case coord.EffOrderBounds:
+			*m.orderFilter(eff.Target) = filter.Interval{Lo: eff.Lo, Hi: eff.Hi}
+			eff = m.mach.Ack()
 		default:
 			panic(fmt.Sprintf("core: unknown coordinator effect %d", eff.Kind))
 		}
@@ -385,6 +408,15 @@ func (m *Monitor) enlist(tag uint8) {
 	default:
 		panic(fmt.Sprintf("core: unknown protocol tag %d", tag))
 	}
+}
+
+// orderFilter returns member id's slot in the order-filter table.
+func (m *Monitor) orderFilter(id int) *filter.Interval {
+	i, ok := slices.BinarySearch(m.fs.Top(), id)
+	if !ok {
+		panic(fmt.Sprintf("core: order effect for non-member %d", id))
+	}
+	return &m.ord[i]
 }
 
 // beginReset starts FILTERRESET's extraction sequence: all nodes become

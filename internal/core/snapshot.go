@@ -49,15 +49,7 @@ func (m *Monitor) appendBank(dst []byte) []byte {
 // AppendCheckpoint appends the monitor's sealed checkpoint envelope of
 // generation gen to dst, both frames encoded in place.
 func (m *Monitor) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
-	w := wire.BeginCheckpoint(dst, gen, wire.EngineSeq, m.cfg.Seed, m.cfg.DistinctValues)
-	var err error
-	if w.Buf, err = m.mach.Snapshot(w.Buf); err != nil {
-		return nil, err
-	}
-	w.EndSection()
-	w.Buf = m.appendBank(w.Buf)
-	w.EndSection()
-	return w.Seal(nil), nil
+	return m.mach.AppendCheckpoint(dst, gen, wire.EngineSeq, m.cfg.Seed, m.cfg.DistinctValues, m.appendBank)
 }
 
 // Restore rebuilds a monitor from Snapshot frames taken under the same
@@ -66,42 +58,13 @@ func (m *Monitor) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
 // installed; a mismatch or malformed frame yields an error, never a
 // partially restored monitor.
 func Restore(cfg Config, machFrame, nodesFrame []byte) (*Monitor, error) {
-	if cfg.N <= 0 || cfg.K < 1 || cfg.K > cfg.N {
-		return nil, fmt.Errorf("core: restore config needs 1 <= K <= N, got n=%d k=%d", cfg.N, cfg.K)
-	}
-	tol, err := order.NewTol(cfg.Epsilon)
+	mach, nodesFrame, err := coord.OpenCheckpoint(cfg.N, cfg.K, cfg.Epsilon, cfg.DistinctValues, machFrame, nodesFrame)
 	if err != nil {
-		return nil, fmt.Errorf("core: restore: %v", err)
-	}
-	var ms wire.MachineState
-	if err := ms.Decode(machFrame); err != nil {
-		return nil, fmt.Errorf("core: restore machine frame: %v", err)
-	}
-	if ms.N != cfg.N || ms.K != cfg.K {
-		return nil, fmt.Errorf("core: checkpoint is for n=%d k=%d, config has n=%d k=%d", ms.N, ms.K, cfg.N, cfg.K)
-	}
-	if ms.EpsNum != tol.Num() {
-		return nil, fmt.Errorf("core: checkpoint tolerance %d/2^20 differs from configured %d/2^20", ms.EpsNum, tol.Num())
-	}
-	mach, err := coord.RestoreMachine(machFrame)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore machine: %v", err)
-	}
-	if nodesFrame, err = coord.UpgradeBankFrame(nodesFrame); err != nil {
-		return nil, fmt.Errorf("core: restore nodes frame: %w", err)
+		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	h, r, err := wire.OpenBank(nodesFrame)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore nodes frame: %v", err)
-	}
-	if h.N != cfg.N || h.Lo != 0 || h.Hi != cfg.N {
-		return nil, fmt.Errorf("core: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, cfg.N)
-	}
-	if h.EpsNum != tol.Num() {
-		return nil, fmt.Errorf("core: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, tol.Num())
-	}
-	if h.Distinct != cfg.DistinctValues {
-		return nil, fmt.Errorf("core: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, cfg.DistinctValues)
 	}
 	top := mach.Top()
 	if len(top) != 0 && len(top) != cfg.K {

@@ -60,6 +60,10 @@ type Config struct {
 	// min(N, GOMAXPROCS). The shard layout does not affect reports or
 	// message counts, only scheduling.
 	Shards int
+	// Ordered selects the coordinator's ordered mode, exactly as in
+	// core.Config: the runtime also tracks the ranking of the top-k
+	// (AppendRanking), and the bank hosts an order filter per node.
+	Ordered bool
 }
 
 type cmdKind int
@@ -70,8 +74,8 @@ const (
 	cRound
 	cWinner
 	cResetBegin
-	cOrderCheck  // ordered variant: report if the order filter broke
-	cOrderBounds // ordered variant: install new order-filter bounds
+	cOrderCheck  // ordered mode: report if the order filter broke
+	cOrderBounds // ordered mode: install new order-filter bounds
 )
 
 // shardCmd is one batched command delivered to a shard. It applies to all
@@ -197,21 +201,12 @@ type Runtime struct {
 
 	step   int64
 	closed bool
-
-	// Ordered-variant bookkeeping: keys revealed by the latest reset's
-	// extractions.
-	lastKeys map[int]order.Key
 }
 
 // New starts the shard goroutines and returns the runtime. Callers must
 // Close it to release the goroutines. As in the sequential engine, nodes
 // are treated as holding the value 0 until their first observation.
-func New(cfg Config) *Runtime { return start(cfg, false) }
-
-// start builds the bank — with order filters for the ordered variant,
-// which must exist before the shards take their views — and assembles
-// the runtime around it.
-func start(cfg Config, ordered bool) *Runtime {
+func New(cfg Config) *Runtime {
 	if cfg.N <= 0 {
 		panic("runtime: need N > 0")
 	}
@@ -226,10 +221,10 @@ func start(cfg Config, ordered bool) *Runtime {
 	// views of it. The stream layout matches core.New exactly; engine
 	// equivalence depends on it.
 	bank := coord.NewNodes(cfg.N, 0, cfg.N, cfg.Seed, cfg.DistinctValues, tol)
-	if ordered {
-		bank.EnableOrderFilters()
+	if cfg.Ordered {
+		bank.EnableOrderFilters() // before the shards take their views
 	}
-	return assemble(cfg, coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}), bank)
+	return assemble(cfg, coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol, Ordered: cfg.Ordered}), bank)
 }
 
 // assemble wires a machine and a full-range bank into a running Runtime:
@@ -253,7 +248,6 @@ func assemble(cfg Config, mach *coord.Machine, bank *coord.Nodes) *Runtime {
 		shardSize: shardSize,
 		in:        make(chan shardReply, nshards),
 		replies:   make([]shardReply, nshards),
-		lastKeys:  make(map[int]order.Key),
 	}
 	for s := 0; s < nshards; s++ {
 		lo := s * shardSize
@@ -320,6 +314,11 @@ func (rt *Runtime) Top() []int { return rt.mach.Top() }
 // they stay valid across later steps, and mutating them never affects the
 // engine.
 func (rt *Runtime) AppendTop(dst []int) []int { return rt.mach.AppendTop(dst) }
+
+// AppendRanking appends the top-k ids by rank, largest value first, to dst
+// and returns the extended slice. Only a runtime in the ordered mode tracks
+// the ranking; any other appends nothing.
+func (rt *Runtime) AppendRanking(dst []int) []int { return rt.mach.AppendRanking(dst) }
 
 // broadcast sends the command to every shard and collects one batched
 // reply per shard into the reusable reply table. The fan-out/fan-in is
@@ -414,11 +413,9 @@ func (rt *Runtime) finishStep(anyTopViol, anyOutViol bool) []int {
 			eff = rt.mach.ExecDone(res.OK, res.ID, res.Key)
 		case coord.EffResetBegin:
 			rt.broadcast(shardCmd{kind: cResetBegin})
-			clear(rt.lastKeys)
 			eff = rt.mach.Ack()
 		case coord.EffWinner:
 			rt.unicast(eff.Target, shardCmd{kind: cWinner, isTop: eff.IsTop})
-			rt.lastKeys[eff.Target] = eff.Key
 			eff = rt.mach.Ack()
 		case coord.EffMidpoint:
 			// A filter install is one store on the full-range bank, whose
@@ -430,6 +427,17 @@ func (rt *Runtime) finishStep(anyTopViol, anyOutViol bool) []int {
 			eff = rt.mach.Ack()
 		case coord.EffBounds:
 			rt.bank.ApplyBounds(eff.Lo, eff.Hi)
+			eff = rt.mach.Ack()
+		case coord.EffOrderCheck:
+			// The member reports its key only if its order filter broke.
+			var key order.Key
+			sends := rt.unicast(eff.Target, shardCmd{kind: cOrderCheck}).sends
+			if len(sends) > 0 {
+				key = sends[0].key
+			}
+			eff = rt.mach.OrderDone(key, len(sends) > 0)
+		case coord.EffOrderBounds:
+			rt.unicast(eff.Target, shardCmd{kind: cOrderBounds, lo: eff.Lo, hi: eff.Hi})
 			eff = rt.mach.Ack()
 		default:
 			panic(fmt.Sprintf("runtime: unknown coordinator effect %d", eff.Kind))

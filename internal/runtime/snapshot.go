@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/coord"
-	"repro/internal/order"
 	"repro/internal/wire"
 )
 
@@ -38,15 +37,7 @@ func (rt *Runtime) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
 	if rt.closed {
 		return nil, fmt.Errorf("runtime: snapshot of a closed runtime")
 	}
-	w := wire.BeginCheckpoint(dst, gen, wire.EngineConc, rt.cfg.Seed, rt.cfg.DistinctValues)
-	var err error
-	if w.Buf, err = rt.mach.Snapshot(w.Buf); err != nil {
-		return nil, err
-	}
-	w.EndSection()
-	w.Buf = rt.bank.Snapshot(w.Buf)
-	w.EndSection()
-	return w.Seal(nil), nil
+	return rt.mach.AppendCheckpoint(dst, gen, wire.EngineConc, rt.cfg.Seed, rt.cfg.DistinctValues, rt.bank.Snapshot)
 }
 
 // Restore rebuilds a runtime from Snapshot frames taken under the same
@@ -54,42 +45,9 @@ func (rt *Runtime) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
 // validating every frame field against cfg first. The restored runtime
 // starts its own shard goroutines sized for this process.
 func Restore(cfg Config, machFrame, nodesFrame []byte) (*Runtime, error) {
-	if cfg.N <= 0 || cfg.K < 1 || cfg.K > cfg.N {
-		return nil, fmt.Errorf("runtime: restore config needs 1 <= K <= N, got n=%d k=%d", cfg.N, cfg.K)
-	}
-	tol, err := order.NewTol(cfg.Epsilon)
+	mach, nodesFrame, err := coord.OpenCheckpoint(cfg.N, cfg.K, cfg.Epsilon, cfg.DistinctValues, machFrame, nodesFrame)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: restore: %v", err)
-	}
-	var ms wire.MachineState
-	if err := ms.Decode(machFrame); err != nil {
-		return nil, fmt.Errorf("runtime: restore machine frame: %v", err)
-	}
-	if ms.N != cfg.N || ms.K != cfg.K {
-		return nil, fmt.Errorf("runtime: checkpoint is for n=%d k=%d, config has n=%d k=%d", ms.N, ms.K, cfg.N, cfg.K)
-	}
-	if ms.EpsNum != tol.Num() {
-		return nil, fmt.Errorf("runtime: checkpoint tolerance %d/2^20 differs from configured %d/2^20", ms.EpsNum, tol.Num())
-	}
-	if nodesFrame, err = coord.UpgradeBankFrame(nodesFrame); err != nil {
-		return nil, fmt.Errorf("runtime: restore nodes frame: %w", err)
-	}
-	h, _, err := wire.DecodeBankHeader(nodesFrame)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: restore nodes frame: %v", err)
-	}
-	if h.N != cfg.N || h.Lo != 0 || h.Hi != cfg.N {
-		return nil, fmt.Errorf("runtime: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, cfg.N)
-	}
-	if h.EpsNum != tol.Num() {
-		return nil, fmt.Errorf("runtime: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, tol.Num())
-	}
-	if h.Distinct != cfg.DistinctValues {
-		return nil, fmt.Errorf("runtime: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, cfg.DistinctValues)
-	}
-	mach, err := coord.RestoreMachine(machFrame)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: restore machine: %v", err)
+		return nil, fmt.Errorf("runtime: restore: %w", err)
 	}
 	bank, err := coord.RestoreNodes(nodesFrame)
 	if err != nil {

@@ -139,19 +139,17 @@ func lowerMembers(s *wire.NodesState, d int64) {
 }
 
 // TestOrderFiltersOnlyOnTheOrderedRuntime pins who pays for order
-// filters: the ordered variant's bank holds them — allocated before the
+// filters: the ordered mode's bank holds them — allocated before the
 // shards took their views, so a bound installed by a shard is the one the
-// full-range bank checkpoints — and the plain runtime's bank holds none.
+// full-range bank's frame carries — and the plain runtime's bank holds
+// none. The ordered runtime itself has no checkpoint: its machine refuses
+// to snapshot.
 func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 	cfg := Config{N: 16, K: 3, Seed: 2, Shards: 4}
 	vals := []int64{5, 90, 12, 7, 80, 3, 9, 70, 1, 2, 4, 6, 8, 10, 11, 13}
 	frameHasOrderFilter := func(rt *Runtime) bool {
-		_, nodes, err := rt.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var ns wire.BankState
-		if err := ns.Decode(nodes); err != nil {
+		if err := ns.Decode(rt.bank.Snapshot(nil)); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ns.OrdLo {
@@ -167,23 +165,28 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 	if frameHasOrderFilter(plain) {
 		t.Fatal("plain runtime's bank frame carries an order filter")
 	}
-	ord := NewOrdered(cfg)
+	ord := newOrdered(cfg)
 	defer ord.Close()
 	ord.Observe(vals)
-	if !frameHasOrderFilter(ord.rt) {
+	if !frameHasOrderFilter(ord) {
 		t.Fatal("ordered runtime's order filters did not reach the full-range bank")
+	}
+	if _, _, err := ord.Snapshot(); err == nil {
+		t.Fatal("ordered runtime snapshotted; its ranking has no frame")
+	}
+	if _, err := ord.AppendCheckpoint(nil, 1); err == nil {
+		t.Fatal("ordered runtime wrote a checkpoint envelope; its ranking has no frame")
 	}
 }
 
 // TestAppendCheckpointIsTheEnvelopeOfSnapshot pins the in-place path to
 // the composed one: the envelope AppendCheckpoint writes straight from the
 // bank's arrays is wire.Checkpoint.Append over Snapshot's two frames — with
-// violation history and, on the ordered runtime, order filters in them.
+// violation history in them.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 	cfg := Config{N: 64, K: 5, Seed: 5, Shards: 3}
-	plain, ord := New(cfg), NewOrdered(cfg)
-	defer plain.Close()
-	defer ord.Close()
+	rt := New(cfg)
+	defer rt.Close()
 	wr := rng.New(8, 8)
 	vals := make([]int64, cfg.N)
 	var buf []byte
@@ -192,32 +195,29 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 		for i := range vals {
 			vals[i] += int64(wr.Intn(41)) - 20
 		}
-		plain.Observe(vals)
-		ord.Observe(vals)
-		for _, rt := range []*Runtime{plain, ord.rt} {
-			mach, nodes, err := rt.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineConc, Seed: cfg.Seed, Machine: mach, Nodes: nodes}.Append(nil)
-			if buf, err = rt.AppendCheckpoint(buf[:0], uint64(step)); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf, want) {
-				t.Fatalf("step %d: in-place envelope differs from the composed one", step)
-			}
-			var bs wire.BankState
-			if err := bs.Decode(nodes); err != nil {
-				t.Fatal(err)
-			}
-			for i := range bs.ViolStep {
-				if bs.ViolStep[i] != -1 || bs.OrdHi[i] != bs.OrdHi[0] {
-					sparse++
-				}
+		rt.Observe(vals)
+		mach, nodes, err := rt.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineConc, Seed: cfg.Seed, Machine: mach, Nodes: nodes}.Append(nil)
+		if buf, err = rt.AppendCheckpoint(buf[:0], uint64(step)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("step %d: in-place envelope differs from the composed one", step)
+		}
+		var bs wire.BankState
+		if err := bs.Decode(nodes); err != nil {
+			t.Fatal(err)
+		}
+		for i := range bs.ViolStep {
+			if bs.ViolStep[i] != -1 {
+				sparse++
 			}
 		}
 	}
 	if sparse == 0 {
-		t.Fatal("workload too calm: no frame carried violation history or an order filter")
+		t.Fatal("workload too calm: no frame carried violation history")
 	}
 }

@@ -192,6 +192,14 @@ func runLoop(n int, cfg Config, counts func() comm.Counts, step func() ([]int, [
 // vector under the shared tie-break injection (equal values: smaller id
 // wins), which is the ranking every algorithm in the repository uses.
 func Oracle(vals []int64, k int) []int {
+	top := RankOracle(vals, k)
+	sort.Ints(top)
+	return top
+}
+
+// RankOracle computes the exact top-k ids by rank, largest value first,
+// under the same tie-break: what a monitor in the ordered mode reports.
+func RankOracle(vals []int64, k int) []int {
 	codec := order.NewCodec(len(vals))
 	keys := make([]order.Key, len(vals))
 	for i, v := range vals {
@@ -202,9 +210,7 @@ func Oracle(vals []int64, k int) []int {
 		ids[i] = i
 	}
 	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
-	top := append([]int(nil), ids[:k]...)
-	sort.Ints(top)
-	return top
+	return append([]int(nil), ids[:k]...)
 }
 
 // EpsValid reports whether top is a valid ε-approximate top-k report for

@@ -4,8 +4,7 @@ import "fmt"
 
 // BatchResult summarizes a RunTrace execution.
 type BatchResult struct {
-	// Tops[t] is the top-k report after step t (ascending ids for New,
-	// rank order for NewOrdered-backed runs).
+	// Tops[t] is the top-k report after step t, ascending ids.
 	Tops [][]int
 	// Counts is the total communication of the run.
 	Counts Counts

@@ -283,7 +283,7 @@ func Restore(store CheckpointStore, cfg Config) (*Monitor, error) {
 	if c.Distinct != cfg.DistinctValues {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint distinct-values mode %v differs from configured %v", c.Distinct, cfg.DistinctValues))
 	}
-	eng, err := buildEngine(cfg, &c)
+	eng, err := buildEngine(cfg, &c, false)
 	if err != nil {
 		return nil, failNew(cfg, badRestore(err, "%s engine", engineName(c.Engine)))
 	}

@@ -48,6 +48,8 @@ var (
 	_ engine = (*shardrun.Engine)(nil)
 	_ linked = (*netrun.Engine)(nil)
 	_ linked = (*shardrun.Engine)(nil)
+	_ ranked = (*core.Monitor)(nil)
+	_ ranked = (*runtime.Runtime)(nil)
 )
 
 // errClosed is what every step and barrier of a closed monitor returns.
@@ -109,11 +111,13 @@ func fanoutConfig(cfg Config) shardrun.Config {
 
 // buildEngine constructs the engine a validated configuration selects —
 // fresh, or (c != nil) from a checkpoint that engine took. It is the one
-// place engine identity is switched on.
-func buildEngine(cfg Config, c *wire.Checkpoint) (engine, error) {
+// place engine identity is switched on. ordered is NewOrdered's: the
+// coordinator's ordered mode, which only the two in-process engines run
+// (NewOrdered rejects the configurations that select another).
+func buildEngine(cfg Config, c *wire.Checkpoint, ordered bool) (engine, error) {
 	fc := fanoutConfig(cfg)
-	lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon}
-	rc := runtime.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon}
+	lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon, Ordered: ordered}
+	rc := runtime.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon, Ordered: ordered}
 	switch kind := engineKind(cfg); {
 	case kind == wire.EngineShard && !cfg.Tree.zero():
 		if c == nil {

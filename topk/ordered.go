@@ -1,14 +1,5 @@
 package topk
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/comm"
-	"repro/internal/core"
-	"repro/internal/runtime"
-)
-
 // OrderedMonitor tracks not only which k nodes hold the largest values
 // but their exact ranking. It implements the extension the paper sketches
 // as future work (§5): the k-boundary is maintained by the main algorithm
@@ -20,10 +11,15 @@ import (
 // measured gap. Both engines are available; as with Monitor, they produce
 // identical rankings and identical message counts for the same seed.
 type OrderedMonitor struct {
-	cfg    Config
-	maxVal int64
-	seq    *core.OrderedMonitor
-	conc   *runtime.OrderedRuntime
+	// m runs the coordinator in its ordered mode; every accessor but the
+	// ranking is Monitor's.
+	m *Monitor
+}
+
+// ranked is the additional surface of an engine whose coordinator runs the
+// ordered mode, reached like linked through one type assertion.
+type ranked interface {
+	AppendRanking(dst []int) []int
 }
 
 // NewOrdered validates cfg and creates an OrderedMonitor. Concurrent
@@ -32,10 +28,9 @@ type OrderedMonitor struct {
 // supports neither Epsilon (ranks have no ε-approximate semantics yet;
 // see ROADMAP.md) nor asynchronous ingestion nor durable checkpointing
 // (the order-repair layer has no snapshot form yet). As with New, a
-// rejected
-// configuration is reported as a *ConfigError naming the offending
-// field, and a Transport the constructor took ownership of is closed
-// before the error returns.
+// rejected configuration is reported as a *ConfigError naming the
+// offending field, and a Transport the constructor took ownership of is
+// closed before the error returns.
 func NewOrdered(cfg Config) (*OrderedMonitor, error) {
 	if err := validateShape(cfg); err != nil {
 		return nil, err
@@ -58,13 +53,11 @@ func NewOrdered(cfg Config) (*OrderedMonitor, error) {
 	if cfg.Checkpoint.Store != nil || cfg.Checkpoint.Every != 0 {
 		return nil, badConfig(cfg, "Checkpoint", "durable checkpointing is not supported by the ordered monitor; see ROADMAP.md")
 	}
-	m := &OrderedMonitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues)}
-	if cfg.Concurrent {
-		m.conc = runtime.NewOrdered(runtime.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues})
-	} else {
-		m.seq = core.NewOrdered(core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues})
+	eng, err := buildEngine(cfg, nil, true)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	return &OrderedMonitor{m: &Monitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues), eng: eng}}, nil
 }
 
 // Observe feeds one time step and returns the top-k node ids ordered by
@@ -72,88 +65,36 @@ func NewOrdered(cfg Config) (*OrderedMonitor, error) {
 // As with Monitor.Observe, a wrong-length input or a value outside
 // [-MaxValue, MaxValue] is rejected with an error before any state
 // changes; no input can panic the monitor.
-func (m *OrderedMonitor) Observe(vals []int64) ([]int, error) {
-	if len(vals) != m.cfg.Nodes {
-		return nil, fmt.Errorf("topk: observed %d values for %d nodes", len(vals), m.cfg.Nodes)
-	}
-	if err := checkValues(m.maxVal, nil, vals); err != nil {
+func (o *OrderedMonitor) Observe(vals []int64) ([]int, error) {
+	if _, err := o.m.Observe(vals); err != nil {
 		return nil, err
 	}
-	switch {
-	case m.seq != nil:
-		return m.seq.Observe(vals), nil
-	case m.conc != nil:
-		return m.conc.Observe(vals), nil
-	default:
-		return nil, errors.New("topk: monitor is closed")
-	}
+	return o.Top(), nil
 }
 
 // MaxValue returns the largest observation magnitude the monitor
 // accepts, exactly as Monitor.MaxValue.
-func (m *OrderedMonitor) MaxValue() int64 { return m.maxVal }
+func (o *OrderedMonitor) MaxValue() int64 { return o.m.MaxValue() }
 
 // Top returns the most recently reported ranking without consuming a
 // step (empty before the first Observe).
-func (m *OrderedMonitor) Top() []int {
-	switch {
-	case m.seq != nil:
-		return m.seq.Top()
-	case m.conc != nil:
-		return m.conc.Top()
-	default:
-		return nil
+func (o *OrderedMonitor) Top() []int {
+	if r, ok := o.m.eng.(ranked); ok {
+		return r.AppendRanking(nil)
 	}
+	return nil // closed
 }
 
 // Counts returns the total messages exchanged so far.
-func (m *OrderedMonitor) Counts() Counts {
-	var c comm.Counts
-	switch {
-	case m.seq != nil:
-		c = m.seq.Counts()
-	case m.conc != nil:
-		c = m.conc.Counts()
-	}
-	return Counts{Up: c.Up, Down: c.Down, Broadcast: c.Bcast}
-}
+func (o *OrderedMonitor) Counts() Counts { return o.m.Counts() }
 
 // Phases returns the per-phase message breakdown. Order-layer repair
 // traffic is attributed to the handler phase.
-func (m *OrderedMonitor) Phases() PhaseCounts {
-	var led *comm.Ledger
-	switch {
-	case m.seq != nil:
-		led = m.seq.Ledger()
-	case m.conc != nil:
-		led = m.conc.Ledger()
-	default:
-		return PhaseCounts{}
-	}
-	conv := func(c comm.Counts) Counts { return Counts{Up: c.Up, Down: c.Down, Broadcast: c.Bcast} }
-	return PhaseCounts{
-		Violation: conv(led.PhaseCounts(comm.PhaseViolation)),
-		Handler:   conv(led.PhaseCounts(comm.PhaseHandler)),
-		Reset:     conv(led.PhaseCounts(comm.PhaseReset)),
-	}
-}
+func (o *OrderedMonitor) Phases() PhaseCounts { return o.m.Phases() }
 
-// Stats returns the boundary layer's behavioural counters (sequential
-// engine only; the concurrent engine reports zeroes).
-func (m *OrderedMonitor) Stats() Stats {
-	if m.seq != nil {
-		s := m.seq.Stats()
-		return Stats{Steps: s.Steps, ViolationSteps: s.ViolationSteps, Resets: s.Resets, TopChanges: s.TopChanges}
-	}
-	return Stats{}
-}
+// Stats returns the boundary layer's behavioural counters.
+func (o *OrderedMonitor) Stats() Stats { return o.m.Stats() }
 
 // Close releases the goroutines of a concurrent monitor. No-op for the
 // sequential engine; idempotent.
-func (m *OrderedMonitor) Close() {
-	if m.conc != nil {
-		m.conc.Close()
-		m.conc = nil
-	}
-	m.seq = nil
-}
+func (o *OrderedMonitor) Close() { o.m.Close() }

@@ -1,33 +1,11 @@
 package topk
 
 import (
-	"sort"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stream"
 )
-
-func rankOracle(vals []int64, k int) []int {
-	type kv struct {
-		id int
-		v  int64
-	}
-	s := make([]kv, len(vals))
-	for i, v := range vals {
-		s[i] = kv{i, v}
-	}
-	sort.Slice(s, func(a, b int) bool {
-		if s[a].v != s[b].v {
-			return s[a].v > s[b].v
-		}
-		return s[a].id < s[b].id
-	})
-	out := make([]int, k)
-	for i := range out {
-		out[i] = s[i].id
-	}
-	return out
-}
 
 func TestNewOrderedValidation(t *testing.T) {
 	if _, err := NewOrdered(Config{Nodes: 0, K: 1}); err == nil {
@@ -75,6 +53,9 @@ func TestOrderedEnginesAgree(t *testing.T) {
 		if seq.Counts() != conc.Counts() {
 			t.Fatalf("step %d: counts differ", s)
 		}
+		if sa, sb := seq.Stats(), conc.Stats(); sa != sb || sa.Steps != int64(s+1) {
+			t.Fatalf("step %d: stats differ: seq=%+v conc=%+v", s, sa, sb)
+		}
 	}
 }
 
@@ -91,7 +72,7 @@ func TestOrderedMonitorExactRanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := rankOracle(vals, 4)
+		want := sim.RankOracle(vals, 4)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("step %d: rank %d is node %d, want %d", s, i+1, got[i], want[i])

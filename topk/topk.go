@@ -402,7 +402,7 @@ func New(cfg Config) (*Monitor, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	eng, err := buildEngine(cfg, nil)
+	eng, err := buildEngine(cfg, nil, false)
 	if err != nil {
 		// The transport's links are unusable after a failed handshake;
 		// release them and their serve loops so a retrying caller does not
