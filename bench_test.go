@@ -319,87 +319,30 @@ func tcpNetEngine(b *testing.B, cfg netrun.Config, peers int) *netrun.Engine {
 
 // BenchmarkNetStepLatency measures one observation step of the networked
 // engine across the peer count, over in-process pipes AND real loopback
-// TCP, with the pipelined fan-out against the sequential lockstep
-// baseline. The workload is an IID redraw, so nearly every step runs
-// protocol executions — the regime in which the pipelined engine's
-// concurrent gather and its Winner/ResetBegin/Midpoint coalescing pay:
-// step latency should follow the slowest peer rather than the peer
-// count, with the pipelined-vs-lockstep gap widening as peers grow. Both
-// modes are bit-identical in reports and ledgers (msgs/step is reported
-// to prove the runs comparable); only wall clock differs. This seeds the
-// wall-clock trajectory of EXPERIMENTS.md E20; CI only smoke-runs it once
-// (-benchtime=1x) — compared numbers come from ./benchmark.
+// TCP. The workload is an IID redraw, so nearly every step runs protocol
+// executions — the regime in which the engine's fanned-out gather and its
+// Winner/ResetBegin/Midpoint coalescing pay: step latency should follow
+// the slowest peer rather than the peer count (msgs/step is reported to
+// prove runs comparable). This seeds the wall-clock trajectory of
+// EXPERIMENTS.md E20; CI only smoke-runs it once (-benchtime=1x) —
+// compared numbers come from ./benchmark.
 func BenchmarkNetStepLatency(b *testing.B) {
 	const n, k = 256, 8
-	modes := []struct {
-		name     string
-		lockstep bool
-	}{
-		{"pipelined", false},
-		{"lockstep", true},
-	}
 	for _, tr := range []string{"pipe", "tcp"} {
 		for _, peers := range []int{1, 4, 8, 16} {
-			for _, mode := range modes {
-				b.Run(bench.F("%s/peers=%d/%s", tr, peers, mode.name), func(b *testing.B) {
-					cfg := netrun.Config{N: n, K: k, Seed: 7, Lockstep: mode.lockstep}
-					var eng *netrun.Engine
-					if tr == "tcp" {
-						eng = tcpNetEngine(b, cfg, peers)
-					} else {
-						var err error
-						eng, err = netrun.NewLoopback(cfg, peers)
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.Cleanup(eng.Close)
-					}
-					src := stream.NewIID(stream.IIDConfig{N: n, Seed: 11, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
-					vals := make([]int64, n)
-					src.Step(vals)
-					eng.Observe(vals) // init reset outside the timer
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						src.Step(vals)
-						eng.Observe(vals)
-					}
-					b.StopTimer()
-					if err := eng.Err(); err != nil {
+			b.Run(bench.F("%s/peers=%d", tr, peers), func(b *testing.B) {
+				cfg := netrun.Config{N: n, K: k, Seed: 7}
+				var eng *netrun.Engine
+				if tr == "tcp" {
+					eng = tcpNetEngine(b, cfg, peers)
+				} else {
+					var err error
+					eng, err = netrun.NewLoopback(cfg, peers)
+					if err != nil {
 						b.Fatal(err)
 					}
-					b.ReportMetric(float64(eng.Counts().Total())/float64(b.N+1), "msgs/step")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkShardParallel measures the step latency of the sharded engine
-// against the shard count on a protocol-heavy workload (IID redraws, so
-// nearly every step delegates executions): with the pipelined root the S
-// local protocols of one delegated execution run concurrently, so a
-// fixed node population speeds up as S grows, while the lockstep
-// baseline pays every coordination round trip sequentially. Reported
-// msgs/step grows with S (each shard pays its own rounds) — that
-// trade-off is E18's; this benchmark tracks the wall-clock side for
-// EXPERIMENTS.md E20.
-func BenchmarkShardParallel(b *testing.B) {
-	const n, k = 1024, 8
-	modes := []struct {
-		name     string
-		lockstep bool
-	}{
-		{"pipelined", false},
-		{"lockstep", true},
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, mode := range modes {
-			b.Run(bench.F("S=%d/%s", shards, mode.name), func(b *testing.B) {
-				eng, err := shardrun.NewLoopback(shardrun.Config{N: n, K: k, Seed: 7, Lockstep: mode.lockstep}, shards)
-				if err != nil {
-					b.Fatal(err)
+					b.Cleanup(eng.Close)
 				}
-				b.Cleanup(eng.Close)
 				src := stream.NewIID(stream.IIDConfig{N: n, Seed: 11, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
 				vals := make([]int64, n)
 				src.Step(vals)
@@ -416,6 +359,40 @@ func BenchmarkShardParallel(b *testing.B) {
 				b.ReportMetric(float64(eng.Counts().Total())/float64(b.N+1), "msgs/step")
 			})
 		}
+	}
+}
+
+// BenchmarkShardParallel measures the step latency of the sharded engine
+// against the shard count on a protocol-heavy workload (IID redraws, so
+// nearly every step delegates executions): the S local protocols of one
+// delegated execution run concurrently, so a fixed node population speeds
+// up as S grows. Reported msgs/step grows with S (each shard pays its own
+// rounds) — that trade-off is E18's; this benchmark tracks the wall-clock
+// side for EXPERIMENTS.md E20.
+func BenchmarkShardParallel(b *testing.B) {
+	const n, k = 1024, 8
+	for _, shards := range []int{1, 2, 4, 8} {
+		b.Run(bench.F("S=%d", shards), func(b *testing.B) {
+			eng, err := shardrun.NewLoopback(shardrun.Config{N: n, K: k, Seed: 7}, shards)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(eng.Close)
+			src := stream.NewIID(stream.IIDConfig{N: n, Seed: 11, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
+			vals := make([]int64, n)
+			src.Step(vals)
+			eng.Observe(vals) // init reset outside the timer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Step(vals)
+				eng.Observe(vals)
+			}
+			b.StopTimer()
+			if err := eng.Err(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(eng.Counts().Total())/float64(b.N+1), "msgs/step")
+		})
 	}
 }
 

@@ -85,7 +85,6 @@ func main() {
 		compare  = flag.Bool("compare", false, "also run all baseline algorithms on the same workload")
 		ordered  = flag.Bool("ordered", false, "monitor the exact ranking of the top-k (§5 extension)")
 		epsilon  = flag.Float64("epsilon", 0, "tolerance of ε-approximate monitoring in [0, 1): filters widen to (1±ε) bands and reports are ε-approximate instead of exact (arXiv:1601.04448)")
-		lockstep = flag.Bool("lockstep", false, "disable the pipelined transport fan-out of the net and sharded engines: send, flush and await every command peer by peer (bit-identical results, higher step latency)")
 		async    = flag.Bool("async", false, "decouple ingestion from protocol execution: stage observations in a bounded coalescing queue, Drain once at the end, and verify the final report against the oracle")
 		queue    = flag.Int("queue", 64, "per-node ingest queue depth for -async (capped at n)")
 		ckptDir  = flag.String("checkpoint", "", "with -serve: durable checkpoint directory; the coordinator persists CRC-sealed frames while serving and restores from the newest valid one on startup (kill-and-restart survives)")
@@ -139,7 +138,7 @@ func main() {
 		if *ordered {
 			log.Fatal("-ordered is not supported by the networked engine yet")
 		}
-		runServe(*serve, *peers, nn, *k, *seed, *epsilon, *lockstep, matrix, *ckptDir, *ckptN)
+		runServe(*serve, *peers, nn, *k, *seed, *epsilon, matrix, *ckptDir, *ckptN)
 		return
 	}
 
@@ -163,7 +162,7 @@ func main() {
 		if *engine != "seq" {
 			log.Fatalf("-tree runs its own engine; drop -engine %s", *engine)
 		}
-		te, err := shardrun.NewLoopbackTree(shardrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon, Lockstep: *lockstep}, shape.Branch, shape.Depth)
+		te, err := shardrun.NewLoopbackTree(shardrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon}, shape.Branch, shape.Depth)
 		if err != nil {
 			log.Fatalf("tree engine: %v", err)
 		}
@@ -183,7 +182,7 @@ func main() {
 		if *shards > nn {
 			log.Fatalf("-shards must be in [1, n], got %d for n=%d", *shards, nn)
 		}
-		se, err := shardrun.NewLoopback(shardrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon, Lockstep: *lockstep}, *shards)
+		se, err := shardrun.NewLoopback(shardrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon}, *shards)
 		if err != nil {
 			log.Fatalf("sharded engine: %v", err)
 		}
@@ -205,7 +204,7 @@ func main() {
 		if *peers < 1 || *peers > nn {
 			log.Fatalf("-peers must be in [1, n], got %d for n=%d", *peers, nn)
 		}
-		ne, err := netrun.NewLoopback(netrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon, Lockstep: *lockstep}, *peers)
+		ne, err := netrun.NewLoopback(netrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon}, *peers)
 		if err != nil {
 			log.Fatalf("networked engine: %v", err)
 		}
@@ -402,8 +401,7 @@ func parseTree(s string) (shardrun.Tree, error) {
 
 // printTreeStats renders the per-level traffic of a coordinator tree —
 // who carried the frames at each level, leaf-most level first, with the
-// root's own overhead ledger as the last row — and, in ε mode, the
-// per-level band-exit counters of the tightened ladder.
+// root's own overhead ledger as the last row.
 func printTreeStats(se *shardrun.Engine) {
 	ts, err := se.TreeStats()
 	if err != nil {
@@ -420,9 +418,6 @@ func printTreeStats(se *shardrun.Engine) {
 			label += " (leaf-most)"
 		}
 		fmt.Printf("  %-20s %11d %10d %11d %9d\n", label, lv.Down, lv.Up, lv.DownBytes, lv.UpBytes)
-	}
-	if len(ts.Absorbs) > 0 {
-		fmt.Printf("ε ladder band exits per level (leaf-most first): %v\n", ts.Absorbs)
 	}
 }
 
@@ -457,7 +452,7 @@ func printTransport(ts transport.LinkStats, peers int) {
 // checkpoint directory when one is configured and holds a valid frame,
 // drive the (remaining) workload while auto-checkpointing, report, shut
 // down.
-func runServe(addr string, peers, n, k int, seed uint64, epsilon float64, lockstep bool, matrix [][]int64, ckptDir string, ckptEvery int) {
+func runServe(addr string, peers, n, k int, seed uint64, epsilon float64, matrix [][]int64, ckptDir string, ckptEvery int) {
 	if peers < 1 || peers > n {
 		log.Fatalf("-peers must be in [1, n], got %d for n=%d", peers, n)
 	}
@@ -481,7 +476,7 @@ func runServe(addr string, peers, n, k int, seed uint64, epsilon float64, lockst
 		log.Fatalf("accepting peers: %v", err)
 	}
 	necfg := netrun.Config{
-		N: n, K: k, Seed: seed + 1, Epsilon: epsilon, Lockstep: lockstep,
+		N: n, K: k, Seed: seed + 1, Epsilon: epsilon,
 		// A dead peer is replaced by the next process that runs
 		// `topkmon -join`; the coordinator blocks mid-recovery until one
 		// arrives (Ctrl-C the coordinator to give up instead).

@@ -41,14 +41,13 @@
 // framed volume that actually crossed each link. DESIGN.md documents the
 // split.
 //
-// The networked and sharded engines pipeline their I/O by default
-// (topk.Config.Pipeline, topkmon -lockstep for the strict peer-by-peer
-// baseline): links buffer writes behind an explicit Flush, exchanges fan
-// out to every peer before the replies are gathered concurrently, and
-// ack-only commands coalesce into wire.Batch envelopes — so step latency
-// follows the slowest peer rather than the peer count, while reports and
-// all ledgers stay bit-identical to the lockstep cycle (DESIGN.md
-// "Pipelined substrate"; EXPERIMENTS.md E20). The zero-allocation
+// The networked and sharded engines pipeline their I/O: links buffer
+// writes behind an explicit Flush, exchanges fan out to every peer before
+// the replies are gathered, and ack-only commands coalesce into
+// wire.Batch envelopes — so step latency follows the slowest peer rather
+// than the peer count, while reports and all ledgers stay bit-identical
+// to the sequential engine (DESIGN.md "Pipelined substrate";
+// EXPERIMENTS.md E20). The zero-allocation
 // guarantee extends across the wire: a violation-free networked step
 // over loopback pipes performs no heap allocation.
 //
@@ -71,9 +70,7 @@
 // so the root serves Branch^Depth leaf shards through Branch links —
 // bit-identical to the flat star in reports and every model ledger, with
 // each level's coordination traffic reported separately
-// (Monitor.TreeStats) and, under Epsilon, a per-level tightened band
-// ladder whose absorption counters show how much drift each level hides
-// from its parent (EXPERIMENTS.md E22).
+// (Monitor.TreeStats; EXPERIMENTS.md E22).
 //
 // The variants are modes of that one machine, not engines of their own:
 // the ε tolerance below, and the ordered variant the paper's §5 outlook

@@ -8,8 +8,8 @@ import (
 // WireRoundTrip guards the wire codec's completeness: when a message
 // struct grows a field, both its encoder and its decoder must learn about
 // it, or the field is silently dropped on one side of the link and the
-// engines diverge without an error (exactly how Assign.Ladder could have
-// been lost when PR 8 extended the handshake). For every exported struct
+// engines diverge without an error (exactly how Assign.EpsNum could have
+// been lost when PR 4 extended the handshake). For every exported struct
 // type in internal/wire that has an encoder (method Append) and a decoder
 // (method Decode on the pointer, or a package function Decode<Type>), the
 // analyzer requires every exported field to be referenced — as a selector

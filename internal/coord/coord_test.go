@@ -270,85 +270,3 @@ func TestNodesSubSharesState(t *testing.T) {
 		t.Fatal("sub views do not alias parent state")
 	}
 }
-
-// TestNodesLadderAbsorption pins the hierarchical ε bookkeeping: nested
-// bands are derived per install, escalation is deterministic and
-// monotone per node, a root violation exits every remaining level, and
-// none of it changes the violation flags the protocol sees.
-func TestNodesLadderAbsorption(t *testing.T) {
-	tol, err := order.NewTol(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(ladder []order.Tol) *Nodes {
-		b := NewNodes(2, 0, 2, 7, true, tol) // distinct mode: keys are raw values
-		b.SetLadder(ladder)
-		// Make node 0 a top member and install the band [900, 1100]:
-		// ladder bands nest around the midpoint 1000.
-		b.Winner(0, true)
-		b.ApplyBounds(900, 1100)
-		return b
-	}
-	ladder := tol.Ladder(2)
-	b := mk(ladder)
-	plain := mk(nil)
-
-	// Walk node 0 (top: bound from below) down through the levels. Band
-	// half-widths around 1000: level 0 = 33, level 1 = 66, root = 100.
-	steps := []struct {
-		v           int64
-		wantAbsorbs []int64
-		wantViol    bool
-	}{
-		{990, []int64{0, 0}, false}, // inside every band
-		{950, []int64{1, 0}, false}, // exits level 0, absorbed by level 1
-		{980, []int64{1, 0}, false}, // re-anchored: no de-escalation within an install
-		{910, []int64{1, 1}, false}, // exits level 1, absorbed by the root band
-		{800, []int64{1, 1}, true},  // exits the root: already at the top level, nothing to count
-		{500, []int64{1, 1}, true},  // still violating; counters unchanged
-	}
-	for i, st := range steps {
-		topViol, _, err := b.Observe(0, st.v, int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pViol, _, err := plain.Observe(0, st.v, int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if topViol != st.wantViol || pViol != st.wantViol {
-			t.Fatalf("step %d (v=%d): viol=%v plain=%v, want %v — ladder changed protocol flags", i, st.v, topViol, pViol, st.wantViol)
-		}
-		for l, want := range st.wantAbsorbs {
-			if got := b.Absorbs()[l]; got != want {
-				t.Fatalf("step %d (v=%d): absorbs[%d] = %d, want %d", i, st.v, l, got, want)
-			}
-		}
-	}
-
-	// A fresh install re-arms every level.
-	b.ApplyBounds(400, 600)
-	if _, _, err := b.Observe(0, 480, 10); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Absorbs()[0]; got != 2 {
-		t.Fatalf("post-reinstall absorbs[0] = %d, want 2 (one new level-0 exit)", got)
-	}
-
-	// Outsiders bind from above: node 1 exits upward.
-	if _, outViol, err := b.Observe(1, 560, 11); err != nil || outViol {
-		t.Fatalf("within-root upward drift flagged: viol=%v err=%v", outViol, err)
-	}
-	if got := b.Absorbs()[0]; got != 3 {
-		t.Fatalf("outsider exit not counted: absorbs[0] = %d, want 3", got)
-	}
-
-	// Midpoint installs (exact/full) disarm the ladder.
-	b.Midpoint(500, false)
-	if _, _, err := b.Observe(0, 5000, 12); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Absorbs()[1]; got != 2 {
-		t.Fatalf("ladder tracked across a point install: absorbs[1] = %d, want 2", got)
-	}
-}

@@ -60,18 +60,6 @@ type Nodes struct {
 	// members that bid or drop out; it is per view (Sub views of one bank
 	// run their ranges' rounds independently) and allocated on first use.
 	inPlay protocol.InPlay
-
-	// Per-level ε ladder of the hierarchical engine (SetLadder): level l's
-	// tolerance induces the band bands[l], nested inside the installed
-	// root filter; absorbs[l] counts observations that left the level-l
-	// band; levels[i] is node i's current level. The ladder never changes
-	// which violations the protocol sees — reported flags always come from
-	// the installed root filter — it tracks, per level, how many band exits
-	// a level-(l+1) coordinator would have absorbed with no traffic above it.
-	ladder  []order.Tol
-	bands   []filter.Interval
-	absorbs []int64
-	levels  []uint8
 }
 
 // NewNodes builds the node state for the range [lo, hi) of an n-node
@@ -173,81 +161,6 @@ var cohorts = [...]struct {
 	TagReset:   {flagExtracted, 0, false},
 }
 
-// SetLadder installs the per-level tolerance ladder of the hierarchical
-// ε mode (tightest level first; order.Tol.Ladder builds a valid one).
-// The ladder is pure bookkeeping on top of the protocol: reported
-// violation flags still come from the installed root filter alone, so a
-// laddered bank is bit-identical to a plain one in everything the
-// coordinator observes. What the ladder adds is the per-level absorption
-// profile (Absorbs): at each filter install the bank derives the nested
-// bands B_0 ⊆ … ⊆ B_{L-1} ⊆ [lo, hi] around the installed band's
-// midpoint, every node starts at level 0, and an observation that exits
-// the node's current band deterministically escalates it to the first
-// level whose band still holds it, counting one exit per level crossed.
-// A nil ladder (or one installed on an exact-tolerance bank) disables
-// the bookkeeping; only a non-empty one costs a level byte per node.
-func (b *Nodes) SetLadder(tols []order.Tol) {
-	b.ladder = tols
-	b.bands = nil
-	b.absorbs = make([]int64, len(tols))
-	b.levels = nil
-	if len(tols) > 0 {
-		b.levels = make([]uint8, len(b.keys))
-	}
-}
-
-// Absorbs returns the per-level band-exit counters as a read-only view:
-// Absorbs[l] counts observations that left the level-l band, so
-// Absorbs[l] - Absorbs[l+1] of them were absorbed by level l+1 without
-// climbing further, and the installed root filter's own violations (the
-// ones the protocol acts on) are counted by the coordinator as always.
-func (b *Nodes) Absorbs() []int64 { return b.absorbs }
-
-// ladderBands derives the nested per-level bands for an installed root
-// band [lo, hi], anchored at its midpoint and clamped inside it, and
-// re-arms every node at level 0.
-func (b *Nodes) ladderBands(lo, hi order.Key) {
-	if len(b.ladder) == 0 {
-		return
-	}
-	root := filter.Interval{Lo: lo, Hi: hi}
-	mid := order.Midpoint(lo, hi)
-	b.bands = b.bands[:0]
-	for _, tol := range b.ladder {
-		b.bands = append(b.bands, filter.Band(mid, tol).Clamp(root))
-	}
-	clear(b.levels)
-}
-
-// ladderTrack walks one observation through the ladder: from the node's
-// current level upward, every band the key has left counts one exit and
-// escalates the node; a root-filter violation exits every remaining
-// level (nothing below the root could have absorbed it). Membership
-// decides the binding side, exactly as for the installed filter: top
-// nodes are only constrained from below, outsiders only from above.
-func (b *Nodes) ladderTrack(i int, key order.Key, inTop, rootViol bool) {
-	levels := uint8(len(b.ladder))
-	if rootViol {
-		for l := b.levels[i]; l < levels; l++ {
-			b.absorbs[l]++
-		}
-		b.levels[i] = levels
-		return
-	}
-	for b.levels[i] < levels {
-		band := b.bands[b.levels[i]]
-		exited := key > band.Hi
-		if inTop {
-			exited = key < band.Lo
-		}
-		if !exited {
-			return
-		}
-		b.absorbs[b.levels[i]]++
-		b.levels[i]++
-	}
-}
-
 // MaxValue returns the largest observation magnitude the bank accepts
 // (symmetrically, -MaxValue is the smallest): order.MaxValueFor of the
 // bank's configuration — the codec capacity for the default tie-break
@@ -276,9 +189,6 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 	b.keys[i] = key
 	inTop := b.flags[i]&flagInTop != 0
 	violated, _ := b.inst.Interval(inTop).Violates(key)
-	if len(b.bands) == len(b.ladder) && len(b.ladder) > 0 {
-		b.ladderTrack(i, key, inTop, violated)
-	}
 	if !violated {
 		return false, false, nil
 	}
@@ -343,7 +253,6 @@ func (b *Nodes) Winner(target int, isTop bool) {
 // +inf] for top-k members, [-inf, mid] for outsiders — or [-inf, +inf]
 // everywhere when full is set (k == n). One store, whatever the size.
 func (b *Nodes) Midpoint(mid order.Key, full bool) {
-	b.bands = b.bands[:0] // point installs have no band to split
 	*b.inst = filter.Bounds{Lo: mid, Hi: mid}
 	if full {
 		*b.inst = filter.Unbounded()
@@ -352,9 +261,8 @@ func (b *Nodes) Midpoint(mid order.Key, full bool) {
 
 // ApplyBounds installs the ε-approximate band assignment: [lo, +inf] for
 // top-k members, [-inf, hi] for outsiders (the node-side execution of
-// coord.EffBounds / wire.ApproxBounds), re-arming the ladder if one is set.
+// coord.EffBounds / wire.ApproxBounds).
 func (b *Nodes) ApplyBounds(lo, hi order.Key) {
-	b.ladderBands(lo, hi)
 	*b.inst = filter.Bounds{Lo: lo, Hi: hi}
 }
 

@@ -26,7 +26,6 @@ type bankAPI interface {
 	ApplyBounds(lo, hi order.Key)
 	OrderViolated(target int) (order.Key, bool)
 	SetOrderBounds(target int, lo, hi order.Key)
-	Absorbs() []int64
 	Snapshot(dst []byte) []byte
 }
 
@@ -35,8 +34,7 @@ type bankAPI interface {
 // errors of an observation, the (id, key) sends of a round in order, an
 // order-filter check. same compares what no answer shows — every node's
 // key, derived filter, order filter, flags, violation step and generator
-// state, through the byte-identical checkpoint frame, and the ladder's
-// absorption counters.
+// state, through the byte-identical checkpoint frame.
 type pair struct {
 	t     *testing.T
 	where string
@@ -92,14 +90,10 @@ func (p *pair) OrderViolated(target int) (order.Key, bool) {
 	}
 	return kk, kv
 }
-func (p *pair) Absorbs() []int64           { return p.kern.Absorbs() }
 func (p *pair) Snapshot(dst []byte) []byte { return p.kern.Snapshot(dst) }
 
 func (p *pair) same() {
 	p.t.Helper()
-	if k, r := p.kern.Absorbs(), p.ref.Absorbs(); !slices.Equal(k, r) {
-		p.t.Fatalf("%s: absorbs %v, reference %v", p.where, k, r)
-	}
 	// The reference writes the v1 frame, every interval spelled out; the
 	// flat bank's v2 frame must say the same once its bounds are applied
 	// by membership — and must be the one encoding of what it decodes to.
@@ -204,7 +198,6 @@ func (vb *viewBank) OrderViolated(target int) (key order.Key, violated bool) {
 func (vb *viewBank) SetOrderBounds(target int, lo, hi order.Key) {
 	vb.on(target, func(v *Nodes) { v.SetOrderBounds(target, lo, hi) })
 }
-func (vb *viewBank) Absorbs() []int64           { return vb.parent.Absorbs() }
 func (vb *viewBank) Snapshot(dst []byte) []byte { return vb.parent.Snapshot(dst) }
 
 // equivCase is one bank configuration both equivalence tests run.
@@ -212,13 +205,12 @@ type equivCase struct {
 	n, k     int
 	eps      float64
 	distinct bool
-	ladder   int   // ladder levels (ε > 0 only)
 	ordered  bool  // order filters in use
 	views    []int // Sub view cuts; nil drives the whole bank directly
 }
 
 func (tc equivCase) String() string {
-	return fmt.Sprintf("n=%d k=%d eps=%g distinct=%v ladder=%d ordered=%v views=%v", tc.n, tc.k, tc.eps, tc.distinct, tc.ladder, tc.ordered, tc.views)
+	return fmt.Sprintf("n=%d k=%d eps=%g distinct=%v ordered=%v views=%v", tc.n, tc.k, tc.eps, tc.distinct, tc.ordered, tc.views)
 }
 
 var equivCases = []equivCase{
@@ -227,8 +219,8 @@ var equivCases = []equivCase{
 	{n: 1, k: 1},
 	{n: 40, k: 5, distinct: true, ordered: true},
 	{n: 64, k: 5, eps: 0.1},
-	{n: 64, k: 9, eps: 0.1, ladder: 3},
-	{n: 33, k: 32, eps: 0.02, ladder: 2},
+	{n: 64, k: 9, eps: 0.1},
+	{n: 33, k: 32, eps: 0.02},
 	{n: 9, k: 1, views: []int{0, 4, 9}},
 	{n: 64, k: 5, views: []int{0, 1, 2, 30, 64}, ordered: true},
 	{n: 64, k: 63, eps: 0.1, views: []int{0, 16, 33, 64}},
@@ -242,10 +234,6 @@ func (tc equivCase) build(t *testing.T, seed uint64) (*pair, order.Tol, func()) 
 		t.Fatal(err)
 	}
 	flat, ref := NewNodes(tc.n, 0, tc.n, seed, tc.distinct, tol), newRefNodes(tc.n, 0, tc.n, seed, tc.distinct, tol)
-	if tc.ladder > 0 {
-		flat.SetLadder(tol.Ladder(tc.ladder))
-		ref.SetLadder(tol.Ladder(tc.ladder))
-	}
 	if tc.ordered {
 		flat.EnableOrderFilters() // before the views are taken, as the ordered runtime does
 	}
@@ -260,9 +248,9 @@ func (tc equivCase) build(t *testing.T, seed uint64) (*pair, order.Tol, func()) 
 
 // TestBankMatchesPerNodeReferenceUnderMachine runs one coordinator machine
 // over the paired banks for a workload violent enough to exercise
-// violation, handler and reset executions, band and midpoint installs and
-// the ladder, with every command answered identically by both (pair) and
-// a byte-identical checkpoint frame after every step.
+// violation, handler and reset executions and band and midpoint installs,
+// with every command answered identically by both (pair) and a
+// byte-identical checkpoint frame after every step.
 func TestBankMatchesPerNodeReferenceUnderMachine(t *testing.T) {
 	for _, tc := range equivCases {
 		p, tol, stop := tc.build(t, 41)
@@ -356,11 +344,7 @@ func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 			case 1, 2:
 				p.Midpoint(randKey(), false)
 			default:
-				lo, hi := randKey(), randKey()
-				if tc.ladder > 0 && lo > hi {
-					lo, hi = hi, lo // the ladder splits a band around its midpoint
-				}
-				p.ApplyBounds(lo, hi)
+				p.ApplyBounds(randKey(), randKey())
 			}
 		}
 		for it := 0; it < 150; it++ {
@@ -417,8 +401,8 @@ func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 // byte and continues in lockstep with the bank that wrote it.
 func TestRestoreParentWrittenFrame(t *testing.T) {
 	for _, tc := range equivCases {
-		if tc.views != nil || tc.ladder > 0 {
-			continue // frames carry neither views nor ladder state
+		if tc.views != nil {
+			continue // frames carry no views
 		}
 		tol, _ := order.NewTol(tc.eps)
 		ref := newRefNodes(tc.n, 0, tc.n, 41, tc.distinct, tol)

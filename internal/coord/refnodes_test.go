@@ -13,11 +13,11 @@ import (
 
 // refNodes is the node bank as it was before filters became two bounds
 // and a membership bit: an array of per-node records, each storing its own
-// id, filter interval, order filter and ladder level, with every install
-// rewriting all of them. The code below is the parent commit's nodes.go
-// and Nodes.Snapshot verbatim but for the type names; it is the
-// independent reference refnodes_equiv_test.go checks the flat bank
-// against.
+// id, filter interval and order filter, with every install rewriting all
+// of them. The code below is that commit's nodes.go and Nodes.Snapshot
+// verbatim but for the type names and the per-level ε ladder, which the
+// bank no longer has; it is the independent reference
+// refnodes_equiv_test.go checks the flat bank against.
 
 // refNodeState is the distributed per-node state of the paper's node model:
 // the current key, the assigned filter, membership knowledge from the last
@@ -34,7 +34,6 @@ type refNodeState struct {
 	wasTop    bool  // membership at the time of the last violation
 	violStep  int64 // observation step of the last filter violation
 	extracted bool
-	level     uint8 // current ladder level (hierarchical ε mode)
 }
 
 // participates evaluates cohort membership node-locally, from knowledge
@@ -81,17 +80,6 @@ type refNodes struct {
 	// one bank run their ranges' rounds independently) and allocated at
 	// exact capacity on first use.
 	active []int32
-
-	// Per-level ε ladder of the hierarchical engine (SetLadder): level l's
-	// tolerance induces the band bands[l], nested inside the installed
-	// root filter; absorbs[l] counts observations that left the level-l
-	// band. The ladder never changes which violations the protocol sees —
-	// reported flags always come from the installed root filter — it
-	// tracks, per level, how many band exits a level-(l+1) coordinator
-	// would have absorbed without any traffic above it.
-	ladder  []order.Tol
-	bands   []filter.Interval
-	absorbs []int64
 }
 
 // newRefNodes builds the node state for the range [lo, hi) of an n-node
@@ -178,86 +166,6 @@ func (b *refNodes) node(id int) *refNodeState {
 	return &b.ns[id-b.lo]
 }
 
-// SetLadder installs the per-level tolerance ladder of the hierarchical
-// ε mode (tightest level first; order.Tol.Ladder builds a valid one).
-// The ladder is pure bookkeeping on top of the protocol: reported
-// violation flags still come from the installed root filter alone, so a
-// laddered bank is bit-identical to a plain one in everything the
-// coordinator observes. What the ladder adds is the per-level absorption
-// profile (Absorbs): at each filter install the bank derives the nested
-// bands B_0 ⊆ … ⊆ B_{L-1} ⊆ [lo, hi] around the installed band's
-// midpoint, every node starts at level 0, and an observation that exits
-// the node's current band deterministically escalates it to the first
-// level whose band still holds it, counting one exit per level crossed.
-// A nil ladder (or one installed on an exact-tolerance bank) disables
-// the bookkeeping.
-func (b *refNodes) SetLadder(tols []order.Tol) {
-	b.ladder = tols
-	b.bands = nil
-	b.absorbs = make([]int64, len(tols))
-	for i := range b.ns {
-		b.ns[i].level = 0
-	}
-}
-
-// Ladder returns the installed per-level tolerances (nil when the
-// hierarchical ε mode is off).
-func (b *refNodes) Ladder() []order.Tol { return b.ladder }
-
-// Absorbs returns the per-level band-exit counters as a read-only view:
-// Absorbs[l] counts observations that left the level-l band, so
-// Absorbs[l] - Absorbs[l+1] of them were absorbed by level l+1 without
-// climbing further, and the installed root filter's own violations (the
-// ones the protocol acts on) are counted by the coordinator as always.
-func (b *refNodes) Absorbs() []int64 { return b.absorbs }
-
-// ladderBands derives the nested per-level bands for an installed root
-// band [lo, hi], anchored at its midpoint and clamped inside it, and
-// re-arms every node at level 0.
-func (b *refNodes) ladderBands(lo, hi order.Key) {
-	if len(b.ladder) == 0 {
-		return
-	}
-	root := filter.Interval{Lo: lo, Hi: hi}
-	mid := order.Midpoint(lo, hi)
-	b.bands = b.bands[:0]
-	for _, tol := range b.ladder {
-		b.bands = append(b.bands, filter.Band(mid, tol).Clamp(root))
-	}
-	for i := range b.ns {
-		b.ns[i].level = 0
-	}
-}
-
-// ladderTrack walks one observation through the ladder: from the node's
-// current level upward, every band the key has left counts one exit and
-// escalates the node; a root-filter violation exits every remaining
-// level (nothing below the root could have absorbed it). Membership
-// decides the binding side, exactly as for the installed filter: top
-// nodes are only constrained from below, outsiders only from above.
-func (b *refNodes) ladderTrack(nd *refNodeState, rootViol bool) {
-	levels := uint8(len(b.ladder))
-	if rootViol {
-		for l := nd.level; l < levels; l++ {
-			b.absorbs[l]++
-		}
-		nd.level = levels
-		return
-	}
-	for nd.level < levels {
-		band := b.bands[nd.level]
-		exited := nd.key > band.Hi
-		if nd.inTop {
-			exited = nd.key < band.Lo
-		}
-		if !exited {
-			return
-		}
-		b.absorbs[nd.level]++
-		nd.level++
-	}
-}
-
 // MaxValue returns the largest observation magnitude the bank accepts
 // (symmetrically, -MaxValue is the smallest): order.MaxValueFor of the
 // bank's configuration — the codec capacity for the default tie-break
@@ -285,9 +193,6 @@ func (b *refNodes) Observe(id int, v int64, step int64) (topViol, outViol bool, 
 		nd.key = b.codec.Encode(v, id)
 	}
 	violated, _ := nd.iv.Violates(nd.key)
-	if len(b.bands) == len(b.ladder) && len(b.ladder) > 0 {
-		b.ladderTrack(nd, violated)
-	}
 	if violated {
 		nd.violStep = step
 		nd.wasTop = nd.inTop
@@ -383,7 +288,6 @@ func (b *refNodes) Winner(target int, isTop bool) {
 // +inf] for top-k members, [-inf, mid] for outsiders — or [-inf, +inf]
 // everywhere when full is set (k == n).
 func (b *refNodes) Midpoint(mid order.Key, full bool) {
-	b.bands = b.bands[:0] // point installs have no band to split
 	for i := range b.ns {
 		nd := &b.ns[i]
 		switch {
@@ -401,7 +305,6 @@ func (b *refNodes) Midpoint(mid order.Key, full bool) {
 // top-k members, [-inf, hi] for outsiders (the node-side execution of
 // coord.EffBounds / wire.ApproxBounds).
 func (b *refNodes) ApplyBounds(lo, hi order.Key) {
-	b.ladderBands(lo, hi)
 	for i := range b.ns {
 		nd := &b.ns[i]
 		if nd.inTop {

@@ -460,10 +460,10 @@ func TestNewNodesJumpsToItsRange(t *testing.T) {
 	}
 }
 
-// TestBankAllocatesOptionalArraysOnDemand pins that the two per-node
-// arrays only some hosts need are absent until asked for: order filters
-// (internal/runtime's ordered engine) and ladder levels (the hierarchical
-// ε mode), through resets, installs of both kinds, checkpoints and views.
+// TestBankAllocatesOptionalArraysOnDemand pins that the per-node array
+// only some hosts need is absent until asked for: order filters
+// (internal/runtime's ordered engine), through resets, installs of both
+// kinds, checkpoints and views.
 func TestBankAllocatesOptionalArraysOnDemand(t *testing.T) {
 	tol, err := order.NewTol(0.1)
 	if err != nil {
@@ -478,11 +478,10 @@ func TestBankAllocatesOptionalArraysOnDemand(t *testing.T) {
 			src.Step(vals)
 			d.observe(vals)
 		}
-		d.bank.SetLadder(nil)
 		back := checkpoint(t, d).bank
 		for name, b := range map[string]*Nodes{"bank": d.bank, "view": d.bank.Sub(3, 9), "restored bank": back} {
-			if b.ord != nil || b.levels != nil {
-				t.Fatalf("%s that saw neither SetOrderBounds nor a ladder holds order filters (%d) or ladder levels (%d)", name, len(b.ord), len(b.levels))
+			if b.ord != nil {
+				t.Fatalf("%s that never saw SetOrderBounds holds %d order filters", name, len(b.ord))
 			}
 			if _, violated := b.OrderViolated(b.Lo()); violated {
 				t.Fatalf("%s: an absent order filter reports a violation", name)
@@ -499,9 +498,8 @@ func TestBankAllocatesOptionalArraysOnDemand(t *testing.T) {
 	}()
 
 	d.bank.EnableOrderFilters()
-	d.bank.SetLadder(tol.Ladder(2))
-	if len(d.bank.ord) != 20 || len(d.bank.levels) != 20 {
-		t.Fatalf("enabled bank holds %d order filters and %d ladder levels for 20 nodes", len(d.bank.ord), len(d.bank.levels))
+	if len(d.bank.ord) != 20 {
+		t.Fatalf("enabled bank holds %d order filters for 20 nodes", len(d.bank.ord))
 	}
 	view := d.bank.Sub(3, 9)
 	view.SetOrderBounds(4, 1, 2)

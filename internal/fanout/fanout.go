@@ -21,42 +21,45 @@
 //	EffBounds (ε mode)        wire.ApproxBounds
 //	(reply to any command)    wire.Reply, or the strategy's Round answer
 //
-// Every command is answered by exactly one reply, so each link stays in
-// lockstep and replies are processed in ascending peer (hence node id)
-// order — the same deterministic order the in-process engines use, which
-// is what makes the engines' randomness consume identically.
+// Every transport frame is answered by exactly one transport frame, so a
+// link never carries more than one outstanding exchange, and replies are
+// processed in ascending peer (hence node id) order — the same
+// deterministic order the in-process engines use, which is what makes the
+// engines' randomness consume identically.
 //
 // # Pipelined fan-out
 //
-// By default the engine pipelines its I/O (Config.Lockstep disables it,
-// restoring the strictly sequential per-peer request/reply cycle):
+// The engine pipelines its I/O, and runs no other way:
 //
 //   - Exchanges fan out first and gather afterwards: the engine sends one
-//     frame to every involved peer, then one reader goroutine per link
-//     collects the replies concurrently while the engine processes them
-//     in ascending peer order. Wall-clock per exchange follows the
-//     slowest peer, not the peer count.
+//     frame to every involved peer, then collects the answers and
+//     processes them in ascending peer order. Wall-clock per exchange
+//     follows the slowest peer, not the peer count.
 //   - Ack-only commands are deferred and coalesced: ResetBegin, Winner,
 //     Midpoint and ApproxBounds need no data back, so instead of paying a
 //     round trip each they are queued per peer and ride in one
 //     wire.Batch envelope with the next data-bearing frame to that peer
 //     (the next protocol Round), with any remainder drained in one final
 //     batched exchange at the end of the step. Servers answer an n-frame
-//     batch with an n-frame batch of replies, so links remain in
-//     lockstep at the frame level.
+//     batch with an n-frame batch of replies, so every command still has
+//     its own reply.
 //
-// Lockstep mode runs the same code with the queue drained after every
-// ack-only effect and every request awaited on the spot, one peer at a
-// time — the paper's literal command/ack cycle, and the latency baseline
-// the pipelined mode is measured against.
+// How a gather waits is the engine's one fork, selected at construction
+// from runtime.GOMAXPROCS(0) alone: above one processor a reader goroutine
+// per link collects the answers concurrently; on a single processor, where
+// the readers' channel hops are pure context-switch overhead, the engine
+// drains the links directly in peer order — the frames are in flight
+// either way. Each side wins where it is selected (DESIGN.md "Pipelined
+// substrate" has the measurement), and both produce the same frames.
 //
-// Determinism is unchanged: per link, commands and replies keep their
-// exact order (a batch is processed sub-frame by sub-frame in order);
-// across links the only join points are the gathers, which the engine
-// processes in ascending peer order. Every node therefore sees the same
-// command sequence, and the coordinator feeds the machine the same event
-// sequence, as in lockstep mode — reports, counts, bytes and randomness
-// consumption are bit-identical, which the equivalence tests pin.
+// Determinism: per link, commands and replies keep their exact order (a
+// batch is processed sub-frame by sub-frame in order); across links the
+// only join points are the gathers, which the engine processes in
+// ascending peer order. Every node therefore sees the command sequence,
+// and the coordinator feeds the machine the event sequence, of the
+// sequential engine — reports, counts, bytes and randomness consumption
+// are bit-identical to it, which the equivalence tests pin under both
+// gathers.
 //
 // # Accounting
 //
@@ -72,10 +75,12 @@
 //     coordinator→peer command as a Down of its encoded size, each
 //     peer→coordinator reply as an Up. Coalesced commands are charged
 //     sub-frame by sub-frame — the batch envelope itself is transport
-//     framing, visible in TransportStats — so the ledger is identical in
-//     pipelined and lockstep mode. The sharded engine surfaces it as the
-//     price of splitting the coordinator; the networked engine, whose
-//     link traffic is the protocol itself, keeps it internal.
+//     framing, visible in TransportStats — so the ledger counts what a
+//     strict one-command-one-round-trip cycle would put on the links, and
+//     the coalescing shows as TransportStats frames below it. The sharded
+//     engine surfaces it as the price of splitting the coordinator; the
+//     networked engine, whose link traffic is the protocol itself, keeps
+//     it internal.
 //
 // # Failure and recovery
 //
@@ -126,12 +131,6 @@ type Config struct {
 	// exact fixed-point numerator), so their samplers and band installs
 	// agree with the coordinator bit for bit.
 	Epsilon float64
-	// Lockstep disables the pipelined fan-out: every command is sent,
-	// flushed and answered peer by peer, sequentially. The default (false)
-	// is the pipelined engine; both modes are bit-identical in reports and
-	// in both ledgers and differ only in wall-clock latency and transport
-	// framing.
-	Lockstep bool
 
 	// Redial, when set, is called during failover to obtain a replacement
 	// link for a dead peer; the replacement adopts the dead peer's exact
@@ -154,16 +153,10 @@ type Config struct {
 
 // Exec is the one thing a substrate decides, fixed at construction: how
 // the machine's EffExec — one Algorithm 2 execution over all nodes — is
-// carried to the peers.
-type Exec struct {
-	// Run carries out one execution through Engine.Round exchanges and
-	// returns its winner, having charged the execution's model messages
-	// to Engine.Recorder(eff.Phase).
-	Run func(e *Engine, eff coord.Effect) (protocol.Result, error)
-	// Ladder rides in every Assign: the per-level tolerance numerators of
-	// a coordinator tree (nil everywhere else).
-	Ladder []uint64
-}
+// carried to the peers. It carries out one execution through Engine.Round
+// exchanges and returns its winner, having charged the execution's model
+// messages to Engine.Recorder(eff.Phase).
+type Exec func(e *Engine, eff coord.Effect) (protocol.Result, error)
 
 // recvResult is one reader goroutine's answer to a gather request.
 type recvResult struct {
@@ -177,9 +170,8 @@ type peer struct {
 	lo, hi int
 	reply  wire.Reply // reusable decode target
 	batch  wire.Batch // reusable decode target for batched replies
-	answer []byte     // lockstep: the answer request already awaited
 
-	// Pipelined gather: the reader goroutine performs one Recv per req
+	// Reader gather: the reader goroutine performs one Recv per req
 	// token and delivers the result (the frame aliases the link's receive
 	// buffer, stable until the reader's next Recv — which cannot happen
 	// before the engine requests it).
@@ -226,7 +218,7 @@ type Engine struct {
 
 	step    int64
 	closed  bool
-	readers bool  // pipelined gather runs reader goroutines
+	readers bool  // the gather runs reader goroutines
 	err     error // terminal failure (recovery abandoned); sticky
 
 	// Failover state: last mirrors every node's most recent value (what
@@ -294,7 +286,7 @@ func New(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 	// context-switch overhead, so the engine then drains the (already
 	// fanned-out) replies directly in peer order — the frames are in
 	// flight either way, and the command coalescing is unaffected.
-	e.readers = !cfg.Lockstep && runtime.GOMAXPROCS(0) > 1
+	e.readers = runtime.GOMAXPROCS(0) > 1
 	if e.readers {
 		for _, p := range e.peers {
 			startReader(p)
@@ -392,8 +384,8 @@ func (e *Engine) Stats() coord.Stats { return e.mach.Stats() }
 
 // Overhead returns the link ledger's frame counts: Down counts
 // coordinator→peer commands, Up counts peer→coordinator replies.
-// Coalesced commands count individually, so the numbers are
-// mode-independent.
+// Coalesced commands count individually, so the numbers do not depend on
+// how the transport framed them.
 func (e *Engine) Overhead() comm.Counts { return e.overhead.Snapshot() }
 
 // OverheadBytes returns the encoded byte volume of the link ledger.
@@ -502,7 +494,7 @@ func (e *Engine) await(p *peer, op string) ([]byte, error) {
 }
 
 // collect consumes peer pi's reply to the last ship: the acks it owes
-// first (empty Replies, decoded only to validate lockstep framing), then
+// first (empty Replies, decoded only to validate the reply framing), then
 // — when the shipped frame was data-bearing — the payload, which is
 // returned for the caller to decode. Every sub-frame is charged to the
 // link ledger. Collects must be consumed in ascending peer order.
@@ -541,27 +533,6 @@ func (e *Engine) collect(pi int, data bool, op string) ([]byte, error) {
 	return subs[acks], nil
 }
 
-// request ships one data-bearing command to peer pi, its queued ack-only
-// commands riding ahead. In lockstep mode the answer is awaited on the
-// spot (strict command/ack, one peer at a time); in pipelined mode the
-// frame only fans out and response collects the answer later.
-func (e *Engine) request(pi int, frame []byte, op string) error {
-	if err := e.ship(pi, frame, op); err != nil || !e.cfg.Lockstep {
-		return err
-	}
-	var err error
-	e.peers[pi].answer, err = e.collect(pi, true, op)
-	return err
-}
-
-// response returns peer pi's answer to the last request.
-func (e *Engine) response(pi int, op string) ([]byte, error) {
-	if e.cfg.Lockstep {
-		return e.peers[pi].answer, nil
-	}
-	return e.collect(pi, true, op)
-}
-
 // Round runs one wire.Round exchange with every peer on behalf of the
 // Exec strategy: the command fans out (the first one after a FILTERRESET
 // carries the commands queued since the last exchange), and each peer's
@@ -571,12 +542,12 @@ func (e *Engine) response(pi int, op string) ([]byte, error) {
 func (e *Engine) Round(m wire.Round, each func(lo, hi int, answer []byte) error) error {
 	e.buf = m.Append(e.buf[:0])
 	for pi := range e.peers {
-		if err := e.request(pi, e.buf, "round"); err != nil {
+		if err := e.ship(pi, e.buf, "round"); err != nil {
 			return err
 		}
 	}
 	for pi, p := range e.peers {
-		answer, err := e.response(pi, "round")
+		answer, err := e.collect(pi, true, "round")
 		if err != nil {
 			return err
 		}
@@ -605,10 +576,9 @@ func (e *Engine) queueAll(enc func([]byte) []byte) {
 }
 
 // drainPending flushes every peer's queued ack-only commands as one
-// exchange and gathers the matching acks — fanned out first in pipelined
-// mode, peer by peer in lockstep mode. Called at the end of a pipelined
-// step (and after every ack-only effect of a lockstep one) so that server
-// state, reply framing and both ledgers are step-aligned across modes.
+// fanned-out exchange and gathers the matching acks. Called at the end of
+// an effect chain, so server state, reply framing and both ledgers are
+// step-aligned.
 func (e *Engine) drainPending() error {
 	for pi, p := range e.peers {
 		e.acks[pi] = 0
@@ -617,12 +587,6 @@ func (e *Engine) drainPending() error {
 		}
 		if err := e.ship(pi, nil, "drain"); err != nil {
 			return err
-		}
-		if e.cfg.Lockstep {
-			if _, err := e.collect(pi, false, "drain"); err != nil {
-				return err
-			}
-			e.acks[pi] = 0
 		}
 	}
 	for pi := range e.peers {
@@ -675,7 +639,7 @@ func (e *Engine) Observe(vals []int64) []int {
 	for pi, p := range e.peers {
 		e.touched[pi] = true
 		e.buf = wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi]}.Append(e.buf[:0])
-		if e.request(pi, e.buf, "observe") != nil {
+		if e.ship(pi, e.buf, "observe") != nil {
 			return e.mach.Top()
 		}
 	}
@@ -717,7 +681,7 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 		e.touched[pi] = stop > start
 		if e.touched[pi] {
 			e.buf = wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop]}.Append(e.buf[:0])
-			if e.request(pi, e.buf, "observe-delta") != nil {
+			if e.ship(pi, e.buf, "observe-delta") != nil {
 				return e.mach.Top()
 			}
 		}
@@ -735,7 +699,7 @@ func (e *Engine) finishStep(op string) []int {
 		if !e.touched[pi] {
 			continue
 		}
-		answer, err := e.response(pi, op)
+		answer, err := e.collect(pi, true, op)
 		if err != nil {
 			return e.mach.Top()
 		}
@@ -764,13 +728,12 @@ func (e *Engine) finishStep(op string) []int {
 // queued when the machine reports EffDone (the trailing midpoint/bounds
 // install) drains as one final batched exchange. Per-link command order
 // is preserved exactly, so every node applies the same state transitions
-// in the same places as in lockstep mode, which drains the queue after
-// every effect instead.
+// in the same places as if each effect had been a round trip of its own.
 func (e *Engine) runEffects(eff coord.Effect) error {
 	for eff.Kind != coord.EffDone {
 		switch eff.Kind {
 		case coord.EffExec:
-			res, err := e.exec.Run(e, eff)
+			res, err := e.exec(e, eff)
 			if err != nil {
 				return err
 			}
@@ -787,26 +750,18 @@ func (e *Engine) runEffects(eff coord.Effect) error {
 		default:
 			panic(fmt.Sprintf("fanout: unknown coordinator effect %d", eff.Kind))
 		}
-		if e.cfg.Lockstep {
-			if err := e.drainPending(); err != nil {
-				return err
-			}
-		}
 		eff = e.mach.Ack()
 	}
 	return e.drainPending()
 }
 
 // TreeStats polls the peers' diagnostic plane and returns the aggregated
-// hierarchy statistics: Absorbs[l] counts the observations that left the
-// level-l tightened band across all leaves (per-level ε mode only, see
-// order.Tol.Ladder), and Levels holds one coordination-traffic summary
-// per tree level, deepest first, with the engine's own link ledger as the
-// last entry. The poll itself is deliberately uncharged — it rides
-// outside the protocol and the link ledger, visible only in
-// TransportStats — so polling does not perturb what it measures. Over
-// leaf peers the result degenerates to leaf absorption counters (empty
-// without a ladder) plus the single root level.
+// hierarchy statistics: one coordination-traffic summary per tree level,
+// deepest first, with the engine's own link ledger as the last entry. The
+// poll itself is deliberately uncharged — it rides outside the protocol
+// and the link ledger, visible only in TransportStats — so polling does
+// not perturb what it measures. Over leaf peers the result degenerates to
+// the single root level.
 //
 // The engine must be quiescent — between observation steps, as for any
 // other accessor — and a pending recovery is run first, exactly as an

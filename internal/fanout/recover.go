@@ -186,7 +186,6 @@ func (e *Engine) assign() error {
 		e.buf = wire.Assign{
 			Lo: p.lo, Hi: p.hi, N: e.cfg.N, K: e.cfg.K,
 			Seed: e.cfg.Seed, EpsNum: tol.Num(), Distinct: e.cfg.DistinctValues,
-			Ladder: e.exec.Ladder,
 		}.Append(e.buf[:0])
 		if err := e.ship(pi, e.buf, "assign"); err != nil {
 			return err

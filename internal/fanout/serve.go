@@ -38,7 +38,7 @@ func HungUp(err error) bool {
 // it hands each frame from the coordinator to step until step reports
 // the conversation over (Shutdown), step fails, or the link hangs up (a
 // clean exit, also before any engine attached). step answers the frame
-// on the same link before returning, keeping it in lockstep.
+// on the same link before returning: one frame in, one frame out.
 func ServeLoop(link transport.Link, step func(frame []byte) (cont bool, err error)) error {
 	for {
 		frame, err := link.Recv()
@@ -90,21 +90,7 @@ func newBank(a wire.Assign) (*coord.Nodes, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fanout: bad assignment: %w", err)
 	}
-	bank := coord.NewNodes(a.N, a.Lo, a.Hi, a.Seed, a.Distinct, tol)
-	if len(a.Ladder) > 0 {
-		// Hierarchical ε mode: the leaf tracks the tightened per-level
-		// bands of the coordinator tree above it. The ladder only feeds
-		// the absorption diagnostics — the protocol filters stay anchored
-		// on the root tolerance, so reports are unchanged.
-		ladder := make([]order.Tol, len(a.Ladder))
-		for i, num := range a.Ladder {
-			if ladder[i], err = order.TolFromNum(num); err != nil {
-				return nil, fmt.Errorf("fanout: bad assignment ladder: %w", err)
-			}
-		}
-		bank.SetLadder(ladder)
-	}
-	return bank, nil
+	return coord.NewNodes(a.N, a.Lo, a.Hi, a.Seed, a.Distinct, tol), nil
 }
 
 // observe applies one node's new value and folds its violation flags into
@@ -198,13 +184,12 @@ func (s *leaf) handle(frame, dst []byte) (out []byte, cont bool, err error) {
 		s.bank.ResetBegin()
 
 	case wire.TypeStatsPoll:
-		// Diagnostics: report the per-level absorption counters. A leaf
-		// contributes no link counters of its own — interior relays add a
-		// LevelIO entry per tree level on the way up.
+		// Diagnostics: a leaf has no link counters of its own — interior
+		// relays add a LevelIO entry per tree level on the way up.
 		if err := wire.DecodeBare(frame, wire.TypeStatsPoll); err != nil {
 			return dst, false, err
 		}
-		return wire.TreeStats{Absorbs: s.bank.Absorbs()}.Append(dst), true, nil
+		return wire.TreeStats{}.Append(dst), true, nil
 
 	case wire.TypeShutdown:
 		return dst, false, nil
@@ -218,8 +203,8 @@ func (s *leaf) handle(frame, dst []byte) (out []byte, cont bool, err error) {
 // respond processes one incoming transport frame — an Assign, a single
 // command, or a wire.Batch of commands from a pipelined coordinator — and
 // stages the outgoing frame in s.buf. A batch of n commands is answered
-// by a batch of the n corresponding replies, so the link stays in
-// lockstep at the frame level and the coordinator can account every
+// by a batch of the n corresponding replies, so the link still carries
+// one frame back per frame in and the coordinator can account every
 // coordination message individually. It returns false for TypeShutdown
 // (bare or inside a batch, where no reply is owed).
 func (s *leaf) respond(frame []byte) (cont bool, err error) {

@@ -47,22 +47,6 @@ func Band(th order.Key, tol order.Tol) Interval {
 	return Interval{Lo: tol.WidenLo(th), Hi: tol.WidenHi(th)}
 }
 
-// Clamp returns the intersection of the interval with `within`. The
-// hierarchical engine derives its nested per-level bands this way: each
-// tighter level's band is clamped inside the installed root band, so the
-// ladder B_0 ⊆ B_1 ⊆ … ⊆ [Lo, Hi] is nested by construction whenever
-// the level tolerances are monotone (order.Tol.Ladder).
-func (iv Interval) Clamp(within Interval) Interval {
-	out := iv
-	if within.Lo > out.Lo {
-		out.Lo = within.Lo
-	}
-	if within.Hi < out.Hi {
-		out.Hi = within.Hi
-	}
-	return out
-}
-
 // Contains reports whether key k lies in the interval.
 func (iv Interval) Contains(k order.Key) bool { return iv.Lo <= k && k <= iv.Hi }
 

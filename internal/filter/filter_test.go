@@ -246,20 +246,3 @@ func TestValidateMidpointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestIntervalClamp(t *testing.T) {
-	root := Interval{Lo: 10, Hi: 100}
-	cases := []struct {
-		in, want Interval
-	}{
-		{Interval{Lo: 20, Hi: 50}, Interval{Lo: 20, Hi: 50}},   // already inside
-		{Interval{Lo: 0, Hi: 50}, Interval{Lo: 10, Hi: 50}},    // clipped below
-		{Interval{Lo: 20, Hi: 500}, Interval{Lo: 20, Hi: 100}}, // clipped above
-		{Full(), root}, // fully clipped
-	}
-	for _, tc := range cases {
-		if got := tc.in.Clamp(root); got != tc.want {
-			t.Fatalf("%v.Clamp(%v) = %v, want %v", tc.in, root, got, tc.want)
-		}
-	}
-}

@@ -10,14 +10,15 @@ import (
 // regression (internal/core's TestObserveZeroAllocs) across the wire: a
 // violation-free networked step over pipe links — engine encode, pooled
 // pipe frames, host decode, node bank, reply encode, gather — must not
-// allocate at all once every scratch buffer has warmed up, in either
-// fan-out mode. This is what keeps a large, mostly-idle deployment free
+// allocate at all once every scratch buffer has warmed up, under either
+// gather. This is what keeps a large, mostly-idle deployment free
 // of GC pressure.
 func TestNetworkedObserveZeroAllocs(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
 			const n, peers = 256, 4
-			e := mustLoopback(t, Config{N: n, K: 4, Seed: 21, Lockstep: mode.lockstep}, peers)
+			e := mustLoopback(t, Config{N: n, K: 4, Seed: 21}, peers)
 			defer e.Close()
 
 			// Dense steps on a calm walk: mostly violation-free, with the
@@ -37,7 +38,7 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 
 			// The sparse path over a delta-native workload must be clean
 			// as well.
-			d := mustLoopback(t, Config{N: n, K: 4, Seed: 23, Lockstep: mode.lockstep}, peers)
+			d := mustLoopback(t, Config{N: n, K: 4, Seed: 23}, peers)
 			defer d.Close()
 			dsrc := stream.NewSparseWalk(stream.SparseWalkConfig{
 				N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Changed: 3, Seed: 24,

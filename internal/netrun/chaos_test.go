@@ -3,6 +3,7 @@ package netrun
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -27,10 +28,10 @@ const (
 
 // chaosEngine builds a loopback engine whose victim link is wrapped in
 // the given fault plan.
-func chaosEngine(lockstep, redial bool, victim int, plan transport.FaultPlan) (*Engine, error) {
+func chaosEngine(redial bool, victim int, plan transport.FaultPlan) (*Engine, error) {
 	links := LoopbackLinks(chaosPeers)
 	links[victim] = transport.NewFaulty(links[victim], plan)
-	cfg := Config{N: chaosN, K: chaosK, Seed: 5, Lockstep: lockstep, RetryBackoff: time.Millisecond}
+	cfg := Config{N: chaosN, K: chaosK, Seed: 5, RetryBackoff: time.Millisecond}
 	if redial {
 		cfg.Redial = func() (transport.Link, error) { return LoopbackLink(), nil }
 	}
@@ -91,7 +92,7 @@ func runChaos(t *testing.T, e *Engine, steps int) {
 
 // TestChaosFaultMatrix runs every fault flavor — cut, silent frame loss,
 // duplicated frame, pure latency, loss under latency — against both
-// fan-out modes. The op indices land mid-run, after the handshake's two
+// gathers. The op indices land mid-run, after the handshake's two
 // operations. A delay-only plan injects no failure, so that run must
 // stay fault-free and oracle-exact throughout.
 func TestChaosFaultMatrix(t *testing.T) {
@@ -106,10 +107,11 @@ func TestChaosFaultMatrix(t *testing.T) {
 		{"delay", transport.FaultPlan{Delay: 10 * time.Microsecond, Seed: 1}, 15},
 		{"drop+delay", transport.FaultPlan{DropAt: 43, Delay: 10 * time.Microsecond, Seed: 2}, 30},
 	}
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, tc := range plans {
-			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
-				e, err := chaosEngine(mode.lockstep, false, 2, tc.plan)
+			t.Run(g.name+"/"+tc.name, func(t *testing.T) {
+				setGather(t, g.procs)
+				e, err := chaosEngine(false, 2, tc.plan)
 				if err != nil {
 					t.Fatalf("fault fired during the handshake: %v", err)
 				}
@@ -129,39 +131,28 @@ func TestChaosFaultMatrix(t *testing.T) {
 }
 
 // TestChaosKillAtRandomStep kills one peer at a seeded random operation
-// index, across fan-out modes, merge-vs-redial recovery, and the forced
-// reader-goroutine gather path. A kill that lands inside the Assign
-// handshake must surface as a clean constructor error.
+// index, across gathers and merge-vs-redial recovery. A kill that lands
+// inside the Assign handshake must surface as a clean constructor error.
 func TestChaosKillAtRandomStep(t *testing.T) {
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, redial := range []bool{false, true} {
-			for _, readers := range []bool{false, true} {
-				name := mode.name + "/merge"
-				if redial {
-					name = mode.name + "/redial"
-				}
-				if readers {
-					name += "/readers"
-				}
-				t.Run(name, func(t *testing.T) {
-					if readers {
-						if mode.lockstep {
-							t.Skip("reader goroutines are a pipelined-only path")
-						}
-						forceReaders(t)
-					}
-					r := rng.New(0xc4a05, uint64(len(name)))
-					for trial := 0; trial < 4; trial++ {
-						killOp := int64(1 + r.Uint64n(200))
-						e, err := chaosEngine(mode.lockstep, redial, int(r.Uint64n(chaosPeers)), transport.FaultPlan{KillAt: killOp})
-						if err != nil {
-							continue // killed mid-handshake: clean error is the contract
-						}
-						runChaos(t, e, 100)
-						e.Close()
-					}
-				})
+			name := g.name + "/merge"
+			if redial {
+				name = g.name + "/redial"
 			}
+			t.Run(name, func(t *testing.T) {
+				setGather(t, g.procs)
+				r := rng.New(0xc4a05, uint64(len(name)))
+				for trial := 0; trial < 4; trial++ {
+					killOp := int64(1 + r.Uint64n(200))
+					e, err := chaosEngine(redial, int(r.Uint64n(chaosPeers)), transport.FaultPlan{KillAt: killOp})
+					if err != nil {
+						continue // killed mid-handshake: clean error is the contract
+					}
+					runChaos(t, e, 100)
+					e.Close()
+				}
+			})
 		}
 	}
 }
@@ -180,17 +171,18 @@ func TestChaosKillDuringDrain(t *testing.T) {
 	for i := range allIDs {
 		allIDs[i] = i
 	}
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, redial := range []bool{false, true} {
-			name := mode.name + "/merge"
+			name := g.name + "/merge"
 			if redial {
-				name = mode.name + "/redial"
+				name = g.name + "/redial"
 			}
 			t.Run(name, func(t *testing.T) {
+				setGather(t, g.procs)
 				r := rng.New(0xd6a1, uint64(len(name)))
 				for trial := 0; trial < 3; trial++ {
 					killOp := int64(1 + r.Uint64n(250))
-					e, err := chaosEngine(mode.lockstep, redial, int(r.Uint64n(chaosPeers)), transport.FaultPlan{KillAt: killOp})
+					e, err := chaosEngine(redial, int(r.Uint64n(chaosPeers)), transport.FaultPlan{KillAt: killOp})
 					if err != nil {
 						continue // killed mid-handshake: clean error is the contract
 					}
@@ -242,9 +234,46 @@ func TestChaosKillDuringDrain(t *testing.T) {
 // lands on the Assign send or on the Ready receive.
 func TestChaosKillDuringHandshake(t *testing.T) {
 	for _, killAt := range []int64{1, 2} {
-		if _, err := chaosEngine(false, false, 0, transport.FaultPlan{KillAt: killAt}); err == nil {
+		if _, err := chaosEngine(false, 0, transport.FaultPlan{KillAt: killAt}); err == nil {
 			t.Fatalf("KillAt=%d during the handshake: New succeeded", killAt)
 		}
+	}
+}
+
+// TestChaosReadersExit pins that no reader goroutine outlives its engine.
+// A reader's last send is the one unguarded channel send in the engine —
+// safe because the one-outstanding-frame discipline leaves its result slot
+// free — and failover replaces readers mid-run, so the check runs where
+// that argument is under stress: seeded kills at random operations, both
+// recoveries, a Join on every other trial, then Close. Every goroutine the
+// trials started (readers, loopback hosts) must be gone soon after.
+func TestChaosReadersExit(t *testing.T) {
+	setGather(t, 2)
+	before := runtime.NumGoroutine()
+	r := rng.New(0x7ead, 0xe817)
+	for trial := 0; trial < 20; trial++ {
+		for _, redial := range []bool{false, true} {
+			killOp := int64(1 + r.Uint64n(200))
+			e, err := chaosEngine(redial, int(r.Uint64n(chaosPeers)), transport.FaultPlan{KillAt: killOp})
+			if err != nil {
+				continue // killed mid-handshake: New closed every link
+			}
+			runChaos(t, e, 30)
+			if trial%2 == 1 {
+				_ = e.Join(LoopbackLink()) // a terminal engine refuses and closes the link
+			}
+			runChaos(t, e, 30)
+			e.Close()
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before the trials, %d two seconds after the last Close:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -252,10 +281,11 @@ func TestChaosKillDuringHandshake(t *testing.T) {
 // range is split in half for the joiner, membership re-converges before
 // the next report, and reports stay oracle-exact.
 func TestJoinMidStream(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
 			const n, k = 12, 3
-			e := mustLoopback(t, Config{N: n, K: k, Seed: 5, Lockstep: mode.lockstep, RetryBackoff: time.Millisecond}, 2)
+			e := mustLoopback(t, Config{N: n, K: k, Seed: 5, RetryBackoff: time.Millisecond}, 2)
 			defer e.Close()
 			vals := make([]int64, n)
 			for s := 0; s < 15; s++ {

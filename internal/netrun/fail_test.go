@@ -28,13 +28,14 @@ func driven(s int, vals []int64) {
 // into a survivor, replays values, forces a reset, and from that step
 // on reports track the oracle again.
 func TestDeadLinkRecoversByMerge(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
 			const n, k, seed = 12, 3, 7
 			var events []coord.Event
 			links := LoopbackLinks(3)
 			e, err := New(Config{
-				N: n, K: k, Seed: seed, Lockstep: mode.lockstep,
+				N: n, K: k, Seed: seed,
 				RetryBackoff: time.Millisecond, // keep the backoff sleep out of the test budget
 				OnEvent:      func(ev coord.Event) { events = append(events, ev) },
 			}, links)

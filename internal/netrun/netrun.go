@@ -93,7 +93,7 @@ func Serve(link transport.Link) error {
 // in-process engines.
 func execRounds() fanout.Exec {
 	var reply wire.Reply // reusable decode target
-	return fanout.Exec{Run: func(e *fanout.Engine, eff coord.Effect) (protocol.Result, error) {
+	return func(e *fanout.Engine, eff coord.Effect) (protocol.Result, error) {
 		ex := protocol.NewExec(eff.Bound, coord.MinimumTag(eff.Tag), e.Recorder(eff.Phase), nil, e.Step())
 		for ex.More() {
 			round := wire.Round{Tag: eff.Tag, Round: ex.Round(), Best: int64(ex.Best()), Bound: eff.Bound, Step: e.Step()}
@@ -112,7 +112,7 @@ func execRounds() fanout.Exec {
 			ex.EndRound()
 		}
 		return ex.Result(), nil
-	}}
+	}
 }
 
 // A flat peer set has no coordinator hierarchy to price or to poll: its

@@ -34,22 +34,39 @@ func equal(a, b []int) bool {
 	return true
 }
 
-// modes names the two fan-out modes every equivalence case runs under:
-// the pipelined default and the sequential lockstep baseline, which must
-// be indistinguishable in everything but wall clock and framing.
-var modes = []struct {
-	name     string
-	lockstep bool
+// gathers lists the two ways the engine collects a round's answers —
+// reader goroutines above one processor, a direct in-order drain on one —
+// as the GOMAXPROCS setting that selects each, which is all the engine
+// looks at. Every equivalence, chaos, failover and 0-allocs case runs
+// under both on every host; they must be indistinguishable in everything
+// but wall clock.
+//
+// The labels are the subtest names these tables have printed since the
+// engine was pipelined, kept so that test ids stay comparable across
+// history: "pipelined/…" has always been the reader gather on a multi-core
+// host, and "lockstep/…" was the only coverage the direct drain had there.
+// The lockstep mode itself is gone; both rows run the one pipelined engine.
+var gathers = []struct {
+	name  string
+	procs int
 }{
-	{"pipelined", false},
-	{"lockstep", true},
+	{"pipelined", 2}, // reader goroutines
+	{"lockstep", 1},  // direct drain
+}
+
+// setGather pins GOMAXPROCS for the rest of the (sub)test, and with it the
+// gather of every engine built from here on. None of these tests is
+// parallel.
+func setGather(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestEquivalenceWithSequentialEngine is the acceptance check of the
 // networked engine: over loopback links it must produce identical top-k
 // reports, identical message counts AND identical charged bytes as the
 // sequential engine at every step, for the same seed — per phase, not
-// just in total — in both fan-out modes.
+// just in total — under both gathers.
 func TestEquivalenceWithSequentialEngine(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -79,12 +96,13 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 			return stream.NewIID(stream.IIDConfig{N: n, Seed: 6, Dist: stream.Uniform, Lo: 0, Hi: 1000})
 		}},
 	}
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, tc := range cases {
-			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
+			t.Run(g.name+"/"+tc.name, func(t *testing.T) {
+				setGather(t, g.procs)
 				const seed, steps = 41, 200
 				seq := core.New(core.Config{N: tc.n, K: tc.k, Seed: seed})
-				net := mustLoopback(t, Config{N: tc.n, K: tc.k, Seed: seed, Lockstep: mode.lockstep}, tc.peers)
+				net := mustLoopback(t, Config{N: tc.n, K: tc.k, Seed: seed}, tc.peers)
 				defer net.Close()
 
 				srcA, srcB := tc.src(tc.n), tc.src(tc.n)
@@ -123,61 +141,42 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 	}
 }
 
-// TestReaderGatherEquivalence pins the reader-goroutine gather path
-// (normally engaged only with runtime parallelism) on any machine: with
-// readers forced, the pipelined engine must stay bit-identical to the
-// sequential engine through violations and resets.
-func TestReaderGatherEquivalence(t *testing.T) {
-	forceReaders(t)
-	const n, k, seed, steps, peers = 20, 4, 13, 200, 4
-	seq := core.New(core.Config{N: n, K: k, Seed: seed})
-	net := mustLoopback(t, Config{N: n, K: k, Seed: seed}, peers)
-	defer net.Close()
-	src := stream.NewIID(stream.IIDConfig{N: n, Seed: 3, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
-	vals := make([]int64, n)
-	for s := 0; s < steps; s++ {
-		src.Step(vals)
-		if !equal(seq.Observe(vals), net.Observe(vals)) {
-			t.Fatalf("step %d: reports differ with forced readers", s)
-		}
-	}
-	if cs, cn := seq.Counts(), net.Counts(); cs != cn {
-		t.Fatalf("counts differ with forced readers: seq=%v net=%v", cs, cn)
-	}
-	if bs, bn := seq.Ledger().TotalBytes(), net.Bytes(); bs != bn {
-		t.Fatalf("bytes differ with forced readers: seq=%v net=%v", bs, bn)
-	}
-}
-
 // TestPipelinedFramingCoalesces pins the transport-level effect of the
-// batch envelope: on a violation-heavy workload the pipelined engine must
-// move strictly fewer frames than the lockstep engine for the same
-// (bit-identical) run, because ResetBegin/Winner/Midpoint commands ride
-// inside batched frames instead of paying one frame (and one ack frame)
-// each.
+// batch envelope without a second engine mode to compare against. The link
+// ledger charges coalesced commands sub-frame by sub-frame, so its Down/Up
+// counts are the frames a strict one-command-one-round-trip cycle would
+// move; on a violation-heavy workload the transport must move strictly
+// fewer, because ResetBegin/Winner/Midpoint commands ride inside batched
+// frames instead of paying one frame (and one ack frame) each. Both
+// numbers are pinned as goldens — 27646 is also what the removed lockstep
+// mode sent on this run — so the ledger and the coalescing cannot drift
+// together.
 func TestPipelinedFramingCoalesces(t *testing.T) {
 	const n, k, seed, steps, peers = 24, 4, 19, 150, 4
-	run := func(lockstep bool) (transport.LinkStats, comm.Counts) {
-		e := mustLoopback(t, Config{N: n, K: k, Seed: seed, Lockstep: lockstep}, peers)
-		defer e.Close()
-		src := stream.NewIID(stream.IIDConfig{N: n, Seed: 5, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
-		vals := make([]int64, n)
-		for s := 0; s < steps; s++ {
-			src.Step(vals)
-			e.Observe(vals)
-		}
-		return e.TransportStats(), e.Counts()
-	}
-	pipe, pipeCounts := run(false)
-	lock, lockCounts := run(true)
-	if pipeCounts != lockCounts {
-		t.Fatalf("model ledgers diverged: pipelined=%v lockstep=%v", pipeCounts, lockCounts)
-	}
-	if pipe.SentFrames >= lock.SentFrames {
-		t.Fatalf("pipelined engine did not coalesce frames: %d sent vs lockstep %d", pipe.SentFrames, lock.SentFrames)
-	}
-	if pipe.RecvFrames >= lock.RecvFrames {
-		t.Fatalf("pipelined engine did not coalesce replies: %d received vs lockstep %d", pipe.RecvFrames, lock.RecvFrames)
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
+			e := mustLoopback(t, Config{N: n, K: k, Seed: seed}, peers)
+			defer e.Close()
+			src := stream.NewIID(stream.IIDConfig{N: n, Seed: 5, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
+			vals := make([]int64, n)
+			for s := 0; s < steps; s++ {
+				src.Step(vals)
+				e.Observe(vals)
+			}
+			// The networked engine hides the link ledger; the embedded core
+			// keeps it.
+			ts, led := e.TransportStats(), e.Engine.Overhead()
+			if ts.SentFrames >= led.Down {
+				t.Fatalf("commands did not coalesce: %d frames sent for %d ledger commands", ts.SentFrames, led.Down)
+			}
+			if ts.RecvFrames >= led.Up {
+				t.Fatalf("replies did not coalesce: %d frames received for %d ledger replies", ts.RecvFrames, led.Up)
+			}
+			if led.Down != 27646 || ts.SentFrames != 26296 {
+				t.Fatalf("ledger commands / sent frames = %d / %d, want 27646 / 26296", led.Down, ts.SentFrames)
+			}
+		})
 	}
 }
 
@@ -285,15 +284,18 @@ func TestEmptyDeltaStep(t *testing.T) {
 
 // TestTCPEngine runs the full engine over real localhost TCP links with
 // in-process Serve loops on the dialing side — the two-process topology
-// of `topkmon -serve` / `-join`, collapsed into one test binary — in both
-// fan-out modes.
+// of `topkmon -serve` / `-join`, collapsed into one test binary — under
+// both gathers.
 func TestTCPEngine(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) { testTCPEngine(t, mode.lockstep) })
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
+			testTCPEngine(t)
+		})
 	}
 }
 
-func testTCPEngine(t *testing.T, lockstep bool) {
+func testTCPEngine(t *testing.T) {
 	const n, k, seed, steps, peers = 10, 3, 17, 120, 2
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -318,7 +320,7 @@ func testTCPEngine(t *testing.T, lockstep bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := New(Config{N: n, K: k, Seed: seed, Lockstep: lockstep}, links)
+	net, err := New(Config{N: n, K: k, Seed: seed}, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,14 +367,4 @@ func TestCloseIdempotent(t *testing.T) {
 		}
 	}()
 	net.Observe([]int64{4, 3, 2, 1})
-}
-
-// forceReaders engages the reader-goroutine gather on any machine for the
-// rest of the test: the fan-out core spawns readers whenever the runtime
-// has parallelism to run them.
-func forceReaders(t *testing.T) {
-	if prev := runtime.GOMAXPROCS(0); prev < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
 }

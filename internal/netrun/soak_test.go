@@ -18,7 +18,7 @@ import (
 // package under -race, which makes this test the soak the pipelined
 // fan-out is gated on.
 func TestTCPPipelinedSoak(t *testing.T) {
-	forceReaders(t) // exercise the concurrent gather on any machine
+	setGather(t, 2) // exercise the concurrent gather on any machine
 	const n, k, seed, steps, peers = 48, 6, 31, 300, 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -100,27 +100,6 @@ func (t Tol) WidenLo(k Key) Key {
 	return k - b
 }
 
-// Ladder splits a root tolerance into `levels` monotonically widening
-// per-level tolerances for a coordinator tree of that many link levels:
-// level l (0 = node-local, the tightest) gets the numerator
-// floor(num·(l+1)/(levels+1)), so the sequence is non-decreasing and
-// strictly below the root tolerance, which remains level `levels`'s
-// implicit band. A violation of the level-l band that still fits the
-// level-(l+1) band re-anchors at that level of the tree and never
-// climbs higher — the per-level ε budget of the hierarchical engine
-// (internal/shardrun). Ladder returns nil for a zero tolerance or a
-// non-positive level count: exact monitoring has no band to split.
-func (t Tol) Ladder(levels int) []Tol {
-	if t.num == 0 || levels <= 0 {
-		return nil
-	}
-	ts := make([]Tol, levels)
-	for l := 0; l < levels; l++ {
-		ts[l] = Tol{num: t.num * uint64(l+1) / uint64(levels+1)}
-	}
-	return ts
-}
-
 // Witness searches for a threshold θ whose tolerance band covers both
 // sides of a split: WidenLo(θ) <= minTop and maxOut <= WidenHi(θ),
 // where minTop is the smallest key of the reported top set and maxOut

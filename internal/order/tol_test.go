@@ -158,63 +158,3 @@ func TestTolZeroWitnessIsExact(t *testing.T) {
 		t.Fatal("overlap accepted at eps=0")
 	}
 }
-
-// TestTolLadder pins the per-level ε budget of the hierarchical engine:
-// levels widen monotonically, stay strictly below the root tolerance
-// (so the induced bands nest inside the installed root band), and the
-// degenerate configurations produce no ladder at all.
-func TestTolLadder(t *testing.T) {
-	tol, err := NewTol(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for levels := 1; levels <= 5; levels++ {
-		ts := tol.Ladder(levels)
-		if len(ts) != levels {
-			t.Fatalf("Ladder(%d) has %d levels", levels, len(ts))
-		}
-		prev := uint64(0)
-		for l, lt := range ts {
-			if lt.Num() < prev {
-				t.Fatalf("Ladder(%d) not monotone at level %d: %d after %d", levels, l, lt.Num(), prev)
-			}
-			if lt.Num() >= tol.Num() {
-				t.Fatalf("Ladder(%d) level %d reaches the root tolerance: %d >= %d", levels, l, lt.Num(), tol.Num())
-			}
-			prev = lt.Num()
-		}
-		// The top level approaches the root tolerance: levels/(levels+1) of it.
-		if want := tol.Num() * uint64(levels) / uint64(levels+1); ts[levels-1].Num() != want {
-			t.Fatalf("Ladder(%d) top level %d, want %d", levels, ts[levels-1].Num(), want)
-		}
-	}
-	if Ladder := (Tol{}).Ladder(3); Ladder != nil {
-		t.Fatalf("zero tolerance grew a ladder: %v", Ladder)
-	}
-	if Ladder := tol.Ladder(0); Ladder != nil {
-		t.Fatalf("zero levels grew a ladder: %v", Ladder)
-	}
-}
-
-// TestTolLadderBandsNest checks the geometric consequence the node banks
-// rely on: for any anchor key, each level's band is contained in the
-// next wider level's band.
-func TestTolLadderBandsNest(t *testing.T) {
-	tol, err := NewTol(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := tol.Ladder(3)
-	for _, k := range []Key{0, 1, 1000, 1 << 30, -5, -(1 << 40)} {
-		for l := 0; l+1 < len(ts); l++ {
-			if ts[l].WidenLo(k) < ts[l+1].WidenLo(k) || ts[l].WidenHi(k) > ts[l+1].WidenHi(k) {
-				t.Fatalf("level %d band [%d, %d] not inside level %d band [%d, %d] at k=%d",
-					l, ts[l].WidenLo(k), ts[l].WidenHi(k), l+1, ts[l+1].WidenLo(k), ts[l+1].WidenHi(k), k)
-			}
-		}
-		last := ts[len(ts)-1]
-		if last.WidenLo(k) < tol.WidenLo(k) || last.WidenHi(k) > tol.WidenHi(k) {
-			t.Fatalf("top ladder band escapes the root band at k=%d", k)
-		}
-	}
-}

@@ -33,10 +33,10 @@ func driven(s int, vals []int64) {
 
 // chaosEngine builds a loopback engine whose victim shard link is
 // wrapped in the given fault plan.
-func chaosEngine(lockstep, redial bool, victim int, plan transport.FaultPlan) (*Engine, error) {
+func chaosEngine(redial bool, victim int, plan transport.FaultPlan) (*Engine, error) {
 	links := LoopbackLinks(chaosShards)
 	links[victim] = transport.NewFaulty(links[victim], plan)
-	cfg := Config{N: chaosN, K: chaosK, Seed: 5, Lockstep: lockstep, RetryBackoff: time.Millisecond}
+	cfg := Config{N: chaosN, K: chaosK, Seed: 5, RetryBackoff: time.Millisecond}
 	if redial {
 		cfg.Redial = func() (transport.Link, error) { return LoopbackLink(), nil }
 	}
@@ -93,8 +93,8 @@ func runChaos(t *testing.T, e *Engine, steps int) {
 	}
 }
 
-// TestChaosFaultMatrix runs every fault flavor against both fan-out
-// modes of the sharded root.
+// TestChaosFaultMatrix runs every fault flavor against both gathers of
+// the sharded root.
 func TestChaosFaultMatrix(t *testing.T) {
 	plans := []struct {
 		name  string
@@ -107,10 +107,11 @@ func TestChaosFaultMatrix(t *testing.T) {
 		{"delay", transport.FaultPlan{Delay: 10 * time.Microsecond, Seed: 1}, 15},
 		{"drop+delay", transport.FaultPlan{DropAt: 43, Delay: 10 * time.Microsecond, Seed: 2}, 30},
 	}
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, tc := range plans {
-			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
-				e, err := chaosEngine(mode.lockstep, false, 2, tc.plan)
+			t.Run(g.name+"/"+tc.name, func(t *testing.T) {
+				setGather(t, g.procs)
+				e, err := chaosEngine(false, 2, tc.plan)
 				if err != nil {
 					t.Fatalf("fault fired during the handshake: %v", err)
 				}
@@ -130,20 +131,21 @@ func TestChaosFaultMatrix(t *testing.T) {
 }
 
 // TestChaosKillAtRandomStep kills one shard at a seeded random operation
-// index across fan-out modes and merge-vs-redial recovery. A kill inside
+// index across gathers and merge-vs-redial recovery. A kill inside
 // the Assign handshake must surface as a clean constructor error.
 func TestChaosKillAtRandomStep(t *testing.T) {
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, redial := range []bool{false, true} {
-			name := mode.name + "/merge"
+			name := g.name + "/merge"
 			if redial {
-				name = mode.name + "/redial"
+				name = g.name + "/redial"
 			}
 			t.Run(name, func(t *testing.T) {
+				setGather(t, g.procs)
 				r := rng.New(0xc4a06, uint64(len(name)))
 				for trial := 0; trial < 3; trial++ {
 					killOp := int64(1 + r.Uint64n(200))
-					e, err := chaosEngine(mode.lockstep, redial, int(r.Uint64n(chaosShards)), transport.FaultPlan{KillAt: killOp})
+					e, err := chaosEngine(redial, int(r.Uint64n(chaosShards)), transport.FaultPlan{KillAt: killOp})
 					if err != nil {
 						continue // killed mid-handshake: clean error is the contract
 					}
@@ -165,17 +167,18 @@ func TestChaosKillDuringDrain(t *testing.T) {
 	for i := range allIDs {
 		allIDs[i] = i
 	}
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, redial := range []bool{false, true} {
-			name := mode.name + "/merge"
+			name := g.name + "/merge"
 			if redial {
-				name = mode.name + "/redial"
+				name = g.name + "/redial"
 			}
 			t.Run(name, func(t *testing.T) {
+				setGather(t, g.procs)
 				r := rng.New(0xd6a2, uint64(len(name)))
 				for trial := 0; trial < 3; trial++ {
 					killOp := int64(1 + r.Uint64n(250))
-					e, err := chaosEngine(mode.lockstep, redial, int(r.Uint64n(chaosShards)), transport.FaultPlan{KillAt: killOp})
+					e, err := chaosEngine(redial, int(r.Uint64n(chaosShards)), transport.FaultPlan{KillAt: killOp})
 					if err != nil {
 						continue // killed mid-handshake: clean error is the contract
 					}
@@ -226,7 +229,7 @@ func TestChaosKillDuringDrain(t *testing.T) {
 // constructor.
 func TestChaosKillDuringHandshake(t *testing.T) {
 	for _, killAt := range []int64{1, 2} {
-		if _, err := chaosEngine(false, false, 0, transport.FaultPlan{KillAt: killAt}); err == nil {
+		if _, err := chaosEngine(false, 0, transport.FaultPlan{KillAt: killAt}); err == nil {
 			t.Fatalf("KillAt=%d during the handshake: New succeeded", killAt)
 		}
 	}
@@ -235,10 +238,11 @@ func TestChaosKillDuringHandshake(t *testing.T) {
 // TestJoinMidStream grows the shard cohort mid-run: the widest range is
 // split for the joiner and reports stay oracle-exact afterwards.
 func TestJoinMidStream(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
 			const n, k = 12, 3
-			e := mustLoopback(t, Config{N: n, K: k, Seed: 5, Lockstep: mode.lockstep, RetryBackoff: time.Millisecond}, 2)
+			e := mustLoopback(t, Config{N: n, K: k, Seed: 5, RetryBackoff: time.Millisecond}, 2)
 			defer e.Close()
 			vals := make([]int64, n)
 			for s := 0; s < 15; s++ {
@@ -277,7 +281,7 @@ func TestJoinMidStream(t *testing.T) {
 // a fired fault takes out a whole interior coordinator and everything
 // below it. Redial replaces the lost subtree with a fresh one of the
 // same shape.
-func chaosTree(lockstep, redial bool, victim int, plan transport.FaultPlan) (*Engine, error) {
+func chaosTree(redial bool, victim int, plan transport.FaultPlan) (*Engine, error) {
 	const branch, depth = 2, 2
 	links := make([]transport.Link, branch)
 	for i := range links {
@@ -285,7 +289,7 @@ func chaosTree(lockstep, redial bool, victim int, plan transport.FaultPlan) (*En
 	}
 	links[victim] = transport.NewFaulty(links[victim], plan)
 	cfg := Config{
-		N: chaosN, K: chaosK, Seed: 5, Lockstep: lockstep,
+		N: chaosN, K: chaosK, Seed: 5,
 		RetryBackoff: time.Millisecond, Tree: Tree{Branch: branch, Depth: depth},
 	}
 	if !redial {
@@ -298,24 +302,25 @@ func chaosTree(lockstep, redial bool, victim int, plan transport.FaultPlan) (*En
 }
 
 // TestChaosKillInteriorCoordinator kills an interior coordinator — not a
-// leaf — mid-stream, across fan-out modes and merge-vs-redial recovery:
+// leaf — mid-stream, across gathers and merge-vs-redial recovery:
 // the root sees the whole subtree as one dead peer, and the run must
 // either re-converge to the oracle (redial rebuilds the subtree, merge
 // folds its range into the sibling subtree) or go cleanly terminal via
 // Health — never hang and never serve stale reports past the suspect
 // window (runChaos enforces all of it).
 func TestChaosKillInteriorCoordinator(t *testing.T) {
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, redial := range []bool{false, true} {
-			name := mode.name + "/merge"
+			name := g.name + "/merge"
 			if redial {
-				name = mode.name + "/redial"
+				name = g.name + "/redial"
 			}
 			t.Run(name, func(t *testing.T) {
+				setGather(t, g.procs)
 				r := rng.New(0x7ee5, uint64(len(name)))
 				for trial := 0; trial < 3; trial++ {
 					killOp := int64(1 + r.Uint64n(200))
-					e, err := chaosTree(mode.lockstep, redial, int(r.Uint64n(2)), transport.FaultPlan{KillAt: killOp})
+					e, err := chaosTree(redial, int(r.Uint64n(2)), transport.FaultPlan{KillAt: killOp})
 					if err != nil {
 						continue // killed mid-handshake: clean error is the contract
 					}
@@ -342,10 +347,11 @@ func TestChaosInteriorFaultMatrix(t *testing.T) {
 		{"drop", transport.FaultPlan{DropAt: 41}},
 		{"dup", transport.FaultPlan{DupAt: 42}},
 	}
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, tc := range plans {
-			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
-				e, err := chaosTree(mode.lockstep, true, 1, tc.plan)
+			t.Run(g.name+"/"+tc.name, func(t *testing.T) {
+				setGather(t, g.procs)
+				e, err := chaosTree(true, 1, tc.plan)
 				if err != nil {
 					t.Fatalf("fault fired during the handshake: %v", err)
 				}

@@ -170,12 +170,11 @@ func (r *interior) reassign(m wire.Assign) error {
 }
 
 // pollStats answers the StatsPoll diagnostic: gather every child's
-// TreeStats, sum the absorption counters elementwise, sum the per-level
-// IO of the deeper levels elementwise, and append this relay's own
-// child-facing counter as one more level (deepest level first). The poll
-// exchange itself is deliberately not charged anywhere — diagnostics must
-// not perturb the numbers they report — so it is visible only in the
-// transport statistics.
+// TreeStats, sum the per-level IO of the deeper levels elementwise, and
+// append this relay's own child-facing counter as one more level (deepest
+// level first). The poll exchange itself is deliberately not charged
+// anywhere — diagnostics must not perturb the numbers they report — so it
+// is visible only in the transport statistics.
 func (r *interior) pollStats() error {
 	for _, k := range r.kids {
 		//lint:topk chargedsend StatsPoll is deliberately uncharged diagnostics: polling must not perturb the ledgers it reports (see pollStats doc)
@@ -186,7 +185,7 @@ func (r *interior) pollStats() error {
 			return fmt.Errorf("shardrun: interior stats poll: %w", err)
 		}
 	}
-	r.sum.Absorbs, r.sum.Levels = r.sum.Absorbs[:0], r.sum.Levels[:0]
+	r.sum.Levels = r.sum.Levels[:0]
 	for _, k := range r.kids {
 		frame, err := k.link.Recv()
 		if err != nil {

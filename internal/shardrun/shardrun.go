@@ -64,12 +64,7 @@
 // the engine is the flat engine. The link ledger keeps charging only the
 // root's own links (fan-in Branch instead of Branch^Depth); each interior
 // level's traffic lives in its own counter, polled uncharged through the
-// tree by Engine.TreeStats. With Epsilon set and Depth >= 2 the Assign
-// handshake carries a monotone ladder of tightened tolerances
-// (order.Tol.Ladder): leaves track nested (1±ε·l/(d+1)) bands inside the
-// real filter and count each band exit per level (TreeStats().Absorbs)
-// without ever changing what the protocol does. See DESIGN.md
-// "Hierarchical coordination & the per-level ε budget".
+// tree by Engine.TreeStats. See DESIGN.md "Hierarchical coordination".
 package shardrun
 
 import (
@@ -92,12 +87,10 @@ type Config struct {
 	Seed           uint64
 	DistinctValues bool
 	Epsilon        float64
-	Lockstep       bool
 	// Tree declares the links to be subtree roots of a hierarchical
 	// coordinator (see Tree): New then requires exactly Tree.Branch links
-	// and at least Tree.Branch^Tree.Depth nodes, and — in the ε mode at
-	// Depth >= 2 — ships the per-level tolerance ladder to the leaves in
-	// the Assign handshake. The zero value keeps the flat star.
+	// and at least Tree.Branch^Tree.Depth nodes. The zero value keeps the
+	// flat star.
 	Tree Tree
 
 	Redial       func() (transport.Link, error)
@@ -111,8 +104,7 @@ type Config struct {
 func (c Config) Core() fanout.Config {
 	return fanout.Config{
 		N: c.N, K: c.K, Seed: c.Seed, DistinctValues: c.DistinctValues,
-		Epsilon: c.Epsilon, Lockstep: c.Lockstep,
-		Redial: c.Redial, RetryBudget: c.RetryBudget,
+		Epsilon: c.Epsilon, Redial: c.Redial, RetryBudget: c.RetryBudget,
 		RetryBackoff: c.RetryBackoff, OnEvent: c.OnEvent,
 	}
 }
@@ -128,8 +120,8 @@ type Engine struct {
 // owns the i-th contiguous node range — and returns the root, under
 // fanout.New's contract.
 func New(cfg Config, links []transport.Link) (*Engine, error) {
-	return build(cfg, links, func(x fanout.Exec) (*fanout.Engine, error) {
-		return fanout.New(cfg.Core(), links, x)
+	return build(cfg, links, func() (*fanout.Engine, error) {
+		return fanout.New(cfg.Core(), links, execDelegated)
 	})
 }
 
@@ -137,63 +129,44 @@ func New(cfg Config, links []transport.Link) (*Engine, error) {
 // configuration (including the same Tree shape), under fanout.Restore's
 // contract.
 func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
-	return build(cfg, links, func(x fanout.Exec) (*fanout.Engine, error) {
-		return fanout.Restore(cfg.Core(), links, x, machFrame, last)
+	return build(cfg, links, func() (*fanout.Engine, error) {
+		return fanout.Restore(cfg.Core(), links, execDelegated, machFrame, last)
 	})
 }
 
-// build derives the Exec strategy from cfg and wraps the core engine mk
-// constructs with it. Like the core constructors it closes every link on
-// error.
-func build(cfg Config, links []transport.Link, mk func(fanout.Exec) (*fanout.Engine, error)) (*Engine, error) {
-	x, err := cfg.exec(len(links))
-	if err != nil {
+// build checks the tree shape against the links and wraps the core engine
+// mk constructs. Like the core constructors it closes every link on error.
+func build(cfg Config, links []transport.Link, mk func() (*fanout.Engine, error)) (*Engine, error) {
+	if err := cfg.checkTree(len(links)); err != nil {
 		for _, l := range links {
 			l.Close()
 		}
 		return nil, err
 	}
-	e, err := mk(x)
+	e, err := mk()
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{Engine: e, tree: cfg.Tree}, nil
 }
 
-// exec returns the sharded Exec strategy for the given link count: the
-// delegation, plus — for a valid Tree — the tolerance ladder its leaves
-// track.
-func (c Config) exec(links int) (fanout.Exec, error) {
-	x := fanout.Exec{Run: execDelegated}
+// checkTree validates a configured Tree against the link count and the
+// node population; the zero Tree (flat star) always passes.
+func (c Config) checkTree(links int) error {
 	if c.Tree.zero() {
-		return x, nil
+		return nil
 	}
 	leaves, err := c.Tree.Leaves()
 	if err != nil {
-		return x, err
+		return err
 	}
 	if links != c.Tree.Branch {
-		return x, fmt.Errorf("shardrun: tree branch %d needs exactly %d links, got %d", c.Tree.Branch, c.Tree.Branch, links)
+		return fmt.Errorf("shardrun: tree branch %d needs exactly %d links, got %d", c.Tree.Branch, c.Tree.Branch, links)
 	}
 	if leaves > c.N {
-		return x, fmt.Errorf("shardrun: tree %d^%d has %d leaves for N=%d nodes", c.Tree.Branch, c.Tree.Depth, leaves, c.N)
+		return fmt.Errorf("shardrun: tree %d^%d has %d leaves for N=%d nodes", c.Tree.Branch, c.Tree.Depth, leaves, c.N)
 	}
-	tol, err := order.NewTol(c.Epsilon)
-	if err != nil {
-		return x, fmt.Errorf("shardrun: %w", err)
-	}
-	// Per-level ε tightening: levels strictly below the root run
-	// monotonically tightened bands, widening toward the configured ε at
-	// the root. The ladder is diagnostic — leaves count per-level band
-	// exits (TreeStats) while the protocol filters stay anchored on the
-	// root tolerance — so depth 1 (and ε = 0) ships none and stays
-	// bit-identical to the flat star.
-	if c.Tree.Depth >= 2 {
-		for _, t := range tol.Ladder(c.Tree.Depth) {
-			x.Ladder = append(x.Ladder, t.Num())
-		}
-	}
-	return x, nil
+	return nil
 }
 
 // LoopbackLink builds a single in-process shard behind a pipe and returns

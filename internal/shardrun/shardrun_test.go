@@ -2,6 +2,7 @@ package shardrun
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -36,29 +37,44 @@ func equal(a, b []int) bool {
 	return true
 }
 
-// modes names the two fan-out modes the equivalence cases run under.
-var modes = []struct {
-	name     string
-	lockstep bool
+// gathers lists the two ways the root collects a round's answers, as the
+// GOMAXPROCS setting that selects each; every equivalence, chaos and
+// failover case runs under both on every host. The labels are the subtest
+// names these tables have always printed — see the table of the same name
+// in internal/netrun's tests.
+var gathers = []struct {
+	name  string
+	procs int
 }{
-	{"pipelined", false},
-	{"lockstep", true},
+	{"pipelined", 2}, // reader goroutines
+	{"lockstep", 1},  // direct drain
+}
+
+// setGather pins GOMAXPROCS for the rest of the (sub)test, and with it the
+// gather of every engine built from here on. None of these tests is
+// parallel.
+func setGather(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestSingleShardBitIdentical is the anchor of the sharded engine: with
 // S=1 the delegation layer must be completely transparent — reports,
 // message counts, charged bytes and the per-phase ledgers all equal the
-// sequential engine's bit for bit, at every step, in both fan-out modes.
+// sequential engine's bit for bit, at every step, under both gathers.
 func TestSingleShardBitIdentical(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) { testSingleShardBitIdentical(t, mode.lockstep) })
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
+			testSingleShardBitIdentical(t)
+		})
 	}
 }
 
-func testSingleShardBitIdentical(t *testing.T, lockstep bool) {
+func testSingleShardBitIdentical(t *testing.T) {
 	const n, k, seed, steps = 13, 4, 41, 250
 	seq := core.New(core.Config{N: n, K: k, Seed: seed})
-	sh := mustLoopback(t, Config{N: n, K: k, Seed: seed, Lockstep: lockstep}, 1)
+	sh := mustLoopback(t, Config{N: n, K: k, Seed: seed}, 1)
 	defer sh.Close()
 
 	srcA := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 400, Seed: 2})
@@ -121,16 +137,17 @@ func TestMultiShardReportEquivalence(t *testing.T) {
 			return stream.NewIID(stream.IIDConfig{N: n, Seed: 6, Dist: stream.Uniform, Lo: 0, Hi: 1000})
 		}},
 	}
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, tc := range cases {
 			for _, shards := range []int{1, 2, 4} {
 				if shards > tc.n {
 					continue
 				}
-				t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
+				t.Run(g.name+"/"+tc.name, func(t *testing.T) {
+					setGather(t, g.procs)
 					const seed, steps = 41, 200
 					seq := core.New(core.Config{N: tc.n, K: tc.k, Seed: seed})
-					sh := mustLoopback(t, Config{N: tc.n, K: tc.k, Seed: seed, Lockstep: mode.lockstep}, shards)
+					sh := mustLoopback(t, Config{N: tc.n, K: tc.k, Seed: seed}, shards)
 					defer sh.Close()
 
 					srcA, srcB := tc.src(tc.n), tc.src(tc.n)
@@ -153,59 +170,39 @@ func TestMultiShardReportEquivalence(t *testing.T) {
 	}
 }
 
-// TestReaderGatherEquivalence pins the reader-goroutine gather path
-// (normally engaged only with runtime parallelism) on any machine: with
-// readers forced, the pipelined root must stay bit-identical to the
-// sequential engine at S=1 and report-exact at S=4.
-func TestReaderGatherEquivalence(t *testing.T) {
-	forceReaders(t)
-	const n, k, seed, steps = 20, 4, 13, 200
-	for _, shards := range []int{1, 4} {
-		seq := core.New(core.Config{N: n, K: k, Seed: seed})
-		sh := mustLoopback(t, Config{N: n, K: k, Seed: seed}, shards)
-		src := stream.NewIID(stream.IIDConfig{N: n, Seed: 3, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
-		vals := make([]int64, n)
-		for s := 0; s < steps; s++ {
-			src.Step(vals)
-			if !equal(seq.Observe(vals), sh.Observe(vals)) {
-				t.Fatalf("S=%d step %d: reports differ with forced readers", shards, s)
-			}
-		}
-		if shards == 1 {
-			if cs, cn := seq.Counts(), sh.Counts(); cs != cn {
-				t.Fatalf("counts differ with forced readers: seq=%v shard=%v", cs, cn)
-			}
-		}
-		sh.Close()
-	}
-}
-
-// TestOverheadModeIndependent pins the sub-frame charging rule: the
-// root↔shard overhead ledger must be identical in pipelined and lockstep
-// mode — batching coalesces transport frames, never coordination
-// messages.
+// TestOverheadModeIndependent pins the sub-frame charging rule: batching
+// coalesces transport frames, never coordination messages. The root↔shard
+// overhead ledger counts every command and reply on its own, so it reads
+// what a strict one-command-one-round-trip cycle would move — the goldens
+// are the frames the removed lockstep mode sent on these runs — while the
+// transport, which carries the batch envelopes, must show strictly fewer
+// frames, pinned as goldens too. Neither depends on the gather.
 func TestOverheadModeIndependent(t *testing.T) {
 	const n, k, seed, steps = 16, 4, 3, 200
-	for _, shards := range []int{1, 2, 4} {
-		run := func(lockstep bool) (comm.Counts, comm.Bytes, transport.LinkStats) {
-			sh := mustLoopback(t, Config{N: n, K: k, Seed: seed, Lockstep: lockstep}, shards)
-			defer sh.Close()
-			src := stream.NewIID(stream.IIDConfig{N: n, Seed: 8, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
-			vals := make([]int64, n)
-			for s := 0; s < steps; s++ {
-				src.Step(vals)
-				sh.Observe(vals)
-			}
-			return sh.Overhead(), sh.OverheadBytes(), sh.TransportStats()
-		}
-		pc, pb, pt := run(false)
-		lc, lb, lt := run(true)
-		if pc != lc || pb != lb {
-			t.Fatalf("S=%d: overhead differs across modes: pipelined=%v/%v lockstep=%v/%v", shards, pc, pb, lc, lb)
-		}
-		// The transport, by contrast, must show the coalescing.
-		if pt.SentFrames >= lt.SentFrames {
-			t.Fatalf("S=%d: pipelined root did not coalesce frames: %d vs %d", shards, pt.SentFrames, lt.SentFrames)
+	for _, tc := range []struct {
+		shards       int
+		ledger, sent int64
+	}{{1, 3174, 1980}, {2, 5353, 3960}, {4, 9711, 7920}} {
+		for _, g := range gathers {
+			t.Run(fmt.Sprintf("%s/S=%d", g.name, tc.shards), func(t *testing.T) {
+				setGather(t, g.procs)
+				sh := mustLoopback(t, Config{N: n, K: k, Seed: seed}, tc.shards)
+				defer sh.Close()
+				src := stream.NewIID(stream.IIDConfig{N: n, Seed: 8, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
+				vals := make([]int64, n)
+				for s := 0; s < steps; s++ {
+					src.Step(vals)
+					sh.Observe(vals)
+				}
+				led, ts := sh.Overhead(), sh.TransportStats()
+				if ts.SentFrames >= led.Down || ts.RecvFrames >= led.Up {
+					t.Fatalf("root did not coalesce frames: sent %d for %d commands, received %d for %d replies",
+						ts.SentFrames, led.Down, ts.RecvFrames, led.Up)
+				}
+				if led.Down != tc.ledger || ts.SentFrames != tc.sent {
+					t.Fatalf("ledger commands / sent frames = %d / %d, want %d / %d", led.Down, ts.SentFrames, tc.ledger, tc.sent)
+				}
+			})
 		}
 	}
 }
@@ -268,15 +265,18 @@ func TestDistinctValuesEquivalence(t *testing.T) {
 
 // TestTCPShards runs the full matrix S ∈ {1, 2, 4} over real localhost
 // TCP links with ServeShard loops on the dialing side — the distributed
-// deployment topology, collapsed into one test binary — in both fan-out
-// modes. At S=1 the ledger equality extends over TCP.
+// deployment topology, collapsed into one test binary — under both
+// gathers. At S=1 the ledger equality extends over TCP.
 func TestTCPShards(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) { testTCPShards(t, mode.lockstep) })
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
+			testTCPShards(t)
+		})
 	}
 }
 
-func testTCPShards(t *testing.T, lockstep bool) {
+func testTCPShards(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		const n, k, seed, steps = 10, 3, 17, 120
 		ctx, cancel := context.WithCancel(context.Background())
@@ -301,7 +301,7 @@ func testTCPShards(t *testing.T, lockstep bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := New(Config{N: n, K: k, Seed: seed, Lockstep: lockstep}, links)
+		sh, err := New(Config{N: n, K: k, Seed: seed}, links)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,14 +471,4 @@ func TestCloseIdempotent(t *testing.T) {
 		}
 	}()
 	sh.Observe([]int64{4, 3, 2, 1})
-}
-
-// forceReaders engages the reader-goroutine gather on any machine for the
-// rest of the test: the fan-out core spawns readers whenever the runtime
-// has parallelism to run them.
-func forceReaders(t *testing.T) {
-	if prev := runtime.GOMAXPROCS(0); prev < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
 }

@@ -2,6 +2,7 @@ package shardrun
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -23,15 +24,16 @@ func mustTree(tb testing.TB, cfg Config, branch, depth int) *Engine {
 }
 
 // TestTreeDepthOneBitIdentical anchors the tree against the flat engine:
-// a depth-1 tree is the flat star by construction — no interiors, no
-// ladder — so reports, both ledgers, the per-phase breakdowns and the
-// behavioural stats must equal a flat Shards=branch engine's bit for
-// bit, in both fan-out modes.
+// a depth-1 tree is the flat star by construction — no interiors — so
+// reports, both ledgers, the per-phase breakdowns and the behavioural
+// stats must equal a flat Shards=branch engine's bit for bit, under both
+// gathers.
 func TestTreeDepthOneBitIdentical(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
 			const n, k, seed, steps = 13, 4, 41, 250
-			cfg := Config{N: n, K: k, Seed: seed, Lockstep: mode.lockstep, Epsilon: 0.05}
+			cfg := Config{N: n, K: k, Seed: seed, Epsilon: 0.05}
 			flat := mustLoopback(t, cfg, 3)
 			defer flat.Close()
 			tree := mustTree(t, cfg, 3, 1)
@@ -89,16 +91,17 @@ var treeShapes = []struct {
 // algorithm ledger — counts, bytes, per-phase — matches exactly, while
 // the root's own fan-in stays at branch links.
 func TestTreeFlatEquivalence(t *testing.T) {
-	for _, mode := range modes {
+	for _, g := range gathers {
 		for _, eps := range []float64{0, 0.05} {
 			for _, tc := range treeShapes {
-				name := mode.name + "/" + tc.name
+				name := g.name + "/" + tc.name
 				if eps > 0 {
 					name += "/eps"
 				}
 				t.Run(name, func(t *testing.T) {
+					setGather(t, g.procs)
 					const seed, steps = 41, 300
-					cfg := Config{N: tc.n, K: tc.k, Seed: seed, Lockstep: mode.lockstep, Epsilon: eps}
+					cfg := Config{N: tc.n, K: tc.k, Seed: seed, Epsilon: eps}
 					flat := mustLoopback(t, cfg, tc.flat)
 					defer flat.Close()
 					tree := mustTree(t, cfg, tc.branch, tc.depth)
@@ -192,12 +195,12 @@ func TestTreeExactInSim(t *testing.T) {
 
 // TestTCPTree runs a depth-2 tree with the root↔interior hop over real
 // localhost TCP — interiors dial in, each relaying to its leaf subtrees
-// over in-process pipes — in both fan-out modes and with a live ε
-// ladder, so the laddered Assign and the relayed frames cross a real
-// network boundary.
+// over in-process pipes — under both gathers and with a live ε, so the
+// relayed frames cross a real network boundary.
 func TestTCPTree(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
 			const n, k, seed, steps, branch = 12, 3, 17, 120, 2
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -227,14 +230,14 @@ func TestTCPTree(t *testing.T) {
 				t.Fatal(err)
 			}
 			tree, err := New(Config{
-				N: n, K: k, Seed: seed, Lockstep: mode.lockstep, Epsilon: 0.05,
+				N: n, K: k, Seed: seed, Epsilon: 0.05,
 				Tree: Tree{Branch: branch, Depth: 2},
 			}, links)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			flat := mustLoopback(t, Config{N: n, K: k, Seed: seed, Lockstep: mode.lockstep, Epsilon: 0.05}, branch*branch)
+			flat := mustLoopback(t, Config{N: n, K: k, Seed: seed, Epsilon: 0.05}, branch*branch)
 			defer flat.Close()
 			srcA := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 300, Seed: 23})
 			srcB := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 300, Seed: 23})
@@ -262,11 +265,10 @@ func TestTCPTree(t *testing.T) {
 	}
 }
 
-// TestTreeStatsProfile pins the diagnostic plane: a depth-2 ε tree
-// reports one absorption counter per level below the root (nested, so
-// level 0 sees at least every exit level 1 sees), one LevelIO per tree
-// level with the root's overhead ledger last, and the poll itself is
-// free — it must not move the overhead ledger it reports.
+// TestTreeStatsProfile pins the diagnostic plane: a depth-2 tree reports
+// one LevelIO per tree level with the root's overhead ledger last, and
+// the poll itself is free — it must not move the overhead ledger it
+// reports.
 func TestTreeStatsProfile(t *testing.T) {
 	const n, k, seed, steps, branch, depth = 16, 4, 7, 400, 2, 2
 	tree := mustTree(t, Config{N: n, K: k, Seed: seed, Epsilon: 0.2}, branch, depth)
@@ -282,15 +284,6 @@ func TestTreeStatsProfile(t *testing.T) {
 	ts, err := tree.TreeStats()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(ts.Absorbs) != depth {
-		t.Fatalf("got %d absorption levels, want depth=%d", len(ts.Absorbs), depth)
-	}
-	if ts.Absorbs[0] < ts.Absorbs[1] {
-		t.Fatalf("absorption not monotone across nested bands: %v", ts.Absorbs)
-	}
-	if ts.Absorbs[0] == 0 {
-		t.Fatalf("tightest band absorbed nothing over %d drifting steps: %v", steps, ts.Absorbs)
 	}
 	if len(ts.Levels) != depth {
 		t.Fatalf("got %d traffic levels, want %d (interiors + root)", len(ts.Levels), depth)
@@ -310,20 +303,20 @@ func TestTreeStatsProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts2.Absorbs) != depth || ts2.Absorbs[0] != ts.Absorbs[0] {
-		t.Fatalf("second poll disagrees: %v vs %v", ts2.Absorbs, ts.Absorbs)
+	if !slices.Equal(ts2.Levels, ts.Levels) {
+		t.Fatalf("second poll disagrees: %v vs %v", ts2.Levels, ts.Levels)
 	}
 
-	// A flat engine degenerates to no absorption levels and the root's
-	// ledger as the single traffic level.
+	// A flat engine degenerates to the root's ledger as the single
+	// traffic level.
 	flat := mustLoopback(t, Config{N: n, K: k, Seed: seed, Epsilon: 0.2}, 4)
 	defer flat.Close()
 	fts, err := flat.TreeStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fts.Absorbs) != 0 || len(fts.Levels) != 1 {
-		t.Fatalf("flat engine stats: %+v, want no absorbs and exactly the root level", fts)
+	if len(fts.Levels) != 1 {
+		t.Fatalf("flat engine stats: %+v, want exactly the root level", fts)
 	}
 }
 

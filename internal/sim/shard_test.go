@@ -92,8 +92,8 @@ func TestTreeEngineExactInSim(t *testing.T) {
 	}
 }
 
-// TestTreeEngineEpsValidInSim runs the ε mode — per-level ladder live —
-// under the harness's ε oracle at every step.
+// TestTreeEngineEpsValidInSim runs the ε mode on a depth-2 tree under the
+// harness's ε oracle at every step.
 func TestTreeEngineEpsValidInSim(t *testing.T) {
 	const n, k, seed, steps = 20, 4, 31, 400
 	tr, err := shardrun.NewLoopbackTree(shardrun.Config{N: n, K: k, Seed: seed, Epsilon: 0.05}, 2, 2)

@@ -15,8 +15,8 @@ func FuzzDecode(f *testing.F) {
 		{TypeAssign},
 		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99, Distinct: true}.Append(nil),
 		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99, EpsNum: 52428, Distinct: true}.Append(nil),
-		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99, EpsNum: 52428, Ladder: []uint64{17476, 34952}}.Append(nil),
-		TreeStats{Absorbs: []int64{7, 3}, Levels: []LevelIO{{Down: 9, Up: 9, DownBytes: 120, UpBytes: 44}}}.Append(nil),
+		ladderedAssign(0x02), // another build's frame: rejected (TestForeignBuildFramesFailClosed)
+		TreeStats{Levels: []LevelIO{{Down: 9, Up: 9, DownBytes: 120, UpBytes: 44}}}.Append(nil),
 		ApproxBounds{Lo: -1 << 30, Hi: 1 << 30}.Append(nil),
 		Observe{Step: 3, Vals: []int64{5, -5}}.Append(nil),
 		ObserveDelta{Step: 3, IDs: []int{1, 4}, Vals: []int64{-9, 9}}.Append(nil),

@@ -68,12 +68,11 @@ const (
 	// TypeStatsPoll asks a peer for its subtree's TreeStats. It is the
 	// hierarchical engine's diagnostic plane: interior coordinators
 	// forward it to their children and aggregate, so the root learns the
-	// per-level coordination traffic and ladder absorption counters of
-	// the whole tree with one poll per link.
+	// per-level coordination traffic of the whole tree with one poll per
+	// link.
 	TypeStatsPoll byte = 0x15
-	// TypeTreeStats answers a StatsPoll: the subtree's summed ladder
-	// absorption counters plus one coordination-traffic entry per
-	// coordinator level below the sender, deepest level first.
+	// TypeTreeStats answers a StatsPoll: one coordination-traffic entry
+	// per coordinator level below the sender, deepest level first.
 	TypeTreeStats byte = 0x16
 	// TypeCheckpoint is the durable checkpoint envelope: a generation
 	// number, the engine fingerprint, the embedded machine and bank
@@ -97,7 +96,6 @@ const MaxTolNum uint64 = 1 << 20
 // Flag bits used by messages with a flags byte.
 const (
 	flagDistinct = 1 << 0 // Assign: DistinctValues mode
-	flagLadder   = 1 << 1 // Assign: a per-level tolerance ladder follows
 	flagIsTop    = 1 << 0 // Winner: winner joins the top-k set
 	flagFull     = 1 << 0 // Midpoint: install [-inf, +inf] (k == n)
 	flagTopViol  = 1 << 0 // Reply: some top-k node violated its filter
@@ -150,29 +148,18 @@ func varintField(p []byte) (int64, []byte, error) {
 	return v, p[n:], nil
 }
 
-// MaxLadder bounds the per-level tolerance ladder an Assign may carry: a
-// coordinator tree deeper than this is far past any sane deployment (a
-// binary tree of 32 levels already addresses 2^32 leaves), so longer
-// ladders are rejected as malformed.
-const MaxLadder = 32
-
 // Assign is the coordinator→peer handshake message: the peer hosts nodes
 // [Lo, Hi) of a monitor over N nodes with top-set size K, seeded protocol
 // randomness, the configured tie-break mode, and the tolerance of the
 // ε-approximate mode as the exact fixed-point numerator EpsNum =
-// floor(ε·2^order.TolShift) (0 for exact monitoring).
-//
-// Ladder, when non-empty, carries the hierarchical engine's per-level
-// tolerance numerators, tightest (node-local) level first: each entry
-// must be <= the next and < EpsNum, so the bands they induce are nested
-// inside the installed root band. An empty ladder encodes byte-identically
-// to the pre-ladder format — flat and depth-1 deployments pay nothing.
+// floor(ε·2^order.TolShift) (0 for exact monitoring). A set flag bit the
+// decoder does not know is malformed, not ignored: the handshake is where
+// a peer of another build is turned away.
 type Assign struct {
 	Lo, Hi, N, K int
 	Seed         uint64
 	EpsNum       uint64
 	Distinct     bool
-	Ladder       []uint64
 }
 
 // Append encodes m after dst.
@@ -188,17 +175,7 @@ func (m Assign) Append(dst []byte) []byte {
 	if m.Distinct {
 		flags |= flagDistinct
 	}
-	if len(m.Ladder) > 0 {
-		flags |= flagLadder
-	}
-	dst = append(dst, flags)
-	if len(m.Ladder) > 0 {
-		dst = AppendUvarint(dst, uint64(len(m.Ladder)))
-		for _, num := range m.Ladder {
-			dst = AppendUvarint(dst, num)
-		}
-	}
-	return dst
+	return append(dst, flags)
 }
 
 // DecodeAssign decodes a full Assign frame.
@@ -237,41 +214,11 @@ func DecodeAssign(p []byte) (Assign, error) {
 	if len(p) == 0 {
 		return m, ErrTruncated
 	}
-	if p[0]&^(flagDistinct|flagLadder) != 0 {
+	if p[0]&^flagDistinct != 0 {
 		return m, fmt.Errorf("%w: unknown assign flags 0x%02x", ErrMalformed, p[0])
 	}
 	m.Distinct = p[0]&flagDistinct != 0
-	hasLadder := p[0]&flagLadder != 0
-	p = p[1:]
-	if !hasLadder {
-		return m, fin(p)
-	}
-	if u, p, err = uvarintField(p); err != nil {
-		return m, err
-	}
-	if u == 0 || u > MaxLadder {
-		return m, fmt.Errorf("%w: assign ladder of %d levels", ErrMalformed, u)
-	}
-	if u > uint64(len(p)) { // every numerator takes >= 1 byte
-		return m, fmt.Errorf("%w: %d ladder levels in %d bytes", ErrMalformed, u, len(p))
-	}
-	m.Ladder = make([]uint64, 0, u)
-	prev := uint64(0)
-	for i := uint64(0); i < u; i++ {
-		var num uint64
-		if num, p, err = uvarintField(p); err != nil {
-			return m, err
-		}
-		// Nested-band invariant: each level's tolerance widens monotonically
-		// toward — but stays strictly below — the root tolerance, so the
-		// induced bands are a chain B_0 ⊆ … ⊆ [Lo, Hi].
-		if num < prev || num >= m.EpsNum {
-			return m, fmt.Errorf("%w: assign ladder not monotone below the root tolerance (%d after %d, root %d)", ErrMalformed, num, prev, m.EpsNum)
-		}
-		m.Ladder = append(m.Ladder, num)
-		prev = num
-	}
-	return m, fin(p)
+	return m, fin(p[1:])
 }
 
 // Observe delivers one dense observation step: Vals[i] is the new value of
@@ -901,8 +848,8 @@ func (m *Batch) Decode(p []byte) error {
 // LevelIO is one coordinator level's coordination traffic in a TreeStats
 // reply: command frames sent down to that level's children and reply
 // frames received back up, with their encoded byte volumes. Batched
-// commands count sub-frame by sub-frame, so the numbers are identical in
-// pipelined and lockstep mode.
+// commands count sub-frame by sub-frame, so the numbers do not depend on
+// how the transport framed them.
 type LevelIO struct {
 	Down, Up           int64
 	DownBytes, UpBytes int64
@@ -917,27 +864,17 @@ func (a LevelIO) Add(o LevelIO) LevelIO {
 }
 
 // TreeStats is a peer's answer to a StatsPoll, describing its whole
-// subtree. Absorbs sums the per-level ladder absorption counters of every
-// node bank below the sender (coord.Nodes.Absorbs); Levels carries one
-// LevelIO per coordinator level strictly below the sender, deepest
-// (leaf-facing) level first — a leaf shard reports no levels, an interior
-// coordinator reports its children's levels followed by its own
+// subtree: one LevelIO per coordinator level strictly below the sender,
+// deepest (leaf-facing) level first — a leaf shard reports no levels, an
+// interior coordinator reports its children's levels followed by its own
 // child-facing traffic. All counters are non-negative.
 type TreeStats struct {
-	Absorbs []int64
-	Levels  []LevelIO
+	Levels []LevelIO
 }
 
 // Merge folds one child's answer into m elementwise — the aggregation
 // every coordinator level applies to its children's TreeStats.
 func (m *TreeStats) Merge(o TreeStats) {
-	for i, a := range o.Absorbs {
-		if i < len(m.Absorbs) {
-			m.Absorbs[i] += a
-		} else {
-			m.Absorbs = append(m.Absorbs, a)
-		}
-	}
 	for i, lv := range o.Levels {
 		if i < len(m.Levels) {
 			m.Levels[i] = m.Levels[i].Add(lv)
@@ -951,13 +888,6 @@ func (m *TreeStats) Merge(o TreeStats) {
 // the senders' construction contract (counters only ever increment).
 func (m TreeStats) Append(dst []byte) []byte {
 	dst = append(dst, TypeTreeStats)
-	dst = AppendUvarint(dst, uint64(len(m.Absorbs)))
-	for _, a := range m.Absorbs {
-		if a < 0 {
-			panic("wire: negative tree stats counter")
-		}
-		dst = AppendUvarint(dst, uint64(a))
-	}
 	dst = AppendUvarint(dst, uint64(len(m.Levels)))
 	for _, lv := range m.Levels {
 		if lv.Down < 0 || lv.Up < 0 || lv.DownBytes < 0 || lv.UpBytes < 0 {
@@ -979,23 +909,6 @@ func (m *TreeStats) Decode(p []byte) error {
 		return err
 	}
 	var u uint64
-	if u, p, err = uvarintField(p); err != nil {
-		return err
-	}
-	if u > uint64(len(p)) { // every counter takes >= 1 byte
-		return fmt.Errorf("%w: %d absorb counters in %d bytes", ErrMalformed, u, len(p))
-	}
-	m.Absorbs = m.Absorbs[:0]
-	for i := uint64(0); i < u; i++ {
-		var a uint64
-		if a, p, err = uvarintField(p); err != nil {
-			return err
-		}
-		if a > 1<<62 {
-			return fmt.Errorf("%w: tree stats counter overflow", ErrMalformed)
-		}
-		m.Absorbs = append(m.Absorbs, int64(a))
-	}
 	if u, p, err = uvarintField(p); err != nil {
 		return err
 	}

@@ -34,7 +34,9 @@
 // so small magnitudes of either sign stay short. Every message starts with
 // a one-byte type tag. Decoders never panic on malformed input: truncated
 // or overlong frames yield ErrTruncated/ErrOverflow, unknown tags
-// ErrUnknownType, and trailing garbage ErrTrailingBytes.
+// ErrUnknownType, and trailing garbage ErrTrailingBytes. Link frames carry
+// no version: all peers of a monitor are one build, and the Assign
+// handshake, which rejects flag bits it does not know, is the gate.
 package wire
 
 import (

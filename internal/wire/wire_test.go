@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -98,7 +99,7 @@ func TestAssignRoundTrip(t *testing.T) {
 		out, err := DecodeAssign(in.Append(nil))
 		return err == nil && out.Lo == in.Lo && out.Hi == in.Hi && out.N == in.N &&
 			out.K == in.K && out.Seed == in.Seed && out.EpsNum == in.EpsNum &&
-			out.Distinct == in.Distinct && out.Ladder == nil
+			out.Distinct == in.Distinct
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -121,25 +122,10 @@ func TestAssignRejectsBadTolerance(t *testing.T) {
 	}
 }
 
-func TestAssignLadderRoundTrip(t *testing.T) {
-	in := Assign{Lo: 0, Hi: 4, N: 16, K: 3, Seed: 7, EpsNum: 52428, Ladder: []uint64{0, 17476, 34952}}
-	frame := in.Append(nil)
-	out, err := DecodeAssign(frame)
-	if err != nil {
-		t.Fatalf("ladder assign rejected: %v", err)
-	}
-	if !reflect.DeepEqual(out.Ladder, in.Ladder) {
-		t.Fatalf("ladder round trip: got %v, want %v", out.Ladder, in.Ladder)
-	}
-	if re := out.Append(nil); !bytes.Equal(re, frame) {
-		t.Fatalf("ladder assign re-encode mismatch:\n in %x\nout %x", frame, re)
-	}
-}
-
-// TestAssignLadderBackCompat pins the byte-identity promise of the
-// flag-gated ladder: an Assign without one encodes exactly as the
-// pre-ladder format did, so flat and depth-1 engines pay nothing.
-func TestAssignLadderBackCompat(t *testing.T) {
+// TestAssignGoldenBytes pins the Assign encoding: the frame below is what
+// every build since the ε mode has put on the wire for this assignment,
+// the ones that could also append a tolerance ladder included.
+func TestAssignGoldenBytes(t *testing.T) {
 	m := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024, Distinct: true}
 	frame := m.Append(nil)
 	want := []byte{TypeAssign}
@@ -149,44 +135,57 @@ func TestAssignLadderBackCompat(t *testing.T) {
 	want = AppendUvarint(want, 2)
 	want = AppendUvarint(want, 99)
 	want = AppendUvarint(want, 1024)
-	want = append(want, 0x01) // flags: distinct only, no ladder bit
+	want = append(want, 0x01) // flags: distinct only
 	if !bytes.Equal(frame, want) {
-		t.Fatalf("ladder-free assign changed encoding:\ngot  %x\nwant %x", frame, want)
+		t.Fatalf("assign changed encoding:\ngot  %x\nwant %x", frame, want)
 	}
 }
 
-func TestAssignRejectsBadLadder(t *testing.T) {
-	base := Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 1, EpsNum: 1000}
-	cases := []struct {
-		name   string
-		ladder []uint64
-	}{
-		{"non-monotone", []uint64{500, 300}},
-		{"at root tolerance", []uint64{500, 1000}},
-		{"above root tolerance", []uint64{1500}},
-		{"too deep", make([]uint64, MaxLadder+1)},
+// ladderedAssign is Assign{Lo: 0, Hi: 4, N: 16, K: 3, Seed: 7, EpsNum:
+// 52428, Ladder: {0, 17476, 34952}} as the build with the per-level
+// tolerance ladder encoded it: flags 0x02, or 0x03 with Distinct set, then
+// the ladder section.
+func ladderedAssign(flags byte) []byte {
+	return []byte{0x01, 0x00, 0x04, 0x10, 0x03, 0x07, 0xcc, 0x99, 0x03, flags,
+		0x03, 0x00, 0xc4, 0x88, 0x01, 0x88, 0x91, 0x02}
+}
+
+// TestForeignBuildFramesFailClosed feeds the decoders frames encoded by
+// the build that still had the per-level tolerance ladder (golden bytes,
+// recorded there). Link frames carry no version, so a mixed-build tree
+// must die at the Assign handshake rather than run with half of it
+// silently dropping the ladder.
+func TestForeignBuildFramesFailClosed(t *testing.T) {
+	for _, flags := range []byte{0x02, 0x03} {
+		_, err := DecodeAssign(ladderedAssign(flags))
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown assign flags") {
+			t.Fatalf("laddered assign with flags 0x%02x: err = %v, want ErrMalformed (unknown assign flags)", flags, err)
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := base
-			m.Ladder = tc.ladder
-			if _, err := DecodeAssign(m.Append(nil)); !errors.Is(err, ErrMalformed) {
-				t.Fatalf("bad ladder %v decoded: %v", tc.ladder, err)
-			}
-		})
+	// A TreeStats reply of that build led with an absorb-counter section.
+	// The ladder-free form — [type][0 absorbs][levels…], what every ε = 0
+	// or depth-1 peer answered — must be rejected for its trailing bytes,
+	// not read as zero levels.
+	var m TreeStats
+	for _, frame := range [][]byte{
+		{0x16, 0x00, 0x00},                         // a leaf: no absorbs, no levels
+		{0x16, 0x00, 0x01, 0x09, 0x09, 0x78, 0x2c}, // an interior: no absorbs, one level
+	} {
+		if err := m.Decode(frame); !errors.Is(err, ErrTrailingBytes) {
+			t.Fatalf("ladder-free foreign tree stats %x: err = %v, want ErrTrailingBytes", frame, err)
+		}
 	}
-	// A ladder with no root tolerance has nothing to widen toward.
-	m := base
-	m.EpsNum = 0
-	m.Ladder = []uint64{0}
-	if _, err := DecodeAssign(m.Append(nil)); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("ladder under exact tolerance decoded: %v", err)
+	// A laddered one can alias — 3 absorbs + 2 levels is 12 fields after a
+	// count of 3, a well-formed 3-level frame — which is why the handshake,
+	// not this decoder, is the gate.
+	alias := []byte{0x16, 0x03, 0x07, 0x03, 0x01, 0x02, 0x09, 0x09, 0x78, 0x2c, 0x02, 0x02, 0x1e, 0x0b}
+	if err := m.Decode(alias); err != nil || len(m.Levels) != 3 {
+		t.Fatalf("aliasing foreign tree stats: err = %v, %d levels; the doc comment above is stale", err, len(m.Levels))
 	}
 }
 
 func TestTreeStatsRoundTrip(t *testing.T) {
 	in := TreeStats{
-		Absorbs: []int64{12, 5, 0},
 		Levels: []LevelIO{
 			{Down: 40, Up: 40, DownBytes: 900, UpBytes: 410},
 			{Down: 10, Up: 10, DownBytes: 220, UpBytes: 101},
@@ -197,7 +196,7 @@ func TestTreeStatsRoundTrip(t *testing.T) {
 	if err := out.Decode(frame); err != nil {
 		t.Fatalf("tree stats rejected: %v", err)
 	}
-	if !reflect.DeepEqual(out.Absorbs, in.Absorbs) || !reflect.DeepEqual(out.Levels, in.Levels) {
+	if !reflect.DeepEqual(out.Levels, in.Levels) {
 		t.Fatalf("tree stats round trip: got %+v, want %+v", out, in)
 	}
 	// The empty reply of a leaf shard round-trips too.
@@ -206,7 +205,7 @@ func TestTreeStatsRoundTrip(t *testing.T) {
 	if err := leaf.Decode(frame); err != nil {
 		t.Fatalf("leaf tree stats rejected: %v", err)
 	}
-	if len(leaf.Absorbs) != 0 || len(leaf.Levels) != 0 {
+	if len(leaf.Levels) != 0 {
 		t.Fatalf("leaf tree stats not empty: %+v", leaf)
 	}
 }

@@ -103,8 +103,7 @@ func fanoutConfig(cfg Config) shardrun.Config {
 	return shardrun.Config{
 		N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed,
 		DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon,
-		Lockstep: cfg.Pipeline == PipelineOff,
-		Redial:   cfg.redialInternal(), RetryBudget: cfg.RetryBudget,
+		Redial: cfg.redialInternal(), RetryBudget: cfg.RetryBudget,
 		RetryBackoff: cfg.RetryBackoff, OnEvent: cfg.onEventInternal(),
 	}
 }

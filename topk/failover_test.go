@@ -282,7 +282,7 @@ func TestEngineCapabilityMatrix(t *testing.T) {
 			if oc, ob := mon.Overhead(); (oc.Down > 0) != sh.overhead || (ob.Up > 0) != sh.overhead || oc.Broadcast != 0 {
 				t.Errorf("Overhead = %+v / %+v, want surfaced=%v", oc, ob, sh.overhead)
 			}
-			if ts, err := mon.TreeStats(); err != nil || len(ts.Levels) != sh.levels || len(ts.Absorbs) != 0 {
+			if ts, err := mon.TreeStats(); err != nil || len(ts.Levels) != sh.levels {
 				t.Errorf("TreeStats = %+v, %v; want %d levels", ts, err, sh.levels)
 			}
 			err = mon.Join(sh.joiner())
@@ -333,7 +333,7 @@ func TestEngineCapabilityMatrix(t *testing.T) {
 			if oc, ob := mon.Overhead(); oc != (topk.Counts{}) || ob != (topk.Bytes{}) {
 				t.Errorf("Overhead after Close = %+v / %+v, want zero", oc, ob)
 			}
-			if ts, err := mon.TreeStats(); err != nil || len(ts.Levels) != 0 || len(ts.Absorbs) != 0 {
+			if ts, err := mon.TreeStats(); err != nil || len(ts.Levels) != 0 {
 				t.Errorf("TreeStats after Close = %+v, %v; want zero", ts, err)
 			}
 		})

@@ -60,8 +60,7 @@
 // root serves Branch^Depth leaf shards while every machine holds only
 // Branch links. Reports and all model ledgers are bit-identical to the
 // flat star over the same leaves; Monitor.TreeStats exposes each level's
-// coordination traffic and, with Epsilon set, the per-level tightened
-// band ladder's absorption counters.
+// coordination traffic.
 //
 // Config.Checkpoint adds durable crash-restart: the monitor persists
 // CRC-sealed state frames to a CheckpointStore (FileCheckpoints,
@@ -170,17 +169,13 @@ type Config struct {
 	// with a Transport must be Closed to release the peers. New takes
 	// ownership of the Transport: it is closed on any New error (the
 	// links are unusable after a failed handshake) and by Monitor.Close.
+	//
+	// The networked and sharded engines pipeline their link I/O: fan-outs
+	// send to every peer before gathering the replies, and ack-only
+	// commands coalesce into batched frames, so step latency follows the
+	// slowest peer instead of the peer count. Reports, message counts and
+	// charged bytes are those of the in-process engines.
 	Transport Transport
-	// Pipeline controls the I/O pipelining of the networked and sharded
-	// engines (it has no effect on the in-process engines). The zero
-	// value, PipelineOn, is the default: fan-outs send to every peer
-	// before gathering the replies concurrently, and ack-only commands
-	// coalesce into batched frames, so step latency follows the slowest
-	// peer instead of the peer count. PipelineOff restores the strictly
-	// sequential per-peer request/reply cycle. Both modes produce
-	// bit-identical reports, message counts and charged bytes; only
-	// wall-clock latency and transport framing differ.
-	Pipeline PipelineMode
 	// Redial, when set, is called by the networked and sharded engines
 	// during failover to obtain a replacement link for a dead peer (the far
 	// end must run the matching serve loop); the replacement adopts the
@@ -220,13 +215,11 @@ type Config struct {
 	// children, down to Branch^Depth leaf shards. Reports, message counts
 	// and charged bytes are identical to a flat Shards = Branch^Depth
 	// monitor — interior nodes merge associatively and make no protocol
-	// decisions — but the root's own fan-in stays at Branch links, and in
-	// the ε mode each level below the root runs a tightened tolerance
-	// band (widening monotonically toward Epsilon at the root) whose
-	// absorption profile TreeStats reports. The zero value keeps the flat
-	// layout. Branch^Depth must not exceed Nodes; Tree is mutually
-	// exclusive with Concurrent and Transport, and Shards, when also set,
-	// must equal Branch^Depth. Tree monitors must be Closed.
+	// decisions — but the root's own fan-in stays at Branch links. The
+	// zero value keeps the flat layout. Branch^Depth must not exceed
+	// Nodes; Tree is mutually exclusive with Concurrent and Transport, and
+	// Shards, when also set, must equal Branch^Depth. Tree monitors must
+	// be Closed.
 	Tree Tree
 	// Checkpoint configures durable checkpointing: with a Store set the
 	// monitor can persist its execution state as CRC-sealed frames —
@@ -265,21 +258,6 @@ func (t Tree) leaves() (int, bool) {
 	}
 	return n, true
 }
-
-// PipelineMode selects how the networked and sharded engines drive their
-// links; see Config.Pipeline.
-type PipelineMode uint8
-
-const (
-	// PipelineOn (the default) fans commands out to all peers before
-	// gathering replies concurrently, and coalesces ack-only commands
-	// into batched frames.
-	PipelineOn PipelineMode = iota
-	// PipelineOff drives every link in a strictly sequential per-peer
-	// request/reply cycle. Useful as a latency baseline and for
-	// debugging transports one frame at a time.
-	PipelineOff
-)
 
 // Monitor continuously tracks the top-k positions. Create one with New.
 // A synchronous Monitor is not safe for concurrent use: the model's
@@ -376,9 +354,6 @@ func validateConfig(cfg Config) error {
 		if cfg.Shards != 0 && cfg.Shards != leaves {
 			return badConfig(cfg, "Tree", "Shards=%d disagrees with %d^%d = %d leaves", cfg.Shards, cfg.Tree.Branch, cfg.Tree.Depth, leaves)
 		}
-	}
-	if cfg.Pipeline > PipelineOff {
-		return badConfig(cfg, "Pipeline", "unknown mode %d", cfg.Pipeline)
 	}
 	if err := validateCheckpoint(cfg); err != nil {
 		return err
@@ -666,14 +641,6 @@ type LevelIO struct {
 // TreeStats is the diagnostic profile of a hierarchical monitor (see
 // Monitor.TreeStats).
 type TreeStats struct {
-	// Absorbs[l] counts, across all leaves, the observations that left
-	// the level-l tightened tolerance band (level 0 is the tightest, at
-	// the leaves). Absorbs[l] - Absorbs[l+1] of those exits were absorbed
-	// by the next wider band without reaching the root's ε filter; the
-	// remainder of Absorbs[len-1] escalated to a real filter violation.
-	// Empty unless the monitor runs a tree of depth >= 2 with a positive
-	// Epsilon.
-	Absorbs []int64
 	// Levels holds one coordination-traffic summary per tree level,
 	// deepest interior level first, ending with the root's own overhead
 	// ledger.
@@ -681,7 +648,6 @@ type TreeStats struct {
 }
 
 // TreeStats polls a sharded or tree monitor's diagnostic plane: per-level
-// band-absorption counters (ε mode at depth >= 2) and per-level
 // coordination traffic, ending with the root's own overhead ledger. The
 // poll itself is free — it is charged to no ledger, appearing only in
 // TransportStats — so polling does not perturb the numbers it reports.
@@ -699,7 +665,7 @@ func (m *Monitor) TreeStats() (TreeStats, error) {
 	if err != nil {
 		return TreeStats{}, err
 	}
-	out := TreeStats{Absorbs: ws.Absorbs}
+	var out TreeStats
 	for _, lv := range ws.Levels {
 		out.Levels = append(out.Levels, LevelIO(lv))
 	}

@@ -96,9 +96,6 @@ func TestTreeMonitorMatchesFlat(t *testing.T) {
 	if len(ts.Levels) != 2 {
 		t.Fatalf("depth-2 tree reports %d traffic levels, want 2", len(ts.Levels))
 	}
-	if len(ts.Absorbs) != 2 {
-		t.Fatalf("depth-2 ε tree reports %d absorption levels, want 2", len(ts.Absorbs))
-	}
 	overC, overB := tree.Overhead()
 	root := ts.Levels[len(ts.Levels)-1]
 	if root.Down != overC.Down || root.Up != overC.Up || root.DownBytes != overB.Down || root.UpBytes != overB.Up {
@@ -119,7 +116,7 @@ func TestTreeMonitorMatchesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seq.Close()
-	if sts, err := seq.TreeStats(); err != nil || len(sts.Absorbs) != 0 || len(sts.Levels) != 0 {
+	if sts, err := seq.TreeStats(); err != nil || len(sts.Levels) != 0 {
 		t.Fatalf("sequential monitor TreeStats = %+v, %v; want zero value", sts, err)
 	}
 }
