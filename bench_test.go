@@ -8,6 +8,7 @@ package repro
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/filter"
 	"repro/internal/netrun"
 	"repro/internal/order"
@@ -24,6 +26,8 @@ import (
 	"repro/internal/shardrun"
 	"repro/internal/stream"
 	"repro/internal/transport"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 	"repro/topk"
 )
 
@@ -243,20 +247,28 @@ func BenchmarkRuntimeStep(b *testing.B) {
 // BenchmarkShardOverhead measures the multi-coordinator engine across
 // shard counts S and node counts n on a random-walk workload, reporting
 // the coordination cost next to the wall clock: model messages per step
-// (the algorithm ledger, which grows with S because every shard pays its
-// own protocol rounds) and root↔shard coordination frames and bytes per
-// step (the overhead ledger). This is the experiment seeding the
-// overhead-vs-S trajectory (EXPERIMENTS.md E18); CI only smoke-runs it
-// once (-benchtime=1x) — compared numbers come from ./benchmark.
+// (the algorithm ledger, which grows with S because every shard pays for
+// the executions it runs), root↔shard coordination frames and bytes per
+// step (the overhead ledger), and the local executions one FILTERRESET
+// runs on the shards, counted where the requests arrive — S + k, the count
+// shardrun's TestResetRunsSPlusKExecutions pins, where a full re-merge
+// would run (k+1)·S. This is the experiment seeding the overhead-vs-S
+// trajectory (EXPERIMENTS.md E18); CI only smoke-runs it once
+// (-benchtime=1x) — compared numbers come from ./benchmark.
 func BenchmarkShardOverhead(b *testing.B) {
 	const steps = 200
 	for _, n := range []int{256, 1024} {
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(bench.F("n=%d/S=%d", n, shards), func(b *testing.B) {
 				vals := make([]int64, n)
-				var msgs, frames, obytes int64
+				var msgs, frames, obytes, resets int64
+				var execs atomic.Int64 // TagReset executions requested of the shards
 				for i := 0; i < b.N; i++ {
-					eng, err := shardrun.NewLoopback(shardrun.Config{N: n, K: 8, Seed: 7}, shards)
+					execs.Store(0)
+					links := fanout.Loopbacks(shards, func(l transport.Link) error {
+						return shardrun.ServeShard(resetExecCounter{l, &execs})
+					})
+					eng, err := shardrun.New(shardrun.Config{N: n, K: 8, Seed: 7}, links)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -268,14 +280,35 @@ func BenchmarkShardOverhead(b *testing.B) {
 					msgs = eng.Counts().Total()
 					frames = eng.Overhead().Total()
 					obytes = eng.OverheadBytes().Total()
+					resets = eng.Stats().Resets
 					eng.Close()
 				}
 				b.ReportMetric(float64(msgs)/steps, "msgs/step")
 				b.ReportMetric(float64(frames)/steps, "coord-frames/step")
 				b.ReportMetric(float64(obytes)/steps, "coord-B/step")
+				b.ReportMetric(float64(execs.Load())/float64(resets), "leaf-execs/reset")
 			})
 		}
 	}
+}
+
+// resetExecCounter is a shard's end of its link, counting the TagReset
+// executions the root requests over it.
+type resetExecCounter struct {
+	transport.Link
+	execs *atomic.Int64
+}
+
+func (l resetExecCounter) Recv() ([]byte, error) {
+	frame, err := l.Link.Recv()
+	if err == nil {
+		wiretest.Rounds(frame, func(m wire.Round) {
+			if m.Tag == coord.TagReset {
+				l.execs.Add(1)
+			}
+		})
+	}
+	return frame, err
 }
 
 // tcpNetEngine builds a networked engine over real loopback TCP links

@@ -113,7 +113,9 @@ const (
 	EffDone EffectKind = iota
 	// EffExec: run one protocol execution over cohort Tag with population
 	// bound Bound, charging Up/Bcast traffic to Recorder(Phase), and
-	// answer with ExecDone.
+	// answer with ExecDone. First marks a FILTERRESET's first extraction —
+	// the one execution over TagReset that follows an EffResetBegin instead
+	// of an EffWinner — for adapters that keep state between extractions.
 	EffExec
 	// EffResetBegin: clear every node's extraction state and membership
 	// flag ahead of a FILTERRESET. Answer with Ack.
@@ -146,6 +148,7 @@ const (
 type Effect struct {
 	Kind  EffectKind
 	Tag   uint8      // EffExec: cohort
+	First bool       // EffExec over TagReset: the first extraction of its FILTERRESET
 	Bound int        // EffExec: population bound of the execution
 	Phase comm.Phase // EffExec: ledger phase protocol traffic charges to
 
@@ -481,7 +484,7 @@ func (m *Machine) startReset() Effect {
 func (m *Machine) nextExtraction() Effect {
 	if m.resetIdx < m.want {
 		m.state = stResetExec
-		return Effect{Kind: EffExec, Tag: TagReset, Bound: m.cfg.N, Phase: comm.PhaseReset}
+		return Effect{Kind: EffExec, Tag: TagReset, Bound: m.cfg.N, Phase: comm.PhaseReset, First: m.resetIdx == 0}
 	}
 	return m.finishReset()
 }

@@ -234,7 +234,7 @@ type Engine struct {
 	buf       []byte         // reusable encode buffer
 	bbuf      []byte         // reusable batch-envelope encode buffer
 	acks      []int          // per-peer ack count the next collect owes
-	touched   []bool         // peers hit by the current delta
+	touched   []bool         // peers in the current exchange: the step's observation slices, then each Round
 	treeStats wire.TreeStats // decode scratch for stats polls
 }
 
@@ -533,25 +533,36 @@ func (e *Engine) collect(pi int, data bool, op string) ([]byte, error) {
 	return subs[acks], nil
 }
 
-// Round runs one wire.Round exchange with every peer on behalf of the
-// Exec strategy: the command fans out (the first one after a FILTERRESET
-// carries the commands queued since the last exchange), and each peer's
-// answer frame is handed to each in ascending peer order together with
-// the peer's node range. An error from each marks that peer as
-// misbehaving and abandons the step like any link failure.
-func (e *Engine) Round(m wire.Round, each func(lo, hi int, answer []byte) error) error {
+// Round runs one wire.Round exchange on behalf of the Exec strategy, with
+// every peer or — when ask is non-nil — with the peers it selects: the
+// command fans out (a peer's frame carries the commands queued for it
+// since its last exchange), and each is called for every peer in
+// ascending peer order with the peer's index and node range and its
+// answer frame. A peer ask declines gets no frame and owes no reply —
+// its queue stays queued — and each sees a nil answer for it. An error
+// from each marks that peer as misbehaving and abandons the step like any
+// link failure.
+func (e *Engine) Round(m wire.Round, ask func(pi int) bool, each func(pi, lo, hi int, answer []byte) error) error {
 	e.buf = m.Append(e.buf[:0])
+	asked := e.touched // finishStep is done with its own use before any effect runs
 	for pi := range e.peers {
+		asked[pi] = ask == nil || ask(pi)
+		if !asked[pi] {
+			continue
+		}
 		if err := e.ship(pi, e.buf, "round"); err != nil {
 			return err
 		}
 	}
 	for pi, p := range e.peers {
-		answer, err := e.collect(pi, true, "round")
-		if err != nil {
-			return err
+		var answer []byte
+		if asked[pi] {
+			var err error
+			if answer, err = e.collect(pi, true, "round"); err != nil {
+				return err
+			}
 		}
-		if err := each(p.lo, p.hi, answer); err != nil {
+		if err := each(pi, p.lo, p.hi, answer); err != nil {
 			return e.fail(p, "round", err)
 		}
 	}

@@ -51,6 +51,12 @@ func FuzzLeafRespond(f *testing.F) {
 		wire.AppendBare(nil, wire.TypeStatsPoll),
 		wire.Batch{Frames: [][]byte{wire.AppendBare(nil, wire.TypeResetBegin), wire.Round{Tag: 5, Bound: 3}.Append(nil)}}.Append(nil),
 		wire.Assign{Lo: 0, Hi: 2, N: 2, K: 2, Seed: 1}.Append(nil),
+		// An extraction after a reset's first, as an incremental root or
+		// interior ships it to the one child whose head was taken.
+		wire.Batch{Frames: [][]byte{
+			wire.Winner{Target: 19, IsTop: true}.Append(nil),
+			wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil),
+		}}.Append(nil),
 	} {
 		f.Add(seed, seed)
 	}

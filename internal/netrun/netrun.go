@@ -97,7 +97,7 @@ func execRounds() fanout.Exec {
 		ex := protocol.NewExec(eff.Bound, coord.MinimumTag(eff.Tag), e.Recorder(eff.Phase), nil, e.Step())
 		for ex.More() {
 			round := wire.Round{Tag: eff.Tag, Round: ex.Round(), Best: int64(ex.Best()), Bound: eff.Bound, Step: e.Step()}
-			err := e.Round(round, func(_, _ int, answer []byte) error {
+			err := e.Round(round, nil, func(_, _, _ int, answer []byte) error {
 				if err := reply.Decode(answer); err != nil {
 					return err
 				}

@@ -3,13 +3,18 @@ package shardrun
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/coord"
 	"repro/internal/ingest"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // The sharded engine's chaos suite mirrors netrun's: fault-injected
@@ -361,6 +366,171 @@ func TestChaosInteriorFaultMatrix(t *testing.T) {
 					t.Fatalf("fault plan %+v never fired in 80 driven steps", tc.plan)
 				}
 			})
+		}
+	}
+}
+
+// assassin cuts one link of a rig between two extractions of a FILTERRESET.
+// It watches the links of one tree level from their parent-side ends and
+// follows the running reset's extraction index there: ResetBegin rides with
+// extraction 0 to every link of the level, and every later extraction is
+// one Round(TagReset) on one link, the owner's of the last winner. Armed
+// with an index j, it cuts the link that just delivered its answer to
+// extraction j — at j = 0, where every link answers, the one numbered
+// victim — so the kill lands after the child answered and before it is
+// asked again, while its head stands at the parent.
+type assassin struct {
+	level, victim int
+
+	mu    sync.Mutex
+	links int  // links watched so far (numbers them)
+	idx   int  // extraction index of the running reset at this level
+	armed bool // cut at extraction j
+	j     int
+	fired bool
+}
+
+func (a *assassin) arm(j int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.armed, a.j, a.fired = true, j, false
+}
+
+func (a *assassin) hit() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.fired
+}
+
+// watch is a rig's up hook.
+func (a *assassin) watch(level int, l transport.Link) transport.Link {
+	if level != a.level {
+		return l
+	}
+	a.mu.Lock()
+	me := a.links
+	a.links++
+	a.mu.Unlock()
+	asked := -1 // the extraction this link owes an answer to
+	return &tap{Link: l,
+		onSend: func(frame []byte) {
+			begin, round := false, false
+			wiretest.Subframes(frame, func(sub []byte) {
+				begin = begin || wire.DecodeBare(sub, wire.TypeResetBegin) == nil
+				if m, err := wire.DecodeRound(sub); err == nil && m.Tag == coord.TagReset {
+					round = true
+				}
+			})
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			switch {
+			case begin:
+				a.idx = 0
+			case round:
+				a.idx++
+			}
+			asked = -1
+			if round {
+				asked = a.idx
+			}
+		},
+		onRecv: func([]byte) {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			if a.armed && !a.fired && asked == a.j && (a.j > 0 || me == a.victim) {
+				a.fired = true
+				l.Close()
+			}
+			asked = -1
+		},
+	}
+}
+
+// TestChaosKillBetweenExtractions kills a child after it answered
+// extraction j of a FILTERRESET and before it is asked again — the window
+// in which its parent holds a head for it — for j at the start, the middle
+// and the end of the reset: a shard of a star, and in a 2² tree an interior
+// and a leaf, under merge and redial recovery and both gathers. Whatever
+// the reset did with the dead child's head, the engine finds the link dead
+// at the next frame it sends there, the recovery's forced reset asks
+// everyone afresh, and from the first step after it reports equal the
+// oracle and the hosted banks pass the restore checks.
+func TestChaosKillBetweenExtractions(t *testing.T) {
+	targets := []struct {
+		name                 string
+		branch, depth, level int
+	}{
+		{"star", chaosShards, 1, 1},
+		{"tree-interior", 2, 2, 1},
+		{"tree-leaf", 2, 2, 2},
+	}
+	for _, g := range gathers {
+		for _, tg := range targets {
+			for _, redial := range []bool{false, true} {
+				for _, j := range []int{0, chaosK / 2, chaosK - 1} {
+					mode := "merge"
+					if redial {
+						mode = "redial"
+					}
+					t.Run(fmt.Sprintf("%s/%s/%s/j=%d", g.name, tg.name, mode, j), func(t *testing.T) {
+						setGather(t, g.procs)
+						killer := &assassin{level: tg.level, victim: 1}
+						spy := &bankSpy{}
+						cfg := Config{
+							N: chaosN, K: chaosK, Seed: 5, RetryBackoff: time.Millisecond,
+							Tree: rigTree(tg.branch, tg.depth),
+						}
+						if redial {
+							cfg.Redial = func() (transport.Link, error) {
+								return rigSubtree(tg.branch, tg.depth, 1, killer.watch, spy.serve), nil
+							}
+						}
+						e, err := New(cfg, rigLinks(tg.branch, tg.depth, killer.watch, spy.serve))
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer e.Close()
+
+						vals := make([]int64, chaosN)
+						step := func(s int) []int {
+							driven(s, vals)
+							return e.Observe(vals)
+						}
+						s := 0
+						for ; s < 5; s++ {
+							if got := step(s); !equal(got, sim.Oracle(vals, chaosK)) {
+								t.Fatalf("step %d before the kill: got %v, want oracle %v", s, got, sim.Oracle(vals, chaosK))
+							}
+						}
+						before := spy.snapshot()
+						killer.arm(j)
+						for ; e.Health().Failures == 0; s++ {
+							if s > 60 {
+								t.Fatalf("no link failure in %d driven steps (kill fired: %v)", s, killer.hit())
+							}
+							if got := step(s); e.Health().Failures == 0 && !equal(got, sim.Oracle(vals, chaosK)) {
+								t.Fatalf("step %d, kill armed: got %v, want oracle %v", s, got, sim.Oracle(vals, chaosK))
+							}
+						}
+						if !killer.hit() {
+							t.Fatal("a link failed that the test did not kill")
+						}
+						for end := s + 20; s < end; s++ {
+							got := step(s)
+							if e.Err() != nil {
+								t.Fatalf("step %d: recovery went terminal: %v", s, e.Err())
+							}
+							if want := sim.Oracle(vals, chaosK); !equal(got, want) {
+								t.Fatalf("step %d after the kill: got %v, want oracle %v", s, got, want)
+							}
+							validateBanks(t, spy.since(before), chaosN, got)
+						}
+						if h := e.Health(); h.Recoveries != 1 || h.Failures != 1 || h.Degraded {
+							t.Fatalf("health after one kill: %+v", h)
+						}
+					})
+				}
+			}
 		}
 	}
 }

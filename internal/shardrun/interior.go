@@ -18,7 +18,8 @@ import (
 // which relay guarantees happens only after the exchange is combined.
 type kid struct {
 	link   transport.Link
-	lo, hi int // absolute node range served by the subtree
+	lo, hi int  // absolute node range served by the subtree
+	head   head // the subtree's last TagReset answer; see stale
 
 	batch wire.Batch // decode scratch for batched replies
 
@@ -42,6 +43,10 @@ func (k *kid) stageEnc(enc func([]byte) []byte) {
 	k.lens = append(k.lens, len(k.stage)-old)
 }
 
+// stale invalidates the child's head: a frame that can change its answer
+// to a TagReset execution is being staged for it (the rule is head's).
+func (k *kid) stale() { k.head.fresh = false }
+
 // next consumes this child's next reply sub-frame.
 func (k *kid) next() []byte {
 	f := k.replies[k.cursor]
@@ -55,18 +60,21 @@ func (k *kid) next() []byte {
 type planEntry struct {
 	typ     byte
 	tag     uint8 // Round only: selects the merge direction
-	targets []int // contributing kid indices, ascending
+	targets []int // kid indices sent the sub-frame (so owing a reply), ascending
 }
 
-// interior is one stateless relay level of the coordinator tree: it owns
-// no node bank and makes no protocol decisions. It re-splits assignments,
-// routes commands down, and folds replies up — violation flags by OR,
-// shard digests by the same associative merge the root applies (charge
-// sums plus the first-in-order extremum), so a subtree is externally
-// indistinguishable from a single wider shard. Its only state beyond the
-// child ranges is a comm.Counter over the child-facing coordination
-// frames, reported one LevelIO per tree level through the StatsPoll
-// diagnostic exchange.
+// interior is one relay level of the coordinator tree: it owns no node
+// bank and makes no protocol decisions. It re-splits assignments, routes
+// commands down, and folds replies up — violation flags by OR, shard
+// digests by the same associative merge the root applies (charge sums plus
+// the first-in-order extremum), so a subtree is externally
+// indistinguishable from a single wider shard. Its only protocol state is
+// one head per child — the child's last TagReset answer, kept so a
+// FILTERRESET extraction re-asks only the child whose answer can have
+// changed (see head) — invalidated by nothing but the frames this relay
+// itself stages for that child. Beyond that it keeps the child ranges and
+// a comm.Counter over the child-facing coordination frames, reported one
+// LevelIO per tree level through the StatsPoll diagnostic exchange.
 type interior struct {
 	parent  transport.Link
 	kids    []*kid
@@ -144,6 +152,7 @@ func (r *interior) reassign(m wire.Assign) error {
 	r.lo, r.hi = m.Lo, m.Hi
 	ka := m // per-child assignment: same population, narrower range
 	for i, k := range r.kids {
+		k.stale() // the subtree rebuilds its banks
 		k.lo, k.hi = fanout.Split(m.Lo, m.Hi, len(r.kids), i)
 		ka.Lo, ka.Hi = k.lo, k.hi
 		r.buf = ka.Append(r.buf[:0])
@@ -206,13 +215,18 @@ func (r *interior) pollStats() error {
 	return nil
 }
 
-// mergeDigests folds the targets' digests exactly as the root's
-// execDelegated does (see digest.merge).
+// mergeDigests answers one Round sub-frame exactly as the root's execMerge
+// does: the children it was sent to contribute their reply, the others
+// (TagReset only) their standing head, all in child order.
 func (r *interior) mergeDigests(pe *planEntry) (wire.ShardDigest, error) {
-	var d digest
-	for _, ki := range pe.targets {
-		k := r.kids[ki]
-		if err := d.merge(k.next(), coord.MinimumTag(pe.tag), k.lo, k.hi); err != nil {
+	d := digest{tag: pe.tag}
+	targets := pe.targets
+	for ki, k := range r.kids {
+		var answer []byte
+		if len(targets) > 0 && targets[0] == ki {
+			answer, targets = k.next(), targets[1:]
+		}
+		if err := d.fold(ki, &k.head, answer, k.lo, k.hi); err != nil {
 			return d.ShardDigest, fmt.Errorf("shardrun: interior digest [%d, %d): %w", k.lo, k.hi, err)
 		}
 	}
@@ -242,8 +256,9 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			if err := wire.DecodeBare(sub, wire.TypeResetBegin); err != nil {
 				return false, err
 			}
-			for ki := range r.kids {
-				r.kids[ki].stageRaw(sub)
+			for ki, k := range r.kids {
+				k.stale()
+				k.stageRaw(sub)
 				pe.targets = append(pe.targets, ki)
 			}
 
@@ -274,6 +289,7 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			if ki < 0 {
 				return false, fmt.Errorf("shardrun: winner %d outside interior range [%d, %d)", m.Target, r.lo, r.hi)
 			}
+			r.kids[ki].stale()
 			r.kids[ki].stageRaw(sub)
 			pe.targets = append(pe.targets, ki)
 
@@ -285,6 +301,7 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 				return false, fmt.Errorf("shardrun: observe carries %d values for interior range [%d, %d)", len(r.obs.Vals), r.lo, r.hi)
 			}
 			for ki, k := range r.kids {
+				k.stale()
 				k.stageEnc(wire.Observe{Step: r.obs.Step, Vals: r.obs.Vals[k.lo-r.lo : k.hi-r.lo]}.Append)
 				pe.targets = append(pe.targets, ki)
 			}
@@ -309,6 +326,7 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 				if len(r.ids) == 0 {
 					continue
 				}
+				k.stale()
 				k.stageEnc(wire.ObserveDelta{Step: r.delta.Step, IDs: r.ids, Vals: r.vals}.Append)
 				pe.targets = append(pe.targets, ki)
 			}
@@ -319,8 +337,16 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 				return false, err
 			}
 			pe.tag = m.Tag
-			for ki := range r.kids {
-				r.kids[ki].stageRaw(sub)
+			for ki, k := range r.kids {
+				if m.Tag == coord.TagReset {
+					if k.head.fresh {
+						continue // its head stands: nothing staged for it since it answered
+					}
+					// Fresh from here on: by the time a later sub-frame's
+					// answer is merged, this one's reply is the head.
+					k.head.fresh = true
+				}
+				k.stageRaw(sub)
 				pe.targets = append(pe.targets, ki)
 			}
 

@@ -12,16 +12,24 @@
 // both ledgers, failover, Join, checkpoints; see that package —
 // instantiated with delegated protocol executions. Where the networked
 // engine runs Algorithm 2 round by round over all n nodes, the root
-// delegates each execution to its shards: every shard runs the complete
+// delegates each execution to its shards: a shard runs the complete
 // protocol over its local cohort (with the global population bound, so
 // shard-local randomness matches the flat engines' at S=1) and answers
 // with one wire.ShardDigest — its local winner plus a summary of the
 // charges the local execution incurred. The root merges the S digests by
-// key, which over the course of a FILTERRESET's k+1 repeated extractions
-// is exactly a k-merge on order.Key of the per-shard candidate streams.
-// Pipelined, the S local executions run concurrently — the fan-out
+// key. Pipelined, the local executions run concurrently — the fan-out
 // completes before the first digest is awaited — and a FILTERRESET costs
 // one synchronization point per extraction instead of one per command.
+//
+// Over the course of a FILTERRESET's k+1 repeated extractions that merge
+// is exactly a k-merge on order.Key of the per-shard candidate streams,
+// and it runs as one: the root keeps the digest each shard last answered
+// an extraction with (its head; see head for when one stands) and re-asks
+// only the shard whose head the last extraction took — the others' reset
+// cohorts, keys and therefore local maxima are what they were. A reset
+// runs S + k local executions, k of them one unicast [Winner, Round] round
+// trip each, instead of (k+1)·S; violation and handler executions, whose
+// cohorts the root cannot see, still go to every shard.
 //
 // Shards speak the same wire protocol as the networked engine's hosts
 // with one reinterpretation: a wire.Round frame from the root means "run
@@ -32,11 +40,13 @@
 // max over shard maxima is the global max), so membership decisions,
 // T+/T− and filters evolve as in the flat algorithm. At S=1 the engine is
 // bit-identical to the sequential engine — reports, counts, bytes,
-// per-phase — which the equivalence tests pin. At S>1 reports stay exact
-// while the charged message counts grow with S (each shard pays its own
-// protocol rounds); that growth, and the root↔shard frames the link
-// ledger (Overhead) prices, are the coordination overhead the
-// shard-overhead benchmark measures.
+// per-phase — which the equivalence tests pin: the single shard owns every
+// winner, so it is re-asked every time. At S>1 reports stay exact while the
+// charged message counts grow with S, because every local execution pays
+// its own protocol rounds: by a factor S on violation and handler
+// executions, by (S+k)/(k+1) on resets. That growth, and the root↔shard
+// frames the link ledger (Overhead) prices, are the coordination overhead
+// the shard-overhead benchmark measures.
 //
 // One caveat inherits the model's distinctness assumption: exactness is
 // exactness of the key order. In the default mode the tie-break
@@ -56,11 +66,13 @@
 // tree: each of the root's Branch links may lead to an interior
 // coordinator (ServeInterior) that splits its range across Branch
 // children of its own, down to Branch^Depth leaf shards. Interiors are
-// stateless relays — they route commands by child range, batch
-// sub-frames per link, and k-merge their children's digests into one
-// digest up, exactly the root's merge; because that merge is
-// associative, any tree shape is bit-identical to the flat star over
-// the same leaves in reports and the algorithm ledger, and at Depth 1
+// relays — they route commands by child range, batch sub-frames per link,
+// and k-merge their children's digests into one digest up, exactly the
+// root's merge with exactly the root's one piece of state, a head per
+// child; because that merge is associative and a leaf runs an execution
+// under the same condition in any shape (something that can change its
+// answer reached it), any tree shape is bit-identical to the flat star
+// over the same leaves in reports and the algorithm ledger, and at Depth 1
 // the engine is the flat engine. The link ledger keeps charging only the
 // root's own links (fan-in Branch instead of Branch^Depth); each interior
 // level's traffic lives in its own counter, polled uncharged through the
@@ -121,7 +133,7 @@ type Engine struct {
 // fanout.New's contract.
 func New(cfg Config, links []transport.Link) (*Engine, error) {
 	return build(cfg, links, func() (*fanout.Engine, error) {
-		return fanout.New(cfg.Core(), links, execDelegated)
+		return fanout.New(cfg.Core(), links, execMerge())
 	})
 }
 
@@ -130,7 +142,7 @@ func New(cfg Config, links []transport.Link) (*Engine, error) {
 // contract.
 func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
 	return build(cfg, links, func() (*fanout.Engine, error) {
-		return fanout.Restore(cfg.Core(), links, execDelegated, machFrame, last)
+		return fanout.Restore(cfg.Core(), links, execMerge(), machFrame, last)
 	})
 }
 
@@ -202,14 +214,18 @@ func (e *Engine) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
 
 // ServeShard runs one shard sub-coordinator on a link to the root: the
 // leaf server of fanout.Serve, answering each Round frame — a delegated
-// execution request — by running the whole local protocol for the tag
-// and reporting only the local winner and a charge summary in a
-// ShardDigest. The local rounds follow Algorithm 2 with the global
-// population bound the root supplies, so at S=1 the execution —
-// randomness, charges, winner — is bit-identical to the flat engines'.
-func ServeShard(link transport.Link) error {
+// execution request — with localExec.
+func ServeShard(link transport.Link) error { return fanout.Serve(link, localExec()) }
+
+// localExec returns a shard's answer to a delegated execution request: run
+// the whole local protocol for the tag and report only the local winner
+// and a charge summary in a ShardDigest. The local rounds follow Algorithm
+// 2 with the global population bound the root supplies, so at S=1 the
+// execution — randomness, charges, winner — is bit-identical to the flat
+// engines'.
+func localExec() fanout.RoundFunc {
 	var led comm.Counter // per-execution local charges
-	return fanout.Serve(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+	return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 		led.Reset()
 		ex := protocol.NewExec(m.Bound, coord.MinimumTag(m.Tag), &led, nil, m.Step)
 		for ex.More() {
@@ -228,68 +244,133 @@ func ServeShard(link transport.Link) error {
 			d.ID, d.Key = res.ID, int64(res.Key)
 		}
 		return d.Append(dst)
-	})
+	}
 }
 
-// digest is a validated ShardDigest's merge view: the charges are folded
-// by the caller, the winner competes by key.
+// head is the one piece of protocol state a digest merger — the root's Exec
+// strategy, an interior relay — keeps per child: the validated digest the
+// child last answered a TagReset execution with. A FILTERRESET's
+// extractions all run over one shrinking cohort, so a child's answer to the
+// next one is its answer to the last until something that can change it
+// reaches the child: ResetBegin (the cohort refills), the Winner it owns
+// (its maximum leaves the cohort), any Observe/ObserveDelta slice (keys
+// move), any (re-)Assign (the bank is rebuilt). fresh says none of those
+// was sent since the child answered; a head that is not fresh — never
+// fetched, or invalidated — means "ask", never "trust", so the merger only
+// has to watch the frames it sends that child. Every other cohort changes
+// under violations the merger does not see, so only TagReset answers are
+// kept, and every FILTERRESET starts by invalidating them all: no head
+// outlives its reset, and an idle engine (the only kind that is
+// checkpointed) holds none worth saving.
+type head struct {
+	wire.ShardDigest
+	fresh bool
+}
+
+// digest is the running merge of one delegated execution over a merger's
+// children, visited in ascending range order.
 type digest struct {
 	wire.ShardDigest
+	tag  uint8
 	best order.Key // running best in the comparison domain
+	src  int       // child whose winner is the running best
 }
 
-// merge folds one child's digest frame — a shard's, or a whole subtree's —
-// into d: charges sum, the extremum wins, and among ties the first in
-// ascending range order. The merge is associative, so any nesting of
-// relays reports what a flat root would compute from the leaves directly.
-// [lo, hi) is the child's node range: a winner it does not own would
-// corrupt membership, so it is rejected as the child misbehaving.
-func (d *digest) merge(frame []byte, minimum bool, lo, hi int) error {
-	c, err := wire.DecodeShardDigest(frame)
-	if err != nil {
-		return err
+// fold merges child i's share of the execution into d, [lo, hi) being the
+// child's node range. A child that was asked contributes its answer frame —
+// a shard's digest, or a whole subtree's: the charges of the execution it
+// just ran are summed into d, and a TagReset answer becomes the child's
+// head. A child that was not asked (answer nil: its head stands) contributes
+// the head, whose charges an earlier execution already paid. Either way the
+// winner competes by key, and among ties the first child in range order
+// keeps the lead — the order a full re-merge of all children resolves them
+// in, so which children were asked never shows in the result. The merge is
+// associative, so any nesting of relays reports what a flat root would
+// compute from the leaves directly.
+//
+// A frame is validated before it is used or kept: a winner the child does
+// not own would corrupt membership and a negative charge the ledger, so
+// either is rejected as the child misbehaving.
+func (d *digest) fold(i int, h *head, answer []byte, lo, hi int) error {
+	c := h.ShardDigest
+	if answer != nil {
+		var err error
+		if c, err = wire.DecodeShardDigest(answer); err != nil {
+			return err
+		}
+		if c.Ups < 0 || c.UpBytes < 0 || c.Bcasts < 0 || c.BcastBytes < 0 {
+			return fmt.Errorf("negative digest charges %+v", c)
+		}
+		if c.OK && (c.ID < lo || c.ID >= hi) {
+			return fmt.Errorf("digest winner %d outside range [%d, %d)", c.ID, lo, hi)
+		}
+		d.Ups += c.Ups
+		d.UpBytes += c.UpBytes
+		d.Bcasts += c.Bcasts
+		d.BcastBytes += c.BcastBytes
+		if d.tag == coord.TagReset {
+			h.ShardDigest = c
+		}
 	}
-	if c.Ups < 0 || c.UpBytes < 0 || c.Bcasts < 0 || c.BcastBytes < 0 {
-		return fmt.Errorf("negative digest charges %+v", c)
-	}
-	if c.OK && (c.ID < lo || c.ID >= hi) {
-		return fmt.Errorf("digest winner %d outside range [%d, %d)", c.ID, lo, hi)
-	}
-	d.Ups += c.Ups
-	d.UpBytes += c.UpBytes
-	d.Bcasts += c.Bcasts
-	d.BcastBytes += c.BcastBytes
 	if !c.OK {
 		return nil
 	}
 	cmp := order.Key(c.Key)
-	if minimum {
+	if coord.MinimumTag(d.tag) {
 		cmp = order.Neg(cmp)
 	}
 	if !d.OK || cmp > d.best {
-		d.best = cmp
+		d.best, d.src = cmp, i
 		d.OK, d.ID, d.Key = true, c.ID, c.Key
 	}
 	return nil
 }
 
-// execDelegated is the sharded engine's Exec strategy: one delegated
-// execution request fans out to all shards and their digests are merged
-// in ascending shard (hence node id) order — the merged extremum of
-// per-shard extrema is the global extremum — with every shard's local
-// charges folded into the algorithm ledger.
-func execDelegated(e *fanout.Engine, eff coord.Effect) (protocol.Result, error) {
-	var d digest
-	minimum := coord.MinimumTag(eff.Tag)
-	req := wire.Round{Tag: eff.Tag, Round: 0, Best: int64(order.NegInf), Bound: eff.Bound, Step: e.Step()}
-	err := e.Round(req, func(lo, hi int, answer []byte) error {
-		return d.merge(answer, minimum, lo, hi)
-	})
-	if err != nil {
-		return protocol.Result{}, err
+// execMerge returns the sharded engine's Exec strategy: a delegated
+// execution request goes to the shards whose answer is not already known —
+// every shard, except that a FILTERRESET's extractions after the first ask
+// only the shard whose head the last one took (see head) — and the digests,
+// fetched and standing, are merged in ascending shard (hence node id)
+// order. The merged extremum of per-shard extrema is the global extremum;
+// the local charges of the executions that ran are folded into the
+// algorithm ledger. Over S shards a FILTERRESET is the k-merge of their
+// candidate streams: S + k local executions, k of them one unicast round
+// trip each.
+//
+// The root does not watch its own frames: the machine's effect order does
+// it. TagReset executions occur only inside a FILTERRESET, which opens with
+// ResetBegin to every shard (eff.First: all heads cold) and between
+// extractions sends nothing but the Winner to the owner of the node the
+// last extraction returned.
+func execMerge() fanout.Exec {
+	var heads []head
+	return func(e *fanout.Engine, eff coord.Effect) (protocol.Result, error) {
+		reset := eff.Tag == coord.TagReset
+		if eff.First {
+			if len(heads) != e.Peers() { // the first reset, or the first after a failover or Join
+				heads = make([]head, e.Peers())
+			}
+			clear(heads)
+		}
+		d := digest{tag: eff.Tag}
+		req := wire.Round{Tag: eff.Tag, Round: 0, Best: int64(order.NegInf), Bound: eff.Bound, Step: e.Step()}
+		err := e.Round(req,
+			func(pi int) bool { return !reset || !heads[pi].fresh },
+			func(pi, lo, hi int, answer []byte) error {
+				if reset {
+					heads[pi].fresh = true // asked just now, or standing
+				}
+				return d.fold(pi, &heads[pi], answer, lo, hi)
+			})
+		if err != nil {
+			return protocol.Result{}, err
+		}
+		if reset && d.OK {
+			heads[d.src].fresh = false // the machine answers with a Winner for d.ID
+		}
+		rec := e.Recorder(eff.Phase)
+		comm.RecordSized(rec, comm.Up, d.Ups, d.UpBytes)
+		comm.RecordSized(rec, comm.Bcast, d.Bcasts, d.BcastBytes)
+		return protocol.Result{OK: d.OK, ID: d.ID, Key: order.Key(d.Key)}, nil
 	}
-	rec := e.Recorder(eff.Phase)
-	comm.RecordSized(rec, comm.Up, d.Ups, d.UpBytes)
-	comm.RecordSized(rec, comm.Bcast, d.Bcasts, d.BcastBytes)
-	return protocol.Result{OK: d.OK, ID: d.ID, Key: order.Key(d.Key)}, nil
 }

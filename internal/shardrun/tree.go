@@ -10,10 +10,11 @@ import (
 // Tree configures the hierarchical coordinator: instead of the root
 // fanning out to S leaf shards directly, it talks to Branch interior
 // coordinators, each the root of its own subtree, Depth link levels deep.
-// The leaves are the only protocol participants — interiors are stateless
-// relays (ServeInterior) that re-split assignments downward and fold
-// replies upward with the same associative merges the root applies — so
-// a tree of any shape reports exactly what a flat engine over the same
+// The leaves are the only protocol participants — interiors are relays
+// (ServeInterior) that re-split assignments downward and fold replies
+// upward with the same associative merges the root applies, holding what
+// the root's merge holds and nothing else (one head per child; see head) —
+// so a tree of any shape reports exactly what a flat engine over the same
 // leaf partition would, while the root's fan-in stays at Branch links
 // where the flat engine needs Branch^Depth.
 //

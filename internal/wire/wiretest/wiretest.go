@@ -1,8 +1,9 @@
-// Package wiretest holds what only tests need of the retired v1 bank
-// frame: its encoder, which no monitor runs any more, and the v1 form of
-// a bank given in the v2 form, so that every restore suite can forge the
-// frames a pre-v2 monitor wrote and pin that they keep restoring — and
-// keep being rejected — as they were.
+// Package wiretest holds what only tests need of the wire format. Of the
+// retired v1 bank frame: its encoder, which no monitor runs any more, and
+// the v1 form of a bank given in the v2 form, so that every restore suite
+// can forge the frames a pre-v2 monitor wrote and pin that they keep
+// restoring — and keep being rejected — as they were. Of the link frames:
+// Subframes and Rounds, for link wrappers that watch what crosses a link.
 package wiretest
 
 import (
@@ -73,4 +74,29 @@ func V1(s wire.BankState) wire.NodesState {
 		m.RngInc[i] = root.SplitInc(uint64(s.Lo + i))
 	}
 	return m
+}
+
+// Subframes calls fn for every command a transport frame carries: each
+// sub-frame of a batch, or the frame itself when it is not one (a frame
+// that does not decode as a batch included).
+func Subframes(frame []byte, fn func(sub []byte)) {
+	var b wire.Batch
+	if b.Decode(frame) != nil {
+		fn(frame)
+		return
+	}
+	for _, sub := range b.Frames {
+		fn(sub)
+	}
+}
+
+// Rounds calls fn for every Round command frame carries and ignores
+// everything else: what a test's link wrapper needs to count the
+// executions a peer is asked to run.
+func Rounds(frame []byte, fn func(wire.Round)) {
+	Subframes(frame, func(sub []byte) {
+		if m, err := wire.DecodeRound(sub); err == nil {
+			fn(m)
+		}
+	})
 }
