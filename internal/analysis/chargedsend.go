@@ -8,9 +8,9 @@ import (
 // ChargedSend guards Theorem 4.2's bit accounting: the paper's
 // communication bounds are claims about *counted* messages, so every
 // transport frame an engine emits must be visible to a comm ledger —
-// either charged directly next to the send (the fan-out core's link
-// ledger, counter.RecordSized beside link.Send in Engine.ship, and the
-// interior relays' per-level counters) or emitted from a charged context:
+// either charged directly next to the send (the link fan's ledger,
+// RecordSized beside link.Send in fanout.Fan.ship — a root's link ledger, an
+// interior relay's per-level counter) or emitted from a charged context:
 // a function that drives the coord package, whose Machine/Nodes own the
 // model ledger and have already charged the message the frame carries.
 //
@@ -19,18 +19,19 @@ import (
 // function that — directly or through same-package helpers it calls —
 // records to a comm ledger (Record/RecordSized) or calls into the coord
 // package. The serve loops qualify through their respond helpers, which
-// drive the node banks (the leaf server) or charge the relay counter (the
-// interior); a function that reaches neither is emitting bytes no ledger
-// can see.
+// drive the node banks (the leaf server) or fold digests under the coord
+// package's tag order (the interior, whose child-facing frames the fan
+// charges); a function that reaches neither is emitting bytes no ledger can
+// see.
 //
 // transport.Flush is deliberately not checked: it releases bytes a
 // checked Send already buffered and never introduces new payload.
 //
 // The audited exceptions, suppressed line-by-line with //lint:topk
 // chargedsend <reason>, fall into two classes: control frames outside
-// the model (Shutdown on teardown), and the interior relays' StatsPoll
-// diagnostics exchange, which is uncharged by design so polling cannot
-// perturb the ledgers it reports.
+// the model (Shutdown on teardown), and the StatsPoll diagnostics
+// exchange, which is uncharged by design so polling cannot perturb the
+// ledgers it reports — one of each, both in fanout.Fan.
 var ChargedSend = &Analyzer{
 	Name: "chargedsend",
 	Doc:  "every engine transport send must be charged to a comm ledger or replay a machine-charged effect",

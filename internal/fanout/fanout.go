@@ -1,10 +1,28 @@
-// Package fanout is the coordinator-side engine core shared by every
-// link-backed substrate: it drives Algorithm 1 over one transport.Link per
-// peer, where each peer hosts a contiguous range of the monitored nodes
-// (directly, or as the root of a coordinator subtree) and everything the
-// coordinator learns arrives in wire-encoded frames. internal/netrun and
-// internal/shardrun are its two instantiations; they differ in exactly
-// one thing, how a protocol execution is carried to the peers (Exec).
+// Package fanout is the coordinator side of every link-backed substrate,
+// in two layers.
+//
+// Fan is the link fan: one transport.Link per peer, each peer hosting a
+// contiguous range of the monitored nodes (directly, or as the root of a
+// coordinator subtree). It owns everything about driving those links that
+// is not a protocol decision — the ranges and the routing by range, the
+// per-peer queue of deferred commands, the one send path and the one gather
+// path with their batch framing, the ledger that prices every sub-frame,
+// the Assign/Ready handshake, the uncharged StatsPoll sweep, Shutdown — and
+// is told one thing by its user: what a link failure means.
+//
+// Engine is a root: Algorithm 1 driven over a Fan, where everything the
+// coordinator learns arrives in wire-encoded frames, plus what only a root
+// has — the last-value mirror, failover and Join, checkpoints. Its answer
+// to a link failure is to mark the peer dead and schedule recovery.
+// internal/netrun and internal/shardrun are its two instantiations; they
+// differ in exactly one thing, how a protocol execution is carried to the
+// peers (Exec). The other user of Fan is shardrun's interior relay, a
+// coordinator that is itself a peer: one frame from its parent in, the
+// children's folded answer out, and a link failure ends it.
+//
+// The serving side is here too: Serve is the one leaf server, ServeLoop the
+// receive loop it shares with the relay, Frames the arena both build their
+// one reply frame from.
 //
 // # Relation to the other engines
 //
@@ -50,7 +68,9 @@
 // the readers' channel hops are pure context-switch overhead, the engine
 // drains the links directly in peer order — the frames are in flight
 // either way. Each side wins where it is selected (DESIGN.md "Pipelined
-// substrate" has the measurement), and both produce the same frames.
+// substrate" has the measurement), and both produce the same frames. An
+// interior relay always drains directly: it already is the goroutine that
+// overlaps its sibling subtrees.
 //
 // Determinism: per link, commands and replies keep their exact order (a
 // batch is processed sub-frame by sub-frame in order); across links the
@@ -158,68 +178,20 @@ type Config struct {
 // messages to Engine.Recorder(eff.Phase).
 type Exec func(e *Engine, eff coord.Effect) (protocol.Result, error)
 
-// recvResult is one reader goroutine's answer to a gather request.
-type recvResult struct {
-	frame []byte
-	err   error
-}
-
-// peer is the coordinator's view of one link.
-type peer struct {
-	link   transport.Link
-	lo, hi int
-	reply  wire.Reply // reusable decode target
-	batch  wire.Batch // reusable decode target for batched replies
-
-	// Reader gather: the reader goroutine performs one Recv per req
-	// token and delivers the result (the frame aliases the link's receive
-	// buffer, stable until the reader's next Recv — which cannot happen
-	// before the engine requests it).
-	req chan struct{}
-	res chan recvResult
-
-	// Deferred ack-only commands, encoded back to back in pendBuf with
-	// their lengths in pendLens; they ride in a wire.Batch ahead of the
-	// next data-bearing frame to this peer.
-	pendBuf  []byte
-	pendLens []int
-	views    [][]byte // scratch for assembling batch sub-frame views
-
-	// Failover bookkeeping. owed counts outstanding replies on the link
-	// (the strict request/reply discipline keeps it 0 or 1 at any failure
-	// point), so recovery knows whether a survivor's next frame is a stale
-	// reply to drain before the reassignment handshake.
-	owed     int
-	dead     bool
-	failures int64
-}
-
-// pending returns the number of queued ack-only commands.
-func (p *peer) pending() int { return len(p.pendLens) }
-
-// queue defers one encoded command until the next frame to this peer.
-func (p *peer) queue(enc func([]byte) []byte) {
-	old := len(p.pendBuf)
-	p.pendBuf = enc(p.pendBuf)
-	p.pendLens = append(p.pendLens, len(p.pendBuf)-old)
-}
-
 // Engine is the coordinator of a link-backed monitor. It satisfies
 // sim.Algorithm and sim.DeltaAlgorithm. Like the other engines it is not
 // safe for concurrent Observe calls (the model's time steps are globally
 // ordered).
 type Engine struct {
-	cfg      Config
-	exec     Exec
-	mach     *coord.Machine
-	peers    []*peer
-	overhead comm.Counter        // link ledger: every coordination frame
-	retired  transport.LinkStats // traffic of links recovery has closed
+	cfg     Config
+	exec    Exec
+	mach    *coord.Machine
+	fan     *Fan                // the links; its ledger is the link ledger
+	retired transport.LinkStats // traffic of links recovery has closed
 
-	step    int64
-	closed  bool
-	readers bool  // the gather runs reader goroutines
-	err     error // terminal failure (recovery abandoned); sticky
+	step   int64
+	closed bool
+	err    error // terminal failure (recovery abandoned); sticky
 
 	// Failover state: last mirrors every node's most recent value (what
 	// recovery replays into rebuilt banks), pendingRecovery schedules a
@@ -231,11 +203,7 @@ type Engine struct {
 	recoveries      int64
 	rrng            *rng.RNG // jitters the recovery backoff schedule
 
-	buf       []byte         // reusable encode buffer
-	bbuf      []byte         // reusable batch-envelope encode buffer
-	acks      []int          // per-peer ack count the next collect owes
-	touched   []bool         // peers in the current exchange: the step's observation slices, then each Round
-	treeStats wire.TreeStats // decode scratch for stats polls
+	buf []byte // the one encode buffer every data-bearing frame goes out of
 }
 
 // New performs the Assign/Ready handshake over the given links — peer i
@@ -260,35 +228,27 @@ func New(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 		return nil, fmt.Errorf("fanout: %w", err)
 	}
 	e := &Engine{
-		cfg:     cfg,
-		exec:    exec,
-		mach:    coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
-		last:    make([]int64, cfg.N),
-		rrng:    rng.New(cfg.Seed, 0xbacc),
-		acks:    make([]int, len(links)),
-		touched: make([]bool, len(links)),
+		cfg:  cfg,
+		exec: exec,
+		mach: coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
+		last: make([]int64, cfg.N),
+		rrng: rng.New(cfg.Seed, 0xbacc),
 	}
-	// The range layout does not affect reports or ledgers, only which
-	// link carries which frames.
-	for i, link := range links {
-		lo, hi := Split(0, cfg.N, len(links), i)
-		e.peers = append(e.peers, &peer{link: link, lo: lo, hi: hi})
-	}
-	// A failed handshake fails New; it is not a failover event.
+	e.fan = NewFan(links, e.fail)
+	// A failed handshake fails New; it is not a failover event. The range
+	// layout does not affect reports or ledgers, only which link carries
+	// which frames.
 	e.cfg.OnEvent = nil
-	if err := e.assign(); err != nil {
+	if err := e.fan.Assign(e.assignment()); err != nil {
 		closeAll(links)
 		return nil, err
 	}
 	e.cfg.OnEvent = cfg.OnEvent
-	// Reader goroutines only pay off when the runtime can run them in
-	// parallel: with a single processor their channel hops are pure
-	// context-switch overhead, so the engine then drains the (already
-	// fanned-out) replies directly in peer order — the frames are in
-	// flight either way, and the command coalescing is unaffected.
-	e.readers = runtime.GOMAXPROCS(0) > 1
-	if e.readers {
-		for _, p := range e.peers {
+	// The gather is selected here, from the processor count alone (see
+	// startReader).
+	e.fan.readers = runtime.GOMAXPROCS(0) > 1
+	if e.fan.readers {
+		for _, p := range e.fan.peers {
 			startReader(p)
 		}
 	}
@@ -300,25 +260,6 @@ func closeAll(links []transport.Link) {
 	for _, l := range links {
 		l.Close()
 	}
-}
-
-// startReader attaches a fresh reader goroutine to one peer. It performs
-// exactly one Recv per request token, so the frame it delivered stays
-// untouched until the engine asks for the next one. The result channel's
-// capacity of one plus the owed <= 1 reply discipline guarantee the
-// goroutine's final send never blocks, so closing the request channel
-// (engine Close, or the peer's replacement during failover) always
-// releases it.
-func startReader(p *peer) {
-	p.req = make(chan struct{}, 1)
-	p.res = make(chan recvResult, 1)
-	go func(link transport.Link, req <-chan struct{}, res chan<- recvResult) {
-		for range req {
-			frame, err := link.Recv()
-			//lint:topk ctxsend non-blocking: res has capacity 1 and the owed<=1 reply discipline guarantees a free slot; close(req) releases the loop
-			res <- recvResult{frame: frame, err: err}
-		}
-	}(p.link, p.req, p.res)
 }
 
 // Loopback builds one in-process server behind a pipe — serve is a leaf
@@ -349,24 +290,13 @@ func Loopbacks(n int, serve func(transport.Link) error) []transport.Link {
 }
 
 // Close sends every peer a Shutdown frame, closes the links and stops the
-// reader goroutines. Queued ack-only commands are dropped — the servers
-// are going away with the coordinator. Idempotent.
+// reader goroutines (see Fan.Close). Idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	for _, p := range e.peers {
-		// Best effort: a peer that already vanished is being shut down
-		// anyway.
-		//lint:topk chargedsend Shutdown is a teardown control frame outside the model; the ledgers are final once Close begins
-		_ = p.link.Send(wire.AppendBare(e.buf[:0], wire.TypeShutdown))
-		_ = transport.Flush(p.link)
-		_ = p.link.Close()
-		if p.req != nil {
-			close(p.req)
-		}
-	}
+	e.fan.Close()
 }
 
 // Counts returns the total model message counts charged so far.
@@ -386,24 +316,24 @@ func (e *Engine) Stats() coord.Stats { return e.mach.Stats() }
 // coordinator→peer commands, Up counts peer→coordinator replies.
 // Coalesced commands count individually, so the numbers do not depend on
 // how the transport framed them.
-func (e *Engine) Overhead() comm.Counts { return e.overhead.Snapshot() }
+func (e *Engine) Overhead() comm.Counts { return e.fan.ledger.Snapshot() }
 
 // OverheadBytes returns the encoded byte volume of the link ledger.
-func (e *Engine) OverheadBytes() comm.Bytes { return e.overhead.BytesSnapshot() }
+func (e *Engine) OverheadBytes() comm.Bytes { return e.fan.ledger.BytesSnapshot() }
 
 // TransportStats sums the per-link transport statistics over all peers,
 // links retired by recovery included: the frames and framed bytes that
 // actually crossed the links, control plane included.
 func (e *Engine) TransportStats() transport.LinkStats {
 	s := e.retired
-	for _, p := range e.peers {
+	for _, p := range e.fan.peers {
 		s = s.Add(transport.StatsOf(p.link))
 	}
 	return s
 }
 
 // Peers returns the number of peer links.
-func (e *Engine) Peers() int { return len(e.peers) }
+func (e *Engine) Peers() int { return e.fan.Peers() }
 
 // Top returns the current top-k ids ascending, as a read-only view owned
 // by the engine: it is invalidated by the next step that changes the top
@@ -424,113 +354,17 @@ func (e *Engine) Step() int64 { return e.step }
 // Exec strategy to charge an execution's model messages to.
 func (e *Engine) Recorder(p comm.Phase) comm.Recorder { return e.mach.Recorder(p) }
 
-// ship sends peer pi one transport frame: its queued ack-only commands
-// followed by frame (nil: the queue alone) — a single sub-frame goes out
-// plain, several in one wire.Batch envelope — charging every sub-frame to
-// the link ledger individually. It records how many ack replies the
-// matching collect owes in e.acks.
-func (e *Engine) ship(pi int, frame []byte, op string) error {
-	p := e.peers[pi]
-	e.acks[pi] = p.pending()
-	out := frame
-	switch {
-	case p.pending() == 0:
-	case p.pending() == 1 && frame == nil:
-		out = p.pendBuf
-	default:
-		p.views = p.views[:0]
-		off := 0
-		for _, l := range p.pendLens {
-			p.views = append(p.views, p.pendBuf[off:off+l])
-			off += l
-		}
-		if frame != nil {
-			p.views = append(p.views, frame)
-		}
-		e.bbuf = wire.Batch{Frames: p.views}.Append(e.bbuf[:0])
-		out = e.bbuf
+// collect gathers peer pi's reply to the last ship (see Fan.gather) and
+// consumes the acks of the commands that rode ahead of the shipped frame —
+// empty Replies, decoded only to validate the reply framing — leaving that
+// frame's own answer for the caller to consume (Fan.Next, Fan.Reply).
+// Collects happen in ascending peer order.
+func (e *Engine) collect(pi int, op string) error {
+	subs, err := e.fan.gather(pi, op)
+	for i := 1; i < len(subs) && err == nil; i++ {
+		_, err = e.fan.Reply(pi, op)
 	}
-	if err := p.link.Send(out); err != nil {
-		return e.fail(p, op, err)
-	}
-	if err := transport.Flush(p.link); err != nil {
-		return e.fail(p, op, err)
-	}
-	for _, l := range p.pendLens {
-		e.overhead.RecordSized(comm.Down, 1, int64(l))
-	}
-	if frame != nil {
-		e.overhead.RecordSized(comm.Down, 1, int64(len(frame)))
-	}
-	p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
-	e.expect(p)
-	return nil
-}
-
-// expect records that p owes one reply frame and starts its reader (if
-// any) collecting it.
-func (e *Engine) expect(p *peer) {
-	p.owed = 1
-	if p.req != nil {
-		p.req <- struct{}{}
-	}
-}
-
-// await collects the reply frame a peer owes: from its reader goroutine
-// when one is running, directly off the link otherwise (the fan-out
-// already happened, so the frame is en route either way).
-func (e *Engine) await(p *peer, op string) ([]byte, error) {
-	var r recvResult
-	if p.res != nil {
-		r = <-p.res
-	} else {
-		r.frame, r.err = p.link.Recv()
-	}
-	p.owed = 0
-	if r.err != nil {
-		return nil, e.fail(p, op, r.err)
-	}
-	return r.frame, nil
-}
-
-// collect consumes peer pi's reply to the last ship: the acks it owes
-// first (empty Replies, decoded only to validate the reply framing), then
-// — when the shipped frame was data-bearing — the payload, which is
-// returned for the caller to decode. Every sub-frame is charged to the
-// link ledger. Collects must be consumed in ascending peer order.
-func (e *Engine) collect(pi int, data bool, op string) ([]byte, error) {
-	p := e.peers[pi]
-	frame, err := e.await(p, op)
-	if err != nil {
-		return nil, err
-	}
-	acks, want := e.acks[pi], e.acks[pi]
-	if data {
-		want++
-	}
-	one := [1][]byte{frame}
-	subs := one[:]
-	if want > 1 {
-		if err := p.batch.Decode(frame); err != nil {
-			return nil, e.fail(p, op, err)
-		}
-		if got := len(p.batch.Frames); got != want {
-			return nil, e.fail(p, op, fmt.Errorf("batched reply carries %d frames, want %d", got, want))
-		}
-		subs = p.batch.Frames
-	}
-	for _, sub := range subs {
-		e.overhead.RecordSized(comm.Up, 1, int64(len(sub)))
-	}
-	for _, ack := range subs[:acks] {
-		if err := p.reply.Decode(ack); err != nil {
-			return nil, e.fail(p, op, err)
-		}
-	}
-	if !data {
-		return nil, nil
-	}
-	return subs[acks], nil
+	return err
 }
 
 // Round runs one wire.Round exchange on behalf of the Exec strategy, with
@@ -544,68 +378,49 @@ func (e *Engine) collect(pi int, data bool, op string) ([]byte, error) {
 // link failure.
 func (e *Engine) Round(m wire.Round, ask func(pi int) bool, each func(pi, lo, hi int, answer []byte) error) error {
 	e.buf = m.Append(e.buf[:0])
-	asked := e.touched // finishStep is done with its own use before any effect runs
-	for pi := range e.peers {
-		asked[pi] = ask == nil || ask(pi)
-		if !asked[pi] {
+	for pi := range e.fan.peers {
+		if ask != nil && !ask(pi) {
 			continue
 		}
-		if err := e.ship(pi, e.buf, "round"); err != nil {
+		if err := e.fan.ship(pi, e.buf, "round"); err != nil {
 			return err
 		}
 	}
-	for pi, p := range e.peers {
+	for pi, p := range e.fan.peers {
 		var answer []byte
-		if asked[pi] {
-			var err error
-			if answer, err = e.collect(pi, true, "round"); err != nil {
+		if p.owed != 0 { // it was asked
+			if err := e.collect(pi, "round"); err != nil {
 				return err
 			}
+			answer = e.fan.Next(pi)
 		}
 		if err := each(pi, p.lo, p.hi, answer); err != nil {
-			return e.fail(p, "round", err)
+			return e.fail(pi, "round", err)
 		}
 	}
 	return nil
 }
 
-// owner returns the peer hosting node id.
-func (e *Engine) owner(id int) *peer {
-	for _, p := range e.peers {
-		if id >= p.lo && id < p.hi {
-			return p
-		}
-	}
-	panic(fmt.Sprintf("fanout: no peer owns node %d", id))
-}
-
 // queueAll defers one encoded broadcast command on every peer.
 func (e *Engine) queueAll(enc func([]byte) []byte) {
-	for _, p := range e.peers {
-		p.queue(enc)
+	for pi := range e.fan.peers {
+		e.fan.Queue(pi, enc)
 	}
 }
 
 // drainPending flushes every peer's queued ack-only commands as one
-// fanned-out exchange and gathers the matching acks. Called at the end of
+// fanned-out exchange and checks the matching acks. Called at the end of
 // an effect chain, so server state, reply framing and both ledgers are
 // step-aligned.
 func (e *Engine) drainPending() error {
-	for pi, p := range e.peers {
-		e.acks[pi] = 0
-		if p.pending() == 0 {
-			continue
-		}
-		if err := e.ship(pi, nil, "drain"); err != nil {
-			return err
-		}
+	if err := e.fan.Exchange("drain"); err != nil {
+		return err
 	}
-	for pi := range e.peers {
-		if e.acks[pi] == 0 {
-			continue
-		}
-		if _, err := e.collect(pi, false, "drain"); err != nil {
-			return err
+	for pi, p := range e.fan.peers {
+		for len(p.subs) > 0 {
+			if _, err := e.fan.Reply(pi, "drain"); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -647,10 +462,9 @@ func (e *Engine) Observe(vals []int64) []int {
 	}
 	copy(e.last, vals)
 	e.step = e.mach.BeginStep()
-	for pi, p := range e.peers {
-		e.touched[pi] = true
+	for pi, p := range e.fan.peers {
 		e.buf = wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi]}.Append(e.buf[:0])
-		if e.ship(pi, e.buf, "observe") != nil {
+		if e.fan.ship(pi, e.buf, "observe") != nil {
 			return e.mach.Top()
 		}
 	}
@@ -684,15 +498,11 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	e.step = e.mach.BeginStep()
 	// Ship each peer its slice of the (sorted) delta.
 	start := 0
-	for pi, p := range e.peers {
-		stop := start
-		for stop < len(ids) && ids[stop] < p.hi {
-			stop++
-		}
-		e.touched[pi] = stop > start
-		if e.touched[pi] {
+	for pi := range e.fan.peers {
+		stop := e.fan.Share(pi, ids, start)
+		if stop > start {
 			e.buf = wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop]}.Append(e.buf[:0])
-			if e.ship(pi, e.buf, "observe-delta") != nil {
+			if e.fan.ship(pi, e.buf, "observe-delta") != nil {
 				return e.mach.Top()
 			}
 		}
@@ -701,25 +511,25 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	return e.finishStep("observe-delta")
 }
 
-// finishStep gathers the touched peers' violation flags and drives the
-// coordinator machine through the rest of the step. On a link failure it
-// abandons the step and returns the last-good report.
+// finishStep gathers the violation flags of the peers the step touched —
+// the ones that were shipped an observation frame and so owe a reply — and
+// drives the coordinator machine through the rest of the step. On a link
+// failure it abandons the step and returns the last-good report.
 func (e *Engine) finishStep(op string) []int {
 	anyTop, anyOut := false, false
-	for pi, p := range e.peers {
-		if !e.touched[pi] {
+	for pi, p := range e.fan.peers {
+		if p.owed == 0 {
 			continue
 		}
-		answer, err := e.collect(pi, true, op)
+		if e.collect(pi, op) != nil {
+			return e.mach.Top()
+		}
+		rep, err := e.fan.Reply(pi, op)
 		if err != nil {
 			return e.mach.Top()
 		}
-		if err := p.reply.Decode(answer); err != nil {
-			_ = e.fail(p, op, err)
-			return e.mach.Top()
-		}
-		anyTop = anyTop || p.reply.TopViol
-		anyOut = anyOut || p.reply.OutViol
+		anyTop = anyTop || rep.TopViol
+		anyOut = anyOut || rep.OutViol
 	}
 	_ = e.runEffects(e.mach.FinishStep(anyTop, anyOut))
 	return e.mach.Top()
@@ -753,7 +563,7 @@ func (e *Engine) runEffects(eff coord.Effect) error {
 		case coord.EffResetBegin:
 			e.queueAll(func(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeResetBegin) })
 		case coord.EffWinner:
-			e.owner(eff.Target).queue(wire.Winner{Target: eff.Target, IsTop: eff.IsTop}.Append)
+			e.fan.Queue(e.fan.Owner(eff.Target), wire.Winner{Target: eff.Target, IsTop: eff.IsTop}.Append)
 		case coord.EffMidpoint:
 			e.queueAll(wire.Midpoint{Mid: int64(eff.Mid), Full: eff.Full}.Append)
 		case coord.EffBounds:
@@ -767,46 +577,18 @@ func (e *Engine) runEffects(eff coord.Effect) error {
 }
 
 // TreeStats polls the peers' diagnostic plane and returns the aggregated
-// hierarchy statistics: one coordination-traffic summary per tree level,
-// deepest first, with the engine's own link ledger as the last entry. The
-// poll itself is deliberately uncharged — it rides outside the protocol
-// and the link ledger, visible only in TransportStats — so polling does
-// not perturb what it measures. Over leaf peers the result degenerates to
-// the single root level.
+// hierarchy statistics (see Fan.TreeStats): one coordination-traffic
+// summary per tree level, deepest first, with the engine's own link ledger
+// as the last entry; the poll itself is uncharged. Over leaf peers the
+// result degenerates to the single root level.
 //
 // The engine must be quiescent — between observation steps, as for any
 // other accessor — and a pending recovery is run first, exactly as an
 // observation call would. A link failure during the poll is handled by
 // the regular failover path and reported as an error.
 func (e *Engine) TreeStats() (wire.TreeStats, error) {
-	var out wire.TreeStats
 	if err := e.ready("TreeStats"); err != nil {
-		return out, err
+		return wire.TreeStats{}, err
 	}
-	for _, p := range e.peers {
-		if err := p.link.Send(wire.AppendBare(e.buf[:0], wire.TypeStatsPoll)); err != nil {
-			return out, e.fail(p, "stats poll", err)
-		}
-		if err := transport.Flush(p.link); err != nil {
-			return out, e.fail(p, "stats poll", err)
-		}
-		e.expect(p)
-	}
-	for _, p := range e.peers {
-		frame, err := e.await(p, "stats reply")
-		if err != nil {
-			return out, err
-		}
-		if err := e.treeStats.Decode(frame); err != nil {
-			return out, e.fail(p, "stats reply", err)
-		}
-		out.Merge(e.treeStats)
-	}
-	out.Levels = append(out.Levels, wire.LevelIO{
-		Down:      e.overhead.Get(comm.Down),
-		Up:        e.overhead.Get(comm.Up),
-		DownBytes: e.overhead.GetBytes(comm.Down),
-		UpBytes:   e.overhead.GetBytes(comm.Up),
-	})
-	return out, nil
+	return e.fan.TreeStats()
 }

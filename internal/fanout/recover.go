@@ -44,7 +44,7 @@ func (e *Engine) Health() coord.Health {
 		Failures:   e.failures,
 		Recoveries: e.recoveries,
 	}
-	for _, p := range e.peers {
+	for _, p := range e.fan.peers {
 		h.Peers = append(h.Peers, coord.PeerHealth{Lo: p.lo, Hi: p.hi, Failures: p.failures})
 	}
 	return h
@@ -61,7 +61,8 @@ func (e *Engine) emit(ev coord.Event) {
 // dead, the current step is abandoned (callers unwind returning the
 // last-good report), and the next observation call runs the recovery
 // pass. The engine stays usable — only abandoned recovery sets Err.
-func (e *Engine) fail(p *peer, op string, err error) error {
+func (e *Engine) fail(pi int, op string, err error) error {
+	p := e.fan.peers[pi]
 	p.dead = true
 	p.failures++
 	e.failures++
@@ -116,7 +117,7 @@ func (e *Engine) recoverNow() error {
 // e.retired before it is dropped, so TransportStats stays monotone.
 // Returns the terminal error if no peers survive.
 func (e *Engine) restorePeers() error {
-	for _, p := range e.peers {
+	for _, p := range e.fan.peers {
 		if !p.dead {
 			continue
 		}
@@ -136,7 +137,7 @@ func (e *Engine) restorePeers() error {
 		p.link = nl
 		p.dead = false
 		p.owed = 0
-		if e.readers {
+		if e.fan.readers {
 			startReader(p)
 		}
 		e.emit(coord.Event{Kind: coord.EventPeerReplaced, Lo: p.lo, Hi: p.hi})
@@ -144,9 +145,9 @@ func (e *Engine) restorePeers() error {
 	// Merge the still-dead ranges: into the preceding survivor when one
 	// exists, otherwise into the next (a leading dead run extends the
 	// first survivor's range downward).
-	survivors := make([]*peer, 0, len(e.peers))
+	survivors := make([]*peer, 0, len(e.fan.peers))
 	orphanLo := -1
-	for _, p := range e.peers {
+	for _, p := range e.fan.peers {
 		if p.dead {
 			e.emit(coord.Event{Kind: coord.EventRangeMerged, Lo: p.lo, Hi: p.hi})
 			if len(survivors) > 0 {
@@ -165,42 +166,17 @@ func (e *Engine) restorePeers() error {
 	if len(survivors) == 0 {
 		return e.terminal(errors.New("fanout: all peers lost"))
 	}
-	e.setPeers(survivors)
+	e.fan.peers = survivors
 	return nil
 }
 
-// setPeers installs a new peer set and resizes the per-peer scratch.
-func (e *Engine) setPeers(peers []*peer) {
-	e.peers = peers
-	if len(e.acks) != len(peers) {
-		e.acks = make([]int, len(peers))
-		e.touched = make([]bool, len(peers))
+// assignment is what the Assign handshake tells every peer, its own range
+// apart.
+func (e *Engine) assignment() wire.Assign {
+	return wire.Assign{
+		Lo: 0, Hi: e.cfg.N, N: e.cfg.N, K: e.cfg.K,
+		Seed: e.cfg.Seed, EpsNum: e.mach.Tol().Num(), Distinct: e.cfg.DistinctValues,
 	}
-}
-
-// assign runs the Assign/Ready handshake on every peer: each server
-// (re)builds its bank for its range and answers Ready.
-func (e *Engine) assign() error {
-	tol := e.mach.Tol()
-	for pi, p := range e.peers {
-		e.buf = wire.Assign{
-			Lo: p.lo, Hi: p.hi, N: e.cfg.N, K: e.cfg.K,
-			Seed: e.cfg.Seed, EpsNum: tol.Num(), Distinct: e.cfg.DistinctValues,
-		}.Append(e.buf[:0])
-		if err := e.ship(pi, e.buf, "assign"); err != nil {
-			return err
-		}
-	}
-	for pi, p := range e.peers {
-		frame, err := e.collect(pi, true, "ready")
-		if err != nil {
-			return err
-		}
-		if err := wire.DecodeBare(frame, wire.TypeReady); err != nil {
-			return e.fail(p, "ready", err)
-		}
-	}
-	return nil
 }
 
 // reassignReplayReset is the uniform reconfiguration step shared by
@@ -213,34 +189,33 @@ func (e *Engine) assign() error {
 // traffic. Any peer failing here is marked dead and the error returned;
 // the caller retries or gives up.
 func (e *Engine) reassignReplayReset() error {
-	for _, p := range e.peers {
-		p.pendBuf, p.pendLens = p.pendBuf[:0], p.pendLens[:0]
+	for pi, p := range e.fan.peers {
+		p.queue.Reset()
 		if p.owed == 0 {
 			continue
 		}
-		if _, err := e.await(p, "recovery drain"); err != nil {
+		if _, err := e.fan.await(pi, "recovery drain"); err != nil {
 			return err
 		}
 	}
-	if err := e.assign(); err != nil {
+	if err := e.fan.assign(e.assignment()); err != nil {
 		return err
 	}
 	// Replay the current value of every node from the coordinator-side
 	// mirror. Rebuilt banks hold full filters, so no violations fire; the
 	// replies' flags are deliberately discarded.
-	for pi, p := range e.peers {
+	for pi, p := range e.fan.peers {
 		e.buf = wire.Observe{Step: e.mach.Step(), Vals: e.last[p.lo:p.hi]}.Append(e.buf[:0])
-		if err := e.ship(pi, e.buf, "replay"); err != nil {
+		if err := e.fan.ship(pi, e.buf, "replay"); err != nil {
 			return err
 		}
 	}
-	for pi, p := range e.peers {
-		frame, err := e.collect(pi, true, "replay reply")
-		if err != nil {
+	for pi := range e.fan.peers {
+		if err := e.collect(pi, "replay reply"); err != nil {
 			return err
 		}
-		if err := p.reply.Decode(frame); err != nil {
-			return e.fail(p, "replay reply", err)
+		if _, err := e.fan.Reply(pi, "replay reply"); err != nil {
+			return err
 		}
 	}
 	// Re-derive membership, filters and bounds from the replayed values.
@@ -257,7 +232,7 @@ func (e *Engine) reassignReplayReset() error {
 func (e *Engine) Join(link transport.Link) error {
 	err := e.ready("Join")
 	wi, width := -1, 1
-	for i, p := range e.peers {
+	for i, p := range e.fan.peers {
 		if w := p.hi - p.lo; w > width {
 			wi, width = i, w
 		}
@@ -269,15 +244,15 @@ func (e *Engine) Join(link transport.Link) error {
 		link.Close()
 		return err
 	}
-	w := e.peers[wi]
+	w := e.fan.peers[wi]
 	mid := (w.lo + w.hi) / 2
 	np := &peer{link: link, lo: mid, hi: w.hi}
 	w.hi = mid
-	peers := append(e.peers, nil)
+	peers := append(e.fan.peers, nil)
 	copy(peers[wi+2:], peers[wi+1:])
 	peers[wi+1] = np
-	e.setPeers(peers)
-	if e.readers {
+	e.fan.peers = peers
+	if e.fan.readers {
 		startReader(np)
 	}
 	e.emit(coord.Event{Kind: coord.EventPeerJoined, Lo: np.lo, Hi: np.hi})

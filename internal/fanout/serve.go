@@ -69,10 +69,9 @@ type leaf struct {
 	delta wire.ObserveDelta //
 	batch wire.Batch        // reusable decode scratch for batched commands
 
-	buf   []byte   // holds the outgoing frame (and the batch reply arena)
-	bbuf  []byte   // second encode buffer for assembling batch replies
-	rlens []int    // batched reply lengths within the arena
-	views [][]byte // scratch for assembling the batch reply
+	replies Frames // the replies to the incoming frame's commands
+	env     []byte // envelope buffer for a batched reply
+	buf     []byte // the outgoing frame; aliases replies or env
 }
 
 // newBank validates an assignment and builds its node bank. The RNG
@@ -224,37 +223,28 @@ func (s *leaf) respond(frame []byte) (cont bool, err error) {
 		if s.bank, err = newBank(a); err != nil {
 			return false, err
 		}
-		s.buf = wire.AppendBare(s.buf[:0], wire.TypeReady)
+		s.env = wire.AppendBare(s.env[:0], wire.TypeReady)
+		s.buf = s.env
 		return true, nil
 	}
 	if s.bank == nil {
 		return false, fmt.Errorf("fanout: frame type 0x%02x before any assignment", typ)
 	}
-	if typ != wire.TypeBatch {
-		s.buf, cont, err = s.handle(frame, s.buf[:0])
-		return cont, err
-	}
-	if err := s.batch.Decode(frame); err != nil {
+	subs, batched, err := Subframes(&s.batch, frame)
+	if err != nil {
 		return false, err
 	}
-	s.buf, s.rlens = s.buf[:0], s.rlens[:0]
-	for _, sub := range s.batch.Frames {
-		old := len(s.buf)
-		if s.buf, cont, err = s.handle(sub, s.buf); err != nil || !cont {
+	s.replies.Reset()
+	for _, sub := range subs {
+		s.replies.Add(func(dst []byte) []byte {
+			dst, cont, err = s.handle(sub, dst)
+			return dst
+		})
+		if err != nil || !cont {
 			return false, err
 		}
-		s.rlens = append(s.rlens, len(s.buf)-old)
 	}
-	s.views = s.views[:0]
-	off := 0
-	for _, l := range s.rlens {
-		s.views = append(s.views, s.buf[off:off+l])
-		off += l
-	}
-	// The sub-frames alias s.buf, so assemble the envelope in a second
-	// buffer and swap — s.buf must hold the outgoing frame on return.
-	s.bbuf = wire.Batch{Frames: s.views}.Append(s.bbuf[:0])
-	s.buf, s.bbuf = s.bbuf, s.buf
+	s.buf = s.replies.Frame(nil, batched, &s.env)
 	return true, nil
 }
 

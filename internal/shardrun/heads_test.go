@@ -396,11 +396,8 @@ func TestInteriorRejectsBadDigest(t *testing.T) {
 	// rejected digest was not kept.
 	for _, tc := range bad {
 		kids := []*stubKid{{}, {}}
-		r := &interior{}
-		for _, k := range kids {
-			r.kids = append(r.kids, &kid{link: fanout.Loopback(k.serve)})
-		}
-		defer r.shutdown(r.kids)
+		r := newInterior([]transport.Link{fanout.Loopback(kids[0].serve), fanout.Loopback(kids[1].serve)})
+		defer r.fan.Close()
 		if _, err := r.respond(assign(0, 8)); err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +411,7 @@ func TestInteriorRejectsBadDigest(t *testing.T) {
 		if _, err := r.respond(batch); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
-		if got := r.kids[0].head.ShardDigest; got != won(1, 50) {
+		if got := r.heads[0].ShardDigest; got != won(1, 50) {
 			t.Fatalf("%s: kid 0's head is %+v after the rejection, want the last valid answer %+v", tc.name, got, won(1, 50))
 		}
 	}

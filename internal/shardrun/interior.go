@@ -4,55 +4,11 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/fanout"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
-
-// kid is an interior relay's view of one child subtree link: the absolute
-// node range the subtree serves, plus the staging arena that assembles
-// the child's share of the current exchange. The reply views alias the
-// child's receive buffer and stay valid until that link's next Recv,
-// which relay guarantees happens only after the exchange is combined.
-type kid struct {
-	link   transport.Link
-	lo, hi int  // absolute node range served by the subtree
-	head   head // the subtree's last TagReset answer; see stale
-
-	batch wire.Batch // decode scratch for batched replies
-
-	stage   []byte   // staged outgoing sub-frames (arena)
-	lens    []int    // sub-frame lengths within the arena
-	views   [][]byte // scratch for assembling the outgoing batch
-	replies [][]byte // reply sub-frames of the current exchange
-	cursor  int      // next reply sub-frame to consume
-}
-
-// stageRaw stages one pre-encoded sub-frame verbatim.
-func (k *kid) stageRaw(frame []byte) {
-	k.stage = append(k.stage, frame...)
-	k.lens = append(k.lens, len(frame))
-}
-
-// stageEnc stages one sub-frame produced by an append-encoder.
-func (k *kid) stageEnc(enc func([]byte) []byte) {
-	old := len(k.stage)
-	k.stage = enc(k.stage)
-	k.lens = append(k.lens, len(k.stage)-old)
-}
-
-// stale invalidates the child's head: a frame that can change its answer
-// to a TagReset execution is being staged for it (the rule is head's).
-func (k *kid) stale() { k.head.fresh = false }
-
-// next consumes this child's next reply sub-frame.
-func (k *kid) next() []byte {
-	f := k.replies[k.cursor]
-	k.cursor++
-	return f
-}
 
 // planEntry records, for one parent sub-frame, which children contribute
 // replies and how to combine them (digest merge for Round, flag OR for
@@ -60,52 +16,50 @@ func (k *kid) next() []byte {
 type planEntry struct {
 	typ     byte
 	tag     uint8 // Round only: selects the merge direction
-	targets []int // kid indices sent the sub-frame (so owing a reply), ascending
+	targets []int // children sent the sub-frame (so owing a reply), ascending
 }
 
-// interior is one relay level of the coordinator tree: it owns no node
-// bank and makes no protocol decisions. It re-splits assignments, routes
-// commands down, and folds replies up — violation flags by OR, shard
-// digests by the same associative merge the root applies (charge sums plus
-// the first-in-order extremum), so a subtree is externally
-// indistinguishable from a single wider shard. Its only protocol state is
-// one head per child — the child's last TagReset answer, kept so a
-// FILTERRESET extraction re-asks only the child whose answer can have
-// changed (see head) — invalidated by nothing but the frames this relay
-// itself stages for that child. Beyond that it keeps the child ranges and
-// a comm.Counter over the child-facing coordination frames, reported one
-// LevelIO per tree level through the StatsPoll diagnostic exchange.
+// interior is one relay level of the coordinator tree: a fanout.Fan over
+// its child links — the root's own ranges, queues, batch framing, send and
+// gather paths, handshake, stats sweep and shutdown, with the direct drain
+// (the relay already is the goroutine that overlaps its sibling subtrees)
+// and a ledger that is this tree level's LevelIO — under a plan of what
+// each parent sub-frame owes. It owns no node bank and makes no protocol
+// decisions: it routes commands down by child range and folds replies up —
+// violation flags by OR, shard digests by the same associative merge the
+// root applies (charge sums plus the first-in-order extremum), so a subtree
+// is externally indistinguishable from a single wider shard. Its only
+// protocol state is one head per child — the child's last TagReset answer,
+// kept so a FILTERRESET extraction re-asks only the child whose answer can
+// have changed (see head) — invalidated by nothing but the frames this
+// relay itself queues for that child. A link failure is not survived: it
+// is returned, the serve loop ends, and the subtree unwinds.
 type interior struct {
-	parent  transport.Link
-	kids    []*kid
-	lo, hi  int          // currently assigned absolute range
-	counter comm.Counter // child-facing coordination traffic (one tree level)
+	fan    *fanout.Fan
+	heads  []head // one per child, in range order
+	lo, hi int    // currently assigned absolute range
 
 	obs   wire.Observe      // decode scratch
 	delta wire.ObserveDelta //
 	batch wire.Batch        // decode scratch for parent batches
-	stats wire.TreeStats    // decode scratch for child stats replies
 
-	plan  []planEntry
-	one   [][]byte // single-frame relay scratch
-	buf   []byte   // outgoing parent frame (or reply arena for batches)
-	bbuf  []byte   // batch-envelope encode scratch
-	rlens []int    // reply sub-frame lengths within buf
-	views [][]byte // scratch for assembling the parent batch reply
-	ids   []int    // per-child delta routing scratch
-	vals  []int64  //
-
-	sum wire.TreeStats // stats aggregation scratch
+	plan    []planEntry
+	replies fanout.Frames // the folded replies to the parent frame's commands
+	env     []byte        // envelope buffer for a batched reply
+	buf     []byte        // the outgoing parent frame; aliases replies or env
 }
 
-// owner returns the index of the child subtree owning node id, or -1.
-func (r *interior) owner(id int) int {
-	for ki, k := range r.kids {
-		if id >= k.lo && id < k.hi {
-			return ki
-		}
-	}
-	return -1
+func newInterior(children []transport.Link) *interior {
+	r := &interior{heads: make([]head, len(children))}
+	r.fan = fanout.NewFan(children, r.fail)
+	return r
+}
+
+// fail is the relay's response to a failing child: the error, with the
+// child's range.
+func (r *interior) fail(ki int, op string, err error) error {
+	lo, hi := r.fan.Range(ki)
+	return fmt.Errorf("shardrun: interior %s [%d, %d): %w", op, lo, hi, err)
 }
 
 // entry appends a reused plan entry and returns it.
@@ -122,96 +76,40 @@ func (r *interior) entry(typ byte) *planEntry {
 	return pe
 }
 
-// shutdown forwards Shutdown to the given children and closes their links,
-// so leaves exit their serve loops cleanly before the pipes go away.
-func (r *interior) shutdown(kids []*kid) {
-	for _, k := range kids {
-		//lint:topk chargedsend Shutdown is a teardown control frame outside the model; nothing is charged once the subtree is being dismantled
-		_ = k.link.Send(wire.AppendBare(r.bbuf[:0], wire.TypeShutdown))
-		_ = transport.Flush(k.link)
-		_ = k.link.Close()
+// to queues one sub-frame of pe for child ki. stale says the frame can
+// change the child's answer to a TagReset execution, which invalidates its
+// head (the rule is head's).
+func (r *interior) to(pe *planEntry, ki int, enc func([]byte) []byte, stale bool) {
+	if stale {
+		r.heads[ki].fresh = false
+	}
+	r.fan.Queue(ki, enc)
+	pe.targets = append(pe.targets, ki)
+}
+
+// toAll queues one broadcast sub-frame of pe for every child.
+func (r *interior) toAll(pe *planEntry, enc func([]byte) []byte, stale bool) {
+	for ki := range r.heads {
+		r.to(pe, ki, enc, stale)
 	}
 }
 
-// reassign handles an Assign from the parent: re-split the range among
-// the children with the same fanout.Split rule the root uses, run the
-// Assign/Ready handshake down the subtree, and ack Ready up. An
-// assignment narrower than the child count shuts the surplus children
-// down for good — the subsequent re-split keeps every survivor non-empty
-// (mid-stream narrowing happens only through root-side range merges,
-// which never widen again).
+// reassign handles an Assign from the parent: the fan re-splits the range
+// among the children with the rule the root uses and runs the Assign/Ready
+// handshake down the subtree — an assignment narrower than the child count
+// shuts the surplus children down for good (mid-stream narrowing happens
+// only through root-side range merges, which never widen again) — and the
+// relay acks Ready up. Every subtree rebuilds its banks, so every head is
+// cold.
 func (r *interior) reassign(m wire.Assign) error {
-	width := m.Hi - m.Lo
-	if width <= 0 {
-		return fmt.Errorf("shardrun: interior assigned empty range [%d, %d)", m.Lo, m.Hi)
-	}
-	if width < len(r.kids) {
-		r.shutdown(r.kids[width:])
-		r.kids = r.kids[:width]
+	if err := r.fan.Assign(m); err != nil {
+		return err
 	}
 	r.lo, r.hi = m.Lo, m.Hi
-	ka := m // per-child assignment: same population, narrower range
-	for i, k := range r.kids {
-		k.stale() // the subtree rebuilds its banks
-		k.lo, k.hi = fanout.Split(m.Lo, m.Hi, len(r.kids), i)
-		ka.Lo, ka.Hi = k.lo, k.hi
-		r.buf = ka.Append(r.buf[:0])
-		if err := k.link.Send(r.buf); err != nil {
-			return fmt.Errorf("shardrun: interior assign [%d, %d): %w", k.lo, k.hi, err)
-		}
-		if err := transport.Flush(k.link); err != nil {
-			return fmt.Errorf("shardrun: interior assign [%d, %d): %w", k.lo, k.hi, err)
-		}
-		r.counter.RecordSized(comm.Down, 1, int64(len(r.buf)))
-	}
-	for _, k := range r.kids {
-		frame, err := k.link.Recv()
-		if err != nil {
-			return fmt.Errorf("shardrun: interior ready [%d, %d): %w", k.lo, k.hi, err)
-		}
-		if err := wire.DecodeBare(frame, wire.TypeReady); err != nil {
-			return fmt.Errorf("shardrun: interior ready [%d, %d): %w", k.lo, k.hi, err)
-		}
-		r.counter.RecordSized(comm.Up, 1, int64(len(frame)))
-	}
-	r.buf = wire.AppendBare(r.buf[:0], wire.TypeReady)
-	return nil
-}
-
-// pollStats answers the StatsPoll diagnostic: gather every child's
-// TreeStats, sum the per-level IO of the deeper levels elementwise, and
-// append this relay's own child-facing counter as one more level (deepest
-// level first). The poll exchange itself is deliberately not charged
-// anywhere — diagnostics must not perturb the numbers they report — so it
-// is visible only in the transport statistics.
-func (r *interior) pollStats() error {
-	for _, k := range r.kids {
-		//lint:topk chargedsend StatsPoll is deliberately uncharged diagnostics: polling must not perturb the ledgers it reports (see pollStats doc)
-		if err := k.link.Send(wire.AppendBare(r.bbuf[:0], wire.TypeStatsPoll)); err != nil {
-			return fmt.Errorf("shardrun: interior stats poll: %w", err)
-		}
-		if err := transport.Flush(k.link); err != nil {
-			return fmt.Errorf("shardrun: interior stats poll: %w", err)
-		}
-	}
-	r.sum.Levels = r.sum.Levels[:0]
-	for _, k := range r.kids {
-		frame, err := k.link.Recv()
-		if err != nil {
-			return fmt.Errorf("shardrun: interior stats reply: %w", err)
-		}
-		if err := r.stats.Decode(frame); err != nil {
-			return fmt.Errorf("shardrun: interior stats reply: %w", err)
-		}
-		r.sum.Merge(r.stats)
-	}
-	r.sum.Levels = append(r.sum.Levels, wire.LevelIO{
-		Down:      r.counter.Get(comm.Down),
-		Up:        r.counter.Get(comm.Up),
-		DownBytes: r.counter.GetBytes(comm.Down),
-		UpBytes:   r.counter.GetBytes(comm.Up),
-	})
-	r.buf = r.sum.Append(r.buf[:0])
+	r.heads = r.heads[:r.fan.Peers()]
+	clear(r.heads)
+	r.env = wire.AppendBare(r.env[:0], wire.TypeReady)
+	r.buf = r.env
 	return nil
 }
 
@@ -221,29 +119,29 @@ func (r *interior) pollStats() error {
 func (r *interior) mergeDigests(pe *planEntry) (wire.ShardDigest, error) {
 	d := digest{tag: pe.tag}
 	targets := pe.targets
-	for ki, k := range r.kids {
+	for ki := range r.heads {
 		var answer []byte
 		if len(targets) > 0 && targets[0] == ki {
-			answer, targets = k.next(), targets[1:]
+			answer, targets = r.fan.Next(ki), targets[1:]
 		}
-		if err := d.fold(ki, &k.head, answer, k.lo, k.hi); err != nil {
-			return d.ShardDigest, fmt.Errorf("shardrun: interior digest [%d, %d): %w", k.lo, k.hi, err)
+		lo, hi := r.fan.Range(ki)
+		if err := d.fold(ki, &r.heads[ki], answer, lo, hi); err != nil {
+			return d.ShardDigest, r.fail(ki, "digest", err)
 		}
 	}
 	return d.ShardDigest, nil
 }
 
-// relay routes one parent exchange — a single command or the sub-frames
-// of a batch — through the subtree in three pipelined strokes: stage
-// every child's share, fan everything out (so sibling subtrees work
-// concurrently), then gather and combine in child order. Each child
-// receives at most one frame per parent frame, preserving the one
-// outstanding frame per link invariant at every level, and a batch of n
-// commands costs one round trip per tree level instead of n.
+// relay routes the commands of one parent frame through the subtree in
+// three strokes: queue every child's share, let the fan exchange them (one
+// frame per involved child, all sent before the first reply is awaited, so
+// sibling subtrees work concurrently), then combine the replies in child
+// order into one reply per command. Each child receives at most one frame
+// per parent frame, preserving the one outstanding frame per link invariant
+// at every level, and a batch of n commands costs one round trip per tree
+// level instead of n. It returns false for Shutdown (children shut down, no
+// reply owed).
 func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
-	for _, k := range r.kids {
-		k.stage, k.lens = k.stage[:0], k.lens[:0]
-	}
 	r.plan = r.plan[:0]
 	for _, sub := range frames {
 		typ, err := wire.MsgType(sub)
@@ -251,47 +149,36 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			return false, err
 		}
 		pe := r.entry(typ)
+		raw := func(dst []byte) []byte { return append(dst, sub...) }
 		switch typ {
 		case wire.TypeResetBegin:
 			if err := wire.DecodeBare(sub, wire.TypeResetBegin); err != nil {
 				return false, err
 			}
-			for ki, k := range r.kids {
-				k.stale()
-				k.stageRaw(sub)
-				pe.targets = append(pe.targets, ki)
-			}
+			r.toAll(pe, raw, true)
 
 		case wire.TypeMidpoint:
 			if _, err := wire.DecodeMidpoint(sub); err != nil {
 				return false, err
 			}
-			for ki := range r.kids {
-				r.kids[ki].stageRaw(sub)
-				pe.targets = append(pe.targets, ki)
-			}
+			r.toAll(pe, raw, false)
 
 		case wire.TypeApproxBounds:
 			if _, err := wire.DecodeApproxBounds(sub); err != nil {
 				return false, err
 			}
-			for ki := range r.kids {
-				r.kids[ki].stageRaw(sub)
-				pe.targets = append(pe.targets, ki)
-			}
+			r.toAll(pe, raw, false)
 
 		case wire.TypeWinner:
 			m, err := wire.DecodeWinner(sub)
 			if err != nil {
 				return false, err
 			}
-			ki := r.owner(m.Target)
+			ki := r.fan.Owner(m.Target)
 			if ki < 0 {
 				return false, fmt.Errorf("shardrun: winner %d outside interior range [%d, %d)", m.Target, r.lo, r.hi)
 			}
-			r.kids[ki].stale()
-			r.kids[ki].stageRaw(sub)
-			pe.targets = append(pe.targets, ki)
+			r.to(pe, ki, raw, true)
 
 		case wire.TypeObserve:
 			if err := r.obs.Decode(sub); err != nil {
@@ -300,35 +187,27 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			if len(r.obs.Vals) != r.hi-r.lo {
 				return false, fmt.Errorf("shardrun: observe carries %d values for interior range [%d, %d)", len(r.obs.Vals), r.lo, r.hi)
 			}
-			for ki, k := range r.kids {
-				k.stale()
-				k.stageEnc(wire.Observe{Step: r.obs.Step, Vals: r.obs.Vals[k.lo-r.lo : k.hi-r.lo]}.Append)
-				pe.targets = append(pe.targets, ki)
+			for ki := range r.heads {
+				lo, hi := r.fan.Range(ki)
+				r.to(pe, ki, wire.Observe{Step: r.obs.Step, Vals: r.obs.Vals[lo-r.lo : hi-r.lo]}.Append, true)
 			}
 
 		case wire.TypeObserveDelta:
 			if err := r.delta.Decode(sub); err != nil {
 				return false, err
 			}
-			for _, id := range r.delta.IDs {
-				if id < r.lo || id >= r.hi {
-					return false, fmt.Errorf("shardrun: delta id %d outside interior range [%d, %d)", id, r.lo, r.hi)
-				}
+			// The codec guarantees strictly increasing ids, so the ends
+			// bound them all.
+			if ids := r.delta.IDs; len(ids) > 0 && (ids[0] < r.lo || ids[len(ids)-1] >= r.hi) {
+				return false, fmt.Errorf("shardrun: delta ids %d..%d outside interior range [%d, %d)", ids[0], ids[len(ids)-1], r.lo, r.hi)
 			}
-			for ki, k := range r.kids {
-				r.ids, r.vals = r.ids[:0], r.vals[:0]
-				for j, id := range r.delta.IDs {
-					if id >= k.lo && id < k.hi {
-						r.ids = append(r.ids, id)
-						r.vals = append(r.vals, r.delta.Vals[j])
-					}
+			start := 0
+			for ki := range r.heads {
+				stop := r.fan.Share(ki, r.delta.IDs, start)
+				if stop > start {
+					r.to(pe, ki, wire.ObserveDelta{Step: r.delta.Step, IDs: r.delta.IDs[start:stop], Vals: r.delta.Vals[start:stop]}.Append, true)
 				}
-				if len(r.ids) == 0 {
-					continue
-				}
-				k.stale()
-				k.stageEnc(wire.ObserveDelta{Step: r.delta.Step, IDs: r.ids, Vals: r.vals}.Append)
-				pe.targets = append(pe.targets, ki)
+				start = stop
 			}
 
 		case wire.TypeRound:
@@ -337,21 +216,20 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 				return false, err
 			}
 			pe.tag = m.Tag
-			for ki, k := range r.kids {
+			for ki := range r.heads {
 				if m.Tag == coord.TagReset {
-					if k.head.fresh {
-						continue // its head stands: nothing staged for it since it answered
+					if r.heads[ki].fresh {
+						continue // its head stands: nothing queued for it since it answered
 					}
 					// Fresh from here on: by the time a later sub-frame's
 					// answer is merged, this one's reply is the head.
-					k.head.fresh = true
+					r.heads[ki].fresh = true
 				}
-				k.stageRaw(sub)
-				pe.targets = append(pe.targets, ki)
+				r.to(pe, ki, raw, false)
 			}
 
 		case wire.TypeShutdown:
-			r.shutdown(r.kids)
+			r.fan.Close()
 			return false, nil
 
 		default:
@@ -359,100 +237,33 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 		}
 	}
 
-	// Fan out: every child subtree starts working before the first reply
-	// is awaited. The envelope buffer is reusable across children because
-	// the transport consumes the frame synchronously in Send.
-	for _, k := range r.kids {
-		n := len(k.lens)
-		if n == 0 {
-			continue
-		}
-		out := k.stage
-		if n > 1 {
-			k.views = k.views[:0]
-			off := 0
-			for _, l := range k.lens {
-				k.views = append(k.views, k.stage[off:off+l])
-				off += l
-			}
-			r.bbuf = wire.Batch{Frames: k.views}.Append(r.bbuf[:0])
-			out = r.bbuf
-		}
-		for _, l := range k.lens {
-			r.counter.RecordSized(comm.Down, 1, int64(l))
-		}
-		if err := k.link.Send(out); err != nil {
-			return false, fmt.Errorf("shardrun: interior send [%d, %d): %w", k.lo, k.hi, err)
-		}
-		if err := transport.Flush(k.link); err != nil {
-			return false, fmt.Errorf("shardrun: interior send [%d, %d): %w", k.lo, k.hi, err)
-		}
+	if err := r.fan.Exchange("relay"); err != nil {
+		return false, err
 	}
 
-	for _, k := range r.kids {
-		n := len(k.lens)
-		k.cursor = 0
-		k.replies = k.replies[:0]
-		if n == 0 {
-			continue
-		}
-		frame, err := k.link.Recv()
-		if err != nil {
-			return false, fmt.Errorf("shardrun: interior gather [%d, %d): %w", k.lo, k.hi, err)
-		}
-		if n == 1 {
-			k.replies = append(k.replies, frame)
-		} else {
-			if err := k.batch.Decode(frame); err != nil {
-				return false, fmt.Errorf("shardrun: interior gather [%d, %d): %w", k.lo, k.hi, err)
-			}
-			if got := len(k.batch.Frames); got != n {
-				return false, fmt.Errorf("shardrun: interior gather [%d, %d): batched reply carries %d frames, want %d", k.lo, k.hi, got, n)
-			}
-			k.replies = append(k.replies, k.batch.Frames...)
-		}
-		for _, rf := range k.replies {
-			r.counter.RecordSized(comm.Up, 1, int64(len(rf)))
-		}
-	}
-
-	r.buf, r.rlens = r.buf[:0], r.rlens[:0]
-	var rep wire.Reply
+	r.replies.Reset()
 	for i := range r.plan {
 		pe := &r.plan[i]
-		old := len(r.buf)
 		if pe.typ == wire.TypeRound {
 			d, err := r.mergeDigests(pe)
 			if err != nil {
 				return false, err
 			}
-			r.buf = d.Append(r.buf)
-		} else {
-			topViol, outViol := false, false
-			for _, ki := range pe.targets {
-				k := r.kids[ki]
-				if err := rep.Decode(k.next()); err != nil {
-					return false, fmt.Errorf("shardrun: interior reply [%d, %d): %w", k.lo, k.hi, err)
-				}
-				topViol = topViol || rep.TopViol
-				outViol = outViol || rep.OutViol
+			r.replies.Add(d.Append)
+			continue
+		}
+		topViol, outViol := false, false
+		for _, ki := range pe.targets {
+			rep, err := r.fan.Reply(ki, "reply")
+			if err != nil {
+				return false, err
 			}
-			r.buf = wire.Reply{TopViol: topViol, OutViol: outViol}.Append(r.buf)
+			topViol = topViol || rep.TopViol
+			outViol = outViol || rep.OutViol
 		}
-		r.rlens = append(r.rlens, len(r.buf)-old)
+		r.replies.Add(wire.Reply{TopViol: topViol, OutViol: outViol}.Append)
 	}
-	if batched {
-		r.views = r.views[:0]
-		off := 0
-		for _, l := range r.rlens {
-			r.views = append(r.views, r.buf[off:off+l])
-			off += l
-		}
-		// The sub-frames alias r.buf; assemble the envelope elsewhere and
-		// swap so r.buf holds the outgoing frame on return.
-		r.bbuf = wire.Batch{Frames: r.views}.Append(r.bbuf[:0])
-		r.buf, r.bbuf = r.bbuf, r.buf
-	}
+	r.buf = r.replies.Frame(nil, batched, &r.env)
 	return true, nil
 }
 
@@ -472,21 +283,24 @@ func (r *interior) respond(frame []byte) (cont bool, err error) {
 		}
 		return true, r.reassign(m)
 	case wire.TypeStatsPoll:
+		// The subtree's levels, with this relay's own child-facing ledger
+		// as one more (see fanout.Fan.TreeStats).
 		if err := wire.DecodeBare(frame, wire.TypeStatsPoll); err != nil {
 			return false, err
 		}
-		return true, r.pollStats()
-	case wire.TypeShutdown:
-		r.shutdown(r.kids)
-		return false, nil
-	case wire.TypeBatch:
-		if err := r.batch.Decode(frame); err != nil {
+		sum, err := r.fan.TreeStats()
+		if err != nil {
 			return false, err
 		}
-		return r.relay(r.batch.Frames, true)
+		r.env = sum.Append(r.env[:0])
+		r.buf = r.env
+		return true, nil
 	default:
-		r.one = append(r.one[:0], frame)
-		return r.relay(r.one, false)
+		subs, batched, err := fanout.Subframes(&r.batch, frame)
+		if err != nil {
+			return false, err
+		}
+		return r.relay(subs, batched)
 	}
 }
 
@@ -503,13 +317,10 @@ func ServeInterior(parent transport.Link, children []transport.Link) error {
 	if len(children) == 0 {
 		return errors.New("shardrun: interior needs at least one child")
 	}
-	r := &interior{parent: parent}
-	for _, c := range children {
-		r.kids = append(r.kids, &kid{link: c})
-	}
+	r := newInterior(children)
 	defer func() {
-		for _, k := range r.kids {
-			_ = k.link.Close()
+		for _, c := range children {
+			_ = c.Close()
 		}
 	}()
 	first := true

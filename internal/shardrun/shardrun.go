@@ -65,18 +65,22 @@
 // Config.Tree generalizes the star into an arbitrary-depth coordinator
 // tree: each of the root's Branch links may lead to an interior
 // coordinator (ServeInterior) that splits its range across Branch
-// children of its own, down to Branch^Depth leaf shards. Interiors are
-// relays — they route commands by child range, batch sub-frames per link,
-// and k-merge their children's digests into one digest up, exactly the
-// root's merge with exactly the root's one piece of state, a head per
-// child; because that merge is associative and a leaf runs an execution
-// under the same condition in any shape (something that can change its
-// answer reached it), any tree shape is bit-identical to the flat star
-// over the same leaves in reports and the algorithm ledger, and at Depth 1
-// the engine is the flat engine. The link ledger keeps charging only the
-// root's own links (fan-in Branch instead of Branch^Depth); each interior
-// level's traffic lives in its own counter, polled uncharged through the
-// tree by Engine.TreeStats. See DESIGN.md "Hierarchical coordination".
+// children of its own, down to Branch^Depth leaf shards. An interior is the
+// same fanout.Fan over its child links that the root's engine is built on —
+// ranges, per-link batches, send and gather, handshake, stats sweep and
+// shutdown are the root's code, run with the direct drain — under a relay
+// that routes each command by child range and k-merges its children's
+// digests into one digest up, exactly the root's merge with exactly the
+// root's one piece of state, a head per child; because that merge is
+// associative and a leaf runs an execution under the same condition in any
+// shape (something that can change its answer reached it), any tree shape
+// is bit-identical to the flat star over the same leaves in reports and the
+// algorithm ledger, an interior over a single child is the identity on
+// frames, and at Depth 1 the engine is the flat engine. The link ledger
+// keeps charging only the root's own links (fan-in Branch instead of
+// Branch^Depth); each interior level's traffic lives in its own fan's
+// ledger, polled uncharged through the tree by Engine.TreeStats. See
+// DESIGN.md "Hierarchical coordination".
 package shardrun
 
 import (
