@@ -1,6 +1,6 @@
 package repro
 
-// One benchmark per experiment (E1..E12, the repository's "tables and
+// One benchmark per experiment (E1..E19, the repository's "tables and
 // figures" — the paper is analytical, so each experiment validates a
 // theorem or comparison claim; see DESIGN.md §4), plus micro-benchmarks of
 // the core data paths with message-count metrics. The experiment

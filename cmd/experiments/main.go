@@ -1,4 +1,4 @@
-// Command experiments regenerates every experiment table (E1..E12) that
+// Command experiments regenerates every experiment table (E1..E19) that
 // EXPERIMENTS.md records: the empirical validation of the paper's
 // theorems, lower bound, competitive-ratio analysis and comparison claims.
 //

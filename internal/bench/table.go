@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: it regenerates, as numbered
-// experiments E1..E12, the empirical validation of every theorem, lemma and
+// experiments E1..E19, the empirical validation of every theorem, lemma and
 // comparison claim in the paper (the paper is analytical and has no
 // measurement tables of its own; DESIGN.md §4 maps each experiment to the
 // claim it validates). cmd/experiments runs the suite at full scale and

@@ -5,10 +5,11 @@
 // links.
 //
 // Every execution engine in the repository is a thin adapter that drives
-// one Machine over its substrate:
+// one Machine over its substrate, the nodes on the other side always
+// hosted in Nodes banks:
 //
-//   - internal/core executes effects by direct calls on monitor-owned
-//     node state (protocol executions via internal/protocol),
+//   - internal/core executes effects by direct calls on one bank over all
+//     nodes (protocol executions as protocol.Exec's round loop over it),
 //   - internal/runtime ships them as batched commands to shard goroutines,
 //   - internal/netrun encodes them as internal/wire frames on
 //     transport.Links,

@@ -38,8 +38,10 @@ func rankOracle(vals []int64, k int) []int {
 type driver struct {
 	mach *Machine
 	bank *Nodes
-	// round answers protocol rounds: the bank's own Round, unless a test
-	// swaps in Sub views or a reference (round_test.go).
+	// see and round answer observations and protocol rounds: the bank's
+	// own Observe and Round, unless a test swaps in Sub views or a
+	// reference (round_test.go).
+	see   observeFunc
 	round roundFunc
 	// orderChecks counts the ordered mode's EffOrderCheck effects.
 	orderChecks int
@@ -51,14 +53,14 @@ func newDriver(n, k int, seed uint64) *driver {
 
 func newDriverTol(n, k int, seed uint64, tol order.Tol) *driver {
 	bank := NewNodes(n, 0, n, seed, false, tol)
-	return &driver{mach: New(Config{N: n, K: k, Tol: tol}), bank: bank, round: bank.Round}
+	return &driver{mach: New(Config{N: n, K: k, Tol: tol}), bank: bank, see: bank.Observe, round: bank.Round}
 }
 
 func (d *driver) observe(vals []int64) []int {
 	step := d.mach.BeginStep()
 	anyTop, anyOut := false, false
 	for id, v := range vals {
-		t, o, err := d.bank.Observe(id, v, step)
+		t, o, err := d.see(id, v, step)
 		if err != nil {
 			panic(err)
 		}

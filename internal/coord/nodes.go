@@ -1,8 +1,11 @@
 package coord
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/filter"
 	"repro/internal/order"
@@ -11,28 +14,32 @@ import (
 	"repro/internal/wire"
 )
 
-// Per-node bits of Nodes.flags: the checkpoint frame's, so Snapshot copies.
+// Per-node bits of Nodes.flags. Membership is the checkpoint frame's bit and
+// the only one a frame carries: the other three are written and read inside
+// one step, and a checkpoint is taken between steps.
 const (
 	flagInTop     = wire.FlagNodeInTop     // membership from the last broadcast
 	flagWasTop    = wire.FlagNodeWasTop    // membership at the time of the last violation
 	flagExtracted = wire.FlagNodeExtracted // extracted by the running reset
+	flagViolated  = 1 << 3                 // listed in the view's violators
 )
 
 // Nodes hosts the node-side state of a contiguous id range [Lo, Hi) of an
-// n-node monitor: the sans-I/O dual of Machine. Every substrate that hosts
-// nodes — the shard goroutines of internal/runtime, the peer processes of
-// internal/netrun, the shard sub-coordinators of internal/shardrun — owns
-// one Nodes per hosted range and translates its substrate's commands into
-// the methods below.
+// n-node monitor: the sans-I/O dual of Machine, and the only node side
+// there is. Every substrate hosts its nodes in one — the sequential engine
+// of internal/core (all n of them), the shard goroutines of
+// internal/runtime, the peer processes of internal/netrun, the shard
+// sub-coordinators of internal/shardrun — one Nodes per hosted range, and
+// translates its substrate's commands into the methods below.
 //
 // The per-node state of the paper's node model — current key, membership
-// knowledge from the last broadcast, violation history, a private
-// generator for the protocol's Bernoulli trials — is parallel arrays
-// indexed by id - Lo, 25 bytes per hosted node (key 8, generator state 8,
-// violation step 8, flags 1): the filter is derived from the installed
-// bounds (filter.Bounds) and no function of the id is stored, a
-// generator's increment included. Who is still in play during a protocol
-// execution is one bit per node in the view's in-play set (Round), empty
+// knowledge from the last broadcast, a private generator for the
+// protocol's Bernoulli trials — is parallel arrays indexed by id - Lo, 17
+// bytes per hosted node (key 8, generator state 8, flags 1): the filter is
+// derived from the installed bounds (filter.Bounds) and no function of the
+// id is stored, a generator's increment included. Who violated its filter
+// this step is a short list (viol), who is still in play during a protocol
+// execution one bit per node in the view's in-play set (Round), empty
 // between executions.
 //
 // The RNG stream layout is shared by construction: every engine derives
@@ -45,15 +52,24 @@ type Nodes struct {
 	tol      order.Tol
 	maxVal   int64 // cached value-domain bound; Observe checks it per value
 
-	keys     []order.Key
-	gens     rng.Arena      // generator i's increment derives from id Lo+i
-	violStep []int64        // observation step of the last filter violation
-	flags    []uint8        // flagInTop | flagWasTop | flagExtracted
-	inst     *filter.Bounds // shared with every Sub view
+	keys  []order.Key
+	gens  rng.Arena      // generator i's increment derives from id Lo+i
+	flags []uint8        // flagInTop | flagWasTop | flagExtracted | flagViolated
+	inst  *filter.Bounds // shared with every Sub view
 
 	// ord holds the ordered §5 variant's order filters, allocated only by
-	// EnableOrderFilters; nil means every order filter is [-inf, +inf].
-	ord []filter.Interval
+	// EnableOrderFilters and shared with every Sub view; nil means every
+	// order filter is [-inf, +inf].
+	ord *orderTable
+
+	// viol lists, by index, the nodes whose filter check failed at step
+	// violAt through this view, each once (flagViolated says who is
+	// listed). A node's violation is only ever compared with the current
+	// step, so no node keeps a stamp: the first violation of another step
+	// empties the list, and Round ignores a list filled at another step
+	// than the one it is asked about.
+	viol   []int32
+	violAt int64
 
 	// inPlay is the running execution's set of hosted cohort members
 	// still in play. Round enlists it at round 0 and every round clears the
@@ -79,9 +95,8 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
 	b := newBank(n, lo, hi, distinct, tol, protocol.NodeRoot(seed).SplitArena(lo, hi))
-	for i := range b.keys {
-		b.violStep[i] = -1
-		if !distinct {
+	if !distinct {
+		for i := range b.keys {
 			b.keys[i] = b.codec.Encode(0, lo+i)
 		}
 	}
@@ -89,7 +104,7 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 }
 
 // newBank allocates a bank over [lo, hi) around the given generators with
-// every filter [-inf, +inf]; the caller fills keys and violation history.
+// every filter [-inf, +inf]; the caller fills the keys.
 func newBank(n, lo, hi int, distinct bool, tol order.Tol, gens rng.Arena) *Nodes {
 	inst := filter.Unbounded()
 	return &Nodes{
@@ -101,30 +116,28 @@ func newBank(n, lo, hi int, distinct bool, tol order.Tol, gens rng.Arena) *Nodes
 		maxVal:   order.MaxValueFor(n, distinct),
 		keys:     make([]order.Key, hi-lo),
 		gens:     gens,
-		violStep: make([]int64, hi-lo),
 		flags:    make([]uint8, hi-lo),
 		inst:     &inst,
 	}
 }
 
 // Sub returns a view of the sub-range [lo, hi) sharing this bank's node
-// state, installed bounds included. The parent covers construction cost
-// once; disjoint views may then be driven from different goroutines
-// (internal/runtime's shards), parked whenever an install is issued.
+// state, installed bounds and order filters included. The parent covers
+// construction cost once; disjoint views may then be driven from different
+// goroutines (internal/runtime's shards), parked whenever an install is
+// issued. What a view keeps to itself is the execution state of its range:
+// its in-play set and its violator list, so a violation cohort is made of
+// the violations observed through the view that is asked.
 func (b *Nodes) Sub(lo, hi int) *Nodes {
 	if lo < b.lo || hi > b.hi || lo >= hi {
 		panic(fmt.Sprintf("coord: sub-range [%d, %d) outside [%d, %d)", lo, hi, b.lo, b.hi))
 	}
 	i, j := lo-b.lo, hi-b.lo
-	v := &Nodes{
+	return &Nodes{
 		lo: lo, hi: hi, distinct: b.distinct, codec: b.codec, tol: b.tol, maxVal: b.maxVal,
-		keys: b.keys[i:j:j], gens: b.gens.Sub(i, j), violStep: b.violStep[i:j:j], flags: b.flags[i:j:j],
-		inst: b.inst,
+		keys: b.keys[i:j:j], gens: b.gens.Sub(i, j), flags: b.flags[i:j:j],
+		inst: b.inst, ord: b.ord,
 	}
-	if b.ord != nil {
-		v.ord = b.ord[i:j:j]
-	}
-	return v
 }
 
 // Lo returns the first hosted node id.
@@ -148,8 +161,8 @@ func (b *Nodes) index(id int) int {
 }
 
 // cohorts says, per protocol tag, which hosted nodes take part: those
-// whose flags under mask equal want and, in the violation cohorts, that
-// violated this step — all of it knowledge the node legitimately has.
+// whose flags under mask equal want — in the violation cohorts, those of
+// this step's violators — all of it knowledge the node legitimately has.
 var cohorts = [...]struct {
 	mask, want uint8
 	violated   bool
@@ -168,35 +181,60 @@ var cohorts = [...]struct {
 // sentinel-free int64 range in DistinctValues mode.
 func (b *Nodes) MaxValue() int64 { return b.maxVal }
 
+// Encode maps observation v of node id into the key domain: the tie-break
+// injection, or the value itself in DistinctValues mode. A value whose
+// magnitude exceeds MaxValue is rejected with a descriptive error: the
+// injection would overflow (or, in DistinctValues mode, collide with the
+// ±∞ sentinels) and silently corrupt the order, so out-of-domain input
+// must never reach the key domain.
+func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
+	if v > b.maxVal || v < -b.maxVal {
+		return 0, fmt.Errorf("coord: node %d value %d outside the value domain [-%d, %d] for %d nodes", id, v, b.maxVal, b.maxVal, b.codec.N())
+	}
+	if b.distinct {
+		return order.Key(v), nil
+	}
+	return b.codec.Encode(v, id), nil
+}
+
 // Observe ingests one observation for node id at the given step, runs the
 // node-local filter check, and reports whether the node violated as a
 // former top-k member (topViol) or as an outsider (outViol). A value
-// whose magnitude exceeds MaxValue is rejected with a descriptive error
-// before any state changes: the key injection would overflow (or, in
-// DistinctValues mode, collide with the ±∞ sentinels) and silently
-// corrupt the order, so out-of-domain input must never reach the key
-// domain. Hosts that face a wire (internal/netrun, internal/shardrun)
-// surface the error instead of panicking.
+// outside the value domain (Encode) is rejected before any state changes.
+// Hosts that face a wire (internal/netrun, internal/shardrun) surface the
+// error instead of panicking.
 func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err error) {
 	i := b.index(id)
+	// Encode, spelled out: its call is a quarter of a violation-free
+	// observation, which every engine makes once per value.
 	if v > b.maxVal || v < -b.maxVal {
-		return false, false, fmt.Errorf("coord: node %d value %d outside the value domain [-%d, %d] for %d nodes", id, v, b.maxVal, b.maxVal, b.codec.N())
+		_, err = b.Encode(id, v)
+		return false, false, err
 	}
 	key := order.Key(v)
 	if !b.distinct {
 		key = b.codec.Encode(v, id)
 	}
 	b.keys[i] = key
-	inTop := b.flags[i]&flagInTop != 0
-	violated, _ := b.inst.Interval(inTop).Violates(key)
-	if !violated {
+	f := b.flags[i]
+	inTop := f&flagInTop != 0
+	if violated, _ := b.inst.Interval(inTop).Violates(key); !violated {
 		return false, false, nil
 	}
-	b.violStep[i] = step
-	b.flags[i] &^= flagWasTop
-	if inTop {
-		b.flags[i] |= flagWasTop
+	if b.violAt != step {
+		for _, j := range b.viol {
+			b.flags[j] &^= flagViolated
+		}
+		b.viol, b.violAt, f = b.viol[:0], step, f&^flagViolated
 	}
+	if f&flagViolated == 0 {
+		b.viol = append(b.viol, int32(i))
+	}
+	f = f&^flagWasTop | flagViolated
+	if inTop {
+		f |= flagWasTop
+	}
+	b.flags[i] = f
 	return inTop, !inTop, nil
 }
 
@@ -206,12 +244,13 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 // that sends is reported to send in ascending id order with its true key.
 //
 // Round 0 enlists the cohort — each node evaluates its membership locally,
-// 64 flag bytes to one word of the in-play set — so banks need no
-// per-execution setup call, and whatever an abandoned execution left in
-// play is overwritten; every round is then one pass of the round kernel
-// (protocol.Field.Round) over the members still in play. A bank that
-// first sees an execution at a round r > 0 (it joined mid-execution) has
-// nobody in play for it and nobody bids.
+// 64 flag bytes to one word of the in-play set, or in a violation cohort
+// the step's violators alone — so banks need no per-execution setup call,
+// and whatever an abandoned execution left in play is overwritten; every
+// round is then one pass of the round kernel (protocol.Field.Round) over
+// the members still in play. A bank that first sees an execution at a
+// round r > 0 (it joined mid-execution) has nobody in play for it and
+// nobody bids.
 func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
 	if bound <= 0 {
 		panic("coord: protocol round with a non-positive population bound")
@@ -219,16 +258,20 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 	if !ValidTag(tag) {
 		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
 	}
-	if r == 0 {
-		c := cohorts[tag]
-		b.inPlay.Fill(len(b.keys), func(w int) uint64 {
-			var word uint64
-			for j, f := range b.flags[w<<6 : min(w<<6+64, len(b.flags))] {
-				if f&c.mask == c.want && (!c.violated || b.violStep[w<<6+j] == step) {
-					word |= 1 << j
-				}
+	if c := cohorts[tag]; r == 0 && c.violated {
+		viol := b.viol
+		if b.violAt != step {
+			viol = nil // the list is another step's: nobody here violated at this one
+		}
+		b.inPlay.Enlist(len(b.keys), nil)
+		for _, i := range viol {
+			if b.flags[i]&c.mask == c.want {
+				b.inPlay.Add(int(i))
 			}
-			return word
+		}
+	} else if r == 0 {
+		b.inPlay.Fill(len(b.keys), func(w int) uint64 {
+			return matchFlags(b.flags[w<<6:min(w<<6+64, len(b.flags))], c.mask, c.want)
 		})
 	}
 	tol := b.tol
@@ -237,6 +280,28 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 	}
 	coin := rng.NewCoin(uint(r), uint64(bound))
 	protocol.Field{Keys: b.keys, Gens: b.gens}.Round(&b.inPlay, &coin, tol.WidenHi(best), MinimumTag(tag), b.lo, send)
+}
+
+// matchFlags returns the word whose bit j says flags[j]&mask == want, for
+// up to 64 flags, eight of them a load.
+func matchFlags(flags []uint8, mask, want uint8) (word uint64) {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	j := 0
+	for ; j+8 <= len(flags); j += 8 {
+		// A byte of x is zero where its flag matches. Every byte is below
+		// 0x80, so adding 0x7f sets its high bit exactly where it is not
+		// zero, without a carry; the multiplication gathers the eight high
+		// bits into the top byte.
+		x := binary.LittleEndian.Uint64(flags[j:])&(ones*uint64(mask)) ^ ones*uint64(want)
+		hit := ^(x + (highs - ones)) & highs
+		word |= (hit >> 7) * 0x0102040810204080 >> 56 << j
+	}
+	for ; j < len(flags); j++ {
+		if flags[j]&mask == want {
+			word |= 1 << j
+		}
+	}
+	return word
 }
 
 // Winner marks node target as extracted by the current reset, joining the
@@ -269,38 +334,79 @@ func (b *Nodes) ApplyBounds(lo, hi order.Key) {
 // ResetBegin clears extraction state and membership ahead of a FILTERRESET.
 func (b *Nodes) ResetBegin() {
 	for i := range b.flags {
-		b.flags[i] &= flagWasTop
+		b.flags[i] &= flagWasTop | flagViolated
 	}
 }
 
-// EnableOrderFilters allocates the bank's order filters, all [-inf, +inf].
-// Only an internal/runtime in the ordered mode calls it, and before it takes
-// Sub views: a view taken earlier would not share the array.
-func (b *Nodes) EnableOrderFilters() {
+// orderTable is the node side of the ordered mode for a whole bank: the
+// order filter of every node that was sent one, ascending by id. Only the k
+// members hold one at a time, so the table is k entries, not a column: a
+// FILTERRESET re-sends every member its filter (coord/ordered.go), and the
+// first of those installs to find the table full drops what it holds for
+// nodes that are members no longer. Views share it the way they share the
+// installed bounds: checks and installs are unicast, issued while every
+// other view is parked.
+type orderTable struct {
+	ent   []orderEntry
+	flags []uint8 // the whole bank's, for the membership of an entry's node
+	lo    int     // id of flags[0]
+}
+
+type orderEntry struct {
+	id int
+	iv filter.Interval
+}
+
+// find returns the position of node id's entry, or where it would go.
+func (t *orderTable) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(t.ent, id, func(e orderEntry, id int) int { return cmp.Compare(e.id, id) })
+}
+
+// EnableOrderFilters gives the bank its order-filter table, sized for the k
+// members of an ordered monitor and empty: every order filter [-inf, +inf].
+// It is called before Sub views are taken; a view taken earlier would not
+// share the table.
+func (b *Nodes) EnableOrderFilters(k int) {
+	if b.ord == nil {
+		b.ord = &orderTable{ent: make([]orderEntry, 0, k), flags: b.flags, lo: b.lo}
+	}
+}
+
+// OrderFilter returns the order filter node id holds: [-inf, +inf] unless
+// the table has one for it.
+func (b *Nodes) OrderFilter(id int) filter.Interval {
+	b.index(id)
 	if b.ord != nil {
-		return
+		if i, ok := b.ord.find(id); ok {
+			return b.ord.ent[i].iv
+		}
 	}
-	b.ord = make([]filter.Interval, len(b.keys))
-	for i := range b.ord {
-		b.ord[i] = filter.Full()
-	}
+	return filter.Full()
 }
 
 // OrderViolated checks node target's order filter: it returns the node's
 // current key and whether it left the filter.
 func (b *Nodes) OrderViolated(target int) (key order.Key, violated bool) {
-	i := b.index(target)
-	if b.ord != nil {
-		violated, _ = b.ord[i].Violates(b.keys[i])
-	}
-	return b.keys[i], violated
+	key = b.keys[b.index(target)]
+	violated, _ = b.OrderFilter(target).Violates(key)
+	return key, violated
 }
 
 // SetOrderBounds installs node target's order filter [lo, hi]. It panics
 // on a bank whose order filters were never enabled.
 func (b *Nodes) SetOrderBounds(target int, lo, hi order.Key) {
-	if b.ord == nil {
+	t := b.ord
+	if t == nil {
 		panic("coord: SetOrderBounds without EnableOrderFilters")
 	}
-	b.ord[b.index(target)] = filter.Interval{Lo: lo, Hi: hi}
+	b.index(target)
+	i, ok := t.find(target)
+	if !ok {
+		if len(t.ent) == cap(t.ent) {
+			t.ent = slices.DeleteFunc(t.ent, func(e orderEntry) bool { return t.flags[e.id-t.lo]&flagInTop == 0 })
+			i, _ = t.find(target)
+		}
+		t.ent = slices.Insert(t.ent, i, orderEntry{id: target})
+	}
+	t.ent[i].iv = filter.Interval{Lo: lo, Hi: hi}
 }

@@ -11,7 +11,7 @@ import (
 func newOrderedDriver(n, k int, seed uint64) *driver {
 	d := newDriver(n, k, seed)
 	d.mach = New(Config{N: n, K: k, Ordered: true})
-	d.bank.EnableOrderFilters()
+	d.bank.EnableOrderFilters(k)
 	return d
 }
 

@@ -32,9 +32,10 @@ type bankAPI interface {
 // pair issues every command to the flat bank and to the reference and
 // fails the test on the first answer that differs: violation flags and
 // errors of an observation, the (id, key) sends of a round in order, an
-// order-filter check. same compares what no answer shows — every node's
-// key, derived filter, order filter, flags, violation step and generator
-// state, through the byte-identical checkpoint frame.
+// order-filter check. same compares what no answer shows and a step can
+// still read — every node's key, derived filter, membership and generator
+// state, every member's order filter — through the byte-identical
+// checkpoint frame.
 type pair struct {
 	t     *testing.T
 	where string
@@ -105,7 +106,21 @@ func (p *pair) same() {
 	if !bytes.Equal(bs.Append(nil), frame) {
 		p.t.Fatalf("%s: checkpoint frame is not canonical", p.where)
 	}
-	if k, r := wiretest.AppendNodesV1(nil, wiretest.V1(bs)), p.ref.Snapshot(nil); !bytes.Equal(k, r) {
+	// The reference persists what per-node banks persisted; a bank frame
+	// carries live state only. What a later step cannot read is normalised
+	// away here: violation stamps, the WasTop and Extracted bits, and the
+	// order filter a node kept from a membership it has lost.
+	var rs wire.NodesState
+	if err := rs.Decode(p.ref.Snapshot(nil)); err != nil {
+		p.t.Fatalf("%s: reference frame does not decode: %v", p.where, err)
+	}
+	for i := range rs.Flags {
+		rs.ViolStep[i] = -1
+		if rs.Flags[i] &= wire.FlagNodeInTop; rs.Flags[i] == 0 {
+			rs.OrdLo[i], rs.OrdHi[i] = int64(order.NegInf), int64(order.PosInf)
+		}
+	}
+	if k, r := wiretest.AppendNodesV1(nil, wiretest.V1(bs)), wiretest.AppendNodesV1(nil, rs); !bytes.Equal(k, r) {
 		p.t.Fatalf("%s: checkpoint frame differs from the reference's (%d vs %d bytes in v1 form)", p.where, len(k), len(r))
 	}
 }
@@ -235,7 +250,7 @@ func (tc equivCase) build(t *testing.T, seed uint64) (*pair, order.Tol, func()) 
 	}
 	flat, ref := NewNodes(tc.n, 0, tc.n, seed, tc.distinct, tol), newRefNodes(tc.n, 0, tc.n, seed, tc.distinct, tol)
 	if tc.ordered {
-		flat.EnableOrderFilters() // before the views are taken, as the ordered runtime does
+		flat.EnableOrderFilters(tc.k) // before the views are taken, as the ordered runtime does
 	}
 	p := &pair{t: t, where: tc.String(), kern: flat, ref: ref}
 	if tc.views == nil {
@@ -261,12 +276,19 @@ func TestBankMatchesPerNodeReferenceUnderMachine(t *testing.T) {
 		for s := 0; s < 200; s++ {
 			p.where = fmt.Sprintf("%s step %d", tc, s)
 			src.Step(vals)
+			resets := d.mach.Stats().Resets
 			top := d.observe(vals)
 			if tc.ordered {
 				// The ordered variant's per-step traffic: members check
-				// their order filters, some get new ones.
+				// their order filters, some get new ones — after a reset
+				// all of them, unchecked, as the machine has it.
+				reset := d.mach.Stats().Resets != resets
 				for i, id := range top {
-					if _, violated := p.OrderViolated(id); violated || s%7 == 0 {
+					violated := false
+					if !reset {
+						_, violated = p.OrderViolated(id)
+					}
+					if reset || violated || s%7 == 0 {
 						p.SetOrderBounds(id, p.ref.Key(id)-order.Key(i), p.ref.Key(id)+order.Key(s%5))
 					}
 				}
@@ -323,11 +345,13 @@ func (d *bankDriver) observe(vals []int64) []int {
 // with command sequences no machine would issue — memberships of any
 // size, full installs at k < n, crossed bands, bands on exact banks,
 // midpoints on ε banks, executions of every cohort with loose bounds,
-// abandoned executions, order filters on outsiders — keeping only the one
-// rule every host keeps: a membership change (ResetBegin, Winner) is
-// followed by an install before the next observation. Between those two
+// abandoned executions, order filters of any shape — keeping only the two
+// rules every host keeps: a membership change (ResetBegin, Winner) is
+// followed by an install before the next observation — between those two
 // a stored filter is stale where a derived one is already re-derived, and
-// nothing reads either.
+// nothing reads either — and by an order filter for every member, the only
+// nodes that are ever sent or asked about one (the bank keeps a table of
+// the members' filters where the reference keeps one per node for ever).
 func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 	for ci, tc := range equivCases {
 		p, _, stop := tc.build(t, uint64(ci)+3)
@@ -365,12 +389,21 @@ func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 				}
 				execute(p.Round, tag, tc.n+r.Intn(2*tc.n), step, &c)
 			}
-			if tc.ordered {
-				for j := r.Intn(4); j > 0; j-- {
-					lo := randKey()
-					p.SetOrderBounds(r.Intn(tc.n), lo, lo+order.Key(r.Int63n(60*span)))
+			orderBounds := func(id int) {
+				lo := randKey()
+				p.SetOrderBounds(id, lo, lo+order.Key(r.Int63n(60*span)))
+			}
+			var members []int
+			for id := range p.ref.ns {
+				if p.ref.ns[id].inTop {
+					members = append(members, id)
 				}
-				for id := 0; id < tc.n; id++ {
+			}
+			if tc.ordered && len(members) > 0 {
+				for j := r.Intn(4); j > 0; j-- {
+					orderBounds(members[r.Intn(len(members))])
+				}
+				for _, id := range members {
 					p.OrderViolated(id)
 				}
 			}
@@ -383,7 +416,10 @@ func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 					if !res.OK {
 						break
 					}
-					p.Winner(res.ID, r.Intn(3) > 0)
+					isTop := r.Intn(3) > 0
+					if p.Winner(res.ID, isTop); isTop && tc.ordered {
+						orderBounds(res.ID)
+					}
 				}
 				install()
 			case 1:

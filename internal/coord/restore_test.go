@@ -414,12 +414,12 @@ func liveHeap() uint64 {
 
 // TestBankFootprintPerHostedNode pins what a bank keeps alive per hosted
 // node once it has run a full TagReset execution: key 8, generator state
-// 8, violation step 8, flags 1 and the execution's in-play bit, 25.1 B in
-// all. The budget leaves no room for a stored generator increment (8 B),
-// an id list (4 B), a filter interval (16 B), an order filter (16 B) or
-// the node's own id (8 B) per node.
+// 8, flags 1 and the execution's in-play bit, 17.1 B in all. The budget
+// leaves no room for a violation stamp or a stored generator increment
+// (8 B), an id list (4 B), a filter interval (16 B), an order filter
+// (16 B) or the node's own id (8 B) per node.
 func TestBankFootprintPerHostedNode(t *testing.T) {
-	const n, budget = 1 << 18, 28.0
+	const n, budget = 1 << 18, 20.0
 	before := liveHeap()
 	b := NewNodes(n, 0, n, 1, false, order.Tol{})
 	b.ResetBegin()
@@ -460,10 +460,10 @@ func TestNewNodesJumpsToItsRange(t *testing.T) {
 	}
 }
 
-// TestBankAllocatesOptionalArraysOnDemand pins that the per-node array
-// only some hosts need is absent until asked for: order filters
-// (internal/runtime's ordered engine), through resets, installs of both
-// kinds, checkpoints and views.
+// TestBankAllocatesOptionalArraysOnDemand pins that the state only some
+// hosts need is absent until asked for — order filters (the ordered mode of
+// the in-process engines), through resets, installs of both kinds,
+// checkpoints and views — and then a k-entry table, not a per-node array.
 func TestBankAllocatesOptionalArraysOnDemand(t *testing.T) {
 	tol, err := order.NewTol(0.1)
 	if err != nil {
@@ -481,7 +481,7 @@ func TestBankAllocatesOptionalArraysOnDemand(t *testing.T) {
 		back := checkpoint(t, d).bank
 		for name, b := range map[string]*Nodes{"bank": d.bank, "view": d.bank.Sub(3, 9), "restored bank": back} {
 			if b.ord != nil {
-				t.Fatalf("%s that never saw SetOrderBounds holds %d order filters", name, len(b.ord))
+				t.Fatalf("%s that never saw SetOrderBounds holds an order-filter table", name)
 			}
 			if _, violated := b.OrderViolated(b.Lo()); violated {
 				t.Fatalf("%s: an absent order filter reports a violation", name)
@@ -497,11 +497,24 @@ func TestBankAllocatesOptionalArraysOnDemand(t *testing.T) {
 		d.bank.SetOrderBounds(0, 1, 2)
 	}()
 
-	d.bank.EnableOrderFilters()
-	if len(d.bank.ord) != 20 {
-		t.Fatalf("enabled bank holds %d order filters for 20 nodes", len(d.bank.ord))
-	}
+	// The table is the k filters an ordered monitor's members hold, not a
+	// column: it stays k entries however often the membership turns over,
+	// and views share it.
+	d.bank.EnableOrderFilters(4)
 	view := d.bank.Sub(3, 9)
+	for round := 0; round < 5; round++ {
+		d.bank.ResetBegin()
+		for id := round * 4; id < round*4+4; id++ {
+			d.bank.Winner(id, true)
+			d.bank.SetOrderBounds(id, 1, 2)
+		}
+		if len(d.bank.ord.ent) != 4 || cap(d.bank.ord.ent) != 4 {
+			t.Fatalf("membership %d: the table of a k = 4 monitor holds %d entries in room for %d", round, len(d.bank.ord.ent), cap(d.bank.ord.ent))
+		}
+	}
+	if iv := d.bank.OrderFilter(19); iv != (filter.Interval{Lo: 1, Hi: 2}) || d.bank.OrderFilter(15) != filter.Full() {
+		t.Fatalf("member 19 holds %v, former member 15 %v", iv, d.bank.OrderFilter(15))
+	}
 	view.SetOrderBounds(4, 1, 2)
 	if key, violated := d.bank.OrderViolated(4); !violated {
 		t.Fatalf("order filter set through a view is not the parent's: key %d inside [1, 2]", key)

@@ -39,14 +39,44 @@ func (s *refSampler) round(best order.Key, r uint, rg *rng.RNG) bool {
 	return false
 }
 
+// refBank answers protocol rounds for a bank the naive way: every hosted
+// node re-evaluates its cohort membership and consults its own sampler in
+// every round, samplers (re)initialized at round 0. It also keeps what
+// banks kept per node before a violation became an entry of the view's
+// violator list — the step of the node's last violation — so its
+// violation cohorts are the flag-and-stamp predicate, sharing nothing with
+// the list.
+type refBank struct {
+	b        *Nodes
+	samplers []refSampler
+	violStep []int64
+}
+
+func newRefBank(b *Nodes) *refBank {
+	rb := &refBank{b: b, samplers: make([]refSampler, b.Len()), violStep: make([]int64, b.Len())}
+	for i := range rb.violStep {
+		rb.violStep[i] = -1
+	}
+	return rb
+}
+
+// Observe is the bank's Observe, stamping the violator.
+func (rb *refBank) Observe(id int, v int64, step int64) (topViol, outViol bool, err error) {
+	if topViol, outViol, err = rb.b.Observe(id, v, step); topViol || outViol {
+		rb.violStep[id-rb.b.lo] = step
+	}
+	return topViol, outViol, err
+}
+
 // participates is cohort membership evaluated the way per-node banks did
 // it: a switch per node, sharing nothing with the cohorts table.
-func (b *Nodes) participates(i int, tag uint8, step int64) bool {
+func (rb *refBank) participates(i int, tag uint8, step int64) bool {
+	b := rb.b
 	switch tag {
 	case TagViolMin:
-		return b.violStep[i] == step && b.flags[i]&flagWasTop != 0
+		return rb.violStep[i] == step && b.flags[i]&flagWasTop != 0
 	case TagViolMax:
-		return b.violStep[i] == step && b.flags[i]&flagWasTop == 0
+		return rb.violStep[i] == step && b.flags[i]&flagWasTop == 0
 	case TagHandMin:
 		return b.flags[i]&flagInTop != 0
 	case TagHandMax:
@@ -58,21 +88,9 @@ func (b *Nodes) participates(i int, tag uint8, step int64) bool {
 	}
 }
 
-// refBank answers protocol rounds for a bank the naive way: every hosted
-// node re-evaluates its cohort membership and consults its own sampler in
-// every round, samplers (re)initialized at round 0.
-type refBank struct {
-	b        *Nodes
-	samplers []refSampler
-}
-
-func newRefBank(b *Nodes) *refBank {
-	return &refBank{b: b, samplers: make([]refSampler, b.Len())}
-}
-
 func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
 	for i := range rb.b.keys {
-		if !rb.b.participates(i, tag, step) {
+		if !rb.participates(i, tag, step) {
 			continue
 		}
 		if r == 0 {
@@ -92,6 +110,23 @@ func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64
 		if bid {
 			send(rb.b.lo+i, rb.b.keys[i])
 		}
+	}
+}
+
+// observeFunc is the shape of Nodes.Observe.
+type observeFunc func(id int, v int64, step int64) (topViol, outViol bool, err error)
+
+// viewsObserve hands each observation to the Sub view hosting its node, as
+// internal/runtime's shards do: a view's violation cohorts are made of the
+// violations observed through it.
+func viewsObserve(views []*Nodes) observeFunc {
+	return func(id int, v int64, step int64) (bool, bool, error) {
+		for _, view := range views {
+			if id < view.Hi() {
+				return view.Observe(id, v, step)
+			}
+		}
+		panic("id outside every view")
 	}
 }
 
@@ -163,10 +198,11 @@ func TestRoundMatchesPerNodeSamplers(t *testing.T) {
 			for i := 0; i+1 < len(tc.views); i++ {
 				views = append(views, kern.bank.Sub(tc.views[i], tc.views[i+1]))
 			}
-			kern.round = viewsRound(views)
+			kern.see, kern.round = viewsObserve(views), viewsRound(views)
 		}
 		ref := newDriverTol(tc.n, tc.k, 41, tol)
-		ref.round = newRefBank(ref.bank).Round
+		rb := newRefBank(ref.bank)
+		ref.see, ref.round = rb.Observe, rb.Round
 
 		src := stream.NewRandomWalk(stream.WalkConfig{N: tc.n, Lo: 1 << 10, Hi: 1 << 14, MaxStep: 400, Seed: 6})
 		vals := make([]int64, tc.n)
@@ -207,8 +243,13 @@ func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		build := func() *Nodes {
+		build := func(reference bool) (*Nodes, roundFunc) {
 			b := NewNodes(n, 0, n, 17, true, tol)
+			see, round := observeFunc(b.Observe), roundFunc(b.Round)
+			if reference {
+				rb := newRefBank(b)
+				see, round = rb.Observe, rb.Round
+			}
 			// Membership {0, 5, 10, …}, installed filters around 50; then
 			// observations out of few distinct values so that both sides
 			// hold violators and every cohort holds duplicates.
@@ -218,22 +259,22 @@ func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 			b.Midpoint(50, false)
 			vr := rng.New(7, 7)
 			for id := 0; id < n; id++ {
-				if _, _, err := b.Observe(id, 45+vr.Int63n(10), step); err != nil {
+				if _, _, err := see(id, 45+vr.Int63n(10), step); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for id := 1; id < n; id += 7 {
 				b.Winner(id, false) // some extracted, so TagReset is a strict subset
 			}
-			return b
+			return b, round
 		}
 		for _, tag := range []uint8{TagViolMin, TagViolMax, TagHandMin, TagHandMax, TagReset} {
 			for _, bound := range []int{n, 3*n + 1} {
-				kern, refNodes := build(), build()
-				ref := newRefBank(refNodes)
+				kern, kernRound := build(false)
+				refNodes, refRound := build(true)
 				var kc, rc comm.Counter
-				got := execute(kern.Round, tag, bound, step, &kc)
-				want := execute(ref.Round, tag, bound, step, &rc)
+				got := execute(kernRound, tag, bound, step, &kc)
+				want := execute(refRound, tag, bound, step, &rc)
 				where := fmt.Sprintf("eps=%g tag=%d bound=%d", eps, tag, bound)
 				if got != want {
 					t.Fatalf("%s: result %+v, reference %+v", where, got, want)
@@ -338,5 +379,135 @@ func TestRoundInPlaySetFootprint(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, exec); a != 0 {
 		t.Fatalf("a repeated execution on a warm bank: %v allocs/run, want 0", a)
+	}
+}
+
+// TestViolationCohortFromTheListIsTheStampedOne holds the violation cohorts
+// — enlisted from the view's violator list, one entry a violator and no
+// stamp per node — to the flag-and-stamp predicate (refBank), over scripts
+// of what hosts see: whole banks and Sub views; steps in which some views
+// observe nothing, so that their lists fall steps behind; nodes that
+// violate again and again at one constant step, with their membership
+// rewritten in between (benchmark/layers.go observes thousands of times at
+// step 1 against filters it never re-installs); executions asked about a
+// step no list was filled at; and views whose first round of an execution
+// is not round 0. Every round's sends and every
+// generator must agree, and a list never holds a node twice.
+func TestViolationCohortFromTheListIsTheStampedOne(t *testing.T) {
+	const n = 96
+	for _, cuts := range [][]int{{0, n}, {0, 1, 2, 40, n}, {0, 64, n}} {
+		kern, refNodes := NewNodes(n, 0, n, 11, false, order.Tol{}), NewNodes(n, 0, n, 11, false, order.Tol{})
+		ref := newRefBank(refNodes)
+		views := []*Nodes{kern} // the bank itself, or views of it
+		if len(cuts) > 2 {
+			views = nil
+			for i := 0; i+1 < len(cuts); i++ {
+				views = append(views, kern.Sub(cuts[i], cuts[i+1]))
+			}
+		}
+		see, round := viewsObserve(views), viewsRound(views)
+		r := rng.New(uint64(len(cuts)), 3)
+		both := func(f func(b *Nodes)) { f(kern); f(refNodes) }
+		step, bids := int64(1), 0
+		for it := 0; it < 400; it++ {
+			switch r.Intn(8) {
+			case 0: // a membership of any size, then the install every host sees after one
+				both(func(b *Nodes) { b.ResetBegin() })
+				for id := r.Intn(3); id < n; id += 1 + r.Intn(9) {
+					isTop := r.Intn(2) == 0
+					both(func(b *Nodes) { b.Winner(id, isTop) })
+				}
+				fallthrough
+			case 1:
+				mid := order.Key((900 + r.Int63n(200)) * n)
+				both(func(b *Nodes) { b.Midpoint(mid, false) })
+			case 2: // time passes; the views that observe nothing keep an old list
+				step += 1 + int64(r.Intn(3))
+			}
+			where := fmt.Sprintf("cuts %v iteration %d step %d", cuts, it, step)
+			// Observations over a random window, so that whole views are
+			// skipped, some nodes more than once at this one step.
+			lo, hi := r.Intn(n), r.Intn(n)
+			for id := min(lo, hi); id <= max(lo, hi); id++ {
+				for again := r.Intn(3); again >= 0; again-- {
+					v := 880 + r.Int63n(240)
+					kt, ko, _ := see(id, v, step)
+					rt, ro, _ := ref.Observe(id, v, step)
+					if kt != rt || ko != ro {
+						t.Fatalf("%s: Observe(%d, %d) = %v %v, reference %v %v", where, id, v, kt, ko, rt, ro)
+					}
+					if again > 0 && r.Intn(4) == 0 {
+						isTop := r.Intn(2) == 0 // WasTop is rewritten by the next violation
+						both(func(b *Nodes) { b.Winner(id, isTop) })
+					}
+				}
+			}
+			violators := 0
+			for _, v := range views {
+				seen := map[int32]bool{}
+				for _, i := range v.viol {
+					if seen[i] || v.flags[i]&flagViolated == 0 {
+						t.Fatalf("%s: view [%d, %d) lists node %d twice or unmarked: %v", where, v.lo, v.hi, v.lo+int(i), v.viol)
+					}
+					seen[i] = true
+				}
+				violators += len(v.viol)
+			}
+			for _, asked := range []int64{step, step + 1} {
+				for _, tag := range []uint8{TagViolMin, TagViolMax} {
+					// Nobody is stamped with a step yet to come, and no list
+					// was filled at it; hosts that join an execution already
+					// running have nobody in play.
+					first := 0
+					if r.Intn(5) == 0 {
+						first = 1
+					}
+					for rd := first; rd < protocol.Rounds(n); rd++ {
+						var ks, rs []bid
+						round(tag, rd, order.NegInf, n, asked, func(id int, key order.Key) { ks = append(ks, bid{id, key}) })
+						if first == 0 {
+							ref.Round(tag, rd, order.NegInf, n, asked, func(id int, key order.Key) { rs = append(rs, bid{id, key}) })
+						}
+						if fmt.Sprint(ks) != fmt.Sprint(rs) {
+							t.Fatalf("%s: tag %d asked about step %d from round %d, round %d sends %v, stamped cohort %v", where, tag, asked, first, rd, ks, rs)
+						}
+						bids += len(ks)
+					}
+				}
+			}
+			sameGenerators(t, where, kern, refNodes)
+			if it == 399 && (violators == 0 || bids < 1000) {
+				t.Fatalf("%s: %d violators listed, %d bids in all; the script tests nothing", where, violators, bids)
+			}
+		}
+	}
+}
+
+// TestMatchFlagsIsThePerByteTest holds the eight-flags-a-load cohort test
+// to the comparison it replaces, one flag byte at a time: every mask and
+// want a cohort can have (and every other of four bits), every length of a
+// word's worth of flags, flag bytes of all four bits.
+func TestMatchFlagsIsThePerByteTest(t *testing.T) {
+	r := rng.New(5, 9)
+	flags := make([]uint8, 64)
+	for it := 0; it < 200; it++ {
+		for i := range flags {
+			flags[i] = uint8(r.Intn(16))
+		}
+		for mask := uint8(0); mask < 16; mask++ {
+			for want := uint8(0); want < 16; want++ {
+				for n := 0; n <= len(flags); n++ {
+					var word uint64
+					for j, f := range flags[:n] {
+						if f&mask == want {
+							word |= 1 << j
+						}
+					}
+					if got := matchFlags(flags[:n], mask, want); got != word {
+						t.Fatalf("flags %x mask %x want %x: word %064b, per byte %064b", flags[:n], mask, want, got, word)
+					}
+				}
+			}
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/protocol"
-	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -17,14 +16,14 @@ import (
 // between steps (the machine idle, no protocol execution in flight) and
 // captures exactly the state the next step reads: configuration, step
 // counter, statistics, T+/T− bounds, membership and the message ledger
-// for the Machine; per-node keys, filters, membership flags, violation
-// history and generator state for a Nodes bank. Everything else — the
-// extraction scratch of the Machine, the in-play set of the bank, empty
-// between executions — is (re)initialized before its next use, so a
-// restored coordinator resumes
-// bit-identically to one that never stopped: same reports, same counts,
-// same randomness consumption. The equivalence tests in snapshot_test.go
-// pin that property.
+// for the Machine; per-node keys, filters, membership flags and generator
+// state for a Nodes bank. Everything else — the extraction scratch of the
+// Machine; the bank's in-play set, empty between executions, and its
+// violator list and WasTop/Extracted flags, which are only read inside the
+// step that wrote them — is (re)initialized before its next use, so a
+// restored coordinator resumes bit-identically to one that never stopped:
+// same reports, same counts, same randomness consumption. The equivalence
+// tests in snapshot_test.go pin that property.
 
 // Snapshot appends the machine's canonical checkpoint frame
 // (wire.MachineState) to dst. It fails if a step is in flight — mid-step
@@ -137,16 +136,16 @@ func RestoreMachine(p []byte) (*Machine, error) {
 
 // AppendCheckpoint appends the sealed checkpoint envelope (wire.Checkpoint)
 // of generation gen to dst for the engines that checkpoint machine and bank
-// together: the fingerprint fields, the machine's frame, and the bank frame
-// appendBank writes, each encoded in place.
-func (m *Machine) AppendCheckpoint(dst []byte, gen uint64, engine uint8, seed uint64, distinct bool, appendBank func([]byte) []byte) ([]byte, error) {
-	w := wire.BeginCheckpoint(dst, gen, engine, seed, distinct)
+// together: the fingerprint fields, the machine's frame and the bank's,
+// each encoded in place.
+func (m *Machine) AppendCheckpoint(dst []byte, gen uint64, engine uint8, seed uint64, bank *Nodes) ([]byte, error) {
+	w := wire.BeginCheckpoint(dst, gen, engine, seed, bank.distinct)
 	var err error
 	if w.Buf, err = m.Snapshot(w.Buf); err != nil {
 		return nil, err
 	}
 	w.EndSection()
-	w.Buf = appendBank(w.Buf)
+	w.Buf = bank.Snapshot(w.Buf)
 	w.EndSection()
 	return w.Seal(nil), nil
 }
@@ -155,9 +154,9 @@ func (m *Machine) AppendCheckpoint(dst []byte, gen uint64, engine uint8, seed ui
 // being restored under — shape, tolerance and tie-break mode, of the
 // machine frame and of the bank frame's header, which must cover [0, n) —
 // before anything is built from them, and returns the restored machine and
-// the bank frame in the v2 form (UpgradeBankFrame). It is the part of
-// Restore the sequential and concurrent engines share; what each then
-// requires of the bank's contents is its own.
+// the bank frame in the v2 form (UpgradeBankFrame). It is the first step of
+// the sequential and concurrent engines' Restore; RestoreNodes and
+// MatchesMachine are the other two.
 func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFrame []byte) (*Machine, []byte, error) {
 	if n <= 0 || k < 1 || k > n {
 		return nil, nil, fmt.Errorf("coord: restore config needs 1 <= K <= N, got n=%d k=%d", n, k)
@@ -201,13 +200,17 @@ func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFr
 
 // Snapshot appends the bank's canonical checkpoint frame (the v2 bank
 // frame of internal/wire) to dst, straight from the bank's arrays: the
-// installed bounds once, the keys, the generator arena as it stands, and
-// the flag bytes, violation steps and order filters of the nodes that
-// have one. Banks carry no in-flight marker, so the contract is the
-// caller's: snapshot only between steps, when no protocol execution is
-// running — the in-play set is empty after the probability-1 round of
-// every execution, enlisted anew at round 0 of the next, and is the one
-// piece of bank state a between-steps checkpoint can omit.
+// installed bounds once, the keys, the generator arena as it stands, the
+// membership bit of the members and the order filters of those that hold
+// one. Banks carry no in-flight marker, so the contract is the caller's:
+// snapshot only between steps, when no protocol execution is running. A
+// frame carries live state only. The in-play set is empty after the
+// probability-1 round of every execution and enlisted anew at round 0 of
+// the next; who violated, and the WasTop and Extracted bits, are written by
+// a step's filter checks and reset and read by that step's executions
+// alone. So the frame's violation section stays empty and its flag bytes
+// hold membership and nothing else — which is all the sequential engine
+// ever wrote, so one frame serves every engine that checkpoints a bank.
 func (b *Nodes) Snapshot(dst []byte) []byte {
 	w := wire.BeginBank(dst, wire.BankHeader{
 		N: b.codec.N(), Lo: b.lo, Hi: b.hi,
@@ -217,18 +220,15 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 	wire.BankKeys(&w, b.keys)
 	w.Gens(b.gens.States()...)
 	for i, f := range b.flags {
-		if f != 0 {
-			w.Flag(i, f)
+		if f&flagInTop != 0 {
+			w.Flag(i, flagInTop)
 		}
 	}
-	for i, step := range b.violStep {
-		if step != -1 {
-			w.Viol(i, step)
-		}
-	}
-	for i, ord := range b.ord {
-		if ord != filter.Full() {
-			w.Ord(i, int64(ord.Lo), int64(ord.Hi))
+	if b.ord != nil {
+		for _, e := range b.ord.ent {
+			if e.id >= b.lo && e.id < b.hi && b.flags[e.id-b.lo]&flagInTop != 0 && e.iv != filter.Full() {
+				w.Ord(e.id-b.lo, int64(e.iv.Lo), int64(e.iv.Hi))
+			}
 		}
 	}
 	return w.End()
@@ -243,7 +243,9 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 // restore — without splitting anything from the root generator as NewNodes
 // does. Every filter is the frame's one pair of bounds applied by
 // the node's membership bit, so the only filter state a frame can get
-// wrong is a key that has left its filter: that is ErrFilterState.
+// wrong is a key that has left its filter: that is ErrFilterState. What
+// frames in existing stores carry beyond live state — violation steps,
+// WasTop and Extracted bits (see Snapshot) — is read and dropped.
 func RestoreNodes(p []byte) (*Nodes, error) {
 	p, err := UpgradeBankFrame(p)
 	if err != nil {
@@ -265,12 +267,10 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 	}
 	b := newBank(h.N, h.Lo, h.Hi, h.Distinct, tol, protocol.NodeRoot(0).ChildArena(h.Lo, h.Hi)) // an increment depends on no seed
 	*b.inst = filter.Bounds{Lo: order.Key(h.BoundLo), Hi: order.Key(h.BoundHi)}
-	if err := ReadBankNodes(&r, b.keys, b.gens); err != nil {
+	if err := wire.BankReadKeys(&r, b.keys); err != nil {
 		return nil, err
 	}
-	for i := range b.violStep {
-		b.violStep[i] = -1
-	}
+	r.Gens(b.gens.States())
 	for {
 		i, f, ok, err := r.Flag()
 		if err != nil {
@@ -279,17 +279,12 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 		if !ok {
 			break
 		}
-		b.flags[i] = f
+		b.flags[i] = f & flagInTop
 	}
-	for {
-		i, step, ok, err := r.Viol()
-		if err != nil {
+	for more := true; more; { // violation steps: dead state, read past
+		if _, _, more, err = r.Viol(); err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
-		}
-		b.violStep[i] = step
 	}
 	for {
 		i, lo, hi, ok, err := r.Ord()
@@ -299,8 +294,8 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 		if !ok {
 			break
 		}
-		b.EnableOrderFilters()
-		b.ord[i] = filter.Interval{Lo: order.Key(lo), Hi: order.Key(hi)}
+		b.EnableOrderFilters(0)
+		b.SetOrderBounds(b.lo+i, order.Key(lo), order.Key(hi))
 	}
 	if err := r.Close(); err != nil {
 		return nil, err
@@ -311,18 +306,6 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 		}
 	}
 	return b, nil
-}
-
-// ReadBankNodes reads the two dense columns of a bank frame into the
-// arrays every engine keeps them in: the keys, and the generator arena,
-// whose increments its node ids define (protocol.NodeRoot) and whose
-// states are the frame's column.
-func ReadBankNodes(r *wire.BankReader, keys []order.Key, gens rng.Arena) error {
-	if err := wire.BankReadKeys(r, keys); err != nil {
-		return err
-	}
-	r.Gens(gens.States())
-	return nil
 }
 
 // ErrFilterState is wrapped by every restore rejection of a bank frame
@@ -399,12 +382,16 @@ func frameBounds(s *wire.NodesState) (filter.Bounds, error) {
 }
 
 // MatchesMachine validates a restored full-range bank against the machine
-// restored beside it, for the engine that checkpoints both (concurrent):
-// the bank must cover the machine's nodes, its membership bits must be the
-// machine's, and its bounds and keys must pass RestoreFilters.
+// restored beside it, for the engines that checkpoint both (sequential,
+// concurrent): the bank must cover the machine's nodes, hold order filters
+// only beside a machine in the ordered mode, its membership bits must be
+// the machine's, and its bounds and keys must pass RestoreFilters.
 func (b *Nodes) MatchesMachine(m *Machine) error {
 	if n := m.cfg.N; b.codec.N() != n || b.lo != 0 || b.hi != n {
 		return fmt.Errorf("coord: bank frame covers [%d, %d) of %d, machine has n=%d", b.lo, b.hi, b.codec.N(), n)
+	}
+	if b.ord != nil && !m.cfg.Ordered {
+		return errors.New("coord: bank frame holds order filters, the machine is not in the ordered mode")
 	}
 	for i, f := range b.flags {
 		if inTop := f&flagInTop != 0; inTop != m.inTop[i] {
@@ -413,6 +400,21 @@ func (b *Nodes) MatchesMachine(m *Machine) error {
 	}
 	_, err := RestoreFilters(*b.inst, b.keys, m)
 	return err
+}
+
+// Filters assembles the filter assignment a full-range bank and its
+// machine hold between them — the bank's installed bounds applied to the
+// machine's membership — as the filter.Set the Lemma 2.2 checks of restore,
+// tests and soak runs read.
+func (b *Nodes) Filters(m *Machine) *filter.Set { return m.filters(*b.inst) }
+
+func (m *Machine) filters(in filter.Bounds) *filter.Set {
+	fs := filter.NewSet(m.cfg.N, m.cfg.K)
+	if len(m.top) == m.cfg.K {
+		fs.SetMembership(m.top)
+	}
+	fs.AssignBand(in.Lo, in.Hi)
+	return fs
 }
 
 // RestoreFilters returns the filter set an engine that checkpoints machine
@@ -425,12 +427,7 @@ func (b *Nodes) MatchesMachine(m *Machine) error {
 // counterpart. A monitor restored from anything else would serve a set its
 // filters no longer guard.
 func RestoreFilters(in filter.Bounds, keys []order.Key, m *Machine) (*filter.Set, error) {
-	n, k, tol := m.cfg.N, m.cfg.K, m.cfg.Tol
-	fs := filter.NewSet(n, k)
-	if len(m.top) == k {
-		fs.SetMembership(m.top)
-	}
-	fs.AssignBand(in.Lo, in.Hi)
+	tol, fs := m.cfg.Tol, m.filters(in)
 	if fs.Bounds() != in {
 		return nil, fmt.Errorf("%w: bounds [%d, %d] installed where k = n leaves none", ErrFilterState, in.Lo, in.Hi)
 	}

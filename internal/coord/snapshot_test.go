@@ -28,7 +28,7 @@ func checkpoint(t *testing.T, d *driver) *driver {
 	if err != nil {
 		t.Fatalf("restore nodes: %v", err)
 	}
-	return &driver{mach: mach, bank: bank, round: bank.Round}
+	return &driver{mach: mach, bank: bank, see: bank.Observe, round: bank.Round}
 }
 
 // TestSnapshotRestoreResumesBitIdentically is the acceptance pin for

@@ -1,124 +1,165 @@
 package core
 
 import (
+	"encoding/binary"
+	"flag"
 	"fmt"
+	"hash/fnv"
+	"os"
+	"strings"
 	"testing"
 
-	"repro/internal/coord"
-	"repro/internal/order"
-	"repro/internal/protocol"
+	"repro/internal/comm"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
-// bankDriver is Algorithm 1 in its node-local formulation: one
-// coord.Machine over one coord.Nodes bank, where every node decides its
-// own cohort membership. The monitor's described cohorts are checked
-// against it.
-type bankDriver struct {
-	mach *coord.Machine
-	bank *coord.Nodes
+// updateGolden rewrites testdata/seq_golden.txt from this build. The lines
+// committed there were recorded from the monitor that kept a node side of
+// its own (flat keys, a filter.Set, cohorts described by short id lists), at
+// the last commit that had it.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/seq_golden.txt from this build")
+
+const goldenFile = "testdata/seq_golden.txt"
+
+// goldenStreams are the seven workload families of
+// runtime.TestOrderedEquivalenceWithSequential — k = n and k = 1 among
+// them — and a monitor of one node.
+var goldenStreams = []struct {
+	name string
+	n, k int
+	src  func(n int) stream.Source
+}{
+	{"walk", 10, 3, func(n int) stream.Source {
+		return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 600, Seed: 31})
+	}},
+	{"iid", 8, 2, func(n int) stream.Source {
+		return stream.NewIID(stream.IIDConfig{N: n, Seed: 32, Dist: stream.Uniform, Lo: 0, Hi: 1 << 18})
+	}},
+	{"twoband-churn", 12, 4, func(n int) stream.Source {
+		return stream.NewTwoBand(stream.TwoBandConfig{N: n, K: 4, Seed: 33, Gap: 1 << 16, BandWidth: 1 << 10, MaxStep: 1 << 8, SwapEvery: 40})
+	}},
+	{"rotation", 6, 2, func(n int) stream.Source {
+		return stream.NewRotation(stream.RotationConfig{N: n, Period: 3, Base: 10, Peak: 5000})
+	}},
+	{"k-equals-n", 5, 5, func(n int) stream.Source {
+		return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 10000, MaxStep: 400, Seed: 34})
+	}},
+	{"walk-wide", 200, 17, func(n int) stream.Source {
+		return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 600, Seed: 35})
+	}},
+	{"k-one", 6, 1, func(n int) stream.Source {
+		return stream.NewBursty(stream.BurstyConfig{N: n, Seed: 36, Lo: 0, Hi: 1 << 20, Noise: 5, BurstProb: 0.05, BurstMax: 1 << 16})
+	}},
+	{"single-node", 1, 1, func(n int) stream.Source {
+		return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1000, MaxStep: 50, Seed: 37})
+	}},
 }
 
-func (d *bankDriver) observe(t *testing.T, vals []int64) []int {
-	step := d.mach.BeginStep()
-	anyTop, anyOut := false, false
-	for id, v := range vals {
-		top, out, err := d.bank.Observe(id, v, step)
-		if err != nil {
-			t.Fatal(err)
-		}
-		anyTop, anyOut = anyTop || top, anyOut || out
-	}
-	eff := d.mach.FinishStep(anyTop, anyOut)
-	for eff.Kind != coord.EffDone {
-		switch eff.Kind {
-		case coord.EffExec:
-			ex := protocol.NewExec(eff.Bound, coord.MinimumTag(eff.Tag), d.mach.Recorder(eff.Phase), nil, step)
-			for ex.More() {
-				d.bank.Round(eff.Tag, ex.Round(), ex.Best(), eff.Bound, step, ex.Bid)
-				ex.EndRound()
+// goldenLine runs one monitor for 250 steps and renders everything the run
+// decided and consumed: a hash of the report sequence (and, in the ordered
+// mode, of the rankings), the ledger in total and by phase in messages and
+// bytes, the statistics, and a hash of every node's generator state after
+// the last step. feed picks the ingestion: every step dense, every step
+// after the first as the delta of the nodes that moved, or the two mixed.
+func goldenLine(t *testing.T, cfg Config, feed string, src stream.Source) string {
+	t.Helper()
+	m := New(cfg)
+	vals, prev := make([]int64, cfg.N), make([]int64, cfg.N)
+	var ids []int
+	var moved []int64
+	reports := fnv.New64a()
+	for s := 0; s < 250; s++ {
+		src.Step(vals)
+		if cfg.DistinctValues {
+			// The caller's contract: pairwise distinct at every step.
+			for i := range vals {
+				vals[i] = vals[i]*int64(cfg.N) + int64(cfg.N-1-i)
 			}
-			res := ex.Result()
-			eff = d.mach.ExecDone(res.OK, res.ID, res.Key)
-		case coord.EffResetBegin:
-			d.bank.ResetBegin()
-			eff = d.mach.Ack()
-		case coord.EffWinner:
-			d.bank.Winner(eff.Target, eff.IsTop)
-			eff = d.mach.Ack()
-		case coord.EffMidpoint:
-			d.bank.Midpoint(eff.Mid, eff.Full)
-			eff = d.mach.Ack()
-		case coord.EffBounds:
-			d.bank.ApplyBounds(eff.Lo, eff.Hi)
-			eff = d.mach.Ack()
-		default:
-			t.Fatalf("unknown effect %d", eff.Kind)
 		}
+		var top []int
+		if feed == "dense" || s == 0 || feed == "mixed" && s%3 == 0 {
+			top = m.Observe(vals)
+		} else {
+			ids, moved = ids[:0], moved[:0]
+			for i, v := range vals {
+				if v != prev[i] {
+					ids, moved = append(ids, i), append(moved, v)
+				}
+			}
+			top = m.ObserveDelta(ids, moved)
+		}
+		copy(prev, vals)
+		fmt.Fprint(reports, top, m.AppendRanking(nil))
 	}
-	return d.mach.Top()
+	var bs wire.BankState
+	if err := bs.Decode(bankFrame(m)); err != nil {
+		t.Fatal(err)
+	}
+	gens := fnv.New64a()
+	for _, state := range bs.RngState {
+		gens.Write(binary.LittleEndian.AppendUint64(nil, state))
+	}
+	led := m.Ledger()
+	// Messages and bytes as up/down/bcast: the total, then the three phases.
+	cell := func(c comm.Counts, b comm.Bytes) string {
+		return fmt.Sprintf("%d/%d/%d %d/%d/%dB", c.Up, c.Down, c.Bcast, b.Up, b.Down, b.Bcast)
+	}
+	line := fmt.Sprintf("reports=%016x %s", reports.Sum64(), cell(led.Total(), led.TotalBytes()))
+	for _, p := range comm.Phases() {
+		line += " | " + cell(led.PhaseCounts(p), led.PhaseBytes(p))
+	}
+	return line + fmt.Sprintf(" | %+v | gens=%016x", m.Stats(), gens.Sum64())
 }
 
-// TestCohortsMatchNodeLocalMembership runs the monitor beside the
-// node-local formulation and compares, after every step, the report, the
-// ledger, and — through both sides' checkpoint frames — every node's key
-// and generator state. The monitor describes cohorts by short id lists
-// (violators from the step's filter checks, the top side from the filter
-// set's cached membership, outsiders as everyone but that membership,
-// reset candidates as everyone but the winners extracted so far); equal
-// generator states say each description enlisted exactly the nodes that
-// would have enlisted themselves, in every execution.
+// bankFrame is the monitor's bank frame, which the ordered mode's machine
+// does not stop the bank from writing.
+func bankFrame(m *Monitor) []byte { return m.bank.Snapshot(nil) }
+
+// TestCohortsMatchNodeLocalMembership holds the monitor — one coord.Machine
+// over one coord.Nodes bank, where every node decides its own cohort
+// membership — to the engine it replaced, which described each cohort by a
+// short id list (violators from the step's filter checks, the top side from
+// the filter set's cached membership, outsiders as everyone but that
+// membership, reset candidates as everyone but the winners extracted so
+// far): every line of testdata/seq_golden.txt, recorded from that engine
+// over eight workload shapes × {dense, delta, mixed ingestion} × {ε = 0,
+// 0.05} × {tie-break injection, DistinctValues} × {set, ordered}, must
+// reproduce — reports, ledgers by phase in messages and bytes, statistics,
+// and the state every generator is left in, which says each execution
+// enlisted exactly the nodes the description named.
 func TestCohortsMatchNodeLocalMembership(t *testing.T) {
-	for _, tc := range []struct {
-		n, k int
-		eps  float64
-	}{{12, 3, 0}, {9, 1, 0}, {7, 7, 0}, {40, 39, 0}, {64, 5, 0.1}, {33, 16, 0.02}} {
-		name := fmt.Sprintf("n=%d k=%d eps=%g", tc.n, tc.k, tc.eps)
-		tol, err := order.NewTol(tc.eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := New(Config{N: tc.n, K: tc.k, Seed: 41, Epsilon: tc.eps})
-		d := &bankDriver{
-			mach: coord.New(coord.Config{N: tc.n, K: tc.k, Tol: tol}),
-			bank: coord.NewNodes(tc.n, 0, tc.n, 41, false, tol),
-		}
-		src := stream.NewRandomWalk(stream.WalkConfig{N: tc.n, Lo: 1 << 10, Hi: 1 << 14, MaxStep: 400, Seed: 6})
-		vals := make([]int64, tc.n)
-		for s := 0; s < 250; s++ {
-			src.Step(vals)
-			got, want := m.Observe(vals), d.observe(t, vals)
-			where := fmt.Sprintf("%s step %d", name, s)
-			if !equalInts(got, want) {
-				t.Fatalf("%s: report %v, node-local %v", where, got, want)
-			}
-			if m.Counts() != d.mach.Counts() || m.Bytes() != d.mach.Bytes() {
-				t.Fatalf("%s: ledger %v/%v, node-local %v/%v", where, m.Counts(), m.Bytes(), d.mach.Counts(), d.mach.Bytes())
-			}
-			_, frame, err := m.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ours, theirs wire.BankState
-			if err := ours.Decode(frame); err != nil {
-				t.Fatal(err)
-			}
-			if err := theirs.Decode(d.bank.Snapshot(nil)); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < tc.n; i++ {
-				if ours.Keys[i] != theirs.Keys[i] || ours.RngState[i] != theirs.RngState[i] {
-					t.Fatalf("%s: node %d key/generator %d/%#x, node-local %d/%#x", where, i,
-						ours.Keys[i], ours.RngState[i], theirs.Keys[i], theirs.RngState[i])
+	var got []string
+	for _, gs := range goldenStreams {
+		for _, feed := range []string{"dense", "delta", "mixed"} {
+			for _, eps := range []float64{0, 0.05} {
+				for _, distinct := range []bool{false, true} {
+					for _, ordered := range []bool{false, true} {
+						cfg := Config{N: gs.n, K: gs.k, Seed: 71, Epsilon: eps, DistinctValues: distinct, Ordered: ordered}
+						name := fmt.Sprintf("%s/%s/eps=%g/distinct=%v/ordered=%v", gs.name, feed, eps, distinct, ordered)
+						got = append(got, name+": "+goldenLine(t, cfg, feed, gs.src(gs.n)))
+					}
 				}
 			}
 		}
-		if st := m.Stats(); st != d.mach.Stats() {
-			t.Fatalf("%s: stats %+v, node-local %+v", name, st, d.mach.Stats())
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if st := m.Stats(); tc.k < tc.n && (st.Resets < 2 || st.HandlerCalls == 0) {
-			t.Fatalf("%s: workload too calm to exercise the cohorts: %+v", name, st)
+		return
+	}
+	recorded, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(recorded), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%s holds %d lines for %d cases", goldenFile, len(want), len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("the monitor left the recorded run:\n got %s\nwant %s", got[i], want[i])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/stream"
 )
@@ -92,10 +93,8 @@ func TestDeltaAgainstOracle(t *testing.T) {
 }
 
 func oracleIDs(m *Monitor, vals []int64, k int) []int {
-	keys := make([]int64, len(vals))
-	for i, v := range vals {
-		keys[i] = int64(m.codec.Encode(v, i))
-	}
+	keys := make([]order.Key, len(vals))
+	m.EncodeAll(vals, keys)
 	ids := make([]int, len(vals))
 	for i := range ids {
 		ids[i] = i

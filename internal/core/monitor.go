@@ -5,15 +5,18 @@
 // one time step at a time, and accounts every message the model would
 // charge.
 //
-// The coordinator's decision logic — violation handling, T+/T− tightening,
-// midpoint broadcasts, FILTERRESET — lives in the sans-I/O state machine
-// of internal/coord, which this package (like every other engine) merely
-// drives. The Monitor's own job is the node side and the substrate: it
-// holds the node-local keys, filters and generators flat, describes each
-// protocol cohort to the round kernel's in-play set, and executes the
-// machine's effects by direct procedure calls (protocol executions via
-// internal/protocol, which also serves the UseGather ablation and optional
-// tracing).
+// Both roles live in internal/coord, sans I/O: the coordinator's decision
+// logic — violation handling, T+/T− tightening, midpoint broadcasts,
+// FILTERRESET — is the state machine coord.Machine, and the node side —
+// keys, filters, membership bits, generators, who takes part in which
+// protocol execution — is the node bank coord.Nodes, the same one every
+// other engine hosts. The Monitor is the sequential substrate between the
+// two: one machine, one bank over all n nodes, and the machine's effects
+// executed by direct procedure calls, a protocol execution being the round
+// loop of internal/protocol over the bank. What it adds of its own is the
+// engine's input contract (it panics where the public boundary returns an
+// error), optional tracing of the installs, the UseGather ablation, and the
+// views tests and the oracle read (EncodeAll, Keys, Filters).
 //
 // The flow per time step follows the paper exactly:
 //
@@ -37,13 +40,13 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/protocol"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a Monitor.
@@ -86,44 +89,16 @@ type Stats = coord.Stats
 // Monitor runs Algorithm 1. Create with New; it is not safe for concurrent
 // use (the concurrent engine lives in internal/runtime).
 //
-// The monitor is allocation-free in steady state: every per-step buffer —
-// the violator lists, the reset's extracted list, the protocol's in-play
-// set — is owned by the monitor and reused, and the filter set keeps the
-// reported top-k slice cached. A violation-free step via ObserveDelta
-// costs O(#changed nodes) and zero heap allocations.
-//
-// Cohorts are never materialized, neither as participant records nor as id
-// lists of their members: a cohort is the short ascending id list that
-// describes it — its members (violators, the top-k side) or, for the two
-// dense ones, the nodes it leaves out (the top-k for the outsider side,
-// the winners extracted so far for a FILTERRESET) — from which the in-play
-// set, one bit a node, is enlisted per execution.
+// The monitor holds no per-node state of its own: the machine has the
+// membership, the bank everything a node knows. It is allocation-free in
+// steady state — the bank's in-play set and violator list are reused — and
+// a violation-free step via ObserveDelta costs O(#changed nodes) and zero
+// heap allocations.
 type Monitor struct {
-	cfg   Config
-	codec order.Codec
-	tol   order.Tol
-	fs    *filter.Set
-	mach  *coord.Machine
-
-	// field is the flat node population, 16 bytes a node: field.Keys[i] is
-	// node i's current key (rewritten as deltas arrive), generator i of
-	// field.Gens its protocol randomness.
-	field protocol.Field
-	// inPlay is the running execution's set of members still in play.
-	inPlay protocol.InPlay
-
+	cfg  Config
+	mach *coord.Machine
+	bank *coord.Nodes // all n nodes
 	step int64
-
-	// Reusable scratch buffers; see the type comment.
-	violTop   []int // violating former top-k nodes
-	violOut   []int // violating outsiders
-	extracted []int // winners of the running reset, ascending
-	topBuf    []int // membership install scratch
-	inReset   bool  // a FILTERRESET is in flight this step
-
-	// ord is the node side of the ordered mode: ord[i] is the order filter
-	// of fs.Top()[i]. nil in the set mode.
-	ord []filter.Interval
 }
 
 // New validates the configuration and returns a monitor. The first
@@ -145,23 +120,12 @@ func New(cfg Config) *Monitor {
 		panic("core: " + err.Error())
 	}
 	m := &Monitor{
-		cfg:   cfg,
-		codec: order.NewCodec(cfg.N),
-		tol:   tol,
-		fs:    filter.NewSet(cfg.N, cfg.K),
-		mach:  coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol, Ordered: cfg.Ordered}),
-		field: protocol.Field{
-			Keys: make([]order.Key, cfg.N),
-			Gens: protocol.NodeRoot(cfg.Seed).SplitArena(0, cfg.N),
-		},
-		extracted: make([]int, 0, cfg.K+1),
-		topBuf:    make([]int, 0, cfg.K),
-	}
-	for i := range m.field.Keys {
-		m.field.Keys[i] = m.encode(0, i)
+		cfg:  cfg,
+		mach: coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol, Ordered: cfg.Ordered}),
+		bank: coord.NewNodes(cfg.N, 0, cfg.N, cfg.Seed, cfg.DistinctValues, tol),
 	}
 	if cfg.Ordered {
-		m.ord = make([]filter.Interval, cfg.K)
+		m.bank.EnableOrderFilters(cfg.K)
 	}
 	return m
 }
@@ -171,24 +135,7 @@ func New(cfg Config) *Monitor {
 // monitor's configuration. The public boundary (package topk) validates
 // against it and returns an error; this internal engine panics, as for
 // its other input contracts.
-func (m *Monitor) MaxValue() int64 {
-	return order.MaxValueFor(m.cfg.N, m.cfg.DistinctValues)
-}
-
-// encode maps one observation into the key domain per the DistinctValues
-// mode. Out-of-domain values panic in either mode: Encode's own range
-// check covers the injection, and the distinct path must reject the
-// values that would collide with the ±∞ sentinels instead of silently
-// corrupting the order.
-func (m *Monitor) encode(v int64, id int) order.Key {
-	if m.cfg.DistinctValues {
-		if v > order.MaxDistinctValue || v < -order.MaxDistinctValue {
-			panic(fmt.Sprintf("core: node %d value %d collides with the key-domain sentinels", id, v))
-		}
-		return order.Key(v)
-	}
-	return m.codec.Encode(v, id)
-}
+func (m *Monitor) MaxValue() int64 { return m.bank.MaxValue() }
 
 // N returns the node count.
 func (m *Monitor) N() int { return m.cfg.N }
@@ -218,20 +165,21 @@ func (m *Monitor) Err() error { return nil }
 // Close is a no-op: the sequential engine holds no goroutines or links.
 func (m *Monitor) Close() {}
 
-// Filters exposes the current filter assignment for invariant checking.
-func (m *Monitor) Filters() *filter.Set { return m.fs }
+// Filters assembles the current filter assignment — the bank's installed
+// bounds on the machine's membership — for invariant checking.
+func (m *Monitor) Filters() *filter.Set { return m.bank.Filters(m.mach) }
 
 // Top returns the currently reported top-k node ids in ascending order.
 // The returned slice is a read-only view owned by the monitor; it is
 // invalidated by the next observation that changes the top set, and
 // mutating it corrupts the monitor. Use AppendTop to copy.
-func (m *Monitor) Top() []int { return m.fs.Top() }
+func (m *Monitor) Top() []int { return m.mach.Top() }
 
 // AppendTop appends the currently reported top-k ids (ascending) to dst
 // and returns the extended slice. The appended values are copies owned by
 // the caller: they stay valid across later steps, and mutating them never
 // affects the monitor.
-func (m *Monitor) AppendTop(dst []int) []int { return m.fs.AppendTop(dst) }
+func (m *Monitor) AppendTop(dst []int) []int { return m.mach.AppendTop(dst) }
 
 // AppendRanking appends the top-k ids by rank, largest value first, to dst
 // and returns the extended slice. Only a monitor in the ordered mode tracks
@@ -246,7 +194,11 @@ func (m *Monitor) EncodeAll(vals []int64, keys []order.Key) {
 		panic("core: EncodeAll length mismatch")
 	}
 	for i, v := range vals {
-		keys[i] = m.encode(v, i)
+		key, err := m.bank.Encode(i, v)
+		if err != nil {
+			panic("core: " + err.Error())
+		}
+		keys[i] = key
 	}
 }
 
@@ -294,185 +246,113 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 // observe runs one step in which vals[j] is the new value of node ids[j] —
 // of node j when ids is nil, the dense form's implicit 0..n-1.
 func (m *Monitor) observe(ids []int, vals []int64) []int {
-	keys := m.field.Keys
+	m.step = m.mach.BeginStep()
+	// Node-local filter checks (Algorithm 1 line 3), restricted to the
+	// touched nodes: an untouched node's value lies inside its filter by
+	// the per-step invariant. With k == n all filters are [−∞, +∞] and
+	// nobody ever violates.
+	anyTop, anyOut := false, false
 	for j, v := range vals {
 		id := j
 		if ids != nil {
 			id = ids[j]
 		}
-		keys[id] = m.encode(v, id)
-	}
-	m.step = m.mach.BeginStep()
-
-	// Node-local filter checks (Algorithm 1 line 3), restricted to the
-	// touched nodes: an untouched node's value lies inside its filter by
-	// the per-step invariant. With k == n all filters are [−∞, +∞] and
-	// this loop never fires.
-	m.violTop, m.violOut = m.violTop[:0], m.violOut[:0]
-	for j := range vals {
-		id := j
-		if ids != nil {
-			id = ids[j]
+		top, out, err := m.bank.Observe(id, v, m.step)
+		if err != nil {
+			panic("core: " + err.Error())
 		}
-		if violated, _ := m.fs.Interval(id).Violates(keys[id]); !violated {
-			continue
-		}
-		if m.fs.InTop(id) {
-			m.violTop = append(m.violTop, id)
-		} else {
-			m.violOut = append(m.violOut, id)
-		}
+		anyTop, anyOut = anyTop || top, anyOut || out
 	}
 
-	eff := m.mach.FinishStep(len(m.violTop) > 0, len(m.violOut) > 0)
+	reset := false // a FILTERRESET ran this step: the install is its last act
+	eff := m.mach.FinishStep(anyTop, anyOut)
 	for eff.Kind != coord.EffDone {
 		switch eff.Kind {
 		case coord.EffExec:
 			res := m.exec(eff)
 			eff = m.mach.ExecDone(res.OK, res.ID, res.Key)
 		case coord.EffResetBegin:
-			m.beginReset()
+			m.bank.ResetBegin()
+			reset = true
 			eff = m.mach.Ack()
 		case coord.EffWinner:
-			m.extract(eff.Target)
+			m.bank.Winner(eff.Target, eff.IsTop)
 			eff = m.mach.Ack()
-		case coord.EffMidpoint, coord.EffBounds:
-			m.installMidpoint(eff)
+		case coord.EffMidpoint:
+			m.bank.Midpoint(eff.Mid, eff.Full)
+			m.traceInstall(eff, reset)
+			eff = m.mach.Ack()
+		case coord.EffBounds:
+			m.bank.ApplyBounds(eff.Lo, eff.Hi)
+			m.traceInstall(eff, reset)
 			eff = m.mach.Ack()
 		case coord.EffOrderCheck:
-			key := keys[eff.Target]
-			violated, _ := m.orderFilter(eff.Target).Violates(key)
-			eff = m.mach.OrderDone(key, violated)
+			eff = m.mach.OrderDone(m.bank.OrderViolated(eff.Target))
 		case coord.EffOrderBounds:
-			*m.orderFilter(eff.Target) = filter.Interval{Lo: eff.Lo, Hi: eff.Hi}
+			m.bank.SetOrderBounds(eff.Target, eff.Lo, eff.Hi)
 			eff = m.mach.Ack()
 		default:
 			panic(fmt.Sprintf("core: unknown coordinator effect %d", eff.Kind))
 		}
 	}
-	return m.fs.Top()
+	return m.mach.Top()
 }
 
-// exec runs one protocol execution over the effect's cohort, dispatching
-// per the UseGather ablation flag. Violation and handler executions run
-// with the monitor's tolerance (a no-op at ε=0); reset extractions are
-// always exact (see coord.TolerantTag).
+// exec runs one protocol execution over the effect's cohort: the round
+// loop every substrate runs over its bank (shardrun's leaves run this very
+// loop), the bank enlisting the cohort at round 0. Under the UseGather
+// ablation it is instead the one round in which every cohort member bids —
+// round 0 of population bound 1 sends with probability 1, and a cut of −∞
+// dominates nobody — charged as the gather-all protocol charges: one query
+// broadcast, one bid per member, nothing for an empty cohort.
 func (m *Monitor) exec(eff coord.Effect) protocol.Result {
-	m.enlist(eff.Tag)
-	rec := m.mach.Recorder(eff.Phase)
-	minimum := coord.MinimumTag(eff.Tag)
+	rec, minimum := m.mach.Recorder(eff.Phase), coord.MinimumTag(eff.Tag)
 	if m.cfg.UseGather {
-		return m.gather(minimum, rec)
-	}
-	tol := m.tol
-	if !coord.TolerantTag(eff.Tag) {
-		tol = order.Tol{}
-	}
-	return m.field.Run(&m.inPlay, eff.Bound, tol, minimum, rec, m.cfg.Trace, m.step)
-}
-
-// gather is the UseGather ablation's execution: it materializes the
-// enlisted cohort for the naive gather-all protocol, which is the one
-// consumer of participant records left (an experiment, never a hot path).
-// Gathering flips no coin, so the records carry no generator.
-func (m *Monitor) gather(minimum bool, rec comm.Recorder) protocol.Result {
-	ids := m.inPlay.AppendTo(nil)
-	parts := make([]protocol.Participant, len(ids))
-	for i, id := range ids {
-		parts[i] = protocol.Participant{ID: id, Key: m.field.Keys[id]}
-	}
-	if minimum {
-		return protocol.GatherAllMin(parts, rec, m.cfg.Trace, m.step)
-	}
-	return protocol.GatherAll(parts, rec, m.cfg.Trace, m.step)
-}
-
-// enlist puts the cohort of one protocol tag in play. Violator cohorts
-// were collected during the step's filter checks and the top-k side is the
-// filter set's cached membership: short id lists. The outsider side is
-// everyone but that membership and the reset cohort everyone but the
-// winners extracted so far (beginReset/extract): dense cohorts, enlisted
-// as the whole field minus a short skip list.
-func (m *Monitor) enlist(tag uint8) {
-	switch tag {
-	case coord.TagViolMin:
-		m.inPlay.Enlist(m.cfg.N, m.violTop)
-	case coord.TagViolMax:
-		m.inPlay.Enlist(m.cfg.N, m.violOut)
-	case coord.TagHandMin:
-		m.inPlay.Enlist(m.cfg.N, m.fs.Top())
-	case coord.TagHandMax:
-		m.inPlay.EnlistExcept(m.cfg.N, m.fs.Top())
-	case coord.TagReset:
-		m.inPlay.EnlistExcept(m.cfg.N, m.extracted)
-	default:
-		panic(fmt.Sprintf("core: unknown protocol tag %d", tag))
-	}
-}
-
-// orderFilter returns member id's slot in the order-filter table.
-func (m *Monitor) orderFilter(id int) *filter.Interval {
-	i, ok := slices.BinarySearch(m.fs.Top(), id)
-	if !ok {
-		panic(fmt.Sprintf("core: order effect for non-member %d", id))
-	}
-	return &m.ord[i]
-}
-
-// beginReset starts FILTERRESET's extraction sequence: all nodes become
-// candidates again.
-func (m *Monitor) beginReset() {
-	m.inReset = true
-	m.extracted = m.extracted[:0]
-}
-
-// extract removes an extraction winner from the reset's candidates by
-// inserting it into the ascending list of at most k+1 extracted ids.
-func (m *Monitor) extract(id int) {
-	i, found := slices.BinarySearch(m.extracted, id)
-	if found {
-		panic(fmt.Sprintf("core: extraction winner %d was extracted before", id))
-	}
-	m.extracted = slices.Insert(m.extracted, i, id)
-}
-
-// installMidpoint applies a midpoint (or ε-mode band) broadcast: after a
-// reset it first installs the machine's freshly extracted membership
-// (SetMembership does not retain its input), then re-anchors every
-// filter.
-func (m *Monitor) installMidpoint(eff coord.Effect) {
-	payload := int64(eff.Mid)
-	note, resetNote := "midpoint", "filter reset"
-	if eff.Kind == coord.EffBounds {
-		payload = int64(eff.Lo)
-		note, resetNote = "bounds", "filter reset bounds"
-		if m.cfg.Trace != nil {
-			// Band installs carry Lo as the payload and the upper end in
-			// the note, so ε-mode traces stay distinguishable from
-			// point-midpoint installs and both ends are recoverable.
-			note = fmt.Sprintf("bounds hi=%d", eff.Hi)
-			resetNote = fmt.Sprintf("filter reset bounds hi=%d", eff.Hi)
+		ex := protocol.NewExec(1, minimum, rec, m.cfg.Trace, m.step)
+		m.bank.Round(eff.Tag, 0, order.NegInf, 1, m.step, ex.Bid)
+		res := ex.Result()
+		if res.OK {
+			comm.RecordSized(rec, comm.Bcast, 1, wire.SizeQuery())
+			m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather"})
 		}
+		return res
 	}
-	if m.inReset {
-		m.inReset = false
-		m.topBuf = m.mach.AppendTop(m.topBuf[:0])
-		m.fs.SetMembership(m.topBuf)
-		if !eff.Full {
-			m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: payload, Note: resetNote})
-		}
-	} else {
-		m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: payload, Note: note})
+	ex := protocol.NewExec(eff.Bound, minimum, rec, m.cfg.Trace, m.step)
+	for ex.More() {
+		m.bank.Round(eff.Tag, ex.Round(), ex.Best(), eff.Bound, m.step, ex.Bid)
+		ex.EndRound()
+	}
+	return ex.Result()
+}
+
+// traceInstall records a midpoint (or ε-mode band) broadcast, noting the
+// one that closes a FILTERRESET as such; with k == n (eff.Full) that
+// install is no broadcast at all. Band installs carry Lo as the payload and
+// the upper end in the note, so ε-mode traces stay distinguishable from
+// point-midpoint installs and both ends are recoverable.
+func (m *Monitor) traceInstall(eff coord.Effect, reset bool) {
+	if m.cfg.Trace == nil || eff.Full {
+		return
+	}
+	payload, note := int64(eff.Mid), "midpoint"
+	if reset {
+		note = "filter reset"
 	}
 	if eff.Kind == coord.EffBounds {
-		m.fs.AssignBand(eff.Lo, eff.Hi)
-	} else {
-		m.fs.AssignMidpoint(eff.Mid) // k == n (eff.Full): [−∞, +∞] whatever the bound
+		payload, note = int64(eff.Lo), fmt.Sprintf("bounds hi=%d", eff.Hi)
+		if reset {
+			note = "filter reset " + note
+		}
 	}
+	m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: payload, Note: note})
 }
 
 // Keys exposes the key vector of the last observed step (for invariant
 // checks in tests).
 func (m *Monitor) Keys() []order.Key {
-	return slices.Clone(m.field.Keys)
+	keys := make([]order.Key, m.cfg.N)
+	for id := range keys {
+		keys[id] = m.bank.Key(id)
+	}
+	return keys
 }

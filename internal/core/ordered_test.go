@@ -167,8 +167,8 @@ func TestOrderedSmallScopeExhaustive(t *testing.T) {
 				}
 				for _, id := range got {
 					iv, _ := om.mach.OrderFilter(id)
-					if held := *om.orderFilter(id); held != iv || !iv.Contains(om.field.Keys[id]) {
-						t.Fatalf("k=%d seq=%v step %d: node %d (key %d) holds order filter %v, assigned %v", k, seq, s, id, om.field.Keys[id], held, iv)
+					if held, key := om.bank.OrderFilter(id), om.bank.Key(id); held != iv || !iv.Contains(key) {
+						t.Fatalf("k=%d seq=%v step %d: node %d (key %d) holds order filter %v, assigned %v", k, seq, s, id, key, held, iv)
 					}
 				}
 			}

@@ -167,7 +167,6 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 			s.Flags[7], s.Keys[7] = wire.FlagNodeInTop, s.BoundLo
 		}},
 		{"a member the frame does not flag", func(s *wire.BankState) { s.Flags[4], s.Keys[4] = 0, s.BoundHi }},
-		{"a flag other than membership", func(s *wire.BankState) { s.Flags[2] |= wire.FlagNodeWasTop }},
 		{"crossed bounds", func(s *wire.BankState) { s.BoundLo -= 9 }},
 	} {
 		s := bs
@@ -182,11 +181,54 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 		t.Fatalf("re-encoded untouched frame rejected: %v", err)
 	}
 
-	// What a sequential bank never holds, and columns that disagree with
-	// the header, are rejected one way or another.
-	hist := bs
-	hist.ViolStep = append([]int64(nil), bs.ViolStep...)
-	hist.ViolStep[3] = 1
+	// Dead state — what is written and read inside one step, and frames in
+	// existing stores carry from engines that persisted it — is accepted
+	// and dropped: the restored monitor resumes like its twin and writes
+	// the frame the twin writes.
+	for name, mut := range map[string]func(s *wire.BankState){
+		"a flag other than membership": func(s *wire.BankState) {
+			s.Flags[2] |= wire.FlagNodeWasTop
+			s.Flags[5] |= wire.FlagNodeExtracted
+		},
+		"violation history": func(s *wire.BankState) { s.ViolStep[3], s.ViolStep[4] = 1, 1 },
+	} {
+		s := bs
+		s.Flags = append([]byte(nil), bs.Flags...)
+		s.ViolStep = append([]int64(nil), bs.ViolStep...)
+		mut(&s)
+		restored, err := Restore(cfg, mach, s.Append(nil))
+		if err != nil {
+			t.Fatalf("%s: restore returned %v, want the dead state dropped", name, err)
+		}
+		twin, err := Restore(cfg, mach, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr := rng.New(4, 4)
+		vals := []int64{50, 10, 80, 20, 90, 30, 70, 40}
+		for step := 0; step < 60; step++ {
+			for i := range vals {
+				vals[i] += int64(wr.Intn(21)) - 10
+			}
+			if want, got := twin.Observe(vals), restored.Observe(vals); !equalInts(want, got) {
+				t.Fatalf("%s step %d: report %v, twin %v", name, step, got, want)
+			}
+		}
+		if twin.Counts() != restored.Counts() || twin.Bytes() != restored.Bytes() || twin.Stats() != restored.Stats() {
+			t.Fatalf("%s: twin %v %+v, restored %v %+v", name, twin.Counts(), twin.Stats(), restored.Counts(), restored.Stats())
+		}
+		if twin.Stats().Resets < 3 {
+			t.Fatalf("%s: workload too calm: %+v", name, twin.Stats())
+		}
+		_, tn, _ := twin.Snapshot()
+		_, rn, _ := restored.Snapshot()
+		if !bytes.Equal(tn, rn) {
+			t.Fatalf("%s: frames of twin and restored monitor differ", name)
+		}
+	}
+
+	// What a bank beside a set-mode machine never holds, and columns that
+	// disagree with the header, are rejected one way or another.
 	ord := bs
 	ord.OrdHi = append([]int64(nil), bs.OrdHi...)
 	ord.OrdHi[3] = 99
@@ -196,7 +238,6 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	part.ViolStep, part.OrdLo, part.OrdHi = bs.ViolStep[:7], bs.OrdLo[:7], bs.OrdHi[:7]
 	short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 	for name, frame := range map[string][]byte{
-		"violation history":                hist.Append(nil),
 		"an order filter":                  ord.Append(nil),
 		"a bank over [0, 7)":               part.Append(nil),
 		"seven nodes' columns under n = 8": short,

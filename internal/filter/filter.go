@@ -4,9 +4,13 @@
 // cannot change and no communication is necessary.
 //
 // Lemma 2.2 characterizes valid filter assignments: every top-k node's
-// lower bound must be at or above every non-top-k node's upper bound. The
-// Validate function checks exactly that characterization and is used as a
-// per-step invariant in the monitor's tests.
+// lower bound must be at or above every non-top-k node's upper bound. Set
+// is that characterization as a predicate over a whole assignment
+// (Validate, and ValidateEps for the ε mode): no engine keeps one as its
+// state — the nodes' filters live in their bank (coord.Nodes) as Bounds
+// and a membership bit each — but a checkpoint restore builds one to
+// refuse filters the algorithm could not have installed, and the monitors'
+// tests and soak runs assemble one per step as their invariant.
 package filter
 
 import (
@@ -106,13 +110,13 @@ func (b Bounds) Interval(inTop bool) Interval {
 }
 
 // Set is a filter assignment for n nodes — the installed Bounds — plus the
-// top-k membership the assignment encodes. It is the coordinator-side
-// bookkeeping structure.
+// top-k membership the assignment encodes: what Lemma 2.2 is checked
+// against (see the package comment).
 //
 // The membership is kept in two synchronized representations: a per-node
 // boolean (for O(1) InTop checks) and a sorted id slice maintained
-// incrementally by SetMembership so that Top never has to scan or allocate
-// on the hot path.
+// incrementally by SetMembership so that Top never has to scan or
+// allocate.
 type Set struct {
 	bounds Bounds
 	inTop  []bool

@@ -35,7 +35,8 @@ const (
 // Codec maps (value, node id) pairs into keys for a fixed universe of n
 // nodes. The zero value is unusable; construct with NewCodec.
 type Codec struct {
-	n int64
+	n   int64
+	max int64 // MaxValue, computed once: Encode checks it per observation
 }
 
 // NewCodec returns a codec for n nodes. It panics for n <= 0.
@@ -43,7 +44,7 @@ func NewCodec(n int) Codec {
 	if n <= 0 {
 		panic("order: codec needs at least one node")
 	}
-	return Codec{n: int64(n)}
+	return Codec{n: int64(n), max: (math.MaxInt64 - 1 - (int64(n) - 1)) / int64(n)}
 }
 
 // N returns the number of nodes the codec was built for.
@@ -54,9 +55,7 @@ func (c Codec) N() int { return int(c.n) }
 // neither overflows int64 nor lands on the PosInf/NegInf sentinels. The
 // budget is MaxInt64-1 rather than MaxInt64 because at power-of-two n
 // the extreme key value·n + (n-1) would otherwise equal PosInf exactly.
-func (c Codec) MaxValue() int64 {
-	return (math.MaxInt64 - 1 - (c.n - 1)) / c.n
-}
+func (c Codec) MaxValue() int64 { return c.max }
 
 // MaxValueFor is the one definition of the monitors' value-domain bound:
 // the largest observation magnitude admissible for n nodes under the

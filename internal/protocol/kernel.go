@@ -11,9 +11,9 @@ import (
 
 // Field is the struct-of-arrays form of a node population, 16 bytes a
 // node: node i holds key Keys[i] and draws from generator i of Gens. It is
-// what the round kernel runs over; the sequential engine (internal/core)
-// and every node bank (internal/coord) keep their nodes this way, so
-// neither builds per-execution participant records.
+// what the round kernel runs over; every node bank (internal/coord), and
+// so every engine, keeps its nodes this way and builds no per-execution
+// participant records.
 type Field struct {
 	Keys []order.Key
 	Gens rng.Arena
@@ -74,10 +74,15 @@ func (s *InPlay) resize(n int) {
 func (s *InPlay) Enlist(n int, ids []int) {
 	s.resize(n)
 	for _, id := range ids {
-		s.words[id>>6] |= 1 << (id & 63)
-		s.heads[id>>12] |= 1 << (id >> 6 & 63)
+		s.Add(id)
 	}
-	s.count = len(ids)
+}
+
+// Add puts node i, which is not in play, in play.
+func (s *InPlay) Add(i int) {
+	s.words[i>>6] |= 1 << (i & 63)
+	s.heads[i>>12] |= 1 << (i >> 6 & 63)
+	s.count++
 }
 
 // EnlistExcept makes the set all of [0, n) minus the distinct nodes in

@@ -62,7 +62,7 @@ type Config struct {
 	Shards int
 	// Ordered selects the coordinator's ordered mode, exactly as in
 	// core.Config: the runtime also tracks the ranking of the top-k
-	// (AppendRanking), and the bank hosts an order filter per node.
+	// (AppendRanking), and the bank hosts the members' order filters.
 	Ordered bool
 }
 
@@ -222,7 +222,7 @@ func New(cfg Config) *Runtime {
 	// equivalence depends on it.
 	bank := coord.NewNodes(cfg.N, 0, cfg.N, cfg.Seed, cfg.DistinctValues, tol)
 	if cfg.Ordered {
-		bank.EnableOrderFilters() // before the shards take their views
+		bank.EnableOrderFilters(cfg.K) // before the shards take their views
 	}
 	return assemble(cfg, coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol, Ordered: cfg.Ordered}), bank)
 }

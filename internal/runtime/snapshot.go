@@ -37,7 +37,7 @@ func (rt *Runtime) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
 	if rt.closed {
 		return nil, fmt.Errorf("runtime: snapshot of a closed runtime")
 	}
-	return rt.mach.AppendCheckpoint(dst, gen, wire.EngineConc, rt.cfg.Seed, rt.cfg.DistinctValues, rt.bank.Snapshot)
+	return rt.mach.AppendCheckpoint(dst, gen, wire.EngineConc, rt.cfg.Seed, rt.bank)
 }
 
 // Restore rebuilds a runtime from Snapshot frames taken under the same

@@ -181,8 +181,9 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 
 // TestAppendCheckpointIsTheEnvelopeOfSnapshot pins the in-place path to
 // the composed one: the envelope AppendCheckpoint writes straight from the
-// bank's arrays is wire.Checkpoint.Append over Snapshot's two frames — with
-// violation history in them.
+// bank's arrays is wire.Checkpoint.Append over Snapshot's two frames — which
+// carry live state only: of a run that keeps violating filters, the k
+// membership bits and no violation history.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 	cfg := Config{N: 64, K: 5, Seed: 5, Shards: 3}
 	rt := New(cfg)
@@ -190,7 +191,6 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 	wr := rng.New(8, 8)
 	vals := make([]int64, cfg.N)
 	var buf []byte
-	sparse := 0
 	for step := 0; step < 30; step++ {
 		for i := range vals {
 			vals[i] += int64(wr.Intn(41)) - 20
@@ -211,13 +211,18 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 		if err := bs.Decode(nodes); err != nil {
 			t.Fatal(err)
 		}
+		members := 0
 		for i := range bs.ViolStep {
-			if bs.ViolStep[i] != -1 {
-				sparse++
+			if bs.ViolStep[i] != -1 || bs.Flags[i]&^wire.FlagNodeInTop != 0 {
+				t.Fatalf("step %d: node %d persisted violation step %d, flags 0x%02x", step, i, bs.ViolStep[i], bs.Flags[i])
 			}
+			members += int(bs.Flags[i])
+		}
+		if members != cfg.K {
+			t.Fatalf("step %d: frame flags %d members, k = %d", step, members, cfg.K)
 		}
 	}
-	if sparse == 0 {
-		t.Fatal("workload too calm: no frame carried violation history")
+	if st := rt.Stats(); st.ViolationSteps < 5 || st.Resets < 3 {
+		t.Fatalf("workload too calm: %+v", st)
 	}
 }

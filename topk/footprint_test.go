@@ -18,11 +18,12 @@ func liveHeap() uint64 {
 
 // TestSequentialFootprintPerNode pins what a sequential monitor keeps
 // alive per node once its first Observe — the time-0 FILTERRESET over all
-// n nodes — has run: key 8, generator state 8, a membership byte each in
-// the filter set and the coordinator machine, and the in-play bit, 18.1
-// B/node in all (the filters are the filter set's two bounds, a
-// generator's increment derives from its id, cohorts are described, not
-// listed). The budget leaves no room for a stored increment (8 B), an id
+// n nodes — has run: key 8, generator state 8, the bank's flag byte, the
+// coordinator machine's membership byte and the in-play bit, 18.1 B/node
+// in all (the filters are the bank's two bounds, a generator's increment
+// derives from its id, cohorts are enlisted from the flags, not listed).
+// The budget leaves no room for a violation stamp or a stored increment
+// (8 B), an id
 // list (4 B), a per-node filter interval (16 B) or a protocol record (a
 // 32-byte sampler, a 24-byte participant) to stay reachable from the
 // monitor after the reset.
@@ -46,6 +47,36 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 	t.Logf("sequential monitor, n=%d: %.1f B/node live after the first Observe", n, perNode)
 	if perNode > budget {
 		t.Fatalf("sequential monitor holds %.1f B/node after its first Observe, budget %v", perNode, budget)
+	}
+	runtime.KeepAlive(vals)
+}
+
+// TestOrderedFootprintPerNode pins that the ordered mode costs the same per
+// node on both in-process engines, and what the set mode costs: the order
+// filters are a table of the k members', in the bank both engines host, not
+// a 16-byte column over all n nodes (which the concurrent engine's bank
+// held before the table moved there).
+func TestOrderedFootprintPerNode(t *testing.T) {
+	const n, k, budget = 1 << 18, 16, 20.0
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i) * 7 % 1000003
+	}
+	for _, conc := range []bool{false, true} {
+		before := liveHeap()
+		m, err := NewOrdered(Config{Nodes: n, K: k, Seed: 1, Concurrent: conc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		perNode := (float64(liveHeap()) - float64(before)) / n
+		t.Logf("ordered monitor, concurrent=%v, n=%d: %.1f B/node live after the first Observe", conc, n, perNode)
+		if perNode > budget {
+			t.Fatalf("ordered monitor (concurrent=%v) holds %.1f B/node after its first Observe, budget %v", conc, perNode, budget)
+		}
+		m.Close()
 	}
 	runtime.KeepAlive(vals)
 }

@@ -3,6 +3,7 @@ package topk
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -210,5 +211,139 @@ func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// parentFrameCfg is the state the committed v2 fixtures were taken in: a
+// monitor of this configuration after parentFrameSteps goldenWalk steps —
+// all 48 nodes start level, so the walk keeps violating filters on both
+// sides of the boundary.
+var parentFrameCfg = Config{Nodes: 48, K: 5, Seed: 21}
+
+const parentFrameSteps = 120
+
+// runToParentFrame builds a monitor of parentFrameCfg on the chosen engine
+// and walks it to the fixtures' step; the walk is returned to continue.
+func runToParentFrame(t *testing.T, concurrent bool, store CheckpointStore) (*Monitor, func([]int64), []int64) {
+	t.Helper()
+	cfg := parentFrameCfg
+	cfg.Concurrent, cfg.Checkpoint = concurrent, Checkpoint{Store: store}
+	mon, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mon.Close)
+	walk, vals := goldenWalk(), make([]int64, cfg.Nodes)
+	for s := 0; s < parentFrameSteps; s++ {
+		walk(vals)
+		if _, err := mon.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mon, walk, vals
+}
+
+// checkpointFrame checkpoints mon and returns the envelope its store holds.
+func checkpointFrame(t *testing.T, mon *Monitor, store CheckpointStore) wire.Checkpoint {
+	t.Helper()
+	if _, err := mon.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, frame, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c wire.Checkpoint
+	if err := c.Decode(frame); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRestoreParentConcurrentFrame restores testdata/v2_conc_viol.ckpt —
+// written by the concurrent engine at the last commit whose bank kept an
+// 8-byte violation stamp per node and persisted it, with the WasTop and
+// Extracted flag bits, in every frame — and runs the monitor against a twin
+// that never stopped for 200 steps: reports, ledgers, stats. A checkpoint
+// is taken between steps and all three are only read inside the step that
+// wrote them, so what the frame carries of them is accepted and dropped.
+func TestRestoreParentConcurrentFrame(t *testing.T) {
+	frame, err := os.ReadFile(filepath.Join("testdata", "v2_conc_viol.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c wire.Checkpoint
+	if err := c.Decode(frame); err != nil {
+		t.Fatal(err)
+	}
+	var bs wire.BankState
+	if err := bs.Decode(c.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	stamps, dead := 0, byte(0)
+	for i := range bs.ViolStep {
+		if bs.ViolStep[i] != -1 {
+			stamps++
+		}
+		dead |= bs.Flags[i] &^ wire.FlagNodeInTop
+	}
+	if stamps == 0 || dead != wire.FlagNodeWasTop|wire.FlagNodeExtracted {
+		t.Fatalf("fixture carries %d violation stamps and dead flag bits 0x%02x; it tests nothing", stamps, dead)
+	}
+	old := MemCheckpoints()
+	if err := old.Save(c.Gen, frame); err != nil {
+		t.Fatal(err)
+	}
+	cfg := parentFrameCfg
+	cfg.Concurrent = true
+	restored, err := Restore(old, cfg)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer restored.Close()
+	twin, walk, vals := runToParentFrame(t, true, nil)
+	sameExecution(t, "at the frame", restored, twin)
+	for s := 0; s < 200; s++ {
+		walk(vals)
+		want, err := twin.Observe(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.Observe(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalIDs(want, got) {
+			t.Fatalf("step %d: report %v, twin %v", s, got, want)
+		}
+		sameExecution(t, fmt.Sprintf("step %d", s), restored, twin)
+	}
+	if twin.Stats().Resets < 20 {
+		t.Fatalf("workload too calm: %+v", twin.Stats())
+	}
+}
+
+// TestBankFrameIsOneFrame pins what the sequential engine writes and that
+// the concurrent engine writes the same: testdata/v2_seq.ckpt is the sealed
+// envelope the sequential engine wrote for this seed and trace while it
+// still kept its own node side and its own frame writer, byte for byte what
+// this build writes; and the concurrent engine's bank section — live state
+// only, no violation stamps, no flag but membership — is the sequential
+// engine's.
+func TestBankFrameIsOneFrame(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "v2_seq.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqStore, concStore := MemCheckpoints(), MemCheckpoints()
+	seq, _, _ := runToParentFrame(t, false, seqStore)
+	conc, _, _ := runToParentFrame(t, true, concStore)
+	seqFrame := checkpointFrame(t, seq, seqStore)
+	if _, got, _ := seqStore.Load(); !bytes.Equal(got, want) {
+		t.Fatalf("the sequential engine's envelope (%d bytes) left the recorded one (%d bytes)", len(got), len(want))
+	}
+	concFrame := checkpointFrame(t, conc, concStore)
+	if !bytes.Equal(concFrame.Nodes, seqFrame.Nodes) || !bytes.Equal(concFrame.Machine, seqFrame.Machine) {
+		t.Fatal("the concurrent engine's machine and bank sections differ from the sequential engine's")
 	}
 }
