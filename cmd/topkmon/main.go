@@ -56,6 +56,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/netrun"
+	"repro/internal/order"
 	"repro/internal/runtime"
 	"repro/internal/shardrun"
 	"repro/internal/sim"
@@ -638,6 +639,9 @@ func loadMatrix(tracePath, workload string, n, steps int, seed uint64) ([][]int6
 		if steps < len(rows) {
 			rows = rows[:steps]
 		}
+		if err := checkDomain(rows); err != nil {
+			return nil, fmt.Errorf("%s: %w", tracePath, err)
+		}
 		return rows, nil
 	}
 	src, err := stream.FromSpec(stream.Spec{Name: workload, N: n, Steps: steps, Seed: seed})
@@ -648,4 +652,23 @@ func loadMatrix(tracePath, workload string, n, steps int, seed uint64) ([][]int6
 		steps = c.CycleLen() // one full cycle is the natural horizon
 	}
 	return stream.Collect(src, steps), nil
+}
+
+// checkDomain rejects a matrix holding a value no engine can take: the
+// engines leave the value domain to their boundary — this command — and
+// answer a violation with a panic.
+func checkDomain(matrix [][]int64) error {
+	if len(matrix) == 0 {
+		return nil
+	}
+	n := len(matrix[0])
+	limit := order.MaxValueFor(n, false)
+	for row, vals := range matrix {
+		for node, v := range vals {
+			if v > limit || v < -limit {
+				return fmt.Errorf("row %d, node %d: value %d outside the value domain [-%d, %d] for %d nodes", row, node, v, limit, limit, n)
+			}
+		}
+	}
+	return nil
 }

@@ -9,8 +9,9 @@
 // hosted in Nodes banks:
 //
 //   - internal/core executes effects by direct calls on one bank over all
-//     nodes (protocol executions as protocol.Exec's round loop over it),
-//   - internal/runtime ships them as batched commands to shard goroutines,
+//     nodes (protocol executions as protocol.Exec's round loop over it);
+//     its three effects that sweep a node range can instead be fanned out,
+//     as batched commands, to internal/runtime's shard goroutines,
 //   - internal/netrun encodes them as internal/wire frames on
 //     transport.Links,
 //   - internal/shardrun delegates whole protocol executions to per-shard

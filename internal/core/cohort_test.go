@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/coord"
+	"repro/internal/order"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -61,10 +63,11 @@ var goldenStreams = []struct {
 // mode, of the rankings), the ledger in total and by phase in messages and
 // bytes, the statistics, and a hash of every node's generator state after
 // the last step. feed picks the ingestion: every step dense, every step
-// after the first as the delta of the nodes that moved, or the two mixed.
-func goldenLine(t *testing.T, cfg Config, feed string, src stream.Source) string {
+// after the first as the delta of the nodes that moved, or the two mixed;
+// newMonitor picks the host.
+func goldenLine(t *testing.T, newMonitor func(Config) *Monitor, cfg Config, feed string, src stream.Source) string {
 	t.Helper()
-	m := New(cfg)
+	m := newMonitor(cfg)
 	vals, prev := make([]int64, cfg.N), make([]int64, cfg.N)
 	var ids []int
 	var moved []int64
@@ -116,6 +119,46 @@ func goldenLine(t *testing.T, cfg Config, feed string, src stream.Source) string
 // does not stop the bank from writing.
 func bankFrame(m *Monitor) []byte { return m.bank.Snapshot(nil) }
 
+// views is a Host of up to three disjoint views of the bank, swept one
+// after the other on the calling goroutine: the seam with everything a
+// partitioned host keeps per view — a violator list and an in-play set each,
+// a sparse batch cut at the view boundaries — and no scheduler.
+type views []*coord.Nodes
+
+func threeViews(bank *coord.Nodes) Host {
+	var h views
+	for n, lo := bank.Len(), 0; lo < n; lo += (n + 2) / 3 {
+		h = append(h, bank.Sub(lo, min(lo+(n+2)/3, n)))
+	}
+	return h
+}
+
+func (h views) Observe(ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
+	for _, v := range h {
+		top, out, err := ObserveRange(v, ids, vals, step)
+		if err != nil {
+			return anyTop, anyOut, err
+		}
+		anyTop, anyOut = anyTop || top, anyOut || out
+	}
+	return anyTop, anyOut, nil
+}
+
+func (h views) Round(tag uint8, r int, best order.Key, bound int, step int64, bid func(int, order.Key)) {
+	for _, v := range h {
+		v.Round(tag, r, best, bound, step, bid)
+	}
+}
+
+func (h views) ResetBegin() {
+	for _, v := range h {
+		v.ResetBegin()
+	}
+}
+
+func (views) Engine() uint8 { return wire.EngineSeq }
+func (views) Close()        {}
+
 // TestCohortsMatchNodeLocalMembership holds the monitor — one coord.Machine
 // over one coord.Nodes bank, where every node decides its own cohort
 // membership — to the engine it replaced, which described each cohort by a
@@ -127,24 +170,28 @@ func bankFrame(m *Monitor) []byte { return m.bank.Snapshot(nil) }
 // 0.05} × {tie-break injection, DistinctValues} × {set, ordered}, must
 // reproduce — reports, ledgers by phase in messages and bytes, statistics,
 // and the state every generator is left in, which says each execution
-// enlisted exactly the nodes the description named.
+// enlisted exactly the nodes the description named. Every line must
+// reproduce a second time through the Host seam cut three ways (views),
+// where a cohort is assembled from per-view violator lists and in-play sets.
 func TestCohortsMatchNodeLocalMembership(t *testing.T) {
-	var got []string
-	for _, gs := range goldenStreams {
-		for _, feed := range []string{"dense", "delta", "mixed"} {
-			for _, eps := range []float64{0, 0.05} {
-				for _, distinct := range []bool{false, true} {
-					for _, ordered := range []bool{false, true} {
-						cfg := Config{N: gs.n, K: gs.k, Seed: 71, Epsilon: eps, DistinctValues: distinct, Ordered: ordered}
-						name := fmt.Sprintf("%s/%s/eps=%g/distinct=%v/ordered=%v", gs.name, feed, eps, distinct, ordered)
-						got = append(got, name+": "+goldenLine(t, cfg, feed, gs.src(gs.n)))
+	run := func(newMonitor func(Config) *Monitor) (got []string) {
+		for _, gs := range goldenStreams {
+			for _, feed := range []string{"dense", "delta", "mixed"} {
+				for _, eps := range []float64{0, 0.05} {
+					for _, distinct := range []bool{false, true} {
+						for _, ordered := range []bool{false, true} {
+							cfg := Config{N: gs.n, K: gs.k, Seed: 71, Epsilon: eps, DistinctValues: distinct, Ordered: ordered}
+							name := fmt.Sprintf("%s/%s/eps=%g/distinct=%v/ordered=%v", gs.name, feed, eps, distinct, ordered)
+							got = append(got, name+": "+goldenLine(t, newMonitor, cfg, feed, gs.src(gs.n)))
+						}
 					}
 				}
 			}
 		}
+		return got
 	}
 	if *updateGolden {
-		if err := os.WriteFile(goldenFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(goldenFile, []byte(strings.Join(run(New), "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -154,12 +201,18 @@ func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(recorded), "\n"), "\n")
-	if len(want) != len(got) {
-		t.Fatalf("%s holds %d lines for %d cases", goldenFile, len(want), len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("the monitor left the recorded run:\n got %s\nwant %s", got[i], want[i])
+	for host, newMonitor := range map[string]func(Config) *Monitor{
+		"inline":      New,
+		"three views": func(cfg Config) *Monitor { return NewOn(cfg, threeViews) },
+	} {
+		got := run(newMonitor)
+		if len(want) != len(got) {
+			t.Fatalf("%s holds %d lines for %d cases", goldenFile, len(want), len(got))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("the monitor on the %s host left the recorded run:\n got %s\nwant %s", host, got[i], want[i])
+			}
 		}
 	}
 }

@@ -3,20 +3,33 @@
 // (Algorithm 1). A Monitor plays both roles of the model — the coordinator
 // and the per-node filter checks — against observation vectors supplied
 // one time step at a time, and accounts every message the model would
-// charge.
+// charge. It is the only in-process engine: the sequential and the
+// concurrent engine are this Monitor on two hosts.
 //
 // Both roles live in internal/coord, sans I/O: the coordinator's decision
 // logic — violation handling, T+/T− tightening, midpoint broadcasts,
 // FILTERRESET — is the state machine coord.Machine, and the node side —
 // keys, filters, membership bits, generators, who takes part in which
 // protocol execution — is the node bank coord.Nodes, the same one every
-// other engine hosts. The Monitor is the sequential substrate between the
-// two: one machine, one bank over all n nodes, and the machine's effects
-// executed by direct procedure calls, a protocol execution being the round
-// loop of internal/protocol over the bank. What it adds of its own is the
+// other engine hosts. The Monitor owns one machine, one bank over all n
+// nodes, the one loop that executes the machine's effects on that bank, the
 // engine's input contract (it panics where the public boundary returns an
-// error), optional tracing of the installs, the UseGather ablation, and the
-// views tests and the oracle read (EncodeAll, Keys, Filters).
+// error), the accessors, Snapshot/Restore/AppendCheckpoint, optional
+// tracing of the installs, the UseGather ablation, and the views tests and
+// the oracle read (EncodeAll, Keys, Filters).
+//
+// What it does not own is where a sweep over a node range runs. The paper
+// prices messages only, so where a node's filter check or Bernoulli trial
+// executes can change neither a report nor a ledger; the three effects that
+// visit a range of nodes — the step's observation batch, a protocol round,
+// the start of a reset — therefore go through the Host seam. Inline, the
+// sequential host, is the bank itself swept on the calling goroutine;
+// internal/runtime's shard pool fans the same sweeps out over disjoint views
+// of the bank. Everything else the machine asks for touches one node
+// (Winner, OrderViolated, SetOrderBounds) or one shared cell (Midpoint,
+// ApplyBounds): the Monitor runs it on the full-range bank itself, which
+// the Host contract — a host touches the bank only inside its methods —
+// makes race-free on any host, so no host has a command for it.
 //
 // The flow per time step follows the paper exactly:
 //
@@ -40,6 +53,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
@@ -86,26 +100,101 @@ type Config struct {
 // for the same seed.
 type Stats = coord.Stats
 
-// Monitor runs Algorithm 1. Create with New; it is not safe for concurrent
-// use (the concurrent engine lives in internal/runtime).
+// Host runs the three operations of a step that sweep a range of nodes, on
+// behalf of the one Monitor whose full-range bank it was started over. The
+// contract is what lets the Monitor execute every other effect on that bank
+// directly: a host touches the bank only inside these methods, and whatever
+// it did there happens-before the method returns — between calls it is
+// parked. Inline keeps the contract trivially; internal/runtime's shard pool
+// keeps it with a command/reply channel pair per call.
+type Host interface {
+	// Observe ingests one step's batch — vals[j] is the new value of node
+	// ids[j] (strictly increasing), of node j when ids is nil: nil, not
+	// merely empty, is the dense form — and reports whether any former
+	// top-k member and any outsider violated its filter. The first
+	// out-of-domain value, by node id, is returned as the bank's error.
+	Observe(ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error)
+	// Round is coord.Nodes.Round over all n nodes: bid sees every send in
+	// ascending node id order, on the calling goroutine.
+	Round(tag uint8, r int, best order.Key, bound int, step int64, bid func(id int, key order.Key))
+	// ResetBegin is coord.Nodes.ResetBegin over all n nodes.
+	ResetBegin()
+	// Engine is the wire.Engine* fingerprint the monitor's checkpoint
+	// envelopes carry, so a frame never restores onto another host kind.
+	Engine() uint8
+	// Close releases what the host holds; the monitor must not step after.
+	Close()
+}
+
+// Inline is the sequential host: the bank itself, swept on the calling
+// goroutine.
+func Inline(bank *coord.Nodes) Host { return inline{bank} }
+
+type inline struct{ *coord.Nodes } // Round and ResetBegin are the bank's
+
+func (h inline) Observe(ids []int, vals []int64, step int64) (bool, bool, error) {
+	return ObserveRange(h.Nodes, ids, vals, step)
+}
+func (inline) Engine() uint8 { return wire.EngineSeq }
+func (inline) Close()        {}
+
+// ObserveRange feeds view its part of one step's batch (Host.Observe's ids
+// and vals, ids strictly increasing): the nodes of [view.Lo(), view.Hi())
+// among them, in ascending id order, stopping at the first value the bank
+// rejects. It is the node-local filter check of Algorithm 1 line 3,
+// restricted to the touched nodes: an untouched node's value lies inside
+// its filter by the per-step invariant. With k == n all filters are
+// [−∞, +∞] and nobody ever violates.
+func ObserveRange(view *coord.Nodes, ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
+	lo, hi := view.Lo(), view.Hi()
+	if ids != nil {
+		lo = sort.SearchInts(ids, lo)
+		hi = lo + sort.SearchInts(ids[lo:], hi)
+	}
+	for j := lo; j < hi; j++ {
+		id := j
+		if ids != nil {
+			id = ids[j]
+		}
+		top, out, err := view.Observe(id, vals[j], step)
+		if err != nil {
+			return anyTop, anyOut, err
+		}
+		anyTop, anyOut = anyTop || top, anyOut || out
+	}
+	return anyTop, anyOut, nil
+}
+
+// Monitor runs Algorithm 1. Create with New (or NewOn, for another host
+// than Inline); it is not safe for concurrent use — steps are globally
+// ordered in the model, and what parallelism there is belongs to the host.
 //
 // The monitor holds no per-node state of its own: the machine has the
-// membership, the bank everything a node knows. It is allocation-free in
-// steady state — the bank's in-play set and violator list are reused — and
-// a violation-free step via ObserveDelta costs O(#changed nodes) and zero
-// heap allocations.
+// membership, the bank everything a node knows. On the inline host it is
+// allocation-free in steady state — the bank's in-play set and violator
+// list are reused, the running execution and its bid callback live in the
+// monitor — and a violation-free step via ObserveDelta costs O(#changed
+// nodes) and zero heap allocations.
 type Monitor struct {
 	cfg  Config
 	mach *coord.Machine
 	bank *coord.Nodes // all n nodes
+	host Host         // sweeps bank's ranges; parked between calls
 	step int64
+
+	ex  protocol.Exec        // the running protocol execution
+	bid func(int, order.Key) // ex.Bid, bound once: a host call must not allocate it
 }
 
-// New validates the configuration and returns a monitor. The first
-// Observe or ObserveDelta call performs the paper's time-0 FILTERRESET
-// initialization; until a node's first delta arrives it is treated as
-// holding the value 0.
-func New(cfg Config) *Monitor {
+// New validates the configuration and returns a monitor on the inline
+// host: the sequential engine. The first Observe or ObserveDelta call
+// performs the paper's time-0 FILTERRESET initialization; until a node's
+// first delta arrives it is treated as holding the value 0.
+func New(cfg Config) *Monitor { return NewOn(cfg, Inline) }
+
+// NewOn is New on the host that start builds over the monitor's bank. The
+// bank's RNG stream layout is the one every engine shares, whatever the host.
+func NewOn(cfg Config, start func(bank *coord.Nodes) Host) *Monitor {
 	if cfg.N <= 0 {
 		panic("core: monitor needs N > 0")
 	}
@@ -119,14 +208,18 @@ func New(cfg Config) *Monitor {
 	if err != nil {
 		panic("core: " + err.Error())
 	}
-	m := &Monitor{
-		cfg:  cfg,
-		mach: coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol, Ordered: cfg.Ordered}),
-		bank: coord.NewNodes(cfg.N, 0, cfg.N, cfg.Seed, cfg.DistinctValues, tol),
-	}
+	bank := coord.NewNodes(cfg.N, 0, cfg.N, cfg.Seed, cfg.DistinctValues, tol)
 	if cfg.Ordered {
-		m.bank.EnableOrderFilters(cfg.K)
+		bank.EnableOrderFilters(cfg.K) // before a host takes its views
 	}
+	return assemble(cfg, coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol, Ordered: cfg.Ordered}), bank, start)
+}
+
+// assemble wires a machine and its full-range bank into a monitor and
+// starts the host over the bank; NewOn and RestoreOn funnel through it.
+func assemble(cfg Config, mach *coord.Machine, bank *coord.Nodes, start func(*coord.Nodes) Host) *Monitor {
+	m := &Monitor{cfg: cfg, mach: mach, bank: bank, host: start(bank)}
+	m.bid = m.ex.Bid
 	return m
 }
 
@@ -158,12 +251,15 @@ func (m *Monitor) Bytes() comm.Bytes { return m.mach.Bytes() }
 // Stats returns execution counters.
 func (m *Monitor) Stats() Stats { return m.mach.Stats() }
 
-// Err returns nil: the sequential engine has no links to lose, so it
-// never degrades (the link-backed engines report abandoned recovery here).
+// Err returns nil: an in-process host has no links to lose and cannot fail
+// independently of the coordinator, so the monitor never degrades (the
+// link-backed engines report abandoned recovery here).
 func (m *Monitor) Err() error { return nil }
 
-// Close is a no-op: the sequential engine holds no goroutines or links.
-func (m *Monitor) Close() {}
+// Close closes the host — a no-op inline, the end of the shard goroutines
+// on internal/runtime's pool. Idempotent; stepping a closed monitor panics
+// where its host cannot sweep any more.
+func (m *Monitor) Close() { m.host.Close() }
 
 // Filters assembles the current filter assignment — the bank's installed
 // bounds on the machine's membership — for invariant checking.
@@ -207,6 +303,14 @@ func (m *Monitor) EncodeAll(vals []int64, keys []order.Key) {
 // slice is a read-only view owned by the monitor, valid until the next
 // step that changes the top set; use AppendTop to copy. Observe is the
 // dense form of ObserveDelta: every node is treated as touched.
+//
+// The input contract, for both forms and on every host: a malformed shape
+// (a wrong width, ids out of range or out of order) panics before anything
+// is mutated, so the step can be retried. The value domain (MaxValue) is
+// the boundary's check — topk and topkmon validate it and return an error —
+// and a value that reaches the bank outside it panics, on the calling
+// goroutine, with a step in flight: that violation is terminal, the next
+// call fails in coord.Machine.BeginStep.
 func (m *Monitor) Observe(vals []int64) []int {
 	if len(vals) != m.cfg.N {
 		panic(fmt.Sprintf("core: observed %d values for %d nodes", len(vals), m.cfg.N))
@@ -231,8 +335,6 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 	if len(ids) != len(vals) {
 		panic(fmt.Sprintf("core: delta has %d ids but %d values", len(ids), len(vals)))
 	}
-	// Validate fully before mutating any key, so a panic on bad input
-	// leaves the monitor untouched (matching the runtime engine).
 	prev := -1
 	for _, id := range ids {
 		if id <= prev || id >= m.cfg.N {
@@ -240,28 +342,22 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 		}
 		prev = id
 	}
+	if ids == nil {
+		ids = []int{} // a step where nothing changed, not the dense form's nil
+	}
 	return m.observe(ids, vals)
 }
 
 // observe runs one step in which vals[j] is the new value of node ids[j] —
-// of node j when ids is nil, the dense form's implicit 0..n-1.
+// of node j when ids is nil, the dense form's implicit 0..n-1. It is the one
+// loop that executes the machine's effects in process: the three range
+// sweeps through the host, everything else on the bank directly (the host
+// is parked; see Host).
 func (m *Monitor) observe(ids []int, vals []int64) []int {
 	m.step = m.mach.BeginStep()
-	// Node-local filter checks (Algorithm 1 line 3), restricted to the
-	// touched nodes: an untouched node's value lies inside its filter by
-	// the per-step invariant. With k == n all filters are [−∞, +∞] and
-	// nobody ever violates.
-	anyTop, anyOut := false, false
-	for j, v := range vals {
-		id := j
-		if ids != nil {
-			id = ids[j]
-		}
-		top, out, err := m.bank.Observe(id, v, m.step)
-		if err != nil {
-			panic("core: " + err.Error())
-		}
-		anyTop, anyOut = anyTop || top, anyOut || out
+	anyTop, anyOut, err := m.host.Observe(ids, vals, m.step)
+	if err != nil {
+		panic("core: " + err.Error())
 	}
 
 	reset := false // a FILTERRESET ran this step: the install is its last act
@@ -272,7 +368,7 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 			res := m.exec(eff)
 			eff = m.mach.ExecDone(res.OK, res.ID, res.Key)
 		case coord.EffResetBegin:
-			m.bank.ResetBegin()
+			m.host.ResetBegin()
 			reset = true
 			eff = m.mach.Ack()
 		case coord.EffWinner:
@@ -299,30 +395,31 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 }
 
 // exec runs one protocol execution over the effect's cohort: the round
-// loop every substrate runs over its bank (shardrun's leaves run this very
-// loop), the bank enlisting the cohort at round 0. Under the UseGather
-// ablation it is instead the one round in which every cohort member bids —
-// round 0 of population bound 1 sends with probability 1, and a cut of −∞
-// dominates nobody — charged as the gather-all protocol charges: one query
-// broadcast, one bid per member, nothing for an empty cohort.
+// loop every substrate runs (shardrun's leaves run this very loop), each
+// round one sweep of the host, the banks enlisting the cohort at round 0.
+// Under the UseGather ablation it is instead the one round in which every
+// cohort member bids — round 0 of population bound 1 sends with probability
+// 1, and a cut of −∞ dominates nobody — charged as the gather-all protocol
+// charges: one query broadcast, one bid per member, nothing for an empty
+// cohort.
 func (m *Monitor) exec(eff coord.Effect) protocol.Result {
 	rec, minimum := m.mach.Recorder(eff.Phase), coord.MinimumTag(eff.Tag)
 	if m.cfg.UseGather {
-		ex := protocol.NewExec(1, minimum, rec, m.cfg.Trace, m.step)
-		m.bank.Round(eff.Tag, 0, order.NegInf, 1, m.step, ex.Bid)
-		res := ex.Result()
+		m.ex = protocol.NewExec(1, minimum, rec, m.cfg.Trace, m.step)
+		m.host.Round(eff.Tag, 0, order.NegInf, 1, m.step, m.bid)
+		res := m.ex.Result()
 		if res.OK {
 			comm.RecordSized(rec, comm.Bcast, 1, wire.SizeQuery())
 			m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather"})
 		}
 		return res
 	}
-	ex := protocol.NewExec(eff.Bound, minimum, rec, m.cfg.Trace, m.step)
-	for ex.More() {
-		m.bank.Round(eff.Tag, ex.Round(), ex.Best(), eff.Bound, m.step, ex.Bid)
-		ex.EndRound()
+	m.ex = protocol.NewExec(eff.Bound, minimum, rec, m.cfg.Trace, m.step)
+	for m.ex.More() {
+		m.host.Round(eff.Tag, m.ex.Round(), m.ex.Best(), eff.Bound, m.step, m.bid)
+		m.ex.EndRound()
 	}
-	return ex.Result()
+	return m.ex.Result()
 }
 
 // traceInstall records a midpoint (or ε-mode band) broadcast, noting the

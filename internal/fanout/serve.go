@@ -75,7 +75,7 @@ type leaf struct {
 }
 
 // newBank validates an assignment and builds its node bank. The RNG
-// stream layout must match core.New / runtime.New exactly — every engine
+// stream layout must match core.NewOn's exactly — every engine
 // derives node i's generator as the i-th Split of the same root — which
 // coord.NewNodes guarantees by construction.
 func newBank(a wire.Assign) (*coord.Nodes, error) {

@@ -16,7 +16,7 @@
 // suites in internal/sim pin for all four engines.
 //
 // The driver is engine-agnostic: Apply is a closure over
-// core.Monitor.ObserveDelta, runtime.Runtime.ObserveDelta, or the
+// core.Monitor.ObserveDelta — on either in-process host — or the
 // networked engines' equivalents. For the networked engines the frames
 // of a coalesced step ride the existing pipelined wire.Batch envelope,
 // so coalescing composes with frame coalescing — one merged step costs

@@ -11,13 +11,13 @@ import (
 )
 
 // newOrdered starts a runtime in the coordinator's ordered mode.
-func newOrdered(cfg Config) *Runtime {
+func newOrdered(cfg Config) *core.Monitor {
 	cfg.Ordered = true
 	return New(cfg)
 }
 
 // observeRanked runs one step and returns the ranking it settled on.
-func observeRanked(rt *Runtime, vals []int64) []int {
+func observeRanked(rt *core.Monitor, vals []int64) []int {
 	rt.Observe(vals)
 	return rt.AppendRanking(nil)
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -175,6 +176,26 @@ func TestRuntimePanics(t *testing.T) {
 		}()
 		rt.Observe([]int64{1, 2})
 	}()
+	// A value outside the value domain is rejected by a shard's bank; the
+	// panic must surface on the calling goroutine, where it can be
+	// recovered, as on the sequential engine — on a shard goroutine it
+	// takes the process down. The violation is terminal: the step stays in
+	// flight, and Close still returns.
+	bad := New(Config{N: 4, K: 1, Shards: 2})
+	defer bad.Close()
+	for _, step := range []func(){
+		func() { bad.Observe([]int64{1, 2, math.MaxInt64, 4}) },
+		func() { bad.Observe([]int64{1, 2, 3, 4}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic for an out-of-domain value, and for the step after it")
+				}
+			}()
+			step()
+		}()
+	}
 }
 
 func TestRuntimeDistinctValuesMode(t *testing.T) {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/coord"
@@ -44,7 +45,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 			t.Fatal(err)
 		}
 		member, outsider := live.Top()[0], 0
-		for live.mach.InTop(outsider) {
+		for slices.Contains(live.Top(), outsider) {
 			outsider++
 		}
 		rejected := func(name string, frame []byte) {
@@ -139,37 +140,48 @@ func lowerMembers(s *wire.NodesState, d int64) {
 }
 
 // TestOrderFiltersOnlyOnTheOrderedRuntime pins who pays for order
-// filters: the ordered mode's bank holds them — allocated before the
-// shards took their views, so a bound installed by a shard is the one the
-// full-range bank's frame carries — and the plain runtime's bank holds
-// none. The ordered runtime itself has no checkpoint: its machine refuses
-// to snapshot.
+// filters: the ordered mode's bank holds them — the monitor installs and
+// checks them on the full-range bank while the shards are parked, so a move
+// that keeps the top set and every set filter but crosses a neighbour's
+// midpoint is caught and re-ranked — and the plain runtime's bank frame
+// carries none. The ordered runtime itself has no checkpoint: its machine
+// refuses to snapshot.
 func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 	cfg := Config{N: 16, K: 3, Seed: 2, Shards: 4}
 	vals := []int64{5, 90, 12, 7, 80, 3, 9, 70, 1, 2, 4, 6, 8, 10, 11, 13}
-	frameHasOrderFilter := func(rt *Runtime) bool {
-		var ns wire.BankState
-		if err := ns.Decode(rt.bank.Snapshot(nil)); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ns.OrdLo {
-			if ns.OrdLo[i] != ns.OrdLo[0] || ns.OrdHi[i] != ns.OrdHi[0] {
-				return true
-			}
-		}
-		return false
-	}
 	plain := New(cfg)
 	defer plain.Close()
 	plain.Observe(vals)
-	if frameHasOrderFilter(plain) {
-		t.Fatal("plain runtime's bank frame carries an order filter")
+	_, nodes, err := plain.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ns wire.BankState
+	if err := ns.Decode(nodes); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ns.OrdLo {
+		if ns.OrdLo[i] != ns.OrdLo[0] || ns.OrdHi[i] != ns.OrdHi[0] {
+			t.Fatal("plain runtime's bank frame carries an order filter")
+		}
+	}
+	if got := plain.AppendRanking(nil); len(got) != 0 {
+		t.Fatalf("plain runtime ranks %v", got)
 	}
 	ord := newOrdered(cfg)
 	defer ord.Close()
-	ord.Observe(vals)
-	if !frameHasOrderFilter(ord) {
-		t.Fatal("ordered runtime's order filters did not reach the full-range bank")
+	if got, want := observeRanked(ord, vals), []int{1, 4, 7}; !equal(got, want) {
+		t.Fatalf("ranking %v, want %v", got, want)
+	}
+	// Nodes 4 and 7 trade ranks far above the set filter's midpoint: only
+	// the order filters installed in the bank can notice.
+	before := ord.Counts()
+	vals[4], vals[7] = 72, 78
+	if got, want := observeRanked(ord, vals), []int{1, 7, 4}; !equal(got, want) {
+		t.Fatalf("ranking %v after the swap, want %v: the order filters did not reach the bank the checks read", got, want)
+	}
+	if st := ord.Stats(); st.ViolationSteps != 0 || ord.Counts() == before {
+		t.Fatalf("the swap was not an order-filter matter: %+v, counts %v -> %v", st, before, ord.Counts())
 	}
 	if _, _, err := ord.Snapshot(); err == nil {
 		t.Fatal("ordered runtime snapshotted; its ranking has no frame")

@@ -16,8 +16,9 @@ import (
 
 // AsyncEngine is the engine surface the equivalence-under-async harness
 // drives: the sparse observation entry point plus every ledger the
-// equivalence contract pins. core.Monitor, runtime.Runtime,
-// netrun.Engine and shardrun.Engine all satisfy it structurally.
+// equivalence contract pins. core.Monitor (sequential, or concurrent on
+// internal/runtime's shard pool), netrun.Engine and shardrun.Engine all
+// satisfy it structurally.
 type AsyncEngine interface {
 	ObserveDelta(ids []int, vals []int64) []int
 	AppendTop(dst []int) []int

@@ -93,7 +93,7 @@ func Run(alg Algorithm, src stream.Source, cfg Config) Report {
 }
 
 // DeltaAlgorithm is an online monitor with a sparse ingestion path:
-// core.Monitor and runtime.Runtime satisfy it structurally.
+// core.Monitor — on either in-process host — satisfies it structurally.
 type DeltaAlgorithm interface {
 	// ObserveDelta consumes one step in which only the listed nodes
 	// (strictly increasing ids) changed and returns the reported top-k

@@ -42,14 +42,12 @@ type linked interface {
 }
 
 var (
-	_ engine = (*core.Monitor)(nil)
-	_ engine = (*runtime.Runtime)(nil)
+	_ engine = (*core.Monitor)(nil) // both in-process engines
 	_ engine = (*netrun.Engine)(nil)
 	_ engine = (*shardrun.Engine)(nil)
 	_ linked = (*netrun.Engine)(nil)
 	_ linked = (*shardrun.Engine)(nil)
 	_ ranked = (*core.Monitor)(nil)
-	_ ranked = (*runtime.Runtime)(nil)
 )
 
 // errClosed is what every step and barrier of a closed monitor returns.
@@ -116,7 +114,6 @@ func fanoutConfig(cfg Config) shardrun.Config {
 func buildEngine(cfg Config, c *wire.Checkpoint, ordered bool) (engine, error) {
 	fc := fanoutConfig(cfg)
 	lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon, Ordered: ordered}
-	rc := runtime.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon, Ordered: ordered}
 	switch kind := engineKind(cfg); {
 	case kind == wire.EngineShard && !cfg.Tree.zero():
 		if c == nil {
@@ -137,16 +134,17 @@ func buildEngine(cfg Config, c *wire.Checkpoint, ordered bool) (engine, error) {
 			return asEngine(netrun.New(fc.Core(), links))
 		}
 		return asEngine(netrun.Restore(fc.Core(), links, c.Machine, c.Last))
-	case kind == wire.EngineConc:
-		if c == nil {
-			return runtime.New(rc), nil
-		}
-		return asEngine(runtime.Restore(rc, c.Machine, c.Nodes))
 	default:
-		if c == nil {
-			return core.New(lc), nil
+		// The in-process engines are one monitor on two hosts: the bank
+		// swept inline, or by a pool of min(n, GOMAXPROCS) shard goroutines.
+		host := core.Inline
+		if kind == wire.EngineConc {
+			host = runtime.Sharded(0)
 		}
-		return asEngine(core.Restore(lc, c.Machine, c.Nodes))
+		if c == nil {
+			return core.NewOn(lc, host), nil
+		}
+		return asEngine(core.RestoreOn(lc, host, c.Machine, c.Nodes))
 	}
 }
 
