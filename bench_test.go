@@ -62,6 +62,7 @@ func BenchmarkE14SeriesOverTime(b *testing.B)     { benchExperiment(b, "E14") }
 func BenchmarkE15OptSensitivity(b *testing.B)     { benchExperiment(b, "E15") }
 func BenchmarkE16LoadBalance(b *testing.B)        { benchExperiment(b, "E16") }
 func BenchmarkE17BitVolume(b *testing.B)          { benchExperiment(b, "E17") }
+func BenchmarkE24ResetSweep(b *testing.B)         { benchExperiment(b, "E24") }
 
 // BenchmarkMaximumProtocol measures one Algorithm 2 execution and reports
 // the average number of node messages next to the wall-clock cost.
@@ -167,8 +168,8 @@ func BenchmarkMonitorStepHot(b *testing.B) {
 }
 
 // BenchmarkFilterReset measures the first Observe of the sequential engine
-// — the time-0 FILTERRESET, k+1 Algorithm 2 executions over all n nodes —
-// which is what a monitor's set-up time is made of at 10⁶ nodes.
+// — the time-0 FILTERRESET, one execution for the k+1 largest keys over all
+// n nodes — which is what a monitor's set-up time is made of at 10⁶ nodes.
 // Construction and input generation are off the clock.
 func BenchmarkFilterReset(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
@@ -250,9 +251,10 @@ func BenchmarkRuntimeStep(b *testing.B) {
 // (the algorithm ledger, which grows with S because every shard pays for
 // the executions it runs), root↔shard coordination frames and bytes per
 // step (the overhead ledger), and the local executions one FILTERRESET
-// runs on the shards, counted where the requests arrive — S + k, the count
-// shardrun's TestResetRunsSPlusKExecutions pins, where a full re-merge
-// would run (k+1)·S. This is the experiment seeding the overhead-vs-S
+// runs on the shards, counted where the requests arrive — S, one sweep a
+// shard, the count shardrun's TestResetRunsSPlusKExecutions pins (S + k
+// while a reset was a k-merge of k+1 extractions, (k+1)·S before that).
+// This is the experiment seeding the overhead-vs-S
 // trajectory (EXPERIMENTS.md E18); CI only smoke-runs it once
 // (-benchtime=1x) — compared numbers come from ./benchmark.
 func BenchmarkShardOverhead(b *testing.B) {
@@ -356,7 +358,10 @@ func tcpNetEngine(b *testing.B, cfg netrun.Config, peers int) *netrun.Engine {
 // executions — the regime in which the engine's fanned-out gather and its
 // Winner/ResetBegin/Midpoint coalescing pay: step latency should follow
 // the slowest peer rather than the peer count (msgs/step is reported to
-// prove runs comparable). This seeds the wall-clock trajectory of
+// prove runs comparable, rounds/reset — a FILTERRESET's broadcast rounds,
+// each one round trip to every peer — to show what a reset step waits
+// for: ceil(log2 n) + 1, where k+1 executions took k+1 times that). This
+// seeds the wall-clock trajectory of
 // EXPERIMENTS.md E20; CI only smoke-runs it once (-benchtime=1x) —
 // compared numbers come from ./benchmark.
 func BenchmarkNetStepLatency(b *testing.B) {
@@ -390,6 +395,9 @@ func BenchmarkNetStepLatency(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(eng.Counts().Total())/float64(b.N+1), "msgs/step")
+				// The reset phase's broadcasts are its rounds and one install each.
+				resets := eng.Stats().Resets
+				b.ReportMetric(float64(eng.Ledger().PhaseCounts(comm.PhaseReset).Bcast-resets)/float64(resets), "rounds/reset")
 			})
 		}
 	}

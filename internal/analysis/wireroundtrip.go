@@ -11,7 +11,8 @@ import (
 // engines diverge without an error (exactly how Assign.EpsNum could have
 // been lost when PR 4 extended the handshake). For every exported struct
 // type in internal/wire that has an encoder (method Append) and a decoder
-// (method Decode on the pointer, or a package function Decode<Type>), the
+// (method Decode on the pointer, or else a package function Decode<Type> —
+// beside a method such a function is a by-value wrapper of it), the
 // analyzer requires every exported field to be referenced — as a selector
 // or a composite-literal key — inside both bodies.
 //
@@ -78,7 +79,7 @@ func runWireRoundTrip(pass *Pass) error {
 			if !ok || fd.Recv != nil || fd.Body == nil {
 				continue
 			}
-			if tn, ok := byName[fd.Name.Name]; ok {
+			if tn, ok := byName[fd.Name.Name]; ok && decoders[tn] == nil {
 				decoders[tn] = fd
 			}
 		}

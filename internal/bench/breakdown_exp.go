@@ -11,8 +11,8 @@ import (
 // E11PhaseBreakdown attributes every message of Algorithm 1 to its phase —
 // the violation protocols, the handler completion + midpoint broadcast, or
 // FILTERRESET — on two contrasting workloads. The split mirrors the two
-// terms of Theorem 3.3's bound: log ∆ handler executions vs (k+1)·M(n)
-// reset executions per OPT segment.
+// terms of Theorem 3.3's bound: log ∆ handler executions vs an O(k·M(n))
+// reset per OPT segment.
 func E11PhaseBreakdown(sc Scale) Table {
 	t := Table{
 		ID:    "E11",

@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: it regenerates, as numbered
-// experiments E1..E19, the empirical validation of every theorem, lemma and
+// experiments E1..E19 and E24, the empirical validation of every theorem, lemma and
 // comparison claim in the paper (the paper is analytical and has no
 // measurement tables of its own; DESIGN.md §4 maps each experiment to the
 // claim it validates). cmd/experiments runs the suite at full scale and
@@ -95,16 +95,18 @@ type Scale struct {
 	ProtoMaxExp int
 	// MonMaxExp bounds monitor node-count sweeps at n = 2^MonMaxExp.
 	MonMaxExp int
+	// ResetMaxExp bounds the reset sweep (E24) at n = 2^ResetMaxExp.
+	ResetMaxExp int
 }
 
 // Full is the scale used to produce EXPERIMENTS.md.
 func Full() Scale {
-	return Scale{ProtoTrials: 300, Trials: 5, Steps: 2000, ProtoMaxExp: 14, MonMaxExp: 11}
+	return Scale{ProtoTrials: 300, Trials: 5, Steps: 2000, ProtoMaxExp: 14, MonMaxExp: 11, ResetMaxExp: 20}
 }
 
 // Quick keeps the whole suite fast enough for unit tests and benchmarks.
 func Quick() Scale {
-	return Scale{ProtoTrials: 40, Trials: 2, Steps: 200, ProtoMaxExp: 8, MonMaxExp: 6}
+	return Scale{ProtoTrials: 40, Trials: 2, Steps: 200, ProtoMaxExp: 8, MonMaxExp: 6, ResetMaxExp: 8}
 }
 
 // Experiment pairs an id with its runner.
@@ -138,6 +140,9 @@ func All() []Experiment {
 		// bench_test.go: its subject is the engine substrate, not a paper
 		// claim; see EXPERIMENTS.md.
 		{"E19", "ε-approximate monitoring: communication vs tolerance", E19ApproxComm},
+		// E20-E23 (step latency, async ingestion, tree fan-in, checkpoints)
+		// are repo-root benchmarks too.
+		{"E24", "FILTERRESET: one top-(k+1) sweep vs k+1 executions", E24ResetSweep},
 	}
 }
 

@@ -31,13 +31,13 @@
 //	eff := m.FinishStep(anyTopViol, anyOutViol)
 //	for eff.Kind != coord.EffDone {
 //	    switch eff.Kind {
-//	    case coord.EffExec:        // run one min/max protocol over the
-//	        res := ...             // cohort eff.Tag with bound eff.Bound,
-//	        eff = m.ExecDone(res)  // charging to m.Recorder(eff.Phase)
-//	    case coord.EffResetBegin:  // clear extraction state on all nodes
+//	    case coord.EffExec:        // run one protocol execution for the
+//	        ws := ...              // eff.Want best of cohort eff.Tag, bound
+//	        eff = m.Deliver(ws)    // eff.Bound, charging m.Recorder(eff.Phase)
+//	    case coord.EffResetBegin:  // clear membership on all nodes
 //	        eff = m.Ack()
-//	    case coord.EffWinner:      // tell node eff.Target it was extracted
-//	        eff = m.Ack()          // (eff.IsTop: it joins the top set)
+//	    case coord.EffWinner:      // tell node eff.Target it joins the top
+//	        eff = m.Ack()          // set
 //	    case coord.EffMidpoint:    // install filters around eff.Mid
 //	        eff = m.Ack()          // (eff.Full: [-inf, +inf], k == n)
 //	    case coord.EffBounds:      // ε mode: install the band [eff.Lo,
@@ -65,10 +65,12 @@ package coord
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/filter"
 	"repro/internal/order"
+	"repro/internal/protocol"
 	"repro/internal/wire"
 )
 
@@ -85,7 +87,7 @@ const (
 	TagHandMin
 	// TagHandMax: all current outsiders, maximum (line 23).
 	TagHandMax
-	// TagReset: all not-yet-extracted nodes, maximum (lines 37-39).
+	// TagReset: every node, the k+1 largest keys in one execution.
 	TagReset
 )
 
@@ -100,8 +102,8 @@ func MinimumTag(t uint8) bool { return t == TagViolMin || t == TagHandMin }
 // TolerantTag reports whether the tag's protocol execution may run with
 // the ε-tolerant cut in the approximate mode. Violation and handler
 // executions only feed the T+/T− style bound tracking, where an ε-sharp
-// extremum (suitably widened) is sound; FILTERRESET extractions decide
-// membership and always run exactly, so the extraction keys come out in
+// extremum (suitably widened) is sound; a FILTERRESET's execution decides
+// membership and always runs exactly, so its winners' keys come out in
 // true descending order and the post-reset band provably contains every
 // node.
 func TolerantTag(t uint8) bool { return t != TagReset }
@@ -113,17 +115,16 @@ const (
 	// EffDone: the step is fully processed; the report is available via
 	// Top. Not answered by an event.
 	EffDone EffectKind = iota
-	// EffExec: run one protocol execution over cohort Tag with population
-	// bound Bound, charging Up/Bcast traffic to Recorder(Phase), and
-	// answer with ExecDone. First marks a FILTERRESET's first extraction —
-	// the one execution over TagReset that follows an EffResetBegin instead
-	// of an EffWinner — for adapters that keep state between extractions.
+	// EffExec: run one protocol execution over cohort Tag for its Want best
+	// keys with population bound Bound, charging Up/Bcast traffic to
+	// Recorder(Phase), and answer with Deliver. Want is 1 for every
+	// execution but a FILTERRESET's.
 	EffExec
-	// EffResetBegin: clear every node's extraction state and membership
-	// flag ahead of a FILTERRESET. Answer with Ack.
+	// EffResetBegin: clear every node's membership flag ahead of a
+	// FILTERRESET. Answer with Ack.
 	EffResetBegin
-	// EffWinner: notify node Target that it won the current extraction and
-	// whether it joins the top-k set (IsTop). Answer with Ack.
+	// EffWinner: notify node Target that the reset's execution put it in
+	// the top-k set (IsTop is always set). Answer with Ack.
 	EffWinner
 	// EffMidpoint: have every node re-anchor its filter on Mid (top-k
 	// nodes install [Mid, +inf], outsiders [-inf, Mid]); Full installs
@@ -150,12 +151,12 @@ const (
 type Effect struct {
 	Kind  EffectKind
 	Tag   uint8      // EffExec: cohort
-	First bool       // EffExec over TagReset: the first extraction of its FILTERRESET
+	Want  int        // EffExec: how many winners the execution is to find
 	Bound int        // EffExec: population bound of the execution
 	Phase comm.Phase // EffExec: ledger phase protocol traffic charges to
 
-	Target int  // EffWinner: extracted node id; EffOrder*: the member
-	IsTop  bool // EffWinner: winner joins the top-k set
+	Target int  // EffWinner: the new member's id; EffOrder*: the member
+	IsTop  bool // EffWinner: set
 
 	Mid  order.Key // EffMidpoint: filter bound
 	Full bool      // EffMidpoint: install [-inf, +inf] (k == n)
@@ -209,8 +210,8 @@ const (
 	stHandMax                     // awaiting ExecDone of TagHandMax
 	stMidAck                      // awaiting Ack of a midpoint install
 	stResetBegin                  // awaiting Ack of EffResetBegin
-	stResetExec                   // awaiting ExecDone of TagReset
-	stResetWin                    // awaiting Ack of EffWinner
+	stResetExec                   // awaiting the winners of TagReset
+	stResetWin                    // awaiting Ack of an EffWinner
 	stOrdCheck                    // awaiting OrderDone of EffOrderCheck
 	stOrdBounds                   // awaiting Ack of EffOrderBounds
 )
@@ -231,7 +232,7 @@ type Machine struct {
 	top   []int  // current membership, ascending; alias returned by Top
 	tmp   []int  // scratch for membership rebuilds (swapped with top)
 
-	keys []order.Key // reset extraction keys, in extraction order
+	keys []order.Key // the running reset's winner keys, best first
 
 	tPlus  order.Key // T+(t0, t): min over top-k values since last reset
 	tMinus order.Key // T−(t0, t): max over outside values since last reset
@@ -247,17 +248,13 @@ type Machine struct {
 	init  bool
 	stats Stats
 
-	state    machState
-	minKey   order.Key
-	maxKey   order.Key
-	minOK    bool
-	maxOK    bool
-	anyOut   bool
-	resetIdx int
-	want     int       // number of reset extractions (min(K+1, N))
-	winID    int       // pending extraction winner
-	winKey   order.Key //
-	winTop   bool      //
+	state  machState
+	minKey order.Key
+	maxKey order.Key
+	minOK  bool
+	maxOK  bool
+	anyOut bool
+	winIdx int // position in tmp of the pending EffWinner
 
 	// Ordered mode (ordered.go); band stays nil in the set mode.
 	band     []ranked // the k members, rank 1 first
@@ -380,7 +377,7 @@ func (m *Machine) FinishStep(anyTopViol, anyOutViol bool) Effect {
 	m.anyOut = anyOutViol
 	if anyTopViol {
 		m.state = stViolMin
-		return Effect{Kind: EffExec, Tag: TagViolMin, Bound: m.cfg.K, Phase: comm.PhaseViolation}
+		return Effect{Kind: EffExec, Tag: TagViolMin, Want: 1, Bound: m.cfg.K, Phase: comm.PhaseViolation}
 	}
 	return m.startViolMax()
 }
@@ -390,7 +387,7 @@ func (m *Machine) FinishStep(anyTopViol, anyOutViol bool) Effect {
 func (m *Machine) startViolMax() Effect {
 	if m.anyOut {
 		m.state = stViolMax
-		return Effect{Kind: EffExec, Tag: TagViolMax, Bound: m.cfg.N - m.cfg.K, Phase: comm.PhaseViolation}
+		return Effect{Kind: EffExec, Tag: TagViolMax, Want: 1, Bound: m.cfg.N - m.cfg.K, Phase: comm.PhaseViolation}
 	}
 	return m.startHandler()
 }
@@ -401,10 +398,10 @@ func (m *Machine) startHandler() Effect {
 	m.stats.HandlerCalls++
 	if !m.maxOK {
 		m.state = stHandMax
-		return Effect{Kind: EffExec, Tag: TagHandMax, Bound: m.cfg.N - m.cfg.K, Phase: comm.PhaseHandler}
+		return Effect{Kind: EffExec, Tag: TagHandMax, Want: 1, Bound: m.cfg.N - m.cfg.K, Phase: comm.PhaseHandler}
 	}
 	m.state = stHandMin
-	return Effect{Kind: EffExec, Tag: TagHandMin, Bound: m.cfg.K, Phase: comm.PhaseHandler}
+	return Effect{Kind: EffExec, Tag: TagHandMin, Want: 1, Bound: m.cfg.K, Phase: comm.PhaseHandler}
 }
 
 // tighten applies lines 27-33: update T+/T− with the learned extrema, then
@@ -433,8 +430,7 @@ func (m *Machine) tighten() Effect {
 // two sides — every top-k key is >= lb, every outside key is <= ub — and,
 // when some threshold's (1±ε) band still covers both, re-anchors the
 // filters on that band instead of resetting: the current membership is
-// then still a valid ε-approximation, so the k+1 protocol executions of a
-// FILTERRESET are saved. Only when no band fits does it fall through to
+// then still a valid ε-approximation, so the FILTERRESET is saved. Only when no band fits does it fall through to
 // the exact FILTERRESET.
 //
 // The widening accounts for the ε-tolerant cut of the violation and
@@ -474,34 +470,45 @@ func (m *Machine) tightenTol() Effect {
 	return Effect{Kind: EffBounds, Lo: m.curLo, Hi: m.curHi}
 }
 
-// startReset begins FILTERRESET (lines 36-42).
+// startReset begins FILTERRESET. Where Algorithm 1 (lines 36-42) runs k+1
+// maximum executions one after the other, the reset here is one execution
+// for the k+1 largest keys (protocol.Exec), after which the k members are
+// told and the filters installed.
 func (m *Machine) startReset() Effect {
 	m.stats.Resets++
 	m.state = stResetBegin
 	return Effect{Kind: EffResetBegin}
 }
 
-// nextExtraction issues the next reset extraction, or finishes the reset
-// once k+1 winners are known.
-func (m *Machine) nextExtraction() Effect {
-	if m.resetIdx < m.want {
-		m.state = stResetExec
-		return Effect{Kind: EffExec, Tag: TagReset, Bound: m.cfg.N, Phase: comm.PhaseReset, First: m.resetIdx == 0}
-	}
-	return m.finishReset()
+// resetWant is the number of winners a reset's execution is to find: the k
+// members and the best outsider (k == n: there is no (k+1)-st value).
+func (m *Machine) resetWant() int { return min(m.cfg.K+1, m.cfg.N) }
+
+// resetExec asks for the winners of the reset's execution still owed: all
+// of them at first.
+func (m *Machine) resetExec() Effect {
+	m.state = stResetExec
+	return Effect{Kind: EffExec, Tag: TagReset, Want: m.resetWant() - len(m.keys), Bound: m.cfg.N, Phase: comm.PhaseReset}
 }
 
-// finishReset installs the new membership and filters from the extraction
-// results.
-func (m *Machine) finishReset() Effect {
-	// Rebuild the reported set, tracking whether it changed.
-	m.tmp = m.tmp[:0]
-	for id, in := range m.inTop {
-		if in {
-			m.tmp = append(m.tmp, id)
-		}
+// nextWinner tells the next member, in rank order, that it is one, or
+// finishes the reset once all k know.
+func (m *Machine) nextWinner() Effect {
+	if m.winIdx == len(m.tmp) {
+		return m.finishReset()
 	}
-	if !intsEqual(m.tmp, m.top) {
+	id := m.tmp[m.winIdx]
+	m.winIdx++
+	m.inTop[id] = true
+	m.state = stResetWin
+	return Effect{Kind: EffWinner, Target: id, IsTop: true}
+}
+
+// finishReset installs the new membership and filters from the winners.
+func (m *Machine) finishReset() Effect {
+	// The members by id are the reported set; track whether it changed.
+	slices.Sort(m.tmp)
+	if !slices.Equal(m.tmp, m.top) {
 		m.stats.TopChanges++
 	}
 	m.top, m.tmp = m.tmp, m.top
@@ -522,7 +529,7 @@ func (m *Machine) finishReset() Effect {
 	mid := order.Midpoint(kPlus1, kth)
 	if !m.cfg.Tol.Zero() {
 		// Approximate mode: anchor the filters on the (1±ε) band around
-		// the midpoint. Reset extractions run exactly, so the extraction
+		// the midpoint. The reset's execution runs exactly, so the winners'
 		// keys descend and the band contains every node: top keys are
 		// >= kth >= mid >= WidenLo(mid), outside keys <= kPlus1 <= mid <=
 		// WidenHi(mid).
@@ -538,9 +545,28 @@ func (m *Machine) finishReset() Effect {
 	return Effect{Kind: EffMidpoint, Mid: mid}
 }
 
-// ExecDone answers an EffExec with the execution's outcome: ok is false
-// when the cohort was empty, otherwise id/key identify the winner. It
-// returns the next effect.
+// Deliver answers an EffExec with the execution's outcome — its winners,
+// best first; none: the cohort was empty — and returns the next effect.
+func (m *Machine) Deliver(winners []protocol.Winner) Effect {
+	if len(winners) == 0 {
+		return m.ExecDone(false, -1, order.NegInf)
+	}
+	var eff Effect
+	for _, w := range winners {
+		eff = m.ExecDone(true, w.ID, order.Key(w.Key))
+	}
+	if m.state == stResetExec {
+		panic("coord: reset execution found fewer participants than it wanted")
+	}
+	return eff
+}
+
+// ExecDone is the single event Deliver is made of: one winner of the
+// pending execution, in the order best first (ok false: an empty cohort's
+// one answer). While an execution is still owed winners it returns that
+// execution's EffExec again, Want lowered to what is owed — which a driver
+// that has the whole list ignores, and one that scripts a machine may
+// answer as an execution of its own — and otherwise the next effect.
 func (m *Machine) ExecDone(ok bool, id int, key order.Key) Effect {
 	switch m.state {
 	case stViolMin:
@@ -557,12 +583,19 @@ func (m *Machine) ExecDone(ok bool, id int, key order.Key) Effect {
 		return m.tighten()
 	case stResetExec:
 		if !ok {
-			panic("coord: reset extraction found no participant")
+			panic("coord: reset execution found fewer participants than it wanted")
 		}
-		m.winID, m.winKey = id, key
-		m.winTop = m.resetIdx < m.cfg.K
-		m.state = stResetWin
-		return Effect{Kind: EffWinner, Target: id, IsTop: m.winTop}
+		if len(m.keys) < m.cfg.K {
+			m.tmp = append(m.tmp, id)
+			if m.cfg.Ordered {
+				m.band = append(m.band, ranked{id: id, est: key})
+			}
+		}
+		if m.keys = append(m.keys, key); len(m.keys) < m.resetWant() {
+			return m.resetExec()
+		}
+		m.winIdx = 0
+		return m.nextWinner()
 	default:
 		panic(fmt.Sprintf("coord: ExecDone in state %d", m.state))
 	}
@@ -583,7 +616,7 @@ func (m *Machine) Abort() {
 
 // ForceReset starts an out-of-band FILTERRESET from the idle state: the
 // recovery primitive the ROADMAP names. The adapter drives the returned
-// effect exactly like a FinishStep effect chain (extractions, winner
+// effect exactly like a FinishStep effect chain (the execution, winner
 // notifications, the closing filter install). After the chain completes
 // the machine's membership, filters and T+/T− bounds are freshly derived
 // from current node values, so reports re-converge to the oracle within
@@ -604,29 +637,13 @@ func (m *Machine) ForceReset() Effect {
 func (m *Machine) Ack() Effect {
 	switch m.state {
 	case stResetBegin:
-		// Nodes have cleared their extraction state; forget the old
-		// membership and start extracting.
-		for i := range m.inTop {
-			m.inTop[i] = false
-		}
-		m.keys = m.keys[:0]
-		m.band = m.band[:0]
-		m.resetIdx = 0
-		m.want = m.cfg.K + 1
-		if m.want > m.cfg.N {
-			m.want = m.cfg.N // k == n: there is no (k+1)-st value
-		}
-		return m.nextExtraction()
+		// Nodes have cleared their membership; forget the old one and
+		// select the new.
+		clear(m.inTop)
+		m.keys, m.band, m.tmp = m.keys[:0], m.band[:0], m.tmp[:0]
+		return m.resetExec()
 	case stResetWin:
-		if m.winTop {
-			m.inTop[m.winID] = true
-			if m.cfg.Ordered {
-				m.band = append(m.band, ranked{id: m.winID, est: m.winKey})
-			}
-		}
-		m.keys = append(m.keys, m.winKey)
-		m.resetIdx++
-		return m.nextExtraction()
+		return m.nextWinner()
 	case stMidAck:
 		return m.settle()
 	case stOrdBounds:
@@ -634,16 +651,4 @@ func (m *Machine) Ack() Effect {
 	default:
 		panic(fmt.Sprintf("coord: Ack in state %d", m.state))
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/order"
-	"repro/internal/protocol"
 	"repro/internal/stream"
 )
 
@@ -45,6 +44,9 @@ type driver struct {
 	round roundFunc
 	// orderChecks counts the ordered mode's EffOrderCheck effects.
 	orderChecks int
+	// reset, when set, runs every FILTERRESET's execution the way
+	// Algorithm 1 spells it: the reference of refreset_test.go.
+	reset *refReset
 }
 
 func newDriver(n, k int, seed uint64) *driver {
@@ -56,10 +58,16 @@ func newDriverTol(n, k int, seed uint64, tol order.Tol) *driver {
 	return &driver{mach: New(Config{N: n, K: k, Tol: tol}), bank: bank, see: bank.Observe, round: bank.Round}
 }
 
-func (d *driver) observe(vals []int64) []int {
+func (d *driver) observe(vals []int64) []int { return d.observeDelta(nil, vals) }
+
+// observeDelta is observe for the nodes ids lists (nil: all of them).
+func (d *driver) observeDelta(ids []int, vals []int64) []int {
 	step := d.mach.BeginStep()
 	anyTop, anyOut := false, false
 	for id, v := range vals {
+		if ids != nil {
+			id = ids[id]
+		}
 		t, o, err := d.see(id, v, step)
 		if err != nil {
 			panic(err)
@@ -77,18 +85,16 @@ func (d *driver) drive(eff Effect, step int64) {
 	for eff.Kind != EffDone {
 		switch eff.Kind {
 		case EffExec:
-			ex := protocol.NewExec(eff.Bound, MinimumTag(eff.Tag), d.mach.Recorder(eff.Phase), nil, step)
-			for ex.More() {
-				r, best := ex.Round(), ex.Best()
-				d.round(eff.Tag, r, best, eff.Bound, step, func(id int, key order.Key) {
-					ex.Bid(id, key)
-				})
-				ex.EndRound()
+			if d.reset != nil && eff.Tag == TagReset {
+				eff = d.reset.run(d.mach, eff, step)
+				continue
 			}
-			res := ex.Result()
-			eff = d.mach.ExecDone(res.OK, res.ID, res.Key)
+			eff = d.mach.Deliver(execute(d.round, eff.Tag, eff.Want, eff.Bound, step, d.mach.Recorder(eff.Phase)))
 		case EffResetBegin:
 			d.bank.ResetBegin()
+			if d.reset != nil {
+				d.reset.begin()
+			}
 			eff = d.mach.Ack()
 		case EffWinner:
 			d.bank.Winner(eff.Target, eff.IsTop)

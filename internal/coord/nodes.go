@@ -15,13 +15,12 @@ import (
 )
 
 // Per-node bits of Nodes.flags. Membership is the checkpoint frame's bit and
-// the only one a frame carries: the other three are written and read inside
+// the only one a frame carries: the other two are written and read inside
 // one step, and a checkpoint is taken between steps.
 const (
-	flagInTop     = wire.FlagNodeInTop     // membership from the last broadcast
-	flagWasTop    = wire.FlagNodeWasTop    // membership at the time of the last violation
-	flagExtracted = wire.FlagNodeExtracted // extracted by the running reset
-	flagViolated  = 1 << 3                 // listed in the view's violators
+	flagInTop    = wire.FlagNodeInTop  // membership from the last broadcast
+	flagWasTop   = wire.FlagNodeWasTop // membership at the time of the last violation
+	flagViolated = 1 << 3              // listed in the view's violators
 )
 
 // Nodes hosts the node-side state of a contiguous id range [Lo, Hi) of an
@@ -54,7 +53,7 @@ type Nodes struct {
 
 	keys  []order.Key
 	gens  rng.Arena      // generator i's increment derives from id Lo+i
-	flags []uint8        // flagInTop | flagWasTop | flagExtracted | flagViolated
+	flags []uint8        // flagInTop | flagWasTop | flagViolated
 	inst  *filter.Bounds // shared with every Sub view
 
 	// ord holds the ordered §5 variant's order filters, allocated only by
@@ -162,7 +161,8 @@ func (b *Nodes) index(id int) int {
 
 // cohorts says, per protocol tag, which hosted nodes take part: those
 // whose flags under mask equal want — in the violation cohorts, those of
-// this step's violators — all of it knowledge the node legitimately has.
+// this step's violators; in a reset, everyone — all of it knowledge the
+// node legitimately has.
 var cohorts = [...]struct {
 	mask, want uint8
 	violated   bool
@@ -171,7 +171,7 @@ var cohorts = [...]struct {
 	TagViolMax: {flagWasTop, 0, true},
 	TagHandMin: {flagInTop, flagInTop, false},
 	TagHandMax: {flagInTop, 0, false},
-	TagReset:   {flagExtracted, 0, false},
+	TagReset:   {},
 }
 
 // MaxValue returns the largest observation magnitude the bank accepts
@@ -238,10 +238,12 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 	return inTop, !inTop, nil
 }
 
-// Round runs round r of one Algorithm 2 execution over the hosted members
-// of cohort tag, with the given population bound, against the best value
-// broadcast so far (in the execution's comparison domain). Every node
-// that sends is reported to send in ascending id order with its true key.
+// Round runs round r of one protocol execution (protocol.Exec) over the
+// hosted members of cohort tag, with the given population bound, against
+// the cut broadcast so far — the best value, or the want-th best of an
+// execution that wants several (in the execution's comparison domain).
+// Every node that sends is reported to send in ascending id order with its
+// true key.
 //
 // Round 0 enlists the cohort — each node evaluates its membership locally,
 // 64 flag bytes to one word of the in-play set, or in a violation cohort
@@ -276,7 +278,7 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 	}
 	tol := b.tol
 	if !TolerantTag(tag) {
-		tol = order.Tol{} // reset extractions always run exactly
+		tol = order.Tol{} // a reset's execution always runs exactly
 	}
 	coin := rng.NewCoin(uint(r), uint64(bound))
 	protocol.Field{Keys: b.keys, Gens: b.gens}.Round(&b.inPlay, &coin, tol.WidenHi(best), MinimumTag(tag), b.lo, send)
@@ -304,12 +306,11 @@ func matchFlags(flags []uint8, mask, want uint8) (word uint64) {
 	return word
 }
 
-// Winner marks node target as extracted by the current reset, joining the
-// top-k set when isTop is set.
+// Winner tells node target what the running reset's execution made of it:
+// a member of the top-k set when isTop is set, else nothing it does not
+// know.
 func (b *Nodes) Winner(target int, isTop bool) {
-	i := b.index(target)
-	b.flags[i] |= flagExtracted
-	if isTop {
+	if i := b.index(target); isTop {
 		b.flags[i] |= flagInTop
 	}
 }
@@ -331,7 +332,7 @@ func (b *Nodes) ApplyBounds(lo, hi order.Key) {
 	*b.inst = filter.Bounds{Lo: lo, Hi: hi}
 }
 
-// ResetBegin clears extraction state and membership ahead of a FILTERRESET.
+// ResetBegin clears membership ahead of a FILTERRESET.
 func (b *Nodes) ResetBegin() {
 	for i := range b.flags {
 		b.flags[i] &= flagWasTop | flagViolated

@@ -29,13 +29,13 @@ import (
 // band (settle), all of it charged to the handler phase — it is
 // coordinator-driven repair work:
 //
-//   - After a FILTERRESET the ranking is the extraction order: the reset's
-//     extractions run exactly, each the maximum of what the earlier ones
-//     left, so the winners' keys descend. Every member is sent its filter
-//     and nothing is charged — the extraction broadcasts already revealed
-//     every member's key, so a member can derive its neighbor midpoints
-//     itself — and nothing is checked: a key the coordinator learned this
-//     step lies inside the filter derived from it.
+//   - After a FILTERRESET the ranking is the order of the reset's winners:
+//     its execution runs exactly and delivers the k+1 largest keys best
+//     first. Every member is sent its filter and nothing is charged — the
+//     coordinator learned every member's key in the reset it just paid
+//     for, and the install that tells a member it is one can carry its
+//     neighbors' keys — and nothing is checked: a key the coordinator
+//     learned this step lies inside the filter derived from it.
 //   - Otherwise it runs check passes. A pass asks every member, in rank
 //     order, whether its key left its order filter (EffOrderCheck); one
 //     that did reports it (one Up). A pass nobody reported in ends the

@@ -322,8 +322,7 @@ func (d *bankDriver) observe(vals []int64) []int {
 	for eff.Kind != EffDone {
 		switch eff.Kind {
 		case EffExec:
-			res := execute(d.bank.Round, eff.Tag, eff.Bound, step, d.mach.Recorder(eff.Phase))
-			eff = d.mach.ExecDone(res.OK, res.ID, res.Key)
+			eff = d.mach.Deliver(execute(d.bank.Round, eff.Tag, eff.Want, eff.Bound, step, d.mach.Recorder(eff.Phase)))
 		case EffResetBegin:
 			d.bank.ResetBegin()
 			eff = d.mach.Ack()
@@ -387,7 +386,7 @@ func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 					p.Round(tag, 0, order.NegInf, tc.n, step, func(int, order.Key) {})
 					continue
 				}
-				execute(p.Round, tag, tc.n+r.Intn(2*tc.n), step, &c)
+				execute(p.Round, tag, 1+r.Intn(3), tc.n+r.Intn(2*tc.n), step, &c)
 			}
 			orderBounds := func(id int) {
 				lo := randKey()
@@ -408,17 +407,15 @@ func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 				}
 			}
 			switch r.Intn(3) {
-			case 0: // a reset of any shape: some extractions, some of them members
+			case 0: // a reset of any shape: any number of winners, some of them members
 				p.ResetBegin()
-				for w := r.Intn(tc.k + 2); w > 0; w-- {
+				if w := r.Intn(tc.k + 2); w > 0 {
 					var c comm.Counter
-					res := execute(p.Round, TagReset, tc.n, step, &c)
-					if !res.OK {
-						break
-					}
-					isTop := r.Intn(3) > 0
-					if p.Winner(res.ID, isTop); isTop && tc.ordered {
-						orderBounds(res.ID)
+					for _, win := range execute(p.Round, TagReset, w, tc.n, step, &c) {
+						isTop := r.Intn(3) > 0
+						if p.Winner(win.ID, isTop); isTop && tc.ordered {
+							orderBounds(win.ID)
+						}
 					}
 				}
 				install()

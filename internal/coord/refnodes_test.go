@@ -15,8 +15,9 @@ import (
 // and a membership bit: an array of per-node records, each storing its own
 // id, filter interval and order filter, with every install rewriting all
 // of them. The code below is that commit's nodes.go and Nodes.Snapshot
-// verbatim but for the type names and the per-level ε ladder, which the
-// bank no longer has; it is the independent reference
+// verbatim but for the type names, the per-level ε ladder, which the
+// bank no longer has, and the TagReset cohort, which is every node since a
+// FILTERRESET became one execution; it is the independent reference
 // refnodes_equiv_test.go checks the flat bank against.
 
 // refNodeState is the distributed per-node state of the paper's node model:
@@ -50,7 +51,7 @@ func (nd *refNodeState) participates(tag uint8, step int64) bool {
 	case TagHandMax:
 		return !nd.inTop
 	case TagReset:
-		return !nd.extracted
+		return true // everyone, since a reset is one execution (it was: !nd.extracted)
 	default:
 		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
 	}

@@ -3,6 +3,7 @@ package coord
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -82,7 +83,7 @@ func (rb *refBank) participates(i int, tag uint8, step int64) bool {
 	case TagHandMax:
 		return b.flags[i]&flagInTop == 0
 	case TagReset:
-		return b.flags[i]&flagExtracted == 0
+		return true
 	default:
 		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
 	}
@@ -143,14 +144,15 @@ func viewsRound(views []*Nodes) roundFunc {
 	}
 }
 
-// execute runs one whole execution through round, charging rec.
-func execute(round roundFunc, tag uint8, bound int, step int64, rec comm.Recorder) protocol.Result {
-	ex := protocol.NewExec(bound, MinimumTag(tag), rec, nil, step)
+// execute runs one whole execution for the want best keys through round,
+// charging rec, and returns its winners.
+func execute(round roundFunc, tag uint8, want, bound int, step int64, rec comm.Recorder) []protocol.Winner {
+	ex := protocol.NewExec(bound, want, MinimumTag(tag), rec, nil, step)
 	for ex.More() {
 		round(tag, ex.Round(), ex.Best(), bound, step, ex.Bid)
 		ex.EndRound()
 	}
-	return ex.Result()
+	return ex.Winners()
 }
 
 // sameGenerators fails unless every node of a and b holds the same
@@ -263,9 +265,6 @@ func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for id := 1; id < n; id += 7 {
-				b.Winner(id, false) // some extracted, so TagReset is a strict subset
-			}
 			return b, round
 		}
 		for _, tag := range []uint8{TagViolMin, TagViolMax, TagHandMin, TagHandMax, TagReset} {
@@ -273,14 +272,18 @@ func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 				kern, kernRound := build(false)
 				refNodes, refRound := build(true)
 				var kc, rc comm.Counter
-				got := execute(kernRound, tag, bound, step, &kc)
-				want := execute(refRound, tag, bound, step, &rc)
-				where := fmt.Sprintf("eps=%g tag=%d bound=%d", eps, tag, bound)
-				if got != want {
-					t.Fatalf("%s: result %+v, reference %+v", where, got, want)
+				winners := 1
+				if tag == TagReset {
+					winners = 9 // of ten distinct values: the winners hold duplicates
 				}
-				if !want.OK {
-					t.Fatalf("%s: cohort is empty; the case tests nothing", where)
+				got := execute(kernRound, tag, winners, bound, step, &kc)
+				want := execute(refRound, tag, winners, bound, step, &rc)
+				where := fmt.Sprintf("eps=%g tag=%d bound=%d", eps, tag, bound)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: winners %+v, reference %+v", where, got, want)
+				}
+				if len(want) != winners {
+					t.Fatalf("%s: %d winners of %d; the case tests nothing", where, len(want), winners)
 				}
 				if kc.Snapshot() != rc.Snapshot() || kc.BytesSnapshot() != rc.BytesSnapshot() {
 					t.Fatalf("%s: charges %v/%v, reference %v/%v", where, kc.Snapshot(), kc.BytesSnapshot(), rc.Snapshot(), rc.BytesSnapshot())
@@ -312,8 +315,8 @@ func TestRoundFirstSeenMidExecution(t *testing.T) {
 	sameGenerators(t, "reference after stray rounds", refNodes, pristine)
 
 	var kc, rc comm.Counter
-	got, want := execute(kern.Round, TagReset, n, 1, &kc), execute(ref.Round, TagReset, n, 1, &rc)
-	if got != want || !got.OK || kc.Snapshot() != rc.Snapshot() {
+	got, want := execute(kern.Round, TagReset, 3, n, 1, &kc), execute(ref.Round, TagReset, 3, n, 1, &rc)
+	if !slices.Equal(got, want) || len(got) != 3 || kc.Snapshot() != rc.Snapshot() {
 		t.Fatalf("execution after stray rounds: %+v %v, reference %+v %v", got, kc.Snapshot(), want, rc.Snapshot())
 	}
 	sameGenerators(t, "after the next execution", kern, refNodes)
@@ -338,16 +341,16 @@ func TestRoundAbandonedExecutionLeaksNoMember(t *testing.T) {
 		t.Fatalf("abandoned execution left %d of %d nodes in play; the case tests nothing", kern.inPlay.Len(), n)
 	}
 	for id := 0; id < n; id += 3 {
-		kern.Winner(id, false) // extracted: not part of the next TagReset cohort
-		refNodes.Winner(id, false)
+		kern.Winner(id, true) // a member: not part of the outsiders' cohort
+		refNodes.Winner(id, true)
 	}
 	var kc, rc comm.Counter
-	got, want := execute(kern.Round, TagReset, n, 2, &kc), execute(ref.Round, TagReset, n, 2, &rc)
-	if got != want || !got.OK || kc.Snapshot() != rc.Snapshot() {
+	got, want := execute(kern.Round, TagHandMax, 1, n, 2, &kc), execute(ref.Round, TagHandMax, 1, n, 2, &rc)
+	if !slices.Equal(got, want) || len(got) != 1 || kc.Snapshot() != rc.Snapshot() {
 		t.Fatalf("execution after an abandoned one: %+v %v, reference %+v %v", got, kc.Snapshot(), want, rc.Snapshot())
 	}
-	if got.ID%3 == 0 {
-		t.Fatalf("execution after an abandoned one was won by node %d, extracted before it began", got.ID)
+	if got[0].ID%3 == 0 {
+		t.Fatalf("execution after an abandoned one was won by node %d, no part of its cohort", got[0].ID)
 	}
 	sameGenerators(t, "after an abandoned execution", kern, refNodes)
 	if kern.inPlay.Len() != 0 {

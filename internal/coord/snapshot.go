@@ -17,10 +17,10 @@ import (
 // captures exactly the state the next step reads: configuration, step
 // counter, statistics, T+/T− bounds, membership and the message ledger
 // for the Machine; per-node keys, filters, membership flags and generator
-// state for a Nodes bank. Everything else — the extraction scratch of the
+// state for a Nodes bank. Everything else — the reset scratch of the
 // Machine; the bank's in-play set, empty between executions, and its
-// violator list and WasTop/Extracted flags, which are only read inside the
-// step that wrote them — is (re)initialized before its next use, so a
+// violator list and WasTop flags (and the Extracted flags older frames
+// carry), which are only read inside the step that wrote them — is (re)initialized before its next use, so a
 // restored coordinator resumes bit-identically to one that never stopped:
 // same reports, same counts, same randomness consumption. The equivalence
 // tests in snapshot_test.go pin that property.

@@ -218,9 +218,9 @@ func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 }
 
 // TestRepeatedFilterResetZeroAllocs pins that FILTERRESET runs out of the
-// monitor's own buffers: once the first reset has sized the in-play set,
-// every later reset — k+1 executions over all n nodes each — allocates
-// nothing.
+// monitor's own buffers: once the first reset has sized the in-play set and
+// the winner buffer, every later reset — one execution for the k+1 largest
+// keys over all n nodes — allocates nothing.
 func TestRepeatedFilterResetZeroAllocs(t *testing.T) {
 	const n, k = 512, 8
 	m := New(Config{N: n, K: k, Seed: 3})

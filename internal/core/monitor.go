@@ -41,8 +41,10 @@
 //     all outsiders; otherwise it runs MINIMUMPROTOCOL over all top-k
 //     nodes. It then lowers T+ / raises T− with the learned extrema.
 //  3. If T+ < T− the top-k set may have changed and FILTERRESET recomputes
-//     the top k+1 values from scratch (k+1 maximum-protocol executions)
-//     and reinstalls midpoint filters. Otherwise the handler broadcasts a
+//     the top k+1 values from scratch and reinstalls midpoint filters —
+//     in one protocol execution for all k+1 of them (protocol.Exec; the
+//     paper runs k+1 maximum executions, see DESIGN.md "The reset is one
+//     sweep"). Otherwise the handler broadcasts a
 //     new midpoint of [T−, T+] and the filters tighten around it.
 //
 // The monitor reports the top-k node ids after every step; the sequence of
@@ -365,8 +367,7 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 	for eff.Kind != coord.EffDone {
 		switch eff.Kind {
 		case coord.EffExec:
-			res := m.exec(eff)
-			eff = m.mach.ExecDone(res.OK, res.ID, res.Key)
+			eff = m.mach.Deliver(m.exec(eff))
 		case coord.EffResetBegin:
 			m.host.ResetBegin()
 			reset = true
@@ -394,32 +395,31 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 	return m.mach.Top()
 }
 
-// exec runs one protocol execution over the effect's cohort: the round
-// loop every substrate runs (shardrun's leaves run this very loop), each
-// round one sweep of the host, the banks enlisting the cohort at round 0.
-// Under the UseGather ablation it is instead the one round in which every
-// cohort member bids — round 0 of population bound 1 sends with probability
-// 1, and a cut of −∞ dominates nobody — charged as the gather-all protocol
-// charges: one query broadcast, one bid per member, nothing for an empty
-// cohort.
-func (m *Monitor) exec(eff coord.Effect) protocol.Result {
+// exec runs one protocol execution over the effect's cohort and returns its
+// winners: the round loop every substrate runs (shardrun's leaves run this
+// very loop), each round one sweep of the host, the banks enlisting the
+// cohort at round 0. Under the UseGather ablation it is instead the one
+// round in which every cohort member bids — round 0 of population bound 1
+// sends with probability 1, and a cut of −∞ dominates nobody — charged as
+// the gather-all protocol charges: one query broadcast, one bid per member,
+// nothing for an empty cohort.
+func (m *Monitor) exec(eff coord.Effect) []protocol.Winner {
 	rec, minimum := m.mach.Recorder(eff.Phase), coord.MinimumTag(eff.Tag)
 	if m.cfg.UseGather {
-		m.ex = protocol.NewExec(1, minimum, rec, m.cfg.Trace, m.step)
+		m.ex.Begin(1, eff.Want, minimum, rec, m.cfg.Trace, m.step)
 		m.host.Round(eff.Tag, 0, order.NegInf, 1, m.step, m.bid)
-		res := m.ex.Result()
-		if res.OK {
+		if len(m.ex.Winners()) > 0 {
 			comm.RecordSized(rec, comm.Bcast, 1, wire.SizeQuery())
 			m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather"})
 		}
-		return res
+		return m.ex.Winners()
 	}
-	m.ex = protocol.NewExec(eff.Bound, minimum, rec, m.cfg.Trace, m.step)
+	m.ex.Begin(eff.Bound, eff.Want, minimum, rec, m.cfg.Trace, m.step)
 	for m.ex.More() {
 		m.host.Round(eff.Tag, m.ex.Round(), m.ex.Best(), eff.Bound, m.step, m.bid)
 		m.ex.EndRound()
 	}
-	return m.ex.Result()
+	return m.ex.Winners()
 }
 
 // traceInstall records a midpoint (or ε-mode band) broadcast, noting the

@@ -12,9 +12,8 @@ import (
 // peer, or the replies to the commands of one incoming frame — and the one
 // place they become a transport frame (Frame).
 type Frames struct {
-	buf   []byte   // the sub-frames, back to back
-	lens  []int    // their lengths
-	views [][]byte // scratch for assembling the envelope
+	buf  []byte // the sub-frames, back to back
+	lens []int  // their lengths
 }
 
 // Reset empties the arena, keeping its storage.
@@ -40,16 +39,18 @@ func (a *Frames) Frame(tail []byte, batch bool, env *[]byte) []byte {
 	if !batch && n == 1 && tail == nil {
 		return a.buf
 	}
-	a.views = a.views[:0]
+	if tail != nil {
+		n++
+	}
+	*env = wire.AppendBatchHeader((*env)[:0], n)
 	off := 0
 	for _, l := range a.lens {
-		a.views = append(a.views, a.buf[off:off+l])
+		*env = wire.AppendSubframe(*env, a.buf[off:off+l])
 		off += l
 	}
 	if tail != nil {
-		a.views = append(a.views, tail)
+		*env = wire.AppendSubframe(*env, tail)
 	}
-	*env = wire.Batch{Frames: a.views}.Append((*env)[:0])
 	return *env
 }
 

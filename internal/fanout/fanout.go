@@ -172,11 +172,12 @@ type Config struct {
 }
 
 // Exec is the one thing a substrate decides, fixed at construction: how
-// the machine's EffExec — one Algorithm 2 execution over all nodes — is
+// the machine's EffExec — one protocol execution over all nodes — is
 // carried to the peers. It carries out one execution through Engine.Round
-// exchanges and returns its winner, having charged the execution's model
-// messages to Engine.Recorder(eff.Phase).
-type Exec func(e *Engine, eff coord.Effect) (protocol.Result, error)
+// exchanges and returns its winners, best first (a view valid until the
+// strategy's next call), having charged the execution's model messages to
+// Engine.Recorder(eff.Phase).
+type Exec func(e *Engine, eff coord.Effect) ([]protocol.Winner, error)
 
 // Engine is the coordinator of a link-backed monitor. It satisfies
 // sim.Algorithm and sim.DeltaAlgorithm. Like the other engines it is not
@@ -367,34 +368,24 @@ func (e *Engine) collect(pi int, op string) error {
 	return err
 }
 
-// Round runs one wire.Round exchange on behalf of the Exec strategy, with
-// every peer or — when ask is non-nil — with the peers it selects: the
-// command fans out (a peer's frame carries the commands queued for it
-// since its last exchange), and each is called for every peer in
-// ascending peer order with the peer's index and node range and its
-// answer frame. A peer ask declines gets no frame and owes no reply —
-// its queue stays queued — and each sees a nil answer for it. An error
-// from each marks that peer as misbehaving and abandons the step like any
-// link failure.
-func (e *Engine) Round(m wire.Round, ask func(pi int) bool, each func(pi, lo, hi int, answer []byte) error) error {
+// Round runs one wire.Round exchange with every peer on behalf of the Exec
+// strategy: the command fans out (a peer's frame carries the commands
+// queued for it since its last exchange), and each is called for every
+// peer in ascending peer order with the peer's node range and its answer
+// frame. An error from each marks that peer as misbehaving and abandons the
+// step like any link failure.
+func (e *Engine) Round(m wire.Round, each func(lo, hi int, answer []byte) error) error {
 	e.buf = m.Append(e.buf[:0])
 	for pi := range e.fan.peers {
-		if ask != nil && !ask(pi) {
-			continue
-		}
 		if err := e.fan.ship(pi, e.buf, "round"); err != nil {
 			return err
 		}
 	}
 	for pi, p := range e.fan.peers {
-		var answer []byte
-		if p.owed != 0 { // it was asked
-			if err := e.collect(pi, "round"); err != nil {
-				return err
-			}
-			answer = e.fan.Next(pi)
+		if err := e.collect(pi, "round"); err != nil {
+			return err
 		}
-		if err := each(pi, p.lo, p.hi, answer); err != nil {
+		if err := each(p.lo, p.hi, e.fan.Next(pi)); err != nil {
 			return e.fail(pi, "round", err)
 		}
 	}
@@ -543,22 +534,22 @@ func (e *Engine) finishStep(op string) []int {
 // The ack-only effects do not synchronize one by one: their commands are
 // queued per peer, the machine is advanced immediately (the acks carry no
 // information), and the queued frames ride with the next data-bearing
-// exchange to each peer — ResetBegin and the k+1 Winner notifications of
-// a FILTERRESET coalesce into the first round of the following protocol
-// execution, saving their round trips outright — while whatever is still
-// queued when the machine reports EffDone (the trailing midpoint/bounds
-// install) drains as one final batched exchange. Per-link command order
+// exchange to each peer — a FILTERRESET's ResetBegin rides in the first
+// round of its execution, saving the round trip outright — while whatever
+// is still queued when the machine reports EffDone (a reset's k Winner
+// notifications and the trailing midpoint/bounds install) drains as one
+// final batched exchange. Per-link command order
 // is preserved exactly, so every node applies the same state transitions
 // in the same places as if each effect had been a round trip of its own.
 func (e *Engine) runEffects(eff coord.Effect) error {
 	for eff.Kind != coord.EffDone {
 		switch eff.Kind {
 		case coord.EffExec:
-			res, err := e.exec(e, eff)
+			winners, err := e.exec(e, eff)
 			if err != nil {
 				return err
 			}
-			eff = e.mach.ExecDone(res.OK, res.ID, res.Key)
+			eff = e.mach.Deliver(winners)
 			continue
 		case coord.EffResetBegin:
 			e.queueAll(func(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeResetBegin) })

@@ -22,13 +22,20 @@ var fuzzRounds = map[string]RoundFunc{
 		return reply.Append(dst)
 	},
 	"delegated": func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
-		ex := protocol.NewExec(m.Bound, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
+		ex := protocol.NewExec(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
 		for ex.More() {
 			bank.Round(m.Tag, ex.Round(), ex.Best(), m.Bound, m.Step, ex.Bid)
 			ex.EndRound()
 		}
-		res := ex.Result()
-		return wire.ShardDigest{OK: res.OK, ID: max(res.ID, 0), Key: int64(res.Key)}.Append(dst)
+		var d wire.ShardDigest
+		for i, w := range ex.Winners() {
+			if i == 0 {
+				d.OK, d.ID, d.Key = true, w.ID, int64(w.Key)
+			} else {
+				d.Rest = append(d.Rest, wire.Bid{ID: w.ID, Key: int64(w.Key)})
+			}
+		}
+		return d.Append(dst)
 	},
 }
 
@@ -38,10 +45,14 @@ var fuzzRounds = map[string]RoundFunc{
 func FuzzLeafRespond(f *testing.F) {
 	assign := wire.Assign{Lo: 4, Hi: 20, N: 24, K: 3, Seed: 5}.Append(nil)
 	for _, seed := range [][]byte{
-		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil),
-		wire.Round{Tag: coord.TagReset, Round: 2, Best: 7, Bound: 0, Step: 1}.Append(nil),
-		wire.Round{Tag: 9, Round: 0, Best: 7, Bound: 24, Step: 1}.Append(nil),
-		wire.Round{Tag: coord.TagViolMin, Round: 70, Best: -3, Bound: 1 << 40, Step: 9}.Append(nil),
+		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 4}.Append(nil),
+		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 24}.Append(nil),
+		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil),           // no winner wanted
+		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 25}.Append(nil), // more than the bound
+		wire.Round{Tag: coord.TagHandMin, Round: 0, Best: int64(order.NegInf), Bound: 1 << 50, Step: 1, Want: 1 << 49}.Append(nil),
+		wire.Round{Tag: coord.TagReset, Round: 2, Best: 7, Bound: 0, Step: 1, Want: 1}.Append(nil),
+		wire.Round{Tag: 9, Round: 0, Best: 7, Bound: 24, Step: 1, Want: 1}.Append(nil),
+		wire.Round{Tag: coord.TagViolMin, Round: 70, Best: -3, Bound: 1 << 40, Step: 9, Want: 1}.Append(nil),
 		wire.ObserveDelta{Step: 1, IDs: []int{4, 19}, Vals: []int64{5, -5}}.Append(nil),
 		wire.Winner{Target: 19, IsTop: true}.Append(nil),
 		wire.Winner{Target: 3}.Append(nil),
@@ -49,13 +60,17 @@ func FuzzLeafRespond(f *testing.F) {
 		wire.ApproxBounds{Lo: 3, Hi: 9}.Append(nil),
 		wire.AppendBare(nil, wire.TypeResetBegin),
 		wire.AppendBare(nil, wire.TypeStatsPoll),
-		wire.Batch{Frames: [][]byte{wire.AppendBare(nil, wire.TypeResetBegin), wire.Round{Tag: 5, Bound: 3}.Append(nil)}}.Append(nil),
+		wire.Batch{Frames: [][]byte{wire.AppendBare(nil, wire.TypeResetBegin), wire.Round{Tag: 5, Bound: 3, Want: 1}.Append(nil)}}.Append(nil),
 		wire.Assign{Lo: 0, Hi: 2, N: 2, K: 2, Seed: 1}.Append(nil),
-		// An extraction after a reset's first, as an incremental root or
-		// interior ships it to the one child whose head was taken.
+		// A reset's execution as a root or interior ships it, behind the
+		// ResetBegin, and what ends the reset.
+		wire.Batch{Frames: [][]byte{
+			wire.AppendBare(nil, wire.TypeResetBegin),
+			wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 4}.Append(nil),
+		}}.Append(nil),
 		wire.Batch{Frames: [][]byte{
 			wire.Winner{Target: 19, IsTop: true}.Append(nil),
-			wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil),
+			wire.Midpoint{Mid: 12}.Append(nil),
 		}}.Append(nil),
 	} {
 		f.Add(seed, seed)

@@ -54,6 +54,17 @@ func ServeLoop(link transport.Link, step func(frame []byte) (cont bool, err erro
 	}
 }
 
+// CheckRound rejects a decoded Round frame no coordinator sends: the codec
+// takes any tag byte, bound and winner count, and the bank, the local
+// executions and the digest merges panic on the ones the protocol has no
+// meaning for, so every server stops them here.
+func CheckRound(m wire.Round) error {
+	if !coord.ValidTag(m.Tag) || m.Bound <= 0 || m.Want < 1 || m.Want > m.Bound {
+		return fmt.Errorf("fanout: round frame with cohort tag %d, population bound %d, %d winners wanted", m.Tag, m.Bound, m.Want)
+	}
+	return nil
+}
+
 // RoundFunc answers one wire.Round command against a leaf's node bank,
 // appending the answer frame to dst. It is the only per-substrate part of
 // the leaf server: the serving-side counterpart of Exec.
@@ -144,11 +155,8 @@ func (s *leaf) handle(frame, dst []byte) (out []byte, cont bool, err error) {
 		if err != nil {
 			return dst, false, err
 		}
-		// The codec takes any tag byte and any bound; the bank and the
-		// local executions panic on the ones Algorithm 2 has no meaning
-		// for, so they stop here.
-		if !coord.ValidTag(m.Tag) || m.Bound <= 0 {
-			return dst, false, fmt.Errorf("fanout: round frame with cohort tag %d and population bound %d", m.Tag, m.Bound)
+		if err := CheckRound(m); err != nil {
+			return dst, false, err
 		}
 		return s.round(s.bank, m, dst), true, nil
 

@@ -13,16 +13,18 @@ import (
 )
 
 // TestHostileRoundFrameEndsServeWithError pins the leaf server's promise
-// for the two Round fields the codec cannot vet: after a valid Assign, a
-// population bound of 0 or a cohort tag no protocol has ends the serve
-// loop with an error — the link closes and the coordinator's failover
-// takes over — on both servers. Either frame used to panic inside the
-// bank, and a Loopback host lives in the monitor's process.
+// for the three Round fields the codec cannot vet: after a valid Assign, a
+// population bound of 0, a cohort tag no protocol has or a winner count
+// outside [1, bound] ends the serve loop with an error — the link closes and the coordinator's failover
+// takes over — on both servers. Each of them would panic inside the
+// bank or the execution, and a Loopback host lives in the monitor's process.
 func TestHostileRoundFrameEndsServeWithError(t *testing.T) {
 	servers := map[string]func(transport.Link) error{"netrun.Serve": netrun.Serve, "shardrun.ServeShard": shardrun.ServeShard}
 	frames := map[string]wire.Round{
-		"bound 0": {Tag: coord.TagReset, Round: 0, Best: 0, Bound: 0, Step: 1},
-		"tag 9":   {Tag: 9, Round: 0, Best: 0, Bound: 8, Step: 1},
+		"bound 0":          {Tag: coord.TagReset, Round: 0, Best: 0, Bound: 0, Step: 1, Want: 1},
+		"tag 9":            {Tag: 9, Round: 0, Best: 0, Bound: 8, Step: 1, Want: 1},
+		"want 0":           {Tag: coord.TagReset, Round: 0, Best: 0, Bound: 8, Step: 1},
+		"want above bound": {Tag: coord.TagReset, Round: 0, Best: 0, Bound: 8, Step: 1, Want: 9},
 	}
 	for sname, serve := range servers {
 		for fname, round := range frames {

@@ -8,7 +8,7 @@
 // equivalence test in this package pins.
 //
 // What is netrun's own is how a protocol execution reaches the nodes:
-// the coordinator runs Algorithm 2's round loop itself (protocol.Exec),
+// the coordinator runs the protocol's round loop itself (protocol.Exec),
 // every round is one wire.Round exchange with all peers, and the hosts
 // answer with the bids of their sampling nodes in a wire.Reply. One Up is
 // charged per bid and one Bcast per round, exactly like the in-process
@@ -87,17 +87,18 @@ func Serve(link transport.Link) error {
 	})
 }
 
-// execRounds is the networked engine's Exec strategy: one Algorithm 2
+// execRounds is the networked engine's Exec strategy: one protocol
 // execution over the effect's cohort, each round one fan-out/gather
 // exchange, charging Up per bid and Bcast per round exactly like the
 // in-process engines.
 func execRounds() fanout.Exec {
 	var reply wire.Reply // reusable decode target
-	return func(e *fanout.Engine, eff coord.Effect) (protocol.Result, error) {
-		ex := protocol.NewExec(eff.Bound, coord.MinimumTag(eff.Tag), e.Recorder(eff.Phase), nil, e.Step())
+	var ex protocol.Exec // its winner buffer is sized by the first reset
+	return func(e *fanout.Engine, eff coord.Effect) ([]protocol.Winner, error) {
+		ex.Begin(eff.Bound, eff.Want, coord.MinimumTag(eff.Tag), e.Recorder(eff.Phase), nil, e.Step())
 		for ex.More() {
-			round := wire.Round{Tag: eff.Tag, Round: ex.Round(), Best: int64(ex.Best()), Bound: eff.Bound, Step: e.Step()}
-			err := e.Round(round, nil, func(_, _, _ int, answer []byte) error {
+			round := wire.Round{Tag: eff.Tag, Round: ex.Round(), Best: int64(ex.Best()), Bound: eff.Bound, Step: e.Step(), Want: eff.Want}
+			err := e.Round(round, func(_, _ int, answer []byte) error {
 				if err := reply.Decode(answer); err != nil {
 					return err
 				}
@@ -107,11 +108,11 @@ func execRounds() fanout.Exec {
 				return nil
 			})
 			if err != nil {
-				return protocol.Result{}, err
+				return nil, err
 			}
 			ex.EndRound()
 		}
-		return ex.Result(), nil
+		return ex.Winners(), nil
 	}
 }
 

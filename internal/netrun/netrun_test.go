@@ -2,13 +2,20 @@ package netrun
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
+	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/stream"
 	"repro/internal/transport"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // mustLoopback builds a loopback engine, failing the test on
@@ -157,9 +164,9 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 // move; on a violation-heavy workload the transport must move strictly
 // fewer, because ResetBegin/Winner/Midpoint commands ride inside batched
 // frames instead of paying one frame (and one ack frame) each. Both
-// numbers are pinned as goldens — 27646 is also what the removed lockstep
-// mode sent on this run — so the ledger and the coalescing cannot drift
-// together.
+// numbers are pinned as goldens, so the ledger and the coalescing cannot
+// drift together (27646 / 26296 while a FILTERRESET was k+1 executions,
+// the first also what the removed lockstep mode sent on this run).
 func TestPipelinedFramingCoalesces(t *testing.T) {
 	const n, k, seed, steps, peers = 24, 4, 19, 150, 4
 	for _, g := range gathers {
@@ -182,8 +189,8 @@ func TestPipelinedFramingCoalesces(t *testing.T) {
 			if ts.RecvFrames >= led.Up {
 				t.Fatalf("replies did not coalesce: %d frames received for %d ledger replies", ts.RecvFrames, led.Up)
 			}
-			if led.Down != 27646 || ts.SentFrames != 26296 {
-				t.Fatalf("ledger commands / sent frames = %d / %d, want 27646 / 26296", led.Down, ts.SentFrames)
+			if led.Down != 13096 || ts.SentFrames != 11896 {
+				t.Fatalf("ledger commands / sent frames = %d / %d, want 13096 / 11896", led.Down, ts.SentFrames)
 			}
 		})
 	}
@@ -376,4 +383,92 @@ func TestCloseIdempotent(t *testing.T) {
 		}
 	}()
 	net.Observe([]int64{4, 3, 2, 1})
+}
+
+// sweepTap counts, on one link, the Round(TagReset) commands the
+// coordinator ships and the reply frames it gathers for them.
+type sweepTap struct {
+	transport.Link
+	rounds, replies *atomic.Int64
+	asked           bool // the frame just sent carried a reset's round
+}
+
+func (l *sweepTap) Send(p []byte) error {
+	l.asked = false
+	wiretest.Rounds(p, func(m wire.Round) {
+		if m.Tag == coord.TagReset {
+			l.rounds.Add(1)
+			l.asked = true
+		}
+	})
+	return l.Link.Send(p)
+}
+
+func (l *sweepTap) Recv() ([]byte, error) {
+	frame, err := l.Link.Recv()
+	if err == nil && l.asked {
+		l.replies.Add(1)
+	}
+	return frame, err
+}
+
+func (l *sweepTap) Flush() error               { return transport.Flush(l.Link) }
+func (l *sweepTap) Stats() transport.LinkStats { return transport.StatsOf(l.Link) }
+
+// TestResetIsOneSweepOfRounds pins the work of a node-level FILTERRESET as
+// an exact count, taken on the links: one execution for the k+1 largest
+// keys is ceil(log2 N) + 1 broadcast rounds, each one Round frame to every
+// peer and one reply gathered from each — (ceil(log2 N) + 1)·P of either
+// per reset, whatever k is, where k+1 executions shipped k+1 times that.
+// The time-0 reset, the resets violations drive and the forced reset of a
+// recovery count alike, under both gathers.
+func TestResetIsOneSweepOfRounds(t *testing.T) {
+	const n, k, steps = 40, 6, 120
+	perReset := int64(protocol.Rounds(n))
+	for _, g := range gathers {
+		for _, peers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/P=%d", g.name, peers), func(t *testing.T) {
+				setGather(t, g.procs)
+				var rounds, replies atomic.Int64
+				tapped := func() transport.Link {
+					return &sweepTap{Link: LoopbackLink(), rounds: &rounds, replies: &replies}
+				}
+				links := make([]transport.Link, peers)
+				for i := range links {
+					links[i] = tapped()
+				}
+				e, err := New(Config{N: n, K: k, Seed: 7, RetryBackoff: time.Millisecond,
+					Redial: func() (transport.Link, error) { return tapped(), nil }}, links)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 2500, Seed: 3})
+				vals := make([]int64, n)
+				var resets, seenRounds, seenReplies int64
+				for s := 0; s < steps; s++ {
+					if s == steps/2 {
+						links[0].Close() // found dead by this call, redialed and reset by the next
+					}
+					src.Step(vals)
+					e.Observe(vals)
+					dResets := e.Stats().Resets - resets
+					resets += dResets
+					if got, want := rounds.Load()-seenRounds, dResets*perReset*int64(peers); got != want {
+						t.Fatalf("step %d: %d reset rounds shipped for %d resets, want %d", s, got, dResets, want)
+					}
+					if got, want := replies.Load()-seenReplies, dResets*perReset*int64(peers); got != want {
+						t.Fatalf("step %d: %d replies gathered for %d resets, want %d", s, got, dResets, want)
+					}
+					seenRounds, seenReplies = rounds.Load(), replies.Load()
+				}
+				if h := e.Health(); h.Recoveries != 1 || h.Degraded {
+					t.Fatalf("the cut link was not recovered exactly once: %+v", h)
+				}
+				if e.Stats().Resets < 5 {
+					t.Fatalf("trace too quiet to count anything: %+v", e.Stats())
+				}
+			})
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/comm"
 	"repro/internal/order"
 	"repro/internal/rng"
 )
@@ -181,35 +180,32 @@ func (f Field) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, ba
 	}
 }
 
-// Run executes Algorithm 2 over the nodes in play — at most bound of them
-// — in the maximum or (order-dual) minimum sense, with tolerance tol (zero
-// for an exact execution), recording one Up message per node send and one
-// Bcast per round on rec. It consumes the set. The empty set yields
-// Result{OK: false} and no messages.
-func (f Field) Run(in *InPlay, bound int, tol order.Tol, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return f.run(in, bound, tol, minimum, rec, tr, step, nil)
-}
+// Run drives ex — begun by the caller with the execution's bound, want and
+// sense — to its end over the nodes in play, at most bound of them, with
+// tolerance tol (zero for an exact execution): one Up per node send and one
+// Bcast per round on ex's recorder, the outcome in ex.Winners. It consumes
+// the set. Over the empty set it runs no round and charges nothing.
+func (f Field) Run(in *InPlay, ex *Exec, tol order.Tol) { f.run(in, ex, tol, nil) }
 
 // run is Run reporting bids under the ids of parts, when given: node i is
 // then parts[i], whatever its id.
-func (f Field) run(in *InPlay, bound int, tol order.Tol, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64, parts []Participant) Result {
+func (f Field) run(in *InPlay, ex *Exec, tol order.Tol, parts []Participant) {
 	if in.count == 0 {
-		return Result{OK: false, ID: -1, Key: order.NegInf}
+		return
 	}
-	if bound < in.count {
-		panic(fmt.Sprintf("protocol: bound %d below participant count %d", bound, in.count))
+	if ex.bound < in.count {
+		panic(fmt.Sprintf("protocol: bound %d below participant count %d", ex.bound, in.count))
 	}
-	ex := NewExec(bound, minimum, rec, tr, step)
 	send := ex.Bid
 	if parts != nil {
 		send = func(i int, key order.Key) { ex.Bid(parts[i].ID, key) }
 	}
 	for ex.More() {
-		coin := rng.NewCoin(uint(ex.Round()), uint64(bound))
-		f.Round(in, &coin, tol.WidenHi(ex.Best()), minimum, 0, send)
+		coin := rng.NewCoin(uint(ex.Round()), uint64(ex.bound))
+		f.Round(in, &coin, tol.WidenHi(ex.Best()), ex.top.minimum, 0, send)
 		ex.EndRound()
 	}
-	// The final round samples with probability 1, so every participant not
-	// dominated earlier has sent; the tracked winner is the true extremum.
-	return ex.Result()
+	// The final round samples with probability 1, so every participant the
+	// cut did not dominate earlier has sent; the winners are the true
+	// extrema.
 }

@@ -63,8 +63,14 @@ func (s *Sampler) Round(best order.Key, r uint, rg *rng.RNG) bool {
 // naiveRun is the every-node-every-round reference execution: one Sampler
 // per participant, all of them consulted in every round.
 func naiveRun(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, minimum bool) Result {
+	return naiveSweep(parts, bound, 1, tol, rec, minimum).Result()
+}
+
+// naiveSweep is naiveRun for the want best keys; it returns the finished
+// driver.
+func naiveSweep(parts []Participant, bound, want int, tol order.Tol, rec comm.Recorder, minimum bool) *Exec {
 	if len(parts) == 0 {
-		return Result{OK: false, ID: -1, Key: order.NegInf}
+		return new(Exec)
 	}
 	samplers := make([]Sampler, len(parts))
 	for i, p := range parts {
@@ -74,7 +80,7 @@ func naiveRun(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, 
 		}
 		samplers[i] = NewSamplerTol(k, bound, tol)
 	}
-	ex := NewExec(bound, minimum, rec, nil, 0)
+	ex := NewExec(bound, want, minimum, rec, nil, 0)
 	for ex.More() {
 		r, best := ex.Round(), ex.Best()
 		for i, p := range parts {
@@ -84,6 +90,14 @@ func naiveRun(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, 
 		}
 		ex.EndRound()
 	}
+	return &ex
+}
+
+// runOne is one single-winner execution over the nodes in play, on a driver
+// of its own.
+func runOne(f Field, in *InPlay, bound int, tol order.Tol, minimum bool, rec comm.Recorder) Result {
+	ex := NewExec(bound, 1, minimum, rec, nil, 0)
+	f.Run(in, &ex, tol)
 	return ex.Result()
 }
 
@@ -272,7 +286,7 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 						t.Fatalf("%s: %d nodes enlisted, cohort has %d", name, in.Len(), len(kc.ids))
 					}
 					var flatRec comm.Counter
-					got = f.Run(&in, kc.bound, tol, minimum, &flatRec, nil, 0)
+					got = runOne(f, &in, kc.bound, tol, minimum, &flatRec)
 					flatGens := make([]rng.RNG, len(kc.ids))
 					member := make([]bool, kc.size)
 					for i, id := range kc.ids {
@@ -333,9 +347,11 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 	}
 	var in InPlay
 	skip := []int{3, 70}
+	var ex Exec
 	run := func() {
 		in.EnlistExcept(n, skip)
-		f.Run(&in, n, order.Tol{}, false, comm.Discard, nil, 0)
+		ex.Begin(n, 9, false, comm.Discard, nil, 0)
+		f.Run(&in, &ex, order.Tol{})
 	}
 	run() // warm
 	if a := testing.AllocsPerRun(20, run); a != 0 {
@@ -352,11 +368,13 @@ func BenchmarkFieldRun(b *testing.B) {
 			f.Keys[i] = order.Key(p + 1)
 		}
 		var in InPlay
+		var ex Exec
 		for _, bound := range []int{n, n + n/3} {
 			b.Run(fmt.Sprintf("n=%d/bound=%d", n, bound), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					in.EnlistExcept(n, nil)
-					f.Run(&in, bound, order.Tol{}, false, comm.Discard, nil, 0)
+					ex.Begin(bound, 1, false, comm.Discard, nil, 0)
+					f.Run(&in, &ex, order.Tol{})
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
 			})
@@ -382,13 +400,17 @@ func BenchmarkScratchMaximum(b *testing.B) {
 // FuzzRoundKernel holds the kernel to the naive reference on cohorts the
 // fuzzer shapes: keys with ties and both sentinels, sparse id lists and
 // dense complements of skip lists over fields on and off the 64-node word,
-// either sense, any tolerance, bounds from the cohort size up past 2^32.
+// either sense, any tolerance, bounds from the cohort size up past 2^32,
+// and any number of winners wanted — and, where the execution is exact,
+// the winners to sort-and-take: their keys are the want best of the cohort
+// in order, each held by a distinct member.
 func FuzzRoundKernel(f *testing.F) {
-	f.Add([]byte{0, 255, 7, 7, 9, 1, 200}, uint16(70), uint64(0), uint8(0), uint64(1))
-	f.Add([]byte{3, 3, 3, 3}, uint16(64), uint64(1), uint8(1|4), uint64(2))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(4100), uint64(1<<33), uint8(1|8), uint64(3))
-	f.Add([]byte{255, 0}, uint16(129), uint64(77), uint8(4|16), uint64(4))
-	f.Fuzz(func(t *testing.T, data []byte, size16 uint16, slack uint64, flags uint8, seed uint64) {
+	f.Add([]byte{0, 255, 7, 7, 9, 1, 200}, uint16(70), uint64(0), uint8(0), uint64(1), uint16(0))
+	f.Add([]byte{3, 3, 3, 3}, uint16(64), uint64(1), uint8(1|4), uint64(2), uint16(2))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(4100), uint64(1<<33), uint8(1|8), uint64(3), uint16(16))
+	f.Add([]byte{255, 0}, uint16(129), uint64(77), uint8(4|16), uint64(4), uint16(200))
+	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5}, uint16(300), uint64(0), uint8(1), uint64(5), uint16(8))
+	f.Fuzz(func(t *testing.T, data []byte, size16 uint16, slack uint64, flags uint8, seed uint64, want16 uint16) {
 		if len(data) == 0 {
 			t.Skip()
 		}
@@ -416,24 +438,44 @@ func FuzzRoundKernel(f *testing.F) {
 		kc.bound = max(len(kc.ids), 1) + int(slack%(1<<40))
 		minimum := flags&4 != 0
 		tol := mustTol(t, []float64{0, 0.05, 0.5, 0.9}[flags>>3&3])
+		want := 1 + int(want16)%(len(kc.ids)+2) // up to one more than there are
 
 		refParts, refGens := kc.parts(seed)
 		var refRec, rec comm.Counter
-		want := naiveRun(refParts, kc.bound, tol, &refRec, minimum)
+		ref := naiveSweep(refParts, kc.bound, want, tol, &refRec, minimum)
 
 		fld := kc.field(seed)
 		before := slices.Clone(fld.Gens.States())
 		var in InPlay
 		in.Enlist(kc.size, []int{0}) // stale members must not survive the enlistment
 		kc.enlist(&in)
-		got := fld.Run(&in, kc.bound, tol, minimum, &rec, nil, 0)
+		ex := NewExec(kc.bound, want, minimum, &rec, nil, 0)
+		fld.Run(&in, &ex, tol)
 		gens := make([]rng.RNG, len(kc.ids))
 		member := make([]bool, kc.size)
 		for i, id := range kc.ids {
 			gens[i], member[id] = fld.Gens.At(id), true
 		}
-		if got != want || rec.Snapshot() != refRec.Snapshot() || rec.BytesSnapshot() != refRec.BytesSnapshot() {
-			t.Fatalf("result %+v charges %v/%v, reference %+v %v/%v", got, rec.Snapshot(), rec.BytesSnapshot(), want, refRec.Snapshot(), refRec.BytesSnapshot())
+		if ex.Result() != ref.Result() || !slices.Equal(ex.Winners(), ref.Winners()) || rec.Snapshot() != refRec.Snapshot() || rec.BytesSnapshot() != refRec.BytesSnapshot() {
+			t.Fatalf("winners %+v charges %v/%v, reference %+v %v/%v", ex.Winners(), rec.Snapshot(), rec.BytesSnapshot(), ref.Winners(), refRec.Snapshot(), refRec.BytesSnapshot())
+		}
+		if tol.Zero() {
+			sorted := slices.Clone(kc.keys)
+			slices.Sort(sorted)
+			if !minimum {
+				slices.Reverse(sorted)
+			}
+			sorted = sorted[:min(want, len(sorted))]
+			won := map[int]bool{}
+			for i, w := range ex.Winners() {
+				if i >= len(sorted) || w.Key != int64(sorted[i]) || !member[w.ID] || int64(fld.Keys[w.ID]) != w.Key || won[w.ID] {
+					t.Fatalf("winners %+v are not the %d best keys %v of the cohort, each of a member of its own", ex.Winners(), want, sorted)
+				}
+				won[w.ID] = true
+			}
+			if len(ex.Winners()) != len(sorted) {
+				t.Fatalf("%d winners for want %d of a cohort of %d", len(ex.Winners()), want, len(kc.ids))
+			}
 		}
 		for i := range gens {
 			if gens[i] != refGens[i] {
@@ -474,7 +516,7 @@ func TestSparseCohortDoesNotPayForTheField(t *testing.T) {
 			start := time.Now()
 			for rep := 0; rep < 20; rep++ {
 				in.Enlist(n, ids)
-				f.Run(&in, len(ids), order.Tol{}, false, comm.Discard, nil, 0)
+				runOne(f, &in, len(ids), order.Tol{}, false, comm.Discard)
 			}
 			best = min(best, time.Since(start))
 		}

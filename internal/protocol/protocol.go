@@ -116,57 +116,120 @@ func (s *Scratch) MinimumTol(parts []Participant, bound int, tol order.Tol, rec 
 	return runParts(parts, bound, tol, rec, tr, step, true, s)
 }
 
-// Exec is the coordinator-side round driver of one Algorithm 2 execution:
-// it tracks the best value broadcast so far, charges one Up per delivered
-// bid and one Bcast per finished round, and remembers the winner. It is
-// the single copy of that loop shared by every execution substrate — the
-// in-process run below, the sharded channel engine (internal/runtime), the
+// Winner is one bid an execution kept — the node and its true key — in the
+// wire's form, so that a digest can carry an execution's winners as they
+// are (wire.ShardDigest.SetWinners).
+type Winner = wire.Bid
+
+// Top keeps the want best of the bids offered to it, best first, in one
+// buffer that grows to the most winners ever kept and is reused from
+// execution to execution (so what a selection holds is bounded by the bids
+// it saw, whatever it was told to want). It is the whole
+// coordinator-side state of a selection — Exec charges and counts rounds
+// around one — and the digest mergers of internal/shardrun fold their
+// children's winner lists through the same Offer: a bid displaces the
+// want-th best only if it is strictly greater, so among equal keys the
+// earlier offer stays ahead (bids arrive in ascending id order, children in
+// ascending range order: ties resolve towards the smaller id everywhere).
+type Top struct {
+	want    int
+	minimum bool
+	win     []Winner
+}
+
+// Reset empties the buffer for a selection of the want best bids — largest
+// keys, or smallest when minimum is set — keeping its storage.
+func (t *Top) Reset(want int, minimum bool) {
+	if want < 1 {
+		panic("protocol: an execution wants at least one winner")
+	}
+	t.want, t.minimum, t.win = want, minimum, t.win[:0]
+}
+
+// cmp maps a winner's key into the comparison domain.
+func (t *Top) cmp(key int64) order.Key {
+	if t.minimum {
+		return order.Neg(order.Key(key))
+	}
+	return order.Key(key)
+}
+
+// Offer takes one bid into account.
+func (t *Top) Offer(id int, key order.Key) {
+	c, i := t.cmp(int64(key)), len(t.win)
+	if i == t.want {
+		if c <= t.cmp(t.win[i-1].Key) {
+			return
+		}
+		i--
+	} else {
+		if i == cap(t.win) { // doubling, but no further than want: what a reset needs, no more
+			t.win = append(make([]Winner, 0, min(t.want, max(2*i, 4))), t.win...)
+		}
+		t.win = t.win[:i+1]
+	}
+	for ; i > 0 && t.cmp(t.win[i-1].Key) < c; i-- {
+		t.win[i] = t.win[i-1]
+	}
+	t.win[i] = Winner{ID: id, Key: int64(key)}
+}
+
+// Winners returns the bids kept, best first: a view valid until the next
+// Reset.
+func (t *Top) Winners() []Winner { return t.win }
+
+// Exec is the coordinator-side round driver of one execution of Algorithm 2
+// generalized from the maximum to the want largest keys (the top-k
+// selection of Biermeier et al., arXiv:1709.07259): it keeps the want best
+// bids delivered so far (Top), broadcasts the want-th best as the cut the
+// next round's node decisions compare against, charges one Up per bid and
+// one Bcast per finished round. The final round samples with probability 1,
+// so every node above the final cut has bid and the winners are exactly the
+// want largest keys, in order; with want = 1 it is Algorithm 2 itself, bid
+// for bid. It is the single copy of that loop shared by every execution
+// substrate — the in-process run below, internal/core on either host, the
 // networked engine (internal/netrun) and the shard agents
 // (internal/shardrun) all drive it:
 //
-//	ex := protocol.NewExec(bound, minimum, rec, nil, step)
+//	ex.Begin(bound, want, minimum, rec, nil, step)
 //	for ex.More() {
-//	    r, best := ex.Round(), ex.Best()
-//	    // substrate-specific: run round r (Field.Round) against best over
+//	    r, cut := ex.Round(), ex.Best()
+//	    // substrate-specific: run round r (Field.Round) against cut over
 //	    // every cohort member still in play, delivering every send in
 //	    // ascending node-id order
 //	    ex.Bid(id, key) // per send
 //	    ex.EndRound()
 //	}
-//	res := ex.Result()
+//	winners := ex.Winners()
 //
 // Bids within a round must be delivered in ascending node id order — the
 // order every engine's fan-in produces — so that ties (possible only
 // before the distinctness injection is established) resolve identically
-// everywhere.
+// everywhere. The zero Exec is ready for Begin and keeps its winner buffer
+// across executions.
 type Exec struct {
-	minimum bool
-	rounds  int
-	r       int
-	step    int64
-	rec     comm.Recorder
-	tr      *comm.Trace
-
-	best   order.Key // running best in the comparison domain
-	winID  int
-	winKey order.Key
-	any    bool
+	bound  int
+	rounds int
+	r      int
+	step   int64
+	rec    comm.Recorder
+	tr     *comm.Trace
+	top    Top
 }
 
-// NewExec starts one execution with the given population bound, in the
-// minimum (order-dual) sense when minimum is set, charging onto rec and
-// optionally tracing with the given step tag.
-func NewExec(bound int, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) Exec {
-	return Exec{
-		minimum: minimum,
-		rounds:  Rounds(bound),
-		step:    step,
-		rec:     rec,
-		tr:      tr,
-		best:    order.NegInf,
-		winID:   -1,
-		winKey:  order.NegInf,
-	}
+// Begin starts one execution for the want best keys with the given
+// population bound, in the minimum (order-dual) sense when minimum is set,
+// charging onto rec and optionally tracing with the given step tag.
+func (e *Exec) Begin(bound, want int, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) {
+	e.bound, e.rounds, e.r, e.step, e.rec, e.tr = bound, Rounds(bound), 0, step, rec, tr
+	e.top.Reset(want, minimum)
+}
+
+// NewExec returns an execution begun, with a buffer of its own.
+func NewExec(bound, want int, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) Exec {
+	var e Exec
+	e.Begin(bound, want, minimum, rec, tr, step)
+	return e
 }
 
 // More reports whether another round remains to be executed.
@@ -175,48 +238,52 @@ func (e *Exec) More() bool { return e.r < e.rounds }
 // Round returns the index of the current round.
 func (e *Exec) Round() int { return e.r }
 
-// Best returns the best value broadcast at the end of the previous round
-// (the paper's max_{r-1}), in the execution's comparison domain — the
-// value the current round's node decisions compare against.
-func (e *Exec) Best() order.Key { return e.best }
+// Best returns the cut broadcast at the end of the previous round — the
+// want-th best bid so far, −∞ until want bids arrived; for want = 1 the
+// paper's max_{r-1} — in the execution's comparison domain: the value the
+// current round's node decisions compare against.
+func (e *Exec) Best() order.Key {
+	if t := &e.top; len(t.win) == t.want {
+		return t.cmp(t.win[t.want-1].Key)
+	}
+	return order.NegInf
+}
 
 // Bid delivers one node's send of the current round: it charges the Up
-// message and advances the running best. key is the node's true key; the
-// order-dual negation for minimum executions happens internally.
+// message and takes the bid into the running selection. key is the node's
+// true key; the order-dual negation for minimum executions happens
+// internally.
 func (e *Exec) Bid(id int, key order.Key) {
 	comm.RecordSized(e.rec, comm.Up, 1, wire.SizeBid(id, int64(key)))
 	e.tr.Append(comm.Event{Step: e.step, Kind: comm.Up, From: id, To: comm.Coordinator, Payload: int64(key), Note: "proto send"})
-	e.any = true
-	cmp := key
-	if e.minimum {
-		cmp = order.Neg(cmp)
-	}
-	if cmp > e.best {
-		e.best = cmp
-		e.winID = id
-		e.winKey = key
-	}
+	e.top.Offer(id, key)
 }
 
 // EndRound closes the current round: it charges the end-of-round broadcast
-// (carrying the running best, updated with this round's bids) and advances
-// to the next round.
+// (carrying the cut, updated with this round's bids) and advances to the
+// next round.
 func (e *Exec) EndRound() {
 	if !e.More() {
 		panic("protocol: EndRound past the final round")
 	}
-	comm.RecordSized(e.rec, comm.Bcast, 1, wire.SizeBest(e.r, int64(e.best)))
-	e.tr.Append(comm.Event{Step: e.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: int64(e.best), Note: "proto round"})
+	cut := e.Best()
+	comm.RecordSized(e.rec, comm.Bcast, 1, wire.SizeBest(e.r, int64(cut)))
+	e.tr.Append(comm.Event{Step: e.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: int64(cut), Note: "proto round"})
 	e.r++
 }
 
-// Result returns the execution's outcome: OK is false when no participant
-// ever sent (the cohort was empty).
+// Winners returns the execution's outcome: the at most want nodes that
+// hold the best keys, best first (none: the cohort was empty). The view is
+// valid until the next Begin.
+func (e *Exec) Winners() []Winner { return e.top.Winners() }
+
+// Result returns the best winner: OK is false when no participant ever
+// sent (the cohort was empty).
 func (e *Exec) Result() Result {
-	if !e.any {
-		return Result{OK: false, ID: -1, Key: order.NegInf, Rounds: e.r}
+	if w := e.top.Winners(); len(w) > 0 {
+		return Result{OK: true, ID: w[0].ID, Key: order.Key(w[0].Key), Rounds: e.r}
 	}
-	return Result{OK: true, ID: e.winID, Key: e.winKey, Rounds: e.r}
+	return Result{OK: false, ID: -1, Key: order.NegInf, Rounds: e.r}
 }
 
 // Scratch holds the reusable buffers of executions over participant
@@ -228,6 +295,7 @@ type Scratch struct {
 	keys         []order.Key
 	states, incs []uint64
 	in           InPlay
+	ex           Exec
 }
 
 // runParts executes over participant records: it gathers their keys and
@@ -248,11 +316,12 @@ func runParts(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, 
 	}
 	f := Field{Keys: keys, Gens: rng.ArenaOf(states, incs)}
 	s.in.EnlistExcept(n, nil)
-	res := f.run(&s.in, bound, tol, minimum, rec, tr, step, parts)
+	s.ex.Begin(bound, 1, minimum, rec, tr, step)
+	f.run(&s.in, &s.ex, tol, parts)
 	for i := range parts {
 		*parts[i].RNG = f.Gens.At(i)
 	}
-	return res
+	return s.ex.Result()
 }
 
 // Extractor computes the maximum over a participant set; Maximum and

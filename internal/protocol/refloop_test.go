@@ -128,7 +128,7 @@ func run(c cohort, active []int32, bound int, tol order.Tol, rec comm.Recorder, 
 	if bound < len(active) {
 		panic(fmt.Sprintf("protocol: bound %d below participant count %d", bound, len(active)))
 	}
-	ex := NewExec(bound, minimum, rec, tr, step)
+	ex := NewExec(bound, 1, minimum, rec, tr, step)
 	for ex.More() {
 		r, cut := uint(ex.Round()), tol.WidenHi(ex.Best())
 		kept := active[:0]

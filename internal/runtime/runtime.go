@@ -286,5 +286,5 @@ func (p *pool) Round(tag uint8, r int, best order.Key, bound int, step int64, bi
 	}
 }
 
-// ResetBegin clears every shard's extraction state and membership.
+// ResetBegin clears every shard's membership.
 func (p *pool) ResetBegin() { p.sweep(shardCmd{kind: cResetBegin}, p.all) }

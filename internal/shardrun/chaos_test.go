@@ -370,25 +370,29 @@ func TestChaosInteriorFaultMatrix(t *testing.T) {
 	}
 }
 
-// assassin cuts one link of a rig between two extractions of a FILTERRESET.
-// It watches the links of one tree level from their parent-side ends and
-// follows the running reset's extraction index there: ResetBegin rides with
-// extraction 0 to every link of the level, and every later extraction is
-// one Round(TagReset) on one link, the owner's of the last winner. Armed
-// with an index j, it cuts the link that just delivered its answer to
-// extraction j — at j = 0, where every link answers, the one numbered
-// victim — so the kill lands after the child answered and before it is
-// asked again, while its head stands at the parent.
+// assassin cuts one link of a rig in the middle of a FILTERRESET's sweep.
+// It watches the links of one tree level from their parent-side ends; on
+// the one numbered victim a reset's execution is one round trip — the
+// Round(TagReset) request down, behind the ResetBegin, and the child's
+// winner list up — and, armed with a point j of it, the assassin cuts the
+// link there: at j = 0 as the request goes out, so the child never sees
+// it; at the last point after the answer reached the parent, so the dead
+// child's winners are merged and its members' Winner frames and the install
+// find the link dead; at any point between while the child sweeps, so it
+// did the work and the parent's gather finds the link dead instead of the
+// answer.
 type assassin struct {
 	level, victim int
 
 	mu    sync.Mutex
 	links int  // links watched so far (numbers them)
-	idx   int  // extraction index of the running reset at this level
-	armed bool // cut at extraction j
+	armed bool // cut at point j
 	j     int
 	fired bool
 }
+
+// assassinLast is the point after the answer's delivery.
+const assassinLast = chaosK - 1
 
 func (a *assassin) arm(j int) {
 	a.mu.Lock()
@@ -402,6 +406,49 @@ func (a *assassin) hit() bool {
 	return a.fired
 }
 
+// cutLink is the victim's parent-side end.
+type cutLink struct {
+	tap
+	a     *assassin
+	asked bool // a reset's request went down and its answer is not up yet
+}
+
+// due reports whether the link is to be cut now, at point j of a reset's
+// round trip on it, and records the kill.
+func (l *cutLink) due(j func(int) bool) bool {
+	l.a.mu.Lock()
+	defer l.a.mu.Unlock()
+	if !l.a.armed || l.a.fired || !j(l.a.j) {
+		return false
+	}
+	l.a.fired = true
+	return true
+}
+
+func (l *cutLink) Send(p []byte) error {
+	wiretest.Rounds(p, func(m wire.Round) { l.asked = l.asked || m.Tag == coord.TagReset })
+	if l.asked && l.due(func(j int) bool { return j == 0 }) {
+		l.Link.Close()
+	}
+	return l.Link.Send(p)
+}
+
+func (l *cutLink) Recv() ([]byte, error) {
+	frame, err := l.Link.Recv()
+	if err != nil || !l.asked {
+		return frame, err
+	}
+	l.asked = false
+	if l.due(func(j int) bool { return j > 0 && j < assassinLast }) {
+		l.Link.Close()
+		return nil, transport.ErrClosed
+	}
+	if l.due(func(j int) bool { return j == assassinLast }) {
+		l.Link.Close()
+	}
+	return frame, nil
+}
+
 // watch is a rig's up hook.
 func (a *assassin) watch(level int, l transport.Link) transport.Link {
 	if level != a.level {
@@ -411,50 +458,24 @@ func (a *assassin) watch(level int, l transport.Link) transport.Link {
 	me := a.links
 	a.links++
 	a.mu.Unlock()
-	asked := -1 // the extraction this link owes an answer to
-	return &tap{Link: l,
-		onSend: func(frame []byte) {
-			begin, round := false, false
-			wiretest.Subframes(frame, func(sub []byte) {
-				begin = begin || wire.DecodeBare(sub, wire.TypeResetBegin) == nil
-				if m, err := wire.DecodeRound(sub); err == nil && m.Tag == coord.TagReset {
-					round = true
-				}
-			})
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			switch {
-			case begin:
-				a.idx = 0
-			case round:
-				a.idx++
-			}
-			asked = -1
-			if round {
-				asked = a.idx
-			}
-		},
-		onRecv: func([]byte) {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			if a.armed && !a.fired && asked == a.j && (a.j > 0 || me == a.victim) {
-				a.fired = true
-				l.Close()
-			}
-			asked = -1
-		},
+	if me != a.victim {
+		return l
 	}
+	return &cutLink{tap: tap{Link: l}, a: a}
 }
 
-// TestChaosKillBetweenExtractions kills a child after it answered
-// extraction j of a FILTERRESET and before it is asked again — the window
-// in which its parent holds a head for it — for j at the start, the middle
-// and the end of the reset: a shard of a star, and in a 2² tree an interior
-// and a leaf, under merge and redial recovery and both gathers. Whatever
-// the reset did with the dead child's head, the engine finds the link dead
-// at the next frame it sends there, the recovery's forced reset asks
-// everyone afresh, and from the first step after it reports equal the
-// oracle and the hosted banks pass the restore checks.
+// TestChaosKillBetweenExtractions kills a child in the middle of a
+// FILTERRESET's sweep — as the request goes out, while the child sweeps,
+// and after its winner list reached the parent, before the members are
+// told (see assassin): a shard of a star, and in a 2² tree an interior and
+// a leaf, under merge and redial recovery and both gathers. (The name is
+// from when a reset was k+1 extractions and the kill landed between two;
+// the ids stay, see gathers, j counting the sweep's ⌈log₂N⌉ = 4 round
+// boundaries the leaf is at.) Whatever the reset had done with the dead
+// child, the engine finds the link dead at the next frame it moves there,
+// the recovery's forced reset sweeps everyone afresh, and from the first
+// step after it reports equal the oracle and the hosted banks pass the
+// restore checks.
 func TestChaosKillBetweenExtractions(t *testing.T) {
 	targets := []struct {
 		name                 string

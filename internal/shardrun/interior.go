@@ -16,6 +16,7 @@ import (
 type planEntry struct {
 	typ     byte
 	tag     uint8 // Round only: selects the merge direction
+	want    int   // Round only: how many winners the merge keeps
 	targets []int // children sent the sub-frame (so owing a reply), ascending
 }
 
@@ -27,16 +28,14 @@ type planEntry struct {
 // each parent sub-frame owes. It owns no node bank and makes no protocol
 // decisions: it routes commands down by child range and folds replies up —
 // violation flags by OR, shard digests by the same associative merge the
-// root applies (charge sums plus the first-in-order extremum), so a subtree
-// is externally indistinguishable from a single wider shard. Its only
-// protocol state is one head per child — the child's last TagReset answer,
-// kept so a FILTERRESET extraction re-asks only the child whose answer can
-// have changed (see head) — invalidated by nothing but the frames this
-// relay itself queues for that child. A link failure is not survived: it
-// is returned, the serve loop ends, and the subtree unwinds.
+// root applies (charge sums plus the best of the children's winners, first
+// in order on ties; see digest), so a subtree is externally
+// indistinguishable from a single wider shard. It keeps no protocol state
+// from one frame to the next. A link failure is not survived: it is
+// returned, the serve loop ends, and the subtree unwinds.
 type interior struct {
 	fan    *fanout.Fan
-	heads  []head // one per child, in range order
+	merge  digest // the running merge of one Round sub-frame's answers
 	lo, hi int    // currently assigned absolute range
 
 	obs   wire.Observe      // decode scratch
@@ -50,7 +49,7 @@ type interior struct {
 }
 
 func newInterior(children []transport.Link) *interior {
-	r := &interior{heads: make([]head, len(children))}
+	r := &interior{}
 	r.fan = fanout.NewFan(children, r.fail)
 	return r
 }
@@ -71,26 +70,20 @@ func (r *interior) entry(typ byte) *planEntry {
 	}
 	pe := &r.plan[len(r.plan)-1]
 	pe.typ = typ
-	pe.tag = 0
 	pe.targets = pe.targets[:0]
 	return pe
 }
 
-// to queues one sub-frame of pe for child ki. stale says the frame can
-// change the child's answer to a TagReset execution, which invalidates its
-// head (the rule is head's).
-func (r *interior) to(pe *planEntry, ki int, enc func([]byte) []byte, stale bool) {
-	if stale {
-		r.heads[ki].fresh = false
-	}
+// to queues one sub-frame of pe for child ki.
+func (r *interior) to(pe *planEntry, ki int, enc func([]byte) []byte) {
 	r.fan.Queue(ki, enc)
 	pe.targets = append(pe.targets, ki)
 }
 
 // toAll queues one broadcast sub-frame of pe for every child.
-func (r *interior) toAll(pe *planEntry, enc func([]byte) []byte, stale bool) {
-	for ki := range r.heads {
-		r.to(pe, ki, enc, stale)
+func (r *interior) toAll(pe *planEntry, enc func([]byte) []byte) {
+	for ki := range r.fan.Peers() {
+		r.to(pe, ki, enc)
 	}
 }
 
@@ -99,37 +92,31 @@ func (r *interior) toAll(pe *planEntry, enc func([]byte) []byte, stale bool) {
 // handshake down the subtree — an assignment narrower than the child count
 // shuts the surplus children down for good (mid-stream narrowing happens
 // only through root-side range merges, which never widen again) — and the
-// relay acks Ready up. Every subtree rebuilds its banks, so every head is
-// cold.
+// relay acks Ready up.
 func (r *interior) reassign(m wire.Assign) error {
 	if err := r.fan.Assign(m); err != nil {
 		return err
 	}
-	r.lo, r.hi = m.Lo, m.Hi
-	r.heads = r.heads[:r.fan.Peers()]
-	clear(r.heads)
+	r.lo, r.hi, r.merge.strict = m.Lo, m.Hi, !m.Distinct
 	r.env = wire.AppendBare(r.env[:0], wire.TypeReady)
 	r.buf = r.env
 	return nil
 }
 
 // mergeDigests answers one Round sub-frame exactly as the root's execMerge
-// does: the children it was sent to contribute their reply, the others
-// (TagReset only) their standing head, all in child order.
-func (r *interior) mergeDigests(pe *planEntry) (wire.ShardDigest, error) {
-	d := digest{tag: pe.tag}
-	targets := pe.targets
-	for ki := range r.heads {
-		var answer []byte
-		if len(targets) > 0 && targets[0] == ki {
-			answer, targets = r.fan.Next(ki), targets[1:]
-		}
+// does: every child's reply folded in child order, the merged winners and
+// the summed charges one digest up.
+func (r *interior) mergeDigests(pe *planEntry) (*wire.ShardDigest, error) {
+	d := &r.merge
+	d.begin(pe.want, coord.MinimumTag(pe.tag))
+	for _, ki := range pe.targets {
 		lo, hi := r.fan.Range(ki)
-		if err := d.fold(ki, &r.heads[ki], answer, lo, hi); err != nil {
-			return d.ShardDigest, r.fail(ki, "digest", err)
+		if err := d.fold(lo, hi, r.fan.Next(ki)); err != nil {
+			return nil, r.fail(ki, "digest", err)
 		}
 	}
-	return d.ShardDigest, nil
+	d.SetWinners(d.top.Winners())
+	return &d.ShardDigest, nil
 }
 
 // relay routes the commands of one parent frame through the subtree in
@@ -155,19 +142,19 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			if err := wire.DecodeBare(sub, wire.TypeResetBegin); err != nil {
 				return false, err
 			}
-			r.toAll(pe, raw, true)
+			r.toAll(pe, raw)
 
 		case wire.TypeMidpoint:
 			if _, err := wire.DecodeMidpoint(sub); err != nil {
 				return false, err
 			}
-			r.toAll(pe, raw, false)
+			r.toAll(pe, raw)
 
 		case wire.TypeApproxBounds:
 			if _, err := wire.DecodeApproxBounds(sub); err != nil {
 				return false, err
 			}
-			r.toAll(pe, raw, false)
+			r.toAll(pe, raw)
 
 		case wire.TypeWinner:
 			m, err := wire.DecodeWinner(sub)
@@ -178,7 +165,7 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			if ki < 0 {
 				return false, fmt.Errorf("shardrun: winner %d outside interior range [%d, %d)", m.Target, r.lo, r.hi)
 			}
-			r.to(pe, ki, raw, true)
+			r.to(pe, ki, raw)
 
 		case wire.TypeObserve:
 			if err := r.obs.Decode(sub); err != nil {
@@ -187,9 +174,9 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			if len(r.obs.Vals) != r.hi-r.lo {
 				return false, fmt.Errorf("shardrun: observe carries %d values for interior range [%d, %d)", len(r.obs.Vals), r.lo, r.hi)
 			}
-			for ki := range r.heads {
+			for ki := range r.fan.Peers() {
 				lo, hi := r.fan.Range(ki)
-				r.to(pe, ki, wire.Observe{Step: r.obs.Step, Vals: r.obs.Vals[lo-r.lo : hi-r.lo]}.Append, true)
+				r.to(pe, ki, wire.Observe{Step: r.obs.Step, Vals: r.obs.Vals[lo-r.lo : hi-r.lo]}.Append)
 			}
 
 		case wire.TypeObserveDelta:
@@ -202,10 +189,10 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 				return false, fmt.Errorf("shardrun: delta ids %d..%d outside interior range [%d, %d)", ids[0], ids[len(ids)-1], r.lo, r.hi)
 			}
 			start := 0
-			for ki := range r.heads {
+			for ki := range r.fan.Peers() {
 				stop := r.fan.Share(ki, r.delta.IDs, start)
 				if stop > start {
-					r.to(pe, ki, wire.ObserveDelta{Step: r.delta.Step, IDs: r.delta.IDs[start:stop], Vals: r.delta.Vals[start:stop]}.Append, true)
+					r.to(pe, ki, wire.ObserveDelta{Step: r.delta.Step, IDs: r.delta.IDs[start:stop], Vals: r.delta.Vals[start:stop]}.Append)
 				}
 				start = stop
 			}
@@ -215,18 +202,11 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			if err != nil {
 				return false, err
 			}
-			pe.tag = m.Tag
-			for ki := range r.heads {
-				if m.Tag == coord.TagReset {
-					if r.heads[ki].fresh {
-						continue // its head stands: nothing queued for it since it answered
-					}
-					// Fresh from here on: by the time a later sub-frame's
-					// answer is merged, this one's reply is the head.
-					r.heads[ki].fresh = true
-				}
-				r.to(pe, ki, raw, false)
+			if err := fanout.CheckRound(m); err != nil {
+				return false, err
 			}
+			pe.tag, pe.want = m.Tag, m.Want
+			r.toAll(pe, raw)
 
 		case wire.TypeShutdown:
 			r.fan.Close()

@@ -198,12 +198,16 @@ func TestInteriorChainIsIdentity(t *testing.T) {
 // children's serve loops exit.
 func FuzzInteriorRespond(f *testing.F) {
 	assign := wire.Assign{Lo: 4, Hi: 20, N: 24, K: 3, Seed: 5}.Append(nil)
-	reset := wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil)
+	reset := wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 4}.Append(nil)
 	for _, seed := range [][]byte{
-		reset,
-		wire.Round{Tag: coord.TagReset, Round: 2, Best: 7, Bound: 0, Step: 1}.Append(nil),
-		wire.Round{Tag: 9, Round: 0, Best: 7, Bound: 24, Step: 1}.Append(nil),
-		wire.Round{Tag: coord.TagViolMin, Round: 70, Best: -3, Bound: 1 << 40, Step: 9}.Append(nil),
+		reset, // three list digests to merge
+		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 24}.Append(nil), // every node a winner
+		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil),           // no winner wanted
+		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 25}.Append(nil), // more than the bound
+		wire.Round{Tag: coord.TagHandMin, Round: 0, Best: int64(order.NegInf), Bound: 1 << 50, Step: 1, Want: 1 << 49}.Append(nil),
+		wire.Round{Tag: coord.TagReset, Round: 2, Best: 7, Bound: 0, Step: 1, Want: 1}.Append(nil),
+		wire.Round{Tag: 9, Round: 0, Best: 7, Bound: 24, Step: 1, Want: 1}.Append(nil),
+		wire.Round{Tag: coord.TagViolMin, Round: 70, Best: -3, Bound: 1 << 40, Step: 9, Want: 1}.Append(nil),
 		wire.ObserveDelta{Step: 1, IDs: []int{4, 19}, Vals: []int64{5, -5}}.Append(nil),
 		wire.Winner{Target: 19, IsTop: true}.Append(nil),
 		wire.Winner{Target: 3}.Append(nil),
@@ -211,9 +215,10 @@ func FuzzInteriorRespond(f *testing.F) {
 		wire.ApproxBounds{Lo: 3, Hi: 9}.Append(nil),
 		wire.AppendBare(nil, wire.TypeResetBegin),
 		wire.AppendBare(nil, wire.TypeStatsPoll),
-		wire.Batch{Frames: [][]byte{wire.AppendBare(nil, wire.TypeResetBegin), wire.Round{Tag: 5, Bound: 3}.Append(nil)}}.Append(nil),
+		wire.Batch{Frames: [][]byte{wire.AppendBare(nil, wire.TypeResetBegin), wire.Round{Tag: 5, Bound: 3, Want: 1}.Append(nil)}}.Append(nil),
 		wire.Assign{Lo: 0, Hi: 2, N: 2, K: 2, Seed: 1}.Append(nil),
-		wire.Batch{Frames: [][]byte{wire.Winner{Target: 19, IsTop: true}.Append(nil), reset}}.Append(nil),
+		wire.Batch{Frames: [][]byte{wire.AppendBare(nil, wire.TypeResetBegin), reset}}.Append(nil),
+		wire.Batch{Frames: [][]byte{wire.Winner{Target: 19, IsTop: true}.Append(nil), wire.Midpoint{Mid: 12}.Append(nil)}}.Append(nil),
 		wire.Observe{Step: 1, Vals: make([]int64, 16)}.Append(nil),
 		wire.Assign{Lo: 4, Hi: 6, N: 24, K: 3, Seed: 5}.Append(nil), // narrower than the children
 		wire.AppendBare(nil, wire.TypeShutdown),

@@ -15,21 +15,17 @@
 // delegates each execution to its shards: a shard runs the complete
 // protocol over its local cohort (with the global population bound, so
 // shard-local randomness matches the flat engines' at S=1) and answers
-// with one wire.ShardDigest — its local winner plus a summary of the
-// charges the local execution incurred. The root merges the S digests by
-// key. Pipelined, the local executions run concurrently — the fan-out
-// completes before the first digest is awaited — and a FILTERRESET costs
-// one synchronization point per extraction instead of one per command.
+// with one wire.ShardDigest — its local winners, best first, plus a
+// summary of the charges the local execution incurred. The root merges the
+// S digests by key (digest). Pipelined, the local executions run
+// concurrently — the fan-out completes before the first digest is awaited.
 //
-// Over the course of a FILTERRESET's k+1 repeated extractions that merge
-// is exactly a k-merge on order.Key of the per-shard candidate streams,
-// and it runs as one: the root keeps the digest each shard last answered
-// an extraction with (its head; see head for when one stands) and re-asks
-// only the shard whose head the last extraction took — the others' reset
-// cohorts, keys and therefore local maxima are what they were. A reset
-// runs S + k local executions, k of them one unicast [Winner, Round] round
-// trip each, instead of (k+1)·S; violation and handler executions, whose
-// cohorts the root cannot see, still go to every shard.
+// Every execution, a FILTERRESET's included, is one such exchange: the
+// reset asks every shard for its k+1 largest keys in one local execution
+// (protocol.Exec with want = k+1; DESIGN.md "The reset is one sweep") and
+// the k+1 largest of the S lists are the global ones — S local executions
+// and one gather, where Algorithm 1's k+1 successive maxima took S + k
+// executions and k further round trips even merged incrementally.
 //
 // Shards speak the same wire protocol as the networked engine's hosts
 // with one reinterpretation: a wire.Round frame from the root means "run
@@ -37,16 +33,14 @@
 //
 // Exactness is inherited from Algorithm 1: the hierarchical execution
 // computes the same extrema (each local protocol is Las Vegas-exact, and
-// max over shard maxima is the global max), so membership decisions,
-// T+/T− and filters evolve as in the flat algorithm. At S=1 the engine is
-// bit-identical to the sequential engine — reports, counts, bytes,
-// per-phase — which the equivalence tests pin: the single shard owns every
-// winner, so it is re-asked every time. At S>1 reports stay exact while the
-// charged message counts grow with S, because every local execution pays
-// its own protocol rounds: by a factor S on violation and handler
-// executions, by (S+k)/(k+1) on resets. That growth, and the root↔shard
-// frames the link ledger (Overhead) prices, are the coordination overhead
-// the shard-overhead benchmark measures.
+// the want best of the shards' want best are the global want best), so
+// membership decisions, T+/T− and filters evolve as in the flat algorithm.
+// At S=1 the engine is bit-identical to the sequential engine — reports,
+// counts, bytes, per-phase — which the equivalence tests pin. At S>1
+// reports stay exact while the charged message counts grow with S, because
+// every local execution pays its own protocol rounds. That growth, and the
+// root↔shard frames the link ledger (Overhead) prices, are the
+// coordination overhead the shard-overhead benchmark measures.
 //
 // One caveat inherits the model's distinctness assumption: exactness is
 // exactness of the key order. In the default mode the tie-break
@@ -69,13 +63,11 @@
 // same fanout.Fan over its child links that the root's engine is built on —
 // ranges, per-link batches, send and gather, handshake, stats sweep and
 // shutdown are the root's code, run with the direct drain — under a relay
-// that routes each command by child range and k-merges its children's
-// digests into one digest up, exactly the root's merge with exactly the
-// root's one piece of state, a head per child; because that merge is
-// associative and a leaf runs an execution under the same condition in any
-// shape (something that can change its answer reached it), any tree shape
-// is bit-identical to the flat star over the same leaves in reports and the
-// algorithm ledger, an interior over a single child is the identity on
+// that routes each command by child range and merges its children's
+// digests into one digest up, exactly the root's merge (digest) and as
+// stateless; because that merge is associative and every leaf runs every
+// execution in any shape, any tree shape is bit-identical to the flat star
+// over the same leaves in reports and the algorithm ledger, an interior over a single child is the identity on
 // frames, and at Depth 1 the engine is the flat engine. The link ledger
 // keeps charging only the root's own links (fan-in Branch instead of
 // Branch^Depth); each interior level's traffic lives in its own fan's
@@ -137,7 +129,7 @@ type Engine struct {
 // fanout.New's contract.
 func New(cfg Config, links []transport.Link) (*Engine, error) {
 	return build(cfg, links, func() (*fanout.Engine, error) {
-		return fanout.New(cfg.Core(), links, execMerge())
+		return fanout.New(cfg.Core(), links, execMerge(!cfg.DistinctValues))
 	})
 }
 
@@ -146,7 +138,7 @@ func New(cfg Config, links []transport.Link) (*Engine, error) {
 // contract.
 func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
 	return build(cfg, links, func() (*fanout.Engine, error) {
-		return fanout.Restore(cfg.Core(), links, execMerge(), machFrame, last)
+		return fanout.Restore(cfg.Core(), links, execMerge(!cfg.DistinctValues), machFrame, last)
 	})
 }
 
@@ -222,159 +214,125 @@ func (e *Engine) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
 func ServeShard(link transport.Link) error { return fanout.Serve(link, localExec()) }
 
 // localExec returns a shard's answer to a delegated execution request: run
-// the whole local protocol for the tag and report only the local winner
-// and a charge summary in a ShardDigest. The local rounds follow Algorithm
-// 2 with the global population bound the root supplies, so at S=1 the
-// execution — randomness, charges, winner — is bit-identical to the flat
-// engines'.
+// the whole local protocol for the tag and report only the local winners,
+// best first, and a charge summary in a ShardDigest. The local rounds are
+// protocol.Exec's with the global population bound and winner count the
+// root supplies, so at S=1 the execution — randomness, charges, winners —
+// is bit-identical to the flat engines'.
 func localExec() fanout.RoundFunc {
 	var led comm.Counter // per-execution local charges
+	var ex protocol.Exec
 	return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 		led.Reset()
-		ex := protocol.NewExec(m.Bound, coord.MinimumTag(m.Tag), &led, nil, m.Step)
+		ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), &led, nil, m.Step)
 		for ex.More() {
 			bank.Round(m.Tag, ex.Round(), ex.Best(), m.Bound, m.Step, ex.Bid)
 			ex.EndRound()
 		}
-		res := ex.Result()
 		d := wire.ShardDigest{
-			OK:         res.OK,
 			Ups:        led.Get(comm.Up),
 			UpBytes:    led.GetBytes(comm.Up),
 			Bcasts:     led.Get(comm.Bcast),
 			BcastBytes: led.GetBytes(comm.Bcast),
 		}
-		if res.OK {
-			d.ID, d.Key = res.ID, int64(res.Key)
-		}
+		d.SetWinners(ex.Winners())
 		return d.Append(dst)
 	}
 }
 
-// head is the one piece of protocol state a digest merger — the root's Exec
-// strategy, an interior relay — keeps per child: the validated digest the
-// child last answered a TagReset execution with. A FILTERRESET's
-// extractions all run over one shrinking cohort, so a child's answer to the
-// next one is its answer to the last until something that can change it
-// reaches the child: ResetBegin (the cohort refills), the Winner it owns
-// (its maximum leaves the cohort), any Observe/ObserveDelta slice (keys
-// move), any (re-)Assign (the bank is rebuilt). fresh says none of those
-// was sent since the child answered; a head that is not fresh — never
-// fetched, or invalidated — means "ask", never "trust", so the merger only
-// has to watch the frames it sends that child. Every other cohort changes
-// under violations the merger does not see, so only TagReset answers are
-// kept, and every FILTERRESET starts by invalidating them all: no head
-// outlives its reset, and an idle engine (the only kind that is
-// checkpointed) holds none worth saving.
-type head struct {
-	wire.ShardDigest
-	fresh bool
-}
-
 // digest is the running merge of one delegated execution over a merger's
-// children, visited in ascending range order.
+// children — the root's shards, an interior relay's subtrees — visited in
+// ascending range order: the charges summed in the embedded digest, the
+// winners kept in top. The merge is the selection the leaves ran, run
+// again over their winners (protocol.Top): a child's list arrives best
+// first and the children in range order, so among equal keys the first
+// child keeps the lead, and what is kept is cut to the execution's want.
+// Whatever is among the want best of all nodes is among the want best of
+// its leaf, so the merged list is the flat engines'; and the merge of
+// merges is the merge, so any nesting of relays reports what a flat root
+// would compute from the leaves directly.
 type digest struct {
 	wire.ShardDigest
-	tag  uint8
-	best order.Key // running best in the comparison domain
-	src  int       // child whose winner is the running best
+	top     protocol.Top
+	want    int
+	minimum bool
+	strict  bool             // keys are distinct: a child's list must strictly descend
+	child   wire.ShardDigest // decode target
 }
 
-// fold merges child i's share of the execution into d, [lo, hi) being the
-// child's node range. A child that was asked contributes its answer frame —
-// a shard's digest, or a whole subtree's: the charges of the execution it
-// just ran are summed into d, and a TagReset answer becomes the child's
-// head. A child that was not asked (answer nil: its head stands) contributes
-// the head, whose charges an earlier execution already paid. Either way the
-// winner competes by key, and among ties the first child in range order
-// keeps the lead — the order a full re-merge of all children resolves them
-// in, so which children were asked never shows in the result. The merge is
-// associative, so any nesting of relays reports what a flat root would
-// compute from the leaves directly.
-//
-// A frame is validated before it is used or kept: a winner the child does
-// not own would corrupt membership and a negative charge the ledger, so
-// either is rejected as the child misbehaving.
-func (d *digest) fold(i int, h *head, answer []byte, lo, hi int) error {
-	c := h.ShardDigest
-	if answer != nil {
-		var err error
-		if c, err = wire.DecodeShardDigest(answer); err != nil {
-			return err
+// begin starts the merge of one execution for the want best keys.
+func (d *digest) begin(want int, minimum bool) {
+	d.Ups, d.UpBytes, d.Bcasts, d.BcastBytes = 0, 0, 0, 0
+	d.want, d.minimum = want, minimum
+	d.top.Reset(want, minimum)
+}
+
+// fold merges one child's answer frame — a shard's digest, or a whole
+// subtree's — into d, [lo, hi) being the child's node range. A frame is
+// validated before any of it is used: a winner the child does not own or
+// names twice would corrupt membership, a list longer than asked for or
+// out of order the merge, a negative charge the ledger, so each is rejected
+// as the child misbehaving.
+func (d *digest) fold(lo, hi int, answer []byte) error {
+	c := &d.child
+	if err := c.Decode(answer); err != nil {
+		return err
+	}
+	if c.Ups < 0 || c.UpBytes < 0 || c.Bcasts < 0 || c.BcastBytes < 0 {
+		return fmt.Errorf("negative digest charges %+v", *c)
+	}
+	if !c.OK && len(c.Rest) > 0 || len(c.Rest) >= d.want {
+		return fmt.Errorf("digest lists %d further winners (first: %v) of an execution for %d", len(c.Rest), c.OK, d.want)
+	}
+	for i := 0; i < c.Winners(); i++ {
+		w := c.Winner(i)
+		if w.ID < lo || w.ID >= hi {
+			return fmt.Errorf("digest winner %d outside range [%d, %d)", w.ID, lo, hi)
 		}
-		if c.Ups < 0 || c.UpBytes < 0 || c.Bcasts < 0 || c.BcastBytes < 0 {
-			return fmt.Errorf("negative digest charges %+v", c)
+		for j := 0; j < i; j++ {
+			if c.Winner(j).ID == w.ID {
+				return fmt.Errorf("digest names winner %d twice", w.ID)
+			}
 		}
-		if c.OK && (c.ID < lo || c.ID >= hi) {
-			return fmt.Errorf("digest winner %d outside range [%d, %d)", c.ID, lo, hi)
+		if i == 0 {
+			continue
 		}
-		d.Ups += c.Ups
-		d.UpBytes += c.UpBytes
-		d.Bcasts += c.Bcasts
-		d.BcastBytes += c.BcastBytes
-		if d.tag == coord.TagReset {
-			h.ShardDigest = c
+		prev, key := order.Key(c.Winner(i-1).Key), order.Key(w.Key)
+		if d.minimum {
+			prev, key = order.Neg(prev), order.Neg(key)
+		}
+		if key > prev || d.strict && key == prev {
+			return fmt.Errorf("digest winners out of order: key %d after %d", w.Key, c.Winner(i-1).Key)
 		}
 	}
-	if !c.OK {
-		return nil
+	for i := 0; i < c.Winners(); i++ {
+		d.top.Offer(c.Winner(i).ID, order.Key(c.Winner(i).Key))
 	}
-	cmp := order.Key(c.Key)
-	if coord.MinimumTag(d.tag) {
-		cmp = order.Neg(cmp)
-	}
-	if !d.OK || cmp > d.best {
-		d.best, d.src = cmp, i
-		d.OK, d.ID, d.Key = true, c.ID, c.Key
-	}
+	d.Ups += c.Ups
+	d.UpBytes += c.UpBytes
+	d.Bcasts += c.Bcasts
+	d.BcastBytes += c.BcastBytes
 	return nil
 }
 
 // execMerge returns the sharded engine's Exec strategy: a delegated
-// execution request goes to the shards whose answer is not already known —
-// every shard, except that a FILTERRESET's extractions after the first ask
-// only the shard whose head the last one took (see head) — and the digests,
-// fetched and standing, are merged in ascending shard (hence node id)
-// order. The merged extremum of per-shard extrema is the global extremum;
-// the local charges of the executions that ran are folded into the
-// algorithm ledger. Over S shards a FILTERRESET is the k-merge of their
-// candidate streams: S + k local executions, k of them one unicast round
-// trip each.
-//
-// The root does not watch its own frames: the machine's effect order does
-// it. TagReset executions occur only inside a FILTERRESET, which opens with
-// ResetBegin to every shard (eff.First: all heads cold) and between
-// extractions sends nothing but the Winner to the owner of the node the
-// last extraction returned.
-func execMerge() fanout.Exec {
-	var heads []head
-	return func(e *fanout.Engine, eff coord.Effect) (protocol.Result, error) {
-		reset := eff.Tag == coord.TagReset
-		if eff.First {
-			if len(heads) != e.Peers() { // the first reset, or the first after a failover or Join
-				heads = make([]head, e.Peers())
-			}
-			clear(heads)
-		}
-		d := digest{tag: eff.Tag}
-		req := wire.Round{Tag: eff.Tag, Round: 0, Best: int64(order.NegInf), Bound: eff.Bound, Step: e.Step()}
-		err := e.Round(req,
-			func(pi int) bool { return !reset || !heads[pi].fresh },
-			func(pi, lo, hi int, answer []byte) error {
-				if reset {
-					heads[pi].fresh = true // asked just now, or standing
-				}
-				return d.fold(pi, &heads[pi], answer, lo, hi)
-			})
-		if err != nil {
-			return protocol.Result{}, err
-		}
-		if reset && d.OK {
-			heads[d.src].fresh = false // the machine answers with a Winner for d.ID
+// execution request goes to every shard, which runs it whole over its own
+// nodes, and the digests are merged in ascending shard (hence node id)
+// order. The want best of the per-shard want best are the global want
+// best; the local charges are folded into the algorithm ledger. A
+// FILTERRESET is S local executions and one gather. strict says the keys
+// are distinct (the default tie-break injection).
+func execMerge(strict bool) fanout.Exec {
+	d := digest{strict: strict}
+	return func(e *fanout.Engine, eff coord.Effect) ([]protocol.Winner, error) {
+		d.begin(eff.Want, coord.MinimumTag(eff.Tag))
+		req := wire.Round{Tag: eff.Tag, Round: 0, Best: int64(order.NegInf), Bound: eff.Bound, Step: e.Step(), Want: eff.Want}
+		if err := e.Round(req, d.fold); err != nil {
+			return nil, err
 		}
 		rec := e.Recorder(eff.Phase)
 		comm.RecordSized(rec, comm.Up, d.Ups, d.UpBytes)
 		comm.RecordSized(rec, comm.Bcast, d.Bcasts, d.BcastBytes)
-		return protocol.Result{OK: d.OK, ID: d.ID, Key: order.Key(d.Key)}, nil
+		return d.top.Winners(), nil
 	}
 }

@@ -181,18 +181,17 @@ func TestMultiShardReportEquivalence(t *testing.T) {
 // overhead ledger counts every command and reply on its own, so it reads
 // what a strict one-command-one-round-trip cycle would move, while the
 // transport, which carries the batch envelopes, must show strictly fewer
-// frames; both are pinned as goldens and neither depends on the gather. At
-// S = 1 the goldens are the frames the removed lockstep mode sent on this
-// run; at S > 1 they were re-priced when the root stopped re-asking shards
-// whose head stands (PR 20: 5353/3960 → 4557/3164 at S = 2, 9711/7920 →
-// 7323/5532 at S = 4 — each extraction after a reset's first is one
-// [Winner, Round] batch to one shard, not a Round to all).
+// frames; both are pinned as goldens and neither depends on the gather. They
+// were re-priced when a FILTERRESET became one execution to every shard
+// where it was a k-merge of k+1 (PR 24: 3174/1980 → 2179/1184 at S = 1,
+// 4557/3164 → 3562/2368 at S = 2, 7323/5532 → 6328/4736 at S = 4: per reset
+// k fewer Round commands and one Winner less, k fewer frames).
 func TestOverheadModeIndependent(t *testing.T) {
 	const n, k, seed, steps = 16, 4, 3, 200
 	for _, tc := range []struct {
 		shards       int
 		ledger, sent int64
-	}{{1, 3174, 1980}, {2, 4557, 3164}, {4, 7323, 5532}} {
+	}{{1, 2179, 1184}, {2, 3562, 2368}, {4, 6328, 4736}} {
 		for _, g := range gathers {
 			t.Run(fmt.Sprintf("%s/S=%d", g.name, tc.shards), func(t *testing.T) {
 				setGather(t, g.procs)

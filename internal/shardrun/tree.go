@@ -12,9 +12,9 @@ import (
 // coordinators, each the root of its own subtree, Depth link levels deep.
 // The leaves are the only protocol participants — interiors are relays
 // (ServeInterior) that re-split assignments downward and fold replies
-// upward with the same associative merges the root applies, holding what
-// the root's merge holds and nothing else (one head per child; see head) —
-// so a tree of any shape reports exactly what a flat engine over the same
+// upward with the same associative merges the root applies (see digest),
+// holding nothing from one frame to the next — so a tree of any shape
+// reports exactly what a flat engine over the same
 // leaf partition would, while the root's fan-in stays at Branch links
 // where the flat engine needs Branch^Depth.
 //

@@ -21,6 +21,7 @@ func FuzzDecode(f *testing.F) {
 		Observe{Step: 3, Vals: []int64{5, -5}}.Append(nil),
 		ObserveDelta{Step: 3, IDs: []int{1, 4}, Vals: []int64{-9, 9}}.Append(nil),
 		Round{Tag: 1, Round: 2, Best: -3, Bound: 8, Step: 4}.Append(nil),
+		Round{Tag: 4, Round: 0, Best: -1 << 63, Bound: 1 << 20, Step: 9, Want: 17}.Append(nil),
 		Reply{OutViol: true, IDs: []int{2}, Keys: []int64{77}}.Append(nil),
 		Winner{Target: 6, IsTop: true}.Append(nil),
 		Midpoint{Mid: 1 << 40}.Append(nil),
@@ -29,6 +30,7 @@ func FuzzDecode(f *testing.F) {
 		Presence{ID: 3}.Append(nil),
 		Bounds{Target: 2, Lo: -4, Hi: 4}.Append(nil),
 		ShardDigest{OK: true, ID: 5, Key: -17, Ups: 3, UpBytes: 11, Bcasts: 4, BcastBytes: 13}.Append(nil),
+		ShardDigest{OK: true, ID: 5, Key: 90, Ups: 40, UpBytes: 200, Bcasts: 6, BcastBytes: 50, Rest: []Bid{{ID: 2, Key: 90}, {ID: 7, Key: -4}}}.Append(nil),
 		Batch{Frames: [][]byte{
 			Winner{Target: 6, IsTop: true}.Append(nil),
 			Round{Tag: 4, Round: 0, Best: -9, Bound: 16, Step: 5}.Append(nil),

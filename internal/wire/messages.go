@@ -20,11 +20,11 @@ const (
 	// TypeReply is a peer's batched answer to any command: violation
 	// flags and the round's sampler bids.
 	TypeReply byte = 0x06
-	// TypeWinner notifies the extraction winner of its new membership.
+	// TypeWinner notifies a FILTERRESET's winner of its new membership.
 	TypeWinner byte = 0x07
 	// TypeMidpoint broadcasts the filter bound all nodes re-anchor on.
 	TypeMidpoint byte = 0x08
-	// TypeResetBegin clears extraction state ahead of a FILTERRESET.
+	// TypeResetBegin clears membership ahead of a FILTERRESET.
 	TypeResetBegin byte = 0x09
 	// TypeShutdown asks a peer to exit its serve loop.
 	TypeShutdown byte = 0x0a
@@ -337,16 +337,21 @@ func (m *ObserveDelta) Decode(p []byte) error {
 	return fin(p)
 }
 
-// Round starts sampler round Round of one Algorithm 2 execution over the
-// cohort selected by Tag, with the best key broadcast so far, the
-// execution's population bound, and the observation step (cohort selection
-// for violation protocols is per-step).
+// Round starts sampler round Round of one protocol execution over the
+// cohort selected by Tag, with the cut broadcast so far (the best key, or
+// the Want-th best of an execution for several), the execution's
+// population bound, the observation step (cohort selection for violation
+// protocols is per-step), and the number of winners the execution is to
+// find — which a host that runs whole executions (internal/shardrun) needs
+// and a host that runs single rounds only checks. The codec takes any
+// Want; hosts reject one outside [1, Bound] where they reject a bad tag.
 type Round struct {
 	Tag   uint8
 	Round int
 	Best  int64
 	Bound int
 	Step  int64
+	Want  int
 }
 
 // Append encodes m after dst.
@@ -355,7 +360,8 @@ func (m Round) Append(dst []byte) []byte {
 	dst = AppendUvarint(dst, uint64(m.Round))
 	dst = AppendVarint(dst, m.Best)
 	dst = AppendUvarint(dst, uint64(m.Bound))
-	return AppendUvarint(dst, uint64(m.Step))
+	dst = AppendUvarint(dst, uint64(m.Step))
+	return AppendUvarint(dst, uint64(m.Want))
 }
 
 // DecodeRound decodes a full Round frame.
@@ -386,6 +392,10 @@ func DecodeRound(p []byte) (Round, error) {
 		return m, err
 	}
 	m.Step = int64(u)
+	if u, p, err = uvarintField(p); err != nil {
+		return m, err
+	}
+	m.Want = int(u)
 	return m, fin(p)
 }
 
@@ -457,8 +467,9 @@ func (m *Reply) Decode(p []byte) error {
 	return fin(p)
 }
 
-// Winner notifies the peer hosting node Target that it won the current
-// extraction and whether it thereby joins the top-k set.
+// Winner notifies the peer hosting node Target that the running
+// FILTERRESET's execution made it a winner, and whether it thereby joins
+// the top-k set (coordinators notify only those that do).
 type Winner struct {
 	Target int
 	IsTop  bool
@@ -707,12 +718,13 @@ func DecodeBounds(p []byte) (Bounds, error) {
 
 // ShardDigest is a shard sub-coordinator's batched answer to one
 // delegated protocol execution (internal/shardrun): whether any hosted
-// node participated (OK), the local winner's id and key when one did, and
-// the model messages the local execution charged — Ups sends totalling
-// UpBytes encoded bytes plus Bcasts round broadcasts totalling BcastBytes
-// — so the root can merge the shard's algorithm-ledger contribution
-// without replaying the execution. When OK is false, ID and Key must be
-// zero.
+// node participated (OK), the local winner's id and key when one did, the
+// further winners of an execution that wanted several (Rest, continuing
+// after ID and Key, best first), and the model messages the local
+// execution charged — Ups sends totalling UpBytes encoded bytes plus
+// Bcasts round broadcasts totalling BcastBytes — so the root can merge the
+// shard's algorithm-ledger contribution without replaying the execution.
+// When OK is false, ID and Key must be zero and Rest empty.
 type ShardDigest struct {
 	OK         bool
 	ID         int
@@ -721,6 +733,32 @@ type ShardDigest struct {
 	UpBytes    int64
 	Bcasts     int64
 	BcastBytes int64
+	Rest       []Bid
+}
+
+// SetWinners makes winners, best first, the digest's winner list. Rest
+// aliases them.
+func (m *ShardDigest) SetWinners(winners []Bid) {
+	m.OK, m.ID, m.Key, m.Rest = false, 0, 0, nil
+	if len(winners) > 0 {
+		m.OK, m.ID, m.Key, m.Rest = true, winners[0].ID, winners[0].Key, winners[1:]
+	}
+}
+
+// Winners returns the length of the digest's winner list.
+func (m *ShardDigest) Winners() int {
+	if !m.OK {
+		return 0
+	}
+	return 1 + len(m.Rest)
+}
+
+// Winner returns the i-th best winner of the list.
+func (m *ShardDigest) Winner(i int) Bid {
+	if i == 0 {
+		return Bid{ID: m.ID, Key: m.Key}
+	}
+	return m.Rest[i-1]
 }
 
 // Append encodes m after dst.
@@ -735,49 +773,83 @@ func (m ShardDigest) Append(dst []byte) []byte {
 	dst = AppendUvarint(dst, uint64(m.Ups))
 	dst = AppendUvarint(dst, uint64(m.UpBytes))
 	dst = AppendUvarint(dst, uint64(m.Bcasts))
-	return AppendUvarint(dst, uint64(m.BcastBytes))
+	dst = AppendUvarint(dst, uint64(m.BcastBytes))
+	dst = AppendUvarint(dst, uint64(len(m.Rest)))
+	for _, w := range m.Rest {
+		dst = AppendUvarint(dst, uint64(w.ID))
+		dst = AppendVarint(dst, w.Key)
+	}
+	return dst
 }
 
-// DecodeShardDigest decodes a full ShardDigest frame.
+// DecodeShardDigest decodes a full ShardDigest frame into a digest of its
+// own.
 func DecodeShardDigest(p []byte) (ShardDigest, error) {
 	var m ShardDigest
+	err := m.Decode(p)
+	return m, err
+}
+
+// Decode decodes a full ShardDigest frame into m, reusing Rest's capacity.
+func (m *ShardDigest) Decode(p []byte) error {
+	rest := m.Rest[:0]
+	*m = ShardDigest{}
 	p, err := header(p, TypeShardDigest)
 	if err != nil {
-		return m, err
+		return err
 	}
 	if len(p) == 0 {
-		return m, ErrTruncated
+		return ErrTruncated
 	}
 	if p[0]&^flagOK != 0 {
-		return m, fmt.Errorf("%w: unknown shard digest flags 0x%02x", ErrMalformed, p[0])
+		return fmt.Errorf("%w: unknown shard digest flags 0x%02x", ErrMalformed, p[0])
 	}
 	m.OK = p[0]&flagOK != 0
 	p = p[1:]
 	var u uint64
 	if u, p, err = uvarintField(p); err != nil {
-		return m, err
+		return err
 	}
 	m.ID = int(u)
 	if m.Key, p, err = varintField(p); err != nil {
-		return m, err
+		return err
 	}
 	if u, p, err = uvarintField(p); err != nil {
-		return m, err
+		return err
 	}
 	m.Ups = int64(u)
 	if u, p, err = uvarintField(p); err != nil {
-		return m, err
+		return err
 	}
 	m.UpBytes = int64(u)
 	if u, p, err = uvarintField(p); err != nil {
-		return m, err
+		return err
 	}
 	m.Bcasts = int64(u)
 	if u, p, err = uvarintField(p); err != nil {
-		return m, err
+		return err
 	}
 	m.BcastBytes = int64(u)
-	return m, fin(p)
+	if u, p, err = uvarintField(p); err != nil {
+		return err
+	}
+	if 2*u > uint64(len(p)) { // every (id, key) pair takes >= 2 bytes
+		return fmt.Errorf("%w: %d further winners in %d bytes", ErrMalformed, u, len(p))
+	}
+	for i := uint64(0); i < u; i++ {
+		var w Bid
+		var id uint64
+		if id, p, err = uvarintField(p); err != nil {
+			return err
+		}
+		if w.Key, p, err = varintField(p); err != nil {
+			return err
+		}
+		w.ID = int(id)
+		rest = append(rest, w)
+	}
+	m.Rest = rest
+	return fin(p)
 }
 
 // Batch is the multi-frame envelope: Frames holds complete encoded
@@ -795,19 +867,30 @@ type Batch struct {
 // Append encodes m after dst. It panics on an empty or nested sub-frame,
 // matching the engines' construction contract.
 func (m Batch) Append(dst []byte) []byte {
-	dst = append(dst, TypeBatch)
-	dst = AppendUvarint(dst, uint64(len(m.Frames)))
+	dst = AppendBatchHeader(dst, len(m.Frames))
 	for _, f := range m.Frames {
-		if len(f) == 0 {
-			panic("wire: empty batch sub-frame")
-		}
-		if f[0] == TypeBatch {
-			panic("wire: nested batch")
-		}
-		dst = AppendUvarint(dst, uint64(len(f)))
-		dst = append(dst, f...)
+		dst = AppendSubframe(dst, f)
 	}
 	return dst
+}
+
+// AppendBatchHeader starts the encoding of a Batch of n sub-frames after
+// dst; n AppendSubframe calls complete it. Together they are Batch.Append
+// for a caller whose sub-frames do not sit in a [][]byte.
+func AppendBatchHeader(dst []byte, n int) []byte {
+	return AppendUvarint(append(dst, TypeBatch), uint64(n))
+}
+
+// AppendSubframe encodes the next sub-frame of a started Batch after dst.
+// It panics on an empty or nested sub-frame.
+func AppendSubframe(dst, f []byte) []byte {
+	if len(f) == 0 {
+		panic("wire: empty batch sub-frame")
+	}
+	if f[0] == TypeBatch {
+		panic("wire: nested batch")
+	}
+	return append(AppendUvarint(dst, uint64(len(f))), f...)
 }
 
 // Decode decodes a full Batch frame into m, reusing Frames' capacity. The
@@ -824,7 +907,9 @@ func (m *Batch) Decode(p []byte) error {
 	if 2*u > uint64(len(p))+1 { // every sub-frame takes >= 2 bytes (len + type)
 		return fmt.Errorf("%w: %d batch frames in %d bytes", ErrMalformed, u, len(p))
 	}
-	m.Frames = m.Frames[:0]
+	if m.Frames = m.Frames[:0]; uint64(cap(m.Frames)) < u {
+		m.Frames = make([][]byte, 0, u) // the count is vetted against the frame: exactly what it holds
+	}
 	for i := uint64(0); i < u; i++ {
 		var l uint64
 		if l, p, err = uvarintField(p); err != nil {

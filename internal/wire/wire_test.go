@@ -320,8 +320,8 @@ func TestObserveDeltaRejectsNonIncreasing(t *testing.T) {
 }
 
 func TestRoundRoundTrip(t *testing.T) {
-	check := func(tag uint8, r uint16, best int64, bound uint16, step uint32) bool {
-		in := Round{Tag: tag, Round: int(r), Best: best, Bound: int(bound), Step: int64(step)}
+	check := func(tag uint8, r uint16, best int64, bound uint16, step uint32, want uint16) bool {
+		in := Round{Tag: tag, Round: int(r), Best: best, Bound: int(bound), Step: int64(step), Want: int(want)}
 		out, err := DecodeRound(in.Append(nil))
 		return err == nil && out == in
 	}
@@ -417,19 +417,30 @@ func TestShardDigestRoundTrip(t *testing.T) {
 		{},
 		{OK: true, ID: 12, Key: -999, Ups: 7, UpBytes: 31, Bcasts: 5, BcastBytes: 40},
 		{OK: true, ID: 1 << 20, Key: math.MaxInt64, Ups: 1 << 40, UpBytes: 1 << 41, Bcasts: 3, BcastBytes: 9},
+		{OK: true, ID: 9, Key: 70, Ups: 30, UpBytes: 150, Bcasts: 5, BcastBytes: 40,
+			Rest: []Bid{{ID: 3, Key: 70}, {ID: 1 << 30, Key: -5}, {ID: 0, Key: math.MinInt64}}},
 	}
+	var reused ShardDigest
 	for _, d := range digests {
 		enc := d.Append(nil)
 		got, err := DecodeShardDigest(enc)
-		if err != nil || got != d {
+		if err != nil || !reflect.DeepEqual(got, d) {
 			t.Fatalf("shard digest: %+v, %v", got, err)
+		}
+		// Decoding into a digest that held a longer list leaves nothing of it.
+		reused.Rest = append(reused.Rest[:0], Bid{ID: 1, Key: 1}, Bid{ID: 2, Key: 2}, Bid{ID: 3, Key: 3}, Bid{ID: 4, Key: 4})
+		if err := reused.Decode(enc); err != nil || !bytes.Equal(reused.Append(nil), enc) {
+			t.Fatalf("shard digest decoded into a used one: %+v, %v", reused, err)
 		}
 		if d.Size() != int64(len(enc)) {
 			t.Fatalf("ShardDigest.Size() = %d, encoded %d", d.Size(), len(enc))
 		}
 	}
-	if _, err := DecodeShardDigest([]byte{TypeShardDigest, 0x02, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrMalformed) {
+	if _, err := DecodeShardDigest([]byte{TypeShardDigest, 0x02, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("unknown flags: %v", err)
+	}
+	if _, err := DecodeShardDigest([]byte{TypeShardDigest, 0x01, 0, 0, 0, 0, 0, 0, 9, 1, 1}); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a list longer than the frame: %v", err)
 	}
 }
 
@@ -463,6 +474,7 @@ func TestTruncatedFrames(t *testing.T) {
 		Presence{ID: 99}.Append(nil),
 		Bounds{Target: 3, Lo: -10, Hi: 10}.Append(nil),
 		ShardDigest{OK: true, ID: 8, Key: -3, Ups: 6, UpBytes: 20, Bcasts: 4, BcastBytes: 12}.Append(nil),
+		ShardDigest{OK: true, ID: 8, Key: 33, Ups: 6, UpBytes: 20, Bcasts: 4, BcastBytes: 12, Rest: []Bid{{ID: 300, Key: 32}, {ID: 1, Key: -3}}}.Append(nil),
 		ApproxBounds{Lo: -4000, Hi: 4400}.Append(nil),
 		Batch{Frames: [][]byte{
 			Winner{Target: 3, IsTop: true}.Append(nil),

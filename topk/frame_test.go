@@ -17,16 +17,33 @@ import (
 // is the state of a monitor with the given configuration after the given
 // number of goldenWalk steps. They are v1 — nine fields a node — and pin
 // that stores written before the v2 frame keep restoring.
+//
+// The monitors that wrote them reset with k+1 executions, so a frame holds
+// the ledger and the generator states of a history this build prices and
+// draws differently: atFrame is the ledger the frame carries, after80 the
+// restored monitor's 80 steps later, and a twin that never stopped agrees
+// with the restored monitor on every decision, not on what it cost.
 var goldenV1 = []struct {
-	file  string
-	cfg   Config
-	steps int
+	file             string
+	cfg              Config
+	steps            int
+	atFrame, after80 string
 }{
-	{"v1_seq_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 60},
-	{"v1_seq_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05}, 60},
-	{"v1_conc_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Concurrent: true}, 60},
-	{"v1_conc_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05, Concurrent: true}, 60},
-	{"v1_seq_pretime0.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 0},
+	{"v1_seq_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 60,
+		"{2045 0 2849}/{10225 0 16737} {{115 0 461} {161 0 238} {1769 0 2150}}/{{575 0 3719} {805 0 1302} {8845 0 11716}}",
+		"{3345 0 3907}/{16725 0 24435} {{193 0 876} {359 0 513} {2793 0 2518}}/{{965 0 7306} {1795 0 2817} {13965 0 14312}}"},
+	{"v1_seq_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05}, 60,
+		"{31 0 43}/{155 0 224} {{0 0 0} {0 0 0} {31 0 43}}/{{0 0 0} {0 0 0} {155 0 224}}",
+		"{59 0 62}/{295 0 391} {{1 0 7} {2 0 4} {56 0 51}}/{{5 0 77} {10 0 27} {280 0 287}}"},
+	{"v1_conc_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Concurrent: true}, 60,
+		"{2045 0 2849}/{10225 0 16737} {{115 0 461} {161 0 238} {1769 0 2150}}/{{575 0 3719} {805 0 1302} {8845 0 11716}}",
+		"{3345 0 3907}/{16725 0 24435} {{193 0 876} {359 0 513} {2793 0 2518}}/{{965 0 7306} {1795 0 2817} {13965 0 14312}}"},
+	{"v1_conc_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05, Concurrent: true}, 60,
+		"{31 0 43}/{155 0 224} {{0 0 0} {0 0 0} {31 0 43}}/{{0 0 0} {0 0 0} {155 0 224}}",
+		"{59 0 62}/{295 0 391} {{1 0 7} {2 0 4} {56 0 51}}/{{5 0 77} {10 0 27} {280 0 287}}"},
+	{"v1_seq_pretime0.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 0,
+		"{0 0 0}/{0 0 0} {{0 0 0} {0 0 0} {0 0 0}}/{{0 0 0} {0 0 0} {0 0 0}}",
+		"{1793 0 1432}/{8965 0 9995} {{140 0 593} {214 0 319} {1439 0 520}}/{{700 0 4722} {1070 0 1707} {7195 0 3566}}"},
 }
 
 // goldenWalk is the input the golden frames were taken under: every node
@@ -45,18 +62,43 @@ func goldenWalk() func(vals []int64) {
 	}
 }
 
-// sameExecution fails unless two monitors agree on everything a restore
-// promises to preserve.
-func sameExecution(t *testing.T, where string, got, want *Monitor) {
+// sameDecisions fails unless a restored monitor and its twin agree on every
+// decision taken so far, and the restored monitor's ledger — counts and
+// bytes, in total and by phase — is the recorded one.
+func sameDecisions(t *testing.T, where string, got, twin *Monitor, ledger string) {
 	t.Helper()
-	if got.Counts() != want.Counts() || got.Bytes() != want.Bytes() {
-		t.Fatalf("%s: ledgers diverged: %v/%v, twin %v/%v", where, got.Counts(), got.Bytes(), want.Counts(), want.Bytes())
+	if got.Stats() != twin.Stats() {
+		t.Fatalf("%s: stats diverged: %+v, twin %+v", where, got.Stats(), twin.Stats())
 	}
-	if got.Phases() != want.Phases() || got.BytesByPhase() != want.BytesByPhase() {
-		t.Fatalf("%s: phase ledgers diverged", where)
+	if !equalIDs(got.Top(), twin.Top()) {
+		t.Fatalf("%s: report %v, twin %v", where, got.Top(), twin.Top())
 	}
-	if got.Stats() != want.Stats() {
-		t.Fatalf("%s: stats diverged: %+v, twin %+v", where, got.Stats(), want.Stats())
+	if led := fmt.Sprintf("%v/%v %v/%v", got.Counts(), got.Bytes(), got.Phases(), got.BytesByPhase()); led != ledger {
+		t.Errorf("%s: the restored monitor left the recorded ledger:\n got %s\nwant %s", where, led, ledger)
+	}
+}
+
+// sameFrameDecisions fails unless two envelopes hold the same state but for
+// what a history's price leaves behind: the machine's ledger and the
+// nodes' generator states.
+func sameFrameDecisions(t *testing.T, where string, a, b wire.Checkpoint) {
+	t.Helper()
+	var sections [2][]byte
+	for i, c := range []wire.Checkpoint{a, b} {
+		var ms wire.MachineState
+		var bs wire.BankState
+		if err := ms.Decode(c.Machine); err != nil {
+			t.Fatal(err)
+		}
+		if err := bs.Decode(c.Nodes); err != nil {
+			t.Fatal(err)
+		}
+		ms.Counts, ms.Bytes = [wire.MachineLedgerCells]int64{}, [wire.MachineLedgerCells]int64{}
+		clear(bs.RngState)
+		sections[i] = bs.Append(ms.Append(nil))
+	}
+	if !bytes.Equal(sections[0], sections[1]) {
+		t.Fatalf("%s: the frames differ in more than ledger and generators", where)
 	}
 }
 
@@ -104,7 +146,7 @@ func TestRestoreGoldenV1Frames(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sameExecution(t, g.file+" at the frame", restored, twin)
+		sameDecisions(t, g.file+" at the frame", restored, twin, g.atFrame)
 		for s := 0; s < 80; s++ {
 			walk(vals)
 			want, err := twin.Observe(vals)
@@ -119,7 +161,7 @@ func TestRestoreGoldenV1Frames(t *testing.T) {
 				t.Fatalf("%s step %d: report %v, twin %v", g.file, s, got, want)
 			}
 		}
-		sameExecution(t, g.file+" after 80 steps", restored, twin)
+		sameDecisions(t, g.file+" after 80 steps", restored, twin, g.after80)
 
 		// The restored monitor writes v2 like any other, and the same v2.
 		var frames [2]wire.Checkpoint
@@ -138,8 +180,9 @@ func TestRestoreGoldenV1Frames(t *testing.T) {
 		if frames[0].Nodes[0] != wire.TypeBankState {
 			t.Fatalf("%s: the restored monitor checkpointed bank frame type 0x%02x", g.file, frames[0].Nodes[0])
 		}
-		if !bytes.Equal(frames[0].Machine, frames[1].Machine) || !bytes.Equal(frames[0].Nodes, frames[1].Nodes) {
-			t.Fatalf("%s: restored monitor and twin checkpoint different frames", g.file)
+		sameFrameDecisions(t, g.file, frames[0], frames[1])
+		if g.steps == 0 && (!bytes.Equal(frames[0].Machine, frames[1].Machine) || !bytes.Equal(frames[0].Nodes, frames[1].Nodes)) {
+			t.Fatalf("%s: restored before time 0, the monitor and its twin checkpoint different frames", g.file)
 		}
 		if len(frames[0].Nodes)*3 > len(c.Nodes) {
 			t.Fatalf("%s: v2 bank frame %d bytes, v1 was %d", g.file, len(frames[0].Nodes), len(c.Nodes))
@@ -264,9 +307,11 @@ func checkpointFrame(t *testing.T, mon *Monitor, store CheckpointStore) wire.Che
 // written by the concurrent engine at the last commit whose bank kept an
 // 8-byte violation stamp per node and persisted it, with the WasTop and
 // Extracted flag bits, in every frame — and runs the monitor against a twin
-// that never stopped for 200 steps: reports, ledgers, stats. A checkpoint
-// is taken between steps and all three are only read inside the step that
-// wrote them, so what the frame carries of them is accepted and dropped.
+// that never stopped for 200 steps: reports and stats, and the restored
+// monitor's ledger against the recorded one (the frame's history was priced
+// at k+1 executions a reset; see goldenV1). A checkpoint is taken between
+// steps and all three are only read inside the step that wrote them, so
+// what the frame carries of them is accepted and dropped.
 func TestRestoreParentConcurrentFrame(t *testing.T) {
 	frame, err := os.ReadFile(filepath.Join("testdata", "v2_conc_viol.ckpt"))
 	if err != nil {
@@ -302,7 +347,8 @@ func TestRestoreParentConcurrentFrame(t *testing.T) {
 	}
 	defer restored.Close()
 	twin, walk, vals := runToParentFrame(t, true, nil)
-	sameExecution(t, "at the frame", restored, twin)
+	sameDecisions(t, "at the frame", restored, twin,
+		"{3536 0 4953}/{17680 0 29210} {{178 0 796} {324 0 459} {3034 0 3698}}/{{890 0 6626} {1620 0 2505} {15170 0 20079}}")
 	for s := 0; s < 200; s++ {
 		walk(vals)
 		want, err := twin.Observe(vals)
@@ -316,8 +362,12 @@ func TestRestoreParentConcurrentFrame(t *testing.T) {
 		if !equalIDs(want, got) {
 			t.Fatalf("step %d: report %v, twin %v", s, got, want)
 		}
-		sameExecution(t, fmt.Sprintf("step %d", s), restored, twin)
+		if restored.Stats() != twin.Stats() {
+			t.Fatalf("step %d: stats diverged: %+v, twin %+v", s, restored.Stats(), twin.Stats())
+		}
 	}
+	sameDecisions(t, "after 200 steps", restored, twin,
+		"{6154 0 7143}/{30770 0 44794} {{343 0 1649} {765 0 1044} {5046 0 4450}}/{{1715 0 13775} {3825 0 5696} {25230 0 25323}}")
 	if twin.Stats().Resets < 20 {
 		t.Fatalf("workload too calm: %+v", twin.Stats())
 	}
@@ -326,10 +376,11 @@ func TestRestoreParentConcurrentFrame(t *testing.T) {
 // TestBankFrameIsOneFrame pins what the sequential engine writes and that
 // the concurrent engine writes the same: testdata/v2_seq.ckpt is the sealed
 // envelope the sequential engine wrote for this seed and trace while it
-// still kept its own node side and its own frame writer, byte for byte what
-// this build writes; and the concurrent engine's bank section — live state
-// only, no violation stamps, no flag but membership — is the sequential
-// engine's.
+// still kept its own node side and its own frame writer — and reset with
+// k+1 executions: what this build writes but for the ledger and the
+// generator states that history left (one byte of ledger varints less); and
+// the concurrent engine's bank section — live state only, no violation
+// stamps, no flag but membership — is the sequential engine's.
 func TestBankFrameIsOneFrame(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "v2_seq.ckpt"))
 	if err != nil {
@@ -339,8 +390,13 @@ func TestBankFrameIsOneFrame(t *testing.T) {
 	seq, _, _ := runToParentFrame(t, false, seqStore)
 	conc, _, _ := runToParentFrame(t, true, concStore)
 	seqFrame := checkpointFrame(t, seq, seqStore)
-	if _, got, _ := seqStore.Load(); !bytes.Equal(got, want) {
-		t.Fatalf("the sequential engine's envelope (%d bytes) left the recorded one (%d bytes)", len(got), len(want))
+	var recorded wire.Checkpoint
+	if err := recorded.Decode(want); err != nil {
+		t.Fatal(err)
+	}
+	sameFrameDecisions(t, "the sequential engine's envelope and the recorded one", seqFrame, recorded)
+	if _, got, _ := seqStore.Load(); len(got) != 639 || len(want) != 640 {
+		t.Fatalf("the sequential engine's envelope is %d bytes, the recorded one %d; want 639 and 640", len(got), len(want))
 	}
 	concFrame := checkpointFrame(t, conc, concStore)
 	if !bytes.Equal(concFrame.Nodes, seqFrame.Nodes) || !bytes.Equal(concFrame.Machine, seqFrame.Machine) {
