@@ -20,6 +20,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/netrun"
 	"repro/internal/order"
+	"repro/internal/peerlinks"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/runtime"
@@ -595,22 +596,11 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// tcpTopkTransport builds a topk.Transport over real loopback TCP links
+// newTCPTopkTransport builds a topk.Transport over real loopback TCP links
 // with in-process Serve goroutines on the dialing side — the public-API
-// twin of tcpNetEngine. The Monitor takes ownership and closes it.
-type tcpTopkTransport struct {
-	links  []topk.Link
-	ln     *transport.Listener
-	cancel context.CancelFunc
-}
-
-func (t *tcpTopkTransport) Links() []topk.Link { return t.links }
-func (t *tcpTopkTransport) Close() error {
-	err := t.ln.Close()
-	t.cancel()
-	return err
-}
-
+// twin of tcpNetEngine, and the Transport `topkmon -serve` hands its
+// monitor. The Monitor takes ownership, accepts the links when it asks for
+// them, and closes it.
 func newTCPTopkTransport(b *testing.B, peers int) topk.Transport {
 	b.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -627,16 +617,13 @@ func newTCPTopkTransport(b *testing.B, peers int) topk.Transport {
 			}
 		}()
 	}
-	links, err := ln.AcceptN(peers)
-	if err != nil {
-		cancel()
-		b.Fatal(err)
-	}
-	tl := make([]topk.Link, len(links))
-	for i, l := range links {
-		tl[i] = l
-	}
-	return &tcpTopkTransport{links: tl, ln: ln, cancel: cancel}
+	return peerlinks.New(
+		func() ([]transport.Link, error) { return ln.AcceptN(peers) },
+		func() error {
+			err := ln.Close()
+			cancel()
+			return err
+		})
 }
 
 // BenchmarkAsyncThroughput measures sustained observation calls per

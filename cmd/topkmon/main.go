@@ -2,10 +2,15 @@
 // workload or a recorded trace and prints message and byte statistics,
 // optionally with the competitive ratio against the offline OPT.
 //
-// Three engines are available: the sequential reference (seq), the
-// sharded goroutine engine (conc), and the networked engine (net), which
-// drives the wire protocol either over in-process loopback links or — in
-// the -serve / -join modes — over TCP between real processes.
+// It is a client of the public package: the flags become one topk.Config,
+// topk.New (NewOrdered with -ordered, Restore after a crash) builds the
+// monitor, and internal/sim grades its report at every step. Five monitor
+// shapes are available: the sequential reference (-engine seq), the same
+// monitor with its sweeps on a goroutine pool (-engine conc), the networked
+// monitor (-engine net) driving the wire protocol over in-process loopback
+// links or — in the -serve / -join modes — over TCP between real processes,
+// a star of sub-coordinators under a root merge layer (-shards), and a
+// tree of them (-tree).
 //
 // Examples:
 //
@@ -42,290 +47,317 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/ckpt"
 	"repro/internal/comm"
-	"repro/internal/coord"
-	"repro/internal/core"
-	"repro/internal/ingest"
-	"repro/internal/netrun"
 	"repro/internal/order"
-	"repro/internal/runtime"
-	"repro/internal/shardrun"
+	"repro/internal/peerlinks"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/transport"
-	"repro/internal/wire"
+	"repro/topk"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("topkmon: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var (
-		n        = flag.Int("n", 32, "number of nodes (ignored with -trace)")
-		k        = flag.Int("k", 3, "top set size")
-		steps    = flag.Int("steps", 2000, "time steps to simulate (capped by trace length)")
-		seed     = flag.Uint64("seed", 1, "random seed for workload and protocols")
-		workload = flag.String("workload", "walk", "one of: "+strings.Join(stream.Names(), " | "))
-		traceIn  = flag.String("trace", "", "CSV trace file to replay instead of a synthetic workload")
-		engine   = flag.String("engine", "seq", "seq (sequential) | conc (sharded concurrent) | net (wire protocol over loopback links)")
-		peers    = flag.Int("peers", 4, "peer count: node hosts for -engine net, expected -join connections for -serve")
-		shards   = flag.Int("shards", 0, "split the coordinator into this many sub-coordinators with a root merge layer (0 = single coordinator)")
-		tree     = flag.String("tree", "", "coordinator tree shape branch^depth (e.g. 2^3): interior coordinators merge digests so the root serves branch^depth leaf shards through branch links; prints the per-level traffic table")
-		serve    = flag.String("serve", "", "run as TCP coordinator on this address and wait for -peers joins")
-		join     = flag.String("join", "", "run as TCP node host: dial this coordinator address and serve until shutdown")
-		opt      = flag.Bool("opt", false, "compute offline OPT segments and the competitive ratio")
-		compare  = flag.Bool("compare", false, "also run all baseline algorithms on the same workload")
-		ordered  = flag.Bool("ordered", false, "monitor the exact ranking of the top-k (§5 extension)")
-		epsilon  = flag.Float64("epsilon", 0, "tolerance of ε-approximate monitoring in [0, 1): filters widen to (1±ε) bands and reports are ε-approximate instead of exact (arXiv:1601.04448)")
-		async    = flag.Bool("async", false, "decouple ingestion from protocol execution: stage observations in a bounded coalescing queue, Drain once at the end, and verify the final report against the oracle")
-		queue    = flag.Int("queue", 64, "per-node ingest queue depth for -async (capped at n)")
-		ckptDir  = flag.String("checkpoint", "", "with -serve: durable checkpoint directory; the coordinator persists CRC-sealed frames while serving and restores from the newest valid one on startup (kill-and-restart survives)")
-		ckptN    = flag.Int("ckpt-every", 25, "with -serve -checkpoint: auto-checkpoint every this many steps")
-	)
-	flag.Parse()
+// run is the command: it parses args, prints its report to stdout and
+// returns the exit code — 0, or 1 with one "topkmon: …" line on stderr
+// (2 for a command line the flag package refuses).
+func run(args []string, stdout, stderr io.Writer) int {
+	return runContext(context.Background(), args, stdout, stderr)
+}
 
-	if !(*epsilon >= 0) || *epsilon >= 1 { // NaN-proof form, as in topk.New
-		log.Fatalf("-epsilon must be in [0, 1), got %v", *epsilon)
-	}
-	if *epsilon != 0 && *ordered {
-		log.Fatal("-epsilon is not supported with -ordered")
-	}
-	if *async {
-		switch {
-		case *ordered:
-			log.Fatal("-async is not supported with -ordered (the ordered monitor is strictly lockstep)")
-		case *opt || *compare:
-			log.Fatal("-async skips per-step reports, so -opt and -compare have nothing to grade")
-		case *serve != "" || *join != "":
-			log.Fatal("-async is not wired into the -serve/-join demo; use -engine net for async over loopback links")
-		case *queue < 1:
-			log.Fatalf("-queue must be >= 1, got %d", *queue)
+// options holds the flags; out is where the report goes.
+type options struct {
+	n, k, steps       int
+	seed              uint64
+	workload, traceIn string
+	engine            string
+	peers, shards     int
+	tree              string
+	serve, join       string
+	opt, compare      bool
+	ordered           bool
+	epsilon           float64
+	async             bool
+	queue             int
+	ckptDir           string
+	ckptEvery         int
+
+	out io.Writer
+}
+
+// runContext is run under a context whose end takes a -serve coordinator's
+// listener and links, or a -join host's dial, down with it.
+func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	o := options{out: stdout}
+	fs := flag.NewFlagSet("topkmon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&o.n, "n", 32, "number of nodes (ignored with -trace)")
+	fs.IntVar(&o.k, "k", 3, "top set size")
+	fs.IntVar(&o.steps, "steps", 2000, "time steps to simulate (capped by trace length)")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed for workload and protocols")
+	fs.StringVar(&o.workload, "workload", "walk", "one of: "+strings.Join(stream.Names(), " | "))
+	fs.StringVar(&o.traceIn, "trace", "", "CSV trace file to replay instead of a synthetic workload")
+	fs.StringVar(&o.engine, "engine", "seq", "seq (sequential) | conc (the same monitor, sweeps on a goroutine pool) | net (wire protocol over loopback links; over TCP with -serve)")
+	fs.IntVar(&o.peers, "peers", 4, "peer count: node hosts for -engine net, expected -join connections for -serve")
+	fs.IntVar(&o.shards, "shards", 0, "split the coordinator into this many sub-coordinators with a root merge layer (0 = single coordinator)")
+	fs.StringVar(&o.tree, "tree", "", "coordinator tree shape branch^depth (e.g. 2^3): interior coordinators merge digests so the root serves branch^depth leaf shards through branch links; prints the per-level traffic table")
+	fs.StringVar(&o.serve, "serve", "", "run as TCP coordinator on this address and wait for -peers joins")
+	fs.StringVar(&o.join, "join", "", "run as TCP node host: dial this coordinator address and serve until shutdown")
+	fs.BoolVar(&o.opt, "opt", false, "compute offline OPT segments and the competitive ratio")
+	fs.BoolVar(&o.compare, "compare", false, "also run all baseline algorithms on the same workload")
+	fs.BoolVar(&o.ordered, "ordered", false, "monitor the exact ranking of the top-k (§5 extension)")
+	fs.Float64Var(&o.epsilon, "epsilon", 0, "tolerance of ε-approximate monitoring in [0, 1): filters widen to (1±ε) bands and reports are ε-approximate instead of exact (arXiv:1601.04448)")
+	fs.BoolVar(&o.async, "async", false, "decouple ingestion from protocol execution: stage observations in a bounded coalescing queue, Drain once at the end, and verify the final report against the oracle")
+	fs.IntVar(&o.queue, "queue", 64, "per-node ingest queue depth for -async (capped at n)")
+	fs.StringVar(&o.ckptDir, "checkpoint", "", "with -serve: durable checkpoint directory; the coordinator persists CRC-sealed frames while serving and restores from the newest valid one on startup (kill-and-restart survives)")
+	fs.IntVar(&o.ckptEvery, "ckpt-every", 25, "with -serve -checkpoint: auto-checkpoint every this many steps")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
+	if err := o.main(ctx); err != nil {
+		fmt.Fprintf(stderr, "topkmon: %v\n", err)
+		return 1
+	}
+	return 0
+}
 
-	if *ckptDir != "" {
-		if *serve == "" {
-			log.Fatal("-checkpoint requires -serve (the coordinator process is what gets checkpointed)")
-		}
-		if *ckptN < 1 {
-			log.Fatalf("-ckpt-every must be >= 1, got %d", *ckptN)
-		}
-	}
-
-	if *join != "" {
-		runJoin(*join)
-		return
-	}
-
-	matrix, err := loadMatrix(*traceIn, *workload, *n, *steps, *seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	nn, ss := len(matrix[0]), len(matrix)
-	if *k < 1 || *k > nn {
-		log.Fatalf("k=%d out of range for n=%d", *k, nn)
-	}
-
-	if *serve != "" {
-		if *ordered {
-			log.Fatal("-ordered is not supported by the networked engine yet")
-		}
-		runServe(*serve, *peers, nn, *k, *seed, *epsilon, matrix, *ckptDir, *ckptN)
-		return
-	}
-
-	var alg sim.Algorithm
-	name := "algorithm1(" + *engine + ")"
-	if *epsilon != 0 {
-		name = fmt.Sprintf("algorithm1(%s,ε=%g)", *engine, *epsilon)
-	}
+// main refuses what only the command can know is wrong — flags that ask
+// for nothing, or for a grade the chosen mode does not give; everything a
+// topk.Config can say is left for topk to refuse — and runs the mode.
+func (o *options) main(ctx context.Context) error {
 	switch {
-	case *tree != "":
-		shape, err := parseTree(*tree)
-		if err != nil {
-			log.Fatalf("-tree: %v", err)
+	case (o.opt || o.compare) && (o.async || o.serve != ""):
+		return errors.New("-opt and -compare grade every step of a whole run: -async skips the per-step reports, -serve streams what a restore left of the trace")
+	case o.async && (o.serve != "" || o.join != ""):
+		return errors.New("-async is not wired into the -serve/-join demo; use -engine net for async over loopback links")
+	case o.async && o.queue < 1:
+		return fmt.Errorf("-queue must be >= 1, got %d", o.queue)
+	case o.ckptDir != "" && o.serve == "":
+		return errors.New("-checkpoint requires -serve (the coordinator process is what gets checkpointed)")
+	case o.ckptDir != "" && o.ckptEvery < 1:
+		return fmt.Errorf("-ckpt-every must be >= 1, got %d", o.ckptEvery)
+	}
+	if o.join != "" {
+		return o.runJoin(ctx)
+	}
+	matrix, err := loadMatrix(o.traceIn, o.workload, o.n, o.steps, o.seed)
+	if err != nil {
+		return err
+	}
+	cfg, err := o.config(len(matrix[0]))
+	if err != nil {
+		return err
+	}
+	if o.serve != "" {
+		return o.runServe(ctx, cfg, matrix)
+	}
+	g, err := o.build(cfg, false)
+	if err != nil {
+		return err
+	}
+	defer g.Close()
+	if o.async {
+		return o.runAsync(ctx, g.mon, cfg, matrix)
+	}
+	return o.runSync(g, cfg, matrix)
+}
+
+// config maps the flags to the monitor's configuration, n being the
+// workload's width. -serve adds its transport, failover hooks and
+// checkpoint store to it.
+func (o *options) config(n int) (topk.Config, error) {
+	cfg := topk.Config{Nodes: n, K: o.k, Seed: o.seed + 1, Epsilon: o.epsilon, Shards: o.shards}
+	if t := &cfg.Tree; o.tree != "" {
+		// The shape is "branch^depth"; 0^0 is topk's "no tree", not one to ask for.
+		if _, err := fmt.Sscanf(o.tree, "%d^%d", &t.Branch, &t.Depth); err != nil || fmt.Sprintf("%d^%d", t.Branch, t.Depth) != o.tree || *t == (topk.Tree{}) {
+			return cfg, fmt.Errorf("-tree: want branch^depth (e.g. 2^3), got %q", o.tree)
 		}
-		if *ordered {
-			log.Fatal("-ordered is not supported by the tree engine yet")
+	}
+	if o.async {
+		cfg.Ingest = topk.Ingest{QueueDepth: min(o.queue, n)}
+	}
+	switch o.engine {
+	case "seq":
+	case "conc":
+		cfg.Concurrent = true
+	case "net":
+		if o.serve == "" {
+			// Last, so that nothing here fails with hosts already spawned.
+			cfg.Transport = topk.Loopback(o.peers)
 		}
-		if *shards > 0 {
-			log.Fatalf("-tree implies the shard split; drop -shards %d", *shards)
-		}
-		if *engine != "seq" {
-			log.Fatalf("-tree runs its own engine; drop -engine %s", *engine)
-		}
-		te, err := shardrun.NewLoopbackTree(shardrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon}, shape.Branch, shape.Depth)
-		if err != nil {
-			log.Fatalf("tree engine: %v", err)
-		}
-		defer te.Close()
-		alg = te
-		name = fmt.Sprintf("algorithm1(tree %d^%d)", shape.Branch, shape.Depth)
-		if *epsilon != 0 {
-			name = fmt.Sprintf("algorithm1(tree %d^%d,ε=%g)", shape.Branch, shape.Depth, *epsilon)
-		}
-	case *shards > 0:
-		if *ordered {
-			log.Fatal("-ordered is not supported by the sharded engine yet")
-		}
-		if *engine != "seq" {
-			log.Fatalf("-shards runs its own engine; drop -engine %s", *engine)
-		}
-		if *shards > nn {
-			log.Fatalf("-shards must be in [1, n], got %d for n=%d", *shards, nn)
-		}
-		se, err := shardrun.NewLoopback(shardrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon}, *shards)
-		if err != nil {
-			log.Fatalf("sharded engine: %v", err)
-		}
-		defer se.Close()
-		alg = se
-		name = fmt.Sprintf("algorithm1(shard×%d)", *shards)
-		if *epsilon != 0 {
-			name = fmt.Sprintf("algorithm1(shard×%d,ε=%g)", *shards, *epsilon)
-		}
-	case *ordered && *engine == "net":
-		log.Fatal("-ordered is not supported by the networked engine yet")
-	case *engine == "seq":
-		alg = core.New(core.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon, Ordered: *ordered})
-	case *engine == "conc":
-		rt := runtime.New(runtime.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon, Ordered: *ordered})
-		defer rt.Close()
-		alg = rt
-	case *engine == "net":
-		if *peers < 1 || *peers > nn {
-			log.Fatalf("-peers must be in [1, n], got %d for n=%d", *peers, nn)
-		}
-		ne, err := netrun.NewLoopback(netrun.Config{N: nn, K: *k, Seed: *seed + 1, Epsilon: *epsilon}, *peers)
-		if err != nil {
-			log.Fatalf("networked engine: %v", err)
-		}
-		defer ne.Close()
-		alg = ne
 	default:
-		log.Fatalf("unknown engine %q", *engine)
+		return cfg, fmt.Errorf("unknown engine %q", o.engine)
 	}
+	return cfg, nil
+}
 
-	if *ordered {
-		name = "ordered(" + *engine + ")"
+// name labels the run in its summary line.
+func (o *options) name(cfg topk.Config) string {
+	shape := o.engine
+	switch {
+	case o.ordered: // on seq and conc alone, and without ε
+		return "ordered(" + shape + ")"
+	case o.serve != "":
+		shape = "tcp"
+	case cfg.Tree != topk.Tree{}:
+		shape = fmt.Sprintf("tree %d^%d", cfg.Tree.Branch, cfg.Tree.Depth)
+	case cfg.Shards > 0:
+		shape = fmt.Sprintf("shard×%d", cfg.Shards)
 	}
-
-	if *async {
-		runAsync(alg, matrix, *k, *queue, *epsilon, name)
-		return
+	if o.epsilon != 0 {
+		shape += fmt.Sprintf(",ε=%g", o.epsilon)
 	}
+	return "algorithm1(" + shape + ")"
+}
 
-	cfg := sim.Config{Steps: ss, K: *k, CheckEvery: 1, ComputeOpt: *opt, Epsilon: *epsilon}
-	rep := sim.Run(alg, stream.NewTraceSource(matrix), cfg)
-	fmt.Println(sim.Describe(name, rep))
-	checkEngineErr(alg)
+// ledgers is what the report reads off either public monitor.
+type ledgers interface {
+	Counts() topk.Counts
+	Bytes() topk.Bytes
+	Phases() topk.PhaseCounts
+	BytesByPhase() topk.PhaseBytes
+	Stats() topk.Stats
+	Close()
+}
+
+// graded is the monitor under test as sim.Run drives it: a sim.Algorithm
+// whose Observe is the public monitor's. With -ordered the public report
+// is the ranking; graded holds it to sim.RankOracle itself and hands
+// sim.Run the ascending set.
+type graded struct {
+	ledgers
+	mon *topk.Monitor        // nil with -ordered
+	ord *topk.OrderedMonitor // nil without
+	k   int
+
+	err        error // the first error a step returned
+	rankErrors int   // steps whose ranking was not the oracle's
+}
+
+// build constructs the monitor cfg describes: the ordered one with -ordered,
+// one restored from the newest frame in cfg's checkpoint store when restore
+// is set, a fresh one otherwise.
+func (o *options) build(cfg topk.Config, restore bool) (*graded, error) {
+	g := &graded{k: cfg.K}
+	var err error
+	switch {
+	case o.ordered:
+		g.ord, err = topk.NewOrdered(cfg)
+		g.ledgers = g.ord
+	case restore:
+		g.mon, err = topk.Restore(cfg.Checkpoint.Store, cfg)
+		g.ledgers = g.mon
+	default:
+		g.mon, err = topk.New(cfg)
+		g.ledgers = g.mon
+	}
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Observe implements sim.Algorithm.
+func (g *graded) Observe(vals []int64) []int {
+	var top []int
+	var err error
+	if g.ord != nil {
+		if top, err = g.ord.Observe(vals); err == nil {
+			if !slices.Equal(top, sim.RankOracle(vals, g.k)) {
+				g.rankErrors++
+			}
+			slices.Sort(top) // the ranking is a fresh slice every step
+		}
+	} else {
+		top, err = g.mon.Observe(vals)
+	}
+	if err != nil && g.err == nil {
+		g.err = err
+	}
+	return top
+}
+
+// Counts implements sim.Algorithm.
+func (g *graded) Counts() comm.Counts {
+	c := g.ledgers.Counts()
+	return comm.Counts{Up: c.Up, Down: c.Down, Bcast: c.Broadcast}
+}
+
+// Bytes implements sim.ByteCounter.
+func (g *graded) Bytes() comm.Bytes {
+	b := g.ledgers.Bytes()
+	return comm.Bytes{Up: b.Up, Down: b.Down, Bcast: b.Broadcast}
+}
+
+// runSync drives the monitor over matrix step by step, every report graded
+// against the oracle, and prints the run's summary, ledgers and — for the
+// shapes that have them — link statistics.
+func (o *options) runSync(g *graded, cfg topk.Config, matrix [][]int64) error {
+	simCfg := sim.Config{Steps: len(matrix), K: o.k, CheckEvery: 1, ComputeOpt: o.opt, Epsilon: o.epsilon}
+	rep := sim.Run(g, stream.NewTraceSource(matrix), simCfg)
+	rep.Errors += g.rankErrors
+	fmt.Fprintln(o.out, sim.Describe(o.name(cfg), rep))
+	if g.err != nil {
+		// A link-backed monitor went terminal on a dead peer mid-run; the
+		// ledgers and reports above are not a completed run.
+		return fmt.Errorf("monitor failed mid-run: %w", g.err)
+	}
 	if rep.Errors > 0 {
-		if *epsilon != 0 {
-			log.Fatalf("ε-oracle violations: %d (this is a bug)", rep.Errors)
-		}
-		log.Fatalf("oracle mismatches: %d (this is a bug)", rep.Errors)
+		return fmt.Errorf("oracle mismatches: %d (this is a bug)", rep.Errors)
 	}
-	if *ordered {
-		// The set oracle graded every step's membership; the ranking is
-		// graded where it stands at the end of the run.
-		got := alg.(interface{ AppendRanking([]int) []int }).AppendRanking(nil)
-		if want := sim.RankOracle(matrix[ss-1], *k); !slices.Equal(got, want) {
-			log.Fatalf("final ranking %v, oracle %v (this is a bug)", got, want)
-		}
-		fmt.Printf("final ranking (largest first): %v\n", got)
+	if g.ord != nil {
+		fmt.Fprintf(o.out, "final ranking (largest first): %v\n", g.ord.Top())
 	}
-	if *opt {
-		delta := sim.MeasureDelta(matrix, *k)
-		fmt.Printf("workload ∆ (max k/k+1 key gap): %d\n", delta)
+	if o.opt {
+		fmt.Fprintf(o.out, "workload ∆ (max k/k+1 key gap): %d\n", sim.MeasureDelta(matrix, o.k))
 	}
-	if mon, ok := alg.(*core.Monitor); ok {
-		st := mon.Stats()
-		fmt.Printf("stats: violations=%d handlers=%d resets=%d top-changes=%d\n",
-			st.ViolationSteps, st.HandlerCalls, st.Resets, st.TopChanges)
+	st := g.Stats()
+	fmt.Fprintf(o.out, "stats: violations=%d handlers=%d resets=%d top-changes=%d\n",
+		st.ViolationSteps, st.HandlerCalls, st.Resets, st.TopChanges)
+	o.printLedger(g.ledgers)
+	if g.mon != nil {
+		o.printLinks(g.mon, cfg)
 	}
-	if led, ok := alg.(interface{ Ledger() *comm.Ledger }); ok {
-		printLedger(led.Ledger())
-	}
-	if ne, ok := alg.(*netrun.Engine); ok {
-		printTransport(ne.TransportStats(), ne.Peers())
-	}
-	if se, ok := alg.(*shardrun.Engine); ok {
-		oc, ob := se.Overhead(), se.OverheadBytes()
-		if tr := se.Tree(); tr.Depth >= 1 {
-			fmt.Printf("tree %d^%d: %d leaf shards through %d root links; root overhead: %d frames (%d down / %d up), %d bytes\n",
-				tr.Branch, tr.Depth, se.Leaves(), se.Shards(), oc.Total(), oc.Down, oc.Up, ob.Total())
-			printTreeStats(se)
-		} else {
-			fmt.Printf("shard coordination overhead (%d shards): %d frames (%d down / %d up), %d bytes\n",
-				se.Shards(), oc.Total(), oc.Down, oc.Up, ob.Total())
-		}
-		printTransport(se.TransportStats(), se.Shards())
-	}
-
-	if *compare {
-		fmt.Println()
-		baselines := []struct {
+	if o.compare {
+		fmt.Fprintln(o.out)
+		n := cfg.Nodes
+		for _, b := range []struct {
 			name string
 			alg  sim.Algorithm
 		}{
-			{"per-round", baseline.NewPerRound(nn, *k, *seed+2)},
-			{"naive", baseline.NewNaive(nn, *k, false)},
-			{"naive-change", baseline.NewNaive(nn, *k, true)},
-			{"point-filter", baseline.NewPointFilter(nn, *k)},
-			{"lam-midpoint", baseline.NewLamMidpoint(nn, *k)},
-		}
-		for _, b := range baselines {
-			r := sim.Run(b.alg, stream.NewTraceSource(matrix), cfg)
-			fmt.Println(sim.Describe(b.name, r))
+			{"per-round", baseline.NewPerRound(n, o.k, o.seed+2)},
+			{"naive", baseline.NewNaive(n, o.k, false)},
+			{"naive-change", baseline.NewNaive(n, o.k, true)},
+			{"point-filter", baseline.NewPointFilter(n, o.k)},
+			{"lam-midpoint", baseline.NewLamMidpoint(n, o.k)},
+		} {
+			r := sim.Run(b.alg, stream.NewTraceSource(matrix), simCfg)
+			fmt.Fprintln(o.out, sim.Describe(b.name, r))
 		}
 	}
+	return nil
 }
 
 // runAsync drives the -async mode: each step's changed values are staged
-// into a bounded last-write-wins ingest queue (Block overflow policy, so
-// a slow protocol round applies backpressure instead of dropping data),
-// a single Drain barrier flushes the tail, and the final report is
+// on the monitor's bounded last-write-wins ingest queue (the Block overflow
+// policy, so a slow protocol round applies backpressure instead of dropping
+// data), a single Drain barrier flushes the tail, and the final report is
 // verified against the offline oracle. Because queued updates of the
 // same node coalesce, the worker usually executes far fewer protocol
 // steps than the producer enqueued calls — the printed coalesce ratio is
 // the whole point of the mode.
-func runAsync(alg sim.Algorithm, matrix [][]int64, k, queue int, epsilon float64, name string) {
-	type deltaEngine interface {
-		ObserveDelta(ids []int, vals []int64) []int
-		AppendTop(dst []int) []int
-	}
-	de, ok := alg.(deltaEngine)
-	if !ok {
-		log.Fatalf("engine %s does not support async ingestion", name)
-	}
-	n := len(matrix[0])
-	if queue > n {
-		queue = n
-	}
-	drv, err := ingest.New(ingest.Config{
-		N: n, Depth: queue, Policy: ingest.Block,
-		Apply: func(ids []int, vals []int64) error {
-			de.ObserveDelta(ids, vals)
-			if fe, ok := alg.(interface{ Err() error }); ok {
-				return fe.Err()
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		log.Fatalf("ingest driver: %v", err)
-	}
-	defer drv.Close()
-
+func (o *options) runAsync(ctx context.Context, mon *topk.Monitor, cfg topk.Config, matrix [][]int64) error {
+	n := cfg.Nodes
 	ids := make([]int, n)
 	vals := make([]int64, n)
 	prev := make([]int64, n)
@@ -339,268 +371,176 @@ func runAsync(alg sim.Algorithm, matrix [][]int64, k, queue int, epsilon float64
 			}
 		}
 		copy(prev, row)
-		if err := drv.Enqueue(ids[:c], vals[:c]); err != nil {
-			log.Fatalf("step %d: enqueue: %v", s, err)
+		if _, err := mon.ObserveDelta(ids[:c], vals[:c]); err != nil {
+			return fmt.Errorf("step %d: enqueue: %w", s, err)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	err = drv.Drain(ctx)
+	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	err := mon.Drain(ctx)
 	cancel()
 	if err != nil {
-		log.Fatalf("drain: %v", err)
+		return fmt.Errorf("drain: %w", err)
 	}
 	elapsed := time.Since(start)
-	checkEngineErr(alg)
 
 	final := matrix[len(matrix)-1]
-	got := de.AppendTop(nil)
-	if epsilon == 0 {
-		want := sim.Oracle(final, k)
-		if len(got) != len(want) {
-			log.Fatalf("final report %v != oracle %v (this is a bug)", got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				log.Fatalf("final report %v != oracle %v (this is a bug)", got, want)
-			}
-		}
-	} else if !sim.EpsValid(final, got, k, epsilon) {
-		log.Fatalf("final report %v is not ε-valid for ε=%g (this is a bug)", got, epsilon)
+	got := mon.AppendTop(nil)
+	if !sim.EpsValid(final, got, o.k, o.epsilon) { // at ε = 0: got is the oracle's set
+		return fmt.Errorf("final report %v, oracle %v, ε=%g (this is a bug)", got, sim.Oracle(final, o.k), o.epsilon)
 	}
 
-	st := drv.Stats()
-	fmt.Printf("%s async: %d calls -> %d protocol steps in %s (queue %d, policy block)\n",
-		name, len(matrix), st.Steps, elapsed.Round(time.Microsecond), queue)
-	ratio := 0.0
-	if st.Enqueued > 0 {
-		ratio = float64(st.Coalesced) / float64(st.Enqueued)
-	}
-	fmt.Printf("ingest: enqueued=%d coalesced=%d (ratio %.3f) dropped=%d max-queue=%d\n",
-		st.Enqueued, st.Coalesced, ratio, st.Dropped, st.MaxQueue)
-	fmt.Printf("final top-%d %v verified against the oracle\n", k, got)
-	if led, ok := alg.(interface{ Ledger() *comm.Ledger }); ok {
-		printLedger(led.Ledger())
-	}
-}
-
-// parseTree decodes the -tree shape "branch^depth".
-func parseTree(s string) (shardrun.Tree, error) {
-	bs, ds, ok := strings.Cut(s, "^")
-	if !ok {
-		return shardrun.Tree{}, fmt.Errorf("want branch^depth (e.g. 2^3), got %q", s)
-	}
-	branch, err := strconv.Atoi(bs)
-	if err != nil {
-		return shardrun.Tree{}, fmt.Errorf("branch %q: %v", bs, err)
-	}
-	depth, err := strconv.Atoi(ds)
-	if err != nil {
-		return shardrun.Tree{}, fmt.Errorf("depth %q: %v", ds, err)
-	}
-	return shardrun.Tree{Branch: branch, Depth: depth}, nil
-}
-
-// printTreeStats renders the per-level traffic of a coordinator tree —
-// who carried the frames at each level, leaf-most level first, with the
-// root's own overhead ledger as the last row.
-func printTreeStats(se *shardrun.Engine) {
-	ts, err := se.TreeStats()
-	if err != nil {
-		fmt.Printf("tree stats unavailable: %v\n", err)
-		return
-	}
-	fmt.Println("per-level traffic:     down-frames  up-frames  down-bytes  up-bytes")
-	for i, lv := range ts.Levels {
-		label := fmt.Sprintf("level %d", i)
-		switch {
-		case i == len(ts.Levels)-1:
-			label += " (root)"
-		case i == 0:
-			label += " (leaf-most)"
-		}
-		fmt.Printf("  %-20s %11d %10d %11d %9d\n", label, lv.Down, lv.Up, lv.DownBytes, lv.UpBytes)
-	}
-}
-
-// checkEngineErr aborts when a link-backed engine wedged on a dead peer
-// mid-run: its remaining reports were the frozen last-good set, so the
-// ledgers and reports above it are not a completed run.
-func checkEngineErr(alg sim.Algorithm) {
-	if fe, ok := alg.(interface{ Err() error }); ok && fe.Err() != nil {
-		log.Fatalf("engine failed mid-run (reports froze at the last good step): %v", fe.Err())
-	}
+	st := mon.IngestStats()
+	fmt.Fprintf(o.out, "%s async: %d calls -> %d protocol steps in %s (queue %d, policy block)\n",
+		o.name(cfg), len(matrix), st.Batches, elapsed.Round(time.Microsecond), cfg.Ingest.QueueDepth)
+	// The first step alone enqueues n updates, so the ratio has a denominator.
+	fmt.Fprintf(o.out, "ingest: enqueued=%d coalesced=%d (ratio %.3f) dropped=%d max-queue=%d\n",
+		st.Enqueued, st.Coalesced, float64(st.Coalesced)/float64(st.Enqueued), st.Dropped, st.MaxQueue)
+	fmt.Fprintf(o.out, "final top-%d %v verified against the oracle\n", o.k, got)
+	o.printLedger(mon)
+	return nil
 }
 
 // printLedger renders the per-phase message and byte breakdown.
-func printLedger(led *comm.Ledger) {
-	fmt.Println("phase ledger:        msgs        up      down     bcast     bytes")
-	for _, p := range comm.Phases() {
-		c := led.PhaseCounts(p)
-		b := led.PhaseBytes(p)
-		fmt.Printf("  %-12s %9d %9d %9d %9d %9d\n", p, c.Total(), c.Up, c.Down, c.Bcast, b.Total())
+func (o *options) printLedger(m ledgers) {
+	fmt.Fprintln(o.out, "phase ledger:        msgs        up      down     bcast     bytes")
+	row := func(name string, c topk.Counts, b topk.Bytes) {
+		fmt.Fprintf(o.out, "  %-12s %9d %9d %9d %9d %9d\n", name, c.Total(), c.Up, c.Down, c.Broadcast, b.Total())
 	}
-	c, b := led.Total(), led.TotalBytes()
-	fmt.Printf("  %-12s %9d %9d %9d %9d %9d\n", "total", c.Total(), c.Up, c.Down, c.Bcast, b.Total())
+	pc, pb := m.Phases(), m.BytesByPhase()
+	row("violation", pc.Violation, pb.Violation)
+	row("handler", pc.Handler, pb.Handler)
+	row("reset", pc.Reset, pb.Reset)
+	row("total", m.Counts(), m.Bytes())
 }
 
-// printTransport renders what actually crossed the links.
-func printTransport(ts transport.LinkStats, peers int) {
-	fmt.Printf("transport (%d peers): sent %d frames / %d bytes, received %d frames / %d bytes\n",
-		peers, ts.SentFrames, ts.SentBytes, ts.RecvFrames, ts.RecvBytes)
-}
-
-// runServe is the TCP coordinator: accept the peers, restore from the
-// checkpoint directory when one is configured and holds a valid frame,
-// drive the (remaining) workload while auto-checkpointing, report, shut
-// down.
-func runServe(addr string, peers, n, k int, seed uint64, epsilon float64, matrix [][]int64, ckptDir string, ckptEvery int) {
-	if peers < 1 || peers > n {
-		log.Fatalf("-peers must be in [1, n], got %d for n=%d", peers, n)
-	}
-	var store *ckpt.File
-	if ckptDir != "" {
-		var err error
-		if store, err = ckpt.NewFile(ckptDir); err != nil {
-			log.Fatalf("checkpoint dir: %v", err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ln, err := transport.Listen(ctx, addr)
-	if err != nil {
-		log.Fatalf("listen %s: %v", addr, err)
-	}
-	defer ln.Close()
-	fmt.Printf("coordinator on %s: waiting for %d peers (topkmon -join %s)...\n", ln.Addr(), peers, ln.Addr())
-	links, err := ln.AcceptN(peers)
-	if err != nil {
-		log.Fatalf("accepting peers: %v", err)
-	}
-	necfg := netrun.Config{
-		N: n, K: k, Seed: seed + 1, Epsilon: epsilon,
-		// A dead peer is replaced by the next process that runs
-		// `topkmon -join`; the coordinator blocks mid-recovery until one
-		// arrives (Ctrl-C the coordinator to give up instead).
-		Redial: func() (transport.Link, error) {
-			fmt.Printf("peer lost; waiting for a replacement (topkmon -join %s)...\n", ln.Addr())
-			return ln.Accept()
-		},
-		OnEvent: func(ev coord.Event) {
-			if ev.Err != nil {
-				fmt.Printf("failover: %s [%d, %d): %v\n", ev.Kind, ev.Lo, ev.Hi, ev.Err)
-			} else {
-				fmt.Printf("failover: %s [%d, %d)\n", ev.Kind, ev.Lo, ev.Hi)
-			}
-		},
-	}
-	var eng *netrun.Engine
-	var lastGen uint64
-	if store != nil {
-		gen, frame, lerr := store.Load()
-		switch {
-		case errors.Is(lerr, ckpt.ErrNoCheckpoint):
-			fmt.Printf("checkpointing to %s every %d steps (no frame yet: fresh start)\n", ckptDir, ckptEvery)
-		case lerr != nil:
-			log.Fatalf("checkpoint load: %v", lerr)
-		default:
-			var c wire.Checkpoint
-			if err := c.Decode(frame); err != nil {
-				log.Fatalf("checkpoint generation %d: %v", gen, err)
-			}
-			if c.Engine != wire.EngineNet || c.Seed != seed+1 || c.Distinct {
-				log.Fatalf("checkpoint generation %d was not taken by this configuration (engine %d, seed %d)", gen, c.Engine, c.Seed)
-			}
-			eng, err = netrun.Restore(necfg, links, c.Machine, c.Last)
-			if err != nil {
-				log.Fatalf("restore: %v", err)
-			}
-			lastGen = gen
-			fmt.Printf("restored from checkpoint generation %d (step %d); checkpointing to %s every %d steps\n",
-				gen, eng.Stats().Steps, ckptDir, ckptEvery)
-		}
-	}
-	if eng == nil {
-		if eng, err = netrun.New(necfg, links); err != nil {
-			log.Fatalf("handshake: %v", err)
-		}
-	}
-	defer eng.Close()
-
-	// Resume the trace where the checkpoint left off: the restored steps
-	// were already streamed by the previous incarnation.
-	src := stream.NewTraceSource(matrix)
-	skip := int(eng.Stats().Steps)
-	if skip > len(matrix) {
-		skip = len(matrix)
-	}
-	discard := make([]int64, n)
-	for i := 0; i < skip; i++ {
-		src.Step(discard)
-	}
-	remaining := len(matrix) - skip
-	fmt.Printf("all %d peers joined; streaming %d steps of n=%d k=%d\n", peers, remaining, n, k)
-	if remaining == 0 {
-		fmt.Println("checkpoint is at the end of the workload; nothing left to stream")
-		printLedger(eng.Ledger())
+// printLinks renders what the link-backed shapes add to the report: the
+// root↔shard coordination overhead of a star or a tree, a tree's per-level
+// traffic, and what actually crossed the links. The in-process monitors
+// have no peers and print nothing.
+func (o *options) printLinks(mon *topk.Monitor, cfg topk.Config) {
+	links := len(mon.Health().Peers)
+	if links == 0 {
 		return
 	}
-
-	alg := &ckptAlg{Engine: eng, store: store, every: ckptEvery, gen: lastGen}
-	rep := sim.Run(alg, src, sim.Config{Steps: remaining, K: k, CheckEvery: 1, Epsilon: epsilon})
-	fmt.Println(sim.Describe("algorithm1(tcp)", rep))
-	checkEngineErr(eng)
-	if rep.Errors > 0 {
-		log.Fatalf("oracle mismatches: %d (this is a bug)", rep.Errors)
+	oc, ob := mon.Overhead()
+	if t := cfg.Tree; t != (topk.Tree{}) {
+		leaves := 1
+		for range t.Depth {
+			leaves *= t.Branch
+		}
+		fmt.Fprintf(o.out, "tree %d^%d: %d leaf shards through %d root links; root overhead: %d frames (%d down / %d up), %d bytes\n",
+			t.Branch, t.Depth, leaves, links, oc.Total(), oc.Down, oc.Up, ob.Total())
+		// Who carried the frames at each level, leaf-most level first, the
+		// root's own overhead ledger last. The poll is charged to no ledger
+		// and shows in the transport line below.
+		ts, err := mon.TreeStats()
+		if err != nil {
+			fmt.Fprintf(o.out, "tree stats unavailable: %v\n", err)
+		} else {
+			fmt.Fprintln(o.out, "per-level traffic:     down-frames  up-frames  down-bytes  up-bytes")
+		}
+		for i, lv := range ts.Levels { // none after an error
+			label := fmt.Sprintf("level %d", i)
+			switch {
+			case i == len(ts.Levels)-1:
+				label += " (root)"
+			case i == 0:
+				label += " (leaf-most)"
+			}
+			fmt.Fprintf(o.out, "  %-20s %11d %10d %11d %9d\n", label, lv.Down, lv.Up, lv.DownBytes, lv.UpBytes)
+		}
+	} else if cfg.Shards > 0 {
+		fmt.Fprintf(o.out, "shard coordination overhead (%d shards): %d frames (%d down / %d up), %d bytes\n",
+			links, oc.Total(), oc.Down, oc.Up, ob.Total())
 	}
-	if store != nil {
-		fmt.Printf("checkpoints: %d written, newest generation %d in %s\n", alg.saves, alg.gen, ckptDir)
-	}
-	printLedger(eng.Ledger())
-	printTransport(eng.TransportStats(), eng.Peers())
+	ts := mon.TransportStats()
+	fmt.Fprintf(o.out, "transport (%d peers): sent %d frames / %d bytes, received %d frames / %d bytes\n",
+		links, ts.SentFrames, ts.SentBytes, ts.RecvFrames, ts.RecvBytes)
 }
 
-// ckptAlg wraps the networked engine for sim.Run, persisting a sealed
-// checkpoint frame every `every` observed steps (no-op without a store).
-// A failed attempt — e.g. a snapshot refused while peer recovery is
-// pending — is reported and retried at the next boundary, never fatal:
-// the previous generations stay restorable.
-type ckptAlg struct {
-	*netrun.Engine
-	store *ckpt.File
-	every int
-	gen   uint64
-	since int
-	saves int
-	buf   []byte // every frame is encoded here; the store writes it out
-}
-
-func (a *ckptAlg) Observe(vals []int64) []int {
-	top := a.Engine.Observe(vals)
-	if a.store == nil {
-		return top
+// runServe is the TCP coordinator: the networked monitor over the links of
+// the first -peers processes to join, restored from the checkpoint
+// directory when one is configured and holds a valid frame. It streams what
+// is left of the workload, the monitor checkpointing itself as it goes, and
+// reports. The monitor asks for its links once topk has accepted everything
+// else about cfg, so a refused command line never tells anyone to join.
+func (o *options) runServe(ctx context.Context, cfg topk.Config, matrix [][]int64) error {
+	if o.peers < 1 || o.peers > cfg.Nodes {
+		return fmt.Errorf("-peers must be in [1, n], got %d for n=%d", o.peers, cfg.Nodes)
 	}
-	a.since++
-	if a.since >= a.every {
-		a.since = 0
-		if err := a.checkpoint(); err != nil {
-			fmt.Printf("checkpoint failed (will retry): %v\n", err)
+	restore := false
+	if o.ckptDir != "" {
+		store, err := topk.FileCheckpoints(o.ckptDir)
+		if err != nil {
+			return fmt.Errorf("checkpoint dir: %w", err)
+		}
+		cfg.Checkpoint = topk.Checkpoint{Store: store, Every: o.ckptEvery}
+		// Restore closes the links it is given on every error, "nothing saved
+		// yet" included, so the store is asked here, before anyone has joined.
+		if _, _, err := store.Load(); err == nil {
+			restore = true
+		} else if !errors.Is(err, topk.ErrNoCheckpoint) {
+			return fmt.Errorf("checkpoint load: %w", err)
 		}
 	}
-	return top
-}
-
-func (a *ckptAlg) checkpoint() error {
-	gen := a.gen + 1
-	frame, err := a.Engine.AppendCheckpoint(a.buf[:0], gen)
+	ln, err := transport.Listen(ctx, o.serve)
 	if err != nil {
 		return err
 	}
-	a.buf = frame
-	if err := a.store.Save(gen, frame); err != nil {
+	tr := peerlinks.New(func() ([]transport.Link, error) {
+		fmt.Fprintf(o.out, "coordinator on %s: waiting for %d peers (topkmon -join %s)...\n", ln.Addr(), o.peers, ln.Addr())
+		return ln.AcceptN(o.peers)
+	}, ln.Close)
+	cfg.Transport = tr
+	// A dead peer is replaced by the next process that runs `topkmon -join`;
+	// the coordinator blocks mid-recovery until one arrives (Ctrl-C the
+	// coordinator to give up instead).
+	cfg.Redial = func() (topk.Link, error) {
+		fmt.Fprintf(o.out, "peer lost; waiting for a replacement (topkmon -join %s)...\n", ln.Addr())
+		return ln.Accept()
+	}
+	cfg.OnEvent = func(ev topk.Event) {
+		if ev.Err != nil {
+			fmt.Fprintf(o.out, "failover: %s [%d, %d): %v\n", ev.Kind, ev.Lo, ev.Hi, ev.Err)
+		} else {
+			fmt.Fprintf(o.out, "failover: %s [%d, %d)\n", ev.Kind, ev.Lo, ev.Hi)
+		}
+	}
+	g, err := o.build(cfg, restore)
+	if tr.Err() != nil {
+		return fmt.Errorf("accepting peers: %w", tr.Err()) // why topk was handed no links
+	}
+	if err != nil {
 		return err
 	}
-	a.gen = gen
-	a.saves++
+	defer g.Close()
+
+	// Resume the trace where the checkpoint left off: the restored steps
+	// were already streamed by the previous incarnation. (NewOrdered takes
+	// no Transport, so the monitor built here is never the ordered one.)
+	done := g.Stats().Steps
+	if gen := g.mon.CheckpointStats().LastGen; gen > 0 {
+		fmt.Fprintf(o.out, "restored from checkpoint generation %d (step %d); checkpointing to %s every %d steps\n",
+			gen, done, o.ckptDir, o.ckptEvery)
+	} else if o.ckptDir != "" {
+		fmt.Fprintf(o.out, "checkpointing to %s every %d steps (no frame yet: fresh start)\n", o.ckptDir, o.ckptEvery)
+	}
+	matrix = matrix[min(int(done), len(matrix)):]
+	fmt.Fprintf(o.out, "all %d peers joined; streaming %d steps of n=%d k=%d\n", o.peers, len(matrix), cfg.Nodes, o.k)
+	if len(matrix) == 0 {
+		fmt.Fprintln(o.out, "checkpoint is at the end of the workload; nothing left to stream")
+		o.printLedger(g.ledgers)
+		return nil
+	}
+	if err := o.runSync(g, cfg, matrix); err != nil {
+		return err
+	}
+	if cs := g.mon.CheckpointStats(); o.ckptDir != "" {
+		// An attempt fails while peer recovery is pending; the monitor retries
+		// at the next boundary and the earlier generations stay restorable.
+		fmt.Fprintf(o.out, "checkpoints: %d written (%d attempts failed and were retried), newest generation %d in %s\n",
+			cs.Saves, cs.Failures, cs.LastGen, o.ckptDir)
+	}
 	return nil
 }
 
@@ -608,24 +548,27 @@ func (a *ckptAlg) checkpoint() error {
 // range until shutdown. DialRetry tolerates a coordinator that is not
 // listening yet (or is between runs), so the two sides can start in
 // either order.
-func runJoin(addr string) {
-	ctx := context.Background()
-	link, err := transport.DialRetry(ctx, addr, 20, 250*time.Millisecond)
+func (o *options) runJoin(ctx context.Context) error {
+	link, err := transport.DialRetry(ctx, o.join, 20, 250*time.Millisecond)
 	if err != nil {
-		log.Fatalf("dial %s: %v", addr, err)
+		return fmt.Errorf("dial %s: %w", o.join, err)
 	}
-	fmt.Printf("joined coordinator at %s; serving...\n", addr)
-	if err := netrun.Serve(link); err != nil {
-		log.Fatalf("serve: %v", err)
+	fmt.Fprintf(o.out, "joined coordinator at %s; serving...\n", o.join)
+	if err := topk.ServeNodes(link); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	ts := transport.StatsOf(link)
-	fmt.Printf("shutdown: sent %d frames / %d bytes, received %d frames / %d bytes\n",
+	fmt.Fprintf(o.out, "shutdown: sent %d frames / %d bytes, received %d frames / %d bytes\n",
 		ts.SentFrames, ts.SentBytes, ts.RecvFrames, ts.RecvBytes)
+	return nil
 }
 
 // loadMatrix materializes the workload: either a CSV trace or a synthetic
 // generator collected for the requested horizon.
 func loadMatrix(tracePath, workload string, n, steps int, seed uint64) ([][]int64, error) {
+	if steps < 1 {
+		return nil, fmt.Errorf("-steps must be >= 1, got %d", steps)
+	}
 	if tracePath != "" {
 		f, err := os.Open(tracePath)
 		if err != nil {
@@ -635,6 +578,9 @@ func loadMatrix(tracePath, workload string, n, steps int, seed uint64) ([][]int6
 		rows, err := stream.ReadCSV(f)
 		if err != nil {
 			return nil, err
+		}
+		if len(rows) == 0 {
+			return nil, fmt.Errorf("%s: no rows", tracePath)
 		}
 		if steps < len(rows) {
 			rows = rows[:steps]
@@ -654,13 +600,10 @@ func loadMatrix(tracePath, workload string, n, steps int, seed uint64) ([][]int6
 	return stream.Collect(src, steps), nil
 }
 
-// checkDomain rejects a matrix holding a value no engine can take: the
-// engines leave the value domain to their boundary — this command — and
-// answer a violation with a panic.
+// checkDomain rejects a trace holding a value no monitor can take, naming
+// the row it stands in: left to topk.Monitor the same value would surface
+// as an error from Observe in the middle of the run.
 func checkDomain(matrix [][]int64) error {
-	if len(matrix) == 0 {
-		return nil
-	}
 	n := len(matrix[0])
 	limit := order.MaxValueFor(n, false)
 	for row, vals := range matrix {

@@ -33,8 +33,9 @@
 // codec with one canonical encoding per message) and a transport layer
 // (internal/transport: in-process loopback pipes and length-prefixed
 // TCP). The third engine, internal/netrun, drives Algorithm 1 over those
-// links so a monitor can span processes — cmd/topkmon's -serve and -join
-// modes — while staying message-count- and byte-identical to the other
+// links so a monitor can span processes — a topk.Monitor over a Transport
+// with topk.ServeNodes on the far end of every link, which is all that
+// cmd/topkmon's -serve and -join modes are — while staying message-count- and byte-identical to the other
 // engines for the same seed. Every charged message has an exact encoded
 // size, so all ledgers report a bytes column (the quantity Theorem 4.2
 // bounds) next to message counts; the transport separately reports the

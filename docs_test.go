@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -106,5 +108,48 @@ func TestDocGoReferencesResolve(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneEngineBoundary keeps the command and the examples clients of the
+// public package: what builds an engine, wires an ingest driver, runs a
+// checkpoint loop or opens a frame does so behind repro/topk, and none of
+// them may import the packages that would let it do so a second time.
+// (Workloads, the oracle and TCP listen/dial are not the monitor and stay
+// importable.)
+func TestOneEngineBoundary(t *testing.T) {
+	behindTopk := regexp.MustCompile(`^repro/internal/(core|runtime|netrun|shardrun|fanout|coord|ingest|ckpt|wire)(/|$)`)
+	dirs, err := filepath.Glob("examples/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs = append(dirs, "cmd/topkmon")
+	if len(dirs) < 9 {
+		t.Fatalf("found only %v", dirs)
+	}
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		imports := 0
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				imports++
+				if path := strings.Trim(imp.Path.Value, `"`); behindTopk.MatchString(path) {
+					t.Errorf("%s imports %s; it must reach it through repro/topk", file, path)
+				}
+			}
+		}
+		if imports == 0 {
+			t.Errorf("%s: no imports parsed", dir)
+		}
 	}
 }

@@ -150,30 +150,47 @@ func (m *Machine) AppendCheckpoint(dst []byte, gen uint64, engine uint8, seed ui
 	return w.Seal(nil), nil
 }
 
-// OpenCheckpoint holds a checkpoint's two frames to the configuration it is
-// being restored under — shape, tolerance and tie-break mode, of the
-// machine frame and of the bank frame's header, which must cover [0, n) —
-// before anything is built from them, and returns the restored machine and
-// the bank frame in the v2 form (UpgradeBankFrame). It is the first step of
-// the sequential and concurrent engines' Restore; RestoreNodes and
-// MatchesMachine are the other two.
-func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFrame []byte) (*Machine, []byte, error) {
+// OpenMachine holds a checkpoint's machine frame to the configuration it is
+// being restored under — shape and tolerance — before anything is built
+// from it, and returns the restored machine. It is the first step of every
+// engine's Restore: the link-backed engines' whole validation (their banks
+// are rebuilt by the peers), and the first half of OpenCheckpoint.
+func OpenMachine(n, k int, epsilon float64, machFrame []byte) (*Machine, error) {
 	if n <= 0 || k < 1 || k > n {
-		return nil, nil, fmt.Errorf("coord: restore config needs 1 <= K <= N, got n=%d k=%d", n, k)
+		return nil, fmt.Errorf("coord: restore config needs 1 <= K <= N, got n=%d k=%d", n, k)
 	}
 	tol, err := order.NewTol(epsilon)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var ms wire.MachineState
 	if err := ms.Decode(machFrame); err != nil {
-		return nil, nil, fmt.Errorf("coord: machine frame: %v", err)
+		return nil, fmt.Errorf("coord: machine frame: %v", err)
 	}
 	if ms.N != n || ms.K != k {
-		return nil, nil, fmt.Errorf("coord: checkpoint is for n=%d k=%d, config has n=%d k=%d", ms.N, ms.K, n, k)
+		return nil, fmt.Errorf("coord: checkpoint is for n=%d k=%d, config has n=%d k=%d", ms.N, ms.K, n, k)
 	}
 	if ms.EpsNum != tol.Num() {
-		return nil, nil, fmt.Errorf("coord: checkpoint tolerance %d/2^20 differs from configured %d/2^20", ms.EpsNum, tol.Num())
+		return nil, fmt.Errorf("coord: checkpoint tolerance %d/2^20 differs from configured %d/2^20", ms.EpsNum, tol.Num())
+	}
+	mach, err := RestoreMachine(machFrame)
+	if err != nil {
+		return nil, fmt.Errorf("coord: machine frame: %v", err)
+	}
+	return mach, nil
+}
+
+// OpenCheckpoint holds a checkpoint's two frames to the configuration it is
+// being restored under — shape, tolerance and tie-break mode, of the
+// machine frame (OpenMachine) and of the bank frame's header, which must
+// cover [0, n) — before anything is built from them, and returns the
+// restored machine and the bank frame in the v2 form (UpgradeBankFrame). It
+// is the first step of the sequential and concurrent engines' Restore;
+// RestoreNodes and MatchesMachine are the other two.
+func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFrame []byte) (*Machine, []byte, error) {
+	mach, err := OpenMachine(n, k, epsilon, machFrame)
+	if err != nil {
+		return nil, nil, err
 	}
 	if nodesFrame, err = UpgradeBankFrame(nodesFrame); err != nil {
 		return nil, nil, fmt.Errorf("coord: nodes frame: %w", err)
@@ -185,15 +202,11 @@ func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFr
 	if h.N != n || h.Lo != 0 || h.Hi != n {
 		return nil, nil, fmt.Errorf("coord: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, n)
 	}
-	if h.EpsNum != tol.Num() {
-		return nil, nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, tol.Num())
+	if h.EpsNum != mach.Tol().Num() {
+		return nil, nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, mach.Tol().Num())
 	}
 	if h.Distinct != distinct {
 		return nil, nil, fmt.Errorf("coord: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, distinct)
-	}
-	mach, err := RestoreMachine(machFrame)
-	if err != nil {
-		return nil, nil, fmt.Errorf("coord: machine frame: %v", err)
 	}
 	return mach, nodesFrame, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/coord"
-	"repro/internal/order"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -57,7 +56,10 @@ func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen uint64) ([]byte, e
 // terminal), exactly as a mid-run failure would; the next observation
 // call retries through the regular failover path.
 func Restore(cfg Config, links []transport.Link, exec Exec, machFrame []byte, last []int64) (*Engine, error) {
-	mach, err := restoreMachine(cfg, machFrame, last)
+	mach, err := coord.OpenMachine(cfg.N, cfg.K, cfg.Epsilon, machFrame)
+	if err == nil && len(last) != cfg.N {
+		err = fmt.Errorf("checkpoint mirror has %d values for n=%d", len(last), cfg.N)
+	}
 	if err != nil {
 		closeAll(links)
 		return nil, fmt.Errorf("fanout: restore: %w", err)
@@ -73,31 +75,4 @@ func Restore(cfg Config, links []transport.Link, exec Exec, machFrame []byte, la
 	// holds a usable engine whose Health tells the story.
 	_ = e.reassignReplayReset()
 	return e, nil
-}
-
-// restoreMachine validates a checkpoint against cfg and decodes its
-// machine.
-func restoreMachine(cfg Config, machFrame []byte, last []int64) (*coord.Machine, error) {
-	tol, err := order.NewTol(cfg.Epsilon)
-	if err != nil {
-		return nil, err
-	}
-	var ms wire.MachineState
-	if err := ms.Decode(machFrame); err != nil {
-		return nil, fmt.Errorf("machine frame: %v", err)
-	}
-	if ms.N != cfg.N || ms.K != cfg.K {
-		return nil, fmt.Errorf("checkpoint is for n=%d k=%d, config has n=%d k=%d", ms.N, ms.K, cfg.N, cfg.K)
-	}
-	if ms.EpsNum != tol.Num() {
-		return nil, fmt.Errorf("checkpoint tolerance %d/2^20 differs from configured %d/2^20", ms.EpsNum, tol.Num())
-	}
-	if len(last) != cfg.N {
-		return nil, fmt.Errorf("checkpoint mirror has %d values for n=%d", len(last), cfg.N)
-	}
-	mach, err := coord.RestoreMachine(machFrame)
-	if err != nil {
-		return nil, fmt.Errorf("machine: %v", err)
-	}
-	return mach, nil
 }

@@ -243,9 +243,9 @@ func (m *Monitor) Checkpoint(ctx context.Context) (uint64, error) {
 //
 // The in-process engines resume bit-identically to a monitor that never
 // stopped. The networked and sharded engines handshake their peers from
-// scratch (cfg.Transport must supply fresh links whose far ends run the
-// node-host serve loop; in-process shard and tree monitors respawn
-// their loopback peers), replay the checkpointed value mirror, and
+// scratch (cfg.Transport must supply fresh links whose far ends run
+// ServeNodes; in-process shard and tree monitors respawn their
+// loopback peers), replay the checkpointed value mirror, and
 // force a filter reset — reports are oracle-exact from the first
 // post-restore step, with the recovery traffic visible in the ledgers,
 // exactly as after a peer failover. A peer failing during the replay

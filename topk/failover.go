@@ -120,9 +120,8 @@ func (m *Monitor) Health() Health {
 }
 
 // Join attaches a late-joining peer to a networked monitor mid-stream
-// (the far end of link must be running the node-host serve loop, e.g. a
-// process started with `topkmon -join`): the widest hosted range is
-// split, its upper half handed to the new link, and the monitor
+// (the far end of link must be running ServeNodes): the widest hosted
+// range is split, its upper half handed to the new link, and the monitor
 // re-converges before the next step. Only networked and sharded monitors
 // accept joiners. On a synchronous monitor call it between observation
 // calls only; in asynchronous mode it is safe concurrently with

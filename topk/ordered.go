@@ -92,6 +92,14 @@ func (o *OrderedMonitor) Counts() Counts { return o.m.Counts() }
 // traffic is attributed to the handler phase.
 func (o *OrderedMonitor) Phases() PhaseCounts { return o.m.Phases() }
 
+// Bytes returns the total charged model bytes exchanged so far, exactly as
+// Monitor.Bytes.
+func (o *OrderedMonitor) Bytes() Bytes { return o.m.Bytes() }
+
+// BytesByPhase returns the per-phase charged byte breakdown. Order-layer
+// repair traffic is attributed to the handler phase.
+func (o *OrderedMonitor) BytesByPhase() PhaseBytes { return o.m.BytesByPhase() }
+
 // Stats returns the boundary layer's behavioural counters.
 func (o *OrderedMonitor) Stats() Stats { return o.m.Stats() }
 

@@ -53,6 +53,9 @@ func TestOrderedEnginesAgree(t *testing.T) {
 		if seq.Counts() != conc.Counts() {
 			t.Fatalf("step %d: counts differ", s)
 		}
+		if ba, bb := seq.Bytes(), conc.Bytes(); ba != bb || ba.Total() == 0 || seq.BytesByPhase() != conc.BytesByPhase() {
+			t.Fatalf("step %d: bytes differ or empty: seq=%+v conc=%+v", s, ba, bb)
+		}
 		if sa, sb := seq.Stats(), conc.Stats(); sa != sb || sa.Steps != int64(s+1) {
 			t.Fatalf("step %d: stats differ: seq=%+v conc=%+v", s, sa, sb)
 		}
@@ -109,5 +112,9 @@ func TestOrderedTopAndPhases(t *testing.T) {
 	p := m.Phases()
 	if p.Violation.Total()+p.Handler.Total()+p.Reset.Total() != m.Counts().Total() {
 		t.Fatal("phase sum mismatch")
+	}
+	pb := m.BytesByPhase()
+	if pb.Violation.Total()+pb.Handler.Total()+pb.Reset.Total() != m.Bytes().Total() {
+		t.Fatal("phase byte sum mismatch")
 	}
 }

@@ -45,7 +45,7 @@
 // engine (default), a sharded goroutine engine that exchanges batched
 // channel messages (Config.Concurrent), a networked engine that drives
 // the wire protocol over a Transport's links so the monitored nodes can
-// live in other processes (Config.Transport; see Loopback and
+// live in other processes (Config.Transport; see Loopback, ServeNodes and
 // cmd/topkmon's -serve/-join modes), and a multi-coordinator engine that
 // splits the coordinator itself into Config.Shards sub-coordinators under
 // a root merge layer. All run the same coordinator core (one copy of
@@ -115,6 +115,8 @@ type Stats struct {
 	Steps int64
 	// ViolationSteps counts steps with at least one filter violation.
 	ViolationSteps int64
+	// HandlerCalls counts runs of the coordinator's violation handler.
+	HandlerCalls int64
 	// Resets counts full filter recomputations (including the initial one).
 	Resets int64
 	// TopChanges counts steps whose reported set differed from the
@@ -165,7 +167,7 @@ type Config struct {
 	// Transport selects the networked engine: the monitor drives the wire
 	// protocol over the transport's links, one peer per link, instead of
 	// an in-process engine. Use Loopback for in-process peers; cmd/topkmon
-	// shows the TCP form. Mutually exclusive with Concurrent; monitors
+	// shows the TCP form, with ServeNodes on the far end of every link. Mutually exclusive with Concurrent; monitors
 	// with a Transport must be Closed to release the peers. New takes
 	// ownership of the Transport: it is closed on any New error (the
 	// links are unusable after a failed handshake) and by Monitor.Close.
@@ -178,7 +180,7 @@ type Config struct {
 	Transport Transport
 	// Redial, when set, is called by the networked and sharded engines
 	// during failover to obtain a replacement link for a dead peer (the far
-	// end must run the matching serve loop); the replacement adopts the
+	// end must be running ServeNodes); the replacement adopts the
 	// dead peer's exact node range. When nil, or when a redial fails, the
 	// range is merged into a surviving neighbor instead. In-process engines
 	// ignore it.
@@ -679,7 +681,7 @@ func (m *Monitor) Stats() Stats {
 	m.lock()
 	defer m.unlock()
 	s := m.eng.Stats()
-	return Stats{Steps: s.Steps, ViolationSteps: s.ViolationSteps, Resets: s.Resets, TopChanges: s.TopChanges}
+	return Stats{Steps: s.Steps, ViolationSteps: s.ViolationSteps, HandlerCalls: s.HandlerCalls, Resets: s.Resets, TopChanges: s.TopChanges}
 }
 
 // Close releases the goroutines of a concurrent monitor and the peers of

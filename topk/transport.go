@@ -26,9 +26,12 @@ type Link interface {
 
 // Transport supplies the networked engine its coordinator-side links, one
 // per peer. The far end of every link must be running the node-host serve
-// loop (a process started with `topkmon -join`, or the in-process hosts a
-// Loopback transport spawns); the engine performs its join handshake over
-// each link when the Monitor is created.
+// loop (ServeNodes, or the in-process hosts a Loopback transport spawns);
+// the engine performs its join handshake over each link when the Monitor is
+// created. New and Restore ask for the links only once every other Config
+// field has been accepted — NewOrdered, which takes no Transport, never —
+// so a Transport may put off listening, dialing or waiting for its peers
+// until Links is first called.
 type Transport interface {
 	// Links returns the coordinator-side links in peer order; peer i
 	// hosts the i-th contiguous node range.
@@ -76,6 +79,14 @@ type loopback struct {
 }
 
 func (l *loopback) Links() []Link { return l.links }
+
+// ServeNodes runs the node-host serve loop on link, the far end of one of a
+// Transport's links: it hosts the node range the coordinator assigns in
+// its join handshake, answers the protocol rounds for it, and returns nil
+// when the coordinator shuts the monitor down or an error when the link
+// fails first. A Loopback transport runs it on goroutines; `topkmon -join`
+// runs it in a process of its own.
+func ServeNodes(link Link) error { return netrun.Serve(link) }
 
 func (l *loopback) Close() error {
 	for _, lk := range l.links {
