@@ -719,25 +719,44 @@ func BenchmarkOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpoint measures the durable-checkpoint layer (E23): the
-// size and write latency of a full-state frame at several node counts —
-// against the copy-only in-memory store and the fsync-backed atomic file
-// store — and the latency of topk.Restore from the newest valid frame.
-// The restored sequential monitor is bit-identical to an uninterrupted
-// twin, so re-convergence costs zero steps; the networked engines instead
-// pay one forced FILTERRESET and are oracle-exact from the first
-// post-restore step (DESIGN.md "Durable checkpointing & crash-restart").
+// BenchmarkCheckpoint measures the durable-checkpoint layer (E23, E25):
+// what a checkpoint costs after a step that moved n/16 nodes and charged
+// no message — a delta on the chain's base, or the base a chain is cut
+// back to once its deltas would outgrow it; bytes/save and bases/save say
+// how the saves split — against the in-memory store and the fsync-backed
+// atomic file store, and the latency of topk.Restore from the chain the
+// saves left. The restored sequential monitor is bit-identical to an
+// uninterrupted twin, so re-convergence costs zero steps; the networked
+// engines instead pay one forced FILTERRESET and are oracle-exact from the
+// first post-restore step (DESIGN.md "Durable checkpointing &
+// crash-restart").
 func BenchmarkCheckpoint(b *testing.B) {
 	const k, warm = 8, 64
 	ctx := context.Background()
-	walk := func(b *testing.B, mon *topk.Monitor, n, steps int, seed uint64) {
-		src := stream.NewSparseWalk(stream.SparseWalkConfig{
+	// walker returns one sparse step of a drifting workload at a time:
+	// wide at first, so that the warm-up resets; then moves small enough
+	// that the steps after it stay inside the filters.
+	walker := func(b *testing.B, mon *topk.Monitor, n int, seed uint64) func(quiet bool) {
+		wide := stream.NewSparseWalk(stream.SparseWalkConfig{
 			N: n, Changed: n / 16, MaxStep: 1 << 11, Lo: 1 << 18, Hi: 1 << 24, Seed: seed,
 		})
 		ids := make([]int, n)
 		vals := make([]int64, n)
-		for s := 0; s < steps; s++ {
-			c := src.StepDelta(ids, vals)
+		cur := make([]int64, n)
+		r := stream.NewSparseWalk(stream.SparseWalkConfig{N: n, Changed: n / 16, MaxStep: 1, Lo: -1, Hi: 1, Seed: seed + 1})
+		return func(quiet bool) {
+			var c int
+			if quiet {
+				c = r.StepDelta(ids, vals) // who moves, and by -1, 0 or +1 around where the wide walk left it
+				for j, id := range ids[:c] {
+					vals[j] += cur[id]
+				}
+			} else {
+				c = wide.StepDelta(ids, vals)
+				for j, id := range ids[:c] {
+					cur[id] = vals[j]
+				}
+			}
 			if _, err := mon.ObserveDelta(ids[:c], vals[:c]); err != nil {
 				b.Fatal(err)
 			}
@@ -759,47 +778,59 @@ func BenchmarkCheckpoint(b *testing.B) {
 					return st
 				}},
 			}
+			start := func(b *testing.B, store topk.CheckpointStore) (*topk.Monitor, func(bool)) {
+				c := cfg
+				c.Checkpoint = topk.Checkpoint{Store: store}
+				mon, err := topk.New(c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				step := walker(b, mon, n, 6)
+				for s := 0; s < warm; s++ {
+					step(false)
+				}
+				return mon, step
+			}
 			for _, st := range stores {
 				b.Run(bench.F("save/%s/n=%d/eps=%g", st.name, n, eps), func(b *testing.B) {
-					c := cfg
-					c.Checkpoint = topk.Checkpoint{Store: st.mk(b)}
-					mon, err := topk.New(c)
-					if err != nil {
-						b.Fatal(err)
-					}
+					mon, step := start(b, st.mk(b))
 					b.Cleanup(mon.Close)
-					walk(b, mon, n, warm, 6)
+					before := mon.CheckpointStats()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						step(true)
+						b.StartTimer()
 						if _, err := mon.Checkpoint(ctx); err != nil {
 							b.Fatal(err)
 						}
 					}
 					b.StopTimer()
-					if _, frame, err := c.Checkpoint.Store.Load(); err == nil {
-						b.ReportMetric(float64(len(frame)), "frame-bytes")
-					}
+					after := mon.CheckpointStats()
+					b.ReportMetric(float64(after.Bytes-before.Bytes)/float64(b.N), "bytes/save")
+					b.ReportMetric(float64(after.Bases-before.Bases)/float64(b.N), "bases/save")
 				})
 			}
 			b.Run(bench.F("restore/n=%d/eps=%g", n, eps), func(b *testing.B) {
-				c := cfg
-				c.Checkpoint = topk.Checkpoint{Store: topk.MemCheckpoints()}
-				mon, err := topk.New(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				walk(b, mon, n, warm, 6)
-				if _, err := mon.Checkpoint(ctx); err != nil {
-					b.Fatal(err)
+				store := topk.MemCheckpoints()
+				mon, step := start(b, store)
+				for s := 0; s < 8; s++ { // a base and seven deltas
+					if _, err := mon.Checkpoint(ctx); err != nil {
+						b.Fatal(err)
+					}
+					step(true)
 				}
 				mon.Close()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r, err := topk.Restore(c.Checkpoint.Store, c)
+					r, err := topk.Restore(store, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
 					r.Close()
+				}
+				if _, frame, err := store.Load(); err == nil {
+					b.ReportMetric(float64(len(frame)), "chain-bytes")
 				}
 			})
 		}

@@ -240,6 +240,13 @@ type graded struct {
 	ord *topk.OrderedMonitor // nil without
 	k   int
 
+	// prev, when non-nil, is the row fed last: the next one is fed as the
+	// nodes that differ from it (the TCP coordinator's way, so that what
+	// crosses its links and what its checkpoints carry is what changed).
+	prev  []int64
+	ids   []int // the call's buffers, reused
+	moved []int64
+
 	err        error // the first error a step returned
 	rankErrors int   // steps whose ranking was not the oracle's
 }
@@ -278,6 +285,15 @@ func (g *graded) Observe(vals []int64) []int {
 			}
 			slices.Sort(top) // the ranking is a fresh slice every step
 		}
+	} else if g.prev != nil {
+		g.ids, g.moved = g.ids[:0], g.moved[:0]
+		for id, v := range vals {
+			if v != g.prev[id] {
+				g.ids, g.moved = append(g.ids, id), append(g.moved, v)
+			}
+		}
+		copy(g.prev, vals)
+		top, err = g.mon.ObserveDelta(g.ids, g.moved)
 	} else {
 		top, err = g.mon.Observe(vals)
 	}
@@ -525,6 +541,12 @@ func (o *options) runServe(ctx context.Context, cfg topk.Config, matrix [][]int6
 	} else if o.ckptDir != "" {
 		fmt.Fprintf(o.out, "checkpointing to %s every %d steps (no frame yet: fresh start)\n", o.ckptDir, o.ckptEvery)
 	}
+	// Rows go out as what changed since the row before; a fresh start holds
+	// every node at 0, a restored one at the last row its checkpoint covers.
+	g.prev = make([]int64, cfg.Nodes)
+	if done > 0 && int(done) <= len(matrix) {
+		copy(g.prev, matrix[done-1])
+	}
 	matrix = matrix[min(int(done), len(matrix)):]
 	fmt.Fprintf(o.out, "all %d peers joined; streaming %d steps of n=%d k=%d\n", o.peers, len(matrix), cfg.Nodes, o.k)
 	if len(matrix) == 0 {
@@ -538,8 +560,8 @@ func (o *options) runServe(ctx context.Context, cfg topk.Config, matrix [][]int6
 	if cs := g.mon.CheckpointStats(); o.ckptDir != "" {
 		// An attempt fails while peer recovery is pending; the monitor retries
 		// at the next boundary and the earlier generations stay restorable.
-		fmt.Fprintf(o.out, "checkpoints: %d written (%d attempts failed and were retried), newest generation %d in %s\n",
-			cs.Saves, cs.Failures, cs.LastGen, o.ckptDir)
+		fmt.Fprintf(o.out, "checkpoints: %d written — %d bases, %d deltas, %d bytes — (%d attempts failed and were retried), newest generation %d in %s\n",
+			cs.Saves, cs.Bases, cs.Deltas, cs.Bytes, cs.Failures, cs.LastGen, o.ckptDir)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -84,27 +85,54 @@ func serve(t *testing.T, args string, peers int) *coordinator {
 	return c
 }
 
-// TestServeJoinRestart is README's kill-and-restart demo in one process: a
-// checkpointing TCP coordinator is cut off mid-trace, and the same command
-// line, run again with fresh joins, restores from the newest frame the
-// first one saved and streams exactly the steps that were left, every one
-// of them graded against the oracle.
-func TestServeJoinRestart(t *testing.T) {
-	const steps, peers = 4000, 2
-	dir := t.TempDir()
-	args := fmt.Sprintf("-serve 127.0.0.1:0 -peers %d -n 16 -k 3 -steps %d -seed 7 -workload twoband -checkpoint %s -ckpt-every 10", peers, steps, dir)
-
-	first := serve(t, args, peers)
-	eventually(t, "two checkpoint generations on disk", func() bool {
-		saved, _ := os.ReadDir(dir)
-		return len(saved) >= 2 || len(first.exit) > 0
-	})
-	first.kill()
-	if code := <-first.exit; code != 1 || !strings.Contains(first.stderr.String(), "monitor failed mid-run") {
-		t.Fatalf("first coordinator: exit %d, stderr %q; want it cut off mid-run (if it finished, raise steps)\n%s", code, first.stderr.String(), first.stdout.String())
+// newestFrame returns the first byte of the highest-numbered checkpoint
+// file in dir — 0x17 a base frame, 0x19 a delta — and how many there are.
+func newestFrame(dir string) (tag byte, files int) {
+	saved, _ := os.ReadDir(dir)
+	for i := len(saved) - 1; i >= 0; i-- { // ReadDir sorts by name, names by generation
+		if name := saved[i].Name(); strings.HasSuffix(name, ".bin") {
+			if frame, err := os.ReadFile(filepath.Join(dir, name)); err == nil && len(frame) > 0 {
+				return frame[0], len(saved)
+			}
+		}
 	}
-	for range peers {
-		<-first.joins // their links died with the coordinator
+	return 0, len(saved)
+}
+
+// TestServeJoinRestart is README's kill-and-restart demo in one process: a
+// checkpointing TCP coordinator is cut off mid-trace — on the sparse
+// workload, where a checkpoint is a base frame and the deltas after it, and
+// at a moment when the newest file in its directory is a delta — and the
+// same command line, run again with fresh joins, restores from that chain
+// and streams exactly the steps that were left, every one of them graded
+// against the oracle.
+func TestServeJoinRestart(t *testing.T) {
+	const steps, peers, n = 4000, 2, 1024
+	var dir, args string
+	var first *coordinator
+	// The cut has to land inside a chain. It is made the moment the newest
+	// file is a delta and the next base is many saves away, so it all but
+	// always does; a base written in between costs another try.
+	for try := 0; ; try++ {
+		dir = t.TempDir()
+		args = fmt.Sprintf("-serve 127.0.0.1:0 -peers %d -n %d -k 3 -steps %d -seed 7 -workload sparse -checkpoint %s -ckpt-every 2", peers, n, steps, dir)
+		first = serve(t, args, peers)
+		eventually(t, "a delta as the newest of two checkpoint files on disk", func() bool {
+			tag, files := newestFrame(dir)
+			return files >= 2 && tag == 0x19 || len(first.exit) > 0
+		})
+		first.kill()
+		if code := <-first.exit; code != 1 || !strings.Contains(first.stderr.String(), "monitor failed mid-run") {
+			t.Fatalf("first coordinator: exit %d, stderr %q; want it cut off mid-run (if it finished, raise steps)\n%s", code, first.stderr.String(), first.stdout.String())
+		}
+		for range peers {
+			<-first.joins // their links died with the coordinator
+		}
+		if tag, _ := newestFrame(dir); tag == 0x19 {
+			break
+		} else if try == 4 {
+			t.Fatalf("five cuts, and the newest file was never a delta (last tag 0x%02x)", tag)
+		}
 	}
 
 	// What the newest frame holds, read the way the second coordinator will.
@@ -112,7 +140,10 @@ func TestServeJoinRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, err := topk.Restore(store, topk.Config{Nodes: 16, K: 3, Seed: 7 + 1, Transport: topk.Loopback(peers)})
+	if _, loaded, err := store.Load(); err != nil || loaded[0] != 0x1a {
+		t.Fatalf("the store does not load a chain: %v", err)
+	}
+	saved, err := topk.Restore(store, topk.Config{Nodes: n, K: 3, Seed: 7 + 1, Transport: topk.Loopback(peers)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +183,9 @@ func TestServeJoinRestart(t *testing.T) {
 	if msgs < savedMsgs {
 		t.Errorf("final ledger %d messages, below the checkpointed %d", msgs, savedMsgs)
 	}
-	if written := field(`checkpoints: (\d+) written `); written != streamed/10 {
-		t.Errorf("%d checkpoints written over %d steps at one every 10", written, streamed)
+	written, bases, deltas := field(`checkpoints: (\d+) written `), field(`written — (\d+) bases, `), field(` bases, (\d+) deltas, \d+ bytes `)
+	if written != streamed/2 || bases+deltas != written || bases < 1 || deltas < 3*bases {
+		t.Errorf("%d checkpoints written over %d steps at one every 2: %d bases and %d deltas", written, streamed, bases, deltas)
 	}
 
 	// Run a third time, the newest frame is the end of the trace.

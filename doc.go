@@ -118,14 +118,19 @@
 // automatically every Checkpoint.Every applied steps, or on demand via
 // Monitor.Checkpoint, which drains the async queue first — and after a
 // coordinator-process crash topk.Restore rebuilds a monitor from the
-// newest frame that still validates; torn, corrupt and stale frames are
-// rejected, never half-loaded. The sequential and concurrent engines
+// newest checkpoint that still validates; torn, corrupt and stale frames
+// are rejected, never half-loaded. A checkpoint is a chain — one base
+// frame, the whole state, and delta frames carrying the values observed
+// since the frame before, which is all a stretch of steps that charged no
+// message can have moved — so a save costs what changed; a base is cut
+// again when a message was charged or the deltas would outgrow it.
+// The sequential and concurrent engines
 // restore bit-identically (frames carry the full machine and node-bank
 // state, RNG included); the networked and sharded engines re-handshake
 // their peers, replay the coordinator's value mirror and force one
 // FILTERRESET, so restored reports are oracle-exact from the first step
 // (DESIGN.md "Durable checkpointing & crash-restart"; EXPERIMENTS.md
-// E23; topkmon -serve ... -checkpoint DIR survives kill-and-restart).
+// E23, E25; topkmon -serve ... -checkpoint DIR survives kill-and-restart).
 //
 // # The value-domain boundary
 //

@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: it regenerates, as numbered
-// experiments E1..E19 and E24, the empirical validation of every theorem, lemma and
+// experiments E1..E19, E24 and E25, the empirical validation of every theorem, lemma and
 // comparison claim in the paper (the paper is analytical and has no
 // measurement tables of its own; DESIGN.md §4 maps each experiment to the
 // claim it validates). cmd/experiments runs the suite at full scale and
@@ -97,16 +97,19 @@ type Scale struct {
 	MonMaxExp int
 	// ResetMaxExp bounds the reset sweep (E24) at n = 2^ResetMaxExp.
 	ResetMaxExp int
+	// CkptMaxExp is the larger node count of the checkpoint sweep (E25),
+	// n = 2^CkptMaxExp; the smaller is 2^14 where that is less.
+	CkptMaxExp int
 }
 
 // Full is the scale used to produce EXPERIMENTS.md.
 func Full() Scale {
-	return Scale{ProtoTrials: 300, Trials: 5, Steps: 2000, ProtoMaxExp: 14, MonMaxExp: 11, ResetMaxExp: 20}
+	return Scale{ProtoTrials: 300, Trials: 5, Steps: 2000, ProtoMaxExp: 14, MonMaxExp: 11, ResetMaxExp: 20, CkptMaxExp: 18}
 }
 
 // Quick keeps the whole suite fast enough for unit tests and benchmarks.
 func Quick() Scale {
-	return Scale{ProtoTrials: 40, Trials: 2, Steps: 200, ProtoMaxExp: 8, MonMaxExp: 6, ResetMaxExp: 8}
+	return Scale{ProtoTrials: 40, Trials: 2, Steps: 200, ProtoMaxExp: 8, MonMaxExp: 6, ResetMaxExp: 8, CkptMaxExp: 10}
 }
 
 // Experiment pairs an id with its runner.
@@ -143,6 +146,7 @@ func All() []Experiment {
 		// E20-E23 (step latency, async ingestion, tree fan-in, checkpoints)
 		// are repo-root benchmarks too.
 		{"E24", "FILTERRESET: one top-(k+1) sweep vs k+1 executions", E24ResetSweep},
+		{"E25", "Checkpoints that cost what changed: base frame plus value deltas", E25CheckpointChain},
 	}
 }
 

@@ -197,6 +197,38 @@ func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
 	return b.codec.Encode(v, id), nil
 }
 
+// value returns the observation behind hosted node i's key: the key with
+// the tie-break injection taken out (what a checkpoint delta carries).
+func (b *Nodes) value(i int) int64 {
+	if b.distinct {
+		return int64(b.keys[i])
+	}
+	return b.codec.Value(b.keys[i], b.lo+i)
+}
+
+// Patch applies one checkpoint delta to a restored bank: vals[j] becomes
+// node ids[j]'s observation. A delta spans steps in which nobody violated,
+// so every value must lie in the value domain and inside the filter the
+// node's membership bit derives from the installed bounds; one that does
+// not is ErrFilterState, as for a key of the bank frame itself.
+func (b *Nodes) Patch(ids []int, vals []int64) error {
+	for j, id := range ids {
+		if id < b.lo || id >= b.hi {
+			return fmt.Errorf("coord: delta names node %d outside the hosted range [%d, %d)", id, b.lo, b.hi)
+		}
+		key, err := b.Encode(id, vals[j])
+		if err != nil {
+			return err
+		}
+		i := id - b.lo
+		if iv := b.inst.Interval(b.flags[i]&flagInTop != 0); !iv.Contains(key) {
+			return fmt.Errorf("%w: node %d key %d outside its filter %s", ErrFilterState, id, key, iv)
+		}
+		b.keys[i] = key
+	}
+	return nil
+}
+
 // Observe ingests one observation for node id at the given step, runs the
 // node-local filter check, and reports whether the node violated as a
 // former top-k member (topViol) or as an outsider (outViol). A value

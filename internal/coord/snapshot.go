@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -134,13 +135,28 @@ func RestoreMachine(p []byte) (*Machine, error) {
 	return m, nil
 }
 
-// AppendCheckpoint appends the sealed checkpoint envelope (wire.Checkpoint)
-// of generation gen to dst for the engines that checkpoint machine and bank
-// together: the fingerprint fields, the machine's frame and the bank's,
-// each encoded in place.
-func (m *Machine) AppendCheckpoint(dst []byte, gen uint64, engine uint8, seed uint64, bank *Nodes) ([]byte, error) {
-	w := wire.BeginCheckpoint(dst, gen, engine, seed, bank.distinct)
+// AppendCheckpoint appends one sealed frame of a checkpoint chain, of
+// generation gen, to dst for the engines that checkpoint machine and bank
+// together. With base == 0 it is a base frame (wire.Checkpoint): the
+// fingerprint fields, the machine's frame and the bank's, each encoded in
+// place. Otherwise it is a delta on the base frame of generation base
+// (wire.CheckpointDelta): the machine's frame and the value of every node
+// of dirty — a bitset over the bank's nodes, nil for all of them — which
+// describes the bank exactly when no message was charged since dirty was
+// last empty (a step that charges none runs no execution and installs
+// nothing: it moves observed values and the step counters, and nothing
+// else a frame holds).
+func (m *Machine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64, engine uint8, seed uint64, bank *Nodes) ([]byte, error) {
 	var err error
+	if base != 0 {
+		w := wire.BeginCheckpointDelta(dst, gen, base, engine, seed, bank.distinct)
+		if w.Buf, err = m.Snapshot(w.Buf); err != nil {
+			return nil, err
+		}
+		w.EndSection()
+		return w.Values(len(bank.keys), dirty, bank.value), nil
+	}
+	w := wire.BeginCheckpoint(dst, gen, engine, seed, bank.distinct)
 	if w.Buf, err = m.Snapshot(w.Buf); err != nil {
 		return nil, err
 	}
@@ -148,6 +164,61 @@ func (m *Machine) AppendCheckpoint(dst []byte, gen uint64, engine uint8, seed ui
 	w.Buf = bank.Snapshot(w.Buf)
 	w.EndSection()
 	return w.Seal(nil), nil
+}
+
+// FoldDeltas walks the delta frames that follow base envelope c in a
+// checkpoint chain over n nodes, oldest first, and hands each one's values
+// to apply; it returns the machine frame the chain ends on — c's own when
+// there is no delta. Every delta is held to its chain before its values
+// are applied: the next generation after its predecessor's, naming c's as
+// its base, under c's engine, seed and tie-break fingerprint, its node ids
+// inside [0, n) (the decoder has them strictly increasing), and its
+// machine frame the predecessor's but for the steps taken — a span that
+// charged no message cannot have moved the membership, the bounds, the
+// counters or the ledger. Anything else is a forged or misassembled
+// chain, and an error.
+func FoldDeltas(c *wire.Checkpoint, n int, deltas [][]byte, apply func(ids []int, vals []int64) error) ([]byte, error) {
+	mach := c.Machine
+	if len(deltas) == 0 {
+		return mach, nil
+	}
+	var prev, next wire.MachineState
+	if err := prev.Decode(mach); err != nil {
+		return nil, fmt.Errorf("coord: machine frame: %v", err)
+	}
+	var d wire.CheckpointDelta
+	var scratch []byte
+	for i, frame := range deltas {
+		gen := c.Gen + uint64(i) + 1
+		if err := d.Decode(frame); err != nil {
+			return nil, fmt.Errorf("coord: delta frame of generation %d: %v", gen, err)
+		}
+		if d.Gen != gen || d.Base != c.Gen {
+			return nil, fmt.Errorf("coord: delta frame says generation %d on base %d, the chain has it as generation %d on base %d", d.Gen, d.Base, gen, c.Gen)
+		}
+		if d.Engine != c.Engine || d.Seed != c.Seed || d.Distinct != c.Distinct {
+			return nil, fmt.Errorf("coord: delta frame of generation %d was taken under another engine, seed or tie-break mode than its base", gen)
+		}
+		if k := len(d.IDs); k > 0 && d.IDs[k-1] >= n {
+			return nil, fmt.Errorf("coord: delta frame of generation %d names node %d of %d", gen, d.IDs[k-1], n)
+		}
+		if err := next.Decode(d.Machine); err != nil {
+			return nil, fmt.Errorf("coord: delta frame of generation %d: machine frame: %v", gen, err)
+		}
+		// prev after as many steps as next has taken since, none of them
+		// charged: the encoding is canonical, so the frames are equal
+		// exactly when the states are.
+		steps := next.Step - prev.Step
+		prev.Step, prev.Steps = prev.Step+steps, prev.Steps+steps
+		if scratch = prev.Append(scratch[:0]); steps < 0 || !bytes.Equal(scratch, d.Machine) {
+			return nil, fmt.Errorf("coord: delta frame of generation %d: its machine frame differs from its predecessor's in more than the steps taken", gen)
+		}
+		if err := apply(d.IDs, d.Vals); err != nil {
+			return nil, fmt.Errorf("coord: delta frame of generation %d: %w", gen, err)
+		}
+		mach = d.Machine
+	}
+	return mach, nil
 }
 
 // OpenMachine holds a checkpoint's machine frame to the configuration it is

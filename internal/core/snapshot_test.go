@@ -285,7 +285,10 @@ func TestRestorePreTimeZeroFrame(t *testing.T) {
 // TestAppendCheckpointIsTheEnvelopeOfSnapshot pins the in-place path to
 // the composed one: the envelope AppendCheckpoint writes straight from the
 // monitor's arrays, after whatever the buffer already holds, is
-// wire.Checkpoint.Append over Snapshot's two frames.
+// wire.Checkpoint.Append over Snapshot's two frames — and its delta
+// variant wire.CheckpointDelta.Append over Snapshot's machine frame and
+// the observed values of the nodes asked for, every node when the set is
+// nil.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 	for _, cfg := range []Config{{N: 300, K: 7, Seed: 5}, {N: 40, K: 40, Seed: 5, DistinctValues: true, Epsilon: 0.1}} {
 		m := New(cfg)
@@ -301,11 +304,34 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineSeq, Seed: cfg.Seed, Distinct: cfg.DistinctValues, Machine: mach, Nodes: nodes}.Append([]byte("pre"))
-			if buf, err = m.AppendCheckpoint(append(buf[:0], "pre"...), uint64(step)); err != nil {
+			if buf, err = m.AppendCheckpoint(append(buf[:0], "pre"...), uint64(step), 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf, want) {
 				t.Fatalf("%+v step %d: in-place envelope differs from the composed one", cfg, step)
+			}
+			if step > 0 { // before the first Observe the nodes hold 0, not vals
+				delta := wire.CheckpointDelta{Gen: uint64(step), Base: 1, Engine: wire.EngineSeq, Seed: cfg.Seed, Distinct: cfg.DistinctValues, Machine: mach}
+				all := delta
+				dirty := make([]uint64, (cfg.N+63)/64)
+				for id, v := range vals {
+					all.IDs, all.Vals = append(all.IDs, id), append(all.Vals, v)
+					if id%7 == step%7 || id == cfg.N-1 {
+						dirty[id>>6] |= 1 << (id & 63)
+						delta.IDs, delta.Vals = append(delta.IDs, id), append(delta.Vals, v)
+					}
+				}
+				for _, c := range []struct {
+					set  []uint64
+					want wire.CheckpointDelta
+				}{{dirty, delta}, {nil, all}} {
+					if buf, err = m.AppendCheckpoint(append(buf[:0], "pre"...), uint64(step), 1, c.set); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(buf, c.want.Append([]byte("pre"))) {
+						t.Fatalf("%+v step %d: in-place delta of %d nodes differs from the composed one", cfg, step, len(c.want.IDs))
+					}
+				}
 			}
 			walkVals(wr, vals)
 			m.Observe(vals)

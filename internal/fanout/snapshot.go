@@ -20,13 +20,16 @@ import (
 // checkpoint plus the visible recovery cost (exactly as after a peer
 // failover).
 
-// AppendCheckpoint appends the engine's sealed checkpoint envelope of
-// generation gen to dst, under the fingerprint of the engine kind that
-// wraps this core: the machine frame and the node-value mirror, encoded in
-// place between steps. It fails on a closed or terminal engine and while
-// recovery is pending — a checkpoint never captures a half-recovered
-// execution.
-func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen uint64) ([]byte, error) {
+// AppendCheckpoint appends one sealed frame of the engine's checkpoint
+// chain, of generation gen, to dst, under the fingerprint of the engine
+// kind that wraps this core, encoded in place between steps: with
+// base == 0 the base frame, the machine frame and the whole node-value
+// mirror; otherwise a delta on the base of generation base, the machine
+// frame and the mirror's values for the nodes of dirty (a bitset over the
+// n nodes, nil for all of them). It fails on a closed or terminal engine
+// and while recovery is pending — a checkpoint never captures a
+// half-recovered execution.
+func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen, base uint64, dirty []uint64) ([]byte, error) {
 	if e.closed {
 		return nil, errors.New("fanout: snapshot after Close")
 	}
@@ -36,12 +39,20 @@ func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen uint64) ([]byte, e
 	if e.pendingRecovery {
 		return nil, errors.New("fanout: snapshot with recovery pending")
 	}
-	w := wire.BeginCheckpoint(dst, gen, kind, e.cfg.Seed, e.cfg.DistinctValues)
+	var w wire.CheckpointWriter
+	if base == 0 {
+		w = wire.BeginCheckpoint(dst, gen, kind, e.cfg.Seed, e.cfg.DistinctValues)
+	} else {
+		w = wire.BeginCheckpointDelta(dst, gen, base, kind, e.cfg.Seed, e.cfg.DistinctValues)
+	}
 	var err error
 	if w.Buf, err = e.mach.Snapshot(w.Buf); err != nil {
 		return nil, err
 	}
 	w.EndSection()
+	if base != 0 {
+		return w.Values(len(e.last), dirty, func(id int) int64 { return e.last[id] }), nil
+	}
 	w.Section(nil) // the node banks live in the peers
 	return w.Seal(e.last), nil
 }

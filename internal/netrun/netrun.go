@@ -130,8 +130,9 @@ func (e *Engine) OverheadBytes() comm.Bytes { return comm.Bytes{} }
 // TreeStats returns the zero value (see above).
 func (e *Engine) TreeStats() (wire.TreeStats, error) { return wire.TreeStats{}, nil }
 
-// AppendCheckpoint appends the engine's sealed checkpoint envelope of
-// generation gen to dst (see fanout.Engine.AppendCheckpoint).
-func (e *Engine) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
-	return e.Engine.AppendCheckpoint(dst, wire.EngineNet, gen)
+// AppendCheckpoint appends one sealed frame of the engine's checkpoint chain, of
+// generation gen, to dst: a base frame, or with base != 0 a delta on it
+// (see fanout.Engine.AppendCheckpoint).
+func (e *Engine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64) ([]byte, error) {
+	return e.Engine.AppendCheckpoint(dst, wire.EngineNet, gen, base, dirty)
 }

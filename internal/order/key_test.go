@@ -209,3 +209,32 @@ func TestLess(t *testing.T) {
 		t.Fatal("Less broken")
 	}
 }
+
+// TestValueIsDecodeWithoutTheDivision holds the exact division by shift and
+// modular inverse to Decode: for node counts odd, even and powers of two,
+// at both ends of the value domain, at zero and at random values, Value of
+// the key Encode produced is the value that went in.
+func TestValueIsDecodeWithoutTheDivision(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 16, 24, 1000, 1 << 14, 1<<14 + 1, 3 << 17, 1<<31 - 1} {
+		c := NewCodec(n)
+		ids := []int{0, n / 2, n - 1}
+		vals := []int64{0, 1, -1, c.MaxValue(), -c.MaxValue(), c.MaxValue() / 3, -c.MaxValue() / 7}
+		for _, id := range ids {
+			for _, v := range vals {
+				if got := c.Value(c.Encode(v, id), id); got != v {
+					t.Fatalf("n=%d: Value(Encode(%d, %d)) = %d", n, v, id, got)
+				}
+			}
+		}
+		check := func(v int64, idRaw uint32) bool {
+			v %= c.MaxValue() + 1
+			id := int(idRaw) % n
+			k := c.Encode(v, id)
+			dv, did := c.Decode(k)
+			return c.Value(k, id) == v && dv == v && did == id
+		}
+		if err := quick.Check(check, nil); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+	}
+}

@@ -186,7 +186,7 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 	if _, _, err := ord.Snapshot(); err == nil {
 		t.Fatal("ordered runtime snapshotted; its ranking has no frame")
 	}
-	if _, err := ord.AppendCheckpoint(nil, 1); err == nil {
+	if _, err := ord.AppendCheckpoint(nil, 1, 0, nil); err == nil {
 		t.Fatal("ordered runtime wrote a checkpoint envelope; its ranking has no frame")
 	}
 }
@@ -213,7 +213,7 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineConc, Seed: cfg.Seed, Machine: mach, Nodes: nodes}.Append(nil)
-		if buf, err = rt.AppendCheckpoint(buf[:0], uint64(step)); err != nil {
+		if buf, err = rt.AppendCheckpoint(buf[:0], uint64(step), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, want) {

@@ -202,10 +202,11 @@ func RestoreLoopback(cfg Config, shards int, machFrame []byte, last []int64) (*E
 // Shards returns the number of root links.
 func (e *Engine) Shards() int { return e.Peers() }
 
-// AppendCheckpoint appends the root's sealed checkpoint envelope of
-// generation gen to dst (see fanout.Engine.AppendCheckpoint).
-func (e *Engine) AppendCheckpoint(dst []byte, gen uint64) ([]byte, error) {
-	return e.Engine.AppendCheckpoint(dst, wire.EngineShard, gen)
+// AppendCheckpoint appends one sealed frame of the root's checkpoint chain, of
+// generation gen, to dst: a base frame, or with base != 0 a delta on it
+// (see fanout.Engine.AppendCheckpoint).
+func (e *Engine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64) ([]byte, error) {
+	return e.Engine.AppendCheckpoint(dst, wire.EngineShard, gen, base, dirty)
 }
 
 // ServeShard runs one shard sub-coordinator on a link to the root: the

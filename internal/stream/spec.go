@@ -57,6 +57,11 @@ var presets = map[string]func(Spec) Source{
 	"regime": func(s Spec) Source {
 		return NewRegime(RegimeConfig{N: s.N, Seed: s.Seed, Lo: 0, Hi: 1 << 22, CalmStep: 2, WildStep: 1 << 12, SwitchProb: 0.01})
 	},
+	"sparse": func(s Spec) Source {
+		// The similar-inputs regime at its plainest: a sixty-fourth of the
+		// nodes take a small step, everyone else holds still.
+		return NewSparseWalk(SparseWalkConfig{N: s.N, Lo: 0, Hi: 1 << 20, MaxStep: 4, Changed: max(1, s.N/64), Seed: s.Seed})
+	},
 	"twoband": func(s Spec) Source {
 		swap := s.Steps / 10
 		if swap < 1 {

@@ -46,6 +46,8 @@ func FuzzDecode(f *testing.F) {
 		sampleBank().Append(nil),
 		sampleCheckpoint().Append(nil),
 		Checkpoint{Gen: 7, Engine: EngineNet, Seed: 3, Last: []int64{4, -4}}.Append(nil),
+		sampleDelta().Append(nil),
+		CheckpointChain{Frames: [][]byte{sampleCheckpoint().Append(nil), sampleDelta().Append(nil)}}.Append(nil),
 		AppendBare(nil, TypeShutdown),
 		bytes.Repeat([]byte{0x80}, 32),
 		bytes.Repeat([]byte{0xff}, 32),
@@ -142,6 +144,16 @@ func FuzzDecode(f *testing.F) {
 			}
 		case TypeCheckpoint:
 			var m Checkpoint
+			if err := m.Decode(data); err == nil {
+				roundTrip(t, data, m.Append(nil))
+			}
+		case TypeCheckpointDelta:
+			var m CheckpointDelta
+			if err := m.Decode(data); err == nil {
+				roundTrip(t, data, m.Append(nil))
+			}
+		case TypeCheckpointChain:
+			var m CheckpointChain
 			if err := m.Decode(data); err == nil {
 				roundTrip(t, data, m.Append(nil))
 			}

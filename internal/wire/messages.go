@@ -84,6 +84,16 @@ const (
 	// coord.Nodes bank stores between steps and nothing it can derive
 	// (see bank.go).
 	TypeBankState byte = 0x18
+	// TypeCheckpointDelta is the checkpoint envelope's delta variant: the
+	// generation of the base frame it extends, the machine frame, and the
+	// values of the nodes observed since the frame before it — everything
+	// a zero-message span can move — under the same CRC-32 seal (see
+	// checkpoint.go).
+	TypeCheckpointDelta byte = 0x19
+	// TypeCheckpointChain is the container a chain-aware checkpoint store
+	// hands topk.Restore: one sealed base envelope followed by the sealed
+	// deltas that name it, each length-prefixed (see checkpoint.go).
+	TypeCheckpointChain byte = 0x1a
 )
 
 // MaxTolNum is the exclusive upper bound on Assign.EpsNum: tolerance

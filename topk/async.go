@@ -133,6 +133,7 @@ func (m *Monitor) startIngest() error {
 func (m *Monitor) applyStep(ids []int, vals []int64) error {
 	m.lock()
 	defer m.unlock()
+	m.observed(ids)
 	_, err := m.step(m.eng.ObserveDelta(ids, vals))
 	return err
 }

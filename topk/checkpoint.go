@@ -6,17 +6,36 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
+	"repro/internal/comm"
 	"repro/internal/wire"
 )
 
-// CheckpointStore persists checkpoint frames by generation number. Save
-// must make frame durable before returning — atomically, so a crash
-// mid-write leaves either the previous state or the new one, never a
-// torn frame a later Load would hand back. Load returns the newest frame
-// that passes validation (every frame is CRC-sealed; torn, bit-rotted or
-// misfiled frames must be skipped in favor of an older intact one, or
-// rejected with an error wrapping ErrCorruptCheckpoint when nothing
-// intact remains), or ErrNoCheckpoint when the store has never saved.
+// CheckpointStore persists checkpoint frames by generation number.
+//
+// A monitor's checkpoint is a chain: one base frame holding its whole
+// state, then delta frames holding what moved since the frame before, each
+// saved under the next generation. A frame's first byte tells them apart
+// (0x17 base, 0x19 delta); a store needs to know nothing else of them.
+//
+// Save must make frame durable before returning — atomically, so a crash
+// mid-write leaves either the previous state or the new one, never a torn
+// frame filed as whole. A store must keep the newest base and every frame
+// saved after it; one that also keeps the chain before (as the two stores
+// here do) survives a base torn at the crash.
+//
+// Load returns the newest state the store can vouch for, and the
+// generation of the last frame of it: the newest base that passes
+// validation, followed by the deltas saved after it for as long as they
+// are intact and consecutive in generation. (Every frame is CRC-sealed;
+// torn, bit-rotted or misfiled frames end the chain before them, and a
+// torn base falls back to the chain before it — or to an error wrapping
+// ErrCorruptCheckpoint when nothing intact remains.) A lone base is
+// returned as saved; a base with deltas as one container: the byte 0x1a,
+// then each frame behind its length as an unsigned varint. Restore checks
+// every frame of a container against its chain again, so a store that
+// hands over a delta of another chain yields a *RestoreError, never a
+// wrong monitor. Load returns ErrNoCheckpoint when the store has never
+// saved.
 //
 // FileCheckpoints (write-to-temp, fsync, rename) and MemCheckpoints
 // provide ready-made stores; the interface is exported so deployments
@@ -41,10 +60,19 @@ type CheckpointStore interface {
 // are rebuilt through the same reassign/replay/reset cycle peer
 // failover uses, so a restored monitor re-converges to oracle-exact
 // reports immediately — the protocols are Las Vegas — while the ledgers
-// additionally carry the visible recovery cost). Frames are CRC-sealed
-// and generation-numbered; a crash during Save is recovered by falling
-// back to the previous intact generation, never by restoring a torn
-// frame.
+// additionally carry the visible recovery cost).
+//
+// What a checkpoint costs is what changed. The first frame after New or
+// Restore is a base, the whole state; a later frame is a delta — the
+// coordinator's hundred bytes and the values of the nodes observed since
+// the frame before — unless a message was charged since that frame (a
+// protocol execution ran, and may have moved membership, bounds and
+// generators: the frame is a base again) or the chain's deltas would
+// outgrow its base (the frame is a base: restoring never reads more than
+// twice one). On the similar inputs the algorithm is built for, steps that
+// charge nothing are the rule, and so are deltas. Frames are CRC-sealed
+// and generation-numbered; a crash during Save is recovered by cutting the
+// chain at its last intact frame, never by restoring a torn one.
 type Checkpoint struct {
 	// Store receives the frames. Required when Every > 0; with a Store
 	// and Every == 0 only manual Monitor.Checkpoint calls persist.
@@ -104,8 +132,10 @@ func badRestore(cause error, format string, args ...any) error {
 // as its own file under dir (created if missing): frames are written to
 // a temporary name, fsynced, and renamed into place, so a crash at any
 // byte boundary leaves the previous generations intact. The store
-// retains the last few generations and Load falls back across them,
-// newest intact first. The returned store is safe for concurrent use.
+// retains the two newest base frames and every frame after the older
+// one; Load returns the newest intact base with its intact deltas and
+// falls back to the chain before it. The returned store is safe for
+// concurrent use.
 func FileCheckpoints(dir string) (CheckpointStore, error) {
 	return ckpt.NewFile(dir)
 }
@@ -120,8 +150,13 @@ func MemCheckpoints() CheckpointStore {
 
 // CheckpointStats summarizes a monitor's checkpoint activity.
 type CheckpointStats struct {
-	// Saves counts successfully persisted frames (automatic and manual).
-	Saves int64
+	// Saves counts successfully persisted frames (automatic and manual):
+	// Bases of them whole-state frames, Deltas frames of what changed,
+	// Bytes their sizes summed.
+	Saves  int64
+	Bases  int64
+	Deltas int64
+	Bytes  int64
 	// Failures counts attempts that failed — the engine was not at a
 	// checkpointable boundary (degraded or terminal) or the store
 	// rejected the write. Automatic attempts retry at the next boundary.
@@ -187,13 +222,76 @@ func (m *Monitor) maybeCheckpoint() {
 	m.checkpointLocked()
 }
 
-// checkpointLocked encodes the current state as generation ckptGen+1 —
-// in place, into the one buffer the monitor reuses across saves, which is
-// why a store may not keep the slice Save is handed — and saves it,
-// updating the stats. Callers hold engineMu in asynchronous mode.
+// ckptChain is what a monitor with a checkpoint store remembers of the
+// chain it is writing: enough to decide whether the next frame can be a
+// delta, and which nodes it would carry.
+type ckptChain struct {
+	base     uint64      // generation of the chain's base; 0 — after New and Restore — makes the next frame one
+	ledger   comm.Counts // the model ledger when the last frame was saved
+	baseLen  int         // bytes of the base frame
+	deltaLen int         // bytes of the deltas saved on it
+	dirty    []uint64    // the nodes observed since the last saved frame, a bit each
+	all      bool        // every node was: dirty is not kept up
+}
+
+// observed marks the nodes a call is about to move, ids or (nil) all n of
+// them. A call that carries half the nodes or more is as good as dense:
+// the set is marked full in O(1), as it is while the next frame is a base
+// anyway.
+func (c *ckptChain) observed(ids []int, n int) {
+	if c.all || c.base == 0 {
+		return
+	}
+	if ids == nil || 2*len(ids) >= n {
+		c.all = true
+		return
+	}
+	for _, id := range ids {
+		c.dirty[id>>6] |= 1 << (id & 63)
+	}
+}
+
+// checkpointLocked encodes the next frame of the chain as generation
+// ckptGen+1 — in place, into the one buffer the monitor reuses across
+// saves, which is why a store may not keep the slice Save is handed — and
+// saves it, updating the stats. The frame is a delta on the chain's base
+// unless that cannot describe what happened or would outgrow what it
+// extends:
+//
+//   - there is no chain yet (the first frame after New or Restore);
+//   - the model ledger moved since the last saved frame. A step that
+//     charges no message ran no protocol execution and installed no filter
+//     (every execution over a non-empty cohort charges its winner's bid):
+//     it moved the observed values and the step counters, which a delta
+//     carries, and nothing else — no generator, membership bit, bound,
+//     statistic or ledger cell. Any charged message voids that argument,
+//     so the frame is a base;
+//   - the chain's deltas, with this one, would exceed its base in bytes:
+//     the bound that keeps a restore under twice a lone base's work and a
+//     store under four base frames.
+//
+// A failed attempt changes nothing: the same generation, the same dirty
+// set and the same decision are tried again at the next boundary. Callers
+// hold engineMu in asynchronous mode.
 func (m *Monitor) checkpointLocked() (uint64, error) {
-	gen := m.ckptGen + 1
-	frame, err := m.eng.AppendCheckpoint(m.ckptBuf[:0], gen)
+	c, gen := m.chain, m.ckptGen+1
+	ledger := m.eng.Ledger().Total()
+	base := c.base
+	if ledger != c.ledger {
+		base = 0
+	}
+	dirty := c.dirty
+	if c.all {
+		dirty = nil
+		if c.deltaLen+2*m.cfg.Nodes > c.baseLen {
+			base = 0 // a delta of every node, two bytes a node at the least: not worth encoding to find out
+		}
+	}
+	frame, err := m.eng.AppendCheckpoint(m.ckptBuf[:0], gen, base, dirty)
+	if err == nil && base != 0 && c.deltaLen+len(frame) > c.baseLen {
+		base = 0
+		frame, err = m.eng.AppendCheckpoint(frame[:0], gen, 0, nil)
+	}
 	if err == nil {
 		m.ckptBuf = frame
 		err = m.cfg.Checkpoint.Store.Save(gen, frame)
@@ -203,8 +301,18 @@ func (m *Monitor) checkpointLocked() (uint64, error) {
 		m.ckptStats.LastErr = err
 		return 0, err
 	}
+	if base == 0 {
+		c.base, c.baseLen, c.deltaLen = gen, len(frame), 0
+		m.ckptStats.Bases++
+	} else {
+		c.deltaLen += len(frame)
+		m.ckptStats.Deltas++
+	}
+	c.ledger, c.all = ledger, false
+	clear(c.dirty)
 	m.ckptGen = gen
 	m.ckptStats.Saves++
+	m.ckptStats.Bytes += int64(len(frame))
 	m.ckptStats.LastGen = gen
 	m.ckptStats.LastErr = nil
 	return gen, nil
@@ -233,8 +341,11 @@ func (m *Monitor) Checkpoint(ctx context.Context) (uint64, error) {
 	return m.checkpointLocked()
 }
 
-// Restore rebuilds a Monitor from the newest valid checkpoint in store,
-// taken by a monitor with this same configuration (engine selection,
+// Restore rebuilds a Monitor from the newest valid checkpoint in store —
+// its newest intact base frame with the deltas saved after it folded in:
+// each delta's values applied in order, the coordinator state the last of
+// them carries adopted, and the whole held to the checks a lone frame
+// passes — taken by a monitor with this same configuration (engine selection,
 // Nodes, K, Seed, DistinctValues and Epsilon must all match — a frame
 // never silently restores into a configuration it was not taken under;
 // mismatches yield a typed *RestoreError, store-level failures
@@ -253,7 +364,8 @@ func (m *Monitor) Checkpoint(ctx context.Context) (uint64, error) {
 // as a mid-run failure would; Health tells the story.
 //
 // Checkpoint generation numbering continues from the restored frame
-// when cfg.Checkpoint carries a store (typically the same one). As with
+// when cfg.Checkpoint carries a store (typically the same one), and the
+// first frame the restored monitor saves is a base. As with
 // New, Restore takes ownership of any cfg.Transport and closes it on
 // every error path.
 func Restore(store CheckpointStore, cfg Config) (*Monitor, error) {
@@ -263,16 +375,23 @@ func Restore(store CheckpointStore, cfg Config) (*Monitor, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	gen, frame, err := store.Load()
+	gen, loaded, err := store.Load()
 	if err != nil {
 		return nil, failNew(cfg, err)
 	}
-	var c wire.Checkpoint
-	if err := c.Decode(frame); err != nil {
+	frames, err := wire.SplitCheckpointChain(loaded)
+	if err != nil {
 		return nil, failNew(cfg, badRestore(err, "checkpoint generation %d", gen))
 	}
-	if c.Gen != gen {
-		return nil, failNew(cfg, badRestore(nil, "frame filed as generation %d claims generation %d", gen, c.Gen))
+	if len(frames) == 0 {
+		return nil, failNew(cfg, badRestore(nil, "checkpoint generation %d: the chain holds no frame", gen))
+	}
+	var c wire.Checkpoint
+	if err := c.Decode(frames[0]); err != nil {
+		return nil, failNew(cfg, badRestore(err, "checkpoint generation %d: base frame", gen))
+	}
+	if last := c.Gen + uint64(len(frames)-1); last != gen {
+		return nil, failNew(cfg, badRestore(nil, "checkpoint filed as generation %d ends at generation %d", gen, last))
 	}
 	if want := engineKind(cfg); c.Engine != want {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint was taken by the %s engine, config selects the %s engine", engineName(c.Engine), engineName(want)))
@@ -283,7 +402,7 @@ func Restore(store CheckpointStore, cfg Config) (*Monitor, error) {
 	if c.Distinct != cfg.DistinctValues {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint distinct-values mode %v differs from configured %v", c.Distinct, cfg.DistinctValues))
 	}
-	eng, err := buildEngine(cfg, &c, false)
+	eng, err := buildEngine(cfg, &c, frames[1:], false)
 	if err != nil {
 		return nil, failNew(cfg, badRestore(err, "%s engine", engineName(c.Engine)))
 	}

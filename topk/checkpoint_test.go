@@ -99,6 +99,10 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	// The walk above charges messages at every step, so every frame of it
+	// is a base; the same pin where the restore lands on a base and its
+	// deltas, on every engine.
+	restoreThroughChain(t)
 }
 
 // ckptEngines enumerates one configuration per engine for the chaos
@@ -126,8 +130,16 @@ func TestCheckpointCrashRestartChaos(t *testing.T) {
 	for _, eng := range ckptEngines {
 		eng := eng
 		t.Run(eng.name, func(t *testing.T) {
-			for trial := uint64(0); trial < 4; trial++ {
+			// Even trials walk every node every step, so every frame is a
+			// base; odd ones run the quiet sparse trace over more nodes, so
+			// the kill lands among the deltas of a chain.
+			inChain := 0
+			for trial := uint64(0); trial < 8; trial++ {
+				quiet := trial%2 == 1
 				cfg := Config{Nodes: 24, K: 4, Seed: 7 + trial}
+				if quiet {
+					cfg.Nodes = 256
+				}
 				eng.mut(&cfg)
 				store := MemCheckpoints()
 				cfg.Checkpoint = Checkpoint{Store: store, Every: 3}
@@ -141,13 +153,38 @@ func TestCheckpointCrashRestartChaos(t *testing.T) {
 
 				tr := rng.New(1000+trial, 5)
 				wr := rng.New(2000+trial, 7)
+				qt := newQuietTrace(cfg.Nodes, 3000+trial)
 				vals := make([]int64, cfg.Nodes)
+				if quiet {
+					vals = qt.vals
+				}
+				// next moves the input one step and returns the sparse
+				// call that says so, or nil ids for a dense one.
+				next := func(step int) ([]int, []int64) {
+					switch {
+					case !quiet:
+						ckptWalk(wr, vals)
+					case step > 0 && step%11 == 10:
+						return qt.stir(step%5, int64(step))
+					case step > 0:
+						return qt.step(4)
+					}
+					return nil, vals
+				}
 				killStep := 2 + tr.Intn(30)
 				for step := 0; step < killStep; step++ {
-					ckptWalk(wr, vals)
-					if _, err := mon.Observe(vals); err != nil {
+					if ids, moved := next(step); ids == nil {
+						_, err = mon.Observe(moved)
+					} else {
+						_, err = mon.ObserveDelta(ids, moved)
+					}
+					if err != nil {
 						t.Fatalf("trial %d step %d: %v", trial, step, err)
 					}
+				}
+				deltas := mon.CheckpointStats().Deltas
+				if deltas > 0 {
+					inChain++
 				}
 				// The crash: the old coordinator is abandoned mid-run.
 				// (Close at cleanup only reclaims test goroutines; the
@@ -167,12 +204,14 @@ func TestCheckpointCrashRestartChaos(t *testing.T) {
 					restored, err = New(cfg)
 				}
 				if err != nil {
-					t.Fatalf("trial %d (kill at %d): restore: %v", trial, killStep, err)
+					t.Fatalf("trial %d (kill at %d, %d deltas saved): restore: %v", trial, killStep, deltas, err)
 				}
 				defer restored.Close()
 
+				// Dense from here on: the steps since the last frame are
+				// caught up on by the first call.
 				for step := 0; step < 25; step++ {
-					ckptWalk(wr, vals)
+					next(killStep + step)
 					got, err := restored.Observe(vals)
 					if err != nil {
 						t.Fatalf("trial %d post-restore step %d: %v", trial, step, err)
@@ -189,6 +228,9 @@ func TestCheckpointCrashRestartChaos(t *testing.T) {
 				if h := restored.Health(); h.Terminal != nil || h.Degraded {
 					t.Fatalf("trial %d: restored monitor unhealthy: %+v", trial, h)
 				}
+			}
+			if inChain < 2 {
+				t.Fatalf("%d of 8 kills landed in a chain with deltas; the quiet trials exercise nothing", inChain)
 			}
 		})
 	}
@@ -259,6 +301,8 @@ func TestCheckpointMidWriteCrash(t *testing.T) {
 			}
 		})
 	}
+	// That walk's frames are all bases; the same kill inside a chain.
+	midWriteCrashInChain(t)
 }
 
 // TestRestoreRejects pins that Restore never rebuilds a monitor from a

@@ -25,7 +25,11 @@ type engine interface {
 	Ledger() *comm.Ledger
 	Stats() coord.Stats
 	Err() error
-	AppendCheckpoint(dst []byte, gen uint64) ([]byte, error)
+	// AppendCheckpoint appends one sealed frame of the checkpoint chain,
+	// of generation gen: the base frame when base == 0, else a delta on
+	// the base of generation base carrying the values of the nodes of
+	// dirty (one bit a node; nil: every node).
+	AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64) ([]byte, error)
 	Close()
 }
 
@@ -59,15 +63,18 @@ type closed struct{ led comm.Ledger }
 
 var closedEngine engine = new(closed)
 
-func (*closed) Observe([]int64) []int                           { return nil }
-func (*closed) ObserveDelta([]int, []int64) []int               { return nil }
-func (*closed) Top() []int                                      { return nil }
-func (*closed) AppendTop(dst []int) []int                       { return dst }
-func (c *closed) Ledger() *comm.Ledger                          { return &c.led }
-func (*closed) Stats() coord.Stats                              { return coord.Stats{} }
-func (*closed) Err() error                                      { return errClosed }
-func (*closed) AppendCheckpoint([]byte, uint64) ([]byte, error) { return nil, errClosed }
-func (*closed) Close()                                          {}
+func (*closed) Observe([]int64) []int             { return nil }
+func (*closed) ObserveDelta([]int, []int64) []int { return nil }
+func (*closed) Top() []int                        { return nil }
+func (*closed) AppendTop(dst []int) []int         { return dst }
+func (c *closed) Ledger() *comm.Ledger            { return &c.led }
+func (*closed) Stats() coord.Stats                { return coord.Stats{} }
+func (*closed) Err() error                        { return errClosed }
+func (*closed) Close()                            {}
+
+func (*closed) AppendCheckpoint([]byte, uint64, uint64, []uint64) ([]byte, error) {
+	return nil, errClosed
+}
 
 // asEngine erases a constructor's concrete engine type, keeping a failed
 // construction a nil engine.
@@ -106,25 +113,54 @@ func fanoutConfig(cfg Config) shardrun.Config {
 	}
 }
 
+// foldMirror folds the deltas of a link-backed engine's checkpoint chain
+// into its base envelope c: every delta's values, held to the value
+// domain, patch the value mirror c.Last — what the engine replays to its
+// peers — and the machine frame the chain ends on is returned.
+func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) ([]byte, error) {
+	if len(deltas) > 0 && len(c.Last) != cfg.Nodes {
+		return nil, badRestore(nil, "checkpoint mirror has %d values for n=%d", len(c.Last), cfg.Nodes)
+	}
+	maxVal := maxValueFor(cfg.Nodes, cfg.DistinctValues)
+	return coord.FoldDeltas(c, cfg.Nodes, deltas, func(ids []int, vals []int64) error {
+		for j, id := range ids {
+			if v := vals[j]; v > maxVal || v < -maxVal {
+				return badRestore(nil, "node %d value %d outside the value domain [-%d, %d]", id, v, maxVal, maxVal)
+			}
+			c.Last[id] = vals[j]
+		}
+		return nil
+	})
+}
+
 // buildEngine constructs the engine a validated configuration selects —
-// fresh, or (c != nil) from a checkpoint that engine took. It is the one
-// place engine identity is switched on. ordered is NewOrdered's: the
-// coordinator's ordered mode, which only the two in-process engines run
-// (NewOrdered rejects the configurations that select another).
-func buildEngine(cfg Config, c *wire.Checkpoint, ordered bool) (engine, error) {
+// fresh, or (c != nil) from a checkpoint chain that engine took: base
+// envelope c and the delta frames after it. It is the one place engine
+// identity is switched on. ordered is NewOrdered's: the coordinator's
+// ordered mode, which only the two in-process engines run (NewOrdered
+// rejects the configurations that select another).
+func buildEngine(cfg Config, c *wire.Checkpoint, deltas [][]byte, ordered bool) (engine, error) {
 	fc := fanoutConfig(cfg)
 	lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon, Ordered: ordered}
-	switch kind := engineKind(cfg); {
+	kind := engineKind(cfg)
+	var mach []byte // link-backed restores: the machine frame the chain ends on
+	if c != nil && (kind == wire.EngineShard || kind == wire.EngineNet) {
+		var err error
+		if mach, err = foldMirror(cfg, c, deltas); err != nil {
+			return nil, err
+		}
+	}
+	switch {
 	case kind == wire.EngineShard && !cfg.Tree.zero():
 		if c == nil {
 			return asEngine(shardrun.NewLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth))
 		}
-		return asEngine(shardrun.RestoreLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth, c.Machine, c.Last))
+		return asEngine(shardrun.RestoreLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth, mach, c.Last))
 	case kind == wire.EngineShard:
 		if c == nil {
 			return asEngine(shardrun.NewLoopback(fc, cfg.Shards))
 		}
-		return asEngine(shardrun.RestoreLoopback(fc, cfg.Shards, c.Machine, c.Last))
+		return asEngine(shardrun.RestoreLoopback(fc, cfg.Shards, mach, c.Last))
 	case kind == wire.EngineNet:
 		var links []transport.Link
 		for _, l := range cfg.Transport.Links() {
@@ -133,7 +169,7 @@ func buildEngine(cfg Config, c *wire.Checkpoint, ordered bool) (engine, error) {
 		if c == nil {
 			return asEngine(netrun.New(fc.Core(), links))
 		}
-		return asEngine(netrun.Restore(fc.Core(), links, c.Machine, c.Last))
+		return asEngine(netrun.Restore(fc.Core(), links, mach, c.Last))
 	default:
 		// The in-process engines are one monitor on two hosts: the bank
 		// swept inline, or by a pool of min(n, GOMAXPROCS) shard goroutines.
@@ -144,7 +180,7 @@ func buildEngine(cfg Config, c *wire.Checkpoint, ordered bool) (engine, error) {
 		if c == nil {
 			return core.NewOn(lc, host), nil
 		}
-		return asEngine(core.RestoreOn(lc, host, c.Machine, c.Nodes))
+		return asEngine(core.RestoreChainOn(lc, host, c, deltas))
 	}
 }
 
@@ -172,6 +208,15 @@ func (m *Monitor) step(top []int) ([]int, error) {
 	}
 	m.maybeCheckpoint()
 	return top, nil
+}
+
+// observed tells a monitor that writes a checkpoint chain which nodes a
+// call is about to move — ids, or every node when ids is nil. A monitor
+// without a store keeps no such set.
+func (m *Monitor) observed(ids []int) {
+	if m.chain != nil {
+		m.chain.observed(ids, m.cfg.Nodes)
+	}
 }
 
 func convCounts(c comm.Counts) Counts { return Counts{Up: c.Up, Down: c.Down, Broadcast: c.Bcast} }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // liveHeap forces a full collection and returns the live heap, exactly as
@@ -121,54 +123,200 @@ func TestCheckpointFrameBytesPerNode(t *testing.T) {
 }
 
 // TestCheckpointSteadyStateAllocations pins what a save costs once the
-// monitor's encode buffer has settled: the frame is written in place from
-// the engine's arrays, so the only allocation left is the store's own copy
-// — at most two allocations a save and 1.25 × the frame's bytes, where the
-// v1 path allocated nine n-long slices and the frame twice over.
+// monitor's encode buffer has settled and the chain is running: the delta
+// is written in place from the engine's arrays into the monitor's buffer
+// and appended to the store's slab for the chain, so a save allocates
+// nothing — the slab's doublings aside, which since the chain began come
+// to less than four times the bytes saved. (The full frame every save used
+// to write cost the store's copy of it: one allocation and the frame's
+// bytes, each time.)
 func TestCheckpointSteadyStateAllocations(t *testing.T) {
 	const n, k = 1 << 14, 16
 	ctx := context.Background()
 	for _, conc := range []bool{false, true} {
-		store := MemCheckpoints()
-		m, err := New(Config{Nodes: n, K: k, Seed: 1, Concurrent: conc, Checkpoint: Checkpoint{Store: store}})
+		m, err := New(Config{Nodes: n, K: k, Seed: 1, Concurrent: conc, Checkpoint: Checkpoint{Store: MemCheckpoints()}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(i) * 7 % 1000003
-		}
-		if _, err := m.Observe(vals); err != nil {
+		tr := newQuietTrace(n, 3)
+		if _, err := m.Observe(tr.vals); err != nil {
 			t.Fatal(err)
 		}
 		save := func() {
+			if _, err := m.ObserveDelta(tr.step(64)); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := m.Checkpoint(ctx); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 10; i++ { // past the store's retention bound
+		save() // the base, into buffers that are allocated once
+		for i := 0; i < 10; i++ {
 			save()
 		}
-		_, frame, err := store.Load()
+		if allocs := testing.AllocsPerRun(20, save); allocs != 0 {
+			t.Fatalf("concurrent=%v: %.1f allocations per steady-state save, want 0", conc, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st0 := m.CheckpointStats()
+		for i := 0; i < 100; i++ {
+			save()
+		}
+		st := m.CheckpointStats()
+		runtime.ReadMemStats(&after)
+		if st.Bases != 1 || st.Deltas != st.Saves-1 {
+			t.Fatalf("concurrent=%v: %d bases and %d deltas in %d saves of a quiet trace", conc, st.Bases, st.Deltas, st.Saves)
+		}
+		// The slab held 31 deltas when the window opened and doubles: what
+		// it allocates on the way to 131 is under four times what is saved.
+		saved, allocated := st.Bytes-st0.Bytes, after.TotalAlloc-before.TotalAlloc
+		t.Logf("concurrent=%v: %d bytes allocated over %d delta saves of %d bytes in all", conc, allocated, st.Deltas-st0.Deltas, saved)
+		if allocated > 4*uint64(saved) {
+			t.Fatalf("concurrent=%v: %d bytes allocated for %d bytes of deltas saved, budget 4x (a doubling slab)", conc, allocated, saved)
+		}
+	}
+}
+
+// TestCheckpointChainFootprint is the tier-1 pin of "a checkpoint costs
+// what changed", on a quiet sparse trace at n = 2^14 — 64 nodes a step, a
+// checkpoint every 16 steps, the shape of benchmark/'s ckpt-seq-sparse:
+//
+//   - after 8 saves, what the monitor and its MemCheckpoints store keep
+//     alive beyond a monitor without a store is under three full frames —
+//     the monitor's encode buffer, the store's base, and the deltas with
+//     room to spare — where eight retained full frames and the buffer
+//     were nine;
+//   - the first save is a base within the v2 frame's 16 B/node, the seven
+//     after it are deltas of under 1 B/node on average;
+//   - restoring from a chain as long as chains get — every delta up to
+//     the one that would have outgrown the base — allocates at most twice
+//     what TestRestoreAllocatesTheBankAndTheFrame allows a lone base: the
+//     loaded chain is at most two frames, and folding it decodes one delta
+//     at a time into buffers it reuses.
+func TestCheckpointChainFootprint(t *testing.T) {
+	const n, k, every, changed, slack = 1 << 14, 16, 16, 64, 4.0
+	cfg := Config{Nodes: n, K: k, Seed: 1}
+	run := func(m *Monitor, tr *quietTrace, until func() bool) {
+		t.Helper()
+		if _, err := m.Observe(tr.vals); err != nil {
+			t.Fatal(err)
+		}
+		for !until() {
+			if _, err := m.ObserveDelta(tr.step(changed)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heapOf := func(ck func() Checkpoint) (float64, *recordingStore) {
+		tr := newQuietTrace(n, 7)
+		before := liveHeap()
+		c, rec := cfg, (*recordingStore)(nil)
+		if ck != nil {
+			c.Checkpoint = ck()
+			rec = &recordingStore{inner: c.Checkpoint.Store}
+		}
+		steps := 0
+		m, err := New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(20, save); allocs > 2 {
-			t.Fatalf("concurrent=%v: %.1f allocations per steady-state save, budget 2", conc, allocs)
+		defer m.Close()
+		run(m, tr, func() bool { steps++; return steps > 8*every })
+		held := float64(liveHeap()) - float64(before)
+		if ck != nil { // the sizes, from a second pass that records the frames
+			c.Checkpoint.Store = rec
+			again, err := New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			steps = 0
+			run(again, newQuietTrace(n, 7), func() bool { steps++; return steps > 8*every })
 		}
-		const saves = 20
+		runtime.KeepAlive(m)
+		runtime.KeepAlive(c.Checkpoint.Store)
+		return held, rec
+	}
+	bare, _ := heapOf(nil)
+	with, rec := heapOf(func() Checkpoint { return Checkpoint{Store: MemCheckpoints(), Every: every} })
+	if len(rec.frames) != 8 || rec.frames[0][0] != wire.TypeCheckpoint {
+		t.Fatalf("%d frames saved, the first tagged 0x%02x; want 8 with a base first", len(rec.frames), rec.frames[0][0])
+	}
+	full, deltas := float64(len(rec.frames[0])), 0.0
+	for i, f := range rec.frames[1:] {
+		if f[0] != wire.TypeCheckpointDelta {
+			t.Fatalf("save %d of a quiet trace is not a delta", i+2)
+		}
+		deltas += float64(len(f))
+	}
+	t.Logf("n=%d: base %.2f B/node, mean delta %.3f B/node; a store costs %.2f full frames of heap after 8 saves",
+		n, full/n, deltas/7/n, (with-bare)/full)
+	if full/n > 16 {
+		t.Fatalf("the base frame is %.2f B/node, budget 16", full/n)
+	}
+	if deltas/7/n > 1 {
+		t.Fatalf("the deltas average %.3f B/node, budget 1", deltas/7/n)
+	}
+	if with-bare > 3*full {
+		t.Fatalf("monitor and store hold %.2f full frames beyond a monitor without a store, budget 3", (with-bare)/full)
+	}
+
+	// A maximal chain: save after every step until the store sees the
+	// second base; everything before it is one chain at its bound.
+	long := &recordingStore{inner: MemCheckpoints()}
+	c := cfg
+	c.Checkpoint = Checkpoint{Store: long, Every: 1}
+	m, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	run(m, newQuietTrace(n, 7), func() bool {
+		last := len(long.frames) - 1
+		return last > 0 && long.frames[last][0] == wire.TypeCheckpoint
+	})
+	chain := long.frames[:len(long.frames)-1]
+	maximal, chainBytes := MemCheckpoints(), 0
+	for i, f := range chain {
+		if err := maximal.Save(long.gens[i], f); err != nil {
+			t.Fatal(err)
+		}
+		chainBytes += len(f)
+	}
+	totalAlloc := func(f func()) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < saves; i++ {
-			save()
-		}
+		f()
 		runtime.ReadMemStats(&after)
-		perSave := float64(after.TotalAlloc-before.TotalAlloc) / saves
-		t.Logf("concurrent=%v: %.0f bytes allocated per save of a %d-byte frame", conc, perSave, len(frame))
-		if perSave > 1.25*float64(len(frame)) {
-			t.Fatalf("concurrent=%v: a save allocates %.0f bytes for a %d-byte frame, budget 1.25x", conc, perSave, len(frame))
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	build := totalAlloc(func() {
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		fresh.Close()
+	})
+	restore := totalAlloc(func() {
+		back, err := Restore(maximal, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Stats().Steps; got != int64(len(chain)) {
+			t.Fatalf("restored at step %d from a chain of %d frames saved a step apart", got, len(chain))
+		}
+		back.Close()
+	})
+	lone := build + float64(len(chain[0])) + slack*n
+	t.Logf("a chain of %d frames, %d bytes on a %d-byte base: Restore allocates %.1f B/node, a lone base's budget is %.1f",
+		len(chain), chainBytes, len(chain[0]), restore/n, lone/n)
+	if len(chain) < 100 || chainBytes > 2*len(chain[0]) {
+		t.Fatalf("the chain is %d frames and %d bytes on a %d-byte base; want a long one within twice its base", len(chain), chainBytes, len(chain[0]))
+	}
+	if restore > 2*lone {
+		t.Fatalf("Restore from a maximal chain allocates %.1f B/node, budget 2 x %.1f", restore/n, lone/n)
 	}
 }
 

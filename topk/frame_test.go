@@ -3,6 +3,7 @@ package topk
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -193,8 +194,10 @@ func TestRestoreGoldenV1Frames(t *testing.T) {
 // TestStoredGenerationsSurviveBufferReuse pins the ownership contract of
 // CheckpointStore.Save from the monitor's side: every generation is
 // encoded into one buffer, so a store must hold copies — and
-// MemCheckpoints does. Three generations from one monitor, each read back
-// after all three were written, each intact and each restorable.
+// MemCheckpoints does. Four generations from one monitor — three bases,
+// each after steps that charged messages, and a delta on the third — and
+// everything the store retains of them (the two newest bases and what
+// follows) read back after all four were written, intact and restorable.
 func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
 	for _, conc := range []bool{false, true} {
 		store := MemCheckpoints()
@@ -206,10 +209,10 @@ func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
 		defer mon.Close()
 		wr := rng.New(5, 5)
 		vals := make([]int64, cfg.Nodes)
-		var written [][]byte
+		var written [][]byte // what Load returned right after generation i+1 was saved
 		var steps []int64
-		for gen := 1; gen <= 3; gen++ {
-			for s := 0; s < 10*gen; s++ {
+		for gen := 1; gen <= 4; gen++ {
+			for s := 0; s < 10*gen && gen < 4; s++ { // nothing moves before the fourth: a delta
 				ckptWalk(wr, vals)
 				if _, err := mon.Observe(vals); err != nil {
 					t.Fatal(err)
@@ -225,22 +228,32 @@ func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
 			written = append(written, frame)
 			steps = append(steps, mon.Stats().Steps)
 		}
-		if bytes.Equal(written[0], written[1]) || bytes.Equal(written[1], written[2]) {
-			t.Fatal("the three generations do not differ; the test would pass on aliased frames")
+		if st := mon.CheckpointStats(); st.Bases != 3 || st.Deltas != 1 {
+			t.Fatalf("concurrent=%v: %d bases and %d deltas, want 3 and 1", conc, st.Bases, st.Deltas)
+		}
+		if bytes.Equal(written[0], written[1]) || bytes.Equal(written[1], written[2]) || bytes.Equal(written[2], written[3]) {
+			t.Fatal("the generations do not differ; the test would pass on aliased frames")
 		}
 		// Read the generations back newest first: overwriting one with junk
-		// makes Load fall back to the one before it.
-		for gen := 3; gen >= 1; gen-- {
-			g, frame, err := store.Load()
+		// makes Load fall back to the one before it — down to the older of
+		// the two bases the store keeps.
+		for gen := 4; gen >= 2; gen-- {
+			g, loaded, err := store.Load()
 			if err != nil || g != uint64(gen) {
 				t.Fatalf("concurrent=%v: Load = generation %d, %v; want %d", conc, g, err, gen)
 			}
-			if !bytes.Equal(frame, written[gen-1]) {
+			if !bytes.Equal(loaded, written[gen-1]) {
 				t.Fatalf("concurrent=%v: stored generation %d changed after later generations were encoded", conc, gen)
 			}
+			frames, err := wire.SplitCheckpointChain(loaded)
+			if err != nil || len(frames) != 1+gen/4 {
+				t.Fatalf("concurrent=%v: generation %d loads as %d frames, %v", conc, gen, len(frames), err)
+			}
 			one := MemCheckpoints()
-			if err := one.Save(g, frame); err != nil {
-				t.Fatal(err)
+			for i, frame := range frames {
+				if err := one.Save(g-uint64(len(frames)-1-i), frame); err != nil {
+					t.Fatal(err)
+				}
 			}
 			back, err := Restore(one, Config{Nodes: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Concurrent: conc})
 			if err != nil {
@@ -253,6 +266,9 @@ func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
 			if err := store.Save(g, []byte("junk")); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if _, _, err := store.Load(); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("concurrent=%v: Load with every kept generation overwritten: %v, want ErrCorruptCheckpoint (generation 1 is not kept)", conc, err)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func NewOrdered(cfg Config) (*OrderedMonitor, error) {
 	if cfg.Checkpoint.Store != nil || cfg.Checkpoint.Every != 0 {
 		return nil, badConfig(cfg, "Checkpoint", "durable checkpointing is not supported by the ordered monitor; see ROADMAP.md")
 	}
-	eng, err := buildEngine(cfg, nil, true)
+	eng, err := buildEngine(cfg, nil, nil, true)
 	if err != nil {
 		return nil, err
 	}

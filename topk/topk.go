@@ -64,10 +64,11 @@
 //
 // Config.Checkpoint adds durable crash-restart: the monitor persists
 // CRC-sealed state frames to a CheckpointStore (FileCheckpoints,
-// MemCheckpoints) at idle step boundaries, and Restore rebuilds a
-// monitor — bit-identically on the local engines, oracle-exact after a
-// forced filter reset on the networked ones — from the newest valid
-// frame after the coordinator process itself dies.
+// MemCheckpoints) at idle step boundaries — a base frame, then deltas
+// that cost what changed — and Restore rebuilds a monitor —
+// bit-identically on the local engines, oracle-exact after a forced
+// filter reset on the networked ones — from the newest valid base and
+// its deltas after the coordinator process itself dies.
 package topk
 
 import (
@@ -227,7 +228,8 @@ type Config struct {
 	// monitor can persist its execution state as CRC-sealed frames —
 	// automatically every Checkpoint.Every applied steps, or on demand
 	// through Monitor.Checkpoint — and a crashed coordinator process
-	// restarts from the latest valid frame with Restore. The zero value
+	// restarts from the latest valid base frame and its deltas with
+	// Restore. The zero value
 	// disables checkpointing. All four engines support it; see the
 	// Checkpoint type for the durability and recovery semantics.
 	Checkpoint Checkpoint
@@ -282,14 +284,16 @@ type Monitor struct {
 
 	// Durable checkpointing (Config.Checkpoint): the generation counter,
 	// the steps applied since the last automatic checkpoint, the outcome
-	// counters CheckpointStats reports, and the buffer every frame is
-	// encoded into. In asynchronous mode engineMu guards them (the worker
-	// checkpoints under it); a synchronous monitor is single-threaded by
-	// contract.
+	// counters CheckpointStats reports, the buffer every frame is encoded
+	// into, and — only with a Store configured — what the monitor
+	// remembers of the chain it is writing. In asynchronous mode engineMu
+	// guards them (the worker checkpoints under it); a synchronous monitor
+	// is single-threaded by contract.
 	ckptGen     uint64
 	ckptApplied int
 	ckptStats   CheckpointStats
 	ckptBuf     []byte
+	chain       *ckptChain
 }
 
 // failNew rejects a configuration, releasing the Transport's links and
@@ -379,7 +383,7 @@ func New(cfg Config) (*Monitor, error) {
 	if err := validateConfig(cfg); err != nil {
 		return nil, err
 	}
-	eng, err := buildEngine(cfg, nil, false)
+	eng, err := buildEngine(cfg, nil, nil, false)
 	if err != nil {
 		// The transport's links are unusable after a failed handshake;
 		// release them and their serve loops so a retrying caller does not
@@ -392,6 +396,9 @@ func New(cfg Config) (*Monitor, error) {
 // startMonitor attaches asynchronous ingestion, when configured, to a
 // monitor whose engine New or Restore just built.
 func startMonitor(m *Monitor) (*Monitor, error) {
+	if m.cfg.Checkpoint.Store != nil {
+		m.chain = &ckptChain{dirty: make([]uint64, (m.cfg.Nodes+63)/64)}
+	}
 	if m.cfg.Ingest.QueueDepth > 0 {
 		if err := m.startIngest(); err != nil {
 			m.Close()
@@ -473,6 +480,7 @@ func (m *Monitor) Observe(vals []int64) ([]int, error) {
 	if m.drv != nil {
 		return nil, m.enqueue(m.allIDs, vals)
 	}
+	m.observed(nil)
 	return m.step(m.eng.Observe(vals))
 }
 
@@ -512,6 +520,7 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) ([]int, error) {
 	if m.drv != nil {
 		return nil, m.enqueue(ids, vals)
 	}
+	m.observed(ids)
 	return m.step(m.eng.ObserveDelta(ids, vals))
 }
 
