@@ -207,9 +207,11 @@ func TestBaselinePanics(t *testing.T) {
 }
 
 // TestPerRoundSamplingIsGolden pins three steps of the per-round baseline
-// against the reports and message counts recorded when it held one
-// heap-allocated generator per node: the same children held by value draw
-// the same trials.
+// against recorded reports and message counts. The reports and broadcasts
+// are the ones recorded when it held one heap-allocated generator per node;
+// the Up counts were recorded again when an execution came to draw each
+// participant's generator once, for its coin identity, where it had drawn
+// one trial a round.
 func TestPerRoundSamplingIsGolden(t *testing.T) {
 	b := NewPerRound(16, 3, 7)
 	vals := make([]int64, 16)
@@ -217,9 +219,9 @@ func TestPerRoundSamplingIsGolden(t *testing.T) {
 		top    []int
 		counts comm.Counts
 	}{
-		{[]int{3, 8, 13}, comm.Counts{Up: 19, Bcast: 15}},
-		{[]int{4, 9, 12}, comm.Counts{Up: 35, Bcast: 30}},
-		{[]int{0, 8, 13}, comm.Counts{Up: 49, Bcast: 45}},
+		{[]int{3, 8, 13}, comm.Counts{Up: 10, Bcast: 15}},
+		{[]int{4, 9, 12}, comm.Counts{Up: 22, Bcast: 30}},
+		{[]int{0, 8, 13}, comm.Counts{Up: 44, Bcast: 45}},
 	} {
 		for i := range vals {
 			vals[i] = int64((i*37+s*11)%23) * 5

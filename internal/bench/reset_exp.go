@@ -75,9 +75,7 @@ func E24ResetSweep(sc Scale) Table {
 				for i, p := range root.Perm(n) {
 					keys[i] = order.Key(p + 1)
 				}
-				field := func() protocol.Field {
-					return protocol.Field{Keys: keys, Gens: rng.New(seed, 0xe25).SplitArena(0, n)}
-				}
+				f := protocol.Field{Keys: keys}
 				// The keys are a permutation of 1..n: winner i holds n-i.
 				check := func(i int, w protocol.Winner) {
 					if w.Key != int64(n-i) || int64(keys[w.ID]) != w.Key {
@@ -86,12 +84,12 @@ func E24ResetSweep(sc Scale) Table {
 				}
 
 				var c comm.Counter
-				f, rounds, winners := field(), 0, make([]int, 0, want)
+				rounds, winners := 0, make([]int, 0, want)
 				start := time.Now()
 				for i := 0; i < want; i++ {
 					in.EnlistExcept(n, winners)
-					ex.Begin(n, 1, false, &c, nil, 0)
-					f.Run(&in, &ex, order.Tol{})
+					ex.Begin(n, 1, false, &c, nil, int64(i)) // a step of its own: coins of its own
+					f.Run(&in, &ex, order.Tol{}, seed)
 					res := ex.Result()
 					check(i, protocol.Winner{ID: res.ID, Key: int64(res.Key)})
 					winners, rounds = append(winners, res.ID), rounds+res.Rounds
@@ -99,11 +97,10 @@ func E24ResetSweep(sc Scale) Table {
 				ref.add(&c, rounds, time.Since(start))
 
 				c.Reset()
-				f = field()
 				start = time.Now()
 				in.EnlistExcept(n, nil)
 				ex.Begin(n, want, false, &c, nil, 0)
-				f.Run(&in, &ex, order.Tol{})
+				f.Run(&in, &ex, order.Tol{}, seed)
 				sweep.add(&c, ex.Result().Rounds, time.Since(start))
 				if len(ex.Winners()) != want {
 					wrong++
@@ -127,7 +124,7 @@ func E24ResetSweep(sc Scale) Table {
 			}
 		}
 	}
-	t.Note("ref: k+1 maximum executions, each over the nodes no earlier one won; sweep: one execution for the k+1 largest; same keys (a random permutation of 1..n) and the same generator seeds on both sides")
+	t.Note("ref: k+1 maximum executions, each over the nodes no earlier one won; sweep: one execution for the k+1 largest; same keys (a random permutation of 1..n) and the same coin seed on both sides")
 	t.Note("up ×, msgs × = sweep / ref (base: the ref column); time × = ref / sweep (base: ms sweep); rounds = broadcast rounds per reset")
 	if len(risen) == 0 {
 		t.Note("up-messages rise beyond two standard errors of the per-seed difference at no cell")

@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: it regenerates, as numbered
-// experiments E1..E19, E24 and E25, the empirical validation of every theorem, lemma and
+// experiments E1..E19 and E24..E26, the empirical validation of every theorem, lemma and
 // comparison claim in the paper (the paper is analytical and has no
 // measurement tables of its own; DESIGN.md §4 maps each experiment to the
 // claim it validates). cmd/experiments runs the suite at full scale and
@@ -95,7 +95,8 @@ type Scale struct {
 	ProtoMaxExp int
 	// MonMaxExp bounds monitor node-count sweeps at n = 2^MonMaxExp.
 	MonMaxExp int
-	// ResetMaxExp bounds the reset sweep (E24) at n = 2^ResetMaxExp.
+	// ResetMaxExp bounds the reset sweep (E24) and the coin comparison
+	// (E26) at n = 2^ResetMaxExp.
 	ResetMaxExp int
 	// CkptMaxExp is the larger node count of the checkpoint sweep (E25),
 	// n = 2^CkptMaxExp; the smaller is 2^14 where that is less.
@@ -147,6 +148,7 @@ func All() []Experiment {
 		// are repo-root benchmarks too.
 		{"E24", "FILTERRESET: one top-(k+1) sweep vs k+1 executions", E24ResetSweep},
 		{"E25", "Checkpoints that cost what changed: base frame plus value deltas", E25CheckpointChain},
+		{"E26", "A node's coin as a function: per-node generators vs the keyed coin", E26KeyedCoin},
 	}
 }
 

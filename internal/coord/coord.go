@@ -53,8 +53,8 @@
 //
 // Exactly one event answers each effect; the Machine panics on protocol
 // misuse. Effects are emitted in the deterministic order Algorithm 1
-// prescribes, which is what keeps the engines' randomness consumption
-// identical.
+// prescribes, and each execution's coins are a function of its step and
+// tag, which is what keeps the engines' ledgers identical.
 //
 // A machine in the ordered mode (Config.Ordered, the paper's §5 outlook)
 // settles the ranking of the top-k before it reports EffDone: wherever a
@@ -228,9 +228,9 @@ type Machine struct {
 	recHand  comm.Recorder
 	recReset comm.Recorder
 
-	inTop []bool // current membership, by node id
-	top   []int  // current membership, ascending; alias returned by Top
-	tmp   []int  // scratch for membership rebuilds (swapped with top)
+	inTop []uint64 // current membership: bit id&63 of word id>>6
+	top   []int    // current membership, ascending; alias returned by Top
+	tmp   []int    // scratch for membership rebuilds (swapped with top)
 
 	keys []order.Key // the running reset's winner keys, best first
 
@@ -273,7 +273,7 @@ func New(cfg Config) *Machine {
 	}
 	m := &Machine{
 		cfg:   cfg,
-		inTop: make([]bool, cfg.N),
+		inTop: make([]uint64, (cfg.N+63)>>6),
 		top:   make([]int, 0, cfg.K),
 		tmp:   make([]int, 0, cfg.K),
 		keys:  make([]order.Key, 0, cfg.K+1),
@@ -330,7 +330,7 @@ func (m *Machine) Recorder(p comm.Phase) comm.Recorder {
 }
 
 // InTop reports whether node id is in the current top-k set.
-func (m *Machine) InTop(id int) bool { return m.inTop[id] }
+func (m *Machine) InTop(id int) bool { return m.inTop[id>>6]>>(id&63)&1 != 0 }
 
 // Top returns the current top-k ids ascending. The slice is a read-only
 // view owned by the machine: it stays valid (reporting the last completed
@@ -499,7 +499,7 @@ func (m *Machine) nextWinner() Effect {
 	}
 	id := m.tmp[m.winIdx]
 	m.winIdx++
-	m.inTop[id] = true
+	m.inTop[id>>6] |= 1 << (id & 63)
 	m.state = stResetWin
 	return Effect{Kind: EffWinner, Target: id, IsTop: true}
 }
@@ -638,8 +638,13 @@ func (m *Machine) Ack() Effect {
 	switch m.state {
 	case stResetBegin:
 		// Nodes have cleared their membership; forget the old one and
-		// select the new.
-		clear(m.inTop)
+		// select the new. Whoever holds a bit is in top or, after an abort
+		// between the winners of a reset, in tmp.
+		for _, ids := range [2][]int{m.top, m.tmp} {
+			for _, id := range ids {
+				m.inTop[id>>6] &^= 1 << (id & 63)
+			}
+		}
 		m.keys, m.band, m.tmp = m.keys[:0], m.band[:0], m.tmp[:0]
 		return m.resetExec()
 	case stResetWin:

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -47,6 +48,12 @@ type driver struct {
 	// reset, when set, runs every FILTERRESET's execution the way
 	// Algorithm 1 spells it: the reference of refreset_test.go.
 	reset *refReset
+	// ran[tag] is the last step the machine asked for an execution of
+	// cohort tag in: a node's coins are keyed by (step, tag), so a machine
+	// that asked twice in one step would have the second execution flip the
+	// first's coins. drive fails on it, in every suite built on this driver
+	// — the exhaustive small-scope ones included.
+	ran [TagReset + 1]int64
 }
 
 func newDriver(n, k int, seed uint64) *driver {
@@ -85,6 +92,10 @@ func (d *driver) drive(eff Effect, step int64) {
 	for eff.Kind != EffDone {
 		switch eff.Kind {
 		case EffExec:
+			if d.ran[eff.Tag] == step && step != 0 {
+				panic(fmt.Sprintf("coord: the machine ran cohort tag %d twice in step %d", eff.Tag, step))
+			}
+			d.ran[eff.Tag] = step
 			if d.reset != nil && eff.Tag == TagReset {
 				eff = d.reset.run(d.mach, eff, step)
 				continue

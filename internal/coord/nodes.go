@@ -32,27 +32,28 @@ const (
 // translates its substrate's commands into the methods below.
 //
 // The per-node state of the paper's node model — current key, membership
-// knowledge from the last broadcast, a private generator for the
-// protocol's Bernoulli trials — is parallel arrays indexed by id - Lo, 17
-// bytes per hosted node (key 8, generator state 8, flags 1): the filter is
-// derived from the installed bounds (filter.Bounds) and no function of the
-// id is stored, a generator's increment included. Who violated its filter
-// this step is a short list (viol), who is still in play during a protocol
-// execution one bit per node in the view's in-play set (Round), empty
-// between executions.
+// knowledge from the last broadcast — is parallel arrays indexed by
+// id - Lo, 9 bytes per hosted node (key 8, flags 1): the filter is derived
+// from the installed bounds (filter.Bounds) and no function of the id is
+// stored — the node's Bernoulli trials included, which are a function of
+// the monitor's seed, the execution and the id (rng.Coin), not draws from a
+// generator the node carries. Who violated its filter this step is a short
+// list (viol), who is still in play during a protocol execution one bit
+// per node in the view's in-play set (Round), empty between executions.
 //
-// The RNG stream layout is shared by construction: every engine derives
-// node i's generator as the i-th Split of the same seeded root, which is
-// what makes protocol randomness consume identically across engines.
+// So the coins are shared by construction: whichever bank hosts node i,
+// built whenever — at the start, for a reassigned range after a failover,
+// from a checkpoint — flips for it what any other would, which is what
+// makes every engine charge the same ledger for a seed.
 type Nodes struct {
 	lo, hi   int
 	distinct bool
 	codec    order.Codec
 	tol      order.Tol
-	maxVal   int64 // cached value-domain bound; Observe checks it per value
+	maxVal   int64  // cached value-domain bound; Observe checks it per value
+	seed     uint64 // keys the nodes' coins
 
 	keys  []order.Key
-	gens  rng.Arena      // generator i's increment derives from id Lo+i
 	flags []uint8        // flagInTop | flagWasTop | flagViolated
 	inst  *filter.Bounds // shared with every Sub view
 
@@ -79,10 +80,7 @@ type Nodes struct {
 
 // NewNodes builds the node state for the range [lo, hi) of an n-node
 // monitor with the given protocol seed, tie-break mode and tolerance
-// (zero for exact monitoring). Its generators are the root's children
-// lo..hi-1, the same every other engine gives those nodes; the walk of the
-// root's split sequence starts at lo (rng.SplitArena jumps there) and
-// stops at hi, so S banks over one id space cost n splits between them.
+// (zero for exact monitoring).
 func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if n <= 0 {
 		panic("coord: need n > 0")
@@ -93,7 +91,7 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if hi-lo > math.MaxInt32 {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
-	b := newBank(n, lo, hi, distinct, tol, protocol.NodeRoot(seed).SplitArena(lo, hi))
+	b := newBank(n, lo, hi, seed, distinct, tol)
 	if !distinct {
 		for i := range b.keys {
 			b.keys[i] = b.codec.Encode(0, lo+i)
@@ -102,9 +100,9 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	return b
 }
 
-// newBank allocates a bank over [lo, hi) around the given generators with
-// every filter [-inf, +inf]; the caller fills the keys.
-func newBank(n, lo, hi int, distinct bool, tol order.Tol, gens rng.Arena) *Nodes {
+// newBank allocates a bank over [lo, hi) with every filter [-inf, +inf];
+// the caller fills the keys.
+func newBank(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	inst := filter.Unbounded()
 	return &Nodes{
 		lo:       lo,
@@ -113,8 +111,8 @@ func newBank(n, lo, hi int, distinct bool, tol order.Tol, gens rng.Arena) *Nodes
 		codec:    order.NewCodec(n),
 		tol:      tol,
 		maxVal:   order.MaxValueFor(n, distinct),
+		seed:     seed,
 		keys:     make([]order.Key, hi-lo),
-		gens:     gens,
 		flags:    make([]uint8, hi-lo),
 		inst:     &inst,
 	}
@@ -133,8 +131,8 @@ func (b *Nodes) Sub(lo, hi int) *Nodes {
 	}
 	i, j := lo-b.lo, hi-b.lo
 	return &Nodes{
-		lo: lo, hi: hi, distinct: b.distinct, codec: b.codec, tol: b.tol, maxVal: b.maxVal,
-		keys: b.keys[i:j:j], gens: b.gens.Sub(i, j), flags: b.flags[i:j:j],
+		lo: lo, hi: hi, distinct: b.distinct, codec: b.codec, tol: b.tol, maxVal: b.maxVal, seed: b.seed,
+		keys: b.keys[i:j:j], flags: b.flags[i:j:j],
 		inst: b.inst, ord: b.ord,
 	}
 }
@@ -284,7 +282,8 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 // round is then one pass of the round kernel (protocol.Field.Round) over
 // the members still in play. A bank that first sees an execution at a
 // round r > 0 (it joined mid-execution) has nobody in play for it and
-// nobody bids.
+// nobody bids. The round's coin is keyed by (seed, step, tag, r): every
+// input a host is handed with the command, so no host keeps anything for it.
 func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
 	if bound <= 0 {
 		panic("coord: protocol round with a non-positive population bound")
@@ -312,8 +311,8 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 	if !TolerantTag(tag) {
 		tol = order.Tol{} // a reset's execution always runs exactly
 	}
-	coin := rng.NewCoin(uint(r), uint64(bound))
-	protocol.Field{Keys: b.keys, Gens: b.gens}.Round(&b.inPlay, &coin, tol.WidenHi(best), MinimumTag(tag), b.lo, send)
+	coin := rng.NewCoin(b.seed, step, tag, uint(r), uint64(bound))
+	protocol.Field{Keys: b.keys}.Round(&b.inPlay, &coin, tol.WidenHi(best), MinimumTag(tag), b.lo, send)
 }
 
 // matchFlags returns the word whose bit j says flags[j]&mask == want, for

@@ -26,11 +26,12 @@ type Pending struct {
 	// slot maps a node id to 1+its ring index while the node has a
 	// queued observation, 0 otherwise.
 	slot []int32
-	// val holds the queued observation of each pending node.
-	val []int64
 	// ring lists the pending node ids in queue order: the oldest lives
-	// at index head, newer insertions follow circularly.
+	// at index head, newer insertions follow circularly; val[i] is the
+	// queued observation of node ring[i] — a node keeps its ring index
+	// for as long as it is queued — so the values cost the depth, not n.
 	ring  []int32
+	val   []int64
 	head  int
 	count int
 }
@@ -50,8 +51,8 @@ func NewPending(n, depth int) *Pending {
 	}
 	return &Pending{
 		slot: make([]int32, n),
-		val:  make([]int64, n),
 		ring: make([]int32, depth),
+		val:  make([]int64, depth),
 	}
 }
 
@@ -74,7 +75,7 @@ func (p *Pending) Value(id int) int64 {
 	if p.slot[id] == 0 {
 		panic(fmt.Sprintf("coord: node %d has no pending observation", id))
 	}
-	return p.val[id]
+	return p.val[p.slot[id]-1]
 }
 
 // Put queues node id's observation v, overwriting any queued one
@@ -82,17 +83,16 @@ func (p *Pending) Value(id int) int64 {
 // a caller bug — the driver must consult Full and apply its overflow
 // policy first — and panics.
 func (p *Pending) Put(id int, v int64) (coalesced bool) {
-	if p.slot[id] != 0 {
-		p.val[id] = v
+	if at := p.slot[id]; at != 0 {
+		p.val[at-1] = v
 		return true
 	}
 	if p.count == len(p.ring) {
 		panic(fmt.Sprintf("coord: Put(%d) on a full Pending buffer", id))
 	}
 	at := (p.head + p.count) % len(p.ring)
-	p.ring[at] = int32(id)
+	p.ring[at], p.val[at] = int32(id), v
 	p.slot[id] = int32(at) + 1
-	p.val[id] = v
 	p.count++
 	return false
 }
@@ -103,8 +103,7 @@ func (p *Pending) EvictOldest() (id int, v int64) {
 	if p.count == 0 {
 		panic("coord: EvictOldest on an empty Pending buffer")
 	}
-	id = int(p.ring[p.head])
-	v = p.val[id]
+	id, v = int(p.ring[p.head]), p.val[p.head]
 	p.slot[id] = 0
 	p.head = (p.head + 1) % len(p.ring)
 	p.count--
@@ -127,7 +126,7 @@ func (p *Pending) Take(ids []int, vals []int64) ([]int, []int64) {
 	taken := ids[start:]
 	slices.Sort(taken)
 	for _, id := range taken {
-		vals = append(vals, p.val[id])
+		vals = append(vals, p.val[p.slot[id]-1])
 		p.slot[id] = 0
 	}
 	p.head, p.count = 0, 0

@@ -16,9 +16,11 @@ import (
 // id, filter interval and order filter, with every install rewriting all
 // of them. The code below is that commit's nodes.go and Nodes.Snapshot
 // verbatim but for the type names, the per-level ε ladder, which the
-// bank no longer has, and the TagReset cohort, which is every node since a
-// FILTERRESET became one execution; it is the independent reference
-// refnodes_equiv_test.go checks the flat bank against.
+// bank no longer has, the TagReset cohort, which is every node since a
+// FILTERRESET became one execution, and the trial, which is asked of the
+// keyed coin (refDecide) — a record's generator is only what its v1 frame
+// persists; it is the independent reference refnodes_equiv_test.go checks
+// the flat bank against.
 
 // refNodeState is the distributed per-node state of the paper's node model:
 // the current key, the assigned filter, membership knowledge from the last
@@ -72,7 +74,8 @@ type refNodes struct {
 	distinct bool
 	codec    order.Codec
 	tol      order.Tol
-	maxVal   int64 // cached value-domain bound; Observe checks it per value
+	maxVal   int64  // cached value-domain bound; Observe checks it per value
+	seed     uint64 // keys the nodes' coins
 	ns       []refNodeState
 
 	// active is the running execution's list of hosted cohort members
@@ -105,6 +108,7 @@ func newRefNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *refN
 		codec:    order.NewCodec(n),
 		tol:      tol,
 		maxVal:   order.MaxValueFor(n, distinct),
+		seed:     seed,
 		ns:       make([]refNodeState, hi-lo),
 	}
 	root := rng.New(seed, 0xc02e)
@@ -143,6 +147,7 @@ func (b *refNodes) Sub(lo, hi int) *refNodes {
 		codec:    b.codec,
 		tol:      b.tol,
 		maxVal:   b.maxVal,
+		seed:     b.seed,
 		ns:       b.ns[lo-b.lo : hi-b.lo : hi-b.lo],
 	}
 }
@@ -243,7 +248,7 @@ func (b *refNodes) Round(tag uint8, r int, best order.Key, bound int, step int64
 		if minimum {
 			cmp = order.Neg(cmp)
 		}
-		switch refDecide(cmp, cut, uint(r), uint64(bound), &nd.rng) {
+		switch refDecide(cmp, cut, rng.NewCoin(b.seed, step, tag, uint(r), uint64(bound)), nd.id) {
 		case refBid:
 			send(nd.id, nd.key)
 		case refStay:
@@ -254,9 +259,8 @@ func (b *refNodes) Round(tag uint8, r int, best order.Key, bound int, step int64
 }
 
 // refDecide is protocol.Decide as refNodes.Round called it — the per-node
-// step before it moved into the round kernel — verbatim but for the trial,
-// written out as RNG.BernoulliPow2 stood before rng.Coin so that the
-// reference shares nothing with the kernel.
+// step before it moved into the round kernel — verbatim but for the trial:
+// the node's hit on a coin built for it alone.
 type refVerdict uint8
 
 const (
@@ -265,11 +269,11 @@ const (
 	refOut
 )
 
-func refDecide(key, cut order.Key, r uint, bound uint64, rg *rng.RNG) refVerdict {
+func refDecide(key, cut order.Key, coin rng.Coin, id int) refVerdict {
 	if cut > key {
 		return refOut
 	}
-	if p := uint64(1) << (r & 63); r >= 64 || p >= bound || rg.Bernoulli(p, bound) {
+	if coin.Hit(uint64(id)) {
 		return refBid
 	}
 	return refStay

@@ -1,10 +1,11 @@
 package coord_test
 
 import (
-	"encoding/binary"
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -261,22 +262,46 @@ var parentStreams = []struct {
 	}},
 }
 
+var updateRef = flag.Bool("update", false, "re-record testdata/ref_keyed_golden.txt from the reference monitor")
+
+// ledgerCell matches one cell of a golden line's ledger — messages, then
+// bytes, as up/down/bcast — and genHash the column of generator hashes the
+// parent's lines end in.
+var (
+	ledgerCell = regexp.MustCompile(`(\d+)/(\d+)/(\d+) (\d+)/(\d+)/(\d+)B`)
+	genHash    = regexp.MustCompile(` \| gens=[0-9a-f]{16}$`)
+)
+
+// coinFree masks, in a golden line, what the coins decide: how many nodes
+// bid, and so the bytes of their bids and of the cuts broadcast back. What
+// is left holds whatever the draws: the hash of the reports and rankings,
+// the broadcasts — one a round, so the number and length of the executions
+// — the ordered mode's unicasts with their bytes, and the statistics.
+func coinFree(line string) string {
+	return ledgerCell.ReplaceAllString(genHash.ReplaceAllString(line, ""), "·/$2/$3 ·/$5/·B")
+}
+
 // TestReferenceResetChargesTheParentLedger holds the reference to what it
 // claims to be. testdata/parent_seq_golden.txt is core's
-// testdata/seq_golden.txt as the parent commit had it — 192 runs of the
-// sequential engine whose reset was k+1 executions: a hash of the reports
-// and rankings, the ledger in total and by phase in messages and bytes, the
-// statistics, a hash of every generator's final state — and the reference
-// monitor must reproduce every line, so it enlists, draws and charges
-// exactly as that engine did. (The same lines re-recorded from this build,
-// core's golden today, keep every report hash and every statistic and
-// differ in 168 ledgers and generator hashes: the sweep's re-pricing.)
+// testdata/seq_golden.txt as the last commit with a k+1-execution reset had
+// it — 192 runs of the sequential engine: a hash of the reports and
+// rankings, the ledger in total and by phase in messages and bytes, the
+// statistics, a hash of every generator's final state. That engine's nodes
+// drew from generators; the reference's flip keyed coins, so it reproduces
+// of every line what no draw decides (coinFree) — it enlists, runs rounds
+// and decides exactly as that engine did — and charges, for the rest, the
+// ledger testdata/ref_keyed_golden.txt records of it (-update re-records).
+// (The same lines from the sweep, core's golden today, keep every report
+// hash and every statistic and differ in the reset phase's rounds.)
 func TestReferenceResetChargesTheParentLedger(t *testing.T) {
-	recorded, err := os.ReadFile("testdata/parent_seq_golden.txt")
-	if err != nil {
-		t.Fatal(err)
+	const refFile = "testdata/ref_keyed_golden.txt"
+	read := func(file string) []string {
+		recorded, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(string(recorded), "\n"), "\n")
 	}
-	want := strings.Split(strings.TrimSuffix(string(recorded), "\n"), "\n")
 	var got []string
 	for _, gs := range parentStreams {
 		for _, feed := range []string{"dense", "delta", "mixed"} {
@@ -291,12 +316,21 @@ func TestReferenceResetChargesTheParentLedger(t *testing.T) {
 			}
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("the parent's golden holds %d lines for %d cases", len(want), len(got))
+	if *updateRef {
+		if err := os.WriteFile(refFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parent, want := read("testdata/parent_seq_golden.txt"), read(refFile)
+	if len(got) != len(parent) || len(got) != len(want) {
+		t.Fatalf("the parent's golden holds %d lines, the reference's %d, for %d cases", len(parent), len(want), len(got))
 	}
 	for i := range got {
+		if coinFree(got[i]) != coinFree(parent[i]) {
+			t.Errorf("the reference left the parent's recorded run in more than its draws:\n got %s\nwant %s", coinFree(got[i]), coinFree(parent[i]))
+		}
 		if got[i] != want[i] {
-			t.Errorf("the reference left the parent's recorded run:\n got %s\nwant %s", got[i], want[i])
+			t.Errorf("the reference left its recorded ledger:\n got %s\nwant %s", got[i], want[i])
 		}
 	}
 }
@@ -331,14 +365,6 @@ func parentLine(t *testing.T, cfg coord.RefConfig, feed string, src stream.Sourc
 		copy(prev, vals)
 		fmt.Fprint(reports, top, m.AppendRanking(nil))
 	}
-	var bs wire.BankState
-	if err := bs.Decode(m.BankFrame()); err != nil {
-		t.Fatal(err)
-	}
-	gens := fnv.New64a()
-	for _, state := range bs.RngState {
-		gens.Write(binary.LittleEndian.AppendUint64(nil, state))
-	}
 	led := m.Ledger()
 	cell := func(c comm.Counts, b comm.Bytes) string {
 		return fmt.Sprintf("%d/%d/%d %d/%d/%dB", c.Up, c.Down, c.Bcast, b.Up, b.Down, b.Bcast)
@@ -347,5 +373,5 @@ func parentLine(t *testing.T, cfg coord.RefConfig, feed string, src stream.Sourc
 	for _, p := range comm.Phases() {
 		line += " | " + cell(led.PhaseCounts(p), led.PhaseBytes(p))
 	}
-	return line + fmt.Sprintf(" | %+v | gens=%016x", m.Stats(), gens.Sum64())
+	return line + fmt.Sprintf(" | %+v", m.Stats())
 }

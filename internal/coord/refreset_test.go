@@ -20,10 +20,13 @@ import (
 // loop, and the node side's extraction bit — Nodes' flagExtracted, its
 // TagReset cohort {flagExtracted, 0}, the marking in Winner, the clearing
 // in ResetBegin — is a flag column of the reference's own, beside the bank
-// whose keys and generators the extractions run over. It shares with the
-// sweep the round kernel and the single-winner Exec, nothing of the reset,
-// and draws from the nodes' generators exactly as the parent did, so a
-// reference run charges the parent's ledger message for message
+// whose keys the extractions run over. It shares with the sweep the round
+// kernel and the single-winner Exec, nothing of the reset. The parent drew
+// every extraction from the nodes' generators; here extraction j flips the
+// coins of tag TagReset+j, so the k+1 executions of one step stay
+// independent of each other, as the parent's were. A reference run
+// therefore takes the parent's decisions and runs the parent's rounds, and
+// charges a ledger of the parent's distribution, not the parent's draws
 // (TestReferenceResetChargesTheParentLedger): the independent reference the
 // sweep's decisions are checked against (refreset_equiv_test.go).
 type refReset struct {
@@ -46,15 +49,15 @@ func (r *refReset) begin() { clear(r.flags) }
 
 // round is the parent's Nodes.Round for TagReset: round 0 enlists the
 // not-yet-extracted, reset extractions always run exactly.
-func (r *refReset) round(rd int, best order.Key, bound int, send func(id int, key order.Key)) {
+func (r *refReset) round(rd int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
 	b := r.bank
 	if rd == 0 {
 		r.in.Fill(len(b.keys), func(w int) uint64 {
 			return matchFlags(r.flags[w<<6:min(w<<6+64, len(r.flags))], refFlagExtracted, 0)
 		})
 	}
-	coin := rng.NewCoin(uint(rd), uint64(bound))
-	protocol.Field{Keys: b.keys, Gens: b.gens}.Round(&r.in, &coin, best, false, b.lo, send)
+	coin := rng.NewCoin(b.seed, step, TagReset+uint8(r.resetIdx), uint(rd), uint64(bound))
+	protocol.Field{Keys: b.keys}.Round(&r.in, &coin, best, false, b.lo, send)
 }
 
 // run answers the machine's one EffExec over TagReset with the parent's
@@ -73,7 +76,7 @@ func (r *refReset) run(m *Machine, eff Effect, step int64) Effect {
 	for r.resetIdx < r.want {
 		ex := protocol.NewExec(m.cfg.N, 1, false, m.Recorder(comm.PhaseReset), nil, step)
 		for ex.More() {
-			r.round(ex.Round(), ex.Best(), m.cfg.N, ex.Bid)
+			r.round(ex.Round(), ex.Best(), m.cfg.N, step, ex.Bid)
 			ex.EndRound()
 		}
 		res := ex.Result()
@@ -128,4 +131,3 @@ func (r *RefMonitor) Stats() Stats                  { return r.d.mach.Stats() }
 func (r *RefMonitor) Ledger() *comm.Ledger          { return r.d.mach.Ledger() }
 func (r *RefMonitor) AppendRanking(dst []int) []int { return r.d.mach.AppendRanking(dst) }
 func (r *RefMonitor) Bounds() filter.Bounds         { return *r.d.bank.inst }
-func (r *RefMonitor) BankFrame() []byte             { return r.d.bank.Snapshot(nil) }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/protocol"
+	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
@@ -91,7 +92,7 @@ func cloneBank(bs wire.BankState) wire.BankState {
 func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 	_, f, m, o1, o2 := warmFrames(t, 10, 3, order.Tol{})
 	ns := f.v1
-	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, ns)); err != nil {
+	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, ns), 0); err != nil {
 		t.Fatalf("untouched v1 frame rejected: %v", err)
 	}
 	for _, tc := range []struct {
@@ -117,7 +118,7 @@ func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 	} {
 		s := cloneFrame(ns)
 		tc.mut(&s)
-		if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, s)); !errors.Is(err, ErrFilterState) {
+		if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, s), 0); !errors.Is(err, ErrFilterState) {
 			t.Errorf("v1, %s: restore returned %v, want ErrFilterState", tc.name, err)
 		}
 	}
@@ -126,12 +127,12 @@ func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 	// the next (v2) checkpoint silently change the generator.
 	s := cloneFrame(ns)
 	s.RngInc[o1] += 2
-	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, s)); err == nil {
+	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, s), 0); err == nil {
 		t.Error("v1 frame with another node's increment accepted")
 	}
 
 	bs := f.v2
-	if _, err := RestoreNodes(bs.Append(nil)); err != nil {
+	if _, err := RestoreNodes(bs.Append(nil), 0); err != nil {
 		t.Fatalf("untouched v2 frame rejected: %v", err)
 	}
 	for _, tc := range []struct {
@@ -153,7 +154,7 @@ func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 	} {
 		s := cloneBank(bs)
 		tc.mut(&s)
-		if _, err := RestoreNodes(s.Append(nil)); !errors.Is(err, ErrFilterState) {
+		if _, err := RestoreNodes(s.Append(nil), 0); !errors.Is(err, ErrFilterState) {
 			t.Errorf("v2, %s: restore returned %v, want ErrFilterState", tc.name, err)
 		}
 	}
@@ -164,7 +165,7 @@ func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 	for _, claimed := range []int{9, 7} {
 		h := part.BankHeader
 		h.Hi = claimed
-		if _, err := RestoreNodes(append(h.Append(nil), columns...)); err == nil {
+		if _, err := RestoreNodes(append(h.Append(nil), columns...), 0); err == nil {
 			t.Errorf("v2, header claims [4, %d) over four nodes' columns: restored", claimed)
 		}
 	}
@@ -205,7 +206,7 @@ func TestRestoreNodesOneSidedAndUninstalledBanks(t *testing.T) {
 			}
 		}
 		frame := live.Snapshot(nil)
-		back, err := RestoreNodes(frame)
+		back, err := RestoreNodes(frame, 0)
 		if err != nil {
 			t.Fatalf("%s: restore: %v", tc.name, err)
 		}
@@ -218,7 +219,7 @@ func TestRestoreNodesOneSidedAndUninstalledBanks(t *testing.T) {
 		// The v1 frame of the same bank restores too. It cannot say what
 		// bound a side without nodes was under, so that bound comes back
 		// infinite — which no hosted node can tell.
-		old, err := RestoreNodes(wiretest.AppendNodesV1(nil, decodeFrames(t, frame).v1))
+		old, err := RestoreNodes(wiretest.AppendNodesV1(nil, decodeFrames(t, frame).v1), 0)
 		if err != nil {
 			t.Fatalf("%s: restore of the v1 frame: %v", tc.name, err)
 		}
@@ -262,7 +263,7 @@ func restoreAgainstMachine(t *testing.T, d *driver, frame []byte) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank, err := RestoreNodes(frame)
+	bank, err := RestoreNodes(frame, 0)
 	if err != nil {
 		return err
 	}
@@ -413,13 +414,13 @@ func liveHeap() uint64 {
 }
 
 // TestBankFootprintPerHostedNode pins what a bank keeps alive per hosted
-// node once it has run a full TagReset execution: key 8, generator state
-// 8, flags 1 and the execution's in-play bit, 17.1 B in all. The budget
-// leaves no room for a violation stamp or a stored generator increment
-// (8 B), an id list (4 B), a filter interval (16 B), an order filter
-// (16 B) or the node's own id (8 B) per node.
+// node once it has run a full TagReset execution: key 8, flags 1 and the
+// execution's in-play bit, 9.1 B in all. The budget leaves no room for a
+// generator's state or a violation stamp (8 B), an id list (4 B), a filter
+// interval (16 B), an order filter (16 B) or the node's own id (8 B) per
+// node.
 func TestBankFootprintPerHostedNode(t *testing.T) {
-	const n, budget = 1 << 18, 20.0
+	const n, budget = 1 << 18, 10.0
 	before := liveHeap()
 	b := NewNodes(n, 0, n, 1, false, order.Tol{})
 	b.ResetBegin()
@@ -436,25 +437,45 @@ func TestBankFootprintPerHostedNode(t *testing.T) {
 	runtime.KeepAlive(b)
 }
 
-// TestNewNodesJumpsToItsRange pins that a bank built over [lo, hi) — whose
-// constructor jumps the root generator to child lo and stops at hi — holds
-// the generators a walk of the root's whole split sequence gives those
-// nodes, so S banks over one id space still draw as one, at n splits
-// between them instead of S·n.
-func TestNewNodesJumpsToItsRange(t *testing.T) {
+// TestRangeBanksFlipAsOneBank pins that S banks over one id space flip as
+// one: a bank built over [lo, hi) — by itself, whenever, knowing nothing of
+// the rest — sends in every round of an execution exactly what a bank over
+// all n nodes sends from [lo, hi), for every cohort shape, a mask bound and
+// a general one. A node's coin is a function of the seed and its global
+// id, so there is no shared split walk for a range bank to get wrong.
+func TestRangeBanksFlipAsOneBank(t *testing.T) {
 	for _, tc := range []struct {
 		n, lo, hi int
 		seed      uint64
 	}{{1, 0, 1, 1}, {24, 4, 20, 5}, {4096, 3072, 4096, 7}, {4096, 1024, 2048, 7}, {70001, 65536, 70001, 9}, {65536, 0, 32768, 2}} {
-		b := NewNodes(tc.n, tc.lo, tc.hi, tc.seed, false, order.Tol{})
-		root := protocol.NodeRoot(tc.seed)
-		for id := 0; id < tc.hi; id++ {
-			want := root.SplitValue(uint64(id))
-			if id < tc.lo {
-				continue
+		whole, part := NewNodes(tc.n, 0, tc.n, tc.seed, false, order.Tol{}), NewNodes(tc.n, tc.lo, tc.hi, tc.seed, false, order.Tol{})
+		vr := rng.New(tc.seed, 3)
+		for id := 0; id < tc.n; id++ {
+			v := vr.Int63n(1 << 20)
+			whole.Observe(id, v, 1)
+			if id >= tc.lo && id < tc.hi {
+				part.Observe(id, v, 1)
 			}
-			if got := b.gens.At(id - tc.lo); got != want {
-				t.Fatalf("n=%d [%d, %d) seed=%d: node %d draws from %+v, the full walk gives it %+v", tc.n, tc.lo, tc.hi, tc.seed, id, got, want)
+		}
+		for _, bound := range []int{tc.n, tc.n + tc.n/3 + 1} {
+			for _, tag := range []uint8{TagHandMax, TagReset} {
+				best := order.NegInf
+				for r := 0; r < protocol.Rounds(bound); r++ {
+					var all, ranged []bid
+					whole.Round(tag, r, best, bound, 9, func(id int, key order.Key) {
+						if id >= tc.lo && id < tc.hi {
+							all = append(all, bid{id, key})
+						}
+					})
+					part.Round(tag, r, best, bound, 9, func(id int, key order.Key) { ranged = append(ranged, bid{id, key}) })
+					if !slices.Equal(all, ranged) {
+						t.Fatalf("n=%d [%d, %d) seed=%d bound=%d tag=%d round %d: the range bank sends %v, the whole bank sends %v from that range",
+							tc.n, tc.lo, tc.hi, tc.seed, bound, tag, r, ranged, all)
+					}
+					for _, b := range ranged { // the range's own bids: a cut both banks are then given
+						best = order.Max(best, b.key)
+					}
+				}
 			}
 		}
 	}

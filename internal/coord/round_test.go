@@ -16,8 +16,8 @@ import (
 // refSampler is the per-node execution state banks carried before
 // Nodes.Round kept only who is still in play: the reference the kernel's
 // rounds are checked against. It is written out here, sharing no code
-// with protocol.Field.Round but the trial (RNG.BernoulliPow2 is one flip
-// of the kernel's rng.Coin).
+// with protocol.Field.Round but the trial's definition (rng.Coin, built
+// here per node and round, where the kernel builds one a round).
 type refSampler struct {
 	key    order.Key
 	bound  uint64
@@ -25,7 +25,7 @@ type refSampler struct {
 	active bool
 }
 
-func (s *refSampler) round(best order.Key, r uint, rg *rng.RNG) bool {
+func (s *refSampler) round(best order.Key, coin rng.Coin, id int) bool {
 	if !s.active {
 		return false
 	}
@@ -33,7 +33,7 @@ func (s *refSampler) round(best order.Key, r uint, rg *rng.RNG) bool {
 		s.active = false
 		return false
 	}
-	if rg.BernoulliPow2(r, s.bound) {
+	if coin.Hit(uint64(id)) {
 		s.active = false
 		return true
 	}
@@ -105,10 +105,7 @@ func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64
 			}
 			rb.samplers[i] = refSampler{key: k, bound: uint64(bound), tol: tol, active: true}
 		}
-		g := rb.b.gens.At(i)
-		bid := rb.samplers[i].round(best, uint(r), &g)
-		rb.b.gens.States()[i], _ = g.State()
-		if bid {
+		if rb.samplers[i].round(best, rng.NewCoin(rb.b.seed, step, tag, uint(r), uint64(bound)), rb.b.lo+i) {
 			send(rb.b.lo+i, rb.b.keys[i])
 		}
 	}
@@ -155,25 +152,10 @@ func execute(round roundFunc, tag uint8, want, bound int, step int64, rec comm.R
 	return ex.Winners()
 }
 
-// sameGenerators fails unless every node of a and b holds the same
-// generator state.
-func sameGenerators(t *testing.T, where string, a, b *Nodes) {
-	t.Helper()
-	for i := range a.keys {
-		ag, bg := a.gens.At(i), b.gens.At(i)
-		as, ai := ag.State()
-		bs, bi := bg.State()
-		if as != bs || ai != bi {
-			t.Fatalf("%s: node %d generator (%#x, %#x), reference (%#x, %#x)", where, a.lo+i, as, ai, bs, bi)
-		}
-	}
-}
-
 // TestRoundMatchesPerNodeSamplers drives one workload through two
 // machines — one over Nodes.Round (whole bank, or split into Sub views),
 // one over per-node samplers — and demands, after every step, the same
-// report, the same ledger by phase in messages and bytes, and the same
-// state of every node's generator. The walk's step is large against its
+// report and the same ledger by phase in messages and bytes. The walk's step is large against its
 // range, so violation, handler and reset executions all occur; ε > 0
 // exercises the tolerant cut.
 func TestRoundMatchesPerNodeSamplers(t *testing.T) {
@@ -222,7 +204,6 @@ func TestRoundMatchesPerNodeSamplers(t *testing.T) {
 						kl.PhaseCounts(ph), kl.PhaseBytes(ph), rl.PhaseCounts(ph), rl.PhaseBytes(ph))
 				}
 			}
-			sameGenerators(t, where, kern.bank, ref.bank)
 		}
 		if st := kern.mach.Stats(); st != ref.mach.Stats() {
 			t.Fatalf("%s: stats %+v, reference %+v", name, st, ref.mach.Stats())
@@ -236,8 +217,7 @@ func TestRoundMatchesPerNodeSamplers(t *testing.T) {
 // TestRoundEveryTagWithDuplicateKeys runs single executions of all five
 // cohorts over a DistinctValues bank whose keys repeat (ties resolve by
 // ascending id), with zero and non-zero tolerance and loose bounds,
-// against the per-node reference: same result, charges and generator
-// states.
+// against the per-node reference: same result and charges.
 func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 	const n, step = 40, int64(3)
 	for _, eps := range []float64{0, 0.25} {
@@ -269,8 +249,8 @@ func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 		}
 		for _, tag := range []uint8{TagViolMin, TagViolMax, TagHandMin, TagHandMax, TagReset} {
 			for _, bound := range []int{n, 3*n + 1} {
-				kern, kernRound := build(false)
-				refNodes, refRound := build(true)
+				_, kernRound := build(false)
+				_, refRound := build(true)
 				var kc, rc comm.Counter
 				winners := 1
 				if tag == TagReset {
@@ -288,7 +268,6 @@ func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 				if kc.Snapshot() != rc.Snapshot() || kc.BytesSnapshot() != rc.BytesSnapshot() {
 					t.Fatalf("%s: charges %v/%v, reference %v/%v", where, kc.Snapshot(), kc.BytesSnapshot(), rc.Snapshot(), rc.BytesSnapshot())
 				}
-				sameGenerators(t, where, kern, refNodes)
 			}
 		}
 	}
@@ -296,8 +275,8 @@ func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
 
 // TestRoundFirstSeenMidExecution pins what a bank does when the first
 // round it sees of an execution is not round 0 — a host that joined while
-// the execution was running: it has nobody in play, so nobody bids and no
-// generator advances, exactly as zero-valued per-node samplers behave.
+// the execution was running: it has nobody in play, so nobody bids,
+// exactly as zero-valued per-node samplers behave.
 // The next round 0 enlists normally.
 func TestRoundFirstSeenMidExecution(t *testing.T) {
 	const n = 16
@@ -310,24 +289,20 @@ func TestRoundFirstSeenMidExecution(t *testing.T) {
 			})
 		}
 	}
-	pristine := NewNodes(n, 0, n, 5, false, order.Tol{})
-	sameGenerators(t, "after stray rounds", kern, pristine)
-	sameGenerators(t, "reference after stray rounds", refNodes, pristine)
 
 	var kc, rc comm.Counter
 	got, want := execute(kern.Round, TagReset, 3, n, 1, &kc), execute(ref.Round, TagReset, 3, n, 1, &rc)
 	if !slices.Equal(got, want) || len(got) != 3 || kc.Snapshot() != rc.Snapshot() {
 		t.Fatalf("execution after stray rounds: %+v %v, reference %+v %v", got, kc.Snapshot(), want, rc.Snapshot())
 	}
-	sameGenerators(t, "after the next execution", kern, refNodes)
 }
 
 // TestRoundAbandonedExecutionLeaksNoMember pins what a bank does with an
 // execution its coordinator abandoned mid-way (rounds 0..2 only, as after
 // a failover): the members it left in play are overwritten by the next
 // round 0's enlistment, so none of them leaks into a cohort it is not part
-// of, and the execution after matches the per-node reference in result,
-// charges and every generator.
+// of, and the execution after matches the per-node reference in result
+// and charges.
 func TestRoundAbandonedExecutionLeaksNoMember(t *testing.T) {
 	const n = 200
 	kern, refNodes := NewNodes(n, 0, n, 5, false, order.Tol{}), NewNodes(n, 0, n, 5, false, order.Tol{})
@@ -352,7 +327,6 @@ func TestRoundAbandonedExecutionLeaksNoMember(t *testing.T) {
 	if got[0].ID%3 == 0 {
 		t.Fatalf("execution after an abandoned one was won by node %d, no part of its cohort", got[0].ID)
 	}
-	sameGenerators(t, "after an abandoned execution", kern, refNodes)
 	if kern.inPlay.Len() != 0 {
 		t.Fatalf("%d nodes still in play after a completed execution", kern.inPlay.Len())
 	}
@@ -394,8 +368,8 @@ func TestRoundInPlaySetFootprint(t *testing.T) {
 // rewritten in between (benchmark/layers.go observes thousands of times at
 // step 1 against filters it never re-installs); executions asked about a
 // step no list was filled at; and views whose first round of an execution
-// is not round 0. Every round's sends and every
-// generator must agree, and a list never holds a node twice.
+// is not round 0. Every round's sends must agree, and a list never holds a
+// node twice.
 func TestViolationCohortFromTheListIsTheStampedOne(t *testing.T) {
 	const n = 96
 	for _, cuts := range [][]int{{0, n}, {0, 1, 2, 40, n}, {0, 64, n}} {
@@ -478,7 +452,6 @@ func TestViolationCohortFromTheListIsTheStampedOne(t *testing.T) {
 					}
 				}
 			}
-			sameGenerators(t, where, kern, refNodes)
 			if it == 399 && (violators == 0 || bids < 1000) {
 				t.Fatalf("%s: %d violators listed, %d bids in all; the script tests nothing", where, violators, bids)
 			}

@@ -17,14 +17,15 @@ import (
 // between steps (the machine idle, no protocol execution in flight) and
 // captures exactly the state the next step reads: configuration, step
 // counter, statistics, T+/T− bounds, membership and the message ledger
-// for the Machine; per-node keys, filters, membership flags and generator
-// state for a Nodes bank. Everything else — the reset scratch of the
+// for the Machine; per-node keys, filters and membership flags for a Nodes
+// bank (its coins are a function of the seed the envelope carries).
+// Everything else — the reset scratch of the
 // Machine; the bank's in-play set, empty between executions, and its
 // violator list and WasTop flags (and the Extracted flags older frames
 // carry), which are only read inside the step that wrote them — is (re)initialized before its next use, so a
 // restored coordinator resumes bit-identically to one that never stopped:
-// same reports, same counts, same randomness consumption. The equivalence
-// tests in snapshot_test.go pin that property.
+// same reports, same counts, same coins. The equivalence tests in
+// snapshot_test.go pin that property.
 
 // Snapshot appends the machine's canonical checkpoint frame
 // (wire.MachineState) to dst. It fails if a step is in flight — mid-step
@@ -120,7 +121,7 @@ func RestoreMachine(p []byte) (*Machine, error) {
 	m.curLo = order.Key(s.CurLo)
 	m.curHi = order.Key(s.CurHi)
 	for _, id := range s.Top {
-		m.inTop[id] = true
+		m.inTop[id>>6] |= 1 << (id & 63)
 	}
 	m.top = append(m.top, s.Top...)
 	// Replay the ledger through the phase recorders so the restored
@@ -282,11 +283,10 @@ func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFr
 	return mach, nodesFrame, nil
 }
 
-// Snapshot appends the bank's canonical checkpoint frame (the v2 bank
-// frame of internal/wire) to dst, straight from the bank's arrays: the
-// installed bounds once, the keys, the generator arena as it stands, the
-// membership bit of the members and the order filters of those that hold
-// one. Banks carry no in-flight marker, so the contract is the caller's:
+// Snapshot appends the bank's canonical checkpoint frame (the bank frame
+// of internal/wire) to dst, straight from the bank's arrays: the installed
+// bounds once, the keys, the membership bit of the members and the order
+// filters of those that hold one. Banks carry no in-flight marker, so the contract is the caller's:
 // snapshot only between steps, when no protocol execution is running. A
 // frame carries live state only. The in-play set is empty after the
 // probability-1 round of every execution and enlisted anew at round 0 of
@@ -302,7 +302,6 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 		BoundLo: int64(b.inst.Lo), BoundHi: int64(b.inst.Hi),
 	})
 	wire.BankKeys(&w, b.keys)
-	w.Gens(b.gens.States()...)
 	for i, f := range b.flags {
 		if f&flagInTop != 0 {
 			w.Flag(i, flagInTop)
@@ -319,18 +318,17 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 }
 
 // RestoreNodes rebuilds a node bank from a Snapshot frame (or a v1 frame;
-// see UpgradeBankFrame), reading the columns straight into the fresh
-// bank's arrays. Each generator resumes mid-sequence from its persisted
-// state and the increment its node id defines (protocol.NodeRoot), so the
-// restored bank consumes randomness exactly where the original left off —
-// the property that keeps Las Vegas protocol runs bit-identical across the
-// restore — without splitting anything from the root generator as NewNodes
-// does. Every filter is the frame's one pair of bounds applied by
+// see UpgradeBankFrame) taken under the given seed, reading the columns
+// straight into the fresh bank's arrays. The seed is all the restored bank
+// needs to flip, from the next step on, the coins the original would have
+// — the property that keeps Las Vegas protocol runs bit-identical across
+// the restore. Every filter is the frame's one pair of bounds applied by
 // the node's membership bit, so the only filter state a frame can get
 // wrong is a key that has left its filter: that is ErrFilterState. What
-// frames in existing stores carry beyond live state — violation steps,
-// WasTop and Extracted bits (see Snapshot) — is read and dropped.
-func RestoreNodes(p []byte) (*Nodes, error) {
+// frames in existing stores carry beyond live state — generator states,
+// violation steps, WasTop and Extracted bits (see Snapshot) — is read and
+// dropped.
+func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 	p, err := UpgradeBankFrame(p)
 	if err != nil {
 		return nil, err
@@ -349,12 +347,11 @@ func RestoreNodes(p []byte) (*Nodes, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := newBank(h.N, h.Lo, h.Hi, h.Distinct, tol, protocol.NodeRoot(0).ChildArena(h.Lo, h.Hi)) // an increment depends on no seed
+	b := newBank(h.N, h.Lo, h.Hi, seed, h.Distinct, tol)
 	*b.inst = filter.Bounds{Lo: order.Key(h.BoundLo), Hi: order.Key(h.BoundHi)}
 	if err := wire.BankReadKeys(&r, b.keys); err != nil {
 		return nil, err
 	}
-	r.Gens(b.gens.States())
 	for {
 		i, f, ok, err := r.Flag()
 		if err != nil {
@@ -431,7 +428,7 @@ func UpgradeBankFrame(p []byte) ([]byte, error) {
 			N: s.N, Lo: s.Lo, Hi: s.Hi, EpsNum: s.EpsNum, Distinct: s.Distinct,
 			BoundLo: int64(in.Lo), BoundHi: int64(in.Hi),
 		},
-		Keys: s.Keys, RngState: s.RngState, Flags: s.Flags,
+		Keys: s.Keys, Flags: s.Flags,
 		ViolStep: s.ViolStep, OrdLo: s.OrdLo, OrdHi: s.OrdHi,
 	}.Append(nil), nil
 }
@@ -478,7 +475,7 @@ func (b *Nodes) MatchesMachine(m *Machine) error {
 		return errors.New("coord: bank frame holds order filters, the machine is not in the ordered mode")
 	}
 	for i, f := range b.flags {
-		if inTop := f&flagInTop != 0; inTop != m.inTop[i] {
+		if inTop := f&flagInTop != 0; inTop != m.InTop(i) {
 			return fmt.Errorf("%w: node %d (member: %v) contradicts the machine", ErrFilterState, i, inTop)
 		}
 	}

@@ -24,7 +24,7 @@ func checkpoint(t *testing.T, d *driver) *driver {
 	if err != nil {
 		t.Fatalf("restore machine: %v", err)
 	}
-	bank, err := RestoreNodes(nframe)
+	bank, err := RestoreNodes(nframe, d.bank.seed)
 	if err != nil {
 		t.Fatalf("restore nodes: %v", err)
 	}
@@ -172,13 +172,13 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 
 	ns := decodeFrames(t, NewNodes(8, 2, 6, 42, false, order.Tol{}).Snapshot(nil)).v1
 	ns.RngInc[1] = 4 // even increment: degraded generator
-	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, ns)); err == nil {
+	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, ns), 0); err == nil {
 		t.Error("even rng increment accepted")
 	}
-	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, wire.NodesState{N: 8, Lo: 3, Hi: 3})); err == nil {
+	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, wire.NodesState{N: 8, Lo: 3, Hi: 3}), 0); err == nil {
 		t.Error("empty v1 node range accepted")
 	}
-	if _, err := RestoreNodes(wire.BankState{BankHeader: wire.BankHeader{N: 8, Lo: 3, Hi: 3}}.Append(nil)); err == nil {
+	if _, err := RestoreNodes(wire.BankState{BankHeader: wire.BankHeader{N: 8, Lo: 3, Hi: 3}}.Append(nil), 0); err == nil {
 		t.Error("empty v2 node range accepted")
 	}
 }
@@ -211,7 +211,7 @@ func TestRestoreNeverPanics(t *testing.T) {
 						}
 					}()
 					_, _ = RestoreMachine(mut)
-					_, _ = RestoreNodes(mut)
+					_, _ = RestoreNodes(mut, 0)
 				}()
 			}
 		}

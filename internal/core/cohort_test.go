@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -61,8 +60,7 @@ var goldenStreams = []struct {
 // goldenLine runs one monitor for 250 steps and renders everything the run
 // decided and consumed: a hash of the report sequence (and, in the ordered
 // mode, of the rankings), the ledger in total and by phase in messages and
-// bytes, the statistics, and a hash of every node's generator state after
-// the last step. feed picks the ingestion: every step dense, every step
+// bytes, and the statistics. feed picks the ingestion: every step dense, every step
 // after the first as the delta of the nodes that moved, or the two mixed;
 // newMonitor picks the host.
 func goldenLine(t *testing.T, newMonitor func(Config) *Monitor, cfg Config, feed string, src stream.Source) string {
@@ -95,14 +93,6 @@ func goldenLine(t *testing.T, newMonitor func(Config) *Monitor, cfg Config, feed
 		copy(prev, vals)
 		fmt.Fprint(reports, top, m.AppendRanking(nil))
 	}
-	var bs wire.BankState
-	if err := bs.Decode(bankFrame(m)); err != nil {
-		t.Fatal(err)
-	}
-	gens := fnv.New64a()
-	for _, state := range bs.RngState {
-		gens.Write(binary.LittleEndian.AppendUint64(nil, state))
-	}
 	led := m.Ledger()
 	// Messages and bytes as up/down/bcast: the total, then the three phases.
 	cell := func(c comm.Counts, b comm.Bytes) string {
@@ -112,7 +102,7 @@ func goldenLine(t *testing.T, newMonitor func(Config) *Monitor, cfg Config, feed
 	for _, p := range comm.Phases() {
 		line += " | " + cell(led.PhaseCounts(p), led.PhaseBytes(p))
 	}
-	return line + fmt.Sprintf(" | %+v | gens=%016x", m.Stats(), gens.Sum64())
+	return line + fmt.Sprintf(" | %+v", m.Stats())
 }
 
 // bankFrame is the monitor's bank frame, which the ordered mode's machine
@@ -168,9 +158,9 @@ func (views) Close()        {}
 // far): every line of testdata/seq_golden.txt, recorded from that engine
 // over eight workload shapes × {dense, delta, mixed ingestion} × {ε = 0,
 // 0.05} × {tie-break injection, DistinctValues} × {set, ordered}, must
-// reproduce — reports, ledgers by phase in messages and bytes, statistics,
-// and the state every generator is left in, which says each execution
-// enlisted exactly the nodes the description named. Every line must
+// reproduce — reports, ledgers by phase in messages and bytes, statistics;
+// a ledger says each execution enlisted exactly the nodes the description
+// named, since whoever is enlisted is asked its coin. Every line must
 // reproduce a second time through the Host seam cut three ways (views),
 // where a cohort is assembled from per-view violator lists and in-play sets.
 func TestCohortsMatchNodeLocalMembership(t *testing.T) {

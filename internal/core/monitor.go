@@ -9,7 +9,7 @@
 // Both roles live in internal/coord, sans I/O: the coordinator's decision
 // logic — violation handling, T+/T− tightening, midpoint broadcasts,
 // FILTERRESET — is the state machine coord.Machine, and the node side —
-// keys, filters, membership bits, generators, who takes part in which
+// keys, filters, membership bits, who takes part in which
 // protocol execution — is the node bank coord.Nodes, the same one every
 // other engine hosts. The Monitor owns one machine, one bank over all n
 // nodes, the one loop that executes the machine's effects on that bank, the
@@ -195,7 +195,7 @@ type Monitor struct {
 func New(cfg Config) *Monitor { return NewOn(cfg, Inline) }
 
 // NewOn is New on the host that start builds over the monitor's bank. The
-// bank's RNG stream layout is the one every engine shares, whatever the host.
+// bank's coins are the ones every engine flips for the seed, whatever the host.
 func NewOn(cfg Config, start func(bank *coord.Nodes) Host) *Monitor {
 	if cfg.N <= 0 {
 		panic("core: monitor needs N > 0")

@@ -63,7 +63,7 @@ func RestoreChainOn(cfg Config, start func(bank *coord.Nodes) Host, c *wire.Chec
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
-	bank, err := coord.RestoreNodes(nodesFrame)
+	bank, err := coord.RestoreNodes(nodesFrame, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore nodes frame: %w", err)
 	}

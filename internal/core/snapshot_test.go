@@ -234,7 +234,7 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	ord.OrdHi[3] = 99
 	part := bs
 	part.Hi--
-	part.Keys, part.RngState, part.Flags = bs.Keys[:7], bs.RngState[:7], bs.Flags[:7]
+	part.Keys, part.Flags = bs.Keys[:7], bs.Flags[:7]
 	part.ViolStep, part.OrdLo, part.OrdHi = bs.ViolStep[:7], bs.OrdLo[:7], bs.OrdHi[:7]
 	short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 	for name, frame := range map[string][]byte{

@@ -43,7 +43,7 @@
 // link never carries more than one outstanding exchange, and replies are
 // processed in ascending peer (hence node id) order — the same
 // deterministic order the in-process engines use, which is what makes the
-// engines' randomness consume identically.
+// engines' bids arrive, and ties resolve, identically.
 //
 // # Pipelined fan-out
 //
@@ -77,8 +77,7 @@
 // only join points are the gathers, which the engine processes in
 // ascending peer order. Every node therefore sees the command sequence,
 // and the coordinator feeds the machine the event sequence, of the
-// sequential engine — reports, counts, bytes and randomness consumption
-// are bit-identical to it, which the equivalence tests pin under both
+// sequential engine — reports, counts and bytes are bit-identical to it, which the equivalence tests pin under both
 // gathers.
 //
 // # Accounting

@@ -85,10 +85,10 @@ type leaf struct {
 	buf     []byte // the outgoing frame; aliases replies or env
 }
 
-// newBank validates an assignment and builds its node bank. The RNG
-// stream layout must match core.NewOn's exactly — every engine
-// derives node i's generator as the i-th Split of the same root — which
-// coord.NewNodes guarantees by construction.
+// newBank validates an assignment and builds its node bank. The bank flips
+// for its nodes the coins core.NewOn's does — a function of the seed and
+// the node's global id — whenever it is built: at the start, or for a dead
+// peer's range after a failover.
 func newBank(a wire.Assign) (*coord.Nodes, error) {
 	if a.N <= 0 || a.K < 1 || a.K > a.N {
 		return nil, fmt.Errorf("fanout: bad assignment n=%d k=%d", a.N, a.K)

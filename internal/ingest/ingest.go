@@ -156,13 +156,14 @@ func (d *Driver) gate() error {
 }
 
 // Enqueue stages one observation call — vals[j] is node ids[j]'s new
-// value — as (part of) a future protocol step and returns without
-// waiting for execution. ids must be valid for the engine (the public
-// boundary validates before enqueueing); they need not be sorted here,
-// but duplicate ids within one call coalesce to the last value, exactly
-// as across calls. An empty call still marks a step pending, so a
-// drained "nothing changed" observation replays as the empty protocol
-// step the synchronous path would have run.
+// value, or with nil ids and N values node j's: a dense call, every node —
+// as (part of) a future protocol step and returns without waiting for
+// execution. ids must be valid for the engine (the public boundary
+// validates before enqueueing); they need not be sorted here, but
+// duplicate ids within one call coalesce to the last value, exactly as
+// across calls. An empty call still marks a step pending, so a drained
+// "nothing changed" observation replays as the empty protocol step the
+// synchronous path would have run.
 //
 // The call is atomic with respect to step boundaries unless the Block
 // policy must wait mid-call (only possible when a single call carries
@@ -170,8 +171,15 @@ func (d *Driver) gate() error {
 // the same taken batch or coalesce into later ones, and under Error the
 // whole call is admitted or rejected.
 func (d *Driver) Enqueue(ids []int, vals []int64) error {
-	if len(ids) != len(vals) {
+	dense := ids == nil && len(vals) == d.cfg.N
+	if !dense && len(ids) != len(vals) {
 		return fmt.Errorf("ingest: %d ids but %d values", len(ids), len(vals))
+	}
+	idOf := func(j int) int {
+		if dense {
+			return j
+		}
+		return ids[j]
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -180,8 +188,8 @@ func (d *Driver) Enqueue(ids []int, vals []int64) error {
 	}
 	if d.cfg.Policy == Error {
 		fresh := 0
-		for _, id := range ids {
-			if !d.pend.Has(id) {
+		for j := range vals {
+			if !d.pend.Has(idOf(j)) {
 				fresh++
 			}
 		}
@@ -189,7 +197,8 @@ func (d *Driver) Enqueue(ids []int, vals []int64) error {
 			return fmt.Errorf("%w: %d queued + %d new > depth %d", ErrQueueFull, d.pend.Len(), fresh, d.pend.Cap())
 		}
 	}
-	for j, id := range ids {
+	for j, v := range vals {
+		id := idOf(j)
 		if !d.pend.Has(id) && d.pend.Full() {
 			switch d.cfg.Policy {
 			case DropOldest:
@@ -209,7 +218,7 @@ func (d *Driver) Enqueue(ids []int, vals []int64) error {
 				}
 			}
 		}
-		if d.pend.Put(id, vals[j]) {
+		if d.pend.Put(id, v) {
 			d.stats.Coalesced++
 		}
 		d.stats.Enqueued++

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -190,6 +191,92 @@ func TestDeadLinkRecoversByRedial(t *testing.T) {
 	}
 	if !replaced {
 		t.Fatalf("no EventPeerReplaced delivered: %v", events)
+	}
+}
+
+// TestRedialedHostFlipsItsPredecessorsCoins is the twin property a
+// stateless coin buys a failover. A peer is killed before a step in which
+// the monitor would reset anyway, and redialed: the recovery pass rebuilds
+// every bank from nothing but the assignment and replays the values, and
+// its forced reset leaves the machine where the never-failed twin's own
+// reset of that step leaves it. From there on the two agree — every
+// report, every statistic's increment, and the ledger of every step by
+// phase in messages and bytes: a rebuilt host flips, for its nodes, exactly
+// the coins the dead one would have, where a host that carried generators
+// restarted their streams. What the failover costs is the recovery pass's
+// own charges, the aborted step's and the forced reset's.
+func TestRedialedHostFlipsItsPredecessorsCoins(t *testing.T) {
+	const n, k, seed, steps, kill = 24, 4, 11, 60, 20
+	build := func(links []transport.Link) *Engine {
+		e, err := New(Config{
+			N: n, K: k, Seed: seed, RetryBackoff: time.Millisecond,
+			Redial: func() (transport.Link, error) { return LoopbackLink(), nil },
+		}, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
+		return e
+	}
+	links := LoopbackLinks(3)
+	failed, twin := build(links), build(LoopbackLinks(3))
+	type charges struct {
+		counts [3]comm.Counts
+		bytes  [3]comm.Bytes
+	}
+	ledger := func(e *Engine) (c charges) {
+		for i, p := range comm.Phases() {
+			c.counts[i], c.bytes[i] = e.Ledger().PhaseCounts(p), e.Ledger().PhaseBytes(p)
+		}
+		return c
+	}
+	sub := func(a, b charges) (d charges) {
+		for i := range a.counts {
+			d.counts[i] = comm.Counts{Up: a.counts[i].Up - b.counts[i].Up, Down: a.counts[i].Down - b.counts[i].Down, Bcast: a.counts[i].Bcast - b.counts[i].Bcast}
+			d.bytes[i] = comm.Bytes{Up: a.bytes[i].Up - b.bytes[i].Up, Down: a.bytes[i].Down - b.bytes[i].Down, Bcast: a.bytes[i].Bcast - b.bytes[i].Bcast}
+		}
+		return d
+	}
+	vals := make([]int64, n)
+	compared := 0
+	for s := 0; s < steps; s++ {
+		driven(s, vals)
+		if s == kill {
+			links[1].Close()
+		}
+		fl, tl, fs, ts := ledger(failed), ledger(twin), failed.Stats(), twin.Stats()
+		got, want := failed.Observe(vals), twin.Observe(vals)
+		switch {
+		case s < kill:
+			continue
+		case s == kill:
+			if !failed.Health().Degraded || twin.Stats().Resets != ts.Resets+1 {
+				t.Fatalf("step %d: the kill went unnoticed (%+v) or the twin did not reset (%+v); the case tests nothing", s, failed.Health(), twin.Stats())
+			}
+			continue
+		case s == kill+1:
+			if h := failed.Health(); h.Degraded || h.Recoveries != 1 || len(h.Peers) != 3 {
+				t.Fatalf("step %d: recovery left %+v", s, h)
+			}
+			// This call ran the recovery pass, then the step: the step's
+			// share is what is left once the forced reset's is set aside,
+			// and the report below says the step itself went as the twin's.
+		default:
+			if d, w := sub(ledger(failed), fl), sub(ledger(twin), tl); d != w {
+				t.Fatalf("step %d: the failed-over engine charged %+v, its twin %+v", s, d, w)
+			}
+			fd, td := failed.Stats(), twin.Stats()
+			if fd.Resets-fs.Resets != td.Resets-ts.Resets || fd.HandlerCalls-fs.HandlerCalls != td.HandlerCalls-ts.HandlerCalls || fd.ViolationSteps-fs.ViolationSteps != td.ViolationSteps-ts.ViolationSteps {
+				t.Fatalf("step %d: statistics moved from %+v to %+v, the twin's from %+v to %+v", s, fs, fd, ts, td)
+			}
+			compared++
+		}
+		if !equal(got, want) {
+			t.Fatalf("step %d: report %v, twin %v", s, got, want)
+		}
+	}
+	if twin.Stats().Resets < 10 || twin.Counts().Up == 0 || compared < steps-kill-2 {
+		t.Fatalf("workload too calm to compare anything: %+v over %d compared steps", twin.Stats(), compared)
 	}
 }
 

@@ -8,22 +8,23 @@ import (
 	"repro/internal/rng"
 )
 
-// Field is the struct-of-arrays form of a node population, 16 bytes a
-// node: node i holds key Keys[i] and draws from generator i of Gens. It is
-// what the round kernel runs over; every node bank (internal/coord), and
-// so every engine, keeps its nodes this way and builds no per-execution
-// participant records.
+// Field is the struct-of-arrays form of a node population, 8 bytes a
+// node: node i holds key Keys[i], and that is all it holds — its coin is a
+// function of its id (rng.Coin), not a generator it carries. It is what the
+// round kernel runs over; every node bank (internal/coord), and so every
+// engine, keeps its nodes this way and builds no per-execution participant
+// records.
 type Field struct {
 	Keys []order.Key
-	Gens rng.Arena
+	// ids, when set, gives node i the coin identity ids[i] in place of its
+	// global id: the participant-record executions' (runParts).
+	ids []uint64
 }
 
-// NodeRoot returns the seeded root generator every engine derives its node
-// generators from: node i draws from the root's i-th SplitValue, taken in
-// id order (rng.SplitArena). That shared layout is what makes protocol
-// randomness consume identically across engines, and it makes a node's
-// increment a function of its id alone — NodeRoot(s).SplitInc(i) for any
-// seed s — which is why neither memory nor a checkpoint holds increments.
+// NodeRoot returns the seeded root generator v1 monitors split their node
+// generators from, node i's as child i. Nothing draws from it any more; a
+// v1 checkpoint frame's increment column is still held to it — node i's is
+// NodeRoot(s).SplitInc(i) for any seed s.
 func NodeRoot(seed uint64) *rng.RNG { return rng.New(seed, 0xc02e) }
 
 // InPlay is the set of a field's nodes still in play in one execution: a
@@ -130,24 +131,24 @@ func (s *InPlay) AppendTo(dst []int) []int {
 // so far — in the comparison domain, keys negated when minimum is set —
 // widened by the execution's tolerance (Tol.WidenHi(best)); both are the
 // same for every node of a round, so the caller decides them once. A node
-// whose key the cut dominates drops out silently and draws nothing; any
-// other flips the coin, and on success bids — send(base+i, true key), in
-// ascending order of i — and drops out (line 14), else stays for the next
-// round. A tolerant execution thereby retires a node as soon as the best
-// is within the (1±ε) band of its key, guaranteeing every participant's
-// key is at most WidenHi(winner key); with a zero tolerance cut is best
-// itself and the randomness consumed is bit-identical either way.
+// whose key the cut dominates drops out silently; any other is asked its
+// trial — node i's is coin.Hit(base+i), base the global id of node 0 — and
+// on success bids — send(base+i, true key), in ascending order of i — and
+// drops out (line 14), else stays for the next round. A tolerant execution
+// thereby retires a node as soon as the best is within the (1±ε) band of
+// its key, guaranteeing every participant's key is at most WidenHi(winner
+// key); with a zero tolerance cut is best itself.
 //
 // A node that has left the set would have found itself inactive in every
-// later round without drawing, so the trials drawn, their order and the
-// sends are exactly those of consulting every member in every round —
-// while Theorem 4.2's own argument (the members neither retired nor
-// dominated halve per round) bounds the work by a few visits per member.
+// later round, so the sends are exactly those of consulting every member
+// in every round — while Theorem 4.2's own argument (the members neither
+// retired nor dominated halve per round) bounds the work by a few visits
+// per member.
 func (f Field) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, base int, send func(id int, key order.Key)) {
 	if in.count == 0 {
 		return
 	}
-	keys, states, fast := f.Keys, f.Gens.States(), coin.Fast()
+	keys, ids, masked := f.Keys, f.ids, coin.Masked()
 	for h, head := range in.heads {
 		for ; head != 0; head &= head - 1 {
 			w := h<<6 | bits.TrailingZeros64(head)
@@ -162,11 +163,15 @@ func (f Field) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, ba
 					in.leave(i)
 					continue
 				}
+				id := uint64(base + i)
+				if ids != nil {
+					id = ids[i]
+				}
 				var hit bool
-				if fast {
-					states[i], hit = coin.FlipFast(states[i], f.Gens.Inc(i))
+				if masked {
+					hit = coin.HitMasked(id)
 				} else {
-					states[i], hit = coin.Flip(states[i], f.Gens.Inc(i))
+					hit = coin.Hit(id)
 				}
 				if hit {
 					send(base+i, key)
@@ -180,16 +185,19 @@ func (f Field) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, ba
 	}
 }
 
-// Run drives ex — begun by the caller with the execution's bound, want and
-// sense — to its end over the nodes in play, at most bound of them, with
-// tolerance tol (zero for an exact execution): one Up per node send and one
+// Run drives ex — begun by the caller with the execution's bound, want,
+// sense and step — to its end over the nodes in play, at most bound of
+// them, with tolerance tol (zero for an exact execution) and the coins of
+// execution (ex's step, tag 0) under seed: one Up per node send and one
 // Bcast per round on ex's recorder, the outcome in ex.Winners. It consumes
-// the set. Over the empty set it runs no round and charges nothing.
-func (f Field) Run(in *InPlay, ex *Exec, tol order.Tol) { f.run(in, ex, tol, nil) }
+// the set. Over the empty set it runs no round and charges nothing. Two
+// executions of one seed and step flip the same coins; a caller that runs
+// several and wants them independent tells them apart by one of the two.
+func (f Field) Run(in *InPlay, ex *Exec, tol order.Tol, seed uint64) { f.run(in, ex, tol, seed, nil) }
 
 // run is Run reporting bids under the ids of parts, when given: node i is
 // then parts[i], whatever its id.
-func (f Field) run(in *InPlay, ex *Exec, tol order.Tol, parts []Participant) {
+func (f Field) run(in *InPlay, ex *Exec, tol order.Tol, seed uint64, parts []Participant) {
 	if in.count == 0 {
 		return
 	}
@@ -201,7 +209,7 @@ func (f Field) run(in *InPlay, ex *Exec, tol order.Tol, parts []Participant) {
 		send = func(i int, key order.Key) { ex.Bid(parts[i].ID, key) }
 	}
 	for ex.More() {
-		coin := rng.NewCoin(uint(ex.Round()), uint64(ex.bound))
+		coin := rng.NewCoin(seed, ex.step, 0, uint(ex.Round()), uint64(ex.bound))
 		f.Round(in, &coin, tol.WidenHi(ex.Best()), ex.top.minimum, 0, send)
 		ex.EndRound()
 	}

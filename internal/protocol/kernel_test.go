@@ -15,10 +15,10 @@ import (
 // Sampler is the one-node reference of an Algorithm 2 execution: the
 // per-node state machine the engines carried before executions kept only
 // who is still in play. It lives here so the kernel is checked against an
-// implementation that shares no code with it but the trial
-// (RNG.BernoulliPow2, which is one flip of the kernel's rng.Coin — the
-// parent's loop in refloop_test.go shares not even that), and the
-// TestSampler* cases pin the reference's own semantics.
+// implementation that shares no code with it but the trial's definition
+// (rng.Coin, of which it builds one per node per round, where the kernel
+// builds one per round), and the TestSampler* cases pin the reference's own
+// semantics.
 type Sampler struct {
 	key    order.Key
 	bound  uint64
@@ -43,9 +43,17 @@ func NewSamplerTol(key order.Key, bound int, tol order.Tol) Sampler {
 // Active reports whether the node still participates.
 func (s *Sampler) Active() bool { return s.active }
 
+// coinAt names whose coins a reference flips: the node of coin identity id
+// in the execution (step, tag 0) under seed.
+type coinAt struct {
+	seed uint64
+	step int64
+	id   uint64
+}
+
 // Round processes round r given the best key broadcast so far and reports
 // whether the node sends its key this round.
-func (s *Sampler) Round(best order.Key, r uint, rg *rng.RNG) bool {
+func (s *Sampler) Round(best order.Key, r uint, at coinAt) bool {
 	if !s.active {
 		return false
 	}
@@ -53,22 +61,43 @@ func (s *Sampler) Round(best order.Key, r uint, rg *rng.RNG) bool {
 		s.active = false
 		return false
 	}
-	if rg.BernoulliPow2(r, s.bound) {
+	if coin := rng.NewCoin(at.seed, at.step, 0, r, s.bound); coin.Hit(at.id) {
 		s.active = false
 		return true
 	}
 	return false
 }
 
+// drawIdents is what an execution over participant records takes of their
+// generators: one draw each, in slice order, the participant's coin
+// identity for that execution.
+func drawIdents(parts []Participant) []uint64 {
+	ident := make([]uint64, len(parts))
+	for i, p := range parts {
+		ident[i] = p.RNG.Uint64()
+	}
+	return ident
+}
+
+// fieldIdents are the coin identities of a field's nodes: their ids.
+func fieldIdents(ids []int) []uint64 {
+	ident := make([]uint64, len(ids))
+	for i, id := range ids {
+		ident[i] = uint64(id)
+	}
+	return ident
+}
+
 // naiveRun is the every-node-every-round reference execution: one Sampler
-// per participant, all of them consulted in every round.
-func naiveRun(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, minimum bool) Result {
-	return naiveSweep(parts, bound, 1, tol, rec, minimum).Result()
+// per participant, all of them consulted in every round, participant i
+// flipping the coins of identity ident[i] under seed.
+func naiveRun(parts []Participant, ident []uint64, seed uint64, bound int, tol order.Tol, rec comm.Recorder, minimum bool) Result {
+	return naiveSweep(parts, ident, seed, bound, 1, tol, rec, minimum).Result()
 }
 
 // naiveSweep is naiveRun for the want best keys; it returns the finished
 // driver.
-func naiveSweep(parts []Participant, bound, want int, tol order.Tol, rec comm.Recorder, minimum bool) *Exec {
+func naiveSweep(parts []Participant, ident []uint64, seed uint64, bound, want int, tol order.Tol, rec comm.Recorder, minimum bool) *Exec {
 	if len(parts) == 0 {
 		return new(Exec)
 	}
@@ -84,7 +113,7 @@ func naiveSweep(parts []Participant, bound, want int, tol order.Tol, rec comm.Re
 	for ex.More() {
 		r, best := ex.Round(), ex.Best()
 		for i, p := range parts {
-			if samplers[i].Round(best, uint(r), p.RNG) {
+			if samplers[i].Round(best, uint(r), coinAt{seed: seed, id: ident[i]}) {
 				ex.Bid(p.ID, p.Key)
 			}
 		}
@@ -95,9 +124,9 @@ func naiveSweep(parts []Participant, bound, want int, tol order.Tol, rec comm.Re
 
 // runOne is one single-winner execution over the nodes in play, on a driver
 // of its own.
-func runOne(f Field, in *InPlay, bound int, tol order.Tol, minimum bool, rec comm.Recorder) Result {
+func runOne(f Field, in *InPlay, seed uint64, bound int, tol order.Tol, minimum bool, rec comm.Recorder) Result {
 	ex := NewExec(bound, 1, minimum, rec, nil, 0)
-	f.Run(in, &ex, tol)
+	f.Run(in, &ex, tol, seed)
 	return ex.Result()
 }
 
@@ -207,24 +236,23 @@ func (kc *kernelCase) enlist(in *InPlay) {
 	in.EnlistExcept(kc.size, skip)
 }
 
-// field returns a field of kc.size nodes holding kc's keys at kc's ids,
-// its generators split from one seeded root.
-func (kc *kernelCase) field(seed uint64) Field {
-	f := Field{Keys: make([]order.Key, kc.size), Gens: rng.New(seed, 0x6b).SplitArena(0, kc.size)}
+// field returns a field of kc.size nodes holding kc's keys at kc's ids.
+func (kc *kernelCase) field() Field {
+	f := Field{Keys: make([]order.Key, kc.size)}
 	for i, id := range kc.ids {
 		f.Keys[id] = kc.keys[i]
 	}
 	return f
 }
 
-// parts returns kc's cohort as participant records drawing from copies of
-// the generators field(seed) gives the members, and the copies.
+// parts returns kc's cohort as participant records, member id drawing
+// from child id of one seeded root, and the generators.
 func (kc *kernelCase) parts(seed uint64) ([]Participant, []rng.RNG) {
-	arena := kc.field(seed).Gens
+	root := rng.New(seed, 0x6b)
 	gens := make([]rng.RNG, len(kc.ids))
 	parts := make([]Participant, len(kc.ids))
 	for i, id := range kc.ids {
-		gens[i] = arena.At(id)
+		gens[i] = *root.Split(uint64(id))
 		parts[i] = Participant{ID: id, Key: kc.keys[i], RNG: &gens[i]}
 	}
 	return parts, gens
@@ -240,13 +268,14 @@ func mustTol(t testing.TB, eps float64) order.Tol {
 }
 
 // TestKernelMatchesNaiveReference runs every cohort through the naive
-// reference and through both entries of the kernel — participant records
-// and the field — from identical generator states, and demands the same
-// Result, the same message and byte charges, and the same final state of
-// every participant's generator: the kernel may skip the visits that would
-// have found a node inactive, and nothing else. The parent commit's
-// compacting loop (refloop_test.go) is held to the same, so the three
-// implementations agree pairwise.
+// reference and through both entries of the kernel — participant records,
+// whose coin identities are one draw of each record's generator, and the
+// field, whose identities are the node ids — and demands the same Result,
+// the same message and byte charges, and of the records the same final
+// state of every participant's generator: the kernel may skip the visits
+// that would have found a node inactive, and nothing else. The parent
+// commit's compacting loop (refloop_test.go) is held to the same on both
+// entries, so the three implementations agree pairwise.
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	tols := map[string]order.Tol{"exact": {}, "eps0.05": mustTol(t, 0.05), "eps0.5": mustTol(t, 0.5)}
 	for _, kc := range kernelCases() {
@@ -255,10 +284,10 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 				for seed := uint64(1); seed <= 3; seed++ {
 					name := fmt.Sprintf("%s/bound=%d/%s/min=%v/seed=%d", kc.name, kc.bound, tolName, minimum, seed)
 
-					// Reference.
+					// Reference over the records.
 					refParts, refGens := kc.parts(seed)
 					var refRec comm.Counter
-					want := naiveRun(refParts, kc.bound, tol, &refRec, minimum)
+					want := naiveRun(refParts, drawIdents(refParts), 0, kc.bound, tol, &refRec, minimum)
 
 					// The parent's compacting loop.
 					loopParts, loopGens := kc.parts(seed)
@@ -277,27 +306,25 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 					}
 					checkKernel(t, name+"/parts", want, got, &refRec, &rec, refGens, gens)
 
-					// Kernel over the field.
-					f := kc.field(seed)
-					before := slices.Clone(f.Gens.States())
+					// Reference, parent's loop and kernel over the field.
+					refRec.Reset()
+					want = naiveRun(refParts, fieldIdents(kc.ids), seed, kc.bound, tol, &refRec, minimum)
+					f := kc.field()
+					members := make([]int32, len(kc.ids))
+					for i, id := range kc.ids {
+						members[i] = int32(id)
+					}
+					loopRec.Reset()
+					got = new(refScratch).Run(Population{Keys: f.Keys, Seed: seed}, members, kc.bound, tol, minimum, &loopRec, nil, 0)
+					checkKernel(t, name+"/parent-loop-field", want, got, &refRec, &loopRec, nil, nil)
 					var in InPlay
 					kc.enlist(&in)
 					if in.Len() != len(kc.ids) {
 						t.Fatalf("%s: %d nodes enlisted, cohort has %d", name, in.Len(), len(kc.ids))
 					}
 					var flatRec comm.Counter
-					got = runOne(f, &in, kc.bound, tol, minimum, &flatRec)
-					flatGens := make([]rng.RNG, len(kc.ids))
-					member := make([]bool, kc.size)
-					for i, id := range kc.ids {
-						flatGens[i], member[id] = f.Gens.At(id), true
-					}
-					checkKernel(t, name+"/field", want, got, &refRec, &flatRec, refGens, flatGens)
-					for id, state := range f.Gens.States() {
-						if !member[id] && state != before[id] {
-							t.Fatalf("%s: Run advanced non-member %d's generator", name, id)
-						}
-					}
+					got = runOne(f, &in, seed, kc.bound, tol, minimum, &flatRec)
+					checkKernel(t, name+"/field", want, got, &refRec, &flatRec, nil, nil)
 					if in.Len() != 0 || len(in.AppendTo(nil)) != 0 {
 						t.Fatalf("%s: %d nodes (%v) still in play after the execution", name, in.Len(), in.AppendTo(nil))
 					}
@@ -333,7 +360,7 @@ func checkKernel(t *testing.T, name string, want, got Result, wantRec, gotRec *c
 func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 	const n = 4096
 	parts := makeParts(n, 0, 5)
-	f := Field{Keys: make([]order.Key, n), Gens: rng.New(5, 0x6b).SplitArena(0, n)}
+	f := Field{Keys: make([]order.Key, n)}
 	for i := range parts {
 		f.Keys[i] = parts[i].Key
 	}
@@ -351,7 +378,7 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 	run := func() {
 		in.EnlistExcept(n, skip)
 		ex.Begin(n, 9, false, comm.Discard, nil, 0)
-		f.Run(&in, &ex, order.Tol{})
+		f.Run(&in, &ex, order.Tol{}, 5)
 	}
 	run() // warm
 	if a := testing.AllocsPerRun(20, run); a != 0 {
@@ -363,7 +390,7 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 // a power-of-two bound (the mask coin) and a general one.
 func BenchmarkFieldRun(b *testing.B) {
 	for _, n := range []int{4096, 1 << 16, 1 << 20} {
-		f := Field{Keys: make([]order.Key, n), Gens: rng.New(5, 0x6b).SplitArena(0, n)}
+		f := Field{Keys: make([]order.Key, n)}
 		for i, p := range rng.New(6, 1).Perm(n) {
 			f.Keys[i] = order.Key(p + 1)
 		}
@@ -373,8 +400,8 @@ func BenchmarkFieldRun(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/bound=%d", n, bound), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					in.EnlistExcept(n, nil)
-					ex.Begin(bound, 1, false, comm.Discard, nil, 0)
-					f.Run(&in, &ex, order.Tol{})
+					ex.Begin(bound, 1, false, comm.Discard, nil, int64(i))
+					f.Run(&in, &ex, order.Tol{}, 5)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
 			})
@@ -440,21 +467,19 @@ func FuzzRoundKernel(f *testing.F) {
 		tol := mustTol(t, []float64{0, 0.05, 0.5, 0.9}[flags>>3&3])
 		want := 1 + int(want16)%(len(kc.ids)+2) // up to one more than there are
 
-		refParts, refGens := kc.parts(seed)
+		refParts, _ := kc.parts(seed)
 		var refRec, rec comm.Counter
-		ref := naiveSweep(refParts, kc.bound, want, tol, &refRec, minimum)
+		ref := naiveSweep(refParts, fieldIdents(kc.ids), seed, kc.bound, want, tol, &refRec, minimum)
 
-		fld := kc.field(seed)
-		before := slices.Clone(fld.Gens.States())
+		fld := kc.field()
 		var in InPlay
 		in.Enlist(kc.size, []int{0}) // stale members must not survive the enlistment
 		kc.enlist(&in)
 		ex := NewExec(kc.bound, want, minimum, &rec, nil, 0)
-		fld.Run(&in, &ex, tol)
-		gens := make([]rng.RNG, len(kc.ids))
+		fld.Run(&in, &ex, tol, seed)
 		member := make([]bool, kc.size)
-		for i, id := range kc.ids {
-			gens[i], member[id] = fld.Gens.At(id), true
+		for _, id := range kc.ids {
+			member[id] = true
 		}
 		if ex.Result() != ref.Result() || !slices.Equal(ex.Winners(), ref.Winners()) || rec.Snapshot() != refRec.Snapshot() || rec.BytesSnapshot() != refRec.BytesSnapshot() {
 			t.Fatalf("winners %+v charges %v/%v, reference %+v %v/%v", ex.Winners(), rec.Snapshot(), rec.BytesSnapshot(), ref.Winners(), refRec.Snapshot(), refRec.BytesSnapshot())
@@ -477,16 +502,6 @@ func FuzzRoundKernel(f *testing.F) {
 				t.Fatalf("%d winners for want %d of a cohort of %d", len(ex.Winners()), want, len(kc.ids))
 			}
 		}
-		for i := range gens {
-			if gens[i] != refGens[i] {
-				t.Fatalf("member %d (node %d) generator %+v, reference %+v", i, kc.ids[i], gens[i], refGens[i])
-			}
-		}
-		for id, state := range fld.Gens.States() {
-			if !member[id] && state != before[id] {
-				t.Fatalf("non-member %d's generator advanced", id)
-			}
-		}
 		if in.Len() != 0 || len(in.AppendTo(nil)) != 0 {
 			t.Fatalf("nodes %v still in play after the execution", in.AppendTo(nil))
 		}
@@ -506,7 +521,7 @@ func TestSparseCohortDoesNotPayForTheField(t *testing.T) {
 		ids[i] = 251 * i
 	}
 	cost := func(n int) time.Duration {
-		f := Field{Keys: make([]order.Key, n), Gens: rng.New(5, 0x6b).SplitArena(0, n)}
+		f := Field{Keys: make([]order.Key, n)}
 		for _, id := range ids {
 			f.Keys[id] = order.Key(id%7 + 1)
 		}
@@ -516,7 +531,7 @@ func TestSparseCohortDoesNotPayForTheField(t *testing.T) {
 			start := time.Now()
 			for rep := 0; rep < 20; rep++ {
 				in.Enlist(n, ids)
-				runOne(f, &in, len(ids), order.Tol{}, false, comm.Discard)
+				runOne(f, &in, 5, len(ids), order.Tol{}, false, comm.Discard)
 			}
 			best = min(best, time.Since(start))
 		}

@@ -26,7 +26,7 @@
 // within the (1±ε) band of their own key, trading the exactness of the
 // result — the winner is then only guaranteed ε-close to the true
 // extremum — for fewer expected bids. A zero tolerance is bit-identical
-// to the exact protocol, randomness consumption included.
+// to the exact protocol.
 package protocol
 
 import (
@@ -39,9 +39,10 @@ import (
 )
 
 // Participant describes one node taking part in a protocol execution at a
-// fixed time instant: its id, its current key, and its private generator
-// for the Bernoulli trials the paper's node model provides — private in
-// earnest: no two participants of an execution may share one.
+// fixed time instant: its id, its current key, and its private generator,
+// which an execution draws once, for the identity the node's coins of that
+// execution are keyed by (rng.Coin) — private in earnest: two participants
+// sharing one would still draw different identities, in slice order.
 type Participant struct {
 	ID  int
 	Key order.Key
@@ -292,35 +293,32 @@ func (e *Exec) Result() Result {
 // value is ready to use; a Scratch may be reused across executions but
 // not shared concurrently.
 type Scratch struct {
-	keys         []order.Key
-	states, incs []uint64
-	in           InPlay
-	ex           Exec
+	keys []order.Key
+	ids  []uint64
+	in   InPlay
+	ex   Exec
 }
 
-// runParts executes over participant records: it gathers their keys and
-// generators into a field of len(parts) nodes, runs the kernel over all
-// of it, and hands every generator back where the execution left it.
+// runParts executes over participant records: it gathers their keys into
+// a field of len(parts) nodes, draws every participant's generator once
+// for its coin identity of this execution — so that executions over the
+// same records are independent whatever their step — and runs the kernel
+// over all of it.
 func runParts(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64, minimum bool, s *Scratch) Result {
 	if s == nil {
 		s = new(Scratch)
 	}
 	n := len(parts)
 	if cap(s.keys) < n {
-		s.keys, s.states, s.incs = make([]order.Key, n), make([]uint64, n), make([]uint64, n)
+		s.keys, s.ids = make([]order.Key, n), make([]uint64, n)
 	}
-	keys, states, incs := s.keys[:n], s.states[:n], s.incs[:n]
+	f := Field{Keys: s.keys[:n], ids: s.ids[:n]}
 	for i := range parts {
-		keys[i] = parts[i].Key
-		states[i], incs[i] = parts[i].RNG.State()
+		f.Keys[i], f.ids[i] = parts[i].Key, parts[i].RNG.Uint64()
 	}
-	f := Field{Keys: keys, Gens: rng.ArenaOf(states, incs)}
 	s.in.EnlistExcept(n, nil)
 	s.ex.Begin(bound, 1, minimum, rec, tr, step)
-	f.run(&s.in, &s.ex, tol, parts)
-	for i := range parts {
-		*parts[i].RNG = f.Gens.At(i)
-	}
+	f.run(&s.in, &s.ex, tol, 0, parts)
 	return s.ex.Result()
 }
 

@@ -191,29 +191,29 @@ func TestMaximumTraceEvents(t *testing.T) {
 }
 
 func TestSamplerDeactivation(t *testing.T) {
-	rg := rng.New(1, 1)
+	at := coinAt{seed: 1, id: 1}
 	s := NewSampler(10, 4)
 	if !s.Active() {
 		t.Fatal("fresh sampler should be active")
 	}
 	// A broadcast best above the key deactivates without sending.
-	if s.Round(20, 0, rg) {
+	if s.Round(20, 0, at) {
 		t.Fatal("dominated node must not send")
 	}
 	if s.Active() {
 		t.Fatal("dominated node must deactivate")
 	}
 	// Subsequent rounds are inert.
-	if s.Round(order.NegInf, 3, rg) {
+	if s.Round(order.NegInf, 3, at) {
 		t.Fatal("inactive sampler must not send")
 	}
 }
 
 func TestSamplerFinalRoundSends(t *testing.T) {
-	rg := rng.New(2, 2)
+	at := coinAt{seed: 2, id: 2}
 	// Final round for bound 8 is r = 3 with p = 1.
 	s := NewSampler(10, 8)
-	if !s.Round(order.NegInf, 3, rg) {
+	if !s.Round(order.NegInf, 3, at) {
 		t.Fatal("final round has p=1 and must send")
 	}
 	if s.Active() {
@@ -222,10 +222,10 @@ func TestSamplerFinalRoundSends(t *testing.T) {
 }
 
 func TestSamplerBoundaryEqualBest(t *testing.T) {
-	rg := rng.New(3, 3)
+	at := coinAt{seed: 3, id: 3}
 	// best == key keeps the node active (strict comparison in the paper).
 	s := NewSampler(10, 1)
-	if !s.Round(10, 0, rg) {
+	if !s.Round(10, 0, at) {
 		t.Fatal("bound 1 round 0 has p=1; node with key == best must still send")
 	}
 }

@@ -12,26 +12,10 @@ import (
 // the struct-of-arrays kernel (Field.Round): the parent commit's Decide,
 // Population, Scratch, cohort, run, runParts and Scratch.Run, verbatim but
 // for the ref prefix on the names the package still uses, and for the
-// trial: Decide flips refBernoulliPow2, the parent's RNG.BernoulliPow2,
-// which shares nothing with rng.Coin. It is the second independent
-// reference — beside the every-node-every-round Sampler of kernel_test.go
-// — that the kernel is checked against.
-
-// refBernoulliPow2 is RNG.BernoulliPow2 as it stood before the trial moved
-// into rng.Coin: Bernoulli(2^round, n) unless the probability is 1.
-func refBernoulliPow2(r *rng.RNG, round uint, n uint64) bool {
-	if n == 0 {
-		panic("rng: BernoulliPow2 with zero population")
-	}
-	if round >= 64 {
-		return true
-	}
-	p := uint64(1) << round
-	if p >= n {
-		return true
-	}
-	return r.Bernoulli(p, n)
-}
+// trial: a member carried a generator and Decide drew from it; it carries a
+// coin identity now, and Decide builds its round's rng.Coin and asks it. It
+// is the second independent reference — beside the every-node-every-round
+// Sampler of kernel_test.go — that the kernel is checked against.
 
 // Verdict is a node's decision in one round of an execution.
 type Verdict uint8
@@ -58,26 +42,26 @@ const (
 // execution thereby retires a node as soon as the best is within the
 // (1±ε) band of its key, guaranteeing every participant's key is at most
 // WidenHi(winner key) rather than at most the winner key; with a zero
-// tolerance cut is best itself, and the randomness consumed is
-// bit-identical either way. Callers must not consult a node again once it
-// answered Bid or Out.
-func Decide(key, cut order.Key, r uint, bound uint64, rg *rng.RNG) Verdict {
+// tolerance cut is best itself. Callers must not consult a node again once
+// it answered Bid or Out.
+func Decide(key, cut order.Key, r uint, bound uint64, at coinAt) Verdict {
 	if cut > key {
 		return Out
 	}
-	if refBernoulliPow2(rg, r, bound) {
+	if coin := rng.NewCoin(at.seed, at.step, 0, r, bound); coin.Hit(at.id) {
 		return Bid
 	}
 	return Stay
 }
 
 // Population is the flat, index-addressed form of a node population:
-// node i holds key Keys[i] and draws from RNGs[i]. Scratch.Run executes
-// over a member list into it, so engines that already keep their nodes
-// this way (internal/core) build no per-execution participant records.
+// node i holds key Keys[i] and flips the coins of identity i under Seed.
+// Scratch.Run executes over a member list into it, so engines that already
+// keep their nodes this way (internal/core) build no per-execution
+// participant records.
 type Population struct {
 	Keys []order.Key
-	RNGs []rng.RNG
+	Seed uint64
 }
 
 // refScratch holds the one reusable per-execution buffer — the list of
@@ -101,20 +85,21 @@ func (s *refScratch) list(n int) []int32 {
 	return s.active[:n]
 }
 
-// cohort addresses the members of one execution: member i is parts[i]
-// when the caller supplied participant records, node i of the flat
-// population otherwise.
+// cohort addresses the members of one execution: member i is parts[i],
+// of coin identity ident[i], when the caller supplied participant records,
+// node i of the flat population otherwise.
 type cohort struct {
 	parts []Participant
+	ident []uint64
 	pop   Population
 }
 
-func (c *cohort) member(i int32) (id int, key order.Key, rg *rng.RNG) {
+func (c *cohort) member(i int32) (id int, key order.Key, at coinAt) {
 	if c.parts != nil {
 		p := &c.parts[i]
-		return p.ID, p.Key, p.RNG
+		return p.ID, p.Key, coinAt{id: c.ident[i]}
 	}
-	return int(i), c.pop.Keys[i], &c.pop.RNGs[i]
+	return int(i), c.pop.Keys[i], coinAt{seed: c.pop.Seed, id: uint64(i)}
 }
 
 // run executes Algorithm 2 over active, the ascending list of c's members
@@ -133,12 +118,13 @@ func run(c cohort, active []int32, bound int, tol order.Tol, rec comm.Recorder, 
 		r, cut := uint(ex.Round()), tol.WidenHi(ex.Best())
 		kept := active[:0]
 		for _, i := range active {
-			id, key, rg := c.member(i)
+			id, key, at := c.member(i)
+			at.step = step
 			cmp := key
 			if minimum {
 				cmp = order.Neg(key)
 			}
-			switch Decide(cmp, cut, r, uint64(bound), rg) {
+			switch Decide(cmp, cut, r, uint64(bound), at) {
 			case Bid:
 				ex.Bid(id, key)
 			case Stay:
@@ -154,21 +140,22 @@ func run(c cohort, active []int32, bound int, tol order.Tol, rec comm.Recorder, 
 }
 
 // refRunParts executes over participant records: the member list is the
-// identity over the slice.
+// identity over the slice, a member's coin identity one draw of its
+// generator.
 func refRunParts(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64, minimum bool, s *refScratch) Result {
 	active := s.list(len(parts))
 	for i := range active {
 		active[i] = int32(i)
 	}
-	return run(cohort{parts: parts}, active, bound, tol, rec, tr, step, minimum)
+	return run(cohort{parts: parts, ident: drawIdents(parts)}, active, bound, tol, rec, tr, step, minimum)
 }
 
 // Run executes Algorithm 2 over the given members of pop — node ids in
 // ascending order, at most bound of them — in the maximum or (order-dual)
 // minimum sense, with tolerance tol (zero for an exact execution). It is
 // MaximumTol/MinimumTol for a population already held flat: identical
-// result, charges and randomness for the same members, keys and
-// generators. members is read, not retained or modified.
+// result and charges for the same members, keys and coins. members is
+// read, not retained or modified.
 func (s *refScratch) Run(pop Population, members []int32, bound int, tol order.Tol, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) Result {
 	active := s.list(len(members))
 	copy(active, members)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/order"
+	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -176,7 +177,10 @@ func permutations(n int, fn func(keys []order.Key)) {
 // replays the single-winner Exec it replaced: the same cut every round, the
 // same charges, the same trace, the same result. Las Vegas exactness is the
 // first of these holding on every schedule — the last round's forced bids
-// are what make it so.
+// are what make it so. The kernel is tied to the same model: the schedule
+// the keyed coin deals the n nodes under a seed — the first round in which
+// each id's trial succeeds — scripted, is the run Field.Run makes of that
+// seed, winner for winner and charge for charge.
 func TestSweepSmallScopeExhaustive(t *testing.T) {
 	maxN := 6
 	if testing.Short() {
@@ -220,6 +224,30 @@ func TestSweepSmallScopeExhaustive(t *testing.T) {
 							t.Fatalf("n=%d want=%d hit=%v: charged %+v", n, want, hit, c)
 						}
 					})
+				}
+				// The kernel over the keyed coin against the schedule that coin
+				// deals, scripted.
+				for seed := uint64(0); seed < 4; seed++ {
+					hit := make([]int, n)
+					for i := range hit {
+						for coin := rng.NewCoin(seed, 0, 0, 0, uint64(n)); !coin.Hit(uint64(i)); {
+							hit[i]++
+							coin = rng.NewCoin(seed, 0, 0, uint(hit[i]), uint64(n))
+						}
+					}
+					for want := 1; want <= n; want++ {
+						var rec, modelRec comm.Counter
+						model := NewExec(n, want, minimum, &modelRec, nil, 0)
+						scripted(&model, keys, hit, minimum, nil)
+						var in InPlay
+						in.EnlistExcept(n, nil)
+						ex := NewExec(n, want, minimum, &rec, nil, 0)
+						Field{Keys: keys}.Run(&in, &ex, order.Tol{}, seed)
+						if !slices.Equal(ex.Winners(), model.Winners()) || rec.Snapshot() != modelRec.Snapshot() || rec.BytesSnapshot() != modelRec.BytesSnapshot() {
+							t.Fatalf("n=%d keys=%v want=%d min=%v seed=%d (schedule %v): the kernel found %+v charging %v, the scripted run %+v charging %v",
+								n, keys, want, minimum, seed, hit, ex.Winners(), rec.Snapshot(), model.Winners(), modelRec.Snapshot())
+						}
+					}
 				}
 				// want = 1 against the driver it replaced, traces and all (up
 				// to n = 5: a trace is a slice a run).

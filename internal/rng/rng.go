@@ -4,10 +4,14 @@
 // The generator is a PCG-XSH-RR variant (64-bit state, 32-bit output) with
 // an odd per-instance increment, which makes it cheap to derive independent
 // substreams: each (seed, stream) pair yields a distinct sequence, so a
-// simulation can hand every node its own generator and remain reproducible
-// regardless of scheduling order. This property is essential for the
-// equivalence tests between the sequential simulator and the
-// sharded concurrent runtime.
+// workload generator or a baseline can hand every node its own generator
+// and remain reproducible regardless of scheduling order.
+//
+// The monitor's nodes carry no generator: the protocol's Bernoulli trials
+// are a keyed function of (seed, step, tag, round, node id) — Coin, in
+// coin.go — which is what makes every engine flip the same coins for a
+// seed, however the nodes are spread over hosts and whenever a host was
+// built.
 //
 // The package deliberately does not use math/rand: the paper's protocols
 // require Bernoulli trials with success probability 2^r/N for possibly
@@ -67,12 +71,12 @@ func (r *RNG) SplitValue(child uint64) RNG {
 // SplitInc returns the increment of the generator Split(child) and
 // SplitValue(child) derive, without advancing r. A child's increment
 // depends on its id and the parent's stream alone — not on the seed or on
-// how far the parent has advanced — so whoever holds or persists a split
-// generator stores its state and recomputes the increment (see Arena).
+// how far the parent has advanced — which is what a v1 checkpoint frame's
+// increment column is held to.
 func (r *RNG) SplitInc(child uint64) uint64 { return streamInc(r.splitStream(child)) }
 
 // splitStream is the stream id of r's child: the one definition SplitValue
-// seeds from and SplitInc and Arena.Inc report.
+// seeds from and SplitInc reports.
 func (r *RNG) splitStream(child uint64) uint64 { return childStream(r.inc, child) }
 
 // childStream is the stream id of a child of the generator with increment
@@ -82,11 +86,8 @@ func childStream(parentInc, child uint64) uint64 { return child<<1 ^ parentInc }
 // streamInc maps a stream id to its (odd) increment.
 func streamInc(stream uint64) uint64 { return stream<<1 | 1 }
 
-// State returns the generator's internal (state, increment) pair: what an
-// Arena holds of a generator (ArenaOf), and what lets checkpoint/restore
-// machinery persist one mid-sequence — a generator rebuilt from its pair
-// continues the original's output exactly, which is what keeps a restored
-// coordinator bit-identical to an uninterrupted run.
+// State returns the generator's internal (state, increment) pair: a
+// generator rebuilt from its pair continues the original's output exactly.
 func (r *RNG) State() (state, inc uint64) { return r.state, r.inc }
 
 // next advances the LCG core and returns the pre-advance state.
@@ -197,14 +198,18 @@ func (r *RNG) Bernoulli(num, den uint64) bool {
 }
 
 // BernoulliPow2 performs the paper's coin flip with success probability
-// min(1, 2^r/N). The paper's node model (§2) only requires coins with these
-// probabilities; this helper makes that capability explicit. The trial is
-// Coin's: one flip of NewCoin(round, n).
+// min(1, 2^r/N) as a draw from a generator a node carries: the stateful
+// form of the trial, which the monitor's nodes flipped before their coin
+// became a function of their id (Coin) and the experiments still measure
+// that coin against. A probability-1 flip draws nothing.
 func (r *RNG) BernoulliPow2(round uint, n uint64) bool {
-	c := NewCoin(round, n)
-	var hit bool
-	r.state, hit = c.Flip(r.state, r.inc)
-	return hit
+	if n == 0 {
+		panic("rng: BernoulliPow2 with zero population")
+	}
+	if round >= 64 || uint64(1)<<round >= n {
+		return true
+	}
+	return r.Bernoulli(uint64(1)<<round, n)
 }
 
 // Perm returns a uniformly random permutation of [0, n) using the

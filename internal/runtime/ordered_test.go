@@ -48,25 +48,25 @@ func TestOrderedEquivalenceWithSequential(t *testing.T) {
 	}{
 		{"walk", 10, 3, func(n int) stream.Source {
 			return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 600, Seed: 31})
-		}, "up=447 down=191 bcast=471 total=1109 upB=2235 downB=2396 bcastB=3244 totalB=7875 | up=45 down=0 bcast=158 total=203 upB=225 downB=0 bcastB=1203 totalB=1428 | up=181 down=191 bcast=151 total=523 upB=905 downB=2396 bcastB=874 totalB=4175 | up=221 down=0 bcast=162 total=383 upB=1105 downB=0 bcastB=1167 totalB=2272 | rank 8f2ab87163ddff23"},
+		}, "up=456 down=191 bcast=471 total=1118 upB=2280 downB=2396 bcastB=3272 totalB=7948 | up=45 down=0 bcast=158 total=203 upB=225 downB=0 bcastB=1217 totalB=1442 | up=180 down=191 bcast=151 total=522 upB=900 downB=2396 bcastB=874 totalB=4170 | up=231 down=0 bcast=162 total=393 upB=1155 downB=0 bcastB=1181 totalB=2336 | rank 8f2ab87163ddff23"},
 		{"iid", 8, 2, func(n int) stream.Source {
 			return stream.NewIID(stream.IIDConfig{N: n, Seed: 32, Dist: stream.Uniform, Lo: 0, Hi: 1 << 18})
-		}, "up=2735 down=6 bcast=3097 total=5838 upB=15258 downB=96 bcastB=21935 totalB=37289 | up=651 down=0 bcast=1260 total=1911 upB=3670 downB=0 bcastB=9036 totalB=12706 | up=508 down=6 bcast=597 total=1111 upB=2779 downB=96 bcastB=3625 totalB=6500 | up=1576 down=0 bcast=1240 total=2816 upB=8809 downB=0 bcastB=9274 totalB=18083 | rank 60af5dd785f9c8df"},
+		}, "up=2722 down=6 bcast=3097 total=5825 upB=15183 downB=96 bcastB=22157 totalB=37436 | up=655 down=0 bcast=1260 total=1915 upB=3689 downB=0 bcastB=9270 totalB=12959 | up=513 down=6 bcast=597 total=1116 upB=2810 downB=96 bcastB=3742 totalB=6648 | up=1554 down=0 bcast=1240 total=2794 upB=8684 downB=0 bcastB=9145 totalB=17829 | rank 60af5dd785f9c8df"},
 		{"twoband-churn", 12, 4, func(n int) stream.Source {
 			return stream.NewTwoBand(stream.TwoBandConfig{N: n, K: 4, Seed: 33, Gap: 1 << 16, BandWidth: 1 << 10, MaxStep: 1 << 8, SwapEvery: 40})
-		}, "up=451 down=842 bcast=102 total=1395 upB=2207 downB=9137 bcastB=692 totalB=12036 | up=12 down=0 bcast=42 total=54 upB=54 downB=0 bcastB=341 totalB=395 | up=366 down=842 bcast=18 total=1226 upB=1824 downB=9137 bcastB=91 totalB=11052 | up=73 down=0 bcast=42 total=115 upB=329 downB=0 bcastB=260 totalB=589 | rank 6e0250bcba286b55"},
+		}, "up=444 down=842 bcast=102 total=1388 upB=2179 downB=9137 bcastB=674 totalB=11990 | up=12 down=0 bcast=42 total=54 upB=54 downB=0 bcastB=297 totalB=351 | up=365 down=842 bcast=18 total=1225 upB=1819 downB=9137 bcastB=91 totalB=11047 | up=67 down=0 bcast=42 total=109 upB=306 downB=0 bcastB=286 totalB=592 | rank 6e0250bcba286b55"},
 		{"rotation", 6, 2, func(n int) stream.Source {
 			return stream.NewRotation(stream.RotationConfig{N: n, Period: 3, Base: 10, Peak: 5000})
-		}, "up=645 down=28 bcast=779 total=1452 upB=2427 downB=420 bcastB=4579 totalB=7426 | up=111 down=0 bcast=278 total=389 upB=445 downB=0 bcastB=1795 totalB=2240 | up=164 down=28 bcast=151 total=343 upB=606 downB=420 bcastB=695 totalB=1721 | up=370 down=0 bcast=350 total=720 upB=1376 downB=0 bcastB=2089 totalB=3465 | rank a97943e11cf3bc95"},
+		}, "up=639 down=28 bcast=779 total=1446 upB=2405 downB=420 bcastB=4578 totalB=7403 | up=111 down=0 bcast=278 total=389 upB=445 downB=0 bcastB=1862 totalB=2307 | up=159 down=28 bcast=151 total=338 upB=587 downB=420 bcastB=700 totalB=1707 | up=369 down=0 bcast=350 total=719 upB=1373 downB=0 bcastB=2016 totalB=3389 | rank a97943e11cf3bc95"},
 		{"k-equals-n", 5, 5, func(n int) stream.Source {
 			return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 10000, MaxStep: 400, Seed: 34})
 		}, "up=195 down=468 bcast=4 total=667 upB=924 downB=4742 bcastB=34 totalB=5700 | up=0 down=0 bcast=0 total=0 upB=0 downB=0 bcastB=0 totalB=0 | up=190 down=468 bcast=0 total=658 upB=899 downB=4742 bcastB=0 totalB=5641 | up=5 down=0 bcast=4 total=9 upB=25 downB=0 bcastB=34 totalB=59 | rank 90da7d15c8ed047d"},
 		{"walk-wide", 200, 17, func(n int) stream.Source {
 			return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 600, Seed: 35})
-		}, "up=11910 down=2918 bcast=3643 total=18471 upB=76022 downB=32469 bcastB=29429 totalB=137920 | up=212 down=0 bcast=1407 total=1619 upB=1394 downB=0 bcastB=12954 totalB=14348 | up=2483 down=2918 bcast=1016 total=6417 upB=16121 downB=32469 bcastB=6431 totalB=55021 | up=9215 down=0 bcast=1220 total=10435 upB=58507 downB=0 bcastB=10044 totalB=68551 | rank ae8c8c3398573421"},
+		}, "up=11896 down=2918 bcast=3643 total=18457 upB=75892 downB=32469 bcastB=29720 totalB=138081 | up=220 down=0 bcast=1407 total=1627 upB=1446 downB=0 bcastB=13206 totalB=14652 | up=2499 down=2918 bcast=1016 total=6433 upB=16234 downB=32469 bcastB=6424 totalB=55127 | up=9177 down=0 bcast=1220 total=10397 upB=58212 downB=0 bcastB=10090 totalB=68302 | rank ae8c8c3398573421"},
 		{"k-one", 6, 1, func(n int) stream.Source {
 			return stream.NewBursty(stream.BurstyConfig{N: n, Seed: 36, Lo: 0, Hi: 1 << 20, Noise: 5, BurstProb: 0.05, BurstMax: 1 << 16})
-		}, "up=31 down=0 bcast=43 total=74 upB=175 downB=0 bcastB=270 totalB=445 | up=5 down=0 bcast=8 total=13 upB=30 downB=0 bcastB=48 totalB=78 | up=11 down=0 bcast=20 total=31 upB=62 downB=0 bcastB=124 totalB=186 | up=15 down=0 bcast=15 total=30 upB=83 downB=0 bcastB=98 totalB=181 | rank d2ec987ad0a8f0e4"},
+		}, "up=27 down=0 bcast=43 total=70 upB=154 downB=0 bcastB=293 totalB=447 | up=5 down=0 bcast=8 total=13 upB=30 downB=0 bcastB=54 totalB=84 | up=8 down=0 bcast=20 total=28 upB=47 downB=0 bcastB=126 totalB=173 | up=14 down=0 bcast=15 total=29 upB=77 downB=0 bcastB=113 totalB=190 | rank d2ec987ad0a8f0e4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -87,7 +87,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		// machine's range, are rejected one way or another.
 		part := bs
 		part.Hi--
-		part.Keys, part.RngState, part.Flags = bs.Keys[:cfg.N-1], bs.RngState[:cfg.N-1], bs.Flags[:cfg.N-1]
+		part.Keys, part.Flags = bs.Keys[:cfg.N-1], bs.Flags[:cfg.N-1]
 		part.ViolStep, part.OrdLo, part.OrdHi = bs.ViolStep[:cfg.N-1], bs.OrdLo[:cfg.N-1], bs.OrdHi[:cfg.N-1]
 		short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's columns missing": short} {

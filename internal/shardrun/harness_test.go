@@ -135,7 +135,7 @@ func validateBanks(t *testing.T, banks []*coord.Nodes, n int, top []int) {
 		}
 		next = b.Hi()
 		frame := b.Snapshot(nil)
-		if _, err := coord.RestoreNodes(frame); err != nil {
+		if _, err := coord.RestoreNodes(frame, 0); err != nil {
 			t.Fatalf("bank [%d, %d) is not restorable: %v", b.Lo(), b.Hi(), err)
 		}
 		if err := st.Decode(frame); err != nil {

@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"slices"
+	"sort"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestRandomWalkStepDeltaParity checks that StepDelta reports exactly the
@@ -130,4 +134,23 @@ func TestSparseWalkPanics(t *testing.T) {
 		}()
 		sw.StepDelta(make([]int, 2), make([]int64, 5))
 	}()
+}
+
+// TestSortIDsIsSortInts pins the radix sort a sparse step orders its ids
+// with against the comparison sort it replaced, at id spaces on both sides
+// of every digit boundary — zero passes (n = 1), one, two with and without
+// the copy back, three — and at any number of ids up to all of them.
+func TestSortIDsIsSortInts(t *testing.T) {
+	r := rng.New(3, 3)
+	for _, n := range []int{1, 2, 255, 256, 257, 4096, 65535, 65536, 65537, 1 << 20} {
+		for _, c := range []int{1, 2, 7, radixMinIDs - 1, radixMinIDs, 300, 4096} {
+			c = min(c, n)
+			ids := r.Perm(n)[:c]
+			want := slices.Clone(ids)
+			sort.Ints(want)
+			if sortIDs(ids, make([]int, c), n); !slices.Equal(ids, want) {
+				t.Fatalf("n=%d, %d ids: sorted %v, want %v", n, c, ids[:min(c, 20)], want[:min(c, 20)])
+			}
+		}
+	}
 }

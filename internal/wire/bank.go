@@ -1,28 +1,33 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 )
 
 // The v2 bank frame. A node bank stores one broadcast pair of filter
-// bounds, a membership byte per node and a generator whose increment is a
-// function of the node id, so its checkpoint persists exactly that and
-// nothing a restore can derive: no per-node interval, no increment, and
-// the per-node fields that are almost always at their default — flag
-// bytes, violation steps, order filters — only where they are not.
+// bounds, a key and a membership byte per node, so its checkpoint persists
+// exactly that and nothing a restore can derive: no per-node interval, no
+// generator — a node's coins are a function of the seed the envelope
+// carries — and the per-node fields that are almost always at their
+// default — flag bytes, violation steps, order filters — only where they
+// are not.
 //
 //	TypeBankState
 //	Lo, Hi, N, EpsNum    uvarint each
-//	flags                1 byte (flagDistinct)
+//	flags                1 byte (flagDistinct, flagNoGens)
 //	BoundLo, BoundHi     varint each: the installed filter bounds, once
 //	key column           Hi-Lo varints, in id order
-//	generator column     (Hi-Lo) × 8 bytes, little-endian generator state
+//	generator column     (Hi-Lo) × 8 bytes — only without flagNoGens
 //	flag section         { gap, flag byte ≠ 0 }*          0x00
 //	violation section    { gap, step varint ≠ -1 }*       0x00
 //	order section        { gap, lo varint, hi varint }*   0x00
+//
+// Every frame written today sets flagNoGens. A frame without it is from a
+// monitor whose nodes each carried a generator and persisted its state:
+// the column is dead state, checked to be all there and read past, as the
+// violation section is.
 //
 // A sparse section lists hosted indices (id − Lo) in strictly increasing
 // order as uvarint gaps from the previous listed index (from −1 at the
@@ -42,20 +47,27 @@ type BankHeader struct {
 	EpsNum           uint64
 	Distinct         bool
 	BoundLo, BoundHi int64
+	// Gens is set by the decoder on a frame that carries the generator
+	// column; nothing writes one.
+	Gens bool
 }
 
 // Append encodes the type tag and header after dst. The range must
-// satisfy 0 <= Lo <= Hi <= N; Append panics otherwise.
+// satisfy 0 <= Lo <= Hi <= N, and Gens must be clear; Append panics
+// otherwise.
 func (h BankHeader) Append(dst []byte) []byte {
 	if h.Lo < 0 || h.Hi < h.Lo || h.Hi > h.N {
 		panic(fmt.Sprintf("wire: bank range [%d, %d) of %d", h.Lo, h.Hi, h.N))
+	}
+	if h.Gens {
+		panic("wire: a bank frame is written without a generator column")
 	}
 	dst = append(dst, TypeBankState)
 	dst = AppendUvarint(dst, uint64(h.Lo))
 	dst = AppendUvarint(dst, uint64(h.Hi))
 	dst = AppendUvarint(dst, uint64(h.N))
 	dst = AppendUvarint(dst, h.EpsNum)
-	var flags byte
+	flags := byte(flagNoGens)
 	if h.Distinct {
 		flags |= flagDistinct
 	}
@@ -92,10 +104,10 @@ func DecodeBankHeader(p []byte) (h BankHeader, rest []byte, err error) {
 	if len(p) == 0 {
 		return h, nil, ErrTruncated
 	}
-	if p[0]&^flagDistinct != 0 {
+	if p[0]&^(flagDistinct|flagNoGens) != 0 {
 		return h, nil, fmt.Errorf("%w: unknown bank flags 0x%02x", ErrMalformed, p[0])
 	}
-	h.Distinct = p[0]&flagDistinct != 0
+	h.Distinct, h.Gens = p[0]&flagDistinct != 0, p[0]&flagNoGens == 0
 	p = p[1:]
 	if h.Lo < 0 || h.Hi < h.Lo || h.Hi > h.N {
 		return h, nil, fmt.Errorf("%w: bank range [%d, %d) of %d", ErrMalformed, h.Lo, h.Hi, h.N)
@@ -113,7 +125,6 @@ func DecodeBankHeader(p []byte) (h BankHeader, rest []byte, err error) {
 // BankReader moves through.
 const (
 	bankKeys uint8 = iota
-	bankGens
 	bankFlags
 	bankViol
 	bankOrd
@@ -128,15 +139,14 @@ const bankOrder = "wire: bank columns taken out of frame order"
 const bankTailRoom = 256
 
 // BankWriter appends one v2 bank frame column by column, in frame order:
-// BeginBank, BankKeys, Gens for every hosted node, then Flag, Viol and Ord
-// for the nodes that need an entry — each section in increasing index
-// order, any of them possibly empty — and End. It panics on any other
-// order and on an entry the frame cannot hold, like every encoder here.
+// BeginBank, BankKeys, then Flag, Viol and Ord for the nodes that need an
+// entry — each section in increasing index order, any of them possibly
+// empty — and End. It panics on any other order and on an entry the frame
+// cannot hold, like every encoder here.
 type BankWriter struct {
 	buf   []byte
 	n     int
 	stage uint8
-	left  int // generator states still to come
 	prev  int // last index listed in the open sparse section
 }
 
@@ -146,10 +156,9 @@ func BeginBank(dst []byte, h BankHeader) BankWriter {
 }
 
 // BankKeys appends the key column, one key per hosted node in id order.
-// It sizes the column first and grows the buffer once — for the generator
-// column too, and with room for a few sparse entries and an envelope's
-// tail — so a reused buffer settles at about the frame's size, not at
-// what append's doubling would leave.
+// It sizes the column first and grows the buffer once — with room for a
+// few sparse entries and an envelope's tail — so a reused buffer settles
+// at about the frame's size, not at what append's doubling would leave.
 func BankKeys[K ~int64](w *BankWriter, keys []K) {
 	if w.stage != bankKeys {
 		panic(bankOrder)
@@ -161,7 +170,7 @@ func BankKeys[K ~int64](w *BankWriter, keys []K) {
 	for _, k := range keys {
 		size += SizeVarint(int64(k))
 	}
-	w.buf = slices.Grow(w.buf, size+8*w.n+bankTailRoom)
+	w.buf = slices.Grow(w.buf, size+bankTailRoom)
 	col := w.buf[len(w.buf) : len(w.buf)+size]
 	i := 0
 	for _, k := range keys {
@@ -175,28 +184,13 @@ func BankKeys[K ~int64](w *BankWriter, keys []K) {
 		i++
 	}
 	w.buf = w.buf[:len(w.buf)+size]
-	w.stage, w.left = bankGens, w.n
-}
-
-// Gens appends the next nodes' generator states — the whole column at
-// once from an engine, whose generator arena is this column.
-func (w *BankWriter) Gens(states ...uint64) {
-	if w.stage != bankGens || w.left < len(states) {
-		panic(bankOrder)
-	}
-	w.left -= len(states)
-	for _, state := range states {
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, state)
-	}
+	w.stage, w.prev = bankFlags, -1
 }
 
 // section moves the writer to sparse section s, closing those before it.
 func (w *BankWriter) section(s uint8) {
-	if w.stage < bankGens || w.stage > s || w.left != 0 {
+	if w.stage < bankFlags || w.stage > s {
 		panic(bankOrder)
-	}
-	if w.stage == bankGens {
-		w.stage, w.prev = bankFlags, -1
 	}
 	for ; w.stage < s; w.stage++ {
 		w.buf = append(w.buf, 0)
@@ -253,15 +247,15 @@ func (w *BankWriter) End() []byte {
 const noViolStep = -1
 
 // BankReader decodes one v2 bank frame column by column, in the order a
-// BankWriter wrote it: OpenBank, BankReadKeys, Gens for every hosted node,
-// Flag, Viol and Ord each until it reports no further entry, and Close.
-// Malformed input yields an error from the call that met it; calls out of
-// order are the caller's bug and panic.
+// BankWriter wrote it: OpenBank, BankReadKeys, Flag, Viol and Ord each
+// until it reports no further entry, and Close. Malformed input yields an
+// error from the call that met it; calls out of order are the caller's bug
+// and panic.
 type BankReader struct {
 	p     []byte
 	n     int
+	gens  bool // a generator column follows the keys
 	stage uint8
-	left  int
 	prev  int
 }
 
@@ -274,15 +268,15 @@ func OpenBank(p []byte) (BankHeader, BankReader, error) {
 		return h, BankReader{}, err
 	}
 	n := uint64(h.Hi - h.Lo)
-	if 9*n > uint64(len(p)) { // every node takes >= 1 key byte and 8 generator bytes
+	if n > uint64(len(p)) { // every node takes >= 1 key byte
 		return h, BankReader{}, fmt.Errorf("%w: %d bank nodes in %d bytes", ErrMalformed, n, len(p))
 	}
-	return h, BankReader{p: p, n: int(n)}, nil
+	return h, BankReader{p: p, n: int(n), gens: h.Gens}, nil
 }
 
 // BankReadKeys decodes the key column into dst, which must have one slot
-// per hosted node. It also checks that the generator column is all there,
-// so that Gens cannot fail.
+// per hosted node, and reads past the generator column of a frame that
+// has one.
 func BankReadKeys[K ~int64](r *BankReader, dst []K) error {
 	if r.stage != bankKeys {
 		panic(bankOrder)
@@ -298,31 +292,19 @@ func BankReadKeys[K ~int64](r *BankReader, dst []K) error {
 		}
 		dst[i], p = K(v), p[n:]
 	}
-	if len(p) < 8*r.n {
-		return ErrTruncated
+	if r.gens {
+		if len(p) < 8*r.n {
+			return ErrTruncated
+		}
+		p = p[8*r.n:]
 	}
-	r.p, r.stage, r.left = p, bankGens, r.n
+	r.p, r.stage, r.prev = p, bankFlags, -1
 	return nil
-}
-
-// Gens reads the next len(dst) nodes' generator states into dst.
-func (r *BankReader) Gens(dst []uint64) {
-	if r.stage != bankGens || r.left < len(dst) {
-		panic(bankOrder)
-	}
-	r.left -= len(dst)
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(r.p[8*i:])
-	}
-	r.p = r.p[8*len(dst):]
 }
 
 // next reads the index of sparse section s's next entry; ok is false at
 // the section's end.
 func (r *BankReader) next(s uint8) (i int, ok bool, err error) {
-	if r.stage == bankGens && r.left == 0 {
-		r.stage, r.prev = bankFlags, -1
-	}
 	if r.stage != s {
 		panic(bankOrder)
 	}
@@ -404,7 +386,6 @@ type BankState struct {
 	BankHeader
 
 	Keys         []int64
-	RngState     []uint64
 	Flags        []byte // FlagNodeInTop | FlagNodeWasTop | FlagNodeExtracted
 	ViolStep     []int64
 	OrdLo, OrdHi []int64
@@ -414,13 +395,12 @@ type BankState struct {
 // Append panics otherwise.
 func (m BankState) Append(dst []byte) []byte {
 	n := m.Hi - m.Lo
-	if len(m.Keys) != n || len(m.RngState) != n || len(m.Flags) != n ||
+	if len(m.Keys) != n || len(m.Flags) != n ||
 		len(m.ViolStep) != n || len(m.OrdLo) != n || len(m.OrdHi) != n {
 		panic("wire: BankState per-node slices must all have length Hi-Lo")
 	}
 	w := BeginBank(dst, m.BankHeader)
 	BankKeys(&w, m.Keys)
-	w.Gens(m.RngState...)
 	for i, f := range m.Flags {
 		if f != 0 {
 			w.Flag(i, f)
@@ -439,7 +419,8 @@ func (m BankState) Append(dst []byte) []byte {
 	return w.End()
 }
 
-// Decode decodes a full v2 bank frame into m, reusing slice capacity.
+// Decode decodes a full v2 bank frame into m, reusing slice capacity. A
+// generator column is read past: m.Gens says the frame had one.
 func (m *BankState) Decode(p []byte) error {
 	h, r, err := OpenBank(p)
 	if err != nil {
@@ -448,7 +429,6 @@ func (m *BankState) Decode(p []byte) error {
 	n := h.Hi - h.Lo
 	m.BankHeader = h
 	m.Keys = slices.Grow(m.Keys[:0], n)[:n]
-	m.RngState = slices.Grow(m.RngState[:0], n)[:n]
 	m.Flags = slices.Grow(m.Flags[:0], n)[:n]
 	m.ViolStep = slices.Grow(m.ViolStep[:0], n)[:n]
 	m.OrdLo = slices.Grow(m.OrdLo[:0], n)[:n]
@@ -456,7 +436,6 @@ func (m *BankState) Decode(p []byte) error {
 	if err := BankReadKeys(&r, m.Keys); err != nil {
 		return err
 	}
-	r.Gens(m.RngState)
 	for i := range m.Flags {
 		m.Flags[i], m.ViolStep[i] = 0, noViolStep
 		m.OrdLo[i], m.OrdHi[i] = math.MinInt64, math.MaxInt64

@@ -14,7 +14,6 @@ func sampleBank() BankState {
 	return BankState{
 		BankHeader: BankHeader{N: 8, Lo: 2, Hi: 6, EpsNum: 52428, Distinct: true, BoundLo: 5, BoundHi: 9},
 		Keys:       []int64{7, -3, 1 << 40, 6},
-		RngState:   []uint64{0xdeadbeef, 1, 0, math.MaxUint64},
 		Flags:      []byte{FlagNodeInTop, 0, FlagNodeInTop | FlagNodeWasTop, FlagNodeExtracted},
 		ViolStep:   []int64{-1, 16, -1, 0},
 		OrdLo:      []int64{math.MinInt64, math.MinInt64, -1 << 40, math.MinInt64},
@@ -26,18 +25,18 @@ func sampleBank() BankState {
 func plainBank(n int) BankState {
 	s := BankState{
 		BankHeader: BankHeader{N: n, Lo: 0, Hi: n, BoundLo: math.MinInt64, BoundHi: math.MaxInt64},
-		Keys:       make([]int64, n), RngState: make([]uint64, n), Flags: make([]byte, n),
+		Keys:       make([]int64, n), Flags: make([]byte, n),
 		ViolStep: make([]int64, n), OrdLo: make([]int64, n), OrdHi: make([]int64, n),
 	}
 	for i := 0; i < n; i++ {
-		s.Keys[i], s.RngState[i] = int64(i)*1000-500, uint64(i)*0x9e3779b97f4a7c15
+		s.Keys[i] = int64(i)*1000 - 500
 		s.ViolStep[i], s.OrdLo[i], s.OrdHi[i] = -1, math.MinInt64, math.MaxInt64
 	}
 	return s
 }
 
 func sameBank(a, b BankState) bool {
-	return a.BankHeader == b.BankHeader && slices.Equal(a.Keys, b.Keys) && slices.Equal(a.RngState, b.RngState) &&
+	return a.BankHeader == b.BankHeader && slices.Equal(a.Keys, b.Keys) &&
 		slices.Equal(a.Flags, b.Flags) && slices.Equal(a.ViolStep, b.ViolStep) &&
 		slices.Equal(a.OrdLo, b.OrdLo) && slices.Equal(a.OrdHi, b.OrdHi)
 }
@@ -70,9 +69,104 @@ func TestBankStateRoundTrip(t *testing.T) {
 	}
 }
 
+// gensColumn returns where the generator column of a bank frame sits, or
+// would: the end of its key column. The frame's header flag byte is at
+// flagAt.
+func gensColumn(t testing.TB, frame []byte) (flagAt, at int) {
+	t.Helper()
+	h, rest, err := DecodeBankHeader(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagAt = 1
+	for i := 0; i < 4; i++ { // Lo, Hi, N, EpsNum
+		_, n, _ := Uvarint(frame[flagAt:])
+		flagAt += n
+	}
+	for i := h.Lo; i < h.Hi; i++ {
+		_, n, err := Varint(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest = rest[n:]
+	}
+	return flagAt, len(frame) - len(rest)
+}
+
+// withGens returns frame, which this build wrote, as a monitor whose nodes
+// carried generators would have written it: no flagNoGens, and eight
+// bytes of generator state a node after the keys.
+func withGens(t testing.TB, frame []byte, states ...uint64) []byte {
+	t.Helper()
+	flagAt, at := gensColumn(t, frame)
+	old := append([]byte(nil), frame[:at]...)
+	old[flagAt] &^= flagNoGens
+	for _, state := range states {
+		old = binary.LittleEndian.AppendUint64(old, state)
+	}
+	return append(old, frame[at:]...)
+}
+
+// withoutGens is the inverse: what this build writes for the bank an
+// older frame holds.
+func withoutGens(t testing.TB, old []byte, nodes int) []byte {
+	t.Helper()
+	flagAt, at := gensColumn(t, old)
+	frame := append(append([]byte(nil), old[:at]...), old[at+8*nodes:]...)
+	frame[flagAt] |= flagNoGens
+	return frame
+}
+
+// checkBankReencode is the re-encode identity of a frame b decoded from:
+// byte for byte, after the generator column an older frame carries is cut
+// out of it — the decoder reads past that column and repairs nothing else.
+func checkBankReencode(t testing.TB, frame []byte, b BankState) {
+	t.Helper()
+	if b.Gens {
+		frame, b.Gens = withoutGens(t, frame, b.Hi-b.Lo), false
+	}
+	roundTrip(t, frame, b.Append(nil))
+}
+
+// TestBankReadsPastGenerators pins the migration at the frame: a frame
+// with a generator column decodes to the bank the same frame without one
+// does, whatever the column holds, and no frame with one is ever written.
+func TestBankReadsPastGenerators(t *testing.T) {
+	for i, s := range []BankState{sampleBank(), plainBank(1), plainBank(300), {BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}} {
+		frame := s.Append(nil)
+		states := make([]uint64, s.Hi-s.Lo)
+		for j := range states {
+			states[j] = uint64(j+1) * 0x9e3779b97f4a7c15
+		}
+		old := withGens(t, frame, states...)
+		if len(old) != len(frame)+8*len(states) {
+			t.Fatalf("case %d: forged frame %d bytes, want %d", i, len(old), len(frame)+8*len(states))
+		}
+		var got BankState
+		if err := got.Decode(old); err != nil {
+			t.Fatalf("case %d: decode: %v", i, err)
+		}
+		if !got.Gens {
+			t.Fatalf("case %d: the decoder did not see the generator column", i)
+		}
+		checkBankReencode(t, old, got)
+		if got.Gens = false; !sameBank(got, s) {
+			t.Fatalf("case %d: decoded %+v, want %+v", i, got, s)
+		}
+		if len(states) > 0 {
+			if err := got.Decode(old[:len(old)-1]); err == nil {
+				t.Fatalf("case %d: a truncated frame decoded", i)
+			}
+			if err := got.Decode(withGens(t, frame, states[1:]...)); err == nil {
+				t.Fatalf("case %d: a frame whose generator column is a node short decoded", i)
+			}
+		}
+	}
+	mustPanic(t, "a header that asks for a generator column", func() { BankHeader{N: 4, Hi: 2, Gens: true}.Append(nil) })
+}
+
 // TestBankFrameSize pins what the frame is for: a bank with k members and
-// nothing else out of the ordinary costs its keys, eight generator bytes a
-// node and a constant.
+// nothing else out of the ordinary costs its keys and a constant.
 func TestBankFrameSize(t *testing.T) {
 	const n, k = 4096, 16
 	s := plainBank(n)
@@ -85,19 +179,17 @@ func TestBankFrameSize(t *testing.T) {
 		}
 	}
 	hdr := len(s.BankHeader.Append(nil))
-	if got, want := len(s.Append(nil)), hdr+keyBytes+8*n+2*k+3; got != want {
+	if got, want := len(s.Append(nil)), hdr+keyBytes+2*k+3; got != want {
 		t.Fatalf("frame of %d nodes, %d members: %d bytes, want %d", n, k, got, want)
 	}
 }
 
-// bankParts forges a frame from raw parts: the header and dense columns of
-// a two-node bank, then whatever section bytes the case supplies.
+// bankParts forges a frame from raw parts: the header and key column of a
+// two-node bank, then whatever section bytes the case supplies.
 func bankParts(sections ...byte) []byte {
 	p := BankHeader{N: 4, Lo: 1, Hi: 3, BoundLo: 10, BoundHi: 10}.Append(nil)
 	p = AppendVarint(p, 20)
 	p = AppendVarint(p, 5)
-	p = binary.LittleEndian.AppendUint64(p, 111)
-	p = binary.LittleEndian.AppendUint64(p, 222)
 	return append(p, sections...)
 }
 
@@ -113,7 +205,7 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 	if err := b.Decode(bankParts(1, FlagNodeInTop, 0, 2, 9, 0, 0)); err != nil {
 		t.Fatalf("well-formed forged frame rejected: %v", err)
 	}
-	if b.Flags[0] != FlagNodeInTop || b.ViolStep[1] != -5 || b.Keys[0] != 20 || b.RngState[1] != 222 {
+	if b.Flags[0] != FlagNodeInTop || b.ViolStep[1] != -5 || b.Keys[0] != 20 || b.Keys[1] != 5 {
 		t.Fatalf("forged frame decoded as %+v", b)
 	}
 	for _, tc := range []struct {
@@ -136,13 +228,16 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 		if err := b.Decode(bankParts(tc.sections...)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: decode returned %v, want %v", tc.name, err, tc.want)
 		}
+		// The same sections behind a generator column are as malformed.
+		if err := b.Decode(withGens(t, bankParts(tc.sections...), 111, 222)); !errors.Is(err, tc.want) {
+			t.Errorf("%s, after a generator column: decode returned %v, want %v", tc.name, err, tc.want)
+		}
 	}
-
-	short := BankHeader{N: 4, Lo: 1, Hi: 3}.Append(nil)
-	short = AppendVarint(AppendVarint(short, 20), 5)
-	short = append(binary.LittleEndian.AppendUint64(short, 111), 1, 2, 3, 4, 5, 6, 7, 0, 0, 0) // 7 of 8 generator bytes
-	if err := b.Decode(short); err == nil {
-		t.Error("a generator column one byte short was accepted")
+	unknown := bankParts(0, 0, 0)
+	flagAt, _ := gensColumn(t, unknown)
+	unknown[flagAt] |= 0x04
+	if err := b.Decode(unknown); !errors.Is(err, ErrMalformed) {
+		t.Errorf("an undefined header flag bit: decode returned %v, want ErrMalformed", err)
 	}
 	huge := BankHeader{N: 1 << 40, Lo: 0, Hi: 1 << 40}.Append(nil)
 	if err := b.Decode(append(huge, 0, 0, 0)); !errors.Is(err, ErrMalformed) {
@@ -176,7 +271,7 @@ func TestBankTruncationAndBitFlips(t *testing.T) {
 			mut := append([]byte(nil), frame...)
 			mut[i] ^= 1 << bit
 			if err := b.Decode(mut); err == nil {
-				roundTrip(t, mut, b.Append(nil))
+				checkBankReencode(t, mut, b)
 			}
 		}
 	}
@@ -195,24 +290,20 @@ func mustPanic(t *testing.T, name string, f func()) {
 
 // TestBankWriterEnforcesFrameOrder pins that a caller cannot write a frame
 // the reader would refuse, or one that means something else: columns out
-// of order, a short generator column, a default or unknown value, an
-// index that does not increase.
+// of order, a default or unknown value, an index that does not increase.
 func TestBankWriterEnforcesFrameOrder(t *testing.T) {
 	h := BankHeader{N: 4, Lo: 0, Hi: 2}
 	keys := []int64{1, 2}
 	dense := func() *BankWriter {
 		w := BeginBank(nil, h)
 		BankKeys(&w, keys)
-		w.Gens(1, 2)
 		return &w
 	}
 	for name, f := range map[string]func(){
-		"generator before keys":     func() { w := BeginBank(nil, h); w.Gens(1) },
 		"section before keys":       func() { w := BeginBank(nil, h); w.Flag(0, 1) },
-		"end before generators":     func() { w := BeginBank(nil, h); BankKeys(&w, keys); w.Gens(1); w.End() },
+		"end before keys":           func() { w := BeginBank(nil, h); w.End() },
 		"keys twice":                func() { w := BeginBank(nil, h); BankKeys(&w, keys); BankKeys(&w, keys) },
 		"too few keys":              func() { w := BeginBank(nil, h); BankKeys(&w, keys[:1]) },
-		"a third generator":         func() { dense().Gens(3) },
 		"flag after violation":      func() { w := dense(); w.Viol(0, 3); w.Flag(1, 1) },
 		"violation after order":     func() { w := dense(); w.Ord(0, 1, 2); w.Viol(1, 3) },
 		"index repeated":            func() { w := dense(); w.Flag(1, 1); w.Flag(1, 2) },
@@ -254,24 +345,11 @@ func TestBankReaderEnforcesFrameOrder(t *testing.T) {
 		return r
 	}
 	for name, f := range map[string]func(){
-		"generator before keys":   func() { open().Gens(make([]uint64, 1)) },
-		"too few key slots":       func() { _ = BankReadKeys(open(), make([]int64, 3)) },
-		"flags before generators": func() { _, _, _, _ = keyed().Flag() },
-		"a fifth generator": func() {
-			r := keyed()
-			r.Gens(make([]uint64, 4))
-			r.Gens(make([]uint64, 1))
-		},
-		"violations before flags": func() {
-			r := keyed()
-			r.Gens(make([]uint64, 4))
-			_, _, _, _ = r.Viol()
-		},
-		"close before the sections": func() {
-			r := keyed()
-			r.Gens(make([]uint64, 4))
-			_ = r.Close()
-		},
+		"too few key slots":         func() { _ = BankReadKeys(open(), make([]int64, 3)) },
+		"flags before keys":         func() { _, _, _, _ = open().Flag() },
+		"keys twice":                func() { _ = BankReadKeys(keyed(), make([]int64, 4)) },
+		"violations before flags":   func() { _, _, _, _ = keyed().Viol() },
+		"close before the sections": func() { _ = keyed().Close() },
 	} {
 		mustPanic(t, name, f)
 	}

@@ -311,6 +311,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 			var c Checkpoint
 			if err := c.Decode(in); err == nil {
 				roundTrip(t, in, c.Append(nil))
+				// The bank section, with or without the generator column
+				// older monitors wrote (testdata/fuzz holds one of each).
+				var b BankState
+				if len(c.Nodes) > 0 && c.Nodes[0] == TypeBankState && b.Decode(c.Nodes) == nil {
+					checkBankReencode(t, c.Nodes, b)
+				}
 			}
 			var d CheckpointDelta
 			if err := d.Decode(in); err == nil {

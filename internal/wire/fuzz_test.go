@@ -44,6 +44,7 @@ func FuzzDecode(f *testing.F) {
 			Bytes:  [MachineLedgerCells]int64{12, 0, 8, 20, 0, 4, 36, 0, 16},
 		}.Append(nil),
 		sampleBank().Append(nil),
+		withGens(f, sampleBank().Append(nil), 0xdeadbeef, 1, 0, 1<<64-1), // as written before a node's coin was keyed
 		sampleCheckpoint().Append(nil),
 		Checkpoint{Gen: 7, Engine: EngineNet, Seed: 3, Last: []int64{4, -4}}.Append(nil),
 		sampleDelta().Append(nil),
@@ -135,7 +136,7 @@ func FuzzDecode(f *testing.F) {
 		case TypeBankState:
 			var m BankState
 			if err := m.Decode(data); err == nil {
-				roundTrip(t, data, m.Append(nil))
+				checkBankReencode(t, data, m)
 			}
 		case TypeTreeStats:
 			var m TreeStats
@@ -163,7 +164,7 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-func roundTrip(t *testing.T, in, re []byte) {
+func roundTrip(t testing.TB, in, re []byte) {
 	t.Helper()
 	if !bytes.Equal(in, re) {
 		t.Fatalf("re-encode mismatch:\n in %x\nout %x", in, re)

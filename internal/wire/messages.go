@@ -106,6 +106,7 @@ const MaxTolNum uint64 = 1 << 20
 // Flag bits used by messages with a flags byte.
 const (
 	flagDistinct = 1 << 0 // Assign: DistinctValues mode
+	flagNoGens   = 1 << 1 // bank frame: no generator column follows the keys
 	flagIsTop    = 1 << 0 // Winner: winner joins the top-k set
 	flagFull     = 1 << 0 // Midpoint: install [-inf, +inf] (k == n)
 	flagTopViol  = 1 << 0 // Reply: some top-k node violated its filter

@@ -50,7 +50,7 @@ func TestNodesStateV1StillDecodes(t *testing.T) {
 func TestV1FormOfABank(t *testing.T) {
 	s := wire.BankState{
 		BankHeader: wire.BankHeader{N: 8, Lo: 2, Hi: 4, BoundLo: 50, BoundHi: 40},
-		Keys:       []int64{70, 30}, RngState: []uint64{11, 22}, Flags: []byte{wire.FlagNodeInTop, wire.FlagNodeWasTop},
+		Keys:       []int64{70, 30}, Flags: []byte{wire.FlagNodeInTop, wire.FlagNodeWasTop},
 		ViolStep: []int64{-1, 4}, OrdLo: []int64{-1 << 63, 1}, OrdHi: []int64{1<<63 - 1, 2},
 	}
 	v1 := wiretest.V1(s)

@@ -62,7 +62,7 @@ func V1(s wire.BankState) wire.NodesState {
 		OrdHi:    append([]int64(nil), s.OrdHi...),
 		Flags:    append([]byte(nil), s.Flags...),
 		ViolStep: append([]int64(nil), s.ViolStep...),
-		RngState: append([]uint64(nil), s.RngState...),
+		RngState: make([]uint64, n), // dead state: whatever a monitor left there
 		RngInc:   make([]uint64, n),
 	}
 	root := protocol.NodeRoot(0)

@@ -119,10 +119,6 @@ func (m *Monitor) startIngest() error {
 	if err != nil {
 		return err
 	}
-	m.allIDs = make([]int, m.cfg.Nodes)
-	for i := range m.allIDs {
-		m.allIDs[i] = i
-	}
 	m.drv = drv
 	return nil
 }

@@ -53,9 +53,9 @@ type CheckpointStore interface {
 //
 // A checkpoint captures the coordinator process's execution at an idle
 // step boundary: for the in-process engines the machine plus every
-// node's key, filter and generator state (restoring is bit-identical —
-// same reports, same ledgers, same randomness as a monitor that never
-// stopped); for the networked and sharded engines the machine plus the
+// node's key and filter (restoring is bit-identical — same reports, same
+// ledgers, same coins, which are a function of the seed, as a monitor that
+// never stopped); for the networked and sharded engines the machine plus the
 // coordinator's last-value mirror (the node banks live in the peers and
 // are rebuilt through the same reassign/replay/reset cycle peer
 // failover uses, so a restored monitor re-converges to oracle-exact
@@ -66,8 +66,8 @@ type CheckpointStore interface {
 // Restore is a base, the whole state; a later frame is a delta — the
 // coordinator's hundred bytes and the values of the nodes observed since
 // the frame before — unless a message was charged since that frame (a
-// protocol execution ran, and may have moved membership, bounds and
-// generators: the frame is a base again) or the chain's deltas would
+// protocol execution ran, and may have moved membership and bounds: the
+// frame is a base again) or the chain's deltas would
 // outgrow its base (the frame is a base: restoring never reads more than
 // twice one). On the similar inputs the algorithm is built for, steps that
 // charge nothing are the rule, and so are deltas. Frames are CRC-sealed
@@ -263,8 +263,8 @@ func (c *ckptChain) observed(ids []int, n int) {
 //     charges no message ran no protocol execution and installed no filter
 //     (every execution over a non-empty cohort charges its winner's bid):
 //     it moved the observed values and the step counters, which a delta
-//     carries, and nothing else — no generator, membership bit, bound,
-//     statistic or ledger cell. Any charged message voids that argument,
+//     carries, and nothing else — no membership bit, bound, statistic or
+//     ledger cell. Any charged message voids that argument,
 //     so the frame is a base;
 //   - the chain's deltas, with this one, would exceed its base in bytes:
 //     the bound that keeps a restore under twice a lone base's work and a

@@ -20,17 +20,15 @@ func liveHeap() uint64 {
 
 // TestSequentialFootprintPerNode pins what a sequential monitor keeps
 // alive per node once its first Observe — the time-0 FILTERRESET over all
-// n nodes — has run: key 8, generator state 8, the bank's flag byte, the
-// coordinator machine's membership byte and the in-play bit, 18.1 B/node
-// in all (the filters are the bank's two bounds, a generator's increment
-// derives from its id, cohorts are enlisted from the flags, not listed).
-// The budget leaves no room for a violation stamp or a stored increment
-// (8 B), an id
-// list (4 B), a per-node filter interval (16 B) or a protocol record (a
-// 32-byte sampler, a 24-byte participant) to stay reachable from the
-// monitor after the reset.
+// n nodes — has run: key 8, the bank's flag byte, the coordinator machine's
+// membership bit and the in-play bit, 9.3 B/node in all (the filters are
+// the bank's two bounds, a node's coins a function of its id, cohorts are
+// enlisted from the flags, not listed). The budget leaves no room for a
+// generator's state or a violation stamp (8 B), an id list (4 B), a per-node
+// filter interval (16 B) or a protocol record (a 32-byte sampler, a 24-byte
+// participant) to stay reachable from the monitor after the reset.
 func TestSequentialFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 20.0
+	const n, k, budget = 1 << 18, 16, 11.0
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i) * 7 % 1000003
@@ -59,7 +57,7 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 // a 16-byte column over all n nodes (which the concurrent engine's bank
 // held before the table moved there).
 func TestOrderedFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 20.0
+	const n, k, budget = 1 << 18, 16, 11.0
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i) * 7 % 1000003
@@ -92,11 +90,12 @@ func (s *sizingStore) Save(_ uint64, frame []byte) error { s.frame = len(frame);
 func (s *sizingStore) Load() (uint64, []byte, error)     { return 0, nil, ErrNoCheckpoint }
 
 // TestCheckpointFrameBytesPerNode pins the v2 frame's size on both engines
-// that checkpoint a bank: a six-byte key and an eight-byte generator state
-// per node, and nothing else that grows with n — no interval bounds, no
-// increment, no per-node default. The v1 frame was 55 B/node.
+// that checkpoint a bank: a six-byte key per node, and nothing else that
+// grows with n — no generator state, no interval bounds, no per-node
+// default. The v1 frame was 55 B/node, the frame with a generator column
+// 13.
 func TestCheckpointFrameBytesPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 16.0
+	const n, k, budget = 1 << 18, 16, 8.0
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i) * 7 % 1000003

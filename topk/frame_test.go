@@ -19,11 +19,13 @@ import (
 // number of goldenWalk steps. They are v1 — nine fields a node — and pin
 // that stores written before the v2 frame keep restoring.
 //
-// The monitors that wrote them reset with k+1 executions, so a frame holds
-// the ledger and the generator states of a history this build prices and
-// draws differently: atFrame is the ledger the frame carries, after80 the
-// restored monitor's 80 steps later, and a twin that never stopped agrees
-// with the restored monitor on every decision, not on what it cost.
+// The monitors that wrote them reset with k+1 executions and drew their
+// coins from per-node generators, so a frame holds the ledger of a history
+// this build prices differently (and generator states it reads past):
+// atFrame is the ledger the frame carries, after80 the restored monitor's 80
+// steps later — the frame's plus what a twin that never stopped charges for
+// those 80 steps, coin for coin — and the twin agrees with the restored
+// monitor on every decision, not on what the frame's history cost.
 var goldenV1 = []struct {
 	file             string
 	cfg              Config
@@ -32,19 +34,19 @@ var goldenV1 = []struct {
 }{
 	{"v1_seq_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 60,
 		"{2045 0 2849}/{10225 0 16737} {{115 0 461} {161 0 238} {1769 0 2150}}/{{575 0 3719} {805 0 1302} {8845 0 11716}}",
-		"{3345 0 3907}/{16725 0 24435} {{193 0 876} {359 0 513} {2793 0 2518}}/{{965 0 7306} {1795 0 2817} {13965 0 14312}}"},
+		"{3361 0 3907}/{16805 0 24323} {{194 0 876} {357 0 513} {2810 0 2518}}/{{970 0 7208} {1785 0 2817} {14050 0 14298}}"},
 	{"v1_seq_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05}, 60,
 		"{31 0 43}/{155 0 224} {{0 0 0} {0 0 0} {31 0 43}}/{{0 0 0} {0 0 0} {155 0 224}}",
-		"{59 0 62}/{295 0 391} {{1 0 7} {2 0 4} {56 0 51}}/{{5 0 77} {10 0 27} {280 0 287}}"},
+		"{49 0 62}/{245 0 384} {{1 0 7} {2 0 4} {46 0 51}}/{{5 0 77} {10 0 27} {230 0 280}}"},
 	{"v1_conc_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Concurrent: true}, 60,
 		"{2045 0 2849}/{10225 0 16737} {{115 0 461} {161 0 238} {1769 0 2150}}/{{575 0 3719} {805 0 1302} {8845 0 11716}}",
-		"{3345 0 3907}/{16725 0 24435} {{193 0 876} {359 0 513} {2793 0 2518}}/{{965 0 7306} {1795 0 2817} {13965 0 14312}}"},
+		"{3361 0 3907}/{16805 0 24323} {{194 0 876} {357 0 513} {2810 0 2518}}/{{970 0 7208} {1785 0 2817} {14050 0 14298}}"},
 	{"v1_conc_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05, Concurrent: true}, 60,
 		"{31 0 43}/{155 0 224} {{0 0 0} {0 0 0} {31 0 43}}/{{0 0 0} {0 0 0} {155 0 224}}",
-		"{59 0 62}/{295 0 391} {{1 0 7} {2 0 4} {56 0 51}}/{{5 0 77} {10 0 27} {280 0 287}}"},
+		"{49 0 62}/{245 0 384} {{1 0 7} {2 0 4} {46 0 51}}/{{5 0 77} {10 0 27} {230 0 280}}"},
 	{"v1_seq_pretime0.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 0,
 		"{0 0 0}/{0 0 0} {{0 0 0} {0 0 0} {0 0 0}}/{{0 0 0} {0 0 0} {0 0 0}}",
-		"{1793 0 1432}/{8965 0 9995} {{140 0 593} {214 0 319} {1439 0 520}}/{{700 0 4722} {1070 0 1707} {7195 0 3566}}"},
+		"{1823 0 1432}/{9115 0 10247} {{147 0 593} {226 0 319} {1450 0 520}}/{{735 0 4813} {1130 0 1791} {7250 0 3643}}"},
 }
 
 // goldenWalk is the input the golden frames were taken under: every node
@@ -95,7 +97,7 @@ func sameFrameDecisions(t *testing.T, where string, a, b wire.Checkpoint) {
 			t.Fatal(err)
 		}
 		ms.Counts, ms.Bytes = [wire.MachineLedgerCells]int64{}, [wire.MachineLedgerCells]int64{}
-		clear(bs.RngState)
+		bs.Gens = false // a recorded frame's generator column is read past
 		sections[i] = bs.Append(ms.Append(nil))
 	}
 	if !bytes.Equal(sections[0], sections[1]) {
@@ -273,6 +275,13 @@ func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
 	}
 }
 
+// parentAtFrame and parentAfter200 are the ledgers a monitor restored from either v2
+// fixture holds at the frame — the fixture's own — and 200 steps later.
+const (
+	parentAtFrame  = "{3536 0 4953}/{17680 0 29210} {{178 0 796} {324 0 459} {3034 0 3698}}/{{890 0 6626} {1620 0 2505} {15170 0 20079}}"
+	parentAfter200 = "{6276 0 7143}/{31380 0 44913} {{346 0 1649} {782 0 1044} {5148 0 4450}}/{{1730 0 13880} {3910 0 5703} {25740 0 25330}}"
+)
+
 // parentFrameCfg is the state the committed v2 fixtures were taken in: a
 // monitor of this configuration after parentFrameSteps goldenWalk steps —
 // all 48 nodes start level, so the walk keeps violating filters on both
@@ -319,17 +328,18 @@ func checkpointFrame(t *testing.T, mon *Monitor, store CheckpointStore) wire.Che
 	return c
 }
 
-// TestRestoreParentConcurrentFrame restores testdata/v2_conc_viol.ckpt —
-// written by the concurrent engine at the last commit whose bank kept an
-// 8-byte violation stamp per node and persisted it, with the WasTop and
-// Extracted flag bits, in every frame — and runs the monitor against a twin
-// that never stopped for 200 steps: reports and stats, and the restored
-// monitor's ledger against the recorded one (the frame's history was priced
-// at k+1 executions a reset; see goldenV1). A checkpoint is taken between
-// steps and all three are only read inside the step that wrote them, so
-// what the frame carries of them is accepted and dropped.
-func TestRestoreParentConcurrentFrame(t *testing.T) {
-	frame, err := os.ReadFile(filepath.Join("testdata", "v2_conc_viol.ckpt"))
+// restoreParentFrame restores a committed v2 fixture — an envelope whose
+// bank frame carries the generator column monitors wrote while every node
+// drew its coins from a generator of its own — and runs the monitor against
+// a twin that never stopped for 200 steps: reports and stats, and the
+// restored monitor's ledger against the recorded ones (the frame's history
+// was priced at k+1 executions a reset; see goldenV1). The column is read
+// past: the frame the restored monitor then saves has none, and is smaller
+// than the fixture's bank frame by those 8 bytes a node at least. It
+// returns the fixture's bank frame, decoded.
+func restoreParentFrame(t *testing.T, file string, concurrent bool, atFrame, after200 string) wire.BankState {
+	t.Helper()
+	frame, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,30 +351,26 @@ func TestRestoreParentConcurrentFrame(t *testing.T) {
 	if err := bs.Decode(c.Nodes); err != nil {
 		t.Fatal(err)
 	}
-	stamps, dead := 0, byte(0)
-	for i := range bs.ViolStep {
-		if bs.ViolStep[i] != -1 {
-			stamps++
-		}
-		dead |= bs.Flags[i] &^ wire.FlagNodeInTop
+	if !bs.Gens {
+		t.Fatalf("%s carries no generator column; it tests nothing", file)
 	}
-	if stamps == 0 || dead != wire.FlagNodeWasTop|wire.FlagNodeExtracted {
-		t.Fatalf("fixture carries %d violation stamps and dead flag bits 0x%02x; it tests nothing", stamps, dead)
-	}
-	old := MemCheckpoints()
+	old, resaved := MemCheckpoints(), MemCheckpoints()
 	if err := old.Save(c.Gen, frame); err != nil {
 		t.Fatal(err)
 	}
 	cfg := parentFrameCfg
-	cfg.Concurrent = true
+	cfg.Concurrent, cfg.Checkpoint = concurrent, Checkpoint{Store: resaved}
 	restored, err := Restore(old, cfg)
 	if err != nil {
-		t.Fatalf("restore: %v", err)
+		t.Fatalf("%s: restore: %v", file, err)
 	}
 	defer restored.Close()
-	twin, walk, vals := runToParentFrame(t, true, nil)
-	sameDecisions(t, "at the frame", restored, twin,
-		"{3536 0 4953}/{17680 0 29210} {{178 0 796} {324 0 459} {3034 0 3698}}/{{890 0 6626} {1620 0 2505} {15170 0 20079}}")
+	var again wire.BankState
+	if back := checkpointFrame(t, restored, resaved); again.Decode(back.Nodes) != nil || again.Gens || len(back.Nodes) > len(c.Nodes)-8*cfg.Nodes {
+		t.Fatalf("%s: restored and saved again, the bank frame is %d bytes (generator column: %v), the fixture's %d", file, len(back.Nodes), again.Gens, len(c.Nodes))
+	}
+	twin, walk, vals := runToParentFrame(t, concurrent, nil)
+	sameDecisions(t, file+" at the frame", restored, twin, atFrame)
 	for s := 0; s < 200; s++ {
 		walk(vals)
 		want, err := twin.Observe(vals)
@@ -376,27 +382,55 @@ func TestRestoreParentConcurrentFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !equalIDs(want, got) {
-			t.Fatalf("step %d: report %v, twin %v", s, got, want)
+			t.Fatalf("%s step %d: report %v, twin %v", file, s, got, want)
 		}
 		if restored.Stats() != twin.Stats() {
-			t.Fatalf("step %d: stats diverged: %+v, twin %+v", s, restored.Stats(), twin.Stats())
+			t.Fatalf("%s step %d: stats diverged: %+v, twin %+v", file, s, restored.Stats(), twin.Stats())
 		}
 	}
-	sameDecisions(t, "after 200 steps", restored, twin,
-		"{6154 0 7143}/{30770 0 44794} {{343 0 1649} {765 0 1044} {5046 0 4450}}/{{1715 0 13775} {3825 0 5696} {25230 0 25323}}")
+	sameDecisions(t, file+" after 200 steps", restored, twin, after200)
 	if twin.Stats().Resets < 20 {
 		t.Fatalf("workload too calm: %+v", twin.Stats())
 	}
+	return bs
+}
+
+// TestRestoreParentConcurrentFrame restores testdata/v2_conc_viol.ckpt —
+// written by the concurrent engine at the last commit whose bank kept an
+// 8-byte violation stamp per node and persisted it, with the WasTop and
+// Extracted flag bits, in every frame (restoreParentFrame). A checkpoint is
+// taken between steps and all three are only read inside the step that
+// wrote them, so what the frame carries of them is accepted and dropped.
+func TestRestoreParentConcurrentFrame(t *testing.T) {
+	bs := restoreParentFrame(t, "v2_conc_viol.ckpt", true, parentAtFrame, parentAfter200)
+	stamps, dead := 0, byte(0)
+	for i := range bs.ViolStep {
+		if bs.ViolStep[i] != -1 {
+			stamps++
+		}
+		dead |= bs.Flags[i] &^ wire.FlagNodeInTop
+	}
+	if stamps == 0 || dead != wire.FlagNodeWasTop|wire.FlagNodeExtracted {
+		t.Fatalf("fixture carries %d violation stamps and dead flag bits 0x%02x; it tests nothing", stamps, dead)
+	}
+}
+
+// TestRestoreParentSequentialFrame is the same for testdata/v2_seq.ckpt,
+// the sequential engine's frame of the same state: live state and the
+// generator column, nothing else.
+func TestRestoreParentSequentialFrame(t *testing.T) {
+	restoreParentFrame(t, "v2_seq.ckpt", false, parentAtFrame, parentAfter200)
 }
 
 // TestBankFrameIsOneFrame pins what the sequential engine writes and that
 // the concurrent engine writes the same: testdata/v2_seq.ckpt is the sealed
 // envelope the sequential engine wrote for this seed and trace while it
-// still kept its own node side and its own frame writer — and reset with
-// k+1 executions: what this build writes but for the ledger and the
-// generator states that history left (one byte of ledger varints less); and
-// the concurrent engine's bank section — live state only, no violation
-// stamps, no flag but membership — is the sequential engine's.
+// still kept its own node side and its own frame writer — reset with k+1
+// executions, and gave every node a generator: what this build writes but
+// for the ledger that history left (one byte of ledger varints less) and
+// the generator column, 8 bytes a node; and the concurrent engine's bank
+// section — live state only, no violation stamps, no flag but membership —
+// is the sequential engine's.
 func TestBankFrameIsOneFrame(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "v2_seq.ckpt"))
 	if err != nil {
@@ -411,8 +445,8 @@ func TestBankFrameIsOneFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameFrameDecisions(t, "the sequential engine's envelope and the recorded one", seqFrame, recorded)
-	if _, got, _ := seqStore.Load(); len(got) != 639 || len(want) != 640 {
-		t.Fatalf("the sequential engine's envelope is %d bytes, the recorded one %d; want 639 and 640", len(got), len(want))
+	if _, got, _ := seqStore.Load(); len(got) != 639-8*parentFrameCfg.Nodes || len(want) != 640 {
+		t.Fatalf("the sequential engine's envelope is %d bytes, the recorded one %d; want %d and 640", len(got), len(want), 639-8*parentFrameCfg.Nodes)
 	}
 	concFrame := checkpointFrame(t, conc, concStore)
 	if !bytes.Equal(concFrame.Nodes, seqFrame.Nodes) || !bytes.Equal(concFrame.Machine, seqFrame.Machine) {

@@ -277,10 +277,9 @@ type Monitor struct {
 	// Asynchronous ingestion (Config.Ingest.QueueDepth > 0): drv owns
 	// the coalescing queue and the worker goroutine; engineMu
 	// serializes the worker's protocol steps against the read
-	// accessors; allIDs is the dense id list Observe stages.
+	// accessors.
 	drv      *ingest.Driver
 	engineMu sync.Mutex
-	allIDs   []int
 
 	// Durable checkpointing (Config.Checkpoint): the generation counter,
 	// the steps applied since the last automatic checkpoint, the outcome
@@ -478,7 +477,7 @@ func (m *Monitor) Observe(vals []int64) ([]int, error) {
 		return nil, err
 	}
 	if m.drv != nil {
-		return nil, m.enqueue(m.allIDs, vals)
+		return nil, m.enqueue(nil, vals)
 	}
 	m.observed(nil)
 	return m.step(m.eng.Observe(vals))
