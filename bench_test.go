@@ -107,6 +107,36 @@ func BenchmarkMonitorStep(b *testing.B) {
 	}
 }
 
+// BenchmarkLeafDenseObserve measures what a quiet dense step costs a host:
+// one netrun leaf behind a pipe, one Observe frame of 2¹⁶ values in and the
+// violation-flag reply out — pipe hand-off, the frame's varints read where
+// they lie and the bank's range kernel, no decoded column in between. The
+// frame is encoded once, off the clock; the leaf must allocate nothing.
+func BenchmarkLeafDenseObserve(b *testing.B) {
+	const n = 1 << 16
+	link := fanout.Loopback(netrun.Serve)
+	defer link.Close()
+	exchange := func(frame []byte) {
+		if err := link.Send(frame); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := link.Recv(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	exchange(wire.Assign{Lo: 0, Hi: n, N: n, K: 4, Seed: 1}.Append(nil))
+	vals := make([]int64, n)
+	stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 40, MaxStep: 8, Seed: 2}).Step(vals)
+	frame := wire.Observe{Step: 1, Vals: vals}.Append(nil)
+	exchange(frame)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exchange(frame)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
+}
+
 // BenchmarkMonitorDelta compares sparse and dense ingestion of the same
 // workload — a random walk where 1% of n nodes move per step — on the
 // sequential engine. The delta path is the headline: O(#changed) work and

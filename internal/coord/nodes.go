@@ -227,12 +227,25 @@ func (b *Nodes) Patch(ids []int, vals []int64) error {
 	return nil
 }
 
+// holds reports whether key lies inside the filter a node with flags f
+// derives from the installed bounds — Algorithm 1 line 3, the check every
+// node makes on every observation: [Lo, +inf] for a top-k member, [-inf, Hi]
+// for an outsider, the ends a tolerance's install has already widened.
+func holds(inst filter.Bounds, f uint8, key order.Key) bool {
+	if f&flagInTop != 0 {
+		return key >= inst.Lo
+	}
+	return key <= inst.Hi
+}
+
 // Observe ingests one observation for node id at the given step, runs the
 // node-local filter check, and reports whether the node violated as a
 // former top-k member (topViol) or as an outsider (outViol). A value
 // outside the value domain (Encode) is rejected before any state changes.
 // Hosts that face a wire (internal/netrun, internal/shardrun) surface the
-// error instead of panicking.
+// error instead of panicking. It is the sparse entry point, one call per
+// touched node; a dense run goes through ObserveDense or ObserveStream and
+// reaches it only for the values that do not pass quietly.
 func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err error) {
 	i := b.index(id)
 	// Encode, spelled out: its call is a quarter of a violation-free
@@ -247,10 +260,10 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 	}
 	b.keys[i] = key
 	f := b.flags[i]
-	inTop := f&flagInTop != 0
-	if violated, _ := b.inst.Interval(inTop).Violates(key); !violated {
+	if holds(*b.inst, f, key) {
 		return false, false, nil
 	}
+	inTop := f&flagInTop != 0
 	if b.violAt != step {
 		for _, j := range b.viol {
 			b.flags[j] &^= flagViolated
@@ -266,6 +279,101 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 	}
 	b.flags[i] = f
 	return inTop, !inTop, nil
+}
+
+// observeRun is the dense range kernel: vals[j] is the new value of hosted
+// node i+j. What a value's check needs that does not depend on the value —
+// the installed bounds, the codec's multiplier and the run's tie-break
+// base, the domain bound — is read once, so a value that lies in the domain
+// and inside its node's filter costs a multiplication, two comparisons and
+// the store of its key. Any other value — a violator's, or one outside the
+// domain — is handed to Observe, which does for it everything it does for a
+// sparse update: the flags, the violator list and the error are that code's,
+// and the run stops at the first value it rejects.
+func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bool, err error) {
+	inst, maxVal := *b.inst, b.maxVal
+	mul, tie, dec := int64(1), int64(0), int64(0) // DistinctValues: the key is the value
+	if !b.distinct {
+		mul = int64(b.codec.N())
+		tie, dec = mul-1-int64(b.lo+i), 1 // order.Codec.Encode: v*n + (n-1-id)
+	}
+	keys, flags := b.keys[i:][:len(vals)], b.flags[i:][:len(vals)]
+	for j, v := range vals {
+		key := order.Key(v*mul + tie)
+		tie -= dec
+		if v <= maxVal && v >= -maxVal && holds(inst, flags[j], key) {
+			keys[j] = key
+			continue
+		}
+		t, o, err := b.Observe(b.lo+i+j, v, step)
+		if err != nil {
+			return topViol, outViol, err
+		}
+		topViol, outViol = topViol || t, outViol || o
+	}
+	return topViol, outViol, nil
+}
+
+// ObserveDense ingests one dense step for the whole hosted range — vals[i]
+// is the new value of node Lo()+i — and reports whether any former top-k
+// member and any outsider violated its filter: Observe for every hosted
+// node in ascending id order, stopping at the first value outside the
+// value domain.
+func (b *Nodes) ObserveDense(vals []int64, step int64) (topViol, outViol bool, err error) {
+	if len(vals) != len(b.keys) {
+		panic(fmt.Sprintf("coord: %d values for the %d nodes of [%d, %d)", len(vals), len(b.keys), b.lo, b.hi))
+	}
+	return b.observeRun(0, vals, step)
+}
+
+// ObserveStream is ObserveDense for a dense frame as it arrived: the
+// values are read from the frame's bytes a chunk at a time and never exist
+// as a column. The frame must carry one value per hosted node, which is
+// checked before the first store; whatever else is wrong with it — a
+// malformed varint, a value outside the domain, bytes after the last value
+// — is found where it lies, so the values ahead of it have been applied
+// when the error comes back. A wire-facing host ends on that error, and
+// the coordinator rebuilds the range from its mirror.
+func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err error) {
+	if s.Len() != len(b.keys) {
+		return false, false, fmt.Errorf("coord: observe frame carries %d values for range [%d, %d)", s.Len(), b.lo, b.hi)
+	}
+	var chunk [256]int64
+	for i := 0; i < len(b.keys); {
+		n, rerr := s.Read(chunk[:])
+		t, o, err := b.observeRun(i, chunk[:n], s.Step)
+		topViol, outViol = topViol || t, outViol || o
+		if err == nil {
+			err = rerr
+		}
+		if err != nil {
+			return topViol, outViol, err
+		}
+		i += n
+	}
+	return topViol, outViol, s.Close()
+}
+
+// ObserveDeltaStream ingests a sparse frame as it arrived: Observe for
+// every (id, value) pair it carries, read from the frame's bytes. An id
+// outside the hosted range is an error; like any other it is found where
+// it lies (see ObserveStream).
+func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, err error) {
+	for s.Len() > 0 {
+		id, v, err := s.Next()
+		if err != nil {
+			return topViol, outViol, err
+		}
+		if id < b.lo || id >= b.hi {
+			return topViol, outViol, fmt.Errorf("coord: delta id %d outside range [%d, %d)", id, b.lo, b.hi)
+		}
+		t, o, err := b.Observe(id, v, s.Step)
+		if err != nil {
+			return topViol, outViol, err
+		}
+		topViol, outViol = topViol || t, outViol || o
+	}
+	return topViol, outViol, s.Close()
 }
 
 // Round runs round r of one protocol execution (protocol.Exec) over the

@@ -146,19 +146,18 @@ func (inline) Close()        {}
 // rejects. It is the node-local filter check of Algorithm 1 line 3,
 // restricted to the touched nodes: an untouched node's value lies inside
 // its filter by the per-step invariant. With k == n all filters are
-// [−∞, +∞] and nobody ever violates.
+// [−∞, +∞] and nobody ever violates. The dense form is the bank's range
+// kernel over the view's slice of vals (coord.Nodes.ObserveDense), the
+// sparse form one coord.Nodes.Observe per touched node.
 func ObserveRange(view *coord.Nodes, ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
 	lo, hi := view.Lo(), view.Hi()
-	if ids != nil {
-		lo = sort.SearchInts(ids, lo)
-		hi = lo + sort.SearchInts(ids[lo:], hi)
+	if ids == nil {
+		return view.ObserveDense(vals[lo:hi], step)
 	}
+	lo = sort.SearchInts(ids, lo)
+	hi = lo + sort.SearchInts(ids[lo:], hi)
 	for j := lo; j < hi; j++ {
-		id := j
-		if ids != nil {
-			id = ids[j]
-		}
-		top, out, err := view.Observe(id, vals[j], step)
+		top, out, err := view.Observe(ids[j], vals[j], step)
 		if err != nil {
 			return anyTop, anyOut, err
 		}

@@ -44,7 +44,14 @@ var fuzzRounds = map[string]RoundFunc{
 // hostile or buggy frame cannot panic the process that hosts the leaf.
 func FuzzLeafRespond(f *testing.F) {
 	assign := wire.Assign{Lo: 4, Hi: 20, N: 24, K: 3, Seed: 5}.Append(nil)
+	// Observation frames are applied from the bytes, so one that turns
+	// malformed mid-run does so with part of the bank written.
+	dense := wire.Observe{Step: 1, Vals: []int64{1 << 40, -7, 0, 300, 5, 1 << 20, 9, 9, -1 << 33, 2, 4, 8, 16, 32, 64, 128}}.Append(nil)
+	delta := wire.ObserveDelta{Step: 1, IDs: []int{4, 9, 12, 19}, Vals: []int64{5, -1 << 30, 1 << 30, -5}}.Append(nil)
 	for _, seed := range [][]byte{
+		dense, dense[:len(dense)/2], dense[:len(dense)-1], append(dense[:len(dense):len(dense)], 0),
+		delta[:len(delta)/2], delta[:len(delta)-1],
+		wire.Observe{Step: 1, Vals: []int64{1, 2, 3}}.Append(nil), // not the range's width
 		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 4}.Append(nil),
 		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 24}.Append(nil),
 		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil),           // no winner wanted

@@ -76,9 +76,7 @@ type leaf struct {
 	bank  *coord.Nodes // nil until the first Assign
 	round RoundFunc
 
-	obs   wire.Observe      // reusable decode scratch
-	delta wire.ObserveDelta //
-	batch wire.Batch        // reusable decode scratch for batched commands
+	batch wire.Batch // reusable decode scratch for batched commands
 
 	replies Frames // the replies to the incoming frame's commands
 	env     []byte // envelope buffer for a batched reply
@@ -103,16 +101,6 @@ func newBank(a wire.Assign) (*coord.Nodes, error) {
 	return coord.NewNodes(a.N, a.Lo, a.Hi, a.Seed, a.Distinct, tol), nil
 }
 
-// observe applies one node's new value and folds its violation flags into
-// rep. An out-of-domain value from the wire surfaces as a serve-loop error
-// (the coordinator sees the link die), never as a panic.
-func (s *leaf) observe(rep *wire.Reply, id int, v, step int64) error {
-	t, o, err := s.bank.Observe(id, v, step)
-	rep.TopViol = rep.TopViol || t
-	rep.OutViol = rep.OutViol || o
-	return err
-}
-
 // handle processes one command frame and appends the outgoing reply frame
 // to dst, returning the extended slice. It returns false for TypeShutdown.
 func (s *leaf) handle(frame, dst []byte) (out []byte, cont bool, err error) {
@@ -124,30 +112,27 @@ func (s *leaf) handle(frame, dst []byte) (out []byte, cont bool, err error) {
 	lo, hi := s.bank.Lo(), s.bank.Hi()
 
 	switch typ {
+	// An observation frame is applied where it lies, the receive buffer: no
+	// decoded column stands between the link and the bank. What is wrong
+	// with one — framing, a value count that is not the range's width, an id
+	// or a value out of range — surfaces as a serve-loop error (the
+	// coordinator sees the link die), never as a panic.
 	case wire.TypeObserve:
-		if err := s.obs.Decode(frame); err != nil {
+		obs, err := wire.OpenObserve(frame)
+		if err != nil {
 			return dst, false, err
 		}
-		if len(s.obs.Vals) != hi-lo {
-			return dst, false, fmt.Errorf("fanout: observe carries %d values for range [%d, %d)", len(s.obs.Vals), lo, hi)
-		}
-		for i, v := range s.obs.Vals {
-			if err := s.observe(&rep, lo+i, v, s.obs.Step); err != nil {
-				return dst, false, err
-			}
+		if rep.TopViol, rep.OutViol, err = s.bank.ObserveStream(&obs); err != nil {
+			return dst, false, err
 		}
 
 	case wire.TypeObserveDelta:
-		if err := s.delta.Decode(frame); err != nil {
+		delta, err := wire.OpenObserveDelta(frame)
+		if err != nil {
 			return dst, false, err
 		}
-		for j, id := range s.delta.IDs {
-			if id < lo || id >= hi {
-				return dst, false, fmt.Errorf("fanout: delta id %d outside range [%d, %d)", id, lo, hi)
-			}
-			if err := s.observe(&rep, id, s.delta.Vals[j], s.delta.Step); err != nil {
-				return dst, false, err
-			}
+		if rep.TopViol, rep.OutViol, err = s.bank.ObserveDeltaStream(&delta); err != nil {
+			return dst, false, err
 		}
 
 	case wire.TypeRound:

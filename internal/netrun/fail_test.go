@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // driven produces observation vectors that force communication every
@@ -129,6 +131,99 @@ func TestDeadLinkRecoversByMerge(t *testing.T) {
 			vals[0] = 1 << 30 // vals mirrors the engine's last-value view
 			if d := e.ObserveDelta([]int{0}, []int64{1 << 30}); !equal(d, sim.Oracle(vals, k)) {
 				t.Fatalf("delta after recovery: got %v, want oracle %v", d, sim.Oracle(vals, k))
+			}
+		})
+	}
+}
+
+// cutObserve is a link whose armed Send ships a dense Observe frame with
+// its count intact and its bytes cut inside the value after the first half
+// of them: a frame that is well-formed as far as a host can tell until it
+// has applied half its range.
+type cutObserve struct {
+	transport.Link
+	armed bool
+}
+
+func (l *cutObserve) Send(p []byte) error {
+	if l.armed && p[0] == wire.TypeObserve {
+		l.armed = false
+		s, err := wire.OpenObserve(p)
+		if err != nil {
+			return err
+		}
+		if _, err := s.Share(s.Len() / 2); err != nil {
+			return err
+		}
+		p = p[:s.Offset()+1]
+	}
+	return l.Link.Send(p)
+}
+
+// TestDeadHostAfterHalfAppliedFrame pins what makes applying a frame in
+// place safe. A host applies a dense frame as it reads it, so a frame that
+// turns malformed mid-run leaves the host's bank half written — and that
+// host never answers again: its serve loop ends with the wire error, its
+// link closes, the coordinator sees a dead peer on the step it was
+// gathering, and the next call rebuilds the range from the mirror — the
+// values the coordinator shipped, not the ones a host half kept — so
+// reports are oracle-exact from then on.
+func TestDeadHostAfterHalfAppliedFrame(t *testing.T) {
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
+			const n, k, seed = 64, 4, 13
+			coordEnd, serveEnd := transport.Pipe()
+			served := make(chan error, 1)
+			go func() {
+				err := Serve(serveEnd)
+				serveEnd.Close() // as fanout.Loopback does for a failed server
+				served <- err
+			}()
+			victim := &cutObserve{Link: coordEnd}
+			e, err := New(Config{N: n, K: k, Seed: seed, RetryBackoff: time.Millisecond},
+				[]transport.Link{LoopbackLink(), victim, LoopbackLink()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+
+			// Three-byte values, so half a frame's bytes still cover its count.
+			src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 1 << 20, Hi: 1 << 21, MaxStep: 1 << 12, Seed: 3})
+			vals := make([]int64, n)
+			var lastGood []int
+			for s := 0; s < 10; s++ {
+				src.Step(vals)
+				lastGood = append(lastGood[:0], e.Observe(vals)...)
+				if want := sim.Oracle(vals, k); !equal(lastGood, want) {
+					t.Fatalf("healthy step %d: got %v, want oracle %v", s, lastGood, want)
+				}
+			}
+
+			victim.armed = true
+			src.Step(vals)
+			if got := e.Observe(vals); !equal(got, lastGood) {
+				t.Fatalf("the step that lost a host returned %v, want the last-good %v", got, lastGood)
+			}
+			if err := <-served; !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("the host's serve loop ended with %v, want wire.ErrTruncated", err)
+			}
+			if h := e.Health(); !h.Degraded || h.Failures != 1 || h.Recoveries != 0 {
+				t.Fatalf("health after the cut frame: %+v, want one failure awaiting recovery", h)
+			}
+
+			for s := 0; s < 10; s++ {
+				src.Step(vals)
+				got := e.Observe(vals)
+				if e.Err() != nil {
+					t.Fatalf("step %d after the cut frame: recovery went terminal: %v", s, e.Err())
+				}
+				if want := sim.Oracle(vals, k); !equal(got, want) {
+					t.Fatalf("step %d after the cut frame: got %v, want oracle %v", s, got, want)
+				}
+			}
+			if h := e.Health(); h.Degraded || h.Terminal != nil || h.Failures != 1 || h.Recoveries != 1 || len(h.Peers) != 2 {
+				t.Fatalf("health after recovery: %+v, want one failure, one recovery, two peers", h)
 			}
 		})
 	}

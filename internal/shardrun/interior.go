@@ -38,9 +38,7 @@ type interior struct {
 	merge  digest // the running merge of one Round sub-frame's answers
 	lo, hi int    // currently assigned absolute range
 
-	obs   wire.Observe      // decode scratch
-	delta wire.ObserveDelta //
-	batch wire.Batch        // decode scratch for parent batches
+	batch wire.Batch // decode scratch for parent batches
 
 	plan    []planEntry
 	replies fanout.Frames // the folded replies to the parent frame's commands
@@ -167,34 +165,59 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			}
 			r.to(pe, ki, raw)
 
+		// An observation frame is split, not decoded: each child's frame is
+		// a fresh header and its run of the parent's bytes (wire.Share),
+		// every varint checked on the way past.
 		case wire.TypeObserve:
-			if err := r.obs.Decode(sub); err != nil {
+			obs, err := wire.OpenObserve(sub)
+			if err != nil {
 				return false, err
 			}
-			if len(r.obs.Vals) != r.hi-r.lo {
-				return false, fmt.Errorf("shardrun: observe carries %d values for interior range [%d, %d)", len(r.obs.Vals), r.lo, r.hi)
+			if obs.Len() != r.hi-r.lo {
+				return false, fmt.Errorf("shardrun: observe carries %d values for interior range [%d, %d)", obs.Len(), r.lo, r.hi)
 			}
 			for ki := range r.fan.Peers() {
 				lo, hi := r.fan.Range(ki)
-				r.to(pe, ki, wire.Observe{Step: r.obs.Step, Vals: r.obs.Vals[lo-r.lo : hi-r.lo]}.Append)
+				share, err := obs.Share(hi - lo)
+				if err != nil {
+					return false, err
+				}
+				r.to(pe, ki, share.Append)
+			}
+			if err := obs.Close(); err != nil {
+				return false, err
 			}
 
 		case wire.TypeObserveDelta:
-			if err := r.delta.Decode(sub); err != nil {
+			delta, err := wire.OpenObserveDelta(sub)
+			if err != nil {
 				return false, err
 			}
-			// The codec guarantees strictly increasing ids, so the ends
-			// bound them all.
-			if ids := r.delta.IDs; len(ids) > 0 && (ids[0] < r.lo || ids[len(ids)-1] >= r.hi) {
-				return false, fmt.Errorf("shardrun: delta ids %d..%d outside interior range [%d, %d)", ids[0], ids[len(ids)-1], r.lo, r.hi)
+			// The codec guarantees strictly increasing ids, so a first one
+			// inside the range and none left behind the last child bound
+			// them all.
+			below, err := delta.Share(r.lo)
+			if err != nil {
+				return false, err
 			}
-			start := 0
+			if below.Count > 0 {
+				return false, fmt.Errorf("shardrun: delta id %d outside interior range [%d, %d)", below.First, r.lo, r.hi)
+			}
 			for ki := range r.fan.Peers() {
-				stop := r.fan.Share(ki, r.delta.IDs, start)
-				if stop > start {
-					r.to(pe, ki, wire.ObserveDelta{Step: r.delta.Step, IDs: r.delta.IDs[start:stop], Vals: r.delta.Vals[start:stop]}.Append)
+				_, hi := r.fan.Range(ki)
+				share, err := delta.Share(hi)
+				if err != nil {
+					return false, err
 				}
-				start = stop
+				if share.Count > 0 {
+					r.to(pe, ki, share.Append)
+				}
+			}
+			if delta.Len() > 0 {
+				return false, fmt.Errorf("shardrun: delta ids beyond interior range [%d, %d)", r.lo, r.hi)
+			}
+			if err := delta.Close(); err != nil {
+				return false, err
 			}
 
 		case wire.TypeRound:

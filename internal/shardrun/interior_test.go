@@ -199,7 +199,15 @@ func TestInteriorChainIsIdentity(t *testing.T) {
 func FuzzInteriorRespond(f *testing.F) {
 	assign := wire.Assign{Lo: 4, Hi: 20, N: 24, K: 3, Seed: 5}.Append(nil)
 	reset := wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 4}.Append(nil)
+	// Observation frames are split by their bytes, so one that turns
+	// malformed mid-run does so with some children's shares already queued.
+	dense := wire.Observe{Step: 1, Vals: []int64{1 << 40, -7, 0, 300, 5, 1 << 20, 9, 9, -1 << 33, 2, 4, 8, 16, 32, 64, 128}}.Append(nil)
+	delta := wire.ObserveDelta{Step: 1, IDs: []int{4, 9, 12, 19}, Vals: []int64{5, -1 << 30, 1 << 30, -5}}.Append(nil)
 	for _, seed := range [][]byte{
+		dense, dense[:len(dense)/2], dense[:len(dense)-1], append(dense[:len(dense):len(dense)], 0),
+		delta, delta[:len(delta)/2], delta[:len(delta)-1],
+		wire.ObserveDelta{Step: 1, IDs: []int{3, 9}, Vals: []int64{1, 2}}.Append(nil),  // an id below the range
+		wire.ObserveDelta{Step: 1, IDs: []int{9, 20}, Vals: []int64{1, 2}}.Append(nil), // an id beyond it
 		reset, // three list digests to merge
 		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 24}.Append(nil), // every node a winner
 		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil),           // no winner wanted

@@ -59,8 +59,12 @@ func frameLen(payload int) int64 {
 }
 
 // Send implements Link. Pipes transmit immediately; there is nothing for
-// Flush to release.
+// Flush to release. A payload above MaxFrame is refused as the TCP link
+// refuses it.
 func (l *pipeLink) Send(payload []byte) error {
+	if err := sendable(payload); err != nil {
+		return err
+	}
 	var cp []byte
 	select {
 	case cp = <-l.out.free:

@@ -224,8 +224,8 @@ func newTCPLink(c net.Conn) *tcpLink {
 // Send implements Link: it frames the payload into the write buffer and
 // returns without transmitting. Flush or the next Recv pushes it out.
 func (l *tcpLink) Send(payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame", len(payload))
+	if err := sendable(payload); err != nil {
+		return err
 	}
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()

@@ -39,6 +39,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 )
 
@@ -50,6 +51,15 @@ var ErrClosed = errors.New("transport: link closed")
 // of bytes per node), so 1<<26 leaves orders of magnitude of headroom
 // while still rejecting nonsense length prefixes immediately.
 const MaxFrame = 1 << 26
+
+// sendable refuses a payload above MaxFrame, for every link alike: a
+// loopback run must not carry a frame the deployed transport would refuse.
+func sendable(payload []byte) error {
+	if len(payload) > MaxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame", len(payload))
+	}
+	return nil
+}
 
 // Link is one reliable, ordered, message-framed duplex connection between
 // the coordinator and a peer. Send and Recv are safe to call from

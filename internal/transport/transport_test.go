@@ -230,6 +230,64 @@ func TestTCPOversizedFrameRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedSendRefused pins that every link refuses the same frames:
+// a payload above MaxFrame fails Send with the same error on a pipe as on
+// the TCP link, nothing is sent, and the link carries the next frame.
+func TestOversizedSendRefused(t *testing.T) {
+	ln, _ := startTCP(t)
+	accepted := make(chan Link, 1)
+	go func() {
+		lk, err := ln.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- lk
+	}()
+	dialed, err := Dial(context.Background(), ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeA, pipeB := Pipe()
+	links := []struct {
+		name      string
+		near, far Link
+	}{
+		{"pipe", pipeA, pipeB},
+		{"tcp", dialed, <-accepted},
+	}
+	huge := make([]byte, MaxFrame+1) // never written: Send refuses before it copies
+	var want string
+	for _, l := range links {
+		if l.far == nil {
+			t.Fatal("no accepted link")
+		}
+		err := l.near.Send(huge)
+		if err == nil {
+			t.Fatalf("%s: Send accepted %d bytes, MaxFrame is %d", l.name, len(huge), MaxFrame)
+		}
+		if want == "" {
+			want = err.Error()
+		}
+		if err.Error() != want {
+			t.Errorf("%s: Send error %q, want the other link's %q", l.name, err, want)
+		}
+		if err := l.near.Send(huge[:MaxFrame>>10]); err != nil {
+			t.Fatalf("%s: Send after a refused frame: %v", l.name, err)
+		}
+		if err := Flush(l.near); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := l.far.Recv(); err != nil || len(got) != MaxFrame>>10 {
+			t.Fatalf("%s: Recv after a refused frame: %d bytes, %v", l.name, len(got), err)
+		}
+		if s := StatsOf(l.near); s.SentFrames != 1 {
+			t.Errorf("%s: %d frames counted as sent, want 1", l.name, s.SentFrames)
+		}
+		l.near.Close()
+		l.far.Close()
+	}
+}
+
 func TestTCPTruncatedFrame(t *testing.T) {
 	ln, _ := startTCP(t)
 	got := make(chan error, 1)

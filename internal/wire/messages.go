@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Message type tags. Every encoded message is a one-byte tag followed by
 // the message's varint-coded fields.
@@ -244,8 +247,25 @@ func (m Observe) Append(dst []byte) []byte {
 	dst = append(dst, TypeObserve)
 	dst = AppendUvarint(dst, uint64(m.Step))
 	dst = AppendUvarint(dst, uint64(len(m.Vals)))
-	for _, v := range m.Vals {
-		dst = AppendVarint(dst, v)
+	// A chunk of values at a time, into space grown for the longest they
+	// can be: the stores need no capacity check of their own, where an
+	// append per byte makes one each.
+	for vals := m.Vals; len(vals) > 0; {
+		part := vals[:min(256, len(vals))]
+		vals = vals[len(part):]
+		dst = slices.Grow(dst, len(part)*maxUvarintLen)
+		buf, k := dst[len(dst):cap(dst)], 0
+		for _, v := range part {
+			u := zigzag(v)
+			for u >= 0x80 {
+				buf[k] = byte(u) | 0x80
+				u >>= 7
+				k++
+			}
+			buf[k] = byte(u)
+			k++
+		}
+		dst = dst[:len(dst)+k]
 	}
 	return dst
 }
@@ -323,7 +343,7 @@ func (m *ObserveDelta) Decode(p []byte) error {
 	if u, p, err = uvarintField(p); err != nil {
 		return err
 	}
-	if 2*u > uint64(len(p))+1 { // every (gap, value) pair takes >= 2 bytes
+	if u > uint64(len(p)+1)/2 { // every (gap, value) pair takes >= 2 bytes
 		return fmt.Errorf("%w: %d deltas in %d bytes", ErrMalformed, u, len(p))
 	}
 	m.IDs, m.Vals = m.IDs[:0], m.Vals[:0]

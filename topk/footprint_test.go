@@ -51,6 +51,43 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 	runtime.KeepAlive(vals)
 }
 
+// TestLoopbackFootprintPerNode pins what a networked monitor and the
+// processes that host its nodes keep alive per node, all of it in this
+// process over Loopback(2), after two dense steps (the second runs on the
+// pipes' recycled buffers, so nothing is still growing): the hosts' banks
+// 9 B, the coordinator's last-value mirror 8 B, and the dense frames — three
+// bytes a value here — in the coordinator's encode buffer (one host's
+// share, 1.5 B) and in the two buffers each pipe cycles through (6 B), 25.1
+// B/node with the membership and in-play bits. A host applies a frame from
+// the buffer it arrived in, so nothing else grows with n: the budget has no
+// room for the 8-byte column per hosted node a host used to decode every
+// frame into (33.6 B/node then).
+func TestLoopbackFootprintPerNode(t *testing.T) {
+	const n, k, budget = 1 << 18, 16, 27.5
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = 1<<15 + int64(i)*7%1000003
+	}
+	before := liveHeap()
+	m, err := New(Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for step := 0; step < 2; step++ {
+		if _, err := m.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	perNode := (float64(after) - float64(before)) / n
+	t.Logf("loopback monitor over 2 hosts, n=%d: %.1f B/node live after two dense steps", n, perNode)
+	if perNode > budget {
+		t.Fatalf("loopback monitor and its hosts hold %.1f B/node after two dense steps, budget %v", perNode, budget)
+	}
+	runtime.KeepAlive(vals)
+}
+
 // TestOrderedFootprintPerNode pins that the ordered mode costs the same per
 // node on both in-process engines, and what the set mode costs: the order
 // filters are a table of the k members', in the bank both engines host, not
