@@ -18,9 +18,9 @@ import (
 // the only one a frame carries: the other two are written and read inside
 // one step, and a checkpoint is taken between steps.
 const (
-	flagInTop    = wire.FlagNodeInTop  // membership from the last broadcast
-	flagWasTop   = wire.FlagNodeWasTop // membership at the time of the last violation
-	flagViolated = 1 << 3              // listed in the view's violators
+	flagInTop    = wire.FlagNodeInTop // membership from the last broadcast
+	flagWasTop   = 1 << 1             // membership at the time of the last violation
+	flagViolated = 1 << 3             // listed in the view's violators
 )
 
 // Nodes hosts the node-side state of a contiguous id range [Lo, Hi) of an

@@ -7,11 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 // bankAPI is the command surface Nodes shares with the per-node reference
@@ -34,7 +34,7 @@ type bankAPI interface {
 // errors of an observation, the (id, key) sends of a round in order, an
 // order-filter check. same compares what no answer shows and a step can
 // still read — every node's key, derived filter and membership, every
-// member's order filter — through the byte-identical checkpoint frame.
+// member's order filter — through the flat bank's checkpoint frame.
 type pair struct {
 	t     *testing.T
 	where string
@@ -94,9 +94,12 @@ func (p *pair) Snapshot(dst []byte) []byte { return p.kern.Snapshot(dst) }
 
 func (p *pair) same() {
 	p.t.Helper()
-	// The reference writes the v1 frame, every interval spelled out; the
-	// flat bank's v2 frame must say the same once its bounds are applied
-	// by membership — and must be the one encoding of what it decodes to.
+	// The flat bank's frame must be the one encoding of what it decodes to,
+	// and hold what the reference holds: the bank's shape, every node's key
+	// and membership, every reference interval the frame's bounds applied by
+	// membership, and every member's order filter. What a later step cannot
+	// read is left out: violation history, and the order filter a node kept
+	// from a membership it has lost.
 	frame := p.kern.Snapshot(nil)
 	var bs wire.BankState
 	if err := bs.Decode(frame); err != nil {
@@ -105,23 +108,24 @@ func (p *pair) same() {
 	if !bytes.Equal(bs.Append(nil), frame) {
 		p.t.Fatalf("%s: checkpoint frame is not canonical", p.where)
 	}
-	// The reference persists what per-node banks persisted; a bank frame
-	// carries live state only. What a later step cannot read is normalised
-	// away here: violation stamps, the WasTop and Extracted bits, and the
-	// order filter a node kept from a membership it has lost.
-	var rs wire.NodesState
-	if err := rs.Decode(p.ref.Snapshot(nil)); err != nil {
-		p.t.Fatalf("%s: reference frame does not decode: %v", p.where, err)
+	r := p.ref
+	if bs.N != r.codec.N() || bs.Lo != r.lo || bs.Hi != r.hi || bs.EpsNum != r.tol.Num() || bs.Distinct != r.distinct {
+		p.t.Fatalf("%s: checkpoint frame header %+v, reference [%d, %d) of %d", p.where, bs.BankHeader, r.lo, r.hi, r.codec.N())
 	}
-	clear(rs.RngState) // a generator no trial draws from any more
-	for i := range rs.Flags {
-		rs.ViolStep[i] = -1
-		if rs.Flags[i] &= wire.FlagNodeInTop; rs.Flags[i] == 0 {
-			rs.OrdLo[i], rs.OrdHi[i] = int64(order.NegInf), int64(order.PosInf)
+	in := filter.Bounds{Lo: order.Key(bs.BoundLo), Hi: order.Key(bs.BoundHi)}
+	for i := range r.ns {
+		nd := &r.ns[i]
+		ord, refOrd := filter.Full(), filter.Full()
+		if bs.InTop[i] {
+			ord = filter.Interval{Lo: order.Key(bs.OrdLo[i]), Hi: order.Key(bs.OrdHi[i])}
 		}
-	}
-	if k, r := wiretest.AppendNodesV1(nil, wiretest.V1(bs)), wiretest.AppendNodesV1(nil, rs); !bytes.Equal(k, r) {
-		p.t.Fatalf("%s: checkpoint frame differs from the reference's (%d vs %d bytes in v1 form)", p.where, len(k), len(r))
+		if nd.inTop {
+			refOrd = nd.ordIv
+		}
+		if order.Key(bs.Keys[i]) != nd.key || bs.InTop[i] != nd.inTop || in.Interval(nd.inTop) != nd.iv || ord != refOrd {
+			p.t.Fatalf("%s: node %d: the frame holds key %d, member %v, filter %v, order filter %v; the reference key %d, member %v, filter %v, order filter %v",
+				p.where, nd.id, bs.Keys[i], bs.InTop[i], in.Interval(bs.InTop[i]), ord, nd.key, nd.inTop, nd.iv, refOrd)
+		}
 	}
 }
 
@@ -429,17 +433,14 @@ func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 }
 
 // TestRestoreParentWrittenFrame is the compatibility half of the
-// checkpoint contract: a frame written by the per-node bank (the parent
-// commit's layout) restores into a flat bank that re-emits it byte for
-// byte and continues in lockstep with the bank that wrote it.
+// checkpoint contract: the frame a bank writes mid-run — through its views
+// or not, with order filters or not — restores into a flat bank that
+// re-emits it byte for byte and continues in lockstep with the per-node
+// reference, which never stopped.
 func TestRestoreParentWrittenFrame(t *testing.T) {
 	for _, tc := range equivCases {
-		if tc.views != nil {
-			continue // frames carry no views
-		}
-		tol, _ := order.NewTol(tc.eps)
-		ref := newRefNodes(tc.n, 0, tc.n, 41, tc.distinct, tol)
-		warm := &bankDriver{mach: New(Config{N: tc.n, K: tc.k, Tol: tol}), bank: ref}
+		p, tol, stop := tc.build(t, 41)
+		warm := &bankDriver{mach: New(Config{N: tc.n, K: tc.k, Tol: tol}), bank: p}
 		src := stream.NewRandomWalk(stream.WalkConfig{N: tc.n, Lo: 1 << 10, Hi: 1 << 14, MaxStep: 400, Seed: 6})
 		vals := make([]int64, tc.n)
 		for s := 0; s < 60; s++ {
@@ -447,23 +448,27 @@ func TestRestoreParentWrittenFrame(t *testing.T) {
 			warm.observe(vals)
 		}
 		if tc.ordered {
-			ref.SetOrderBounds(tc.n/2, 5, 50)
+			p.SetOrderBounds(warm.mach.Top()[0], 5, 50)
 		}
-		frame := ref.Snapshot(nil)
+		frame := p.Snapshot(nil)
 		flat, err := RestoreNodes(frame, 41)
 		if err != nil {
-			t.Fatalf("%s: parent-written frame rejected: %v", tc, err)
+			t.Fatalf("%s: frame rejected: %v", tc, err)
 		}
 		if (flat.ord != nil) != tc.ordered {
 			t.Fatalf("%s: restored bank holds order filters: %v, frame carries some: %v", tc, flat.ord != nil, tc.ordered)
 		}
-		p := &pair{t: t, where: tc.String() + " restored", kern: flat, ref: ref}
-		p.same()
-		d := &bankDriver{mach: warm.mach, bank: p}
+		if !bytes.Equal(flat.Snapshot(nil), frame) {
+			t.Fatalf("%s: restored bank re-emits another frame", tc)
+		}
+		q := &pair{t: t, where: tc.String() + " restored", kern: flat, ref: p.ref}
+		q.same()
+		d := &bankDriver{mach: warm.mach, bank: q}
 		for s := 0; s < 60; s++ {
 			src.Step(vals)
 			d.observe(vals)
-			p.same()
+			q.same()
 		}
+		stop()
 	}
 }

@@ -7,41 +7,37 @@ import (
 	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/rng"
-	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 // refNodes is the node bank as it was before filters became two bounds
 // and a membership bit: an array of per-node records, each storing its own
 // id, filter interval and order filter, with every install rewriting all
-// of them. The code below is that commit's nodes.go and Nodes.Snapshot
-// verbatim but for the type names, the per-level ε ladder, which the
-// bank no longer has, the TagReset cohort, which is every node since a
-// FILTERRESET became one execution, and the trial, which is asked of the
-// keyed coin (refDecide) — a record's generator is only what its v1 frame
-// persists; it is the independent reference refnodes_equiv_test.go checks
-// the flat bank against.
+// of them. The code below is that commit's nodes.go verbatim but for the
+// type names, the per-level ε ladder, which the bank no longer has, the
+// TagReset cohort, which is every node since a FILTERRESET became one
+// execution, the trial, which is asked of the keyed coin (refDecide), and
+// what only its checkpoint frame read — the generator a record carried and
+// its extraction bit — which went with that frame's dialect. It is the
+// independent reference refnodes_equiv_test.go checks the flat bank
+// against.
 
 // refNodeState is the distributed per-node state of the paper's node model:
-// the current key, the assigned filter, membership knowledge from the last
-// broadcast, and a private generator for the protocol's Bernoulli trials.
-// It carries no per-execution state: who is still in play during a
-// protocol execution is the bank's active list (Nodes.Round).
+// the current key, the assigned filter and membership knowledge from the
+// last broadcast. It carries no per-execution state: who is still in play
+// during a protocol execution is the bank's active list (Nodes.Round).
 type refNodeState struct {
-	id        int
-	rng       rng.RNG
-	key       order.Key
-	iv        filter.Interval
-	ordIv     filter.Interval // order filter (ordered variant only)
-	inTop     bool
-	wasTop    bool  // membership at the time of the last violation
-	violStep  int64 // observation step of the last filter violation
-	extracted bool
+	id       int
+	key      order.Key
+	iv       filter.Interval
+	ordIv    filter.Interval // order filter (ordered variant only)
+	inTop    bool
+	wasTop   bool  // membership at the time of the last violation
+	violStep int64 // observation step of the last filter violation
 }
 
 // participates evaluates cohort membership node-locally, from knowledge
-// the node legitimately has (its own violation history, the membership
-// flag from the last broadcast, its extraction state).
+// the node legitimately has (its own violation history and the membership
+// flag from the last broadcast).
 func (nd *refNodeState) participates(tag uint8, step int64) bool {
 	switch tag {
 	case TagViolMin:
@@ -53,7 +49,7 @@ func (nd *refNodeState) participates(tag uint8, step int64) bool {
 	case TagHandMax:
 		return !nd.inTop
 	case TagReset:
-		return true // everyone, since a reset is one execution (it was: !nd.extracted)
+		return true // everyone, since a reset is one execution
 	default:
 		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
 	}
@@ -65,10 +61,6 @@ func (nd *refNodeState) participates(tag uint8, step int64) bool {
 // internal/netrun, the shard sub-coordinators of internal/shardrun — owns
 // one Nodes per hosted range and translates its substrate's commands into
 // the methods below.
-//
-// The RNG stream layout is shared by construction: every engine derives
-// node i's generator as the i-th Split of the same seeded root, which is
-// what makes protocol randomness consume identically across engines.
 type refNodes struct {
 	lo, hi   int
 	distinct bool
@@ -88,9 +80,7 @@ type refNodes struct {
 
 // newRefNodes builds the node state for the range [lo, hi) of an n-node
 // monitor with the given protocol seed, tie-break mode and tolerance
-// (zero for exact monitoring). The constructor walks the root generator's
-// full split sequence (Split mutates the root) and keeps its slice of it,
-// exactly as every other engine does.
+// (zero for exact monitoring).
 func newRefNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *refNodes {
 	if n <= 0 {
 		panic("coord: need n > 0")
@@ -111,19 +101,13 @@ func newRefNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *refN
 		seed:     seed,
 		ns:       make([]refNodeState, hi-lo),
 	}
-	root := rng.New(seed, 0xc02e)
-	for i := 0; i < n; i++ {
-		r := root.SplitValue(uint64(i))
-		if i < lo || i >= hi {
-			continue
-		}
+	for i := lo; i < hi; i++ {
 		key := order.Key(0)
 		if !distinct {
 			key = b.codec.Encode(0, i)
 		}
 		b.ns[i-lo] = refNodeState{
 			id:       i,
-			rng:      r,
 			key:      key,
 			iv:       filter.Full(),
 			ordIv:    filter.Full(),
@@ -279,13 +263,11 @@ func refDecide(key, cut order.Key, coin rng.Coin, id int) refVerdict {
 	return refStay
 }
 
-// Winner marks node target as extracted by the current reset, joining the
-// top-k set when isTop is set.
+// Winner tells node target it won the current reset, joining the top-k set
+// when isTop is set.
 func (b *refNodes) Winner(target int, isTop bool) {
-	nd := b.node(target)
-	nd.extracted = true
 	if isTop {
-		nd.inTop = true
+		b.node(target).inTop = true
 	}
 }
 
@@ -320,11 +302,9 @@ func (b *refNodes) ApplyBounds(lo, hi order.Key) {
 	}
 }
 
-// ResetBegin clears extraction state and membership ahead of a
-// FILTERRESET.
+// ResetBegin clears membership ahead of a FILTERRESET.
 func (b *refNodes) ResetBegin() {
 	for i := range b.ns {
-		b.ns[i].extracted = false
 		b.ns[i].inTop = false
 	}
 }
@@ -341,48 +321,4 @@ func (b *refNodes) OrderViolated(target int) (key order.Key, violated bool) {
 // SetOrderBounds installs node target's order filter [lo, hi].
 func (b *refNodes) SetOrderBounds(target int, lo, hi order.Key) {
 	b.node(target).ordIv = filter.Interval{Lo: lo, Hi: hi}
-}
-
-// Snapshot appends the bank's v1 checkpoint frame (wire.NodesState, through
-// the encoder that left package wire with it) to dst: what the parent
-// commits wrote. Banks carry no in-flight marker, so the contract is the caller's:
-// snapshot only between steps, when no protocol execution is running —
-// the active list is rebuilt at round 0 of every execution and is the one
-// piece of bank state a between-steps checkpoint can omit.
-func (b *refNodes) Snapshot(dst []byte) []byte {
-	n := b.hi - b.lo
-	s := wire.NodesState{
-		N:        b.codec.N(),
-		Lo:       b.lo,
-		Hi:       b.hi,
-		EpsNum:   b.tol.Num(),
-		Distinct: b.distinct,
-		Keys:     make([]int64, n),
-		IvLo:     make([]int64, n),
-		IvHi:     make([]int64, n),
-		OrdLo:    make([]int64, n),
-		OrdHi:    make([]int64, n),
-		Flags:    make([]byte, n),
-		ViolStep: make([]int64, n),
-		RngState: make([]uint64, n),
-		RngInc:   make([]uint64, n),
-	}
-	for i := range b.ns {
-		nd := &b.ns[i]
-		s.Keys[i] = int64(nd.key)
-		s.IvLo[i], s.IvHi[i] = int64(nd.iv.Lo), int64(nd.iv.Hi)
-		s.OrdLo[i], s.OrdHi[i] = int64(nd.ordIv.Lo), int64(nd.ordIv.Hi)
-		if nd.inTop {
-			s.Flags[i] |= wire.FlagNodeInTop
-		}
-		if nd.wasTop {
-			s.Flags[i] |= wire.FlagNodeWasTop
-		}
-		if nd.extracted {
-			s.Flags[i] |= wire.FlagNodeExtracted
-		}
-		s.ViolStep[i] = nd.violStep
-		s.RngState[i], s.RngInc[i] = nd.rng.State()
-	}
-	return wiretest.AppendNodesV1(dst, s)
 }

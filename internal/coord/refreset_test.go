@@ -8,7 +8,6 @@ import (
 	"repro/internal/order"
 	"repro/internal/protocol"
 	"repro/internal/rng"
-	"repro/internal/wire"
 )
 
 // refReset is FILTERRESET as Algorithm 1 spells it (lines 36-42) and as
@@ -38,7 +37,7 @@ type refReset struct {
 	want     int // number of reset extractions (min(K+1, N))
 }
 
-const refFlagExtracted = wire.FlagNodeExtracted
+const refFlagExtracted = 1 << 2
 
 func newRefReset(bank *Nodes) *refReset {
 	return &refReset{bank: bank, flags: make([]uint8, bank.Len())}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 const (
@@ -21,27 +20,19 @@ const (
 	posInf = int64(order.PosInf)
 )
 
-// frames holds one bank state in both frame versions: as the bank wrote
-// it (v2) and as a pre-v2 monitor would have (v1).
-type frames struct {
-	v2 wire.BankState
-	v1 wire.NodesState
-}
-
-// decodeFrames decodes a bank's frame and derives its v1 form.
-func decodeFrames(t *testing.T, frame []byte) frames {
+// decodeBank decodes a bank's frame.
+func decodeBank(t *testing.T, frame []byte) wire.BankState {
 	t.Helper()
-	var f frames
-	if err := f.v2.Decode(frame); err != nil {
+	var bs wire.BankState
+	if err := bs.Decode(frame); err != nil {
 		t.Fatal(err)
 	}
-	f.v1 = wiretest.V1(f.v2)
-	return f
+	return bs
 }
 
 // warmFrames runs a driver over a violent walk and returns it with its
 // decoded bank frame, one member id and two outsider ids.
-func warmFrames(t *testing.T, n, k int, tol order.Tol) (d *driver, f frames, member, out1, out2 int) {
+func warmFrames(t *testing.T, n, k int, tol order.Tol) (d *driver, bs wire.BankState, member, out1, out2 int) {
 	t.Helper()
 	d = newDriverTol(n, k, 7, tol)
 	src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 1 << 10, Hi: 1 << 14, MaxStep: 300, Seed: 3})
@@ -50,7 +41,7 @@ func warmFrames(t *testing.T, n, k int, tol order.Tol) (d *driver, f frames, mem
 		src.Step(vals)
 		d.observe(vals)
 	}
-	f = decodeFrames(t, d.bank.Snapshot(nil))
+	bs = decodeBank(t, d.bank.Snapshot(nil))
 	member, out1, out2 = -1, -1, -1
 	for id := n - 1; id >= 0; id-- {
 		switch {
@@ -62,78 +53,27 @@ func warmFrames(t *testing.T, n, k int, tol order.Tol) (d *driver, f frames, mem
 			out2 = id
 		}
 	}
-	return d, f, member, out1, out2
+	return d, bs, member, out1, out2
 }
 
-// cloneFrame deep-copies the per-node slices a v1 mutation may touch.
-func cloneFrame(ns wire.NodesState) wire.NodesState {
-	ns.Keys = append([]int64(nil), ns.Keys...)
-	ns.IvLo = append([]int64(nil), ns.IvLo...)
-	ns.IvHi = append([]int64(nil), ns.IvHi...)
-	ns.Flags = append([]byte(nil), ns.Flags...)
-	ns.RngInc = append([]uint64(nil), ns.RngInc...)
-	return ns
-}
-
-// cloneBank deep-copies the per-node slices a v2 mutation may touch.
+// cloneBank deep-copies the per-node slices a mutation may touch.
 func cloneBank(bs wire.BankState) wire.BankState {
 	bs.Keys = append([]int64(nil), bs.Keys...)
-	bs.Flags = append([]byte(nil), bs.Flags...)
+	bs.InTop = append([]bool(nil), bs.InTop...)
 	return bs
 }
 
 // TestRestoreNodesRejectsUninstallableFilters feeds RestoreNodes frames
-// whose filters no broadcast could have produced, or whose keys have left
-// their filters: each is a typed rejection, where the per-node bank
-// restored all of them and served whatever they held. A v1 frame can say
-// all of it; in a v2 frame the intervals are not there to get wrong, and
-// what is left is a key on the wrong side of its bound — by moving the
-// key, the bound, or the membership bit.
+// whose keys have left their filters: each is a typed rejection, where the
+// per-node bank restored all of them and served whatever they held. The
+// intervals are not in the frame to get wrong — every filter is the one
+// pair of bounds applied by membership — so what is left is a key on the
+// wrong side of its bound: by moving the key, the bound, or the
+// membership bit.
 func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
-	_, f, m, o1, o2 := warmFrames(t, 10, 3, order.Tol{})
-	ns := f.v1
-	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, ns), 0); err != nil {
-		t.Fatalf("untouched v1 frame rejected: %v", err)
-	}
-	for _, tc := range []struct {
-		name string
-		mut  func(s *wire.NodesState)
-	}{
-		{"member bounded above", func(s *wire.NodesState) { s.IvHi[m] = s.IvLo[m] + 1<<20 }},
-		{"outsider bounded below", func(s *wire.NodesState) { s.IvLo[o1] = s.Keys[o1] - 5 }},
-		{"two upper bounds", func(s *wire.NodesState) { s.IvHi[o1]++ }},
-		{"two lower bounds", func(s *wire.NodesState) {
-			for id := range s.IvLo {
-				if id != m && s.Flags[id]&wire.FlagNodeInTop != 0 {
-					s.IvLo[id]--
-					return
-				}
-			}
-		}},
-		{"one node unfiltered among filtered", func(s *wire.NodesState) { s.IvHi[o2] = posInf }},
-		{"empty filter", func(s *wire.NodesState) { s.IvLo[o1], s.IvHi[o1] = 5, 4 }},
-		{"membership flag flipped", func(s *wire.NodesState) { s.Flags[m] &^= wire.FlagNodeInTop }},
-		{"outsider key above its filter", func(s *wire.NodesState) { s.Keys[o1] = s.IvHi[o1] + 1 }},
-		{"member key below its filter", func(s *wire.NodesState) { s.Keys[m] = s.IvLo[m] - 1 }},
-	} {
-		s := cloneFrame(ns)
-		tc.mut(&s)
-		if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, s), 0); !errors.Is(err, ErrFilterState) {
-			t.Errorf("v1, %s: restore returned %v, want ErrFilterState", tc.name, err)
-		}
-	}
-	// An increment is a function of the node id; a v1 frame that says
-	// otherwise was not written by a monitor, and restoring it would let
-	// the next (v2) checkpoint silently change the generator.
-	s := cloneFrame(ns)
-	s.RngInc[o1] += 2
-	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, s), 0); err == nil {
-		t.Error("v1 frame with another node's increment accepted")
-	}
-
-	bs := f.v2
+	_, bs, m, o1, o2 := warmFrames(t, 10, 3, order.Tol{})
 	if _, err := RestoreNodes(bs.Append(nil), 0); err != nil {
-		t.Fatalf("untouched v2 frame rejected: %v", err)
+		t.Fatalf("untouched frame rejected: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
@@ -145,28 +85,28 @@ func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 		{"stale bounds: outsiders' bound lowered past an outsider", func(s *wire.BankState) { s.BoundHi = s.Keys[o2] - 1 }},
 		{"member flag dropped from a member far above the bound", func(s *wire.BankState) {
 			s.Keys[m] = s.BoundHi + 1<<30
-			s.Flags[m] &^= wire.FlagNodeInTop
+			s.InTop[m] = false
 		}},
 		{"member flag set on an outsider", func(s *wire.BankState) {
 			s.Keys[o1] = s.BoundLo - 1<<30
-			s.Flags[o1] |= wire.FlagNodeInTop
+			s.InTop[o1] = true
 		}},
 	} {
 		s := cloneBank(bs)
 		tc.mut(&s)
 		if _, err := RestoreNodes(s.Append(nil), 0); !errors.Is(err, ErrFilterState) {
-			t.Errorf("v2, %s: restore returned %v, want ErrFilterState", tc.name, err)
+			t.Errorf("%s: restore returned %v, want ErrFilterState", tc.name, err)
 		}
 	}
 	// Columns that disagree with Hi − Lo: the header of a [4, 8) bank
-	// claims [4, 9), or [4, 7), over the same four keys and generators.
-	part := decodeFrames(t, NewNodes(12, 4, 8, 9, false, order.Tol{}).Snapshot(nil)).v2
+	// claims [4, 9), or [4, 7), over the same four keys.
+	part := decodeBank(t, NewNodes(12, 4, 8, 9, false, order.Tol{}).Snapshot(nil))
 	columns := part.Append(nil)[len(part.BankHeader.Append(nil)):]
 	for _, claimed := range []int{9, 7} {
 		h := part.BankHeader
 		h.Hi = claimed
 		if _, err := RestoreNodes(append(h.Append(nil), columns...), 0); err == nil {
-			t.Errorf("v2, header claims [4, %d) over four nodes' columns: restored", claimed)
+			t.Errorf("header claims [4, %d) over four nodes' columns: restored", claimed)
 		}
 	}
 }
@@ -216,19 +156,9 @@ func TestRestoreNodesOneSidedAndUninstalledBanks(t *testing.T) {
 		if !bytes.Equal(back.Snapshot(nil), frame) {
 			t.Fatalf("%s: restored bank re-emits a different frame", tc.name)
 		}
-		// The v1 frame of the same bank restores too. It cannot say what
-		// bound a side without nodes was under, so that bound comes back
-		// infinite — which no hosted node can tell.
-		old, err := RestoreNodes(wiretest.AppendNodesV1(nil, decodeFrames(t, frame).v1), 0)
-		if err != nil {
-			t.Fatalf("%s: restore of the v1 frame: %v", tc.name, err)
-		}
-		if twoSided := len(tc.members) > 0 && len(tc.members) < hi-lo; twoSided && *old.inst != *live.inst {
-			t.Fatalf("%s: v1 frame restored bounds %+v, bank holds %+v", tc.name, *old.inst, *live.inst)
-		}
 		// The next reset re-elects node 5 alone and installs a band: both
-		// bounds are set again, whatever the frame left unconstrained.
-		for _, b := range []*Nodes{live, back, old} {
+		// bounds are set again.
+		for _, b := range []*Nodes{live, back} {
 			b.ResetBegin()
 			b.Winner(5, true)
 			b.Winner(6, false)
@@ -237,14 +167,12 @@ func TestRestoreNodesOneSidedAndUninstalledBanks(t *testing.T) {
 		for id := lo; id < hi; id++ {
 			for _, v := range []int64{400, 500, 600} {
 				lt, lo2, _ := live.Observe(id, v, 2)
-				for name, b := range map[string]*Nodes{"v2": back, "v1": old} {
-					if bt, bo, _ := b.Observe(id, v, 2); lt != bt || lo2 != bo {
-						t.Fatalf("%s: node %d value %d: bank restored from %s flags %v %v, live %v %v", tc.name, id, v, name, bt, bo, lt, lo2)
-					}
+				if bt, bo, _ := back.Observe(id, v, 2); lt != bt || lo2 != bo {
+					t.Fatalf("%s: node %d value %d: restored bank flags %v %v, live %v %v", tc.name, id, v, bt, bo, lt, lo2)
 				}
 			}
 		}
-		if want := live.Snapshot(nil); !bytes.Equal(back.Snapshot(nil), want) || !bytes.Equal(old.Snapshot(nil), want) {
+		if !bytes.Equal(back.Snapshot(nil), live.Snapshot(nil)) {
 			t.Fatalf("%s: frames diverged after the next install", tc.name)
 		}
 	}
@@ -288,73 +216,43 @@ func restoreAgainstMachine(t *testing.T, d *driver, frame []byte) error {
 // after the time-0 reset, a separation Lemma 2.2 rejects, in ε mode
 // another band than the machine tracks — is refused with ErrFilterState;
 // the untouched frame, the pre-time-0 frame and the k = n frame are
-// accepted, at ε = 0 and ε > 0, in both frame versions.
+// accepted, at ε = 0 and ε > 0.
 func TestRestoreFiltersAgainstMachine(t *testing.T) {
 	eps, err := order.NewTol(0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := func(s wire.NodesState) []byte { return wiretest.AppendNodesV1(nil, s) }
 	for _, tol := range []order.Tol{{}, eps} {
 		d, f, m, o1, _ := warmFrames(t, 10, 3, tol)
-		if err := restoreAgainstMachine(t, d, v1(f.v1)); err != nil {
-			t.Fatalf("eps=%v: untouched v1 frame rejected: %v", tol.Eps(), err)
+		if err := restoreAgainstMachine(t, d, f.Append(nil)); err != nil {
+			t.Fatalf("eps=%v: untouched frame rejected: %v", tol.Eps(), err)
 		}
-		if err := restoreAgainstMachine(t, d, f.v2.Append(nil)); err != nil {
-			t.Fatalf("eps=%v: untouched v2 frame rejected: %v", tol.Eps(), err)
-		}
-		lo, hi := f.v2.BoundLo, f.v2.BoundHi
-		for _, tc := range []struct {
-			name string
-			mut  func(s *wire.NodesState)
-		}{
-			{"member and outsider swapped", func(s *wire.NodesState) {
-				// Canonical, and every key inside its filter — but not
-				// the machine's membership.
-				s.Flags[m], s.Flags[o1] = s.Flags[o1], s.Flags[m]
-				s.IvLo[m], s.IvHi[m], s.Keys[m] = negInf, hi, hi
-				s.IvLo[o1], s.IvHi[o1], s.Keys[o1] = lo, posInf, lo
-			}},
-			{"filters uninstalled after the time-0 reset", func(s *wire.NodesState) {
-				for id := range s.IvLo {
-					s.IvLo[id], s.IvHi[id] = negInf, posInf
-				}
-			}},
-			{"members' bound lowered", func(s *wire.NodesState) {
-				// ε = 0: the bounds cross (no separation). ε > 0: not the
-				// machine's band.
-				for id := range s.IvLo {
-					if s.Flags[id]&wire.FlagNodeInTop != 0 {
-						s.IvLo[id] -= 3
-					}
-				}
-			}},
-		} {
-			s := cloneFrame(f.v1)
-			tc.mut(&s)
-			if err := restoreAgainstMachine(t, d, v1(s)); !errors.Is(err, ErrFilterState) {
-				t.Errorf("eps=%v v1, %s: got %v, want ErrFilterState", tol.Eps(), tc.name, err)
-			}
-		}
+		lo, hi := f.BoundLo, f.BoundHi
 		for _, tc := range []struct {
 			name string
 			mut  func(s *wire.BankState)
 		}{
 			{"member and outsider swapped", func(s *wire.BankState) {
-				s.Flags[m], s.Flags[o1] = s.Flags[o1], s.Flags[m]
+				// Every key inside its filter — but not the machine's
+				// membership.
+				s.InTop[m], s.InTop[o1] = s.InTop[o1], s.InTop[m]
 				s.Keys[m], s.Keys[o1] = hi, lo
 			}},
 			{"a member flag the machine does not have", func(s *wire.BankState) {
-				s.Flags[o1] |= wire.FlagNodeInTop
+				s.InTop[o1] = true
 				s.Keys[o1] = lo
 			}},
 			{"filters uninstalled after the time-0 reset", func(s *wire.BankState) { s.BoundLo, s.BoundHi = negInf, posInf }},
-			{"members' bound lowered", func(s *wire.BankState) { s.BoundLo -= 3 }},
+			{"members' bound lowered", func(s *wire.BankState) {
+				// ε = 0: the bounds cross (no separation). ε > 0: not the
+				// machine's band.
+				s.BoundLo -= 3
+			}},
 		} {
-			s := cloneBank(f.v2)
+			s := cloneBank(f)
 			tc.mut(&s)
 			if err := restoreAgainstMachine(t, d, s.Append(nil)); !errors.Is(err, ErrFilterState) {
-				t.Errorf("eps=%v v2, %s: got %v, want ErrFilterState", tol.Eps(), tc.name, err)
+				t.Errorf("eps=%v, %s: got %v, want ErrFilterState", tol.Eps(), tc.name, err)
 			}
 		}
 		// A bank that is not the machine's range is no filter state at
@@ -365,40 +263,22 @@ func TestRestoreFiltersAgainstMachine(t *testing.T) {
 		}
 
 		fresh := newDriverTol(10, 3, 7, tol)
-		pre := decodeFrames(t, fresh.bank.Snapshot(nil))
-		if err := restoreAgainstMachine(t, fresh, v1(pre.v1)); err != nil {
-			t.Fatalf("eps=%v: pre-time-0 v1 frame rejected: %v", tol.Eps(), err)
+		pre := decodeBank(t, fresh.bank.Snapshot(nil))
+		if err := restoreAgainstMachine(t, fresh, pre.Append(nil)); err != nil {
+			t.Fatalf("eps=%v: pre-time-0 frame rejected: %v", tol.Eps(), err)
 		}
-		if err := restoreAgainstMachine(t, fresh, pre.v2.Append(nil)); err != nil {
-			t.Fatalf("eps=%v: pre-time-0 v2 frame rejected: %v", tol.Eps(), err)
-		}
-		pre.v1.Flags[4] |= wire.FlagNodeInTop
-		pre.v2.Flags[4] |= wire.FlagNodeInTop
-		if err := restoreAgainstMachine(t, fresh, v1(pre.v1)); !errors.Is(err, ErrFilterState) {
-			t.Errorf("eps=%v: pre-time-0 v1 frame with a member: got %v, want ErrFilterState", tol.Eps(), err)
-		}
-		if err := restoreAgainstMachine(t, fresh, pre.v2.Append(nil)); !errors.Is(err, ErrFilterState) {
-			t.Errorf("eps=%v: pre-time-0 v2 frame with a member: got %v, want ErrFilterState", tol.Eps(), err)
+		pre.InTop[4] = true
+		if err := restoreAgainstMachine(t, fresh, pre.Append(nil)); !errors.Is(err, ErrFilterState) {
+			t.Errorf("eps=%v: pre-time-0 frame with a member: got %v, want ErrFilterState", tol.Eps(), err)
 		}
 
 		all, full, _, _, _ := warmFrames(t, 6, 6, tol)
-		if err := restoreAgainstMachine(t, all, v1(full.v1)); err != nil {
-			t.Fatalf("eps=%v: k = n v1 frame rejected: %v", tol.Eps(), err)
+		if err := restoreAgainstMachine(t, all, full.Append(nil)); err != nil {
+			t.Fatalf("eps=%v: k = n frame rejected: %v", tol.Eps(), err)
 		}
-		if err := restoreAgainstMachine(t, all, full.v2.Append(nil)); err != nil {
-			t.Fatalf("eps=%v: k = n v2 frame rejected: %v", tol.Eps(), err)
-		}
-		low := full.v2.Keys[0]
-		for id := range full.v1.IvLo {
-			full.v1.IvLo[id] = full.v1.Keys[id] - 1
-			low = min(low, full.v2.Keys[id])
-		}
-		if err := restoreAgainstMachine(t, all, v1(full.v1)); !errors.Is(err, ErrFilterState) {
-			t.Errorf("eps=%v: k = n v1 frame with installed filters: got %v, want ErrFilterState", tol.Eps(), err)
-		}
-		full.v2.BoundLo = low - 1 // one bound every key respects, where k = n installs none
-		if err := restoreAgainstMachine(t, all, full.v2.Append(nil)); !errors.Is(err, ErrFilterState) {
-			t.Errorf("eps=%v: k = n v2 frame with installed filters: got %v, want ErrFilterState", tol.Eps(), err)
+		full.BoundLo = slices.Min(full.Keys) - 1 // one bound every key respects, where k = n installs none
+		if err := restoreAgainstMachine(t, all, full.Append(nil)); !errors.Is(err, ErrFilterState) {
+			t.Errorf("eps=%v: k = n frame with installed filters: got %v, want ErrFilterState", tol.Eps(), err)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/filter"
 	"repro/internal/order"
-	"repro/internal/protocol"
 	"repro/internal/wire"
 )
 
@@ -17,15 +16,14 @@ import (
 // between steps (the machine idle, no protocol execution in flight) and
 // captures exactly the state the next step reads: configuration, step
 // counter, statistics, T+/T− bounds, membership and the message ledger
-// for the Machine; per-node keys, filters and membership flags for a Nodes
-// bank (its coins are a function of the seed the envelope carries).
-// Everything else — the reset scratch of the
-// Machine; the bank's in-play set, empty between executions, and its
-// violator list and WasTop flags (and the Extracted flags older frames
-// carry), which are only read inside the step that wrote them — is (re)initialized before its next use, so a
-// restored coordinator resumes bit-identically to one that never stopped:
-// same reports, same counts, same coins. The equivalence tests in
-// snapshot_test.go pin that property.
+// for the Machine; per-node keys, the installed bounds and membership bits
+// for a Nodes bank (its coins are a function of the seed the envelope
+// carries). Everything else — the reset scratch of the Machine; the bank's
+// in-play set, empty between executions, and its violator list and WasTop
+// bits, which are only read inside the step that wrote them — is
+// (re)initialized before its next use, so a restored coordinator resumes
+// bit-identically to one that never stopped: same reports, same counts,
+// same coins. The equivalence tests in snapshot_test.go pin that property.
 
 // Snapshot appends the machine's canonical checkpoint frame
 // (wire.MachineState) to dst. It fails if a step is in flight — mid-step
@@ -256,45 +254,38 @@ func OpenMachine(n, k int, epsilon float64, machFrame []byte) (*Machine, error) 
 // being restored under — shape, tolerance and tie-break mode, of the
 // machine frame (OpenMachine) and of the bank frame's header, which must
 // cover [0, n) — before anything is built from them, and returns the
-// restored machine and the bank frame in the v2 form (UpgradeBankFrame). It
-// is the first step of the sequential and concurrent engines' Restore;
-// RestoreNodes and MatchesMachine are the other two.
-func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFrame []byte) (*Machine, []byte, error) {
+// restored machine. It is the first step of the sequential and concurrent
+// engines' Restore; RestoreNodes and MatchesMachine are the other two.
+func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFrame []byte) (*Machine, error) {
 	mach, err := OpenMachine(n, k, epsilon, machFrame)
 	if err != nil {
-		return nil, nil, err
-	}
-	if nodesFrame, err = UpgradeBankFrame(nodesFrame); err != nil {
-		return nil, nil, fmt.Errorf("coord: nodes frame: %w", err)
+		return nil, err
 	}
 	h, _, err := wire.DecodeBankHeader(nodesFrame)
 	if err != nil {
-		return nil, nil, fmt.Errorf("coord: nodes frame: %v", err)
+		return nil, fmt.Errorf("coord: nodes frame: %w", err)
 	}
 	if h.N != n || h.Lo != 0 || h.Hi != n {
-		return nil, nil, fmt.Errorf("coord: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, n)
+		return nil, fmt.Errorf("coord: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, n)
 	}
 	if h.EpsNum != mach.Tol().Num() {
-		return nil, nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, mach.Tol().Num())
+		return nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, mach.Tol().Num())
 	}
 	if h.Distinct != distinct {
-		return nil, nil, fmt.Errorf("coord: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, distinct)
+		return nil, fmt.Errorf("coord: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, distinct)
 	}
-	return mach, nodesFrame, nil
+	return mach, nil
 }
 
 // Snapshot appends the bank's canonical checkpoint frame (the bank frame
 // of internal/wire) to dst, straight from the bank's arrays: the installed
-// bounds once, the keys, the membership bit of the members and the order
-// filters of those that hold one. Banks carry no in-flight marker, so the contract is the caller's:
-// snapshot only between steps, when no protocol execution is running. A
-// frame carries live state only. The in-play set is empty after the
-// probability-1 round of every execution and enlisted anew at round 0 of
-// the next; who violated, and the WasTop and Extracted bits, are written by
-// a step's filter checks and reset and read by that step's executions
-// alone. So the frame's violation section stays empty and its flag bytes
-// hold membership and nothing else — which is all the sequential engine
-// ever wrote, so one frame serves every engine that checkpoints a bank.
+// bounds once, the keys, the members and the order filters of those that
+// hold one. Banks carry no in-flight marker, so the contract is the
+// caller's: snapshot only between steps, when no protocol execution is
+// running. A frame carries live state only. The in-play set is empty after
+// the probability-1 round of every execution and enlisted anew at round 0
+// of the next; who violated, and the WasTop bits, are written by a step's
+// filter checks and read by that step's executions alone.
 func (b *Nodes) Snapshot(dst []byte) []byte {
 	w := wire.BeginBank(dst, wire.BankHeader{
 		N: b.codec.N(), Lo: b.lo, Hi: b.hi,
@@ -304,7 +295,7 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 	wire.BankKeys(&w, b.keys)
 	for i, f := range b.flags {
 		if f&flagInTop != 0 {
-			w.Flag(i, flagInTop)
+			w.Member(i)
 		}
 	}
 	if b.ord != nil {
@@ -317,22 +308,16 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 	return w.End()
 }
 
-// RestoreNodes rebuilds a node bank from a Snapshot frame (or a v1 frame;
-// see UpgradeBankFrame) taken under the given seed, reading the columns
-// straight into the fresh bank's arrays. The seed is all the restored bank
-// needs to flip, from the next step on, the coins the original would have
-// — the property that keeps Las Vegas protocol runs bit-identical across
-// the restore. Every filter is the frame's one pair of bounds applied by
-// the node's membership bit, so the only filter state a frame can get
-// wrong is a key that has left its filter: that is ErrFilterState. What
-// frames in existing stores carry beyond live state — generator states,
-// violation steps, WasTop and Extracted bits (see Snapshot) — is read and
-// dropped.
+// RestoreNodes rebuilds a node bank from a Snapshot frame taken under the
+// given seed, reading the columns straight into the fresh bank's arrays.
+// The seed is all the restored bank needs to flip, from the next step on,
+// the coins the original would have — the property that keeps Las Vegas
+// protocol runs bit-identical across the restore. Every filter is the
+// frame's one pair of bounds applied by the node's membership bit, so the
+// only filter state a frame can get wrong is a key that has left its
+// filter: that is ErrFilterState. A frame in a dialect older monitors
+// wrote is the wire error its decoder refuses it with.
 func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
-	p, err := UpgradeBankFrame(p)
-	if err != nil {
-		return nil, err
-	}
 	h, r, err := wire.OpenBank(p)
 	if err != nil {
 		return nil, err
@@ -353,19 +338,14 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 		return nil, err
 	}
 	for {
-		i, f, ok, err := r.Flag()
+		i, ok, err := r.Member()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		b.flags[i] = f & flagInTop
-	}
-	for more := true; more; { // violation steps: dead state, read past
-		if _, _, more, err = r.Viol(); err != nil {
-			return nil, err
-		}
+		b.flags[i] = flagInTop
 	}
 	for {
 		i, lo, hi, ok, err := r.Ord()
@@ -391,76 +371,10 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 
 // ErrFilterState is wrapped by every restore rejection of a bank frame
 // whose filters are not a state Algorithm 1 can install: a key outside the
-// filter its membership bit derives from the frame's bounds, on the
-// engines that restore machine and bank together filters that contradict
-// the machine, and in a v1 frame per-node intervals that are not one
-// broadcast's bounds applied by membership. Test with errors.Is.
+// filter its membership bit derives from the frame's bounds and, on the
+// engines that restore machine and bank together, filters that contradict
+// the machine. Test with errors.Is.
 var ErrFilterState = errors.New("coord: checkpoint filters are not an installed assignment")
-
-// UpgradeBankFrame returns a bank frame in the v2 form the restore paths
-// read. A v2 frame is returned as it is. A v1 frame (wire.NodesState, what
-// monitors wrote before the v2 frame; stores still hold them) is decoded,
-// checked to be something a bank can hold — its n intervals one
-// broadcast's bounds applied by membership with every key inside
-// (frameBounds), its increments the ones the node ids define — and
-// re-encoded, so there is one restore path and a v1 frame is held to
-// everything a v2 frame is.
-func UpgradeBankFrame(p []byte) ([]byte, error) {
-	if len(p) == 0 || p[0] != wire.TypeNodesState {
-		return p, nil
-	}
-	var s wire.NodesState
-	if err := s.Decode(p); err != nil {
-		return nil, err
-	}
-	in, err := frameBounds(&s)
-	if err != nil {
-		return nil, err
-	}
-	root := protocol.NodeRoot(0)
-	for i, inc := range s.RngInc {
-		if want := root.SplitInc(uint64(s.Lo + i)); inc != want {
-			return nil, fmt.Errorf("coord: restored node %d: generator increment %#x, its id defines %#x", s.Lo+i, inc, want)
-		}
-	}
-	return wire.BankState{
-		BankHeader: wire.BankHeader{
-			N: s.N, Lo: s.Lo, Hi: s.Hi, EpsNum: s.EpsNum, Distinct: s.Distinct,
-			BoundLo: int64(in.Lo), BoundHi: int64(in.Hi),
-		},
-		Keys: s.Keys, Flags: s.Flags,
-		ViolStep: s.ViolStep, OrdLo: s.OrdLo, OrdHi: s.OrdHi,
-	}.Append(nil), nil
-}
-
-// frameBounds recovers the installed bounds a v1 bank frame was taken
-// under. A bank stores one broadcast, not n intervals, so only a canonical
-// frame is representable: [lo, +inf] on every member and [-inf, hi] on
-// every outsider for one (lo, hi) — both infinite before the first
-// install, on a bank rebuilt for a reassigned range and when k == n —
-// and, as after every completed step, every key inside its filter. A range
-// hosting only members (or only outsiders) leaves the other bound
-// unconstrained: it upgrades unbounded, and no hosted node reads it before
-// the next install sets both.
-func frameBounds(s *wire.NodesState) (filter.Bounds, error) {
-	in, haveLo, haveHi := filter.Unbounded(), false, false
-	for i := range s.IvLo {
-		iv := filter.Interval{Lo: order.Key(s.IvLo[i]), Hi: order.Key(s.IvHi[i])}
-		inTop := s.Flags[i]&flagInTop != 0
-		if inTop && !haveLo {
-			in.Lo, haveLo = iv.Lo, true
-		} else if !inTop && !haveHi {
-			in.Hi, haveHi = iv.Hi, true
-		}
-		if iv != in.Interval(inTop) {
-			return in, fmt.Errorf("%w: node %d (member: %v) holds %s", ErrFilterState, s.Lo+i, inTop, iv)
-		}
-		if !iv.Contains(order.Key(s.Keys[i])) {
-			return in, fmt.Errorf("%w: node %d key %d outside its filter %s", ErrFilterState, s.Lo+i, s.Keys[i], iv)
-		}
-	}
-	return in, nil
-}
 
 // MatchesMachine validates a restored full-range bank against the machine
 // restored beside it, for the engines that checkpoint both (sequential,

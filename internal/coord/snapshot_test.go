@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/order"
 	"repro/internal/stream"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 // checkpoint round-trips the driver through its wire frames and returns
@@ -170,16 +168,8 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 		}
 	}
 
-	ns := decodeFrames(t, NewNodes(8, 2, 6, 42, false, order.Tol{}).Snapshot(nil)).v1
-	ns.RngInc[1] = 4 // even increment: degraded generator
-	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, ns), 0); err == nil {
-		t.Error("even rng increment accepted")
-	}
-	if _, err := RestoreNodes(wiretest.AppendNodesV1(nil, wire.NodesState{N: 8, Lo: 3, Hi: 3}), 0); err == nil {
-		t.Error("empty v1 node range accepted")
-	}
 	if _, err := RestoreNodes(wire.BankState{BankHeader: wire.BankHeader{N: 8, Lo: 3, Hi: 3}}.Append(nil), 0); err == nil {
-		t.Error("empty v2 node range accepted")
+		t.Error("empty node range accepted")
 	}
 }
 

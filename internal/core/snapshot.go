@@ -36,8 +36,7 @@ func (m *Monitor) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64)
 }
 
 // Restore rebuilds a monitor on the inline host from Snapshot frames taken
-// under the same configuration (nodesFrame may be a v1 frame;
-// coord.UpgradeBankFrame). Every frame field is validated against cfg, the
+// under the same configuration. Every frame field is validated against cfg, the
 // bank against the machine and its filters against Lemma 2.2
 // (coord.Nodes.MatchesMachine) before anything is returned or any host is
 // started; a mismatch or malformed frame yields an error, never a partially
@@ -59,11 +58,11 @@ func RestoreOn(cfg Config, start func(bank *coord.Nodes) Host, machFrame, nodesF
 // then run on the folded state, so a chain restores exactly what a base
 // frame taken at its last delta would.
 func RestoreChainOn(cfg Config, start func(bank *coord.Nodes) Host, c *wire.Checkpoint, deltas [][]byte) (*Monitor, error) {
-	mach, nodesFrame, err := coord.OpenCheckpoint(cfg.N, cfg.K, cfg.Epsilon, cfg.DistinctValues, c.Machine, c.Nodes)
+	mach, err := coord.OpenCheckpoint(cfg.N, cfg.K, cfg.Epsilon, cfg.DistinctValues, c.Machine, c.Nodes)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
-	bank, err := coord.RestoreNodes(nodesFrame, cfg.Seed)
+	bank, err := coord.RestoreNodes(c.Nodes, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore nodes frame: %w", err)
 	}

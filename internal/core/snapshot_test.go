@@ -9,7 +9,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/rng"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 // walkVals drives a deterministic random walk over n nodes.
@@ -109,12 +108,11 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 }
 
 // TestRestoreRejectsFiltersTheAlgorithmCannotHold pins the restore bugfix:
-// a bank frame whose per-node intervals are not one broadcast's bounds
-// applied by membership (v1 only: a v2 frame has no intervals to get
-// wrong), whose keys have left their filters, or whose filters contradict
-// the machine frame is a typed rejection — the per-node filter set
-// restored any non-empty interval unchecked and then served a set its
-// filters no longer guarded.
+// a bank frame whose keys have left their filters, or whose filters
+// contradict the machine frame, is a typed rejection — the per-node filter
+// set restored any non-empty interval unchecked and then served a set its
+// filters no longer guarded. So is a frame in the dialect of the engines
+// that persisted dead state.
 func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	cfg := Config{N: 8, K: 2, Seed: 3}
 	m := New(cfg)
@@ -127,31 +125,6 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	if err := bs.Decode(nodes); err != nil {
 		t.Fatal(err)
 	}
-	ns := wiretest.V1(bs)
-	for _, tc := range []struct {
-		name string
-		mut  func(s *wire.NodesState)
-	}{
-		{"a filter of its own", func(s *wire.NodesState) { s.IvHi[0] += 5 }},
-		{"an outsider's key above its filter", func(s *wire.NodesState) { s.Keys[1] = s.IvHi[1] + 1 }},
-		{"a member's key below its filter", func(s *wire.NodesState) { s.Keys[2] = s.IvLo[2] - 1 }},
-		{"another membership than the machine's", func(s *wire.NodesState) {
-			s.Flags[2], s.Flags[1] = 0, wire.FlagNodeInTop
-			s.IvLo[1], s.IvHi[1], s.Keys[1] = s.IvLo[2], s.IvHi[2], s.IvLo[2]
-			s.IvLo[2], s.IvHi[2], s.Keys[2] = s.IvLo[0], s.IvHi[0], s.IvHi[0]
-		}},
-		{"crossed bounds", func(s *wire.NodesState) { s.IvLo[2], s.IvLo[4] = s.IvLo[2]-9, s.IvLo[4]-9 }},
-	} {
-		s := wiretest.V1(bs)
-		tc.mut(&s)
-		if _, err := Restore(cfg, mach, wiretest.AppendNodesV1(nil, s)); !errors.Is(err, coord.ErrFilterState) {
-			t.Errorf("v1, %s: restore returned %v, want coord.ErrFilterState", tc.name, err)
-		}
-	}
-	if _, err := Restore(cfg, mach, wiretest.AppendNodesV1(nil, ns)); err != nil {
-		t.Fatalf("untouched v1 frame rejected: %v", err)
-	}
-
 	for _, tc := range []struct {
 		name string
 		mut  func(s *wire.BankState)
@@ -160,70 +133,48 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 		{"a member's key below the bound", func(s *wire.BankState) { s.Keys[2] = s.BoundLo - 1 }},
 		{"stale bounds", func(s *wire.BankState) { s.BoundLo, s.BoundHi = s.Keys[4]+1, s.Keys[4]+1 }},
 		{"another membership than the machine's", func(s *wire.BankState) {
-			s.Flags[2], s.Flags[1] = 0, wire.FlagNodeInTop
+			s.InTop[2], s.InTop[1] = false, true
 			s.Keys[1], s.Keys[2] = s.BoundLo, s.BoundHi
 		}},
 		{"a member flag the machine does not have", func(s *wire.BankState) {
-			s.Flags[7], s.Keys[7] = wire.FlagNodeInTop, s.BoundLo
+			s.InTop[7], s.Keys[7] = true, s.BoundLo
 		}},
-		{"a member the frame does not flag", func(s *wire.BankState) { s.Flags[4], s.Keys[4] = 0, s.BoundHi }},
+		{"a member the frame does not flag", func(s *wire.BankState) { s.InTop[4], s.Keys[4] = false, s.BoundHi }},
 		{"crossed bounds", func(s *wire.BankState) { s.BoundLo -= 9 }},
 	} {
 		s := bs
 		s.Keys = append([]int64(nil), bs.Keys...)
-		s.Flags = append([]byte(nil), bs.Flags...)
+		s.InTop = append([]bool(nil), bs.InTop...)
 		tc.mut(&s)
 		if _, err := Restore(cfg, mach, s.Append(nil)); !errors.Is(err, coord.ErrFilterState) {
-			t.Errorf("v2, %s: restore returned %v, want coord.ErrFilterState", tc.name, err)
+			t.Errorf("%s: restore returned %v, want coord.ErrFilterState", tc.name, err)
 		}
 	}
 	if _, err := Restore(cfg, mach, bs.Append(nil)); err != nil {
 		t.Fatalf("re-encoded untouched frame rejected: %v", err)
 	}
 
-	// Dead state — what is written and read inside one step, and frames in
-	// existing stores carry from engines that persisted it — is accepted
-	// and dropped: the restored monitor resumes like its twin and writes
-	// the frame the twin writes.
-	for name, mut := range map[string]func(s *wire.BankState){
-		"a flag other than membership": func(s *wire.BankState) {
-			s.Flags[2] |= wire.FlagNodeWasTop
-			s.Flags[5] |= wire.FlagNodeExtracted
-		},
-		"violation history": func(s *wire.BankState) { s.ViolStep[3], s.ViolStep[4] = 1, 1 },
+	// Dead state — what is written and read inside one step, which engines
+	// that persisted it wrote into their frames — is refused, not dropped:
+	// that dialect is malformed. The frame ends with the member section of
+	// members 2 and 4 (gap 3, flag; gap 2, flag) and three section ends:
+	// members, violations, order filters.
+	tail := []byte{3, wire.FlagNodeInTop, 2, wire.FlagNodeInTop, 0, 0, 0}
+	if !bytes.HasSuffix(nodes, tail) {
+		t.Fatalf("the frame ends %x, not with the members' section %x", nodes[len(nodes)-len(tail):], tail)
+	}
+	flag := func(at int, bits byte) []byte {
+		p := bytes.Clone(nodes)
+		p[len(p)-at] |= bits
+		return p
+	}
+	for name, frame := range map[string][]byte{
+		"the WasTop bit":    flag(4, 0x02),
+		"the Extracted bit": flag(6, 0x04),
+		"violation history": append(nodes[:len(nodes)-2:len(nodes)-2], 4, 2, 0, 0), // index 3 violated at step 1
 	} {
-		s := bs
-		s.Flags = append([]byte(nil), bs.Flags...)
-		s.ViolStep = append([]int64(nil), bs.ViolStep...)
-		mut(&s)
-		restored, err := Restore(cfg, mach, s.Append(nil))
-		if err != nil {
-			t.Fatalf("%s: restore returned %v, want the dead state dropped", name, err)
-		}
-		twin, err := Restore(cfg, mach, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wr := rng.New(4, 4)
-		vals := []int64{50, 10, 80, 20, 90, 30, 70, 40}
-		for step := 0; step < 60; step++ {
-			for i := range vals {
-				vals[i] += int64(wr.Intn(21)) - 10
-			}
-			if want, got := twin.Observe(vals), restored.Observe(vals); !equalInts(want, got) {
-				t.Fatalf("%s step %d: report %v, twin %v", name, step, got, want)
-			}
-		}
-		if twin.Counts() != restored.Counts() || twin.Bytes() != restored.Bytes() || twin.Stats() != restored.Stats() {
-			t.Fatalf("%s: twin %v %+v, restored %v %+v", name, twin.Counts(), twin.Stats(), restored.Counts(), restored.Stats())
-		}
-		if twin.Stats().Resets < 3 {
-			t.Fatalf("%s: workload too calm: %+v", name, twin.Stats())
-		}
-		_, tn, _ := twin.Snapshot()
-		_, rn, _ := restored.Snapshot()
-		if !bytes.Equal(tn, rn) {
-			t.Fatalf("%s: frames of twin and restored monitor differ", name)
+		if _, err := Restore(cfg, mach, frame); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: restore returned %v, want wire.ErrMalformed", name, err)
 		}
 	}
 
@@ -234,8 +185,7 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	ord.OrdHi[3] = 99
 	part := bs
 	part.Hi--
-	part.Keys, part.Flags = bs.Keys[:7], bs.Flags[:7]
-	part.ViolStep, part.OrdLo, part.OrdHi = bs.ViolStep[:7], bs.OrdLo[:7], bs.OrdHi[:7]
+	part.Keys, part.InTop, part.OrdLo, part.OrdHi = bs.Keys[:7], bs.InTop[:7], bs.OrdLo[:7], bs.OrdHi[:7]
 	short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 	for name, frame := range map[string][]byte{
 		"an order filter":                  ord.Append(nil),

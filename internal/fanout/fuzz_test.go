@@ -68,6 +68,7 @@ func FuzzLeafRespond(f *testing.F) {
 		wire.AppendBare(nil, wire.TypeResetBegin),
 		wire.AppendBare(nil, wire.TypeStatsPoll),
 		wire.Batch{Frames: [][]byte{wire.AppendBare(nil, wire.TypeResetBegin), wire.Round{Tag: 5, Bound: 3, Want: 1}.Append(nil)}}.Append(nil),
+		wire.AppendUvarint([]byte{wire.TypeBatch}, 1<<63), // 11 bytes whose count once wrapped the batch decoder's guard
 		wire.Assign{Lo: 0, Hi: 2, N: 2, K: 2, Seed: 1}.Append(nil),
 		// A reset's execution as a root or interior ships it, behind the
 		// ResetBegin, and what ends the reset.

@@ -21,12 +21,6 @@ type Field struct {
 	ids []uint64
 }
 
-// NodeRoot returns the seeded root generator v1 monitors split their node
-// generators from, node i's as child i. Nothing draws from it any more; a
-// v1 checkpoint frame's increment column is still held to it — node i's is
-// NodeRoot(s).SplitInc(i) for any seed s.
-func NodeRoot(seed uint64) *rng.RNG { return rng.New(seed, 0xc02e) }
-
 // InPlay is the set of a field's nodes still in play in one execution: a
 // two-level bitset, one bit a node plus one bit per 64-node word saying
 // whether the word holds anyone. A round visits the members in ascending

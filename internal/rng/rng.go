@@ -71,8 +71,7 @@ func (r *RNG) SplitValue(child uint64) RNG {
 // SplitInc returns the increment of the generator Split(child) and
 // SplitValue(child) derive, without advancing r. A child's increment
 // depends on its id and the parent's stream alone — not on the seed or on
-// how far the parent has advanced — which is what a v1 checkpoint frame's
-// increment column is held to.
+// how far the parent has advanced.
 func (r *RNG) SplitInc(child uint64) uint64 { return streamInc(r.splitStream(child)) }
 
 // splitStream is the stream id of r's child: the one definition SplitValue

@@ -9,14 +9,13 @@ import (
 	"repro/internal/coord"
 	"repro/internal/rng"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 // TestRestoreValidatesFilters pins the concurrent engine's half of the
-// restore bugfix: a bank frame whose filters are not one broadcast applied
-// by the machine's membership, or no longer hold its keys, is rejected
-// with coord.ErrFilterState; the untouched frame restores (with another
-// shard count) into a runtime that stays bit-identical to its twin, frames
+// restore bugfix: a bank frame whose filters contradict the machine's
+// membership or band, or no longer hold its keys, is rejected with
+// coord.ErrFilterState; the untouched frame restores (with another shard
+// count) into a runtime that stays bit-identical to its twin, frames
 // included.
 func TestRestoreValidatesFilters(t *testing.T) {
 	for _, eps := range []float64{0, 0.05} {
@@ -57,38 +56,31 @@ func TestRestoreValidatesFilters(t *testing.T) {
 				}
 			}
 		}
-		for name, mut := range map[string]func(s *wire.NodesState){
-			"a filter of its own":         func(s *wire.NodesState) { s.IvHi[outsider]++ },
-			"a key outside its filter":    func(s *wire.NodesState) { s.Keys[outsider] = s.IvHi[outsider] + 1 },
-			"a member the machine lacks":  func(s *wire.NodesState) { s.Flags[outsider] |= wire.FlagNodeInTop },
-			"members' bound moved down":   func(s *wire.NodesState) { lowerMembers(s, 7) },
-			"a member bounded from above": func(s *wire.NodesState) { s.IvHi[member] = s.Keys[member] },
-		} {
-			s := wiretest.V1(bs)
-			mut(&s)
-			rejected("v1, "+name, wiretest.AppendNodesV1(nil, s))
-		}
 		for name, mut := range map[string]func(s *wire.BankState){
 			"a key outside its filter": func(s *wire.BankState) { s.Keys[outsider] = s.BoundHi + 1 },
 			"stale bounds":             func(s *wire.BankState) { s.BoundHi = s.Keys[outsider] - 1 },
 			"a member the machine lacks": func(s *wire.BankState) {
-				s.Flags[outsider] |= wire.FlagNodeInTop
+				s.InTop[outsider] = true
 				s.Keys[outsider] = s.BoundLo // inside the filter the forged bit derives
+			},
+			"a member the frame drops": func(s *wire.BankState) {
+				s.InTop[member] = false
+				s.Keys[member] = s.BoundHi // inside the filter the dropped bit derives
 			},
 			"members' bound moved down": func(s *wire.BankState) { s.BoundLo -= 7 },
 		} {
 			s := bs
 			s.Keys = append([]int64(nil), bs.Keys...)
-			s.Flags = append([]byte(nil), bs.Flags...)
+			s.InTop = append([]bool(nil), bs.InTop...)
 			mut(&s)
-			rejected("v2, "+name, s.Append(nil))
+			rejected(name, s.Append(nil))
 		}
 		// Columns that disagree with Hi − Lo, and a bank that is not the
 		// machine's range, are rejected one way or another.
 		part := bs
 		part.Hi--
-		part.Keys, part.Flags = bs.Keys[:cfg.N-1], bs.Flags[:cfg.N-1]
-		part.ViolStep, part.OrdLo, part.OrdHi = bs.ViolStep[:cfg.N-1], bs.OrdLo[:cfg.N-1], bs.OrdHi[:cfg.N-1]
+		part.Keys, part.InTop = bs.Keys[:cfg.N-1], bs.InTop[:cfg.N-1]
+		part.OrdLo, part.OrdHi = bs.OrdLo[:cfg.N-1], bs.OrdHi[:cfg.N-1]
 		short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's columns missing": short} {
 			if rt, err := Restore(cfg, mach, frame); err == nil {
@@ -97,44 +89,29 @@ func TestRestoreValidatesFilters(t *testing.T) {
 			}
 		}
 
-		// The untouched bank restores from either frame version (with
-		// another shard count) and stays bit-identical to the twin.
+		// The untouched bank restores (with another shard count) and stays
+		// bit-identical to the twin.
 		cfg.Shards = 5
-		for version, frame := range map[string][]byte{"v2": nodes, "v1": wiretest.AppendNodesV1(nil, wiretest.V1(bs))} {
-			back, err := Restore(cfg, mach, frame)
-			if err != nil {
-				t.Fatalf("eps=%v: untouched %s frame rejected: %v", eps, version, err)
-			}
-			defer back.Close()
-			bm, bn, _ := back.Snapshot()
-			if !bytes.Equal(bm, mach) || !bytes.Equal(bn, nodes) {
-				t.Fatalf("eps=%v: runtime restored from the %s frame re-emits other frames", eps, version)
-			}
-			if version == "v1" {
-				continue // one continuation shares the twin
-			}
-			for s := 0; s < 40; s++ {
-				step()
-				want, got := twin.Observe(vals), back.Observe(vals)
-				if !equal(got, want) {
-					t.Fatalf("eps=%v step %d: report %v, twin %v", eps, s, got, want)
-				}
-			}
-			tm, tn, _ := twin.Snapshot()
-			bm, bn, _ = back.Snapshot()
-			if !bytes.Equal(tm, bm) || !bytes.Equal(tn, bn) {
-				t.Fatalf("eps=%v: frames of twin and restored runtime differ", eps)
+		back, err := Restore(cfg, mach, nodes)
+		if err != nil {
+			t.Fatalf("eps=%v: untouched frame rejected: %v", eps, err)
+		}
+		defer back.Close()
+		bm, bn, _ := back.Snapshot()
+		if !bytes.Equal(bm, mach) || !bytes.Equal(bn, nodes) {
+			t.Fatalf("eps=%v: the restored runtime re-emits other frames", eps)
+		}
+		for s := 0; s < 40; s++ {
+			step()
+			want, got := twin.Observe(vals), back.Observe(vals)
+			if !equal(got, want) {
+				t.Fatalf("eps=%v step %d: report %v, twin %v", eps, s, got, want)
 			}
 		}
-	}
-}
-
-// lowerMembers moves every member's lower bound down by d: still one
-// broadcast's bounds, but crossed (ε = 0) or not the machine's band (ε > 0).
-func lowerMembers(s *wire.NodesState, d int64) {
-	for i := range s.IvLo {
-		if s.Flags[i]&wire.FlagNodeInTop != 0 {
-			s.IvLo[i] -= d
+		tm, tn, _ := twin.Snapshot()
+		bm, bn, _ = back.Snapshot()
+		if !bytes.Equal(tm, bm) || !bytes.Equal(tn, bn) {
+			t.Fatalf("eps=%v: frames of twin and restored runtime differ", eps)
 		}
 	}
 }
@@ -195,7 +172,7 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 // the composed one: the envelope AppendCheckpoint writes straight from the
 // bank's arrays is wire.Checkpoint.Append over Snapshot's two frames — which
 // carry live state only: of a run that keeps violating filters, the k
-// membership bits and no violation history.
+// membership bits, and a frame the bank reader accepts.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 	cfg := Config{N: 64, K: 5, Seed: 5, Shards: 3}
 	rt := New(cfg)
@@ -224,11 +201,10 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		members := 0
-		for i := range bs.ViolStep {
-			if bs.ViolStep[i] != -1 || bs.Flags[i]&^wire.FlagNodeInTop != 0 {
-				t.Fatalf("step %d: node %d persisted violation step %d, flags 0x%02x", step, i, bs.ViolStep[i], bs.Flags[i])
+		for _, in := range bs.InTop {
+			if in {
+				members++
 			}
-			members += int(bs.Flags[i])
 		}
 		if members != cfg.K {
 			t.Fatalf("step %d: frame flags %d members, k = %d", step, members, cfg.K)

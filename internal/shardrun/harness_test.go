@@ -147,8 +147,8 @@ func validateBanks(t *testing.T, banks []*coord.Nodes, n int, top []int) {
 		if st.BoundLo != lo || st.BoundHi != hi {
 			t.Fatalf("bank [%d, %d) holds bounds [%d, %d], bank 0 holds [%d, %d]", b.Lo(), b.Hi(), st.BoundLo, st.BoundHi, lo, hi)
 		}
-		for j, f := range st.Flags {
-			if f&wire.FlagNodeInTop != 0 {
+		for j, in := range st.InTop {
+			if in {
 				members = append(members, st.Lo+j)
 			}
 		}

@@ -6,61 +6,58 @@ import (
 	"slices"
 )
 
-// The v2 bank frame. A node bank stores one broadcast pair of filter
-// bounds, a key and a membership byte per node, so its checkpoint persists
-// exactly that and nothing a restore can derive: no per-node interval, no
+// The bank frame. A node bank stores one broadcast pair of filter bounds,
+// a key and a membership bit per node, so its checkpoint persists exactly
+// that and nothing a restore can derive: no per-node interval, no
 // generator — a node's coins are a function of the seed the envelope
 // carries — and the per-node fields that are almost always at their
-// default — flag bytes, violation steps, order filters — only where they
-// are not.
+// default — membership, order filters — only where they are not.
 //
 //	TypeBankState
 //	Lo, Hi, N, EpsNum    uvarint each
-//	flags                1 byte (flagDistinct, flagNoGens)
+//	flags                1 byte: flagNoGens, always; flagDistinct
 //	BoundLo, BoundHi     varint each: the installed filter bounds, once
 //	key column           Hi-Lo varints, in id order
-//	generator column     (Hi-Lo) × 8 bytes — only without flagNoGens
-//	flag section         { gap, flag byte ≠ 0 }*          0x00
-//	violation section    { gap, step varint ≠ -1 }*       0x00
+//	member section       { gap, FlagNodeInTop }*          0x00
+//	violation section                                     0x00
 //	order section        { gap, lo varint, hi varint }*   0x00
 //
-// Every frame written today sets flagNoGens. A frame without it is from a
-// monitor whose nodes each carried a generator and persisted its state:
-// the column is dead state, checked to be all there and read past, as the
-// violation section is.
+// This is the one dialect written and the one read. The frames older
+// monitors wrote are refused, not upgraded: the v1 frame (tag 0x14) is
+// ErrUnknownType; a header without flagNoGens (a generator column follows
+// the keys), an entry in the violation section and a flag byte other than
+// FlagNodeInTop are ErrMalformed. The violation section is empty, and is
+// written so that the frames of this build stay byte-identical to those of
+// the builds before it.
 //
 // A sparse section lists hosted indices (id − Lo) in strictly increasing
 // order as uvarint gaps from the previous listed index (from −1 at the
 // start, so a gap is never 0) and ends with a zero byte. An entry holding
-// the default — a zero flag byte, step −1, the order filter [−∞, +∞] —
-// is malformed, so exactly one byte string encodes a bank.
+// the default — the order filter [−∞, +∞] — is malformed, so exactly one
+// byte string encodes a bank.
 //
 // BankWriter and BankReader stream the frame straight from and into a
-// bank's arrays; BankState is the materialised form, for tools and tests
-// and for re-encoding v1 payloads.
+// bank's arrays; BankState is the materialised form, for tools and tests.
 
-// BankHeader is the fixed part of a v2 bank frame: the bank's shape and
-// the one pair of filter bounds it has installed (both infinite before
-// the first install and when k == n).
+// FlagNodeInTop is the flag byte of a member section entry: the node is a
+// top-k member.
+const FlagNodeInTop = 1 << 0
+
+// BankHeader is the fixed part of a bank frame: the bank's shape and the
+// one pair of filter bounds it has installed (both infinite before the
+// first install and when k == n).
 type BankHeader struct {
 	N, Lo, Hi        int
 	EpsNum           uint64
 	Distinct         bool
 	BoundLo, BoundHi int64
-	// Gens is set by the decoder on a frame that carries the generator
-	// column; nothing writes one.
-	Gens bool
 }
 
 // Append encodes the type tag and header after dst. The range must
-// satisfy 0 <= Lo <= Hi <= N, and Gens must be clear; Append panics
-// otherwise.
+// satisfy 0 <= Lo <= Hi <= N; Append panics otherwise.
 func (h BankHeader) Append(dst []byte) []byte {
 	if h.Lo < 0 || h.Hi < h.Lo || h.Hi > h.N {
 		panic(fmt.Sprintf("wire: bank range [%d, %d) of %d", h.Lo, h.Hi, h.N))
-	}
-	if h.Gens {
-		panic("wire: a bank frame is written without a generator column")
 	}
 	dst = append(dst, TypeBankState)
 	dst = AppendUvarint(dst, uint64(h.Lo))
@@ -76,8 +73,8 @@ func (h BankHeader) Append(dst []byte) []byte {
 	return AppendVarint(dst, h.BoundHi)
 }
 
-// DecodeBankHeader decodes the tag and header at the front of a v2 bank
-// frame and returns the columns that follow it.
+// DecodeBankHeader decodes the tag and header at the front of a bank frame
+// and returns the columns that follow it.
 func DecodeBankHeader(p []byte) (h BankHeader, rest []byte, err error) {
 	if p, err = header(p, TypeBankState); err != nil {
 		return h, nil, err
@@ -104,10 +101,13 @@ func DecodeBankHeader(p []byte) (h BankHeader, rest []byte, err error) {
 	if len(p) == 0 {
 		return h, nil, ErrTruncated
 	}
-	if p[0]&^(flagDistinct|flagNoGens) != 0 {
+	switch {
+	case p[0]&^(flagDistinct|flagNoGens) != 0:
 		return h, nil, fmt.Errorf("%w: unknown bank flags 0x%02x", ErrMalformed, p[0])
+	case p[0]&flagNoGens == 0:
+		return h, nil, fmt.Errorf("%w: a bank frame with a generator column, which no bank persists any more", ErrMalformed)
 	}
-	h.Distinct, h.Gens = p[0]&flagDistinct != 0, p[0]&flagNoGens == 0
+	h.Distinct = p[0]&flagDistinct != 0
 	p = p[1:]
 	if h.Lo < 0 || h.Hi < h.Lo || h.Hi > h.N {
 		return h, nil, fmt.Errorf("%w: bank range [%d, %d) of %d", ErrMalformed, h.Lo, h.Hi, h.N)
@@ -122,11 +122,11 @@ func DecodeBankHeader(p []byte) (h BankHeader, rest []byte, err error) {
 }
 
 // Columns of a bank frame in frame order, the stages a BankWriter or
-// BankReader moves through.
+// BankReader moves through. The empty violation section is part of the
+// member section's end.
 const (
 	bankKeys uint8 = iota
-	bankFlags
-	bankViol
+	bankMembers
 	bankOrd
 	bankDone
 )
@@ -138,9 +138,9 @@ const bankOrder = "wire: bank columns taken out of frame order"
 // count and CRC. Longer sections just grow the buffer.
 const bankTailRoom = 256
 
-// BankWriter appends one v2 bank frame column by column, in frame order:
-// BeginBank, BankKeys, then Flag, Viol and Ord for the nodes that need an
-// entry — each section in increasing index order, any of them possibly
+// BankWriter appends one bank frame column by column, in frame order:
+// BeginBank, BankKeys, then Member and Ord for the nodes that need an
+// entry — each section in increasing index order, either of them possibly
 // empty — and End. It panics on any other order and on an entry the frame
 // cannot hold, like every encoder here.
 type BankWriter struct {
@@ -184,16 +184,19 @@ func BankKeys[K ~int64](w *BankWriter, keys []K) {
 		i++
 	}
 	w.buf = w.buf[:len(w.buf)+size]
-	w.stage, w.prev = bankFlags, -1
+	w.stage, w.prev = bankMembers, -1
 }
 
 // section moves the writer to sparse section s, closing those before it.
 func (w *BankWriter) section(s uint8) {
-	if w.stage < bankFlags || w.stage > s {
+	if w.stage < bankMembers || w.stage > s {
 		panic(bankOrder)
 	}
 	for ; w.stage < s; w.stage++ {
 		w.buf = append(w.buf, 0)
+		if w.stage == bankMembers {
+			w.buf = append(w.buf, 0) // the violation section
+		}
 		w.prev = -1
 	}
 }
@@ -208,22 +211,10 @@ func (w *BankWriter) entry(s uint8, i int) {
 	w.prev = i
 }
 
-// Flag lists the non-zero flag byte of hosted index i.
-func (w *BankWriter) Flag(i int, f byte) {
-	if f == 0 || f&^byte(nodeFlagMask) != 0 {
-		panic(fmt.Sprintf("wire: bank flag byte 0x%02x", f))
-	}
-	w.entry(bankFlags, i)
-	w.buf = append(w.buf, f)
-}
-
-// Viol lists the last violation step of hosted index i, which has one.
-func (w *BankWriter) Viol(i int, step int64) {
-	if step == noViolStep {
-		panic("wire: bank violation entry without a step")
-	}
-	w.entry(bankViol, i)
-	w.buf = AppendVarint(w.buf, step)
+// Member lists hosted index i as a top-k member.
+func (w *BankWriter) Member(i int) {
+	w.entry(bankMembers, i)
+	w.buf = append(w.buf, FlagNodeInTop)
 }
 
 // Ord lists the order filter of hosted index i, which is not [-inf, +inf].
@@ -242,26 +233,21 @@ func (w *BankWriter) End() []byte {
 	return w.buf
 }
 
-// noViolStep is the violation step of a node that never violated, the
-// default the violation section leaves out.
-const noViolStep = -1
-
-// BankReader decodes one v2 bank frame column by column, in the order a
-// BankWriter wrote it: OpenBank, BankReadKeys, Flag, Viol and Ord each
-// until it reports no further entry, and Close. Malformed input yields an
-// error from the call that met it; calls out of order are the caller's bug
-// and panic.
+// BankReader decodes one bank frame column by column, in the order a
+// BankWriter wrote it: OpenBank, BankReadKeys, Member and Ord each until
+// it reports no further entry, and Close. Malformed input yields an error
+// from the call that met it; calls out of order are the caller's bug and
+// panic.
 type BankReader struct {
 	p     []byte
 	n     int
-	gens  bool // a generator column follows the keys
 	stage uint8
 	prev  int
 }
 
-// OpenBank decodes the header of a v2 bank frame. A frame too short for
-// the bank it claims is rejected here, before a caller sizes anything by
-// the header.
+// OpenBank decodes the header of a bank frame. A frame too short for the
+// bank it claims is rejected here, before a caller sizes anything by the
+// header.
 func OpenBank(p []byte) (BankHeader, BankReader, error) {
 	h, p, err := DecodeBankHeader(p)
 	if err != nil {
@@ -271,12 +257,11 @@ func OpenBank(p []byte) (BankHeader, BankReader, error) {
 	if n > uint64(len(p)) { // every node takes >= 1 key byte
 		return h, BankReader{}, fmt.Errorf("%w: %d bank nodes in %d bytes", ErrMalformed, n, len(p))
 	}
-	return h, BankReader{p: p, n: int(n), gens: h.Gens}, nil
+	return h, BankReader{p: p, n: int(n)}, nil
 }
 
 // BankReadKeys decodes the key column into dst, which must have one slot
-// per hosted node, and reads past the generator column of a frame that
-// has one.
+// per hosted node.
 func BankReadKeys[K ~int64](r *BankReader, dst []K) error {
 	if r.stage != bankKeys {
 		panic(bankOrder)
@@ -292,13 +277,7 @@ func BankReadKeys[K ~int64](r *BankReader, dst []K) error {
 		}
 		dst[i], p = K(v), p[n:]
 	}
-	if r.gens {
-		if len(p) < 8*r.n {
-			return ErrTruncated
-		}
-		p = p[8*r.n:]
-	}
-	r.p, r.stage, r.prev = p, bankFlags, -1
+	r.p, r.stage, r.prev = p, bankMembers, -1
 	return nil
 }
 
@@ -314,6 +293,16 @@ func (r *BankReader) next(s uint8) (i int, ok bool, err error) {
 	}
 	if gap == 0 {
 		r.stage, r.prev = s+1, -1
+		if s != bankMembers {
+			return 0, false, nil
+		}
+		switch { // the violation section, which lists nobody
+		case len(r.p) == 0:
+			return 0, false, ErrTruncated
+		case r.p[0] != 0:
+			return 0, false, fmt.Errorf("%w: an entry in the bank frame's violation section, which no bank persists any more", ErrMalformed)
+		}
+		r.p = r.p[1:]
 		return 0, false, nil
 	}
 	if gap > uint64(r.n-1-r.prev) {
@@ -323,33 +312,19 @@ func (r *BankReader) next(s uint8) (i int, ok bool, err error) {
 	return r.prev, true, nil
 }
 
-// Flag returns the flag section's next entry.
-func (r *BankReader) Flag() (i int, f byte, ok bool, err error) {
-	if i, ok, err = r.next(bankFlags); !ok {
-		return 0, 0, false, err
+// Member returns the member section's next entry.
+func (r *BankReader) Member() (i int, ok bool, err error) {
+	if i, ok, err = r.next(bankMembers); !ok {
+		return 0, false, err
 	}
 	if len(r.p) == 0 {
-		return 0, 0, false, ErrTruncated
+		return 0, false, ErrTruncated
 	}
-	f, r.p = r.p[0], r.p[1:]
-	if f == 0 || f&^byte(nodeFlagMask) != 0 {
-		return 0, 0, false, fmt.Errorf("%w: bank flag byte 0x%02x listed for index %d", ErrMalformed, f, i)
+	if r.p[0] != FlagNodeInTop {
+		return 0, false, fmt.Errorf("%w: bank flag byte 0x%02x listed for index %d", ErrMalformed, r.p[0], i)
 	}
-	return i, f, true, nil
-}
-
-// Viol returns the violation section's next entry.
-func (r *BankReader) Viol() (i int, step int64, ok bool, err error) {
-	if i, ok, err = r.next(bankViol); !ok {
-		return 0, 0, false, err
-	}
-	if step, r.p, err = varintField(r.p); err != nil {
-		return 0, 0, false, err
-	}
-	if step == noViolStep {
-		return 0, 0, false, fmt.Errorf("%w: bank index %d listed without a violation step", ErrMalformed, i)
-	}
-	return i, step, true, nil
+	r.p = r.p[1:]
+	return i, true, nil
 }
 
 // Ord returns the order section's next entry.
@@ -377,17 +352,16 @@ func (r *BankReader) Close() error {
 	return fin(r.p)
 }
 
-// BankState is the materialised form of a v2 bank frame: the header plus
+// BankState is the materialised form of a bank frame: the header plus
 // every per-node field as a slice of length Hi-Lo in id order, the sparse
-// sections filled out with their defaults (flag byte 0, violation step
-// -1, order filter [math.MinInt64, math.MaxInt64]). The engines stream
-// their arrays through BankWriter and BankReader and never build one.
+// sections filled out with their defaults (not a member, order filter
+// [math.MinInt64, math.MaxInt64]). The engines stream their arrays
+// through BankWriter and BankReader and never build one.
 type BankState struct {
 	BankHeader
 
 	Keys         []int64
-	Flags        []byte // FlagNodeInTop | FlagNodeWasTop | FlagNodeExtracted
-	ViolStep     []int64
+	InTop        []bool
 	OrdLo, OrdHi []int64
 }
 
@@ -395,20 +369,14 @@ type BankState struct {
 // Append panics otherwise.
 func (m BankState) Append(dst []byte) []byte {
 	n := m.Hi - m.Lo
-	if len(m.Keys) != n || len(m.Flags) != n ||
-		len(m.ViolStep) != n || len(m.OrdLo) != n || len(m.OrdHi) != n {
+	if len(m.Keys) != n || len(m.InTop) != n || len(m.OrdLo) != n || len(m.OrdHi) != n {
 		panic("wire: BankState per-node slices must all have length Hi-Lo")
 	}
 	w := BeginBank(dst, m.BankHeader)
 	BankKeys(&w, m.Keys)
-	for i, f := range m.Flags {
-		if f != 0 {
-			w.Flag(i, f)
-		}
-	}
-	for i, s := range m.ViolStep {
-		if s != noViolStep {
-			w.Viol(i, s)
+	for i, in := range m.InTop {
+		if in {
+			w.Member(i)
 		}
 	}
 	for i, lo := range m.OrdLo {
@@ -419,8 +387,7 @@ func (m BankState) Append(dst []byte) []byte {
 	return w.End()
 }
 
-// Decode decodes a full v2 bank frame into m, reusing slice capacity. A
-// generator column is read past: m.Gens says the frame had one.
+// Decode decodes a full bank frame into m, reusing slice capacity.
 func (m *BankState) Decode(p []byte) error {
 	h, r, err := OpenBank(p)
 	if err != nil {
@@ -429,36 +396,25 @@ func (m *BankState) Decode(p []byte) error {
 	n := h.Hi - h.Lo
 	m.BankHeader = h
 	m.Keys = slices.Grow(m.Keys[:0], n)[:n]
-	m.Flags = slices.Grow(m.Flags[:0], n)[:n]
-	m.ViolStep = slices.Grow(m.ViolStep[:0], n)[:n]
+	m.InTop = slices.Grow(m.InTop[:0], n)[:n]
 	m.OrdLo = slices.Grow(m.OrdLo[:0], n)[:n]
 	m.OrdHi = slices.Grow(m.OrdHi[:0], n)[:n]
 	if err := BankReadKeys(&r, m.Keys); err != nil {
 		return err
 	}
-	for i := range m.Flags {
-		m.Flags[i], m.ViolStep[i] = 0, noViolStep
+	for i := range m.InTop {
+		m.InTop[i] = false
 		m.OrdLo[i], m.OrdHi[i] = math.MinInt64, math.MaxInt64
 	}
 	for {
-		i, f, ok, err := r.Flag()
+		i, ok, err := r.Member()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		m.Flags[i] = f
-	}
-	for {
-		i, step, ok, err := r.Viol()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		m.ViolStep[i] = step
+		m.InTop[i] = true
 	}
 	for {
 		i, lo, hi, ok, err := r.Ord()

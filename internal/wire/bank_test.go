@@ -5,7 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -14,8 +18,7 @@ func sampleBank() BankState {
 	return BankState{
 		BankHeader: BankHeader{N: 8, Lo: 2, Hi: 6, EpsNum: 52428, Distinct: true, BoundLo: 5, BoundHi: 9},
 		Keys:       []int64{7, -3, 1 << 40, 6},
-		Flags:      []byte{FlagNodeInTop, 0, FlagNodeInTop | FlagNodeWasTop, FlagNodeExtracted},
-		ViolStep:   []int64{-1, 16, -1, 0},
+		InTop:      []bool{true, false, true, false},
 		OrdLo:      []int64{math.MinInt64, math.MinInt64, -1 << 40, math.MinInt64},
 		OrdHi:      []int64{math.MaxInt64, 12, 1 << 40, math.MaxInt64},
 	}
@@ -25,19 +28,18 @@ func sampleBank() BankState {
 func plainBank(n int) BankState {
 	s := BankState{
 		BankHeader: BankHeader{N: n, Lo: 0, Hi: n, BoundLo: math.MinInt64, BoundHi: math.MaxInt64},
-		Keys:       make([]int64, n), Flags: make([]byte, n),
-		ViolStep: make([]int64, n), OrdLo: make([]int64, n), OrdHi: make([]int64, n),
+		Keys:       make([]int64, n), InTop: make([]bool, n),
+		OrdLo: make([]int64, n), OrdHi: make([]int64, n),
 	}
 	for i := 0; i < n; i++ {
 		s.Keys[i] = int64(i)*1000 - 500
-		s.ViolStep[i], s.OrdLo[i], s.OrdHi[i] = -1, math.MinInt64, math.MaxInt64
+		s.OrdLo[i], s.OrdHi[i] = math.MinInt64, math.MaxInt64
 	}
 	return s
 }
 
 func sameBank(a, b BankState) bool {
-	return a.BankHeader == b.BankHeader && slices.Equal(a.Keys, b.Keys) &&
-		slices.Equal(a.Flags, b.Flags) && slices.Equal(a.ViolStep, b.ViolStep) &&
+	return a.BankHeader == b.BankHeader && slices.Equal(a.Keys, b.Keys) && slices.Equal(a.InTop, b.InTop) &&
 		slices.Equal(a.OrdLo, b.OrdLo) && slices.Equal(a.OrdHi, b.OrdHi)
 }
 
@@ -47,9 +49,9 @@ func sameBank(a, b BankState) bool {
 // a BankState that already holds another bank.
 func TestBankStateRoundTrip(t *testing.T) {
 	last := plainBank(5)
-	last.Flags[4], last.ViolStep[4], last.OrdHi[4] = FlagNodeWasTop, math.MaxInt64, 3
+	last.InTop[4], last.OrdHi[4] = true, 3
 	first := plainBank(5)
-	first.Flags[0], first.ViolStep[0], first.OrdLo[0] = FlagNodeInTop, math.MinInt64, math.MinInt64+1
+	first.InTop[0], first.OrdLo[0] = true, math.MinInt64+1
 	empty := BankState{BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}
 	var got BankState
 	for i, s := range []BankState{sampleBank(), plainBank(1), plainBank(300), last, first, empty} {
@@ -69,8 +71,8 @@ func TestBankStateRoundTrip(t *testing.T) {
 	}
 }
 
-// gensColumn returns where the generator column of a bank frame sits, or
-// would: the end of its key column. The frame's header flag byte is at
+// gensColumn returns where the generator column of a bank frame would
+// sit: the end of its key column. The frame's header flag byte is at
 // flagAt.
 func gensColumn(t testing.TB, frame []byte) (flagAt, at int) {
 	t.Helper()
@@ -94,8 +96,8 @@ func gensColumn(t testing.TB, frame []byte) (flagAt, at int) {
 }
 
 // withGens returns frame, which this build wrote, as a monitor whose nodes
-// carried generators would have written it: no flagNoGens, and eight
-// bytes of generator state a node after the keys.
+// carried generators wrote it: no flagNoGens, and eight bytes of generator
+// state a node after the keys — a retired dialect.
 func withGens(t testing.TB, frame []byte, states ...uint64) []byte {
 	t.Helper()
 	flagAt, at := gensColumn(t, frame)
@@ -105,64 +107,6 @@ func withGens(t testing.TB, frame []byte, states ...uint64) []byte {
 		old = binary.LittleEndian.AppendUint64(old, state)
 	}
 	return append(old, frame[at:]...)
-}
-
-// withoutGens is the inverse: what this build writes for the bank an
-// older frame holds.
-func withoutGens(t testing.TB, old []byte, nodes int) []byte {
-	t.Helper()
-	flagAt, at := gensColumn(t, old)
-	frame := append(append([]byte(nil), old[:at]...), old[at+8*nodes:]...)
-	frame[flagAt] |= flagNoGens
-	return frame
-}
-
-// checkBankReencode is the re-encode identity of a frame b decoded from:
-// byte for byte, after the generator column an older frame carries is cut
-// out of it — the decoder reads past that column and repairs nothing else.
-func checkBankReencode(t testing.TB, frame []byte, b BankState) {
-	t.Helper()
-	if b.Gens {
-		frame, b.Gens = withoutGens(t, frame, b.Hi-b.Lo), false
-	}
-	roundTrip(t, frame, b.Append(nil))
-}
-
-// TestBankReadsPastGenerators pins the migration at the frame: a frame
-// with a generator column decodes to the bank the same frame without one
-// does, whatever the column holds, and no frame with one is ever written.
-func TestBankReadsPastGenerators(t *testing.T) {
-	for i, s := range []BankState{sampleBank(), plainBank(1), plainBank(300), {BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}} {
-		frame := s.Append(nil)
-		states := make([]uint64, s.Hi-s.Lo)
-		for j := range states {
-			states[j] = uint64(j+1) * 0x9e3779b97f4a7c15
-		}
-		old := withGens(t, frame, states...)
-		if len(old) != len(frame)+8*len(states) {
-			t.Fatalf("case %d: forged frame %d bytes, want %d", i, len(old), len(frame)+8*len(states))
-		}
-		var got BankState
-		if err := got.Decode(old); err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
-		if !got.Gens {
-			t.Fatalf("case %d: the decoder did not see the generator column", i)
-		}
-		checkBankReencode(t, old, got)
-		if got.Gens = false; !sameBank(got, s) {
-			t.Fatalf("case %d: decoded %+v, want %+v", i, got, s)
-		}
-		if len(states) > 0 {
-			if err := got.Decode(old[:len(old)-1]); err == nil {
-				t.Fatalf("case %d: a truncated frame decoded", i)
-			}
-			if err := got.Decode(withGens(t, frame, states[1:]...)); err == nil {
-				t.Fatalf("case %d: a frame whose generator column is a node short decoded", i)
-			}
-		}
-	}
-	mustPanic(t, "a header that asks for a generator column", func() { BankHeader{N: 4, Hi: 2, Gens: true}.Append(nil) })
 }
 
 // TestBankFrameSize pins what the frame is for: a bank with k members and
@@ -175,7 +119,7 @@ func TestBankFrameSize(t *testing.T) {
 		s.Keys[i] = int64(i)<<20 + 12345
 		keyBytes += SizeVarint(s.Keys[i])
 		if i < k {
-			s.Flags[i*7] = FlagNodeInTop
+			s.InTop[i*7] = true
 		}
 	}
 	hdr := len(s.BankHeader.Append(nil))
@@ -202,10 +146,10 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 	minI, maxI := AppendVarint(nil, math.MinInt64), AppendVarint(nil, math.MaxInt64)
 	fullOrd := append(append([]byte{0, 0, 1}, minI...), maxI...)
 	var b BankState
-	if err := b.Decode(bankParts(1, FlagNodeInTop, 0, 2, 9, 0, 0)); err != nil {
+	if err := b.Decode(bankParts(1, FlagNodeInTop, 0, 0, 2, 3, 5, 0)); err != nil {
 		t.Fatalf("well-formed forged frame rejected: %v", err)
 	}
-	if b.Flags[0] != FlagNodeInTop || b.ViolStep[1] != -5 || b.Keys[0] != 20 || b.Keys[1] != 5 {
+	if !b.InTop[0] || b.InTop[1] || b.OrdLo[1] != -2 || b.OrdHi[1] != -3 || b.Keys[0] != 20 || b.Keys[1] != 5 {
 		t.Fatalf("forged frame decoded as %+v", b)
 	}
 	for _, tc := range []struct {
@@ -215,22 +159,18 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 	}{
 		{"zero flag byte listed", []byte{1, 0, 0, 0, 0}, ErrMalformed},
 		{"unknown flag bit listed", []byte{1, 0x08, 0, 0, 0}, ErrMalformed},
-		{"violation step -1 listed", []byte{0, 1, 1, 0, 0}, ErrMalformed},
 		{"full order filter listed", append(fullOrd, 0), ErrMalformed},
 		{"index past the bank", []byte{3, FlagNodeInTop, 0, 0, 0}, ErrMalformed},
 		{"second index past the bank", []byte{2, FlagNodeInTop, 1, FlagNodeInTop, 0, 0, 0}, ErrMalformed},
 		{"gap that overflows int", append(append([]byte{}, AppendUvarint(nil, math.MaxUint64)...), FlagNodeInTop, 0, 0, 0), ErrMalformed},
 		{"non-canonical gap varint", []byte{0x81, 0x00, FlagNodeInTop, 0, 0, 0}, ErrNonCanonical},
 		{"flag byte missing", []byte{1}, ErrTruncated},
+		{"violation section missing", []byte{0}, ErrTruncated},
 		{"order section missing", []byte{0, 0}, ErrTruncated},
 		{"bytes after the last section", []byte{0, 0, 0, 0}, ErrTrailingBytes},
 	} {
 		if err := b.Decode(bankParts(tc.sections...)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: decode returned %v, want %v", tc.name, err, tc.want)
-		}
-		// The same sections behind a generator column are as malformed.
-		if err := b.Decode(withGens(t, bankParts(tc.sections...), 111, 222)); !errors.Is(err, tc.want) {
-			t.Errorf("%s, after a generator column: decode returned %v, want %v", tc.name, err, tc.want)
 		}
 	}
 	unknown := bankParts(0, 0, 0)
@@ -248,11 +188,84 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 		for _, u := range h {
 			p = AppendUvarint(p, u)
 		}
-		p = append(AppendUvarint(p, 0), 0, 0, 0, 0, 0, 0)
+		p = append(AppendUvarint(p, 0), flagNoGens, 0, 0, 0, 0, 0)
 		if err := b.Decode(p); !errors.Is(err, ErrMalformed) {
 			t.Errorf("range [%d, %d) of %d: decode returned %v, want ErrMalformed", h[0], h[1], h[2], err)
 		}
 	}
+}
+
+// TestBankRefusesRetiredDialects pins that the bank frame reader reads the
+// one dialect this build writes and refuses every older one with a typed
+// error instead of upgrading it: the v1 frame (tag 0x14, nine fields a
+// node) is ErrUnknownType; a generator column, an entry in the violation
+// section and a flag bit beside membership (the WasTop and Extracted bits
+// banks once persisted) are ErrMalformed. The legacy seeds of the fuzz
+// corpora are held to the same: their bank frames are refused.
+func TestBankRefusesRetiredDialects(t *testing.T) {
+	// A v1 frame of a [2, 4) bank of 8 nodes: Lo, Hi, N, EpsNum, flags, and
+	// a node's key, filter, order filter, flags, violation step, generator
+	// state and increment, twice.
+	v1 := []byte{0x14, 2, 4, 8, 0, 0}
+	for range 2 {
+		for _, v := range []int64{7, 5, math.MaxInt64, math.MinInt64, math.MaxInt64} {
+			v1 = AppendVarint(v1, v)
+		}
+		v1 = append(v1, FlagNodeInTop)
+		v1 = AppendUvarint(AppendUvarint(AppendVarint(v1, -1), 0xdeadbeef), 3)
+	}
+	type refusal struct {
+		name  string
+		frame []byte
+		want  error
+	}
+	cases := []refusal{
+		{"a v1 frame", v1, ErrUnknownType},
+		{"a generator column", withGens(t, sampleBank().Append(nil), 0xdeadbeef, 1, 0, 1<<64-1), ErrMalformed},
+		{"a generator column on an empty range", withGens(t, BankState{BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}.Append(nil)), ErrMalformed},
+		{"a violation stamp", bankParts(0, 2, 32, 0, 0), ErrMalformed},
+		{"a violation stamp beside a member", bankParts(1, FlagNodeInTop, 0, 1, 1, 0, 0), ErrMalformed},
+		{"the WasTop bit", bankParts(1, 0x02, 0, 0, 0), ErrMalformed},
+		{"the Extracted bit beside membership", bankParts(2, FlagNodeInTop|0x04, 0, 0, 0), ErrMalformed},
+	}
+	for _, seed := range []refusal{ // the legacy seeds of the fuzz corpora
+		{"FuzzCheckpointDecode/v1-envelope", nil, ErrUnknownType},
+		{"FuzzCheckpointDecode/v2-envelope-generator-column", nil, ErrMalformed},
+		{"FuzzDecode/v1-envelope", nil, ErrUnknownType},
+		{"FuzzDecode/v1-nodes-state", nil, ErrUnknownType},
+	} {
+		seed.frame = corpusSeed(t, filepath.Join("testdata", "fuzz", seed.name))
+		if seed.frame[0] == TypeCheckpoint {
+			var c Checkpoint
+			if err := c.Decode(seed.frame); err != nil {
+				t.Fatalf("%s: the envelope does not decode: %v", seed.name, err)
+			}
+			seed.frame = c.Nodes
+		}
+		cases = append(cases, seed)
+	}
+	for _, tc := range cases {
+		var b BankState
+		if err := b.Decode(tc.frame); !errors.Is(err, tc.want) {
+			t.Errorf("%s: decode returned %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// corpusSeed reads the one []byte value of a fuzz corpus file.
+func corpusSeed(t *testing.T, file string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, val, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	val, ok := strings.CutPrefix(val, "[]byte(")
+	if q, err := strconv.Unquote(strings.TrimSuffix(val, ")")); ok && err == nil && len(q) > 0 {
+		return []byte(q)
+	}
+	t.Fatalf("%s: not a corpus file of one []byte", file)
+	return nil
 }
 
 // TestBankTruncationAndBitFlips: no prefix of a frame decodes, and a
@@ -271,7 +284,7 @@ func TestBankTruncationAndBitFlips(t *testing.T) {
 			mut := append([]byte(nil), frame...)
 			mut[i] ^= 1 << bit
 			if err := b.Decode(mut); err == nil {
-				checkBankReencode(t, mut, b)
+				roundTrip(t, mut, b.Append(nil))
 			}
 		}
 	}
@@ -300,18 +313,14 @@ func TestBankWriterEnforcesFrameOrder(t *testing.T) {
 		return &w
 	}
 	for name, f := range map[string]func(){
-		"section before keys":       func() { w := BeginBank(nil, h); w.Flag(0, 1) },
+		"section before keys":       func() { w := BeginBank(nil, h); w.Member(0) },
 		"end before keys":           func() { w := BeginBank(nil, h); w.End() },
 		"keys twice":                func() { w := BeginBank(nil, h); BankKeys(&w, keys); BankKeys(&w, keys) },
 		"too few keys":              func() { w := BeginBank(nil, h); BankKeys(&w, keys[:1]) },
-		"flag after violation":      func() { w := dense(); w.Viol(0, 3); w.Flag(1, 1) },
-		"violation after order":     func() { w := dense(); w.Ord(0, 1, 2); w.Viol(1, 3) },
-		"index repeated":            func() { w := dense(); w.Flag(1, 1); w.Flag(1, 2) },
-		"index past the bank":       func() { dense().Flag(2, 1) },
-		"negative index":            func() { dense().Viol(-1, 3) },
-		"zero flag byte":            func() { dense().Flag(0, 0) },
-		"unknown flag bit":          func() { dense().Flag(0, 0x10) },
-		"violation step -1":         func() { dense().Viol(0, -1) },
+		"member after order":        func() { w := dense(); w.Ord(0, 1, 2); w.Member(1) },
+		"index repeated":            func() { w := dense(); w.Member(1); w.Member(1) },
+		"index past the bank":       func() { dense().Member(2) },
+		"negative index":            func() { dense().Ord(-1, 1, 2) },
 		"full order filter":         func() { dense().Ord(0, math.MinInt64, math.MaxInt64) },
 		"anything after End":        func() { w := dense(); w.End(); w.Ord(0, 1, 2) },
 		"bank range outside [0, N)": func() { BeginBank(nil, BankHeader{N: 4, Lo: 3, Hi: 5}) },
@@ -319,9 +328,9 @@ func TestBankWriterEnforcesFrameOrder(t *testing.T) {
 		mustPanic(t, name, f)
 	}
 	w := dense()
-	w.Viol(1, 7)
+	w.Ord(1, 7, 8)
 	var b BankState
-	if err := b.Decode(w.End()); err != nil || b.ViolStep[1] != 7 || b.Flags[0] != 0 {
+	if err := b.Decode(w.End()); err != nil || b.OrdLo[1] != 7 || b.InTop[0] {
 		t.Fatalf("frame with a skipped section: %+v, %v", b, err)
 	}
 }
@@ -346,9 +355,9 @@ func TestBankReaderEnforcesFrameOrder(t *testing.T) {
 	}
 	for name, f := range map[string]func(){
 		"too few key slots":         func() { _ = BankReadKeys(open(), make([]int64, 3)) },
-		"flags before keys":         func() { _, _, _, _ = open().Flag() },
+		"members before keys":       func() { _, _, _ = open().Member() },
 		"keys twice":                func() { _ = BankReadKeys(keyed(), make([]int64, 4)) },
-		"violations before flags":   func() { _, _, _, _ = keyed().Viol() },
+		"orders before members":     func() { _, _, _, _, _ = keyed().Ord() },
 		"close before the sections": func() { _ = keyed().Close() },
 	} {
 		mustPanic(t, name, f)

@@ -44,12 +44,10 @@ const (
 
 // Checkpoint is the wire form of one durable coordinator checkpoint.
 // Machine always holds an embedded MachineState frame. Nodes holds the
-// bank frame of the local engines' node bank — v2 (TypeBankState) from any
-// monitor that writes today, v1 (TypeNodesState) in older stores; the
-// envelope is the same — and is empty for the networked engines, whose
-// node state lives in the peers. Last holds the
-// networked engines' per-node last-value mirror (empty for the local
-// engines, which restore exact node state instead of replaying).
+// bank frame (TypeBankState) of the local engines' node bank and is empty
+// for the networked engines, whose node state lives in the peers. Last
+// holds the networked engines' per-node last-value mirror (empty for the
+// local engines, which restore exact node state instead of replaying).
 type Checkpoint struct {
 	Gen      uint64
 	Engine   uint8
@@ -365,7 +363,7 @@ func (d *CheckpointDelta) Decode(p []byte) error {
 	if u, p, err = uvarintField(p); err != nil {
 		return err
 	}
-	if 2*u > uint64(len(p)) { // every entry takes >= 2 bytes
+	if u > uint64(len(p))/2 { // every entry takes >= 2 bytes
 		return fmt.Errorf("%w: %d delta values in %d bytes", ErrMalformed, u, len(p))
 	}
 	d.IDs, d.Vals = d.IDs[:0], d.Vals[:0]

@@ -64,10 +64,9 @@ const (
 	// of a coord.Machine, canonically encoded so a restored coordinator
 	// resumes bit-identically (see snapshot.go).
 	TypeMachineState byte = 0x13
-	// TypeNodesState is the v1 node-side checkpoint companion: nine
-	// fields per node of one coord.Nodes bank. Nothing writes it any
-	// more; it is decoded so that stores holding v1 frames keep restoring.
-	TypeNodesState byte = 0x14
+	// 0x14 was the v1 bank frame's tag (nine fields a node, written by no
+	// monitor since the bank frame of TypeBankState): reserved, never
+	// reused, so that a v1 frame stays ErrUnknownType.
 	// TypeStatsPoll asks a peer for its subtree's TreeStats. It is the
 	// hierarchical engine's diagnostic plane: interior coordinators
 	// forward it to their children and aggregate, so the root learns the
@@ -83,7 +82,7 @@ const (
 	// so torn or bit-rotted frames are rejected instead of restored (see
 	// checkpoint.go and internal/ckpt).
 	TypeCheckpoint byte = 0x17
-	// TypeBankState is the v2 node-side checkpoint companion: what one
+	// TypeBankState is the node-side checkpoint companion: what one
 	// coord.Nodes bank stores between steps and nothing it can derive
 	// (see bank.go).
 	TypeBankState byte = 0x18
@@ -479,7 +478,7 @@ func (m *Reply) Decode(p []byte) error {
 	if u, p, err = uvarintField(p); err != nil {
 		return err
 	}
-	if 2*u > uint64(len(p))+1 { // every (id, key) pair takes >= 2 bytes
+	if u > (uint64(len(p))+1)/2 { // every (id, key) pair takes >= 2 bytes
 		return fmt.Errorf("%w: %d bids in %d bytes", ErrMalformed, u, len(p))
 	}
 	m.IDs, m.Keys = m.IDs[:0], m.Keys[:0]
@@ -864,7 +863,7 @@ func (m *ShardDigest) Decode(p []byte) error {
 	if u, p, err = uvarintField(p); err != nil {
 		return err
 	}
-	if 2*u > uint64(len(p)) { // every (id, key) pair takes >= 2 bytes
+	if u > uint64(len(p))/2 { // every (id, key) pair takes >= 2 bytes
 		return fmt.Errorf("%w: %d further winners in %d bytes", ErrMalformed, u, len(p))
 	}
 	for i := uint64(0); i < u; i++ {
@@ -935,7 +934,7 @@ func (m *Batch) Decode(p []byte) error {
 	if u, p, err = uvarintField(p); err != nil {
 		return err
 	}
-	if 2*u > uint64(len(p))+1 { // every sub-frame takes >= 2 bytes (len + type)
+	if u > (uint64(len(p))+1)/2 { // every sub-frame takes >= 2 bytes (len + type)
 		return fmt.Errorf("%w: %d batch frames in %d bytes", ErrMalformed, u, len(p))
 	}
 	if m.Frames = m.Frames[:0]; uint64(cap(m.Frames)) < u {
@@ -1028,7 +1027,7 @@ func (m *TreeStats) Decode(p []byte) error {
 	if u, p, err = uvarintField(p); err != nil {
 		return err
 	}
-	if 4*u > uint64(len(p))+3 { // every level takes >= 4 bytes
+	if u > (uint64(len(p))+3)/4 { // every level takes >= 4 bytes
 		return fmt.Errorf("%w: %d level entries in %d bytes", ErrMalformed, u, len(p))
 	}
 	m.Levels = m.Levels[:0]

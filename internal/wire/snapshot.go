@@ -4,7 +4,7 @@ import "fmt"
 
 // Snapshot messages. A coordinator checkpoint is two frames — one
 // MachineState for the decision machine, one bank frame per hosted node
-// bank (bank.go; NodesState below is its v1 predecessor) — encoded with
+// bank (bank.go) — encoded with
 // the same canonical varint codec as every protocol message, so
 // checkpoints are comparable byte for byte and covered by the same
 // decode→re-encode fuzz harness as the live protocol. The semantic
@@ -156,124 +156,5 @@ func (m *MachineState) Decode(p []byte) error {
 	return fin(p)
 }
 
-// NodesState is the v1 wire form of one coord.Nodes bank between steps:
-// the bank's shape plus, for each hosted node in id order, its key, filter,
-// order filter, membership flags, last violation step and generator state
-// and increment — nine fields a node where a bank stores four. Monitors
-// write the v2 frame (BankState); v1 is decode-only, for the frames stores
-// already hold, and coord re-encodes an accepted one as v2. All per-node
-// slices are parallel, of length Hi-Lo.
-type NodesState struct {
-	N, Lo, Hi int
-	EpsNum    uint64
-	Distinct  bool
-
-	Keys         []int64
-	IvLo, IvHi   []int64
-	OrdLo, OrdHi []int64
-	Flags        []byte // FlagNodeInTop | FlagNodeWasTop | FlagNodeExtracted
-	ViolStep     []int64
-	RngState     []uint64
-	RngInc       []uint64
-}
-
-// Per-node flag bits of a bank frame's flag bytes (both versions).
-const (
-	FlagNodeInTop     = 1 << 0
-	FlagNodeWasTop    = 1 << 1
-	FlagNodeExtracted = 1 << 2
-
-	nodeFlagMask = FlagNodeInTop | FlagNodeWasTop | FlagNodeExtracted
-)
-
 // MachineState flag bits.
 const flagInit = 1 << 0 // MachineState: the time-0 reset already ran
-
-// Decode decodes a full NodesState frame into m, reusing slice capacity.
-func (m *NodesState) Decode(p []byte) error {
-	p, err := header(p, TypeNodesState)
-	if err != nil {
-		return err
-	}
-	var u uint64
-	if u, p, err = uvarintField(p); err != nil {
-		return err
-	}
-	m.Lo = int(u)
-	if u, p, err = uvarintField(p); err != nil {
-		return err
-	}
-	m.Hi = int(u)
-	if u, p, err = uvarintField(p); err != nil {
-		return err
-	}
-	m.N = int(u)
-	if m.EpsNum, p, err = uvarintField(p); err != nil {
-		return err
-	}
-	if m.EpsNum >= MaxTolNum {
-		return fmt.Errorf("%w: nodes tolerance numerator %d out of range", ErrMalformed, m.EpsNum)
-	}
-	if len(p) == 0 {
-		return ErrTruncated
-	}
-	if p[0]&^flagDistinct != 0 {
-		return fmt.Errorf("%w: unknown nodes state flags 0x%02x", ErrMalformed, p[0])
-	}
-	m.Distinct = p[0]&flagDistinct != 0
-	p = p[1:]
-	if m.Lo < 0 || m.Hi < m.Lo || m.Hi > m.N {
-		return fmt.Errorf("%w: nodes state range [%d, %d) of %d", ErrMalformed, m.Lo, m.Hi, m.N)
-	}
-	n := uint64(m.Hi - m.Lo)
-	if 9*n > uint64(len(p)) { // every node entry takes >= 9 bytes
-		return fmt.Errorf("%w: %d node entries in %d bytes", ErrMalformed, n, len(p))
-	}
-	m.Keys, m.IvLo, m.IvHi = m.Keys[:0], m.IvLo[:0], m.IvHi[:0]
-	m.OrdLo, m.OrdHi, m.Flags = m.OrdLo[:0], m.OrdHi[:0], m.Flags[:0]
-	m.ViolStep, m.RngState, m.RngInc = m.ViolStep[:0], m.RngState[:0], m.RngInc[:0]
-	for i := uint64(0); i < n; i++ {
-		var v int64
-		if v, p, err = varintField(p); err != nil {
-			return err
-		}
-		m.Keys = append(m.Keys, v)
-		if v, p, err = varintField(p); err != nil {
-			return err
-		}
-		m.IvLo = append(m.IvLo, v)
-		if v, p, err = varintField(p); err != nil {
-			return err
-		}
-		m.IvHi = append(m.IvHi, v)
-		if v, p, err = varintField(p); err != nil {
-			return err
-		}
-		m.OrdLo = append(m.OrdLo, v)
-		if v, p, err = varintField(p); err != nil {
-			return err
-		}
-		m.OrdHi = append(m.OrdHi, v)
-		if len(p) == 0 {
-			return ErrTruncated
-		}
-		if p[0]&^byte(nodeFlagMask) != 0 {
-			return fmt.Errorf("%w: unknown node flags 0x%02x", ErrMalformed, p[0])
-		}
-		m.Flags = append(m.Flags, p[0])
-		p = p[1:]
-		if v, p, err = varintField(p); err != nil {
-			return err
-		}
-		m.ViolStep = append(m.ViolStep, v)
-		if u, p, err = uvarintField(p); err != nil {
-			return err
-		}
-		m.RngState = append(m.RngState, u)
-		if u, p, err = uvarintField(p); err != nil {
-			return err
-		}
-		m.RngInc = append(m.RngInc, u)
-	}
-	return fin(p)
-}

@@ -669,3 +669,34 @@ func TestMalformedCounts(t *testing.T) {
 		t.Fatalf("delta: %v, want ErrMalformed", err)
 	}
 }
+
+// TestDecodeCountGuardsDoNotWrap feeds every decoder whose count guard
+// once multiplied the count the counts that wrap the product to zero: the
+// guard must still see a count the frame cannot hold — ErrMalformed, not a
+// panic of a slice sized by it (Batch) nor ErrTruncated from a loop that
+// should never have started (the other four).
+func TestDecodeCountGuardsDoNotWrap(t *testing.T) {
+	delta := []byte{TypeCheckpointDelta, 2, 1, EngineSeq, 0, 0, 0} // gen, base, engine, seed, flags, empty machine section
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		decode func([]byte) error
+	}{
+		{"Batch", AppendUvarint([]byte{TypeBatch}, 1<<63), func(p []byte) error { var m Batch; return m.Decode(p) }},
+		{"Reply", AppendUvarint([]byte{TypeReply, 0}, 1<<63), func(p []byte) error { var m Reply; return m.Decode(p) }},
+		{"ShardDigest", AppendUvarint([]byte{TypeShardDigest, flagOK, 0, 0, 0, 0, 0, 0}, 1<<63), func(p []byte) error { _, err := DecodeShardDigest(p); return err }},
+		{"TreeStats", AppendUvarint([]byte{TypeTreeStats}, 1<<62), func(p []byte) error { var m TreeStats; return m.Decode(p) }},
+		{"CheckpointDelta", sealRaw(AppendUvarint(delta, 1<<63)), func(p []byte) error { var m CheckpointDelta; return m.Decode(p) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: %d-byte frame panicked the decoder: %v", tc.name, len(tc.frame), r)
+				}
+			}()
+			if err := tc.decode(tc.frame); !errors.Is(err, ErrMalformed) {
+				t.Errorf("%s: %v, want ErrMalformed", tc.name, err)
+			}
+		}()
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/rng"
 	"repro/internal/wire"
-	"repro/internal/wire/wiretest"
 )
 
 // ckptWalk drives a deterministic random walk shared by a monitor pair.
@@ -518,25 +517,21 @@ func TestRestoreRejectsStaleFilters(t *testing.T) {
 		if err := bs.Decode(c.Nodes); err != nil {
 			t.Fatal(err)
 		}
-		// Outsider 1 above the installed midpoint, in the frame as written
-		// (v2) and as a pre-v2 monitor wrote it (v1); then a v2 frame whose
-		// bounds went stale instead of a key, and one flagging a member
-		// the machine does not have.
-		v1 := wiretest.V1(bs)
-		v1.Keys[1] = v1.IvHi[1] + 1
+		// Outsider 1 above the installed midpoint; then a frame whose
+		// bounds went stale instead of a key, and one flagging a member the
+		// machine does not have.
 		moved, stale, flagged := bs, bs, bs
 		moved.Keys = append([]int64(nil), bs.Keys...)
 		moved.Keys[1] = bs.BoundHi + 1
 		stale.BoundLo, stale.BoundHi = bs.BoundLo+1<<30, bs.BoundHi+1<<30
-		flagged.Flags = append([]byte(nil), bs.Flags...)
-		flagged.Flags[7] |= wire.FlagNodeInTop
+		flagged.InTop = append([]bool(nil), bs.InTop...)
+		flagged.InTop[7] = true
 		flagged.Keys = append([]int64(nil), bs.Keys...)
 		flagged.Keys[7] = bs.BoundLo
 		for name, nodes := range map[string][]byte{
-			"v1, key moved":     wiretest.AppendNodesV1(nil, v1),
-			"v2, key moved":     moved.Append(nil),
-			"v2, bounds stale":  stale.Append(nil),
-			"v2, forged member": flagged.Append(nil),
+			"key moved":     moved.Append(nil),
+			"bounds stale":  stale.Append(nil),
+			"forged member": flagged.Append(nil),
 		} {
 			forged := c
 			forged.Nodes = nodes
@@ -553,16 +548,5 @@ func TestRestoreRejectsStaleFilters(t *testing.T) {
 				m.Close()
 			}
 		}
-		// The v1 form of the frame as written still restores.
-		c.Nodes = wiretest.AppendNodesV1(nil, wiretest.V1(bs))
-		old := MemCheckpoints()
-		if err := old.Save(gen, c.Append(nil)); err != nil {
-			t.Fatal(err)
-		}
-		m, err := Restore(old, cfg)
-		if err != nil {
-			t.Fatalf("concurrent=%v: v1 form of the checkpoint as written rejected: %v", conc, err)
-		}
-		m.Close()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,44 +12,32 @@ import (
 	"repro/internal/wire"
 )
 
-// goldenV1 lists the checkpoint envelopes under testdata/ that the parent
-// of the v2 frame wrote (commit d88c7dc, through Monitor.Checkpoint): each
-// is the state of a monitor with the given configuration after the given
-// number of goldenWalk steps. They are v1 — nine fields a node — and pin
-// that stores written before the v2 frame keep restoring.
+// The checkpoint fixtures under testdata/. seq.ckpt, conc.ckpt and
+// seq_eps.ckpt are the envelopes a monitor of parentFrameCfg — on the
+// sequential engine, on the concurrent engine, and sequential at ε = 0.05 —
+// saved after parentFrameSteps goldenWalk steps; seq_chain.ckpt is what
+// MemCheckpoints' Load hands over after runToChain: a base and three
+// deltas. All four were recorded at commit 07a97c2 through
+// Monitor.Checkpoint, and are the one dialect this build writes and reads.
 //
-// The monitors that wrote them reset with k+1 executions and drew their
-// coins from per-node generators, so a frame holds the ledger of a history
-// this build prices differently (and generator states it reads past):
-// atFrame is the ledger the frame carries, after80 the restored monitor's 80
-// steps later — the frame's plus what a twin that never stopped charges for
-// those 80 steps, coin for coin — and the twin agrees with the restored
-// monitor on every decision, not on what the frame's history cost.
-var goldenV1 = []struct {
-	file             string
-	cfg              Config
-	steps            int
-	atFrame, after80 string
+// retiredFrames are the envelopes of monitors that wrote another dialect
+// of the bank frame: each is refused with a typed error, not upgraded.
+var retiredFrames = []struct {
+	file string
+	cfg  Config
+	want error
 }{
-	{"v1_seq_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 60,
-		"{2045 0 2849}/{10225 0 16737} {{115 0 461} {161 0 238} {1769 0 2150}}/{{575 0 3719} {805 0 1302} {8845 0 11716}}",
-		"{3361 0 3907}/{16805 0 24323} {{194 0 876} {357 0 513} {2810 0 2518}}/{{970 0 7208} {1785 0 2817} {14050 0 14298}}"},
-	{"v1_seq_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05}, 60,
-		"{31 0 43}/{155 0 224} {{0 0 0} {0 0 0} {31 0 43}}/{{0 0 0} {0 0 0} {155 0 224}}",
-		"{49 0 62}/{245 0 384} {{1 0 7} {2 0 4} {46 0 51}}/{{5 0 77} {10 0 27} {230 0 280}}"},
-	{"v1_conc_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Concurrent: true}, 60,
-		"{2045 0 2849}/{10225 0 16737} {{115 0 461} {161 0 238} {1769 0 2150}}/{{575 0 3719} {805 0 1302} {8845 0 11716}}",
-		"{3361 0 3907}/{16805 0 24323} {{194 0 876} {357 0 513} {2810 0 2518}}/{{970 0 7208} {1785 0 2817} {14050 0 14298}}"},
-	{"v1_conc_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05, Concurrent: true}, 60,
-		"{31 0 43}/{155 0 224} {{0 0 0} {0 0 0} {31 0 43}}/{{0 0 0} {0 0 0} {155 0 224}}",
-		"{49 0 62}/{245 0 384} {{1 0 7} {2 0 4} {46 0 51}}/{{5 0 77} {10 0 27} {230 0 280}}"},
-	{"v1_seq_pretime0.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, 0,
-		"{0 0 0}/{0 0 0} {{0 0 0} {0 0 0} {0 0 0}}/{{0 0 0} {0 0 0} {0 0 0}}",
-		"{1823 0 1432}/{9115 0 10247} {{147 0 593} {226 0 319} {1450 0 520}}/{{735 0 4813} {1130 0 1791} {7250 0 3643}}"},
+	// The v1 frame, nine fields a node: ErrUnknownType.
+	{"v1_seq_exact.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, wire.ErrUnknownType},
+	// A generator column after the keys: ErrMalformed.
+	{"v2_seq.ckpt", parentFrameCfg, wire.ErrMalformed},
+	// Violation stamps and the WasTop and Extracted bits, behind a generator
+	// column: ErrMalformed.
+	{"v2_conc_viol.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Concurrent: true}, wire.ErrMalformed},
 }
 
-// goldenWalk is the input the golden frames were taken under: every node
-// starts at 1000 and takes ckptWalk steps drawn from one generator.
+// goldenWalk is the input the fixtures were taken under: every node starts
+// at 1000 and takes ckptWalk steps drawn from one generator.
 func goldenWalk() func(vals []int64) {
 	wr := rng.New(77, 2)
 	first := true
@@ -65,130 +52,34 @@ func goldenWalk() func(vals []int64) {
 	}
 }
 
-// sameDecisions fails unless a restored monitor and its twin agree on every
-// decision taken so far, and the restored monitor's ledger — counts and
-// bytes, in total and by phase — is the recorded one.
-func sameDecisions(t *testing.T, where string, got, twin *Monitor, ledger string) {
-	t.Helper()
-	if got.Stats() != twin.Stats() {
-		t.Fatalf("%s: stats diverged: %+v, twin %+v", where, got.Stats(), twin.Stats())
-	}
-	if !equalIDs(got.Top(), twin.Top()) {
-		t.Fatalf("%s: report %v, twin %v", where, got.Top(), twin.Top())
-	}
-	if led := fmt.Sprintf("%v/%v %v/%v", got.Counts(), got.Bytes(), got.Phases(), got.BytesByPhase()); led != ledger {
-		t.Errorf("%s: the restored monitor left the recorded ledger:\n got %s\nwant %s", where, led, ledger)
-	}
-}
-
-// sameFrameDecisions fails unless two envelopes hold the same state but for
-// what a history's price leaves behind: the machine's ledger and the
-// nodes' generator states.
-func sameFrameDecisions(t *testing.T, where string, a, b wire.Checkpoint) {
-	t.Helper()
-	var sections [2][]byte
-	for i, c := range []wire.Checkpoint{a, b} {
-		var ms wire.MachineState
-		var bs wire.BankState
-		if err := ms.Decode(c.Machine); err != nil {
-			t.Fatal(err)
-		}
-		if err := bs.Decode(c.Nodes); err != nil {
-			t.Fatal(err)
-		}
-		ms.Counts, ms.Bytes = [wire.MachineLedgerCells]int64{}, [wire.MachineLedgerCells]int64{}
-		bs.Gens = false // a recorded frame's generator column is read past
-		sections[i] = bs.Append(ms.Append(nil))
-	}
-	if !bytes.Equal(sections[0], sections[1]) {
-		t.Fatalf("%s: the frames differ in more than ledger and generators", where)
-	}
-}
-
-// TestRestoreGoldenV1Frames restores each committed v1 envelope and runs
-// the monitor against a twin that never stopped: the same reports, counts,
-// bytes and phase ledgers, and — once both checkpoint again — the same v2
-// frame. The backward-compatibility pin of the v2 frame.
+// TestRestoreGoldenV1Frames pins that the frames of retired dialects are
+// refused, not upgraded: each committed fixture is an intact envelope whose
+// bank section Restore answers with a *RestoreError wrapping the wire error
+// of its dialect, touching neither the store it restores from nor — when
+// that store is also the one it was asked to checkpoint to — anything else.
 func TestRestoreGoldenV1Frames(t *testing.T) {
-	for _, g := range goldenV1 {
-		frame, err := os.ReadFile(filepath.Join("testdata", g.file))
+	for _, r := range retiredFrames {
+		frame, err := os.ReadFile(filepath.Join("testdata", r.file))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var c wire.Checkpoint
 		if err := c.Decode(frame); err != nil {
-			t.Fatalf("%s: %v", g.file, err)
+			t.Fatalf("%s: the envelope does not decode: %v", r.file, err)
 		}
-		if len(c.Nodes) == 0 || c.Nodes[0] != wire.TypeNodesState {
-			t.Fatalf("%s: not a v1 bank frame", g.file)
-		}
-		old := MemCheckpoints()
-		if err := old.Save(c.Gen, frame); err != nil {
+		store := MemCheckpoints()
+		if err := store.Save(c.Gen, frame); err != nil {
 			t.Fatal(err)
 		}
-		newStore, twinStore := MemCheckpoints(), MemCheckpoints()
-		cfg := g.cfg
-		cfg.Checkpoint = Checkpoint{Store: newStore}
-		restored, err := Restore(old, cfg)
-		if err != nil {
-			t.Fatalf("%s: restore: %v", g.file, err)
+		cfg := r.cfg
+		cfg.Checkpoint = Checkpoint{Store: store, Every: 1}
+		m, err := Restore(store, cfg)
+		var re *RestoreError
+		if m != nil || !errors.As(err, &re) || !errors.Is(err, r.want) {
+			t.Fatalf("%s: Restore returned %v, %v; want a *RestoreError wrapping %v", r.file, m, err, r.want)
 		}
-		defer restored.Close()
-		cfg.Checkpoint = Checkpoint{Store: twinStore}
-		twin, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer twin.Close()
-
-		walk := goldenWalk()
-		vals := make([]int64, cfg.Nodes)
-		for s := 0; s < g.steps; s++ {
-			walk(vals)
-			if _, err := twin.Observe(vals); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sameDecisions(t, g.file+" at the frame", restored, twin, g.atFrame)
-		for s := 0; s < 80; s++ {
-			walk(vals)
-			want, err := twin.Observe(vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := restored.Observe(vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalIDs(want, got) {
-				t.Fatalf("%s step %d: report %v, twin %v", g.file, s, got, want)
-			}
-		}
-		sameDecisions(t, g.file+" after 80 steps", restored, twin, g.after80)
-
-		// The restored monitor writes v2 like any other, and the same v2.
-		var frames [2]wire.Checkpoint
-		for i, m := range []*Monitor{restored, twin} {
-			if _, err := m.Checkpoint(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			_, f, err := []CheckpointStore{newStore, twinStore}[i].Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := frames[i].Decode(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if frames[0].Nodes[0] != wire.TypeBankState {
-			t.Fatalf("%s: the restored monitor checkpointed bank frame type 0x%02x", g.file, frames[0].Nodes[0])
-		}
-		sameFrameDecisions(t, g.file, frames[0], frames[1])
-		if g.steps == 0 && (!bytes.Equal(frames[0].Machine, frames[1].Machine) || !bytes.Equal(frames[0].Nodes, frames[1].Nodes)) {
-			t.Fatalf("%s: restored before time 0, the monitor and its twin checkpoint different frames", g.file)
-		}
-		if len(frames[0].Nodes)*3 > len(c.Nodes) {
-			t.Fatalf("%s: v2 bank frame %d bytes, v1 was %d", g.file, len(frames[0].Nodes), len(c.Nodes))
+		if gen, loaded, err := store.Load(); err != nil || gen != c.Gen || !bytes.Equal(loaded, frame) {
+			t.Fatalf("%s: the refused restore left the store at generation %d (%v), frame intact: %v", r.file, gen, err, bytes.Equal(loaded, frame))
 		}
 	}
 }
@@ -275,14 +166,7 @@ func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
 	}
 }
 
-// parentAtFrame and parentAfter200 are the ledgers a monitor restored from either v2
-// fixture holds at the frame — the fixture's own — and 200 steps later.
-const (
-	parentAtFrame  = "{3536 0 4953}/{17680 0 29210} {{178 0 796} {324 0 459} {3034 0 3698}}/{{890 0 6626} {1620 0 2505} {15170 0 20079}}"
-	parentAfter200 = "{6276 0 7143}/{31380 0 44913} {{346 0 1649} {782 0 1044} {5148 0 4450}}/{{1730 0 13880} {3910 0 5703} {25740 0 25330}}"
-)
-
-// parentFrameCfg is the state the committed v2 fixtures were taken in: a
+// parentFrameCfg is the state the recorded fixtures were taken in: a
 // monitor of this configuration after parentFrameSteps goldenWalk steps —
 // all 48 nodes start level, so the walk keeps violating filters on both
 // sides of the boundary.
@@ -290,12 +174,11 @@ var parentFrameCfg = Config{Nodes: 48, K: 5, Seed: 21}
 
 const parentFrameSteps = 120
 
-// runToParentFrame builds a monitor of parentFrameCfg on the chosen engine
-// and walks it to the fixtures' step; the walk is returned to continue.
-func runToParentFrame(t *testing.T, concurrent bool, store CheckpointStore) (*Monitor, func([]int64), []int64) {
+// runToParentFrame builds a monitor of cfg, checkpointing to store, and
+// walks it to the fixtures' step; the walk is returned to continue.
+func runToParentFrame(t *testing.T, cfg Config, store CheckpointStore) (*Monitor, func([]int64), []int64) {
 	t.Helper()
-	cfg := parentFrameCfg
-	cfg.Concurrent, cfg.Checkpoint = concurrent, Checkpoint{Store: store}
+	cfg.Checkpoint = Checkpoint{Store: store}
 	mon, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -328,16 +211,21 @@ func checkpointFrame(t *testing.T, mon *Monitor, store CheckpointStore) wire.Che
 	return c
 }
 
-// restoreParentFrame restores a committed v2 fixture — an envelope whose
-// bank frame carries the generator column monitors wrote while every node
-// drew its coins from a generator of its own — and runs the monitor against
-// a twin that never stopped for 200 steps: reports and stats, and the
-// restored monitor's ledger against the recorded ones (the frame's history
-// was priced at k+1 executions a reset; see goldenV1). The column is read
-// past: the frame the restored monitor then saves has none, and is smaller
-// than the fixture's bank frame by those 8 bytes a node at least. It
-// returns the fixture's bank frame, decoded.
-func restoreParentFrame(t *testing.T, file string, concurrent bool, atFrame, after200 string) wire.BankState {
+// sameSections fails unless two envelopes hold byte-identical machine and
+// bank sections.
+func sameSections(t *testing.T, what string, got, want wire.Checkpoint) {
+	t.Helper()
+	if !bytes.Equal(got.Machine, want.Machine) || !bytes.Equal(got.Nodes, want.Nodes) {
+		t.Fatalf("%s: the machine and bank sections differ (%d and %d bytes, want %d and %d)", what, len(got.Machine), len(got.Nodes), len(want.Machine), len(want.Nodes))
+	}
+}
+
+// restoreParentFrame restores a recorded fixture of cfg, saves it again —
+// the machine and bank sections must come back byte for byte — and runs
+// the restored monitor against a twin that never stopped for 200 steps:
+// the same report and stats at every step, and the same ledger, by phase,
+// at the frame and 200 steps later.
+func restoreParentFrame(t *testing.T, file string, cfg Config) {
 	t.Helper()
 	frame, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
@@ -347,30 +235,21 @@ func restoreParentFrame(t *testing.T, file string, concurrent bool, atFrame, aft
 	if err := c.Decode(frame); err != nil {
 		t.Fatal(err)
 	}
-	var bs wire.BankState
-	if err := bs.Decode(c.Nodes); err != nil {
-		t.Fatal(err)
-	}
-	if !bs.Gens {
-		t.Fatalf("%s carries no generator column; it tests nothing", file)
-	}
 	old, resaved := MemCheckpoints(), MemCheckpoints()
 	if err := old.Save(c.Gen, frame); err != nil {
 		t.Fatal(err)
 	}
-	cfg := parentFrameCfg
-	cfg.Concurrent, cfg.Checkpoint = concurrent, Checkpoint{Store: resaved}
-	restored, err := Restore(old, cfg)
+	live := cfg
+	live.Checkpoint = Checkpoint{Store: resaved}
+	restored, err := Restore(old, live)
 	if err != nil {
 		t.Fatalf("%s: restore: %v", file, err)
 	}
 	defer restored.Close()
-	var again wire.BankState
-	if back := checkpointFrame(t, restored, resaved); again.Decode(back.Nodes) != nil || again.Gens || len(back.Nodes) > len(c.Nodes)-8*cfg.Nodes {
-		t.Fatalf("%s: restored and saved again, the bank frame is %d bytes (generator column: %v), the fixture's %d", file, len(back.Nodes), again.Gens, len(c.Nodes))
-	}
-	twin, walk, vals := runToParentFrame(t, concurrent, nil)
-	sameDecisions(t, file+" at the frame", restored, twin, atFrame)
+	sameSections(t, file+", restored and saved again", checkpointFrame(t, restored, resaved), c)
+	twin, walk, vals := runToParentFrame(t, cfg, nil)
+	sameLedgers(t, file+" at the frame", restored, twin)
+	atFrame := twin.Stats()
 	for s := 0; s < 200; s++ {
 		walk(vals)
 		want, err := twin.Observe(vals)
@@ -388,68 +267,120 @@ func restoreParentFrame(t *testing.T, file string, concurrent bool, atFrame, aft
 			t.Fatalf("%s step %d: stats diverged: %+v, twin %+v", file, s, restored.Stats(), twin.Stats())
 		}
 	}
-	sameDecisions(t, file+" after 200 steps", restored, twin, after200)
-	if twin.Stats().Resets < 20 {
-		t.Fatalf("workload too calm: %+v", twin.Stats())
+	sameLedgers(t, file+" after 200 steps", restored, twin)
+	if twin.Stats().Resets == atFrame.Resets {
+		t.Fatalf("%s: workload too calm: no reset in the 200 steps, %+v", file, twin.Stats())
 	}
-	return bs
 }
 
-// TestRestoreParentConcurrentFrame restores testdata/v2_conc_viol.ckpt —
-// written by the concurrent engine at the last commit whose bank kept an
-// 8-byte violation stamp per node and persisted it, with the WasTop and
-// Extracted flag bits, in every frame (restoreParentFrame). A checkpoint is
-// taken between steps and all three are only read inside the step that
-// wrote them, so what the frame carries of them is accepted and dropped.
+// TestRestoreParentConcurrentFrame restores testdata/conc.ckpt, the
+// concurrent engine's frame (restoreParentFrame).
 func TestRestoreParentConcurrentFrame(t *testing.T) {
-	bs := restoreParentFrame(t, "v2_conc_viol.ckpt", true, parentAtFrame, parentAfter200)
-	stamps, dead := 0, byte(0)
-	for i := range bs.ViolStep {
-		if bs.ViolStep[i] != -1 {
-			stamps++
-		}
-		dead |= bs.Flags[i] &^ wire.FlagNodeInTop
-	}
-	if stamps == 0 || dead != wire.FlagNodeWasTop|wire.FlagNodeExtracted {
-		t.Fatalf("fixture carries %d violation stamps and dead flag bits 0x%02x; it tests nothing", stamps, dead)
-	}
+	cfg := parentFrameCfg
+	cfg.Concurrent = true
+	restoreParentFrame(t, "conc.ckpt", cfg)
 }
 
-// TestRestoreParentSequentialFrame is the same for testdata/v2_seq.ckpt,
-// the sequential engine's frame of the same state: live state and the
-// generator column, nothing else.
+// TestRestoreParentSequentialFrame is the same for the sequential engine's
+// frames, exact (testdata/seq.ckpt) and at ε = 0.05 (testdata/seq_eps.ckpt).
 func TestRestoreParentSequentialFrame(t *testing.T) {
-	restoreParentFrame(t, "v2_seq.ckpt", false, parentAtFrame, parentAfter200)
+	restoreParentFrame(t, "seq.ckpt", parentFrameCfg)
+	cfg := parentFrameCfg
+	cfg.Epsilon = 0.05
+	restoreParentFrame(t, "seq_eps.ckpt", cfg)
 }
 
-// TestBankFrameIsOneFrame pins what the sequential engine writes and that
-// the concurrent engine writes the same: testdata/v2_seq.ckpt is the sealed
-// envelope the sequential engine wrote for this seed and trace while it
-// still kept its own node side and its own frame writer — reset with k+1
-// executions, and gave every node a generator: what this build writes but
-// for the ledger that history left (one byte of ledger varints less) and
-// the generator column, 8 bytes a node; and the concurrent engine's bank
-// section — live state only, no violation stamps, no flag but membership —
-// is the sequential engine's.
+// TestBankFrameIsOneFrame pins what the in-process engines write: the
+// envelope each saves in the fixtures' state is the recorded one byte for
+// byte, and the concurrent engine's machine and bank sections are the
+// sequential engine's — live state only, one frame for every engine that
+// checkpoints a bank.
 func TestBankFrameIsOneFrame(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "v2_seq.ckpt"))
+	var sections [2]wire.Checkpoint
+	for i, file := range []string{"seq.ckpt", "conc.ckpt"} {
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := parentFrameCfg
+		cfg.Concurrent = i == 1
+		store := MemCheckpoints()
+		mon, _, _ := runToParentFrame(t, cfg, store)
+		sections[i] = checkpointFrame(t, mon, store)
+		if _, got, _ := store.Load(); !bytes.Equal(got, want) {
+			t.Fatalf("the envelope saved in the state of %s is %d bytes and not the recorded %d", file, len(got), len(want))
+		}
+	}
+	sameSections(t, "the concurrent engine's envelope against the sequential engine's", sections[1], sections[0])
+}
+
+// chainFrameCfg is the monitor the recorded chain (testdata/seq_chain.ckpt)
+// was taken from.
+var chainFrameCfg = Config{Nodes: 256, K: 4, Seed: 11}
+
+// runToChain drives a monitor of chainFrameCfg, checkpointing to store
+// every checkpointEvery steps when it is not nil, over the quiet trace the
+// chain was recorded on: a dense first step and 15 sparse ones that charge
+// nothing.
+func runToChain(t *testing.T, store CheckpointStore, checkpointEvery int) *Monitor {
+	t.Helper()
+	cfg := chainFrameCfg
+	cfg.Checkpoint = Checkpoint{Store: store, Every: checkpointEvery}
+	mon, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqStore, concStore := MemCheckpoints(), MemCheckpoints()
-	seq, _, _ := runToParentFrame(t, false, seqStore)
-	conc, _, _ := runToParentFrame(t, true, concStore)
-	seqFrame := checkpointFrame(t, seq, seqStore)
-	var recorded wire.Checkpoint
-	if err := recorded.Decode(want); err != nil {
+	t.Cleanup(mon.Close)
+	tr := newQuietTrace(cfg.Nodes, 5)
+	if _, err := mon.Observe(tr.vals); err != nil {
 		t.Fatal(err)
 	}
-	sameFrameDecisions(t, "the sequential engine's envelope and the recorded one", seqFrame, recorded)
-	if _, got, _ := seqStore.Load(); len(got) != 639-8*parentFrameCfg.Nodes || len(want) != 640 {
-		t.Fatalf("the sequential engine's envelope is %d bytes, the recorded one %d; want %d and 640", len(got), len(want), 639-8*parentFrameCfg.Nodes)
+	for s := 1; s < 16; s++ {
+		if _, err := mon.ObserveDelta(tr.step(5)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	concFrame := checkpointFrame(t, conc, concStore)
-	if !bytes.Equal(concFrame.Nodes, seqFrame.Nodes) || !bytes.Equal(concFrame.Machine, seqFrame.Machine) {
-		t.Fatal("the concurrent engine's machine and bank sections differ from the sequential engine's")
+	return mon
+}
+
+// TestRestoreRecordedChain restores testdata/seq_chain.ckpt — a base and
+// three deltas, as the store's Load hands them over, and what this build
+// writes for them to the byte — into a monitor that agrees with a twin that
+// never stopped on every count and statistic, and whose first save, a
+// base, holds the machine and bank sections of the twin's base at the same
+// step, byte for byte.
+func TestRestoreRecordedChain(t *testing.T) {
+	loaded, err := os.ReadFile(filepath.Join("testdata", "seq_chain.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chainStore := MemCheckpoints()
+	runToChain(t, chainStore, 4)
+	if _, written, err := chainStore.Load(); err != nil || !bytes.Equal(written, loaded) {
+		t.Fatalf("the chain this build writes is %d bytes (%v) and not the recorded %d", len(written), err, len(loaded))
+	}
+	frames, err := wire.SplitCheckpointChain(loaded)
+	if err != nil || len(frames) < 4 {
+		t.Fatalf("the fixture holds %d frames (%v), want a base and at least three deltas", len(frames), err)
+	}
+	gen, _, err := wire.PeekCheckpointDelta(frames[len(frames)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chainFrameCfg
+	store := MemCheckpoints()
+	cfg.Checkpoint = Checkpoint{Store: store}
+	restored, err := Restore(rawStore{gen, loaded}, cfg)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer restored.Close()
+	twinStore := MemCheckpoints()
+	twin := runToChain(t, twinStore, 0)
+	sameLedgers(t, "the monitor restored through the chain against its twin", restored, twin)
+	got, want := checkpointFrame(t, restored, store), checkpointFrame(t, twin, twinStore)
+	sameSections(t, "the restored monitor's first base against the twin's", got, want)
+	if st := restored.CheckpointStats(); st.Bases != 1 || st.Deltas != 0 || st.LastGen != gen+1 {
+		t.Fatalf("the restored monitor's first save: %+v, want a base of generation %d", st, gen+1)
 	}
 }
