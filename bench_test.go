@@ -1,10 +1,11 @@
 package repro
 
-// One benchmark per experiment (E1..E19, the repository's "tables and
-// figures" — the paper is analytical, so each experiment validates a
-// theorem or comparison claim; see DESIGN.md §4), plus micro-benchmarks of
-// the core data paths with message-count metrics. The experiment
-// benchmarks run the same code as cmd/experiments at reduced scale.
+// One benchmark for each of the experiments E1..E17 and E24 (the
+// repository's "tables and figures" — the paper is analytical, so each
+// experiment validates a theorem or comparison claim; see DESIGN.md §4),
+// plus micro-benchmarks of the core data paths with message-count metrics.
+// The experiment benchmarks run the same code as cmd/experiments at
+// reduced scale.
 
 import (
 	"context"
@@ -77,9 +78,10 @@ func BenchmarkMaximumProtocol(b *testing.B) {
 				parts[i] = protocol.Participant{ID: i, Key: order.Key(perm[i] + 1), RNG: root.Split(uint64(i))}
 			}
 			var c comm.Counter
+			var s protocol.Scratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				protocol.Maximum(parts, n, &c, nil, 0)
+				s.Maximum(parts, n, &c, nil, 0)
 			}
 			b.ReportMetric(float64(c.Get(comm.Up))/float64(b.N), "up-msgs/op")
 		})

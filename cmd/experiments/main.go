@@ -1,12 +1,14 @@
-// Command experiments regenerates every experiment table (E1..E19) that
-// EXPERIMENTS.md records: the empirical validation of the paper's
-// theorems, lower bound, competitive-ratio analysis and comparison claims.
+// Command experiments regenerates every experiment table (E1..E17, E19
+// and E24..E26) that EXPERIMENTS.md records: the empirical validation of
+// the paper's theorems, lower bound, competitive-ratio analysis and
+// comparison claims.
 //
 // Examples:
 //
 //	experiments                 # full scale, all experiments
 //	experiments -scale quick    # fast smoke run
 //	experiments -only E4,E5     # a subset
+//	experiments -only E1,E2,E3  # Algorithm 2 and its baselines alone
 package main
 
 import (

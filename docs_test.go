@@ -111,6 +111,21 @@ func TestDocGoReferencesResolve(t *testing.T) {
 	}
 }
 
+// TestChangesLinesWrapped keeps CHANGES.md readable in a terminal and a
+// diff: no line is over 100 bytes unless it is one token that cannot be
+// broken (a long code span or path).
+func TestChangesLinesWrapped(t *testing.T) {
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		if len(line) > 100 && len(strings.Fields(line)) > 1 {
+			t.Errorf("CHANGES.md:%d is %d bytes; wrap it at 100: %.60s…", i+1, len(line), line)
+		}
+	}
+}
+
 // TestOneEngineBoundary keeps the command and the examples clients of the
 // public package: what builds an engine, wires an ingest driver, runs a
 // checkpoint loop or opens a frame does so behind repro/topk, and none of

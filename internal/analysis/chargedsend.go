@@ -17,12 +17,12 @@ import (
 // Concretely: inside internal/fanout, internal/netrun and
 // internal/shardrun, a call to a transport-package Send must live in a
 // function that — directly or through same-package helpers it calls —
-// records to a comm ledger (Record/RecordSized) or calls into the coord
-// package. The serve loops qualify through their respond helpers, which
-// drive the node banks (the leaf server) or fold digests under the coord
-// package's tag order (the interior, whose child-facing frames the fan
-// charges); a function that reaches neither is emitting bytes no ledger can
-// see.
+// charges a comm ledger (RecordSized, the one method of comm.Recorder) or
+// calls into the coord package. The serve loops qualify through their
+// respond helpers, which drive the node banks (the leaf server) or fold
+// digests under the coord package's tag order (the interior, whose
+// child-facing frames the fan charges); a function that reaches neither is
+// emitting bytes no ledger can see.
 //
 // transport.Flush is deliberately not checked: it releases bytes a
 // checked Send already buffered and never introduces new payload.
@@ -73,7 +73,7 @@ func runChargedSend(pass *Pass) error {
 				switch {
 				case fromPackage(callee, "transport") && callee.Name() == "Send":
 					fi.sends = append(fi.sends, call)
-				case fromPackage(callee, "comm") && (callee.Name() == "Record" || callee.Name() == "RecordSized"):
+				case fromPackage(callee, "comm") && callee.Name() == "RecordSized":
 					fi.charges = true
 				case fromPackage(callee, "coord"):
 					// Driving the machine or a node bank: the ledger
@@ -113,7 +113,7 @@ func runChargedSend(pass *Pass) error {
 			continue
 		}
 		for _, call := range fi.sends {
-			pass.Reportf(call.Pos(), "transport send in %s is not visible to any comm ledger: charge it (comm.Record/RecordSized) or drive it from the coord machine; uncounted bytes break the paper's bit accounting", fi.decl.Name.Name)
+			pass.Reportf(call.Pos(), "transport send in %s is not visible to any comm ledger: charge it (RecordSized on a comm ledger) or drive it from the coord machine; uncounted bytes break the paper's bit accounting", fi.decl.Name.Name)
 		}
 	}
 	return nil

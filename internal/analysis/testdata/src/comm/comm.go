@@ -1,6 +1,6 @@
 // Package comm is a minimal stand-in for the repo's communication
-// ledgers; its Record/RecordSized calls are what the chargedsend
-// analyzer accepts as a charge.
+// ledgers; its RecordSized calls are what the chargedsend analyzer
+// accepts as a charge.
 package comm
 
 // Kind tags a ledger entry.
@@ -8,9 +8,6 @@ type Kind int
 
 // Counter is a message/byte ledger.
 type Counter struct{ msgs, bytes int64 }
-
-// Record charges n messages.
-func (c *Counter) Record(k Kind, n int64) { c.msgs += n }
 
 // RecordSized charges n messages totalling bytes.
 func (c *Counter) RecordSized(k Kind, n, bytes int64) { c.msgs += n; c.bytes += bytes }

@@ -43,7 +43,7 @@ func viaHelper(l transport.Link, c *comm.Counter) error {
 	return l.Send(nil)
 }
 
-func charge(c *comm.Counter) { c.Record(0, 1) }
+func charge(c *comm.Counter) { c.RecordSized(0, 1, 1) }
 
 // wrapper is the audited-exception fixture: a pure transmit wrapper
 // whose callers have already charged the frame.

@@ -42,6 +42,7 @@ func E1MaxProtocolMessages(sc Scale) Table {
 		},
 	}
 	var logNs, means []float64
+	var s protocol.Scratch
 	for _, n := range protoNs(sc) {
 		ups := make([]float64, sc.ProtoTrials)
 		bcasts := make([]float64, sc.ProtoTrials)
@@ -49,7 +50,7 @@ func E1MaxProtocolMessages(sc Scale) Table {
 		for trial := 0; trial < sc.ProtoTrials; trial++ {
 			parts := protoParts(n, uint64(n)*7919+uint64(trial))
 			var c comm.Counter
-			res := protocol.Maximum(parts, n, &c, nil, 0)
+			res := s.Maximum(parts, n, &c, nil, 0)
 			if res.Key != order.Key(n) { // max of permutation 1..n
 				wrong++
 			}
@@ -80,12 +81,13 @@ func E2MaxProtocolTail(sc Scale) Table {
 		},
 	}
 	trials := sc.ProtoTrials * 4
+	var s protocol.Scratch
 	for _, n := range protoNs(sc) {
 		ups := make([]float64, trials)
 		for trial := 0; trial < trials; trial++ {
 			parts := protoParts(n, uint64(n)*104729+uint64(trial))
 			var c comm.Counter
-			protocol.Maximum(parts, n, &c, nil, 0)
+			s.Maximum(parts, n, &c, nil, 0)
 			ups[trial] = float64(c.Get(comm.Up))
 		}
 		bound := 2*math.Log2(float64(n)) + 1
@@ -106,7 +108,11 @@ func E2MaxProtocolTail(sc Scale) Table {
 // E3SequentialMaxima measures the instrument behind the Theorem 4.3 lower
 // bound: the optimal deterministic probing scheme answers with one message
 // per left-to-right maximum, H_n = Θ(log n) in expectation on random
-// permutations — so no algorithm, randomized or not, beats Ω(log n).
+// permutations — so no algorithm, randomized or not, beats Ω(log n). Beside
+// it stand the sampled protocol and the two baselines that pay linearly on
+// the same instances: gather-all (every node sends) and the shout-echo
+// domain search (every node above each threshold replies; its column counts
+// replies and threshold broadcasts).
 func E3SequentialMaxima(sc Scale) Table {
 	t := Table{
 		ID:    "E3",
@@ -114,25 +120,33 @@ func E3SequentialMaxima(sc Scale) Table {
 		Claim: "E[msgs] = H_n ≈ ln(n) + 0.577 (Θ(log n) lower-bound instrument)",
 		Columns: []string{
 			"n", "mean msgs", "95% CI", "ln(n)+γ", "sampled-protocol mean",
+			"gather-all up", "domain-search msgs",
 		},
 	}
 	const gamma = 0.5772156649
 	trials := sc.ProtoTrials * 4
 	var xs, ys []float64
+	var s protocol.Scratch
 	for _, n := range protoNs(sc) {
 		seqMsgs := make([]float64, trials)
 		maxMsgs := make([]float64, trials)
+		var gatherUp, searchMsgs float64
 		for trial := 0; trial < trials; trial++ {
 			parts := protoParts(n, uint64(n)*31337+uint64(trial))
-			var c1, c2 comm.Counter
+			var c1, c2, cg, cd comm.Counter
 			protocol.SequentialMaxima(parts, &c1, nil, 0)
-			protocol.Maximum(protoParts(n, uint64(n)*31337+uint64(trial)), n, &c2, nil, 0)
+			protocol.GatherAll(parts, &cg, nil, 0)
+			protocol.DomainSearch(parts, 0, order.Key(n+1), &cd, nil, 0)
+			s.Maximum(protoParts(n, uint64(n)*31337+uint64(trial)), n, &c2, nil, 0)
 			seqMsgs[trial] = float64(c1.Get(comm.Up))
 			maxMsgs[trial] = float64(c2.Get(comm.Up))
+			gatherUp += float64(cg.Get(comm.Up))
+			searchMsgs += float64(cd.Total())
 		}
 		mean, hw := stats.MeanCI(seqMsgs, 1.96)
 		t.AddRow(F("%d", n), F("%.2f", mean), F("±%.2f", hw),
-			F("%.2f", math.Log(float64(n))+gamma), F("%.2f", stats.Mean(maxMsgs)))
+			F("%.2f", math.Log(float64(n))+gamma), F("%.2f", stats.Mean(maxMsgs)),
+			F("%.1f", gatherUp/float64(trials)), F("%.1f", searchMsgs/float64(trials)))
 		xs = append(xs, float64(n))
 		ys = append(ys, mean)
 	}

@@ -52,34 +52,12 @@ func (k Kind) String() string {
 // Kinds lists all message kinds in a stable order.
 func Kinds() []Kind { return []Kind{Up, Down, Bcast} }
 
-// Recorder receives message-count events. Counter and phase-scoped views
+// Recorder receives message events: Counter, Ledger and the phase views
 // implement it; protocol code only depends on this interface.
 type Recorder interface {
-	// Record accounts for n messages of the given kind. n must be >= 0.
-	Record(kind Kind, n int64)
-}
-
-// SizedRecorder is a Recorder that additionally tracks the encoded size
-// of the messages it counts. Counter, Ledger and the phase views all
-// implement it; use the package-level RecordSized helper to stay
-// compatible with count-only recorders.
-type SizedRecorder interface {
-	Recorder
 	// RecordSized accounts for n messages of the given kind totalling the
 	// given number of encoded payload bytes. n and bytes must be >= 0.
 	RecordSized(kind Kind, n, bytes int64)
-}
-
-// RecordSized records n messages of the given kind totalling bytes encoded
-// bytes on r, falling back to count-only recording when r does not track
-// bytes. It is the call protocol code uses so that byte accounting is
-// optional for recorder implementations.
-func RecordSized(r Recorder, kind Kind, n, bytes int64) {
-	if sr, ok := r.(SizedRecorder); ok {
-		sr.RecordSized(kind, n, bytes)
-		return
-	}
-	r.Record(kind, n)
 }
 
 // Counter accumulates message counts and encoded byte volumes by kind.
@@ -91,24 +69,18 @@ type Counter struct {
 	bytes  [numKinds]atomic.Int64
 }
 
-// Record implements Recorder. Count-only recording leaves the bytes
-// column untouched.
-func (c *Counter) Record(kind Kind, n int64) {
+// RecordSized implements Recorder.
+func (c *Counter) RecordSized(kind Kind, n, bytes int64) {
 	if n < 0 {
 		panic("comm: negative message count")
+	}
+	if bytes < 0 {
+		panic("comm: negative byte count")
 	}
 	if kind < 0 || kind >= numKinds {
 		panic("comm: unknown message kind")
 	}
 	c.counts[kind].Add(n)
-}
-
-// RecordSized implements SizedRecorder.
-func (c *Counter) RecordSized(kind Kind, n, bytes int64) {
-	if bytes < 0 {
-		panic("comm: negative byte count")
-	}
-	c.Record(kind, n)
 	c.bytes[kind].Add(bytes)
 }
 
@@ -260,11 +232,9 @@ type Ledger struct {
 	phases [numPhases]Counter
 }
 
-// Record implements Recorder, attributing to no particular phase. Prefer
-// InPhase for attributed recording; bare Record still updates the total.
-func (l *Ledger) Record(kind Kind, n int64) { l.total.Record(kind, n) }
-
-// RecordSized implements SizedRecorder, attributing to no particular phase.
+// RecordSized implements Recorder, attributing to no particular phase.
+// Prefer InPhase for attributed recording; a bare RecordSized still updates
+// the total.
 func (l *Ledger) RecordSized(kind Kind, n, bytes int64) { l.total.RecordSized(kind, n, bytes) }
 
 // InPhase returns a Recorder that attributes messages to the given phase
@@ -311,11 +281,6 @@ type phaseRecorder struct {
 	phase  Phase
 }
 
-func (r phaseRecorder) Record(kind Kind, n int64) {
-	r.ledger.total.Record(kind, n)
-	r.ledger.phases[r.phase].Record(kind, n)
-}
-
 func (r phaseRecorder) RecordSized(kind Kind, n, bytes int64) {
 	r.ledger.total.RecordSized(kind, n, bytes)
 	r.ledger.phases[r.phase].RecordSized(kind, n, bytes)
@@ -327,8 +292,6 @@ var Discard Recorder = discard{}
 
 type discard struct{}
 
-func (discard) Record(Kind, int64) {}
-
 func (discard) RecordSized(Kind, int64, int64) {}
 
 // Tee returns a Recorder that forwards every event to all of rs.
@@ -336,14 +299,8 @@ func Tee(rs ...Recorder) Recorder { return tee(rs) }
 
 type tee []Recorder
 
-func (t tee) Record(kind Kind, n int64) {
-	for _, r := range t {
-		r.Record(kind, n)
-	}
-}
-
 func (t tee) RecordSized(kind Kind, n, bytes int64) {
 	for _, r := range t {
-		RecordSized(r, kind, n, bytes)
+		r.RecordSized(kind, n, bytes)
 	}
 }

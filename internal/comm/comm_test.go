@@ -8,10 +8,10 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
-	c.Record(Up, 3)
-	c.Record(Down, 2)
-	c.Record(Bcast, 1)
-	c.Record(Up, 4)
+	c.RecordSized(Up, 3, 0)
+	c.RecordSized(Down, 2, 0)
+	c.RecordSized(Bcast, 1, 0)
+	c.RecordSized(Up, 4, 0)
 	if got := c.Get(Up); got != 7 {
 		t.Fatalf("Up = %d, want 7", got)
 	}
@@ -26,7 +26,7 @@ func TestCounterBasics(t *testing.T) {
 
 func TestCounterReset(t *testing.T) {
 	var c Counter
-	c.Record(Up, 5)
+	c.RecordSized(Up, 5, 0)
 	c.Reset()
 	if c.Total() != 0 {
 		t.Fatalf("total after reset: %d", c.Total())
@@ -36,8 +36,8 @@ func TestCounterReset(t *testing.T) {
 func TestCounterPanics(t *testing.T) {
 	var c Counter
 	for _, f := range []func(){
-		func() { c.Record(Up, -1) },
-		func() { c.Record(Kind(99), 1) },
+		func() { c.RecordSized(Up, -1, 0) },
+		func() { c.RecordSized(Kind(99), 1, 0) },
 		func() { c.Get(Kind(-1)) },
 	} {
 		func() {
@@ -60,7 +60,7 @@ func TestCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Record(Up, 1)
+				c.RecordSized(Up, 1, 0)
 			}
 		}()
 	}
@@ -98,10 +98,10 @@ func TestKindString(t *testing.T) {
 
 func TestLedgerPhases(t *testing.T) {
 	var l Ledger
-	l.InPhase(PhaseViolation).Record(Up, 2)
-	l.InPhase(PhaseHandler).Record(Bcast, 1)
-	l.InPhase(PhaseReset).Record(Up, 4)
-	l.Record(Down, 1) // unattributed
+	l.InPhase(PhaseViolation).RecordSized(Up, 2, 0)
+	l.InPhase(PhaseHandler).RecordSized(Bcast, 1, 0)
+	l.InPhase(PhaseReset).RecordSized(Up, 4, 0)
+	l.RecordSized(Down, 1, 0) // unattributed
 
 	if tot := l.Total(); tot.Total() != 8 {
 		t.Fatalf("ledger total = %d, want 8", tot.Total())
@@ -127,7 +127,7 @@ func TestLedgerPhases(t *testing.T) {
 
 func TestLedgerReset(t *testing.T) {
 	var l Ledger
-	l.InPhase(PhaseReset).Record(Up, 3)
+	l.InPhase(PhaseReset).RecordSized(Up, 3, 0)
 	l.Reset()
 	if l.Total().Total() != 0 || l.PhaseCounts(PhaseReset).Total() != 0 {
 		t.Fatal("ledger reset incomplete")
@@ -154,13 +154,13 @@ func TestPhaseString(t *testing.T) {
 }
 
 func TestDiscard(t *testing.T) {
-	Discard.Record(Up, 100) // must not panic or affect anything
+	Discard.RecordSized(Up, 100, 0) // must not panic or affect anything
 }
 
 func TestTee(t *testing.T) {
 	var a, b Counter
 	r := Tee(&a, &b)
-	r.Record(Up, 2)
+	r.RecordSized(Up, 2, 0)
 	if a.Get(Up) != 2 || b.Get(Up) != 2 {
 		t.Fatal("tee did not forward to all recorders")
 	}

@@ -6,7 +6,7 @@ func TestCounterBytes(t *testing.T) {
 	var c Counter
 	c.RecordSized(Up, 2, 10)
 	c.RecordSized(Bcast, 1, 3)
-	c.Record(Up, 1) // count-only: bytes unchanged
+	c.RecordSized(Up, 1, 0) // bytes unchanged
 	if got := c.Snapshot(); got.Up != 3 || got.Bcast != 1 {
 		t.Fatalf("counts %+v", got)
 	}
@@ -22,8 +22,8 @@ func TestCounterBytes(t *testing.T) {
 
 func TestLedgerBytesByPhase(t *testing.T) {
 	var l Ledger
-	l.InPhase(PhaseViolation).(SizedRecorder).RecordSized(Up, 1, 7)
-	RecordSized(l.InPhase(PhaseReset), Bcast, 1, 5)
+	l.InPhase(PhaseViolation).RecordSized(Up, 1, 7)
+	l.InPhase(PhaseReset).RecordSized(Bcast, 1, 5)
 	if got := l.TotalBytes(); got.Up != 7 || got.Bcast != 5 {
 		t.Fatalf("total bytes %+v", got)
 	}
@@ -38,24 +38,20 @@ func TestLedgerBytesByPhase(t *testing.T) {
 	}
 }
 
-// TestRecordSizedFallback exercises the degradation path for recorders
-// that only count messages.
+// TestRecordSizedFallback pins the recorders that only pass events on:
+// Discard accepts a sized event and drops it, and Tee hands the count and
+// the bytes to every recorder it holds, Discard and other tees included.
 func TestRecordSizedFallback(t *testing.T) {
-	calls := 0
-	r := countOnly{n: &calls}
-	RecordSized(r, Up, 2, 100)
-	if calls != 2 {
-		t.Fatalf("fallback recorded %d", calls)
-	}
-	// Discard and Tee must accept sized events without panicking.
-	RecordSized(Discard, Down, 1, 1)
+	Discard.RecordSized(Down, 1, 1)
 	var a, b Counter
-	RecordSized(Tee(&a, &b, r), Up, 1, 9)
-	if a.GetBytes(Up) != 9 || b.GetBytes(Up) != 9 || calls != 3 {
-		t.Fatalf("tee bytes %d/%d calls %d", a.GetBytes(Up), b.GetBytes(Up), calls)
+	var l Ledger
+	Tee(&a, Discard, Tee(&b, l.InPhase(PhaseHandler))).RecordSized(Up, 2, 9)
+	for name, got := range map[string]*Counter{"a": &a, "b": &b} {
+		if got.Get(Up) != 2 || got.GetBytes(Up) != 9 {
+			t.Fatalf("tee gave %s %d msgs, %d bytes; want 2, 9", name, got.Get(Up), got.GetBytes(Up))
+		}
+	}
+	if got := l.PhaseBytes(PhaseHandler); l.PhaseCounts(PhaseHandler).Up != 2 || got.Up != 9 {
+		t.Fatalf("tee gave the phase view %+v, %+v", l.PhaseCounts(PhaseHandler), got)
 	}
 }
-
-type countOnly struct{ n *int }
-
-func (c countOnly) Record(_ Kind, n int64) { *c.n += int(n) }

@@ -420,7 +420,7 @@ func (m *Machine) tighten() Effect {
 		return m.startReset() // line 30
 	}
 	mid := order.Midpoint(m.tMinus, m.tPlus)
-	comm.RecordSized(m.recHand, comm.Bcast, 1, wire.SizeMidpoint(int64(mid)))
+	m.recHand.RecordSized(comm.Bcast, 1, wire.SizeMidpoint(int64(mid)))
 	m.state = stMidAck
 	return Effect{Kind: EffMidpoint, Mid: mid}
 }
@@ -465,7 +465,7 @@ func (m *Machine) tightenTol() Effect {
 	}
 	band := filter.Band(th, m.cfg.Tol)
 	m.curLo, m.curHi = band.Lo, band.Hi
-	comm.RecordSized(m.recHand, comm.Bcast, 1, wire.SizeApproxBounds(int64(m.curLo), int64(m.curHi)))
+	m.recHand.RecordSized(comm.Bcast, 1, wire.SizeApproxBounds(int64(m.curLo), int64(m.curHi)))
 	m.state = stMidAck
 	return Effect{Kind: EffBounds, Lo: m.curLo, Hi: m.curHi}
 }
@@ -535,12 +535,12 @@ func (m *Machine) finishReset() Effect {
 		// WidenHi(mid).
 		band := filter.Band(mid, m.cfg.Tol)
 		m.curLo, m.curHi = band.Lo, band.Hi
-		comm.RecordSized(m.recReset, comm.Bcast, 1, wire.SizeApproxBounds(int64(m.curLo), int64(m.curHi)))
+		m.recReset.RecordSized(comm.Bcast, 1, wire.SizeApproxBounds(int64(m.curLo), int64(m.curHi)))
 		m.state = stMidAck
 		return Effect{Kind: EffBounds, Lo: m.curLo, Hi: m.curHi}
 	}
 	// Line 41: one broadcast lets every node derive its new filter.
-	comm.RecordSized(m.recReset, comm.Bcast, 1, wire.SizeMidpoint(int64(mid)))
+	m.recReset.RecordSized(comm.Bcast, 1, wire.SizeMidpoint(int64(mid)))
 	m.state = stMidAck
 	return Effect{Kind: EffMidpoint, Mid: mid}
 }

@@ -122,7 +122,7 @@ func (m *Machine) OrderDone(key order.Key, violated bool) Effect {
 	if violated {
 		b := &m.band[m.ordIdx]
 		b.est = key
-		comm.RecordSized(m.recHand, comm.Up, 1, wire.SizeBid(b.id, int64(key)))
+		m.recHand.RecordSized(comm.Up, 1, wire.SizeBid(b.id, int64(key)))
 		m.ordMoved = true
 	}
 	m.ordIdx++
@@ -149,7 +149,7 @@ func (m *Machine) nextOrderBounds() Effect {
 			if iv == b.iv {
 				continue
 			}
-			comm.RecordSized(m.recHand, comm.Down, 1, wire.SizeBounds(b.id, int64(iv.Lo), int64(iv.Hi)))
+			m.recHand.RecordSized(comm.Down, 1, wire.SizeBounds(b.id, int64(iv.Lo), int64(iv.Hi)))
 		}
 		b.iv = iv
 		m.ordIdx++

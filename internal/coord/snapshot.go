@@ -128,7 +128,7 @@ func RestoreMachine(p []byte) (*Machine, error) {
 		rec := m.Recorder(ph)
 		base := pi * len(comm.Kinds())
 		for ki, kind := range comm.Kinds() {
-			comm.RecordSized(rec, kind, s.Counts[base+ki], s.Bytes[base+ki])
+			rec.RecordSized(kind, s.Counts[base+ki], s.Bytes[base+ki])
 		}
 	}
 	return m, nil

@@ -408,7 +408,7 @@ func (m *Monitor) exec(eff coord.Effect) []protocol.Winner {
 		m.ex.Begin(1, eff.Want, minimum, rec, m.cfg.Trace, m.step)
 		m.host.Round(eff.Tag, 0, order.NegInf, 1, m.step, m.bid)
 		if len(m.ex.Winners()) > 0 {
-			comm.RecordSized(rec, comm.Bcast, 1, wire.SizeQuery())
+			rec.RecordSized(comm.Bcast, 1, wire.SizeQuery())
 			m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather"})
 		}
 		return m.ex.Winners()

@@ -1,28 +1,25 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/order"
 )
 
-func TestGatherAllMinCorrectAndCounted(t *testing.T) {
-	parts := makeParts(17, 100, 21)
-	var c comm.Counter
-	res := GatherAllMin(parts, &c, nil, 0)
-	if want := trueMin(parts); !res.OK || res.ID != want.ID || res.Key != want.Key {
-		t.Fatalf("gather-min wrong: %+v want %+v", res, want)
+// gatherExtract is TopExtract with every application run as GatherAll: the
+// gather-all ablation of a reset's extractions.
+func gatherExtract(parts []Participant, count int, rec comm.Recorder) []Result {
+	remaining := slices.Clone(parts)
+	var out []Result
+	for len(out) < count && len(remaining) > 0 {
+		res := GatherAll(remaining, rec, nil, 0)
+		out = append(out, res)
+		i := slices.IndexFunc(remaining, func(p Participant) bool { return p.ID == res.ID })
+		remaining = slices.Delete(remaining, i, i+1)
 	}
-	if c.Get(comm.Up) != 17 || c.Get(comm.Bcast) != 1 {
-		t.Fatalf("gather-min counts: %v", c.Snapshot())
-	}
-}
-
-func TestGatherAllMinEmpty(t *testing.T) {
-	if res := GatherAllMin(nil, comm.Discard, nil, 0); res.OK {
-		t.Fatal("empty gather-min should not be OK")
-	}
+	return out
 }
 
 func TestTopExtractWithGatherMatchesSampled(t *testing.T) {
@@ -32,9 +29,7 @@ func TestTopExtractWithGatherMatchesSampled(t *testing.T) {
 	sampled := TopExtract(parts, 6, 15, comm.Discard, nil, 0)
 
 	var gc comm.Counter
-	gathered := TopExtractWith(makeParts(15, 0, 22), 6, func(ps []Participant) Result {
-		return GatherAll(ps, &gc, nil, 0)
-	})
+	gathered := gatherExtract(makeParts(15, 0, 22), 6, &gc)
 	if len(sampled) != len(gathered) {
 		t.Fatalf("lengths differ: %d vs %d", len(sampled), len(gathered))
 	}
@@ -51,18 +46,18 @@ func TestTopExtractWithGatherMatchesSampled(t *testing.T) {
 }
 
 func TestTopExtractWithStopsWhenExhausted(t *testing.T) {
-	res := TopExtractWith(makeParts(3, 0, 23), 10, func(ps []Participant) Result {
-		return GatherAll(ps, comm.Discard, nil, 0)
-	})
-	if len(res) != 3 {
-		t.Fatalf("extracted %d, want 3", len(res))
+	if res := TopExtract(makeParts(3, 0, 23), 10, 3, comm.Discard, nil, 0); len(res) != 3 {
+		t.Fatalf("sampled extraction: %d, want 3", len(res))
+	}
+	if res := gatherExtract(makeParts(3, 0, 23), 10, comm.Discard); len(res) != 3 {
+		t.Fatalf("gather extraction: %d, want 3", len(res))
 	}
 }
 
 func TestMinimumWithLooseBound(t *testing.T) {
 	parts := makeParts(9, -50, 24)
 	var c comm.Counter
-	res := Minimum(parts, 64, &c, nil, 0)
+	res := fieldMinimum(parts, 64, &c)
 	if want := trueMin(parts); res.ID != want.ID {
 		t.Fatalf("minimum with loose bound wrong: %+v", res)
 	}
@@ -73,11 +68,8 @@ func TestMinimumWithLooseBound(t *testing.T) {
 
 func TestMinimumSentinelKeys(t *testing.T) {
 	// Keys far into the negative range must survive the negation trick.
-	parts := []Participant{
-		{ID: 0, Key: order.Key(-1 << 40), RNG: makeParts(1, 0, 25)[0].RNG},
-		{ID: 1, Key: order.Key(-1 << 50), RNG: makeParts(1, 0, 26)[0].RNG},
-	}
-	res := Minimum(parts, 2, comm.Discard, nil, 0)
+	parts := []Participant{{ID: 0, Key: order.Key(-1 << 40)}, {ID: 1, Key: order.Key(-1 << 50)}}
+	res := fieldMinimum(parts, 2, comm.Discard)
 	if res.ID != 1 {
 		t.Fatalf("extreme negative minimum wrong: %+v", res)
 	}

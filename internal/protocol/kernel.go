@@ -17,7 +17,7 @@ import (
 type Field struct {
 	Keys []order.Key
 	// ids, when set, gives node i the coin identity ids[i] in place of its
-	// global id: the participant-record executions' (runParts).
+	// global id: the participant-record executions' (Scratch.Maximum).
 	ids []uint64
 }
 

@@ -258,6 +258,21 @@ func (kc *kernelCase) parts(seed uint64) ([]Participant, []rng.RNG) {
 	return parts, gens
 }
 
+// runRecords is Scratch.Maximum in either sense and under any tolerance:
+// the records' keys, and one draw of each generator for its coin identity,
+// gathered into a field that Field.Run's kernel runs whole.
+func runRecords(parts []Participant, bound int, tol order.Tol, minimum bool, rec comm.Recorder) Result {
+	f := Field{Keys: make([]order.Key, len(parts)), ids: drawIdents(parts)}
+	for i, p := range parts {
+		f.Keys[i] = p.Key
+	}
+	var in InPlay
+	in.EnlistExcept(len(parts), nil)
+	ex := NewExec(bound, 1, minimum, rec, nil, 0)
+	f.run(&in, &ex, tol, 0, parts)
+	return ex.Result()
+}
+
 func mustTol(t testing.TB, eps float64) order.Tol {
 	t.Helper()
 	tol, err := order.NewTol(eps)
@@ -298,11 +313,10 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 					// Kernel over participant records.
 					parts, gens := kc.parts(seed)
 					var rec comm.Counter
-					var sc Scratch
-					if minimum {
-						got = sc.MinimumTol(parts, kc.bound, tol, &rec, nil, 0)
+					if minimum || !tol.Zero() {
+						got = runRecords(parts, kc.bound, tol, minimum, &rec)
 					} else {
-						got = sc.MaximumTol(parts, kc.bound, tol, &rec, nil, 0)
+						got = new(Scratch).Maximum(parts, kc.bound, &rec, nil, 0)
 					}
 					checkKernel(t, name+"/parts", want, got, &refRec, &rec, refGens, gens)
 
@@ -369,16 +383,15 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { sc.Maximum(parts, n, comm.Discard, nil, 0) }); a != 0 {
 		t.Errorf("Scratch.Maximum on a warm scratch: %v allocs/run, want 0", a)
 	}
-	if a := testing.AllocsPerRun(20, func() { sc.MinimumTol(parts, n, order.Tol{}, comm.Discard, nil, 0) }); a != 0 {
-		t.Errorf("Scratch.MinimumTol on a warm scratch: %v allocs/run, want 0", a)
-	}
 	var in InPlay
 	skip := []int{3, 70}
 	var ex Exec
 	run := func() {
-		in.EnlistExcept(n, skip)
-		ex.Begin(n, 9, false, comm.Discard, nil, 0)
-		f.Run(&in, &ex, order.Tol{}, 5)
+		for _, minimum := range []bool{false, true} {
+			in.EnlistExcept(n, skip)
+			ex.Begin(n, 9, minimum, comm.Discard, nil, 0)
+			f.Run(&in, &ex, order.Tol{}, 5)
+		}
 	}
 	run() // warm
 	if a := testing.AllocsPerRun(20, run); a != 0 {

@@ -21,16 +21,20 @@
 // node saying who is still in play (InPlay) and visits only those.
 //
 // For the ε-approximate mode (arXiv:1601.04448), an execution may run
-// with a tolerance (MaximumTol/MinimumTol, Field.Run): participants
-// retire from the remaining rounds early once the broadcast best is
-// within the (1±ε) band of their own key, trading the exactness of the
-// result — the winner is then only guaranteed ε-close to the true
-// extremum — for fewer expected bids. A zero tolerance is bit-identical
-// to the exact protocol.
+// with a tolerance (Field.Run): participants retire from the remaining
+// rounds early once the broadcast best is within the (1±ε) band of their
+// own key, trading the exactness of the result — the winner is then only
+// guaranteed ε-close to the true extremum — for fewer expected bids. A
+// zero tolerance is bit-identical to the exact protocol.
+//
+// Executions over participant records (Participant, Scratch.Maximum) are
+// for callers outside the engines — the protocol experiments and the
+// per-round baseline; every engine runs Field.Run over its node bank.
 package protocol
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/order"
@@ -76,45 +80,6 @@ func ceilLog2(n int) int {
 		return 0
 	}
 	return bits.Len(uint(n - 1))
-}
-
-// Maximum executes Algorithm 2 over the given participants with population
-// upper bound N >= len(parts), recording one Up message per node send and
-// one Bcast per round on rec. step tags optional trace events with the
-// simulation time. The empty participant set yields Result{OK: false} and
-// no messages.
-func Maximum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return runParts(parts, bound, order.Tol{}, rec, tr, step, false, nil)
-}
-
-// Minimum is the order-dual of Maximum: it executes Algorithm 2 on negated
-// keys, returning the participant holding the smallest key.
-func Minimum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return runParts(parts, bound, order.Tol{}, rec, tr, step, true, nil)
-}
-
-// Maximum is Maximum using s's buffers: allocation-free once the buffers
-// have grown to the largest participant count seen.
-func (s *Scratch) Maximum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return runParts(parts, bound, order.Tol{}, rec, tr, step, false, s)
-}
-
-// Minimum is Minimum using s's buffers.
-func (s *Scratch) Minimum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return runParts(parts, bound, order.Tol{}, rec, tr, step, true, s)
-}
-
-// MaximumTol is Maximum with an ε-tolerant cut: the winner's key is
-// within the (1±ε) band of the true maximum and every participant's key
-// is at most WidenHi(winner key), with correspondingly fewer expected
-// bids. A zero tolerance is bit-identical to Maximum.
-func (s *Scratch) MaximumTol(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return runParts(parts, bound, tol, rec, tr, step, false, s)
-}
-
-// MinimumTol is the order-dual of MaximumTol.
-func (s *Scratch) MinimumTol(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	return runParts(parts, bound, tol, rec, tr, step, true, s)
 }
 
 // Winner is one bid an execution kept — the node and its true key — in the
@@ -255,7 +220,7 @@ func (e *Exec) Best() order.Key {
 // true key; the order-dual negation for minimum executions happens
 // internally.
 func (e *Exec) Bid(id int, key order.Key) {
-	comm.RecordSized(e.rec, comm.Up, 1, wire.SizeBid(id, int64(key)))
+	e.rec.RecordSized(comm.Up, 1, wire.SizeBid(id, int64(key)))
 	e.tr.Append(comm.Event{Step: e.step, Kind: comm.Up, From: id, To: comm.Coordinator, Payload: int64(key), Note: "proto send"})
 	e.top.Offer(id, key)
 }
@@ -268,7 +233,7 @@ func (e *Exec) EndRound() {
 		panic("protocol: EndRound past the final round")
 	}
 	cut := e.Best()
-	comm.RecordSized(e.rec, comm.Bcast, 1, wire.SizeBest(e.r, int64(cut)))
+	e.rec.RecordSized(comm.Bcast, 1, wire.SizeBest(e.r, int64(cut)))
 	e.tr.Append(comm.Event{Step: e.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: int64(cut), Note: "proto round"})
 	e.r++
 }
@@ -299,15 +264,16 @@ type Scratch struct {
 	ex   Exec
 }
 
-// runParts executes over participant records: it gathers their keys into
-// a field of len(parts) nodes, draws every participant's generator once
-// for its coin identity of this execution — so that executions over the
-// same records are independent whatever their step — and runs the kernel
-// over all of it.
-func runParts(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, tr *comm.Trace, step int64, minimum bool, s *Scratch) Result {
-	if s == nil {
-		s = new(Scratch)
-	}
+// Maximum executes Algorithm 2 over the given participants with population
+// upper bound N >= len(parts), recording one Up message per node send and
+// one Bcast per round on rec; step tags optional trace events with the
+// simulation time. It gathers the participants' keys into a field, draws
+// every participant's generator once for its coin identity of this
+// execution — so that executions over the same records are independent
+// whatever their step — and runs the kernel over all of it. The empty
+// participant set yields Result{OK: false} and no messages. It allocates
+// nothing once s has seen the participant count.
+func (s *Scratch) Maximum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
 	n := len(parts)
 	if cap(s.keys) < n {
 		s.keys, s.ids = make([]order.Key, n), make([]uint64, n)
@@ -317,42 +283,28 @@ func runParts(parts []Participant, bound int, tol order.Tol, rec comm.Recorder, 
 		f.Keys[i], f.ids[i] = parts[i].Key, parts[i].RNG.Uint64()
 	}
 	s.in.EnlistExcept(n, nil)
-	s.ex.Begin(bound, 1, minimum, rec, tr, step)
-	f.run(&s.in, &s.ex, tol, 0, parts)
+	s.ex.Begin(bound, 1, false, rec, tr, step)
+	f.run(&s.in, &s.ex, order.Tol{}, 0, parts)
 	return s.ex.Result()
 }
 
-// Extractor computes the maximum over a participant set; Maximum and
-// GatherAll (suitably curried) both fit.
-type Extractor func(parts []Participant) Result
-
-// TopExtract repeatedly applies Maximum to find the `count` largest keys in
-// descending order, excluding prior winners, exactly as FILTERRESET does
-// (Algorithm 1 lines 37-39). Each application uses the same population
-// bound. If fewer than count participants exist, all of them are returned.
+// TopExtract repeatedly applies Maximum, on one Scratch, to find the
+// `count` largest keys in descending order, excluding prior winners,
+// exactly as FILTERRESET does (Algorithm 1 lines 37-39). Each application
+// uses the same population bound. If fewer than count participants exist,
+// all of them are returned.
 func TopExtract(parts []Participant, count, bound int, rec comm.Recorder, tr *comm.Trace, step int64) []Result {
-	return TopExtractWith(parts, count, func(ps []Participant) Result {
-		return Maximum(ps, bound, rec, tr, step)
-	})
-}
-
-// TopExtractWith is TopExtract parameterized over the maximum protocol, for
-// the gather-all ablation.
-func TopExtractWith(parts []Participant, count int, extract Extractor) []Result {
 	if count < 0 {
 		panic("protocol: negative extraction count")
 	}
+	var s Scratch
 	remaining := append([]Participant(nil), parts...)
 	out := make([]Result, 0, count)
 	for len(out) < count && len(remaining) > 0 {
-		res := extract(remaining)
+		res := s.Maximum(remaining, bound, rec, tr, step)
 		out = append(out, res)
-		for i, p := range remaining {
-			if p.ID == res.ID {
-				remaining = append(remaining[:i], remaining[i+1:]...)
-				break
-			}
-		}
+		i := slices.IndexFunc(remaining, func(p Participant) bool { return p.ID == res.ID })
+		remaining = slices.Delete(remaining, i, i+1)
 	}
 	return out
 }
@@ -365,30 +317,12 @@ func GatherAll(parts []Participant, rec comm.Recorder, tr *comm.Trace, step int6
 	if len(parts) == 0 {
 		return Result{OK: false, ID: -1, Key: order.NegInf}
 	}
-	comm.RecordSized(rec, comm.Bcast, 1, wire.SizeQuery())
+	rec.RecordSized(comm.Bcast, 1, wire.SizeQuery())
 	tr.Append(comm.Event{Step: step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather"})
 	best := parts[0]
 	for _, p := range parts {
-		comm.RecordSized(rec, comm.Up, 1, wire.SizeBid(p.ID, int64(p.Key)))
+		rec.RecordSized(comm.Up, 1, wire.SizeBid(p.ID, int64(p.Key)))
 		if p.Key > best.Key {
-			best = p
-		}
-	}
-	return Result{OK: true, ID: best.ID, Key: best.Key, Rounds: 1}
-}
-
-// GatherAllMin is the order-dual of GatherAll: every participant sends and
-// the coordinator takes the minimum.
-func GatherAllMin(parts []Participant, rec comm.Recorder, tr *comm.Trace, step int64) Result {
-	if len(parts) == 0 {
-		return Result{OK: false, ID: -1, Key: order.NegInf}
-	}
-	comm.RecordSized(rec, comm.Bcast, 1, wire.SizeQuery())
-	tr.Append(comm.Event{Step: step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather-min"})
-	best := parts[0]
-	for _, p := range parts {
-		comm.RecordSized(rec, comm.Up, 1, wire.SizeBid(p.ID, int64(p.Key)))
-		if p.Key < best.Key {
 			best = p
 		}
 	}
@@ -412,7 +346,7 @@ func SequentialMaxima(parts []Participant, rec comm.Recorder, tr *comm.Trace, st
 	first := true
 	for _, p := range parts {
 		if first || p.Key > best.Key {
-			comm.RecordSized(rec, comm.Up, 1, wire.SizeBid(p.ID, int64(p.Key)))
+			rec.RecordSized(comm.Up, 1, wire.SizeBid(p.ID, int64(p.Key)))
 			tr.Append(comm.Event{Step: step, Kind: comm.Up, From: p.ID, To: comm.Coordinator, Payload: int64(p.Key), Note: "seq maxima"})
 			best = p
 			first = false
@@ -440,12 +374,12 @@ func DomainSearch(parts []Participant, lo, hi order.Key, rec comm.Recorder, tr *
 	for lo < hi {
 		mid := order.Midpoint(lo, hi)
 		rounds++
-		comm.RecordSized(rec, comm.Bcast, 1, wire.SizeMidpoint(int64(mid)))
+		rec.RecordSized(comm.Bcast, 1, wire.SizeMidpoint(int64(mid)))
 		tr.Append(comm.Event{Step: step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: int64(mid), Note: "domain search"})
 		any := false
 		for _, p := range parts {
 			if p.Key > mid {
-				comm.RecordSized(rec, comm.Up, 1, wire.SizePresence(p.ID))
+				rec.RecordSized(comm.Up, 1, wire.SizePresence(p.ID))
 				any = true
 			}
 		}

@@ -46,6 +46,20 @@ func trueMin(parts []Participant) Participant {
 	return best
 }
 
+// fieldMinimum runs a minimum execution over parts' keys held as a field, node i
+// holding parts[i].Key: the path the engines' minimum executions take
+// (Field.Run under a minimum Exec). Results name nodes by index, which is
+// every participant's id here.
+func fieldMinimum(parts []Participant, bound int, rec comm.Recorder) Result {
+	f := Field{Keys: make([]order.Key, len(parts))}
+	for i, p := range parts {
+		f.Keys[i] = p.Key
+	}
+	var in InPlay
+	in.EnlistExcept(len(parts), nil)
+	return runOne(f, &in, 0, bound, order.Tol{}, true, rec)
+}
+
 func TestRounds(t *testing.T) {
 	cases := map[int]int{1: 1, 2: 2, 3: 3, 4: 3, 5: 4, 8: 4, 9: 5, 1024: 11}
 	for n, want := range cases {
@@ -71,7 +85,7 @@ func TestMaximumAlwaysCorrect(t *testing.T) {
 		n := int(seed%37) + 1
 		parts := makeParts(n, int64(seed)*1000, seed)
 		var c comm.Counter
-		res := Maximum(parts, n, &c, nil, 0)
+		res := new(Scratch).Maximum(parts, n, &c, nil, 0)
 		want := trueMax(parts)
 		if !res.OK || res.ID != want.ID || res.Key != want.Key {
 			t.Fatalf("seed %d n %d: got (%d,%d), want (%d,%d)", seed, n, res.ID, res.Key, want.ID, want.Key)
@@ -84,7 +98,7 @@ func TestMinimumAlwaysCorrect(t *testing.T) {
 		n := int(seed%29) + 1
 		parts := makeParts(n, -500, seed+100)
 		var c comm.Counter
-		res := Minimum(parts, n, &c, nil, 0)
+		res := fieldMinimum(parts, n, &c)
 		want := trueMin(parts)
 		if !res.OK || res.ID != want.ID || res.Key != want.Key {
 			t.Fatalf("seed %d: got (%d,%d), want (%d,%d)", seed, res.ID, res.Key, want.ID, want.Key)
@@ -98,7 +112,7 @@ func TestMaximumWithLooseBound(t *testing.T) {
 	// be unaffected.
 	parts := makeParts(10, 0, 42)
 	var c comm.Counter
-	res := Maximum(parts, 1000, &c, nil, 0)
+	res := new(Scratch).Maximum(parts, 1000, &c, nil, 0)
 	if want := trueMax(parts); res.ID != want.ID {
 		t.Fatalf("loose bound broke correctness: %+v", res)
 	}
@@ -109,7 +123,7 @@ func TestMaximumWithLooseBound(t *testing.T) {
 
 func TestMaximumEmpty(t *testing.T) {
 	var c comm.Counter
-	res := Maximum(nil, 5, &c, nil, 0)
+	res := new(Scratch).Maximum(nil, 5, &c, nil, 0)
 	if res.OK {
 		t.Fatal("empty participant set should not return OK")
 	}
@@ -125,13 +139,13 @@ func TestMaximumBoundPanics(t *testing.T) {
 			t.Fatal("expected panic for bound below participant count")
 		}
 	}()
-	Maximum(parts, 4, comm.Discard, nil, 0)
+	new(Scratch).Maximum(parts, 4, comm.Discard, nil, 0)
 }
 
 func TestMaximumSingleParticipant(t *testing.T) {
 	parts := makeParts(1, 7, 3)
 	var c comm.Counter
-	res := Maximum(parts, 1, &c, nil, 0)
+	res := new(Scratch).Maximum(parts, 1, &c, nil, 0)
 	if !res.OK || res.ID != 0 {
 		t.Fatalf("single participant: %+v", res)
 	}
@@ -150,7 +164,7 @@ func TestMaximumExpectedMessages(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			parts := makeParts(n, 0, uint64(n*1000+trial))
 			var c comm.Counter
-			Maximum(parts, n, &c, nil, 0)
+			new(Scratch).Maximum(parts, n, &c, nil, 0)
 			total += float64(c.Get(comm.Up))
 		}
 		mean := total / trials
@@ -167,7 +181,7 @@ func TestMaximumExpectedMessages(t *testing.T) {
 func TestMaximumBroadcastCount(t *testing.T) {
 	parts := makeParts(100, 0, 9)
 	var c comm.Counter
-	res := Maximum(parts, 100, &c, nil, 0)
+	res := new(Scratch).Maximum(parts, 100, &c, nil, 0)
 	if want := int64(Rounds(100)); c.Get(comm.Bcast) != want {
 		t.Fatalf("broadcasts = %d, want %d", c.Get(comm.Bcast), want)
 	}
@@ -179,7 +193,7 @@ func TestMaximumBroadcastCount(t *testing.T) {
 func TestMaximumTraceEvents(t *testing.T) {
 	parts := makeParts(8, 0, 5)
 	tr := comm.NewTrace(1000)
-	Maximum(parts, 8, comm.Discard, tr, 7)
+	new(Scratch).Maximum(parts, 8, comm.Discard, tr, 7)
 	if tr.Len() == 0 {
 		t.Fatal("trace should capture events")
 	}
@@ -385,7 +399,7 @@ func TestMaximumPropertyRandomKeys(t *testing.T) {
 			used[k] = true
 			parts[i] = Participant{ID: i, Key: k, RNG: r.Split(uint64(i) + 1)}
 		}
-		res := Maximum(parts, n, comm.Discard, nil, 0)
+		res := new(Scratch).Maximum(parts, n, comm.Discard, nil, 0)
 		return res.OK && res.ID == trueMax(parts).ID
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
@@ -398,8 +412,8 @@ func TestMaximumDeterministicGivenSeeds(t *testing.T) {
 	// message counts — the property the engine-equivalence tests rely on.
 	mk := func() []Participant { return makeParts(64, 0, 777) }
 	var c1, c2 comm.Counter
-	Maximum(mk(), 64, &c1, nil, 0)
-	Maximum(mk(), 64, &c2, nil, 0)
+	new(Scratch).Maximum(mk(), 64, &c1, nil, 0)
+	new(Scratch).Maximum(mk(), 64, &c2, nil, 0)
 	if c1.Snapshot() != c2.Snapshot() {
 		t.Fatalf("non-deterministic counts: %v vs %v", c1.Snapshot(), c2.Snapshot())
 	}

@@ -153,9 +153,9 @@ func refRunParts(parts []Participant, bound int, tol order.Tol, rec comm.Recorde
 // Run executes Algorithm 2 over the given members of pop — node ids in
 // ascending order, at most bound of them — in the maximum or (order-dual)
 // minimum sense, with tolerance tol (zero for an exact execution). It is
-// MaximumTol/MinimumTol for a population already held flat: identical
-// result and charges for the same members, keys and coins. members is
-// read, not retained or modified.
+// refRunParts for a population already held flat: identical result and
+// charges for the same members, keys and coins. members is read, not
+// retained or modified.
 func (s *refScratch) Run(pop Population, members []int32, bound int, tol order.Tol, minimum bool, rec comm.Recorder, tr *comm.Trace, step int64) Result {
 	active := s.list(len(members))
 	copy(active, members)

@@ -45,7 +45,7 @@ func (e *refExec) Round() int      { return e.r }
 func (e *refExec) Best() order.Key { return e.best }
 
 func (e *refExec) Bid(id int, key order.Key) {
-	comm.RecordSized(e.rec, comm.Up, 1, wire.SizeBid(id, int64(key)))
+	e.rec.RecordSized(comm.Up, 1, wire.SizeBid(id, int64(key)))
 	e.tr.Append(comm.Event{Step: e.step, Kind: comm.Up, From: id, To: comm.Coordinator, Payload: int64(key), Note: "proto send"})
 	e.any = true
 	cmp := key
@@ -63,7 +63,7 @@ func (e *refExec) EndRound() {
 	if !e.More() {
 		panic("protocol: EndRound past the final round")
 	}
-	comm.RecordSized(e.rec, comm.Bcast, 1, wire.SizeBest(e.r, int64(e.best)))
+	e.rec.RecordSized(comm.Bcast, 1, wire.SizeBest(e.r, int64(e.best)))
 	e.tr.Append(comm.Event{Step: e.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: int64(e.best), Note: "proto round"})
 	e.r++
 }
@@ -74,11 +74,6 @@ func (e *refExec) Result() Result {
 	}
 	return Result{OK: true, ID: e.winID, Key: e.winKey, Rounds: e.r}
 }
-
-// tally is a recorder as cheap as the runs here are many: messages by kind.
-type tally [3]int64
-
-func (c *tally) Record(kind comm.Kind, n int64) { c[kind] += n }
 
 // roundDriver is what the scripted node side below needs of either driver.
 type roundDriver interface {

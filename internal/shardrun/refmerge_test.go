@@ -118,8 +118,8 @@ func refExecHeads() fanout.Exec {
 			winners = append(winners, protocol.Winner{ID: d.ID, Key: d.Key})
 		}
 		rec := e.Recorder(eff.Phase)
-		comm.RecordSized(rec, comm.Up, sum.Ups, sum.UpBytes)
-		comm.RecordSized(rec, comm.Bcast, sum.Bcasts, sum.BcastBytes)
+		rec.RecordSized(comm.Up, sum.Ups, sum.UpBytes)
+		rec.RecordSized(comm.Bcast, sum.Bcasts, sum.BcastBytes)
 		return winners, nil
 	}
 }

@@ -332,8 +332,8 @@ func execMerge(strict bool) fanout.Exec {
 			return nil, err
 		}
 		rec := e.Recorder(eff.Phase)
-		comm.RecordSized(rec, comm.Up, d.Ups, d.UpBytes)
-		comm.RecordSized(rec, comm.Bcast, d.Bcasts, d.BcastBytes)
+		rec.RecordSized(comm.Up, d.Ups, d.UpBytes)
+		rec.RecordSized(comm.Bcast, d.Bcasts, d.BcastBytes)
 		return d.top.Winners(), nil
 	}
 }

@@ -228,65 +228,6 @@ func LogXFit(xs, ys []float64) Fit {
 	return LinearFit(lx, ys)
 }
 
-// Histogram is a fixed-width bucket histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // samples below Lo
-	Over     int // samples >= Hi
-	NSamples int
-}
-
-// NewHistogram creates a histogram with the given bucket count over
-// [lo, hi). It panics for non-positive bucket counts or an empty range.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic("stats: histogram range is empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, buckets)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.NSamples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		idx := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if idx == len(h.Counts) { // guard against floating point edge
-			idx--
-		}
-		h.Counts[idx]++
-	}
-}
-
-// BucketBounds returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (float64, float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}
-
-// TailFraction returns the fraction of samples at or above x.
-func (h *Histogram) TailFraction(x float64) float64 {
-	if h.NSamples == 0 {
-		return 0
-	}
-	tail := h.Over
-	for i := range h.Counts {
-		lo, _ := h.BucketBounds(i)
-		if lo >= x {
-			tail += h.Counts[i]
-		}
-	}
-	return float64(tail) / float64(h.NSamples)
-}
-
 // Bootstrap computes a percentile bootstrap confidence interval for the
 // mean of xs using the supplied uniform source (a func returning values in
 // [0, n)). resamples controls the bootstrap iteration count.

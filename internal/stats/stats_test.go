@@ -196,65 +196,6 @@ func TestLinearFitNoise(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over wrong: %+v", h)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bucket 0: %v", h.Counts)
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bucket 1: %v", h.Counts)
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Fatalf("bucket 4: %v", h.Counts)
-	}
-	if h.NSamples != 7 {
-		t.Fatalf("NSamples: %d", h.NSamples)
-	}
-}
-
-func TestHistogramBucketBounds(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	lo, hi := h.BucketBounds(2)
-	if lo != 4 || hi != 6 {
-		t.Fatalf("bounds: [%v, %v)", lo, hi)
-	}
-}
-
-func TestHistogramTailFraction(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if f := h.TailFraction(5); !almostEqual(f, 0.5, 1e-9) {
-		t.Fatalf("tail fraction: %v", f)
-	}
-	if f := h.TailFraction(10); f != 0 {
-		t.Fatalf("tail at upper bound should be over-count only: %v", f)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestBootstrapCoversMean(t *testing.T) {
 	r := rng.New(3, 3)
 	xs := make([]float64, 100)
