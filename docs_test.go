@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,42 @@ func TestChangesLinesWrapped(t *testing.T) {
 			t.Errorf("CHANGES.md:%d is %d bytes; wrap it at 100: %.60s…", i+1, len(line), line)
 		}
 	}
+}
+
+// changesEntry matches the first line of a CHANGES.md entry and captures
+// its PR number.
+var changesEntry = regexp.MustCompile(`^- PR (\d+):`)
+
+// TestChangesEntryBudget keeps each CHANGES.md entry numbered 31 or later within
+// 1.5 KB (1536 bytes, its lines and their newlines): what changed, why,
+// how it was checked, and what is next. Longer evidence belongs in
+// EXPERIMENTS.md or DESIGN.md. Older entries are left as they were written.
+func TestChangesEntryBudget(t *testing.T) {
+	const first, budget = 31, 1536
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, size, line := 0, 0, 0
+	check := func() {
+		if pr >= first && size > budget {
+			t.Errorf("CHANGES.md:%d: the PR %d entry is %d bytes, budget %d", line, pr, size, budget)
+		}
+	}
+	for i, l := range strings.Split(string(data), "\n") {
+		if m := changesEntry.FindStringSubmatch(l); m != nil {
+			check()
+			pr, _ = strconv.Atoi(m[1])
+			size, line = 0, i+1
+		} else if !strings.HasPrefix(l, " ") {
+			check() // an entry ends at the first line that does not continue it
+			pr = 0
+		}
+		if pr > 0 {
+			size += len(l) + 1
+		}
+	}
+	check()
 }
 
 // TestOneEngineBoundary keeps the command and the examples clients of the

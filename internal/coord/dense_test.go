@@ -49,8 +49,8 @@ func fromBytes(view *Nodes, vals []int64, step int64) (bool, bool, error) {
 // size, Sub views, steps that repeat and advance, values on both sides of
 // both bounds and at the domain's ends, and in a third of the steps a value
 // outside the domain at a random index. After every step the twins must
-// agree on every key, every flag byte, every view's violator list and its
-// step, the flags each view returned and its error.
+// agree on every key, every membership bit, every view's violator lists and
+// their step, the flags each view returned and its error.
 func TestDenseKernelMatchesPerValueObserve(t *testing.T) {
 	r := rng.New(28, 0xd5)
 	for trial := 0; trial < 120; trial++ {
@@ -163,13 +163,14 @@ func TestDenseKernelMatchesPerValueObserve(t *testing.T) {
 				if !slices.Equal(tw.bank.keys, ref.bank.keys) {
 					t.Fatalf("%s, step %d: keys fed from %s differ from per value", where, s, tw.name)
 				}
-				if !slices.Equal(tw.bank.flags, ref.bank.flags) {
-					t.Fatalf("%s, step %d: flags fed from %s differ from per value", where, s, tw.name)
+				if !slices.Equal(tw.bank.top, ref.bank.top) {
+					t.Fatalf("%s, step %d: membership fed from %s differs from per value", where, s, tw.name)
 				}
 				for vi, view := range tw.views {
-					if rv := ref.views[vi]; !slices.Equal(view.viol, rv.viol) || view.violAt != rv.violAt {
-						t.Fatalf("%s, step %d: view [%d, %d) fed from %s lists violators %v at step %d, per value %v at step %d",
-							where, s, view.Lo(), view.Hi(), tw.name, view.viol, view.violAt, rv.viol, rv.violAt)
+					rv := ref.views[vi]
+					if !slices.Equal(view.violTop, rv.violTop) || !slices.Equal(view.violOut, rv.violOut) || view.violAt != rv.violAt {
+						t.Fatalf("%s, step %d: view [%d, %d) fed from %s lists violators %v/%v at step %d, per value %v/%v at step %d",
+							where, s, view.Lo(), view.Hi(), tw.name, view.violTop, view.violOut, view.violAt, rv.violTop, rv.violOut, rv.violAt)
 					}
 				}
 			}

@@ -2,7 +2,6 @@ package coord
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -14,15 +13,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Per-node bits of Nodes.flags. Membership is the checkpoint frame's bit and
-// the only one a frame carries: the other two are written and read inside
-// one step, and a checkpoint is taken between steps.
-const (
-	flagInTop    = wire.FlagNodeInTop // membership from the last broadcast
-	flagWasTop   = 1 << 1             // membership at the time of the last violation
-	flagViolated = 1 << 3             // listed in the view's violators
-)
-
 // Nodes hosts the node-side state of a contiguous id range [Lo, Hi) of an
 // n-node monitor: the sans-I/O dual of Machine, and the only node side
 // there is. Every substrate hosts its nodes in one — the sequential engine
@@ -32,14 +22,15 @@ const (
 // translates its substrate's commands into the methods below.
 //
 // The per-node state of the paper's node model — current key, membership
-// knowledge from the last broadcast — is parallel arrays indexed by
-// id - Lo, 9 bytes per hosted node (key 8, flags 1): the filter is derived
-// from the installed bounds (filter.Bounds) and no function of the id is
-// stored — the node's Bernoulli trials included, which are a function of
-// the monitor's seed, the execution and the id (rng.Coin), not draws from a
-// generator the node carries. Who violated its filter this step is a short
-// list (viol), who is still in play during a protocol execution one bit
-// per node in the view's in-play set (Round), empty between executions.
+// knowledge from the last broadcast — is a key column indexed by id - Lo and
+// a membership bitset, 8⅛ bytes per hosted node: the filter is derived from
+// the installed bounds (filter.Bounds) and the membership bit, and no
+// function of the id is stored — the node's Bernoulli trials included, which
+// are a function of the monitor's seed, the execution and the id (rng.Coin),
+// not draws from a generator the node carries. Who violated its filter this
+// step is two short lists (violTop, violOut), who is still in play during a
+// protocol execution one bit per node in the view's in-play set (Round),
+// empty between executions.
 //
 // So the coins are shared by construction: whichever bank hosts node i,
 // built whenever — at the start, for a reassigned range after a failover,
@@ -53,23 +44,33 @@ type Nodes struct {
 	maxVal   int64  // cached value-domain bound; Observe checks it per value
 	seed     uint64 // keys the nodes' coins
 
-	keys  []order.Key
-	flags []uint8        // flagInTop | flagWasTop | flagViolated
-	inst  *filter.Bounds // shared with every Sub view
+	keys []order.Key
+	// top is the membership bitset from the last broadcast: hosted node i is
+	// bit (off+i)&63 of top[(off+i)>>6]. Sub views share the words of their
+	// range with the bank they were taken of, so a view whose range does not
+	// start on a word boundary has off > 0, and a word may hold the bits of
+	// two views. Only the coordinator's side writes it (Winner, ResetBegin,
+	// restore), while every view is parked; the filter checks and rounds
+	// running in views at once only read it.
+	top  []uint64
+	off  uint
+	inst *filter.Bounds // shared with every Sub view
 
 	// ord holds the ordered §5 variant's order filters, allocated only by
 	// EnableOrderFilters and shared with every Sub view; nil means every
 	// order filter is [-inf, +inf].
 	ord *orderTable
 
-	// viol lists, by index, the nodes whose filter check failed at step
-	// violAt through this view, each once (flagViolated says who is
-	// listed). A node's violation is only ever compared with the current
-	// step, so no node keeps a stamp: the first violation of another step
-	// empties the list, and Round ignores a list filled at another step
-	// than the one it is asked about.
-	viol   []int32
-	violAt int64
+	// violTop and violOut list, by index, the nodes whose filter check
+	// failed at step violAt through this view, split by the node's
+	// membership when it failed: the cohorts of TagViolMin and TagViolMax.
+	// A node's violation is only ever compared with the current step, so no
+	// node keeps a stamp: the first violation of another step empties both
+	// lists, and Round ignores lists filled at another step than the one it
+	// is asked about. Membership changes only between one step's filter
+	// checks and the next step's, so a node is never on both lists.
+	violTop, violOut []int32
+	violAt           int64
 
 	// inPlay is the running execution's set of hosted cohort members
 	// still in play. Round enlists it at round 0 and every round clears the
@@ -113,7 +114,7 @@ func newBank(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 		maxVal:   order.MaxValueFor(n, distinct),
 		seed:     seed,
 		keys:     make([]order.Key, hi-lo),
-		flags:    make([]uint8, hi-lo),
+		top:      make([]uint64, (hi-lo+63)>>6),
 		inst:     &inst,
 	}
 }
@@ -123,16 +124,18 @@ func newBank(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 // construction cost once; disjoint views may then be driven from different
 // goroutines (internal/runtime's shards), parked whenever an install is
 // issued. What a view keeps to itself is the execution state of its range:
-// its in-play set and its violator list, so a violation cohort is made of
+// its in-play set and its violator lists, so a violation cohort is made of
 // the violations observed through the view that is asked.
 func (b *Nodes) Sub(lo, hi int) *Nodes {
 	if lo < b.lo || hi > b.hi || lo >= hi {
 		panic(fmt.Sprintf("coord: sub-range [%d, %d) outside [%d, %d)", lo, hi, b.lo, b.hi))
 	}
 	i, j := lo-b.lo, hi-b.lo
+	p, q := b.off+uint(i), b.off+uint(j) // the view's bits in b.top
+	w := (q + 63) >> 6
 	return &Nodes{
 		lo: lo, hi: hi, distinct: b.distinct, codec: b.codec, tol: b.tol, maxVal: b.maxVal, seed: b.seed,
-		keys: b.keys[i:j:j], flags: b.flags[i:j:j],
+		keys: b.keys[i:j:j], top: b.top[p>>6 : w : w], off: p & 63,
 		inst: b.inst, ord: b.ord,
 	}
 }
@@ -157,19 +160,30 @@ func (b *Nodes) index(id int) int {
 	return id - b.lo
 }
 
-// cohorts says, per protocol tag, which hosted nodes take part: those
-// whose flags under mask equal want — in the violation cohorts, those of
-// this step's violators; in a reset, everyone — all of it knowledge the
-// node legitimately has.
-var cohorts = [...]struct {
-	mask, want uint8
-	violated   bool
-}{
-	TagViolMin: {flagWasTop, flagWasTop, true},
-	TagViolMax: {flagWasTop, 0, true},
-	TagHandMin: {flagInTop, flagInTop, false},
-	TagHandMax: {flagInTop, 0, false},
-	TagReset:   {},
+// inTop reports hosted node i's membership bit.
+func (b *Nodes) inTop(i int) bool {
+	p := b.off + uint(i)
+	return b.top[p>>6]>>(p&63)&1 != 0
+}
+
+// setTop sets hosted node i's membership bit.
+func (b *Nodes) setTop(i int) {
+	p := b.off + uint(i)
+	b.top[p>>6] |= 1 << (p & 63)
+}
+
+// topWord returns the membership bits of hosted nodes 64w to 64w+63, node
+// 64w+j's as bit j: the bitset's words funnel-shifted by the view's offset.
+// Bits past the last hosted node are another view's, or zero.
+func (b *Nodes) topWord(w int) uint64 {
+	if b.off == 0 {
+		return b.top[w]
+	}
+	word := b.top[w] >> b.off
+	if w+1 < len(b.top) {
+		word |= b.top[w+1] << (64 - b.off)
+	}
+	return word
 }
 
 // MaxValue returns the largest observation magnitude the bank accepts
@@ -219,7 +233,7 @@ func (b *Nodes) Patch(ids []int, vals []int64) error {
 			return err
 		}
 		i := id - b.lo
-		if iv := b.inst.Interval(b.flags[i]&flagInTop != 0); !iv.Contains(key) {
+		if iv := b.inst.Interval(b.inTop(i)); !iv.Contains(key) {
 			return fmt.Errorf("%w: node %d key %d outside its filter %s", ErrFilterState, id, key, iv)
 		}
 		b.keys[i] = key
@@ -227,12 +241,12 @@ func (b *Nodes) Patch(ids []int, vals []int64) error {
 	return nil
 }
 
-// holds reports whether key lies inside the filter a node with flags f
-// derives from the installed bounds — Algorithm 1 line 3, the check every
+// holds reports whether key lies inside the filter a node derives from the
+// installed bounds and its membership — Algorithm 1 line 3, the check every
 // node makes on every observation: [Lo, +inf] for a top-k member, [-inf, Hi]
 // for an outsider, the ends a tolerance's install has already widened.
-func holds(inst filter.Bounds, f uint8, key order.Key) bool {
-	if f&flagInTop != 0 {
+func holds(inst filter.Bounds, inTop bool, key order.Key) bool {
+	if inTop {
 		return key >= inst.Lo
 	}
 	return key <= inst.Hi
@@ -259,26 +273,34 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 		key = b.codec.Encode(v, id)
 	}
 	b.keys[i] = key
-	f := b.flags[i]
-	if holds(*b.inst, f, key) {
+	inTop := b.inTop(i)
+	if holds(*b.inst, inTop, key) {
 		return false, false, nil
 	}
-	inTop := f&flagInTop != 0
 	if b.violAt != step {
-		for _, j := range b.viol {
-			b.flags[j] &^= flagViolated
-		}
-		b.viol, b.violAt, f = b.viol[:0], step, f&^flagViolated
+		b.violTop, b.violOut, b.violAt = b.violTop[:0], b.violOut[:0], step
 	}
-	if f&flagViolated == 0 {
-		b.viol = append(b.viol, int32(i))
-	}
-	f = f&^flagWasTop | flagViolated
 	if inTop {
-		f |= flagWasTop
+		b.violTop = listViolator(b.violTop, int32(i))
+	} else {
+		b.violOut = listViolator(b.violOut, int32(i))
 	}
-	b.flags[i] = f
 	return inTop, !inTop, nil
+}
+
+// listViolator appends hosted node i to a violator list. A node that
+// violates again at the same step is listed again — round 0 enlists a
+// list's nodes into a set — but a full list is sorted and compacted before
+// it grows, so a caller that observes the same nodes over and over at one
+// step holds at most about twice as many entries as it has violators.
+func listViolator(list []int32, i int32) []int32 {
+	if len(list) == cap(list) && len(list) > 0 {
+		slices.Sort(list)
+		if list = slices.Compact(list); len(list) > cap(list)/2 {
+			list = slices.Grow(list, len(list))
+		}
+	}
+	return append(list, i)
 }
 
 // observeRun is the dense range kernel: vals[j] is the new value of hosted
@@ -288,8 +310,8 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 // and inside its node's filter costs a multiplication, two comparisons and
 // the store of its key. Any other value — a violator's, or one outside the
 // domain — is handed to Observe, which does for it everything it does for a
-// sparse update: the flags, the violator list and the error are that code's,
-// and the run stops at the first value it rejects.
+// sparse update: the violator lists and the error are that code's, and the
+// run stops at the first value it rejects.
 func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bool, err error) {
 	inst, maxVal := *b.inst, b.maxVal
 	mul, tie, dec := int64(1), int64(0), int64(0) // DistinctValues: the key is the value
@@ -297,11 +319,13 @@ func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bo
 		mul = int64(b.codec.N())
 		tie, dec = mul-1-int64(b.lo+i), 1 // order.Codec.Encode: v*n + (n-1-id)
 	}
-	keys, flags := b.keys[i:][:len(vals)], b.flags[i:][:len(vals)]
+	keys, top, p := b.keys[i:][:len(vals)], b.top, b.off+uint(i)
 	for j, v := range vals {
 		key := order.Key(v*mul + tie)
 		tie -= dec
-		if v <= maxVal && v >= -maxVal && holds(inst, flags[j], key) {
+		inTop := top[p>>6]>>(p&63)&1 != 0
+		p++
+		if v <= maxVal && v >= -maxVal && holds(inst, inTop, key) {
 			keys[j] = key
 			continue
 		}
@@ -384,8 +408,9 @@ func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, 
 // true key.
 //
 // Round 0 enlists the cohort — each node evaluates its membership locally,
-// 64 flag bytes to one word of the in-play set, or in a violation cohort
-// the step's violators alone — so banks need no per-execution setup call,
+// a word of the membership bitset (or its complement, or all ones) to a word
+// of the in-play set, or in a violation cohort the step's violators of its
+// side alone — so banks need no per-execution setup call,
 // and whatever an abandoned execution left in play is overwritten; every
 // round is then one pass of the round kernel (protocol.Field.Round) over
 // the members still in play. A bank that first sees an execution at a
@@ -399,21 +424,27 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 	if !ValidTag(tag) {
 		panic(fmt.Sprintf("coord: unknown protocol tag %d", tag))
 	}
-	if c := cohorts[tag]; r == 0 && c.violated {
-		viol := b.viol
-		if b.violAt != step {
-			viol = nil // the list is another step's: nobody here violated at this one
-		}
-		b.inPlay.Enlist(len(b.keys), nil)
-		for _, i := range viol {
-			if b.flags[i]&c.mask == c.want {
+	if r == 0 {
+		switch tag {
+		case TagViolMin, TagViolMax:
+			viol := b.violOut
+			if tag == TagViolMin {
+				viol = b.violTop
+			}
+			if b.violAt != step {
+				viol = nil // the lists are another step's: nobody here violated at this one
+			}
+			b.inPlay.Enlist(len(b.keys), nil)
+			for _, i := range viol {
 				b.inPlay.Add(int(i))
 			}
+		case TagHandMin:
+			b.inPlay.Fill(len(b.keys), b.topWord)
+		case TagHandMax:
+			b.inPlay.Fill(len(b.keys), func(w int) uint64 { return ^b.topWord(w) })
+		case TagReset:
+			b.inPlay.Fill(len(b.keys), func(int) uint64 { return ^uint64(0) })
 		}
-	} else if r == 0 {
-		b.inPlay.Fill(len(b.keys), func(w int) uint64 {
-			return matchFlags(b.flags[w<<6:min(w<<6+64, len(b.flags))], c.mask, c.want)
-		})
 	}
 	tol := b.tol
 	if !TolerantTag(tag) {
@@ -423,34 +454,12 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 	protocol.Field{Keys: b.keys}.Round(&b.inPlay, &coin, tol.WidenHi(best), MinimumTag(tag), b.lo, send)
 }
 
-// matchFlags returns the word whose bit j says flags[j]&mask == want, for
-// up to 64 flags, eight of them a load.
-func matchFlags(flags []uint8, mask, want uint8) (word uint64) {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	j := 0
-	for ; j+8 <= len(flags); j += 8 {
-		// A byte of x is zero where its flag matches. Every byte is below
-		// 0x80, so adding 0x7f sets its high bit exactly where it is not
-		// zero, without a carry; the multiplication gathers the eight high
-		// bits into the top byte.
-		x := binary.LittleEndian.Uint64(flags[j:])&(ones*uint64(mask)) ^ ones*uint64(want)
-		hit := ^(x + (highs - ones)) & highs
-		word |= (hit >> 7) * 0x0102040810204080 >> 56 << j
-	}
-	for ; j < len(flags); j++ {
-		if flags[j]&mask == want {
-			word |= 1 << j
-		}
-	}
-	return word
-}
-
 // Winner tells node target what the running reset's execution made of it:
 // a member of the top-k set when isTop is set, else nothing it does not
 // know.
 func (b *Nodes) Winner(target int, isTop bool) {
 	if i := b.index(target); isTop {
-		b.flags[i] |= flagInTop
+		b.setTop(i)
 	}
 }
 
@@ -471,10 +480,21 @@ func (b *Nodes) ApplyBounds(lo, hi order.Key) {
 	*b.inst = filter.Bounds{Lo: lo, Hi: hi}
 }
 
-// ResetBegin clears membership ahead of a FILTERRESET.
+// ResetBegin clears membership ahead of a FILTERRESET: a clear of the
+// bitset's words, n/64 of them for a bank of n. On a view it clears the
+// view's bits alone, and like Winner it runs while every other view of the
+// bank is parked.
 func (b *Nodes) ResetBegin() {
-	for i := range b.flags {
-		b.flags[i] &= flagWasTop | flagViolated
+	p, q := b.off, b.off+uint(len(b.keys)) // the hosted bits of b.top
+	for w := range b.top {
+		mask := ^uint64(0)
+		if w == 0 {
+			mask <<= p
+		}
+		if end := uint(w+1) << 6; end > q {
+			mask &= 1<<(q&63) - 1
+		}
+		b.top[w] &^= mask
 	}
 }
 
@@ -487,9 +507,8 @@ func (b *Nodes) ResetBegin() {
 // installed bounds: checks and installs are unicast, issued while every
 // other view is parked.
 type orderTable struct {
-	ent   []orderEntry
-	flags []uint8 // the whole bank's, for the membership of an entry's node
-	lo    int     // id of flags[0]
+	ent  []orderEntry
+	bank *Nodes // the bank it was enabled on, for the membership of an entry's node
 }
 
 type orderEntry struct {
@@ -508,7 +527,7 @@ func (t *orderTable) find(id int) (int, bool) {
 // share the table.
 func (b *Nodes) EnableOrderFilters(k int) {
 	if b.ord == nil {
-		b.ord = &orderTable{ent: make([]orderEntry, 0, k), flags: b.flags, lo: b.lo}
+		b.ord = &orderTable{ent: make([]orderEntry, 0, k), bank: b}
 	}
 }
 
@@ -543,7 +562,7 @@ func (b *Nodes) SetOrderBounds(target int, lo, hi order.Key) {
 	i, ok := t.find(target)
 	if !ok {
 		if len(t.ent) == cap(t.ent) {
-			t.ent = slices.DeleteFunc(t.ent, func(e orderEntry) bool { return t.flags[e.id-t.lo]&flagInTop == 0 })
+			t.ent = slices.DeleteFunc(t.ent, func(e orderEntry) bool { return !t.bank.inTop(e.id - t.bank.lo) })
 			i, _ = t.find(target)
 		}
 		t.ent = slices.Insert(t.ent, i, orderEntry{id: target})

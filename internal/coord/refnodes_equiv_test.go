@@ -131,11 +131,12 @@ func (p *pair) same() {
 
 // viewBank drives a flat bank the way internal/runtime does: the range is
 // cut into Sub views, each owned by one goroutine that alone touches its
-// nodes — observations, rounds, reset clears, winner flags, order filters —
-// while filter installs and snapshots happen on the parent from the
-// commanding goroutine, between commands, when every worker is parked.
-// Run under -race it pins that the shared installed bounds need no other
-// synchronization than the command hand-off.
+// nodes — observations, rounds, winner bits, order filters — while filter
+// installs, the reset's clear of the membership bitset and snapshots happen
+// on the parent from the commanding goroutine, between commands, when every
+// worker is parked. Run under -race it pins that the shared installed
+// bounds and bitset words need no other synchronization than the command
+// hand-off.
 type viewBank struct {
 	parent *Nodes
 	cuts   []int
@@ -204,7 +205,7 @@ func (vb *viewBank) Round(tag uint8, r int, best order.Key, bound int, step int6
 	}
 }
 
-func (vb *viewBank) ResetBegin() { vb.all(func(_ int, v *Nodes) { v.ResetBegin() }) }
+func (vb *viewBank) ResetBegin() { vb.parent.ResetBegin() }
 func (vb *viewBank) Winner(target int, isTop bool) {
 	vb.on(target, func(v *Nodes) { v.Winner(target, isTop) })
 }

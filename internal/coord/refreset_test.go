@@ -18,8 +18,8 @@ import (
 // loop (nextExtraction and the reset arms of ExecDone and Ack) is run's
 // loop, and the node side's extraction bit — Nodes' flagExtracted, its
 // TagReset cohort {flagExtracted, 0}, the marking in Winner, the clearing
-// in ResetBegin — is a flag column of the reference's own, beside the bank
-// whose keys the extractions run over. It shares with the sweep the round
+// in ResetBegin — is a bitset of the reference's own, beside the bank whose
+// keys the extractions run over. It shares with the sweep the round
 // kernel and the single-winner Exec, nothing of the reset. The parent drew
 // every extraction from the nodes' generators; here extraction j flips the
 // coins of tag TagReset+j, so the k+1 executions of one step stay
@@ -29,31 +29,27 @@ import (
 // (TestReferenceResetChargesTheParentLedger): the independent reference the
 // sweep's decisions are checked against (refreset_equiv_test.go).
 type refReset struct {
-	bank  *Nodes
-	flags []uint8 // refFlagExtracted: extracted by the running reset
-	in    protocol.InPlay
+	bank      *Nodes
+	extracted []uint64 // bit i&63 of word i>>6: extracted by the running reset
+	in        protocol.InPlay
 
 	resetIdx int
 	want     int // number of reset extractions (min(K+1, N))
 }
 
-const refFlagExtracted = 1 << 2
-
 func newRefReset(bank *Nodes) *refReset {
-	return &refReset{bank: bank, flags: make([]uint8, bank.Len())}
+	return &refReset{bank: bank, extracted: make([]uint64, (bank.Len()+63)>>6)}
 }
 
 // begin is the extraction half of the parent's Nodes.ResetBegin.
-func (r *refReset) begin() { clear(r.flags) }
+func (r *refReset) begin() { clear(r.extracted) }
 
 // round is the parent's Nodes.Round for TagReset: round 0 enlists the
 // not-yet-extracted, reset extractions always run exactly.
 func (r *refReset) round(rd int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
 	b := r.bank
 	if rd == 0 {
-		r.in.Fill(len(b.keys), func(w int) uint64 {
-			return matchFlags(r.flags[w<<6:min(w<<6+64, len(r.flags))], refFlagExtracted, 0)
-		})
+		r.in.Fill(len(b.keys), func(w int) uint64 { return ^r.extracted[w] })
 	}
 	coin := rng.NewCoin(b.seed, step, TagReset+uint8(r.resetIdx), uint(rd), uint64(bound))
 	protocol.Field{Keys: b.keys}.Round(&r.in, &coin, best, false, b.lo, send)
@@ -82,7 +78,8 @@ func (r *refReset) run(m *Machine, eff Effect, step int64) Effect {
 		if !res.OK {
 			panic("coord: reset extraction found no participant")
 		}
-		r.flags[r.bank.index(res.ID)] |= refFlagExtracted
+		i := r.bank.index(res.ID)
+		r.extracted[i>>6] |= 1 << (i & 63)
 		eff = m.ExecDone(res.OK, res.ID, res.Key)
 		r.resetIdx++
 	}

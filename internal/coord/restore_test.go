@@ -294,13 +294,13 @@ func liveHeap() uint64 {
 }
 
 // TestBankFootprintPerHostedNode pins what a bank keeps alive per hosted
-// node once it has run a full TagReset execution: key 8, flags 1 and the
-// execution's in-play bit, 9.1 B in all. The budget leaves no room for a
+// node once it has run a full TagReset execution: key 8 + membership bit +
+// in-play bit, 8.26 B in all. The budget leaves no room for a flag byte, a
 // generator's state or a violation stamp (8 B), an id list (4 B), a filter
 // interval (16 B), an order filter (16 B) or the node's own id (8 B) per
 // node.
 func TestBankFootprintPerHostedNode(t *testing.T) {
-	const n, budget = 1 << 18, 10.0
+	const n, budget = 1 << 18, 8.5
 	before := liveHeap()
 	b := NewNodes(n, 0, n, 1, false, order.Tol{})
 	b.ResetBegin()

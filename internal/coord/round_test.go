@@ -43,18 +43,19 @@ func (s *refSampler) round(best order.Key, coin rng.Coin, id int) bool {
 // refBank answers protocol rounds for a bank the naive way: every hosted
 // node re-evaluates its cohort membership and consults its own sampler in
 // every round, samplers (re)initialized at round 0. It also keeps what
-// banks kept per node before a violation became an entry of the view's
-// violator list — the step of the node's last violation — so its
-// violation cohorts are the flag-and-stamp predicate, sharing nothing with
-// the list.
+// banks kept per node before a violation became an entry of one of the
+// view's violator lists — the step of the node's last violation and its
+// membership then, the flagWasTop bit — so its violation cohorts are the
+// flag-and-stamp predicate, sharing nothing with the lists.
 type refBank struct {
 	b        *Nodes
 	samplers []refSampler
 	violStep []int64
+	wasTop   []bool
 }
 
 func newRefBank(b *Nodes) *refBank {
-	rb := &refBank{b: b, samplers: make([]refSampler, b.Len()), violStep: make([]int64, b.Len())}
+	rb := &refBank{b: b, samplers: make([]refSampler, b.Len()), violStep: make([]int64, b.Len()), wasTop: make([]bool, b.Len())}
 	for i := range rb.violStep {
 		rb.violStep[i] = -1
 	}
@@ -64,24 +65,24 @@ func newRefBank(b *Nodes) *refBank {
 // Observe is the bank's Observe, stamping the violator.
 func (rb *refBank) Observe(id int, v int64, step int64) (topViol, outViol bool, err error) {
 	if topViol, outViol, err = rb.b.Observe(id, v, step); topViol || outViol {
-		rb.violStep[id-rb.b.lo] = step
+		rb.violStep[id-rb.b.lo], rb.wasTop[id-rb.b.lo] = step, topViol
 	}
 	return topViol, outViol, err
 }
 
 // participates is cohort membership evaluated the way per-node banks did
-// it: a switch per node, sharing nothing with the cohorts table.
+// it: a switch per node, sharing nothing with Round's enlistment.
 func (rb *refBank) participates(i int, tag uint8, step int64) bool {
 	b := rb.b
 	switch tag {
 	case TagViolMin:
-		return rb.violStep[i] == step && b.flags[i]&flagWasTop != 0
+		return rb.violStep[i] == step && rb.wasTop[i]
 	case TagViolMax:
-		return rb.violStep[i] == step && b.flags[i]&flagWasTop == 0
+		return rb.violStep[i] == step && !rb.wasTop[i]
 	case TagHandMin:
-		return b.flags[i]&flagInTop != 0
+		return b.inTop(i)
 	case TagHandMax:
-		return b.flags[i]&flagInTop == 0
+		return !b.inTop(i)
 	case TagReset:
 		return true
 	default:
@@ -360,19 +361,20 @@ func TestRoundInPlaySetFootprint(t *testing.T) {
 }
 
 // TestViolationCohortFromTheListIsTheStampedOne holds the violation cohorts
-// — enlisted from the view's violator list, one entry a violator and no
-// stamp per node — to the flag-and-stamp predicate (refBank), over scripts
-// of what hosts see: whole banks and Sub views; steps in which some views
-// observe nothing, so that their lists fall steps behind; nodes that
-// violate again and again at one constant step, with their membership
-// rewritten in between (benchmark/layers.go observes thousands of times at
-// step 1 against filters it never re-installs); executions asked about a
-// step no list was filled at; and views whose first round of an execution
-// is not round 0. Every round's sends must agree, and a list never holds a
-// node twice.
+// — enlisted from the view's two violator lists, split by membership, and
+// no stamp per node — to the flag-and-stamp predicate (refBank), over
+// scripts of what hosts see: whole banks and Sub views, word-aligned and
+// not; steps in which some views observe nothing, so that their lists fall
+// steps behind; nodes that violate again and again at one constant step
+// (benchmark/layers.go observes thousands of times at step 1 against
+// filters it never re-installs); executions asked about a step no list was
+// filled at; and views whose first round of an execution is not round 0.
+// Membership changes as on every host: between one step's filter checks
+// and the next step's. Every round's sends must agree, and no node is on
+// both lists.
 func TestViolationCohortFromTheListIsTheStampedOne(t *testing.T) {
 	const n = 96
-	for _, cuts := range [][]int{{0, n}, {0, 1, 2, 40, n}, {0, 64, n}} {
+	for _, cuts := range [][]int{{0, n}, {0, 1, 2, 40, n}, {0, 64, n}, {0, 37, 70, n}} {
 		kern, refNodes := NewNodes(n, 0, n, 11, false, order.Tol{}), NewNodes(n, 0, n, 11, false, order.Tol{})
 		ref := newRefBank(refNodes)
 		views := []*Nodes{kern} // the bank itself, or views of it
@@ -389,6 +391,7 @@ func TestViolationCohortFromTheListIsTheStampedOne(t *testing.T) {
 		for it := 0; it < 400; it++ {
 			switch r.Intn(8) {
 			case 0: // a membership of any size, then the install every host sees after one
+				step++
 				both(func(b *Nodes) { b.ResetBegin() })
 				for id := r.Intn(3); id < n; id += 1 + r.Intn(9) {
 					isTop := r.Intn(2) == 0
@@ -413,22 +416,22 @@ func TestViolationCohortFromTheListIsTheStampedOne(t *testing.T) {
 					if kt != rt || ko != ro {
 						t.Fatalf("%s: Observe(%d, %d) = %v %v, reference %v %v", where, id, v, kt, ko, rt, ro)
 					}
-					if again > 0 && r.Intn(4) == 0 {
-						isTop := r.Intn(2) == 0 // WasTop is rewritten by the next violation
-						both(func(b *Nodes) { b.Winner(id, isTop) })
-					}
 				}
 			}
 			violators := 0
 			for _, v := range views {
-				seen := map[int32]bool{}
-				for _, i := range v.viol {
-					if seen[i] || v.flags[i]&flagViolated == 0 {
-						t.Fatalf("%s: view [%d, %d) lists node %d twice or unmarked: %v", where, v.lo, v.hi, v.lo+int(i), v.viol)
-					}
-					seen[i] = true
+				onTop := map[int32]bool{}
+				for _, i := range v.violTop {
+					onTop[i] = true
 				}
-				violators += len(v.viol)
+				onOut := map[int32]bool{}
+				for _, i := range v.violOut {
+					if onTop[i] {
+						t.Fatalf("%s: view [%d, %d) lists node %d as a member and as an outsider: %v %v", where, v.lo, v.hi, v.lo+int(i), v.violTop, v.violOut)
+					}
+					onOut[i] = true
+				}
+				violators += len(onTop) + len(onOut)
 			}
 			for _, asked := range []int64{step, step + 1} {
 				for _, tag := range []uint8{TagViolMin, TagViolMax} {
@@ -459,30 +462,45 @@ func TestViolationCohortFromTheListIsTheStampedOne(t *testing.T) {
 	}
 }
 
-// TestMatchFlagsIsThePerByteTest holds the eight-flags-a-load cohort test
-// to the comparison it replaces, one flag byte at a time: every mask and
-// want a cohort can have (and every other of four bits), every length of a
-// word's worth of flags, flag bytes of all four bits.
-func TestMatchFlagsIsThePerByteTest(t *testing.T) {
-	r := rng.New(5, 9)
-	flags := make([]uint8, 64)
-	for it := 0; it < 200; it++ {
-		for i := range flags {
-			flags[i] = uint8(r.Intn(16))
+// TestRepeatedViolationsKeepTheListsSmall observes the same violators a
+// thousand times each at one step, as benchmark/layers.go does: the lists
+// stay within a small multiple of the violators they name, and each cohort
+// is still exactly its side's violators.
+func TestRepeatedViolationsKeepTheListsSmall(t *testing.T) {
+	const n, step = 300, int64(1)
+	b := NewNodes(n, 0, n, 3, false, order.Tol{})
+	for id := 0; id < n; id += 2 {
+		b.Winner(id, true)
+	}
+	b.Midpoint(b.codec.Encode(100, 0), false)
+	for rep := 0; rep < 1000; rep++ {
+		for id := 0; id < n; id += 3 { // members below, outsiders above the midpoint
+			v := int64(200)
+			if id%2 == 0 {
+				v = 0
+			}
+			if _, _, err := b.Observe(id, v, step); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for mask := uint8(0); mask < 16; mask++ {
-			for want := uint8(0); want < 16; want++ {
-				for n := 0; n <= len(flags); n++ {
-					var word uint64
-					for j, f := range flags[:n] {
-						if f&mask == want {
-							word |= 1 << j
-						}
-					}
-					if got := matchFlags(flags[:n], mask, want); got != word {
-						t.Fatalf("flags %x mask %x want %x: word %064b, per byte %064b", flags[:n], mask, want, got, word)
-					}
-				}
+	}
+	for _, c := range []struct {
+		tag  uint8
+		list []int32
+		side int
+	}{{TagViolMin, b.violTop, 0}, {TagViolMax, b.violOut, 1}} {
+		const violators = n / 6
+		if cap(c.list) > 4*violators+8 {
+			t.Fatalf("tag %d: a list of capacity %d for %d violators", c.tag, cap(c.list), violators)
+		}
+		b.Round(c.tag, 0, order.NegInf, n, step, func(int, order.Key) {})
+		got := b.inPlay.AppendTo(nil)
+		if len(got) != violators || b.inPlay.Len() != violators {
+			t.Fatalf("tag %d: %d in play (count %d), want the %d violators", c.tag, len(got), b.inPlay.Len(), violators)
+		}
+		for _, i := range got {
+			if i%3 != 0 || i%2 != c.side {
+				t.Fatalf("tag %d: node %d in play, no violator of that side", c.tag, i)
 			}
 		}
 	}

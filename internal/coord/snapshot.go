@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/comm"
 	"repro/internal/filter"
@@ -19,8 +20,8 @@ import (
 // for the Machine; per-node keys, the installed bounds and membership bits
 // for a Nodes bank (its coins are a function of the seed the envelope
 // carries). Everything else — the reset scratch of the Machine; the bank's
-// in-play set, empty between executions, and its violator list and WasTop
-// bits, which are only read inside the step that wrote them — is
+// in-play set, empty between executions, and its violator lists, which
+// are only read inside the step that wrote them — is
 // (re)initialized before its next use, so a restored coordinator resumes
 // bit-identically to one that never stopped: same reports, same counts,
 // same coins. The equivalence tests in snapshot_test.go pin that property.
@@ -284,8 +285,8 @@ func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFr
 // caller's: snapshot only between steps, when no protocol execution is
 // running. A frame carries live state only. The in-play set is empty after
 // the probability-1 round of every execution and enlisted anew at round 0
-// of the next; who violated, and the WasTop bits, are written by a step's
-// filter checks and read by that step's executions alone.
+// of the next; who violated is written by a step's filter checks and read
+// by that step's executions alone.
 func (b *Nodes) Snapshot(dst []byte) []byte {
 	w := wire.BeginBank(dst, wire.BankHeader{
 		N: b.codec.N(), Lo: b.lo, Hi: b.hi,
@@ -293,14 +294,16 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 		BoundLo: int64(b.inst.Lo), BoundHi: int64(b.inst.Hi),
 	})
 	wire.BankKeys(&w, b.keys)
-	for i, f := range b.flags {
-		if f&flagInTop != 0 {
-			w.Member(i)
+	for x := 0; x<<6 < len(b.keys); x++ {
+		for word := b.topWord(x); word != 0; word &= word - 1 {
+			if i := x<<6 | bits.TrailingZeros64(word); i < len(b.keys) {
+				w.Member(i)
+			}
 		}
 	}
 	if b.ord != nil {
 		for _, e := range b.ord.ent {
-			if e.id >= b.lo && e.id < b.hi && b.flags[e.id-b.lo]&flagInTop != 0 && e.iv != filter.Full() {
+			if e.id >= b.lo && e.id < b.hi && b.inTop(e.id-b.lo) && e.iv != filter.Full() {
 				w.Ord(e.id-b.lo, int64(e.iv.Lo), int64(e.iv.Hi))
 			}
 		}
@@ -345,7 +348,7 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 		if !ok {
 			break
 		}
-		b.flags[i] = flagInTop
+		b.setTop(i)
 	}
 	for {
 		i, lo, hi, ok, err := r.Ord()
@@ -362,7 +365,7 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 		return nil, err
 	}
 	for i, key := range b.keys {
-		if iv := b.inst.Interval(b.flags[i]&flagInTop != 0); !iv.Contains(key) {
+		if iv := b.inst.Interval(b.inTop(i)); !iv.Contains(key) {
 			return nil, fmt.Errorf("%w: node %d key %d outside its filter %s", ErrFilterState, b.lo+i, key, iv)
 		}
 	}
@@ -388,9 +391,10 @@ func (b *Nodes) MatchesMachine(m *Machine) error {
 	if b.ord != nil && !m.cfg.Ordered {
 		return errors.New("coord: bank frame holds order filters, the machine is not in the ordered mode")
 	}
-	for i, f := range b.flags {
-		if inTop := f&flagInTop != 0; inTop != m.InTop(i) {
-			return fmt.Errorf("%w: node %d (member: %v) contradicts the machine", ErrFilterState, i, inTop)
+	for w, word := range b.top { // a full-range bank's bits are the machine's
+		if diff := word ^ m.inTop[w]; diff != 0 {
+			i := w<<6 | bits.TrailingZeros64(diff)
+			return fmt.Errorf("%w: node %d (member: %v) contradicts the machine", ErrFilterState, i, b.inTop(i))
 		}
 	}
 	_, err := RestoreFilters(*b.inst, b.keys, m)

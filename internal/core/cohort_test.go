@@ -140,12 +140,6 @@ func (h views) Round(tag uint8, r int, best order.Key, bound int, step int64, bi
 	}
 }
 
-func (h views) ResetBegin() {
-	for _, v := range h {
-		v.ResetBegin()
-	}
-}
-
 func (views) Engine() uint8 { return wire.EngineSeq }
 func (views) Close()        {}
 

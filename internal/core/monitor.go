@@ -20,16 +20,17 @@
 //
 // What it does not own is where a sweep over a node range runs. The paper
 // prices messages only, so where a node's filter check or Bernoulli trial
-// executes can change neither a report nor a ledger; the three effects that
-// visit a range of nodes — the step's observation batch, a protocol round,
-// the start of a reset — therefore go through the Host seam. Inline, the
+// executes can change neither a report nor a ledger; the two effects that
+// visit a range of nodes' keys — the step's observation batch and a
+// protocol round — therefore go through the Host seam. Inline, the
 // sequential host, is the bank itself swept on the calling goroutine;
 // internal/runtime's shard pool fans the same sweeps out over disjoint views
 // of the bank. Everything else the machine asks for touches one node
-// (Winner, OrderViolated, SetOrderBounds) or one shared cell (Midpoint,
-// ApplyBounds): the Monitor runs it on the full-range bank itself, which
-// the Host contract — a host touches the bank only inside its methods —
-// makes race-free on any host, so no host has a command for it.
+// (Winner, OrderViolated, SetOrderBounds), one shared cell (Midpoint,
+// ApplyBounds) or the membership bitset's n/64 words (ResetBegin): the
+// Monitor runs it on the full-range bank itself, which the Host contract —
+// a host touches the bank only inside its methods — makes race-free on any
+// host, so no host has a command for it.
 //
 // The flow per time step follows the paper exactly:
 //
@@ -102,7 +103,7 @@ type Config struct {
 // for the same seed.
 type Stats = coord.Stats
 
-// Host runs the three operations of a step that sweep a range of nodes, on
+// Host runs the two operations of a step that sweep a range of nodes, on
 // behalf of the one Monitor whose full-range bank it was started over. The
 // contract is what lets the Monitor execute every other effect on that bank
 // directly: a host touches the bank only inside these methods, and whatever
@@ -119,8 +120,6 @@ type Host interface {
 	// Round is coord.Nodes.Round over all n nodes: bid sees every send in
 	// ascending node id order, on the calling goroutine.
 	Round(tag uint8, r int, best order.Key, bound int, step int64, bid func(id int, key order.Key))
-	// ResetBegin is coord.Nodes.ResetBegin over all n nodes.
-	ResetBegin()
 	// Engine is the wire.Engine* fingerprint the monitor's checkpoint
 	// envelopes carry, so a frame never restores onto another host kind.
 	Engine() uint8
@@ -132,7 +131,7 @@ type Host interface {
 // goroutine.
 func Inline(bank *coord.Nodes) Host { return inline{bank} }
 
-type inline struct{ *coord.Nodes } // Round and ResetBegin are the bank's
+type inline struct{ *coord.Nodes } // Round is the bank's
 
 func (h inline) Observe(ids []int, vals []int64, step int64) (bool, bool, error) {
 	return ObserveRange(h.Nodes, ids, vals, step)
@@ -351,7 +350,7 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 
 // observe runs one step in which vals[j] is the new value of node ids[j] —
 // of node j when ids is nil, the dense form's implicit 0..n-1. It is the one
-// loop that executes the machine's effects in process: the three range
+// loop that executes the machine's effects in process: the two range
 // sweeps through the host, everything else on the bank directly (the host
 // is parked; see Host).
 func (m *Monitor) observe(ids []int, vals []int64) []int {
@@ -368,7 +367,7 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 		case coord.EffExec:
 			eff = m.mach.Deliver(m.exec(eff))
 		case coord.EffResetBegin:
-			m.host.ResetBegin()
+			m.bank.ResetBegin()
 			reset = true
 			eff = m.mach.Ack()
 		case coord.EffWinner:

@@ -72,8 +72,11 @@ func (s *InPlay) Enlist(n int, ids []int) {
 	}
 }
 
-// Add puts node i, which is not in play, in play.
+// Add puts node i in play; a node already in play stays so, counted once.
 func (s *InPlay) Add(i int) {
+	if s.words[i>>6]>>(i&63)&1 != 0 {
+		return
+	}
 	s.words[i>>6] |= 1 << (i & 63)
 	s.heads[i>>12] |= 1 << (i >> 6 & 63)
 	s.count++

@@ -181,28 +181,6 @@ func TestCoinRejectionLoop(t *testing.T) {
 	}
 }
 
-// TestAdvanceIsRepeatedDraws pins the jump against the walk it replaces.
-func TestAdvanceIsRepeatedDraws(t *testing.T) {
-	for _, delta := range []uint64{0, 1, 2, 3, 7, 64, 1000, 65537} {
-		walked, jumped := New(5, 9), New(5, 9)
-		for i := uint64(0); i < delta; i++ {
-			walked.Uint32()
-		}
-		jumped.Advance(delta)
-		if *walked != *jumped {
-			t.Fatalf("Advance(%d) = %+v, %d draws leave %+v", delta, *jumped, delta, *walked)
-		}
-	}
-	// Jumps compose, whatever their size.
-	a, b := New(8, 1), New(8, 1)
-	a.Advance(1<<40 + 12345)
-	a.Advance(1<<41 + 1)
-	b.Advance(1<<40 + 12345 + 1<<41 + 1)
-	if *a != *b {
-		t.Fatalf("two jumps leave %+v, their sum %+v", *a, *b)
-	}
-}
-
 // BenchmarkCoinHit times a round's worth of masked trials, a node.
 func BenchmarkCoinHit(b *testing.B) {
 	coin := NewCoin(1, 2, 3, 4, 1<<20)

@@ -96,23 +96,6 @@ func (r *RNG) next() uint64 {
 	return old
 }
 
-// Advance moves the generator forward by delta 32-bit draws (a Uint64 is
-// two) in O(log delta): the standard jump of a linear congruential core,
-// composing the step x -> x*mul + inc with itself by squaring.
-func (r *RNG) Advance(delta uint64) {
-	accMul, accInc := uint64(1), uint64(0)
-	mul, inc := uint64(pcgMultiplier), r.inc
-	for ; delta > 0; delta >>= 1 {
-		if delta&1 != 0 {
-			accMul *= mul
-			accInc = accInc*mul + inc
-		}
-		inc *= mul + 1
-		mul *= mul
-	}
-	r.state = accMul*r.state + accInc
-}
-
 // output is the XSH-RR output permutation of a pre-advance state.
 func output(old uint64) uint32 {
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)

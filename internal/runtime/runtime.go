@@ -1,10 +1,10 @@
 // Package runtime is the concurrent host of core.Monitor: a pool of shard
 // goroutines, each driving a disjoint view of the monitor's node bank, that
-// runs the monitor's range sweeps — the step's observation batch, a protocol
-// round, the start of a reset — in parallel. New and Restore return the
+// runs the monitor's range sweeps — the step's observation batch and a
+// protocol round — in parallel. New and Restore return the
 // monitor on that host: the concurrent engine. It demonstrates the
 // distributed fidelity of the reproduction — a shard consults only its own
-// nodes' state (current key, filter, membership flag, private RNG) and
+// nodes' state (current key, filter, membership bit) and
 // everything the coordinator learns about values arrives in counted
 // messages.
 //
@@ -37,10 +37,13 @@
 // next, and the next command send orders that before every later shard
 // access: between calls into the pool the coordinator goroutine owns the
 // whole bank. That is core.Host's contract, and it is why the effects that
-// touch one node (Winner, an order-filter check or install) or one shared
-// cell (a filter install) have no shard command, and why Snapshot and the
-// monitor's read views need none either — the monitor executes them on
-// the full-range bank, whose arrays the shards' views alias.
+// touch one node (Winner, an order-filter check or install), one shared
+// cell (a filter install) or the membership bitset (ResetBegin) have no
+// shard command, and why Snapshot and the monitor's read views need none
+// either — the monitor executes them on the full-range bank, whose arrays
+// the shards' views alias. A shard reads the membership bitset and never
+// writes it, so views whose ranges split one of its words share that word
+// race-free.
 //
 // # Sharding
 //
@@ -50,7 +53,7 @@
 // operations rather than O(n), and a sparse step only involves the shards
 // owning a touched node. Batching is pure control-plane mechanics: each
 // node still takes exactly the decisions it would take with a private
-// channel (its RNG is consulted identically), so message counts are
+// channel (its coins are the same keyed function), so message counts are
 // unaffected by the shard layout.
 package runtime
 
@@ -101,7 +104,6 @@ type cmdKind int
 const (
 	cObserve cmdKind = iota
 	cRound
-	cResetBegin
 )
 
 // shardCmd is one batched command delivered to a shard; it applies to all
@@ -160,8 +162,6 @@ func (sh *shard) run() {
 				sh.buf = append(sh.buf, send{id: id, key: key})
 			})
 			rp.sends = sh.buf
-		case cResetBegin:
-			sh.bank.ResetBegin()
 		}
 		sh.out <- rp
 	}
@@ -285,6 +285,3 @@ func (p *pool) Round(tag uint8, r int, best order.Key, bound int, step int64, bi
 		}
 	}
 }
-
-// ResetBegin clears every shard's membership.
-func (p *pool) ResetBegin() { p.sweep(shardCmd{kind: cResetBegin}, p.all) }

@@ -20,15 +20,16 @@ func liveHeap() uint64 {
 
 // TestSequentialFootprintPerNode pins what a sequential monitor keeps
 // alive per node once its first Observe — the time-0 FILTERRESET over all
-// n nodes — has run: key 8, the bank's flag byte, the coordinator machine's
-// membership bit and the in-play bit, 9.3 B/node in all (the filters are
+// n nodes — has run: key 8 + membership bit + in-play bit, and the
+// coordinator machine's membership bit, 8.38 B/node in all (the filters are
 // the bank's two bounds, a node's coins a function of its id, cohorts are
-// enlisted from the flags, not listed). The budget leaves no room for a
-// generator's state or a violation stamp (8 B), an id list (4 B), a per-node
-// filter interval (16 B) or a protocol record (a 32-byte sampler, a 24-byte
-// participant) to stay reachable from the monitor after the reset.
+// enlisted from the membership bits, not listed). The budget leaves no room
+// for a flag byte, a generator's state or a violation stamp (8 B), an id
+// list (4 B), a per-node filter interval (16 B) or a protocol record (a
+// 32-byte sampler, a 24-byte participant) to stay reachable from the
+// monitor after the reset.
 func TestSequentialFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 11.0
+	const n, k, budget = 1 << 18, 16, 8.6
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i) * 7 % 1000003
@@ -55,15 +56,16 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 // processes that host its nodes keep alive per node, all of it in this
 // process over Loopback(2), after two dense steps (the second runs on the
 // pipes' recycled buffers, so nothing is still growing): the hosts' banks
-// 9 B, the coordinator's last-value mirror 8 B, and the dense frames — three
-// bytes a value here — in the coordinator's encode buffer (one host's
-// share, 1.5 B) and in the two buffers each pipe cycles through (6 B), 25.1
-// B/node with the membership and in-play bits. A host applies a frame from
-// the buffer it arrived in, so nothing else grows with n: the budget has no
-// room for the 8-byte column per hosted node a host used to decode every
-// frame into (33.6 B/node then).
+// (key 8 + membership bit + in-play bit), the coordinator's last-value
+// mirror 8 B, and the dense frames — three bytes a value here — in the
+// coordinator's encode buffer (one host's share, 1.5 B) and in the two
+// buffers each pipe cycles through (6 B), ≈ 24.2 B/node with the machine's
+// membership bit. A host applies a frame from the buffer it arrived in, so
+// nothing else grows with n: the budget has no room for a flag byte per
+// hosted node, nor for the 8-byte column per hosted node a host used to
+// decode every frame into (33.6 B/node then).
 func TestLoopbackFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 27.5
+	const n, k, budget = 1 << 18, 16, 26.0
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = 1<<15 + int64(i)*7%1000003
@@ -89,12 +91,13 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 }
 
 // TestOrderedFootprintPerNode pins that the ordered mode costs the same per
-// node on both in-process engines, and what the set mode costs: the order
+// node on both in-process engines, and what the set mode costs — key 8 +
+// membership bit + in-play bit, and the machine's membership bit: the order
 // filters are a table of the k members', in the bank both engines host, not
 // a 16-byte column over all n nodes (which the concurrent engine's bank
 // held before the table moved there).
 func TestOrderedFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 11.0
+	const n, k, budget = 1 << 18, 16, 8.6
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i) * 7 % 1000003
