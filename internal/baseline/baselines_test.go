@@ -211,7 +211,7 @@ func TestBaselinePanics(t *testing.T) {
 // are the ones recorded when it held one heap-allocated generator per node;
 // the Up counts were recorded again when an execution came to draw each
 // participant's generator once, for its coin identity, where it had drawn
-// one trial a round.
+// one trial a round, and again when the coin came to draw 64 ids a word.
 func TestPerRoundSamplingIsGolden(t *testing.T) {
 	b := NewPerRound(16, 3, 7)
 	vals := make([]int64, 16)
@@ -219,9 +219,9 @@ func TestPerRoundSamplingIsGolden(t *testing.T) {
 		top    []int
 		counts comm.Counts
 	}{
-		{[]int{3, 8, 13}, comm.Counts{Up: 10, Bcast: 15}},
-		{[]int{4, 9, 12}, comm.Counts{Up: 22, Bcast: 30}},
-		{[]int{0, 8, 13}, comm.Counts{Up: 44, Bcast: 45}},
+		{[]int{3, 8, 13}, comm.Counts{Up: 14, Bcast: 15}},
+		{[]int{4, 9, 12}, comm.Counts{Up: 28, Bcast: 30}},
+		{[]int{0, 8, 13}, comm.Counts{Up: 40, Bcast: 45}},
 	} {
 		for i := range vals {
 			vals[i] = int64((i*37+s*11)%23) * 5

@@ -44,7 +44,8 @@ func parentCoinExec(keys []order.Key, gens []rng.RNG, active []int32, want int) 
 // function of (seed, step, tag, round, id) does to the one quantity a coin
 // decides: the up-messages of an execution. Same keys on both sides, the
 // parent's coin drawn from per-node generators, the keyed coin from
-// rng.Coin through the round kernel; want = 1 is Algorithm 2 (Theorem 4.2:
+// rng.Coin — one keyed word per 64 ids — through the round kernel, whose
+// sparse rounds visit only the ids that hit; want = 1 is Algorithm 2 (Theorem 4.2:
 // at most 2·log2(N) + 1 expected), want = 17 a FILTERRESET's sweep at
 // k = 16.
 func E26KeyedCoin(sc Scale) Table {

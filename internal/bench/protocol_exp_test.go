@@ -9,7 +9,8 @@ import (
 
 // TestProtocolTablesReproduceParent holds E1–E3 at quick scale to the
 // tables recorded before their executions moved onto Scratch.Maximum and
-// cmd/maxproto's baselines became E3 columns (testdata/protocol_quick.golden):
+// cmd/maxproto's baselines became E3 columns, re-drawn once under the word
+// coin (testdata/protocol_quick.golden):
 // E1 and E2 byte for byte; E3 with its two new columns projected away, and
 // exactly those two added to every row.
 func TestProtocolTablesReproduceParent(t *testing.T) {

@@ -465,7 +465,8 @@ func TestViolationCohortFromTheListIsTheStampedOne(t *testing.T) {
 // TestRepeatedViolationsKeepTheListsSmall observes the same violators a
 // thousand times each at one step, as benchmark/layers.go does: the lists
 // stay within a small multiple of the violators they name, and each cohort
-// is still exactly its side's violators.
+// is still exactly its side's violators: those its first round heard from
+// and those it left in play.
 func TestRepeatedViolationsKeepTheListsSmall(t *testing.T) {
 	const n, step = 300, int64(1)
 	b := NewNodes(n, 0, n, 3, false, order.Tol{})
@@ -493,10 +494,11 @@ func TestRepeatedViolationsKeepTheListsSmall(t *testing.T) {
 		if cap(c.list) > 4*violators+8 {
 			t.Fatalf("tag %d: a list of capacity %d for %d violators", c.tag, cap(c.list), violators)
 		}
-		b.Round(c.tag, 0, order.NegInf, n, step, func(int, order.Key) {})
-		got := b.inPlay.AppendTo(nil)
-		if len(got) != violators || b.inPlay.Len() != violators {
-			t.Fatalf("tag %d: %d in play (count %d), want the %d violators", c.tag, len(got), b.inPlay.Len(), violators)
+		var sent []int
+		b.Round(c.tag, 0, order.NegInf, n, step, func(id int, _ order.Key) { sent = append(sent, id) })
+		got := b.inPlay.AppendTo(sent)
+		if len(got) != violators || b.inPlay.Len() != violators-len(sent) {
+			t.Fatalf("tag %d: %d sent and %d in play (count %d), want the %d violators", c.tag, len(sent), len(got)-len(sent), b.inPlay.Len(), violators)
 		}
 		for _, i := range got {
 			if i%3 != 0 || i%2 != c.side {

@@ -23,9 +23,9 @@ type Field struct {
 
 // InPlay is the set of a field's nodes still in play in one execution: a
 // two-level bitset, one bit a node plus one bit per 64-node word saying
-// whether the word holds anyone. A round visits the members in ascending
-// index order — so bids keep their id order — in O(members + n/4096), and
-// clears each member's bit as it bids or drops out; the probability-1
+// whether the word holds anyone. A round visits the members' words in
+// ascending order — so bids keep their id order — in O(words + n/4096),
+// and clears each member's bit as it bids or drops out; the probability-1
 // round therefore leaves the set empty, which is why a completed
 // execution needs no cleanup and a checkpoint taken between steps can
 // omit the set. The zero value is an empty set that sizes itself on the
@@ -38,13 +38,6 @@ type InPlay struct {
 
 // Len returns the number of nodes in play.
 func (s *InPlay) Len() int { return s.count }
-
-// leave takes node i, which is in play, out of play; the head bit of a
-// word it empties is the caller's to clear.
-func (s *InPlay) leave(i int) {
-	s.words[i>>6] &^= 1 << (i & 63)
-	s.count--
-}
 
 // resize makes s an empty set over n nodes. What an abandoned execution
 // left behind is cleared by walking the head words, not the set.
@@ -128,58 +121,111 @@ func (s *InPlay) AppendTo(dst []int) []int {
 // so far — in the comparison domain, keys negated when minimum is set —
 // widened by the execution's tolerance (Tol.WidenHi(best)); both are the
 // same for every node of a round, so the caller decides them once. A node
-// whose key the cut dominates drops out silently; any other is asked its
-// trial — node i's is coin.Hit(base+i), base the global id of node 0 — and
-// on success bids — send(base+i, true key), in ascending order of i — and
-// drops out (line 14), else stays for the next round. A tolerant execution
-// thereby retires a node as soon as the best is within the (1±ε) band of
-// its key, guaranteeing every participant's key is at most WidenHi(winner
-// key); with a zero tolerance cut is best itself.
+// whose key the cut dominates drops out silently; any other whose trial
+// hits — node i's is coin.Hit(base+i), base the global id of node 0 — bids
+// — send(base+i, true key), in ascending order of i — and drops out (line
+// 14), else stays for the next round. A tolerant execution thereby retires
+// a node as soon as the best is within the (1±ε) band of its key,
+// guaranteeing every participant's key is at most WidenHi(winner key);
+// with a zero tolerance cut is best itself.
 //
-// A node that has left the set would have found itself inactive in every
-// later round, so the sends are exactly those of consulting every member
-// in every round — while Theorem 4.2's own argument (the members neither
-// retired nor dominated halve per round) bounds the work by a few visits
-// per member.
+// The round is one loop over the in-play words, each taking the coin's
+// word of its 64 ids (shifted across two coin words when base is not a
+// multiple of 64, so any split of a field draws what the whole would).
+// While the cut is −∞ or the coin is sparse (p < 2^-6, under one expected
+// hit a word) it visits only the members that hit: those the cut
+// dominates leave silently, the others bid and leave, and everyone else
+// stays. From p ≥ 2^-6 it visits every member and compares its key, so a
+// dominated member leaves even when it did not hit, as the paper's step
+// says; the probability-1 round empties the set. A dominated member kept
+// by a hits-only round would drop out silently in any later round — the
+// cut never falls — so the sends are exactly those of consulting every
+// member in every round, whichever rounds compact; Theorem 4.2's own
+// argument (the members neither retired nor dominated halve per round)
+// bounds the compacting work by a few visits per member.
 func (f Field) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, base int, send func(id int, key order.Key)) {
 	if in.count == 0 {
 		return
 	}
-	keys, ids, masked := f.Keys, f.ids, coin.Masked()
+	keys, hitsOnly := f.Keys, cut == order.NegInf || coin.Sparse()
+	words := coinWords{coin: coin, q: ^uint64(0)}
 	for h, head := range in.heads {
 		for ; head != 0; head &= head - 1 {
 			w := h<<6 | bits.TrailingZeros64(head)
-			for word := in.words[w]; word != 0; word &= word - 1 {
-				i := w<<6 | bits.TrailingZeros64(word)
+			members := in.words[w]
+			var hits uint64
+			if f.ids == nil {
+				hits = words.at(uint64(base) + uint64(w)<<6)
+			} else {
+				hits = f.idHits(coin, w, members)
+			}
+			visit := members
+			if hitsOnly {
+				visit &= hits
+			}
+			gone := uint64(0)
+			for ; visit != 0; visit &= visit - 1 {
+				b := bits.TrailingZeros64(visit)
+				i := w<<6 | b
 				key := keys[i]
 				cmp := key
 				if minimum {
 					cmp = order.Neg(key)
 				}
 				if cut > cmp {
-					in.leave(i)
-					continue
-				}
-				id := uint64(base + i)
-				if ids != nil {
-					id = ids[i]
-				}
-				var hit bool
-				if masked {
-					hit = coin.HitMasked(id)
-				} else {
-					hit = coin.Hit(id)
-				}
-				if hit {
+					gone |= 1 << b
+				} else if hits>>b&1 != 0 {
 					send(base+i, key)
-					in.leave(i)
+					gone |= 1 << b
 				}
 			}
-			if in.words[w] == 0 {
-				in.heads[h] &^= 1 << (w & 63)
+			if gone != 0 {
+				in.count -= bits.OnesCount64(gone)
+				if in.words[w] = members &^ gone; in.words[w] == 0 {
+					in.heads[h] &^= 1 << (w & 63)
+				}
 			}
 		}
 	}
+}
+
+// coinWords reads a coin's trials 64 ids at a time from any global id,
+// keeping the last coin word it drew: the loop over a field that does not
+// start on a word boundary draws each coin word once, not twice.
+type coinWords struct {
+	coin *rng.Coin
+	q, w uint64 // coin word q is w
+}
+
+// at returns the trials of global ids g … g+63: bit b is id g+b's.
+func (c *coinWords) at(g uint64) uint64 {
+	q, s := g>>6, g&63
+	lo := c.word(q)
+	if s == 0 {
+		return lo
+	}
+	return lo>>s | c.word(q+1)<<(64-s)
+}
+
+func (c *coinWords) word(q uint64) uint64 {
+	if q != c.q {
+		c.q, c.w = q, c.coin.Word(q)
+	}
+	return c.w
+}
+
+// idHits returns the trials of the members of word w of a field whose
+// nodes carry coin identities of their own (f.ids): bit b is node
+// 64w+b's, asked only of the members.
+func (f Field) idHits(coin *rng.Coin, w int, members uint64) uint64 {
+	var hits uint64
+	for ; members != 0; members &= members - 1 {
+		b := bits.TrailingZeros64(members)
+		if coin.Hit(f.ids[w<<6|b]) {
+			hits |= 1 << b
+		}
+	}
+	return hits
 }
 
 // Run drives ex — begun by the caller with the execution's bound, want,

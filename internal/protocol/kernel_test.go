@@ -400,7 +400,7 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkFieldRun times one maximum execution over a whole field, under
-// a power-of-two bound (the mask coin) and a general one.
+// a power-of-two bound (no thinning) and a general one (thinned).
 func BenchmarkFieldRun(b *testing.B) {
 	for _, n := range []int{4096, 1 << 16, 1 << 20} {
 		f := Field{Keys: make([]order.Key, n)}
@@ -443,14 +443,19 @@ func BenchmarkScratchMaximum(b *testing.B) {
 // either sense, any tolerance, bounds from the cohort size up past 2^32,
 // and any number of winners wanted — and, where the execution is exact,
 // the winners to sort-and-take: their keys are the want best of the cohort
-// in order, each held by a distinct member.
+// in order, each held by a distinct member. And the field cut at any
+// offset, 64-aligned or not, into two views with in-play sets of their own
+// sends, round for round, exactly what the whole field sends (partSends):
+// under the −∞ cut of round 0 and the finite ones after it, in either
+// sense, and in the sparse rounds before the 2^-6 switch as in the
+// compacting ones after it.
 func FuzzRoundKernel(f *testing.F) {
-	f.Add([]byte{0, 255, 7, 7, 9, 1, 200}, uint16(70), uint64(0), uint8(0), uint64(1), uint16(0))
-	f.Add([]byte{3, 3, 3, 3}, uint16(64), uint64(1), uint8(1|4), uint64(2), uint16(2))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(4100), uint64(1<<33), uint8(1|8), uint64(3), uint16(16))
-	f.Add([]byte{255, 0}, uint16(129), uint64(77), uint8(4|16), uint64(4), uint16(200))
-	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5}, uint16(300), uint64(0), uint8(1), uint64(5), uint16(8))
-	f.Fuzz(func(t *testing.T, data []byte, size16 uint16, slack uint64, flags uint8, seed uint64, want16 uint16) {
+	f.Add([]byte{0, 255, 7, 7, 9, 1, 200}, uint16(70), uint64(0), uint8(0), uint64(1), uint16(0), uint16(33))
+	f.Add([]byte{3, 3, 3, 3}, uint16(64), uint64(1), uint8(1|4), uint64(2), uint16(2), uint16(64))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(4100), uint64(1<<33), uint8(1|8), uint64(3), uint16(16), uint16(2049))
+	f.Add([]byte{255, 0}, uint16(129), uint64(77), uint8(4|16), uint64(4), uint16(200), uint16(127))
+	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5}, uint16(300), uint64(0), uint8(1), uint64(5), uint16(8), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, size16 uint16, slack uint64, flags uint8, seed uint64, want16, split16 uint16) {
 		if len(data) == 0 {
 			t.Skip()
 		}
@@ -518,7 +523,46 @@ func FuzzRoundKernel(f *testing.F) {
 		if in.Len() != 0 || len(in.AppendTo(nil)) != 0 {
 			t.Fatalf("nodes %v still in play after the execution", in.AppendTo(nil))
 		}
+		a := int(split16) % (kc.size + 1)
+		whole, split := partSends(&kc, []int{0, kc.size}, want, seed, tol, minimum), partSends(&kc, []int{0, a, kc.size}, want, seed, tol, minimum)
+		if !slices.Equal(whole, split) {
+			t.Fatalf("split at %d, the rounds send %v; the whole field sends %v", a, split, whole)
+		}
 	})
+}
+
+// partSends drives one execution of want winners over kc's cohort with its
+// field cut at the offsets cuts into views of their own — keys and in-play
+// set each, node 0 of a view at global id its offset, each round run view
+// by view in order — and returns every round's sends, the empty round
+// included, as one line a round.
+func partSends(kc *kernelCase, cuts []int, want int, seed uint64, tol order.Tol, minimum bool) []string {
+	fld := kc.field()
+	views := make([]InPlay, len(cuts)-1)
+	for v := range views {
+		var ids []int
+		for _, id := range kc.ids {
+			if id >= cuts[v] && id < cuts[v+1] {
+				ids = append(ids, id-cuts[v])
+			}
+		}
+		views[v].Enlist(cuts[v+1]-cuts[v], ids)
+	}
+	ex := NewExec(kc.bound, want, minimum, comm.Discard, nil, 0)
+	var rounds []string
+	for ex.More() {
+		coin := rng.NewCoin(seed, 0, 0, uint(ex.Round()), uint64(kc.bound))
+		cut, line := tol.WidenHi(ex.Best()), ""
+		for v := range views {
+			Field{Keys: fld.Keys[cuts[v]:cuts[v+1]]}.Round(&views[v], &coin, cut, minimum, cuts[v], func(id int, key order.Key) {
+				line += fmt.Sprintf("%d:%d ", id, key)
+				ex.Bid(id, key)
+			})
+		}
+		ex.EndRound()
+		rounds = append(rounds, line)
+	}
+	return rounds
 }
 
 // TestSparseCohortDoesNotPayForTheField pins the in-play set's second

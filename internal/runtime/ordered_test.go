@@ -38,7 +38,8 @@ func orderedLedger(led *comm.Ledger, rankHash uint64) string {
 // message counts and statistics at every step, per workload family — and
 // both against goldens recorded from core.NewOrdered and
 // runtime.NewOrdered, the wrappers outside the machine that the mode
-// replaced, at the last commit that had them (they agreed on every line).
+// replaced, at the last commit that had them (they agreed on every line),
+// with the up and byte columns re-drawn once under the word coin.
 func TestOrderedEquivalenceWithSequential(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -48,25 +49,25 @@ func TestOrderedEquivalenceWithSequential(t *testing.T) {
 	}{
 		{"walk", 10, 3, func(n int) stream.Source {
 			return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 600, Seed: 31})
-		}, "up=456 down=191 bcast=471 total=1118 upB=2280 downB=2396 bcastB=3272 totalB=7948 | up=45 down=0 bcast=158 total=203 upB=225 downB=0 bcastB=1217 totalB=1442 | up=180 down=191 bcast=151 total=522 upB=900 downB=2396 bcastB=874 totalB=4170 | up=231 down=0 bcast=162 total=393 upB=1155 downB=0 bcastB=1181 totalB=2336 | rank 8f2ab87163ddff23"},
+		}, "up=459 down=191 bcast=471 total=1121 upB=2295 downB=2396 bcastB=3244 totalB=7935 | up=45 down=0 bcast=158 total=203 upB=225 downB=0 bcastB=1238 totalB=1463 | up=184 down=191 bcast=151 total=526 upB=920 downB=2396 bcastB=860 totalB=4176 | up=230 down=0 bcast=162 total=392 upB=1150 downB=0 bcastB=1146 totalB=2296 | rank 8f2ab87163ddff23"},
 		{"iid", 8, 2, func(n int) stream.Source {
 			return stream.NewIID(stream.IIDConfig{N: n, Seed: 32, Dist: stream.Uniform, Lo: 0, Hi: 1 << 18})
-		}, "up=2722 down=6 bcast=3097 total=5825 upB=15183 downB=96 bcastB=22157 totalB=37436 | up=655 down=0 bcast=1260 total=1915 upB=3689 downB=0 bcastB=9270 totalB=12959 | up=513 down=6 bcast=597 total=1116 upB=2810 downB=96 bcastB=3742 totalB=6648 | up=1554 down=0 bcast=1240 total=2794 upB=8684 downB=0 bcastB=9145 totalB=17829 | rank 60af5dd785f9c8df"},
+		}, "up=2736 down=6 bcast=3097 total=5839 upB=15269 downB=96 bcastB=22020 totalB=37385 | up=644 down=0 bcast=1260 total=1904 upB=3627 downB=0 bcastB=9097 totalB=12724 | up=514 down=6 bcast=597 total=1117 upB=2820 downB=96 bcastB=3735 totalB=6651 | up=1578 down=0 bcast=1240 total=2818 upB=8822 downB=0 bcastB=9188 totalB=18010 | rank 60af5dd785f9c8df"},
 		{"twoband-churn", 12, 4, func(n int) stream.Source {
 			return stream.NewTwoBand(stream.TwoBandConfig{N: n, K: 4, Seed: 33, Gap: 1 << 16, BandWidth: 1 << 10, MaxStep: 1 << 8, SwapEvery: 40})
-		}, "up=444 down=842 bcast=102 total=1388 upB=2179 downB=9137 bcastB=674 totalB=11990 | up=12 down=0 bcast=42 total=54 upB=54 downB=0 bcastB=297 totalB=351 | up=365 down=842 bcast=18 total=1225 upB=1819 downB=9137 bcastB=91 totalB=11047 | up=67 down=0 bcast=42 total=109 upB=306 downB=0 bcastB=286 totalB=592 | rank 6e0250bcba286b55"},
+		}, "up=450 down=842 bcast=102 total=1394 upB=2203 downB=9137 bcastB=670 totalB=12010 | up=12 down=0 bcast=42 total=54 upB=54 downB=0 bcastB=297 totalB=351 | up=367 down=842 bcast=18 total=1227 upB=1829 downB=9137 bcastB=90 totalB=11056 | up=71 down=0 bcast=42 total=113 upB=320 downB=0 bcastB=283 totalB=603 | rank 6e0250bcba286b55"},
 		{"rotation", 6, 2, func(n int) stream.Source {
 			return stream.NewRotation(stream.RotationConfig{N: n, Period: 3, Base: 10, Peak: 5000})
-		}, "up=639 down=28 bcast=779 total=1446 upB=2405 downB=420 bcastB=4578 totalB=7403 | up=111 down=0 bcast=278 total=389 upB=445 downB=0 bcastB=1862 totalB=2307 | up=159 down=28 bcast=151 total=338 upB=587 downB=420 bcastB=700 totalB=1707 | up=369 down=0 bcast=350 total=719 upB=1373 downB=0 bcastB=2016 totalB=3389 | rank a97943e11cf3bc95"},
+		}, "up=646 down=28 bcast=779 total=1453 upB=2430 downB=420 bcastB=4678 totalB=7528 | up=111 down=0 bcast=278 total=389 upB=445 downB=0 bcastB=1941 totalB=2386 | up=172 down=28 bcast=151 total=351 upB=630 downB=420 bcastB=626 totalB=1676 | up=363 down=0 bcast=350 total=713 upB=1355 downB=0 bcastB=2111 totalB=3466 | rank a97943e11cf3bc95"},
 		{"k-equals-n", 5, 5, func(n int) stream.Source {
 			return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 10000, MaxStep: 400, Seed: 34})
-		}, "up=195 down=468 bcast=4 total=667 upB=924 downB=4742 bcastB=34 totalB=5700 | up=0 down=0 bcast=0 total=0 upB=0 downB=0 bcastB=0 totalB=0 | up=190 down=468 bcast=0 total=658 upB=899 downB=4742 bcastB=0 totalB=5641 | up=5 down=0 bcast=4 total=9 upB=25 downB=0 bcastB=34 totalB=59 | rank 90da7d15c8ed047d"},
+		}, "up=195 down=468 bcast=4 total=667 upB=924 downB=4742 bcastB=41 totalB=5707 | up=0 down=0 bcast=0 total=0 upB=0 downB=0 bcastB=0 totalB=0 | up=190 down=468 bcast=0 total=658 upB=899 downB=4742 bcastB=0 totalB=5641 | up=5 down=0 bcast=4 total=9 upB=25 downB=0 bcastB=41 totalB=66 | rank 90da7d15c8ed047d"},
 		{"walk-wide", 200, 17, func(n int) stream.Source {
 			return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 600, Seed: 35})
-		}, "up=11896 down=2918 bcast=3643 total=18457 upB=75892 downB=32469 bcastB=29720 totalB=138081 | up=220 down=0 bcast=1407 total=1627 upB=1446 downB=0 bcastB=13206 totalB=14652 | up=2499 down=2918 bcast=1016 total=6433 upB=16234 downB=32469 bcastB=6424 totalB=55127 | up=9177 down=0 bcast=1220 total=10397 upB=58212 downB=0 bcastB=10090 totalB=68302 | rank ae8c8c3398573421"},
+		}, "up=11983 down=2918 bcast=3643 total=18544 upB=76520 downB=32469 bcastB=29688 totalB=138677 | up=221 down=0 bcast=1407 total=1628 upB=1452 downB=0 bcastB=13158 totalB=14610 | up=2569 down=2918 bcast=1016 total=6503 upB=16678 downB=32469 bcastB=6418 totalB=55565 | up=9193 down=0 bcast=1220 total=10413 upB=58390 downB=0 bcastB=10112 totalB=68502 | rank ae8c8c3398573421"},
 		{"k-one", 6, 1, func(n int) stream.Source {
 			return stream.NewBursty(stream.BurstyConfig{N: n, Seed: 36, Lo: 0, Hi: 1 << 20, Noise: 5, BurstProb: 0.05, BurstMax: 1 << 16})
-		}, "up=27 down=0 bcast=43 total=70 upB=154 downB=0 bcastB=293 totalB=447 | up=5 down=0 bcast=8 total=13 upB=30 downB=0 bcastB=54 totalB=84 | up=8 down=0 bcast=20 total=28 upB=47 downB=0 bcastB=126 totalB=173 | up=14 down=0 bcast=15 total=29 upB=77 downB=0 bcastB=113 totalB=190 | rank d2ec987ad0a8f0e4"},
+		}, "up=34 down=0 bcast=43 total=77 upB=189 downB=0 bcastB=303 totalB=492 | up=5 down=0 bcast=8 total=13 upB=30 downB=0 bcastB=60 totalB=90 | up=14 down=0 bcast=20 total=34 upB=77 downB=0 bcastB=144 totalB=221 | up=15 down=0 bcast=15 total=30 upB=82 downB=0 bcastB=99 totalB=181 | rank d2ec987ad0a8f0e4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -18,7 +18,9 @@ import (
 // saved after parentFrameSteps goldenWalk steps; seq_chain.ckpt is what
 // MemCheckpoints' Load hands over after runToChain: a base and three
 // deltas. All four were recorded at commit 07a97c2 through
-// Monitor.Checkpoint, and are the one dialect this build writes and reads.
+// Monitor.Checkpoint, re-recorded once when the coin came to draw 64 ids a
+// word (the ledgers they carry moved, the frame layout did not), and are
+// the one dialect this build writes and reads.
 //
 // retiredFrames are the envelopes of monitors that wrote another dialect
 // of the bank frame: each is refused with a typed error, not upgraded.
