@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -227,7 +228,9 @@ func hasGoSources(dir string) bool {
 	return false
 }
 
-// parseDir parses every non-test Go file in dir with comments attached.
+// parseDir parses every non-test Go file in dir that a default build
+// selects — build constraints apply, so a file kept for -race builds only
+// is left out — with comments attached.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -237,6 +240,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	for _, e := range ents {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)

@@ -88,7 +88,9 @@ type peer struct {
 
 	// The reply to the last ship: want sub-frames are owed, and subs are
 	// the gathered ones not yet consumed. They alias the link's receive
-	// buffer, which is stable until the link's next Recv — the next gather.
+	// buffer, which is stable until the link's next Send or Recv — the next
+	// ship or stats poll to this peer, by which time every one of them has
+	// been consumed (or its step abandoned).
 	want  int
 	subs  [][]byte
 	one   [1][]byte  // backs subs for a plain reply
@@ -96,8 +98,8 @@ type peer struct {
 
 	// Reader gather: the reader goroutine performs one Recv per req
 	// token and delivers the result (the frame aliases the link's receive
-	// buffer, stable until the reader's next Recv — which cannot happen
-	// before the fan requests it).
+	// buffer, stable until the link's next Send or Recv — the fan's next
+	// ship, after which it requests the reader's next Recv).
 	req chan struct{}
 	res chan recvResult
 
@@ -180,10 +182,12 @@ func (f *Fan) Queue(pi int, enc func([]byte) []byte) { f.peers[pi].queue.Add(enc
 
 // startReader attaches a fresh reader goroutine to one peer. It performs
 // exactly one Recv per request token, so the frame it delivered stays
-// untouched until the fan asks for the next one. The result channel's
-// capacity of one plus the owed <= 1 reply discipline guarantee the
-// goroutine's final send never blocks, so closing the request channel
-// (shutdown, or the peer's replacement during failover) always releases it.
+// untouched until the fan sends on the link again — which it does only
+// once it has consumed the frame, and before it asks for the next one.
+// The result channel's capacity of one plus the owed <= 1 reply
+// discipline guarantee the goroutine's final send never blocks, so
+// closing the request channel (shutdown, or the peer's replacement during
+// failover) always releases it.
 //
 // Readers only pay off when the runtime can run them in parallel: with a
 // single processor their channel hops are pure context-switch overhead, so

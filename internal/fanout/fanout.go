@@ -203,7 +203,10 @@ type Engine struct {
 	recoveries      int64
 	rrng            *rng.RNG // jitters the recovery backoff schedule
 
-	buf []byte // the one encode buffer every data-bearing frame goes out of
+	// buf is the one encode buffer every data-bearing frame goes out of. A
+	// dense frame sizes it before it is written (wire.Observe.Append), so it
+	// settles at about one peer's frame.
+	buf []byte
 }
 
 // New performs the Assign/Ready handshake over the given links — peer i

@@ -53,10 +53,9 @@ func equal(a, b []int) bool {
 // selected was deleted in PR 19, and both rows run the one pipelined engine
 // — but 126 of the test ids the PR driver holds this repository to (a PR
 // may rename only a few) are "…/pipelined/…" and "…/lockstep/…" subtests,
-// and the seeded chaos trials key their kill schedules on len(name). So the
-// labels stay and setGather says in the log of every failing subtest which
-// gather it ran; the rename to readers/direct waits for a PR that is
-// allowed to move that many ids.
+// so the labels stay and setGather says in the log of every failing subtest
+// which gather it ran; the rename to readers/direct waits for a change that
+// is allowed to move that many ids.
 var gathers = []struct {
 	name  string
 	procs int

@@ -139,15 +139,15 @@ func TestChaosFaultMatrix(t *testing.T) {
 // index across gathers and merge-vs-redial recovery. A kill inside
 // the Assign handshake must surface as a clean constructor error.
 func TestChaosKillAtRandomStep(t *testing.T) {
-	for _, g := range gathers {
-		for _, redial := range []bool{false, true} {
+	for gi, g := range gathers {
+		for ri, redial := range []bool{false, true} {
 			name := g.name + "/merge"
 			if redial {
 				name = g.name + "/redial"
 			}
 			t.Run(name, func(t *testing.T) {
 				setGather(t, g.procs)
-				r := rng.New(0xc4a06, uint64(len(name)))
+				r := rng.New(0xc4a06, uint64(2*gi+ri)) // a schedule per (gather, recovery) pair
 				for trial := 0; trial < 3; trial++ {
 					killOp := int64(1 + r.Uint64n(200))
 					e, err := chaosEngine(redial, int(r.Uint64n(chaosShards)), transport.FaultPlan{KillAt: killOp})
@@ -172,15 +172,15 @@ func TestChaosKillDuringDrain(t *testing.T) {
 	for i := range allIDs {
 		allIDs[i] = i
 	}
-	for _, g := range gathers {
-		for _, redial := range []bool{false, true} {
+	for gi, g := range gathers {
+		for ri, redial := range []bool{false, true} {
 			name := g.name + "/merge"
 			if redial {
 				name = g.name + "/redial"
 			}
 			t.Run(name, func(t *testing.T) {
 				setGather(t, g.procs)
-				r := rng.New(0xd6a2, uint64(len(name)))
+				r := rng.New(0xd6a2, uint64(2*gi+ri)) // a schedule per (gather, recovery) pair
 				for trial := 0; trial < 3; trial++ {
 					killOp := int64(1 + r.Uint64n(250))
 					e, err := chaosEngine(redial, int(r.Uint64n(chaosShards)), transport.FaultPlan{KillAt: killOp})
@@ -314,15 +314,15 @@ func chaosTree(redial bool, victim int, plan transport.FaultPlan) (*Engine, erro
 // Health — never hang and never serve stale reports past the suspect
 // window (runChaos enforces all of it).
 func TestChaosKillInteriorCoordinator(t *testing.T) {
-	for _, g := range gathers {
-		for _, redial := range []bool{false, true} {
+	for gi, g := range gathers {
+		for ri, redial := range []bool{false, true} {
 			name := g.name + "/merge"
 			if redial {
 				name = g.name + "/redial"
 			}
 			t.Run(name, func(t *testing.T) {
 				setGather(t, g.procs)
-				r := rng.New(0x7ee5, uint64(len(name)))
+				r := rng.New(0x7ee5, uint64(2*gi+ri)) // a schedule per (gather, recovery) pair
 				for trial := 0; trial < 3; trial++ {
 					killOp := int64(1 + r.Uint64n(200))
 					e, err := chaosTree(redial, int(r.Uint64n(2)), transport.FaultPlan{KillAt: killOp})

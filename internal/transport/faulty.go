@@ -128,10 +128,13 @@ func (f *Faulty) Send(payload []byte) error {
 		f.kill()
 		return nil
 	case actDup:
+		// The payload may alias the last frame received, which the first
+		// Send frees: the second sends a copy.
+		dup := append([]byte(nil), payload...)
 		if err := f.link.Send(payload); err != nil {
 			return err
 		}
-		if err := f.link.Send(payload); err != nil {
+		if err := f.link.Send(dup); err != nil {
 			return err
 		}
 		_ = Flush(f.link) // push both copies out before the cut below

@@ -6,7 +6,8 @@
 //   - Pipe: an in-process loopback that delivers frames over channels,
 //     used by the loopback engine and the equivalence tests. It simulates
 //     the same length-prefix framing cost as TCP so byte statistics are
-//     comparable, and recycles frame buffers so a steady-state
+//     comparable, and frees a received frame when its receiver answers,
+//     so each direction cycles one buffer and a steady-state
 //     request/reply cycle allocates nothing.
 //   - TCP: a length-prefixed stream protocol — one coordinator listener,
 //     n dialing peers, one goroutine-free synchronous read loop per
@@ -71,8 +72,10 @@ type Link interface {
 	Send(payload []byte) error
 	// Recv blocks for the next frame and returns its payload, after
 	// flushing any bytes Send buffered on this link. The returned slice
-	// is owned by the caller until the next Recv on implementations that
-	// reuse buffers; treat it as valid only until then.
+	// is valid until this end's next Recv or Send, whichever comes first:
+	// a receiver is done with a frame once it has answered it, and an
+	// implementation may reuse the buffer from then on. The answer itself
+	// may alias the frame: Send takes its payload before it frees it.
 	Recv() ([]byte, error)
 	// Close tears the link down; pending and future operations fail.
 	// Close is idempotent.

@@ -444,12 +444,16 @@ func TestPipeFlushNoop(t *testing.T) {
 
 // TestPipeRecvRecycles pins the buffer-reuse contract the engines' hot
 // path relies on: a steady-state request/reply cycle over a pipe performs
-// no heap allocation, and the slice Recv returned stays untouched until
-// the receiver's next Recv.
+// no heap allocation and cycles one buffer per direction, the slice Recv
+// returned stays untouched until the receiver's next Send or Recv, a reply
+// encoded over the request it answers arrives intact, and Send and Recv
+// may run on two goroutines.
 func TestPipeRecvRecycles(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	payload := []byte{1, 2, 3, 4}
+	var fwd, rev *byte // the backing arrays of the last cycle's two frames
+	oneEach := true
 	echo := func() {
 		if err := a.Send(payload); err != nil {
 			t.Fatal(err)
@@ -461,9 +465,12 @@ func TestPipeRecvRecycles(t *testing.T) {
 		if err := b.Send(p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.Recv(); err != nil {
+		q, err := a.Recv()
+		if err != nil {
 			t.Fatal(err)
 		}
+		oneEach = oneEach && (fwd == nil || fwd == &p[0]) && (rev == nil || rev == &q[0])
+		fwd, rev = &p[0], &q[0]
 	}
 	for i := 0; i < 8; i++ { // warm the free lists up
 		echo()
@@ -471,8 +478,13 @@ func TestPipeRecvRecycles(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, echo); avg != 0 {
 		t.Fatalf("steady-state pipe round trip allocates %.2f per cycle, want 0", avg)
 	}
-	// Stability until the next Recv: the frame must not be recycled out
-	// from under the caller while it still holds it.
+	if !oneEach {
+		t.Fatal("a steady request/reply cycle moved between backing arrays; want one per direction")
+	}
+
+	// Stability until the receiver's next Send or Recv: the frame must not
+	// be recycled out from under the caller while it still holds it,
+	// whatever the far end sends meanwhile.
 	if err := a.Send([]byte{9, 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -481,11 +493,73 @@ func TestPipeRecvRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshot := append([]byte(nil), held...)
-	if err := a.Send([]byte{7, 7}); err != nil { // sender may reuse other buffers
-		t.Fatal(err)
+	for i := byte(0); i < 4; i++ { // the sender takes other buffers
+		if err := a.Send(bytes.Repeat([]byte{i}, 64)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(held, snapshot) {
-		t.Fatalf("held frame mutated before next Recv: %v vs %v", held, snapshot)
+		t.Fatalf("held frame mutated before its receiver's next Send or Recv: %v vs %v", held, snapshot)
+	}
+	if err := b.Send([]byte{1}); err != nil { // answer the held frame
+		t.Fatal(err)
+	}
+	if _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A reply encoded over the request it answers arrives intact: Send
+	// copies its payload before it frees the frame the payload lies in.
+	for i := byte(0); i < 4; i++ {
+		req, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range req {
+			req[j] = ^req[j]
+		}
+		if err := b.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := a.Recv(); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{^i}, 64)) {
+			t.Fatalf("reply %d encoded over its request arrived as %v, %v", i, got, err)
+		}
+	}
+
+	// Send and Recv on two goroutines: a sends a stream of requests while
+	// a reader goroutine takes the echoes, so a's Sends free frames while
+	// its Recvs take new ones. The reader reads only lengths: a frame's
+	// bytes are a's no longer once a Send follows its Recv.
+	const frames = 200
+	go func() {
+		for {
+			p, err := b.Recv()
+			if err != nil || b.Send(p) != nil {
+				return
+			}
+		}
+	}()
+	bad := make(chan error, 1)
+	go func() {
+		for i := 0; i < frames; i++ {
+			p, err := a.Recv()
+			if err == nil && len(p) != 1+i%7 {
+				err = errors.New("echo of the wrong length")
+			}
+			if err != nil {
+				bad <- err
+				return
+			}
+		}
+		bad <- nil
+	}()
+	for i := 0; i < frames; i++ {
+		if err := a.Send(bytes.Repeat([]byte{byte(i)}, 1+i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-bad; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -246,13 +246,24 @@ func (m Observe) Append(dst []byte) []byte {
 	dst = append(dst, TypeObserve)
 	dst = AppendUvarint(dst, uint64(m.Step))
 	dst = AppendUvarint(dst, uint64(len(m.Vals)))
-	// A chunk of values at a time, into space grown for the longest they
+	// A chunk of values at a time, into space that holds the longest they
 	// can be: the stores need no capacity check of their own, where an
-	// append per byte makes one each.
+	// append per byte makes one each. A chunk that does not fit sizes the
+	// values left exactly and grows dst once, with a chunk's worst case to
+	// spare, so no later chunk misses: a fresh buffer is allocated once,
+	// at about the frame's size, not doubled up to it, and a buffer that
+	// already fits is never sized.
+	const chunk = 256
 	for vals := m.Vals; len(vals) > 0; {
-		part := vals[:min(256, len(vals))]
+		part := vals[:min(chunk, len(vals))]
+		if cap(dst)-len(dst) < len(part)*maxUvarintLen {
+			size := 0
+			for _, v := range vals {
+				size += SizeVarint(v)
+			}
+			dst = slices.Grow(dst, size+chunk*maxUvarintLen)
+		}
 		vals = vals[len(part):]
-		dst = slices.Grow(dst, len(part)*maxUvarintLen)
 		buf, k := dst[len(dst):cap(dst)], 0
 		for _, v := range part {
 			u := zigzag(v)

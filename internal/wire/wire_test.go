@@ -278,6 +278,71 @@ func TestObserveEmpty(t *testing.T) {
 	}
 }
 
+// TestObserveAppendSizesOnAMiss pins the dense encoder's buffer handling:
+// its bytes are those of one AppendVarint per value, whatever the buffer
+// it is given; into nil it allocates at most twice (the header, then the
+// frame sized exactly, with a chunk of values' worst case to spare) and
+// leaves a buffer about the frame's size, not a doubling past it; and into
+// a buffer that already held the frame it allocates nothing.
+func TestObserveAppendSizesOnAMiss(t *testing.T) {
+	reference := func(m Observe) []byte {
+		dst := append([]byte{TypeObserve}, AppendUvarint(nil, uint64(m.Step))...)
+		dst = AppendUvarint(dst, uint64(len(m.Vals)))
+		for _, v := range m.Vals {
+			dst = AppendVarint(dst, v)
+		}
+		return dst
+	}
+	vals := make([]int64, 1<<15)
+	for i := range vals {
+		switch i % 5 {
+		case 0:
+			vals[i] = int64(i) // 1 to 3 bytes
+		case 1:
+			vals[i] = -int64(i) << 20
+		case 2:
+			vals[i] = math.MaxInt64 - int64(i) // 10 bytes
+		default:
+			vals[i] = int64(i) * 7 % 1000003
+		}
+	}
+	small := make([]int64, len(vals))
+	for i := range small {
+		small[i] = int64(i % 64) // one byte each
+	}
+	for _, n := range []int{0, 1, 255, 256, 257, 1000, len(vals)} {
+		for _, in := range [][]int64{vals[:n], small[:n]} {
+			m := Observe{Step: 9, Vals: in}
+			want := reference(m)
+			if got := m.Append(nil); !bytes.Equal(got, want) {
+				t.Fatalf("%d values into nil: encoding differs from one AppendVarint per value", n)
+			}
+			// A buffer too short for the frame, with bytes before it: a miss
+			// in mid-frame sizes only the values left.
+			short := append(make([]byte, 0, 300), 0xaa)
+			if got := m.Append(short); !bytes.Equal(got[1:], want) || got[0] != 0xaa {
+				t.Fatalf("%d values after a prefix: encoding differs from one AppendVarint per value", n)
+			}
+		}
+	}
+
+	m := Observe{Step: 1 << 20, Vals: vals}
+	var frame []byte
+	if allocs := testing.AllocsPerRun(10, func() { frame = m.Append(nil) }); allocs > 2 {
+		t.Fatalf("%d values into nil: %.0f allocations, want at most 2", len(vals), allocs)
+	}
+	if slack := cap(frame) - len(frame); slack > len(frame)/8+256*maxUvarintLen {
+		t.Fatalf("a %d-byte frame into nil leaves a %d-byte buffer: more than its size and a chunk to spare", len(frame), cap(frame))
+	}
+	buf := m.Append(nil)
+	if allocs := testing.AllocsPerRun(10, func() { buf = m.Append(buf[:0]) }); allocs != 0 {
+		t.Fatalf("re-encoding into the buffer that held the frame: %.0f allocations, want 0", allocs)
+	}
+	if !bytes.Equal(buf, reference(m)) {
+		t.Fatal("re-encoded frame differs from one AppendVarint per value")
+	}
+}
+
 func TestObserveDeltaRoundTrip(t *testing.T) {
 	check := func(step uint32, gaps []uint8, vals []int64) bool {
 		n := len(gaps)

@@ -16,9 +16,12 @@ type Link interface {
 	// Send frames one payload; the payload is not retained.
 	Send(payload []byte) error
 	// Recv blocks for the next frame. The returned slice may alias an
-	// internal buffer valid only until the next Recv. Implementations
-	// with buffered Sends must flush them before blocking (see
-	// internal/transport's flush-before-read guard).
+	// internal buffer valid only until the next Recv or Send on the same
+	// end: the engine and the node hosts are done with a frame once they
+	// answer it, so an implementation may reuse that buffer from then on,
+	// after Send has taken its payload (which may alias the frame).
+	// Implementations with buffered Sends must flush them before blocking
+	// (see internal/transport's flush-before-read guard).
 	Recv() ([]byte, error)
 	// Close tears the link down. Idempotent.
 	Close() error
