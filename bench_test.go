@@ -447,7 +447,7 @@ func BenchmarkShardParallel(b *testing.B) {
 	const n, k = 1024, 8
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(bench.F("S=%d", shards), func(b *testing.B) {
-			eng, err := shardrun.NewLoopback(shardrun.Config{N: n, K: k, Seed: 7}, shards)
+			eng, err := shardrun.NewLoopbackTree(shardrun.Config{N: n, K: k, Seed: 7}, shards, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -488,11 +488,8 @@ func BenchmarkTreeFanIn(b *testing.B) {
 	const eps = 0.05
 	for _, branch := range []int{2, 4, 8} {
 		for _, depth := range []int{1, 2, 3} {
-			leaves := 1
-			for i := 0; i < depth; i++ {
-				leaves *= branch
-			}
-			if leaves > n {
+			leaves, err := shardrun.Tree{Branch: branch, Depth: depth}.Leaves()
+			if err != nil || leaves > n {
 				continue
 			}
 			run := func(name string, mk func() (*shardrun.Engine, error), links int) {
@@ -531,7 +528,7 @@ func BenchmarkTreeFanIn(b *testing.B) {
 				return shardrun.NewLoopbackTree(cfg, branch, depth)
 			}, branch)
 			run("flat", func() (*shardrun.Engine, error) {
-				return shardrun.NewLoopback(cfg, leaves)
+				return shardrun.NewLoopbackTree(cfg, leaves, 1)
 			}, leaves)
 		}
 	}
@@ -688,7 +685,9 @@ func BenchmarkAsyncThroughput(b *testing.B) {
 		{"net-tcp", func(b *testing.B) topk.Config {
 			return topk.Config{Nodes: n, K: k, Seed: 7, Transport: newTCPTopkTransport(b, 4)}
 		}},
-		{"shard", func(b *testing.B) topk.Config { return topk.Config{Nodes: n, K: k, Seed: 7, Shards: 2} }},
+		{"shard", func(b *testing.B) topk.Config {
+			return topk.Config{Nodes: n, K: k, Seed: 7, Tree: topk.Tree{Branch: 2, Depth: 1}}
+		}},
 	}
 	for _, eng := range engines {
 		for _, depth := range []int{0, 16, n} {

@@ -25,8 +25,8 @@ var (
 		{"conc", "-engine conc"},
 		{"net1", "-engine net -peers 1"},
 		{"net4", "-engine net -peers 4"},
-		{"shards1", "-shards 1"},
-		{"shards4", "-shards 4"},
+		{"shards1", "-tree 1^1"},
+		{"shards4", "-tree 4^1"},
 		{"tree2x2", "-tree 2^2"},
 		{"tree2x3", "-tree 2^3"},
 	}
@@ -137,7 +137,7 @@ var timing = regexp.MustCompile(`-> \d+ protocol steps in \S+|coalesced=\d+ \(ra
 // pinned.
 func TestAsyncOutput(t *testing.T) {
 	var b strings.Builder
-	for _, shape := range []string{"-engine seq", "-engine conc", "-engine net", "-shards 4", "-tree 2^2"} {
+	for _, shape := range []string{"-engine seq", "-engine conc", "-engine net", "-tree 4^1", "-tree 2^2"} {
 		args := small + " -async -workload twoband " + shape
 		out := runOK(t, args)
 		for _, want := range []string{"verified against the oracle", "ingest: enqueued=", " dropped=0 ", "phase ledger:"} {
@@ -169,19 +169,18 @@ func TestRejectedFlags(t *testing.T) {
 		"-epsilon -0.1",
 		"-epsilon NaN",
 		"-tree 2x2",
-		"-tree 1^2",
+		"-tree 0^2",
 		"-tree 2^9",
-		"-tree 2^2 -shards 3",
 		"-tree 2^2 -engine conc",
 		"-tree 2^2 -engine net",
-		"-shards 33",
-		"-shards -1",
-		"-shards 2 -engine conc",
-		"-shards 2 -engine net",
+		"-tree 33^1",
+		"-tree -1^1",
+		"-tree 2^1 -engine conc",
+		"-tree 2^1 -engine net",
 		"-engine net -peers 0",
 		"-engine net -peers 33",
 		"-ordered -engine net",
-		"-ordered -shards 2",
+		"-ordered -tree 2^1",
 		"-ordered -tree 2^2",
 		"-ordered -epsilon 0.05",
 		"-ordered -async",
@@ -194,7 +193,7 @@ func TestRejectedFlags(t *testing.T) {
 		"-serve 127.0.0.1:0 -peers 0",
 		"-serve 127.0.0.1:0 -peers 33",
 		"-serve 127.0.0.1:0 -k 33",
-		"-serve 127.0.0.1:0 -shards 2",
+		"-serve 127.0.0.1:0 -tree 2^1",
 		"-serve 127.0.0.1:0 -tree 2^2",
 		"-serve 127.0.0.1:0 -engine conc",
 		"-serve 127.0.0.1:0 -ordered",

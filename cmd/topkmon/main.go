@@ -9,8 +9,8 @@
 // monitor with its sweeps on a goroutine pool (-engine conc), the networked
 // monitor (-engine net) driving the wire protocol over in-process loopback
 // links or — in the -serve / -join modes — over TCP between real processes,
-// a star of sub-coordinators under a root merge layer (-shards), and a
-// tree of them (-tree).
+// and a tree of sub-coordinators (-tree b^d; -tree S^1 is a star of S
+// shards under a root merge layer).
 //
 // Examples:
 //
@@ -19,7 +19,7 @@
 //	topkmon -trace trace.csv -k 2 -engine conc
 //	topkmon -n 16 -k 2 -compare
 //	topkmon -n 64 -k 4 -engine net -peers 4
-//	topkmon -n 256 -k 8 -shards 4
+//	topkmon -n 256 -k 8 -tree 4^1
 //	topkmon -n 256 -k 8 -tree 2^3
 //	topkmon -n 64 -k 8 -epsilon 0.05
 //	topkmon -n 256 -k 8 -async -queue 128 -engine net
@@ -78,7 +78,7 @@ type options struct {
 	seed              uint64
 	workload, traceIn string
 	engine            string
-	peers, shards     int
+	peers             int
 	tree              string
 	serve, join       string
 	opt, compare      bool
@@ -106,8 +106,7 @@ func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	fs.StringVar(&o.traceIn, "trace", "", "CSV trace file to replay instead of a synthetic workload")
 	fs.StringVar(&o.engine, "engine", "seq", "seq (sequential) | conc (the same monitor, sweeps on a goroutine pool) | net (wire protocol over loopback links; over TCP with -serve)")
 	fs.IntVar(&o.peers, "peers", 4, "peer count: node hosts for -engine net, expected -join connections for -serve")
-	fs.IntVar(&o.shards, "shards", 0, "split the coordinator into this many sub-coordinators with a root merge layer (0 = single coordinator)")
-	fs.StringVar(&o.tree, "tree", "", "coordinator tree shape branch^depth (e.g. 2^3): interior coordinators merge digests so the root serves branch^depth leaf shards through branch links; prints the per-level traffic table")
+	fs.StringVar(&o.tree, "tree", "", "split the coordinator into a tree of sub-coordinators of shape branch^depth: S^1 is a star of S shards under a root merge layer, 2^3 a tree whose interiors merge digests so the root serves 8 leaf shards through 2 links; prints the per-level traffic table")
 	fs.StringVar(&o.serve, "serve", "", "run as TCP coordinator on this address and wait for -peers joins")
 	fs.StringVar(&o.join, "join", "", "run as TCP node host: dial this coordinator address and serve until shutdown")
 	fs.BoolVar(&o.opt, "opt", false, "compute offline OPT segments and the competitive ratio")
@@ -176,7 +175,7 @@ func (o *options) main(ctx context.Context) error {
 // workload's width. -serve adds its transport, failover hooks and
 // checkpoint store to it.
 func (o *options) config(n int) (topk.Config, error) {
-	cfg := topk.Config{Nodes: n, K: o.k, Seed: o.seed + 1, Epsilon: o.epsilon, Shards: o.shards}
+	cfg := topk.Config{Nodes: n, K: o.k, Seed: o.seed + 1, Epsilon: o.epsilon}
 	if t := &cfg.Tree; o.tree != "" {
 		// The shape is "branch^depth"; 0^0 is topk's "no tree", not one to ask for.
 		if _, err := fmt.Sscanf(o.tree, "%d^%d", &t.Branch, &t.Depth); err != nil || fmt.Sprintf("%d^%d", t.Branch, t.Depth) != o.tree || *t == (topk.Tree{}) {
@@ -211,8 +210,6 @@ func (o *options) name(cfg topk.Config) string {
 		shape = "tcp"
 	case cfg.Tree != topk.Tree{}:
 		shape = fmt.Sprintf("tree %d^%d", cfg.Tree.Branch, cfg.Tree.Depth)
-	case cfg.Shards > 0:
-		shape = fmt.Sprintf("shard×%d", cfg.Shards)
 	}
 	if o.epsilon != 0 {
 		shape += fmt.Sprintf(",ε=%g", o.epsilon)
@@ -429,23 +426,19 @@ func (o *options) printLedger(m ledgers) {
 	row("total", m.Counts(), m.Bytes())
 }
 
-// printLinks renders what the link-backed shapes add to the report: the
-// root↔shard coordination overhead of a star or a tree, a tree's per-level
-// traffic, and what actually crossed the links. The in-process monitors
-// have no peers and print nothing.
+// printLinks renders what the link-backed shapes add to the report: a
+// tree's root coordination overhead and per-level traffic, and what
+// actually crossed the links. The in-process monitors have no peers and
+// print nothing.
 func (o *options) printLinks(mon *topk.Monitor, cfg topk.Config) {
 	links := len(mon.Health().Peers)
 	if links == 0 {
 		return
 	}
-	oc, ob := mon.Overhead()
 	if t := cfg.Tree; t != (topk.Tree{}) {
-		leaves := 1
-		for range t.Depth {
-			leaves *= t.Branch
-		}
-		fmt.Fprintf(o.out, "tree %d^%d: %d leaf shards through %d root links; root overhead: %d frames (%d down / %d up), %d bytes\n",
-			t.Branch, t.Depth, leaves, links, oc.Total(), oc.Down, oc.Up, ob.Total())
+		oc, ob := mon.Overhead()
+		fmt.Fprintf(o.out, "tree %d^%d: %d root links; root overhead: %d frames (%d down / %d up), %d bytes\n",
+			t.Branch, t.Depth, links, oc.Total(), oc.Down, oc.Up, ob.Total())
 		// Who carried the frames at each level, leaf-most level first, the
 		// root's own overhead ledger last. The poll is charged to no ledger
 		// and shows in the transport line below.
@@ -465,9 +458,6 @@ func (o *options) printLinks(mon *topk.Monitor, cfg topk.Config) {
 			}
 			fmt.Fprintf(o.out, "  %-20s %11d %10d %11d %9d\n", label, lv.Down, lv.Up, lv.DownBytes, lv.UpBytes)
 		}
-	} else if cfg.Shards > 0 {
-		fmt.Fprintf(o.out, "shard coordination overhead (%d shards): %d frames (%d down / %d up), %d bytes\n",
-			links, oc.Total(), oc.Down, oc.Up, ob.Total())
 	}
 	ts := mon.TransportStats()
 	fmt.Fprintf(o.out, "transport (%d peers): sent %d frames / %d bytes, received %d frames / %d bytes\n",

@@ -62,17 +62,17 @@
 // in internal/netrun, delegated shard executions in internal/shardrun —
 // the last two being one engine, internal/fanout, instantiated with two
 // strategies for carrying a protocol execution to its peers).
-// The fourth engine shards the coordinator itself — topk.Config.Shards
-// or topkmon -shards splits the node space across S sub-coordinators
-// under a root merge layer, report-exact at any S and bit-identical to
-// the sequential engine at S=1, with the root-to-shard coordination cost
-// ledgered separately (EXPERIMENTS.md E18). topk.Config.Tree (topkmon
-// -tree b^d) stacks that split into a coordinator tree: interior
-// coordinators merge their children's digests and forward one digest up,
-// so the root serves Branch^Depth leaf shards through Branch links —
-// bit-identical to the flat star in reports and every model ledger, with
-// each level's coordination traffic reported separately
-// (Monitor.TreeStats; EXPERIMENTS.md E22).
+// The fourth engine shards the coordinator itself — topk.Config.Tree or
+// topkmon -tree b^d. At depth 1 it splits the node space across a star of
+// b sub-coordinators under a root merge layer, report-exact at any b and
+// bit-identical to the sequential engine at b=1, with the root-to-shard
+// coordination cost ledgered separately (EXPERIMENTS.md E18). Deeper, it
+// stacks that split into a coordinator tree: interior coordinators merge
+// their children's digests and forward one digest up, so the root serves
+// Branch^Depth leaf shards through Branch links — bit-identical to the
+// flat star in reports and every model ledger, with each level's
+// coordination traffic reported separately (Monitor.TreeStats;
+// EXPERIMENTS.md E22).
 //
 // The variants are modes of that one machine, not engines of their own:
 // the ε tolerance below, and the ordered variant the paper's §5 outlook

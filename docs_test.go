@@ -112,6 +112,63 @@ func TestDocGoReferencesResolve(t *testing.T) {
 	}
 }
 
+var (
+	// flagDef matches a flag cmd/topkmon defines: fs.IntVar(&o.n, "n", …).
+	flagDef = regexp.MustCompile(`fs\.\w+Var\([^,]+, "([\w-]+)"`)
+	// topkmonLine matches a topkmon command line — `topkmon …`, `$ topkmon
+	// …` or `go run ./cmd/topkmon …` — up to a closing backtick or a shell
+	// comment, and captures its arguments (not `go test ./cmd/topkmon …`).
+	topkmonLine = regexp.MustCompile("(?:^|[\\s`(]|go run \\./cmd/)topkmon((?: +[^\\s`#]+)*)")
+	// docFlag matches one -flag among those arguments.
+	docFlag = regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
+)
+
+// TestDocFlagsExist keeps the documented command lines runnable: every
+// -flag on a topkmon command line in README.md, doc.go, cmd/topkmon's
+// package comment and the verify skill must be a flag cmd/topkmon defines.
+func TestDocFlagsExist(t *testing.T) {
+	const mainGo = "cmd/topkmon/main.go"
+	src, err := os.ReadFile(mainGo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) < 10 {
+		t.Fatalf("found only the flags %v in %s", defined, mainGo)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), mainGo, src, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := map[string]string{mainGo + "'s package comment": f.Doc.Text()}
+	for _, name := range []string{"README.md", "doc.go", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = string(data)
+	}
+	for name, text := range docs {
+		lines := 0
+		for i, line := range strings.Split(text, "\n") {
+			for _, cmd := range topkmonLine.FindAllStringSubmatch(line, -1) {
+				lines++
+				for _, fl := range docFlag.FindAllStringSubmatch(cmd[1], -1) {
+					if !defined[fl[1]] {
+						t.Errorf("%s:%d: topkmon -%s, which %s does not define", name, i+1, fl[1], mainGo)
+					}
+				}
+			}
+		}
+		if lines == 0 {
+			t.Errorf("%s: no topkmon command line found", name)
+		}
+	}
+}
+
 // TestChangesLinesWrapped keeps CHANGES.md readable in a terminal and a
 // diff: no line is over 100 bytes unless it is one token that cannot be
 // broken (a long code span or path).

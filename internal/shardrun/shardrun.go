@@ -73,6 +73,10 @@
 // Branch^Depth); each interior level's traffic lives in its own fan's
 // ledger, polled uncharged through the tree by Engine.TreeStats. See
 // DESIGN.md "Hierarchical coordination".
+//
+// The public monitor builds every shape through NewLoopbackTree: the star
+// of S shards is the depth-1 tree Tree{S, 1}, a single shard Tree{1, 1},
+// and a deeper Branch-1 tree a chain of relays over that one shard.
 package shardrun
 
 import (
@@ -166,7 +170,7 @@ func (c Config) checkTree(links int) error {
 	}
 	leaves, err := c.Tree.Leaves()
 	if err != nil {
-		return err
+		return fmt.Errorf("shardrun: %w", err)
 	}
 	if links != c.Tree.Branch {
 		return fmt.Errorf("shardrun: tree branch %d needs exactly %d links, got %d", c.Tree.Branch, c.Tree.Branch, links)
@@ -183,21 +187,6 @@ func LoopbackLink() transport.Link { return fanout.Loopback(ServeShard) }
 
 // LoopbackLinks builds one LoopbackLink per shard.
 func LoopbackLinks(shards int) []transport.Link { return fanout.Loopbacks(shards, ServeShard) }
-
-// NewLoopback builds an in-process sharded engine over LoopbackLinks. It
-// is the engine behind topk.Config.Shards and topkmon -shards.
-func NewLoopback(cfg Config, shards int) (*Engine, error) {
-	return New(cfg, LoopbackLinks(shards))
-}
-
-// RestoreLoopback is Restore over fresh loopback shard links, the
-// counterpart of NewLoopback for crash-restart tests and local monitors.
-func RestoreLoopback(cfg Config, shards int, machFrame []byte, last []int64) (*Engine, error) {
-	if shards < 1 || shards > cfg.N {
-		return nil, fmt.Errorf("shardrun: need 1 <= shards <= N, got %d shards for N=%d", shards, cfg.N)
-	}
-	return Restore(cfg, LoopbackLinks(shards), machFrame, last)
-}
 
 // Shards returns the number of root links.
 func (e *Engine) Shards() int { return e.Peers() }

@@ -14,13 +14,14 @@ import (
 	"repro/internal/transport"
 )
 
-// mustLoopback builds a loopback engine, failing the test on
-// constructor errors (impossible for the valid configs used here).
+// mustLoopback builds a flat engine over loopback shard links, with no
+// Redial unless cfg brings one, failing the test on constructor errors
+// (impossible for the valid configs used here).
 func mustLoopback(tb testing.TB, cfg Config, shards int) *Engine {
 	tb.Helper()
-	e, err := NewLoopback(cfg, shards)
+	e, err := New(cfg, LoopbackLinks(shards))
 	if err != nil {
-		tb.Fatalf("NewLoopback: %v", err)
+		tb.Fatalf("New: %v", err)
 	}
 	return e
 }
@@ -429,6 +430,50 @@ func TestDeadShardRecovers(t *testing.T) {
 	// model ledger: overall counts must still satisfy the model's shape.
 	if sh.Overhead().Total() == 0 {
 		t.Fatal("recovery charged nothing to the overhead ledger")
+	}
+}
+
+// TestLoopbackStarRedials pins the failover default the star shares with
+// every loopback tree: where a star over bare links merges a dead shard's
+// range into a survivor (TestDeadShardRecovers), NewLoopbackTree's star
+// redials a fresh loopback leaf that adopts the exact range, and reports
+// track the oracle throughout.
+func TestLoopbackStarRedials(t *testing.T) {
+	const n, k = 12, 3
+	cfg := Config{N: n, K: k, Seed: 7, RetryBackoff: time.Millisecond}
+	links, err := loopbackTree(&cfg, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := New(cfg, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 400, Seed: 9})
+	vals := make([]int64, n)
+	var ranges [][2]int
+	for s := 0; s < 30; s++ {
+		if s == 10 {
+			for _, p := range sh.Health().Peers {
+				ranges = append(ranges, [2]int{p.Lo, p.Hi})
+			}
+			links[1].Close()
+		}
+		src.Step(vals)
+		got := sh.Observe(vals)
+		if h := sh.Health(); !h.Degraded && !equal(got, sim.Oracle(vals, k)) {
+			t.Fatalf("step %d: got %v, want oracle %v", s, got, sim.Oracle(vals, k))
+		}
+	}
+	h := sh.Health()
+	if h.Terminal != nil || h.Failures != 1 || h.Recoveries != 1 || len(h.Peers) != len(ranges) {
+		t.Fatalf("health after one dead shard: %+v", h)
+	}
+	for i, p := range h.Peers {
+		if [2]int{p.Lo, p.Hi} != ranges[i] {
+			t.Fatalf("peer %d owns [%d, %d) after the redial, want %v", i, p.Lo, p.Hi, ranges[i])
+		}
 	}
 }
 

@@ -18,33 +18,36 @@ import (
 // leaf partition would, while the root's fan-in stays at Branch links
 // where the flat engine needs Branch^Depth.
 //
-// The zero Tree means flat: New treats the links as direct shard links,
-// exactly as before.
+// The zero Tree means flat: New treats the links as direct shard links.
 type Tree struct {
-	// Branch is the fan-out of the root and of every interior node (>= 2).
+	// Branch is the fan-out of the root and of every interior node (>= 1;
+	// at 1 every interior relays to a single child, the identity on
+	// frames).
 	Branch int
-	// Depth is the number of link levels below the root (>= 1). Depth 1
-	// is the flat star — bit-identical to not configuring a tree — and
-	// each additional level multiplies the leaf count by Branch.
+	// Depth is the number of link levels below the root, 1 to maxDepth.
+	// Depth 1 is the flat star — bit-identical to not configuring a tree —
+	// and each additional level multiplies the leaf count by Branch.
 	Depth int
 }
+
+// maxDepth bounds Tree.Depth: at Branch 2 a deeper tree overflows the
+// leaf bound anyway, and at Branch 1 it keeps the chain of relays short.
+const maxDepth = 30
 
 // zero reports whether no tree is configured.
 func (t Tree) zero() bool { return t == Tree{} }
 
-// Leaves returns Branch^Depth, the number of leaf shards the tree
-// serves, or an error when the shape is invalid or the count overflows.
+// Leaves returns Branch^Depth, the number of leaf shards the tree serves
+// — the one place that count is computed — or an error when the shape is
+// invalid or the count exceeds 2^30.
 func (t Tree) Leaves() (int, error) {
-	if t.Branch < 2 {
-		return 0, fmt.Errorf("shardrun: tree branch %d < 2", t.Branch)
-	}
-	if t.Depth < 1 {
-		return 0, fmt.Errorf("shardrun: tree depth %d < 1", t.Depth)
+	if t.Branch < 1 || t.Depth < 1 || t.Depth > maxDepth {
+		return 0, fmt.Errorf("tree %d^%d: want branch >= 1 and depth in [1, %d]", t.Branch, t.Depth, maxDepth)
 	}
 	leaves := 1
-	for i := 0; i < t.Depth; i++ {
+	for range t.Depth {
 		if leaves > (1<<30)/t.Branch {
-			return 0, fmt.Errorf("shardrun: tree %d^%d overflows", t.Branch, t.Depth)
+			return 0, fmt.Errorf("tree %d^%d: more than 2^30 leaves", t.Branch, t.Depth)
 		}
 		leaves *= t.Branch
 	}
@@ -78,7 +81,7 @@ func LoopbackSubtree(branch, depth int) transport.Link {
 func loopbackTree(cfg *Config, branch, depth int) ([]transport.Link, error) {
 	cfg.Tree = Tree{Branch: branch, Depth: depth}
 	if _, err := cfg.Tree.Leaves(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shardrun: %w", err)
 	}
 	if cfg.Redial == nil {
 		cfg.Redial = func() (transport.Link, error) { return LoopbackSubtree(branch, depth), nil }
@@ -90,9 +93,9 @@ func loopbackTree(cfg *Config, branch, depth int) ([]transport.Link, error) {
 	return links, nil
 }
 
-// NewLoopbackTree builds an in-process hierarchical engine serving
-// branch^depth leaf shards in total (see loopbackTree). It is the engine
-// behind topk.Config.Tree and topkmon -tree.
+// NewLoopbackTree builds an in-process engine serving branch^depth leaf
+// shards in total (see loopbackTree) — at depth 1 the flat star of branch
+// shards. It is the engine behind topk.Config.Tree and topkmon -tree.
 func NewLoopbackTree(cfg Config, branch, depth int) (*Engine, error) {
 	links, err := loopbackTree(&cfg, branch, depth)
 	if err != nil {
@@ -110,9 +113,6 @@ func RestoreLoopbackTree(cfg Config, branch, depth int, machFrame []byte, last [
 	}
 	return Restore(cfg, links, machFrame, last)
 }
-
-// Tree returns the configured tree shape (the zero Tree when flat).
-func (e *Engine) Tree() Tree { return e.tree }
 
 // Leaves returns the number of leaf shards the engine serves: the
 // configured tree's leaf count, or the direct link count when flat.

@@ -26,8 +26,8 @@ func mustTree(tb testing.TB, cfg Config, branch, depth int) *Engine {
 // TestTreeDepthOneBitIdentical anchors the tree against the flat engine:
 // a depth-1 tree is the flat star by construction — no interiors — so
 // reports, both ledgers, the per-phase breakdowns and the behavioural
-// stats must equal a flat Shards=branch engine's bit for bit, under both
-// gathers.
+// stats must equal those of a flat engine over branch shard links bit for
+// bit, under both gathers.
 func TestTreeDepthOneBitIdentical(t *testing.T) {
 	for _, g := range gathers {
 		t.Run(g.name, func(t *testing.T) {
@@ -321,13 +321,14 @@ func TestTreeStatsProfile(t *testing.T) {
 }
 
 // TestTreeConfigRejected pins the constructor contract for bad shapes:
-// branch below 2, non-positive depth, a link count that disagrees with
+// branch below 1, non-positive depth, a link count that disagrees with
 // the branch, and more leaves than nodes are all rejected with every
 // link closed.
 func TestTreeConfigRejected(t *testing.T) {
 	bad := []Config{
-		{N: 16, K: 4, Tree: Tree{Branch: 1, Depth: 2}},
+		{N: 16, K: 4, Tree: Tree{Branch: 0, Depth: 2}},
 		{N: 16, K: 4, Tree: Tree{Branch: 2, Depth: 0}},
+		{N: 16, K: 4, Tree: Tree{Branch: 2, Depth: maxDepth + 1}},
 		{N: 4, K: 2, Tree: Tree{Branch: 2, Depth: 3}}, // 8 leaves > 4 nodes
 	}
 	for i, cfg := range bad {

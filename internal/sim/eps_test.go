@@ -39,9 +39,9 @@ func mustNet(tb testing.TB, cfg netrun.Config, peers int) *netrun.Engine {
 
 func mustShard(tb testing.TB, cfg shardrun.Config, shards int) *shardrun.Engine {
 	tb.Helper()
-	e, err := shardrun.NewLoopback(cfg, shards)
+	e, err := shardrun.NewLoopbackTree(cfg, shards, 1)
 	if err != nil {
-		tb.Fatalf("shardrun.NewLoopback: %v", err)
+		tb.Fatalf("shardrun.NewLoopbackTree: %v", err)
 	}
 	return e
 }

@@ -30,7 +30,7 @@ func TestAsyncDrainEquivalence(t *testing.T) {
 		"seq":   {Nodes: n, K: k, Seed: 3},
 		"conc":  {Nodes: n, K: k, Seed: 3, Concurrent: true},
 		"net":   {Nodes: n, K: k, Seed: 3, Transport: Loopback(2)},
-		"shard": {Nodes: n, K: k, Seed: 3, Shards: 2},
+		"shard": {Nodes: n, K: k, Seed: 3, Tree: star(2)},
 	}
 	build := func(t *testing.T, name string, async bool) *Monitor {
 		cfg := base[name]
@@ -251,11 +251,10 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"Nodes", Config{Nodes: 1 << 31, K: 1}}, // engines index nodes in 31 bits
 		{"K", Config{Nodes: 4, K: 5}},
 		{"Epsilon", Config{Nodes: 4, K: 2, Epsilon: 1.5}},
-		{"Shards", Config{Nodes: 4, K: 2, Shards: -1}},
 		{"Ingest.QueueDepth", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: -1}}},
 		{"Ingest.Overflow", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 2, Overflow: OverflowError + 1}}},
 		{"Ingest.Overflow", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 0, Overflow: OverflowError}}},
-		{"Tree", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 1, Depth: 2}}},
+		{"Tree", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 0, Depth: 2}}},
 		{"Tree", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 2, Depth: 2}}}, // valid shape, but Transport is set below
 		{"Checkpoint.Every", Config{Nodes: 4, K: 2, Checkpoint: Checkpoint{Every: -1}}},
 		{"Checkpoint.Store", Config{Nodes: 4, K: 2, Checkpoint: Checkpoint{Every: 8}}},
@@ -294,7 +293,6 @@ func TestOrderedConfigErrorTyped(t *testing.T) {
 		{"Nodes", Config{Nodes: 1 << 31, K: 1}}, // used to panic inside core.New
 		{"K", Config{Nodes: 4, K: 0}},
 		{"Epsilon", Config{Nodes: 4, K: 2, Epsilon: 0.1}},
-		{"Shards", Config{Nodes: 4, K: 2, Shards: 2}},
 		{"Ingest", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 8}}},
 		{"Tree", Config{Nodes: 8, K: 2, Tree: Tree{Branch: 2, Depth: 1}}},
 		{"Checkpoint", Config{Nodes: 4, K: 2, Checkpoint: Checkpoint{Store: MemCheckpoints()}}},

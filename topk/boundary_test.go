@@ -16,7 +16,7 @@ func engineConfigs(n, k int) map[string]Config {
 		"seq":   {Nodes: n, K: k, Seed: 3},
 		"conc":  {Nodes: n, K: k, Seed: 3, Concurrent: true},
 		"net":   {Nodes: n, K: k, Seed: 3, Transport: Loopback(2)},
-		"shard": {Nodes: n, K: k, Seed: 3, Shards: 2},
+		"shard": {Nodes: n, K: k, Seed: 3, Tree: star(2)},
 	}
 }
 
@@ -257,7 +257,7 @@ func TestOrderedBoundary(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Nodes: 4, K: 2, Epsilon: 0.1},
-		{Nodes: 4, K: 2, Shards: 2},
+		{Nodes: 4, K: 2, Tree: star(2)},
 		{Nodes: 4, K: 2, Transport: Loopback(2)},
 	} {
 		if _, err := NewOrdered(cfg); err == nil {

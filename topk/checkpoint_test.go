@@ -115,7 +115,7 @@ var ckptEngines = []struct {
 	{"seq", false, func(*Config) {}},
 	{"conc", false, func(c *Config) { c.Concurrent = true }},
 	{"net", true, func(*Config) {}},
-	{"shards", false, func(c *Config) { c.Shards = 3 }},
+	{"shards", false, func(c *Config) { c.Tree = star(3) }},
 	{"tree", false, func(c *Config) { c.Tree = Tree{Branch: 2, Depth: 2} }},
 }
 
@@ -342,7 +342,7 @@ func TestRestoreRejects(t *testing.T) {
 	mismatches := []Config{
 		{Nodes: 8, K: 2, Seed: 4},                   // seed
 		{Nodes: 8, K: 2, Seed: 3, Concurrent: true}, // engine kind
-		{Nodes: 8, K: 2, Seed: 3, Shards: 2},        // engine kind
+		{Nodes: 8, K: 2, Seed: 3, Tree: star(2)},    // engine kind
 		{Nodes: 8, K: 2, Seed: 3, DistinctValues: true},
 		{Nodes: 9, K: 2, Seed: 3},                // fingerprint in the machine frame
 		{Nodes: 8, K: 3, Seed: 3},                // fingerprint in the machine frame

@@ -34,11 +34,10 @@ type engine interface {
 }
 
 // linked is the additional surface of the link-backed engines (networked,
-// sharded, tree). The accessors that expose it reach it through one type
-// assertion and report the documented zero value on the others.
+// tree). The accessors that expose it reach it through one type assertion
+// and report the documented zero value on the others.
 type linked interface {
 	Health() coord.Health
-	Join(link transport.Link) error
 	TransportStats() transport.LinkStats
 	Overhead() comm.Counts
 	OverheadBytes() comm.Bytes
@@ -90,7 +89,7 @@ func asEngine[E engine](e E, err error) (engine, error) {
 // engine than the one that took it.
 func engineKind(cfg Config) uint8 {
 	switch {
-	case !cfg.Tree.zero() || cfg.Shards > 0:
+	case !cfg.Tree.zero():
 		return wire.EngineShard
 	case cfg.Transport != nil:
 		return wire.EngineNet
@@ -150,18 +149,13 @@ func buildEngine(cfg Config, c *wire.Checkpoint, deltas [][]byte, ordered bool) 
 			return nil, err
 		}
 	}
-	switch {
-	case kind == wire.EngineShard && !cfg.Tree.zero():
+	switch kind {
+	case wire.EngineShard:
 		if c == nil {
 			return asEngine(shardrun.NewLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth))
 		}
 		return asEngine(shardrun.RestoreLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth, mach, c.Last))
-	case kind == wire.EngineShard:
-		if c == nil {
-			return asEngine(shardrun.NewLoopback(fc, cfg.Shards))
-		}
-		return asEngine(shardrun.RestoreLoopback(fc, cfg.Shards, mach, c.Last))
-	case kind == wire.EngineNet:
+	case wire.EngineNet:
 		var links []transport.Link
 		for _, l := range cfg.Transport.Links() {
 			links = append(links, l) // method sets match; Stats is optional and probed dynamically

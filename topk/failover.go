@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"repro/internal/coord"
+	"repro/internal/netrun"
 	"repro/internal/transport"
 )
 
@@ -122,17 +123,19 @@ func (m *Monitor) Health() Health {
 // Join attaches a late-joining peer to a networked monitor mid-stream
 // (the far end of link must be running ServeNodes): the widest hosted
 // range is split, its upper half handed to the new link, and the monitor
-// re-converges before the next step. Only networked and sharded monitors
-// accept joiners. On a synchronous monitor call it between observation
-// calls only; in asynchronous mode it is safe concurrently with
-// producers — it waits out the step in flight — and staged observations
-// apply to the new layout. On error the link is closed.
+// re-converges before the next step. Networked monitors only: a tree
+// monitor's peers are its own loopback subtrees, and every other monitor
+// refuses a joiner without touching its layout. On a synchronous monitor
+// call it between observation calls only; in asynchronous mode it is safe
+// concurrently with producers — it waits out the step in flight — and
+// staged observations apply to the new layout. On error the link is
+// closed.
 func (m *Monitor) Join(link Link) error {
 	m.lock()
 	defer m.unlock()
-	if le, ok := m.eng.(linked); ok {
-		return le.Join(transport.Link(link))
+	if ne, ok := m.eng.(*netrun.Engine); ok {
+		return ne.Join(transport.Link(link))
 	}
 	link.Close()
-	return errors.New("topk: Join requires a networked or sharded monitor")
+	return errors.New("topk: Join requires a networked monitor")
 }

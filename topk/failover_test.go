@@ -2,12 +2,13 @@ package topk_test
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/netrun"
-	"repro/internal/shardrun"
 	"repro/internal/transport"
 	"repro/topk"
 )
@@ -43,7 +44,7 @@ func TestHealthSurface(t *testing.T) {
 		t.Fatal("Join on a sequential monitor succeeded")
 	}
 
-	sh, err := topk.New(topk.Config{Nodes: n, K: k, Seed: 1, Shards: 2})
+	sh, err := topk.New(topk.Config{Nodes: n, K: k, Seed: 1, Tree: topk.Tree{Branch: 2, Depth: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,19 +129,18 @@ func TestFailoverThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestJoinThroughPublicAPI attaches late joiners to both engines that
-// accept them and verifies membership and continued operation.
+// TestJoinThroughPublicAPI attaches a late joiner running ServeNodes, as
+// Join documents: the networked monitor takes it and keeps going, a tree
+// monitor — here the star of two shards — refuses it and keeps its layout.
 func TestJoinThroughPublicAPI(t *testing.T) {
 	const n, k = 12, 3
 	cases := []struct {
-		name string
-		cfg  topk.Config
-		link func() topk.Link
+		name   string
+		cfg    topk.Config
+		joined bool
 	}{
-		{"networked", topk.Config{Nodes: n, K: k, Seed: 5, Transport: topk.Loopback(2)},
-			func() topk.Link { return topk.Link(netrun.LoopbackLink()) }},
-		{"sharded", topk.Config{Nodes: n, K: k, Seed: 5, Shards: 2},
-			func() topk.Link { return topk.Link(shardrun.LoopbackLink()) }},
+		{"networked", topk.Config{Nodes: n, K: k, Seed: 5, Transport: topk.Loopback(2)}, true},
+		{"sharded", topk.Config{Nodes: n, K: k, Seed: 5, Tree: topk.Tree{Branch: 2, Depth: 1}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,22 +156,78 @@ func TestJoinThroughPublicAPI(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := mon.Join(tc.link()); err != nil {
-				t.Fatalf("Join: %v", err)
+			err = mon.Join(topk.Link(netrun.LoopbackLink()))
+			if (err == nil) != tc.joined {
+				t.Fatalf("Join: %v, want joined=%v", err, tc.joined)
 			}
-			if h := mon.Health(); len(h.Peers) != 3 {
-				t.Fatalf("join left %d peers, want 3: %+v", len(h.Peers), h.Peers)
+			want := 2
+			if tc.joined {
+				want = 3
+			}
+			if h := mon.Health(); len(h.Peers) != want {
+				t.Fatalf("Join left %d peers, want %d: %+v", len(h.Peers), want, h.Peers)
 			}
 			for s := 10; s < 25; s++ {
 				churn(s, vals)
 				if _, err := mon.Observe(vals); err != nil {
-					t.Fatalf("step %d after join: %v", s, err)
+					t.Fatalf("step %d after Join: %v", s, err)
 				}
 			}
 			if h := mon.Health(); h.Failures != 0 || h.Degraded || h.Terminal != nil {
-				t.Fatalf("join degraded health: %+v", h)
+				t.Fatalf("Join degraded health: %+v", h)
 			}
 		})
+	}
+}
+
+// TestJoinRefusedByTreeMonitor is the regression for a tree monitor handed
+// a peer it cannot speak to. A Redial beside Tree is refused at New: it
+// used to hand the root ServeNodes links, which answer a delegated
+// execution with the wrong frame until the monitor went terminal. And Join
+// on a tree monitor, star or deeper, is refused without touching the
+// layout: it used to cost the monitor a failure and a loopback subtree.
+func TestJoinRefusedByTreeMonitor(t *testing.T) {
+	const n, k = 12, 3
+	_, err := topk.New(topk.Config{
+		Nodes: n, K: k, Seed: 5, Tree: topk.Tree{Branch: 2, Depth: 1},
+		Redial:       func() (topk.Link, error) { return topk.Loopback(1).Links()[0], nil },
+		RetryBackoff: time.Millisecond,
+	})
+	var ce *topk.ConfigError
+	if !errors.As(err, &ce) || ce.Field != "Redial" {
+		t.Fatalf("Redial beside Tree: %v, want a ConfigError naming Redial", err)
+	}
+
+	for _, tree := range []topk.Tree{{Branch: 2, Depth: 1}, {Branch: 2, Depth: 2}} {
+		mon, err := topk.New(topk.Config{Nodes: n, K: k, Seed: 5, Tree: tree, RetryBackoff: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]int64, n)
+		for s := 0; s < 10; s++ {
+			churn(s, vals)
+			if _, err := mon.Observe(vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := mon.Health()
+		if err := mon.Join(topk.Loopback(1).Links()[0]); err == nil {
+			t.Errorf("%+v: Join of a ServeNodes link succeeded", tree)
+		}
+		if h := mon.Health(); !reflect.DeepEqual(h, before) {
+			t.Errorf("%+v: a refused Join moved Health from %+v to %+v", tree, before, h)
+		}
+		for s := 10; s < 25; s++ {
+			churn(s, vals)
+			got, err := mon.Observe(vals)
+			if want, _ := topk.Oracle(vals, k); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%+v step %d after the refused Join: %v, %v; want %v", tree, s, got, err, want)
+			}
+		}
+		if h := mon.Health(); h.Failures != 0 || h.Degraded || h.Terminal != nil {
+			t.Errorf("%+v: health after the refused Join: %+v", tree, h)
+		}
+		mon.Close()
 	}
 }
 
@@ -237,23 +293,24 @@ func TestJoinConcurrentWithAsyncIngest(t *testing.T) {
 // TestEngineCapabilityMatrix pins, for each of the five engine shapes,
 // what the optional capabilities report: the link-backed engines answer
 // them, the in-process engines return the documented zero value or error,
-// every shape checkpoints, and a closed monitor of any shape fails its
-// steps and barriers and reads as zero.
+// only the networked monitor takes a joiner, every shape checkpoints, and
+// a closed monitor of any shape fails its steps and barriers and reads as
+// zero.
 func TestEngineCapabilityMatrix(t *testing.T) {
 	const n, k = 12, 3
 	shapes := []struct {
 		name     string
 		cfg      topk.Config
-		peers    int                   // live peer links; 0 for the in-process engines
-		overhead bool                  // surfaces the coordination-overhead ledger
-		levels   int                   // TreeStats levels
-		joiner   func() transport.Link // a serve loop this shape's Join accepts
+		peers    int  // live peer links; 0 for the in-process engines
+		overhead bool // surfaces the coordination-overhead ledger
+		levels   int  // TreeStats levels
+		joins    bool // Join takes a ServeNodes link
 	}{
-		{"seq", topk.Config{}, 0, false, 0, netrun.LoopbackLink},
-		{"conc", topk.Config{Concurrent: true}, 0, false, 0, netrun.LoopbackLink},
-		{"net", topk.Config{Transport: topk.Loopback(2)}, 2, false, 0, netrun.LoopbackLink},
-		{"shards", topk.Config{Shards: 2}, 2, true, 1, shardrun.LoopbackLink},
-		{"tree", topk.Config{Tree: topk.Tree{Branch: 2, Depth: 2}}, 2, true, 2, shardrun.LoopbackLink},
+		{"seq", topk.Config{}, 0, false, 0, false},
+		{"conc", topk.Config{Concurrent: true}, 0, false, 0, false},
+		{"net", topk.Config{Transport: topk.Loopback(2)}, 2, false, 0, true},
+		{"shards", topk.Config{Tree: topk.Tree{Branch: 2, Depth: 1}}, 2, true, 1, false},
+		{"tree", topk.Config{Tree: topk.Tree{Branch: 2, Depth: 2}}, 2, true, 2, false},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -285,12 +342,13 @@ func TestEngineCapabilityMatrix(t *testing.T) {
 			if ts, err := mon.TreeStats(); err != nil || len(ts.Levels) != sh.levels {
 				t.Errorf("TreeStats = %+v, %v; want %d levels", ts, err, sh.levels)
 			}
-			err = mon.Join(sh.joiner())
-			if sh.peers == 0 && err == nil {
-				t.Error("Join on an in-process engine succeeded")
+			err = mon.Join(netrun.LoopbackLink())
+			want := sh.peers
+			if sh.joins {
+				want++
 			}
-			if sh.peers > 0 && (err != nil || len(mon.Health().Peers) != sh.peers+1) {
-				t.Errorf("Join: %v, peers %+v", err, mon.Health().Peers)
+			if (err == nil) != sh.joins || len(mon.Health().Peers) != want {
+				t.Errorf("Join: %v, peers %+v; want joined=%v", err, mon.Health().Peers, sh.joins)
 			}
 			if gen, err := mon.Checkpoint(context.Background()); err != nil || gen != 1 {
 				t.Errorf("Checkpoint = %d, %v; want generation 1", gen, err)
@@ -315,7 +373,7 @@ func TestEngineCapabilityMatrix(t *testing.T) {
 			if _, err := mon.Checkpoint(context.Background()); err == nil {
 				t.Error("Checkpoint after Close succeeded")
 			}
-			if err := mon.Join(sh.joiner()); err == nil {
+			if err := mon.Join(netrun.LoopbackLink()); err == nil {
 				t.Error("Join after Close succeeded")
 			}
 			if top := mon.Top(); len(top) != 0 {

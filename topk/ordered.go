@@ -41,9 +41,6 @@ func NewOrdered(cfg Config) (*OrderedMonitor, error) {
 	if cfg.Transport != nil {
 		return nil, badConfig(cfg, "Transport", "not supported by the ordered monitor")
 	}
-	if cfg.Shards != 0 {
-		return nil, badConfig(cfg, "Shards", "not supported by the ordered monitor, got %d", cfg.Shards)
-	}
 	if !cfg.Tree.zero() {
 		return nil, badConfig(cfg, "Tree", "not supported by the ordered monitor, got %d^%d", cfg.Tree.Branch, cfg.Tree.Depth)
 	}

@@ -1,12 +1,16 @@
 package topk
 
 import (
+	"errors"
 	"testing"
 )
 
-// TestShardedMonitorMatchesSequential drives the public sharded engine
-// against the sequential one: identical reports at every step for every
-// shard count, and a bit-identical ledger at Shards == 1.
+// star is the flat star of s shards: the depth-1 tree.
+func star(s int) Tree { return Tree{Branch: s, Depth: 1} }
+
+// TestShardedMonitorMatchesSequential drives the public star of shards
+// against the sequential engine: identical reports at every step for every
+// shard count, and a bit-identical ledger over a single shard.
 func TestShardedMonitorMatchesSequential(t *testing.T) {
 	const nodes, k, seed, steps = 24, 5, 99, 200
 	for _, shards := range []int{1, 2, 4} {
@@ -14,7 +18,7 @@ func TestShardedMonitorMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := New(Config{Nodes: nodes, K: k, Seed: seed, Shards: shards})
+		sh, err := New(Config{Nodes: nodes, K: k, Seed: seed, Tree: star(shards)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,19 +62,20 @@ func TestShardedMonitorMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardConfigValidation pins the Config.Shards guard rails.
+// TestShardConfigValidation pins the guard rails of the star: more shards
+// than nodes, no shard at all, and a star beside Concurrent or a Transport
+// are refused as Config.Tree.
 func TestShardConfigValidation(t *testing.T) {
-	if _, err := New(Config{Nodes: 4, K: 2, Shards: 5}); err == nil {
-		t.Fatal("Shards > Nodes accepted")
-	}
-	if _, err := New(Config{Nodes: 4, K: 2, Shards: -1}); err == nil {
-		t.Fatal("negative Shards accepted")
-	}
-	if _, err := New(Config{Nodes: 4, K: 2, Shards: 2, Concurrent: true}); err == nil {
-		t.Fatal("Shards+Concurrent accepted")
-	}
-	if _, err := New(Config{Nodes: 4, K: 2, Shards: 2, Transport: Loopback(2)}); err == nil {
-		t.Fatal("Shards+Transport accepted")
+	for _, cfg := range []Config{
+		{Nodes: 4, K: 2, Tree: star(5)},
+		{Nodes: 4, K: 2, Tree: star(-1)},
+		{Nodes: 4, K: 2, Tree: star(2), Concurrent: true},
+		{Nodes: 4, K: 2, Tree: star(2), Transport: Loopback(2)},
+	} {
+		ce := new(ConfigError)
+		if _, err := New(cfg); !errors.As(err, &ce) || ce.Field != "Tree" {
+			t.Errorf("%+v: %v, want a ConfigError naming Tree", cfg.Tree, err)
+		}
 	}
 }
 
@@ -82,7 +87,7 @@ func TestShardedAppendTopIsACopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := New(Config{Nodes: nodes, K: k, Seed: seed, Shards: 3})
+	sh, err := New(Config{Nodes: nodes, K: k, Seed: seed, Tree: star(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,20 +47,20 @@
 // the wire protocol over a Transport's links so the monitored nodes can
 // live in other processes (Config.Transport; see Loopback, ServeNodes and
 // cmd/topkmon's -serve/-join modes), and a multi-coordinator engine that
-// splits the coordinator itself into Config.Shards sub-coordinators under
-// a root merge layer. All run the same coordinator core (one copy of
+// splits the coordinator itself into a tree of sub-coordinators
+// (Config.Tree). All run the same coordinator core (one copy of
 // Algorithm 1's decision logic); the first three produce identical
 // reports, identical message counts and identical charged bytes for the
-// same seed, and the sharded engine matches them exactly at Shards == 1
-// while staying report-exact at any shard count.
+// same seed, and the multi-coordinator engine matches them exactly with a
+// single leaf shard while staying report-exact at any shape.
 //
-// Config.Tree generalizes the multi-coordinator engine into a
-// hierarchical coordinator tree — interior coordinators merge their
-// children's protocol digests and forward exactly one digest up, so the
-// root serves Branch^Depth leaf shards while every machine holds only
-// Branch links. Reports and all model ledgers are bit-identical to the
-// flat star over the same leaves; Monitor.TreeStats exposes each level's
-// coordination traffic.
+// A tree of depth 1 is a flat star of Branch shards under a root merge
+// layer; deeper, interior coordinators merge their children's protocol
+// digests and forward exactly one digest up, so the root serves
+// Branch^Depth leaf shards while every machine holds only Branch links.
+// Reports and all model ledgers are bit-identical to the star over the
+// same leaves; Monitor.TreeStats exposes each level's coordination
+// traffic.
 //
 // Config.Checkpoint adds durable crash-restart: the monitor persists
 // CRC-sealed state frames to a CheckpointStore (FileCheckpoints,
@@ -81,6 +81,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/ingest"
 	"repro/internal/order"
+	"repro/internal/shardrun"
 	"repro/internal/sim"
 )
 
@@ -179,12 +180,13 @@ type Config struct {
 	// slowest peer instead of the peer count. Reports, message counts and
 	// charged bytes are those of the in-process engines.
 	Transport Transport
-	// Redial, when set, is called by the networked and sharded engines
-	// during failover to obtain a replacement link for a dead peer (the far
-	// end must be running ServeNodes); the replacement adopts the
-	// dead peer's exact node range. When nil, or when a redial fails, the
-	// range is merged into a surviving neighbor instead. In-process engines
-	// ignore it.
+	// Redial, when set, is called by the networked engine during failover
+	// to obtain a replacement link for a dead peer (the far end must be
+	// running ServeNodes); the replacement adopts the dead peer's exact node
+	// range. When nil, or when a redial fails, the range is merged into a
+	// surviving neighbor instead. Networked monitors only: Redial without
+	// Transport is refused (a tree monitor redials its own loopback
+	// subtrees).
 	Redial func() (Link, error)
 	// RetryBudget bounds how many full recovery attempts the engine makes
 	// before declaring itself terminally degraded (see Health). Zero
@@ -197,32 +199,25 @@ type Config struct {
 	// monitor's own goroutine; the callback must not call back into the
 	// monitor. In-process engines never emit events.
 	OnEvent func(Event)
-	// Shards selects the multi-coordinator engine: the node space is
-	// split into this many contiguous ranges, each owned by its own
-	// sub-coordinator, with a root merge layer maintaining the global
-	// top-k from the per-shard candidates. Reports stay exact at every
-	// step for any shard count (with DistinctValues and a transiently
-	// broken distinctness promise, ties among equal keys may resolve
-	// differently than on the other engines — see internal/shardrun's
-	// package comment); at Shards == 1 the message ledger is
-	// bit-identical to the sequential engine's, and for larger values the
-	// per-shard protocol rounds and the root↔shard digest traffic (see
+	// Tree selects the multi-coordinator engine: the node space is split
+	// into Branch^Depth contiguous ranges, each owned by a leaf
+	// sub-coordinator, under a tree of Tree.Depth link levels with fan-out
+	// Tree.Branch at every node. At depth 1 the root merges the global
+	// top-k from its Branch leaf shards' candidates directly — a flat star;
+	// deeper, each root link leads to an interior coordinator relaying to
+	// Branch children. Reports stay exact at every step for any shape
+	// (with DistinctValues and a transiently broken distinctness promise,
+	// ties among equal keys may resolve differently than on the other
+	// engines — see internal/shardrun's package comment). Over one leaf the
+	// message ledger is bit-identical to the sequential engine's; over
+	// more, the per-leaf protocol rounds and the root's digest traffic (see
 	// Overhead) are the price of removing the single-coordinator
-	// bottleneck. 0 (the default) disables sharding; Shards must not
-	// exceed Nodes and is mutually exclusive with Concurrent and
-	// Transport. Sharded monitors must be Closed.
-	Shards int
-	// Tree arranges the sharded engine's sub-coordinators as a tree of
-	// Tree.Depth levels with fan-out Tree.Branch at every node: the root
-	// talks to Branch interior coordinators, each relaying to Branch
-	// children, down to Branch^Depth leaf shards. Reports, message counts
-	// and charged bytes are identical to a flat Shards = Branch^Depth
-	// monitor — interior nodes merge associatively and make no protocol
-	// decisions — but the root's own fan-in stays at Branch links. The
-	// zero value keeps the flat layout. Branch^Depth must not exceed
-	// Nodes; Tree is mutually exclusive with Concurrent and Transport, and
-	// Shards, when also set, must equal Branch^Depth. Tree monitors must
-	// be Closed.
+	// bottleneck. Reports, message counts and charged bytes depend on the
+	// leaves alone — interiors merge associatively and make no protocol
+	// decisions — while the root's own fan-in stays at Branch links. The
+	// zero value disables the engine; Branch^Depth must not exceed Nodes,
+	// and Tree is mutually exclusive with Concurrent and Transport. Tree
+	// monitors must be Closed.
 	Tree Tree
 	// Checkpoint configures durable checkpointing: with a Store set the
 	// monitor can persist its execution state as CRC-sealed frames —
@@ -235,11 +230,11 @@ type Config struct {
 	Checkpoint Checkpoint
 }
 
-// Tree is the hierarchical-coordinator shape of Config.Tree: Branch is
-// the fan-out of the root and of every interior coordinator (at least 2),
-// Depth the number of link levels below the root (at least 1; depth 1 is
-// the flat star). A depth-d tree serves Branch^d leaf shards while the
-// root maintains only Branch links.
+// Tree is the coordinator shape of Config.Tree: Branch is the fan-out of
+// the root and of every interior coordinator (at least 1), Depth the
+// number of link levels below the root (at least 1; depth 1 is the flat
+// star of Branch shards, and Tree{1, 1} a single shard). A depth-d tree
+// serves Branch^d leaf shards while the root maintains only Branch links.
 type Tree struct {
 	Branch int
 	Depth  int
@@ -247,21 +242,6 @@ type Tree struct {
 
 // zero reports whether no tree is configured.
 func (t Tree) zero() bool { return t == Tree{} }
-
-// leaves returns Branch^Depth with an overflow guard.
-func (t Tree) leaves() (int, bool) {
-	if t.Branch < 2 || t.Depth < 1 {
-		return 0, false
-	}
-	n := 1
-	for i := 0; i < t.Depth; i++ {
-		if n > (1<<30)/t.Branch {
-			return 0, false
-		}
-		n *= t.Branch
-	}
-	return n, true
-}
 
 // Monitor continuously tracks the top-k positions. Create one with New.
 // A synchronous Monitor is not safe for concurrent use: the model's
@@ -333,31 +313,19 @@ func validateConfig(cfg Config) error {
 	if cfg.Concurrent && cfg.Transport != nil {
 		return badConfig(cfg, "Transport", "mutually exclusive with Concurrent")
 	}
-	if cfg.Shards < 0 || cfg.Shards > cfg.Nodes {
-		return badConfig(cfg, "Shards", "must satisfy 0 <= Shards <= Nodes, got Shards=%d Nodes=%d", cfg.Shards, cfg.Nodes)
-	}
-	if cfg.Shards > 0 && (cfg.Concurrent || cfg.Transport != nil) {
-		return badConfig(cfg, "Shards", "mutually exclusive with Concurrent and Transport")
+	if cfg.Redial != nil && cfg.Transport == nil {
+		return badConfig(cfg, "Redial", "networked monitors only: set Transport, or leave Redial nil")
 	}
 	if !cfg.Tree.zero() {
-		if cfg.Tree.Branch < 2 {
-			return badConfig(cfg, "Tree", "branch must be at least 2, got %d", cfg.Tree.Branch)
-		}
-		if cfg.Tree.Depth < 1 {
-			return badConfig(cfg, "Tree", "depth must be at least 1, got %d", cfg.Tree.Depth)
-		}
-		leaves, ok := cfg.Tree.leaves()
-		if !ok {
-			return badConfig(cfg, "Tree", "%d^%d leaves overflow", cfg.Tree.Branch, cfg.Tree.Depth)
+		leaves, err := shardrun.Tree(cfg.Tree).Leaves()
+		if err != nil {
+			return badConfig(cfg, "Tree", "%v", err)
 		}
 		if leaves > cfg.Nodes {
 			return badConfig(cfg, "Tree", "%d^%d = %d leaf shards exceed Nodes=%d", cfg.Tree.Branch, cfg.Tree.Depth, leaves, cfg.Nodes)
 		}
 		if cfg.Concurrent || cfg.Transport != nil {
 			return badConfig(cfg, "Tree", "mutually exclusive with Concurrent and Transport")
-		}
-		if cfg.Shards != 0 && cfg.Shards != leaves {
-			return badConfig(cfg, "Tree", "Shards=%d disagrees with %d^%d = %d leaves", cfg.Shards, cfg.Tree.Branch, cfg.Tree.Depth, leaves)
 		}
 	}
 	if err := validateCheckpoint(cfg); err != nil {
@@ -624,12 +592,12 @@ func (m *Monitor) TransportStats() TransportStats {
 	return TransportStats(le.TransportStats())
 }
 
-// Overhead returns the root↔shard coordination traffic of a sharded
-// monitor: Down counts root→shard command frames, Up counts shard→root
-// replies and digests, with Bytes carrying their encoded sizes. This is
+// Overhead returns the root's coordination traffic of a tree monitor:
+// Down counts the frames the root sends its links, Up the replies and
+// digests it receives, with Bytes carrying their encoded sizes. This is
 // the cost of splitting the coordinator, kept separate from the
-// algorithm's own message ledger (which at Shards == 1 equals the
-// sequential engine's exactly). Non-sharded monitors report zeroes.
+// algorithm's own message ledger (which over a single leaf equals the
+// sequential engine's exactly). Other monitors report zeroes.
 func (m *Monitor) Overhead() (Counts, Bytes) {
 	m.lock()
 	defer m.unlock()
@@ -657,11 +625,11 @@ type TreeStats struct {
 	Levels []LevelIO
 }
 
-// TreeStats polls a sharded or tree monitor's diagnostic plane: per-level
+// TreeStats polls a tree monitor's diagnostic plane: per-level
 // coordination traffic, ending with the root's own overhead ledger. The
 // poll itself is free — it is charged to no ledger, appearing only in
 // TransportStats — so polling does not perturb the numbers it reports.
-// Non-sharded monitors return the zero value; a poll interrupted by a
+// Other monitors return the zero value; a poll interrupted by a
 // link failure returns an error and leaves recovery to the next
 // observation call.
 func (m *Monitor) TreeStats() (TreeStats, error) {

@@ -169,7 +169,6 @@ func TestTransportLinksAskedLast(t *testing.T) {
 		"K":          func(c *topk.Config) { c.K = 9 },
 		"Epsilon":    func(c *topk.Config) { c.Epsilon = 1 },
 		"Concurrent": func(c *topk.Config) { c.Concurrent = true },
-		"Shards":     func(c *topk.Config) { c.Shards = 2 },
 		"Tree":       func(c *topk.Config) { c.Tree = topk.Tree{Branch: 2, Depth: 2} },
 		"Checkpoint": func(c *topk.Config) { c.Checkpoint.Every = 5 },
 		"Ingest":     func(c *topk.Config) { c.Ingest.QueueDepth = -1 },

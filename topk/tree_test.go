@@ -14,13 +14,13 @@ func TestTreeConfigErrorTyped(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"branch-below-2", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 1, Depth: 2}}},
+		{"branch-below-1", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 0, Depth: 2}}},
 		{"depth-below-1", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 2, Depth: -1}}},
-		{"leaves-overflow", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 2, Depth: 40}}},
+		{"chain-too-deep", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 1, Depth: 1 << 40}}},
+		{"leaves-overflow", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 1 << 20, Depth: 2}}},
 		{"leaves-exceed-nodes", Config{Nodes: 4, K: 2, Tree: Tree{Branch: 2, Depth: 3}}},
 		{"tree-and-concurrent", Config{Nodes: 16, K: 2, Concurrent: true, Tree: Tree{Branch: 2, Depth: 2}}},
 		{"tree-and-transport", Config{Nodes: 16, K: 2, Transport: Loopback(2), Tree: Tree{Branch: 2, Depth: 2}}},
-		{"shards-leaves-mismatch", Config{Nodes: 16, K: 2, Shards: 3, Tree: Tree{Branch: 2, Depth: 2}}},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.cfg)
@@ -37,16 +37,18 @@ func TestTreeConfigErrorTyped(t *testing.T) {
 			t.Errorf("%s: Field = %q, want \"Tree\" (err: %v)", tc.name, ce.Field, err)
 		}
 	}
-	// A redundant-but-consistent Shards is accepted.
-	m, err := New(Config{Nodes: 16, K: 2, Shards: 4, Tree: Tree{Branch: 2, Depth: 2}})
-	if err != nil {
-		t.Fatalf("consistent Shards=4 with a 2^2 tree rejected: %v", err)
+	// Branch 1 is a shape: one shard, alone or behind a chain of relays.
+	for _, tree := range []Tree{{Branch: 1, Depth: 1}, {Branch: 1, Depth: 3}} {
+		m, err := New(Config{Nodes: 16, K: 2, Tree: tree})
+		if err != nil {
+			t.Fatalf("%+v rejected: %v", tree, err)
+		}
+		m.Close()
 	}
-	m.Close()
 }
 
-// TestTreeMonitorMatchesFlat drives a depth-2 tree monitor and a flat
-// sharded monitor with the same leaf count through the public API:
+// TestTreeMonitorMatchesFlat drives a depth-2 tree monitor and the flat
+// star with the same leaf count through the public API:
 // reports and the algorithm ledger are identical, and the tree's
 // diagnostic plane reports one traffic level per tree level with the
 // root's overhead ledger as the last entry.
@@ -57,7 +59,7 @@ func TestTreeMonitorMatchesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tree.Close()
-	flat, err := New(Config{Nodes: n, K: k, Seed: 7, Epsilon: 0.05, Shards: 4})
+	flat, err := New(Config{Nodes: n, K: k, Seed: 7, Epsilon: 0.05, Tree: star(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
