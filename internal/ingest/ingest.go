@@ -2,18 +2,23 @@
 // execution: the asynchronous ingestion column shared by every engine.
 //
 // A Driver owns a bounded coord.Pending coalescing buffer and one worker
-// goroutine. Producers enqueue per-node observations; the worker takes
-// the buffered batch as soon as one is pending and applies it as a
-// single protocol step through the engine-specific Apply callback. While
-// a step executes, further observations coalesce in the buffer —
-// last-write-wins per node — so a slow protocol round (a violation
-// burst, a FILTERRESET, a failover recovery) back-pressures ingestion
-// into *fewer, fresher* steps instead of a growing backlog. The Drain
-// barrier waits for the buffer to empty and the in-flight step to
-// complete, recovering synchronous semantics on demand: an Enqueue
-// followed immediately by Drain is equivalent, bit for bit, to a
-// blocking observation call, which is what the equivalence-under-async
-// suites in internal/sim pin for all four engines.
+// goroutine. Producers enqueue observation calls — strictly increasing
+// ids, or nil ids for a dense call of every node; the worker takes the
+// buffered batch as soon as one is pending and applies it as a single
+// protocol step through the engine-specific Apply callback. While a step
+// executes, further observations coalesce in the buffer — last-write-wins
+// per node — so a slow protocol round (a violation burst, a FILTERRESET,
+// a failover recovery) back-pressures ingestion into *fewer, fresher*
+// steps instead of a growing backlog. Under Block every call lands in
+// exactly one applied batch: a call that does not fit the free slots
+// waits for the worker to take the staged batch, and a call with more
+// nodes than the buffer holds is handed to the worker whole, as its own
+// step. The Drain barrier waits for the buffer to empty and the
+// in-flight step to complete, recovering synchronous semantics on
+// demand: an Enqueue followed immediately by Drain is equivalent, bit
+// for bit, to a blocking observation call at every depth, which is what
+// the equivalence-under-async suites in internal/sim pin for all four
+// engines.
 //
 // The driver is engine-agnostic: Apply is a closure over
 // core.Monitor.ObserveDelta — on either in-process host — or the
@@ -32,22 +37,26 @@ import (
 	"repro/internal/coord"
 )
 
-// Policy selects what Enqueue does when the buffer already holds Depth
-// distinct pending nodes and a new node arrives. Observations of
-// already-pending nodes always coalesce and can never overflow.
+// Policy selects what Enqueue does when a call's new nodes do not fit
+// the buffer's free slots. Observations of already-pending nodes always
+// coalesce and can never overflow.
 type Policy uint8
 
 const (
 	// Block waits for the worker to take the buffered batch, then
-	// admits the observation. Lossless; producers inherit the hot
+	// stages the whole call; a call with more nodes than Depth is
+	// instead handed to the worker as one step of its own, and Enqueue
+	// returns once it is applied. Lossless; producers inherit the hot
 	// path's pace (real backpressure).
 	Block Policy = iota
 	// DropOldest evicts the oldest pending observation to admit the new
 	// one. Lossy under sustained overload: the evicted node keeps its
-	// previously applied value until it is observed again.
+	// previously applied value until it is observed again. A call with
+	// more nodes than Depth sheds its own earlier updates.
 	DropOldest
 	// Error rejects the whole Enqueue call with ErrQueueFull, admitting
-	// none of its updates (atomic rejection).
+	// none of its updates (atomic rejection). A call with more nodes
+	// than Depth is always rejected.
 	Error
 )
 
@@ -67,16 +76,18 @@ type Config struct {
 	Depth int
 	// Policy is the overflow policy.
 	Policy Policy
-	// Apply executes one protocol step over the taken batch (ids
-	// ascending; the slices are worker-owned scratch, valid only for
-	// the call). It runs on the worker goroutine. A non-nil error is
-	// terminal: the driver stops applying and surfaces it from every
-	// subsequent Enqueue and Drain.
+	// Apply executes one protocol step over the taken batch: ids
+	// ascending, or nil ids with N values for a dense call handed over
+	// whole (vals[i] is node i's). The slices are valid only for the
+	// call — worker-owned scratch, or a producer's own buffers — and it
+	// runs on the worker goroutine. A non-nil error is terminal: the
+	// driver stops applying and surfaces it from every subsequent
+	// Enqueue and Drain.
 	Apply func(ids []int, vals []int64) error
 	// OnApply, when set, observes every taken batch just before Apply
-	// runs, on the worker goroutine (the equivalence suites record the
-	// applied trace through it). It must copy what it keeps and must
-	// not call back into the driver.
+	// runs, with the same arguments, on the worker goroutine (the
+	// equivalence suites record the applied trace through it). It must
+	// copy what it keeps and must not call back into the driver.
 	OnApply func(ids []int, vals []int64)
 	// OnDrop, when set, observes every DropOldest eviction, on the
 	// producer's goroutine with the driver locked; it must not call
@@ -89,11 +100,11 @@ type Config struct {
 // enqueued observation calls, and Coalesced counts exactly the updates
 // that were superseded before a worker took them.
 type Stats struct {
-	Enqueued  int64 // updates admitted into the buffer
+	Enqueued  int64 // updates admitted into the buffer or applied by a hand-off
 	Coalesced int64 // updates that overwrote a queued one
 	Dropped   int64 // updates evicted by DropOldest
-	Steps     int64 // batches taken and applied as protocol steps
-	MaxQueue  int   // high-water mark of distinct pending nodes
+	Steps     int64 // batches and hand-offs applied as protocol steps
+	MaxQueue  int   // high-water mark of distinct pending nodes (a hand-off holds none)
 }
 
 // Driver is the asynchronous ingestion front of one engine. Enqueue may
@@ -110,6 +121,15 @@ type Driver struct {
 	err      error
 	closed   bool
 	stats    Stats
+
+	// handIDs/handVals hold a Block call larger than the buffer until the
+	// worker takes it (handVals != nil while one waits); handTaken and
+	// handDone count the hand-offs the worker has taken and applied, so
+	// a producer can tell its own hand-off's fate.
+	handIDs   []int
+	handVals  []int64
+	handTaken int64
+	handDone  int64
 
 	done     chan struct{}
 	takeIDs  []int
@@ -157,65 +177,57 @@ func (d *Driver) gate() error {
 
 // Enqueue stages one observation call — vals[j] is node ids[j]'s new
 // value, or with nil ids and N values node j's: a dense call, every node —
-// as (part of) a future protocol step and returns without waiting for
-// execution. ids must be valid for the engine (the public boundary
-// validates before enqueueing); they need not be sorted here, but
-// duplicate ids within one call coalesce to the last value, exactly as
-// across calls. An empty call still marks a step pending, so a drained
-// "nothing changed" observation replays as the empty protocol step the
-// synchronous path would have run.
+// as a future protocol step and returns without waiting for execution.
+// ids must be strictly increasing and valid for the engine (the public
+// boundary validates before enqueueing). An empty call still marks a
+// step pending, so a drained "nothing changed" observation replays as
+// the empty protocol step the synchronous path would have run.
 //
-// The call is atomic with respect to step boundaries unless the Block
-// policy must wait mid-call (only possible when a single call carries
-// more distinct new nodes than Depth): the updates of one call land in
-// the same taken batch or coalesce into later ones, and under Error the
-// whole call is admitted or rejected.
+// Under Block and Error the call is atomic with respect to step
+// boundaries: its updates land in one taken batch (or coalesce into a
+// later one), and under Error the whole call is admitted or rejected.
+// Under Block a call that does not fit the free slots first waits for
+// the worker to take the staged batch, and a call with more nodes than
+// Depth waits for that too, is then applied by the worker as one step
+// of its own, and returns once Apply has returned — so its slices are
+// never retained. Under DropOldest a call with more nodes than Depth
+// evicts its own earlier updates.
 func (d *Driver) Enqueue(ids []int, vals []int64) error {
 	dense := ids == nil && len(vals) == d.cfg.N
 	if !dense && len(ids) != len(vals) {
 		return fmt.Errorf("ingest: %d ids but %d values", len(ids), len(vals))
-	}
-	idOf := func(j int) int {
-		if dense {
-			return j
-		}
-		return ids[j]
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.gate(); err != nil {
 		return err
 	}
-	if d.cfg.Policy == Error {
-		fresh := 0
-		for j := range vals {
-			if !d.pend.Has(idOf(j)) {
-				fresh++
+	switch d.cfg.Policy {
+	case Block:
+		if len(vals) > d.pend.Cap() {
+			return d.handOff(ids, vals)
+		}
+		for fresh := d.fresh(ids, vals); d.pend.Len()+fresh > d.pend.Cap(); fresh = d.fresh(ids, vals) {
+			d.c.Wait() // the staged batch is dirty: the worker takes it
+			if err := d.gate(); err != nil {
+				return err
 			}
 		}
-		if d.pend.Len()+fresh > d.pend.Cap() {
+	case Error:
+		if fresh := d.fresh(ids, vals); d.pend.Len()+fresh > d.pend.Cap() {
 			return fmt.Errorf("%w: %d queued + %d new > depth %d", ErrQueueFull, d.pend.Len(), fresh, d.pend.Cap())
 		}
 	}
 	for j, v := range vals {
-		id := idOf(j)
-		if !d.pend.Has(id) && d.pend.Full() {
-			switch d.cfg.Policy {
-			case DropOldest:
-				old, oldV := d.pend.EvictOldest()
-				d.stats.Dropped++
-				if d.cfg.OnDrop != nil {
-					d.cfg.OnDrop(old, oldV)
-				}
-			default: // Block: hand the partial batch to the worker and wait
-				for !d.pend.Has(id) && d.pend.Full() {
-					d.dirty = true
-					d.c.Broadcast()
-					d.c.Wait()
-					if err := d.gate(); err != nil {
-						return err
-					}
-				}
+		id := j
+		if !dense {
+			id = ids[j]
+		}
+		if !d.pend.Has(id) && d.pend.Full() { // DropOldest only: the others made room
+			old, oldV := d.pend.EvictOldest()
+			d.stats.Dropped++
+			if d.cfg.OnDrop != nil {
+				d.cfg.OnDrop(old, oldV)
 			}
 		}
 		if d.pend.Put(id, v) {
@@ -229,6 +241,55 @@ func (d *Driver) Enqueue(ids []int, vals []int64) error {
 	d.dirty = true
 	d.c.Broadcast()
 	return nil
+}
+
+// fresh counts the call's nodes without a pending observation: the free
+// slots staging it whole needs. d.mu must be held.
+func (d *Driver) fresh(ids []int, vals []int64) int {
+	if len(vals) <= d.pend.Cap()-d.pend.Len() {
+		return len(vals) // fits even if every node is new; skip the scan
+	}
+	if ids == nil {
+		return len(vals) - d.pend.Len() // dense: every pending node is in the call
+	}
+	n := 0
+	for _, id := range ids {
+		if !d.pend.Has(id) {
+			n++
+		}
+	}
+	return n
+}
+
+// handOff is Block's path for a call with more nodes than the buffer
+// holds: once the staged batch (if any) has been taken — so the
+// producer's earlier updates apply first — it hands the call to the
+// worker as one step and waits until Apply has returned, then reports
+// the terminal error if the driver has failed. A hand-off not yet taken
+// when the driver closes or fails is withdrawn, so Apply never sees it;
+// one already taken is waited out, since the worker is reading the
+// caller's slices. d.mu must be held.
+func (d *Driver) handOff(ids []int, vals []int64) error {
+	for d.dirty || d.handVals != nil {
+		d.c.Wait()
+		if err := d.gate(); err != nil {
+			return err
+		}
+	}
+	d.handIDs, d.handVals = ids, vals
+	mine := d.handTaken + 1
+	d.c.Broadcast()
+	for d.handDone < mine {
+		if d.handTaken < mine {
+			if err := d.gate(); err != nil {
+				d.handIDs, d.handVals = nil, nil
+				return err
+			}
+		}
+		d.c.Wait()
+	}
+	d.stats.Enqueued += int64(len(vals))
+	return d.err
 }
 
 // Drain is the flush barrier: it blocks until every queued observation
@@ -261,7 +322,7 @@ func (d *Driver) Drain(ctx context.Context) error {
 		if d.closed {
 			return ErrClosed
 		}
-		if !d.dirty && !d.inFlight {
+		if !d.dirty && !d.inFlight && d.handVals == nil {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -301,35 +362,49 @@ func (d *Driver) Close() {
 }
 
 // run is the worker: it waits for a pending step, takes the coalesced
-// batch, and applies it as one protocol step. Taking clears the buffer
-// before Apply runs, so producers refill (and re-coalesce) concurrently
-// with the execution — that window is exactly where the backlog of a
-// slow step collapses into one fresh batch.
+// batch — or a hand-off, which waits only while nothing staged before
+// it is left — and applies it as one protocol step. Taking clears the
+// buffer before Apply runs, so producers refill (and re-coalesce)
+// concurrently with the execution — that window is exactly where the
+// backlog of a slow step collapses into one fresh batch.
 func (d *Driver) run() {
 	defer close(d.done)
 	d.mu.Lock()
 	for {
-		for !d.dirty && !d.closed && d.err == nil {
+		for !d.dirty && d.handVals == nil && !d.closed && d.err == nil {
 			d.c.Wait()
 		}
 		if d.closed || d.err != nil {
 			d.mu.Unlock()
 			return
 		}
-		d.takeIDs, d.takeVals = d.pend.Take(d.takeIDs[:0], d.takeVals[:0])
-		d.dirty = false
+		var ids []int
+		var vals []int64
+		handed := d.handVals != nil
+		if handed {
+			ids, vals = d.handIDs, d.handVals
+			d.handIDs, d.handVals = nil, nil
+			d.handTaken++
+		} else {
+			d.takeIDs, d.takeVals = d.pend.Take(d.takeIDs[:0], d.takeVals[:0])
+			ids, vals = d.takeIDs, d.takeVals
+			d.dirty = false
+		}
 		d.inFlight = true
 		d.stats.Steps++
 		d.c.Broadcast() // buffer space freed: wake Block-ed producers
 		d.mu.Unlock()
 
 		if d.cfg.OnApply != nil {
-			d.cfg.OnApply(d.takeIDs, d.takeVals)
+			d.cfg.OnApply(ids, vals)
 		}
-		err := d.cfg.Apply(d.takeIDs, d.takeVals)
+		err := d.cfg.Apply(ids, vals)
 
 		d.mu.Lock()
 		d.inFlight = false
+		if handed {
+			d.handDone++
+		}
 		if err != nil && d.err == nil {
 			d.err = err
 		}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,7 +148,7 @@ func TestDriverErrorPolicyAtomic(t *testing.T) {
 		t.Fatalf("rejected call leaked updates: %+v", st)
 	}
 	// Coalescing-only calls still succeed while full.
-	if err := d.Enqueue([]int{1, 0}, []int64{21, 20}); err != nil {
+	if err := d.Enqueue([]int{0, 1}, []int64{20, 21}); err != nil {
 		t.Fatalf("coalescing call rejected: %v", err)
 	}
 	close(g.release)
@@ -366,5 +367,282 @@ func TestDriverConcurrentProducersSoak(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("drained report %v, oracle-fed twin %v", got, want)
 		}
+	}
+}
+
+// TestDriverHandOffOrder pins Block's hand-off of a call larger than the
+// buffer: it waits for the update staged before it, is applied whole as
+// one step of its own, and the update staged after it lands in a later
+// step — so node 3 ends on the last written value and the batches apply
+// in call order. A hand-off never occupies the buffer, and a dense call
+// is handed over with nil ids.
+func TestDriverHandOffOrder(t *testing.T) {
+	g := newGated()
+	close(g.release)
+	d := newDriver(t, g, 2, Block)
+	for _, c := range []struct {
+		ids  []int
+		vals []int64
+	}{
+		{[]int{3}, []int64{1}},
+		{[]int{0, 3, 5}, []int64{10, 2, 50}},
+		{[]int{3}, []int64{5}},
+	} {
+		if err := d.Enqueue(c.ids, c.vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, d)
+	got, vals := g.applied(), g.vals
+	if len(got) != 3 || len(got[1]) != 3 || vals[0][0] != 1 || vals[1][1] != 2 || vals[2][0] != 5 {
+		t.Fatalf("applied %v/%v, want [[3] [0 3 5] [3]] / [[1] [10 2 50] [5]]", got, vals)
+	}
+	dense := []int64{0, 1, 2, 3, 4, 5, 6, 7}
+	if err := d.Enqueue(nil, dense); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, d)
+	if got, vals = g.applied(), g.vals; len(got) != 4 || got[3] != nil || len(vals[3]) != 8 {
+		t.Fatalf("dense hand-off applied %v/%v, want nil ids with 8 values", got[3], vals[3])
+	}
+	if st := d.Stats(); st.Steps != 4 || st.Enqueued != 13 || st.MaxQueue > 2 {
+		t.Fatalf("stats %+v, want Steps=4 Enqueued=13 MaxQueue<=2", st)
+	}
+}
+
+// TestDriverHandOffClose pins Close against a producer inside a hand-off:
+// one still waiting to be taken gets ErrClosed and Apply never sees its
+// call; one the worker has taken is waited out — the worker reads the
+// caller's slices — and returns nil once Apply has.
+func TestDriverHandOffClose(t *testing.T) {
+	g := newGated()
+	d := newDriver(t, g, 2, Block)
+	if err := d.Enqueue([]int{0}, []int64{1}); err != nil {
+		t.Fatal(err)
+	}
+	<-g.started // {0:1} in flight
+	handed := make(chan error, 1)
+	go func() { handed <- d.Enqueue([]int{1, 2, 3}, []int64{1, 2, 3}) }()
+	select {
+	case err := <-handed:
+		t.Fatalf("hand-off returned before the worker took it (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	closed := make(chan struct{})
+	go func() { d.Close(); close(closed) }()
+	if err := <-handed; !errors.Is(err, ErrClosed) {
+		t.Fatalf("hand-off waiting on Close returned %v, want ErrClosed", err)
+	}
+	close(g.release)
+	<-closed
+	if got := g.applied(); len(got) != 1 || got[0][0] != 0 {
+		t.Fatalf("applied %v after Close, want only [[0]]", got)
+	}
+
+	g = newGated()
+	d = newDriver(t, g, 1, Block)
+	go func() { handed <- d.Enqueue([]int{4, 5}, []int64{4, 5}) }()
+	<-g.started // the hand-off itself is in flight
+	closed = make(chan struct{})
+	go func() { d.Close(); close(closed) }()
+	select {
+	case err := <-handed:
+		t.Fatalf("hand-off returned while Apply read its slices (err=%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.release)
+	if err := <-handed; err != nil {
+		t.Fatalf("applied hand-off returned %v", err)
+	}
+	<-closed
+	if got := g.applied(); len(got) != 1 || len(got[0]) != 2 {
+		t.Fatalf("applied %v, want the one hand-off [[4 5]]", got)
+	}
+}
+
+// FuzzDriverBlock drives Block with calls of 0…2·Depth sorted distinct
+// ids (nil ids when a call is every node) and drain barriers at fuzzed
+// points. Every call must land in exactly one applied batch, batches
+// must apply calls in order, a call larger than the buffer must be
+// applied alone and whole, the queue must stay within Depth, and at
+// every barrier replaying the applied batches must leave each node on
+// its last written value.
+func FuzzDriverBlock(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 1, 0x83, 2})
+	f.Add([]byte{3, 16, 7, 0x88, 1, 2, 3, 0x90, 4, 4, 5})
+	f.Add([]byte{7, 0x90, 0, 5, 9, 16, 3, 0x8f, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const n = 16
+		if len(data) == 0 {
+			return
+		}
+		depth := 1 + int(data[0])%8
+		var mu sync.Mutex
+		var batches []batch
+		d, err := New(Config{N: n, Depth: depth, Policy: Block,
+			Apply: func([]int, []int64) error { return nil },
+			OnApply: func(ids []int, vals []int64) {
+				mu.Lock()
+				batches = append(batches, batch{append([]int(nil), ids...), append([]int64(nil), vals...)})
+				mu.Unlock()
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+
+		written := make([]int64, n)
+		var calls [][]int
+		enqueued := int64(0)
+		barrier := func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := d.Drain(ctx); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			mu.Lock()
+			applied := batches
+			mu.Unlock()
+			replay := make([]int64, n)
+			seen := make([]int, len(calls)) // 1 + the batch holding each call
+			prev := -1                      // the latest call of the batches before
+			for b, bt := range applied {
+				ids := bt.ids
+				if ids == nil && len(bt.vals) == n { // a dense hand-off
+					ids = make([]int, n)
+					for i := range ids {
+						ids[i] = i
+					}
+				}
+				lo, hi := len(calls), -1
+				for j, id := range ids {
+					v := bt.vals[j]
+					replay[id] = v
+					c := int(v/100) - 1
+					if seen[c] != 0 && seen[c] != b+1 {
+						t.Fatalf("call %d split across batches %d and %d: %v", c, seen[c]-1, b, applied)
+					}
+					seen[c], lo, hi = b+1, min(lo, c), max(hi, c)
+				}
+				if lo <= prev {
+					t.Fatalf("batch %d applies call %d after call %d: %v", b, lo, prev, applied)
+				}
+				prev = max(prev, hi)
+			}
+			for c, ids := range calls {
+				if len(ids) <= depth || seen[c] == 0 {
+					continue
+				}
+				if bt := applied[seen[c]-1]; len(bt.vals) != len(ids) {
+					t.Fatalf("call %d of %d ids handed off as a batch of %d", c, len(ids), len(bt.vals))
+				}
+			}
+			for i := range replay {
+				if replay[i] != written[i] {
+					t.Fatalf("node %d replays to %d, last written %d", i, replay[i], written[i])
+				}
+			}
+			st := d.Stats()
+			if st.MaxQueue > depth || st.Steps != int64(len(applied)) || st.Enqueued != enqueued || len(applied) > len(calls) {
+				t.Fatalf("stats %+v for %d batches, %d calls, %d updates, depth %d", st, len(applied), len(calls), enqueued, depth)
+			}
+		}
+		for i := 1; i+1 < len(data) && len(calls) < 64; i += 2 {
+			size := int(data[i]&0x7f) % (2*depth + 1)
+			perm := rng.New(uint64(data[i+1]), uint64(len(calls))).Perm(n)
+			ids := perm[:size]
+			slices.Sort(ids)
+			vals := make([]int64, size)
+			for j, id := range ids {
+				vals[j] = int64(len(calls)+1)*100 + int64(id)
+				written[id] = vals[j]
+			}
+			call := ids
+			if size == n {
+				call = nil
+			}
+			calls = append(calls, ids)
+			if err := d.Enqueue(call, vals); err != nil {
+				t.Fatal(err)
+			}
+			enqueued += int64(size)
+			if data[i]&0x80 != 0 {
+				barrier()
+			}
+		}
+		barrier()
+	})
+}
+
+// batch is one applied batch FuzzDriverBlock recorded through OnApply.
+type batch struct {
+	ids  []int
+	vals []int64
+}
+
+// TestDriverConcurrentHandOffs races producers whose calls are either one
+// node or all eight of their own — more than the depth-3 buffer holds —
+// so hand-offs, staged calls and Drain barriers contend for the one
+// hand-off slot. Each producer's last writes must be what the worker
+// applied last, and the queue must stay within its depth.
+func TestDriverConcurrentHandOffs(t *testing.T) {
+	const producers, perProducer, rounds, depth = 3, 8, 200, 3
+	n := producers * perProducer
+	applied := make([]int64, n) // written only by the worker
+	d, err := New(Config{N: n, Depth: depth, Policy: Block, Apply: func(ids []int, vals []int64) error {
+		for j, id := range ids {
+			applied[id] = vals[j]
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	final := make([]int64, n)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			r := rng.New(uint64(p)+1, 7)
+			ids := make([]int, perProducer)
+			vals := make([]int64, perProducer)
+			for i := 0; i < rounds; i++ {
+				v := int64(i + 1)
+				call := 1
+				if r.Uint64n(3) == 0 {
+					call = perProducer
+				}
+				for j := 0; j < call; j++ {
+					ids[j] = p*perProducer + j
+					if call == 1 {
+						ids[j] += int(r.Uint64n(perProducer))
+					}
+					vals[j] = v
+					final[ids[j]] = v // disjoint node sets: no write races
+				}
+				if err := d.Enqueue(ids[:call], vals[:call]); err != nil {
+					t.Errorf("producer %d: %v", p, err)
+					return
+				}
+				if i%50 == 0 {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					_ = d.Drain(ctx)
+					cancel()
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	drain(t, d)
+	for i := range final {
+		if applied[i] != final[i] {
+			t.Fatalf("node %d applied %d, last written %d", i, applied[i], final[i])
+		}
+	}
+	if st := d.Stats(); st.MaxQueue > depth || st.Dropped != 0 {
+		t.Fatalf("stats %+v: queue past depth %d or updates lost", st, depth)
 	}
 }

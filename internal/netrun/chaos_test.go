@@ -158,14 +158,15 @@ func TestChaosKillAtRandomStep(t *testing.T) {
 }
 
 // TestChaosKillDuringDrain pins the asynchronous-ingestion × failover
-// interaction: a peer dies while the ingest queue is non-empty and a
-// protocol step is in flight (each dense call stages 16 nodes through a
-// depth-4 Block buffer, so producers sit in mid-call waits whenever the
-// worker stalls on a slow recovering step). The contract: no Drain may
-// outlive its deadline — a kill during a drain must never hang the
-// barrier — and after the driver is retired the engine must either
-// re-converge to the oracle or stay wedged on a clean terminal error,
-// which runChaos enforces.
+// interaction: a peer dies while a protocol step is in flight and the
+// producer waits on it (each call carries all 16 nodes, more than the
+// depth-4 Block buffer holds, so the worker applies it whole as its own
+// step and the producer sits in that hand-off whenever the worker
+// stalls on a slow recovering step). The contract: no Drain may outlive
+// its deadline — a kill during a drain must never hang the barrier —
+// and after the driver is retired the engine must either re-converge to
+// the oracle or stay wedged on a clean terminal error, which runChaos
+// enforces.
 func TestChaosKillDuringDrain(t *testing.T) {
 	allIDs := make([]int, chaosN)
 	for i := range allIDs {

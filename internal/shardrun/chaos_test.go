@@ -163,10 +163,11 @@ func TestChaosKillAtRandomStep(t *testing.T) {
 }
 
 // TestChaosKillDuringDrain mirrors netrun's async × failover regression
-// on the sharded root: a shard dies while the ingest queue is non-empty
-// and a step is in flight, no Drain barrier may outlive its deadline,
-// and the engine must end re-converged to the oracle or cleanly
-// terminal (runChaos enforces both outcomes).
+// on the sharded root: a shard dies while a step is in flight and the
+// producer waits on it (every 16-node call is handed whole past the
+// depth-4 Block buffer), no Drain barrier may outlive its deadline, and
+// the engine must end re-converged to the oracle or cleanly terminal
+// (runChaos enforces both outcomes).
 func TestChaosKillDuringDrain(t *testing.T) {
 	allIDs := make([]int, chaosN)
 	for i := range allIDs {

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -66,35 +67,40 @@ func asyncSrc(n int, dense bool) stream.DeltaSource {
 
 // TestAsyncDrainEveryStepBitIdentical is the acceptance criterion of
 // the async tentpole, cell by cell: for every engine × dense/delta ×
-// ε ∈ {0, 0.05}, staging each observation call asynchronously and
-// draining immediately must be bit-identical — reports, message counts,
-// charged bytes, per-phase ledgers, stats — to the synchronous run over
-// the same trace. With a barrier after every call nothing can coalesce,
-// so the applied trace RunAsync replays into the twin *is* the input
-// trace, and every applied batch must map one-to-one to a call.
+// ε ∈ {0, 0.05} × queue depth ∈ {1, 4, n}, staging each observation
+// call asynchronously and draining immediately must be bit-identical —
+// reports, message counts, charged bytes, per-phase ledgers, stats — to
+// the synchronous run over the same trace. With a barrier after every
+// call nothing can coalesce, so the applied trace RunAsync replays into
+// the twin *is* the input trace, and every applied batch must map
+// one-to-one to a call — also where a call has more nodes than the
+// queue holds (every dense call below depth n, and delta calls at depth
+// 1), which Block hands to the worker whole.
 func TestAsyncDrainEveryStepBitIdentical(t *testing.T) {
 	const n, k, seed, steps = 20, 4, 33, 150
 	for _, eps := range []float64{0, 0.05} {
 		for _, dense := range []bool{true, false} {
 			feed := map[bool]string{true: "dense", false: "delta"}[dense]
-			for _, p := range asyncPairs(n, k, seed, eps) {
-				p := p
-				t.Run(fmtCell(p.name, feed, eps), func(t *testing.T) {
-					async, twin, done := p.make(t)
-					defer done()
-					rep, err := sim.RunAsync(async, twin, asyncSrc(n, dense), sim.AsyncConfig{
-						Steps: steps, K: k, Epsilon: eps,
-						QueueDepth: n, Policy: ingest.Block,
-						Dense: dense, DrainEvery: 1,
+			for _, depth := range []int{n, 1, 4} {
+				for _, p := range asyncPairs(n, k, seed, eps) {
+					p := p
+					t.Run(fmtDepthCell(p.name, feed, eps, depth, n), func(t *testing.T) {
+						async, twin, done := p.make(t)
+						defer done()
+						rep, err := sim.RunAsync(async, twin, asyncSrc(n, dense), sim.AsyncConfig{
+							Steps: steps, K: k, Epsilon: eps,
+							QueueDepth: depth, Policy: ingest.Block,
+							Dense: dense, DrainEvery: 1,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if rep.Batches != rep.ObserveCalls {
+							t.Fatalf("drain-per-call run applied %d batches for %d calls [%s]",
+								rep.Batches, rep.ObserveCalls, rep.Schedule())
+						}
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep.Batches != rep.ObserveCalls {
-						t.Fatalf("drain-per-call run applied %d batches for %d calls [%s]",
-							rep.Batches, rep.ObserveCalls, rep.Schedule())
-					}
-				})
+				}
 			}
 		}
 	}
@@ -104,22 +110,29 @@ func TestAsyncDrainEveryStepBitIdentical(t *testing.T) {
 // of the suite: barriers land with probability 0.2 per call (three
 // schedule seeds per cell), the delta path runs at a deliberately small
 // queue depth so Block backpressure and mid-run coalescing both happen,
-// and at every barrier the async engine must still be bit-identical to
-// the synchronous replay of its recorded applied trace — and ε-valid
-// (oracle-exact at ε=0) against the applied values. Failures quote the
-// recorded barrier schedule for replay.
+// the dense path runs at depth n and at depth 4 — where every call is a
+// hand-off — and at every barrier the async engine must still be
+// bit-identical to the synchronous replay of its recorded applied trace,
+// and ε-valid (oracle-exact at ε=0) against the applied values. A dense
+// call is never split, so there are never more batches than calls.
+// Failures quote the recorded barrier schedule for replay.
 func TestAsyncRandomBarriersEquivalence(t *testing.T) {
 	const n, k, seed, steps = 20, 4, 33, 150
 	for _, eps := range []float64{0, 0.05} {
-		for _, dense := range []bool{true, false} {
+		for _, c := range []struct {
+			dense bool
+			depth int
+		}{{true, n}, {true, 4}, {false, 4}} {
+			dense := c.dense
 			feed := map[bool]string{true: "dense", false: "delta"}[dense]
-			depth := n
-			if !dense {
-				depth = 4
-			}
+			depth := c.depth
 			for _, p := range asyncPairs(n, k, seed, eps) {
 				p := p
-				t.Run(fmtCell(p.name, feed, eps), func(t *testing.T) {
+				name := fmtCell(p.name, feed, eps)
+				if dense {
+					name = fmtDepthCell(p.name, feed, eps, depth, n)
+				}
+				t.Run(name, func(t *testing.T) {
 					for schedSeed := uint64(1); schedSeed <= 3; schedSeed++ {
 						async, twin, done := p.make(t)
 						rep, err := sim.RunAsync(async, twin, asyncSrc(n, dense), sim.AsyncConfig{
@@ -215,6 +228,15 @@ func TestAsyncTCP(t *testing.T) {
 			t.Errorf("peer agent: %v", err)
 		}
 	}
+}
+
+// fmtDepthCell names a cell of a depth axis: depth n keeps the plain
+// cell name, a shallower queue appends "/depth=D".
+func fmtDepthCell(engine, feed string, eps float64, depth, n int) string {
+	if depth == n {
+		return fmtCell(engine, feed, eps)
+	}
+	return fmtCell(engine, feed, eps) + "/depth=" + strconv.Itoa(depth)
 }
 
 func fmtCell(engine, feed string, eps float64) string {

@@ -38,10 +38,12 @@ type Ingest struct {
 	// not-yet-applied observation (further observations of an already
 	// staged node coalesce and never consume space). 0 disables
 	// asynchronous ingestion; otherwise any positive depth is valid and
-	// is capped at Nodes. Dense Observe stages all Nodes updates per
-	// call, so dense feeds want QueueDepth == Nodes; a smaller depth
-	// still works but may split one dense call across protocol steps
-	// under the Block policy.
+	// is capped at Nodes. Under OverflowBlock no observation call is
+	// split across protocol steps at any depth: a call with more nodes
+	// than QueueDepth (a dense Observe below Nodes) waits for the staged
+	// batch to be taken and is then applied whole, as its own step.
+	// Under OverflowDropOldest such a call sheds its own earlier updates,
+	// and under OverflowError it is always refused.
 	QueueDepth int
 	// Overflow selects what happens when an observation of a new node
 	// arrives while QueueDepth nodes are already staged.
@@ -54,14 +56,18 @@ type OverflowPolicy uint8
 
 const (
 	// OverflowBlock (the default) blocks the observation call until the
-	// worker takes the staged batch. Lossless: every update is applied.
+	// worker takes the staged batch, and a call with more nodes than
+	// QueueDepth until the worker has applied it. Lossless: every update
+	// is applied, and no call is split across protocol steps.
 	OverflowBlock OverflowPolicy = iota
 	// OverflowDropOldest evicts the oldest staged observation to admit
 	// the new one. Lossy under sustained overload: the evicted node
-	// keeps its previously applied value until it is observed again.
+	// keeps its previously applied value until it is observed again. A
+	// call with more nodes than QueueDepth sheds its own earlier updates.
 	OverflowDropOldest
 	// OverflowError rejects the observation call with ErrQueueFull,
-	// admitting none of its updates; the monitor stays usable.
+	// admitting none of its updates; the monitor stays usable. A call
+	// with more nodes than QueueDepth is always rejected.
 	OverflowError
 )
 
@@ -123,13 +129,18 @@ func (m *Monitor) startIngest() error {
 	return nil
 }
 
-// applyStep runs one coalesced batch as a protocol step on the
-// underlying engine. It executes on the ingest worker goroutine; the
-// engine mutex serializes it against the read accessors.
+// applyStep runs one coalesced batch — or, with nil ids, a dense call
+// handed over whole — as a protocol step on the underlying engine. It
+// executes on the ingest worker goroutine; the engine mutex serializes it
+// against the read accessors.
 func (m *Monitor) applyStep(ids []int, vals []int64) error {
 	m.lock()
 	defer m.unlock()
 	m.observed(ids)
+	if ids == nil {
+		_, err := m.step(m.eng.Observe(vals))
+		return err
+	}
 	_, err := m.step(m.eng.ObserveDelta(ids, vals))
 	return err
 }

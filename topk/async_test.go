@@ -328,3 +328,82 @@ func TestOrderedConfigErrorTyped(t *testing.T) {
 		t.Error("ordered Transport rejection did not close the transport")
 	}
 }
+
+// TestAsyncOversizedCallIsOneStep pins that a call with more nodes than
+// Ingest.QueueDepth is one protocol step under OverflowBlock, as it is on
+// a synchronous monitor: the first ObserveDelta of every node through a
+// depth-16 queue at n = 4096 (the async-seq-shallow set-up call) costs
+// exactly what the synchronous twin's does — 102 messages, 1 107 bytes —
+// and so does a dense Observe through the same queue over links and
+// through a tree, frames included.
+func TestAsyncOversizedCallIsOneStep(t *testing.T) {
+	const n, k = 4096, 8
+	src := stream.NewSparseWalk(stream.SparseWalkConfig{N: n, Lo: 0, Hi: 1 << 40, MaxStep: 64, Changed: 8, Seed: 1})
+	ids, vals := make([]int, n), make([]int64, n)
+	if c := src.StepDelta(ids, vals); c != n {
+		t.Fatalf("first step carries %d nodes, want %d", c, n)
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   func() Config
+		dense bool
+		flat  bool // a single coordinator: the sequential engine's ledger
+	}{
+		{"seq/delta", func() Config { return Config{Nodes: n, K: k, Seed: 1} }, false, true},
+		{"net/dense", func() Config { return Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)} }, true, true},
+		{"tree/dense", func() Config { return Config{Nodes: n, K: k, Seed: 1, Tree: Tree{Branch: 2, Depth: 2}} }, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mons [2]*Monitor
+			for i := range mons {
+				cfg := tc.cfg()
+				if i == 0 {
+					cfg.Ingest = Ingest{QueueDepth: 16}
+				}
+				m, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(m.Close)
+				if tc.dense {
+					_, err = m.Observe(vals)
+				} else {
+					_, err = m.ObserveDelta(ids, vals)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				drainT(t, m)
+				mons[i] = m
+			}
+			async, sync := mons[0], mons[1]
+			if st := async.Stats(); st.Steps != 1 || st != sync.Stats() {
+				t.Fatalf("stats: async %+v, sync %+v — the call must be one step", st, sync.Stats())
+			}
+			if g, w := async.Counts(), sync.Counts(); g != w {
+				t.Fatalf("counts: async %+v, sync %+v", g, w)
+			}
+			if g, w := async.Bytes(), sync.Bytes(); g != w {
+				t.Fatalf("bytes: async %+v, sync %+v", g, w)
+			}
+			if g, w := async.Phases(), sync.Phases(); g != w {
+				t.Fatalf("phases: async %+v, sync %+v", g, w)
+			}
+			if g, w := async.BytesByPhase(), sync.BytesByPhase(); g != w {
+				t.Fatalf("phase bytes: async %+v, sync %+v", g, w)
+			}
+			if g, w := async.TransportStats(), sync.TransportStats(); g != w {
+				t.Fatalf("transport: async %+v, sync %+v", g, w)
+			}
+			if !equalIDs(async.Top(), sync.Top()) {
+				t.Fatalf("report: async %v, sync %v", async.Top(), sync.Top())
+			}
+			if st := async.IngestStats(); st.Batches != 1 || st.MaxQueue > 16 {
+				t.Fatalf("ingest stats %+v, want one batch and MaxQueue <= 16", st)
+			}
+			if c, b := async.Counts(), async.Bytes(); tc.flat && (c != Counts{Up: 88, Broadcast: 14} || b != Bytes{Up: 963, Broadcast: 144}) {
+				t.Fatalf("first call cost %+v / %+v, want 102 messages and 1107 bytes", c, b)
+			}
+		})
+	}
+}

@@ -467,9 +467,11 @@ func (m *Monitor) Observe(vals []int64) ([]int, error) {
 // allocations on the sequential engine, independent of Nodes.
 //
 // In asynchronous mode the call stages the delta and returns a nil
-// report immediately, exactly as Observe; since the staged slices are
-// copied into the per-node queue, callers may reuse their buffers as
-// in synchronous mode.
+// report immediately, exactly as Observe. Callers may reuse their
+// buffers as in synchronous mode: a staged delta is copied into the
+// per-node queue, and a delta with more ids than Ingest.QueueDepth,
+// which the OverflowBlock worker applies straight from the caller's
+// slices, returns only after it has been applied.
 func (m *Monitor) ObserveDelta(ids []int, vals []int64) ([]int, error) {
 	if len(ids) != len(vals) {
 		return nil, fmt.Errorf("topk: delta has %d ids but %d values", len(ids), len(vals))
