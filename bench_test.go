@@ -110,10 +110,12 @@ func BenchmarkMonitorStep(b *testing.B) {
 }
 
 // BenchmarkLeafDenseObserve measures what a quiet dense step costs a host:
-// one netrun leaf behind a pipe, one Observe frame of 2¹⁶ values in and the
-// violation-flag reply out — pipe hand-off, the frame's varints read where
-// they lie and the bank's range kernel, no decoded column in between. The
-// frame is encoded once, off the clock; the leaf must allocate nothing.
+// one netrun leaf behind a pipe, one Observe frame of 2¹⁶ changes in and
+// the violation-flag reply out — pipe hand-off, the frame's varints read
+// where they lie, each added to its node's value, and the bank's range
+// kernel, no decoded column in between. The frames are encoded once, off
+// the clock: one walk step there and back, so the values stay put; the
+// leaf must allocate nothing.
 func BenchmarkLeafDenseObserve(b *testing.B) {
 	const n = 1 << 16
 	link := fanout.Loopback(netrun.Serve)
@@ -127,14 +129,22 @@ func BenchmarkLeafDenseObserve(b *testing.B) {
 		}
 	}
 	exchange(wire.Assign{Lo: 0, Hi: n, N: n, K: 4, Seed: 1}.Append(nil))
-	vals := make([]int64, n)
-	stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 40, MaxStep: 8, Seed: 2}).Step(vals)
-	frame := wire.Observe{Step: 1, Vals: vals}.Append(nil)
-	exchange(frame)
+	vals, next := make([]int64, n), make([]int64, n)
+	src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 40, MaxStep: 8, Seed: 2})
+	src.Step(vals)
+	copy(next, vals)
+	src.Step(next)
+	exchange(wire.Observe{Step: 1, Vals: vals}.Append(nil)) // against the bank's zeros
+	frames := [2][]byte{
+		wire.Observe{Step: 1, Vals: next, Prev: vals}.Append(nil),
+		wire.Observe{Step: 1, Vals: vals, Prev: next}.Append(nil),
+	}
+	exchange(frames[0])
+	exchange(frames[1])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exchange(frame)
+		exchange(frames[i&1])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
 }

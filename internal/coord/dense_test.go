@@ -32,9 +32,15 @@ func perValue(view *Nodes, vals []int64, step int64) (topViol, outViol bool, err
 	return topViol, outViol, nil
 }
 
-// fromBytes feeds the view the frame a root would ship it, read in place.
+// fromBytes feeds the view the frame a root would ship it, read in place:
+// every value coded against the one the view's bank holds, as a root codes
+// it against its mirror of that bank.
 func fromBytes(view *Nodes, vals []int64, step int64) (bool, bool, error) {
-	s, err := wire.OpenObserve(wire.Observe{Step: step, Vals: vals}.Append(nil))
+	held := make([]int64, len(vals))
+	for i := range held {
+		held[i] = view.value(i)
+	}
+	s, err := wire.OpenObserve(wire.Observe{Step: step, Vals: vals, Prev: held}.Append(nil))
 	if err != nil {
 		return false, false, err
 	}
@@ -44,13 +50,14 @@ func fromBytes(view *Nodes, vals []int64, step int64) (bool, bool, error) {
 // TestDenseKernelMatchesPerValueObserve drives three twin banks through
 // the same random dense steps — one through Nodes.Observe value by value,
 // one through the range kernel from a slice (ObserveDense), one through it
-// from a frame's bytes (ObserveStream) — over both tie-break modes, exact
-// and ε-widened installs, hosted ranges that end off the kernel's chunk
-// size, Sub views, steps that repeat and advance, values on both sides of
-// both bounds and at the domain's ends, and in a third of the steps a value
-// outside the domain at a random index. After every step the twins must
-// agree on every key, every membership bit, every view's violator lists and
-// their step, the flags each view returned and its error.
+// from the bytes of a frame of changes (ObserveStream) — over both
+// tie-break modes, exact and ε-widened installs, hosted ranges that end off
+// the kernel's chunk size, Sub views, steps that repeat and advance, values
+// on both sides of both bounds and at the domain's ends, and in a third of
+// the steps a value outside the domain at a random index. After every step
+// the twins must agree on every key, every membership bit, every view's
+// violator lists and their step, the flags each view returned and its
+// error.
 func TestDenseKernelMatchesPerValueObserve(t *testing.T) {
 	r := rng.New(28, 0xd5)
 	for trial := 0; trial < 120; trial++ {

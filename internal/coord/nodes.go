@@ -210,7 +210,8 @@ func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
 }
 
 // value returns the observation behind hosted node i's key: the key with
-// the tie-break injection taken out (what a checkpoint delta carries).
+// the tie-break injection taken out (what a checkpoint delta carries, and
+// the baseline an observation frame's changes are added to).
 func (b *Nodes) value(i int) int64 {
 	if b.distinct {
 		return int64(b.keys[i])
@@ -351,13 +352,16 @@ func (b *Nodes) ObserveDense(vals []int64, step int64) (topViol, outViol bool, e
 }
 
 // ObserveStream is ObserveDense for a dense frame as it arrived: the
-// values are read from the frame's bytes a chunk at a time and never exist
-// as a column. The frame must carry one value per hosted node, which is
-// checked before the first store; whatever else is wrong with it — a
-// malformed varint, a value outside the domain, bytes after the last value
-// — is found where it lies, so the values ahead of it have been applied
-// when the error comes back. A wire-facing host ends on that error, and
-// the coordinator rebuilds the range from its mirror.
+// frame carries each node's change from the value the bank holds (wire
+// package comment), and the values are rebuilt from it a chunk at a time
+// — a hosted node's value is its key with the tie-break taken out — and
+// never exist as a column. The frame must carry one change per hosted node,
+// which is checked before the first store; whatever else is wrong with it
+// — a malformed varint, a change that lands outside the value domain,
+// bytes after the last change — is found where it lies, so the values
+// ahead of it have been applied when the error comes back. A wire-facing
+// host ends on that error, and the coordinator re-Assigns the range and
+// rebuilds it from its mirror.
 func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err error) {
 	if s.Len() != len(b.keys) {
 		return false, false, fmt.Errorf("coord: observe frame carries %d values for range [%d, %d)", s.Len(), b.lo, b.hi)
@@ -365,6 +369,9 @@ func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err
 	var chunk [256]int64
 	for i := 0; i < len(b.keys); {
 		n, rerr := s.Read(chunk[:])
+		for j := range chunk[:n] {
+			chunk[j] += b.value(i + j) // wraps as the coordinator's subtraction did
+		}
 		t, o, err := b.observeRun(i, chunk[:n], s.Step)
 		topViol, outViol = topViol || t, outViol || o
 		if err == nil {
@@ -379,19 +386,20 @@ func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err
 }
 
 // ObserveDeltaStream ingests a sparse frame as it arrived: Observe for
-// every (id, value) pair it carries, read from the frame's bytes. An id
-// outside the hosted range is an error; like any other it is found where
-// it lies (see ObserveStream).
+// every (id, change) pair it carries, read from the frame's bytes, at the
+// value the change leads to from the node's own. An id outside the hosted
+// range is an error; like any other it is found where it lies (see
+// ObserveStream).
 func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, err error) {
 	for s.Len() > 0 {
-		id, v, err := s.Next()
+		id, change, err := s.Next()
 		if err != nil {
 			return topViol, outViol, err
 		}
 		if id < b.lo || id >= b.hi {
 			return topViol, outViol, fmt.Errorf("coord: delta id %d outside range [%d, %d)", id, b.lo, b.hi)
 		}
-		t, o, err := b.Observe(id, v, s.Step)
+		t, o, err := b.Observe(id, b.value(id-b.lo)+change, s.Step)
 		if err != nil {
 			return topViol, outViol, err
 		}

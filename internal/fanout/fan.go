@@ -12,12 +12,19 @@ import (
 // peer, or the replies to the commands of one incoming frame — and the one
 // place they become a transport frame (Frame).
 type Frames struct {
-	buf  []byte // the sub-frames, back to back
-	lens []int  // their lengths
+	buf   []byte // the sub-frames, back to back
+	lens  []int  // their lengths
+	sizes transport.Retention
 }
 
-// Reset empties the arena, keeping its storage.
-func (a *Frames) Reset() { a.buf, a.lens = a.buf[:0], a.lens[:0] }
+// Reset empties the arena, keeping its storage unless the arena's
+// transport.Retention lets it go, told of the sub-frames it carried.
+func (a *Frames) Reset() {
+	if !a.sizes.Keep(cap(a.buf), len(a.buf)) {
+		a.buf = nil
+	}
+	a.buf, a.lens = a.buf[:0], a.lens[:0]
+}
 
 // Add appends one sub-frame, produced by an append-encoder.
 func (a *Frames) Add(enc func([]byte) []byte) {
@@ -56,12 +63,16 @@ func (a *Frames) Frame(tail []byte, batch bool, env *[]byte) []byte {
 
 // Subframes is Frame's inverse on the serving side: the commands one
 // incoming transport frame carries — a wire.Batch's sub-frames, or the
-// frame itself — in b's storage, and whether it was a batch.
+// frame itself — in b's storage, and whether it was a batch. The storage
+// holds nothing of an earlier frame, in the slots this one leaves unused
+// too: that frame's buffer may be one its link has let go
+// (transport.Retention), and a stale slot would keep it alive.
 func Subframes(b *wire.Batch, frame []byte) (subs [][]byte, batched bool, err error) {
 	typ, err := wire.MsgType(frame)
 	if err != nil {
 		return nil, false, err
 	}
+	clear(b.Frames[:cap(b.Frames)])
 	if typ != wire.TypeBatch {
 		b.Frames = append(b.Frames[:0], frame)
 		return b.Frames, false, nil

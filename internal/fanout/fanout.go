@@ -111,9 +111,15 @@
 // re-runs the Assign handshake on every peer — servers rebuild their node
 // banks from scratch — (3) replays the coordinator-side mirror of the
 // current node values, and (4) forces a FILTERRESET, after which reports
-// match the oracle again. Failures and recoveries are surfaced through
-// Health and the Config.OnEvent callback; Err reports only terminal
-// degradation (retry budget exhausted, or no peers left). Late joiners
+// match the oracle again. Observation frames carry each value's change
+// from what the receiving bank holds (internal/wire), which the mirror
+// tells; step (2) is what keeps that sound, since every fault that can
+// leave a bank off the mirror — a frame lost, duplicated or applied in
+// part — ends its link, and a bank rebuilt by Assign holds zero, which is
+// what step (3) codes the mirror's values against. Failures and
+// recoveries are surfaced through Health and the Config.OnEvent callback;
+// Err reports only terminal degradation (retry budget exhausted, or no
+// peers left). Late joiners
 // attach mid-stream through Join, which splits the widest range using the
 // same machinery, and Restore rebuilds a crashed coordinator process from
 // a checkpoint through it too.
@@ -194,9 +200,10 @@ type Engine struct {
 	err    error // terminal failure (recovery abandoned); sticky
 
 	// Failover state: last mirrors every node's most recent value (what
-	// recovery replays into rebuilt banks), pendingRecovery schedules a
-	// recovery pass for the next observation call, and the counters feed
-	// Health.
+	// every bank holds, so what observation frames are change-coded
+	// against, and what recovery replays into rebuilt banks against zero),
+	// pendingRecovery schedules a recovery pass for the next observation
+	// call, and the counters feed Health.
 	last            []int64
 	pendingRecovery bool
 	failures        int64
@@ -205,8 +212,11 @@ type Engine struct {
 
 	// buf is the one encode buffer every data-bearing frame goes out of. A
 	// dense frame sizes it before it is written (wire.Observe.Append), so it
-	// settles at about one peer's frame.
-	buf []byte
+	// settles at about the largest peer's frame; sizes is told of each
+	// step's largest observation frame and lets go of a buffer they no
+	// longer need — the first step's, coded against zero (finishStep).
+	buf   []byte
+	sizes transport.Retention
 }
 
 // New performs the Assign/Ready handshake over the given links — peer i
@@ -453,15 +463,21 @@ func (e *Engine) Observe(vals []int64) []int {
 	if !e.checkStep("Observe") {
 		return e.mach.Top()
 	}
-	copy(e.last, vals)
 	e.step = e.mach.BeginStep()
+	// Each peer's frame is coded against its range of the mirror, which
+	// then takes the new values; whatever happens to the step, the mirror
+	// ends it holding all of them.
+	largest := 0
 	for pi, p := range e.fan.peers {
-		e.buf = wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi]}.Append(e.buf[:0])
+		e.buf = wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi], Prev: e.last[p.lo:p.hi]}.Append(e.buf[:0])
+		largest = max(largest, len(e.buf))
+		copy(e.last[p.lo:p.hi], vals[p.lo:p.hi])
 		if e.fan.ship(pi, e.buf, "observe") != nil {
+			copy(e.last[p.hi:], vals[p.hi:])
 			return e.mach.Top()
 		}
 	}
-	return e.finishStep("observe")
+	return e.finishStep("observe", largest)
 }
 
 // ObserveDelta processes one sparse time step: vals[j] is node ids[j]'s
@@ -485,30 +501,44 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	if !e.checkStep("ObserveDelta") {
 		return e.mach.Top()
 	}
-	for j, id := range ids {
-		e.last[id] = vals[j]
-	}
 	e.step = e.mach.BeginStep()
-	// Ship each peer its slice of the (sorted) delta.
-	start := 0
+	// Ship each peer its slice of the (sorted) delta, coded against the
+	// mirror as in Observe.
+	start, largest := 0, 0
 	for pi := range e.fan.peers {
 		stop := e.fan.Share(pi, ids, start)
 		if stop > start {
-			e.buf = wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop]}.Append(e.buf[:0])
+			e.buf = wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop], Prev: e.last}.Append(e.buf[:0])
+			largest = max(largest, len(e.buf))
+			e.remember(ids[start:stop], vals[start:stop])
 			if e.fan.ship(pi, e.buf, "observe-delta") != nil {
+				e.remember(ids[stop:], vals[stop:])
 				return e.mach.Top()
 			}
 		}
 		start = stop
 	}
-	return e.finishStep("observe-delta")
+	return e.finishStep("observe-delta", largest)
+}
+
+// remember writes a sparse update into the mirror.
+func (e *Engine) remember(ids []int, vals []int64) {
+	for j, id := range ids {
+		e.last[id] = vals[j]
+	}
 }
 
 // finishStep gathers the violation flags of the peers the step touched —
 // the ones that were shipped an observation frame and so owe a reply — and
 // drives the coordinator machine through the rest of the step. On a link
-// failure it abandons the step and returns the last-good report.
-func (e *Engine) finishStep(op string) []int {
+// failure it abandons the step and returns the last-good report. The
+// encode buffer is judged by the largest observation frame the step wrote,
+// largest; a protocol frame the step goes on to write fits whatever
+// buffer it keeps, or grows it back.
+func (e *Engine) finishStep(op string, largest int) []int {
+	if !e.sizes.Keep(cap(e.buf), largest) {
+		e.buf = nil
+	}
 	anyTop, anyOut := false, false
 	for pi, p := range e.fan.peers {
 		if p.owed == 0 {

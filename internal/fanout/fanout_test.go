@@ -10,6 +10,7 @@ import (
 	"repro/internal/shardrun"
 	"repro/internal/stream"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // TestSplit pins the one range layout of the system: contiguous,
@@ -107,5 +108,59 @@ func TestDeadLinkKeepsTransportStats(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSubframesKeepNoEarlierFrame pins that the serving side's decode
+// storage holds nothing of an earlier frame: after a batch of three
+// commands, a lone command leaves every other slot empty, so a buffer the
+// link let go (transport.Retention) is not kept alive by a stale slot.
+func TestSubframesKeepNoEarlierFrame(t *testing.T) {
+	var b wire.Batch
+	batch := wire.Batch{Frames: [][]byte{
+		wire.AppendBare(nil, wire.TypeResetBegin),
+		wire.Midpoint{Mid: 9}.Append(nil),
+		wire.AppendBare(nil, wire.TypeResetBegin),
+	}}.Append(nil)
+	if subs, batched, err := fanout.Subframes(&b, batch); err != nil || !batched || len(subs) != 3 {
+		t.Fatalf("batch of three: %d sub-frames, batched %v, err %v", len(subs), batched, err)
+	}
+	subs, batched, err := fanout.Subframes(&b, wire.AppendBare(nil, wire.TypeShutdown))
+	if err != nil || batched || len(subs) != 1 {
+		t.Fatalf("lone command: %d sub-frames, batched %v, err %v", len(subs), batched, err)
+	}
+	for i, sub := range b.Frames[1:cap(b.Frames)] {
+		if sub != nil {
+			t.Fatalf("slot %d still holds %x from the batch before", i+1, sub)
+		}
+	}
+}
+
+// TestFramesSizeTheirBufferByTheirFrames pins the arenas' half of
+// transport.Retention: an arena a large share grew is let go once two
+// shares in a row have needed under half of it, while a batch of more than 1 KiB
+// of protocol commands between two shares above the 64 KiB floor — a
+// large-k reset's Winners, queued on a relay's child — lets nothing go, so
+// that cycle allocates nothing.
+func TestFramesSizeTheirBufferByTheirFrames(t *testing.T) {
+	var a fanout.Frames
+	var env []byte
+	carry := func(p []byte) (capacity int) {
+		a.Add(func(dst []byte) []byte { return append(dst, p...) })
+		capacity = cap(a.Frame(nil, false, &env))
+		a.Reset()
+		return capacity
+	}
+	big, share, batch := make([]byte, 400<<10), make([]byte, 100<<10), make([]byte, 3<<10)
+	carry(big)
+	if c := carry(share); c < len(big) {
+		t.Fatalf("the share after a %d-byte one went out of a %d-byte arena; want the one it grew", len(big), c)
+	}
+	carry(share)
+	if c := carry(share); c >= 2*len(share) {
+		t.Fatalf("a %d-byte share still goes out of a %d-byte arena after two of its size", len(share), c)
+	}
+	if avg := testing.AllocsPerRun(50, func() { carry(share); carry(batch) }); avg != 0 {
+		t.Fatalf("shares with a reset batch between them allocate %.2f per cycle, want 0", avg)
 	}
 }

@@ -202,8 +202,9 @@ func (e *Engine) reassignReplayReset() error {
 		return err
 	}
 	// Replay the current value of every node from the coordinator-side
-	// mirror. Rebuilt banks hold full filters, so no violations fire; the
-	// replies' flags are deliberately discarded.
+	// mirror, coded against the zero every rebuilt bank holds. Rebuilt
+	// banks hold full filters, so no violations fire; the replies' flags
+	// are deliberately discarded.
 	for pi, p := range e.fan.peers {
 		e.buf = wire.Observe{Step: e.mach.Step(), Vals: e.last[p.lo:p.hi]}.Append(e.buf[:0])
 		if err := e.fan.ship(pi, e.buf, "replay"); err != nil {

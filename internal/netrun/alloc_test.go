@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/stream"
 )
@@ -54,6 +55,48 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 				d.ObserveDelta(ids[:c], dvals[:c])
 			}); avg != 0 {
 				t.Errorf("sparse networked ObserveDelta allocates %.2f per step, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestUnequalRangesObserveZeroAllocs extends the pin above
+// transport.Retention's 64 KiB floor, to peers of unequal ranges: once a
+// failover has merged a dead peer's range into the one below it, a step's
+// frames are n/2, n/4 and n/4 one-byte changes, and the encode buffer the
+// first needs must outlive the smaller frames written into it after it,
+// under either gather.
+func TestUnequalRangesObserveZeroAllocs(t *testing.T) {
+	for _, g := range gathers {
+		t.Run(g.name, func(t *testing.T) {
+			setGather(t, g.procs)
+			const n = 1 << 18
+			links := LoopbackLinks(4)
+			e, err := New(Config{N: n, K: 4, Seed: 31, RetryBackoff: time.Millisecond}, links)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 32})
+			vals := make([]int64, n)
+			step := func() {
+				src.Step(vals)
+				e.Observe(vals)
+			}
+			step()
+			links[1].Close()
+			for s := 0; s < 8; s++ {
+				step()
+			}
+			var widths []int
+			for _, p := range e.Health().Peers {
+				widths = append(widths, p.Hi-p.Lo)
+			}
+			if len(widths) != 3 || widths[0] != n/2 || widths[1] != n/4 || widths[2] != n/4 {
+				t.Fatalf("peer ranges after the merge are %v nodes wide, want [%d %d %d]", widths, n/2, n/4, n/4)
+			}
+			if avg := testing.AllocsPerRun(20, step); avg != 0 {
+				t.Errorf("dense networked Observe over unequal ranges allocates %.2f per step, want 0", avg)
 			}
 		})
 	}

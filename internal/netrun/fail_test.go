@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -188,7 +189,8 @@ func TestDeadHostAfterHalfAppliedFrame(t *testing.T) {
 			}
 			defer e.Close()
 
-			// Three-byte values, so half a frame's bytes still cover its count.
+			// Changes of up to 2¹² a step, two bytes each on the wire, so half
+			// a frame's bytes still cover its count.
 			src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 1 << 20, Hi: 1 << 21, MaxStep: 1 << 12, Seed: 3})
 			vals := make([]int64, n)
 			var lastGood []int
@@ -226,6 +228,107 @@ func TestDeadHostAfterHalfAppliedFrame(t *testing.T) {
 				t.Fatalf("health after recovery: %+v, want one failure, one recovery, two peers", h)
 			}
 		})
+	}
+}
+
+// killObserve is a link that, armed, dies at its next observation frame:
+// the Send fails and the link closes, as a host dying would look to a
+// coordinator whose frames to the peers before it have already shipped.
+type killObserve struct {
+	transport.Link
+	armed bool
+}
+
+func (l *killObserve) Send(p []byte) error {
+	if l.armed && (p[0] == wire.TypeObserve || p[0] == wire.TypeObserveDelta) {
+		l.Link.Close()
+		return transport.ErrClosed
+	}
+	return l.Link.Send(p)
+}
+
+// observeTap counts the observation frames sent over a link.
+type observeTap struct {
+	transport.Link
+	sent int
+}
+
+func (l *observeTap) Send(p []byte) error {
+	if p[0] == wire.TypeObserve || p[0] == wire.TypeObserveDelta {
+		l.sent++
+	}
+	return l.Link.Send(p)
+}
+
+// TestDeadLinkMidFanOutHeals pins the mirror's half of change coding: a step
+// whose fan-out dies part way — peer 0's frame shipped and applied, peer
+// 1's link dead before its frame, peer 2 never reached — still leaves the
+// mirror holding every value of the step, so the recovery that re-Assigns
+// every peer replays them all and the next step is oracle-exact. That
+// step is sparse and touches peer 0 alone, so the values the abandoned
+// step — dense or sparse — gave peers 1 and 2's nodes reach their rebuilt
+// banks only through the replay.
+func TestDeadLinkMidFanOutHeals(t *testing.T) {
+	const n, k = 48, 4 // peers host [0, 16), [16, 32), [32, 48)
+	for _, g := range gathers {
+		for _, sparse := range []bool{false, true} {
+			name := g.name + "/dense"
+			if sparse {
+				name = g.name + "/sparse"
+			}
+			t.Run(name, func(t *testing.T) {
+				setGather(t, g.procs)
+				first, victim := &observeTap{Link: LoopbackLink()}, &killObserve{Link: LoopbackLink()}
+				e, err := New(Config{N: n, K: k, Seed: 17, RetryBackoff: time.Millisecond},
+					[]transport.Link{first, victim, LoopbackLink()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				vals := make([]int64, n)
+				var lastGood []int
+				for s := 0; s < 10; s++ {
+					driven(s, vals)
+					lastGood = append(lastGood[:0], e.Observe(vals)...)
+					if want := sim.Oracle(vals, k); !equal(lastGood, want) {
+						t.Fatalf("healthy step %d: got %v, want oracle %v", s, lastGood, want)
+					}
+				}
+
+				// New leaders in peers 1 and 2's ranges, nodes the report does
+				// not hold yet, and a move in peer 0's.
+				ids, nv := []int{3, 20, 43}, []int64{7, 1 << 30, 1<<30 + 1}
+				if slices.Contains(lastGood, 20) || slices.Contains(lastGood, 43) {
+					t.Fatalf("nodes 20 and 43 lead already: %v", lastGood)
+				}
+				for j, id := range ids {
+					vals[id] = nv[j]
+				}
+				shipped := first.sent
+				victim.armed = true
+				var got []int
+				if sparse {
+					got = e.ObserveDelta(ids, nv)
+				} else {
+					got = e.Observe(vals)
+				}
+				if !equal(got, lastGood) {
+					t.Fatalf("the step that lost peer 1 returned %v, want the last-good %v", got, lastGood)
+				}
+				if first.sent != shipped+1 {
+					t.Fatalf("peer 0 was sent %d observation frames in the step that lost peer 1, want 1", first.sent-shipped)
+				}
+				if h := e.Health(); !h.Degraded || h.Failures != 1 {
+					t.Fatalf("health after the partial fan-out: %+v, want one failure awaiting recovery", h)
+				}
+
+				vals[5] = 9
+				got = e.ObserveDelta([]int{5}, []int64{9})
+				if want := sim.Oracle(vals, k); !equal(got, want) || e.Health().Degraded {
+					t.Fatalf("the step after the partial fan-out: got %v (health %+v), want oracle %v", got, e.Health(), want)
+				}
+			})
+		}
 	}
 }
 

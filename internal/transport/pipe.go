@@ -19,7 +19,11 @@ import (
 // which it is handed back to the sending side for reuse. A receiver that
 // answers every frame it gets therefore frees each frame with its answer,
 // each direction of a steady-state request/reply cycle cycles one buffer,
-// and the cycle allocates nothing.
+// and the cycle allocates nothing. A recycled buffer carries the next frame
+// unless the sending end's Retention lets it go, so a direction's buffer
+// is sized by the frames it carries now: the one a handshake's first dense
+// frame grew is let go at the second steady-state frame, which is copied
+// into a buffer of its own size.
 //
 // A pipe never buffers writes, so its Flush is a no-op.
 func Pipe() (Link, Link) {
@@ -58,6 +62,9 @@ type pipeLink struct {
 	// Recv. It is swapped atomically because the two may run on different
 	// goroutines.
 	prev atomic.Pointer[[]byte]
+	// sizes judges the recycled buffers Send copies frames into; only Send
+	// touches it.
+	sizes Retention
 }
 
 // frameLen is the on-stream size of one frame: prefix plus payload.
@@ -69,7 +76,8 @@ func frameLen(payload int) int64 {
 // Flush to release. A payload above MaxFrame is refused as the TCP link
 // refuses it. The payload is copied before the frame the last Recv
 // returned is freed, so a reply may be encoded over the request it
-// answers.
+// answers. A recycled buffer Retention lets go is dropped for one of the
+// payload's size.
 func (l *pipeLink) Send(payload []byte) error {
 	if err := sendable(payload); err != nil {
 		return err
@@ -79,6 +87,9 @@ func (l *pipeLink) Send(payload []byte) error {
 	case cp = <-l.out.free:
 	default:
 		cp = new([]byte)
+	}
+	if !l.sizes.Keep(cap(*cp), len(payload)) {
+		*cp = nil
 	}
 	*cp = append((*cp)[:0], payload...)
 	l.release(l.prev.Swap(nil))

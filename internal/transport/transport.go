@@ -8,7 +8,8 @@
 //     the same length-prefix framing cost as TCP so byte statistics are
 //     comparable, and frees a received frame when its receiver answers,
 //     so each direction cycles one buffer and a steady-state
-//     request/reply cycle allocates nothing.
+//     request/reply cycle allocates nothing (see Retention for the
+//     buffers it lets go instead).
 //   - TCP: a length-prefixed stream protocol — one coordinator listener,
 //     n dialing peers, one goroutine-free synchronous read loop per
 //     connection, graceful shutdown via context cancellation.
@@ -60,6 +61,35 @@ func sendable(payload []byte) error {
 		return fmt.Errorf("transport: frame of %d bytes exceeds MaxFrame", len(payload))
 	}
 	return nil
+}
+
+// Retention is the one retention rule for a long-lived frame buffer — a
+// pipe's free list, a coordinator's encode buffer, a fan's per-peer arenas.
+// The first frame after a handshake carries values where the frames after
+// it carry changes (internal/wire), several times as many bytes, and a
+// buffer it grew would otherwise keep that size for good. Keep is told of
+// every frame the buffer carries and lets go of a buffer over 64 KiB that
+// is more than twice the larger of the last two frames of at least 1 KiB
+// it was told of. Three limits keep the rule from letting go of a buffer
+// the next frame will need: the floor, below which a buffer is kept
+// whatever mix of frames it carries; frames under 1 KiB — acks, rounds,
+// replies — which do not count; and the memory of two frames, which lets
+// one larger protocol frame — a large-k reset's batch of Winners — pass
+// between two observation frames without the buffer they need being let
+// go. The zero value is ready to use.
+type Retention struct {
+	last, prev int // the last two counted frames' lengths
+}
+
+// Keep records that a buffer of the given capacity carried (or is about to
+// carry) a frame of n bytes, and reports whether the buffer is worth
+// keeping.
+func (r *Retention) Keep(capacity, n int) bool {
+	const floor, small = 64 << 10, 1 << 10
+	if n >= small {
+		r.last, r.prev = n, r.last
+	}
+	return capacity <= floor || capacity <= 2*max(r.last, r.prev)
 }
 
 // Link is one reliable, ordered, message-framed duplex connection between

@@ -563,6 +563,94 @@ func TestPipeRecvRecycles(t *testing.T) {
 	}
 }
 
+// ack is the frame echo answers with.
+var ack = []byte{1, 2, 3}
+
+// echo sends p from a to b and answers it with ack, which frees it, and
+// returns the capacity of the buffer p arrived in.
+func echo(t *testing.T, a, b Link, p []byte) (capacity int) {
+	t.Helper()
+	if err := a.Send(p); err != nil {
+		t.Fatal(err)
+	}
+	q, err := b.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity = cap(q)
+	if err := b.Send(ack); err != nil { // frees q
+		t.Fatal(err)
+	}
+	if _, err := a.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	return capacity
+}
+
+// TestPipeSizesBuffersByTheirFrames pins the pipe's half of Retention: a
+// buffer a large frame grew carries the next frame, and is let go once two
+// frames in a row need under half of it — the second travels in a buffer
+// of about its own size — while small frames between two large ones let
+// nothing go, so a steady cycle of both allocates nothing.
+func TestPipeSizesBuffersByTheirFrames(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	big, mid := make([]byte, 400<<10), make([]byte, 100<<10)
+	if c := echo(t, a, b, big); c < len(big) {
+		t.Fatalf("a %d-byte frame arrived in a %d-byte buffer", len(big), c)
+	}
+	if c := echo(t, a, b, mid); c < len(big) {
+		t.Fatalf("the frame after a %d-byte one arrived in a %d-byte buffer; want the recycled one", len(big), c)
+	}
+	if c := echo(t, a, b, mid); c >= 2*len(mid) {
+		t.Fatalf("a %d-byte frame still travels in a %d-byte buffer after two of its size", len(mid), c)
+	}
+	if avg := testing.AllocsPerRun(50, func() { echo(t, a, b, mid); echo(t, a, b, ack); echo(t, a, b, ack) }); avg != 0 {
+		t.Fatalf("a steady cycle of large and small frames allocates %.2f per cycle, want 0", avg)
+	}
+}
+
+// TestPipeKeepsItsBufferAcrossAResetBatch pins Retention's two-frame
+// memory on a pipe: a protocol frame of more than 1 KiB — a large-k
+// reset's batch of Winners — between every two dense frames above the
+// 64 KiB floor lets no buffer go, so the cycle allocates nothing.
+func TestPipeKeepsItsBufferAcrossAResetBatch(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	dense, batch := make([]byte, 100<<10), make([]byte, 3<<10)
+	for range 3 {
+		echo(t, a, b, dense)
+		echo(t, a, b, batch)
+	}
+	if avg := testing.AllocsPerRun(50, func() { echo(t, a, b, dense); echo(t, a, b, batch) }); avg != 0 {
+		t.Fatalf("dense frames with a reset batch between them allocate %.2f per cycle, want 0", avg)
+	}
+}
+
+// TestRetentionRule pins the rule itself, one frame at a time: the floor,
+// the frames that do not count, and the memory of the two that last did.
+func TestRetentionRule(t *testing.T) {
+	var r Retention
+	for i, c := range []struct {
+		capacity, n int
+		keep        bool
+	}{
+		{64 << 10, 1 << 10, true},    // at the floor: kept whatever it carried
+		{1 << 20, 512 << 10, true},   // exactly twice
+		{1 << 20, 100 << 10, true},   // the frame before was 512 KiB
+		{1 << 20, 1<<10 - 1, true},   // under 1 KiB: not counted
+		{1 << 20, 100 << 10, false},  // two 100 KiB frames in a row
+		{200 << 10, 2 << 10, true},   // one protocol frame after a 100 KiB one
+		{200 << 10, 100 << 10, true}, // and the dense frame after it
+		{200 << 10, 2 << 10, true},
+		{200 << 10, 2 << 10, false}, // two protocol frames in a row
+	} {
+		if got := r.Keep(c.capacity, c.n); got != c.keep {
+			t.Fatalf("frame %d: Keep(%d, %d) = %v, want %v", i, c.capacity, c.n, got, c.keep)
+		}
+	}
+}
+
 // TestTCPContextShutdown exercises the graceful-exit path: cancelling the
 // listen context closes the listener and every accepted link.
 func TestTCPContextShutdown(t *testing.T) {

@@ -174,14 +174,7 @@ func BankKeys[K ~int64](w *BankWriter, keys []K) {
 	col := w.buf[len(w.buf) : len(w.buf)+size]
 	i := 0
 	for _, k := range keys {
-		u := zigzag(int64(k))
-		for u >= 0x80 {
-			col[i] = byte(u) | 0x80
-			u >>= 7
-			i++
-		}
-		col[i] = byte(u)
-		i++
+		i = putUvarint(col, i, zigzag(int64(k)))
 	}
 	w.buf = w.buf[:len(w.buf)+size]
 	w.stage, w.prev = bankMembers, -1

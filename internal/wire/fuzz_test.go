@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -18,9 +19,11 @@ func FuzzDecode(f *testing.F) {
 		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99, Distinct: true}.Append(nil),
 		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99, EpsNum: 52428, Distinct: true}.Append(nil),
 		ladderedAssign(0x02), // another build's frame: rejected (TestForeignBuildFramesFailClosed)
+		parentAssign(0x01),   // so is the absolute-value build's
 		TreeStats{Levels: []LevelIO{{Down: 9, Up: 9, DownBytes: 120, UpBytes: 44}}}.Append(nil),
 		ApproxBounds{Lo: -1 << 30, Hi: 1 << 30}.Append(nil),
 		Observe{Step: 3, Vals: []int64{5, -5}}.Append(nil),
+		Observe{Step: 4, Vals: []int64{5, -5}, Prev: []int64{1 << 40, math.MinInt64}}.Append(nil),
 		ObserveDelta{Step: 3, IDs: []int{1, 4}, Vals: []int64{-9, 9}}.Append(nil),
 		Round{Tag: 1, Round: 2, Best: -3, Bound: 8, Step: 4}.Append(nil),
 		Round{Tag: 4, Round: 0, Best: -1 << 63, Bound: 1 << 20, Step: 9, Want: 17}.Append(nil),

@@ -108,6 +108,7 @@ const MaxTolNum uint64 = 1 << 20
 // Flag bits used by messages with a flags byte.
 const (
 	flagDistinct = 1 << 0 // Assign: DistinctValues mode
+	flagChanges  = 1 << 2 // Assign: observation frames carry changes; always set (0x02 was the laddered build's)
 	flagNoGens   = 1 << 1 // bank frame: no generator column follows the keys
 	flagIsTop    = 1 << 0 // Winner: winner joins the top-k set
 	flagFull     = 1 << 0 // Midpoint: install [-inf, +inf] (k == n)
@@ -166,8 +167,9 @@ func varintField(p []byte) (int64, []byte, error) {
 // randomness, the configured tie-break mode, and the tolerance of the
 // ε-approximate mode as the exact fixed-point numerator EpsNum =
 // floor(ε·2^order.TolShift) (0 for exact monitoring). A set flag bit the
-// decoder does not know is malformed, not ignored: the handshake is where
-// a peer of another build is turned away.
+// decoder does not know is malformed, not ignored, and so is a frame
+// without the change-coding bit, which every Assign carries: the handshake
+// is where a peer of another build is turned away, in both directions.
 type Assign struct {
 	Lo, Hi, N, K int
 	Seed         uint64
@@ -184,7 +186,7 @@ func (m Assign) Append(dst []byte) []byte {
 	dst = AppendUvarint(dst, uint64(m.K))
 	dst = AppendUvarint(dst, m.Seed)
 	dst = AppendUvarint(dst, m.EpsNum)
-	var flags byte
+	flags := byte(flagChanges)
 	if m.Distinct {
 		flags |= flagDistinct
 	}
@@ -227,22 +229,33 @@ func DecodeAssign(p []byte) (Assign, error) {
 	if len(p) == 0 {
 		return m, ErrTruncated
 	}
-	if p[0]&^flagDistinct != 0 {
+	switch {
+	case p[0]&^(flagDistinct|flagChanges) != 0:
 		return m, fmt.Errorf("%w: unknown assign flags 0x%02x", ErrMalformed, p[0])
+	case p[0]&flagChanges == 0:
+		return m, fmt.Errorf("%w: assign flags 0x%02x without change-coded observations: a peer of another build", ErrMalformed, p[0])
 	}
 	m.Distinct = p[0]&flagDistinct != 0
 	return m, fin(p[1:])
 }
 
 // Observe delivers one dense observation step: Vals[i] is the new value of
-// node Lo+i of the receiving peer's assigned range.
+// node Lo+i of the receiving peer's assigned range, carried as its change
+// from Prev[i], the value the receiving bank holds for the node (Prev nil:
+// zero, what a bank holds after Assign). A change is taken and added back
+// with int64 wrap-around, so every value round-trips exactly.
 type Observe struct {
 	Step int64
 	Vals []int64
+	Prev []int64
 }
 
-// Append encodes m after dst.
+// Append encodes m after dst. A non-nil Prev must be as long as Vals;
+// Append panics otherwise.
 func (m Observe) Append(dst []byte) []byte {
+	if m.Prev != nil && len(m.Prev) != len(m.Vals) {
+		panic("wire: Observe vals/prev length mismatch")
+	}
 	dst = append(dst, TypeObserve)
 	dst = AppendUvarint(dst, uint64(m.Step))
 	dst = AppendUvarint(dst, uint64(len(m.Vals)))
@@ -254,33 +267,48 @@ func (m Observe) Append(dst []byte) []byte {
 	// at about the frame's size, not doubled up to it, and a buffer that
 	// already fits is never sized.
 	const chunk = 256
-	for vals := m.Vals; len(vals) > 0; {
-		part := vals[:min(chunk, len(vals))]
+	for off := 0; off < len(m.Vals); {
+		part := m.Vals[off:min(off+chunk, len(m.Vals))]
 		if cap(dst)-len(dst) < len(part)*maxUvarintLen {
 			size := 0
-			for _, v := range vals {
-				size += SizeVarint(v)
+			for i, v := range m.Vals[off:] {
+				size += SizeVarint(v - m.prev(off+i))
 			}
 			dst = slices.Grow(dst, size+chunk*maxUvarintLen)
 		}
-		vals = vals[len(part):]
 		buf, k := dst[len(dst):cap(dst)], 0
-		for _, v := range part {
-			u := zigzag(v)
-			for u >= 0x80 {
-				buf[k] = byte(u) | 0x80
-				u >>= 7
-				k++
-			}
-			buf[k] = byte(u)
-			k++
+		for i, v := range part {
+			k = putUvarint(buf, k, zigzag(v-m.prev(off+i)))
 		}
+		off += len(part)
 		dst = dst[:len(dst)+k]
 	}
 	return dst
 }
 
+// putUvarint stores the LEB128 encoding of u at buf[k:], which has room for
+// it, and returns the offset past it.
+func putUvarint(buf []byte, k int, u uint64) int {
+	for u >= 0x80 {
+		buf[k] = byte(u) | 0x80
+		u >>= 7
+		k++
+	}
+	buf[k] = byte(u)
+	return k + 1
+}
+
+// prev returns value i's baseline.
+func (m Observe) prev(i int) int64 {
+	if m.Prev == nil {
+		return 0
+	}
+	return m.Prev[i]
+}
+
 // Decode decodes a full Observe frame into m, reusing m.Vals' capacity.
+// The baseline is the receiver's, not the frame's: Vals holds the changes
+// the frame carries and Prev is nil, which re-encodes to the same frame.
 func (m *Observe) Decode(p []byte) error {
 	p, err := header(p, TypeObserve)
 	if err != nil {
@@ -297,7 +325,7 @@ func (m *Observe) Decode(p []byte) error {
 	if u > uint64(len(p)) { // every value takes >= 1 byte
 		return fmt.Errorf("%w: %d values in %d bytes", ErrMalformed, u, len(p))
 	}
-	m.Vals = m.Vals[:0]
+	m.Vals, m.Prev = m.Vals[:0], nil
 	for i := uint64(0); i < u; i++ {
 		var v int64
 		if v, p, err = varintField(p); err != nil {
@@ -310,16 +338,19 @@ func (m *Observe) Decode(p []byte) error {
 
 // ObserveDelta delivers one sparse observation step: node IDs[j] (a global
 // id, strictly increasing) changed to Vals[j]; all other nodes repeat. The
-// id sequence is gap-coded on the wire.
+// id sequence is gap-coded on the wire, and each value is carried as its
+// change from Prev[IDs[j]] — Prev is indexed by node id, the coordinator's
+// mirror of what every bank holds (nil: zero) — as in Observe.
 type ObserveDelta struct {
 	Step int64
 	IDs  []int
 	Vals []int64
+	Prev []int64
 }
 
 // Append encodes m after dst. IDs must be strictly increasing and
-// non-negative; Append panics otherwise, matching the engines' input
-// contract.
+// non-negative, and below len(Prev) when Prev is set; Append panics
+// otherwise, matching the engines' input contract.
 func (m ObserveDelta) Append(dst []byte) []byte {
 	if len(m.IDs) != len(m.Vals) {
 		panic("wire: ObserveDelta ids/vals length mismatch")
@@ -332,14 +363,20 @@ func (m ObserveDelta) Append(dst []byte) []byte {
 		if id <= prev {
 			panic("wire: ObserveDelta ids must be strictly increasing")
 		}
+		v := m.Vals[j]
+		if m.Prev != nil {
+			v -= m.Prev[id]
+		}
 		dst = AppendUvarint(dst, uint64(id-prev-1))
-		dst = AppendVarint(dst, m.Vals[j])
+		dst = AppendVarint(dst, v)
 		prev = id
 	}
 	return dst
 }
 
-// Decode decodes a full ObserveDelta frame into m, reusing slice capacity.
+// Decode decodes a full ObserveDelta frame into m, reusing slice capacity:
+// Vals holds the changes the frame carries and Prev is nil (see
+// Observe.Decode).
 func (m *ObserveDelta) Decode(p []byte) error {
 	p, err := header(p, TypeObserveDelta)
 	if err != nil {
@@ -356,7 +393,7 @@ func (m *ObserveDelta) Decode(p []byte) error {
 	if u > uint64(len(p)+1)/2 { // every (gap, value) pair takes >= 2 bytes
 		return fmt.Errorf("%w: %d deltas in %d bytes", ErrMalformed, u, len(p))
 	}
-	m.IDs, m.Vals = m.IDs[:0], m.Vals[:0]
+	m.IDs, m.Vals, m.Prev = m.IDs[:0], m.Vals[:0], nil
 	prev := -1
 	for i := uint64(0); i < u; i++ {
 		var gap uint64

@@ -3,15 +3,17 @@ package wire
 import "fmt"
 
 // The streams read an observation frame where it lies — the link's receive
-// buffer — instead of decoding it into a column first: a host applies the
-// values to its bank as it reads them (coord.Nodes.ObserveStream), and an
-// interior relay forwards each child's run of them without decoding a value
-// (Share). Observe.Decode and ObserveDelta.Decode remain the reference: for
-// any bytes, a stream read to its end and closed accepts exactly the frames
-// they accept, yields the same step, ids and values, and fails with the
-// error they fail with (FuzzObserveStream). The checks a decoder makes
-// before its first value — type, step, count against the bytes left — are
-// the open's; the trailing-byte check is Close's, after the last value.
+// buffer — instead of decoding it into a column first: a host adds the
+// changes to the values its bank holds as it reads them
+// (coord.Nodes.ObserveStream), and an interior relay forwards each child's
+// run of them without decoding one (Share) — a change is a self-delimiting
+// varint like any value, so a relay needs no baseline. Observe.Decode and
+// ObserveDelta.Decode remain the reference: for any bytes, a stream read to
+// its end and closed accepts exactly the frames they accept, yields the
+// same step, ids and changes, and fails with the error they fail with
+// (FuzzObserveStream). The checks a decoder makes before its first value —
+// type, step, count against the bytes left — are the open's; the
+// trailing-byte check is Close's, after the last value.
 
 // ObserveStream is a cursor over the values of one dense Observe frame.
 type ObserveStream struct {
@@ -47,7 +49,7 @@ func (s *ObserveStream) Len() int { return s.left }
 // Offset returns how many of the frame's bytes have been read.
 func (s *ObserveStream) Offset() int { return s.off }
 
-// Read decodes the next min(len(dst), Len()) values into dst and returns
+// Read decodes the next min(len(dst), Len()) changes into dst and returns
 // how many: all of them, or with an error those before the malformed one.
 func (s *ObserveStream) Read(dst []int64) (n int, err error) {
 	dst = dst[:min(len(dst), s.left)]
@@ -137,8 +139,8 @@ func (s *DeltaStream) id() (id, value int, err error) {
 	return id, s.off + n, nil
 }
 
-// Next reads the next pair. It must not be called on a stream with none
-// left.
+// Next reads the next pair: an id and its node's change. It must not be
+// called on a stream with none left.
 func (s *DeltaStream) Next() (id int, v int64, err error) {
 	id, value, err := s.id()
 	if err != nil {

@@ -36,7 +36,20 @@
 // or overlong frames yield ErrTruncated/ErrOverflow, unknown tags
 // ErrUnknownType, and trailing garbage ErrTrailingBytes. Link frames carry
 // no version: all peers of a monitor are one build, and the Assign
-// handshake, which rejects flag bits it does not know, is the gate.
+// handshake, which rejects flag bits it does not know and requires the
+// ones this build always sets, is the gate.
+//
+// An observation frame (Observe, ObserveDelta) carries each value as its
+// change from the value the receiving bank already holds — the
+// coordinator's last-value mirror is what it holds — so a value that moved
+// by less than 64 costs one byte whatever its magnitude. The baseline is
+// zero after an Assign, which builds every bank afresh at zero: the first
+// frame after any handshake (a monitor's first step, a failover's replay,
+// a Join, a Restore) is coded against zero and carries the values
+// themselves, through the same codec. Peers are fail-stop, so a bank never
+// runs on out of step with the mirror: a frame lost, duplicated or applied
+// in part cuts its link, and recovery re-Assigns every bank before the
+// next change-coded frame.
 package wire
 
 import (

@@ -124,7 +124,9 @@ func TestAssignRejectsBadTolerance(t *testing.T) {
 
 // TestAssignGoldenBytes pins the Assign encoding: the frame below is what
 // every build since the ε mode has put on the wire for this assignment,
-// the ones that could also append a tolerance ladder included.
+// the ones that could also append a tolerance ladder included, but for the
+// flags byte, which carries the change-coding bit since observation frames
+// carry changes (parentAssign is the frame before it).
 func TestAssignGoldenBytes(t *testing.T) {
 	m := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024, Distinct: true}
 	frame := m.Append(nil)
@@ -135,10 +137,20 @@ func TestAssignGoldenBytes(t *testing.T) {
 	want = AppendUvarint(want, 2)
 	want = AppendUvarint(want, 99)
 	want = AppendUvarint(want, 1024)
-	want = append(want, 0x01) // flags: distinct only
+	want = append(want, 0x05) // flags: change-coded observations, distinct
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("assign changed encoding:\ngot  %x\nwant %x", frame, want)
 	}
+	if !bytes.Equal(frame[:len(frame)-1], parentAssign(0x01)[:len(frame)-1]) {
+		t.Fatalf("assign moved a field before its flags: %x, the build before change coding wrote %x", frame, parentAssign(0x01))
+	}
+}
+
+// parentAssign is Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024}
+// as the last build whose observation frames carried absolute values
+// encoded it: flags 0x00, or 0x01 with Distinct set.
+func parentAssign(flags byte) []byte {
+	return []byte{0x01, 0x02, 0x06, 0x08, 0x02, 0x63, 0x80, 0x08, flags}
 }
 
 // ladderedAssign is Assign{Lo: 0, Hi: 4, N: 16, K: 3, Seed: 7, EpsNum:
@@ -151,15 +163,30 @@ func ladderedAssign(flags byte) []byte {
 }
 
 // TestForeignBuildFramesFailClosed feeds the decoders frames encoded by
-// the build that still had the per-level tolerance ladder (golden bytes,
+// the build that still had the per-level tolerance ladder, and by the last
+// build whose observation frames carried absolute values (golden bytes,
 // recorded there). Link frames carry no version, so a mixed-build tree
 // must die at the Assign handshake rather than run with half of it
-// silently dropping the ladder.
+// silently dropping the ladder, or reading changes as values. The gate
+// holds the other way too: this build's Assign sets a bit those builds
+// refuse as unknown.
 func TestForeignBuildFramesFailClosed(t *testing.T) {
 	for _, flags := range []byte{0x02, 0x03} {
 		_, err := DecodeAssign(ladderedAssign(flags))
 		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown assign flags") {
 			t.Fatalf("laddered assign with flags 0x%02x: err = %v, want ErrMalformed (unknown assign flags)", flags, err)
+		}
+	}
+	for _, flags := range []byte{0x00, 0x01} {
+		_, err := DecodeAssign(parentAssign(flags))
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "without change-coded observations") {
+			t.Fatalf("absolute-value build's assign with flags 0x%02x: err = %v, want ErrMalformed (without change-coded observations)", flags, err)
+		}
+	}
+	for _, distinct := range []bool{false, true} {
+		frame := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024, Distinct: distinct}.Append(nil)
+		if flags := frame[len(frame)-1]; flags&^flagDistinct != 0x04 {
+			t.Fatalf("assign flags 0x%02x: want the change-coding bit 0x04, which no earlier build knew, and Distinct alone beside it", flags)
 		}
 	}
 	// A TreeStats reply of that build led with an absorb-counter section.
@@ -245,17 +272,22 @@ func TestApproxBoundsRoundTrip(t *testing.T) {
 }
 
 func TestObserveRoundTrip(t *testing.T) {
-	check := func(step uint32, vals []int64) bool {
+	check := func(step uint32, vals, prev []int64) bool {
 		in := Observe{Step: int64(step), Vals: vals}
+		if len(prev) >= len(vals) {
+			in.Prev = prev[:len(vals)] // else a zero baseline
+		}
 		var out Observe
 		if err := out.Decode(in.Append(nil)); err != nil {
 			return false
 		}
-		if out.Step != in.Step || len(out.Vals) != len(vals) {
+		if out.Step != in.Step || len(out.Vals) != len(vals) || out.Prev != nil {
 			return false
 		}
 		for i := range vals {
-			if out.Vals[i] != vals[i] {
+			// Decode yields the change; the receiver adds its baseline back,
+			// with the wrap the subtraction took.
+			if out.Vals[i]+in.prev(i) != vals[i] {
 				return false
 			}
 		}
@@ -264,6 +296,23 @@ func TestObserveRoundTrip(t *testing.T) {
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
 	}
+	// Changes that wrap: the far ends of int64 against each other.
+	in := Observe{Step: 1, Vals: []int64{math.MaxInt64, math.MinInt64, 0}, Prev: []int64{math.MinInt64, math.MaxInt64, math.MinInt64}}
+	var out Observe
+	if err := out.Decode(in.Append(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range in.Vals {
+		if out.Vals[i]+in.Prev[i] != v {
+			t.Fatalf("value %d: change %d on %d is not %d", i, out.Vals[i], in.Prev[i], v)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a baseline shorter than the values encoded")
+		}
+	}()
+	Observe{Vals: []int64{1, 2}, Prev: []int64{1}}.Append(nil)
 }
 
 func TestObserveEmpty(t *testing.T) {
@@ -288,8 +337,8 @@ func TestObserveAppendSizesOnAMiss(t *testing.T) {
 	reference := func(m Observe) []byte {
 		dst := append([]byte{TypeObserve}, AppendUvarint(nil, uint64(m.Step))...)
 		dst = AppendUvarint(dst, uint64(len(m.Vals)))
-		for _, v := range m.Vals {
-			dst = AppendVarint(dst, v)
+		for i, v := range m.Vals {
+			dst = AppendVarint(dst, v-m.prev(i))
 		}
 		return dst
 	}
@@ -311,8 +360,12 @@ func TestObserveAppendSizesOnAMiss(t *testing.T) {
 		small[i] = int64(i % 64) // one byte each
 	}
 	for _, n := range []int{0, 1, 255, 256, 257, 1000, len(vals)} {
-		for _, in := range [][]int64{vals[:n], small[:n]} {
-			m := Observe{Step: 9, Vals: in}
+		for _, m := range []Observe{
+			{Step: 9, Vals: vals[:n]},
+			{Step: 9, Vals: small[:n]},
+			{Step: 9, Vals: vals[:n], Prev: vals[:n]},  // no change: one byte each
+			{Step: 9, Vals: small[:n], Prev: vals[:n]}, // changes longer than the values
+		} {
 			want := reference(m)
 			if got := m.Append(nil); !bytes.Equal(got, want) {
 				t.Fatalf("%d values into nil: encoding differs from one AppendVarint per value", n)
@@ -356,15 +409,25 @@ func TestObserveDeltaRoundTrip(t *testing.T) {
 			in.IDs = append(in.IDs, id)
 			in.Vals = append(in.Vals, vals[i])
 		}
+		if len(vals) > n && n > 0 { // a baseline indexed by id: what is left of vals, cycled
+			in.Prev = make([]int64, id+1)
+			for i := range in.Prev {
+				in.Prev[i] = vals[n+i%(len(vals)-n)]
+			}
+		}
 		var out ObserveDelta
 		if err := out.Decode(in.Append(nil)); err != nil {
 			return false
 		}
-		if out.Step != in.Step || len(out.IDs) != len(in.IDs) {
+		if out.Step != in.Step || len(out.IDs) != len(in.IDs) || out.Prev != nil {
 			return false
 		}
-		for i := range in.IDs {
-			if out.IDs[i] != in.IDs[i] || out.Vals[i] != in.Vals[i] {
+		for i, id := range in.IDs {
+			base := int64(0)
+			if in.Prev != nil {
+				base = in.Prev[id]
+			}
+			if out.IDs[i] != id || out.Vals[i]+base != in.Vals[i] {
 				return false
 			}
 		}

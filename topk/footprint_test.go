@@ -52,86 +52,102 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 	runtime.KeepAlive(vals)
 }
 
+// moving returns dense steps for a footprint pin: the first puts every node
+// at a value of three bytes on the wire, and each after it moves every
+// value by at most 30, a one-byte change.
+func moving(n int) func(step int) []int64 {
+	vals := make([]int64, n)
+	return func(step int) []int64 {
+		for i := range vals {
+			if step == 0 {
+				vals[i] = 1<<15 + int64(i)*7%1000003
+			} else {
+				vals[i] += int64((i*13+step)%61 - 30)
+			}
+		}
+		return vals
+	}
+}
+
 // TestLoopbackFootprintPerNode pins what a networked monitor and the
 // processes that host its nodes keep alive per node, all of it in this
-// process over Loopback(2), after two dense steps (the second runs on the
-// pipes' recycled buffers, so nothing is still growing): the hosts' banks
-// (key 8 + membership bit + in-play bit), the coordinator's last-value
-// mirror 8 B, and the dense frames — three bytes a value here — in the
-// coordinator's encode buffer (one host's share, 1.5 B) and in the one
-// buffer each pipe cycles through, a host's answer freeing the frame it
-// answers (3 B), ≈ 20.9 B/node with the machine's membership bit. A host
-// applies a frame from the buffer it arrived in, so nothing else grows
-// with n: the budget has no room for a second buffer per pipe (24.3
-// B/node when pipes kept two), a flag byte per hosted node, or the 8-byte
-// column per hosted node a host used to decode every frame into (33.6
-// B/node then).
+// process over Loopback(2), after four dense steps: the first coded
+// against zero, the three after it moving every value, so frames carry
+// one-byte changes. The third step lets go of the buffers the first grew
+// (transport.Retention lets go of one once two frames in a row have
+// needed under half of it), and the fourth runs on buffers the frames
+// after the first sized, so what is measured is the steady state: the hosts' banks (key 8
+// + membership bit + in-play bit), the coordinator's last-value mirror 8 B,
+// and the change-coded frames — a byte a value — in the coordinator's
+// encode buffer (one host's share, 0.5 B) and in the one buffer each pipe
+// cycles through, a host's answer freeing the frame it answers (1 B),
+// ≈ 17.9 B/node with the machine's membership bit. A host applies a frame
+// from the buffer it arrived in, so nothing else grows with n: the budget
+// has no room for a buffer the first step's three-byte values grew (1.5
+// B/node more in the pipes alone), a second buffer per pipe, a flag byte
+// per hosted node, or the 8-byte column per hosted node a host used to
+// decode every frame into.
 func TestLoopbackFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 22.0
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = 1<<15 + int64(i)*7%1000003
-	}
+	const n, k, budget = 1 << 18, 16, 19.0
+	step := moving(n)
 	before := liveHeap()
 	m, err := New(Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	for step := 0; step < 2; step++ {
-		if _, err := m.Observe(vals); err != nil {
+	for s := 0; s < 4; s++ {
+		if _, err := m.Observe(step(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	after := liveHeap()
 	perNode := (float64(after) - float64(before)) / n
-	t.Logf("loopback monitor over 2 hosts, n=%d: %.1f B/node live after two dense steps", n, perNode)
+	t.Logf("loopback monitor over 2 hosts, n=%d: %.1f B/node live after four dense steps", n, perNode)
 	if perNode > budget {
-		t.Fatalf("loopback monitor and its hosts hold %.1f B/node after two dense steps, budget %v", perNode, budget)
+		t.Fatalf("loopback monitor and its hosts hold %.1f B/node after four dense steps, budget %v", perNode, budget)
 	}
-	runtime.KeepAlive(vals)
+	runtime.KeepAlive(step)
 }
 
 // TestTreeFootprintPerNode pins the same for a 2x2 coordinator tree: the
 // root over two relays, each over two leaf shards, all in this process,
-// after two dense steps. Beside the leaves' banks, the machine's bit and
-// the root's mirror, a dense frame — three bytes a value — is held once at
-// every place it passes through: the root's encode buffer (one relay's
-// share, half a frame of all n values), the buffer each root-to-relay pipe
-// cycles through (one frame in all), the relays' per-child arenas its
-// shares are copied into (one), and the buffer each relay-to-leaf pipe
-// cycles through (one): 3.5 frames, ≈ 26.9 B/node. A second buffer per
-// pipe would add two frames.
+// after the same four dense steps. Beside the leaves' banks, the machine's
+// bit and the root's mirror, a change-coded frame — a byte a value — is
+// held once at every place it passes through: the root's encode buffer
+// (one relay's share, half a frame of all n values), the buffer each
+// root-to-relay pipe cycles through (one frame in all), the relays'
+// per-child arenas its shares are copied into (one), and the buffer each
+// relay-to-leaf pipe cycles through (one): 3.5 frames, ≈ 19.9 B/node. A
+// second buffer per pipe would add two frames, and the buffers the first
+// step's three-byte values grew, kept, seven.
 func TestTreeFootprintPerNode(t *testing.T) {
 	const (
 		n, k         = 1 << 18, 16
 		bank, mirror = 8 + 2.0/8 + 1.0/8, 8             // the machine's membership bit with the bank's two
-		frame        = 3                                // bytes a value
+		frame        = 1                                // bytes a value
 		frames       = 0.5 + 1 + 1 + 1                  // root buffer, root pipes, relay arenas, leaf pipes
 		budget       = bank + mirror + frames*frame + 1 // 1: allocation rounding, and what does not grow with n
 	)
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = 1<<15 + int64(i)*7%1000003
-	}
+	step := moving(n)
 	before := liveHeap()
 	m, err := New(Config{Nodes: n, K: k, Seed: 1, Tree: Tree{Branch: 2, Depth: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	for step := 0; step < 2; step++ {
-		if _, err := m.Observe(vals); err != nil {
+	for s := 0; s < 4; s++ {
+		if _, err := m.Observe(step(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	after := liveHeap()
 	perNode := (float64(after) - float64(before)) / n
-	t.Logf("2x2 tree monitor, n=%d: %.1f B/node live after two dense steps, budget %.1f", n, perNode, budget)
+	t.Logf("2x2 tree monitor, n=%d: %.1f B/node live after four dense steps, budget %.1f", n, perNode, budget)
 	if perNode > budget {
-		t.Fatalf("2x2 tree monitor and its relays and leaves hold %.1f B/node after two dense steps, budget %.1f", perNode, budget)
+		t.Fatalf("2x2 tree monitor and its relays and leaves hold %.1f B/node after four dense steps, budget %.1f", perNode, budget)
 	}
-	runtime.KeepAlive(vals)
+	runtime.KeepAlive(step)
 }
 
 // TestOrderedFootprintPerNode pins that the ordered mode costs the same per
