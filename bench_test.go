@@ -1,11 +1,9 @@
 package repro
 
-// One benchmark for each of the experiments E1..E17 and E24 (the
-// repository's "tables and figures" — the paper is analytical, so each
-// experiment validates a theorem or comparison claim; see DESIGN.md §4),
-// plus micro-benchmarks of the core data paths with message-count metrics.
-// The experiment benchmarks run the same code as cmd/experiments at
-// reduced scale.
+// Micro-benchmarks of the core data paths, with message-count metrics. The
+// experiments (the repository's "tables and figures"; see DESIGN.md §4) run
+// through cmd/experiments, and internal/bench's
+// TestAllExperimentsRunAtQuickScale runs every one of them at quick scale.
 
 import (
 	"context"
@@ -32,39 +30,6 @@ import (
 	"repro/internal/wire/wiretest"
 	"repro/topk"
 )
-
-var sinkTable bench.Table
-
-func benchExperiment(b *testing.B, id string) {
-	e, ok := bench.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	sc := bench.Quick()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkTable = e.Run(sc)
-	}
-}
-
-func BenchmarkE1MaxProtocolMessages(b *testing.B) { benchExperiment(b, "E1") }
-func BenchmarkE2MaxProtocolTail(b *testing.B)     { benchExperiment(b, "E2") }
-func BenchmarkE3SequentialMaxima(b *testing.B)    { benchExperiment(b, "E3") }
-func BenchmarkE4RatioVsDelta(b *testing.B)        { benchExperiment(b, "E4") }
-func BenchmarkE5RatioVsK(b *testing.B)            { benchExperiment(b, "E5") }
-func BenchmarkE6RatioVsN(b *testing.B)            { benchExperiment(b, "E6") }
-func BenchmarkE7SimilarInputs(b *testing.B)       { benchExperiment(b, "E7") }
-func BenchmarkE8Adversarial(b *testing.B)         { benchExperiment(b, "E8") }
-func BenchmarkE9Correctness(b *testing.B)         { benchExperiment(b, "E9") }
-func BenchmarkE10ZipfBursty(b *testing.B)         { benchExperiment(b, "E10") }
-func BenchmarkE11PhaseBreakdown(b *testing.B)     { benchExperiment(b, "E11") }
-func BenchmarkE12Ablations(b *testing.B)          { benchExperiment(b, "E12") }
-func BenchmarkE13OrderedMonitoring(b *testing.B)  { benchExperiment(b, "E13") }
-func BenchmarkE14SeriesOverTime(b *testing.B)     { benchExperiment(b, "E14") }
-func BenchmarkE15OptSensitivity(b *testing.B)     { benchExperiment(b, "E15") }
-func BenchmarkE16LoadBalance(b *testing.B)        { benchExperiment(b, "E16") }
-func BenchmarkE17BitVolume(b *testing.B)          { benchExperiment(b, "E17") }
-func BenchmarkE24ResetSweep(b *testing.B)         { benchExperiment(b, "E24") }
 
 // BenchmarkMaximumProtocol measures one Algorithm 2 execution and reports
 // the average number of node messages next to the wall-clock cost.

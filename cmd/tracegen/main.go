@@ -1,6 +1,7 @@
 // Command tracegen generates synthetic observation traces and writes them
-// as CSV (one time step per row, one column per node) or gob files for
-// replay with topkmon -trace or stream.TraceSource.
+// as CSV (one time step per row, one column per node), which topkmon -trace
+// replays, or as gob, which stream.ReadGob reads (for a
+// stream.TraceSource); topkmon -trace reads CSV only.
 //
 // Examples:
 //
@@ -27,7 +28,7 @@ func main() {
 		steps    = flag.Int("steps", 5000, "time steps")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		workload = flag.String("workload", "walk", "one of: "+strings.Join(stream.Names(), " | "))
-		format   = flag.String("format", "csv", "csv | gob")
+		format   = flag.String("format", "csv", "csv (replays with topkmon -trace) | gob (read by stream.ReadGob)")
 		out      = flag.String("o", "", "output file (default stdout, csv only)")
 	)
 	flag.Parse()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -260,5 +261,44 @@ func TestOneEngineBoundary(t *testing.T) {
 		if imports == 0 {
 			t.Errorf("%s: no imports parsed", dir)
 		}
+	}
+}
+
+// TestTestHelpersStayInTests keeps the test-helper packages out of every
+// build: only _test.go files import internal/wire/wiretest or
+// internal/fanout/fanouttest, besides those packages themselves.
+func TestTestHelpersStayInTests(t *testing.T) {
+	helpers := []string{"internal/wire/wiretest", "internal/fanout/fanouttest"}
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || slices.Contains(helpers, filepath.ToSlash(filepath.Dir(path))) {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); slices.Contains(helpers, strings.TrimPrefix(p, "repro/")) {
+				t.Errorf("%s imports %s, a package only tests may import", path, p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("walked only %d non-test Go files", files)
 	}
 }

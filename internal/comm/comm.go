@@ -293,14 +293,3 @@ var Discard Recorder = discard{}
 type discard struct{}
 
 func (discard) RecordSized(Kind, int64, int64) {}
-
-// Tee returns a Recorder that forwards every event to all of rs.
-func Tee(rs ...Recorder) Recorder { return tee(rs) }
-
-type tee []Recorder
-
-func (t tee) RecordSized(kind Kind, n, bytes int64) {
-	for _, r := range t {
-		r.RecordSized(kind, n, bytes)
-	}
-}

@@ -157,15 +157,6 @@ func TestDiscard(t *testing.T) {
 	Discard.RecordSized(Up, 100, 0) // must not panic or affect anything
 }
 
-func TestTee(t *testing.T) {
-	var a, b Counter
-	r := Tee(&a, &b)
-	r.RecordSized(Up, 2, 0)
-	if a.Get(Up) != 2 || b.Get(Up) != 2 {
-		t.Fatal("tee did not forward to all recorders")
-	}
-}
-
 func TestTraceBasics(t *testing.T) {
 	tr := NewTrace(10)
 	tr.Append(Event{Step: 1, Kind: Up, From: 3, To: Coordinator, Payload: 42})

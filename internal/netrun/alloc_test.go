@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fanout/fanouttest"
 	"repro/internal/stream"
 )
 
@@ -15,49 +16,46 @@ import (
 // gather. This is what keeps a large, mostly-idle deployment free
 // of GC pressure.
 func TestNetworkedObserveZeroAllocs(t *testing.T) {
-	for _, g := range gathers {
-		t.Run(g.name, func(t *testing.T) {
-			setGather(t, g.procs)
-			const n, peers = 256, 4
-			e := mustLoopback(t, Config{N: n, K: 4, Seed: 21}, peers)
-			defer e.Close()
+	fanouttest.EachGather(t, func(t *testing.T) {
+		const n, peers = 256, 4
+		e := hosts.MustLoopback(t, Config{N: n, K: 4, Seed: 21}, peers)
+		defer e.Close()
 
-			// Dense steps on a calm walk: mostly violation-free, with the
-			// occasional violation and reset to warm those buffers too.
-			src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 22})
-			vals := make([]int64, n)
-			for s := 0; s < 2000; s++ {
-				src.Step(vals)
-				e.Observe(vals)
-			}
-			if avg := testing.AllocsPerRun(500, func() {
-				src.Step(vals)
-				e.Observe(vals)
-			}); avg != 0 {
-				t.Errorf("dense networked Observe allocates %.2f per step, want 0", avg)
-			}
+		// Dense steps on a calm walk: mostly violation-free, with the
+		// occasional violation and reset to warm those buffers too.
+		src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 22})
+		vals := make([]int64, n)
+		for s := 0; s < 2000; s++ {
+			src.Step(vals)
+			e.Observe(vals)
+		}
+		if avg := testing.AllocsPerRun(500, func() {
+			src.Step(vals)
+			e.Observe(vals)
+		}); avg != 0 {
+			t.Errorf("dense networked Observe allocates %.2f per step, want 0", avg)
+		}
 
-			// The sparse path over a delta-native workload must be clean
-			// as well.
-			d := mustLoopback(t, Config{N: n, K: 4, Seed: 23}, peers)
-			defer d.Close()
-			dsrc := stream.NewSparseWalk(stream.SparseWalkConfig{
-				N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Changed: 3, Seed: 24,
-			})
-			ids := make([]int, n)
-			dvals := make([]int64, n)
-			for s := 0; s < 2000; s++ {
-				c := dsrc.StepDelta(ids, dvals)
-				d.ObserveDelta(ids[:c], dvals[:c])
-			}
-			if avg := testing.AllocsPerRun(500, func() {
-				c := dsrc.StepDelta(ids, dvals)
-				d.ObserveDelta(ids[:c], dvals[:c])
-			}); avg != 0 {
-				t.Errorf("sparse networked ObserveDelta allocates %.2f per step, want 0", avg)
-			}
+		// The sparse path over a delta-native workload must be clean
+		// as well.
+		d := hosts.MustLoopback(t, Config{N: n, K: 4, Seed: 23}, peers)
+		defer d.Close()
+		dsrc := stream.NewSparseWalk(stream.SparseWalkConfig{
+			N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Changed: 3, Seed: 24,
 		})
-	}
+		ids := make([]int, n)
+		dvals := make([]int64, n)
+		for s := 0; s < 2000; s++ {
+			c := dsrc.StepDelta(ids, dvals)
+			d.ObserveDelta(ids[:c], dvals[:c])
+		}
+		if avg := testing.AllocsPerRun(500, func() {
+			c := dsrc.StepDelta(ids, dvals)
+			d.ObserveDelta(ids[:c], dvals[:c])
+		}); avg != 0 {
+			t.Errorf("sparse networked ObserveDelta allocates %.2f per step, want 0", avg)
+		}
+	})
 }
 
 // TestUnequalRangesObserveZeroAllocs extends the pin above
@@ -67,37 +65,34 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 // first needs must outlive the smaller frames written into it after it,
 // under either gather.
 func TestUnequalRangesObserveZeroAllocs(t *testing.T) {
-	for _, g := range gathers {
-		t.Run(g.name, func(t *testing.T) {
-			setGather(t, g.procs)
-			const n = 1 << 18
-			links := LoopbackLinks(4)
-			e, err := New(Config{N: n, K: 4, Seed: 31, RetryBackoff: time.Millisecond}, links)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 32})
-			vals := make([]int64, n)
-			step := func() {
-				src.Step(vals)
-				e.Observe(vals)
-			}
+	fanouttest.EachGather(t, func(t *testing.T) {
+		const n = 1 << 18
+		links := LoopbackLinks(4)
+		e, err := New(Config{N: n, K: 4, Seed: 31, RetryBackoff: time.Millisecond}, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 32})
+		vals := make([]int64, n)
+		step := func() {
+			src.Step(vals)
+			e.Observe(vals)
+		}
+		step()
+		links[1].Close()
+		for s := 0; s < 8; s++ {
 			step()
-			links[1].Close()
-			for s := 0; s < 8; s++ {
-				step()
-			}
-			var widths []int
-			for _, p := range e.Health().Peers {
-				widths = append(widths, p.Hi-p.Lo)
-			}
-			if len(widths) != 3 || widths[0] != n/2 || widths[1] != n/4 || widths[2] != n/4 {
-				t.Fatalf("peer ranges after the merge are %v nodes wide, want [%d %d %d]", widths, n/2, n/4, n/4)
-			}
-			if avg := testing.AllocsPerRun(20, step); avg != 0 {
-				t.Errorf("dense networked Observe over unequal ranges allocates %.2f per step, want 0", avg)
-			}
-		})
-	}
+		}
+		var widths []int
+		for _, p := range e.Health().Peers {
+			widths = append(widths, p.Hi-p.Lo)
+		}
+		if len(widths) != 3 || widths[0] != n/2 || widths[1] != n/4 || widths[2] != n/4 {
+			t.Fatalf("peer ranges after the merge are %v nodes wide, want [%d %d %d]", widths, n/2, n/4, n/4)
+		}
+		if avg := testing.AllocsPerRun(20, step); avg != 0 {
+			t.Errorf("dense networked Observe over unequal ranges allocates %.2f per step, want 0", avg)
+		}
+	})
 }

@@ -1,9 +1,8 @@
 package netrun
 
 import (
-	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,71 +10,13 @@ import (
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/fanout/fanouttest"
 	"repro/internal/protocol"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
-
-// mustLoopback builds a loopback engine, failing the test on
-// constructor errors (impossible for the valid configs used here).
-func mustLoopback(tb testing.TB, cfg Config, peers int) *Engine {
-	tb.Helper()
-	e, err := NewLoopback(cfg, peers)
-	if err != nil {
-		tb.Fatalf("NewLoopback: %v", err)
-	}
-	return e
-}
-
-func equal(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// gathers lists the two ways the engine collects a round's answers —
-// reader goroutines above one processor, a direct in-order drain on one —
-// as the GOMAXPROCS setting that selects each, which is all the engine
-// looks at. Every equivalence, chaos, failover and 0-allocs case runs
-// under both on every host; they must be indistinguishable in everything
-// but wall clock.
-//
-// The labels are not the gathers' names. "pipelined" is the reader gather
-// and "lockstep" the direct drain — the lockstep mode those subtests once
-// selected was deleted in PR 19, and both rows run the one pipelined engine
-// — but 126 of the test ids the PR driver holds this repository to (a PR
-// may rename only a few) are "…/pipelined/…" and "…/lockstep/…" subtests,
-// so the labels stay and setGather says in the log of every failing subtest
-// which gather it ran; the rename to readers/direct waits for a change that
-// is allowed to move that many ids.
-var gathers = []struct {
-	name  string
-	procs int
-}{
-	{"pipelined", 2}, // the reader gather
-	{"lockstep", 1},  // the direct drain
-}
-
-// setGather pins GOMAXPROCS for the rest of the (sub)test, and with it the
-// gather of every engine built from here on, and logs which one that is.
-// None of these tests is parallel.
-func setGather(t *testing.T, procs int) {
-	gather := "reader goroutines"
-	if procs == 1 {
-		gather = "direct drain"
-	}
-	t.Logf("gather: %s (GOMAXPROCS=%d); the subtest label is historical, see gathers", gather, procs)
-	prev := runtime.GOMAXPROCS(procs)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
 
 // TestEquivalenceWithSequentialEngine is the acceptance check of the
 // networked engine: over loopback links it must produce identical top-k
@@ -111,13 +52,13 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 			return stream.NewIID(stream.IIDConfig{N: n, Seed: 6, Dist: stream.Uniform, Lo: 0, Hi: 1000})
 		}},
 	}
-	for _, g := range gathers {
+	for _, g := range fanouttest.Gathers {
 		for _, tc := range cases {
-			t.Run(g.name+"/"+tc.name, func(t *testing.T) {
-				setGather(t, g.procs)
+			t.Run(g.Name+"/"+tc.name, func(t *testing.T) {
+				fanouttest.SetGather(t, g.Procs)
 				const seed, steps = 41, 200
 				seq := core.New(core.Config{N: tc.n, K: tc.k, Seed: seed})
-				net := mustLoopback(t, Config{N: tc.n, K: tc.k, Seed: seed}, tc.peers)
+				net := hosts.MustLoopback(t, Config{N: tc.n, K: tc.k, Seed: seed}, tc.peers)
 				defer net.Close()
 
 				srcA, srcB := tc.src(tc.n), tc.src(tc.n)
@@ -127,7 +68,7 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 					srcB.Step(vb)
 					topSeq := seq.Observe(va)
 					topNet := net.Observe(vb)
-					if !equal(topSeq, topNet) {
+					if !slices.Equal(topSeq, topNet) {
 						t.Fatalf("step %d: reports differ: seq=%v net=%v", s, topSeq, topNet)
 					}
 					if cs, cn := seq.Counts(), net.Counts(); cs != cn {
@@ -168,59 +109,28 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 // the first also what the removed lockstep mode sent on this run).
 func TestPipelinedFramingCoalesces(t *testing.T) {
 	const n, k, seed, steps, peers = 24, 4, 19, 150, 4
-	for _, g := range gathers {
-		t.Run(g.name, func(t *testing.T) {
-			setGather(t, g.procs)
-			e := mustLoopback(t, Config{N: n, K: k, Seed: seed}, peers)
-			defer e.Close()
-			src := stream.NewIID(stream.IIDConfig{N: n, Seed: 5, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
-			vals := make([]int64, n)
-			for s := 0; s < steps; s++ {
-				src.Step(vals)
-				e.Observe(vals)
-			}
-			// The networked engine hides the link ledger; the embedded core
-			// keeps it.
-			ts, led := e.TransportStats(), e.Engine.Overhead()
-			if ts.SentFrames >= led.Down {
-				t.Fatalf("commands did not coalesce: %d frames sent for %d ledger commands", ts.SentFrames, led.Down)
-			}
-			if ts.RecvFrames >= led.Up {
-				t.Fatalf("replies did not coalesce: %d frames received for %d ledger replies", ts.RecvFrames, led.Up)
-			}
-			if led.Down != 13096 || ts.SentFrames != 11896 {
-				t.Fatalf("ledger commands / sent frames = %d / %d, want 13096 / 11896", led.Down, ts.SentFrames)
-			}
-		})
-	}
-}
-
-// TestDistinctValuesEquivalence exercises the host's DistinctValues
-// branch (raw keys, no tie-break injection) against the sequential
-// engine. Values are pairwise distinct by construction: i + 1000·aᵢ with
-// residues i < n < 1000 all different.
-func TestDistinctValuesEquivalence(t *testing.T) {
-	const n, k, seed, steps = 11, 3, 29, 250
-	seq := core.New(core.Config{N: n, K: k, Seed: seed, DistinctValues: true})
-	net := mustLoopback(t, Config{N: n, K: k, Seed: seed, DistinctValues: true}, 3)
-	defer net.Close()
-
-	vals := make([]int64, n)
-	for s := 0; s < steps; s++ {
-		for i := range vals {
-			vals[i] = int64(i) + 1000*int64((s*(i+3)+7*i)%60)
+	fanouttest.EachGather(t, func(t *testing.T) {
+		e := hosts.MustLoopback(t, Config{N: n, K: k, Seed: seed}, peers)
+		defer e.Close()
+		src := stream.NewIID(stream.IIDConfig{N: n, Seed: 5, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
+		vals := make([]int64, n)
+		for s := 0; s < steps; s++ {
+			src.Step(vals)
+			e.Observe(vals)
 		}
-		a, b := seq.Observe(vals), net.Observe(vals)
-		if !equal(a, b) {
-			t.Fatalf("step %d: reports differ: seq=%v net=%v", s, a, b)
+		// The networked engine hides the link ledger; the core under it,
+		// which MustLoopback returns, keeps it.
+		ts, led := e.TransportStats(), e.Overhead()
+		if ts.SentFrames >= led.Down {
+			t.Fatalf("commands did not coalesce: %d frames sent for %d ledger commands", ts.SentFrames, led.Down)
 		}
-		if cs, cn := seq.Counts(), net.Counts(); cs != cn {
-			t.Fatalf("step %d: counts differ: seq=%v net=%v", s, cs, cn)
+		if ts.RecvFrames >= led.Up {
+			t.Fatalf("replies did not coalesce: %d frames received for %d ledger replies", ts.RecvFrames, led.Up)
 		}
-		if bs, bn := seq.Ledger().TotalBytes(), net.Bytes(); bs != bn {
-			t.Fatalf("step %d: bytes differ: seq=%v net=%v", s, bs, bn)
+		if led.Down != 13096 || ts.SentFrames != 11896 {
+			t.Fatalf("ledger commands / sent frames = %d / %d, want 13096 / 11896", led.Down, ts.SentFrames)
 		}
-	}
+	})
 }
 
 // TestNewClosesLinksOnHandshakeFailure pins the no-leak contract: a
@@ -236,152 +146,21 @@ func TestNewClosesLinksOnHandshakeFailure(t *testing.T) {
 	}
 }
 
-// TestDeltaEquivalence drives the sparse ingestion path against the
-// sequential engine's, interleaving sparse and dense steps.
-func TestDeltaEquivalence(t *testing.T) {
-	const n, k, seed, steps = 16, 4, 9, 300
-	seq := core.New(core.Config{N: n, K: k, Seed: seed})
-	net := mustLoopback(t, Config{N: n, K: k, Seed: seed}, 3)
-	defer net.Close()
-
-	srcA := stream.NewSparseWalk(stream.SparseWalkConfig{N: n, Changed: 3, MaxStep: 500, Lo: 0, Hi: 1 << 20, Seed: 11})
-	srcB := stream.NewSparseWalk(stream.SparseWalkConfig{N: n, Changed: 3, MaxStep: 500, Lo: 0, Hi: 1 << 20, Seed: 11})
-	ids := make([]int, n)
-	vals := make([]int64, n)
-	ids2 := make([]int, n)
-	vals2 := make([]int64, n)
-	dense := make([]int64, n)
-	for s := 0; s < steps; s++ {
-		c := srcA.StepDelta(ids, vals)
-		c2 := srcB.StepDelta(ids2, vals2)
-		if c != c2 {
-			t.Fatalf("step %d: generator divergence", s)
-		}
-		for j := 0; j < c; j++ {
-			dense[ids[j]] = vals[j]
-		}
-		var topSeq, topNet []int
-		if s%7 == 3 { // interleave a dense step now and then
-			topSeq = seq.Observe(dense)
-			topNet = net.Observe(dense)
-		} else {
-			topSeq = seq.ObserveDelta(ids[:c], vals[:c])
-			topNet = net.ObserveDelta(ids2[:c2], vals2[:c2])
-		}
-		if !equal(topSeq, topNet) {
-			t.Fatalf("step %d: reports differ: seq=%v net=%v", s, topSeq, topNet)
-		}
-		if cs, cn := seq.Counts(), net.Counts(); cs != cn {
-			t.Fatalf("step %d: counts differ: seq=%v net=%v", s, cs, cn)
-		}
-		if bs, bn := seq.Ledger().TotalBytes(), net.Bytes(); bs != bn {
-			t.Fatalf("step %d: bytes differ: seq=%v net=%v", s, bs, bn)
-		}
-	}
-}
-
 // TestEmptyDeltaStep: a step in which nothing changed still advances time
 // and must not touch any link beyond the first initialization step.
 func TestEmptyDeltaStep(t *testing.T) {
-	net := mustLoopback(t, Config{N: 8, K: 2, Seed: 1}, 2)
+	net := hosts.MustLoopback(t, Config{N: 8, K: 2, Seed: 1}, 2)
 	defer net.Close()
 	net.Observe(make([]int64, 8)) // init reset
 	before := net.TransportStats()
 	top1 := append([]int(nil), net.ObserveDelta(nil, nil)...)
 	top2 := net.ObserveDelta([]int{}, []int64{})
-	if !equal(top1, top2) {
+	if !slices.Equal(top1, top2) {
 		t.Fatalf("empty steps changed the report: %v vs %v", top1, top2)
 	}
 	if after := net.TransportStats(); after != before {
 		t.Fatalf("empty delta steps moved frames: %+v -> %+v", before, after)
 	}
-}
-
-// TestTCPEngine runs the full engine over real localhost TCP links with
-// in-process Serve loops on the dialing side — the two-process topology
-// of `topkmon -serve` / `-join`, collapsed into one test binary — under
-// both gathers.
-func TestTCPEngine(t *testing.T) {
-	for _, g := range gathers {
-		t.Run(g.name, func(t *testing.T) {
-			setGather(t, g.procs)
-			testTCPEngine(t)
-		})
-	}
-}
-
-func testTCPEngine(t *testing.T) {
-	const n, k, seed, steps, peers = 10, 3, 17, 120, 2
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ln, err := transport.Listen(ctx, "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
-	}
-	defer ln.Close()
-
-	serveErr := make(chan error, peers)
-	for i := 0; i < peers; i++ {
-		go func() {
-			link, err := transport.Dial(ctx, ln.Addr())
-			if err != nil {
-				serveErr <- err
-				return
-			}
-			serveErr <- Serve(link)
-		}()
-	}
-	links, err := ln.AcceptN(peers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := New(Config{N: n, K: k, Seed: seed}, links)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seq := core.New(core.Config{N: n, K: k, Seed: seed})
-	srcA := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 300, Seed: 23})
-	srcB := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 300, Seed: 23})
-	va, vb := make([]int64, n), make([]int64, n)
-	for s := 0; s < steps; s++ {
-		srcA.Step(va)
-		srcB.Step(vb)
-		if !equal(seq.Observe(va), net.Observe(vb)) {
-			t.Fatalf("step %d: reports differ over TCP", s)
-		}
-	}
-	if cs, cn := seq.Counts(), net.Counts(); cs != cn {
-		t.Fatalf("counts differ over TCP: seq=%v net=%v", cs, cn)
-	}
-	if bs, bn := seq.Ledger().TotalBytes(), net.Bytes(); bs != bn {
-		t.Fatalf("bytes differ over TCP: seq=%v net=%v", bs, bn)
-	}
-	ts := net.TransportStats()
-	if ts.SentBytes == 0 || ts.RecvBytes == 0 {
-		t.Fatalf("no TCP traffic recorded: %+v", ts)
-	}
-	net.Close()
-	for i := 0; i < peers; i++ {
-		if err := <-serveErr; err != nil {
-			t.Fatalf("peer serve loop: %v", err)
-		}
-	}
-}
-
-// TestCloseIdempotent double-closes and verifies post-close observes
-// panic.
-func TestCloseIdempotent(t *testing.T) {
-	net := mustLoopback(t, Config{N: 4, K: 1, Seed: 3}, 2)
-	net.Observe([]int64{4, 3, 2, 1})
-	net.Close()
-	net.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Observe after Close did not panic")
-		}
-	}()
-	net.Observe([]int64{4, 3, 2, 1})
 }
 
 // sweepTap counts, on one link, the Round(TagReset) commands the
@@ -424,10 +203,10 @@ func (l *sweepTap) Stats() transport.LinkStats { return transport.StatsOf(l.Link
 func TestResetIsOneSweepOfRounds(t *testing.T) {
 	const n, k, steps = 40, 6, 120
 	perReset := int64(protocol.Rounds(n))
-	for _, g := range gathers {
+	for _, g := range fanouttest.Gathers {
 		for _, peers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/P=%d", g.name, peers), func(t *testing.T) {
-				setGather(t, g.procs)
+			t.Run(fmt.Sprintf("%s/P=%d", g.Name, peers), func(t *testing.T) {
+				fanouttest.SetGather(t, g.Procs)
 				var rounds, replies atomic.Int64
 				tapped := func() transport.Link {
 					return &sweepTap{Link: LoopbackLink(), rounds: &rounds, replies: &replies}

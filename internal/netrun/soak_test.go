@@ -1,12 +1,12 @@
 package netrun
 
 import (
-	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fanout/fanouttest"
 	"repro/internal/stream"
-	"repro/internal/transport"
 )
 
 // TestTCPPipelinedSoak is the concurrency soak of the pipelined engine
@@ -18,31 +18,9 @@ import (
 // package under -race, which makes this test the soak the pipelined
 // fan-out is gated on.
 func TestTCPPipelinedSoak(t *testing.T) {
-	setGather(t, 2) // exercise the concurrent gather on any machine
+	fanouttest.SetGather(t, 2) // exercise the concurrent gather on any machine
 	const n, k, seed, steps, peers = 48, 6, 31, 300, 4
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ln, err := transport.Listen(ctx, "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
-	}
-	defer ln.Close()
-
-	serveErr := make(chan error, peers)
-	for i := 0; i < peers; i++ {
-		go func() {
-			link, err := transport.Dial(ctx, ln.Addr())
-			if err != nil {
-				serveErr <- err
-				return
-			}
-			serveErr <- Serve(link)
-		}()
-	}
-	links, err := ln.AcceptN(peers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	links, served := fanouttest.TCPLinks(t, peers, Serve)
 	eng, err := New(Config{N: n, K: k, Seed: seed}, links)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +33,7 @@ func TestTCPPipelinedSoak(t *testing.T) {
 	for s := 0; s < steps; s++ {
 		srcA.Step(va)
 		srcB.Step(vb)
-		if !equal(seq.Observe(va), eng.Observe(vb)) {
+		if !slices.Equal(seq.Observe(va), eng.Observe(vb)) {
 			t.Fatalf("step %d: reports differ under soak", s)
 		}
 	}
@@ -69,9 +47,5 @@ func TestTCPPipelinedSoak(t *testing.T) {
 		t.Fatalf("bytes diverged under soak: seq=%v net=%v", bs, bn)
 	}
 	eng.Close()
-	for i := 0; i < peers; i++ {
-		if err := <-serveErr; err != nil {
-			t.Fatalf("peer serve loop: %v", err)
-		}
-	}
+	served()
 }

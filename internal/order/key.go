@@ -129,9 +129,6 @@ func Midpoint(lo, hi Key) Key {
 	return lo + Key(uint64(hi-lo)/2)
 }
 
-// Less reports whether a orders strictly before b.
-func Less(a, b Key) bool { return a < b }
-
 // Max returns the larger of two keys.
 func Max(a, b Key) Key {
 	if a > b {

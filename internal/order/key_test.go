@@ -204,12 +204,6 @@ func TestNegReversesOrder(t *testing.T) {
 	}
 }
 
-func TestLess(t *testing.T) {
-	if !Less(1, 2) || Less(2, 1) || Less(2, 2) {
-		t.Fatal("Less broken")
-	}
-}
-
 // TestValueIsDecodeWithoutTheDivision holds the exact division by shift and
 // modular inverse to Decode: for node counts odd, even and powers of two,
 // at both ends of the value domain, at zero and at random values, Value of

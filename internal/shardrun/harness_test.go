@@ -159,7 +159,7 @@ func validateBanks(t *testing.T, banks []*coord.Nodes, n int, top []int) {
 	if len(top) < n && lo < hi {
 		t.Fatalf("installed bounds do not separate: members >= %d, outsiders <= %d", lo, hi)
 	}
-	if !equal(members, top) {
+	if !slices.Equal(members, top) {
 		t.Fatalf("banks mark %v as members, the engine reports %v", members, top)
 	}
 }

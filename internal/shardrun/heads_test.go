@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/fanout"
+	"repro/internal/fanout/fanouttest"
 	"repro/internal/order"
 	"repro/internal/stream"
 	"repro/internal/transport"
@@ -62,13 +63,13 @@ func (c *execCount) take() (targets []int, outsiders int) {
 
 // TestResetRunsSPlusKExecutions pins the work of a delegated FILTERRESET as
 // an exact count, taken on the links themselves. (The name is from when a
-// reset was a k-merge of S + k local executions; the ids stay, see gathers.)
-// Over L leaves a reset is one execution for min(k+1, n) winners: it runs
-// exactly L local executions — every leaf once — and the root ships exactly
-// B execution requests over its B links whatever hangs below them, as for
-// every other execution; and it sends a Winner to the k members and to
-// nobody else. The time-0 reset and the forced reset of a recovery count
-// like any other.
+// reset was a k-merge of S + k local executions; the ids stay, see
+// fanouttest.Gathers.) Over L leaves a reset is one execution for
+// min(k+1, n) winners: it runs exactly L local executions — every leaf once
+// — and the root ships exactly B execution requests over its B links whatever
+// hangs below them, as for every other execution; and it sends a Winner to
+// the k members and to nobody else. The time-0 reset and the forced reset
+// of a recovery count like any other.
 func TestResetRunsSPlusKExecutions(t *testing.T) {
 	shapes := []struct {
 		name          string
@@ -77,10 +78,10 @@ func TestResetRunsSPlusKExecutions(t *testing.T) {
 		{"S=1", 1, 1}, {"S=2", 2, 1}, {"S=4", 4, 1}, {"S=8", 8, 1},
 		{"2^2", 2, 2}, {"2^3", 2, 3}, {"4^2", 4, 2},
 	}
-	for _, g := range gathers {
+	for _, g := range fanouttest.Gathers {
 		for _, sh := range shapes {
-			t.Run(g.name+"/"+sh.name, func(t *testing.T) {
-				setGather(t, g.procs)
+			t.Run(g.Name+"/"+sh.name, func(t *testing.T) {
+				fanouttest.SetGather(t, g.Procs)
 				const n, k, steps = 32, 5, 120
 				var root, leaves execCount
 				up := func(level int, l transport.Link) transport.Link {
@@ -125,7 +126,7 @@ func TestResetRunsSPlusKExecutions(t *testing.T) {
 					if got, want := root.winners.Load()-winners, dResets*k; got != want {
 						t.Fatalf("step %d: root sent %d winner notifications for %d resets, want %d", s, got, dResets, want)
 					}
-					if targets, outsiders := root.take(); outsiders != 0 || dResets == 1 && !equal(targets, top) {
+					if targets, outsiders := root.take(); outsiders != 0 || dResets == 1 && !slices.Equal(targets, top) {
 						t.Fatalf("step %d: winners %v (%d of them no members) notified, the reset made %v the members", s, targets, outsiders, top)
 					}
 					execs := (root.other.Load() - rootOther) / B
@@ -332,10 +333,10 @@ func list(d wire.ShardDigest, pairs ...int64) wire.ShardDigest {
 // TestInteriorHeadCache scripts a parent over one interior and three stub
 // kids and pins the relay's merge of their winner lists frame by frame.
 // (The name is from when the relay kept a head per kid and asked only the
-// kid whose head was taken; the id stays, see gathers.) Every execution
-// reaches every kid, once; the merged list is the want best of the kids'
-// winners, best first, the first kid in range order ahead among equal
-// keys; the charges are the sum of what the kids charged.
+// kid whose head was taken; the id stays, see fanouttest.Gathers.) Every
+// execution reaches every kid, once; the merged list is the want best of
+// the kids' winners, best first, the first kid in range order ahead among
+// equal keys; the charges are the sum of what the kids charged.
 func TestInteriorHeadCache(t *testing.T) {
 	p := newScriptedParent(t, 3)
 	k0, k1, k2 := p.kids[0], p.kids[1], p.kids[2]

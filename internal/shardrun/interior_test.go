@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/fanout"
+	"repro/internal/fanout/fanouttest"
 	"repro/internal/order"
 	"repro/internal/stream"
 	"repro/internal/transport"
@@ -77,10 +78,10 @@ func TestInteriorChainIsIdentity(t *testing.T) {
 			return func(int) ([]int, []int64) { src.Step(vals); return nil, vals }
 		}},
 	}
-	for _, g := range gathers {
+	for _, g := range fanouttest.Gathers {
 		for _, tc := range cases {
-			t.Run(g.name+"/"+tc.name, func(t *testing.T) {
-				setGather(t, g.procs)
+			t.Run(g.Name+"/"+tc.name, func(t *testing.T) {
+				fanouttest.SetGather(t, g.Procs)
 				var levels [3]transcript
 				var leaves sync.WaitGroup
 				var mu sync.Mutex

@@ -2,11 +2,13 @@ package shardrun
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/fanout"
+	"repro/internal/fanout/fanouttest"
 	"repro/internal/order"
 	"repro/internal/protocol"
 	"repro/internal/stream"
@@ -159,10 +161,11 @@ func refStar(t *testing.T, cfg Config, shards int, exec fanout.Exec, log *instal
 // its shards' winner lists by the reference above — the k-merge of heads a
 // reset's extractions used to be — and one whose root folds them through
 // protocol.Top, side by side. (The name is from when the two differed in
-// how many local executions they ran; the ids stay, see gathers.) Both ship
-// the same frames to the same leaves, so everything must be the same at
-// every step and every S: reports, the machine's counters, every installed
-// midpoint or band, and all three ledgers.
+// how many local executions they ran; the ids stay, see
+// fanouttest.Gathers.) Both ship the same frames to the same leaves, so
+// everything must be the same at every step and every S: reports, the
+// machine's counters, every installed midpoint or band, and all three
+// ledgers.
 func TestIncrementalMergeMatchesFullRemerge(t *testing.T) {
 	const n, k, seed, steps = 24, 5, 41, 200
 	type feed func(s int) (ids []int, vals []int64) // nil ids: a dense step
@@ -205,11 +208,11 @@ func TestIncrementalMergeMatchesFullRemerge(t *testing.T) {
 			return func(int) ([]int, []int64) { src.Step(vals); return nil, vals }
 		}},
 	}
-	for _, g := range gathers {
+	for _, g := range fanouttest.Gathers {
 		for _, tc := range cases {
 			for _, shards := range []int{1, 2, 4, 8} {
-				t.Run(fmt.Sprintf("%s/%s/S=%d", g.name, tc.name, shards), func(t *testing.T) {
-					setGather(t, g.procs)
+				t.Run(fmt.Sprintf("%s/%s/S=%d", g.Name, tc.name, shards), func(t *testing.T) {
+					fanouttest.SetGather(t, g.Procs)
 					var refLog, incLog installs
 					ref := refStar(t, tc.cfg, shards, refExecHeads(), &refLog)
 					defer ref.Close()
@@ -224,7 +227,7 @@ func TestIncrementalMergeMatchesFullRemerge(t *testing.T) {
 						} else {
 							a, b = ref.ObserveDelta(ids, vals), inc.ObserveDelta(ids, vals)
 						}
-						if !equal(a, b) {
+						if !slices.Equal(a, b) {
 							t.Fatalf("step %d: reports differ: head merge %v, list merge %v", s, a, b)
 						}
 						if ref.Stats() != inc.Stats() {

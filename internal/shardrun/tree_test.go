@@ -1,12 +1,13 @@
 package shardrun
 
 import (
-	"context"
 	"slices"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/fanout"
+	"repro/internal/fanout/fanouttest"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/transport"
@@ -29,45 +30,42 @@ func mustTree(tb testing.TB, cfg Config, branch, depth int) *Engine {
 // stats must equal those of a flat engine over branch shard links bit for
 // bit, under both gathers.
 func TestTreeDepthOneBitIdentical(t *testing.T) {
-	for _, g := range gathers {
-		t.Run(g.name, func(t *testing.T) {
-			setGather(t, g.procs)
-			const n, k, seed, steps = 13, 4, 41, 250
-			cfg := Config{N: n, K: k, Seed: seed, Epsilon: 0.05}
-			flat := mustLoopback(t, cfg, 3)
-			defer flat.Close()
-			tree := mustTree(t, cfg, 3, 1)
-			defer tree.Close()
+	fanouttest.EachGather(t, func(t *testing.T) {
+		const n, k, seed, steps = 13, 4, 41, 250
+		cfg := Config{N: n, K: k, Seed: seed, Epsilon: 0.05}
+		flat := star.MustLoopback(t, cfg.Core(), 3)
+		defer flat.Close()
+		tree := mustTree(t, cfg, 3, 1)
+		defer tree.Close()
 
-			srcA := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 400, Seed: 2})
-			srcB := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 400, Seed: 2})
-			va, vb := make([]int64, n), make([]int64, n)
-			for s := 0; s < steps; s++ {
-				srcA.Step(va)
-				srcB.Step(vb)
-				if !equal(flat.Observe(va), tree.Observe(vb)) {
-					t.Fatalf("step %d: reports differ", s)
-				}
+		srcA := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 400, Seed: 2})
+		srcB := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 400, Seed: 2})
+		va, vb := make([]int64, n), make([]int64, n)
+		for s := 0; s < steps; s++ {
+			srcA.Step(va)
+			srcB.Step(vb)
+			if !slices.Equal(flat.Observe(va), tree.Observe(vb)) {
+				t.Fatalf("step %d: reports differ", s)
 			}
-			if flat.Counts() != tree.Counts() || flat.Bytes() != tree.Bytes() {
-				t.Fatalf("algorithm ledgers differ: %v/%v vs %v/%v", flat.Counts(), flat.Bytes(), tree.Counts(), tree.Bytes())
+		}
+		if flat.Counts() != tree.Counts() || flat.Bytes() != tree.Bytes() {
+			t.Fatalf("algorithm ledgers differ: %v/%v vs %v/%v", flat.Counts(), flat.Bytes(), tree.Counts(), tree.Bytes())
+		}
+		if flat.Overhead() != tree.Overhead() || flat.OverheadBytes() != tree.OverheadBytes() {
+			t.Fatalf("overhead ledgers differ: %v/%v vs %v/%v", flat.Overhead(), flat.OverheadBytes(), tree.Overhead(), tree.OverheadBytes())
+		}
+		for _, ph := range comm.Phases() {
+			if flat.Ledger().PhaseCounts(ph) != tree.Ledger().PhaseCounts(ph) {
+				t.Fatalf("phase %v counts differ", ph)
 			}
-			if flat.Overhead() != tree.Overhead() || flat.OverheadBytes() != tree.OverheadBytes() {
-				t.Fatalf("overhead ledgers differ: %v/%v vs %v/%v", flat.Overhead(), flat.OverheadBytes(), tree.Overhead(), tree.OverheadBytes())
+			if flat.Ledger().PhaseBytes(ph) != tree.Ledger().PhaseBytes(ph) {
+				t.Fatalf("phase %v bytes differ", ph)
 			}
-			for _, ph := range comm.Phases() {
-				if flat.Ledger().PhaseCounts(ph) != tree.Ledger().PhaseCounts(ph) {
-					t.Fatalf("phase %v counts differ", ph)
-				}
-				if flat.Ledger().PhaseBytes(ph) != tree.Ledger().PhaseBytes(ph) {
-					t.Fatalf("phase %v bytes differ", ph)
-				}
-			}
-			if flat.Stats() != tree.Stats() {
-				t.Fatalf("stats differ: %+v vs %+v", flat.Stats(), tree.Stats())
-			}
-		})
-	}
+		}
+		if flat.Stats() != tree.Stats() {
+			t.Fatalf("stats differ: %+v vs %+v", flat.Stats(), tree.Stats())
+		}
+	})
 }
 
 // treeShapes is the equivalence matrix: every tree shape paired with the
@@ -91,18 +89,18 @@ var treeShapes = []struct {
 // algorithm ledger — counts, bytes, per-phase — matches exactly, while
 // the root's own fan-in stays at branch links.
 func TestTreeFlatEquivalence(t *testing.T) {
-	for _, g := range gathers {
+	for _, g := range fanouttest.Gathers {
 		for _, eps := range []float64{0, 0.05} {
 			for _, tc := range treeShapes {
-				name := g.name + "/" + tc.name
+				name := g.Name + "/" + tc.name
 				if eps > 0 {
 					name += "/eps"
 				}
 				t.Run(name, func(t *testing.T) {
-					setGather(t, g.procs)
+					fanouttest.SetGather(t, g.Procs)
 					const seed, steps = 41, 300
 					cfg := Config{N: tc.n, K: tc.k, Seed: seed, Epsilon: eps}
-					flat := mustLoopback(t, cfg, tc.flat)
+					flat := star.MustLoopback(t, cfg.Core(), tc.flat)
 					defer flat.Close()
 					tree := mustTree(t, cfg, tc.branch, tc.depth)
 					defer tree.Close()
@@ -140,7 +138,7 @@ func TestTreeFlatEquivalence(t *testing.T) {
 							topTree = tree.ObserveDelta(ids, dv)
 						}
 						copy(prev, vb)
-						if !equal(topFlat, topTree) {
+						if !slices.Equal(topFlat, topTree) {
 							t.Fatalf("step %d: reports differ: flat=%v tree=%v", s, topFlat, topTree)
 						}
 						if !sim.EpsValid(vb, topTree, tc.k, eps) {
@@ -198,71 +196,44 @@ func TestTreeExactInSim(t *testing.T) {
 // over in-process pipes — under both gathers and with a live ε, so the
 // relayed frames cross a real network boundary.
 func TestTCPTree(t *testing.T) {
-	for _, g := range gathers {
-		t.Run(g.name, func(t *testing.T) {
-			setGather(t, g.procs)
-			const n, k, seed, steps, branch = 12, 3, 17, 120, 2
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			ln, err := transport.Listen(ctx, "127.0.0.1:0")
-			if err != nil {
-				t.Skipf("cannot listen on loopback: %v", err)
+	fanouttest.EachGather(t, func(t *testing.T) {
+		const n, k, seed, steps, branch = 12, 3, 17, 120, 2
+		links, served := fanouttest.TCPLinks(t, branch, func(link transport.Link) error {
+			children := make([]transport.Link, branch)
+			for j := range children {
+				children[j] = LoopbackSubtree(branch, 1)
 			}
-			defer ln.Close()
-
-			serveErr := make(chan error, branch)
-			for i := 0; i < branch; i++ {
-				go func() {
-					link, err := transport.Dial(ctx, ln.Addr())
-					if err != nil {
-						serveErr <- err
-						return
-					}
-					children := make([]transport.Link, branch)
-					for j := range children {
-						children[j] = LoopbackSubtree(branch, 1)
-					}
-					serveErr <- ServeInterior(link, children)
-				}()
-			}
-			links, err := ln.AcceptN(branch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tree, err := New(Config{
-				N: n, K: k, Seed: seed, Epsilon: 0.05,
-				Tree: Tree{Branch: branch, Depth: 2},
-			}, links)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			flat := mustLoopback(t, Config{N: n, K: k, Seed: seed, Epsilon: 0.05}, branch*branch)
-			defer flat.Close()
-			srcA := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 300, Seed: 23})
-			srcB := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 300, Seed: 23})
-			va, vb := make([]int64, n), make([]int64, n)
-			for s := 0; s < steps; s++ {
-				srcA.Step(va)
-				srcB.Step(vb)
-				if !equal(flat.Observe(va), tree.Observe(vb)) {
-					t.Fatalf("step %d: reports differ over TCP", s)
-				}
-			}
-			if cf, ct := flat.Counts(), tree.Counts(); cf != ct {
-				t.Fatalf("counts differ over TCP: flat=%v tree=%v", cf, ct)
-			}
-			if ts := tree.TransportStats(); ts.SentBytes == 0 || ts.RecvBytes == 0 {
-				t.Fatalf("no TCP traffic recorded: %+v", ts)
-			}
-			tree.Close()
-			for i := 0; i < branch; i++ {
-				if err := <-serveErr; err != nil {
-					t.Fatalf("interior serve loop: %v", err)
-				}
-			}
+			return ServeInterior(link, children)
 		})
-	}
+		tree, err := New(Config{
+			N: n, K: k, Seed: seed, Epsilon: 0.05,
+			Tree: Tree{Branch: branch, Depth: 2},
+		}, links)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		flat := star.MustLoopback(t, fanout.Config{N: n, K: k, Seed: seed, Epsilon: 0.05}, branch*branch)
+		defer flat.Close()
+		srcA := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 300, Seed: 23})
+		srcB := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 300, Seed: 23})
+		va, vb := make([]int64, n), make([]int64, n)
+		for s := 0; s < steps; s++ {
+			srcA.Step(va)
+			srcB.Step(vb)
+			if !slices.Equal(flat.Observe(va), tree.Observe(vb)) {
+				t.Fatalf("step %d: reports differ over TCP", s)
+			}
+		}
+		if cf, ct := flat.Counts(), tree.Counts(); cf != ct {
+			t.Fatalf("counts differ over TCP: flat=%v tree=%v", cf, ct)
+		}
+		if ts := tree.TransportStats(); ts.SentBytes == 0 || ts.RecvBytes == 0 {
+			t.Fatalf("no TCP traffic recorded: %+v", ts)
+		}
+		tree.Close()
+		served()
+	})
 }
 
 // TestTreeStatsProfile pins the diagnostic plane: a depth-2 tree reports
@@ -309,7 +280,7 @@ func TestTreeStatsProfile(t *testing.T) {
 
 	// A flat engine degenerates to the root's ledger as the single
 	// traffic level.
-	flat := mustLoopback(t, Config{N: n, K: k, Seed: seed, Epsilon: 0.2}, 4)
+	flat := star.MustLoopback(t, fanout.Config{N: n, K: k, Seed: seed, Epsilon: 0.2}, 4)
 	defer flat.Close()
 	fts, err := flat.TreeStats()
 	if err != nil {

@@ -1,8 +1,7 @@
 // Package stats implements the small statistics toolkit used by the
-// experiment harness: summary statistics, quantiles, histograms, ordinary
-// least squares (including logarithmic fits), and bootstrap confidence
-// intervals. Everything is stdlib-only and deterministic given an explicit
-// random source where resampling is involved.
+// experiment harness: summary statistics, quantiles, normal-approximation
+// confidence intervals, the Gini coefficient and ordinary least squares
+// (including logarithmic fits). Everything is stdlib-only and deterministic.
 package stats
 
 import (
@@ -109,13 +108,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// QuantileUnsorted sorts a copy of xs and returns the q-quantile.
-func QuantileUnsorted(xs []float64, q float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Quantile(sorted, q)
 }
 
 // MeanCI returns the mean of xs together with a normal-approximation
@@ -226,23 +218,4 @@ func LogXFit(xs, ys []float64) Fit {
 		lx[i] = math.Log2(x)
 	}
 	return LinearFit(lx, ys)
-}
-
-// Bootstrap computes a percentile bootstrap confidence interval for the
-// mean of xs using the supplied uniform source (a func returning values in
-// [0, n)). resamples controls the bootstrap iteration count.
-func Bootstrap(xs []float64, resamples int, intn func(int) int, lo, hi float64) (cilo, cihi float64) {
-	if len(xs) == 0 || resamples <= 0 {
-		return 0, 0
-	}
-	means := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
-		sum := 0.0
-		for i := 0; i < len(xs); i++ {
-			sum += xs[intn(len(xs))]
-		}
-		means[r] = sum / float64(len(xs))
-	}
-	sort.Float64s(means)
-	return Quantile(means, lo), Quantile(means, hi)
 }
