@@ -768,7 +768,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			}
 		}
 	}
-	for _, n := range []int{256, 1024, 4096} {
+	for _, n := range []int{256, 1024, 4096, 1 << 14} {
 		for _, eps := range []float64{0, 0.05} {
 			cfg := topk.Config{Nodes: n, K: k, Seed: 7, Epsilon: eps}
 			stores := []struct {
@@ -796,6 +796,12 @@ func BenchmarkCheckpoint(b *testing.B) {
 					step(false)
 				}
 				return mon, step
+			}
+			if n > 4096 {
+				// At 2^14 a base is over transport.Retention's floor: the row
+				// prices the base re-cut after the monitor let go of the
+				// buffer the last one grew. The file store adds fsync only.
+				stores = stores[:1]
 			}
 			for _, st := range stores {
 				b.Run(bench.F("save/%s/n=%d/eps=%g", st.name, n, eps), func(b *testing.B) {

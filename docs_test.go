@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
@@ -167,6 +168,89 @@ func TestDocFlagsExist(t *testing.T) {
 		if lines == 0 {
 			t.Errorf("%s: no topkmon command line found", name)
 		}
+	}
+}
+
+var (
+	// benchDef matches a benchmark a _test.go file defines.
+	benchDef = regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+	// docBench matches a benchmark a document names; a trailing * makes it
+	// a family (BenchmarkE*), which names no one function.
+	docBench = regexp.MustCompile(`Benchmark[A-Z0-9_]\w*\*?`)
+	// benchFlag matches a go test -bench flag's pattern, quoted or bare.
+	benchFlag = regexp.MustCompile(`-bench[= ]+('[^']*'|"[^"]*"|[^\s'"]+)`)
+	// benchName is a pattern alternative that is one benchmark's name.
+	benchName = regexp.MustCompile(`^Benchmark[A-Z0-9_]\w*$`)
+)
+
+// TestDocBenchmarksExist keeps the documented benchmarks runnable: every
+// BenchmarkX that README.md, DESIGN.md, EXPERIMENTS.md or doc.go names,
+// and every alternative of a -bench pattern in the CI workflow, must be a
+// func BenchmarkX in some _test.go — a pattern naming a deleted benchmark
+// silently runs nothing.
+func TestDocBenchmarksExist(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range benchDef.FindAllStringSubmatch(string(data), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := 0
+	check := func(where, name string) {
+		named++
+		if !defined[name] {
+			t.Errorf("%s names %s, which no _test.go defines", where, name)
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "doc.go"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, name := range docBench.FindAllString(line, -1) {
+				if !strings.HasSuffix(name, "*") {
+					check(fmt.Sprintf("%s:%d", doc, i+1), name)
+				}
+			}
+		}
+	}
+	const ci = ".github/workflows/ci.yml"
+	data, err := os.ReadFile(ci)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range benchFlag.FindAllStringSubmatch(line, -1) {
+			for _, alt := range strings.Split(strings.Trim(m[1], `'"`), "|") {
+				if name, _, _ := strings.Cut(alt, "/"); benchName.MatchString(name) {
+					check(fmt.Sprintf("%s:%d", ci, i+1), name)
+				}
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("no benchmark named in the documents or the CI workflow")
 	}
 }
 

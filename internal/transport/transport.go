@@ -64,19 +64,20 @@ func sendable(payload []byte) error {
 }
 
 // Retention is the one retention rule for a long-lived frame buffer — a
-// pipe's free list, a coordinator's encode buffer, a fan's per-peer arenas.
-// The first frame after a handshake carries values where the frames after
-// it carry changes (internal/wire), several times as many bytes, and a
-// buffer it grew would otherwise keep that size for good. Keep is told of
-// every frame the buffer carries and lets go of a buffer over 64 KiB that
-// is more than twice the larger of the last two frames of at least 1 KiB
-// it was told of. Three limits keep the rule from letting go of a buffer
-// the next frame will need: the floor, below which a buffer is kept
-// whatever mix of frames it carries; frames under 1 KiB — acks, rounds,
-// replies — which do not count; and the memory of two frames, which lets
-// one larger protocol frame — a large-k reset's batch of Winners — pass
-// between two observation frames without the buffer they need being let
-// go. The zero value is ready to use.
+// pipe's free list, a coordinator's encode buffer, a fan's per-peer arenas,
+// a monitor's checkpoint encode buffer. The first frame after a handshake
+// carries values where the frames after it carry changes (internal/wire),
+// several times as many bytes, as a checkpoint base does over the deltas
+// after it, and a buffer it grew would otherwise keep that size for good.
+// Keep is told of every frame the buffer carries and lets go of a buffer
+// over 64 KiB that is more than twice the larger of the last two frames of
+// at least 1 KiB it was told of. Three limits keep the rule from letting go
+// of a buffer the next frame will need: the floor, below which a buffer is
+// kept whatever mix of frames it carries; frames under 1 KiB — acks,
+// rounds, replies — which do not count; and the memory of two frames, which
+// lets one larger protocol frame — a large-k reset's batch of Winners —
+// pass between two observation frames without the buffer they need being
+// let go. The zero value is ready to use.
 type Retention struct {
 	last, prev int // the last two counted frames' lengths
 }

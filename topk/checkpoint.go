@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/comm"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -42,8 +44,9 @@ import (
 // can persist frames in their own substrate (object store, replicated
 // log). Implementations need not be safe for concurrent use — the
 // monitor serializes its own calls. The frame passed to Save is valid
-// only until Save returns (the monitor encodes every generation into one
-// reused buffer), so a store that keeps frames keeps a copy.
+// only until Save returns (the monitor encodes every generation into a
+// buffer it reuses across deltas and lets go of after a base), so a store
+// that keeps frames keeps a copy.
 type CheckpointStore interface {
 	Save(gen uint64, frame []byte) error
 	Load() (gen uint64, frame []byte, err error)
@@ -224,14 +227,16 @@ func (m *Monitor) maybeCheckpoint() {
 
 // ckptChain is what a monitor with a checkpoint store remembers of the
 // chain it is writing: enough to decide whether the next frame can be a
-// delta, and which nodes it would carry.
+// delta, which nodes it would carry, and how large a buffer its frames
+// need.
 type ckptChain struct {
-	base     uint64      // generation of the chain's base; 0 — after New and Restore — makes the next frame one
-	ledger   comm.Counts // the model ledger when the last frame was saved
-	baseLen  int         // bytes of the base frame
-	deltaLen int         // bytes of the deltas saved on it
-	dirty    []uint64    // the nodes observed since the last saved frame, a bit each
-	all      bool        // every node was: dirty is not kept up
+	base     uint64              // generation of the chain's base; 0 — after New and Restore — makes the next frame one
+	ledger   comm.Counts         // the model ledger when the last frame was saved
+	baseLen  int                 // bytes of the base frame
+	deltaLen int                 // bytes of the deltas saved on it
+	dirty    []uint64            // the nodes observed since the last saved frame, a bit each
+	all      bool                // every node was: dirty is not kept up
+	sizes    transport.Retention // told of every frame saved; judges Monitor.ckptBuf
 }
 
 // observed marks the nodes a call is about to move, ids or (nil) all n of
@@ -252,11 +257,18 @@ func (c *ckptChain) observed(ids []int, n int) {
 }
 
 // checkpointLocked encodes the next frame of the chain as generation
-// ckptGen+1 — in place, into the one buffer the monitor reuses across
-// saves, which is why a store may not keep the slice Save is handed — and
-// saves it, updating the stats. The frame is a delta on the chain's base
-// unless that cannot describe what happened or would outgrow what it
-// extends:
+// ckptGen+1 — in place, into the buffer the monitor reuses across saves,
+// which is why a store may not keep the slice Save is handed — and saves
+// it, updating the stats. The buffer follows transport.Retention, told of
+// every frame saved, so a base's size is not held for the monitor's
+// lifetime: a buffer over 64 KiB and more than twice the larger of the
+// last two frames is swapped, after Save, for one sized for the frame just
+// saved — at the second delta after a base, on a quiet chain; and a base
+// grows the buffer once, to the last base's length, before it is encoded
+// (a link-backed engine's base appends its value mirror a varint at a
+// time, which from a delta-sized buffer is a run of doublings). The frame
+// is a delta on the chain's base unless that cannot describe what
+// happened or would outgrow what it extends:
 //
 //   - there is no chain yet (the first frame after New or Restore);
 //   - the model ledger moved since the last saved frame. A step that
@@ -287,14 +299,21 @@ func (m *Monitor) checkpointLocked() (uint64, error) {
 			base = 0 // a delta of every node, two bytes a node at the least: not worth encoding to find out
 		}
 	}
-	frame, err := m.eng.AppendCheckpoint(m.ckptBuf[:0], gen, base, dirty)
+	buf := m.ckptBuf[:0]
+	if base == 0 {
+		buf = slices.Grow(buf, c.baseLen)
+	}
+	frame, err := m.eng.AppendCheckpoint(buf, gen, base, dirty)
 	if err == nil && base != 0 && c.deltaLen+len(frame) > c.baseLen {
 		base = 0
-		frame, err = m.eng.AppendCheckpoint(frame[:0], gen, 0, nil)
+		frame, err = m.eng.AppendCheckpoint(slices.Grow(frame[:0], c.baseLen), gen, 0, nil)
 	}
 	if err == nil {
 		m.ckptBuf = frame
 		err = m.cfg.Checkpoint.Store.Save(gen, frame)
+		if !c.sizes.Keep(cap(frame), len(frame)) {
+			m.ckptBuf = slices.Grow([]byte(nil), len(frame))
+		}
 	}
 	if err != nil {
 		m.ckptStats.Failures++

@@ -3,6 +3,8 @@ package topk
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/wire"
@@ -278,15 +280,164 @@ func TestCheckpointSteadyStateAllocations(t *testing.T) {
 	}
 }
 
+// storeSpy passes frames on to a store, remembering the lengths of the last
+// two and counting the allocations the store's Saves make, so that what a
+// monitor allocates can be told from what its store does.
+type storeSpy struct {
+	inner      CheckpointStore
+	last, prev int
+	allocs     uint64
+}
+
+func (s *storeSpy) Save(gen uint64, frame []byte) error {
+	s.last, s.prev = len(frame), s.last
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := s.inner.Save(gen, frame)
+	runtime.ReadMemStats(&after)
+	s.allocs += after.Mallocs - before.Mallocs
+	return err
+}
+
+func (s *storeSpy) Load() (uint64, []byte, error) { return s.inner.Load() }
+
+// grown keeps a measured slices.Grow from being optimized away.
+var grown []byte
+
+// TestCheckpointBufferFollowsItsFrames pins the memory rule of the buffer
+// a monitor encodes its checkpoint frames into (transport.Retention, told
+// of every frame saved) at n = 2^14, 64 nodes a step and a save every 16
+// steps — the shape of benchmark/'s ckpt-seq-sparse, and the first size
+// whose base is over Retention's 64 KiB floor:
+//
+//   - after a base and two deltas the buffer holds at most twice the
+//     larger of the last two frames: a base's size is not held for the
+//     monitor's lifetime;
+//   - a base forced by a stir and the two deltas after it allocate at most
+//     two buffers beyond what the memory store does: the base grows the
+//     buffer once, to the last base's length, and the second delta swaps
+//     it for one of its own size.
+//
+// It runs on both in-process engines, under Ingest, where the worker
+// saves, and on a star of two loopback peers, whose base is its value
+// mirror appended a varint at a time: a base that did not grow the buffer
+// once would cost about ten doublings.
+func TestCheckpointBufferFollowsItsFrames(t *testing.T) {
+	const n, k, every, changed, cycles = 1 << 14, 16, 16, 64, 8
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		floor int // what the buffer may hold after two deltas regardless
+	}{
+		{"seq", Config{}, 0},
+		{"conc", Config{Concurrent: true}, 0},
+		{"ingest", Config{Ingest: Ingest{QueueDepth: 4}}, 0},
+		// A star's base carries the value mirror and no bank: 64 KB, in a
+		// buffer Retention's floor keeps.
+		{"star", Config{Tree: star(2)}, 64 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := &storeSpy{inner: MemCheckpoints()}
+			cfg := tc.cfg
+			cfg.Nodes, cfg.K, cfg.Seed = n, k, 1
+			cfg.Checkpoint = Checkpoint{Store: store, Every: every}
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			ctx := context.Background()
+			call := func(ids []int, vals []int64) {
+				t.Helper()
+				if _, err := m.ObserveDelta(ids, vals); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Drain(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// window makes the every calls that end in a save, the first of
+			// them a stir of node stirred when stirred >= 0, and returns how
+			// many allocations the last of them, the quiet step that saves,
+			// made outside the store. The nodes stirred so far, 0 to stirred,
+			// stay where the stirs put them: a step that moved one back down
+			// would force a base of its own.
+			tr := newQuietTrace(n, 5)
+			window := func(stirred int) uint64 {
+				t.Helper()
+				var before, after runtime.MemStats
+				for s := 0; s < every; s++ {
+					if s == 0 && stirred >= 0 {
+						call(tr.stir(stirred, int64(stirred+1)))
+						continue
+					}
+					ids, vals := tr.step(changed)
+					if ids[0] <= stirred {
+						ids, vals = ids[1:], vals[1:]
+					}
+					if s == every-1 {
+						store.allocs = 0
+						runtime.ReadMemStats(&before)
+					}
+					call(ids, vals)
+				}
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs - store.allocs
+			}
+			held := func() int {
+				m.lock()
+				defer m.unlock()
+				return cap(m.ckptBuf)
+			}
+			check := func(cycle int, bases, deltas int64) {
+				t.Helper()
+				st := m.CheckpointStats()
+				if st.Bases != bases || st.Deltas != deltas {
+					t.Fatalf("cycle %d: %d bases and %d deltas saved, want %d and %d", cycle, st.Bases, st.Deltas, bases, deltas)
+				}
+				if c, larger := held(), max(store.last, store.prev); c > max(2*larger, tc.floor) {
+					t.Fatalf("cycle %d: the buffer holds %d bytes after frames of %d and %d bytes, budget twice the larger (or %d)", cycle, c, store.prev, store.last, tc.floor)
+				}
+			}
+
+			if _, err := m.Observe(tr.vals); err != nil { // the first of the first window's calls
+				t.Fatal(err)
+			}
+			for s := 1; s < every; s++ {
+				call(tr.step(changed))
+			}
+			window(-1)
+			window(-1)
+			check(0, 1, 2)
+			t.Logf("after a base and deltas of %d and %d bytes the buffer holds %d bytes", store.prev, store.last, held())
+			// A buffer is what one slices.Grow allocates: one object, or two
+			// under -race, which compiles append(s, make(...)...) as written.
+			perBuffer := uint64(testing.AllocsPerRun(1, func() { grown = slices.Grow([]byte(nil), 1<<12) }))
+			// A collection starting inside a window allocates for the runtime
+			// (mark workers, cleanups); none starts while the windows are
+			// counted.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			for c := 0; c < cycles; c++ {
+				allocs := window(c) + window(c) + window(c)
+				check(c+1, int64(c+2), int64(2*c+4))
+				if allocs > 2*perBuffer {
+					t.Fatalf("cycle %d: a base and two deltas allocated %d times, budget 2 buffers of %d allocations", c+1, allocs, perBuffer)
+				}
+			}
+		})
+	}
+}
+
 // TestCheckpointChainFootprint is the tier-1 pin of "a checkpoint costs
 // what changed", on a quiet sparse trace at n = 2^14 — 64 nodes a step, a
 // checkpoint every 16 steps, the shape of benchmark/'s ckpt-seq-sparse:
 //
 //   - after 8 saves, what the monitor and its MemCheckpoints store keep
-//     alive beyond a monitor without a store is under three full frames —
-//     the monitor's encode buffer, the store's base, and the deltas with
-//     room to spare — where eight retained full frames and the buffer
-//     were nine;
+//     alive beyond a monitor without a store is under two full frames —
+//     the store's base and the deltas after it, and the monitor's encode
+//     buffer, which transport.Retention let go of at the second delta for
+//     one of a delta's size — where eight retained full frames and the
+//     buffer were nine;
 //   - the first save is a base within the v2 frame's 16 B/node, the seven
 //     after it are deltas of under 1 B/node on average;
 //   - restoring from a chain as long as chains get — every delta up to
@@ -358,8 +509,8 @@ func TestCheckpointChainFootprint(t *testing.T) {
 	if deltas/7/n > 1 {
 		t.Fatalf("the deltas average %.3f B/node, budget 1", deltas/7/n)
 	}
-	if with-bare > 3*full {
-		t.Fatalf("monitor and store hold %.2f full frames beyond a monitor without a store, budget 3", (with-bare)/full)
+	if with-bare > 2*full {
+		t.Fatalf("monitor and store hold %.2f full frames beyond a monitor without a store, budget 2", (with-bare)/full)
 	}
 
 	// A maximal chain: save after every step until the store sees the
