@@ -672,7 +672,7 @@ func BenchmarkAsyncThroughput(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				cfg := eng.cfg(b)
-				cfg.Ingest = topk.Ingest{QueueDepth: depth, Overflow: topk.OverflowBlock}
+				cfg.Ingest = topk.Ingest{QueueDepth: depth}
 				mon, err := topk.New(cfg)
 				if err != nil {
 					b.Fatal(err)

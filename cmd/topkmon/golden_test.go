@@ -132,15 +132,15 @@ func TestGoldenOutput(t *testing.T) {
 var timing = regexp.MustCompile(`-> \d+ protocol steps in \S+|coalesced=\d+ \(ratio [0-9.]+\)|max-queue=\d+`)
 
 // TestAsyncOutput runs -async on every engine shape: the final report is
-// graded against the oracle, every update is enqueued and none dropped, and
-// what is left of the output once the timing-dependent counts are masked is
-// pinned.
+// graded against the oracle, every update is enqueued (the unmasked
+// enqueued= count), and what is left of the output once the
+// timing-dependent counts are masked is pinned.
 func TestAsyncOutput(t *testing.T) {
 	var b strings.Builder
 	for _, shape := range []string{"-engine seq", "-engine conc", "-engine net", "-tree 4^1", "-tree 2^2"} {
 		args := small + " -async -workload twoband " + shape
 		out := runOK(t, args)
-		for _, want := range []string{"verified against the oracle", "ingest: enqueued=", " dropped=0 ", "phase ledger:"} {
+		for _, want := range []string{"verified against the oracle", "ingest: enqueued=", "phase ledger:"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("topkmon %s: no %q in\n%s", args, want, out)
 			}

@@ -362,8 +362,8 @@ func (o *options) runSync(g *graded, cfg topk.Config, matrix [][]int64) error {
 }
 
 // runAsync drives the -async mode: each step's changed values are staged
-// on the monitor's bounded last-write-wins ingest queue (the Block overflow
-// policy, so a slow protocol round applies backpressure instead of dropping
+// on the monitor's bounded last-write-wins ingest queue (a full queue
+// blocks, so a slow protocol round applies backpressure instead of dropping
 // data), a single Drain barrier flushes the tail, and the final report is
 // verified against the offline oracle. Because queued updates of the
 // same node coalesce, the worker usually executes far fewer protocol
@@ -403,11 +403,11 @@ func (o *options) runAsync(ctx context.Context, mon *topk.Monitor, cfg topk.Conf
 	}
 
 	st := mon.IngestStats()
-	fmt.Fprintf(o.out, "%s async: %d calls -> %d protocol steps in %s (queue %d, policy block)\n",
+	fmt.Fprintf(o.out, "%s async: %d calls -> %d protocol steps in %s (queue %d)\n",
 		o.name(cfg), len(matrix), st.Batches, elapsed.Round(time.Microsecond), cfg.Ingest.QueueDepth)
 	// The first step alone enqueues n updates, so the ratio has a denominator.
-	fmt.Fprintf(o.out, "ingest: enqueued=%d coalesced=%d (ratio %.3f) dropped=%d max-queue=%d\n",
-		st.Enqueued, st.Coalesced, float64(st.Coalesced)/float64(st.Enqueued), st.Dropped, st.MaxQueue)
+	fmt.Fprintf(o.out, "ingest: enqueued=%d coalesced=%d (ratio %.3f) max-queue=%d\n",
+		st.Enqueued, st.Coalesced, float64(st.Coalesced)/float64(st.Enqueued), st.MaxQueue)
 	fmt.Fprintf(o.out, "final top-%d %v verified against the oracle\n", o.k, got)
 	o.printLedger(mon)
 	return nil

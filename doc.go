@@ -100,11 +100,11 @@
 // engine: observation calls stage updates into a bounded last-write-wins
 // queue (one slot per node — the algorithm only needs current values, so
 // a later observation coalesces with a queued one) while a worker runs
-// the protocol, with overflow as an explicit policy (block, drop-oldest,
-// or a typed ErrQueueFull rejection). Monitor.Drain is the barrier that
-// recovers synchronous semantics: after it returns, reports, counts,
-// bytes and per-phase ledgers are bit-identical to a synchronous monitor
-// fed the applied trace, which the equivalence-under-async suites
+// the protocol, and a full queue blocks the producer until the worker
+// takes the staged batch, so no update is lost. Monitor.Drain is the
+// barrier that recovers synchronous semantics: after it returns,
+// reports, counts, bytes and per-phase ledgers are bit-identical to a
+// synchronous monitor fed the applied trace, which the equivalence-under-async suites
 // enforce per engine under randomized barrier schedules (DESIGN.md
 // "Asynchronous ingestion & the Drain barrier"; EXPERIMENTS.md E21;
 // topkmon -async -queue N).

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // requiredDocs are the architecture documents doc.go and the packages
@@ -251,6 +253,74 @@ func TestDocBenchmarksExist(t *testing.T) {
 	}
 	if named == 0 {
 		t.Fatal("no benchmark named in the documents or the CI workflow")
+	}
+}
+
+// expRef matches an experiment a document names — E7, or a range E1–E17
+// or E24..E26, which names every id in it.
+var expRef = regexp.MustCompile(`\bE(\d+)(?:(?:–|\.\.)E(\d+))?\b`)
+
+// TestDocExperimentsExist keeps the named experiments findable: every
+// E<n> that README.md, DESIGN.md, doc.go or cmd/experiments' package
+// comment names must be an experiment bench.ByID knows, or the subject of
+// a "## E…" heading in EXPERIMENTS.md (the root benchmarks, E18 and
+// E20–E23, are recorded there but run no bench table).
+func TestDocExperimentsExist(t *testing.T) {
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headed := map[int]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if subject, ok := strings.CutPrefix(line, "## E"); ok {
+			subject, _, _ = strings.Cut("E"+subject, " — ")
+			eachExp(subject, func(n int) { headed[n] = true })
+		}
+	}
+	if len(headed) == 0 {
+		t.Fatal("EXPERIMENTS.md has no \"## E…\" heading")
+	}
+	const expMain = "cmd/experiments/main.go"
+	f, err := parser.ParseFile(token.NewFileSet(), expMain, nil, parser.PackageClauseOnly|parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := map[string]string{expMain + "'s package comment": f.Doc.Text()}
+	for _, name := range []string{"README.md", "DESIGN.md", "doc.go"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = string(data)
+	}
+	named := 0
+	for name, text := range docs {
+		for i, line := range strings.Split(text, "\n") {
+			eachExp(line, func(n int) {
+				named++
+				if _, ok := bench.ByID(fmt.Sprintf("E%d", n)); !ok && !headed[n] {
+					t.Errorf("%s:%d names E%d, which neither bench.ByID nor an EXPERIMENTS.md heading knows", name, i+1, n)
+				}
+			})
+		}
+	}
+	if named == 0 {
+		t.Fatal("no experiment named in the documents")
+	}
+}
+
+// eachExp calls fn with every experiment number text names, ranges
+// expanded.
+func eachExp(text string, fn func(n int)) {
+	for _, m := range expRef.FindAllStringSubmatch(text, -1) {
+		lo, _ := strconv.Atoi(m[1])
+		hi := lo
+		if m[2] != "" {
+			hi, _ = strconv.Atoi(m[2])
+		}
+		for n := lo; n <= hi; n++ {
+			fn(n)
+		}
 	}
 }
 

@@ -16,9 +16,6 @@ func TestPendingLastWriteWins(t *testing.T) {
 	if p.Len() != 1 {
 		t.Fatalf("Len = %d after coalescing, want 1", p.Len())
 	}
-	if v := p.Value(3); v != 20 {
-		t.Fatalf("Value(3) = %d, want the newest observation 20", v)
-	}
 	ids, vals := p.Take(nil, nil)
 	if !slices.Equal(ids, []int{3}) || !slices.Equal(vals, []int64{20}) {
 		t.Fatalf("Take = %v/%v, want [3]/[20]", ids, vals)
@@ -30,8 +27,8 @@ func TestPendingDepthBoundAndFull(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.Put(i, int64(i))
 	}
-	if !p.Full() {
-		t.Fatal("buffer with Cap distinct nodes not Full")
+	if p.Len() != p.Cap() {
+		t.Fatalf("Len = %d with Cap distinct nodes queued, want Cap = %d", p.Len(), p.Cap())
 	}
 	// Coalescing never needs space: Put on a queued node works while full.
 	p.Put(1, 100)
@@ -52,35 +49,6 @@ func TestPendingDepthBoundAndFull(t *testing.T) {
 func TestPendingDepthCappedAtN(t *testing.T) {
 	if c := NewPending(4, 100).Cap(); c != 4 {
 		t.Fatalf("Cap = %d, want capped at n=4", c)
-	}
-}
-
-// TestPendingEvictionOrder pins first-queued-first-evicted, and that
-// coalescing does not refresh a node's queue position: the oldest node
-// is the one whose first un-applied observation is stalest, even if it
-// was overwritten since.
-func TestPendingEvictionOrder(t *testing.T) {
-	p := NewPending(8, 3)
-	p.Put(5, 1)
-	p.Put(2, 2)
-	p.Put(7, 3)
-	p.Put(5, 99) // coalesce: must NOT move node 5 to the back
-	id, v := p.EvictOldest()
-	if id != 5 || v != 99 {
-		t.Fatalf("EvictOldest = (%d, %d), want node 5 with its newest value 99", id, v)
-	}
-	if id, _ = p.EvictOldest(); id != 2 {
-		t.Fatalf("second eviction = node %d, want 2", id)
-	}
-	// The ring must stay coherent across wrap-around.
-	p.Put(1, 10)
-	p.Put(4, 11)
-	ids, vals := p.Take(nil, nil)
-	if !slices.Equal(ids, []int{1, 4, 7}) {
-		t.Fatalf("Take ids = %v, want ascending [1 4 7]", ids)
-	}
-	if !slices.Equal(vals, []int64{10, 11, 3}) {
-		t.Fatalf("Take vals = %v, want [10 11 3]", vals)
 	}
 }
 
@@ -126,12 +94,12 @@ func TestPendingConstructorPanics(t *testing.T) {
 }
 
 // FuzzCoalesce drives a Pending buffer with an arbitrary op sequence
-// against a reference model (a map plus an explicit queue-order list,
-// with DropOldest overflow) and pins the coalescing contract: the depth
-// bound is never exceeded, last-write-wins per node, eviction order is
-// first-queued, and the decode→apply round trip is idempotent — applying
-// Take's batch to a dense mirror yields exactly the model state, and a
-// second Take is empty.
+// against a reference model (a map; a new node on a full buffer first
+// takes the batch, as the driver's worker would) and pins the
+// coalescing contract: the depth bound is never exceeded,
+// last-write-wins per node, and the decode→apply round trip is
+// idempotent — applying Take's batch to a dense mirror yields exactly
+// the model state, and a second Take is empty.
 func FuzzCoalesce(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{1, 1, 1, 1, 1, 1})
@@ -140,29 +108,48 @@ func FuzzCoalesce(f *testing.F) {
 		const n, depth = 8, 3
 		p := NewPending(n, depth)
 		model := make(map[int]int64)
-		var order []int // queue order of the model
+
+		// take must return the model, ascending; applying it to a dense
+		// mirror must land every node on its last written value.
+		take := func(op int) {
+			ids, vals := p.Take(nil, nil)
+			if !slices.IsSorted(ids) {
+				t.Fatalf("op %d: Take ids not ascending: %v", op, ids)
+			}
+			if len(ids) != len(model) {
+				t.Fatalf("op %d: Take returned %d nodes, model has %d", op, len(ids), len(model))
+			}
+			var mirror [n]int64
+			for j, id := range ids {
+				want, ok := model[id]
+				if !ok {
+					t.Fatalf("op %d: Take returned node %d that the model never queued", op, id)
+				}
+				if vals[j] != want {
+					t.Fatalf("op %d: node %d: Take value %d, model (last write) %d", op, id, vals[j], want)
+				}
+				mirror[id] = vals[j]
+			}
+			for id, want := range model {
+				if mirror[id] != want {
+					t.Fatalf("op %d: mirror[%d] = %d after apply, want %d", op, id, mirror[id], want)
+				}
+			}
+			if ids2, _ := p.Take(nil, nil); len(ids2) != 0 {
+				t.Fatalf("op %d: second Take not empty: %v", op, ids2)
+			}
+			clear(model)
+		}
 
 		for i := 0; i+1 < len(data); i += 2 {
 			id := int(data[i]) % n
 			v := int64(int8(data[i+1]))
-			if _, queued := model[id]; !queued && len(order) == depth {
-				// DropOldest: evict per both the buffer and the model.
-				evID, evV := p.EvictOldest()
-				if evID != order[0] {
-					t.Fatalf("op %d: evicted node %d, model says oldest is %d", i/2, evID, order[0])
-				}
-				if evV != model[evID] {
-					t.Fatalf("op %d: evicted value %d, model has %d", i/2, evV, model[evID])
-				}
-				delete(model, evID)
-				order = order[1:]
+			if _, queued := model[id]; !queued && len(model) == depth {
+				take(i / 2) // full: the batch goes to the worker first
 			}
 			coalesced := p.Put(id, v)
 			if _, queued := model[id]; queued != coalesced {
 				t.Fatalf("op %d: Put(%d) coalesced=%v, model queued=%v", i/2, id, coalesced, queued)
-			}
-			if !coalesced {
-				order = append(order, id)
 			}
 			model[id] = v
 			if p.Len() != len(model) {
@@ -172,34 +159,6 @@ func FuzzCoalesce(f *testing.F) {
 				t.Fatalf("op %d: depth bound exceeded: %d > %d", i/2, p.Len(), depth)
 			}
 		}
-
-		// Take must be the model, ascending; applying it to a dense
-		// mirror must land every node on its last written value.
-		ids, vals := p.Take(nil, nil)
-		if !slices.IsSorted(ids) {
-			t.Fatalf("Take ids not ascending: %v", ids)
-		}
-		if len(ids) != len(model) {
-			t.Fatalf("Take returned %d nodes, model has %d", len(ids), len(model))
-		}
-		var mirror [n]int64
-		for j, id := range ids {
-			want, ok := model[id]
-			if !ok {
-				t.Fatalf("Take returned node %d that the model never queued", id)
-			}
-			if vals[j] != want {
-				t.Fatalf("node %d: Take value %d, model (last write) %d", id, vals[j], want)
-			}
-			mirror[id] = vals[j]
-		}
-		for id, want := range model {
-			if mirror[id] != want {
-				t.Fatalf("mirror[%d] = %d after apply, want %d", id, mirror[id], want)
-			}
-		}
-		if ids2, _ := p.Take(nil, nil); len(ids2) != 0 {
-			t.Fatalf("second Take not empty: %v", ids2)
-		}
+		take(len(data) / 2)
 	})
 }

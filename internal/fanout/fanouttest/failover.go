@@ -199,7 +199,7 @@ func ChaosKillDuringDrain(t *testing.T, sh Shape) {
 				continue // killed mid-handshake: clean error is the contract
 			}
 			drv, err := ingest.New(ingest.Config{
-				N: ChaosN, Depth: 4, Policy: ingest.Block,
+				N: ChaosN, Depth: 4,
 				Apply: func(ids []int, vals []int64) error {
 					e.ObserveDelta(ids, vals)
 					return e.Err()

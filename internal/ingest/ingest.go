@@ -9,11 +9,10 @@
 // executes, further observations coalesce in the buffer — last-write-wins
 // per node — so a slow protocol round (a violation burst, a FILTERRESET,
 // a failover recovery) back-pressures ingestion into *fewer, fresher*
-// steps instead of a growing backlog. Under Block every call lands in
-// exactly one applied batch: a call that does not fit the free slots
-// waits for the worker to take the staged batch, and a call with more
-// nodes than the buffer holds is handed to the worker whole, as its own
-// step. The Drain barrier waits for the buffer to empty and the
+// steps instead of a growing backlog. Every call lands in exactly one
+// applied batch: a call that does not fit the free slots waits for the
+// worker to take the staged batch, and a call with more nodes than the
+// buffer holds is handed to the worker whole, as its own step. The Drain barrier waits for the buffer to empty and the
 // in-flight step to complete, recovering synchronous semantics on
 // demand: an Enqueue followed immediately by Drain is equivalent, bit
 // for bit, to a blocking observation call at every depth, which is what
@@ -37,33 +36,6 @@ import (
 	"repro/internal/coord"
 )
 
-// Policy selects what Enqueue does when a call's new nodes do not fit
-// the buffer's free slots. Observations of already-pending nodes always
-// coalesce and can never overflow.
-type Policy uint8
-
-const (
-	// Block waits for the worker to take the buffered batch, then
-	// stages the whole call; a call with more nodes than Depth is
-	// instead handed to the worker as one step of its own, and Enqueue
-	// returns once it is applied. Lossless; producers inherit the hot
-	// path's pace (real backpressure).
-	Block Policy = iota
-	// DropOldest evicts the oldest pending observation to admit the new
-	// one. Lossy under sustained overload: the evicted node keeps its
-	// previously applied value until it is observed again. A call with
-	// more nodes than Depth sheds its own earlier updates.
-	DropOldest
-	// Error rejects the whole Enqueue call with ErrQueueFull, admitting
-	// none of its updates (atomic rejection). A call with more nodes
-	// than Depth is always rejected.
-	Error
-)
-
-// ErrQueueFull is returned (wrapped) by Enqueue under the Error policy
-// when a call would push the buffer past its depth.
-var ErrQueueFull = errors.New("ingest: queue full")
-
 // ErrClosed is returned by Enqueue and Drain after Close.
 var ErrClosed = errors.New("ingest: driver closed")
 
@@ -74,8 +46,6 @@ type Config struct {
 	// Depth bounds the number of distinct nodes with a pending
 	// observation (>= 1; capped at N).
 	Depth int
-	// Policy is the overflow policy.
-	Policy Policy
 	// Apply executes one protocol step over the taken batch: ids
 	// ascending, or nil ids with N values for a dense call handed over
 	// whole (vals[i] is node i's). The slices are valid only for the
@@ -89,20 +59,16 @@ type Config struct {
 	// equivalence suites record the applied trace through it). It must
 	// copy what it keeps and must not call back into the driver.
 	OnApply func(ids []int, vals []int64)
-	// OnDrop, when set, observes every DropOldest eviction, on the
-	// producer's goroutine with the driver locked; it must not call
-	// back into the driver.
-	OnDrop func(id int, val int64)
 }
 
 // Stats counts the driver's lifetime activity. Steps is the number of
 // applied batches — under backlog it is smaller than the number of
 // enqueued observation calls, and Coalesced counts exactly the updates
-// that were superseded before a worker took them.
+// that were superseded before a worker took them: Enqueued - Coalesced
+// updates reach an applied batch.
 type Stats struct {
 	Enqueued  int64 // updates admitted into the buffer or applied by a hand-off
 	Coalesced int64 // updates that overwrote a queued one
-	Dropped   int64 // updates evicted by DropOldest
 	Steps     int64 // batches and hand-offs applied as protocol steps
 	MaxQueue  int   // high-water mark of distinct pending nodes (a hand-off holds none)
 }
@@ -122,7 +88,7 @@ type Driver struct {
 	closed   bool
 	stats    Stats
 
-	// handIDs/handVals hold a Block call larger than the buffer until the
+	// handIDs/handVals hold a call larger than the buffer until the
 	// worker takes it (handVals != nil while one waits); handTaken and
 	// handDone count the hand-offs the worker has taken and applied, so
 	// a producer can tell its own hand-off's fate.
@@ -145,9 +111,6 @@ func New(cfg Config) (*Driver, error) {
 	}
 	if cfg.Depth < 1 {
 		return nil, fmt.Errorf("ingest: need Depth >= 1, got %d", cfg.Depth)
-	}
-	if cfg.Policy > Error {
-		return nil, fmt.Errorf("ingest: unknown overflow policy %d", cfg.Policy)
 	}
 	if cfg.Apply == nil {
 		return nil, errors.New("ingest: Apply must be set")
@@ -183,15 +146,12 @@ func (d *Driver) gate() error {
 // step pending, so a drained "nothing changed" observation replays as
 // the empty protocol step the synchronous path would have run.
 //
-// Under Block and Error the call is atomic with respect to step
-// boundaries: its updates land in one taken batch (or coalesce into a
-// later one), and under Error the whole call is admitted or rejected.
-// Under Block a call that does not fit the free slots first waits for
-// the worker to take the staged batch, and a call with more nodes than
-// Depth waits for that too, is then applied by the worker as one step
-// of its own, and returns once Apply has returned — so its slices are
-// never retained. Under DropOldest a call with more nodes than Depth
-// evicts its own earlier updates.
+// The call is atomic with respect to step boundaries: its updates land
+// in one taken batch (or coalesce into a later one). A call that does
+// not fit the free slots first waits for the worker to take the staged
+// batch, and a call with more nodes than Depth waits for that too, is
+// then applied by the worker as one step of its own, and returns once
+// Apply has returned — so its slices are never retained.
 func (d *Driver) Enqueue(ids []int, vals []int64) error {
 	dense := ids == nil && len(vals) == d.cfg.N
 	if !dense && len(ids) != len(vals) {
@@ -202,33 +162,19 @@ func (d *Driver) Enqueue(ids []int, vals []int64) error {
 	if err := d.gate(); err != nil {
 		return err
 	}
-	switch d.cfg.Policy {
-	case Block:
-		if len(vals) > d.pend.Cap() {
-			return d.handOff(ids, vals)
-		}
-		for fresh := d.fresh(ids, vals); d.pend.Len()+fresh > d.pend.Cap(); fresh = d.fresh(ids, vals) {
-			d.c.Wait() // the staged batch is dirty: the worker takes it
-			if err := d.gate(); err != nil {
-				return err
-			}
-		}
-	case Error:
-		if fresh := d.fresh(ids, vals); d.pend.Len()+fresh > d.pend.Cap() {
-			return fmt.Errorf("%w: %d queued + %d new > depth %d", ErrQueueFull, d.pend.Len(), fresh, d.pend.Cap())
+	if len(vals) > d.pend.Cap() {
+		return d.handOff(ids, vals)
+	}
+	for d.pend.Len()+d.fresh(ids, vals) > d.pend.Cap() {
+		d.c.Wait() // the staged batch is dirty: the worker takes it
+		if err := d.gate(); err != nil {
+			return err
 		}
 	}
 	for j, v := range vals {
 		id := j
 		if !dense {
 			id = ids[j]
-		}
-		if !d.pend.Has(id) && d.pend.Full() { // DropOldest only: the others made room
-			old, oldV := d.pend.EvictOldest()
-			d.stats.Dropped++
-			if d.cfg.OnDrop != nil {
-				d.cfg.OnDrop(old, oldV)
-			}
 		}
 		if d.pend.Put(id, v) {
 			d.stats.Coalesced++
@@ -261,14 +207,14 @@ func (d *Driver) fresh(ids []int, vals []int64) int {
 	return n
 }
 
-// handOff is Block's path for a call with more nodes than the buffer
-// holds: once the staged batch (if any) has been taken — so the
-// producer's earlier updates apply first — it hands the call to the
-// worker as one step and waits until Apply has returned, then reports
-// the terminal error if the driver has failed. A hand-off not yet taken
-// when the driver closes or fails is withdrawn, so Apply never sees it;
-// one already taken is waited out, since the worker is reading the
-// caller's slices. d.mu must be held.
+// handOff is the path of a call with more nodes than the buffer holds:
+// once the staged batch (if any) has been taken — so the producer's
+// earlier updates apply first — it hands the call to the worker as one
+// step and waits until Apply has returned, then reports the terminal
+// error if the driver has failed. A hand-off not yet taken when the
+// driver closes or fails is withdrawn, so Apply never sees it; one
+// already taken is waited out, since the worker is reading the caller's
+// slices. d.mu must be held.
 func (d *Driver) handOff(ids []int, vals []int64) error {
 	for d.dirty || d.handVals != nil {
 		d.c.Wait()
@@ -392,7 +338,7 @@ func (d *Driver) run() {
 		}
 		d.inFlight = true
 		d.stats.Steps++
-		d.c.Broadcast() // buffer space freed: wake Block-ed producers
+		d.c.Broadcast() // buffer space freed: wake waiting producers
 		d.mu.Unlock()
 
 		if d.cfg.OnApply != nil {

@@ -46,9 +46,9 @@ func (g *gatedApply) applied() [][]int {
 	return g.batches
 }
 
-func newDriver(t *testing.T, g *gatedApply, depth int, pol Policy) *Driver {
+func newDriver(t *testing.T, g *gatedApply, depth int) *Driver {
 	t.Helper()
-	d, err := New(Config{N: 8, Depth: depth, Policy: pol, Apply: g.apply})
+	d, err := New(Config{N: 8, Depth: depth, Apply: g.apply})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,6 @@ func TestDriverConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{N: 0, Depth: 1, Apply: apply},
 		{N: 4, Depth: 0, Apply: apply},
-		{N: 4, Depth: 1, Policy: Error + 1, Apply: apply},
 		{N: 4, Depth: 1},
 	} {
 		if _, err := New(cfg); err == nil {
@@ -84,7 +83,7 @@ func TestDriverConfigValidation(t *testing.T) {
 // collapses into ONE fresher step, not a queue of stale ones.
 func TestDriverCoalescesUnderBacklog(t *testing.T) {
 	g := newGated()
-	d := newDriver(t, g, 8, Block)
+	d := newDriver(t, g, 8)
 	if err := d.Enqueue([]int{0}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestDriverCoalescesUnderBacklog(t *testing.T) {
 func TestDriverEmptyCallMarksStep(t *testing.T) {
 	g := newGated()
 	close(g.release)
-	d := newDriver(t, g, 4, Block)
+	d := newDriver(t, g, 4)
 	if err := d.Enqueue(nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -127,80 +126,30 @@ func TestDriverEmptyCallMarksStep(t *testing.T) {
 	}
 }
 
-func TestDriverErrorPolicyAtomic(t *testing.T) {
-	g := newGated()
-	d := newDriver(t, g, 2, Error)
-	// A sacrificial step keeps the worker busy so the buffer stays full.
-	if err := d.Enqueue([]int{7}, []int64{1}); err != nil {
-		t.Fatal(err)
-	}
-	<-g.started
-	if err := d.Enqueue([]int{0, 1}, []int64{10, 11}); err != nil {
-		t.Fatal(err)
-	}
-	// Two queued + two new nodes > depth: the whole call must bounce...
-	err := d.Enqueue([]int{2, 3}, []int64{12, 13})
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow returned %v, want ErrQueueFull", err)
-	}
-	// ...without admitting its first update (atomic rejection).
-	if st := d.Stats(); st.Enqueued != 3 || st.MaxQueue != 2 {
-		t.Fatalf("rejected call leaked updates: %+v", st)
-	}
-	// Coalescing-only calls still succeed while full.
-	if err := d.Enqueue([]int{0, 1}, []int64{20, 21}); err != nil {
-		t.Fatalf("coalescing call rejected: %v", err)
-	}
-	close(g.release)
-	drain(t, d)
-	if got := g.applied(); len(got) != 2 || len(got[1]) != 2 || g.vals[1][0] != 20 || g.vals[1][1] != 21 {
-		t.Fatalf("applied %v/%v, want the full batch [0 1]/[20 21] second", got, g.vals)
-	}
-}
-
-func TestDriverDropOldest(t *testing.T) {
-	var dropped []int
-	g := newGated()
-	d, err := New(Config{N: 8, Depth: 2, Policy: DropOldest, Apply: g.apply,
-		OnDrop: func(id int, _ int64) { dropped = append(dropped, id) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	// A sacrificial step keeps the worker busy while the buffer overflows.
-	if err := d.Enqueue([]int{0}, []int64{0}); err != nil {
-		t.Fatal(err)
-	}
-	<-g.started
-	for i, id := range []int{4, 5, 6, 7} { // depth 2: 4 then 5 must be evicted
-		if err := d.Enqueue([]int{id}, []int64{int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(g.release)
-	drain(t, d)
-	if len(dropped) != 2 || dropped[0] != 4 || dropped[1] != 5 {
-		t.Fatalf("dropped %v, want oldest-first [4 5]", dropped)
-	}
-	if st := d.Stats(); st.Dropped != 2 {
-		t.Fatalf("stats %+v, want Dropped=2", st)
-	}
-	if got := g.applied(); len(got) != 2 || len(got[1]) != 2 || got[1][0] != 6 || got[1][1] != 7 {
-		t.Fatalf("applied %v, want the surviving [6 7] second", got)
-	}
-}
-
-// TestDriverBlockBackpressure pins the lossless policy: a producer
-// hitting a full buffer waits for the worker instead of losing updates.
+// TestDriverBlockBackpressure pins the lossless backpressure: a producer
+// hitting a full buffer waits for the worker instead of losing updates,
+// while a call that only coalesces into queued nodes needs no free slot
+// and never waits.
 func TestDriverBlockBackpressure(t *testing.T) {
 	g := newGated()
-	d := newDriver(t, g, 1, Block)
+	d := newDriver(t, g, 1)
 	if err := d.Enqueue([]int{0}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 	<-g.started // worker busy with {0:1}; buffer empty again
 	if err := d.Enqueue([]int{1}, []int64{2}); err != nil {
 		t.Fatal(err) // fills the depth-1 buffer without blocking
+	}
+	coalescing := make(chan error, 1)
+	go func() { coalescing <- d.Enqueue([]int{1}, []int64{20}) }()
+	select {
+	case err := <-coalescing:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(g.release)
+		t.Fatal("coalescing-only call waited on a full buffer")
 	}
 	unblocked := make(chan error, 1)
 	go func() { unblocked <- d.Enqueue([]int{2}, []int64{3}) }()
@@ -214,8 +163,11 @@ func TestDriverBlockBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, d)
-	if st := d.Stats(); st.Dropped != 0 || st.Enqueued != 3 {
-		t.Fatalf("Block lost updates: %+v", st)
+	if st := d.Stats(); st.Enqueued != 4 || st.Coalesced != 1 {
+		t.Fatalf("stats %+v, want Enqueued=4 Coalesced=1", st)
+	}
+	if got := g.applied(); len(got) != 3 || g.vals[1][0] != 20 || got[2][0] != 2 {
+		t.Fatalf("applied %v/%v, want [[0] [1] [2]] / [[1] [20] [3]]", got, g.vals)
 	}
 }
 
@@ -227,7 +179,7 @@ func TestDriverStickyError(t *testing.T) {
 	g := newGated()
 	g.err = boom
 	close(g.release)
-	d := newDriver(t, g, 4, Block)
+	d := newDriver(t, g, 4)
 	if err := d.Enqueue([]int{0}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +198,7 @@ func TestDriverStickyError(t *testing.T) {
 
 func TestDriverDrainContext(t *testing.T) {
 	g := newGated() // the in-flight step only finishes once released
-	d := newDriver(t, g, 4, Block)
+	d := newDriver(t, g, 4)
 	if err := d.Enqueue([]int{0}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +249,13 @@ func TestDriverClose(t *testing.T) {
 // whose worker drains into a real core engine, with Drain barriers and
 // stats reads racing the whole time. Besides surviving the race
 // detector, the final drained report must be the oracle of the last
-// written values, and Block must have lost nothing.
+// written values, and no update may have been lost.
 func TestDriverConcurrentProducersSoak(t *testing.T) {
 	const producers, perProducer, rounds = 4, 4, 300
 	n := producers * perProducer
 	eng := core.New(core.Config{N: n, K: 3, Seed: 7})
 	var mu sync.Mutex // core.Monitor is not concurrency-safe
-	d, err := New(Config{N: n, Depth: 5, Policy: Block, Apply: func(ids []int, vals []int64) error {
+	d, err := New(Config{N: n, Depth: 5, Apply: func(ids []int, vals []int64) error {
 		mu.Lock()
 		defer mu.Unlock()
 		eng.ObserveDelta(ids, vals)
@@ -344,9 +296,6 @@ func TestDriverConcurrentProducersSoak(t *testing.T) {
 	wg.Wait()
 	drain(t, d)
 	st := d.Stats()
-	if st.Dropped != 0 {
-		t.Fatalf("Block policy dropped %d updates", st.Dropped)
-	}
 	if st.Enqueued != enqueued.Load() {
 		t.Fatalf("driver admitted %d updates, producers sent %d", st.Enqueued, enqueued.Load())
 	}
@@ -354,7 +303,7 @@ func TestDriverConcurrentProducersSoak(t *testing.T) {
 		t.Fatalf("queue high-water %d exceeded depth 5", st.MaxQueue)
 	}
 	// After the final barrier the engine must sit on the oracle of the
-	// last written values: Block + coalescing lost nothing but staleness.
+	// last written values: coalescing lost nothing but staleness.
 	twin := core.New(core.Config{N: n, K: 3, Seed: 7})
 	want := twin.Observe(final)
 	mu.Lock()
@@ -370,7 +319,7 @@ func TestDriverConcurrentProducersSoak(t *testing.T) {
 	}
 }
 
-// TestDriverHandOffOrder pins Block's hand-off of a call larger than the
+// TestDriverHandOffOrder pins the hand-off of a call larger than the
 // buffer: it waits for the update staged before it, is applied whole as
 // one step of its own, and the update staged after it lands in a later
 // step — so node 3 ends on the last written value and the batches apply
@@ -379,7 +328,7 @@ func TestDriverConcurrentProducersSoak(t *testing.T) {
 func TestDriverHandOffOrder(t *testing.T) {
 	g := newGated()
 	close(g.release)
-	d := newDriver(t, g, 2, Block)
+	d := newDriver(t, g, 2)
 	for _, c := range []struct {
 		ids  []int
 		vals []int64
@@ -416,7 +365,7 @@ func TestDriverHandOffOrder(t *testing.T) {
 // caller's slices — and returns nil once Apply has.
 func TestDriverHandOffClose(t *testing.T) {
 	g := newGated()
-	d := newDriver(t, g, 2, Block)
+	d := newDriver(t, g, 2)
 	if err := d.Enqueue([]int{0}, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +389,7 @@ func TestDriverHandOffClose(t *testing.T) {
 	}
 
 	g = newGated()
-	d = newDriver(t, g, 1, Block)
+	d = newDriver(t, g, 1)
 	go func() { handed <- d.Enqueue([]int{4, 5}, []int64{4, 5}) }()
 	<-g.started // the hand-off itself is in flight
 	closed = make(chan struct{})
@@ -460,13 +409,13 @@ func TestDriverHandOffClose(t *testing.T) {
 	}
 }
 
-// FuzzDriverBlock drives Block with calls of 0…2·Depth sorted distinct
-// ids (nil ids when a call is every node) and drain barriers at fuzzed
-// points. Every call must land in exactly one applied batch, batches
-// must apply calls in order, a call larger than the buffer must be
-// applied alone and whole, the queue must stay within Depth, and at
+// FuzzDriverBlock drives the driver with calls of 0…2·Depth sorted
+// distinct ids (nil ids when a call is every node) and drain barriers at
+// fuzzed points. Every call must land in exactly one applied batch,
+// batches must apply calls in order, a call larger than the buffer must
+// be applied alone and whole, the queue must stay within Depth, and at
 // every barrier replaying the applied batches must leave each node on
-// its last written value.
+// its last written value, with Enqueued - Coalesced updates in them.
 func FuzzDriverBlock(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 0x83, 2})
 	f.Add([]byte{3, 16, 7, 0x88, 1, 2, 3, 0x90, 4, 4, 5})
@@ -479,7 +428,7 @@ func FuzzDriverBlock(f *testing.F) {
 		depth := 1 + int(data[0])%8
 		var mu sync.Mutex
 		var batches []batch
-		d, err := New(Config{N: n, Depth: depth, Policy: Block,
+		d, err := New(Config{N: n, Depth: depth,
 			Apply: func([]int, []int64) error { return nil },
 			OnApply: func(ids []int, vals []int64) {
 				mu.Lock()
@@ -506,7 +455,9 @@ func FuzzDriverBlock(f *testing.F) {
 			replay := make([]int64, n)
 			seen := make([]int, len(calls)) // 1 + the batch holding each call
 			prev := -1                      // the latest call of the batches before
+			reached := int64(0)             // Σ len(applied batch)
 			for b, bt := range applied {
+				reached += int64(len(bt.vals))
 				ids := bt.ids
 				if ids == nil && len(bt.vals) == n { // a dense hand-off
 					ids = make([]int, n)
@@ -545,6 +496,9 @@ func FuzzDriverBlock(f *testing.F) {
 			st := d.Stats()
 			if st.MaxQueue > depth || st.Steps != int64(len(applied)) || st.Enqueued != enqueued || len(applied) > len(calls) {
 				t.Fatalf("stats %+v for %d batches, %d calls, %d updates, depth %d", st, len(applied), len(calls), enqueued, depth)
+			}
+			if st.Enqueued-st.Coalesced != reached {
+				t.Fatalf("stats %+v: Enqueued - Coalesced = %d, but the applied batches hold %d updates", st, st.Enqueued-st.Coalesced, reached)
 			}
 		}
 		for i := 1; i+1 < len(data) && len(calls) < 64; i += 2 {
@@ -589,7 +543,7 @@ func TestDriverConcurrentHandOffs(t *testing.T) {
 	const producers, perProducer, rounds, depth = 3, 8, 200, 3
 	n := producers * perProducer
 	applied := make([]int64, n) // written only by the worker
-	d, err := New(Config{N: n, Depth: depth, Policy: Block, Apply: func(ids []int, vals []int64) error {
+	d, err := New(Config{N: n, Depth: depth, Apply: func(ids []int, vals []int64) error {
 		for j, id := range ids {
 			applied[id] = vals[j]
 		}
@@ -642,7 +596,7 @@ func TestDriverConcurrentHandOffs(t *testing.T) {
 			t.Fatalf("node %d applied %d, last written %d", i, applied[i], final[i])
 		}
 	}
-	if st := d.Stats(); st.MaxQueue > depth || st.Dropped != 0 {
-		t.Fatalf("stats %+v: queue past depth %d or updates lost", st, depth)
+	if st := d.Stats(); st.MaxQueue > depth {
+		t.Fatalf("stats %+v: queue past depth %d", st, depth)
 	}
 }

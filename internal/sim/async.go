@@ -45,9 +45,8 @@ type AsyncConfig struct {
 	// demands oracle-exact reports at every barrier, a positive value
 	// demands EpsValid ones.
 	Epsilon float64
-	// QueueDepth and Policy configure the ingest driver under test.
+	// QueueDepth is the depth of the ingest driver under test.
 	QueueDepth int
-	Policy     ingest.Policy
 	// Dense stages every node's current value per observation call (the
 	// public dense Observe shape); otherwise only the step's delta is
 	// staged.
@@ -129,9 +128,8 @@ func RunAsync(async, twin AsyncEngine, src stream.DeltaSource, cfg AsyncConfig) 
 
 	var mu sync.Mutex // guards rep.Trace between worker appends and barrier reads
 	drv, err := ingest.New(ingest.Config{
-		N:      n,
-		Depth:  cfg.QueueDepth,
-		Policy: cfg.Policy,
+		N:     n,
+		Depth: cfg.QueueDepth,
 		Apply: func(ids []int, vals []int64) error {
 			async.ObserveDelta(ids, vals)
 			return nil

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ingest"
 	"repro/internal/netrun"
 	"repro/internal/runtime"
 	"repro/internal/shardrun"
@@ -75,7 +74,7 @@ func asyncSrc(n int, dense bool) stream.DeltaSource {
 // the twin *is* the input trace, and every applied batch must map
 // one-to-one to a call — also where a call has more nodes than the
 // queue holds (every dense call below depth n, and delta calls at depth
-// 1), which Block hands to the worker whole.
+// 1), which the driver hands to the worker whole.
 func TestAsyncDrainEveryStepBitIdentical(t *testing.T) {
 	const n, k, seed, steps = 20, 4, 33, 150
 	for _, eps := range []float64{0, 0.05} {
@@ -89,8 +88,8 @@ func TestAsyncDrainEveryStepBitIdentical(t *testing.T) {
 						defer done()
 						rep, err := sim.RunAsync(async, twin, asyncSrc(n, dense), sim.AsyncConfig{
 							Steps: steps, K: k, Epsilon: eps,
-							QueueDepth: depth, Policy: ingest.Block,
-							Dense: dense, DrainEvery: 1,
+							QueueDepth: depth,
+							Dense:      dense, DrainEvery: 1,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -109,7 +108,7 @@ func TestAsyncDrainEveryStepBitIdentical(t *testing.T) {
 // TestAsyncRandomBarriersEquivalence is the randomized-interleaving half
 // of the suite: barriers land with probability 0.2 per call (three
 // schedule seeds per cell), the delta path runs at a deliberately small
-// queue depth so Block backpressure and mid-run coalescing both happen,
+// queue depth so backpressure and mid-run coalescing both happen,
 // the dense path runs at depth n and at depth 4 — where every call is a
 // hand-off — and at every barrier the async engine must still be
 // bit-identical to the synchronous replay of its recorded applied trace,
@@ -137,8 +136,8 @@ func TestAsyncRandomBarriersEquivalence(t *testing.T) {
 						async, twin, done := p.make(t)
 						rep, err := sim.RunAsync(async, twin, asyncSrc(n, dense), sim.AsyncConfig{
 							Steps: steps, K: k, Epsilon: eps,
-							QueueDepth: depth, Policy: ingest.Block,
-							Dense: dense, DrainProb: 0.2, Seed: schedSeed,
+							QueueDepth: depth,
+							Dense:      dense, DrainProb: 0.2, Seed: schedSeed,
 						})
 						done()
 						if err != nil {
@@ -152,27 +151,6 @@ func TestAsyncRandomBarriersEquivalence(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestAsyncDropOldestStaysValid runs the lossy policy on the delta path:
-// equivalence to the applied trace must hold exactly as under Block (the
-// twin replays what was *applied*, evictions included), and the report
-// at every barrier must be oracle-exact for the applied values.
-func TestAsyncDropOldestStaysValid(t *testing.T) {
-	const n, k, seed, steps = 20, 4, 33, 200
-	a := core.New(core.Config{N: n, K: k, Seed: seed})
-	b := core.New(core.Config{N: n, K: k, Seed: seed})
-	rep, err := sim.RunAsync(a, b, asyncSrc(n, false), sim.AsyncConfig{
-		Steps: steps, K: k,
-		QueueDepth: 2, Policy: ingest.DropOldest,
-		DrainProb: 0.1, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Batches == 0 {
-		t.Fatalf("no batches applied [%s]", rep.Schedule())
 	}
 }
 
@@ -213,8 +191,8 @@ func TestAsyncTCP(t *testing.T) {
 
 	rep, runErr := sim.RunAsync(async, twin, asyncSrc(n, true), sim.AsyncConfig{
 		Steps: steps, K: k,
-		QueueDepth: n, Policy: ingest.Block,
-		Dense: true, DrainProb: 0.25, Seed: 3,
+		QueueDepth: n,
+		Dense:      true, DrainProb: 0.25, Seed: 3,
 	})
 	async.Close()
 	if runErr != nil {

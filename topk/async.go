@@ -38,43 +38,26 @@ type Ingest struct {
 	// not-yet-applied observation (further observations of an already
 	// staged node coalesce and never consume space). 0 disables
 	// asynchronous ingestion; otherwise any positive depth is valid and
-	// is capped at Nodes. Under OverflowBlock no observation call is
-	// split across protocol steps at any depth: a call with more nodes
-	// than QueueDepth (a dense Observe below Nodes) waits for the staged
-	// batch to be taken and is then applied whole, as its own step.
-	// Under OverflowDropOldest such a call sheds its own earlier updates,
-	// and under OverflowError it is always refused.
+	// is capped at Nodes. No observation call is split across protocol
+	// steps at any depth: a call whose new nodes do not fit the free
+	// slots waits for the staged batch to be taken, and a call with
+	// more nodes than QueueDepth (a dense Observe below Nodes) waits for
+	// that too and is then applied whole, as its own step.
 	QueueDepth int
-	// Overflow selects what happens when an observation of a new node
-	// arrives while QueueDepth nodes are already staged.
+	// Overflow names what a full queue does; OverflowBlock, the zero
+	// value, is the only policy.
 	Overflow OverflowPolicy
 }
 
-// OverflowPolicy selects the backpressure behavior of a full ingest
+// OverflowPolicy names the backpressure behavior of a full ingest
 // queue; see Ingest.Overflow.
 type OverflowPolicy uint8
 
-const (
-	// OverflowBlock (the default) blocks the observation call until the
-	// worker takes the staged batch, and a call with more nodes than
-	// QueueDepth until the worker has applied it. Lossless: every update
-	// is applied, and no call is split across protocol steps.
-	OverflowBlock OverflowPolicy = iota
-	// OverflowDropOldest evicts the oldest staged observation to admit
-	// the new one. Lossy under sustained overload: the evicted node
-	// keeps its previously applied value until it is observed again. A
-	// call with more nodes than QueueDepth sheds its own earlier updates.
-	OverflowDropOldest
-	// OverflowError rejects the observation call with ErrQueueFull,
-	// admitting none of its updates; the monitor stays usable. A call
-	// with more nodes than QueueDepth is always rejected.
-	OverflowError
-)
-
-// ErrQueueFull is the sentinel wrapped by asynchronous Observe and
-// ObserveDelta when the OverflowError policy rejects a call; test with
-// errors.Is.
-var ErrQueueFull = ingest.ErrQueueFull
+// OverflowBlock (the default and only policy) blocks the observation
+// call until the worker takes the staged batch, and a call with more
+// nodes than QueueDepth until the worker has applied it. Lossless:
+// every update is applied, and no call is split across protocol steps.
+const OverflowBlock OverflowPolicy = 0
 
 // ConfigError is the typed error New and NewOrdered return for an
 // invalid Config, per the constructor contract: misconfiguration is
@@ -104,11 +87,8 @@ func validateIngest(cfg Config) error {
 	if cfg.Ingest.QueueDepth < 0 {
 		return badConfig(cfg, "Ingest.QueueDepth", "must be >= 0, got %d", cfg.Ingest.QueueDepth)
 	}
-	if cfg.Ingest.Overflow > OverflowError {
-		return badConfig(cfg, "Ingest.Overflow", "unknown overflow policy %d", cfg.Ingest.Overflow)
-	}
-	if cfg.Ingest.QueueDepth == 0 && cfg.Ingest.Overflow != OverflowBlock {
-		return badConfig(cfg, "Ingest.Overflow", "an overflow policy requires Ingest.QueueDepth > 0")
+	if cfg.Ingest.Overflow != OverflowBlock {
+		return badConfig(cfg, "Ingest.Overflow", "unknown overflow policy %d; OverflowBlock is the only one", cfg.Ingest.Overflow)
 	}
 	return nil
 }
@@ -117,10 +97,9 @@ func validateIngest(cfg Config) error {
 // constructed monitor (QueueDepth > 0 was validated).
 func (m *Monitor) startIngest() error {
 	drv, err := ingest.New(ingest.Config{
-		N:      m.cfg.Nodes,
-		Depth:  m.cfg.Ingest.QueueDepth,
-		Policy: ingest.Policy(m.cfg.Ingest.Overflow),
-		Apply:  m.applyStep,
+		N:     m.cfg.Nodes,
+		Depth: m.cfg.Ingest.QueueDepth,
+		Apply: m.applyStep,
 	})
 	if err != nil {
 		return err
@@ -192,11 +171,9 @@ type IngestStats struct {
 	// Enqueued counts the per-node updates admitted into the queue.
 	Enqueued int64
 	// Coalesced counts updates that overwrote a staged one — work the
-	// protocol never had to do. Enqueued - Coalesced - Dropped updates
-	// reached an executed step.
+	// protocol never had to do. Enqueued - Coalesced updates reached
+	// an executed step.
 	Coalesced int64
-	// Dropped counts updates evicted under OverflowDropOldest.
-	Dropped int64
 	// Batches counts the coalesced batches executed as protocol steps
 	// (equals Stats().Steps of the engine driven by this queue).
 	Batches int64
@@ -213,7 +190,6 @@ func (m *Monitor) IngestStats() IngestStats {
 	return IngestStats{
 		Enqueued:  s.Enqueued,
 		Coalesced: s.Coalesced,
-		Dropped:   s.Dropped,
 		Batches:   s.Steps,
 		MaxQueue:  s.MaxQueue,
 	}

@@ -3,6 +3,7 @@ package topk
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,7 +85,7 @@ func TestAsyncDrainEquivalence(t *testing.T) {
 						t.Fatalf("step %d: %v", s, err)
 					}
 					drainT(t, async)
-					if got := async.Top(); !equalIDs(got, want) {
+					if got := async.Top(); !slices.Equal(got, want) {
 						t.Fatalf("step %d: drained report %v != synchronous %v", s, got, want)
 					}
 				}
@@ -129,7 +130,7 @@ func TestAsyncObserveReturnsNilReport(t *testing.T) {
 		t.Fatalf("async Observe returned a report: %v", rep)
 	}
 	drainT(t, m)
-	if got := m.Top(); !equalIDs(got, []int{0, 1}) {
+	if got := m.Top(); !slices.Equal(got, []int{0, 1}) {
 		t.Fatalf("Top after Drain = %v, want [0 1]", got)
 	}
 	// Validation still happens before staging.
@@ -138,60 +139,6 @@ func TestAsyncObserveReturnsNilReport(t *testing.T) {
 	}
 	if _, err := m.ObserveDelta([]int{9}, []int64{1}); err == nil {
 		t.Fatal("out-of-range id accepted in async mode")
-	}
-}
-
-// TestAsyncOverflowError pins the Error policy at the public boundary:
-// a full queue rejects the whole call with ErrQueueFull (errors.Is), and
-// the monitor stays usable afterwards.
-func TestAsyncOverflowError(t *testing.T) {
-	const n = 8
-	m, err := New(Config{Nodes: n, K: 2, Seed: 1,
-		Ingest: Ingest{QueueDepth: 1, Overflow: OverflowError}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	// Race-free overflow: a single delta call with more fresh nodes than
-	// the queue admits must bounce atomically no matter how fast the
-	// worker drains.
-	_, err = m.ObserveDelta([]int{0, 1}, []int64{1, 2})
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflowing call returned %v, want ErrQueueFull", err)
-	}
-	// The monitor remains usable: a fitting call succeeds and drains.
-	if _, err := m.ObserveDelta([]int{5}, []int64{50}); err != nil {
-		t.Fatalf("monitor unusable after a rejected call: %v", err)
-	}
-	drainT(t, m)
-	if st := m.IngestStats(); st.Enqueued != 1 {
-		t.Fatalf("rejected call leaked updates: %+v", st)
-	}
-}
-
-// TestAsyncDropOldestCounts pins the lossy policy through IngestStats:
-// overload drops the oldest staged updates, and the monitor stays
-// consistent after a Drain.
-func TestAsyncDropOldestCounts(t *testing.T) {
-	const n = 8
-	m, err := New(Config{Nodes: n, K: 2, Seed: 1,
-		Ingest: Ingest{QueueDepth: 1, Overflow: OverflowDropOldest}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	// One call, distinct nodes: with depth 1 every earlier update is
-	// evicted as the next lands, deterministically.
-	if _, err := m.ObserveDelta([]int{0, 1, 2}, []int64{10, 20, 30}); err != nil {
-		t.Fatal(err)
-	}
-	drainT(t, m)
-	st := m.IngestStats()
-	if st.Dropped == 0 {
-		t.Fatalf("DropOldest never dropped: %+v", st)
-	}
-	if st.Enqueued != 3 {
-		t.Fatalf("Enqueued = %d, want 3: %+v", st.Enqueued, st)
 	}
 }
 
@@ -252,8 +199,8 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"K", Config{Nodes: 4, K: 5}},
 		{"Epsilon", Config{Nodes: 4, K: 2, Epsilon: 1.5}},
 		{"Ingest.QueueDepth", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: -1}}},
-		{"Ingest.Overflow", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 2, Overflow: OverflowError + 1}}},
-		{"Ingest.Overflow", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 0, Overflow: OverflowError}}},
+		{"Ingest.Overflow", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 2, Overflow: OverflowBlock + 1}}},
+		{"Ingest.Overflow", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 0, Overflow: OverflowBlock + 1}}},
 		{"Tree", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 0, Depth: 2}}},
 		{"Tree", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 2, Depth: 2}}}, // valid shape, but Transport is set below
 		{"Checkpoint.Every", Config{Nodes: 4, K: 2, Checkpoint: Checkpoint{Every: -1}}},
@@ -294,6 +241,8 @@ func TestOrderedConfigErrorTyped(t *testing.T) {
 		{"K", Config{Nodes: 4, K: 0}},
 		{"Epsilon", Config{Nodes: 4, K: 2, Epsilon: 0.1}},
 		{"Ingest", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 8}}},
+		{"Ingest.Overflow", Config{Nodes: 4, K: 2, Ingest: Ingest{Overflow: OverflowBlock + 1}}},
+		{"Redial", Config{Nodes: 4, K: 2, Redial: func() (Link, error) { return nil, nil }}},
 		{"Tree", Config{Nodes: 8, K: 2, Tree: Tree{Branch: 2, Depth: 1}}},
 		{"Checkpoint", Config{Nodes: 4, K: 2, Checkpoint: Checkpoint{Store: MemCheckpoints()}}},
 	}
@@ -395,7 +344,7 @@ func TestAsyncOversizedCallIsOneStep(t *testing.T) {
 			if g, w := async.TransportStats(), sync.TransportStats(); g != w {
 				t.Fatalf("transport: async %+v, sync %+v", g, w)
 			}
-			if !equalIDs(async.Top(), sync.Top()) {
+			if !slices.Equal(async.Top(), sync.Top()) {
 				t.Fatalf("report: async %v, sync %v", async.Top(), sync.Top())
 			}
 			if st := async.IngestStats(); st.Batches != 1 || st.MaxQueue > 16 {

@@ -3,6 +3,7 @@ package topk
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/order"
@@ -73,7 +74,7 @@ func TestExtremeValuesErrorNotPanic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalIDs(top, want) {
+			if !slices.Equal(top, want) {
 				t.Fatalf("report %v, oracle %v", top, want)
 			}
 
@@ -102,7 +103,7 @@ func TestExtremeValuesErrorNotPanic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, _ := Oracle(legal, k); !equalIDs(top, want) {
+			if want, _ := Oracle(legal, k); !slices.Equal(top, want) {
 				t.Fatalf("post-rejection report %v, oracle %v", top, want)
 			}
 		})
@@ -148,7 +149,7 @@ func TestExtremeValuesProperty(t *testing.T) {
 					t.Fatalf("step %d: in-domain vector rejected: %v", s, err)
 				}
 				copy(state, vals)
-				if want := sim.Oracle(state, k); !equalIDs(top, want) {
+				if want := sim.Oracle(state, k); !slices.Equal(top, want) {
 					t.Fatalf("step %d: report %v, oracle %v", s, top, want)
 				}
 			}
@@ -185,7 +186,7 @@ func TestDeltaOverflowRegression(t *testing.T) {
 				if err != nil {
 					t.Fatalf("in-domain total %d rejected: %v", total, err)
 				}
-				if !equalIDs(top, []int{1}) {
+				if !slices.Equal(top, []int{1}) {
 					t.Fatalf("node 1 holds the only positive value, report %v", top)
 				}
 				if total > mv/2 {
@@ -202,7 +203,7 @@ func TestDeltaOverflowRegression(t *testing.T) {
 			if err != nil {
 				t.Fatalf("clamped value rejected: %v", err)
 			}
-			if !equalIDs(top, []int{1}) {
+			if !slices.Equal(top, []int{1}) {
 				t.Fatalf("post-clamp report %v", top)
 			}
 		})
@@ -220,7 +221,7 @@ func TestOracleBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalIDs(top, []int{1}) {
+	if !slices.Equal(top, []int{1}) {
 		t.Fatalf("top = %v", top)
 	}
 }
@@ -286,7 +287,7 @@ func TestDistinctModeBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalIDs(top, []int{0}) {
+	if !slices.Equal(top, []int{0}) {
 		t.Fatalf("top = %v", top)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -239,13 +240,13 @@ func restoreThroughChainOn(t *testing.T, cfg Config, net, inProcess bool) {
 			ids, vals = tr.step(6)
 		}
 		tops := feed(all, ids, vals)
-		if !equalIDs(tops[0], tops[1]) {
+		if !slices.Equal(tops[0], tops[1]) {
 			t.Fatalf("step %d: report %v through the chain, %v from the lone frame", s, tops[0], tops[1])
 		}
-		if want, err := Oracle(tr.vals, cfg.K); err != nil || (cfg.Epsilon == 0 && !equalIDs(tops[0], want)) {
+		if want, err := Oracle(tr.vals, cfg.K); err != nil || (cfg.Epsilon == 0 && !slices.Equal(tops[0], want)) {
 			t.Fatalf("step %d: report %v, oracle %v (%v)", s, tops[0], want, err)
 		}
-		if inProcess && !equalIDs(tops[0], tops[2]) {
+		if inProcess && !slices.Equal(tops[0], tops[2]) {
 			t.Fatalf("step %d: report %v, the twin that never stopped %v", s, tops[0], tops[2])
 		}
 	}
@@ -667,7 +668,7 @@ func midWriteCrashInChainOn(t *testing.T, cfg Config, net bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, _ := Oracle(tr.vals, cfg.K); !equalIDs(want, got) {
+			if want, _ := Oracle(tr.vals, cfg.K); !slices.Equal(want, got) {
 				t.Fatalf("killed in %s: post-restore step %d: report %v, oracle %v", kill.what, s, got, want)
 			}
 		}

@@ -3,6 +3,7 @@ package topk
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !equalIDs(want, got) {
+				if !slices.Equal(want, got) {
 					t.Fatalf("conc=%v eps=%v step %d: report %v, twin %v", concurrent, eps, step, got, want)
 				}
 			}
@@ -219,7 +220,7 @@ func TestCheckpointCrashRestartChaos(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !equalIDs(want, got) {
+					if !slices.Equal(want, got) {
 						t.Fatalf("trial %d (kill at %d) post-restore step %d: report %v, oracle %v",
 							trial, killStep, step, got, want)
 					}
@@ -294,7 +295,7 @@ func TestCheckpointMidWriteCrash(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !equalIDs(want, got) {
+				if !slices.Equal(want, got) {
 					t.Fatalf("post-restore step %d: report %v, oracle %v", step, got, want)
 				}
 			}
@@ -405,7 +406,7 @@ func TestCheckpointAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if got := restored.Top(); !equalIDs(want, got) {
+	if got := restored.Top(); !slices.Equal(want, got) {
 		t.Fatalf("restored Top %v, want %v", got, want)
 	}
 	for step := 0; step < 20; step++ {
@@ -421,7 +422,7 @@ func TestCheckpointAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := restored.Top(); !equalIDs(wantTop, got) {
+	if got := restored.Top(); !slices.Equal(wantTop, got) {
 		t.Fatalf("post-restore async Top %v, oracle %v", got, wantTop)
 	}
 }

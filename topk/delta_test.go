@@ -1,6 +1,9 @@
 package topk
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestObserveDeltaMatchesObserve drives both ingestion forms over the same
 // logical value sequence and requires identical reports and counts, on
@@ -47,7 +50,7 @@ func TestObserveDeltaMatchesObserve(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !equalIDs(dt, st) {
+				if !slices.Equal(dt, st) {
 					t.Fatalf("step %d: dense %v sparse %v", s, dt, st)
 				}
 				if dense.Counts() != sparse.Counts() {

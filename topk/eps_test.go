@@ -2,6 +2,7 @@ package topk
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -94,7 +95,7 @@ func TestEpsilonZeroBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(ta, tb) {
+		if !slices.Equal(ta, tb) {
 			t.Fatalf("step %d: reports diverge: %v vs %v", s, ta, tb)
 		}
 	}
@@ -132,7 +133,7 @@ func FuzzObserveBoundary(f *testing.F) {
 			if oerr != nil {
 				t.Fatalf("oracle rejected in-domain %v: %v", vals, oerr)
 			}
-			if !equalIDs(top, want) {
+			if !slices.Equal(top, want) {
 				t.Fatalf("report %v, oracle %v", top, want)
 			}
 		} else if err == nil {

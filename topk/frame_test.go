@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -262,7 +263,7 @@ func restoreParentFrame(t *testing.T, file string, cfg Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalIDs(want, got) {
+		if !slices.Equal(want, got) {
 			t.Fatalf("%s step %d: report %v, twin %v", file, s, got, want)
 		}
 		if restored.Stats() != twin.Stats() {

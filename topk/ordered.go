@@ -44,11 +44,14 @@ func NewOrdered(cfg Config) (*OrderedMonitor, error) {
 	if !cfg.Tree.zero() {
 		return nil, badConfig(cfg, "Tree", "not supported by the ordered monitor, got %d^%d", cfg.Tree.Branch, cfg.Tree.Depth)
 	}
-	if cfg.Ingest.QueueDepth != 0 || cfg.Ingest.Overflow != OverflowBlock {
+	if cfg.Ingest.QueueDepth != 0 {
 		return nil, badConfig(cfg, "Ingest", "asynchronous ingestion is not supported by the ordered monitor")
 	}
 	if cfg.Checkpoint.Store != nil || cfg.Checkpoint.Every != 0 {
 		return nil, badConfig(cfg, "Checkpoint", "durable checkpointing is not supported by the ordered monitor; see ROADMAP.md")
+	}
+	if err := validateConfig(cfg); err != nil {
+		return nil, err
 	}
 	eng, err := buildEngine(cfg, nil, nil, true)
 	if err != nil {

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -33,7 +34,7 @@ func TestShardedMonitorMatchesSequential(t *testing.T) {
 			if errA != nil || errB != nil {
 				t.Fatalf("step %d: observe errors: %v / %v", s, errA, errB)
 			}
-			if !equalIDs(a, b) {
+			if !slices.Equal(a, b) {
 				t.Fatalf("shards=%d step %d: reports differ: seq=%v sharded=%v", shards, s, a, b)
 			}
 		}
@@ -101,7 +102,7 @@ func TestShardedAppendTopIsACopy(t *testing.T) {
 		}
 		a, _ := seq.Observe(vals)
 		b, _ := sh.Observe(vals)
-		if !equalIDs(a, b) {
+		if !slices.Equal(a, b) {
 			t.Fatalf("step %d: reports diverged after mutations: %v vs %v", s, a, b)
 		}
 		copies = append(copies, sh.AppendTop(nil), seq.AppendTop(nil))

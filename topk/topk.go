@@ -113,7 +113,9 @@ type PhaseCounts struct {
 
 // Stats exposes behavioural counters of a run.
 type Stats struct {
-	// Steps is the number of Observe calls so far.
+	// Steps is the number of protocol steps so far: one per Observe or
+	// ObserveDelta call, or under asynchronous ingestion one per applied
+	// batch (IngestStats.Batches).
 	Steps int64
 	// ViolationSteps counts steps with at least one filter violation.
 	ViolationSteps int64
@@ -161,7 +163,7 @@ type Config struct {
 	// background worker executes the protocol steps, and Drain recovers
 	// synchronous semantics on demand. The zero value keeps every
 	// observation call blocking. All four engines support it; see the
-	// Ingest type for the coalescing and overflow semantics.
+	// Ingest type for the coalescing and backpressure semantics.
 	Ingest Ingest
 	// Concurrent selects the sharded concurrent engine. Monitors with
 	// Concurrent set must be Closed to release their goroutines.
@@ -434,9 +436,9 @@ func checkValues(maxVal int64, ids []int, vals []int64) error {
 // nil report immediately — the protocol step runs in the background,
 // and later observations of the same node may coalesce with this one.
 // Read reports through Top or AppendTop, after a Drain for
-// read-your-writes; a full queue blocks, drops the oldest staged
-// update, or returns ErrQueueFull per the configured overflow policy,
-// and a terminal background failure is returned here and from Drain.
+// read-your-writes; a full queue blocks until the worker takes the
+// staged batch, and a terminal background failure is returned here and
+// from Drain.
 func (m *Monitor) Observe(vals []int64) ([]int, error) {
 	if len(vals) != m.cfg.Nodes {
 		return nil, fmt.Errorf("topk: observed %d values for %d nodes", len(vals), m.cfg.Nodes)
@@ -470,8 +472,8 @@ func (m *Monitor) Observe(vals []int64) ([]int, error) {
 // report immediately, exactly as Observe. Callers may reuse their
 // buffers as in synchronous mode: a staged delta is copied into the
 // per-node queue, and a delta with more ids than Ingest.QueueDepth,
-// which the OverflowBlock worker applies straight from the caller's
-// slices, returns only after it has been applied.
+// which the worker applies straight from the caller's slices, returns
+// only after it has been applied.
 func (m *Monitor) ObserveDelta(ids []int, vals []int64) ([]int, error) {
 	if len(ids) != len(vals) {
 		return nil, fmt.Errorf("topk: delta has %d ids but %d values", len(ids), len(vals))

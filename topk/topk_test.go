@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
@@ -101,6 +102,8 @@ func TestMonitorExactOverWorkload(t *testing.T) {
 	m, _ := New(Config{Nodes: 12, K: 4, Seed: 9})
 	src := stream.NewBursty(stream.BurstyConfig{N: 12, Seed: 10, Lo: 0, Hi: 1 << 20, Noise: 4, BurstProb: 0.05, BurstMax: 1 << 16})
 	vals := make([]int64, 12)
+	var prev []int
+	changes := int64(0) // oracle set changes, the first report included
 	for s := 0; s < 300; s++ {
 		src.Step(vals)
 		got, err := m.Observe(vals)
@@ -116,6 +119,13 @@ func TestMonitorExactOverWorkload(t *testing.T) {
 				t.Fatalf("step %d: got %v want %v", s, got, want)
 			}
 		}
+		if !slices.Equal(prev, want) {
+			changes++
+		}
+		prev = want
+	}
+	if st := m.Stats(); st.TopChanges != changes {
+		t.Fatalf("Stats().TopChanges = %d, the oracle's set changed %d times", st.TopChanges, changes)
 	}
 }
 
