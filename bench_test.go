@@ -717,11 +717,12 @@ func BenchmarkOracle(b *testing.B) {
 	src := stream.NewIID(stream.IIDConfig{N: n, Seed: 7, Dist: stream.Uniform, Lo: 0, Hi: 1 << 24})
 	vals := make([]int64, n)
 	src.Step(vals)
-	m := core.New(core.Config{N: n, K: 8, Seed: 8})
-	keys := make([]order.Key, n)
+	codec, keys := order.NewCodec(n), make([]order.Key, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.EncodeAll(vals, keys)
+		for id, v := range vals {
+			keys[id] = codec.Encode(v, id)
+		}
 	}
 }
 

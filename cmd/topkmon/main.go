@@ -617,7 +617,7 @@ func loadMatrix(tracePath, workload string, n, steps int, seed uint64) ([][]int6
 // as an error from Observe in the middle of the run.
 func checkDomain(matrix [][]int64) error {
 	n := len(matrix[0])
-	limit := order.MaxValueFor(n, false)
+	limit := order.MaxValueFor(n)
 	for row, vals := range matrix {
 		for node, v := range vals {
 			if v > limit || v < -limit {

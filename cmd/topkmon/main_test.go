@@ -14,7 +14,7 @@ import (
 // the engines accept pass, one past them is named by row and node with the
 // accepted range, and a -trace file is checked on load.
 func TestCheckDomain(t *testing.T) {
-	limit := order.MaxValueFor(3, false)
+	limit := order.MaxValueFor(3)
 	if err := checkDomain([][]int64{{0, limit, -limit}, {1, 2, 3}}); err != nil {
 		t.Fatalf("in-domain matrix rejected: %v", err)
 	}

@@ -16,8 +16,7 @@ import (
 // gives it one — a first frame coded against zero, what a bank holds after
 // Assign — and then new values coded against that baseline, once as a
 // dense frame and once as a sparse frame over a subset of the nodes. For
-// any values, at any magnitude and in both tie-break modes, with changes
-// that wrap int64:
+// any values, at any magnitude, with changes that wrap int64:
 //
 //   - the flags, the error and every key equal those of a twin bank fed
 //     the absolute values (ObserveDense, or Observe per value for the
@@ -38,17 +37,17 @@ func FuzzObserveChanges(f *testing.F) {
 		return p
 	}
 	// A selector's high bit puts its node in the sparse frame too.
-	f.Add(uint16(5), uint16(0), false, seed(1, 1, 1, 1, 1, 0x84, 4, 0x84, 4, 0x84, 9))
-	f.Add(uint16(5), uint16(2), true, seed(2, 3, 1, 0x85, 0x83, 0x82, 9))
-	f.Add(uint16(5), uint16(0), false, seed(1, 1, 1, 1, 1, 0x81, 0x81, 0x81, 0x81, 0x81, 9))
-	f.Add(uint16(300), uint16(7), false, seed(2, 3, 2, 3, 0, 0x87, 0x87, 0x84, 0x81, 0x80, 0x55))
-	f.Add(uint16(1), uint16(0), true, seed(3, 0x82))
-	f.Add(uint16(64), uint16(1), false, seed(0, 0, 0, 0, 0, 0))
-	f.Fuzz(func(t *testing.T, n, lo uint16, distinct bool, data []byte) {
+	f.Add(uint16(5), uint16(0), seed(1, 1, 1, 1, 1, 0x84, 4, 0x84, 4, 0x84, 9))
+	f.Add(uint16(5), uint16(2), seed(2, 3, 1, 0x85, 0x83, 0x82, 9))
+	f.Add(uint16(5), uint16(0), seed(1, 1, 1, 1, 1, 0x81, 0x81, 0x81, 0x81, 0x81, 9))
+	f.Add(uint16(300), uint16(7), seed(2, 3, 2, 3, 0, 0x87, 0x87, 0x84, 0x81, 0x80, 0x55))
+	f.Add(uint16(1), uint16(0), seed(3, 0x82))
+	f.Add(uint16(64), uint16(1), seed(0, 0, 0, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, n, lo uint16, data []byte) {
 		nodes := int(n)%300 + 1
 		first := int(lo) % nodes
 		width := nodes - first
-		maxVal := order.MaxValueFor(nodes, distinct)
+		maxVal := order.MaxValueFor(nodes)
 		next := func() (sel byte, raw int64) {
 			if len(data) < 9 {
 				data = nil
@@ -102,7 +101,7 @@ func FuzzObserveChanges(f *testing.F) {
 		if mid > maxVal || mid < -maxVal {
 			mid %= maxVal + 1
 		}
-		where := fmt.Sprintf("n=%d range [%d, %d) distinct=%v", nodes, first, nodes, distinct)
+		where := fmt.Sprintf("n=%d range [%d, %d)", nodes, first, nodes)
 
 		// The coordinator's side: a mirror over every id, and its frames.
 		mirror := make([]int64, nodes)
@@ -121,7 +120,7 @@ func FuzzObserveChanges(f *testing.F) {
 		// Four banks over the range, each given the baseline and the same
 		// installs: two read frames, two the absolute values.
 		newTwin := func() *Nodes {
-			b := NewNodes(nodes, first, nodes, 3, distinct, order.Tol{})
+			b := NewNodes(nodes, first, nodes, 3, false, order.Tol{})
 			s, err := wire.OpenObserve(wire.Observe{Step: 1, Vals: base}.Append(nil))
 			if err != nil {
 				t.Fatal(err)

@@ -37,12 +37,11 @@ import (
 // from a checkpoint — flips for it what any other would, which is what
 // makes every engine charge the same ledger for a seed.
 type Nodes struct {
-	lo, hi   int
-	distinct bool
-	codec    order.Codec
-	tol      order.Tol
-	maxVal   int64  // cached value-domain bound; Observe checks it per value
-	seed     uint64 // keys the nodes' coins
+	lo, hi int
+	codec  order.Codec
+	tol    order.Tol
+	maxVal int64  // cached value-domain bound; Observe checks it per value
+	seed   uint64 // keys the nodes' coins
 
 	keys []order.Key
 	// top is the membership bitset from the last broadcast: hosted node i is
@@ -80,9 +79,14 @@ type Nodes struct {
 }
 
 // NewNodes builds the node state for the range [lo, hi) of an n-node
-// monitor with the given protocol seed, tie-break mode and tolerance
-// (zero for exact monitoring).
+// monitor with the given protocol seed and tolerance (zero for exact
+// monitoring). Keys are always the tie-break injection (order.Codec):
+// distinct must be false and panics otherwise — the parameter is kept
+// only because the benchmark harness calls NewNodes with it.
 func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
+	if distinct {
+		panic("coord: the raw-value key domain is gone; keys are the tie-break injection")
+	}
 	if n <= 0 {
 		panic("coord: need n > 0")
 	}
@@ -92,30 +96,27 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if hi-lo > math.MaxInt32 {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
-	b := newBank(n, lo, hi, seed, distinct, tol)
-	if !distinct {
-		for i := range b.keys {
-			b.keys[i] = b.codec.Encode(0, lo+i)
-		}
+	b := newBank(n, lo, hi, seed, tol)
+	for i := range b.keys {
+		b.keys[i] = b.codec.Encode(0, lo+i)
 	}
 	return b
 }
 
 // newBank allocates a bank over [lo, hi) with every filter [-inf, +inf];
 // the caller fills the keys.
-func newBank(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
+func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
 	inst := filter.Unbounded()
 	return &Nodes{
-		lo:       lo,
-		hi:       hi,
-		distinct: distinct,
-		codec:    order.NewCodec(n),
-		tol:      tol,
-		maxVal:   order.MaxValueFor(n, distinct),
-		seed:     seed,
-		keys:     make([]order.Key, hi-lo),
-		top:      make([]uint64, (hi-lo+63)>>6),
-		inst:     &inst,
+		lo:     lo,
+		hi:     hi,
+		codec:  order.NewCodec(n),
+		tol:    tol,
+		maxVal: order.MaxValueFor(n),
+		seed:   seed,
+		keys:   make([]order.Key, hi-lo),
+		top:    make([]uint64, (hi-lo+63)>>6),
+		inst:   &inst,
 	}
 }
 
@@ -134,7 +135,7 @@ func (b *Nodes) Sub(lo, hi int) *Nodes {
 	p, q := b.off+uint(i), b.off+uint(j) // the view's bits in b.top
 	w := (q + 63) >> 6
 	return &Nodes{
-		lo: lo, hi: hi, distinct: b.distinct, codec: b.codec, tol: b.tol, maxVal: b.maxVal, seed: b.seed,
+		lo: lo, hi: hi, codec: b.codec, tol: b.tol, maxVal: b.maxVal, seed: b.seed,
 		keys: b.keys[i:j:j], top: b.top[p>>6 : w : w], off: p & 63,
 		inst: b.inst, ord: b.ord,
 	}
@@ -188,23 +189,18 @@ func (b *Nodes) topWord(w int) uint64 {
 
 // MaxValue returns the largest observation magnitude the bank accepts
 // (symmetrically, -MaxValue is the smallest): order.MaxValueFor of the
-// bank's configuration — the codec capacity for the default tie-break
-// injection, which shrinks with n since keys are v·n + tiebreak, or the
-// sentinel-free int64 range in DistinctValues mode.
+// bank's n — the codec capacity of the tie-break injection, which shrinks
+// with n since keys are v·n + tiebreak.
 func (b *Nodes) MaxValue() int64 { return b.maxVal }
 
-// Encode maps observation v of node id into the key domain: the tie-break
-// injection, or the value itself in DistinctValues mode. A value whose
-// magnitude exceeds MaxValue is rejected with a descriptive error: the
-// injection would overflow (or, in DistinctValues mode, collide with the
-// ±∞ sentinels) and silently corrupt the order, so out-of-domain input
-// must never reach the key domain.
+// Encode maps observation v of node id into the key domain through the
+// tie-break injection. A value whose magnitude exceeds MaxValue is
+// rejected with a descriptive error: the injection would overflow and
+// silently corrupt the order, so out-of-domain input must never reach the
+// key domain.
 func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
 	if v > b.maxVal || v < -b.maxVal {
 		return 0, fmt.Errorf("coord: node %d value %d outside the value domain [-%d, %d] for %d nodes", id, v, b.maxVal, b.maxVal, b.codec.N())
-	}
-	if b.distinct {
-		return order.Key(v), nil
 	}
 	return b.codec.Encode(v, id), nil
 }
@@ -213,9 +209,6 @@ func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
 // the tie-break injection taken out (what a checkpoint delta carries, and
 // the baseline an observation frame's changes are added to).
 func (b *Nodes) value(i int) int64 {
-	if b.distinct {
-		return int64(b.keys[i])
-	}
 	return b.codec.Value(b.keys[i], b.lo+i)
 }
 
@@ -269,10 +262,7 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 		_, err = b.Encode(id, v)
 		return false, false, err
 	}
-	key := order.Key(v)
-	if !b.distinct {
-		key = b.codec.Encode(v, id)
-	}
+	key := b.codec.Encode(v, id)
 	b.keys[i] = key
 	inTop := b.inTop(i)
 	if holds(*b.inst, inTop, key) {
@@ -315,15 +305,12 @@ func listViolator(list []int32, i int32) []int32 {
 // run stops at the first value it rejects.
 func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bool, err error) {
 	inst, maxVal := *b.inst, b.maxVal
-	mul, tie, dec := int64(1), int64(0), int64(0) // DistinctValues: the key is the value
-	if !b.distinct {
-		mul = int64(b.codec.N())
-		tie, dec = mul-1-int64(b.lo+i), 1 // order.Codec.Encode: v*n + (n-1-id)
-	}
+	mul := int64(b.codec.N())
+	tie := mul - 1 - int64(b.lo+i) // order.Codec.Encode: v*n + (n-1-id)
 	keys, top, p := b.keys[i:][:len(vals)], b.top, b.off+uint(i)
 	for j, v := range vals {
 		key := order.Key(v*mul + tie)
-		tie -= dec
+		tie--
 		inTop := top[p>>6]>>(p&63)&1 != 0
 		p++
 		if v <= maxVal && v >= -maxVal && holds(inst, inTop, key) {

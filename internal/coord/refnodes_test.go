@@ -62,13 +62,12 @@ func (nd *refNodeState) participates(tag uint8, step int64) bool {
 // one Nodes per hosted range and translates its substrate's commands into
 // the methods below.
 type refNodes struct {
-	lo, hi   int
-	distinct bool
-	codec    order.Codec
-	tol      order.Tol
-	maxVal   int64  // cached value-domain bound; Observe checks it per value
-	seed     uint64 // keys the nodes' coins
-	ns       []refNodeState
+	lo, hi int
+	codec  order.Codec
+	tol    order.Tol
+	maxVal int64  // cached value-domain bound; Observe checks it per value
+	seed   uint64 // keys the nodes' coins
+	ns     []refNodeState
 
 	// active is the running execution's list of hosted cohort members
 	// still in play, as ascending indices into ns. Round builds it at
@@ -79,9 +78,9 @@ type refNodes struct {
 }
 
 // newRefNodes builds the node state for the range [lo, hi) of an n-node
-// monitor with the given protocol seed, tie-break mode and tolerance
-// (zero for exact monitoring).
-func newRefNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *refNodes {
+// monitor with the given protocol seed and tolerance (zero for exact
+// monitoring).
+func newRefNodes(n, lo, hi int, seed uint64, tol order.Tol) *refNodes {
 	if n <= 0 {
 		panic("coord: need n > 0")
 	}
@@ -92,23 +91,18 @@ func newRefNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *refN
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
 	b := &refNodes{
-		lo:       lo,
-		hi:       hi,
-		distinct: distinct,
-		codec:    order.NewCodec(n),
-		tol:      tol,
-		maxVal:   order.MaxValueFor(n, distinct),
-		seed:     seed,
-		ns:       make([]refNodeState, hi-lo),
+		lo:     lo,
+		hi:     hi,
+		codec:  order.NewCodec(n),
+		tol:    tol,
+		maxVal: order.MaxValueFor(n),
+		seed:   seed,
+		ns:     make([]refNodeState, hi-lo),
 	}
 	for i := lo; i < hi; i++ {
-		key := order.Key(0)
-		if !distinct {
-			key = b.codec.Encode(0, i)
-		}
 		b.ns[i-lo] = refNodeState{
 			id:       i,
-			key:      key,
+			key:      b.codec.Encode(0, i),
 			iv:       filter.Full(),
 			ordIv:    filter.Full(),
 			violStep: -1,
@@ -125,14 +119,13 @@ func (b *refNodes) Sub(lo, hi int) *refNodes {
 		panic(fmt.Sprintf("coord: sub-range [%d, %d) outside [%d, %d)", lo, hi, b.lo, b.hi))
 	}
 	return &refNodes{
-		lo:       lo,
-		hi:       hi,
-		distinct: b.distinct,
-		codec:    b.codec,
-		tol:      b.tol,
-		maxVal:   b.maxVal,
-		seed:     b.seed,
-		ns:       b.ns[lo-b.lo : hi-b.lo : hi-b.lo],
+		lo:     lo,
+		hi:     hi,
+		codec:  b.codec,
+		tol:    b.tol,
+		maxVal: b.maxVal,
+		seed:   b.seed,
+		ns:     b.ns[lo-b.lo : hi-b.lo : hi-b.lo],
 	}
 }
 
@@ -158,17 +151,15 @@ func (b *refNodes) node(id int) *refNodeState {
 
 // MaxValue returns the largest observation magnitude the bank accepts
 // (symmetrically, -MaxValue is the smallest): order.MaxValueFor of the
-// bank's configuration — the codec capacity for the default tie-break
-// injection, which shrinks with n since keys are v·n + tiebreak, or the
-// sentinel-free int64 range in DistinctValues mode.
+// bank's n — the codec capacity of the tie-break injection, which shrinks
+// with n since keys are v·n + tiebreak.
 func (b *refNodes) MaxValue() int64 { return b.maxVal }
 
 // Observe ingests one observation for node id at the given step, runs the
 // node-local filter check, and reports whether the node violated as a
 // former top-k member (topViol) or as an outsider (outViol). A value
 // whose magnitude exceeds MaxValue is rejected with a descriptive error
-// before any state changes: the key injection would overflow (or, in
-// DistinctValues mode, collide with the ±∞ sentinels) and silently
+// before any state changes: the key injection would overflow and silently
 // corrupt the order, so out-of-domain input must never reach the key
 // domain. Hosts that face a wire (internal/netrun, internal/shardrun)
 // surface the error instead of panicking.
@@ -177,11 +168,7 @@ func (b *refNodes) Observe(id int, v int64, step int64) (topViol, outViol bool, 
 	if v > b.maxVal || v < -b.maxVal {
 		return false, false, fmt.Errorf("coord: node %d value %d outside the value domain [-%d, %d] for %d nodes", id, v, b.maxVal, b.maxVal, b.codec.N())
 	}
-	if b.distinct {
-		nd.key = order.Key(v)
-	} else {
-		nd.key = b.codec.Encode(v, id)
-	}
+	nd.key = b.codec.Encode(v, id)
 	violated, _ := nd.iv.Violates(nd.key)
 	if violated {
 		nd.violStep = step

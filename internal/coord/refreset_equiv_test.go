@@ -105,20 +105,20 @@ func overLinks[E interface {
 // shapes are the engine shapes the sweep runs on. Every one must take the
 // reference's decisions; the ordered mode exists in process only.
 func shapes(t *testing.T, cfg coord.RefConfig) map[string]subject {
-	cc := core.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.Distinct, Epsilon: cfg.Epsilon, Ordered: cfg.Ordered}
+	cc := core.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: cfg.Ordered}
 	out := map[string]subject{"seq": inProcess(core.New(cc))}
 	for _, shards := range []int{1, 3, 8} {
-		rc := runtime.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.Distinct, Epsilon: cfg.Epsilon, Ordered: cfg.Ordered, Shards: shards}
+		rc := runtime.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: cfg.Ordered, Shards: shards}
 		out[fmt.Sprintf("conc/%d", shards)] = inProcess(runtime.New(rc))
 	}
 	if cfg.Ordered {
 		return out
 	}
-	nc := netrun.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.Distinct, Epsilon: cfg.Epsilon}
+	nc := netrun.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
 	for _, peers := range []int{1, 2, 4} {
 		out[fmt.Sprintf("net/%d", peers)] = overLinks(t, netrun.LoopbackLinks(peers), func(l []transport.Link) (*netrun.Engine, error) { return netrun.New(nc, l) })
 	}
-	sc := shardrun.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.Distinct, Epsilon: cfg.Epsilon}
+	sc := shardrun.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
 	for _, s := range []int{1, 2, 4, 8} {
 		out[fmt.Sprintf("star/%d", s)] = overLinks(t, shardrun.LoopbackLinks(s), func(l []transport.Link) (*shardrun.Engine, error) { return shardrun.New(sc, l) })
 	}
@@ -169,7 +169,7 @@ func TestSweepMatchesReferenceReset(t *testing.T) {
 				return ids[:c], vals[:c]
 			}
 		}},
-		{"distinct", coord.RefConfig{N: n, K: k, Seed: seed, Distinct: true}, func() feed {
+		{"distinct", coord.RefConfig{N: n, K: k, Seed: seed}, func() feed { // values pairwise distinct by construction
 			vals := make([]int64, n)
 			return func(s int) ([]int, []int64) {
 				for i := range vals {
@@ -284,9 +284,10 @@ func coinFree(line string) string {
 // TestReferenceResetChargesTheParentLedger holds the reference to what it
 // claims to be. testdata/parent_seq_golden.txt is core's
 // testdata/seq_golden.txt as the last commit with a k+1-execution reset had
-// it — 192 runs of the sequential engine: a hash of the reports and
-// rankings, the ledger in total and by phase in messages and bytes, the
-// statistics, a hash of every generator's final state. That engine's nodes
+// it — 96 runs of the sequential engine (its other 96, of a raw-value key
+// domain since deleted, were dropped from both files): a hash of the
+// reports and rankings, the ledger in total and by phase in messages and
+// bytes, the statistics, a hash of every generator's final state. That engine's nodes
 // drew from generators; the reference's flip keyed coins, so it reproduces
 // of every line what no draw decides (coinFree) — it enlists, runs rounds
 // and decides exactly as that engine did — and charges, for the rest, the
@@ -306,12 +307,10 @@ func TestReferenceResetChargesTheParentLedger(t *testing.T) {
 	for _, gs := range parentStreams {
 		for _, feed := range []string{"dense", "delta", "mixed"} {
 			for _, eps := range []float64{0, 0.05} {
-				for _, distinct := range []bool{false, true} {
-					for _, ordered := range []bool{false, true} {
-						cfg := coord.RefConfig{N: gs.n, K: gs.k, Seed: 71, Epsilon: eps, Distinct: distinct, Ordered: ordered}
-						name := fmt.Sprintf("%s/%s/eps=%g/distinct=%v/ordered=%v", gs.name, feed, eps, distinct, ordered)
-						got = append(got, name+": "+parentLine(t, cfg, feed, gs.src(gs.n)))
-					}
+				for _, ordered := range []bool{false, true} {
+					cfg := coord.RefConfig{N: gs.n, K: gs.k, Seed: 71, Epsilon: eps, Ordered: ordered}
+					name := fmt.Sprintf("%s/%s/eps=%g/ordered=%v", gs.name, feed, eps, ordered)
+					got = append(got, name+": "+parentLine(t, cfg, feed, gs.src(gs.n)))
 				}
 			}
 		}
@@ -345,11 +344,6 @@ func parentLine(t *testing.T, cfg coord.RefConfig, feed string, src stream.Sourc
 	reports := fnv.New64a()
 	for s := 0; s < 250; s++ {
 		src.Step(vals)
-		if cfg.Distinct {
-			for i := range vals {
-				vals[i] = vals[i]*int64(cfg.N) + int64(cfg.N-1-i)
-			}
-		}
 		var top []int
 		if feed == "dense" || s == 0 || feed == "mixed" && s%3 == 0 {
 			top = m.Observe(vals)

@@ -94,11 +94,10 @@ type RefMonitor struct{ d *driver }
 
 // RefConfig is the part of an engine configuration a RefMonitor has.
 type RefConfig struct {
-	N, K     int
-	Seed     uint64
-	Distinct bool
-	Epsilon  float64
-	Ordered  bool
+	N, K    int
+	Seed    uint64
+	Epsilon float64
+	Ordered bool
 }
 
 func NewRefMonitor(cfg RefConfig) *RefMonitor {
@@ -106,7 +105,7 @@ func NewRefMonitor(cfg RefConfig) *RefMonitor {
 	if err != nil {
 		panic(err)
 	}
-	bank := NewNodes(cfg.N, 0, cfg.N, cfg.Seed, cfg.Distinct, tol)
+	bank := NewNodes(cfg.N, 0, cfg.N, cfg.Seed, false, tol)
 	if cfg.Ordered {
 		bank.EnableOrderFilters(cfg.K)
 	}

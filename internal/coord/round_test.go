@@ -215,65 +215,6 @@ func TestRoundMatchesPerNodeSamplers(t *testing.T) {
 	}
 }
 
-// TestRoundEveryTagWithDuplicateKeys runs single executions of all five
-// cohorts over a DistinctValues bank whose keys repeat (ties resolve by
-// ascending id), with zero and non-zero tolerance and loose bounds,
-// against the per-node reference: same result and charges.
-func TestRoundEveryTagWithDuplicateKeys(t *testing.T) {
-	const n, step = 40, int64(3)
-	for _, eps := range []float64{0, 0.25} {
-		tol, err := order.NewTol(eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		build := func(reference bool) (*Nodes, roundFunc) {
-			b := NewNodes(n, 0, n, 17, true, tol)
-			see, round := observeFunc(b.Observe), roundFunc(b.Round)
-			if reference {
-				rb := newRefBank(b)
-				see, round = rb.Observe, rb.Round
-			}
-			// Membership {0, 5, 10, …}, installed filters around 50; then
-			// observations out of few distinct values so that both sides
-			// hold violators and every cohort holds duplicates.
-			for id := 0; id < n; id += 5 {
-				b.Winner(id, true)
-			}
-			b.Midpoint(50, false)
-			vr := rng.New(7, 7)
-			for id := 0; id < n; id++ {
-				if _, _, err := see(id, 45+vr.Int63n(10), step); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return b, round
-		}
-		for _, tag := range []uint8{TagViolMin, TagViolMax, TagHandMin, TagHandMax, TagReset} {
-			for _, bound := range []int{n, 3*n + 1} {
-				_, kernRound := build(false)
-				_, refRound := build(true)
-				var kc, rc comm.Counter
-				winners := 1
-				if tag == TagReset {
-					winners = 9 // of ten distinct values: the winners hold duplicates
-				}
-				got := execute(kernRound, tag, winners, bound, step, &kc)
-				want := execute(refRound, tag, winners, bound, step, &rc)
-				where := fmt.Sprintf("eps=%g tag=%d bound=%d", eps, tag, bound)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: winners %+v, reference %+v", where, got, want)
-				}
-				if len(want) != winners {
-					t.Fatalf("%s: %d winners of %d; the case tests nothing", where, len(want), winners)
-				}
-				if kc.Snapshot() != rc.Snapshot() || kc.BytesSnapshot() != rc.BytesSnapshot() {
-					t.Fatalf("%s: charges %v/%v, reference %v/%v", where, kc.Snapshot(), kc.BytesSnapshot(), rc.Snapshot(), rc.BytesSnapshot())
-				}
-			}
-		}
-	}
-}
-
 // TestRoundFirstSeenMidExecution pins what a bank does when the first
 // round it sees of an execution is not round 0 — a host that joined while
 // the execution was running: it has nobody in play, so nobody bids,

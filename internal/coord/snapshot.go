@@ -149,14 +149,14 @@ func RestoreMachine(p []byte) (*Machine, error) {
 func (m *Machine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64, engine uint8, seed uint64, bank *Nodes) ([]byte, error) {
 	var err error
 	if base != 0 {
-		w := wire.BeginCheckpointDelta(dst, gen, base, engine, seed, bank.distinct)
+		w := wire.BeginCheckpointDelta(dst, gen, base, engine, seed)
 		if w.Buf, err = m.Snapshot(w.Buf); err != nil {
 			return nil, err
 		}
 		w.EndSection()
 		return w.Values(len(bank.keys), dirty, bank.value), nil
 	}
-	w := wire.BeginCheckpoint(dst, gen, engine, seed, bank.distinct)
+	w := wire.BeginCheckpoint(dst, gen, engine, seed)
 	if w.Buf, err = m.Snapshot(w.Buf); err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func (m *Machine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64,
 // to apply; it returns the machine frame the chain ends on — c's own when
 // there is no delta. Every delta is held to its chain before its values
 // are applied: the next generation after its predecessor's, naming c's as
-// its base, under c's engine, seed and tie-break fingerprint, its node ids
+// its base, under c's engine and seed, its node ids
 // inside [0, n) (the decoder has them strictly increasing), and its
 // machine frame the predecessor's but for the steps taken — a span that
 // charged no message cannot have moved the membership, the bounds, the
@@ -196,8 +196,8 @@ func FoldDeltas(c *wire.Checkpoint, n int, deltas [][]byte, apply func(ids []int
 		if d.Gen != gen || d.Base != c.Gen {
 			return nil, fmt.Errorf("coord: delta frame says generation %d on base %d, the chain has it as generation %d on base %d", d.Gen, d.Base, gen, c.Gen)
 		}
-		if d.Engine != c.Engine || d.Seed != c.Seed || d.Distinct != c.Distinct {
-			return nil, fmt.Errorf("coord: delta frame of generation %d was taken under another engine, seed or tie-break mode than its base", gen)
+		if d.Engine != c.Engine || d.Seed != c.Seed {
+			return nil, fmt.Errorf("coord: delta frame of generation %d was taken under another engine or seed than its base", gen)
 		}
 		if k := len(d.IDs); k > 0 && d.IDs[k-1] >= n {
 			return nil, fmt.Errorf("coord: delta frame of generation %d names node %d of %d", gen, d.IDs[k-1], n)
@@ -252,12 +252,12 @@ func OpenMachine(n, k int, epsilon float64, machFrame []byte) (*Machine, error) 
 }
 
 // OpenCheckpoint holds a checkpoint's two frames to the configuration it is
-// being restored under — shape, tolerance and tie-break mode, of the
-// machine frame (OpenMachine) and of the bank frame's header, which must
-// cover [0, n) — before anything is built from them, and returns the
-// restored machine. It is the first step of the sequential and concurrent
-// engines' Restore; RestoreNodes and MatchesMachine are the other two.
-func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFrame []byte) (*Machine, error) {
+// being restored under — shape and tolerance, of the machine frame
+// (OpenMachine) and of the bank frame's header, which must cover [0, n) —
+// before anything is built from them, and returns the restored machine.
+// It is the first step of the sequential and concurrent engines' Restore;
+// RestoreNodes and MatchesMachine are the other two.
+func OpenCheckpoint(n, k int, epsilon float64, machFrame, nodesFrame []byte) (*Machine, error) {
 	mach, err := OpenMachine(n, k, epsilon, machFrame)
 	if err != nil {
 		return nil, err
@@ -271,9 +271,6 @@ func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFr
 	}
 	if h.EpsNum != mach.Tol().Num() {
 		return nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, mach.Tol().Num())
-	}
-	if h.Distinct != distinct {
-		return nil, fmt.Errorf("coord: checkpoint distinct-values mode %v differs from configured %v", h.Distinct, distinct)
 	}
 	return mach, nil
 }
@@ -290,7 +287,7 @@ func OpenCheckpoint(n, k int, epsilon float64, distinct bool, machFrame, nodesFr
 func (b *Nodes) Snapshot(dst []byte) []byte {
 	w := wire.BeginBank(dst, wire.BankHeader{
 		N: b.codec.N(), Lo: b.lo, Hi: b.hi,
-		EpsNum: b.tol.Num(), Distinct: b.distinct,
+		EpsNum:  b.tol.Num(),
 		BoundLo: int64(b.inst.Lo), BoundHi: int64(b.inst.Hi),
 	})
 	wire.BankKeys(&w, b.keys)
@@ -335,7 +332,7 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := newBank(h.N, h.Lo, h.Hi, seed, h.Distinct, tol)
+	b := newBank(h.N, h.Lo, h.Hi, seed, tol)
 	*b.inst = filter.Bounds{Lo: order.Key(h.BoundLo), Hi: order.Key(h.BoundHi)}
 	if err := wire.BankReadKeys(&r, b.keys); err != nil {
 		return nil, err

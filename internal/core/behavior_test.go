@@ -85,7 +85,8 @@ func TestMonitorExtremeMagnitudes(t *testing.T) {
 	}
 }
 
-// TestMonitorEncodeAllOverflowPanics documents the capacity boundary.
+// TestMonitorEncodeAllOverflowPanics documents the capacity boundary on
+// Observe (the id is older than the deletion of EncodeAll).
 func TestMonitorEncodeAllOverflowPanics(t *testing.T) {
 	m := New(Config{N: 4, K: 1, Seed: 84})
 	lim := order.NewCodec(4).MaxValue()

@@ -72,12 +72,6 @@ func goldenLine(t *testing.T, newMonitor func(Config) *Monitor, cfg Config, feed
 	reports := fnv.New64a()
 	for s := 0; s < 250; s++ {
 		src.Step(vals)
-		if cfg.DistinctValues {
-			// The caller's contract: pairwise distinct at every step.
-			for i := range vals {
-				vals[i] = vals[i]*int64(cfg.N) + int64(cfg.N-1-i)
-			}
-		}
 		var top []int
 		if feed == "dense" || s == 0 || feed == "mixed" && s%3 == 0 {
 			top = m.Observe(vals)
@@ -151,23 +145,21 @@ func (views) Close()        {}
 // membership, reset candidates as everyone but the winners extracted so
 // far): every line of testdata/seq_golden.txt, recorded from that engine
 // over eight workload shapes × {dense, delta, mixed ingestion} × {ε = 0,
-// 0.05} × {tie-break injection, DistinctValues} × {set, ordered}, must
-// reproduce — reports, ledgers by phase in messages and bytes, statistics;
-// a ledger says each execution enlisted exactly the nodes the description
-// named, since whoever is enlisted is asked its coin. Every line must
-// reproduce a second time through the Host seam cut three ways (views),
-// where a cohort is assembled from per-view violator lists and in-play sets.
+// 0.05} × {set, ordered}, must reproduce — reports, ledgers by phase in
+// messages and bytes, statistics; a ledger says each execution enlisted
+// exactly the nodes the description named, since whoever is enlisted is
+// asked its coin. Every line must reproduce a second time through the Host
+// seam cut three ways (views), where a cohort is assembled from per-view
+// violator lists and in-play sets.
 func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 	run := func(newMonitor func(Config) *Monitor) (got []string) {
 		for _, gs := range goldenStreams {
 			for _, feed := range []string{"dense", "delta", "mixed"} {
 				for _, eps := range []float64{0, 0.05} {
-					for _, distinct := range []bool{false, true} {
-						for _, ordered := range []bool{false, true} {
-							cfg := Config{N: gs.n, K: gs.k, Seed: 71, Epsilon: eps, DistinctValues: distinct, Ordered: ordered}
-							name := fmt.Sprintf("%s/%s/eps=%g/distinct=%v/ordered=%v", gs.name, feed, eps, distinct, ordered)
-							got = append(got, name+": "+goldenLine(t, newMonitor, cfg, feed, gs.src(gs.n)))
-						}
+					for _, ordered := range []bool{false, true} {
+						cfg := Config{N: gs.n, K: gs.k, Seed: 71, Epsilon: eps, Ordered: ordered}
+						name := fmt.Sprintf("%s/%s/eps=%g/ordered=%v", gs.name, feed, eps, ordered)
+						got = append(got, name+": "+goldenLine(t, newMonitor, cfg, feed, gs.src(gs.n)))
 					}
 				}
 			}

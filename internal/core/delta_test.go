@@ -94,7 +94,7 @@ func TestDeltaAgainstOracle(t *testing.T) {
 
 func oracleIDs(m *Monitor, vals []int64, k int) []int {
 	keys := make([]order.Key, len(vals))
-	m.EncodeAll(vals, keys)
+	encodeAll(vals, keys)
 	ids := make([]int, len(vals))
 	for i := range ids {
 		ids[i] = i

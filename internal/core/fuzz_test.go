@@ -79,7 +79,7 @@ func FuzzMonitorObserve(f *testing.F) {
 			if want := fuzzOracle(vals, k); !equalInts(got, want) {
 				t.Fatalf("step %d (n=%d k=%d): got %v want %v vals %v", s, n, k, got, want, vals)
 			}
-			m.EncodeAll(vals, keys)
+			encodeAll(vals, keys)
 			if err := m.Filters().Validate(keys); err != nil {
 				t.Fatalf("step %d: %v", s, err)
 			}

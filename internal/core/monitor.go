@@ -15,8 +15,8 @@
 // nodes, the one loop that executes the machine's effects on that bank, the
 // engine's input contract (it panics where the public boundary returns an
 // error), the accessors, Snapshot/Restore/AppendCheckpoint, optional
-// tracing of the installs, the UseGather ablation, and the views tests and
-// the oracle read (EncodeAll, Keys, Filters).
+// tracing of the installs, the UseGather ablation, and the views tests
+// read (Keys, Filters).
 //
 // What it does not own is where a sweep over a node range runs. The paper
 // prices messages only, so where a node's filter check or Bernoulli trial
@@ -73,11 +73,6 @@ type Config struct {
 	N, K int
 	// Seed drives all protocol randomness; runs are reproducible given it.
 	Seed uint64
-	// DistinctValues asserts that the caller guarantees pairwise distinct
-	// observations at every time step (the paper's model assumption). When
-	// false (the default), the monitor applies the order-preserving
-	// injection key = v*n + (n-1-i), breaking ties by smaller node id.
-	DistinctValues bool
 	// Epsilon selects the ε-approximate mode (0 <= Epsilon < 1): filters
 	// widen to (1±ε) bands, violation steps whose learned extrema still
 	// fit one band skip the FILTERRESET, and violation/handler protocol
@@ -208,7 +203,7 @@ func NewOn(cfg Config, start func(bank *coord.Nodes) Host) *Monitor {
 	if err != nil {
 		panic("core: " + err.Error())
 	}
-	bank := coord.NewNodes(cfg.N, 0, cfg.N, cfg.Seed, cfg.DistinctValues, tol)
+	bank := coord.NewNodes(cfg.N, 0, cfg.N, cfg.Seed, false, tol)
 	if cfg.Ordered {
 		bank.EnableOrderFilters(cfg.K) // before a host takes its views
 	}
@@ -281,22 +276,6 @@ func (m *Monitor) AppendTop(dst []int) []int { return m.mach.AppendTop(dst) }
 // and returns the extended slice. Only a monitor in the ordered mode tracks
 // the ranking; any other appends nothing.
 func (m *Monitor) AppendRanking(dst []int) []int { return m.mach.AppendRanking(dst) }
-
-// EncodeAll maps a raw observation vector into the monitor's key domain,
-// applying the tie-break injection unless DistinctValues is set. The
-// correctness oracle uses it to rank nodes exactly as the monitor does.
-func (m *Monitor) EncodeAll(vals []int64, keys []order.Key) {
-	if len(vals) != m.cfg.N || len(keys) != m.cfg.N {
-		panic("core: EncodeAll length mismatch")
-	}
-	for i, v := range vals {
-		key, err := m.bank.Encode(i, v)
-		if err != nil {
-			panic("core: " + err.Error())
-		}
-		keys[i] = key
-	}
-}
 
 // Observe processes one time step of observations (vals[i] is node i's new
 // value) and returns the top-k node ids in ascending order. The returned

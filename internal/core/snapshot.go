@@ -58,7 +58,7 @@ func RestoreOn(cfg Config, start func(bank *coord.Nodes) Host, machFrame, nodesF
 // then run on the folded state, so a chain restores exactly what a base
 // frame taken at its last delta would.
 func RestoreChainOn(cfg Config, start func(bank *coord.Nodes) Host, c *wire.Checkpoint, deltas [][]byte) (*Monitor, error) {
-	mach, err := coord.OpenCheckpoint(cfg.N, cfg.K, cfg.Epsilon, cfg.DistinctValues, c.Machine, c.Nodes)
+	mach, err := coord.OpenCheckpoint(cfg.N, cfg.K, cfg.Epsilon, c.Machine, c.Nodes)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}

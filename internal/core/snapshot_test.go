@@ -92,7 +92,6 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		{N: 9, K: 2, Seed: 3},
 		{N: 8, K: 3, Seed: 3},
 		{N: 8, K: 2, Seed: 3, Epsilon: 0.1},
-		{N: 8, K: 2, Seed: 3, DistinctValues: true},
 	}
 	for i, b := range bad {
 		if _, err := Restore(b, mach, nodes); err == nil {
@@ -240,7 +239,7 @@ func TestRestorePreTimeZeroFrame(t *testing.T) {
 // the observed values of the nodes asked for, every node when the set is
 // nil.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
-	for _, cfg := range []Config{{N: 300, K: 7, Seed: 5}, {N: 40, K: 40, Seed: 5, DistinctValues: true, Epsilon: 0.1}} {
+	for _, cfg := range []Config{{N: 300, K: 7, Seed: 5}, {N: 40, K: 40, Seed: 5, Epsilon: 0.1}} {
 		m := New(cfg)
 		wr := rng.New(8, 8)
 		vals := make([]int64, cfg.N)
@@ -253,7 +252,7 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineSeq, Seed: cfg.Seed, Distinct: cfg.DistinctValues, Machine: mach, Nodes: nodes}.Append([]byte("pre"))
+			want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineSeq, Seed: cfg.Seed, Machine: mach, Nodes: nodes}.Append([]byte("pre"))
 			if buf, err = m.AppendCheckpoint(append(buf[:0], "pre"...), uint64(step), 0, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +260,7 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 				t.Fatalf("%+v step %d: in-place envelope differs from the composed one", cfg, step)
 			}
 			if step > 0 { // before the first Observe the nodes hold 0, not vals
-				delta := wire.CheckpointDelta{Gen: uint64(step), Base: 1, Engine: wire.EngineSeq, Seed: cfg.Seed, Distinct: cfg.DistinctValues, Machine: mach}
+				delta := wire.CheckpointDelta{Gen: uint64(step), Base: 1, Engine: wire.EngineSeq, Seed: cfg.Seed, Machine: mach}
 				all := delta
 				dirty := make([]uint64, (cfg.N+63)/64)
 				for id, v := range vals {

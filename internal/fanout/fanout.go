@@ -148,9 +148,8 @@ import (
 
 // Config mirrors core.Config for the link-backed engines.
 type Config struct {
-	N, K           int
-	Seed           uint64
-	DistinctValues bool
+	N, K int
+	Seed uint64
 	// Epsilon selects the ε-approximate mode, exactly as in core.Config.
 	// The tolerance rides to the peers in the Assign handshake (as its
 	// exact fixed-point numerator), so their samplers and band installs

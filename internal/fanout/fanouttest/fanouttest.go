@@ -215,31 +215,6 @@ func DeltaEquivalence(t *testing.T, sh Shape) {
 	}
 }
 
-// DistinctValuesEquivalence exercises the leaves' raw-key mode (no
-// tie-break injection) against the sequential engine. Values are pairwise
-// distinct by construction: i + 1000·aᵢ with residues i < n < 1000 all
-// different.
-func DistinctValuesEquivalence(t *testing.T, sh Shape) {
-	const n, k, seed, steps, links = 11, 3, 29, 250, 3
-	seq := core.New(core.Config{N: n, K: k, Seed: seed, DistinctValues: true})
-	e := sh.MustLoopback(t, fanout.Config{N: n, K: k, Seed: seed, DistinctValues: true}, links)
-	defer e.Close()
-
-	vals := make([]int64, n)
-	for s := 0; s < steps; s++ {
-		for i := range vals {
-			vals[i] = int64(i) + 1000*int64((s*(i+3)+7*i)%60)
-		}
-		a, b := seq.Observe(vals), e.Observe(vals)
-		if !slices.Equal(a, b) {
-			t.Fatalf("step %d: reports differ: seq=%v engine=%v", s, a, b)
-		}
-		if sh.exact(links) {
-			sameCharges(t, seq, e, "step %d", s)
-		}
-	}
-}
-
 // CloseIdempotent double-closes and verifies post-close observes panic.
 func CloseIdempotent(t *testing.T, sh Shape) {
 	e := sh.MustLoopback(t, fanout.Config{N: 4, K: 1, Seed: 3}, 2)

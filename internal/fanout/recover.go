@@ -175,7 +175,7 @@ func (e *Engine) restorePeers() error {
 func (e *Engine) assignment() wire.Assign {
 	return wire.Assign{
 		Lo: 0, Hi: e.cfg.N, N: e.cfg.N, K: e.cfg.K,
-		Seed: e.cfg.Seed, EpsNum: e.mach.Tol().Num(), Distinct: e.cfg.DistinctValues,
+		Seed: e.cfg.Seed, EpsNum: e.mach.Tol().Num(),
 	}
 }
 

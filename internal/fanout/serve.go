@@ -98,7 +98,7 @@ func newBank(a wire.Assign) (*coord.Nodes, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fanout: bad assignment: %w", err)
 	}
-	return coord.NewNodes(a.N, a.Lo, a.Hi, a.Seed, a.Distinct, tol), nil
+	return coord.NewNodes(a.N, a.Lo, a.Hi, a.Seed, false, tol), nil
 }
 
 // handle processes one command frame and appends the outgoing reply frame

@@ -41,9 +41,9 @@ func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen, base uint64, dirt
 	}
 	var w wire.CheckpointWriter
 	if base == 0 {
-		w = wire.BeginCheckpoint(dst, gen, kind, e.cfg.Seed, e.cfg.DistinctValues)
+		w = wire.BeginCheckpoint(dst, gen, kind, e.cfg.Seed)
 	} else {
-		w = wire.BeginCheckpointDelta(dst, gen, base, kind, e.cfg.Seed, e.cfg.DistinctValues)
+		w = wire.BeginCheckpointDelta(dst, gen, base, kind, e.cfg.Seed)
 	}
 	var err error
 	if w.Buf, err = e.mach.Snapshot(w.Buf); err != nil {

@@ -30,20 +30,19 @@ var hosts = fanouttest.Shape{
 // The contracts both link-backed engines pin; see package fanouttest for
 // what each one checks.
 
-func TestChaosFaultMatrix(t *testing.T)          { fanouttest.ChaosFaultMatrix(t, hosts) }
-func TestChaosKillAtRandomStep(t *testing.T)     { fanouttest.ChaosKillAtRandomStep(t, hosts) }
-func TestChaosKillDuringDrain(t *testing.T)      { fanouttest.ChaosKillDuringDrain(t, hosts) }
-func TestChaosKillDuringHandshake(t *testing.T)  { fanouttest.ChaosKillDuringHandshake(t, hosts) }
-func TestChaosReadersExit(t *testing.T)          { fanouttest.ChaosReadersExit(t, hosts) }
-func TestJoinMidStream(t *testing.T)             { fanouttest.JoinMidStream(t, hosts) }
-func TestJoinDeadLinkRecovers(t *testing.T)      { fanouttest.JoinDeadLinkRecovers(t, hosts) }
-func TestDeadLinkRecoversByMerge(t *testing.T)   { fanouttest.DeadLinkRecoversByMerge(t, hosts) }
-func TestAllPeersLostIsTerminal(t *testing.T)    { fanouttest.AllPeersLostIsTerminal(t, hosts) }
-func TestRetryBudgetExhaustion(t *testing.T)     { fanouttest.RetryBudgetExhaustion(t, hosts) }
-func TestDeltaEquivalence(t *testing.T)          { fanouttest.DeltaEquivalence(t, hosts) }
-func TestDistinctValuesEquivalence(t *testing.T) { fanouttest.DistinctValuesEquivalence(t, hosts) }
-func TestCloseIdempotent(t *testing.T)           { fanouttest.CloseIdempotent(t, hosts) }
-func TestTCPEngine(t *testing.T)                 { fanouttest.TCP(t, hosts) }
+func TestChaosFaultMatrix(t *testing.T)         { fanouttest.ChaosFaultMatrix(t, hosts) }
+func TestChaosKillAtRandomStep(t *testing.T)    { fanouttest.ChaosKillAtRandomStep(t, hosts) }
+func TestChaosKillDuringDrain(t *testing.T)     { fanouttest.ChaosKillDuringDrain(t, hosts) }
+func TestChaosKillDuringHandshake(t *testing.T) { fanouttest.ChaosKillDuringHandshake(t, hosts) }
+func TestChaosReadersExit(t *testing.T)         { fanouttest.ChaosReadersExit(t, hosts) }
+func TestJoinMidStream(t *testing.T)            { fanouttest.JoinMidStream(t, hosts) }
+func TestJoinDeadLinkRecovers(t *testing.T)     { fanouttest.JoinDeadLinkRecovers(t, hosts) }
+func TestDeadLinkRecoversByMerge(t *testing.T)  { fanouttest.DeadLinkRecoversByMerge(t, hosts) }
+func TestAllPeersLostIsTerminal(t *testing.T)   { fanouttest.AllPeersLostIsTerminal(t, hosts) }
+func TestRetryBudgetExhaustion(t *testing.T)    { fanouttest.RetryBudgetExhaustion(t, hosts) }
+func TestDeltaEquivalence(t *testing.T)         { fanouttest.DeltaEquivalence(t, hosts) }
+func TestCloseIdempotent(t *testing.T)          { fanouttest.CloseIdempotent(t, hosts) }
+func TestTCPEngine(t *testing.T)                { fanouttest.TCP(t, hosts) }
 func TestRedialedHostFlipsItsPredecessorsCoins(t *testing.T) {
 	fanouttest.RedialedHostFlipsItsPredecessorsCoins(t, hosts)
 }

@@ -72,14 +72,11 @@ func (c Codec) N() int { return int(c.n) }
 func (c Codec) MaxValue() int64 { return c.max }
 
 // MaxValueFor is the one definition of the monitors' value-domain bound:
-// the largest observation magnitude admissible for n nodes under the
-// given tie-break mode. Every layer that validates observations — the
-// public topk boundary, the engines, the wire-facing node hosts — derives
-// its bound from here, so the layers cannot silently disagree.
-func MaxValueFor(n int, distinct bool) int64 {
-	if distinct {
-		return MaxDistinctValue
-	}
+// the largest observation magnitude admissible for n nodes. Every layer
+// that validates observations — the public topk boundary, the engines, the
+// wire-facing node hosts — derives its bound from here, so the layers
+// cannot silently disagree.
+func MaxValueFor(n int) int64 {
 	return NewCodec(n).MaxValue()
 }
 

@@ -111,12 +111,9 @@ func TestEncodeNeverProducesSentinels(t *testing.T) {
 				t.Fatalf("n=%d: Encode(%d, %d) produced sentinel %d", n, tc.v, tc.id, k)
 			}
 		}
-		if MaxValueFor(n, false) != mv {
+		if MaxValueFor(n) != mv {
 			t.Fatalf("n=%d: MaxValueFor disagrees with Codec.MaxValue", n)
 		}
-	}
-	if MaxValueFor(5, true) != MaxDistinctValue {
-		t.Fatal("distinct-mode MaxValueFor mismatch")
 	}
 }
 

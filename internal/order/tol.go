@@ -12,11 +12,6 @@ import (
 // which the approximation-validity argument relies on.
 const TolShift = 20
 
-// MaxDistinctValue is the largest observation magnitude representable in
-// DistinctValues mode, where keys are the raw values: ±MaxInt64 and
-// MinInt64 collide with the PosInf/NegInf sentinels and are rejected.
-const MaxDistinctValue int64 = 1<<63 - 2
-
 // Tol is a relative tolerance ε ∈ [0, 1) over the key domain, in exact
 // fixed-point form. The zero value means ε = 0 (exact monitoring) and is
 // ready to use.

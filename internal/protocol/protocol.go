@@ -169,9 +169,9 @@ func (t *Top) Winners() []Winner { return t.win }
 //	winners := ex.Winners()
 //
 // Bids within a round must be delivered in ascending node id order — the
-// order every engine's fan-in produces — so that ties (possible only
-// before the distinctness injection is established) resolve identically
-// everywhere. The zero Exec is ready for Begin and keeps its winner buffer
+// order every engine's fan-in produces — so that ties among equal keys
+// (which the monitors' tie-break keys never hold, but the kernel takes any
+// keys) resolve identically everywhere. The zero Exec is ready for Begin and keeps its winner buffer
 // across executions.
 type Exec struct {
 	bound  int

@@ -87,31 +87,6 @@ func TestRuntimeDeltaMixedWithDense(t *testing.T) {
 	}
 }
 
-// TestDeltaEquivalenceDistinctValuesTies is the regression test for the
-// duplicate-key tie-breaking hazard: in DistinctValues mode a sparse first
-// step leaves every unobserved node at key 0, so the reset's extractions
-// must break ties identically on both engines — which requires the
-// sequential engine's extraction loop to preserve id-ascending participant
-// order. Divergence showed up within 30 seeds before the fix.
-func TestDeltaEquivalenceDistinctValuesTies(t *testing.T) {
-	const n, k = 8, 2
-	for seed := uint64(0); seed < 30; seed++ {
-		seq := core.New(core.Config{N: n, K: k, Seed: seed, DistinctValues: true})
-		conc := New(Config{N: n, K: k, Seed: seed, DistinctValues: true, Shards: 3})
-		topSeq := seq.ObserveDelta([]int{0}, []int64{100})
-		topCon := conc.ObserveDelta([]int{0}, []int64{100})
-		if !equal(topSeq, topCon) {
-			conc.Close()
-			t.Fatalf("seed %d: tie-broken reports differ: seq=%v conc=%v", seed, topSeq, topCon)
-		}
-		if cs, cc := seq.Counts(), conc.Counts(); cs != cc {
-			conc.Close()
-			t.Fatalf("seed %d: counts differ: seq=%v conc=%v", seed, cs, cc)
-		}
-		conc.Close()
-	}
-}
-
 // TestObserveDeltaInvalidInputLeavesStateUntouched pins that a rejected
 // delta mutates neither engine: the same step can be retried with fixed
 // input and both engines still agree.

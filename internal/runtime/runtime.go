@@ -71,9 +71,8 @@ import (
 
 // Config mirrors core.Config for the concurrent engine.
 type Config struct {
-	N, K           int
-	Seed           uint64
-	DistinctValues bool
+	N, K int
+	Seed uint64
 	// Epsilon selects the ε-approximate mode, exactly as in core.Config.
 	Epsilon float64
 	// Shards is the number of node-hosting goroutines. 0 selects
@@ -86,7 +85,7 @@ type Config struct {
 }
 
 func (c Config) core() core.Config {
-	return core.Config{N: c.N, K: c.K, Seed: c.Seed, DistinctValues: c.DistinctValues, Epsilon: c.Epsilon, Ordered: c.Ordered}
+	return core.Config{N: c.N, K: c.K, Seed: c.Seed, Epsilon: c.Epsilon, Ordered: c.Ordered}
 }
 
 // New returns a monitor on a freshly started shard pool. Callers must

@@ -198,31 +198,6 @@ func TestRuntimePanics(t *testing.T) {
 	}
 }
 
-func TestRuntimeDistinctValuesMode(t *testing.T) {
-	rows := make([][]int64, 60)
-	for s := range rows {
-		rows[s] = make([]int64, 5)
-		for i := range rows[s] {
-			rows[s][i] = int64((i*31+s*17)%97)*100 + int64(i)
-		}
-	}
-	rt := New(Config{N: 5, K: 2, Seed: 13, DistinctValues: true})
-	defer rt.Close()
-	seq := core.New(core.Config{N: 5, K: 2, Seed: 13, DistinctValues: true})
-	src1, src2 := stream.NewTraceSource(rows), stream.NewTraceSource(rows)
-	va, vb := make([]int64, 5), make([]int64, 5)
-	for s := 0; s < 60; s++ {
-		src1.Step(va)
-		src2.Step(vb)
-		if !equal(rt.Observe(va), seq.Observe(vb)) {
-			t.Fatalf("distinct mode diverged at step %d", s)
-		}
-		if rt.Counts() != seq.Counts() {
-			t.Fatalf("distinct mode counts diverged at step %d", s)
-		}
-	}
-}
-
 func TestRuntimeTopStableWithoutViolations(t *testing.T) {
 	rt := New(Config{N: 6, K: 2, Seed: 14})
 	defer rt.Close()

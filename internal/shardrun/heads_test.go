@@ -306,8 +306,8 @@ func resetRound(want int) wire.Round {
 	return wire.Round{Tag: coord.TagReset, Best: int64(order.NegInf), Bound: 12, Step: 1, Want: want}
 }
 
-func assign(lo, hi int, distinct bool) []byte {
-	return wire.Assign{Lo: lo, Hi: hi, N: 12, K: 2, Seed: 1, Distinct: distinct}.Append(nil)
+func assign(lo, hi int) []byte {
+	return wire.Assign{Lo: lo, Hi: hi, N: 12, K: 2, Seed: 1}.Append(nil)
 }
 
 // won is a kid's digest naming the given winners, (id, key) pairs best
@@ -340,7 +340,7 @@ func list(d wire.ShardDigest, pairs ...int64) wire.ShardDigest {
 func TestInteriorHeadCache(t *testing.T) {
 	p := newScriptedParent(t, 3)
 	k0, k1, k2 := p.kids[0], p.kids[1], p.kids[2]
-	p.must(assign(0, 12, false)) // kids own [0, 4), [4, 8), [8, 12)
+	p.must(assign(0, 12)) // kids own [0, 4), [4, 8), [8, 12)
 	sum := func(kids int64, pairs ...int64) wire.ShardDigest {
 		return list(wire.ShardDigest{Ups: 3 * kids, UpBytes: 30 * kids, Bcasts: 2 * kids, BcastBytes: 20 * kids}, pairs...)
 	}
@@ -381,22 +381,22 @@ func TestInteriorHeadCache(t *testing.T) {
 	k2.set(won(8, 10, 9, 7, 10, 4, 11, 3))
 	p.expect("k = n", resetRound(12), sum(3, 3, 12, 4, 11, 8, 10, 0, 9, 7, 8, 9, 7, 6, 6, 1, 5, 10, 4, 11, 3, 5, 2, 2, 1))
 
-	// Equal keys (DistinctValues mode only; the re-Assign also shows the
-	// merge keeps nothing across one): the first kid in range order stays
-	// ahead, and a kid's own order is kept.
-	p.must(assign(0, 12, true))
-	k0.set(won(1, 90, 3, 90))
+	// Equal keys of different kids (which the tie-break injection never
+	// produces; the re-Assign also shows the merge keeps nothing across
+	// one): the first kid in range order stays ahead.
+	p.must(assign(0, 12))
+	k0.set(won(1, 90, 3, 80))
 	k1.set(won(5, 90))
 	k2.set(won(8, 95, 9, 90))
-	p.expect("ties", resetRound(3), sum(3, 8, 95, 1, 90, 3, 90))
-	p.expect("ties, cut inside a kid's run", resetRound(2), sum(3, 8, 95, 1, 90))
-	p.expect("ties, all of them", resetRound(5), sum(3, 8, 95, 1, 90, 3, 90, 5, 90, 9, 90))
+	p.expect("ties", resetRound(3), sum(3, 8, 95, 1, 90, 5, 90))
+	p.expect("ties, cut inside a run of them", resetRound(2), sum(3, 8, 95, 1, 90))
+	p.expect("ties, all of them", resetRound(5), sum(3, 8, 95, 1, 90, 5, 90, 9, 90, 3, 80))
 
 	// A narrowing re-Assign shuts the surplus kid down; the merge is over
 	// the two that are left.
 	k0.set(won(0, 7))
 	k1.set(won(1, 8))
-	p.must(assign(0, 2, false))
+	p.must(assign(0, 2))
 	p.kids = p.kids[:2]
 	p.expect("narrowing re-Assign", resetRound(2), sum(2, 1, 8, 0, 7))
 	k2.mu.Lock()
@@ -414,25 +414,23 @@ func TestInteriorHeadCache(t *testing.T) {
 // digest is merged.
 func TestInteriorRejectsBadDigest(t *testing.T) {
 	bad := []struct {
-		name     string
-		distinct bool
-		d        wire.ShardDigest
+		name string
+		d    wire.ShardDigest
 	}{
-		{"winner outside the range", false, won(7, 99)},
-		{"negative charge", false, wire.ShardDigest{OK: true, ID: 1, Key: 99, Ups: -1}},
-		{"later winner outside the range", false, won(1, 99, 4, 98)},
-		{"more winners than wanted", false, won(0, 99, 1, 98, 2, 97, 3, 96)},
-		{"winners without a first", false, wire.ShardDigest{Rest: []wire.Bid{{ID: 1, Key: 5}}}},
-		{"keys ascending", false, won(1, 50, 2, 60)},
-		{"keys ascending, distinct values", true, won(1, 50, 2, 60)},
-		{"equal keys", false, won(1, 50, 2, 50)},
-		{"winner named twice", false, won(1, 50, 2, 40, 1, 30)},
-		{"winner named twice, equal keys", true, won(1, 50, 1, 50)},
+		{"winner outside the range", won(7, 99)},
+		{"negative charge", wire.ShardDigest{OK: true, ID: 1, Key: 99, Ups: -1}},
+		{"later winner outside the range", won(1, 99, 4, 98)},
+		{"more winners than wanted", won(0, 99, 1, 98, 2, 97, 3, 96)},
+		{"winners without a first", wire.ShardDigest{Rest: []wire.Bid{{ID: 1, Key: 5}}}},
+		{"keys ascending", won(1, 50, 2, 60)},
+		{"equal keys", won(1, 50, 2, 50)},
+		{"winner named twice", won(1, 50, 2, 40, 1, 30)},
+		{"winner named twice, equal keys", won(1, 50, 1, 50)},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newScriptedParent(t, 2)
-			p.must(assign(0, 8, tc.distinct))
+			p.must(assign(0, 8))
 			p.kids[0].set(won(1, 50))
 			p.kids[1].set(won(5, 70, 6, 60))
 			p.expect("warm-up", resetRound(3), list(wire.ShardDigest{Ups: 6, UpBytes: 60, Bcasts: 4, BcastBytes: 40}, 5, 70, 6, 60, 1, 50))
@@ -445,13 +443,6 @@ func TestInteriorRejectsBadDigest(t *testing.T) {
 			}
 		})
 	}
-	// What DistinctValues mode does allow: equal keys in one kid's list.
-	p := newScriptedParent(t, 2)
-	p.must(assign(0, 8, true))
-	p.kids[0].set(won(1, 50, 2, 50))
-	p.kids[1].set(won(5, 50))
-	p.expect("equal keys, distinct values", resetRound(3), list(wire.ShardDigest{Ups: 6, UpBytes: 60, Bcasts: 4, BcastBytes: 40}, 1, 50, 2, 50, 5, 50))
-
 	// White box, for what the dead interior's parent cannot see: nothing of
 	// a rejected digest reached the merge — not even the valid head of a
 	// list whose tail is bad.
@@ -459,7 +450,7 @@ func TestInteriorRejectsBadDigest(t *testing.T) {
 		kids := []*stubKid{{}, {}}
 		r := newInterior([]transport.Link{fanout.Loopback(kids[0].serve), fanout.Loopback(kids[1].serve)})
 		defer r.fan.Close()
-		if _, err := r.respond(assign(0, 8, tc.distinct)); err != nil {
+		if _, err := r.respond(assign(0, 8)); err != nil {
 			t.Fatal(err)
 		}
 		kids[0].set(tc.d)

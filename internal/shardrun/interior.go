@@ -95,7 +95,7 @@ func (r *interior) reassign(m wire.Assign) error {
 	if err := r.fan.Assign(m); err != nil {
 		return err
 	}
-	r.lo, r.hi, r.merge.strict = m.Lo, m.Hi, !m.Distinct
+	r.lo, r.hi = m.Lo, m.Hi
 	r.env = wire.AppendBare(r.env[:0], wire.TypeReady)
 	r.buf = r.env
 	return nil

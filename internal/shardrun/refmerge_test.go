@@ -193,7 +193,7 @@ func TestIncrementalMergeMatchesFullRemerge(t *testing.T) {
 				return ids[:c], vals[:c]
 			}
 		}},
-		{"distinct", Config{N: n, K: k, Seed: seed, DistinctValues: true}, func() feed {
+		{"distinct", Config{N: n, K: k, Seed: seed}, func() feed { // values pairwise distinct by construction
 			vals := make([]int64, n)
 			return func(s int) ([]int, []int64) {
 				for i := range vals {
@@ -216,7 +216,7 @@ func TestIncrementalMergeMatchesFullRemerge(t *testing.T) {
 					var refLog, incLog installs
 					ref := refStar(t, tc.cfg, shards, refExecHeads(), &refLog)
 					defer ref.Close()
-					inc := refStar(t, tc.cfg, shards, execMerge(!tc.cfg.DistinctValues), &incLog)
+					inc := refStar(t, tc.cfg, shards, execMerge(), &incLog)
 					defer inc.Close()
 					next := tc.feed()
 					for s := 0; s < steps; s++ {

@@ -40,19 +40,9 @@
 // reports stay exact while the charged message counts grow with S, because
 // every local execution pays its own protocol rounds. That growth, and the
 // root↔shard frames the link ledger (Overhead) prices, are the
-// coordination overhead the shard-overhead benchmark measures.
-//
-// One caveat inherits the model's distinctness assumption: exactness is
-// exactness of the key order. In the default mode the tie-break
-// injection makes all keys distinct, so the merged winner is unique and
-// S>1 reports equal the flat engines' exactly. In DistinctValues mode a
-// caller that transiently breaks the distinctness promise (e.g. nodes
-// still holding the default 0 before their first sparse delta) can have
-// tied keys, and the root — which merges digests in shard order — may
-// resolve such a tie differently than a flat engine's global bid order
-// would. The report is still a correct top-k of the tied key multiset;
-// only the choice among tied nodes can differ, exactly as the paper's
-// model leaves it undefined.
+// coordination overhead the shard-overhead benchmark measures. The
+// tie-break injection makes every key distinct, so the merged winners are
+// unique and S>1 reports equal the flat engines' exactly.
 //
 // # Hierarchical trees
 //
@@ -95,10 +85,9 @@ import (
 // Config is fanout.Config plus the tree shape; see there for the shared
 // fields.
 type Config struct {
-	N, K           int
-	Seed           uint64
-	DistinctValues bool
-	Epsilon        float64
+	N, K    int
+	Seed    uint64
+	Epsilon float64
 	// Tree declares the links to be subtree roots of a hierarchical
 	// coordinator (see Tree): New then requires exactly Tree.Branch links
 	// and at least Tree.Branch^Tree.Depth nodes. The zero value keeps the
@@ -115,7 +104,7 @@ type Config struct {
 // field but the tree shape.
 func (c Config) Core() fanout.Config {
 	return fanout.Config{
-		N: c.N, K: c.K, Seed: c.Seed, DistinctValues: c.DistinctValues,
+		N: c.N, K: c.K, Seed: c.Seed,
 		Epsilon: c.Epsilon, Redial: c.Redial, RetryBudget: c.RetryBudget,
 		RetryBackoff: c.RetryBackoff, OnEvent: c.OnEvent,
 	}
@@ -133,7 +122,7 @@ type Engine struct {
 // fanout.New's contract.
 func New(cfg Config, links []transport.Link) (*Engine, error) {
 	return build(cfg, links, func() (*fanout.Engine, error) {
-		return fanout.New(cfg.Core(), links, execMerge(!cfg.DistinctValues))
+		return fanout.New(cfg.Core(), links, execMerge())
 	})
 }
 
@@ -142,7 +131,7 @@ func New(cfg Config, links []transport.Link) (*Engine, error) {
 // contract.
 func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
 	return build(cfg, links, func() (*fanout.Engine, error) {
-		return fanout.Restore(cfg.Core(), links, execMerge(!cfg.DistinctValues), machFrame, last)
+		return fanout.Restore(cfg.Core(), links, execMerge(), machFrame, last)
 	})
 }
 
@@ -246,7 +235,6 @@ type digest struct {
 	top     protocol.Top
 	want    int
 	minimum bool
-	strict  bool             // keys are distinct: a child's list must strictly descend
 	child   wire.ShardDigest // decode target
 }
 
@@ -291,7 +279,7 @@ func (d *digest) fold(lo, hi int, answer []byte) error {
 		if d.minimum {
 			prev, key = order.Neg(prev), order.Neg(key)
 		}
-		if key > prev || d.strict && key == prev {
+		if key >= prev { // keys are distinct: a child's list strictly descends
 			return fmt.Errorf("digest winners out of order: key %d after %d", w.Key, c.Winner(i-1).Key)
 		}
 	}
@@ -310,10 +298,9 @@ func (d *digest) fold(lo, hi int, answer []byte) error {
 // nodes, and the digests are merged in ascending shard (hence node id)
 // order. The want best of the per-shard want best are the global want
 // best; the local charges are folded into the algorithm ledger. A
-// FILTERRESET is S local executions and one gather. strict says the keys
-// are distinct (the default tie-break injection).
-func execMerge(strict bool) fanout.Exec {
-	d := digest{strict: strict}
+// FILTERRESET is S local executions and one gather.
+func execMerge() fanout.Exec {
+	var d digest
 	return func(e *fanout.Engine, eff coord.Effect) ([]protocol.Winner, error) {
 		d.begin(eff.Want, coord.MinimumTag(eff.Tag))
 		req := wire.Round{Tag: eff.Tag, Round: 0, Best: int64(order.NegInf), Bound: eff.Bound, Step: e.Step(), Want: eff.Want}

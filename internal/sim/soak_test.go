@@ -53,13 +53,15 @@ func TestSoakMixedRegimes(t *testing.T) {
 
 	t.Run("monitor", func(t *testing.T) {
 		m := core.New(core.Config{N: n, K: k, Seed: 4002})
-		keys := make([]order.Key, n)
+		codec, keys := order.NewCodec(n), make([]order.Key, n)
 		for s, vals := range matrix {
 			got := m.Observe(vals)
 			if want := Oracle(vals, k); !equalInts(got, want) {
 				t.Fatalf("step %d: got %v want %v", s, got, want)
 			}
-			m.EncodeAll(vals, keys)
+			for i, v := range vals {
+				keys[i] = codec.Encode(v, i)
+			}
 			if err := m.Filters().Validate(keys); err != nil {
 				t.Fatalf("step %d: %v", s, err)
 			}

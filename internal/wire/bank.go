@@ -15,7 +15,7 @@ import (
 //
 //	TypeBankState
 //	Lo, Hi, N, EpsNum    uvarint each
-//	flags                1 byte: flagNoGens, always; flagDistinct
+//	flags                1 byte: flagNoGens, always
 //	BoundLo, BoundHi     varint each: the installed filter bounds, once
 //	key column           Hi-Lo varints, in id order
 //	member section       { gap, FlagNodeInTop }*          0x00
@@ -25,7 +25,8 @@ import (
 // This is the one dialect written and the one read. The frames older
 // monitors wrote are refused, not upgraded: the v1 frame (tag 0x14) is
 // ErrUnknownType; a header without flagNoGens (a generator column follows
-// the keys), an entry in the violation section and a flag byte other than
+// the keys) or with 0x01 (keys that are raw values, not the tie-break
+// injection), an entry in the violation section and a flag byte other than
 // FlagNodeInTop are ErrMalformed. The violation section is empty, and is
 // written so that the frames of this build stay byte-identical to those of
 // the builds before it.
@@ -49,7 +50,6 @@ const FlagNodeInTop = 1 << 0
 type BankHeader struct {
 	N, Lo, Hi        int
 	EpsNum           uint64
-	Distinct         bool
 	BoundLo, BoundHi int64
 }
 
@@ -64,11 +64,7 @@ func (h BankHeader) Append(dst []byte) []byte {
 	dst = AppendUvarint(dst, uint64(h.Hi))
 	dst = AppendUvarint(dst, uint64(h.N))
 	dst = AppendUvarint(dst, h.EpsNum)
-	flags := byte(flagNoGens)
-	if h.Distinct {
-		flags |= flagDistinct
-	}
-	dst = append(dst, flags)
+	dst = append(dst, flagNoGens)
 	dst = AppendVarint(dst, h.BoundLo)
 	return AppendVarint(dst, h.BoundHi)
 }
@@ -102,12 +98,11 @@ func DecodeBankHeader(p []byte) (h BankHeader, rest []byte, err error) {
 		return h, nil, ErrTruncated
 	}
 	switch {
-	case p[0]&^(flagDistinct|flagNoGens) != 0:
+	case p[0]&^flagNoGens != 0:
 		return h, nil, fmt.Errorf("%w: unknown bank flags 0x%02x", ErrMalformed, p[0])
 	case p[0]&flagNoGens == 0:
 		return h, nil, fmt.Errorf("%w: a bank frame with a generator column, which no bank persists any more", ErrMalformed)
 	}
-	h.Distinct = p[0]&flagDistinct != 0
 	p = p[1:]
 	if h.Lo < 0 || h.Hi < h.Lo || h.Hi > h.N {
 		return h, nil, fmt.Errorf("%w: bank range [%d, %d) of %d", ErrMalformed, h.Lo, h.Hi, h.N)

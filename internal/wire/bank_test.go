@@ -16,7 +16,7 @@ import (
 // sampleBank is a four-node bank with an entry in every sparse section.
 func sampleBank() BankState {
 	return BankState{
-		BankHeader: BankHeader{N: 8, Lo: 2, Hi: 6, EpsNum: 52428, Distinct: true, BoundLo: 5, BoundHi: 9},
+		BankHeader: BankHeader{N: 8, Lo: 2, Hi: 6, EpsNum: 52428, BoundLo: 5, BoundHi: 9},
 		Keys:       []int64{7, -3, 1 << 40, 6},
 		InTop:      []bool{true, false, true, false},
 		OrdLo:      []int64{math.MinInt64, math.MinInt64, -1 << 40, math.MinInt64},
@@ -198,9 +198,10 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 // TestBankRefusesRetiredDialects pins that the bank frame reader reads the
 // one dialect this build writes and refuses every older one with a typed
 // error instead of upgrading it: the v1 frame (tag 0x14, nine fields a
-// node) is ErrUnknownType; a generator column, an entry in the violation
-// section and a flag bit beside membership (the WasTop and Extracted bits
-// banks once persisted) are ErrMalformed. The legacy seeds of the fuzz
+// node) is ErrUnknownType; a generator column, the header bit 0x01 of a
+// bank whose keys were raw values, an entry in the violation section and a
+// flag bit beside membership (the WasTop and Extracted bits banks once
+// persisted) are ErrMalformed. The legacy seeds of the fuzz
 // corpora are held to the same: their bank frames are refused.
 func TestBankRefusesRetiredDialects(t *testing.T) {
 	// A v1 frame of a [2, 4) bank of 8 nodes: Lo, Hi, N, EpsNum, flags, and
@@ -214,6 +215,9 @@ func TestBankRefusesRetiredDialects(t *testing.T) {
 		v1 = append(v1, FlagNodeInTop)
 		v1 = AppendUvarint(AppendUvarint(AppendVarint(v1, -1), 0xdeadbeef), 3)
 	}
+	rawKeyed := sampleBank().Append(nil)
+	flagAt, _ := gensColumn(t, rawKeyed)
+	rawKeyed[flagAt] |= 0x01 // beside flagNoGens: 0x03
 	type refusal struct {
 		name  string
 		frame []byte
@@ -221,6 +225,7 @@ func TestBankRefusesRetiredDialects(t *testing.T) {
 	}
 	cases := []refusal{
 		{"a v1 frame", v1, ErrUnknownType},
+		{"raw-value keys", rawKeyed, ErrMalformed},
 		{"a generator column", withGens(t, sampleBank().Append(nil), 0xdeadbeef, 1, 0, 1<<64-1), ErrMalformed},
 		{"a generator column on an empty range", withGens(t, BankState{BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}.Append(nil)), ErrMalformed},
 		{"a violation stamp", bankParts(0, 2, 32, 0, 0), ErrMalformed},
@@ -370,10 +375,10 @@ func TestBankReaderEnforcesFrameOrder(t *testing.T) {
 // already sits in the buffer.
 func TestCheckpointWriterMatchesAppend(t *testing.T) {
 	for _, sizes := range [][2]int{{0, 0}, {1, 127}, {127, 128}, {128, 16383}, {16384, 5}, {300, 1 << 15}} {
-		c := Checkpoint{Gen: 9, Engine: EngineConc, Seed: 77, Distinct: true,
+		c := Checkpoint{Gen: 9, Engine: EngineConc, Seed: 77,
 			Machine: bytes.Repeat([]byte{0xa5}, sizes[0]), Nodes: bytes.Repeat([]byte{0x5a}, sizes[1]), Last: []int64{3, -3}}
 		want := c.Append([]byte("pre"))
-		w := BeginCheckpoint([]byte("pre"), c.Gen, c.Engine, c.Seed, c.Distinct)
+		w := BeginCheckpoint([]byte("pre"), c.Gen, c.Engine, c.Seed)
 		w.Buf = append(w.Buf, c.Machine...)
 		w.EndSection()
 		w.Buf = append(w.Buf, c.Nodes...)
@@ -387,22 +392,22 @@ func TestCheckpointWriterMatchesAppend(t *testing.T) {
 		}
 	}
 	for name, f := range map[string]func(){
-		"one section": func() { w := BeginCheckpoint(nil, 0, 0, 0, false); w.Section(nil); w.Seal(nil) },
+		"one section": func() { w := BeginCheckpoint(nil, 0, 0, 0); w.Section(nil); w.Seal(nil) },
 		"three sections": func() {
-			w := BeginCheckpoint(nil, 0, 0, 0, false)
+			w := BeginCheckpoint(nil, 0, 0, 0)
 			w.Section(nil)
 			w.Section(nil)
 			w.EndSection()
 			w.Seal(nil)
 		},
 		"an unclosed section": func() {
-			w := BeginCheckpoint(nil, 0, 0, 0, false)
+			w := BeginCheckpoint(nil, 0, 0, 0)
 			w.Section(nil)
 			w.Section(nil)
 			w.Buf = append(w.Buf, 1)
 			w.Seal(nil)
 		},
-		"an unknown fingerprint": func() { BeginCheckpoint(nil, 0, 9, 0, false) },
+		"an unknown fingerprint": func() { BeginCheckpoint(nil, 0, 9, 0) },
 	} {
 		mustPanic(t, name, f)
 	}

@@ -49,10 +49,9 @@ const (
 // holds the networked engines' per-node last-value mirror (empty for the
 // local engines, which restore exact node state instead of replaying).
 type Checkpoint struct {
-	Gen      uint64
-	Engine   uint8
-	Seed     uint64
-	Distinct bool
+	Gen    uint64
+	Engine uint8
+	Seed   uint64
 
 	Machine []byte
 	Nodes   []byte
@@ -65,7 +64,7 @@ const crcLen = 4
 // Append encodes c after dst, sealing the frame with its CRC-32 trailer.
 // Engine must be a known fingerprint; Append panics otherwise.
 func (c Checkpoint) Append(dst []byte) []byte {
-	w := BeginCheckpoint(dst, c.Gen, c.Engine, c.Seed, c.Distinct)
+	w := BeginCheckpoint(dst, c.Gen, c.Engine, c.Seed)
 	w.Section(c.Machine)
 	w.Section(c.Nodes)
 	return w.Seal(c.Last)
@@ -86,12 +85,12 @@ type CheckpointWriter struct {
 }
 
 // BeginCheckpoint appends the envelope's fixed fields (Checkpoint's Gen,
-// Engine, Seed and Distinct) after dst. engine must be a known
-// fingerprint; BeginCheckpoint panics otherwise.
-func BeginCheckpoint(dst []byte, gen uint64, engine uint8, seed uint64, distinct bool) CheckpointWriter {
+// Engine and Seed) after dst. engine must be a known fingerprint;
+// BeginCheckpoint panics otherwise.
+func BeginCheckpoint(dst []byte, gen uint64, engine uint8, seed uint64) CheckpointWriter {
 	start := len(dst)
 	dst = AppendUvarint(append(dst, TypeCheckpoint), gen)
-	dst = fingerprint(dst, engine, seed, distinct)
+	dst = fingerprint(dst, engine, seed)
 	return CheckpointWriter{Buf: dst, start: start, mark: len(dst)}
 }
 
@@ -151,39 +150,37 @@ func unseal(p []byte) ([]byte, error) {
 }
 
 // fingerprint appends the fields every envelope variant carries after its
-// generation numbers: the engine kind, the seed and the tie-break mode.
-func fingerprint(dst []byte, engine uint8, seed uint64, distinct bool) []byte {
+// generation numbers: the engine kind, the seed and a flags byte, always
+// zero. (0x01 was the raw-value key domain's: its keys are not this
+// build's, so such a frame is refused as malformed, never reinterpreted.)
+func fingerprint(dst []byte, engine uint8, seed uint64) []byte {
 	if engine > EngineShard {
 		panic("wire: unknown checkpoint engine fingerprint")
 	}
 	dst = AppendUvarint(dst, uint64(engine))
 	dst = AppendUvarint(dst, seed)
-	var flags byte
-	if distinct {
-		flags |= flagDistinct
-	}
-	return append(dst, flags)
+	return append(dst, 0)
 }
 
 // readFingerprint decodes what fingerprint wrote.
-func readFingerprint(p []byte) (engine uint8, seed uint64, distinct bool, rest []byte, err error) {
+func readFingerprint(p []byte) (engine uint8, seed uint64, rest []byte, err error) {
 	var u uint64
 	if u, p, err = uvarintField(p); err != nil {
-		return 0, 0, false, nil, err
+		return 0, 0, nil, err
 	}
 	if u > uint64(EngineShard) {
-		return 0, 0, false, nil, fmt.Errorf("%w: unknown checkpoint engine fingerprint %d", ErrMalformed, u)
+		return 0, 0, nil, fmt.Errorf("%w: unknown checkpoint engine fingerprint %d", ErrMalformed, u)
 	}
 	if seed, p, err = uvarintField(p); err != nil {
-		return 0, 0, false, nil, err
+		return 0, 0, nil, err
 	}
 	if len(p) == 0 {
-		return 0, 0, false, nil, ErrTruncated
+		return 0, 0, nil, ErrTruncated
 	}
-	if p[0]&^flagDistinct != 0 {
-		return 0, 0, false, nil, fmt.Errorf("%w: unknown checkpoint flags 0x%02x", ErrMalformed, p[0])
+	if p[0] != 0 {
+		return 0, 0, nil, fmt.Errorf("%w: unknown checkpoint flags 0x%02x", ErrMalformed, p[0])
 	}
-	return uint8(u), seed, p[0]&flagDistinct != 0, p[1:], nil
+	return uint8(u), seed, p[1:], nil
 }
 
 // readSection decodes one length-prefixed section; it aliases p.
@@ -214,7 +211,7 @@ func (c *Checkpoint) Decode(p []byte) error {
 	if c.Gen, p, err = uvarintField(p); err != nil {
 		return err
 	}
-	if c.Engine, c.Seed, c.Distinct, p, err = readFingerprint(p); err != nil {
+	if c.Engine, c.Seed, p, err = readFingerprint(p); err != nil {
 		return err
 	}
 	if c.Machine, p, err = readSection(p, "machine"); err != nil {
@@ -253,7 +250,7 @@ func (c *Checkpoint) Decode(p []byte) error {
 //
 //	TypeCheckpointDelta
 //	Gen, Base, Engine, Seed   uvarint each
-//	flags                     1 byte (flagDistinct)
+//	flags                     1 byte, zero
 //	machine                   uvarint length + MachineState frame
 //	count                     uvarint
 //	{ gap, value }*count      id = previous id + 1 + gap (from -1), value varint
@@ -262,7 +259,6 @@ type CheckpointDelta struct {
 	Gen, Base uint64
 	Engine    uint8
 	Seed      uint64
-	Distinct  bool
 
 	Machine []byte
 	IDs     []int
@@ -272,11 +268,11 @@ type CheckpointDelta struct {
 // BeginCheckpointDelta appends a delta envelope's fixed fields after dst.
 // The machine section follows (Section or EndSection), then Values or
 // ValueCount and Value, which seal the frame.
-func BeginCheckpointDelta(dst []byte, gen, base uint64, engine uint8, seed uint64, distinct bool) CheckpointWriter {
+func BeginCheckpointDelta(dst []byte, gen, base uint64, engine uint8, seed uint64) CheckpointWriter {
 	start := len(dst)
 	dst = AppendUvarint(append(dst, TypeCheckpointDelta), gen)
 	dst = AppendUvarint(dst, base)
-	dst = fingerprint(dst, engine, seed, distinct)
+	dst = fingerprint(dst, engine, seed)
 	return CheckpointWriter{Buf: dst, start: start, mark: len(dst)}
 }
 
@@ -327,7 +323,7 @@ func (d CheckpointDelta) Append(dst []byte) []byte {
 	if len(d.IDs) != len(d.Vals) {
 		panic("wire: checkpoint delta needs one value per id")
 	}
-	w := BeginCheckpointDelta(dst, d.Gen, d.Base, d.Engine, d.Seed, d.Distinct)
+	w := BeginCheckpointDelta(dst, d.Gen, d.Base, d.Engine, d.Seed)
 	w.Section(d.Machine)
 	w.valueCount(len(d.IDs))
 	for j, id := range d.IDs {
@@ -353,7 +349,7 @@ func (d *CheckpointDelta) Decode(p []byte) error {
 	if d.Base, p, err = uvarintField(p); err != nil {
 		return err
 	}
-	if d.Engine, d.Seed, d.Distinct, p, err = readFingerprint(p); err != nil {
+	if d.Engine, d.Seed, p, err = readFingerprint(p); err != nil {
 		return err
 	}
 	if d.Machine, p, err = readSection(p, "machine"); err != nil {

@@ -21,7 +21,7 @@ func sampleCheckpoint() Checkpoint {
 		Bytes:  [MachineLedgerCells]int64{12, 0, 8, 20, 0, 4, 36, 0, 16},
 	}
 	return Checkpoint{
-		Gen: 42, Engine: EngineSeq, Seed: 99, Distinct: true,
+		Gen: 42, Engine: EngineSeq, Seed: 99,
 		Machine: mach.Append(nil),
 		Nodes:   sampleBank().Append(nil),
 	}
@@ -40,7 +40,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err := got.Decode(frame); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if got.Gen != c.Gen || got.Engine != c.Engine || got.Seed != c.Seed || got.Distinct != c.Distinct {
+		if got.Gen != c.Gen || got.Engine != c.Engine || got.Seed != c.Seed {
 			t.Fatalf("case %d: header fields differ: got %+v want %+v", i, got, c)
 		}
 		if !bytes.Equal(got.Machine, c.Machine) || !bytes.Equal(got.Nodes, c.Nodes) {
@@ -130,6 +130,15 @@ func TestCheckpointMalformed(t *testing.T) {
 	if err := c.Decode(sealRaw(huge)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("oversized machine blob: err = %v, want ErrMalformed", err)
 	}
+	// The flags byte 0x01 of a monitor whose keys were raw values: refused,
+	// not read as this build's keys.
+	s := sampleCheckpoint()
+	frame := s.Append(nil)
+	body := append([]byte(nil), frame[:len(frame)-crcLen]...)
+	body[1+SizeUvarint(s.Gen)+SizeUvarint(uint64(s.Engine))+SizeUvarint(s.Seed)] = 0x01
+	if err := c.Decode(sealRaw(body)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("raw-value keyed envelope: err = %v, want ErrMalformed", err)
+	}
 }
 
 // sealRaw appends a valid CRC-32 trailer to an arbitrary body, for
@@ -142,7 +151,7 @@ func sealRaw(body []byte) []byte {
 func sampleDelta() CheckpointDelta {
 	c := sampleCheckpoint()
 	return CheckpointDelta{
-		Gen: 45, Base: 42, Engine: c.Engine, Seed: c.Seed, Distinct: c.Distinct,
+		Gen: 45, Base: 42, Engine: c.Engine, Seed: c.Seed,
 		Machine: c.Machine,
 		IDs:     []int{0, 3, 4, 7},
 		Vals:    []int64{5, -5, 0, 1 << 40},
@@ -166,7 +175,7 @@ func TestCheckpointDeltaRoundTrip(t *testing.T) {
 		if err := got.Decode(frame); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if got.Gen != d.Gen || got.Base != d.Base || got.Engine != d.Engine || got.Seed != d.Seed || got.Distinct != d.Distinct ||
+		if got.Gen != d.Gen || got.Base != d.Base || got.Engine != d.Engine || got.Seed != d.Seed ||
 			!bytes.Equal(got.Machine, d.Machine) || !slices.Equal(got.IDs, d.IDs) || !slices.Equal(got.Vals, d.Vals) {
 			t.Fatalf("case %d: decoded %+v, want %+v", i, got, d)
 		}
@@ -191,7 +200,7 @@ func TestCheckpointDeltaRoundTrip(t *testing.T) {
 		set[id>>6] |= 1 << (id & 63)
 	}
 	value := func(id int) int64 { return vals[id] }
-	w := BeginCheckpointDelta([]byte("pre"), d.Gen, d.Base, d.Engine, d.Seed, d.Distinct)
+	w := BeginCheckpointDelta([]byte("pre"), d.Gen, d.Base, d.Engine, d.Seed)
 	w.Section(d.Machine)
 	if got := w.Values(n, set, value); !bytes.Equal(got, d.Append([]byte("pre"))) {
 		t.Fatalf("in-place delta of a node set differs from Append:\n in %x\nout %x", got, d.Append([]byte("pre")))
@@ -200,7 +209,7 @@ func TestCheckpointDeltaRoundTrip(t *testing.T) {
 	for id := range vals {
 		d.IDs = append(d.IDs, id)
 	}
-	w = BeginCheckpointDelta(nil, d.Gen, d.Base, d.Engine, d.Seed, d.Distinct)
+	w = BeginCheckpointDelta(nil, d.Gen, d.Base, d.Engine, d.Seed)
 	w.Buf = append(w.Buf, d.Machine...)
 	w.EndSection()
 	if got := w.Values(n, nil, value); !bytes.Equal(got, d.Append(nil)) {

@@ -16,10 +16,11 @@ func FuzzDecode(f *testing.F) {
 	seeds := [][]byte{
 		{},
 		{TypeAssign},
-		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99, Distinct: true}.Append(nil),
-		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99, EpsNum: 52428, Distinct: true}.Append(nil),
+		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99}.Append(nil),
+		Assign{Lo: 0, Hi: 4, N: 8, K: 2, Seed: 99, EpsNum: 52428}.Append(nil),
 		ladderedAssign(0x02), // another build's frame: rejected (TestForeignBuildFramesFailClosed)
 		parentAssign(0x01),   // so is the absolute-value build's
+		parentAssign(0x05),   // and the raw-value keyed one of the build before this
 		TreeStats{Levels: []LevelIO{{Down: 9, Up: 9, DownBytes: 120, UpBytes: 44}}}.Append(nil),
 		ApproxBounds{Lo: -1 << 30, Hi: 1 << 30}.Append(nil),
 		Observe{Step: 3, Vals: []int64{5, -5}}.Append(nil),

@@ -107,14 +107,13 @@ const MaxTolNum uint64 = 1 << 20
 
 // Flag bits used by messages with a flags byte.
 const (
-	flagDistinct = 1 << 0 // Assign: DistinctValues mode
-	flagChanges  = 1 << 2 // Assign: observation frames carry changes; always set (0x02 was the laddered build's)
-	flagNoGens   = 1 << 1 // bank frame: no generator column follows the keys
-	flagIsTop    = 1 << 0 // Winner: winner joins the top-k set
-	flagFull     = 1 << 0 // Midpoint: install [-inf, +inf] (k == n)
-	flagTopViol  = 1 << 0 // Reply: some top-k node violated its filter
-	flagOutViol  = 1 << 1 // Reply: some outsider violated its filter
-	flagOK       = 1 << 0 // ShardDigest: the local cohort was non-empty
+	flagChanges = 1 << 2 // Assign: observation frames carry changes; always set (0x02 was the laddered build's, 0x01 the raw-value key domain's)
+	flagNoGens  = 1 << 1 // bank frame: no generator column follows the keys
+	flagIsTop   = 1 << 0 // Winner: winner joins the top-k set
+	flagFull    = 1 << 0 // Midpoint: install [-inf, +inf] (k == n)
+	flagTopViol = 1 << 0 // Reply: some top-k node violated its filter
+	flagOutViol = 1 << 1 // Reply: some outsider violated its filter
+	flagOK      = 1 << 0 // ShardDigest: the local cohort was non-empty
 )
 
 // MsgType returns the type tag of an encoded message.
@@ -164,17 +163,16 @@ func varintField(p []byte) (int64, []byte, error) {
 
 // Assign is the coordinator→peer handshake message: the peer hosts nodes
 // [Lo, Hi) of a monitor over N nodes with top-set size K, seeded protocol
-// randomness, the configured tie-break mode, and the tolerance of the
-// ε-approximate mode as the exact fixed-point numerator EpsNum =
-// floor(ε·2^order.TolShift) (0 for exact monitoring). A set flag bit the
-// decoder does not know is malformed, not ignored, and so is a frame
-// without the change-coding bit, which every Assign carries: the handshake
-// is where a peer of another build is turned away, in both directions.
+// randomness, and the tolerance of the ε-approximate mode as the exact
+// fixed-point numerator EpsNum = floor(ε·2^order.TolShift) (0 for exact
+// monitoring). A set flag bit the decoder does not know is malformed, not
+// ignored, and so is a frame without the change-coding bit, which every
+// Assign carries: the handshake is where a peer of another build is turned
+// away, in both directions.
 type Assign struct {
 	Lo, Hi, N, K int
 	Seed         uint64
 	EpsNum       uint64
-	Distinct     bool
 }
 
 // Append encodes m after dst.
@@ -186,11 +184,7 @@ func (m Assign) Append(dst []byte) []byte {
 	dst = AppendUvarint(dst, uint64(m.K))
 	dst = AppendUvarint(dst, m.Seed)
 	dst = AppendUvarint(dst, m.EpsNum)
-	flags := byte(flagChanges)
-	if m.Distinct {
-		flags |= flagDistinct
-	}
-	return append(dst, flags)
+	return append(dst, flagChanges)
 }
 
 // DecodeAssign decodes a full Assign frame.
@@ -230,12 +224,11 @@ func DecodeAssign(p []byte) (Assign, error) {
 		return m, ErrTruncated
 	}
 	switch {
-	case p[0]&^(flagDistinct|flagChanges) != 0:
+	case p[0]&^flagChanges != 0:
 		return m, fmt.Errorf("%w: unknown assign flags 0x%02x", ErrMalformed, p[0])
 	case p[0]&flagChanges == 0:
 		return m, fmt.Errorf("%w: assign flags 0x%02x without change-coded observations: a peer of another build", ErrMalformed, p[0])
 	}
-	m.Distinct = p[0]&flagDistinct != 0
 	return m, fin(p[1:])
 }
 

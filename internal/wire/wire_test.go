@@ -94,12 +94,10 @@ func TestUvarintNonCanonical(t *testing.T) {
 }
 
 func TestAssignRoundTrip(t *testing.T) {
-	check := func(lo, hi, n, k uint16, seed uint64, epsNum uint16, distinct bool) bool {
-		in := Assign{Lo: int(lo), Hi: int(hi), N: int(n), K: int(k), Seed: seed, EpsNum: uint64(epsNum), Distinct: distinct}
+	check := func(lo, hi, n, k uint16, seed uint64, epsNum uint16) bool {
+		in := Assign{Lo: int(lo), Hi: int(hi), N: int(n), K: int(k), Seed: seed, EpsNum: uint64(epsNum)}
 		out, err := DecodeAssign(in.Append(nil))
-		return err == nil && out.Lo == in.Lo && out.Hi == in.Hi && out.N == in.N &&
-			out.K == in.K && out.Seed == in.Seed && out.EpsNum == in.EpsNum &&
-			out.Distinct == in.Distinct
+		return err == nil && out == in
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -128,7 +126,7 @@ func TestAssignRejectsBadTolerance(t *testing.T) {
 // flags byte, which carries the change-coding bit since observation frames
 // carry changes (parentAssign is the frame before it).
 func TestAssignGoldenBytes(t *testing.T) {
-	m := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024, Distinct: true}
+	m := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024}
 	frame := m.Append(nil)
 	want := []byte{TypeAssign}
 	want = AppendUvarint(want, 2)
@@ -137,26 +135,27 @@ func TestAssignGoldenBytes(t *testing.T) {
 	want = AppendUvarint(want, 2)
 	want = AppendUvarint(want, 99)
 	want = AppendUvarint(want, 1024)
-	want = append(want, 0x05) // flags: change-coded observations, distinct
+	want = append(want, 0x04) // flags: change-coded observations
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("assign changed encoding:\ngot  %x\nwant %x", frame, want)
 	}
-	if !bytes.Equal(frame[:len(frame)-1], parentAssign(0x01)[:len(frame)-1]) {
-		t.Fatalf("assign moved a field before its flags: %x, the build before change coding wrote %x", frame, parentAssign(0x01))
+	if !bytes.Equal(frame[:len(frame)-1], parentAssign(0x00)[:len(frame)-1]) {
+		t.Fatalf("assign moved a field before its flags: %x, the build before change coding wrote %x", frame, parentAssign(0x00))
 	}
 }
 
 // parentAssign is Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024}
 // as the last build whose observation frames carried absolute values
-// encoded it: flags 0x00, or 0x01 with Distinct set.
+// encoded it: flags 0x00, or 0x01 for a monitor whose keys were its raw
+// values — a key domain no build has since.
 func parentAssign(flags byte) []byte {
 	return []byte{0x01, 0x02, 0x06, 0x08, 0x02, 0x63, 0x80, 0x08, flags}
 }
 
 // ladderedAssign is Assign{Lo: 0, Hi: 4, N: 16, K: 3, Seed: 7, EpsNum:
 // 52428, Ladder: {0, 17476, 34952}} as the build with the per-level
-// tolerance ladder encoded it: flags 0x02, or 0x03 with Distinct set, then
-// the ladder section.
+// tolerance ladder encoded it: flags 0x02, or 0x03 with raw-value keys,
+// then the ladder section.
 func ladderedAssign(flags byte) []byte {
 	return []byte{0x01, 0x00, 0x04, 0x10, 0x03, 0x07, 0xcc, 0x99, 0x03, flags,
 		0x03, 0x00, 0xc4, 0x88, 0x01, 0x88, 0x91, 0x02}
@@ -167,7 +166,10 @@ func ladderedAssign(flags byte) []byte {
 // build whose observation frames carried absolute values (golden bytes,
 // recorded there). Link frames carry no version, so a mixed-build tree
 // must die at the Assign handshake rather than run with half of it
-// silently dropping the ladder, or reading changes as values. The gate
+// silently dropping the ladder, or reading changes as values. A frame of a
+// monitor whose keys were its raw values — flag 0x01, beside the
+// change-coding bit in the build just before this one (0x05) — is refused
+// as well: its peers would read raw values as tie-break keys. The gate
 // holds the other way too: this build's Assign sets a bit those builds
 // refuse as unknown.
 func TestForeignBuildFramesFailClosed(t *testing.T) {
@@ -177,17 +179,18 @@ func TestForeignBuildFramesFailClosed(t *testing.T) {
 			t.Fatalf("laddered assign with flags 0x%02x: err = %v, want ErrMalformed (unknown assign flags)", flags, err)
 		}
 	}
-	for _, flags := range []byte{0x00, 0x01} {
+	if _, err := DecodeAssign(parentAssign(0x00)); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "without change-coded observations") {
+		t.Fatalf("absolute-value build's assign with flags 0x00: err = %v, want ErrMalformed (without change-coded observations)", err)
+	}
+	for _, flags := range []byte{0x01, 0x05} {
 		_, err := DecodeAssign(parentAssign(flags))
-		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "without change-coded observations") {
-			t.Fatalf("absolute-value build's assign with flags 0x%02x: err = %v, want ErrMalformed (without change-coded observations)", flags, err)
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "unknown assign flags") {
+			t.Fatalf("raw-value keyed assign with flags 0x%02x: err = %v, want ErrMalformed (unknown assign flags)", flags, err)
 		}
 	}
-	for _, distinct := range []bool{false, true} {
-		frame := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024, Distinct: distinct}.Append(nil)
-		if flags := frame[len(frame)-1]; flags&^flagDistinct != 0x04 {
-			t.Fatalf("assign flags 0x%02x: want the change-coding bit 0x04, which no earlier build knew, and Distinct alone beside it", flags)
-		}
+	frame := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024}.Append(nil)
+	if flags := frame[len(frame)-1]; flags != 0x04 {
+		t.Fatalf("assign flags 0x%02x: want the change-coding bit 0x04 alone, which no earlier build knew", flags)
 	}
 	// A TreeStats reply of that build led with an absorb-counter section.
 	// The ladder-free form — [type][0 absorbs][levels…], what every ε = 0
@@ -590,7 +593,7 @@ func TestBareMessages(t *testing.T) {
 // the decoders fail cleanly instead of panicking or succeeding.
 func TestTruncatedFrames(t *testing.T) {
 	frames := [][]byte{
-		Assign{Lo: 2, Hi: 9, N: 16, K: 3, Seed: math.MaxUint64, Distinct: true}.Append(nil),
+		Assign{Lo: 2, Hi: 9, N: 16, K: 3, Seed: math.MaxUint64}.Append(nil),
 		Observe{Step: 5, Vals: []int64{1, -200, math.MaxInt64}}.Append(nil),
 		ObserveDelta{Step: 5, IDs: []int{0, 7}, Vals: []int64{-1, 1 << 40}}.Append(nil),
 		Round{Tag: 2, Round: 3, Best: math.MinInt64, Bound: 100, Step: 9}.Append(nil),

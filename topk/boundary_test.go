@@ -266,28 +266,3 @@ func TestOrderedBoundary(t *testing.T) {
 		}
 	}
 }
-
-// TestDistinctModeBoundary pins the DistinctValues value domain: the raw
-// int64 range minus the two sentinel-colliding magnitudes.
-func TestDistinctModeBoundary(t *testing.T) {
-	m, err := New(Config{Nodes: 3, K: 1, Seed: 5, DistinctValues: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.MaxValue() != math.MaxInt64-1 {
-		t.Fatalf("distinct MaxValue = %d", m.MaxValue())
-	}
-	for _, bad := range []int64{math.MaxInt64, math.MinInt64, math.MinInt64 + 1} {
-		if _, err := m.Observe([]int64{bad, 2, 3}); err == nil {
-			t.Fatalf("distinct mode accepted %d", bad)
-		}
-	}
-	top, err := m.Observe([]int64{math.MaxInt64 - 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(top, []int{0}) {
-		t.Fatalf("top = %v", top)
-	}
-}

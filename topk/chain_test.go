@@ -3,8 +3,10 @@ package topk
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"testing"
 
@@ -508,6 +510,14 @@ func TestRestoreRejectsForgedChains(t *testing.T) {
 			mutate(&d)
 			return d.Append(nil)
 		}
+		// rawKeyed is d2 with its fingerprint's flags byte set to 0x01, the
+		// bit of a monitor whose keys were raw values, and resealed.
+		rawKeyed := func() []byte {
+			frame := forge(func(*wire.CheckpointDelta) {})
+			body := frame[:len(frame)-4]
+			body[1+wire.SizeUvarint(d2.Gen)+wire.SizeUvarint(d2.Base)+wire.SizeUvarint(uint64(d2.Engine))+wire.SizeUvarint(d2.Seed)] = 0x01
+			return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+		}
 		machine := func(mutate func(ms *wire.MachineState)) []byte {
 			return forge(func(d *wire.CheckpointDelta) {
 				m := ms
@@ -539,7 +549,7 @@ func TestRestoreRejectsForgedChains(t *testing.T) {
 			{"a delta on another base", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Base = 7 })}, false},
 			{"a delta of another seed", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Seed++ })}, false},
 			{"a delta of another engine", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Engine = (d.Engine + 1) % 4 })}, false},
-			{"a delta of another tie-break mode", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Distinct = !d.Distinct })}, false},
+			{"a delta of another tie-break mode", 3, [][]byte{rec.frames[0], rec.frames[1], rawKeyed()}, false},
 			{"a node id past n", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.IDs[len(d.IDs)-1] = n })}, false},
 			{"a value outside the value domain", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Vals[0] = 1 << 62 })}, false},
 			{"a machine frame with another membership", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) { m.Top = append([]int{0}, m.Top[1:]...) })}, false},

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/comm"
+	"repro/internal/order"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -365,7 +366,7 @@ func (m *Monitor) Checkpoint(ctx context.Context) (uint64, error) {
 // each delta's values applied in order, the coordinator state the last of
 // them carries adopted, and the whole held to the checks a lone frame
 // passes — taken by a monitor with this same configuration (engine selection,
-// Nodes, K, Seed, DistinctValues and Epsilon must all match — a frame
+// Nodes, K, Seed and Epsilon must all match — a frame
 // never silently restores into a configuration it was not taken under;
 // mismatches yield a typed *RestoreError, store-level failures
 // ErrNoCheckpoint or ErrCorruptCheckpoint, and an invalid cfg the same
@@ -418,14 +419,11 @@ func Restore(store CheckpointStore, cfg Config) (*Monitor, error) {
 	if c.Seed != cfg.Seed {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint seed %d differs from configured %d", c.Seed, cfg.Seed))
 	}
-	if c.Distinct != cfg.DistinctValues {
-		return nil, failNew(cfg, badRestore(nil, "checkpoint distinct-values mode %v differs from configured %v", c.Distinct, cfg.DistinctValues))
-	}
 	eng, err := buildEngine(cfg, &c, frames[1:], false)
 	if err != nil {
 		return nil, failNew(cfg, badRestore(err, "%s engine", engineName(c.Engine)))
 	}
-	m := &Monitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues), eng: eng, ckptGen: gen}
+	m := &Monitor{cfg: cfg, maxVal: order.MaxValueFor(cfg.Nodes), eng: eng, ckptGen: gen}
 	m.ckptStats.LastGen = gen
 	return startMonitor(m)
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/netrun"
+	"repro/internal/order"
 	"repro/internal/runtime"
 	"repro/internal/shardrun"
 	"repro/internal/transport"
@@ -105,8 +106,7 @@ func engineKind(cfg Config) uint8 {
 // tree constructors fill in).
 func fanoutConfig(cfg Config) shardrun.Config {
 	return shardrun.Config{
-		N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed,
-		DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon,
+		N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon,
 		Redial: cfg.redialInternal(), RetryBudget: cfg.RetryBudget,
 		RetryBackoff: cfg.RetryBackoff, OnEvent: cfg.onEventInternal(),
 	}
@@ -120,7 +120,7 @@ func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) ([]byte, error)
 	if len(deltas) > 0 && len(c.Last) != cfg.Nodes {
 		return nil, badRestore(nil, "checkpoint mirror has %d values for n=%d", len(c.Last), cfg.Nodes)
 	}
-	maxVal := maxValueFor(cfg.Nodes, cfg.DistinctValues)
+	maxVal := order.MaxValueFor(cfg.Nodes)
 	return coord.FoldDeltas(c, cfg.Nodes, deltas, func(ids []int, vals []int64) error {
 		for j, id := range ids {
 			if v := vals[j]; v > maxVal || v < -maxVal {
@@ -140,7 +140,7 @@ func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) ([]byte, error)
 // rejects the configurations that select another).
 func buildEngine(cfg Config, c *wire.Checkpoint, deltas [][]byte, ordered bool) (engine, error) {
 	fc := fanoutConfig(cfg)
-	lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, DistinctValues: cfg.DistinctValues, Epsilon: cfg.Epsilon, Ordered: ordered}
+	lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: ordered}
 	kind := engineKind(cfg)
 	var mach []byte // link-backed restores: the machine frame the chain ends on
 	if c != nil && (kind == wire.EngineShard || kind == wire.EngineNet) {

@@ -25,6 +25,7 @@ import (
 //
 // retiredFrames are the envelopes of monitors that wrote another dialect
 // of the bank frame: each is refused with a typed error, not upgraded.
+// rawKeyedFrames are refused the same way (TestRestoreRefusesDistinctModeFrames).
 var retiredFrames = []struct {
 	file string
 	cfg  Config
@@ -83,6 +84,67 @@ func TestRestoreGoldenV1Frames(t *testing.T) {
 		}
 		if gen, loaded, err := store.Load(); err != nil || gen != c.Gen || !bytes.Equal(loaded, frame) {
 			t.Fatalf("%s: the refused restore left the store at generation %d (%v), frame intact: %v", r.file, gen, err, bytes.Equal(loaded, frame))
+		}
+	}
+}
+
+// rawKeyedFrames are what monitors of the raw-value key domain — keys that
+// were the observations themselves, not the tie-break injection — saved,
+// recorded at commit 3c78413, the last build that had that domain: a
+// sequential chain of a base and a delta over newQuietTrace, and a
+// networked base (over two loopback peers). cfg is the configuration they
+// were taken under, less that domain and the transport.
+var rawKeyedFrames = []struct {
+	file string
+	cfg  Config
+	net  bool
+}{
+	{"distinct_seq_chain.ckpt", Config{Nodes: 256, K: 4, Seed: 11}, false},
+	{"distinct_net.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, true},
+}
+
+// TestRestoreRefusesDistinctModeFrames pins that a frame of the raw-value
+// key domain is refused, never read as tie-break keys — which would
+// silently corrupt the order. Handed over as a store's Load would hand it,
+// each recorded fixture is answered with a *RestoreError wrapping
+// wire.ErrMalformed (the fingerprint's flags byte is 0x01, a bit this
+// build does not know), and nothing is saved to the store it restores
+// from, which is also the one it was asked to checkpoint to. The in-memory
+// store's own validation refuses the fixture's frames too: Load finds no
+// valid base among them.
+func TestRestoreRefusesDistinctModeFrames(t *testing.T) {
+	for _, r := range rawKeyedFrames {
+		loaded, err := os.ReadFile(filepath.Join("testdata", r.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := wire.SplitCheckpointChain(loaded)
+		if err != nil || len(frames) == 0 {
+			t.Fatalf("%s: %d frames, %v", r.file, len(frames), err)
+		}
+		gen := uint64(len(frames)) // the fixtures' chains start at generation 1
+		store := &recordingStore{inner: rawStore{gen, loaded}}
+		cfg := r.cfg
+		if r.net {
+			cfg.Transport = Loopback(2)
+		}
+		cfg.Checkpoint = Checkpoint{Store: store, Every: 1}
+		m, err := Restore(store, cfg)
+		var re *RestoreError
+		if m != nil || !errors.As(err, &re) || !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("%s: Restore returned %v, %v; want a *RestoreError wrapping wire.ErrMalformed", r.file, m, err)
+		}
+		if g, got, err := store.Load(); store.tries != 0 || err != nil || g != gen || !bytes.Equal(got, loaded) {
+			t.Fatalf("%s: the refused restore tried %d saves; the store holds generation %d (%v), chain intact: %v", r.file, store.tries, g, err, bytes.Equal(got, loaded))
+		}
+		mem := MemCheckpoints()
+		for i, frame := range frames {
+			if err := mem.Save(uint64(i+1), frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := mem.Load(); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("%s: the in-memory store loaded the frames: %v, want ErrCorruptCheckpoint", r.file, err)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package topk
 
+import "repro/internal/order"
+
 // OrderedMonitor tracks not only which k nodes hold the largest values
 // but their exact ranking. It implements the extension the paper sketches
 // as future work (§5): the k-boundary is maintained by the main algorithm
@@ -57,7 +59,7 @@ func NewOrdered(cfg Config) (*OrderedMonitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OrderedMonitor{m: &Monitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues), eng: eng}}, nil
+	return &OrderedMonitor{m: &Monitor{cfg: cfg, maxVal: order.MaxValueFor(cfg.Nodes), eng: eng}}, nil
 }
 
 // Observe feeds one time step and returns the top-k node ids ordered by

@@ -137,11 +137,6 @@ type Config struct {
 	// Seed drives the protocol randomness. Two monitors with equal
 	// configuration and seed behave identically message for message.
 	Seed uint64
-	// DistinctValues promises that every observation vector has pairwise
-	// distinct values (the paper's model assumption). When false (the
-	// default) the monitor breaks ties deterministically by smaller node
-	// id via an order-preserving key injection.
-	DistinctValues bool
 	// Epsilon selects ε-approximate monitoring (0 <= Epsilon < 1), after
 	// Mäcker et al., "On Competitive Algorithms for Approximations of
 	// Top-k-Position Monitoring" (arXiv:1601.04448): node filters widen to
@@ -207,14 +202,11 @@ type Config struct {
 	// Tree.Branch at every node. At depth 1 the root merges the global
 	// top-k from its Branch leaf shards' candidates directly — a flat star;
 	// deeper, each root link leads to an interior coordinator relaying to
-	// Branch children. Reports stay exact at every step for any shape
-	// (with DistinctValues and a transiently broken distinctness promise,
-	// ties among equal keys may resolve differently than on the other
-	// engines — see internal/shardrun's package comment). Over one leaf the
-	// message ledger is bit-identical to the sequential engine's; over
-	// more, the per-leaf protocol rounds and the root's digest traffic (see
-	// Overhead) are the price of removing the single-coordinator
-	// bottleneck. Reports, message counts and charged bytes depend on the
+	// Branch children. Reports stay exact at every step for any shape, and
+	// equal the other engines' to the tie. Over one leaf the message ledger
+	// is bit-identical to the sequential engine's; over more, the per-leaf
+	// protocol rounds and the root's digest traffic (see Overhead) are the
+	// price of removing the single-coordinator bottleneck. Reports, message counts and charged bytes depend on the
 	// leaves alone — interiors merge associatively and make no protocol
 	// decisions — while the root's own fan-in stays at Branch links. The
 	// zero value disables the engine; Branch^Depth must not exceed Nodes,
@@ -359,7 +351,7 @@ func New(cfg Config) (*Monitor, error) {
 		// accumulate goroutines.
 		return nil, failNew(cfg, err)
 	}
-	return startMonitor(&Monitor{cfg: cfg, maxVal: maxValueFor(cfg.Nodes, cfg.DistinctValues), eng: eng})
+	return startMonitor(&Monitor{cfg: cfg, maxVal: order.MaxValueFor(cfg.Nodes), eng: eng})
 }
 
 // startMonitor attaches asynchronous ingestion, when configured, to a
@@ -377,25 +369,13 @@ func startMonitor(m *Monitor) (*Monitor, error) {
 	return m, nil
 }
 
-// maxValueFor computes the value-domain bound of a monitor configuration:
-// the key-injection capacity for the default tie-break mode (which
-// shrinks with the node count, since keys are value·Nodes + tiebreak) or
-// the sentinel-free int64 range when the caller promised distinct values.
-// The single definition lives in order.MaxValueFor so the public boundary
-// and the engine-side checks cannot disagree.
-func maxValueFor(nodes int, distinct bool) int64 {
-	return order.MaxValueFor(nodes, distinct)
-}
-
 // MaxValue returns the largest observation magnitude the monitor accepts;
 // symmetrically, -MaxValue is the smallest. Values outside
 // [-MaxValue, MaxValue] make Observe and ObserveDelta return an error —
 // never panic, never wrap — because the order-preserving key injection
 // key = value·Nodes + tiebreak would overflow int64 (the bound therefore
 // shrinks as Nodes grows; it is above 4.6·10¹⁴ even at twenty thousand
-// nodes). With DistinctValues set, keys are the raw values and only the
-// two extreme magnitudes that collide with the internal ±∞ sentinels are
-// excluded. Callers ingesting unbounded counters should clamp to
+// nodes). Callers ingesting unbounded counters should clamp to
 // [-MaxValue, MaxValue] before observing.
 func (m *Monitor) MaxValue() int64 { return m.maxVal }
 
@@ -699,7 +679,7 @@ func Oracle(vals []int64, k int) ([]int, error) {
 	if k < 1 || k > len(vals) {
 		return nil, fmt.Errorf("topk: k must satisfy 1 <= k <= %d, got %d", len(vals), k)
 	}
-	if err := checkValues(order.MaxValueFor(len(vals), false), nil, vals); err != nil {
+	if err := checkValues(order.MaxValueFor(len(vals)), nil, vals); err != nil {
 		return nil, err
 	}
 	return sim.Oracle(vals, k), nil

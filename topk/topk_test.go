@@ -171,17 +171,3 @@ func TestOracle(t *testing.T) {
 		t.Fatal("k > n should error")
 	}
 }
-
-func TestDistinctValuesConfig(t *testing.T) {
-	m, err := New(Config{Nodes: 3, K: 1, DistinctValues: true, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top, err := m.Observe([]int64{100, 300, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 1 || top[0] != 1 {
-		t.Fatalf("top: %v", top)
-	}
-}
