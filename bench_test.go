@@ -558,7 +558,7 @@ func BenchmarkRecovery(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				links := netrun.LoopbackLinks(peers)
-				eng, err := netrun.New(netrun.Config{N: n, K: k, Seed: 7, RetryBackoff: time.Millisecond}, links)
+				eng, err := netrun.New(netrun.Config{N: n, K: k, Seed: 7}, links)
 				if err != nil {
 					b.Fatal(err)
 				}

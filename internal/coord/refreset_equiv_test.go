@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"regexp"
+	gort "runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -107,9 +108,11 @@ func overLinks[E interface {
 func shapes(t *testing.T, cfg coord.RefConfig) map[string]subject {
 	cc := core.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: cfg.Ordered}
 	out := map[string]subject{"seq": inProcess(core.New(cc))}
+	rc := runtime.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: cfg.Ordered}
 	for _, shards := range []int{1, 3, 8} {
-		rc := runtime.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: cfg.Ordered, Shards: shards}
+		prev := gort.GOMAXPROCS(shards)
 		out[fmt.Sprintf("conc/%d", shards)] = inProcess(runtime.New(rc))
+		gort.GOMAXPROCS(prev)
 	}
 	if cfg.Ordered {
 		return out

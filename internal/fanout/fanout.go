@@ -116,7 +116,9 @@
 // tells; step (2) is what keeps that sound, since every fault that can
 // leave a bank off the mirror — a frame lost, duplicated or applied in
 // part — ends its link, and a bank rebuilt by Assign holds zero, which is
-// what step (3) codes the mirror's values against. Failures and
+// what step (3) codes the mirror's values against. A pass that fails is
+// retried: at most three attempts, 10 ms apart at first, jittered and
+// doubling to a 1 s cap. Failures and
 // recoveries are surfaced through Health and the Config.OnEvent callback;
 // Err reports only terminal degradation (retry budget exhausted, or no
 // peers left). Late joiners
@@ -135,7 +137,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
@@ -161,13 +162,6 @@ type Config struct {
 	// node range. When nil (or when a redial fails), the range is merged
 	// into a surviving neighbor instead.
 	Redial func() (transport.Link, error)
-	// RetryBudget bounds how many full recovery attempts the engine makes
-	// before declaring itself terminally degraded. Zero selects the
-	// default of 3.
-	RetryBudget int
-	// RetryBackoff is the base delay between recovery attempts; waits are
-	// jittered around it and double per attempt. Zero selects 10ms.
-	RetryBackoff time.Duration
 	// OnEvent, when set, receives failover events (peer death, range
 	// reassignment, recovery, terminal degradation) synchronously from the
 	// engine's own goroutine. The callback must not call back into the

@@ -2,7 +2,6 @@ package fanout_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/coord"
 	"repro/internal/fanout"
@@ -60,11 +59,11 @@ func TestDeadLinkKeepsTransportStats(t *testing.T) {
 	}{
 		{"rounds", netrun.LoopbackLinks, netrun.LoopbackLink,
 			func(redial func() (transport.Link, error), links []transport.Link) (linkEngine, error) {
-				return netrun.New(netrun.Config{N: n, K: k, Seed: seed, Redial: redial, RetryBackoff: time.Millisecond}, links)
+				return netrun.New(netrun.Config{N: n, K: k, Seed: seed, Redial: redial}, links)
 			}},
 		{"delegated", shardrun.LoopbackLinks, shardrun.LoopbackLink,
 			func(redial func() (transport.Link, error), links []transport.Link) (linkEngine, error) {
-				return shardrun.New(shardrun.Config{N: n, K: k, Seed: seed, Redial: redial, RetryBackoff: time.Millisecond}, links)
+				return shardrun.New(shardrun.Config{N: n, K: k, Seed: seed, Redial: redial}, links)
 			}},
 	}
 	for _, st := range strategies {

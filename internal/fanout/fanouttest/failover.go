@@ -37,7 +37,7 @@ const (
 func (sh Shape) chaosEngine(redial bool, victim int, plan transport.FaultPlan) (*fanout.Engine, error) {
 	links := fanout.Loopbacks(ChaosLinks, sh.Serve)
 	links[victim] = transport.NewFaulty(links[victim], plan)
-	cfg := fanout.Config{N: ChaosN, K: ChaosK, Seed: 5, RetryBackoff: time.Millisecond}
+	cfg := fanout.Config{N: ChaosN, K: ChaosK, Seed: 5}
 	if redial {
 		cfg.Redial = sh.redial
 	}
@@ -285,7 +285,7 @@ func ChaosReadersExit(t *testing.T, sh Shape) {
 func JoinMidStream(t *testing.T, sh Shape) {
 	EachGather(t, func(t *testing.T) {
 		const n, k = 12, 3
-		e := sh.MustLoopback(t, fanout.Config{N: n, K: k, Seed: 5, RetryBackoff: time.Millisecond}, 2)
+		e := sh.MustLoopback(t, fanout.Config{N: n, K: k, Seed: 5}, 2)
 		defer e.Close()
 		vals := make([]int64, n)
 		for s := 0; s < 15; s++ {
@@ -314,7 +314,7 @@ func JoinMidStream(t *testing.T, sh Shape) {
 // the stillborn link away, and reports re-converge.
 func JoinDeadLinkRecovers(t *testing.T, sh Shape) {
 	const n, k = 12, 3
-	e := sh.MustLoopback(t, fanout.Config{N: n, K: k, Seed: 5, RetryBackoff: time.Millisecond}, 2)
+	e := sh.MustLoopback(t, fanout.Config{N: n, K: k, Seed: 5}, 2)
 	defer e.Close()
 	vals := make([]int64, n)
 	for s := 0; s < 10; s++ {
@@ -359,8 +359,7 @@ func DeadLinkRecoversByMerge(t *testing.T, sh Shape) {
 		links := fanout.Loopbacks(3, sh.Serve)
 		e, err := sh.New(fanout.Config{
 			N: n, K: k, Seed: seed,
-			RetryBackoff: time.Millisecond, // keep the backoff sleep out of the test budget
-			OnEvent:      func(ev coord.Event) { events = append(events, ev) },
+			OnEvent: func(ev coord.Event) { events = append(events, ev) },
 		}, links)
 		if err != nil {
 			t.Fatal(err)
@@ -451,7 +450,7 @@ func DeadLinkRecoversByMerge(t *testing.T, sh Shape) {
 func RedialedHostFlipsItsPredecessorsCoins(t *testing.T, sh Shape) {
 	const n, k, seed, steps, kill = 24, 4, 11, 60, 20
 	build := func(links []transport.Link) *fanout.Engine {
-		e, err := sh.New(fanout.Config{N: n, K: k, Seed: seed, RetryBackoff: time.Millisecond, Redial: sh.redial}, links)
+		e, err := sh.New(fanout.Config{N: n, K: k, Seed: seed, Redial: sh.redial}, links)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,7 +528,7 @@ func AllPeersLostIsTerminal(t *testing.T, sh Shape) {
 	var events []coord.Event
 	links := fanout.Loopbacks(1, sh.Serve)
 	e, err := sh.New(fanout.Config{
-		N: n, K: k, Seed: 3, RetryBackoff: time.Millisecond,
+		N: n, K: k, Seed: 3,
 		OnEvent: func(ev coord.Event) { events = append(events, ev) },
 	}, links)
 	if err != nil {
@@ -570,16 +569,15 @@ func AllPeersLostIsTerminal(t *testing.T, sh Shape) {
 }
 
 // RetryBudgetExhaustion: a Redial factory that only produces dead links
-// burns the whole retry budget and the engine then goes terminal with a
-// descriptive error instead of retrying forever.
+// burns the whole retry budget — one redial per attempt, three attempts —
+// and the engine then goes terminal with a descriptive error instead of
+// retrying forever.
 func RetryBudgetExhaustion(t *testing.T, sh Shape) {
 	const n, k = 8, 2
 	redials := 0
 	links := fanout.Loopbacks(1, sh.Serve)
 	e, err := sh.New(fanout.Config{
 		N: n, K: k, Seed: 11,
-		RetryBudget:  2,
-		RetryBackoff: time.Millisecond,
 		Redial: func() (transport.Link, error) {
 			redials++
 			a, b := transport.Pipe()
@@ -608,7 +606,7 @@ func RetryBudgetExhaustion(t *testing.T, sh Shape) {
 	if !strings.Contains(e.Err().Error(), "recovery abandoned") {
 		t.Fatalf("terminal error %q does not name the abandoned recovery", e.Err())
 	}
-	if redials < 2 {
-		t.Fatalf("budget of 2 produced only %d redial attempts", redials)
+	if redials != 3 {
+		t.Fatalf("a budget of 3 attempts made %d redials, want 3", redials)
 	}
 }

@@ -10,21 +10,13 @@ import (
 	"repro/internal/wire"
 )
 
-// retryBudget returns the configured recovery-attempt bound.
-func (c Config) retryBudget() int {
-	if c.RetryBudget > 0 {
-		return c.RetryBudget
-	}
-	return 3
-}
-
-// retryBackoff returns the configured base recovery backoff.
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 10 * time.Millisecond
-}
+// Recovery makes retryBudget full attempts before it declares the engine
+// terminally degraded. Waits between attempts are jittered around
+// retryBackoff and double per attempt up to a 1 s cap.
+const (
+	retryBudget  = 3
+	retryBackoff = 10 * time.Millisecond
+)
 
 // Err returns the engine's terminal failure, or nil. Recoverable peer
 // failures do not set it (see Health); it becomes non-nil only once
@@ -86,9 +78,8 @@ func (e *Engine) terminal(err error) error {
 // full attempt is retried with jittered exponential backoff up to the
 // retry budget; exhausting it (or losing every peer) is terminal.
 func (e *Engine) recoverNow() error {
-	budget := e.cfg.retryBudget()
-	backoff := e.cfg.retryBackoff()
-	for attempt := 0; attempt < budget; attempt++ {
+	backoff := retryBackoff
+	for attempt := 0; attempt < retryBudget; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff/2 + time.Duration(e.rrng.Uint64n(uint64(backoff))))
 			if backoff < time.Second {
@@ -107,7 +98,7 @@ func (e *Engine) recoverNow() error {
 		e.emit(coord.Event{Kind: coord.EventRecovered, Lo: 0, Hi: e.cfg.N})
 		return nil
 	}
-	return e.terminal(fmt.Errorf("fanout: recovery abandoned after %d attempts", budget))
+	return e.terminal(fmt.Errorf("fanout: recovery abandoned after %d attempts", retryBudget))
 }
 
 // restorePeers fixes the peer set: every dead peer is either replaced by

@@ -37,25 +37,18 @@ func AtLeast(m order.Key) Interval { return Interval{Lo: m, Hi: order.PosInf} }
 // AtMost returns [−∞, m], the filter shape for non-top-k nodes.
 func AtMost(m order.Key) Interval { return Interval{Lo: order.NegInf, Hi: m} }
 
-// Point returns the degenerate filter [k, k] (used by the point-filter
-// ablation baseline, where any change is a violation).
-func Point(k order.Key) Interval { return Interval{Lo: k, Hi: k} }
-
 // Band returns the (1±ε) tolerance band around threshold th as an
 // interval [WidenLo(th), WidenHi(th)]. In the ε-approximate mode the
 // coordinator anchors filters on a band instead of a point midpoint:
 // top-k nodes install [Band.Lo, +∞], outsiders [−∞, Band.Hi], so values
 // may drift an ε fraction across the threshold before any communication
-// happens. At ε = 0 the band collapses to Point(th).
+// happens. At ε = 0 the band collapses to the point [th, th].
 func Band(th order.Key, tol order.Tol) Interval {
 	return Interval{Lo: tol.WidenLo(th), Hi: tol.WidenHi(th)}
 }
 
 // Contains reports whether key k lies in the interval.
 func (iv Interval) Contains(k order.Key) bool { return iv.Lo <= k && k <= iv.Hi }
-
-// Empty reports whether the interval contains no keys.
-func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
 
 // Violates reports whether observing key k breaks the filter, together
 // with the side that broke: below is true when k < Lo, false when k > Hi.

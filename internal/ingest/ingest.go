@@ -21,10 +21,11 @@
 //
 // The driver is engine-agnostic: Apply is a closure over
 // core.Monitor.ObserveDelta — on either in-process host — or the
-// networked engines' equivalents. For the networked engines the frames
-// of a coalesced step ride the existing pipelined wire.Batch envelope,
-// so coalescing composes with frame coalescing — one merged step costs
-// one fan-out, not one per superseded observation.
+// networked engines' equivalents. A caller that records the applied trace
+// (the equivalence suites) does so inside Apply. For the networked
+// engines the frames of a coalesced step ride the existing pipelined
+// wire.Batch envelope, so coalescing composes with frame coalescing — one
+// merged step costs one fan-out, not one per superseded observation.
 package ingest
 
 import (
@@ -54,11 +55,6 @@ type Config struct {
 	// driver stops applying and surfaces it from every subsequent
 	// Enqueue and Drain.
 	Apply func(ids []int, vals []int64) error
-	// OnApply, when set, observes every taken batch just before Apply
-	// runs, with the same arguments, on the worker goroutine (the
-	// equivalence suites record the applied trace through it). It must
-	// copy what it keeps and must not call back into the driver.
-	OnApply func(ids []int, vals []int64)
 }
 
 // Stats counts the driver's lifetime activity. Steps is the number of
@@ -341,9 +337,6 @@ func (d *Driver) run() {
 		d.c.Broadcast() // buffer space freed: wake waiting producers
 		d.mu.Unlock()
 
-		if d.cfg.OnApply != nil {
-			d.cfg.OnApply(ids, vals)
-		}
 		err := d.cfg.Apply(ids, vals)
 
 		d.mu.Lock()

@@ -429,11 +429,11 @@ func FuzzDriverBlock(f *testing.F) {
 		var mu sync.Mutex
 		var batches []batch
 		d, err := New(Config{N: n, Depth: depth,
-			Apply: func([]int, []int64) error { return nil },
-			OnApply: func(ids []int, vals []int64) {
+			Apply: func(ids []int, vals []int64) error {
 				mu.Lock()
 				batches = append(batches, batch{append([]int(nil), ids...), append([]int64(nil), vals...)})
 				mu.Unlock()
+				return nil
 			}})
 		if err != nil {
 			t.Fatal(err)
@@ -528,7 +528,7 @@ func FuzzDriverBlock(f *testing.F) {
 	})
 }
 
-// batch is one applied batch FuzzDriverBlock recorded through OnApply.
+// batch is one applied batch FuzzDriverBlock recorded in its Apply.
 type batch struct {
 	ids  []int
 	vals []int64

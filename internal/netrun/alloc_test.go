@@ -2,7 +2,6 @@ package netrun
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/fanout/fanouttest"
 	"repro/internal/stream"
@@ -68,7 +67,7 @@ func TestUnequalRangesObserveZeroAllocs(t *testing.T) {
 	fanouttest.EachGather(t, func(t *testing.T) {
 		const n = 1 << 18
 		links := LoopbackLinks(4)
-		e, err := New(Config{N: n, K: 4, Seed: 31, RetryBackoff: time.Millisecond}, links)
+		e, err := New(Config{N: n, K: 4, Seed: 31}, links)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
@@ -55,7 +54,7 @@ func TestChaosDupOnObserveFrame(t *testing.T) {
 	}
 	fanouttest.EachGather(t, func(t *testing.T) {
 		rec := &opLog{}
-		e, err := New(Config{N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5, RetryBackoff: time.Millisecond},
+		e, err := New(Config{N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5},
 			host(func(l transport.Link) transport.Link { rec.Link = l; return rec }))
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +78,7 @@ func TestChaosDupOnObserveFrame(t *testing.T) {
 		}
 
 		plan := transport.FaultPlan{DupAt: at}
-		e, err = New(Config{N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5, RetryBackoff: time.Millisecond},
+		e, err = New(Config{N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5},
 			host(func(l transport.Link) transport.Link { return transport.NewFaulty(l, plan) }))
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/coord"
 	"repro/internal/core"
@@ -58,7 +57,7 @@ func TestDeadHostAfterHalfAppliedFrame(t *testing.T) {
 			served <- err
 		}()
 		victim := &cutObserve{Link: coordEnd}
-		e, err := New(Config{N: n, K: k, Seed: seed, RetryBackoff: time.Millisecond},
+		e, err := New(Config{N: n, K: k, Seed: seed},
 			[]transport.Link{LoopbackLink(), victim, LoopbackLink()})
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +153,7 @@ func TestDeadLinkMidFanOutHeals(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				fanouttest.SetGather(t, g.Procs)
 				first, victim := &observeTap{Link: LoopbackLink()}, &killObserve{Link: LoopbackLink()}
-				e, err := New(Config{N: n, K: k, Seed: 17, RetryBackoff: time.Millisecond},
+				e, err := New(Config{N: n, K: k, Seed: 17},
 					[]transport.Link{first, victim, LoopbackLink()})
 				if err != nil {
 					t.Fatal(err)
@@ -216,9 +215,8 @@ func TestDeadLinkRecoversByRedial(t *testing.T) {
 	links := LoopbackLinks(3)
 	e, err := New(Config{
 		N: n, K: k, Seed: seed,
-		Redial:       func() (transport.Link, error) { return LoopbackLink(), nil },
-		RetryBackoff: time.Millisecond,
-		OnEvent:      func(ev coord.Event) { events = append(events, ev) },
+		Redial:  func() (transport.Link, error) { return LoopbackLink(), nil },
+		OnEvent: func(ev coord.Event) { events = append(events, ev) },
 	}, links)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
@@ -215,7 +214,7 @@ func TestResetIsOneSweepOfRounds(t *testing.T) {
 				for i := range links {
 					links[i] = tapped()
 				}
-				e, err := New(Config{N: n, K: k, Seed: 7, RetryBackoff: time.Millisecond,
+				e, err := New(Config{N: n, K: k, Seed: 7,
 					Redial: func() (transport.Link, error) { return tapped(), nil }}, links)
 				if err != nil {
 					t.Fatal(err)

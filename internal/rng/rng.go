@@ -68,14 +68,9 @@ func (r *RNG) SplitValue(child uint64) RNG {
 	return seeded(r.Uint64(), r.splitStream(child))
 }
 
-// SplitInc returns the increment of the generator Split(child) and
-// SplitValue(child) derive, without advancing r. A child's increment
-// depends on its id and the parent's stream alone — not on the seed or on
-// how far the parent has advanced.
-func (r *RNG) SplitInc(child uint64) uint64 { return streamInc(r.splitStream(child)) }
-
-// splitStream is the stream id of r's child: the one definition SplitValue
-// seeds from and SplitInc reports.
+// splitStream is the stream id of r's child, which SplitValue seeds from.
+// It depends on the child's id and the parent's stream alone — not on the
+// seed or on how far the parent has advanced.
 func (r *RNG) splitStream(child uint64) uint64 { return childStream(r.inc, child) }
 
 // childStream is the stream id of a child of the generator with increment
@@ -227,15 +222,5 @@ func (r *RNG) NormFloat64() float64 {
 			continue
 		}
 		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
-// ExpFloat64 returns an exponential variate with rate 1 (inverse CDF).
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
 	}
 }

@@ -88,35 +88,6 @@ func TestSplitValueMatchesSplit(t *testing.T) {
 	}
 }
 
-// TestSplitIncIsTheChildsIncrement pins what lets a checkpoint drop the
-// increment: SplitInc names the child's increment without touching the
-// parent, whatever the seed and however far the parent has advanced, so
-// the child's state with SplitInc(child) is the child.
-func TestSplitIncIsTheChildsIncrement(t *testing.T) {
-	fresh, other := New(9, 3), New(1234, 3)
-	for i := 0; i < 17; i++ {
-		other.Uint64()
-	}
-	for child := uint64(0); child < 50; child++ {
-		before := *fresh
-		inc := fresh.SplitInc(child)
-		if *fresh != before {
-			t.Fatalf("child %d: SplitInc advanced the parent", child)
-		}
-		if got := other.SplitInc(child); got != inc {
-			t.Fatalf("child %d: increment %#x under one seed, %#x under another", child, inc, got)
-		}
-		c := fresh.SplitValue(child)
-		state, cinc := c.State()
-		if cinc != inc {
-			t.Fatalf("child %d: SplitInc %#x, child carries %#x", child, inc, cinc)
-		}
-		if back := (RNG{state: state, inc: inc}); back != c {
-			t.Fatalf("child %d: state with SplitInc is %+v, want %+v", child, back, c)
-		}
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := New(3, 3)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
@@ -300,22 +271,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Fatalf("normal variance off: %v", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(14, 14)
-	const samples = 200000
-	sum := 0.0
-	for i := 0; i < samples; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential variate negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / samples; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean off: %v", mean)
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	gort "runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -14,7 +15,8 @@ import (
 // sequential twin run in lockstep detects any corruption.
 func TestAppendTopIsACopy(t *testing.T) {
 	const n, k, seed = 14, 4, 11
-	rt := New(Config{N: n, K: k, Seed: seed, Shards: 3})
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(3))
+	rt := New(Config{N: n, K: k, Seed: seed})
 	defer rt.Close()
 	twin := core.New(core.Config{N: n, K: k, Seed: seed})
 

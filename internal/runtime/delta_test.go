@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	gort "runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -15,8 +16,11 @@ func TestDeltaEquivalenceWithSequentialEngine(t *testing.T) {
 	const n, k, seed, steps = 48, 5, 77, 300
 	for _, shards := range []int{0, 1, 3, 7, n} {
 		t.Run(shardName(shards), func(t *testing.T) {
+			if shards > 0 {
+				defer gort.GOMAXPROCS(gort.GOMAXPROCS(shards))
+			}
 			seq := core.New(core.Config{N: n, K: k, Seed: seed})
-			conc := New(Config{N: n, K: k, Seed: seed, Shards: shards})
+			conc := New(Config{N: n, K: k, Seed: seed})
 			defer conc.Close()
 
 			mk := func() *stream.SparseWalk {
@@ -58,7 +62,8 @@ func shardName(s int) string {
 func TestRuntimeDeltaMixedWithDense(t *testing.T) {
 	const n, k, seed, steps = 20, 3, 5, 250
 	seq := core.New(core.Config{N: n, K: k, Seed: seed})
-	conc := New(Config{N: n, K: k, Seed: seed, Shards: 4})
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(4))
+	conc := New(Config{N: n, K: k, Seed: seed})
 	defer conc.Close()
 
 	src := stream.NewSparseWalk(stream.SparseWalkConfig{
@@ -93,7 +98,8 @@ func TestRuntimeDeltaMixedWithDense(t *testing.T) {
 func TestObserveDeltaInvalidInputLeavesStateUntouched(t *testing.T) {
 	const n, k = 6, 2
 	seq := core.New(core.Config{N: n, K: k, Seed: 3})
-	conc := New(Config{N: n, K: k, Seed: 3, Shards: 2})
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
+	conc := New(Config{N: n, K: k, Seed: 3})
 	defer conc.Close()
 	seq.Observe([]int64{10, 20, 30, 40, 50, 60})
 	conc.Observe([]int64{10, 20, 30, 40, 50, 60})
@@ -121,10 +127,13 @@ func TestObserveDeltaInvalidInputLeavesStateUntouched(t *testing.T) {
 // neither reports nor message counts.
 func TestRuntimeShardLayoutInvariance(t *testing.T) {
 	const n, k, seed, steps = 30, 4, 13, 150
-	ref := New(Config{N: n, K: k, Seed: seed, Shards: 1})
+	prev := gort.GOMAXPROCS(1)
+	ref := New(Config{N: n, K: k, Seed: seed})
 	defer ref.Close()
-	alt := New(Config{N: n, K: k, Seed: seed, Shards: 8})
+	gort.GOMAXPROCS(8)
+	alt := New(Config{N: n, K: k, Seed: seed})
 	defer alt.Close()
+	gort.GOMAXPROCS(prev)
 
 	mk := func() stream.Source {
 		return stream.NewBursty(stream.BurstyConfig{N: n, Seed: 14, Lo: 0, Hi: 1 << 22, Noise: 6, BurstProb: 0.04, BurstMax: 1 << 18})

@@ -47,10 +47,11 @@
 //
 // # Sharding
 //
-// Nodes are partitioned into contiguous shards, one goroutine each, and
-// the coordinator exchanges one batched command/reply pair per shard per
-// sweep instead of one per node. A round therefore costs O(shards) channel
-// operations rather than O(n), and a sparse step only involves the shards
+// Nodes are partitioned into contiguous shards, one goroutine each, as
+// many as GOMAXPROCS and never more than nodes, and the coordinator
+// exchanges one batched command/reply pair per shard per sweep instead of
+// one per node. A round therefore costs O(shards) channel operations
+// rather than O(n), and a sparse step only involves the shards
 // owning a touched node. Batching is pure control-plane mechanics: each
 // node still takes exactly the decisions it would take with a private
 // channel (its coins are the same keyed function), so message counts are
@@ -75,10 +76,6 @@ type Config struct {
 	Seed uint64
 	// Epsilon selects the ε-approximate mode, exactly as in core.Config.
 	Epsilon float64
-	// Shards is the number of node-hosting goroutines. 0 selects
-	// min(N, GOMAXPROCS). The shard layout does not affect reports or
-	// message counts, only scheduling.
-	Shards int
 	// Ordered selects the coordinator's ordered mode, exactly as in
 	// core.Config.
 	Ordered bool
@@ -90,12 +87,12 @@ func (c Config) core() core.Config {
 
 // New returns a monitor on a freshly started shard pool. Callers must
 // Close it to release the goroutines.
-func New(cfg Config) *core.Monitor { return core.NewOn(cfg.core(), Sharded(cfg.Shards)) }
+func New(cfg Config) *core.Monitor { return core.NewOn(cfg.core(), Sharded) }
 
 // Restore is core.Restore onto a shard pool sized for this process; the
 // shard count need not be the one the frames were taken under.
 func Restore(cfg Config, machFrame, nodesFrame []byte) (*core.Monitor, error) {
-	return core.RestoreOn(cfg.core(), Sharded(cfg.Shards), machFrame, nodesFrame)
+	return core.RestoreOn(cfg.core(), Sharded, machFrame, nodesFrame)
 }
 
 type cmdKind int
@@ -180,40 +177,36 @@ type pool struct {
 	closed  bool
 }
 
-// Sharded returns the constructor of a shard pool of the given size
-// (0: min(n, GOMAXPROCS)) for core.NewOn and core.RestoreOn: it splits the
-// bank into that many contiguous views and starts a goroutine on each.
-func Sharded(shards int) func(bank *coord.Nodes) core.Host {
-	return func(bank *coord.Nodes) core.Host {
-		n, nshards := bank.Len(), shards
-		if nshards <= 0 {
-			nshards = gort.GOMAXPROCS(0)
-		}
-		nshards = min(nshards, n)
-		shardSize := (n + nshards - 1) / nshards
-		nshards = (n + shardSize - 1) / shardSize
+// Sharded is the shard pool's constructor for core.NewOn and
+// core.RestoreOn: it splits the bank into at most min(n, GOMAXPROCS)
+// contiguous views of equal size (the last may be shorter) and starts a
+// goroutine on each.
+func Sharded(bank *coord.Nodes) core.Host {
+	n := bank.Len()
+	nshards := min(gort.GOMAXPROCS(0), n)
+	shardSize := (n + nshards - 1) / nshards
+	nshards = (n + shardSize - 1) / shardSize
 
-		p := &pool{
-			shardSize: shardSize,
-			in:        make(chan shardReply, nshards),
-			replies:   make([]shardReply, nshards),
-		}
-		for s := 0; s < nshards; s++ {
-			sh := &shard{
-				idx:  s,
-				bank: bank.Sub(s*shardSize, min((s+1)*shardSize, n)),
-				cmd:  make(chan shardCmd, 1),
-				out:  p.in,
-			}
-			p.shards, p.all = append(p.shards, sh), append(p.all, s)
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				sh.run()
-			}()
-		}
-		return p
+	p := &pool{
+		shardSize: shardSize,
+		in:        make(chan shardReply, nshards),
+		replies:   make([]shardReply, nshards),
 	}
+	for s := 0; s < nshards; s++ {
+		sh := &shard{
+			idx:  s,
+			bank: bank.Sub(s*shardSize, min((s+1)*shardSize, n)),
+			cmd:  make(chan shardCmd, 1),
+			out:  p.in,
+		}
+		p.shards, p.all = append(p.shards, sh), append(p.all, s)
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			sh.run()
+		}()
+	}
+	return p
 }
 
 // Engine is the fingerprint of a concurrent engine's checkpoints.

@@ -2,10 +2,12 @@ package runtime
 
 import (
 	"math"
+	gort "runtime"
 	"sort"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/order"
 	"repro/internal/stream"
@@ -134,6 +136,31 @@ func TestRuntimePhaseBreakdown(t *testing.T) {
 	}
 }
 
+// TestShardedPoolFollowsGOMAXPROCS pins the rule that sizes the pool, the
+// one scheduling choice the concurrent engine makes: at most
+// min(n, GOMAXPROCS) views, tiling [0, n) contiguously in order.
+func TestShardedPoolFollowsGOMAXPROCS(t *testing.T) {
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
+	for _, tc := range []struct{ n, procs int }{{1, 4}, {9, 4}, {10, 4}, {64, 3}, {201, 7}} {
+		gort.GOMAXPROCS(tc.procs)
+		p := Sharded(coord.NewNodes(tc.n, 0, tc.n, 1, false, order.Tol{})).(*pool)
+		if got := len(p.shards); got < 1 || got > min(tc.n, tc.procs) {
+			t.Errorf("n=%d procs=%d: %d shards, want 1..%d", tc.n, tc.procs, got, min(tc.n, tc.procs))
+		}
+		next := 0
+		for i, sh := range p.shards {
+			if sh.bank.Lo() != next || sh.bank.Hi() <= next {
+				t.Errorf("n=%d procs=%d: shard %d holds [%d, %d), want it to start at %d", tc.n, tc.procs, i, sh.bank.Lo(), sh.bank.Hi(), next)
+			}
+			next = sh.bank.Hi()
+		}
+		if next != tc.n {
+			t.Errorf("n=%d procs=%d: shards end at %d, want %d", tc.n, tc.procs, next, tc.n)
+		}
+		p.Close()
+	}
+}
+
 func TestRuntimeCloseIdempotent(t *testing.T) {
 	rt := New(Config{N: 4, K: 1, Seed: 11})
 	rt.Close()
@@ -181,7 +208,8 @@ func TestRuntimePanics(t *testing.T) {
 	// recovered, as on the sequential engine — on a shard goroutine it
 	// takes the process down. The violation is terminal: the step stays in
 	// flight, and Close still returns.
-	bad := New(Config{N: 4, K: 1, Shards: 2})
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
+	bad := New(Config{N: 4, K: 1})
 	defer bad.Close()
 	for _, step := range []func(){
 		func() { bad.Observe([]int64{1, 2, math.MaxInt64, 4}) },

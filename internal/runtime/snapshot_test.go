@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"errors"
+	gort "runtime"
 	"slices"
 	"testing"
 
@@ -18,8 +19,10 @@ import (
 // count) into a runtime that stays bit-identical to its twin, frames
 // included.
 func TestRestoreValidatesFilters(t *testing.T) {
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(3))
 	for _, eps := range []float64{0, 0.05} {
-		cfg := Config{N: 24, K: 4, Seed: 11, Epsilon: eps, Shards: 3}
+		gort.GOMAXPROCS(3)
+		cfg := Config{N: 24, K: 4, Seed: 11, Epsilon: eps}
 		twin, live := New(cfg), New(cfg)
 		defer twin.Close()
 		wr := rng.New(99, 1)
@@ -91,7 +94,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 
 		// The untouched bank restores (with another shard count) and stays
 		// bit-identical to the twin.
-		cfg.Shards = 5
+		gort.GOMAXPROCS(5)
 		back, err := Restore(cfg, mach, nodes)
 		if err != nil {
 			t.Fatalf("eps=%v: untouched frame rejected: %v", eps, err)
@@ -124,7 +127,8 @@ func TestRestoreValidatesFilters(t *testing.T) {
 // carries none. The ordered runtime itself has no checkpoint: its machine
 // refuses to snapshot.
 func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
-	cfg := Config{N: 16, K: 3, Seed: 2, Shards: 4}
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(4))
+	cfg := Config{N: 16, K: 3, Seed: 2}
 	vals := []int64{5, 90, 12, 7, 80, 3, 9, 70, 1, 2, 4, 6, 8, 10, 11, 13}
 	plain := New(cfg)
 	defer plain.Close()
@@ -174,7 +178,8 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 // carry live state only: of a run that keeps violating filters, the k
 // membership bits, and a frame the bank reader accepts.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
-	cfg := Config{N: 64, K: 5, Seed: 5, Shards: 3}
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(3))
+	cfg := Config{N: 64, K: 5, Seed: 5}
 	rt := New(cfg)
 	defer rt.Close()
 	wr := rng.New(8, 8)

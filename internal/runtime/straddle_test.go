@@ -3,6 +3,7 @@ package runtime
 import (
 	"bytes"
 	"fmt"
+	gort "runtime"
 	"slices"
 	"testing"
 
@@ -27,8 +28,9 @@ func TestWordStraddlingShardsMatchSequential(t *testing.T) {
 	for _, ordered := range []bool{false, true} {
 		for _, shards := range []int{3, 7} {
 			t.Run(fmt.Sprintf("ordered=%v shards=%d", ordered, shards), func(t *testing.T) {
+				defer gort.GOMAXPROCS(gort.GOMAXPROCS(shards))
 				seq := core.New(core.Config{N: n, K: k, Seed: seed, Ordered: ordered})
-				conc := New(Config{N: n, K: k, Seed: seed, Shards: shards, Ordered: ordered})
+				conc := New(Config{N: n, K: k, Seed: seed, Ordered: ordered})
 				defer conc.Close()
 
 				src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 12, MaxStep: 1 << 10, Seed: 23})

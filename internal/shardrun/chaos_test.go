@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/coord"
 	"repro/internal/fanout/fanouttest"
@@ -34,7 +33,7 @@ func chaosTree(redial bool, victim int, plan transport.FaultPlan) (*Engine, erro
 	links[victim] = transport.NewFaulty(links[victim], plan)
 	cfg := Config{
 		N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5,
-		RetryBackoff: time.Millisecond, Tree: Tree{Branch: branch, Depth: depth},
+		Tree: Tree{Branch: branch, Depth: depth},
 	}
 	if redial { // not by default: NewLoopbackTree would install the subtree factory
 		cfg.Redial = func() (transport.Link, error) { return LoopbackSubtree(branch, depth), nil }
@@ -223,7 +222,7 @@ func TestChaosKillBetweenExtractions(t *testing.T) {
 						killer := &assassin{level: tg.level, victim: 1}
 						spy := &bankSpy{}
 						cfg := Config{
-							N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5, RetryBackoff: time.Millisecond,
+							N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5,
 							Tree: rigTree(tg.branch, tg.depth),
 						}
 						if redial {

@@ -15,7 +15,7 @@ var star = fanouttest.Shape{
 	New: func(c fanout.Config, links []transport.Link) (*fanout.Engine, error) {
 		e, err := New(Config{
 			N: c.N, K: c.K, Seed: c.Seed, Epsilon: c.Epsilon,
-			Redial: c.Redial, RetryBudget: c.RetryBudget, RetryBackoff: c.RetryBackoff, OnEvent: c.OnEvent,
+			Redial: c.Redial, OnEvent: c.OnEvent,
 		}, links)
 		if err != nil {
 			return nil, err

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/coord"
 	"repro/internal/fanout"
@@ -92,7 +91,7 @@ func TestResetRunsSPlusKExecutions(t *testing.T) {
 				}
 				leaf := func(l transport.Link) error { return ServeShard(&tap{Link: l, onRecv: leaves.see}) }
 				cfg := Config{
-					N: n, K: k, Seed: 7, Tree: rigTree(sh.branch, sh.depth), RetryBackoff: time.Millisecond,
+					N: n, K: k, Seed: 7, Tree: rigTree(sh.branch, sh.depth),
 					Redial: func() (transport.Link, error) { return rigSubtree(sh.branch, sh.depth, 1, up, leaf), nil },
 				}
 				links := rigLinks(sh.branch, sh.depth, up, leaf)

@@ -99,7 +99,7 @@ func TestInteriorChainIsIdentity(t *testing.T) {
 					return rigSubtree(1, 3, 1, up, leaf), nil
 				}
 				cfg := tc.cfg
-				cfg.Redial, cfg.RetryBackoff = chain, time.Millisecond
+				cfg.Redial = chain
 				link, _ := chain()
 				e, err := New(cfg, []transport.Link{link})
 				if err != nil {

@@ -71,7 +71,6 @@ package shardrun
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
@@ -94,10 +93,8 @@ type Config struct {
 	// flat star.
 	Tree Tree
 
-	Redial       func() (transport.Link, error)
-	RetryBudget  int
-	RetryBackoff time.Duration
-	OnEvent      func(coord.Event)
+	Redial  func() (transport.Link, error)
+	OnEvent func(coord.Event)
 }
 
 // Core returns the configuration of the fan-out core underneath: every
@@ -105,8 +102,7 @@ type Config struct {
 func (c Config) Core() fanout.Config {
 	return fanout.Config{
 		N: c.N, K: c.K, Seed: c.Seed,
-		Epsilon: c.Epsilon, Redial: c.Redial, RetryBudget: c.RetryBudget,
-		RetryBackoff: c.RetryBackoff, OnEvent: c.OnEvent,
+		Epsilon: c.Epsilon, Redial: c.Redial, OnEvent: c.OnEvent,
 	}
 }
 

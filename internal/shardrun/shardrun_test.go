@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -191,7 +190,7 @@ func TestOverheadGrowsWithShards(t *testing.T) {
 // track the oracle throughout.
 func TestLoopbackStarRedials(t *testing.T) {
 	const n, k = 12, 3
-	cfg := Config{N: n, K: k, Seed: 7, RetryBackoff: time.Millisecond}
+	cfg := Config{N: n, K: k, Seed: 7}
 	links, err := loopbackTree(&cfg, 3, 1)
 	if err != nil {
 		t.Fatal(err)

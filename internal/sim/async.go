@@ -131,16 +131,14 @@ func RunAsync(async, twin AsyncEngine, src stream.DeltaSource, cfg AsyncConfig) 
 		N:     n,
 		Depth: cfg.QueueDepth,
 		Apply: func(ids []int, vals []int64) error {
-			async.ObserveDelta(ids, vals)
-			return nil
-		},
-		OnApply: func(ids []int, vals []int64) {
 			mu.Lock()
 			rep.Trace = append(rep.Trace, AsyncBatch{
 				IDs:  append([]int(nil), ids...),
 				Vals: append([]int64(nil), vals...),
 			})
 			mu.Unlock()
+			async.ObserveDelta(ids, vals)
+			return nil
 		},
 	})
 	if err != nil {

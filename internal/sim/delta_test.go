@@ -1,6 +1,7 @@
 package sim
 
 import (
+	gort "runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -41,7 +42,8 @@ func TestRunDeltaMatchesDenseRun(t *testing.T) {
 // goroutine engine under the oracle.
 func TestRunDeltaConcurrentEngine(t *testing.T) {
 	const n, k, steps = 24, 4, 200
-	rt := runtime.New(runtime.Config{N: n, K: k, Seed: 41, Shards: 5})
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(5))
+	rt := runtime.New(runtime.Config{N: n, K: k, Seed: 41})
 	defer rt.Close()
 	src := stream.NewSparseWalk(stream.SparseWalkConfig{
 		N: n, Lo: 0, Hi: 1 << 20, MaxStep: 1 << 10, Changed: 2, Seed: 42,

@@ -50,9 +50,6 @@ func (ts *TraceSource) Step(vals []int64) {
 	copy(vals, ts.rows[idx])
 }
 
-// Rewind restarts replay from the first step.
-func (ts *TraceSource) Rewind() { ts.t = 0 }
-
 // WriteCSV serializes a trace matrix as CSV, one time step per row.
 func WriteCSV(w io.Writer, rows [][]int64) error {
 	cw := csv.NewWriter(w)

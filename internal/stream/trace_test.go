@@ -29,18 +29,6 @@ func TestTraceSourceReplay(t *testing.T) {
 	}
 }
 
-func TestTraceSourceRewind(t *testing.T) {
-	ts := NewTraceSource([][]int64{{1}, {2}})
-	vals := make([]int64, 1)
-	ts.Step(vals)
-	ts.Step(vals)
-	ts.Rewind()
-	ts.Step(vals)
-	if vals[0] != 1 {
-		t.Fatalf("rewind failed: %v", vals)
-	}
-}
-
 func TestTraceSourcePanics(t *testing.T) {
 	for i, f := range []func(){
 		func() { NewTraceSource(nil) },

@@ -40,16 +40,3 @@ func SizePresence(id int) int64 {
 func SizeBounds(target int, lo, hi int64) int64 {
 	return int64(1 + SizeUvarint(uint64(target)) + SizeVarint(lo) + SizeVarint(hi))
 }
-
-// Size returns the encoded size of the digest without encoding it. The
-// shard root charges it per digest on its coordination-overhead ledger.
-func (m ShardDigest) Size() int64 {
-	size := 2 + SizeUvarint(uint64(m.ID)) + SizeVarint(m.Key) +
-		SizeUvarint(uint64(m.Ups)) + SizeUvarint(uint64(m.UpBytes)) +
-		SizeUvarint(uint64(m.Bcasts)) + SizeUvarint(uint64(m.BcastBytes)) +
-		SizeUvarint(uint64(len(m.Rest)))
-	for _, w := range m.Rest {
-		size += SizeUvarint(uint64(w.ID)) + SizeVarint(w.Key)
-	}
-	return int64(size)
-}

@@ -563,9 +563,6 @@ func TestShardDigestRoundTrip(t *testing.T) {
 		if err := reused.Decode(enc); err != nil || !bytes.Equal(reused.Append(nil), enc) {
 			t.Fatalf("shard digest decoded into a used one: %+v, %v", reused, err)
 		}
-		if d.Size() != int64(len(enc)) {
-			t.Fatalf("ShardDigest.Size() = %d, encoded %d", d.Size(), len(enc))
-		}
 	}
 	if _, err := DecodeShardDigest([]byte{TypeShardDigest, 0x02, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("unknown flags: %v", err)

@@ -107,8 +107,7 @@ func engineKind(cfg Config) uint8 {
 func fanoutConfig(cfg Config) shardrun.Config {
 	return shardrun.Config{
 		N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon,
-		Redial: cfg.redialInternal(), RetryBudget: cfg.RetryBudget,
-		RetryBackoff: cfg.RetryBackoff, OnEvent: cfg.onEventInternal(),
+		Redial: cfg.redialInternal(), OnEvent: cfg.onEventInternal(),
 	}
 }
 
@@ -169,7 +168,7 @@ func buildEngine(cfg Config, c *wire.Checkpoint, deltas [][]byte, ordered bool) 
 		// swept inline, or by a pool of min(n, GOMAXPROCS) shard goroutines.
 		host := core.Inline
 		if kind == wire.EngineConc {
-			host = runtime.Sharded(0)
+			host = runtime.Sharded
 		}
 		if c == nil {
 			return core.NewOn(lc, host), nil

@@ -49,6 +49,7 @@ type PeerHealth struct {
 
 // Health is a monitor's failover state. The zero value means fully
 // healthy; in-process engines always report it (with no peer list).
+// Recovery makes at most three attempts before Terminal is set.
 type Health struct {
 	// Terminal is the unrecoverable failure that wedged the monitor, nil
 	// while it can still make progress.

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/netrun"
 	"repro/internal/transport"
@@ -77,10 +76,9 @@ func TestFailoverThroughPublicAPI(t *testing.T) {
 	var events []topk.Event
 	mon, err := topk.New(topk.Config{
 		Nodes: n, K: k, Seed: 7,
-		Transport:    &faultyTransport{links: links},
-		Redial:       func() (topk.Link, error) { return topk.Link(netrun.LoopbackLink()), nil },
-		RetryBackoff: time.Millisecond,
-		OnEvent:      func(ev topk.Event) { events = append(events, ev) },
+		Transport: &faultyTransport{links: links},
+		Redial:    func() (topk.Link, error) { return topk.Link(netrun.LoopbackLink()), nil },
+		OnEvent:   func(ev topk.Event) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +188,7 @@ func TestJoinRefusedByTreeMonitor(t *testing.T) {
 	const n, k = 12, 3
 	_, err := topk.New(topk.Config{
 		Nodes: n, K: k, Seed: 5, Tree: topk.Tree{Branch: 2, Depth: 1},
-		Redial:       func() (topk.Link, error) { return topk.Loopback(1).Links()[0], nil },
-		RetryBackoff: time.Millisecond,
+		Redial: func() (topk.Link, error) { return topk.Loopback(1).Links()[0], nil },
 	})
 	var ce *topk.ConfigError
 	if !errors.As(err, &ce) || ce.Field != "Redial" {
@@ -199,7 +196,7 @@ func TestJoinRefusedByTreeMonitor(t *testing.T) {
 	}
 
 	for _, tree := range []topk.Tree{{Branch: 2, Depth: 1}, {Branch: 2, Depth: 2}} {
-		mon, err := topk.New(topk.Config{Nodes: n, K: k, Seed: 5, Tree: tree, RetryBackoff: time.Millisecond})
+		mon, err := topk.New(topk.Config{Nodes: n, K: k, Seed: 5, Tree: tree})
 		if err != nil {
 			t.Fatal(err)
 		}

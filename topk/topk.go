@@ -76,7 +76,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/ingest"
@@ -183,15 +182,11 @@ type Config struct {
 	// range. When nil, or when a redial fails, the range is merged into a
 	// surviving neighbor instead. Networked monitors only: Redial without
 	// Transport is refused (a tree monitor redials its own loopback
-	// subtrees).
+	// subtrees). Recovery, redial or merge, makes at most three attempts
+	// before the monitor turns terminally degraded (see Health); the
+	// waits between them start at 10 ms, jittered, and double to a 1 s
+	// cap.
 	Redial func() (Link, error)
-	// RetryBudget bounds how many full recovery attempts the engine makes
-	// before declaring itself terminally degraded (see Health). Zero
-	// selects the default of 3.
-	RetryBudget int
-	// RetryBackoff is the base delay between recovery attempts; waits are
-	// jittered around it and double per attempt. Zero selects 10ms.
-	RetryBackoff time.Duration
 	// OnEvent, when set, receives failover events synchronously from the
 	// monitor's own goroutine; the callback must not call back into the
 	// monitor. In-process engines never emit events.
