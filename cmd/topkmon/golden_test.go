@@ -137,7 +137,7 @@ var timing = regexp.MustCompile(`-> \d+ protocol steps in \S+|coalesced=\d+ \(ra
 // timing-dependent counts are masked is pinned.
 func TestAsyncOutput(t *testing.T) {
 	var b strings.Builder
-	for _, shape := range []string{"-engine seq", "-engine conc", "-engine net", "-tree 4^1", "-tree 2^2"} {
+	for _, shape := range []string{"-engine seq", "-engine conc", "-engine net", "-tree 4^1", "-tree 2^2", "-ordered -engine seq", "-ordered -engine conc"} {
 		args := small + " -async -workload twoband " + shape
 		out := runOK(t, args)
 		for _, want := range []string{"verified against the oracle", "ingest: enqueued=", "phase ledger:"} {
@@ -183,7 +183,6 @@ func TestRejectedFlags(t *testing.T) {
 		"-ordered -tree 2^1",
 		"-ordered -tree 2^2",
 		"-ordered -epsilon 0.05",
-		"-ordered -async",
 		"-async -opt",
 		"-async -compare",
 		"-async -queue 0",

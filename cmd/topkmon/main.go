@@ -164,7 +164,7 @@ func (o *options) main(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer g.Close()
+	defer g.mon.Close()
 	if o.async {
 		return o.runAsync(ctx, g.mon, cfg, matrix)
 	}
@@ -217,32 +217,22 @@ func (o *options) name(cfg topk.Config) string {
 	return "algorithm1(" + shape + ")"
 }
 
-// ledgers is what the report reads off either public monitor.
-type ledgers interface {
-	Counts() topk.Counts
-	Bytes() topk.Bytes
-	Phases() topk.PhaseCounts
-	BytesByPhase() topk.PhaseBytes
-	Stats() topk.Stats
-	Close()
-}
-
 // graded is the monitor under test as sim.Run drives it: a sim.Algorithm
-// whose Observe is the public monitor's. With -ordered the public report
-// is the ranking; graded holds it to sim.RankOracle itself and hands
-// sim.Run the ascending set.
+// whose Observe is the public monitor's. With -ordered graded also holds
+// the monitor's ranking to sim.RankOracle at every step; sim.Run grades
+// the set.
 type graded struct {
-	ledgers
-	mon *topk.Monitor        // nil with -ordered
-	ord *topk.OrderedMonitor // nil without
-	k   int
+	mon     *topk.Monitor
+	ordered bool
+	k       int
 
 	// prev, when non-nil, is the row fed last: the next one is fed as the
 	// nodes that differ from it (the TCP coordinator's way, so that what
 	// crosses its links and what its checkpoints carry is what changed).
-	prev  []int64
-	ids   []int // the call's buffers, reused
-	moved []int64
+	prev    []int64
+	ids     []int // the call's buffers, reused
+	moved   []int64
+	ranking []int // with -ordered: the ranking read after the last step
 
 	err        error // the first error a step returned
 	rankErrors int   // steps whose ranking was not the oracle's
@@ -252,18 +242,15 @@ type graded struct {
 // one restored from the newest frame in cfg's checkpoint store when restore
 // is set, a fresh one otherwise.
 func (o *options) build(cfg topk.Config, restore bool) (*graded, error) {
-	g := &graded{k: cfg.K}
+	g := &graded{ordered: o.ordered, k: cfg.K}
 	var err error
 	switch {
 	case o.ordered:
-		g.ord, err = topk.NewOrdered(cfg)
-		g.ledgers = g.ord
+		g.mon, err = topk.NewOrdered(cfg)
 	case restore:
 		g.mon, err = topk.Restore(cfg.Checkpoint.Store, cfg)
-		g.ledgers = g.mon
 	default:
 		g.mon, err = topk.New(cfg)
-		g.ledgers = g.mon
 	}
 	if err != nil {
 		return nil, err
@@ -275,14 +262,7 @@ func (o *options) build(cfg topk.Config, restore bool) (*graded, error) {
 func (g *graded) Observe(vals []int64) []int {
 	var top []int
 	var err error
-	if g.ord != nil {
-		if top, err = g.ord.Observe(vals); err == nil {
-			if !slices.Equal(top, sim.RankOracle(vals, g.k)) {
-				g.rankErrors++
-			}
-			slices.Sort(top) // the ranking is a fresh slice every step
-		}
-	} else if g.prev != nil {
+	if g.prev != nil {
 		g.ids, g.moved = g.ids[:0], g.moved[:0]
 		for id, v := range vals {
 			if v != g.prev[id] {
@@ -297,18 +277,24 @@ func (g *graded) Observe(vals []int64) []int {
 	if err != nil && g.err == nil {
 		g.err = err
 	}
+	if g.ordered && err == nil {
+		g.ranking = g.mon.AppendRanking(g.ranking[:0])
+		if !slices.Equal(g.ranking, sim.RankOracle(vals, g.k)) {
+			g.rankErrors++
+		}
+	}
 	return top
 }
 
 // Counts implements sim.Algorithm.
 func (g *graded) Counts() comm.Counts {
-	c := g.ledgers.Counts()
+	c := g.mon.Counts()
 	return comm.Counts{Up: c.Up, Down: c.Down, Bcast: c.Broadcast}
 }
 
 // Bytes implements sim.ByteCounter.
 func (g *graded) Bytes() comm.Bytes {
-	b := g.ledgers.Bytes()
+	b := g.mon.Bytes()
 	return comm.Bytes{Up: b.Up, Down: b.Down, Bcast: b.Broadcast}
 }
 
@@ -328,19 +314,17 @@ func (o *options) runSync(g *graded, cfg topk.Config, matrix [][]int64) error {
 	if rep.Errors > 0 {
 		return fmt.Errorf("oracle mismatches: %d (this is a bug)", rep.Errors)
 	}
-	if g.ord != nil {
-		fmt.Fprintf(o.out, "final ranking (largest first): %v\n", g.ord.Top())
+	if g.ordered {
+		fmt.Fprintf(o.out, "final ranking (largest first): %v\n", g.ranking)
 	}
 	if o.opt {
 		fmt.Fprintf(o.out, "workload ∆ (max k/k+1 key gap): %d\n", sim.MeasureDelta(matrix, o.k))
 	}
-	st := g.Stats()
+	st := g.mon.Stats()
 	fmt.Fprintf(o.out, "stats: violations=%d handlers=%d resets=%d top-changes=%d\n",
 		st.ViolationSteps, st.HandlerCalls, st.Resets, st.TopChanges)
-	o.printLedger(g.ledgers)
-	if g.mon != nil {
-		o.printLinks(g.mon, cfg)
-	}
+	o.printLedger(g.mon)
+	o.printLinks(g.mon, cfg)
 	if o.compare {
 		fmt.Fprintln(o.out)
 		n := cfg.Nodes
@@ -364,11 +348,11 @@ func (o *options) runSync(g *graded, cfg topk.Config, matrix [][]int64) error {
 // runAsync drives the -async mode: each step's changed values are staged
 // on the monitor's bounded last-write-wins ingest queue (a full queue
 // blocks, so a slow protocol round applies backpressure instead of dropping
-// data), a single Drain barrier flushes the tail, and the final report is
-// verified against the offline oracle. Because queued updates of the
-// same node coalesce, the worker usually executes far fewer protocol
-// steps than the producer enqueued calls — the printed coalesce ratio is
-// the whole point of the mode.
+// data), a single Drain barrier flushes the tail, and the final report —
+// with -ordered the final ranking too — is verified against the offline
+// oracle. Because queued updates of the same node coalesce, the worker
+// usually executes far fewer protocol steps than the producer enqueued
+// calls — the printed coalesce ratio is the whole point of the mode.
 func (o *options) runAsync(ctx context.Context, mon *topk.Monitor, cfg topk.Config, matrix [][]int64) error {
 	n := cfg.Nodes
 	ids := make([]int, n)
@@ -401,6 +385,13 @@ func (o *options) runAsync(ctx context.Context, mon *topk.Monitor, cfg topk.Conf
 	if !sim.EpsValid(final, got, o.k, o.epsilon) { // at ε = 0: got is the oracle's set
 		return fmt.Errorf("final report %v, oracle %v, ε=%g (this is a bug)", got, sim.Oracle(final, o.k), o.epsilon)
 	}
+	var ranking []int
+	if o.ordered {
+		ranking = mon.AppendRanking(nil)
+		if want := sim.RankOracle(final, o.k); !slices.Equal(ranking, want) {
+			return fmt.Errorf("final ranking %v, oracle %v (this is a bug)", ranking, want)
+		}
+	}
 
 	st := mon.IngestStats()
 	fmt.Fprintf(o.out, "%s async: %d calls -> %d protocol steps in %s (queue %d)\n",
@@ -409,12 +400,15 @@ func (o *options) runAsync(ctx context.Context, mon *topk.Monitor, cfg topk.Conf
 	fmt.Fprintf(o.out, "ingest: enqueued=%d coalesced=%d (ratio %.3f) max-queue=%d\n",
 		st.Enqueued, st.Coalesced, float64(st.Coalesced)/float64(st.Enqueued), st.MaxQueue)
 	fmt.Fprintf(o.out, "final top-%d %v verified against the oracle\n", o.k, got)
+	if o.ordered {
+		fmt.Fprintf(o.out, "final ranking (largest first): %v\n", ranking)
+	}
 	o.printLedger(mon)
 	return nil
 }
 
 // printLedger renders the per-phase message and byte breakdown.
-func (o *options) printLedger(m ledgers) {
+func (o *options) printLedger(m *topk.Monitor) {
 	fmt.Fprintln(o.out, "phase ledger:        msgs        up      down     bcast     bytes")
 	row := func(name string, c topk.Counts, b topk.Bytes) {
 		fmt.Fprintf(o.out, "  %-12s %9d %9d %9d %9d %9d\n", name, c.Total(), c.Up, c.Down, c.Broadcast, b.Total())
@@ -519,12 +513,11 @@ func (o *options) runServe(ctx context.Context, cfg topk.Config, matrix [][]int6
 	if err != nil {
 		return err
 	}
-	defer g.Close()
+	defer g.mon.Close()
 
 	// Resume the trace where the checkpoint left off: the restored steps
-	// were already streamed by the previous incarnation. (NewOrdered takes
-	// no Transport, so the monitor built here is never the ordered one.)
-	done := g.Stats().Steps
+	// were already streamed by the previous incarnation.
+	done := g.mon.Stats().Steps
 	if gen := g.mon.CheckpointStats().LastGen; gen > 0 {
 		fmt.Fprintf(o.out, "restored from checkpoint generation %d (step %d); checkpointing to %s every %d steps\n",
 			gen, done, o.ckptDir, o.ckptEvery)
@@ -541,7 +534,7 @@ func (o *options) runServe(ctx context.Context, cfg topk.Config, matrix [][]int6
 	fmt.Fprintf(o.out, "all %d peers joined; streaming %d steps of n=%d k=%d\n", o.peers, len(matrix), cfg.Nodes, o.k)
 	if len(matrix) == 0 {
 		fmt.Fprintln(o.out, "checkpoint is at the end of the workload; nothing left to stream")
-		o.printLedger(g.ledgers)
+		o.printLedger(g.mon)
 		return nil
 	}
 	if err := o.runSync(g, cfg, matrix); err != nil {

@@ -1,17 +1,14 @@
 // Command tracegen generates synthetic observation traces and writes them
 // as CSV (one time step per row, one column per node), which topkmon -trace
-// replays, or as gob, which stream.ReadGob reads (for a
-// stream.TraceSource); topkmon -trace reads CSV only.
+// replays.
 //
-// Examples:
+// Example:
 //
 //	tracegen -workload walk -n 32 -steps 5000 -o walk.csv
-//	tracegen -workload bursty -n 64 -steps 10000 -format gob -o bursty.gob
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"strings"
@@ -28,8 +25,7 @@ func main() {
 		steps    = flag.Int("steps", 5000, "time steps")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		workload = flag.String("workload", "walk", "one of: "+strings.Join(stream.Names(), " | "))
-		format   = flag.String("format", "csv", "csv (replays with topkmon -trace) | gob (read by stream.ReadGob)")
-		out      = flag.String("o", "", "output file (default stdout, csv only)")
+		out      = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
 
@@ -56,21 +52,10 @@ func main() {
 		}()
 		w = f
 	}
-	switch *format {
-	case "csv":
-		err = stream.WriteCSV(w, matrix)
-	case "gob":
-		if *out == "" {
-			log.Fatal("gob output requires -o")
-		}
-		err = stream.WriteGob(w, matrix)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := stream.WriteCSV(w, matrix); err != nil {
 		log.Fatal(err)
 	}
 	if *out != "" {
-		log.Printf("wrote %d steps x %d nodes to %s (%s)", *steps, *n, *out, *format)
+		log.Printf("wrote %d steps x %d nodes to %s", *steps, *n, *out)
 	}
 }

@@ -42,13 +42,13 @@ func main() {
 	}
 
 	vals := make([]int64, nPlayers)
-	var last []int
+	var ranking, last []int
 	for t := 0; t < steps; t++ {
 		g.tick(vals)
-		ranking, err := board.Observe(vals)
-		if err != nil {
+		if _, err := board.Observe(vals); err != nil {
 			log.Fatal(err)
 		}
+		ranking = board.AppendRanking(ranking[:0])
 		if changed(last, ranking) {
 			fmt.Printf("t=%4d leaderboard: %v\n", t, ranking)
 			last = append(last[:0], ranking...)

@@ -124,7 +124,7 @@ const (
 	// FILTERRESET. Answer with Ack.
 	EffResetBegin
 	// EffWinner: notify node Target that the reset's execution put it in
-	// the top-k set (IsTop is always set). Answer with Ack.
+	// the top-k set. Answer with Ack.
 	EffWinner
 	// EffMidpoint: have every node re-anchor its filter on Mid (top-k
 	// nodes install [Mid, +inf], outsiders [-inf, Mid]); Full installs
@@ -155,8 +155,7 @@ type Effect struct {
 	Bound int        // EffExec: population bound of the execution
 	Phase comm.Phase // EffExec: ledger phase protocol traffic charges to
 
-	Target int  // EffWinner: the new member's id; EffOrder*: the member
-	IsTop  bool // EffWinner: set
+	Target int // EffWinner: the new member's id; EffOrder*: the member
 
 	Mid  order.Key // EffMidpoint: filter bound
 	Full bool      // EffMidpoint: install [-inf, +inf] (k == n)
@@ -501,7 +500,7 @@ func (m *Machine) nextWinner() Effect {
 	m.winIdx++
 	m.inTop[id>>6] |= 1 << (id & 63)
 	m.state = stResetWin
-	return Effect{Kind: EffWinner, Target: id, IsTop: true}
+	return Effect{Kind: EffWinner, Target: id}
 }
 
 // finishReset installs the new membership and filters from the winners.

@@ -108,7 +108,7 @@ func (d *driver) drive(eff Effect, step int64) {
 			}
 			eff = d.mach.Ack()
 		case EffWinner:
-			d.bank.Winner(eff.Target, eff.IsTop)
+			d.bank.Winner(eff.Target, true)
 			eff = d.mach.Ack()
 		case EffMidpoint:
 			d.bank.Midpoint(eff.Mid, eff.Full)

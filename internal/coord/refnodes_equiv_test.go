@@ -331,7 +331,7 @@ func (d *bankDriver) observe(vals []int64) []int {
 			d.bank.ResetBegin()
 			eff = d.mach.Ack()
 		case EffWinner:
-			d.bank.Winner(eff.Target, eff.IsTop)
+			d.bank.Winner(eff.Target, true)
 			eff = d.mach.Ack()
 		case EffMidpoint:
 			d.bank.Midpoint(eff.Mid, eff.Full)

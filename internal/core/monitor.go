@@ -350,7 +350,7 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 			reset = true
 			eff = m.mach.Ack()
 		case coord.EffWinner:
-			m.bank.Winner(eff.Target, eff.IsTop)
+			m.bank.Winner(eff.Target, true)
 			eff = m.mach.Ack()
 		case coord.EffMidpoint:
 			m.bank.Midpoint(eff.Mid, eff.Full)

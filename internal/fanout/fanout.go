@@ -579,7 +579,7 @@ func (e *Engine) runEffects(eff coord.Effect) error {
 		case coord.EffResetBegin:
 			e.queueAll(func(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeResetBegin) })
 		case coord.EffWinner:
-			e.fan.Queue(e.fan.Owner(eff.Target), wire.Winner{Target: eff.Target, IsTop: eff.IsTop}.Append)
+			e.fan.Queue(e.fan.Owner(eff.Target), wire.Winner{Target: eff.Target, IsTop: true}.Append)
 		case coord.EffMidpoint:
 			e.queueAll(wire.Midpoint{Mid: int64(eff.Mid), Full: eff.Full}.Append)
 		case coord.EffBounds:

@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/csv"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"strconv"
@@ -98,30 +96,6 @@ func ReadCSV(r io.Reader) ([][]int64, error) {
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("stream: CSV trace is empty")
-	}
-	return rows, nil
-}
-
-// WriteGob serializes a trace matrix in the compact gob format.
-func WriteGob(w io.Writer, rows [][]int64) error {
-	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(rows); err != nil {
-		return fmt.Errorf("stream: encoding gob trace: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("stream: flushing gob trace: %w", err)
-	}
-	return nil
-}
-
-// ReadGob parses a trace matrix written by WriteGob.
-func ReadGob(r io.Reader) ([][]int64, error) {
-	var rows [][]int64
-	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&rows); err != nil {
-		return nil, fmt.Errorf("stream: decoding gob trace: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("stream: gob trace is empty")
 	}
 	return rows, nil
 }

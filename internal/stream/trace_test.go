@@ -73,27 +73,6 @@ func TestCSVErrors(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	rows := [][]int64{{9, 8}, {7, 6}, {5, 4}}
-	var buf bytes.Buffer
-	if err := WriteGob(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2][1] != 4 {
-		t.Fatalf("round trip: %v", got)
-	}
-}
-
-func TestGobErrors(t *testing.T) {
-	if _, err := ReadGob(strings.NewReader("garbage")); err == nil {
-		t.Fatal("garbage gob should error")
-	}
-}
-
 func TestCSVGobEquivalentProperty(t *testing.T) {
 	r := rng.New(77, 1)
 	check := func(rowsRaw, colsRaw uint8) bool {
@@ -106,18 +85,17 @@ func TestCSVGobEquivalentProperty(t *testing.T) {
 				m[i][j] = r.Int63() - r.Int63()
 			}
 		}
-		var cbuf, gbuf bytes.Buffer
-		if WriteCSV(&cbuf, m) != nil || WriteGob(&gbuf, m) != nil {
+		var cbuf bytes.Buffer
+		if WriteCSV(&cbuf, m) != nil {
 			return false
 		}
-		fromCSV, err1 := ReadCSV(&cbuf)
-		fromGob, err2 := ReadGob(&gbuf)
-		if err1 != nil || err2 != nil {
+		fromCSV, err := ReadCSV(&cbuf)
+		if err != nil {
 			return false
 		}
 		for i := range m {
 			for j := range m[i] {
-				if fromCSV[i][j] != m[i][j] || fromGob[i][j] != m[i][j] {
+				if fromCSV[i][j] != m[i][j] {
 					return false
 				}
 			}

@@ -25,14 +25,19 @@ func drainT(t *testing.T, m *Monitor) {
 // must be bit-identical — reports, message counts, charged bytes,
 // per-phase breakdowns, stats — to a synchronous monitor of the same
 // configuration fed the same trace, on both the dense and delta paths.
+// The ordered-* monitors come from NewOrdered, and their rankings must
+// match as well.
 func TestAsyncDrainEquivalence(t *testing.T) {
 	const n, k, steps = 16, 3, 120
 	base := map[string]Config{
-		"seq":   {Nodes: n, K: k, Seed: 3},
-		"conc":  {Nodes: n, K: k, Seed: 3, Concurrent: true},
-		"net":   {Nodes: n, K: k, Seed: 3, Transport: Loopback(2)},
-		"shard": {Nodes: n, K: k, Seed: 3, Tree: star(2)},
+		"seq":          {Nodes: n, K: k, Seed: 3},
+		"conc":         {Nodes: n, K: k, Seed: 3, Concurrent: true},
+		"net":          {Nodes: n, K: k, Seed: 3, Transport: Loopback(2)},
+		"shard":        {Nodes: n, K: k, Seed: 3, Tree: star(2)},
+		"ordered-seq":  {Nodes: n, K: k, Seed: 3},
+		"ordered-conc": {Nodes: n, K: k, Seed: 3, Concurrent: true},
 	}
+	ordered := func(name string) bool { return strings.HasPrefix(name, "ordered-") }
 	build := func(t *testing.T, name string, async bool) *Monitor {
 		cfg := base[name]
 		if name == "net" {
@@ -41,7 +46,11 @@ func TestAsyncDrainEquivalence(t *testing.T) {
 		if async {
 			cfg.Ingest = Ingest{QueueDepth: n}
 		}
-		m, err := New(cfg)
+		newMonitor := New
+		if ordered(name) {
+			newMonitor = NewOrdered
+		}
+		m, err := newMonitor(cfg)
 		if err != nil {
 			t.Fatalf("New(%s async=%v): %v", name, async, err)
 		}
@@ -87,6 +96,10 @@ func TestAsyncDrainEquivalence(t *testing.T) {
 					drainT(t, async)
 					if got := async.Top(); !slices.Equal(got, want) {
 						t.Fatalf("step %d: drained report %v != synchronous %v", s, got, want)
+					}
+					gotRank, wantRank := async.AppendRanking(nil), sync.AppendRanking(nil)
+					if !slices.Equal(gotRank, wantRank) || ordered(name) != (len(wantRank) == k) {
+						t.Fatalf("step %d: drained ranking %v, synchronous %v", s, gotRank, wantRank)
 					}
 				}
 				if g, w := async.Counts(), sync.Counts(); g != w {
@@ -240,7 +253,6 @@ func TestOrderedConfigErrorTyped(t *testing.T) {
 		{"Nodes", Config{Nodes: 1 << 31, K: 1}}, // used to panic inside core.New
 		{"K", Config{Nodes: 4, K: 0}},
 		{"Epsilon", Config{Nodes: 4, K: 2, Epsilon: 0.1}},
-		{"Ingest", Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 8}}},
 		{"Ingest.Overflow", Config{Nodes: 4, K: 2, Ingest: Ingest{Overflow: OverflowBlock + 1}}},
 		{"Redial", Config{Nodes: 4, K: 2, Redial: func() (Link, error) { return nil, nil }}},
 		{"Tree", Config{Nodes: 8, K: 2, Tree: Tree{Branch: 2, Depth: 1}}},
@@ -266,9 +278,15 @@ func TestOrderedConfigErrorTyped(t *testing.T) {
 			t.Errorf("ordered Epsilon rejection %q does not reference ROADMAP.md", err)
 		}
 	}
+	// Asynchronous ingestion is accepted.
+	m, err := NewOrdered(Config{Nodes: 4, K: 2, Ingest: Ingest{QueueDepth: 8}})
+	if err != nil {
+		t.Fatalf("ordered config with Ingest.QueueDepth 8 refused: %v", err)
+	}
+	m.Close()
 	// The Transport rejection also closes the transport it owns.
 	tr := &closeCountingTransport{}
-	_, err := NewOrdered(Config{Nodes: 4, K: 2, Transport: tr})
+	_, err = NewOrdered(Config{Nodes: 4, K: 2, Transport: tr})
 	var ce *ConfigError
 	if !errors.As(err, &ce) || ce.Field != "Transport" {
 		t.Errorf("ordered Transport rejection: %v", err)

@@ -80,24 +80,22 @@ func ExampleOracle() {
 	// [0 3]
 }
 
-// ExampleOrderedMonitor tracks the exact ranking of the top-k (the
-// paper's §5 extension): ids are reported largest-value-first.
-func ExampleOrderedMonitor() {
+// ExampleNewOrdered tracks the exact ranking of the top-k (the paper's
+// §5 extension): AppendRanking reads ids largest-value-first.
+func ExampleNewOrdered() {
 	mon, err := topk.NewOrdered(topk.Config{Nodes: 4, K: 3, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	ranking, err := mon.Observe([]int64{10, 40, 20, 30})
-	if err != nil {
+	if _, err := mon.Observe([]int64{10, 40, 20, 30}); err != nil {
 		panic(err)
 	}
-	fmt.Println(ranking)
+	fmt.Println(mon.AppendRanking(nil))
 	// Nodes 1 and 3 swap ranks; the board follows exactly.
-	ranking, err = mon.Observe([]int64{10, 29, 20, 30})
-	if err != nil {
+	if _, err := mon.Observe([]int64{10, 29, 20, 30}); err != nil {
 		panic(err)
 	}
-	fmt.Println(ranking)
+	fmt.Println(mon.AppendRanking(nil))
 	// Output:
 	// [1 3 2]
 	// [3 1 2]

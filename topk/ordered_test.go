@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -37,18 +38,18 @@ func TestOrderedEnginesAgree(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	va, vb := make([]int64, 8), make([]int64, 8)
+	var ta, tb []int
 	for s := 0; s < 150; s++ {
 		a.Step(va)
 		b.Step(vb)
-		ta, err1 := seq.Observe(va)
-		tb, err2 := conc.Observe(vb)
+		_, err1 := seq.Observe(va)
+		_, err2 := conc.Observe(vb)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		for i := range ta {
-			if ta[i] != tb[i] {
-				t.Fatalf("step %d: rankings differ: %v vs %v", s, ta, tb)
-			}
+		ta, tb = seq.AppendRanking(ta[:0]), conc.AppendRanking(tb[:0])
+		if len(ta) != 3 || !slices.Equal(ta, tb) {
+			t.Fatalf("step %d: rankings differ: %v vs %v", s, ta, tb)
 		}
 		if seq.Counts() != conc.Counts() {
 			t.Fatalf("step %d: counts differ", s)
@@ -63,30 +64,46 @@ func TestOrderedEnginesAgree(t *testing.T) {
 }
 
 func TestOrderedMonitorExactRanks(t *testing.T) {
-	m, err := NewOrdered(Config{Nodes: 10, K: 4, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := stream.NewRandomWalk(stream.WalkConfig{N: 10, Lo: 0, Hi: 100000, MaxStep: 700, Seed: 22})
-	vals := make([]int64, 10)
-	for s := 0; s < 300; s++ {
-		src.Step(vals)
-		got, err := m.Observe(vals)
+	const n, k = 10, 4
+	for _, delta := range []bool{false, true} {
+		m, err := NewOrdered(Config{Nodes: n, K: k, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := sim.RankOracle(vals, 4)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: rank %d is node %d, want %d", s, i+1, got[i], want[i])
+		src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 100000, MaxStep: 700, Seed: 22})
+		vals, prev := make([]int64, n), make([]int64, n)
+		var ids []int
+		var moved []int64
+		var got []int
+		for s := 0; s < 300; s++ {
+			src.Step(vals)
+			if delta {
+				// The nodes that moved since the last step, as a sparse feed sends them.
+				ids, moved = ids[:0], moved[:0]
+				for id, v := range vals {
+					if v != prev[id] {
+						ids, moved = append(ids, id), append(moved, v)
+					}
+				}
+				copy(prev, vals)
+				_, err = m.ObserveDelta(ids, moved)
+			} else {
+				_, err = m.Observe(vals)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = m.AppendRanking(got[:0])
+			if want := sim.RankOracle(vals, k); !slices.Equal(got, want) {
+				t.Fatalf("delta=%v step %d: ranking %v, want %v", delta, s, got, want)
 			}
 		}
-	}
-	if m.Counts().Total() == 0 {
-		t.Fatal("no messages counted")
-	}
-	if m.Stats().Steps != 300 {
-		t.Fatalf("stats: %+v", m.Stats())
+		if m.Counts().Total() == 0 {
+			t.Fatal("no messages counted")
+		}
+		if m.Stats().Steps != 300 {
+			t.Fatalf("stats: %+v", m.Stats())
+		}
 	}
 }
 
@@ -99,15 +116,17 @@ func TestOrderedMonitorErrors(t *testing.T) {
 
 func TestOrderedTopAndPhases(t *testing.T) {
 	m, _ := NewOrdered(Config{Nodes: 5, K: 3, Seed: 23})
-	if len(m.Top()) != 0 {
-		t.Fatal("pre-observe Top should be empty")
+	if len(m.AppendRanking(nil)) != 0 {
+		t.Fatal("pre-observe ranking should be empty")
 	}
 	if _, err := m.Observe([]int64{10, 50, 30, 20, 40}); err != nil {
 		t.Fatal(err)
 	}
-	top := m.Top()
-	if len(top) != 3 || top[0] != 1 || top[1] != 4 || top[2] != 2 {
-		t.Fatalf("rank order: %v", top)
+	if r := m.AppendRanking(nil); !slices.Equal(r, []int{1, 4, 2}) {
+		t.Fatalf("rank order: %v", r)
+	}
+	if top := m.Top(); !slices.Equal(top, []int{1, 2, 4}) {
+		t.Fatalf("Top of an ordered monitor is the set, ascending: %v", top)
 	}
 	p := m.Phases()
 	if p.Violation.Total()+p.Handler.Total()+p.Reset.Total() != m.Counts().Total() {
@@ -116,5 +135,44 @@ func TestOrderedTopAndPhases(t *testing.T) {
 	pb := m.BytesByPhase()
 	if pb.Violation.Total()+pb.Handler.Total()+pb.Reset.Total() != m.Bytes().Total() {
 		t.Fatal("phase byte sum mismatch")
+	}
+}
+
+// TestAppendRanking pins the ranking view's contract: a monitor from New
+// appends nothing, nor does a closed ordered one, and an ordered monitor
+// reads its ranking into a dst of capacity >= K without allocating.
+func TestAppendRanking(t *testing.T) {
+	vals := []int64{10, 50, 30, 20, 40}
+	dst := []int{7}
+	set, err := New(Config{Nodes: 5, K: 3, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	if _, err := set.Observe(vals); err != nil {
+		t.Fatal(err)
+	}
+	if got := set.AppendRanking(dst); !slices.Equal(got, []int{7}) || &got[0] != &dst[0] {
+		t.Fatalf("New monitor's AppendRanking changed dst: %v", got)
+	}
+	for _, conc := range []bool{false, true} {
+		m, err := NewOrdered(Config{Nodes: 5, K: 3, Seed: 23, Concurrent: conc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]int, 0, 3)
+		if allocs := testing.AllocsPerRun(100, func() { buf = m.AppendRanking(buf[:0]) }); allocs != 0 {
+			t.Fatalf("concurrent=%v: AppendRanking with cap(dst) = K allocates %v times", conc, allocs)
+		}
+		if !slices.Equal(buf, []int{1, 4, 2}) {
+			t.Fatalf("concurrent=%v: ranking %v", conc, buf)
+		}
+		m.Close()
+		if got := m.AppendRanking(dst); !slices.Equal(got, []int{7}) {
+			t.Fatalf("concurrent=%v: closed monitor's AppendRanking changed dst: %v", conc, got)
+		}
 	}
 }

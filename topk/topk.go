@@ -232,7 +232,8 @@ type Tree struct {
 // zero reports whether no tree is configured.
 func (t Tree) zero() bool { return t == Tree{} }
 
-// Monitor continuously tracks the top-k positions. Create one with New.
+// Monitor continuously tracks the top-k positions. Create one with New,
+// NewOrdered (which adds the ranking within the top set) or Restore.
 // A synchronous Monitor is not safe for concurrent use: the model's
 // time steps are globally ordered. In asynchronous mode (a positive
 // Config.Ingest.QueueDepth) the observation methods, Drain and every
@@ -377,8 +378,9 @@ func (m *Monitor) MaxValue() int64 { return m.maxVal }
 // checkValues validates one step's observations against the value
 // domain before any engine state is touched, so a rejected step leaves
 // the monitor fully usable. ids supplies the node id per value for error
-// reporting (nil means vals[i] belongs to node i). Both public monitors
-// share this one check so their rejection semantics cannot diverge.
+// reporting (nil means vals[i] belongs to node i). Observe, ObserveDelta
+// and Oracle share this one check so their rejection semantics cannot
+// diverge.
 func checkValues(maxVal int64, ids []int, vals []int64) error {
 	for j, v := range vals {
 		if v > maxVal || v < -maxVal {
