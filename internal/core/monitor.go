@@ -14,7 +14,7 @@
 // other engine hosts. The Monitor owns one machine, one bank over all n
 // nodes, the one loop that executes the machine's effects on that bank, the
 // engine's input contract (it panics where the public boundary returns an
-// error), the accessors, Snapshot/Restore/AppendCheckpoint, optional
+// error), the accessors, Snapshot/RestoreOn/AppendCheckpoint, optional
 // tracing of the installs, the UseGather ablation, and the views tests
 // read (Keys, Filters).
 //

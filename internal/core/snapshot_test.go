@@ -40,7 +40,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("eps=%v: snapshot: %v", eps, err)
 		}
-		restored, err := Restore(cfg, machFrame, nodesFrame)
+		restored, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: machFrame, Nodes: nodesFrame}, nil)
 		if err != nil {
 			t.Fatalf("eps=%v: restore: %v", eps, err)
 		}
@@ -94,14 +94,14 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		{N: 8, K: 2, Seed: 3, Epsilon: 0.1},
 	}
 	for i, b := range bad {
-		if _, err := Restore(b, mach, nodes); err == nil {
+		if _, err := RestoreOn(b, Inline, &wire.Checkpoint{Machine: mach, Nodes: nodes}, nil); err == nil {
 			t.Fatalf("case %d: restore accepted a mismatched config %+v", i, b)
 		}
 	}
-	if _, err := Restore(cfg, mach[:len(mach)-1], nodes); err == nil {
+	if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach[:len(mach)-1], Nodes: nodes}, nil); err == nil {
 		t.Fatal("restore accepted a truncated machine frame")
 	}
-	if _, err := Restore(cfg, mach, nodes[:len(nodes)-1]); err == nil {
+	if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: nodes[:len(nodes)-1]}, nil); err == nil {
 		t.Fatal("restore accepted a truncated nodes frame")
 	}
 }
@@ -145,11 +145,11 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 		s.Keys = append([]int64(nil), bs.Keys...)
 		s.InTop = append([]bool(nil), bs.InTop...)
 		tc.mut(&s)
-		if _, err := Restore(cfg, mach, s.Append(nil)); !errors.Is(err, coord.ErrFilterState) {
+		if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: s.Append(nil)}, nil); !errors.Is(err, coord.ErrFilterState) {
 			t.Errorf("%s: restore returned %v, want coord.ErrFilterState", tc.name, err)
 		}
 	}
-	if _, err := Restore(cfg, mach, bs.Append(nil)); err != nil {
+	if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: bs.Append(nil)}, nil); err != nil {
 		t.Fatalf("re-encoded untouched frame rejected: %v", err)
 	}
 
@@ -172,7 +172,7 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 		"the Extracted bit": flag(6, 0x04),
 		"violation history": append(nodes[:len(nodes)-2:len(nodes)-2], 4, 2, 0, 0), // index 3 violated at step 1
 	} {
-		if _, err := Restore(cfg, mach, frame); !errors.Is(err, wire.ErrMalformed) {
+		if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); !errors.Is(err, wire.ErrMalformed) {
 			t.Errorf("%s: restore returned %v, want wire.ErrMalformed", name, err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 		"a bank over [0, 7)":               part.Append(nil),
 		"seven nodes' columns under n = 8": short,
 	} {
-		if _, err := Restore(cfg, mach, frame); err == nil {
+		if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); err == nil {
 			t.Errorf("%s: restored", name)
 		}
 	}
@@ -208,7 +208,7 @@ func TestRestorePreTimeZeroFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := Restore(cfg, mach, nodes)
+		restored, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: nodes}, nil)
 		if err != nil {
 			t.Fatalf("%+v: pre-time-0 frame rejected: %v", cfg, err)
 		}

@@ -123,8 +123,9 @@
 // Err reports only terminal degradation (retry budget exhausted, or no
 // peers left). Late joiners
 // attach mid-stream through Join, which splits the widest range using the
-// same machinery, and Restore rebuilds a crashed coordinator process from
-// a checkpoint through it too.
+// same machinery. A crashed coordinator process comes back as the engine
+// New builds plus Resume, which runs steps (3) and (4) alone: New's
+// handshake has just done step (2).
 //
 // Rebuilt banks draw fresh RNG streams from the configured seed. The
 // protocols are Las Vegas — randomness affects message counts, never

@@ -90,7 +90,7 @@ func (e *Engine) recoverNow() error {
 		if err := e.restorePeers(); err != nil {
 			return err // all peers lost: already terminal
 		}
-		if err := e.reassignReplayReset(); err != nil {
+		if e.reassign() != nil || e.replayReset() != nil {
 			continue // a peer died during the attempt; retry
 		}
 		e.pendingRecovery = false
@@ -170,16 +170,14 @@ func (e *Engine) assignment() wire.Assign {
 	}
 }
 
-// reassignReplayReset is the uniform reconfiguration step shared by
-// recovery, Join and Restore: quiesce every link (dropping queued
-// commands and draining a survivor's outstanding pre-failure reply — the
-// strict request/reply discipline bounds that to one frame), re-run the
-// Assign handshake (the servers rebuild their banks from scratch), replay
-// the mirrored node values, and drive a forced FILTERRESET. Recovery
-// frames are charged to the link ledger like any other coordination
-// traffic. Any peer failing here is marked dead and the error returned;
-// the caller retries or gives up.
-func (e *Engine) reassignReplayReset() error {
+// reassign is the first half of the reconfiguration that recovery and
+// Join run: quiesce every link (dropping queued commands and draining a
+// survivor's outstanding pre-failure reply — the strict request/reply
+// discipline bounds that to one frame) and re-run the Assign handshake,
+// after which every server holds a bank rebuilt from scratch. Any peer
+// failing here is marked dead and the error returned; the caller retries
+// or gives up.
+func (e *Engine) reassign() error {
 	for pi, p := range e.fan.peers {
 		p.queue.Reset()
 		if p.owed == 0 {
@@ -189,9 +187,15 @@ func (e *Engine) reassignReplayReset() error {
 			return err
 		}
 	}
-	if err := e.fan.assign(e.assignment()); err != nil {
-		return err
-	}
+	return e.fan.assign(e.assignment())
+}
+
+// replayReset is the second half, and all of Resume: replay the mirrored
+// node values into banks an Assign has just built, and drive a forced
+// FILTERRESET. Its frames are charged to the link ledger like any other
+// coordination traffic; a peer failing is marked dead and the error
+// returned, as in reassign.
+func (e *Engine) replayReset() error {
 	// Replay the current value of every node from the coordinator-side
 	// mirror, coded against the zero every rebuilt bank holds. Rebuilt
 	// banks hold full filters, so no violations fire; the replies' flags
@@ -249,7 +253,11 @@ func (e *Engine) Join(link transport.Link) error {
 	}
 	e.emit(coord.Event{Kind: coord.EventPeerJoined, Lo: np.lo, Hi: np.hi})
 	e.mach.Abort()
-	if err := e.reassignReplayReset(); err != nil {
+	err = e.reassign()
+	if err == nil {
+		err = e.replayReset()
+	}
+	if err != nil {
 		return fmt.Errorf("fanout: join: %w", err)
 	}
 	return nil

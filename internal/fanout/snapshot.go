@@ -5,19 +5,19 @@ import (
 	"fmt"
 
 	"repro/internal/coord"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// AppendCheckpoint and Restore give the link-backed engines coordinator-process
+// AppendCheckpoint and Resume give the link-backed engines coordinator-process
 // checkpointing. The node banks live in the peers and are rebuilt from
 // scratch by the Assign handshake at any time, so a checkpoint carries
 // only the coordinator's own execution: the machine frame plus the
-// last-value mirror. Restore rebuilds the coordinator, replays the mirror
-// through the same reassign/replay/reset cycle failover uses, and forces
-// a FILTERRESET — the protocols are Las Vegas, so post-restore reports
-// match the oracle immediately while the ledgers continue from the
-// checkpoint plus the visible recovery cost (exactly as after a peer
+// last-value mirror. A restore is the engine New builds, whose handshake
+// has just left every bank at zero, resuming the checkpointed machine
+// over that mirror: Resume replays it and forces a FILTERRESET — the
+// tail failover runs. The protocols are Las Vegas, so post-restore
+// reports match the oracle immediately while the ledgers continue from
+// the checkpoint plus the visible recovery cost (exactly as after a peer
 // failover).
 
 // AppendCheckpoint appends one sealed frame of the engine's checkpoint
@@ -57,33 +57,16 @@ func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen, base uint64, dirt
 	return w.Seal(e.last), nil
 }
 
-// Restore rebuilds a coordinator over links from a checkpoint taken under
-// the same configuration (including the same peer layout — the frame is
-// agnostic, but the mirror replay fans out over whatever links are
-// given). The frame is validated against cfg before any link is used;
-// then the fresh engine handshakes as usual, adopts the restored machine
-// and mirror, and runs the reassign/replay/reset cycle. A peer failing
-// during that cycle leaves recovery pending (or the engine cleanly
-// terminal), exactly as a mid-run failure would; the next observation
-// call retries through the regular failover path.
-func Restore(cfg Config, links []transport.Link, exec Exec, machFrame []byte, last []int64) (*Engine, error) {
-	mach, err := coord.OpenMachine(cfg.N, cfg.K, cfg.Epsilon, machFrame)
-	if err == nil && len(last) != cfg.N {
-		err = fmt.Errorf("checkpoint mirror has %d values for n=%d", len(last), cfg.N)
-	}
-	if err != nil {
-		closeAll(links)
-		return nil, fmt.Errorf("fanout: restore: %w", err)
-	}
-	e, err := New(cfg, links, exec)
-	if err != nil {
-		return nil, err
-	}
+// Resume adopts a checkpointed coordinator — machine mach and value
+// mirror last, taken under the same configuration and already held to it
+// — into an engine New has just built, replays the mirror into the banks
+// New's handshake left at zero, and forces a FILTERRESET. Call it once,
+// before the first observation. A peer failing during the replay leaves
+// recovery pending (or the engine cleanly terminal), exactly as a mid-run
+// failure would: the next observation call retries through the regular
+// failover path, and Health tells the story.
+func (e *Engine) Resume(mach *coord.Machine, last []int64) {
 	e.mach = mach
 	copy(e.last, last)
-	// On failure the failing peer is marked dead and recovery is pending
-	// (or the engine is already cleanly terminal): either way the caller
-	// holds a usable engine whose Health tells the story.
-	_ = e.reassignReplayReset()
-	return e, nil
+	_ = e.replayReset()
 }

@@ -47,16 +47,6 @@ func New(cfg Config, links []transport.Link) (*Engine, error) {
 	return &Engine{e}, nil
 }
 
-// Restore rebuilds a coordinator over links from a checkpoint taken under
-// the same configuration, under fanout.Restore's contract.
-func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
-	e, err := fanout.Restore(cfg, links, execRounds(), machFrame, last)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{e}, nil
-}
-
 // LoopbackLink builds a single in-process host behind a pipe and returns
 // the coordinator end (see fanout.Loopback).
 func LoopbackLink() transport.Link { return fanout.Loopback(Serve) }

@@ -1,8 +1,8 @@
 // Package runtime is the concurrent host of core.Monitor: a pool of shard
 // goroutines, each driving a disjoint view of the monitor's node bank, that
 // runs the monitor's range sweeps — the step's observation batch and a
-// protocol round — in parallel. New and Restore return the
-// monitor on that host: the concurrent engine. It demonstrates the
+// protocol round — in parallel. New (and core.RestoreOn with Sharded)
+// returns the monitor on that host: the concurrent engine. It demonstrates the
 // distributed fidelity of the reproduction — a shard consults only its own
 // nodes' state (current key, filter, membership bit) and
 // everything the coordinator learns about values arrives in counted
@@ -88,12 +88,6 @@ func (c Config) core() core.Config {
 // New returns a monitor on a freshly started shard pool. Callers must
 // Close it to release the goroutines.
 func New(cfg Config) *core.Monitor { return core.NewOn(cfg.core(), Sharded) }
-
-// Restore is core.Restore onto a shard pool sized for this process; the
-// shard count need not be the one the frames were taken under.
-func Restore(cfg Config, machFrame, nodesFrame []byte) (*core.Monitor, error) {
-	return core.RestoreOn(cfg.core(), Sharded, machFrame, nodesFrame)
-}
 
 type cmdKind int
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/coord"
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -52,7 +53,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		}
 		rejected := func(name string, frame []byte) {
 			t.Helper()
-			if rt, err := Restore(cfg, mach, frame); !errors.Is(err, coord.ErrFilterState) {
+			if rt, err := core.RestoreOn(cfg.core(), Sharded, &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); !errors.Is(err, coord.ErrFilterState) {
 				t.Errorf("eps=%v %s: restore returned %v, want coord.ErrFilterState", eps, name, err)
 				if rt != nil {
 					rt.Close()
@@ -86,7 +87,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		part.OrdLo, part.OrdHi = bs.OrdLo[:cfg.N-1], bs.OrdHi[:cfg.N-1]
 		short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's columns missing": short} {
-			if rt, err := Restore(cfg, mach, frame); err == nil {
+			if rt, err := core.RestoreOn(cfg.core(), Sharded, &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); err == nil {
 				t.Errorf("eps=%v %s: restored", eps, name)
 				rt.Close()
 			}
@@ -95,7 +96,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		// The untouched bank restores (with another shard count) and stays
 		// bit-identical to the twin.
 		gort.GOMAXPROCS(5)
-		back, err := Restore(cfg, mach, nodes)
+		back, err := core.RestoreOn(cfg.core(), Sharded, &wire.Checkpoint{Machine: mach, Nodes: nodes}, nil)
 		if err != nil {
 			t.Fatalf("eps=%v: untouched frame rejected: %v", eps, err)
 		}

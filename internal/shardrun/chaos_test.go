@@ -194,8 +194,8 @@ func (a *assassin) watch(level int, l transport.Link) transport.Link {
 // told (see assassin): a shard of a star, and in a 2² tree an interior and
 // a leaf, under merge and redial recovery and both gathers. (The name is
 // from when a reset was k+1 extractions and the kill landed between two;
-// the ids stay, see fanouttest.Gathers, j counting the sweep's ⌈log₂N⌉ = 4 round
-// boundaries the leaf is at.) Whatever the reset had done with the dead
+// the ids stay, j counting the sweep's ⌈log₂N⌉ = 4 round boundaries the
+// leaf is at.) Whatever the reset had done with the dead
 // child, the engine finds the link dead at the next frame it moves there,
 // the recovery's forced reset sweeps everyone afresh, and from the first
 // step after it reports equal the oracle and the hosted banks pass the

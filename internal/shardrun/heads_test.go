@@ -62,10 +62,9 @@ func (c *execCount) take() (targets []int, outsiders int) {
 
 // TestResetRunsSPlusKExecutions pins the work of a delegated FILTERRESET as
 // an exact count, taken on the links themselves. (The name is from when a
-// reset was a k-merge of S + k local executions; the ids stay, see
-// fanouttest.Gathers.) Over L leaves a reset is one execution for
-// min(k+1, n) winners: it runs exactly L local executions — every leaf once
-// — and the root ships exactly B execution requests over its B links whatever
+// reset was a k-merge of S + k local executions; the ids stay.) Over L
+// leaves a reset is one execution for min(k+1, n) winners: it runs exactly
+// L local executions — every leaf once — and the root ships exactly B execution requests over its B links whatever
 // hangs below them, as for every other execution; and it sends a Winner to
 // the k members and to nobody else. The time-0 reset and the forced reset
 // of a recovery count like any other.
@@ -332,7 +331,7 @@ func list(d wire.ShardDigest, pairs ...int64) wire.ShardDigest {
 // TestInteriorHeadCache scripts a parent over one interior and three stub
 // kids and pins the relay's merge of their winner lists frame by frame.
 // (The name is from when the relay kept a head per kid and asked only the
-// kid whose head was taken; the id stays, see fanouttest.Gathers.) Every
+// kid whose head was taken; the id stays.) Every
 // execution reaches every kid, once; the merged list is the want best of
 // the kids' winners, best first, the first kid in range order ahead among
 // equal keys; the charges are the sum of what the kids charged.

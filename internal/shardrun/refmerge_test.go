@@ -161,8 +161,7 @@ func refStar(t *testing.T, cfg Config, shards int, exec fanout.Exec, log *instal
 // its shards' winner lists by the reference above — the k-merge of heads a
 // reset's extractions used to be — and one whose root folds them through
 // protocol.Top, side by side. (The name is from when the two differed in
-// how many local executions they ran; the ids stay, see
-// fanouttest.Gathers.) Both ship the same frames to the same leaves, so
+// how many local executions they ran; the ids stay.) Both ship the same frames to the same leaves, so
 // everything must be the same at every step and every S: reports, the
 // machine's counters, every installed midpoint or band, and all three
 // ledgers.

@@ -115,32 +115,16 @@ type Engine struct {
 
 // New performs the Assign/Ready handshake over the given links — shard i
 // owns the i-th contiguous node range — and returns the root, under
-// fanout.New's contract.
+// fanout.New's contract; like it, New closes every link on error, a tree
+// shape the links do not fit included.
 func New(cfg Config, links []transport.Link) (*Engine, error) {
-	return build(cfg, links, func() (*fanout.Engine, error) {
-		return fanout.New(cfg.Core(), links, execMerge())
-	})
-}
-
-// Restore rebuilds a root over links from a checkpoint taken under the same
-// configuration (including the same Tree shape), under fanout.Restore's
-// contract.
-func Restore(cfg Config, links []transport.Link, machFrame []byte, last []int64) (*Engine, error) {
-	return build(cfg, links, func() (*fanout.Engine, error) {
-		return fanout.Restore(cfg.Core(), links, execMerge(), machFrame, last)
-	})
-}
-
-// build checks the tree shape against the links and wraps the core engine
-// mk constructs. Like the core constructors it closes every link on error.
-func build(cfg Config, links []transport.Link, mk func() (*fanout.Engine, error)) (*Engine, error) {
 	if err := cfg.checkTree(len(links)); err != nil {
 		for _, l := range links {
 			l.Close()
 		}
 		return nil, err
 	}
-	e, err := mk()
+	e, err := fanout.New(cfg.Core(), links, execMerge())
 	if err != nil {
 		return nil, err
 	}

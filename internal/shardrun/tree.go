@@ -104,16 +104,6 @@ func NewLoopbackTree(cfg Config, branch, depth int) (*Engine, error) {
 	return New(cfg, links)
 }
 
-// RestoreLoopbackTree is Restore over fresh loopback subtrees, the
-// counterpart of NewLoopbackTree.
-func RestoreLoopbackTree(cfg Config, branch, depth int, machFrame []byte, last []int64) (*Engine, error) {
-	links, err := loopbackTree(&cfg, branch, depth)
-	if err != nil {
-		return nil, err
-	}
-	return Restore(cfg, links, machFrame, last)
-}
-
 // Leaves returns the number of leaf shards the engine serves: the
 // configured tree's leaf count, or the direct link count when flat.
 func (e *Engine) Leaves() int {

@@ -60,11 +60,12 @@ type CheckpointStore interface {
 // node's key and filter (restoring is bit-identical — same reports, same
 // ledgers, same coins, which are a function of the seed, as a monitor that
 // never stopped); for the networked and sharded engines the machine plus the
-// coordinator's last-value mirror (the node banks live in the peers and
-// are rebuilt through the same reassign/replay/reset cycle peer
-// failover uses, so a restored monitor re-converges to oracle-exact
-// reports immediately — the protocols are Las Vegas — while the ledgers
-// additionally carry the visible recovery cost).
+// coordinator's last-value mirror (the node banks live in the peers: the
+// banks the constructor's handshake builds get the mirror's replay and
+// the forced filter reset that end a peer failover, so a restored monitor
+// re-converges to oracle-exact reports immediately — the protocols are
+// Las Vegas — while the ledgers additionally carry the visible recovery
+// cost).
 //
 // What a checkpoint costs is what changed. The first frame after New or
 // Restore is a base, the whole state; a later frame is a delta — the
@@ -373,13 +374,13 @@ func (m *Monitor) Checkpoint(ctx context.Context) (uint64, error) {
 // *ConfigError New returns).
 //
 // The in-process engines resume bit-identically to a monitor that never
-// stopped. The networked and sharded engines handshake their peers from
-// scratch (cfg.Transport must supply fresh links whose far ends run
-// ServeNodes; in-process shard and tree monitors respawn their
-// loopback peers), replay the checkpointed value mirror, and
-// force a filter reset — reports are oracle-exact from the first
-// post-restore step, with the recovery traffic visible in the ledgers,
-// exactly as after a peer failover. A peer failing during the replay
+// stopped. The networked and tree engines handshake their peers from
+// scratch, once, as New does (cfg.Transport must supply fresh links whose
+// far ends run ServeNodes; a tree monitor, a star of shards included,
+// respawns its loopback peers), replay the checkpointed value mirror into
+// the banks that handshake built, and force a filter reset — reports are
+// oracle-exact from the first post-restore step, with the recovery
+// traffic visible in the ledgers, exactly as after a peer failover. A peer failing during the replay
 // leaves the restored monitor degraded (or cleanly terminal), exactly
 // as a mid-run failure would; Health tells the story.
 //

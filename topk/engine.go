@@ -76,15 +76,6 @@ func (*closed) AppendCheckpoint([]byte, uint64, uint64, []uint64) ([]byte, error
 	return nil, errClosed
 }
 
-// asEngine erases a constructor's concrete engine type, keeping a failed
-// construction a nil engine.
-func asEngine[E engine](e E, err error) (engine, error) {
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // engineKind maps a validated configuration to the engine fingerprint a
 // checkpoint frame records, so a frame never restores into a different
 // engine than the one that took it.
@@ -103,7 +94,7 @@ func engineKind(cfg Config) uint8 {
 
 // fanoutConfig maps the public configuration to the link-backed engines'
 // (shardrun.Config is netrun's plus the tree shape, which the loopback
-// tree constructors fill in).
+// tree constructor fills in).
 func fanoutConfig(cfg Config) shardrun.Config {
 	return shardrun.Config{
 		N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon,
@@ -111,16 +102,18 @@ func fanoutConfig(cfg Config) shardrun.Config {
 	}
 }
 
-// foldMirror folds the deltas of a link-backed engine's checkpoint chain
-// into its base envelope c: every delta's values, held to the value
-// domain, patch the value mirror c.Last — what the engine replays to its
-// peers — and the machine frame the chain ends on is returned.
-func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) ([]byte, error) {
-	if len(deltas) > 0 && len(c.Last) != cfg.Nodes {
+// foldMirror is the one check of a link-backed engine's checkpoint chain,
+// base envelope c and the deltas after it, run before any link is used:
+// the value mirror c.Last — what the engine replays to its peers — must
+// hold one value per node; every delta's values, each held to the value
+// domain, patch it; and the machine frame the chain ends on must open
+// under cfg. It returns that machine.
+func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) (*coord.Machine, error) {
+	if len(c.Last) != cfg.Nodes {
 		return nil, badRestore(nil, "checkpoint mirror has %d values for n=%d", len(c.Last), cfg.Nodes)
 	}
 	maxVal := order.MaxValueFor(cfg.Nodes)
-	return coord.FoldDeltas(c, cfg.Nodes, deltas, func(ids []int, vals []int64) error {
+	frame, err := coord.FoldDeltas(c, cfg.Nodes, deltas, func(ids []int, vals []int64) error {
 		for j, id := range ids {
 			if v := vals[j]; v > maxVal || v < -maxVal {
 				return badRestore(nil, "node %d value %d outside the value domain [-%d, %d]", id, v, maxVal, maxVal)
@@ -129,6 +122,10 @@ func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) ([]byte, error)
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return coord.OpenMachine(cfg.Nodes, cfg.K, cfg.Epsilon, frame)
 }
 
 // buildEngine constructs the engine a validated configuration selects —
@@ -137,35 +134,16 @@ func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) ([]byte, error)
 // identity is switched on. ordered is NewOrdered's: the coordinator's
 // ordered mode, which only the two in-process engines run (NewOrdered
 // rejects the configurations that select another).
+//
+// A link-backed restore is the engine a fresh build makes, which then
+// resumes the chain's machine over its value mirror (fanout.Engine.Resume);
+// a chain foldMirror refuses closes the links taken from the Transport.
 func buildEngine(cfg Config, c *wire.Checkpoint, deltas [][]byte, ordered bool) (engine, error) {
-	fc := fanoutConfig(cfg)
-	lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: ordered}
 	kind := engineKind(cfg)
-	var mach []byte // link-backed restores: the machine frame the chain ends on
-	if c != nil && (kind == wire.EngineShard || kind == wire.EngineNet) {
-		var err error
-		if mach, err = foldMirror(cfg, c, deltas); err != nil {
-			return nil, err
-		}
-	}
-	switch kind {
-	case wire.EngineShard:
-		if c == nil {
-			return asEngine(shardrun.NewLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth))
-		}
-		return asEngine(shardrun.RestoreLoopbackTree(fc, cfg.Tree.Branch, cfg.Tree.Depth, mach, c.Last))
-	case wire.EngineNet:
-		var links []transport.Link
-		for _, l := range cfg.Transport.Links() {
-			links = append(links, l) // method sets match; Stats is optional and probed dynamically
-		}
-		if c == nil {
-			return asEngine(netrun.New(fc.Core(), links))
-		}
-		return asEngine(netrun.Restore(fc.Core(), links, mach, c.Last))
-	default:
+	if kind == wire.EngineSeq || kind == wire.EngineConc {
 		// The in-process engines are one monitor on two hosts: the bank
 		// swept inline, or by a pool of min(n, GOMAXPROCS) shard goroutines.
+		lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: ordered}
 		host := core.Inline
 		if kind == wire.EngineConc {
 			host = runtime.Sharded
@@ -173,8 +151,44 @@ func buildEngine(cfg Config, c *wire.Checkpoint, deltas [][]byte, ordered bool) 
 		if c == nil {
 			return core.NewOn(lc, host), nil
 		}
-		return asEngine(core.RestoreChainOn(lc, host, c, deltas))
+		m, err := core.RestoreOn(lc, host, c, deltas)
+		if err != nil {
+			return nil, err // not a nil *core.Monitor in an engine
+		}
+		return m, nil
 	}
+	var links []transport.Link
+	if kind == wire.EngineNet {
+		for _, l := range cfg.Transport.Links() {
+			links = append(links, l) // method sets match; Stats is optional and probed dynamically
+		}
+	}
+	var mach *coord.Machine // a restore's: the machine the chain ends on
+	var err error
+	if c != nil {
+		if mach, err = foldMirror(cfg, c, deltas); err != nil {
+			for _, l := range links {
+				l.Close()
+			}
+			return nil, err
+		}
+	}
+	var eng interface {
+		engine
+		Resume(mach *coord.Machine, last []int64)
+	}
+	if kind == wire.EngineShard {
+		eng, err = shardrun.NewLoopbackTree(fanoutConfig(cfg), cfg.Tree.Branch, cfg.Tree.Depth)
+	} else {
+		eng, err = netrun.New(fanoutConfig(cfg).Core(), links)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if mach != nil {
+		eng.Resume(mach, c.Last)
+	}
+	return eng, nil
 }
 
 // lock serializes an engine access against the ingest worker's protocol

@@ -165,10 +165,11 @@ type Config struct {
 	// Transport selects the networked engine: the monitor drives the wire
 	// protocol over the transport's links, one peer per link, instead of
 	// an in-process engine. Use Loopback for in-process peers; cmd/topkmon
-	// shows the TCP form, with ServeNodes on the far end of every link. Mutually exclusive with Concurrent; monitors
-	// with a Transport must be Closed to release the peers. New takes
-	// ownership of the Transport: it is closed on any New error (the
-	// links are unusable after a failed handshake) and by Monitor.Close.
+	// shows the TCP form, with ServeNodes on the far end of every link.
+	// Mutually exclusive with Concurrent; monitors with a Transport must be
+	// Closed to release the peers. New takes ownership of the Transport: it
+	// is closed on any New error (the links are unusable after a failed
+	// handshake) and by Monitor.Close.
 	//
 	// The networked and sharded engines pipeline their link I/O: fan-outs
 	// send to every peer before gathering the replies, and ack-only
@@ -201,12 +202,12 @@ type Config struct {
 	// equal the other engines' to the tie. Over one leaf the message ledger
 	// is bit-identical to the sequential engine's; over more, the per-leaf
 	// protocol rounds and the root's digest traffic (see Overhead) are the
-	// price of removing the single-coordinator bottleneck. Reports, message counts and charged bytes depend on the
-	// leaves alone — interiors merge associatively and make no protocol
-	// decisions — while the root's own fan-in stays at Branch links. The
-	// zero value disables the engine; Branch^Depth must not exceed Nodes,
-	// and Tree is mutually exclusive with Concurrent and Transport. Tree
-	// monitors must be Closed.
+	// price of removing the single-coordinator bottleneck. Reports, message
+	// counts and charged bytes depend on the leaves alone — interiors merge
+	// associatively and make no protocol decisions — while the root's own
+	// fan-in stays at Branch links. The zero value disables the engine;
+	// Branch^Depth must not exceed Nodes, and Tree is mutually exclusive
+	// with Concurrent and Transport. Tree monitors must be Closed.
 	Tree Tree
 	// Checkpoint configures durable checkpointing: with a Store set the
 	// monitor can persist its execution state as CRC-sealed frames —
