@@ -36,7 +36,10 @@
 // links so a monitor can span processes — a topk.Monitor over a Transport
 // with topk.ServeNodes on the far end of every link, which is all that
 // cmd/topkmon's -serve and -join modes are — while staying message-count- and byte-identical to the other
-// engines for the same seed. Every charged message has an exact encoded
+// engines for the same seed. A protocol execution is one exchange per
+// peer: each host runs the execution's rounds over its own nodes and
+// answers with its bid log, which the coordinator replays against the
+// true cut (DESIGN.md "One exchange per execution"). Every charged message has an exact encoded
 // size, so all ledgers report a bytes column (the quantity Theorem 4.2
 // bounds) next to message counts; the transport separately reports the
 // framed volume that actually crossed each link. DESIGN.md documents the

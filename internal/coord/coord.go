@@ -108,6 +108,16 @@ func MinimumTag(t uint8) bool { return t == TagViolMin || t == TagHandMin }
 // node.
 func TolerantTag(t uint8) bool { return t != TagReset }
 
+// ExecTol returns the tolerance an execution of cohort t runs with on a
+// monitor of tolerance tol: tol itself when the tag is tolerant, zero
+// otherwise.
+func ExecTol(t uint8, tol order.Tol) order.Tol {
+	if !TolerantTag(t) {
+		return order.Tol{}
+	}
+	return tol
+}
+
 // EffectKind enumerates what a Machine can ask its adapter to do.
 type EffectKind uint8
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/comm"
 	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/protocol"
@@ -400,7 +401,8 @@ func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, 
 // the cut broadcast so far — the best value, or the want-th best of an
 // execution that wants several (in the execution's comparison domain).
 // Every node that sends is reported to send in ascending id order with its
-// true key.
+// true key. It is how the in-process engines, which broadcast every cut,
+// run an execution; a link-backed host runs it whole (Run).
 //
 // Round 0 enlists the cohort — each node evaluates its membership locally,
 // a word of the membership bitset (or its complement, or all ones) to a word
@@ -408,11 +410,43 @@ func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, 
 // side alone — so banks need no per-execution setup call,
 // and whatever an abandoned execution left in play is overwritten; every
 // round is then one pass of the round kernel (protocol.Field.Round) over
-// the members still in play. A bank that first sees an execution at a
-// round r > 0 (it joined mid-execution) has nobody in play for it and
-// nobody bids. The round's coin is keyed by (seed, step, tag, r): every
-// input a host is handed with the command, so no host keeps anything for it.
+// the members still in play. The round's coin is keyed by (seed, step,
+// tag, r): every input a host is handed with the command, so no host keeps
+// anything for it.
 func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
+	b.round(tag, r, best, bound, step, ExecTol(tag, b.tol), send)
+}
+
+// Run runs one whole protocol execution over the hosted members of cohort
+// tag on ex, which it begins for the want best keys with the given
+// population bound, charging rec: every round of it, each against the cut
+// ex has kept so far, the winners left in ex. It is the round loop of
+// protocol.Exec over Round, and every link-backed host runs it for a Round
+// request.
+//
+// With a log, the execution is the host's share of one its coordinator
+// replays against the true cut (protocol.Exec.Replay), and every bid is
+// also reported to log with its round. Its rounds then run exactly, as
+// Replay requires: against the host's own cut, a tolerant round could
+// retire a node the true cut lets send.
+func (b *Nodes) Run(tag uint8, bound, want int, step int64, ex *protocol.Exec, rec comm.Recorder, log func(r, id int, key order.Key)) {
+	ex.Begin(bound, want, MinimumTag(tag), rec, nil, step)
+	tol, send := ExecTol(tag, b.tol), ex.Bid
+	if log != nil {
+		tol = order.Tol{}
+		send = func(id int, key order.Key) {
+			ex.Bid(id, key)
+			log(ex.Round(), id, key)
+		}
+	}
+	for ex.More() {
+		b.round(tag, ex.Round(), ex.Best(), bound, step, tol, send)
+		ex.EndRound()
+	}
+}
+
+// round is Round with the tolerance decided by the caller.
+func (b *Nodes) round(tag uint8, r int, best order.Key, bound int, step int64, tol order.Tol, send func(id int, key order.Key)) {
 	if bound <= 0 {
 		panic("coord: protocol round with a non-positive population bound")
 	}
@@ -440,10 +474,6 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 		case TagReset:
 			b.inPlay.Fill(len(b.keys), func(int) uint64 { return ^uint64(0) })
 		}
-	}
-	tol := b.tol
-	if !TolerantTag(tag) {
-		tol = order.Tol{} // a reset's execution always runs exactly
 	}
 	coin := rng.NewCoin(b.seed, step, tag, uint(r), uint64(bound))
 	protocol.Field{Keys: b.keys}.Round(&b.inPlay, &coin, tol.WidenHi(best), MinimumTag(tag), b.lo, send)

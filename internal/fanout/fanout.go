@@ -357,6 +357,10 @@ func (e *Engine) AppendTop(dst []int) []int { return e.mach.AppendTop(dst) }
 // Round frames.
 func (e *Engine) Step() int64 { return e.step }
 
+// Tol returns the monitor's tolerance, for an Exec strategy whose
+// executions run with it (coord.ExecTol).
+func (e *Engine) Tol() order.Tol { return e.mach.Tol() }
+
 // Recorder returns the algorithm ledger's recorder for one phase, for an
 // Exec strategy to charge an execution's model messages to.
 func (e *Engine) Recorder(p comm.Phase) comm.Recorder { return e.mach.Recorder(p) }
@@ -375,11 +379,13 @@ func (e *Engine) collect(pi int, op string) error {
 }
 
 // Round runs one wire.Round exchange with every peer on behalf of the Exec
-// strategy: the command fans out (a peer's frame carries the commands
+// strategy: the request fans out (a peer's frame carries the commands
 // queued for it since its last exchange), and each is called for every
 // peer in ascending peer order with the peer's node range and its answer
-// frame. An error from each marks that peer as misbehaving and abandons the
-// step like any link failure.
+// frame. An answer frame stays valid until its link's next exchange, so a
+// strategy may keep every peer's and read them all once Round returns. An
+// error from each marks that peer as misbehaving and abandons the step like
+// any link failure.
 func (e *Engine) Round(m wire.Round, each func(lo, hi int, answer []byte) error) error {
 	e.buf = m.Append(e.buf[:0])
 	for pi := range e.fan.peers {
@@ -560,8 +566,8 @@ func (e *Engine) finishStep(op string, largest int) []int {
 // The ack-only effects do not synchronize one by one: their commands are
 // queued per peer, the machine is advanced immediately (the acks carry no
 // information), and the queued frames ride with the next data-bearing
-// exchange to each peer — a FILTERRESET's ResetBegin rides in the first
-// round of its execution, saving the round trip outright — while whatever
+// exchange to each peer — a FILTERRESET's ResetBegin rides with its
+// execution's Round request, saving the round trip outright — while whatever
 // is still queued when the machine reports EffDone (a reset's k Winner
 // notifications and the trailing midpoint/bounds install) drains as one
 // final batched exchange. Per-link command order

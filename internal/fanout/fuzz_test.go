@@ -12,36 +12,36 @@ import (
 
 // fuzzRounds are the two substrates' answers to a Round frame, as
 // netrun.Serve and shardrun.ServeShard build them (those packages import
-// this one): the node-level round's bids, and a delegated whole execution.
-var fuzzRounds = map[string]RoundFunc{
-	"rounds": func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
-		var reply wire.Reply
-		bank.Round(m.Tag, m.Round, order.Key(m.Best), m.Bound, m.Step, func(id int, key order.Key) {
-			reply.IDs, reply.Keys = append(reply.IDs, id), append(reply.Keys, int64(key))
-		})
-		return reply.Append(dst)
+// this one): a whole execution run over the bank, answered with its bid log
+// or with its winners.
+var fuzzRounds = map[string]func() RoundFunc{
+	"logs": func() RoundFunc {
+		var ex protocol.Exec
+		var log wire.BidLogWriter
+		return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+			log.Begin(dst, bank.Lo())
+			bank.Run(m.Tag, m.Bound, m.Want, m.Step, &ex, comm.Discard, func(r, id int, key order.Key) {
+				log.Add(r, id, int64(key))
+			})
+			return log.End()
+		}
 	},
-	"delegated": func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
-		ex := protocol.NewExec(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
-		for ex.More() {
-			bank.Round(m.Tag, ex.Round(), ex.Best(), m.Bound, m.Step, ex.Bid)
-			ex.EndRound()
+	"delegated": func() RoundFunc {
+		var ex protocol.Exec
+		return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+			bank.Run(m.Tag, m.Bound, m.Want, m.Step, &ex, comm.Discard, nil)
+			var d wire.ShardDigest
+			d.SetWinners(ex.Winners())
+			return d.Append(dst)
 		}
-		var d wire.ShardDigest
-		for i, w := range ex.Winners() {
-			if i == 0 {
-				d.OK, d.ID, d.Key = true, w.ID, int64(w.Key)
-			} else {
-				d.Rest = append(d.Rest, wire.Bid{ID: w.ID, Key: int64(w.Key)})
-			}
-		}
-		return d.Append(dst)
 	},
 }
 
 // FuzzLeafRespond feeds a leaf that holds a valid assignment arbitrary
 // frames: whatever arrives, respond answers or returns an error — a
-// hostile or buggy frame cannot panic the process that hosts the leaf.
+// hostile or buggy frame cannot panic the process that hosts the leaf —
+// and a Round request a log-answering leaf takes it answers with a bid log
+// its coordinator opens.
 func FuzzLeafRespond(f *testing.F) {
 	assign := wire.Assign{Lo: 4, Hi: 20, N: 24, K: 3, Seed: 5}.Append(nil)
 	// Observation frames are applied from the bytes, so one that turns
@@ -83,6 +83,16 @@ func FuzzLeafRespond(f *testing.F) {
 	} {
 		f.Add(seed, seed)
 	}
+	// A step's observations, then an execution over what they made: every
+	// cohort, a log or a digest of the bank as the frame left it. The
+	// answer must be one its coordinator accepts.
+	for _, tag := range []uint8{coord.TagViolMin, coord.TagViolMax, coord.TagHandMin, coord.TagHandMax, coord.TagReset} {
+		round := wire.Round{Tag: tag, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 1}
+		f.Add(dense, round.Append(nil))
+		f.Add(delta, round.Append(nil))
+		round.Want, round.Bound = 5, 1<<30
+		f.Add(dense, round.Append(nil))
+	}
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		for _, frame := range [][]byte{first, second} {
 			// A reassignment builds the bank it names; keep the fuzzer from
@@ -91,14 +101,20 @@ func FuzzLeafRespond(f *testing.F) {
 				t.Skip()
 			}
 		}
-		for _, round := range fuzzRounds {
-			s := &leaf{round: round}
+		for name, round := range fuzzRounds {
+			s := &leaf{round: round()}
 			if cont, err := s.respond(assign); err != nil || !cont {
 				t.Fatalf("valid assignment refused: %v", err)
 			}
 			for _, frame := range [][]byte{first, second} {
 				if cont, err := s.respond(frame); err != nil || !cont {
 					break // the serve loop ends here
+				}
+				if m, err := wire.DecodeRound(frame); err == nil && name == "logs" {
+					var l wire.BidLog
+					if err := l.Open(s.buf, 4, 20, protocol.Rounds(m.Bound)); err != nil {
+						t.Fatalf("a log-answering leaf answered %+v with a log its coordinator refuses: %v", m, err)
+					}
 				}
 			}
 		}

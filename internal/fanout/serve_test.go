@@ -1,6 +1,7 @@
 package fanout_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -52,5 +53,36 @@ func TestHostileRoundFrameEndsServeWithError(t *testing.T) {
 				near.Close()
 			})
 		}
+	}
+}
+
+// TestOlderBuildAssignRefused pins the handshake gate of the bid-log
+// answer from the host's side: an Assign as the build that answered a
+// Round request one round at a time wrote it — the change-coding flag
+// alone — ends both servers' loops with the refusal, before any Ready: a
+// coordinator that would read a bid log as one round's bids never gets a
+// peer to send it one.
+func TestOlderBuildAssignRefused(t *testing.T) {
+	frame := wire.Assign{Lo: 0, Hi: 8, N: 8, K: 2, Seed: 3}.Append(nil)
+	frame[len(frame)-1] = 0x04 // the flags byte of the round-by-round build
+	servers := map[string]func(transport.Link) error{"netrun.Serve": netrun.Serve, "shardrun.ServeShard": shardrun.ServeShard}
+	for name, serve := range servers {
+		t.Run(name, func(t *testing.T) {
+			near, far := transport.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- serve(far) }()
+			if err := near.Send(frame); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-done:
+				if !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "without bid-log answers") {
+					t.Fatalf("serve loop ended with %v, want the assignment's refusal", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("serve loop still running after an older build's assignment")
+			}
+			near.Close()
+		})
 	}
 }

@@ -1,21 +1,25 @@
 // Package netrun is the networked execution engine: the fan-out core of
 // internal/fanout — peers, pipelining, accounting, failover, checkpoints;
 // see that package for all of it — instantiated with node-level protocol
-// rounds. Each peer process hosts a contiguous range of the monitored
+// executions. Each peer process hosts a contiguous range of the monitored
 // nodes; with TCP links the monitor spans real processes (cmd/topkmon
 // -serve / -join), with loopback pipes it runs in-process and is
 // message-count- and byte-identical to the sequential engine, which the
 // equivalence test in this package pins.
 //
-// What is netrun's own is how a protocol execution reaches the nodes:
-// the coordinator runs the protocol's round loop itself (protocol.Exec),
-// every round is one wire.Round exchange with all peers, and the hosts
-// answer with the bids of their sampling nodes in a wire.Reply. One Up is
-// charged per bid and one Bcast per round, exactly like the in-process
-// engines. The frames carry additional scheduling fields (round numbers,
-// bounds, batching); their true framed volume is visible separately
-// through TransportStats. The paper's Theorem 4.2 bounds the former; a
-// deployment pays the latter.
+// What is netrun's own is how a protocol execution reaches the nodes: as
+// one exchange per peer, whatever the execution's ⌈log₂ N⌉ + 1 rounds.
+// The coordinator sends every peer one wire.Round request; each host runs
+// the whole execution over its range against its own running cut
+// (coord.Nodes.Run) and answers with its bid log — every bid it made,
+// grouped by round (wire.BidLog). The coordinator replays the logs round
+// by round against the true cut (protocol.Exec.Replay), which keeps
+// exactly the bids the round-by-round execution would have heard: one Up
+// is charged per delivered bid and one Bcast per round, exactly like the
+// in-process engines. The frames carry additional scheduling fields
+// (bounds, the bids the true cut drops, batching); their true framed
+// volume is visible separately through TransportStats. The paper's
+// Theorem 4.2 bounds the former; a deployment pays the latter.
 package netrun
 
 import (
@@ -33,7 +37,7 @@ import (
 type Config = fanout.Config
 
 // Engine is the networked monitor's coordinator: a fanout.Engine whose
-// protocol executions run round by round over the node hosts.
+// protocol executions its node hosts run and it replays.
 type Engine struct{ *fanout.Engine }
 
 // New performs the Assign/Ready handshake over the given links — peer i
@@ -63,44 +67,49 @@ func NewLoopback(cfg Config, peers int) (*Engine, error) {
 }
 
 // Serve runs the node-host side of the networked engine on one link: the
-// leaf server of fanout.Serve, answering each protocol round with the
-// bids of the local nodes that sample in it.
-func Serve(link transport.Link) error {
-	var reply wire.Reply // reusable bid list
-	return fanout.Serve(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
-		reply.IDs, reply.Keys = reply.IDs[:0], reply.Keys[:0]
-		bank.Round(m.Tag, m.Round, order.Key(m.Best), m.Bound, m.Step, func(id int, key order.Key) {
-			reply.IDs = append(reply.IDs, id)
-			reply.Keys = append(reply.Keys, int64(key))
+// leaf server of fanout.Serve, answering each Round request with logRound.
+func Serve(link transport.Link) error { return fanout.Serve(link, logRound()) }
+
+// logRound returns a node host's answer to a Round request: run the whole
+// execution over the local nodes (coord.Nodes.Run) and answer with its bid
+// log, written straight into the reply frame.
+func logRound() fanout.RoundFunc {
+	var ex protocol.Exec // the host's own cut
+	var log wire.BidLogWriter
+	return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+		log.Begin(dst, bank.Lo())
+		bank.Run(m.Tag, m.Bound, m.Want, m.Step, &ex, comm.Discard, func(r, id int, key order.Key) {
+			log.Add(r, id, int64(key))
 		})
-		return reply.Append(dst)
-	})
+		return log.End()
+	}
 }
 
 // execRounds is the networked engine's Exec strategy: one protocol
-// execution over the effect's cohort, each round one fan-out/gather
-// exchange, charging Up per bid and Bcast per round exactly like the
-// in-process engines.
+// execution over the effect's cohort as one exchange — one Round request
+// to every peer, one bid log back — replayed in place: each log is read
+// where its answer frame lies, which stays valid until its link's next
+// exchange, long after the replay. A log that is malformed, or names a
+// node outside its peer's range or a round the execution does not have,
+// fails that peer like a dead link.
 func execRounds() fanout.Exec {
-	var reply wire.Reply // reusable decode target
 	var ex protocol.Exec // its winner buffer is sized by the first reset
+	var logs []wire.BidLog
 	return func(e *fanout.Engine, eff coord.Effect) ([]protocol.Winner, error) {
-		ex.Begin(eff.Bound, eff.Want, coord.MinimumTag(eff.Tag), e.Recorder(eff.Phase), nil, e.Step())
-		for ex.More() {
-			round := wire.Round{Tag: eff.Tag, Round: ex.Round(), Best: int64(ex.Best()), Bound: eff.Bound, Step: e.Step(), Want: eff.Want}
-			err := e.Round(round, func(_, _ int, answer []byte) error {
-				if err := reply.Decode(answer); err != nil {
-					return err
-				}
-				for j, id := range reply.IDs {
-					ex.Bid(id, order.Key(reply.Keys[j]))
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			ex.EndRound()
+		rounds := protocol.Rounds(eff.Bound)
+		req := wire.Round{Tag: eff.Tag, Best: int64(order.NegInf), Bound: eff.Bound, Step: e.Step(), Want: eff.Want}
+		logs = logs[:0]
+		err := e.Round(req, func(lo, hi int, answer []byte) error {
+			logs = append(logs, wire.BidLog{})
+			return logs[len(logs)-1].Open(answer, lo, hi, rounds)
+		})
+		if err == nil {
+			ex.Begin(eff.Bound, eff.Want, coord.MinimumTag(eff.Tag), e.Recorder(eff.Phase), nil, e.Step())
+			ex.Replay(logs, coord.ExecTol(eff.Tag, e.Tol()))
+		}
+		clear(logs) // hold no answer frame past the exchange
+		if err != nil {
+			return nil, err
 		}
 		return ex.Winners(), nil
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/fanout/fanouttest"
-	"repro/internal/protocol"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -105,7 +104,8 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 // frames instead of paying one frame (and one ack frame) each. Both
 // numbers are pinned as goldens, so the ledger and the coalescing cannot
 // drift together (27646 / 26296 while a FILTERRESET was k+1 executions,
-// the first also what the removed lockstep mode sent on this run).
+// the first also what the removed lockstep mode sent on this run; 13096 /
+// 11896 while every round of an execution was an exchange of its own).
 func TestPipelinedFramingCoalesces(t *testing.T) {
 	const n, k, seed, steps, peers = 24, 4, 19, 150, 4
 	fanouttest.EachGather(t, func(t *testing.T) {
@@ -126,8 +126,8 @@ func TestPipelinedFramingCoalesces(t *testing.T) {
 		if ts.RecvFrames >= led.Up {
 			t.Fatalf("replies did not coalesce: %d frames received for %d ledger replies", ts.RecvFrames, led.Up)
 		}
-		if led.Down != 13096 || ts.SentFrames != 11896 {
-			t.Fatalf("ledger commands / sent frames = %d / %d, want 13096 / 11896", led.Down, ts.SentFrames)
+		if led.Down != 4772 || ts.SentFrames != 3572 {
+			t.Fatalf("ledger commands / sent frames = %d / %d, want 4772 / 3572", led.Down, ts.SentFrames)
 		}
 	})
 }
@@ -194,14 +194,16 @@ func (l *sweepTap) Stats() transport.LinkStats { return transport.StatsOf(l.Link
 
 // TestResetIsOneSweepOfRounds pins the work of a node-level FILTERRESET as
 // an exact count, taken on the links: one execution for the k+1 largest
-// keys is ceil(log2 N) + 1 broadcast rounds, each one Round frame to every
-// peer and one reply gathered from each — (ceil(log2 N) + 1)·P of either
-// per reset, whatever k is, where k+1 executions shipped k+1 times that.
-// The time-0 reset, the resets violations drive and the forced reset of a
-// recovery count alike, under both gathers.
+// keys, whose ceil(log2 N) + 1 broadcast rounds every host runs itself and
+// the coordinator replays, so one Round frame to every peer and one reply
+// gathered from each — P of either per reset, whatever k and N are, where
+// k+1 executions shipped k+1 times (ceil(log2 N) + 1)·P, and one execution
+// round by round (ceil(log2 N) + 1)·P. The time-0 reset, the resets
+// violations drive and the forced reset of a recovery count alike, under
+// both gathers.
 func TestResetIsOneSweepOfRounds(t *testing.T) {
 	const n, k, steps = 40, 6, 120
-	perReset := int64(protocol.Rounds(n))
+	const perReset = 1
 	for _, g := range fanouttest.Gathers {
 		for _, peers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/P=%d", g.Name, peers), func(t *testing.T) {

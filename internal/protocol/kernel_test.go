@@ -10,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/order"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // Sampler is the one-node reference of an Algorithm 2 execution: the
@@ -448,14 +449,19 @@ func BenchmarkScratchMaximum(b *testing.B) {
 // sends, round for round, exactly what the whole field sends (partSends):
 // under the −∞ cut of round 0 and the finite ones after it, in either
 // sense, and in the sparse rounds before the 2^-6 switch as in the
-// compacting ones after it.
+// compacting ones after it. And the split and replay of a networked
+// execution (replaySends): the field cut at any two offsets into parts that
+// each run the whole execution against a cut of their own, their bid logs
+// replayed against the true cut, delivers in every round exactly what the
+// whole field sends.
 func FuzzRoundKernel(f *testing.F) {
-	f.Add([]byte{0, 255, 7, 7, 9, 1, 200}, uint16(70), uint64(0), uint8(0), uint64(1), uint16(0), uint16(33))
-	f.Add([]byte{3, 3, 3, 3}, uint16(64), uint64(1), uint8(1|4), uint64(2), uint16(2), uint16(64))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(4100), uint64(1<<33), uint8(1|8), uint64(3), uint16(16), uint16(2049))
-	f.Add([]byte{255, 0}, uint16(129), uint64(77), uint8(4|16), uint64(4), uint16(200), uint16(127))
-	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5}, uint16(300), uint64(0), uint8(1), uint64(5), uint16(8), uint16(0))
-	f.Fuzz(func(t *testing.T, data []byte, size16 uint16, slack uint64, flags uint8, seed uint64, want16, split16 uint16) {
+	f.Add([]byte{0, 255, 7, 7, 9, 1, 200}, uint16(70), uint64(0), uint8(0), uint64(1), uint16(0), uint16(33), uint16(9))
+	f.Add([]byte{3, 3, 3, 3}, uint16(64), uint64(1), uint8(1|4), uint64(2), uint16(2), uint16(64), uint16(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(4100), uint64(1<<33), uint8(1|8), uint64(3), uint16(16), uint16(2049), uint16(1000))
+	f.Add([]byte{255, 0}, uint16(129), uint64(77), uint8(4|16), uint64(4), uint16(200), uint16(127), uint16(2))
+	f.Add([]byte{9, 1, 8, 2, 7, 3, 6, 4, 5}, uint16(300), uint64(0), uint8(1), uint64(5), uint16(8), uint16(0), uint16(150))
+	f.Add([]byte{40, 41, 42, 43, 44, 45, 46, 47}, uint16(500), uint64(3), uint8(1|8|16), uint64(6), uint16(0), uint16(130), uint16(190))
+	f.Fuzz(func(t *testing.T, data []byte, size16 uint16, slack uint64, flags uint8, seed uint64, want16, split16, split2 uint16) {
 		if len(data) == 0 {
 			t.Skip()
 		}
@@ -528,7 +534,61 @@ func FuzzRoundKernel(f *testing.F) {
 		if !slices.Equal(whole, split) {
 			t.Fatalf("split at %d, the rounds send %v; the whole field sends %v", a, split, whole)
 		}
+		b := a + int(split2)%(kc.size-a+1)
+		if replayed := replaySends(&kc, []int{0, a, b, kc.size}, want, seed, tol, minimum); !slices.Equal(whole, replayed) {
+			t.Fatalf("split at %d and %d and replayed, the rounds deliver %v; the whole field sends %v", a, b, replayed, whole)
+		}
 	})
+}
+
+// replaySends drives the execution partSends does the way the networked
+// engine does: each view of the field cut at the offsets cuts runs every
+// round itself, exactly, against its own cut — the want-th best of its own
+// bids — with the global bound, and logs its bids (wire.BidLogWriter); the
+// logs are replayed against the true cut (Exec.Replay), and every round's
+// deliveries come back as partSends returns its sends.
+func replaySends(kc *kernelCase, cuts []int, want int, seed uint64, tol order.Tol, minimum bool) []string {
+	fld := kc.field()
+	logs := make([]wire.BidLog, len(cuts)-1)
+	for v := range logs {
+		lo, hi := cuts[v], cuts[v+1]
+		var ids []int
+		for _, id := range kc.ids {
+			if id >= lo && id < hi {
+				ids = append(ids, id-lo)
+			}
+		}
+		var in InPlay
+		in.Enlist(hi-lo, ids)
+		own := NewExec(kc.bound, want, minimum, comm.Discard, nil, 0)
+		var w wire.BidLogWriter
+		w.Begin(nil, lo)
+		for own.More() {
+			r := own.Round()
+			coin := rng.NewCoin(seed, 0, 0, uint(r), uint64(kc.bound))
+			Field{Keys: fld.Keys[lo:hi]}.Round(&in, &coin, own.Best(), minimum, lo, func(id int, key order.Key) {
+				own.Bid(id, key)
+				w.Add(r, id, int64(key))
+			})
+			own.EndRound()
+		}
+		if err := logs[v].Open(w.End(), lo, hi, Rounds(kc.bound)); err != nil {
+			panic(fmt.Sprintf("view [%d, %d) wrote a log it cannot open: %v", lo, hi, err))
+		}
+	}
+	tr := comm.NewTrace(len(kc.ids) + 2*Rounds(kc.bound))
+	ex := NewExec(kc.bound, want, minimum, comm.Discard, tr, 0)
+	ex.Replay(logs, tol)
+	var rounds []string
+	line := ""
+	for _, e := range tr.Events() {
+		if e.Kind == comm.Bcast {
+			rounds, line = append(rounds, line), ""
+			continue
+		}
+		line += fmt.Sprintf("%d:%d ", e.From, e.Payload)
+	}
+	return rounds
 }
 
 // partSends drives one execution of want winners over kc's cohort with its

@@ -153,9 +153,10 @@ func (t *Top) Winners() []Winner { return t.win }
 // so every node above the final cut has bid and the winners are exactly the
 // want largest keys, in order; with want = 1 it is Algorithm 2 itself, bid
 // for bid. It is the single copy of that loop shared by every execution
-// substrate — the in-process run below, internal/core on either host, the
-// networked engine (internal/netrun) and the shard agents
-// (internal/shardrun) all drive it:
+// substrate — the in-process run below, internal/core on either host, and
+// the node hosts and shard agents of the link-backed engines
+// (coord.Nodes.Run) all drive it, and the networked engine's coordinator
+// drives it through Replay:
 //
 //	ex.Begin(bound, want, minimum, rec, nil, step)
 //	for ex.More() {
@@ -236,6 +237,43 @@ func (e *Exec) EndRound() {
 	e.rec.RecordSized(comm.Bcast, 1, wire.SizeBest(e.r, int64(cut)))
 	e.tr.Append(comm.Event{Step: e.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: int64(cut), Note: "proto round"})
 	e.r++
+}
+
+// Replay drives e, begun by the caller, through every round of an
+// execution its hosts have already run, each over its own nodes: logs are
+// their bid logs (wire.BidLog, opened for this execution's round count),
+// in ascending range order. In round r it delivers every logged bid of
+// round r, host by host, that tol.WidenHi of the cut broadcast so far does
+// not dominate (tol zero for an exact execution), and closes the round —
+// the charges, winners and trace of the execution the rounds would have
+// run one broadcast at a time.
+//
+// That is exact because a host runs its rounds exactly, against its own
+// running cut: the want-th best of its own bids. A node's send is decided
+// in the first round whose trial hits — it sends unless the cut of that
+// round dominates it (Field.Round) — and the cut only rises. A host's own
+// bids are the sends of the true execution and bids the true cut
+// dominated, each below tol.WidenHi of the true cut; so its own cut never
+// passes tol.WidenHi of the true one, every node the true execution hears
+// from bids at the host too, in the same round, and replaying the logs
+// against the true cut keeps exactly the true sends. A host that widened
+// its own cut could retire a node the true cut lets send.
+func (e *Exec) Replay(logs []wire.BidLog, tol order.Tol) {
+	for e.More() {
+		cut := tol.WidenHi(e.Best())
+		for i := range logs {
+			for {
+				id, key, ok := logs[i].Next(e.r)
+				if !ok {
+					break
+				}
+				if cut <= e.top.cmp(key) {
+					e.Bid(id, order.Key(key))
+				}
+			}
+		}
+		e.EndRound()
+	}
 }
 
 // Winners returns the execution's outcome: the at most want nodes that

@@ -11,8 +11,8 @@
 // The root is the fan-out core of internal/fanout — peers, pipelining,
 // both ledgers, failover, Join, checkpoints; see that package —
 // instantiated with delegated protocol executions. Where the networked
-// engine runs Algorithm 2 round by round over all n nodes, the root
-// delegates each execution to its shards: a shard runs the complete
+// engine replays its hosts' bids as one execution over all n nodes, the
+// root delegates each execution to its shards: a shard runs the complete
 // protocol over its local cohort (with the global population bound, so
 // shard-local randomness matches the flat engines' at S=1) and answers
 // with one wire.ShardDigest — its local winners, best first, plus a
@@ -27,9 +27,10 @@
 // and one gather, where Algorithm 1's k+1 successive maxima took S + k
 // executions and k further round trips even merged incrementally.
 //
-// Shards speak the same wire protocol as the networked engine's hosts
-// with one reinterpretation: a wire.Round frame from the root means "run
-// this whole execution locally" and is answered by a wire.ShardDigest.
+// Shards speak the same wire protocol as the networked engine's hosts,
+// and like them run the whole execution a wire.Round frame asks for
+// (coord.Nodes.Run); they answer with a wire.ShardDigest where a node host
+// answers with its bid log.
 //
 // Exactness is inherited from Algorithm 1: the hierarchical execution
 // computes the same extrema (each local protocol is Las Vegas-exact, and
@@ -174,20 +175,19 @@ func ServeShard(link transport.Link) error { return fanout.Serve(link, localExec
 
 // localExec returns a shard's answer to a delegated execution request: run
 // the whole local protocol for the tag and report only the local winners,
-// best first, and a charge summary in a ShardDigest. The local rounds are
-// protocol.Exec's with the global population bound and winner count the
-// root supplies, so at S=1 the execution — randomness, charges, winners —
-// is bit-identical to the flat engines'.
+// best first, and a charge summary in a ShardDigest. The local execution
+// is the node hosts' (coord.Nodes.Run) with the global population bound
+// and winner count the root supplies, so at S=1 the execution —
+// randomness, charges, winners — is bit-identical to the flat engines'.
+// Where a node host answers with every bid it made, for its coordinator to
+// replay, a shard answers with its winners: the local execution is the
+// model here.
 func localExec() fanout.RoundFunc {
 	var led comm.Counter // per-execution local charges
 	var ex protocol.Exec
 	return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 		led.Reset()
-		ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), &led, nil, m.Step)
-		for ex.More() {
-			bank.Round(m.Tag, ex.Round(), ex.Best(), m.Bound, m.Step, ex.Bid)
-			ex.EndRound()
-		}
+		bank.Run(m.Tag, m.Bound, m.Want, m.Step, &ex, &led, nil)
 		d := wire.ShardDigest{
 			Ups:        led.Get(comm.Up),
 			UpBytes:    led.GetBytes(comm.Up),

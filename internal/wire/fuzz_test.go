@@ -57,6 +57,18 @@ func FuzzDecode(f *testing.F) {
 		sampleDelta().Append(nil),
 		CheckpointChain{Frames: [][]byte{sampleCheckpoint().Append(nil), sampleDelta().Append(nil)}}.Append(nil),
 		AppendBare(nil, TypeShutdown),
+		// Bid logs: valid ones, and one malformed each way Open rejects.
+		{TypeBidLog},
+		sampleBidLog(0),
+		sampleBidLog(1 << 20),
+		rawBidLog(0, 1, 3, 7),             // a group of one
+		rawBidLog(3, 1, 3, 7, 2, 1, 0, 4), // rounds out of order
+		rawBidLog(2, 2, 3, 7, 0, 8),       // an id repeated
+		rawBidLog(2, 0),                   // an empty group
+		rawBidLog(2, 9, 3, 7),             // a count the frame cannot hold
+		rawBidLog(70, 1, 3, 7),            // a round past any execution's
+		rawBidLog(0, 1, 1<<40, 7),         // an id past any range
+		sampleBidLog(0)[:9],
 		bytes.Repeat([]byte{0x80}, 32),
 		bytes.Repeat([]byte{0xff}, 32),
 	}
@@ -159,6 +171,11 @@ func FuzzDecode(f *testing.F) {
 			if err := m.Decode(data); err == nil {
 				roundTrip(t, data, m.Append(nil))
 			}
+		case TypeBidLog:
+			var l BidLog
+			if err := l.Open(data, 0, math.MaxInt32, 64); err == nil {
+				roundTrip(t, data, rewriteBidLog(&l, 0, 64))
+			}
 		case TypeReady, TypeResetBegin, TypeShutdown, TypeQuery, TypeStatsPoll:
 			_ = DecodeBare(data, typ)
 		}
@@ -170,4 +187,41 @@ func roundTrip(t testing.TB, in, re []byte) {
 	if !bytes.Equal(in, re) {
 		t.Fatalf("re-encode mismatch:\n in %x\nout %x", in, re)
 	}
+}
+
+// sampleBidLog is a host's log of three rounds of an execution, the host's
+// nodes starting at lo.
+func sampleBidLog(lo int) []byte {
+	var w BidLogWriter
+	w.Begin(nil, lo)
+	w.Add(0, lo+3, -40)
+	w.Add(2, lo, 1<<40)
+	w.Add(2, lo+1, 7)
+	w.Add(2, lo+900, -1<<62)
+	w.Add(5, lo+12, 0)
+	return w.End()
+}
+
+// rawBidLog hand-codes a bid log of one group: its round and count, then
+// (id delta, key) pairs as uvarints — keys zigzag-coded by the caller —
+// whatever they say.
+func rawBidLog(fields ...uint64) []byte {
+	p := []byte{TypeBidLog}
+	for _, f := range fields {
+		p = AppendUvarint(p, f)
+	}
+	return p
+}
+
+// rewriteBidLog reads an opened log round by round, as a replay does, and
+// writes what it read again.
+func rewriteBidLog(l *BidLog, lo, rounds int) []byte {
+	var w BidLogWriter
+	w.Begin(nil, lo)
+	for r := 0; r < rounds; r++ {
+		for id, key, ok := l.Next(r); ok; id, key, ok = l.Next(r) {
+			w.Add(r, id, key)
+		}
+	}
+	return w.End()
 }

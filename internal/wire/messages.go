@@ -18,10 +18,11 @@ const (
 	// TypeObserveDelta delivers one sparse observation step: only the
 	// listed (strictly increasing) node ids changed.
 	TypeObserveDelta byte = 0x04
-	// TypeRound starts one sampler round of Algorithm 2 on a cohort.
+	// TypeRound asks a host to run one whole execution of Algorithm 2 on
+	// a cohort.
 	TypeRound byte = 0x05
-	// TypeReply is a peer's batched answer to any command: violation
-	// flags and the round's sampler bids.
+	// TypeReply is a peer's answer to any command but a Round: violation
+	// flags, or an empty acknowledgement.
 	TypeReply byte = 0x06
 	// TypeWinner notifies a FILTERRESET's winner of its new membership.
 	TypeWinner byte = 0x07
@@ -32,7 +33,7 @@ const (
 	// TypeShutdown asks a peer to exit its serve loop.
 	TypeShutdown byte = 0x0a
 	// TypeBid is the canonical charged form of one sampler send (id, key).
-	// On the wire bids ride batched inside TypeReply.
+	// On the wire bids ride in a host's bid log (TypeBidLog).
 	TypeBid byte = 0x0b
 	// TypeBest is the canonical charged form of the coordinator's
 	// end-of-round broadcast (round, running best).
@@ -96,6 +97,10 @@ const (
 	// hands topk.Restore: one sealed base envelope followed by the sealed
 	// deltas that name it, each length-prefixed (see checkpoint.go).
 	TypeCheckpointChain byte = 0x1a
+	// TypeBidLog is a node host's answer to a Round request: every bid of
+	// the whole execution it ran over its range, grouped by round (see
+	// bidlog.go).
+	TypeBidLog byte = 0x1b
 )
 
 // MaxTolNum is the exclusive upper bound on Assign.EpsNum: tolerance
@@ -107,6 +112,7 @@ const MaxTolNum uint64 = 1 << 20
 
 // Flag bits used by messages with a flags byte.
 const (
+	flagBidLogs = 1 << 3 // Assign: Round requests are answered by bid logs; always set
 	flagChanges = 1 << 2 // Assign: observation frames carry changes; always set (0x02 was the laddered build's, 0x01 the raw-value key domain's)
 	flagNoGens  = 1 << 1 // bank frame: no generator column follows the keys
 	flagIsTop   = 1 << 0 // Winner: winner joins the top-k set
@@ -184,7 +190,7 @@ func (m Assign) Append(dst []byte) []byte {
 	dst = AppendUvarint(dst, uint64(m.K))
 	dst = AppendUvarint(dst, m.Seed)
 	dst = AppendUvarint(dst, m.EpsNum)
-	return append(dst, flagChanges)
+	return append(dst, flagChanges|flagBidLogs)
 }
 
 // DecodeAssign decodes a full Assign frame.
@@ -224,10 +230,12 @@ func DecodeAssign(p []byte) (Assign, error) {
 		return m, ErrTruncated
 	}
 	switch {
-	case p[0]&^flagChanges != 0:
+	case p[0]&^(flagChanges|flagBidLogs) != 0:
 		return m, fmt.Errorf("%w: unknown assign flags 0x%02x", ErrMalformed, p[0])
 	case p[0]&flagChanges == 0:
 		return m, fmt.Errorf("%w: assign flags 0x%02x without change-coded observations: a peer of another build", ErrMalformed, p[0])
+	case p[0]&flagBidLogs == 0:
+		return m, fmt.Errorf("%w: assign flags 0x%02x without bid-log answers: a peer of another build", ErrMalformed, p[0])
 	}
 	return m, fin(p[1:])
 }
@@ -408,14 +416,19 @@ func (m *ObserveDelta) Decode(p []byte) error {
 	return fin(p)
 }
 
-// Round starts sampler round Round of one protocol execution over the
-// cohort selected by Tag, with the cut broadcast so far (the best key, or
-// the Want-th best of an execution for several), the execution's
-// population bound, the observation step (cohort selection for violation
-// protocols is per-step), and the number of winners the execution is to
-// find — which a host that runs whole executions (internal/shardrun) needs
-// and a host that runs single rounds only checks. The codec takes any
-// Want; hosts reject one outside [1, Bound] where they reject a bad tag.
+// Round asks a host to run one whole protocol execution over the cohort
+// selected by Tag, with the execution's population bound, the observation
+// step (cohort selection for violation protocols is per-step), and the
+// number of winners the execution is to find. Every host runs the whole
+// execution: a node host (internal/netrun) answers with its bid log
+// (BidLog), a shard (internal/shardrun) with its digest. The codec takes
+// any Want; hosts reject one outside [1, Bound] where they reject a bad
+// tag.
+//
+// Round and Best are left from the exchange that ran one round a request
+// (the round's index and the cut broadcast so far): every sender sends 0
+// and the −∞ cut, and no host reads them. They stay in the layout because
+// the benchmark harness builds a Round with them.
 type Round struct {
 	Tag   uint8
 	Round int
@@ -471,8 +484,10 @@ func DecodeRound(p []byte) (Round, error) {
 }
 
 // Reply is a peer's batched answer to one command: filter-violation flags
-// (observation commands) and sampler bids (round commands). Commands that
-// produce neither send an empty Reply to keep the link in lockstep.
+// (observation commands), or the empty acknowledgement of a command that
+// has nothing to report, sent to keep the link in lockstep. IDs and Keys
+// carried a round's sampler bids when a Round request was one round; a
+// Round is answered by a bid log now, and no engine sends them.
 type Reply struct {
 	TopViol, OutViol bool
 	IDs              []int   // bidding node ids
@@ -655,7 +670,7 @@ func DecodeApproxBounds(p []byte) (ApproxBounds, error) {
 }
 
 // Bid is the canonical charged form of one sampler send: the bidding
-// node's id and its key. On the wire bids ride batched inside Reply; the
+// node's id and its key. On the wire bids ride in a host's BidLog; the
 // standalone encoding exists so the comm ledgers charge exactly the bytes
 // a per-message deployment would pay.
 type Bid struct {
@@ -690,8 +705,9 @@ func DecodeBid(p []byte) (Bid, error) {
 
 // Best is the canonical charged form of the coordinator's end-of-round
 // broadcast: the round number and the best key seen so far (in the
-// executing protocol's comparison domain). On the wire it rides inside the
-// next Round command.
+// executing protocol's comparison domain). No link carries it: a host runs
+// the rounds against its own cut, and the coordinator replays them against
+// the broadcast one (BidLog).
 type Best struct {
 	Round int
 	Key   int64

@@ -124,7 +124,8 @@ func TestAssignRejectsBadTolerance(t *testing.T) {
 // every build since the ε mode has put on the wire for this assignment,
 // the ones that could also append a tolerance ladder included, but for the
 // flags byte, which carries the change-coding bit since observation frames
-// carry changes (parentAssign is the frame before it).
+// carry changes (parentAssign is the frame before it) and the bid-log bit
+// since a Round request is answered by a bid log.
 func TestAssignGoldenBytes(t *testing.T) {
 	m := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024}
 	frame := m.Append(nil)
@@ -135,12 +136,28 @@ func TestAssignGoldenBytes(t *testing.T) {
 	want = AppendUvarint(want, 2)
 	want = AppendUvarint(want, 99)
 	want = AppendUvarint(want, 1024)
-	want = append(want, 0x04) // flags: change-coded observations
+	want = append(want, 0x0c) // flags: change-coded observations, bid-log answers
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("assign changed encoding:\ngot  %x\nwant %x", frame, want)
 	}
 	if !bytes.Equal(frame[:len(frame)-1], parentAssign(0x00)[:len(frame)-1]) {
 		t.Fatalf("assign moved a field before its flags: %x, the build before change coding wrote %x", frame, parentAssign(0x00))
+	}
+}
+
+// TestAssignWithoutBidLogsRefused pins the handshake gate of the bid-log
+// answer: the build before it answered a Round request with one round's
+// bids and set the change-coding bit alone (0x04). Its coordinator would
+// read a bid log as garbage and its hosts would answer this build's
+// request with one round, so its Assign is refused — and this build's
+// carries 0x08, which that build refused as unknown.
+func TestAssignWithoutBidLogsRefused(t *testing.T) {
+	_, err := DecodeAssign(parentAssign(0x04))
+	if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "without bid-log answers") {
+		t.Fatalf("round-by-round build's assign with flags 0x04: err = %v, want ErrMalformed (without bid-log answers)", err)
+	}
+	if _, err := DecodeAssign(parentAssign(0x0c)); err != nil {
+		t.Fatalf("this build's flags refused: %v", err)
 	}
 }
 
@@ -189,8 +206,8 @@ func TestForeignBuildFramesFailClosed(t *testing.T) {
 		}
 	}
 	frame := Assign{Lo: 2, Hi: 6, N: 8, K: 2, Seed: 99, EpsNum: 1024}.Append(nil)
-	if flags := frame[len(frame)-1]; flags != 0x04 {
-		t.Fatalf("assign flags 0x%02x: want the change-coding bit 0x04 alone, which no earlier build knew", flags)
+	if flags := frame[len(frame)-1]; flags != 0x0c {
+		t.Fatalf("assign flags 0x%02x: want the change-coding bit 0x04 and the bid-log bit 0x08, which no earlier build knew", flags)
 	}
 	// A TreeStats reply of that build led with an absorb-counter section.
 	// The ladder-free form — [type][0 absorbs][levels…], what every ε = 0
