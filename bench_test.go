@@ -235,21 +235,36 @@ func BenchmarkFilterInstall(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeStep measures one Observe of the goroutine-per-node
-// engine, including all channel round trips.
+// BenchmarkRuntimeStep measures one Observe of the concurrent engine — a
+// sweep of the shard pool for the batch and one per protocol execution,
+// which each shard runs whole and the monitor replays — next to the
+// sequential engine on the same random-walk trace, at sizes where the pool
+// splits the bank (min(n, GOMAXPROCS) shards).
 func BenchmarkRuntimeStep(b *testing.B) {
-	const n = 64
-	rt := runtime.New(runtime.Config{N: n, K: 4, Seed: 5})
-	defer rt.Close()
-	src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 6})
-	vals := make([]int64, n)
-	src.Step(vals)
-	rt.Observe(vals)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.Step(vals)
-		rt.Observe(vals)
+	engines := []struct {
+		name string
+		mk   func(n int) *core.Monitor
+	}{
+		{"seq", func(n int) *core.Monitor { return core.New(core.Config{N: n, K: 4, Seed: 5}) }},
+		{"conc", func(n int) *core.Monitor { return runtime.New(runtime.Config{N: n, K: 4, Seed: 5}) }},
+	}
+	for _, n := range []int{64, 1 << 12, 1 << 16} {
+		for _, eng := range engines {
+			b.Run(bench.F("n=%d/%s", n, eng.name), func(b *testing.B) {
+				m := eng.mk(n)
+				defer m.Close()
+				src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 6})
+				vals := make([]int64, n)
+				src.Step(vals)
+				m.Observe(vals)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					src.Step(vals)
+					m.Observe(vals)
+				}
+			})
+		}
 	}
 }
 

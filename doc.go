@@ -60,8 +60,8 @@
 // Algorithm 1's coordinator-side decision logic exists exactly once, as
 // the sans-I/O state machine of internal/coord: engines feed it events
 // and execute its effects over their own substrate (direct calls in
-// internal/core, its range sweeps optionally over batched shard channels
-// in internal/runtime, wire frames
+// internal/core, its range sweeps optionally spread over internal/runtime's
+// shard goroutines, wire frames
 // in internal/netrun, delegated shard executions in internal/shardrun —
 // the last two being one engine, internal/fanout, instantiated with two
 // strategies for carrying a protocol execution to its peers).

@@ -1,9 +1,12 @@
 package repro
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/bench"
 )
 
@@ -455,4 +459,98 @@ func TestTestHelpersStayInTests(t *testing.T) {
 	if files < 100 {
 		t.Fatalf("walked only %d non-test Go files", files)
 	}
+}
+
+var updateAPI = flag.Bool("update", false, "rewrite topk/api.txt from this build")
+
+const apiFile = "topk/api.txt"
+
+// TestTopkAPIRecorded holds repro/topk's exported surface to topk/api.txt:
+// every exported identifier of the package with its signature, the
+// exported fields of its struct types and the exported methods of its
+// types, promoted ones included, with their receivers, as go/types prints
+// them. A change to the public API fails here with the lines that moved
+// until the file is re-recorded (go test -run TestTopkAPIRecorded -update
+// .), so the diff of the file is the API change a reviewer reads and the
+// count later deletions are measured from.
+func TestTopkAPIRecorded(t *testing.T) {
+	l, err := analysis.NewModuleLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.Load("repro/topk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := apiLines(pkg.Types)
+	if *updateAPI {
+		if err := os.WriteFile(apiFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	recorded, err := os.ReadFile(apiFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(recorded), "\n"), "\n")
+	if slices.Equal(got, want) {
+		return
+	}
+	var diff strings.Builder
+	for _, line := range want {
+		if !slices.Contains(got, line) {
+			diff.WriteString("- " + line + "\n")
+		}
+	}
+	for _, line := range got {
+		if !slices.Contains(want, line) {
+			diff.WriteString("+ " + line + "\n")
+		}
+	}
+	t.Errorf("repro/topk's exported API drifted from %s (re-record with -update if it is meant to):\n%s", apiFile, diff.String())
+}
+
+// apiLines renders p's exported API one declaration a line, in name order.
+func apiLines(p *types.Package) []string {
+	qual := types.RelativeTo(p)
+	var lines []string
+	for _, name := range p.Scope().Names() {
+		obj := p.Scope().Lookup(name)
+		if !obj.Exported() {
+			continue
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok {
+			lines = append(lines, types.ObjectString(obj, qual))
+			continue
+		}
+		st, isStruct := tn.Type().Underlying().(*types.Struct)
+		if !isStruct || tn.IsAlias() {
+			lines = append(lines, types.ObjectString(obj, qual))
+		} else {
+			lines = append(lines, "type "+name+" struct")
+		}
+		for i := 0; isStruct && i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				lines = append(lines, "field "+name+"."+f.Name()+" "+types.TypeString(f.Type(), qual))
+			}
+		}
+		if types.IsInterface(tn.Type()) {
+			continue // its methods are in its type's line
+		}
+		vs, ps := types.NewMethodSet(tn.Type()), types.NewMethodSet(types.NewPointer(tn.Type()))
+		for i := 0; i < ps.Len(); i++ {
+			if m := ps.At(i).Obj(); m.Exported() {
+				recv := "(*" + name + ") "
+				if vs.Lookup(p, m.Name()) != nil {
+					recv = "(" + name + ") "
+				}
+				var sig bytes.Buffer
+				types.WriteSignature(&sig, m.Type().(*types.Signature), qual)
+				lines = append(lines, "method "+recv+m.Name()+sig.String())
+			}
+		}
+	}
+	return lines
 }

@@ -25,8 +25,8 @@ import (
 // obligation attached to the line it protects.
 //
 // The concurrent in-process runtime (internal/runtime) is deliberately
-// out of scope: its sharded command/reply channels follow a bounded
-// lockstep handshake with no remote failure mode, pinned by the
+// out of scope: its shard pool's hand-off and completion channels follow a
+// bounded round-trip with no remote failure mode, pinned by the
 // equivalence and race suites.
 var CtxSend = &Analyzer{
 	Name: "ctxsend",

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/comm"
 	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/protocol"
@@ -401,8 +400,9 @@ func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, 
 // the cut broadcast so far — the best value, or the want-th best of an
 // execution that wants several (in the execution's comparison domain).
 // Every node that sends is reported to send in ascending id order with its
-// true key. It is how the in-process engines, which broadcast every cut,
-// run an execution; a link-backed host runs it whole (Run).
+// true key. No engine runs an execution through it — every host runs one
+// whole (Run); it is the per-round step that the round-kernel benchmark
+// (benchmark/layers.go) and the reference tests drive.
 //
 // Round 0 enlists the cohort — each node evaluates its membership locally,
 // a word of the membership bitset (or its complement, or all ones) to a word
@@ -418,29 +418,28 @@ func (b *Nodes) Round(tag uint8, r int, best order.Key, bound int, step int64, s
 }
 
 // Run runs one whole protocol execution over the hosted members of cohort
-// tag on ex, which it begins for the want best keys with the given
-// population bound, charging rec: every round of it, each against the cut
-// ex has kept so far, the winners left in ex. It is the round loop of
-// protocol.Exec over Round, and every link-backed host runs it for a Round
-// request.
+// tag on ex, which the caller has begun (protocol.Exec.Begin) with the
+// population bound, the recorder and the trace the execution charges:
+// every round of it, each against the cut ex has kept so far, the winners
+// left in ex. It is the round loop of protocol.Exec over Round, and every
+// host that runs an execution runs it.
 //
 // With a log, the execution is the host's share of one its coordinator
 // replays against the true cut (protocol.Exec.Replay), and every bid is
-// also reported to log with its round. Its rounds then run exactly, as
+// also written to log with its round. Its rounds then run exactly, as
 // Replay requires: against the host's own cut, a tolerant round could
 // retire a node the true cut lets send.
-func (b *Nodes) Run(tag uint8, bound, want int, step int64, ex *protocol.Exec, rec comm.Recorder, log func(r, id int, key order.Key)) {
-	ex.Begin(bound, want, MinimumTag(tag), rec, nil, step)
+func (b *Nodes) Run(tag uint8, step int64, ex *protocol.Exec, log *wire.BidLogWriter) {
 	tol, send := ExecTol(tag, b.tol), ex.Bid
 	if log != nil {
 		tol = order.Tol{}
 		send = func(id int, key order.Key) {
 			ex.Bid(id, key)
-			log(ex.Round(), id, key)
+			log.Add(ex.Round(), id, int64(key))
 		}
 	}
 	for ex.More() {
-		b.round(tag, ex.Round(), ex.Best(), bound, step, tol, send)
+		b.round(tag, ex.Round(), ex.Best(), ex.Bound(), step, tol, send)
 		ex.EndRound()
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/coord"
-	"repro/internal/order"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -103,10 +102,11 @@ func goldenLine(t *testing.T, newMonitor func(Config) *Monitor, cfg Config, feed
 // does not stop the bank from writing.
 func bankFrame(m *Monitor) []byte { return m.bank.Snapshot(nil) }
 
-// views is a Host of up to three disjoint views of the bank, swept one
-// after the other on the calling goroutine: the seam with everything a
-// partitioned host keeps per view — a violator list and an in-play set each,
-// a sparse batch cut at the view boundaries — and no scheduler.
+// views is a Host of disjoint views of the bank, swept one after the
+// other on the calling goroutine: the seam with everything a partitioned
+// host keeps per view — a violator list and an in-play set each, a sparse
+// batch cut at the view boundaries, an execution run whole on each view
+// and replayed — and no scheduler.
 type views []*coord.Nodes
 
 func threeViews(bank *coord.Nodes) Host {
@@ -117,23 +117,12 @@ func threeViews(bank *coord.Nodes) Host {
 	return h
 }
 
-func (h views) Observe(ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
-	for _, v := range h {
-		top, out, err := ObserveRange(v, ids, vals, step)
-		if err != nil {
-			return anyTop, anyOut, err
-		}
-		anyTop, anyOut = anyTop || top, anyOut || out
-	}
-	return anyTop, anyOut, nil
-}
-
-func (h views) Round(tag uint8, r int, best order.Key, bound int, step int64, bid func(int, order.Key)) {
-	for _, v := range h {
-		v.Round(tag, r, best, bound, step, bid)
+func (h views) Views() []*coord.Nodes { return h }
+func (views) Sweep(to []int, f func(int)) {
+	for _, v := range to {
+		f(v)
 	}
 }
-
 func (views) Engine() uint8 { return wire.EngineSeq }
 func (views) Close()        {}
 
@@ -149,8 +138,9 @@ func (views) Close()        {}
 // messages and bytes, statistics; a ledger says each execution enlisted
 // exactly the nodes the description named, since whoever is enlisted is
 // asked its coin. Every line must reproduce a second time through the Host
-// seam cut three ways (views), where a cohort is assembled from per-view
-// violator lists and in-play sets.
+// seam cut three ways (views), where a cohort is assembled from
+// per-view violator lists and in-play sets and every execution is three
+// logged runs replayed against the true cut.
 func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 	run := func(newMonitor func(Config) *Monitor) (got []string) {
 		for _, gs := range goldenStreams {
@@ -190,37 +180,5 @@ func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 				t.Errorf("the monitor on the %s host left the recorded run:\n got %s\nwant %s", host, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestRepeatedFilterResetZeroAllocs pins that FILTERRESET runs out of the
-// monitor's own buffers: once the first reset has sized the in-play set and
-// the winner buffer, every later reset — one execution for the k+1 largest
-// keys over all n nodes — allocates nothing.
-func TestRepeatedFilterResetZeroAllocs(t *testing.T) {
-	const n, k = 512, 8
-	m := New(Config{N: n, K: k, Seed: 3})
-	// Two vectors with disjoint top-k sets: every switch between them
-	// violates filters on both sides and forces a reset.
-	a, b := make([]int64, n), make([]int64, n)
-	for i := range a {
-		a[i], b[i] = int64(i), int64(n-i)
-	}
-	m.Observe(a)
-	m.Observe(b)
-	flip := false
-	before := m.Stats().Resets
-	const runs = 50
-	if avg := testing.AllocsPerRun(runs, func() {
-		if flip = !flip; flip {
-			m.Observe(a)
-		} else {
-			m.Observe(b)
-		}
-	}); avg != 0 {
-		t.Fatalf("an Observe that resets allocates %.2f per step, want 0", avg)
-	}
-	if got := m.Stats().Resets - before; got != runs+1 { // AllocsPerRun warms up once
-		t.Fatalf("%d resets over %d flips: the pin did not measure resets", got, runs+1)
 	}
 }

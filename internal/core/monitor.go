@@ -14,23 +14,31 @@
 // other engine hosts. The Monitor owns one machine, one bank over all n
 // nodes, the one loop that executes the machine's effects on that bank, the
 // engine's input contract (it panics where the public boundary returns an
-// error), the accessors, Snapshot/RestoreOn/AppendCheckpoint, optional
-// tracing of the installs, the UseGather ablation, and the views tests
-// read (Keys, Filters).
+// error), the routing of a sparse batch to the views it touches, the
+// protocol executions, the accessors, Snapshot/RestoreOn/AppendCheckpoint,
+// optional tracing of the installs, the UseGather ablation, and the views
+// tests read (Keys, Filters).
 //
 // What it does not own is where a sweep over a node range runs. The paper
 // prices messages only, so where a node's filter check or Bernoulli trial
-// executes can change neither a report nor a ledger; the two effects that
-// visit a range of nodes' keys — the step's observation batch and a
-// protocol round — therefore go through the Host seam. Inline, the
-// sequential host, is the bank itself swept on the calling goroutine;
-// internal/runtime's shard pool fans the same sweeps out over disjoint views
-// of the bank. Everything else the machine asks for touches one node
+// executes can change neither a report nor a ledger; and its model is
+// synchronous, so an execution's round boundaries are common knowledge, not
+// messages, and where the round loop runs is the engine's choice too. The
+// two effects that visit a range of nodes' keys — the step's observation
+// batch and a protocol execution — therefore run over the Host's views: a
+// host is the bank cut into disjoint views and a parallel-for over them.
+// On a host of one view — Inline, the sequential host, or internal/runtime's
+// shard pool at GOMAXPROCS 1 — the monitor runs both on the bank in place,
+// an execution as the bank's round loop (coord.Nodes.Run). On several, as
+// the pool splits the bank, the batch is one sweep over the views it
+// touches, and an execution one sweep in which each view runs it whole
+// against its own cut and logs its bids; the monitor replays the logs
+// against the true cut (protocol.Exec.Replay) — the networked engine's
+// execution, without the links. Everything else the machine asks for touches one node
 // (Winner, OrderViolated, SetOrderBounds), one shared cell (Midpoint,
 // ApplyBounds) or the membership bitset's n/64 words (ResetBegin): the
 // Monitor runs it on the full-range bank itself, which the Host contract —
-// a host touches the bank only inside its methods — makes race-free on any
-// host, so no host has a command for it.
+// a host touches the bank only inside Sweep — makes race-free on any host.
 //
 // The flow per time step follows the paper exactly:
 //
@@ -98,23 +106,21 @@ type Config struct {
 // for the same seed.
 type Stats = coord.Stats
 
-// Host runs the two operations of a step that sweep a range of nodes, on
-// behalf of the one Monitor whose full-range bank it was started over. The
-// contract is what lets the Monitor execute every other effect on that bank
-// directly: a host touches the bank only inside these methods, and whatever
-// it did there happens-before the method returns — between calls it is
-// parked. Inline keeps the contract trivially; internal/runtime's shard pool
-// keeps it with a command/reply channel pair per call.
+// Host is where the sweeps over the monitor's node bank run: the bank cut
+// into disjoint views, and a parallel-for over them. Its contract is what
+// lets the Monitor execute every other effect on the full-range bank
+// directly: a host touches a view only inside Sweep, and whatever it did
+// there happens-before Sweep returns — between calls it is parked. A host
+// of one view is never swept: the monitor runs everything on the bank in
+// place. internal/runtime's shard pool keeps the contract with one channel
+// send and one completion per view swept.
 type Host interface {
-	// Observe ingests one step's batch — vals[j] is the new value of node
-	// ids[j] (strictly increasing), of node j when ids is nil: nil, not
-	// merely empty, is the dense form — and reports whether any former
-	// top-k member and any outsider violated its filter. The first
-	// out-of-domain value, by node id, is returned as the bank's error.
-	Observe(ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error)
-	// Round is coord.Nodes.Round over all n nodes: bid sees every send in
-	// ascending node id order, on the calling goroutine.
-	Round(tag uint8, r int, best order.Key, bound int, step int64, bid func(id int, key order.Key))
+	// Views returns the views, in ascending order of their ranges, which
+	// tile the bank.
+	Views() []*coord.Nodes
+	// Sweep calls f(v) once for every view index v of to and returns when
+	// every call has: one after the other, or in parallel.
+	Sweep(to []int, f func(v int))
 	// Engine is the wire.Engine* fingerprint the monitor's checkpoint
 	// envelopes carry, so a frame never restores onto another host kind.
 	Engine() uint8
@@ -122,20 +128,22 @@ type Host interface {
 	Close()
 }
 
-// Inline is the sequential host: the bank itself, swept on the calling
-// goroutine.
+// Inline is the sequential host: the bank itself, its one view.
 func Inline(bank *coord.Nodes) Host { return inline{bank} }
 
-type inline struct{ *coord.Nodes } // Round is the bank's
+type inline struct{ bank *coord.Nodes }
 
-func (h inline) Observe(ids []int, vals []int64, step int64) (bool, bool, error) {
-	return ObserveRange(h.Nodes, ids, vals, step)
+func (h inline) Views() []*coord.Nodes { return []*coord.Nodes{h.bank} }
+func (inline) Sweep(to []int, f func(int)) {
+	for _, v := range to {
+		f(v)
+	}
 }
 func (inline) Engine() uint8 { return wire.EngineSeq }
 func (inline) Close()        {}
 
-// ObserveRange feeds view its part of one step's batch (Host.Observe's ids
-// and vals, ids strictly increasing): the nodes of [view.Lo(), view.Hi())
+// observeRange feeds view its part of one step's batch (ids strictly
+// increasing; nil for the dense form): the nodes of [view.Lo(), view.Hi())
 // among them, in ascending id order, stopping at the first value the bank
 // rejects. It is the node-local filter check of Algorithm 1 line 3,
 // restricted to the touched nodes: an untouched node's value lies inside
@@ -143,7 +151,7 @@ func (inline) Close()        {}
 // [−∞, +∞] and nobody ever violates. The dense form is the bank's range
 // kernel over the view's slice of vals (coord.Nodes.ObserveDense), the
 // sparse form one coord.Nodes.Observe per touched node.
-func ObserveRange(view *coord.Nodes, ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
+func observeRange(view *coord.Nodes, ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
 	lo, hi := view.Lo(), view.Hi()
 	if ids == nil {
 		return view.ObserveDense(vals[lo:hi], step)
@@ -167,18 +175,28 @@ func ObserveRange(view *coord.Nodes, ids []int, vals []int64, step int64) (anyTo
 // The monitor holds no per-node state of its own: the machine has the
 // membership, the bank everything a node knows. On the inline host it is
 // allocation-free in steady state — the bank's in-play set and violator
-// list are reused, the running execution and its bid callback live in the
-// monitor — and a violation-free step via ObserveDelta costs O(#changed
+// list are reused, the running execution and the sweep functions live in
+// the monitor — and a violation-free step via ObserveDelta costs O(#changed
 // nodes) and zero heap allocations.
 type Monitor struct {
-	cfg  Config
-	mach *coord.Machine
-	bank *coord.Nodes // all n nodes
-	host Host         // sweeps bank's ranges; parked between calls
-	step int64
+	cfg    Config
+	mach   *coord.Machine
+	bank   *coord.Nodes // all n nodes
+	host   Host         // sweeps the bank's views; parked between calls
+	closed bool
 
-	ex  protocol.Exec        // the running protocol execution
-	bid func(int, order.Key) // ex.Bid, bound once: a host call must not allocate it
+	ex    protocol.Exec // the running protocol execution
+	split *split        // nil on a host of one view
+}
+
+// upOnly charges an execution's bids and drops its round broadcasts: the
+// UseGather ablation's gather-all protocol pays one query instead.
+type upOnly struct{ comm.Recorder }
+
+func (r *upOnly) RecordSized(kind comm.Kind, n, bytes int64) {
+	if kind == comm.Up {
+		r.Recorder.RecordSized(kind, n, bytes)
+	}
 }
 
 // New validates the configuration and returns a monitor on the inline
@@ -212,9 +230,13 @@ func NewOn(cfg Config, start func(bank *coord.Nodes) Host) *Monitor {
 
 // assemble wires a machine and its full-range bank into a monitor and
 // starts the host over the bank; NewOn and RestoreOn funnel through it.
+// Only a host of several views gets a split: a host of one is never swept,
+// the monitor runs the batch and the executions on the bank itself.
 func assemble(cfg Config, mach *coord.Machine, bank *coord.Nodes, start func(*coord.Nodes) Host) *Monitor {
 	m := &Monitor{cfg: cfg, mach: mach, bank: bank, host: start(bank)}
-	m.bid = m.ex.Bid
+	if views := m.host.Views(); len(views) > 1 {
+		m.split = newSplit(m.host, views)
+	}
 	return m
 }
 
@@ -252,9 +274,12 @@ func (m *Monitor) Stats() Stats { return m.mach.Stats() }
 func (m *Monitor) Err() error { return nil }
 
 // Close closes the host — a no-op inline, the end of the shard goroutines
-// on internal/runtime's pool. Idempotent; stepping a closed monitor panics
-// where its host cannot sweep any more.
-func (m *Monitor) Close() { m.host.Close() }
+// on internal/runtime's pool. Idempotent; stepping a closed monitor panics,
+// on any host.
+func (m *Monitor) Close() {
+	m.closed = true
+	m.host.Close()
+}
 
 // Filters assembles the current filter assignment — the bank's installed
 // bounds on the machine's membership — for invariant checking.
@@ -329,14 +354,16 @@ func (m *Monitor) ObserveDelta(ids []int, vals []int64) []int {
 
 // observe runs one step in which vals[j] is the new value of node ids[j] —
 // of node j when ids is nil, the dense form's implicit 0..n-1. It is the one
-// loop that executes the machine's effects in process: the two range
-// sweeps through the host, everything else on the bank directly (the host
-// is parked; see Host).
+// loop that executes the machine's effects in process: the batch and the
+// protocol executions swept over the host's views, everything else on the
+// bank directly (the host is parked; see Host).
 func (m *Monitor) observe(ids []int, vals []int64) []int {
-	m.step = m.mach.BeginStep()
-	anyTop, anyOut, err := m.host.Observe(ids, vals, m.step)
+	if m.closed {
+		panic("core: step after Close")
+	}
+	anyTop, anyOut, err := m.split.observe(m.bank, ids, vals, m.mach.BeginStep())
 	if err != nil {
-		panic("core: " + err.Error())
+		panic("core: " + err.Error()) // the lowest rejected node's, on any host
 	}
 
 	reset := false // a FILTERRESET ran this step: the install is its last act
@@ -373,30 +400,124 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 }
 
 // exec runs one protocol execution over the effect's cohort and returns its
-// winners: the round loop every substrate runs (shardrun's leaves run this
-// very loop), each round one sweep of the host, the banks enlisting the
-// cohort at round 0. Under the UseGather ablation it is instead the one
-// round in which every cohort member bids — round 0 of population bound 1
-// sends with probability 1, and a cut of −∞ dominates nobody — charged as
-// the gather-all protocol charges: one query broadcast, one bid per member,
+// winners (split.exec). Under the UseGather ablation it is the same
+// execution with population bound 1: one round in which every cohort member
+// bids — sending with probability 1 against a cut of −∞ — charged as the
+// gather-all protocol charges: one query broadcast, one bid per member,
 // nothing for an empty cohort.
 func (m *Monitor) exec(eff coord.Effect) []protocol.Winner {
-	rec, minimum := m.mach.Recorder(eff.Phase), coord.MinimumTag(eff.Tag)
+	rec, bound, step := m.mach.Recorder(eff.Phase), eff.Bound, m.mach.Step()
 	if m.cfg.UseGather {
-		m.ex.Begin(1, eff.Want, minimum, rec, m.cfg.Trace, m.step)
-		m.host.Round(eff.Tag, 0, order.NegInf, 1, m.step, m.bid)
-		if len(m.ex.Winners()) > 0 {
-			rec.RecordSized(comm.Bcast, 1, wire.SizeQuery())
-			m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather"})
-		}
-		return m.ex.Winners()
+		rec, bound = &upOnly{rec}, 1
 	}
-	m.ex.Begin(eff.Bound, eff.Want, minimum, rec, m.cfg.Trace, m.step)
-	for m.ex.More() {
-		m.host.Round(eff.Tag, m.ex.Round(), m.ex.Best(), eff.Bound, m.step, m.bid)
-		m.ex.EndRound()
+	m.ex.Begin(bound, eff.Want, coord.MinimumTag(eff.Tag), rec, m.cfg.Trace, step)
+	m.split.exec(m.bank, &m.ex, eff, step, coord.ExecTol(eff.Tag, m.mach.Tol()))
+	if m.cfg.UseGather && len(m.ex.Winners()) > 0 {
+		m.mach.Recorder(eff.Phase).RecordSized(comm.Bcast, 1, wire.SizeQuery())
+		m.cfg.Trace.Append(comm.Event{Step: step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather"})
 	}
 	return m.ex.Winners()
+}
+
+// split is what a monitor keeps to sweep several views: a step's batch
+// routed to the views it touches, and a protocol execution run whole on
+// every view against the view's own cut, its bids logged, the logs replayed
+// against the true cut (protocol.Exec.Replay) as the networked engine's
+// coordinator replays its hosts' — one sweep, whatever the rounds. A
+// monitor on a host of one view has none: the nil split runs both on the
+// bank in place.
+type split struct {
+	host         Host
+	views        []*coord.Nodes
+	all, touched []int // every view index; those a sparse batch touches
+	parts        []part
+
+	// The sweep's inputs.
+	ids             []int
+	vals            []int64
+	step            int64
+	tag             uint8
+	bound, want     int
+	logs            []wire.BidLog
+	observe1, exec1 func(int) // bound once: a sweep must not allocate them
+}
+
+// part is what one view made of the step's batch, and its run of a split
+// execution.
+type part struct {
+	top, out bool
+	err      error
+	ex       protocol.Exec
+	log      wire.BidLogWriter
+	buf      []byte // the log, reused from execution to execution
+}
+
+func newSplit(host Host, views []*coord.Nodes) *split {
+	s := &split{host: host, views: views, parts: make([]part, len(views)), logs: make([]wire.BidLog, len(views))}
+	for v := range views {
+		s.all = append(s.all, v)
+	}
+	s.observe1 = func(v int) {
+		p := &s.parts[v]
+		p.top, p.out, p.err = observeRange(s.views[v], s.ids, s.vals, s.step)
+	}
+	s.exec1 = func(v int) {
+		p := &s.parts[v]
+		p.ex.Begin(s.bound, s.want, coord.MinimumTag(s.tag), comm.Discard, nil, s.step)
+		p.log.Begin(p.buf[:0], s.views[v].Lo())
+		s.views[v].Run(s.tag, s.step, &p.ex, &p.log)
+		p.buf = p.log.End()
+	}
+	return s
+}
+
+// observe feeds one step's batch to bank's views — the views it touches,
+// all of them for the dense form, swept — and folds what they made of it.
+func (s *split) observe(bank *coord.Nodes, ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
+	if s == nil {
+		return observeRange(bank, ids, vals, step)
+	}
+	to := s.all
+	if ids != nil {
+		to = s.touched[:0]
+		for v, j := 0, 0; j < len(ids); v++ {
+			if hi := s.views[v].Hi(); ids[j] < hi {
+				to = append(to, v)
+				j += sort.SearchInts(ids[j:], hi)
+			}
+		}
+		s.touched = to
+	}
+	s.ids, s.vals, s.step = ids, vals, step
+	s.host.Sweep(to, s.observe1)
+	s.ids, s.vals = nil, nil
+	for _, v := range to {
+		p := &s.parts[v]
+		anyTop, anyOut = anyTop || p.top, anyOut || p.out
+		if err == nil {
+			err = p.err
+		}
+	}
+	return anyTop, anyOut, err
+}
+
+// exec runs the execution ex was begun for, of effect eff, over bank's
+// views: in place as the bank's round loop (coord.Nodes.Run), or as one
+// sweep in which every view runs it whole and logs its bids, which ex
+// replays against the true cut, tolerant by tol.
+func (s *split) exec(bank *coord.Nodes, ex *protocol.Exec, eff coord.Effect, step int64, tol order.Tol) {
+	if s == nil {
+		bank.Run(eff.Tag, step, ex, nil)
+		return
+	}
+	s.tag, s.bound, s.want, s.step = eff.Tag, ex.Bound(), eff.Want, step
+	s.host.Sweep(s.all, s.exec1)
+	for v, view := range s.views {
+		if err := s.logs[v].Open(s.parts[v].buf, view.Lo(), view.Hi(), protocol.Rounds(s.bound)); err != nil {
+			panic("core: " + err.Error())
+		}
+	}
+	ex.Replay(s.logs, tol)
 }
 
 // traceInstall records a midpoint (or ε-mode band) broadcast, noting the
@@ -418,7 +539,7 @@ func (m *Monitor) traceInstall(eff coord.Effect, reset bool) {
 			note = "filter reset " + note
 		}
 	}
-	m.cfg.Trace.Append(comm.Event{Step: m.step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: payload, Note: note})
+	m.cfg.Trace.Append(comm.Event{Step: m.mach.Step(), Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Payload: payload, Note: note})
 }
 
 // Keys exposes the key vector of the last observed step (for invariant

@@ -328,8 +328,9 @@ func (f *Fan) Next(pi int) []byte {
 }
 
 // Reply consumes peer pi's next reply sub-frame as a wire.Reply: violation
-// flags, a round's bids, or the empty acknowledgement of a command that has
-// nothing to report. The result is valid until the peer's next Reply.
+// flags, or the empty acknowledgement of a command that has nothing to
+// report (a Round is answered by a bid log, read through Next). The result
+// is valid until the peer's next Reply.
 func (f *Fan) Reply(pi int, op string) (*wire.Reply, error) {
 	p := f.peers[pi]
 	if err := p.reply.Decode(f.Next(pi)); err != nil {

@@ -20,16 +20,16 @@ var fuzzRounds = map[string]func() RoundFunc{
 		var log wire.BidLogWriter
 		return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 			log.Begin(dst, bank.Lo())
-			bank.Run(m.Tag, m.Bound, m.Want, m.Step, &ex, comm.Discard, func(r, id int, key order.Key) {
-				log.Add(r, id, int64(key))
-			})
+			ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
+			bank.Run(m.Tag, m.Step, &ex, &log)
 			return log.End()
 		}
 	},
 	"delegated": func() RoundFunc {
 		var ex protocol.Exec
 		return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
-			bank.Run(m.Tag, m.Bound, m.Want, m.Step, &ex, comm.Discard, nil)
+			ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
+			bank.Run(m.Tag, m.Step, &ex, nil)
 			var d wire.ShardDigest
 			d.SetWinners(ex.Winners())
 			return d.Append(dst)

@@ -199,6 +199,9 @@ func NewExec(bound, want int, minimum bool, rec comm.Recorder, tr *comm.Trace, s
 	return e
 }
 
+// Bound returns the population bound the execution was begun with.
+func (e *Exec) Bound() int { return e.bound }
+
 // More reports whether another round remains to be executed.
 func (e *Exec) More() bool { return e.r < e.rounds }
 

@@ -143,16 +143,17 @@ func TestShardedPoolFollowsGOMAXPROCS(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
 	for _, tc := range []struct{ n, procs int }{{1, 4}, {9, 4}, {10, 4}, {64, 3}, {201, 7}} {
 		gort.GOMAXPROCS(tc.procs)
-		p := Sharded(coord.NewNodes(tc.n, 0, tc.n, 1, false, order.Tol{})).(*pool)
-		if got := len(p.shards); got < 1 || got > min(tc.n, tc.procs) {
+		p := Sharded(coord.NewNodes(tc.n, 0, tc.n, 1, false, order.Tol{}))
+		views := p.Views()
+		if got := len(views); got < 1 || got > min(tc.n, tc.procs) {
 			t.Errorf("n=%d procs=%d: %d shards, want 1..%d", tc.n, tc.procs, got, min(tc.n, tc.procs))
 		}
 		next := 0
-		for i, sh := range p.shards {
-			if sh.bank.Lo() != next || sh.bank.Hi() <= next {
-				t.Errorf("n=%d procs=%d: shard %d holds [%d, %d), want it to start at %d", tc.n, tc.procs, i, sh.bank.Lo(), sh.bank.Hi(), next)
+		for i, v := range views {
+			if v.Lo() != next || v.Hi() <= next {
+				t.Errorf("n=%d procs=%d: shard %d holds [%d, %d), want it to start at %d", tc.n, tc.procs, i, v.Lo(), v.Hi(), next)
 			}
-			next = sh.bank.Hi()
+			next = v.Hi()
 		}
 		if next != tc.n {
 			t.Errorf("n=%d procs=%d: shards end at %d, want %d", tc.n, tc.procs, next, tc.n)
@@ -240,5 +241,40 @@ func TestRuntimeTopStableWithoutViolations(t *testing.T) {
 	}
 	if rt.Counts() != after {
 		t.Fatalf("constant input cost messages: %v -> %v", after, rt.Counts())
+	}
+}
+
+// counting is a host that counts the sweeps its monitor asks of it.
+type counting struct {
+	core.Host
+	sweeps *int
+}
+
+func (c counting) Sweep(to []int, f func(int)) {
+	*c.sweeps++
+	c.Host.Sweep(to, f)
+}
+
+// TestFirstStepSweepsTwice pins what a step costs the pool: one sweep for
+// its batch and one per protocol execution, whatever the execution's
+// rounds. The first step is the time-0 FILTERRESET, one execution: two
+// sweeps at n = 4096 on two views, where a pool crossing over once per
+// round would take 1 + ⌈log₂ n⌉ + 1 = 14.
+func TestFirstStepSweepsTwice(t *testing.T) {
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
+	const n = 4096
+	sweeps := 0
+	m := core.NewOn(Config{N: n, K: 8, Seed: 1}.core(), func(bank *coord.Nodes) core.Host {
+		return counting{Sharded(bank), &sweeps}
+	})
+	defer m.Close()
+	vals := make([]int64, n)
+	stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 2}).Step(vals)
+	m.Observe(vals)
+	if st := m.Stats(); st.Resets != 1 || st.HandlerCalls != 0 {
+		t.Fatalf("the first step ran %+v, want the time-0 reset alone", st)
+	}
+	if sweeps != 2 {
+		t.Fatalf("the first step swept the pool %d times, want 2: its batch and its one execution", sweeps)
 	}
 }

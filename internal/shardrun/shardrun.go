@@ -187,7 +187,8 @@ func localExec() fanout.RoundFunc {
 	var ex protocol.Exec
 	return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 		led.Reset()
-		bank.Run(m.Tag, m.Bound, m.Want, m.Step, &ex, &led, nil)
+		ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), &led, nil, m.Step)
+		bank.Run(m.Tag, m.Step, &ex, nil)
 		d := wire.ShardDigest{
 			Ups:        led.Get(comm.Up),
 			UpBytes:    led.GetBytes(comm.Up),
