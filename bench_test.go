@@ -235,35 +235,72 @@ func BenchmarkFilterInstall(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeStep measures one Observe of the concurrent engine — a
-// sweep of the shard pool for the batch and one per protocol execution,
-// which each shard runs whole and the monitor replays — next to the
-// sequential engine on the same random-walk trace, at sizes where the pool
-// splits the bank (min(n, GOMAXPROCS) shards).
+// BenchmarkRuntimeStep measures one step of the in-process monitor on
+// internal/runtime's host (runtime.Sharded) next to the inline host
+// (core.New) on the same trace — k = 16, a random walk, the first dense
+// call and its time-0 reset untimed — over n ∈ {2¹⁴, 2¹⁶, 2¹⁸, 2²⁰} and a
+// step's batch of 8, 64, 512 or 4096 changed nodes (ObserveDelta, a sparse
+// walk) or every node (dense: Observe). The grid is where the host's size
+// threshold (internal/runtime's minViewNodes) is read from, and why the
+// monitor sweeps dense steps only: run it as alternating pairs — the test
+// binary once per pair, -count=1, so each row's two engines run back to
+// back — and take the threshold as the smallest size at which the pool wins
+// 9 of 10 (EXPERIMENTS.md "one in-process engine").
 func BenchmarkRuntimeStep(b *testing.B) {
 	engines := []struct {
 		name string
-		mk   func(n int) *core.Monitor
+		mk   func(cfg core.Config) *core.Monitor
 	}{
-		{"seq", func(n int) *core.Monitor { return core.New(core.Config{N: n, K: 4, Seed: 5}) }},
-		{"conc", func(n int) *core.Monitor { return runtime.New(runtime.Config{N: n, K: 4, Seed: 5}) }},
+		{"seq", core.New},
+		{"sharded", func(cfg core.Config) *core.Monitor { return core.NewOn(cfg, runtime.Sharded) }},
 	}
-	for _, n := range []int{64, 1 << 12, 1 << 16} {
-		for _, eng := range engines {
-			b.Run(bench.F("n=%d/%s", n, eng.name), func(b *testing.B) {
-				m := eng.mk(n)
-				defer m.Close()
-				src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 6})
-				vals := make([]int64, n)
-				src.Step(vals)
-				m.Observe(vals)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+	for _, n := range []int{1 << 14, 1 << 16, 1 << 18, 1 << 20} {
+		for _, batch := range []int{8, 64, 512, 4096, 0} {
+			label := bench.F("%d", batch)
+			if batch == 0 {
+				label = "dense"
+			}
+			for _, eng := range engines {
+				b.Run(bench.F("n=%d/batch=%s/%s", n, label, eng.name), func(b *testing.B) {
+					m := eng.mk(core.Config{N: n, K: 16, Seed: 5})
+					defer m.Close()
+					vals := make([]int64, n)
+					if batch == 0 {
+						src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 6})
+						src.Step(vals)
+						m.Observe(vals)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							b.StopTimer() // a dense step of the walk costs as much as the monitor's
+							src.Step(vals)
+							b.StartTimer()
+							m.Observe(vals)
+						}
+						return
+					}
+					// The sparse trace is generated ahead and cycled: its
+					// generator would cost several times the step it feeds.
+					src := stream.NewSparseWalk(stream.SparseWalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Changed: batch, Seed: 6})
 					src.Step(vals)
 					m.Observe(vals)
-				}
-			})
+					ids := make([]int, n)
+					var steps [64]struct {
+						ids  []int
+						vals []int64
+					}
+					for s := range steps {
+						c := src.StepDelta(ids, vals)
+						steps[s].ids, steps[s].vals = append([]int(nil), ids[:c]...), append([]int64(nil), vals[:c]...)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						s := &steps[i%len(steps)]
+						m.ObserveDelta(s.ids, s.vals)
+					}
+				})
+			}
 		}
 	}
 }
@@ -398,7 +435,7 @@ func BenchmarkNetStepLatency(b *testing.B) {
 					eng = tcpNetEngine(b, cfg, peers)
 				} else {
 					var err error
-					eng, err = netrun.NewLoopback(cfg, peers)
+					eng, err = netrun.New(cfg, netrun.LoopbackLinks(peers))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -668,7 +705,6 @@ func BenchmarkAsyncThroughput(b *testing.B) {
 		cfg  func(b *testing.B) topk.Config
 	}{
 		{"seq", func(b *testing.B) topk.Config { return topk.Config{Nodes: n, K: k, Seed: 7} }},
-		{"conc", func(b *testing.B) topk.Config { return topk.Config{Nodes: n, K: k, Seed: 7, Concurrent: true} }},
 		{"net-pipe", func(b *testing.B) topk.Config {
 			return topk.Config{Nodes: n, K: k, Seed: 7, Transport: topk.Loopback(4)}
 		}},

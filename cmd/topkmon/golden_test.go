@@ -18,11 +18,10 @@ var update = flag.Bool("update", false, "re-record testdata/*.golden from the co
 const small = "-n 16 -k 3 -steps 200 -seed 7"
 
 var (
-	// shapes are the engine shapes of the synchronous matrix; the first five
+	// shapes are the engine shapes of the synchronous matrix; the first four
 	// share one ledger for a seed (see TestGoldenOutput).
 	shapes = []struct{ name, flags string }{
 		{"seq", "-engine seq"},
-		{"conc", "-engine conc"},
 		{"net1", "-engine net -peers 1"},
 		{"net4", "-engine net -peers 4"},
 		{"shards1", "-tree 1^1"},
@@ -30,16 +29,15 @@ var (
 		{"tree2x2", "-tree 2^2"},
 		{"tree2x3", "-tree 2^3"},
 	}
-	bitIdentical = 5
+	bitIdentical = 4
 	workloads    = []string{"walk", "rotation", "twoband", "converging"}
 	epsilons     = []string{"0", "0.05"}
 	// modes are the synchronous runs beside the matrix.
 	modes = []string{
 		small + " -ordered -workload twoband",
-		small + " -ordered -engine conc -workload twoband",
 		small + " -opt -workload rotation",
 		small + " -compare -workload twoband",
-		"-trace testdata/trace.csv -k 2 -engine conc",
+		"-trace testdata/trace.csv -k 2",
 	}
 )
 
@@ -99,8 +97,8 @@ func ledgerOf(t *testing.T, out string) string {
 
 // TestGoldenOutput replays the synchronous flag matrix against the output
 // recorded from the command before it stood on topk.Monitor, and holds the
-// engines that promise one ledger for a seed — seq, conc, net at any peer
-// count, one shard — to it, run by run.
+// engines that promise one ledger for a seed — seq, net at any peer count,
+// one shard — to it, run by run.
 func TestGoldenOutput(t *testing.T) {
 	ledgers := map[string]string{} // workload and ε → the ledger shapes[0] printed
 	for i, s := range shapes {
@@ -137,7 +135,7 @@ var timing = regexp.MustCompile(`-> \d+ protocol steps in \S+|coalesced=\d+ \(ra
 // timing-dependent counts are masked is pinned.
 func TestAsyncOutput(t *testing.T) {
 	var b strings.Builder
-	for _, shape := range []string{"-engine seq", "-engine conc", "-engine net", "-tree 4^1", "-tree 2^2", "-ordered -engine seq", "-ordered -engine conc"} {
+	for _, shape := range []string{"-engine seq", "-engine net", "-tree 4^1", "-tree 2^2", "-ordered -engine seq"} {
 		args := small + " -async -workload twoband " + shape
 		out := runOK(t, args)
 		for _, want := range []string{"verified against the oracle", "ingest: enqueued=", "phase ledger:"} {
@@ -163,6 +161,7 @@ func TestRejectedFlags(t *testing.T) {
 		"-k 0",
 		"-k 33",
 		"-engine quantum",
+		"-engine conc",
 		"-workload nosuch",
 		"-trace testdata/nosuch.csv",
 		"-epsilon 1",
@@ -171,11 +170,9 @@ func TestRejectedFlags(t *testing.T) {
 		"-tree 2x2",
 		"-tree 0^2",
 		"-tree 2^9",
-		"-tree 2^2 -engine conc",
 		"-tree 2^2 -engine net",
 		"-tree 33^1",
 		"-tree -1^1",
-		"-tree 2^1 -engine conc",
 		"-tree 2^1 -engine net",
 		"-engine net -peers 0",
 		"-engine net -peers 33",
@@ -194,7 +191,6 @@ func TestRejectedFlags(t *testing.T) {
 		"-serve 127.0.0.1:0 -k 33",
 		"-serve 127.0.0.1:0 -tree 2^1",
 		"-serve 127.0.0.1:0 -tree 2^2",
-		"-serve 127.0.0.1:0 -engine conc",
 		"-serve 127.0.0.1:0 -ordered",
 		"-serve 127.0.0.1:0 -opt",
 		"-serve 127.0.0.1:0 -compare",

@@ -4,10 +4,10 @@
 //
 // It is a client of the public package: the flags become one topk.Config,
 // topk.New (NewOrdered with -ordered, Restore after a crash) builds the
-// monitor, and internal/sim grades its report at every step. Five monitor
-// shapes are available: the sequential reference (-engine seq), the same
-// monitor with its sweeps on a goroutine pool (-engine conc), the networked
-// monitor (-engine net) driving the wire protocol over in-process loopback
+// monitor, and internal/sim grades its report at every step. Four monitor
+// shapes are available: the in-process monitor (-engine seq; at 2¹⁶ nodes
+// and more it runs its large steps on a goroutine pool by itself), the
+// networked monitor (-engine net) driving the wire protocol over in-process loopback
 // links or — in the -serve / -join modes — over TCP between real processes,
 // and a tree of sub-coordinators (-tree b^d; -tree S^1 is a star of S
 // shards under a root merge layer).
@@ -16,7 +16,7 @@
 //
 //	topkmon -n 32 -k 3 -steps 2000 -workload walk
 //	topkmon -n 64 -k 5 -workload converging -opt
-//	topkmon -trace trace.csv -k 2 -engine conc
+//	topkmon -trace trace.csv -k 2
 //	topkmon -n 16 -k 2 -compare
 //	topkmon -n 64 -k 4 -engine net -peers 4
 //	topkmon -n 256 -k 8 -tree 4^1
@@ -104,7 +104,7 @@ func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	fs.Uint64Var(&o.seed, "seed", 1, "random seed for workload and protocols")
 	fs.StringVar(&o.workload, "workload", "walk", "one of: "+strings.Join(stream.Names(), " | "))
 	fs.StringVar(&o.traceIn, "trace", "", "CSV trace file to replay instead of a synthetic workload")
-	fs.StringVar(&o.engine, "engine", "seq", "seq (sequential) | conc (the same monitor, sweeps on a goroutine pool) | net (wire protocol over loopback links; over TCP with -serve)")
+	fs.StringVar(&o.engine, "engine", "seq", "seq (in process; large steps on a goroutine pool from 2^16 nodes) | net (wire protocol over loopback links; over TCP with -serve)")
 	fs.IntVar(&o.peers, "peers", 4, "peer count: node hosts for -engine net, expected -join connections for -serve")
 	fs.StringVar(&o.tree, "tree", "", "split the coordinator into a tree of sub-coordinators of shape branch^depth: S^1 is a star of S shards under a root merge layer, 2^3 a tree whose interiors merge digests so the root serves 8 leaf shards through 2 links; prints the per-level traffic table")
 	fs.StringVar(&o.serve, "serve", "", "run as TCP coordinator on this address and wait for -peers joins")
@@ -187,8 +187,6 @@ func (o *options) config(n int) (topk.Config, error) {
 	}
 	switch o.engine {
 	case "seq":
-	case "conc":
-		cfg.Concurrent = true
 	case "net":
 		if o.serve == "" {
 			// Last, so that nothing here fails with hosts already spawned.
@@ -204,7 +202,7 @@ func (o *options) config(n int) (topk.Config, error) {
 func (o *options) name(cfg topk.Config) string {
 	shape := o.engine
 	switch {
-	case o.ordered: // on seq and conc alone, and without ε
+	case o.ordered: // on seq alone, and without ε
 		return "ordered(" + shape + ")"
 	case o.serve != "":
 		shape = "tcp"

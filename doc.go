@@ -22,21 +22,24 @@
 // O(#changed nodes) and performs zero heap allocations (asserted by an
 // AllocsPerRun regression test and reported by the benchmarks' allocs/op
 // column). Dense Observe is implemented on top of the sparse path; the two
-// may be interleaved and are report- and message-count-identical. The
-// concurrent engine batches its channel traffic per shard, so a protocol
-// round costs O(shards) channel operations rather than O(n) while
-// remaining bit-identical in counts to the sequential engine.
+// may be interleaved and are report- and message-count-identical. At
+// n ≥ 2¹⁶ on several processors the in-process monitor hands every dense
+// step to a pool of shard goroutines of at least 2¹⁵ nodes each
+// (internal/runtime), one sweep for the batch and one per protocol
+// execution, O(shards) channel operations rather than O(n); sparse steps,
+// where the pool measured slower, stay inline. No setting
+// picks the host, and counts and frames do not depend on it.
 //
 // # Wire format and the networked engine
 //
 // The protocol has a real wire format (internal/wire: a compact varint
 // codec with one canonical encoding per message) and a transport layer
 // (internal/transport: in-process loopback pipes and length-prefixed
-// TCP). The third engine, internal/netrun, drives Algorithm 1 over those
+// TCP). The networked engine, internal/netrun, drives Algorithm 1 over those
 // links so a monitor can span processes — a topk.Monitor over a Transport
 // with topk.ServeNodes on the far end of every link, which is all that
-// cmd/topkmon's -serve and -join modes are — while staying message-count- and byte-identical to the other
-// engines for the same seed. A protocol execution is one exchange per
+// cmd/topkmon's -serve and -join modes are — while staying message-count- and byte-identical to the in-process
+// engine for the same seed. A protocol execution is one exchange per
 // peer: each host runs the execution's rounds over its own nodes and
 // answers with its bid log, which the coordinator replays against the
 // true cut (DESIGN.md "One exchange per execution"). Every charged message has an exact encoded
@@ -82,8 +85,8 @@
 // conjectures (topk.NewOrdered, a topk.Monitor whose AppendRanking reads
 // the ranking; internal/coord's ordered mode keeps the ranking of the
 // top-k exact with Lam et al.'s neighbour-midpoint filters inside the
-// band, on the sequential and the concurrent engine, synchronous or
-// through the ingest queue; EXPERIMENTS.md E13, DESIGN.md "The ordered
+// band, on the in-process engine, inline or on its shard pool, synchronous
+// or through the ingest queue; EXPERIMENTS.md E13, DESIGN.md "The ordered
 // mode").
 //
 // # Approximate monitoring (ε tolerance)
@@ -129,8 +132,8 @@
 // since the frame before, which is all a stretch of steps that charged no
 // message can have moved — so a save costs what changed; a base is cut
 // again when a message was charged or the deltas would outgrow it.
-// The sequential and concurrent engines
-// restore bit-identically (frames carry the full machine and node-bank
+// The in-process engine
+// restores bit-identically (frames carry the full machine and node-bank
 // state, RNG included); the networked and sharded engines re-handshake
 // their peers, replay the coordinator's value mirror and force one
 // FILTERRESET, so restored reports are oracle-exact from the first step
@@ -146,5 +149,5 @@
 // error before any engine state changes, the remote node hosts surface
 // the same condition as a serve-loop error instead of a crash, and
 // boundary fuzz plus overflow-regression tests pin the contract on all
-// four engines.
+// three engines.
 package repro

@@ -392,7 +392,7 @@ func TestOneEngineBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirs = append(dirs, "cmd/topkmon")
-	if len(dirs) < 9 {
+	if len(dirs) < 8 {
 		t.Fatalf("found only %v", dirs)
 	}
 	for _, dir := range dirs {

@@ -30,6 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer mon.Close() // at this size the monitor may run a pool of shard goroutines
 
 	// Initialize the fleet once, densely: stream i starts at value i.
 	init := make([]int64, nodes)

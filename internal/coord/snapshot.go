@@ -255,7 +255,7 @@ func OpenMachine(n, k int, epsilon float64, machFrame []byte) (*Machine, error) 
 // being restored under — shape and tolerance, of the machine frame
 // (OpenMachine) and of the bank frame's header, which must cover [0, n) —
 // before anything is built from them, and returns the restored machine.
-// It is the first step of the sequential and concurrent engines' Restore;
+// It is the first step of the in-process engine's restore (core.RestoreOn);
 // RestoreNodes and MatchesMachine are the other two.
 func OpenCheckpoint(n, k int, epsilon float64, machFrame, nodesFrame []byte) (*Machine, error) {
 	mach, err := OpenMachine(n, k, epsilon, machFrame)

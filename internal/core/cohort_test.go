@@ -11,7 +11,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/stream"
-	"repro/internal/wire"
 )
 
 // updateGolden rewrites testdata/seq_golden.txt from this build. The lines
@@ -104,9 +103,10 @@ func bankFrame(m *Monitor) []byte { return m.bank.Snapshot(nil) }
 
 // views is a Host of disjoint views of the bank, swept one after the
 // other on the calling goroutine: the seam with everything a partitioned
-// host keeps per view — a violator list and an in-play set each, a sparse
+// host keeps per view — a violator list and an in-play set each, a dense
 // batch cut at the view boundaries, an execution run whole on each view
-// and replayed — and no scheduler.
+// and replayed — and no scheduler. A monitor on it sweeps every dense
+// step, however small, and runs the delta steps on the bank in place.
 type views []*coord.Nodes
 
 func threeViews(bank *coord.Nodes) Host {
@@ -118,13 +118,12 @@ func threeViews(bank *coord.Nodes) Host {
 }
 
 func (h views) Views() []*coord.Nodes { return h }
-func (views) Sweep(to []int, f func(int)) {
-	for _, v := range to {
+func (h views) Sweep(f func(int)) {
+	for v := range h {
 		f(v)
 	}
 }
-func (views) Engine() uint8 { return wire.EngineSeq }
-func (views) Close()        {}
+func (views) Close() {}
 
 // TestCohortsMatchNodeLocalMembership holds the monitor — one coord.Machine
 // over one coord.Nodes bank, where every node decides its own cohort
@@ -139,8 +138,9 @@ func (views) Close()        {}
 // exactly the nodes the description named, since whoever is enlisted is
 // asked its coin. Every line must reproduce a second time through the Host
 // seam cut three ways (views), where a cohort is assembled from
-// per-view violator lists and in-play sets and every execution is three
-// logged runs replayed against the true cut.
+// per-view violator lists and in-play sets and every execution of a dense
+// step is three logged runs replayed against the true cut (a delta step
+// runs on the bank in place).
 func TestCohortsMatchNodeLocalMembership(t *testing.T) {
 	run := func(newMonitor func(Config) *Monitor) (got []string) {
 		for _, gs := range goldenStreams {

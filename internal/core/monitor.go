@@ -3,8 +3,8 @@
 // (Algorithm 1). A Monitor plays both roles of the model — the coordinator
 // and the per-node filter checks — against observation vectors supplied
 // one time step at a time, and accounts every message the model would
-// charge. It is the only in-process engine: the sequential and the
-// concurrent engine are this Monitor on two hosts.
+// charge. It is the only in-process engine, on one of two hosts: the bank
+// itself, or internal/runtime's shard pool.
 //
 // Both roles live in internal/coord, sans I/O: the coordinator's decision
 // logic — violation handling, T+/T− tightening, midpoint broadcasts,
@@ -14,8 +14,8 @@
 // other engine hosts. The Monitor owns one machine, one bank over all n
 // nodes, the one loop that executes the machine's effects on that bank, the
 // engine's input contract (it panics where the public boundary returns an
-// error), the routing of a sparse batch to the views it touches, the
-// protocol executions, the accessors, Snapshot/RestoreOn/AppendCheckpoint,
+// error), which steps are swept over the host's views, the protocol
+// executions, the accessors, Snapshot/RestoreOn/AppendCheckpoint,
 // optional tracing of the installs, the UseGather ablation, and the views
 // tests read (Keys, Filters).
 //
@@ -25,16 +25,17 @@
 // synchronous, so an execution's round boundaries are common knowledge, not
 // messages, and where the round loop runs is the engine's choice too. The
 // two effects that visit a range of nodes' keys — the step's observation
-// batch and a protocol execution — therefore run over the Host's views: a
-// host is the bank cut into disjoint views and a parallel-for over them.
-// On a host of one view — Inline, the sequential host, or internal/runtime's
-// shard pool at GOMAXPROCS 1 — the monitor runs both on the bank in place,
-// an execution as the bank's round loop (coord.Nodes.Run). On several, as
-// the pool splits the bank, the batch is one sweep over the views it
-// touches, and an execution one sweep in which each view runs it whole
-// against its own cut and logs its bids; the monitor replays the logs
-// against the true cut (protocol.Exec.Replay) — the networked engine's
-// execution, without the links. Everything else the machine asks for touches one node
+// batch and a protocol execution — therefore run where the monitor picks,
+// step by step. A host is the bank cut into disjoint views and a
+// parallel-for over them. On a host of several views a dense step is
+// swept: the batch is one sweep over the views, and each of the step's
+// executions one sweep in which each view runs it whole against its own
+// cut and logs its bids; the monitor replays the logs against the true cut
+// (protocol.Exec.Replay) — the networked engine's execution, without the
+// links. A sparse step — and every step on a host of one view, as Inline
+// is — runs whole on the bank in place, an execution as the bank's round
+// loop (coord.Nodes.Run): never half in the views, whose violator lists
+// are their own (coord.Nodes.Sub). Everything else the machine asks for touches one node
 // (Winner, OrderViolated, SetOrderBounds), one shared cell (Midpoint,
 // ApplyBounds) or the membership bitset's n/64 words (ResetBegin): the
 // Monitor runs it on the full-range bank itself, which the Host contract —
@@ -64,7 +65,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/comm"
 	"repro/internal/coord"
@@ -112,18 +112,17 @@ type Stats = coord.Stats
 // directly: a host touches a view only inside Sweep, and whatever it did
 // there happens-before Sweep returns — between calls it is parked. A host
 // of one view is never swept: the monitor runs everything on the bank in
-// place. internal/runtime's shard pool keeps the contract with one channel
-// send and one completion per view swept.
+// place. How large a view must be for a sweep to pay is the host's
+// decision, made when it cuts the bank (internal/runtime's Sharded).
+// internal/runtime's shard pool keeps the contract with one channel send
+// and one completion per view swept.
 type Host interface {
 	// Views returns the views, in ascending order of their ranges, which
 	// tile the bank.
 	Views() []*coord.Nodes
-	// Sweep calls f(v) once for every view index v of to and returns when
-	// every call has: one after the other, or in parallel.
-	Sweep(to []int, f func(v int))
-	// Engine is the wire.Engine* fingerprint the monitor's checkpoint
-	// envelopes carry, so a frame never restores onto another host kind.
-	Engine() uint8
+	// Sweep calls f(v) once for every view index v and returns when every
+	// call has: one after the other, or in parallel.
+	Sweep(f func(v int))
 	// Close releases what the host holds; the monitor must not step after.
 	Close()
 }
@@ -134,32 +133,24 @@ func Inline(bank *coord.Nodes) Host { return inline{bank} }
 type inline struct{ bank *coord.Nodes }
 
 func (h inline) Views() []*coord.Nodes { return []*coord.Nodes{h.bank} }
-func (inline) Sweep(to []int, f func(int)) {
-	for _, v := range to {
-		f(v)
-	}
-}
-func (inline) Engine() uint8 { return wire.EngineSeq }
-func (inline) Close()        {}
+func (inline) Sweep(f func(int))       { f(0) }
+func (inline) Close()                  {}
 
 // observeRange feeds view its part of one step's batch (ids strictly
-// increasing; nil for the dense form): the nodes of [view.Lo(), view.Hi())
-// among them, in ascending id order, stopping at the first value the bank
-// rejects. It is the node-local filter check of Algorithm 1 line 3,
-// restricted to the touched nodes: an untouched node's value lies inside
-// its filter by the per-step invariant. With k == n all filters are
-// [−∞, +∞] and nobody ever violates. The dense form is the bank's range
-// kernel over the view's slice of vals (coord.Nodes.ObserveDense), the
-// sparse form one coord.Nodes.Observe per touched node.
+// increasing; nil for the dense form), in ascending id order, stopping at
+// the first value the bank rejects. It is the node-local filter check of
+// Algorithm 1 line 3, restricted to the touched nodes: an untouched node's
+// value lies inside its filter by the per-step invariant. With k == n all
+// filters are [−∞, +∞] and nobody ever violates. The dense form is the
+// bank's range kernel over the view's slice of vals
+// (coord.Nodes.ObserveDense); the sparse form, which only the full-range
+// bank is fed, one coord.Nodes.Observe per touched node.
 func observeRange(view *coord.Nodes, ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
-	lo, hi := view.Lo(), view.Hi()
 	if ids == nil {
-		return view.ObserveDense(vals[lo:hi], step)
+		return view.ObserveDense(vals[view.Lo():view.Hi()], step)
 	}
-	lo = sort.SearchInts(ids, lo)
-	hi = lo + sort.SearchInts(ids[lo:], hi)
-	for j := lo; j < hi; j++ {
-		top, out, err := view.Observe(ids[j], vals[j], step)
+	for j, id := range ids {
+		top, out, err := view.Observe(id, vals[j], step)
 		if err != nil {
 			return anyTop, anyOut, err
 		}
@@ -187,6 +178,7 @@ type Monitor struct {
 
 	ex    protocol.Exec // the running protocol execution
 	split *split        // nil on a host of one view
+	swept bool          // the step in flight is dense and runs on the views
 }
 
 // upOnly charges an execution's bids and drops its round broadcasts: the
@@ -361,7 +353,14 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 	if m.closed {
 		panic("core: step after Close")
 	}
-	anyTop, anyOut, err := m.split.observe(m.bank, ids, vals, m.mach.BeginStep())
+	step := m.mach.BeginStep()
+	var anyTop, anyOut bool
+	var err error
+	if m.swept = m.split != nil && ids == nil; m.swept {
+		anyTop, anyOut, err = m.split.observe(vals, step)
+	} else {
+		anyTop, anyOut, err = observeRange(m.bank, ids, vals, step)
+	}
 	if err != nil {
 		panic("core: " + err.Error()) // the lowest rejected node's, on any host
 	}
@@ -400,7 +399,8 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 }
 
 // exec runs one protocol execution over the effect's cohort and returns its
-// winners (split.exec). Under the UseGather ablation it is the same
+// winners: on the views when the step is swept (split.exec), else on the
+// bank in place. Under the UseGather ablation it is the same
 // execution with population bound 1: one round in which every cohort member
 // bids — sending with probability 1 against a cut of −∞ — charged as the
 // gather-all protocol charges: one query broadcast, one bid per member,
@@ -411,7 +411,11 @@ func (m *Monitor) exec(eff coord.Effect) []protocol.Winner {
 		rec, bound = &upOnly{rec}, 1
 	}
 	m.ex.Begin(bound, eff.Want, coord.MinimumTag(eff.Tag), rec, m.cfg.Trace, step)
-	m.split.exec(m.bank, &m.ex, eff, step, coord.ExecTol(eff.Tag, m.mach.Tol()))
+	if m.swept {
+		m.split.exec(&m.ex, eff, step, coord.ExecTol(eff.Tag, m.mach.Tol()))
+	} else {
+		m.bank.Run(eff.Tag, step, &m.ex, nil)
+	}
 	if m.cfg.UseGather && len(m.ex.Winners()) > 0 {
 		m.mach.Recorder(eff.Phase).RecordSized(comm.Bcast, 1, wire.SizeQuery())
 		m.cfg.Trace.Append(comm.Event{Step: step, Kind: comm.Bcast, From: comm.Coordinator, To: comm.Everyone, Note: "gather"})
@@ -419,21 +423,18 @@ func (m *Monitor) exec(eff coord.Effect) []protocol.Winner {
 	return m.ex.Winners()
 }
 
-// split is what a monitor keeps to sweep several views: a step's batch
-// routed to the views it touches, and a protocol execution run whole on
-// every view against the view's own cut, its bids logged, the logs replayed
+// split is what a monitor keeps to sweep several views: a dense step's
+// values fed to every view, and a protocol execution run whole on every
+// view against the view's own cut, its bids logged, the logs replayed
 // against the true cut (protocol.Exec.Replay) as the networked engine's
 // coordinator replays its hosts' — one sweep, whatever the rounds. A
-// monitor on a host of one view has none: the nil split runs both on the
-// bank in place.
+// monitor on a host of one view has none.
 type split struct {
-	host         Host
-	views        []*coord.Nodes
-	all, touched []int // every view index; those a sparse batch touches
-	parts        []part
+	host  Host
+	views []*coord.Nodes
+	parts []part
 
 	// The sweep's inputs.
-	ids             []int
 	vals            []int64
 	step            int64
 	tag             uint8
@@ -454,12 +455,9 @@ type part struct {
 
 func newSplit(host Host, views []*coord.Nodes) *split {
 	s := &split{host: host, views: views, parts: make([]part, len(views)), logs: make([]wire.BidLog, len(views))}
-	for v := range views {
-		s.all = append(s.all, v)
-	}
 	s.observe1 = func(v int) {
 		p := &s.parts[v]
-		p.top, p.out, p.err = observeRange(s.views[v], s.ids, s.vals, s.step)
+		p.top, p.out, p.err = observeRange(s.views[v], nil, s.vals, s.step)
 	}
 	s.exec1 = func(v int) {
 		p := &s.parts[v]
@@ -471,27 +469,13 @@ func newSplit(host Host, views []*coord.Nodes) *split {
 	return s
 }
 
-// observe feeds one step's batch to bank's views — the views it touches,
-// all of them for the dense form, swept — and folds what they made of it.
-func (s *split) observe(bank *coord.Nodes, ids []int, vals []int64, step int64) (anyTop, anyOut bool, err error) {
-	if s == nil {
-		return observeRange(bank, ids, vals, step)
-	}
-	to := s.all
-	if ids != nil {
-		to = s.touched[:0]
-		for v, j := 0, 0; j < len(ids); v++ {
-			if hi := s.views[v].Hi(); ids[j] < hi {
-				to = append(to, v)
-				j += sort.SearchInts(ids[j:], hi)
-			}
-		}
-		s.touched = to
-	}
-	s.ids, s.vals, s.step = ids, vals, step
-	s.host.Sweep(to, s.observe1)
-	s.ids, s.vals = nil, nil
-	for _, v := range to {
+// observe feeds one dense step's values to every view, swept, and folds
+// what they made of them.
+func (s *split) observe(vals []int64, step int64) (anyTop, anyOut bool, err error) {
+	s.vals, s.step = vals, step
+	s.host.Sweep(s.observe1)
+	s.vals = nil
+	for v := range s.parts {
 		p := &s.parts[v]
 		anyTop, anyOut = anyTop || p.top, anyOut || p.out
 		if err == nil {
@@ -501,17 +485,12 @@ func (s *split) observe(bank *coord.Nodes, ids []int, vals []int64, step int64) 
 	return anyTop, anyOut, err
 }
 
-// exec runs the execution ex was begun for, of effect eff, over bank's
-// views: in place as the bank's round loop (coord.Nodes.Run), or as one
-// sweep in which every view runs it whole and logs its bids, which ex
-// replays against the true cut, tolerant by tol.
-func (s *split) exec(bank *coord.Nodes, ex *protocol.Exec, eff coord.Effect, step int64, tol order.Tol) {
-	if s == nil {
-		bank.Run(eff.Tag, step, ex, nil)
-		return
-	}
+// exec runs the execution ex was begun for, of effect eff, as one sweep in
+// which every view runs it whole and logs its bids, which ex replays
+// against the true cut, tolerant by tol.
+func (s *split) exec(ex *protocol.Exec, eff coord.Effect, step int64, tol order.Tol) {
 	s.tag, s.bound, s.want, s.step = eff.Tag, ex.Bound(), eff.Want, step
-	s.host.Sweep(s.all, s.exec1)
+	s.host.Sweep(s.exec1)
 	for v, view := range s.views {
 		if err := s.logs[v].Open(s.parts[v].buf, view.Lo(), view.Hi(), protocol.Rounds(s.bound)); err != nil {
 			panic("core: " + err.Error())

@@ -27,12 +27,13 @@ func (m *Monitor) Snapshot() (mach, nodes []byte, err error) {
 }
 
 // AppendCheckpoint appends one sealed frame of the monitor's checkpoint
-// chain, of generation gen, to dst, under the host's engine fingerprint:
-// with base == 0 the base frame, machine and bank encoded in place;
-// otherwise a delta on the base of generation base, carrying the values of
-// the nodes of dirty (coord.Machine.AppendCheckpoint).
+// chain, of generation gen, to dst, under the in-process engine's
+// fingerprint (wire.EngineSeq), whatever the host: with base == 0 the base
+// frame, machine and bank encoded in place; otherwise a delta on the base
+// of generation base, carrying the values of the nodes of dirty
+// (coord.Machine.AppendCheckpoint).
 func (m *Monitor) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64) ([]byte, error) {
-	return m.mach.AppendCheckpoint(dst, gen, base, dirty, m.host.Engine(), m.cfg.Seed, m.bank)
+	return m.mach.AppendCheckpoint(dst, gen, base, dirty, wire.EngineSeq, m.cfg.Seed, m.bank)
 }
 
 // RestoreOn rebuilds a monitor, on the host that start builds over the

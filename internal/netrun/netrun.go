@@ -56,15 +56,9 @@ func New(cfg Config, links []transport.Link) (*Engine, error) {
 func LoopbackLink() transport.Link { return fanout.Loopback(Serve) }
 
 // LoopbackLinks builds one LoopbackLink per peer. It is the link factory
-// behind both NewLoopback and topk.Loopback.
+// behind topk.Loopback, the networked engine's default mode (topkmon
+// -engine net); New over it is the configuration the equivalence tests run.
 func LoopbackLinks(peers int) []transport.Link { return fanout.Loopbacks(peers, Serve) }
-
-// NewLoopback builds an in-process engine over LoopbackLinks. It is the
-// networked engine's default mode (topkmon -engine net) and the
-// configuration the equivalence tests run.
-func NewLoopback(cfg Config, peers int) (*Engine, error) {
-	return New(cfg, LoopbackLinks(peers))
-}
 
 // Serve runs the node-host side of the networked engine on one link: the
 // leaf server of fanout.Serve, answering each Round request with logRound.

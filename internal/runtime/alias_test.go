@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	gort "runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -15,8 +14,7 @@ import (
 // sequential twin run in lockstep detects any corruption.
 func TestAppendTopIsACopy(t *testing.T) {
 	const n, k, seed = 14, 4, 11
-	defer gort.GOMAXPROCS(gort.GOMAXPROCS(3))
-	rt := New(Config{N: n, K: k, Seed: seed})
+	rt := onShards(Config{N: n, K: k, Seed: seed}, 3)
 	defer rt.Close()
 	twin := core.New(core.Config{N: n, K: k, Seed: seed})
 

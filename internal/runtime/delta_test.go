@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	gort "runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -11,31 +10,38 @@ import (
 // TestDeltaEquivalenceWithSequentialEngine extends the central fidelity
 // check to the sparse ingestion path: driving both engines with the same
 // delta stream must produce identical reports and message counts at every
-// step, for any shard layout.
+// step, for any shard layout — Sharded's at the test's GOMAXPROCS (auto:
+// inline at this n), or a pool of 1, 3, 7 or n shards. The delta steps run
+// on the bank inline whatever the host; every tenth step is the dense
+// vector of the same values, which a pool of two or more shards sweeps.
 func TestDeltaEquivalenceWithSequentialEngine(t *testing.T) {
 	const n, k, seed, steps = 48, 5, 77, 300
 	for _, shards := range []int{0, 1, 3, 7, n} {
 		t.Run(shardName(shards), func(t *testing.T) {
-			if shards > 0 {
-				defer gort.GOMAXPROCS(gort.GOMAXPROCS(shards))
-			}
 			seq := core.New(core.Config{N: n, K: k, Seed: seed})
-			conc := New(Config{N: n, K: k, Seed: seed})
+			host := Sharded
+			if shards > 0 {
+				host = sharding(shards)
+			}
+			conc := core.NewOn(Config{N: n, K: k, Seed: seed}.core(), host)
 			defer conc.Close()
 
-			mk := func() *stream.SparseWalk {
-				return stream.NewSparseWalk(stream.SparseWalkConfig{
-					N: n, Lo: 0, Hi: 1 << 22, MaxStep: 1 << 10, Changed: 4, Seed: 9,
-				})
-			}
-			srcA, srcB := mk(), mk()
-			idsA, valsA := make([]int, n), make([]int64, n)
-			idsB, valsB := make([]int, n), make([]int64, n)
+			src := stream.NewSparseWalk(stream.SparseWalkConfig{
+				N: n, Lo: 0, Hi: 1 << 22, MaxStep: 1 << 10, Changed: 4, Seed: 9,
+			})
+			ids, vals := make([]int, n), make([]int64, n)
+			cur := make([]int64, n)
 			for s := 0; s < steps; s++ {
-				ca := srcA.StepDelta(idsA, valsA)
-				cb := srcB.StepDelta(idsB, valsB)
-				topSeq := seq.ObserveDelta(idsA[:ca], valsA[:ca])
-				topCon := conc.ObserveDelta(idsB[:cb], valsB[:cb])
+				c := src.StepDelta(ids, vals)
+				for j, id := range ids[:c] {
+					cur[id] = vals[j]
+				}
+				var topSeq, topCon []int
+				if s%10 == 9 {
+					topSeq, topCon = seq.Observe(cur), conc.Observe(cur)
+				} else {
+					topSeq, topCon = seq.ObserveDelta(ids[:c], vals[:c]), conc.ObserveDelta(ids[:c], vals[:c])
+				}
 				if !equal(topSeq, topCon) {
 					t.Fatalf("step %d: reports differ: seq=%v conc=%v", s, topSeq, topCon)
 				}
@@ -56,14 +62,13 @@ func shardName(s int) string {
 	}
 }
 
-// TestRuntimeDeltaMixedWithDense interleaves dense and sparse steps on the
-// concurrent engine and pins it against the sequential engine fed the
-// equivalent dense vectors.
+// TestRuntimeDeltaMixedWithDense interleaves dense steps, which a pool of
+// four shards sweeps, and sparse ones, which run inline, and pins the
+// monitor against the sequential engine fed the equivalent dense vectors.
 func TestRuntimeDeltaMixedWithDense(t *testing.T) {
 	const n, k, seed, steps = 20, 3, 5, 250
 	seq := core.New(core.Config{N: n, K: k, Seed: seed})
-	defer gort.GOMAXPROCS(gort.GOMAXPROCS(4))
-	conc := New(Config{N: n, K: k, Seed: seed})
+	conc := onShards(Config{N: n, K: k, Seed: seed}, 4)
 	defer conc.Close()
 
 	src := stream.NewSparseWalk(stream.SparseWalkConfig{
@@ -94,12 +99,12 @@ func TestRuntimeDeltaMixedWithDense(t *testing.T) {
 
 // TestObserveDeltaInvalidInputLeavesStateUntouched pins that a rejected
 // delta mutates neither engine: the same step can be retried with fixed
-// input and both engines still agree.
+// input and both engines still agree. The delta is refused before the
+// monitor picks where the step runs, so a small pool shows it.
 func TestObserveDeltaInvalidInputLeavesStateUntouched(t *testing.T) {
 	const n, k = 6, 2
 	seq := core.New(core.Config{N: n, K: k, Seed: 3})
-	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
-	conc := New(Config{N: n, K: k, Seed: 3})
+	conc := onShards(Config{N: n, K: k, Seed: 3}, 2)
 	defer conc.Close()
 	seq.Observe([]int64{10, 20, 30, 40, 50, 60})
 	conc.Observe([]int64{10, 20, 30, 40, 50, 60})
@@ -124,16 +129,14 @@ func TestObserveDeltaInvalidInputLeavesStateUntouched(t *testing.T) {
 }
 
 // TestRuntimeShardLayoutInvariance pins that the shard count changes
-// neither reports nor message counts.
+// neither reports nor message counts: a pool of one shard (inline) against
+// one of eight, every step swept.
 func TestRuntimeShardLayoutInvariance(t *testing.T) {
 	const n, k, seed, steps = 30, 4, 13, 150
-	prev := gort.GOMAXPROCS(1)
-	ref := New(Config{N: n, K: k, Seed: seed})
+	ref := onShards(Config{N: n, K: k, Seed: seed}, 1)
 	defer ref.Close()
-	gort.GOMAXPROCS(8)
-	alt := New(Config{N: n, K: k, Seed: seed})
+	alt := onShards(Config{N: n, K: k, Seed: seed}, 8)
 	defer alt.Close()
-	gort.GOMAXPROCS(prev)
 
 	mk := func() stream.Source {
 		return stream.NewBursty(stream.BurstyConfig{N: n, Seed: 14, Lo: 0, Hi: 1 << 22, Noise: 6, BurstProb: 0.04, BurstMax: 1 << 18})

@@ -10,10 +10,11 @@ import (
 	"repro/internal/stream"
 )
 
-// newOrdered starts a runtime in the coordinator's ordered mode.
-func newOrdered(cfg Config) *core.Monitor {
+// newOrdered starts a monitor in the coordinator's ordered mode on a pool
+// of shards shards.
+func newOrdered(cfg Config, shards int) *core.Monitor {
 	cfg.Ordered = true
-	return New(cfg)
+	return onShards(cfg, shards)
 }
 
 // observeRanked runs one step and returns the ranking it settled on.
@@ -33,13 +34,13 @@ func orderedLedger(led *comm.Ledger, rankHash uint64) string {
 	return s + fmt.Sprintf(" | rank %016x", rankHash)
 }
 
-// TestOrderedEquivalenceWithSequential pins the ordered mode on the
-// concurrent engine against the sequential one — identical rankings,
-// message counts and statistics at every step, per workload family — and
-// both against goldens recorded from core.NewOrdered and
-// runtime.NewOrdered, the wrappers outside the machine that the mode
-// replaced, at the last commit that had them (they agreed on every line),
-// with the up and byte columns re-drawn once under the word coin.
+// TestOrderedEquivalenceWithSequential pins the ordered mode on a pool of
+// three shards against the sequential engine — identical rankings, message
+// counts and statistics at every step, per workload family — and both
+// against goldens recorded from core.NewOrdered and runtime.NewOrdered,
+// the wrappers outside the machine that the mode replaced, at the last
+// commit that had them (they agreed on every line), with the up and byte
+// columns re-drawn once under the word coin.
 func TestOrderedEquivalenceWithSequential(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -73,7 +74,7 @@ func TestOrderedEquivalenceWithSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const seed, steps = 71, 250
 			seq := core.New(core.Config{N: tc.n, K: tc.k, Seed: seed, Ordered: true})
-			conc := newOrdered(Config{N: tc.n, K: tc.k, Seed: seed})
+			conc := newOrdered(Config{N: tc.n, K: tc.k, Seed: seed}, 3)
 			defer conc.Close()
 			srcA, srcB := tc.src(tc.n), tc.src(tc.n)
 			va, vb := make([]int64, tc.n), make([]int64, tc.n)
@@ -100,15 +101,18 @@ func TestOrderedEquivalenceWithSequential(t *testing.T) {
 				t.Errorf("sequential engine left the recorded run:\n got %s\nwant %s", got, tc.golden)
 			}
 			if got := orderedLedger(conc.Ledger(), hash.Sum64()); got != tc.golden {
-				t.Errorf("concurrent engine left the recorded run:\n got %s\nwant %s", got, tc.golden)
+				t.Errorf("the pool's monitor left the recorded run:\n got %s\nwant %s", got, tc.golden)
 			}
 		})
 	}
 }
 
+// TestOrderedRuntimeExactRanks grades the ordered mode on a pool of two
+// shards, every step swept, against the oracle: the ranking in
+// descending order, its members the top-k set, at every step.
 func TestOrderedRuntimeExactRanks(t *testing.T) {
 	const n, k = 9, 3
-	ot := newOrdered(Config{N: n, K: k, Seed: 35})
+	ot := newOrdered(Config{N: n, K: k, Seed: 35}, 2)
 	defer ot.Close()
 	src := stream.NewBursty(stream.BurstyConfig{N: n, Seed: 36, Lo: 0, Hi: 1 << 20, Noise: 5, BurstProb: 0.05, BurstMax: 1 << 16})
 	vals := make([]int64, n)
@@ -140,7 +144,7 @@ func TestOrderedRuntimeExactRanks(t *testing.T) {
 }
 
 func TestOrderedRuntimeTopIsCopy(t *testing.T) {
-	ot := newOrdered(Config{N: 4, K: 2, Seed: 37})
+	ot := newOrdered(Config{N: 4, K: 2, Seed: 37}, 2)
 	defer ot.Close()
 	ot.Observe([]int64{4, 3, 2, 1})
 	top := ot.AppendRanking(nil)
@@ -151,7 +155,7 @@ func TestOrderedRuntimeTopIsCopy(t *testing.T) {
 }
 
 func TestOrderedRuntimeLedgerConsistent(t *testing.T) {
-	ot := newOrdered(Config{N: 8, K: 3, Seed: 38})
+	ot := newOrdered(Config{N: 8, K: 3, Seed: 38}, 2)
 	defer ot.Close()
 	src := stream.NewTwoBand(stream.TwoBandConfig{N: 8, K: 3, Seed: 39, Gap: 1 << 14, BandWidth: 1 << 9, MaxStep: 1 << 7})
 	vals := make([]int64, 8)

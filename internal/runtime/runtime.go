@@ -1,19 +1,21 @@
-// Package runtime is the concurrent host of core.Monitor: a pool of shard
-// goroutines, each owning a disjoint view of the monitor's node bank, over
-// which the monitor runs its sweeps — the step's observation batch and a
-// protocol execution — in parallel. New (and core.RestoreOn with Sharded)
-// returns the monitor on that host: the concurrent engine. It demonstrates
-// the distributed fidelity of the reproduction — a shard consults only its
-// own nodes' state (current key, filter, membership bit) and everything the
-// coordinator learns about values arrives in counted messages.
+// Package runtime is the shard pool, the in-process monitor's parallel
+// host: a pool of shard goroutines, each owning a disjoint view of the
+// monitor's node bank, over which core.Monitor runs the sweeps of a dense
+// step — the step's observation batch and its protocol executions — in
+// parallel. Sharded is the host every in-process topk
+// monitor is built on: the pool where it pays, else core.Inline. It
+// demonstrates the distributed fidelity of the reproduction — a shard
+// consults only its own nodes' state (current key, filter, membership bit)
+// and everything the coordinator learns about values arrives in counted
+// messages.
 //
 // The package owns the goroutines and nothing else: it is a parallel-for
 // over the views, and knows no protocol. The machine, the bank, the effect
-// loop, the sparse batch's routing, the executions, input validation, the
-// accessors and checkpoints are core.Monitor's, the same code the
-// sequential engine runs, so reports, ledgers and checkpoint frames cannot
-// depend on the host; only the engine fingerprint (wire.EngineConc) tells a
-// concurrent checkpoint from a sequential one.
+// loop, which steps are swept, the executions, input validation, the
+// accessors and checkpoints are core.Monitor's, the same code whatever the
+// host, so reports, ledgers and checkpoint frames cannot depend on it: a
+// monitor on the pool writes the frames an inline one writes, byte for
+// byte.
 //
 // # Synchrony
 //
@@ -23,17 +25,18 @@
 // an execution run is the engine's choice: each shard runs a whole
 // execution over its own nodes and logs its bids, and the monitor replays
 // the logs against the true cut (core.Monitor's exec), as the networked
-// engine's coordinator does. A step costs the pool one sweep for its batch
-// and one per execution, whatever the rounds (a pool of one shard is never
-// swept: the monitor runs both on the bank in place); the hand-offs are
-// uncounted plumbing, and counted messages — node value reports (Up) and
-// coordinator broadcasts (Bcast) — are recorded by the replay, in ascending
-// shard (hence node id) order.
+// engine's coordinator does. A dense step costs the pool one sweep for its
+// batch and one per execution, whatever the rounds; a sparse step never
+// reaches the pool, the monitor runs it on the bank in place. The
+// hand-offs are uncounted plumbing, and
+// counted messages — node value reports (Up) and coordinator broadcasts
+// (Bcast) — are recorded by the replay, in ascending shard (hence node id)
+// order.
 //
 // # Who may touch the bank, and when
 //
-// A sweep is strictly round-trip: the monitor hands a function to some
-// shards and waits for each to finish it before it does anything else. A
+// A sweep is strictly round-trip: the monitor hands a function to every
+// shard and waits for each to finish it before it does anything else. A
 // shard touches bank cells only while it runs that function, and is
 // otherwise parked on its channel. So the completion orders every shard
 // write before whatever the monitor does next, and the next hand-off
@@ -48,12 +51,13 @@
 //
 // # Sharding
 //
-// Nodes are partitioned into contiguous shards, one goroutine each, as many
-// as GOMAXPROCS and never more than nodes. A sweep costs O(shards) channel
-// operations rather than O(n), and a sparse step sweeps only the shards
-// owning a touched node. Each node still takes exactly the decisions it
-// would take alone (its coins are the same keyed function), so message
-// counts are unaffected by the shard layout.
+// Nodes are partitioned into contiguous shards of near-equal size, one
+// goroutine each: Sharded takes as many as GOMAXPROCS, but no more than
+// leave each shard minViewNodes nodes, and fewer than two is no pool. A
+// sweep costs O(shards) channel operations rather than O(n). Each node
+// still takes exactly the decisions it would take alone (its coins are the
+// same keyed function), so message counts are unaffected by the shard
+// layout.
 package runtime
 
 import (
@@ -62,10 +66,9 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/wire"
 )
 
-// Config mirrors core.Config for the concurrent engine.
+// Config mirrors core.Config for New.
 type Config struct {
 	N, K int
 	Seed uint64
@@ -80,9 +83,28 @@ func (c Config) core() core.Config {
 	return core.Config{N: c.N, K: c.K, Seed: c.Seed, Epsilon: c.Epsilon, Ordered: c.Ordered}
 }
 
-// New returns a monitor on a freshly started shard pool. Callers must
-// Close it to release the goroutines.
-func New(cfg Config) *core.Monitor { return core.NewOn(cfg.core(), Sharded) }
+// minViewNodes is the fewest nodes Sharded gives a shard, the one size
+// decision of the in-process host. It is read off BenchmarkRuntimeStep's
+// grid (2-core host, 10 alternating pairs a row, EXPERIMENTS.md "one
+// in-process engine"): the pool's dense step won 9 of 10 from n = 2¹⁶ on
+// two shards up, and 7 of 10 at 2¹⁴.
+const minViewNodes = 1 << 15
+
+// New returns a monitor on a pool of min(n, GOMAXPROCS) shards, whatever
+// their size (one shard is the inline host), which sweeps every dense step.
+// Callers must Close it to release the goroutines.
+func New(cfg Config) *core.Monitor {
+	return core.NewOn(cfg.core(), func(bank *coord.Nodes) core.Host {
+		return shards(bank, min(bank.Len(), gort.GOMAXPROCS(0)))
+	})
+}
+
+// Sharded is the in-process monitor's host constructor for core.NewOn and
+// core.RestoreOn: a pool of min(GOMAXPROCS, n / minViewNodes) shards, or
+// core.Inline(bank) when that is fewer than two.
+func Sharded(bank *coord.Nodes) core.Host {
+	return shards(bank, min(gort.GOMAXPROCS(0), bank.Len()/minViewNodes))
+}
 
 // pool is the concurrent core.Host: a goroutine per view of one bank, each
 // running the functions its channel hands it.
@@ -94,18 +116,18 @@ type pool struct {
 	closed bool
 }
 
-// Sharded is the shard pool's constructor for core.NewOn and
-// core.RestoreOn: it splits the bank into at most min(n, GOMAXPROCS)
-// contiguous views of equal size (the last may be shorter) and starts a
-// goroutine on each.
-func Sharded(bank *coord.Nodes) core.Host {
+// shards splits the bank into views contiguous views of near-equal size
+// (views <= n) and starts a goroutine on each; fewer than two views is
+// core.Inline(bank).
+func shards(bank *coord.Nodes, views int) core.Host {
+	if views < 2 {
+		return core.Inline(bank)
+	}
 	n := bank.Len()
-	shards := min(gort.GOMAXPROCS(0), n)
-	size := (n + shards - 1) / shards
-	p := &pool{done: make(chan struct{}, shards)}
-	for lo := 0; lo < n; lo += size {
-		v, work := len(p.views), make(chan func(int), 1)
-		p.views, p.work = append(p.views, bank.Sub(lo, min(lo+size, n))), append(p.work, work)
+	p := &pool{done: make(chan struct{}, views)}
+	for v := range views {
+		work := make(chan func(int), 1)
+		p.views, p.work = append(p.views, bank.Sub(v*n/views, (v+1)*n/views)), append(p.work, work)
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -121,18 +143,15 @@ func Sharded(bank *coord.Nodes) core.Host {
 // Views returns the shards' views, in shard order.
 func (p *pool) Views() []*coord.Nodes { return p.views }
 
-// Sweep hands f to the listed shards and waits until each has run it.
-func (p *pool) Sweep(to []int, f func(int)) {
-	for _, v := range to {
-		p.work[v] <- f
+// Sweep hands f to every shard and waits until each has run it.
+func (p *pool) Sweep(f func(int)) {
+	for _, w := range p.work {
+		w <- f
 	}
-	for range to {
+	for range p.work {
 		<-p.done
 	}
 }
-
-// Engine is the fingerprint of a concurrent engine's checkpoints.
-func (p *pool) Engine() uint8 { return wire.EngineConc }
 
 // Close shuts down all shard goroutines. Idempotent.
 func (p *pool) Close() {

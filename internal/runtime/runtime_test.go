@@ -13,6 +13,17 @@ import (
 	"repro/internal/stream"
 )
 
+// onShards returns a monitor of cfg on a pool of min(n, count) shards
+// (inline for fewer than two), whatever GOMAXPROCS and however small the
+// shards. The monitor sweeps every dense step over them and runs every
+// sparse one on the bank inline.
+func onShards(cfg Config, count int) *core.Monitor { return core.NewOn(cfg.core(), sharding(count)) }
+
+// sharding is the host constructor onShards builds its pool with.
+func sharding(count int) func(*coord.Nodes) core.Host {
+	return func(bank *coord.Nodes) core.Host { return shards(bank, min(bank.Len(), count)) }
+}
+
 func equal(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -41,9 +52,10 @@ func oracleTop(vals []int64, k int) []int {
 	return top
 }
 
-// TestEquivalenceWithSequentialEngine is the central fidelity check: the
-// goroutine engine and the sequential engine must produce identical top-k
-// reports AND identical message counts at every step, for the same seed.
+// TestEquivalenceWithSequentialEngine is the central fidelity check: a
+// monitor on a pool of two shards, every step swept, and the sequential
+// engine must produce identical top-k reports AND identical message
+// counts at every step, for the same seed.
 func TestEquivalenceWithSequentialEngine(t *testing.T) {
 	cases := []struct {
 		name string
@@ -70,7 +82,7 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const seed, steps = 41, 200
 			seq := core.New(core.Config{N: tc.n, K: tc.k, Seed: seed})
-			conc := New(Config{N: tc.n, K: tc.k, Seed: seed})
+			conc := onShards(Config{N: tc.n, K: tc.k, Seed: seed}, 2)
 			defer conc.Close()
 
 			srcA, srcB := tc.src(tc.n), tc.src(tc.n)
@@ -104,7 +116,7 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 }
 
 func TestRuntimeExactAgainstOracle(t *testing.T) {
-	rt := New(Config{N: 10, K: 3, Seed: 7})
+	rt := onShards(Config{N: 10, K: 3, Seed: 7}, 2)
 	defer rt.Close()
 	src := stream.NewBursty(stream.BurstyConfig{N: 10, Seed: 8, Lo: 0, Hi: 1 << 22, Noise: 5, BurstProb: 0.05, BurstMax: 1 << 18})
 	vals := make([]int64, 10)
@@ -118,7 +130,7 @@ func TestRuntimeExactAgainstOracle(t *testing.T) {
 }
 
 func TestRuntimePhaseBreakdown(t *testing.T) {
-	rt := New(Config{N: 8, K: 2, Seed: 9})
+	rt := onShards(Config{N: 8, K: 2, Seed: 9}, 2)
 	defer rt.Close()
 	src := stream.NewIID(stream.IIDConfig{N: 8, Seed: 10, Dist: stream.Uniform, Lo: 0, Hi: 1 << 16})
 	vals := make([]int64, 8)
@@ -136,22 +148,31 @@ func TestRuntimePhaseBreakdown(t *testing.T) {
 	}
 }
 
-// TestShardedPoolFollowsGOMAXPROCS pins the rule that sizes the pool, the
-// one scheduling choice the concurrent engine makes: at most
-// min(n, GOMAXPROCS) views, tiling [0, n) contiguously in order.
+// TestShardedPoolFollowsGOMAXPROCS pins the rule that picks the in-process
+// monitor's host, the one scheduling choice it makes up front:
+// min(GOMAXPROCS, n / minViewNodes) shards, tiling [0, n) contiguously in
+// order, none shorter than minViewNodes — and the bank inline, one view,
+// when that is fewer than two.
 func TestShardedPoolFollowsGOMAXPROCS(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
-	for _, tc := range []struct{ n, procs int }{{1, 4}, {9, 4}, {10, 4}, {64, 3}, {201, 7}} {
+	for _, tc := range []struct{ n, procs, shards int }{
+		{1, 4, 1},
+		{2*minViewNodes - 1, 4, 1},
+		{2 * minViewNodes, 1, 1},
+		{2 * minViewNodes, 4, 2},
+		{3*minViewNodes + 201, 7, 3},
+		{5*minViewNodes + 63, 4, 4},
+	} {
 		gort.GOMAXPROCS(tc.procs)
 		p := Sharded(coord.NewNodes(tc.n, 0, tc.n, 1, false, order.Tol{}))
 		views := p.Views()
-		if got := len(views); got < 1 || got > min(tc.n, tc.procs) {
-			t.Errorf("n=%d procs=%d: %d shards, want 1..%d", tc.n, tc.procs, got, min(tc.n, tc.procs))
+		if got := len(views); got != tc.shards {
+			t.Errorf("n=%d procs=%d: %d shards, want %d", tc.n, tc.procs, got, tc.shards)
 		}
 		next := 0
 		for i, v := range views {
-			if v.Lo() != next || v.Hi() <= next {
-				t.Errorf("n=%d procs=%d: shard %d holds [%d, %d), want it to start at %d", tc.n, tc.procs, i, v.Lo(), v.Hi(), next)
+			if v.Lo() != next || v.Hi() <= next || (len(views) > 1 && v.Len() < minViewNodes) {
+				t.Errorf("n=%d procs=%d: shard %d holds [%d, %d), want it to start at %d and hold %d nodes or more", tc.n, tc.procs, i, v.Lo(), v.Hi(), next, minViewNodes)
 			}
 			next = v.Hi()
 		}
@@ -163,13 +184,13 @@ func TestShardedPoolFollowsGOMAXPROCS(t *testing.T) {
 }
 
 func TestRuntimeCloseIdempotent(t *testing.T) {
-	rt := New(Config{N: 4, K: 1, Seed: 11})
+	rt := onShards(Config{N: 4, K: 1, Seed: 11}, 2)
 	rt.Close()
 	rt.Close() // must not panic
 }
 
 func TestRuntimeObserveAfterClosePanics(t *testing.T) {
-	rt := New(Config{N: 4, K: 1, Seed: 12})
+	rt := onShards(Config{N: 4, K: 1, Seed: 12}, 2)
 	rt.Close()
 	defer func() {
 		if recover() == nil {
@@ -209,8 +230,7 @@ func TestRuntimePanics(t *testing.T) {
 	// recovered, as on the sequential engine — on a shard goroutine it
 	// takes the process down. The violation is terminal: the step stays in
 	// flight, and Close still returns.
-	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
-	bad := New(Config{N: 4, K: 1})
+	bad := onShards(Config{N: 4, K: 1}, 2)
 	defer bad.Close()
 	for _, step := range []func(){
 		func() { bad.Observe([]int64{1, 2, math.MaxInt64, 4}) },
@@ -228,7 +248,7 @@ func TestRuntimePanics(t *testing.T) {
 }
 
 func TestRuntimeTopStableWithoutViolations(t *testing.T) {
-	rt := New(Config{N: 6, K: 2, Seed: 14})
+	rt := onShards(Config{N: 6, K: 2, Seed: 14}, 2)
 	defer rt.Close()
 	vals := []int64{60, 50, 40, 30, 20, 10}
 	first := rt.Observe(vals)
@@ -250,19 +270,20 @@ type counting struct {
 	sweeps *int
 }
 
-func (c counting) Sweep(to []int, f func(int)) {
+func (c counting) Sweep(f func(int)) {
 	*c.sweeps++
-	c.Host.Sweep(to, f)
+	c.Host.Sweep(f)
 }
 
-// TestFirstStepSweepsTwice pins what a step costs the pool: one sweep for
-// its batch and one per protocol execution, whatever the execution's
+// TestFirstStepSweepsTwice pins what a swept step costs the pool: one sweep
+// for its batch and one per protocol execution, whatever the execution's
 // rounds. The first step is the time-0 FILTERRESET, one execution: two
-// sweeps at n = 4096 on two views, where a pool crossing over once per
-// round would take 1 + ⌈log₂ n⌉ + 1 = 14.
+// sweeps on the two shards Sharded takes at n = 2·minViewNodes and
+// GOMAXPROCS 2, where a pool crossing over once per round would take
+// 1 + ⌈log₂ n⌉ + 1 = 18.
 func TestFirstStepSweepsTwice(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
-	const n = 4096
+	const n = 2 * minViewNodes
 	sweeps := 0
 	m := core.NewOn(Config{N: n, K: 8, Seed: 1}.core(), func(bank *coord.Nodes) core.Host {
 		return counting{Sharded(bank), &sweeps}

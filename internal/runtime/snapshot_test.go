@@ -3,7 +3,6 @@ package runtime
 import (
 	"bytes"
 	"errors"
-	gort "runtime"
 	"slices"
 	"testing"
 
@@ -13,18 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// TestRestoreValidatesFilters pins the concurrent engine's half of the
-// restore bugfix: a bank frame whose filters contradict the machine's
-// membership or band, or no longer hold its keys, is rejected with
-// coord.ErrFilterState; the untouched frame restores (with another shard
-// count) into a runtime that stays bit-identical to its twin, frames
-// included.
+// TestRestoreValidatesFilters pins the pool's half of the restore bugfix:
+// a bank frame whose filters contradict the machine's membership or band,
+// or no longer hold its keys, is rejected with coord.ErrFilterState; the
+// untouched frame restores (with another shard count) into a monitor that
+// stays bit-identical to its twin, frames included. The monitors run on
+// pools of three shards, the restored one on five.
 func TestRestoreValidatesFilters(t *testing.T) {
-	defer gort.GOMAXPROCS(gort.GOMAXPROCS(3))
 	for _, eps := range []float64{0, 0.05} {
-		gort.GOMAXPROCS(3)
 		cfg := Config{N: 24, K: 4, Seed: 11, Epsilon: eps}
-		twin, live := New(cfg), New(cfg)
+		twin, live := onShards(cfg, 3), onShards(cfg, 3)
 		defer twin.Close()
 		wr := rng.New(99, 1)
 		vals := make([]int64, cfg.N)
@@ -53,7 +50,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		}
 		rejected := func(name string, frame []byte) {
 			t.Helper()
-			if rt, err := core.RestoreOn(cfg.core(), Sharded, &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); !errors.Is(err, coord.ErrFilterState) {
+			if rt, err := core.RestoreOn(cfg.core(), sharding(3), &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); !errors.Is(err, coord.ErrFilterState) {
 				t.Errorf("eps=%v %s: restore returned %v, want coord.ErrFilterState", eps, name, err)
 				if rt != nil {
 					rt.Close()
@@ -87,7 +84,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		part.OrdLo, part.OrdHi = bs.OrdLo[:cfg.N-1], bs.OrdHi[:cfg.N-1]
 		short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's columns missing": short} {
-			if rt, err := core.RestoreOn(cfg.core(), Sharded, &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); err == nil {
+			if rt, err := core.RestoreOn(cfg.core(), sharding(3), &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); err == nil {
 				t.Errorf("eps=%v %s: restored", eps, name)
 				rt.Close()
 			}
@@ -95,8 +92,7 @@ func TestRestoreValidatesFilters(t *testing.T) {
 
 		// The untouched bank restores (with another shard count) and stays
 		// bit-identical to the twin.
-		gort.GOMAXPROCS(5)
-		back, err := core.RestoreOn(cfg.core(), Sharded, &wire.Checkpoint{Machine: mach, Nodes: nodes}, nil)
+		back, err := core.RestoreOn(cfg.core(), sharding(5), &wire.Checkpoint{Machine: mach, Nodes: nodes}, nil)
 		if err != nil {
 			t.Fatalf("eps=%v: untouched frame rejected: %v", eps, err)
 		}
@@ -128,10 +124,9 @@ func TestRestoreValidatesFilters(t *testing.T) {
 // carries none. The ordered runtime itself has no checkpoint: its machine
 // refuses to snapshot.
 func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
-	defer gort.GOMAXPROCS(gort.GOMAXPROCS(4))
 	cfg := Config{N: 16, K: 3, Seed: 2}
 	vals := []int64{5, 90, 12, 7, 80, 3, 9, 70, 1, 2, 4, 6, 8, 10, 11, 13}
-	plain := New(cfg)
+	plain := onShards(cfg, 2)
 	defer plain.Close()
 	plain.Observe(vals)
 	_, nodes, err := plain.Snapshot()
@@ -150,7 +145,7 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 	if got := plain.AppendRanking(nil); len(got) != 0 {
 		t.Fatalf("plain runtime ranks %v", got)
 	}
-	ord := newOrdered(cfg)
+	ord := newOrdered(cfg, 2)
 	defer ord.Close()
 	if got, want := observeRanked(ord, vals), []int{1, 4, 7}; !equal(got, want) {
 		t.Fatalf("ranking %v, want %v", got, want)
@@ -179,9 +174,8 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 // carry live state only: of a run that keeps violating filters, the k
 // membership bits, and a frame the bank reader accepts.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
-	defer gort.GOMAXPROCS(gort.GOMAXPROCS(3))
 	cfg := Config{N: 64, K: 5, Seed: 5}
-	rt := New(cfg)
+	rt := onShards(cfg, 3)
 	defer rt.Close()
 	wr := rng.New(8, 8)
 	vals := make([]int64, cfg.N)
@@ -195,7 +189,7 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineConc, Seed: cfg.Seed, Machine: mach, Nodes: nodes}.Append(nil)
+		want := wire.Checkpoint{Gen: uint64(step), Engine: wire.EngineSeq, Seed: cfg.Seed, Machine: mach, Nodes: nodes}.Append(nil)
 		if buf, err = rt.AppendCheckpoint(buf[:0], uint64(step), 0, nil); err != nil {
 			t.Fatal(err)
 		}

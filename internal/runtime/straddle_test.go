@@ -3,7 +3,6 @@ package runtime
 import (
 	"bytes"
 	"fmt"
-	gort "runtime"
 	"slices"
 	"testing"
 
@@ -13,11 +12,12 @@ import (
 	"repro/internal/stream"
 )
 
-// TestWordStraddlingShardsMatchSequential runs the concurrent engine with
-// shard boundaries inside words of the bank's membership bitset — n is no
-// multiple of 64 and the shard count 3 or 7, so neighbouring shards read
-// one word at once — under constant violations and resets, in the set and
-// the ordered mode, with dense and sparse steps mixed. After every step the
+// TestWordStraddlingShardsMatchSequential runs a pool with shard boundaries
+// inside words of the bank's membership bitset — n is no multiple of 64
+// and the shard count 3 or 7, so neighbouring shards read one word at
+// once — under constant violations and resets, in the set and the ordered
+// mode, with dense steps (swept) and sparse ones (inline) mixed. After
+// every step the
 // report, the ranking, every phase's ledger row and the statistics must be
 // the sequential engine's, and in the set mode so must both checkpoint
 // frames (the ordered mode refuses checkpoints on both). Run it with -race:
@@ -28,9 +28,8 @@ func TestWordStraddlingShardsMatchSequential(t *testing.T) {
 	for _, ordered := range []bool{false, true} {
 		for _, shards := range []int{3, 7} {
 			t.Run(fmt.Sprintf("ordered=%v shards=%d", ordered, shards), func(t *testing.T) {
-				defer gort.GOMAXPROCS(gort.GOMAXPROCS(shards))
 				seq := core.New(core.Config{N: n, K: k, Seed: seed, Ordered: ordered})
-				conc := New(Config{N: n, K: k, Seed: seed, Ordered: ordered})
+				conc := onShards(Config{N: n, K: k, Seed: seed, Ordered: ordered}, shards)
 				defer conc.Close()
 
 				src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 12, MaxStep: 1 << 10, Seed: 23})

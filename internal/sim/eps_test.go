@@ -30,9 +30,9 @@ type closer interface{ Close() }
 // constructor errors (impossible for the valid configs used here).
 func mustNet(tb testing.TB, cfg netrun.Config, peers int) *netrun.Engine {
 	tb.Helper()
-	e, err := netrun.NewLoopback(cfg, peers)
+	e, err := netrun.New(cfg, netrun.LoopbackLinks(peers))
 	if err != nil {
-		tb.Fatalf("netrun.NewLoopback: %v", err)
+		tb.Fatalf("netrun.New: %v", err)
 	}
 	return e
 }

@@ -36,8 +36,8 @@ var ErrChecksum = errors.New("wire: checkpoint checksum mismatch")
 // full Nodes bank, the networked engines persist the value mirror they
 // replay through the Assign handshake instead.
 const (
-	EngineSeq   uint8 = 0 // sequential engine (internal/core)
-	EngineConc  uint8 = 1 // sharded concurrent engine (internal/runtime)
+	EngineSeq   uint8 = 0 // in-process engine (internal/core), on any host
+	EngineConc  uint8 = 1 // retired concurrent engine: read as EngineSeq, never written
 	EngineNet   uint8 = 2 // networked engine (internal/netrun)
 	EngineShard uint8 = 3 // multi-coordinator engine (internal/shardrun)
 )

@@ -26,16 +26,17 @@ func drainT(t *testing.T, m *Monitor) {
 // per-phase breakdowns, stats — to a synchronous monitor of the same
 // configuration fed the same trace, on both the dense and delta paths.
 // The ordered-* monitors come from NewOrdered, and their rankings must
-// match as well.
+// match as well. The conc rows are the in-process monitor at poolNodes,
+// whose first call and dense calls run on the shard pool.
 func TestAsyncDrainEquivalence(t *testing.T) {
 	const n, k, steps = 16, 3, 120
 	base := map[string]Config{
 		"seq":          {Nodes: n, K: k, Seed: 3},
-		"conc":         {Nodes: n, K: k, Seed: 3, Concurrent: true},
+		"conc":         {Nodes: poolNodes, K: k, Seed: 3},
 		"net":          {Nodes: n, K: k, Seed: 3, Transport: Loopback(2)},
 		"shard":        {Nodes: n, K: k, Seed: 3, Tree: star(2)},
 		"ordered-seq":  {Nodes: n, K: k, Seed: 3},
-		"ordered-conc": {Nodes: n, K: k, Seed: 3, Concurrent: true},
+		"ordered-conc": {Nodes: poolNodes, K: k, Seed: 3},
 	}
 	ordered := func(name string) bool { return strings.HasPrefix(name, "ordered-") }
 	build := func(t *testing.T, name string, async bool) *Monitor {
@@ -44,7 +45,7 @@ func TestAsyncDrainEquivalence(t *testing.T) {
 			cfg.Transport = Loopback(2) // a Transport is owned by one monitor
 		}
 		if async {
-			cfg.Ingest = Ingest{QueueDepth: n}
+			cfg.Ingest = Ingest{QueueDepth: cfg.Nodes}
 		}
 		newMonitor := New
 		if ordered(name) {
@@ -66,6 +67,7 @@ func TestAsyncDrainEquivalence(t *testing.T) {
 			t.Run(sub, func(t *testing.T) {
 				async := build(t, name, true)
 				sync := build(t, name, false)
+				n := base[name].Nodes
 				src := stream.NewSparseWalk(stream.SparseWalkConfig{
 					N: n, Changed: 3, MaxStep: 1 << 11, Lo: 1 << 18, Hi: 1 << 24, Seed: 6,
 				})

@@ -10,12 +10,14 @@ import (
 	"repro/internal/sim"
 )
 
-// engineConfigs enumerates the four engine selections of the public API.
-// Every boundary property must hold on all of them.
+// engineConfigs enumerates the engine selections of the public API: the
+// in-process engine at n nodes (seq) and at poolNodes (conc, on the shard
+// pool at GOMAXPROCS ≥ 2), the networked and the sharded engine. Every
+// boundary property must hold on all of them.
 func engineConfigs(n, k int) map[string]Config {
 	return map[string]Config{
 		"seq":   {Nodes: n, K: k, Seed: 3},
-		"conc":  {Nodes: n, K: k, Seed: 3, Concurrent: true},
+		"conc":  {Nodes: poolNodes, K: k, Seed: 3},
 		"net":   {Nodes: n, K: k, Seed: 3, Transport: Loopback(2)},
 		"shard": {Nodes: n, K: k, Seed: 3, Tree: star(2)},
 	}
@@ -49,9 +51,10 @@ func observeDeltaNoPanic(t *testing.T, m *Monitor, ids []int, vals []int64) (top
 // an error, leave the monitor fully usable, and accept the exact boundary
 // magnitudes ±MaxValue.
 func TestExtremeValuesErrorNotPanic(t *testing.T) {
-	const n, k = 8, 3
-	for name, cfg := range engineConfigs(n, k) {
+	const k = 3
+	for name, cfg := range engineConfigs(8, k) {
 		t.Run(name, func(t *testing.T) {
+			n := cfg.Nodes
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -114,11 +117,13 @@ func TestExtremeValuesErrorNotPanic(t *testing.T) {
 // drawn from the extreme corners of int64 (±MaxValue, ±(MaxValue+1),
 // MinInt64, MaxInt64, 0, small values) and asserts, against the oracle on
 // the accepted state: in-domain steps report exactly, out-of-domain steps
-// error without perturbing the trajectory, and nothing ever panics.
+// error without perturbing the trajectory, and nothing ever panics. The
+// draws go to the first six nodes; a larger monitor's others hold 0.
 func TestExtremeValuesProperty(t *testing.T) {
-	const n, k, steps = 6, 2, 120
-	for name, cfg := range engineConfigs(n, k) {
+	const drawn, k, steps = 6, 2, 120
+	for name, cfg := range engineConfigs(drawn, k) {
 		t.Run(name, func(t *testing.T) {
+			n := cfg.Nodes
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +136,7 @@ func TestExtremeValuesProperty(t *testing.T) {
 			vals := make([]int64, n)
 			for s := 0; s < steps; s++ {
 				legal := true
-				for i := range vals {
+				for i := range vals[:drawn] {
 					v := pool[rng.Intn(len(pool))]
 					vals[i] = v
 					if v > mv || v < -mv {
@@ -163,8 +168,8 @@ func TestExtremeValuesProperty(t *testing.T) {
 // domain — not a panic, not a silently wrapped key — and a caller that
 // clamps to MaxValue, as the error suggests, continues cleanly.
 func TestDeltaOverflowRegression(t *testing.T) {
-	const n, k = 4, 1
-	for name, cfg := range engineConfigs(n, k) {
+	const k = 1
+	for name, cfg := range engineConfigs(4, k) {
 		t.Run(name, func(t *testing.T) {
 			m, err := New(cfg)
 			if err != nil {

@@ -56,7 +56,7 @@ type CheckpointStore interface {
 // Checkpoint configures durable checkpointing (Config.Checkpoint).
 //
 // A checkpoint captures the coordinator process's execution at an idle
-// step boundary: for the in-process engines the machine plus every
+// step boundary: for the in-process engine the machine plus every
 // node's key and filter (restoring is bit-identical — same reports, same
 // ledgers, same coins, which are a function of the seed, as a monitor that
 // never stopped); for the networked and sharded engines the machine plus the
@@ -198,9 +198,7 @@ func validateCheckpoint(cfg Config) error {
 func engineName(kind uint8) string {
 	switch kind {
 	case wire.EngineSeq:
-		return "sequential"
-	case wire.EngineConc:
-		return "concurrent"
+		return "in-process"
 	case wire.EngineNet:
 		return "networked"
 	case wire.EngineShard:
@@ -373,7 +371,7 @@ func (m *Monitor) Checkpoint(ctx context.Context) (uint64, error) {
 // ErrNoCheckpoint or ErrCorruptCheckpoint, and an invalid cfg the same
 // *ConfigError New returns).
 //
-// The in-process engines resume bit-identically to a monitor that never
+// The in-process engine resumes bit-identically to a monitor that never
 // stopped. The networked and tree engines handshake their peers from
 // scratch, once, as New does (cfg.Transport must supply fresh links whose
 // far ends run ServeNodes; a tree monitor, a star of shards included,
@@ -414,15 +412,19 @@ func Restore(store CheckpointStore, cfg Config) (*Monitor, error) {
 	if last := c.Gen + uint64(len(frames)-1); last != gen {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint filed as generation %d ends at generation %d", gen, last))
 	}
-	if want := engineKind(cfg); c.Engine != want {
-		return nil, failNew(cfg, badRestore(nil, "checkpoint was taken by the %s engine, config selects the %s engine", engineName(c.Engine), engineName(want)))
+	kind := c.Engine
+	if kind == wire.EngineConc {
+		kind = wire.EngineSeq // a frame of the retired concurrent engine is the in-process engine's
+	}
+	if want := engineKind(cfg); kind != want {
+		return nil, failNew(cfg, badRestore(nil, "checkpoint was taken by the %s engine, config selects the %s engine", engineName(kind), engineName(want)))
 	}
 	if c.Seed != cfg.Seed {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint seed %d differs from configured %d", c.Seed, cfg.Seed))
 	}
 	eng, err := buildEngine(cfg, &c, frames[1:], false)
 	if err != nil {
-		return nil, failNew(cfg, badRestore(err, "%s engine", engineName(c.Engine)))
+		return nil, failNew(cfg, badRestore(err, "%s engine", engineName(kind)))
 	}
 	m := &Monitor{cfg: cfg, maxVal: order.MaxValueFor(cfg.Nodes), eng: eng, ckptGen: gen}
 	m.ckptStats.LastGen = gen

@@ -21,82 +21,80 @@ func ckptWalk(r *rng.RNG, vals []int64) {
 }
 
 // TestCheckpointRestoreBitIdentical is the determinism pin of the
-// checkpoint tentpole: a sequential or concurrent monitor restored from
-// an idle-point checkpoint resumes bit-identically — reports, message
-// counts, charged bytes, per-phase ledgers, stats, and the randomness
-// streams driving them — to an uninterrupted twin, at ε=0 and ε>0.
+// checkpoint tentpole: an in-process monitor restored from an idle-point
+// checkpoint resumes bit-identically — reports, message counts, charged
+// bytes, per-phase ledgers, stats, and the randomness streams driving
+// them — to an uninterrupted twin, at ε=0 and ε>0.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		for _, eps := range []float64{0, 0.05} {
-			cfg := Config{Nodes: 24, K: 4, Seed: 11, Epsilon: eps, Concurrent: concurrent}
-			twin, err := New(cfg)
+	for _, eps := range []float64{0, 0.05} {
+		cfg := Config{Nodes: 24, K: 4, Seed: 11, Epsilon: eps}
+		twin, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer twin.Close()
+
+		store := MemCheckpoints()
+		live := cfg
+		live.Checkpoint = Checkpoint{Store: store, Every: 5}
+		mon, err := New(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		wr := rng.New(99, 1)
+		vals := make([]int64, cfg.Nodes)
+		for step := 0; step < 37; step++ {
+			ckptWalk(wr, vals)
+			if _, err := twin.Observe(vals); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mon.Observe(vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gen, err := mon.Checkpoint(context.Background())
+		if err != nil {
+			t.Fatalf("eps=%v: checkpoint: %v", eps, err)
+		}
+		if st := mon.CheckpointStats(); st.LastGen != gen || st.Saves < 1 || st.LastErr != nil {
+			t.Fatalf("eps=%v: stats %+v after gen %d", eps, st, gen)
+		}
+		mon.Close() // the "crash": the restored monitor must not need it
+
+		restored, err := Restore(store, live)
+		if err != nil {
+			t.Fatalf("eps=%v: restore: %v", eps, err)
+		}
+		defer restored.Close()
+		if st := restored.CheckpointStats(); st.LastGen != gen {
+			t.Fatalf("eps=%v: restored LastGen %d, want %d", eps, st.LastGen, gen)
+		}
+
+		for step := 0; step < 50; step++ {
+			ckptWalk(wr, vals)
+			want, err := twin.Observe(vals)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer twin.Close()
-
-			store := MemCheckpoints()
-			live := cfg
-			live.Checkpoint = Checkpoint{Store: store, Every: 5}
-			mon, err := New(live)
+			got, err := restored.Observe(vals)
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			wr := rng.New(99, 1)
-			vals := make([]int64, cfg.Nodes)
-			for step := 0; step < 37; step++ {
-				ckptWalk(wr, vals)
-				if _, err := twin.Observe(vals); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := mon.Observe(vals); err != nil {
-					t.Fatal(err)
-				}
+			if !slices.Equal(want, got) {
+				t.Fatalf("eps=%v step %d: report %v, twin %v", eps, step, got, want)
 			}
-			gen, err := mon.Checkpoint(context.Background())
-			if err != nil {
-				t.Fatalf("conc=%v eps=%v: checkpoint: %v", concurrent, eps, err)
-			}
-			if st := mon.CheckpointStats(); st.LastGen != gen || st.Saves < 1 || st.LastErr != nil {
-				t.Fatalf("conc=%v eps=%v: stats %+v after gen %d", concurrent, eps, st, gen)
-			}
-			mon.Close() // the "crash": the restored monitor must not need it
-
-			restored, err := Restore(store, live)
-			if err != nil {
-				t.Fatalf("conc=%v eps=%v: restore: %v", concurrent, eps, err)
-			}
-			defer restored.Close()
-			if st := restored.CheckpointStats(); st.LastGen != gen {
-				t.Fatalf("conc=%v eps=%v: restored LastGen %d, want %d", concurrent, eps, st.LastGen, gen)
-			}
-
-			for step := 0; step < 50; step++ {
-				ckptWalk(wr, vals)
-				want, err := twin.Observe(vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := restored.Observe(vals)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(want, got) {
-					t.Fatalf("conc=%v eps=%v step %d: report %v, twin %v", concurrent, eps, step, got, want)
-				}
-			}
-			if twin.Counts() != restored.Counts() || twin.Bytes() != restored.Bytes() {
-				t.Fatalf("conc=%v eps=%v: ledgers diverged: twin %v/%v, restored %v/%v",
-					concurrent, eps, twin.Counts(), twin.Bytes(), restored.Counts(), restored.Bytes())
-			}
-			if twin.Phases() != restored.Phases() || twin.BytesByPhase() != restored.BytesByPhase() {
-				t.Fatalf("conc=%v eps=%v: phase ledgers diverged", concurrent, eps)
-			}
-			if twin.Stats() != restored.Stats() {
-				t.Fatalf("conc=%v eps=%v: stats diverged: twin %+v, restored %+v",
-					concurrent, eps, twin.Stats(), restored.Stats())
-			}
+		}
+		if twin.Counts() != restored.Counts() || twin.Bytes() != restored.Bytes() {
+			t.Fatalf("eps=%v: ledgers diverged: twin %v/%v, restored %v/%v",
+				eps, twin.Counts(), twin.Bytes(), restored.Counts(), restored.Bytes())
+		}
+		if twin.Phases() != restored.Phases() || twin.BytesByPhase() != restored.BytesByPhase() {
+			t.Fatalf("eps=%v: phase ledgers diverged", eps)
+		}
+		if twin.Stats() != restored.Stats() {
+			t.Fatalf("eps=%v: stats diverged: twin %+v, restored %+v",
+				eps, twin.Stats(), restored.Stats())
 		}
 	}
 	// The walk above charges messages at every step, so every frame of it
@@ -106,15 +104,17 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 }
 
 // ckptEngines enumerates one configuration per engine for the chaos
-// suites. The returned Config carries no Transport; net configurations
-// get a fresh Loopback per construction via the transport flag.
+// suites — the in-process engine twice: at the suite's n (seq) and at
+// poolNodes (conc), where it runs on the shard pool at GOMAXPROCS ≥ 2. The
+// returned Config carries no Transport; net configurations get a fresh
+// Loopback per construction via the transport flag.
 var ckptEngines = []struct {
 	name string
 	net  bool // needs a fresh Loopback transport per construction
 	mut  func(*Config)
 }{
 	{"seq", false, func(*Config) {}},
-	{"conc", false, func(c *Config) { c.Concurrent = true }},
+	{"conc", false, func(c *Config) { c.Nodes = poolNodes }},
 	{"net", true, func(*Config) {}},
 	{"shards", false, func(c *Config) { c.Tree = star(3) }},
 	{"tree", false, func(c *Config) { c.Tree = Tree{Branch: 2, Depth: 2} }},
@@ -165,7 +165,7 @@ func TestCheckpointCrashRestartChaos(t *testing.T) {
 					case !quiet:
 						ckptWalk(wr, vals)
 					case step > 0 && step%11 == 10:
-						return qt.stir(step%5, int64(step))
+						return qt.stir(step % 5)
 					case step > 0:
 						return qt.step(4)
 					}
@@ -341,12 +341,11 @@ func TestRestoreRejects(t *testing.T) {
 	}
 
 	mismatches := []Config{
-		{Nodes: 8, K: 2, Seed: 4},                   // seed
-		{Nodes: 8, K: 2, Seed: 3, Concurrent: true}, // engine kind
-		{Nodes: 8, K: 2, Seed: 3, Tree: star(2)},    // engine kind
-		{Nodes: 9, K: 2, Seed: 3},                   // fingerprint in the machine frame
-		{Nodes: 8, K: 3, Seed: 3},                   // fingerprint in the machine frame
-		{Nodes: 8, K: 2, Seed: 3, Epsilon: 0.25},    // fingerprint in the machine frame
+		{Nodes: 8, K: 2, Seed: 4},                // seed
+		{Nodes: 8, K: 2, Seed: 3, Tree: star(2)}, // engine kind
+		{Nodes: 9, K: 2, Seed: 3},                // fingerprint in the machine frame
+		{Nodes: 8, K: 3, Seed: 3},                // fingerprint in the machine frame
+		{Nodes: 8, K: 2, Seed: 3, Epsilon: 0.25}, // fingerprint in the machine frame
 	}
 	for i, bad := range mismatches {
 		_, err := Restore(store, bad)
@@ -476,77 +475,75 @@ func TestCheckpointCrashRestartSoak(t *testing.T) {
 }
 
 // TestRestoreRejectsStaleFilters pins the restore bugfix at the public
-// boundary, on both engines that checkpoint node state: a well-formed,
+// boundary, on the engine that checkpoints node state: a well-formed,
 // correctly checksummed checkpoint whose bank frame holds filters the
 // algorithm cannot have installed — here an outsider whose value already
 // left its filter, the state of a monitor that would go on serving a
 // stale set — is a typed *RestoreError wrapping coord.ErrFilterState,
 // while the frame as written restores.
 func TestRestoreRejectsStaleFilters(t *testing.T) {
-	for _, conc := range []bool{false, true} {
-		store := MemCheckpoints()
-		cfg := Config{Nodes: 8, K: 2, Seed: 3, Concurrent: conc, Checkpoint: Checkpoint{Store: store}}
-		mon, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mon.Observe([]int64{5, 1, 8, 2, 9, 3, 7, 4}); err != nil { // top: nodes 2 and 4
-			t.Fatal(err)
-		}
-		gen, err := mon.Checkpoint(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		mon.Close()
-		cfg.Checkpoint = Checkpoint{}
-		good, err := Restore(store, cfg)
-		if err != nil {
-			t.Fatalf("concurrent=%v: checkpoint as written rejected: %v", conc, err)
-		}
-		good.Close()
+	store := MemCheckpoints()
+	cfg := Config{Nodes: 8, K: 2, Seed: 3, Checkpoint: Checkpoint{Store: store}}
+	mon, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mon.Observe([]int64{5, 1, 8, 2, 9, 3, 7, 4}); err != nil { // top: nodes 2 and 4
+		t.Fatal(err)
+	}
+	gen, err := mon.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.Close()
+	cfg.Checkpoint = Checkpoint{}
+	good, err := Restore(store, cfg)
+	if err != nil {
+		t.Fatalf("checkpoint as written rejected: %v", err)
+	}
+	good.Close()
 
-		_, frame, err := store.Load()
-		if err != nil {
+	_, frame, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c wire.Checkpoint
+	if err := c.Decode(frame); err != nil {
+		t.Fatal(err)
+	}
+	var bs wire.BankState
+	if err := bs.Decode(c.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	// Outsider 1 above the installed midpoint; then a frame whose
+	// bounds went stale instead of a key, and one flagging a member the
+	// machine does not have.
+	moved, stale, flagged := bs, bs, bs
+	moved.Keys = append([]int64(nil), bs.Keys...)
+	moved.Keys[1] = bs.BoundHi + 1
+	stale.BoundLo, stale.BoundHi = bs.BoundLo+1<<30, bs.BoundHi+1<<30
+	flagged.InTop = append([]bool(nil), bs.InTop...)
+	flagged.InTop[7] = true
+	flagged.Keys = append([]int64(nil), bs.Keys...)
+	flagged.Keys[7] = bs.BoundLo
+	for name, nodes := range map[string][]byte{
+		"key moved":     moved.Append(nil),
+		"bounds stale":  stale.Append(nil),
+		"forged member": flagged.Append(nil),
+	} {
+		forged := c
+		forged.Nodes = nodes
+		store := MemCheckpoints()
+		if err := store.Save(gen, forged.Append(nil)); err != nil {
 			t.Fatal(err)
 		}
-		var c wire.Checkpoint
-		if err := c.Decode(frame); err != nil {
-			t.Fatal(err)
+		m, err := Restore(store, cfg)
+		var re *RestoreError
+		if !errors.As(err, &re) || !errors.Is(err, coord.ErrFilterState) {
+			t.Fatalf("%s: restore returned %v, want a *RestoreError wrapping coord.ErrFilterState", name, err)
 		}
-		var bs wire.BankState
-		if err := bs.Decode(c.Nodes); err != nil {
-			t.Fatal(err)
-		}
-		// Outsider 1 above the installed midpoint; then a frame whose
-		// bounds went stale instead of a key, and one flagging a member the
-		// machine does not have.
-		moved, stale, flagged := bs, bs, bs
-		moved.Keys = append([]int64(nil), bs.Keys...)
-		moved.Keys[1] = bs.BoundHi + 1
-		stale.BoundLo, stale.BoundHi = bs.BoundLo+1<<30, bs.BoundHi+1<<30
-		flagged.InTop = append([]bool(nil), bs.InTop...)
-		flagged.InTop[7] = true
-		flagged.Keys = append([]int64(nil), bs.Keys...)
-		flagged.Keys[7] = bs.BoundLo
-		for name, nodes := range map[string][]byte{
-			"key moved":     moved.Append(nil),
-			"bounds stale":  stale.Append(nil),
-			"forged member": flagged.Append(nil),
-		} {
-			forged := c
-			forged.Nodes = nodes
-			store := MemCheckpoints()
-			if err := store.Save(gen, forged.Append(nil)); err != nil {
-				t.Fatal(err)
-			}
-			m, err := Restore(store, cfg)
-			var re *RestoreError
-			if !errors.As(err, &re) || !errors.Is(err, coord.ErrFilterState) {
-				t.Fatalf("concurrent=%v %s: restore returned %v, want a *RestoreError wrapping coord.ErrFilterState", conc, name, err)
-			}
-			if m != nil {
-				m.Close()
-			}
+		if m != nil {
+			m.Close()
 		}
 	}
 }

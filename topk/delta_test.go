@@ -6,18 +6,15 @@ import (
 )
 
 // TestObserveDeltaMatchesObserve drives both ingestion forms over the same
-// logical value sequence and requires identical reports and counts, on
-// both engines.
+// logical value sequence and requires identical reports and counts, at a
+// small n and at poolNodes, where on two processors the dense calls run on
+// the shard pool and the sparse ones on the bank inline.
 func TestObserveDeltaMatchesObserve(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		name := "sequential"
-		if concurrent {
-			name = "concurrent"
-		}
+	for name, n := range map[string]int{"sequential": 12, "concurrent": poolNodes} {
 		t.Run(name, func(t *testing.T) {
-			const n, k = 12, 3
+			const k = 3
 			mk := func() *Monitor {
-				m, err := New(Config{Nodes: n, K: k, Seed: 17, Concurrent: concurrent})
+				m, err := New(Config{Nodes: n, K: k, Seed: 17})
 				if err != nil {
 					t.Fatal(err)
 				}

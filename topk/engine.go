@@ -46,7 +46,7 @@ type linked interface {
 }
 
 var (
-	_ engine = (*core.Monitor)(nil) // both in-process engines
+	_ engine = (*core.Monitor)(nil) // the in-process engine
 	_ engine = (*netrun.Engine)(nil)
 	_ engine = (*shardrun.Engine)(nil)
 	_ linked = (*netrun.Engine)(nil)
@@ -78,15 +78,14 @@ func (*closed) AppendCheckpoint([]byte, uint64, uint64, []uint64) ([]byte, error
 
 // engineKind maps a validated configuration to the engine fingerprint a
 // checkpoint frame records, so a frame never restores into a different
-// engine than the one that took it.
+// engine than the one that took it. The in-process engine writes
+// wire.EngineSeq on either host.
 func engineKind(cfg Config) uint8 {
 	switch {
 	case !cfg.Tree.zero():
 		return wire.EngineShard
 	case cfg.Transport != nil:
 		return wire.EngineNet
-	case cfg.Concurrent:
-		return wire.EngineConc
 	default:
 		return wire.EngineSeq
 	}
@@ -132,26 +131,23 @@ func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) (*coord.Machine
 // fresh, or (c != nil) from a checkpoint chain that engine took: base
 // envelope c and the delta frames after it. It is the one place engine
 // identity is switched on. ordered is NewOrdered's: the coordinator's
-// ordered mode, which only the two in-process engines run (NewOrdered
-// rejects the configurations that select another).
+// ordered mode, which only the in-process engine runs (NewOrdered rejects
+// the configurations that select another).
 //
 // A link-backed restore is the engine a fresh build makes, which then
 // resumes the chain's machine over its value mirror (fanout.Engine.Resume);
 // a chain foldMirror refuses closes the links taken from the Transport.
 func buildEngine(cfg Config, c *wire.Checkpoint, deltas [][]byte, ordered bool) (engine, error) {
 	kind := engineKind(cfg)
-	if kind == wire.EngineSeq || kind == wire.EngineConc {
-		// The in-process engines are one monitor on two hosts: the bank
-		// swept inline, or by a pool of min(n, GOMAXPROCS) shard goroutines.
+	if kind == wire.EngineSeq {
+		// The in-process engine picks its host from n and GOMAXPROCS: a
+		// pool of shard goroutines where n leaves each a band of nodes the
+		// pool is measured to win on, else the bank swept inline.
 		lc := core.Config{N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon, Ordered: ordered}
-		host := core.Inline
-		if kind == wire.EngineConc {
-			host = runtime.Sharded
-		}
 		if c == nil {
-			return core.NewOn(lc, host), nil
+			return core.NewOn(lc, runtime.Sharded), nil
 		}
-		m, err := core.RestoreOn(lc, host, c, deltas)
+		m, err := core.RestoreOn(lc, runtime.Sharded, c, deltas)
 		if err != nil {
 			return nil, err // not a nil *core.Monitor in an engine
 		}

@@ -109,9 +109,8 @@ func (c Config) onEventInternal() func(coord.Event) {
 }
 
 // Health reports the monitor's failover state: terminal error, pending
-// recovery, failure/recovery counters and live peer ranges. In-process
-// engines (sequential, concurrent) have no links to lose and always
-// report the zero Health.
+// recovery, failure/recovery counters and live peer ranges. The in-process
+// engine has no links to lose and always reports the zero Health.
 func (m *Monitor) Health() Health {
 	m.lock()
 	defer m.unlock()

@@ -289,7 +289,8 @@ func TestJoinConcurrentWithAsyncIngest(t *testing.T) {
 
 // TestEngineCapabilityMatrix pins, for each of the five engine shapes,
 // what the optional capabilities report: the link-backed engines answer
-// them, the in-process engines return the documented zero value or error,
+// them, the in-process engine — inline (seq) and at 2¹⁶ nodes (conc) —
+// returns the documented zero value or error,
 // only the networked monitor takes a joiner, every shape checkpoints, and
 // a closed monitor of any shape fails its steps and barriers and reads as
 // zero.
@@ -304,7 +305,7 @@ func TestEngineCapabilityMatrix(t *testing.T) {
 		joins    bool // Join takes a ServeNodes link
 	}{
 		{"seq", topk.Config{}, 0, false, 0, false},
-		{"conc", topk.Config{Concurrent: true}, 0, false, 0, false},
+		{"conc", topk.Config{Nodes: 1 << 16}, 0, false, 0, false}, // on the shard pool at GOMAXPROCS ≥ 2
 		{"net", topk.Config{Transport: topk.Loopback(2)}, 2, false, 0, true},
 		{"shards", topk.Config{Tree: topk.Tree{Branch: 2, Depth: 1}}, 2, true, 1, false},
 		{"tree", topk.Config{Tree: topk.Tree{Branch: 2, Depth: 2}}, 2, true, 2, false},
@@ -312,14 +313,15 @@ func TestEngineCapabilityMatrix(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			cfg := sh.cfg
-			cfg.Nodes, cfg.K, cfg.Seed = n, k, 3
+			cfg.Nodes = max(cfg.Nodes, n)
+			cfg.K, cfg.Seed = k, 3
 			cfg.Checkpoint.Store = topk.MemCheckpoints()
 			mon, err := topk.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer mon.Close()
-			vals := make([]int64, n)
+			vals := make([]int64, cfg.Nodes)
 			for s := 0; s < 10; s++ {
 				churn(s, vals)
 				if _, err := mon.Observe(vals); err != nil {

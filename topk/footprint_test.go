@@ -152,34 +152,32 @@ func TestTreeFootprintPerNode(t *testing.T) {
 	runtime.KeepAlive(step)
 }
 
-// TestOrderedFootprintPerNode pins that the ordered mode costs the same per
-// node on both in-process engines, and what the set mode costs — key 8 +
-// membership bit + in-play bit, and the machine's membership bit: the order
-// filters are a table of the k members', in the bank both engines host, not
-// a 16-byte column over all n nodes (which the concurrent engine's bank
-// held before the table moved there).
+// TestOrderedFootprintPerNode pins that the ordered mode costs what the set
+// mode costs per node — key 8 + membership bit + in-play bit, and the
+// machine's membership bit: the order filters are a table of the k
+// members', in the bank, not a 16-byte column over all n nodes (which the
+// retired concurrent engine's bank held before the table moved there). At
+// this n the monitor runs on the shard pool at GOMAXPROCS ≥ 2.
 func TestOrderedFootprintPerNode(t *testing.T) {
 	const n, k, budget = 1 << 18, 16, 8.6
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = int64(i) * 7 % 1000003
 	}
-	for _, conc := range []bool{false, true} {
-		before := liveHeap()
-		m, err := NewOrdered(Config{Nodes: n, K: k, Seed: 1, Concurrent: conc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Observe(vals); err != nil {
-			t.Fatal(err)
-		}
-		perNode := (float64(liveHeap()) - float64(before)) / n
-		t.Logf("ordered monitor, concurrent=%v, n=%d: %.1f B/node live after the first Observe", conc, n, perNode)
-		if perNode > budget {
-			t.Fatalf("ordered monitor (concurrent=%v) holds %.1f B/node after its first Observe, budget %v", conc, perNode, budget)
-		}
-		m.Close()
+	before := liveHeap()
+	m, err := NewOrdered(Config{Nodes: n, K: k, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := m.Observe(vals); err != nil {
+		t.Fatal(err)
+	}
+	perNode := (float64(liveHeap()) - float64(before)) / n
+	t.Logf("ordered monitor, n=%d: %.1f B/node live after the first Observe", n, perNode)
+	if perNode > budget {
+		t.Fatalf("ordered monitor holds %.1f B/node after its first Observe, budget %v", perNode, budget)
+	}
+	m.Close()
 	runtime.KeepAlive(vals)
 }
 
@@ -191,8 +189,8 @@ type sizingStore struct{ frame int }
 func (s *sizingStore) Save(_ uint64, frame []byte) error { s.frame = len(frame); return nil }
 func (s *sizingStore) Load() (uint64, []byte, error)     { return 0, nil, ErrNoCheckpoint }
 
-// TestCheckpointFrameBytesPerNode pins the v2 frame's size on both engines
-// that checkpoint a bank: a six-byte key per node, and nothing else that
+// TestCheckpointFrameBytesPerNode pins the v2 frame's size on the engine
+// that checkpoints a bank: a six-byte key per node, and nothing else that
 // grows with n — no generator state, no interval bounds, no per-node
 // default. The v1 frame was 55 B/node, the frame with a generator column
 // 13.
@@ -202,24 +200,22 @@ func TestCheckpointFrameBytesPerNode(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i) * 7 % 1000003
 	}
-	for _, conc := range []bool{false, true} {
-		store := &sizingStore{}
-		m, err := New(Config{Nodes: n, K: k, Seed: 1, Concurrent: conc, Checkpoint: Checkpoint{Store: store}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Observe(vals); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Checkpoint(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		m.Close()
-		perNode := float64(store.frame) / n
-		t.Logf("concurrent=%v, n=%d: checkpoint frame %d bytes, %.2f B/node", conc, n, store.frame, perNode)
-		if perNode > budget {
-			t.Fatalf("concurrent=%v: checkpoint frame is %.2f B/node, budget %v", conc, perNode, budget)
-		}
+	store := &sizingStore{}
+	m, err := New(Config{Nodes: n, K: k, Seed: 1, Checkpoint: Checkpoint{Store: store}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Observe(vals); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	perNode := float64(store.frame) / n
+	t.Logf("n=%d: checkpoint frame %d bytes, %.2f B/node", n, store.frame, perNode)
+	if perNode > budget {
+		t.Fatalf("checkpoint frame is %.2f B/node, budget %v", perNode, budget)
 	}
 }
 
@@ -234,49 +230,47 @@ func TestCheckpointFrameBytesPerNode(t *testing.T) {
 func TestCheckpointSteadyStateAllocations(t *testing.T) {
 	const n, k = 1 << 14, 16
 	ctx := context.Background()
-	for _, conc := range []bool{false, true} {
-		m, err := New(Config{Nodes: n, K: k, Seed: 1, Concurrent: conc, Checkpoint: Checkpoint{Store: MemCheckpoints()}})
-		if err != nil {
+	m, err := New(Config{Nodes: n, K: k, Seed: 1, Checkpoint: Checkpoint{Store: MemCheckpoints()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	tr := newQuietTrace(n, 3)
+	if _, err := m.Observe(tr.vals); err != nil {
+		t.Fatal(err)
+	}
+	save := func() {
+		if _, err := m.ObserveDelta(tr.step(64)); err != nil {
 			t.Fatal(err)
 		}
-		defer m.Close()
-		tr := newQuietTrace(n, 3)
-		if _, err := m.Observe(tr.vals); err != nil {
+		if _, err := m.Checkpoint(ctx); err != nil {
 			t.Fatal(err)
 		}
-		save := func() {
-			if _, err := m.ObserveDelta(tr.step(64)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Checkpoint(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		save() // the base, into buffers that are allocated once
-		for i := 0; i < 10; i++ {
-			save()
-		}
-		if allocs := testing.AllocsPerRun(20, save); allocs != 0 {
-			t.Fatalf("concurrent=%v: %.1f allocations per steady-state save, want 0", conc, allocs)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		st0 := m.CheckpointStats()
-		for i := 0; i < 100; i++ {
-			save()
-		}
-		st := m.CheckpointStats()
-		runtime.ReadMemStats(&after)
-		if st.Bases != 1 || st.Deltas != st.Saves-1 {
-			t.Fatalf("concurrent=%v: %d bases and %d deltas in %d saves of a quiet trace", conc, st.Bases, st.Deltas, st.Saves)
-		}
-		// The slab held 31 deltas when the window opened and doubles: what
-		// it allocates on the way to 131 is under four times what is saved.
-		saved, allocated := st.Bytes-st0.Bytes, after.TotalAlloc-before.TotalAlloc
-		t.Logf("concurrent=%v: %d bytes allocated over %d delta saves of %d bytes in all", conc, allocated, st.Deltas-st0.Deltas, saved)
-		if allocated > 4*uint64(saved) {
-			t.Fatalf("concurrent=%v: %d bytes allocated for %d bytes of deltas saved, budget 4x (a doubling slab)", conc, allocated, saved)
-		}
+	}
+	save() // the base, into buffers that are allocated once
+	for i := 0; i < 10; i++ {
+		save()
+	}
+	if allocs := testing.AllocsPerRun(20, save); allocs != 0 {
+		t.Fatalf("%.1f allocations per steady-state save, want 0", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st0 := m.CheckpointStats()
+	for i := 0; i < 100; i++ {
+		save()
+	}
+	st := m.CheckpointStats()
+	runtime.ReadMemStats(&after)
+	if st.Bases != 1 || st.Deltas != st.Saves-1 {
+		t.Fatalf("%d bases and %d deltas in %d saves of a quiet trace", st.Bases, st.Deltas, st.Saves)
+	}
+	// The slab held 31 deltas when the window opened and doubles: what
+	// it allocates on the way to 131 is under four times what is saved.
+	saved, allocated := st.Bytes-st0.Bytes, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d bytes allocated over %d delta saves of %d bytes in all", allocated, st.Deltas-st0.Deltas, saved)
+	if allocated > 4*uint64(saved) {
+		t.Fatalf("%d bytes allocated for %d bytes of deltas saved, budget 4x (a doubling slab)", allocated, saved)
 	}
 }
 
@@ -318,10 +312,14 @@ var grown []byte
 //     buffer once, to the last base's length, and the second delta swaps
 //     it for one of its own size.
 //
-// It runs on both in-process engines, under Ingest, where the worker
-// saves, and on a star of two loopback peers, whose base is its value
-// mirror appended a varint at a time: a base that did not grow the buffer
-// once would cost about ten doublings.
+// It runs on the in-process engine, also under Ingest, and on a star of two
+// loopback peers, whose base is its value mirror appended a varint at a
+// time: a base that did not grow the buffer once would cost about ten
+// doublings. Each save is a Monitor.Checkpoint at the end of its window of
+// steps, and only that call's allocations are counted: it runs with every
+// other goroutine parked — the ingest worker drained, the peers waiting
+// for a frame — so what the runtime allocates to park and wake goroutines
+// is not counted against the save.
 func TestCheckpointBufferFollowsItsFrames(t *testing.T) {
 	const n, k, every, changed, cycles = 1 << 14, 16, 16, 64, 8
 	for _, tc := range []struct {
@@ -330,7 +328,6 @@ func TestCheckpointBufferFollowsItsFrames(t *testing.T) {
 		floor int // what the buffer may hold after two deltas regardless
 	}{
 		{"seq", Config{}, 0},
-		{"conc", Config{Concurrent: true}, 0},
 		{"ingest", Config{Ingest: Ingest{QueueDepth: 4}}, 0},
 		// A star's base carries the value mirror and no bank: 64 KB, in a
 		// buffer Retention's floor keeps.
@@ -340,13 +337,27 @@ func TestCheckpointBufferFollowsItsFrames(t *testing.T) {
 			store := &storeSpy{inner: MemCheckpoints()}
 			cfg := tc.cfg
 			cfg.Nodes, cfg.K, cfg.Seed = n, k, 1
-			cfg.Checkpoint = Checkpoint{Store: store, Every: every}
+			cfg.Checkpoint = Checkpoint{Store: store}
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer m.Close()
 			ctx := context.Background()
+			// save checkpoints and returns how many allocations the call
+			// made outside the store.
+			save := func() uint64 {
+				t.Helper()
+				var before, after runtime.MemStats
+				store.allocs = 0
+				runtime.ReadMemStats(&before)
+				_, err := m.Checkpoint(ctx)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return after.Mallocs - before.Mallocs - store.allocs
+			}
 			call := func(ids []int, vals []int64) {
 				t.Helper()
 				if _, err := m.ObserveDelta(ids, vals); err != nil {
@@ -356,33 +367,25 @@ func TestCheckpointBufferFollowsItsFrames(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// window makes the every calls that end in a save, the first of
-			// them a stir of node stirred when stirred >= 0, and returns how
-			// many allocations the last of them, the quiet step that saves,
-			// made outside the store. The nodes stirred so far, 0 to stirred,
-			// stay where the stirs put them: a step that moved one back down
-			// would force a base of its own.
+			// window makes every calls, the first of them a stir of node
+			// stirred when stirred >= 0, and the save after them. The nodes
+			// stirred so far, 0 to stirred, stay where the stirs put them: a
+			// step that moved one back down would force a base of its own.
 			tr := newQuietTrace(n, 5)
 			window := func(stirred int) uint64 {
 				t.Helper()
-				var before, after runtime.MemStats
 				for s := 0; s < every; s++ {
 					if s == 0 && stirred >= 0 {
-						call(tr.stir(stirred, int64(stirred+1)))
+						call(tr.stir(stirred))
 						continue
 					}
 					ids, vals := tr.step(changed)
 					if ids[0] <= stirred {
 						ids, vals = ids[1:], vals[1:]
 					}
-					if s == every-1 {
-						store.allocs = 0
-						runtime.ReadMemStats(&before)
-					}
 					call(ids, vals)
 				}
-				runtime.ReadMemStats(&after)
-				return after.Mallocs - before.Mallocs - store.allocs
+				return save()
 			}
 			held := func() int {
 				m.lock()
@@ -406,6 +409,7 @@ func TestCheckpointBufferFollowsItsFrames(t *testing.T) {
 			for s := 1; s < every; s++ {
 				call(tr.step(changed))
 			}
+			save()
 			window(-1)
 			window(-1)
 			check(0, 1, 2)
@@ -585,50 +589,48 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
-	for _, conc := range []bool{false, true} {
-		store := MemCheckpoints()
-		cfg := Config{Nodes: n, K: k, Seed: 1, Concurrent: conc}
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(i) * 7 % 1000003
-		}
-		var fresh *Monitor
-		build := totalAlloc(func() {
-			var err error
-			if fresh, err = New(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		live := cfg
-		live.Checkpoint = Checkpoint{Store: store}
-		m, err := New(live)
-		if err != nil {
+	store := MemCheckpoints()
+	cfg := Config{Nodes: n, K: k, Seed: 1}
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i) * 7 % 1000003
+	}
+	var fresh *Monitor
+	build := totalAlloc(func() {
+		var err error
+		if fresh, err = New(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Observe(vals); err != nil {
+	})
+	live := cfg
+	live.Checkpoint = Checkpoint{Store: store}
+	m, err := New(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Observe(vals); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	fresh.Close()
+	_, frame, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back *Monitor
+	restore := totalAlloc(func() {
+		if back, err = Restore(store, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Checkpoint(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		m.Close()
-		fresh.Close()
-		_, frame, err := store.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back *Monitor
-		restore := totalAlloc(func() {
-			if back, err = Restore(store, cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		back.Close()
-		extra := (restore - build - float64(len(frame))) / n
-		t.Logf("concurrent=%v, n=%d: New allocates %.1f B/node, Restore %.1f B/node more on top of the %.1f B/node frame",
-			conc, n, build/n, extra, float64(len(frame))/n)
-		if extra > slack {
-			t.Fatalf("concurrent=%v: Restore allocates %.1f B/node beyond New and the frame, budget %v", conc, extra, slack)
-		}
+	})
+	back.Close()
+	extra := (restore - build - float64(len(frame))) / n
+	t.Logf("n=%d: New allocates %.1f B/node, Restore %.1f B/node more on top of the %.1f B/node frame",
+		n, build/n, extra, float64(len(frame))/n)
+	if extra > slack {
+		t.Fatalf("Restore allocates %.1f B/node beyond New and the frame, budget %v", extra, slack)
 	}
 }

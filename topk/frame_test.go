@@ -15,7 +15,8 @@ import (
 
 // The checkpoint fixtures under testdata/. seq.ckpt, conc.ckpt and
 // seq_eps.ckpt are the envelopes a monitor of parentFrameCfg — on the
-// sequential engine, on the concurrent engine, and sequential at ε = 0.05 —
+// sequential engine, on the concurrent engine (retired, its frames
+// restoring as in-process), and sequential at ε = 0.05 —
 // saved after parentFrameSteps goldenWalk steps; seq_chain.ckpt is what
 // MemCheckpoints' Load hands over after runToChain: a base and three
 // deltas. All four were recorded at commit 07a97c2 through
@@ -37,7 +38,7 @@ var retiredFrames = []struct {
 	{"v2_seq.ckpt", parentFrameCfg, wire.ErrMalformed},
 	// Violation stamps and the WasTop and Extracted bits, behind a generator
 	// column: ErrMalformed.
-	{"v2_conc_viol.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Concurrent: true}, wire.ErrMalformed},
+	{"v2_conc_viol.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, wire.ErrMalformed},
 }
 
 // goldenWalk is the input the fixtures were taken under: every node starts
@@ -157,77 +158,75 @@ func TestRestoreRefusesDistinctModeFrames(t *testing.T) {
 // everything the store retains of them (the two newest bases and what
 // follows) read back after all four were written, intact and restorable.
 func TestStoredGenerationsSurviveBufferReuse(t *testing.T) {
-	for _, conc := range []bool{false, true} {
-		store := MemCheckpoints()
-		cfg := Config{Nodes: 64, K: 4, Seed: 9, Concurrent: conc, Checkpoint: Checkpoint{Store: store}}
-		mon, err := New(cfg)
+	store := MemCheckpoints()
+	cfg := Config{Nodes: 64, K: 4, Seed: 9, Checkpoint: Checkpoint{Store: store}}
+	mon, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	wr := rng.New(5, 5)
+	vals := make([]int64, cfg.Nodes)
+	var written [][]byte // what Load returned right after generation i+1 was saved
+	var steps []int64
+	for gen := 1; gen <= 4; gen++ {
+		for s := 0; s < 10*gen && gen < 4; s++ { // nothing moves before the fourth: a delta
+			ckptWalk(wr, vals)
+			if _, err := mon.Observe(vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g, err := mon.Checkpoint(context.Background()); err != nil || g != uint64(gen) {
+			t.Fatalf("checkpoint %d: generation %d, %v", gen, g, err)
+		}
+		_, frame, err := store.Load()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer mon.Close()
-		wr := rng.New(5, 5)
-		vals := make([]int64, cfg.Nodes)
-		var written [][]byte // what Load returned right after generation i+1 was saved
-		var steps []int64
-		for gen := 1; gen <= 4; gen++ {
-			for s := 0; s < 10*gen && gen < 4; s++ { // nothing moves before the fourth: a delta
-				ckptWalk(wr, vals)
-				if _, err := mon.Observe(vals); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if g, err := mon.Checkpoint(context.Background()); err != nil || g != uint64(gen) {
-				t.Fatalf("checkpoint %d: generation %d, %v", gen, g, err)
-			}
-			_, frame, err := store.Load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			written = append(written, frame)
-			steps = append(steps, mon.Stats().Steps)
+		written = append(written, frame)
+		steps = append(steps, mon.Stats().Steps)
+	}
+	if st := mon.CheckpointStats(); st.Bases != 3 || st.Deltas != 1 {
+		t.Fatalf("%d bases and %d deltas, want 3 and 1", st.Bases, st.Deltas)
+	}
+	if bytes.Equal(written[0], written[1]) || bytes.Equal(written[1], written[2]) || bytes.Equal(written[2], written[3]) {
+		t.Fatal("the generations do not differ; the test would pass on aliased frames")
+	}
+	// Read the generations back newest first: overwriting one with junk
+	// makes Load fall back to the one before it — down to the older of
+	// the two bases the store keeps.
+	for gen := 4; gen >= 2; gen-- {
+		g, loaded, err := store.Load()
+		if err != nil || g != uint64(gen) {
+			t.Fatalf("Load = generation %d, %v; want %d", g, err, gen)
 		}
-		if st := mon.CheckpointStats(); st.Bases != 3 || st.Deltas != 1 {
-			t.Fatalf("concurrent=%v: %d bases and %d deltas, want 3 and 1", conc, st.Bases, st.Deltas)
+		if !bytes.Equal(loaded, written[gen-1]) {
+			t.Fatalf("stored generation %d changed after later generations were encoded", gen)
 		}
-		if bytes.Equal(written[0], written[1]) || bytes.Equal(written[1], written[2]) || bytes.Equal(written[2], written[3]) {
-			t.Fatal("the generations do not differ; the test would pass on aliased frames")
+		frames, err := wire.SplitCheckpointChain(loaded)
+		if err != nil || len(frames) != 1+gen/4 {
+			t.Fatalf("generation %d loads as %d frames, %v", gen, len(frames), err)
 		}
-		// Read the generations back newest first: overwriting one with junk
-		// makes Load fall back to the one before it — down to the older of
-		// the two bases the store keeps.
-		for gen := 4; gen >= 2; gen-- {
-			g, loaded, err := store.Load()
-			if err != nil || g != uint64(gen) {
-				t.Fatalf("concurrent=%v: Load = generation %d, %v; want %d", conc, g, err, gen)
-			}
-			if !bytes.Equal(loaded, written[gen-1]) {
-				t.Fatalf("concurrent=%v: stored generation %d changed after later generations were encoded", conc, gen)
-			}
-			frames, err := wire.SplitCheckpointChain(loaded)
-			if err != nil || len(frames) != 1+gen/4 {
-				t.Fatalf("concurrent=%v: generation %d loads as %d frames, %v", conc, gen, len(frames), err)
-			}
-			one := MemCheckpoints()
-			for i, frame := range frames {
-				if err := one.Save(g-uint64(len(frames)-1-i), frame); err != nil {
-					t.Fatal(err)
-				}
-			}
-			back, err := Restore(one, Config{Nodes: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Concurrent: conc})
-			if err != nil {
-				t.Fatalf("concurrent=%v: generation %d does not restore: %v", conc, gen, err)
-			}
-			if back.Stats().Steps != steps[gen-1] {
-				t.Fatalf("concurrent=%v: generation %d restored at step %d, was taken at %d", conc, gen, back.Stats().Steps, steps[gen-1])
-			}
-			back.Close()
-			if err := store.Save(g, []byte("junk")); err != nil {
+		one := MemCheckpoints()
+		for i, frame := range frames {
+			if err := one.Save(g-uint64(len(frames)-1-i), frame); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := store.Load(); !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Fatalf("concurrent=%v: Load with every kept generation overwritten: %v, want ErrCorruptCheckpoint (generation 1 is not kept)", conc, err)
+		back, err := Restore(one, Config{Nodes: cfg.Nodes, K: cfg.K, Seed: cfg.Seed})
+		if err != nil {
+			t.Fatalf("generation %d does not restore: %v", gen, err)
 		}
+		if back.Stats().Steps != steps[gen-1] {
+			t.Fatalf("generation %d restored at step %d, was taken at %d", gen, back.Stats().Steps, steps[gen-1])
+		}
+		back.Close()
+		if err := store.Save(g, []byte("junk")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := store.Load(); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("Load with every kept generation overwritten: %v, want ErrCorruptCheckpoint (generation 1 is not kept)", err)
 	}
 }
 
@@ -338,12 +337,12 @@ func restoreParentFrame(t *testing.T, file string, cfg Config) {
 	}
 }
 
-// TestRestoreParentConcurrentFrame restores testdata/conc.ckpt, the
-// concurrent engine's frame (restoreParentFrame).
+// TestRestoreParentConcurrentFrame restores testdata/conc.ckpt, a frame of
+// the retired concurrent engine (wire.EngineConc), into a Config that no
+// longer names it (restoreParentFrame): a parent's in-process frame
+// restores as the in-process engine's, on either host.
 func TestRestoreParentConcurrentFrame(t *testing.T) {
-	cfg := parentFrameCfg
-	cfg.Concurrent = true
-	restoreParentFrame(t, "conc.ckpt", cfg)
+	restoreParentFrame(t, "conc.ckpt", parentFrameCfg)
 }
 
 // TestRestoreParentSequentialFrame is the same for the sequential engine's
@@ -355,28 +354,31 @@ func TestRestoreParentSequentialFrame(t *testing.T) {
 	restoreParentFrame(t, "seq_eps.ckpt", cfg)
 }
 
-// TestBankFrameIsOneFrame pins what the in-process engines write: the
-// envelope each saves in the fixtures' state is the recorded one byte for
-// byte, and the concurrent engine's machine and bank sections are the
-// sequential engine's — live state only, one frame for every engine that
-// checkpoints a bank.
+// TestBankFrameIsOneFrame pins what the in-process engine writes: the
+// envelope it saves in the fixtures' state is testdata/seq.ckpt byte for
+// byte, and testdata/conc.ckpt, which the retired concurrent engine wrote
+// in that state, holds the same machine and bank sections — live state
+// only, one frame for every host; the engine byte alone told them apart.
 func TestBankFrameIsOneFrame(t *testing.T) {
-	var sections [2]wire.Checkpoint
-	for i, file := range []string{"seq.ckpt", "conc.ckpt"} {
-		want, err := os.ReadFile(filepath.Join("testdata", file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := parentFrameCfg
-		cfg.Concurrent = i == 1
-		store := MemCheckpoints()
-		mon, _, _ := runToParentFrame(t, cfg, store)
-		sections[i] = checkpointFrame(t, mon, store)
-		if _, got, _ := store.Load(); !bytes.Equal(got, want) {
-			t.Fatalf("the envelope saved in the state of %s is %d bytes and not the recorded %d", file, len(got), len(want))
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "seq.ckpt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sameSections(t, "the concurrent engine's envelope against the sequential engine's", sections[1], sections[0])
+	store := MemCheckpoints()
+	mon, _, _ := runToParentFrame(t, parentFrameCfg, store)
+	sections := checkpointFrame(t, mon, store)
+	if _, got, _ := store.Load(); !bytes.Equal(got, want) {
+		t.Fatalf("the envelope saved in the state of seq.ckpt is %d bytes and not the recorded %d", len(got), len(want))
+	}
+	frame, err := os.ReadFile(filepath.Join("testdata", "conc.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conc wire.Checkpoint
+	if err := conc.Decode(frame); err != nil || conc.Engine != wire.EngineConc {
+		t.Fatalf("conc.ckpt decodes as engine %d, %v; want the concurrent engine's", conc.Engine, err)
+	}
+	sameSections(t, "the concurrent engine's envelope against the in-process engine's", conc, sections)
 }
 
 // chainFrameCfg is the monitor the recorded chain (testdata/seq_chain.ckpt)

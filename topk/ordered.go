@@ -19,9 +19,9 @@ type ranked interface {
 //
 // Rank reports cost more communication than set reports (the band's
 // internal order changes are otherwise free); see experiment E13 for the
-// measured gap. The ordered mode runs on the sequential and concurrent
-// engines, which produce identical rankings and identical message counts
-// for the same seed, with or without asynchronous ingestion. It supports
+// measured gap. The ordered mode runs on the in-process engine, on either
+// host, with identical rankings and identical message counts for the same
+// seed, with or without asynchronous ingestion. It supports
 // neither Epsilon (ranks have no ε-approximate semantics yet; see
 // ROADMAP.md) nor durable checkpointing (the order-repair layer has no
 // snapshot form yet). As with New, a rejected configuration is reported

@@ -15,29 +15,27 @@ func TestNewOrderedValidation(t *testing.T) {
 	if _, err := NewOrdered(Config{Nodes: 3, K: 4}); err == nil {
 		t.Fatal("expected error")
 	}
-	m, err := NewOrdered(Config{Nodes: 3, K: 1, Concurrent: true})
+	m, err := NewOrdered(Config{Nodes: poolNodes, K: 1})
 	if err != nil {
-		t.Fatalf("concurrent ordered should be supported: %v", err)
+		t.Fatalf("an ordered monitor of the pool's size should be supported: %v", err)
 	}
 	m.Close()
 	m.Close() // idempotent
 }
 
+// TestOrderedEnginesAgree holds the ordered mode on the shard pool to the
+// ordered mode inline: one monitor of poolNodes built at GOMAXPROCS 1, one
+// at 2, fed the same dense walk, must agree on every ranking, count, byte
+// and statistic.
 func TestOrderedEnginesAgree(t *testing.T) {
-	seq, err := NewOrdered(Config{Nodes: 8, K: 3, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := NewOrdered(Config{Nodes: 8, K: 3, Seed: 41, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conc.Close()
+	const n = poolNodes
+	cfg := Config{Nodes: n, K: 3, Seed: 41}
+	seq, conc := newAtProcs(t, 1, NewOrdered, cfg), newAtProcs(t, 2, NewOrdered, cfg)
 	mk := func() stream.Source {
-		return stream.NewRandomWalk(stream.WalkConfig{N: 8, Lo: 0, Hi: 100000, MaxStep: 800, Seed: 42})
+		return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 800, Seed: 42})
 	}
 	a, b := mk(), mk()
-	va, vb := make([]int64, 8), make([]int64, 8)
+	va, vb := make([]int64, n), make([]int64, n)
 	var ta, tb []int
 	for s := 0; s < 150; s++ {
 		a.Step(va)
@@ -155,24 +153,22 @@ func TestAppendRanking(t *testing.T) {
 	if got := set.AppendRanking(dst); !slices.Equal(got, []int{7}) || &got[0] != &dst[0] {
 		t.Fatalf("New monitor's AppendRanking changed dst: %v", got)
 	}
-	for _, conc := range []bool{false, true} {
-		m, err := NewOrdered(Config{Nodes: 5, K: 3, Seed: 23, Concurrent: conc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Observe(vals); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]int, 0, 3)
-		if allocs := testing.AllocsPerRun(100, func() { buf = m.AppendRanking(buf[:0]) }); allocs != 0 {
-			t.Fatalf("concurrent=%v: AppendRanking with cap(dst) = K allocates %v times", conc, allocs)
-		}
-		if !slices.Equal(buf, []int{1, 4, 2}) {
-			t.Fatalf("concurrent=%v: ranking %v", conc, buf)
-		}
-		m.Close()
-		if got := m.AppendRanking(dst); !slices.Equal(got, []int{7}) {
-			t.Fatalf("concurrent=%v: closed monitor's AppendRanking changed dst: %v", conc, got)
-		}
+	m, err := NewOrdered(Config{Nodes: 5, K: 3, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Observe(vals); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]int, 0, 3)
+	if allocs := testing.AllocsPerRun(100, func() { buf = m.AppendRanking(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendRanking with cap(dst) = K allocates %v times", allocs)
+	}
+	if !slices.Equal(buf, []int{1, 4, 2}) {
+		t.Fatalf("ranking %v", buf)
+	}
+	m.Close()
+	if got := m.AppendRanking(dst); !slices.Equal(got, []int{7}) {
+		t.Fatalf("closed monitor's AppendRanking changed dst: %v", got)
 	}
 }

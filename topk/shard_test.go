@@ -64,13 +64,12 @@ func TestShardedMonitorMatchesSequential(t *testing.T) {
 }
 
 // TestShardConfigValidation pins the guard rails of the star: more shards
-// than nodes, no shard at all, and a star beside Concurrent or a Transport
-// are refused as Config.Tree.
+// than nodes, no shard at all, and a star beside a Transport are refused as
+// Config.Tree.
 func TestShardConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Nodes: 4, K: 2, Tree: star(5)},
 		{Nodes: 4, K: 2, Tree: star(-1)},
-		{Nodes: 4, K: 2, Tree: star(2), Concurrent: true},
 		{Nodes: 4, K: 2, Tree: star(2), Transport: Loopback(2)},
 	} {
 		ce := new(ConfigError)

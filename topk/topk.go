@@ -41,17 +41,20 @@
 // that remains valid until the next step; use AppendTop to retain a copy —
 // the copy is caller-owned and mutating it never affects the monitor.
 //
-// Four execution engines are available: a fast deterministic sequential
-// engine (default), a sharded goroutine engine that exchanges batched
-// channel messages (Config.Concurrent), a networked engine that drives
-// the wire protocol over a Transport's links so the monitored nodes can
-// live in other processes (Config.Transport; see Loopback, ServeNodes and
-// cmd/topkmon's -serve/-join modes), and a multi-coordinator engine that
-// splits the coordinator itself into a tree of sub-coordinators
-// (Config.Tree). All run the same coordinator core (one copy of
-// Algorithm 1's decision logic); the first three produce identical
-// reports, identical message counts and identical charged bytes for the
-// same seed, and the multi-coordinator engine matches them exactly with a
+// Three execution engines are available: a fast deterministic in-process
+// engine (default), a networked engine that drives the wire protocol over
+// a Transport's links so the monitored nodes can live in other processes
+// (Config.Transport; see Loopback, ServeNodes and cmd/topkmon's
+// -serve/-join modes), and a multi-coordinator engine that splits the
+// coordinator itself into a tree of sub-coordinators (Config.Tree). The
+// in-process engine picks where its steps run, with no setting: at 2¹⁶
+// nodes and more, on a machine with several processors, it starts a pool
+// of shard goroutines, at least 2¹⁵ nodes a shard, hands it every Observe
+// call and runs every ObserveDelta call inline, where the pool measured
+// slower. All run the same coordinator core (one copy of Algorithm 1's
+// decision logic); the first two produce identical reports, identical
+// message counts and identical charged bytes for the same seed, whatever
+// the host, and the multi-coordinator engine matches them exactly with a
 // single leaf shard while staying report-exact at any shape.
 //
 // A tree of depth 1 is a flat star of Branch shards under a root merge
@@ -66,7 +69,7 @@
 // CRC-sealed state frames to a CheckpointStore (FileCheckpoints,
 // MemCheckpoints) at idle step boundaries — a base frame, then deltas
 // that cost what changed — and Restore rebuilds a monitor —
-// bit-identically on the local engines, oracle-exact after a forced
+// bit-identically on the in-process engine, oracle-exact after a forced
 // filter reset on the networked ones — from the newest valid base and
 // its deltas after the coordinator process itself dies.
 package topk
@@ -149,25 +152,21 @@ type Config struct {
 	// less communication on drifting workloads (see EXPERIMENTS.md E19).
 	// Tolerances are quantized to multiples of 2^-20. At 0 (the default)
 	// the monitor is bit-identical to the exact algorithm, ledgers
-	// included. All four engines support it.
+	// included. All three engines support it.
 	Epsilon float64
 	// Ingest configures asynchronous ingestion: with a positive
 	// QueueDepth, Observe and ObserveDelta stage their updates in a
 	// bounded per-node coalescing queue and return immediately while a
 	// background worker executes the protocol steps, and Drain recovers
 	// synchronous semantics on demand. The zero value keeps every
-	// observation call blocking. All four engines support it; see the
+	// observation call blocking. All three engines support it; see the
 	// Ingest type for the coalescing and backpressure semantics.
 	Ingest Ingest
-	// Concurrent selects the sharded concurrent engine. Monitors with
-	// Concurrent set must be Closed to release their goroutines.
-	Concurrent bool
 	// Transport selects the networked engine: the monitor drives the wire
 	// protocol over the transport's links, one peer per link, instead of
 	// an in-process engine. Use Loopback for in-process peers; cmd/topkmon
 	// shows the TCP form, with ServeNodes on the far end of every link.
-	// Mutually exclusive with Concurrent; monitors with a Transport must be
-	// Closed to release the peers. New takes ownership of the Transport: it
+	// Monitors with a Transport must be Closed to release the peers. New takes ownership of the Transport: it
 	// is closed on any New error (the links are unusable after a failed
 	// handshake) and by Monitor.Close.
 	//
@@ -175,7 +174,7 @@ type Config struct {
 	// send to every peer before gathering the replies, and ack-only
 	// commands coalesce into batched frames, so step latency follows the
 	// slowest peer instead of the peer count. Reports, message counts and
-	// charged bytes are those of the in-process engines.
+	// charged bytes are those of the in-process engine.
 	Transport Transport
 	// Redial, when set, is called by the networked engine during failover
 	// to obtain a replacement link for a dead peer (the far end must be
@@ -200,14 +199,14 @@ type Config struct {
 	// deeper, each root link leads to an interior coordinator relaying to
 	// Branch children. Reports stay exact at every step for any shape, and
 	// equal the other engines' to the tie. Over one leaf the message ledger
-	// is bit-identical to the sequential engine's; over more, the per-leaf
+	// is bit-identical to the in-process engine's; over more, the per-leaf
 	// protocol rounds and the root's digest traffic (see Overhead) are the
 	// price of removing the single-coordinator bottleneck. Reports, message
 	// counts and charged bytes depend on the leaves alone — interiors merge
 	// associatively and make no protocol decisions — while the root's own
 	// fan-in stays at Branch links. The zero value disables the engine;
 	// Branch^Depth must not exceed Nodes, and Tree is mutually exclusive
-	// with Concurrent and Transport. Tree monitors must be Closed.
+	// with Transport. Tree monitors must be Closed.
 	Tree Tree
 	// Checkpoint configures durable checkpointing: with a Store set the
 	// monitor can persist its execution state as CRC-sealed frames —
@@ -215,7 +214,7 @@ type Config struct {
 	// through Monitor.Checkpoint — and a crashed coordinator process
 	// restarts from the latest valid base frame and its deltas with
 	// Restore. The zero value
-	// disables checkpointing. All four engines support it; see the
+	// disables checkpointing. All three engines support it; see the
 	// Checkpoint type for the durability and recovery semantics.
 	Checkpoint Checkpoint
 }
@@ -301,9 +300,6 @@ func validateConfig(cfg Config) error {
 	if !(cfg.Epsilon >= 0) || cfg.Epsilon >= 1 {
 		return badConfig(cfg, "Epsilon", "must satisfy 0 <= Epsilon < 1, got %v", cfg.Epsilon)
 	}
-	if cfg.Concurrent && cfg.Transport != nil {
-		return badConfig(cfg, "Transport", "mutually exclusive with Concurrent")
-	}
 	if cfg.Redial != nil && cfg.Transport == nil {
 		return badConfig(cfg, "Redial", "networked monitors only: set Transport, or leave Redial nil")
 	}
@@ -315,8 +311,8 @@ func validateConfig(cfg Config) error {
 		if leaves > cfg.Nodes {
 			return badConfig(cfg, "Tree", "%d^%d = %d leaf shards exceed Nodes=%d", cfg.Tree.Branch, cfg.Tree.Depth, leaves, cfg.Nodes)
 		}
-		if cfg.Concurrent || cfg.Transport != nil {
-			return badConfig(cfg, "Tree", "mutually exclusive with Concurrent and Transport")
+		if cfg.Transport != nil {
+			return badConfig(cfg, "Tree", "mutually exclusive with Transport")
 		}
 	}
 	if err := validateCheckpoint(cfg); err != nil {
@@ -444,7 +440,7 @@ func (m *Monitor) Observe(vals []int64) ([]int, error) {
 // panic, never a silently wrapped key.
 //
 // A violation-free delta step costs O(len(ids)) work and zero heap
-// allocations on the sequential engine, independent of Nodes.
+// allocations on the in-process engine, independent of Nodes.
 //
 // In asynchronous mode the call stages the delta and returns a nil
 // report immediately, exactly as Observe. Callers may reuse their
@@ -562,7 +558,7 @@ func (m *Monitor) BytesByPhase() PhaseBytes {
 
 // TransportStats returns the frames and framed bytes that crossed the
 // links of a networked or sharded monitor, control plane included, links
-// since lost to failover too. The in-process engines report the zero
+// since lost to failover too. The in-process engine reports the zero
 // value.
 func (m *Monitor) TransportStats() TransportStats {
 	m.lock()
@@ -579,7 +575,7 @@ func (m *Monitor) TransportStats() TransportStats {
 // digests it receives, with Bytes carrying their encoded sizes. This is
 // the cost of splitting the coordinator, kept separate from the
 // algorithm's own message ledger (which over a single leaf equals the
-// sequential engine's exactly). Other monitors report zeroes.
+// in-process engine's exactly). Other monitors report zeroes.
 func (m *Monitor) Overhead() (Counts, Bytes) {
 	m.lock()
 	defer m.unlock()
@@ -642,11 +638,13 @@ func (m *Monitor) Stats() Stats {
 	return Stats{Steps: s.Steps, ViolationSteps: s.ViolationSteps, HandlerCalls: s.HandlerCalls, Resets: s.Resets, TopChanges: s.TopChanges}
 }
 
-// Close releases the goroutines of a concurrent monitor and the peers of
+// Close releases the shard goroutines of an in-process monitor that runs
+// on a pool (2¹⁶ nodes and more, on several processors) and the peers of
 // a networked or sharded one, stopping the ingest worker of an
 // asynchronous monitor first (observations still staged are discarded —
-// Drain before Close for a graceful flush). It is a no-op for the
-// synchronous sequential engine and idempotent everywhere. The monitor
+// Drain before Close for a graceful flush). It is a no-op for a
+// synchronous in-process monitor below that size and idempotent
+// everywhere. The monitor
 // cannot observe after Close; in asynchronous mode it must be the last
 // call, after every producer goroutine has stopped.
 func (m *Monitor) Close() {

@@ -64,21 +64,18 @@ func TestMonitorTopBeforeObserve(t *testing.T) {
 	}
 }
 
+// TestBothEnginesAgree holds the in-process engine's two hosts to each
+// other on a dense walk: a monitor of poolNodes built at GOMAXPROCS 1
+// (inline) and one built at 2 (on the shard pool).
 func TestBothEnginesAgree(t *testing.T) {
-	seqM, err := New(Config{Nodes: 10, K: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conM, err := New(Config{Nodes: 10, K: 3, Seed: 7, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conM.Close()
+	const n = poolNodes
+	cfg := Config{Nodes: n, K: 3, Seed: 7}
+	seqM, conM := newAtProcs(t, 1, New, cfg), newAtProcs(t, 2, New, cfg)
 	mkSrc := func() stream.Source {
-		return stream.NewRandomWalk(stream.WalkConfig{N: 10, Lo: 0, Hi: 100000, MaxStep: 500, Seed: 8})
+		return stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 500, Seed: 8})
 	}
 	a, b := mkSrc(), mkSrc()
-	va, vb := make([]int64, 10), make([]int64, 10)
+	va, vb := make([]int64, n), make([]int64, n)
 	for s := 0; s < 150; s++ {
 		a.Step(va)
 		b.Step(vb)
@@ -147,7 +144,7 @@ func TestPhasesSumToTotal(t *testing.T) {
 }
 
 func TestCloseIdempotent(t *testing.T) {
-	m, _ := New(Config{Nodes: 3, K: 1, Concurrent: true})
+	m, _ := New(Config{Nodes: poolNodes, K: 1})
 	m.Close()
 	m.Close()
 	m2, _ := New(Config{Nodes: 3, K: 1})

@@ -47,7 +47,7 @@ type Transport interface {
 // TransportStats aggregates what actually crossed the links of a
 // networked monitor: whole frames as framed on the transport, control
 // plane included. Compare with Bytes, which charges only the model
-// messages the paper's analysis counts. Both in-process engines report
+// messages the paper's analysis counts. The in-process engine reports
 // zero.
 type TransportStats struct {
 	SentFrames int64

@@ -65,11 +65,6 @@ func TestTransportEngineEquivalence(t *testing.T) {
 }
 
 func TestTransportConfigValidation(t *testing.T) {
-	tr := topk.Loopback(2)
-	defer tr.Close()
-	if _, err := topk.New(topk.Config{Nodes: 4, K: 2, Concurrent: true, Transport: tr}); err == nil {
-		t.Fatal("Concurrent+Transport accepted")
-	}
 	// More links than nodes cannot all host a node.
 	tr3 := topk.Loopback(3)
 	defer tr3.Close()
@@ -168,7 +163,6 @@ func TestTransportLinksAskedLast(t *testing.T) {
 		"Nodes":      func(c *topk.Config) { c.Nodes = 0 },
 		"K":          func(c *topk.Config) { c.K = 9 },
 		"Epsilon":    func(c *topk.Config) { c.Epsilon = 1 },
-		"Concurrent": func(c *topk.Config) { c.Concurrent = true },
 		"Tree":       func(c *topk.Config) { c.Tree = topk.Tree{Branch: 2, Depth: 2} },
 		"Checkpoint": func(c *topk.Config) { c.Checkpoint.Every = 5 },
 		"Ingest":     func(c *topk.Config) { c.Ingest.QueueDepth = -1 },

@@ -19,7 +19,6 @@ func TestTreeConfigErrorTyped(t *testing.T) {
 		{"chain-too-deep", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 1, Depth: 1 << 40}}},
 		{"leaves-overflow", Config{Nodes: 16, K: 2, Tree: Tree{Branch: 1 << 20, Depth: 2}}},
 		{"leaves-exceed-nodes", Config{Nodes: 4, K: 2, Tree: Tree{Branch: 2, Depth: 3}}},
-		{"tree-and-concurrent", Config{Nodes: 16, K: 2, Concurrent: true, Tree: Tree{Branch: 2, Depth: 2}}},
 		{"tree-and-transport", Config{Nodes: 16, K: 2, Transport: Loopback(2), Tree: Tree{Branch: 2, Depth: 2}}},
 	}
 	for _, tc := range cases {
