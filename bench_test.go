@@ -699,30 +699,36 @@ func newTCPTopkTransport(b *testing.B, peers int) topk.Transport {
 // it once (-benchtime=1x); benchmark/'s async-seq-shallow workload is the
 // compared number.
 func BenchmarkAsyncThroughput(b *testing.B) {
-	const n, k, changed = 256, 8, 8
+	const small, k, changed = 256, 8, 8
 	engines := []struct {
-		name string
-		cfg  func(b *testing.B) topk.Config
+		name   string
+		n      int
+		depths []int
+		cfg    func(b *testing.B, n int) topk.Config
 	}{
-		{"seq", func(b *testing.B) topk.Config { return topk.Config{Nodes: n, K: k, Seed: 7} }},
-		{"net-pipe", func(b *testing.B) topk.Config {
+		{"seq", small, []int{0, 16, small}, func(b *testing.B, n int) topk.Config { return topk.Config{Nodes: n, K: k, Seed: 7} }},
+		{"net-pipe", small, []int{0, 16, small}, func(b *testing.B, n int) topk.Config {
 			return topk.Config{Nodes: n, K: k, Seed: 7, Transport: topk.Loopback(4)}
 		}},
-		{"net-tcp", func(b *testing.B) topk.Config {
+		{"net-tcp", small, []int{0, 16, small}, func(b *testing.B, n int) topk.Config {
 			return topk.Config{Nodes: n, K: k, Seed: 7, Transport: newTCPTopkTransport(b, 4)}
 		}},
-		{"shard", func(b *testing.B) topk.Config {
+		{"shard", small, []int{0, 16, small}, func(b *testing.B, n int) topk.Config {
 			return topk.Config{Nodes: n, K: k, Seed: 7, Tree: topk.Tree{Branch: 2, Depth: 1}}
 		}},
+		// A queue in front of 2^20 nodes: where a buffer indexed by node id
+		// would miss cache on every Put, one sized by the queue does not.
+		{"seq/n=1048576", 1 << 20, []int{16}, func(b *testing.B, n int) topk.Config { return topk.Config{Nodes: n, K: k, Seed: 7} }},
 	}
 	for _, eng := range engines {
-		for _, depth := range []int{0, 16, n} {
+		n := eng.n
+		for _, depth := range eng.depths {
 			name := bench.F("%s/sync", eng.name)
 			if depth > 0 {
 				name = bench.F("%s/queue=%d", eng.name, depth)
 			}
 			b.Run(name, func(b *testing.B) {
-				cfg := eng.cfg(b)
+				cfg := eng.cfg(b, n)
 				cfg.Ingest = topk.Ingest{QueueDepth: depth}
 				mon, err := topk.New(cfg)
 				if err != nil {
@@ -758,6 +764,29 @@ func BenchmarkAsyncThroughput(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkPendingBatch measures the coalescing buffer alone: one batch of
+// Puts of distinct random nodes and the Take that hands it over, per op.
+// The rows put a full batch through a shallow queue and a batch of 8
+// through deep ones, the case where a Take that cleared its whole index
+// would pay for the depth rather than the batch.
+func BenchmarkPendingBatch(b *testing.B) {
+	for _, tc := range []struct{ n, depth, batch int }{{1 << 20, 16, 16}, {1 << 20, 4096, 8}, {1 << 16, 1 << 16, 8}} {
+		b.Run(bench.F("n=%d/queue=%d/batch=%d", tc.n, tc.depth, tc.batch), func(b *testing.B) {
+			p := coord.NewPending(tc.n, tc.depth)
+			ids, vals := make([]int, 0, tc.depth), make([]int64, 0, tc.depth)
+			perm := rng.New(5, 0).Perm(tc.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := i * tc.batch % (tc.n - tc.batch)
+				for j, id := range perm[off : off+tc.batch] {
+					p.Put(id, int64(j))
+				}
+				ids, vals = p.Take(ids[:0], vals[:0])
+			}
+		})
 	}
 }
 

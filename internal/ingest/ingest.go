@@ -242,18 +242,13 @@ func (d *Driver) handOff(ids []int, vals []int64) error {
 // synchronous semantics on demand. Producers enqueueing concurrently
 // with Drain can extend the wait arbitrarily; bound it with ctx.
 func (d *Driver) Drain(ctx context.Context) error {
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				d.mu.Lock()
-				d.c.Broadcast()
-				d.mu.Unlock()
-			case <-stop:
-			}
-		}()
+	if ctx.Done() != nil { // a context that is never done needs no wake-up
+		stop := context.AfterFunc(ctx, func() {
+			d.mu.Lock()
+			d.c.Broadcast()
+			d.mu.Unlock()
+		})
+		defer stop()
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Message type tags. Every encoded message is a one-byte tag followed by
 // the message's varint-coded fields.
@@ -275,7 +272,12 @@ func (m Observe) Append(dst []byte) []byte {
 			for i, v := range m.Vals[off:] {
 				size += SizeVarint(v - m.prev(off+i))
 			}
-			dst = slices.Grow(dst, size+chunk*maxUvarintLen)
+			// One make and a copy, not slices.Grow: under -race its
+			// append(s, make(...)...) is compiled as written, two
+			// allocations where the plain build makes one.
+			grown := make([]byte, len(dst), len(dst)+size+chunk*maxUvarintLen)
+			copy(grown, dst)
+			dst = grown
 		}
 		buf, k := dst[len(dst):cap(dst)], 0
 		for i, v := range part {

@@ -54,6 +54,38 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 	runtime.KeepAlive(vals)
 }
 
+// TestAsyncFootprintPerNode pins that asynchronous ingestion costs its
+// queue, not its n: a monitor with a queue of 16 holds what the sequential
+// one does per node after its first dense Observe and a Drain, within the
+// same 8.6 B/node. The coalescing buffer's index is sized by the depth; a
+// dense slot index (4 B/node) does not fit the budget.
+func TestAsyncFootprintPerNode(t *testing.T) {
+	const n, k, depth, budget = 1 << 18, 16, 16, 8.6
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i) * 7 % 1000003
+	}
+	before := liveHeap()
+	m, err := New(Config{Nodes: n, K: k, Seed: 1, Ingest: Ingest{QueueDepth: depth}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Observe(vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	perNode := (float64(after) - float64(before)) / n
+	t.Logf("async monitor, n=%d, queue %d: %.2f B/node live after the first Observe and a Drain", n, depth, perNode)
+	if perNode > budget {
+		t.Fatalf("async monitor holds %.2f B/node after its first Observe and a Drain, budget %v", perNode, budget)
+	}
+	runtime.KeepAlive(vals)
+}
+
 // moving returns dense steps for a footprint pin: the first puts every node
 // at a value of three bytes on the wire, and each after it moves every
 // value by at most 30, a one-byte change.
