@@ -8,9 +8,9 @@
 // monitor's whole state) followed by delta frames (wire.CheckpointDelta:
 // the machine frame and the values observed since the frame before), each
 // saved under the next generation number and each naming its base's. A
-// monitor cuts a new base when a delta could not describe what happened —
-// see topk's checkpoint path — and before a chain's deltas outgrow its
-// base, so a chain is never more than twice its base.
+// monitor cuts a new base only before a chain's deltas would outgrow its
+// base — see topk's checkpoint path — so a chain is never more than twice
+// its base.
 //
 // # Store contract
 //

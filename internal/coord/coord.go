@@ -428,7 +428,7 @@ func (m *Machine) tighten() Effect {
 	if m.tPlus < m.tMinus {
 		return m.startReset() // line 30
 	}
-	mid := order.Midpoint(m.tMinus, m.tPlus)
+	mid := m.midpoint()
 	m.recHand.RecordSized(comm.Bcast, 1, wire.SizeMidpoint(int64(mid)))
 	m.state = stMidAck
 	return Effect{Kind: EffMidpoint, Mid: mid}
@@ -489,6 +489,39 @@ func (m *Machine) startReset() Effect {
 	return Effect{Kind: EffResetBegin}
 }
 
+// midpoint is the exact mode's broadcast, Algorithm 1 lines 33 and 41: the
+// midpoint of T− and T+. Installed derives the bounds it makes from it.
+func (m *Machine) midpoint() order.Key { return order.Midpoint(m.tMinus, m.tPlus) }
+
+// Installed returns the bounds every node's filter derives from after the
+// last install the machine completed, a function of what its checkpoint
+// frame records: unbounded before the time-0 reset and when k == n; the
+// band the machine tracks in ε mode; otherwise the point midpoint of T−
+// and T+. Between steps a bank's installed bounds are exactly these.
+func (m *Machine) Installed() filter.Bounds {
+	switch {
+	case !m.init || m.cfg.K == m.cfg.N:
+		return filter.Unbounded()
+	case !m.cfg.Tol.Zero():
+		return filter.Bounds{Lo: m.curLo, Hi: m.curHi}
+	}
+	mid := m.midpoint()
+	return filter.Bounds{Lo: mid, Hi: mid}
+}
+
+// Filters returns the filter assignment the machine has installed — its
+// membership under the Installed bounds — as the filter.Set the Lemma 2.2
+// checks of restore, tests and soak runs read.
+func (m *Machine) Filters() *filter.Set {
+	fs := filter.NewSet(m.cfg.N, m.cfg.K)
+	if len(m.top) == m.cfg.K {
+		fs.SetMembership(m.top)
+	}
+	in := m.Installed()
+	fs.AssignBand(in.Lo, in.Hi)
+	return fs
+}
+
 // resetWant is the number of winners a reset's execution is to find: the k
 // members and the best outsider (k == n: there is no (k+1)-st value).
 func (m *Machine) resetWant() int { return min(m.cfg.K+1, m.cfg.N) }
@@ -535,7 +568,7 @@ func (m *Machine) finishReset() Effect {
 	}
 	kth, kPlus1 := m.keys[m.cfg.K-1], m.keys[m.cfg.K]
 	m.tPlus, m.tMinus = kth, kPlus1
-	mid := order.Midpoint(kPlus1, kth)
+	mid := m.midpoint()
 	if !m.cfg.Tol.Zero() {
 		// Approximate mode: anchor the filters on the (1±ε) band around
 		// the midpoint. The reset's execution runs exactly, so the winners'

@@ -95,11 +95,12 @@ func (p *pair) Snapshot(dst []byte) []byte { return p.kern.Snapshot(dst) }
 func (p *pair) same() {
 	p.t.Helper()
 	// The flat bank's frame must be the one encoding of what it decodes to,
-	// and hold what the reference holds: the bank's shape, every node's key
-	// and membership, every reference interval the frame's bounds applied by
-	// membership, and every member's order filter. What a later step cannot
-	// read is left out: violation history, and the order filter a node kept
-	// from a membership it has lost.
+	// and hold what the reference holds: the bank's shape and every node's
+	// key. The rest the bank holds, and a step can still read, must be the
+	// reference's too: every node's membership, every reference interval
+	// the bank's bounds applied by membership, and every member's order
+	// filter. What a later step cannot read is left out: violation history,
+	// and the order filter a node kept from a membership it has lost.
 	frame := p.kern.Snapshot(nil)
 	var bs wire.BankState
 	if err := bs.Decode(frame); err != nil {
@@ -112,19 +113,23 @@ func (p *pair) same() {
 	if bs.N != r.codec.N() || bs.Lo != r.lo || bs.Hi != r.hi || bs.EpsNum != r.tol.Num() {
 		p.t.Fatalf("%s: checkpoint frame header %+v, reference [%d, %d) of %d", p.where, bs.BankHeader, r.lo, r.hi, r.codec.N())
 	}
-	in := filter.Bounds{Lo: order.Key(bs.BoundLo), Hi: order.Key(bs.BoundHi)}
+	b, ok := p.kern.(*Nodes)
+	if !ok {
+		b = p.kern.(*viewBank).parent
+	}
 	for i := range r.ns {
 		nd := &r.ns[i]
+		inTop := b.inTop(i)
 		ord, refOrd := filter.Full(), filter.Full()
-		if bs.InTop[i] {
-			ord = filter.Interval{Lo: order.Key(bs.OrdLo[i]), Hi: order.Key(bs.OrdHi[i])}
+		if inTop {
+			ord = b.OrderFilter(nd.id)
 		}
 		if nd.inTop {
 			refOrd = nd.ordIv
 		}
-		if order.Key(bs.Keys[i]) != nd.key || bs.InTop[i] != nd.inTop || in.Interval(nd.inTop) != nd.iv || ord != refOrd {
-			p.t.Fatalf("%s: node %d: the frame holds key %d, member %v, filter %v, order filter %v; the reference key %d, member %v, filter %v, order filter %v",
-				p.where, nd.id, bs.Keys[i], bs.InTop[i], in.Interval(bs.InTop[i]), ord, nd.key, nd.inTop, nd.iv, refOrd)
+		if order.Key(bs.Keys[i]) != nd.key || inTop != nd.inTop || b.inst.Interval(nd.inTop) != nd.iv || ord != refOrd {
+			p.t.Fatalf("%s: node %d: the bank holds key %d, member %v, filter %v, order filter %v; the reference key %d, member %v, filter %v, order filter %v",
+				p.where, nd.id, bs.Keys[i], inTop, b.inst.Interval(inTop), ord, nd.key, nd.inTop, nd.iv, refOrd)
 		}
 	}
 }
@@ -431,9 +436,10 @@ func TestBankMatchesPerNodeReferenceOnRandomCommands(t *testing.T) {
 
 // TestRestoreParentWrittenFrame is the compatibility half of the
 // checkpoint contract: the frame a bank writes mid-run — through its views
-// or not, with order filters or not — restores into a flat bank that
-// re-emits it byte for byte and continues in lockstep with the per-node
-// reference, which never stopped.
+// or not — restores into a flat bank that re-emits it byte for byte and,
+// once it holds what its machine records (the membership and the installed
+// bounds) and, in the ordered mode, the order filters a reset re-sends,
+// continues in lockstep with the per-node reference, which never stopped.
 func TestRestoreParentWrittenFrame(t *testing.T) {
 	for _, tc := range equivCases {
 		p, tol, stop := tc.build(t, 41)
@@ -444,19 +450,24 @@ func TestRestoreParentWrittenFrame(t *testing.T) {
 			src.Step(vals)
 			warm.observe(vals)
 		}
-		if tc.ordered {
-			p.SetOrderBounds(warm.mach.Top()[0], 5, 50)
-		}
 		frame := p.Snapshot(nil)
 		flat, err := RestoreNodes(frame, 41)
 		if err != nil {
 			t.Fatalf("%s: frame rejected: %v", tc, err)
 		}
-		if (flat.ord != nil) != tc.ordered {
-			t.Fatalf("%s: restored bank holds order filters: %v, frame carries some: %v", tc, flat.ord != nil, tc.ordered)
-		}
 		if !bytes.Equal(flat.Snapshot(nil), frame) {
 			t.Fatalf("%s: restored bank re-emits another frame", tc)
+		}
+		flat.install(warm.mach)
+		if tc.ordered {
+			flat.EnableOrderFilters(tc.k)
+			for _, id := range warm.mach.Top() {
+				if iv := p.ref.ns[id].ordIv; iv != filter.Full() {
+					flat.SetOrderBounds(id, iv.Lo, iv.Hi)
+				}
+			}
+			p.SetOrderBounds(warm.mach.Top()[0], 5, 50)
+			flat.SetOrderBounds(warm.mach.Top()[0], 5, 50)
 		}
 		q := &pair{t: t, where: tc.String() + " restored", kern: flat, ref: p.ref}
 		q.same()

@@ -15,11 +15,6 @@ import (
 	"repro/internal/wire"
 )
 
-const (
-	negInf = int64(order.NegInf)
-	posInf = int64(order.PosInf)
-)
-
 // decodeBank decodes a bank's frame.
 func decodeBank(t *testing.T, frame []byte) wire.BankState {
 	t.Helper()
@@ -56,49 +51,39 @@ func warmFrames(t *testing.T, n, k int, tol order.Tol) (d *driver, bs wire.BankS
 	return d, bs, member, out1, out2
 }
 
-// cloneBank deep-copies the per-node slices a mutation may touch.
+// cloneBank deep-copies the key column a mutation may touch.
 func cloneBank(bs wire.BankState) wire.BankState {
 	bs.Keys = append([]int64(nil), bs.Keys...)
-	bs.InTop = append([]bool(nil), bs.InTop...)
 	return bs
 }
 
-// TestRestoreNodesRejectsUninstallableFilters feeds RestoreNodes frames
-// whose keys have left their filters: each is a typed rejection, where the
-// per-node bank restored all of them and served whatever they held. The
-// intervals are not in the frame to get wrong — every filter is the one
-// pair of bounds applied by membership — so what is left is a key on the
-// wrong side of its bound: by moving the key, the bound, or the
-// membership bit.
+// TestRestoreNodesRejectsUninstallableFilters feeds RestoreChain bank
+// frames whose keys have left the filters the machine beside them
+// installed: each is a typed rejection, where the per-node bank restored
+// all of them and served whatever they held. Neither the membership nor
+// the bounds are in the bank frame to get wrong — both are the machine's —
+// so what is left is a key on the wrong side of its bound.
 func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
-	_, bs, m, o1, o2 := warmFrames(t, 10, 3, order.Tol{})
-	if _, err := RestoreNodes(bs.Append(nil), 0); err != nil {
+	d, bs, m, o1, _ := warmFrames(t, 10, 3, order.Tol{})
+	if err := restoreAgainstMachine(t, d, bs.Append(nil)); err != nil {
 		t.Fatalf("untouched frame rejected: %v", err)
 	}
+	in := d.mach.Installed()
 	for _, tc := range []struct {
 		name string
 		mut  func(s *wire.BankState)
 	}{
-		{"outsider key above the bound", func(s *wire.BankState) { s.Keys[o1] = s.BoundHi + 1 }},
-		{"member key below the bound", func(s *wire.BankState) { s.Keys[m] = s.BoundLo - 1 }},
-		{"stale bounds: members' bound raised past a member", func(s *wire.BankState) { s.BoundLo = s.Keys[m] + 1 }},
-		{"stale bounds: outsiders' bound lowered past an outsider", func(s *wire.BankState) { s.BoundHi = s.Keys[o2] - 1 }},
-		{"member flag dropped from a member far above the bound", func(s *wire.BankState) {
-			s.Keys[m] = s.BoundHi + 1<<30
-			s.InTop[m] = false
-		}},
-		{"member flag set on an outsider", func(s *wire.BankState) {
-			s.Keys[o1] = s.BoundLo - 1<<30
-			s.InTop[o1] = true
-		}},
+		{"outsider key above the bound", func(s *wire.BankState) { s.Keys[o1] = int64(in.Hi) + 1 }},
+		{"member key below the bound", func(s *wire.BankState) { s.Keys[m] = int64(in.Lo) - 1 }},
+		{"member and outsider keys swapped", func(s *wire.BankState) { s.Keys[m], s.Keys[o1] = s.Keys[o1], s.Keys[m] }},
 	} {
 		s := cloneBank(bs)
 		tc.mut(&s)
-		if _, err := RestoreNodes(s.Append(nil), 0); !errors.Is(err, ErrFilterState) {
+		if err := restoreAgainstMachine(t, d, s.Append(nil)); !errors.Is(err, ErrFilterState) {
 			t.Errorf("%s: restore returned %v, want ErrFilterState", tc.name, err)
 		}
 	}
-	// Columns that disagree with Hi − Lo: the header of a [4, 8) bank
+	// A key column that disagrees with Hi − Lo: the header of a [4, 8) bank
 	// claims [4, 9), or [4, 7), over the same four keys.
 	part := decodeBank(t, NewNodes(12, 4, 8, 9, false, order.Tol{}).Snapshot(nil))
 	columns := part.Append(nil)[len(part.BankHeader.Append(nil)):]
@@ -106,17 +91,18 @@ func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 		h := part.BankHeader
 		h.Hi = claimed
 		if _, err := RestoreNodes(append(h.Append(nil), columns...), 0); err == nil {
-			t.Errorf("header claims [4, %d) over four nodes' columns: restored", claimed)
+			t.Errorf("header claims [4, %d) over four nodes' keys: restored", claimed)
 		}
 	}
 }
 
-// TestRestoreNodesOneSidedAndUninstalledBanks covers the frames that
-// constrain fewer than two bounds: a range hosting only members, only
-// outsiders, and a bank no install ever reached (the pre-time-0 frame; a
-// bank rebuilt for a reassigned range). Each restores, re-emits its frame
-// byte for byte, and behaves as the bank it was taken from through the
-// next reset and install.
+// TestRestoreNodesOneSidedAndUninstalledBanks covers banks of a range
+// that hosts only members, only outsiders, or that no install ever
+// reached (the pre-time-0 frame; a bank rebuilt for a reassigned range).
+// Each frame restores a bank that re-emits it byte for byte and holds no
+// member and no bound of its own — those are its coordinator's — and that
+// behaves as the bank it was taken from once the next reset and install
+// have reached both.
 func TestRestoreNodesOneSidedAndUninstalledBanks(t *testing.T) {
 	const n, lo, hi = 12, 4, 8
 	for _, tc := range []struct {
@@ -150,14 +136,13 @@ func TestRestoreNodesOneSidedAndUninstalledBanks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: restore: %v", tc.name, err)
 		}
-		if (*back.inst == filter.Unbounded()) == tc.install {
-			t.Fatalf("%s: restored bank holds bounds %+v", tc.name, *back.inst)
+		if *back.inst != filter.Unbounded() || slices.ContainsFunc(back.top, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("%s: restored bank holds bounds %+v and membership %x", tc.name, *back.inst, back.top)
 		}
 		if !bytes.Equal(back.Snapshot(nil), frame) {
 			t.Fatalf("%s: restored bank re-emits a different frame", tc.name)
 		}
-		// The next reset re-elects node 5 alone and installs a band: both
-		// bounds are set again.
+		// The next reset re-elects node 5 alone and installs a band.
 		for _, b := range []*Nodes{live, back} {
 			b.ResetBegin()
 			b.Winner(5, true)
@@ -179,44 +164,40 @@ func TestRestoreNodesOneSidedAndUninstalledBanks(t *testing.T) {
 }
 
 // restoreAgainstMachine restores a (possibly mutated) full-range bank
-// frame and validates it against the driver's machine, round-tripped
-// through its own frame — what the concurrent engine's Restore does.
-func restoreAgainstMachine(t *testing.T, d *driver, frame []byte) error {
+// frame beside the driver's machine frame, or the machine frame mach when
+// one is given — what the in-process engine's restore does (RestoreChain)
+// — and, when that succeeds, checks that the restored bank installed the
+// machine's membership and bounds.
+func restoreAgainstMachine(t *testing.T, d *driver, frame []byte, mach ...[]byte) error {
 	t.Helper()
 	mframe, err := d.mach.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := RestoreMachine(mframe)
-	if err != nil {
-		t.Fatal(err)
+	if len(mach) > 0 {
+		mframe = mach[0]
 	}
-	bank, err := RestoreNodes(frame, 0)
+	m, bank, err := RestoreChain(d.mach.N(), d.mach.K(), d.mach.Tol().Eps(), 0, &wire.Checkpoint{Machine: mframe, Nodes: frame}, nil)
 	if err != nil {
 		return err
 	}
-	if err := bank.MatchesMachine(mach); err != nil {
-		return err
-	}
-	fs, err := RestoreFilters(*bank.inst, bank.keys, mach)
-	if err != nil {
-		t.Fatalf("MatchesMachine accepted what RestoreFilters rejects: %v", err)
-	}
-	for id := 0; id < mach.N(); id++ {
-		if iv := fs.Interval(id); iv != bank.inst.Interval(mach.InTop(id)) || fs.InTop(id) != mach.InTop(id) {
-			t.Fatalf("accepted frame: node %d restored as %v (member %v), bank holds %+v", id, iv, fs.InTop(id), *bank.inst)
+	fs := m.Filters()
+	for id := 0; id < m.N(); id++ {
+		if iv := fs.Interval(id); iv != bank.inst.Interval(bank.inTop(id)) || fs.InTop(id) != bank.inTop(id) || bank.inTop(id) != m.InTop(id) {
+			t.Fatalf("accepted frame: node %d restored as %v (member %v), bank holds %+v (member %v)", id, iv, fs.InTop(id), *bank.inst, bank.inTop(id))
 		}
 	}
 	return nil
 }
 
-// TestRestoreFiltersAgainstMachine pins the validation the sequential and
-// concurrent engines run on restore: a canonical frame whose filters the
-// restored machine could not be running with — other members, no install
-// after the time-0 reset, a separation Lemma 2.2 rejects, in ε mode
-// another band than the machine tracks — is refused with ErrFilterState;
-// the untouched frame, the pre-time-0 frame and the k = n frame are
-// accepted, at ε = 0 and ε > 0.
+// TestRestoreFiltersAgainstMachine pins the validation the in-process
+// engine runs on restore, where the filters are the machine frame's
+// membership and installed bounds over the bank frame's keys: a machine
+// frame whose filters its keys cannot be running under — other members, a
+// bound moved past a key, in ε mode another band — is refused with
+// ErrFilterState; the untouched frames, the pre-time-0 frames and the
+// k = n frames are accepted, at ε = 0 and ε > 0; a bank of another range
+// is a plain mismatch.
 func TestRestoreFiltersAgainstMachine(t *testing.T) {
 	eps, err := order.NewTol(0.1)
 	if err != nil {
@@ -227,31 +208,35 @@ func TestRestoreFiltersAgainstMachine(t *testing.T) {
 		if err := restoreAgainstMachine(t, d, f.Append(nil)); err != nil {
 			t.Fatalf("eps=%v: untouched frame rejected: %v", tol.Eps(), err)
 		}
-		lo, hi := f.BoundLo, f.BoundHi
+		mframe, err := d.mach.Snapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms wire.MachineState
+		if err := ms.Decode(mframe); err != nil {
+			t.Fatal(err)
+		}
 		for _, tc := range []struct {
 			name string
-			mut  func(s *wire.BankState)
+			mut  func(s *wire.MachineState)
 		}{
-			{"member and outsider swapped", func(s *wire.BankState) {
-				// Every key inside its filter — but not the machine's
-				// membership.
-				s.InTop[m], s.InTop[o1] = s.InTop[o1], s.InTop[m]
-				s.Keys[m], s.Keys[o1] = hi, lo
+			{"member and outsider swapped", func(s *wire.MachineState) {
+				s.Top = slices.DeleteFunc(s.Top, func(id int) bool { return id == m })
+				s.Top = append(s.Top, o1)
+				slices.Sort(s.Top)
 			}},
-			{"a member flag the machine does not have", func(s *wire.BankState) {
-				s.InTop[o1] = true
-				s.Keys[o1] = lo
-			}},
-			{"filters uninstalled after the time-0 reset", func(s *wire.BankState) { s.BoundLo, s.BoundHi = negInf, posInf }},
-			{"members' bound lowered", func(s *wire.BankState) {
-				// ε = 0: the bounds cross (no separation). ε > 0: not the
-				// machine's band.
-				s.BoundLo -= 3
+			{"members' bound raised past a member", func(s *wire.MachineState) {
+				// ε = 0: T− and T+ moved over the member's key. ε > 0: the
+				// band did.
+				lift := f.Keys[m] - int64(d.mach.Installed().Lo) + 1
+				s.TPlus, s.TMinus = s.TPlus+2*lift, s.TMinus+2*lift
+				s.CurLo, s.CurHi = s.CurLo+lift, s.CurHi+lift
 			}},
 		} {
-			s := cloneBank(f)
+			s := ms
+			s.Top = append([]int(nil), ms.Top...)
 			tc.mut(&s)
-			if err := restoreAgainstMachine(t, d, s.Append(nil)); !errors.Is(err, ErrFilterState) {
+			if err := restoreAgainstMachine(t, d, f.Append(nil), s.Append(nil)); !errors.Is(err, ErrFilterState) {
 				t.Errorf("eps=%v, %s: got %v, want ErrFilterState", tol.Eps(), tc.name, err)
 			}
 		}
@@ -263,22 +248,47 @@ func TestRestoreFiltersAgainstMachine(t *testing.T) {
 		}
 
 		fresh := newDriverTol(10, 3, 7, tol)
-		pre := decodeBank(t, fresh.bank.Snapshot(nil))
-		if err := restoreAgainstMachine(t, fresh, pre.Append(nil)); err != nil {
+		if err := restoreAgainstMachine(t, fresh, fresh.bank.Snapshot(nil)); err != nil {
 			t.Fatalf("eps=%v: pre-time-0 frame rejected: %v", tol.Eps(), err)
 		}
-		pre.InTop[4] = true
-		if err := restoreAgainstMachine(t, fresh, pre.Append(nil)); !errors.Is(err, ErrFilterState) {
-			t.Errorf("eps=%v: pre-time-0 frame with a member: got %v, want ErrFilterState", tol.Eps(), err)
-		}
-
 		all, full, _, _, _ := warmFrames(t, 6, 6, tol)
 		if err := restoreAgainstMachine(t, all, full.Append(nil)); err != nil {
 			t.Fatalf("eps=%v: k = n frame rejected: %v", tol.Eps(), err)
 		}
-		full.BoundLo = slices.Min(full.Keys) - 1 // one bound every key respects, where k = n installs none
-		if err := restoreAgainstMachine(t, all, full.Append(nil)); !errors.Is(err, ErrFilterState) {
-			t.Errorf("eps=%v: k = n frame with installed filters: got %v, want ErrFilterState", tol.Eps(), err)
+	}
+}
+
+// TestBankInstallsWhatTheMachineRecords pins the fact restore rests on:
+// between steps, the bounds a bank has installed are the ones its
+// machine's Installed derives from the machine's checkpoint state, and its
+// membership bits are the machine's — through resets, violations with and
+// without a new midpoint or band, k = n and the steps before time 0.
+func TestBankInstallsWhatTheMachineRecords(t *testing.T) {
+	eps, err := order.NewTol(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n, k int
+		tol  order.Tol
+	}{{12, 3, order.Tol{}}, {12, 3, eps}, {5, 5, order.Tol{}}, {5, 5, eps}, {64, 1, order.Tol{}}} {
+		d := newDriverTol(tc.n, tc.k, 5, tc.tol)
+		src := stream.NewRandomWalk(stream.WalkConfig{N: tc.n, Lo: 1 << 10, Hi: 1 << 14, MaxStep: 300, Seed: 8})
+		vals := make([]int64, tc.n)
+		for s := 0; s < 200; s++ {
+			if got, want := *d.bank.inst, d.mach.Installed(); got != want {
+				t.Fatalf("n=%d k=%d eps=%v step %d: the bank holds %+v, the machine records %+v", tc.n, tc.k, tc.tol.Eps(), s, got, want)
+			}
+			for id := 0; id < tc.n; id++ {
+				if d.bank.inTop(id) != d.mach.InTop(id) {
+					t.Fatalf("n=%d k=%d step %d: node %d membership differs", tc.n, tc.k, s, id)
+				}
+			}
+			src.Step(vals)
+			d.observe(vals)
+		}
+		if st := d.mach.Stats(); tc.k < tc.n && (st.Resets < 3 || st.ViolationSteps <= st.Resets) {
+			t.Fatalf("n=%d k=%d eps=%v: the walk is too calm: %+v", tc.n, tc.k, tc.tol.Eps(), st)
 		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/comm"
-	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/wire"
 )
@@ -17,9 +15,10 @@ import (
 // between steps (the machine idle, no protocol execution in flight) and
 // captures exactly the state the next step reads: configuration, step
 // counter, statistics, T+/T− bounds, membership and the message ledger
-// for the Machine; per-node keys, the installed bounds and membership bits
-// for a Nodes bank (its coins are a function of the seed the envelope
-// carries). Everything else — the reset scratch of the Machine; the bank's
+// for the Machine; per-node keys for a Nodes bank. A bank's membership bits
+// and installed bounds are the machine's membership and Installed bounds,
+// and its coins are a function of the seed the envelope carries.
+// Everything else — the reset scratch of the Machine; the bank's
 // in-play set, empty between executions, and its violator lists, which
 // are only read inside the step that wrote them — is
 // (re)initialized before its next use, so a restored coordinator resumes
@@ -100,6 +99,9 @@ func RestoreMachine(p []byte) (*Machine, error) {
 			return nil, fmt.Errorf("coord: restored membership id %d out of range", id)
 		}
 	}
+	if s.Init && s.K < s.N && tol.Zero() && s.TMinus > s.TPlus {
+		return nil, fmt.Errorf("coord: restored machine has T− %d above T+ %d, which an idle machine has reset out of", s.TMinus, s.TPlus)
+	}
 	for i := range s.Counts {
 		if s.Counts[i] < 0 || s.Bytes[i] < 0 {
 			return nil, fmt.Errorf("coord: restored ledger cell %d is negative", i)
@@ -142,10 +144,9 @@ func RestoreMachine(p []byte) (*Machine, error) {
 // place. Otherwise it is a delta on the base frame of generation base
 // (wire.CheckpointDelta): the machine's frame and the value of every node
 // of dirty — a bitset over the bank's nodes, nil for all of them — which
-// describes the bank exactly when no message was charged since dirty was
-// last empty (a step that charges none runs no execution and installs
-// nothing: it moves observed values and the step counters, and nothing
-// else a frame holds).
+// describes the bank exactly when dirty holds every node observed since
+// the frame before: keys move only by observation, and the membership and
+// bounds a bank installs are the machine frame's.
 func (m *Machine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64, engine uint8, seed uint64, bank *Nodes) ([]byte, error) {
 	var err error
 	if base != 0 {
@@ -171,12 +172,10 @@ func (m *Machine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64,
 // to apply; it returns the machine frame the chain ends on — c's own when
 // there is no delta. Every delta is held to its chain before its values
 // are applied: the next generation after its predecessor's, naming c's as
-// its base, under c's engine and seed, its node ids
-// inside [0, n) (the decoder has them strictly increasing), and its
-// machine frame the predecessor's but for the steps taken — a span that
-// charged no message cannot have moved the membership, the bounds, the
-// counters or the ledger. Anything else is a forged or misassembled
-// chain, and an error.
+// its base, under c's engine and seed, its node ids inside [0, n) (the
+// decoder has them strictly increasing), and its machine frame one the
+// predecessor's can have become (follows). Anything else is a forged or
+// misassembled chain, and an error.
 func FoldDeltas(c *wire.Checkpoint, n int, deltas [][]byte, apply func(ids []int, vals []int64) error) ([]byte, error) {
 	mach := c.Machine
 	if len(deltas) == 0 {
@@ -205,27 +204,60 @@ func FoldDeltas(c *wire.Checkpoint, n int, deltas [][]byte, apply func(ids []int
 		if err := next.Decode(d.Machine); err != nil {
 			return nil, fmt.Errorf("coord: delta frame of generation %d: machine frame: %v", gen, err)
 		}
-		// prev after as many steps as next has taken since, none of them
-		// charged: the encoding is canonical, so the frames are equal
-		// exactly when the states are.
-		steps := next.Step - prev.Step
-		prev.Step, prev.Steps = prev.Step+steps, prev.Steps+steps
-		if scratch = prev.Append(scratch[:0]); steps < 0 || !bytes.Equal(scratch, d.Machine) {
-			return nil, fmt.Errorf("coord: delta frame of generation %d: its machine frame differs from its predecessor's in more than the steps taken", gen)
+		var err error
+		if scratch, err = follows(&prev, &next, d.Machine, scratch); err != nil {
+			return nil, fmt.Errorf("coord: delta frame of generation %d: its machine frame %v", gen, err)
 		}
 		if err := apply(d.IDs, d.Vals); err != nil {
 			return nil, fmt.Errorf("coord: delta frame of generation %d: %w", gen, err)
 		}
+		prev, next = next, prev
 		mach = d.Machine
 	}
 	return mach, nil
 }
 
+// follows checks that machine state next, encoded as frame, is one prev
+// can have become: the same shape, both step counters advanced alike, and
+// no statistic or ledger cell gone backwards. A span whose steps charged
+// no message ran no execution and installed nothing (every execution over
+// a non-empty cohort charges its winner's bid), so where no ledger cell
+// moved, next must be prev but for the steps taken. It clobbers prev and
+// returns scratch, grown, for the next call.
+func follows(prev, next *wire.MachineState, frame, scratch []byte) ([]byte, error) {
+	steps := next.Step - prev.Step
+	if next.N != prev.N || next.K != prev.K || next.EpsNum != prev.EpsNum {
+		return scratch, errors.New("is of another shape than its predecessor's")
+	}
+	if steps < 0 || next.Steps-prev.Steps != steps {
+		return scratch, fmt.Errorf("steps from %d to %d (counted %d to %d)", prev.Step, next.Step, prev.Steps, next.Steps)
+	}
+	if next.ViolationSteps < prev.ViolationSteps || next.HandlerCalls < prev.HandlerCalls ||
+		next.Resets < prev.Resets || next.TopChanges < prev.TopChanges {
+		return scratch, errors.New("has a statistic below its predecessor's")
+	}
+	for i := range next.Counts {
+		if next.Counts[i] < prev.Counts[i] || next.Bytes[i] < prev.Bytes[i] {
+			return scratch, fmt.Errorf("has ledger cell %d below its predecessor's", i)
+		}
+	}
+	if next.Counts != prev.Counts || next.Bytes != prev.Bytes {
+		return scratch, nil
+	}
+	// The encoding is canonical, so the frames are equal exactly when the
+	// states are.
+	prev.Step, prev.Steps = next.Step, next.Steps
+	if scratch = prev.Append(scratch[:0]); !bytes.Equal(scratch, frame) {
+		return scratch, errors.New("differs from its predecessor's in more than the steps taken, and no message was charged")
+	}
+	return scratch, nil
+}
+
 // OpenMachine holds a checkpoint's machine frame to the configuration it is
 // being restored under — shape and tolerance — before anything is built
-// from it, and returns the restored machine. It is the first step of every
-// engine's Restore: the link-backed engines' whole validation (their banks
-// are rebuilt by the peers), and the first half of OpenCheckpoint.
+// from it, and returns the restored machine. The link-backed engines'
+// banks are rebuilt by the peers, so it is their whole validation; it is
+// the machine half of RestoreChain.
 func OpenMachine(n, k int, epsilon float64, machFrame []byte) (*Machine, error) {
 	if n <= 0 || k < 1 || k > n {
 		return nil, fmt.Errorf("coord: restore config needs 1 <= K <= N, got n=%d k=%d", n, k)
@@ -251,74 +283,80 @@ func OpenMachine(n, k int, epsilon float64, machFrame []byte) (*Machine, error) 
 	return mach, nil
 }
 
-// OpenCheckpoint holds a checkpoint's two frames to the configuration it is
-// being restored under — shape and tolerance, of the machine frame
-// (OpenMachine) and of the bank frame's header, which must cover [0, n) —
-// before anything is built from them, and returns the restored machine.
-// It is the first step of the in-process engine's restore (core.RestoreOn);
-// RestoreNodes and MatchesMachine are the other two.
-func OpenCheckpoint(n, k int, epsilon float64, machFrame, nodesFrame []byte) (*Machine, error) {
-	mach, err := OpenMachine(n, k, epsilon, machFrame)
+// RestoreChain rebuilds the machine and the full-range bank of an engine
+// that checkpoints both (the in-process engine) from a checkpoint chain
+// taken under the configuration n, k, epsilon and seed — base envelope c
+// and the delta frames after it, oldest first — and is its whole check:
+//
+//  1. c's bank frame gives every node's key (RestoreNodes); it must cover
+//     [0, n), and c may carry no value mirror;
+//  2. the deltas' values patch the keys (FoldDeltas, Nodes.Patch);
+//  3. the machine frame the chain ends on gives the membership and the
+//     installed bounds (OpenMachine, Machine.Installed);
+//  4. the keys must be valid under that assignment — Lemma 2.2, or its ε
+//     counterpart — or the error wraps ErrFilterState.
+//
+// So a chain restores exactly what a base frame taken at its last delta
+// would, and a monitor restored from either serves a set its filters
+// guard.
+func RestoreChain(n, k int, epsilon float64, seed uint64, c *wire.Checkpoint, deltas [][]byte) (*Machine, *Nodes, error) {
+	if len(c.Last) != 0 {
+		return nil, nil, fmt.Errorf("coord: an in-process checkpoint carrying a value mirror of %d nodes", len(c.Last))
+	}
+	b, err := RestoreNodes(c.Nodes, seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("coord: nodes frame: %w", err)
 	}
-	h, _, err := wire.DecodeBankHeader(nodesFrame)
+	if b.codec.N() != n || b.lo != 0 || b.hi != n {
+		return nil, nil, fmt.Errorf("coord: checkpoint bank covers [%d, %d) of %d, want [0, %d)", b.lo, b.hi, b.codec.N(), n)
+	}
+	machFrame, err := FoldDeltas(c, n, deltas, b.Patch)
 	if err != nil {
-		return nil, fmt.Errorf("coord: nodes frame: %w", err)
+		return nil, nil, err
 	}
-	if h.N != n || h.Lo != 0 || h.Hi != n {
-		return nil, fmt.Errorf("coord: checkpoint bank covers [%d, %d) of %d, want [0, %d)", h.Lo, h.Hi, h.N, n)
+	m, err := OpenMachine(n, k, epsilon, machFrame)
+	if err != nil {
+		return nil, nil, err
 	}
-	if h.EpsNum != mach.Tol().Num() {
-		return nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", h.EpsNum, mach.Tol().Num())
+	if b.tol != m.cfg.Tol {
+		return nil, nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", b.tol.Num(), m.cfg.Tol.Num())
 	}
-	return mach, nil
+	b.install(m)
+	fs := m.Filters()
+	if m.cfg.Tol.Zero() {
+		err = fs.Validate(b.keys)
+	} else {
+		err = fs.ValidateEps(b.keys, m.cfg.Tol)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrFilterState, err)
+	}
+	return m, b, nil
 }
 
 // Snapshot appends the bank's canonical checkpoint frame (the bank frame
-// of internal/wire) to dst, straight from the bank's arrays: the installed
-// bounds once, the keys, the members and the order filters of those that
-// hold one. Banks carry no in-flight marker, so the contract is the
-// caller's: snapshot only between steps, when no protocol execution is
-// running. A frame carries live state only. The in-play set is empty after
-// the probability-1 round of every execution and enlisted anew at round 0
-// of the next; who violated is written by a step's filter checks and read
-// by that step's executions alone.
+// of internal/wire) to dst, straight from the bank's key array. Banks
+// carry no in-flight marker, so the contract is the caller's: snapshot
+// only between steps, when no protocol execution is running. A frame
+// carries the bank's own state only. Its membership bits and installed
+// bounds are the coordinator's (RestoreChain); the in-play set is empty
+// after the probability-1 round of every execution and enlisted anew at
+// round 0 of the next; who violated is written by a step's filter checks
+// and read by that step's executions alone.
 func (b *Nodes) Snapshot(dst []byte) []byte {
-	w := wire.BeginBank(dst, wire.BankHeader{
-		N: b.codec.N(), Lo: b.lo, Hi: b.hi,
-		EpsNum:  b.tol.Num(),
-		BoundLo: int64(b.inst.Lo), BoundHi: int64(b.inst.Hi),
-	})
-	wire.BankKeys(&w, b.keys)
-	for x := 0; x<<6 < len(b.keys); x++ {
-		for word := b.topWord(x); word != 0; word &= word - 1 {
-			if i := x<<6 | bits.TrailingZeros64(word); i < len(b.keys) {
-				w.Member(i)
-			}
-		}
-	}
-	if b.ord != nil {
-		for _, e := range b.ord.ent {
-			if e.id >= b.lo && e.id < b.hi && b.inTop(e.id-b.lo) && e.iv != filter.Full() {
-				w.Ord(e.id-b.lo, int64(e.iv.Lo), int64(e.iv.Hi))
-			}
-		}
-	}
-	return w.End()
+	return wire.AppendBank(dst, wire.BankHeader{N: b.codec.N(), Lo: b.lo, Hi: b.hi, EpsNum: b.tol.Num()}, b.keys)
 }
 
 // RestoreNodes rebuilds a node bank from a Snapshot frame taken under the
-// given seed, reading the columns straight into the fresh bank's arrays.
-// The seed is all the restored bank needs to flip, from the next step on,
-// the coins the original would have — the property that keeps Las Vegas
-// protocol runs bit-identical across the restore. Every filter is the
-// frame's one pair of bounds applied by the node's membership bit, so the
-// only filter state a frame can get wrong is a key that has left its
-// filter: that is ErrFilterState. A frame in a dialect older monitors
+// given seed, reading the key column straight into the fresh bank's array;
+// every node is an outsider and every filter [-inf, +inf] until its
+// coordinator's state is installed (RestoreChain). The seed is all the
+// restored bank needs to flip, from the next step on, the coins the
+// original would have — the property that keeps Las Vegas protocol runs
+// bit-identical across the restore. A frame in a dialect older monitors
 // wrote is the wire error its decoder refuses it with.
 func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
-	h, r, err := wire.OpenBank(p)
+	h, col, err := wire.OpenBank(p)
 	if err != nil {
 		return nil, err
 	}
@@ -333,111 +371,23 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 		return nil, err
 	}
 	b := newBank(h.N, h.Lo, h.Hi, seed, tol)
-	*b.inst = filter.Bounds{Lo: order.Key(h.BoundLo), Hi: order.Key(h.BoundHi)}
-	if err := wire.BankReadKeys(&r, b.keys); err != nil {
+	if err := wire.ReadBankKeys(col, b.keys); err != nil {
 		return nil, err
-	}
-	for {
-		i, ok, err := r.Member()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		b.setTop(i)
-	}
-	for {
-		i, lo, hi, ok, err := r.Ord()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		b.EnableOrderFilters(0)
-		b.SetOrderBounds(b.lo+i, order.Key(lo), order.Key(hi))
-	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	for i, key := range b.keys {
-		if iv := b.inst.Interval(b.inTop(i)); !iv.Contains(key) {
-			return nil, fmt.Errorf("%w: node %d key %d outside its filter %s", ErrFilterState, b.lo+i, key, iv)
-		}
 	}
 	return b, nil
 }
 
-// ErrFilterState is wrapped by every restore rejection of a bank frame
-// whose filters are not a state Algorithm 1 can install: a key outside the
-// filter its membership bit derives from the frame's bounds and, on the
-// engines that restore machine and bank together, filters that contradict
-// the machine. Test with errors.Is.
+// install gives a restored full-range bank, whose nodes are all
+// outsiders, the membership and the filter bounds of machine m.
+func (b *Nodes) install(m *Machine) {
+	for _, id := range m.top {
+		b.setTop(id)
+	}
+	*b.inst = m.Installed()
+}
+
+// ErrFilterState is wrapped by every restore rejection of a checkpoint
+// whose keys the filters it records do not guard: a key outside the filter
+// its node's membership derives from the machine's installed bounds, or a
+// membership those bounds do not separate. Test with errors.Is.
 var ErrFilterState = errors.New("coord: checkpoint filters are not an installed assignment")
-
-// MatchesMachine validates a restored full-range bank against the machine
-// restored beside it, for the engines that checkpoint both (sequential,
-// concurrent): the bank must cover the machine's nodes, hold order filters
-// only beside a machine in the ordered mode, its membership bits must be
-// the machine's, and its bounds and keys must pass RestoreFilters.
-func (b *Nodes) MatchesMachine(m *Machine) error {
-	if n := m.cfg.N; b.codec.N() != n || b.lo != 0 || b.hi != n {
-		return fmt.Errorf("coord: bank frame covers [%d, %d) of %d, machine has n=%d", b.lo, b.hi, b.codec.N(), n)
-	}
-	if b.ord != nil && !m.cfg.Ordered {
-		return errors.New("coord: bank frame holds order filters, the machine is not in the ordered mode")
-	}
-	for w, word := range b.top { // a full-range bank's bits are the machine's
-		if diff := word ^ m.inTop[w]; diff != 0 {
-			i := w<<6 | bits.TrailingZeros64(diff)
-			return fmt.Errorf("%w: node %d (member: %v) contradicts the machine", ErrFilterState, i, b.inTop(i))
-		}
-	}
-	_, err := RestoreFilters(*b.inst, b.keys, m)
-	return err
-}
-
-// Filters assembles the filter assignment a full-range bank and its
-// machine hold between them — the bank's installed bounds applied to the
-// machine's membership — as the filter.Set the Lemma 2.2 checks of restore,
-// tests and soak runs read.
-func (b *Nodes) Filters(m *Machine) *filter.Set { return m.filters(*b.inst) }
-
-func (m *Machine) filters(in filter.Bounds) *filter.Set {
-	fs := filter.NewSet(m.cfg.N, m.cfg.K)
-	if len(m.top) == m.cfg.K {
-		fs.SetMembership(m.top)
-	}
-	fs.AssignBand(in.Lo, in.Hi)
-	return fs
-}
-
-// RestoreFilters returns the filter set an engine that checkpoints machine
-// and bank together (sequential, concurrent) resumes with: the bank
-// frame's one pair of bounds applied to the restored machine's membership
-// — the caller has checked that the frame's membership bits are the
-// machine's. In ε mode the bounds must be the band the machine tracks, and
-// the assignment must be valid for the frame's keys — Lemma 2.2, which
-// also refuses filters left unbounded after the time-0 reset, or its ε
-// counterpart. A monitor restored from anything else would serve a set its
-// filters no longer guard.
-func RestoreFilters(in filter.Bounds, keys []order.Key, m *Machine) (*filter.Set, error) {
-	tol, fs := m.cfg.Tol, m.filters(in)
-	if fs.Bounds() != in {
-		return nil, fmt.Errorf("%w: bounds [%d, %d] installed where k = n leaves none", ErrFilterState, in.Lo, in.Hi)
-	}
-	if !tol.Zero() && (in.Lo != m.curLo || in.Hi != m.curHi) {
-		return nil, fmt.Errorf("%w: installed band [%d, %d], machine tracks [%d, %d]", ErrFilterState, in.Lo, in.Hi, m.curLo, m.curHi)
-	}
-	var err error
-	if tol.Zero() {
-		err = fs.Validate(keys)
-	} else {
-		err = fs.ValidateEps(keys, tol)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrFilterState, err)
-	}
-	return fs, nil
-}

@@ -17,14 +17,10 @@ func checkpoint(t *testing.T, d *driver) *driver {
 	if err != nil {
 		t.Fatalf("machine snapshot: %v", err)
 	}
-	nframe := d.bank.Snapshot(nil)
-	mach, err := RestoreMachine(mframe)
+	c := &wire.Checkpoint{Machine: mframe, Nodes: d.bank.Snapshot(nil)}
+	mach, bank, err := RestoreChain(d.mach.N(), d.mach.K(), d.mach.Tol().Eps(), d.bank.seed, c, nil)
 	if err != nil {
-		t.Fatalf("restore machine: %v", err)
-	}
-	bank, err := RestoreNodes(nframe, d.bank.seed)
-	if err != nil {
-		t.Fatalf("restore nodes: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	return &driver{mach: mach, bank: bank, see: bank.Observe, round: bank.Round}
 }
@@ -158,6 +154,7 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 		{"negative step", func(s *wire.MachineState) { s.Step = -1 }},
 		{"negative ledger cell", func(s *wire.MachineState) { s.Counts[4] = -1 }},
 		{"negative ledger bytes", func(s *wire.MachineState) { s.Bytes[7] = -2 }},
+		{"T− above T+, which an idle machine has reset out of", func(s *wire.MachineState) { s.TMinus = s.TPlus + 1 }},
 	}
 	for _, tc := range cases {
 		s := base

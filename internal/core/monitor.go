@@ -273,9 +273,10 @@ func (m *Monitor) Close() {
 	m.host.Close()
 }
 
-// Filters assembles the current filter assignment — the bank's installed
-// bounds on the machine's membership — for invariant checking.
-func (m *Monitor) Filters() *filter.Set { return m.bank.Filters(m.mach) }
+// Filters assembles the current filter assignment — the machine's
+// membership under its installed bounds, which between steps are the
+// bank's — for invariant checking.
+func (m *Monitor) Filters() *filter.Set { return m.mach.Filters() }
 
 // Top returns the currently reported top-k node ids in ascending order.
 // The returned slice is a read-only view owned by the monitor; it is

@@ -40,35 +40,14 @@ func (m *Monitor) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64)
 // restored bank, from a checkpoint chain taken under the same
 // configuration: base envelope c — a lone Snapshot pair is
 // &wire.Checkpoint{Machine: mach, Nodes: nodes} — and the delta frames
-// that follow it. Every frame field is validated against cfg, the bank
-// against the machine and its filters against Lemma 2.2
-// (coord.Nodes.MatchesMachine) before anything is returned or any host is
-// started; a mismatch or malformed frame yields an error, never a
-// partially restored monitor. A chain's deltas are folded into the bank
-// rebuilt from c's frame (coord.FoldDeltas holds each delta to the chain,
-// coord.Nodes.Patch each value to its node's filter), and the machine is
-// the one the chain ends on; the checks of a lone frame then run on the
-// folded state, so a chain restores exactly what a base frame taken at
-// its last delta would.
+// that follow it. coord.RestoreChain reads the bank frame's keys, folds
+// the deltas' values into them, takes membership and filter bounds from
+// the machine frame the chain ends on and holds the result to Lemma 2.2,
+// all before any host is started; a mismatch or malformed frame yields an
+// error, never a partially restored monitor.
 func RestoreOn(cfg Config, start func(bank *coord.Nodes) Host, c *wire.Checkpoint, deltas [][]byte) (*Monitor, error) {
-	mach, err := coord.OpenCheckpoint(cfg.N, cfg.K, cfg.Epsilon, c.Machine, c.Nodes)
+	mach, bank, err := coord.RestoreChain(cfg.N, cfg.K, cfg.Epsilon, cfg.Seed, c, deltas)
 	if err != nil {
-		return nil, fmt.Errorf("core: restore: %w", err)
-	}
-	bank, err := coord.RestoreNodes(c.Nodes, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore nodes frame: %w", err)
-	}
-	if len(deltas) > 0 {
-		machFrame, err := coord.FoldDeltas(c, cfg.N, deltas, bank.Patch)
-		if err == nil {
-			mach, err = coord.OpenMachine(cfg.N, cfg.K, cfg.Epsilon, machFrame)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: restore: %w", err)
-		}
-	}
-	if err := bank.MatchesMachine(mach); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	return assemble(cfg, mach, bank, start), nil

@@ -107,11 +107,13 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 }
 
 // TestRestoreRejectsFiltersTheAlgorithmCannotHold pins the restore bugfix:
-// a bank frame whose keys have left their filters, or whose filters
-// contradict the machine frame, is a typed rejection — the per-node filter
-// set restored any non-empty interval unchecked and then served a set its
-// filters no longer guarded. So is a frame in the dialect of the engines
-// that persisted dead state.
+// a checkpoint whose keys have left the filters its machine frame
+// records — a key moved past the installed bound, or a machine frame with
+// another membership or stale bounds — is a typed rejection: the per-node
+// filter set restored any non-empty interval unchecked and then served a
+// set its filters no longer guarded. So is a bank frame in the dialect of
+// the engines that persisted bounds and membership beside the keys, and
+// one with bytes after its keys.
 func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	cfg := Config{N: 8, K: 2, Seed: 3}
 	m := New(cfg)
@@ -124,74 +126,77 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	if err := bs.Decode(nodes); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		mut  func(s *wire.BankState)
-	}{
-		{"an outsider's key above the bound", func(s *wire.BankState) { s.Keys[1] = s.BoundHi + 1 }},
-		{"a member's key below the bound", func(s *wire.BankState) { s.Keys[2] = s.BoundLo - 1 }},
-		{"stale bounds", func(s *wire.BankState) { s.BoundLo, s.BoundHi = s.Keys[4]+1, s.Keys[4]+1 }},
-		{"another membership than the machine's", func(s *wire.BankState) {
-			s.InTop[2], s.InTop[1] = false, true
-			s.Keys[1], s.Keys[2] = s.BoundLo, s.BoundHi
-		}},
-		{"a member flag the machine does not have", func(s *wire.BankState) {
-			s.InTop[7], s.Keys[7] = true, s.BoundLo
-		}},
-		{"a member the frame does not flag", func(s *wire.BankState) { s.InTop[4], s.Keys[4] = false, s.BoundHi }},
-		{"crossed bounds", func(s *wire.BankState) { s.BoundLo -= 9 }},
+	var ms wire.MachineState
+	if err := ms.Decode(mach); err != nil {
+		t.Fatal(err)
+	}
+	mid := int64(m.mach.Installed().Lo)
+	restore := func(mach, nodes []byte) error {
+		_, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: nodes}, nil)
+		return err
+	}
+	for name, mut := range map[string]func(s *wire.BankState){
+		"an outsider's key above the bound": func(s *wire.BankState) { s.Keys[1] = mid + 1 },
+		"a member's key below the bound":    func(s *wire.BankState) { s.Keys[2] = mid - 1 },
 	} {
 		s := bs
 		s.Keys = append([]int64(nil), bs.Keys...)
-		s.InTop = append([]bool(nil), bs.InTop...)
-		tc.mut(&s)
-		if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: s.Append(nil)}, nil); !errors.Is(err, coord.ErrFilterState) {
-			t.Errorf("%s: restore returned %v, want coord.ErrFilterState", tc.name, err)
+		mut(&s)
+		if err := restore(mach, s.Append(nil)); !errors.Is(err, coord.ErrFilterState) {
+			t.Errorf("%s: restore returned %v, want coord.ErrFilterState", name, err)
 		}
 	}
-	if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: bs.Append(nil)}, nil); err != nil {
+	for name, mut := range map[string]func(s *wire.MachineState){
+		"another membership than the bank's keys": func(s *wire.MachineState) { s.Top = []int{1, 4} },
+		"stale bounds": func(s *wire.MachineState) { s.TPlus, s.TMinus = bs.Keys[4]+1, bs.Keys[4]+1 },
+	} {
+		s := ms
+		s.Top = append([]int(nil), ms.Top...)
+		mut(&s)
+		if err := restore(s.Append(nil), nodes); !errors.Is(err, coord.ErrFilterState) {
+			t.Errorf("%s: restore returned %v, want coord.ErrFilterState", name, err)
+		}
+	}
+	crossed := ms
+	crossed.TMinus = ms.TPlus + 9 // a machine that would have reset
+	if err := restore(crossed.Append(nil), nodes); err == nil {
+		t.Error("crossed bounds: restored")
+	}
+	if err := restore(mach, bs.Append(nil)); err != nil {
 		t.Fatalf("re-encoded untouched frame rejected: %v", err)
 	}
 
-	// Dead state — what is written and read inside one step, which engines
-	// that persisted it wrote into their frames — is refused, not dropped:
-	// that dialect is malformed. The frame ends with the member section of
-	// members 2 and 4 (gap 3, flag; gap 2, flag) and three section ends:
-	// members, violations, order filters.
-	tail := []byte{3, wire.FlagNodeInTop, 2, wire.FlagNodeInTop, 0, 0, 0}
-	if !bytes.HasSuffix(nodes, tail) {
-		t.Fatalf("the frame ends %x, not with the members' section %x", nodes[len(nodes)-len(tail):], tail)
-	}
-	flag := func(at int, bits byte) []byte {
-		p := bytes.Clone(nodes)
-		p[len(p)-at] |= bits
-		return p
-	}
-	for name, frame := range map[string][]byte{
-		"the WasTop bit":    flag(4, 0x02),
-		"the Extracted bit": flag(6, 0x04),
-		"violation history": append(nodes[:len(nodes)-2:len(nodes)-2], 4, 2, 0, 0), // index 3 violated at step 1
+	// The previous dialect: flags 0x02, the installed bounds after the
+	// header, the keys, the member section of members 2 and 4 (gap 3, flag;
+	// gap 2, flag) and three section ends — refused, not read.
+	hdr := len(bs.BankHeader.Append(nil))
+	old := append(bytes.Clone(nodes[:hdr]), wire.AppendVarint(wire.AppendVarint(nil, mid), mid)...)
+	old[hdr-1] = 0x02
+	old = append(append(old, nodes[hdr:]...), 3, 1, 2, 1, 0, 0, 0)
+	for name, c := range map[string]struct {
+		frame []byte
+		want  error
+	}{
+		"the previous dialect":  {old, wire.ErrMalformed},
+		"bytes after the keys":  {append(bytes.Clone(nodes), 0), wire.ErrTrailingBytes},
+		"the raw-value key bit": {append(append(bytes.Clone(nodes[:hdr-1]), 0x06|0x01), nodes[hdr:]...), wire.ErrMalformed},
 	} {
-		if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); !errors.Is(err, wire.ErrMalformed) {
-			t.Errorf("%s: restore returned %v, want wire.ErrMalformed", name, err)
+		if err := restore(mach, c.frame); !errors.Is(err, c.want) {
+			t.Errorf("%s: restore returned %v, want %v", name, err, c.want)
 		}
 	}
 
-	// What a bank beside a set-mode machine never holds, and columns that
-	// disagree with the header, are rejected one way or another.
-	ord := bs
-	ord.OrdHi = append([]int64(nil), bs.OrdHi...)
-	ord.OrdHi[3] = 99
+	// Columns that disagree with the header, and a bank of another range,
+	// are rejected one way or another.
 	part := bs
 	part.Hi--
-	part.Keys, part.InTop, part.OrdLo, part.OrdHi = bs.Keys[:7], bs.InTop[:7], bs.OrdLo[:7], bs.OrdHi[:7]
+	part.Keys = bs.Keys[:7]
 	short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 	for name, frame := range map[string][]byte{
-		"an order filter":                  ord.Append(nil),
-		"a bank over [0, 7)":               part.Append(nil),
-		"seven nodes' columns under n = 8": short,
+		"a bank over [0, 7)":            part.Append(nil),
+		"seven nodes' keys under n = 8": short,
 	} {
-		if _, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); err == nil {
+		if err := restore(mach, frame); err == nil {
 			t.Errorf("%s: restored", name)
 		}
 	}

@@ -13,11 +13,13 @@ import (
 )
 
 // TestRestoreValidatesFilters pins the pool's half of the restore bugfix:
-// a bank frame whose filters contradict the machine's membership or band,
-// or no longer hold its keys, is rejected with coord.ErrFilterState; the
-// untouched frame restores (with another shard count) into a monitor that
-// stays bit-identical to its twin, frames included. The monitors run on
-// pools of three shards, the restored one on five.
+// a checkpoint whose keys the filters its machine frame records do not
+// guard — a key moved past the installed bound, a machine frame with
+// another membership or stale bounds — is rejected with
+// coord.ErrFilterState; the untouched frame restores (with another shard
+// count) into a monitor that stays bit-identical to its twin, frames
+// included. The monitors run on pools of three shards, the restored one on
+// five.
 func TestRestoreValidatesFilters(t *testing.T) {
 	for _, eps := range []float64{0, 0.05} {
 		cfg := Config{N: 24, K: 4, Seed: 11, Epsilon: eps}
@@ -44,11 +46,20 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		if err := bs.Decode(nodes); err != nil {
 			t.Fatal(err)
 		}
+		var ms wire.MachineState
+		if err := ms.Decode(mach); err != nil {
+			t.Fatal(err)
+		}
+		m, err := coord.RestoreMachine(mach)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := m.Installed()
 		member, outsider := live.Top()[0], 0
 		for slices.Contains(live.Top(), outsider) {
 			outsider++
 		}
-		rejected := func(name string, frame []byte) {
+		rejected := func(name string, mach, frame []byte) {
 			t.Helper()
 			if rt, err := core.RestoreOn(cfg.core(), sharding(3), &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); !errors.Is(err, coord.ErrFilterState) {
 				t.Errorf("eps=%v %s: restore returned %v, want coord.ErrFilterState", eps, name, err)
@@ -58,32 +69,37 @@ func TestRestoreValidatesFilters(t *testing.T) {
 			}
 		}
 		for name, mut := range map[string]func(s *wire.BankState){
-			"a key outside its filter": func(s *wire.BankState) { s.Keys[outsider] = s.BoundHi + 1 },
-			"stale bounds":             func(s *wire.BankState) { s.BoundHi = s.Keys[outsider] - 1 },
-			"a member the machine lacks": func(s *wire.BankState) {
-				s.InTop[outsider] = true
-				s.Keys[outsider] = s.BoundLo // inside the filter the forged bit derives
-			},
-			"a member the frame drops": func(s *wire.BankState) {
-				s.InTop[member] = false
-				s.Keys[member] = s.BoundHi // inside the filter the dropped bit derives
-			},
-			"members' bound moved down": func(s *wire.BankState) { s.BoundLo -= 7 },
+			"an outsider's key above its bound": func(s *wire.BankState) { s.Keys[outsider] = int64(in.Hi) + 1 },
+			"a member's key below its bound":    func(s *wire.BankState) { s.Keys[member] = int64(in.Lo) - 1 },
 		} {
 			s := bs
 			s.Keys = append([]int64(nil), bs.Keys...)
-			s.InTop = append([]bool(nil), bs.InTop...)
 			mut(&s)
-			rejected(name, s.Append(nil))
+			rejected(name, mach, s.Append(nil))
+		}
+		for name, mut := range map[string]func(s *wire.MachineState){
+			"a member the keys lack": func(s *wire.MachineState) {
+				s.Top = slices.DeleteFunc(s.Top, func(id int) bool { return id == member })
+				s.Top = append(s.Top, outsider)
+				slices.Sort(s.Top)
+			},
+			"stale bounds": func(s *wire.MachineState) {
+				s.TPlus, s.TMinus = s.TPlus+1<<30, s.TMinus+1<<30
+				s.CurLo, s.CurHi = s.CurLo+1<<30, s.CurHi+1<<30
+			},
+		} {
+			s := ms
+			s.Top = append([]int(nil), ms.Top...)
+			mut(&s)
+			rejected(name, s.Append(nil), nodes)
 		}
 		// Columns that disagree with Hi − Lo, and a bank that is not the
 		// machine's range, are rejected one way or another.
 		part := bs
 		part.Hi--
-		part.Keys, part.InTop = bs.Keys[:cfg.N-1], bs.InTop[:cfg.N-1]
-		part.OrdLo, part.OrdHi = bs.OrdLo[:cfg.N-1], bs.OrdHi[:cfg.N-1]
+		part.Keys = bs.Keys[:cfg.N-1]
 		short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
-		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's columns missing": short} {
+		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's key missing": short} {
 			if rt, err := core.RestoreOn(cfg.core(), sharding(3), &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); err == nil {
 				t.Errorf("eps=%v %s: restored", eps, name)
 				rt.Close()
@@ -120,27 +136,17 @@ func TestRestoreValidatesFilters(t *testing.T) {
 // filters: the ordered mode's bank holds them — the monitor installs and
 // checks them on the full-range bank while the shards are parked, so a move
 // that keeps the top set and every set filter but crosses a neighbour's
-// midpoint is caught and re-ranked — and the plain runtime's bank frame
-// carries none. The ordered runtime itself has no checkpoint: its machine
-// refuses to snapshot.
+// midpoint is caught and re-ranked — and the plain runtime's does not,
+// though it checkpoints. The ordered runtime itself has no checkpoint: its
+// machine refuses to snapshot.
 func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 	cfg := Config{N: 16, K: 3, Seed: 2}
 	vals := []int64{5, 90, 12, 7, 80, 3, 9, 70, 1, 2, 4, 6, 8, 10, 11, 13}
 	plain := onShards(cfg, 2)
 	defer plain.Close()
 	plain.Observe(vals)
-	_, nodes, err := plain.Snapshot()
-	if err != nil {
+	if _, _, err := plain.Snapshot(); err != nil {
 		t.Fatal(err)
-	}
-	var ns wire.BankState
-	if err := ns.Decode(nodes); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ns.OrdLo {
-		if ns.OrdLo[i] != ns.OrdLo[0] || ns.OrdHi[i] != ns.OrdHi[0] {
-			t.Fatal("plain runtime's bank frame carries an order filter")
-		}
 	}
 	if got := plain.AppendRanking(nil); len(got) != 0 {
 		t.Fatalf("plain runtime ranks %v", got)
@@ -170,9 +176,9 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 
 // TestAppendCheckpointIsTheEnvelopeOfSnapshot pins the in-place path to
 // the composed one: the envelope AppendCheckpoint writes straight from the
-// bank's arrays is wire.Checkpoint.Append over Snapshot's two frames — which
-// carry live state only: of a run that keeps violating filters, the k
-// membership bits, and a frame the bank reader accepts.
+// bank's arrays is wire.Checkpoint.Append over Snapshot's two frames — of
+// a run that keeps violating filters, a bank frame the reader accepts
+// holding the bank's keys and nothing else.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 	cfg := Config{N: 64, K: 5, Seed: 5}
 	rt := onShards(cfg, 3)
@@ -197,20 +203,21 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 			t.Fatalf("step %d: in-place envelope differs from the composed one", step)
 		}
 		var bs wire.BankState
-		if err := bs.Decode(nodes); err != nil {
-			t.Fatal(err)
-		}
-		members := 0
-		for _, in := range bs.InTop {
-			if in {
-				members++
-			}
-		}
-		if members != cfg.K {
-			t.Fatalf("step %d: frame flags %d members, k = %d", step, members, cfg.K)
+		if err := bs.Decode(nodes); err != nil || !slices.Equal(bs.Keys, keysOf(rt)) {
+			t.Fatalf("step %d: the bank frame holds keys %v (%v), the bank %v", step, bs.Keys, err, keysOf(rt))
 		}
 	}
 	if st := rt.Stats(); st.ViolationSteps < 5 || st.Resets < 3 {
 		t.Fatalf("workload too calm: %+v", st)
 	}
+}
+
+// keysOf returns the keys of a monitor's bank as a frame's key column holds
+// them.
+func keysOf(m *core.Monitor) []int64 {
+	keys := make([]int64, 0, m.N())
+	for _, k := range m.Keys() {
+		keys = append(keys, int64(k))
+	}
+	return keys
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/fanout"
+	"repro/internal/order"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -118,38 +119,36 @@ func (s *bankSpy) since(before []*coord.Nodes) []*coord.Nodes {
 }
 
 // validateBanks checks the hosted banks of an idle engine over n nodes the
-// way a restore checks a checkpointed one: the banks tile [0, n); every key
-// lies inside its node's filter (coord.RestoreNodes refuses a frame where
-// one does not); all banks hold the same installed bounds, which separate
-// the two sides (Lemma 2.2) unless k = n; and the membership bits are the
-// reported set.
+// way a restore checks a checkpointed one: the banks tile [0, n) and their
+// frames restore; every key lies inside its node's filter; all banks hold
+// the same installed bounds, which separate the two sides (Lemma 2.2)
+// unless k = n; and the membership bits are the reported set.
 func validateBanks(t *testing.T, banks []*coord.Nodes, n int, top []int) {
 	t.Helper()
-	var st wire.BankState
 	var members []int
-	var lo, hi int64 // the installed bounds, as bank 0 holds them
+	var lo, hi order.Key // the installed bounds, as bank 0 holds them
 	next := 0
 	for i, b := range banks {
 		if b.Lo() != next {
 			t.Fatalf("hosted banks do not tile [0, %d): bank %d starts at %d, want %d", n, i, b.Lo(), next)
 		}
 		next = b.Hi()
-		frame := b.Snapshot(nil)
-		if _, err := coord.RestoreNodes(frame, 0); err != nil {
+		if _, err := coord.RestoreNodes(b.Snapshot(nil), 0); err != nil {
 			t.Fatalf("bank [%d, %d) is not restorable: %v", b.Lo(), b.Hi(), err)
 		}
-		if err := st.Decode(frame); err != nil {
-			t.Fatal(err)
-		}
+		in := b.Installed()
 		if i == 0 {
-			lo, hi = st.BoundLo, st.BoundHi
+			lo, hi = in.Lo, in.Hi
 		}
-		if st.BoundLo != lo || st.BoundHi != hi {
-			t.Fatalf("bank [%d, %d) holds bounds [%d, %d], bank 0 holds [%d, %d]", b.Lo(), b.Hi(), st.BoundLo, st.BoundHi, lo, hi)
+		if in.Lo != lo || in.Hi != hi {
+			t.Fatalf("bank [%d, %d) holds bounds [%d, %d], bank 0 holds [%d, %d]", b.Lo(), b.Hi(), in.Lo, in.Hi, lo, hi)
 		}
-		for j, in := range st.InTop {
-			if in {
-				members = append(members, st.Lo+j)
+		for id := b.Lo(); id < b.Hi(); id++ {
+			if iv := in.Interval(b.InTop(id)); !iv.Contains(b.Key(id)) {
+				t.Fatalf("node %d key %d outside its filter %s", id, b.Key(id), iv)
+			}
+			if b.InTop(id) {
+				members = append(members, id)
 			}
 		}
 	}

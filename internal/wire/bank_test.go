@@ -13,48 +13,37 @@ import (
 	"testing"
 )
 
-// sampleBank is a four-node bank with an entry in every sparse section.
+// sampleBank is a four-node bank of a [2, 6) range.
 func sampleBank() BankState {
 	return BankState{
-		BankHeader: BankHeader{N: 8, Lo: 2, Hi: 6, EpsNum: 52428, BoundLo: 5, BoundHi: 9},
+		BankHeader: BankHeader{N: 8, Lo: 2, Hi: 6, EpsNum: 52428},
 		Keys:       []int64{7, -3, 1 << 40, 6},
-		InTop:      []bool{true, false, true, false},
-		OrdLo:      []int64{math.MinInt64, math.MinInt64, -1 << 40, math.MinInt64},
-		OrdHi:      []int64{math.MaxInt64, 12, 1 << 40, math.MaxInt64},
 	}
 }
 
-// plainBank is a bank of n nodes with nothing in its sparse sections.
+// plainBank is a bank of n nodes over the whole range.
 func plainBank(n int) BankState {
-	s := BankState{
-		BankHeader: BankHeader{N: n, Lo: 0, Hi: n, BoundLo: math.MinInt64, BoundHi: math.MaxInt64},
-		Keys:       make([]int64, n), InTop: make([]bool, n),
-		OrdLo: make([]int64, n), OrdHi: make([]int64, n),
-	}
+	s := BankState{BankHeader: BankHeader{N: n, Lo: 0, Hi: n}, Keys: make([]int64, n)}
 	for i := 0; i < n; i++ {
 		s.Keys[i] = int64(i)*1000 - 500
-		s.OrdLo[i], s.OrdHi[i] = math.MinInt64, math.MaxInt64
 	}
 	return s
 }
 
 func sameBank(a, b BankState) bool {
-	return a.BankHeader == b.BankHeader && slices.Equal(a.Keys, b.Keys) && slices.Equal(a.InTop, b.InTop) &&
-		slices.Equal(a.OrdLo, b.OrdLo) && slices.Equal(a.OrdHi, b.OrdHi)
+	return a.BankHeader == b.BankHeader && slices.Equal(a.Keys, b.Keys)
 }
 
 // TestBankStateRoundTrip pins decode(encode(s)) == s and the re-encode
-// identity over the shapes the sections can take: all empty, all
-// populated, the last index listed, a bank of no nodes, and a decode into
-// a BankState that already holds another bank.
+// identity over the shapes a bank takes — a range, one node, many, the
+// extreme keys, no nodes — and a decode into a BankState that already
+// holds another bank.
 func TestBankStateRoundTrip(t *testing.T) {
-	last := plainBank(5)
-	last.InTop[4], last.OrdHi[4] = true, 3
-	first := plainBank(5)
-	first.InTop[0], first.OrdLo[0] = true, math.MinInt64+1
+	extreme := plainBank(3)
+	extreme.Keys[0], extreme.Keys[2] = math.MinInt64, math.MaxInt64
 	empty := BankState{BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}
 	var got BankState
-	for i, s := range []BankState{sampleBank(), plainBank(1), plainBank(300), last, first, empty} {
+	for i, s := range []BankState{sampleBank(), plainBank(1), plainBank(300), extreme, empty} {
 		frame := s.Append(nil)
 		if err := got.Decode(frame); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
@@ -71,111 +60,83 @@ func TestBankStateRoundTrip(t *testing.T) {
 	}
 }
 
-// gensColumn returns where the generator column of a bank frame would
-// sit: the end of its key column. The frame's header flag byte is at
-// flagAt.
-func gensColumn(t testing.TB, frame []byte) (flagAt, at int) {
-	t.Helper()
-	h, rest, err := DecodeBankHeader(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagAt = 1
+// flagAt returns where a bank frame's header flag byte sits.
+func flagAt(frame []byte) int {
+	at := 1
 	for i := 0; i < 4; i++ { // Lo, Hi, N, EpsNum
-		_, n, _ := Uvarint(frame[flagAt:])
-		flagAt += n
+		_, n, _ := Uvarint(frame[at:])
+		at += n
 	}
-	for i := h.Lo; i < h.Hi; i++ {
-		_, n, err := Varint(rest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest = rest[n:]
-	}
-	return flagAt, len(frame) - len(rest)
+	return at
 }
 
 // withGens returns frame, which this build wrote, as a monitor whose nodes
-// carried generators wrote it: no flagNoGens, and eight bytes of generator
-// state a node after the keys — a retired dialect.
+// carried generators wrote it: neither flagNoGens nor flagKeysOnly, no
+// bounds, and eight bytes of generator state a node after the keys — a
+// retired dialect.
 func withGens(t testing.TB, frame []byte, states ...uint64) []byte {
 	t.Helper()
-	flagAt, at := gensColumn(t, frame)
-	old := append([]byte(nil), frame[:at]...)
-	old[flagAt] &^= flagNoGens
+	old := bytes.Clone(frame)
+	old[flagAt(old)] = 0
 	for _, state := range states {
 		old = binary.LittleEndian.AppendUint64(old, state)
 	}
-	return append(old, frame[at:]...)
+	return old
 }
 
-// TestBankFrameSize pins what the frame is for: a bank with k members and
-// nothing else out of the ordinary costs its keys and a constant.
+// previousDialect returns frame, which this build wrote, as the monitors
+// before it wrote it: flag byte 0x02, the installed bounds lo and hi after
+// the header, and after the keys the sections given — the member section
+// (gap, flag)*, the violation section and the order section, each ended by
+// a zero byte.
+func previousDialect(frame []byte, lo, hi int64, sections ...byte) []byte {
+	at := flagAt(frame)
+	old := append(bytes.Clone(frame[:at]), flagNoGens)
+	old = AppendVarint(AppendVarint(old, lo), hi)
+	return append(append(old, frame[at+1:]...), sections...)
+}
+
+// TestBankFrameSize pins what the frame is for: a bank costs its keys and
+// a constant, whoever is a member and whatever is installed.
 func TestBankFrameSize(t *testing.T) {
-	const n, k = 4096, 16
+	const n = 4096
 	s := plainBank(n)
 	keyBytes := 0
 	for i := range s.Keys {
 		s.Keys[i] = int64(i)<<20 + 12345
 		keyBytes += SizeVarint(s.Keys[i])
-		if i < k {
-			s.InTop[i*7] = true
-		}
 	}
 	hdr := len(s.BankHeader.Append(nil))
-	if got, want := len(s.Append(nil)), hdr+keyBytes+2*k+3; got != want {
-		t.Fatalf("frame of %d nodes, %d members: %d bytes, want %d", n, k, got, want)
+	if got, want := len(s.Append(nil)), hdr+keyBytes; got != want {
+		t.Fatalf("frame of %d nodes: %d bytes, want %d", n, got, want)
 	}
-}
-
-// bankParts forges a frame from raw parts: the header and key column of a
-// two-node bank, then whatever section bytes the case supplies.
-func bankParts(sections ...byte) []byte {
-	p := BankHeader{N: 4, Lo: 1, Hi: 3, BoundLo: 10, BoundHi: 10}.Append(nil)
-	p = AppendVarint(p, 20)
-	p = AppendVarint(p, 5)
-	return append(p, sections...)
+	if hdr != 4+2*SizeUvarint(uint64(n)) { // tag, Lo, Hi, N, EpsNum, flags
+		t.Fatalf("a header of %d bytes", hdr)
+	}
 }
 
 // TestBankRejectsNonCanonical pins that exactly one byte string encodes a
-// bank: every way of spelling a default, listing an index twice or out of
-// the bank, or padding the frame is malformed — never normalised. (A
-// sparse index cannot go backwards: a gap is unsigned, and 0 ends the
-// section.)
+// bank: a key spelled long, a key column of another length than the
+// header's range, an undefined flag bit and a range outside [0, N) are
+// malformed — never normalised.
 func TestBankRejectsNonCanonical(t *testing.T) {
-	minI, maxI := AppendVarint(nil, math.MinInt64), AppendVarint(nil, math.MaxInt64)
-	fullOrd := append(append([]byte{0, 0, 1}, minI...), maxI...)
+	frame := sampleBank().Append(nil)
 	var b BankState
-	if err := b.Decode(bankParts(1, FlagNodeInTop, 0, 0, 2, 3, 5, 0)); err != nil {
-		t.Fatalf("well-formed forged frame rejected: %v", err)
-	}
-	if !b.InTop[0] || b.InTop[1] || b.OrdLo[1] != -2 || b.OrdHi[1] != -3 || b.Keys[0] != 20 || b.Keys[1] != 5 {
-		t.Fatalf("forged frame decoded as %+v", b)
-	}
 	for _, tc := range []struct {
-		name     string
-		sections []byte
-		want     error
+		name  string
+		frame []byte
+		want  error
 	}{
-		{"zero flag byte listed", []byte{1, 0, 0, 0, 0}, ErrMalformed},
-		{"unknown flag bit listed", []byte{1, 0x08, 0, 0, 0}, ErrMalformed},
-		{"full order filter listed", append(fullOrd, 0), ErrMalformed},
-		{"index past the bank", []byte{3, FlagNodeInTop, 0, 0, 0}, ErrMalformed},
-		{"second index past the bank", []byte{2, FlagNodeInTop, 1, FlagNodeInTop, 0, 0, 0}, ErrMalformed},
-		{"gap that overflows int", append(append([]byte{}, AppendUvarint(nil, math.MaxUint64)...), FlagNodeInTop, 0, 0, 0), ErrMalformed},
-		{"non-canonical gap varint", []byte{0x81, 0x00, FlagNodeInTop, 0, 0, 0}, ErrNonCanonical},
-		{"flag byte missing", []byte{1}, ErrTruncated},
-		{"violation section missing", []byte{0}, ErrTruncated},
-		{"order section missing", []byte{0, 0}, ErrTruncated},
-		{"bytes after the last section", []byte{0, 0, 0, 0}, ErrTrailingBytes},
+		{"bytes after the keys", append(bytes.Clone(frame), 0), ErrTrailingBytes},
+		{"a key short", frame[:len(frame)-1], ErrTruncated},
+		{"a non-canonical key varint", append(append(bytes.Clone(frame[:flagAt(frame)+1]), 0x8e, 0x00), frame[flagAt(frame)+2:]...), ErrNonCanonical}, // key 7, two bytes long
 	} {
-		if err := b.Decode(bankParts(tc.sections...)); !errors.Is(err, tc.want) {
+		if err := b.Decode(tc.frame); !errors.Is(err, tc.want) {
 			t.Errorf("%s: decode returned %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	unknown := bankParts(0, 0, 0)
-	flagAt, _ := gensColumn(t, unknown)
-	unknown[flagAt] |= 0x04
+	unknown := bytes.Clone(frame)
+	unknown[flagAt(unknown)] |= 0x08
 	if err := b.Decode(unknown); !errors.Is(err, ErrMalformed) {
 		t.Errorf("an undefined header flag bit: decode returned %v, want ErrMalformed", err)
 	}
@@ -188,7 +149,7 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 		for _, u := range h {
 			p = AppendUvarint(p, u)
 		}
-		p = append(AppendUvarint(p, 0), flagNoGens, 0, 0, 0, 0, 0)
+		p = append(AppendUvarint(p, 0), flagNoGens|flagKeysOnly, 0, 0, 0, 0, 0)
 		if err := b.Decode(p); !errors.Is(err, ErrMalformed) {
 			t.Errorf("range [%d, %d) of %d: decode returned %v, want ErrMalformed", h[0], h[1], h[2], err)
 		}
@@ -199,10 +160,11 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 // one dialect this build writes and refuses every older one with a typed
 // error instead of upgrading it: the v1 frame (tag 0x14, nine fields a
 // node) is ErrUnknownType; a generator column, the header bit 0x01 of a
-// bank whose keys were raw values, an entry in the violation section and a
-// flag bit beside membership (the WasTop and Extracted bits banks once
-// persisted) are ErrMalformed. The legacy seeds of the fuzz
-// corpora are held to the same: their bank frames are refused.
+// bank whose keys were raw values, and the previous dialect — the
+// installed bounds after the header and the member, violation and order
+// sections after the keys, without the flagKeysOnly bit — are ErrMalformed,
+// whatever those sections hold. The legacy seeds of the fuzz corpora are
+// held to the same: their bank frames are refused.
 func TestBankRefusesRetiredDialects(t *testing.T) {
 	// A v1 frame of a [2, 4) bank of 8 nodes: Lo, Hi, N, EpsNum, flags, and
 	// a node's key, filter, order filter, flags, violation step, generator
@@ -212,12 +174,12 @@ func TestBankRefusesRetiredDialects(t *testing.T) {
 		for _, v := range []int64{7, 5, math.MaxInt64, math.MinInt64, math.MaxInt64} {
 			v1 = AppendVarint(v1, v)
 		}
-		v1 = append(v1, FlagNodeInTop)
+		v1 = append(v1, 1)
 		v1 = AppendUvarint(AppendUvarint(AppendVarint(v1, -1), 0xdeadbeef), 3)
 	}
-	rawKeyed := sampleBank().Append(nil)
-	flagAt, _ := gensColumn(t, rawKeyed)
-	rawKeyed[flagAt] |= 0x01 // beside flagNoGens: 0x03
+	frame := sampleBank().Append(nil)
+	rawKeyed := bytes.Clone(frame)
+	rawKeyed[flagAt(rawKeyed)] |= 0x01 // beside the two bits this build sets: 0x07
 	type refusal struct {
 		name  string
 		frame []byte
@@ -226,16 +188,18 @@ func TestBankRefusesRetiredDialects(t *testing.T) {
 	cases := []refusal{
 		{"a v1 frame", v1, ErrUnknownType},
 		{"raw-value keys", rawKeyed, ErrMalformed},
-		{"a generator column", withGens(t, sampleBank().Append(nil), 0xdeadbeef, 1, 0, 1<<64-1), ErrMalformed},
+		{"a generator column", withGens(t, frame, 0xdeadbeef, 1, 0, 1<<64-1), ErrMalformed},
 		{"a generator column on an empty range", withGens(t, BankState{BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}.Append(nil)), ErrMalformed},
-		{"a violation stamp", bankParts(0, 2, 32, 0, 0), ErrMalformed},
-		{"a violation stamp beside a member", bankParts(1, FlagNodeInTop, 0, 1, 1, 0, 0), ErrMalformed},
-		{"the WasTop bit", bankParts(1, 0x02, 0, 0, 0), ErrMalformed},
-		{"the Extracted bit beside membership", bankParts(2, FlagNodeInTop|0x04, 0, 0, 0), ErrMalformed},
+		{"the previous dialect, empty sections", previousDialect(frame, math.MinInt64, math.MaxInt64, 0, 0, 0), ErrMalformed},
+		{"the previous dialect, members", previousDialect(frame, 5, 9, 1, 1, 2, 1, 0, 0, 0), ErrMalformed},
+		{"the previous dialect, an order filter", previousDialect(frame, 5, 9, 1, 1, 0, 0, 1, 4, 6, 0), ErrMalformed},
+		{"the previous dialect's flag beside flagKeysOnly", append(previousDialect(frame, 5, 9)[:flagAt(frame)], frame[flagAt(frame):]...), ErrMalformed},
 	}
+	cases[len(cases)-1].frame[flagAt(frame)] = flagKeysOnly
 	for _, seed := range []refusal{ // the legacy seeds of the fuzz corpora
 		{"FuzzCheckpointDecode/v1-envelope", nil, ErrUnknownType},
 		{"FuzzCheckpointDecode/v2-envelope-generator-column", nil, ErrMalformed},
+		{"FuzzCheckpointDecode/envelope-no-generator-column", nil, ErrMalformed},
 		{"FuzzDecode/v1-envelope", nil, ErrUnknownType},
 		{"FuzzDecode/v1-nodes-state", nil, ErrUnknownType},
 	} {
@@ -306,64 +270,15 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-// TestBankWriterEnforcesFrameOrder pins that a caller cannot write a frame
-// the reader would refuse, or one that means something else: columns out
-// of order, a default or unknown value, an index that does not increase.
-func TestBankWriterEnforcesFrameOrder(t *testing.T) {
+// TestBankWriterRefusesAShapeItCannotHold pins that a caller cannot write
+// a frame the reader would refuse: a key column of another length than
+// the header's range, or a range outside [0, N).
+func TestBankWriterRefusesAShapeItCannotHold(t *testing.T) {
 	h := BankHeader{N: 4, Lo: 0, Hi: 2}
-	keys := []int64{1, 2}
-	dense := func() *BankWriter {
-		w := BeginBank(nil, h)
-		BankKeys(&w, keys)
-		return &w
-	}
 	for name, f := range map[string]func(){
-		"section before keys":       func() { w := BeginBank(nil, h); w.Member(0) },
-		"end before keys":           func() { w := BeginBank(nil, h); w.End() },
-		"keys twice":                func() { w := BeginBank(nil, h); BankKeys(&w, keys); BankKeys(&w, keys) },
-		"too few keys":              func() { w := BeginBank(nil, h); BankKeys(&w, keys[:1]) },
-		"member after order":        func() { w := dense(); w.Ord(0, 1, 2); w.Member(1) },
-		"index repeated":            func() { w := dense(); w.Member(1); w.Member(1) },
-		"index past the bank":       func() { dense().Member(2) },
-		"negative index":            func() { dense().Ord(-1, 1, 2) },
-		"full order filter":         func() { dense().Ord(0, math.MinInt64, math.MaxInt64) },
-		"anything after End":        func() { w := dense(); w.End(); w.Ord(0, 1, 2) },
-		"bank range outside [0, N)": func() { BeginBank(nil, BankHeader{N: 4, Lo: 3, Hi: 5}) },
-	} {
-		mustPanic(t, name, f)
-	}
-	w := dense()
-	w.Ord(1, 7, 8)
-	var b BankState
-	if err := b.Decode(w.End()); err != nil || b.OrdLo[1] != 7 || b.InTop[0] {
-		t.Fatalf("frame with a skipped section: %+v, %v", b, err)
-	}
-}
-
-// TestBankReaderEnforcesFrameOrder pins the reader's half of the contract:
-// a column taken out of order is the caller's bug, not a decode error.
-func TestBankReaderEnforcesFrameOrder(t *testing.T) {
-	frame := sampleBank().Append(nil)
-	open := func() *BankReader {
-		_, r, err := OpenBank(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &r
-	}
-	keyed := func() *BankReader {
-		r := open()
-		if err := BankReadKeys(r, make([]int64, 4)); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	for name, f := range map[string]func(){
-		"too few key slots":         func() { _ = BankReadKeys(open(), make([]int64, 3)) },
-		"members before keys":       func() { _, _, _ = open().Member() },
-		"keys twice":                func() { _ = BankReadKeys(keyed(), make([]int64, 4)) },
-		"orders before members":     func() { _, _, _, _, _ = keyed().Ord() },
-		"close before the sections": func() { _ = keyed().Close() },
+		"too few keys":              func() { AppendBank(nil, h, []int64{1}) },
+		"too many keys":             func() { AppendBank(nil, h, []int64{1, 2, 3}) },
+		"bank range outside [0, N)": func() { AppendBank(nil, BankHeader{N: 4, Lo: 3, Hi: 5}, []int64{1, 2}) },
 	} {
 		mustPanic(t, name, f)
 	}
@@ -375,7 +290,7 @@ func TestBankReaderEnforcesFrameOrder(t *testing.T) {
 // already sits in the buffer.
 func TestCheckpointWriterMatchesAppend(t *testing.T) {
 	for _, sizes := range [][2]int{{0, 0}, {1, 127}, {127, 128}, {128, 16383}, {16384, 5}, {300, 1 << 15}} {
-		c := Checkpoint{Gen: 9, Engine: EngineConc, Seed: 77,
+		c := Checkpoint{Gen: 9, Engine: EngineShard, Seed: 77,
 			Machine: bytes.Repeat([]byte{0xa5}, sizes[0]), Nodes: bytes.Repeat([]byte{0x5a}, sizes[1]), Last: []int64{3, -3}}
 		want := c.Append([]byte("pre"))
 		w := BeginCheckpoint([]byte("pre"), c.Gen, c.Engine, c.Seed)

@@ -9,9 +9,9 @@ import (
 
 // Checkpoint envelope. A durable coordinator checkpoint is one
 // self-describing frame: a generation number, the fingerprint of the
-// engine that took it, the embedded MachineState (and, for the local
-// engines, bank) snapshot frames, and the networked engines'
-// last-value mirror — everything a dead coordinator process needs to be
+// engine that took it, the embedded MachineState frame, and the in-process
+// engine's bank frame or the link-backed engines' last-value mirror —
+// everything a dead coordinator process needs to be
 // rebuilt by topk.Restore. Unlike the live protocol messages, a
 // checkpoint's threat model includes the storage medium itself: the whole
 // frame is sealed with a trailing CRC-32 (IEEE), and decoders verify the
@@ -21,9 +21,11 @@ import (
 // A checkpoint is one such base frame plus a chain of delta frames
 // (CheckpointDelta) in the same envelope and under the same seal: a delta
 // names its base's generation and carries the machine frame and the
-// values of the nodes observed since the frame before it, which is all a
-// span of steps that charged no message can have moved. A store's Load
-// hands a base and its deltas over in one container (CheckpointChain).
+// values of the nodes observed since the frame before it. That is all a
+// span of steps can have moved, whatever it charged: a node's key moves
+// only when it is observed, and its membership and filter bounds are the
+// coordinator's, which the machine frame records. A store's Load hands a
+// base and its deltas over in one container (CheckpointChain).
 
 // ErrChecksum reports a checkpoint frame whose trailing CRC-32 does not
 // match its contents: the frame was torn mid-write or corrupted at rest.
@@ -32,22 +34,24 @@ import (
 var ErrChecksum = errors.New("wire: checkpoint checksum mismatch")
 
 // Engine fingerprints carried by Checkpoint.Engine. A checkpoint restores
-// only into the engine kind that wrote it: the local engines persist a
-// full Nodes bank, the networked engines persist the value mirror they
+// only into the engine kind that wrote it: the in-process engine persists
+// its bank's keys, the link-backed engines persist the value mirror they
 // replay through the Assign handshake instead.
 const (
 	EngineSeq   uint8 = 0 // in-process engine (internal/core), on any host
-	EngineConc  uint8 = 1 // retired concurrent engine: read as EngineSeq, never written
+	EngineConc  uint8 = 1 // retired concurrent engine, whose frames are another dialect: ErrMalformed
 	EngineNet   uint8 = 2 // networked engine (internal/netrun)
 	EngineShard uint8 = 3 // multi-coordinator engine (internal/shardrun)
 )
 
 // Checkpoint is the wire form of one durable coordinator checkpoint.
 // Machine always holds an embedded MachineState frame. Nodes holds the
-// bank frame (TypeBankState) of the local engines' node bank and is empty
-// for the networked engines, whose node state lives in the peers. Last
-// holds the networked engines' per-node last-value mirror (empty for the
-// local engines, which restore exact node state instead of replaying).
+// bank frame (TypeBankState) of the in-process engine's node bank and is
+// empty for the link-backed engines, whose node state lives in the peers.
+// Last holds the link-backed engines' per-node last-value mirror and is
+// empty for the in-process engine, which restores exact node state instead
+// of replaying. A frame that holds the other family's section is refused
+// on restore.
 type Checkpoint struct {
 	Gen    uint64
 	Engine uint8
@@ -152,9 +156,11 @@ func unseal(p []byte) ([]byte, error) {
 // fingerprint appends the fields every envelope variant carries after its
 // generation numbers: the engine kind, the seed and a flags byte, always
 // zero. (0x01 was the raw-value key domain's: its keys are not this
-// build's, so such a frame is refused as malformed, never reinterpreted.)
+// build's, so such a frame is refused as malformed, never reinterpreted.
+// So is a frame of EngineConc, which only the previous bank dialect was
+// written under.)
 func fingerprint(dst []byte, engine uint8, seed uint64) []byte {
-	if engine > EngineShard {
+	if engine > EngineShard || engine == EngineConc {
 		panic("wire: unknown checkpoint engine fingerprint")
 	}
 	dst = AppendUvarint(dst, uint64(engine))
@@ -168,8 +174,11 @@ func readFingerprint(p []byte) (engine uint8, seed uint64, rest []byte, err erro
 	if u, p, err = uvarintField(p); err != nil {
 		return 0, 0, nil, err
 	}
-	if u > uint64(EngineShard) {
+	switch {
+	case u > uint64(EngineShard):
 		return 0, 0, nil, fmt.Errorf("%w: unknown checkpoint engine fingerprint %d", ErrMalformed, u)
+	case u == uint64(EngineConc):
+		return 0, 0, nil, fmt.Errorf("%w: a frame of the retired concurrent engine, written in a bank dialect no build reads", ErrMalformed)
 	}
 	if seed, p, err = uvarintField(p); err != nil {
 		return 0, 0, nil, err
@@ -240,13 +249,12 @@ func (c *Checkpoint) Decode(p []byte) error {
 
 // CheckpointDelta is the wire form of one delta frame of a checkpoint
 // chain: the state of a monitor whose last Base-generation frame is a full
-// Checkpoint and which has charged no message since the frame before this
-// one. Such a span moves nothing but the observed values and the step
-// counters, so the delta carries the fingerprint (held against the
-// base's on restore), the machine frame, and the value — not the key: keys
+// Checkpoint. It carries the fingerprint (held against the base's on
+// restore), the machine frame, and the value — not the key: keys
 // re-derive — of every node observed since the previous frame, IDs
 // strictly increasing. Restoring is the base, then every delta's values
-// in generation order, under the last delta's machine frame.
+// in generation order, under the last delta's machine frame, which also
+// holds the membership and the filter bounds the restored bank installs.
 //
 //	TypeCheckpointDelta
 //	Gen, Base, Engine, Seed   uvarint each

@@ -32,7 +32,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		sampleCheckpoint(),
 		{Gen: 0, Engine: EngineNet, Seed: 7, Machine: []byte{TypeMachineState}, Last: []int64{5, -5, 0, 1 << 40}},
 		{Gen: 1 << 60, Engine: EngineShard, Machine: []byte{0xff, 0x00}, Last: []int64{}},
-		{Engine: EngineConc, Machine: []byte{}, Nodes: []byte{1, 2, 3}},
+		{Engine: EngineSeq, Machine: []byte{}, Nodes: []byte{1, 2, 3}},
 	}
 	for i, c := range cases {
 		frame := c.Append(nil)
@@ -104,18 +104,21 @@ func TestCheckpointMalformed(t *testing.T) {
 		c := sampleCheckpoint()
 		return mutate(&c)
 	}
-	engine := reseal(func(c *Checkpoint) []byte {
-		frame := c.Append(nil)
-		// Rebuild by hand with a bogus engine byte: tag, gen, engine.
-		body := []byte{TypeCheckpoint}
-		body = AppendUvarint(body, c.Gen)
-		body = AppendUvarint(body, 9) // unknown fingerprint
-		body = append(body, frame[1+SizeUvarint(c.Gen)+1:len(frame)-crcLen]...)
-		return sealRaw(body)
-	})
 	var c Checkpoint
-	if err := c.Decode(engine); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("unknown engine: err = %v, want ErrMalformed", err)
+	// An unknown fingerprint, and the retired concurrent engine's.
+	for _, kind := range []uint64{9, uint64(EngineConc)} {
+		engine := reseal(func(c *Checkpoint) []byte {
+			frame := c.Append(nil)
+			// Rebuild by hand with another engine byte: tag, gen, engine.
+			body := []byte{TypeCheckpoint}
+			body = AppendUvarint(body, c.Gen)
+			body = AppendUvarint(body, kind)
+			body = append(body, frame[1+SizeUvarint(c.Gen)+1:len(frame)-crcLen]...)
+			return sealRaw(body)
+		})
+		if err := c.Decode(engine); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("engine %d: err = %v, want ErrMalformed", kind, err)
+		}
 	}
 	if err := c.Decode(sealRaw([]byte{TypeAssign, 0})); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("wrong tag: err = %v, want ErrUnknownType", err)
@@ -303,24 +306,35 @@ func TestCheckpointChainRoundTrip(t *testing.T) {
 // input is also tried with its last four bytes replaced by the checksum of
 // the rest, so that mutations reach the field decoders behind the seal.
 // The seeds hold what monitors write — topk's recorded fixtures among them:
-// a base of each in-process engine and a chain of a base and three deltas —
-// and, in testdata/fuzz, envelopes whose bank sections are of a retired
-// dialect and must be refused (v1-envelope, v2-envelope-generator-column;
+// an exact and an ε base, and a chain of a base and deltas, whole and
+// frame by frame — and what they must refuse: topk's fixtures of the
+// previous dialect (v3_*) and, in testdata/fuzz, envelopes whose bank
+// sections are of a retired dialect (v1-envelope,
+// v2-envelope-generator-column, envelope-no-generator-column;
 // TestBankRefusesRetiredDialects).
 func FuzzCheckpointDecode(f *testing.F) {
-	for _, fixture := range []string{"seq.ckpt", "conc.ckpt", "seq_eps.ckpt", "seq_chain.ckpt"} {
+	for _, fixture := range []string{"seq.ckpt", "seq_eps.ckpt", "seq_chain.ckpt", "v3_seq.ckpt", "v3_conc.ckpt", "v3_seq_chain.ckpt"} {
 		frame, err := os.ReadFile(filepath.Join("..", "..", "topk", "testdata", fixture))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame)
+		if fixture == "seq_chain.ckpt" {
+			frames, err := SplitCheckpointChain(frame)
+			if err != nil || len(frames) < 2 {
+				f.Fatalf("%s: %d frames, %v", fixture, len(frames), err)
+			}
+			for _, fr := range frames {
+				f.Add(fr)
+			}
+		}
 	}
 	f.Add(sampleCheckpoint().Append(nil))
 	f.Add(Checkpoint{Gen: 3, Engine: EngineNet, Seed: 1, Last: []int64{9, -9}}.Append(nil))
 	f.Add(Checkpoint{Engine: EngineShard, Machine: []byte{0x13}}.Append(nil))
 	f.Add([]byte{TypeCheckpoint})
 	f.Add(sampleDelta().Append(nil))
-	f.Add(CheckpointDelta{Gen: 2, Base: 1, Engine: EngineConc, Machine: []byte{0x13}}.Append(nil))
+	f.Add(CheckpointDelta{Gen: 2, Base: 1, Engine: EngineShard, Machine: []byte{0x13}}.Append(nil))
 	f.Add([]byte{TypeCheckpointDelta})
 	f.Add(CheckpointChain{Frames: [][]byte{sampleCheckpoint().Append(nil), sampleDelta().Append(nil)}}.Append(nil))
 	f.Add([]byte{TypeCheckpointChain, 1, TypeCheckpoint})

@@ -263,8 +263,9 @@ func restoreThroughChainOn(t *testing.T, cfg Config, net, inProcess bool) {
 	}
 	if inProcess {
 		sameLedgers(t, "chain against the twin that never stopped", fromChain, twin)
-		if never := checkpointBase(t, "the twin", twin, loneStore); !bytes.Equal(next, never) {
-			t.Fatal("the next base frame differs from the twin's that never stopped")
+		mach, nodes := engineFrames(t, twin)
+		if never := (wire.Checkpoint{Engine: wire.EngineSeq, Seed: cfg.Seed, Machine: mach, Nodes: nodes}).Append(nil); !bytes.Equal(next, never) {
+			t.Fatal("the next base frame differs from the state of the twin that never stopped")
 		}
 	}
 }
@@ -282,18 +283,17 @@ func engineFrames(t *testing.T, m *Monitor) (mach, nodes []byte) {
 
 // TestCheckpointBaseRule pins when a base is cut and that a chain is a
 // sound and minimal record, on the in-process engine, over a trace of
-// quiet sparse stretches, dense calls and violations, with saves that
-// fail:
+// quiet sparse stretches, dense calls and violations with resets, with
+// saves that fail:
 //
-//   - the first frame is a base, and so is every frame saved after the
-//     ledger moved; any other frame is a delta unless that delta would
-//     have pushed the chain's delta bytes past its base's, and a chain's
-//     delta bytes never exceed its base's;
+//   - the first frame is a base; any other frame is a delta unless that
+//     delta would have pushed the chain's delta bytes past its base's, or a
+//     dense call since the last saved frame left a delta of every node at
+//     two bytes a node no room, and a chain's delta bytes never exceed its
+//     base's. A charged step — a violation, a reset — cuts nothing;
 //   - a delta is, to the byte, the engine's machine frame and the values
 //     of the nodes observed since the last frame that was saved — a failed
 //     Save loses no node, a saved one forgets them all;
-//   - no chain spans a changed generator, membership bit or bound: the
-//     bank frame at every delta is its base's but for the key column;
 //   - at every saved frame, restoring the chain so far gives the engine's
 //     state to the byte.
 func TestCheckpointBaseRule(t *testing.T) {
@@ -311,11 +311,12 @@ func TestCheckpointBaseRule(t *testing.T) {
 	var (
 		chain      [][]byte // the frames of the running chain
 		baseGen    uint64
-		baseNodes  wire.BankState
 		deltaBytes int
 		ledger     Counts           // at the last saved frame
 		touched    = map[int]bool{} // observed since the last saved frame
+		dense      bool             // a dense call since the last saved frame
 		compacted  int              // bases cut for size alone
+		charged    int              // deltas across steps that charged messages
 		failed     int              // failed saves seen so far
 	)
 	for s := 0; s < 400; s++ {
@@ -324,7 +325,7 @@ func TestCheckpointBaseRule(t *testing.T) {
 		switch {
 		case s == 0 || s%97 == 50:
 			ids, vals = nil, tr.vals
-		case s%61 == 30:
+		case s%61 == 30 || s%23 == 11:
 			ids, vals = tr.stir(s % 11)
 		default:
 			ids, vals = tr.step(1 + s%7)
@@ -334,6 +335,7 @@ func TestCheckpointBaseRule(t *testing.T) {
 			for id := 0; id < n; id++ {
 				touched[id] = true
 			}
+			dense = true
 			_, err = mon.Observe(vals)
 		} else {
 			for _, id := range ids {
@@ -355,10 +357,6 @@ func TestCheckpointBaseRule(t *testing.T) {
 		}
 		frame, gen := rec.frames[saved], rec.gens[saved]
 		mach, nodes := engineFrames(t, mon)
-		var bs wire.BankState
-		if err := bs.Decode(nodes); err != nil {
-			t.Fatal(err)
-		}
 		// The delta this frame is, or would have been.
 		delta := wire.CheckpointDelta{Gen: gen, Base: baseGen, Engine: wire.EngineSeq, Seed: cfg.Seed, Machine: mach}
 		for id := 0; id < n; id++ {
@@ -366,20 +364,21 @@ func TestCheckpointBaseRule(t *testing.T) {
 				delta.IDs, delta.Vals = append(delta.IDs, id), append(delta.Vals, tr.vals[id])
 			}
 		}
-		moved := mon.Counts() != ledger
+		outgrows := saved > 0 && (deltaBytes+len(delta.Append(nil)) > len(chain[0]) || dense && deltaBytes+2*n > len(chain[0]))
 		switch {
 		case frame[0] == wire.TypeCheckpoint:
-			if fits := deltaBytes+len(delta.Append(nil)) <= len(chain0(chain)); saved > 0 && !moved && fits {
-				t.Fatalf("step %d: generation %d is a base; the ledger did not move and the delta fits (%d + %d of %d bytes)",
-					s, gen, deltaBytes, len(delta.Append(nil)), len(chain[0]))
-			} else if saved > 0 && !moved {
+			if saved > 0 && !outgrows {
+				t.Fatalf("step %d: generation %d is a base, and its delta fits (%d + %d of %d bytes, dense %v)",
+					s, gen, deltaBytes, len(delta.Append(nil)), len(chain[0]), dense)
+			}
+			if saved > 0 {
 				compacted++
 			}
-			chain, baseGen, baseNodes, deltaBytes = [][]byte{frame}, gen, bs, 0
+			chain, baseGen, deltaBytes = [][]byte{frame}, gen, 0
 		case saved == 0:
 			t.Fatal("the first frame is a delta")
-		case moved:
-			t.Fatalf("step %d: generation %d is a delta, and the ledger moved since the frame before it", s, gen)
+		case outgrows:
+			t.Fatalf("step %d: generation %d is a delta that outgrows its base (%d + %d of %d bytes, dense %v)", s, gen, deltaBytes, len(frame), len(chain[0]), dense)
 		default:
 			if !bytes.Equal(frame, delta.Append(nil)) {
 				t.Fatalf("step %d: generation %d is not the delta of the %d nodes observed since the last saved frame", s, gen, len(delta.IDs))
@@ -388,13 +387,11 @@ func TestCheckpointBaseRule(t *testing.T) {
 			if deltaBytes += len(frame); deltaBytes > len(chain[0]) {
 				t.Fatalf("step %d: the chain's deltas hold %d bytes, its base %d", s, deltaBytes, len(chain[0]))
 			}
-			same := bs
-			same.Keys = baseNodes.Keys
-			if !bytes.Equal(same.Append(nil), baseNodes.Append(nil)) {
-				t.Fatalf("step %d: generation %d is a delta, and the bank differs from its base's in more than keys", s, gen)
+			if mon.Counts() != ledger {
+				charged++
 			}
 		}
-		ledger = mon.Counts()
+		ledger, dense = mon.Counts(), false
 		clear(touched)
 		loaded := frame
 		if len(chain) > 1 {
@@ -421,18 +418,10 @@ func TestCheckpointBaseRule(t *testing.T) {
 	if st.Bytes != bytesSaved {
 		t.Fatalf("stats count %d bytes, the store saw %d", st.Bytes, bytesSaved)
 	}
-	if st.Deltas < 3*st.Bases || compacted == 0 {
-		t.Fatalf("%d bases (%d of them compactions) and %d deltas; the trace exercises too little", st.Bases, compacted, st.Deltas)
+	if st.Deltas < 3*st.Bases || compacted == 0 || charged < 5 || mon.Stats().Resets < 10 {
+		t.Fatalf("%d bases (%d of them compactions), %d deltas (%d across charged steps), %+v; the trace exercises too little",
+			st.Bases, compacted, st.Deltas, charged, mon.Stats())
 	}
-}
-
-// chain0 returns the running chain's base frame, or nothing before there
-// is one.
-func chain0(chain [][]byte) []byte {
-	if len(chain) == 0 {
-		return nil
-	}
-	return chain[0]
 }
 
 // TestRestoreRejectsForgedChains pins the fail-closed side of the fold: a
@@ -522,6 +511,10 @@ func TestRestoreRejectsForgedChains(t *testing.T) {
 				d.Machine = m.Append(nil)
 			})
 		}
+		const resetUp = 6 // the ledger cell of the reset phase (the third of three) and kind up (the first of three)
+		if ms.Counts[resetUp] == 0 || ms.Resets == 0 {
+			t.Fatalf("%s: the last delta's machine frame has charged no reset: %+v", eng.name, ms)
+		}
 		outsider := -1 // a node of d2 below the top-k: its value may not cross the bound
 		for _, id := range d2.IDs {
 			if id < n-k {
@@ -545,14 +538,26 @@ func TestRestoreRejectsForgedChains(t *testing.T) {
 			{"a delta missing from the middle", 3, [][]byte{rec.frames[0], rec.frames[2]}, false},
 			{"a delta on another base", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Base = 7 })}, false},
 			{"a delta of another seed", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Seed++ })}, false},
-			{"a delta of another engine", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Engine = (d.Engine + 1) % 4 })}, false},
+			{"a delta of another engine", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) {
+				if d.Engine = wire.EngineSeq; base.Engine == wire.EngineSeq {
+					d.Engine = wire.EngineNet
+				}
+			})}, false},
 			{"a delta of another tie-break mode", 3, [][]byte{rec.frames[0], rec.frames[1], rawKeyed()}, false},
 			{"a node id past n", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.IDs[len(d.IDs)-1] = n })}, false},
 			{"a value outside the value domain", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Vals[0] = 1 << 62 })}, false},
 			{"a machine frame with another membership", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) { m.Top = append([]int{0}, m.Top[1:]...) })}, false},
 			{"a machine frame with another bound", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) { m.TPlus++ })}, false},
 			{"a machine frame with another statistic", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) { m.Resets++ })}, false},
-			{"a machine frame with another ledger", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) { m.Counts[2]++ })}, false},
+			{"a machine frame with a ledger cell gone backwards", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) { m.Counts[resetUp]-- })}, false},
+			{"a machine frame with a statistic gone backwards and a message charged", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) {
+				m.Counts[resetUp]++
+				m.Resets--
+			})}, false},
+			{"a machine frame of another shape, a message charged", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) {
+				m.Counts[resetUp]++
+				m.K++
+			})}, false},
 			{"a machine frame that steps backwards", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) { m.Step, m.Steps = m.Step-4, m.Steps-4 })}, false},
 			{"a machine frame whose step counters part", 3, [][]byte{rec.frames[0], rec.frames[1], machine(func(m *wire.MachineState) { m.Steps++ })}, false},
 			{"a machine frame that is none", 3, [][]byte{rec.frames[0], rec.frames[1], forge(func(d *wire.CheckpointDelta) { d.Machine = []byte{1, 2, 3} })}, false},
@@ -684,4 +689,192 @@ func midWriteCrashInChainOn(t *testing.T, cfg Config, net bool) {
 			}
 		}
 	}
+}
+
+// traceCall is one observation call of a recorded trace: ids nil is a
+// dense call.
+type traceCall struct {
+	ids  []int
+	vals []int64
+}
+
+// chargedTrace records calls of the quiet trace over n nodes in which
+// violations and resets come between every two saves of a chain saved
+// every four calls: a dense first call, then sparse steps, a stir every six
+// calls and a dense call every thirteen.
+func chargedTrace(n, calls int) []traceCall {
+	tr := newQuietTrace(n, 17)
+	out := []traceCall{{nil, slices.Clone(tr.vals)}}
+	for s := 1; s < calls; s++ {
+		switch {
+		case s%6 == 3:
+			ids, vals := tr.stir(s % 11)
+			out = append(out, traceCall{slices.Clone(ids), slices.Clone(vals)})
+		case s%13 == 7:
+			out = append(out, traceCall{nil, slices.Clone(tr.vals)})
+		default:
+			ids, vals := tr.step(3)
+			out = append(out, traceCall{slices.Clone(ids), slices.Clone(vals)})
+		}
+	}
+	return out
+}
+
+// feedCall makes one recorded call on m and returns its report.
+func feedCall(t *testing.T, m *Monitor, c traceCall) []int {
+	t.Helper()
+	var top []int
+	var err error
+	if c.ids == nil {
+		top, err = m.Observe(c.vals)
+	} else {
+		top, err = m.ObserveDelta(c.ids, c.vals)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// savedChain runs build's monitor over the first calls of trace,
+// checkpointing every four calls, and returns what its store saved, with
+// the index of the call after which each frame was saved and how many of
+// the deltas span steps that charged messages.
+func savedChain(t *testing.T, build func(Config) (*Monitor, error), cfg Config, trace []traceCall, calls int) (rec *recordingStore, savedAt []int, charged int) {
+	t.Helper()
+	rec = &recordingStore{inner: MemCheckpoints()}
+	cfg.Checkpoint = Checkpoint{Store: rec, Every: 4}
+	mon, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	var ledger Counts
+	for i, c := range trace[:calls] {
+		feedCall(t, mon, c)
+		if len(rec.frames) > len(savedAt) {
+			if rec.frames[len(savedAt)][0] == wire.TypeCheckpointDelta && mon.Counts() != ledger {
+				charged++
+			}
+			savedAt, ledger = append(savedAt, i), mon.Counts()
+		}
+	}
+	return rec, savedAt, charged
+}
+
+// chainAt returns what a store holding rec's frames loads at generation
+// gen: the newest base at or before it and the deltas after that base.
+func chainAt(rec *recordingStore, gen int) []byte {
+	b := gen - 1
+	for rec.frames[b][0] != wire.TypeCheckpoint {
+		b--
+	}
+	if b == gen-1 {
+		return rec.frames[b]
+	}
+	return wire.CheckpointChain{Frames: rec.frames[b:gen]}.Append(nil)
+}
+
+// TestRestoreAcrossChargedSteps pins that a delta may span steps that
+// charged messages: the machine frame it carries records the membership
+// and the filter bounds those steps installed. On a trace that violates
+// and resets between saves, most frames after the first are deltas that
+// do; restoring at every generation and running 200 more calls matches a
+// monitor that never stopped in every report, phase ledger and statistic —
+// exact and at ε = 0.05, inline and on a pool of shards. The link-backed
+// engines, over Loopback(2) and a Tree{2, 2}, restore such a chain
+// oracle-exact.
+func TestRestoreAcrossChargedSteps(t *testing.T) {
+	const calls, more = 40, 200
+	for _, host := range []struct {
+		name     string
+		n, procs int
+	}{{"inline", 96, 1}, {"pool", poolNodes, 2}} {
+		for _, eps := range []float64{0, 0.05} {
+			t.Run(fmt.Sprintf("%s/eps=%v", host.name, eps), func(t *testing.T) {
+				cfg := Config{Nodes: host.n, K: 5, Seed: 13, Epsilon: eps}
+				trace := chargedTrace(host.n, calls+more)
+				build := func(c Config) (*Monitor, error) { return newAtProcs(t, host.procs, New, c), nil }
+				rec, savedAt, charged := savedChain(t, build, cfg, trace, calls)
+				if charged < 3 {
+					t.Fatalf("%d of %d frames are deltas across charged steps, want at least 3", charged, len(rec.frames))
+				}
+				for gen := 1; gen <= len(rec.frames); gen++ {
+					restore := func(c Config) (*Monitor, error) { return Restore(rawStore{uint64(gen), chainAt(rec, gen)}, c) }
+					restored := newAtProcs(t, host.procs, restore, cfg)
+					twin := newAtProcs(t, host.procs, New, cfg)
+					for _, c := range trace[:savedAt[gen-1]+1] {
+						feedCall(t, twin, c)
+					}
+					sameLedgers(t, fmt.Sprintf("generation %d, restored", gen), restored, twin)
+					for i, c := range trace[savedAt[gen-1]+1:][:more] {
+						if got, want := feedCall(t, restored, c), feedCall(t, twin, c); !slices.Equal(got, want) {
+							t.Fatalf("generation %d, call %d after the restore: report %v, the twin that never stopped %v", gen, i, got, want)
+						}
+					}
+					sameLedgers(t, fmt.Sprintf("generation %d, %d calls after the restore", gen, more), restored, twin)
+					restored.Close()
+					twin.Close()
+				}
+			})
+		}
+	}
+	for _, link := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"Loopback(2)", func(c *Config) { c.Transport = Loopback(2) }},
+		{"Tree{2, 2}", func(c *Config) { c.Tree = Tree{Branch: 2, Depth: 2} }},
+	} {
+		t.Run(link.name, func(t *testing.T) {
+			cfg := Config{Nodes: 256, K: 5, Seed: 13} // large enough that deltas fit under a base of the value mirror
+			trace := chargedTrace(cfg.Nodes, calls+more)
+			build := func(c Config) (*Monitor, error) {
+				link.mut(&c)
+				return New(c)
+			}
+			rec, savedAt, charged := savedChain(t, build, cfg, trace, calls)
+			if charged < 3 {
+				t.Fatalf("%d of %d frames are deltas across charged steps, want at least 3", charged, len(rec.frames))
+			}
+			gen := len(rec.frames)
+			c := cfg
+			link.mut(&c)
+			restored, err := Restore(rawStore{uint64(gen), chainAt(rec, gen)}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			vals := slices.Clone(trace[0].vals)
+			for _, c := range trace[:savedAt[gen-1]+1] {
+				if c.ids == nil {
+					copy(vals, c.vals)
+				}
+				for j, id := range c.ids {
+					vals[id] = c.vals[j]
+				}
+			}
+			for i, c := range trace[savedAt[gen-1]+1:][:more] {
+				if c.ids == nil {
+					copy(vals, c.vals)
+				}
+				for j, id := range c.ids {
+					vals[id] = c.vals[j]
+				}
+				if got, want := feedCall(t, restored, c), mustOracle(t, vals, cfg.K); !slices.Equal(got, want) {
+					t.Fatalf("call %d after the restore: report %v, oracle %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// mustOracle returns the exact top-k of vals.
+func mustOracle(t *testing.T, vals []int64, k int) []int {
+	t.Helper()
+	want, err := Oracle(vals, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/ckpt"
-	"repro/internal/comm"
 	"repro/internal/order"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -69,14 +68,11 @@ type CheckpointStore interface {
 //
 // What a checkpoint costs is what changed. The first frame after New or
 // Restore is a base, the whole state; a later frame is a delta — the
-// coordinator's hundred bytes and the values of the nodes observed since
-// the frame before — unless a message was charged since that frame (a
-// protocol execution ran, and may have moved membership and bounds: the
-// frame is a base again) or the chain's deltas would
-// outgrow its base (the frame is a base: restoring never reads more than
-// twice one). On the similar inputs the algorithm is built for, steps that
-// charge nothing are the rule, and so are deltas. Frames are CRC-sealed
-// and generation-numbered; a crash during Save is recovered by cutting the
+// coordinator's hundred bytes, which also record the membership and filter
+// bounds, and the values of the nodes observed since the frame before —
+// unless the chain's deltas would outgrow its base (the frame is a base:
+// restoring never reads more than twice one). Frames are CRC-sealed and
+// generation-numbered; a crash during Save is recovered by cutting the
 // chain at its last intact frame, never by restoring a torn one.
 type Checkpoint struct {
 	// Store receives the frames. Required when Every > 0; with a Store
@@ -231,7 +227,6 @@ func (m *Monitor) maybeCheckpoint() {
 // need.
 type ckptChain struct {
 	base     uint64              // generation of the chain's base; 0 — after New and Restore — makes the next frame one
-	ledger   comm.Counts         // the model ledger when the last frame was saved
 	baseLen  int                 // bytes of the base frame
 	deltaLen int                 // bytes of the deltas saved on it
 	dirty    []uint64            // the nodes observed since the last saved frame, a bit each
@@ -267,32 +262,22 @@ func (c *ckptChain) observed(ids []int, n int) {
 // grows the buffer once, to the last base's length, before it is encoded
 // (a link-backed engine's base appends its value mirror a varint at a
 // time, which from a delta-sized buffer is a run of doublings). The frame
-// is a delta on the chain's base unless that cannot describe what
-// happened or would outgrow what it extends:
+// is a delta on the chain's base — the machine frame and the values of the
+// nodes observed since the last saved frame, which is all a span of steps
+// moves, whatever it charged — unless:
 //
 //   - there is no chain yet (the first frame after New or Restore);
-//   - the model ledger moved since the last saved frame. A step that
-//     charges no message ran no protocol execution and installed no filter
-//     (every execution over a non-empty cohort charges its winner's bid):
-//     it moved the observed values and the step counters, which a delta
-//     carries, and nothing else — no membership bit, bound, statistic or
-//     ledger cell. Any charged message voids that argument,
-//     so the frame is a base;
 //   - the chain's deltas, with this one, would exceed its base in bytes:
 //     the bound that keeps a restore under twice a lone base's work and a
-//     store under four base frames.
+//     store under four base frames. A delta of every node, after a dense
+//     call, is judged by its least size without being encoded.
 //
 // A failed attempt changes nothing: the same generation, the same dirty
 // set and the same decision are tried again at the next boundary. Callers
 // hold engineMu in asynchronous mode.
 func (m *Monitor) checkpointLocked() (uint64, error) {
 	c, gen := m.chain, m.ckptGen+1
-	ledger := m.eng.Ledger().Total()
-	base := c.base
-	if ledger != c.ledger {
-		base = 0
-	}
-	dirty := c.dirty
+	base, dirty := c.base, c.dirty
 	if c.all {
 		dirty = nil
 		if c.deltaLen+2*m.cfg.Nodes > c.baseLen {
@@ -327,7 +312,7 @@ func (m *Monitor) checkpointLocked() (uint64, error) {
 		c.deltaLen += len(frame)
 		m.ckptStats.Deltas++
 	}
-	c.ledger, c.all = ledger, false
+	c.all = false
 	clear(c.dirty)
 	m.ckptGen = gen
 	m.ckptStats.Saves++
@@ -363,13 +348,14 @@ func (m *Monitor) Checkpoint(ctx context.Context) (uint64, error) {
 // Restore rebuilds a Monitor from the newest valid checkpoint in store —
 // its newest intact base frame with the deltas saved after it folded in:
 // each delta's values applied in order, the coordinator state the last of
-// them carries adopted, and the whole held to the checks a lone frame
-// passes — taken by a monitor with this same configuration (engine selection,
-// Nodes, K, Seed and Epsilon must all match — a frame
-// never silently restores into a configuration it was not taken under;
-// mismatches yield a typed *RestoreError, store-level failures
-// ErrNoCheckpoint or ErrCorruptCheckpoint, and an invalid cfg the same
-// *ConfigError New returns).
+// them carries adopted (membership and filter bounds included), and the
+// whole held to the checks a lone frame passes — taken by a monitor with
+// this same configuration (engine selection, Nodes, K, Seed and Epsilon
+// must all match — a frame never silently restores into a configuration
+// it was not taken under, nor an envelope that carries another engine
+// family's node section; mismatches yield a typed *RestoreError,
+// store-level failures ErrNoCheckpoint or ErrCorruptCheckpoint, and an
+// invalid cfg the same *ConfigError New returns).
 //
 // The in-process engine resumes bit-identically to a monitor that never
 // stopped. The networked and tree engines handshake their peers from
@@ -413,9 +399,6 @@ func Restore(store CheckpointStore, cfg Config) (*Monitor, error) {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint filed as generation %d ends at generation %d", gen, last))
 	}
 	kind := c.Engine
-	if kind == wire.EngineConc {
-		kind = wire.EngineSeq // a frame of the retired concurrent engine is the in-process engine's
-	}
 	if want := engineKind(cfg); kind != want {
 		return nil, failNew(cfg, badRestore(nil, "checkpoint was taken by the %s engine, config selects the %s engine", engineName(kind), engineName(want)))
 	}

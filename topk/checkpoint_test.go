@@ -476,11 +476,12 @@ func TestCheckpointCrashRestartSoak(t *testing.T) {
 
 // TestRestoreRejectsStaleFilters pins the restore bugfix at the public
 // boundary, on the engine that checkpoints node state: a well-formed,
-// correctly checksummed checkpoint whose bank frame holds filters the
-// algorithm cannot have installed — here an outsider whose value already
-// left its filter, the state of a monitor that would go on serving a
-// stale set — is a typed *RestoreError wrapping coord.ErrFilterState,
-// while the frame as written restores.
+// correctly checksummed checkpoint whose keys the filters its machine frame
+// records do not guard — here an outsider whose value already left its
+// filter, the state of a monitor that would go on serving a stale set —
+// is a typed *RestoreError wrapping coord.ErrFilterState, while the frame
+// as written restores. So is a machine frame whose bounds went stale
+// instead of a key, and one naming a member the keys do not.
 func TestRestoreRejectsStaleFilters(t *testing.T) {
 	store := MemCheckpoints()
 	cfg := Config{Nodes: 8, K: 2, Seed: 3, Checkpoint: Checkpoint{Store: store}}
@@ -515,24 +516,29 @@ func TestRestoreRejectsStaleFilters(t *testing.T) {
 	if err := bs.Decode(c.Nodes); err != nil {
 		t.Fatal(err)
 	}
-	// Outsider 1 above the installed midpoint; then a frame whose
-	// bounds went stale instead of a key, and one flagging a member the
-	// machine does not have.
-	moved, stale, flagged := bs, bs, bs
+	var ms wire.MachineState
+	if err := ms.Decode(c.Machine); err != nil {
+		t.Fatal(err)
+	}
+	mach, err := coord.RestoreMachine(c.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := int64(mach.Installed().Hi)
+	// Outsider 1 above the installed midpoint; then a machine frame whose
+	// bounds went stale instead of a key, and one naming outsider 7 a
+	// member in place of member 2.
+	moved := bs
 	moved.Keys = append([]int64(nil), bs.Keys...)
-	moved.Keys[1] = bs.BoundHi + 1
-	stale.BoundLo, stale.BoundHi = bs.BoundLo+1<<30, bs.BoundHi+1<<30
-	flagged.InTop = append([]bool(nil), bs.InTop...)
-	flagged.InTop[7] = true
-	flagged.Keys = append([]int64(nil), bs.Keys...)
-	flagged.Keys[7] = bs.BoundLo
-	for name, nodes := range map[string][]byte{
-		"key moved":     moved.Append(nil),
-		"bounds stale":  stale.Append(nil),
-		"forged member": flagged.Append(nil),
+	moved.Keys[1] = mid + 1
+	stale, flagged := ms, ms
+	stale.TPlus, stale.TMinus = ms.TPlus+1<<30, ms.TMinus+1<<30
+	flagged.Top = []int{4, 7}
+	for name, forged := range map[string]wire.Checkpoint{
+		"key moved":     {Gen: c.Gen, Engine: c.Engine, Seed: c.Seed, Machine: c.Machine, Nodes: moved.Append(nil)},
+		"bounds stale":  {Gen: c.Gen, Engine: c.Engine, Seed: c.Seed, Machine: stale.Append(nil), Nodes: c.Nodes},
+		"forged member": {Gen: c.Gen, Engine: c.Engine, Seed: c.Seed, Machine: flagged.Append(nil), Nodes: c.Nodes},
 	} {
-		forged := c
-		forged.Nodes = nodes
 		store := MemCheckpoints()
 		if err := store.Save(gen, forged.Append(nil)); err != nil {
 			t.Fatal(err)
@@ -544,6 +550,63 @@ func TestRestoreRejectsStaleFilters(t *testing.T) {
 		}
 		if m != nil {
 			m.Close()
+		}
+	}
+}
+
+// TestRestoreRefusesTheOtherFamilysNodeSection pins that an envelope is
+// read as the engine family its fingerprint names, whole: an in-process
+// envelope that also carries a value mirror, and a networked one that also
+// carries a bank frame, are refused with a *RestoreError rather than
+// restored with the surplus section ignored.
+func TestRestoreRefusesTheOtherFamilysNodeSection(t *testing.T) {
+	const n = 16
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i * 10)
+	}
+	base := func(cfg Config) wire.Checkpoint {
+		store := MemCheckpoints()
+		cfg.Checkpoint = Checkpoint{Store: store}
+		mon, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mon.Close()
+		if _, err := mon.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		return checkpointFrame(t, mon, store)
+	}
+	cfg := Config{Nodes: n, K: 3, Seed: 4}
+	seq := base(cfg)
+	netCfg := cfg
+	netCfg.Transport = Loopback(2)
+	net := base(netCfg)
+	withMirror, withBank := seq, net
+	withMirror.Last = vals
+	withBank.Nodes = seq.Nodes
+	for _, c := range []struct {
+		name  string
+		frame wire.Checkpoint
+		net   bool
+	}{
+		{"an in-process envelope", seq, false},
+		{"a networked envelope", net, true},
+		{"an in-process envelope with a value mirror", withMirror, false},
+		{"a networked envelope with a bank frame", withBank, true},
+	} {
+		restoreCfg := cfg
+		if c.net {
+			restoreCfg.Transport = Loopback(2)
+		}
+		m, err := Restore(rawStore{c.frame.Gen, c.frame.Append(nil)}, restoreCfg)
+		if m != nil {
+			m.Close()
+		}
+		var re *RestoreError
+		if surplus := len(c.frame.Last) > 0 && len(c.frame.Nodes) > 0; surplus != errors.As(err, &re) || surplus == (err == nil) {
+			t.Fatalf("%s: Restore returned %v; want a *RestoreError exactly when the envelope carries both sections", c.name, err)
 		}
 	}
 }

@@ -103,11 +103,14 @@ func fanoutConfig(cfg Config) shardrun.Config {
 
 // foldMirror is the one check of a link-backed engine's checkpoint chain,
 // base envelope c and the deltas after it, run before any link is used:
-// the value mirror c.Last — what the engine replays to its peers — must
-// hold one value per node; every delta's values, each held to the value
-// domain, patch it; and the machine frame the chain ends on must open
-// under cfg. It returns that machine.
+// c carries no bank frame, the value mirror c.Last — what the engine
+// replays to its peers — holds one value per node; every delta's values,
+// each held to the value domain, patch it; and the machine frame the chain
+// ends on must open under cfg. It returns that machine.
 func foldMirror(cfg Config, c *wire.Checkpoint, deltas [][]byte) (*coord.Machine, error) {
+	if len(c.Nodes) != 0 {
+		return nil, badRestore(nil, "a link-backed checkpoint carrying a bank frame of %d bytes", len(c.Nodes))
+	}
 	if len(c.Last) != cfg.Nodes {
 		return nil, badRestore(nil, "checkpoint mirror has %d values for n=%d", len(c.Last), cfg.Nodes)
 	}

@@ -339,10 +339,10 @@ var grown []byte
 //   - after a base and two deltas the buffer holds at most twice the
 //     larger of the last two frames: a base's size is not held for the
 //     monitor's lifetime;
-//   - a base forced by a stir and the two deltas after it allocate at most
-//     two buffers beyond what the memory store does: the base grows the
-//     buffer once, to the last base's length, and the second delta swaps
-//     it for one of its own size.
+//   - a base — cut when the chain's deltas would outgrow the last one —
+//     and the two deltas after it allocate at most two buffers beyond what
+//     the memory store does: the base grows the buffer once, to the last
+//     base's length, and the second delta swaps it for one of its own size.
 //
 // It runs on the in-process engine, also under Ingest, and on a star of two
 // loopback peers, whose base is its value mirror appended a varint at a
@@ -400,9 +400,8 @@ func TestCheckpointBufferFollowsItsFrames(t *testing.T) {
 				}
 			}
 			// window makes every calls, the first of them a stir of node
-			// stirred when stirred >= 0, and the save after them. The nodes
-			// stirred so far, 0 to stirred, stay where the stirs put them: a
-			// step that moved one back down would force a base of its own.
+			// stirred when stirred >= 0 — a violation and a reset, which
+			// cut no base — and the save after them.
 			tr := newQuietTrace(n, 5)
 			window := func(stirred int) uint64 {
 				t.Helper()
@@ -454,8 +453,22 @@ func TestCheckpointBufferFollowsItsFrames(t *testing.T) {
 			// counted.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			for c := 0; c < cycles; c++ {
-				allocs := window(c) + window(c) + window(c)
-				check(c+1, int64(c+2), int64(2*c+4))
+				// Windows until the chain's deltas outgrow its base and one
+				// is cut: that window and the two after it are counted.
+				st := m.CheckpointStats()
+				allocs := window(c)
+				for m.CheckpointStats().Bases == st.Bases {
+					if m.CheckpointStats().Deltas > st.Deltas+64 {
+						t.Fatalf("cycle %d: no base after %d deltas", c+1, m.CheckpointStats().Deltas-st.Deltas)
+					}
+					allocs = window(-1)
+				}
+				allocs += window(-1) + window(-1)
+				st = m.CheckpointStats()
+				check(c+1, st.Bases, st.Deltas)
+				if st.Bases != int64(c+2) {
+					t.Fatalf("cycle %d: %d bases saved, want %d", c+1, st.Bases, c+2)
+				}
 				if allocs > 2*perBuffer {
 					t.Fatalf("cycle %d: a base and two deltas allocated %d times, budget 2 buffers of %d allocations", c+1, allocs, perBuffer)
 				}

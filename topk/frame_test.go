@@ -13,16 +13,13 @@ import (
 	"repro/internal/wire"
 )
 
-// The checkpoint fixtures under testdata/. seq.ckpt, conc.ckpt and
-// seq_eps.ckpt are the envelopes a monitor of parentFrameCfg — on the
-// sequential engine, on the concurrent engine (retired, its frames
-// restoring as in-process), and sequential at ε = 0.05 —
-// saved after parentFrameSteps goldenWalk steps; seq_chain.ckpt is what
+// The checkpoint fixtures under testdata/. seq.ckpt and seq_eps.ckpt are
+// the envelopes a monitor of parentFrameCfg — exact, and at ε = 0.05 —
+// saves after parentFrameSteps goldenWalk steps; seq_chain.ckpt is what
 // MemCheckpoints' Load hands over after runToChain: a base and three
-// deltas. All four were recorded at commit 07a97c2 through
-// Monitor.Checkpoint, re-recorded once when the coin came to draw 64 ids a
-// word (the ledgers they carry moved, the frame layout did not), and are
-// the one dialect this build writes and reads.
+// deltas, one of them spanning a reset. They were recorded through
+// Monitor.Checkpoint by the build whose bank frame is the key column alone,
+// and are the one dialect this build writes and reads.
 //
 // retiredFrames are the envelopes of monitors that wrote another dialect
 // of the bank frame: each is refused with a typed error, not upgraded.
@@ -39,6 +36,16 @@ var retiredFrames = []struct {
 	// Violation stamps and the WasTop and Extracted bits, behind a generator
 	// column: ErrMalformed.
 	{"v2_conc_viol.ckpt", Config{Nodes: 48, K: 5, Seed: 21}, wire.ErrMalformed},
+	// The previous dialect — the installed bounds, and member, violation
+	// and order sections beside the keys — as the builds before this one
+	// wrote the states of seq.ckpt, seq_eps.ckpt and seq_chain.ckpt (the
+	// chain over the quiet trace without its stir): ErrMalformed.
+	{"v3_seq.ckpt", parentFrameCfg, wire.ErrMalformed},
+	{"v3_seq_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05}, wire.ErrMalformed},
+	{"v3_seq_chain.ckpt", chainFrameCfg, wire.ErrMalformed},
+	// The same dialect under the retired concurrent engine's fingerprint,
+	// which is refused before its bank section is read: ErrMalformed.
+	{"v3_conc.ckpt", parentFrameCfg, wire.ErrMalformed},
 }
 
 // goldenWalk is the input the fixtures were taken under: every node starts
@@ -58,24 +65,22 @@ func goldenWalk() func(vals []int64) {
 }
 
 // TestRestoreGoldenV1Frames pins that the frames of retired dialects are
-// refused, not upgraded: each committed fixture is an intact envelope whose
-// bank section Restore answers with a *RestoreError wrapping the wire error
-// of its dialect, touching neither the store it restores from nor — when
-// that store is also the one it was asked to checkpoint to — anything else.
+// refused, not upgraded: each committed fixture, handed over as a store's
+// Load hands it over, is answered with a *RestoreError wrapping the wire
+// error of its dialect, and nothing is saved to the store it restores
+// from, which is also the one it was asked to checkpoint to.
 func TestRestoreGoldenV1Frames(t *testing.T) {
 	for _, r := range retiredFrames {
-		frame, err := os.ReadFile(filepath.Join("testdata", r.file))
+		loaded, err := os.ReadFile(filepath.Join("testdata", r.file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var c wire.Checkpoint
-		if err := c.Decode(frame); err != nil {
-			t.Fatalf("%s: the envelope does not decode: %v", r.file, err)
+		frames, err := wire.SplitCheckpointChain(loaded)
+		if err != nil || len(frames) == 0 {
+			t.Fatalf("%s: %d frames, %v", r.file, len(frames), err)
 		}
-		store := MemCheckpoints()
-		if err := store.Save(c.Gen, frame); err != nil {
-			t.Fatal(err)
-		}
+		gen := uint64(len(frames)) // the fixtures' chains start at generation 1
+		store := &recordingStore{inner: rawStore{gen, loaded}}
 		cfg := r.cfg
 		cfg.Checkpoint = Checkpoint{Store: store, Every: 1}
 		m, err := Restore(store, cfg)
@@ -83,8 +88,8 @@ func TestRestoreGoldenV1Frames(t *testing.T) {
 		if m != nil || !errors.As(err, &re) || !errors.Is(err, r.want) {
 			t.Fatalf("%s: Restore returned %v, %v; want a *RestoreError wrapping %v", r.file, m, err, r.want)
 		}
-		if gen, loaded, err := store.Load(); err != nil || gen != c.Gen || !bytes.Equal(loaded, frame) {
-			t.Fatalf("%s: the refused restore left the store at generation %d (%v), frame intact: %v", r.file, gen, err, bytes.Equal(loaded, frame))
+		if store.tries != 0 {
+			t.Fatalf("%s: the refused restore tried %d saves", r.file, store.tries)
 		}
 	}
 }
@@ -337,12 +342,33 @@ func restoreParentFrame(t *testing.T, file string, cfg Config) {
 	}
 }
 
-// TestRestoreParentConcurrentFrame restores testdata/conc.ckpt, a frame of
-// the retired concurrent engine (wire.EngineConc), into a Config that no
-// longer names it (restoreParentFrame): a parent's in-process frame
-// restores as the in-process engine's, on either host.
+// TestRestoreParentConcurrentFrame pins what became of the retired
+// concurrent engine's frame: testdata/v3_conc.ckpt, written under
+// wire.EngineConc in the state of seq.ckpt, is refused, though it holds
+// seq.ckpt's machine section and its keys, which restore
+// (TestRestoreParentSequentialFrame).
 func TestRestoreParentConcurrentFrame(t *testing.T) {
-	restoreParentFrame(t, "conc.ckpt", parentFrameCfg)
+	conc, err := os.ReadFile(filepath.Join("testdata", "v3_conc.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := os.ReadFile(filepath.Join("testdata", "seq.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c wire.Checkpoint
+	if err := c.Decode(frame); err != nil {
+		t.Fatal(err)
+	}
+	hdr := len(wire.BankHeader{N: parentFrameCfg.Nodes, Hi: parentFrameCfg.Nodes}.Append(nil))
+	if !bytes.Contains(conc, c.Machine) || !bytes.Contains(conc, c.Nodes[hdr:]) {
+		t.Fatal("v3_conc.ckpt does not hold the machine section and the keys of seq.ckpt")
+	}
+	m, err := Restore(rawStore{c.Gen, conc}, parentFrameCfg)
+	var re *RestoreError
+	if m != nil || !errors.As(err, &re) || !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("v3_conc.ckpt: Restore returned %v, %v; want a *RestoreError wrapping wire.ErrMalformed", m, err)
+	}
 }
 
 // TestRestoreParentSequentialFrame is the same for the sequential engine's
@@ -356,9 +382,10 @@ func TestRestoreParentSequentialFrame(t *testing.T) {
 
 // TestBankFrameIsOneFrame pins what the in-process engine writes: the
 // envelope it saves in the fixtures' state is testdata/seq.ckpt byte for
-// byte, and testdata/conc.ckpt, which the retired concurrent engine wrote
-// in that state, holds the same machine and bank sections — live state
-// only, one frame for every host; the engine byte alone told them apart.
+// byte, and testdata/v3_seq.ckpt, which the builds before it wrote in that
+// state, holds the same machine section and, behind the installed bounds
+// it repeated, the same key column — the bank frame lost what the machine
+// frame records, and nothing else.
 func TestBankFrameIsOneFrame(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "seq.ckpt"))
 	if err != nil {
@@ -370,15 +397,18 @@ func TestBankFrameIsOneFrame(t *testing.T) {
 	if _, got, _ := store.Load(); !bytes.Equal(got, want) {
 		t.Fatalf("the envelope saved in the state of seq.ckpt is %d bytes and not the recorded %d", len(got), len(want))
 	}
-	frame, err := os.ReadFile(filepath.Join("testdata", "conc.ckpt"))
+	frame, err := os.ReadFile(filepath.Join("testdata", "v3_seq.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var conc wire.Checkpoint
-	if err := conc.Decode(frame); err != nil || conc.Engine != wire.EngineConc {
-		t.Fatalf("conc.ckpt decodes as engine %d, %v; want the concurrent engine's", conc.Engine, err)
+	var old wire.Checkpoint
+	if err := old.Decode(frame); err != nil {
+		t.Fatal(err)
 	}
-	sameSections(t, "the concurrent engine's envelope against the in-process engine's", conc, sections)
+	hdr := len(wire.BankHeader{N: parentFrameCfg.Nodes, Hi: parentFrameCfg.Nodes}.Append(nil))
+	if !bytes.Equal(old.Machine, sections.Machine) || !bytes.Contains(old.Nodes, sections.Nodes[hdr:]) || len(old.Nodes) <= len(sections.Nodes) {
+		t.Fatal("v3_seq.ckpt does not hold this build's machine section and key column beside more")
+	}
 }
 
 // chainFrameCfg is the monitor the recorded chain (testdata/seq_chain.ckpt)
@@ -386,9 +416,9 @@ func TestBankFrameIsOneFrame(t *testing.T) {
 var chainFrameCfg = Config{Nodes: 256, K: 4, Seed: 11}
 
 // runToChain drives a monitor of chainFrameCfg, checkpointing to store
-// every checkpointEvery steps when it is not nil, over the quiet trace the
-// chain was recorded on: a dense first step and 15 sparse ones that charge
-// nothing.
+// every checkpointEvery steps when it is not nil, over the trace the chain
+// was recorded on: a dense first step and 15 sparse ones, which charge
+// nothing but the tenth — a stir, which costs a violation and a reset.
 func runToChain(t *testing.T, store CheckpointStore, checkpointEvery int) *Monitor {
 	t.Helper()
 	cfg := chainFrameCfg
@@ -403,7 +433,11 @@ func runToChain(t *testing.T, store CheckpointStore, checkpointEvery int) *Monit
 		t.Fatal(err)
 	}
 	for s := 1; s < 16; s++ {
-		if _, err := mon.ObserveDelta(tr.step(5)); err != nil {
+		ids, vals := tr.step(5)
+		if s == 10 {
+			ids, vals = tr.stir(3)
+		}
+		if _, err := mon.ObserveDelta(ids, vals); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,11 +445,12 @@ func runToChain(t *testing.T, store CheckpointStore, checkpointEvery int) *Monit
 }
 
 // TestRestoreRecordedChain restores testdata/seq_chain.ckpt — a base and
-// three deltas, as the store's Load hands them over, and what this build
-// writes for them to the byte — into a monitor that agrees with a twin that
-// never stopped on every count and statistic, and whose first save, a
-// base, holds the machine and bank sections of the twin's base at the same
-// step, byte for byte.
+// three deltas, the last two of them across the reset a stir costs, as the
+// store's Load hands them over, and what this build writes for them to the
+// byte — into a monitor that agrees with a twin that never stopped on
+// every count and statistic, and whose first save, a base, holds the
+// machine and bank sections of the twin's base at the same step, byte for
+// byte.
 func TestRestoreRecordedChain(t *testing.T) {
 	loaded, err := os.ReadFile(filepath.Join("testdata", "seq_chain.ckpt"))
 	if err != nil {
