@@ -217,7 +217,7 @@ func (o *options) name(cfg topk.Config) string {
 
 // graded is the monitor under test as sim.Run drives it: a sim.Algorithm
 // whose Observe is the public monitor's. With -ordered graded also holds
-// the monitor's ranking to sim.RankOracle at every step; sim.Run grades
+// the monitor's ranking to order.RankOracle at every step; sim.Run grades
 // the set.
 type graded struct {
 	mon     *topk.Monitor
@@ -277,7 +277,7 @@ func (g *graded) Observe(vals []int64) []int {
 	}
 	if g.ordered && err == nil {
 		g.ranking = g.mon.AppendRanking(g.ranking[:0])
-		if !slices.Equal(g.ranking, sim.RankOracle(vals, g.k)) {
+		if !slices.Equal(g.ranking, order.RankOracle(vals, g.k)) {
 			g.rankErrors++
 		}
 	}
@@ -381,12 +381,12 @@ func (o *options) runAsync(ctx context.Context, mon *topk.Monitor, cfg topk.Conf
 	final := matrix[len(matrix)-1]
 	got := mon.AppendTop(nil)
 	if !sim.EpsValid(final, got, o.k, o.epsilon) { // at ε = 0: got is the oracle's set
-		return fmt.Errorf("final report %v, oracle %v, ε=%g (this is a bug)", got, sim.Oracle(final, o.k), o.epsilon)
+		return fmt.Errorf("final report %v, oracle %v, ε=%g (this is a bug)", got, order.Oracle(final, o.k), o.epsilon)
 	}
 	var ranking []int
 	if o.ordered {
 		ranking = mon.AppendRanking(nil)
-		if want := sim.RankOracle(final, o.k); !slices.Equal(ranking, want) {
+		if want := order.RankOracle(final, o.k); !slices.Equal(ranking, want) {
 			return fmt.Errorf("final ranking %v, oracle %v (this is a bug)", ranking, want)
 		}
 	}

@@ -379,32 +379,22 @@ func TestChangesEntryBudget(t *testing.T) {
 	check()
 }
 
-// TestOneEngineBoundary keeps the command and the examples clients of the
-// public package: what builds an engine, wires an ingest driver, runs a
+// TestOneEngineBoundary keeps the command and topk's Examples clients of
+// the public package: what builds an engine, wires an ingest driver, runs a
 // checkpoint loop or opens a frame does so behind repro/topk, and none of
 // them may import the packages that would let it do so a second time.
 // (Workloads, the oracle and TCP listen/dial are not the monitor and stay
-// importable.)
+// importable by the command.)
 func TestOneEngineBoundary(t *testing.T) {
 	behindTopk := regexp.MustCompile(`^repro/internal/(core|runtime|netrun|shardrun|fanout|coord|ingest|ckpt|wire)(/|$)`)
-	dirs, err := filepath.Glob("examples/*")
+	files, err := filepath.Glob("cmd/topkmon/*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs = append(dirs, "cmd/topkmon")
-	if len(dirs) < 8 {
-		t.Fatalf("found only %v", dirs)
-	}
-	for _, dir := range dirs {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
+	files = slices.DeleteFunc(files, func(f string) bool { return strings.HasSuffix(f, "_test.go") })
+	for _, group := range [][]string{files, {"topk/example_test.go"}} {
 		imports := 0
-		for _, file := range files {
-			if strings.HasSuffix(file, "_test.go") {
-				continue
-			}
+		for _, file := range group {
 			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
 			if err != nil {
 				t.Fatal(err)
@@ -417,8 +407,46 @@ func TestOneEngineBoundary(t *testing.T) {
 			}
 		}
 		if imports == 0 {
-			t.Errorf("%s: no imports parsed", dir)
+			t.Errorf("%v: no imports parsed", group)
 		}
+	}
+}
+
+// TestTopkLinksNoHarness keeps the simulation harness out of every program
+// that links repro/topk: no non-test file of topk, or of a repo package it
+// reaches through such files, imports the workloads, the rival algorithms,
+// the simulator, the experiments or their statistics.
+func TestTopkLinksNoHarness(t *testing.T) {
+	harness := regexp.MustCompile(`^repro/internal/(sim|baseline|stream|bench|stats)(/|$)`)
+	seen := map[string]bool{"repro/topk": true}
+	for queue := []string{"repro/topk"}; len(queue) > 0; queue = queue[1:] {
+		files, err := filepath.Glob(filepath.Join(strings.TrimPrefix(queue[0], "repro/"), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				path := strings.Trim(imp.Path.Value, `"`)
+				if !strings.HasPrefix(path, "repro/") || seen[path] {
+					continue
+				}
+				if harness.MatchString(path) {
+					t.Errorf("%s imports %s: a program that links repro/topk would link it too", file, path)
+				}
+				seen[path] = true
+				queue = append(queue, path)
+			}
+		}
+	}
+	if !seen["repro/internal/core"] {
+		t.Fatalf("the walk from repro/topk never reached repro/internal/core: %v", seen)
 	}
 }
 

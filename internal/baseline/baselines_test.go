@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/comm"
@@ -13,23 +12,6 @@ import (
 // algorithm is the common shape of all baselines under test.
 type algorithm interface {
 	Observe(vals []int64) []int
-}
-
-// oracle computes the true top-k ids ascending under the shared injection.
-func oracle(vals []int64, k int) []int {
-	codec := order.NewCodec(len(vals))
-	keys := make([]order.Key, len(vals))
-	for i, v := range vals {
-		keys[i] = codec.Encode(v, i)
-	}
-	ids := make([]int, len(vals))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
-	top := append([]int(nil), ids[:k]...)
-	sort.Ints(top)
-	return top
 }
 
 func equal(a, b []int) bool {
@@ -52,7 +34,7 @@ func checkExact(t *testing.T, alg algorithm, src stream.Source, k, steps int) {
 	for s := 0; s < steps; s++ {
 		src.Step(vals)
 		got := alg.Observe(vals)
-		want := oracle(vals, k)
+		want := order.Oracle(vals, k)
 		if !equal(got, want) {
 			t.Fatalf("step %d: got %v want %v (vals=%v)", s, got, want, vals)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/order"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
@@ -56,7 +57,7 @@ func runOrdered(matrix [][]int64, n, k int, seed uint64) float64 {
 	for _, vals := range matrix {
 		om.Observe(vals)
 		got = om.AppendRanking(got[:0])
-		if !slices.Equal(got, sim.RankOracle(vals, k)) {
+		if !slices.Equal(got, order.RankOracle(vals, k)) {
 			panic("bench: ordered monitor rank mismatch")
 		}
 	}

@@ -2,35 +2,12 @@ package coord
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/order"
 	"repro/internal/stream"
 )
-
-// oracle computes the exact top-k ids (ascending) under the shared
-// tie-break injection, mirroring sim.Oracle — which this package cannot
-// import since sim's async runner now builds on coord.Pending.
-func oracle(vals []int64, k int) []int {
-	top := rankOracle(vals, k)
-	sort.Ints(top)
-	return top
-}
-
-// rankOracle is the exact top-k by rank, largest first, under the same
-// tie-break (equal values: smaller id wins), mirroring sim.RankOracle.
-func rankOracle(vals []int64, k int) []int {
-	ids := make([]int, len(vals))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		return vals[ids[a]] > vals[ids[b]] || vals[ids[a]] == vals[ids[b]] && ids[a] < ids[b]
-	})
-	return ids[:k]
-}
 
 // driver is the smallest possible adapter: one Machine over one Nodes
 // bank, effects executed by direct calls. It is the skeleton every real
@@ -152,7 +129,7 @@ func TestMachineExactness(t *testing.T) {
 		for s := 0; s < 300; s++ {
 			src.Step(vals)
 			got := d.observe(vals)
-			if want := oracle(vals, tc.k); !equal(got, want) {
+			if want := order.Oracle(vals, tc.k); !equal(got, want) {
 				t.Fatalf("n=%d k=%d step %d: got %v want %v", tc.n, tc.k, s, got, want)
 			}
 		}

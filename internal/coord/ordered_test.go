@@ -36,7 +36,7 @@ func TestOrderedSmallScopeExhaustive(t *testing.T) {
 				before := d.orderChecks
 				d.observe(vals)
 				got := d.mach.AppendRanking(nil)
-				if want := rankOracle(vals, k); !slices.Equal(got, want) {
+				if want := order.RankOracle(vals, k); !slices.Equal(got, want) {
 					t.Fatalf("k=%d seq=%v step %d: ranking %v, oracle %v", k, seq, s, got, want)
 				}
 				for pos, id := range got {
@@ -126,13 +126,13 @@ func TestOrderedMisuse(t *testing.T) {
 		}
 	}
 	d.drive(d.mach.ForceReset(), d.mach.Step())
-	if got, want := d.mach.AppendRanking(nil), rankOracle(vals, k); !slices.Equal(got, want) {
+	if got, want := d.mach.AppendRanking(nil), order.RankOracle(vals, k); !slices.Equal(got, want) {
 		t.Fatalf("after Abort and ForceReset: ranking %v, oracle %v", got, want)
 	}
 	for s := 0; s < 20; s++ {
 		src.Step(vals)
 		d.observe(vals)
-		if got, want := d.mach.AppendRanking(nil), rankOracle(vals, k); !slices.Equal(got, want) {
+		if got, want := d.mach.AppendRanking(nil), order.RankOracle(vals, k); !slices.Equal(got, want) {
 			t.Fatalf("post-recovery step %d: ranking %v, oracle %v", s, got, want)
 		}
 	}

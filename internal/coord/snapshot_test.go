@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/order"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -108,13 +109,13 @@ func TestAbortForceResetReconverges(t *testing.T) {
 	if got := d.mach.Stats().Resets; got != resets+1 {
 		t.Fatalf("forced reset not counted: %d -> %d", resets, got)
 	}
-	if want := oracle(vals, k); !equal(d.mach.Top(), want) {
+	if want := order.Oracle(vals, k); !equal(d.mach.Top(), want) {
 		t.Fatalf("after forced reset: got %v want %v", d.mach.Top(), want)
 	}
 	for s := 0; s < 50; s++ {
 		src.Step(vals)
 		got := d.observe(vals)
-		if want := oracle(vals, k); !equal(got, want) {
+		if want := order.Oracle(vals, k); !equal(got, want) {
 			t.Fatalf("post-recovery step %d: got %v want %v", s, got, want)
 		}
 	}

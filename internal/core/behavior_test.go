@@ -26,7 +26,7 @@ func TestMonitorCommonModeGrowth(t *testing.T) {
 			vals[i] = base[i] + int64(s)*700 // strong common-mode climb
 		}
 		got := m.Observe(vals)
-		if want := oracleTop(m, vals); !equalInts(got, want) {
+		if want := order.Oracle(vals, m.K()); !equalInts(got, want) {
 			t.Fatalf("step %d: got %v want %v", s, got, want)
 		}
 	}
@@ -79,7 +79,7 @@ func TestMonitorExtremeMagnitudes(t *testing.T) {
 	}
 	for s, vals := range rows {
 		got := m.Observe(vals)
-		if want := oracleTop(m, vals); !equalInts(got, want) {
+		if want := order.Oracle(vals, m.K()); !equalInts(got, want) {
 			t.Fatalf("step %d: got %v want %v", s, got, want)
 		}
 	}
@@ -142,7 +142,7 @@ func TestMonitorRegimeWorkload(t *testing.T) {
 	for s := 0; s < steps; s++ {
 		g.Step(vals)
 		got := m.Observe(vals)
-		if want := oracleTop(m, vals); !equalInts(got, want) {
+		if want := order.Oracle(vals, m.K()); !equalInts(got, want) {
 			t.Fatalf("step %d: got %v want %v", s, got, want)
 		}
 		cost := float64(m.Counts().Total() - prev)

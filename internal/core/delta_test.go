@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/order"
@@ -82,7 +81,7 @@ func TestDeltaAgainstOracle(t *testing.T) {
 			dense[ids[j]] = vals[j]
 		}
 		got := m.ObserveDelta(ids[:c], vals[:c])
-		want := oracleIDs(m, dense, k)
+		want := order.Oracle(dense, k)
 		if !equalInts(got, want) {
 			t.Fatalf("step %d: got %v want %v", s, got, want)
 		}
@@ -90,19 +89,6 @@ func TestDeltaAgainstOracle(t *testing.T) {
 			t.Fatalf("step %d: %v", s, err)
 		}
 	}
-}
-
-func oracleIDs(m *Monitor, vals []int64, k int) []int {
-	keys := make([]order.Key, len(vals))
-	encodeAll(vals, keys)
-	ids := make([]int, len(vals))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
-	top := append([]int(nil), ids[:k]...)
-	sort.Ints(top)
-	return top
 }
 
 // TestEmptyDeltaStep asserts that a step where nothing changed is legal,

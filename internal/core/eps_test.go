@@ -32,7 +32,7 @@ func TestEpsFilterInvariant(t *testing.T) {
 		if err := m.Filters().ValidateEps(m.Keys(), tol); err != nil {
 			t.Fatalf("step %d: ε filter invariant broken: %v", s, err)
 		}
-		if !equalInts(top, sim.Oracle(vals, k)) {
+		if !equalInts(top, order.Oracle(vals, k)) {
 			if !sim.EpsValid(vals, top, k, eps) {
 				t.Fatalf("step %d: report %v neither exact nor ε-valid", s, top)
 			}

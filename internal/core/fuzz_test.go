@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/order"
-	"repro/internal/sim"
 )
 
 // decodeWorkload turns fuzzer bytes into a small monitoring instance:
@@ -42,22 +40,6 @@ func decodeWorkload(data []byte) (n, k int, matrix [][]int64) {
 	return n, k, matrix
 }
 
-func fuzzOracle(vals []int64, k int) []int {
-	codec := order.NewCodec(len(vals))
-	keys := make([]order.Key, len(vals))
-	for i, v := range vals {
-		keys[i] = codec.Encode(v, i)
-	}
-	ids := make([]int, len(vals))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
-	top := append([]int(nil), ids[:k]...)
-	sort.Ints(top)
-	return top
-}
-
 // FuzzMonitorObserve feeds arbitrary byte-derived workloads through the
 // monitor and cross-checks every report against the oracle plus the
 // Lemma 2.2 filter invariant. Run with `go test -fuzz=FuzzMonitorObserve`;
@@ -76,7 +58,7 @@ func FuzzMonitorObserve(f *testing.F) {
 		keys := make([]order.Key, n)
 		for s, vals := range matrix {
 			got := m.Observe(vals)
-			if want := fuzzOracle(vals, k); !equalInts(got, want) {
+			if want := order.Oracle(vals, k); !equalInts(got, want) {
 				t.Fatalf("step %d (n=%d k=%d): got %v want %v vals %v", s, n, k, got, want, vals)
 			}
 			encodeAll(vals, keys)
@@ -150,7 +132,7 @@ func FuzzOrderedMonitorObserve(f *testing.F) {
 		om := newOrdered(Config{N: n, K: k, Seed: 199})
 		for s, vals := range matrix {
 			got := observeRanked(om, vals)
-			want := sim.RankOracle(vals, k)
+			want := order.RankOracle(vals, k)
 			if !equalInts(got, want) {
 				t.Fatalf("step %d (n=%d k=%d): ranks %v want %v vals %v", s, n, k, got, want, vals)
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/comm"
@@ -19,21 +18,6 @@ func encodeAll(vals []int64, keys []order.Key) {
 	}
 }
 
-// oracleTop computes the true top-k ids (ascending) under the monitor's
-// own key mapping.
-func oracleTop(m *Monitor, vals []int64) []int {
-	keys := make([]order.Key, m.N())
-	encodeAll(vals, keys)
-	ids := make([]int, m.N())
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
-	top := append([]int(nil), ids[:m.K()]...)
-	sort.Ints(top)
-	return top
-}
-
 // runChecked drives the monitor over a source for steps steps, asserting
 // exact correctness and filter validity (Lemma 2.2) after every step.
 func runChecked(t *testing.T, m *Monitor, src stream.Source, steps int) {
@@ -43,7 +27,7 @@ func runChecked(t *testing.T, m *Monitor, src stream.Source, steps int) {
 	for s := 0; s < steps; s++ {
 		src.Step(vals)
 		got := m.Observe(vals)
-		want := oracleTop(m, vals)
+		want := order.Oracle(vals, m.K())
 		if !equalInts(got, want) {
 			t.Fatalf("step %d: reported top-k %v, oracle %v (vals=%v)", s, got, want, vals)
 		}

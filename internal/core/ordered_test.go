@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/order"
 	"repro/internal/stream"
 )
 
@@ -26,7 +26,7 @@ func runOrderedChecked(t *testing.T, om *Monitor, src stream.Source, steps int) 
 	for s := 0; s < steps; s++ {
 		src.Step(vals)
 		got := observeRanked(om, vals)
-		want := sim.RankOracle(vals, om.K())
+		want := order.RankOracle(vals, om.K())
 		if !equalInts(got, want) {
 			t.Fatalf("step %d: ranked top-k %v, oracle %v (vals=%v)", s, got, want, vals)
 		}
@@ -162,7 +162,7 @@ func TestOrderedSmallScopeExhaustive(t *testing.T) {
 			for s := 0; s < steps; s++ {
 				vals := seq[s*n : (s+1)*n]
 				got := observeRanked(om, vals)
-				if want := sim.RankOracle(vals, k); !equalInts(got, want) {
+				if want := order.RankOracle(vals, k); !equalInts(got, want) {
 					t.Fatalf("k=%d seq=%v step %d: ranking %v, oracle %v", k, seq, s, got, want)
 				}
 				for _, id := range got {

@@ -13,8 +13,8 @@ import (
 	"repro/internal/coord"
 	"repro/internal/fanout"
 	"repro/internal/ingest"
+	"repro/internal/order"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/transport"
 )
@@ -80,14 +80,14 @@ func RunChaos(t *testing.T, e *fanout.Engine, steps int) {
 				t.Fatalf("step %d: degraded step returned %v, want last-good %v", s, got, last)
 			}
 			suspect = 0
-		case slices.Equal(got, sim.Oracle(vals, ChaosK)):
+		case slices.Equal(got, order.Oracle(vals, ChaosK)):
 			suspect = 0
 			last = append(last[:0], got...)
 		default:
 			suspect++
 			if suspect > 2 {
 				t.Fatalf("step %d: report stale for %d healthy steps: got %v, want %v",
-					s, suspect, got, sim.Oracle(vals, ChaosK))
+					s, suspect, got, order.Oracle(vals, ChaosK))
 			}
 			last = append(last[:0], got...)
 		}
@@ -97,8 +97,8 @@ func RunChaos(t *testing.T, e *fanout.Engine, steps int) {
 	}
 	for s := steps; s < steps+5; s++ {
 		Driven(s, vals)
-		if got := e.Observe(vals); !slices.Equal(got, sim.Oracle(vals, ChaosK)) {
-			t.Fatalf("step %d: post-run report %v != oracle %v", s, got, sim.Oracle(vals, ChaosK))
+		if got := e.Observe(vals); !slices.Equal(got, order.Oracle(vals, ChaosK)) {
+			t.Fatalf("step %d: post-run report %v != oracle %v", s, got, order.Oracle(vals, ChaosK))
 		}
 	}
 }
@@ -302,8 +302,8 @@ func JoinMidStream(t *testing.T, sh Shape) {
 		tiles(t, h, n, "after join")
 		for s := 15; s < 40; s++ {
 			Driven(s, vals)
-			if got := e.Observe(vals); !slices.Equal(got, sim.Oracle(vals, k)) {
-				t.Fatalf("step %d after join: got %v, want oracle %v", s, got, sim.Oracle(vals, k))
+			if got := e.Observe(vals); !slices.Equal(got, order.Oracle(vals, k)) {
+				t.Fatalf("step %d after join: got %v, want oracle %v", s, got, order.Oracle(vals, k))
 			}
 		}
 	})
@@ -333,7 +333,7 @@ func JoinDeadLinkRecovers(t *testing.T, sh Shape) {
 			t.Fatalf("step %d: failed join went terminal: %v", s, e.Err())
 		}
 		if !e.Health().Degraded {
-			if want := sim.Oracle(vals, k); !slices.Equal(got, want) {
+			if want := order.Oracle(vals, k); !slices.Equal(got, want) {
 				t.Fatalf("step %d after failed join: got %v, want oracle %v", s, got, want)
 			}
 		}
@@ -407,7 +407,7 @@ func DeadLinkRecoversByMerge(t *testing.T, sh Shape) {
 			if e.Err() != nil {
 				t.Fatalf("step %d: recovery went terminal: %v", s, e.Err())
 			}
-			if want := sim.Oracle(vals, k); !slices.Equal(got, want) {
+			if want := order.Oracle(vals, k); !slices.Equal(got, want) {
 				t.Fatalf("step %d after recovery: got %v, want oracle %v", s, got, want)
 			}
 		}
@@ -430,8 +430,8 @@ func DeadLinkRecoversByMerge(t *testing.T, sh Shape) {
 		}
 
 		vals[0] = 1 << 30 // vals mirrors the engine's last-value view
-		if d := e.ObserveDelta([]int{0}, []int64{1 << 30}); !slices.Equal(d, sim.Oracle(vals, k)) {
-			t.Fatalf("delta after recovery: got %v, want oracle %v", d, sim.Oracle(vals, k))
+		if d := e.ObserveDelta([]int{0}, []int64{1 << 30}); !slices.Equal(d, order.Oracle(vals, k)) {
+			t.Fatalf("delta after recovery: got %v, want oracle %v", d, order.Oracle(vals, k))
 		}
 	})
 }

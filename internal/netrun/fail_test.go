@@ -8,7 +8,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/fanout/fanouttest"
-	"repro/internal/sim"
+	"repro/internal/order"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -72,7 +72,7 @@ func TestDeadHostAfterHalfAppliedFrame(t *testing.T) {
 		for s := 0; s < 10; s++ {
 			src.Step(vals)
 			lastGood = append(lastGood[:0], e.Observe(vals)...)
-			if want := sim.Oracle(vals, k); !slices.Equal(lastGood, want) {
+			if want := order.Oracle(vals, k); !slices.Equal(lastGood, want) {
 				t.Fatalf("healthy step %d: got %v, want oracle %v", s, lastGood, want)
 			}
 		}
@@ -95,7 +95,7 @@ func TestDeadHostAfterHalfAppliedFrame(t *testing.T) {
 			if e.Err() != nil {
 				t.Fatalf("step %d after the cut frame: recovery went terminal: %v", s, e.Err())
 			}
-			if want := sim.Oracle(vals, k); !slices.Equal(got, want) {
+			if want := order.Oracle(vals, k); !slices.Equal(got, want) {
 				t.Fatalf("step %d after the cut frame: got %v, want oracle %v", s, got, want)
 			}
 		}
@@ -164,7 +164,7 @@ func TestDeadLinkMidFanOutHeals(t *testing.T) {
 				for s := 0; s < 10; s++ {
 					fanouttest.Driven(s, vals)
 					lastGood = append(lastGood[:0], e.Observe(vals)...)
-					if want := sim.Oracle(vals, k); !slices.Equal(lastGood, want) {
+					if want := order.Oracle(vals, k); !slices.Equal(lastGood, want) {
 						t.Fatalf("healthy step %d: got %v, want oracle %v", s, lastGood, want)
 					}
 				}
@@ -198,7 +198,7 @@ func TestDeadLinkMidFanOutHeals(t *testing.T) {
 
 				vals[5] = 9
 				got = e.ObserveDelta([]int{5}, []int64{9})
-				if want := sim.Oracle(vals, k); !slices.Equal(got, want) || e.Health().Degraded {
+				if want := order.Oracle(vals, k); !slices.Equal(got, want) || e.Health().Degraded {
 					t.Fatalf("the step after the partial fan-out: got %v (health %+v), want oracle %v", got, e.Health(), want)
 				}
 			})
@@ -237,7 +237,7 @@ func TestDeadLinkRecoversByRedial(t *testing.T) {
 			t.Fatalf("step %d: redial recovery went terminal: %v", s, e.Err())
 		}
 		if h := e.Health(); !h.Degraded {
-			if want := sim.Oracle(vals, k); !slices.Equal(got, want) {
+			if want := order.Oracle(vals, k); !slices.Equal(got, want) {
 				t.Fatalf("step %d: got %v, want oracle %v", s, got, want)
 			}
 		}

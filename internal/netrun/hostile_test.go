@@ -8,8 +8,8 @@ import (
 	"repro/internal/coord"
 	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
+	"repro/internal/order"
 	"repro/internal/protocol"
-	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -88,7 +88,7 @@ func TestHostileBidLogFailsThePeer(t *testing.T) {
 							}
 							continue
 						}
-						if want := sim.Oracle(vals, k); e.Err() != nil || !slices.Equal(got, want) {
+						if want := order.Oracle(vals, k); e.Err() != nil || !slices.Equal(got, want) {
 							t.Fatalf("step %d after the hostile log: reports %v (err %v), want oracle %v", s, got, e.Err(), want)
 						}
 					}

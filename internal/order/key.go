@@ -22,6 +22,7 @@ package order
 import (
 	"math"
 	"math/bits"
+	"sort"
 )
 
 // Key is a point in the totally ordered observation domain. The extreme
@@ -114,6 +115,31 @@ func (c Codec) Decode(k Key) (v int64, id int) {
 // unspecified.
 func (c Codec) Value(k Key, id int) int64 {
 	return int64(uint64((int64(k)-(c.n-1-int64(id)))>>c.shift) * c.inv)
+}
+
+// Oracle computes the exact top-k ids (ascending) for one observation
+// vector under the shared tie-break injection (equal values: smaller id
+// wins), which is the ranking every algorithm in the repository uses.
+func Oracle(vals []int64, k int) []int {
+	top := RankOracle(vals, k)
+	sort.Ints(top)
+	return top
+}
+
+// RankOracle computes the exact top-k ids by rank, largest value first,
+// under the same tie-break: what a monitor in the ordered mode reports.
+func RankOracle(vals []int64, k int) []int {
+	codec := NewCodec(len(vals))
+	keys := make([]Key, len(vals))
+	for i, v := range vals {
+		keys[i] = codec.Encode(v, i)
+	}
+	ids := make([]int, len(vals))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
+	return append([]int(nil), ids[:k]...)
 }
 
 // Midpoint returns a key between lo and hi, rounded toward lo, without

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -227,5 +228,15 @@ func TestValueIsDecodeWithoutTheDivision(t *testing.T) {
 		if err := quick.Check(check, nil); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+	}
+}
+
+func TestOracle(t *testing.T) {
+	if got := Oracle([]int64{5, 30, 10, 20}, 2); !slices.Equal(got, []int{1, 3}) {
+		t.Fatalf("oracle: %v", got)
+	}
+	// Ties break toward smaller ids.
+	if got := Oracle([]int64{7, 7, 7}, 2); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("tie oracle: %v", got)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/order"
 	"repro/internal/stream"
 )
 
@@ -130,7 +131,7 @@ func TestOrderedRuntimeExactRanks(t *testing.T) {
 			}
 		}
 		// Membership must match the set oracle.
-		want := oracleTop(vals, k)
+		want := order.Oracle(vals, k)
 		set := map[int]bool{}
 		for _, id := range got {
 			set[id] = true

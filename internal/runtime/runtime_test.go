@@ -3,7 +3,6 @@ package runtime
 import (
 	"math"
 	gort "runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/comm"
@@ -34,22 +33,6 @@ func equal(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func oracleTop(vals []int64, k int) []int {
-	codec := order.NewCodec(len(vals))
-	keys := make([]order.Key, len(vals))
-	for i, v := range vals {
-		keys[i] = codec.Encode(v, i)
-	}
-	ids := make([]int, len(vals))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
-	top := append([]int(nil), ids[:k]...)
-	sort.Ints(top)
-	return top
 }
 
 // TestEquivalenceWithSequentialEngine is the central fidelity check: a
@@ -123,7 +106,7 @@ func TestRuntimeExactAgainstOracle(t *testing.T) {
 	for s := 0; s < 250; s++ {
 		src.Step(vals)
 		got := rt.Observe(vals)
-		if want := oracleTop(vals, 3); !equal(got, want) {
+		if want := order.Oracle(vals, 3); !equal(got, want) {
 			t.Fatalf("step %d: got %v want %v", s, got, want)
 		}
 	}

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/fanout/fanouttest"
+	"repro/internal/order"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
@@ -243,8 +243,8 @@ func TestChaosKillBetweenExtractions(t *testing.T) {
 						}
 						s := 0
 						for ; s < 5; s++ {
-							if got := step(s); !slices.Equal(got, sim.Oracle(vals, fanouttest.ChaosK)) {
-								t.Fatalf("step %d before the kill: got %v, want oracle %v", s, got, sim.Oracle(vals, fanouttest.ChaosK))
+							if got := step(s); !slices.Equal(got, order.Oracle(vals, fanouttest.ChaosK)) {
+								t.Fatalf("step %d before the kill: got %v, want oracle %v", s, got, order.Oracle(vals, fanouttest.ChaosK))
 							}
 						}
 						before := spy.snapshot()
@@ -253,8 +253,8 @@ func TestChaosKillBetweenExtractions(t *testing.T) {
 							if s > 60 {
 								t.Fatalf("no link failure in %d driven steps (kill fired: %v)", s, killer.hit())
 							}
-							if got := step(s); e.Health().Failures == 0 && !slices.Equal(got, sim.Oracle(vals, fanouttest.ChaosK)) {
-								t.Fatalf("step %d, kill armed: got %v, want oracle %v", s, got, sim.Oracle(vals, fanouttest.ChaosK))
+							if got := step(s); e.Health().Failures == 0 && !slices.Equal(got, order.Oracle(vals, fanouttest.ChaosK)) {
+								t.Fatalf("step %d, kill armed: got %v, want oracle %v", s, got, order.Oracle(vals, fanouttest.ChaosK))
 							}
 						}
 						if !killer.hit() {
@@ -265,7 +265,7 @@ func TestChaosKillBetweenExtractions(t *testing.T) {
 							if e.Err() != nil {
 								t.Fatalf("step %d: recovery went terminal: %v", s, e.Err())
 							}
-							if want := sim.Oracle(vals, fanouttest.ChaosK); !slices.Equal(got, want) {
+							if want := order.Oracle(vals, fanouttest.ChaosK); !slices.Equal(got, want) {
 								t.Fatalf("step %d after the kill: got %v, want oracle %v", s, got, want)
 							}
 							validateBanks(t, spy.since(before), fanouttest.ChaosN, got)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
-	"repro/internal/sim"
+	"repro/internal/order"
 	"repro/internal/stream"
 )
 
@@ -212,8 +212,8 @@ func TestLoopbackStarRedials(t *testing.T) {
 		}
 		src.Step(vals)
 		got := sh.Observe(vals)
-		if h := sh.Health(); !h.Degraded && !slices.Equal(got, sim.Oracle(vals, k)) {
-			t.Fatalf("step %d: got %v, want oracle %v", s, got, sim.Oracle(vals, k))
+		if h := sh.Health(); !h.Degraded && !slices.Equal(got, order.Oracle(vals, k)) {
+			t.Fatalf("step %d: got %v, want oracle %v", s, got, order.Oracle(vals, k))
 		}
 	}
 	h := sh.Health()

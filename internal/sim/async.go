@@ -10,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/ingest"
+	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/stream"
 )
@@ -184,7 +185,7 @@ func RunAsync(async, twin AsyncEngine, src stream.DeltaSource, cfg AsyncConfig) 
 			if !EpsValid(applied, top, cfg.K, cfg.Epsilon) {
 				return fmt.Errorf("sim: barrier report %v not ε-valid for the applied values at call %d [%s]", top, call, rep.Schedule())
 			}
-		} else if want := Oracle(applied, cfg.K); !equalInts(top, want) {
+		} else if want := order.Oracle(applied, cfg.K); !equalInts(top, want) {
 			return fmt.Errorf("sim: barrier report %v != oracle %v at call %d [%s]", top, want, call, rep.Schedule())
 		}
 		return nil

@@ -155,7 +155,7 @@ func runLoop(n int, cfg Config, counts func() comm.Counts, step func() ([]int, [
 				if !epsValid(dense, top, cfg.K, tol) {
 					rep.Errors++
 				}
-			} else if want := Oracle(dense, cfg.K); !equalInts(top, want) {
+			} else if want := order.Oracle(dense, cfg.K); !equalInts(top, want) {
 				rep.Errors++
 			}
 		}
@@ -186,31 +186,6 @@ func runLoop(n int, cfg Config, counts func() comm.Counts, step func() ([]int, [
 		rep.CompetitiveRatio = float64(rep.Messages.Total()) / float64(denom)
 	}
 	return rep
-}
-
-// Oracle computes the exact top-k ids (ascending) for one observation
-// vector under the shared tie-break injection (equal values: smaller id
-// wins), which is the ranking every algorithm in the repository uses.
-func Oracle(vals []int64, k int) []int {
-	top := RankOracle(vals, k)
-	sort.Ints(top)
-	return top
-}
-
-// RankOracle computes the exact top-k ids by rank, largest value first,
-// under the same tie-break: what a monitor in the ordered mode reports.
-func RankOracle(vals []int64, k int) []int {
-	codec := order.NewCodec(len(vals))
-	keys := make([]order.Key, len(vals))
-	for i, v := range vals {
-		keys[i] = codec.Encode(v, i)
-	}
-	ids := make([]int, len(vals))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(a, b int) bool { return keys[ids[a]] > keys[ids[b]] })
-	return append([]int(nil), ids[:k]...)
 }
 
 // EpsValid reports whether top is a valid ε-approximate top-k report for

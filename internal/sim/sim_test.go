@@ -106,16 +106,6 @@ func TestRunPanics(t *testing.T) {
 	}
 }
 
-func TestOracle(t *testing.T) {
-	if got := Oracle([]int64{5, 30, 10, 20}, 2); !equalInts(got, []int{1, 3}) {
-		t.Fatalf("oracle: %v", got)
-	}
-	// Ties break toward smaller ids.
-	if got := Oracle([]int64{7, 7, 7}, 2); !equalInts(got, []int{0, 1}) {
-		t.Fatalf("tie oracle: %v", got)
-	}
-}
-
 func TestMeasureDelta(t *testing.T) {
 	matrix := [][]int64{
 		{100, 50, 10}, // gap between 1st and 2nd = 50 (in raw values)

@@ -56,7 +56,7 @@ func TestSoakMixedRegimes(t *testing.T) {
 		codec, keys := order.NewCodec(n), make([]order.Key, n)
 		for s, vals := range matrix {
 			got := m.Observe(vals)
-			if want := Oracle(vals, k); !equalInts(got, want) {
+			if want := order.Oracle(vals, k); !equalInts(got, want) {
 				t.Fatalf("step %d: got %v want %v", s, got, want)
 			}
 			for i, v := range vals {
@@ -72,7 +72,7 @@ func TestSoakMixedRegimes(t *testing.T) {
 		om := core.New(core.Config{N: n, K: k, Seed: 4003, Ordered: true})
 		for s, vals := range matrix {
 			om.Observe(vals)
-			if got, want := om.AppendRanking(nil), RankOracle(vals, k); !equalInts(got, want) {
+			if got, want := om.AppendRanking(nil), order.RankOracle(vals, k); !equalInts(got, want) {
 				t.Fatalf("step %d: ranking %v, oracle %v", s, got, want)
 			}
 		}
@@ -134,7 +134,7 @@ func TestFuzzEngineEquivalence(t *testing.T) {
 			if seq.Counts() != conc.Counts() {
 				t.Fatalf("iter %d (n=%d k=%d): counts differ at step %d", it, n, k, s)
 			}
-			if want := Oracle(va, k); !equalInts(a, want) {
+			if want := order.Oracle(va, k); !equalInts(a, want) {
 				t.Fatalf("iter %d: oracle mismatch at step %d", it, s)
 			}
 		}
@@ -162,7 +162,7 @@ func TestFuzzMonitorRandomMatrices(t *testing.T) {
 				vals[i] = r.Int63n(9) - 4
 			}
 			got := m.Observe(vals)
-			if want := Oracle(vals, k); !equalInts(got, want) {
+			if want := order.Oracle(vals, k); !equalInts(got, want) {
 				t.Fatalf("iter %d (n=%d k=%d): step %d got %v want %v vals %v", it, n, k, s, got, want, vals)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/order"
-	"repro/internal/sim"
 )
 
 // engineConfigs enumerates the engine selections of the public API: the
@@ -154,7 +153,7 @@ func TestExtremeValuesProperty(t *testing.T) {
 					t.Fatalf("step %d: in-domain vector rejected: %v", s, err)
 				}
 				copy(state, vals)
-				if want := sim.Oracle(state, k); !slices.Equal(top, want) {
+				if want := order.Oracle(state, k); !slices.Equal(top, want) {
 					t.Fatalf("step %d: report %v, oracle %v", s, top, want)
 				}
 			}

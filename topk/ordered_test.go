@@ -4,7 +4,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/order"
 	"repro/internal/stream"
 )
 
@@ -92,7 +92,7 @@ func TestOrderedMonitorExactRanks(t *testing.T) {
 				t.Fatal(err)
 			}
 			got = m.AppendRanking(got[:0])
-			if want := sim.RankOracle(vals, k); !slices.Equal(got, want) {
+			if want := order.RankOracle(vals, k); !slices.Equal(got, want) {
 				t.Fatalf("delta=%v step %d: ranking %v, want %v", delta, s, got, want)
 			}
 		}

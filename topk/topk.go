@@ -84,7 +84,6 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/order"
 	"repro/internal/shardrun"
-	"repro/internal/sim"
 )
 
 // Counts reports exchanged messages by kind. Every kind has unit cost in
@@ -678,5 +677,5 @@ func Oracle(vals []int64, k int) ([]int, error) {
 	if err := checkValues(order.MaxValueFor(len(vals)), nil, vals); err != nil {
 		return nil, err
 	}
-	return sim.Oracle(vals, k), nil
+	return order.Oracle(vals, k), nil
 }
