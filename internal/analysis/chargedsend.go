@@ -9,16 +9,18 @@ import (
 // communication bounds are claims about *counted* messages, so every
 // transport frame an engine emits must be visible to a comm ledger —
 // either charged directly next to the send (the link fan's ledger,
-// RecordSized beside link.Send in fanout.Fan.ship — a root's link ledger, an
-// interior relay's per-level counter) or emitted from a charged context:
-// a function that drives the coord package, whose Machine/Nodes own the
-// model ledger and have already charged the message the frame carries.
+// RecordSized beside link.SendLent in fanout.Fan.ship — a root's link
+// ledger, an interior relay's per-level counter) or emitted from a charged
+// context: a function that drives the coord package, whose Machine/Nodes
+// own the model ledger and have already charged the message the frame
+// carries.
 //
 // Concretely: inside internal/fanout, internal/netrun and
-// internal/shardrun, a call to a transport-package Send must live in a
-// function that — directly or through same-package helpers it calls —
-// charges a comm ledger (RecordSized, the one method of comm.Recorder) or
-// calls into the coord package. The serve loops qualify through their
+// internal/shardrun, a call to a transport-package Send or SendLent (the
+// lent-buffer send every frame of the fan-out core goes out through) must
+// live in a function that — directly or through same-package helpers it
+// calls — charges a comm ledger (RecordSized, the one method of
+// comm.Recorder) or calls into the coord package. The serve loops qualify through their
 // respond helpers, which drive the node banks (the leaf server) or fold
 // digests under the coord package's tag order (the interior, whose
 // child-facing frames the fan charges); a function that reaches neither is
@@ -71,7 +73,7 @@ func runChargedSend(pass *Pass) error {
 					return true
 				}
 				switch {
-				case fromPackage(callee, "transport") && callee.Name() == "Send":
+				case fromPackage(callee, "transport") && (callee.Name() == "Send" || callee.Name() == "SendLent"):
 					fi.sends = append(fi.sends, call)
 				case fromPackage(callee, "comm") && callee.Name() == "RecordSized":
 					fi.charges = true

@@ -9,6 +9,13 @@ type Link interface {
 	Close() error
 }
 
+// Lender is a link that lends the buffer a frame is encoded into.
+type Lender interface {
+	Link
+	Lend() []byte
+	SendLent(frame []byte) error
+}
+
 // Flush releases buffered frames; the bytes were counted when sent, so
 // chargedsend deliberately ignores it.
 func Flush(l Link) error { return nil }

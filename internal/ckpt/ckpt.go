@@ -59,10 +59,11 @@ import (
 // concurrent use.
 type Store interface {
 	// Save files frame under generation gen, atomically and durably.
-	// frame is the caller's and valid only until Save returns — monitors
-	// encode every generation into a buffer reused across deltas and let
-	// go of after a base — so a store that keeps frames keeps a copy (Mem
-	// copies, File writes out, Faulty forwards).
+	// frame is the caller's and valid only until Save returns — a monitor
+	// encodes every generation, base or delta, into one buffer it reuses,
+	// which follows transport.Retention and so keeps a base under 64 KiB
+	// for the frames after it — so a store that keeps frames keeps a copy
+	// (Mem copies, File writes out, Faulty forwards).
 	Save(gen uint64, frame []byte) error
 	// Load returns the newest intact base extended by its intact deltas
 	// (see the package comment) and the generation of the last frame of

@@ -1,6 +1,7 @@
 package fanout
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/comm"
@@ -8,57 +9,94 @@ import (
 	"repro/internal/wire"
 )
 
-// Frames is an arena of encoded sub-frames — the commands deferred for one
-// peer, or the replies to the commands of one incoming frame — and the one
-// place they become a transport frame (Frame).
+// Frames is the arena one outgoing transport frame is built in — the
+// commands deferred for one peer, or the replies to the commands of one
+// incoming frame — and the one place sub-frames become a transport frame
+// (Frame). The sub-frames are written once, in wire.Batch layout, into the
+// buffer the arena's link lends (transport.Lender), behind room for the
+// batch header: the frame goes out where it was encoded, and the buffer
+// follows the link's transport.Retention.
 type Frames struct {
-	buf   []byte // the sub-frames, back to back
-	lens  []int  // their lengths
-	sizes transport.Retention
+	link transport.Lender
+	buf  []byte // [room][sub-frame][len][sub-frame]...; nil until the first Add
+	lens []int  // the sub-frames' lengths
 }
 
-// Reset empties the arena, keeping its storage unless the arena's
-// transport.Retention lets it go, told of the sub-frames it carried.
+// room is the space an arena keeps ahead of its first sub-frame: a batch
+// tag, the sub-frame count and the first sub-frame's length, each varint at
+// its longest.
+const room = 1 + 2*binary.MaxVarintLen64
+
+// NewFrames returns an empty arena whose frames link carries.
+func NewFrames(link transport.Link) Frames {
+	return Frames{link: transport.Lending(link)}
+}
+
+// Reset empties the arena. Its buffer is the link's: the one it lent, or
+// the one a frame sent from it now owns.
 func (a *Frames) Reset() {
-	if !a.sizes.Keep(cap(a.buf), len(a.buf)) {
-		a.buf = nil
-	}
-	a.buf, a.lens = a.buf[:0], a.lens[:0]
+	a.buf, a.lens = nil, a.lens[:0]
 }
 
-// Add appends one sub-frame, produced by an append-encoder.
+// begin borrows the arena's buffer from its link, the room reserved.
+func (a *Frames) begin() {
+	var ahead [room]byte
+	a.buf = append(a.link.Lend(), ahead[:]...)
+}
+
+// Add appends one sub-frame, produced by an append-encoder. A sub-frame
+// after the first is written behind a byte for its length, and moved up
+// when its length needs more: a sub-frame of 128 bytes or more that rides
+// behind another is the one that is moved.
 func (a *Frames) Add(enc func([]byte) []byte) {
-	old := len(a.buf)
+	if a.buf == nil {
+		a.begin()
+	}
+	later := len(a.lens) > 0
+	start := len(a.buf)
+	if later {
+		a.buf = append(a.buf, 0)
+		start++
+	}
 	a.buf = enc(a.buf)
-	a.lens = append(a.lens, len(a.buf)-old)
+	l := len(a.buf) - start
+	a.lens = append(a.lens, l)
+	if !later {
+		return
+	}
+	if p := wire.SizeUvarint(uint64(l)); p > 1 {
+		var pad [binary.MaxVarintLen64]byte
+		a.buf = append(a.buf, pad[:p-1]...)
+		copy(a.buf[start+p-1:], a.buf[start:start+l])
+		start += p - 1
+		wire.AppendUvarint(a.buf[start-p:start-p], uint64(l))
+		return
+	}
+	a.buf[start-1] = byte(l)
 }
 
-// Frame returns the one transport frame carrying the held sub-frames
-// followed by tail (nil: none). A lone sub-frame goes out as it is, with no
-// copy; several — or any number when batch is set: a batch is answered by a
-// batch — go out in one wire.Batch envelope assembled in *env. The result
-// aliases the arena, tail or *env.
-func (a *Frames) Frame(tail []byte, batch bool, env *[]byte) []byte {
+// Frame returns the one transport frame carrying the held sub-frames, in
+// the arena's buffer, for the arena's link to SendLent. A lone sub-frame
+// goes out as it is; several — or any number when batch is set: a batch is
+// answered by a batch — go out as one wire.Batch, whose header is written
+// into the room ahead of them.
+func (a *Frames) Frame(batch bool) []byte {
+	if a.buf == nil {
+		a.begin()
+	}
 	n := len(a.lens)
-	if !batch && n == 0 {
-		return tail
+	if !batch && n == 1 {
+		return a.buf[room:]
 	}
-	if !batch && n == 1 && tail == nil {
-		return a.buf
+	h := 1 + wire.SizeUvarint(uint64(n))
+	if n > 0 {
+		h += wire.SizeUvarint(uint64(a.lens[0]))
 	}
-	if tail != nil {
-		n++
+	hdr := wire.AppendBatchHeader(a.buf[room-h:room-h], n)
+	if n > 0 {
+		wire.AppendUvarint(hdr, uint64(a.lens[0]))
 	}
-	*env = wire.AppendBatchHeader((*env)[:0], n)
-	off := 0
-	for _, l := range a.lens {
-		*env = wire.AppendSubframe(*env, a.buf[off:off+l])
-		off += l
-	}
-	if tail != nil {
-		*env = wire.AppendSubframe(*env, tail)
-	}
-	return *env
+	return a.buf[room-h:]
 }
 
 // Subframes is Frame's inverse on the serving side: the commands one
@@ -89,12 +127,13 @@ type recvResult struct {
 
 // peer is a fan's view of one link.
 type peer struct {
-	link   transport.Link
+	link   transport.Lender
 	lo, hi int
 	reply  wire.Reply // reusable decode target (Reply)
 
-	// Deferred commands: they ride in a wire.Batch ahead of the next
-	// data-bearing frame to this peer, or alone in the next Exchange.
+	// The frame to this peer being built: deferred commands ride in a
+	// wire.Batch ahead of the next data-bearing command queued behind them,
+	// or alone in the next Exchange.
 	queue Frames
 
 	// The reply to the last ship: want sub-frames are owed, and subs are
@@ -146,8 +185,6 @@ type Fan struct {
 	ledger  comm.Counter // every sub-frame: commands Down, replies Up
 	readers bool         // gathers wait on reader goroutines (see startReader)
 
-	buf   []byte         // control-frame encode buffer
-	env   []byte         // batch-envelope encode buffer, shared by all peers
 	stats wire.TreeStats // decode scratch for stats polls
 }
 
@@ -156,9 +193,22 @@ type Fan struct {
 func NewFan(links []transport.Link, fail func(pi int, op string, err error) error) *Fan {
 	f := &Fan{fail: fail}
 	for _, link := range links {
-		f.peers = append(f.peers, &peer{link: link})
+		f.peers = append(f.peers, newPeer(link, 0, 0))
 	}
 	return f
+}
+
+// newPeer returns a fan's view of a link hosting [lo, hi).
+func newPeer(link transport.Link, lo, hi int) *peer {
+	p := &peer{lo: lo, hi: hi}
+	p.attach(link)
+	return p
+}
+
+// attach points the peer, and the frames it builds, at link.
+func (p *peer) attach(link transport.Link) {
+	p.queue = NewFrames(link)
+	p.link = p.queue.link
 }
 
 // Peers returns the number of links.
@@ -188,7 +238,7 @@ func (f *Fan) Share(pi int, ids []int, start int) (stop int) {
 	return stop
 }
 
-// Queue defers one encoded command until the next frame to peer pi.
+// Queue encodes one command into the next frame to peer pi.
 func (f *Fan) Queue(pi int, enc func([]byte) []byte) { f.peers[pi].queue.Add(enc) }
 
 // startReader attaches a fresh reader goroutine to one peer. It performs
@@ -216,13 +266,12 @@ func startReader(p *peer) {
 	}(p.link, p.req, p.res)
 }
 
-// ship sends peer pi one transport frame: its queued commands followed by
-// frame (nil: the queue alone), charging every sub-frame to the ledger
-// individually once the frame is on the link. The peer then owes one reply
-// frame carrying one sub-frame per sub-frame shipped.
-func (f *Fan) ship(pi int, frame []byte, op string) error {
+// ship sends peer pi the frame its queue holds, charging every sub-frame
+// to the ledger individually once the frame is on the link. The peer then
+// owes one reply frame carrying one sub-frame per sub-frame shipped.
+func (f *Fan) ship(pi int, op string) error {
 	p := f.peers[pi]
-	if err := p.link.Send(p.queue.Frame(frame, false, &f.env)); err != nil {
+	if err := p.link.SendLent(p.queue.Frame(false)); err != nil {
 		return f.fail(pi, op, err)
 	}
 	if err := transport.Flush(p.link); err != nil {
@@ -232,10 +281,6 @@ func (f *Fan) ship(pi int, frame []byte, op string) error {
 		f.ledger.RecordSized(comm.Down, 1, int64(l))
 	}
 	p.want = len(p.queue.lens)
-	if frame != nil {
-		f.ledger.RecordSized(comm.Down, 1, int64(len(frame)))
-		p.want++
-	}
 	p.queue.Reset()
 	f.expect(p)
 	return nil
@@ -303,7 +348,7 @@ func (f *Fan) Exchange(op string) error {
 		if len(p.queue.lens) == 0 {
 			continue
 		}
-		if err := f.ship(pi, nil, op); err != nil {
+		if err := f.ship(pi, op); err != nil {
 			return err
 		}
 	}
@@ -363,8 +408,8 @@ func (f *Fan) Assign(a wire.Assign) error {
 func (f *Fan) assign(a wire.Assign) error {
 	for pi, p := range f.peers {
 		a.Lo, a.Hi = p.lo, p.hi
-		f.buf = a.Append(f.buf[:0])
-		if err := f.ship(pi, f.buf, "assign"); err != nil {
+		f.Queue(pi, a.Append)
+		if err := f.ship(pi, "assign"); err != nil {
 			return err
 		}
 	}
@@ -386,12 +431,16 @@ func (f *Fan) assign(a wire.Assign) error {
 // the fan's own ledger as the last entry. The poll itself is deliberately
 // uncharged — it rides outside the protocol and the ledger, visible only
 // in the transport statistics — so polling does not perturb what it
-// measures. Over leaf peers the result is the fan's level alone.
+// measures. Over leaf peers the result is the fan's level alone. Nothing
+// may be queued: the fan is between exchanges.
 func (f *Fan) TreeStats() (wire.TreeStats, error) {
 	var out wire.TreeStats
 	for pi, p := range f.peers {
+		p.queue.Add(pollFrame)
 		//lint:topk chargedsend StatsPoll is deliberately uncharged diagnostics: polling must not perturb the ledgers it reports (see the doc above)
-		if err := p.link.Send(wire.AppendBare(f.buf[:0], wire.TypeStatsPoll)); err != nil {
+		err := p.link.SendLent(p.queue.Frame(false))
+		p.queue.Reset()
+		if err != nil {
 			return out, f.fail(pi, "stats poll", err)
 		}
 		if err := transport.Flush(p.link); err != nil {
@@ -429,8 +478,11 @@ func (f *Fan) shutdown(peers []*peer) {
 	for _, p := range peers {
 		// Best effort: a peer that already vanished is being shut down
 		// anyway.
+		p.queue.Reset()
+		p.queue.Add(shutdownFrame)
 		//lint:topk chargedsend Shutdown is a teardown control frame outside the model; nothing is charged once a peer is being dismantled
-		_ = p.link.Send(wire.AppendBare(f.buf[:0], wire.TypeShutdown))
+		_ = p.link.SendLent(p.queue.Frame(false))
+		p.queue.Reset()
 		_ = transport.Flush(p.link)
 		_ = p.link.Close()
 		if p.req != nil {
@@ -438,3 +490,8 @@ func (f *Fan) shutdown(peers []*peer) {
 		}
 	}
 }
+
+// pollFrame and shutdownFrame encode the fan's two uncharged control frames.
+func pollFrame(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeStatsPoll) }
+
+func shutdownFrame(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeShutdown) }

@@ -203,14 +203,6 @@ type Engine struct {
 	failures        int64
 	recoveries      int64
 	rrng            *rng.RNG // jitters the recovery backoff schedule
-
-	// buf is the one encode buffer every data-bearing frame goes out of. A
-	// dense frame sizes it before it is written (wire.Observe.Append), so it
-	// settles at about the largest peer's frame; sizes is told of each
-	// step's largest observation frame and lets go of a buffer they no
-	// longer need — the first step's, coded against zero (finishStep).
-	buf   []byte
-	sizes transport.Retention
 }
 
 // New performs the Assign/Ready handshake over the given links — peer i
@@ -387,9 +379,9 @@ func (e *Engine) collect(pi int, op string) error {
 // error from each marks that peer as misbehaving and abandons the step like
 // any link failure.
 func (e *Engine) Round(m wire.Round, each func(lo, hi int, answer []byte) error) error {
-	e.buf = m.Append(e.buf[:0])
 	for pi := range e.fan.peers {
-		if err := e.fan.ship(pi, e.buf, "round"); err != nil {
+		e.fan.Queue(pi, m.Append)
+		if err := e.fan.ship(pi, "round"); err != nil {
 			return err
 		}
 	}
@@ -464,20 +456,19 @@ func (e *Engine) Observe(vals []int64) []int {
 		return e.mach.Top()
 	}
 	e.step = e.mach.BeginStep()
-	// Each peer's frame is coded against its range of the mirror, which
-	// then takes the new values; whatever happens to the step, the mirror
-	// ends it holding all of them.
-	largest := 0
+	// Each peer's frame is coded against its range of the mirror, straight
+	// into the buffer its link lends, and the mirror then takes the new
+	// values; whatever happens to the step, the mirror ends it holding all
+	// of them.
 	for pi, p := range e.fan.peers {
-		e.buf = wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi], Prev: e.last[p.lo:p.hi]}.Append(e.buf[:0])
-		largest = max(largest, len(e.buf))
+		e.fan.Queue(pi, wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi], Prev: e.last[p.lo:p.hi]}.Append)
 		copy(e.last[p.lo:p.hi], vals[p.lo:p.hi])
-		if e.fan.ship(pi, e.buf, "observe") != nil {
+		if e.fan.ship(pi, "observe") != nil {
 			copy(e.last[p.hi:], vals[p.hi:])
 			return e.mach.Top()
 		}
 	}
-	return e.finishStep("observe", largest)
+	return e.finishStep("observe")
 }
 
 // ObserveDelta processes one sparse time step: vals[j] is node ids[j]'s
@@ -504,21 +495,20 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	e.step = e.mach.BeginStep()
 	// Ship each peer its slice of the (sorted) delta, coded against the
 	// mirror as in Observe.
-	start, largest := 0, 0
+	start := 0
 	for pi := range e.fan.peers {
 		stop := e.fan.Share(pi, ids, start)
 		if stop > start {
-			e.buf = wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop], Prev: e.last}.Append(e.buf[:0])
-			largest = max(largest, len(e.buf))
+			e.fan.Queue(pi, wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop], Prev: e.last}.Append)
 			e.remember(ids[start:stop], vals[start:stop])
-			if e.fan.ship(pi, e.buf, "observe-delta") != nil {
+			if e.fan.ship(pi, "observe-delta") != nil {
 				e.remember(ids[stop:], vals[stop:])
 				return e.mach.Top()
 			}
 		}
 		start = stop
 	}
-	return e.finishStep("observe-delta", largest)
+	return e.finishStep("observe-delta")
 }
 
 // remember writes a sparse update into the mirror.
@@ -531,14 +521,8 @@ func (e *Engine) remember(ids []int, vals []int64) {
 // finishStep gathers the violation flags of the peers the step touched —
 // the ones that were shipped an observation frame and so owe a reply — and
 // drives the coordinator machine through the rest of the step. On a link
-// failure it abandons the step and returns the last-good report. The
-// encode buffer is judged by the largest observation frame the step wrote,
-// largest; a protocol frame the step goes on to write fits whatever
-// buffer it keeps, or grows it back.
-func (e *Engine) finishStep(op string, largest int) []int {
-	if !e.sizes.Keep(cap(e.buf), largest) {
-		e.buf = nil
-	}
+// failure it abandons the step and returns the last-good report.
+func (e *Engine) finishStep(op string) []int {
 	anyTop, anyOut := false, false
 	for pi, p := range e.fan.peers {
 		if p.owed == 0 {

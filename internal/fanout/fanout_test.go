@@ -1,6 +1,7 @@
 package fanout_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/coord"
@@ -135,18 +136,23 @@ func TestSubframesKeepNoEarlierFrame(t *testing.T) {
 	}
 }
 
-// TestFramesSizeTheirBufferByTheirFrames pins the arenas' half of
-// transport.Retention: an arena a large share grew is let go once two
-// shares in a row have needed under half of it, while a batch of more than 1 KiB
-// of protocol commands between two shares above the 64 KiB floor — a
+// TestFramesSizeTheirBufferByTheirFrames pins that an arena's buffer is its
+// link's and follows the link's transport.Retention — here Lending's, over
+// a link that cannot lend: an arena a large share grew is let go once two
+// shares in a row have needed under half of it, while a batch of more than
+// 1 KiB of protocol commands between two shares above the 64 KiB floor — a
 // large-k reset's Winners, queued on a relay's child — lets nothing go, so
 // that cycle allocates nothing.
 func TestFramesSizeTheirBufferByTheirFrames(t *testing.T) {
-	var a fanout.Frames
-	var env []byte
+	link := transport.Lending(discard{})
+	a := fanout.NewFrames(link)
 	carry := func(p []byte) (capacity int) {
 		a.Add(func(dst []byte) []byte { return append(dst, p...) })
-		capacity = cap(a.Frame(nil, false, &env))
+		frame := a.Frame(false)
+		capacity = cap(frame)
+		if err := link.SendLent(frame); err != nil {
+			t.Fatal(err)
+		}
 		a.Reset()
 		return capacity
 	}
@@ -161,5 +167,51 @@ func TestFramesSizeTheirBufferByTheirFrames(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(50, func() { carry(share); carry(batch) }); avg != 0 {
 		t.Fatalf("shares with a reset batch between them allocate %.2f per cycle, want 0", avg)
+	}
+}
+
+// discard is a link that cannot lend and sends nowhere.
+type discard struct{}
+
+func (discard) Send([]byte) error     { return nil }
+func (discard) Recv() ([]byte, error) { return nil, transport.ErrClosed }
+func (discard) Close() error          { return nil }
+
+// TestFramesWriteTheBatchLayout pins that an arena's frame is the one
+// wire.Batch.Append would encode for its sub-frames — or the lone
+// sub-frame itself — whatever their lengths, the sub-frames of 128 bytes
+// or more that it moves up behind another to make room for their length
+// prefixes included.
+func TestFramesWriteTheBatchLayout(t *testing.T) {
+	link := transport.Lending(discard{})
+	a := fanout.NewFrames(link)
+	for _, lens := range [][]int{{}, {1}, {127}, {128}, {1, 2}, {200, 3}, {3, 200}, {127, 128, 16384, 5}, {20000, 1, 300}} {
+		for _, batch := range []bool{false, true} {
+			if len(lens) == 0 && !batch {
+				continue
+			}
+			var want wire.Batch
+			for i, l := range lens {
+				sub := make([]byte, l)
+				for j := range sub {
+					sub[j] = byte(i + j + 1)
+				}
+				sub[0] = wire.TypeMidpoint
+				want.Frames = append(want.Frames, sub)
+				a.Add(func(dst []byte) []byte { return append(dst, sub...) })
+			}
+			got := a.Frame(batch)
+			if !batch && len(lens) == 1 {
+				if !bytes.Equal(got, want.Frames[0]) {
+					t.Fatalf("lone sub-frame of %d bytes went out as %d bytes", lens[0], len(got))
+				}
+			} else if !bytes.Equal(got, want.Append(nil)) {
+				t.Fatalf("sub-frames of %v bytes (batch %v) went out as %d bytes, not as their wire.Batch of %d", lens, batch, len(got), len(want.Append(nil)))
+			}
+			if err := link.SendLent(got); err != nil {
+				t.Fatal(err)
+			}
+			a.Reset()
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/order"
 	"repro/internal/protocol"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -102,7 +103,8 @@ func FuzzLeafRespond(f *testing.F) {
 			}
 		}
 		for name, round := range fuzzRounds {
-			s := &leaf{round: round()}
+			link, _ := transport.Pipe()
+			s := newLeaf(link, round())
 			if cont, err := s.respond(assign); err != nil || !cont {
 				t.Fatalf("valid assignment refused: %v", err)
 			}

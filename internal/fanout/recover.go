@@ -125,7 +125,7 @@ func (e *Engine) restorePeers() error {
 		if err != nil {
 			continue // merge below
 		}
-		p.link = nl
+		p.attach(nl)
 		p.dead = false
 		p.owed = 0
 		if e.fan.readers {
@@ -201,8 +201,8 @@ func (e *Engine) replayReset() error {
 	// banks hold full filters, so no violations fire; the replies' flags
 	// are deliberately discarded.
 	for pi, p := range e.fan.peers {
-		e.buf = wire.Observe{Step: e.mach.Step(), Vals: e.last[p.lo:p.hi]}.Append(e.buf[:0])
-		if err := e.fan.ship(pi, e.buf, "replay"); err != nil {
+		e.fan.Queue(pi, wire.Observe{Step: e.mach.Step(), Vals: e.last[p.lo:p.hi]}.Append)
+		if err := e.fan.ship(pi, "replay"); err != nil {
 			return err
 		}
 	}
@@ -242,7 +242,7 @@ func (e *Engine) Join(link transport.Link) error {
 	}
 	w := e.fan.peers[wi]
 	mid := (w.lo + w.hi) / 2
-	np := &peer{link: link, lo: mid, hi: w.hi}
+	np := newPeer(link, mid, w.hi)
 	w.hi = mid
 	peers := append(e.fan.peers, nil)
 	copy(peers[wi+2:], peers[wi+1:])

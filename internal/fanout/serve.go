@@ -79,8 +79,12 @@ type leaf struct {
 	batch wire.Batch // reusable decode scratch for batched commands
 
 	replies Frames // the replies to the incoming frame's commands
-	env     []byte // envelope buffer for a batched reply
-	buf     []byte // the outgoing frame; aliases replies or env
+	buf     []byte // the outgoing frame, in replies' buffer
+}
+
+// newLeaf returns a leaf, with no bank yet, answering on link.
+func newLeaf(link transport.Link, round RoundFunc) *leaf {
+	return &leaf{round: round, replies: NewFrames(link)}
 }
 
 // newBank validates an assignment and builds its node bank. The bank flips
@@ -194,16 +198,18 @@ func (s *leaf) handle(frame, dst []byte) (out []byte, cont bool, err error) {
 
 // respond processes one incoming transport frame — an Assign, a single
 // command, or a wire.Batch of commands from a pipelined coordinator — and
-// stages the outgoing frame in s.buf. A batch of n commands is answered
-// by a batch of the n corresponding replies, so the link still carries
-// one frame back per frame in and the coordinator can account every
-// coordination message individually. It returns false for TypeShutdown
-// (bare or inside a batch, where no reply is owed).
+// stages the outgoing frame in s.buf, in the buffer the link lends. A
+// batch of n commands is answered by a batch of the n corresponding
+// replies, so the link still carries one frame back per frame in and the
+// coordinator can account every coordination message individually. It
+// returns false for TypeShutdown (bare or inside a batch, where no reply
+// is owed).
 func (s *leaf) respond(frame []byte) (cont bool, err error) {
 	typ, err := wire.MsgType(frame)
 	if err != nil {
 		return false, err
 	}
+	s.replies.Reset()
 	if typ == wire.TypeAssign {
 		// The opening assignment, or a mid-stream reassignment (failover
 		// or a joining peer): build the bank from scratch for the range
@@ -216,8 +222,8 @@ func (s *leaf) respond(frame []byte) (cont bool, err error) {
 		if s.bank, err = newBank(a); err != nil {
 			return false, err
 		}
-		s.env = wire.AppendBare(s.env[:0], wire.TypeReady)
-		s.buf = s.env
+		s.replies.Add(ready)
+		s.buf = s.replies.Frame(false)
 		return true, nil
 	}
 	if s.bank == nil {
@@ -227,7 +233,6 @@ func (s *leaf) respond(frame []byte) (cont bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	s.replies.Reset()
 	for _, sub := range subs {
 		s.replies.Add(func(dst []byte) []byte {
 			dst, cont, err = s.handle(sub, dst)
@@ -237,9 +242,12 @@ func (s *leaf) respond(frame []byte) (cont bool, err error) {
 			return false, err
 		}
 	}
-	s.buf = s.replies.Frame(nil, batched, &s.env)
+	s.buf = s.replies.Frame(batched)
 	return true, nil
 }
+
+// ready encodes the answer to an Assign.
+func ready(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeReady) }
 
 // Serve runs the leaf server on one link: it waits for the coordinator's
 // Assign, builds the local node range, and then answers every command
@@ -252,13 +260,15 @@ func (s *leaf) respond(frame []byte) (cont bool, err error) {
 // Serve never shares state with other goroutines; a process can host
 // several ranges by running one Serve per link.
 func Serve(link transport.Link, round RoundFunc) error {
-	s := &leaf{round: round}
+	s := newLeaf(link, round)
 	return ServeLoop(link, func(frame []byte) (bool, error) {
 		cont, err := s.respond(frame)
 		if err != nil || !cont {
 			return false, err
 		}
-		if err := link.Send(s.buf); err != nil {
+		err = s.replies.link.SendLent(s.buf)
+		s.replies.Reset()
+		if err != nil {
 			// The coordinator tearing the link down between our Recv and
 			// this reply is a hang-up, not a server failure.
 			if HungUp(err) {

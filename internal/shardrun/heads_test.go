@@ -446,7 +446,8 @@ func TestInteriorRejectsBadDigest(t *testing.T) {
 	// list whose tail is bad.
 	for _, tc := range bad {
 		kids := []*stubKid{{}, {}}
-		r := newInterior([]transport.Link{fanout.Loopback(kids[0].serve), fanout.Loopback(kids[1].serve)})
+		parent, _ := transport.Pipe()
+		r := newInterior(parent, []transport.Link{fanout.Loopback(kids[0].serve), fanout.Loopback(kids[1].serve)})
 		defer r.fan.Close()
 		if _, err := r.respond(assign(0, 8)); err != nil {
 			t.Fatal(err)

@@ -42,12 +42,11 @@ type interior struct {
 
 	plan    []planEntry
 	replies fanout.Frames // the folded replies to the parent frame's commands
-	env     []byte        // envelope buffer for a batched reply
-	buf     []byte        // the outgoing parent frame; aliases replies or env
+	buf     []byte        // the outgoing parent frame, in replies' buffer
 }
 
-func newInterior(children []transport.Link) *interior {
-	r := &interior{}
+func newInterior(parent transport.Link, children []transport.Link) *interior {
+	r := &interior{replies: fanout.NewFrames(parent)}
 	r.fan = fanout.NewFan(children, r.fail)
 	return r
 }
@@ -96,8 +95,8 @@ func (r *interior) reassign(m wire.Assign) error {
 		return err
 	}
 	r.lo, r.hi = m.Lo, m.Hi
-	r.env = wire.AppendBare(r.env[:0], wire.TypeReady)
-	r.buf = r.env
+	r.replies.Add(func(dst []byte) []byte { return wire.AppendBare(dst, wire.TypeReady) })
+	r.buf = r.replies.Frame(false)
 	return nil
 }
 
@@ -244,7 +243,6 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 		return false, err
 	}
 
-	r.replies.Reset()
 	for i := range r.plan {
 		pe := &r.plan[i]
 		if pe.typ == wire.TypeRound {
@@ -266,18 +264,19 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 		}
 		r.replies.Add(wire.Reply{TopViol: topViol, OutViol: outViol}.Append)
 	}
-	r.buf = r.replies.Frame(nil, batched, &r.env)
+	r.buf = r.replies.Frame(batched)
 	return true, nil
 }
 
 // respond processes one parent frame and stages the outgoing frame in
-// r.buf. It returns false for Shutdown (children already shut down, no
-// reply owed).
+// r.buf, in the buffer the parent link lends. It returns false for
+// Shutdown (children already shut down, no reply owed).
 func (r *interior) respond(frame []byte) (cont bool, err error) {
 	typ, err := wire.MsgType(frame)
 	if err != nil {
 		return false, err
 	}
+	r.replies.Reset()
 	switch typ {
 	case wire.TypeAssign:
 		m, err := wire.DecodeAssign(frame)
@@ -295,8 +294,8 @@ func (r *interior) respond(frame []byte) (cont bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		r.env = sum.Append(r.env[:0])
-		r.buf = r.env
+		r.replies.Add(sum.Append)
+		r.buf = r.replies.Frame(false)
 		return true, nil
 	default:
 		subs, batched, err := fanout.Subframes(&r.batch, frame)
@@ -320,7 +319,8 @@ func ServeInterior(parent transport.Link, children []transport.Link) error {
 	if len(children) == 0 {
 		return errors.New("shardrun: interior needs at least one child")
 	}
-	r := newInterior(children)
+	up := transport.Lending(parent)
+	r := newInterior(up, children)
 	defer func() {
 		for _, c := range children {
 			_ = c.Close()
@@ -338,7 +338,9 @@ func ServeInterior(parent transport.Link, children []transport.Link) error {
 		if err != nil || !cont {
 			return false, err
 		}
-		if err := parent.Send(r.buf); err != nil {
+		err = up.SendLent(r.buf)
+		r.replies.Reset()
+		if err != nil {
 			if fanout.HungUp(err) {
 				return false, nil
 			}

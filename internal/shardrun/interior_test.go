@@ -251,7 +251,8 @@ func FuzzInteriorRespond(f *testing.F) {
 				defer leaves.Done()
 				return ServeShard(l)
 			})
-			r := newInterior(children)
+			parent, _ := transport.Pipe()
+			r := newInterior(parent, children)
 			if cont, err := r.respond(assign); err != nil || !cont {
 				t.Errorf("valid assignment refused: %v", err)
 			}

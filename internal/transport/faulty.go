@@ -39,10 +39,11 @@ type FaultPlan struct {
 
 // Faulty wraps a Link with scripted fault injection for tests and
 // benchmarks. It preserves the Link contract (Send and Recv from
-// different goroutines, neither concurrent with itself) and forwards
+// different goroutines, neither concurrent with itself), is a Lender over
+// Lending(l) whose SendLent suffers the faults Send does, and forwards
 // Flush and Stats to the wrapped link.
 type Faulty struct {
-	link Link
+	link Lender
 	plan FaultPlan
 
 	mu     sync.Mutex
@@ -54,7 +55,7 @@ type Faulty struct {
 
 // NewFaulty wraps l with the given fault plan.
 func NewFaulty(l Link, plan FaultPlan) *Faulty {
-	return &Faulty{link: l, plan: plan, r: rng.New(plan.Seed, 0xfa17)}
+	return &Faulty{link: Lending(l), plan: plan, r: rng.New(plan.Seed, 0xfa17)}
 }
 
 // faultAction is what begin decided for one operation.
@@ -111,7 +112,18 @@ func (f *Faulty) Killed() bool {
 }
 
 // Send implements Link.
-func (f *Faulty) Send(payload []byte) error {
+func (f *Faulty) Send(payload []byte) error { return f.send(payload, f.link.Send) }
+
+// Lend implements Lender with the wrapped link's lent buffer; it is not an
+// operation the plan counts.
+func (f *Faulty) Lend() []byte { return f.link.Lend() }
+
+// SendLent implements Lender with the faults of Send.
+func (f *Faulty) SendLent(frame []byte) error { return f.send(frame, f.link.SendLent) }
+
+// send is one send operation, Send's or SendLent's: send is the wrapped
+// link's, and a duplicate goes through its Send.
+func (f *Faulty) send(payload []byte, send func([]byte) error) error {
 	act, delay := f.begin()
 	if delay > 0 {
 		time.Sleep(delay)
@@ -129,9 +141,10 @@ func (f *Faulty) Send(payload []byte) error {
 		return nil
 	case actDup:
 		// The payload may alias the last frame received, which the first
-		// Send frees: the second sends a copy.
+		// send frees, or be a lent buffer the first send hands over: the
+		// second sends a copy.
 		dup := append([]byte(nil), payload...)
-		if err := f.link.Send(payload); err != nil {
+		if err := send(payload); err != nil {
 			return err
 		}
 		if err := f.link.Send(dup); err != nil {
@@ -141,7 +154,7 @@ func (f *Faulty) Send(payload []byte) error {
 		f.kill()
 		return nil
 	default:
-		return f.link.Send(payload)
+		return send(payload)
 	}
 }
 

@@ -259,3 +259,117 @@ func TestDialRetryCancelAborts(t *testing.T) {
 		t.Fatalf("cancellation took %v to take effect", elapsed)
 	}
 }
+
+// lent encodes p into the buffer l lends, as the fan-out core does.
+func lent(l Lender, p ...byte) []byte { return append(l.Lend(), p...) }
+
+// The cases below send through SendLent, the path every frame of the
+// fan-out core takes: a Faulty lends its wrapped link's buffer and applies
+// each fault to a lent frame as it does to a copied one.
+
+func TestFaultyPassthroughLent(t *testing.T) {
+	for name, wrap := range map[string]func(Link) Link{
+		"pipe":    func(l Link) Link { return l },
+		"copying": func(l Link) Link { return copying{l} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b := Pipe()
+			fa := NewFaulty(wrap(a), FaultPlan{})
+			for i := 0; i < 5; i++ {
+				if err := fa.SendLent(lent(fa, byte(i), byte(i))); err != nil {
+					t.Fatalf("send %d: %v", i, err)
+				}
+				p, err := b.Recv()
+				if err != nil || len(p) != 2 || p[0] != byte(i) || p[1] != byte(i) {
+					t.Fatalf("frame %d: got %v, %v", i, p, err)
+				}
+			}
+			if s := fa.Stats(); s.SentFrames != 5 || s.SentBytes != 15 {
+				t.Fatalf("stats not forwarded: %+v", s)
+			}
+		})
+	}
+}
+
+func TestFaultyKillOnSendLent(t *testing.T) {
+	a, b := Pipe()
+	fa := NewFaulty(a, FaultPlan{KillAt: 2})
+	if err := fa.SendLent(lent(fa, 1)); err != nil { // op 1
+		t.Fatalf("pre-kill send: %v", err)
+	}
+	if err := fa.SendLent(lent(fa, 2)); !errors.Is(err, ErrClosed) { // op 2
+		t.Fatalf("kill op returned %v, want ErrClosed", err)
+	}
+	if !fa.Killed() {
+		t.Fatal("not killed")
+	}
+	if p, err := b.Recv(); err != nil || len(p) != 1 || p[0] != 1 {
+		t.Fatalf("the frame before the kill: %v, %v", p, err)
+	}
+	if _, err := b.Recv(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("remote side still open: %v", err)
+	}
+}
+
+func TestFaultyDropOnSendLent(t *testing.T) {
+	a, b := Pipe()
+	fa := NewFaulty(a, FaultPlan{DropAt: 1})
+	if err := fa.SendLent(lent(fa, 42)); err != nil {
+		t.Fatalf("dropped send reported %v, want nil", err)
+	}
+	if !fa.Killed() {
+		t.Fatal("drop did not cut the connection")
+	}
+	if _, err := b.Recv(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("remote recv: %v", err)
+	}
+}
+
+// TestFaultyDupOnSendLent pins that a duplicated lent frame is sent twice
+// intact: the first send hands the lent buffer to the link, which frees it
+// once the receiver takes the second, so the second is a copy.
+func TestFaultyDupOnSendLent(t *testing.T) {
+	for name, wrap := range map[string]func(Link) Link{
+		"pipe":    func(l Link) Link { return l },
+		"copying": func(l Link) Link { return copying{l} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			a, b := Pipe()
+			fa := NewFaulty(wrap(a), FaultPlan{DupAt: 1})
+			if err := fa.SendLent(lent(fa, 9, 8, 7)); err != nil {
+				t.Fatalf("dup send: %v", err)
+			}
+			for i := 0; i < 2; i++ {
+				p, err := b.Recv()
+				if err != nil || string(p) != "\x09\x08\x07" {
+					t.Fatalf("dup copy %d: got %v, %v", i, p, err)
+				}
+			}
+			if _, err := b.Recv(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("after duplicates: %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+func TestFaultyDelayOnSendLent(t *testing.T) {
+	a, b := Pipe()
+	const delay = 20 * time.Millisecond
+	fa := NewFaulty(a, FaultPlan{Delay: delay, Seed: 3})
+	start := time.Now()
+	if err := fa.SendLent(lent(fa, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < delay/2 {
+		t.Fatalf("a delayed send took %v, want at least %v", took, delay/2)
+	}
+	if p, err := b.Recv(); err != nil || len(p) != 1 || p[0] != 5 {
+		t.Fatalf("delayed frame: %v, %v", p, err)
+	}
+}
+
+// copying hides a link's Lender methods, as an external link without them
+// would: a Faulty over it lends through Lending's copy.
+type copying struct{ Link }
+
+func (c copying) Stats() LinkStats { return StatsOf(c.Link) }

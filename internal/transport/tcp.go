@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -181,28 +180,41 @@ func DialRetry(ctx context.Context, addr string, attempts int, base time.Duratio
 }
 
 // tcpLink frames payloads onto a TCP stream as uvarint length prefixes
-// followed by the payload bytes. Writes are buffered until Flush (or the
-// next Recv — the flush-before-read guard); reads go through one owned
-// buffer, so an incoming frame is copied exactly once, kernel to rbuf,
-// and Recv returns a view into it.
+// followed by the payload bytes. A frame is written once, into the write
+// buffer: Lend hands out the room after the frames buffered so far, behind
+// space for the length prefix, and Send copies a payload in. Frames wait
+// there until Flush (or the next Recv — the flush-before-read guard) writes
+// them with one Write. Reads go through
+// one owned buffer, so an incoming frame is copied exactly once, kernel to
+// rbuf, and Recv returns a view into it. Both buffers start small, grow
+// once to what a frame needs, and follow Retention.
 type tcpLink struct {
 	stats
 	conn net.Conn
 	done chan struct{}
 
-	sendMu sync.Mutex // guards bw, prefix, dirty
-	bw     *bufio.Writer
-	prefix []byte
-	dirty  bool // bytes buffered since the last flush
+	sendMu sync.Mutex // guards wbuf, wlo, wsizes
+	wbuf   []byte     // the frames since the last flush lie in wbuf[wlo:]
+	wlo    int        // where the first of them starts: past the lent room it skipped
+	wsizes Retention  // judges wbuf when nothing is buffered
 
 	rbuf       []byte // read buffer; [rpos, rend) is unconsumed stream data
 	rpos, rend int
+	rlast      int       // length of the frame the last Recv returned
+	rsizes     Retention // judges rbuf as each Recv frees that frame
 
 	closeMu sync.Mutex
 	closed  bool
 }
 
-const readBufSize = 1 << 12
+const (
+	// minBuf is what either buffer of a link starts at: a frame of the
+	// protocol is a handful of values and ids, and one that is not grows
+	// the buffer it needs once.
+	minBuf = 512
+	// maxPrefix is the longest length prefix of a frame up to MaxFrame.
+	maxPrefix = 4
+)
 
 func newTCPLink(c net.Conn) *tcpLink {
 	if tc, ok := c.(*net.TCPConn); ok {
@@ -215,41 +227,95 @@ func newTCPLink(c net.Conn) *tcpLink {
 	}
 	return &tcpLink{
 		conn: c,
-		bw:   bufio.NewWriter(c),
-		rbuf: make([]byte, readBufSize),
+		rbuf: make([]byte, minBuf),
 		done: make(chan struct{}),
 	}
 }
 
-// Send implements Link: it frames the payload into the write buffer and
-// returns without transmitting. Flush or the next Recv pushes it out.
+// Lend implements Lender: the room after the frames buffered so far,
+// behind space for the next length prefix. An empty write buffer is judged
+// first: one Retention lets go of is replaced by a minBuf one.
+func (l *tcpLink) Lend() []byte {
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
+	if len(l.wbuf) == 0 && (cap(l.wbuf) == 0 || !l.wsizes.Keep(cap(l.wbuf), 0)) {
+		l.wbuf = make([]byte, 0, minBuf)
+	}
+	at := len(l.wbuf) + maxPrefix
+	if at > cap(l.wbuf) {
+		return nil
+	}
+	return l.wbuf[at:at]
+}
+
+// SendLent implements Lender: a frame written where Lend lent an empty
+// write buffer gets its length prefix in front and is buffered where it
+// lies. Behind frames already buffered, it is moved down next to them, so
+// that the frames of a flush lie in one run. One its encoder had to grow
+// elsewhere is copied in, the write buffer growing once to hold the
+// frame's whole buffer — the room its encoder asked for — so that the next
+// frame of its size is encoded where it is sent.
+func (l *tcpLink) SendLent(frame []byte) error {
+	if err := sendable(frame); err != nil {
+		return err
+	}
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
+	n := len(frame)
+	l.wsizes.Keep(0, n)
+	w := len(l.wbuf)
+	if w == 0 && within(frame, l.wbuf) {
+		off := cap(l.wbuf) - cap(frame)
+		l.wlo = off - wire.SizeUvarint(uint64(n))
+		l.wbuf = wire.AppendUvarint(l.wbuf[:l.wlo], uint64(n))[:off+n]
+		l.sent(int64(off + n - l.wlo))
+		return nil
+	}
+	if cap(l.wbuf)-w-maxPrefix < cap(frame) { // never for a frame lent at w+maxPrefix
+		grown := make([]byte, w, w+maxPrefix+cap(frame))
+		copy(grown, l.wbuf)
+		l.wbuf = grown
+	}
+	l.put(frame) // a frame lent behind buffered ones moves down: its prefix ends before it
+	return nil
+}
+
+// Send implements Link: it frames a copy of the payload into the write
+// buffer and returns without transmitting. Flush or the next Recv pushes
+// it out.
 func (l *tcpLink) Send(payload []byte) error {
 	if err := sendable(payload); err != nil {
 		return err
 	}
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
-	l.prefix = wire.AppendUvarint(l.prefix[:0], uint64(len(payload)))
-	if _, err := l.bw.Write(l.prefix); err != nil {
-		return l.sendErr(err)
+	if len(l.wbuf) == 0 && !l.wsizes.Keep(cap(l.wbuf), len(payload)) {
+		l.wbuf = nil
 	}
-	if _, err := l.bw.Write(payload); err != nil {
-		return l.sendErr(err)
-	}
-	l.dirty = true
-	l.sent(frameLen(len(payload)))
+	l.put(payload)
 	return nil
 }
 
-// Flush implements Flusher: it writes out every frame buffered by Send.
+// put appends one framed payload to the write buffer, next to the frames
+// buffered before it.
+func (l *tcpLink) put(payload []byte) {
+	w := len(l.wbuf)
+	l.wbuf = wire.AppendUvarint(l.wbuf, uint64(len(payload)))
+	l.wbuf = append(l.wbuf, payload...)
+	l.sent(int64(len(l.wbuf) - w))
+}
+
+// Flush implements Flusher: it writes out every frame buffered since the
+// last flush in one Write.
 func (l *tcpLink) Flush() error {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
-	if !l.dirty {
+	if len(l.wbuf) == 0 {
 		return nil
 	}
-	l.dirty = false
-	if err := l.bw.Flush(); err != nil {
+	_, err := l.conn.Write(l.wbuf[l.wlo:])
+	l.wbuf, l.wlo = l.wbuf[:0], 0
+	if err != nil {
 		return l.sendErr(err)
 	}
 	return nil
@@ -270,6 +336,7 @@ func (l *tcpLink) Recv() ([]byte, error) {
 	if err := l.Flush(); err != nil {
 		return nil, err
 	}
+	l.fit()
 	n, err := l.readPrefix()
 	if err != nil {
 		return nil, l.recvErr(err)
@@ -285,8 +352,26 @@ func (l *tcpLink) Recv() ([]byte, error) {
 	}
 	buf := l.rbuf[l.rpos : l.rpos+int(n)]
 	l.rpos += int(n)
+	l.rlast = int(n)
 	l.received(frameLen(int(n)))
 	return buf, nil
+}
+
+// fit judges the read buffer by the frame the last Recv returned, which
+// this one frees, and lets go of a buffer Retention does not keep for one
+// of minBuf, or of the bytes already read ahead if they are more. While
+// those fill over half the buffer it waits: each buffer it lets go of is
+// then at most half its predecessor, and read-ahead bytes are copied a
+// bounded number of times, not once a Recv.
+func (l *tcpLink) fit() {
+	keep := l.rsizes.Keep(len(l.rbuf), l.rlast)
+	l.rlast = 0 // told once, whatever this Recv returns
+	if keep || l.rend-l.rpos > len(l.rbuf)/2 {
+		return
+	}
+	kept := make([]byte, max(minBuf, l.rend-l.rpos))
+	l.rend = copy(kept, l.rbuf[l.rpos:l.rend])
+	l.rpos, l.rbuf = 0, kept
 }
 
 // readPrefix parses the uvarint length prefix from the buffered stream.

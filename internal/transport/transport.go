@@ -6,13 +6,19 @@
 //   - Pipe: an in-process loopback that delivers frames over channels,
 //     used by the loopback engine and the equivalence tests. It simulates
 //     the same length-prefix framing cost as TCP so byte statistics are
-//     comparable, and frees a received frame when its receiver answers,
-//     so each direction cycles one buffer and a steady-state
-//     request/reply cycle allocates nothing (see Retention for the
-//     buffers it lets go instead).
+//     comparable, hands a lent frame's buffer itself to the far end, and
+//     frees a received frame when its receiver answers, so each direction
+//     cycles one buffer and a steady-state request/reply cycle allocates
+//     nothing (see Retention for the buffers it lets go instead).
 //   - TCP: a length-prefixed stream protocol — one coordinator listener,
 //     n dialing peers, one goroutine-free synchronous read loop per
-//     connection, graceful shutdown via context cancellation.
+//     connection, graceful shutdown via context cancellation. Frames are
+//     encoded straight into its write buffer and read through one read
+//     buffer, both sized by the frames they carry.
+//
+// Both lend the buffer a frame is encoded into (Lender), so a frame is
+// written once, where its link carries it from; Lending adapts any other
+// Link with one copy.
 //
 // A frame is a uvarint payload length followed by the payload (one
 // internal/wire message). Frames are capped at MaxFrame bytes so a
@@ -63,28 +69,32 @@ func sendable(payload []byte) error {
 	return nil
 }
 
-// Retention is the one retention rule for a long-lived frame buffer — a
-// pipe's free list, a coordinator's encode buffer, a fan's per-peer arenas,
-// a monitor's checkpoint encode buffer. The first frame after a handshake
-// carries values where the frames after it carry changes (internal/wire),
-// several times as many bytes, as a checkpoint base does over the deltas
-// after it, and a buffer it grew would otherwise keep that size for good.
-// Keep is told of every frame the buffer carries and lets go of a buffer
-// over 64 KiB that is more than twice the larger of the last two frames of
-// at least 1 KiB it was told of. Three limits keep the rule from letting go
-// of a buffer the next frame will need: the floor, below which a buffer is
-// kept whatever mix of frames it carries; frames under 1 KiB — acks,
-// rounds, replies — which do not count; and the memory of two frames, which
-// lets one larger protocol frame — a large-k reset's batch of Winners —
-// pass between two observation frames without the buffer they need being
-// let go. The zero value is ready to use.
+// Retention is the one retention rule for a long-lived frame buffer — the
+// buffer a link lends a frame's encoder (a pipe's boxes, a TCP link's write
+// buffer, Lending's own), a TCP link's read buffer, a monitor's checkpoint
+// encode buffer. A frame is written once, into the buffer its link carries
+// it in, so each of those is the only buffer its frames pass through. The
+// first frame after a handshake carries values where the frames after it
+// carry changes (internal/wire), several times as many bytes, as a
+// checkpoint base does over the deltas after it, and a buffer it grew would
+// otherwise keep that size for good. Keep is told of every frame the buffer
+// carries and lets go of a buffer over 64 KiB that is more than twice the
+// larger of the last two frames of at least 1 KiB it was told of. Three
+// limits keep the rule from letting go of a buffer the next frame will need:
+// the floor, below which a buffer is kept whatever mix of frames it
+// carries; frames under 1 KiB — acks, rounds, replies — which do not count;
+// and the memory of two frames, which lets one larger protocol frame — a
+// large-k reset's batch of Winners — pass between two observation frames
+// without the buffer they need being let go. A buffer lent before its frame
+// is known is judged when it is lent, Keep(capacity, 0), and told of the
+// frame once it is sent, Keep(0, n). The zero value is ready to use.
 type Retention struct {
 	last, prev int // the last two counted frames' lengths
 }
 
 // Keep records that a buffer of the given capacity carried (or is about to
 // carry) a frame of n bytes, and reports whether the buffer is worth
-// keeping.
+// keeping. n = 0 judges the buffer alone; capacity 0 only records the frame.
 func (r *Retention) Keep(capacity, n int) bool {
 	const floor, small = 64 << 10, 1 << 10
 	if n >= small {
@@ -103,10 +113,11 @@ type Link interface {
 	Send(payload []byte) error
 	// Recv blocks for the next frame and returns its payload, after
 	// flushing any bytes Send buffered on this link. The returned slice
-	// is valid until this end's next Recv or Send, whichever comes first:
-	// a receiver is done with a frame once it has answered it, and an
-	// implementation may reuse the buffer from then on. The answer itself
-	// may alias the frame: Send takes its payload before it frees it.
+	// is valid until this end's next Recv, Send or SendLent (Lender),
+	// whichever comes first: a receiver is done with a frame once it has
+	// answered it, and an implementation may reuse the buffer from then
+	// on. The answer itself may alias the frame: Send takes its payload
+	// before it frees it.
 	Recv() ([]byte, error)
 	// Close tears the link down; pending and future operations fail.
 	// Close is idempotent.
@@ -127,6 +138,73 @@ func Flush(l Link) error {
 		return f.Flush()
 	}
 	return nil
+}
+
+// Lender is a link that lends the buffer a frame is encoded into, so that
+// the frame is written once, where the link carries it from: a pipe hands
+// the buffer itself to the far end, a TCP link lends the room after the
+// frames it has buffered. Lend returns an empty buffer; the caller appends
+// one frame to it — growing it if it must, or writing the frame behind
+// bytes it skips — and passes the frame, a window of what it appended, to
+// SendLent, after which the link owns the buffer. A lent buffer is valid
+// until the link's next Lend, Send or SendLent; Lend and SendLent follow
+// Send's concurrency contract. SendLent refuses a frame above MaxFrame as
+// Send does.
+type Lender interface {
+	Link
+	Lend() []byte
+	SendLent(frame []byte) error
+}
+
+// Lending returns l as a Lender: l itself when it lends its buffers (Pipe,
+// TCP, Faulty), otherwise an adapter that lends a buffer of its own, under
+// Retention, and copies each frame through l's Send — the one copy left
+// for a link that cannot lend (an external topk.Link, an interposed
+// wrapper). The adapter forwards Flush and Stats.
+func Lending(l Link) Lender {
+	if le, ok := l.(Lender); ok {
+		return le
+	}
+	return &lending{Link: l}
+}
+
+// lending is Lending's adapter.
+type lending struct {
+	Link
+	buf   []byte
+	sizes Retention
+}
+
+func (a *lending) Lend() []byte {
+	if !a.sizes.Keep(cap(a.buf), 0) {
+		a.buf = nil
+	}
+	return a.buf[:0]
+}
+
+// SendLent copies the frame out through Send and keeps the buffer it was
+// written in for the next Lend: the lent one, or the one its encoder grew.
+func (a *lending) SendLent(frame []byte) error {
+	if err := sendable(frame); err != nil {
+		return err
+	}
+	a.sizes.Keep(0, len(frame))
+	if !within(frame, a.buf) {
+		a.buf = frame[:0]
+	}
+	return a.Link.Send(frame)
+}
+
+func (a *lending) Flush() error { return Flush(a.Link) }
+
+func (a *lending) Stats() LinkStats { return StatsOf(a.Link) }
+
+// within reports whether frame is a window of buf's storage that reaches
+// its end — buf resliced, not trimmed and not reallocated — so that
+// cap(buf)-cap(frame) is the frame's offset in buf.
+func within(frame, buf []byte) bool {
+	c, f := cap(buf), cap(frame)
+	return f > 0 && f <= c && &buf[:c][c-1] == &frame[:f][f-1]
 }
 
 // LinkStats counts the traffic that crossed one link, as framed on the

@@ -271,6 +271,11 @@ func TestOversizedSendRefused(t *testing.T) {
 		if err.Error() != want {
 			t.Errorf("%s: Send error %q, want the other link's %q", l.name, err, want)
 		}
+		for how, lender := range map[string]Lender{"lent": Lending(l.near), "lent through a copy": Lending(copying{l.near})} {
+			if err := lender.SendLent(huge); err == nil || err.Error() != want {
+				t.Errorf("%s: SendLent %s of %d bytes: %v, want %q", l.name, how, len(huge), err, want)
+			}
+		}
 		if err := l.near.Send(huge[:MaxFrame>>10]); err != nil {
 			t.Fatalf("%s: Send after a refused frame: %v", l.name, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -107,22 +108,24 @@ func moving(n int) func(step int) []int64 {
 // processes that host its nodes keep alive per node, all of it in this
 // process over Loopback(2), after four dense steps: the first coded
 // against zero, the three after it moving every value, so frames carry
-// one-byte changes. The third step lets go of the buffers the first grew
-// (transport.Retention lets go of one once two frames in a row have
-// needed under half of it), and the fourth runs on buffers the frames
-// after the first sized, so what is measured is the steady state: the hosts' banks (key 8
-// + membership bit + in-play bit), the coordinator's last-value mirror 8 B,
-// and the change-coded frames — a byte a value — in the coordinator's
-// encode buffer (one host's share, 0.5 B) and in the one buffer each pipe
-// cycles through, a host's answer freeing the frame it answers (1 B),
-// ≈ 17.9 B/node with the machine's membership bit. A host applies a frame
-// from the buffer it arrived in, so nothing else grows with n: the budget
+// one-byte changes. A frame is encoded into the buffer its pipe carries it
+// in, which each Lend judges by the last two frames it carried
+// (transport.Retention lets go of one once two frames in a row have needed
+// under half of it): the fourth step's frames are encoded into buffers of
+// their own size, so what is measured is the steady state: the hosts'
+// banks (key 8 + membership bit + in-play bit), the coordinator's
+// last-value mirror 8 B, and the change-coded frames — a byte a value — in
+// the one buffer each pipe cycles through, a host's answer freeing the
+// frame it answers (1 B), ≈ 17.4 B/node with the machine's membership bit.
+// A host applies a frame from the buffer it arrived in, and the
+// coordinator writes it there, so nothing else grows with n: the budget
 // has no room for a buffer the first step's three-byte values grew (1.5
-// B/node more in the pipes alone), a second buffer per pipe, a flag byte
-// per hosted node, or the 8-byte column per hosted node a host used to
-// decode every frame into.
+// B/node more in the pipes alone), a second buffer per pipe (an encode
+// buffer the frames are copied out of), a flag byte per hosted node, or
+// the 8-byte column per hosted node a host used to decode every frame
+// into.
 func TestLoopbackFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 19.0
+	const n, k, budget = 1 << 18, 16, 18.5
 	step := moving(n)
 	before := liveHeap()
 	m, err := New(Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)})
@@ -148,19 +151,20 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 // root over two relays, each over two leaf shards, all in this process,
 // after the same four dense steps. Beside the leaves' banks, the machine's
 // bit and the root's mirror, a change-coded frame — a byte a value — is
-// held once at every place it passes through: the root's encode buffer
-// (one relay's share, half a frame of all n values), the buffer each
-// root-to-relay pipe cycles through (one frame in all), the relays'
-// per-child arenas its shares are copied into (one), and the buffer each
-// relay-to-leaf pipe cycles through (one): 3.5 frames, ≈ 19.9 B/node. A
-// second buffer per pipe would add two frames, and the buffers the first
-// step's three-byte values grew, kept, seven.
+// held once at every link it crosses, in the buffer that link carries it
+// in: the root encodes into the buffer each root-to-relay pipe cycles
+// through (one frame in all), and each relay writes its shares into the
+// buffer each relay-to-leaf pipe cycles through (one): 2 frames, ≈ 18.4
+// B/node. An encode buffer at the root (half a frame) and arenas at the
+// relays (one) that the frames are copied out of would not fit, nor a
+// second buffer per pipe (two frames), nor the buffers the first step's
+// three-byte values grew, kept (four bytes a node more).
 func TestTreeFootprintPerNode(t *testing.T) {
 	const (
 		n, k         = 1 << 18, 16
 		bank, mirror = 8 + 2.0/8 + 1.0/8, 8             // the machine's membership bit with the bank's two
 		frame        = 1                                // bytes a value
-		frames       = 0.5 + 1 + 1 + 1                  // root buffer, root pipes, relay arenas, leaf pipes
+		frames       = 1 + 1                            // root pipes, leaf pipes
 		budget       = bank + mirror + frames*frame + 1 // 1: allocation rounding, and what does not grow with n
 	)
 	step := moving(n)
@@ -677,5 +681,87 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 		n, build/n, extra, float64(len(frame))/n)
 	if extra > slack {
 		t.Fatalf("Restore allocates %.1f B/node beyond New and the frame, budget %v", extra, slack)
+	}
+}
+
+// TestTCPFootprintPerLink pins what one TCP link costs a networked monitor
+// and the host at its far end, both in this process: the difference
+// between monitors over twenty links and over four at the same n, after
+// the same four dense steps, over the sixteen links between them (after
+// one run that warms the runtime up). A link end's buffers start at 512 B
+// and grow once, to the frames they carry, so at n = 1024 — a twentieth of
+// it a frame of a couple of hundred bytes — a link holds the root's write
+// buffer, which the first frame's encoder grew to that frame and its chunk
+// of worst-case room (3 KiB), three 512 B buffers (the root's read buffer,
+// the host's write and read buffers), and ≈ 3.5 KiB that no buffer holds:
+// the two ends' link and connection state, the host's serve goroutine, bank
+// and round scratch, the root's peer and its reader goroutine. Over twenty
+// links the hosts' banks hold the nodes they hold over four, which is what
+// the difference leaves out. A 4 KiB write buffer and a 4 KiB read buffer
+// at each end, 16 KiB a link, do not fit the budget; nor does one 4 KiB
+// buffer more.
+func TestTCPFootprintPerLink(t *testing.T) {
+	const n, k, budget = 1 << 10, 8, 10 << 10
+	held := func(peers int) float64 {
+		step := moving(n)
+		before := liveHeap()
+		tr, served := tcpTransport(t, peers)
+		m, err := New(Config{Nodes: n, K: k, Seed: 1, Transport: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 4; s++ {
+			if _, err := m.Observe(step(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := liveHeap()
+		m.Close()
+		served()
+		runtime.KeepAlive(step)
+		return float64(after) - float64(before)
+	}
+	held(4)
+	few, many := held(4), held(20)
+	perLink := (many - few) / 16
+	t.Logf("a monitor over TCP at n=%d holds %.0f B over 4 links, %.0f B over 20: %.0f B a link", n, few, many, perLink)
+	if perLink > budget {
+		t.Fatalf("a TCP link costs its monitor and host %.0f B, budget %d", perLink, budget)
+	}
+}
+
+// tcpTransport returns a Transport over peers loopback TCP links, each
+// far end served by ServeNodes on a goroutine of this process, and a
+// function that waits, once the monitor over it is closed, for every host
+// to end cleanly. It skips t where the host cannot listen.
+func tcpTransport(t *testing.T, peers int) (Transport, func()) {
+	t.Helper()
+	ln, err := transport.Listen(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
+	}
+	served := make(chan error, peers)
+	for range peers {
+		link, err := transport.Dial(context.Background(), ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { served <- ServeNodes(link) }()
+	}
+	accepted, err := ln.AcceptN(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := &loopback{}
+	for _, l := range accepted {
+		lb.links = append(lb.links, l)
+	}
+	return lb, func() {
+		for range peers {
+			if err := <-served; err != nil {
+				t.Fatalf("host: %v", err)
+			}
+		}
+		ln.Close()
 	}
 }

@@ -12,6 +12,13 @@ import "repro/internal/netrun"
 // several frames to the same peer coalesce into one write. Links without
 // the method must transmit on Send; the engine probes dynamically and
 // never requires Flush.
+//
+// The engine writes each frame once, into the buffer its link carries it
+// in: internal/transport's links lend that buffer to the encoder. A Link
+// of your own is handed each frame from a buffer the engine keeps per
+// link, sized by the frames it carries and reused for the next frame once
+// Send returns — so Send copies what it keeps, and that copy is the only
+// one a frame takes on its way out.
 type Link interface {
 	// Send frames one payload; the payload is not retained.
 	Send(payload []byte) error
