@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "re-record testdata/*.golden from the co
 const small = "-n 16 -k 3 -steps 200 -seed 7"
 
 var (
-	// shapes are the engine shapes of the synchronous matrix; the first four
+	// shapes are the engine shapes of the synchronous matrix; all of them
 	// share one ledger for a seed (see TestGoldenOutput).
 	shapes = []struct{ name, flags string }{
 		{"seq", "-engine seq"},
@@ -29,9 +29,8 @@ var (
 		{"tree2x2", "-tree 2^2"},
 		{"tree2x3", "-tree 2^3"},
 	}
-	bitIdentical = 4
-	workloads    = []string{"walk", "rotation", "twoband", "converging"}
-	epsilons     = []string{"0", "0.05"}
+	workloads = []string{"walk", "rotation", "twoband", "converging"}
+	epsilons  = []string{"0", "0.05"}
 	// modes are the synchronous runs beside the matrix.
 	modes = []string{
 		small + " -ordered -workload twoband",
@@ -96,9 +95,9 @@ func ledgerOf(t *testing.T, out string) string {
 }
 
 // TestGoldenOutput replays the synchronous flag matrix against the output
-// recorded from the command before it stood on topk.Monitor, and holds the
-// engines that promise one ledger for a seed — seq, net at any peer count,
-// one shard — to it, run by run.
+// recorded from the command before it stood on topk.Monitor, and holds
+// every engine shape — seq, net at any peer count, any tree — to the one
+// ledger seq prints for a seed, run by run.
 func TestGoldenOutput(t *testing.T) {
 	ledgers := map[string]string{} // workload and ε → the ledger shapes[0] printed
 	for i, s := range shapes {
@@ -110,7 +109,7 @@ func TestGoldenOutput(t *testing.T) {
 				b.WriteString("$ topkmon " + args + "\n" + out)
 				if i == 0 {
 					ledgers[w+eps] = ledgerOf(t, out)
-				} else if l := ledgerOf(t, out); i < bitIdentical && l != ledgers[w+eps] {
+				} else if l := ledgerOf(t, out); l != ledgers[w+eps] {
 					t.Errorf("%s ε=%s: %s disagrees with %s:\n%s\n--- want\n%s", w, eps, s.name, shapes[0].name, l, ledgers[w+eps])
 				}
 			}

@@ -106,7 +106,7 @@ func runContext(ctx context.Context, args []string, stdout, stderr io.Writer) in
 	fs.StringVar(&o.traceIn, "trace", "", "CSV trace file to replay instead of a synthetic workload")
 	fs.StringVar(&o.engine, "engine", "seq", "seq (in process; large steps on a goroutine pool from 2^16 nodes) | net (wire protocol over loopback links; over TCP with -serve)")
 	fs.IntVar(&o.peers, "peers", 4, "peer count: node hosts for -engine net, expected -join connections for -serve")
-	fs.StringVar(&o.tree, "tree", "", "split the coordinator into a tree of sub-coordinators of shape branch^depth: S^1 is a star of S shards under a root merge layer, 2^3 a tree whose interiors merge digests so the root serves 8 leaf shards through 2 links; prints the per-level traffic table")
+	fs.StringVar(&o.tree, "tree", "", "split the coordinator into a tree of sub-coordinators of shape branch^depth: S^1 is a star of S leaf shards, 2^3 a tree whose interiors answer for their subtrees with one bid log so the root serves 8 leaf shards through 2 links; the ledgers are the sequential engine's; prints the per-level traffic table")
 	fs.StringVar(&o.serve, "serve", "", "run as TCP coordinator on this address and wait for -peers joins")
 	fs.StringVar(&o.join, "join", "", "run as TCP node host: dial this coordinator address and serve until shutdown")
 	fs.BoolVar(&o.opt, "opt", false, "compute offline OPT segments and the competitive ratio")

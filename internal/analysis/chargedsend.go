@@ -21,10 +21,10 @@ import (
 // live in a function that — directly or through same-package helpers it
 // calls — charges a comm ledger (RecordSized, the one method of
 // comm.Recorder) or calls into the coord package. The serve loops qualify through their
-// respond helpers, which drive the node banks (the leaf server) or fold
-// digests under the coord package's tag order (the interior, whose
-// child-facing frames the fan charges); a function that reaches neither is
-// emitting bytes no ledger can see.
+// respond helpers, which drive the node banks (the leaf server) or replay
+// their children's bid logs under the coord package's tag order (the
+// interior, whose child-facing frames the fan charges); a function that
+// reaches neither is emitting bytes no ledger can see.
 //
 // transport.Flush is deliberately not checked: it releases bytes a
 // checked Send already buffered and never introduces new payload.

@@ -14,8 +14,9 @@
 //     as batched commands, to internal/runtime's shard goroutines,
 //   - internal/netrun encodes them as internal/wire frames on
 //     transport.Links,
-//   - internal/shardrun delegates whole protocol executions to per-shard
-//     sub-coordinators and merges their digests.
+//   - internal/shardrun carries them through a tree of relays to leaf
+//     shards, each relay answering an execution with the bid log one host
+//     of its subtree would write.
 //
 // The Machine owns the message ledger: it charges the midpoint broadcasts
 // itself and hands adapters phase-scoped recorders for the protocol

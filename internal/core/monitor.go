@@ -497,7 +497,7 @@ func (s *split) exec(ex *protocol.Exec, eff coord.Effect, step int64, tol order.
 			panic("core: " + err.Error())
 		}
 	}
-	ex.Replay(s.logs, tol)
+	ex.Replay(s.logs, tol, nil)
 }
 
 // traceInstall records a midpoint (or ε-mode band) broadcast, noting the

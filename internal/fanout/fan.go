@@ -14,11 +14,13 @@ import (
 // incoming frame — and the one place sub-frames become a transport frame
 // (Frame). The sub-frames are written once, in wire.Batch layout, into the
 // buffer the arena's link lends (transport.Lender), behind room for the
-// batch header: the frame goes out where it was encoded, and the buffer
+// batch header: the frame goes out where it was encoded — moved once to
+// the start of a buffer an encoder had to grow (from) — and the buffer
 // follows the link's transport.Retention.
 type Frames struct {
 	link transport.Lender
 	buf  []byte // [room][sub-frame][len][sub-frame]...; nil until the first Add
+	lent []byte // what the link lent, where buf starts until an encoder grows it
 	lens []int  // the sub-frames' lengths
 }
 
@@ -35,13 +37,14 @@ func NewFrames(link transport.Link) Frames {
 // Reset empties the arena. Its buffer is the link's: the one it lent, or
 // the one a frame sent from it now owns.
 func (a *Frames) Reset() {
-	a.buf, a.lens = nil, a.lens[:0]
+	a.buf, a.lent, a.lens = nil, nil, a.lens[:0]
 }
 
 // begin borrows the arena's buffer from its link, the room reserved.
 func (a *Frames) begin() {
 	var ahead [room]byte
-	a.buf = append(a.link.Lend(), ahead[:]...)
+	a.lent = a.link.Lend()
+	a.buf = append(a.lent, ahead[:]...)
 }
 
 // Add appends one sub-frame, produced by an append-encoder. A sub-frame
@@ -86,7 +89,7 @@ func (a *Frames) Frame(batch bool) []byte {
 	}
 	n := len(a.lens)
 	if !batch && n == 1 {
-		return a.buf[room:]
+		return a.from(room)
 	}
 	h := 1 + wire.SizeUvarint(uint64(n))
 	if n > 0 {
@@ -96,7 +99,20 @@ func (a *Frames) Frame(batch bool) []byte {
 	if n > 0 {
 		wire.AppendUvarint(hdr, uint64(a.lens[0]))
 	}
-	return a.buf[room-h:]
+	return a.from(room - h)
+}
+
+// from returns the frame that starts at offset start of the arena's
+// buffer. In a buffer that is not the lent one — an encoder grew it, and
+// sized it to what it needed — the frame is first moved down to the
+// buffer's start: the link adopts the buffer from where the frame starts,
+// and a buffer that began behind the unused room would be that much short
+// of the next frame of the same size.
+func (a *Frames) from(start int) []byte {
+	if cap(a.lent) > 0 && &a.buf[0] == &a.lent[:1][0] {
+		return a.buf[start:]
+	}
+	return a.buf[:copy(a.buf, a.buf[start:])]
 }
 
 // Subframes is Frame's inverse on the serving side: the commands one

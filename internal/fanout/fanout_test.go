@@ -47,9 +47,10 @@ type linkEngine interface {
 
 // TestDeadLinkKeepsTransportStats pins that recovery retires a dead
 // link's traffic instead of forgetting it: TransportStats must be
-// monotone through a peer's death and its merge or redial, on both exec
-// strategies. (Summing only the current links made the dead peer's frames
-// vanish — SentFrames 11552 → 8785 in the issue's scenario.)
+// monotone through a peer's death and its merge or redial, on both
+// link-backed engines (the labels are from when the shard engine delegated
+// its executions). (Summing only the current links made the dead peer's
+// frames vanish: SentFrames 11552 → 8785 in the scenario that showed it.)
 func TestDeadLinkKeepsTransportStats(t *testing.T) {
 	const n, k, seed, peers = 24, 3, 7, 4
 	strategies := []struct {

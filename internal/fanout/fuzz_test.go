@@ -11,38 +11,25 @@ import (
 	"repro/internal/wire"
 )
 
-// fuzzRounds are the two substrates' answers to a Round frame, as
-// netrun.Serve and shardrun.ServeShard build them (those packages import
-// this one): a whole execution run over the bank, answered with its bid log
-// or with its winners.
-var fuzzRounds = map[string]func() RoundFunc{
-	"logs": func() RoundFunc {
-		var ex protocol.Exec
-		var log wire.BidLogWriter
-		return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
-			log.Begin(dst, bank.Lo())
-			ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
-			bank.Run(m.Tag, m.Step, &ex, &log)
-			return log.End()
-		}
-	},
-	"delegated": func() RoundFunc {
-		var ex protocol.Exec
-		return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
-			ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
-			bank.Run(m.Tag, m.Step, &ex, nil)
-			var d wire.ShardDigest
-			d.SetWinners(ex.Winners())
-			return d.Append(dst)
-		}
-	},
+// fuzzRound is a leaf's answer to a Round frame, as netrun.Serve builds it
+// for node hosts and leaf shards alike (netrun imports this package): a
+// whole execution run over the bank, answered with its bid log.
+func fuzzRound() RoundFunc {
+	var ex protocol.Exec
+	var log wire.BidLogWriter
+	return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+		log.Begin(dst, bank.Lo())
+		ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
+		bank.Run(m.Tag, m.Step, &ex, &log)
+		return log.End()
+	}
 }
 
 // FuzzLeafRespond feeds a leaf that holds a valid assignment arbitrary
 // frames: whatever arrives, respond answers or returns an error — a
 // hostile or buggy frame cannot panic the process that hosts the leaf —
-// and a Round request a log-answering leaf takes it answers with a bid log
-// its coordinator opens.
+// and a Round request the leaf takes it answers with a bid log its
+// coordinator opens.
 func FuzzLeafRespond(f *testing.F) {
 	assign := wire.Assign{Lo: 4, Hi: 20, N: 24, K: 3, Seed: 5}.Append(nil)
 	// Observation frames are applied from the bytes, so one that turns
@@ -85,8 +72,8 @@ func FuzzLeafRespond(f *testing.F) {
 		f.Add(seed, seed)
 	}
 	// A step's observations, then an execution over what they made: every
-	// cohort, a log or a digest of the bank as the frame left it. The
-	// answer must be one its coordinator accepts.
+	// cohort, a log of the bank as the frame left it. The answer must be
+	// one its coordinator accepts.
 	for _, tag := range []uint8{coord.TagViolMin, coord.TagViolMax, coord.TagHandMin, coord.TagHandMax, coord.TagReset} {
 		round := wire.Round{Tag: tag, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 1}
 		f.Add(dense, round.Append(nil))
@@ -102,21 +89,19 @@ func FuzzLeafRespond(f *testing.F) {
 				t.Skip()
 			}
 		}
-		for name, round := range fuzzRounds {
-			link, _ := transport.Pipe()
-			s := newLeaf(link, round())
-			if cont, err := s.respond(assign); err != nil || !cont {
-				t.Fatalf("valid assignment refused: %v", err)
+		link, _ := transport.Pipe()
+		s := newLeaf(link, fuzzRound())
+		if cont, err := s.respond(assign); err != nil || !cont {
+			t.Fatalf("valid assignment refused: %v", err)
+		}
+		for _, frame := range [][]byte{first, second} {
+			if cont, err := s.respond(frame); err != nil || !cont {
+				break // the serve loop ends here
 			}
-			for _, frame := range [][]byte{first, second} {
-				if cont, err := s.respond(frame); err != nil || !cont {
-					break // the serve loop ends here
-				}
-				if m, err := wire.DecodeRound(frame); err == nil && name == "logs" {
-					var l wire.BidLog
-					if err := l.Open(s.buf, 4, 20, protocol.Rounds(m.Bound)); err != nil {
-						t.Fatalf("a log-answering leaf answered %+v with a log its coordinator refuses: %v", m, err)
-					}
+			if m, err := wire.DecodeRound(frame); err == nil {
+				var l wire.BidLog
+				if err := l.Open(s.buf, 4, 20, protocol.Rounds(m.Bound)); err != nil {
+					t.Fatalf("the leaf answered %+v with a log its coordinator refuses: %v", m, err)
 				}
 			}
 		}

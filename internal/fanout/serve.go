@@ -55,8 +55,8 @@ func ServeLoop(link transport.Link, step func(frame []byte) (cont bool, err erro
 }
 
 // CheckRound rejects a decoded Round frame no coordinator sends: the codec
-// takes any tag byte, bound and winner count, and the bank, the local
-// executions and the digest merges panic on the ones the protocol has no
+// takes any tag byte, bound and winner count, and the bank, the host
+// executions and the relays' replays panic on the ones the protocol has no
 // meaning for, so every server stops them here.
 func CheckRound(m wire.Round) error {
 	if !coord.ValidTag(m.Tag) || m.Bound <= 0 || m.Want < 1 || m.Want > m.Bound {

@@ -44,7 +44,7 @@ type Engine struct{ *fanout.Engine }
 // hosts the i-th contiguous node range — and returns the coordinator,
 // under fanout.New's contract.
 func New(cfg Config, links []transport.Link) (*Engine, error) {
-	e, err := fanout.New(cfg, links, execRounds())
+	e, err := fanout.New(cfg, links, ExecRounds())
 	if err != nil {
 		return nil, err
 	}
@@ -78,14 +78,16 @@ func logRound() fanout.RoundFunc {
 	}
 }
 
-// execRounds is the networked engine's Exec strategy: one protocol
-// execution over the effect's cohort as one exchange — one Round request
-// to every peer, one bid log back — replayed in place: each log is read
-// where its answer frame lies, which stays valid until its link's next
-// exchange, long after the replay. A log that is malformed, or names a
-// node outside its peer's range or a round the execution does not have,
-// fails that peer like a dead link.
-func execRounds() fanout.Exec {
+// ExecRounds is the networked engine's Exec strategy, and the tree root's
+// (internal/shardrun): one protocol execution over the effect's cohort as
+// one exchange — one Round request to every peer, one bid log back —
+// replayed in place: each log is read where its answer frame lies, which
+// stays valid until its link's next exchange, long after the replay. A
+// peer may be one host or a relay answering for its subtree; the root
+// cannot tell them apart. A log that is malformed, or names a node outside
+// its peer's range or a round the execution does not have, fails that peer
+// like a dead link.
+func ExecRounds() fanout.Exec {
 	var ex protocol.Exec // its winner buffer is sized by the first reset
 	var logs []wire.BidLog
 	return func(e *fanout.Engine, eff coord.Effect) ([]protocol.Winner, error) {
@@ -98,7 +100,7 @@ func execRounds() fanout.Exec {
 		})
 		if err == nil {
 			ex.Begin(eff.Bound, eff.Want, coord.MinimumTag(eff.Tag), e.Recorder(eff.Phase), nil, e.Step())
-			ex.Replay(logs, coord.ExecTol(eff.Tag, e.Tol()))
+			ex.Replay(logs, coord.ExecTol(eff.Tag, e.Tol()), nil)
 		}
 		clear(logs) // hold no answer frame past the exchange
 		if err != nil {

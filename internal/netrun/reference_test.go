@@ -185,7 +185,7 @@ func (c *execCase) roundByRound(eff coord.Effect, out *charged) {
 
 // logged runs eff as the engine does: every host answers one request with
 // its bid log (logRound, the host's own code), and the logs are opened and
-// replayed against the true cut as execRounds does.
+// replayed against the true cut as ExecRounds does.
 func (c *execCase) logged(t *testing.T, eff coord.Effect, out *charged) {
 	t.Helper()
 	req := wire.Round{Tag: eff.Tag, Best: int64(order.NegInf), Bound: eff.Bound, Step: c.step, Want: eff.Want}
@@ -197,7 +197,7 @@ func (c *execCase) logged(t *testing.T, eff coord.Effect, out *charged) {
 		}
 	}
 	ex := protocol.NewExec(eff.Bound, eff.Want, coord.MinimumTag(eff.Tag), out.ledger.InPhase(eff.Phase), out.trace, c.step)
-	ex.Replay(logs, coord.ExecTol(eff.Tag, c.tol))
+	ex.Replay(logs, coord.ExecTol(eff.Tag, c.tol), nil)
 	out.winners = slices.Clone(ex.Winners())
 }
 

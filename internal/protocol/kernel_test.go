@@ -578,7 +578,7 @@ func replaySends(kc *kernelCase, cuts []int, want int, seed uint64, tol order.To
 	}
 	tr := comm.NewTrace(len(kc.ids) + 2*Rounds(kc.bound))
 	ex := NewExec(kc.bound, want, minimum, comm.Discard, tr, 0)
-	ex.Replay(logs, tol)
+	ex.Replay(logs, tol, nil)
 	var rounds []string
 	line := ""
 	for _, e := range tr.Events() {

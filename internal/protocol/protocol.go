@@ -83,8 +83,7 @@ func ceilLog2(n int) int {
 }
 
 // Winner is one bid an execution kept — the node and its true key — in the
-// wire's form, so that a digest can carry an execution's winners as they
-// are (wire.ShardDigest.SetWinners).
+// wire's form (wire.Bid).
 type Winner = wire.Bid
 
 // Top keeps the want best of the bids offered to it, best first, in one
@@ -92,11 +91,10 @@ type Winner = wire.Bid
 // execution to execution (so what a selection holds is bounded by the bids
 // it saw, whatever it was told to want). It is the whole
 // coordinator-side state of a selection — Exec charges and counts rounds
-// around one — and the digest mergers of internal/shardrun fold their
-// children's winner lists through the same Offer: a bid displaces the
+// around one, on a host, a relay and a root alike. A bid displaces the
 // want-th best only if it is strictly greater, so among equal keys the
-// earlier offer stays ahead (bids arrive in ascending id order, children in
-// ascending range order: ties resolve towards the smaller id everywhere).
+// earlier offer stays ahead (bids arrive in ascending id order: ties
+// resolve towards the smaller id everywhere).
 type Top struct {
 	want    int
 	minimum bool
@@ -154,9 +152,9 @@ func (t *Top) Winners() []Winner { return t.win }
 // want largest keys, in order; with want = 1 it is Algorithm 2 itself, bid
 // for bid. It is the single copy of that loop shared by every execution
 // substrate — the in-process run below, internal/core on either host, and
-// the node hosts and shard agents of the link-backed engines
-// (coord.Nodes.Run) all drive it, and the networked engine's coordinator
-// drives it through Replay:
+// the node hosts and leaf shards of the link-backed engines
+// (coord.Nodes.Run) all drive it, and the link-backed roots and the
+// tree's relays drive it through Replay:
 //
 //	ex.Begin(bound, want, minimum, rec, nil, step)
 //	for ex.More() {
@@ -261,7 +259,13 @@ func (e *Exec) EndRound() {
 // from bids at the host too, in the same round, and replaying the logs
 // against the true cut keeps exactly the true sends. A host that widened
 // its own cut could retire a node the true cut lets send.
-func (e *Exec) Replay(logs []wire.BidLog, tol order.Tol) {
+//
+// With a non-nil w, every delivered bid is also written to w, round by
+// round in ascending id order: the log one host of all the logs' nodes
+// would have written, when the replay is exact. That is a relay's answer
+// for its subtree (internal/shardrun): the argument above holds for any
+// exact cut a host of a superset of the nodes runs.
+func (e *Exec) Replay(logs []wire.BidLog, tol order.Tol, w *wire.BidLogWriter) {
 	for e.More() {
 		cut := tol.WidenHi(e.Best())
 		for i := range logs {
@@ -272,6 +276,9 @@ func (e *Exec) Replay(logs []wire.BidLog, tol order.Tol) {
 				}
 				if cut <= e.top.cmp(key) {
 					e.Bid(id, order.Key(key))
+					if w != nil {
+						w.Add(e.r, id, key)
+					}
 				}
 			}
 		}

@@ -5,9 +5,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/fanout"
 	"repro/internal/order"
+	"repro/internal/protocol"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -87,12 +89,16 @@ func (s *bankSpy) serve(link transport.Link) error {
 	slot := len(s.banks)
 	s.banks = append(s.banks, nil)
 	s.mu.Unlock()
-	exec := localExec()
+	var ex protocol.Exec
+	var log wire.BidLogWriter
 	return fanout.Serve(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 		s.mu.Lock()
 		s.banks[slot] = bank
 		s.mu.Unlock()
-		return exec(bank, m, dst)
+		log.Begin(dst, bank.Lo())
+		ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
+		bank.Run(m.Tag, m.Step, &ex, &log)
+		return log.End()
 	})
 }
 

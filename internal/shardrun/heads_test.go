@@ -2,6 +2,7 @@ package shardrun
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -152,11 +153,12 @@ func TestResetRunsSPlusKExecutions(t *testing.T) {
 }
 
 // stubKid is a scripted child of an interior under test: it acks an Assign
-// with Ready, answers every Round with the digest it was told to, acks
-// everything else with an empty Reply, and counts what it was sent.
+// with Ready, answers every Round with the frame it was told to — a bid
+// log, or anything else — acks everything else with an empty Reply, and
+// counts what it was sent.
 type stubKid struct {
 	mu     sync.Mutex
-	answer wire.ShardDigest
+	answer []byte
 	frames int  // transport frames received
 	resets int  // Round(TagReset) commands among them
 	quit   bool // it was sent Shutdown
@@ -178,7 +180,7 @@ func (k *stubKid) serve(link transport.Link) error {
 				if m, _ := wire.DecodeRound(sub); m.Tag == coord.TagReset {
 					k.resets++
 				}
-				rep = k.answer.Append(nil)
+				rep = slices.Clone(k.answer)
 			case wire.TypeShutdown:
 				k.quit = true
 				return
@@ -198,10 +200,10 @@ func (k *stubKid) serve(link transport.Link) error {
 	})
 }
 
-func (k *stubKid) set(d wire.ShardDigest) {
+func (k *stubKid) set(answer []byte) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.answer = d
+	k.answer = answer
 }
 
 // seen returns the frames and TagReset executions the kid was sent since
@@ -273,20 +275,16 @@ func (p *scriptedParent) must(cmds ...[]byte) [][]byte {
 }
 
 // expect runs one execution, alone or behind the given commands in one
-// batch, and checks that it reached every kid exactly once and the merged
-// digest that came back.
-func (p *scriptedParent) expect(what string, round wire.Round, want wire.ShardDigest, before ...[]byte) {
+// batch, and checks that it reached every kid exactly once and the bid log
+// that came back, byte for byte.
+func (p *scriptedParent) expect(what string, round wire.Round, want []byte, before ...[]byte) {
 	p.t.Helper()
 	for _, k := range p.kids {
 		k.seen()
 	}
 	reps := p.must(append(before, round.Append(nil))...)
-	got, err := wire.DecodeShardDigest(reps[len(reps)-1])
-	if err != nil {
-		p.t.Fatalf("%s: %v", what, err)
-	}
-	if !bytes.Equal(got.Append(nil), want.Append(nil)) {
-		p.t.Fatalf("%s: merged digest %+v, want %+v", what, got, want)
+	if got := reps[len(reps)-1]; !bytes.Equal(got, want) {
+		p.t.Fatalf("%s: relay answered %x, want the log %x", what, got, want)
 	}
 	wantResets := 0
 	if round.Tag == coord.TagReset {
@@ -299,7 +297,8 @@ func (p *scriptedParent) expect(what string, round wire.Round, want wire.ShardDi
 	}
 }
 
-// resetRound is a reset's execution request for want winners of 12 nodes.
+// resetRound is a reset's execution request for want winners of 12 nodes:
+// five rounds, 0 to 4.
 func resetRound(want int) wire.Round {
 	return wire.Round{Tag: coord.TagReset, Best: int64(order.NegInf), Bound: 12, Step: 1, Want: want}
 }
@@ -308,95 +307,84 @@ func assign(lo, hi int) []byte {
 	return wire.Assign{Lo: lo, Hi: hi, N: 12, K: 2, Seed: 1}.Append(nil)
 }
 
-// won is a kid's digest naming the given winners, (id, key) pairs best
-// first, with some charges.
-func won(pairs ...int64) wire.ShardDigest {
-	d := wire.ShardDigest{Ups: 3, UpBytes: 30, Bcasts: 2, BcastBytes: 20}
-	return list(d, pairs...)
+// bid is one logged bid: its round, its node and the node's key.
+type bid struct {
+	r, id int
+	key   int64
 }
 
-// list gives d the given winners, (id, key) pairs best first.
-func list(d wire.ShardDigest, pairs ...int64) wire.ShardDigest {
-	d.OK, d.ID, d.Key, d.Rest = false, 0, 0, nil
-	for i := 0; i < len(pairs); i += 2 {
-		if i == 0 {
-			d.OK, d.ID, d.Key = true, int(pairs[0]), pairs[1]
-			continue
-		}
-		d.Rest = append(d.Rest, wire.Bid{ID: int(pairs[i]), Key: pairs[i+1]})
+// logOf is the bid log of a host whose first node is lo, holding the given
+// bids in log order.
+func logOf(lo int, bids ...bid) []byte {
+	var w wire.BidLogWriter
+	w.Begin(nil, lo)
+	for _, b := range bids {
+		w.Add(b.r, b.id, b.key)
 	}
-	return d
+	return w.End()
 }
 
 // TestInteriorHeadCache scripts a parent over one interior and three stub
-// kids and pins the relay's merge of their winner lists frame by frame.
-// (The name is from when the relay kept a head per kid and asked only the
-// kid whose head was taken; the id stays.) Every
-// execution reaches every kid, once; the merged list is the want best of
-// the kids' winners, best first, the first kid in range order ahead among
-// equal keys; the charges are the sum of what the kids charged.
+// kids and pins the relay's answer frame by frame. (The name is from when
+// the relay kept a head per kid and asked only the kid whose head was
+// taken; the id stays.) Every execution reaches every kid, once; the answer
+// is the kids' logs replayed in range order against the subtree's own
+// exact cut, round by round — a bid the cut at the start of its round
+// dominates is dropped, the rest are kept in round and id order — and
+// coded from the relay's first node, as one host of its range would.
 func TestInteriorHeadCache(t *testing.T) {
 	p := newScriptedParent(t, 3)
 	k0, k1, k2 := p.kids[0], p.kids[1], p.kids[2]
 	p.must(assign(0, 12)) // kids own [0, 4), [4, 8), [8, 12)
-	sum := func(kids int64, pairs ...int64) wire.ShardDigest {
-		return list(wire.ShardDigest{Ups: 3 * kids, UpBytes: 30 * kids, Bcasts: 2 * kids, BcastBytes: 20 * kids}, pairs...)
-	}
 
-	// Three lists, cut to the three best.
-	k0.set(won(1, 50, 2, 40))
-	k1.set(won(5, 70, 6, 45, 7, 10))
-	k2.set(won(9, 60))
-	p.expect("merge", resetRound(3), sum(3, 5, 70, 9, 60, 1, 50))
-	p.expect("merge, behind a ResetBegin", resetRound(3), sum(3, 5, 70, 9, 60, 1, 50), wire.AppendBare(nil, wire.TypeResetBegin))
-	// Fewer winners below than wanted: all of them, in order.
-	p.expect("short lists", resetRound(8), sum(3, 5, 70, 9, 60, 1, 50, 6, 45, 2, 40, 7, 10))
-	// One winner wanted, one a kid: the old merge.
-	k0.set(won(1, 50))
-	k1.set(won(5, 70))
-	p.expect("want 1", resetRound(1), sum(3, 5, 70))
-	k0.set(won(1, 50, 2, 40))
+	k0.set(logOf(0, bid{0, 1, 50}, bid{2, 2, 40}))
+	k1.set(logOf(4, bid{0, 5, 70}, bid{1, 6, 45}, bid{1, 7, 10}))
+	k2.set(logOf(8, bid{1, 9, 60}))
+	// Want 3: the cut stays −∞ until three bids arrived, after round 1 it
+	// is 50, and node 2's 40 in round 2 is dropped.
+	kept := logOf(0, bid{0, 1, 50}, bid{0, 5, 70}, bid{1, 6, 45}, bid{1, 7, 10}, bid{1, 9, 60})
+	p.expect("replay", resetRound(3), kept)
+	p.expect("replay, behind a ResetBegin", resetRound(3), kept, wire.AppendBare(nil, wire.TypeResetBegin))
+	// Fewer bids below than wanted: all of them.
+	p.expect("short logs", resetRound(8), logOf(0, bid{0, 1, 50}, bid{0, 5, 70}, bid{1, 6, 45}, bid{1, 7, 10}, bid{1, 9, 60}, bid{2, 2, 40}))
+	// One winner wanted: after round 0 the cut is 70, and nothing later
+	// passes it.
+	p.expect("a maximum, behind an install", wire.Round{Tag: coord.TagHandMax, Best: int64(order.NegInf), Bound: 10, Step: 4, Want: 1},
+		logOf(0, bid{0, 1, 50}, bid{0, 5, 70}), wire.Midpoint{Mid: 5}.Append(nil))
+	// A minimum, in its own sense: after round 0 the cut is 50, which
+	// 45 and 10 pass and 60 does not; after round 1 it is 10.
+	p.expect("a minimum", wire.Round{Tag: coord.TagHandMin, Best: int64(order.NegInf), Bound: 10, Step: 4, Want: 1},
+		logOf(0, bid{0, 1, 50}, bid{0, 5, 70}, bid{1, 6, 45}, bid{1, 7, 10}))
 
-	// A kid with nobody in the cohort still charged its rounds.
-	k1.set(wire.ShardDigest{Bcasts: 1, BcastBytes: 9})
-	p.expect("an empty kid", resetRound(3), list(wire.ShardDigest{Ups: 6, UpBytes: 60, Bcasts: 5, BcastBytes: 49}, 9, 60, 1, 50, 2, 40))
-	k0.set(wire.ShardDigest{Bcasts: 1, BcastBytes: 9})
-	k2.set(wire.ShardDigest{Bcasts: 1, BcastBytes: 9})
-	p.expect("three empty kids", resetRound(3), wire.ShardDigest{Bcasts: 3, BcastBytes: 27})
+	// A kid with nobody in the cohort answers an empty log.
+	k1.set(logOf(4))
+	p.expect("an empty kid", resetRound(3), logOf(0, bid{0, 1, 50}, bid{1, 9, 60}, bid{2, 2, 40}))
+	k0.set(logOf(0))
+	k2.set(logOf(8))
+	p.expect("three empty kids", resetRound(3), logOf(0))
 
-	// The other executions merge the same way, in their own sense, and
-	// reach every kid too.
-	k0.set(won(1, 50))
-	k1.set(won(5, 70))
-	k2.set(won(9, 60))
-	p.expect("a minimum", wire.Round{Tag: coord.TagHandMin, Best: int64(order.NegInf), Bound: 10, Step: 4, Want: 1}, sum(3, 1, 50))
-	p.expect("a maximum, behind an install", wire.Round{Tag: coord.TagHandMax, Best: int64(order.NegInf), Bound: 10, Step: 4, Want: 1}, sum(3, 5, 70),
-		wire.Midpoint{Mid: 5}.Append(nil))
+	// Equal keys (which the tie-break injection never produces): a bid
+	// equal to the cut is not dominated by it, so it is kept.
+	k0.set(logOf(0, bid{0, 1, 90}, bid{1, 3, 80}))
+	k1.set(logOf(4, bid{0, 5, 90}))
+	k2.set(logOf(8, bid{0, 8, 95}, bid{1, 9, 90}))
+	p.expect("ties", resetRound(2), logOf(0, bid{0, 1, 90}, bid{0, 5, 90}, bid{0, 8, 95}, bid{1, 9, 90}))
 
-	// k = n: every kid lists all of its nodes, the merge all twelve.
-	k0.set(won(3, 12, 0, 9, 1, 5, 2, 1))
-	k1.set(won(4, 11, 7, 8, 6, 6, 5, 2))
-	k2.set(won(8, 10, 9, 7, 10, 4, 11, 3))
-	p.expect("k = n", resetRound(12), sum(3, 3, 12, 4, 11, 8, 10, 0, 9, 7, 8, 9, 7, 6, 6, 1, 5, 10, 4, 11, 3, 5, 2, 2, 1))
+	// A re-Assign that moves the relay's first node: its log counts from
+	// there (the kids own [2, 6), [6, 9), [9, 12)).
+	p.must(assign(2, 12))
+	k0.set(logOf(2, bid{0, 3, 50}))
+	k1.set(logOf(6, bid{0, 6, 20}))
+	k2.set(logOf(9, bid{1, 11, 30}))
+	p.expect("a relay from node 2", resetRound(3), logOf(2, bid{0, 3, 50}, bid{0, 6, 20}, bid{1, 11, 30}))
 
-	// Equal keys of different kids (which the tie-break injection never
-	// produces; the re-Assign also shows the merge keeps nothing across
-	// one): the first kid in range order stays ahead.
-	p.must(assign(0, 12))
-	k0.set(won(1, 90, 3, 80))
-	k1.set(won(5, 90))
-	k2.set(won(8, 95, 9, 90))
-	p.expect("ties", resetRound(3), sum(3, 8, 95, 1, 90, 5, 90))
-	p.expect("ties, cut inside a run of them", resetRound(2), sum(3, 8, 95, 1, 90))
-	p.expect("ties, all of them", resetRound(5), sum(3, 8, 95, 1, 90, 5, 90, 9, 90, 3, 80))
-
-	// A narrowing re-Assign shuts the surplus kid down; the merge is over
+	// A narrowing re-Assign shuts the surplus kid down; the replay is over
 	// the two that are left.
-	k0.set(won(0, 7))
-	k1.set(won(1, 8))
+	k0.set(logOf(0, bid{0, 0, 7}))
+	k1.set(logOf(1, bid{0, 1, 8}))
 	p.must(assign(0, 2))
 	p.kids = p.kids[:2]
-	p.expect("narrowing re-Assign", resetRound(2), sum(2, 1, 8, 0, 7))
+	p.expect("narrowing re-Assign", resetRound(2), logOf(0, bid{0, 0, 7}, bid{0, 1, 8}))
 	k2.mu.Lock()
 	quit := k2.quit
 	k2.mu.Unlock()
@@ -405,60 +393,49 @@ func TestInteriorHeadCache(t *testing.T) {
 	}
 }
 
-// TestInteriorRejectsBadDigest: a kid answering with a winner outside its
-// range or named twice, with more winners than the execution wanted, with
-// a list out of order, or with a negative charge, kills the interior — its
-// parent sees the link die, as for any failed subtree — before any of the
-// digest is merged.
+// TestInteriorRejectsBadDigest: a kid answering an execution with a log
+// its parent could not open — a bid outside the kid's range, a round the
+// execution does not have, rounds or ids out of order, an empty group, a
+// truncated log — or with a frame that is no bid log at all, a shard
+// digest among them, kills the interior before it answers anything: its
+// parent sees the link die, as for any failed subtree. (The name is from
+// when a kid answered with a digest of its winners; the id stays.)
 func TestInteriorRejectsBadDigest(t *testing.T) {
+	good := logOf(0, bid{0, 1, 50}, bid{1, 2, 40})
 	bad := []struct {
 		name string
-		d    wire.ShardDigest
+		log  []byte
 	}{
-		{"winner outside the range", won(7, 99)},
-		{"negative charge", wire.ShardDigest{OK: true, ID: 1, Key: 99, Ups: -1}},
-		{"later winner outside the range", won(1, 99, 4, 98)},
-		{"more winners than wanted", won(0, 99, 1, 98, 2, 97, 3, 96)},
-		{"winners without a first", wire.ShardDigest{Rest: []wire.Bid{{ID: 1, Key: 5}}}},
-		{"keys ascending", won(1, 50, 2, 60)},
-		{"equal keys", won(1, 50, 2, 50)},
-		{"winner named twice", won(1, 50, 2, 40, 1, 30)},
-		{"winner named twice, equal keys", won(1, 50, 1, 50)},
+		{"id outside the range", logOf(0, bid{0, 5, 99})},
+		{"later id outside the range", logOf(0, bid{0, 1, 99}, bid{0, 4, 98})},
+		{"id outside the range in a later round", logOf(0, bid{0, 1, 99}, bid{3, 7, 98})},
+		{"round past the last", logOf(0, bid{0, 1, 99}, bid{5, 2, 98})},
+		{"rounds descending", append(logOf(0, bid{2, 1, 9}), logOf(0, bid{1, 2, 9})[1:]...)},
+		{"round repeated", append(logOf(0, bid{1, 1, 9}), logOf(0, bid{1, 2, 9})[1:]...)},
+		{"id repeated", []byte{wire.TypeBidLog, 0, 2, 1, 18, 0, 16}},
+		{"empty group", []byte{wire.TypeBidLog, 0, 0}},
+		{"truncated", good[:len(good)-1]},
+		{"shard digest", wire.ShardDigest{OK: true, ID: 1, Key: 99}.Append(nil)},
+		{"reply", wire.Reply{TopViol: true}.Append(nil)},
 	}
 	for _, tc := range bad {
-		t.Run(tc.name, func(t *testing.T) {
-			p := newScriptedParent(t, 2)
-			p.must(assign(0, 8))
-			p.kids[0].set(won(1, 50))
-			p.kids[1].set(won(5, 70, 6, 60))
-			p.expect("warm-up", resetRound(3), list(wire.ShardDigest{Ups: 6, UpBytes: 60, Bcasts: 4, BcastBytes: 40}, 5, 70, 6, 60, 1, 50))
-			p.kids[0].set(tc.d)
-			if _, err := p.send(wire.AppendBare(nil, wire.TypeResetBegin), resetRound(3).Append(nil)); err == nil {
-				t.Fatal("the interior answered over a bad digest")
-			}
-			if err := <-p.done; err == nil {
-				t.Fatal("ServeInterior returned nil over a bad digest")
-			}
-		})
-	}
-	// White box, for what the dead interior's parent cannot see: nothing of
-	// a rejected digest reached the merge — not even the valid head of a
-	// list whose tail is bad.
-	for _, tc := range bad {
-		kids := []*stubKid{{}, {}}
-		parent, _ := transport.Pipe()
-		r := newInterior(parent, []transport.Link{fanout.Loopback(kids[0].serve), fanout.Loopback(kids[1].serve)})
-		defer r.fan.Close()
-		if _, err := r.respond(assign(0, 8)); err != nil {
-			t.Fatal(err)
-		}
-		kids[0].set(tc.d)
-		kids[1].set(won(5, 70))
-		if _, err := r.respond(resetRound(3).Append(nil)); err == nil {
-			t.Fatalf("%s: accepted", tc.name)
-		}
-		if got := r.merge.top.Winners(); len(got) != 0 || r.merge.Ups != 0 {
-			t.Fatalf("%s: the merge holds %+v and %d ups after the rejection", tc.name, got, r.merge.Ups)
+		for ki := range 2 {
+			t.Run(fmt.Sprintf("%s/kid %d", tc.name, ki), func(t *testing.T) {
+				p := newScriptedParent(t, 2)
+				p.must(assign(0, 8)) // kids own [0, 4), [4, 8)
+				p.kids[0].set(good)
+				p.kids[1].set(logOf(4, bid{0, 5, 70}))
+				p.expect("warm-up", resetRound(3), logOf(0, bid{0, 1, 50}, bid{0, 5, 70}, bid{1, 2, 40}))
+				// A log's ids count from its host's first node, so the same
+				// bytes are as bad from either kid.
+				p.kids[ki].set(tc.log)
+				if _, err := p.send(wire.AppendBare(nil, wire.TypeResetBegin), resetRound(3).Append(nil)); err == nil {
+					t.Fatal("the interior answered over a bad log")
+				}
+				if err := <-p.done; err == nil {
+					t.Fatal("ServeInterior returned nil over a bad log")
+				}
+			})
 		}
 	}
 }

@@ -4,20 +4,22 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/fanout"
+	"repro/internal/order"
+	"repro/internal/protocol"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // planEntry records, for one parent sub-frame, which children contribute
-// replies and how to combine them (digest merge for Round, flag OR for
-// everything else).
+// replies and how to combine them (a replay of their bid logs for Round,
+// flag OR for everything else).
 type planEntry struct {
 	typ     byte
-	tag     uint8 // Round only: selects the merge direction
-	want    int   // Round only: how many winners the merge keeps
-	targets []int // children sent the sub-frame (so owing a reply), ascending
+	round   wire.Round // Round only: the execution the children ran
+	targets []int      // children sent the sub-frame (so owing a reply), ascending
 }
 
 // interior is one relay level of the coordinator tree: a fanout.Fan over
@@ -25,18 +27,19 @@ type planEntry struct {
 // gather paths, handshake, stats sweep and shutdown, with the direct drain
 // (the relay already is the goroutine that overlaps its sibling subtrees)
 // and a ledger that is this tree level's LevelIO — under a plan of what
-// each parent sub-frame owes. It owns no node bank and makes no protocol
-// decisions: it routes commands down by child range and folds replies up —
-// violation flags by OR, shard digests by the same associative merge the
-// root applies (charge sums plus the best of the children's winners, first
-// in order on ties; see digest), so a subtree is externally
-// indistinguishable from a single wider shard. It keeps no protocol state
-// from one frame to the next. A link failure is not survived: it is
-// returned, the serve loop ends, and the subtree unwinds.
+// each parent sub-frame owes. It owns no node bank: it routes commands down
+// by child range and folds replies up — violation flags by OR, bid logs by
+// replaying them against the subtree's own exact running cut into the log
+// one host of its range would write (replayLogs) — so a subtree is
+// externally indistinguishable from a single wider host. It keeps no
+// protocol state from one frame to the next. A link failure is not
+// survived: it is returned, the serve loop ends, and the subtree unwinds.
 type interior struct {
 	fan    *fanout.Fan
-	merge  digest // the running merge of one Round sub-frame's answers
-	lo, hi int    // currently assigned absolute range
+	lo, hi int // currently assigned absolute range
+
+	logs []wire.BidLog // the children's logs of one Round sub-frame
+	sub  subtreeLog
 
 	batch wire.Batch // decode scratch for parent batches
 
@@ -100,20 +103,45 @@ func (r *interior) reassign(m wire.Assign) error {
 	return nil
 }
 
-// mergeDigests answers one Round sub-frame exactly as the root's execMerge
-// does: every child's reply folded in child order, the merged winners and
-// the summed charges one digest up.
-func (r *interior) mergeDigests(pe *planEntry) (*wire.ShardDigest, error) {
-	d := &r.merge
-	d.begin(pe.want, coord.MinimumTag(pe.tag))
+// subtreeLog is what a relay answers an execution with: its children's
+// bid logs, in range order, replayed against the subtree's own running cut
+// (protocol.Exec.Replay), each bid the replay keeps written into one log —
+// the log one host of the children's nodes would have written, byte for
+// byte. The replay is exact, whatever the monitor's tolerance: the root's
+// replay widens the cut, and only over exact logs is that replay the true
+// execution. The zero value is ready to use and keeps its buffers.
+type subtreeLog struct {
+	ex  protocol.Exec // the subtree's own cut
+	log wire.BidLogWriter
+}
+
+// append appends to dst the log for execution m of a subtree whose first
+// node is lo, from its children's opened logs.
+func (s *subtreeLog) append(dst []byte, lo int, m wire.Round, logs []wire.BidLog) []byte {
+	s.log.Begin(dst, lo)
+	s.ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
+	s.ex.Replay(logs, order.Tol{}, &s.log)
+	return s.log.End()
+}
+
+// replayLogs answers one Round sub-frame with the subtree's log: every
+// child's bid log is opened where its reply lies — one that is malformed,
+// or names a node outside the child's range or a round the execution does
+// not have, fails the relay before anything is replayed — and replayed
+// into the reply (subtreeLog).
+func (r *interior) replayLogs(pe *planEntry) error {
+	rounds := protocol.Rounds(pe.round.Bound)
+	r.logs = r.logs[:0]
 	for _, ki := range pe.targets {
 		lo, hi := r.fan.Range(ki)
-		if err := d.fold(lo, hi, r.fan.Next(ki)); err != nil {
-			return nil, r.fail(ki, "digest", err)
+		r.logs = append(r.logs, wire.BidLog{})
+		if err := r.logs[len(r.logs)-1].Open(r.fan.Next(ki), lo, hi, rounds); err != nil {
+			return r.fail(ki, "bid log", err)
 		}
 	}
-	d.SetWinners(d.top.Winners())
-	return &d.ShardDigest, nil
+	r.replies.Add(func(dst []byte) []byte { return r.sub.append(dst, r.lo, pe.round, r.logs) })
+	clear(r.logs) // hold no reply frame past the exchange
+	return nil
 }
 
 // relay routes the commands of one parent frame through the subtree in
@@ -227,7 +255,7 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 			if err := fanout.CheckRound(m); err != nil {
 				return false, err
 			}
-			pe.tag, pe.want = m.Tag, m.Want
+			pe.round = m
 			r.toAll(pe, raw)
 
 		case wire.TypeShutdown:
@@ -246,11 +274,9 @@ func (r *interior) relay(frames [][]byte, batched bool) (cont bool, err error) {
 	for i := range r.plan {
 		pe := &r.plan[i]
 		if pe.typ == wire.TypeRound {
-			d, err := r.mergeDigests(pe)
-			if err != nil {
+			if err := r.replayLogs(pe); err != nil {
 				return false, err
 			}
-			r.replies.Add(d.Append)
 			continue
 		}
 		topViol, outViol := false, false

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
 	"repro/internal/order"
+	"repro/internal/protocol"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -195,8 +196,9 @@ func TestInteriorChainIsIdentity(t *testing.T) {
 // FuzzInteriorRespond is fanout.FuzzLeafRespond one level up: an interior
 // over three loopback shards that holds a valid assignment is fed two
 // arbitrary frames. Whatever arrives, respond answers or returns an error —
-// it never panics and never hangs — and once the relay is gone its
-// children's serve loops exit.
+// it never panics and never hangs — every Round it answers, alone or in a
+// batch, it answers with a bid log its parent opens for the relay's range,
+// and once the relay is gone its children's serve loops exit.
 func FuzzInteriorRespond(f *testing.F) {
 	assign := wire.Assign{Lo: 4, Hi: 20, N: 24, K: 3, Seed: 5}.Append(nil)
 	reset := wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 4}.Append(nil)
@@ -209,7 +211,7 @@ func FuzzInteriorRespond(f *testing.F) {
 		delta, delta[:len(delta)/2], delta[:len(delta)-1],
 		wire.ObserveDelta{Step: 1, IDs: []int{3, 9}, Vals: []int64{1, 2}}.Append(nil),  // an id below the range
 		wire.ObserveDelta{Step: 1, IDs: []int{9, 20}, Vals: []int64{1, 2}}.Append(nil), // an id beyond it
-		reset, // three list digests to merge
+		reset, // three bid logs to replay
 		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 24}.Append(nil), // every node a winner
 		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1}.Append(nil),           // no winner wanted
 		wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 25}.Append(nil), // more than the bound
@@ -256,9 +258,29 @@ func FuzzInteriorRespond(f *testing.F) {
 			if cont, err := r.respond(assign); err != nil || !cont {
 				t.Errorf("valid assignment refused: %v", err)
 			}
+			lo, hi := 4, 20
 			for _, frame := range [][]byte{first, second} {
 				if cont, err := r.respond(frame); err != nil || !cont {
 					break // the serve loop ends here
+				}
+				if a, err := wire.DecodeAssign(frame); err == nil {
+					lo, hi = a.Lo, a.Hi
+					continue
+				}
+				var cmds, reps wire.Batch
+				subs, _, _ := fanout.Subframes(&cmds, frame)
+				answers, _, err := fanout.Subframes(&reps, r.buf)
+				if err != nil || len(answers) != len(subs) {
+					t.Errorf("%d commands answered by %d replies (%v)", len(subs), len(answers), err)
+					break
+				}
+				for i, sub := range subs {
+					if m, err := wire.DecodeRound(sub); err == nil {
+						var l wire.BidLog
+						if err := l.Open(answers[i], lo, hi, protocol.Rounds(m.Bound)); err != nil {
+							t.Errorf("the relay answered %+v with a log its parent refuses: %v", m, err)
+						}
+					}
 				}
 			}
 			for _, c := range children {

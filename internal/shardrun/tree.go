@@ -10,13 +10,13 @@ import (
 // Tree configures the hierarchical coordinator: instead of the root
 // fanning out to S leaf shards directly, it talks to Branch interior
 // coordinators, each the root of its own subtree, Depth link levels deep.
-// The leaves are the only protocol participants — interiors are relays
-// (ServeInterior) that re-split assignments downward and fold replies
-// upward with the same associative merges the root applies (see digest),
+// The leaves are the only hosts of nodes — interiors are relays
+// (ServeInterior) that re-split assignments downward and answer each
+// execution upward with the bid log one host of their subtree would write,
 // holding nothing from one frame to the next — so a tree of any shape
-// reports exactly what a flat engine over the same
-// leaf partition would, while the root's fan-in stays at Branch links
-// where the flat engine needs Branch^Depth.
+// reports and charges exactly what the sequential engine does, while the
+// root's fan-in stays at Branch links where the flat star needs
+// Branch^Depth.
 //
 // The zero Tree means flat: New treats the links as direct shard links.
 type Tree struct {

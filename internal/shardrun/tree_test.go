@@ -77,6 +77,7 @@ var treeShapes = []struct {
 	branch, depth int
 	flat          int
 }{
+	{"4^1", 16, 4, 4, 1, 4},
 	{"2^2", 16, 4, 2, 2, 4},
 	{"3^2", 18, 5, 3, 2, 9},
 	{"2^3", 16, 3, 2, 3, 8},
@@ -84,10 +85,11 @@ var treeShapes = []struct {
 
 // TestTreeFlatEquivalence is the tentpole invariant: a depth-d tree is
 // externally indistinguishable from the flat engine over the same leaf
-// partition. Reports match at every step (dense and sparse ingestion
-// interleaved), the reported set is ε-valid at every step, and the
-// algorithm ledger — counts, bytes, per-phase — matches exactly, while
-// the root's own fan-in stays at branch links.
+// partition and from the sequential engine. Reports match at every step
+// (dense and sparse ingestion interleaved), the reported set is ε-valid at
+// every step, and the algorithm ledger — counts, bytes, per-phase — and
+// the stats match exactly, while the root's own fan-in stays at branch
+// links.
 func TestTreeFlatEquivalence(t *testing.T) {
 	for _, g := range fanouttest.Gathers {
 		for _, eps := range []float64{0, 0.05} {
@@ -102,6 +104,7 @@ func TestTreeFlatEquivalence(t *testing.T) {
 					cfg := Config{N: tc.n, K: tc.k, Seed: seed, Epsilon: eps}
 					flat := star.MustLoopback(t, cfg.Core(), tc.flat)
 					defer flat.Close()
+					seq := core.New(core.Config{N: tc.n, K: tc.k, Seed: seed, Epsilon: eps})
 					tree := mustTree(t, cfg, tc.branch, tc.depth)
 					defer tree.Close()
 					if got := tree.Shards(); got != tc.branch {
@@ -120,10 +123,11 @@ func TestTreeFlatEquivalence(t *testing.T) {
 					for s := 0; s < steps; s++ {
 						srcA.Step(va)
 						srcB.Step(vb)
-						var topFlat, topTree []int
+						var topFlat, topTree, topSeq []int
 						if s%2 == 0 {
 							topFlat = flat.Observe(va)
 							topTree = tree.Observe(vb)
+							topSeq = seq.Observe(vb)
 						} else {
 							// Sparse ingestion: ship only the changed ids, on
 							// both engines, interleaved with the dense path.
@@ -136,31 +140,32 @@ func TestTreeFlatEquivalence(t *testing.T) {
 							}
 							topFlat = flat.ObserveDelta(ids, dv)
 							topTree = tree.ObserveDelta(ids, dv)
+							topSeq = seq.ObserveDelta(ids, dv)
 						}
 						copy(prev, vb)
-						if !slices.Equal(topFlat, topTree) {
-							t.Fatalf("step %d: reports differ: flat=%v tree=%v", s, topFlat, topTree)
+						if !slices.Equal(topFlat, topTree) || !slices.Equal(topSeq, topTree) {
+							t.Fatalf("step %d: reports differ: flat=%v seq=%v tree=%v", s, topFlat, topSeq, topTree)
 						}
 						if !sim.EpsValid(vb, topTree, tc.k, eps) {
 							t.Fatalf("step %d: tree report %v not ε-valid at eps=%v", s, topTree, eps)
 						}
-						if cf, ct := flat.Counts(), tree.Counts(); cf != ct {
-							t.Fatalf("step %d: counts differ: flat=%v tree=%v", s, cf, ct)
+						if cf, cs, ct := flat.Counts(), seq.Counts(), tree.Counts(); cf != ct || cs != ct {
+							t.Fatalf("step %d: counts differ: flat=%v seq=%v tree=%v", s, cf, cs, ct)
 						}
-						if bf, bt := flat.Bytes(), tree.Bytes(); bf != bt {
-							t.Fatalf("step %d: bytes differ: flat=%v tree=%v", s, bf, bt)
+						if bf, bs, bt := flat.Bytes(), seq.Bytes(), tree.Bytes(); bf != bt || bs != bt {
+							t.Fatalf("step %d: bytes differ: flat=%v seq=%v tree=%v", s, bf, bs, bt)
 						}
 					}
 					for _, ph := range comm.Phases() {
-						if flat.Ledger().PhaseCounts(ph) != tree.Ledger().PhaseCounts(ph) {
+						if flat.Ledger().PhaseCounts(ph) != tree.Ledger().PhaseCounts(ph) || seq.Ledger().PhaseCounts(ph) != tree.Ledger().PhaseCounts(ph) {
 							t.Fatalf("phase %v counts differ", ph)
 						}
-						if flat.Ledger().PhaseBytes(ph) != tree.Ledger().PhaseBytes(ph) {
+						if flat.Ledger().PhaseBytes(ph) != tree.Ledger().PhaseBytes(ph) || seq.Ledger().PhaseBytes(ph) != tree.Ledger().PhaseBytes(ph) {
 							t.Fatalf("phase %v bytes differ", ph)
 						}
 					}
-					if flat.Stats() != tree.Stats() {
-						t.Fatalf("stats differ: flat=%+v tree=%+v", flat.Stats(), tree.Stats())
+					if flat.Stats() != tree.Stats() || seq.Stats() != tree.Stats() {
+						t.Fatalf("stats differ: flat=%+v seq=%+v tree=%+v", flat.Stats(), seq.Stats(), tree.Stats())
 					}
 					if tree.Err() != nil {
 						t.Fatalf("tree engine error: %v", tree.Err())

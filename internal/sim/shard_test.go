@@ -13,7 +13,7 @@ import (
 // at the simulation layer: the sharded engine runs under the sim harness
 // with the oracle checked at every step, for S ∈ {1, 2, 4}, on both the
 // dense and the sparse ingestion path, and its per-run report (reports,
-// top-change count) matches the sequential engine's.
+// top-change count, messages and bytes) matches the sequential engine's.
 func TestShardedEngineExactInSim(t *testing.T) {
 	const n, k, seed, steps = 20, 4, 31, 400
 	for _, shards := range []int{1, 2, 4} {
@@ -32,10 +32,8 @@ func TestShardedEngineExactInSim(t *testing.T) {
 		if shRep.TopChanges != seqRep.TopChanges {
 			t.Fatalf("S=%d: top-change trajectories differ: %d vs %d", shards, shRep.TopChanges, seqRep.TopChanges)
 		}
-		if shards == 1 {
-			if shRep.Messages != seqRep.Messages || shRep.Bytes != seqRep.Bytes {
-				t.Fatalf("S=1 ledgers differ: %+v/%+v vs %+v/%+v", shRep.Messages, shRep.Bytes, seqRep.Messages, seqRep.Bytes)
-			}
+		if shRep.Messages != seqRep.Messages || shRep.Bytes != seqRep.Bytes {
+			t.Fatalf("S=%d ledgers differ: %+v/%+v vs %+v/%+v", shards, shRep.Messages, shRep.Bytes, seqRep.Messages, seqRep.Bytes)
 		}
 
 		// Sparse path under the delta harness, oracle-checked every step.
@@ -53,8 +51,9 @@ func TestShardedEngineExactInSim(t *testing.T) {
 // TestTreeEngineExactInSim extends the proof to the hierarchical
 // coordinator: trees of depth 2 and 3 run under the sim harness with the
 // oracle checked at every step, dense and sparse, and their top-change
-// trajectories match the sequential engine's — the tree changes where
-// merging happens, never what is reported.
+// trajectories and ledgers match the sequential engine's — a relay is a
+// host of its subtree, so the tree changes where bids are filtered, never
+// what is reported or charged.
 func TestTreeEngineExactInSim(t *testing.T) {
 	const n, k, seed, steps = 20, 4, 31, 400
 	walk := func(seed uint64) stream.Source {
@@ -76,6 +75,9 @@ func TestTreeEngineExactInSim(t *testing.T) {
 		}
 		if trRep.TopChanges != seqRep.TopChanges {
 			t.Fatalf("%d^%d: top-change trajectories differ: %d vs %d", shape.branch, shape.depth, trRep.TopChanges, seqRep.TopChanges)
+		}
+		if trRep.Messages != seqRep.Messages || trRep.Bytes != seqRep.Bytes {
+			t.Fatalf("%d^%d: ledgers differ: %+v/%+v vs %+v/%+v", shape.branch, shape.depth, trRep.Messages, trRep.Bytes, seqRep.Messages, seqRep.Bytes)
 		}
 
 		trd, err := shardrun.NewLoopbackTree(shardrun.Config{N: n, K: k, Seed: seed}, shape.branch, shape.depth)

@@ -44,9 +44,9 @@ const (
 	// charged form of the ordered variant's order-filter installation and
 	// of the interval baselines' per-node assignments.
 	TypeBounds byte = 0x0f
-	// TypeShardDigest is a shard sub-coordinator's answer to one delegated
-	// protocol execution (internal/shardrun): the local winner plus a
-	// summary of the messages the local execution charged.
+	// TypeShardDigest was a shard sub-coordinator's answer to one delegated
+	// protocol execution: its local winners plus a summary of the messages
+	// the local execution charged. No engine sends it; see ShardDigest.
 	TypeShardDigest byte = 0x10
 	// TypeApproxBounds broadcasts the (1±ε) filter band of the
 	// ε-approximate mode: top-k nodes install [Lo, +inf], outsiders
@@ -256,36 +256,36 @@ func (m Observe) Append(dst []byte) []byte {
 	dst = append(dst, TypeObserve)
 	dst = AppendUvarint(dst, uint64(m.Step))
 	dst = AppendUvarint(dst, uint64(len(m.Vals)))
-	// A chunk of values at a time, into space that holds the longest they
-	// can be: the stores need no capacity check of their own, where an
-	// append per byte makes one each. A chunk that does not fit sizes the
-	// values left exactly and grows dst once, with a chunk's worst case to
-	// spare, so no later chunk misses: a fresh buffer is allocated once,
-	// at about the frame's size, not doubled up to it, and a buffer that
-	// already fits is never sized.
-	const chunk = 256
-	for off := 0; off < len(m.Vals); {
-		part := m.Vals[off:min(off+chunk, len(m.Vals))]
-		if cap(dst)-len(dst) < len(part)*maxUvarintLen {
-			size := 0
-			for i, v := range m.Vals[off:] {
-				size += SizeVarint(v - m.prev(off+i))
-			}
-			// One make and a copy, not slices.Grow: under -race its
-			// append(s, make(...)...) is compiled as written, two
-			// allocations where the plain build makes one.
-			grown := make([]byte, len(dst), len(dst)+size+chunk*maxUvarintLen)
-			copy(grown, dst)
-			dst = grown
-		}
-		buf, k := dst[len(dst):cap(dst)], 0
-		for i, v := range part {
-			k = putUvarint(buf, k, zigzag(v-m.prev(off+i)))
-		}
-		off += len(part)
-		dst = dst[:len(dst)+k]
+	// The values go into space that holds them at their longest, so the
+	// stores need no capacity check of their own, where an append per byte
+	// makes one each. Where that space runs out, the values left are sized
+	// once, exactly, and a buffer that cannot hold them grows once to the
+	// frame's size: a fresh buffer is allocated once, and holds no room past
+	// the frame — a link keeps the buffer a frame was encoded in.
+	n, i := len(dst), 0
+	buf, k := dst[n:cap(dst)], 0
+	for ; i < len(m.Vals) && len(buf)-k >= maxUvarintLen; i++ {
+		k = putUvarint(buf, k, zigzag(m.Vals[i]-m.prev(i)))
 	}
-	return dst
+	if i == len(m.Vals) {
+		return dst[:n+k]
+	}
+	size := k
+	for j, v := range m.Vals[i:] {
+		size += SizeVarint(v - m.prev(i+j))
+	}
+	if size > len(buf) {
+		// One make and a copy, not slices.Grow: under -race its
+		// append(s, make(...)...) is compiled as written, two allocations
+		// where the plain build makes one.
+		grown := make([]byte, n+k, n+size)
+		copy(grown, dst[:n+k])
+		dst, buf = grown[:n], grown[n:n+size]
+	}
+	for ; i < len(m.Vals); i++ {
+		k = putUvarint(buf, k, zigzag(m.Vals[i]-m.prev(i)))
+	}
+	return dst[:n+k]
 }
 
 // putUvarint stores the LEB128 encoding of u at buf[k:], which has room for
@@ -421,10 +421,10 @@ func (m *ObserveDelta) Decode(p []byte) error {
 // selected by Tag, with the execution's population bound, the observation
 // step (cohort selection for violation protocols is per-step), and the
 // number of winners the execution is to find. Every host runs the whole
-// execution: a node host (internal/netrun) answers with its bid log
-// (BidLog), a shard (internal/shardrun) with its digest. The codec takes
-// any Want; hosts reject one outside [1, Bound] where they reject a bad
-// tag.
+// execution and answers with its bid log (BidLog): a node host
+// (internal/netrun) or a leaf shard for its nodes, a relay
+// (internal/shardrun) for its whole subtree. The codec takes any Want;
+// hosts reject one outside [1, Bound] where they reject a bad tag.
 //
 // Round and Best are left from the exchange that ran one round a request
 // (the round's index and the cut broadcast so far): every sender sends 0
@@ -804,14 +804,14 @@ func DecodeBounds(p []byte) (Bounds, error) {
 	return m, fin(p)
 }
 
-// ShardDigest is a shard sub-coordinator's batched answer to one
-// delegated protocol execution (internal/shardrun): whether any hosted
-// node participated (OK), the local winner's id and key when one did, the
-// further winners of an execution that wanted several (Rest, continuing
-// after ID and Key, best first), and the model messages the local
-// execution charged — Ups sends totalling UpBytes encoded bytes plus
-// Bcasts round broadcasts totalling BcastBytes — so the root can merge the
-// shard's algorithm-ledger contribution without replaying the execution.
+// ShardDigest is the answer a shard sub-coordinator gave one delegated
+// protocol execution before relays answered with bid logs: whether any
+// hosted node participated (OK), the local winner's id and key when one
+// did, the further winners of an execution that wanted several (Rest,
+// continuing after ID and Key, best first), and the model messages the
+// local execution charged — Ups sends totalling UpBytes encoded bytes plus
+// Bcasts round broadcasts totalling BcastBytes. No engine sends or accepts
+// it any more; the codec stays for the layer benchmark that times it.
 // When OK is false, ID and Key must be zero and Rest empty.
 type ShardDigest struct {
 	OK         bool
@@ -822,31 +822,6 @@ type ShardDigest struct {
 	Bcasts     int64
 	BcastBytes int64
 	Rest       []Bid
-}
-
-// SetWinners makes winners, best first, the digest's winner list. Rest
-// aliases them.
-func (m *ShardDigest) SetWinners(winners []Bid) {
-	m.OK, m.ID, m.Key, m.Rest = false, 0, 0, nil
-	if len(winners) > 0 {
-		m.OK, m.ID, m.Key, m.Rest = true, winners[0].ID, winners[0].Key, winners[1:]
-	}
-}
-
-// Winners returns the length of the digest's winner list.
-func (m *ShardDigest) Winners() int {
-	if !m.OK {
-		return 0
-	}
-	return 1 + len(m.Rest)
-}
-
-// Winner returns the i-th best winner of the list.
-func (m *ShardDigest) Winner(i int) Bid {
-	if i == 0 {
-		return Bid{ID: m.ID, Key: m.Key}
-	}
-	return m.Rest[i-1]
 }
 
 // Append encodes m after dst.

@@ -350,9 +350,9 @@ func TestObserveEmpty(t *testing.T) {
 // TestObserveAppendSizesOnAMiss pins the dense encoder's buffer handling:
 // its bytes are those of one AppendVarint per value, whatever the buffer
 // it is given; into nil it allocates at most twice (the header, then the
-// frame sized exactly, with a chunk of values' worst case to spare) and
-// leaves a buffer about the frame's size, not a doubling past it; and into
-// a buffer that already held the frame it allocates nothing.
+// frame sized exactly) and leaves a buffer of exactly the frame's size, no
+// worst-case room past it; and into a buffer that already held the frame it
+// allocates nothing.
 func TestObserveAppendSizesOnAMiss(t *testing.T) {
 	reference := func(m Observe) []byte {
 		dst := append([]byte{TypeObserve}, AppendUvarint(nil, uint64(m.Step))...)
@@ -390,8 +390,8 @@ func TestObserveAppendSizesOnAMiss(t *testing.T) {
 			if got := m.Append(nil); !bytes.Equal(got, want) {
 				t.Fatalf("%d values into nil: encoding differs from one AppendVarint per value", n)
 			}
-			// A buffer too short for the frame, with bytes before it: a miss
-			// in mid-frame sizes only the values left.
+			// A buffer too short for the frame, with bytes before it: the
+			// miss grows it to the bytes before and the frame.
 			short := append(make([]byte, 0, 300), 0xaa)
 			if got := m.Append(short); !bytes.Equal(got[1:], want) || got[0] != 0xaa {
 				t.Fatalf("%d values after a prefix: encoding differs from one AppendVarint per value", n)
@@ -404,8 +404,8 @@ func TestObserveAppendSizesOnAMiss(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { frame = m.Append(nil) }); allocs > 2 {
 		t.Fatalf("%d values into nil: %.0f allocations, want at most 2", len(vals), allocs)
 	}
-	if slack := cap(frame) - len(frame); slack > len(frame)/8+256*maxUvarintLen {
-		t.Fatalf("a %d-byte frame into nil leaves a %d-byte buffer: more than its size and a chunk to spare", len(frame), cap(frame))
+	if cap(frame) != len(frame) {
+		t.Fatalf("a %d-byte frame into nil leaves a %d-byte buffer: a miss grows to the frame's size exactly", len(frame), cap(frame))
 	}
 	buf := m.Append(nil)
 	if allocs := testing.AllocsPerRun(10, func() { buf = m.Append(buf[:0]) }); allocs != 0 {

@@ -688,20 +688,21 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 // and the host at its far end, both in this process: the difference
 // between monitors over twenty links and over four at the same n, after
 // the same four dense steps, over the sixteen links between them (after
-// one run that warms the runtime up). A link end's buffers start at 512 B
+// one run that warms the runtime up; the median of three such readings). A link end's buffers start at 512 B
 // and grow once, to the frames they carry, so at n = 1024 — a twentieth of
 // it a frame of a couple of hundred bytes — a link holds the root's write
-// buffer, which the first frame's encoder grew to that frame and its chunk
-// of worst-case room (3 KiB), three 512 B buffers (the root's read buffer,
-// the host's write and read buffers), and ≈ 3.5 KiB that no buffer holds:
+// buffer, which the first frame's encoder grew to that frame exactly, three
+// 512 B buffers (the root's read buffer, the host's write and read
+// buffers), and ≈ 3.5 KiB that no buffer holds:
 // the two ends' link and connection state, the host's serve goroutine, bank
 // and round scratch, the root's peer and its reader goroutine. Over twenty
 // links the hosts' banks hold the nodes they hold over four, which is what
 // the difference leaves out. A 4 KiB write buffer and a 4 KiB read buffer
 // at each end, 16 KiB a link, do not fit the budget; nor does one 4 KiB
-// buffer more.
+// buffer more, nor the 2.5 KiB of worst-case room an encoder that sized a
+// frame's values at their longest left in the root's buffer.
 func TestTCPFootprintPerLink(t *testing.T) {
-	const n, k, budget = 1 << 10, 8, 10 << 10
+	const n, k, budget = 1 << 10, 8, 6 << 10
 	held := func(peers int) float64 {
 		step := moving(n)
 		before := liveHeap()
@@ -722,10 +723,16 @@ func TestTCPFootprintPerLink(t *testing.T) {
 		return float64(after) - float64(before)
 	}
 	held(4)
-	few, many := held(4), held(20)
-	perLink := (many - few) / 16
-	t.Logf("a monitor over TCP at n=%d holds %.0f B over 4 links, %.0f B over 20: %.0f B a link", n, few, many, perLink)
-	if perLink > budget {
+	// The median of three differences: one reading moves by several hundred
+	// bytes a link with whatever else the runtime holds at the time.
+	var perLinks [3]float64
+	for i := range perLinks {
+		few, many := held(4), held(20)
+		perLinks[i] = (many - few) / 16
+		t.Logf("a monitor over TCP at n=%d holds %.0f B over 4 links, %.0f B over 20: %.0f B a link", n, few, many, perLinks[i])
+	}
+	slices.Sort(perLinks[:])
+	if perLink := perLinks[1]; perLink > budget {
 		t.Fatalf("a TCP link costs its monitor and host %.0f B, budget %d", perLink, budget)
 	}
 }

@@ -10,8 +10,9 @@ import (
 func star(s int) Tree { return Tree{Branch: s, Depth: 1} }
 
 // TestShardedMonitorMatchesSequential drives the public star of shards
-// against the sequential engine: identical reports at every step for every
-// shard count, and a bit-identical ledger over a single shard.
+// against the sequential engine: identical reports at every step and a
+// bit-identical ledger — counts, bytes, phases, stats — for every shard
+// count.
 func TestShardedMonitorMatchesSequential(t *testing.T) {
 	const nodes, k, seed, steps = 24, 5, 99, 200
 	for _, shards := range []int{1, 2, 4} {
@@ -38,19 +39,17 @@ func TestShardedMonitorMatchesSequential(t *testing.T) {
 				t.Fatalf("shards=%d step %d: reports differ: seq=%v sharded=%v", shards, s, a, b)
 			}
 		}
-		if shards == 1 {
-			if seq.Counts() != sh.Counts() {
-				t.Fatalf("S=1 counts differ: %+v vs %+v", seq.Counts(), sh.Counts())
-			}
-			if seq.Bytes() != sh.Bytes() {
-				t.Fatalf("S=1 bytes differ: %+v vs %+v", seq.Bytes(), sh.Bytes())
-			}
-			if seq.Phases() != sh.Phases() {
-				t.Fatalf("S=1 phases differ")
-			}
-			if seq.Stats() != sh.Stats() {
-				t.Fatalf("S=1 stats differ: %+v vs %+v", seq.Stats(), sh.Stats())
-			}
+		if seq.Counts() != sh.Counts() {
+			t.Fatalf("S=%d counts differ: %+v vs %+v", shards, seq.Counts(), sh.Counts())
+		}
+		if seq.Bytes() != sh.Bytes() {
+			t.Fatalf("S=%d bytes differ: %+v vs %+v", shards, seq.Bytes(), sh.Bytes())
+		}
+		if seq.Phases() != sh.Phases() {
+			t.Fatalf("S=%d phases differ", shards)
+		}
+		if seq.Stats() != sh.Stats() {
+			t.Fatalf("S=%d stats differ: %+v vs %+v", shards, seq.Stats(), sh.Stats())
 		}
 		oc, ob := sh.Overhead()
 		if oc.Total() == 0 || ob.Total() == 0 {

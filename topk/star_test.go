@@ -92,8 +92,9 @@ func starLines(t *testing.T) string {
 }
 
 // TestStarIsDepthOneTree holds Tree{S, 1} to every line recorded from the
-// flat star, and a single leaf behind two relays — Tree{1, 3} — to the
-// sequential engine: reports, ledgers, bytes and stats.
+// star, and every recorded star, a single leaf behind two relays —
+// Tree{1, 3} — and the trees Tree{2, 2} and Tree{2, 3} to the sequential
+// engine: reports, ledgers, bytes and stats.
 func TestStarIsDepthOneTree(t *testing.T) {
 	raw, err := os.ReadFile("testdata/star.golden")
 	if err != nil {
@@ -122,15 +123,27 @@ func TestStarIsDepthOneTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Tree = Tree{Branch: 1, Depth: 3}
-			chain, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+			a := starRun(t, seq, delta)
+			feed := "dense"
+			if delta {
+				feed = "delta"
 			}
-			if a, b := starRun(t, seq, delta), starRun(t, chain, delta); a != b {
-				t.Errorf("eps=%g delta=%v: Tree{1, 3} left the sequential engine:\n got %s\nwant %s", eps, delta, b, a)
+			for _, line := range got {
+				if strings.Contains(line, fmt.Sprintf(" eps=%g %s ", eps, feed)) && !strings.Contains(line, " "+a+" ") {
+					t.Errorf("eps=%g %s: a recorded star left the sequential engine:\n got %s\nwant %s", eps, feed, line, a)
+				}
 			}
-			chain.Close()
+			for _, tree := range []Tree{{Branch: 1, Depth: 3}, {Branch: 2, Depth: 2}, {Branch: 2, Depth: 3}} {
+				cfg.Tree = tree
+				m, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b := starRun(t, m, delta); a != b {
+					t.Errorf("eps=%g %s: %+v left the sequential engine:\n got %s\nwant %s", eps, feed, tree, b, a)
+				}
+				m.Close()
+			}
 		}
 	}
 }

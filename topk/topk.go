@@ -54,16 +54,17 @@
 // slower. All run the same coordinator core (one copy of Algorithm 1's
 // decision logic); the first two produce identical reports, identical
 // message counts and identical charged bytes for the same seed, whatever
-// the host, and the multi-coordinator engine matches them exactly with a
-// single leaf shard while staying report-exact at any shape.
+// the host, and the multi-coordinator engine matches them exactly at any
+// shape.
 //
-// A tree of depth 1 is a flat star of Branch shards under a root merge
-// layer; deeper, interior coordinators merge their children's protocol
-// digests and forward exactly one digest up, so the root serves
-// Branch^Depth leaf shards while every machine holds only Branch links.
-// Reports and all model ledgers are bit-identical to the star over the
-// same leaves; Monitor.TreeStats exposes each level's coordination
-// traffic.
+// A tree of depth 1 is a flat star of Branch leaf shards, each a host of
+// its range; deeper, each interior coordinator is a host of its whole
+// subtree: it replays its children's bid logs against the subtree's own
+// cut and forwards the one log a host of its range would write, so the
+// root serves Branch^Depth leaf shards while every machine holds only
+// Branch links. Reports and all model ledgers are bit-identical to the
+// in-process engine's; Monitor.TreeStats exposes each level's
+// coordination traffic.
 //
 // Config.Checkpoint adds durable crash-restart: the monitor persists
 // CRC-sealed state frames to a CheckpointStore (FileCheckpoints,
@@ -193,17 +194,15 @@ type Config struct {
 	// Tree selects the multi-coordinator engine: the node space is split
 	// into Branch^Depth contiguous ranges, each owned by a leaf
 	// sub-coordinator, under a tree of Tree.Depth link levels with fan-out
-	// Tree.Branch at every node. At depth 1 the root merges the global
-	// top-k from its Branch leaf shards' candidates directly — a flat star;
-	// deeper, each root link leads to an interior coordinator relaying to
-	// Branch children. Reports stay exact at every step for any shape, and
-	// equal the other engines' to the tie. Over one leaf the message ledger
-	// is bit-identical to the in-process engine's; over more, the per-leaf
-	// protocol rounds and the root's digest traffic (see Overhead) are the
-	// price of removing the single-coordinator bottleneck. Reports, message
-	// counts and charged bytes depend on the leaves alone — interiors merge
-	// associatively and make no protocol decisions — while the root's own
-	// fan-in stays at Branch links. The zero value disables the engine;
+	// Tree.Branch at every node. At depth 1 the root replays its Branch
+	// leaf shards' bid logs directly — a flat star; deeper, each root link
+	// leads to an interior coordinator relaying to Branch children and
+	// answering for them with the bid log one host of its subtree would
+	// write. Reports, message counts, charged bytes, phases and stats equal
+	// the in-process engine's bit for bit at any shape; the root's link
+	// traffic (see Overhead) is the price of removing the
+	// single-coordinator bottleneck, while the root's own fan-in stays at
+	// Branch links. The zero value disables the engine;
 	// Branch^Depth must not exceed Nodes, and Tree is mutually exclusive
 	// with Transport. Tree monitors must be Closed.
 	Tree Tree
@@ -570,11 +569,11 @@ func (m *Monitor) TransportStats() TransportStats {
 }
 
 // Overhead returns the root's coordination traffic of a tree monitor:
-// Down counts the frames the root sends its links, Up the replies and
-// digests it receives, with Bytes carrying their encoded sizes. This is
-// the cost of splitting the coordinator, kept separate from the
-// algorithm's own message ledger (which over a single leaf equals the
-// in-process engine's exactly). Other monitors report zeroes.
+// Down counts the frames the root sends its links, Up the replies and bid
+// logs it receives, with Bytes carrying their encoded sizes. This is the
+// cost of splitting the coordinator, kept separate from the algorithm's
+// own message ledger (which equals the in-process engine's exactly). Other
+// monitors report zeroes.
 func (m *Monitor) Overhead() (Counts, Bytes) {
 	m.lock()
 	defer m.unlock()
