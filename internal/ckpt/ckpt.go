@@ -61,9 +61,10 @@ type Store interface {
 	// Save files frame under generation gen, atomically and durably.
 	// frame is the caller's and valid only until Save returns — a monitor
 	// encodes every generation, base or delta, into one buffer it reuses,
-	// which follows transport.Retention and so keeps a base under 64 KiB
-	// for the frames after it — so a store that keeps frames keeps a copy
-	// (Mem copies, File writes out, Faulty forwards).
+	// which follows transport.Retention and so carries a base's frames
+	// after it until two of them have needed under half of it — so a store
+	// that keeps frames keeps a copy (Mem copies, File writes out, Faulty
+	// forwards).
 	Save(gen uint64, frame []byte) error
 	// Load returns the newest intact base extended by its intact deltas
 	// (see the package comment) and the generation of the last frame of
@@ -280,9 +281,12 @@ func (m *Mem) push(gen uint64, frame []byte) {
 	if n := len(m.chains); n > 0 && !e.base {
 		c := m.chains[n-1]
 		if cap(c.slab)-len(c.slab) < len(frame) {
-			// Doubling, not append's quarter steps: a slab reaches its
-			// base's size in a handful of allocations.
-			c.slab = slices.Grow(c.slab, max(len(frame), len(c.slab)))
+			// Half again what it holds, sized here rather than by append's
+			// quarter steps and their rounding: a slab reaches its base's
+			// size in a handful of allocations and holds at most half as
+			// much again as its frames, where doubling held twice as much.
+			grown := make([]byte, len(c.slab), len(c.slab)+max(len(frame), len(c.slab)/2))
+			c.slab = grown[:copy(grown, c.slab)]
 		}
 		c.slab = append(c.slab, frame...)
 		c.ends = append(c.ends, len(c.slab))

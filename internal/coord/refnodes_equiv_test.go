@@ -127,9 +127,9 @@ func (p *pair) same() {
 		if nd.inTop {
 			refOrd = nd.ordIv
 		}
-		if order.Key(bs.Keys[i]) != nd.key || inTop != nd.inTop || b.inst.Interval(nd.inTop) != nd.iv || ord != refOrd {
+		if key := r.codec.Encode(bs.Vals[i], nd.id); key != nd.key || inTop != nd.inTop || b.inst.Interval(nd.inTop) != nd.iv || ord != refOrd {
 			p.t.Fatalf("%s: node %d: the bank holds key %d, member %v, filter %v, order filter %v; the reference key %d, member %v, filter %v, order filter %v",
-				p.where, nd.id, bs.Keys[i], inTop, b.inst.Interval(inTop), ord, nd.key, nd.inTop, nd.iv, refOrd)
+				p.where, nd.id, key, inTop, b.inst.Interval(inTop), ord, nd.key, nd.inTop, nd.iv, refOrd)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -51,9 +52,9 @@ func warmFrames(t *testing.T, n, k int, tol order.Tol) (d *driver, bs wire.BankS
 	return d, bs, member, out1, out2
 }
 
-// cloneBank deep-copies the key column a mutation may touch.
+// cloneBank deep-copies the value column a mutation may touch.
 func cloneBank(bs wire.BankState) wire.BankState {
-	bs.Keys = append([]int64(nil), bs.Keys...)
+	bs.Vals = append([]int64(nil), bs.Vals...)
 	return bs
 }
 
@@ -68,14 +69,18 @@ func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 	if err := restoreAgainstMachine(t, d, bs.Append(nil)); err != nil {
 		t.Fatalf("untouched frame rejected: %v", err)
 	}
-	in := d.mach.Installed()
+	// A value one above the value of a bound has a key above it whatever
+	// the id, and one below has a key below it.
+	in, codec := d.mach.Installed(), d.bank.codec
+	hi, _ := codec.Decode(in.Hi)
+	lo, _ := codec.Decode(in.Lo)
 	for _, tc := range []struct {
 		name string
 		mut  func(s *wire.BankState)
 	}{
-		{"outsider key above the bound", func(s *wire.BankState) { s.Keys[o1] = int64(in.Hi) + 1 }},
-		{"member key below the bound", func(s *wire.BankState) { s.Keys[m] = int64(in.Lo) - 1 }},
-		{"member and outsider keys swapped", func(s *wire.BankState) { s.Keys[m], s.Keys[o1] = s.Keys[o1], s.Keys[m] }},
+		{"outsider key above the bound", func(s *wire.BankState) { s.Vals[o1] = hi + 1 }},
+		{"member key below the bound", func(s *wire.BankState) { s.Vals[m] = lo - 1 }},
+		{"member and outsider values swapped", func(s *wire.BankState) { s.Vals[m], s.Vals[o1] = s.Vals[o1], s.Vals[m] }},
 	} {
 		s := cloneBank(bs)
 		tc.mut(&s)
@@ -83,16 +88,42 @@ func TestRestoreNodesRejectsUninstallableFilters(t *testing.T) {
 			t.Errorf("%s: restore returned %v, want ErrFilterState", tc.name, err)
 		}
 	}
-	// A key column that disagrees with Hi − Lo: the header of a [4, 8) bank
-	// claims [4, 9), or [4, 7), over the same four keys.
+	// A value column that disagrees with Hi − Lo: the header of a [4, 8)
+	// bank claims [4, 9), or [4, 7), over the same four values.
 	part := decodeBank(t, NewNodes(12, 4, 8, 9, false, order.Tol{}).Snapshot(nil))
 	columns := part.Append(nil)[len(part.BankHeader.Append(nil)):]
 	for _, claimed := range []int{9, 7} {
 		h := part.BankHeader
 		h.Hi = claimed
 		if _, err := RestoreNodes(append(h.Append(nil), columns...), 0); err == nil {
-			t.Errorf("header claims [4, %d) over four nodes' keys: restored", claimed)
+			t.Errorf("header claims [4, %d) over four nodes' values: restored", claimed)
 		}
+	}
+}
+
+// TestRestoreNodesRefusesValuesOutsideTheDomain pins that RestoreNodes
+// re-derives every key from its value without the codec's panic: a value
+// past the value domain of the frame's n, at either end, is an error
+// wrapping wire.ErrMalformed, and the domain's own ends restore.
+func TestRestoreNodesRefusesValuesOutsideTheDomain(t *testing.T) {
+	const n = 12
+	bs := decodeBank(t, NewNodes(n, 4, 8, 9, false, order.Tol{}).Snapshot(nil))
+	max := order.MaxValueFor(n)
+	for _, v := range []int64{max + 1, -max - 1, math.MaxInt64, math.MinInt64} {
+		bad := cloneBank(bs)
+		bad.Vals[2] = v
+		if _, err := RestoreNodes(bad.Append(nil), 0); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("a value of %d: RestoreNodes returned %v, want wire.ErrMalformed", v, err)
+		}
+	}
+	ends := cloneBank(bs)
+	ends.Vals[0], ends.Vals[3] = max, -max
+	b, err := RestoreNodes(ends.Append(nil), 0)
+	if err != nil {
+		t.Fatalf("the domain's ends: %v", err)
+	}
+	if got := decodeBank(t, b.Snapshot(nil)); !slices.Equal(got.Vals, ends.Vals) {
+		t.Fatalf("the domain's ends restored as %v, want %v", got.Vals, ends.Vals)
 	}
 }
 
@@ -228,7 +259,7 @@ func TestRestoreFiltersAgainstMachine(t *testing.T) {
 			{"members' bound raised past a member", func(s *wire.MachineState) {
 				// ε = 0: T− and T+ moved over the member's key. ε > 0: the
 				// band did.
-				lift := f.Keys[m] - int64(d.mach.Installed().Lo) + 1
+				lift := int64(d.bank.codec.Encode(f.Vals[m], m) - d.mach.Installed().Lo + 1)
 				s.TPlus, s.TMinus = s.TPlus+2*lift, s.TMinus+2*lift
 				s.CurLo, s.CurHi = s.CurLo+lift, s.CurHi+lift
 			}},

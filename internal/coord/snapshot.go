@@ -288,8 +288,9 @@ func OpenMachine(n, k int, epsilon float64, machFrame []byte) (*Machine, error) 
 // taken under the configuration n, k, epsilon and seed — base envelope c
 // and the delta frames after it, oldest first — and is its whole check:
 //
-//  1. c's bank frame gives every node's key (RestoreNodes); it must cover
-//     [0, n), and c may carry no value mirror;
+//  1. c's bank frame gives every node's value, hence its key
+//     (RestoreNodes); it must cover [0, n), and c may carry no value
+//     mirror;
 //  2. the deltas' values patch the keys (FoldDeltas, Nodes.Patch);
 //  3. the machine frame the chain ends on gives the membership and the
 //     installed bounds (OpenMachine, Machine.Installed);
@@ -335,26 +336,36 @@ func RestoreChain(n, k int, epsilon float64, seed uint64, c *wire.Checkpoint, de
 }
 
 // Snapshot appends the bank's canonical checkpoint frame (the bank frame
-// of internal/wire) to dst, straight from the bank's key array. Banks
-// carry no in-flight marker, so the contract is the caller's: snapshot
-// only between steps, when no protocol execution is running. A frame
-// carries the bank's own state only. Its membership bits and installed
-// bounds are the coordinator's (RestoreChain); the in-play set is empty
-// after the probability-1 round of every execution and enlisted anew at
-// round 0 of the next; who violated is written by a step's filter checks
+// of internal/wire) to dst: the value behind each key of the bank's key
+// array. Banks carry no in-flight marker, so the contract is the caller's:
+// snapshot only between steps, when no protocol execution is running. A
+// frame carries the bank's own state only. Its membership bits and
+// installed bounds are the coordinator's (RestoreChain); the in-play set is
+// empty after the probability-1 round of every execution and enlisted anew
+// at round 0 of the next; who violated is written by a step's filter checks
 // and read by that step's executions alone.
 func (b *Nodes) Snapshot(dst []byte) []byte {
-	return wire.AppendBank(dst, wire.BankHeader{N: b.codec.N(), Lo: b.lo, Hi: b.hi, EpsNum: b.tol.Num()}, b.keys)
+	codec, size := b.codec, 0
+	for i, k := range b.keys {
+		size += wire.SizeVarint(codec.Value(k, b.lo+i))
+	}
+	w := wire.BeginBank(dst, wire.BankHeader{N: codec.N(), Lo: b.lo, Hi: b.hi, EpsNum: b.tol.Num()}, size)
+	for i, k := range b.keys {
+		w.Put(codec.Value(k, b.lo+i))
+	}
+	return w.End()
 }
 
 // RestoreNodes rebuilds a node bank from a Snapshot frame taken under the
-// given seed, reading the key column straight into the fresh bank's array;
-// every node is an outsider and every filter [-inf, +inf] until its
-// coordinator's state is installed (RestoreChain). The seed is all the
-// restored bank needs to flip, from the next step on, the coins the
-// original would have — the property that keeps Las Vegas protocol runs
-// bit-identical across the restore. A frame in a dialect older monitors
-// wrote is the wire error its decoder refuses it with.
+// given seed, reading the value column straight into the fresh bank's key
+// array and encoding each value there into its node's key; every node is
+// an outsider and every filter [-inf, +inf] until its coordinator's state
+// is installed (RestoreChain). The seed is all the restored bank needs to
+// flip, from the next step on, the coins the original would have — the
+// property that keeps Las Vegas protocol runs bit-identical across the
+// restore. A frame in a dialect older monitors wrote is the wire error its
+// decoder refuses it with, and a value outside the value domain wraps
+// wire.ErrMalformed.
 func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 	h, col, err := wire.OpenBank(p)
 	if err != nil {
@@ -371,8 +382,13 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 		return nil, err
 	}
 	b := newBank(h.N, h.Lo, h.Hi, seed, tol)
-	if err := wire.ReadBankKeys(col, b.keys); err != nil {
+	if err := wire.ReadBankValues(col, b.keys); err != nil {
 		return nil, err
+	}
+	for i, v := range b.keys {
+		if b.keys[i], err = b.Encode(b.lo+i, int64(v)); err != nil {
+			return nil, fmt.Errorf("%w: %v", wire.ErrMalformed, err)
+		}
 	}
 	return b, nil
 }

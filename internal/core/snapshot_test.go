@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/coord"
+	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -112,8 +113,9 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 // another membership or stale bounds — is a typed rejection: the per-node
 // filter set restored any non-empty interval unchecked and then served a
 // set its filters no longer guarded. So is a bank frame in the dialect of
-// the engines that persisted bounds and membership beside the keys, and
-// one with bytes after its keys.
+// the engines that persisted bounds and membership beside the keys, one in
+// the dialect that persisted keys where values do, and one with bytes
+// after its values.
 func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	cfg := Config{N: 8, K: 2, Seed: 3}
 	m := New(cfg)
@@ -130,17 +132,21 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	if err := ms.Decode(mach); err != nil {
 		t.Fatal(err)
 	}
+	codec := order.NewCodec(cfg.N)
 	mid := int64(m.mach.Installed().Lo)
+	// A value one above the bound's has a key above it whatever the id, and
+	// one below has a key below it.
+	midVal, _ := codec.Decode(m.mach.Installed().Lo)
 	restore := func(mach, nodes []byte) error {
 		_, err := RestoreOn(cfg, Inline, &wire.Checkpoint{Machine: mach, Nodes: nodes}, nil)
 		return err
 	}
 	for name, mut := range map[string]func(s *wire.BankState){
-		"an outsider's key above the bound": func(s *wire.BankState) { s.Keys[1] = mid + 1 },
-		"a member's key below the bound":    func(s *wire.BankState) { s.Keys[2] = mid - 1 },
+		"an outsider's key above the bound": func(s *wire.BankState) { s.Vals[1] = midVal + 1 },
+		"a member's key below the bound":    func(s *wire.BankState) { s.Vals[2] = midVal - 1 },
 	} {
 		s := bs
-		s.Keys = append([]int64(nil), bs.Keys...)
+		s.Vals = append([]int64(nil), bs.Vals...)
 		mut(&s)
 		if err := restore(mach, s.Append(nil)); !errors.Is(err, coord.ErrFilterState) {
 			t.Errorf("%s: restore returned %v, want coord.ErrFilterState", name, err)
@@ -148,7 +154,10 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	}
 	for name, mut := range map[string]func(s *wire.MachineState){
 		"another membership than the bank's keys": func(s *wire.MachineState) { s.Top = []int{1, 4} },
-		"stale bounds": func(s *wire.MachineState) { s.TPlus, s.TMinus = bs.Keys[4]+1, bs.Keys[4]+1 },
+		"stale bounds": func(s *wire.MachineState) {
+			key := int64(codec.Encode(bs.Vals[4], 4))
+			s.TPlus, s.TMinus = key+1, key+1
+		},
 	} {
 		s := ms
 		s.Top = append([]int(nil), ms.Top...)
@@ -166,20 +175,26 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 		t.Fatalf("re-encoded untouched frame rejected: %v", err)
 	}
 
-	// The previous dialect: flags 0x02, the installed bounds after the
+	// The keys dialect: flags 0x06 and each node's key where its value is.
+	// And the one before it: flags 0x02, the installed bounds after the
 	// header, the keys, the member section of members 2 and 4 (gap 3, flag;
 	// gap 2, flag) and three section ends — refused, not read.
 	hdr := len(bs.BankHeader.Append(nil))
-	old := append(bytes.Clone(nodes[:hdr]), wire.AppendVarint(wire.AppendVarint(nil, mid), mid)...)
+	keyed := append(bytes.Clone(nodes[:hdr-1]), 0x06)
+	for id, v := range bs.Vals {
+		keyed = wire.AppendVarint(keyed, int64(codec.Encode(v, id)))
+	}
+	old := append(bytes.Clone(keyed[:hdr]), wire.AppendVarint(wire.AppendVarint(nil, mid), mid)...)
 	old[hdr-1] = 0x02
-	old = append(append(old, nodes[hdr:]...), 3, 1, 2, 1, 0, 0, 0)
+	old = append(append(old, keyed[hdr:]...), 3, 1, 2, 1, 0, 0, 0)
 	for name, c := range map[string]struct {
 		frame []byte
 		want  error
 	}{
-		"the previous dialect":  {old, wire.ErrMalformed},
-		"bytes after the keys":  {append(bytes.Clone(nodes), 0), wire.ErrTrailingBytes},
-		"the raw-value key bit": {append(append(bytes.Clone(nodes[:hdr-1]), 0x06|0x01), nodes[hdr:]...), wire.ErrMalformed},
+		"the keys dialect":       {keyed, wire.ErrMalformed},
+		"the previous dialect":   {old, wire.ErrMalformed},
+		"bytes after the values": {append(bytes.Clone(nodes), 0), wire.ErrTrailingBytes},
+		"the raw-value key bit":  {append(append(bytes.Clone(nodes[:hdr-1]), nodes[hdr-1]|0x01), nodes[hdr:]...), wire.ErrMalformed},
 	} {
 		if err := restore(mach, c.frame); !errors.Is(err, c.want) {
 			t.Errorf("%s: restore returned %v, want %v", name, err, c.want)
@@ -190,11 +205,11 @@ func TestRestoreRejectsFiltersTheAlgorithmCannotHold(t *testing.T) {
 	// are rejected one way or another.
 	part := bs
 	part.Hi--
-	part.Keys = bs.Keys[:7]
+	part.Vals = bs.Vals[:7]
 	short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
 	for name, frame := range map[string][]byte{
-		"a bank over [0, 7)":            part.Append(nil),
-		"seven nodes' keys under n = 8": short,
+		"a bank over [0, 7)":              part.Append(nil),
+		"seven nodes' values under n = 8": short,
 	} {
 		if err := restore(mach, frame); err == nil {
 			t.Errorf("%s: restored", name)

@@ -141,7 +141,7 @@ func TestSubframesKeepNoEarlierFrame(t *testing.T) {
 // link's and follows the link's transport.Retention — here Lending's, over
 // a link that cannot lend: an arena a large share grew is let go once two
 // shares in a row have needed under half of it, while a batch of more than
-// 1 KiB of protocol commands between two shares above the 64 KiB floor — a
+// 1 KiB of protocol commands between two shares above the 2 KiB floor — a
 // large-k reset's Winners, queued on a relay's child — lets nothing go, so
 // that cycle allocates nothing.
 func TestFramesSizeTheirBufferByTheirFrames(t *testing.T) {

@@ -78,7 +78,7 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 }
 
 // TestUnequalRangesObserveZeroAllocs extends the pin above
-// transport.Retention's 64 KiB floor, to peers of unequal ranges: once a
+// transport.Retention's 2 KiB floor, to peers of unequal ranges: once a
 // failover has merged a dead peer's range into the one below it, a step's
 // frames are n/2, n/4 and n/4 one-byte changes, and the encode buffer the
 // first needs must outlive the smaller frames written into it after it,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -68,12 +69,17 @@ func TestRestoreValidatesFilters(t *testing.T) {
 				}
 			}
 		}
+		// A value one above a bound's has a key above it whatever the id,
+		// and one below has a key below it.
+		codec := order.NewCodec(cfg.N)
+		hi, _ := codec.Decode(in.Hi)
+		lo, _ := codec.Decode(in.Lo)
 		for name, mut := range map[string]func(s *wire.BankState){
-			"an outsider's key above its bound": func(s *wire.BankState) { s.Keys[outsider] = int64(in.Hi) + 1 },
-			"a member's key below its bound":    func(s *wire.BankState) { s.Keys[member] = int64(in.Lo) - 1 },
+			"an outsider's key above its bound": func(s *wire.BankState) { s.Vals[outsider] = hi + 1 },
+			"a member's key below its bound":    func(s *wire.BankState) { s.Vals[member] = lo - 1 },
 		} {
 			s := bs
-			s.Keys = append([]int64(nil), bs.Keys...)
+			s.Vals = append([]int64(nil), bs.Vals...)
 			mut(&s)
 			rejected(name, mach, s.Append(nil))
 		}
@@ -97,9 +103,9 @@ func TestRestoreValidatesFilters(t *testing.T) {
 		// machine's range, are rejected one way or another.
 		part := bs
 		part.Hi--
-		part.Keys = bs.Keys[:cfg.N-1]
+		part.Vals = bs.Vals[:cfg.N-1]
 		short := append(bs.BankHeader.Append(nil), part.Append(nil)[len(part.BankHeader.Append(nil)):]...)
-		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's key missing": short} {
+		for name, frame := range map[string][]byte{"a one-node-short bank": part.Append(nil), "one node's value missing": short} {
 			if rt, err := core.RestoreOn(cfg.core(), sharding(3), &wire.Checkpoint{Machine: mach, Nodes: frame}, nil); err == nil {
 				t.Errorf("eps=%v %s: restored", eps, name)
 				rt.Close()
@@ -178,7 +184,7 @@ func TestOrderFiltersOnlyOnTheOrderedRuntime(t *testing.T) {
 // the composed one: the envelope AppendCheckpoint writes straight from the
 // bank's arrays is wire.Checkpoint.Append over Snapshot's two frames — of
 // a run that keeps violating filters, a bank frame the reader accepts
-// holding the bank's keys and nothing else.
+// holding the values behind the bank's keys and nothing else.
 func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 	cfg := Config{N: 64, K: 5, Seed: 5}
 	rt := onShards(cfg, 3)
@@ -203,8 +209,8 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 			t.Fatalf("step %d: in-place envelope differs from the composed one", step)
 		}
 		var bs wire.BankState
-		if err := bs.Decode(nodes); err != nil || !slices.Equal(bs.Keys, keysOf(rt)) {
-			t.Fatalf("step %d: the bank frame holds keys %v (%v), the bank %v", step, bs.Keys, err, keysOf(rt))
+		if err := bs.Decode(nodes); err != nil || !slices.Equal(bs.Vals, valuesOf(rt)) {
+			t.Fatalf("step %d: the bank frame holds values %v (%v), the bank %v", step, bs.Vals, err, valuesOf(rt))
 		}
 	}
 	if st := rt.Stats(); st.ViolationSteps < 5 || st.Resets < 3 {
@@ -212,12 +218,14 @@ func TestAppendCheckpointIsTheEnvelopeOfSnapshot(t *testing.T) {
 	}
 }
 
-// keysOf returns the keys of a monitor's bank as a frame's key column holds
-// them.
-func keysOf(m *core.Monitor) []int64 {
-	keys := make([]int64, 0, m.N())
+// valuesOf returns the values behind the keys of a monitor's bank, as a
+// frame's value column holds them.
+func valuesOf(m *core.Monitor) []int64 {
+	codec := order.NewCodec(m.N())
+	vals := make([]int64, 0, m.N())
 	for _, k := range m.Keys() {
-		keys = append(keys, int64(k))
+		v, _ := codec.Decode(k)
+		vals = append(vals, v)
 	}
-	return keys
+	return vals
 }

@@ -25,9 +25,10 @@ import (
 // allocates nothing. A recycled buffer carries the next frame unless the
 // sending end's Retention lets it go, so a direction's buffer is sized by
 // the frames it carries now: the one a handshake's first dense frame grew
-// is let go once two steady-state frames have needed under half of it, and
-// the next frame is encoded (or, on Send, copied) into a buffer of its own
-// size.
+// is let go once two steady-state frames have needed under half of it —
+// if it is over Retention's 2 KiB floor, as it is from a thousand nodes a
+// pipe — and the next frame is encoded (or, on Send, copied) into a buffer
+// of its own size.
 //
 // A pipe never buffers writes, so its Flush is a no-op.
 func Pipe() (Link, Link) {

@@ -360,13 +360,13 @@ func (l *tcpLink) Recv() ([]byte, error) {
 // fit judges the read buffer by the frame the last Recv returned, which
 // this one frees, and lets go of a buffer Retention does not keep for one
 // of minBuf, or of the bytes already read ahead if they are more. While
-// those fill over half the buffer it waits: each buffer it lets go of is
-// then at most half its predecessor, and read-ahead bytes are copied a
-// bounded number of times, not once a Recv.
+// those are more than Retention would keep it waits, so the buffer that
+// replaces it is one the next Recv keeps: each buffer is replaced once on
+// the way down, and read-ahead bytes are copied once, not once a Recv.
 func (l *tcpLink) fit() {
 	keep := l.rsizes.Keep(len(l.rbuf), l.rlast)
 	l.rlast = 0 // told once, whatever this Recv returns
-	if keep || l.rend-l.rpos > len(l.rbuf)/2 {
+	if keep || l.rend-l.rpos > l.rsizes.room() {
 		return
 	}
 	kept := make([]byte, max(minBuf, l.rend-l.rpos))

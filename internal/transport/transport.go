@@ -78,29 +78,43 @@ func sendable(payload []byte) error {
 // carry changes (internal/wire), several times as many bytes, as a
 // checkpoint base does over the deltas after it, and a buffer it grew would
 // otherwise keep that size for good. Keep is told of every frame the buffer
-// carries and lets go of a buffer over 64 KiB that is more than twice the
+// carries and lets go of a buffer over 2 KiB that is more than twice the
 // larger of the last two frames of at least 1 KiB it was told of. Three
 // limits keep the rule from letting go of a buffer the next frame will need:
 // the floor, below which a buffer is kept whatever mix of frames it
-// carries; frames under 1 KiB — acks, rounds, replies — which do not count;
-// and the memory of two frames, which lets one larger protocol frame — a
-// large-k reset's batch of Winners — pass between two observation frames
-// without the buffer they need being let go. A buffer lent before its frame
-// is known is judged when it is lent, Keep(capacity, 0), and told of the
-// frame once it is sent, Keep(0, n). The zero value is ready to use.
+// carries — twice the least frame that counts, so that a buffer no counted
+// frame grew (a frame under 1 KiB, and the room append rounds it up to) is
+// kept, not let go at every Lend; frames under 1 KiB — acks, rounds,
+// replies — which do not count; and the memory of two frames, which lets
+// one larger protocol frame — a large-k reset's batch of Winners — pass
+// between two observation frames without the buffer they need being let
+// go. A buffer lent before its frame is known is judged when it is lent,
+// Keep(capacity, 0), and told of the frame once it is sent, Keep(0, n).
+// The zero value is ready to use.
 type Retention struct {
 	last, prev int // the last two counted frames' lengths
 }
+
+const (
+	// retainSmall is the least frame Retention counts.
+	retainSmall = 1 << 10
+	// retainFloor is the capacity Retention keeps whatever it was told.
+	retainFloor = 2 * retainSmall
+)
 
 // Keep records that a buffer of the given capacity carried (or is about to
 // carry) a frame of n bytes, and reports whether the buffer is worth
 // keeping. n = 0 judges the buffer alone; capacity 0 only records the frame.
 func (r *Retention) Keep(capacity, n int) bool {
-	const floor, small = 64 << 10, 1 << 10
-	if n >= small {
+	if n >= retainSmall {
 		r.last, r.prev = n, r.last
 	}
-	return capacity <= floor || capacity <= 2*max(r.last, r.prev)
+	return capacity <= r.room()
+}
+
+// room is the largest capacity Keep keeps, given the frames it was told of.
+func (r *Retention) room() int {
+	return max(retainFloor, 2*max(r.last, r.prev))
 }
 
 // Link is one reliable, ordered, message-framed duplex connection between

@@ -618,7 +618,7 @@ func TestPipeSizesBuffersByTheirFrames(t *testing.T) {
 // TestPipeKeepsItsBufferAcrossAResetBatch pins Retention's two-frame
 // memory on a pipe: a protocol frame of more than 1 KiB — a large-k
 // reset's batch of Winners — between every two dense frames above the
-// 64 KiB floor lets no buffer go, so the cycle allocates nothing.
+// 2 KiB floor lets no buffer go, so the cycle allocates nothing.
 func TestPipeKeepsItsBufferAcrossAResetBatch(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
@@ -640,8 +640,14 @@ func TestRetentionRule(t *testing.T) {
 		capacity, n int
 		keep        bool
 	}{
-		{64 << 10, 1 << 10, true},    // at the floor: kept whatever it carried
-		{1 << 20, 512 << 10, true},   // exactly twice
+		{1152, 1<<10 - 1, true}, // a buffer append grew for an uncounted frame: under the floor
+		{1152, 0, true},         // and judged alone when it is lent again
+		{2 << 10, 0, true},      // at the floor: kept whatever it carried
+		{3 << 10, 3 << 10, true},
+		{3 << 10, 1 << 10, true},  // the frame before was 3 KiB
+		{3 << 10, 1 << 10, false}, // two 1 KiB frames in a row: the buffer a first frame of values grew goes
+		{2 << 10, 0, true},        // twice them, and the floor
+		{1 << 20, 512 << 10, true},
 		{1 << 20, 100 << 10, true},   // the frame before was 512 KiB
 		{1 << 20, 1<<10 - 1, true},   // under 1 KiB: not counted
 		{1 << 20, 100 << 10, false},  // two 100 KiB frames in a row
@@ -649,6 +655,8 @@ func TestRetentionRule(t *testing.T) {
 		{200 << 10, 100 << 10, true}, // and the dense frame after it
 		{200 << 10, 2 << 10, true},
 		{200 << 10, 2 << 10, false}, // two protocol frames in a row
+		{4 << 10, 0, true},          // twice the larger of them
+		{4<<10 + 1, 0, false},
 	} {
 		if got := r.Keep(c.capacity, c.n); got != c.keep {
 			t.Fatalf("frame %d: Keep(%d, %d) = %v, want %v", i, c.capacity, c.n, got, c.keep)

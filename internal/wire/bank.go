@@ -5,26 +5,31 @@ import (
 	"slices"
 )
 
-// The bank frame. A node bank's own state is a key per node, so its
-// checkpoint persists exactly that: a node's membership bit and the filter
-// bounds it has installed are the coordinator's decisions, which the
-// machine frame beside the bank frame records (the membership, and T+/T−
-// or the ε band the bounds are a function of), and a node's coins are a
-// function of the seed the envelope carries.
+// The bank frame. A node bank's own state is a key per node, and a key is
+// its node's observed value with the tie-break injection, v·n + (n−1−id),
+// whose id is the entry's position in the column: so its checkpoint
+// persists the values, O(log max v) bits a node (the paper's message
+// size, §2), and a restore re-derives each key with the bank's codec. A
+// node's membership bit and the filter bounds it has installed are the
+// coordinator's decisions, which the machine frame beside the bank frame
+// records (the membership, and T+/T− or the ε band the bounds are a
+// function of), and a node's coins are a function of the seed the
+// envelope carries.
 //
 //	TypeBankState
 //	Lo, Hi, N, EpsNum    uvarint each
-//	flags                1 byte: flagNoGens|flagKeysOnly, always
-//	key column           Hi-Lo varints, in id order
+//	flags                1 byte: flagNoGens|flagColumnOnly|flagValues, always
+//	value column         Hi-Lo zigzag varints, in id order
 //
 // This is the one dialect written and the one read. The frames older
 // monitors wrote are refused, not upgraded: the v1 frame (tag 0x14) is
-// ErrUnknownType; a header without flagKeysOnly (the installed bounds, and
-// member, violation and order sections after the keys), without flagNoGens
-// (a generator column after the keys) or with 0x01 (keys that are raw
+// ErrUnknownType; a header without flagValues (a column of keys, log₂ n
+// bits a node longer), without flagColumnOnly (the installed bounds, and
+// member, violation and order sections after the column), without
+// flagNoGens (a generator column after it) or with 0x01 (keys that are raw
 // values, not the tie-break injection) is ErrMalformed.
 //
-// AppendBank and OpenBank with ReadBankKeys move the frame straight from
+// BankWriter and OpenBank with ReadBankValues move the frame straight from
 // and into a bank's key array; BankState is the materialised form, for
 // tools and tests.
 
@@ -45,38 +50,51 @@ func (h BankHeader) Append(dst []byte) []byte {
 	dst = AppendUvarint(dst, uint64(h.Hi))
 	dst = AppendUvarint(dst, uint64(h.N))
 	dst = AppendUvarint(dst, h.EpsNum)
-	return append(dst, flagNoGens|flagKeysOnly)
+	return append(dst, flagNoGens|flagColumnOnly|flagValues)
 }
 
-// bankTailRoom is what AppendBank reserves past the key column: the
+// bankTailRoom is what BeginBank reserves past the value column: the
 // envelope's section length prefix, mirror count and CRC.
 const bankTailRoom = 16
 
-// AppendBank appends a bank frame after dst: header h and the key column,
-// one key per hosted node in id order. It sizes the column first and
-// grows the buffer once — with room for an envelope's tail — so a reused
+// BankWriter writes a bank frame straight from a caller's arrays, as
+// CheckpointWriter does an envelope: BeginBank appends the header and
+// grows the buffer once, for the value column the caller has sized — the
+// sum of SizeVarint over its values — and an envelope's tail, so a reused
 // buffer settles at about the frame's size, not at what append's doubling
-// would leave. It panics unless there are Hi-Lo keys.
-func AppendBank[K ~int64](dst []byte, h BankHeader, keys []K) []byte {
-	if len(keys) != h.Hi-h.Lo {
-		panic(fmt.Sprintf("wire: %d keys for a bank of %d nodes", len(keys), h.Hi-h.Lo))
+// would leave; Put appends the Hi-Lo values in id order, and End returns
+// the frame.
+type BankWriter struct {
+	buf      []byte // the header; the column follows it
+	col      []byte
+	at, n, m int // bytes and values put, values due
+}
+
+// BeginBank appends the tag and header h after dst and makes room for a
+// value column of size bytes. The range must satisfy 0 <= Lo <= Hi <= N;
+// BeginBank panics otherwise.
+func BeginBank(dst []byte, h BankHeader, size int) BankWriter {
+	dst = slices.Grow(h.Append(dst), size+bankTailRoom)
+	return BankWriter{buf: dst, col: dst[len(dst) : len(dst)+size], m: h.Hi - h.Lo}
+}
+
+// Put appends the next node's value.
+func (w *BankWriter) Put(v int64) {
+	w.at = putUvarint(w.col, w.at, zigzag(v))
+	w.n++
+}
+
+// End returns the frame. It panics unless Hi-Lo values filled the column
+// BeginBank sized, exactly.
+func (w *BankWriter) End() []byte {
+	if w.n != w.m || w.at != len(w.col) {
+		panic(fmt.Sprintf("wire: %d values in %d bytes for a bank of %d nodes and a column of %d bytes", w.n, w.at, w.m, len(w.col)))
 	}
-	dst = h.Append(dst)
-	size := 0
-	for _, k := range keys {
-		size += SizeVarint(int64(k))
-	}
-	dst = slices.Grow(dst, size+bankTailRoom)
-	col := dst[len(dst) : len(dst)+size]
-	i := 0
-	for _, k := range keys {
-		i = putUvarint(col, i, zigzag(int64(k)))
-	}
-	return dst[:len(dst)+size]
+	return w.buf[:len(w.buf)+len(w.col)]
 }
 
 // OpenBank decodes the tag and header at the front of a bank frame and
-// returns the key column that follows it. A frame too short for the bank
+// returns the value column that follows it. A frame too short for the bank
 // it claims is rejected here, before a caller sizes anything by the
 // header.
 func OpenBank(p []byte) (h BankHeader, col []byte, err error) {
@@ -106,51 +124,65 @@ func OpenBank(p []byte) (h BankHeader, col []byte, err error) {
 		return h, nil, ErrTruncated
 	}
 	switch {
-	case p[0]&^(flagNoGens|flagKeysOnly) != 0:
+	case p[0]&^(flagNoGens|flagColumnOnly|flagValues) != 0:
 		return h, nil, fmt.Errorf("%w: unknown bank flags 0x%02x", ErrMalformed, p[0])
 	case p[0]&flagNoGens == 0:
 		return h, nil, fmt.Errorf("%w: a bank frame with a generator column, which no bank persists any more", ErrMalformed)
-	case p[0]&flagKeysOnly == 0:
+	case p[0]&flagColumnOnly == 0:
 		return h, nil, fmt.Errorf("%w: a bank frame with bounds and membership, which the machine frame records", ErrMalformed)
+	case p[0]&flagValues == 0:
+		return h, nil, fmt.Errorf("%w: a bank frame of keys, which the bank re-derives from values", ErrMalformed)
 	}
 	p = p[1:]
 	if h.Lo < 0 || h.Hi < h.Lo || h.Hi > h.N {
 		return h, nil, fmt.Errorf("%w: bank range [%d, %d) of %d", ErrMalformed, h.Lo, h.Hi, h.N)
 	}
-	if n := uint64(h.Hi - h.Lo); n > uint64(len(p)) { // every node takes >= 1 key byte
+	if n := uint64(h.Hi - h.Lo); n > uint64(len(p)) { // every node takes >= 1 value byte
 		return h, nil, fmt.Errorf("%w: %d bank nodes in %d bytes", ErrMalformed, n, len(p))
 	}
 	return h, p, nil
 }
 
-// ReadBankKeys decodes a key column OpenBank returned into dst, which must
-// have one slot per hosted node, and checks that the frame ends with it.
-func ReadBankKeys[K ~int64](col []byte, dst []K) error {
+// ReadBankValues decodes a value column OpenBank returned into dst, which
+// must have one slot per hosted node, and checks that the frame ends with
+// it. dst may be the bank's key array, which the caller then encodes in
+// place.
+func ReadBankValues[V ~int64](col []byte, dst []V) error {
 	for i := range dst {
 		v, n, err := Varint(col)
 		if err != nil {
 			return err
 		}
-		dst[i], col = K(v), col[n:]
+		dst[i], col = V(v), col[n:]
 	}
 	return fin(col)
 }
 
 // BankState is the materialised form of a bank frame: the header plus the
-// key column as a slice of length Hi-Lo in id order. The engines stream
-// their key arrays through AppendBank and ReadBankKeys and never build
+// value column as a slice of length Hi-Lo in id order. The engines stream
+// their key arrays through BankWriter and ReadBankValues and never build
 // one.
 type BankState struct {
 	BankHeader
 
-	Keys []int64
+	Vals []int64
 }
 
-// Append encodes m after dst. Keys must have length Hi-Lo; Append panics
-// otherwise.
-func (m BankState) Append(dst []byte) []byte { return AppendBank(dst, m.BankHeader, m.Keys) }
+// Append encodes m after dst. Vals must have length Hi-Lo and the range
+// must satisfy 0 <= Lo <= Hi <= N; Append panics otherwise.
+func (m BankState) Append(dst []byte) []byte {
+	size := 0
+	for _, v := range m.Vals {
+		size += SizeVarint(v)
+	}
+	w := BeginBank(dst, m.BankHeader, size)
+	for _, v := range m.Vals {
+		w.Put(v)
+	}
+	return w.End()
+}
 
-// Decode decodes a full bank frame into m, reusing Keys' capacity.
+// Decode decodes a full bank frame into m, reusing Vals' capacity.
 func (m *BankState) Decode(p []byte) error {
 	h, col, err := OpenBank(p)
 	if err != nil {
@@ -158,6 +190,6 @@ func (m *BankState) Decode(p []byte) error {
 	}
 	n := h.Hi - h.Lo
 	m.BankHeader = h
-	m.Keys = slices.Grow(m.Keys[:0], n)[:n]
-	return ReadBankKeys(col, m.Keys)
+	m.Vals = slices.Grow(m.Vals[:0], n)[:n]
+	return ReadBankValues(col, m.Vals)
 }

@@ -17,30 +17,30 @@ import (
 func sampleBank() BankState {
 	return BankState{
 		BankHeader: BankHeader{N: 8, Lo: 2, Hi: 6, EpsNum: 52428},
-		Keys:       []int64{7, -3, 1 << 40, 6},
+		Vals:       []int64{7, -3, 1 << 40, 6},
 	}
 }
 
 // plainBank is a bank of n nodes over the whole range.
 func plainBank(n int) BankState {
-	s := BankState{BankHeader: BankHeader{N: n, Lo: 0, Hi: n}, Keys: make([]int64, n)}
+	s := BankState{BankHeader: BankHeader{N: n, Lo: 0, Hi: n}, Vals: make([]int64, n)}
 	for i := 0; i < n; i++ {
-		s.Keys[i] = int64(i)*1000 - 500
+		s.Vals[i] = int64(i)*1000 - 500
 	}
 	return s
 }
 
 func sameBank(a, b BankState) bool {
-	return a.BankHeader == b.BankHeader && slices.Equal(a.Keys, b.Keys)
+	return a.BankHeader == b.BankHeader && slices.Equal(a.Vals, b.Vals)
 }
 
 // TestBankStateRoundTrip pins decode(encode(s)) == s and the re-encode
 // identity over the shapes a bank takes — a range, one node, many, the
-// extreme keys, no nodes — and a decode into a BankState that already
+// extreme values, no nodes — and a decode into a BankState that already
 // holds another bank.
 func TestBankStateRoundTrip(t *testing.T) {
 	extreme := plainBank(3)
-	extreme.Keys[0], extreme.Keys[2] = math.MinInt64, math.MaxInt64
+	extreme.Vals[0], extreme.Vals[2] = math.MinInt64, math.MaxInt64
 	empty := BankState{BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}
 	var got BankState
 	for i, s := range []BankState{sampleBank(), plainBank(1), plainBank(300), extreme, empty} {
@@ -71,9 +71,8 @@ func flagAt(frame []byte) int {
 }
 
 // withGens returns frame, which this build wrote, as a monitor whose nodes
-// carried generators wrote it: neither flagNoGens nor flagKeysOnly, no
-// bounds, and eight bytes of generator state a node after the keys — a
-// retired dialect.
+// carried generators wrote it: none of the flags, no bounds, and eight
+// bytes of generator state a node after the column — a retired dialect.
 func withGens(t testing.TB, frame []byte, states ...uint64) []byte {
 	t.Helper()
 	old := bytes.Clone(frame)
@@ -96,18 +95,18 @@ func previousDialect(frame []byte, lo, hi int64, sections ...byte) []byte {
 	return append(append(old, frame[at+1:]...), sections...)
 }
 
-// TestBankFrameSize pins what the frame is for: a bank costs its keys and
-// a constant, whoever is a member and whatever is installed.
+// TestBankFrameSize pins what the frame is for: a bank costs its values
+// and a constant, whoever is a member and whatever is installed.
 func TestBankFrameSize(t *testing.T) {
 	const n = 4096
 	s := plainBank(n)
-	keyBytes := 0
-	for i := range s.Keys {
-		s.Keys[i] = int64(i)<<20 + 12345
-		keyBytes += SizeVarint(s.Keys[i])
+	valueBytes := 0
+	for i := range s.Vals {
+		s.Vals[i] = int64(i)<<20 + 12345
+		valueBytes += SizeVarint(s.Vals[i])
 	}
 	hdr := len(s.BankHeader.Append(nil))
-	if got, want := len(s.Append(nil)), hdr+keyBytes; got != want {
+	if got, want := len(s.Append(nil)), hdr+valueBytes; got != want {
 		t.Fatalf("frame of %d nodes: %d bytes, want %d", n, got, want)
 	}
 	if hdr != 4+2*SizeUvarint(uint64(n)) { // tag, Lo, Hi, N, EpsNum, flags
@@ -116,7 +115,7 @@ func TestBankFrameSize(t *testing.T) {
 }
 
 // TestBankRejectsNonCanonical pins that exactly one byte string encodes a
-// bank: a key spelled long, a key column of another length than the
+// bank: a value spelled long, a value column of another length than the
 // header's range, an undefined flag bit and a range outside [0, N) are
 // malformed — never normalised.
 func TestBankRejectsNonCanonical(t *testing.T) {
@@ -127,16 +126,16 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 		frame []byte
 		want  error
 	}{
-		{"bytes after the keys", append(bytes.Clone(frame), 0), ErrTrailingBytes},
-		{"a key short", frame[:len(frame)-1], ErrTruncated},
-		{"a non-canonical key varint", append(append(bytes.Clone(frame[:flagAt(frame)+1]), 0x8e, 0x00), frame[flagAt(frame)+2:]...), ErrNonCanonical}, // key 7, two bytes long
+		{"bytes after the values", append(bytes.Clone(frame), 0), ErrTrailingBytes},
+		{"a value short", frame[:len(frame)-1], ErrTruncated},
+		{"a non-canonical value varint", append(append(bytes.Clone(frame[:flagAt(frame)+1]), 0x8e, 0x00), frame[flagAt(frame)+2:]...), ErrNonCanonical}, // value 7, two bytes long
 	} {
 		if err := b.Decode(tc.frame); !errors.Is(err, tc.want) {
 			t.Errorf("%s: decode returned %v, want %v", tc.name, err, tc.want)
 		}
 	}
 	unknown := bytes.Clone(frame)
-	unknown[flagAt(unknown)] |= 0x08
+	unknown[flagAt(unknown)] |= 0x10
 	if err := b.Decode(unknown); !errors.Is(err, ErrMalformed) {
 		t.Errorf("an undefined header flag bit: decode returned %v, want ErrMalformed", err)
 	}
@@ -149,7 +148,7 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 		for _, u := range h {
 			p = AppendUvarint(p, u)
 		}
-		p = append(AppendUvarint(p, 0), flagNoGens|flagKeysOnly, 0, 0, 0, 0, 0)
+		p = append(AppendUvarint(p, 0), flagNoGens|flagColumnOnly|flagValues, 0, 0, 0, 0, 0)
 		if err := b.Decode(p); !errors.Is(err, ErrMalformed) {
 			t.Errorf("range [%d, %d) of %d: decode returned %v, want ErrMalformed", h[0], h[1], h[2], err)
 		}
@@ -160,11 +159,12 @@ func TestBankRejectsNonCanonical(t *testing.T) {
 // one dialect this build writes and refuses every older one with a typed
 // error instead of upgrading it: the v1 frame (tag 0x14, nine fields a
 // node) is ErrUnknownType; a generator column, the header bit 0x01 of a
-// bank whose keys were raw values, and the previous dialect — the
+// bank whose keys were raw values, the dialect of PRs 27–48 — the
 // installed bounds after the header and the member, violation and order
-// sections after the keys, without the flagKeysOnly bit — are ErrMalformed,
-// whatever those sections hold. The legacy seeds of the fuzz corpora are
-// held to the same: their bank frames are refused.
+// sections after the keys, without the flagColumnOnly bit — whatever those
+// sections hold, and the key column of the dialect after it, without the
+// flagValues bit, are ErrMalformed. The legacy seeds of the fuzz corpora
+// are held to the same: their bank frames are refused.
 func TestBankRefusesRetiredDialects(t *testing.T) {
 	// A v1 frame of a [2, 4) bank of 8 nodes: Lo, Hi, N, EpsNum, flags, and
 	// a node's key, filter, order filter, flags, violation step, generator
@@ -179,7 +179,9 @@ func TestBankRefusesRetiredDialects(t *testing.T) {
 	}
 	frame := sampleBank().Append(nil)
 	rawKeyed := bytes.Clone(frame)
-	rawKeyed[flagAt(rawKeyed)] |= 0x01 // beside the two bits this build sets: 0x07
+	rawKeyed[flagAt(rawKeyed)] |= 0x01 // beside the three bits this build sets: 0x0f
+	keyed := bytes.Clone(frame)
+	keyed[flagAt(keyed)] &^= flagValues // the keys dialect's flags, 0x06, over this column
 	type refusal struct {
 		name  string
 		frame []byte
@@ -188,14 +190,15 @@ func TestBankRefusesRetiredDialects(t *testing.T) {
 	cases := []refusal{
 		{"a v1 frame", v1, ErrUnknownType},
 		{"raw-value keys", rawKeyed, ErrMalformed},
+		{"a key column", keyed, ErrMalformed},
 		{"a generator column", withGens(t, frame, 0xdeadbeef, 1, 0, 1<<64-1), ErrMalformed},
 		{"a generator column on an empty range", withGens(t, BankState{BankHeader: BankHeader{N: 8, Lo: 3, Hi: 3}}.Append(nil)), ErrMalformed},
 		{"the previous dialect, empty sections", previousDialect(frame, math.MinInt64, math.MaxInt64, 0, 0, 0), ErrMalformed},
 		{"the previous dialect, members", previousDialect(frame, 5, 9, 1, 1, 2, 1, 0, 0, 0), ErrMalformed},
 		{"the previous dialect, an order filter", previousDialect(frame, 5, 9, 1, 1, 0, 0, 1, 4, 6, 0), ErrMalformed},
-		{"the previous dialect's flag beside flagKeysOnly", append(previousDialect(frame, 5, 9)[:flagAt(frame)], frame[flagAt(frame):]...), ErrMalformed},
+		{"the previous dialect's layout under flagColumnOnly", append(previousDialect(frame, 5, 9)[:flagAt(frame)], frame[flagAt(frame):]...), ErrMalformed},
 	}
-	cases[len(cases)-1].frame[flagAt(frame)] = flagKeysOnly
+	cases[len(cases)-1].frame[flagAt(frame)] = flagColumnOnly
 	for _, seed := range []refusal{ // the legacy seeds of the fuzz corpora
 		{"FuzzCheckpointDecode/v1-envelope", nil, ErrUnknownType},
 		{"FuzzCheckpointDecode/v2-envelope-generator-column", nil, ErrMalformed},
@@ -271,14 +274,16 @@ func mustPanic(t *testing.T, name string, f func()) {
 }
 
 // TestBankWriterRefusesAShapeItCannotHold pins that a caller cannot write
-// a frame the reader would refuse: a key column of another length than
+// a frame the reader would refuse: a value column of another length than
 // the header's range, or a range outside [0, N).
 func TestBankWriterRefusesAShapeItCannotHold(t *testing.T) {
 	h := BankHeader{N: 4, Lo: 0, Hi: 2}
 	for name, f := range map[string]func(){
-		"too few keys":              func() { AppendBank(nil, h, []int64{1}) },
-		"too many keys":             func() { AppendBank(nil, h, []int64{1, 2, 3}) },
-		"bank range outside [0, N)": func() { AppendBank(nil, BankHeader{N: 4, Lo: 3, Hi: 5}, []int64{1, 2}) },
+		"too few values":             func() { BankState{BankHeader: h, Vals: []int64{1}}.Append(nil) },
+		"too many values":            func() { BankState{BankHeader: h, Vals: []int64{1, 2, 3}}.Append(nil) },
+		"bank range outside [0, N)":  func() { BankState{BankHeader: BankHeader{N: 4, Lo: 3, Hi: 5}, Vals: []int64{1, 2}}.Append(nil) },
+		"a column short of its size": func() { w := BeginBank(nil, h, 3); w.Put(1); w.Put(2); w.End() },
+		"a value short":              func() { w := BeginBank(nil, h, 1); w.Put(1); w.End() },
 	} {
 		mustPanic(t, name, f)
 	}

@@ -307,13 +307,15 @@ func TestCheckpointChainRoundTrip(t *testing.T) {
 // the rest, so that mutations reach the field decoders behind the seal.
 // The seeds hold what monitors write — topk's recorded fixtures among them:
 // an exact and an ε base, and a chain of a base and deltas, whole and
-// frame by frame — and what they must refuse: topk's fixtures of the
-// previous dialect (v3_*) and, in testdata/fuzz, envelopes whose bank
-// sections are of a retired dialect (v1-envelope,
-// v2-envelope-generator-column, envelope-no-generator-column;
-// TestBankRefusesRetiredDialects).
+// frame by frame — and what they must refuse: topk's fixtures of the two
+// dialects before it (v3_*; v4_*, the bank frame of keys) and, in
+// testdata/fuzz, envelopes whose bank sections are of a retired dialect
+// (v1-envelope, v2-envelope-generator-column, envelope-no-generator-column;
+// TestBankRefusesRetiredDialects) or hold a value no key can carry
+// (envelope-value-out-of-domain, which the codec accepts and a restore
+// refuses; topk's TestRestoreRefusesAValueOutsideTheDomain).
 func FuzzCheckpointDecode(f *testing.F) {
-	for _, fixture := range []string{"seq.ckpt", "seq_eps.ckpt", "seq_chain.ckpt", "v3_seq.ckpt", "v3_conc.ckpt", "v3_seq_chain.ckpt"} {
+	for _, fixture := range []string{"seq.ckpt", "seq_eps.ckpt", "seq_chain.ckpt", "v3_seq.ckpt", "v3_conc.ckpt", "v3_seq_chain.ckpt", "v4_seq.ckpt", "v4_seq_chain.ckpt"} {
 		frame, err := os.ReadFile(filepath.Join("..", "..", "topk", "testdata", fixture))
 		if err != nil {
 			f.Fatal(err)

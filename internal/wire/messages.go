@@ -80,8 +80,9 @@ const (
 	// so torn or bit-rotted frames are rejected instead of restored (see
 	// checkpoint.go and internal/ckpt).
 	TypeCheckpoint byte = 0x17
-	// TypeBankState is the node-side checkpoint companion: the key column
-	// of one coord.Nodes bank (see bank.go).
+	// TypeBankState is the node-side checkpoint companion: the observed
+	// values of one coord.Nodes bank, in id order, from which a restore
+	// re-derives its keys (see bank.go).
 	TypeBankState byte = 0x18
 	// TypeCheckpointDelta is the checkpoint envelope's delta variant: the
 	// generation of the base frame it extends, the machine frame, and the
@@ -107,15 +108,16 @@ const MaxTolNum uint64 = 1 << 20
 
 // Flag bits used by messages with a flags byte.
 const (
-	flagBidLogs  = 1 << 3 // Assign: Round requests are answered by bid logs; always set
-	flagChanges  = 1 << 2 // Assign: observation frames carry changes; always set (0x02 was the laddered build's, 0x01 the raw-value key domain's)
-	flagNoGens   = 1 << 1 // bank frame: no generator column follows the keys; always set
-	flagKeysOnly = 1 << 2 // bank frame: nothing follows the keys; always set
-	flagIsTop    = 1 << 0 // Winner: winner joins the top-k set
-	flagFull     = 1 << 0 // Midpoint: install [-inf, +inf] (k == n)
-	flagTopViol  = 1 << 0 // Reply: some top-k node violated its filter
-	flagOutViol  = 1 << 1 // Reply: some outsider violated its filter
-	flagOK       = 1 << 0 // ShardDigest: the local cohort was non-empty
+	flagBidLogs    = 1 << 3 // Assign: Round requests are answered by bid logs; always set
+	flagChanges    = 1 << 2 // Assign: observation frames carry changes; always set (0x02 was the laddered build's, 0x01 the raw-value key domain's)
+	flagNoGens     = 1 << 1 // bank frame: no generator column; always set
+	flagColumnOnly = 1 << 2 // bank frame: nothing follows the column; always set
+	flagValues     = 1 << 3 // bank frame: the column holds values, not keys; always set
+	flagIsTop      = 1 << 0 // Winner: winner joins the top-k set
+	flagFull       = 1 << 0 // Midpoint: install [-inf, +inf] (k == n)
+	flagTopViol    = 1 << 0 // Reply: some top-k node violated its filter
+	flagOutViol    = 1 << 1 // Reply: some outsider violated its filter
+	flagOK         = 1 << 0 // ShardDigest: the local cohort was non-empty
 )
 
 // MsgType returns the type tag of an encoded message.

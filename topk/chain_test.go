@@ -296,8 +296,13 @@ func engineFrames(t *testing.T, m *Monitor) (mach, nodes []byte) {
 //     Save loses no node, a saved one forgets them all;
 //   - at every saved frame, restoring the chain so far gives the engine's
 //     state to the byte.
+//
+// At 128 nodes a base — about three bytes a node — holds three or four of
+// the trace's deltas, each a machine frame and a few nodes' values (≈ 100
+// bytes), so that chains of several deltas, and bases cut for size alone,
+// are both common.
 func TestCheckpointBaseRule(t *testing.T) {
-	const n, k = 96, 5
+	const n, k = 128, 5
 	rec := &recordingStore{inner: MemCheckpoints(), failAt: map[int]bool{3: true, 4: true, 11: true, 20: true}}
 	cfg := Config{Nodes: n, K: k, Seed: 3}
 	live := cfg

@@ -56,9 +56,9 @@ type CheckpointStore interface {
 //
 // A checkpoint captures the coordinator process's execution at an idle
 // step boundary: for the in-process engine the machine plus every
-// node's key and filter (restoring is bit-identical — same reports, same
-// ledgers, same coins, which are a function of the seed, as a monitor that
-// never stopped); for the networked and sharded engines the machine plus the
+// node's value, from which a restore re-derives its key and filter
+// (restoring is bit-identical — same reports, same ledgers, same coins,
+// which are a function of the seed, as a monitor that never stopped); for the networked and sharded engines the machine plus the
 // coordinator's last-value mirror (the node banks live in the peers: the
 // banks the constructor's handshake builds get the mirror's replay and
 // the forced filter reset that end a peer failover, so a restored monitor
@@ -256,7 +256,7 @@ func (c *ckptChain) observed(ids []int, n int) {
 // which is why a store may not keep the slice Save is handed — and saves
 // it, updating the stats. The buffer follows transport.Retention, told of
 // every frame saved, so a base's size is not held for the monitor's
-// lifetime: a buffer over 64 KiB and more than twice the larger of the
+// lifetime: a buffer over 2 KiB and more than twice the larger of the
 // last two frames is swapped, after Save, for one sized for the frame just
 // saved — at the second delta after a base, on a quiet chain; and a base
 // grows the buffer once, to the last base's length, before it is encoded

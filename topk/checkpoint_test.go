@@ -3,12 +3,18 @@ package topk
 import (
 	"context"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/coord"
+	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -524,13 +530,13 @@ func TestRestoreRejectsStaleFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid := int64(mach.Installed().Hi)
-	// Outsider 1 above the installed midpoint; then a machine frame whose
-	// bounds went stale instead of a key, and one naming outsider 7 a
-	// member in place of member 2.
+	// Outsider 1 a value above the installed midpoint's, so its key is
+	// above it; then a machine frame whose bounds went stale instead of a
+	// key, and one naming outsider 7 a member in place of member 2.
+	mid, _ := order.NewCodec(cfg.Nodes).Decode(mach.Installed().Hi)
 	moved := bs
-	moved.Keys = append([]int64(nil), bs.Keys...)
-	moved.Keys[1] = mid + 1
+	moved.Vals = append([]int64(nil), bs.Vals...)
+	moved.Vals[1] = mid + 1
 	stale, flagged := ms, ms
 	stale.TPlus, stale.TMinus = ms.TPlus+1<<30, ms.TMinus+1<<30
 	flagged.Top = []int{4, 7}
@@ -550,6 +556,67 @@ func TestRestoreRejectsStaleFilters(t *testing.T) {
 		}
 		if m != nil {
 			m.Close()
+		}
+	}
+}
+
+// TestRestoreRefusesAValueOutsideTheDomain pins that a base whose bank
+// frame holds a value no key can carry — a magnitude above the value
+// domain of its n, which the codec would panic on — is a *RestoreError
+// wrapping wire.ErrMalformed, never a panic and never a monitor: a restore
+// re-derives every key from its value. The first forged frame is the
+// FuzzCheckpointDecode seed envelope-value-out-of-domain, byte for byte.
+func TestRestoreRefusesAValueOutsideTheDomain(t *testing.T) {
+	store := MemCheckpoints()
+	cfg := Config{Nodes: 8, K: 2, Seed: 3, Checkpoint: Checkpoint{Store: store}}
+	mon, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mon.Observe([]int64{5, 1, 8, 2, 9, 3, 7, 4}); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := mon.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.Close()
+	cfg.Checkpoint = Checkpoint{}
+	_, frame, err := store.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c wire.Checkpoint
+	if err := c.Decode(frame); err != nil {
+		t.Fatal(err)
+	}
+	var bs wire.BankState
+	if err := bs.Decode(c.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := os.ReadFile(filepath.Join("..", "internal", "wire", "testdata", "fuzz", "FuzzCheckpointDecode", "envelope-value-out-of-domain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, seed, _ := strings.Cut(strings.TrimSpace(string(corpus)), "\n")
+	if seed, err = strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(seed, "[]byte("), ")")); err != nil {
+		t.Fatalf("the fuzz seed envelope-value-out-of-domain is not a corpus file of one []byte: %v", err)
+	}
+	max := order.MaxValueFor(cfg.Nodes)
+	for i, v := range []int64{max + 1, -max - 1, math.MaxInt64, math.MinInt64} {
+		bad := bs
+		bad.Vals = append([]int64(nil), bs.Vals...)
+		bad.Vals[5] = v
+		forged := c
+		forged.Nodes = bad.Append(nil)
+		sealed := forged.Append(nil)
+		if i == 0 && seed != string(sealed) {
+			t.Fatalf("the fuzz seed envelope-value-out-of-domain is not the frame of a value of %d: %x", v, sealed)
+		}
+		m, err := Restore(rawStore{gen, sealed}, cfg)
+		var re *RestoreError
+		if m != nil || !errors.As(err, &re) || !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("a value of %d: Restore returned %v, %v; want a *RestoreError wrapping wire.ErrMalformed", v, m, err)
 		}
 	}
 }

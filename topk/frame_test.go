@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
@@ -18,8 +19,8 @@ import (
 // saves after parentFrameSteps goldenWalk steps; seq_chain.ckpt is what
 // MemCheckpoints' Load hands over after runToChain: a base and three
 // deltas, one of them spanning a reset. They were recorded through
-// Monitor.Checkpoint by the build whose bank frame is the key column alone,
-// and are the one dialect this build writes and reads.
+// Monitor.Checkpoint by the build whose bank frame is the value column
+// alone, and are the one dialect this build writes and reads.
 //
 // retiredFrames are the envelopes of monitors that wrote another dialect
 // of the bank frame: each is refused with a typed error, not upgraded.
@@ -46,6 +47,12 @@ var retiredFrames = []struct {
 	// The same dialect under the retired concurrent engine's fingerprint,
 	// which is refused before its bank section is read: ErrMalformed.
 	{"v3_conc.ckpt", parentFrameCfg, wire.ErrMalformed},
+	// The dialect after it — a column of keys, each its node's value with
+	// the tie-break injection, where values are — as the builds before this
+	// one wrote seq.ckpt, seq_eps.ckpt and seq_chain.ckpt: ErrMalformed.
+	{"v4_seq.ckpt", parentFrameCfg, wire.ErrMalformed},
+	{"v4_seq_eps.ckpt", Config{Nodes: 48, K: 5, Seed: 21, Epsilon: 0.05}, wire.ErrMalformed},
+	{"v4_seq_chain.ckpt", chainFrameCfg, wire.ErrMalformed},
 }
 
 // goldenWalk is the input the fixtures were taken under: every node starts
@@ -344,15 +351,15 @@ func restoreParentFrame(t *testing.T, file string, cfg Config) {
 
 // TestRestoreParentConcurrentFrame pins what became of the retired
 // concurrent engine's frame: testdata/v3_conc.ckpt, written under
-// wire.EngineConc in the state of seq.ckpt, is refused, though it holds
-// seq.ckpt's machine section and its keys, which restore
-// (TestRestoreParentSequentialFrame).
+// wire.EngineConc in the state of seq.ckpt, is refused, though it holds the
+// machine section and the keys of v4_seq.ckpt, the sequential engine's
+// frame of that state a dialect later.
 func TestRestoreParentConcurrentFrame(t *testing.T) {
 	conc, err := os.ReadFile(filepath.Join("testdata", "v3_conc.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := os.ReadFile(filepath.Join("testdata", "seq.ckpt"))
+	frame, err := os.ReadFile(filepath.Join("testdata", "v4_seq.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +369,7 @@ func TestRestoreParentConcurrentFrame(t *testing.T) {
 	}
 	hdr := len(wire.BankHeader{N: parentFrameCfg.Nodes, Hi: parentFrameCfg.Nodes}.Append(nil))
 	if !bytes.Contains(conc, c.Machine) || !bytes.Contains(conc, c.Nodes[hdr:]) {
-		t.Fatal("v3_conc.ckpt does not hold the machine section and the keys of seq.ckpt")
+		t.Fatal("v3_conc.ckpt does not hold the machine section and the keys of v4_seq.ckpt")
 	}
 	m, err := Restore(rawStore{c.Gen, conc}, parentFrameCfg)
 	var re *RestoreError
@@ -382,10 +389,11 @@ func TestRestoreParentSequentialFrame(t *testing.T) {
 
 // TestBankFrameIsOneFrame pins what the in-process engine writes: the
 // envelope it saves in the fixtures' state is testdata/seq.ckpt byte for
-// byte, and testdata/v3_seq.ckpt, which the builds before it wrote in that
-// state, holds the same machine section and, behind the installed bounds
-// it repeated, the same key column — the bank frame lost what the machine
-// frame records, and nothing else.
+// byte, and testdata/v4_seq.ckpt, which the builds before it wrote in that
+// state, holds the same machine section and a column of the keys this
+// build's values are under the tie-break injection — in more bytes: the
+// bank frame lost each key's id part, which its position in the column
+// gives, and nothing else.
 func TestBankFrameIsOneFrame(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "seq.ckpt"))
 	if err != nil {
@@ -397,7 +405,7 @@ func TestBankFrameIsOneFrame(t *testing.T) {
 	if _, got, _ := store.Load(); !bytes.Equal(got, want) {
 		t.Fatalf("the envelope saved in the state of seq.ckpt is %d bytes and not the recorded %d", len(got), len(want))
 	}
-	frame, err := os.ReadFile(filepath.Join("testdata", "v3_seq.ckpt"))
+	frame, err := os.ReadFile(filepath.Join("testdata", "v4_seq.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +413,22 @@ func TestBankFrameIsOneFrame(t *testing.T) {
 	if err := old.Decode(frame); err != nil {
 		t.Fatal(err)
 	}
-	hdr := len(wire.BankHeader{N: parentFrameCfg.Nodes, Hi: parentFrameCfg.Nodes}.Append(nil))
-	if !bytes.Equal(old.Machine, sections.Machine) || !bytes.Contains(old.Nodes, sections.Nodes[hdr:]) || len(old.Nodes) <= len(sections.Nodes) {
-		t.Fatal("v3_seq.ckpt does not hold this build's machine section and key column beside more")
+	var bs wire.BankState
+	if err := bs.Decode(sections.Nodes); err != nil {
+		t.Fatal(err)
+	}
+	n := parentFrameCfg.Nodes
+	codec := order.NewCodec(n)
+	hdr := len(wire.BankHeader{N: n, Hi: n}.Append(nil))
+	keys := bytes.Clone(old.Nodes[:hdr-1]) // the header, less the keys dialect's flags byte
+	if !bytes.Equal(keys, sections.Nodes[:hdr-1]) || old.Nodes[hdr-1] != 0x06 {
+		t.Fatal("v4_seq.ckpt's bank header is not this build's under the keys dialect's flags")
+	}
+	for id, v := range bs.Vals {
+		keys = wire.AppendVarint(keys, int64(codec.Encode(v, id)))
+	}
+	if !bytes.Equal(old.Machine, sections.Machine) || !bytes.Equal(old.Nodes[hdr:], keys[hdr-1:]) || len(old.Nodes) <= len(sections.Nodes) {
+		t.Fatal("v4_seq.ckpt does not hold this build's machine section and its values' keys, in more bytes")
 	}
 }
 
