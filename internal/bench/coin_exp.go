@@ -64,10 +64,11 @@ func E26KeyedCoin(sc Scale) Table {
 	for exp := 6; exp <= sc.ResetMaxExp; exp += 2 {
 		n := 1 << exp
 		root := rng.New(uint64(n)*104729, 0xe26)
-		f := protocol.Field{Keys: make([]order.Key, n)}
+		keys := make([]order.Key, n)
 		for i, p := range root.Perm(n) {
-			f.Keys[i] = order.Key(p + 1)
+			keys[i] = order.Key(p + 1)
 		}
+		f := protocol.KeyField(keys)
 		gens, active := make([]rng.RNG, n), make([]int32, n)
 		for i := range gens {
 			gens[i] = root.SplitValue(uint64(i))
@@ -75,7 +76,7 @@ func E26KeyedCoin(sc Scale) Table {
 		for _, want := range []int{1, 17} {
 			parent, keyed := make([]float64, trials), make([]float64, trials)
 			for trial := range parent {
-				parent[trial] = parentCoinExec(f.Keys, gens, active, want)
+				parent[trial] = parentCoinExec(keys, gens, active, want)
 				var c comm.Counter
 				in.EnlistExcept(n, nil)
 				ex.Begin(n, want, false, &c, nil, int64(trial)) // a step of its own: coins of its own

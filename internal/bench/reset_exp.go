@@ -75,7 +75,7 @@ func E24ResetSweep(sc Scale) Table {
 				for i, p := range root.Perm(n) {
 					keys[i] = order.Key(p + 1)
 				}
-				f := protocol.Field{Keys: keys}
+				f := protocol.KeyField(keys)
 				// The keys are a permutation of 1..n: winner i holds n-i.
 				check := func(i int, w protocol.Winner) {
 					if w.Key != int64(n-i) || int64(keys[w.ID]) != w.Key {

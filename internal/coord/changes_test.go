@@ -43,6 +43,18 @@ func FuzzObserveChanges(f *testing.F) {
 	f.Add(uint16(300), uint16(7), seed(2, 3, 2, 3, 0, 0x87, 0x87, 0x84, 0x81, 0x80, 0x55))
 	f.Add(uint16(1), uint16(0), seed(3, 0x82))
 	f.Add(uint16(64), uint16(1), seed(0, 0, 0, 0, 0, 0))
+	// Values across ±2³¹, selector 0 taking the raw value as it is: a
+	// narrow baseline that the frames widen, and a wide one they cross back.
+	raw := func(sels []byte, raws ...int64) []byte {
+		var p []byte
+		for i, r := range raws {
+			p = append(p, sels[i%len(sels)])
+			p = binary.LittleEndian.AppendUint64(p, uint64(r))
+		}
+		return p
+	}
+	f.Add(uint16(4), uint16(0), raw([]byte{0, 0, 0, 0, 0x80, 0, 0x80, 0x80, 0}, 1, -5, 1<<31-1, -1<<31, 1<<31, 7, -1<<31-1, 1<<40, 3))
+	f.Add(uint16(3), uint16(1), raw([]byte{0, 0, 0x80, 0x80, 0}, 1<<31+9, -1<<33, 1<<31-1, -1<<31, 0))
 	f.Fuzz(func(t *testing.T, n, lo uint16, data []byte) {
 		nodes := int(n)%300 + 1
 		first := int(lo) % nodes
@@ -149,7 +161,7 @@ func FuzzObserveChanges(f *testing.F) {
 			if ga != wa {
 				t.Fatalf("%s: %s frame answers %+v, absolute values %+v", where, kind, ga, wa)
 			}
-			if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.top, want.top) {
+			if !slices.Equal(got.keys(), want.keys()) || !slices.Equal(got.top, want.top) {
 				t.Fatalf("%s: %s frame leaves keys or membership other than the absolute values do", where, kind)
 			}
 			if ga.err != "<nil>" {

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -157,6 +158,10 @@ func TestDenseKernelMatchesPerValueObserve(t *testing.T) {
 			for ti, tw := range twins {
 				for vi, view := range tw.views {
 					top, out, err := tw.feed(view, vals[view.Lo()-lo:view.Hi()-lo], step)
+					if errors.Is(err, ErrNarrow) { // as a host of views does: widen, and again
+						tw.bank.Widen()
+						top, out, err = tw.feed(view, vals[view.Lo()-lo:view.Hi()-lo], step)
+					}
 					got := answer{top, out, fmt.Sprint(err)}
 					if ti == 0 {
 						want = append(want, got)
@@ -167,7 +172,7 @@ func TestDenseKernelMatchesPerValueObserve(t *testing.T) {
 			}
 			ref := twins[0]
 			for _, tw := range twins[1:] {
-				if !slices.Equal(tw.bank.keys, ref.bank.keys) {
+				if !slices.Equal(tw.bank.keys(), ref.bank.keys()) {
 					t.Fatalf("%s, step %d: keys fed from %s differ from per value", where, s, tw.name)
 				}
 				if !slices.Equal(tw.bank.top, ref.bank.top) {
@@ -196,15 +201,15 @@ func TestObserveStreamChecksTheFrameBeforeItStores(t *testing.T) {
 		vals[i] = int64(1000 + i)
 	}
 	bank := NewNodes(n, 0, n, 1, false, order.Tol{})
-	before := slices.Clone(bank.keys)
+	before := bank.keys()
 
 	short := wire.Observe{Step: 1, Vals: vals[:n-1]}.Append(nil)
 	s, err := wire.OpenObserve(short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bank.ObserveStream(&s); err == nil || !slices.Equal(bank.keys, before) {
-		t.Fatalf("a frame of %d values for %d nodes: error %v, bank touched: %v", n-1, n, err, !slices.Equal(bank.keys, before))
+	if _, _, err := bank.ObserveStream(&s); err == nil || !slices.Equal(bank.keys(), before) {
+		t.Fatalf("a frame of %d values for %d nodes: error %v, bank touched: %v", n-1, n, err, !slices.Equal(bank.keys(), before))
 	}
 
 	// Cut the frame inside value 300 and keep the count: the open passes
@@ -227,8 +232,8 @@ func TestObserveStreamChecksTheFrameBeforeItStores(t *testing.T) {
 		if i < 300 {
 			want, _ = bank.Encode(i, vals[i])
 		}
-		if bank.keys[i] != want {
-			t.Fatalf("after a frame truncated at value 300, node %d holds key %d, want %d", i, bank.keys[i], want)
+		if bank.Key(bank.Lo()+i) != want {
+			t.Fatalf("after a frame truncated at value 300, node %d holds key %d, want %d", i, bank.Key(bank.Lo()+i), want)
 		}
 	}
 }

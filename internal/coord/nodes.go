@@ -2,6 +2,7 @@ package coord
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -21,13 +22,16 @@ import (
 // sub-coordinators of internal/shardrun — one Nodes per hosted range, and
 // translates its substrate's commands into the methods below.
 //
-// The per-node state of the paper's node model — current key, membership
-// knowledge from the last broadcast — is a key column indexed by id - Lo and
-// a membership bitset, 8⅛ bytes per hosted node: the filter is derived from
-// the installed bounds (filter.Bounds) and the membership bit, and no
-// function of the id is stored — the node's Bernoulli trials included, which
-// are a function of the monitor's seed, the execution and the id (rng.Coin),
-// not draws from a generator the node carries. Who violated its filter this
+// The per-node state of the paper's node model — current value, membership
+// knowledge from the last broadcast — is a value column indexed by id - Lo
+// and a membership bitset: 4⅛ bytes per hosted node while every value the
+// bank has held fits int32, 8⅛ from the first that does not (column). A
+// node's key is re-derived where it is read, order.Codec.Encode's v·n +
+// (n−1−id), one multiply-add; the filter is derived from the installed
+// bounds (filter.Bounds) and the membership bit, and no function of the id
+// is stored — the node's Bernoulli trials included, which are a function of
+// the monitor's seed, the execution and the id (rng.Coin), not draws from a
+// generator the node carries. Who violated its filter this
 // step is two short lists (violTop, violOut), who is still in play during a
 // protocol execution one bit per node in the view's in-play set (Round),
 // empty between executions.
@@ -43,7 +47,12 @@ type Nodes struct {
 	maxVal int64  // cached value-domain bound; Observe checks it per value
 	seed   uint64 // keys the nodes' coins
 
-	keys []order.Key
+	// col is the value column, shared with every Sub view; the view's
+	// nodes are its entries from at on.
+	col *column
+	at  int
+	n   int  // hosted nodes
+	sub bool // a Sub view: it never widens the column (Observe)
 	// top is the membership bitset from the last broadcast: hosted node i is
 	// bit (off+i)&63 of top[(off+i)>>6]. Sub views share the words of their
 	// range with the bank they were taken of, so a view whose range does not
@@ -96,15 +105,11 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if hi-lo > math.MaxInt32 {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
-	b := newBank(n, lo, hi, seed, tol)
-	for i := range b.keys {
-		b.keys[i] = b.codec.Encode(0, lo+i)
-	}
-	return b
+	return newBank(n, lo, hi, seed, tol)
 }
 
-// newBank allocates a bank over [lo, hi) with every filter [-inf, +inf];
-// the caller fills the keys.
+// newBank builds a bank over [lo, hi) with every value 0, its column not
+// yet allocated, and every filter [-inf, +inf].
 func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
 	inst := filter.Unbounded()
 	return &Nodes{
@@ -114,10 +119,107 @@ func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
 		tol:    tol,
 		maxVal: order.MaxValueFor(n),
 		seed:   seed,
-		keys:   make([]order.Key, hi-lo),
+		col:    &column{n: hi - lo},
+		n:      hi - lo,
 		top:    make([]uint64, (hi-lo+63)>>6),
 		inst:   &inst,
 	}
+}
+
+// column is a bank's value column, which the bank and every Sub view of it
+// share: hosted node i's value is entry i, at the narrowest width that has
+// held every value the bank was given. A fresh column is every value 0 and
+// allocates nothing; the first observation allocates it once, at the width
+// that observation needs (Reserve), and it widens once, for good, at the
+// first value that does not fit int32 (widen). Every loop over it is one
+// generic implementation over both widths (cell).
+type column struct {
+	n   int
+	n32 []int32 // the column while every value fits int32
+	n64 []int64 // the column from the first value that did not; n32 is nil then
+}
+
+// cell is the entry type of a column.
+type cell interface{ int32 | int64 }
+
+// fits32 reports whether v fits a narrow column.
+func fits32(v int64) bool { return v == int64(int32(v)) }
+
+// allocate gives a column that has none its entries, all 0, wide or not.
+func (c *column) allocate(wide bool) {
+	if wide {
+		c.n64 = make([]int64, c.n)
+	} else {
+		c.n32 = make([]int32, c.n)
+	}
+}
+
+// widen makes a column that is not wide wide, keeping every value: one
+// allocation, and a copy of the narrow entries when there are any.
+func (c *column) widen() {
+	c.n64 = make([]int64, c.n)
+	for i, v := range c.n32 {
+		c.n64[i] = int64(v)
+	}
+	c.n32 = nil
+}
+
+// cells32 returns the view's narrow entries, allocating a column that has
+// none; it is called only while the column is not wide.
+func (b *Nodes) cells32() []int32 {
+	if b.col.n32 == nil {
+		b.col.allocate(false)
+	}
+	return b.col.n32[b.at : b.at+b.n]
+}
+
+// Reserve readies the column for vals, the values of an observation about
+// to be made: a bank whose column is not yet allocated allocates it at the
+// width they need — those ahead of the first outside the value domain, at
+// which the observation stops — so it allocates its column once, at its
+// first observation, whatever its width. An allocated column it leaves as it is,
+// and a Sub view does nothing: a view that finds no column allocates a
+// narrow one, and widens none (Observe). So a host that drives Sub views
+// concurrently reserves on the bank before their first observation.
+func (b *Nodes) Reserve(vals []int64) {
+	if !b.fresh() {
+		return
+	}
+	wide, _ := b.scanWidth(vals)
+	b.col.allocate(wide)
+}
+
+// scanWidth reports whether vals holds a value that does not fit int32
+// ahead of the first outside the value domain, and whether it met such a
+// value, at which an observation of them stops. It looks for a value that
+// does not fit 256 values at a time, without a branch a value.
+func (b *Nodes) scanWidth(vals []int64) (wide, stopped bool) {
+	for len(vals) > 0 {
+		blk := vals[:min(256, len(vals))]
+		vals = vals[len(blk):]
+		var out uint64 // bit 32 or above set: some value of blk does not fit int32
+		for _, v := range blk {
+			out |= uint64(v) + 1<<31
+		}
+		if out>>32 == 0 {
+			continue
+		}
+		for _, v := range blk {
+			if v > b.maxVal || v < -b.maxVal {
+				return false, true
+			}
+			if !fits32(v) {
+				return true, false
+			}
+		}
+	}
+	return false, false
+}
+
+// fresh reports whether the bank, not a Sub view, has yet to allocate its
+// column: every value is 0.
+func (b *Nodes) fresh() bool {
+	return !b.sub && b.col.n32 == nil && b.col.n64 == nil
 }
 
 // Sub returns a view of the sub-range [lo, hi) sharing this bank's node
@@ -126,7 +228,9 @@ func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
 // goroutines (internal/runtime's shards), parked whenever an install is
 // issued. What a view keeps to itself is the execution state of its range:
 // its in-play set and its violator lists, so a violation cohort is made of
-// the violations observed through the view that is asked.
+// the violations observed through the view that is asked. A view never
+// widens the column it shares (Observe): the bank does, while every view
+// is parked.
 func (b *Nodes) Sub(lo, hi int) *Nodes {
 	if lo < b.lo || hi > b.hi || lo >= hi {
 		panic(fmt.Sprintf("coord: sub-range [%d, %d) outside [%d, %d)", lo, hi, b.lo, b.hi))
@@ -136,7 +240,7 @@ func (b *Nodes) Sub(lo, hi int) *Nodes {
 	w := (q + 63) >> 6
 	return &Nodes{
 		lo: lo, hi: hi, codec: b.codec, tol: b.tol, maxVal: b.maxVal, seed: b.seed,
-		keys: b.keys[i:j:j], top: b.top[p>>6 : w : w], off: p & 63,
+		col: b.col, at: b.at + i, n: j - i, sub: true, top: b.top[p>>6 : w : w], off: p & 63,
 		inst: b.inst, ord: b.ord,
 	}
 }
@@ -148,10 +252,11 @@ func (b *Nodes) Lo() int { return b.lo }
 func (b *Nodes) Hi() int { return b.hi }
 
 // Len returns the number of hosted nodes.
-func (b *Nodes) Len() int { return len(b.keys) }
+func (b *Nodes) Len() int { return b.n }
 
-// Key returns node id's current key (for invariant checks in tests).
-func (b *Nodes) Key(id int) order.Key { return b.keys[b.index(id)] }
+// Key returns node id's current key: its value under the tie-break
+// injection.
+func (b *Nodes) Key(id int) order.Key { return b.codec.Encode(b.value(b.index(id)), id) }
 
 // InTop reports node id's membership bit (for invariant checks in tests).
 func (b *Nodes) InTop(id int) bool { return b.inTop(b.index(id)) }
@@ -212,12 +317,63 @@ func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
 	return b.codec.Encode(v, id), nil
 }
 
-// value returns the observation behind hosted node i's key: the key with
-// the tie-break injection taken out (what a checkpoint delta carries, and
-// the baseline an observation frame's changes are added to).
+// value returns hosted node i's observation (what a checkpoint delta
+// carries, and the baseline an observation frame's changes are added to).
 func (b *Nodes) value(i int) int64 {
-	return b.codec.Value(b.keys[i], b.lo+i)
+	c := b.col
+	if c.n64 != nil {
+		return c.n64[b.at+i]
+	}
+	if c.n32 != nil {
+		return int64(c.n32[b.at+i])
+	}
+	return 0
 }
+
+// store sets hosted node i's value, which lies in the value domain,
+// allocating the column at the width v needs if it has none and widening
+// a narrow one v does not fit. A Sub view does neither: it stores nothing
+// and returns false, since other views may be running over the column.
+func (b *Nodes) store(i int, v int64) bool {
+	if c := b.col; c.n32 != nil && fits32(v) {
+		c.n32[b.at+i] = int32(v)
+	} else if c.n64 != nil {
+		c.n64[b.at+i] = v
+	} else {
+		return b.storeFirst(i, v)
+	}
+	return true
+}
+
+// storeFirst is store into a column v is the first value of, or the first
+// value that does not fit.
+func (b *Nodes) storeFirst(i int, v int64) bool {
+	switch {
+	case fits32(v):
+		b.cells32()[i] = int32(v)
+	case b.sub:
+		return false
+	default:
+		b.Widen()
+		b.col.n64[b.at+i] = v
+	}
+	return true
+}
+
+// Widen makes the bank's column wide, for good, if it is not: the step a
+// host of Sub views takes, while every view is parked, when a view
+// refuses a value with ErrNarrow.
+func (b *Nodes) Widen() {
+	if b.col.n64 == nil {
+		b.col.widen()
+	}
+}
+
+// ErrNarrow is the error a Sub view's Observe, ObserveDense and the like
+// return at a value its narrow column cannot hold, having stored none of
+// it: the bank widens its column (Widen) while every view is parked, and
+// the view's batch is observed again. It is never an input's fault.
+var ErrNarrow = errors.New("coord: a Sub view's column is narrower than a value it was given")
 
 // Patch applies one checkpoint delta to a restored bank: vals[j] becomes
 // node ids[j]'s observation. Every value must lie in the value domain;
@@ -228,11 +384,10 @@ func (b *Nodes) Patch(ids []int, vals []int64) error {
 		if id < b.lo || id >= b.hi {
 			return fmt.Errorf("coord: delta names node %d outside the hosted range [%d, %d)", id, b.lo, b.hi)
 		}
-		key, err := b.Encode(id, vals[j])
-		if err != nil {
+		if _, err := b.Encode(id, vals[j]); err != nil {
 			return err
 		}
-		b.keys[id-b.lo] = key
+		b.store(id-b.lo, vals[j])
 	}
 	return nil
 }
@@ -264,8 +419,15 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 		_, err = b.Encode(id, v)
 		return false, false, err
 	}
+	// store, spelled out for the same reason.
+	if c := b.col; c.n32 != nil && fits32(v) {
+		c.n32[b.at+i] = int32(v)
+	} else if c.n64 != nil {
+		c.n64[b.at+i] = v
+	} else if !b.storeFirst(i, v) {
+		return false, false, ErrNarrow
+	}
 	key := b.codec.Encode(v, id)
-	b.keys[i] = key
 	inTop := b.inTop(i)
 	if holds(*b.inst, inTop, key) {
 		return false, false, nil
@@ -297,35 +459,62 @@ func listViolator(list []int32, i int32) []int32 {
 }
 
 // observeRun is the dense range kernel: vals[j] is the new value of hosted
-// node i+j. What a value's check needs that does not depend on the value —
-// the installed bounds, the codec's multiplier and the run's tie-break
-// base, the domain bound — is read once, so a value that lies in the domain
-// and inside its node's filter costs a multiplication, two comparisons and
-// the store of its key. Any other value — a violator's, or one outside the
-// domain — is handed to Observe, which does for it everything it does for a
-// sparse update: the violator lists and the error are that code's, and the
-// run stops at the first value it rejects.
+// node i+j. It runs observeCells over the column at its width, and again
+// over the wide column for the values after one that widened it.
 func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bool, err error) {
-	inst, maxVal := *b.inst, b.maxVal
+	for len(vals) > 0 {
+		var n int
+		var t, o bool
+		if c := b.col; c.n64 != nil {
+			n, t, o, err = observeCells(b, c.n64[b.at+i:], i, vals, step, b.maxVal)
+		} else {
+			n, t, o, err = observeCells(b, b.cells32()[i:], i, vals, step, min(b.maxVal, math.MaxInt32))
+		}
+		topViol, outViol = topViol || t, outViol || o
+		if err != nil {
+			return topViol, outViol, err
+		}
+		i, vals = i+n, vals[n:]
+	}
+	return topViol, outViol, nil
+}
+
+// observeCells is the range kernel over a column of one width: cells[j] is
+// hosted node i+j's entry. What a value's check needs that does not depend
+// on the value — the installed bounds, the codec's multiplier and the run's
+// tie-break base, the bound a value must lie within, the domain's and the
+// width's — is read once, so a value that lies within it and inside its
+// node's filter costs a multiplication, two comparisons and the store of
+// its entry. Any other value — a violator's, one outside the domain, or one
+// the narrow column cannot hold — is handed to Observe, which does for it
+// everything it does for a sparse update: the violator lists, the error
+// and the widening are that code's, and the run stops at the first value it
+// rejects, and after the first that widens the column it stores into. It
+// returns how many values it took.
+func observeCells[V cell](b *Nodes, cells []V, i int, vals []int64, step int64, lim int64) (n int, topViol, outViol bool, err error) {
+	inst := *b.inst
 	mul := int64(b.codec.N())
 	tie := mul - 1 - int64(b.lo+i) // order.Codec.Encode: v*n + (n-1-id)
-	keys, top, p := b.keys[i:][:len(vals)], b.top, b.off+uint(i)
+	cells, top, p := cells[:len(vals)], b.top, b.off+uint(i)
 	for j, v := range vals {
 		key := order.Key(v*mul + tie)
 		tie--
 		inTop := top[p>>6]>>(p&63)&1 != 0
 		p++
-		if v <= maxVal && v >= -maxVal && holds(inst, inTop, key) {
-			keys[j] = key
+		if v <= lim && v >= -lim && holds(inst, inTop, key) {
+			cells[j] = V(v)
 			continue
 		}
 		t, o, err := b.Observe(b.lo+i+j, v, step)
 		if err != nil {
-			return topViol, outViol, err
+			return j, topViol, outViol, err
 		}
 		topViol, outViol = topViol || t, outViol || o
+		if _, narrow := any(cells).([]int32); narrow && b.col.n32 == nil {
+			return j + 1, topViol, outViol, nil // the column widened under the run
+		}
 	}
-	return topViol, outViol, nil
+	return len(vals), topViol, outViol, nil
 }
 
 // ObserveDense ingests one dense step for the whole hosted range — vals[i]
@@ -334,17 +523,18 @@ func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bo
 // node in ascending id order, stopping at the first value outside the
 // value domain.
 func (b *Nodes) ObserveDense(vals []int64, step int64) (topViol, outViol bool, err error) {
-	if len(vals) != len(b.keys) {
-		panic(fmt.Sprintf("coord: %d values for the %d nodes of [%d, %d)", len(vals), len(b.keys), b.lo, b.hi))
+	if len(vals) != b.n {
+		panic(fmt.Sprintf("coord: %d values for the %d nodes of [%d, %d)", len(vals), b.n, b.lo, b.hi))
 	}
+	b.Reserve(vals)
 	return b.observeRun(0, vals, step)
 }
 
 // ObserveStream is ObserveDense for a dense frame as it arrived: the
 // frame carries each node's change from the value the bank holds (wire
-// package comment), and the values are rebuilt from it a chunk at a time
-// — a hosted node's value is its key with the tie-break taken out — and
-// never exist as a column. The frame must carry one change per hosted node,
+// package comment), and the values are rebuilt from it a chunk at a time,
+// never a column of their own. A fresh bank reads the frame once first,
+// through a copy of its cursor, for the width its column is allocated at. The frame must carry one change per hosted node,
 // which is checked before the first store; whatever else is wrong with it
 // — a malformed varint, a change that lands outside the value domain,
 // bytes after the last change — is found where it lies, so the values
@@ -352,14 +542,19 @@ func (b *Nodes) ObserveDense(vals []int64, step int64) (topViol, outViol bool, e
 // host ends on that error, and the coordinator re-Assigns the range and
 // rebuilds it from its mirror.
 func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err error) {
-	if s.Len() != len(b.keys) {
+	if s.Len() != b.n {
 		return false, false, fmt.Errorf("coord: observe frame carries %d values for range [%d, %d)", s.Len(), b.lo, b.hi)
 	}
 	var chunk [256]int64
-	for i := 0; i < len(b.keys); {
+	if b.fresh() {
+		b.col.allocate(b.wideFrame(*s, chunk[:]))
+	}
+	for i := 0; i < b.n; {
 		n, rerr := s.Read(chunk[:])
-		for j := range chunk[:n] {
-			chunk[j] += b.value(i + j) // wraps as the coordinator's subtraction did
+		if c := b.col; c.n64 != nil { // wraps as the coordinator's subtraction did
+			addCells(chunk[:n], c.n64[b.at+i:])
+		} else {
+			addCells(chunk[:n], b.cells32()[i:])
 		}
 		t, o, err := b.observeRun(i, chunk[:n], s.Step)
 		topViol, outViol = topViol || t, outViol || o
@@ -374,12 +569,37 @@ func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err
 	return topViol, outViol, s.Close()
 }
 
+// wideFrame reports whether a frame, read from the start through a copy of
+// its cursor, carries a value that does not fit int32 ahead of the first
+// that is malformed or outside the value domain, where its reading stops:
+// the width a fresh bank, whose values are all 0, allocates its column at.
+func (b *Nodes) wideFrame(s wire.ObserveStream, chunk []int64) bool {
+	for s.Len() > 0 {
+		n, err := s.Read(chunk)
+		if wide, stopped := b.scanWidth(chunk[:n]); wide || stopped || err != nil {
+			return wide
+		}
+	}
+	return false
+}
+
+// addCells adds each entry of cells to the change in dst beside it.
+func addCells[V cell](dst []int64, cells []V) {
+	cells = cells[:len(dst)]
+	for j := range dst {
+		dst[j] += int64(cells[j])
+	}
+}
+
 // ObserveDeltaStream ingests a sparse frame as it arrived: Observe for
 // every (id, change) pair it carries, read from the frame's bytes, at the
 // value the change leads to from the node's own. An id outside the hosted
 // range is an error; like any other it is found where it lies (see
 // ObserveStream).
 func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, err error) {
+	if b.fresh() {
+		b.col.allocate(b.wideDeltas(*s))
+	}
 	for s.Len() > 0 {
 		id, change, err := s.Next()
 		if err != nil {
@@ -395,6 +615,20 @@ func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, 
 		topViol, outViol = topViol || t, outViol || o
 	}
 	return topViol, outViol, s.Close()
+}
+
+// wideDeltas is wideFrame for a sparse frame.
+func (b *Nodes) wideDeltas(s wire.DeltaStream) bool {
+	for s.Len() > 0 {
+		id, v, err := s.Next()
+		if err != nil || id < b.lo || id >= b.hi || v > b.maxVal || v < -b.maxVal {
+			return false
+		}
+		if !fits32(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // Round runs round r of one protocol execution (protocol.Exec) over the
@@ -464,20 +698,27 @@ func (b *Nodes) round(tag uint8, r int, best order.Key, bound int, step int64, t
 			if b.violAt != step {
 				viol = nil // the lists are another step's: nobody here violated at this one
 			}
-			b.inPlay.Enlist(len(b.keys), nil)
+			b.inPlay.Enlist(b.n, nil)
 			for _, i := range viol {
 				b.inPlay.Add(int(i))
 			}
 		case TagHandMin:
-			b.inPlay.Fill(len(b.keys), b.topWord)
+			b.inPlay.Fill(b.n, b.topWord)
 		case TagHandMax:
-			b.inPlay.Fill(len(b.keys), func(w int) uint64 { return ^b.topWord(w) })
+			b.inPlay.Fill(b.n, func(w int) uint64 { return ^b.topWord(w) })
 		case TagReset:
-			b.inPlay.Fill(len(b.keys), func(int) uint64 { return ^uint64(0) })
+			b.inPlay.Fill(b.n, func(int) uint64 { return ^uint64(0) })
 		}
 	}
 	coin := rng.NewCoin(b.seed, step, tag, uint(r), uint64(bound))
-	protocol.Field{Keys: b.keys}.Round(&b.inPlay, &coin, tol.WidenHi(best), MinimumTag(tag), b.lo, send)
+	cut, minimum := tol.WidenHi(best), MinimumTag(tag)
+	mul := int64(b.codec.N())
+	tie := mul - 1 - int64(b.lo) // node i's key: its value·n + (n−1−(lo+i))
+	if c := b.col; c.n64 != nil {
+		protocol.Field[int64]{Vals: c.n64[b.at : b.at+b.n], Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
+	} else {
+		protocol.Field[int32]{Vals: b.cells32(), Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
+	}
 }
 
 // Winner tells node target what the running reset's execution made of it:
@@ -511,7 +752,7 @@ func (b *Nodes) ApplyBounds(lo, hi order.Key) {
 // view's bits alone, and like Winner it runs while every other view of the
 // bank is parked.
 func (b *Nodes) ResetBegin() {
-	p, q := b.off, b.off+uint(len(b.keys)) // the hosted bits of b.top
+	p, q := b.off, b.off+uint(b.n) // the hosted bits of b.top
 	for w := range b.top {
 		mask := ^uint64(0)
 		if w == 0 {
@@ -572,7 +813,7 @@ func (b *Nodes) OrderFilter(id int) filter.Interval {
 // OrderViolated checks node target's order filter: it returns the node's
 // current key and whether it left the filter.
 func (b *Nodes) OrderViolated(target int) (key order.Key, violated bool) {
-	key = b.keys[b.index(target)]
+	key = b.Key(target)
 	violated, _ = b.OrderFilter(target).Violates(key)
 	return key, violated
 }

@@ -49,10 +49,10 @@ func (r *refReset) begin() { clear(r.extracted) }
 func (r *refReset) round(rd int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
 	b := r.bank
 	if rd == 0 {
-		r.in.Fill(len(b.keys), func(w int) uint64 { return ^r.extracted[w] })
+		r.in.Fill(b.Len(), func(w int) uint64 { return ^r.extracted[w] })
 	}
 	coin := rng.NewCoin(b.seed, step, TagReset+uint8(r.resetIdx), uint(rd), uint64(bound))
-	protocol.Field{Keys: b.keys}.Round(&r.in, &coin, best, false, b.lo, send)
+	protocol.KeyField(b.keys()).Round(&r.in, &coin, best, false, b.lo, send)
 }
 
 // run answers the machine's one EffExec over TagReset with the parent's

@@ -335,27 +335,43 @@ func liveHeap() uint64 {
 }
 
 // TestBankFootprintPerHostedNode pins what a bank keeps alive per hosted
-// node once it has run a full TagReset execution: key 8 + membership bit +
-// in-play bit, 8.26 B in all. The budget leaves no room for a flag byte, a
-// generator's state or a violation stamp (8 B), an id list (4 B), a filter
-// interval (16 B), an order filter (16 B) or the node's own id (8 B) per
-// node.
+// node once it has observed a dense step and run a full TagReset
+// execution: the value column + membership bit + in-play bit, 4.26 B in
+// all while every value fits int32 and 8.26 B once none does. The budgets,
+// 4.5 and 8.5, leave no room for a key column beside the values (8 B), a
+// narrow column kept beside the wide one (4 B), a flag byte, a generator's
+// state or a violation stamp (8 B), an id list (4 B), a filter interval
+// (16 B), an order filter (16 B) or the node's own id (8 B) per node.
 func TestBankFootprintPerHostedNode(t *testing.T) {
-	const n, budget = 1 << 18, 8.5
-	before := liveHeap()
-	b := NewNodes(n, 0, n, 1, false, order.Tol{})
-	b.ResetBegin()
-	best := order.NegInf
-	for r := 0; r < protocol.Rounds(n); r++ {
-		b.Round(TagReset, r, best, n, 1, func(_ int, key order.Key) { best = order.Max(best, key) })
+	const n = 1 << 18
+	for _, arm := range []struct {
+		name   string
+		base   int64
+		budget float64
+	}{{"narrow", 0, 4.5}, {"wide", 1 << 31, 8.5}} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = arm.base + int64(i)*7%1000003
+		}
+		before := liveHeap()
+		b := NewNodes(n, 0, n, 1, false, order.Tol{})
+		if _, _, err := b.ObserveDense(vals, 1); err != nil {
+			t.Fatal(err)
+		}
+		b.ResetBegin()
+		best := order.NegInf
+		for r := 0; r < protocol.Rounds(n); r++ {
+			b.Round(TagReset, r, best, n, 1, func(_ int, key order.Key) { best = order.Max(best, key) })
+		}
+		b.Midpoint(best, false)
+		perNode := (float64(liveHeap()) - float64(before)) / n
+		t.Logf("%s: bank, n=%d: %.2f B/hosted node live after a dense step and one TagReset execution", arm.name, n, perNode)
+		if perNode > arm.budget {
+			t.Fatalf("%s: bank holds %.2f B/hosted node after a dense step and one execution, budget %v", arm.name, perNode, arm.budget)
+		}
+		runtime.KeepAlive(b)
+		runtime.KeepAlive(vals)
 	}
-	b.Midpoint(best, false)
-	perNode := (float64(liveHeap()) - float64(before)) / n
-	t.Logf("bank, n=%d: %.1f B/hosted node live after one TagReset execution", n, perNode)
-	if perNode > budget {
-		t.Fatalf("bank holds %.1f B/hosted node after one execution, budget %v", perNode, budget)
-	}
-	runtime.KeepAlive(b)
 }
 
 // TestRangeBanksFlipAsOneBank pins that S banks over one id space flip as

@@ -91,12 +91,12 @@ func (rb *refBank) participates(i int, tag uint8, step int64) bool {
 }
 
 func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64, send func(id int, key order.Key)) {
-	for i := range rb.b.keys {
+	for i := range rb.b.Len() {
 		if !rb.participates(i, tag, step) {
 			continue
 		}
 		if r == 0 {
-			k := rb.b.keys[i]
+			k := rb.b.Key(rb.b.lo + i)
 			if MinimumTag(tag) {
 				k = order.Neg(k)
 			}
@@ -107,7 +107,7 @@ func (rb *refBank) Round(tag uint8, r int, best order.Key, bound int, step int64
 			rb.samplers[i] = refSampler{key: k, bound: uint64(bound), tol: tol, active: true}
 		}
 		if rb.samplers[i].round(best, rng.NewCoin(rb.b.seed, step, tag, uint(r), uint64(bound)), rb.b.lo+i) {
-			send(rb.b.lo+i, rb.b.keys[i])
+			send(rb.b.lo+i, rb.b.Key(rb.b.lo+i))
 		}
 	}
 }
@@ -281,6 +281,7 @@ func TestRoundAbandonedExecutionLeaksNoMember(t *testing.T) {
 func TestRoundInPlaySetFootprint(t *testing.T) {
 	const n = 100000
 	b := NewNodes(n, 0, n, 9, false, order.Tol{})
+	b.Reserve(nil) // the column is the bank's, allocated by its first observation
 	best := order.NegInf
 	send := func(_ int, key order.Key) { best = order.Max(best, key) }
 	exec := func() {

@@ -15,7 +15,7 @@ import (
 // between steps (the machine idle, no protocol execution in flight) and
 // captures exactly the state the next step reads: configuration, step
 // counter, statistics, T+/T− bounds, membership and the message ledger
-// for the Machine; per-node keys for a Nodes bank. A bank's membership bits
+// for the Machine; per-node values for a Nodes bank. A bank's membership bits
 // and installed bounds are the machine's membership and Installed bounds,
 // and its coins are a function of the seed the envelope carries.
 // Everything else — the reset scratch of the Machine; the bank's
@@ -145,7 +145,7 @@ func RestoreMachine(p []byte) (*Machine, error) {
 // (wire.CheckpointDelta): the machine's frame and the value of every node
 // of dirty — a bitset over the bank's nodes, nil for all of them — which
 // describes the bank exactly when dirty holds every node observed since
-// the frame before: keys move only by observation, and the membership and
+// the frame before: values move only by observation, and the membership and
 // bounds a bank installs are the machine frame's.
 func (m *Machine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64, engine uint8, seed uint64, bank *Nodes) ([]byte, error) {
 	var err error
@@ -155,7 +155,7 @@ func (m *Machine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64,
 			return nil, err
 		}
 		w.EndSection()
-		return w.Values(len(bank.keys), dirty, bank.value), nil
+		return w.Values(bank.n, dirty, bank.value), nil
 	}
 	w := wire.BeginCheckpoint(dst, gen, engine, seed)
 	if w.Buf, err = m.Snapshot(w.Buf); err != nil {
@@ -324,10 +324,10 @@ func RestoreChain(n, k int, epsilon float64, seed uint64, c *wire.Checkpoint, de
 	}
 	b.install(m)
 	fs := m.Filters()
-	if m.cfg.Tol.Zero() {
-		err = fs.Validate(b.keys)
+	if m.cfg.Tol.Zero() { // the bank is the keys, each derived where it is read
+		err = fs.Validate(b)
 	} else {
-		err = fs.ValidateEps(b.keys, m.cfg.Tol)
+		err = fs.ValidateEps(b, m.cfg.Tol)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrFilterState, err)
@@ -336,36 +336,45 @@ func RestoreChain(n, k int, epsilon float64, seed uint64, c *wire.Checkpoint, de
 }
 
 // Snapshot appends the bank's canonical checkpoint frame (the bank frame
-// of internal/wire) to dst: the value behind each key of the bank's key
-// array. Banks carry no in-flight marker, so the contract is the caller's:
-// snapshot only between steps, when no protocol execution is running. A
-// frame carries the bank's own state only. Its membership bits and
-// installed bounds are the coordinator's (RestoreChain); the in-play set is
-// empty after the probability-1 round of every execution and enlisted anew
-// at round 0 of the next; who violated is written by a step's filter checks
-// and read by that step's executions alone.
+// of internal/wire) to dst: its value column, at whatever width the bank
+// keeps it. Banks carry no in-flight marker, so the contract is the
+// caller's: snapshot only between steps, when no protocol execution is
+// running. A frame carries the bank's own state only. Its membership bits
+// and installed bounds are the coordinator's (RestoreChain); the in-play
+// set is empty after the probability-1 round of every execution and
+// enlisted anew at round 0 of the next; who violated is written by a step's
+// filter checks and read by that step's executions alone.
 func (b *Nodes) Snapshot(dst []byte) []byte {
-	codec, size := b.codec, 0
-	for i, k := range b.keys {
-		size += wire.SizeVarint(codec.Value(k, b.lo+i))
+	h := wire.BankHeader{N: b.codec.N(), Lo: b.lo, Hi: b.hi, EpsNum: b.tol.Num()}
+	if c := b.col; c.n64 != nil {
+		return appendBank(dst, h, c.n64[b.at:b.at+b.n])
 	}
-	w := wire.BeginBank(dst, wire.BankHeader{N: codec.N(), Lo: b.lo, Hi: b.hi, EpsNum: b.tol.Num()}, size)
-	for i, k := range b.keys {
-		w.Put(codec.Value(k, b.lo+i))
+	return appendBank(dst, h, b.cells32())
+}
+
+// appendBank appends the bank frame of header h and column cells to dst.
+func appendBank[V cell](dst []byte, h wire.BankHeader, cells []V) []byte {
+	size := 0
+	for _, v := range cells {
+		size += wire.SizeVarint(int64(v))
+	}
+	w := wire.BeginBank(dst, h, size)
+	for _, v := range cells {
+		w.Put(int64(v))
 	}
 	return w.End()
 }
 
 // RestoreNodes rebuilds a node bank from a Snapshot frame taken under the
-// given seed, reading the value column straight into the fresh bank's key
-// array and encoding each value there into its node's key; every node is
-// an outsider and every filter [-inf, +inf] until its coordinator's state
-// is installed (RestoreChain). The seed is all the restored bank needs to
-// flip, from the next step on, the coins the original would have — the
-// property that keeps Las Vegas protocol runs bit-identical across the
-// restore. A frame in a dialect older monitors wrote is the wire error its
-// decoder refuses it with, and a value outside the value domain wraps
-// wire.ErrMalformed.
+// given seed, reading the value column straight into the fresh bank's
+// column, which it allocates once, at the width the values need; every
+// node is an outsider and every filter [-inf, +inf] until its
+// coordinator's state is installed (RestoreChain). The seed is all the
+// restored bank needs to flip, from the next step on, the coins the
+// original would have — the property that keeps Las Vegas protocol runs
+// bit-identical across the restore. A frame in a dialect older monitors
+// wrote is the wire error its decoder refuses it with, and a value outside
+// the value domain wraps wire.ErrMalformed.
 func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 	h, col, err := wire.OpenBank(p)
 	if err != nil {
@@ -382,13 +391,31 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 		return nil, err
 	}
 	b := newBank(h.N, h.Lo, h.Hi, seed, tol)
-	if err := wire.ReadBankValues(col, b.keys); err != nil {
+	// One pass for the width and the first value outside the domain, which
+	// is refused once the frame's framing has been checked (ReadBankValues).
+	wide, bad, badV := false, -1, int64(0)
+	for i, q := 0, col; i < b.n; i++ {
+		v, w, err := wire.Varint(q)
+		if err != nil {
+			break
+		}
+		if v > b.maxVal || v < -b.maxVal {
+			bad, badV = i, v
+			break
+		}
+		wide, q = wide || !fits32(v), q[w:]
+	}
+	if b.col.allocate(wide); wide {
+		err = wire.ReadBankValues(col, b.col.n64)
+	} else {
+		err = wire.ReadBankValues(col, b.col.n32)
+	}
+	if err != nil {
 		return nil, err
 	}
-	for i, v := range b.keys {
-		if b.keys[i], err = b.Encode(b.lo+i, int64(v)); err != nil {
-			return nil, fmt.Errorf("%w: %v", wire.ErrMalformed, err)
-		}
+	if bad >= 0 {
+		_, err := b.Encode(b.lo+bad, badV)
+		return nil, fmt.Errorf("%w: %v", wire.ErrMalformed, err)
 	}
 	return b, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/stream"
@@ -85,7 +86,7 @@ func TestDeltaAgainstOracle(t *testing.T) {
 		if !equalInts(got, want) {
 			t.Fatalf("step %d: got %v want %v", s, got, want)
 		}
-		if err := m.Filters().Validate(m.Keys()); err != nil {
+		if err := m.Filters().Validate(filter.Column(m.Keys())); err != nil {
 			t.Fatalf("step %d: %v", s, err)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -29,7 +30,7 @@ func TestEpsFilterInvariant(t *testing.T) {
 	for s := 0; s < steps; s++ {
 		src.Step(vals)
 		top := m.Observe(vals)
-		if err := m.Filters().ValidateEps(m.Keys(), tol); err != nil {
+		if err := m.Filters().ValidateEps(filter.Column(m.Keys()), tol); err != nil {
 			t.Fatalf("step %d: ε filter invariant broken: %v", s, err)
 		}
 		if !equalInts(top, order.Oracle(vals, k)) {

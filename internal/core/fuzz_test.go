@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/order"
 )
 
@@ -62,7 +63,7 @@ func FuzzMonitorObserve(f *testing.F) {
 				t.Fatalf("step %d (n=%d k=%d): got %v want %v vals %v", s, n, k, got, want, vals)
 			}
 			encodeAll(vals, keys)
-			if err := m.Filters().Validate(keys); err != nil {
+			if err := m.Filters().Validate(filter.Column(keys)); err != nil {
 				t.Fatalf("step %d: %v", s, err)
 			}
 		}

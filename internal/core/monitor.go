@@ -9,7 +9,7 @@
 // Both roles live in internal/coord, sans I/O: the coordinator's decision
 // logic — violation handling, T+/T− tightening, midpoint broadcasts,
 // FILTERRESET — is the state machine coord.Machine, and the node side —
-// keys, filters, membership bits, who takes part in which
+// values, filters, membership bits, who takes part in which
 // protocol execution — is the node bank coord.Nodes, the same one every
 // other engine hosts. The Monitor owns one machine, one bank over all n
 // nodes, the one loop that executes the machine's effects on that bank, the
@@ -24,7 +24,7 @@
 // executes can change neither a report nor a ledger; and its model is
 // synchronous, so an execution's round boundaries are common knowledge, not
 // messages, and where the round loop runs is the engine's choice too. The
-// two effects that visit a range of nodes' keys — the step's observation
+// two effects that visit a range of nodes' values — the step's observation
 // batch and a protocol execution — therefore run where the monitor picks,
 // step by step. A host is the bank cut into disjoint views and a
 // parallel-for over them. On a host of several views a dense step is
@@ -63,6 +63,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -227,7 +228,7 @@ func NewOn(cfg Config, start func(bank *coord.Nodes) Host) *Monitor {
 func assemble(cfg Config, mach *coord.Machine, bank *coord.Nodes, start func(*coord.Nodes) Host) *Monitor {
 	m := &Monitor{cfg: cfg, mach: mach, bank: bank, host: start(bank)}
 	if views := m.host.Views(); len(views) > 1 {
-		m.split = newSplit(m.host, views)
+		m.split = newSplit(m.host, bank, views)
 	}
 	return m
 }
@@ -355,6 +356,7 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 		panic("core: step after Close")
 	}
 	step := m.mach.BeginStep()
+	m.bank.Reserve(vals) // the first step allocates the column, at the width it needs
 	var anyTop, anyOut bool
 	var err error
 	if m.swept = m.split != nil && ids == nil; m.swept {
@@ -432,6 +434,7 @@ func (m *Monitor) exec(eff coord.Effect) []protocol.Winner {
 // monitor on a host of one view has none.
 type split struct {
 	host  Host
+	bank  *coord.Nodes // the views' bank
 	views []*coord.Nodes
 	parts []part
 
@@ -454,8 +457,8 @@ type part struct {
 	buf      []byte // the log, reused from execution to execution
 }
 
-func newSplit(host Host, views []*coord.Nodes) *split {
-	s := &split{host: host, views: views, parts: make([]part, len(views)), logs: make([]wire.BidLog, len(views))}
+func newSplit(host Host, bank *coord.Nodes, views []*coord.Nodes) *split {
+	s := &split{host: host, bank: bank, views: views, parts: make([]part, len(views)), logs: make([]wire.BidLog, len(views))}
 	s.observe1 = func(v int) {
 		p := &s.parts[v]
 		p.top, p.out, p.err = observeRange(s.views[v], nil, s.vals, s.step)
@@ -471,10 +474,20 @@ func newSplit(host Host, views []*coord.Nodes) *split {
 }
 
 // observe feeds one dense step's values to every view, swept, and folds
-// what they made of them.
+// what they made of them. A view does not widen the column the views share
+// (coord.ErrNarrow): the first step with a value a narrow column cannot
+// hold widens it here, between two sweeps, and is swept again — at most
+// once in a bank's life.
 func (s *split) observe(vals []int64, step int64) (anyTop, anyOut bool, err error) {
 	s.vals, s.step = vals, step
 	s.host.Sweep(s.observe1)
+	for v := range s.parts {
+		if errors.Is(s.parts[v].err, coord.ErrNarrow) {
+			s.bank.Widen()
+			s.host.Sweep(s.observe1)
+			break
+		}
+	}
 	s.vals = nil
 	for v := range s.parts {
 		p := &s.parts[v]

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/stream"
 )
@@ -32,7 +33,7 @@ func runChecked(t *testing.T, m *Monitor, src stream.Source, steps int) {
 			t.Fatalf("step %d: reported top-k %v, oracle %v (vals=%v)", s, got, want, vals)
 		}
 		encodeAll(vals, keys)
-		if err := m.Filters().Validate(keys); err != nil {
+		if err := m.Filters().Validate(filter.Column(keys)); err != nil {
 			t.Fatalf("step %d: invalid filter set: %v", s, err)
 		}
 		if m.Filters().CountTop() != m.K() {

@@ -219,13 +219,29 @@ func (s *Set) AssignBand(lo, hi order.Key) {
 	}
 }
 
+// Keys is a population's current keys by node id: a key column (Column),
+// or a node bank, which derives each key from the value it holds.
+type Keys interface {
+	Len() int
+	Key(id int) order.Key
+}
+
+// Column is a key column as Keys: node id's key is Column[id].
+type Column []order.Key
+
+// Len returns the number of keys.
+func (c Column) Len() int { return len(c) }
+
+// Key returns node id's key.
+func (c Column) Key(id int) order.Key { return c[id] }
+
 // Validate checks the Lemma 2.2 characterization against the given current
 // keys: (1) every key lies in its node's filter, and (2) the smallest lower
 // bound among top-k filters — the members' shared one — is at least the
 // largest upper bound among non-top-k filters. It returns a descriptive
 // error on the first violation found, or nil if the assignment is a valid
 // set of filters.
-func (s *Set) Validate(keys []order.Key) error {
+func (s *Set) Validate(keys Keys) error {
 	if err := s.contained(keys); err != nil {
 		return err
 	}
@@ -237,12 +253,12 @@ func (s *Set) Validate(keys []order.Key) error {
 }
 
 // contained checks that there is one key per node, inside the node's filter.
-func (s *Set) contained(keys []order.Key) error {
-	if len(keys) != len(s.inTop) {
-		return fmt.Errorf("filter: %d keys for %d nodes", len(keys), len(s.inTop))
+func (s *Set) contained(keys Keys) error {
+	if keys.Len() != len(s.inTop) {
+		return fmt.Errorf("filter: %d keys for %d nodes", keys.Len(), len(s.inTop))
 	}
-	for id, k := range keys {
-		if iv := s.Interval(id); !iv.Contains(k) {
+	for id := range s.inTop {
+		if iv, k := s.Interval(id), keys.Key(id); !iv.Contains(k) {
 			return fmt.Errorf("filter: node %d key %d outside filter %s", id, k, iv)
 		}
 	}
@@ -256,13 +272,13 @@ func (s *Set) contained(keys []order.Key) error {
 // (order.Tol.Separated). With a zero tolerance it accepts exactly the
 // assignments whose current membership Validate's separation condition
 // accepts.
-func (s *Set) ValidateEps(keys []order.Key, tol order.Tol) error {
+func (s *Set) ValidateEps(keys Keys, tol order.Tol) error {
 	if err := s.contained(keys); err != nil {
 		return err
 	}
 	minTop, maxOut := order.PosInf, order.NegInf
-	for id, k := range keys {
-		if s.inTop[id] {
+	for id, in := range s.inTop {
+		if k := keys.Key(id); in {
 			minTop = order.Min(minTop, k)
 		} else {
 			maxOut = order.Max(maxOut, k)

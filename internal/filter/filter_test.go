@@ -150,7 +150,7 @@ func TestAssignMidpointKEqualsN(t *testing.T) {
 		}
 	}
 	// Full filters are always valid for k = n.
-	if err := s.Validate([]order.Key{1, 2, 3}); err != nil {
+	if err := s.Validate(Column{1, 2, 3}); err != nil {
 		t.Fatalf("k=n validation: %v", err)
 	}
 }
@@ -160,13 +160,13 @@ func TestValidateAcceptsCanonicalAssignment(t *testing.T) {
 	s.SetMembership([]int{0, 1})
 	s.AssignMidpoint(50)
 	keys := []order.Key{60, 55, 40, 10}
-	if err := s.Validate(keys); err != nil {
+	if err := s.Validate(Column(keys)); err != nil {
 		t.Fatalf("canonical assignment should validate: %v", err)
 	}
 	// Boundary contact on both sides is allowed (Lemma 2.2 permits a
 	// single common point).
 	keys = []order.Key{50, 55, 50, 10}
-	if err := s.Validate(keys); err != nil {
+	if err := s.Validate(Column(keys)); err != nil {
 		t.Fatalf("boundary contact should validate: %v", err)
 	}
 }
@@ -175,10 +175,10 @@ func TestValidateRejectsContainmentBreak(t *testing.T) {
 	s := NewSet(3, 1)
 	s.SetMembership([]int{0}) // top: node 0
 	s.AssignMidpoint(50)
-	if err := s.Validate([]order.Key{40, 30, 20}); err == nil {
+	if err := s.Validate(Column{40, 30, 20}); err == nil {
 		t.Fatal("top-k key below midpoint must fail containment")
 	}
-	if err := s.Validate([]order.Key{60, 70, 20}); err == nil {
+	if err := s.Validate(Column{60, 70, 20}); err == nil {
 		t.Fatal("outside key above midpoint must fail containment")
 	}
 }
@@ -190,7 +190,7 @@ func TestValidateRejectsSeparationBreak(t *testing.T) {
 	// allows going below the outside filters' upper bound 20. Every key
 	// sits inside its own filter, so only the separation check can fail.
 	s.AssignBand(10, 20)
-	err := s.Validate([]order.Key{15, 12, 3})
+	err := s.Validate(Column{15, 12, 3})
 	if err == nil || !strings.Contains(err.Error(), "separation") {
 		t.Fatalf("expected separation error, got %v", err)
 	}
@@ -198,7 +198,7 @@ func TestValidateRejectsSeparationBreak(t *testing.T) {
 
 func TestValidateLengthMismatch(t *testing.T) {
 	s := NewSet(3, 1)
-	if err := s.Validate([]order.Key{1, 2}); err == nil {
+	if err := s.Validate(Column{1, 2}); err == nil {
 		t.Fatal("length mismatch should error")
 	}
 }
@@ -231,7 +231,7 @@ func TestValidateMidpointProperty(t *testing.T) {
 			m = order.Midpoint(keys[ids[k]], keys[ids[k-1]])
 		}
 		s.AssignMidpoint(m)
-		return s.Validate(keys) == nil
+		return s.Validate(Column(keys)) == nil
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)

@@ -178,10 +178,10 @@ func TestSetMatchesPerNodeIntervals(t *testing.T) {
 			if stale {
 				continue
 			}
-			if g, w := got.Validate(keys), ref.Validate(keys); fmt.Sprint(g) != fmt.Sprint(w) {
+			if g, w := got.Validate(Column(keys)), ref.Validate(keys); fmt.Sprint(g) != fmt.Sprint(w) {
 				t.Fatalf("%s: Validate %v, reference %v", where, g, w)
 			}
-			if g, w := got.ValidateEps(keys, tol), ref.ValidateEps(keys, tol); fmt.Sprint(g) != fmt.Sprint(w) {
+			if g, w := got.ValidateEps(Column(keys), tol), ref.ValidateEps(keys, tol); fmt.Sprint(g) != fmt.Sprint(w) {
 				t.Fatalf("%s: ValidateEps %v, reference %v", where, g, w)
 			}
 		}

@@ -21,7 +21,6 @@ package order
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -41,11 +40,6 @@ const (
 type Codec struct {
 	n   int64
 	max int64 // MaxValue, computed once: Encode checks it per observation
-	// n = odd << shift, and inv is odd's inverse modulo 2^64: a multiple of
-	// n is divided by n exactly with one shift and one multiplication
-	// (Value), where a division takes twenty times as long.
-	shift uint
-	inv   uint64
 }
 
 // NewCodec returns a codec for n nodes. It panics for n <= 0.
@@ -53,13 +47,7 @@ func NewCodec(n int) Codec {
 	if n <= 0 {
 		panic("order: codec needs at least one node")
 	}
-	shift := uint(bits.TrailingZeros64(uint64(n)))
-	odd := uint64(n) >> shift
-	inv := odd // Newton's iteration doubles the correct low bits: 3, 6, ..., 96
-	for i := 0; i < 5; i++ {
-		inv *= 2 - odd*inv
-	}
-	return Codec{n: int64(n), max: (math.MaxInt64 - 1 - (int64(n) - 1)) / int64(n), shift: shift, inv: inv}
+	return Codec{n: int64(n), max: (math.MaxInt64 - 1 - (int64(n) - 1)) / int64(n)}
 }
 
 // N returns the number of nodes the codec was built for.
@@ -105,16 +93,6 @@ func (c Codec) Decode(k Key) (v int64, id int) {
 		r += c.n
 	}
 	return q, int(c.n - 1 - r)
-}
-
-// Value recovers the raw value from the key Encode produced for node id —
-// Decode for a caller that knows the id, without a division: the key less
-// the id's tie-break is v·n exactly, and an exact multiple of n = odd·2^s
-// divided by n is its arithmetic shift by s times odd's inverse modulo
-// 2^64. For a key Encode did not produce for that id the result is
-// unspecified.
-func (c Codec) Value(k Key, id int) int64 {
-	return int64(uint64((int64(k)-(c.n-1-int64(id)))>>c.shift) * c.inv)
 }
 
 // Oracle computes the exact top-k ids (ascending) for one observation

@@ -202,19 +202,21 @@ func TestNegReversesOrder(t *testing.T) {
 	}
 }
 
-// TestValueIsDecodeWithoutTheDivision holds the exact division by shift and
-// modular inverse to Decode: for node counts odd, even and powers of two,
-// at both ends of the value domain, at zero and at random values, Value of
-// the key Encode produced is the value that went in.
-func TestValueIsDecodeWithoutTheDivision(t *testing.T) {
+// TestEncodeRoundTripsByDivision holds Encode to the division that undoes
+// it for a caller who knows the id: for node counts odd, even and powers of
+// two, at both ends of the value domain, at zero and at random values, the
+// key less the id's tie-break, divided by n, is the value that went in —
+// and Decode agrees.
+func TestEncodeRoundTripsByDivision(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16, 24, 1000, 1 << 14, 1<<14 + 1, 3 << 17, 1<<31 - 1} {
 		c := NewCodec(n)
+		value := func(k Key, id int) int64 { return (int64(k) - int64(n-1-id)) / int64(n) }
 		ids := []int{0, n / 2, n - 1}
 		vals := []int64{0, 1, -1, c.MaxValue(), -c.MaxValue(), c.MaxValue() / 3, -c.MaxValue() / 7}
 		for _, id := range ids {
 			for _, v := range vals {
-				if got := c.Value(c.Encode(v, id), id); got != v {
-					t.Fatalf("n=%d: Value(Encode(%d, %d)) = %d", n, v, id, got)
+				if got := value(c.Encode(v, id), id); got != v {
+					t.Fatalf("n=%d: Encode(%d, %d) divides back to %d", n, v, id, got)
 				}
 			}
 		}
@@ -223,7 +225,7 @@ func TestValueIsDecodeWithoutTheDivision(t *testing.T) {
 			id := int(idRaw) % n
 			k := c.Encode(v, id)
 			dv, did := c.Decode(k)
-			return c.Value(k, id) == v && dv == v && did == id
+			return value(k, id) == v && dv == v && did == id
 		}
 		if err := quick.Check(check, nil); err != nil {
 			t.Fatalf("n=%d: %v", n, err)

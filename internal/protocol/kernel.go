@@ -8,17 +8,35 @@ import (
 	"repro/internal/rng"
 )
 
-// Field is the struct-of-arrays form of a node population, 8 bytes a
-// node: node i holds key Keys[i], and that is all it holds — its coin is a
-// function of its id (rng.Coin), not a generator it carries. It is what the
-// round kernel runs over; every node bank (internal/coord), and so every
-// engine, keeps its nodes this way and builds no per-execution participant
-// records.
-type Field struct {
-	Keys []order.Key
+// Field is the struct-of-arrays form of a node population: node i holds one
+// entry of a value column, Vals[i], and that is all it holds — its key is
+// re-derived where it is read, Vals[i]·Mul + Tie − i, one multiply-add, and
+// its coin is a function of its id (rng.Coin), not a generator it carries.
+// With Mul the monitor's n and Tie n−1−base, base the global id of node 0,
+// the key is the tie-break injection order.Codec.Encode(Vals[i], base+i);
+// a field of keys as they are is the unit codec, Mul 1 and Tie 0 (KeyField).
+// The column is as wide as its values: a node bank (internal/coord) keeps
+// int32 entries, 4 bytes a node, while every value it has held fits int32,
+// and int64 entries, 8 bytes, from the first that does not. It is what the
+// round kernel runs over; every node bank, and so every engine, keeps its
+// nodes this way and builds no per-execution participant records.
+type Field[V int32 | int64] struct {
+	Vals     []V
+	Mul, Tie int64
 	// ids, when set, gives node i the coin identity ids[i] in place of its
 	// global id: the participant-record executions' (Scratch.Maximum).
 	ids []uint64
+}
+
+// KeyField returns a field whose node i holds keys[i], whatever it is: the
+// unit codec over entries keys[i]+i, which wrap as the key's derivation
+// unwraps them.
+func KeyField(keys []order.Key) Field[int64] {
+	f := Field[int64]{Vals: make([]int64, len(keys)), Mul: 1}
+	for i, k := range keys {
+		f.Vals[i] = int64(k) + int64(i)
+	}
+	return f
 }
 
 // InPlay is the set of a field's nodes still in play in one execution: a
@@ -143,11 +161,11 @@ func (s *InPlay) AppendTo(dst []int) []int {
 // member in every round, whichever rounds compact; Theorem 4.2's own
 // argument (the members neither retired nor dominated halve per round)
 // bounds the compacting work by a few visits per member.
-func (f Field) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, base int, send func(id int, key order.Key)) {
+func (f Field[V]) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, base int, send func(id int, key order.Key)) {
 	if in.count == 0 {
 		return
 	}
-	keys, hitsOnly := f.Keys, cut == order.NegInf || coin.Sparse()
+	vals, mul, tie, hitsOnly := f.Vals, f.Mul, f.Tie, cut == order.NegInf || coin.Sparse()
 	words := coinWords{coin: coin, q: ^uint64(0)}
 	for h, head := range in.heads {
 		for ; head != 0; head &= head - 1 {
@@ -167,7 +185,7 @@ func (f Field) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool, ba
 			for ; visit != 0; visit &= visit - 1 {
 				b := bits.TrailingZeros64(visit)
 				i := w<<6 | b
-				key := keys[i]
+				key := order.Key(int64(vals[i])*mul + tie - int64(i))
 				cmp := key
 				if minimum {
 					cmp = order.Neg(key)
@@ -217,7 +235,7 @@ func (c *coinWords) word(q uint64) uint64 {
 // idHits returns the trials of the members of word w of a field whose
 // nodes carry coin identities of their own (f.ids): bit b is node
 // 64w+b's, asked only of the members.
-func (f Field) idHits(coin *rng.Coin, w int, members uint64) uint64 {
+func (f Field[V]) idHits(coin *rng.Coin, w int, members uint64) uint64 {
 	var hits uint64
 	for ; members != 0; members &= members - 1 {
 		b := bits.TrailingZeros64(members)
@@ -236,11 +254,13 @@ func (f Field) idHits(coin *rng.Coin, w int, members uint64) uint64 {
 // the set. Over the empty set it runs no round and charges nothing. Two
 // executions of one seed and step flip the same coins; a caller that runs
 // several and wants them independent tells them apart by one of the two.
-func (f Field) Run(in *InPlay, ex *Exec, tol order.Tol, seed uint64) { f.run(in, ex, tol, seed, nil) }
+func (f Field[V]) Run(in *InPlay, ex *Exec, tol order.Tol, seed uint64) {
+	f.run(in, ex, tol, seed, nil)
+}
 
 // run is Run reporting bids under the ids of parts, when given: node i is
 // then parts[i], whatever its id.
-func (f Field) run(in *InPlay, ex *Exec, tol order.Tol, seed uint64, parts []Participant) {
+func (f Field[V]) run(in *InPlay, ex *Exec, tol order.Tol, seed uint64, parts []Participant) {
 	if in.count == 0 {
 		return
 	}

@@ -125,7 +125,7 @@ func naiveSweep(parts []Participant, ident []uint64, seed uint64, bound, want in
 
 // runOne is one single-winner execution over the nodes in play, on a driver
 // of its own.
-func runOne(f Field, in *InPlay, seed uint64, bound int, tol order.Tol, minimum bool, rec comm.Recorder) Result {
+func runOne(f Field[int64], in *InPlay, seed uint64, bound int, tol order.Tol, minimum bool, rec comm.Recorder) Result {
 	ex := NewExec(bound, 1, minimum, rec, nil, 0)
 	f.Run(in, &ex, tol, seed)
 	return ex.Result()
@@ -238,12 +238,23 @@ func (kc *kernelCase) enlist(in *InPlay) {
 }
 
 // field returns a field of kc.size nodes holding kc's keys at kc's ids.
-func (kc *kernelCase) field() Field {
-	f := Field{Keys: make([]order.Key, kc.size)}
+func (kc *kernelCase) field() Field[int64] {
+	keys := make([]order.Key, kc.size)
 	for i, id := range kc.ids {
-		f.Keys[id] = kc.keys[i]
+		keys[id] = kc.keys[i]
 	}
-	return f
+	return KeyField(keys)
+}
+
+// fieldKey returns node i's key in f.
+func fieldKey[V int32 | int64](f Field[V], i int) order.Key {
+	return order.Key(int64(f.Vals[i])*f.Mul + f.Tie - int64(i))
+}
+
+// subField returns nodes [lo, hi) of f as a field of their own, node lo
+// its node 0.
+func subField[V int32 | int64](f Field[V], lo, hi int) Field[V] {
+	return Field[V]{Vals: f.Vals[lo:hi], Mul: f.Mul, Tie: f.Tie - int64(lo)}
 }
 
 // parts returns kc's cohort as participant records, member id drawing
@@ -263,10 +274,12 @@ func (kc *kernelCase) parts(seed uint64) ([]Participant, []rng.RNG) {
 // the records' keys, and one draw of each generator for its coin identity,
 // gathered into a field that Field.Run's kernel runs whole.
 func runRecords(parts []Participant, bound int, tol order.Tol, minimum bool, rec comm.Recorder) Result {
-	f := Field{Keys: make([]order.Key, len(parts)), ids: drawIdents(parts)}
+	keys := make([]order.Key, len(parts))
 	for i, p := range parts {
-		f.Keys[i] = p.Key
+		keys[i] = p.Key
 	}
+	f := KeyField(keys)
+	f.ids = drawIdents(parts)
 	var in InPlay
 	in.EnlistExcept(len(parts), nil)
 	ex := NewExec(bound, 1, minimum, rec, nil, 0)
@@ -325,12 +338,16 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 					refRec.Reset()
 					want = naiveRun(refParts, fieldIdents(kc.ids), seed, kc.bound, tol, &refRec, minimum)
 					f := kc.field()
+					keys := make([]order.Key, kc.size)
+					for id := range keys {
+						keys[id] = fieldKey(f, id)
+					}
 					members := make([]int32, len(kc.ids))
 					for i, id := range kc.ids {
 						members[i] = int32(id)
 					}
 					loopRec.Reset()
-					got = new(refScratch).Run(Population{Keys: f.Keys, Seed: seed}, members, kc.bound, tol, minimum, &loopRec, nil, 0)
+					got = new(refScratch).Run(Population{Keys: keys, Seed: seed}, members, kc.bound, tol, minimum, &loopRec, nil, 0)
 					checkKernel(t, name+"/parent-loop-field", want, got, &refRec, &loopRec, nil, nil)
 					var in InPlay
 					kc.enlist(&in)
@@ -375,10 +392,11 @@ func checkKernel(t *testing.T, name string, want, got Result, wantRec, gotRec *c
 func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 	const n = 4096
 	parts := makeParts(n, 0, 5)
-	f := Field{Keys: make([]order.Key, n)}
+	keys := make([]order.Key, n)
 	for i := range parts {
-		f.Keys[i] = parts[i].Key
+		keys[i] = parts[i].Key
 	}
+	f := KeyField(keys)
 	var sc Scratch
 	sc.Maximum(parts, n, comm.Discard, nil, 0) // warm
 	if a := testing.AllocsPerRun(20, func() { sc.Maximum(parts, n, comm.Discard, nil, 0) }); a != 0 {
@@ -400,27 +418,83 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkFieldRun times one maximum execution over a whole field, under
-// a power-of-two bound (no thinning) and a general one (thinned).
-func BenchmarkFieldRun(b *testing.B) {
-	for _, n := range []int{4096, 1 << 16, 1 << 20} {
-		f := Field{Keys: make([]order.Key, n)}
-		for i, p := range rng.New(6, 1).Perm(n) {
-			f.Keys[i] = order.Key(p + 1)
+// TestNarrowFieldSendsWhatWideSends runs one execution over a field of
+// int32 values and over the same values held as int64 — under the
+// tie-break injection, with ties, at both ends of int32, in either sense
+// and at several offsets of the field's first node — and demands the same
+// sends, round for round, and the same winners: a column's width changes
+// nothing but its bytes.
+func TestNarrowFieldSendsWhatWideSends(t *testing.T) {
+	const n = 300
+	r := rng.New(9, 2)
+	for _, base := range []int{0, 1, 64, 1000} {
+		total := int64(base + n)
+		narrow := Field[int32]{Vals: make([]int32, n), Mul: total, Tie: total - 1 - int64(base)}
+		wide := Field[int64]{Vals: make([]int64, n), Mul: total, Tie: total - 1 - int64(base)}
+		for i := range narrow.Vals {
+			v := []int32{math.MaxInt32, math.MinInt32, 0, -1, int32(r.Intn(20))}[r.Intn(5)]
+			narrow.Vals[i], wide.Vals[i] = v, int64(v)
 		}
-		var in InPlay
-		var ex Exec
-		for _, bound := range []int{n, n + n/3} {
-			b.Run(fmt.Sprintf("n=%d/bound=%d", n, bound), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					in.EnlistExcept(n, nil)
-					ex.Begin(bound, 1, false, comm.Discard, nil, int64(i))
-					f.Run(&in, &ex, order.Tol{}, 5)
+		for _, minimum := range []bool{false, true} {
+			run := func(round func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key))) string {
+				var in InPlay
+				in.EnlistExcept(n, []int{3})
+				ex := NewExec(n, 3, minimum, comm.Discard, nil, 0)
+				out := ""
+				for ex.More() {
+					coin := rng.NewCoin(4, 0, 0, uint(ex.Round()), n)
+					round(&in, &coin, ex.Best(), func(id int, key order.Key) {
+						out += fmt.Sprintf("%d:%d ", id, key)
+						ex.Bid(id, key)
+					})
+					ex.EndRound()
+					out += "| "
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+				return fmt.Sprint(out, ex.Winners())
+			}
+			got := run(func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key)) {
+				narrow.Round(in, coin, cut, minimum, base, send)
 			})
+			want := run(func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key)) {
+				wide.Round(in, coin, cut, minimum, base, send)
+			})
+			if got != want {
+				t.Fatalf("base %d, minimum %v: the narrow field sends %s, the wide %s", base, minimum, got, want)
+			}
 		}
 	}
+}
+
+// BenchmarkFieldRun times one maximum execution over a whole field of a
+// monitor's keys — values 1..n in a random order under the tie-break
+// injection — under a power-of-two bound (no thinning) and a general one
+// (thinned): over a column of int64 values, and of int32 values (the rows
+// ending /narrow), the two widths a node bank keeps.
+func BenchmarkFieldRun(b *testing.B) {
+	for _, n := range []int{4096, 1 << 16, 1 << 20} {
+		wide := Field[int64]{Vals: make([]int64, n), Mul: int64(n), Tie: int64(n - 1)}
+		narrow := Field[int32]{Vals: make([]int32, n), Mul: int64(n), Tie: int64(n - 1)}
+		for i, p := range rng.New(6, 1).Perm(n) {
+			wide.Vals[i], narrow.Vals[i] = int64(p+1), int32(p+1)
+		}
+		for _, bound := range []int{n, n + n/3} {
+			name := fmt.Sprintf("n=%d/bound=%d", n, bound)
+			b.Run(name, func(b *testing.B) { benchFieldRun(b, wide, bound) })
+			b.Run(name+"/narrow", func(b *testing.B) { benchFieldRun(b, narrow, bound) })
+		}
+	}
+}
+
+func benchFieldRun[V int32 | int64](b *testing.B, f Field[V], bound int) {
+	var in InPlay
+	var ex Exec
+	n := len(f.Vals)
+	for i := 0; i < b.N; i++ {
+		in.EnlistExcept(n, nil)
+		ex.Begin(bound, 1, false, comm.Discard, nil, int64(i))
+		f.Run(&in, &ex, order.Tol{}, 5)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
 }
 
 // BenchmarkScratchMaximum times the same execution through participant
@@ -517,7 +591,7 @@ func FuzzRoundKernel(f *testing.F) {
 			sorted = sorted[:min(want, len(sorted))]
 			won := map[int]bool{}
 			for i, w := range ex.Winners() {
-				if i >= len(sorted) || w.Key != int64(sorted[i]) || !member[w.ID] || int64(fld.Keys[w.ID]) != w.Key || won[w.ID] {
+				if i >= len(sorted) || w.Key != int64(sorted[i]) || !member[w.ID] || int64(fieldKey(fld, w.ID)) != w.Key || won[w.ID] {
 					t.Fatalf("winners %+v are not the %d best keys %v of the cohort, each of a member of its own", ex.Winners(), want, sorted)
 				}
 				won[w.ID] = true
@@ -566,7 +640,7 @@ func replaySends(kc *kernelCase, cuts []int, want int, seed uint64, tol order.To
 		for own.More() {
 			r := own.Round()
 			coin := rng.NewCoin(seed, 0, 0, uint(r), uint64(kc.bound))
-			Field{Keys: fld.Keys[lo:hi]}.Round(&in, &coin, own.Best(), minimum, lo, func(id int, key order.Key) {
+			subField(fld, lo, hi).Round(&in, &coin, own.Best(), minimum, lo, func(id int, key order.Key) {
 				own.Bid(id, key)
 				w.Add(r, id, int64(key))
 			})
@@ -614,7 +688,7 @@ func partSends(kc *kernelCase, cuts []int, want int, seed uint64, tol order.Tol,
 		coin := rng.NewCoin(seed, 0, 0, uint(ex.Round()), uint64(kc.bound))
 		cut, line := tol.WidenHi(ex.Best()), ""
 		for v := range views {
-			Field{Keys: fld.Keys[cuts[v]:cuts[v+1]]}.Round(&views[v], &coin, cut, minimum, cuts[v], func(id int, key order.Key) {
+			subField(fld, cuts[v], cuts[v+1]).Round(&views[v], &coin, cut, minimum, cuts[v], func(id int, key order.Key) {
 				line += fmt.Sprintf("%d:%d ", id, key)
 				ex.Bid(id, key)
 			})
@@ -638,10 +712,11 @@ func TestSparseCohortDoesNotPayForTheField(t *testing.T) {
 		ids[i] = 251 * i
 	}
 	cost := func(n int) time.Duration {
-		f := Field{Keys: make([]order.Key, n)}
+		keys := make([]order.Key, n)
 		for _, id := range ids {
-			f.Keys[id] = order.Key(id%7 + 1)
+			keys[id] = order.Key(id%7 + 1)
 		}
+		f := KeyField(keys)
 		var in InPlay
 		best := time.Duration(math.MaxInt64)
 		for run := 0; run < 300; run++ {

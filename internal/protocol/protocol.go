@@ -306,7 +306,7 @@ func (e *Exec) Result() Result {
 // value is ready to use; a Scratch may be reused across executions but
 // not shared concurrently.
 type Scratch struct {
-	keys []order.Key
+	vals []int64
 	ids  []uint64
 	in   InPlay
 	ex   Exec
@@ -323,12 +323,12 @@ type Scratch struct {
 // nothing once s has seen the participant count.
 func (s *Scratch) Maximum(parts []Participant, bound int, rec comm.Recorder, tr *comm.Trace, step int64) Result {
 	n := len(parts)
-	if cap(s.keys) < n {
-		s.keys, s.ids = make([]order.Key, n), make([]uint64, n)
+	if cap(s.vals) < n {
+		s.vals, s.ids = make([]int64, n), make([]uint64, n)
 	}
-	f := Field{Keys: s.keys[:n], ids: s.ids[:n]}
+	f := Field[int64]{Vals: s.vals[:n], Mul: 1, ids: s.ids[:n]} // KeyField's unit codec
 	for i := range parts {
-		f.Keys[i], f.ids[i] = parts[i].Key, parts[i].RNG.Uint64()
+		f.Vals[i], f.ids[i] = int64(parts[i].Key)+int64(i), parts[i].RNG.Uint64()
 	}
 	s.in.EnlistExcept(n, nil)
 	s.ex.Begin(bound, 1, false, rec, tr, step)

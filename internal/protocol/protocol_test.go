@@ -51,10 +51,11 @@ func trueMin(parts []Participant) Participant {
 // (Field.Run under a minimum Exec). Results name nodes by index, which is
 // every participant's id here.
 func fieldMinimum(parts []Participant, bound int, rec comm.Recorder) Result {
-	f := Field{Keys: make([]order.Key, len(parts))}
+	keys := make([]order.Key, len(parts))
 	for i, p := range parts {
-		f.Keys[i] = p.Key
+		keys[i] = p.Key
 	}
+	f := KeyField(keys)
 	var in InPlay
 	in.EnlistExcept(len(parts), nil)
 	return runOne(f, &in, 0, bound, order.Tol{}, true, rec)

@@ -237,7 +237,7 @@ func TestSweepSmallScopeExhaustive(t *testing.T) {
 						var in InPlay
 						in.EnlistExcept(n, nil)
 						ex := NewExec(n, want, minimum, &rec, nil, 0)
-						Field{Keys: keys}.Run(&in, &ex, order.Tol{}, seed)
+						KeyField(keys).Run(&in, &ex, order.Tol{}, seed)
 						if !slices.Equal(ex.Winners(), model.Winners()) || rec.Snapshot() != modelRec.Snapshot() || rec.BytesSnapshot() != modelRec.BytesSnapshot() {
 							t.Fatalf("n=%d keys=%v want=%d min=%v seed=%d (schedule %v): the kernel found %+v charging %v, the scripted run %+v charging %v",
 								n, keys, want, minimum, seed, hit, ex.Winners(), rec.Snapshot(), model.Winners(), modelRec.Snapshot())

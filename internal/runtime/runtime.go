@@ -5,7 +5,7 @@
 // parallel. Sharded is the host every in-process topk
 // monitor is built on: the pool where it pays, else core.Inline. It
 // demonstrates the distributed fidelity of the reproduction — a shard
-// consults only its own nodes' state (current key, filter, membership bit)
+// consults only its own nodes' state (current value, filter, membership bit)
 // and everything the coordinator learns about values arrives in counted
 // messages.
 //
@@ -48,6 +48,11 @@
 // views alias, and why Snapshot and the monitor's read views need no sweep
 // either. A shard reads the membership bitset and never writes it, so views
 // whose ranges split one of its words share that word race-free.
+// Nor does a shard replace the value column the views share: the monitor
+// allocates it before the first sweep (coord.Nodes.Reserve); a view given
+// a value its narrow column cannot hold refuses it (coord.ErrNarrow), and
+// the monitor widens the column between two sweeps and sweeps the step
+// again.
 //
 // # Sharding
 //

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/runtime"
@@ -62,7 +63,7 @@ func TestSoakMixedRegimes(t *testing.T) {
 			for i, v := range vals {
 				keys[i] = codec.Encode(v, i)
 			}
-			if err := m.Filters().Validate(keys); err != nil {
+			if err := m.Filters().Validate(filter.Column(keys)); err != nil {
 				t.Fatalf("step %d: %v", s, err)
 			}
 		}

@@ -5,11 +5,11 @@ import (
 	"slices"
 )
 
-// The bank frame. A node bank's own state is a key per node, and a key is
-// its node's observed value with the tie-break injection, v·n + (n−1−id),
+// The bank frame. A node bank's own state is a value per node, from which
+// it derives the node's key with the tie-break injection, v·n + (n−1−id),
 // whose id is the entry's position in the column: so its checkpoint
 // persists the values, O(log max v) bits a node (the paper's message
-// size, §2), and a restore re-derives each key with the bank's codec. A
+// size, §2), and a restore reads them into a column as wide as they need. A
 // node's membership bit and the filter bounds it has installed are the
 // coordinator's decisions, which the machine frame beside the bank frame
 // records (the membership, and T+/T− or the ε band the bounds are a
@@ -30,7 +30,7 @@ import (
 // values, not the tie-break injection) is ErrMalformed.
 //
 // BankWriter and OpenBank with ReadBankValues move the frame straight from
-// and into a bank's key array; BankState is the materialised form, for
+// and into a bank's value column; BankState is the materialised form, for
 // tools and tests.
 
 // BankHeader is the fixed part of a bank frame: the bank's shape.
@@ -145,9 +145,9 @@ func OpenBank(p []byte) (h BankHeader, col []byte, err error) {
 
 // ReadBankValues decodes a value column OpenBank returned into dst, which
 // must have one slot per hosted node, and checks that the frame ends with
-// it. dst may be the bank's key array, which the caller then encodes in
-// place.
-func ReadBankValues[V ~int64](col []byte, dst []V) error {
+// it. dst may be a bank's narrow column, whose caller has checked that
+// every value fits it.
+func ReadBankValues[V ~int32 | ~int64](col []byte, dst []V) error {
 	for i := range dst {
 		v, n, err := Varint(col)
 		if err != nil {
@@ -160,7 +160,7 @@ func ReadBankValues[V ~int64](col []byte, dst []V) error {
 
 // BankState is the materialised form of a bank frame: the header plus the
 // value column as a slice of length Hi-Lo in id order. The engines stream
-// their key arrays through BankWriter and ReadBankValues and never build
+// their value columns through BankWriter and ReadBankValues and never build
 // one.
 type BankState struct {
 	BankHeader

@@ -22,7 +22,7 @@ import (
 // (CheckpointDelta) in the same envelope and under the same seal: a delta
 // names its base's generation and carries the machine frame and the
 // values of the nodes observed since the frame before it. That is all a
-// span of steps can have moved, whatever it charged: a node's key moves
+// span of steps can have moved, whatever it charged: a node's value moves
 // only when it is observed, and its membership and filter bounds are the
 // coordinator's, which the machine frame records. A store's Load hands a
 // base and its deltas over in one container (CheckpointChain).
@@ -35,7 +35,7 @@ var ErrChecksum = errors.New("wire: checkpoint checksum mismatch")
 
 // Engine fingerprints carried by Checkpoint.Engine. A checkpoint restores
 // only into the engine kind that wrote it: the in-process engine persists
-// its bank's keys, the link-backed engines persist the value mirror they
+// its bank's values, the link-backed engines persist the value mirror they
 // replay through the Assign handshake instead.
 const (
 	EngineSeq   uint8 = 0 // in-process engine (internal/core), on any host

@@ -81,8 +81,8 @@ const (
 	// checkpoint.go and internal/ckpt).
 	TypeCheckpoint byte = 0x17
 	// TypeBankState is the node-side checkpoint companion: the observed
-	// values of one coord.Nodes bank, in id order, from which a restore
-	// re-derives its keys (see bank.go).
+	// values of one coord.Nodes bank, in id order, which a restore reads
+	// into the bank's value column (see bank.go).
 	TypeBankState byte = 0x18
 	// TypeCheckpointDelta is the checkpoint envelope's delta variant: the
 	// generation of the base frame it extends, the machine frame, and the

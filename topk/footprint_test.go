@@ -21,81 +21,106 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestSequentialFootprintPerNode pins what a sequential monitor keeps
-// alive per node once its first Observe — the time-0 FILTERRESET over all
-// n nodes — has run: key 8 + membership bit + in-play bit, and the
-// coordinator machine's membership bit, 8.38 B/node in all (the filters are
-// the bank's two bounds, a node's coins a function of its id, cohorts are
-// enlisted from the membership bits, not listed). The budget leaves no room
-// for a flag byte, a generator's state or a violation stamp (8 B), an id
-// list (4 B), a per-node filter interval (16 B) or a protocol record (a
-// 32-byte sampler, a 24-byte participant) to stay reachable from the
-// monitor after the reset.
-func TestSequentialFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 8.6
+// widthArm is one of a footprint pin's two arms: the values a monitor is
+// fed — base plus a few hundred thousand, every one of them in int32 (the
+// narrow arm) or none of them (the wide arm, base 2³¹) — and the bytes a
+// node its bank's value column holds them in.
+type widthArm struct {
+	name   string
+	base   int64
+	column float64
+}
+
+var widthArms = []widthArm{{"narrow", 0, 4}, {"wide", 1 << 31, 8}}
+
+// armValues returns a dense step of arm's values over n nodes.
+func armValues(arm widthArm, n int) []int64 {
 	vals := make([]int64, n)
 	for i := range vals {
-		vals[i] = int64(i) * 7 % 1000003
+		vals[i] = arm.base + int64(i)*7%1000003
 	}
-	before := liveHeap()
-	m, err := New(Config{Nodes: n, K: k, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	return vals
+}
+
+// TestSequentialFootprintPerNode pins what a sequential monitor keeps
+// alive per node once its first Observe — the time-0 FILTERRESET over all
+// n nodes — has run: the bank's value column (4 B while every value fits
+// int32, the narrow arm; 8 B from the first that does not, the wide arm)
+// + membership bit + in-play bit, and the coordinator machine's membership
+// bit: 4.38 B/node narrow, 8.38 wide (the filters are the bank's two
+// bounds, a node's coins a function of its id, cohorts are enlisted from
+// the membership bits, not listed). The budgets, 4.6 and 8.6, leave no room
+// for a key column beside the values (8 B), a narrow column kept beside the
+// wide one (4 B), a flag byte, a generator's state or a violation stamp (8
+// B), an id list (4 B), a per-node filter interval (16 B) or a protocol
+// record (a 32-byte sampler, a 24-byte participant) to stay reachable from
+// the monitor after the reset.
+func TestSequentialFootprintPerNode(t *testing.T) {
+	const n, k = 1 << 18, 16
+	for _, arm := range widthArms {
+		t.Run(arm.name, func(t *testing.T) {
+			vals := armValues(arm, n)
+			before := liveHeap()
+			m, err := New(Config{Nodes: n, K: k, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if _, err := m.Observe(vals); err != nil {
+				t.Fatal(err)
+			}
+			perNode, budget := (float64(liveHeap())-float64(before))/n, arm.column+0.6
+			t.Logf("sequential monitor, n=%d: %.2f B/node live after the first Observe", n, perNode)
+			if perNode > budget {
+				t.Fatalf("sequential monitor holds %.2f B/node after its first Observe, budget %v", perNode, budget)
+			}
+			runtime.KeepAlive(vals)
+		})
 	}
-	defer m.Close()
-	if _, err := m.Observe(vals); err != nil {
-		t.Fatal(err)
-	}
-	after := liveHeap()
-	perNode := (float64(after) - float64(before)) / n
-	t.Logf("sequential monitor, n=%d: %.1f B/node live after the first Observe", n, perNode)
-	if perNode > budget {
-		t.Fatalf("sequential monitor holds %.1f B/node after its first Observe, budget %v", perNode, budget)
-	}
-	runtime.KeepAlive(vals)
 }
 
 // TestAsyncFootprintPerNode pins that asynchronous ingestion costs its
 // queue, not its n: a monitor with a queue of 16 holds what the sequential
 // one does per node after its first dense Observe and a Drain, within the
-// same 8.6 B/node. The coalescing buffer's index is sized by the depth; a
-// dense slot index (4 B/node) does not fit the budget.
+// same budgets, 4.6 B/node narrow and 8.6 wide. The coalescing buffer's
+// index is sized by the depth; a dense slot index (4 B/node) does not fit
+// either budget.
 func TestAsyncFootprintPerNode(t *testing.T) {
-	const n, k, depth, budget = 1 << 18, 16, 16, 8.6
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i) * 7 % 1000003
+	const n, k, depth = 1 << 18, 16, 16
+	for _, arm := range widthArms {
+		t.Run(arm.name, func(t *testing.T) {
+			vals := armValues(arm, n)
+			before := liveHeap()
+			m, err := New(Config{Nodes: n, K: k, Seed: 1, Ingest: Ingest{QueueDepth: depth}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if _, err := m.Observe(vals); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			perNode, budget := (float64(liveHeap())-float64(before))/n, arm.column+0.6
+			t.Logf("async monitor, n=%d, queue %d: %.2f B/node live after the first Observe and a Drain", n, depth, perNode)
+			if perNode > budget {
+				t.Fatalf("async monitor holds %.2f B/node after its first Observe and a Drain, budget %v", perNode, budget)
+			}
+			runtime.KeepAlive(vals)
+		})
 	}
-	before := liveHeap()
-	m, err := New(Config{Nodes: n, K: k, Seed: 1, Ingest: Ingest{QueueDepth: depth}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if _, err := m.Observe(vals); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	after := liveHeap()
-	perNode := (float64(after) - float64(before)) / n
-	t.Logf("async monitor, n=%d, queue %d: %.2f B/node live after the first Observe and a Drain", n, depth, perNode)
-	if perNode > budget {
-		t.Fatalf("async monitor holds %.2f B/node after its first Observe and a Drain, budget %v", perNode, budget)
-	}
-	runtime.KeepAlive(vals)
 }
 
 // moving returns dense steps for a footprint pin: the first puts every node
-// at a value of three bytes on the wire, and each after it moves every
-// value by at most 30, a one-byte change.
-func moving(n int) func(step int) []int64 {
+// at base plus a value of three bytes on the wire, and each after it moves
+// every value by at most 30, a one-byte change.
+func moving(n int, base int64) func(step int) []int64 {
 	vals := make([]int64, n)
 	return func(step int) []int64 {
 		for i := range vals {
 			if step == 0 {
-				vals[i] = 1<<15 + int64(i)*7%1000003
+				vals[i] = base + 1<<15 + int64(i)*7%1000003
 			} else {
 				vals[i] += int64((i*13+step)%61 - 30)
 			}
@@ -106,15 +131,16 @@ func moving(n int) func(step int) []int64 {
 
 // heldAfterFourSteps returns what a monitor of cfg() and the hosts, relays
 // and pipes it runs on keep alive, all of it in this process, after four
-// dense steps of moving: the median of three readings, each of a monitor
-// of its own — one reading moves by a couple of KiB with whatever else the
-// runtime holds at the time, which at n = 4096 is half a byte a node.
-func heldAfterFourSteps(t *testing.T, cfg func() Config) float64 {
+// dense steps of moving from base: the median of three readings, each of a
+// monitor of its own — one reading moves by a couple of KiB with whatever
+// else the runtime holds at the time, which at n = 4096 is half a byte a
+// node.
+func heldAfterFourSteps(t *testing.T, cfg func() Config, base int64) float64 {
 	t.Helper()
 	var held [3]float64
 	for i := range held {
 		c := cfg()
-		step := moving(c.Nodes)
+		step := moving(c.Nodes, base)
 		before := liveHeap()
 		m, err := New(c)
 		if err != nil {
@@ -134,13 +160,16 @@ func heldAfterFourSteps(t *testing.T, cfg func() Config) float64 {
 }
 
 // The steady state of a link-backed monitor, per node: the hosts' banks
-// (key 8 + membership bit + in-play bit) with the machine's membership bit,
-// and the coordinator's last-value mirror; and a change-coded frame, a byte
-// a value.
+// (the value column, 4 B narrow or 8 B wide, + membership bit + in-play
+// bit) with the machine's membership bit, and the coordinator's last-value
+// mirror, 8 B at either width; and a change-coded frame, a byte a value.
 const (
-	bankBytes, mirrorBytes = 8 + 2.0/8 + 1.0/8, 8
-	changeBytes            = 1
+	mirrorBytes = 8
+	changeBytes = 1
 )
+
+// bankBytes is a host bank's bytes a node whose value column holds column.
+func bankBytes(column float64) float64 { return column + 2.0/8 + 1.0/8 }
 
 // TestLoopbackFootprintPerNode pins what a networked monitor and the
 // processes that host its nodes keep alive, all of it in this process over
@@ -152,9 +181,10 @@ const (
 // step's frames are encoded into buffers of their own size, so what is
 // measured is the steady state: the banks, the mirror and the change-coded
 // frames in the one buffer each pipe cycles through, a host's answer
-// freeing the frame it answers, ≈ 17.4 B/node; and what does not grow with
-// n — the hosts' goroutines, the pipes' channels, what k sizes — under
-// 13 KiB. A host applies a frame from the buffer it arrived in, and the
+// freeing the frame it answers, ≈ 13.4 B/node while every value fits int32
+// (the narrow arm) and ≈ 17.4 once none does (the wide arm, from 2³¹); and
+// what does not grow with n — the hosts' goroutines, the pipes' channels,
+// what k sizes — under 13 KiB. A host applies a frame from the buffer it arrived in, and the
 // coordinator writes it there, so nothing else grows with n: the budget
 // has no room for a buffer the first step's three-byte values grew (2
 // B/node more in the pipes alone, which a floor above a first frame's few
@@ -167,14 +197,16 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 		k        = 16
 		rounding = 0.25     // bytes a node: size classes, and the room an encoder leaves
 		fixed    = 13 << 10 // bytes: what does not grow with n
-		perNode  = bankBytes + mirrorBytes + changeBytes + rounding
 	)
-	for _, n := range []int{1 << 12, 1 << 18} {
-		held := heldAfterFourSteps(t, func() Config { return Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)} })
-		budget := fixed + perNode*float64(n)
-		t.Logf("loopback monitor over 2 hosts, n=%d: %.0f B live after four dense steps, %.2f B/node; budget %.0f", n, held, held/float64(n), budget)
-		if held > budget {
-			t.Fatalf("loopback monitor and its hosts hold %.0f B (%.2f B/node) after four dense steps at n=%d, budget %.0f", held, held/float64(n), n, budget)
+	for _, arm := range widthArms {
+		perNode := bankBytes(arm.column) + mirrorBytes + changeBytes + rounding
+		for _, n := range []int{1 << 12, 1 << 18} {
+			held := heldAfterFourSteps(t, func() Config { return Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)} }, arm.base)
+			budget := fixed + perNode*float64(n)
+			t.Logf("%s: loopback monitor over 2 hosts, n=%d: %.0f B live after four dense steps, %.2f B/node; budget %.0f", arm.name, n, held, held/float64(n), budget)
+			if held > budget {
+				t.Fatalf("%s: loopback monitor and its hosts hold %.0f B (%.2f B/node) after four dense steps at n=%d, budget %.0f", arm.name, held, held/float64(n), n, budget)
+			}
 		}
 	}
 }
@@ -186,9 +218,11 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 // held once at every link it crosses, in the buffer that link carries it
 // in: the root encodes into the buffer each root-to-relay pipe cycles
 // through (one frame in all), and each relay writes its shares into the
-// buffer each relay-to-leaf pipe cycles through (one): 2 frames, ≈ 18.4
-// B/node; and what does not grow with n — seven goroutines, six pipes'
-// channels, the relays' state, what k sizes — under 38 KiB. An encode
+// buffer each relay-to-leaf pipe cycles through (one): 2 frames, ≈ 14.7
+// B/node while every value fits int32 (the narrow arm) and ≈ 18.7 once
+// none does (the wide arm); and what does not grow with n — seven
+// goroutines, six pipes' channels, the relays' state, what k sizes — under
+// 38 KiB. An encode
 // buffer at the root (half a frame) and arenas at the relays (one) that
 // the frames are copied out of would not fit, nor a second buffer per pipe
 // (two frames), nor the buffers the first step's three-byte values grew,
@@ -200,45 +234,49 @@ func TestTreeFootprintPerNode(t *testing.T) {
 		frames   = 1 + 1    // root pipes, leaf pipes
 		rounding = 0.5      // bytes a node: size classes, and the room an encoder leaves
 		fixed    = 38 << 10 // bytes: what does not grow with n
-		perNode  = bankBytes + mirrorBytes + frames*changeBytes + rounding
 	)
-	for _, n := range []int{1 << 12, 1 << 18} {
-		held := heldAfterFourSteps(t, func() Config { return Config{Nodes: n, K: k, Seed: 1, Tree: Tree{Branch: 2, Depth: 2}} })
-		budget := fixed + perNode*float64(n)
-		t.Logf("2x2 tree monitor, n=%d: %.0f B live after four dense steps, %.2f B/node; budget %.0f", n, held, held/float64(n), budget)
-		if held > budget {
-			t.Fatalf("2x2 tree monitor and its relays and leaves hold %.0f B (%.2f B/node) after four dense steps at n=%d, budget %.0f", held, held/float64(n), n, budget)
+	for _, arm := range widthArms {
+		perNode := bankBytes(arm.column) + mirrorBytes + frames*changeBytes + rounding
+		for _, n := range []int{1 << 12, 1 << 18} {
+			held := heldAfterFourSteps(t, func() Config { return Config{Nodes: n, K: k, Seed: 1, Tree: Tree{Branch: 2, Depth: 2}} }, arm.base)
+			budget := fixed + perNode*float64(n)
+			t.Logf("%s: 2x2 tree monitor, n=%d: %.0f B live after four dense steps, %.2f B/node; budget %.0f", arm.name, n, held, held/float64(n), budget)
+			if held > budget {
+				t.Fatalf("%s: 2x2 tree monitor and its relays and leaves hold %.0f B (%.2f B/node) after four dense steps at n=%d, budget %.0f", arm.name, held, held/float64(n), n, budget)
+			}
 		}
 	}
 }
 
 // TestOrderedFootprintPerNode pins that the ordered mode costs what the set
-// mode costs per node — key 8 + membership bit + in-play bit, and the
-// machine's membership bit: the order filters are a table of the k
-// members', in the bank, not a 16-byte column over all n nodes (which the
-// retired concurrent engine's bank held before the table moved there). At
-// this n the monitor runs on the shard pool at GOMAXPROCS ≥ 2.
+// mode costs per node — the value column, membership bit, in-play bit, and
+// the machine's membership bit, within 4.6 B/node narrow and 8.6 wide: the
+// order filters are a table of the k members', in the bank, not a 16-byte
+// column over all n nodes (which the retired concurrent engine's bank held
+// before the table moved there). At this n the monitor runs on the shard
+// pool at GOMAXPROCS ≥ 2, whose views share the bank's column.
 func TestOrderedFootprintPerNode(t *testing.T) {
-	const n, k, budget = 1 << 18, 16, 8.6
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i) * 7 % 1000003
+	const n, k = 1 << 18, 16
+	for _, arm := range widthArms {
+		t.Run(arm.name, func(t *testing.T) {
+			vals := armValues(arm, n)
+			before := liveHeap()
+			m, err := NewOrdered(Config{Nodes: n, K: k, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Observe(vals); err != nil {
+				t.Fatal(err)
+			}
+			perNode, budget := (float64(liveHeap())-float64(before))/n, arm.column+0.6
+			t.Logf("ordered monitor, n=%d: %.2f B/node live after the first Observe", n, perNode)
+			if perNode > budget {
+				t.Fatalf("ordered monitor holds %.2f B/node after its first Observe, budget %v", perNode, budget)
+			}
+			m.Close()
+			runtime.KeepAlive(vals)
+		})
 	}
-	before := liveHeap()
-	m, err := NewOrdered(Config{Nodes: n, K: k, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Observe(vals); err != nil {
-		t.Fatal(err)
-	}
-	perNode := (float64(liveHeap()) - float64(before)) / n
-	t.Logf("ordered monitor, n=%d: %.1f B/node live after the first Observe", n, perNode)
-	if perNode > budget {
-		t.Fatalf("ordered monitor holds %.1f B/node after its first Observe, budget %v", perNode, budget)
-	}
-	m.Close()
-	runtime.KeepAlive(vals)
 }
 
 // sizingStore is a CheckpointStore that keeps nothing but the length of
@@ -654,12 +692,16 @@ func TestCheckpointChainFootprint(t *testing.T) {
 
 // TestRestoreAllocatesTheBankAndTheFrame pins that Restore reads the
 // frame's columns straight into the arrays a fresh monitor allocates
-// anyway: beyond what New allocates and the frame's own bytes (the store
-// hands out a copy) it needs a few bytes a node — the filter set built
-// from the frame — not a decoded copy of the bank. The v1 path decoded
-// nine n-long slices first, some 70 B/node.
+// anyway: beyond what New allocates, the bank's value column — which a
+// fresh monitor allocates at its first observation, and Restore at the
+// width the frame's values need, int32 here — and the frame's own bytes
+// (the store hands out a copy) it needs a few bytes a node — the filter
+// set built from the frame — not a decoded copy of the bank, nor a key
+// column derived from it for the filter check. The v1 path decoded nine
+// n-long slices first, some 70 B/node.
 func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 	const n, k, slack = 1 << 16, 16, 4.0
+	const column = 4.0 // bytes a node: the bank's int32 column
 	totalAlloc := func(f func()) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -705,9 +747,9 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 		}
 	})
 	back.Close()
-	extra := (restore - build - float64(len(frame))) / n
-	t.Logf("n=%d: New allocates %.1f B/node, Restore %.1f B/node more on top of the %.1f B/node frame",
-		n, build/n, extra, float64(len(frame))/n)
+	extra := (restore-build-float64(len(frame)))/n - column
+	t.Logf("n=%d: New allocates %.1f B/node, Restore %.1f B/node more on top of the %.1f B/node frame and the %.0f B/node column",
+		n, build/n, extra, float64(len(frame))/n, column)
 	if extra > slack {
 		t.Fatalf("Restore allocates %.1f B/node beyond New and the frame, budget %v", extra, slack)
 	}
@@ -733,7 +775,7 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 func TestTCPFootprintPerLink(t *testing.T) {
 	const n, k, budget = 1 << 10, 8, 6 << 10
 	held := func(peers int) float64 {
-		step := moving(n)
+		step := moving(n, 0)
 		before := liveHeap()
 		tr, served := tcpTransport(t, peers)
 		m, err := New(Config{Nodes: n, K: k, Seed: 1, Transport: tr})
