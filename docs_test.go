@@ -241,8 +241,7 @@ func TestDocBenchmarksExist(t *testing.T) {
 			}
 		}
 	}
-	const ci = ".github/workflows/ci.yml"
-	data, err := os.ReadFile(ci)
+	data, err := os.ReadFile(ciWorkflow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +249,128 @@ func TestDocBenchmarksExist(t *testing.T) {
 		for _, m := range benchFlag.FindAllStringSubmatch(line, -1) {
 			for _, alt := range strings.Split(strings.Trim(m[1], `'"`), "|") {
 				if name, _, _ := strings.Cut(alt, "/"); benchName.MatchString(name) {
-					check(fmt.Sprintf("%s:%d", ci, i+1), name)
+					check(fmt.Sprintf("%s:%d", ciWorkflow, i+1), name)
 				}
 			}
 		}
 	}
 	if named == 0 {
 		t.Fatal("no benchmark named in the documents or the CI workflow")
+	}
+}
+
+// ciWorkflow is the CI workflow TestDocBenchmarksExist and
+// TestCIWorkflowIsPlainYAML read.
+const ciWorkflow = ".github/workflows/ci.yml"
+
+var (
+	// goTestArg matches one argument of a go test command line: a
+	// single-quoted pattern or a bare word.
+	goTestArg = regexp.MustCompile(`'[^']*'|\S+`)
+	// testDef matches a test or fuzz target a _test.go file defines.
+	testDef = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+)
+
+// TestCIWorkflowIsPlainYAML keeps the CI workflow a file GitHub loads, and
+// its test selections real. GitHub refuses a workflow that is not valid
+// YAML whole, so none of its steps runs: a plain (unquoted) scalar holding
+// ": " starts a mapping, " #" a comment, and a tab is no indentation. So
+// outside the block scalars of run: | steps, no line may hold a tab, and no
+// unquoted value ": " or " #"; a name is at most 80 characters, a title,
+// with what a step checks in a # comment or, for a fuzz smoke, its
+// target's doc comment. And every go test command's -fuzz X must name a
+// func X the package it lists defines, the one fuzz target of it X matches,
+// and each alternative of its -run pattern (but xxx, which runs nothing)
+// must begin the name of a Test or Fuzz func of one of its packages: a
+// pattern naming a deleted test silently runs nothing.
+func TestCIWorkflowIsPlainYAML(t *testing.T) {
+	data, err := os.ReadFile(ciWorkflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := -1 // the indentation of the key a block scalar belongs to; -1 outside one
+	for i, line := range strings.Split(string(data), "\n") {
+		where := fmt.Sprintf("%s:%d", ciWorkflow, i+1)
+		if strings.ContainsRune(line, '\t') {
+			t.Errorf("%s: a tab", where)
+		}
+		checkGoTest(t, where, line)
+		body := strings.TrimLeft(line, " ")
+		indent := len(line) - len(body)
+		if block >= 0 && (body == "" || indent > block) {
+			continue
+		}
+		block = -1
+		body = strings.TrimPrefix(body, "- ")
+		if body == "" || strings.HasPrefix(body, "#") {
+			continue
+		}
+		key, val, ok := strings.Cut(body, ":")
+		if !ok || val == "" {
+			continue
+		}
+		val = strings.TrimPrefix(val, " ")
+		switch {
+		case strings.HasPrefix(val, "|") || strings.HasPrefix(val, ">"):
+			block = indent
+		case strings.ContainsAny(val[:1], `"'[{`):
+		case strings.Contains(val, ": ") || strings.Contains(val, " #"):
+			t.Errorf("%s: the unquoted value of %s holds \": \" or \" #\", which YAML does not read as text: %q", where, key, val)
+		case key == "name" && len([]rune(val)) > 80:
+			t.Errorf("%s: a name of %d characters; keep a title to 80 and say the rest in a comment", where, len([]rune(val)))
+		}
+	}
+}
+
+// checkGoTest holds a go test command on a workflow line to the packages
+// it lists: see TestCIWorkflowIsPlainYAML.
+func checkGoTest(t *testing.T, where, line string) {
+	t.Helper()
+	_, cmd, ok := strings.Cut(line, "go test ")
+	if !ok {
+		return
+	}
+	cmd, _, _ = strings.Cut(cmd, " | ")
+	args := goTestArg.FindAllString(cmd, -1)
+	var run, fuzz string
+	var names []string // the packages' Test and Fuzz funcs
+	for j, a := range args {
+		switch {
+		case a == "-run" && j+1 < len(args):
+			run = strings.Trim(args[j+1], "'")
+		case a == "-fuzz" && j+1 < len(args):
+			fuzz = args[j+1]
+		case a == "." || strings.HasPrefix(a, "./") && a != "./...":
+			files, err := filepath.Glob(filepath.Join(filepath.Clean(a), "*_test.go"))
+			if err != nil || len(files) == 0 {
+				t.Errorf("%s: go test lists %s, which has no _test.go file", where, a)
+			}
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range testDef.FindAllStringSubmatch(string(src), -1) {
+					names = append(names, m[1])
+				}
+			}
+		}
+	}
+	if fuzz != "" {
+		matched := slices.DeleteFunc(slices.Clone(names), func(name string) bool {
+			return !strings.HasPrefix(name, "Fuzz") || !strings.Contains(name, fuzz)
+		})
+		if !slices.Equal(matched, []string{fuzz}) {
+			t.Errorf("%s: -fuzz %s matches %v of the package's fuzz targets, want the one named %s", where, fuzz, matched, fuzz)
+		}
+	}
+	if run == "" || run == "xxx" {
+		return
+	}
+	for _, alt := range strings.Split(run, "|") {
+		if !slices.ContainsFunc(names, func(name string) bool { return strings.HasPrefix(name, alt) }) {
+			t.Errorf("%s: -run alternative %s begins no Test or Fuzz func of the packages listed", where, alt)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -22,11 +23,15 @@ import (
 //     the absolute values (ObserveDense, or Observe per value for the
 //     sparse frame), so a value outside the domain is the error the
 //     reference fails with, at the node it fails at, and never a panic;
-//   - when no value is refused, value(i) is the new value of every node.
+//   - when no value is refused, value(i) is the new value of every node;
+//   - while the baseline fits int32, the frames coded against it from a
+//     narrow mirror (a Column, as a root keeps it), and its replay against
+//     zero, are byte for byte what the int64 mirror codes.
 //
 // The input bytes are read nine at a time: a selector and a raw int64, from
 // which value() picks magnitudes at and past the domain's ends, int64's
-// ends, small steps from the baseline and arbitrary bits.
+// ends, small steps from the baseline and arbitrary bits. Seeds across
+// ±2³¹ widen a narrow column mid-frame, and cross a wide baseline back.
 func FuzzObserveChanges(f *testing.F) {
 	seed := func(sels ...byte) []byte {
 		var p []byte
@@ -128,6 +133,28 @@ func FuzzObserveChanges(f *testing.F) {
 			}
 		}
 		delta := wire.ObserveDelta{Step: 2, IDs: ids, Vals: sparse, Prev: mirror}.Append(nil)
+
+		// The narrow arm: the mirror kept as a root keeps it, in a column as
+		// wide as its values. While they fit int32, the frames coded against
+		// it, and the replay of it against zero, are byte for byte the ones
+		// the int64 mirror codes.
+		col := NewColumn(nodes)
+		col.Fit(mirror)
+		col.Put(0, mirror)
+		if narrow := col.Int32s(); narrow != nil {
+			if got := wire.AppendObserve(nil, 2, vals, narrow[first:]); !bytes.Equal(got, dense) {
+				t.Fatalf("%s: a dense frame coded against the narrow mirror is % x, against the wide one % x", where, got, dense)
+			}
+			if got := wire.AppendObserveDelta(nil, 2, ids, sparse, narrow); !bytes.Equal(got, delta) {
+				t.Fatalf("%s: a sparse frame coded against the narrow mirror is % x, against the wide one % x", where, got, delta)
+			}
+			want := wire.Observe{Step: 1, Vals: mirror[first:]}.Append(nil)
+			if got := wire.AppendObserve(nil, 1, narrow[first:], []int32(nil)); !bytes.Equal(got, want) {
+				t.Fatalf("%s: the narrow mirror replays as % x, the wide one as % x", where, got, want)
+			}
+		} else if !slices.ContainsFunc(mirror, func(v int64) bool { return !fits32(v) }) {
+			t.Fatalf("%s: a mirror whose values all fit int32 is wide", where)
+		}
 
 		// Four banks over the range, each given the baseline and the same
 		// installs: two read frames, two the absolute values.

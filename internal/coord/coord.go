@@ -512,7 +512,8 @@ func (m *Machine) Installed() filter.Bounds {
 
 // Filters returns the filter assignment the machine has installed — its
 // membership under the Installed bounds — as the filter.Set the Lemma 2.2
-// checks of restore, tests and soak runs read.
+// checks of tests and soak runs read (core.Monitor.Filters). A restore
+// checks the bank it installs it into instead (RestoreChain).
 func (m *Machine) Filters() *filter.Set {
 	fs := filter.NewSet(m.cfg.N, m.cfg.K)
 	if len(m.top) == m.cfg.K {

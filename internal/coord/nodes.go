@@ -25,7 +25,7 @@ import (
 // The per-node state of the paper's node model — current value, membership
 // knowledge from the last broadcast — is a value column indexed by id - Lo
 // and a membership bitset: 4⅛ bytes per hosted node while every value the
-// bank has held fits int32, 8⅛ from the first that does not (column). A
+// bank has held fits int32, 8⅛ from the first that does not (Column). A
 // node's key is re-derived where it is read, order.Codec.Encode's v·n +
 // (n−1−id), one multiply-add; the filter is derived from the installed
 // bounds (filter.Bounds) and the membership bit, and no function of the id
@@ -49,7 +49,7 @@ type Nodes struct {
 
 	// col is the value column, shared with every Sub view; the view's
 	// nodes are its entries from at on.
-	col *column
+	col *Column
 	at  int
 	n   int  // hosted nodes
 	sub bool // a Sub view: it never widens the column (Observe)
@@ -111,7 +111,7 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 // newBank builds a bank over [lo, hi) with every value 0, its column not
 // yet allocated, and every filter [-inf, +inf].
 func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
-	inst := filter.Unbounded()
+	inst, col := filter.Unbounded(), NewColumn(hi-lo)
 	return &Nodes{
 		lo:     lo,
 		hi:     hi,
@@ -119,25 +119,30 @@ func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
 		tol:    tol,
 		maxVal: order.MaxValueFor(n),
 		seed:   seed,
-		col:    &column{n: hi - lo},
+		col:    &col,
 		n:      hi - lo,
 		top:    make([]uint64, (hi-lo+63)>>6),
 		inst:   &inst,
 	}
 }
 
-// column is a bank's value column, which the bank and every Sub view of it
-// share: hosted node i's value is entry i, at the narrowest width that has
-// held every value the bank was given. A fresh column is every value 0 and
-// allocates nothing; the first observation allocates it once, at the width
-// that observation needs (Reserve), and it widens once, for good, at the
-// first value that does not fit int32 (widen). Every loop over it is one
-// generic implementation over both widths (cell).
-type column struct {
+// Column is a value column: entry i is a value, held at the narrowest width
+// that has held every value the column was given. A bank keeps its nodes'
+// values in one, which every Sub view of it shares, and a link-backed
+// coordinator keeps its mirror of what every bank holds in another
+// (internal/fanout). A new column is every value 0 and allocates nothing;
+// it is allocated once, at the width the values it is first given need
+// (Fit, Nodes.Reserve), and it widens once, for good, at the first value
+// that does not fit int32. Every loop over it is one generic implementation
+// over both widths (cell).
+type Column struct {
 	n   int
 	n32 []int32 // the column while every value fits int32
 	n64 []int64 // the column from the first value that did not; n32 is nil then
 }
+
+// NewColumn returns a column of n entries, every one 0, not yet allocated.
+func NewColumn(n int) Column { return Column{n: n} }
 
 // cell is the entry type of a column.
 type cell interface{ int32 | int64 }
@@ -145,8 +150,25 @@ type cell interface{ int32 | int64 }
 // fits32 reports whether v fits a narrow column.
 func fits32(v int64) bool { return v == int64(int32(v)) }
 
+// allFit32 reports whether every value of vals fits a narrow column. It
+// looks 256 values at a time, without a branch a value.
+func allFit32(vals []int64) bool {
+	for len(vals) > 0 {
+		blk := vals[:min(256, len(vals))]
+		vals = vals[len(blk):]
+		var out uint64 // bit 32 or above set: some value of blk does not fit int32
+		for _, v := range blk {
+			out |= uint64(v) + 1<<31
+		}
+		if out>>32 != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // allocate gives a column that has none its entries, all 0, wide or not.
-func (c *column) allocate(wide bool) {
+func (c *Column) allocate(wide bool) {
 	if wide {
 		c.n64 = make([]int64, c.n)
 	} else {
@@ -156,7 +178,7 @@ func (c *column) allocate(wide bool) {
 
 // widen makes a column that is not wide wide, keeping every value: one
 // allocation, and a copy of the narrow entries when there are any.
-func (c *column) widen() {
+func (c *Column) widen() {
 	c.n64 = make([]int64, c.n)
 	for i, v := range c.n32 {
 		c.n64[i] = int64(v)
@@ -164,13 +186,72 @@ func (c *column) widen() {
 	c.n32 = nil
 }
 
+// Fit readies the column to take vals: a column not yet allocated is
+// allocated at the width they need, and a narrow one that one of them does
+// not fit is widened. Put and Set then store them.
+func (c *Column) Fit(vals []int64) {
+	switch {
+	case c.n64 != nil:
+	case c.n32 == nil:
+		c.allocate(!allFit32(vals))
+	case !allFit32(vals):
+		c.widen()
+	}
+}
+
+// Wide reports whether the column keeps its entries at int64.
+func (c *Column) Wide() bool { return c.n64 != nil }
+
+// Int64s returns the entries of a wide column, and nil while it is not
+// wide.
+func (c *Column) Int64s() []int64 { return c.n64 }
+
+// Int32s returns the entries of a column that is not wide, allocating a
+// column that has none, and nil once it is wide.
+func (c *Column) Int32s() []int32 {
+	if c.n32 == nil && c.n64 == nil {
+		c.allocate(false)
+	}
+	return c.n32
+}
+
+// Value returns entry i.
+func (c *Column) Value(i int) int64 {
+	if c.n64 != nil {
+		return c.n64[i]
+	}
+	if c.n32 != nil {
+		return int64(c.n32[i])
+	}
+	return 0
+}
+
+// Put sets entries at to at+len(vals)-1 to vals, which the column fits
+// (Fit).
+func (c *Column) Put(at int, vals []int64) {
+	if c.n64 != nil {
+		copy(c.n64[at:], vals)
+		return
+	}
+	cells := c.Int32s()[at : at+len(vals)]
+	for j, v := range vals {
+		cells[j] = int32(v)
+	}
+}
+
+// Set sets entry i to v, which the column fits (Fit).
+func (c *Column) Set(i int, v int64) {
+	if c.n64 != nil {
+		c.n64[i] = v
+	} else {
+		c.Int32s()[i] = int32(v)
+	}
+}
+
 // cells32 returns the view's narrow entries, allocating a column that has
 // none; it is called only while the column is not wide.
 func (b *Nodes) cells32() []int32 {
-	if b.col.n32 == nil {
-		b.col.allocate(false)
-	}
-	return b.col.n32[b.at : b.at+b.n]
+	return b.col.Int32s()[b.at : b.at+b.n]
 }
 
 // Reserve readies the column for vals, the values of an observation about
@@ -192,16 +273,12 @@ func (b *Nodes) Reserve(vals []int64) {
 // scanWidth reports whether vals holds a value that does not fit int32
 // ahead of the first outside the value domain, and whether it met such a
 // value, at which an observation of them stops. It looks for a value that
-// does not fit 256 values at a time, without a branch a value.
+// does not fit 256 values at a time (allFit32).
 func (b *Nodes) scanWidth(vals []int64) (wide, stopped bool) {
 	for len(vals) > 0 {
 		blk := vals[:min(256, len(vals))]
 		vals = vals[len(blk):]
-		var out uint64 // bit 32 or above set: some value of blk does not fit int32
-		for _, v := range blk {
-			out |= uint64(v) + 1<<31
-		}
-		if out>>32 == 0 {
+		if allFit32(blk) {
 			continue
 		}
 		for _, v := range blk {
@@ -319,16 +396,7 @@ func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
 
 // value returns hosted node i's observation (what a checkpoint delta
 // carries, and the baseline an observation frame's changes are added to).
-func (b *Nodes) value(i int) int64 {
-	c := b.col
-	if c.n64 != nil {
-		return c.n64[b.at+i]
-	}
-	if c.n32 != nil {
-		return int64(c.n32[b.at+i])
-	}
-	return 0
-}
+func (b *Nodes) value(i int) int64 { return b.col.Value(b.at + i) }
 
 // store sets hosted node i's value, which lies in the value domain,
 // allocating the column at the width v needs if it has none and widening

@@ -157,10 +157,11 @@ func TestPendingSteadyStateAllocations(t *testing.T) {
 // against a reference model (a map; a new node on a full buffer first
 // takes the batch, as the driver's worker would) and pins the
 // coalescing contract: the depth bound is never exceeded,
-// last-write-wins per node, Has agrees with the model, and the
-// decode→apply round trip is idempotent — applying Take's batch to a
-// dense mirror yields exactly the model state, and after it a second
-// Take is empty and Has finds no node.
+// last-write-wins per node, Has agrees with the model, Take hands over
+// every queued node once, in ascending id order, and the decode→apply
+// round trip is idempotent — applying Take's batch to a dense mirror
+// yields exactly the model state, and after it a second Take is empty and
+// Has finds no node.
 //
 // The first two bytes pick n in [1, 256] and a depth in [1, n+4], so a
 // depth of n or more is capped; each op after them is an id byte and a

@@ -164,7 +164,7 @@ func (m *Machine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64,
 	w.EndSection()
 	w.Buf = bank.Snapshot(w.Buf)
 	w.EndSection()
-	return w.Seal(nil), nil
+	return w.Seal(0, nil), nil
 }
 
 // FoldDeltas walks the delta frames that follow base envelope c in a
@@ -323,13 +323,7 @@ func RestoreChain(n, k int, epsilon float64, seed uint64, c *wire.Checkpoint, de
 		return nil, nil, fmt.Errorf("coord: checkpoint bank tolerance %d/2^20 differs from configured %d/2^20", b.tol.Num(), m.cfg.Tol.Num())
 	}
 	b.install(m)
-	fs := m.Filters()
-	if m.cfg.Tol.Zero() { // the bank is the keys, each derived where it is read
-		err = fs.Validate(b)
-	} else {
-		err = fs.ValidateEps(b, m.cfg.Tol)
-	}
-	if err != nil {
+	if err := b.validate(len(m.top)); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrFilterState, err)
 	}
 	return m, b, nil
@@ -427,6 +421,41 @@ func (b *Nodes) install(m *Machine) {
 		b.setTop(id)
 	}
 	*b.inst = m.Installed()
+}
+
+// validate holds a full-range bank that has installed its coordinator's
+// state (install: a membership of members nodes, and the bounds) to the
+// filters it derives from its own bitset and bounds — what filter.Set's
+// Validate, or with a tolerance ValidateEps, checks, with no Set built for
+// it. Every key, derived where it is read, must lie in its node's filter
+// (holds), and the members must be separated from the outsiders: exactly,
+// by a members' lower bound no smaller than the outsiders' upper one, or
+// with a tolerance by a band covering the smallest member key and the
+// largest outsider key.
+func (b *Nodes) validate(members int) error {
+	inst := *b.inst
+	minTop, maxOut := order.PosInf, order.NegInf
+	for i := 0; i < b.n; i++ {
+		key, in := b.codec.Encode(b.value(i), b.lo+i), b.inTop(i)
+		if !holds(inst, in, key) {
+			return fmt.Errorf("filter: node %d key %d outside filter %s", b.lo+i, key, inst.Interval(in))
+		}
+		if in {
+			minTop = order.Min(minTop, key)
+		} else {
+			maxOut = order.Max(maxOut, key)
+		}
+	}
+	switch {
+	case b.tol.Zero():
+		// With no members yet, or no outsiders (k == n), separation is vacuous.
+		if members > 0 && members < b.n && inst.Lo < inst.Hi {
+			return fmt.Errorf("filter: separation violated: min top lower bound %d < max outside upper bound %d", inst.Lo, inst.Hi)
+		}
+	case maxOut != order.NegInf && !b.tol.Separated(minTop, maxOut):
+		return fmt.Errorf("filter: ε-separation violated: min top key %d vs max outside key %d at eps=%v", minTop, maxOut, b.tol.Eps())
+	}
+	return nil
 }
 
 // ErrFilterState is wrapped by every restore rejection of a checkpoint

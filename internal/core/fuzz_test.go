@@ -120,8 +120,9 @@ func FuzzDeltaDenseEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzOrderedMonitorObserve does the same for the ordered variant,
-// checking the full rank order.
+// FuzzOrderedMonitorObserve does the same for the ordered variant on the
+// sequential engine, checking the machine's full rank order against the
+// sorted oracle (order.RankOracle) at every step.
 func FuzzOrderedMonitorObserve(f *testing.F) {
 	f.Add([]byte{4, 2, 1, 2, 3, 4, 250, 6, 7, 8, 9, 10, 110, 12})
 	f.Add([]byte{5, 4, 9, 9, 9, 9, 9, 1, 1, 1, 1, 1})

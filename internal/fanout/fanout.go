@@ -196,9 +196,10 @@ type Engine struct {
 	// Failover state: last mirrors every node's most recent value (what
 	// every bank holds, so what observation frames are change-coded
 	// against, and what recovery replays into rebuilt banks against zero),
+	// at the width its values need, as a bank's column is;
 	// pendingRecovery schedules a recovery pass for the next observation
 	// call, and the counters feed Health.
-	last            []int64
+	last            coord.Column
 	pendingRecovery bool
 	failures        int64
 	recoveries      int64
@@ -230,7 +231,7 @@ func New(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 		cfg:  cfg,
 		exec: exec,
 		mach: coord.New(coord.Config{N: cfg.N, K: cfg.K, Tol: tol}),
-		last: make([]int64, cfg.N),
+		last: coord.NewColumn(cfg.N),
 		rrng: rng.New(cfg.Seed, 0xbacc),
 	}
 	e.fan = NewFan(links, e.fail)
@@ -253,6 +254,11 @@ func New(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// MirrorWide reports whether the root keeps its last-value mirror at
+// int64: it does from the first value it was given that did not fit int32,
+// and at int32 until then.
+func (e *Engine) MirrorWide() bool { return e.last.Wide() }
 
 // closeAll closes every link of a failed construction.
 func closeAll(links []transport.Link) {
@@ -458,17 +464,46 @@ func (e *Engine) Observe(vals []int64) []int {
 	e.step = e.mach.BeginStep()
 	// Each peer's frame is coded against its range of the mirror, straight
 	// into the buffer its link lends, and the mirror then takes the new
-	// values; whatever happens to the step, the mirror ends it holding all
-	// of them.
+	// values, at a width that holds them all (Fit); whatever happens to the
+	// step, the mirror ends it holding all of them.
+	e.last.Fit(vals)
 	for pi, p := range e.fan.peers {
-		e.fan.Queue(pi, wire.Observe{Step: e.step, Vals: vals[p.lo:p.hi], Prev: e.last[p.lo:p.hi]}.Append)
-		copy(e.last[p.lo:p.hi], vals[p.lo:p.hi])
+		e.queueObserve(pi, vals)
+		e.last.Put(p.lo, vals[p.lo:p.hi])
 		if e.fan.ship(pi, "observe") != nil {
-			copy(e.last[p.hi:], vals[p.hi:])
+			e.last.Put(p.hi, vals[p.hi:])
 			return e.mach.Top()
 		}
 	}
 	return e.finishStep("observe")
+}
+
+// queueObserve queues peer pi's dense frame: its range of vals, coded
+// against its range of the mirror at the mirror's width.
+func (e *Engine) queueObserve(pi int, vals []int64) {
+	p := e.fan.peers[pi]
+	if wide := e.last.Int64s(); wide != nil {
+		queueDense(e.fan, pi, e.step, vals[p.lo:p.hi], wide[p.lo:p.hi])
+	} else {
+		queueDense(e.fan, pi, e.step, vals[p.lo:p.hi], e.last.Int32s()[p.lo:p.hi])
+	}
+}
+
+// queueReplay queues peer pi's replay frame: its range of the mirror,
+// coded against the zero a rebuilt bank holds.
+func (e *Engine) queueReplay(pi int) {
+	p := e.fan.peers[pi]
+	if wide := e.last.Int64s(); wide != nil {
+		queueDense(e.fan, pi, e.mach.Step(), wide[p.lo:p.hi], []int64(nil))
+	} else {
+		queueDense(e.fan, pi, e.mach.Step(), e.last.Int32s()[p.lo:p.hi], []int32(nil))
+	}
+}
+
+// queueDense queues peer pi's dense frame of step: vals coded against
+// prev (nil: zero).
+func queueDense[V, P wire.Value](f *Fan, pi int, step int64, vals []V, prev []P) {
+	f.Queue(pi, func(dst []byte) []byte { return wire.AppendObserve(dst, step, vals, prev) })
 }
 
 // ObserveDelta processes one sparse time step: vals[j] is node ids[j]'s
@@ -495,11 +530,12 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	e.step = e.mach.BeginStep()
 	// Ship each peer its slice of the (sorted) delta, coded against the
 	// mirror as in Observe.
+	e.last.Fit(vals)
 	start := 0
 	for pi := range e.fan.peers {
 		stop := e.fan.Share(pi, ids, start)
 		if stop > start {
-			e.fan.Queue(pi, wire.ObserveDelta{Step: e.step, IDs: ids[start:stop], Vals: vals[start:stop], Prev: e.last}.Append)
+			e.queueDelta(pi, ids[start:stop], vals[start:stop])
 			e.remember(ids[start:stop], vals[start:stop])
 			if e.fan.ship(pi, "observe-delta") != nil {
 				e.remember(ids[stop:], vals[stop:])
@@ -511,10 +547,26 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	return e.finishStep("observe-delta")
 }
 
-// remember writes a sparse update into the mirror.
+// queueDelta queues peer pi's sparse frame: node ids[j] takes vals[j],
+// coded against the mirror at its width.
+func (e *Engine) queueDelta(pi int, ids []int, vals []int64) {
+	if wide := e.last.Int64s(); wide != nil {
+		queueSparse(e.fan, pi, e.step, ids, vals, wide)
+	} else {
+		queueSparse(e.fan, pi, e.step, ids, vals, e.last.Int32s())
+	}
+}
+
+// queueSparse queues peer pi's sparse frame of step: node ids[j] takes
+// vals[j], coded against prev[ids[j]].
+func queueSparse[P wire.Value](f *Fan, pi int, step int64, ids []int, vals []int64, prev []P) {
+	f.Queue(pi, func(dst []byte) []byte { return wire.AppendObserveDelta(dst, step, ids, vals, prev) })
+}
+
+// remember writes a sparse update, which the mirror fits, into it.
 func (e *Engine) remember(ids []int, vals []int64) {
 	for j, id := range ids {
-		e.last[id] = vals[j]
+		e.last.Set(id, vals[j])
 	}
 }
 

@@ -200,8 +200,8 @@ func (e *Engine) replayReset() error {
 	// mirror, coded against the zero every rebuilt bank holds. Rebuilt
 	// banks hold full filters, so no violations fire; the replies' flags
 	// are deliberately discarded.
-	for pi, p := range e.fan.peers {
-		e.fan.Queue(pi, wire.Observe{Step: e.mach.Step(), Vals: e.last[p.lo:p.hi]}.Append)
+	for pi := range e.fan.peers {
+		e.queueReplay(pi)
 		if err := e.fan.ship(pi, "replay"); err != nil {
 			return err
 		}

@@ -51,15 +51,16 @@ func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen, base uint64, dirt
 	}
 	w.EndSection()
 	if base != 0 {
-		return w.Values(len(e.last), dirty, func(id int) int64 { return e.last[id] }), nil
+		return w.Values(e.cfg.N, dirty, e.last.Value), nil
 	}
 	w.Section(nil) // the node banks live in the peers
-	return w.Seal(e.last), nil
+	return w.Seal(e.cfg.N, e.last.Value), nil
 }
 
 // Resume adopts a checkpointed coordinator — machine mach and value
 // mirror last, taken under the same configuration and already held to it
-// — into an engine New has just built, replays the mirror into the banks
+// — into an engine New has just built, whose mirror it allocates at the
+// width last needs, replays the mirror into the banks
 // New's handshake left at zero, and forces a FILTERRESET. Call it once,
 // before the first observation. A peer failing during the replay leaves
 // recovery pending (or the engine cleanly terminal), exactly as a mid-run
@@ -67,6 +68,7 @@ func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen, base uint64, dirt
 // failover path, and Health tells the story.
 func (e *Engine) Resume(mach *coord.Machine, last []int64) {
 	e.mach = mach
-	copy(e.last, last)
+	e.last.Fit(last)
+	e.last.Put(0, last)
 	_ = e.replayReset()
 }

@@ -303,7 +303,7 @@ func TestCheckpointWriterMatchesAppend(t *testing.T) {
 		w.EndSection()
 		w.Buf = append(w.Buf, c.Nodes...)
 		w.EndSection()
-		if got := w.Seal(c.Last); !bytes.Equal(got, want) {
+		if got := w.Seal(len(c.Last), func(id int) int64 { return c.Last[id] }); !bytes.Equal(got, want) {
 			t.Fatalf("sections of %v bytes: in-place envelope differs from Append", sizes)
 		}
 		var back Checkpoint
@@ -312,20 +312,20 @@ func TestCheckpointWriterMatchesAppend(t *testing.T) {
 		}
 	}
 	for name, f := range map[string]func(){
-		"one section": func() { w := BeginCheckpoint(nil, 0, 0, 0); w.Section(nil); w.Seal(nil) },
+		"one section": func() { w := BeginCheckpoint(nil, 0, 0, 0); w.Section(nil); w.Seal(0, nil) },
 		"three sections": func() {
 			w := BeginCheckpoint(nil, 0, 0, 0)
 			w.Section(nil)
 			w.Section(nil)
 			w.EndSection()
-			w.Seal(nil)
+			w.Seal(0, nil)
 		},
 		"an unclosed section": func() {
 			w := BeginCheckpoint(nil, 0, 0, 0)
 			w.Section(nil)
 			w.Section(nil)
 			w.Buf = append(w.Buf, 1)
-			w.Seal(nil)
+			w.Seal(0, nil)
 		},
 		"an unknown fingerprint": func() { BeginCheckpoint(nil, 0, 9, 0) },
 	} {

@@ -71,7 +71,7 @@ func (c Checkpoint) Append(dst []byte) []byte {
 	w := BeginCheckpoint(dst, c.Gen, c.Engine, c.Seed)
 	w.Section(c.Machine)
 	w.Section(c.Nodes)
-	return w.Seal(c.Last)
+	return w.Seal(len(c.Last), func(id int) int64 { return c.Last[id] })
 }
 
 // CheckpointWriter assembles a sealed envelope in place, so that an engine
@@ -119,16 +119,17 @@ func (w *CheckpointWriter) EndSection() {
 	w.sections++
 }
 
-// Seal appends the value mirror and the CRC-32 trailer and returns the
-// extended slice. It panics unless exactly the machine and nodes sections
-// were written.
-func (w *CheckpointWriter) Seal(last []int64) []byte {
+// Seal appends the value mirror — value(id) for every id of [0, n), read
+// straight from an engine's column, whatever its width — and the CRC-32
+// trailer, and returns the extended slice. It panics unless exactly the
+// machine and nodes sections were written.
+func (w *CheckpointWriter) Seal(n int, value func(id int) int64) []byte {
 	if w.sections != 2 || w.mark != len(w.Buf) {
 		panic("wire: checkpoint envelope needs its machine and nodes sections, closed")
 	}
-	w.Buf = AppendUvarint(w.Buf, uint64(len(last)))
-	for _, v := range last {
-		w.Buf = AppendVarint(w.Buf, v)
+	w.Buf = AppendUvarint(w.Buf, uint64(n))
+	for id := 0; id < n; id++ {
+		w.Buf = AppendVarint(w.Buf, value(id))
 	}
 	return w.seal()
 }

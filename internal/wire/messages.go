@@ -249,34 +249,64 @@ type Observe struct {
 	Prev []int64
 }
 
-// Append encodes m after dst. A non-nil Prev must be as long as Vals;
-// Append panics otherwise.
+// Append encodes m after dst (AppendObserve). A non-nil Prev must be as
+// long as Vals; Append panics otherwise.
 func (m Observe) Append(dst []byte) []byte {
-	if m.Prev != nil && len(m.Prev) != len(m.Vals) {
+	return AppendObserve(dst, m.Step, m.Vals, m.Prev)
+}
+
+// Value is the entry type of a column an observation frame's values are
+// read from or coded against: a host's bank and a coordinator's mirror
+// keep int32 entries while every value they hold fits.
+type Value interface{ ~int32 | ~int64 }
+
+// AppendObserve appends the Observe frame of step whose values are vals,
+// each coded against prev's entry beside it (nil: zero), after dst: what
+// Observe.Append encodes, from columns of either width. A non-nil prev
+// must be as long as vals; AppendObserve panics otherwise.
+func AppendObserve[V, P Value](dst []byte, step int64, vals []V, prev []P) []byte {
+	if prev != nil && len(prev) != len(vals) {
 		panic("wire: Observe vals/prev length mismatch")
 	}
-	dst = append(dst, TypeObserve)
-	dst = AppendUvarint(dst, uint64(m.Step))
-	dst = AppendUvarint(dst, uint64(len(m.Vals)))
-	// The values go into space that holds them at their longest, so the
-	// stores need no capacity check of their own, where an append per byte
-	// makes one each. Where that space runs out, the values left are sized
-	// once, exactly, and a buffer that cannot hold them grows once to the
-	// frame's size: a fresh buffer is allocated once, and holds no room past
-	// the frame — a link keeps the buffer a frame was encoded in.
-	n, i := len(dst), 0
-	buf, k := dst[n:cap(dst)], 0
-	for ; i < len(m.Vals) && len(buf)-k >= maxUvarintLen; i++ {
-		k = putUvarint(buf, k, zigzag(m.Vals[i]-m.prev(i)))
+	return appendChanges(dst, TypeObserve, step, nil, vals, prev)
+}
+
+// AppendObserveDelta appends the ObserveDelta frame of step that gives
+// node ids[j] the value vals[j], coded against prev[ids[j]] (prev nil:
+// zero), after dst: what ObserveDelta.Append encodes, from columns of
+// either width. ids must be strictly increasing and non-negative, one
+// value each, and below len(prev) when prev is set; AppendObserveDelta
+// panics otherwise.
+func AppendObserveDelta[V, P Value](dst []byte, step int64, ids []int, vals []V, prev []P) []byte {
+	if len(ids) != len(vals) {
+		panic("wire: ObserveDelta ids/vals length mismatch")
 	}
-	if i == len(m.Vals) {
+	return appendChanges(dst, TypeObserveDelta, step, ids, vals, prev)
+}
+
+// appendChanges is the change-coding kernel of both observation frames:
+// the tag, the step and the count, then each value as its change from its
+// baseline — prev[j] in a dense frame, prev[ids[j]] behind the gap from the
+// id before in a sparse one (ids non-nil) — taken in int64 whatever the
+// columns' widths, so the frame's bytes do not depend on them.
+//
+// The changes go into space that holds them at their longest, so the
+// stores need no capacity check of their own, where an append per byte
+// makes one each. Where that space runs out, the changes left are sized
+// once, exactly, and a buffer that cannot hold them grows once to the
+// frame's size: a fresh buffer is allocated once, and holds no room past
+// the frame — a link keeps the buffer a frame was encoded in.
+func appendChanges[V, P Value](dst []byte, tag byte, step int64, ids []int, vals []V, prev []P) []byte {
+	dst = append(dst, tag)
+	dst = AppendUvarint(dst, uint64(step))
+	dst = AppendUvarint(dst, uint64(len(vals)))
+	n := len(dst)
+	buf := dst[n:cap(dst)]
+	j, k := putChanges(buf, 0, ids, vals, prev, 0, maxUvarintLen)
+	if j == len(vals) {
 		return dst[:n+k]
 	}
-	size := k
-	for j, v := range m.Vals[i:] {
-		size += SizeVarint(v - m.prev(i+j))
-	}
-	if size > len(buf) {
+	if size := k + sizeChanges(ids, vals, prev, j); size > len(buf) {
 		// One make and a copy, not slices.Grow: under -race its
 		// append(s, make(...)...) is compiled as written, two allocations
 		// where the plain build makes one.
@@ -284,10 +314,65 @@ func (m Observe) Append(dst []byte) []byte {
 		copy(grown, dst[:n+k])
 		dst, buf = grown[:n], grown[n:n+size]
 	}
-	for ; i < len(m.Vals); i++ {
-		k = putUvarint(buf, k, zigzag(m.Vals[i]-m.prev(i)))
-	}
+	_, k = putChanges(buf, k, ids, vals, prev, j, 0)
 	return dst[:n+k]
+}
+
+// putChanges stores changes j on at buf[k:], each while buf has room for
+// its varints at longest bytes each, and returns the change and the offset
+// it stopped at: with longest 0, buf must hold them all. It panics at an id
+// that is not above the one before.
+func putChanges[V, P Value](buf []byte, k int, ids []int, vals []V, prev []P, j, longest int) (int, int) {
+	if ids == nil {
+		for ; j < len(vals) && len(buf)-k >= longest; j++ {
+			c := int64(vals[j])
+			if prev != nil {
+				c -= int64(prev[j])
+			}
+			k = putUvarint(buf, k, zigzag(c))
+		}
+		return j, k
+	}
+	last := -1
+	if j > 0 {
+		last = ids[j-1]
+	}
+	for ; j < len(vals) && len(buf)-k >= 2*longest; j++ {
+		id := ids[j]
+		if id <= last {
+			panic("wire: ObserveDelta ids must be strictly increasing")
+		}
+		c := int64(vals[j])
+		if prev != nil {
+			c -= int64(prev[id])
+		}
+		k = putUvarint(buf, k, uint64(id-last-1))
+		k = putUvarint(buf, k, zigzag(c))
+		last = id
+	}
+	return j, k
+}
+
+// sizeChanges returns the bytes changes j on take, gaps included.
+func sizeChanges[V, P Value](ids []int, vals []V, prev []P, j int) int {
+	size, last := 0, -1
+	if ids != nil && j > 0 {
+		last = ids[j-1]
+	}
+	for ; j < len(vals); j++ {
+		at := j
+		if ids != nil {
+			at = ids[j]
+			size += SizeUvarint(uint64(at - last - 1))
+			last = at
+		}
+		c := int64(vals[j])
+		if prev != nil {
+			c -= int64(prev[at])
+		}
+		size += SizeVarint(c)
+	}
+	return size
 }
 
 // putUvarint stores the LEB128 encoding of u at buf[k:], which has room for
@@ -300,14 +385,6 @@ func putUvarint(buf []byte, k int, u uint64) int {
 	}
 	buf[k] = byte(u)
 	return k + 1
-}
-
-// prev returns value i's baseline.
-func (m Observe) prev(i int) int64 {
-	if m.Prev == nil {
-		return 0
-	}
-	return m.Prev[i]
 }
 
 // Decode decodes a full Observe frame into m, reusing m.Vals' capacity.
@@ -352,30 +429,11 @@ type ObserveDelta struct {
 	Prev []int64
 }
 
-// Append encodes m after dst. IDs must be strictly increasing and
-// non-negative, and below len(Prev) when Prev is set; Append panics
-// otherwise, matching the engines' input contract.
+// Append encodes m after dst (AppendObserveDelta). IDs must be strictly
+// increasing and non-negative, and below len(Prev) when Prev is set;
+// Append panics otherwise, matching the engines' input contract.
 func (m ObserveDelta) Append(dst []byte) []byte {
-	if len(m.IDs) != len(m.Vals) {
-		panic("wire: ObserveDelta ids/vals length mismatch")
-	}
-	dst = append(dst, TypeObserveDelta)
-	dst = AppendUvarint(dst, uint64(m.Step))
-	dst = AppendUvarint(dst, uint64(len(m.IDs)))
-	prev := -1
-	for j, id := range m.IDs {
-		if id <= prev {
-			panic("wire: ObserveDelta ids must be strictly increasing")
-		}
-		v := m.Vals[j]
-		if m.Prev != nil {
-			v -= m.Prev[id]
-		}
-		dst = AppendUvarint(dst, uint64(id-prev-1))
-		dst = AppendVarint(dst, v)
-		prev = id
-	}
-	return dst
+	return AppendObserveDelta(dst, m.Step, m.IDs, m.Vals, m.Prev)
 }
 
 // Decode decodes a full ObserveDelta frame into m, reusing slice capacity:

@@ -291,6 +291,14 @@ func TestApproxBoundsRoundTrip(t *testing.T) {
 	}
 }
 
+// baseline returns value i's baseline in m: Prev[i], or zero.
+func baseline(m Observe, i int) int64 {
+	if m.Prev == nil {
+		return 0
+	}
+	return m.Prev[i]
+}
+
 func TestObserveRoundTrip(t *testing.T) {
 	check := func(step uint32, vals, prev []int64) bool {
 		in := Observe{Step: int64(step), Vals: vals}
@@ -307,7 +315,7 @@ func TestObserveRoundTrip(t *testing.T) {
 		for i := range vals {
 			// Decode yields the change; the receiver adds its baseline back,
 			// with the wrap the subtraction took.
-			if out.Vals[i]+in.prev(i) != vals[i] {
+			if out.Vals[i]+baseline(in, i) != vals[i] {
 				return false
 			}
 		}
@@ -358,7 +366,7 @@ func TestObserveAppendSizesOnAMiss(t *testing.T) {
 		dst := append([]byte{TypeObserve}, AppendUvarint(nil, uint64(m.Step))...)
 		dst = AppendUvarint(dst, uint64(len(m.Vals)))
 		for i, v := range m.Vals {
-			dst = AppendVarint(dst, v-m.prev(i))
+			dst = AppendVarint(dst, v-baseline(m, i))
 		}
 		return dst
 	}

@@ -24,7 +24,8 @@ func liveHeap() uint64 {
 // widthArm is one of a footprint pin's two arms: the values a monitor is
 // fed — base plus a few hundred thousand, every one of them in int32 (the
 // narrow arm) or none of them (the wide arm, base 2³¹) — and the bytes a
-// node its bank's value column holds them in.
+// node a value column holds them in: a bank's, or a link-backed root's
+// mirror.
 type widthArm struct {
 	name   string
 	base   int64
@@ -162,11 +163,13 @@ func heldAfterFourSteps(t *testing.T, cfg func() Config, base int64) float64 {
 // The steady state of a link-backed monitor, per node: the hosts' banks
 // (the value column, 4 B narrow or 8 B wide, + membership bit + in-play
 // bit) with the machine's membership bit, and the coordinator's last-value
-// mirror, 8 B at either width; and a change-coded frame, a byte a value.
-const (
-	mirrorBytes = 8
-	changeBytes = 1
-)
+// mirror, a value column too (mirrorBytes); and a change-coded frame, a
+// byte a value.
+const changeBytes = 1
+
+// mirrorBytes is the root's last-value mirror's bytes a node on arm: as
+// wide as its values, 4 B narrow or 8 B wide, as a bank's column is.
+func mirrorBytes(arm widthArm) float64 { return arm.column }
 
 // bankBytes is a host bank's bytes a node whose value column holds column.
 func bankBytes(column float64) float64 { return column + 2.0/8 + 1.0/8 }
@@ -181,8 +184,9 @@ func bankBytes(column float64) float64 { return column + 2.0/8 + 1.0/8 }
 // step's frames are encoded into buffers of their own size, so what is
 // measured is the steady state: the banks, the mirror and the change-coded
 // frames in the one buffer each pipe cycles through, a host's answer
-// freeing the frame it answers, ≈ 13.4 B/node while every value fits int32
-// (the narrow arm) and ≈ 17.4 once none does (the wide arm, from 2³¹); and
+// freeing the frame it answers, ≈ 9.5 B/node while every value fits int32
+// (the narrow arm: bank column and mirror 4 B each) and ≈ 17.5 once none
+// does (the wide arm, from 2³¹: 8 B each); and
 // what does not grow with n — the hosts' goroutines, the pipes' channels,
 // what k sizes — under 13 KiB. A host applies a frame from the buffer it arrived in, and the
 // coordinator writes it there, so nothing else grows with n: the budget
@@ -199,7 +203,7 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 		fixed    = 13 << 10 // bytes: what does not grow with n
 	)
 	for _, arm := range widthArms {
-		perNode := bankBytes(arm.column) + mirrorBytes + changeBytes + rounding
+		perNode := bankBytes(arm.column) + mirrorBytes(arm) + changeBytes + rounding
 		for _, n := range []int{1 << 12, 1 << 18} {
 			held := heldAfterFourSteps(t, func() Config { return Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)} }, arm.base)
 			budget := fixed + perNode*float64(n)
@@ -218,9 +222,10 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 // held once at every link it crosses, in the buffer that link carries it
 // in: the root encodes into the buffer each root-to-relay pipe cycles
 // through (one frame in all), and each relay writes its shares into the
-// buffer each relay-to-leaf pipe cycles through (one): 2 frames, ≈ 14.7
-// B/node while every value fits int32 (the narrow arm) and ≈ 18.7 once
-// none does (the wide arm); and what does not grow with n — seven
+// buffer each relay-to-leaf pipe cycles through (one): 2 frames, ≈ 10.7
+// B/node while every value fits int32 (the narrow arm, the mirror 4 B) and
+// ≈ 18.7 once none does (the wide arm, the mirror 8 B); and what does not
+// grow with n — seven
 // goroutines, six pipes' channels, the relays' state, what k sizes — under
 // 38 KiB. An encode
 // buffer at the root (half a frame) and arenas at the relays (one) that
@@ -236,7 +241,7 @@ func TestTreeFootprintPerNode(t *testing.T) {
 		fixed    = 38 << 10 // bytes: what does not grow with n
 	)
 	for _, arm := range widthArms {
-		perNode := bankBytes(arm.column) + mirrorBytes + frames*changeBytes + rounding
+		perNode := bankBytes(arm.column) + mirrorBytes(arm) + frames*changeBytes + rounding
 		for _, n := range []int{1 << 12, 1 << 18} {
 			held := heldAfterFourSteps(t, func() Config { return Config{Nodes: n, K: k, Seed: 1, Tree: Tree{Branch: 2, Depth: 2}} }, arm.base)
 			budget := fixed + perNode*float64(n)
@@ -695,12 +700,14 @@ func TestCheckpointChainFootprint(t *testing.T) {
 // anyway: beyond what New allocates, the bank's value column — which a
 // fresh monitor allocates at its first observation, and Restore at the
 // width the frame's values need, int32 here — and the frame's own bytes
-// (the store hands out a copy) it needs a few bytes a node — the filter
-// set built from the frame — not a decoded copy of the bank, nor a key
-// column derived from it for the filter check. The v1 path decoded nine
-// n-long slices first, some 70 B/node.
+// (the store hands out a copy) it needs under half a byte a node: the
+// filter check reads the bank's own membership bitset and bounds. A
+// filter set built from the frame for the check (a bool a node and the
+// member list, 1 B/node) does not fit, nor a decoded copy of the bank, nor
+// a key column derived from it. The v1 path decoded nine n-long slices
+// first, some 70 B/node.
 func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
-	const n, k, slack = 1 << 16, 16, 4.0
+	const n, k, slack = 1 << 16, 16, 0.5
 	const column = 4.0 // bytes a node: the bank's int32 column
 	totalAlloc := func(f func()) float64 {
 		var before, after runtime.MemStats
@@ -748,7 +755,7 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 	})
 	back.Close()
 	extra := (restore-build-float64(len(frame)))/n - column
-	t.Logf("n=%d: New allocates %.1f B/node, Restore %.1f B/node more on top of the %.1f B/node frame and the %.0f B/node column",
+	t.Logf("n=%d: New allocates %.1f B/node, Restore %.2f B/node more on top of the %.1f B/node frame and the %.0f B/node column",
 		n, build/n, extra, float64(len(frame))/n, column)
 	if extra > slack {
 		t.Fatalf("Restore allocates %.1f B/node beyond New and the frame, budget %v", extra, slack)
