@@ -17,13 +17,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/fanout"
 	"repro/internal/filter"
-	"repro/internal/netrun"
 	"repro/internal/order"
 	"repro/internal/peerlinks"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/runtime"
-	"repro/internal/shardrun"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -83,7 +81,7 @@ func BenchmarkMonitorStep(b *testing.B) {
 // leaf must allocate nothing.
 func BenchmarkLeafDenseObserve(b *testing.B) {
 	const n = 1 << 16
-	link := fanout.Loopback(netrun.Serve)
+	link := fanout.Loopback(fanout.Serve)
 	defer link.Close()
 	exchange := func(frame []byte) {
 		if err := link.Send(frame); err != nil {
@@ -328,9 +326,9 @@ func BenchmarkShardOverhead(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					execs.Store(0)
 					links := fanout.Loopbacks(shards, func(l transport.Link) error {
-						return shardrun.ServeShard(resetExecCounter{l, &execs})
+						return fanout.Serve(resetExecCounter{l, &execs})
 					})
-					eng, err := shardrun.New(shardrun.Config{N: n, K: 8, Seed: 7}, links)
+					eng, err := fanout.New(fanout.Config{N: n, K: 8, Seed: 7}, links)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -377,7 +375,7 @@ func (l resetExecCounter) Recv() ([]byte, error) {
 // with in-process Serve goroutines on the dialing side, mirroring the
 // topkmon -serve/-join topology. The cleanup closes the engine, the
 // listener and the serve loops.
-func tcpNetEngine(b *testing.B, cfg netrun.Config, peers int) *netrun.Engine {
+func tcpNetEngine(b *testing.B, cfg fanout.Config, peers int) *fanout.Engine {
 	b.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ln, err := transport.Listen(ctx, "127.0.0.1:0")
@@ -391,7 +389,7 @@ func tcpNetEngine(b *testing.B, cfg netrun.Config, peers int) *netrun.Engine {
 			if err != nil {
 				return
 			}
-			_ = netrun.Serve(link)
+			_ = fanout.Serve(link)
 		}()
 	}
 	links, err := ln.AcceptN(peers)
@@ -399,7 +397,7 @@ func tcpNetEngine(b *testing.B, cfg netrun.Config, peers int) *netrun.Engine {
 		cancel()
 		b.Fatal(err)
 	}
-	eng, err := netrun.New(cfg, links)
+	eng, err := fanout.New(cfg, links)
 	if err != nil {
 		cancel()
 		b.Fatal(err)
@@ -429,13 +427,13 @@ func BenchmarkNetStepLatency(b *testing.B) {
 	for _, tr := range []string{"pipe", "tcp"} {
 		for _, peers := range []int{1, 4, 8, 16} {
 			b.Run(bench.F("%s/peers=%d", tr, peers), func(b *testing.B) {
-				cfg := netrun.Config{N: n, K: k, Seed: 7}
-				var eng *netrun.Engine
+				cfg := fanout.Config{N: n, K: k, Seed: 7}
+				var eng *fanout.Engine
 				if tr == "tcp" {
 					eng = tcpNetEngine(b, cfg, peers)
 				} else {
 					var err error
-					eng, err = netrun.New(cfg, netrun.LoopbackLinks(peers))
+					eng, err = fanout.New(cfg, fanout.Loopbacks(peers, fanout.Serve))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -474,7 +472,7 @@ func BenchmarkShardParallel(b *testing.B) {
 	const n, k = 1024, 8
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(bench.F("S=%d", shards), func(b *testing.B) {
-			eng, err := shardrun.NewLoopbackTree(shardrun.Config{N: n, K: k, Seed: 7}, shards, 1)
+			eng, err := fanout.NewLoopbackTree(fanout.Config{N: n, K: k, Seed: 7}, shards, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -515,11 +513,11 @@ func BenchmarkTreeFanIn(b *testing.B) {
 	const eps = 0.05
 	for _, branch := range []int{2, 4, 8} {
 		for _, depth := range []int{1, 2, 3} {
-			leaves, err := shardrun.Tree{Branch: branch, Depth: depth}.Leaves()
+			leaves, err := fanout.Tree{Branch: branch, Depth: depth}.Leaves()
 			if err != nil || leaves > n {
 				continue
 			}
-			run := func(name string, mk func() (*shardrun.Engine, error), links int) {
+			run := func(name string, mk func() (*fanout.Engine, error), links int) {
 				b.Run(bench.F("b=%d/d=%d/%s", branch, depth, name), func(b *testing.B) {
 					vals := make([]int64, n)
 					var frames, obytes int64
@@ -550,12 +548,12 @@ func BenchmarkTreeFanIn(b *testing.B) {
 					b.ReportMetric(float64(obytes)/steps, "root-B/step")
 				})
 			}
-			cfg := shardrun.Config{N: n, K: k, Seed: 7, Epsilon: eps}
-			run("tree", func() (*shardrun.Engine, error) {
-				return shardrun.NewLoopbackTree(cfg, branch, depth)
+			cfg := fanout.Config{N: n, K: k, Seed: 7, Epsilon: eps}
+			run("tree", func() (*fanout.Engine, error) {
+				return fanout.NewLoopbackTree(cfg, branch, depth)
 			}, branch)
-			run("flat", func() (*shardrun.Engine, error) {
-				return shardrun.NewLoopbackTree(cfg, leaves, 1)
+			run("flat", func() (*fanout.Engine, error) {
+				return fanout.NewLoopbackTree(cfg, leaves, 1)
 			}, leaves)
 		}
 	}
@@ -609,8 +607,8 @@ func BenchmarkRecovery(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				links := netrun.LoopbackLinks(peers)
-				eng, err := netrun.New(netrun.Config{N: n, K: k, Seed: 7}, links)
+				links := fanout.Loopbacks(peers, fanout.Serve)
+				eng, err := fanout.New(fanout.Config{N: n, K: k, Seed: 7}, links)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -669,7 +667,7 @@ func newTCPTopkTransport(b *testing.B, peers int) topk.Transport {
 		go func() {
 			link, err := transport.Dial(ctx, ln.Addr())
 			if err == nil {
-				_ = netrun.Serve(link)
+				_ = fanout.Serve(link)
 			}
 		}()
 	}

@@ -35,7 +35,7 @@
 // The protocol has a real wire format (internal/wire: a compact varint
 // codec with one canonical encoding per message) and a transport layer
 // (internal/transport: in-process loopback pipes and length-prefixed
-// TCP). The networked engine, internal/netrun, drives Algorithm 1 over those
+// TCP). The link engine, internal/fanout, drives Algorithm 1 over those
 // links so a monitor can span processes — a topk.Monitor over a Transport
 // with topk.ServeNodes on the far end of every link, which is all that
 // cmd/topkmon's -serve and -join modes are — while staying message-count- and byte-identical to the in-process
@@ -48,7 +48,7 @@
 // framed volume that actually crossed each link. DESIGN.md documents the
 // split.
 //
-// The networked and sharded engines pipeline their I/O: links buffer
+// The link engine pipelines its I/O: links buffer
 // writes behind an explicit Flush, exchanges fan out to every peer before
 // the replies are gathered, and ack-only commands coalesce into
 // wire.Batch envelopes — so step latency follows the slowest peer rather
@@ -65,9 +65,9 @@
 // and execute its effects over their own substrate (direct calls in
 // internal/core, its range sweeps optionally spread over internal/runtime's
 // shard goroutines, wire frames
-// in internal/netrun and internal/shardrun — the last two being one
-// engine, internal/fanout, whose root replays the bid logs its links
-// answer each protocol execution with).
+// in internal/fanout, the one link engine, whose root replays the bid logs
+// its links answer each protocol execution with, over node hosts or over a
+// coordinator tree).
 // The fourth engine shards the coordinator itself — topk.Config.Tree or
 // topkmon -tree b^d. At depth 1 it splits the node space across a star of
 // b leaf shards, bit-identical to the sequential engine at any b, with the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -600,6 +601,130 @@ func TestTestHelpersStayInTests(t *testing.T) {
 	}
 	if files < 100 {
 		t.Fatalf("walked only %d non-test Go files", files)
+	}
+}
+
+// TestStrategyPackagesOnlyForward keeps internal/netrun and
+// internal/shardrun what is left of them now that the link engine is one,
+// internal/fanout's: forwarders for the names the benchmark harness
+// imports, until it reaches hosts and trees through topk and the two
+// packages go. Every non-test declaration there must be an alias of a
+// fanout type or a function whose body is one return of a fanout call,
+// every name they export one a benchmark/*.go file uses, and no non-test
+// file outside benchmark/ may import either package.
+func TestStrategyPackagesOnlyForward(t *testing.T) {
+	forwarders := map[string]string{"repro/internal/netrun": "netrun", "repro/internal/shardrun": "shardrun"}
+	used := map[string]bool{} // "netrun.Serve", …, as benchmark/*.go selects them
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || forwarders["repro/"+dir] != "" {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		local := map[string]string{} // the file's name for each forwarding package
+		for _, imp := range f.Imports {
+			base := forwarders[strings.Trim(imp.Path.Value, `"`)]
+			if base == "" {
+				continue
+			}
+			if dir != "benchmark" {
+				t.Errorf("%s imports %s; only the benchmark harness may, and it reaches fanout through it", path, imp.Path.Value)
+			}
+			name := base
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = base
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && local[id.Name] != "" {
+					used[local[id.Name]+"."+sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !used["netrun.Serve"] {
+		t.Fatalf("benchmark/*.go uses %v of the forwarding packages; it used netrun.Serve", used)
+	}
+	// fromFanout reports whether e is fanout.Name.
+	fromFanout := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == "fanout"
+	}
+	for path, base := range forwarders {
+		files, err := filepath.Glob(filepath.Join(strings.TrimPrefix(path, "repro/"), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decls := 0
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(name string, forwards bool) {
+				decls++
+				switch {
+				case !forwards:
+					t.Errorf("%s: %s is not a forwarder to fanout", file, name)
+				case !used[base+"."+name]:
+					t.Errorf("%s: %s.%s is used by no benchmark/*.go file", file, base, name)
+				}
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.ImportSpec:
+						case *ast.TypeSpec:
+							check(sp.Name.Name, sp.Assign.IsValid() && fromFanout(sp.Type))
+						case *ast.ValueSpec:
+							check(sp.Names[0].Name, false)
+						}
+					}
+				case *ast.FuncDecl:
+					forwards := d.Recv == nil && d.Body != nil && len(d.Body.List) == 1
+					if forwards {
+						ret, ok := d.Body.List[0].(*ast.ReturnStmt)
+						forwards = ok && len(ret.Results) == 1
+						if forwards {
+							call, ok := ret.Results[0].(*ast.CallExpr)
+							forwards = ok && fromFanout(call.Fun)
+						}
+					}
+					check(d.Name.Name, forwards)
+				}
+			}
+		}
+		if decls == 0 {
+			t.Errorf("%s: no declarations parsed", path)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // transport frame an engine emits must be visible to a comm ledger —
 // either charged directly next to the send (the link fan's ledger,
 // RecordSized beside link.SendLent in fanout.Fan.ship — a root's link
-// ledger, an interior relay's per-level counter) or emitted from a charged
+// ledger, a relay's per-level counter) or emitted from a charged
 // context: a function that drives the coord package, whose Machine/Nodes
 // own the model ledger and have already charged the message the frame
 // carries.
@@ -20,11 +20,13 @@ import (
 // lent-buffer send every frame of the fan-out core goes out through) must
 // live in a function that — directly or through same-package helpers it
 // calls — charges a comm ledger (RecordSized, the one method of
-// comm.Recorder) or calls into the coord package. The serve loops qualify through their
-// respond helpers, which drive the node banks (the leaf server) or replay
-// their children's bid logs under the coord package's tag order (the
-// interior, whose child-facing frames the fan charges); a function that
-// reaches neither is emitting bytes no ledger can see.
+// comm.Recorder) or calls into the coord package. The serve loop
+// qualifies through its respond helper, which drives the node bank (a
+// leaf) or replays its children's bid logs under the coord package's tag
+// order (a relay, whose child-facing frames the fan charges); it
+// dispatches to the two by concrete type, which is what lets this check
+// follow it. A function that reaches neither is emitting bytes no ledger
+// can see.
 //
 // transport.Flush is deliberately not checked: it releases bytes a
 // checked Send already buffered and never introduces new payload.

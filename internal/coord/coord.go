@@ -12,10 +12,9 @@
 //     nodes (protocol executions as protocol.Exec's round loop over it);
 //     its three effects that sweep a node range can instead be fanned out,
 //     as batched commands, to internal/runtime's shard goroutines,
-//   - internal/netrun encodes them as internal/wire frames on
-//     transport.Links,
-//   - internal/shardrun carries them through a tree of relays to leaf
-//     shards, each relay answering an execution with the bid log one host
+//   - internal/fanout encodes them as internal/wire frames on
+//     transport.Links, to node hosts or through a tree of relays to leaf
+//     hosts, each relay answering an execution with the bid log one host
 //     of its subtree would write.
 //
 // The Machine owns the message ledger: it charges the midpoint broadcasts

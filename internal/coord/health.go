@@ -2,11 +2,10 @@ package coord
 
 import "fmt"
 
-// Failover observability types, shared by both networked engines
-// (internal/netrun, internal/shardrun) and mirrored by the public topk
-// API. They are pure data: the coord package defines them so the two
-// engines and their adapters agree on vocabulary without importing each
-// other.
+// Failover observability types, reported by the link engine
+// (internal/fanout) and mirrored by the public topk API. They are pure
+// data: the coord package defines them so the engine and its adapters
+// agree on vocabulary without importing each other.
 
 // EventKind classifies a failover event.
 type EventKind uint8

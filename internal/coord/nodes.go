@@ -18,8 +18,9 @@ import (
 // n-node monitor: the sans-I/O dual of Machine, and the only node side
 // there is. Every substrate hosts its nodes in one — the sequential engine
 // of internal/core (all n of them), the shard goroutines of
-// internal/runtime, the peer processes of internal/netrun, the shard
-// sub-coordinators of internal/shardrun — one Nodes per hosted range, and
+// internal/runtime, the leaves of internal/fanout's link engine, node
+// hosts behind links or under a tree of relays — one Nodes per hosted
+// range, and
 // translates its substrate's commands into the methods below.
 //
 // The per-node state of the paper's node model — current value, membership
@@ -475,7 +476,7 @@ func holds(inst filter.Bounds, inTop bool, key order.Key) bool {
 // node-local filter check, and reports whether the node violated as a
 // former top-k member (topViol) or as an outsider (outViol). A value
 // outside the value domain (Encode) is rejected before any state changes.
-// Hosts that face a wire (internal/netrun, internal/shardrun) surface the
+// Hosts that face a wire (internal/fanout's leaves) surface the
 // error instead of panicking. It is the sparse entry point, one call per
 // touched node; a dense run goes through ObserveDense or ObserveStream and
 // reaches it only for the values that do not pass quietly.

@@ -14,11 +14,10 @@ import (
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/filter"
-	"repro/internal/netrun"
 	"repro/internal/order"
 	"repro/internal/runtime"
-	"repro/internal/shardrun"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -117,19 +116,19 @@ func shapes(t *testing.T, cfg coord.RefConfig) map[string]subject {
 	if cfg.Ordered {
 		return out
 	}
-	nc := netrun.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
+	nc := fanout.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
 	for _, peers := range []int{1, 2, 4} {
-		out[fmt.Sprintf("net/%d", peers)] = overLinks(t, netrun.LoopbackLinks(peers), func(l []transport.Link) (*netrun.Engine, error) { return netrun.New(nc, l) })
+		out[fmt.Sprintf("net/%d", peers)] = overLinks(t, fanout.Loopbacks(peers, fanout.Serve), func(l []transport.Link) (*fanout.Engine, error) { return fanout.New(nc, l) })
 	}
-	sc := shardrun.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
+	sc := fanout.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
 	for _, s := range []int{1, 2, 4, 8} {
-		out[fmt.Sprintf("star/%d", s)] = overLinks(t, shardrun.LoopbackLinks(s), func(l []transport.Link) (*shardrun.Engine, error) { return shardrun.New(sc, l) })
+		out[fmt.Sprintf("star/%d", s)] = overLinks(t, fanout.Loopbacks(s, fanout.Serve), func(l []transport.Link) (*fanout.Engine, error) { return fanout.New(sc, l) })
 	}
 	for _, depth := range []int{2, 3} {
 		tc := sc
-		tc.Tree = shardrun.Tree{Branch: 2, Depth: depth}
-		links := []transport.Link{shardrun.LoopbackSubtree(2, depth), shardrun.LoopbackSubtree(2, depth)}
-		out[fmt.Sprintf("tree/2^%d", depth)] = overLinks(t, links, func(l []transport.Link) (*shardrun.Engine, error) { return shardrun.New(tc, l) })
+		tc.Tree = fanout.Tree{Branch: 2, Depth: depth}
+		links := []transport.Link{fanout.LoopbackSubtree(2, depth), fanout.LoopbackSubtree(2, depth)}
+		out[fmt.Sprintf("tree/2^%d", depth)] = overLinks(t, links, func(l []transport.Link) (*fanout.Engine, error) { return fanout.New(tc, l) })
 	}
 	return out
 }

@@ -188,9 +188,9 @@ type peer struct {
 // one-frame-out, one-frame-back discipline, the ledger that prices every
 // sub-frame crossing the links, the Assign/Ready handshake, the uncharged
 // StatsPoll sweep and Shutdown. Engine (a root: Algorithm 1's machine,
-// failover, checkpoints) and shardrun's interior relay (one frame from a
-// parent in, one folded reply out) are both built on it, which is what
-// makes a subtree indistinguishable from a wider leaf on the wire.
+// failover, checkpoints) and the relay (one frame from a parent in, one
+// folded reply out) are both built on it, which is what makes a subtree
+// indistinguishable from a wider leaf on the wire.
 //
 // The one thing a user passes in is its response to a link failure: every
 // send, receive or framing error on peer pi is reported through fail, whose
@@ -204,9 +204,9 @@ type Fan struct {
 	stats wire.TreeStats // decode scratch for stats polls
 }
 
-// NewFan returns a fan over the given links, with no ranges assigned yet
+// newFan returns a fan over the given links, with no ranges assigned yet
 // (see Assign) and gathers that drain the links directly.
-func NewFan(links []transport.Link, fail func(pi int, op string, err error) error) *Fan {
+func newFan(links []transport.Link, fail func(pi int, op string, err error) error) *Fan {
 	f := &Fan{fail: fail}
 	for _, link := range links {
 		f.peers = append(f.peers, newPeer(link, 0, 0))

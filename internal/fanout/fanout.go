@@ -1,5 +1,9 @@
-// Package fanout is the coordinator side of every link-backed substrate,
-// in two layers.
+// Package fanout is the link engine: Algorithm 1's coordinator over
+// links to the processes that host the monitored nodes, both ends of those
+// links, and the coordinator tree between them — the tree of the
+// domain-monitoring follow-up (Bemmann et al., arXiv:1706.03568) with the
+// pruned logs of the distributed top-k data structure of Biermeier et al.
+// (arXiv:1709.07259).
 //
 // Fan is the link fan: one transport.Link per peer, each peer hosting a
 // contiguous range of the monitored nodes (directly, or as the root of a
@@ -10,19 +14,23 @@
 // the Assign/Ready handshake, the uncharged StatsPoll sweep, Shutdown — and
 // is told one thing by its user: what a link failure means.
 //
-// Engine is a root: Algorithm 1 driven over a Fan, where everything the
+// Engine is the root: Algorithm 1 driven over a Fan, where everything the
 // coordinator learns arrives in wire-encoded frames, plus what only a root
 // has — the last-value mirror, failover and Join, checkpoints. Its answer
-// to a link failure is to mark the peer dead and schedule recovery.
-// internal/netrun and internal/shardrun are its two instantiations; they
-// differ in exactly one thing, how a protocol execution is carried to the
-// peers (Exec). The other user of Fan is shardrun's interior relay, a
-// coordinator that is itself a peer: one frame from its parent in, the
-// children's folded answer out, and a link failure ends it.
+// to a link failure is to mark the peer dead and schedule recovery. Its
+// links lead to a flat set of node hosts (topk.Transport, topkmon -engine
+// net) or, with Config.Tree, to the subtrees of a coordinator tree
+// (topk.Config.Tree, topkmon -tree); the engine is the same either way,
+// and so are its reports and its algorithm ledger, which equal the
+// sequential engine's bit for bit.
 //
-// The serving side is here too: Serve is the one leaf server, ServeLoop the
-// receive loop it shares with the relay, Frames the arena both build their
-// one reply frame from.
+// The serving side is one serve loop in two roles: Serve, the leaf, a node
+// host answering each protocol execution with its bid log (LogRound), and
+// ServeRelay, a relay — itself a Fan over its children — answering with the
+// log one host of its subtree would write (exchange.go has the bid-log
+// exchange, all three parts of it). The relay's answer to a link failure is
+// to end, which its parent sees as the loss of the subtree. Frames is the
+// arena every reply and command frame is built in.
 //
 // # Relation to the other engines
 //
@@ -32,12 +40,12 @@
 //
 //	coord effect              frames
 //	(observation step)        wire.Observe / wire.ObserveDelta
-//	EffExec                   wire.Round, as the Exec strategy decides
+//	EffExec                   wire.Round, one per execution (exchange.go)
 //	EffResetBegin             wire.ResetBegin
 //	EffWinner                 wire.Winner
 //	EffMidpoint               wire.Midpoint
 //	EffBounds (ε mode)        wire.ApproxBounds
-//	(reply to any command)    wire.Reply, or the strategy's Round answer
+//	(reply to any command)    wire.Reply, or a Round's wire.BidLog
 //
 // Every transport frame is answered by exactly one transport frame, so a
 // link never carries more than one outstanding exchange, and replies are
@@ -96,10 +104,9 @@
 //     sub-frame by sub-frame — the batch envelope itself is transport
 //     framing, visible in TransportStats — so the ledger counts what a
 //     strict one-command-one-round-trip cycle would put on the links, and
-//     the coalescing shows as TransportStats frames below it. The sharded
-//     engine surfaces it as the price of splitting the coordinator; the
-//     networked engine, whose link traffic is the protocol itself, keeps
-//     it internal.
+//     the coalescing shows as TransportStats frames below it. topk surfaces
+//     it for a tree monitor, as the price of splitting the coordinator, and
+//     not for a networked one, whose link traffic is the protocol itself.
 //
 // # Failure and recovery
 //
@@ -168,14 +175,18 @@ type Config struct {
 	// engine's own goroutine. The callback must not call back into the
 	// engine.
 	OnEvent func(coord.Event)
+	// Tree declares the links to be subtree roots of a coordinator tree
+	// (see Tree): New then requires exactly Tree.Branch links and at least
+	// Tree.Branch^Tree.Depth nodes. The zero value is a flat peer set.
+	Tree Tree
 }
 
-// Exec is the one thing a substrate decides, fixed at construction: how
-// the machine's EffExec — one protocol execution over all nodes — is
-// carried to the peers. It carries out one execution through Engine.Round
-// exchanges and returns its winners, best first (a view valid until the
-// strategy's next call), having charged the execution's model messages to
-// Engine.Recorder(eff.Phase).
+// Exec carries the machine's EffExec — one protocol execution over all
+// nodes — to the peers: it runs the execution through Engine.Round
+// exchanges and returns its winners, best first (a view valid until its
+// next call), having charged the execution's model messages to
+// Engine.Recorder(eff.Phase). New's is the bid-log exchange (execRounds);
+// NewWith takes another, for a test to hold that one to.
 type Exec func(e *Engine, eff coord.Effect) ([]protocol.Winner, error)
 
 // Engine is the coordinator of a link-backed monitor. It satisfies
@@ -209,11 +220,16 @@ type Engine struct {
 // New performs the Assign/Ready handshake over the given links — peer i
 // hosts the i-th contiguous node range (see Split) — and returns the
 // coordinator. It requires 1 <= len(links) <= N so every peer hosts at
-// least one node. Callers must Close the engine to release the peers. On
-// a bad configuration or a handshake error New closes every link before
-// returning: a half-handshaken link is in an indeterminate protocol state
-// and cannot be reused.
-func New(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
+// least one node, and a link count cfg.Tree fits. Callers must Close the
+// engine to release the peers. On a bad configuration or a handshake error
+// New closes every link before returning: a half-handshaken link is in an
+// indeterminate protocol state and cannot be reused.
+func New(cfg Config, links []transport.Link) (*Engine, error) {
+	return NewWith(cfg, links, execRounds())
+}
+
+// NewWith is New with the executions carried by exec.
+func NewWith(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 	tol, err := order.NewTol(cfg.Epsilon)
 	switch {
 	case cfg.N <= 0:
@@ -222,6 +238,9 @@ func New(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 		err = fmt.Errorf("need 1 <= K <= N, got K=%d N=%d", cfg.K, cfg.N)
 	case len(links) == 0 || len(links) > cfg.N:
 		err = fmt.Errorf("need 1 <= peers <= N, got %d peers for N=%d", len(links), cfg.N)
+	}
+	if err == nil {
+		err = cfg.checkTree(len(links))
 	}
 	if err != nil {
 		closeAll(links)
@@ -234,7 +253,7 @@ func New(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 		last: coord.NewColumn(cfg.N),
 		rrng: rng.New(cfg.Seed, 0xbacc),
 	}
-	e.fan = NewFan(links, e.fail)
+	e.fan = newFan(links, e.fail)
 	// A failed handshake fails New; it is not a failover event. The range
 	// layout does not affect reports or ledgers, only which link carries
 	// which frames.
@@ -267,14 +286,13 @@ func closeAll(links []transport.Link) {
 	}
 }
 
-// Loopback builds one in-process server behind a pipe — serve is a leaf
-// Serve instantiation or an interior relay — and returns the coordinator
-// end: the loopback analogue of one remote peer dialing in, usable as a
-// New link, a Config.Redial factory or a Join argument. A server exits
-// cleanly when its link closes; on a server error it closes its link,
-// which the coordinator observes as a dead peer and handles through the
-// regular failover path — a hostile or buggy frame cannot panic the
-// process.
+// Loopback builds one in-process server behind a pipe — serve is Serve or
+// a ServeRelay over its children — and returns the coordinator end: the
+// loopback analogue of one remote peer dialing in, usable as a New link, a
+// Config.Redial factory or a Join argument. A server exits cleanly when
+// its link closes; on a server error it closes its link, which the
+// coordinator observes as a dead peer and handles through the regular
+// failover path — a hostile or buggy frame cannot panic the process.
 func Loopback(serve func(transport.Link) error) transport.Link {
 	coordEnd, serveEnd := transport.Pipe()
 	go func() {

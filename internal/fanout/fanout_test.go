@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/coord"
 	"repro/internal/fanout"
-	"repro/internal/netrun"
-	"repro/internal/shardrun"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -36,47 +33,31 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-// linkEngine is the surface both instantiations of the core share.
-type linkEngine interface {
-	Observe(vals []int64) []int
-	TransportStats() transport.LinkStats
-	Health() coord.Health
-	Err() error
-	Close()
-}
-
 // TestDeadLinkKeepsTransportStats pins that recovery retires a dead
 // link's traffic instead of forgetting it: TransportStats must be
-// monotone through a peer's death and its merge or redial, on both
-// link-backed engines (the labels are from when the shard engine delegated
-// its executions). (Summing only the current links made the dead peer's
-// frames vanish: SentFrames 11552 → 8785 in the scenario that showed it.)
+// monotone through a peer's death and its merge or redial, over a flat
+// peer set and over the star of the same leaves (the labels are from when
+// the star delegated its executions). (Summing only the current links made
+// the dead peer's frames vanish: SentFrames 11552 → 8785 in the scenario
+// that showed it.)
 func TestDeadLinkKeepsTransportStats(t *testing.T) {
 	const n, k, seed, peers = 24, 3, 7, 4
-	strategies := []struct {
-		name  string
-		links func(int) []transport.Link
-		link  func() transport.Link
-		build func(redial func() (transport.Link, error), links []transport.Link) (linkEngine, error)
+	shapes := []struct {
+		name string
+		tree fanout.Tree
 	}{
-		{"rounds", netrun.LoopbackLinks, netrun.LoopbackLink,
-			func(redial func() (transport.Link, error), links []transport.Link) (linkEngine, error) {
-				return netrun.New(netrun.Config{N: n, K: k, Seed: seed, Redial: redial}, links)
-			}},
-		{"delegated", shardrun.LoopbackLinks, shardrun.LoopbackLink,
-			func(redial func() (transport.Link, error), links []transport.Link) (linkEngine, error) {
-				return shardrun.New(shardrun.Config{N: n, K: k, Seed: seed, Redial: redial}, links)
-			}},
+		{"rounds", fanout.Tree{}},
+		{"delegated", fanout.Tree{Branch: peers, Depth: 1}},
 	}
-	for _, st := range strategies {
+	for _, sh := range shapes {
 		for _, variant := range []string{"merge", "redial"} {
-			t.Run(st.name+"/"+variant, func(t *testing.T) {
-				var redial func() (transport.Link, error)
+			t.Run(sh.name+"/"+variant, func(t *testing.T) {
+				cfg := fanout.Config{N: n, K: k, Seed: seed, Tree: sh.tree}
 				if variant == "redial" {
-					redial = func() (transport.Link, error) { return st.link(), nil }
+					cfg.Redial = func() (transport.Link, error) { return fanout.Loopback(fanout.Serve), nil }
 				}
-				links := st.links(peers)
-				e, err := st.build(redial, links)
+				links := fanout.Loopbacks(peers, fanout.Serve)
+				e, err := fanout.New(cfg, links)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -35,13 +35,13 @@ const (
 // chaosEngine builds a loopback engine whose victim link is wrapped in the
 // given fault plan, redialing fresh leaves if redial is set.
 func (sh Shape) chaosEngine(redial bool, victim int, plan transport.FaultPlan) (*fanout.Engine, error) {
-	links := fanout.Loopbacks(ChaosLinks, sh.Serve)
+	links := fanout.Loopbacks(ChaosLinks, fanout.Serve)
 	links[victim] = transport.NewFaulty(links[victim], plan)
 	cfg := fanout.Config{N: ChaosN, K: ChaosK, Seed: 5}
 	if redial {
-		cfg.Redial = sh.redial
+		cfg.Redial = loopbackLeaf
 	}
-	return sh.New(cfg, links)
+	return fanout.New(cfg, links)
 }
 
 // killedAtRandom is chaosEngine with a kill at a random operation in
@@ -262,7 +262,7 @@ func ChaosReadersExit(t *testing.T, sh Shape) {
 			}
 			RunChaos(t, e, 30)
 			if trial%2 == 1 {
-				_ = e.Join(fanout.Loopback(sh.Serve)) // a terminal engine refuses and closes the link
+				_ = e.Join(fanout.Loopback(fanout.Serve)) // a terminal engine refuses and closes the link
 			}
 			RunChaos(t, e, 30)
 			e.Close()
@@ -292,7 +292,7 @@ func JoinMidStream(t *testing.T, sh Shape) {
 			Driven(s, vals)
 			e.Observe(vals)
 		}
-		if err := e.Join(fanout.Loopback(sh.Serve)); err != nil {
+		if err := e.Join(fanout.Loopback(fanout.Serve)); err != nil {
 			t.Fatalf("Join: %v", err)
 		}
 		h := e.Health()
@@ -356,8 +356,8 @@ func DeadLinkRecoversByMerge(t *testing.T, sh Shape) {
 	EachGather(t, func(t *testing.T) {
 		const n, k, seed = 12, 3, 7
 		var events []coord.Event
-		links := fanout.Loopbacks(3, sh.Serve)
-		e, err := sh.New(fanout.Config{
+		links := fanout.Loopbacks(3, fanout.Serve)
+		e, err := fanout.New(fanout.Config{
 			N: n, K: k, Seed: seed,
 			OnEvent: func(ev coord.Event) { events = append(events, ev) },
 		}, links)
@@ -450,15 +450,15 @@ func DeadLinkRecoversByMerge(t *testing.T, sh Shape) {
 func RedialedHostFlipsItsPredecessorsCoins(t *testing.T, sh Shape) {
 	const n, k, seed, steps, kill = 24, 4, 11, 60, 20
 	build := func(links []transport.Link) *fanout.Engine {
-		e, err := sh.New(fanout.Config{N: n, K: k, Seed: seed, Redial: sh.redial}, links)
+		e, err := fanout.New(fanout.Config{N: n, K: k, Seed: seed, Redial: loopbackLeaf}, links)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(e.Close)
 		return e
 	}
-	links := fanout.Loopbacks(3, sh.Serve)
-	failed, twin := build(links), build(fanout.Loopbacks(3, sh.Serve))
+	links := fanout.Loopbacks(3, fanout.Serve)
+	failed, twin := build(links), build(fanout.Loopbacks(3, fanout.Serve))
 	type charges struct {
 		counts [3]comm.Counts
 		bytes  [3]comm.Bytes
@@ -526,8 +526,8 @@ func RedialedHostFlipsItsPredecessorsCoins(t *testing.T, sh Shape) {
 func AllPeersLostIsTerminal(t *testing.T, sh Shape) {
 	const n, k = 8, 2
 	var events []coord.Event
-	links := fanout.Loopbacks(1, sh.Serve)
-	e, err := sh.New(fanout.Config{
+	links := fanout.Loopbacks(1, fanout.Serve)
+	e, err := fanout.New(fanout.Config{
 		N: n, K: k, Seed: 3,
 		OnEvent: func(ev coord.Event) { events = append(events, ev) },
 	}, links)
@@ -575,8 +575,8 @@ func AllPeersLostIsTerminal(t *testing.T, sh Shape) {
 func RetryBudgetExhaustion(t *testing.T, sh Shape) {
 	const n, k = 8, 2
 	redials := 0
-	links := fanout.Loopbacks(1, sh.Serve)
-	e, err := sh.New(fanout.Config{
+	links := fanout.Loopbacks(1, fanout.Serve)
+	e, err := fanout.New(fanout.Config{
 		N: n, K: k, Seed: 11,
 		Redial: func() (transport.Link, error) {
 			redials++

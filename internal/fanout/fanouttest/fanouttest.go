@@ -1,8 +1,9 @@
-// Package fanouttest holds the contracts both link-backed engines pin,
-// written once. internal/netrun's node hosts and internal/shardrun's star of
-// shards are one fanout.Engine over different leaves, so a test of either
-// that the other shares is one call here with that package's Shape. Like
-// internal/wire/wiretest, only tests import it.
+// Package fanouttest holds the chaos, failover and equivalence contracts
+// of the link engine, fanout.Engine, written once. The suites of
+// internal/netrun and internal/shardrun each run all of them with the
+// fault schedules that suite ran before the contracts were merged (Shape),
+// which keeps every fault point either exercised, and every test id, in
+// place. Like internal/wire/wiretest, only tests import it.
 package fanouttest
 
 import (
@@ -18,21 +19,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Shape is one link-backed engine as the shared contracts build it. Its
-// loopback links, redial links and TCP servers all run Serve. The schedule
-// fields are the ones the engine's own suite ran before the suites were
-// merged, so every fault point either suite exercised is still exercised.
+// Shape is one suite's fault schedule for the shared contracts, which
+// build fanout.New over fanout.Serve leaves: their loopback links, redial
+// links and TCP servers all run it. The fields are the ones the suite ran
+// before the suites were merged, so every fault point either suite
+// exercised is still exercised.
 type Shape struct {
-	// Serve is the leaf server at the far end of every link.
-	Serve func(transport.Link) error
-	// New is the package's constructor, with the engine it returns
-	// unwrapped.
-	New func(cfg fanout.Config, links []transport.Link) (*fanout.Engine, error)
-	// Delegated says every link runs whole protocol executions of its own,
-	// so an engine charges what the sequential engine does over one link
-	// only.
-	Delegated bool
-
 	KillSeed, DrainSeed    uint64 // the rng streams of ChaosKillAtRandomStep and ChaosKillDuringDrain
 	KillTrials, KillSteps  int    // ChaosKillAtRandomStep's trials per subtest and steps per trial
 	MergeVictim, MergeWarm int    // DeadLinkRecoversByMerge kills this link after this many steps
@@ -41,18 +33,14 @@ type Shape struct {
 	TCPLinks               []int  // TCP's link counts
 }
 
-// redial is a Config.Redial factory: a fresh loopback leaf.
-func (sh Shape) redial() (transport.Link, error) { return fanout.Loopback(sh.Serve), nil }
-
-// exact reports whether an engine over links charges the sequential
-// engine's ledger.
-func (sh Shape) exact(links int) bool { return !sh.Delegated || links == 1 }
+// loopbackLeaf is a Config.Redial factory: a fresh loopback leaf.
+func loopbackLeaf() (transport.Link, error) { return fanout.Loopback(fanout.Serve), nil }
 
 // MustLoopback builds an engine over links loopback leaves, failing the
 // test on constructor errors (impossible for the valid configs used here).
 func (sh Shape) MustLoopback(tb testing.TB, cfg fanout.Config, links int) *fanout.Engine {
 	tb.Helper()
-	e, err := sh.New(cfg, fanout.Loopbacks(links, sh.Serve))
+	e, err := fanout.New(cfg, fanout.Loopbacks(links, fanout.Serve))
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
@@ -209,9 +197,7 @@ func DeltaEquivalence(t *testing.T, sh Shape) {
 		if !slices.Equal(topSeq, top) {
 			t.Fatalf("step %d: reports differ: seq=%v engine=%v", s, topSeq, top)
 		}
-		if sh.exact(sh.DeltaLinks) {
-			sameCharges(t, seq, e, "step %d", s)
-		}
+		sameCharges(t, seq, e, "step %d", s)
 	}
 }
 
@@ -232,14 +218,14 @@ func CloseIdempotent(t *testing.T, sh Shape) {
 // TCP runs the engine over real localhost TCP links with the leaf servers
 // on the dialing side — the distributed deployment topology (`topkmon
 // -serve` / `-join`), collapsed into one test binary — for each of the
-// shape's link counts, under both gathers. Reports equal the sequential
-// engine's at every step, and so do the charges where the shape is exact.
+// shape's link counts, under both gathers. Reports and charges equal the
+// sequential engine's.
 func TCP(t *testing.T, sh Shape) {
 	EachGather(t, func(t *testing.T) {
 		for _, count := range sh.TCPLinks {
 			const n, k, seed, steps = 10, 3, 17, 120
-			links, served := TCPLinks(t, count, sh.Serve)
-			e, err := sh.New(fanout.Config{N: n, K: k, Seed: seed}, links)
+			links, served := TCPLinks(t, count, fanout.Serve)
+			e, err := fanout.New(fanout.Config{N: n, K: k, Seed: seed}, links)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,9 +240,7 @@ func TCP(t *testing.T, sh Shape) {
 					t.Fatalf("%d links, step %d: reports differ over TCP", count, s)
 				}
 			}
-			if sh.exact(count) {
-				sameCharges(t, seq, e, "%d links over TCP", count)
-			}
+			sameCharges(t, seq, e, "%d links over TCP", count)
 			if ts := e.TransportStats(); ts.SentBytes == 0 || ts.RecvBytes == 0 {
 				t.Fatalf("%d links: no TCP traffic recorded: %+v", count, ts)
 			}

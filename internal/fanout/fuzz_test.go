@@ -3,27 +3,12 @@ package fanout
 import (
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/order"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
-
-// fuzzRound is a leaf's answer to a Round frame, as netrun.Serve builds it
-// for node hosts and leaf shards alike (netrun imports this package): a
-// whole execution run over the bank, answered with its bid log.
-func fuzzRound() RoundFunc {
-	var ex protocol.Exec
-	var log wire.BidLogWriter
-	return func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
-		log.Begin(dst, bank.Lo())
-		ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
-		bank.Run(m.Tag, m.Step, &ex, &log)
-		return log.End()
-	}
-}
 
 // FuzzLeafRespond feeds a leaf that holds a valid assignment arbitrary
 // frames: whatever arrives, respond answers or returns an error — a
@@ -90,7 +75,7 @@ func FuzzLeafRespond(f *testing.F) {
 			}
 		}
 		link, _ := transport.Pipe()
-		s := newLeaf(link, fuzzRound())
+		s := &server{leaf: leaf{round: LogRound()}, replies: NewFrames(link)}
 		if cont, err := s.respond(assign); err != nil || !cont {
 			t.Fatalf("valid assignment refused: %v", err)
 		}

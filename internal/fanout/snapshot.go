@@ -21,15 +21,15 @@ import (
 // failover).
 
 // AppendCheckpoint appends one sealed frame of the engine's checkpoint
-// chain, of generation gen, to dst, under the fingerprint of the engine
-// kind that wraps this core, encoded in place between steps: with
-// base == 0 the base frame, the machine frame and the whole node-value
-// mirror; otherwise a delta on the base of generation base, the machine
-// frame and the mirror's values for the nodes of dirty (a bitset over the
-// n nodes, nil for all of them). It fails on a closed or terminal engine
-// and while recovery is pending — a checkpoint never captures a
-// half-recovered execution.
-func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen, base uint64, dirty []uint64) ([]byte, error) {
+// chain, of generation gen, to dst, under the fingerprint of the engine's
+// shape — wire.EngineNet over a flat peer set, wire.EngineShard over a
+// tree — encoded in place between steps: with base == 0 the base frame,
+// the machine frame and the whole node-value mirror; otherwise a delta on
+// the base of generation base, the machine frame and the mirror's values
+// for the nodes of dirty (a bitset over the n nodes, nil for all of them).
+// It fails on a closed or terminal engine and while recovery is pending —
+// a checkpoint never captures a half-recovered execution.
+func (e *Engine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64) ([]byte, error) {
 	if e.closed {
 		return nil, errors.New("fanout: snapshot after Close")
 	}
@@ -38,6 +38,10 @@ func (e *Engine) AppendCheckpoint(dst []byte, kind uint8, gen, base uint64, dirt
 	}
 	if e.pendingRecovery {
 		return nil, errors.New("fanout: snapshot with recovery pending")
+	}
+	kind := wire.EngineNet
+	if e.cfg.Tree != (Tree{}) {
+		kind = wire.EngineShard
 	}
 	var w wire.CheckpointWriter
 	if base == 0 {

@@ -3,6 +3,7 @@ package netrun
 import (
 	"testing"
 
+	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
 	"repro/internal/stream"
 )
@@ -19,16 +20,16 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 		const n, peers = 256, 4
 		for _, over := range []struct {
 			name  string
-			build func(t *testing.T, cfg Config) *Engine
+			build func(t *testing.T, cfg fanout.Config) *fanout.Engine
 		}{
-			{"pipe", func(t *testing.T, cfg Config) *Engine {
-				e := &Engine{hosts.MustLoopback(t, cfg, peers)}
+			{"pipe", func(t *testing.T, cfg fanout.Config) *fanout.Engine {
+				e := hosts.MustLoopback(t, cfg, peers)
 				t.Cleanup(e.Close)
 				return e
 			}},
-			{"tcp", func(t *testing.T, cfg Config) *Engine {
+			{"tcp", func(t *testing.T, cfg fanout.Config) *fanout.Engine {
 				links, served := fanouttest.TCPLinks(t, peers, Serve)
-				e, err := New(cfg, links)
+				e, err := fanout.New(cfg, links)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -40,7 +41,7 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 				// Dense steps on a calm walk: mostly violation-free, with
 				// the occasional violation and reset to warm those buffers
 				// too.
-				e := over.build(t, Config{N: n, K: 4, Seed: 21})
+				e := over.build(t, fanout.Config{N: n, K: 4, Seed: 21})
 				src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 22})
 				vals := make([]int64, n)
 				for s := 0; s < 2000; s++ {
@@ -56,7 +57,7 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 
 				// The sparse path over a delta-native workload must be
 				// clean as well.
-				d := over.build(t, Config{N: n, K: 4, Seed: 23})
+				d := over.build(t, fanout.Config{N: n, K: 4, Seed: 23})
 				dsrc := stream.NewSparseWalk(stream.SparseWalkConfig{
 					N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Changed: 3, Seed: 24,
 				})
@@ -86,8 +87,8 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 func TestUnequalRangesObserveZeroAllocs(t *testing.T) {
 	fanouttest.EachGather(t, func(t *testing.T) {
 		const n = 1 << 18
-		links := LoopbackLinks(4)
-		e, err := New(Config{N: n, K: 4, Seed: 31}, links)
+		links := fanout.Loopbacks(4, Serve)
+		e, err := fanout.New(fanout.Config{N: n, K: 4, Seed: 31}, links)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,11 +50,11 @@ func (l *opLog) Recv() ([]byte, error) {
 func TestChaosDupOnObserveFrame(t *testing.T) {
 	const victim, atStep = 2, 30
 	host := func(wrap func(transport.Link) transport.Link) []transport.Link {
-		return slices.Insert(LoopbackLinks(fanouttest.ChaosLinks-1), victim, fanout.Loopback(func(l transport.Link) error { return Serve(wrap(l)) }))
+		return slices.Insert(fanout.Loopbacks(fanouttest.ChaosLinks-1, Serve), victim, fanout.Loopback(func(l transport.Link) error { return Serve(wrap(l)) }))
 	}
 	fanouttest.EachGather(t, func(t *testing.T) {
 		rec := &opLog{}
-		e, err := New(Config{N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5},
+		e, err := fanout.New(fanout.Config{N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5},
 			host(func(l transport.Link) transport.Link { rec.Link = l; return rec }))
 		if err != nil {
 			t.Fatal(err)
@@ -78,13 +78,13 @@ func TestChaosDupOnObserveFrame(t *testing.T) {
 		}
 
 		plan := transport.FaultPlan{DupAt: at}
-		e, err = New(Config{N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5},
+		e, err = fanout.New(fanout.Config{N: fanouttest.ChaosN, K: fanouttest.ChaosK, Seed: 5},
 			host(func(l transport.Link) transport.Link { return transport.NewFaulty(l, plan) }))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		fanouttest.RunChaos(t, e.Engine, 80)
+		fanouttest.RunChaos(t, e, 80)
 		if h := e.Health(); h.Failures == 0 || h.Recoveries == 0 {
 			t.Fatalf("the duplicated Observe frame at operation %d never cut the link: %+v", at, h)
 		}

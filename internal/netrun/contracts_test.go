@@ -3,22 +3,12 @@ package netrun
 import (
 	"testing"
 
-	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
-	"repro/internal/transport"
 )
 
-// hosts is the networked engine as the fan-out contracts build it — node
-// hosts behind every link — with this suite's fault schedules.
+// hosts is this suite's fault schedule for the fan-out contracts, which
+// the suite ran when the networked engine was a package of its own.
 var hosts = fanouttest.Shape{
-	Serve: Serve,
-	New: func(cfg Config, links []transport.Link) (*fanout.Engine, error) {
-		e, err := New(cfg, links)
-		if err != nil {
-			return nil, err
-		}
-		return e.Engine, nil
-	},
 	KillSeed: 0xc4a05, KillTrials: 4, KillSteps: 100,
 	DrainSeed:   0xd6a1,
 	MergeVictim: 1, MergeWarm: 20,
@@ -27,8 +17,8 @@ var hosts = fanouttest.Shape{
 	TCPLinks:     []int{2},
 }
 
-// The contracts both link-backed engines pin; see package fanouttest for
-// what each one checks.
+// The link engine's contracts; see package fanouttest for what each one
+// checks.
 
 func TestChaosFaultMatrix(t *testing.T)         { fanouttest.ChaosFaultMatrix(t, hosts) }
 func TestChaosKillAtRandomStep(t *testing.T)    { fanouttest.ChaosKillAtRandomStep(t, hosts) }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
 	"repro/internal/order"
 	"repro/internal/stream"
@@ -57,8 +58,8 @@ func TestDeadHostAfterHalfAppliedFrame(t *testing.T) {
 			served <- err
 		}()
 		victim := &cutObserve{Link: coordEnd}
-		e, err := New(Config{N: n, K: k, Seed: seed},
-			[]transport.Link{LoopbackLink(), victim, LoopbackLink()})
+		e, err := fanout.New(fanout.Config{N: n, K: k, Seed: seed},
+			[]transport.Link{fanout.Loopback(Serve), victim, fanout.Loopback(Serve)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +153,9 @@ func TestDeadLinkMidFanOutHeals(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				fanouttest.SetGather(t, g.Procs)
-				first, victim := &observeTap{Link: LoopbackLink()}, &killObserve{Link: LoopbackLink()}
-				e, err := New(Config{N: n, K: k, Seed: 17},
-					[]transport.Link{first, victim, LoopbackLink()})
+				first, victim := &observeTap{Link: fanout.Loopback(Serve)}, &killObserve{Link: fanout.Loopback(Serve)}
+				e, err := fanout.New(fanout.Config{N: n, K: k, Seed: 17},
+					[]transport.Link{first, victim, fanout.Loopback(Serve)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,10 +213,10 @@ func TestDeadLinkMidFanOutHeals(t *testing.T) {
 func TestDeadLinkRecoversByRedial(t *testing.T) {
 	const n, k, seed = 12, 3, 5
 	var events []coord.Event
-	links := LoopbackLinks(3)
-	e, err := New(Config{
+	links := fanout.Loopbacks(3, Serve)
+	e, err := fanout.New(fanout.Config{
 		N: n, K: k, Seed: seed,
-		Redial:  func() (transport.Link, error) { return LoopbackLink(), nil },
+		Redial:  func() (transport.Link, error) { return fanout.Loopback(Serve), nil },
 		OnEvent: func(ev coord.Event) { events = append(events, ev) },
 	}, links)
 	if err != nil {
@@ -271,15 +272,15 @@ func TestDeadLinkRecoversByRedial(t *testing.T) {
 func TestConstructorRejectsBadConfig(t *testing.T) {
 	cases := []struct {
 		name  string
-		cfg   Config
+		cfg   fanout.Config
 		peers int
 	}{
-		{"zero-n", Config{N: 0, K: 1, Seed: 1}, 1},
-		{"zero-k", Config{N: 4, K: 0, Seed: 1}, 1},
-		{"k-gt-n", Config{N: 4, K: 5, Seed: 1}, 1},
-		{"no-peers", Config{N: 4, K: 2, Seed: 1}, 0},
-		{"peers-gt-n", Config{N: 4, K: 2, Seed: 1}, 5},
-		{"bad-eps", Config{N: 4, K: 2, Seed: 1, Epsilon: -0.5}, 1},
+		{"zero-n", fanout.Config{N: 0, K: 1, Seed: 1}, 1},
+		{"zero-k", fanout.Config{N: 4, K: 0, Seed: 1}, 1},
+		{"k-gt-n", fanout.Config{N: 4, K: 5, Seed: 1}, 1},
+		{"no-peers", fanout.Config{N: 4, K: 2, Seed: 1}, 0},
+		{"peers-gt-n", fanout.Config{N: 4, K: 2, Seed: 1}, 5},
+		{"bad-eps", fanout.Config{N: 4, K: 2, Seed: 1, Epsilon: -0.5}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,7 +290,7 @@ func TestConstructorRejectsBadConfig(t *testing.T) {
 				go Serve(b)
 				links[i] = a
 			}
-			e, err := New(tc.cfg, links)
+			e, err := fanout.New(tc.cfg, links)
 			if err == nil {
 				e.Close()
 				t.Fatal("invalid config accepted")
@@ -310,7 +311,7 @@ func TestConstructorRejectsBadConfig(t *testing.T) {
 // run in lockstep detects any corruption.
 func TestAppendTopIsACopy(t *testing.T) {
 	const n, k, seed = 10, 3, 5
-	e := hosts.MustLoopback(t, Config{N: n, K: k, Seed: seed}, 2)
+	e := hosts.MustLoopback(t, fanout.Config{N: n, K: k, Seed: seed}, 2)
 	defer e.Close()
 	twin := core.New(core.Config{N: n, K: k, Seed: seed})
 

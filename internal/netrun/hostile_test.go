@@ -52,16 +52,16 @@ func TestHostileBidLogFailsThePeer(t *testing.T) {
 			t.Run(name+"/"+shape, func(t *testing.T) {
 				fanouttest.EachGather(t, func(t *testing.T) {
 					hostile := fanout.Loopback(func(link transport.Link) error {
-						return fanout.Serve(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+						return fanout.ServeWith(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 							return append(dst, row(bank.Lo(), bank.Hi(), protocol.Rounds(m.Bound))...)
 						})
 					})
-					links := []transport.Link{LoopbackLink(), hostile}
+					links := []transport.Link{fanout.Loopback(Serve), hostile}
 					if alone {
 						links = links[1:]
 					}
 					var downs []error
-					e, err := New(Config{N: n, K: k, Seed: 3, OnEvent: func(ev coord.Event) {
+					e, err := fanout.New(fanout.Config{N: n, K: k, Seed: 3, OnEvent: func(ev coord.Event) {
 						if ev.Kind == coord.EventPeerDown {
 							downs = append(downs, ev.Err)
 						}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
 	"repro/internal/stream"
 	"repro/internal/transport"
@@ -56,7 +57,7 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 				fanouttest.SetGather(t, g.Procs)
 				const seed, steps = 41, 200
 				seq := core.New(core.Config{N: tc.n, K: tc.k, Seed: seed})
-				net := hosts.MustLoopback(t, Config{N: tc.n, K: tc.k, Seed: seed}, tc.peers)
+				net := hosts.MustLoopback(t, fanout.Config{N: tc.n, K: tc.k, Seed: seed}, tc.peers)
 				defer net.Close()
 
 				srcA, srcB := tc.src(tc.n), tc.src(tc.n)
@@ -109,7 +110,7 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 func TestPipelinedFramingCoalesces(t *testing.T) {
 	const n, k, seed, steps, peers = 24, 4, 19, 150, 4
 	fanouttest.EachGather(t, func(t *testing.T) {
-		e := hosts.MustLoopback(t, Config{N: n, K: k, Seed: seed}, peers)
+		e := hosts.MustLoopback(t, fanout.Config{N: n, K: k, Seed: seed}, peers)
 		defer e.Close()
 		src := stream.NewIID(stream.IIDConfig{N: n, Seed: 5, Dist: stream.Uniform, Lo: 0, Hi: 1 << 20})
 		vals := make([]int64, n)
@@ -117,8 +118,8 @@ func TestPipelinedFramingCoalesces(t *testing.T) {
 			src.Step(vals)
 			e.Observe(vals)
 		}
-		// The networked engine hides the link ledger; the core under it,
-		// which MustLoopback returns, keeps it.
+		// The engine keeps its link ledger whatever its shape; topk reports
+		// it for tree monitors only.
 		ts, led := e.TransportStats(), e.Overhead()
 		if ts.SentFrames >= led.Down {
 			t.Fatalf("commands did not coalesce: %d frames sent for %d ledger commands", ts.SentFrames, led.Down)
@@ -137,7 +138,7 @@ func TestPipelinedFramingCoalesces(t *testing.T) {
 func TestNewClosesLinksOnHandshakeFailure(t *testing.T) {
 	a, b := transport.Pipe()
 	b.Close() // peer gone before the handshake
-	if _, err := New(Config{N: 4, K: 2, Seed: 1}, []transport.Link{a}); err == nil {
+	if _, err := fanout.New(fanout.Config{N: 4, K: 2, Seed: 1}, []transport.Link{a}); err == nil {
 		t.Fatal("New succeeded over a dead link")
 	}
 	if err := a.Send([]byte{0}); err == nil {
@@ -148,7 +149,7 @@ func TestNewClosesLinksOnHandshakeFailure(t *testing.T) {
 // TestEmptyDeltaStep: a step in which nothing changed still advances time
 // and must not touch any link beyond the first initialization step.
 func TestEmptyDeltaStep(t *testing.T) {
-	net := hosts.MustLoopback(t, Config{N: 8, K: 2, Seed: 1}, 2)
+	net := hosts.MustLoopback(t, fanout.Config{N: 8, K: 2, Seed: 1}, 2)
 	defer net.Close()
 	net.Observe(make([]int64, 8)) // init reset
 	before := net.TransportStats()
@@ -210,13 +211,13 @@ func TestResetIsOneSweepOfRounds(t *testing.T) {
 				fanouttest.SetGather(t, g.Procs)
 				var rounds, replies atomic.Int64
 				tapped := func() transport.Link {
-					return &sweepTap{Link: LoopbackLink(), rounds: &rounds, replies: &replies}
+					return &sweepTap{Link: fanout.Loopback(Serve), rounds: &rounds, replies: &replies}
 				}
 				links := make([]transport.Link, peers)
 				for i := range links {
 					links[i] = tapped()
 				}
-				e, err := New(Config{N: n, K: k, Seed: 7,
+				e, err := fanout.New(fanout.Config{N: n, K: k, Seed: 7,
 					Redial: func() (transport.Link, error) { return tapped(), nil }}, links)
 				if err != nil {
 					t.Fatal(err)

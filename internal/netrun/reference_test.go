@@ -25,7 +25,7 @@ import (
 // refServe is the node-host side of the round-by-round exchange.
 func refServe(link transport.Link) error {
 	var reply wire.Reply // reusable bid list
-	return fanout.Serve(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+	return fanout.ServeWith(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 		reply.IDs, reply.Keys = reply.IDs[:0], reply.Keys[:0]
 		bank.Round(m.Tag, m.Round, order.Key(m.Best), m.Bound, m.Step, func(id int, key order.Key) {
 			reply.IDs = append(reply.IDs, id)
@@ -184,14 +184,14 @@ func (c *execCase) roundByRound(eff coord.Effect, out *charged) {
 }
 
 // logged runs eff as the engine does: every host answers one request with
-// its bid log (logRound, the host's own code), and the logs are opened and
-// replayed against the true cut as ExecRounds does.
+// its bid log (fanout.LogRound, the host's own code), and the logs are
+// opened and replayed against the true cut as the root's Exec does.
 func (c *execCase) logged(t *testing.T, eff coord.Effect, out *charged) {
 	t.Helper()
 	req := wire.Round{Tag: eff.Tag, Best: int64(order.NegInf), Bound: eff.Bound, Step: c.step, Want: eff.Want}
 	logs := make([]wire.BidLog, len(c.banks))
 	for i, b := range c.banks {
-		frame := logRound()(b, req, nil)
+		frame := fanout.LogRound()(b, req, nil)
 		if err := logs[i].Open(frame, b.Lo(), b.Hi(), protocol.Rounds(eff.Bound)); err != nil {
 			t.Fatalf("host %d's log refused: %v", i, err)
 		}
@@ -257,12 +257,12 @@ func TestBidLogMatchesRoundByRound(t *testing.T) {
 			for _, eps := range []float64{0, 0.05} {
 				for _, peers := range []int{1, 2, 3, 5} {
 					for _, k := range []int{1, 4, n} {
-						cfg := Config{N: n, K: k, Seed: seed, Epsilon: eps}
-						ref, err := fanout.New(cfg, fanout.Loopbacks(peers, refServe), refExecRounds())
+						cfg := fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}
+						ref, err := fanout.NewWith(cfg, fanout.Loopbacks(peers, refServe), refExecRounds())
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := New(cfg, LoopbackLinks(peers))
+						got, err := fanout.New(cfg, fanout.Loopbacks(peers, Serve))
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
 	"repro/internal/stream"
 )
@@ -21,7 +22,7 @@ func TestTCPPipelinedSoak(t *testing.T) {
 	fanouttest.SetGather(t, 2) // exercise the concurrent gather on any machine
 	const n, k, seed, steps, peers = 48, 6, 31, 300, 4
 	links, served := fanouttest.TCPLinks(t, peers, Serve)
-	eng, err := New(Config{N: n, K: k, Seed: seed}, links)
+	eng, err := fanout.New(fanout.Config{N: n, K: k, Seed: seed}, links)
 	if err != nil {
 		t.Fatal(err)
 	}

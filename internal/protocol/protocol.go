@@ -263,7 +263,7 @@ func (e *Exec) EndRound() {
 // With a non-nil w, every delivered bid is also written to w, round by
 // round in ascending id order: the log one host of all the logs' nodes
 // would have written, when the replay is exact. That is a relay's answer
-// for its subtree (internal/shardrun): the argument above holds for any
+// for its subtree (internal/fanout): the argument above holds for any
 // exact cut a host of a superset of the nodes runs.
 func (e *Exec) Replay(logs []wire.BidLog, tol order.Tol, w *wire.BidLogWriter) {
 	for e.More() {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/coord"
+	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
 	"repro/internal/order"
 	"repro/internal/rng"
@@ -28,7 +29,7 @@ func chaosTree(redial bool, victim int, plan transport.FaultPlan) (*Engine, erro
 	const branch, depth = 2, 2
 	links := make([]transport.Link, branch)
 	for i := range links {
-		links[i] = LoopbackSubtree(branch, depth)
+		links[i] = fanout.LoopbackSubtree(branch, depth)
 	}
 	links[victim] = transport.NewFaulty(links[victim], plan)
 	cfg := Config{
@@ -36,7 +37,7 @@ func chaosTree(redial bool, victim int, plan transport.FaultPlan) (*Engine, erro
 		Tree: Tree{Branch: branch, Depth: depth},
 	}
 	if redial { // not by default: NewLoopbackTree would install the subtree factory
-		cfg.Redial = func() (transport.Link, error) { return LoopbackSubtree(branch, depth), nil }
+		cfg.Redial = func() (transport.Link, error) { return fanout.LoopbackSubtree(branch, depth), nil }
 	}
 	return New(cfg, links)
 }
@@ -56,7 +57,7 @@ func TestChaosKillInteriorCoordinator(t *testing.T) {
 			if err != nil {
 				continue // killed mid-handshake: clean error is the contract
 			}
-			fanouttest.RunChaos(t, e.Engine, 80)
+			fanouttest.RunChaos(t, e, 80)
 			if h := e.Health(); h.Failures == 0 {
 				t.Fatalf("KillAt=%d never fired in 80 driven steps", killOp)
 			}
@@ -85,7 +86,7 @@ func TestChaosInteriorFaultMatrix(t *testing.T) {
 					t.Fatalf("fault fired during the handshake: %v", err)
 				}
 				defer e.Close()
-				fanouttest.RunChaos(t, e.Engine, 80)
+				fanouttest.RunChaos(t, e, 80)
 				if h := e.Health(); h.Failures == 0 {
 					t.Fatalf("fault plan %+v never fired in 80 driven steps", tc.plan)
 				}

@@ -3,27 +3,13 @@ package shardrun
 import (
 	"testing"
 
-	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
-	"repro/internal/transport"
 )
 
-// star is the flat sharded root as the fan-out contracts build it — a shard
-// behind every link — with this suite's fault schedules.
+// star is this suite's fault schedule for the fan-out contracts, which the
+// suite ran over the flat star of shards when it was an engine of its own.
 var star = fanouttest.Shape{
-	Serve: ServeShard,
-	New: func(c fanout.Config, links []transport.Link) (*fanout.Engine, error) {
-		e, err := New(Config{
-			N: c.N, K: c.K, Seed: c.Seed, Epsilon: c.Epsilon,
-			Redial: c.Redial, OnEvent: c.OnEvent,
-		}, links)
-		if err != nil {
-			return nil, err
-		}
-		return e.Engine, nil
-	},
-	Delegated: true,
-	KillSeed:  0xc4a06, KillTrials: 3, KillSteps: 80,
+	KillSeed: 0xc4a06, KillTrials: 3, KillSteps: 80,
 	DrainSeed:   0xd6a2,
 	MergeVictim: 2, MergeWarm: 10,
 	TerminalWarm: 8,
@@ -31,8 +17,8 @@ var star = fanouttest.Shape{
 	TCPLinks:     []int{1, 2, 4},
 }
 
-// The contracts both link-backed engines pin; see package fanouttest for
-// what each one checks.
+// The link engine's contracts; see package fanouttest for what each one
+// checks.
 
 func TestChaosFaultMatrix(t *testing.T)         { fanouttest.ChaosFaultMatrix(t, star) }
 func TestChaosKillAtRandomStep(t *testing.T)    { fanouttest.ChaosKillAtRandomStep(t, star) }

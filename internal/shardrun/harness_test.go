@@ -5,11 +5,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/fanout"
 	"repro/internal/order"
-	"repro/internal/protocol"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -76,9 +74,10 @@ func rigTree(branch, depth int) Tree {
 	return Tree{Branch: branch, Depth: depth}
 }
 
-// bankSpy serves a rig's leaves as ServeShard does and keeps hold of the
-// node bank each one hosts, which a leaf shows at every execution it runs
-// (an Assign replaces the bank, and the next execution shows the new one).
+// bankSpy serves a rig's leaves as ServeShard does — every Round answered
+// by fanout.LogRound — and keeps hold of the node bank each one hosts,
+// which a leaf shows at every execution it runs (an Assign replaces the
+// bank, and the next execution shows the new one).
 type bankSpy struct {
 	mu    sync.Mutex
 	banks []*coord.Nodes // one slot per leaf ever served
@@ -89,16 +88,12 @@ func (s *bankSpy) serve(link transport.Link) error {
 	slot := len(s.banks)
 	s.banks = append(s.banks, nil)
 	s.mu.Unlock()
-	var ex protocol.Exec
-	var log wire.BidLogWriter
-	return fanout.Serve(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
+	round := fanout.LogRound()
+	return fanout.ServeWith(link, func(bank *coord.Nodes, m wire.Round, dst []byte) []byte {
 		s.mu.Lock()
 		s.banks[slot] = bank
 		s.mu.Unlock()
-		log.Begin(dst, bank.Lo())
-		ex.Begin(m.Bound, m.Want, coord.MinimumTag(m.Tag), comm.Discard, nil, m.Step)
-		bank.Run(m.Tag, m.Step, &ex, &log)
-		return log.End()
+		return round(bank, m, dst)
 	})
 }
 

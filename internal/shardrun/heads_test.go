@@ -100,7 +100,8 @@ func TestResetRunsSPlusKExecutions(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.Close()
-				B, L := int64(sh.branch), int64(e.Leaves())
+				nl, _ := Tree{Branch: sh.branch, Depth: sh.depth}.Leaves()
+				B, L := int64(sh.branch), int64(nl)
 
 				src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 16, MaxStep: 2500, Seed: 3})
 				vals := make([]int64, n)

@@ -193,12 +193,14 @@ func TestInteriorChainIsIdentity(t *testing.T) {
 	}
 }
 
-// FuzzInteriorRespond is fanout.FuzzLeafRespond one level up: an interior
-// over three loopback shards that holds a valid assignment is fed two
-// arbitrary frames. Whatever arrives, respond answers or returns an error —
-// it never panics and never hangs — every Round it answers, alone or in a
-// batch, it answers with a bid log its parent opens for the relay's range,
-// and once the relay is gone its children's serve loops exit.
+// FuzzInteriorRespond is fanout.FuzzLeafRespond one level up: a relay
+// (ServeInterior) over three loopback shards that holds a valid assignment
+// is fed two arbitrary frames by a scripted parent link. Whatever arrives,
+// the relay answers or its serve loop ends — it never panics and never
+// hangs — every Round it answers, alone or in a batch, it answers with a
+// bid log its parent opens for the relay's range, and once the relay is
+// gone its children's serve loops exit. The serve loop runs on the
+// fuzzing goroutine, so only the children's exchanges vary in schedule.
 func FuzzInteriorRespond(f *testing.F) {
 	assign := wire.Assign{Lo: 4, Hi: 20, N: 24, K: 3, Seed: 5}.Append(nil)
 	reset := wire.Round{Tag: coord.TagReset, Round: 0, Best: int64(order.NegInf), Bound: 24, Step: 1, Want: 4}.Append(nil)
@@ -253,15 +255,18 @@ func FuzzInteriorRespond(f *testing.F) {
 				defer leaves.Done()
 				return ServeShard(l)
 			})
-			parent, _ := transport.Pipe()
-			r := newInterior(parent, children)
-			if cont, err := r.respond(assign); err != nil || !cont {
-				t.Errorf("valid assignment refused: %v", err)
+			// The relay's serve loop runs here, over a link that plays the
+			// parent's frames in order and then hangs up.
+			parent := &script{frames: [][]byte{assign, first, second}}
+			_ = ServeInterior(parent, children)
+			if ready := parent.answer(0); len(ready) != 1 || ready[0] != wire.TypeReady {
+				t.Errorf("valid assignment answered by %x", ready)
 			}
 			lo, hi := 4, 20
-			for _, frame := range [][]byte{first, second} {
-				if cont, err := r.respond(frame); err != nil || !cont {
-					break // the serve loop ends here
+			for f, frame := range parent.frames[1:] {
+				answer := parent.answer(f + 1)
+				if answer == nil {
+					break // the serve loop ended here
 				}
 				if a, err := wire.DecodeAssign(frame); err == nil {
 					lo, hi = a.Lo, a.Hi
@@ -269,7 +274,7 @@ func FuzzInteriorRespond(f *testing.F) {
 				}
 				var cmds, reps wire.Batch
 				subs, _, _ := fanout.Subframes(&cmds, frame)
-				answers, _, err := fanout.Subframes(&reps, r.buf)
+				answers, _, err := fanout.Subframes(&reps, answer)
 				if err != nil || len(answers) != len(subs) {
 					t.Errorf("%d commands answered by %d replies (%v)", len(subs), len(answers), err)
 					break
@@ -283,15 +288,42 @@ func FuzzInteriorRespond(f *testing.F) {
 					}
 				}
 			}
-			for _, c := range children {
-				c.Close() // as ServeInterior does on its way out
-			}
 			leaves.Wait()
 		}()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
-			t.Fatal("the interior or one of its children hung")
+			t.Fatal("the relay or one of its children hung")
 		}
 	})
 }
+
+// script is a relay's link to its parent, played from a script: Recv hands
+// out the frames in order and then hangs up, and Send keeps a copy of each
+// answer beside the frame it answers.
+type script struct {
+	frames  [][]byte
+	next    int            // frames handed out
+	answers map[int][]byte // by frame index
+}
+
+func (s *script) Recv() ([]byte, error) {
+	if s.next == len(s.frames) {
+		return nil, transport.ErrClosed
+	}
+	s.next++
+	return s.frames[s.next-1], nil
+}
+
+func (s *script) Send(p []byte) error {
+	if s.answers == nil {
+		s.answers = map[int][]byte{}
+	}
+	s.answers[s.next-1] = slices.Clone(p)
+	return nil
+}
+
+func (s *script) Close() error { return nil }
+
+// answer returns the answer to frame i, or nil if there was none.
+func (s *script) answer(i int) []byte { return s.answers[i] }

@@ -17,7 +17,7 @@ import (
 // constructor errors.
 func mustTree(tb testing.TB, cfg Config, branch, depth int) *Engine {
 	tb.Helper()
-	e, err := NewLoopbackTree(cfg, branch, depth)
+	e, err := fanout.NewLoopbackTree(cfg, branch, depth)
 	if err != nil {
 		tb.Fatalf("NewLoopbackTree: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestTreeDepthOneBitIdentical(t *testing.T) {
 	fanouttest.EachGather(t, func(t *testing.T) {
 		const n, k, seed, steps = 13, 4, 41, 250
 		cfg := Config{N: n, K: k, Seed: seed, Epsilon: 0.05}
-		flat := star.MustLoopback(t, cfg.Core(), 3)
+		flat := star.MustLoopback(t, cfg, 3)
 		defer flat.Close()
 		tree := mustTree(t, cfg, 3, 1)
 		defer tree.Close()
@@ -102,15 +102,15 @@ func TestTreeFlatEquivalence(t *testing.T) {
 					fanouttest.SetGather(t, g.Procs)
 					const seed, steps = 41, 300
 					cfg := Config{N: tc.n, K: tc.k, Seed: seed, Epsilon: eps}
-					flat := star.MustLoopback(t, cfg.Core(), tc.flat)
+					flat := star.MustLoopback(t, cfg, tc.flat)
 					defer flat.Close()
 					seq := core.New(core.Config{N: tc.n, K: tc.k, Seed: seed, Epsilon: eps})
 					tree := mustTree(t, cfg, tc.branch, tc.depth)
 					defer tree.Close()
-					if got := tree.Shards(); got != tc.branch {
+					if got := tree.Peers(); got != tc.branch {
 						t.Fatalf("root fan-in is %d links, want exactly branch=%d", got, tc.branch)
 					}
-					if got := tree.Leaves(); got != tc.flat {
+					if got, _ := (Tree{Branch: tc.branch, Depth: tc.depth}).Leaves(); got != tc.flat {
 						t.Fatalf("tree serves %d leaves, want %d", got, tc.flat)
 					}
 
@@ -206,7 +206,7 @@ func TestTCPTree(t *testing.T) {
 		links, served := fanouttest.TCPLinks(t, branch, func(link transport.Link) error {
 			children := make([]transport.Link, branch)
 			for j := range children {
-				children[j] = LoopbackSubtree(branch, 1)
+				children[j] = fanout.LoopbackSubtree(branch, 1)
 			}
 			return ServeInterior(link, children)
 		})
@@ -304,16 +304,16 @@ func TestTreeConfigRejected(t *testing.T) {
 	bad := []Config{
 		{N: 16, K: 4, Tree: Tree{Branch: 0, Depth: 2}},
 		{N: 16, K: 4, Tree: Tree{Branch: 2, Depth: 0}},
-		{N: 16, K: 4, Tree: Tree{Branch: 2, Depth: maxDepth + 1}},
-		{N: 4, K: 2, Tree: Tree{Branch: 2, Depth: 3}}, // 8 leaves > 4 nodes
+		{N: 16, K: 4, Tree: Tree{Branch: 2, Depth: 31}}, // one level past the deepest
+		{N: 4, K: 2, Tree: Tree{Branch: 2, Depth: 3}},   // 8 leaves > 4 nodes
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg, LoopbackLinks(2)); err == nil {
+		if _, err := New(cfg, fanout.Loopbacks(2, ServeShard)); err == nil {
 			t.Fatalf("case %d: bad tree %+v accepted", i, cfg.Tree)
 		}
 	}
 	// Link count must equal the branch.
-	if _, err := New(Config{N: 16, K: 4, Tree: Tree{Branch: 2, Depth: 2}}, LoopbackLinks(3)); err == nil {
+	if _, err := New(Config{N: 16, K: 4, Tree: Tree{Branch: 2, Depth: 2}}, fanout.Loopbacks(3, ServeShard)); err == nil {
 		t.Fatal("3 links accepted for branch 2")
 	}
 }

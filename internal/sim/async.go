@@ -18,8 +18,8 @@ import (
 // AsyncEngine is the engine surface the equivalence-under-async harness
 // drives: the sparse observation entry point plus every ledger the
 // equivalence contract pins. core.Monitor (sequential, or concurrent on
-// internal/runtime's shard pool), netrun.Engine and shardrun.Engine all
-// satisfy it structurally.
+// internal/runtime's shard pool) and fanout.Engine, the link engine over
+// node hosts or over a coordinator tree, both satisfy it structurally.
 type AsyncEngine interface {
 	ObserveDelta(ids []int, vals []int64) []int
 	AppendTop(dst []int) []int

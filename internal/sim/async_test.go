@@ -6,9 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/netrun"
+	"repro/internal/fanout"
 	"repro/internal/runtime"
-	"repro/internal/shardrun"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/transport"
@@ -36,18 +35,18 @@ func asyncPairs(n, k int, seed uint64, eps float64) []asyncPair {
 			return a, b, func() { a.Close(); b.Close() }
 		}},
 		{"netrun", func(tb testing.TB) (sim.AsyncEngine, sim.AsyncEngine, func()) {
-			a := mustNet(tb, netrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3)
-			b := mustNet(tb, netrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3)
+			a := mustNet(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3)
+			b := mustNet(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3)
 			return a, b, func() { a.Close(); b.Close() }
 		}},
 		{"shard=1", func(tb testing.TB) (sim.AsyncEngine, sim.AsyncEngine, func()) {
-			a := mustShard(tb, shardrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 1)
-			b := mustShard(tb, shardrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 1)
+			a := mustShard(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 1)
+			b := mustShard(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 1)
 			return a, b, func() { a.Close(); b.Close() }
 		}},
 		{"shard=2", func(tb testing.TB) (sim.AsyncEngine, sim.AsyncEngine, func()) {
-			a := mustShard(tb, shardrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 2)
-			b := mustShard(tb, shardrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 2)
+			a := mustShard(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 2)
+			b := mustShard(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 2)
 			return a, b, func() { a.Close(); b.Close() }
 		}},
 	}
@@ -175,18 +174,18 @@ func TestAsyncTCP(t *testing.T) {
 				serveErr <- err
 				return
 			}
-			serveErr <- netrun.Serve(link)
+			serveErr <- fanout.Serve(link)
 		}()
 	}
 	links, err := ln.AcceptN(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := netrun.New(netrun.Config{N: n, K: k, Seed: seed}, links)
+	async, err := fanout.New(fanout.Config{N: n, K: k, Seed: seed}, links)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin := mustNet(t, netrun.Config{N: n, K: k, Seed: seed}, peers)
+	twin := mustNet(t, fanout.Config{N: n, K: k, Seed: seed}, peers)
 	defer twin.Close()
 
 	rep, runErr := sim.RunAsync(async, twin, asyncSrc(n, true), sim.AsyncConfig{

@@ -5,9 +5,8 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/netrun"
+	"repro/internal/fanout"
 	"repro/internal/runtime"
-	"repro/internal/shardrun"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
@@ -28,20 +27,20 @@ type closer interface{ Close() }
 
 // mustNet and mustShard build loopback engines, failing the test on
 // constructor errors (impossible for the valid configs used here).
-func mustNet(tb testing.TB, cfg netrun.Config, peers int) *netrun.Engine {
+func mustNet(tb testing.TB, cfg fanout.Config, peers int) *fanout.Engine {
 	tb.Helper()
-	e, err := netrun.New(cfg, netrun.LoopbackLinks(peers))
+	e, err := fanout.New(cfg, fanout.Loopbacks(peers, fanout.Serve))
 	if err != nil {
 		tb.Fatalf("netrun.New: %v", err)
 	}
 	return e
 }
 
-func mustShard(tb testing.TB, cfg shardrun.Config, shards int) *shardrun.Engine {
+func mustShard(tb testing.TB, cfg fanout.Config, shards int) *fanout.Engine {
 	tb.Helper()
-	e, err := shardrun.NewLoopbackTree(cfg, shards, 1)
+	e, err := fanout.NewLoopbackTree(cfg, shards, 1)
 	if err != nil {
-		tb.Fatalf("shardrun.NewLoopbackTree: %v", err)
+		tb.Fatalf("fanout.NewLoopbackTree: %v", err)
 	}
 	return e
 }
@@ -51,9 +50,9 @@ func epsEngines(tb testing.TB, n, k int, seed uint64, eps float64) map[string]si
 	return map[string]sim.Algorithm{
 		"core":    core.New(core.Config{N: n, K: k, Seed: seed, Epsilon: eps}),
 		"runtime": runtime.New(runtime.Config{N: n, K: k, Seed: seed, Epsilon: eps}),
-		"netrun":  mustNet(tb, netrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3),
-		"shard=1": mustShard(tb, shardrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 1),
-		"shard=3": mustShard(tb, shardrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3),
+		"netrun":  mustNet(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3),
+		"shard=1": mustShard(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 1),
+		"shard=3": mustShard(tb, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3),
 	}
 }
 
@@ -88,8 +87,8 @@ func TestEpsOracleDelta(t *testing.T) {
 		algs := map[string]sim.DeltaAlgorithm{
 			"core":    core.New(core.Config{N: n, K: k, Seed: seed, Epsilon: eps}),
 			"runtime": runtime.New(runtime.Config{N: n, K: k, Seed: seed, Epsilon: eps}),
-			"netrun":  mustNet(t, netrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3),
-			"shard=2": mustShard(t, shardrun.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 2),
+			"netrun":  mustNet(t, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 3),
+			"shard=2": mustShard(t, fanout.Config{N: n, K: k, Seed: seed, Epsilon: eps}, 2),
 		}
 		for name, alg := range algs {
 			rep := sim.RunDelta(alg, src(), sim.Config{Steps: steps, K: k, CheckEvery: 1, Epsilon: eps})

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/shardrun"
+	"repro/internal/fanout"
 	"repro/internal/sim"
 	"repro/internal/stream"
 )
@@ -22,7 +22,7 @@ func TestShardedEngineExactInSim(t *testing.T) {
 		seq := core.New(core.Config{N: n, K: k, Seed: seed})
 		seqRep := sim.Run(seq, stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 18, MaxStep: 700, Seed: 5}), cfg)
 
-		sh := mustShard(t, shardrun.Config{N: n, K: k, Seed: seed}, shards)
+		sh := mustShard(t, fanout.Config{N: n, K: k, Seed: seed}, shards)
 		shRep := sim.Run(sh, stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 18, MaxStep: 700, Seed: 5}), cfg)
 		sh.Close()
 
@@ -37,7 +37,7 @@ func TestShardedEngineExactInSim(t *testing.T) {
 		}
 
 		// Sparse path under the delta harness, oracle-checked every step.
-		shd := mustShard(t, shardrun.Config{N: n, K: k, Seed: seed}, shards)
+		shd := mustShard(t, fanout.Config{N: n, K: k, Seed: seed}, shards)
 		deltaRep := sim.RunDelta(shd, stream.NewSparseWalk(stream.SparseWalkConfig{
 			N: n, Changed: 2, MaxStep: 900, Lo: 0, Hi: 1 << 18, Seed: 6,
 		}), cfg)
@@ -64,7 +64,7 @@ func TestTreeEngineExactInSim(t *testing.T) {
 	seqRep := sim.Run(seq, walk(5), cfg)
 
 	for _, shape := range []struct{ branch, depth int }{{2, 2}, {4, 2}, {2, 3}} {
-		tr, err := shardrun.NewLoopbackTree(shardrun.Config{N: n, K: k, Seed: seed}, shape.branch, shape.depth)
+		tr, err := fanout.NewLoopbackTree(fanout.Config{N: n, K: k, Seed: seed}, shape.branch, shape.depth)
 		if err != nil {
 			t.Fatalf("%d^%d: %v", shape.branch, shape.depth, err)
 		}
@@ -80,7 +80,7 @@ func TestTreeEngineExactInSim(t *testing.T) {
 			t.Fatalf("%d^%d: ledgers differ: %+v/%+v vs %+v/%+v", shape.branch, shape.depth, trRep.Messages, trRep.Bytes, seqRep.Messages, seqRep.Bytes)
 		}
 
-		trd, err := shardrun.NewLoopbackTree(shardrun.Config{N: n, K: k, Seed: seed}, shape.branch, shape.depth)
+		trd, err := fanout.NewLoopbackTree(fanout.Config{N: n, K: k, Seed: seed}, shape.branch, shape.depth)
 		if err != nil {
 			t.Fatalf("%d^%d: %v", shape.branch, shape.depth, err)
 		}
@@ -98,7 +98,7 @@ func TestTreeEngineExactInSim(t *testing.T) {
 // harness's ε oracle at every step.
 func TestTreeEngineEpsValidInSim(t *testing.T) {
 	const n, k, seed, steps = 20, 4, 31, 400
-	tr, err := shardrun.NewLoopbackTree(shardrun.Config{N: n, K: k, Seed: seed, Epsilon: 0.05}, 2, 2)
+	tr, err := fanout.NewLoopbackTree(fanout.Config{N: n, K: k, Seed: seed, Epsilon: 0.05}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package transport moves the wire-encoded protocol frames between the
 // coordinator and its peers. It provides the Link abstraction the
-// networked engine (internal/netrun) is written against, with two
+// link engine (internal/fanout) is written against, with two
 // implementations:
 //
 //   - Pipe: an in-process loopback that delivers frames over channels,

@@ -40,8 +40,8 @@ var ErrChecksum = errors.New("wire: checkpoint checksum mismatch")
 const (
 	EngineSeq   uint8 = 0 // in-process engine (internal/core), on any host
 	EngineConc  uint8 = 1 // retired concurrent engine, whose frames are another dialect: ErrMalformed
-	EngineNet   uint8 = 2 // networked engine (internal/netrun)
-	EngineShard uint8 = 3 // multi-coordinator engine (internal/shardrun)
+	EngineNet   uint8 = 2 // link engine over a flat peer set (internal/fanout)
+	EngineShard uint8 = 3 // link engine over a coordinator tree (internal/fanout)
 )
 
 // Checkpoint is the wire form of one durable coordinator checkpoint.

@@ -481,9 +481,9 @@ func (m *ObserveDelta) Decode(p []byte) error {
 // selected by Tag, with the execution's population bound, the observation
 // step (cohort selection for violation protocols is per-step), and the
 // number of winners the execution is to find. Every host runs the whole
-// execution and answers with its bid log (BidLog): a node host
-// (internal/netrun) or a leaf shard for its nodes, a relay
-// (internal/shardrun) for its whole subtree. The codec takes any Want;
+// execution and answers with its bid log (BidLog): a node host for its
+// nodes, a relay for its whole subtree (internal/fanout). The codec takes
+// any Want;
 // hosts reject one outside [1, Bound] where they reject a bad tag.
 //
 // Round and Best are left from the exchange that ran one round a request

@@ -1,8 +1,8 @@
 // Package wire defines the binary wire format of the monitoring protocol:
 // a compact varint codec plus one encoding per protocol message —
 // observation delivery, sampler rounds and bids, winner assignment, filter
-// (midpoint) broadcasts, and the join handshake. The networked engine in
-// internal/netrun exchanges exactly these encodings over a
+// (midpoint) broadcasts, and the join handshake. The link engine in
+// internal/fanout exchanges exactly these encodings over a
 // transport.Link; the in-process engines use the same encodings to charge
 // model bytes, so all three engines report identical byte ledgers.
 //

@@ -6,10 +6,9 @@ import (
 	"repro/internal/comm"
 	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/netrun"
+	"repro/internal/fanout"
 	"repro/internal/order"
 	"repro/internal/runtime"
-	"repro/internal/shardrun"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -34,25 +33,22 @@ type engine interface {
 	Close()
 }
 
-// linked is the additional surface of the link-backed engines (networked,
-// tree). The accessors that expose it reach it through one type assertion
-// and report the documented zero value on the others.
-type linked interface {
-	Health() coord.Health
-	TransportStats() transport.LinkStats
-	Overhead() comm.Counts
-	OverheadBytes() comm.Bytes
-	TreeStats() (wire.TreeStats, error)
-}
-
 var (
 	_ engine = (*core.Monitor)(nil) // the in-process engine
-	_ engine = (*netrun.Engine)(nil)
-	_ engine = (*shardrun.Engine)(nil)
-	_ linked = (*netrun.Engine)(nil)
-	_ linked = (*shardrun.Engine)(nil)
+	_ engine = (*fanout.Engine)(nil)
 	_ ranked = (*core.Monitor)(nil)
 )
+
+// linked returns the engine of a link-backed monitor (nil on the others)
+// and whether it is a tree monitor: the one shape whose coordinator is
+// split, so the one whose Overhead and TreeStats have something to report,
+// and one whose peers are its own loopback subtrees, so one that refuses a
+// joiner. A networked monitor's link traffic is the protocol itself, which
+// TransportStats reports.
+func (m *Monitor) linked() (e *fanout.Engine, tree bool) {
+	e, _ = m.eng.(*fanout.Engine)
+	return e, e != nil && !m.cfg.Tree.zero()
+}
 
 // errClosed is what every step and barrier of a closed monitor returns.
 var errClosed = errors.New("topk: monitor is closed")
@@ -91,11 +87,10 @@ func engineKind(cfg Config) uint8 {
 	}
 }
 
-// fanoutConfig maps the public configuration to the link-backed engines'
-// (shardrun.Config is netrun's plus the tree shape, which the loopback
-// tree constructor fills in).
-func fanoutConfig(cfg Config) shardrun.Config {
-	return shardrun.Config{
+// fanoutConfig maps the public configuration to the link-backed engine's;
+// the loopback tree constructor fills in the tree shape.
+func fanoutConfig(cfg Config) fanout.Config {
+	return fanout.Config{
 		N: cfg.Nodes, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon,
 		Redial: cfg.redialInternal(), OnEvent: cfg.onEventInternal(),
 	}
@@ -172,14 +167,11 @@ func buildEngine(cfg Config, c *wire.Checkpoint, deltas [][]byte, ordered bool) 
 			return nil, err
 		}
 	}
-	var eng interface {
-		engine
-		Resume(mach *coord.Machine, last []int64)
-	}
+	var eng *fanout.Engine
 	if kind == wire.EngineShard {
-		eng, err = shardrun.NewLoopbackTree(fanoutConfig(cfg), cfg.Tree.Branch, cfg.Tree.Depth)
+		eng, err = fanout.NewLoopbackTree(fanoutConfig(cfg), cfg.Tree.Branch, cfg.Tree.Depth)
 	} else {
-		eng, err = netrun.New(fanoutConfig(cfg).Core(), links)
+		eng, err = fanout.New(fanoutConfig(cfg), links)
 	}
 	if err != nil {
 		return nil, err

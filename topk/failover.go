@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/coord"
-	"repro/internal/netrun"
 	"repro/internal/transport"
 )
 
@@ -114,8 +113,8 @@ func (c Config) onEventInternal() func(coord.Event) {
 func (m *Monitor) Health() Health {
 	m.lock()
 	defer m.unlock()
-	if le, ok := m.eng.(linked); ok {
-		return convertHealth(le.Health())
+	if e, _ := m.linked(); e != nil {
+		return convertHealth(e.Health())
 	}
 	return Health{}
 }
@@ -133,8 +132,8 @@ func (m *Monitor) Health() Health {
 func (m *Monitor) Join(link Link) error {
 	m.lock()
 	defer m.unlock()
-	if ne, ok := m.eng.(*netrun.Engine); ok {
-		return ne.Join(transport.Link(link))
+	if e, tree := m.linked(); e != nil && !tree {
+		return e.Join(transport.Link(link))
 	}
 	link.Close()
 	return errors.New("topk: Join requires a networked monitor")

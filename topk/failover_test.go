@@ -7,7 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/netrun"
+	"repro/internal/fanout"
 	"repro/internal/transport"
 	"repro/topk"
 )
@@ -39,7 +39,7 @@ func TestHealthSurface(t *testing.T) {
 	if h := seq.Health(); h.Terminal != nil || h.Degraded || h.Failures != 0 || len(h.Peers) != 0 {
 		t.Fatalf("sequential monitor unhealthy at birth: %+v", h)
 	}
-	if err := seq.Join(netrun.LoopbackLink()); err == nil {
+	if err := seq.Join(fanout.Loopback(fanout.Serve)); err == nil {
 		t.Fatal("Join on a sequential monitor succeeded")
 	}
 
@@ -69,15 +69,15 @@ func TestHealthSurface(t *testing.T) {
 func TestFailoverThroughPublicAPI(t *testing.T) {
 	const n, k = 12, 3
 	links := []topk.Link{
-		netrun.LoopbackLink(),
-		netrun.LoopbackLink(),
-		transport.NewFaulty(netrun.LoopbackLink(), transport.FaultPlan{KillAt: 60}),
+		fanout.Loopback(fanout.Serve),
+		fanout.Loopback(fanout.Serve),
+		transport.NewFaulty(fanout.Loopback(fanout.Serve), transport.FaultPlan{KillAt: 60}),
 	}
 	var events []topk.Event
 	mon, err := topk.New(topk.Config{
 		Nodes: n, K: k, Seed: 7,
 		Transport: &faultyTransport{links: links},
-		Redial:    func() (topk.Link, error) { return topk.Link(netrun.LoopbackLink()), nil },
+		Redial:    func() (topk.Link, error) { return topk.Link(fanout.Loopback(fanout.Serve)), nil },
 		OnEvent:   func(ev topk.Event) { events = append(events, ev) },
 	})
 	if err != nil {
@@ -154,7 +154,7 @@ func TestJoinThroughPublicAPI(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			err = mon.Join(topk.Link(netrun.LoopbackLink()))
+			err = mon.Join(topk.Link(fanout.Loopback(fanout.Serve)))
 			if (err == nil) != tc.joined {
 				t.Fatalf("Join: %v, want joined=%v", err, tc.joined)
 			}
@@ -265,7 +265,7 @@ func TestJoinConcurrentWithAsyncIngest(t *testing.T) {
 	}()
 	<-started
 	for j := 0; j < joins; j++ {
-		if err := mon.Join(netrun.LoopbackLink()); err != nil {
+		if err := mon.Join(fanout.Loopback(fanout.Serve)); err != nil {
 			t.Fatalf("join %d: %v", j, err)
 		}
 	}
@@ -341,7 +341,7 @@ func TestEngineCapabilityMatrix(t *testing.T) {
 			if ts, err := mon.TreeStats(); err != nil || len(ts.Levels) != sh.levels {
 				t.Errorf("TreeStats = %+v, %v; want %d levels", ts, err, sh.levels)
 			}
-			err = mon.Join(netrun.LoopbackLink())
+			err = mon.Join(fanout.Loopback(fanout.Serve))
 			want := sh.peers
 			if sh.joins {
 				want++
@@ -372,7 +372,7 @@ func TestEngineCapabilityMatrix(t *testing.T) {
 			if _, err := mon.Checkpoint(context.Background()); err == nil {
 				t.Error("Checkpoint after Close succeeded")
 			}
-			if err := mon.Join(netrun.LoopbackLink()); err == nil {
+			if err := mon.Join(fanout.Loopback(fanout.Serve)); err == nil {
 				t.Error("Join after Close succeeded")
 			}
 			if top := mon.Top(); len(top) != 0 {

@@ -6,9 +6,8 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/netrun"
+	"repro/internal/fanout"
 	"repro/internal/order"
-	"repro/internal/shardrun"
 	"repro/internal/transport"
 )
 
@@ -40,14 +39,14 @@ func TestMirrorWidensMidRun(t *testing.T) {
 	}{
 		{"loopback", func() Config { return Config{Nodes: n, K: k, Seed: seed, Transport: Loopback(2)} },
 			func(cut transport.Link) (engine, error) {
-				redial := func() (transport.Link, error) { return netrun.LoopbackLink(), nil }
-				return netrun.New(netrun.Config{N: n, K: k, Seed: seed, Redial: redial}, []transport.Link{netrun.LoopbackLink(), cut})
+				redial := func() (transport.Link, error) { return fanout.Loopback(fanout.Serve), nil }
+				return fanout.New(fanout.Config{N: n, K: k, Seed: seed, Redial: redial}, []transport.Link{fanout.Loopback(fanout.Serve), cut})
 			}},
 		{"tree", func() Config { return Config{Nodes: n, K: k, Seed: seed, Tree: Tree{Branch: 2, Depth: 2}} },
 			func(cut transport.Link) (engine, error) {
-				redial := func() (transport.Link, error) { return shardrun.LoopbackSubtree(2, 2), nil }
-				cfg := shardrun.Config{N: n, K: k, Seed: seed, Tree: shardrun.Tree{Branch: 2, Depth: 2}, Redial: redial}
-				return shardrun.New(cfg, []transport.Link{shardrun.LoopbackSubtree(2, 2), cut})
+				redial := func() (transport.Link, error) { return fanout.LoopbackSubtree(2, 2), nil }
+				cfg := fanout.Config{N: n, K: k, Seed: seed, Tree: fanout.Tree{Branch: 2, Depth: 2}, Redial: redial}
+				return fanout.New(cfg, []transport.Link{fanout.LoopbackSubtree(2, 2), cut})
 			}},
 	}
 	for _, sh := range shapes {
@@ -83,9 +82,9 @@ func TestMirrorWidensMidRun(t *testing.T) {
 				m.Close()
 
 				// The failover.
-				cut := transport.NewFaulty(netrun.LoopbackLink(), transport.FaultPlan{})
+				cut := transport.NewFaulty(fanout.Loopback(fanout.Serve), transport.FaultPlan{})
 				if sh.name == "tree" {
-					cut = transport.NewFaulty(shardrun.LoopbackSubtree(2, 2), transport.FaultPlan{})
+					cut = transport.NewFaulty(fanout.LoopbackSubtree(2, 2), transport.FaultPlan{})
 				}
 				eng, err := sh.build(cut)
 				if err != nil {

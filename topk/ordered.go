@@ -3,7 +3,8 @@ package topk
 import "repro/internal/order"
 
 // ranked is the additional surface of an engine whose coordinator runs the
-// ordered mode, reached like linked through one type assertion.
+// ordered mode, reached like the link engine (Monitor.linked) through one
+// type assertion.
 type ranked interface {
 	AppendRanking(dst []int) []int
 }

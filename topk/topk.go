@@ -82,9 +82,9 @@ import (
 	"sync"
 
 	"repro/internal/comm"
+	"repro/internal/fanout"
 	"repro/internal/ingest"
 	"repro/internal/order"
-	"repro/internal/shardrun"
 )
 
 // Counts reports exchanged messages by kind. Every kind has unit cost in
@@ -302,7 +302,7 @@ func validateConfig(cfg Config) error {
 		return badConfig(cfg, "Redial", "networked monitors only: set Transport, or leave Redial nil")
 	}
 	if !cfg.Tree.zero() {
-		leaves, err := shardrun.Tree(cfg.Tree).Leaves()
+		leaves, err := fanout.Tree(cfg.Tree).Leaves()
 		if err != nil {
 			return badConfig(cfg, "Tree", "%v", err)
 		}
@@ -561,11 +561,11 @@ func (m *Monitor) BytesByPhase() PhaseBytes {
 func (m *Monitor) TransportStats() TransportStats {
 	m.lock()
 	defer m.unlock()
-	le, ok := m.eng.(linked)
-	if !ok {
+	e, _ := m.linked()
+	if e == nil {
 		return TransportStats{}
 	}
-	return TransportStats(le.TransportStats())
+	return TransportStats(e.TransportStats())
 }
 
 // Overhead returns the root's coordination traffic of a tree monitor:
@@ -577,11 +577,11 @@ func (m *Monitor) TransportStats() TransportStats {
 func (m *Monitor) Overhead() (Counts, Bytes) {
 	m.lock()
 	defer m.unlock()
-	le, ok := m.eng.(linked)
-	if !ok {
+	e, tree := m.linked()
+	if !tree {
 		return Counts{}, Bytes{}
 	}
-	return convCounts(le.Overhead()), convBytes(le.OverheadBytes())
+	return convCounts(e.Overhead()), convBytes(e.OverheadBytes())
 }
 
 // LevelIO summarizes the coordination traffic of one coordinator-tree
@@ -611,11 +611,11 @@ type TreeStats struct {
 func (m *Monitor) TreeStats() (TreeStats, error) {
 	m.lock()
 	defer m.unlock()
-	le, ok := m.eng.(linked)
-	if !ok {
+	e, tree := m.linked()
+	if !tree {
 		return TreeStats{}, nil
 	}
-	ws, err := le.TreeStats()
+	ws, err := e.TreeStats()
 	if err != nil {
 		return TreeStats{}, err
 	}

@@ -1,6 +1,6 @@
 package topk
 
-import "repro/internal/netrun"
+import "repro/internal/fanout"
 
 // Link is one reliable, ordered, message-framed duplex connection to a
 // peer process hosting a range of the monitored nodes. It mirrors the
@@ -78,7 +78,7 @@ func Loopback(peers int) Transport {
 		return &loopback{} // rejected by New with a descriptive error
 	}
 	lb := &loopback{}
-	for _, l := range netrun.LoopbackLinks(peers) {
+	for _, l := range fanout.Loopbacks(peers, fanout.Serve) {
 		lb.links = append(lb.links, l)
 	}
 	return lb
@@ -96,7 +96,7 @@ func (l *loopback) Links() []Link { return l.links }
 // when the coordinator shuts the monitor down or an error when the link
 // fails first. A Loopback transport runs it on goroutines; `topkmon -join`
 // runs it in a process of its own.
-func ServeNodes(link Link) error { return netrun.Serve(link) }
+func ServeNodes(link Link) error { return fanout.Serve(link) }
 
 func (l *loopback) Close() error {
 	for _, lk := range l.links {
