@@ -115,7 +115,9 @@ func BenchmarkLeafDenseObserve(b *testing.B) {
 // BenchmarkMonitorDelta compares sparse and dense ingestion of the same
 // workload — a random walk where 1% of n nodes move per step — on the
 // sequential engine. The delta path is the headline: O(#changed) work and
-// 0 allocs/op on violation-free steps.
+// 0 allocs/op on violation-free steps. The delta-wide row is the quiet path
+// of benchmark/'s seq-sparse-quiet as a unit benchmark: n = 2²⁰, 4096
+// changes a step, values up to 2⁴⁰, which the bank keeps in 6-byte cells.
 func BenchmarkMonitorDelta(b *testing.B) {
 	const n = 2048
 	const changed = n / 100
@@ -125,19 +127,22 @@ func BenchmarkMonitorDelta(b *testing.B) {
 		})
 	}
 	b.Run("delta", func(b *testing.B) {
-		m := core.New(core.Config{N: n, K: 4, Seed: 10})
-		src := newSrc()
-		ids := make([]int, n)
-		vals := make([]int64, n)
+		m, src := core.New(core.Config{N: n, K: 4, Seed: 10}), newSrc()
+		ids, vals := make([]int, n), make([]int64, n)
 		c := src.StepDelta(ids, vals)
 		m.ObserveDelta(ids[:c], vals[:c])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c := src.StepDelta(ids, vals)
-			m.ObserveDelta(ids[:c], vals[:c])
-		}
-		b.ReportMetric(float64(m.Counts().Total())/float64(b.N), "msgs/step")
+		benchDelta(b, m, src, ids, vals)
+	})
+	b.Run("delta-wide", func(b *testing.B) {
+		const n = 1 << 20
+		m := core.New(core.Config{N: n, K: 16, Seed: 10})
+		src := stream.NewSparseWalk(stream.SparseWalkConfig{
+			N: n, Lo: 0, Hi: 1 << 40, MaxStep: 64, Changed: 4096, Seed: 9,
+		})
+		ids, vals := make([]int, n), make([]int64, n)
+		src.Step(vals)
+		m.Observe(vals) // every value set, the time-0 FILTERRESET off the clock
+		benchDelta(b, m, src, ids, vals)
 	})
 	b.Run("dense", func(b *testing.B) {
 		m := core.New(core.Config{N: n, K: 4, Seed: 10})
@@ -153,6 +158,20 @@ func BenchmarkMonitorDelta(b *testing.B) {
 		}
 		b.ReportMetric(float64(m.Counts().Total())/float64(b.N), "msgs/step")
 	})
+}
+
+// benchDelta times m's ObserveDelta on src's steps, into ids and vals.
+func benchDelta(b *testing.B, m *core.Monitor, src *stream.SparseWalk, ids []int, vals []int64) {
+	updates := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := src.StepDelta(ids, vals)
+		m.ObserveDelta(ids[:c], vals[:c])
+		updates += c
+	}
+	b.ReportMetric(float64(m.Counts().Total())/float64(b.N), "msgs/step")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(updates), "ns/update")
 }
 
 // BenchmarkMonitorStepHot measures Observe under constant violations (IID

@@ -23,15 +23,19 @@ import (
 //     the absolute values (ObserveDense, or Observe per value for the
 //     sparse frame), so a value outside the domain is the error the
 //     reference fails with, at the node it fails at, and never a panic;
+//   - the frame-fed bank's column is at the tier of the twin's;
 //   - when no value is refused, value(i) is the new value of every node;
-//   - while the baseline fits int32, the frames coded against it from a
-//     narrow mirror (a Column, as a root keeps it), and its replay against
-//     zero, are byte for byte what the int64 mirror codes.
+//   - the baseline kept in a Column, as a root keeps its mirror, is at the
+//     tier its values need, and the frames coded against it at that tier,
+//     and its replay against zero, are byte for byte what an int64 mirror
+//     codes.
 //
 // The input bytes are read nine at a time: a selector and a raw int64, from
 // which value() picks magnitudes at and past the domain's ends, int64's
 // ends, small steps from the baseline and arbitrary bits. Seeds across
-// ±2³¹ widen a narrow column mid-frame, and cross a wide baseline back.
+// ±2³¹ widen a narrow column mid-frame, and cross a wider baseline back;
+// seeds across ±2⁴⁷ widen a column 4 → 6 → 8 bytes in one frame, 4 → 8 at
+// one value, and start one at 6 bytes from the baseline.
 func FuzzObserveChanges(f *testing.F) {
 	seed := func(sels ...byte) []byte {
 		var p []byte
@@ -60,6 +64,12 @@ func FuzzObserveChanges(f *testing.F) {
 	}
 	f.Add(uint16(4), uint16(0), raw([]byte{0, 0, 0, 0, 0x80, 0, 0x80, 0x80, 0}, 1, -5, 1<<31-1, -1<<31, 1<<31, 7, -1<<31-1, 1<<40, 3))
 	f.Add(uint16(3), uint16(1), raw([]byte{0, 0, 0x80, 0x80, 0}, 1<<31+9, -1<<33, 1<<31-1, -1<<31, 0))
+	// Four nodes: a narrow baseline, then 2³¹ and 2⁴⁷ in one frame; 2⁴⁷ at
+	// once; and a baseline at 2⁴⁰ whose frame stays within ±2⁴⁷.
+	const b47 = 1 << 47
+	f.Add(uint16(3), uint16(0), raw([]byte{0, 0x80}, 1, -5, 7, 3, 1<<31, 2, b47, -b47-1, 0))
+	f.Add(uint16(3), uint16(0), raw([]byte{0x80}, 1, 2, 3, 4, 5, b47, 6, -7, 0))
+	f.Add(uint16(3), uint16(0), raw([]byte{0x80, 0}, 1<<40, -1<<40, 1<<31, 0, 1<<40+1, 5, -b47, b47-1, 0))
 	f.Fuzz(func(t *testing.T, n, lo uint16, data []byte) {
 		nodes := int(n)%300 + 1
 		first := int(lo) % nodes
@@ -134,26 +144,21 @@ func FuzzObserveChanges(f *testing.F) {
 		}
 		delta := wire.ObserveDelta{Step: 2, IDs: ids, Vals: sparse, Prev: mirror}.Append(nil)
 
-		// The narrow arm: the mirror kept as a root keeps it, in a column as
-		// wide as its values. While they fit int32, the frames coded against
-		// it, and the replay of it against zero, are byte for byte the ones
-		// the int64 mirror codes.
+		// The mirror kept as a root keeps it, in a column at the tier its
+		// values need: the frames coded against it, and the replay of it
+		// against zero, are byte for byte the ones the int64 mirror codes.
 		col := NewColumn(nodes)
-		col.Fit(mirror)
+		col.Reserve(mirror)
 		col.Put(0, mirror)
-		if narrow := col.Int32s(); narrow != nil {
-			if got := wire.AppendObserve(nil, 2, vals, narrow[first:]); !bytes.Equal(got, dense) {
-				t.Fatalf("%s: a dense frame coded against the narrow mirror is % x, against the wide one % x", where, got, dense)
-			}
-			if got := wire.AppendObserveDelta(nil, 2, ids, sparse, narrow); !bytes.Equal(got, delta) {
-				t.Fatalf("%s: a sparse frame coded against the narrow mirror is % x, against the wide one % x", where, got, delta)
-			}
-			want := wire.Observe{Step: 1, Vals: mirror[first:]}.Append(nil)
-			if got := wire.AppendObserve(nil, 1, narrow[first:], []int32(nil)); !bytes.Equal(got, want) {
-				t.Fatalf("%s: the narrow mirror replays as % x, the wide one as % x", where, got, want)
-			}
-		} else if !slices.ContainsFunc(mirror, func(v int64) bool { return !fits32(v) }) {
-			t.Fatalf("%s: a mirror whose values all fit int32 is wide", where)
+		if got, want := col.Tier(), tierOf(mirror, Tier64); got != want {
+			t.Fatalf("%s: a mirror of %v is at %d bytes a node, want %d", where, mirror, got, want)
+		}
+		fr := mirrorFrames{where, first, vals, ids, sparse, dense, delta, wire.Observe{Step: 1, Vals: mirror[first:]}.Append(nil)}
+		switch col.Tier() {
+		case Tier32:
+			holdFrames(t, fr, col.Int32s())
+		case Tier48:
+			holdFrames(t, fr, col.Int48s())
 		}
 
 		// Four banks over the range, each given the baseline and the same
@@ -187,6 +192,9 @@ func FuzzObserveChanges(f *testing.F) {
 		check := func(kind string, got, want *Nodes, ga, wa answer, set []int64) {
 			if ga != wa {
 				t.Fatalf("%s: %s frame answers %+v, absolute values %+v", where, kind, ga, wa)
+			}
+			if got.tier() != want.tier() {
+				t.Fatalf("%s: %s frame leaves the column at %d bytes a node, absolute values at %d", where, kind, got.tier(), want.tier())
 			}
 			if !slices.Equal(got.keys(), want.keys()) || !slices.Equal(got.top, want.top) {
 				t.Fatalf("%s: %s frame leaves keys or membership other than the absolute values do", where, kind)
@@ -229,4 +237,30 @@ func FuzzObserveChanges(f *testing.F) {
 		}
 		check("sparse", got, want, answer{gt, gout, fmt.Sprint(gerr)}, answer{wt, wo, fmt.Sprint(werr)}, after)
 	})
+}
+
+// mirrorFrames are the frames FuzzObserveChanges codes against an int64
+// mirror: dense, delta, and the replay of the mirror's range against zero.
+type mirrorFrames struct {
+	where              string
+	first              int
+	vals               []int64
+	ids                []int
+	sparse             []int64
+	dense, delta, zero []byte
+}
+
+// holdFrames fails unless the frames coded against mirror, a column of a
+// narrower tier, are fr's.
+func holdFrames[V wire.Value](t *testing.T, fr mirrorFrames, mirror []V) {
+	t.Helper()
+	if got := wire.AppendObserve(nil, 2, fr.vals, mirror[fr.first:]); !bytes.Equal(got, fr.dense) {
+		t.Fatalf("%s: a dense frame coded against the %T mirror is % x, against the int64 one % x", fr.where, mirror, got, fr.dense)
+	}
+	if got := wire.AppendObserveDelta(nil, 2, fr.ids, fr.sparse, mirror); !bytes.Equal(got, fr.delta) {
+		t.Fatalf("%s: a sparse frame coded against the %T mirror is % x, against the int64 one % x", fr.where, mirror, got, fr.delta)
+	}
+	if got := wire.AppendObserve(nil, 1, mirror[fr.first:], []V(nil)); !bytes.Equal(got, fr.zero) {
+		t.Fatalf("%s: the %T mirror replays as % x, the int64 one as % x", fr.where, mirror, got, fr.zero)
+	}
 }

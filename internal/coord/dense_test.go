@@ -159,7 +159,7 @@ func TestDenseKernelMatchesPerValueObserve(t *testing.T) {
 				for vi, view := range tw.views {
 					top, out, err := tw.feed(view, vals[view.Lo()-lo:view.Hi()-lo], step)
 					if errors.Is(err, ErrNarrow) { // as a host of views does: widen, and again
-						tw.bank.Widen()
+						tw.bank.Widen(vals[view.Lo()-lo : view.Hi()-lo])
 						top, out, err = tw.feed(view, vals[view.Lo()-lo:view.Hi()-lo], step)
 					}
 					got := answer{top, out, fmt.Sprint(err)}

@@ -26,7 +26,9 @@ import (
 // The per-node state of the paper's node model — current value, membership
 // knowledge from the last broadcast — is a value column indexed by id - Lo
 // and a membership bitset: 4⅛ bytes per hosted node while every value the
-// bank has held fits int32, 8⅛ from the first that does not (Column). A
+// bank has held fits int32, 6⅛ while every one fits 48 bits — always, from
+// n = 2¹⁶ on, since the value domain does — and 8⅛ from the first that does
+// not (Column). A
 // node's key is re-derived where it is read, order.Codec.Encode's v·n +
 // (n−1−id), one multiply-add; the filter is derived from the installed
 // bounds (filter.Bounds) and the membership bit, and no function of the id
@@ -128,176 +130,255 @@ func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
 }
 
 // Column is a value column: entry i is a value, held at the narrowest width
-// that has held every value the column was given. A bank keeps its nodes'
-// values in one, which every Sub view of it shares, and a link-backed
-// coordinator keeps its mirror of what every bank holds in another
-// (internal/fanout). A new column is every value 0 and allocates nothing;
-// it is allocated once, at the width the values it is first given need
-// (Fit, Nodes.Reserve), and it widens once, for good, at the first value
-// that does not fit int32. Every loop over it is one generic implementation
-// over both widths (cell).
+// that has held every value the column was given — its Tier: int32 entries,
+// 4 bytes, while every value fits int32; packed 48-bit ones (wire.Int48), 6
+// bytes, while every value fits 48 bits; int64, 8 bytes, from the first
+// that does not. A bank keeps its nodes' values in one, which every Sub
+// view of it shares, and a link-backed coordinator keeps its mirror of what
+// every bank holds in another (internal/fanout). A new column is every
+// value 0 and allocates nothing; it is allocated once, at the tier the
+// values it is first given need (Column.Reserve, Nodes.Reserve), and it
+// widens, for good, at the first value its tier does not hold — at most
+// twice in its life. The value domain caps what a bank is given
+// (order.MaxValueFor: below 2⁴⁷ from n = 2¹⁶ on), so a bank of 2¹⁶ or more
+// nodes never reaches int64. Every loop over it is one generic
+// implementation over the three widths (wire.Value).
 type Column struct {
 	n   int
-	n32 []int32 // the column while every value fits int32
-	n64 []int64 // the column from the first value that did not; n32 is nil then
+	n32 []int32      // the column while every value fits int32
+	n48 []wire.Int48 // the column while every value fits 48 bits, from the first that did not fit int32
+	n64 []int64      // the column from the first value that did not fit 48 bits
 }
 
 // NewColumn returns a column of n entries, every one 0, not yet allocated.
 func NewColumn(n int) Column { return Column{n: n} }
 
-// cell is the entry type of a column.
-type cell interface{ int32 | int64 }
+// Tier is the width of a column's entries, in bytes: Tier32, Tier48 or
+// Tier64, and 0 for a column not yet allocated.
+type Tier uint8
+
+// The column tiers.
+const (
+	Tier32 Tier = 4
+	Tier48 Tier = 6
+	Tier64 Tier = 8
+)
+
+// valueTier returns the narrowest tier that holds v.
+func valueTier(v int64) Tier { return magTier(uint64(v ^ v>>63)) }
+
+// magTier returns the narrowest tier that holds every value whose
+// magnitude bits — v for v ≥ 0, −v−1 below — are at most m.
+func magTier(m uint64) Tier {
+	switch {
+	case m < 1<<31:
+		return Tier32
+	case m < 1<<47:
+		return Tier48
+	}
+	return Tier64
+}
 
 // fits32 reports whether v fits a narrow column.
 func fits32(v int64) bool { return v == int64(int32(v)) }
 
-// allFit32 reports whether every value of vals fits a narrow column. It
-// looks 256 values at a time, without a branch a value.
-func allFit32(vals []int64) bool {
-	for len(vals) > 0 {
+// fits48 reports whether v fits a column of 48-bit entries.
+func fits48(v int64) bool { return v == v<<16>>16 }
+
+// tierOf returns the narrowest tier that holds every value of vals, or top
+// if that is narrower. It looks 256 values at a time, without a branch a
+// value, and stops at the first block that needs top.
+func tierOf(vals []int64, top Tier) Tier {
+	t := Tier32
+	for len(vals) > 0 && t < top {
 		blk := vals[:min(256, len(vals))]
 		vals = vals[len(blk):]
-		var out uint64 // bit 32 or above set: some value of blk does not fit int32
+		var m uint64 // the magnitude bits of every value of blk
 		for _, v := range blk {
-			out |= uint64(v) + 1<<31
+			m |= uint64(v ^ v>>63)
 		}
-		if out>>32 != 0 {
-			return false
-		}
+		t = max(t, magTier(m))
 	}
-	return true
+	return min(t, top)
 }
 
-// allocate gives a column that has none its entries, all 0, wide or not.
-func (c *Column) allocate(wide bool) {
-	if wide {
-		c.n64 = make([]int64, c.n)
-	} else {
-		c.n32 = make([]int32, c.n)
-	}
-}
-
-// widen makes a column that is not wide wide, keeping every value: one
-// allocation, and a copy of the narrow entries when there are any.
-func (c *Column) widen() {
-	c.n64 = make([]int64, c.n)
-	for i, v := range c.n32 {
-		c.n64[i] = int64(v)
-	}
-	c.n32 = nil
-}
-
-// Fit readies the column to take vals: a column not yet allocated is
-// allocated at the width they need, and a narrow one that one of them does
-// not fit is widened. Put and Set then store them.
-func (c *Column) Fit(vals []int64) {
+// Tier returns the width of the column's entries, 0 while it is not
+// allocated.
+func (c *Column) Tier() Tier {
 	switch {
+	case c.n32 != nil:
+		return Tier32
+	case c.n48 != nil:
+		return Tier48
 	case c.n64 != nil:
-	case c.n32 == nil:
-		c.allocate(!allFit32(vals))
-	case !allFit32(vals):
-		c.widen()
+		return Tier64
+	}
+	return 0
+}
+
+// widen gives the column tier t if it is narrower, keeping every value: one
+// allocation, and a copy of the entries of a column that had any.
+func (c *Column) widen(t Tier) {
+	if t <= c.Tier() {
+		return
+	}
+	switch t {
+	case Tier32:
+		c.n32 = make([]int32, c.n)
+	case Tier48:
+		c.n48 = make([]wire.Int48, c.n)
+		copyCells(c.n48, c.n32)
+		c.n32 = nil
+	default:
+		c.n64 = make([]int64, c.n)
+		copyCells(c.n64, c.n32)
+		copyCells(c.n64, c.n48)
+		c.n32, c.n48 = nil, nil
 	}
 }
 
-// Wide reports whether the column keeps its entries at int64.
-func (c *Column) Wide() bool { return c.n64 != nil }
+// copyCells copies the entries of src to the front of dst, a wider column.
+func copyCells[V, W wire.Value](dst []W, src []V) {
+	dst = dst[:len(src)]
+	for i := range src {
+		wire.Store(dst, i, wire.Load(src, i))
+	}
+}
 
-// Int64s returns the entries of a wide column, and nil while it is not
-// wide.
+// Reserve allocates a column not yet allocated at the tier vals need, the
+// values it is about to be given; a column already allocated it leaves as it
+// is (Put and Set widen it). So a column given values that need 48 bits from
+// the start never allocates an int32 column. It reads vals no further than
+// the tier that holds the value domain of a monitor of the column's n
+// nodes (order.MaxValueFor), where a value past it, which Put widens for,
+// is an input error.
+func (c *Column) Reserve(vals []int64) {
+	if c.Tier() == 0 {
+		c.widen(tierOf(vals, magTier(uint64(order.MaxValueFor(c.n)))))
+	}
+}
+
+// Int64s returns the entries of a column at Tier64, and nil otherwise.
 func (c *Column) Int64s() []int64 { return c.n64 }
 
-// Int32s returns the entries of a column that is not wide, allocating a
-// column that has none, and nil once it is wide.
+// Int48s returns the entries of a column at Tier48, and nil otherwise.
+func (c *Column) Int48s() []wire.Int48 { return c.n48 }
+
+// Int32s returns the entries of a column at Tier32, allocating a column
+// that has none, and nil once it is wider.
 func (c *Column) Int32s() []int32 {
-	if c.n32 == nil && c.n64 == nil {
-		c.allocate(false)
+	if c.Tier() == 0 {
+		c.widen(Tier32)
 	}
 	return c.n32
 }
 
 // Value returns entry i.
 func (c *Column) Value(i int) int64 {
-	if c.n64 != nil {
+	switch {
+	case c.n64 != nil:
 		return c.n64[i]
-	}
-	if c.n32 != nil {
+	case c.n48 != nil:
+		return wire.Load(c.n48, i)
+	case c.n32 != nil:
 		return int64(c.n32[i])
 	}
 	return 0
 }
 
-// Put sets entries at to at+len(vals)-1 to vals, which the column fits
-// (Fit).
+// Put sets entries at to at+len(vals)-1 to vals, widening the column to the
+// tier a value needs where it meets one its tier cannot hold.
 func (c *Column) Put(at int, vals []int64) {
-	if c.n64 != nil {
-		copy(c.n64[at:], vals)
-		return
-	}
-	cells := c.Int32s()[at : at+len(vals)]
-	for j, v := range vals {
-		cells[j] = int32(v)
+	for len(vals) > 0 {
+		n := len(vals)
+		switch {
+		case c.n64 != nil:
+			copy(c.n64[at:], vals)
+		case c.n48 != nil:
+			n = wire.StoreRun(c.n48[at:], vals, 1<<47)
+		default:
+			n = wire.StoreRun(c.Int32s()[at:], vals, 1<<31)
+		}
+		if at, vals = at+n, vals[n:]; len(vals) > 0 {
+			c.widen(valueTier(vals[0]))
+		}
 	}
 }
 
-// Set sets entry i to v, which the column fits (Fit).
+// Set sets entry i to v, widening the column to the tier v needs if its
+// tier cannot hold it.
 func (c *Column) Set(i int, v int64) {
-	if c.n64 != nil {
+	switch {
+	case c.n64 != nil:
 		c.n64[i] = v
-	} else {
-		c.Int32s()[i] = int32(v)
+	case c.n48 != nil && fits48(v):
+		wire.Store(c.n48, i, v)
+	case c.n32 != nil && fits32(v):
+		c.n32[i] = int32(v)
+	default:
+		c.widen(valueTier(v))
+		c.Set(i, v)
 	}
 }
 
 // cells32 returns the view's narrow entries, allocating a column that has
-// none; it is called only while the column is not wide.
+// none; it is called only while the column is not wider.
 func (b *Nodes) cells32() []int32 {
 	return b.col.Int32s()[b.at : b.at+b.n]
 }
 
 // Reserve readies the column for vals, the values of an observation about
 // to be made: a bank whose column is not yet allocated allocates it at the
-// width they need — those ahead of the first outside the value domain, at
+// tier they need — those ahead of the first outside the value domain, at
 // which the observation stops — so it allocates its column once, at its
-// first observation, whatever its width. An allocated column it leaves as it is,
-// and a Sub view does nothing: a view that finds no column allocates a
+// first observation, whatever its tier. An allocated column it leaves as it
+// is, and a Sub view does nothing: a view that finds no column allocates a
 // narrow one, and widens none (Observe). So a host that drives Sub views
 // concurrently reserves on the bank before their first observation.
 func (b *Nodes) Reserve(vals []int64) {
-	if !b.fresh() {
-		return
+	if b.fresh() {
+		t, _ := b.scanTier(vals)
+		b.col.widen(t)
 	}
-	wide, _ := b.scanWidth(vals)
-	b.col.allocate(wide)
 }
 
-// scanWidth reports whether vals holds a value that does not fit int32
-// ahead of the first outside the value domain, and whether it met such a
-// value, at which an observation of them stops. It looks for a value that
-// does not fit 256 values at a time (allFit32).
-func (b *Nodes) scanWidth(vals []int64) (wide, stopped bool) {
-	for len(vals) > 0 {
+// scanTier returns the tier that holds every value of vals ahead of the
+// first outside the value domain, and whether it met such a value, at which
+// an observation of them stops. It looks 256 values at a time, without a
+// branch a value, and at values one by one only in a block that holds one
+// at or past the domain's ends; it stops at the domain's tier (domainTier),
+// which holds whatever follows.
+func (b *Nodes) scanTier(vals []int64) (t Tier, stopped bool) {
+	t, top := Tier32, b.domainTier()
+	for len(vals) > 0 && t < top {
 		blk := vals[:min(256, len(vals))]
 		vals = vals[len(blk):]
-		if allFit32(blk) {
+		var m uint64 // the magnitude bits of every value of blk (magTier)
+		for _, v := range blk {
+			m |= uint64(v ^ v>>63)
+		}
+		if m < uint64(b.maxVal) { // then every value lies in the domain
+			t = max(t, magTier(m))
 			continue
 		}
 		for _, v := range blk {
 			if v > b.maxVal || v < -b.maxVal {
-				return false, true
+				return t, true
 			}
-			if !fits32(v) {
-				return true, false
-			}
+			t = max(t, valueTier(v))
 		}
 	}
-	return false, false
+	return t, false
 }
+
+// domainTier returns the tier that holds every value in the value domain:
+// Tier48 from n = 2¹⁶ on, no value the bank takes needs more.
+func (b *Nodes) domainTier() Tier { return magTier(uint64(b.maxVal)) }
 
 // fresh reports whether the bank, not a Sub view, has yet to allocate its
 // column: every value is 0.
 func (b *Nodes) fresh() bool {
-	return !b.sub && b.col.n32 == nil && b.col.n64 == nil
+	return !b.sub && b.col.Tier() == 0
 }
 
 // Sub returns a view of the sub-range [lo, hi) sharing this bank's node
@@ -400,12 +481,14 @@ func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
 func (b *Nodes) value(i int) int64 { return b.col.Value(b.at + i) }
 
 // store sets hosted node i's value, which lies in the value domain,
-// allocating the column at the width v needs if it has none and widening
-// a narrow one v does not fit. A Sub view does neither: it stores nothing
-// and returns false, since other views may be running over the column.
+// allocating the column at the tier v needs if it has none and widening
+// one v does not fit. A Sub view does neither: it stores nothing and
+// returns false, since other views may be running over the column.
 func (b *Nodes) store(i int, v int64) bool {
 	if c := b.col; c.n32 != nil && fits32(v) {
 		c.n32[b.at+i] = int32(v)
+	} else if c.n48 != nil && fits48(v) {
+		wire.Store(c.n48, b.at+i, v)
 	} else if c.n64 != nil {
 		c.n64[b.at+i] = v
 	} else {
@@ -417,29 +500,25 @@ func (b *Nodes) store(i int, v int64) bool {
 // storeFirst is store into a column v is the first value of, or the first
 // value that does not fit.
 func (b *Nodes) storeFirst(i int, v int64) bool {
-	switch {
-	case fits32(v):
-		b.cells32()[i] = int32(v)
-	case b.sub:
+	if b.sub && valueTier(v) > Tier32 {
 		return false
-	default:
-		b.Widen()
-		b.col.n64[b.at+i] = v
 	}
+	b.col.Set(b.at+i, v)
 	return true
 }
 
-// Widen makes the bank's column wide, for good, if it is not: the step a
-// host of Sub views takes, while every view is parked, when a view
-// refuses a value with ErrNarrow.
-func (b *Nodes) Widen() {
-	if b.col.n64 == nil {
-		b.col.widen()
-	}
+// Widen widens the bank's column, for good, to the tier that holds every
+// value of vals ahead of the first outside the value domain, if it is
+// narrower: the step a host of Sub views takes, while every view is
+// parked, when a view refuses a value of vals with ErrNarrow. The batch
+// observed again then stores every value it takes.
+func (b *Nodes) Widen(vals []int64) {
+	t, _ := b.scanTier(vals)
+	b.col.widen(t)
 }
 
 // ErrNarrow is the error a Sub view's Observe, ObserveDense and the like
-// return at a value its narrow column cannot hold, having stored none of
+// return at a value their column's tier cannot hold, having stored none of
 // it: the bank widens its column (Widen) while every view is parked, and
 // the view's batch is observed again. It is never an input's fault.
 var ErrNarrow = errors.New("coord: a Sub view's column is narrower than a value it was given")
@@ -491,6 +570,8 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 	// store, spelled out for the same reason.
 	if c := b.col; c.n32 != nil && fits32(v) {
 		c.n32[b.at+i] = int32(v)
+	} else if c.n48 != nil && fits48(v) {
+		wire.Store(c.n48, b.at+i, v)
 	} else if c.n64 != nil {
 		c.n64[b.at+i] = v
 	} else if !b.storeFirst(i, v) {
@@ -528,15 +609,18 @@ func listViolator(list []int32, i int32) []int32 {
 }
 
 // observeRun is the dense range kernel: vals[j] is the new value of hosted
-// node i+j. It runs observeCells over the column at its width, and again
-// over the wide column for the values after one that widened it.
+// node i+j. It runs observeCells over the column at its tier, and again
+// over the wider column for the values after one that widened it.
 func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bool, err error) {
 	for len(vals) > 0 {
 		var n int
 		var t, o bool
-		if c := b.col; c.n64 != nil {
+		switch c := b.col; {
+		case c.n64 != nil:
 			n, t, o, err = observeCells(b, c.n64[b.at+i:], i, vals, step, b.maxVal)
-		} else {
+		case c.n48 != nil:
+			n, t, o, err = observeCells(b, c.n48[b.at+i:], i, vals, step, min(b.maxVal, 1<<47-1))
+		default:
 			n, t, o, err = observeCells(b, b.cells32()[i:], i, vals, step, min(b.maxVal, math.MaxInt32))
 		}
 		topViol, outViol = topViol || t, outViol || o
@@ -549,41 +633,57 @@ func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bo
 }
 
 // observeCells is the range kernel over a column of one width: cells[j] is
-// hosted node i+j's entry. What a value's check needs that does not depend
-// on the value — the installed bounds, the codec's multiplier and the run's
-// tie-break base, the bound a value must lie within, the domain's and the
-// width's — is read once, so a value that lies within it and inside its
-// node's filter costs a multiplication, two comparisons and the store of
-// its entry. Any other value — a violator's, one outside the domain, or one
-// the narrow column cannot hold — is handed to Observe, which does for it
-// everything it does for a sparse update: the violator lists, the error
-// and the widening are that code's, and the run stops at the first value it
-// rejects, and after the first that widens the column it stores into. It
-// returns how many values it took.
-func observeCells[V cell](b *Nodes, cells []V, i int, vals []int64, step int64, lim int64) (n int, topViol, outViol bool, err error) {
+// hosted node i+j's entry. It runs in two loops, so that neither holds what
+// the other needs: quiet finds the values that pass quietly, a run of them
+// at a time, and wire.StoreRun stores that run. A value that lies within lim,
+// the domain's bound and the width's, and inside its node's filter costs a
+// multiplication and two comparisons, and the store of its entry. Any
+// other value — a violator's, one outside the domain, or one the column's
+// tier cannot hold — is handed to Observe, which does for it everything it
+// does for a sparse update: the violator lists, the error and the widening
+// are that code's, and the run stops at the first value it rejects, and
+// after the first that widens the column it stores into. It returns how
+// many values it took.
+func observeCells[V wire.Value](b *Nodes, cells []V, i int, vals []int64, step int64, lim int64) (n int, topViol, outViol bool, err error) {
+	tier := b.col.Tier()
+	for j := 0; j < len(vals); j++ {
+		q := j + b.quiet(i+j, vals[j:], lim)
+		wire.StoreRun(cells[j:q], vals[j:q], math.MaxUint64)
+		if j = q; j == len(vals) {
+			break
+		}
+		t, o, err := b.Observe(b.lo+i+j, vals[j], step)
+		if err != nil {
+			return j, topViol, outViol, err
+		}
+		topViol, outViol = topViol || t, outViol || o
+		if b.col.Tier() != tier {
+			return j + 1, topViol, outViol, nil // the column widened under the run
+		}
+	}
+	return len(vals), topViol, outViol, nil
+}
+
+// quiet returns how many of vals, the new values of hosted nodes i on, lie
+// within lim and inside their nodes' filters, ahead of the first that does
+// not. What a value's check needs that does not depend on the value — the
+// installed bounds, the codec's multiplier and the run's tie-break base —
+// is read once.
+func (b *Nodes) quiet(i int, vals []int64, lim int64) int {
 	inst := *b.inst
 	mul := int64(b.codec.N())
 	tie := mul - 1 - int64(b.lo+i) // order.Codec.Encode: v*n + (n-1-id)
-	cells, top, p := cells[:len(vals)], b.top, b.off+uint(i)
+	top, p := b.top, b.off+uint(i)
 	for j, v := range vals {
 		key := order.Key(v*mul + tie)
 		tie--
 		inTop := top[p>>6]>>(p&63)&1 != 0
 		p++
-		if v <= lim && v >= -lim && holds(inst, inTop, key) {
-			cells[j] = V(v)
-			continue
-		}
-		t, o, err := b.Observe(b.lo+i+j, v, step)
-		if err != nil {
-			return j, topViol, outViol, err
-		}
-		topViol, outViol = topViol || t, outViol || o
-		if _, narrow := any(cells).([]int32); narrow && b.col.n32 == nil {
-			return j + 1, topViol, outViol, nil // the column widened under the run
+		if v > lim || v < -lim || !holds(inst, inTop, key) {
+			return j
 		}
 	}
-	return len(vals), topViol, outViol, nil
+	return len(vals)
 }
 
 // ObserveDense ingests one dense step for the whole hosted range — vals[i]
@@ -603,7 +703,8 @@ func (b *Nodes) ObserveDense(vals []int64, step int64) (topViol, outViol bool, e
 // frame carries each node's change from the value the bank holds (wire
 // package comment), and the values are rebuilt from it a chunk at a time,
 // never a column of their own. A fresh bank reads the frame once first,
-// through a copy of its cursor, for the width its column is allocated at. The frame must carry one change per hosted node,
+// through a copy of its cursor, for the tier its column is allocated at.
+// The frame must carry one change per hosted node,
 // which is checked before the first store; whatever else is wrong with it
 // — a malformed varint, a change that lands outside the value domain,
 // bytes after the last change — is found where it lies, so the values
@@ -615,14 +716,19 @@ func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err
 		return false, false, fmt.Errorf("coord: observe frame carries %d values for range [%d, %d)", s.Len(), b.lo, b.hi)
 	}
 	var chunk [256]int64
-	if b.fresh() {
-		b.col.allocate(b.wideFrame(*s, chunk[:]))
+	fresh := b.fresh()
+	if fresh {
+		b.col.widen(b.frameTier(*s, chunk[:]))
 	}
 	for i := 0; i < b.n; {
 		n, rerr := s.Read(chunk[:])
-		if c := b.col; c.n64 != nil { // wraps as the coordinator's subtraction did
+		switch c := b.col; { // wraps as the coordinator's subtraction did
+		case fresh: // nodes i on hold 0: the changes are the values
+		case c.n64 != nil:
 			addCells(chunk[:n], c.n64[b.at+i:])
-		} else {
+		case c.n48 != nil:
+			addCells(chunk[:n], c.n48[b.at+i:])
+		default:
 			addCells(chunk[:n], b.cells32()[i:])
 		}
 		t, o, err := b.observeRun(i, chunk[:n], s.Step)
@@ -638,25 +744,28 @@ func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err
 	return topViol, outViol, s.Close()
 }
 
-// wideFrame reports whether a frame, read from the start through a copy of
-// its cursor, carries a value that does not fit int32 ahead of the first
-// that is malformed or outside the value domain, where its reading stops:
-// the width a fresh bank, whose values are all 0, allocates its column at.
-func (b *Nodes) wideFrame(s wire.ObserveStream, chunk []int64) bool {
-	for s.Len() > 0 {
+// frameTier returns the tier that holds every value a frame, read from the
+// start through a copy of its cursor, carries ahead of the first that is
+// malformed or outside the value domain, where its reading stops, as it
+// does at the domain's tier: the tier a fresh bank, whose values are all 0,
+// allocates its column at.
+func (b *Nodes) frameTier(s wire.ObserveStream, chunk []int64) Tier {
+	t, top := Tier32, b.domainTier()
+	for s.Len() > 0 && t < top {
 		n, err := s.Read(chunk)
-		if wide, stopped := b.scanWidth(chunk[:n]); wide || stopped || err != nil {
-			return wide
+		ct, stopped := b.scanTier(chunk[:n])
+		if t = max(t, ct); stopped || err != nil {
+			break
 		}
 	}
-	return false
+	return t
 }
 
 // addCells adds each entry of cells to the change in dst beside it.
-func addCells[V cell](dst []int64, cells []V) {
+func addCells[V wire.Value](dst []int64, cells []V) {
 	cells = cells[:len(dst)]
 	for j := range dst {
-		dst[j] += int64(cells[j])
+		dst[j] += wire.Load(cells, j)
 	}
 }
 
@@ -667,7 +776,7 @@ func addCells[V cell](dst []int64, cells []V) {
 // ObserveStream).
 func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, err error) {
 	if b.fresh() {
-		b.col.allocate(b.wideDeltas(*s))
+		b.col.widen(b.deltasTier(*s))
 	}
 	for s.Len() > 0 {
 		id, change, err := s.Next()
@@ -686,18 +795,17 @@ func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, 
 	return topViol, outViol, s.Close()
 }
 
-// wideDeltas is wideFrame for a sparse frame.
-func (b *Nodes) wideDeltas(s wire.DeltaStream) bool {
-	for s.Len() > 0 {
+// deltasTier is frameTier for a sparse frame.
+func (b *Nodes) deltasTier(s wire.DeltaStream) Tier {
+	t, top := Tier32, b.domainTier()
+	for s.Len() > 0 && t < top {
 		id, v, err := s.Next()
 		if err != nil || id < b.lo || id >= b.hi || v > b.maxVal || v < -b.maxVal {
-			return false
+			break
 		}
-		if !fits32(v) {
-			return true
-		}
+		t = max(t, valueTier(v))
 	}
-	return false
+	return t
 }
 
 // Round runs round r of one protocol execution (protocol.Exec) over the
@@ -783,9 +891,12 @@ func (b *Nodes) round(tag uint8, r int, best order.Key, bound int, step int64, t
 	cut, minimum := tol.WidenHi(best), MinimumTag(tag)
 	mul := int64(b.codec.N())
 	tie := mul - 1 - int64(b.lo) // node i's key: its value·n + (n−1−(lo+i))
-	if c := b.col; c.n64 != nil {
+	switch c := b.col; {
+	case c.n64 != nil:
 		protocol.Field[int64]{Vals: c.n64[b.at : b.at+b.n], Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
-	} else {
+	case c.n48 != nil:
+		protocol.Field[wire.Int48]{Vals: c.n48[b.at : b.at+b.n], Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
+	default:
 		protocol.Field[int32]{Vals: b.cells32(), Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
 	}
 }

@@ -117,15 +117,11 @@ func shapes(t *testing.T, cfg coord.RefConfig) map[string]subject {
 		return out
 	}
 	nc := fanout.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
-	for _, peers := range []int{1, 2, 4} {
+	for _, peers := range []int{1, 2, 4, 8} { // a star of S shards is net/S
 		out[fmt.Sprintf("net/%d", peers)] = overLinks(t, fanout.Loopbacks(peers, fanout.Serve), func(l []transport.Link) (*fanout.Engine, error) { return fanout.New(nc, l) })
 	}
-	sc := fanout.Config{N: cfg.N, K: cfg.K, Seed: cfg.Seed, Epsilon: cfg.Epsilon}
-	for _, s := range []int{1, 2, 4, 8} {
-		out[fmt.Sprintf("star/%d", s)] = overLinks(t, fanout.Loopbacks(s, fanout.Serve), func(l []transport.Link) (*fanout.Engine, error) { return fanout.New(sc, l) })
-	}
 	for _, depth := range []int{2, 3} {
-		tc := sc
+		tc := nc
 		tc.Tree = fanout.Tree{Branch: 2, Depth: depth}
 		links := []transport.Link{fanout.LoopbackSubtree(2, depth), fanout.LoopbackSubtree(2, depth)}
 		out[fmt.Sprintf("tree/2^%d", depth)] = overLinks(t, links, func(l []transport.Link) (*fanout.Engine, error) { return fanout.New(tc, l) })

@@ -337,18 +337,20 @@ func liveHeap() uint64 {
 // TestBankFootprintPerHostedNode pins what a bank keeps alive per hosted
 // node once it has observed a dense step and run a full TagReset
 // execution: the value column + membership bit + in-play bit, 4.26 B in
-// all while every value fits int32 and 8.26 B once none does. The budgets,
-// 4.5 and 8.5, leave no room for a key column beside the values (8 B), a
-// narrow column kept beside the wide one (4 B), a flag byte, a generator's
-// state or a violation stamp (8 B), an id list (4 B), a filter interval
-// (16 B), an order filter (16 B) or the node's own id (8 B) per node.
+// all while every value fits int32 and 6.26 B once none does — past 2³¹
+// and at 2⁴⁰ alike, since at this n every value in the domain fits 48 bits.
+// The budgets, 4.5 and 6.5, leave no room for an int64 column (8 B), a key
+// column beside the values (8 B), a narrower column kept beside the wider
+// one (4 B), a flag byte, a generator's state or a violation stamp (8 B),
+// an id list (4 B), a filter interval (16 B), an order filter (16 B) or the
+// node's own id (8 B) per node.
 func TestBankFootprintPerHostedNode(t *testing.T) {
 	const n = 1 << 18
 	for _, arm := range []struct {
 		name   string
 		base   int64
 		budget float64
-	}{{"narrow", 0, 4.5}, {"wide", 1 << 31, 8.5}} {
+	}{{"narrow", 0, 4.5}, {"wide", 1 << 31, 6.5}, {"int48", 1 << 40, 6.5}} {
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = arm.base + int64(i)*7%1000003

@@ -340,21 +340,24 @@ func RestoreChain(n, k int, epsilon float64, seed uint64, c *wire.Checkpoint, de
 // filter checks and read by that step's executions alone.
 func (b *Nodes) Snapshot(dst []byte) []byte {
 	h := wire.BankHeader{N: b.codec.N(), Lo: b.lo, Hi: b.hi, EpsNum: b.tol.Num()}
-	if c := b.col; c.n64 != nil {
+	switch c := b.col; {
+	case c.n64 != nil:
 		return appendBank(dst, h, c.n64[b.at:b.at+b.n])
+	case c.n48 != nil:
+		return appendBank(dst, h, c.n48[b.at:b.at+b.n])
 	}
 	return appendBank(dst, h, b.cells32())
 }
 
 // appendBank appends the bank frame of header h and column cells to dst.
-func appendBank[V cell](dst []byte, h wire.BankHeader, cells []V) []byte {
+func appendBank[V wire.Value](dst []byte, h wire.BankHeader, cells []V) []byte {
 	size := 0
-	for _, v := range cells {
-		size += wire.SizeVarint(int64(v))
+	for i := range cells {
+		size += wire.SizeVarint(wire.Load(cells, i))
 	}
 	w := wire.BeginBank(dst, h, size)
-	for _, v := range cells {
-		w.Put(int64(v))
+	for i := range cells {
+		w.Put(wire.Load(cells, i))
 	}
 	return w.End()
 }
@@ -385,9 +388,9 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 		return nil, err
 	}
 	b := newBank(h.N, h.Lo, h.Hi, seed, tol)
-	// One pass for the width and the first value outside the domain, which
+	// One pass for the tier and the first value outside the domain, which
 	// is refused once the frame's framing has been checked (ReadBankValues).
-	wide, bad, badV := false, -1, int64(0)
+	tier, bad, badV := Tier32, -1, int64(0)
 	for i, q := 0, col; i < b.n; i++ {
 		v, w, err := wire.Varint(q)
 		if err != nil {
@@ -397,11 +400,14 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 			bad, badV = i, v
 			break
 		}
-		wide, q = wide || !fits32(v), q[w:]
+		tier, q = max(tier, valueTier(v)), q[w:]
 	}
-	if b.col.allocate(wide); wide {
+	switch b.col.widen(tier); tier {
+	case Tier64:
 		err = wire.ReadBankValues(col, b.col.n64)
-	} else {
+	case Tier48:
+		err = wire.ReadBankValues(col, b.col.n48)
+	default:
 		err = wire.ReadBankValues(col, b.col.n32)
 	}
 	if err != nil {

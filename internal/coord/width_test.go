@@ -24,8 +24,8 @@ func (b *Nodes) keys() []order.Key {
 	return keys
 }
 
-// wide reports whether the bank keeps its column at int64.
-func (b *Nodes) wide() bool { return b.col.n64 != nil }
+// tier returns the width the bank keeps its column at.
+func (b *Nodes) tier() Tier { return b.col.Tier() }
 
 // widthSubject is one way of hosting a range in a bank whose column the
 // fuzz target watches, and the 64-bit key reference it must match.
@@ -36,7 +36,7 @@ type widthSubject struct {
 	ref   []*refNodes // the reference's views, one per view
 	whole *refNodes
 	feed  func(s *widthSubject, v int, ids []int, vals []int64, step int64) (bool, bool, error)
-	held  bool // some value the bank took did not fit int32
+	held  Tier // the tier every value the bank took needs
 }
 
 // feedDirect is a batch as the sequential engine feeds it: the bank's range
@@ -78,20 +78,21 @@ func feedFrames(s *widthSubject, v int, ids []int, vals []int64, step int64) (bo
 	return view.ObserveDeltaStream(&st)
 }
 
-// FuzzBankWidth holds a bank's value column, narrow or widened at any
+// FuzzBankWidth holds a bank's value column, at any tier and widened at any
 // point, to a 64-bit key bank (refnodes_test.go). Dense and sparse batches
-// whose values cross ±2³¹ and ±MaxValue anywhere — the first batch
+// whose values cross ±2³¹, ±2⁴⁷ and ±MaxValue anywhere — the first batch
 // included, which allocates the column — are applied to three banks over
 // one range: one fed as the sequential engine feeds its bank, one fed the
 // frames a host reads, and one through Sub views, which refuse what their
-// narrow column cannot hold (ErrNarrow) until the bank widens, as a host of
+// column's tier cannot hold (ErrNarrow) until the bank widens, as a host of
 // views does, and the batch is fed again. After every batch each bank must
 // answer what the reference answers — the flags and the error of every
-// view — and hold its keys; its column is wide exactly when a value it took
-// did not fit int32; every violation and membership cohort runs, through
-// Run with a bid log, the log the reference's rounds write, winners alike;
-// and the bank's checkpoint frame holds the reference's values and restores
-// into a bank that writes it again, its column as wide as those values need.
+// view — and hold its keys; its column's tier is the one the values it took
+// need (4, 6 or 8 bytes); every violation and membership cohort runs,
+// through Run with a bid log, the log the reference's rounds write, winners
+// alike; and the bank's checkpoint frame holds the reference's values and
+// restores into a bank that writes it again, its column at the tier those
+// values need.
 func FuzzBankWidth(f *testing.F) {
 	seed := func(raws ...int64) []byte {
 		var p []byte
@@ -101,9 +102,27 @@ func FuzzBankWidth(f *testing.F) {
 		}
 		return p
 	}
-	const b31 = 1 << 31
+	// batches lays out batches of a kind, then selector, raw pairs, each
+	// before a small install.
+	batches := func(bs ...[]int64) []byte {
+		var p []byte
+		for _, b := range bs {
+			kind, pairs := b[0], b[1:]
+			p = append(p, byte(kind))
+			p = binary.LittleEndian.AppendUint64(p, 0)
+			for j := 0; j < len(pairs); j += 2 {
+				p = append(p, byte(pairs[j]))
+				p = binary.LittleEndian.AppendUint64(p, uint64(pairs[j+1]))
+			}
+			p = append(p, 0)
+			p = binary.LittleEndian.AppendUint64(p, 0)
+		}
+		return p
+	}
+	const b31, b47 = 1 << 31, 1 << 47
 	// A batch is a kind byte — bit 0 sparse — and one selector and raw
-	// int64 per node; a selector's high bit puts its node in a sparse batch.
+	// int64 per node, then the next install's selector and raw; a
+	// selector's high bit puts its node in a sparse batch.
 	f.Add(uint16(7), uint16(0), uint8(1), seed(0, 1, 2, 3, b31, -b31, b31-1, -b31-1))
 	f.Add(uint16(70), uint16(3), uint8(2), seed(b31, 5, 6, math.MaxInt64, 1<<40))
 	f.Add(uint16(300), uint16(40), uint8(3), seed(1, 2, -b31, 3, b31))
@@ -112,6 +131,24 @@ func FuzzBankWidth(f *testing.F) {
 	// the widening one still to come; and one widened with values held.
 	f.Add(uint16(4), uint16(3), uint8(0xd6), []byte("000000000000000000000000000000000000000000000100000000"))
 	f.Add(uint16(7), uint16(76), uint8(0x15), []byte("000000000000000000100000000"))
+	// Four nodes in two views, [0, 3) and [3, 4): 4 → 6 → 8 bytes over
+	// three dense batches; 4 → 8 in one; and 6 bytes from the first batch,
+	// dense and sparse, up to 2⁴⁷−1 and its negation, the last values 6
+	// bytes hold.
+	const dense, sparse = 0, 1
+	small := []int64{dense, 0, 1, 0, 2, 0, -3, 0, 4}
+	f.Add(uint16(3), uint16(0), uint8(4), batches(
+		small,
+		[]int64{dense, 1, 0, 0x41, -1, 0, 5, 0, -6},
+		[]int64{dense, 0, 7, 0x41, 0, 0x42, -1, 0, 8}))
+	f.Add(uint16(3), uint16(0), uint8(4), batches(
+		small,
+		[]int64{dense, 0, 9, 6, b47 + 3, 0, 2, 6, -b47 - 1}))
+	f.Add(uint16(3), uint16(0), uint8(4), batches(
+		[]int64{dense, 1, 0, 0x42, 0, 0x41, -1, 0x42, 1},
+		[]int64{sparse, 0x81, 5, 0, 0, 0x80 | 6, b47 - 1, 0x80 | 6, -b47}))
+	f.Add(uint16(3), uint16(0), uint8(4), batches(
+		[]int64{sparse, 0x81, 5, 0x80, 1, 0x80 | 6, -b47, 0, 0}))
 	f.Fuzz(func(t *testing.T, n16, cut16 uint16, shape uint8, data []byte) {
 		n := int(n16)%600 + 1
 		lo := int(cut16) % n
@@ -133,9 +170,15 @@ func FuzzBankWidth(f *testing.F) {
 			case 0:
 				v = small
 			case 1:
-				v = b31 + small // around 2³¹
+				v = b31 + small // around 2³¹, or 2⁴⁷
+				if sel&0x40 != 0 {
+					v = b47 + small
+				}
 			case 2:
-				v = -b31 + small // around −2³¹
+				v = -b31 + small // around −2³¹, or −2⁴⁷
+				if sel&0x40 != 0 {
+					v = -b47 + small
+				}
 			case 3:
 				v = maxVal + small%4 // around MaxValue, maybe past it
 			case 4:
@@ -201,10 +244,10 @@ func FuzzBankWidth(f *testing.F) {
 					}
 					top, out, err := s.feed(s, v, bids, bvals, step)
 					if errors.Is(err, ErrNarrow) {
-						if s.bank.wide() {
-							t.Fatalf("%s: %s view %d refuses a value its wide column holds", where, s.name, v)
+						if s.bank.tier() == Tier64 {
+							t.Fatalf("%s: %s view %d refuses a value its int64 column holds", where, s.name, v)
 						}
-						s.bank.Widen()
+						s.bank.Widen(bvals)
 						top, out, err = s.feed(s, v, bids, bvals, step)
 					}
 					rt, ro, rerr := refFeed(s.ref[v], bids, bvals, step)
@@ -259,26 +302,27 @@ func refFeed(ref *refNodes, ids []int, vals []int64, step int64) (top, out bool,
 }
 
 // checkWidth holds subject s's bank to its reference's keys, its column's
-// width to the values it took, and its checkpoint frame to the
-// reference's values, restored as wide as those need.
+// tier to the values it took, and its checkpoint frame to the reference's
+// values, restored at the tier those need.
 func checkWidth(t *testing.T, where string, s *widthSubject) {
 	t.Helper()
 	b, r := s.bank, s.whole
-	vals, fits := make([]int64, b.n), true
+	vals := make([]int64, b.n)
 	for i := range vals {
 		var id int
 		vals[i], id = r.codec.Decode(r.ns[i].key)
 		if id != b.lo+i {
 			t.Fatalf("%s: the reference's node %d decodes to id %d", where, b.lo+i, id)
 		}
-		fits = fits && fits32(vals[i])
 	}
-	s.held = s.held || !fits
+	need := tierOf(vals, Tier64)
+	s.held = max(s.held, need)
 	if !slices.Equal(b.keys(), s.whole.keysOf()) {
 		t.Fatalf("%s: %s bank holds keys %v, the reference %v", where, s.name, b.keys(), s.whole.keysOf())
 	}
-	if b.wide() != s.held {
-		t.Fatalf("%s: %s bank's column wide %v, a value it took did not fit int32: %v", where, s.name, b.wide(), s.held)
+	// A column not yet allocated holds zeros, which Tier32 holds.
+	if got := max(b.tier(), Tier32); got != s.held {
+		t.Fatalf("%s: %s bank's column at %d bytes, the values it took need %d", where, s.name, got, s.held)
 	}
 	frame := b.Snapshot(nil)
 	var bs wire.BankState
@@ -289,8 +333,8 @@ func checkWidth(t *testing.T, where string, s *widthSubject) {
 	if err != nil {
 		t.Fatalf("%s: %s bank's frame refused: %v", where, s.name, err)
 	}
-	if !bytes.Equal(back.Snapshot(nil), frame) || !slices.Equal(back.keys(), b.keys()) || back.wide() != !fits {
-		t.Fatalf("%s: %s bank's frame restores another bank (wide %v, values fit int32 %v)", where, s.name, back.wide(), fits)
+	if !bytes.Equal(back.Snapshot(nil), frame) || !slices.Equal(back.keys(), b.keys()) || back.tier() != need {
+		t.Fatalf("%s: %s bank's frame restores another bank (at %d bytes, its values need %d)", where, s.name, back.tier(), need)
 	}
 }
 

@@ -137,38 +137,41 @@ func TestObserveDeltaPanics(t *testing.T) {
 // TestObserveZeroAllocs is the allocation regression test for the hot
 // path: after the scratch buffers have warmed up, a step on a calm
 // random-walk workload — violation-free steps plus the occasional
-// violation and reset — must not allocate at all.
+// violation and reset — must not allocate at all, with values in int32
+// and with values from 2⁴⁰, which the bank keeps in 6-byte cells.
 func TestObserveZeroAllocs(t *testing.T) {
 	const n = 256
-	m := New(Config{N: n, K: 4, Seed: 21})
-	src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 22})
-	vals := make([]int64, n)
-	for s := 0; s < 2000; s++ { // warm up every scratch buffer, incl. resets
-		src.Step(vals)
-		m.Observe(vals)
-	}
-	if avg := testing.AllocsPerRun(500, func() {
-		src.Step(vals)
-		m.Observe(vals)
-	}); avg != 0 {
-		t.Fatalf("dense Observe allocates %.2f per step, want 0", avg)
-	}
+	for _, base := range []int64{0, 1 << 40} {
+		m := New(Config{N: n, K: 4, Seed: 21})
+		src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: base, Hi: base + 1<<24, MaxStep: 8, Seed: 22})
+		vals := make([]int64, n)
+		for s := 0; s < 2000; s++ { // warm up every scratch buffer, incl. resets
+			src.Step(vals)
+			m.Observe(vals)
+		}
+		if avg := testing.AllocsPerRun(500, func() {
+			src.Step(vals)
+			m.Observe(vals)
+		}); avg != 0 {
+			t.Fatalf("base %d: dense Observe allocates %.2f per step, want 0", base, avg)
+		}
 
-	// The sparse path over a delta-native workload must be clean as well.
-	sm := New(Config{N: n, K: 4, Seed: 23})
-	dsrc := stream.NewSparseWalk(stream.SparseWalkConfig{
-		N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Changed: 3, Seed: 24,
-	})
-	ids := make([]int, n)
-	dvals := make([]int64, n)
-	for s := 0; s < 2000; s++ {
-		c := dsrc.StepDelta(ids, dvals)
-		sm.ObserveDelta(ids[:c], dvals[:c])
-	}
-	if avg := testing.AllocsPerRun(500, func() {
-		c := dsrc.StepDelta(ids, dvals)
-		sm.ObserveDelta(ids[:c], dvals[:c])
-	}); avg != 0 {
-		t.Fatalf("sparse ObserveDelta allocates %.2f per step, want 0", avg)
+		// The sparse path over a delta-native workload must be clean as well.
+		sm := New(Config{N: n, K: 4, Seed: 23})
+		dsrc := stream.NewSparseWalk(stream.SparseWalkConfig{
+			N: n, Lo: base, Hi: base + 1<<24, MaxStep: 8, Changed: 3, Seed: 24,
+		})
+		ids := make([]int, n)
+		dvals := make([]int64, n)
+		for s := 0; s < 2000; s++ {
+			c := dsrc.StepDelta(ids, dvals)
+			sm.ObserveDelta(ids[:c], dvals[:c])
+		}
+		if avg := testing.AllocsPerRun(500, func() {
+			c := dsrc.StepDelta(ids, dvals)
+			sm.ObserveDelta(ids[:c], dvals[:c])
+		}); avg != 0 {
+			t.Fatalf("base %d: sparse ObserveDelta allocates %.2f per step, want 0", base, avg)
+		}
 	}
 }

@@ -475,15 +475,15 @@ func newSplit(host Host, bank *coord.Nodes, views []*coord.Nodes) *split {
 
 // observe feeds one dense step's values to every view, swept, and folds
 // what they made of them. A view does not widen the column the views share
-// (coord.ErrNarrow): the first step with a value a narrow column cannot
-// hold widens it here, between two sweeps, and is swept again — at most
-// once in a bank's life.
+// (coord.ErrNarrow): a step with a value the column's tier cannot hold
+// widens it here, to the tier the step's values need, between two sweeps,
+// and is swept again — at most twice in a bank's life.
 func (s *split) observe(vals []int64, step int64) (anyTop, anyOut bool, err error) {
 	s.vals, s.step = vals, step
 	s.host.Sweep(s.observe1)
 	for v := range s.parts {
 		if errors.Is(s.parts[v].err, coord.ErrNarrow) {
-			s.bank.Widen()
+			s.bank.Widen(s.vals)
 			s.host.Sweep(s.observe1)
 			break
 		}

@@ -274,10 +274,10 @@ func NewWith(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 	return e, nil
 }
 
-// MirrorWide reports whether the root keeps its last-value mirror at
-// int64: it does from the first value it was given that did not fit int32,
-// and at int32 until then.
-func (e *Engine) MirrorWide() bool { return e.last.Wide() }
+// MirrorTier returns the width the root keeps its last-value mirror at
+// (coord.Column): the narrowest tier that holds every value it was given,
+// 0 before the first.
+func (e *Engine) MirrorTier() coord.Tier { return e.last.Tier() }
 
 // closeAll closes every link of a failed construction.
 func closeAll(links []transport.Link) {
@@ -482,11 +482,12 @@ func (e *Engine) Observe(vals []int64) []int {
 	e.step = e.mach.BeginStep()
 	// Each peer's frame is coded against its range of the mirror, straight
 	// into the buffer its link lends, and the mirror then takes the new
-	// values, at a width that holds them all (Fit); whatever happens to the
-	// step, the mirror ends it holding all of them.
-	e.last.Fit(vals)
+	// values, widening where one needs it (Put; the first step allocates
+	// it at the tier they need, Reserve); whatever happens to the step, the
+	// mirror ends it holding all of them.
+	e.last.Reserve(vals)
 	for pi, p := range e.fan.peers {
-		e.queueObserve(pi, vals)
+		e.queueFrame(pi, e.step, nil, vals)
 		e.last.Put(p.lo, vals[p.lo:p.hi])
 		if e.fan.ship(pi, "observe") != nil {
 			e.last.Put(p.hi, vals[p.hi:])
@@ -496,32 +497,36 @@ func (e *Engine) Observe(vals []int64) []int {
 	return e.finishStep("observe")
 }
 
-// queueObserve queues peer pi's dense frame: its range of vals, coded
-// against its range of the mirror at the mirror's width.
-func (e *Engine) queueObserve(pi int, vals []int64) {
-	p := e.fan.peers[pi]
-	if wide := e.last.Int64s(); wide != nil {
-		queueDense(e.fan, pi, e.step, vals[p.lo:p.hi], wide[p.lo:p.hi])
-	} else {
-		queueDense(e.fan, pi, e.step, vals[p.lo:p.hi], e.last.Int32s()[p.lo:p.hi])
+// queueFrame queues peer pi's observation frame of step, coded against the
+// mirror at its width: a sparse one giving node ids[j] vals[j] when ids is
+// set, else a dense one of pi's range of vals against its range of the
+// mirror, or, when vals is nil too, the replay of its range of the mirror
+// against the zero a rebuilt bank holds. It is the mirror's one width
+// dispatch.
+func (e *Engine) queueFrame(pi int, step int64, ids []int, vals []int64) {
+	switch c := &e.last; c.Tier() {
+	case coord.Tier64:
+		queueCells(e.fan, pi, step, ids, vals, c.Int64s())
+	case coord.Tier48:
+		queueCells(e.fan, pi, step, ids, vals, c.Int48s())
+	default:
+		queueCells(e.fan, pi, step, ids, vals, c.Int32s())
 	}
 }
 
-// queueReplay queues peer pi's replay frame: its range of the mirror,
-// coded against the zero a rebuilt bank holds.
-func (e *Engine) queueReplay(pi int) {
-	p := e.fan.peers[pi]
-	if wide := e.last.Int64s(); wide != nil {
-		queueDense(e.fan, pi, e.mach.Step(), wide[p.lo:p.hi], []int64(nil))
-	} else {
-		queueDense(e.fan, pi, e.mach.Step(), e.last.Int32s()[p.lo:p.hi], []int32(nil))
+// queueCells is queueFrame over a mirror of one width: sparse vals coded
+// against mirror[ids[j]], dense ones against the peer's range of it, or
+// the peer's range of it against zero.
+func queueCells[P wire.Value](f *Fan, pi int, step int64, ids []int, vals []int64, mirror []P) {
+	p := f.peers[pi]
+	switch {
+	case ids != nil:
+		f.Queue(pi, func(dst []byte) []byte { return wire.AppendObserveDelta(dst, step, ids, vals, mirror) })
+	case vals != nil:
+		f.Queue(pi, func(dst []byte) []byte { return wire.AppendObserve(dst, step, vals[p.lo:p.hi], mirror[p.lo:p.hi]) })
+	default:
+		f.Queue(pi, func(dst []byte) []byte { return wire.AppendObserve(dst, step, mirror[p.lo:p.hi], []P(nil)) })
 	}
-}
-
-// queueDense queues peer pi's dense frame of step: vals coded against
-// prev (nil: zero).
-func queueDense[V, P wire.Value](f *Fan, pi int, step int64, vals []V, prev []P) {
-	f.Queue(pi, func(dst []byte) []byte { return wire.AppendObserve(dst, step, vals, prev) })
 }
 
 // ObserveDelta processes one sparse time step: vals[j] is node ids[j]'s
@@ -548,12 +553,12 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	e.step = e.mach.BeginStep()
 	// Ship each peer its slice of the (sorted) delta, coded against the
 	// mirror as in Observe.
-	e.last.Fit(vals)
+	e.last.Reserve(vals)
 	start := 0
 	for pi := range e.fan.peers {
 		stop := e.fan.Share(pi, ids, start)
 		if stop > start {
-			e.queueDelta(pi, ids[start:stop], vals[start:stop])
+			e.queueFrame(pi, e.step, ids[start:stop], vals[start:stop])
 			e.remember(ids[start:stop], vals[start:stop])
 			if e.fan.ship(pi, "observe-delta") != nil {
 				e.remember(ids[stop:], vals[stop:])
@@ -565,23 +570,7 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	return e.finishStep("observe-delta")
 }
 
-// queueDelta queues peer pi's sparse frame: node ids[j] takes vals[j],
-// coded against the mirror at its width.
-func (e *Engine) queueDelta(pi int, ids []int, vals []int64) {
-	if wide := e.last.Int64s(); wide != nil {
-		queueSparse(e.fan, pi, e.step, ids, vals, wide)
-	} else {
-		queueSparse(e.fan, pi, e.step, ids, vals, e.last.Int32s())
-	}
-}
-
-// queueSparse queues peer pi's sparse frame of step: node ids[j] takes
-// vals[j], coded against prev[ids[j]].
-func queueSparse[P wire.Value](f *Fan, pi int, step int64, ids []int, vals []int64, prev []P) {
-	f.Queue(pi, func(dst []byte) []byte { return wire.AppendObserveDelta(dst, step, ids, vals, prev) })
-}
-
-// remember writes a sparse update, which the mirror fits, into it.
+// remember writes a sparse update into the mirror.
 func (e *Engine) remember(ids []int, vals []int64) {
 	for j, id := range ids {
 		e.last.Set(id, vals[j])

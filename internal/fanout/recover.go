@@ -201,7 +201,7 @@ func (e *Engine) replayReset() error {
 	// banks hold full filters, so no violations fire; the replies' flags
 	// are deliberately discarded.
 	for pi := range e.fan.peers {
-		e.queueReplay(pi)
+		e.queueFrame(pi, e.mach.Step(), nil, nil)
 		if err := e.fan.ship(pi, "replay"); err != nil {
 			return err
 		}

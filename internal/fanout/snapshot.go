@@ -72,7 +72,7 @@ func (e *Engine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64) 
 // failover path, and Health tells the story.
 func (e *Engine) Resume(mach *coord.Machine, last []int64) {
 	e.mach = mach
-	e.last.Fit(last)
+	e.last.Reserve(last)
 	e.last.Put(0, last)
 	_ = e.replayReset()
 }

@@ -3,6 +3,7 @@ package netrun
 import (
 	"testing"
 
+	"repro/internal/coord"
 	"repro/internal/fanout"
 	"repro/internal/fanout/fanouttest"
 	"repro/internal/stream"
@@ -13,7 +14,8 @@ import (
 // violation-free networked step — engine encode into the buffer its link
 // lends, pooled pipe frames or a TCP link's write and read buffers, host
 // decode, node bank, reply encode, gather — must not allocate at all once
-// every buffer has warmed up, over pipes and over TCP, under either gather.
+// every buffer has warmed up, over pipes and over TCP, under either gather,
+// with values in int32 and with values from 2⁴⁰ in 6-byte cells.
 // This is what keeps a large, mostly-idle deployment free of GC pressure.
 func TestNetworkedObserveZeroAllocs(t *testing.T) {
 	fanouttest.EachGather(t, func(t *testing.T) {
@@ -38,40 +40,50 @@ func TestNetworkedObserveZeroAllocs(t *testing.T) {
 			}},
 		} {
 			t.Run(over.name, func(t *testing.T) {
-				// Dense steps on a calm walk: mostly violation-free, with
-				// the occasional violation and reset to warm those buffers
-				// too.
-				e := over.build(t, fanout.Config{N: n, K: 4, Seed: 21})
-				src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 22})
-				vals := make([]int64, n)
-				for s := 0; s < 2000; s++ {
-					src.Step(vals)
-					e.Observe(vals)
-				}
-				if avg := testing.AllocsPerRun(500, func() {
-					src.Step(vals)
-					e.Observe(vals)
-				}); avg != 0 {
-					t.Errorf("dense networked Observe allocates %.2f per step, want 0", avg)
-				}
+				// Values in int32, and from 2⁴⁰, where the root's mirror and
+				// the hosts' banks keep 6-byte cells.
+				for _, c := range []struct {
+					base int64
+					tier coord.Tier
+				}{{0, coord.Tier32}, {1 << 40, coord.Tier48}} {
+					// Dense steps on a calm walk: mostly violation-free, with
+					// the occasional violation and reset to warm those buffers
+					// too.
+					e := over.build(t, fanout.Config{N: n, K: 4, Seed: 21})
+					src := stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: c.base, Hi: c.base + 1<<24, MaxStep: 8, Seed: 22})
+					vals := make([]int64, n)
+					for s := 0; s < 2000; s++ {
+						src.Step(vals)
+						e.Observe(vals)
+					}
+					if avg := testing.AllocsPerRun(500, func() {
+						src.Step(vals)
+						e.Observe(vals)
+					}); avg != 0 {
+						t.Errorf("base %d: dense networked Observe allocates %.2f per step, want 0", c.base, avg)
+					}
+					if got := e.MirrorTier(); got != c.tier {
+						t.Errorf("base %d: the mirror is %d bytes a node, want %d", c.base, got, c.tier)
+					}
 
-				// The sparse path over a delta-native workload must be
-				// clean as well.
-				d := over.build(t, fanout.Config{N: n, K: 4, Seed: 23})
-				dsrc := stream.NewSparseWalk(stream.SparseWalkConfig{
-					N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Changed: 3, Seed: 24,
-				})
-				ids := make([]int, n)
-				dvals := make([]int64, n)
-				for s := 0; s < 2000; s++ {
-					c := dsrc.StepDelta(ids, dvals)
-					d.ObserveDelta(ids[:c], dvals[:c])
-				}
-				if avg := testing.AllocsPerRun(500, func() {
-					c := dsrc.StepDelta(ids, dvals)
-					d.ObserveDelta(ids[:c], dvals[:c])
-				}); avg != 0 {
-					t.Errorf("sparse networked ObserveDelta allocates %.2f per step, want 0", avg)
+					// The sparse path over a delta-native workload must be
+					// clean as well.
+					d := over.build(t, fanout.Config{N: n, K: 4, Seed: 23})
+					dsrc := stream.NewSparseWalk(stream.SparseWalkConfig{
+						N: n, Lo: c.base, Hi: c.base + 1<<24, MaxStep: 8, Changed: 3, Seed: 24,
+					})
+					ids := make([]int, n)
+					dvals := make([]int64, n)
+					for s := 0; s < 2000; s++ {
+						k := dsrc.StepDelta(ids, dvals)
+						d.ObserveDelta(ids[:k], dvals[:k])
+					}
+					if avg := testing.AllocsPerRun(500, func() {
+						k := dsrc.StepDelta(ids, dvals)
+						d.ObserveDelta(ids[:k], dvals[:k])
+					}); avg != 0 {
+						t.Errorf("base %d: sparse networked ObserveDelta allocates %.2f per step, want 0", c.base, avg)
+					}
 				}
 			})
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/order"
 	"repro/internal/rng"
+	"repro/internal/wire"
 )
 
 // Field is the struct-of-arrays form of a node population: node i holds one
@@ -15,12 +16,14 @@ import (
 // With Mul the monitor's n and Tie n−1−base, base the global id of node 0,
 // the key is the tie-break injection order.Codec.Encode(Vals[i], base+i);
 // a field of keys as they are is the unit codec, Mul 1 and Tie 0 (KeyField).
-// The column is as wide as its values: a node bank (internal/coord) keeps
-// int32 entries, 4 bytes a node, while every value it has held fits int32,
-// and int64 entries, 8 bytes, from the first that does not. It is what the
-// round kernel runs over; every node bank, and so every engine, keeps its
-// nodes this way and builds no per-execution participant records.
-type Field[V int32 | int64] struct {
+// The column is as wide as its values (wire.Value): a node bank
+// (internal/coord) keeps int32 entries, 4 bytes a node, while every value
+// it has held fits int32, packed 48-bit entries, 6 bytes, while every one
+// fits 48 bits, and int64 entries, 8 bytes, from the first that does not.
+// It is what the round kernel runs over; every node bank, and so every
+// engine, keeps its nodes this way and builds no per-execution participant
+// records.
+type Field[V wire.Value] struct {
 	Vals     []V
 	Mul, Tie int64
 	// ids, when set, gives node i the coin identity ids[i] in place of its
@@ -185,7 +188,7 @@ func (f Field[V]) Round(in *InPlay, coin *rng.Coin, cut order.Key, minimum bool,
 			for ; visit != 0; visit &= visit - 1 {
 				b := bits.TrailingZeros64(visit)
 				i := w<<6 | b
-				key := order.Key(int64(vals[i])*mul + tie - int64(i))
+				key := order.Key(wire.Load(vals, i)*mul + tie - int64(i))
 				cmp := key
 				if minimum {
 					cmp = order.Neg(key)

@@ -419,8 +419,9 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 }
 
 // TestNarrowFieldSendsWhatWideSends runs one execution over a field of
-// int32 values and over the same values held as int64 — under the
-// tie-break injection, with ties, at both ends of int32, in either sense
+// int32 values and over the same values held as int64, and over a field of
+// packed 48-bit values and the same held as int64 — under the tie-break
+// injection, with ties, at both ends of each narrow width, in either sense
 // and at several offsets of the field's first node — and demands the same
 // sends, round for round, and the same winners: a column's width changes
 // nothing but its bytes.
@@ -435,32 +436,47 @@ func TestNarrowFieldSendsWhatWideSends(t *testing.T) {
 			v := []int32{math.MaxInt32, math.MinInt32, 0, -1, int32(r.Intn(20))}[r.Intn(5)]
 			narrow.Vals[i], wide.Vals[i] = v, int64(v)
 		}
-		for _, minimum := range []bool{false, true} {
-			run := func(round func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key))) string {
-				var in InPlay
-				in.EnlistExcept(n, []int{3})
-				ex := NewExec(n, 3, minimum, comm.Discard, nil, 0)
-				out := ""
-				for ex.More() {
-					coin := rng.NewCoin(4, 0, 0, uint(ex.Round()), n)
-					round(&in, &coin, ex.Best(), func(id int, key order.Key) {
-						out += fmt.Sprintf("%d:%d ", id, key)
-						ex.Bid(id, key)
-					})
-					ex.EndRound()
-					out += "| "
-				}
-				return fmt.Sprint(out, ex.Winners())
+		sendsAlike(t, fmt.Sprintf("base %d, int32", base), narrow, wide, base)
+		packed := Field[wire.Int48]{Vals: make([]wire.Int48, n), Mul: total, Tie: total - 1 - int64(base)}
+		for i := range packed.Vals {
+			v := []int64{1<<47 - 1, -1 << 47, 1 << 31, 0, -1, int64(r.Intn(20))}[r.Intn(6)]
+			wire.Store(packed.Vals, i, v)
+			wide.Vals[i] = v
+		}
+		sendsAlike(t, fmt.Sprintf("base %d, int48", base), packed, wide, base)
+	}
+}
+
+// sendsAlike runs one execution over narrow and over wide, fields of the
+// same values, in either sense, and fails unless they send alike.
+func sendsAlike[V wire.Value](t *testing.T, where string, narrow Field[V], wide Field[int64], base int) {
+	t.Helper()
+	n := len(wide.Vals)
+	for _, minimum := range []bool{false, true} {
+		run := func(round func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key))) string {
+			var in InPlay
+			in.EnlistExcept(n, []int{3})
+			ex := NewExec(n, 3, minimum, comm.Discard, nil, 0)
+			out := ""
+			for ex.More() {
+				coin := rng.NewCoin(4, 0, 0, uint(ex.Round()), uint64(n))
+				round(&in, &coin, ex.Best(), func(id int, key order.Key) {
+					out += fmt.Sprintf("%d:%d ", id, key)
+					ex.Bid(id, key)
+				})
+				ex.EndRound()
+				out += "| "
 			}
-			got := run(func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key)) {
-				narrow.Round(in, coin, cut, minimum, base, send)
-			})
-			want := run(func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key)) {
-				wide.Round(in, coin, cut, minimum, base, send)
-			})
-			if got != want {
-				t.Fatalf("base %d, minimum %v: the narrow field sends %s, the wide %s", base, minimum, got, want)
-			}
+			return fmt.Sprint(out, ex.Winners())
+		}
+		got := run(func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key)) {
+			narrow.Round(in, coin, cut, minimum, base, send)
+		})
+		want := run(func(in *InPlay, coin *rng.Coin, cut order.Key, send func(int, order.Key)) {
+			wide.Round(in, coin, cut, minimum, base, send)
+		})
+		if got != want {
+			t.Fatalf("%s, minimum %v: the narrow field sends %s, the wide %s", where, minimum, got, want)
 		}
 	}
 }
@@ -468,24 +484,28 @@ func TestNarrowFieldSendsWhatWideSends(t *testing.T) {
 // BenchmarkFieldRun times one maximum execution over a whole field of a
 // monitor's keys — values 1..n in a random order under the tie-break
 // injection — under a power-of-two bound (no thinning) and a general one
-// (thinned): over a column of int64 values, and of int32 values (the rows
-// ending /narrow), the two widths a node bank keeps.
+// (thinned): over a column of int64 values, of int32 values (the rows
+// ending /narrow) and of packed 48-bit values (the rows ending /int48), the
+// three widths a node bank keeps.
 func BenchmarkFieldRun(b *testing.B) {
 	for _, n := range []int{4096, 1 << 16, 1 << 20} {
 		wide := Field[int64]{Vals: make([]int64, n), Mul: int64(n), Tie: int64(n - 1)}
 		narrow := Field[int32]{Vals: make([]int32, n), Mul: int64(n), Tie: int64(n - 1)}
+		packed := Field[wire.Int48]{Vals: make([]wire.Int48, n), Mul: int64(n), Tie: int64(n - 1)}
 		for i, p := range rng.New(6, 1).Perm(n) {
 			wide.Vals[i], narrow.Vals[i] = int64(p+1), int32(p+1)
+			wire.Store(packed.Vals, i, int64(p+1))
 		}
 		for _, bound := range []int{n, n + n/3} {
 			name := fmt.Sprintf("n=%d/bound=%d", n, bound)
 			b.Run(name, func(b *testing.B) { benchFieldRun(b, wide, bound) })
 			b.Run(name+"/narrow", func(b *testing.B) { benchFieldRun(b, narrow, bound) })
+			b.Run(name+"/int48", func(b *testing.B) { benchFieldRun(b, packed, bound) })
 		}
 	}
 }
 
-func benchFieldRun[V int32 | int64](b *testing.B, f Field[V], bound int) {
+func benchFieldRun[V wire.Value](b *testing.B, f Field[V], bound int) {
 	var in InPlay
 	var ex Exec
 	n := len(f.Vals)

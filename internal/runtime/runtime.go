@@ -50,7 +50,7 @@
 // whose ranges split one of its words share that word race-free.
 // Nor does a shard replace the value column the views share: the monitor
 // allocates it before the first sweep (coord.Nodes.Reserve); a view given
-// a value its narrow column cannot hold refuses it (coord.ErrNarrow), and
+// a value its column's tier cannot hold refuses it (coord.ErrNarrow), and
 // the monitor widens the column between two sweeps and sweeps the step
 // again.
 //

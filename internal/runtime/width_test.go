@@ -16,22 +16,24 @@ import (
 
 // TestPoolWidensBetweenSweeps runs the shard pool over a bank whose column
 // starts narrow: ten dense steps of values under 2²⁰, one dense step in
-// which nodes of both shards cross 2³¹, then sparse steps that move values
-// on both sides of it. A shard's view never widens the column the views
+// which nodes of both shards cross 2³¹, one in which they cross 2⁴⁷ — in
+// the value domain below 2¹⁶ nodes — then sparse steps that move values on
+// both sides of each. A shard's view never widens the column the views
 // share; the monitor widens it between two sweeps, on its own goroutine.
 // After every step the report must be the oracle's, and the report, every
 // phase's ledger row, the statistics and both checkpoint frames the inline
-// host's; the crossing step allocates the wide column once, on either host.
-// Run it with -race: the widening happens while every shard is parked.
+// host's; each crossing step allocates the wider column once, 6 and then 8
+// bytes a node, on either host. Run it with -race: the widening happens
+// while every shard is parked.
 func TestPoolWidensBetweenSweeps(t *testing.T) {
-	const n, k, seed = 1 << 16, 16, 11
+	const n, k, seed = 1 << 15, 16, 11
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
 	cfg := core.Config{N: n, K: k, Seed: seed}
 	var host core.Host
-	pool := core.NewOn(cfg, func(bank *coord.Nodes) core.Host { host = Sharded(bank); return host })
+	pool := core.NewOn(cfg, func(bank *coord.Nodes) core.Host { host = shards(bank, 2); return host })
 	defer pool.Close()
 	if len(host.Views()) != 2 {
-		t.Fatalf("Sharded cut a bank of %d nodes into %d views at GOMAXPROCS 2, want 2", n, len(host.Views()))
+		t.Fatalf("the pool cut a bank of %d nodes into %d views, want 2", n, len(host.Views()))
 	}
 	inline := core.New(cfg)
 
@@ -77,33 +79,41 @@ func TestPoolWidensBetweenSweeps(t *testing.T) {
 		src.Step(vals)
 		check(s, pool.Observe(vals), inline.Observe(vals))
 	}
-	src.Step(vals)
-	for _, id := range []int{5, n/2 - 1, n / 2, n/2 + 77, n - 1} {
-		vals[id] = 1<<31 + int64(id) // both shards, at a view's edges and inside
-	}
-	var topPool, topInline []int
-	for _, h := range []struct {
-		name string
-		step func()
-	}{
-		{"pool", func() { topPool = pool.Observe(vals) }},
-		{"inline", func() { topInline = inline.Observe(vals) }},
-	} {
-		// The wide column, 8 B a node, and what the step's executions
-		// allocate besides: under 9 B a node, where keeping a narrow column
-		// beside it or widening twice would be 12 or 16.
-		if got := allocated(h.step); got < 8*n || got > 9*n {
-			t.Fatalf("the step crossing 2^31 allocates %d bytes on the %s host, want one wide column of %d", got, h.name, 8*n)
+	for s, c := range []struct {
+		at    int64 // the value the crossing nodes take, and the new tier
+		bytes uint64
+	}{{1 << 31, 6}, {1 << 47, 8}} {
+		src.Step(vals)
+		for _, id := range []int{5, n/2 - 1, n / 2, n/2 + 77, n - 1} {
+			vals[id] = c.at + int64(id) // both shards, at a view's edges and inside
 		}
+		var topPool, topInline []int
+		for _, h := range []struct {
+			name string
+			step func()
+		}{
+			{"pool", func() { topPool = pool.Observe(vals) }},
+			{"inline", func() { topInline = inline.Observe(vals) }},
+		} {
+			// The wider column, and what the step's executions allocate
+			// besides: under 1 B a node more, where keeping the narrower
+			// column beside it or widening twice would be 4 B or more.
+			if got := allocated(h.step); got < c.bytes*n || got > (c.bytes+1)*n {
+				t.Fatalf("the step crossing %d allocates %d bytes on the %s host, want one column of %d", c.at, got, h.name, c.bytes*n)
+			}
+		}
+		check(10+s, topPool, topInline)
 	}
-	check(10, topPool, topInline)
-	for s := 11; s < 40; s++ {
+	for s := 12; s < 40; s++ {
 		var ids []int
 		var dv []int64
 		for id := r.Intn(300); id < n; id += 1 + r.Intn(600) {
 			v := vals[id] + r.Int63n(1<<12) - 1<<11
-			if r.Intn(8) == 0 {
+			switch r.Intn(8) {
+			case 0:
 				v = 1<<31 - 64 + r.Int63n(128) // across 2³¹
+			case 1:
+				v = -1<<47 - 64 + r.Int63n(128) // across −2⁴⁷
 			}
 			vals[id] = v
 			ids, dv = append(ids, id), append(dv, v)

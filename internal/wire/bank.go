@@ -145,15 +145,16 @@ func OpenBank(p []byte) (h BankHeader, col []byte, err error) {
 
 // ReadBankValues decodes a value column OpenBank returned into dst, which
 // must have one slot per hosted node, and checks that the frame ends with
-// it. dst may be a bank's narrow column, whose caller has checked that
-// every value fits it.
-func ReadBankValues[V ~int32 | ~int64](col []byte, dst []V) error {
+// it. dst may be a bank's int32 or 48-bit column, whose caller has checked
+// that every value fits it.
+func ReadBankValues[V Value](col []byte, dst []V) error {
 	for i := range dst {
 		v, n, err := Varint(col)
 		if err != nil {
 			return err
 		}
-		dst[i], col = V(v), col[n:]
+		Store(dst, i, v)
+		col = col[n:]
 	}
 	return fin(col)
 }

@@ -255,14 +255,9 @@ func (m Observe) Append(dst []byte) []byte {
 	return AppendObserve(dst, m.Step, m.Vals, m.Prev)
 }
 
-// Value is the entry type of a column an observation frame's values are
-// read from or coded against: a host's bank and a coordinator's mirror
-// keep int32 entries while every value they hold fits.
-type Value interface{ ~int32 | ~int64 }
-
 // AppendObserve appends the Observe frame of step whose values are vals,
 // each coded against prev's entry beside it (nil: zero), after dst: what
-// Observe.Append encodes, from columns of either width. A non-nil prev
+// Observe.Append encodes, from columns of any width. A non-nil prev
 // must be as long as vals; AppendObserve panics otherwise.
 func AppendObserve[V, P Value](dst []byte, step int64, vals []V, prev []P) []byte {
 	if prev != nil && len(prev) != len(vals) {
@@ -274,7 +269,7 @@ func AppendObserve[V, P Value](dst []byte, step int64, vals []V, prev []P) []byt
 // AppendObserveDelta appends the ObserveDelta frame of step that gives
 // node ids[j] the value vals[j], coded against prev[ids[j]] (prev nil:
 // zero), after dst: what ObserveDelta.Append encodes, from columns of
-// either width. ids must be strictly increasing and non-negative, one
+// any width. ids must be strictly increasing and non-negative, one
 // value each, and below len(prev) when prev is set; AppendObserveDelta
 // panics otherwise.
 func AppendObserveDelta[V, P Value](dst []byte, step int64, ids []int, vals []V, prev []P) []byte {
@@ -325,9 +320,9 @@ func appendChanges[V, P Value](dst []byte, tag byte, step int64, ids []int, vals
 func putChanges[V, P Value](buf []byte, k int, ids []int, vals []V, prev []P, j, longest int) (int, int) {
 	if ids == nil {
 		for ; j < len(vals) && len(buf)-k >= longest; j++ {
-			c := int64(vals[j])
+			c := Load(vals, j)
 			if prev != nil {
-				c -= int64(prev[j])
+				c -= Load(prev, j)
 			}
 			k = putUvarint(buf, k, zigzag(c))
 		}
@@ -342,9 +337,9 @@ func putChanges[V, P Value](buf []byte, k int, ids []int, vals []V, prev []P, j,
 		if id <= last {
 			panic("wire: ObserveDelta ids must be strictly increasing")
 		}
-		c := int64(vals[j])
+		c := Load(vals, j)
 		if prev != nil {
-			c -= int64(prev[id])
+			c -= Load(prev, id)
 		}
 		k = putUvarint(buf, k, uint64(id-last-1))
 		k = putUvarint(buf, k, zigzag(c))
@@ -366,9 +361,9 @@ func sizeChanges[V, P Value](ids []int, vals []V, prev []P, j int) int {
 			size += SizeUvarint(uint64(at - last - 1))
 			last = at
 		}
-		c := int64(vals[j])
+		c := Load(vals, j)
 		if prev != nil {
-			c -= int64(prev[at])
+			c -= Load(prev, at)
 		}
 		size += SizeVarint(c)
 	}

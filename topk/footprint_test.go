@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/coord"
+	"repro/internal/order"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -21,18 +23,23 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// widthArm is one of a footprint pin's two arms: the values a monitor is
-// fed — base plus a few hundred thousand, every one of them in int32 (the
-// narrow arm) or none of them (the wide arm, base 2³¹) — and the bytes a
-// node a value column holds them in: a bank's, or a link-backed root's
-// mirror.
+// widthArm is one of a footprint pin's arms: the values a monitor is fed —
+// base plus at most a couple of million, every one of them in int32 (the
+// narrow arm) or none of them (the others) — and the bytes a node a value
+// column holds them in, the tier they need: a bank's, or a link-backed
+// root's mirror. Past int32 (the wide arm, from 2³¹) and at 2⁴⁰ (the values
+// of benchmark/'s seq-sparse-quiet) that is 6 bytes; from 2⁴⁷ it is 8, which
+// only a monitor of fewer than 2¹⁶ nodes admits (order.MaxValueFor).
 type widthArm struct {
 	name   string
 	base   int64
 	column float64
 }
 
-var widthArms = []widthArm{{"narrow", 0, 4}, {"wide", 1 << 31, 8}}
+var widthArms = []widthArm{{"narrow", 0, 4}, {"wide", 1 << 31, 6}, {"int48", 1 << 40, 6}, {"int64", 1 << 47, 8}}
+
+// fits reports whether arm's values lie in the value domain of n nodes.
+func (arm widthArm) fits(n int) bool { return arm.base+1<<21 <= order.MaxValueFor(n) }
 
 // armValues returns a dense step of arm's values over n nodes.
 func armValues(arm widthArm, n int) []int64 {
@@ -46,19 +53,23 @@ func armValues(arm widthArm, n int) []int64 {
 // TestSequentialFootprintPerNode pins what a sequential monitor keeps
 // alive per node once its first Observe — the time-0 FILTERRESET over all
 // n nodes — has run: the bank's value column (4 B while every value fits
-// int32, the narrow arm; 8 B from the first that does not, the wide arm)
-// + membership bit + in-play bit, and the coordinator machine's membership
-// bit: 4.38 B/node narrow, 8.38 wide (the filters are the bank's two
-// bounds, a node's coins a function of its id, cohorts are enlisted from
-// the membership bits, not listed). The budgets, 4.6 and 8.6, leave no room
-// for a key column beside the values (8 B), a narrow column kept beside the
-// wide one (4 B), a flag byte, a generator's state or a violation stamp (8
+// int32, the narrow arm; 6 B while every one fits 48 bits, which at this n
+// every value in the domain does) + membership bit + in-play bit, and the
+// coordinator machine's membership bit: 4.38 B/node narrow, 6.38 past
+// int32 (the filters are the bank's two bounds, a node's coins a function
+// of its id, cohorts are enlisted from the membership bits, not listed).
+// The budgets, 4.6 and 6.6, leave no room for an int64 column (8 B), a key
+// column beside the values (8 B), a narrower column kept beside the wider
+// one (4 B), a flag byte, a generator's state or a violation stamp (8
 // B), an id list (4 B), a per-node filter interval (16 B) or a protocol
 // record (a 32-byte sampler, a 24-byte participant) to stay reachable from
 // the monitor after the reset.
 func TestSequentialFootprintPerNode(t *testing.T) {
 	const n, k = 1 << 18, 16
 	for _, arm := range widthArms {
+		if !arm.fits(n) {
+			continue
+		}
 		t.Run(arm.name, func(t *testing.T) {
 			vals := armValues(arm, n)
 			before := liveHeap()
@@ -83,12 +94,15 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 // TestAsyncFootprintPerNode pins that asynchronous ingestion costs its
 // queue, not its n: a monitor with a queue of 16 holds what the sequential
 // one does per node after its first dense Observe and a Drain, within the
-// same budgets, 4.6 B/node narrow and 8.6 wide. The coalescing buffer's
+// same budgets, 4.6 B/node narrow and 6.6 past int32. The coalescing buffer's
 // index is sized by the depth; a dense slot index (4 B/node) does not fit
 // either budget.
 func TestAsyncFootprintPerNode(t *testing.T) {
 	const n, k, depth = 1 << 18, 16, 16
 	for _, arm := range widthArms {
+		if !arm.fits(n) {
+			continue
+		}
 		t.Run(arm.name, func(t *testing.T) {
 			vals := armValues(arm, n)
 			before := liveHeap()
@@ -161,14 +175,14 @@ func heldAfterFourSteps(t *testing.T, cfg func() Config, base int64) float64 {
 }
 
 // The steady state of a link-backed monitor, per node: the hosts' banks
-// (the value column, 4 B narrow or 8 B wide, + membership bit + in-play
+// (the value column, 4, 6 or 8 B, + membership bit + in-play
 // bit) with the machine's membership bit, and the coordinator's last-value
 // mirror, a value column too (mirrorBytes); and a change-coded frame, a
 // byte a value.
 const changeBytes = 1
 
 // mirrorBytes is the root's last-value mirror's bytes a node on arm: as
-// wide as its values, 4 B narrow or 8 B wide, as a bank's column is.
+// wide as its values, 4, 6 or 8 B, as a bank's column is.
 func mirrorBytes(arm widthArm) float64 { return arm.column }
 
 // bankBytes is a host bank's bytes a node whose value column holds column.
@@ -185,8 +199,9 @@ func bankBytes(column float64) float64 { return column + 2.0/8 + 1.0/8 }
 // measured is the steady state: the banks, the mirror and the change-coded
 // frames in the one buffer each pipe cycles through, a host's answer
 // freeing the frame it answers, ≈ 9.5 B/node while every value fits int32
-// (the narrow arm: bank column and mirror 4 B each) and ≈ 17.5 once none
-// does (the wide arm, from 2³¹: 8 B each); and
+// (the narrow arm: bank column and mirror 4 B each), ≈ 13.5 once none does
+// and every one fits 48 bits (6 B each) and ≈ 17.5 from 2⁴⁷, at n = 2¹²
+// (8 B each); and
 // what does not grow with n — the hosts' goroutines, the pipes' channels,
 // what k sizes — under 13 KiB. A host applies a frame from the buffer it arrived in, and the
 // coordinator writes it there, so nothing else grows with n: the budget
@@ -205,6 +220,9 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 	for _, arm := range widthArms {
 		perNode := bankBytes(arm.column) + mirrorBytes(arm) + changeBytes + rounding
 		for _, n := range []int{1 << 12, 1 << 18} {
+			if !arm.fits(n) {
+				continue
+			}
 			held := heldAfterFourSteps(t, func() Config { return Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)} }, arm.base)
 			budget := fixed + perNode*float64(n)
 			t.Logf("%s: loopback monitor over 2 hosts, n=%d: %.0f B live after four dense steps, %.2f B/node; budget %.0f", arm.name, n, held, held/float64(n), budget)
@@ -224,7 +242,8 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 // through (one frame in all), and each relay writes its shares into the
 // buffer each relay-to-leaf pipe cycles through (one): 2 frames, ≈ 10.7
 // B/node while every value fits int32 (the narrow arm, the mirror 4 B) and
-// ≈ 18.7 once none does (the wide arm, the mirror 8 B); and what does not
+// ≈ 14.7 once none does and every one fits 48 bits (the mirror 6 B) and
+// ≈ 18.7 from 2⁴⁷, at n = 2¹² (the mirror 8 B); and what does not
 // grow with n — seven
 // goroutines, six pipes' channels, the relays' state, what k sizes — under
 // 38 KiB. An encode
@@ -243,6 +262,9 @@ func TestTreeFootprintPerNode(t *testing.T) {
 	for _, arm := range widthArms {
 		perNode := bankBytes(arm.column) + mirrorBytes(arm) + frames*changeBytes + rounding
 		for _, n := range []int{1 << 12, 1 << 18} {
+			if !arm.fits(n) {
+				continue
+			}
 			held := heldAfterFourSteps(t, func() Config { return Config{Nodes: n, K: k, Seed: 1, Tree: Tree{Branch: 2, Depth: 2}} }, arm.base)
 			budget := fixed + perNode*float64(n)
 			t.Logf("%s: 2x2 tree monitor, n=%d: %.0f B live after four dense steps, %.2f B/node; budget %.0f", arm.name, n, held, held/float64(n), budget)
@@ -255,7 +277,8 @@ func TestTreeFootprintPerNode(t *testing.T) {
 
 // TestOrderedFootprintPerNode pins that the ordered mode costs what the set
 // mode costs per node — the value column, membership bit, in-play bit, and
-// the machine's membership bit, within 4.6 B/node narrow and 8.6 wide: the
+// the machine's membership bit, within 4.6 B/node narrow and 6.6 past
+// int32: the
 // order filters are a table of the k members', in the bank, not a 16-byte
 // column over all n nodes (which the retired concurrent engine's bank held
 // before the table moved there). At this n the monitor runs on the shard
@@ -263,6 +286,9 @@ func TestTreeFootprintPerNode(t *testing.T) {
 func TestOrderedFootprintPerNode(t *testing.T) {
 	const n, k = 1 << 18, 16
 	for _, arm := range widthArms {
+		if !arm.fits(n) {
+			continue
+		}
 		t.Run(arm.name, func(t *testing.T) {
 			vals := armValues(arm, n)
 			before := liveHeap()
@@ -281,6 +307,64 @@ func TestOrderedFootprintPerNode(t *testing.T) {
 			m.Close()
 			runtime.KeepAlive(vals)
 		})
+	}
+}
+
+// TestColumnNeverWiderThanTheCodecBound pins that the value domain caps a
+// column's width: from n = 2¹⁶ on, order.MaxValueFor(n) < 2⁴⁷, so a bank
+// and a link-backed root's mirror fed the domain's extremes, ±MaxValueFor(n),
+// keep them at 6 bytes a node, never at int64's 8. At n = 2¹⁶ and 2²⁰ a
+// sequential monitor holds them in 6.38 B/node and what does not grow with
+// n — within 7, where an int64 column would be 8.38 — and a Loopback(2)
+// monitor's mirror is at Tier48 after a dense step and after a sparse one
+// that moves nodes across the whole domain.
+func TestColumnNeverWiderThanTheCodecBound(t *testing.T) {
+	const k, budget = 16, 7.0
+	for _, n := range []int{1 << 16, 1 << 20} {
+		maxVal := order.MaxValueFor(n)
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = maxVal - int64(i%3)
+			if i%2 == 1 {
+				vals[i] = -vals[i]
+			}
+		}
+		before := liveHeap()
+		m, err := New(Config{Nodes: n, K: k, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		perNode := (float64(liveHeap()) - float64(before)) / float64(n)
+		t.Logf("n=%d: a sequential monitor at ±%d holds %.2f B/node", n, maxVal, perNode)
+		if perNode > budget {
+			t.Fatalf("n=%d: a sequential monitor fed ±MaxValueFor(n) holds %.2f B/node, budget %v", n, perNode, budget)
+		}
+		m.Close()
+
+		l, err := New(Config{Nodes: n, K: k, Seed: 1, Transport: Loopback(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror := func(when string) {
+			t.Helper()
+			if got := l.eng.(interface{ MirrorTier() coord.Tier }).MirrorTier(); got != coord.Tier48 {
+				t.Fatalf("n=%d: after %s at ±MaxValueFor(n), the mirror is %d bytes a node, want %d", n, when, got, coord.Tier48)
+			}
+		}
+		if _, err := l.Observe(vals); err != nil {
+			t.Fatal(err)
+		}
+		mirror("a dense step")
+		ids := []int{0, 1, n / 2, n - 1}
+		if _, err := l.ObserveDelta(ids, []int64{-maxVal, maxVal, -maxVal, maxVal}); err != nil {
+			t.Fatal(err)
+		}
+		mirror("a sparse step")
+		l.Close()
+		runtime.KeepAlive(vals)
 	}
 }
 
@@ -699,8 +783,8 @@ func TestCheckpointChainFootprint(t *testing.T) {
 // frame's columns straight into the arrays a fresh monitor allocates
 // anyway: beyond what New allocates, the bank's value column — which a
 // fresh monitor allocates at its first observation, and Restore at the
-// width the frame's values need, int32 here — and the frame's own bytes
-// (the store hands out a copy) it needs under half a byte a node: the
+// tier the frame's values need, 4 or 6 bytes a node here — and the frame's
+// own bytes (the store hands out a copy) it needs under half a byte a node: the
 // filter check reads the bank's own membership bitset and bounds. A
 // filter set built from the frame for the check (a bool a node and the
 // member list, 1 B/node) does not fit, nor a decoded copy of the bank, nor
@@ -708,7 +792,17 @@ func TestCheckpointChainFootprint(t *testing.T) {
 // first, some 70 B/node.
 func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 	const n, k, slack = 1 << 16, 16, 0.5
-	const column = 4.0 // bytes a node: the bank's int32 column
+	for _, arm := range widthArms {
+		if arm.fits(n) {
+			t.Run(arm.name, func(t *testing.T) { restoreAllocates(t, n, k, slack, arm) })
+		}
+	}
+}
+
+// restoreAllocates is TestRestoreAllocatesTheBankAndTheFrame on arm's
+// values, whose column is arm.column bytes a node.
+func restoreAllocates(t *testing.T, n, k int, slack float64, arm widthArm) {
+	column := arm.column
 	totalAlloc := func(f func()) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -718,10 +812,7 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 	}
 	store := MemCheckpoints()
 	cfg := Config{Nodes: n, K: k, Seed: 1}
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i) * 7 % 1000003
-	}
+	vals := armValues(arm, n)
 	var fresh *Monitor
 	build := totalAlloc(func() {
 		var err error
@@ -754,9 +845,9 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 		}
 	})
 	back.Close()
-	extra := (restore-build-float64(len(frame)))/n - column
+	extra := (restore-build-float64(len(frame)))/float64(n) - column
 	t.Logf("n=%d: New allocates %.1f B/node, Restore %.2f B/node more on top of the %.1f B/node frame and the %.0f B/node column",
-		n, build/n, extra, float64(len(frame))/n, column)
+		n, build/float64(n), extra, float64(len(frame))/float64(n), column)
 	if extra > slack {
 		t.Fatalf("Restore allocates %.1f B/node beyond New and the frame, budget %v", extra, slack)
 	}

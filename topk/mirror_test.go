@@ -6,31 +6,33 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/coord"
 	"repro/internal/fanout"
 	"repro/internal/order"
 	"repro/internal/transport"
 )
 
 // TestMirrorWidensMidRun holds a link-backed root's last-value mirror to
-// the width of its values across a run in which a value crosses 2³¹ at step
-// widenAt, over Loopback(2) and a 2x2 tree, on dense steps and on sparse
-// ones. The mirror is what frames are coded against, what a failover
-// replays into rebuilt banks and what a checkpoint stores, so each of those
-// is run over the widened mirror:
+// the tier of its values across a run in which a value crosses 2³¹ at step
+// widenAt and another 2⁴⁷ at step widestAt, over Loopback(2) and a 2x2
+// tree, on dense steps and on sparse ones. The mirror is what frames are
+// coded against, what a failover replays into rebuilt banks and what a
+// checkpoint stores, so each of those is run over the 6-byte mirror:
 //
 //   - a plain run: at every step the report and Bytes equal the sequential
-//     engine's, and the mirror is int64 exactly from step widenAt on;
+//     engine's, and the mirror is 4 bytes a node until step widenAt, 6 until
+//     step widestAt and 8 from then on;
 //   - a failover: a root link, wrapped in a transport.Faulty, is cut ahead
 //     of step cutAt, which returns the last good report; the next step
-//     redials, replays the wide mirror and forces a FILTERRESET, and every
-//     report after it equals the sequential engine's (Bytes do up to the
-//     cut; the recovery's reset is charged on top);
+//     redials, replays the 6-byte mirror and forces a FILTERRESET, and
+//     every report after it equals the sequential engine's (Bytes do up to
+//     the cut; the recovery's reset is charged on top);
 //   - a Restore from a checkpoint taken at step restoreAt: the restored
-//     mirror is wide, and every report after it equals the sequential
-//     engine's.
+//     mirror is 6 bytes a node, and every report after it equals the
+//     sequential engine's.
 func TestMirrorWidensMidRun(t *testing.T) {
 	const n, k, seed, steps = 64, 4, 9, 14
-	const widenAt, cutAt, restoreAt = 5, 8, 7
+	const widenAt, cutAt, restoreAt, widestAt = 5, 8, 7, 10
 	shapes := []struct {
 		name string
 		cfg  func() Config
@@ -56,7 +58,16 @@ func TestMirrorWidensMidRun(t *testing.T) {
 				arm = "sparse"
 			}
 			t.Run(sh.name+"/"+arm, func(t *testing.T) {
-				tr := newWideningTrace(n, widenAt, sparse)
+				tr := newWideningTrace(n, widenAt, widestAt, sparse)
+				tier := func(s int) coord.Tier {
+					switch {
+					case s < widenAt:
+						return coord.Tier32
+					case s < widestAt:
+						return coord.Tier48
+					}
+					return coord.Tier64
+				}
 				seq, err := New(Config{Nodes: n, K: k, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
@@ -77,7 +88,7 @@ func TestMirrorWidensMidRun(t *testing.T) {
 				for s := 0; s < steps; s++ {
 					where := fmt.Sprintf("plain run, step %d", s)
 					holdToSeq(t, where, tr.observe(t, m, s), reports[s], m.Bytes(), bytes[s])
-					holdMirror(t, where, m, s >= widenAt)
+					holdMirror(t, where, m, tier(s))
 				}
 				m.Close()
 
@@ -109,7 +120,7 @@ func TestMirrorWidensMidRun(t *testing.T) {
 							t.Fatalf("%s: reports %v after the failover, seq %v", where, got, reports[s])
 						}
 					}
-					holdMirror(t, where, f, s >= widenAt)
+					holdMirror(t, where, f, tier(s))
 				}
 				if h := f.Health(); h.Failures == 0 || h.Recoveries == 0 || h.Degraded || h.Terminal != nil {
 					t.Fatalf("failover run: health %+v, want one recovered failure", h)
@@ -136,13 +147,13 @@ func TestMirrorWidensMidRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer r.Close()
-				holdMirror(t, "restored", r, true)
+				holdMirror(t, "restored", r, tier(restoreAt))
 				for s := restoreAt + 1; s < steps; s++ {
 					where := fmt.Sprintf("restored run, step %d", s)
 					if got := tr.observe(t, r, s); !slices.Equal(got, reports[s]) {
 						t.Fatalf("%s: reports %v, seq %v", where, got, reports[s])
 					}
-					holdMirror(t, where, r, true)
+					holdMirror(t, where, r, tier(s))
 				}
 			})
 		}
@@ -151,17 +162,18 @@ func TestMirrorWidensMidRun(t *testing.T) {
 
 // wideningTrace is the run TestMirrorWidensMidRun feeds every monitor:
 // values in int32 until step widenAt, where node 3 crosses 2³¹, and node
-// n-5 crosses -2³¹ a step later; dense steps, or sparse ones that move
-// every fifth node and the two that cross (step 0 is every node).
+// n-5 crosses -2³¹ a step later; values in 48 bits until step widestAt,
+// where node 7 crosses 2⁴⁷; dense steps, or sparse ones that move every
+// fifth node and the three that cross (step 0 is every node).
 type wideningTrace struct {
-	n, widenAt int
-	sparse     bool
-	vals       []int64
-	ids        []int
+	n, widenAt, widestAt int
+	sparse               bool
+	vals                 []int64
+	ids                  []int
 }
 
-func newWideningTrace(n, widenAt int, sparse bool) *wideningTrace {
-	return &wideningTrace{n: n, widenAt: widenAt, sparse: sparse, vals: make([]int64, n)}
+func newWideningTrace(n, widenAt, widestAt int, sparse bool) *wideningTrace {
+	return &wideningTrace{n: n, widenAt: widenAt, widestAt: widestAt, sparse: sparse, vals: make([]int64, n)}
 }
 
 // observe feeds monitor m step s and returns its report.
@@ -175,8 +187,10 @@ func (tr *wideningTrace) observe(t *testing.T, m *Monitor, s int) []int {
 			v = 1<<31 + int64(s)
 		case i == tr.n-5 && s > tr.widenAt:
 			v = -1<<31 - 1 - int64(s)
+		case i == 7 && s >= tr.widestAt:
+			v = 1<<47 + int64(s)
 		}
-		if s == 0 || !tr.sparse || i%5 == s%5 || i == 3 || i == tr.n-5 {
+		if s == 0 || !tr.sparse || i%5 == s%5 || i == 3 || i == tr.n-5 || i == 7 {
 			tr.vals[len(tr.ids)] = v
 			tr.ids = append(tr.ids, i)
 		}
@@ -207,10 +221,10 @@ func holdToSeq(t *testing.T, where string, got, want []int, gotBytes, wantBytes 
 }
 
 // holdMirror fails unless a link-backed monitor's root keeps its mirror at
-// int64 exactly when wide is set.
-func holdMirror(t *testing.T, where string, m *Monitor, wide bool) {
+// tier want.
+func holdMirror(t *testing.T, where string, m *Monitor, want coord.Tier) {
 	t.Helper()
-	if got := m.eng.(interface{ MirrorWide() bool }).MirrorWide(); got != wide {
-		t.Fatalf("%s: mirror wide %v, want %v", where, got, wide)
+	if got := m.eng.(interface{ MirrorTier() coord.Tier }).MirrorTier(); got != want {
+		t.Fatalf("%s: mirror at %d bytes a node, want %d", where, got, want)
 	}
 }
