@@ -148,9 +148,8 @@ func FuzzObserveChanges(f *testing.F) {
 		// values need: the frames coded against it, and the replay of it
 		// against zero, are byte for byte the ones the int64 mirror codes.
 		col := NewColumn(nodes)
-		col.Reserve(mirror)
 		col.Put(0, mirror)
-		if got, want := col.Tier(), tierOf(mirror, Tier64); got != want {
+		if got, want := col.Tier(), tierOf(mirror); got != want {
 			t.Fatalf("%s: a mirror of %v is at %d bytes a node, want %d", where, mirror, got, want)
 		}
 		fr := mirrorFrames{where, first, vals, ids, sparse, dense, delta, wire.Observe{Step: 1, Vals: mirror[first:]}.Append(nil)}

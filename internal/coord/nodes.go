@@ -108,13 +108,13 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if hi-lo > math.MaxInt32 {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
-	return newBank(n, lo, hi, seed, tol)
+	return newBank(n, lo, hi, seed, tol, Tier32)
 }
 
-// newBank builds a bank over [lo, hi) with every value 0, its column not
-// yet allocated, and every filter [-inf, +inf].
-func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
-	inst, col := filter.Unbounded(), NewColumn(hi-lo)
+// newBank builds a bank over [lo, hi) with every value 0, its column at
+// tier t, and every filter [-inf, +inf].
+func newBank(n, lo, hi int, seed uint64, tol order.Tol, t Tier) *Nodes {
+	inst, col := filter.Unbounded(), makeColumn(hi-lo, t)
 	return &Nodes{
 		lo:     lo,
 		hi:     hi,
@@ -136,13 +136,11 @@ func newBank(n, lo, hi int, seed uint64, tol order.Tol) *Nodes {
 // that does not. A bank keeps its nodes' values in one, which every Sub
 // view of it shares, and a link-backed coordinator keeps its mirror of what
 // every bank holds in another (internal/fanout). A new column is every
-// value 0 and allocates nothing; it is allocated once, at the tier the
-// values it is first given need (Column.Reserve, Nodes.Reserve), and it
-// widens, for good, at the first value its tier does not hold — at most
-// twice in its life. The value domain caps what a bank is given
-// (order.MaxValueFor: below 2⁴⁷ from n = 2¹⁶ on), so a bank of 2¹⁶ or more
-// nodes never reaches int64. Every loop over it is one generic
-// implementation over the three widths (wire.Value).
+// value 0, at Tier32, and it widens, for good, at the first value its tier
+// does not hold — at most twice in its life. The value domain caps what a
+// bank is given (order.MaxValueFor: below 2⁴⁷ from n = 2¹⁶ on), so a bank
+// of 2¹⁶ or more nodes never reaches int64. Every loop over it is one
+// generic implementation over the three widths (wire.Value).
 type Column struct {
 	n   int
 	n32 []int32      // the column while every value fits int32
@@ -150,11 +148,22 @@ type Column struct {
 	n64 []int64      // the column from the first value that did not fit 48 bits
 }
 
-// NewColumn returns a column of n entries, every one 0, not yet allocated.
-func NewColumn(n int) Column { return Column{n: n} }
+// NewColumn returns a column of n entries, every one 0, at Tier32.
+func NewColumn(n int) Column { return makeColumn(n, Tier32) }
+
+// makeColumn returns a column of n entries, every one 0, at tier t.
+func makeColumn(n int, t Tier) Column {
+	switch t {
+	case Tier64:
+		return Column{n: n, n64: make([]int64, n)}
+	case Tier48:
+		return Column{n: n, n48: make([]wire.Int48, n)}
+	}
+	return Column{n: n, n32: make([]int32, n)}
+}
 
 // Tier is the width of a column's entries, in bytes: Tier32, Tier48 or
-// Tier64, and 0 for a column not yet allocated.
+// Tier64.
 type Tier uint8
 
 // The column tiers.
@@ -185,35 +194,15 @@ func fits32(v int64) bool { return v == int64(int32(v)) }
 // fits48 reports whether v fits a column of 48-bit entries.
 func fits48(v int64) bool { return v == v<<16>>16 }
 
-// tierOf returns the narrowest tier that holds every value of vals, or top
-// if that is narrower. It looks 256 values at a time, without a branch a
-// value, and stops at the first block that needs top.
-func tierOf(vals []int64, top Tier) Tier {
-	t := Tier32
-	for len(vals) > 0 && t < top {
-		blk := vals[:min(256, len(vals))]
-		vals = vals[len(blk):]
-		var m uint64 // the magnitude bits of every value of blk
-		for _, v := range blk {
-			m |= uint64(v ^ v>>63)
-		}
-		t = max(t, magTier(m))
-	}
-	return min(t, top)
-}
-
-// Tier returns the width of the column's entries, 0 while it is not
-// allocated.
+// Tier returns the width of the column's entries.
 func (c *Column) Tier() Tier {
 	switch {
-	case c.n32 != nil:
-		return Tier32
-	case c.n48 != nil:
-		return Tier48
 	case c.n64 != nil:
 		return Tier64
+	case c.n48 != nil:
+		return Tier48
 	}
-	return 0
+	return Tier32
 }
 
 // widen gives the column tier t if it is narrower, keeping every value: one
@@ -223,8 +212,6 @@ func (c *Column) widen(t Tier) {
 		return
 	}
 	switch t {
-	case Tier32:
-		c.n32 = make([]int32, c.n)
 	case Tier48:
 		c.n48 = make([]wire.Int48, c.n)
 		copyCells(c.n48, c.n32)
@@ -245,33 +232,15 @@ func copyCells[V, W wire.Value](dst []W, src []V) {
 	}
 }
 
-// Reserve allocates a column not yet allocated at the tier vals need, the
-// values it is about to be given; a column already allocated it leaves as it
-// is (Put and Set widen it). So a column given values that need 48 bits from
-// the start never allocates an int32 column. It reads vals no further than
-// the tier that holds the value domain of a monitor of the column's n
-// nodes (order.MaxValueFor), where a value past it, which Put widens for,
-// is an input error.
-func (c *Column) Reserve(vals []int64) {
-	if c.Tier() == 0 {
-		c.widen(tierOf(vals, magTier(uint64(order.MaxValueFor(c.n)))))
-	}
-}
-
 // Int64s returns the entries of a column at Tier64, and nil otherwise.
 func (c *Column) Int64s() []int64 { return c.n64 }
 
 // Int48s returns the entries of a column at Tier48, and nil otherwise.
 func (c *Column) Int48s() []wire.Int48 { return c.n48 }
 
-// Int32s returns the entries of a column at Tier32, allocating a column
-// that has none, and nil once it is wider.
-func (c *Column) Int32s() []int32 {
-	if c.Tier() == 0 {
-		c.widen(Tier32)
-	}
-	return c.n32
-}
+// Int32s returns the entries of a column at Tier32, and nil once it is
+// wider.
+func (c *Column) Int32s() []int32 { return c.n32 }
 
 // Value returns entry i.
 func (c *Column) Value(i int) int64 {
@@ -280,10 +249,8 @@ func (c *Column) Value(i int) int64 {
 		return c.n64[i]
 	case c.n48 != nil:
 		return wire.Load(c.n48, i)
-	case c.n32 != nil:
-		return int64(c.n32[i])
 	}
-	return 0
+	return int64(c.n32[i])
 }
 
 // Put sets entries at to at+len(vals)-1 to vals, widening the column to the
@@ -297,7 +264,7 @@ func (c *Column) Put(at int, vals []int64) {
 		case c.n48 != nil:
 			n = wire.StoreRun(c.n48[at:], vals, 1<<47)
 		default:
-			n = wire.StoreRun(c.Int32s()[at:], vals, 1<<31)
+			n = wire.StoreRun(c.n32[at:], vals, 1<<31)
 		}
 		if at, vals = at+n, vals[n:]; len(vals) > 0 {
 			c.widen(valueTier(vals[0]))
@@ -321,35 +288,19 @@ func (c *Column) Set(i int, v int64) {
 	}
 }
 
-// cells32 returns the view's narrow entries, allocating a column that has
-// none; it is called only while the column is not wider.
-func (b *Nodes) cells32() []int32 {
-	return b.col.Int32s()[b.at : b.at+b.n]
-}
-
-// Reserve readies the column for vals, the values of an observation about
-// to be made: a bank whose column is not yet allocated allocates it at the
-// tier they need — those ahead of the first outside the value domain, at
-// which the observation stops — so it allocates its column once, at its
-// first observation, whatever its tier. An allocated column it leaves as it
-// is, and a Sub view does nothing: a view that finds no column allocates a
-// narrow one, and widens none (Observe). So a host that drives Sub views
-// concurrently reserves on the bank before their first observation.
-func (b *Nodes) Reserve(vals []int64) {
-	if b.fresh() {
-		t, _ := b.scanTier(vals)
-		b.col.widen(t)
-	}
-}
+// cells32 returns the view's narrow entries; it is called only while the
+// column is not wider.
+func (b *Nodes) cells32() []int32 { return b.col.n32[b.at : b.at+b.n] }
 
 // scanTier returns the tier that holds every value of vals ahead of the
 // first outside the value domain, and whether it met such a value, at which
 // an observation of them stops. It looks 256 values at a time, without a
 // branch a value, and at values one by one only in a block that holds one
-// at or past the domain's ends; it stops at the domain's tier (domainTier),
-// which holds whatever follows.
+// at or past the domain's ends; it stops at the domain's tier, which holds
+// whatever follows: Tier48 from n = 2¹⁶ on, no value the bank takes needs
+// more.
 func (b *Nodes) scanTier(vals []int64) (t Tier, stopped bool) {
-	t, top := Tier32, b.domainTier()
+	t, top := Tier32, magTier(uint64(b.maxVal))
 	for len(vals) > 0 && t < top {
 		blk := vals[:min(256, len(vals))]
 		vals = vals[len(blk):]
@@ -369,16 +320,6 @@ func (b *Nodes) scanTier(vals []int64) (t Tier, stopped bool) {
 		}
 	}
 	return t, false
-}
-
-// domainTier returns the tier that holds every value in the value domain:
-// Tier48 from n = 2¹⁶ on, no value the bank takes needs more.
-func (b *Nodes) domainTier() Tier { return magTier(uint64(b.maxVal)) }
-
-// fresh reports whether the bank, not a Sub view, has yet to allocate its
-// column: every value is 0.
-func (b *Nodes) fresh() bool {
-	return !b.sub && b.col.Tier() == 0
 }
 
 // Sub returns a view of the sub-range [lo, hi) sharing this bank's node
@@ -481,9 +422,9 @@ func (b *Nodes) Encode(id int, v int64) (order.Key, error) {
 func (b *Nodes) value(i int) int64 { return b.col.Value(b.at + i) }
 
 // store sets hosted node i's value, which lies in the value domain,
-// allocating the column at the tier v needs if it has none and widening
-// one v does not fit. A Sub view does neither: it stores nothing and
-// returns false, since other views may be running over the column.
+// widening the column if v does not fit its tier. A Sub view does not: it
+// stores nothing and returns false, since other views may be running over
+// the column.
 func (b *Nodes) store(i int, v int64) bool {
 	if c := b.col; c.n32 != nil && fits32(v) {
 		c.n32[b.at+i] = int32(v)
@@ -497,10 +438,10 @@ func (b *Nodes) store(i int, v int64) bool {
 	return true
 }
 
-// storeFirst is store into a column v is the first value of, or the first
-// value that does not fit.
+// storeFirst is store of a value the column's tier does not hold: a view
+// refuses it, a bank widens its column.
 func (b *Nodes) storeFirst(i int, v int64) bool {
-	if b.sub && valueTier(v) > Tier32 {
+	if b.sub {
 		return false
 	}
 	b.col.Set(b.at+i, v)
@@ -695,35 +636,27 @@ func (b *Nodes) ObserveDense(vals []int64, step int64) (topViol, outViol bool, e
 	if len(vals) != b.n {
 		panic(fmt.Sprintf("coord: %d values for the %d nodes of [%d, %d)", len(vals), b.n, b.lo, b.hi))
 	}
-	b.Reserve(vals)
 	return b.observeRun(0, vals, step)
 }
 
 // ObserveStream is ObserveDense for a dense frame as it arrived: the
 // frame carries each node's change from the value the bank holds (wire
 // package comment), and the values are rebuilt from it a chunk at a time,
-// never a column of their own. A fresh bank reads the frame once first,
-// through a copy of its cursor, for the tier its column is allocated at.
-// The frame must carry one change per hosted node,
-// which is checked before the first store; whatever else is wrong with it
-// — a malformed varint, a change that lands outside the value domain,
-// bytes after the last change — is found where it lies, so the values
-// ahead of it have been applied when the error comes back. A wire-facing
-// host ends on that error, and the coordinator re-Assigns the range and
-// rebuilds it from its mirror.
+// never a column of their own. The frame must carry one change per hosted
+// node, which is checked before the first store; whatever else is wrong
+// with it — a malformed varint, a change that lands outside the value
+// domain, bytes after the last change — is found where it lies, so the
+// values ahead of it have been applied when the error comes back. A
+// wire-facing host ends on that error, and the coordinator re-Assigns the
+// range and rebuilds it from its mirror.
 func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err error) {
 	if s.Len() != b.n {
 		return false, false, fmt.Errorf("coord: observe frame carries %d values for range [%d, %d)", s.Len(), b.lo, b.hi)
 	}
 	var chunk [256]int64
-	fresh := b.fresh()
-	if fresh {
-		b.col.widen(b.frameTier(*s, chunk[:]))
-	}
 	for i := 0; i < b.n; {
 		n, rerr := s.Read(chunk[:])
 		switch c := b.col; { // wraps as the coordinator's subtraction did
-		case fresh: // nodes i on hold 0: the changes are the values
 		case c.n64 != nil:
 			addCells(chunk[:n], c.n64[b.at+i:])
 		case c.n48 != nil:
@@ -744,23 +677,6 @@ func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err
 	return topViol, outViol, s.Close()
 }
 
-// frameTier returns the tier that holds every value a frame, read from the
-// start through a copy of its cursor, carries ahead of the first that is
-// malformed or outside the value domain, where its reading stops, as it
-// does at the domain's tier: the tier a fresh bank, whose values are all 0,
-// allocates its column at.
-func (b *Nodes) frameTier(s wire.ObserveStream, chunk []int64) Tier {
-	t, top := Tier32, b.domainTier()
-	for s.Len() > 0 && t < top {
-		n, err := s.Read(chunk)
-		ct, stopped := b.scanTier(chunk[:n])
-		if t = max(t, ct); stopped || err != nil {
-			break
-		}
-	}
-	return t
-}
-
 // addCells adds each entry of cells to the change in dst beside it.
 func addCells[V wire.Value](dst []int64, cells []V) {
 	cells = cells[:len(dst)]
@@ -775,9 +691,6 @@ func addCells[V wire.Value](dst []int64, cells []V) {
 // range is an error; like any other it is found where it lies (see
 // ObserveStream).
 func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, err error) {
-	if b.fresh() {
-		b.col.widen(b.deltasTier(*s))
-	}
 	for s.Len() > 0 {
 		id, change, err := s.Next()
 		if err != nil {
@@ -793,19 +706,6 @@ func (b *Nodes) ObserveDeltaStream(s *wire.DeltaStream) (topViol, outViol bool, 
 		topViol, outViol = topViol || t, outViol || o
 	}
 	return topViol, outViol, s.Close()
-}
-
-// deltasTier is frameTier for a sparse frame.
-func (b *Nodes) deltasTier(s wire.DeltaStream) Tier {
-	t, top := Tier32, b.domainTier()
-	for s.Len() > 0 && t < top {
-		id, v, err := s.Next()
-		if err != nil || id < b.lo || id >= b.hi || v > b.maxVal || v < -b.maxVal {
-			break
-		}
-		t = max(t, valueTier(v))
-	}
-	return t
 }
 
 // Round runs round r of one protocol execution (protocol.Exec) over the

@@ -281,7 +281,6 @@ func TestRoundAbandonedExecutionLeaksNoMember(t *testing.T) {
 func TestRoundInPlaySetFootprint(t *testing.T) {
 	const n = 100000
 	b := NewNodes(n, 0, n, 9, false, order.Tol{})
-	b.Reserve(nil) // the column is the bank's, allocated by its first observation
 	best := order.NegInf
 	send := func(_ int, key order.Key) { best = order.Max(best, key) }
 	exec := func() {

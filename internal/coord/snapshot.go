@@ -387,22 +387,22 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := newBank(h.N, h.Lo, h.Hi, seed, tol)
 	// One pass for the tier and the first value outside the domain, which
 	// is refused once the frame's framing has been checked (ReadBankValues).
-	tier, bad, badV := Tier32, -1, int64(0)
-	for i, q := 0, col; i < b.n; i++ {
+	tier, bad, badV, maxVal := Tier32, -1, int64(0), order.MaxValueFor(h.N)
+	for i, q := 0, col; i < h.Hi-h.Lo; i++ {
 		v, w, err := wire.Varint(q)
 		if err != nil {
 			break
 		}
-		if v > b.maxVal || v < -b.maxVal {
+		if v > maxVal || v < -maxVal {
 			bad, badV = i, v
 			break
 		}
 		tier, q = max(tier, valueTier(v)), q[w:]
 	}
-	switch b.col.widen(tier); tier {
+	b := newBank(h.N, h.Lo, h.Hi, seed, tol, tier)
+	switch tier {
 	case Tier64:
 		err = wire.ReadBankValues(col, b.col.n64)
 	case Tier48:

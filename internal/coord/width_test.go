@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -26,6 +27,21 @@ func (b *Nodes) keys() []order.Key {
 
 // tier returns the width the bank keeps its column at.
 func (b *Nodes) tier() Tier { return b.col.Tier() }
+
+// tierOf is the reference for the narrowest tier that holds every value of
+// vals, one value at a time.
+func tierOf(vals []int64) Tier {
+	t := Tier32
+	for _, v := range vals {
+		switch {
+		case v < -1<<47 || v >= 1<<47:
+			t = Tier64
+		case v < math.MinInt32 || v > math.MaxInt32:
+			t = max(t, Tier48)
+		}
+	}
+	return t
+}
 
 // widthSubject is one way of hosting a range in a bank whose column the
 // fuzz target watches, and the 64-bit key reference it must match.
@@ -81,11 +97,11 @@ func feedFrames(s *widthSubject, v int, ids []int, vals []int64, step int64) (bo
 // FuzzBankWidth holds a bank's value column, at any tier and widened at any
 // point, to a 64-bit key bank (refnodes_test.go). Dense and sparse batches
 // whose values cross ±2³¹, ±2⁴⁷ and ±MaxValue anywhere — the first batch
-// included, which allocates the column — are applied to three banks over
-// one range: one fed as the sequential engine feeds its bank, one fed the
-// frames a host reads, and one through Sub views, which refuse what their
-// column's tier cannot hold (ErrNarrow) until the bank widens, as a host of
-// views does, and the batch is fed again. After every batch each bank must
+// included, which widens the int32 column a bank is born with — are applied
+// to three banks over one range: one fed as the sequential engine feeds its
+// bank, one fed the frames a host reads, and one through Sub views, which
+// refuse what their column's tier cannot hold (ErrNarrow) until the bank
+// widens, as a host of views does, and the batch is fed again. After every batch each bank must
 // answer what the reference answers — the flags and the error of every
 // view — and hold its keys; its column's tier is the one the values it took
 // need (4, 6 or 8 bytes); every violation and membership cohort runs,
@@ -132,7 +148,7 @@ func FuzzBankWidth(f *testing.F) {
 	f.Add(uint16(4), uint16(3), uint8(0xd6), []byte("000000000000000000000000000000000000000000000100000000"))
 	f.Add(uint16(7), uint16(76), uint8(0x15), []byte("000000000000000000100000000"))
 	// Four nodes in two views, [0, 3) and [3, 4): 4 → 6 → 8 bytes over
-	// three dense batches; 4 → 8 in one; and 6 bytes from the first batch,
+	// three dense batches; 4 → 8 in one; and 4 → 6 at the first batch,
 	// dense and sparse, up to 2⁴⁷−1 and its negation, the last values 6
 	// bytes hold.
 	const dense, sparse = 0, 1
@@ -315,13 +331,12 @@ func checkWidth(t *testing.T, where string, s *widthSubject) {
 			t.Fatalf("%s: the reference's node %d decodes to id %d", where, b.lo+i, id)
 		}
 	}
-	need := tierOf(vals, Tier64)
+	need := tierOf(vals)
 	s.held = max(s.held, need)
 	if !slices.Equal(b.keys(), s.whole.keysOf()) {
 		t.Fatalf("%s: %s bank holds keys %v, the reference %v", where, s.name, b.keys(), s.whole.keysOf())
 	}
-	// A column not yet allocated holds zeros, which Tier32 holds.
-	if got := max(b.tier(), Tier32); got != s.held {
+	if got := b.tier(); got != s.held {
 		t.Fatalf("%s: %s bank's column at %d bytes, the values it took need %d", where, s.name, got, s.held)
 	}
 	frame := b.Snapshot(nil)
@@ -373,4 +388,68 @@ func refLog(ref *refNodes, tag uint8, step int64) string {
 		ex.EndRound()
 	}
 	return fmt.Sprintf("%x %v", w.End(), ex.Winners())
+}
+
+// TestFreshViewsObserveConcurrently takes two Sub views of a bank just
+// built, calls nothing else on it, and has both views observe a dense step
+// at once (run it with -race): the column they share exists from the
+// bank's birth, so no view allocates one under the other, and the bank
+// then holds every value. In the wide arm each view is given a value past
+// 2³¹: each refuses it (ErrNarrow), storing nothing of it, the bank widens
+// (Widen), and the repeated sweep stores every value.
+func TestFreshViewsObserveConcurrently(t *testing.T) {
+	const n = 1 << 12
+	for _, arm := range []struct {
+		name string
+		wide int64 // given to one node of each view; 0: none
+	}{{"narrow", 0}, {"wide", 1 << 40}} {
+		t.Run(arm.name, func(t *testing.T) {
+			b := NewNodes(n, 0, n, 1, false, order.Tol{})
+			views := []*Nodes{b.Sub(0, n/2), b.Sub(n/2, n)}
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = int64(i + 1)
+			}
+			wide := []int{n / 4, 3 * n / 4}
+			if arm.wide != 0 {
+				vals[wide[0]], vals[wide[1]] = arm.wide, -arm.wide
+			}
+			sweep := func() []error {
+				errs := make([]error, len(views))
+				var wg sync.WaitGroup
+				for v, view := range views {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, _, errs[v] = view.ObserveDense(vals[view.Lo():view.Hi()], 1)
+					}()
+				}
+				wg.Wait()
+				return errs
+			}
+			errs := sweep()
+			if arm.wide != 0 {
+				for v, err := range errs {
+					if !errors.Is(err, ErrNarrow) {
+						t.Fatalf("view %d given %d answers %v, want ErrNarrow", v, vals[wide[v]], err)
+					}
+					if got := b.value(wide[v]); got != 0 {
+						t.Fatalf("view %d refused %d and stored %d", v, vals[wide[v]], got)
+					}
+				}
+				b.Widen(vals)
+				errs = sweep()
+			}
+			for v, err := range errs {
+				if err != nil {
+					t.Fatalf("view %d: %v", v, err)
+				}
+			}
+			for i, want := range vals {
+				if got := b.value(i); got != want {
+					t.Fatalf("node %d holds %d, want %d", i, got, want)
+				}
+			}
+		})
+	}
 }

@@ -356,7 +356,6 @@ func (m *Monitor) observe(ids []int, vals []int64) []int {
 		panic("core: step after Close")
 	}
 	step := m.mach.BeginStep()
-	m.bank.Reserve(vals) // the first step allocates the column, at the width it needs
 	var anyTop, anyOut bool
 	var err error
 	if m.swept = m.split != nil && ids == nil; m.swept {

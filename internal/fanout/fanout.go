@@ -276,7 +276,7 @@ func NewWith(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 
 // MirrorTier returns the width the root keeps its last-value mirror at
 // (coord.Column): the narrowest tier that holds every value it was given,
-// 0 before the first.
+// Tier32 before the first.
 func (e *Engine) MirrorTier() coord.Tier { return e.last.Tier() }
 
 // closeAll closes every link of a failed construction.
@@ -482,10 +482,8 @@ func (e *Engine) Observe(vals []int64) []int {
 	e.step = e.mach.BeginStep()
 	// Each peer's frame is coded against its range of the mirror, straight
 	// into the buffer its link lends, and the mirror then takes the new
-	// values, widening where one needs it (Put; the first step allocates
-	// it at the tier they need, Reserve); whatever happens to the step, the
-	// mirror ends it holding all of them.
-	e.last.Reserve(vals)
+	// values, widening where one needs it (Put); whatever happens to the
+	// step, the mirror ends it holding all of them.
 	for pi, p := range e.fan.peers {
 		e.queueFrame(pi, e.step, nil, vals)
 		e.last.Put(p.lo, vals[p.lo:p.hi])
@@ -553,7 +551,6 @@ func (e *Engine) ObserveDelta(ids []int, vals []int64) []int {
 	e.step = e.mach.BeginStep()
 	// Ship each peer its slice of the (sorted) delta, coded against the
 	// mirror as in Observe.
-	e.last.Reserve(vals)
 	start := 0
 	for pi := range e.fan.peers {
 		stop := e.fan.Share(pi, ids, start)

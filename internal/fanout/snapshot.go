@@ -63,16 +63,15 @@ func (e *Engine) AppendCheckpoint(dst []byte, gen, base uint64, dirty []uint64) 
 
 // Resume adopts a checkpointed coordinator — machine mach and value
 // mirror last, taken under the same configuration and already held to it
-// — into an engine New has just built, whose mirror it allocates at the
-// width last needs, replays the mirror into the banks
-// New's handshake left at zero, and forces a FILTERRESET. Call it once,
+// — into an engine New has just built, whose mirror takes last, widening
+// where a value needs it, replays the mirror into the banks New's
+// handshake left at zero, and forces a FILTERRESET. Call it once,
 // before the first observation. A peer failing during the replay leaves
 // recovery pending (or the engine cleanly terminal), exactly as a mid-run
 // failure would: the next observation call retries through the regular
 // failover path, and Health tells the story.
 func (e *Engine) Resume(mach *coord.Machine, last []int64) {
 	e.mach = mach
-	e.last.Reserve(last)
 	e.last.Put(0, last)
 	_ = e.replayReset()
 }

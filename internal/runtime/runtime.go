@@ -48,11 +48,10 @@
 // views alias, and why Snapshot and the monitor's read views need no sweep
 // either. A shard reads the membership bitset and never writes it, so views
 // whose ranges split one of its words share that word race-free.
-// Nor does a shard replace the value column the views share: the monitor
-// allocates it before the first sweep (coord.Nodes.Reserve); a view given
-// a value its column's tier cannot hold refuses it (coord.ErrNarrow), and
-// the monitor widens the column between two sweeps and sweeps the step
-// again.
+// Nor does a shard replace the value column the views share, which exists
+// from the bank's birth: a view given a value its column's tier cannot hold
+// refuses it (coord.ErrNarrow), and the monitor widens the column between
+// two sweeps and sweeps the step again.
 //
 // # Sharding
 //

@@ -781,10 +781,11 @@ func TestCheckpointChainFootprint(t *testing.T) {
 
 // TestRestoreAllocatesTheBankAndTheFrame pins that Restore reads the
 // frame's columns straight into the arrays a fresh monitor allocates
-// anyway: beyond what New allocates, the bank's value column — which a
-// fresh monitor allocates at its first observation, and Restore at the
-// tier the frame's values need, 4 or 6 bytes a node here — and the frame's
-// own bytes (the store hands out a copy) it needs under half a byte a node: the
+// anyway: beyond what New allocates — its bank's value column among it, 4
+// bytes a node at Tier32 — the part of the restored column New's does not
+// cover, which Restore allocates at the tier the frame's values need (0 or
+// 2 bytes a node here), and the frame's own bytes (the store hands out a
+// copy) it needs under half a byte a node: the
 // filter check reads the bank's own membership bitset and bounds. A
 // filter set built from the frame for the check (a bool a node and the
 // member list, 1 B/node) does not fit, nor a decoded copy of the bank, nor
@@ -800,9 +801,9 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 }
 
 // restoreAllocates is TestRestoreAllocatesTheBankAndTheFrame on arm's
-// values, whose column is arm.column bytes a node.
+// values, whose column is arm.column bytes a node, 4 of them already New's.
 func restoreAllocates(t *testing.T, n, k int, slack float64, arm widthArm) {
-	column := arm.column
+	column := arm.column - 4
 	totalAlloc := func(f func()) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -846,7 +847,7 @@ func restoreAllocates(t *testing.T, n, k int, slack float64, arm widthArm) {
 	})
 	back.Close()
 	extra := (restore-build-float64(len(frame)))/float64(n) - column
-	t.Logf("n=%d: New allocates %.1f B/node, Restore %.2f B/node more on top of the %.1f B/node frame and the %.0f B/node column",
+	t.Logf("n=%d: New allocates %.1f B/node, Restore %.2f B/node more on top of the %.1f B/node frame and %.0f B/node more column",
 		n, build/float64(n), extra, float64(len(frame))/float64(n), column)
 	if extra > slack {
 		t.Fatalf("Restore allocates %.1f B/node beyond New and the frame, budget %v", extra, slack)
