@@ -33,9 +33,11 @@ import (
 // The input bytes are read nine at a time: a selector and a raw int64, from
 // which value() picks magnitudes at and past the domain's ends, int64's
 // ends, small steps from the baseline and arbitrary bits. Seeds across
-// ±2³¹ widen a narrow column mid-frame, and cross a wider baseline back;
-// seeds across ±2⁴⁷ widen a column 4 → 6 → 8 bytes in one frame, 4 → 8 at
-// one value, and start one at 6 bytes from the baseline.
+// ±2²³ and ±2³¹ widen a 24-bit column 3 → 4 → 6 bytes in one frame, over
+// ranges from every lo mod 4; seeds across ±2³¹ widen a narrow column
+// mid-frame, and cross a wider baseline back; seeds across ±2⁴⁷ widen a
+// column 3 → 6 → 8 bytes in one frame, 3 → 8 at one value, and start one at
+// 6 bytes from the baseline.
 func FuzzObserveChanges(f *testing.F) {
 	seed := func(sels ...byte) []byte {
 		var p []byte
@@ -70,6 +72,14 @@ func FuzzObserveChanges(f *testing.F) {
 	f.Add(uint16(3), uint16(0), raw([]byte{0, 0x80}, 1, -5, 7, 3, 1<<31, 2, b47, -b47-1, 0))
 	f.Add(uint16(3), uint16(0), raw([]byte{0x80}, 1, 2, 3, 4, 5, b47, 6, -7, 0))
 	f.Add(uint16(3), uint16(0), raw([]byte{0x80, 0}, 1<<40, -1<<40, 1<<31, 0, 1<<40+1, 5, -b47, b47-1, 0))
+	// Seven nodes from lo = 0, 1, 2 and 3: a baseline at ±2²³'s edges, then
+	// a frame across ±2²³ and ±2³¹.
+	const b23 = 1 << 23
+	for lo := range 4 {
+		base := []int64{b23 - 1, -b23, 0, 7, -b23, 2, 1}[:7-lo]
+		vals := []int64{b23, -b23 - 1, 1<<31 - 1, -1<<31 - 1, 5, b23 - 1, -b23}[:7-lo]
+		f.Add(uint16(6), uint16(lo), raw([]byte{0, 0x80}, append(append(base, vals...), 0)...))
+	}
 	f.Fuzz(func(t *testing.T, n, lo uint16, data []byte) {
 		nodes := int(n)%300 + 1
 		first := int(lo) % nodes
@@ -154,6 +164,8 @@ func FuzzObserveChanges(f *testing.F) {
 		}
 		fr := mirrorFrames{where, first, vals, ids, sparse, dense, delta, wire.Observe{Step: 1, Vals: mirror[first:]}.Append(nil)}
 		switch col.Tier() {
+		case Tier24:
+			holdFrames(t, fr, col.Int24s())
 		case Tier32:
 			holdFrames(t, fr, col.Int32s())
 		case Tier48:

@@ -237,9 +237,8 @@ type Machine struct {
 	recHand  comm.Recorder
 	recReset comm.Recorder
 
-	inTop []uint64 // current membership: bit id&63 of word id>>6
-	top   []int    // current membership, ascending; alias returned by Top
-	tmp   []int    // scratch for membership rebuilds (swapped with top)
+	top []int // current membership, ascending; alias returned by Top
+	tmp []int // scratch for membership rebuilds (swapped with top)
 
 	keys []order.Key // the running reset's winner keys, best first
 
@@ -282,7 +281,6 @@ func New(cfg Config) *Machine {
 	}
 	m := &Machine{
 		cfg:   cfg,
-		inTop: make([]uint64, (cfg.N+63)>>6),
 		top:   make([]int, 0, cfg.K),
 		tmp:   make([]int, 0, cfg.K),
 		keys:  make([]order.Key, 0, cfg.K+1),
@@ -337,9 +335,6 @@ func (m *Machine) Recorder(p comm.Phase) comm.Recorder {
 		panic("coord: unknown phase")
 	}
 }
-
-// InTop reports whether node id is in the current top-k set.
-func (m *Machine) InTop(id int) bool { return m.inTop[id>>6]>>(id&63)&1 != 0 }
 
 // Top returns the current top-k ids ascending. The slice is a read-only
 // view owned by the machine: it stays valid (reporting the last completed
@@ -542,7 +537,6 @@ func (m *Machine) nextWinner() Effect {
 	}
 	id := m.tmp[m.winIdx]
 	m.winIdx++
-	m.inTop[id>>6] |= 1 << (id & 63)
 	m.state = stResetWin
 	return Effect{Kind: EffWinner, Target: id}
 }
@@ -680,14 +674,7 @@ func (m *Machine) ForceReset() Effect {
 func (m *Machine) Ack() Effect {
 	switch m.state {
 	case stResetBegin:
-		// Nodes have cleared their membership; forget the old one and
-		// select the new. Whoever holds a bit is in top or, after an abort
-		// between the winners of a reset, in tmp.
-		for _, ids := range [2][]int{m.top, m.tmp} {
-			for _, id := range ids {
-				m.inTop[id>>6] &^= 1 << (id & 63)
-			}
-		}
+		// Nodes have cleared their membership; select the new one.
 		m.keys, m.band, m.tmp = m.keys[:0], m.band[:0], m.tmp[:0]
 		return m.resetExec()
 	case stResetWin:

@@ -25,12 +25,12 @@ import (
 //
 // The per-node state of the paper's node model — current value, membership
 // knowledge from the last broadcast — is a value column indexed by id - Lo
-// and a membership bitset: 4⅛ bytes per hosted node while every value the
-// bank has held fits int32, 6⅛ while every one fits 48 bits — always, from
-// n = 2¹⁶ on, since the value domain does — and 8⅛ from the first that does
-// not (Column). A
-// node's key is re-derived where it is read, order.Codec.Encode's v·n +
-// (n−1−id), one multiply-add; the filter is derived from the installed
+// and a membership bitset: 3⅛ bytes per hosted node while every value the
+// bank has held fits 24 bits, 4⅛ while every one fits int32, 6⅛ while every
+// one fits 48 bits — always, from n = 2¹⁶ on, since the value domain does —
+// and 8⅛ from the first that does not (Column). A node's key is
+// re-derived where it is read, order.Codec.Encode's v·n + (n−1−id), one
+// multiply-add; the filter is derived from the installed
 // bounds (filter.Bounds) and the membership bit, and no function of the id
 // is stored — the node's Bernoulli trials included, which are a function of
 // the monitor's seed, the execution and the id (rng.Coin), not draws from a
@@ -108,7 +108,7 @@ func NewNodes(n, lo, hi int, seed uint64, distinct bool, tol order.Tol) *Nodes {
 	if hi-lo > math.MaxInt32 {
 		panic(fmt.Sprintf("coord: node range [%d, %d) exceeds 2^31-1 hosted nodes", lo, hi))
 	}
-	return newBank(n, lo, hi, seed, tol, Tier32)
+	return newBank(n, lo, hi, seed, tol, Tier24)
 }
 
 // newBank builds a bank over [lo, hi) with every value 0, its column at
@@ -130,26 +130,28 @@ func newBank(n, lo, hi int, seed uint64, tol order.Tol, t Tier) *Nodes {
 }
 
 // Column is a value column: entry i is a value, held at the narrowest width
-// that has held every value the column was given — its Tier: int32 entries,
-// 4 bytes, while every value fits int32; packed 48-bit ones (wire.Int48), 6
+// that has held every value the column was given — its Tier: packed 24-bit
+// entries (wire.Int24), 3 bytes, while every value fits 24 bits; int32, 4
+// bytes, while every value fits int32; packed 48-bit ones (wire.Int48), 6
 // bytes, while every value fits 48 bits; int64, 8 bytes, from the first
 // that does not. A bank keeps its nodes' values in one, which every Sub
 // view of it shares, and a link-backed coordinator keeps its mirror of what
 // every bank holds in another (internal/fanout). A new column is every
-// value 0, at Tier32, and it widens, for good, at the first value its tier
-// does not hold — at most twice in its life. The value domain caps what a
-// bank is given (order.MaxValueFor: below 2⁴⁷ from n = 2¹⁶ on), so a bank
-// of 2¹⁶ or more nodes never reaches int64. Every loop over it is one
-// generic implementation over the three widths (wire.Value).
+// value 0, at Tier24, and it widens, for good, at the first value its tier
+// does not hold — at most three times in its life. The value domain caps
+// what a bank is given (order.MaxValueFor: below 2⁴⁷ from n = 2¹⁶ on), so a
+// bank of 2¹⁶ or more nodes never reaches int64. Every loop over it is one
+// generic implementation over the four widths (wire.Value).
 type Column struct {
 	n   int
-	n32 []int32      // the column while every value fits int32
+	n24 []wire.Int24 // the column while every value fits 24 bits
+	n32 []int32      // the column while every value fits int32, from the first that did not fit 24 bits
 	n48 []wire.Int48 // the column while every value fits 48 bits, from the first that did not fit int32
 	n64 []int64      // the column from the first value that did not fit 48 bits
 }
 
-// NewColumn returns a column of n entries, every one 0, at Tier32.
-func NewColumn(n int) Column { return makeColumn(n, Tier32) }
+// NewColumn returns a column of n entries, every one 0, at Tier24.
+func NewColumn(n int) Column { return makeColumn(n, Tier24) }
 
 // makeColumn returns a column of n entries, every one 0, at tier t.
 func makeColumn(n int, t Tier) Column {
@@ -158,20 +160,30 @@ func makeColumn(n int, t Tier) Column {
 		return Column{n: n, n64: make([]int64, n)}
 	case Tier48:
 		return Column{n: n, n48: make([]wire.Int48, n)}
+	case Tier32:
+		return Column{n: n, n32: make([]int32, n)}
 	}
-	return Column{n: n, n32: make([]int32, n)}
+	return Column{n: n, n24: make([]wire.Int24, n)}
 }
 
-// Tier is the width of a column's entries, in bytes: Tier32, Tier48 or
-// Tier64.
+// Tier is the width of a column's entries, in bytes: Tier24, Tier32, Tier48
+// or Tier64.
 type Tier uint8
 
 // The column tiers.
 const (
+	Tier24 Tier = 3
 	Tier32 Tier = 4
 	Tier48 Tier = 6
 	Tier64 Tier = 8
 )
+
+// fits reports whether v fits an entry of tier t: whether its 8t bytes,
+// sign-extended, give v back.
+func (t Tier) fits(v int64) bool {
+	s := 64 - 8*uint(t)
+	return v<<s>>s == v
+}
 
 // valueTier returns the narrowest tier that holds v.
 func valueTier(v int64) Tier { return magTier(uint64(v ^ v>>63)) }
@@ -179,20 +191,13 @@ func valueTier(v int64) Tier { return magTier(uint64(v ^ v>>63)) }
 // magTier returns the narrowest tier that holds every value whose
 // magnitude bits — v for v ≥ 0, −v−1 below — are at most m.
 func magTier(m uint64) Tier {
-	switch {
-	case m < 1<<31:
-		return Tier32
-	case m < 1<<47:
-		return Tier48
+	for _, t := range [...]Tier{Tier24, Tier32, Tier48} {
+		if t.fits(int64(m)) {
+			return t
+		}
 	}
 	return Tier64
 }
-
-// fits32 reports whether v fits a narrow column.
-func fits32(v int64) bool { return v == int64(int32(v)) }
-
-// fits48 reports whether v fits a column of 48-bit entries.
-func fits48(v int64) bool { return v == v<<16>>16 }
 
 // Tier returns the width of the column's entries.
 func (c *Column) Tier() Tier {
@@ -201,35 +206,35 @@ func (c *Column) Tier() Tier {
 		return Tier64
 	case c.n48 != nil:
 		return Tier48
+	case c.n32 != nil:
+		return Tier32
 	}
-	return Tier32
+	return Tier24
 }
 
 // widen gives the column tier t if it is narrower, keeping every value: one
-// allocation, and a copy of the entries of a column that had any.
+// allocation, and a copy of the entries.
 func (c *Column) widen(t Tier) {
 	if t <= c.Tier() {
 		return
 	}
+	w := makeColumn(c.n, t)
 	switch t {
+	case Tier32:
+		copyColumn(w.n32, c)
 	case Tier48:
-		c.n48 = make([]wire.Int48, c.n)
-		copyCells(c.n48, c.n32)
-		c.n32 = nil
+		copyColumn(w.n48, c)
 	default:
-		c.n64 = make([]int64, c.n)
-		copyCells(c.n64, c.n32)
-		copyCells(c.n64, c.n48)
-		c.n32, c.n48 = nil, nil
+		copyColumn(w.n64, c)
 	}
+	*c = w
 }
 
-// copyCells copies the entries of src to the front of dst, a wider column.
-func copyCells[V, W wire.Value](dst []W, src []V) {
-	dst = dst[:len(src)]
-	for i := range src {
-		wire.Store(dst, i, wire.Load(src, i))
-	}
+// copyColumn copies the entries of c into dst, a column as long and wider.
+func copyColumn[W wire.Value](dst []W, c *Column) {
+	wire.Copy(dst, c.n24)
+	wire.Copy(dst, c.n32)
+	wire.Copy(dst, c.n48)
 }
 
 // Int64s returns the entries of a column at Tier64, and nil otherwise.
@@ -238,19 +243,24 @@ func (c *Column) Int64s() []int64 { return c.n64 }
 // Int48s returns the entries of a column at Tier48, and nil otherwise.
 func (c *Column) Int48s() []wire.Int48 { return c.n48 }
 
-// Int32s returns the entries of a column at Tier32, and nil once it is
-// wider.
+// Int32s returns the entries of a column at Tier32, and nil otherwise.
 func (c *Column) Int32s() []int32 { return c.n32 }
 
-// Value returns entry i.
+// Int24s returns the entries of a column at Tier24, and nil once it is
+// wider.
+func (c *Column) Int24s() []wire.Int24 { return c.n24 }
+
+// Value returns entry i. It reads entry i's bytes alone.
 func (c *Column) Value(i int) int64 {
 	switch {
 	case c.n64 != nil:
 		return c.n64[i]
 	case c.n48 != nil:
 		return wire.Load(c.n48, i)
+	case c.n32 != nil:
+		return int64(c.n32[i])
 	}
-	return int64(c.n32[i])
+	return wire.Load(c.n24[i:i+1:i+1], 0)
 }
 
 // Put sets entries at to at+len(vals)-1 to vals, widening the column to the
@@ -263,8 +273,10 @@ func (c *Column) Put(at int, vals []int64) {
 			copy(c.n64[at:], vals)
 		case c.n48 != nil:
 			n = wire.StoreRun(c.n48[at:], vals, 1<<47)
-		default:
+		case c.n32 != nil:
 			n = wire.StoreRun(c.n32[at:], vals, 1<<31)
+		default:
+			n = wire.StoreRun(c.n24[at:], vals, 1<<23)
 		}
 		if at, vals = at+n, vals[n:]; len(vals) > 0 {
 			c.widen(valueTier(vals[0]))
@@ -278,19 +290,23 @@ func (c *Column) Set(i int, v int64) {
 	switch {
 	case c.n64 != nil:
 		c.n64[i] = v
-	case c.n48 != nil && fits48(v):
+	case c.n48 != nil && Tier48.fits(v):
 		wire.Store(c.n48, i, v)
-	case c.n32 != nil && fits32(v):
+	case c.n32 != nil && Tier32.fits(v):
 		c.n32[i] = int32(v)
+	case c.n24 != nil && Tier24.fits(v):
+		wire.Store(c.n24, i, v)
 	default:
 		c.widen(valueTier(v))
 		c.Set(i, v)
 	}
 }
 
-// cells32 returns the view's narrow entries; it is called only while the
-// column is not wider.
-func (b *Nodes) cells32() []int32 { return b.col.n32[b.at : b.at+b.n] }
+// cells returns the entries of col, the bank's column at its tier, that
+// hold the view's nodes. No load or store through them reaches another
+// view's entries (wire.Load, wire.StoreRun), which another goroutine may
+// be writing.
+func cells[V wire.Value](b *Nodes, col []V) []V { return col[b.at : b.at+b.n] }
 
 // scanTier returns the tier that holds every value of vals ahead of the
 // first outside the value domain, and whether it met such a value, at which
@@ -300,7 +316,7 @@ func (b *Nodes) cells32() []int32 { return b.col.n32[b.at : b.at+b.n] }
 // whatever follows: Tier48 from n = 2¹⁶ on, no value the bank takes needs
 // more.
 func (b *Nodes) scanTier(vals []int64) (t Tier, stopped bool) {
-	t, top := Tier32, magTier(uint64(b.maxVal))
+	t, top := Tier24, magTier(uint64(b.maxVal))
 	for len(vals) > 0 && t < top {
 		blk := vals[:min(256, len(vals))]
 		vals = vals[len(blk):]
@@ -426,9 +442,11 @@ func (b *Nodes) value(i int) int64 { return b.col.Value(b.at + i) }
 // stores nothing and returns false, since other views may be running over
 // the column.
 func (b *Nodes) store(i int, v int64) bool {
-	if c := b.col; c.n32 != nil && fits32(v) {
+	if c := b.col; c.n24 != nil && Tier24.fits(v) {
+		wire.Store(c.n24, b.at+i, v)
+	} else if c.n32 != nil && Tier32.fits(v) {
 		c.n32[b.at+i] = int32(v)
-	} else if c.n48 != nil && fits48(v) {
+	} else if c.n48 != nil && Tier48.fits(v) {
 		wire.Store(c.n48, b.at+i, v)
 	} else if c.n64 != nil {
 		c.n64[b.at+i] = v
@@ -509,9 +527,11 @@ func (b *Nodes) Observe(id int, v int64, step int64) (topViol, outViol bool, err
 		return false, false, err
 	}
 	// store, spelled out for the same reason.
-	if c := b.col; c.n32 != nil && fits32(v) {
+	if c := b.col; c.n24 != nil && Tier24.fits(v) {
+		wire.Store(c.n24, b.at+i, v)
+	} else if c.n32 != nil && Tier32.fits(v) {
 		c.n32[b.at+i] = int32(v)
-	} else if c.n48 != nil && fits48(v) {
+	} else if c.n48 != nil && Tier48.fits(v) {
 		wire.Store(c.n48, b.at+i, v)
 	} else if c.n64 != nil {
 		c.n64[b.at+i] = v
@@ -558,11 +578,13 @@ func (b *Nodes) observeRun(i int, vals []int64, step int64) (topViol, outViol bo
 		var t, o bool
 		switch c := b.col; {
 		case c.n64 != nil:
-			n, t, o, err = observeCells(b, c.n64[b.at+i:], i, vals, step, b.maxVal)
+			n, t, o, err = observeCells(b, cells(b, c.n64)[i:], i, vals, step, b.maxVal)
 		case c.n48 != nil:
-			n, t, o, err = observeCells(b, c.n48[b.at+i:], i, vals, step, min(b.maxVal, 1<<47-1))
+			n, t, o, err = observeCells(b, cells(b, c.n48)[i:], i, vals, step, min(b.maxVal, 1<<47-1))
+		case c.n32 != nil:
+			n, t, o, err = observeCells(b, cells(b, c.n32)[i:], i, vals, step, min(b.maxVal, math.MaxInt32))
 		default:
-			n, t, o, err = observeCells(b, b.cells32()[i:], i, vals, step, min(b.maxVal, math.MaxInt32))
+			n, t, o, err = observeCells(b, cells(b, c.n24)[i:], i, vals, step, min(b.maxVal, 1<<23-1))
 		}
 		topViol, outViol = topViol || t, outViol || o
 		if err != nil {
@@ -658,11 +680,13 @@ func (b *Nodes) ObserveStream(s *wire.ObserveStream) (topViol, outViol bool, err
 		n, rerr := s.Read(chunk[:])
 		switch c := b.col; { // wraps as the coordinator's subtraction did
 		case c.n64 != nil:
-			addCells(chunk[:n], c.n64[b.at+i:])
+			addCells(chunk[:n], cells(b, c.n64)[i:])
 		case c.n48 != nil:
-			addCells(chunk[:n], c.n48[b.at+i:])
+			addCells(chunk[:n], cells(b, c.n48)[i:])
+		case c.n32 != nil:
+			addCells(chunk[:n], cells(b, c.n32)[i:])
 		default:
-			addCells(chunk[:n], b.cells32()[i:])
+			addCells(chunk[:n], cells(b, c.n24)[i:])
 		}
 		t, o, err := b.observeRun(i, chunk[:n], s.Step)
 		topViol, outViol = topViol || t, outViol || o
@@ -793,11 +817,13 @@ func (b *Nodes) round(tag uint8, r int, best order.Key, bound int, step int64, t
 	tie := mul - 1 - int64(b.lo) // node i's key: its value·n + (n−1−(lo+i))
 	switch c := b.col; {
 	case c.n64 != nil:
-		protocol.Field[int64]{Vals: c.n64[b.at : b.at+b.n], Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
+		protocol.Field[int64]{Vals: cells(b, c.n64), Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
 	case c.n48 != nil:
-		protocol.Field[wire.Int48]{Vals: c.n48[b.at : b.at+b.n], Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
+		protocol.Field[wire.Int48]{Vals: cells(b, c.n48), Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
+	case c.n32 != nil:
+		protocol.Field[int32]{Vals: cells(b, c.n32), Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
 	default:
-		protocol.Field[int32]{Vals: b.cells32(), Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
+		protocol.Field[wire.Int24]{Vals: cells(b, c.n24), Mul: mul, Tie: tie}.Round(&b.inPlay, &coin, cut, minimum, b.lo, send)
 	}
 }
 

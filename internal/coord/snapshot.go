@@ -121,9 +121,6 @@ func RestoreMachine(p []byte) (*Machine, error) {
 	m.tMinus = order.Key(s.TMinus)
 	m.curLo = order.Key(s.CurLo)
 	m.curHi = order.Key(s.CurHi)
-	for _, id := range s.Top {
-		m.inTop[id>>6] |= 1 << (id & 63)
-	}
 	m.top = append(m.top, s.Top...)
 	// Replay the ledger through the phase recorders so the restored
 	// breakdown and total agree by construction, as in a live machine.
@@ -342,11 +339,14 @@ func (b *Nodes) Snapshot(dst []byte) []byte {
 	h := wire.BankHeader{N: b.codec.N(), Lo: b.lo, Hi: b.hi, EpsNum: b.tol.Num()}
 	switch c := b.col; {
 	case c.n64 != nil:
-		return appendBank(dst, h, c.n64[b.at:b.at+b.n])
+		return appendBank(dst, h, cells(b, c.n64))
 	case c.n48 != nil:
-		return appendBank(dst, h, c.n48[b.at:b.at+b.n])
+		return appendBank(dst, h, cells(b, c.n48))
+	case c.n32 != nil:
+		return appendBank(dst, h, cells(b, c.n32))
+	default:
+		return appendBank(dst, h, cells(b, c.n24))
 	}
-	return appendBank(dst, h, b.cells32())
 }
 
 // appendBank appends the bank frame of header h and column cells to dst.
@@ -389,7 +389,7 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 	}
 	// One pass for the tier and the first value outside the domain, which
 	// is refused once the frame's framing has been checked (ReadBankValues).
-	tier, bad, badV, maxVal := Tier32, -1, int64(0), order.MaxValueFor(h.N)
+	tier, bad, badV, maxVal := Tier24, -1, int64(0), order.MaxValueFor(h.N)
 	for i, q := 0, col; i < h.Hi-h.Lo; i++ {
 		v, w, err := wire.Varint(q)
 		if err != nil {
@@ -407,8 +407,10 @@ func RestoreNodes(p []byte, seed uint64) (*Nodes, error) {
 		err = wire.ReadBankValues(col, b.col.n64)
 	case Tier48:
 		err = wire.ReadBankValues(col, b.col.n48)
-	default:
+	case Tier32:
 		err = wire.ReadBankValues(col, b.col.n32)
+	default:
+		err = wire.ReadBankValues(col, b.col.n24)
 	}
 	if err != nil {
 		return nil, err

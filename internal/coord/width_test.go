@@ -31,13 +31,15 @@ func (b *Nodes) tier() Tier { return b.col.Tier() }
 // tierOf is the reference for the narrowest tier that holds every value of
 // vals, one value at a time.
 func tierOf(vals []int64) Tier {
-	t := Tier32
+	t := Tier24
 	for _, v := range vals {
 		switch {
 		case v < -1<<47 || v >= 1<<47:
 			t = Tier64
 		case v < math.MinInt32 || v > math.MaxInt32:
 			t = max(t, Tier48)
+		case v < -1<<23 || v >= 1<<23:
+			t = max(t, Tier32)
 		}
 	}
 	return t
@@ -96,15 +98,15 @@ func feedFrames(s *widthSubject, v int, ids []int, vals []int64, step int64) (bo
 
 // FuzzBankWidth holds a bank's value column, at any tier and widened at any
 // point, to a 64-bit key bank (refnodes_test.go). Dense and sparse batches
-// whose values cross ±2³¹, ±2⁴⁷ and ±MaxValue anywhere — the first batch
-// included, which widens the int32 column a bank is born with — are applied
+// whose values cross ±2²³, ±2³¹, ±2⁴⁷ and ±MaxValue anywhere — the first
+// batch included, which widens the 24-bit column a bank is born with — are applied
 // to three banks over one range: one fed as the sequential engine feeds its
 // bank, one fed the frames a host reads, and one through Sub views, which
 // refuse what their column's tier cannot hold (ErrNarrow) until the bank
 // widens, as a host of views does, and the batch is fed again. After every batch each bank must
 // answer what the reference answers — the flags and the error of every
 // view — and hold its keys; its column's tier is the one the values it took
-// need (4, 6 or 8 bytes); every violation and membership cohort runs,
+// need (3, 4, 6 or 8 bytes); every violation and membership cohort runs,
 // through Run with a bid log, the log the reference's rounds write, winners
 // alike; and the bank's checkpoint frame holds the reference's values and
 // restores into a bank that writes it again, its column at the tier those
@@ -135,7 +137,7 @@ func FuzzBankWidth(f *testing.F) {
 		}
 		return p
 	}
-	const b31, b47 = 1 << 31, 1 << 47
+	const b23, b31, b47 = 1 << 23, 1 << 31, 1 << 47
 	// A batch is a kind byte — bit 0 sparse — and one selector and raw
 	// int64 per node, then the next install's selector and raw; a
 	// selector's high bit puts its node in a sparse batch.
@@ -147,8 +149,8 @@ func FuzzBankWidth(f *testing.F) {
 	// the widening one still to come; and one widened with values held.
 	f.Add(uint16(4), uint16(3), uint8(0xd6), []byte("000000000000000000000000000000000000000000000100000000"))
 	f.Add(uint16(7), uint16(76), uint8(0x15), []byte("000000000000000000100000000"))
-	// Four nodes in two views, [0, 3) and [3, 4): 4 → 6 → 8 bytes over
-	// three dense batches; 4 → 8 in one; and 4 → 6 at the first batch,
+	// Four nodes in two views, [0, 3) and [3, 4): 3 → 6 → 8 bytes over
+	// three dense batches; 3 → 8 in one; and 3 → 6 at the first batch,
 	// dense and sparse, up to 2⁴⁷−1 and its negation, the last values 6
 	// bytes hold.
 	const dense, sparse = 0, 1
@@ -165,6 +167,18 @@ func FuzzBankWidth(f *testing.F) {
 		[]int64{sparse, 0x81, 5, 0, 0, 0x80 | 6, b47 - 1, 0x80 | 6, -b47}))
 	f.Add(uint16(3), uint16(0), uint8(4), batches(
 		[]int64{sparse, 0x81, 5, 0x80, 1, 0x80 | 6, -b47, 0, 0}))
+	// Eleven nodes from lo = 0, 1, 2 and 3 in two views, whose first nodes
+	// lie at every lo mod 4: 3 → 4 bytes across ±2²³ (selector bit 0x20),
+	// at a view's last node too, then 4 → 6 across ±2³¹ in a sparse batch.
+	for lo := range 4 {
+		narrow, cross, wide := []int64{dense}, []int64{dense}, []int64{sparse}
+		for i := lo; i < 11; i++ {
+			narrow = append(narrow, 0, int64(i%5-2))
+			cross = append(cross, [][2]int64{{0x21, -1}, {0x22, 0}, {0x21, 0}}[i%3][:]...)
+			wide = append(wide, [][2]int64{{0x82, 0}, {0x81, -1}, {0x01, 0}, {0x82, -1}}[i%4][:]...)
+		}
+		f.Add(uint16(10), uint16(lo), uint8(4), batches(narrow, cross, wide))
+	}
 	f.Fuzz(func(t *testing.T, n16, cut16 uint16, shape uint8, data []byte) {
 		n := int(n16)%600 + 1
 		lo := int(cut16) % n
@@ -185,16 +199,17 @@ func FuzzBankWidth(f *testing.F) {
 			switch sel % 8 {
 			case 0:
 				v = small
-			case 1:
-				v = b31 + small // around 2³¹, or 2⁴⁷
+			case 1, 2:
+				m := int64(b31) // around ±2³¹, or ±2⁴⁷ (bit 0x40), or ±2²³ (bit 0x20)
 				if sel&0x40 != 0 {
-					v = b47 + small
+					m = b47
+				} else if sel&0x20 != 0 {
+					m = b23
 				}
-			case 2:
-				v = -b31 + small // around −2³¹, or −2⁴⁷
-				if sel&0x40 != 0 {
-					v = -b47 + small
+				if sel%8 == 2 {
+					m = -m
 				}
+				v = m + small
 			case 3:
 				v = maxVal + small%4 // around MaxValue, maybe past it
 			case 4:
@@ -390,30 +405,38 @@ func refLog(ref *refNodes, tag uint8, step int64) string {
 	return fmt.Sprintf("%x %v", w.End(), ex.Winners())
 }
 
-// TestFreshViewsObserveConcurrently takes two Sub views of a bank just
-// built, calls nothing else on it, and has both views observe a dense step
-// at once (run it with -race): the column they share exists from the
-// bank's birth, so no view allocates one under the other, and the bank
-// then holds every value. In the wide arm each view is given a value past
-// 2³¹: each refuses it (ErrNarrow), storing nothing of it, the bank widens
-// (Widen), and the repeated sweep stores every value.
+// TestFreshViewsObserveConcurrently takes sixteen Sub views of a bank just
+// built, calls nothing else on it, and has every view observe a dense step
+// at once and read it back in its checkpoint frame (run it with -race): the
+// column they share exists from the bank's birth, so no view allocates one
+// under another; a view's loads and stores of its 3-byte entries stay in
+// them, short of the next view's first and of the last of the view before,
+// which other goroutines write (sixteen views, so that some view reads its
+// first entry after the view before writes its last, whatever order the
+// goroutines run in); and the bank then holds every value. In the int32 and wide arms each view is given a value past
+// ±2²³ or ±2⁴⁰: each refuses it (ErrNarrow), storing nothing of it, the
+// bank widens (Widen), and the repeated sweep stores every value.
 func TestFreshViewsObserveConcurrently(t *testing.T) {
-	const n = 1 << 12
+	const n, nv = 1 << 12, 16
 	for _, arm := range []struct {
 		name string
-		wide int64 // given to one node of each view; 0: none
-	}{{"narrow", 0}, {"wide", 1 << 40}} {
+		wide int64 // given to the middle node of each view, negated in every other; 0: none
+		tier Tier
+	}{{"narrow", 0, Tier24}, {"int32", 1 << 23, Tier32}, {"wide", 1 << 40, Tier48}} {
 		t.Run(arm.name, func(t *testing.T) {
 			b := NewNodes(n, 0, n, 1, false, order.Tol{})
-			views := []*Nodes{b.Sub(0, n/2), b.Sub(n/2, n)}
 			vals := make([]int64, n)
 			for i := range vals {
 				vals[i] = int64(i + 1)
 			}
-			wide := []int{n / 4, 3 * n / 4}
-			if arm.wide != 0 {
-				vals[wide[0]], vals[wide[1]] = arm.wide, -arm.wide
+			views, wide := make([]*Nodes, nv), make([]int, nv)
+			for v := range views {
+				views[v], wide[v] = b.Sub(v*n/nv, (v+1)*n/nv), v*n/nv+n/nv/2
+				if arm.wide != 0 {
+					vals[wide[v]] = []int64{arm.wide, -arm.wide - 1}[v%2]
+				}
 			}
+			frames := make([][]byte, len(views))
 			sweep := func() []error {
 				errs := make([]error, len(views))
 				var wg sync.WaitGroup
@@ -421,7 +444,9 @@ func TestFreshViewsObserveConcurrently(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						_, _, errs[v] = view.ObserveDense(vals[view.Lo():view.Hi()], 1)
+						if _, _, errs[v] = view.ObserveDense(vals[view.Lo():view.Hi()], 1); errs[v] == nil {
+							frames[v] = view.Snapshot(nil)
+						}
 					}()
 				}
 				wg.Wait()
@@ -444,6 +469,13 @@ func TestFreshViewsObserveConcurrently(t *testing.T) {
 				if err != nil {
 					t.Fatalf("view %d: %v", v, err)
 				}
+				var bs wire.BankState
+				if err := bs.Decode(frames[v]); err != nil || !slices.Equal(bs.Vals, vals[views[v].Lo():views[v].Hi()]) {
+					t.Fatalf("view %d read back other values (%v)", v, err)
+				}
+			}
+			if b.tier() != arm.tier {
+				t.Fatalf("the bank's column is at %d bytes, want %d", b.tier(), arm.tier)
 			}
 			for i, want := range vals {
 				if got := b.value(i); got != want {

@@ -76,15 +76,29 @@ func FuzzMonitorObserve(f *testing.F) {
 // reports, message counts, and stats at every step. Each step's
 // interleaving choice is read back out of the input bytes, so the fuzzer
 // explores sparse/dense switch points (including runs of consecutive
-// sparse steps) together with value patterns.
+// sparse steps) together with value patterns. Every value is offset by
+// base (reduced below 2⁵⁰, inside the value domain of 8 nodes), so a run
+// can sit at any edge of a bank column's tiers — ±2²³, ±2³¹, ±2⁴⁷ — where
+// the seeds start it, and cross it: a dense step widens the column through
+// the range kernel, a sparse one through a single store, at whichever
+// value meets the edge first.
 func FuzzDeltaDenseEquivalence(f *testing.F) {
-	f.Add([]byte{4, 2, 1, 2, 3, 4, 250, 6, 7, 8, 9, 10, 110, 12})
-	f.Add([]byte{1, 1, 0})
-	f.Add([]byte{6, 3, 255, 0, 255, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(int64(0), []byte{4, 2, 1, 2, 3, 4, 250, 6, 7, 8, 9, 10, 110, 12})
+	f.Add(int64(0), []byte{1, 1, 0})
+	f.Add(int64(0), []byte{6, 3, 255, 0, 255, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	for _, edge := range []int64{1 << 23, -1 << 23, 1 << 31, -1 << 31, 1 << 47, -1 << 47} {
+		f.Add(edge-12, []byte{4, 2, 5, 1, 9, 12, 240, 3, 250, 20, 6, 7, 8, 246, 30, 2, 0, 236, 1})
+	}
+	f.Fuzz(func(t *testing.T, base int64, data []byte) {
 		n, k, matrix := decodeWorkload(data)
 		if n == 0 || len(matrix) == 0 {
 			t.Skip()
+		}
+		base %= 1 << 50
+		for _, row := range matrix {
+			for i := range row {
+				row[i] += base
+			}
 		}
 		ref := New(Config{N: n, K: k, Seed: 99})
 		sut := New(Config{N: n, K: k, Seed: 99})

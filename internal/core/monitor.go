@@ -476,7 +476,7 @@ func newSplit(host Host, bank *coord.Nodes, views []*coord.Nodes) *split {
 // what they made of them. A view does not widen the column the views share
 // (coord.ErrNarrow): a step with a value the column's tier cannot hold
 // widens it here, to the tier the step's values need, between two sweeps,
-// and is swept again — at most twice in a bank's life.
+// and is swept again — at most three times in a bank's life.
 func (s *split) observe(vals []int64, step int64) (anyTop, anyOut bool, err error) {
 	s.vals, s.step = vals, step
 	s.host.Sweep(s.observe1)

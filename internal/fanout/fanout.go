@@ -276,7 +276,7 @@ func NewWith(cfg Config, links []transport.Link, exec Exec) (*Engine, error) {
 
 // MirrorTier returns the width the root keeps its last-value mirror at
 // (coord.Column): the narrowest tier that holds every value it was given,
-// Tier32 before the first.
+// Tier24 before the first.
 func (e *Engine) MirrorTier() coord.Tier { return e.last.Tier() }
 
 // closeAll closes every link of a failed construction.
@@ -507,8 +507,10 @@ func (e *Engine) queueFrame(pi int, step int64, ids []int, vals []int64) {
 		queueCells(e.fan, pi, step, ids, vals, c.Int64s())
 	case coord.Tier48:
 		queueCells(e.fan, pi, step, ids, vals, c.Int48s())
-	default:
+	case coord.Tier32:
 		queueCells(e.fan, pi, step, ids, vals, c.Int32s())
+	default:
+		queueCells(e.fan, pi, step, ids, vals, c.Int24s())
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 // the key is the tie-break injection order.Codec.Encode(Vals[i], base+i);
 // a field of keys as they are is the unit codec, Mul 1 and Tie 0 (KeyField).
 // The column is as wide as its values (wire.Value): a node bank
-// (internal/coord) keeps int32 entries, 4 bytes a node, while every value
-// it has held fits int32, packed 48-bit entries, 6 bytes, while every one
-// fits 48 bits, and int64 entries, 8 bytes, from the first that does not.
+// (internal/coord) keeps packed 24-bit entries, 3 bytes a node, while
+// every value it has held fits 24 bits, int32 entries, 4 bytes, while every
+// one fits int32, packed 48-bit entries, 6 bytes, while every one fits 48
+// bits, and int64 entries, 8 bytes, from the first that does not.
 // It is what the round kernel runs over; every node bank, and so every
 // engine, keeps its nodes this way and builds no per-execution participant
 // records.

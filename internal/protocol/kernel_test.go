@@ -419,8 +419,8 @@ func TestWarmScratchExecutionZeroAllocs(t *testing.T) {
 }
 
 // TestNarrowFieldSendsWhatWideSends runs one execution over a field of
-// int32 values and over the same values held as int64, and over a field of
-// packed 48-bit values and the same held as int64 — under the tie-break
+// int32 values and over the same values held as int64, and over fields of
+// packed 24-bit and 48-bit values and the same held as int64 — under the tie-break
 // injection, with ties, at both ends of each narrow width, in either sense
 // and at several offsets of the field's first node — and demands the same
 // sends, round for round, and the same winners: a column's width changes
@@ -444,6 +444,15 @@ func TestNarrowFieldSendsWhatWideSends(t *testing.T) {
 			wide.Vals[i] = v
 		}
 		sendsAlike(t, fmt.Sprintf("base %d, int48", base), packed, wide, base)
+		// Its last entry is read with narrow loads, the others with one
+		// 4-byte load each.
+		small := Field[wire.Int24]{Vals: make([]wire.Int24, n), Mul: total, Tie: total - 1 - int64(base)}
+		for i := range small.Vals {
+			v := []int64{1<<23 - 1, -1 << 23, 1 << 16, 0, -1, int64(r.Intn(20))}[r.Intn(6)]
+			wire.Store(small.Vals, i, v)
+			wide.Vals[i] = v
+		}
+		sendsAlike(t, fmt.Sprintf("base %d, int24", base), small, wide, base)
 	}
 }
 
@@ -485,21 +494,25 @@ func sendsAlike[V wire.Value](t *testing.T, where string, narrow Field[V], wide 
 // monitor's keys — values 1..n in a random order under the tie-break
 // injection — under a power-of-two bound (no thinning) and a general one
 // (thinned): over a column of int64 values, of int32 values (the rows
-// ending /narrow) and of packed 48-bit values (the rows ending /int48), the
-// three widths a node bank keeps.
+// ending /narrow), of packed 24-bit values (the rows ending /int24) and of
+// packed 48-bit values (the rows ending /int48), the four widths a node
+// bank keeps.
 func BenchmarkFieldRun(b *testing.B) {
 	for _, n := range []int{4096, 1 << 16, 1 << 20} {
 		wide := Field[int64]{Vals: make([]int64, n), Mul: int64(n), Tie: int64(n - 1)}
 		narrow := Field[int32]{Vals: make([]int32, n), Mul: int64(n), Tie: int64(n - 1)}
+		small := Field[wire.Int24]{Vals: make([]wire.Int24, n), Mul: int64(n), Tie: int64(n - 1)}
 		packed := Field[wire.Int48]{Vals: make([]wire.Int48, n), Mul: int64(n), Tie: int64(n - 1)}
 		for i, p := range rng.New(6, 1).Perm(n) {
 			wide.Vals[i], narrow.Vals[i] = int64(p+1), int32(p+1)
+			wire.Store(small.Vals, i, int64(p+1))
 			wire.Store(packed.Vals, i, int64(p+1))
 		}
 		for _, bound := range []int{n, n + n/3} {
 			name := fmt.Sprintf("n=%d/bound=%d", n, bound)
 			b.Run(name, func(b *testing.B) { benchFieldRun(b, wide, bound) })
 			b.Run(name+"/narrow", func(b *testing.B) { benchFieldRun(b, narrow, bound) })
+			b.Run(name+"/int24", func(b *testing.B) { benchFieldRun(b, small, bound) })
 			b.Run(name+"/int48", func(b *testing.B) { benchFieldRun(b, packed, bound) })
 		}
 	}

@@ -263,22 +263,29 @@ func (c counting) Sweep(f func(int)) {
 // rounds. The first step is the time-0 FILTERRESET, one execution: two
 // sweeps on the two shards Sharded takes at n = 2·minViewNodes and
 // GOMAXPROCS 2, where a pool crossing over once per round would take
-// 1 + ⌈log₂ n⌉ + 1 = 18.
+// 1 + ⌈log₂ n⌉ + 1 = 18, for values the column a bank is born with holds
+// (under 2²³). A step with a value it does not hold sweeps its batch once
+// more, after the bank widens the column (core's split.observe): three.
 func TestFirstStepSweepsTwice(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
 	const n = 2 * minViewNodes
-	sweeps := 0
-	m := core.NewOn(Config{N: n, K: 8, Seed: 1}.core(), func(bank *coord.Nodes) core.Host {
-		return counting{Sharded(bank), &sweeps}
-	})
-	defer m.Close()
-	vals := make([]int64, n)
-	stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: 1 << 24, MaxStep: 8, Seed: 2}).Step(vals)
-	m.Observe(vals)
-	if st := m.Stats(); st.Resets != 1 || st.HandlerCalls != 0 {
-		t.Fatalf("the first step ran %+v, want the time-0 reset alone", st)
-	}
-	if sweeps != 2 {
-		t.Fatalf("the first step swept the pool %d times, want 2: its batch and its one execution", sweeps)
+	for _, arm := range []struct {
+		hi     int64 // the walk's values lie below it
+		sweeps int
+	}{{1 << 20, 2}, {1 << 24, 3}} {
+		sweeps := 0
+		m := core.NewOn(Config{N: n, K: 8, Seed: 1}.core(), func(bank *coord.Nodes) core.Host {
+			return counting{Sharded(bank), &sweeps}
+		})
+		vals := make([]int64, n)
+		stream.NewRandomWalk(stream.WalkConfig{N: n, Lo: 0, Hi: arm.hi, MaxStep: 8, Seed: 2}).Step(vals)
+		m.Observe(vals)
+		m.Close()
+		if st := m.Stats(); st.Resets != 1 || st.HandlerCalls != 0 {
+			t.Fatalf("values below %d: the first step ran %+v, want the time-0 reset alone", arm.hi, st)
+		}
+		if sweeps != arm.sweeps {
+			t.Fatalf("values below %d: the first step swept the pool %d times, want %d: its batch, a widening's second, and its one execution", arm.hi, sweeps, arm.sweeps)
+		}
 	}
 }

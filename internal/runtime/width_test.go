@@ -15,15 +15,15 @@ import (
 )
 
 // TestPoolWidensBetweenSweeps runs the shard pool over a bank whose column
-// starts narrow: ten dense steps of values under 2²⁰, one dense step in
-// which nodes of both shards cross 2³¹, one in which they cross 2⁴⁷ — in
-// the value domain below 2¹⁶ nodes — then sparse steps that move values on
-// both sides of each. A shard's view never widens the column the views
+// starts narrow: ten dense steps of values under 2²⁰, in 3-byte cells, one
+// dense step in which nodes of both shards cross 2²³, one in which they
+// cross 2³¹, one in which they cross 2⁴⁷ — in the value domain below 2¹⁶
+// nodes — then sparse steps that move values on both sides of each. A shard's view never widens the column the views
 // share; the monitor widens it between two sweeps, on its own goroutine.
 // After every step the report must be the oracle's, and the report, every
 // phase's ledger row, the statistics and both checkpoint frames the inline
-// host's; each crossing step allocates the wider column once, 6 and then 8
-// bytes a node, on either host. Run it with -race: the widening happens
+// host's; each crossing step allocates the wider column once, 4, 6 and then
+// 8 bytes a node, on either host. Run it with -race: the widening happens
 // while every shard is parked.
 func TestPoolWidensBetweenSweeps(t *testing.T) {
 	const n, k, seed = 1 << 15, 16, 11
@@ -82,7 +82,7 @@ func TestPoolWidensBetweenSweeps(t *testing.T) {
 	for s, c := range []struct {
 		at    int64 // the value the crossing nodes take, and the new tier
 		bytes uint64
-	}{{1 << 31, 6}, {1 << 47, 8}} {
+	}{{1 << 23, 4}, {1 << 31, 6}, {1 << 47, 8}} {
 		src.Step(vals)
 		for _, id := range []int{5, n/2 - 1, n / 2, n/2 + 77, n - 1} {
 			vals[id] = c.at + int64(id) // both shards, at a view's edges and inside
@@ -104,7 +104,7 @@ func TestPoolWidensBetweenSweeps(t *testing.T) {
 		}
 		check(10+s, topPool, topInline)
 	}
-	for s := 12; s < 40; s++ {
+	for s := 13; s < 40; s++ {
 		var ids []int
 		var dv []int64
 		for id := r.Intn(300); id < n; id += 1 + r.Intn(600) {
@@ -114,6 +114,8 @@ func TestPoolWidensBetweenSweeps(t *testing.T) {
 				v = 1<<31 - 64 + r.Int63n(128) // across 2³¹
 			case 1:
 				v = -1<<47 - 64 + r.Int63n(128) // across −2⁴⁷
+			case 2:
+				v = -1<<23 - 64 + r.Int63n(128) // across −2²³
 			}
 			vals[id] = v
 			ids, dv = append(ids, id), append(dv, v)

@@ -145,7 +145,7 @@ func OpenBank(p []byte) (h BankHeader, col []byte, err error) {
 
 // ReadBankValues decodes a value column OpenBank returned into dst, which
 // must have one slot per hosted node, and checks that the frame ends with
-// it. dst may be a bank's int32 or 48-bit column, whose caller has checked
+// it. dst may be a bank's column of any width, whose caller has checked
 // that every value fits it.
 func ReadBankValues[V Value](col []byte, dst []V) error {
 	for i := range dst {

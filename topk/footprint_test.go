@@ -24,19 +24,19 @@ func liveHeap() uint64 {
 }
 
 // widthArm is one of a footprint pin's arms: the values a monitor is fed —
-// base plus at most a couple of million, every one of them in int32 (the
-// narrow arm) or none of them (the others) — and the bytes a node a value
+// base plus at most a couple of million — and the bytes a node a value
 // column holds them in, the tier they need: a bank's, or a link-backed
-// root's mirror. Past int32 (the wide arm, from 2³¹) and at 2⁴⁰ (the values
-// of benchmark/'s seq-sparse-quiet) that is 6 bytes; from 2⁴⁷ it is 8, which
-// only a monitor of fewer than 2¹⁶ nodes admits (order.MaxValueFor).
+// root's mirror. Below 2²³ (the narrow arm) that is 3 bytes; from 2²³ (the
+// int32 arm) 4; past int32 (the wide arm, from 2³¹) and at 2⁴⁰ (the values
+// of benchmark/'s seq-sparse-quiet) 6; from 2⁴⁷ 8, which only a monitor of
+// fewer than 2¹⁶ nodes admits (order.MaxValueFor).
 type widthArm struct {
 	name   string
 	base   int64
 	column float64
 }
 
-var widthArms = []widthArm{{"narrow", 0, 4}, {"wide", 1 << 31, 6}, {"int48", 1 << 40, 6}, {"int64", 1 << 47, 8}}
+var widthArms = []widthArm{{"narrow", 0, 3}, {"int32", 1 << 23, 4}, {"wide", 1 << 31, 6}, {"int48", 1 << 40, 6}, {"int64", 1 << 47, 8}}
 
 // fits reports whether arm's values lie in the value domain of n nodes.
 func (arm widthArm) fits(n int) bool { return arm.base+1<<21 <= order.MaxValueFor(n) }
@@ -52,18 +52,19 @@ func armValues(arm widthArm, n int) []int64 {
 
 // TestSequentialFootprintPerNode pins what a sequential monitor keeps
 // alive per node once its first Observe — the time-0 FILTERRESET over all
-// n nodes — has run: the bank's value column (4 B while every value fits
-// int32, the narrow arm; 6 B while every one fits 48 bits, which at this n
-// every value in the domain does) + membership bit + in-play bit, and the
-// coordinator machine's membership bit: 4.38 B/node narrow, 6.38 past
-// int32 (the filters are the bank's two bounds, a node's coins a function
-// of its id, cohorts are enlisted from the membership bits, not listed).
-// The budgets, 4.6 and 6.6, leave no room for an int64 column (8 B), a key
-// column beside the values (8 B), a narrower column kept beside the wider
-// one (4 B), a flag byte, a generator's state or a violation stamp (8
-// B), an id list (4 B), a per-node filter interval (16 B) or a protocol
-// record (a 32-byte sampler, a 24-byte participant) to stay reachable from
-// the monitor after the reset.
+// n nodes — has run: the bank's value column (3 B while every value fits
+// 24 bits, the narrow arm; 4 B while every one fits int32; 6 B while every
+// one fits 48 bits, which at this n every value in the domain does) +
+// membership bit + in-play bit: 3.3 B/node narrow, 4.3 to int32, 6.3
+// past it (the filters are the bank's two bounds, a node's coins a function
+// of its id, cohorts are enlisted from the membership bits, not listed; the
+// machine keeps its k members, not a bit a node). The budgets, the column
+// and 0.6 B, leave no room for a column a width too wide (1 B or more), a
+// key column beside the values (8 B), a narrower column kept beside the
+// wider one (3 B or more), a flag byte, a generator's state or a violation
+// stamp (8 B), an id list (4 B), a per-node filter interval (16 B) or a
+// protocol record (a 32-byte sampler, a 24-byte participant) to stay
+// reachable from the monitor after the reset.
 func TestSequentialFootprintPerNode(t *testing.T) {
 	const n, k = 1 << 18, 16
 	for _, arm := range widthArms {
@@ -94,7 +95,7 @@ func TestSequentialFootprintPerNode(t *testing.T) {
 // TestAsyncFootprintPerNode pins that asynchronous ingestion costs its
 // queue, not its n: a monitor with a queue of 16 holds what the sequential
 // one does per node after its first dense Observe and a Drain, within the
-// same budgets, 4.6 B/node narrow and 6.6 past int32. The coalescing buffer's
+// same budgets, the column and 0.6 B/node. The coalescing buffer's
 // index is sized by the depth; a dense slot index (4 B/node) does not fit
 // either budget.
 func TestAsyncFootprintPerNode(t *testing.T) {
@@ -175,18 +176,17 @@ func heldAfterFourSteps(t *testing.T, cfg func() Config, base int64) float64 {
 }
 
 // The steady state of a link-backed monitor, per node: the hosts' banks
-// (the value column, 4, 6 or 8 B, + membership bit + in-play
-// bit) with the machine's membership bit, and the coordinator's last-value
-// mirror, a value column too (mirrorBytes); and a change-coded frame, a
-// byte a value.
+// (the value column, 3, 4, 6 or 8 B, + membership bit + in-play bit), and
+// the coordinator's last-value mirror, a value column too (mirrorBytes);
+// and a change-coded frame, a byte a value.
 const changeBytes = 1
 
 // mirrorBytes is the root's last-value mirror's bytes a node on arm: as
-// wide as its values, 4, 6 or 8 B, as a bank's column is.
+// wide as its values, 3, 4, 6 or 8 B, as a bank's column is.
 func mirrorBytes(arm widthArm) float64 { return arm.column }
 
 // bankBytes is a host bank's bytes a node whose value column holds column.
-func bankBytes(column float64) float64 { return column + 2.0/8 + 1.0/8 }
+func bankBytes(column float64) float64 { return column + 1.0/8 + 1.0/8 }
 
 // TestLoopbackFootprintPerNode pins what a networked monitor and the
 // processes that host its nodes keep alive, all of it in this process over
@@ -198,9 +198,10 @@ func bankBytes(column float64) float64 { return column + 2.0/8 + 1.0/8 }
 // step's frames are encoded into buffers of their own size, so what is
 // measured is the steady state: the banks, the mirror and the change-coded
 // frames in the one buffer each pipe cycles through, a host's answer
-// freeing the frame it answers, ≈ 9.5 B/node while every value fits int32
-// (the narrow arm: bank column and mirror 4 B each), ≈ 13.5 once none does
-// and every one fits 48 bits (6 B each) and ≈ 17.5 from 2⁴⁷, at n = 2¹²
+// freeing the frame it answers, ≈ 7.4 B/node while every value fits 24
+// bits (the narrow arm: bank column and mirror 3 B each), ≈ 9.4 while every
+// one fits int32 (4 B each), ≈ 13.4 once none does and every one fits 48
+// bits (6 B each) and ≈ 17.4 from 2⁴⁷, at n = 2¹²
 // (8 B each); and
 // what does not grow with n — the hosts' goroutines, the pipes' channels,
 // what k sizes — under 13 KiB. A host applies a frame from the buffer it arrived in, and the
@@ -235,15 +236,16 @@ func TestLoopbackFootprintPerNode(t *testing.T) {
 
 // TestTreeFootprintPerNode pins the same for a 2x2 coordinator tree: the
 // root over two relays, each over two leaf shards, all in this process,
-// after the same four dense steps. Beside the leaves' banks, the machine's
-// bit and the root's mirror, a change-coded frame — a byte a value — is
+// after the same four dense steps. Beside the leaves' banks and the root's
+// mirror, a change-coded frame — a byte a value — is
 // held once at every link it crosses, in the buffer that link carries it
 // in: the root encodes into the buffer each root-to-relay pipe cycles
 // through (one frame in all), and each relay writes its shares into the
-// buffer each relay-to-leaf pipe cycles through (one): 2 frames, ≈ 10.7
-// B/node while every value fits int32 (the narrow arm, the mirror 4 B) and
-// ≈ 14.7 once none does and every one fits 48 bits (the mirror 6 B) and
-// ≈ 18.7 from 2⁴⁷, at n = 2¹² (the mirror 8 B); and what does not
+// buffer each relay-to-leaf pipe cycles through (one): 2 frames, ≈ 8.6
+// B/node while every value fits 24 bits (the narrow arm, the mirror 3 B),
+// ≈ 10.6 while every one fits int32 (the mirror 4 B), ≈ 14.6 once none
+// does and every one fits 48 bits (the mirror 6 B) and ≈ 18.6 from 2⁴⁷, at
+// n = 2¹² (the mirror 8 B); and what does not
 // grow with n — seven
 // goroutines, six pipes' channels, the relays' state, what k sizes — under
 // 38 KiB. An encode
@@ -276,10 +278,8 @@ func TestTreeFootprintPerNode(t *testing.T) {
 }
 
 // TestOrderedFootprintPerNode pins that the ordered mode costs what the set
-// mode costs per node — the value column, membership bit, in-play bit, and
-// the machine's membership bit, within 4.6 B/node narrow and 6.6 past
-// int32: the
-// order filters are a table of the k members', in the bank, not a 16-byte
+// mode costs per node — the value column, membership bit and in-play bit,
+// within the column and 0.6 B/node: the order filters are a table of the k members', in the bank, not a 16-byte
 // column over all n nodes (which the retired concurrent engine's bank held
 // before the table moved there). At this n the monitor runs on the shard
 // pool at GOMAXPROCS ≥ 2, whose views share the bank's column.
@@ -314,8 +314,8 @@ func TestOrderedFootprintPerNode(t *testing.T) {
 // column's width: from n = 2¹⁶ on, order.MaxValueFor(n) < 2⁴⁷, so a bank
 // and a link-backed root's mirror fed the domain's extremes, ±MaxValueFor(n),
 // keep them at 6 bytes a node, never at int64's 8. At n = 2¹⁶ and 2²⁰ a
-// sequential monitor holds them in 6.38 B/node and what does not grow with
-// n — within 7, where an int64 column would be 8.38 — and a Loopback(2)
+// sequential monitor holds them in 6.3 B/node and what does not grow with
+// n — within 7, where an int64 column would be 8.3 — and a Loopback(2)
 // monitor's mirror is at Tier48 after a dense step and after a sparse one
 // that moves nodes across the whole domain.
 func TestColumnNeverWiderThanTheCodecBound(t *testing.T) {
@@ -781,10 +781,10 @@ func TestCheckpointChainFootprint(t *testing.T) {
 
 // TestRestoreAllocatesTheBankAndTheFrame pins that Restore reads the
 // frame's columns straight into the arrays a fresh monitor allocates
-// anyway: beyond what New allocates — its bank's value column among it, 4
-// bytes a node at Tier32 — the part of the restored column New's does not
-// cover, which Restore allocates at the tier the frame's values need (0 or
-// 2 bytes a node here), and the frame's own bytes (the store hands out a
+// anyway: beyond what New allocates — its bank's value column among it, 3
+// bytes a node at Tier24 — the part of the restored column New's does not
+// cover, which Restore allocates at the tier the frame's values need (0, 1
+// or 3 bytes a node here), and the frame's own bytes (the store hands out a
 // copy) it needs under half a byte a node: the
 // filter check reads the bank's own membership bitset and bounds. A
 // filter set built from the frame for the check (a bool a node and the
@@ -801,9 +801,9 @@ func TestRestoreAllocatesTheBankAndTheFrame(t *testing.T) {
 }
 
 // restoreAllocates is TestRestoreAllocatesTheBankAndTheFrame on arm's
-// values, whose column is arm.column bytes a node, 4 of them already New's.
+// values, whose column is arm.column bytes a node, 3 of them already New's.
 func restoreAllocates(t *testing.T, n, k int, slack float64, arm widthArm) {
-	column := arm.column - 4
+	column := arm.column - float64(coord.Tier24)
 	totalAlloc := func(f func()) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -13,15 +13,16 @@ import (
 )
 
 // TestMirrorWidensMidRun holds a link-backed root's last-value mirror to
-// the tier of its values across a run in which a value crosses 2³¹ at step
-// widenAt and another 2⁴⁷ at step widestAt, over Loopback(2) and a 2x2
+// the tier of its values across a run in which a value crosses 2²³ at step
+// int32At, another 2³¹ at step widenAt and another 2⁴⁷ at step widestAt,
+// over Loopback(2) and a 2x2
 // tree, on dense steps and on sparse ones. The mirror is what frames are
 // coded against, what a failover replays into rebuilt banks and what a
 // checkpoint stores, so each of those is run over the 6-byte mirror:
 //
 //   - a plain run: at every step the report and Bytes equal the sequential
-//     engine's, and the mirror is 4 bytes a node until step widenAt, 6 until
-//     step widestAt and 8 from then on;
+//     engine's, and the mirror is 3 bytes a node until step int32At, 4
+//     until step widenAt, 6 until step widestAt and 8 from then on;
 //   - a failover: a root link, wrapped in a transport.Faulty, is cut ahead
 //     of step cutAt, which returns the last good report; the next step
 //     redials, replays the 6-byte mirror and forces a FILTERRESET, and
@@ -32,7 +33,7 @@ import (
 //     sequential engine's.
 func TestMirrorWidensMidRun(t *testing.T) {
 	const n, k, seed, steps = 64, 4, 9, 14
-	const widenAt, cutAt, restoreAt, widestAt = 5, 8, 7, 10
+	const int32At, widenAt, cutAt, restoreAt, widestAt = 2, 5, 8, 7, 10
 	shapes := []struct {
 		name string
 		cfg  func() Config
@@ -58,9 +59,11 @@ func TestMirrorWidensMidRun(t *testing.T) {
 				arm = "sparse"
 			}
 			t.Run(sh.name+"/"+arm, func(t *testing.T) {
-				tr := newWideningTrace(n, widenAt, widestAt, sparse)
+				tr := newWideningTrace(n, int32At, widenAt, widestAt, sparse)
 				tier := func(s int) coord.Tier {
 					switch {
+					case s < int32At:
+						return coord.Tier24
 					case s < widenAt:
 						return coord.Tier32
 					case s < widestAt:
@@ -161,19 +164,20 @@ func TestMirrorWidensMidRun(t *testing.T) {
 }
 
 // wideningTrace is the run TestMirrorWidensMidRun feeds every monitor:
-// values in int32 until step widenAt, where node 3 crosses 2³¹, and node
-// n-5 crosses -2³¹ a step later; values in 48 bits until step widestAt,
-// where node 7 crosses 2⁴⁷; dense steps, or sparse ones that move every
-// fifth node and the three that cross (step 0 is every node).
+// values in 24 bits until step int32At, where node 11 crosses 2²³; in int32
+// until step widenAt, where node 3 crosses 2³¹, and node n-5 crosses -2³¹ a
+// step later; values in 48 bits until step widestAt, where node 7 crosses
+// 2⁴⁷; dense steps, or sparse ones that move every fifth node and the four
+// that cross (step 0 is every node).
 type wideningTrace struct {
-	n, widenAt, widestAt int
-	sparse               bool
-	vals                 []int64
-	ids                  []int
+	n, int32At, widenAt, widestAt int
+	sparse                        bool
+	vals                          []int64
+	ids                           []int
 }
 
-func newWideningTrace(n, widenAt, widestAt int, sparse bool) *wideningTrace {
-	return &wideningTrace{n: n, widenAt: widenAt, widestAt: widestAt, sparse: sparse, vals: make([]int64, n)}
+func newWideningTrace(n, int32At, widenAt, widestAt int, sparse bool) *wideningTrace {
+	return &wideningTrace{n: n, int32At: int32At, widenAt: widenAt, widestAt: widestAt, sparse: sparse, vals: make([]int64, n)}
 }
 
 // observe feeds monitor m step s and returns its report.
@@ -189,8 +193,10 @@ func (tr *wideningTrace) observe(t *testing.T, m *Monitor, s int) []int {
 			v = -1<<31 - 1 - int64(s)
 		case i == 7 && s >= tr.widestAt:
 			v = 1<<47 + int64(s)
+		case i == 11 && s >= tr.int32At:
+			v = 1<<23 + int64(s)
 		}
-		if s == 0 || !tr.sparse || i%5 == s%5 || i == 3 || i == tr.n-5 || i == 7 {
+		if s == 0 || !tr.sparse || i%5 == s%5 || i == 3 || i == tr.n-5 || i == 7 || i == 11 {
 			tr.vals[len(tr.ids)] = v
 			tr.ids = append(tr.ids, i)
 		}
